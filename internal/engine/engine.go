@@ -78,8 +78,8 @@ type Database struct {
 
 	// imc is the intermediate-result cache (nil when disabled by config);
 	// imcOn gates it at runtime so benchmarks can toggle phases. Admission,
-	// eviction and stale transitions of view-tier entries call
-	// InvalidatePlans through the cache's OnChange hook, exactly like DDL.
+	// eviction and stale transitions of view-tier entries clear the query
+	// plan cache through the cache's OnChange hook (invalidateQueryPlans).
 	imc   *imcache.Cache
 	imcOn atomic.Bool
 
@@ -160,7 +160,7 @@ func New(cfg Config) *Database {
 			imOpts = *cfg.IMCache
 		}
 		db.imc = imcache.New(imOpts)
-		db.imc.OnChange(db.InvalidatePlans)
+		db.imc.OnChange(db.invalidateQueryPlans)
 		db.imcOn.Store(true)
 	}
 	db.registerSystemTables()
@@ -279,12 +279,23 @@ func (db *Database) ExecSession(sqlText string, params exec.Params, minLSN stora
 	return db.Exec(sqlText, params)
 }
 
-// InvalidatePlans clears the plan cache and the matview maintenance-plan
-// cache (after DDL or stats refresh).
-func (db *Database) InvalidatePlans() {
+// invalidateQueryPlans clears the SELECT plan cache alone. It is what an
+// intermediate-result transition (admit, stale, refresh, evict of a
+// view-tier entry) needs: cached plans may read a synthetic __im_N view that
+// just changed, but whether a statement shape may be auto-parameterized
+// depends on DDL and cached-view definitions only, so the shape cache — and
+// the matview maintenance plans — survive the churn.
+func (db *Database) invalidateQueryPlans() {
 	db.planMu.Lock()
 	db.planCache.clear()
 	db.planMu.Unlock()
+}
+
+// InvalidatePlans clears the plan cache, the auto-parameterization shape
+// cache and the matview maintenance-plan cache (after DDL, a stats refresh
+// or an optimizer-option change).
+func (db *Database) InvalidatePlans() {
+	db.invalidateQueryPlans()
 	db.autoMu.Lock()
 	db.autoCache.clear()
 	db.autoMu.Unlock()

@@ -268,6 +268,80 @@ func TestIMCachePlanInvalidationOnAdmit(t *testing.T) {
 	}
 }
 
+// TestIMCacheChurnKeepsAutoParamShapes: admitting and invalidating a
+// view-tier intermediate clears the query plan cache (and a plan optimized
+// across the transition is not re-inserted) but leaves the
+// auto-parameterization shape cache alone — shape eligibility depends on DDL
+// and cached-view definitions, never on __im_N entries.
+func TestIMCacheChurnKeepsAutoParamShapes(t *testing.T) {
+	db := imTestDB(t, nil)
+	for _, q := range []string{
+		"SELECT v FROM t WHERE id = 1",
+		"SELECT COUNT(*) AS n FROM t WHERE v = 3",
+	} {
+		if _, err := db.Exec(q, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes := db.AutoParamCacheSize()
+	if shapes == 0 || db.PlanCacheSize() == 0 {
+		t.Fatalf("warm-up cached nothing: shapes=%d plans=%d", shapes, db.PlanCacheSize())
+	}
+
+	db.planMu.Lock()
+	staleGen := db.planCache.gen
+	db.planMu.Unlock()
+
+	// Admit: the second execution materializes a view-tier entry.
+	const q = "SELECT id, v FROM t WHERE grp = 7"
+	for i := 0; i < 2; i++ {
+		if _, err := db.Exec(q, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes++ // q's own shape
+	if got := db.AutoParamCacheSize(); got != shapes {
+		t.Fatalf("admit changed the shape cache: %d shapes, want %d", got, shapes)
+	}
+	// The admit cleared the plan cache: the warm-up statements' plans are gone.
+	if n := db.PlanCacheSize(); n != 0 {
+		t.Fatalf("admit left %d cached plans", n)
+	}
+	// planCached refuses to insert a plan optimized under an older
+	// generation, so a plan in flight across the admit is not re-inserted.
+	db.planMu.Lock()
+	if db.planCache.gen == staleGen {
+		t.Fatal("admit did not advance the plan-cache generation")
+	}
+	db.planMu.Unlock()
+
+	// Re-warm one plan (a new literal: the old text is now served by the
+	// exact tier without planning), then invalidate the entry by a write.
+	if _, err := db.Exec("SELECT v FROM t WHERE id = 2", nil); err != nil {
+		t.Fatal(err)
+	}
+	if db.PlanCacheSize() == 0 {
+		t.Fatal("plan not re-cached after admit")
+	}
+	if _, err := db.Exec("UPDATE t SET v = v + 1 WHERE id = 500", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.PlanCacheSize(); n != 0 {
+		t.Fatalf("invalidation left %d cached plans", n)
+	}
+	if got := db.AutoParamCacheSize(); got != shapes {
+		t.Fatalf("invalidation changed the shape cache: %d shapes, want %d", got, shapes)
+	}
+
+	// DDL still clears everything.
+	if _, err := db.Exec("CREATE INDEX ix_t_grp ON t (grp)", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.AutoParamCacheSize(); got != 0 {
+		t.Fatalf("DDL left %d shapes cached", got)
+	}
+}
+
 // TestIMCacheConcurrentStress drives queries, writes and enable/disable
 // toggles concurrently; run under -race this checks the locking discipline
 // between the cache, the plan cache and the optimizer env.

@@ -51,6 +51,8 @@ func Instrument(op Operator) *Instrumented {
 	case *HashJoin:
 		x.Left = Instrument(x.Left)
 		x.Right = Instrument(x.Right)
+	case *IndexJoin:
+		x.Outer = Instrument(x.Outer)
 	case *NestedLoop:
 		x.Left = Instrument(x.Left)
 		x.Right = Instrument(x.Right)

@@ -34,6 +34,13 @@ func CloneOperator(op Operator) Operator {
 			LeftOuter: x.LeftOuter, Residual: x.Residual, BuildEst: x.BuildEst,
 			ShareBuild: x.ShareBuild,
 		}
+	case *IndexJoin:
+		return &IndexJoin{
+			Outer: CloneOperator(x.Outer), OuterKeys: x.OuterKeys,
+			TableName: x.TableName, IndexName: x.IndexName,
+			InnerCols: x.InnerCols, Proj: x.Proj,
+			Pred: x.Pred, Residual: x.Residual, LeftOuter: x.LeftOuter,
+		}
 	case *NestedLoop:
 		return &NestedLoop{
 			Left: CloneOperator(x.Left), Right: CloneOperator(x.Right),

@@ -66,10 +66,18 @@ type Counters struct {
 	StartupPruned int64 // startup filters whose input was never opened
 }
 
+// add accumulates o into c.
+func (c *Counters) add(o *Counters) {
+	c.RowsScanned += o.RowsScanned
+	c.RowsRemote += o.RowsRemote
+	c.RemoteQueries += o.RemoteQueries
+	c.StartupPruned += o.StartupPruned
+}
+
 // Ctx is the per-execution context.
 type Ctx struct {
 	Params   Params
-	Env      Env             // expression environment; Run seeds Named from Params
+	Env      Env // expression environment; Run seeds Named from Params
 	Txn      *storage.Txn
 	Remote   RemoteClient
 	Counters *Counters

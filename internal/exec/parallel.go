@@ -38,6 +38,8 @@ type Exchange struct {
 	buf        []types.Row
 	bufPos     int
 	workerRows []int64
+	counters   []Counters // per-worker work, merged into parent at Close
+	parent     *Counters  // the consumer's counters (may be nil)
 	opened     bool
 	closed     bool
 }
@@ -67,6 +69,8 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	e.err = nil
 	e.buf, e.bufPos = nil, 0
 	e.workerRows = make([]int64, dop)
+	e.counters = make([]Counters, dop)
+	e.parent = ctx.Counters
 	e.opened, e.closed = true, false
 
 	var done <-chan struct{}
@@ -76,7 +80,7 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	e.wg.Add(dop)
 	for i := range e.workers {
 		wctx := *ctx
-		wctx.Counters = &Counters{}
+		wctx.Counters = &e.counters[i]
 		wctx.Span = span.Child(fmt.Sprintf("worker%d", i))
 		go e.runWorker(i, e.workers[i], &wctx, ctx, done)
 	}
@@ -90,20 +94,12 @@ func (e *Exchange) Open(ctx *Ctx) error {
 }
 
 // runWorker drives one partitioned clone to completion, pushing row batches
-// to the gather channel. Worker counters are private and merged into the
-// parent's on exit; the worker span records the rows it produced.
+// to the gather channel. Worker counters are private (Close merges them into
+// the consumer's); the worker span records the rows it produced.
 func (e *Exchange) runWorker(i int, op Operator, ctx *Ctx, parent *Ctx, done <-chan struct{}) {
 	var rows int64
 	defer func() {
 		e.workerRows[i] = rows
-		if parent.Counters != nil {
-			e.mu.Lock()
-			parent.Counters.RowsScanned += ctx.Counters.RowsScanned
-			parent.Counters.RowsRemote += ctx.Counters.RowsRemote
-			parent.Counters.RemoteQueries += ctx.Counters.RemoteQueries
-			parent.Counters.StartupPruned += ctx.Counters.StartupPruned
-			e.mu.Unlock()
-		}
 		ctx.Span.Attr("rows", fmt.Sprint(rows))
 		ctx.Span.End()
 		e.wg.Done()
@@ -218,6 +214,14 @@ func (e *Exchange) Close() error {
 	for range e.ch {
 	}
 	e.wg.Wait()
+	// Merge on the consumer's goroutine, after every worker has exited:
+	// operators above the Exchange (a lookup join over a gathered outer, say)
+	// update the same counters while the workers run.
+	if e.parent != nil {
+		for i := range e.counters {
+			e.parent.add(&e.counters[i])
+		}
+	}
 	e.buf = nil
 	e.workers = nil
 	return nil
@@ -318,6 +322,10 @@ func bindPartitions(ctx *Ctx, tmpl Operator, workers []Operator) error {
 			return err
 		}
 		return bindPartitions(ctx, t.Right, pickChildren(workers, func(op Operator) Operator { return op.(*HashJoin).Right }))
+	case *IndexJoin:
+		// A streaming operator over its outer input: every worker seeks the
+		// shared snapshot for its own partition of outer rows.
+		return bindPartitions(ctx, t.Outer, pickChildren(workers, func(op Operator) Operator { return op.(*IndexJoin).Outer }))
 	case *NestedLoop:
 		if err := bindPartitions(ctx, t.Left, pickChildren(workers, func(op Operator) Operator { return op.(*NestedLoop).Left })); err != nil {
 			return err
@@ -399,10 +407,7 @@ func parallelBuild(ctx *Ctx, tmpl Operator, keys []Expr, est float64, dop int) (
 	wg.Wait()
 	if ctx.Counters != nil {
 		for _, c := range counters {
-			ctx.Counters.RowsScanned += c.RowsScanned
-			ctx.Counters.RowsRemote += c.RowsRemote
-			ctx.Counters.RemoteQueries += c.RemoteQueries
-			ctx.Counters.StartupPruned += c.StartupPruned
+			ctx.Counters.add(c)
 		}
 	}
 	for _, err := range errs {
@@ -433,6 +438,8 @@ func hasParallelLeaf(op Operator) bool {
 		return hasParallelLeaf(x.Input)
 	case *HashJoin:
 		return hasParallelLeaf(x.Left)
+	case *IndexJoin:
+		return hasParallelLeaf(x.Outer)
 	}
 	return false
 }

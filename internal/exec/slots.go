@@ -84,6 +84,13 @@ func WalkExprs(op Operator, fn func(Expr)) {
 		visit(x.Residual)
 		WalkExprs(x.Left, fn)
 		WalkExprs(x.Right, fn)
+	case *IndexJoin:
+		for _, e := range x.OuterKeys {
+			visit(e)
+		}
+		visit(x.Pred)
+		visit(x.Residual)
+		WalkExprs(x.Outer, fn)
 	case *NestedLoop:
 		visit(x.Pred)
 		WalkExprs(x.Left, fn)

@@ -112,23 +112,16 @@ func (pl *planner) matchViewCandidate(cs *candSet, ai *aliasInfo, neededSet map[
 		}
 	}
 	fl := EstimateGuardFrequency(m.GuardTerms, t.Stats)
-	dynPlan := &plan{
-		op:        local.op,
-		loc:       Local,
-		cols:      local.cols,
-		card:      fl*local.card + (1-fl)*alt.card,
-		cost:      fl*local.cost + (1-fl)*alt.cost,
-		usedViews: local.usedViews,
-		dyn:       &dynInfo{guardAST: m.Guard, fl: fl, alt: alt},
-	}
+	// The dynamic plan keeps local's leaf descriptor: once a join pulls the
+	// ChoosePlan above itself, the guard-true branch is the bare view access
+	// again and may be sought into.
+	dyn := dynPlan(local, alt, alt.cost, &dynInfo{guardAST: m.Guard, fl: fl})
 	if !pl.env.Opts.PullUpChoosePlan {
-		mat, err := pl.materialize(dynPlan)
-		if err != nil {
+		if dyn, err = pl.materialize(dyn); err != nil {
 			return err
 		}
-		dynPlan = mat
 	}
-	cs.add(dynPlan)
+	cs.add(dyn)
 
 	// Mixed-result plan (§5.1.1): allowed for regular materialized views
 	// only — never for cached views or intermediates, whose rows may be
@@ -237,25 +230,32 @@ func (pl *planner) localAccess(ai *aliasInfo, storageTable *catalog.Table, stora
 	}
 
 	// Project to the needed columns in canonical order.
-	op, cols, err := projectNeeded(bestOp, ai, sc, colMap, storageTable)
+	op, cols, proj, err := projectNeeded(bestOp, ai, colMap, storageTable)
 	if err != nil {
 		return nil, err
 	}
-	return &plan{op: op, loc: Local, cols: cols, card: bestCard, cost: bestCost + bestCard*costProjectRow}, nil
+	p := &plan{op: op, loc: Local, cols: cols, card: bestCard, cost: bestCost + bestCard*costProjectRow}
+	if !storageTable.Virtual {
+		// Virtual tables have no storage and therefore nothing to seek.
+		p.leaf = &leafAccess{op: op, table: storageTable, scanCols: scanCols, proj: proj, conj: conj}
+	}
+	return p, nil
 }
 
-func projectNeeded(input exec.Operator, ai *aliasInfo, sc *scope, colMap map[string]int, storageTable *catalog.Table) (exec.Operator, []exec.ColInfo, error) {
+func projectNeeded(input exec.Operator, ai *aliasInfo, colMap map[string]int, storageTable *catalog.Table) (exec.Operator, []exec.ColInfo, []int, error) {
 	var exprs []exec.Expr
 	var cols []exec.ColInfo
+	var proj []int
 	for _, base := range ai.needed {
 		ord, ok := colMap[base]
 		if !ok {
-			return nil, nil, fmt.Errorf("opt: column %s not available in %s", base, storageTable.Name)
+			return nil, nil, nil, fmt.Errorf("opt: column %s not available in %s", base, storageTable.Name)
 		}
 		exprs = append(exprs, &exec.ColExpr{I: ord})
 		cols = append(cols, exec.ColInfo{Table: ai.alias, Name: base, Kind: storageTable.Columns[ord].Type})
+		proj = append(proj, ord)
 	}
-	return &exec.Project{Input: input, Exprs: exprs, Cols: cols}, cols, nil
+	return &exec.Project{Input: input, Exprs: exprs, Cols: cols}, cols, proj, nil
 }
 
 // scanPath is a full scan plus residual filter.
@@ -296,11 +296,7 @@ func (pl *planner) indexPath(t *catalog.Table, storageName string, scanCols []ex
 	var bestBound boundSpec
 	bestSel := 1.1
 
-	indexes := append([]*catalog.Index{}, t.Indexes...)
-	if len(t.PrimaryKey) > 0 {
-		indexes = append(indexes, &catalog.Index{Name: "__pk", Table: t.Name, Columns: t.PrimaryKey, Unique: true})
-	}
-	for _, idx := range indexes {
+	for _, idx := range allIndexes(t) {
 		lo, hi, sel, usable := pl.indexBounds(idx, t, scanCols, simple, stats)
 		if !usable {
 			continue
@@ -349,6 +345,15 @@ func (pl *planner) indexPath(t *catalog.Table, storageName string, scanCols []ex
 		card = 1
 	}
 	return op, cost, card, true
+}
+
+// allIndexes lists a table's secondary indexes plus its primary-key index.
+func allIndexes(t *catalog.Table) []*catalog.Index {
+	indexes := append([]*catalog.Index{}, t.Indexes...)
+	if len(t.PrimaryKey) > 0 {
+		indexes = append(indexes, &catalog.Index{Name: "__pk", Table: t.Name, Columns: t.PrimaryKey, Unique: true})
+	}
+	return indexes
 }
 
 // indexBounds computes seek bounds for an index from the sargable predicates:
@@ -578,7 +583,10 @@ func (pl *planner) remoteAccess(ai *aliasInfo, t *catalog.Table) *plan {
 		where: append([]sql.Expr{}, ai.singleConj...),
 		cols:  cols,
 	}
-	return &plan{rem: rem, loc: Remote, cols: cols, card: card, cost: cost}
+	return &plan{
+		rem: rem, loc: Remote, cols: cols, card: card, cost: cost,
+		leaf: &leafAccess{rem: rem, table: t, scanCols: scanCols, conj: ai.singleConj},
+	}
 }
 
 // planDerivedLeaf adapts a derived table's candidate set to leaf shape.

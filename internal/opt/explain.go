@@ -99,6 +99,11 @@ func opLine(op exec.Operator) string {
 			return "HashLeftJoin"
 		}
 		return "HashJoin"
+	case *exec.IndexJoin:
+		if x.LeftOuter {
+			return fmt.Sprintf("IndexLeftJoin %s.%s", x.TableName, x.IndexName)
+		}
+		return fmt.Sprintf("IndexJoin %s.%s", x.TableName, x.IndexName)
 	case *exec.NestedLoop:
 		if x.LeftOuter {
 			return "NestedLoopLeft"
@@ -144,6 +149,8 @@ func opChildren(op exec.Operator) []exec.Operator {
 		return []exec.Operator{x.Template}
 	case *exec.HashJoin:
 		return []exec.Operator{x.Left, x.Right}
+	case *exec.IndexJoin:
+		return []exec.Operator{x.Outer}
 	case *exec.NestedLoop:
 		return []exec.Operator{x.Left, x.Right}
 	case *exec.UnionAll:
@@ -174,7 +181,11 @@ func analyzeRec(b *strings.Builder, op exec.Operator, depth int) {
 		if !inst.Stats.Opened {
 			line += " (never executed)"
 		} else {
-			line += fmt.Sprintf(" (actual rows=%d time=%s)", inst.Stats.Rows, fmtOpDur(inst.Stats.Time))
+			line += fmt.Sprintf(" (actual rows=%d time=%s", inst.Stats.Rows, fmtOpDur(inst.Stats.Time))
+			if ij, isIJ := inner.(*exec.IndexJoin); isIJ {
+				line += fmt.Sprintf(" seeks=%d", ij.Seeks())
+			}
+			line += ")"
 			if sf, isSF := inner.(*exec.StartupFilter); isSF {
 				if sf.Active() {
 					line += " [executed]"

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/sql"
 )
@@ -222,6 +223,15 @@ func removePreds(pending []sql.Expr, eqs []eqPred, residual []sql.Expr) []sql.Ex
 	return out
 }
 
+// swapEqs mirrors equi-predicates for the opposite join orientation.
+func swapEqs(eqs []eqPred) []eqPred {
+	out := make([]eqPred, len(eqs))
+	for i, e := range eqs {
+		out[i] = eqPred{l: e.r, r: e.l, ast: e.ast}
+	}
+	return out
+}
+
 // joinCard estimates the cardinality of an equi-join.
 func (pl *planner) joinCard(cl, cr float64, eqs []eqPred) float64 {
 	card := cl * cr
@@ -322,9 +332,7 @@ func (pl *planner) localizedCost(p *plan) float64 {
 
 // pullUpJoinLeft pulls a left-side ChoosePlan above the join.
 func (pl *planner) pullUpJoinLeft(lp, rp *plan, bSet *candSet, eqs []eqPred, residual []sql.Expr) (*plan, error) {
-	main := *lp
-	main.dyn = nil
-	jm, err := pl.localJoin(&main, rp, eqs, residual)
+	jm, err := pl.localJoin(lp.mainBranch(), rp, eqs, residual)
 	if err != nil {
 		return nil, err
 	}
@@ -337,9 +345,7 @@ func (pl *planner) pullUpJoinLeft(lp, rp *plan, bSet *candSet, eqs []eqPred, res
 
 // pullUpJoinRight mirrors pullUpJoinLeft for a right-side ChoosePlan.
 func (pl *planner) pullUpJoinRight(lp, rp *plan, aSet *candSet, eqs []eqPred, residual []sql.Expr) (*plan, error) {
-	main := *rp
-	main.dyn = nil
-	jm, err := pl.localJoin(lp, &main, eqs, residual)
+	jm, err := pl.localJoin(lp, rp.mainBranch(), eqs, residual)
 	if err != nil {
 		return nil, err
 	}
@@ -351,11 +357,18 @@ func (pl *planner) pullUpJoinRight(lp, rp *plan, aSet *candSet, eqs []eqPred, re
 }
 
 func (pl *planner) assembleDyn(jm, alt *plan, d *dynInfo) *plan {
-	out := *jm
-	fl := d.fl
-	out.dyn = &dynInfo{guardAST: d.guardAST, fl: fl, alt: alt}
-	out.card = fl*jm.card + (1-fl)*alt.card
-	out.cost = fl*jm.cost + (1-fl)*pl.localizedCost(alt)
+	return dynPlan(jm, alt, pl.localizedCost(alt), d)
+}
+
+// dynPlan wraps main, the guard-true branch, into a dynamic plan whose
+// guard-false branch is alt. The dynamic plan carries the blended estimates
+// Fl·main + (1−Fl)·alt (§5.1); main's own are kept so a later pull-up costs
+// the branch by itself.
+func dynPlan(main, alt *plan, altCost float64, d *dynInfo) *plan {
+	out := *main
+	out.dyn = &dynInfo{guardAST: d.guardAST, fl: d.fl, alt: alt, mainCost: main.cost, mainCard: main.card}
+	out.card = d.fl*main.card + (1-d.fl)*alt.card
+	out.cost = d.fl*main.cost + (1-d.fl)*altCost
 	return &out
 }
 
@@ -400,8 +413,31 @@ func (pl *planner) joinAltWithSet(alt *plan, other *candSet, eqs []eqPred, resid
 	return best, nil
 }
 
-// localJoin builds a local hash or nested-loop join.
+// localJoin builds the cheapest local join of a and b. For an inner
+// equi-join both orientations are costed — rows above the join resolve their
+// columns by name, so which input stands left is a free physical choice —
+// and each orientation considers a hash join (build on the right) and a
+// lookup join into the right input.
 func (pl *planner) localJoin(a, b *plan, eqs []eqPred, residual []sql.Expr) (*plan, error) {
+	best, err := pl.physicalJoin(a, b, eqs, residual, false)
+	if err != nil || len(eqs) == 0 {
+		return best, err
+	}
+	alt, err := pl.physicalJoin(b, a, swapEqs(eqs), residual, false)
+	if err != nil {
+		return nil, err
+	}
+	if alt.cost < best.cost {
+		best = alt
+	}
+	return best, nil
+}
+
+// physicalJoin joins a (probe / outer side, kept on the left) with b (build
+// / inner side) by the cheapest applicable operator: with equi-predicates a
+// hash join building on b or, when b is a lookup-eligible leaf, an index
+// lookup join seeking into b; without them a nested loop.
+func (pl *planner) physicalJoin(a, b *plan, eqs []eqPred, residual []sql.Expr, leftOuter bool) (*plan, error) {
 	am, err := pl.materialize(a) // flattens any non-pulled dyn
 	if err != nil {
 		return nil, err
@@ -410,65 +446,172 @@ func (pl *planner) localJoin(a, b *plan, eqs []eqPred, residual []sql.Expr) (*pl
 	if err != nil {
 		return nil, err
 	}
-	cols := append(append([]exec.ColInfo{}, am.cols...), bm.cols...)
-	combined := &scope{cols: cols}
-	var op exec.Operator
-	var cost float64
-	card := pl.joinCard(am.card, bm.card, eqs)
-	if len(eqs) > 0 {
-		lScope := &scope{cols: am.cols}
-		rScope := &scope{cols: bm.cols}
-		var lk, rk []exec.Expr
-		for _, e := range eqs {
-			le, err := compileExpr(&e.l, lScope)
-			if err != nil {
-				return nil, err
-			}
-			re, err := compileExpr(&e.r, rScope)
-			if err != nil {
-				return nil, err
-			}
-			lk = append(lk, le)
-			rk = append(rk, re)
-		}
-		var res exec.Expr
-		if len(residual) > 0 {
-			res, err = compileExpr(AndAll(residual), combined)
-			if err != nil {
-				return nil, err
-			}
-		}
-		op = &exec.HashJoin{Left: am.op, Right: bm.op, LeftKeys: lk, RightKeys: rk, Residual: res, BuildEst: bm.card}
-		cost = am.cost + bm.cost + bm.card*costHashBuild + am.card*costHashProbe + card*costJoinOutRow
-	} else {
-		var pred exec.Expr
-		if len(residual) > 0 {
-			pred, err = compileExpr(AndAll(residual), combined)
-			if err != nil {
-				return nil, err
-			}
-			card = am.card * bm.card * defaultResidualSel(residual)
-			if card < 1 {
-				card = 1
-			}
-		} else {
-			card = am.card * bm.card
-		}
-		op = &exec.NestedLoop{Left: am.op, Right: bm.op, Pred: pred}
-		cost = am.cost + bm.cost + am.card*bm.card*costNLPair
-	}
-	return &plan{
-		op: op, loc: Local, cols: cols, card: card, cost: cost,
+	out := &plan{
+		loc:       Local,
+		cols:      append(append([]exec.ColInfo{}, am.cols...), bm.cols...),
+		card:      pl.joinCard(am.card, bm.card, eqs),
 		usedViews: append(append([]string{}, am.usedViews...), bm.usedViews...),
-	}, nil
+	}
+	combined := &scope{cols: out.cols}
+	if len(eqs) == 0 && !leftOuter {
+		out.card = math.Max(am.card*bm.card*defaultResidualSel(residual), 1)
+	}
+	if leftOuter && out.card < am.card {
+		out.card = am.card // left join preserves all left rows
+	}
+	if len(eqs) == 0 {
+		pred, err := compileExpr(AndAll(residual), combined)
+		if err != nil {
+			return nil, err
+		}
+		out.op = &exec.NestedLoop{Left: am.op, Right: bm.op, Pred: pred, LeftOuter: leftOuter}
+		out.cost = am.cost + bm.cost + am.card*bm.card*costNLPair
+		return out, nil
+	}
+	hashCost := am.cost + bm.cost + hashWork(am.card, bm.card, out.card)
+	if p, err := pl.lookupJoin(*out, am, bm, eqs, residual, leftOuter); err != nil || (p != nil && p.cost < hashCost) {
+		return p, err
+	}
+
+	aScope, bScope := &scope{cols: am.cols}, &scope{cols: bm.cols}
+	var lk, rk []exec.Expr
+	for _, e := range eqs {
+		le, err := compileExpr(&e.l, aScope)
+		if err != nil {
+			return nil, err
+		}
+		re, err := compileExpr(&e.r, bScope)
+		if err != nil {
+			return nil, err
+		}
+		lk = append(lk, le)
+		rk = append(rk, re)
+	}
+	res, err := compileExpr(AndAll(residual), combined)
+	if err != nil {
+		return nil, err
+	}
+	out.op = &exec.HashJoin{Left: am.op, Right: bm.op, LeftKeys: lk, RightKeys: rk, LeftOuter: leftOuter, Residual: res, BuildEst: bm.card}
+	out.cost = hashCost
+	return out, nil
+}
+
+// hashWork is a hash join's own work, inputs excluded.
+func hashWork(probe, build, out float64) float64 {
+	return build*costHashBuild + probe*costHashProbe + out*costJoinOutRow
+}
+
+// lookupJoin completes out (the join's schema and cardinality) as an index
+// lookup join seeking into b once per row of a, or returns nil when b is not
+// a lookup-eligible leaf or no index of its table serves eqs.
+func (pl *planner) lookupJoin(out plan, a, b *plan, eqs []eqPred, residual []sql.Expr, leftOuter bool) (*plan, error) {
+	lf := b.lookupLeaf()
+	if lf == nil {
+		return nil, nil
+	}
+	lk := pl.bestLookup(lf, a.cols, eqs)
+	if lk == nil {
+		return nil, nil
+	}
+	op := &exec.IndexJoin{
+		Outer: a.op, TableName: lf.table.Name, IndexName: lk.idx.Name,
+		InnerCols: b.cols, Proj: lf.proj, LeftOuter: leftOuter,
+	}
+	aScope := &scope{cols: a.cols}
+	for _, e := range lk.keys {
+		k, err := compileExpr(&e.l, aScope)
+		if err != nil {
+			return nil, err
+		}
+		op.OuterKeys = append(op.OuterKeys, k)
+	}
+	var err error
+	if op.Pred, err = compileExpr(AndAll(lf.conj), &scope{cols: lf.scanCols}); err != nil {
+		return nil, err
+	}
+	// Equi-predicates beyond the index prefix are checked per pair.
+	post := append([]sql.Expr{}, residual...)
+	for _, e := range lk.rest {
+		post = append(post, e.ast)
+	}
+	if op.Residual, err = compileExpr(AndAll(post), &scope{cols: out.cols}); err != nil {
+		return nil, err
+	}
+	out.op = op
+	out.cost = a.cost + a.card*lf.seekCost(lk.rowsPerKey) + out.card*costJoinOutRow
+	return &out, nil
+}
+
+// lookup is the index chosen for a lookup join into a leaf.
+type lookup struct {
+	idx        *catalog.Index
+	keys       []eqPred // one per leading index column, in index order; l is the outer side
+	rest       []eqPred // equi-predicates the index prefix does not cover
+	rowsPerKey float64  // stored rows fetched per seek
+}
+
+// seekCost is the cost of one lookup-join seek into the leaf: the B-tree
+// descent plus fetching and filtering the rows under the key.
+func (lf *leafAccess) seekCost(rowsPerKey float64) float64 {
+	return costSeekBase + rowsPerKey*(costSeekRow+costPredEval*float64(len(lf.conj)))
+}
+
+// bestLookup picks the index of the leaf's stored table that serves eqs (l =
+// outer column, r = leaf column) with the fewest rows per seek: an index
+// qualifies when the join columns cover a prefix of its key with matching
+// column types. nil when no index qualifies and the join must scan.
+func (pl *planner) bestLookup(lf *leafAccess, outerCols []exec.ColInfo, eqs []eqPred) *lookup {
+	rows := math.Max(float64(lf.table.Stats.RowCount), 1)
+	outer := &scope{cols: outerCols}
+	var best *lookup
+	for _, idx := range allIndexes(lf.table) {
+		lk := &lookup{idx: idx}
+		used := make([]bool, len(eqs))
+		distinct := 1.0
+		for _, ord := range idx.Columns {
+			col := lf.scanCols[ord]
+			found := false
+			for i, e := range eqs {
+				if used[i] || !strings.EqualFold(e.r.Table, col.Table) || !strings.EqualFold(e.r.Name, col.Name) {
+					continue
+				}
+				// Seeks compare stored keys with outer values directly, so
+				// only same-typed columns may pair up.
+				if oi, err := outer.resolve(&e.l); err != nil || outer.kindOf(oi) != col.Kind {
+					continue
+				}
+				used[i], found = true, true
+				lk.keys = append(lk.keys, e)
+				distinct *= pl.distinctOf(e.r, rows)
+				break
+			}
+			if !found {
+				break
+			}
+		}
+		if len(lk.keys) == 0 {
+			continue
+		}
+		lk.rowsPerKey = math.Max(rows/math.Min(distinct, rows), 1)
+		if idx.Unique && len(lk.keys) == len(idx.Columns) {
+			lk.rowsPerKey = 1
+		}
+		for i, e := range eqs {
+			if !used[i] {
+				lk.rest = append(lk.rest, e)
+			}
+		}
+		if best == nil || lk.rowsPerKey < best.rowsPerKey {
+			best = lk
+		}
+	}
+	return best
 }
 
 // pullUpThrough applies f to both branches of a dynamic plan and
 // reassembles the ChoosePlan on top.
 func (pl *planner) pullUpThrough(p *plan, f func(*plan) (*plan, error)) (*plan, error) {
-	main := *p
-	main.dyn = nil
-	jm, err := f(&main)
+	jm, err := f(p.mainBranch())
 	if err != nil {
 		return nil, err
 	}
@@ -476,12 +619,7 @@ func (pl *planner) pullUpThrough(p *plan, f func(*plan) (*plan, error)) (*plan, 
 	if err != nil {
 		return nil, err
 	}
-	fl := p.dyn.fl
-	out := *jm
-	out.dyn = &dynInfo{guardAST: p.dyn.guardAST, fl: fl, alt: ja}
-	out.card = fl*jm.card + (1-fl)*ja.card
-	out.cost = fl*jm.cost + (1-fl)*ja.cost
-	return &out, nil
+	return dynPlan(jm, ja, ja.cost, p.dyn), nil
 }
 
 // remoteJoin merges two remote SPJ fragments into one larger remote
@@ -498,11 +636,23 @@ func (pl *planner) remoteJoin(a, b *plan, eqs []eqPred, residual []sql.Expr) *pl
 	}
 	parts.where = append(parts.where, residual...)
 	card := pl.joinCard(a.card, b.card, eqs)
-	var joinCost float64
+	f := pl.env.Opts.RemoteCostFactor
+	var cost float64
 	if len(eqs) > 0 {
-		joinCost = b.card*costHashBuild + a.card*costHashProbe + card*costJoinOutRow
+		// The backend runs this same optimizer: it builds on the smaller
+		// input, or seeks a single-table side through its index.
+		cost = a.cost + b.cost + math.Min(hashWork(a.card, b.card, card), hashWork(b.card, a.card, card))*f
+		lookupCost := func(outer, inner *plan, eqs []eqPred) {
+			if lf := inner.lookupLeaf(); lf != nil {
+				if lk := pl.bestLookup(lf, outer.cols, eqs); lk != nil {
+					cost = math.Min(cost, outer.cost+(outer.card*lf.seekCost(lk.rowsPerKey)+card*costJoinOutRow)*f)
+				}
+			}
+		}
+		lookupCost(a, b, eqs)
+		lookupCost(b, a, swapEqs(eqs))
 	} else {
-		joinCost = a.card * b.card * costNLPair
+		cost = a.cost + b.cost + a.card*b.card*costNLPair*f
 		card = a.card * b.card * defaultResidualSel(residual)
 		if card < 1 {
 			card = 1
@@ -512,7 +662,7 @@ func (pl *planner) remoteJoin(a, b *plan, eqs []eqPred, residual []sql.Expr) *pl
 		rem: parts, loc: Remote,
 		cols: parts.cols,
 		card: card,
-		cost: a.cost + b.cost + joinCost*pl.env.Opts.RemoteCostFactor,
+		cost: cost,
 	}
 }
 
@@ -572,20 +722,12 @@ func (pl *planner) leftJoinPlans(a, b *plan, onConjs []sql.Expr) (*plan, error) 
 			return pl.leftJoinPlans(branch, b, onConjs)
 		})
 	}
-	am, err := pl.materialize(a)
-	if err != nil {
-		return nil, err
-	}
-	bm, err := pl.materialize(b)
-	if err != nil {
-		return nil, err
-	}
 	leftAliases := map[string]bool{}
-	for _, c := range am.cols {
+	for _, c := range a.cols {
 		leftAliases[strings.ToLower(c.Table)] = true
 	}
 	rightAliases := map[string]bool{}
-	for _, c := range bm.cols {
+	for _, c := range b.cols {
 		rightAliases[strings.ToLower(c.Table)] = true
 	}
 	var eqs []eqPred
@@ -608,54 +750,8 @@ func (pl *planner) leftJoinPlans(a, b *plan, onConjs []sql.Expr) (*plan, error) 
 		}
 		residual = append(residual, c)
 	}
-	cols := append(append([]exec.ColInfo{}, am.cols...), bm.cols...)
-	combined := &scope{cols: cols}
-	card := pl.joinCard(am.card, bm.card, eqs)
-	if card < am.card {
-		card = am.card // left join preserves all left rows
-	}
-	var op exec.Operator
-	var cost float64
-	if len(eqs) > 0 {
-		lScope := &scope{cols: am.cols}
-		rScope := &scope{cols: bm.cols}
-		var lk, rk []exec.Expr
-		for _, e := range eqs {
-			le, err := compileExpr(&e.l, lScope)
-			if err != nil {
-				return nil, err
-			}
-			re, err := compileExpr(&e.r, rScope)
-			if err != nil {
-				return nil, err
-			}
-			lk = append(lk, le)
-			rk = append(rk, re)
-		}
-		var res exec.Expr
-		if len(residual) > 0 {
-			res, err = compileExpr(AndAll(residual), combined)
-			if err != nil {
-				return nil, err
-			}
-		}
-		op = &exec.HashJoin{Left: am.op, Right: bm.op, LeftKeys: lk, RightKeys: rk, LeftOuter: true, Residual: res, BuildEst: bm.card}
-		cost = am.cost + bm.cost + bm.card*costHashBuild + am.card*costHashProbe + card*costJoinOutRow
-	} else {
-		var pred exec.Expr
-		if len(residual) > 0 {
-			pred, err = compileExpr(AndAll(residual), combined)
-			if err != nil {
-				return nil, err
-			}
-		}
-		op = &exec.NestedLoop{Left: am.op, Right: bm.op, Pred: pred, LeftOuter: true}
-		cost = am.cost + bm.cost + am.card*bm.card*costNLPair
-	}
-	return &plan{
-		op: op, loc: Local, cols: cols, card: card, cost: cost,
-		usedViews: append(append([]string{}, am.usedViews...), bm.usedViews...),
-	}, nil
+	// Never reoriented: the left input is the preserved side.
+	return pl.physicalJoin(a, b, eqs, residual, true)
 }
 
 // mapDyn applies a plan transformation to the main and alternative branches

@@ -17,7 +17,7 @@ import (
 // lookups never parallelize while large scans, probes and aggregations do.
 
 // pipeInfo describes a partitionable pipeline: a Scan or IndexScan leaf
-// under Filter/Project/HashJoin-probe wrappers.
+// under Filter/Project/HashJoin-probe/IndexJoin-outer wrappers.
 type pipeInfo struct {
 	rows    float64 // rows entering the pipeline at the partitioned leaf
 	perRow  float64 // cost units of pipeline work per leaf row
@@ -102,6 +102,8 @@ func (pl *planner) parallelizeOp(op exec.Operator, cap int) (exec.Operator, floa
 	case *exec.HashJoin:
 		x.Left = descend(x.Left)
 		x.Right = descend(x.Right)
+	case *exec.IndexJoin:
+		x.Outer = descend(x.Outer)
 	case *exec.NestedLoop:
 		x.Left = descend(x.Left)
 		x.Right = descend(x.Right)
@@ -152,6 +154,19 @@ func (pl *planner) matchPipeline(op exec.Operator) (pipeInfo, bool) {
 		}
 		info.perRow += costHashProbe
 		info.joins = append(info.joins, x)
+		return info, true
+	case *exec.IndexJoin:
+		// Streams over its outer input like a hash probe: each worker seeks
+		// the shared snapshot for its own partition of outer rows.
+		if x.LeftOuter {
+			return pipeInfo{}, false // serial, like LEFT JOIN hash probes
+		}
+		info, ok := pl.matchPipeline(x.Outer)
+		if !ok {
+			return info, false
+		}
+		// perRow is per leaf row; only rows surviving the filters below seek.
+		info.perRow += (costSeekBase + costSeekRow) * info.outRows / info.rows
 		return info, true
 	}
 	return pipeInfo{}, false

@@ -42,13 +42,53 @@ type plan struct {
 
 	usedViews []string
 	dyn       *dynInfo
+	leaf      *leafAccess // set while the plan is one relation's bare access path
 }
 
-// dynInfo marks a dynamic plan: the owning plan is the guard-true branch.
+// leafAccess describes a candidate that is exactly one relation's access
+// path: a stored table (base table, cached or materialized view) read under
+// the query alias, locally (localAccess) or on the backend (remoteAccess).
+// A join may then replace the leaf's scan by per-outer-row index seeks (see
+// bestLookup). The descriptor is pinned to the access it describes, so any
+// wrapper that replaces plan.op or plan.rem drops it — see lookupLeaf.
+type leafAccess struct {
+	op  exec.Operator
+	rem *remoteParts
+
+	table    *catalog.Table // the stored table the seeks go to
+	scanCols []exec.ColInfo // its stored schema under the query alias
+	proj     []int          // stored ordinal of each plan column (local leaves)
+	conj     []sql.Expr     // the leaf's conjuncts, evaluated per fetched row
+}
+
+// lookupLeaf returns the leaf descriptor while it still describes p: not
+// under a ChoosePlan, and not behind a wrapper added since the access was
+// planned.
+func (p *plan) lookupLeaf() *leafAccess {
+	if lf := p.leaf; lf != nil && p.dyn == nil && lf.op == p.op && lf.rem == p.rem {
+		return lf
+	}
+	return nil
+}
+
+// dynInfo marks a dynamic plan: the owning plan is the guard-true branch,
+// carrying the blended cost and cardinality of both branches; mainCost and
+// mainCard are the guard-true branch's own.
 type dynInfo struct {
 	guardAST sql.Expr
 	fl       float64
 	alt      *plan
+
+	mainCost, mainCard float64
+}
+
+// mainBranch returns the guard-true branch of a dynamic plan as a plain
+// plan with its own estimates.
+func (p *plan) mainBranch() *plan {
+	m := *p
+	m.cost, m.card = p.dyn.mainCost, p.dyn.mainCard
+	m.dyn = nil
+	return &m
 }
 
 // remoteParts is a shippable SPJ block under construction.
@@ -218,6 +258,8 @@ func collectRemote(op exec.Operator, out *[]string) {
 	case *exec.HashJoin:
 		collectRemote(x.Left, out)
 		collectRemote(x.Right, out)
+	case *exec.IndexJoin:
+		collectRemote(x.Outer, out)
 	case *exec.NestedLoop:
 		collectRemote(x.Left, out)
 		collectRemote(x.Right, out)
@@ -234,9 +276,7 @@ func collectRemote(op exec.Operator, out *[]string) {
 // exactly figure 2(b) of the paper.
 func (pl *planner) materialize(p *plan) (*plan, error) {
 	if p.dyn != nil {
-		main := *p
-		main.dyn = nil
-		m, err := pl.materialize(&main)
+		m, err := pl.materialize(p.mainBranch())
 		if err != nil {
 			return nil, err
 		}

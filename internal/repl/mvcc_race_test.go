@@ -7,18 +7,26 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mtcache/internal/engine"
 )
 
-// TestNoTornReadsDuringApply runs queries against the subscriber while the
-// distribution agent applies generation updates, and asserts no query ever
-// observes a half-applied transaction. Each publisher generation is a single
-// UPDATE-all statement (one transaction), so every snapshot must see all
-// rows at the same cost. Under the seed's store-wide 2PL this test either
-// blocks readers behind every apply or — with the exclusion removed — shows
-// torn generations; under MVCC it passes, including with -race.
-func TestNoTornReadsDuringApply(t *testing.T) {
-	const rows = 60
-	pub := newPublisher(t, rows)
+// tornReadCase is one reader workload run against the subscriber while the
+// distribution agent applies whole-generation updates. Each publisher
+// generation is a single UPDATE-all statement (one transaction), so every
+// snapshot must see all rows at the same cost: the reader query returns
+// (MIN(i_cost), MAX(i_cost), COUNT(*)) and a torn apply surfaces as
+// min != max or a short count within a single result.
+type tornReadCase struct {
+	rows     int
+	readers  int
+	prepare  func(t *testing.T, subDB *engine.Database) // after the initial snapshot
+	query    string
+	wantPlan string // the reader plan must contain this
+}
+
+func runTornReadCase(t *testing.T, c tornReadCase) {
+	pub := newPublisher(t, c.rows)
 	subDB := newSubscriberTable(t, "cache")
 	srv := NewServer(pub)
 	art, err := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, filterCost(t, 1e9))
@@ -33,6 +41,16 @@ func TestNoTornReadsDuringApply(t *testing.T) {
 	sub, err := srv.Subscribe(art, subDB, "tgt")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c.prepare != nil {
+		c.prepare(t, subDB)
+	}
+	plan, err := subDB.Explain(c.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, c.wantPlan) {
+		t.Fatalf("reader plan lacks %q:\n%s", c.wantPlan, plan)
 	}
 
 	stop := make(chan struct{})
@@ -56,10 +74,8 @@ func TestNoTornReadsDuringApply(t *testing.T) {
 		}
 	}()
 
-	// Readers: every query is one snapshot; a torn apply would surface as
-	// min != max within a single result.
 	tornCh := make(chan string, 8)
-	for r := 0; r < 4; r++ {
+	for r := 0; r < c.readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -69,23 +85,16 @@ func TestNoTornReadsDuringApply(t *testing.T) {
 					return
 				default:
 				}
-				res, err := subDB.Exec("SELECT MIN(i_cost), MAX(i_cost), COUNT(*) FROM tgt", nil)
+				res, err := subDB.Exec(c.query, nil)
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return
 				}
 				lo, hi := res.Rows[0][0].Float(), res.Rows[0][1].Float()
 				n := res.Rows[0][2].Int()
-				if lo != hi {
+				if lo != hi || n != int64(c.rows) {
 					select {
-					case tornCh <- fmt.Sprintf("torn generation: min=%g max=%g over %d rows", lo, hi, n):
-					default:
-					}
-					return
-				}
-				if n != rows {
-					select {
-					case tornCh <- fmt.Sprintf("torn row count: %d, want %d", n, rows):
+					case tornCh <- fmt.Sprintf("torn read: min=%g max=%g count=%d (want %d)", lo, hi, n, c.rows):
 					default:
 					}
 					return
@@ -111,113 +120,65 @@ func TestNoTornReadsDuringApply(t *testing.T) {
 	}
 }
 
-// TestNoTornReadsDuringApplyParallelScan is the intra-query-parallel variant
-// of the torn-read test: the reader's aggregate runs as a Gather over
-// partitioned scan workers, all sharing one pinned snapshot, while the
-// distribution agent concurrently applies whole-generation updates. Partition
-// bounds are computed once at Open from that snapshot, so no worker may ever
-// observe a half-applied generation — min must equal max in every result.
+// TestNoTornReadsDuringApply: under the seed's store-wide 2PL this test
+// either blocks readers behind every apply or — with the exclusion removed —
+// shows torn generations; under MVCC it passes, including with -race.
+func TestNoTornReadsDuringApply(t *testing.T) {
+	runTornReadCase(t, tornReadCase{
+		rows: 60, readers: 4,
+		query:    "SELECT MIN(i_cost), MAX(i_cost), COUNT(*) FROM tgt",
+		wantPlan: "Scan tgt",
+	})
+}
+
+// TestNoTornReadsDuringApplyParallelScan is the intra-query-parallel variant:
+// the reader's aggregate runs as a Gather over partitioned scan workers, all
+// sharing one pinned snapshot. Partition bounds are computed once at Open
+// from that snapshot, so no worker may observe a half-applied generation.
 func TestNoTornReadsDuringApplyParallelScan(t *testing.T) {
-	const rows = 1500
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-
-	pub := newPublisher(t, rows)
-	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, err := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, filterCost(t, 1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pub.Exec("UPDATE item SET i_cost = 1000 WHERE i_id > 0", nil); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := srv.Subscribe(art, subDB, "tgt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stats + a low startup cost make the optimizer pick a parallel plan for
-	// the 1500-row aggregate even though the table is modest.
-	if err := subDB.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	opts := subDB.Options()
-	opts.MaxDOP = 4
-	opts.ParallelStartupCost = 10
-	subDB.SetOptions(opts)
-
-	const q = "SELECT MIN(i_cost), MAX(i_cost), COUNT(*) FROM tgt"
-	plan, err := subDB.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "Gather (Exchange dop=") {
-		t.Fatalf("reader plan is not parallel:\n%s", plan)
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			srv.RunLogReader()
-			if _, err := srv.RunDistribution(sub); err != nil {
-				t.Errorf("apply: %v", err)
-				return
+	runTornReadCase(t, tornReadCase{
+		rows: 1500, readers: 3,
+		prepare: func(t *testing.T, subDB *engine.Database) {
+			// Stats + a low startup cost make the optimizer pick a parallel
+			// plan for the 1500-row aggregate even though the table is modest.
+			if err := subDB.Analyze(); err != nil {
+				t.Fatal(err)
 			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
+			opts := subDB.Options()
+			opts.MaxDOP = 4
+			opts.ParallelStartupCost = 10
+			subDB.SetOptions(opts)
+		},
+		query:    "SELECT MIN(i_cost), MAX(i_cost), COUNT(*) FROM tgt",
+		wantPlan: "Gather (Exchange dop=",
+	})
+}
 
-	tornCh := make(chan string, 8)
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				res, err := subDB.Exec(q, nil)
-				if err != nil {
-					t.Errorf("read: %v", err)
-					return
-				}
-				lo, hi := res.Rows[0][0].Float(), res.Rows[0][1].Float()
-				n := res.Rows[0][2].Int()
-				if lo != hi || n != rows {
-					select {
-					case tornCh <- fmt.Sprintf("torn parallel read: min=%g max=%g count=%d (want %d)", lo, hi, n, rows):
-					default:
-					}
-					return
-				}
+// TestNoTornReadsDuringApplyIndexJoin is the lookup-join variant. The reader
+// fetches row 1 and joins it, on the cost, to every row of the same table
+// through a non-unique index on i_cost: in one snapshot all rows carry row
+// 1's cost, so the join must return every row. Each generation moves every
+// row to a new index key and leaves the old entries behind until GC, so the
+// seeks wade through stale entries (filtered by visibility plus a key
+// recheck), and an inner side read at any other snapshot than the outer
+// row's would come back empty or short.
+func TestNoTornReadsDuringApplyIndexJoin(t *testing.T) {
+	runTornReadCase(t, tornReadCase{
+		rows: 60, readers: 4,
+		prepare: func(t *testing.T, subDB *engine.Database) {
+			if _, err := subDB.Exec("CREATE INDEX ix_tgt_cost ON tgt (i_cost)", nil); err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-
-	deadline := time.Now().Add(time.Second)
-	for g := 1; time.Now().Before(deadline); g++ {
-		stmt := fmt.Sprintf("UPDATE item SET i_cost = %d WHERE i_id > 0", 1000+g)
-		if _, err := pub.Exec(stmt, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case msg := <-tornCh:
-		t.Fatal(msg)
-	default:
-	}
+			if err := subDB.Analyze(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		query: "SELECT MIN(b.i_cost), MAX(b.i_cost), COUNT(*) FROM tgt a, tgt b " +
+			"WHERE a.i_id = 1 AND a.i_cost = b.i_cost",
+		wantPlan: "IndexJoin tgt.ix_tgt_cost",
+	})
 }
 
 // TestDistributionSkipsQueueOnlySubscriptions: the agent loop must not try

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"encoding/json"
+	"flag"
 	"math"
+	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,11 +177,69 @@ func TestCalibrateProducesSaneCosts(t *testing.T) {
 	}
 }
 
+// The shape tests below run the simulator over a recorded calibration, not a
+// live one: Calibrate times the real engine with the wall clock, so its costs
+// move with host load and a threshold on them is a coin toss on a busy
+// 1-core box. The recording was taken at mtbench's default experiment scale
+// (500 items, 1000 customers); at the tiny scale of smallCalibration the
+// baseline shape itself does not hold (see EXPERIMENTS.md). Re-record after a
+// change that moves per-interaction costs:
+//
+//	go test ./internal/sim -run TestExperimentShapes -update-calibration
+var updateCalibration = flag.Bool("update-calibration", false, "re-record testdata/calibration.json from a live calibration")
+
+const recordedCalibrationPath = "testdata/calibration.json"
+
+// recordedCalibration is the checked-in cost model (costs only: no live
+// servers behind it).
+type recordedCalibration struct {
+	Config      tpcw.Config
+	Reps        int
+	ScaleFactor float64
+	NoCache     Costs
+	Cached      Costs
+}
+
+var recordOnce sync.Once
+
+func loadRecordedCalibration(t *testing.T) *CalibrationResult {
+	t.Helper()
+	if *updateCalibration {
+		recordOnce.Do(func() { recordCalibration(t) })
+	}
+	data, err := os.ReadFile(recordedCalibrationPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec recordedCalibration
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("%s: %v", recordedCalibrationPath, err)
+	}
+	return &CalibrationResult{NoCache: rec.NoCache, Cached: rec.Cached, ScaleFactor: rec.ScaleFactor}
+}
+
+func recordCalibration(t *testing.T) {
+	t.Helper()
+	rec := recordedCalibration{Config: tpcw.Config{Items: 500, Customers: 1000, Seed: 5}, Reps: 15}
+	cal, err := Calibrate(rec.Config, rec.Reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.ScaleFactor, rec.NoCache, rec.Cached = cal.ScaleFactor, cal.NoCache, cal.Cached
+	data, err := json.MarshalIndent(rec, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(recordedCalibrationPath, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExperimentShapesMatchPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in short mode")
 	}
-	cal := smallCalibration(t)
+	cal := loadRecordedCalibration(t)
 
 	// Baseline ordering: Browsing < Shopping < Ordering (paper: 50/82/283).
 	base := ExperimentBaseline(cal, 5)
@@ -205,10 +267,8 @@ func TestExperimentShapesMatchPaper(t *testing.T) {
 		t.Errorf("browsing backend load at 5 servers: %.1f%%, want low", b5.BackendUtil*100)
 	}
 	// Ordering: backend load clearly higher than Browsing (paper: 55.4% vs
-	// 7.5%; at this tiny calibration scale the gap narrows because cheap
-	// queries make replication overhead proportionally large on both sides,
-	// so assert the ordering, not the magnitude — EXPERIMENTS.md records
-	// the full-scale gap).
+	// 7.5%). Assert the ordering, not the magnitude — EXPERIMENTS.md records
+	// the measured gap.
 	o5 := get(tpcw.Ordering, 5)
 	if o5.BackendUtil < b5.BackendUtil*1.3 {
 		t.Errorf("ordering backend load (%.1f%%) should exceed browsing (%.1f%%)",
@@ -220,19 +280,15 @@ func TestExperimentReplicationOverheadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment in short mode")
 	}
-	cal := smallCalibration(t)
-	r := ExperimentReplicationOverhead(cal)
+	r := ExperimentReplicationOverhead(loadRecordedCalibration(t))
 	if r.WIPSReaderOff <= r.WIPSReaderOn {
 		t.Errorf("reader off should raise throughput: on=%f off=%f", r.WIPSReaderOn, r.WIPSReaderOff)
 	}
 	if r.ReductionPct < 0 || r.ReductionPct > 50 {
 		t.Errorf("reduction out of plausible range: %f%%", r.ReductionPct)
 	}
-	// At this deliberately tiny data scale, queries are cheap relative to
-	// the (scale-independent) per-transaction apply work, so the idle-cache
-	// utilization comes out much higher than at experiment scale (~22% at
-	// the mtbench default of 500 items / 1000 customers, vs the paper's
-	// ~15%). Here we only assert it is a sane utilization.
+	// The paper measured ~15% on an idle cache that only applies changes;
+	// assert a sane utilization, EXPERIMENTS.md records the value.
 	if r.IdleCacheApplyUtil <= 0 || r.IdleCacheApplyUtil > 1.0 {
 		t.Errorf("idle cache apply utilization implausible: %f", r.IdleCacheApplyUtil)
 	}

@@ -142,3 +142,54 @@ func TestAscendPartitionRespectsVisibility(t *testing.T) {
 		t.Fatalf("snapshot partition scan saw %d entries, want 50", cnt)
 	}
 }
+
+// TestAppendMatchesAgreesWithAscendRange: the allocation-free prefix seek
+// returns exactly the rows the callback-based range scan visits, on a tree
+// deep enough to have internal nodes, for a non-unique index and the primary
+// key, after updates have left stale entries behind.
+func TestAppendMatchesAgreesWithAscendRange(t *testing.T) {
+	s := newPartStore(t, 5000)
+	// Move every third row to a new name: stale entries under the old one.
+	wtx := s.Begin(true)
+	for i := int64(0); i < 5000; i += 3 {
+		rid := wtx.Table("customer").PKLookup(types.Row{types.NewInt(i)})
+		if err := wtx.Update("customer", rid, types.Row{types.NewInt(i), types.NewString("moved")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := wtx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx := s.Begin(false)
+	defer tx.Abort()
+	tv := tx.Table("customer")
+	check := func(index string, key types.Row) int {
+		t.Helper()
+		iv := tv.Index(index)
+		var want []types.Row
+		iv.AscendRange(key, key, func(it Item) bool {
+			want = append(want, tv.Get(it.RID))
+			return true
+		})
+		got := iv.AppendMatches(nil, key)
+		if len(got) != len(want) {
+			t.Fatalf("%s %v: %d rows, want %d", index, key, len(got), len(want))
+		}
+		for i := range want {
+			if types.CompareRows(got[i], want[i]) != 0 {
+				t.Fatalf("%s %v: row %d = %v, want %v", index, key, i, got[i], want[i])
+			}
+		}
+		return len(got)
+	}
+	total := check("ix_name", types.Row{types.NewString("moved")})
+	for i := 0; i < 8; i++ { // name_007 matches nothing
+		total += check("ix_name", types.Row{types.NewString(fmt.Sprintf("name_%03d", i))})
+	}
+	if total != 5000 {
+		t.Errorf("seeks over every name found %d rows, want 5000", total)
+	}
+	for _, id := range []int64{0, 1, 63, 64, 65, 2499, 4999, 5000, -1} {
+		check("__pk", types.Row{types.NewInt(id)})
+	}
+}

@@ -467,8 +467,7 @@ func (tv *TableView) PKLookup(key types.Row) RowID {
 		return -1
 	}
 	for _, rid := range pk.tree.Get(key) {
-		if row := tv.Get(rid); row != nil &&
-			types.CompareRows(indexKey(row, pk.meta.Columns), key) == 0 {
+		if row := tv.Get(rid); row != nil && keyEquals(row, pk.meta.Columns, key) {
 			return rid
 		}
 	}
@@ -490,7 +489,21 @@ type IndexView struct {
 // de-duplicates updated rows that appear under old and new keys.
 func (iv *IndexView) live(it Item) bool {
 	row := iv.tv.Get(it.RID)
-	return row != nil && types.CompareRows(indexKey(row, iv.id.meta.Columns), it.Key) == 0
+	return row != nil && keyEquals(row, iv.id.meta.Columns, it.Key)
+}
+
+// keyEquals reports whether row carries exactly key on the index columns
+// cols, without materializing the row's key.
+func keyEquals(row types.Row, cols []int, key types.Row) bool {
+	if len(cols) != len(key) {
+		return false
+	}
+	for i, c := range cols {
+		if types.Compare(row[c], key[i]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (iv *IndexView) filtered(fn func(Item) bool) func(Item) bool {
@@ -511,6 +524,41 @@ func (iv *IndexView) Get(key types.Row) []RowID {
 		}
 	}
 	return out
+}
+
+// AppendMatches appends to dst, in index order, the visible rows whose index
+// key starts with prefix (equality on the leading len(prefix) key columns)
+// and returns the extended slice. Beyond dst's growth it allocates nothing:
+// it is the per-probe seek of a lookup join, where a closure per call would
+// cost more than the seek.
+func (iv *IndexView) AppendMatches(dst []types.Row, prefix types.Row) []types.Row {
+	dst, _ = iv.appendMatches(iv.root, dst, prefix)
+	return dst
+}
+
+// appendMatches walks n from the first entry >= prefix; false means the walk
+// passed the last entry carrying the prefix.
+func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) ([]types.Row, bool) {
+	start, _ := n.find(Item{Key: prefix, RID: -1 << 62})
+	for i := start; i <= len(n.items); i++ {
+		if !n.leaf() {
+			var more bool
+			if dst, more = iv.appendMatches(n.children[i], dst, prefix); !more {
+				return dst, false
+			}
+		}
+		if i == len(n.items) {
+			break
+		}
+		it := n.items[i]
+		if len(it.Key) < len(prefix) || types.CompareRows(it.Key[:len(prefix)], prefix) != 0 {
+			return dst, false
+		}
+		if row := iv.tv.Get(it.RID); row != nil && keyEquals(row, iv.id.meta.Columns, it.Key) {
+			dst = append(dst, row)
+		}
+	}
+	return dst, true
 }
 
 // Ascend visits all visible entries in key order.

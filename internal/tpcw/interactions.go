@@ -32,17 +32,32 @@ const (
 	numInteractions
 )
 
+var interactionNames = [numInteractions]string{
+	"Home", "NewProducts", "BestSellers", "ProductDetail", "SearchRequest",
+	"SearchResults", "ShoppingCart", "CustomerRegistration", "BuyRequest",
+	"BuyConfirm", "OrderInquiry", "OrderDisplay", "AdminRequest", "AdminConfirm",
+}
+
 // String returns the interaction's benchmark name.
 func (i Interaction) String() string {
-	names := [...]string{
-		"Home", "NewProducts", "BestSellers", "ProductDetail", "SearchRequest",
-		"SearchResults", "ShoppingCart", "CustomerRegistration", "BuyRequest",
-		"BuyConfirm", "OrderInquiry", "OrderDisplay", "AdminRequest", "AdminConfirm",
-	}
-	if int(i) < len(names) {
-		return names[i]
+	if int(i) < len(interactionNames) {
+		return interactionNames[i]
 	}
 	return fmt.Sprintf("Interaction(%d)", uint8(i))
+}
+
+// MarshalText and UnmarshalText encode an interaction by name, so cost
+// models keyed by interaction (sim.Costs) serialize readably.
+func (i Interaction) MarshalText() ([]byte, error) { return []byte(i.String()), nil }
+
+func (i *Interaction) UnmarshalText(text []byte) error {
+	for n, name := range interactionNames {
+		if name == string(text) {
+			*i = Interaction(n)
+			return nil
+		}
+	}
+	return fmt.Errorf("tpcw: unknown interaction %q", text)
 }
 
 // IsBrowse classifies interactions into the paper's Browse / Order activity
