@@ -103,3 +103,53 @@ func TestIMCacheStaleServedUnderFreshnessBound(t *testing.T) {
 		t.Fatalf("plain execution served stale data: %d, want %d", n, baseN+1)
 	}
 }
+
+// TestIMCacheNoSubsumption: an admitted result answers its own statement and
+// nothing else. A narrower query the admitted one subsumes is planned against
+// the cached view like any other, so after replication applies an update it
+// sees the new row — with or without a freshness allowance that the stale
+// admitted entry itself would still satisfy.
+func TestIMCacheNoSubsumption(t *testing.T) {
+	b, c := imcacheSetup(t)
+	const wide = "SELECT cname, caddress FROM customer WHERE cid = 7"
+	const narrow = "SELECT cname FROM customer WHERE cid = 7"
+	var old string
+	for i := 0; i < 3; i++ {
+		res, err := c.Exec(wide, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("fixture has %d customers with cid 7", len(res.Rows))
+		}
+		old = res.Rows[0][0].Str()
+	}
+	if _, err := b.Exec("UPDATE customer SET cname = 'renamed' WHERE cid = 7", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SyncReplication(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The admitted entry is stale but inside a 300 s bound: its own text may
+	// still be served from it.
+	res, err := c.Exec(wide+" WITH FRESHNESS 300", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Str(); got != old {
+		t.Fatalf("admitted statement under its bound: got %q, want the stale %q", got, old)
+	}
+	for _, q := range []string{narrow, narrow + " WITH FRESHNESS 300"} {
+		res, err := c.Exec(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counters.RemoteQueries != 0 {
+			t.Errorf("%s: went to the backend; want the cached view", q)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].Str() != "renamed" {
+			t.Errorf("%s: got %v, want the replicated update", q, res.Rows)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 
@@ -30,64 +29,7 @@ const defaultAutoCacheCap = 512
 // no allocations.
 var normPool = sync.Pool{New: func() any { return new(sql.Normalizer) }}
 
-// autoEntry is one cached query shape: the statement parsed from the
-// normalized key. stmt is nil for negative entries — shapes the front door
-// must skip every time (the key failed to parse, parsed to a non-SELECT, or
-// carries WITH FRESHNESS, which is planned per execution and bypasses the
-// plan cache anyway). Negative entries make repeated bad or ineligible text
-// cost one lookup instead of one parse.
-type autoEntry struct {
-	key  string
-	stmt *sql.SelectStmt
-}
-
-// autoLRU mirrors planLRU for parsed shapes. get takes the key as bytes:
-// the compiler's map[string(bytes)] lookup optimization keeps cache hits
-// allocation-free; only put (a miss, already paying a parse) materializes
-// the key string.
-type autoLRU struct {
-	cap   int
-	items map[string]*list.Element
-	order *list.List // front = most recently used
-}
-
-func newAutoLRU(cap int) *autoLRU {
-	if cap <= 0 {
-		cap = defaultAutoCacheCap
-	}
-	return &autoLRU{cap: cap, items: make(map[string]*list.Element), order: list.New()}
-}
-
-func (c *autoLRU) get(key []byte) (*autoEntry, bool) {
-	el, ok := c.items[string(key)]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*autoEntry), true
-}
-
-func (c *autoLRU) put(e *autoEntry) {
-	if el, ok := c.items[e.key]; ok {
-		el.Value = e
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[e.key] = c.order.PushFront(e)
-	for len(c.items) > c.cap {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.items, back.Value.(*autoEntry).key)
-		metrics.Default.Counter("engine.autoparam_evictions").Add(1)
-	}
-}
-
-func (c *autoLRU) clear() {
-	c.items = make(map[string]*list.Element)
-	c.order.Init()
-}
-
-func (c *autoLRU) len() int { return len(c.items) }
+func shapeEvicted(string) { metrics.Default.Counter("engine.autoparam_evictions").Add(1) }
 
 // autoParse resolves sqlText through the auto-parameterization cache.
 // ok=false means the text is not eligible (not a plain SELECT, disabled, or
@@ -108,54 +50,63 @@ func (db *Database) autoParse(sqlText string) (stmt *sql.SelectStmt, args []type
 		return nil, nil, nil, false
 	}
 	db.autoMu.Lock()
-	if e, hit := db.autoCache.get(key); hit {
+	stmt, hit := db.autoCache.getBytes(key)
+	gen := db.autoCache.gen
+	db.autoMu.Unlock()
+	if !hit {
+		metrics.Default.Counter("engine.autoparam_misses").Add(1)
+		// Resolve outside the lock: a concurrent miss on the same shape just
+		// parses twice and the second insert wins, and a verdict that
+		// InvalidatePlans overtook serves this execution but is not cached.
+		shape := string(key)
+		stmt = db.autoResolve(shape)
+		db.autoMu.Lock()
+		db.autoCache.putIfGen(gen, shape, stmt)
 		db.autoMu.Unlock()
-		if e.stmt == nil {
-			normPool.Put(n)
-			metrics.Default.Counter("engine.autoparam_bypass").Add(1)
-			return nil, nil, nil, false
-		}
+	} else if stmt != nil {
 		metrics.Default.Counter("engine.autoparam_hits").Add(1)
-		return e.stmt, vals, n, true
 	}
-	db.autoMu.Unlock()
-	metrics.Default.Counter("engine.autoparam_misses").Add(1)
-
-	// Miss: parse the normalized key once (outside the lock — a concurrent
-	// miss on the same shape just parses twice and the second put wins).
-	// The key is itself valid SQL in canonical token form, so the parsed
-	// statement's deparse — the plan-cache key — is canonical for the shape.
-	e := &autoEntry{key: string(key)}
-	if parsed, err := sql.Parse(e.key); err == nil {
-		if sel, isSel := parsed.(*sql.SelectStmt); isSel && sel.Freshness == nil {
-			// Warm the deparse memo before the statement is shared across
-			// goroutines; afterwards CacheKey is a read-only field access.
-			sel.CacheKey()
-			e.stmt = sel
-			if db.role == Cache {
-				// Safety probe, once per shape: cached-view matching is
-				// predicate subsumption against literal values, which @__pN
-				// placeholders hide. If the parameterized plan still needs
-				// the backend, a literal-bearing text might have matched a
-				// cached view and stayed local — so the shape is unsafe to
-				// auto-parameterize and every text plans individually with
-				// its literals intact (SQL Server applies the same
-				// conservatism to its simple parameterization).
-				if plan, _, perr := db.planCached(sel); perr != nil || plan.NeedsParams {
-					e.stmt = nil
-				}
-			}
-		}
-	}
-	db.autoMu.Lock()
-	db.autoCache.put(e)
-	db.autoMu.Unlock()
-	if e.stmt == nil {
+	if stmt == nil {
 		normPool.Put(n)
 		metrics.Default.Counter("engine.autoparam_bypass").Add(1)
 		return nil, nil, nil, false
 	}
-	return e.stmt, vals, n, true
+	return stmt, vals, n, true
+}
+
+// autoResolve decides one normalized shape against the current catalog: the
+// statement every literal variant will share, or nil when the front door
+// must skip the shape every time (the key failed to parse, parsed to a
+// non-SELECT, carries WITH FRESHNESS — planned per execution, bypassing the
+// plan cache anyway — or fails the cache-role safety probe). Caching the nil
+// makes repeated bad or ineligible text cost one lookup instead of one
+// parse. The key is itself valid SQL in canonical token form, so the parsed
+// statement's deparse — the plan-cache key — is canonical for the shape.
+func (db *Database) autoResolve(shape string) *sql.SelectStmt {
+	parsed, err := sql.Parse(shape)
+	if err != nil {
+		return nil
+	}
+	sel, isSel := parsed.(*sql.SelectStmt)
+	if !isSel || sel.Freshness != nil {
+		return nil
+	}
+	// Warm the deparse memo before the statement is shared across
+	// goroutines; afterwards CacheKey is a read-only field access.
+	sel.CacheKey()
+	if db.role == Cache {
+		// Safety probe, once per shape: cached-view matching is predicate
+		// subsumption against literal values, which @__pN placeholders
+		// hide. If the parameterized plan still needs the backend, a
+		// literal-bearing text might have matched a cached view and stayed
+		// local — so the shape is unsafe to auto-parameterize and every
+		// text plans individually with its literals intact (SQL Server
+		// applies the same conservatism to its simple parameterization).
+		if plan, _, perr := db.planCached(sel); perr != nil || plan.NeedsParams {
+			return nil
+		}
+	}
+	return sel
 }
 
 // AutoParamCacheSize reports the number of cached shapes (including

@@ -7,6 +7,7 @@ import (
 
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
+	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
 
@@ -38,6 +39,41 @@ func TestAutoParamSharesOnePlan(t *testing.T) {
 	db.InvalidatePlans()
 	if n := db.AutoParamCacheSize(); n != 0 {
 		t.Errorf("auto-param cache not cleared by InvalidatePlans: %d", n)
+	}
+}
+
+// A shape verdict resolved across an InvalidatePlans call must not be
+// cached: it was computed against the old catalog. Here the old verdict is
+// "ineligible" (no cached view covers item, so the parameterized plan needs
+// the backend) and the DDL in between makes the shape eligible.
+func TestAutoParamStaleVerdictNotCached(t *testing.T) {
+	_, cache := newCachePair(t)
+	const text = "SELECT i_title FROM item WHERE i_id = 17"
+	key, _, ok := new(sql.Normalizer).Normalize(text)
+	if !ok {
+		t.Fatal("text did not normalize")
+	}
+	shape := string(key)
+
+	// First half of a miss in autoParse: snapshot the generation, resolve.
+	cache.autoMu.Lock()
+	gen := cache.autoCache.gen
+	cache.autoMu.Unlock()
+	if verdict := cache.autoResolve(shape); verdict != nil {
+		t.Fatal("shape resolved as eligible with no cached view to answer it")
+	}
+	if _, err := cache.Exec("CREATE CACHED VIEW allitems AS SELECT i_id, i_title FROM item", nil); err != nil {
+		t.Fatal(err)
+	}
+	// Second half: the insert is refused.
+	cache.autoMu.Lock()
+	inserted := cache.autoCache.putIfGen(gen, shape, nil)
+	cache.autoMu.Unlock()
+	if inserted || cache.AutoParamCacheSize() != 0 {
+		t.Fatalf("verdict from before the DDL was cached (inserted=%v, %d shapes)", inserted, cache.AutoParamCacheSize())
+	}
+	if !cache.AutoParamProbe(text) {
+		t.Fatal("shape still ineligible after the cached view that covers it was created")
 	}
 }
 

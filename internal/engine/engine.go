@@ -61,12 +61,13 @@ type Database struct {
 	remote exec.RemoteClient
 
 	planMu    sync.Mutex
-	planCache *planLRU
+	planCache *lru[*opt.Plan]
 
 	// autoMu guards autoCache, the auto-parameterization shape cache
-	// (normalized text → parsed statement; see autoparam.go).
+	// (normalized text → parsed statement, nil for a negative entry; see
+	// autoparam.go).
 	autoMu    sync.Mutex
-	autoCache *autoLRU
+	autoCache *lru[*sql.SelectStmt]
 	autoOff   bool // Config.DisableAutoParam
 	rowMode   bool // Config.RowMode: force row-at-a-time execution
 
@@ -76,10 +77,8 @@ type Database struct {
 	// stale entries behind.
 	mvPlans sync.Map // map[*catalog.Table]*mvPlan
 
-	// imc is the intermediate-result cache (nil when disabled by config);
-	// imcOn gates it at runtime so benchmarks can toggle phases. Admission,
-	// eviction and stale transitions of view-tier entries clear the query
-	// plan cache through the cache's OnChange hook (invalidateQueryPlans).
+	// imc is the intermediate-result cache; imcOn gates it at runtime so
+	// benchmarks can toggle phases.
 	imc   *imcache.Cache
 	imcOn atomic.Bool
 
@@ -125,12 +124,6 @@ type Config struct {
 	// the vectorized-execution benchmarks.
 	RowMode bool
 
-	// DisableIMCache turns the intermediate-result cache off entirely
-	// (no candidate tracking, no lookups). The default-on cache serves
-	// repeated identical SELECTs from materialized results and registers
-	// hot intermediates with the optimizer.
-	DisableIMCache bool
-
 	// IMCache overrides the intermediate-result cache bounds (nil =
 	// imcache defaults: 64 MiB, admit on 2nd execution).
 	IMCache *imcache.Options
@@ -142,6 +135,14 @@ func New(cfg Config) *Database {
 	if cfg.Options != nil {
 		opts = *cfg.Options
 	}
+	planCap := cfg.PlanCacheCap
+	if planCap <= 0 {
+		planCap = defaultPlanCacheCap
+	}
+	var imOpts imcache.Options
+	if cfg.IMCache != nil {
+		imOpts = *cfg.IMCache
+	}
 	db := &Database{
 		Name:      cfg.Name,
 		cat:       catalog.New(),
@@ -149,20 +150,13 @@ func New(cfg Config) *Database {
 		role:      cfg.Role,
 		opts:      opts,
 		remote:    cfg.Remote,
-		planCache: newPlanLRU(cfg.PlanCacheCap),
-		autoCache: newAutoLRU(0),
+		planCache: newLRU[*opt.Plan](planCap, planEvicted),
+		autoCache: newLRU[*sql.SelectStmt](defaultAutoCacheCap, shapeEvicted),
 		autoOff:   cfg.DisableAutoParam,
 		rowMode:   cfg.RowMode,
+		imc:       imcache.New(imOpts),
 	}
-	if !cfg.DisableIMCache {
-		var imOpts imcache.Options
-		if cfg.IMCache != nil {
-			imOpts = *cfg.IMCache
-		}
-		db.imc = imcache.New(imOpts)
-		db.imc.OnChange(db.invalidateQueryPlans)
-		db.imcOn.Store(true)
-	}
+	db.imcOn.Store(true)
 	db.registerSystemTables()
 	return db
 }
@@ -279,23 +273,16 @@ func (db *Database) ExecSession(sqlText string, params exec.Params, minLSN stora
 	return db.Exec(sqlText, params)
 }
 
-// invalidateQueryPlans clears the SELECT plan cache alone. It is what an
-// intermediate-result transition (admit, stale, refresh, evict of a
-// view-tier entry) needs: cached plans may read a synthetic __im_N view that
-// just changed, but whether a statement shape may be auto-parameterized
-// depends on DDL and cached-view definitions only, so the shape cache — and
-// the matview maintenance plans — survive the churn.
-func (db *Database) invalidateQueryPlans() {
+// InvalidatePlans clears the plan cache, the auto-parameterization shape
+// cache and the matview maintenance-plan cache. It is the only invalidation
+// there is, and it has three causes: DDL, a statistics refresh, and an
+// optimizer-option change. Data changes never reach it — a cached dynamic
+// plan stays valid across them (paper §5.1), and the intermediate-result
+// cache tracks its own staleness per entry.
+func (db *Database) InvalidatePlans() {
 	db.planMu.Lock()
 	db.planCache.clear()
 	db.planMu.Unlock()
-}
-
-// InvalidatePlans clears the plan cache, the auto-parameterization shape
-// cache and the matview maintenance-plan cache (after DDL, a stats refresh
-// or an optimizer-option change).
-func (db *Database) InvalidatePlans() {
-	db.invalidateQueryPlans()
 	db.autoMu.Lock()
 	db.autoCache.clear()
 	db.autoMu.Unlock()
@@ -317,12 +304,7 @@ func (db *Database) mvPlanCacheSize() int {
 }
 
 func (db *Database) env() *opt.Env {
-	e := &opt.Env{Cat: db.cat, IsCache: db.role == Cache, Opts: db.opts, Staleness: db.stalenessOf}
-	if imc := db.imcacheIfEnabled(); imc != nil {
-		e.Intermediates = func() []*catalog.Table { return imc.ViewTables(time.Now()) }
-		e.IntermediateStaleness = func(name string) (float64, bool) { return imc.Staleness(name, time.Now()) }
-	}
-	return e
+	return &opt.Env{Cat: db.cat, IsCache: db.role == Cache, Opts: db.opts, Staleness: db.stalenessOf}
 }
 
 // Result is the outcome of one statement.
@@ -569,7 +551,7 @@ func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs
 	// observed: their plan may have read bounded-stale views, so the rows
 	// are not a fresh materialization of the statement.
 	if imc != nil && imkey != "" && err == nil && stmt.Freshness == nil {
-		db.imObserve(imc, imkey, imShape(stmt), stmt, params, autoArgs, plan, res, time.Since(qstart))
+		db.imObserve(imc, imkey, imShape(stmt), stmt, autoArgs, plan, res, time.Since(qstart))
 	}
 	return res, err
 }
@@ -680,16 +662,27 @@ func (db *Database) planCached(stmt *sql.SelectStmt) (*opt.Plan, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	db.planMu.Lock()
 	// Optimization ran outside the lock; if InvalidatePlans fired in
-	// between (DDL, or an intermediate-result admit/evict/stale
-	// transition), this plan may reference state that no longer exists —
-	// run it once but do not cache it.
-	if db.planCache.gen == gen {
-		db.planCache.put(key, p)
-	}
+	// between, this plan may reference a view that no longer exists — run
+	// it once but do not cache it.
+	db.planMu.Lock()
+	db.planCache.putIfGen(gen, key, p)
 	db.planMu.Unlock()
 	return p, false, nil
+}
+
+// defaultPlanCacheCap bounds the per-database plan cache when Config leaves
+// PlanCacheCap zero. Distinct query texts beyond the cap evict the least
+// recently used plan (counted by engine.plan_cache_evictions), so ad-hoc
+// query churn cannot grow the cache without limit.
+const defaultPlanCacheCap = 256
+
+func planEvicted(key string) {
+	metrics.Default.Counter("engine.plan_cache_evictions").Add(1)
+	if len(key) > 120 {
+		key = key[:120] + "…"
+	}
+	querystore.Emit("plan_evicted", "shape", key)
 }
 
 // PlanCacheSize reports the number of cached plans.

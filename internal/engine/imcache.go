@@ -1,11 +1,8 @@
 // Intermediate-result cache glue: key construction, lineage extraction,
-// exact-match lookup before planning, admission after execution, and the
-// synthetic-view builder that lets Goldstein–Larson view matching
-// substitute a hot intermediate into *other* queries like any cached
-// view. The cache itself (admission thresholds, benefit-weighted
-// eviction, staleness transitions) lives in internal/imcache; the
-// replication apply path and every local write path invalidate through
-// InvalidateIntermediates.
+// exact-match lookup before planning and admission after execution. The
+// cache itself (admission thresholds, benefit-weighted eviction, staleness
+// transitions) lives in internal/imcache; the replication apply path and
+// every local write path invalidate through InvalidateIntermediates.
 package engine
 
 import (
@@ -14,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/imcache"
 	"mtcache/internal/opt"
@@ -22,30 +18,22 @@ import (
 	"mtcache/internal/types"
 )
 
-// imViewPrefix marks synthetic intermediate views in plan UsedViews lists
-// and staleness probes.
-const imViewPrefix = "__im_"
-
-// IMCache exposes the intermediate-result cache (nil when disabled at
-// construction).
+// IMCache exposes the intermediate-result cache.
 func (db *Database) IMCache() *imcache.Cache { return db.imc }
 
 // SetIMCacheEnabled toggles the intermediate-result cache at runtime.
-// Disabling (or re-enabling) clears cached results and plans so the next
-// queries replan from scratch; benchmarks use it to measure with/without
-// phases on one database.
+// Disabling (or re-enabling) drops every cached result and admission
+// candidate; while off there are no lookups and no candidate tracking.
+// Benchmarks use it to measure with/without phases on one database. Cached
+// plans are untouched: no plan reads the result cache.
 func (db *Database) SetIMCacheEnabled(on bool) {
-	if db.imc == nil {
-		return
-	}
 	db.imcOn.Store(on)
 	db.imc.Clear()
-	db.InvalidatePlans()
 }
 
-// imcacheIfEnabled returns the cache when it is present and switched on.
+// imcacheIfEnabled returns the cache when it is switched on.
 func (db *Database) imcacheIfEnabled() *imcache.Cache {
-	if db.imc != nil && db.imcOn.Load() {
+	if db.imcOn.Load() {
 		return db.imc
 	}
 	return nil
@@ -56,9 +44,6 @@ func (db *Database) imcacheIfEnabled() *imcache.Cache {
 // procedures on a backend, forwarded DML on a cache, bulk loads, DROP,
 // and — the transparent path — replication apply.
 func (db *Database) InvalidateIntermediates(table string) {
-	if db.imc == nil {
-		return
-	}
 	db.imc.Invalidate(table, time.Now())
 }
 
@@ -244,10 +229,9 @@ func (db *Database) imLineageRef(ref sql.TableRef, out map[string]bool) bool {
 // imObserve feeds one successfully executed SELECT into the cache. Only
 // fully-local plans qualify: a remote or mixed plan's rows were produced
 // on the backend, where writes this cache never hears about could
-// invalidate them silently. Plans that already read an intermediate are
-// skipped so entries never layer on each other.
+// invalidate them silently.
 func (db *Database) imObserve(imc *imcache.Cache, key, shape string, stmt *sql.SelectStmt,
-	params exec.Params, autoArgs []types.Value, plan *opt.Plan, res *Result, dur time.Duration) {
+	autoArgs []types.Value, plan *opt.Plan, res *Result, dur time.Duration) {
 	if !plan.FullyLocal || res == nil {
 		return
 	}
@@ -256,16 +240,13 @@ func (db *Database) imObserve(imc *imcache.Cache, key, shape string, stmt *sql.S
 		return
 	}
 	for _, v := range plan.UsedViews {
-		if strings.HasPrefix(v, imViewPrefix) {
-			return
-		}
 		lineage[strings.ToLower(v)] = true
 	}
 	names := make([]string, 0, len(lineage))
 	for n := range lineage {
 		names = append(names, n)
 	}
-	admitted := imc.Observe(imcache.Observation{
+	imc.Observe(imcache.Observation{
 		Key:     key,
 		Shape:   shape,
 		Args:    formatLiterals(autoArgs),
@@ -275,162 +256,16 @@ func (db *Database) imObserve(imc *imcache.Cache, key, shape string, stmt *sql.S
 		LSN:     uint64(res.SnapshotLSN),
 		CostNs:  dur.Nanoseconds(),
 	}, time.Now())
-	if !admitted {
-		return
-	}
-	if view := db.buildIntermediateView(imc, stmt, params, autoArgs, res); view != nil {
-		imc.AttachView(key, view)
-	}
-}
-
-// buildIntermediateView turns a view-matchable statement into a synthetic
-// cached-view catalog entry over the already-materialized rows, so the
-// optimizer substitutes the intermediate into other queries touching the
-// same base table. Requirements mirror MatchView's view-definition shape:
-// one plain base-table FROM, no aggregation / TOP / DISTINCT, plain
-// column outputs, and a WHERE whose parameters all resolve to the bound
-// values this result was computed with. Ineligible statements return nil
-// — they still serve exact-match lookups.
-func (db *Database) buildIntermediateView(imc *imcache.Cache, stmt *sql.SelectStmt,
-	params exec.Params, autoArgs []types.Value, res *Result) *catalog.Table {
-	if len(stmt.From) != 1 || stmt.GroupBy != nil || stmt.Having != nil ||
-		stmt.Top != nil || stmt.Distinct || len(res.Cols) == 0 {
-		return nil
-	}
-	tn, ok := stmt.From[0].(*sql.TableName)
-	if !ok {
-		return nil
-	}
-	base := db.cat.Table(tn.FullName())
-	if base == nil || base.Virtual || base.IsView {
-		return nil
-	}
-	var items []sql.SelectItem
-	if len(stmt.Columns) == 1 && stmt.Columns[0].Star && stmt.Columns[0].StarTable == "" {
-		items = []sql.SelectItem{{Star: true}}
-	} else {
-		for _, it := range stmt.Columns {
-			ref, ok := it.Expr.(*sql.ColumnRef)
-			if it.Star || !ok {
-				return nil
-			}
-			items = append(items, sql.SelectItem{Expr: &sql.ColumnRef{Name: ref.Name}, Alias: it.Alias})
-		}
-	}
-	where, ok := imSubstExpr(stmt.Where, params, autoArgs)
-	if !ok {
-		return nil
-	}
-	rows := res.Rows
-	viewCols := make([]catalog.Column, len(res.Cols))
-	colNames := make([]string, len(res.Cols))
-	for i, c := range res.Cols {
-		viewCols[i] = catalog.Column{Name: c.Name, Type: c.Kind}
-		colNames[i] = c.Name
-	}
-	return &catalog.Table{
-		Name:         imc.NextViewName(),
-		Columns:      viewCols,
-		IsView:       true,
-		Materialized: true,
-		Cached:       true, // never mixed-result: the rows may be stale
-		Virtual:      true, // no storage; scanned through RowsFn
-		RowsFn:       func() []types.Row { return rows },
-		ViewDef: &sql.SelectStmt{
-			Columns: items,
-			From:    []sql.TableRef{&sql.TableName{Name: base.Name}},
-			Where:   where,
-		},
-		Stats: catalog.BuildTableStats(colNames, rows),
-	}
-}
-
-// imSubstExpr deep-copies e with every parameter replaced by its bound
-// value as a literal and every column qualifier stripped (the synthetic
-// view definition has no alias). false when a parameter has no binding or
-// an expression kind is not understood.
-func imSubstExpr(e sql.Expr, params exec.Params, autoArgs []types.Value) (sql.Expr, bool) {
-	switch x := e.(type) {
-	case nil:
-		return nil, true
-	case *sql.ColumnRef:
-		return &sql.ColumnRef{Name: x.Name}, true
-	case *sql.Literal:
-		c := *x
-		return &c, true
-	case *sql.Param:
-		v, ok := imResolveParam(x.Name, params, autoArgs)
-		if !ok {
-			return nil, false
-		}
-		return &sql.Literal{Val: v}, true
-	case *sql.BinaryExpr:
-		l, ok1 := imSubstExpr(x.L, params, autoArgs)
-		r, ok2 := imSubstExpr(x.R, params, autoArgs)
-		return &sql.BinaryExpr{Op: x.Op, L: l, R: r}, ok1 && ok2
-	case *sql.UnaryExpr:
-		sub, ok := imSubstExpr(x.X, params, autoArgs)
-		return &sql.UnaryExpr{Op: x.Op, X: sub}, ok
-	case *sql.LikeExpr:
-		l, ok1 := imSubstExpr(x.X, params, autoArgs)
-		p, ok2 := imSubstExpr(x.Pattern, params, autoArgs)
-		return &sql.LikeExpr{X: l, Pattern: p, Not: x.Not}, ok1 && ok2
-	case *sql.InExpr:
-		sub, ok := imSubstExpr(x.X, params, autoArgs)
-		c := &sql.InExpr{X: sub, Not: x.Not}
-		for _, a := range x.List {
-			ca, aok := imSubstExpr(a, params, autoArgs)
-			ok = ok && aok
-			c.List = append(c.List, ca)
-		}
-		return c, ok
-	case *sql.BetweenExpr:
-		sub, ok1 := imSubstExpr(x.X, params, autoArgs)
-		lo, ok2 := imSubstExpr(x.Lo, params, autoArgs)
-		hi, ok3 := imSubstExpr(x.Hi, params, autoArgs)
-		return &sql.BetweenExpr{X: sub, Lo: lo, Hi: hi, Not: x.Not}, ok1 && ok2 && ok3
-	case *sql.IsNullExpr:
-		sub, ok := imSubstExpr(x.X, params, autoArgs)
-		return &sql.IsNullExpr{X: sub, Not: x.Not}, ok
-	}
-	return nil, false
-}
-
-// imResolveParam resolves @name against the auto-extracted literals
-// (positional __pN) or the named parameter map, deep-copying string
-// payloads so the literal outlives the pooled normalizer buffer.
-func imResolveParam(name string, params exec.Params, autoArgs []types.Value) (types.Value, bool) {
-	if i, ok := sql.AutoParamIndex(name); ok {
-		if i < 0 || i >= len(autoArgs) {
-			return types.Value{}, false
-		}
-		return imCopyValue(autoArgs[i]), true
-	}
-	for n, v := range params {
-		if strings.EqualFold(n, name) {
-			return imCopyValue(v), true
-		}
-	}
-	return types.Value{}, false
-}
-
-func imCopyValue(v types.Value) types.Value {
-	v.S = strings.Clone(v.S)
-	return v
 }
 
 // intermediateResultsRows backs sys.intermediate_results.
 func (db *Database) intermediateResultsRows() []types.Row {
-	if db.imc == nil {
-		return nil
-	}
 	infos := db.imc.Snapshot(time.Now())
 	rows := make([]types.Row, 0, len(infos))
 	for _, e := range infos {
 		rows = append(rows, types.Row{
 			types.NewString(e.Shape),
 			types.NewString(e.Args),
-			types.NewString(e.ViewName),
 			types.NewInt(int64(e.Rows)),
 			types.NewInt(e.Bytes),
 			types.NewInt(e.Hits),

@@ -9,6 +9,7 @@ import (
 
 	"mtcache/internal/imcache"
 	"mtcache/internal/metrics"
+	"mtcache/internal/opt"
 	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
@@ -181,164 +182,160 @@ func TestIMCacheEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestIMCacheViewTierSubstitution: an admitted select-project intermediate
-// becomes a synthetic view the optimizer substitutes into other queries.
-func TestIMCacheViewTierSubstitution(t *testing.T) {
-	db := imTestDB(t, nil)
-	const q1 = "SELECT id, v FROM t WHERE grp = 5"
-	for i := 0; i < 3; i++ {
-		if _, err := db.Exec(q1, nil); err != nil {
+// TestIMCacheChurnKeepsPlans: the result cache admitting, going stale,
+// refreshing and evicting under a tiny byte budget never touches the plan or
+// shape caches — after warm-up no statement is optimized again — and every
+// read still returns the current rows.
+func TestIMCacheChurnKeepsPlans(t *testing.T) {
+	db := imTestDB(t, &imcache.Options{MaxBytes: 6 << 10, MaxEntryBytes: 4 << 10, AdmitAfter: 1})
+	// Model of column v and the three read shapes checked against it.
+	v := make([]int64, 1000)
+	for i := range v {
+		v[i] = int64(i % 100)
+	}
+	point := func(id int) {
+		t.Helper()
+		res, err := db.Exec(fmt.Sprintf("SELECT v FROM t WHERE id = %d", id), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// A different query subsumed by the intermediate: same source filter,
-	// narrower projection plus an extra residual predicate.
-	stmt, err := sql.Parse("SELECT v FROM t WHERE grp = 5 AND v >= 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := db.Plan(stmt.(*sql.SelectStmt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	usedIM := false
-	for _, v := range plan.UsedViews {
-		if strings.HasPrefix(v, imViewPrefix) {
-			usedIM = true
+		if len(res.Rows) != 1 || res.Rows[0][0].Int() != v[id] {
+			t.Fatalf("id %d: got %v, want %d", id, res.Rows, v[id])
 		}
 	}
-	if !usedIM {
-		t.Fatalf("plan did not substitute the intermediate view; used %v", plan.UsedViews)
-	}
-	// And the substituted plan must produce the right rows.
-	res, err := db.Exec("SELECT v FROM t WHERE grp = 5 AND v >= 0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetIMCacheEnabled(false)
-	want, err := db.Exec("SELECT v FROM t WHERE grp = 5 AND v >= 0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, g := imCanon(want.Rows), imCanon(res.Rows)
-	if len(w) != len(g) {
-		t.Fatalf("row count: want %d, got %d", len(w), len(g))
-	}
-	for i := range w {
-		if w[i] != g[i] {
-			t.Fatalf("substituted plan row %d: want %q, got %q", i, w[i], g[i])
+	sum := func(grp int) {
+		t.Helper()
+		res, err := db.Exec(fmt.Sprintf("SELECT SUM(v) AS s FROM t WHERE grp = %d", grp), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var want int64
+		for id := grp; id < len(v); id += 64 {
+			want += v[id]
+		}
+		if got := res.Rows[0][0].Int(); got != want {
+			t.Fatalf("grp %d: SUM(v) = %d, want %d", grp, got, want)
+		}
+	}
+	list := func(grp int) {
+		t.Helper()
+		res, err := db.Exec(fmt.Sprintf("SELECT id, v FROM t WHERE grp = %d", grp), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("grp %d: no rows", grp)
+		}
+		for _, r := range res.Rows {
+			if id := r[0].Int(); id%64 != int64(grp) || r[1].Int() != v[id] {
+				t.Fatalf("grp %d: row %v, want v = %d", grp, r, v[id])
+			}
+		}
+	}
+	round := func(i int) {
+		id := (i * 67) % 1000 // walks every group
+		if _, err := db.Exec(fmt.Sprintf("UPDATE t SET v = v + 1 WHERE id = %d", id), nil); err != nil {
+			t.Fatal(err)
+		}
+		v[id]++
+		for rep := 0; rep < 2; rep++ { // the second pass is served from the cache
+			point(id)
+			sum(id % 64)
+			list(id % 64)
+			list((id + 1) % 64)
+		}
+	}
+
+	round(0) // warm-up: one plan and one shape per statement
+	plans, shapes := db.PlanCacheSize(), db.AutoParamCacheSize()
+	if plans != 3 || shapes != 3 {
+		t.Fatalf("warm-up cached %d plans, %d shapes; want 3 and 3", plans, shapes)
+	}
+	counter := func(name string) int64 { return metrics.Default.Counter(name).Value() }
+	misses := counter("engine.plan_cache_misses")
+	before := map[string]int64{}
+	for _, name := range []string{"imcache.admits", "imcache.hits", "imcache.invalidations", "imcache.evictions"} {
+		before[name] = counter(name)
+	}
+	for i := 1; i <= 40; i++ {
+		round(i)
+	}
+	for name, was := range before {
+		if counter(name) == was {
+			t.Errorf("%s did not move: the churn this test is about never happened", name)
+		}
+	}
+	if got := counter("engine.plan_cache_misses"); got != misses {
+		t.Errorf("result-cache churn caused %d plan-cache misses", got-misses)
+	}
+	if p, s := db.PlanCacheSize(), db.AutoParamCacheSize(); p != plans || s != shapes {
+		t.Errorf("result-cache churn moved the caches: %d plans, %d shapes; want %d and %d", p, s, plans, shapes)
 	}
 }
 
-// TestIMCachePlanInvalidationOnAdmit is the regression test for the
-// plan-cache race: admitting (and later dropping) a view-tier intermediate
-// must invalidate cached plans exactly like DDL, or a stale plan could keep
-// reading a dropped intermediate.
-func TestIMCachePlanInvalidationOnAdmit(t *testing.T) {
-	db := imTestDB(t, nil)
-	if _, err := db.Exec("SELECT COUNT(*) AS n FROM t WHERE v = 3", nil); err != nil {
-		t.Fatal(err)
+// TestInvalidatePlansClearsEverything: DDL, a statistics refresh and an
+// optimizer-option change each empty the plan cache, the shape cache and the
+// matview maintenance plans, and a plan optimized across the call is not
+// inserted afterwards.
+func TestInvalidatePlansClearsEverything(t *testing.T) {
+	causes := []struct {
+		name string
+		fire func(db *Database) error
+	}{
+		{"CREATE VIEW", func(db *Database) error { return db.ExecScript("CREATE VIEW tv AS SELECT id, v FROM t WHERE grp = 1") }},
+		{"DROP VIEW", func(db *Database) error { return db.ExecScript("DROP VIEW mv") }},
+		{"ANALYZE", func(db *Database) error { return db.AnalyzeTable("t") }},
+		{"SetOptions", func(db *Database) error {
+			o := db.Options()
+			o.MaxDOP = 1
+			db.SetOptions(o)
+			return nil
+		}},
 	}
-	db.planMu.Lock()
-	gen := db.planCache.gen
-	db.planMu.Unlock()
+	for _, c := range causes {
+		t.Run(c.name, func(t *testing.T) {
+			db := imTestDB(t, nil)
+			if err := db.ExecScript("CREATE MATERIALIZED VIEW mv AS SELECT id, v FROM t WHERE v <= 10"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec("UPDATE t SET v = 5 WHERE id = 3", nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec("SELECT v FROM t WHERE id = 3", nil); err != nil {
+				t.Fatal(err)
+			}
+			if db.PlanCacheSize() == 0 || db.AutoParamCacheSize() == 0 || db.mvPlanCacheSize() == 0 {
+				t.Fatalf("warm-up cached %d plans, %d shapes, %d maintenance plans",
+					db.PlanCacheSize(), db.AutoParamCacheSize(), db.mvPlanCacheSize())
+			}
 
-	// Two executions admit a select-project intermediate with a view.
-	const q = "SELECT id, v FROM t WHERE grp = 7"
-	for i := 0; i < 2; i++ {
-		if _, err := db.Exec(q, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.planMu.Lock()
-	afterAdmit := db.planCache.gen
-	db.planMu.Unlock()
-	if afterAdmit == gen {
-		t.Fatal("admitting a view-tier intermediate did not invalidate cached plans")
-	}
+			// A plan in flight: optimized before the invalidation, inserted after.
+			stmt, err := sql.Parse("SELECT w FROM t WHERE id = @id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel := stmt.(*sql.SelectStmt)
+			db.planMu.Lock()
+			gen := db.planCache.gen
+			db.planMu.Unlock()
+			inflight, err := opt.Optimize(sel, db.env())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Disabling drops every entry; plans referencing intermediates must go too.
-	db.SetIMCacheEnabled(false)
-	db.planMu.Lock()
-	afterDrop := db.planCache.gen
-	db.planMu.Unlock()
-	if afterDrop == afterAdmit {
-		t.Fatal("dropping intermediates did not invalidate cached plans")
-	}
-}
-
-// TestIMCacheChurnKeepsAutoParamShapes: admitting and invalidating a
-// view-tier intermediate clears the query plan cache (and a plan optimized
-// across the transition is not re-inserted) but leaves the
-// auto-parameterization shape cache alone — shape eligibility depends on DDL
-// and cached-view definitions, never on __im_N entries.
-func TestIMCacheChurnKeepsAutoParamShapes(t *testing.T) {
-	db := imTestDB(t, nil)
-	for _, q := range []string{
-		"SELECT v FROM t WHERE id = 1",
-		"SELECT COUNT(*) AS n FROM t WHERE v = 3",
-	} {
-		if _, err := db.Exec(q, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shapes := db.AutoParamCacheSize()
-	if shapes == 0 || db.PlanCacheSize() == 0 {
-		t.Fatalf("warm-up cached nothing: shapes=%d plans=%d", shapes, db.PlanCacheSize())
-	}
-
-	db.planMu.Lock()
-	staleGen := db.planCache.gen
-	db.planMu.Unlock()
-
-	// Admit: the second execution materializes a view-tier entry.
-	const q = "SELECT id, v FROM t WHERE grp = 7"
-	for i := 0; i < 2; i++ {
-		if _, err := db.Exec(q, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	shapes++ // q's own shape
-	if got := db.AutoParamCacheSize(); got != shapes {
-		t.Fatalf("admit changed the shape cache: %d shapes, want %d", got, shapes)
-	}
-	// The admit cleared the plan cache: the warm-up statements' plans are gone.
-	if n := db.PlanCacheSize(); n != 0 {
-		t.Fatalf("admit left %d cached plans", n)
-	}
-	// planCached refuses to insert a plan optimized under an older
-	// generation, so a plan in flight across the admit is not re-inserted.
-	db.planMu.Lock()
-	if db.planCache.gen == staleGen {
-		t.Fatal("admit did not advance the plan-cache generation")
-	}
-	db.planMu.Unlock()
-
-	// Re-warm one plan (a new literal: the old text is now served by the
-	// exact tier without planning), then invalidate the entry by a write.
-	if _, err := db.Exec("SELECT v FROM t WHERE id = 2", nil); err != nil {
-		t.Fatal(err)
-	}
-	if db.PlanCacheSize() == 0 {
-		t.Fatal("plan not re-cached after admit")
-	}
-	if _, err := db.Exec("UPDATE t SET v = v + 1 WHERE id = 500", nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := db.PlanCacheSize(); n != 0 {
-		t.Fatalf("invalidation left %d cached plans", n)
-	}
-	if got := db.AutoParamCacheSize(); got != shapes {
-		t.Fatalf("invalidation changed the shape cache: %d shapes, want %d", got, shapes)
-	}
-
-	// DDL still clears everything.
-	if _, err := db.Exec("CREATE INDEX ix_t_grp ON t (grp)", nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.AutoParamCacheSize(); got != 0 {
-		t.Fatalf("DDL left %d shapes cached", got)
+			if err := c.fire(db); err != nil {
+				t.Fatal(err)
+			}
+			if p, s, m := db.PlanCacheSize(), db.AutoParamCacheSize(), db.mvPlanCacheSize(); p+s+m != 0 {
+				t.Errorf("left %d plans, %d shapes, %d maintenance plans", p, s, m)
+			}
+			db.planMu.Lock()
+			inserted := db.planCache.putIfGen(gen, sel.CacheKey(), inflight)
+			db.planMu.Unlock()
+			if inserted || db.PlanCacheSize() != 0 {
+				t.Error("a plan optimized before the invalidation was cached after it")
+			}
+		})
 	}
 }
 

@@ -250,6 +250,7 @@ func genJoinQuery(rng *rand.Rand) jquery {
 func loadJoinDB(t *testing.T, cfg Config, tables []jtable, indexed bool) *Database {
 	t.Helper()
 	db := New(cfg)
+	db.SetIMCacheEnabled(false)
 	for i, tb := range tables {
 		ddl := tb.ddl
 		if !indexed {
@@ -282,7 +283,7 @@ func TestJoinDifferentialGenerated(t *testing.T) {
 	for seed := 1; seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		tables := genJoinTables(rng)
-		cfg := Config{Name: "j", Role: Backend, DisableIMCache: true}
+		cfg := Config{Name: "j", Role: Backend}
 		indexed := loadJoinDB(t, cfg, tables, true)
 		plain := loadJoinDB(t, cfg, tables, false)
 		cfg.RowMode = true
@@ -350,7 +351,8 @@ func TestJoinDifferentialGenerated(t *testing.T) {
 // sv) with 10; small.sk points at big ids, and nothing indexes either k.
 func newBigSmallDB(t *testing.T) *Database {
 	t.Helper()
-	db := New(Config{Name: "bs", Role: Backend, DisableIMCache: true})
+	db := New(Config{Name: "bs", Role: Backend})
+	db.SetIMCacheEnabled(false)
 	err := db.ExecScript(`
 		CREATE TABLE big (id INT PRIMARY KEY, k INT, v INT);
 		CREATE TABLE small (sid INT PRIMARY KEY, sk INT, sv INT);`)

@@ -133,10 +133,10 @@ func TestEngineParallelAggregation(t *testing.T) {
 func TestPlanCacheLRUEviction(t *testing.T) {
 	// Auto-parameterization would fold the literal-distinct statements below
 	// into one shape (one plan); disable it so each text gets its own plan
-	// and the LRU actually evicts. The intermediate-result cache is disabled
-	// too: admitting an intermediate invalidates plans (like DDL), which
-	// would empty the cache mid-test.
-	db := New(Config{Name: "backend", Role: Backend, PlanCacheCap: 4, DisableAutoParam: true, DisableIMCache: true})
+	// and the LRU actually evicts. The intermediate-result cache is off too,
+	// so the re-run below reaches the plan cache instead of a cached result.
+	db := New(Config{Name: "backend", Role: Backend, PlanCacheCap: 4, DisableAutoParam: true})
+	db.SetIMCacheEnabled(false)
 	if err := db.ExecScript("CREATE TABLE tiny (id INT PRIMARY KEY, v INT);"); err != nil {
 		t.Fatal(err)
 	}

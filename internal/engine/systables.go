@@ -3,7 +3,6 @@ package engine
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/metrics"
@@ -53,27 +52,17 @@ func planVariant(p *opt.Plan) string {
 	return base
 }
 
-// servedStaleness is the worst staleness among the cached views and
-// intermediate results a plan read — the bound actually served to the
-// client. -1 when no probe is wired or the plan read no views.
+// servedStaleness is the worst staleness among the cached views a plan
+// read — the bound actually served to the client. -1 when no probe is
+// wired or the plan read no views.
 func (db *Database) servedStaleness(p *opt.Plan) float64 {
-	if len(p.UsedViews) == 0 {
-		return -1
-	}
 	worst := -1.0
+	if db.stalenessOf == nil {
+		return worst
+	}
 	for _, v := range p.UsedViews {
-		if strings.HasPrefix(v, imViewPrefix) {
-			if imc := db.imcacheIfEnabled(); imc != nil {
-				if s, ok := imc.Staleness(v, time.Now()); ok && s > worst {
-					worst = s
-				}
-			}
-			continue
-		}
-		if db.stalenessOf != nil {
-			if s, ok := db.stalenessOf(v); ok && s > worst {
-				worst = s
-			}
+		if s, ok := db.stalenessOf(v); ok && s > worst {
+			worst = s
 		}
 	}
 	return worst
@@ -131,7 +120,7 @@ func (db *Database) registerSystemTables() {
 		func() []types.Row { return nil })
 
 	_ = db.RegisterVirtualTable("sys.intermediate_results", []catalog.Column{
-		str("shape"), str("literals"), str("view_name"), i64("rows"), i64("bytes"),
+		str("shape"), str("literals"), i64("rows"), i64("bytes"),
 		i64("hits"), i64("saved_ns"), str("lineage"), i64("computed_lsn"), f64("staleness_seconds"),
 	}, db.intermediateResultsRows)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/types"
@@ -171,42 +170,25 @@ func TestCandidateTrackerBounded(t *testing.T) {
 	}
 }
 
-func TestOnChangeFiredForViewTierTransitions(t *testing.T) {
-	c := New(Options{AdmitAfter: 1})
+// Lookup ages out only the entry it touches; the O(entries) sweep of
+// everything past MaxStaleAge belongs to Invalidate.
+func TestOverStaleSweepRunsInInvalidateOnly(t *testing.T) {
+	c := New(Options{AdmitAfter: 1, MaxStaleAge: time.Minute})
 	now := time.Unix(1000, 0)
-	fired := 0
-	c.OnChange(func() { fired++ })
-
 	c.Observe(obs("k1", 2, 50, "item"), now)
-	if fired != 0 {
-		t.Fatalf("admit without view fired OnChange %d times", fired)
-	}
-	view := &catalog.Table{Name: "__im_1", IsView: true, Materialized: true, Cached: true,
-		Virtual: true, RowsFn: func() []types.Row { return nil }}
-	c.AttachView("k1", view)
-	if fired != 1 {
-		t.Fatalf("AttachView fired OnChange %d times, want 1", fired)
-	}
-	if got := c.ViewTables(now); len(got) != 1 || got[0].Name != "__im_1" {
-		t.Fatalf("ViewTables = %v", got)
-	}
+	c.Observe(obs("k2", 2, 50, "item"), now)
 	c.Invalidate("item", now)
-	if fired != 2 {
-		t.Fatalf("stale transition fired OnChange %d times, want 2", fired)
+
+	expired := now.Add(2 * time.Minute)
+	if _, ok := c.Lookup("k1", expired, time.Hour); ok {
+		t.Fatal("lookup served an entry beyond MaxStaleAge")
 	}
-	if st, ok := c.Staleness("__im_1", now.Add(3*time.Second)); !ok || st != 3 {
-		t.Fatalf("Staleness = %v, %v", st, ok)
+	if c.Len() != 1 {
+		t.Fatalf("lookup of k1 left %d entries, want k2 alone", c.Len())
 	}
-	// Dropping past MaxStaleAge removes the view and fires again.
-	c.Lookup("k1", now.Add(10*time.Minute), 0)
-	if fired != 3 {
-		t.Fatalf("over-stale drop fired OnChange %d times, want 3", fired)
-	}
-	if got := c.ViewTables(now.Add(10 * time.Minute)); len(got) != 0 {
-		t.Fatalf("dropped view still listed: %v", got)
-	}
-	if _, ok := c.Staleness("__im_1", now); ok {
-		t.Fatal("dropped view still resolves staleness")
+	c.Invalidate("orders", expired)
+	if c.Len() != 0 || c.Bytes() != 0 {
+		t.Fatalf("invalidate left %d over-stale entries (%d bytes)", c.Len(), c.Bytes())
 	}
 }
 
@@ -251,12 +233,5 @@ func TestSnapshotOrderAndFields(t *testing.T) {
 	}
 	if len(infos[0].Lineage) != 2 || infos[0].Lineage[0] != "item" {
 		t.Fatalf("lineage not normalized: %v", infos[0].Lineage)
-	}
-}
-
-func TestNextViewNameSequence(t *testing.T) {
-	c := New(Options{})
-	if a, b := c.NextViewName(), c.NextViewName(); a != "__im_1" || b != "__im_2" {
-		t.Fatalf("view names %q %q", a, b)
 	}
 }

@@ -51,13 +51,12 @@ func (pl *planner) planLeaf(ai *aliasInfo) (*candSet, error) {
 	return cs, nil
 }
 
-// addViewCandidates runs view matching over all materialized views — the
-// DBA-declared ones in the catalog plus the synthetic views published by
-// the intermediate-result cache — and adds local / dynamic candidates.
-// remoteAlt is the remote path used as the guard-false branch of dynamic
-// plans (nil on a backend server, where the alternative branch reads the
-// base table locally).
+// addViewCandidates runs view matching over all materialized views and adds
+// local / dynamic candidates. remoteAlt is the remote path used as the
+// guard-false branch of dynamic plans (nil on a backend server, where the
+// alternative branch reads the base table locally).
 func (pl *planner) addViewCandidates(cs *candSet, ai *aliasInfo, neededSet map[string]bool, remoteAlt *plan) error {
+	t := ai.table
 	for _, v := range pl.env.Cat.Tables() {
 		if !v.IsView || !v.Materialized {
 			continue
@@ -68,67 +67,45 @@ func (pl *planner) addViewCandidates(cs *candSet, ai *aliasInfo, neededSet map[s
 		if v.Cached && !pl.env.viewFreshEnough(v.Name) {
 			continue // too stale for the query's WITH FRESHNESS bound (§7)
 		}
-		if err := pl.matchViewCandidate(cs, ai, neededSet, remoteAlt, v); err != nil {
-			return err
+		m := MatchView(v, t.Name, ai.singleConj, neededSet, pl.env.Opts.EnableDynamicPlans)
+		if m == nil {
+			continue
 		}
-	}
-	if pl.env.Intermediates != nil {
-		for _, v := range pl.env.Intermediates() {
-			if !pl.env.intermediateFreshEnough(v.Name) {
-				continue // stale beyond the query's tolerance
-			}
-			if err := pl.matchViewCandidate(cs, ai, neededSet, remoteAlt, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// matchViewCandidate matches one materialized view (catalog or
-// intermediate) against ai's base table and adds the resulting local /
-// dynamic candidates.
-func (pl *planner) matchViewCandidate(cs *candSet, ai *aliasInfo, neededSet map[string]bool, remoteAlt *plan, v *catalog.Table) error {
-	t := ai.table
-	m := MatchView(v, t.Name, ai.singleConj, neededSet, pl.env.Opts.EnableDynamicPlans)
-	if m == nil {
-		return nil
-	}
-	local, err := pl.localAccess(ai, v, v.Name, m.ColMap, t, m.Residual)
-	if err != nil {
-		return err
-	}
-	local.usedViews = append(local.usedViews, v.Name)
-	if m.Guard == nil {
-		cs.add(local)
-		return nil
-	}
-	// Guarded match → dynamic plan (paper §5.1).
-	alt := remoteAlt
-	if alt == nil {
-		alt, err = pl.localAccess(ai, t, t.Name, identityColMap(t), nil, ai.singleConj)
+		local, err := pl.localAccess(ai, v, v.Name, m.ColMap, t, m.Residual)
 		if err != nil {
 			return err
 		}
-	}
-	fl := EstimateGuardFrequency(m.GuardTerms, t.Stats)
-	// The dynamic plan keeps local's leaf descriptor: once a join pulls the
-	// ChoosePlan above itself, the guard-true branch is the bare view access
-	// again and may be sought into.
-	dyn := dynPlan(local, alt, alt.cost, &dynInfo{guardAST: m.Guard, fl: fl})
-	if !pl.env.Opts.PullUpChoosePlan {
-		if dyn, err = pl.materialize(dyn); err != nil {
-			return err
+		local.usedViews = append(local.usedViews, v.Name)
+		if m.Guard == nil {
+			cs.add(local)
+			continue
 		}
-	}
-	cs.add(dyn)
+		// Guarded match → dynamic plan (paper §5.1).
+		alt := remoteAlt
+		if alt == nil {
+			alt, err = pl.localAccess(ai, t, t.Name, identityColMap(t), nil, ai.singleConj)
+			if err != nil {
+				return err
+			}
+		}
+		fl := EstimateGuardFrequency(m.GuardTerms, t.Stats)
+		// The dynamic plan keeps local's leaf descriptor: once a join pulls the
+		// ChoosePlan above itself, the guard-true branch is the bare view access
+		// again and may be sought into.
+		dyn := dynPlan(local, alt, alt.cost, &dynInfo{guardAST: m.Guard, fl: fl})
+		if !pl.env.Opts.PullUpChoosePlan {
+			if dyn, err = pl.materialize(dyn); err != nil {
+				return err
+			}
+		}
+		cs.add(dyn)
 
-	// Mixed-result plan (§5.1.1): allowed for regular materialized views
-	// only — never for cached views or intermediates, whose rows may be
-	// stale.
-	if pl.env.Opts.AllowMixedResults && !v.Cached && !pl.env.IsCache {
-		if mixed := pl.mixedResultPlan(ai, local, m, fl); mixed != nil {
-			cs.add(mixed)
+		// Mixed-result plan (§5.1.1): allowed for regular materialized views
+		// only — never for cached views, whose rows may be stale.
+		if pl.env.Opts.AllowMixedResults && !v.Cached && !pl.env.IsCache {
+			if mixed := pl.mixedResultPlan(ai, local, m, fl); mixed != nil {
+				cs.add(mixed)
+			}
 		}
 	}
 	return nil

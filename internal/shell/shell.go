@@ -108,7 +108,7 @@ func Run(cfg Config) {
 				`SELECT TOP %d seq, ts, kind, trace_id, detail FROM sys.events ORDER BY seq DESC`, n))
 		case line == `\imcache` || strings.HasPrefix(line, `\imcache `):
 			n := argN(line, `\imcache`, 10)
-			runSQL(cfg, out, fmt.Sprintf(`SELECT TOP %d shape, literals, view_name, rows, bytes,
+			runSQL(cfg, out, fmt.Sprintf(`SELECT TOP %d shape, literals, rows, bytes,
 				hits, saved_ns, lineage, staleness_seconds
 				FROM sys.intermediate_results ORDER BY hits DESC`, n))
 		case line == `\slow` || strings.HasPrefix(line, `\slow `):

@@ -102,10 +102,11 @@ var (
 )
 
 // copyDatabase recreates src's TPC-W tables, rows and procedures in a fresh
-// backend database built from ddl.
+// backend database built from ddl, with the intermediate-result cache off.
 func copyDatabase(t *testing.T, src *engine.Database, cfg engine.Config, ddl string) *engine.Database {
 	t.Helper()
 	dst := engine.New(cfg)
+	dst.SetIMCacheEnabled(false)
 	if err := dst.ExecScript(ddl); err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +167,9 @@ func TestProceduresAgreeAcrossJoinStrategies(t *testing.T) {
 	}
 
 	plainDDL := reIndex.ReplaceAllString(rePKColumn.ReplaceAllString(rePKTable.ReplaceAllString(SchemaDDL, ""), ""), "")
-	hashOnly := copyDatabase(t, b.DB, engine.Config{Name: "hash", DisableIMCache: true}, plainDDL)
-	rowMode := copyDatabase(t, b.DB, engine.Config{Name: "row", DisableIMCache: true, RowMode: true}, SchemaDDL)
-	serial := copyDatabase(t, b.DB, engine.Config{Name: "serial", DisableIMCache: true}, SchemaDDL)
+	hashOnly := copyDatabase(t, b.DB, engine.Config{Name: "hash"}, plainDDL)
+	rowMode := copyDatabase(t, b.DB, engine.Config{Name: "row", RowMode: true}, SchemaDDL)
+	serial := copyDatabase(t, b.DB, engine.Config{Name: "serial"}, SchemaDDL)
 	opts := serial.Options()
 	opts.MaxDOP = 1
 	serial.SetOptions(opts)

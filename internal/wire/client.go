@@ -23,11 +23,6 @@ import (
 // Client implements exec.RemoteClient, so an engine.Database can use it
 // directly as its backend link.
 //
-// Against a v1 server (one that never echoes correlation IDs) the client
-// falls back to matching responses to requests in send order, which is
-// correct because such a server reads, handles and answers strictly one
-// request at a time per connection.
-//
 // Client itself fails hard on the first transport error — the error fails
 // every request in flight on the connection, and the Client is then dead
 // (Broken reports true). Wrap it in a ResilientClient (DialResilient) for
@@ -39,12 +34,10 @@ type Client struct {
 	wmu sync.Mutex // serializes frame writes; guards enc
 	enc *gob.Encoder
 
-	mu           sync.Mutex
-	pending      map[uint64]chan *response
-	fifo         []uint64 // issue order, for ID-less responses from v1 servers
-	nextID       uint64
-	idsConfirmed bool  // a response carried a matching ID: peer is v2
-	err          error // terminal transport error; non-nil = dead client
+	mu      sync.Mutex
+	pending map[uint64]chan *response
+	nextID  uint64
+	err     error // terminal transport error; non-nil = dead client
 
 	readerWG sync.WaitGroup
 }
@@ -106,26 +99,13 @@ func (c *Client) readLoop(dec *gob.Decoder) {
 	}
 }
 
-// deliver routes one response to its waiter. Responses carrying an ID match
-// by ID (v2 server, possibly out of order); ID-less responses come from a
-// v1 server that answers strictly in arrival order, so they match the
-// oldest outstanding request. Responses whose request was abandoned after a
-// timeout match nothing and are dropped.
+// deliver routes one response to its waiter by correlation ID (responses
+// may arrive out of order). A response that matches nothing — its request
+// was abandoned after a timeout, or it carries no ID — is dropped.
 func (c *Client) deliver(resp *response) {
 	c.mu.Lock()
-	var ch chan *response
-	if resp.ID != 0 {
-		c.idsConfirmed = true
-		if ch = c.pending[resp.ID]; ch != nil {
-			delete(c.pending, resp.ID)
-			c.dropFIFOLocked(resp.ID)
-		}
-	} else if len(c.fifo) > 0 {
-		id := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		ch = c.pending[id]
-		delete(c.pending, id)
-	}
+	ch := c.pending[resp.ID]
+	delete(c.pending, resp.ID)
 	c.mu.Unlock()
 	if ch != nil {
 		ch <- resp // buffered: never blocks the reader
@@ -140,39 +120,18 @@ func (c *Client) failAll(err error) {
 	}
 	pend := c.pending
 	c.pending = make(map[uint64]chan *response)
-	c.fifo = nil
 	c.mu.Unlock()
 	for _, ch := range pend {
 		ch <- nil // nil response = look up the terminal error
 	}
 }
 
-// dropFIFOLocked removes id from the send-order queue. Caller holds c.mu.
-func (c *Client) dropFIFOLocked(id uint64) {
-	for i, v := range c.fifo {
-		if v == id {
-			c.fifo = append(c.fifo[:i], c.fifo[i+1:]...)
-			return
-		}
-	}
-}
-
-// abandon gives up on a request whose response timer expired. Against a v2
-// server the connection stays usable — the late response is dropped on
-// arrival by ID. Against a peer not yet proven to echo IDs the
-// request/response correspondence is lost (FIFO matching would mis-pair
-// every later response), so the connection is severed; the reader then
-// fails the remaining in-flight requests.
+// abandon gives up on a request whose response timer expired. The
+// connection stays usable: the late response is dropped on arrival.
 func (c *Client) abandon(id uint64) {
 	c.mu.Lock()
-	_, wasPending := c.pending[id]
 	delete(c.pending, id)
-	c.dropFIFOLocked(id)
-	fifoMode := !c.idsConfirmed
 	c.mu.Unlock()
-	if wasPending && fifoMode {
-		c.conn.Close()
-	}
 }
 
 // roundTrip sends one request and waits for its response, with any number
@@ -184,9 +143,6 @@ func (c *Client) abandon(id uint64) {
 // back as *ServerError and are never retryable.
 func (c *Client) roundTrip(req *request) (*response, error) {
 	ch := make(chan *response, 1)
-	// The FIFO slot is taken inside the write lock so socket order equals
-	// c.fifo order: an ID-less (v1) peer answers in arrival order, and two
-	// callers that enqueued A,B must not hit the wire B,A.
 	c.wmu.Lock()
 	c.mu.Lock()
 	if c.err != nil {
@@ -199,7 +155,6 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	id := c.nextID
 	req.ID = id
 	c.pending[id] = ch
-	c.fifo = append(c.fifo, id)
 	c.mu.Unlock()
 	inflight := metrics.Default.Gauge("wire.inflight")
 	inflight.Add(1)
@@ -368,8 +323,7 @@ func (c *Client) Resume(table string, columns []string, filter, subName string, 
 // acknowledging (deleting) every batch at or below ack. Returned batches
 // stay queued on the backend until a later Pull acknowledges them, so a
 // response lost in transit is simply re-delivered. The second return value
-// is the LSN the change stream is complete through (repl.DrainAfterThrough);
-// a v1 server leaves it 0 and the subscriber falls back to batch LSNs.
+// is the LSN the change stream is complete through (repl.DrainAfterThrough).
 func (c *Client) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
 	resp, err := c.roundTrip(&request{Kind: reqPull, SubID: subID, Max: max, AckLSN: ack})
 	if err != nil {

@@ -3,9 +3,7 @@ package wire
 import (
 	"encoding/gob"
 	"net"
-	"sync"
 	"testing"
-	"time"
 
 	"mtcache/internal/exec"
 	"mtcache/internal/storage"
@@ -15,9 +13,9 @@ import (
 
 // requestV1 and responseV1 are the pre-multiplexing frame layouts: every
 // field the v1 protocol had, and no correlation ID. Gob matches struct
-// fields by name, so encoding these against a v2 peer (and decoding a v2
-// peer's frames into them) reproduces exactly what a v1 binary on the other
-// end of the connection would see.
+// fields by name, so round-tripping between these and the current layouts
+// pins the append-only field contract. Live interop with such peers is not
+// supported: responses are matched by ID only.
 type requestV1 struct {
 	Kind   reqKind
 	SQL    string
@@ -47,131 +45,6 @@ type responseV1 struct {
 	StartLSN storage.LSN
 
 	Span *trace.WireSpan
-}
-
-// TestCompatOldClientNewServer speaks raw v1 frames at a real v2 server:
-// requests carry no ID, the server must still answer (handling them one at
-// a time from the client's point of view), and the responses must decode
-// into the v1 layout — the echoed ID is zero, which gob omits, so the old
-// client never sees a field it does not know.
-func TestCompatOldClientNewServer(t *testing.T) {
-	_, srv := newWiredBackend(t)
-	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-
-	// A v1 client is strictly one-in-flight: send, wait, repeat.
-	for i := 1; i <= 3; i++ {
-		req := requestV1{Kind: reqQuery, SQL: "SELECT name FROM part WHERE id = @id",
-			Params: map[string]types.Value{"id": types.NewInt(int64(i))}}
-		if err := enc.Encode(&req); err != nil {
-			t.Fatal(err)
-		}
-		var resp responseV1
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Err != "" {
-			t.Fatalf("round %d: server error: %s", i, resp.Err)
-		}
-		if len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "part"+string(rune('0'+i)) {
-			t.Fatalf("round %d: wrong rows: %v", i, resp.Rows)
-		}
-	}
-
-	// Exec works too — the full v1 surface, not just Query.
-	req := requestV1{Kind: reqExec, SQL: "UPDATE part SET qty = 0 WHERE id = 1"}
-	if err := enc.Encode(&req); err != nil {
-		t.Fatal(err)
-	}
-	var resp responseV1
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" || resp.N != 1 {
-		t.Fatalf("exec: n=%d err=%q", resp.N, resp.Err)
-	}
-}
-
-// serveV1 is a minimal pre-multiplexing server: one connection, decode a
-// request, answer it, repeat — strictly in arrival order, echoing no ID.
-// Responses carry the request's SQL so the client side can verify pairing.
-func serveV1(t *testing.T) net.Addr {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req requestV1
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := responseV1{Rows: []types.Row{{types.NewString(req.SQL)}}}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr()
-}
-
-// TestCompatNewClientOldServer points the multiplexed client at a v1 server
-// that never echoes IDs: the client must fall back to FIFO matching and
-// still pair every response with its own request, even with many concurrent
-// callers racing onto the one connection.
-func TestCompatNewClientOldServer(t *testing.T) {
-	addr := serveV1(t)
-	c, err := Dial(addr.String(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const workers = 16
-	const perWorker = 25
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for q := 0; q < perWorker; q++ {
-				sql := "QUERY-" + string(rune('A'+w)) + "-" + string(rune('a'+q))
-				rs, err := c.Query(sql, nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got := rs.Rows[0][0].Str(); got != sql {
-					t.Errorf("FIFO mis-pair: sent %q, got response for %q", sql, got)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }
 
 // TestCompatFrameRoundTrip pins the append-only frame contract at the gob

@@ -198,8 +198,8 @@ func TestMuxServerBackpressure(t *testing.T) {
 	}
 }
 
-// TestMuxTimeoutSparesConnection: once the peer has proven it echoes IDs, a
-// timed-out request is abandoned alone — the connection survives, the late
+// TestMuxTimeoutSparesConnection: a timed-out request — even the first on
+// its connection — is abandoned alone: the connection survives, the late
 // response is dropped by ID on arrival, and the very same client keeps
 // serving.
 func TestMuxTimeoutSparesConnection(t *testing.T) {
@@ -216,18 +216,13 @@ func TestMuxTimeoutSparesConnection(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Prove the peer is v2 so the timeout path keeps the connection.
-	if _, err := c.Query("SELECT COUNT(*) FROM part", nil); err != nil {
-		t.Fatal(err)
-	}
-
 	proxy.SetFaults(FaultConfig{Delay: 400 * time.Millisecond})
 	_, err = c.Query("SELECT COUNT(*) FROM part", nil)
 	if !errors.Is(err, resilience.ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
 	if c.Broken() {
-		t.Fatal("a timeout against a v2 peer must not kill the connection")
+		t.Fatal("a timeout must not kill the connection")
 	}
 
 	proxy.SetFaults(FaultConfig{})
@@ -239,6 +234,44 @@ func TestMuxTimeoutSparesConnection(t *testing.T) {
 	}
 	if rs.Rows[0][0].Str() != "part3" {
 		t.Fatalf("late response mis-paired: %v", rs.Rows)
+	}
+}
+
+// TestMuxDropsIDLessResponse: responses are matched by correlation ID only.
+// A frame without one (what a pre-multiplexing server would send) is dropped
+// like any unmatched response, never handed to the oldest waiter.
+func TestMuxDropsIDLessResponse(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var req request
+		if gob.NewDecoder(conn).Decode(&req) != nil {
+			return
+		}
+		enc := gob.NewEncoder(conn)
+		_ = enc.Encode(&response{N: 99})            // no ID: must be ignored
+		_ = enc.Encode(&response{ID: req.ID, N: 1}) // the real answer
+	}()
+
+	c, err := Dial(ln.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n, err := c.Exec("UPDATE part SET qty = 0 WHERE id = 1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Fatalf("got N=%d: the ID-less frame was delivered to the waiter", n)
 	}
 }
 

@@ -9,17 +9,14 @@
 //     article+subscription for a cached view, receives the initial
 //     population, and then periodically pulls committed transactions.
 //
-// Protocol v2 multiplexes one connection: every request carries a
-// correlation ID (an append-only gob field, like request.TraceID) that the
-// server echoes on the response, so many requests can be in flight
+// One connection is multiplexed: every request carries a correlation ID
+// that the server echoes on the response, so many requests can be in flight
 // concurrently and responses may return out of order. The server handles
 // each request in its own goroutine, bounded by a server-wide semaphore;
 // responses are serialized onto the connection under a per-connection write
-// lock. v1 peers interoperate: a v1 client sends no ID (gob omits
-// zero-valued fields) and runs strictly one request at a time, so the
-// concurrent server needs no ordering for it; a v1 server echoes no ID and
-// answers in arrival order, which the v2 client detects and falls back to
-// FIFO matching (see Client.deliver).
+// lock. Matching is by ID only: the pre-multiplexing (v1) protocol, whose
+// servers echoed no ID and were matched in send order, is not supported —
+// the client drops an ID-less response like any other unmatched one.
 //
 // The in-process transport (engine.Link) and this TCP transport implement
 // the same exec.RemoteClient interface; a cache cannot tell them apart.
@@ -93,9 +90,7 @@ type request struct {
 	TraceID string
 
 	// ID correlates the response with this request on a multiplexed
-	// connection (protocol v2). IDs start at 1; 0 is reserved for v1 peers
-	// that predate multiplexing (gob omits the zero value, so a v1 server
-	// sees exactly the frame it always saw). Same append-only compatibility
+	// connection. Client IDs start at 1. Same append-only compatibility
 	// rules as TraceID.
 	ID uint64
 
@@ -106,8 +101,8 @@ type request struct {
 
 	// MinLSN gates reqQuery/reqExec on session freshness: a cache must have
 	// applied at least this LSN before answering, or report Stale instead of
-	// serving data the session's own writes have not reached. Zero (the v1
-	// wire value) disables the gate. Same append-only compatibility rules as
+	// serving data the session's own writes have not reached. Zero disables
+	// the gate. Same append-only compatibility rules as
 	// TraceID.
 	MinLSN storage.LSN
 
@@ -135,8 +130,8 @@ type response struct {
 	// request.TraceID.
 	Span *trace.WireSpan
 
-	// ID echoes request.ID (0 for requests from v1 clients). Same
-	// append-only compatibility rules as request.TraceID.
+	// ID echoes request.ID. Same append-only compatibility rules as
+	// request.TraceID.
 	ID uint64
 
 	// LSN is the commit LSN of any write the request performed on the
