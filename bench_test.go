@@ -119,7 +119,7 @@ func BenchmarkReplicationLatency(b *testing.B) {
 	var res sim.ReplLatencyResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = sim.ExperimentReplicationLatency(backend, app,
+		res, err = sim.ExperimentReplicationLatency(backend, cache, app,
 			30*time.Millisecond, 400*time.Millisecond, 400*time.Millisecond)
 		if err != nil {
 			b.Fatal(err)

@@ -8,7 +8,6 @@
 //	mtbench -experiment scaleout -scaleout-k 3 -bench-json BENCH_scaleout.json
 //	mtbench -experiment scaleout-sim -servers 5 -items 1000 -customers 2880
 //	mtbench -experiment throughput -clients 16 -bench-json BENCH_multiplex.json
-//	mtbench -experiment mvcc -clients 8 -bench-json BENCH_mvcc.json
 //	mtbench -experiment parallel -parallel-rows 60000 -bench-json BENCH_parallel.json
 //	mtbench -experiment recovery -clients 16 -bench-json BENCH_recovery.json
 //	mtbench -experiment querystore -bench-json BENCH_querystore.json
@@ -16,12 +15,12 @@
 //	mtbench -experiment imcache -bench-json BENCH_imcache.json
 //
 // Experiments: mix, baseline, scaleout, scaleout-sim, replover, repllat,
-// advisor, chaos, throughput, mvcc, parallel, recovery, querystore,
+// advisor, chaos, throughput, parallel, recovery, querystore,
 // vectorized, imcache, all. "scaleout" boots a real fleet — K cache
 // processes against one backend with routed, session-consistent traffic —
 // and measures WIPS; "scaleout-sim" is the calibrated capacity simulation
 // the paper figures are scaled from. ("all" excludes scaleout, chaos,
-// throughput, mvcc, parallel, recovery, querystore, vectorized and imcache;
+// throughput, parallel, recovery, querystore, vectorized and imcache;
 // run them explicitly.)
 package main
 
@@ -40,7 +39,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "mix | baseline | scaleout | scaleout-sim | replover | repllat | advisor | chaos | throughput | mvcc | parallel | recovery | querystore | vectorized | imcache | all")
+		experiment  = flag.String("experiment", "all", "mix | baseline | scaleout | scaleout-sim | replover | repllat | advisor | chaos | throughput | parallel | recovery | querystore | vectorized | imcache | all")
 		items       = flag.Int("items", 500, "TPC-W item count")
 		customers   = flag.Int("customers", 1000, "TPC-W customer count")
 		servers     = flag.Int("servers", 5, "maximum web/cache servers")
@@ -87,10 +86,6 @@ func main() {
 	}
 	if *experiment == "throughput" {
 		printThroughput(*clients, *poolSize, *netDelay, *benchDur, *benchJSON)
-		return
-	}
-	if *experiment == "mvcc" {
-		printMVCC(*clients, *benchDur, *benchJSON)
 		return
 	}
 	if *experiment == "parallel" {
@@ -232,7 +227,7 @@ func printReplOverhead(cal *sim.CalibrationResult) {
 func printReplLatency(cal *sim.CalibrationResult, cfg tpcw.Config) {
 	fmt.Println("== §6.2.3 replication latency (live pipeline) ==")
 	app := tpcw.NewApp(core.ConnectCache(cal.Cache), cfg)
-	res, err := sim.ExperimentReplicationLatency(cal.Backend, app,
+	res, err := sim.ExperimentReplicationLatency(cal.Backend, cal.Cache, app,
 		100*time.Millisecond, 2*time.Second, 2*time.Second)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "latency experiment failed:", err)

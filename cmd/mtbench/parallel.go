@@ -202,3 +202,10 @@ func explainDOP(plan string) int {
 	}
 	return n
 }
+
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}

@@ -63,7 +63,7 @@ func main() {
 	}
 	time.Sleep(3 * poll)
 	backend.StopReplication()
-	lat := backend.Repl.Stats.Latency
+	lat := cache.Stats.Latency
 	fmt.Printf("propagation latency over %d txns: mean %s, p90 %s\n",
 		lat.Count(),
 		time.Duration(lat.Mean()*float64(time.Second)).Round(time.Millisecond),

@@ -84,7 +84,7 @@ func main() {
 	}
 
 	// Replication health.
-	stats := backend.Repl.Stats
+	stats := cache.Stats
 	fmt.Printf("\nreplication: %d txns applied to the cache, mean latency %s\n",
 		stats.TxnsApplied.Value(),
 		(time.Duration(stats.Latency.Mean() * float64(time.Second))).Round(time.Millisecond))

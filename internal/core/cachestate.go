@@ -1,12 +1,12 @@
-package wire
+package core
 
-// cachestate.go persists a RemoteCache's durable state: one checkpoint file
+// cachestate.go persists a CacheServer's durable state: one checkpoint file
 // holding, per cached view, the view's rows and the highest replication LSN
 // applied to them. A cache applies pulled batches unlogged (replicated
 // changes must not re-enter a WAL), so its durability story is
 // checkpoint + resubscribe rather than log replay: on restart it reloads the
 // checkpointed rows and asks the backend to resume the change stream at the
-// checkpointed LSN (reqResume). Only when the backend can no longer serve
+// checkpointed LSN (BackendClient.Resume). Only when the backend can no longer serve
 // that position does it fall back to a full reseed.
 
 import (
@@ -31,7 +31,7 @@ const (
 
 var cacheCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// cacheCheckpoint is the serialized durable state of one RemoteCache.
+// cacheCheckpoint is the serialized durable state of one CacheServer.
 type cacheCheckpoint struct {
 	Views []cacheViewState
 }
@@ -51,7 +51,7 @@ type cacheViewState struct {
 func writeCacheCheckpoint(dir string, ck *cacheCheckpoint) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
-		return fmt.Errorf("wire: encode cache checkpoint: %w", err)
+		return fmt.Errorf("core: encode cache checkpoint: %w", err)
 	}
 	var buf bytes.Buffer
 	buf.WriteString(cacheCkptMagic)
@@ -72,11 +72,11 @@ func writeCacheCheckpoint(dir string, ck *cacheCheckpoint) error {
 	}
 	if _, err := f.Write(buf.Bytes()); err != nil {
 		f.Close()
-		return fmt.Errorf("wire: write cache checkpoint: %w", err)
+		return fmt.Errorf("core: write cache checkpoint: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("wire: sync cache checkpoint: %w", err)
+		return fmt.Errorf("core: sync cache checkpoint: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return err
@@ -105,7 +105,7 @@ func loadCacheCheckpoint(dir string) (*cacheCheckpoint, error) {
 		return nil, err
 	}
 	if len(data) < len(cacheCkptMagic)+8 || string(data[:len(cacheCkptMagic)]) != cacheCkptMagic {
-		return nil, errors.New("wire: cache checkpoint: bad magic")
+		return nil, errors.New("core: cache checkpoint: bad magic")
 	}
 	body := data[len(cacheCkptMagic):]
 	n := binary.LittleEndian.Uint32(body[0:4])
@@ -116,11 +116,11 @@ func loadCacheCheckpoint(dir string) (*cacheCheckpoint, error) {
 	}
 	payload = payload[:n]
 	if crc32.Checksum(payload, cacheCRCTable) != sum {
-		return nil, errors.New("wire: cache checkpoint: CRC mismatch")
+		return nil, errors.New("core: cache checkpoint: CRC mismatch")
 	}
 	ck := new(cacheCheckpoint)
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(ck); err != nil {
-		return nil, fmt.Errorf("wire: decode cache checkpoint: %w", err)
+		return nil, fmt.Errorf("core: decode cache checkpoint: %w", err)
 	}
 	return ck, nil
 }

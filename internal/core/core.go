@@ -12,23 +12,24 @@
 //     replication article (select-project over the base table), creates the
 //     subscription, and populates the view — "when a cached view is created,
 //     we automatically create a replication subscription matching the view";
+//   - a pull agent on the cache keeps the views current (§2.2);
 //   - stored procedures are selectively copied with CopyProcedure (§5.2);
 //   - applications connect through Conn; re-pointing a Conn from the backend
 //     to a cache is the analog of redirecting an ODBC source (§4) — no
 //     application change needed.
+//
+// There is one cache server. Everything it needs of its backend is the
+// BackendClient interface; NewCache hands it a direct in-process link, a
+// deployed cache (NewCacheOver) a TCP client from internal/wire.
 package core
 
 import (
-	"fmt"
-	"strings"
-	"time"
+	"sync"
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/engine"
 	"mtcache/internal/exec"
-	"mtcache/internal/opt"
 	"mtcache/internal/repl"
-	"mtcache/internal/sql"
 	"mtcache/internal/storage"
 	"mtcache/internal/types"
 )
@@ -37,35 +38,15 @@ import (
 type BackendServer struct {
 	DB   *engine.Database
 	Repl *repl.Server
+
+	mu     sync.Mutex
+	subs   []*repl.Subscription // pull subscriptions; the index is the subscription id
+	caches []*CacheServer       // in-process caches, driven by Sync/StartReplication
 }
 
 // NewBackend creates an empty backend server.
 func NewBackend(name string) *BackendServer {
-	db := engine.New(engine.Config{Name: name, Role: engine.Backend})
-	b := &BackendServer{DB: db, Repl: repl.NewServer(db)}
-	b.registerReplStatus()
-	return b
-}
-
-// registerReplStatus points sys.repl_status at the replication runtime's
-// per-subscription health, replacing the engine's empty default.
-func (b *BackendServer) registerReplStatus() {
-	_ = b.DB.RegisterVirtualTable("sys.repl_status", engine.ReplStatusColumns(), func() []types.Row {
-		hs := b.Repl.Health()
-		rows := make([]types.Row, 0, len(hs))
-		for _, h := range hs {
-			rows = append(rows, types.Row{
-				types.NewString(h.Name),
-				types.NewString("-> " + h.Target),
-				types.NewInt(int64(h.Pending)),
-				types.NewInt(h.ApplyErrors),
-				types.NewString(h.LastError),
-				types.NewInt(0), // per-subscription LSN is not exposed here
-				types.NewFloat(h.StalenessSeconds),
-			})
-		}
-		return rows
-	})
+	return newBackend(engine.New(engine.Config{Name: name, Role: engine.Backend}))
 }
 
 // NewBackendDurable creates a backend whose store journals commits to an
@@ -77,9 +58,30 @@ func NewBackendDurable(name string, opts storage.DurabilityOptions) (*BackendSer
 	if err != nil {
 		return nil, err
 	}
+	return newBackend(db), nil
+}
+
+// newBackend attaches the replication runtime and points sys.repl_status at
+// its per-subscription health, replacing the engine's empty default.
+func newBackend(db *engine.Database) *BackendServer {
 	b := &BackendServer{DB: db, Repl: repl.NewServer(db)}
-	b.registerReplStatus()
-	return b, nil
+	_ = db.RegisterVirtualTable("sys.repl_status", engine.ReplStatusColumns(), func() []types.Row {
+		hs := b.Repl.Health()
+		rows := make([]types.Row, 0, len(hs))
+		for _, h := range hs {
+			rows = append(rows, types.Row{
+				types.NewString(h.Name),
+				types.NewString("-> (pull)"),
+				types.NewInt(int64(h.Pending)),
+				types.NewInt(0), // apply failures are recorded on the subscriber
+				types.NewString(""),
+				types.NewInt(0), // per-subscription LSN is not exposed here
+				types.NewFloat(h.StalenessSeconds),
+			})
+		}
+		return rows
+	})
+	return b
 }
 
 // Exec runs a statement on the backend.
@@ -93,169 +95,6 @@ func (b *BackendServer) ExecScript(script string) error { return b.DB.ExecScript
 // Snapshot exports the catalog image a cache imports at setup.
 func (b *BackendServer) Snapshot() *catalog.Snapshot {
 	return catalog.ExportSnapshot(b.DB.Catalog())
-}
-
-// CacheServer is one MTCache instance.
-type CacheServer struct {
-	DB      *engine.Database
-	backend *BackendServer
-	subs    map[string]*repl.Subscription // by cached view name (lower)
-}
-
-// NewCache provisions a cache server against a backend: shadow database
-// (schema, statistics, permissions — no data), backend link for remote
-// queries and update forwarding, and the cached-view hook.
-func NewCache(name string, backend *BackendServer, options *opt.Options) (*CacheServer, error) {
-	db := engine.New(engine.Config{
-		Name:    name,
-		Role:    engine.Cache,
-		Remote:  engine.NewLink(backend.DB),
-		Options: options,
-	})
-	c := &CacheServer{DB: db, backend: backend, subs: map[string]*repl.Subscription{}}
-	if err := c.ImportSnapshot(backend.Snapshot()); err != nil {
-		return nil, err
-	}
-	db.OnCachedViewCreate(c.provisionCachedView)
-	db.SetStalenessProbe(func(view string) (float64, bool) {
-		sub := c.subs[strings.ToLower(view)]
-		if sub == nil {
-			return 0, false
-		}
-		return sub.Staleness(time.Now()).Seconds(), true
-	})
-	return c, nil
-}
-
-// ImportSnapshot builds (or refreshes statistics of) the shadow database
-// from a backend catalog snapshot.
-func (c *CacheServer) ImportSnapshot(snap *catalog.Snapshot) error {
-	return ImportSnapshotInto(c.DB, snap)
-}
-
-// ImportSnapshotInto runs the §4 shadow setup against any cache-role
-// database: execute the shadow DDL script (first time only), then install
-// the backend's statistics and permission grants. Used both by the
-// in-process cache and by the TCP-connected remote cache.
-func ImportSnapshotInto(db *engine.Database, snap *catalog.Snapshot) error {
-	fresh := len(db.Catalog().Tables()) == 0
-	if fresh {
-		if err := db.ExecScript(snap.Script); err != nil {
-			return fmt.Errorf("core: shadow script: %w", err)
-		}
-	}
-	for name, stats := range snap.Stats {
-		if t := db.Catalog().Table(name); t != nil && !t.Cached {
-			t.Stats = stats.Clone()
-		}
-	}
-	for _, p := range snap.Perms {
-		db.Catalog().Grant(p.User, p.Object, p.Action)
-	}
-	db.InvalidatePlans()
-	return nil
-}
-
-// RefreshStats re-imports shadowed statistics from the backend (the paper
-// lists catalog refresh as future work; we provide the primitive).
-func (c *CacheServer) RefreshStats() error {
-	snap := c.backend.Snapshot()
-	for name, stats := range snap.Stats {
-		if t := c.DB.Catalog().Table(name); t != nil && !t.Cached {
-			t.Stats = stats.Clone()
-		}
-	}
-	c.DB.InvalidatePlans()
-	return nil
-}
-
-// provisionCachedView is the CREATE CACHED VIEW hook: derive the matching
-// article, create the subscription and populate the view.
-func (c *CacheServer) provisionCachedView(view *catalog.Table) error {
-	def := view.ViewDef
-	if len(def.From) != 1 {
-		return fmt.Errorf("core: cached views must be select-project over one table")
-	}
-	tn, ok := def.From[0].(*sql.TableName)
-	if !ok {
-		return fmt.Errorf("core: cached view source must be a table or materialized view")
-	}
-	var cols []string
-	for _, item := range def.Columns {
-		if item.Star {
-			cols = nil
-			break
-		}
-		ref, ok := item.Expr.(*sql.ColumnRef)
-		if !ok {
-			return fmt.Errorf("core: cached views may project only plain columns")
-		}
-		cols = append(cols, ref.Name)
-	}
-	art, err := c.backend.Repl.EnsureArticle(tn.Name, cols, def.Where)
-	if err != nil {
-		return err
-	}
-	sub, err := c.backend.Repl.Subscribe(art, c.DB, view.Name)
-	if err != nil {
-		return err
-	}
-	c.subs[strings.ToLower(view.Name)] = sub
-	return nil
-}
-
-// CreateCachedView runs a CREATE CACHED VIEW statement; provisioning is
-// automatic.
-func (c *CacheServer) CreateCachedView(ddl string) error {
-	_, err := c.DB.Exec(ddl, nil)
-	return err
-}
-
-// CopyProcedure copies one stored procedure from the backend so it runs
-// locally on this cache (paper §5.2). The DBA chooses which to copy.
-func (c *CacheServer) CopyProcedure(name string) error {
-	p := c.backend.DB.Catalog().Procedure(name)
-	if p == nil {
-		return fmt.Errorf("core: backend has no procedure %s", name)
-	}
-	return c.DB.CopyProcedureFrom(p.Text)
-}
-
-// CopyAllProceduresExcept copies every backend procedure except the named
-// ones (the benchmark keeps update-dominated procedures on the backend).
-func (c *CacheServer) CopyAllProceduresExcept(skip ...string) error {
-	skipSet := map[string]bool{}
-	for _, s := range skip {
-		skipSet[strings.ToLower(s)] = true
-	}
-	for _, p := range c.backend.DB.Catalog().Procedures() {
-		if skipSet[strings.ToLower(p.Name)] {
-			continue
-		}
-		if err := c.CopyProcedure(p.Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Subscription returns the replication subscription backing a cached view.
-func (c *CacheServer) Subscription(viewName string) *repl.Subscription {
-	return c.subs[strings.ToLower(viewName)]
-}
-
-// ViewStaleness reports how far a cached view currently trails the backend.
-func (c *CacheServer) ViewStaleness(viewName string) (time.Duration, bool) {
-	sub := c.Subscription(viewName)
-	if sub == nil {
-		return 0, false
-	}
-	return sub.Staleness(time.Now()), true
-}
-
-// Exec runs a statement on the cache (the application-facing entry point).
-func (c *CacheServer) Exec(sqlText string, params exec.Params) (*engine.Result, error) {
-	return c.DB.Exec(sqlText, params)
 }
 
 // Conn is what applications hold: an opaque connection that can point at
@@ -305,15 +144,3 @@ func (cn *Conn) Call(proc string, params exec.Params) (*engine.Result, error) {
 
 // Server returns the name of the server this Conn points at.
 func (cn *Conn) Server() string { return cn.name }
-
-// StartReplication launches the backend's replication agents.
-func (b *BackendServer) StartReplication(readerInterval, distInterval time.Duration) {
-	b.Repl.Start(readerInterval, distInterval)
-}
-
-// StopReplication halts the agents.
-func (b *BackendServer) StopReplication() { b.Repl.Stop() }
-
-// SyncReplication performs one synchronous propagation round (deterministic
-// alternative to the background agents).
-func (b *BackendServer) SyncReplication() error { return b.Repl.StepAll() }

@@ -95,7 +95,7 @@ func TestCachedViewAutoSubscription(t *testing.T) {
 	if got := c.DB.TableRowCount("Cust1000"); got != 1000 {
 		t.Fatalf("view rows after create: %d", got)
 	}
-	if c.Subscription("cust1000") == nil {
+	if _, ok := c.ViewStaleness("cust1000"); !ok {
 		t.Error("subscription not registered")
 	}
 	// Changes flow through replication.
@@ -224,7 +224,7 @@ func TestBackgroundReplicationLatency(t *testing.T) {
 	for time.Now().Before(deadline) {
 		res, _ := c.Exec("SELECT cname FROM customer WHERE cid = 1", nil)
 		if len(res.Rows) == 1 && res.Rows[0][0].Str() == "async" {
-			if b.Repl.Stats.Latency.Count() == 0 {
+			if c.Stats.Latency.Count() == 0 {
 				t.Error("latency not recorded")
 			}
 			return
@@ -277,5 +277,95 @@ func TestStatsRefresh(t *testing.T) {
 	after := c.DB.Catalog().Table("customer").Stats.RowCount
 	if after != before+1000 {
 		t.Errorf("stats refresh: before=%d after=%d", before, after)
+	}
+}
+
+// TestInProcessCacheReadsItsOwnWrites: an in-process cache is the fleet's
+// cache, so a session-gated read waits for the session's write to arrive
+// (kicking a pull) instead of answering ErrSessionStale.
+func TestInProcessCacheReadsItsOwnWrites(t *testing.T) {
+	b := newShop(t)
+	c, err := NewCache("cache1", b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateCachedView(`CREATE CACHED VIEW AllCust AS SELECT cid, cname FROM customer`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Exec("UPDATE customer SET cname = 'mine' WHERE cid = 9", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.AppliedLSN() >= res.CommitLSN {
+		t.Fatalf("cache applied %d before any pull; commit was %d", c.AppliedLSN(), res.CommitLSN)
+	}
+	got, err := c.DB.ExecSession("SELECT cname FROM customer WHERE cid = 9", nil, res.CommitLSN, 150*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rows[0][0].Str() != "mine" || got.Counters.RemoteQueries != 0 {
+		t.Fatalf("gated read: %v (remote=%d)", got.Rows, got.Counters.RemoteQueries)
+	}
+	if c.AppliedLSN() < res.CommitLSN {
+		t.Errorf("applied %d still below the session watermark %d", c.AppliedLSN(), res.CommitLSN)
+	}
+}
+
+// TestApplyFailureVisibleOnTheCache: a view that cannot apply a transaction
+// says so in sys.repl_status, stops advancing its applied position and its
+// freshness, and recovers — in order — once the conflict is repaired.
+func TestApplyFailureVisibleOnTheCache(t *testing.T) {
+	b := newShop(t)
+	c, _ := NewCache("cache1", b, nil)
+	if err := c.CreateCachedView(`CREATE CACHED VIEW AllOrders AS SELECT okey, ckey, total FROM orders`); err != nil {
+		t.Fatal(err)
+	}
+	// Sabotage the view: a row the next replicated insert collides with.
+	tx := c.DB.Store().Begin(true)
+	rid, err := tx.Insert("AllOrders", types.Row{types.NewInt(7000), types.NewInt(1), types.NewFloat(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.CommitUnlogged(); err != nil {
+		t.Fatal(err)
+	}
+	res, _ := b.Exec("INSERT INTO orders (okey, ckey, total) VALUES (7000, 2, 70.0)", nil)
+	b.Exec("UPDATE orders SET total = 1.5 WHERE okey = 1", nil)
+	time.Sleep(20 * time.Millisecond)
+
+	if err := b.SyncReplication(); err == nil {
+		t.Fatal("expected the conflicting apply to fail")
+	}
+	status, err := c.Exec("SELECT apply_errors, last_error, last_lsn FROM sys.repl_status WHERE name = 'AllOrders'", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(status.Rows) != 1 || status.Rows[0][0].Int() != 1 || status.Rows[0][1].Str() == "" {
+		t.Fatalf("sys.repl_status after a failed apply: %v", status.Rows)
+	}
+	if c.AppliedLSN() >= res.CommitLSN {
+		t.Errorf("applied position %d passed the failed transaction %d", c.AppliedLSN(), res.CommitLSN)
+	}
+	if s, _ := c.ViewStaleness("AllOrders"); s < 15*time.Millisecond {
+		t.Errorf("a failed round must not refresh the view's staleness: %v", s)
+	}
+
+	tx = c.DB.Store().Begin(true)
+	if err := tx.Delete("AllOrders", rid); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.CommitUnlogged(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SyncReplication(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := c.Exec("SELECT total FROM orders WHERE okey = 7000", nil)
+	if len(got.Rows) != 1 || got.Rows[0][0].Float() != 70 || got.Counters.RemoteQueries != 0 {
+		t.Fatalf("repaired view: %v", got.Rows)
+	}
+	got, _ = c.Exec("SELECT total FROM orders WHERE okey = 1", nil)
+	if got.Rows[0][0].Float() != 1.5 {
+		t.Error("transaction after the failed one lost")
 	}
 }

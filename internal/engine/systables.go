@@ -70,7 +70,7 @@ func (db *Database) servedStaleness(p *opt.Plan) float64 {
 
 // ReplStatusColumns is the canonical sys.repl_status schema, shared by the
 // engine's empty default and the role-specific providers in core (backend
-// subscription health) and wire (cache pull state).
+// subscription health, cache pull state).
 func ReplStatusColumns() []catalog.Column {
 	return []catalog.Column{
 		{Name: "name", Type: types.KindString},

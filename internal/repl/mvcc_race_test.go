@@ -1,4 +1,4 @@
-package repl
+package repl_test
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 	"mtcache/internal/engine"
 )
 
-// tornReadCase is one reader workload run against the subscriber while the
+// tornReadCase is one reader workload run against the subscriber while its
 // distribution agent applies whole-generation updates. Each publisher
 // generation is a single UPDATE-all statement (one transaction), so every
 // snapshot must see all rows at the same cost: the reader query returns
@@ -26,22 +26,15 @@ type tornReadCase struct {
 }
 
 func runTornReadCase(t *testing.T, c tornReadCase) {
-	pub := newPublisher(t, c.rows)
+	b := newPublisher(t, c.rows)
+	pub := b.DB
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, err := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, filterCost(t, 1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Level the generation before subscribing: the initial snapshot then
 	// carries uniform costs, so "all costs equal" holds for every read.
 	if _, err := pub.Exec("UPDATE item SET i_cost = 1000 WHERE i_id > 0", nil); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := srv.Subscribe(art, subDB, "tgt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := subscribe(t, b, subDB, "i_cost <= 1e9")
 	if c.prepare != nil {
 		c.prepare(t, subDB)
 	}
@@ -61,8 +54,7 @@ func runTornReadCase(t *testing.T, c tornReadCase) {
 	go func() {
 		defer wg.Done()
 		for {
-			srv.RunLogReader()
-			if _, err := srv.RunDistribution(sub); err != nil {
+			if _, err := sub.Pull(b); err != nil {
 				t.Errorf("apply: %v", err)
 				return
 			}
@@ -179,53 +171,4 @@ func TestNoTornReadsDuringApplyIndexJoin(t *testing.T) {
 			"WHERE a.i_id = 1 AND a.i_cost = b.i_cost",
 		wantPlan: "IndexJoin tgt.ix_tgt_cost",
 	})
-}
-
-// TestDistributionSkipsQueueOnlySubscriptions: the agent loop must not try
-// to apply a remote (pull) subscription locally — it has no target database
-// — and must leave its queue for the remote agent to drain. Regression test
-// for a nil-target panic in the backend's distribution goroutine.
-func TestDistributionSkipsQueueOnlySubscriptions(t *testing.T) {
-	pub := newPublisher(t, 10)
-	srv := NewServer(pub)
-	art, err := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, filterCost(t, 1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, lsn, err := srv.SnapshotRows(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := srv.SubscribeRemote(art, "pull_sub", lsn)
-
-	if _, err := pub.Exec("UPDATE item SET i_cost = 5 WHERE i_id = 1", nil); err != nil {
-		t.Fatal(err)
-	}
-	srv.RunLogReader()
-	if srv.PendingFor(remote) == 0 {
-		t.Fatal("log reader did not enqueue for the remote subscription")
-	}
-
-	n, err := srv.RunDistribution(remote)
-	if err != nil {
-		t.Fatalf("distribution over a queue-only subscription: %v", err)
-	}
-	if n != 0 {
-		t.Errorf("distribution applied %d txns to a subscription with no target", n)
-	}
-	if got := len(srv.DrainAfter(remote, 0, 0)); got == 0 {
-		t.Error("queued batches were discarded; the remote puller would lose them")
-	}
-
-	// Health must describe the target-less subscription without panicking.
-	hs := srv.Health()
-	if len(hs) != 1 {
-		t.Fatalf("health entries: %d", len(hs))
-	}
-	if hs[0].Target != "(pull)" {
-		t.Errorf("queue-only subscription target rendered as %q", hs[0].Target)
-	}
-	if hs[0].Pending == 0 {
-		t.Error("health does not report the pending pull batch")
-	}
 }

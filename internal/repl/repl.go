@@ -6,16 +6,20 @@
 //   - a log reader agent collects committed changes by sniffing the
 //     publisher's transaction log (our storage WAL) and inserts them into a
 //     distribution database;
-//   - per-subscription distribution agents wake up periodically and apply
-//     pending transactions to subscribers one complete committed transaction
-//     at a time, in commit order — so a subscriber always sees a
-//     transactionally consistent (if slightly stale) state;
-//   - changes are deleted from the distribution database once every
-//     subscriber has received them (WAL truncation).
+//   - a distribution agent on each subscriber (Subscriber, the paper's "pull
+//     subscription") wakes up periodically, pulls its pending transactions
+//     and applies them one complete committed transaction at a time, in
+//     commit order — so a subscriber always sees a transactionally
+//     consistent (if slightly stale) state;
+//   - changes are deleted from the distribution database once the subscriber
+//     has acknowledged them, and from the log once every subscriber has
+//     (WAL truncation).
 //
-// Agents can run as background goroutines with a poll interval (the paper's
-// "separate agent process that wakes up periodically") or be stepped
-// manually for deterministic tests.
+// Server is the publisher half (articles, log reader, distribution queues);
+// Subscriber is the subscriber half (cursor, dedup, apply). Both can run
+// from background goroutines with a poll interval (the paper's "separate
+// agent process that wakes up periodically") or be stepped manually for
+// deterministic tests.
 package repl
 
 import (
@@ -65,42 +69,25 @@ func (a *Article) matches(row types.Row) (bool, error) {
 	return exec.EvalBool(a.pred, row, nil)
 }
 
-// Subscription routes one article to one target table on a subscriber.
+// Subscription is the publisher's record of one subscriber to one article:
+// the distribution queue a remote Subscriber drains with pulls and acks.
 type Subscription struct {
-	Name        string
-	Article     *Article
-	Target      *engine.Database
-	TargetTable string
+	Name    string
+	Article *Article
 
 	mu      sync.Mutex
 	queue   []queuedTxn // the distribution database's pending transactions
 	nextLSN storage.LSN // first LSN not yet enqueued for this subscription
 
-	// currentAsOf is the moment the target is known to reflect: set to the
-	// snapshot time at subscription, and advanced to the log reader's pass
-	// start whenever the queue fully drains. It backs the WITH FRESHNESS
-	// extension (paper §7): staleness = now − currentAsOf.
+	// currentAsOf is the moment the subscriber is known to have been handed
+	// everything: advanced to the log reader's pass start whenever the queue
+	// is fully acknowledged.
 	currentAsOf time.Time
-
-	// Apply-failure bookkeeping, surfaced by Server.Health and the
-	// repl.apply_errors metric. The agent tick loop retries failed applies,
-	// so errors here are the only durable record of trouble.
-	applyErrors int64
-	lastErr     string
-	lastErrAt   time.Time
 }
 
-// LastError returns the most recent apply failure and when it happened
-// (zero values when the subscription has never failed).
-func (sub *Subscription) LastError() (string, time.Time) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	return sub.lastErr, sub.lastErrAt
-}
-
-// Staleness returns an upper bound on how far the target trails the
-// publisher. With pending transactions it is the age of the oldest one;
-// otherwise the time since the subscription was last known current.
+// Staleness returns the publisher's upper bound on how far the subscriber
+// trails it. With unacknowledged transactions it is the age of the oldest
+// one; otherwise the time since the subscription was last known current.
 func (sub *Subscription) Staleness(now time.Time) time.Duration {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
@@ -112,8 +99,7 @@ func (sub *Subscription) Staleness(now time.Time) time.Duration {
 
 // queuedTxn is one pending transaction in the distribution database. Like
 // SQL Server's distribution database, entries are stored in serialized form:
-// the log reader pays the encode cost (backend-side overhead), the
-// distribution agent pays the decode cost (subscriber-side overhead).
+// the log reader pays the encode cost, a subscriber's pull the decode cost.
 type queuedTxn struct {
 	lsn        storage.LSN
 	commitTime time.Time
@@ -136,31 +122,26 @@ func decodeChanges(data []byte) ([]storage.ChangeRec, error) {
 	return changes, nil
 }
 
-// Stats reports replication pipeline health and overheads, used by the
-// replication experiments (paper §6.2.2 and §6.2.3).
+// Stats reports the publisher's replication overheads, used by the
+// replication experiments (paper §6.2.2). The subscriber's half is
+// ApplyStats.
 type Stats struct {
-	TxnsApplied    *metrics.Counter
-	ChangesApplied *metrics.Counter
-	TxnsQueued     *metrics.Counter
-	Latency        *metrics.Histogram // commit-to-commit propagation delay
-	ReaderTime     *metrics.Counter   // ns spent by the log reader (backend overhead)
-	ApplyTime      *metrics.Counter   // ns spent applying on subscribers (cache overhead)
+	TxnsQueued *metrics.Counter
+	ReaderTime *metrics.Counter // ns spent by the log reader (backend overhead)
 }
 
 // Server is the replication runtime for one publisher: its articles, the
-// log reader, the distribution queues and the distribution agents.
+// log reader and the distribution queues.
 type Server struct {
 	publisher *engine.Database
 
-	mu           sync.Mutex
-	articles     []*Article
-	subs         []*Subscription
-	readerLSN    storage.LSN
-	readerOn     bool
-	lastReaderAt time.Time
+	mu        sync.Mutex
+	articles  []*Article
+	subs      []*Subscription
+	readerLSN storage.LSN
+	readerOn  bool
 
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	reader Agent
 
 	Stats Stats
 }
@@ -171,14 +152,7 @@ func NewServer(publisher *engine.Database) *Server {
 		publisher: publisher,
 		readerLSN: publisher.Store().WAL().End(),
 		readerOn:  true,
-		Stats: Stats{
-			TxnsApplied:    &metrics.Counter{},
-			ChangesApplied: &metrics.Counter{},
-			TxnsQueued:     &metrics.Counter{},
-			Latency:        metrics.NewHistogram(0),
-			ReaderTime:     &metrics.Counter{},
-			ApplyTime:      &metrics.Counter{},
-		},
+		Stats:     Stats{TxnsQueued: &metrics.Counter{}, ReaderTime: &metrics.Counter{}},
 	}
 }
 
@@ -245,78 +219,6 @@ func articleKey(table string, columns []string, filter sql.Expr) string {
 	return k
 }
 
-// Subscribe creates a subscription and performs the initial snapshot: the
-// target table is populated with the article's current contents and the
-// subscription starts streaming from that point.
-func (s *Server) Subscribe(a *Article, target *engine.Database, targetTable string) (*Subscription, error) {
-	if target.Catalog().Table(targetTable) == nil {
-		return nil, fmt.Errorf("repl: target table %s does not exist", targetTable)
-	}
-	sub := &Subscription{
-		Name:        fmt.Sprintf("sub_%s_%s_%d", target.Name, strings.ToLower(targetTable), len(s.subs)+1),
-		Article:     a,
-		Target:      target,
-		TargetTable: targetTable,
-		currentAsOf: time.Now(),
-	}
-	if err := s.snapshot(sub); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.subs = append(s.subs, sub)
-	s.mu.Unlock()
-	return sub, nil
-}
-
-// snapshot copies the article's current state into the target table and
-// records the log position the stream starts from.
-func (s *Server) snapshot(sub *Subscription) error {
-	pubStore := s.publisher.Store()
-	rtx := pubStore.Begin(false)
-	src := rtx.Table(sub.Article.Table)
-	if src == nil {
-		rtx.Abort()
-		return fmt.Errorf("repl: no storage for %s on publisher", sub.Article.Table)
-	}
-	var rows []types.Row
-	var evalErr error
-	src.Scan(func(_ storage.RowID, row types.Row) bool {
-		ok, err := sub.Article.matches(row)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			rows = append(rows, sub.Article.project(row))
-		}
-		return true
-	})
-	// Under MVCC the scan no longer blocks commits, so the current WAL end
-	// may already include transactions our snapshot cannot see. AsOfLSN is
-	// the WAL position published atomically with the snapshot's commit
-	// timestamp: the stream resumes exactly where the snapshot ends.
-	sub.nextLSN = rtx.AsOfLSN()
-	rtx.Abort()
-	if evalErr != nil {
-		return evalErr
-	}
-
-	ttx := sub.Target.Store().Begin(true)
-	for _, row := range rows {
-		if _, err := ttx.Insert(sub.TargetTable, row); err != nil {
-			ttx.Abort()
-			return fmt.Errorf("repl: snapshot of %s: %w", sub.TargetTable, err)
-		}
-	}
-	if err := ttx.CommitUnlogged(); err != nil {
-		return err
-	}
-	// A (re)seed changes the target table's contents wholesale; any
-	// intermediate results derived from it are stale.
-	sub.Target.InvalidateIntermediates(sub.TargetTable)
-	return sub.Target.AnalyzeTable(sub.TargetTable)
-}
-
 // RunLogReader performs one log-reader pass: committed transactions since
 // the last pass are filtered per subscription and enqueued in the
 // distribution database. Returns the number of commit records processed.
@@ -335,7 +237,6 @@ func (s *Server) RunLogReader() int {
 	}
 	from := s.readerLSN
 	subs := append([]*Subscription(nil), s.subs...)
-	s.lastReaderAt = start
 	s.mu.Unlock()
 
 	// Subscriptions with empty queues are current as of this pass start
@@ -469,163 +370,60 @@ func (s *Server) truncate() {
 	s.publisher.Store().WAL().Truncate(min)
 }
 
-// RunDistribution applies a subscription's pending transactions to its
-// target, one committed transaction at a time in commit order. Returns the
-// number of transactions applied.
-func (s *Server) RunDistribution(sub *Subscription) (int, error) {
-	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		s.Stats.ApplyTime.Add(int64(d))
-		metrics.Default.Histogram("repl.apply_seconds").ObserveDuration(d)
-	}()
-
-	// Queue-only subscriptions (SubscribeRemote) have no local target: a
-	// remote agent drains them with pulls and acks. Applying here would nil-
-	// panic the agent loop and, worse, discard batches the puller still needs.
-	if sub.Target == nil {
-		return 0, nil
-	}
-	sub.mu.Lock()
-	pending := sub.queue
-	sub.queue = nil
-	sub.mu.Unlock()
-	if len(pending) == 0 {
-		return 0, nil
-	}
-	for i, txn := range pending {
-		changes, err := decodeChanges(txn.encoded)
-		if err == nil {
-			err = applyTxn(sub, txn, changes)
-		}
-		if err != nil {
-			// Re-queue the unapplied suffix to preserve commit order, and
-			// record the failure: the agent loop retries on the next tick, so
-			// without a counter and a last-error slot these would vanish.
-			sub.mu.Lock()
-			sub.queue = append(append([]queuedTxn{}, pending[i:]...), sub.queue...)
-			sub.applyErrors++
-			sub.lastErr = err.Error()
-			sub.lastErrAt = time.Now()
-			sub.mu.Unlock()
-			metrics.Default.Counter("repl.apply_errors").Add(1)
-			return i, err
-		}
-		s.Stats.TxnsApplied.Add(1)
-		s.Stats.ChangesApplied.Add(int64(len(changes)))
-		lat := time.Since(txn.commitTime)
-		s.Stats.Latency.ObserveDuration(lat)
-		metrics.Default.Histogram("repl.latency_seconds").ObserveDuration(lat)
-	}
-	return len(pending), nil
+// Agent is a background agent: Start runs a function at every tick of its
+// interval (the paper's "separate agent process that wakes up
+// periodically") until Stop.
+type Agent struct {
+	mu     sync.Mutex
+	stopCh chan struct{}
+	wg     sync.WaitGroup
 }
 
-// applyTxn applies one transaction to the subscriber. The apply commits
-// unlogged: replicated changes must not re-enter the subscriber's own WAL.
-func applyTxn(sub *Subscription, txn queuedTxn, changes []storage.ChangeRec) error {
-	return ApplyBatch(sub.Target, sub.TargetTable, TxnBatch{
-		LSN: txn.lsn, CommitTime: txn.commitTime, Changes: changes,
-	})
-}
-
-// locateTargetRow finds a row by target primary key, falling back to
-// full-row equality.
-func locateTargetRow(td *storage.TableView, target *catalog.Table, row types.Row) storage.RowID {
-	if len(target.PrimaryKey) > 0 {
-		key := make(types.Row, len(target.PrimaryKey))
-		for i, ord := range target.PrimaryKey {
-			key[i] = row[ord]
-		}
-		return td.PKLookup(key)
-	}
-	found := storage.RowID(-1)
-	td.Scan(func(rid storage.RowID, r types.Row) bool {
-		if types.RowsEqual(r, row) {
-			found = rid
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// StepAll runs one log-reader pass followed by one distribution pass per
-// subscription (deterministic mode for tests and examples).
-func (s *Server) StepAll() error {
-	s.RunLogReader()
-	s.mu.Lock()
-	subs := append([]*Subscription(nil), s.subs...)
-	s.mu.Unlock()
-	for _, sub := range subs {
-		if _, err := s.RunDistribution(sub); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Start launches the background agents: a log-reader goroutine and a
-// distribution goroutine, each waking at its interval. The distribution
-// agent serves every subscription, including ones created after Start.
-func (s *Server) Start(readerInterval, distInterval time.Duration) {
-	s.mu.Lock()
-	if s.stopCh != nil {
-		s.mu.Unlock()
+// Start launches the agent; it is a no-op while the agent is running.
+func (a *Agent) Start(interval time.Duration, fn func()) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.stopCh != nil {
 		return
 	}
-	s.stopCh = make(chan struct{})
-	stop := s.stopCh
-	s.mu.Unlock()
-
-	s.wg.Add(1)
+	stop := make(chan struct{})
+	a.stopCh = stop
+	a.wg.Add(1)
 	go func() {
-		defer s.wg.Done()
-		t := time.NewTicker(readerInterval)
+		defer a.wg.Done()
+		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
 			case <-stop:
 				return
 			case <-t.C:
-				s.RunLogReader()
-			}
-		}
-	}()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		t := time.NewTicker(distInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				for _, sub := range s.Subscriptions() {
-					if _, err := s.RunDistribution(sub); err != nil {
-						// Counted in repl.apply_errors and remembered on the
-						// subscription; the next tick retries from the
-						// re-queued suffix.
-						continue
-					}
-				}
+				fn()
 			}
 		}
 	}()
 }
 
-// Stop halts the background agents and waits for them to exit.
-func (s *Server) Stop() {
-	s.mu.Lock()
-	if s.stopCh == nil {
-		s.mu.Unlock()
+// Stop halts the agent and waits for it to exit.
+func (a *Agent) Stop() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.stopCh == nil {
 		return
 	}
-	close(s.stopCh)
-	s.stopCh = nil
-	s.mu.Unlock()
-	s.wg.Wait()
+	close(a.stopCh)
+	a.stopCh = nil
+	a.wg.Wait()
 }
+
+// Start launches the background log-reader agent, waking at its interval.
+// (The distribution agents run on the subscribers: Subscriber.Pull.)
+func (s *Server) Start(readerInterval time.Duration) {
+	s.reader.Start(readerInterval, func() { s.RunLogReader() })
+}
+
+// Stop halts the log-reader agent and waits for it to exit.
+func (s *Server) Stop() { s.reader.Stop() }
 
 // Subscriptions returns the current subscription list.
 func (s *Server) Subscriptions() []*Subscription {
@@ -641,42 +439,27 @@ func (s *Server) PendingFor(sub *Subscription) int {
 	return len(sub.queue)
 }
 
-// SubHealth is one subscription's health snapshot for the obs endpoint.
+// SubHealth is one subscription's health snapshot for the obs endpoint. The
+// apply-failure record lives with the subscriber (its sys.repl_status).
 type SubHealth struct {
-	Name             string    `json:"name"`
-	Target           string    `json:"target"`
-	Pending          int       `json:"pending"`
-	ApplyErrors      int64     `json:"apply_errors"`
-	LastError        string    `json:"last_error,omitempty"`
-	LastErrorAt      time.Time `json:"last_error_at,omitzero"`
-	StalenessSeconds float64   `json:"staleness_seconds"`
+	Name             string  `json:"name"`
+	Pending          int     `json:"pending"`
+	StalenessSeconds float64 `json:"staleness_seconds"`
 }
 
-// Health reports per-subscription replication health: queue depth, staleness
-// and the apply-failure record. Served at /debug/status by the obs handler.
+// Health reports per-subscription replication health as the publisher sees
+// it: unacknowledged queue depth and staleness. Served at /debug/status by
+// the obs handler.
 func (s *Server) Health() []SubHealth {
 	now := time.Now()
 	subs := s.Subscriptions()
 	out := make([]SubHealth, 0, len(subs))
 	for _, sub := range subs {
-		// Queue-only (pull) subscriptions have no local target database.
-		target := "(pull)"
-		if sub.Target != nil {
-			target = sub.Target.Name + "." + sub.TargetTable
-		}
-		sub.mu.Lock()
-		h := SubHealth{
+		out = append(out, SubHealth{
 			Name:             sub.Name,
-			Target:           target,
-			Pending:          len(sub.queue),
-			ApplyErrors:      sub.applyErrors,
-			LastError:        sub.lastErr,
-			LastErrorAt:      sub.lastErrAt,
-			StalenessSeconds: 0,
-		}
-		sub.mu.Unlock()
-		h.StalenessSeconds = sub.Staleness(now).Seconds()
-		out = append(out, h)
+			Pending:          s.PendingFor(sub),
+			StalenessSeconds: sub.Staleness(now).Seconds(),
+		})
 	}
 	return out
 }

@@ -1,4 +1,4 @@
-package repl
+package repl_test
 
 import (
 	"fmt"
@@ -6,9 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"mtcache/internal/core"
 	"mtcache/internal/engine"
+	"mtcache/internal/repl"
 	"mtcache/internal/sql"
 )
+
+// These tests drive the replication pipeline the way a deployment does: the
+// publisher half is a core.BackendServer (Provision / Pull over its
+// repl.Server), the subscriber half a repl.Subscriber per target table —
+// the same two pieces a cache server is assembled from.
 
 const itemDDL = `
 	CREATE TABLE item (
@@ -18,9 +25,10 @@ const itemDDL = `
 		i_subject VARCHAR(20)
 	);`
 
-func newPublisher(t *testing.T, rows int) *engine.Database {
+func newPublisher(t *testing.T, rows int) *core.BackendServer {
 	t.Helper()
-	db := engine.New(engine.Config{Name: "backend", Role: engine.Backend})
+	b := core.NewBackend("backend")
+	db := b.DB
 	if err := db.ExecScript(itemDDL); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +43,7 @@ func newPublisher(t *testing.T, rows int) *engine.Database {
 	if err := db.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return b
 }
 
 // newSubscriberTable creates a cache-side database with one target table
@@ -50,9 +58,39 @@ func newSubscriberTable(t *testing.T, name string) *engine.Database {
 	return db
 }
 
-func filterCost(t *testing.T, bound float64) sql.Expr {
+var itemCols = []string{"i_id", "i_title", "i_cost"}
+
+// subscribe does what a cache does for a cached view over item: provision
+// the pull subscription on the backend (filter is a predicate over item, ""
+// for none) and build the Subscriber that seeds the target's tgt table with
+// the snapshot and owns its cursor.
+func subscribe(t *testing.T, b *core.BackendServer, target *engine.Database, filter string) *repl.Subscriber {
 	t.Helper()
-	return sql.MustParseSelect(fmt.Sprintf("SELECT i_id FROM item WHERE i_cost <= %g", bound)).Where
+	return subscribeStats(t, b, target, filter, repl.NewApplyStats())
+}
+
+func subscribeStats(t *testing.T, b *core.BackendServer, target *engine.Database, filter string, stats repl.ApplyStats) *repl.Subscriber {
+	t.Helper()
+	id, lsn, rows, err := b.Provision("item", itemCols, filter, target.Name+".tgt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := repl.NewSubscriber(target, "tgt", id, lsn-1, rows, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// step is one synchronous propagation round: every subscriber pulls (the
+// backend runs a log-reader pass per pull) and applies.
+func step(t *testing.T, b *core.BackendServer, subs ...*repl.Subscriber) {
+	t.Helper()
+	for _, s := range subs {
+		if _, err := s.Pull(b); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func count(t *testing.T, db *engine.Database, q string) int64 {
@@ -65,16 +103,9 @@ func count(t *testing.T, db *engine.Database, q string) int64 {
 }
 
 func TestSnapshotPopulatesTarget(t *testing.T) {
-	pub := newPublisher(t, 100)
+	b := newPublisher(t, 100)
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, err := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, filterCost(t, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Subscribe(art, subDB, "tgt"); err != nil {
-		t.Fatal(err)
-	}
+	subscribe(t, b, subDB, "i_cost <= 50")
 	// costs are i+0.5, filter <= 50 → ids 1..49
 	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt"); got != 49 {
 		t.Fatalf("snapshot rows: %d", got)
@@ -82,19 +113,16 @@ func TestSnapshotPopulatesTarget(t *testing.T) {
 }
 
 func TestIncrementalPropagation(t *testing.T) {
-	pub := newPublisher(t, 100)
+	b := newPublisher(t, 100)
+	pub := b.DB
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, _ := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, nil)
-	srv.Subscribe(art, subDB, "tgt")
+	sub := subscribe(t, b, subDB, "")
 
 	pub.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (500, 'new', 1, 'ARTS')", nil)
 	pub.Exec("UPDATE item SET i_title = 'renamed' WHERE i_id = 10", nil)
 	pub.Exec("DELETE FROM item WHERE i_id = 20", nil)
 
-	if err := srv.StepAll(); err != nil {
-		t.Fatal(err)
-	}
+	step(t, b, sub)
 	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt"); got != 100 {
 		t.Fatalf("target rows: %d", got)
 	}
@@ -111,11 +139,10 @@ func TestIncrementalPropagation(t *testing.T) {
 }
 
 func TestFilterBoundaryCrossing(t *testing.T) {
-	pub := newPublisher(t, 100)
+	b := newPublisher(t, 100)
+	pub := b.DB
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, _ := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, filterCost(t, 50))
-	srv.Subscribe(art, subDB, "tgt")
+	sub := subscribe(t, b, subDB, "i_cost <= 50")
 
 	// Update moving a row INTO the filter: id 80 (cost 80.5) → cost 10.
 	pub.Exec("UPDATE item SET i_cost = 10 WHERE i_id = 80", nil)
@@ -123,7 +150,7 @@ func TestFilterBoundaryCrossing(t *testing.T) {
 	pub.Exec("UPDATE item SET i_cost = 999 WHERE i_id = 5", nil)
 	// In-place update staying inside.
 	pub.Exec("UPDATE item SET i_title = 'kept' WHERE i_id = 7", nil)
-	srv.StepAll()
+	step(t, b, sub)
 
 	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt WHERE i_id = 80"); got != 1 {
 		t.Error("move-in should become an insert on the subscriber")
@@ -138,11 +165,10 @@ func TestFilterBoundaryCrossing(t *testing.T) {
 }
 
 func TestCommitOrderAndTransactionality(t *testing.T) {
-	pub := newPublisher(t, 10)
+	b := newPublisher(t, 10)
+	pub := b.DB
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, _ := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, nil)
-	srv.Subscribe(art, subDB, "tgt")
+	sub := subscribe(t, b, subDB, "")
 
 	// A multi-statement transaction via a stored procedure.
 	pub.ExecScript(`CREATE PROCEDURE swapTitles @a INT, @b INT AS BEGIN
@@ -150,13 +176,12 @@ func TestCommitOrderAndTransactionality(t *testing.T) {
 		UPDATE item SET i_title = 'swapB' WHERE i_id = @b;
 	END`)
 	pub.Exec("EXEC swapTitles @a = 1, @b = 2", nil)
-	srv.RunLogReader()
-	sub := srv.Subscriptions()[0]
-	if srv.PendingFor(sub) != 1 {
-		t.Fatalf("expected 1 queued transaction, got %d", srv.PendingFor(sub))
+	b.Repl.RunLogReader()
+	if n := b.Repl.PendingFor(b.Repl.Subscriptions()[0]); n != 1 {
+		t.Fatalf("expected 1 queued transaction, got %d", n)
 	}
-	if _, err := srv.RunDistribution(sub); err != nil {
-		t.Fatal(err)
+	if n, err := sub.Pull(b); err != nil || n != 1 {
+		t.Fatalf("pull applied %d transactions, err %v", n, err)
 	}
 	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt WHERE i_title LIKE 'swap%'"); got != 2 {
 		t.Error("transaction applied partially")
@@ -164,56 +189,50 @@ func TestCommitOrderAndTransactionality(t *testing.T) {
 }
 
 func TestLogReaderOffStopsPropagation(t *testing.T) {
-	pub := newPublisher(t, 10)
+	b := newPublisher(t, 10)
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, _ := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, nil)
-	srv.Subscribe(art, subDB, "tgt")
+	sub := subscribe(t, b, subDB, "")
 
-	srv.SetLogReader(false)
-	pub.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (99, 'x', 1, 'ARTS')", nil)
-	srv.StepAll()
+	b.Repl.SetLogReader(false)
+	b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (99, 'x', 1, 'ARTS')", nil)
+	step(t, b, sub)
 	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt"); got != 10 {
 		t.Error("changes propagated with reader off")
 	}
-	srv.SetLogReader(true)
-	srv.StepAll()
+	b.Repl.SetLogReader(true)
+	step(t, b, sub)
 	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt"); got != 11 {
 		t.Error("changes lost after reader re-enabled")
 	}
 }
 
 func TestWALTruncationAfterPropagation(t *testing.T) {
-	pub := newPublisher(t, 10)
+	b := newPublisher(t, 10)
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, _ := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, nil)
-	srv.Subscribe(art, subDB, "tgt")
+	sub := subscribe(t, b, subDB, "")
 
 	for i := 0; i < 5; i++ {
-		pub.Exec(fmt.Sprintf("UPDATE item SET i_cost = %d WHERE i_id = 1", i+100), nil)
+		b.DB.Exec(fmt.Sprintf("UPDATE item SET i_cost = %d WHERE i_id = 1", i+100), nil)
 	}
-	srv.StepAll()
-	srv.RunLogReader() // second pass triggers truncation of consumed entries
-	if n := pub.Store().WAL().Len(); n != 0 {
+	step(t, b, sub)       // delivered and applied; still queued until acknowledged
+	step(t, b, sub)       // the next pull acknowledges them
+	b.Repl.RunLogReader() // a pass after the ack truncates the consumed entries
+	if n := b.DB.Store().WAL().Len(); n != 0 {
 		t.Errorf("WAL should be truncated after all subscribers consumed: %d left", n)
 	}
 }
 
 func TestMultipleSubscribers(t *testing.T) {
-	pub := newPublisher(t, 50)
-	srv := NewServer(pub)
-	art, _ := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, nil)
+	b := newPublisher(t, 50)
 	var targets []*engine.Database
+	var subs []*repl.Subscriber
 	for i := 0; i < 3; i++ {
 		db := newSubscriberTable(t, fmt.Sprintf("cache%d", i))
-		if _, err := srv.Subscribe(art, db, "tgt"); err != nil {
-			t.Fatal(err)
-		}
+		subs = append(subs, subscribe(t, b, db, ""))
 		targets = append(targets, db)
 	}
-	pub.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (999, 'multi', 1, 'ARTS')", nil)
-	srv.StepAll()
+	b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (999, 'multi', 1, 'ARTS')", nil)
+	step(t, b, subs...)
 	for i, db := range targets {
 		if got := count(t, db, "SELECT COUNT(*) FROM tgt"); got != 51 {
 			t.Errorf("subscriber %d rows: %d", i, got)
@@ -222,8 +241,7 @@ func TestMultipleSubscribers(t *testing.T) {
 }
 
 func TestArticleReuse(t *testing.T) {
-	pub := newPublisher(t, 10)
-	srv := NewServer(pub)
+	srv := newPublisher(t, 10).Repl
 	a1, _ := srv.EnsureArticle("item", []string{"i_id", "i_title"}, nil)
 	a2, _ := srv.EnsureArticle("item", []string{"i_id", "i_title"}, nil)
 	if a1 != a2 {
@@ -233,58 +251,70 @@ func TestArticleReuse(t *testing.T) {
 	if a1 == a3 {
 		t.Error("different projections must be distinct articles")
 	}
-	a4, _ := srv.EnsureArticle("item", []string{"i_id", "i_title"}, filterCost(t, 5))
+	filter, err := sql.ParseExpr("i_cost <= 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a4, _ := srv.EnsureArticle("item", []string{"i_id", "i_title"}, filter)
 	if a1 == a4 {
 		t.Error("different filters must be distinct articles")
 	}
 }
 
 func TestLatencyMeasured(t *testing.T) {
-	pub := newPublisher(t, 10)
+	b := newPublisher(t, 10)
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, _ := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, nil)
-	srv.Subscribe(art, subDB, "tgt")
+	stats := repl.NewApplyStats()
+	sub := subscribeStats(t, b, subDB, "", stats)
 
-	pub.Exec("UPDATE item SET i_cost = 7 WHERE i_id = 1", nil)
+	b.DB.Exec("UPDATE item SET i_cost = 7 WHERE i_id = 1", nil)
 	time.Sleep(20 * time.Millisecond)
-	srv.StepAll()
-	if srv.Stats.Latency.Count() != 1 {
+	step(t, b, sub)
+	if stats.Latency.Count() != 1 || stats.TxnsApplied.Value() != 1 {
 		t.Fatal("latency not recorded")
 	}
-	if lat := srv.Stats.Latency.Mean(); lat < 0.015 {
+	if lat := stats.Latency.Mean(); lat < 0.015 {
 		t.Errorf("latency should include queueing delay: %f", lat)
+	}
+	if stats.ApplyTime.Value() <= 0 {
+		t.Error("apply time not recorded")
 	}
 }
 
+// TestBackgroundAgents: the log reader agent fills the distribution queue on
+// its own; the subscriber's next pull finds the change waiting. (The
+// subscriber-side agent is the cache server's StartPulling, tested there.)
 func TestBackgroundAgents(t *testing.T) {
-	pub := newPublisher(t, 10)
+	b := newPublisher(t, 10)
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, _ := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, nil)
-	srv.Subscribe(art, subDB, "tgt")
+	sub := subscribe(t, b, subDB, "")
+	queue := b.Repl.Subscriptions()[0]
 
-	srv.Start(2*time.Millisecond, 2*time.Millisecond)
-	defer srv.Stop()
-	pub.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (77, 'bg', 1, 'ARTS')", nil)
+	b.Repl.Start(2 * time.Millisecond)
+	b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (77, 'bg', 1, 'ARTS')", nil)
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if count(t, subDB, "SELECT COUNT(*) FROM tgt WHERE i_id = 77") == 1 {
-			return
+	for b.Repl.PendingFor(queue) == 0 {
+		if time.Now().After(deadline) {
+			b.Repl.Stop()
+			t.Fatal("background log reader did not enqueue the change")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("background agents did not propagate the change")
+	b.Repl.Stop()
+	b.Repl.SetLogReader(false) // the pull below must not do the reader's work
+	step(t, b, sub)
+	if count(t, subDB, "SELECT COUNT(*) FROM tgt WHERE i_id = 77") != 1 {
+		t.Fatal("queued change did not reach the subscriber")
+	}
 }
 
 // Property-style convergence test: random committed operations on the
 // publisher converge the subscriber to exactly the filtered projection.
 func TestConvergenceUnderRandomWorkload(t *testing.T) {
-	pub := newPublisher(t, 200)
+	b := newPublisher(t, 200)
+	pub := b.DB
 	subDB := newSubscriberTable(t, "cache")
-	srv := NewServer(pub)
-	art, _ := srv.EnsureArticle("item", []string{"i_id", "i_title", "i_cost"}, filterCost(t, 100))
-	srv.Subscribe(art, subDB, "tgt")
+	sub := subscribe(t, b, subDB, "i_cost <= 100")
 
 	r := rand.New(rand.NewSource(7))
 	nextID := 1000
@@ -299,7 +329,7 @@ func TestConvergenceUnderRandomWorkload(t *testing.T) {
 		}
 		return out
 	}
-	for step := 0; step < 300; step++ {
+	for i := 0; i < 300; i++ {
 		switch r.Intn(3) {
 		case 0:
 			nextID++
@@ -316,13 +346,11 @@ func TestConvergenceUnderRandomWorkload(t *testing.T) {
 			pub.Exec(fmt.Sprintf("DELETE FROM item WHERE i_id = %d", id), nil)
 			delete(live, id)
 		}
-		if step%50 == 0 {
-			srv.StepAll()
+		if i%50 == 0 {
+			step(t, b, sub)
 		}
 	}
-	if err := srv.StepAll(); err != nil {
-		t.Fatal(err)
-	}
+	step(t, b, sub)
 	want := count(t, pub, "SELECT COUNT(*) FROM item WHERE i_cost <= 100")
 	got := count(t, subDB, "SELECT COUNT(*) FROM tgt")
 	if want != got {

@@ -1,20 +1,30 @@
-package repl
+package repl_test
 
 import (
 	"fmt"
 	"testing"
 
 	"mtcache/internal/engine"
+	"mtcache/internal/repl"
 	"mtcache/internal/storage"
 )
+
+// drain fetches everything queued for sub and acknowledges it.
+func drain(srv *repl.Server, sub *repl.Subscription) []repl.TxnBatch {
+	batches, _ := srv.DrainAfterThrough(sub, 0, 0)
+	if n := len(batches); n > 0 {
+		srv.DrainAfterThrough(sub, batches[n-1].LSN, 0)
+	}
+	return batches
+}
 
 // TestResumeRemoteReplaysFromCheckpoint covers the restart path of a pull
 // subscriber: a subscription re-created with ResumeRemote at its durable
 // apply position must receive exactly the records from that position on,
 // without a reseed, as long as the publisher's WAL retains them.
 func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
-	pub := newPublisher(t, 0)
-	srv := NewServer(pub)
+	b := newPublisher(t, 0)
+	pub, srv := b.DB, b.Repl
 	art, err := srv.EnsureArticle("item", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +47,7 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 		}
 	}
 	srv.RunLogReader()
-	if got := srv.Drain(orig, 0); len(got) != 10 {
+	if got := drain(srv, orig); len(got) != 10 {
 		t.Fatalf("original subscriber drained %d batches, want 10", len(got))
 	}
 
@@ -48,7 +58,7 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 		t.Fatalf("resume at 5 refused; WAL window is [%d,%d)", pub.Store().WAL().First(), pub.Store().WAL().End())
 	}
 	srv.RunLogReader()
-	batches := srv.Drain(resumed, 0)
+	batches := drain(srv, resumed)
 	if len(batches) != 6 {
 		t.Fatalf("resumed subscriber got %d batches, want 6 (LSNs 5..10)", len(batches))
 	}
@@ -67,8 +77,8 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 // past the restart position, resume must report a miss so the caller falls
 // back to a full reseed instead of silently losing the gap.
 func TestResumeRemoteRefusesTruncatedWindow(t *testing.T) {
-	pub := newPublisher(t, 10) // 10 insert commits, LSNs 1..10
-	srv := NewServer(pub)
+	b := newPublisher(t, 10) // 10 insert commits, LSNs 1..10
+	pub, srv := b.DB, b.Repl
 	art, err := srv.EnsureArticle("item", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +117,7 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	if err := pub.ExecScript(itemDDL); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(pub)
+	srv := repl.NewServer(pub)
 	art, err := srv.EnsureArticle("item", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +141,9 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	}
 
 	// Ack everything; the next pass may now truncate up to the cursor.
-	if got := srv.DrainAfter(sub, 0, 0); len(got) != 10 {
+	if got := drain(srv, sub); len(got) != 10 {
 		t.Fatalf("drained %d, want 10", len(got))
 	}
-	srv.DrainAfter(sub, 10, 0)
 	srv.RunLogReader()
 	if first := pub.Store().WAL().First(); first != 11 {
 		t.Fatalf("truncation blocked after full ack: First=%d, want 11", first)
@@ -156,7 +165,7 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 		}
 	}
 	srv.RunLogReader()
-	if got := srv.Drain(late, 0); len(got) != 4 {
+	if got := drain(srv, late); len(got) != 4 {
 		t.Fatalf("resumed-at-head subscriber got %d batches, want 4", len(got))
 	}
 }

@@ -244,9 +244,9 @@ func median(xs []float64) float64 {
 // measureReplication drives write transactions through the pipeline and
 // reports (log-reader seconds per txn, apply seconds per txn per cache).
 func measureReplication(backend *core.BackendServer, cache *core.CacheServer, app *tpcw.App, cfg tpcw.Config) (float64, float64, error) {
-	stats := backend.Repl.Stats
-	readerBefore := stats.ReaderTime.Value()
-	applyBefore := stats.ApplyTime.Value()
+	readerTime, applyTime := backend.Repl.Stats.ReaderTime, cache.Stats.ApplyTime
+	readerBefore := readerTime.Value()
+	applyBefore := applyTime.Value()
 	walStart := backend.DB.Store().WAL().End()
 
 	s := app.NewSession(2)
@@ -268,7 +268,7 @@ func measureReplication(backend *core.BackendServer, cache *core.CacheServer, ap
 	if commits == 0 {
 		return 0, 0, fmt.Errorf("no transactions replicated during calibration")
 	}
-	reader := float64(stats.ReaderTime.Value()-readerBefore) / 1e9 / commits
-	apply := float64(stats.ApplyTime.Value()-applyBefore) / 1e9 / commits
+	reader := float64(readerTime.Value()-readerBefore) / 1e9 / commits
+	apply := float64(applyTime.Value()-applyBefore) / 1e9 / commits
 	return reader, apply, nil
 }

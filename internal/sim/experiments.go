@@ -130,9 +130,9 @@ type ReplLatencyResult struct {
 // live pipeline: background agents with the given poll interval, a trickle
 // of writes for the light case, and a saturating write burst for the heavy
 // case.
-func ExperimentReplicationLatency(backend *core.BackendServer, app *tpcw.App, pollInterval, lightDuration, heavyDuration time.Duration) (ReplLatencyResult, error) {
+func ExperimentReplicationLatency(backend *core.BackendServer, cache *core.CacheServer, app *tpcw.App, pollInterval, lightDuration, heavyDuration time.Duration) (ReplLatencyResult, error) {
 	var out ReplLatencyResult
-	stats := backend.Repl.Stats
+	stats := cache.Stats
 
 	// Light load: a few writes, agents comfortably keeping up.
 	backend.StartReplication(pollInterval, pollInterval)
@@ -149,7 +149,7 @@ func ExperimentReplicationLatency(backend *core.BackendServer, app *tpcw.App, po
 	// drain
 	time.Sleep(3 * pollInterval)
 	backend.StopReplication()
-	lightMean, err := latencySince(backend, lightStart)
+	lightMean, err := latencySince(cache, lightStart)
 	if err != nil {
 		return out, err
 	}
@@ -171,7 +171,7 @@ func ExperimentReplicationLatency(backend *core.BackendServer, app *tpcw.App, po
 	if err := backend.SyncReplication(); err != nil {
 		return out, err
 	}
-	heavyMean, err := latencySince(backend, heavyStart)
+	heavyMean, err := latencySince(cache, heavyStart)
 	if err != nil {
 		return out, err
 	}
@@ -179,8 +179,8 @@ func ExperimentReplicationLatency(backend *core.BackendServer, app *tpcw.App, po
 	return out, nil
 }
 
-func latencySince(backend *core.BackendServer, before int64) (time.Duration, error) {
-	h := backend.Repl.Stats.Latency
+func latencySince(cache *core.CacheServer, before int64) (time.Duration, error) {
+	h := cache.Stats.Latency
 	if h.Count() <= before {
 		return 0, fmt.Errorf("sim: no replication latency samples recorded")
 	}

@@ -300,7 +300,7 @@ func TestExperimentReplicationLatencyLive(t *testing.T) {
 	}
 	cal := smallCalibration(t)
 	app := tpcw.NewApp(core.ConnectCache(cal.Cache), tpcw.Config{Items: 120, Customers: 200, Seed: 5})
-	res, err := ExperimentReplicationLatency(cal.Backend, app, 40*time.Millisecond, 500*time.Millisecond, 500*time.Millisecond)
+	res, err := ExperimentReplicationLatency(cal.Backend, cal.Cache, app, 40*time.Millisecond, 500*time.Millisecond, 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,6 @@ import (
 	"mtcache/internal/types"
 )
 
-// BackendClient is the client surface a RemoteCache needs. Both the bare
-// *Client and the fault-tolerant *ResilientClient implement it.
-type BackendClient interface {
-	exec.RemoteClient
-	exec.LSNExecer
-	Snapshot() ([]byte, error)
-	Provision(table string, columns []string, filter, subName string) (int, storage.LSN, []types.Row, error)
-	Resume(table string, columns []string, filter, subName string, fromLSN storage.LSN) (int, bool, error)
-	Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error)
-	Close() error
-}
-
 var (
 	_ BackendClient = (*Client)(nil)
 	_ BackendClient = (*ResilientClient)(nil)

@@ -5,9 +5,10 @@
 //     subexpressions and forwarded updates travel as SQL text plus
 //     parameters, results come back as rows;
 //   - Snapshot — the shadow-database setup payload (§4);
-//   - Provision / Pull — pull subscriptions (§2.2): a cache provisions an
-//     article+subscription for a cached view, receives the initial
-//     population, and then periodically pulls committed transactions.
+//   - Provision / Resume / Pull — pull subscriptions (§2.2): a cache
+//     provisions an article+subscription for a cached view, receives the
+//     initial population, and then periodically pulls committed transactions.
+//     The server answers them with core.BackendServer's publisher methods.
 //
 // One connection is multiplexed: every request carries a correlation ID
 // that the server echoes on the response, so many requests can be in flight
@@ -18,14 +19,14 @@
 // servers echoed no ID and were matched in send order, is not supported —
 // the client drops an ID-less response like any other unmatched one.
 //
-// The in-process transport (engine.Link) and this TCP transport implement
-// the same exec.RemoteClient interface; a cache cannot tell them apart.
+// The cache server itself lives in internal/core. Its in-process link and
+// this package's TCP clients implement the same core.BackendClient interface;
+// a cache cannot tell them apart.
 package wire
 
 import (
 	"encoding/gob"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -35,7 +36,6 @@ import (
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/repl"
-	"mtcache/internal/sql"
 	"mtcache/internal/storage"
 	"mtcache/internal/trace"
 	"mtcache/internal/types"
@@ -179,12 +179,11 @@ type ServerOptions struct {
 // Resume, Pull) are answered only by a backend.
 type Server struct {
 	backend *core.BackendServer
-	cache   *RemoteCache
+	cache   *core.CacheServer
 	ln      net.Listener
 	sem     chan struct{} // server-wide handler slots
 
 	mu      sync.Mutex
-	subs    []*repl.Subscription
 	conns   map[net.Conn]bool
 	stopped bool
 	wg      sync.WaitGroup
@@ -208,7 +207,7 @@ func ServeOpts(backend *core.BackendServer, addr string, opts ServerOptions) (*S
 // MinLSN-gated requests are answered Stale when the cache has not applied the
 // session's watermark yet. Replication requests are rejected — a cache is a
 // subscriber, not a publisher.
-func ServeCache(cache *RemoteCache, addr string, opts ServerOptions) (*Server, error) {
+func ServeCache(cache *core.CacheServer, addr string, opts ServerOptions) (*Server, error) {
 	s := &Server{cache: cache}
 	return startServer(s, addr, opts)
 }
@@ -376,128 +375,36 @@ func (s *Server) handle(req *request) *response {
 		resp.Applied = s.appliedLSN()
 	case reqApplied:
 		resp.Applied = s.appliedLSN()
-	case reqSnapshot:
+	case reqSnapshot, reqProvision, reqResume, reqPull:
 		if s.backend == nil {
 			resp.Err = "wire: not a backend server"
-			return resp
-		}
-		data, err := s.backend.Snapshot().Encode()
-		if err != nil {
+		} else if err := s.publish(req, resp); err != nil {
 			resp.Err = err.Error()
-			return resp
 		}
-		resp.Snapshot = data
-	case reqProvision:
-		if s.backend == nil {
-			resp.Err = "wire: not a backend server"
-			return resp
-		}
-		var filter sql.Expr
-		if req.Filter != "" {
-			f, err := sql.ParseExpr(req.Filter)
-			if err != nil {
-				resp.Err = fmt.Sprintf("wire: bad filter: %v", err)
-				return resp
-			}
-			filter = f
-		}
-		art, err := s.backend.Repl.EnsureArticle(req.Table, req.Columns, filter)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		rows, lsn, err := s.backend.Repl.SnapshotRows(art)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		// Provision is idempotent by subscription name: a client retrying a
-		// provision whose response was lost must not leave an orphan
-		// subscription behind (an undrained queue would pin the WAL forever).
-		s.mu.Lock()
-		resp.SubID = -1
-		for i, sub := range s.subs {
-			if sub.Name == req.SubName && sub.Article == art {
-				resp.SubID = i
-				break
-			}
-		}
-		s.mu.Unlock()
-		if resp.SubID >= 0 {
-			s.backend.Repl.ResetRemote(s.subs[resp.SubID], lsn)
-		} else {
-			sub := s.backend.Repl.SubscribeRemote(art, req.SubName, lsn)
-			s.mu.Lock()
-			s.subs = append(s.subs, sub)
-			resp.SubID = len(s.subs) - 1
-			s.mu.Unlock()
-		}
-		resp.Rows = rows
-		resp.StartLSN = lsn
-	case reqResume:
-		if s.backend == nil {
-			resp.Err = "wire: not a backend server"
-			return resp
-		}
-		var filter sql.Expr
-		if req.Filter != "" {
-			f, err := sql.ParseExpr(req.Filter)
-			if err != nil {
-				resp.Err = fmt.Sprintf("wire: bad filter: %v", err)
-				return resp
-			}
-			filter = f
-		}
-		art, err := s.backend.Repl.EnsureArticle(req.Table, req.Columns, filter)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		// Fast path: the backend never restarted and still holds this
-		// subscription — reattach to it. Its queue retains every batch the
-		// cache has not acknowledged, so the stream continues seamlessly.
-		s.mu.Lock()
-		resp.SubID = -1
-		for i, sub := range s.subs {
-			if sub.Name == req.SubName && sub.Article == art {
-				resp.SubID = i
-				break
-			}
-		}
-		s.mu.Unlock()
-		if resp.SubID < 0 {
-			// The backend restarted (or never saw this subscriber): resume is
-			// possible only while the WAL still retains FromLSN onward.
-			sub, ok := s.backend.Repl.ResumeRemote(art, req.SubName, req.FromLSN)
-			if !ok {
-				resp.StartLSN = req.FromLSN
-				return resp // SubID = -1: caller must reseed via Provision
-			}
-			s.mu.Lock()
-			s.subs = append(s.subs, sub)
-			resp.SubID = len(s.subs) - 1
-			s.mu.Unlock()
-		}
-		resp.StartLSN = req.FromLSN
-	case reqPull:
-		if s.backend == nil {
-			resp.Err = "wire: not a backend server"
-			return resp
-		}
-		s.mu.Lock()
-		if req.SubID < 0 || req.SubID >= len(s.subs) {
-			s.mu.Unlock()
-			resp.Err = "wire: unknown subscription"
-			return resp
-		}
-		sub := s.subs[req.SubID]
-		s.mu.Unlock()
-		s.backend.Repl.RunLogReader()
-		resp.Batches, resp.ThroughLSN = s.backend.Repl.DrainAfterThrough(sub, req.AckLSN, req.Max)
 	default:
 		resp.Err = "wire: unknown request kind"
 	}
 	return resp
+}
+
+// publish answers the replication requests, which only a backend serves:
+// each is one call on the backend's publisher half.
+func (s *Server) publish(req *request, resp *response) (err error) {
+	switch req.Kind {
+	case reqSnapshot:
+		resp.Snapshot, err = s.backend.Snapshot().Encode()
+	case reqProvision:
+		resp.SubID, resp.StartLSN, resp.Rows, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName)
+	case reqResume:
+		var ok bool
+		resp.StartLSN = req.FromLSN
+		if resp.SubID, ok, err = s.backend.Resume(req.Table, req.Columns, req.Filter, req.SubName, req.FromLSN); !ok {
+			resp.SubID = -1 // no error: the cache must reseed via Provision
+		}
+	case reqPull:
+		resp.Batches, resp.ThroughLSN, err = s.backend.Pull(req.SubID, req.Max, req.AckLSN)
+	}
+	return err
 }
 
 // ServerError is an application-level error reported by the backend (bad

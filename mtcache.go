@@ -50,7 +50,9 @@ import (
 // Backend is the authoritative database server with its replication runtime.
 type Backend = core.BackendServer
 
-// Cache is an MTCache mid-tier cache server.
+// Cache is an MTCache mid-tier cache server: the same server whether it was
+// handed an in-process backend link (NewCache) or a TCP client
+// (NewRemoteCache).
 type Cache = core.CacheServer
 
 // Conn is an application connection; it can point at a backend or a cache
@@ -97,8 +99,9 @@ func NewBackendDurable(name string, opts DurabilityOptions) (*Backend, error) {
 // checkpoints — the recover-vs-load decision at boot.
 func HasDurableState(dir string) bool { return storage.HasDurableState(nil, dir) }
 
-// NewCache provisions a cache against a backend: shadow schema, shadowed
-// statistics and permissions, update forwarding, cached-view hook.
+// NewCache provisions an in-process cache against a backend: shadow schema,
+// shadowed statistics and permissions, update forwarding, cached-view hook.
+// Backend.SyncReplication and StartReplication drive its pull agent.
 // options may be nil for the paper-faithful defaults.
 func NewCache(name string, backend *Backend, options *Options) (*Cache, error) {
 	return core.NewCache(name, backend, options)
@@ -157,8 +160,8 @@ type WireClient = wire.Client
 // (re-dialed lazily when broken); ResilientClient uses one internally.
 type ConnectionPool = wire.Pool
 
-// BackendClient is the client surface a RemoteCache needs — satisfied by
-// both WireClient and ResilientClient.
+// BackendClient is the client surface a cache server needs of its backend —
+// satisfied by both WireClient and ResilientClient.
 type BackendClient = wire.BackendClient
 
 // ResilientClient is a fault-tolerant backend link: a pool of multiplexed
@@ -187,7 +190,7 @@ type FaultProxy = wire.FaultProxy
 // FaultConfig configures a FaultProxy's injected failures.
 type FaultConfig = wire.FaultConfig
 
-// RemoteCache is a cache server connected to its backend over TCP.
+// RemoteCache is Cache; the name remains for callers that built one over TCP.
 type RemoteCache = wire.RemoteCache
 
 // ServeBackend starts a TCP server for a backend on addr (use
