@@ -313,3 +313,10 @@ func printIMCache(jsonPath string) {
 		os.Exit(1) // CI regression gate
 	}
 }
+
+func passMark(ok bool) string {
+	if ok {
+		return "PASS"
+	}
+	return "FAIL"
+}

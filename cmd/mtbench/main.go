@@ -11,17 +11,16 @@
 //	mtbench -experiment parallel -parallel-rows 60000 -bench-json BENCH_parallel.json
 //	mtbench -experiment recovery -clients 16 -bench-json BENCH_recovery.json
 //	mtbench -experiment querystore -bench-json BENCH_querystore.json
-//	mtbench -experiment vectorized -vec-rows 20000 -bench-json BENCH_vectorized.json
 //	mtbench -experiment imcache -bench-json BENCH_imcache.json
 //
 // Experiments: mix, baseline, scaleout, scaleout-sim, replover, repllat,
-// advisor, chaos, throughput, parallel, recovery, querystore,
-// vectorized, imcache, all. "scaleout" boots a real fleet — K cache
+// advisor, chaos, throughput, parallel, recovery, querystore, imcache,
+// all. "scaleout" boots a real fleet — K cache
 // processes against one backend with routed, session-consistent traffic —
 // and measures WIPS; "scaleout-sim" is the calibrated capacity simulation
 // the paper figures are scaled from. ("all" excludes scaleout, chaos,
-// throughput, parallel, recovery, querystore, vectorized and imcache;
-// run them explicitly.)
+// throughput, parallel, recovery, querystore and imcache; run them
+// explicitly.)
 package main
 
 import (
@@ -39,7 +38,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "mix | baseline | scaleout | scaleout-sim | replover | repllat | advisor | chaos | throughput | parallel | recovery | querystore | vectorized | imcache | all")
+		experiment  = flag.String("experiment", "all", "mix | baseline | scaleout | scaleout-sim | replover | repllat | advisor | chaos | throughput | parallel | recovery | querystore | imcache | all")
 		items       = flag.Int("items", 500, "TPC-W item count")
 		customers   = flag.Int("customers", 1000, "TPC-W customer count")
 		servers     = flag.Int("servers", 5, "maximum web/cache servers")
@@ -52,7 +51,6 @@ func main() {
 		benchJSON   = flag.String("bench-json", "", "throughput: write the result snapshot to this file as JSON")
 		parRows     = flag.Int("parallel-rows", 60000, "parallel: fact-table row count")
 		qsIters     = flag.Int("qs-iters", 2000, "querystore: timed point queries per mode")
-		vecRows     = flag.Int("vec-rows", 20000, "vectorized: fact-table row count")
 
 		scaleoutK   = flag.Int("scaleout-k", 3, "scaleout: maximum cache processes to spawn")
 		sessions    = flag.Int("sessions", 4, "scaleout: emulated browser sessions per cache")
@@ -98,10 +96,6 @@ func main() {
 	}
 	if *experiment == "querystore" {
 		printQuerystore(*qsIters, *benchJSON)
-		return
-	}
-	if *experiment == "vectorized" {
-		printVectorized(*vecRows, *benchJSON)
 		return
 	}
 	if *experiment == "imcache" {

@@ -117,21 +117,6 @@ func (db *Database) AutoParamCacheSize() int {
 	return db.autoCache.len()
 }
 
-// AutoParamProbe resolves sqlText against the auto-parameterization front
-// door without executing anything, reporting whether the text resolved to a
-// cached shape. On a warm shape this is the complete cache-hit key
-// computation — normalize, shape lookup, literal extraction — and performs
-// zero allocations; benchmarks and the CI allocation gate measure it in
-// isolation through this entry point.
-func (db *Database) AutoParamProbe(sqlText string) bool {
-	_, _, norm, ok := db.autoParse(sqlText)
-	if !ok {
-		return false
-	}
-	normPool.Put(norm)
-	return true
-}
-
 // bindParams installs one execution's parameters on ctx: the named map —
 // merged with the auto-parameterized literals when the plan forwards
 // parameters to the backend by name — plus the dense slot bindings the

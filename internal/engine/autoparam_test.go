@@ -72,7 +72,7 @@ func TestAutoParamStaleVerdictNotCached(t *testing.T) {
 	if inserted || cache.AutoParamCacheSize() != 0 {
 		t.Fatalf("verdict from before the DDL was cached (inserted=%v, %d shapes)", inserted, cache.AutoParamCacheSize())
 	}
-	if !cache.AutoParamProbe(text) {
+	if _, _, _, ok := cache.autoParse(text); !ok {
 		t.Fatal("shape still ineligible after the cached view that covers it was created")
 	}
 }
@@ -137,13 +137,11 @@ func TestAutoParamExecutionEquivalence(t *testing.T) {
 	}
 }
 
-// Property: serial batch, forced row-at-a-time, and parallel execution all
-// return identical results (ordered queries for a stable comparison). Run
-// under -race this also exercises the Exchange workers sharing one Env.
+// Property: serial and parallel execution return identical results (ordered
+// queries for a stable comparison). Run under -race this also exercises the
+// Exchange workers sharing one Env.
 func TestAutoParamRowBatchParallelEquivalence(t *testing.T) {
 	batch := newParallelDB(t, 6000)
-	row := newParallelDB(t, 6000)
-	row.rowMode = true
 
 	queries := []string{
 		"SELECT id, val FROM big WHERE val >= 100.0 ORDER BY id",
@@ -154,10 +152,6 @@ func TestAutoParamRowBatchParallelEquivalence(t *testing.T) {
 		bres, err := batch.Exec(q, nil)
 		if err != nil {
 			t.Fatalf("batch %s: %v", q, err)
-		}
-		rres, err := row.Exec(q, nil)
-		if err != nil {
-			t.Fatalf("row %s: %v", q, err)
 		}
 		// Same engine re-planned serial: flip MaxDOP to compare parallel vs
 		// serial output of the identical database.
@@ -172,16 +166,14 @@ func TestAutoParamRowBatchParallelEquivalence(t *testing.T) {
 		opts.MaxDOP = prevDOP
 		batch.SetOptions(opts)
 
-		for name, res := range map[string]*Result{"row": rres, "serial": sres} {
-			if len(res.Rows) != len(bres.Rows) {
-				t.Fatalf("%s vs batch %s: %d vs %d rows", name, q, len(res.Rows), len(bres.Rows))
-			}
-			for i := range res.Rows {
-				for j := range res.Rows[i] {
-					if types.Compare(res.Rows[i][j], bres.Rows[i][j]) != 0 {
-						t.Fatalf("%s vs batch %s: row %d col %d: %v vs %v",
-							name, q, i, j, res.Rows[i][j], bres.Rows[i][j])
-					}
+		if len(sres.Rows) != len(bres.Rows) {
+			t.Fatalf("serial vs parallel %s: %d vs %d rows", q, len(sres.Rows), len(bres.Rows))
+		}
+		for i := range sres.Rows {
+			for j := range sres.Rows[i] {
+				if types.Compare(sres.Rows[i][j], bres.Rows[i][j]) != 0 {
+					t.Fatalf("serial vs parallel %s: row %d col %d: %v vs %v",
+						q, i, j, sres.Rows[i][j], bres.Rows[i][j])
 				}
 			}
 		}

@@ -68,8 +68,7 @@ type Database struct {
 	// autoparam.go).
 	autoMu    sync.Mutex
 	autoCache *lru[*sql.SelectStmt]
-	autoOff   bool // Config.DisableAutoParam
-	rowMode   bool // Config.RowMode: force row-at-a-time execution
+	autoOff   bool // tests: parse and plan every ad-hoc text as written
 
 	// mvPlans caches compiled matview maintenance plans per view. It is
 	// per-database (a *catalog.Table key from one database must never serve
@@ -113,17 +112,6 @@ type Config struct {
 	// New ignores it because enabling durability can fail.
 	Durability *storage.DurabilityOptions
 
-	// DisableAutoParam turns off auto-parameterization of ad-hoc SELECT
-	// text: every execution parses its own text and literal-distinct
-	// queries optimize separately. Benchmarks use it as the measured
-	// "before" of the zero-alloc plan-cache-key work.
-	DisableAutoParam bool
-
-	// RowMode forces row-at-a-time Volcano iteration even through
-	// operators with a vectorized batch path; the measured baseline of
-	// the vectorized-execution benchmarks.
-	RowMode bool
-
 	// IMCache overrides the intermediate-result cache bounds (nil =
 	// imcache defaults: 64 MiB, admit on 2nd execution).
 	IMCache *imcache.Options
@@ -152,8 +140,6 @@ func New(cfg Config) *Database {
 		remote:    cfg.Remote,
 		planCache: newLRU[*opt.Plan](planCap, planEvicted),
 		autoCache: newLRU[*sql.SelectStmt](defaultAutoCacheCap, shapeEvicted),
-		autoOff:   cfg.DisableAutoParam,
-		rowMode:   cfg.RowMode,
 		imc:       imcache.New(imOpts),
 	}
 	db.imcOn.Store(true)
@@ -563,7 +549,7 @@ func (db *Database) queryLocalOnly(stmt *sql.SelectStmt, params exec.Params, aut
 	if err != nil {
 		return nil, err
 	}
-	res, err := db.runPlanSpan(plan, params, autoArgs, nil)
+	res, _, err := db.runPlan(plan, params, autoArgs, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -571,38 +557,18 @@ func (db *Database) queryLocalOnly(stmt *sql.SelectStmt, params exec.Params, aut
 	return res, nil
 }
 
-// runPlanCaptured is runPlanSpan plus slow-query capture: when the query
-// store armed this shape (a prior run exceeded the slow threshold), the
-// plan runs under exec.Instrument and the resulting EXPLAIN ANALYZE tree
-// is retained for sys.query_plans / \slow. Instrumented wrappers pass rows
-// through unchanged, so the client sees the identical result.
+// runPlanCaptured is runPlan plus slow-query capture: when the query store
+// armed this shape (a prior run exceeded the slow threshold), the plan runs
+// instrumented and the resulting EXPLAIN ANALYZE tree is retained for
+// sys.query_plans / \slow.
 func (db *Database) runPlanCaptured(plan *opt.Plan, params exec.Params, autoArgs []types.Value, span *trace.Span, shape, variant string) (*Result, error) {
-	if shape == "" || !querystore.Default.WantCapture(shape) {
-		return db.runPlanSpan(plan, params, autoArgs, span)
-	}
-	esp := span.Child("execute")
+	capture := shape != "" && querystore.Default.WantCapture(shape)
 	start := time.Now()
-	tx := db.store.Begin(false)
-	defer tx.Abort()
-	res := &Result{}
-	ctx := &exec.Ctx{
-		Txn: tx, Remote: db.remote, Counters: &res.Counters,
-		Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card, RowMode: db.rowMode,
+	res, root, err := db.runPlan(plan, params, autoArgs, span, capture)
+	if capture && err == nil {
+		querystore.Default.StoreAnalyzed(shape, variant, opt.ExplainAnalyze(plan, root, time.Since(start)), formatLiterals(autoArgs))
 	}
-	bindParams(plan, params, autoArgs, ctx)
-	root := exec.Instrument(exec.CloneOperator(plan.Root))
-	rs, err := exec.Run(root, ctx)
-	total := time.Since(start)
-	esp.End()
-	metrics.Default.Histogram("engine.execute_seconds").ObserveDuration(total)
-	if err != nil {
-		return nil, err
-	}
-	querystore.Default.StoreAnalyzed(shape, variant, opt.ExplainAnalyze(plan, root, total), formatLiterals(autoArgs))
-	res.Cols = rs.Cols
-	res.Rows = rs.Rows
-	res.SnapshotLSN = tx.AsOfLSN()
-	return res, nil
+	return res, err
 }
 
 // freshnessBound evaluates the query's WITH FRESHNESS expression to its
@@ -692,14 +658,19 @@ func (db *Database) PlanCacheSize() int {
 	return db.planCache.len()
 }
 
-// RunPlan executes a previously produced plan. The operator tree is cloned
-// per execution: cached plans are shared across sessions, and operators
-// carry per-run state (cursors, hash tables).
+// RunPlan executes a previously produced plan.
 func (db *Database) RunPlan(plan *opt.Plan, params exec.Params) (*Result, error) {
-	return db.runPlanSpan(plan, params, nil, nil)
+	res, _, err := db.runPlan(plan, params, nil, nil, false)
+	return res, err
 }
 
-func (db *Database) runPlanSpan(plan *opt.Plan, params exec.Params, autoArgs []types.Value, span *trace.Span) (*Result, error) {
+// runPlan is the engine's one read path: it runs a private clone of the
+// plan's operator tree (cached plans are shared across sessions, and
+// operators carry per-run state: cursors, hash tables) against a read-only
+// snapshot. With instrument set the clone runs under exec.Instrument and the
+// instrumented root comes back for opt.ExplainAnalyze; the shells pass
+// batches through unchanged, so the client sees the identical result.
+func (db *Database) runPlan(plan *opt.Plan, params exec.Params, autoArgs []types.Value, span *trace.Span, instrument bool) (*Result, *exec.Instrumented, error) {
 	esp := span.Child("execute")
 	start := time.Now()
 	tx := db.store.Begin(false)
@@ -707,19 +678,25 @@ func (db *Database) runPlanSpan(plan *opt.Plan, params exec.Params, autoArgs []t
 	res := &Result{}
 	ctx := &exec.Ctx{
 		Txn: tx, Remote: db.remote, Counters: &res.Counters,
-		Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card, RowMode: db.rowMode,
+		Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card,
 	}
 	bindParams(plan, params, autoArgs, ctx)
-	rs, err := exec.Run(exec.CloneOperator(plan.Root), ctx)
+	root := exec.CloneOperator(plan.Root)
+	var shell *exec.Instrumented
+	if instrument {
+		shell = exec.Instrument(root)
+		root = shell
+	}
+	rs, err := exec.Run(root, ctx)
 	esp.End()
 	metrics.Default.Histogram("engine.execute_seconds").ObserveDuration(time.Since(start))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Cols = rs.Cols
 	res.Rows = rs.Rows
 	res.SnapshotLSN = tx.AsOfLSN()
-	return res, nil
+	return res, shell, nil
 }
 
 // Explain returns the optimizer's plan description for a query.
@@ -740,8 +717,8 @@ func (db *Database) Explain(query string) (string, error) {
 }
 
 // execExplain implements EXPLAIN [ANALYZE] <select>. Plain EXPLAIN renders
-// the optimized plan. ANALYZE additionally executes a private instrumented
-// clone (its result rows are discarded) and renders per-operator rows,
+// the optimized plan. ANALYZE additionally executes the plan instrumented
+// (its result rows are discarded) and renders per-operator rows,
 // timings and which ChoosePlan branch fired. The rendered text comes back as
 // a one-column result set, one row per line, so it flows through the wire
 // protocol and the shell like any query result.
@@ -763,23 +740,13 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, span *tr
 	res := &Result{Cols: []exec.ColInfo{{Name: "plan", Kind: types.KindString}}}
 	var text string
 	if x.Analyze {
-		root := exec.Instrument(exec.CloneOperator(plan.Root))
-		esp := span.Child("execute")
-		tx := db.store.Begin(false)
-		ctx := &exec.Ctx{
-			Txn: tx, Remote: db.remote, Counters: &res.Counters,
-			Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card, RowMode: db.rowMode,
-		}
-		bindParams(plan, params, nil, ctx)
 		start := time.Now()
-		_, runErr := exec.Run(root, ctx)
-		total := time.Since(start)
-		tx.Abort()
-		esp.End()
-		if runErr != nil {
-			return nil, runErr
+		run, root, err := db.runPlan(plan, params, nil, span, true)
+		if err != nil {
+			return nil, err
 		}
-		text = opt.ExplainAnalyze(plan, root, total)
+		res.Counters = run.Counters
+		text = opt.ExplainAnalyze(plan, root, time.Since(start))
 	} else {
 		text = opt.Explain(plan)
 	}

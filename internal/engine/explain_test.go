@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"mtcache/internal/opt"
+	"mtcache/internal/sql"
 	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
@@ -87,6 +89,61 @@ func TestExplainRejectsNesting(t *testing.T) {
 	db := newBackendDB(t)
 	if _, err := db.Exec("EXPLAIN EXPLAIN SELECT i_id FROM item", nil); err == nil {
 		t.Error("nested EXPLAIN should fail to parse")
+	}
+}
+
+// TestInstrumentedRunIsBatchExecution: EXPLAIN ANALYZE and slow-plan capture
+// time the execution production runs. An instrumented filter + computed
+// projection over N rows returns the rows and RowsScanned of the plain run,
+// and allocates per batch, not per row.
+func TestInstrumentedRunIsBatchExecution(t *testing.T) {
+	db := benchDB(t, benchRows)
+	stmt, err := sql.Parse("SELECT b_id, b_val + 1.0 AS v FROM big WHERE b_val >= 100.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := db.Plan(stmt.(*sql.SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, shell, err := db.runPlan(plan, nil, nil, nil, false)
+	if err != nil || shell != nil {
+		t.Fatalf("plain run: shell %v, err %v", shell, err)
+	}
+	inst, shell, err := db.runPlan(plan, nil, nil, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const out = benchRows * 9 / 10 // b_val cycles 0..999
+	if len(plain.Rows) != out || shell.Stats.Rows != out {
+		t.Fatalf("plain run returned %d rows, the instrumented root counted %d, want %d", len(plain.Rows), shell.Stats.Rows, out)
+	}
+	if got, want := imCanon(inst.Rows), imCanon(plain.Rows); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatal("instrumented and plain runs returned different rows")
+	}
+	if inst.Counters != plain.Counters || plain.Counters.RowsScanned != benchRows {
+		t.Fatalf("counters: instrumented %+v, plain %+v", inst.Counters, plain.Counters)
+	}
+	// The shell between Filter and Scan keeps the predicate out of the scan
+	// loop, so the scan line reports every row it read.
+	text := opt.ExplainAnalyze(plan, shell, 0)
+	for _, want := range []string{"Scan big (actual rows=20000 ", "Filter (actual rows=18000 "} {
+		if !strings.Contains(text, want) {
+			t.Errorf("explain analyze missing %q:\n%s", want, text)
+		}
+	}
+	if raceEnabled {
+		return // allocation counts are distorted under -race
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := db.runPlan(plan, nil, nil, nil, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One output chunk per 64-row batch plus per-execution setup; a make per
+	// projected row would be 18 000.
+	if limit := float64(2*benchRows/64 + 100); allocs > limit {
+		t.Errorf("instrumented run: %.0f allocs for %d rows, want at most %.0f", allocs, benchRows, limit)
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 // equi-joins over them, some ending in a LEFT JOIN. Every query runs on
 //
 //   - the indexed database, where the planner picks lookup joins by cost,
+//     at DOP 1 and at DOP 2,
 //   - a copy without any key or index, where only hash joins (built on the
 //     smaller side) and nested loops exist,
-//   - the indexed database in row mode, at DOP 1 and at DOP 2,
 //
 // and every result must equal, as a multiset, what a nested-loop evaluator
 // written against the SQL semantics returns.
@@ -286,8 +286,6 @@ func TestJoinDifferentialGenerated(t *testing.T) {
 		cfg := Config{Name: "j", Role: Backend}
 		indexed := loadJoinDB(t, cfg, tables, true)
 		plain := loadJoinDB(t, cfg, tables, false)
-		cfg.RowMode = true
-		rowMode := loadJoinDB(t, cfg, tables, true)
 		serial, dop2 := indexed.Options(), indexed.Options()
 		serial.MaxDOP = 1
 		dop2.MaxDOP, dop2.ParallelStartupCost = 2, 0.01
@@ -322,7 +320,6 @@ func TestJoinDifferentialGenerated(t *testing.T) {
 				ops["dop2 Gather"]++
 			}
 			check("no indexes", plain)
-			check("row mode", rowMode)
 			plainPlan, err := plain.Explain(text)
 			if err != nil {
 				t.Fatal(err)

@@ -135,7 +135,8 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	// into one shape (one plan); disable it so each text gets its own plan
 	// and the LRU actually evicts. The intermediate-result cache is off too,
 	// so the re-run below reaches the plan cache instead of a cached result.
-	db := New(Config{Name: "backend", Role: Backend, PlanCacheCap: 4, DisableAutoParam: true})
+	db := New(Config{Name: "backend", Role: Backend, PlanCacheCap: 4})
+	db.autoOff = true
 	db.SetIMCacheEnabled(false)
 	if err := db.ExecScript("CREATE TABLE tiny (id INT PRIMARY KEY, v INT);"); err != nil {
 		t.Fatal(err)
@@ -165,7 +166,8 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 }
 
 func TestPlanCacheDefaultCapBounded(t *testing.T) {
-	db := New(Config{Name: "backend", Role: Backend, DisableAutoParam: true})
+	db := New(Config{Name: "backend", Role: Backend})
+	db.autoOff = true
 	if err := db.ExecScript("CREATE TABLE tiny (id INT PRIMARY KEY, v INT);"); err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,13 @@ import (
 	"mtcache/internal/types"
 )
 
-// benchDB builds the fact/dim pair the vectorized benchmarks run against.
-// rowMode selects the pre-vectorization configuration (one-row adapter,
-// parse per execution) so before/after can be compared with -bench.
-func benchDB(b *testing.B, rows int, rowMode bool) *Database {
-	b.Helper()
-	db := New(Config{Name: "bench", Role: Backend, RowMode: rowMode, DisableAutoParam: rowMode})
+// benchDB builds the fact/dim pair the execution benchmarks run against:
+// serial plans only, and the intermediate-result cache off so a repeated
+// text is executed every time instead of answered from its cached result.
+func benchDB(tb testing.TB, rows int) *Database {
+	tb.Helper()
+	db := New(Config{Name: "bench", Role: Backend})
+	db.SetIMCacheEnabled(false)
 	err := db.ExecScript(`
 		CREATE TABLE big (
 			b_id INT PRIMARY KEY,
@@ -25,7 +26,7 @@ func benchDB(b *testing.B, rows int, rowMode bool) *Database {
 		CREATE TABLE dim (d_id INT PRIMARY KEY, d_name VARCHAR(20));
 	`)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pad := strings.Repeat("x", 32)
 	facts := make([]types.Row, 0, rows)
@@ -39,17 +40,17 @@ func benchDB(b *testing.B, rows int, rowMode bool) *Database {
 		})
 	}
 	if err := db.BulkLoad("big", facts); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dims := make([]types.Row, 0, 256)
 	for i := 0; i < 256; i++ {
 		dims = append(dims, types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("d%d", i))})
 	}
 	if err := db.BulkLoad("dim", dims); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := db.Analyze(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts := db.Options()
 	opts.MaxDOP = 1
@@ -57,9 +58,17 @@ func benchDB(b *testing.B, rows int, rowMode bool) *Database {
 	return db
 }
 
-func benchQuery(b *testing.B, rowMode bool, gen func(i int) string) {
+const benchRows = 20000
+
+const (
+	benchScanSQL = "SELECT b_id, b_val FROM big WHERE b_val >= 900.0"
+	benchJoinSQL = "SELECT COUNT(*) AS c FROM big, dim WHERE b_dim = d_id AND b_val >= 500.0"
+	benchAggSQL  = "SELECT b_grp, COUNT(*) AS c, SUM(b_val) AS s, AVG(b_val) AS a FROM big GROUP BY b_grp"
+)
+
+func benchQuery(b *testing.B, gen func(i int) string) {
 	b.Helper()
-	db := benchDB(b, 20000, rowMode)
+	db := benchDB(b, benchRows)
 	for i := 0; i < 16; i++ { // warm plan + shape caches
 		if _, err := db.Exec(gen(i), nil); err != nil {
 			b.Fatal(err)
@@ -68,48 +77,47 @@ func benchQuery(b *testing.B, rowMode bool, gen func(i int) string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Exec(gen(i%20000), nil); err != nil {
+		if _, err := db.Exec(gen(i%benchRows), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkPointQueryRow(b *testing.B) {
-	benchQuery(b, true, func(i int) string { return fmt.Sprintf("SELECT b_id, b_val FROM big WHERE b_id = %d", i) })
+func BenchmarkPointQuery(b *testing.B) {
+	benchQuery(b, func(i int) string { return fmt.Sprintf("SELECT b_id, b_val FROM big WHERE b_id = %d", i) })
 }
 
-func BenchmarkPointQueryBatch(b *testing.B) {
-	benchQuery(b, false, func(i int) string { return fmt.Sprintf("SELECT b_id, b_val FROM big WHERE b_id = %d", i) })
-}
+func BenchmarkScan(b *testing.B) { benchQuery(b, func(int) string { return benchScanSQL }) }
+func BenchmarkJoin(b *testing.B) { benchQuery(b, func(int) string { return benchJoinSQL }) }
+func BenchmarkAgg(b *testing.B)  { benchQuery(b, func(int) string { return benchAggSQL }) }
 
-func BenchmarkScanRow(b *testing.B) {
-	benchQuery(b, true, func(int) string { return "SELECT b_id, b_val FROM big WHERE b_val >= 900.0" })
-}
-
-func BenchmarkScanBatch(b *testing.B) {
-	benchQuery(b, false, func(int) string { return "SELECT b_id, b_val FROM big WHERE b_val >= 900.0" })
-}
-
-func BenchmarkJoinRow(b *testing.B) {
-	benchQuery(b, true, func(int) string {
-		return "SELECT COUNT(*) AS c FROM big, dim WHERE b_dim = d_id AND b_val >= 500.0"
-	})
-}
-
-func BenchmarkJoinBatch(b *testing.B) {
-	benchQuery(b, false, func(int) string {
-		return "SELECT COUNT(*) AS c FROM big, dim WHERE b_dim = d_id AND b_val >= 500.0"
-	})
-}
-
-func BenchmarkAggRow(b *testing.B) {
-	benchQuery(b, true, func(int) string {
-		return "SELECT b_grp, COUNT(*) AS c, SUM(b_val) AS s, AVG(b_val) AS a FROM big GROUP BY b_grp"
-	})
-}
-
-func BenchmarkAggBatch(b *testing.B) {
-	benchQuery(b, false, func(int) string {
-		return "SELECT b_grp, COUNT(*) AS c, SUM(b_val) AS s, AVG(b_val) AS a FROM big GROUP BY b_grp"
-	})
+// TestExecAllocGate bounds what one warm execution of the scan, join and
+// aggregation shapes allocates over the 20 000-row fact table. Batch
+// execution allocates per batch and per group, never per input row, so the
+// ceilings (85, 512 and 524 measured, plus 25 % headroom) sit one to two
+// orders of magnitude below the row count; an operator that goes back to one make per row
+// overshoots them several times over.
+func TestExecAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	db := benchDB(t, benchRows)
+	for _, g := range []struct {
+		name, sql string
+		ceiling   float64
+	}{
+		{"scan", benchScanSQL, 106},
+		{"join", benchJoinSQL, 640},
+		{"agg", benchAggSQL, 655},
+	} {
+		run := func() {
+			if _, err := db.Exec(g.sql, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm plan + shape caches
+		if avg := testing.AllocsPerRun(20, run); avg > g.ceiling {
+			t.Errorf("%s: %.0f allocs per execution, ceiling %.0f", g.name, avg, g.ceiling)
+		}
+	}
 }

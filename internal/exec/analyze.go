@@ -1,20 +1,20 @@
 package exec
 
-import (
-	"time"
-
-	"mtcache/internal/types"
-)
+import "time"
 
 // OpStats accumulates per-operator runtime statistics for EXPLAIN ANALYZE.
 type OpStats struct {
-	Rows   int64         // rows returned by Next
-	Time   time.Duration // wall time inside Open + Next + Close
+	Rows   int64         // rows returned by BatchNext
+	Time   time.Duration // wall time inside Open + BatchNext + Close
 	Opened bool          // false when a StartupFilter pruned this subtree
 }
 
 // Instrumented wraps an operator, timing its calls and counting produced
-// rows. It is transparent to execution: Columns and errors pass through.
+// rows. It is transparent to execution: Columns, errors and the caller's
+// batch (with its Ephemeral promise) pass through. The one thing a shell
+// changes is that a Filter no longer sees its child scan, so an instrumented
+// tree evaluates the compiled predicate in the Filter instead of inside the
+// scan loop.
 type Instrumented struct {
 	Op    Operator
 	Stats OpStats
@@ -74,14 +74,14 @@ func (i *Instrumented) Open(ctx *Ctx) error {
 	return err
 }
 
-func (i *Instrumented) Next(ctx *Ctx) (types.Row, error) {
+func (i *Instrumented) BatchNext(ctx *Ctx, b *Batch) error {
 	start := time.Now()
-	row, err := i.Op.Next(ctx)
+	err := i.Op.BatchNext(ctx, b)
 	i.Stats.Time += time.Since(start)
-	if row != nil {
-		i.Stats.Rows++
+	if err == nil {
+		i.Stats.Rows += int64(len(b.Rows))
 	}
-	return row, err
+	return err
 }
 
 func (i *Instrumented) Close() error {

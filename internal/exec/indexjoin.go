@@ -33,11 +33,10 @@ type IndexJoin struct {
 	seeks   int64
 	keyBuf  types.Row   // probe-key scratch
 	matches []types.Row // stored rows found by the current seek
-	pending []types.Row // row mode: joined rows not yet returned
 
-	in    Batch    // batch-mode outer input scratch
+	in    Batch    // outer input scratch
 	inPos int      // cursor into in.Rows
-	arena rowArena // batch-mode output rows
+	arena rowArena // output rows
 }
 
 func (j *IndexJoin) Columns() []ColInfo {
@@ -62,7 +61,6 @@ func (j *IndexJoin) Open(ctx *Ctx) error {
 		return fmt.Errorf("exec: index %s on %s does not exist", j.IndexName, j.TableName)
 	}
 	j.seeks = 0
-	j.pending = nil
 	j.in.Rows, j.inPos = j.in.Rows[:0], 0
 	return j.Outer.Open(ctx)
 }
@@ -111,40 +109,6 @@ func (j *IndexJoin) fill(out, outer, inner types.Row) {
 	}
 }
 
-func (j *IndexJoin) Next(ctx *Ctx) (types.Row, error) {
-	for {
-		if len(j.pending) > 0 {
-			row := j.pending[0]
-			j.pending = j.pending[1:]
-			return row, nil
-		}
-		outer, err := j.Outer.Next(ctx)
-		if err != nil || outer == nil {
-			return outer, err
-		}
-		if err := j.seek(ctx, outer); err != nil {
-			return nil, err
-		}
-		width := len(outer) + len(j.Proj)
-		for _, inner := range j.matches {
-			out := make(types.Row, width)
-			j.fill(out, outer, inner)
-			ok, err := EvalBool(j.Residual, out, &ctx.Env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				j.pending = append(j.pending, out)
-			}
-		}
-		if len(j.pending) == 0 && j.LeftOuter {
-			out := make(types.Row, width)
-			j.fill(out, outer, nil)
-			j.pending = append(j.pending, out)
-		}
-	}
-}
-
 // BatchNext joins a batch of outer rows, carving output rows from the arena.
 // Outer rows only reach the output as copies, so the outer side may recycle
 // delivered rows. The output batch may exceed BatchSize when one outer row
@@ -155,7 +119,7 @@ func (j *IndexJoin) BatchNext(ctx *Ctx, b *Batch) error {
 	width := len(j.Columns())
 	for len(b.Rows) < BatchSize {
 		if j.inPos >= len(j.in.Rows) {
-			if err := NextBatch(ctx, j.Outer, &j.in); err != nil {
+			if err := j.Outer.BatchNext(ctx, &j.in); err != nil {
 				return err
 			}
 			j.inPos = 0

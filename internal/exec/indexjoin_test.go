@@ -11,11 +11,11 @@ import (
 	"mtcache/internal/types"
 )
 
-// The join differential: a lookup join, a hash join building on either
-// side, row mode and a partitioned (Exchange) run must all return the same
-// multiset, over inner tables indexed every way the planner may meet —
-// unique, non-unique, composite with only a prefix bound, NULL keys,
-// duplicate keys and empty sides.
+// The join differential: a lookup join, a hash join building on either side
+// and a partitioned (Exchange) run must all return the multiset a naive
+// nested loop over the generated rows computes, over inner tables indexed
+// every way the planner may meet — unique, non-unique, composite with only a
+// prefix bound, NULL keys, duplicate keys and empty sides.
 
 // joinTableMeta is t(id INT PRIMARY KEY, k INT, k2 INT, v INT) with a
 // non-unique index on k and a composite one on (k, k2).
@@ -45,8 +45,9 @@ func joinCols(table string) []ColInfo {
 }
 
 // newJoinStore fills l and r with nl and nr random rows: keys drawn from a
-// small domain (duplicates on both sides), roughly one in six NULL.
-func newJoinStore(t testing.TB, rng *rand.Rand, nl, nr int) *storage.Store {
+// small domain (duplicates on both sides), roughly one in six NULL. It also
+// returns the rows it inserted, l then r.
+func newJoinStore(t testing.TB, rng *rand.Rand, nl, nr int) (*storage.Store, []types.Row, []types.Row) {
 	t.Helper()
 	s := storage.NewStore()
 	for _, name := range []string{"l", "r"} {
@@ -61,18 +62,21 @@ func newJoinStore(t testing.TB, rng *rand.Rand, nl, nr int) *storage.Store {
 		return types.NewInt(int64(rng.Intn(8)))
 	}
 	tx := s.Begin(true)
-	for name, n := range map[string]int{"l": nl, "r": nr} {
-		for i := 0; i < n; i++ {
-			row := types.Row{types.NewInt(int64(i)), key(), key(), types.NewInt(int64(rng.Intn(20)))}
-			if _, err := tx.Insert(name, row); err != nil {
+	fill := func(name string, n int) []types.Row {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i)), key(), key(), types.NewInt(int64(rng.Intn(20)))}
+			if _, err := tx.Insert(name, rows[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
+		return rows
 	}
+	l, r := fill("l", nl), fill("r", nr)
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return s, l, r
 }
 
 func scanOf(table string, parallel bool) *Scan {
@@ -103,16 +107,44 @@ var joinCases = []joinCase{
 	{"composite-full", "ix_k_k2", []int{1, 2}, []int{1, 2}},
 }
 
-func runMode(t *testing.T, s *storage.Store, op Operator, rowMode bool) ([]types.Row, *Counters) {
+// naiveJoin is the differential's reference: every l row against every r
+// row that passes innerPred, joined when all key pairs are non-NULL and
+// equal and the residual holds over l ++ r; a LEFT JOIN pads unmatched l
+// rows with NULLs.
+func naiveJoin(t *testing.T, l, r []types.Row, jc joinCase, innerPred, residual Expr, leftOuter bool) []types.Row {
 	t.Helper()
-	tx := s.Begin(false)
-	defer tx.Abort()
-	ctr := &Counters{}
-	rs, err := Run(op, &Ctx{Txn: tx, Counters: ctr, RowMode: rowMode})
-	if err != nil {
-		t.Fatal(err)
+	holds := func(e Expr, row types.Row) bool {
+		ok, err := EvalBool(e, row, &Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
 	}
-	return rs.Rows, ctr
+	var out []types.Row
+	for _, lr := range l {
+		matched := false
+	inner:
+		for _, rr := range r {
+			if !holds(innerPred, rr) {
+				continue
+			}
+			for i := range jc.lKeys {
+				lk, rk := lr[jc.lKeys[i]], rr[jc.rKeys[i]]
+				if lk.IsNull() || rk.IsNull() || types.Compare(lk, rk) != 0 {
+					continue inner
+				}
+			}
+			joined := append(append(types.Row{}, lr...), rr...)
+			if holds(residual, joined) {
+				matched = true
+				out = append(out, joined)
+			}
+		}
+		if !matched && leftOuter {
+			out = append(out, append(append(types.Row{}, lr...), make(types.Row, 4)...))
+		}
+	}
+	return out
 }
 
 func TestIndexJoinDifferential(t *testing.T) {
@@ -123,22 +155,14 @@ func TestIndexJoinDifferential(t *testing.T) {
 	joined := 0
 	for seed, size := range sizes {
 		rng := rand.New(rand.NewSource(int64(seed) + 1))
-		s := newJoinStore(t, rng, size[0], size[1])
+		s, lRows, rRows := newJoinStore(t, rng, size[0], size[1])
 		for _, jc := range joinCases {
 			for _, outer := range []bool{false, true} {
 				name := fmt.Sprintf("%s/l%d-r%d/leftouter=%v", jc.name, size[0], size[1], outer)
 				filteredR := func(parallel bool) Operator {
 					return &Filter{Input: scanOf("r", parallel), Pred: innerPred}
 				}
-				// Reference: the hash join the planner used to emit, in row mode.
-				hashLR := func() Operator {
-					return &HashJoin{
-						Left: scanOf("l", false), Right: filteredR(false),
-						LeftKeys: colsExprs(jc.lKeys...), RightKeys: colsExprs(jc.rKeys...),
-						Residual: residual, LeftOuter: outer,
-					}
-				}
-				want, _ := runMode(t, s, hashLR(), true)
+				want := naiveJoin(t, lRows, rRows, jc, innerPred, residual, outer)
 				joined += len(want)
 
 				lookup := func(parallel bool) Operator {
@@ -150,8 +174,12 @@ func TestIndexJoinDifferential(t *testing.T) {
 					}
 				}
 				variants := map[string]Operator{
-					"hash-build-right": hashLR(),
-					"lookup":           lookup(false),
+					"hash-build-right": &HashJoin{
+						Left: scanOf("l", false), Right: filteredR(false),
+						LeftKeys: colsExprs(jc.lKeys...), RightKeys: colsExprs(jc.rKeys...),
+						Residual: residual, LeftOuter: outer,
+					},
+					"lookup": lookup(false),
 				}
 				if !outer {
 					// Build on l, probe with r, then restore the l ++ r order:
@@ -169,13 +197,11 @@ func TestIndexJoinDifferential(t *testing.T) {
 					variants["lookup-dop2"] = &Exchange{Template: lookup(true), DOP: 2}
 				}
 				for vname, op := range variants {
-					for _, rowMode := range []bool{false, true} {
-						got, _ := runMode(t, s, CloneOperator(op), rowMode)
-						if len(got) != len(want) {
-							t.Fatalf("%s %s rowMode=%v: %d rows, want %d", name, vname, rowMode, len(got), len(want))
-						}
-						requireSameRows(t, got, want)
+					got := runOp(t, s, op, nil).Rows
+					if len(got) != len(want) {
+						t.Fatalf("%s %s: %d rows, want %d", name, vname, len(got), len(want))
 					}
+					requireSameRows(t, got, want)
 				}
 			}
 		}
@@ -204,21 +230,25 @@ func TestIndexJoinProjectsAndCounts(t *testing.T) {
 		TableName: "nums", IndexName: "__pk",
 		InnerCols: []ColInfo{{Table: "nums", Name: "b", Kind: types.KindString}}, Proj: []int{1},
 	}
-	for _, rowMode := range []bool{false, true} {
-		j := CloneOperator(op).(*IndexJoin)
-		rows, ctr := runMode(t, s, j, rowMode)
-		if len(rows) != 2 || len(rows[0]) != 2 {
-			t.Fatalf("rowMode=%v: rows %v", rowMode, rows)
-		}
-		if rows[0][0].Int() != 7 || rows[0][1].S != "blue" || rows[1][0].Int() != 42 || rows[1][1].S != "blue" {
-			t.Errorf("rowMode=%v: rows %v", rowMode, rows)
-		}
-		if ctr.RowsScanned != 2 {
-			t.Errorf("rowMode=%v: RowsScanned %d, want 2", rowMode, ctr.RowsScanned)
-		}
-		if j.Seeks() != 3 {
-			t.Errorf("rowMode=%v: Seeks %d, want 3", rowMode, j.Seeks())
-		}
+	tx := s.Begin(false)
+	defer tx.Abort()
+	ctr := &Counters{}
+	rs, err := Run(op, &Ctx{Txn: tx, Counters: ctr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rs.Rows
+	if len(rows) != 2 || len(rows[0]) != 2 {
+		t.Fatalf("rows %v", rows)
+	}
+	if rows[0][0].Int() != 7 || rows[0][1].S != "blue" || rows[1][0].Int() != 42 || rows[1][1].S != "blue" {
+		t.Errorf("rows %v", rows)
+	}
+	if ctr.RowsScanned != 2 {
+		t.Errorf("RowsScanned %d, want 2", ctr.RowsScanned)
+	}
+	if op.Seeks() != 3 {
+		t.Errorf("Seeks %d, want 3", op.Seeks())
 	}
 }
 

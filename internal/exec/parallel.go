@@ -35,8 +35,6 @@ type Exchange struct {
 	wg         sync.WaitGroup
 	mu         sync.Mutex
 	err        error
-	buf        []types.Row
-	bufPos     int
 	workerRows []int64
 	counters   []Counters // per-worker work, merged into parent at Close
 	parent     *Counters  // the consumer's counters (may be nil)
@@ -67,7 +65,6 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	e.abort = make(chan struct{})
 	e.abortOnce = &sync.Once{}
 	e.err = nil
-	e.buf, e.bufPos = nil, 0
 	e.workerRows = make([]int64, dop)
 	e.counters = make([]Counters, dop)
 	e.parent = ctx.Counters
@@ -137,7 +134,7 @@ func (e *Exchange) runWorker(i int, op Operator, ctx *Ctx, parent *Ctx, done <-c
 		}
 		// Pull a whole batch through the worker pipeline; the channel send
 		// needs an owned slice, so rows are copied out of the reused window.
-		if err := NextBatch(ctx, op, &in); err != nil {
+		if err := op.BatchNext(ctx, &in); err != nil {
 			e.fail(err)
 			return
 		}
@@ -165,32 +162,8 @@ func (e *Exchange) fail(err error) {
 	e.abortOnce.Do(func() { close(e.abort) })
 }
 
-func (e *Exchange) Next(*Ctx) (types.Row, error) {
-	for {
-		if e.bufPos < len(e.buf) {
-			row := e.buf[e.bufPos]
-			e.bufPos++
-			return row, nil
-		}
-		batch, ok := <-e.ch
-		if !ok {
-			e.mu.Lock()
-			err := e.err
-			e.mu.Unlock()
-			return nil, err
-		}
-		e.buf, e.bufPos = batch, 0
-	}
-}
-
-// BatchNext hands a whole worker chunk to the parent per call instead of
-// one row per virtual call.
+// BatchNext hands a whole worker chunk to the parent per call.
 func (e *Exchange) BatchNext(_ *Ctx, b *Batch) error {
-	if e.bufPos < len(e.buf) {
-		b.Rows = append(b.Rows[:0], e.buf[e.bufPos:]...)
-		e.bufPos = len(e.buf)
-		return nil
-	}
 	batch, ok := <-e.ch
 	if !ok {
 		e.mu.Lock()
@@ -222,7 +195,6 @@ func (e *Exchange) Close() error {
 			e.parent.add(&e.counters[i])
 		}
 	}
-	e.buf = nil
 	e.workers = nil
 	return nil
 }

@@ -67,15 +67,6 @@ func (p *PartialAgg) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (p *PartialAgg) Next(*Ctx) (types.Row, error) {
-	if p.pos >= len(p.out) {
-		return nil, nil
-	}
-	row := p.out[p.pos]
-	p.pos++
-	return row, nil
-}
-
 // BatchNext slices the materialized output.
 func (p *PartialAgg) BatchNext(_ *Ctx, b *Batch) error {
 	sliceBatch(p.out, &p.pos, b)
@@ -206,7 +197,7 @@ func (f *FinalAgg) Open(ctx *Ctx) error {
 	}
 	var b Batch
 	for {
-		if err := NextBatch(ctx, f.Input, &b); err != nil {
+		if err := f.Input.BatchNext(ctx, &b); err != nil {
 			return err
 		}
 		if len(b.Rows) == 0 {
@@ -246,15 +237,6 @@ func (f *FinalAgg) Open(ctx *Ctx) error {
 	}
 	f.pos = 0
 	return nil
-}
-
-func (f *FinalAgg) Next(*Ctx) (types.Row, error) {
-	if f.pos >= len(f.out) {
-		return nil, nil
-	}
-	row := f.out[f.pos]
-	f.pos++
-	return row, nil
 }
 
 // BatchNext slices the materialized output.

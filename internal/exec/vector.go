@@ -15,11 +15,9 @@ import (
 // parameter> terms — and turns them into a flat leaf list that BatchNext
 // evaluates with direct row indexing and static comparisons, touching the
 // generic Expr machinery once per batch (to resolve the row-independent
-// right-hand sides) instead of three times per row.
-//
-// The compiled form is used only on the batch path. Filter.Next keeps the
-// interpreted evaluator, so RowMode remains the faithful pre-vectorization
-// baseline and the equivalence tests compare the two implementations.
+// right-hand sides) instead of three times per row. Shapes compilePred does
+// not cover keep the interpreted EvalBool, which is also the reference the
+// property test checks the compiled form against.
 
 // vecLeaf is one compiled comparison: row[col] op rhs, where rhs is
 // row-independent (ConstExpr or ParamExpr).

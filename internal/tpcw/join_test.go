@@ -150,7 +150,7 @@ func canonRows(rows []types.Row) string {
 // joins under each physical strategy the planner can reach and requires
 // identical multisets: lookup joins (the backend and the cache, with the
 // paper's indexes), hash joins in either orientation (a copy of the database
-// stripped of every key and index), row mode, and serial vs parallel plans.
+// stripped of every key and index), and serial vs parallel plans.
 func TestProceduresAgreeAcrossJoinStrategies(t *testing.T) {
 	cfg := Config{Items: 240, Customers: 300, OrdersPerCustomer: 0.9, Seed: 11}
 	b, c := loadedPair(t, cfg)
@@ -168,7 +168,6 @@ func TestProceduresAgreeAcrossJoinStrategies(t *testing.T) {
 
 	plainDDL := reIndex.ReplaceAllString(rePKColumn.ReplaceAllString(rePKTable.ReplaceAllString(SchemaDDL, ""), ""), "")
 	hashOnly := copyDatabase(t, b.DB, engine.Config{Name: "hash"}, plainDDL)
-	rowMode := copyDatabase(t, b.DB, engine.Config{Name: "row", RowMode: true}, SchemaDDL)
 	serial := copyDatabase(t, b.DB, engine.Config{Name: "serial"}, SchemaDDL)
 	opts := serial.Options()
 	opts.MaxDOP = 1
@@ -182,7 +181,7 @@ func TestProceduresAgreeAcrossJoinStrategies(t *testing.T) {
 		call func(string, exec.Params) (*engine.Result, error)
 	}{
 		{"backend", b.DB.CallProcedure}, {"cache", c.DB.CallProcedure},
-		{"row mode", rowMode.CallProcedure}, {"serial", serial.CallProcedure},
+		{"serial", serial.CallProcedure},
 	}
 	str, num := types.NewString, func(i int) types.Value { return types.NewInt(int64(i)) }
 	calls := []struct {
