@@ -1,133 +1,23 @@
 package mtcache
 
-// This file regenerates every table and figure of the paper's evaluation
-// (§6) as Go benchmarks, plus ablation benches for the design choices in
-// DESIGN.md. Run:
+// Ablation benches for the design choices in DESIGN.md §4 (dynamic plans,
+// ChoosePlan pull-up, mixed-result plans) and a few engine
+// micro-benchmarks. Run:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// Numbers are reported with b.ReportMetric under the names the paper uses
-// (wips, backend_cpu_pct, ...). cmd/mtbench prints the same experiments as
-// formatted tables at a larger scale.
+// The paper's §6 tables are not here: the fleet numbers come from bench/
+// (BENCHMARK.json), the capacity-simulation tables from
+// `go test ./internal/sim -run TestExperiment -v`.
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
-	"mtcache/internal/core"
 	"mtcache/internal/opt"
-	"mtcache/internal/sim"
 	"mtcache/internal/sql"
 	"mtcache/internal/tpcw"
 )
-
-// benchScale keeps bench runtime reasonable; cmd/mtbench defaults higher.
-var benchConfig = tpcw.Config{Items: 300, Customers: 600, OrdersPerCustomer: 0.9, Seed: 20030609}
-
-var (
-	calOnce sync.Once
-	calRes  *sim.CalibrationResult
-	calErr  error
-)
-
-func calibration(b *testing.B) *sim.CalibrationResult {
-	b.Helper()
-	calOnce.Do(func() {
-		calRes, calErr = sim.Calibrate(benchConfig, 6)
-	})
-	if calErr != nil {
-		b.Fatal(calErr)
-	}
-	return calRes
-}
-
-// BenchmarkWorkloadMix regenerates the §6.1 workload-mix table and checks
-// the Browse/Order split the paper reports (95/5, 80/20, 50/50).
-func BenchmarkWorkloadMix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, w := range tpcw.Workloads() {
-			_ = tpcw.BrowseShare(w)
-		}
-	}
-	b.ReportMetric(tpcw.BrowseShare(tpcw.Browsing), "browsing_browse_pct")
-	b.ReportMetric(tpcw.BrowseShare(tpcw.Shopping), "shopping_browse_pct")
-	b.ReportMetric(tpcw.BrowseShare(tpcw.Ordering), "ordering_browse_pct")
-}
-
-// BenchmarkBaselineNoCache regenerates the §6.2.1 baseline table: WIPS with
-// all database work on the backend at ~90% CPU (paper: 50 / 82 / 283).
-func BenchmarkBaselineNoCache(b *testing.B) {
-	cal := calibration(b)
-	var rows []sim.BaselineRow
-	for i := 0; i < b.N; i++ {
-		rows = sim.ExperimentBaseline(cal, 5)
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.WIPS, "wips_"+r.Workload.String())
-	}
-}
-
-// BenchmarkScaleoutWIPS regenerates figures 6(a) and 6(b): WIPS and backend
-// CPU load versus the number of web/cache servers, caching enabled.
-func BenchmarkScaleoutWIPS(b *testing.B) {
-	cal := calibration(b)
-	var pts []sim.ScaleoutPoint
-	for i := 0; i < b.N; i++ {
-		pts = sim.ExperimentScaleout(cal, 5)
-	}
-	for _, p := range pts {
-		if p.Servers == 1 || p.Servers == 5 {
-			prefix := fmt.Sprintf("%s_%dsrv", p.Workload, p.Servers)
-			b.ReportMetric(p.WIPS, "wips_"+prefix)
-			b.ReportMetric(p.BackendUtil*100, "backendcpu_"+prefix)
-		}
-	}
-}
-
-// BenchmarkReplicationOverhead regenerates §6.2.2: backend throughput with
-// the log reader on vs off (paper: 283 → 311, ~10%) and the idle mid-tier
-// machine's apply CPU (paper: ~15%).
-func BenchmarkReplicationOverhead(b *testing.B) {
-	cal := calibration(b)
-	var r sim.ReplOverheadResult
-	for i := 0; i < b.N; i++ {
-		r = sim.ExperimentReplicationOverhead(cal)
-	}
-	b.ReportMetric(r.WIPSReaderOn, "wips_reader_on")
-	b.ReportMetric(r.WIPSReaderOff, "wips_reader_off")
-	b.ReportMetric(r.ReductionPct, "backend_overhead_pct")
-	b.ReportMetric(r.IdleCacheApplyUtil*100, "idle_cache_apply_pct")
-}
-
-// BenchmarkReplicationLatency regenerates §6.2.3 on the live pipeline:
-// average commit-to-commit delay, light vs heavy load (paper: 0.55s/1.67s).
-func BenchmarkReplicationLatency(b *testing.B) {
-	backend := NewBackend("latbench")
-	if err := tpcw.Load(backend, benchConfig); err != nil {
-		b.Fatal(err)
-	}
-	cache, err := NewCache("cache1", backend, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := tpcw.SetupCache(cache); err != nil {
-		b.Fatal(err)
-	}
-	app := tpcw.NewApp(ConnectCache(cache), benchConfig)
-	var res sim.ReplLatencyResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err = sim.ExperimentReplicationLatency(backend, cache, app,
-			30*time.Millisecond, 400*time.Millisecond, 400*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.LightLoadMean.Seconds(), "light_latency_s")
-	b.ReportMetric(res.HeavyLoadMean.Seconds(), "heavy_latency_s")
-}
 
 // ---------------------------------------------------------------------
 // Ablation benches (DESIGN.md §4)
@@ -447,10 +337,23 @@ func BenchmarkLocalViewHitCache(b *testing.B) {
 }
 
 func BenchmarkBestSellerQuery(b *testing.B) {
-	cal := calibration(b)
+	cfg := tpcw.Config{Items: 300, Customers: 600, OrdersPerCustomer: 0.9, Seed: 20030609}
+	backend := NewBackend("backend")
+	if err := tpcw.Load(backend, cfg); err != nil {
+		b.Fatal(err)
+	}
+	cache, err := NewCache("cache1", backend, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tpcw.SetupCache(cache); err != nil {
+		b.Fatal(err)
+	}
+	// Result cache off: time the join + aggregation, not a repeated lookup.
+	cache.DB.SetIMCacheEnabled(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cal.Cache.DB.Exec("EXEC getBestSellers 'ARTS'", nil); err != nil {
+		if _, err := cache.DB.Exec("EXEC getBestSellers 'ARTS'", nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -480,5 +383,4 @@ func BenchmarkReplicationApplyThroughput(b *testing.B) {
 		}
 	}
 	backend.SyncReplication()
-	_ = core.ConnectCache
 }

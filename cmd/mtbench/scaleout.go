@@ -3,8 +3,8 @@
 // the paper's §6.2.1 deployment run for real — every cache is a separate OS
 // process speaking the wire protocol, every session goes through the
 // client-side router, and WIPS is measured, not simulated. (The capacity
-// simulation the paper's figures are scaled from remains available as
-// -experiment scaleout-sim.)
+// simulation the paper's figures are scaled from is
+// `go test ./internal/sim -run TestExperiment -v`.)
 //
 // Two modes:
 //

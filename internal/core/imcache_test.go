@@ -1,9 +1,13 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
+	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
+	"mtcache/internal/sql"
+	"mtcache/internal/types"
 )
 
 // Tests for replication-driven invalidation of intermediate results: a
@@ -63,6 +67,78 @@ func TestIMCacheInvalidatedByReplicationApply(t *testing.T) {
 	}
 	if n := res.Rows[0][0].Int(); n != baseN+1 {
 		t.Fatalf("cache served a stale intermediate after replication apply: %d, want %d", n, baseN+1)
+	}
+}
+
+// gateExpr is a pass-everything predicate that, once armed, parks the
+// executor evaluating it until release is closed.
+type gateExpr struct {
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gateExpr) Eval(types.Row, *exec.Env) (types.Value, error) {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return types.NewBool(true), nil
+}
+
+// TestIMCacheDropsResultRacingReplicationApply: an execution that opened its
+// snapshot before a replication apply and observes its result after that
+// apply's invalidation must not have its pre-apply rows admitted as fresh.
+// The executor is parked between the two by a gate predicate planted on top
+// of the statement's cached plan.
+func TestIMCacheDropsResultRacingReplicationApply(t *testing.T) {
+	b, c := imcacheSetup(t)
+	const q = "SELECT COUNT(*) AS n FROM customer"
+	plan, err := c.DB.Plan(sql.MustParseSelect(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gateExpr{entered: make(chan struct{}), release: make(chan struct{})}
+	plan.Root = &exec.Filter{Input: plan.Root, Pred: gate}
+
+	first, err := c.Exec(q, nil) // one execution on record: the next admits
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseN := first.Rows[0][0].Int()
+
+	gate.armed.Store(true)
+	type answer struct {
+		n   int64
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		res, err := c.Exec(q, nil)
+		if err != nil {
+			done <- answer{err: err}
+			return
+		}
+		done <- answer{n: res.Rows[0][0].Int()}
+	}()
+	<-gate.entered // COUNT(*) computed over the pre-apply snapshot
+
+	if _, err := b.Exec("INSERT INTO customer (cid, cname, caddress, csegment) VALUES (9003, 'new', 'addr', 1)", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SyncReplication(); err != nil { // apply + invalidate land
+		t.Fatal(err)
+	}
+	close(gate.release)
+	if a := <-done; a.err != nil || a.n != baseN {
+		t.Fatalf("parked execution: n=%d err=%v, want its snapshot's %d", a.n, a.err, baseN)
+	}
+
+	res, err := c.Exec(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].Int(); n != baseN+1 {
+		t.Fatalf("pre-apply rows admitted as fresh: next read saw %d, want %d", n, baseN+1)
 	}
 }
 

@@ -446,6 +446,7 @@ func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs
 	// entry; WITH FRESHNESS accepts one stale up to the declared bound.
 	imc := db.imcacheIfEnabled()
 	var imkey string
+	var imstamp uint64
 	if imc != nil {
 		istart := time.Now()
 		maxStale, boundOK := time.Duration(0), true
@@ -474,6 +475,9 @@ func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs
 				}
 				return res, nil
 			}
+			// Miss: stamp before planning and the read snapshot, so Observe
+			// can tell a write landed while this execution was in flight.
+			imstamp = imc.Stamp()
 		}
 	}
 	osp := span.Child("optimize")
@@ -537,7 +541,7 @@ func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs
 	// observed: their plan may have read bounded-stale views, so the rows
 	// are not a fresh materialization of the statement.
 	if imc != nil && imkey != "" && err == nil && stmt.Freshness == nil {
-		db.imObserve(imc, imkey, imShape(stmt), stmt, autoArgs, plan, res, time.Since(qstart))
+		db.imObserve(imc, imkey, imShape(stmt), imstamp, stmt, autoArgs, plan, res, time.Since(qstart))
 	}
 	return res, err
 }

@@ -230,7 +230,7 @@ func (db *Database) imLineageRef(ref sql.TableRef, out map[string]bool) bool {
 // fully-local plans qualify: a remote or mixed plan's rows were produced
 // on the backend, where writes this cache never hears about could
 // invalidate them silently.
-func (db *Database) imObserve(imc *imcache.Cache, key, shape string, stmt *sql.SelectStmt,
+func (db *Database) imObserve(imc *imcache.Cache, key, shape string, stamp uint64, stmt *sql.SelectStmt,
 	autoArgs []types.Value, plan *opt.Plan, res *Result, dur time.Duration) {
 	if !plan.FullyLocal || res == nil {
 		return
@@ -255,6 +255,7 @@ func (db *Database) imObserve(imc *imcache.Cache, key, shape string, stmt *sql.S
 		Lineage: names,
 		LSN:     uint64(res.SnapshotLSN),
 		CostNs:  dur.Nanoseconds(),
+		Stamp:   stamp,
 	}, time.Now())
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mtcache/internal/querystore"
 	"mtcache/internal/types"
 )
 
@@ -66,9 +67,15 @@ const (
 	benchAggSQL  = "SELECT b_grp, COUNT(*) AS c, SUM(b_val) AS s, AVG(b_val) AS a FROM big GROUP BY b_grp"
 )
 
-func benchQuery(b *testing.B, gen func(i int) string) {
+// benchQuery times gen's statements under the given MaxDOP; above 1 the
+// optimizer may put an Exchange in the plan (it picks the degree itself,
+// bounded by the host's cores), 1 is the serial path.
+func benchQuery(b *testing.B, maxDOP int, gen func(i int) string) {
 	b.Helper()
 	db := benchDB(b, benchRows)
+	opts := db.Options()
+	opts.MaxDOP = maxDOP
+	db.SetOptions(opts)
 	for i := 0; i < 16; i++ { // warm plan + shape caches
 		if _, err := db.Exec(gen(i), nil); err != nil {
 			b.Fatal(err)
@@ -84,12 +91,22 @@ func benchQuery(b *testing.B, gen func(i int) string) {
 }
 
 func BenchmarkPointQuery(b *testing.B) {
-	benchQuery(b, func(i int) string { return fmt.Sprintf("SELECT b_id, b_val FROM big WHERE b_id = %d", i) })
+	benchQuery(b, 1, func(i int) string { return fmt.Sprintf("SELECT b_id, b_val FROM big WHERE b_id = %d", i) })
 }
 
-func BenchmarkScan(b *testing.B) { benchQuery(b, func(int) string { return benchScanSQL }) }
-func BenchmarkJoin(b *testing.B) { benchQuery(b, func(int) string { return benchJoinSQL }) }
-func BenchmarkAgg(b *testing.B)  { benchQuery(b, func(int) string { return benchAggSQL }) }
+// benchSerialAndParallel runs one statement as dop=1 and dop=4
+// sub-benchmarks; pass -cpu to give the exchange workers cores to run on.
+func benchSerialAndParallel(b *testing.B, query string) {
+	for _, dop := range []int{1, 4} {
+		b.Run(fmt.Sprintf("dop=%d", dop), func(b *testing.B) {
+			benchQuery(b, dop, func(int) string { return query })
+		})
+	}
+}
+
+func BenchmarkScan(b *testing.B) { benchSerialAndParallel(b, benchScanSQL) }
+func BenchmarkJoin(b *testing.B) { benchSerialAndParallel(b, benchJoinSQL) }
+func BenchmarkAgg(b *testing.B)  { benchSerialAndParallel(b, benchAggSQL) }
 
 // TestExecAllocGate bounds what one warm execution of the scan, join and
 // aggregation shapes allocates over the 20 000-row fact table. Batch
@@ -119,5 +136,32 @@ func TestExecAllocGate(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, run); avg > g.ceiling {
 			t.Errorf("%s: %.0f allocs per execution, ceiling %.0f", g.name, avg, g.ceiling)
 		}
+	}
+}
+
+// TestQueryStoreAllocBudget bounds what the query store adds to one warm,
+// plan-cached point query: allocations with the store enabled minus
+// allocations with it disabled (0–1 measured). A count, so it holds on a
+// loaded 1-core box where a wall-clock overhead ratio does not.
+func TestQueryStoreAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	resetQueryStore(t)
+	db := benchDB(t, 2000)
+	run := func() {
+		if _, err := db.Exec("SELECT b_id, b_val FROM big WHERE b_id = 7", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measure := func(enabled bool) float64 {
+		querystore.Default.SetEnabled(enabled)
+		run() // warm plan + shape caches, and the store's slot for this shape
+		return testing.AllocsPerRun(200, run)
+	}
+	off := measure(false)
+	on := measure(true)
+	if on-off > 2 {
+		t.Errorf("query store adds %.0f allocs per point query (%.0f enabled, %.0f disabled), budget 2", on-off, on, off)
 	}
 }

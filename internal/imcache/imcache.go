@@ -15,12 +15,18 @@
 // (same shape, same parameter values) straight from the engine before
 // planning. The optimizer never sees the cache, so nothing that happens
 // here — admit, stale, refresh, evict — can invalidate a cached plan.
+//
+// A result computed before an invalidation must not be admitted after it:
+// the caller takes Stamp before it opens its read snapshot and hands it
+// back in Observation.Stamp; Observe drops an observation whose stamp
+// predates the last invalidation of any lineage table.
 package imcache
 
 import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mtcache/internal/exec"
@@ -66,6 +72,7 @@ type Observation struct {
 	Lineage []string       // lowercased source tables (base tables and cached views)
 	LSN     uint64         // MVCC snapshot LSN the result was computed at
 	CostNs  int64          // wall time spent computing the result
+	Stamp   uint64         // Cache.Stamp taken before the read snapshot opened
 }
 
 // Entry is one admitted intermediate result.
@@ -136,14 +143,20 @@ type Cache struct {
 	cands   map[string]*candidate
 	bytes   int64
 	tick    int64
+
+	// seq counts Invalidate calls; lastInval holds, per lowercased table,
+	// the seq of its last one. seq is atomic so Stamp takes no lock.
+	seq       atomic.Uint64
+	lastInval map[string]uint64
 }
 
 // New creates a cache with the given bounds.
 func New(opts Options) *Cache {
 	return &Cache{
-		opts:    opts.withDefaults(),
-		entries: make(map[string]*Entry),
-		cands:   make(map[string]*candidate),
+		opts:      opts.withDefaults(),
+		entries:   make(map[string]*Entry),
+		cands:     make(map[string]*candidate),
+		lastInval: make(map[string]uint64),
 	}
 }
 
@@ -154,8 +167,16 @@ func (c *Cache) Options() Options {
 	return c.opts
 }
 
+// Stamp returns the current invalidation sequence. A caller that will
+// Observe a result takes it before opening the snapshot the result is read
+// from: every write that snapshot misses invalidates after the stamp.
+func (c *Cache) Stamp() uint64 { return c.seq.Load() }
+
 // Observe records one completed execution. It returns true when the key
-// is now (or was just re-) materialized.
+// is now (or was just re-) materialized. An observation stamped before the
+// last invalidation of one of its lineage tables may hold pre-write rows:
+// it is dropped — not admitted, not refreshed, not counted toward
+// AdmitAfter.
 func (c *Cache) Observe(obs Observation, now time.Time) bool {
 	if obs.Key == "" || len(obs.Lineage) == 0 {
 		return false
@@ -163,6 +184,11 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 	bytes := estimateBytes(obs.Cols, obs.Rows)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for _, t := range obs.Lineage {
+		if obs.Stamp < c.lastInval[strings.ToLower(t)] {
+			return false
+		}
+	}
 
 	if e, ok := c.entries[obs.Key]; ok {
 		// A recomputation of an admitted entry means the cached copy was
@@ -262,13 +288,16 @@ func (c *Cache) Lookup(key string, now time.Time, maxStale time.Duration) (Hit, 
 }
 
 // Invalidate marks every fresh entry whose lineage includes table as
-// stale at instant now, and sweeps out entries stale beyond MaxStaleAge.
-// It returns the number of entries transitioned.
+// stale at instant now, advances the table's invalidation sequence (see
+// Stamp), and sweeps out entries stale beyond MaxStaleAge. Callers invoke
+// it after the write is visible to new snapshots. It returns the number of
+// entries transitioned.
 func (c *Cache) Invalidate(table string, now time.Time) int {
 	lower := strings.ToLower(table)
 	n := 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.lastInval[lower] = c.seq.Add(1)
 	for _, e := range c.entries {
 		if !e.staleAt.IsZero() || !lineageHas(e.Lineage, lower) {
 			continue

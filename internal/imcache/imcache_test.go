@@ -91,12 +91,66 @@ func TestRefreshClearsStaleness(t *testing.T) {
 	c.Observe(obs("k1", 2, 50, "item"), now)
 	c.Invalidate("item", now)
 	// Recomputation (the miss path re-ran the query) refreshes in place.
-	if !c.Observe(obs("k1", 3, 60, "item"), now.Add(time.Second)) {
+	re := obs("k1", 3, 60, "item")
+	re.Stamp = c.Stamp()
+	if !c.Observe(re, now.Add(time.Second)) {
 		t.Fatal("refresh observation not accepted")
 	}
 	hit, ok := c.Lookup("k1", now.Add(2*time.Second), 0)
 	if !ok || len(hit.Rows) != 3 || hit.Staleness != 0 {
 		t.Fatalf("refresh did not clear staleness: ok=%v hit=%+v", ok, hit)
+	}
+}
+
+// TestObserveDropsResultComputedBeforeInvalidation drives the stale-as-fresh
+// interleaving: a query stamps and computes its rows, a write to a lineage
+// table invalidates, and only then does the query observe. The pre-write
+// rows must neither be admitted (no entry yet) nor refresh the now-stale
+// entry; the next execution, stamped after the invalidation, is accepted.
+func TestObserveDropsResultComputedBeforeInvalidation(t *testing.T) {
+	now := time.Unix(1000, 0)
+	for _, arm := range []string{"admit", "refresh"} {
+		t.Run(arm, func(t *testing.T) {
+			c := New(Options{AdmitAfter: 2})
+			c.Observe(obs("k1", 2, 50, "Item", "author"), now) // the next one admits
+			if arm == "refresh" {
+				c.Observe(obs("k1", 2, 50, "Item", "author"), now)
+			}
+
+			old := obs("k1", 2, 50, "Item", "author")
+			old.Stamp = c.Stamp()     // the query misses and stamps,
+			c.Invalidate("item", now) // a write lands while it runs,
+			if c.Observe(old, now) {  // and it observes pre-write rows
+				t.Fatal("observation older than its lineage's invalidation was accepted")
+			}
+			if _, ok := c.Lookup("k1", now, 0); ok {
+				t.Fatal("pre-invalidation rows are served as fresh")
+			}
+
+			fresh := obs("k1", 3, 50, "Item", "author")
+			fresh.Stamp = c.Stamp()
+			c.Invalidate("orders", now) // outside the lineage: does not age the stamp
+			if !c.Observe(fresh, now) {
+				t.Fatal("post-invalidation observation refused")
+			}
+			if hit, ok := c.Lookup("k1", now, 0); !ok || len(hit.Rows) != 3 {
+				t.Fatalf("want the post-invalidation rows: ok=%v rows=%d", ok, len(hit.Rows))
+			}
+		})
+	}
+
+	// A dropped observation does not count toward AdmitAfter.
+	c := New(Options{AdmitAfter: 2})
+	old := obs("k2", 2, 50, "item")
+	c.Invalidate("item", now)
+	c.Observe(old, now) // Stamp 0 < 1: dropped
+	fresh := obs("k2", 2, 50, "item")
+	fresh.Stamp = c.Stamp()
+	if c.Observe(fresh, now) {
+		t.Fatal("admitted on the first counted execution: the dropped one was counted")
+	}
+	if !c.Observe(fresh, now) {
+		t.Fatal("not admitted on the second counted execution")
 	}
 }
 

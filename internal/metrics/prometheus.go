@@ -19,7 +19,7 @@ type HistogramStats struct {
 }
 
 // Export is a point-in-time snapshot of every instrument, suitable for JSON
-// serialization (mtbench embeds one in its results file).
+// serialization (the obs endpoint serves one at /metrics.json).
 type Export struct {
 	Counters   map[string]int64          `json:"counters"`
 	Gauges     map[string]float64        `json:"gauges"`

@@ -11,9 +11,13 @@ import (
 	"mtcache/internal/types"
 )
 
-// TxnBatch is a wire-transportable committed transaction: what a Subscriber
-// pulls from the publisher's distribution queue and applies locally (the
-// paper's "pull subscription", §2.2).
+// TxnBatch is one committed transaction filtered through an article: what
+// the log reader appends to a subscription's distribution queue, and what a
+// Subscriber pulls from it and applies locally (the paper's "pull
+// subscription", §2.2). The queue holds it as filterTxn produced it — rows
+// are fresh Article.project copies that nothing mutates after enqueue, so a
+// drain hands out the same Changes (re-deliveries included) and the only
+// serialization is the transport's, if there is one.
 type TxnBatch struct {
 	LSN        storage.LSN
 	CommitTime time.Time
@@ -136,7 +140,7 @@ func (s *Server) DrainAfterThrough(sub *Subscription, ack storage.LSN, max int) 
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	drop := 0
-	for drop < len(sub.queue) && sub.queue[drop].lsn <= ack {
+	for drop < len(sub.queue) && sub.queue[drop].LSN <= ack {
 		drop++
 	}
 	sub.queue = sub.queue[drop:]
@@ -146,18 +150,12 @@ func (s *Server) DrainAfterThrough(sub *Subscription, ack storage.LSN, max int) 
 		n = max
 		truncated = true
 	}
-	out := make([]TxnBatch, 0, n)
-	for i := 0; i < n; i++ {
-		q := sub.queue[i]
-		changes, err := decodeChanges(q.encoded)
-		if err != nil {
-			continue
-		}
-		out = append(out, TxnBatch{LSN: q.lsn, CommitTime: q.commitTime, Changes: changes})
-	}
 	through := sub.nextLSN - 1
 	if truncated {
-		through = sub.queue[n-1].lsn
+		through = sub.queue[n-1].LSN
 	}
-	return out, through
+	// Queue elements are written once and only ever re-sliced away, so the
+	// prefix stays readable after the lock is released; its capped length
+	// keeps a caller's append off the queue's tail.
+	return sub.queue[:n:n], through
 }

@@ -23,8 +23,6 @@
 package repl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"sync"
@@ -76,7 +74,7 @@ type Subscription struct {
 	Article *Article
 
 	mu      sync.Mutex
-	queue   []queuedTxn // the distribution database's pending transactions
+	queue   []TxnBatch  // the distribution database's pending transactions
 	nextLSN storage.LSN // first LSN not yet enqueued for this subscription
 
 	// currentAsOf is the moment the subscriber is known to have been handed
@@ -92,34 +90,9 @@ func (sub *Subscription) Staleness(now time.Time) time.Duration {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if len(sub.queue) > 0 {
-		return now.Sub(sub.queue[0].commitTime)
+		return now.Sub(sub.queue[0].CommitTime)
 	}
 	return now.Sub(sub.currentAsOf)
-}
-
-// queuedTxn is one pending transaction in the distribution database. Like
-// SQL Server's distribution database, entries are stored in serialized form:
-// the log reader pays the encode cost, a subscriber's pull the decode cost.
-type queuedTxn struct {
-	lsn        storage.LSN
-	commitTime time.Time
-	encoded    []byte
-}
-
-func encodeChanges(changes []storage.ChangeRec) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(changes); err != nil {
-		return nil, fmt.Errorf("repl: encode distribution record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeChanges(data []byte) ([]storage.ChangeRec, error) {
-	var changes []storage.ChangeRec
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&changes); err != nil {
-		return nil, fmt.Errorf("repl: decode distribution record: %w", err)
-	}
-	return changes, nil
 }
 
 // Stats reports the publisher's replication overheads, used by the
@@ -266,22 +239,14 @@ func (s *Server) RunLogReader() int {
 				continue // already included in this subscription's snapshot
 			}
 			sub.mu.Unlock()
-			// Filter and encode outside the lock, but advance the cursor and
-			// enqueue in ONE critical section: the cursor doubles as the
+			// Filter outside the lock, but advance the cursor and enqueue in
+			// ONE critical section: the cursor doubles as the
 			// stream-completeness position (DrainAfterThrough reports
 			// nextLSN-1), so a cursor advanced before its record is queued
 			// would let a concurrent drain claim completeness through a
 			// record it did not deliver. The re-check under the lock keeps
 			// concurrent reader passes from enqueueing the record twice.
 			filtered := filterTxn(sub.Article, rec)
-			var encoded []byte
-			if len(filtered) > 0 {
-				var err error
-				encoded, err = encodeChanges(filtered)
-				if err != nil {
-					filtered = nil // undecodable change; skip rather than wedge the reader
-				}
-			}
 			sub.mu.Lock()
 			if sub.nextLSN > rec.LSN {
 				sub.mu.Unlock()
@@ -293,7 +258,7 @@ func (s *Server) RunLogReader() int {
 			// a resumed subscription still needs in the WAL.
 			sub.nextLSN = rec.LSN + 1
 			if len(filtered) > 0 {
-				sub.queue = append(sub.queue, queuedTxn{lsn: rec.LSN, commitTime: rec.CommitTime, encoded: encoded})
+				sub.queue = append(sub.queue, TxnBatch{LSN: rec.LSN, CommitTime: rec.CommitTime, Changes: filtered})
 			}
 			sub.mu.Unlock()
 			if len(filtered) > 0 {
@@ -355,8 +320,8 @@ func (s *Server) truncate() {
 	min := s.readerLSN
 	for _, sub := range s.subs {
 		sub.mu.Lock()
-		if len(sub.queue) > 0 && sub.queue[0].lsn < min {
-			min = sub.queue[0].lsn
+		if len(sub.queue) > 0 && sub.queue[0].LSN < min {
+			min = sub.queue[0].LSN
 		}
 		// A subscription that has not consumed up to the reader yet — or was
 		// just rewound by ResumeRemote — still needs everything from its own

@@ -3,8 +3,10 @@ package sim
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -177,13 +179,15 @@ func TestCalibrateProducesSaneCosts(t *testing.T) {
 	}
 }
 
-// The shape tests below run the simulator over a recorded calibration, not a
-// live one: Calibrate times the real engine with the wall clock, so its costs
-// move with host load and a threshold on them is a coin toss on a busy
-// 1-core box. The recording was taken at mtbench's default experiment scale
-// (500 items, 1000 customers); at the tiny scale of smallCalibration the
-// baseline shape itself does not hold (see EXPERIMENTS.md). Re-record after a
-// change that moves per-interaction costs:
+// The experiment tests below are the one front-end of the capacity
+// simulation: `go test ./internal/sim -run TestExperiment -v` logs the
+// EXPERIMENTS.md §6.2.1 and §6.2.2 tables and asserts their shape. They run
+// over a recorded calibration, not a live one: Calibrate times the real
+// engine with the wall clock, so its costs move with host load and a
+// threshold on them is a coin toss on a busy 1-core box. The recording was
+// taken at 500 items / 1000 customers; at the tiny scale of smallCalibration
+// the baseline shape itself does not hold (see EXPERIMENTS.md). Re-record
+// after a change that moves per-interaction costs:
 //
 //	go test ./internal/sim -run TestExperimentShapes -update-calibration
 var updateCalibration = flag.Bool("update-calibration", false, "re-record testdata/calibration.json from a live calibration")
@@ -243,6 +247,13 @@ func TestExperimentShapesMatchPaper(t *testing.T) {
 
 	// Baseline ordering: Browsing < Shopping < Ordering (paper: 50/82/283).
 	base := ExperimentBaseline(cal, 5)
+	var tbl strings.Builder
+	fmt.Fprintf(&tbl, "§6.2.1 baseline: no caching, backend at ~90%% CPU (paper: 50 / 82 / 283 WIPS)\n")
+	fmt.Fprintf(&tbl, "%-10s %8s %8s %12s\n", "Workload", "Users", "WIPS", "BackendCPU%")
+	for _, r := range base {
+		fmt.Fprintf(&tbl, "%-10s %8d %8.0f %12.1f\n", r.Workload, r.Users, r.WIPS, r.BackendUtil*100)
+	}
+	t.Log(tbl.String())
 	if !(base[0].WIPS < base[1].WIPS && base[1].WIPS < base[2].WIPS) {
 		t.Errorf("baseline ordering wrong: %+v", base)
 	}
@@ -250,6 +261,7 @@ func TestExperimentShapesMatchPaper(t *testing.T) {
 	// Scale-out: Browsing WIPS at 5 servers ≈ 5× WIPS at 1 server, and
 	// backend stays lightly loaded (paper: 7.5%% at five servers).
 	pts := ExperimentScaleout(cal, 5)
+	t.Log("§6.2.1 scale-out with caching (paper at five servers: 129/7.5%, 199/15.9%, 271/55.4%)\n" + FormatScaleout(pts))
 	get := func(w tpcw.Workload, n int) ScaleoutPoint {
 		for _, p := range pts {
 			if p.Workload == w && p.Servers == n {
@@ -281,6 +293,9 @@ func TestExperimentReplicationOverheadShape(t *testing.T) {
 		t.Skip("experiment in short mode")
 	}
 	r := ExperimentReplicationOverhead(loadRecordedCalibration(t))
+	t.Logf("§6.2.2 replication overhead (Ordering): backend WIPS reader on %.0f / off %.0f, "+
+		"reduction %.1f%% (paper ~10%%), idle mid-tier apply CPU %.1f%% (paper ~15%%)",
+		r.WIPSReaderOn, r.WIPSReaderOff, r.ReductionPct, r.IdleCacheApplyUtil*100)
 	if r.WIPSReaderOff <= r.WIPSReaderOn {
 		t.Errorf("reader off should raise throughput: on=%f off=%f", r.WIPSReaderOn, r.WIPSReaderOff)
 	}
@@ -304,6 +319,8 @@ func TestExperimentReplicationLatencyLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("§6.2.3 replication latency (live, 40ms agents): light %v, heavy %v (paper: 0.55 s / 1.67 s)",
+		res.LightLoadMean.Round(time.Millisecond), res.HeavyLoadMean.Round(time.Millisecond))
 	if res.LightLoadMean <= 0 {
 		t.Fatal("no light-load latency")
 	}

@@ -129,6 +129,14 @@ func TestAllInteractionsRunOnCache(t *testing.T) {
 	if b.DB.TableRowCount("orders") <= smallConfig().numOrders() {
 		t.Error("BuyConfirm through the cache should create backend orders")
 	}
+	// The session left per-shape rows behind, readable through plain SQL.
+	res, err := c.Exec("SELECT shape, executions FROM sys.query_stats ORDER BY total_ms DESC LIMIT 10", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		t.Error("sys.query_stats is empty after a TPC-W session")
+	}
 }
 
 func TestSearchQueriesRunLocallyOnCache(t *testing.T) {

@@ -27,7 +27,7 @@ type FaultProxyStats struct {
 
 // FaultProxy is a TCP proxy that forwards traffic to a target address while
 // injecting faults: dropped chunks, connection resets, truncated frames and
-// added latency. Tests and mtbench put it between a cache's wire client and
+// added latency. Tests (chaos_test.go) put it between a cache's wire client and
 // the backend server to exercise the retry/re-dial/degradation paths.
 //
 // Partition simulates a full network partition: every active connection is
