@@ -242,21 +242,29 @@ func (db *Database) SetSessionGate(fn func(min storage.LSN, budget time.Duration
 // everyone). On a backend the gate passes trivially — the backend is the
 // source of truth for every LSN it ever issued.
 func (db *Database) ExecSession(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration) (*Result, error) {
+	res, _, err := db.ExecSessionTraced(sqlText, params, minLSN, wait, "")
+	return res, err
+}
+
+// ExecSessionTraced is ExecSession under the caller's trace, as ExecTraced is
+// to Exec: the gate comes first whether or not the statement is traced. The
+// trace is nil when the gate refuses.
+func (db *Database) ExecSessionTraced(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, traceID string) (*Result, *trace.Trace, error) {
 	if minLSN > 0 && db.role == Cache {
 		gate := db.sessionGate
 		if gate == nil {
 			// No applied-LSN source: the cache cannot prove it has caught up,
 			// so the only honest answer is "not guaranteed here".
 			metrics.Default.Counter("engine.session_gate_stale").Add(1)
-			return nil, ErrSessionStale
+			return nil, nil, ErrSessionStale
 		}
 		if _, ok := gate(minLSN, wait); !ok {
 			metrics.Default.Counter("engine.session_gate_stale").Add(1)
-			return nil, ErrSessionStale
+			return nil, nil, ErrSessionStale
 		}
 		metrics.Default.Counter("engine.session_gate_pass").Add(1)
 	}
-	return db.Exec(sqlText, params)
+	return db.ExecTraced(sqlText, params, traceID)
 }
 
 // InvalidatePlans clears the plan cache, the auto-parameterization shape

@@ -87,11 +87,7 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 	proc := db.cat.Procedure(name)
 	if proc == nil {
 		if db.role == Cache && db.remote != nil {
-			call := &sql.ExecStmt{Proc: name}
-			for pname, v := range params {
-				call.Args = append(call.Args, sql.ExecArg{Name: pname, Expr: &sql.Literal{Val: v}})
-			}
-			rs, err := db.remote.Query(sql.Deparse(call), nil)
+			rs, err := db.remote.Query(sql.DeparseCall(name, params), nil)
 			if err != nil {
 				return nil, err
 			}

@@ -168,11 +168,7 @@ func (s *Session) Exec(sqlText string, params exec.Params) (*engine.Result, erro
 // same deparsed form a cache uses to forward an unknown procedure — so the
 // receiving server runs it wherever the procedure lives.
 func (s *Session) Call(proc string, params exec.Params) (*engine.Result, error) {
-	call := &sql.ExecStmt{Proc: proc}
-	for name, v := range params {
-		call.Args = append(call.Args, sql.ExecArg{Name: name, Expr: &sql.Literal{Val: v}})
-	}
-	return s.do(sql.Deparse(call), nil, false)
+	return s.do(sql.DeparseCall(proc, params), nil, false)
 }
 
 // isRead classifies a statement by its first keyword. Only statements known

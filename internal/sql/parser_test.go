@@ -339,3 +339,29 @@ func TestWalkExprVisitsAll(t *testing.T) {
 		t.Errorf("visited %d nodes, want 10", count)
 	}
 }
+
+// TestDeparseCallIsDeterministic: one call is one EXEC text. The arguments
+// arrive in a map, so building the text by ranging over it gave a different
+// statement from run to run; they are ordered by name instead.
+func TestDeparseCallIsDeterministic(t *testing.T) {
+	params := map[string]types.Value{
+		"c_id": types.NewInt(7), "title": types.NewString("it's"), "a": types.Null,
+		"qty": types.NewInt(3), "cost": types.NewFloat(1.5), "z": types.NewBool(true),
+	}
+	const want = "EXEC getBook @a = NULL, @c_id = 7, @cost = 1.5, @qty = 3, @title = 'it''s', @z = TRUE"
+	for i := 0; i < 20; i++ {
+		if got := DeparseCall("getBook", params); got != want {
+			t.Fatalf("run %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	if got := DeparseCall("noArgs", nil); got != "EXEC noArgs" {
+		t.Fatalf("no arguments: %q", got)
+	}
+	stmt, err := Parse(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if call, ok := stmt.(*ExecStmt); !ok || len(call.Args) != len(params) || call.Args[1].Name != "c_id" {
+		t.Fatalf("EXEC text does not parse back to the call: %#v", stmt)
+	}
+}

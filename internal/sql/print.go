@@ -2,7 +2,10 @@ package sql
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+
+	"mtcache/internal/types"
 )
 
 // Deparse renders a statement back to SQL text. The output re-parses to an
@@ -13,6 +16,23 @@ func Deparse(s Statement) string {
 	var b strings.Builder
 	printStmt(&b, s)
 	return b.String()
+}
+
+// DeparseCall renders a procedure call with named arguments as EXEC text —
+// the form in which a call travels to whichever server holds the procedure.
+// Arguments are ordered by name, so one call is one text: the same trace
+// attribute, the same parse input, the same log line every time.
+func DeparseCall(proc string, params map[string]types.Value) string {
+	names := make([]string, 0, len(params))
+	for name := range params {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	call := &ExecStmt{Proc: proc, Args: make([]ExecArg, len(names))}
+	for i, name := range names {
+		call.Args[i] = ExecArg{Name: name, Expr: &Literal{Val: params[name]}}
+	}
+	return Deparse(call)
 }
 
 // DeparseExpr renders an expression to SQL text.

@@ -8,27 +8,22 @@ package storage
 // which matters because encoding happens inside the commit critical section:
 // it bounds how fast concurrent committers can pile onto one group fsync.
 //
-// Payload layout (all integers varint/uvarint, little-endian float bits):
+// Payload layout (all integers varint/uvarint; string, row and value as
+// types/codec.go lays them out — the wire protocol ships the same bytes):
 //
 //	uvarint LSN
 //	varint  TxnID
 //	varint  CommitTime (unix nanoseconds)
-//	uvarint #changes, then per change:
-//	  uvarint len(table), table bytes
-//	  byte    op
-//	  row Before, row After, each:
-//	    uvarint #cols+1 (0 = absent row), then per column:
-//	      byte kind, then per kind:
-//	        NULL —, BOOL/INT varint, FLOAT 8-byte LE bits,
-//	        VARCHAR uvarint len + bytes, DATETIME varint unix nanoseconds
-//
-// Times round-trip as instants (UTC); the engine compares and displays them
-// by instant, never by zone.
+//	changes:
+//	  uvarint #changes, then per change:
+//	    string table
+//	    byte   op
+//	    row    Before
+//	    row    After
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"mtcache/internal/types"
@@ -40,7 +35,7 @@ func encodeCommitRecord(rec *CommitRecord) ([]byte, error) {
 	size := 32
 	for i := range rec.Changes {
 		c := &rec.Changes[i]
-		size += len(c.Table) + 8 + rowEncSize(c.Before) + rowEncSize(c.After)
+		size += len(c.Table) + 8 + types.RowEncSize(c.Before) + types.RowEncSize(c.After)
 	}
 	return appendCommitRecord(make([]byte, 0, size), rec), nil
 }
@@ -51,192 +46,57 @@ func appendCommitRecord(buf []byte, rec *CommitRecord) []byte {
 	buf = binary.AppendUvarint(buf, uint64(rec.LSN))
 	buf = binary.AppendVarint(buf, rec.TxnID)
 	buf = binary.AppendVarint(buf, rec.CommitTime.UnixNano())
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Changes)))
-	for i := range rec.Changes {
-		c := &rec.Changes[i]
-		buf = binary.AppendUvarint(buf, uint64(len(c.Table)))
-		buf = append(buf, c.Table...)
+	return AppendChanges(buf, rec.Changes)
+}
+
+// AppendChanges appends a transaction's changes in the WAL layout. A pull
+// response carries a replicated transaction in the same bytes.
+func AppendChanges(buf []byte, changes []ChangeRec) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(changes)))
+	for i := range changes {
+		c := &changes[i]
+		buf = types.AppendString(buf, c.Table)
 		buf = append(buf, byte(c.Op))
-		buf = appendRow(buf, c.Before)
-		buf = appendRow(buf, c.After)
+		buf = types.AppendRow(buf, c.Before)
+		buf = types.AppendRow(buf, c.After)
 	}
 	return buf
 }
 
-func rowEncSize(row types.Row) int {
-	n := 2
-	for i := range row {
-		n += 10
-		if row[i].K == types.KindString {
-			n += len(row[i].S)
-		}
-	}
-	return n
-}
-
-func appendRow(buf []byte, row types.Row) []byte {
-	if row == nil {
-		return binary.AppendUvarint(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(row))+1)
-	for i := range row {
-		v := &row[i]
-		buf = append(buf, byte(v.K))
-		switch v.K {
-		case types.KindNull:
-		case types.KindBool, types.KindInt:
-			buf = binary.AppendVarint(buf, v.I)
-		case types.KindFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-		case types.KindString:
-			buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-			buf = append(buf, v.S...)
-		case types.KindTime:
-			buf = binary.AppendVarint(buf, v.T.UnixNano())
-		default:
-			// Unknown kinds encode as NULL rather than corrupting the frame.
-			buf[len(buf)-1] = byte(types.KindNull)
-		}
-	}
-	return buf
-}
-
-// walDecoder walks one frame payload; any overrun sets err and sticks.
-type walDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *walDecoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("storage: wal record truncated at byte %d", d.off)
-	}
-}
-
-func (d *walDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *walDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *walDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail()
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-func (d *walDecoder) bytes(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail()
-		return nil
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
-}
-
-func (d *walDecoder) row() types.Row {
-	n := d.uvarint()
-	if n == 0 || d.err != nil {
-		return nil
-	}
-	n--
-	if n > uint64(len(d.buf)-d.off) { // each column costs ≥1 byte
-		d.fail()
-		return nil
-	}
-	row := make(types.Row, n)
-	for i := range row {
-		k := types.Kind(d.byte())
-		switch k {
-		case types.KindNull:
-			row[i] = types.Null
-		case types.KindBool:
-			row[i] = types.Value{K: types.KindBool, I: d.varint()}
-		case types.KindInt:
-			row[i] = types.NewInt(d.varint())
-		case types.KindFloat:
-			b := d.bytes(8)
-			if d.err != nil {
-				return nil
-			}
-			row[i] = types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
-		case types.KindString:
-			row[i] = types.NewString(string(d.bytes(d.uvarint())))
-		case types.KindTime:
-			row[i] = types.NewTime(time.Unix(0, d.varint()).UTC())
-		default:
-			d.fail()
+// DecodeChanges is the inverse of AppendChanges; a failure is left in d.Err.
+// Each row gets its own allocation: the store retains rows one by one.
+func DecodeChanges(d *types.Decoder) []ChangeRec {
+	n := d.Count(4) // table length, op, two row headers
+	changes := make([]ChangeRec, 0, n)
+	for i := 0; i < n; i++ {
+		var c ChangeRec
+		c.Table = d.Str()
+		c.Op = ChangeOp(d.Byte())
+		c.Before = d.Row()
+		c.After = d.Row()
+		if d.Err != nil {
 			return nil
 		}
-		if d.err != nil {
-			return nil
-		}
+		changes = append(changes, c)
 	}
-	return row
+	return changes
 }
 
 // decodeCommitRecord parses a frame payload. The CRC already vouched for the
 // bytes, so a parse failure means real corruption, not a torn write.
 func decodeCommitRecord(payload []byte) (*CommitRecord, error) {
-	d := &walDecoder{buf: payload}
+	d := &types.Decoder{Buf: payload}
 	rec := &CommitRecord{
-		LSN:        LSN(d.uvarint()),
-		TxnID:      d.varint(),
-		CommitTime: time.Unix(0, d.varint()).UTC(),
+		LSN:        LSN(d.Uvarint()),
+		TxnID:      d.Varint(),
+		CommitTime: time.Unix(0, d.Varint()).UTC(),
 	}
-	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
+	rec.Changes = DecodeChanges(d)
+	if d.Err != nil {
+		return nil, fmt.Errorf("storage: wal record: %w", d.Err)
 	}
-	if n > uint64(len(payload)) { // each change costs ≥1 byte
-		return nil, fmt.Errorf("storage: wal record claims %d changes in %d bytes", n, len(payload))
-	}
-	rec.Changes = make([]ChangeRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var c ChangeRec
-		c.Table = string(d.bytes(d.uvarint()))
-		c.Op = ChangeOp(d.byte())
-		c.Before = d.row()
-		c.After = d.row()
-		if d.err != nil {
-			return nil, d.err
-		}
-		rec.Changes = append(rec.Changes, c)
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("storage: wal record has %d trailing bytes", len(payload)-d.off)
+	if d.Off != len(payload) {
+		return nil, fmt.Errorf("storage: wal record has %d trailing bytes", len(payload)-d.Off)
 	}
 	return rec, nil
 }

@@ -158,8 +158,9 @@ func (s *Span) Children() []*Span {
 	return append([]*Span(nil), s.children...)
 }
 
-// WireSpan is the gob-friendly flat form of a span, used to ship
-// backend-side spans to the cache inside a wire response.
+// WireSpan is the exported form of a span — plain fields, no lock, no parent
+// pointer — in which backend-side spans travel to the cache inside a wire
+// response (internal/wire encodes it; the tree is cut at 32 levels there).
 type WireSpan struct {
 	Name     string
 	StartUTC int64 // UnixNano

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -28,11 +27,12 @@ import (
 // (Broken reports true). Wrap it in a ResilientClient (DialResilient) for
 // pooling, retry, backoff and re-dial.
 type Client struct {
-	conn    net.Conn
-	timeout time.Duration
+	conn     net.Conn
+	timeout  time.Duration
+	inflight *metrics.Gauge // wire.inflight
 
-	wmu sync.Mutex // serializes frame writes; guards enc
-	enc *gob.Encoder
+	wmu sync.Mutex // serializes frame writes; guards fw
+	fw  frameWriter
 
 	mu      sync.Mutex
 	pending map[uint64]chan *response
@@ -50,14 +50,22 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, resilience.Classify(err)
 	}
+	if timeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	if _, err := conn.Write(preface[:]); err != nil {
+		conn.Close()
+		return nil, resilience.Classify(fmt.Errorf("wire: send preface: %w", err))
+	}
 	c := &Client{
-		conn:    conn,
-		timeout: timeout,
-		enc:     gob.NewEncoder(conn),
-		pending: make(map[uint64]chan *response),
+		conn:     conn,
+		timeout:  timeout,
+		inflight: metrics.Default.Gauge("wire.inflight"),
+		fw:       frameWriter{w: conn},
+		pending:  make(map[uint64]chan *response),
 	}
 	c.readerWG.Add(1)
-	go c.readLoop(gob.NewDecoder(conn))
+	go c.readLoop()
 	return c, nil
 }
 
@@ -83,20 +91,25 @@ func (c *Client) Broken() bool {
 	return c.err != nil
 }
 
-// readLoop is the demultiplexer: the single goroutine that reads response
-// frames and routes each to the round trip waiting on it. A decode error is
-// terminal for the whole connection — every in-flight request fails with
-// the classified error.
-func (c *Client) readLoop(dec *gob.Decoder) {
+// readLoop is the demultiplexer: the single goroutine that checks the
+// server's preface, then reads response frames and routes each to the round
+// trip waiting on it. A read or decode error is terminal for the whole
+// connection — every in-flight request fails with the classified error.
+func (c *Client) readLoop() {
 	defer c.readerWG.Done()
-	for {
-		resp := new(response)
-		if err := dec.Decode(resp); err != nil {
-			c.failAll(resilience.Classify(fmt.Errorf("wire: recv: %w", err)))
-			return
+	fr := newFrameReader(c.conn)
+	err := fr.readPreface()
+	for err == nil {
+		var payload []byte
+		if payload, err = fr.next(); err != nil {
+			break
 		}
-		c.deliver(resp)
+		var resp *response
+		if resp, err = decodeResponse(payload); err == nil {
+			c.deliver(resp)
+		}
 	}
+	c.failAll(resilience.Classify(fmt.Errorf("wire: recv: %w", err)))
 }
 
 // deliver routes one response to its waiter by correlation ID (responses
@@ -156,18 +169,18 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	req.ID = id
 	c.pending[id] = ch
 	c.mu.Unlock()
-	inflight := metrics.Default.Gauge("wire.inflight")
-	inflight.Add(1)
-	defer inflight.Add(-1)
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
 
 	if c.timeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	err := c.enc.Encode(req)
+	err := c.fw.send(appendRequest(c.fw.begin(), req))
 	c.wmu.Unlock()
 	if err != nil {
-		// A failed or partial send corrupts the gob stream; every request
-		// multiplexed on this connection is lost with it.
+		// After a failed or short write the server can no longer find the
+		// next frame boundary; every request multiplexed on this connection
+		// is lost with it.
 		cerr := resilience.Classify(fmt.Errorf("wire: send: %w", err))
 		c.failAll(cerr)
 		c.conn.Close()

@@ -211,9 +211,9 @@ func (p *FaultProxy) pump(dst, src net.Conn) {
 			}
 			switch {
 			case r.drop:
-				// Swallow the chunk. The peers now disagree about stream
-				// position, so sever the pair to surface the fault promptly
-				// rather than letting gob mis-frame.
+				// Swallow the chunk. The peers now disagree about where the
+				// next frame starts, so sever the pair to surface the fault
+				// promptly.
 				return
 			case r.reset:
 				if tc, ok := dst.(*net.TCPConn); ok {

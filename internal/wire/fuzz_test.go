@@ -1,59 +1,61 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
-	"time"
-
-	"mtcache/internal/repl"
-	"mtcache/internal/storage"
-	"mtcache/internal/types"
 )
 
-// FuzzFrameDecode checks that decoding a wire frame from arbitrary bytes
-// never panics — a malformed or truncated frame from a bad peer (or a
-// fault-injecting proxy) must surface as an error, not crash the server's
-// connection handler or the client's response reader.
+// FuzzFrameDecode feeds arbitrary bytes to both payload decoders. A malformed
+// or truncated frame from a bad peer (or a fault-injecting proxy) must
+// surface as an error: no panic, and no allocation out of proportion to the
+// bytes received — a count or length inside the frame never sizes anything
+// the frame could not fill. What does decode must survive a second trip:
+// encode(decode(x)) decodes to an equal value.
 func FuzzFrameDecode(f *testing.F) {
-	// Seed with real encoded frames, whole and truncated.
-	var seeds [][]byte
-	encode := func(v any) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			f.Fatal(err)
-		}
-		b := buf.Bytes()
-		seeds = append(seeds, b)
+	// Seed with real frames of every kind: whole, halved, minus the last
+	// byte, minus the first.
+	add := func(b []byte) {
+		f.Add(b)
 		if len(b) > 2 {
-			seeds = append(seeds, b[:len(b)/2], b[:len(b)-1], b[1:])
+			f.Add(b[:len(b)/2])
+			f.Add(b[:len(b)-1])
+			f.Add(b[1:])
 		}
 	}
-	encode(&request{Kind: reqQuery, SQL: "SELECT name FROM part WHERE id = @id",
-		Params: map[string]types.Value{"id": types.NewInt(7)}})
-	encode(&request{Kind: reqExec, SQL: "UPDATE part SET qty = 0 WHERE id = 7"})
-	encode(&request{Kind: reqProvision, Table: "part", Columns: []string{"id", "name"},
-		Filter: "(part.qty > 10)", SubName: "cache1.cv_part"})
-	encode(&request{Kind: reqPull, SubID: 3, Max: 100, AckLSN: 42})
-	// v2 frames: correlation IDs for multiplexed connections.
-	encode(&request{Kind: reqQuery, SQL: "SELECT COUNT(*) FROM part", ID: 7})
-	encode(&request{Kind: reqExec, SQL: "UPDATE part SET qty = 1", TraceID: "t-1", ID: 1 << 40})
-	encode(&response{Cols: nil, Rows: []types.Row{{types.NewInt(1), types.NewString("x")}}, N: 1})
-	encode(&response{Err: "wire: server: boom"})
-	encode(&response{N: 1, ID: 7})
-	encode(&response{SubID: 1, StartLSN: 7, Batches: []repl.TxnBatch{
-		{LSN: 7, CommitTime: time.Unix(0, 0), Changes: []storage.ChangeRec{
-			{Table: "part", Op: storage.OpInsert, After: types.Row{types.NewInt(1)}},
-		}},
-	}})
-	for _, s := range seeds {
-		f.Add(s)
+	for _, req := range sampleRequests() {
+		add(appendRequest(nil, req))
+	}
+	for _, resp := range sampleResponses() {
+		add(appendResponse(nil, resp))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req request
-		gob.NewDecoder(bytes.NewReader(data)).Decode(&req) //nolint:errcheck — only panics matter
-		var resp response
-		gob.NewDecoder(bytes.NewReader(data)).Decode(&resp) //nolint:errcheck — only panics matter
+		// The largest in-memory element per wire byte is a 64-byte Value
+		// behind a 1-byte NULL, next to its share of a 24-byte row header;
+		// nested span children multiply by at most their depth bound.
+		budget := uint64(64<<10 + 512*len(data))
+		before := totalAlloc()
+		req, reqErr := decodeRequest(data)
+		resp, respErr := decodeResponse(data)
+		if grew := totalAlloc() - before; grew > budget {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if reqErr == nil {
+			again, err := decodeRequest(appendRequest(nil, req))
+			if err != nil {
+				t.Fatalf("re-encoded request does not decode: %v\n%+v", err, req)
+			}
+			if !sameRequest(req, again) {
+				t.Fatalf("request changed on the second trip:\n 1: %+v\n 2: %+v", req, again)
+			}
+		}
+		if respErr == nil {
+			again, err := decodeResponse(appendResponse(nil, resp))
+			if err != nil {
+				t.Fatalf("re-encoded response does not decode: %v\n%+v", err, resp)
+			}
+			if !sameResponse(resp, again) {
+				t.Fatalf("response changed on the second trip:\n 1: %+v\n 2: %+v", resp, again)
+			}
+		}
 	})
 }

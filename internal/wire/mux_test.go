@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -32,6 +31,34 @@ func newBackendForOpts() (*core.BackendServer, error) {
 	}
 	b.DB.Analyze()
 	return b, nil
+}
+
+// fakeServer is the server end of one v3 connection for tests that script
+// the responses by hand. It speaks through the codec's own functions.
+type fakeServer struct {
+	fr *frameReader
+	fw frameWriter
+}
+
+// newFakeServer exchanges prefaces on an accepted connection.
+func newFakeServer(conn net.Conn) (*fakeServer, error) {
+	if _, err := conn.Write(preface[:]); err != nil {
+		return nil, err
+	}
+	f := &fakeServer{fr: newFrameReader(conn), fw: frameWriter{w: conn}}
+	return f, f.fr.readPreface()
+}
+
+func (f *fakeServer) readRequest() (*request, error) {
+	payload, err := f.fr.next()
+	if err != nil {
+		return nil, err
+	}
+	return decodeRequest(payload)
+}
+
+func (f *fakeServer) writeResponse(resp *response) error {
+	return f.fw.send(appendResponse(f.fw.begin(), resp))
 }
 
 // TestMuxCorrelation floods one connection with concurrent parameterized
@@ -71,7 +98,7 @@ func TestMuxCorrelation(t *testing.T) {
 	}
 }
 
-// TestMuxOutOfOrderDelivery drives the client against a hand-rolled v2
+// TestMuxOutOfOrderDelivery drives the client against a hand-rolled
 // server that deliberately answers the second request before the first:
 // correlation IDs must route each response to its own caller even when the
 // wire order inverts the send order.
@@ -87,12 +114,14 @@ func TestMuxOutOfOrderDelivery(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		var reqs []request
+		fake, err := newFakeServer(conn)
+		if err != nil {
+			return
+		}
+		var reqs []*request
 		for i := 0; i < 2; i++ {
-			var req request
-			if err := dec.Decode(&req); err != nil {
+			req, err := fake.readRequest()
+			if err != nil {
 				return
 			}
 			reqs = append(reqs, req)
@@ -104,7 +133,7 @@ func TestMuxOutOfOrderDelivery(t *testing.T) {
 				ID:   reqs[i].ID,
 				Rows: []types.Row{{types.NewString(reqs[i].SQL)}},
 			}
-			if err := enc.Encode(&resp); err != nil {
+			if err := fake.writeResponse(&resp); err != nil {
 				return
 			}
 		}
@@ -252,13 +281,16 @@ func TestMuxDropsIDLessResponse(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		var req request
-		if gob.NewDecoder(conn).Decode(&req) != nil {
+		fake, err := newFakeServer(conn)
+		if err != nil {
 			return
 		}
-		enc := gob.NewEncoder(conn)
-		_ = enc.Encode(&response{N: 99})            // no ID: must be ignored
-		_ = enc.Encode(&response{ID: req.ID, N: 1}) // the real answer
+		req, err := fake.readRequest()
+		if err != nil {
+			return
+		}
+		_ = fake.writeResponse(&response{Kind: reqExec, N: 99})            // no ID: must be ignored
+		_ = fake.writeResponse(&response{Kind: reqExec, ID: req.ID, N: 1}) // the real answer
 	}()
 
 	c, err := Dial(ln.Addr().String(), 2*time.Second)

@@ -39,6 +39,7 @@ type Pool struct {
 	size    int
 	timeout time.Duration
 	reg     *metrics.Registry
+	wait    *metrics.Histogram                                        // wire.pool_wait_seconds
 	dialFn  func(addr string, timeout time.Duration) (*Client, error) // test seam
 
 	slots []*poolSlot
@@ -87,6 +88,7 @@ func NewPool(addr string, size int, timeout time.Duration, reg *metrics.Registry
 		size:    size,
 		timeout: timeout,
 		reg:     reg,
+		wait:    reg.Histogram("wire.pool_wait_seconds"),
 		dialFn:  Dial,
 		slots:   make([]*poolSlot, size),
 	}
@@ -116,9 +118,7 @@ func (p *Pool) Open() int {
 // connection before giving up.
 func (p *Pool) Get() (*Client, error) {
 	start := time.Now()
-	defer func() {
-		p.reg.Histogram("wire.pool_wait_seconds").ObserveDuration(time.Since(start))
-	}()
+	defer func() { p.wait.ObserveDuration(time.Since(start)) }()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

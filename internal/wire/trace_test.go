@@ -133,3 +133,52 @@ func TestPullPublishesLagGauge(t *testing.T) {
 		t.Error("pull latency histogram empty")
 	}
 }
+
+// TestTracedRequestPassesSessionGate: a trace id does not exempt a request
+// from the session gate. A frame carrying both a trace id and a watermark the
+// cache has not applied is answered Stale with no rows — the traced path used
+// to skip the gate and read through the lagging cache — and one the cache has
+// applied is answered with rows, the span tree and the applied position.
+func TestTracedRequestPassesSessionGate(t *testing.T) {
+	_, srv := newWiredBackend(t)
+	rc, err := NewRemoteCache("gated", dial(t, srv), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.CreateCachedView("CREATE CACHED VIEW tires AS SELECT id, name, qty FROM part WHERE type = 'Tire'"); err != nil {
+		t.Fatal(err)
+	}
+	csrv, err := ServeCache(rc, "127.0.0.1:0", ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer csrv.Close()
+	c := dial(t, csrv)
+
+	applied := rc.AppliedLSN()
+	const q = "SELECT name FROM part WHERE type = 'Tire' AND id = 4"
+	resp, err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: "t-gate", MinLSN: applied + 1000, WaitMs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Stale || len(resp.Rows) != 0 || resp.Span != nil {
+		t.Errorf("watermark ahead of the cache: stale=%v rows=%v span=%v; want Stale and nothing else", resp.Stale, resp.Rows, resp.Span)
+	}
+	if resp.Applied < applied || resp.Applied >= applied+1000 {
+		t.Errorf("stale answer reports Applied=%d, cache is at %d", resp.Applied, applied)
+	}
+
+	resp, err = c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: "t-gate", MinLSN: applied, WaitMs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stale || len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "part4" {
+		t.Errorf("watermark the cache has applied: stale=%v rows=%v", resp.Stale, resp.Rows)
+	}
+	if resp.Span == nil || resp.Span.Name != "gated.exec" {
+		t.Errorf("traced answer carries no span tree: %+v", resp.Span)
+	}
+	if resp.Applied < applied {
+		t.Errorf("traced answer reports Applied=%d, cache is at %d", resp.Applied, applied)
+	}
+}

@@ -1,5 +1,5 @@
 // Package wire implements the network transport between cache servers and
-// the backend: a length-free gob-framed TCP protocol carrying
+// the backend: hand-rolled binary frames over TCP (protocol v3) carrying
 //
 //   - Query / Exec — the linked-server path (paper §2.1): remote
 //     subexpressions and forwarded updates travel as SQL text plus
@@ -8,16 +8,67 @@
 //   - Provision / Resume / Pull — pull subscriptions (§2.2): a cache
 //     provisions an article+subscription for a cached view, receives the
 //     initial population, and then periodically pulls committed transactions.
-//     The server answers them with core.BackendServer's publisher methods.
+//     The server answers them with core.BackendServer's publisher methods;
+//   - Applied — how far the answering server's data is applied.
 //
 // One connection is multiplexed: every request carries a correlation ID
 // that the server echoes on the response, so many requests can be in flight
 // concurrently and responses may return out of order. The server handles
 // each request in its own goroutine, bounded by a server-wide semaphore;
 // responses are serialized onto the connection under a per-connection write
-// lock. Matching is by ID only: the pre-multiplexing (v1) protocol, whose
-// servers echoed no ID and were matched in send order, is not supported —
-// the client drops an ID-less response like any other unmatched one.
+// lock. Matching is by ID only: a response whose ID matches no waiting
+// request is dropped.
+//
+// Connection and frame layout (integers varint/uvarint unless sized; string,
+// value and row as types/codec.go lays them out, changes as
+// storage.AppendChanges does — the bytes the WAL holds):
+//
+//	preface, once, each direction: 'M' 'T' 'W' 0x03
+//	frame:    uint32 LE payload length (≤ 1 GiB), payload
+//
+//	request payload:
+//	  byte    kind
+//	  uvarint ID
+//	  uvarint MinLSN
+//	  varint  WaitMs
+//	  string  TraceID
+//	  body, by kind:
+//	    Query, Exec       string SQL, uvarint #params, per param: string name, value
+//	    Snapshot, Applied —
+//	    Provision         string Table, uvarint #columns, per column: string,
+//	                      string Filter, string SubName
+//	    Resume            as Provision, then uvarint FromLSN
+//	    Pull              varint SubID, varint Max, uvarint AckLSN
+//
+//	response payload:
+//	  uvarint ID
+//	  byte    kind (the request's)
+//	  byte    flags: 1 stale, 2 error, 4 span
+//	  varint  N
+//	  uvarint LSN
+//	  uvarint Applied
+//	  body: string Err if the error flag is set, otherwise by kind:
+//	    Query, Exec  span if flagged: string Name, varint StartUTC, varint DurNanos,
+//	                   uvarint #attrs, per attr: string K, string V,
+//	                   uvarint #children (nesting ≤ 32), children
+//	                 uvarint #cols, per col: string Table, string Name, byte Kind
+//	                 uvarint #rows, uvarint #values in all rows,
+//	                 per row: uvarint #values, values
+//	    Snapshot     uvarint len, bytes
+//	    Provision    varint SubID, uvarint StartLSN, uvarint #rows, rows
+//	    Resume       varint SubID, uvarint StartLSN
+//	    Pull         uvarint ThroughLSN, uvarint #batches, per batch:
+//	                   uvarint LSN, varint CommitTime (unix nanoseconds), changes
+//	    Applied      —
+//
+// An empty slice, map or string and an absent one are the same bytes and
+// decode as nil / "". Every count and length is checked against the bytes
+// left in the frame before anything is allocated, a frame must be consumed
+// exactly, and a peer that sends a malformed one is disconnected.
+//
+// There is no field-by-name tolerance and no negotiation: a field is added
+// by changing the layout above and bumping the preface version, and a peer
+// of any other version (or protocol) is refused at the preface.
 //
 // The cache server itself lives in internal/core. Its in-process link and
 // this package's TCP clients implement the same core.BackendClient interface;
@@ -25,7 +76,6 @@
 package wire
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"sync"
@@ -33,132 +83,10 @@ import (
 
 	"mtcache/internal/core"
 	"mtcache/internal/engine"
-	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
-	"mtcache/internal/repl"
 	"mtcache/internal/storage"
 	"mtcache/internal/trace"
-	"mtcache/internal/types"
 )
-
-// reqKind enumerates request types.
-type reqKind uint8
-
-const (
-	reqQuery reqKind = iota
-	reqExec
-	reqSnapshot
-	reqProvision
-	reqPull
-	// reqResume re-creates a pull subscription for a cache that restarted
-	// with durable state: like reqProvision but starting the stream at the
-	// cache's checkpointed LSN instead of taking a fresh snapshot. The server
-	// answers SubID = -1 (no error) when the backend can no longer serve that
-	// position and the cache must fall back to a full reseed.
-	reqResume
-	// reqApplied asks the server how far its data is applied: a cache answers
-	// the LSN its pull subscriptions have all reached, the backend answers its
-	// last committed LSN. Session routers use it to probe read-your-writes
-	// eligibility without issuing a query.
-	reqApplied
-)
-
-// request is one client->server frame.
-type request struct {
-	Kind   reqKind
-	SQL    string
-	Params map[string]types.Value
-
-	// Provision fields.
-	Table   string
-	Columns []string
-	Filter  string // deparsed predicate, "" = none
-	SubName string
-
-	// Pull fields. AckLSN acknowledges every batch at or below it from the
-	// previous pull; the server deletes acknowledged batches and re-delivers
-	// unacknowledged ones, making Pull safe to retry (at-least-once delivery,
-	// deduplicated by LSN on the subscriber).
-	SubID  int
-	Max    int
-	AckLSN storage.LSN
-
-	// TraceID joins the server-side execution to the caller's trace (""
-	// disables tracing). Appended after the original fields: gob zero-values
-	// it when absent from an older client's stream and older servers skip it,
-	// so both directions stay compatible.
-	TraceID string
-
-	// ID correlates the response with this request on a multiplexed
-	// connection. Client IDs start at 1. Same append-only compatibility
-	// rules as TraceID.
-	ID uint64
-
-	// FromLSN is the resume position for reqResume: the first LSN the
-	// restarted subscriber has not applied. Same append-only compatibility
-	// rules as TraceID.
-	FromLSN storage.LSN
-
-	// MinLSN gates reqQuery/reqExec on session freshness: a cache must have
-	// applied at least this LSN before answering, or report Stale instead of
-	// serving data the session's own writes have not reached. Zero disables
-	// the gate. Same append-only compatibility rules as
-	// TraceID.
-	MinLSN storage.LSN
-
-	// WaitMs bounds how long the server may block waiting for MinLSN to be
-	// applied before giving up with Stale. Same append-only compatibility
-	// rules as TraceID.
-	WaitMs int64
-}
-
-// response is one server->client frame.
-type response struct {
-	Err  string
-	Cols []exec.ColInfo
-	Rows []types.Row
-	N    int64
-
-	Snapshot []byte
-
-	SubID    int
-	StartLSN storage.LSN
-	Batches  []repl.TxnBatch
-
-	// Span carries the server-side span tree for traced Query/Exec requests
-	// (nil otherwise). Same append-only compatibility rules as
-	// request.TraceID.
-	Span *trace.WireSpan
-
-	// ID echoes request.ID. Same append-only compatibility rules as
-	// request.TraceID.
-	ID uint64
-
-	// LSN is the commit LSN of any write the request performed on the
-	// backend (0 for pure reads) — the session's read-your-writes watermark.
-	// Same append-only compatibility rules as request.TraceID.
-	LSN storage.LSN
-
-	// Applied is the LSN the answering server has applied through (for a
-	// cache, the floor across its pull subscriptions; for the backend, its
-	// last committed LSN). Same append-only compatibility rules as
-	// request.TraceID.
-	Applied storage.LSN
-
-	// Stale reports that a MinLSN-gated request was refused because the
-	// server could not reach the session watermark within WaitMs. The
-	// response carries no rows; the client should retry against the backend.
-	// Same append-only compatibility rules as request.TraceID.
-	Stale bool
-
-	// ThroughLSN on a pull response is the position the subscription's change
-	// stream is complete through: every relevant change at or below it has
-	// been delivered in or before this response. It can run ahead of the last
-	// batch's LSN when the log reader filtered intervening transactions that
-	// did not touch the article. Same append-only compatibility rules as
-	// request.TraceID.
-	ThroughLSN storage.LSN
-}
 
 // DefaultMaxInFlight bounds concurrent request handling per server when
 // ServerOptions leaves MaxInFlight unset.
@@ -292,20 +220,30 @@ func (s *Server) acceptLoop() {
 // in its own goroutine (bounded by the server semaphore) and its response —
 // tagged with the request's correlation ID — is written back under a
 // per-connection write lock, in completion order rather than arrival order.
-// The decode loop exits on the first transport error; in-flight handlers
-// finish (their writes fail harmlessly on the dead connection) before the
-// connection is released.
+// The read loop exits on the first transport error or malformed frame;
+// in-flight handlers finish (their writes fail harmlessly on the dead
+// connection) before the connection is released.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var wmu sync.Mutex
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
+	if _, err := conn.Write(preface[:]); err != nil {
+		return
+	}
+	fr := newFrameReader(conn)
+	if fr.readPreface() != nil {
+		return
+	}
+	var wmu sync.Mutex // serializes frame writes; guards fw
+	fw := frameWriter{w: conn}
 	inflight := metrics.Default.Gauge("wire.server_inflight")
 	for {
-		req := new(request)
-		if err := dec.Decode(req); err != nil {
+		payload, err := fr.next()
+		if err != nil {
+			return
+		}
+		req, err := decodeRequest(payload)
+		if err != nil {
 			return
 		}
 		s.sem <- struct{}{}
@@ -318,14 +256,18 @@ func (s *Server) serveConn(conn net.Conn) {
 				<-s.sem
 			}()
 			resp := s.handle(req)
-			resp.ID = req.ID
+			resp.ID, resp.Kind = req.ID, req.Kind
 			wmu.Lock()
-			err := enc.Encode(resp)
+			err := fw.send(appendResponse(fw.begin(), resp))
+			if err == errFrameTooLarge {
+				resp = &response{ID: req.ID, Kind: req.Kind, Err: err.Error()}
+				err = fw.send(appendResponse(fw.begin(), resp))
+			}
 			wmu.Unlock()
 			if err != nil {
-				// A failed or partial write corrupts the gob stream for
-				// every multiplexed response after it; sever the connection
-				// so the client fails fast and re-dials.
+				// After a failed or short write the peer can no longer find
+				// the next frame boundary; sever the connection so the
+				// client fails fast and re-dials.
 				conn.Close()
 			}
 		}()
@@ -336,33 +278,14 @@ func (s *Server) handle(req *request) *response {
 	resp := &response{}
 	switch req.Kind {
 	case reqQuery, reqExec:
-		db := s.execDB()
-		if req.TraceID != "" {
-			res, tr, err := db.ExecTraced(req.SQL, req.Params, req.TraceID)
-			if err != nil {
-				resp.Err = err.Error()
-				return resp
-			}
-			resp.Cols = res.Cols
-			resp.Rows = res.Rows
-			resp.N = res.RowsAffected
-			resp.LSN = res.CommitLSN
-			resp.Span = trace.Export(tr.Root)
+		res, tr, err := s.execDB().ExecSessionTraced(req.SQL, req.Params,
+			req.MinLSN, time.Duration(req.WaitMs)*time.Millisecond, req.TraceID)
+		resp.Applied = s.appliedLSN()
+		if errors.Is(err, engine.ErrSessionStale) {
+			// Not an error on the wire: the cache is simply behind the
+			// session's watermark. The client reroutes to the backend.
+			resp.Stale = true
 			return resp
-		}
-		var res *engine.Result
-		var err error
-		if req.MinLSN > 0 {
-			res, err = db.ExecSession(req.SQL, req.Params, req.MinLSN, time.Duration(req.WaitMs)*time.Millisecond)
-			if errors.Is(err, engine.ErrSessionStale) {
-				// Not an error on the wire: the cache is simply behind the
-				// session's watermark. The client reroutes to the backend.
-				resp.Stale = true
-				resp.Applied = s.appliedLSN()
-				return resp
-			}
-		} else {
-			res, err = db.Exec(req.SQL, req.Params)
 		}
 		if err != nil {
 			resp.Err = err.Error()
@@ -372,7 +295,9 @@ func (s *Server) handle(req *request) *response {
 		resp.Rows = res.Rows
 		resp.N = res.RowsAffected
 		resp.LSN = res.CommitLSN
-		resp.Applied = s.appliedLSN()
+		if req.TraceID != "" {
+			resp.Span = trace.Export(tr.Root)
+		}
 	case reqApplied:
 		resp.Applied = s.appliedLSN()
 	case reqSnapshot, reqProvision, reqResume, reqPull:
@@ -381,8 +306,6 @@ func (s *Server) handle(req *request) *response {
 		} else if err := s.publish(req, resp); err != nil {
 			resp.Err = err.Error()
 		}
-	default:
-		resp.Err = "wire: unknown request kind"
 	}
 	return resp
 }
