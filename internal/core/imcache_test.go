@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
@@ -227,5 +229,51 @@ func TestIMCacheNoSubsumption(t *testing.T) {
 		if len(res.Rows) != 1 || res.Rows[0][0].Str() != "renamed" {
 			t.Errorf("%s: got %v, want the replicated update", q, res.Rows)
 		}
+	}
+}
+
+// Admission reads what an execution did, not the shape of its plan: a
+// guarded shape's plan contains a remote branch, but an execution whose guard
+// chose the cached view made no remote call and is admitted — and invalidated
+// by a replication apply — like its literal twin always was. An execution the
+// backend answered is never admitted.
+func TestIMCacheAdmitsGuardedLocalExecutions(t *testing.T) {
+	b := newShop(t)
+	c, err := NewCache("imguard", b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateCachedView(`CREATE CACHED VIEW Cust1000 AS
+		SELECT cid, cname FROM customer WHERE cid <= 1000`); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SyncReplication(); err != nil {
+		t.Fatal(err)
+	}
+	const inGuard, outOfGuard = "SELECT cname FROM customer WHERE cid = 7", "SELECT cname FROM customer WHERE cid = 2007"
+	for i := 0; i < 4; i++ {
+		for _, q := range []string{inGuard, outOfGuard} {
+			if _, err := c.Exec(q, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	entries := c.DB.IMCache().Snapshot(time.Now())
+	if len(entries) != 1 || !strings.Contains(entries[0].Args, "= 7") || entries[0].Hits == 0 {
+		t.Fatalf("want one entry, for the in-guard literal, with hits; got %+v", entries)
+	}
+
+	if _, err := b.Exec("UPDATE customer SET cname = 'renamed' WHERE cid = 7", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SyncReplication(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Exec(inGuard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Str(); got != "renamed" {
+		t.Fatalf("served %q from a stale intermediate after the replication apply", got)
 	}
 }

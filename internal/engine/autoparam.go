@@ -19,6 +19,14 @@ import (
 // need for frequent reoptimization"). On a shape hit the per-execution work
 // is one zero-allocation normalization pass plus a map lookup — no lexing
 // into tokens, no AST, no optimizer.
+//
+// A cache does exactly what a backend does. Where a cached view's predicate
+// decides whether a statement can be answered locally, the shared plan is a
+// ChoosePlan whose guard tests the bound literals at run time (the guarded
+// matcher in opt accepts whatever the literal matcher would have), and its
+// remote branch ships the parameterized text with the literals in the
+// named-parameter map — which the backend's front door resolves to its own
+// shared statement without parsing.
 
 // defaultAutoCacheCap bounds the per-database shape cache; beyond it the
 // least recently used shape is evicted and will re-parse on next use.
@@ -51,17 +59,15 @@ func (db *Database) autoParse(sqlText string) (stmt *sql.SelectStmt, args []type
 	}
 	db.autoMu.Lock()
 	stmt, hit := db.autoCache.getBytes(key)
-	gen := db.autoCache.gen
 	db.autoMu.Unlock()
 	if !hit {
 		metrics.Default.Counter("engine.autoparam_misses").Add(1)
 		// Resolve outside the lock: a concurrent miss on the same shape just
-		// parses twice and the second insert wins, and a verdict that
-		// InvalidatePlans overtook serves this execution but is not cached.
+		// parses twice and the second insert wins.
 		shape := string(key)
-		stmt = db.autoResolve(shape)
+		stmt = autoResolve(shape)
 		db.autoMu.Lock()
-		db.autoCache.putIfGen(gen, shape, stmt)
+		db.autoCache.put(shape, stmt)
 		db.autoMu.Unlock()
 	} else if stmt != nil {
 		metrics.Default.Counter("engine.autoparam_hits").Add(1)
@@ -74,15 +80,15 @@ func (db *Database) autoParse(sqlText string) (stmt *sql.SelectStmt, args []type
 	return stmt, vals, n, true
 }
 
-// autoResolve decides one normalized shape against the current catalog: the
+// autoResolve decides one normalized shape from its text alone: the
 // statement every literal variant will share, or nil when the front door
 // must skip the shape every time (the key failed to parse, parsed to a
-// non-SELECT, carries WITH FRESHNESS — planned per execution, bypassing the
-// plan cache anyway — or fails the cache-role safety probe). Caching the nil
-// makes repeated bad or ineligible text cost one lookup instead of one
-// parse. The key is itself valid SQL in canonical token form, so the parsed
-// statement's deparse — the plan-cache key — is canonical for the shape.
-func (db *Database) autoResolve(shape string) *sql.SelectStmt {
+// non-SELECT, or carries WITH FRESHNESS — planned per execution, bypassing
+// the plan cache anyway). Caching the nil makes repeated bad or ineligible
+// text cost one lookup instead of one parse. The key is itself valid SQL in
+// canonical token form, so the parsed statement's deparse — the plan-cache
+// key — is canonical for the shape.
+func autoResolve(shape string) *sql.SelectStmt {
 	parsed, err := sql.Parse(shape)
 	if err != nil {
 		return nil
@@ -94,18 +100,6 @@ func (db *Database) autoResolve(shape string) *sql.SelectStmt {
 	// Warm the deparse memo before the statement is shared across
 	// goroutines; afterwards CacheKey is a read-only field access.
 	sel.CacheKey()
-	if db.role == Cache {
-		// Safety probe, once per shape: cached-view matching is predicate
-		// subsumption against literal values, which @__pN placeholders
-		// hide. If the parameterized plan still needs the backend, a
-		// literal-bearing text might have matched a cached view and stayed
-		// local — so the shape is unsafe to auto-parameterize and every
-		// text plans individually with its literals intact (SQL Server
-		// applies the same conservatism to its simple parameterization).
-		if plan, _, perr := db.planCached(sel); perr != nil || plan.NeedsParams {
-			return nil
-		}
-	}
 	return sel
 }
 
@@ -124,15 +118,8 @@ func (db *Database) AutoParamCacheSize() int {
 // exec.AssignParamSlots). Slots left unbound fall back to the named map at
 // Eval time, so missing-parameter errors surface exactly as before.
 func bindParams(plan *opt.Plan, params exec.Params, autoArgs []types.Value, ctx *exec.Ctx) {
-	if len(autoArgs) > 0 && plan.NeedsParams {
-		merged := make(exec.Params, len(params)+len(autoArgs))
-		for k, v := range params {
-			merged[k] = v
-		}
-		for i, v := range autoArgs {
-			merged[sql.AutoParamName(i)] = v
-		}
-		params = merged
+	if !plan.FullyLocal {
+		params = withAutoArgs(params, autoArgs)
 	}
 	ctx.Params = params
 	ctx.Env.Named = params
@@ -149,6 +136,22 @@ func bindParams(plan *opt.Plan, params exec.Params, autoArgs []types.Value, ctx 
 			ctx.Env.Slots[i], ctx.Env.Bound[i] = v, true
 		}
 	}
+}
+
+// withAutoArgs returns params with the auto-parameterized literals added
+// under their @__pN names (params itself when there are none).
+func withAutoArgs(params exec.Params, autoArgs []types.Value) exec.Params {
+	if len(autoArgs) == 0 {
+		return params
+	}
+	merged := make(exec.Params, len(params)+len(autoArgs))
+	for k, v := range params {
+		merged[k] = v
+	}
+	for i, v := range autoArgs {
+		merged[sql.AutoParamName(i)] = v
+	}
+	return merged
 }
 
 // formatLiterals renders the literal values bound to a captured slow query

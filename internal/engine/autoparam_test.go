@@ -7,7 +7,6 @@ import (
 
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
-	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
 
@@ -39,41 +38,6 @@ func TestAutoParamSharesOnePlan(t *testing.T) {
 	db.InvalidatePlans()
 	if n := db.AutoParamCacheSize(); n != 0 {
 		t.Errorf("auto-param cache not cleared by InvalidatePlans: %d", n)
-	}
-}
-
-// A shape verdict resolved across an InvalidatePlans call must not be
-// cached: it was computed against the old catalog. Here the old verdict is
-// "ineligible" (no cached view covers item, so the parameterized plan needs
-// the backend) and the DDL in between makes the shape eligible.
-func TestAutoParamStaleVerdictNotCached(t *testing.T) {
-	_, cache := newCachePair(t)
-	const text = "SELECT i_title FROM item WHERE i_id = 17"
-	key, _, ok := new(sql.Normalizer).Normalize(text)
-	if !ok {
-		t.Fatal("text did not normalize")
-	}
-	shape := string(key)
-
-	// First half of a miss in autoParse: snapshot the generation, resolve.
-	cache.autoMu.Lock()
-	gen := cache.autoCache.gen
-	cache.autoMu.Unlock()
-	if verdict := cache.autoResolve(shape); verdict != nil {
-		t.Fatal("shape resolved as eligible with no cached view to answer it")
-	}
-	if _, err := cache.Exec("CREATE CACHED VIEW allitems AS SELECT i_id, i_title FROM item", nil); err != nil {
-		t.Fatal(err)
-	}
-	// Second half: the insert is refused.
-	cache.autoMu.Lock()
-	inserted := cache.autoCache.putIfGen(gen, shape, nil)
-	cache.autoMu.Unlock()
-	if inserted || cache.AutoParamCacheSize() != 0 {
-		t.Fatalf("verdict from before the DDL was cached (inserted=%v, %d shapes)", inserted, cache.AutoParamCacheSize())
-	}
-	if _, _, _, ok := cache.autoParse(text); !ok {
-		t.Fatal("shape still ineligible after the cached view that covers it was created")
 	}
 }
 
@@ -222,23 +186,96 @@ func TestAutoParamMixedWithUserParams(t *testing.T) {
 	}
 }
 
-// On a cache, shapes whose parameterized plan would go remote are negative-
-// cached: each literal text plans individually so cached-view predicate
-// matching keeps seeing literal values.
-func TestAutoParamUnsafeShapesBypassOnCache(t *testing.T) {
-	_, cache := newCachePair(t)
-	for i := 0; i < 3; i++ {
-		res, err := cache.Exec("SELECT i_title FROM item WHERE i_id = 17", nil)
+// On a cache, a shape that needs the backend shares one parsed statement and
+// one plan like any other: ten literal variants grow each cache by one entry,
+// cost one remote query apiece, return what the backend returns, and — once
+// the shape is warm — parse nothing on either side.
+func TestAutoParamRemoteShapesShareOnePlanOnCache(t *testing.T) {
+	backend, cache := newCachePair(t)
+	plans0, shapes0 := cache.PlanCacheSize(), cache.AutoParamCacheSize()
+	bplans0 := backend.PlanCacheSize()
+	parses := metrics.Default.Histogram("engine.parse_seconds")
+	var parsed0 int64
+	for i := 1; i <= 10; i++ {
+		if i == 2 {
+			parsed0 = parses.Count() // the first execution warmed both servers
+		}
+		q := fmt.Sprintf("SELECT i_title, i_cost FROM item WHERE i_id = %d", 17*i)
+		got, err := cache.Exec(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 1 || res.Counters.RemoteQueries != 1 {
-			t.Fatalf("run %d: rows=%d remote=%d", i, len(res.Rows), res.Counters.RemoteQueries)
+		want, err := backend.Exec(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Counters.RemoteQueries != 1 {
+			t.Fatalf("%s: %d remote queries, want 1", q, got.Counters.RemoteQueries)
+		}
+		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || len(got.Rows) != 1 {
+			t.Fatalf("%s: cache %v, backend %v", q, got.Rows, want.Rows)
 		}
 	}
-	// The shape is retained as a negative entry: present in the cache, but
-	// executions keep taking the ordinary literal-preserving path.
-	if n := cache.AutoParamCacheSize(); n < 1 {
-		t.Errorf("negative shape not retained: %d", n)
+	if n := cache.PlanCacheSize() - plans0; n != 1 {
+		t.Errorf("cache plan cache grew by %d for one shape, want 1", n)
+	}
+	if n := cache.AutoParamCacheSize() - shapes0; n != 1 {
+		t.Errorf("cache shape cache grew by %d for one shape, want 1", n)
+	}
+	// The backend holds the forwarded shape and the direct one, nothing per literal.
+	if n := backend.PlanCacheSize() - bplans0; n > 2 {
+		t.Errorf("backend plan cache grew by %d, want at most 2", n)
+	}
+	if n := parses.Count() - parsed0; n != 0 {
+		t.Errorf("%d statements were parsed after warm-up, want 0", n)
+	}
+}
+
+// A user may spell @__pN parameters of their own: with no literal in the text
+// there is nothing to collide with, and the values bind from the named map on
+// a backend and through a cache's remote branch alike.
+func TestExplicitAutoParamNamesBindFromNamedMap(t *testing.T) {
+	backend, cache := newCachePair(t)
+	for _, db := range []*Database{backend, cache} {
+		res, err := db.Exec("SELECT i_id FROM item WHERE i_id = @__p1", exec.Params{"__p1": types.NewInt(7)})
+		if err != nil {
+			t.Fatalf("%s: %v", db.Name, err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
+			t.Fatalf("%s: rows %v, want [[7]]", db.Name, res.Rows)
+		}
+	}
+}
+
+// Allocation regression gate for the remote path: distinct literals of one
+// remote-going shape, cache over an in-process link. Every execution hits
+// the plan cache on both servers — a miss means some literal text was parsed
+// and optimized again — and stays under a ceiling set ~15 % above the 89
+// allocs/op measured when the shared plan replaced the per-text one (which
+// cost 272 in this loop).
+func TestRemoteShapeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	_, cache := newCachePair(t)
+	next := 0
+	run := func() {
+		next++
+		res, err := cache.Exec(fmt.Sprintf("SELECT i_title, i_cost FROM item WHERE i_id = %d", next%200+1), nil)
+		if err != nil || len(res.Rows) != 1 || res.Counters.RemoteQueries != 1 {
+			t.Fatalf("i_id = %d: %+v, %v", next%200+1, res, err)
+		}
+	}
+	run() // warm the shape and plan caches of both servers
+	misses := metrics.Default.Counter("engine.plan_cache_misses")
+	misses0 := misses.Value()
+	const ceiling = 102
+	if avg := testing.AllocsPerRun(200, run); avg > ceiling {
+		t.Errorf("remote-going shape: %.0f allocs/op, ceiling %d", avg, ceiling)
+	} else {
+		t.Logf("remote-going shape: %.0f allocs/op", avg)
+	}
+	if n := misses.Value() - misses0; n != 0 {
+		t.Errorf("%d plan-cache misses after warm-up, want 0", n)
 	}
 }

@@ -557,7 +557,7 @@ func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs
 // queryLocalOnly answers a query from cached views alone (the degraded,
 // backend-down path).
 func (db *Database) queryLocalOnly(stmt *sql.SelectStmt, params exec.Params, autoArgs []types.Value) (*Result, error) {
-	plan, err := opt.OptimizeLocalOnly(stmt, db.env())
+	plan, err := opt.OptimizeLocalOnly(stmt, db.env(), withAutoArgs(params, autoArgs))
 	if err != nil {
 		return nil, err
 	}

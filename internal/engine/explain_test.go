@@ -162,10 +162,20 @@ func TestExecRecordsStitchedTrace(t *testing.T) {
 	if tr == nil || tr.ID != res.TraceID {
 		t.Fatalf("last trace %+v does not match result trace ID %q", tr, res.TraceID)
 	}
-	for _, name := range []string{"parse", "optimize", "execute", "remote", "backend.exec"} {
+	for _, name := range []string{"optimize", "execute", "remote", "backend.exec"} {
 		if tr.FindSpan(name) == nil {
 			t.Errorf("trace missing span %q:\n%s", name, trace.Render(tr))
 		}
+	}
+	// Both servers resolve the text through the shape cache: the cache shares
+	// the remote-going shape's statement, the backend the forwarded one's.
+	for _, name := range []string{"cache1.exec", "backend.exec"} {
+		if got := tr.FindSpan(name).AttrValue("autoparam"); got != "1" {
+			t.Errorf("span %q: autoparam=%q, want \"1\":\n%s", name, got, trace.Render(tr))
+		}
+	}
+	if tr.FindSpan("parse") != nil {
+		t.Errorf("a statement was parsed on the request path:\n%s", trace.Render(tr))
 	}
 	// The grafted backend subtree shares the cache's trace ID.
 	if got := tr.FindSpan("backend.exec").TraceID(); got != tr.ID {

@@ -56,7 +56,8 @@ func imShape(stmt *sql.SelectStmt) string {
 
 // imKey builds the exact-match result key: the shape plus a kind-tagged
 // encoding of every bound value (auto-extracted literals positionally,
-// named parameters sorted by name). The builder copies all byte content,
+// named parameters sorted by name — as spelled: the executor resolves @ID
+// and @id to different map entries). The builder copies all byte content,
 // so keys never alias the pooled normalizer buffers autoArgs point into.
 func imKey(shape string, params exec.Params, autoArgs []types.Value) string {
 	var b strings.Builder
@@ -69,7 +70,7 @@ func imKey(shape string, params exec.Params, autoArgs []types.Value) string {
 	if len(params) > 0 {
 		names := make([]string, 0, len(params))
 		for n := range params {
-			names = append(names, strings.ToLower(n))
+			names = append(names, n)
 		}
 		sort.Strings(names)
 		for _, n := range names {
@@ -226,13 +227,14 @@ func (db *Database) imLineageRef(ref sql.TableRef, out map[string]bool) bool {
 	return false
 }
 
-// imObserve feeds one successfully executed SELECT into the cache. Only
-// fully-local plans qualify: a remote or mixed plan's rows were produced
-// on the backend, where writes this cache never hears about could
-// invalidate them silently.
+// imObserve feeds one successfully executed SELECT into the cache. Only an
+// execution that made no remote call qualifies — a fully local plan, or a
+// dynamic plan whose guard chose the local branch: rows produced on the
+// backend could be invalidated silently by writes this cache never hears
+// about.
 func (db *Database) imObserve(imc *imcache.Cache, key, shape string, stamp uint64, stmt *sql.SelectStmt,
 	autoArgs []types.Value, plan *opt.Plan, res *Result, dur time.Duration) {
-	if !plan.FullyLocal || res == nil {
+	if res == nil || res.Counters.RemoteQueries > 0 {
 		return
 	}
 	lineage := map[string]bool{}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"mtcache/internal/exec"
 	"mtcache/internal/imcache"
 	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
@@ -419,6 +420,29 @@ func TestIMCacheSysTable(t *testing.T) {
 	for _, r := range res.Rows {
 		if r[0].Float() < 0 {
 			t.Fatalf("stale entry reports negative staleness %v", r[0].Float())
+		}
+	}
+}
+
+// The result key writes each named parameter's value from the name it is
+// stored under — the executor resolves @ID by exact name, so {"ID": 3} and
+// {"ID": 7} are different executions whatever a lower-cased lookup finds.
+func TestIMKeyKeepsMixedCaseParamValues(t *testing.T) {
+	const q = "SELECT i_id FROM item WHERE i_id = @ID"
+	three, seven := exec.Params{"ID": types.NewInt(3)}, exec.Params{"ID": types.NewInt(7)}
+	if imKey(q, three, nil) == imKey(q, seven, nil) {
+		t.Fatal("@ID = 3 and @ID = 7 share one result key")
+	}
+	db := newBackendDB(t)
+	for round := 0; round < 3; round++ {
+		for _, p := range []exec.Params{three, seven} {
+			res, err := db.Exec(q, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := p["ID"].Int(); len(res.Rows) != 1 || res.Rows[0][0].Int() != want {
+				t.Fatalf("round %d, @ID = %d: rows %v", round, want, res.Rows)
+			}
 		}
 	}
 }

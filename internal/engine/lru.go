@@ -10,12 +10,12 @@ type lru[V any] struct {
 	cap     int
 	items   map[string]*list.Element
 	order   *list.List       // front = most recently used
-	onEvict func(key string) // called for each entry pushed out by putIfGen
+	onEvict func(key string) // called for each entry pushed out by put
 
-	// gen counts clears. A caller that computes a value outside the lock
-	// snapshots gen with its miss and inserts through putIfGen, so a plan
-	// or shape verdict computed against a catalog that InvalidatePlans has
-	// since discarded is used once but never cached.
+	// gen counts clears. A caller that computes a value from the catalog
+	// outside the lock snapshots gen with its miss and inserts through
+	// putIfGen, so a plan optimized against a catalog that InvalidatePlans
+	// has since discarded is used once but never cached.
 	gen uint64
 }
 
@@ -48,16 +48,22 @@ func (c *lru[V]) touch(el *list.Element) (V, bool) {
 	return el.Value.(*lruEntry[V]).val, true
 }
 
-// putIfGen inserts (or replaces) key unless the cache was cleared since
-// the caller read gen; it reports whether the value went in.
+// putIfGen is put unless the cache was cleared since the caller read gen;
+// it reports whether the value went in.
 func (c *lru[V]) putIfGen(gen uint64, key string, val V) bool {
 	if c.gen != gen {
 		return false
 	}
+	c.put(key, val)
+	return true
+}
+
+// put inserts (or replaces) key, evicting from the cold end beyond cap.
+func (c *lru[V]) put(key string, val V) {
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry[V]).val = val
 		c.order.MoveToFront(el)
-		return true
+		return
 	}
 	c.items[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 	for len(c.items) > c.cap {
@@ -67,7 +73,6 @@ func (c *lru[V]) putIfGen(gen uint64, key string, val V) bool {
 		delete(c.items, victim)
 		c.onEvict(victim)
 	}
-	return true
 }
 
 func (c *lru[V]) clear() {

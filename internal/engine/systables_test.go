@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -60,9 +61,13 @@ func TestSysQueryStatsSplitsLocalRemoteOnCache(t *testing.T) {
 	resetQueryStore(t)
 	_, cache := newCachePair(t)
 	querystore.Default.Reset()
-	// This shape has no local data on the cache: it runs remotely.
-	if _, err := cache.Exec("SELECT i_title FROM item WHERE i_id = 17", nil); err != nil {
-		t.Fatal(err)
+	// This shape has no local data on the cache: it runs remotely, and every
+	// literal of it is the same shape.
+	const n = 4
+	for i := 1; i <= n; i++ {
+		if _, err := cache.Exec(fmt.Sprintf("SELECT i_title FROM item WHERE i_id = %d", 17*i), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := cache.Exec("SELECT shape, remote_execs, local_execs FROM sys.query_stats", nil)
 	if err != nil {
@@ -70,18 +75,19 @@ func TestSysQueryStatsSplitsLocalRemoteOnCache(t *testing.T) {
 	}
 	// The forwarded text is re-executed by the backend engine, which records
 	// its own (local) shape into the shared store — so the cache's remote
-	// execution must appear as a shape with remote_execs = 1. On the cache
-	// the shape keeps its literal: remote-going shapes are unsafe to
-	// auto-parameterize (literals drive cached-view matching), so each text
-	// plans individually.
-	var foundRemote bool
+	// executions must appear as one more shape, with remote_execs = n.
+	var remote, point int
 	for _, row := range res.Rows {
-		if strings.Contains(row[0].Str(), "i_id = 17") && row[1].Int() == 1 && row[2].Int() == 0 {
-			foundRemote = true
+		if !strings.Contains(row[0].Str(), "i_id = @__p0") {
+			continue
+		}
+		point++
+		if row[1].Int() == n && row[2].Int() == 0 {
+			remote++
 		}
 	}
-	if !foundRemote {
-		t.Fatalf("no remote-executed shape for the point query in sys.query_stats: %+v", res.Rows)
+	if remote != 1 || point != 2 {
+		t.Fatalf("want the point query as two shapes (cache, backend), one of them with remote_execs = %d: %+v", n, res.Rows)
 	}
 }
 

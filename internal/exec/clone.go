@@ -18,7 +18,7 @@ func CloneOperator(op Operator) Operator {
 	case *Filter:
 		return &Filter{Input: CloneOperator(x.Input), Pred: x.Pred}
 	case *StartupFilter:
-		return &StartupFilter{Input: CloneOperator(x.Input), Guard: x.Guard, Branch: x.Branch}
+		return &StartupFilter{Input: CloneOperator(x.Input), Guard: x.Guard, Else: x.Else, Branch: x.Branch}
 	case *Project:
 		return &Project{Input: CloneOperator(x.Input), Exprs: x.Exprs, Cols: x.Cols}
 	case *Limit:

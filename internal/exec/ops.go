@@ -459,11 +459,15 @@ func (f *Filter) Close() error { return f.Input.Close() }
 // StartupFilter is a Select with a startup predicate: the guard references
 // only parameters and is evaluated once at Open. If it is false the input is
 // never opened (paper §5.1: "if it evaluates to false, the operator's input
-// expression is not opened"). Two StartupFilters with complementary guards
-// under a UnionAll implement ChoosePlan.
+// expression is not opened"). Two StartupFilters over one guard, the second
+// with Else set, under a UnionAll implement ChoosePlan.
 type StartupFilter struct {
-	Input  Operator
-	Guard  Expr
+	Input Operator
+	Guard Expr
+	// Else opens the input when the guard is not true. That is not NOT guard:
+	// a guard that evaluates to NULL (a NULL parameter) must still open
+	// exactly one of the two branches.
+	Else   bool
 	Branch string // "local"/"remote" when part of a ChoosePlan, else ""
 
 	active bool
@@ -476,6 +480,7 @@ func (s *StartupFilter) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
+	ok = ok != s.Else
 	s.active = ok
 	if !ok {
 		if ctx.Counters != nil {

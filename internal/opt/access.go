@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"mtcache/internal/catalog"
@@ -57,6 +58,7 @@ func (pl *planner) planLeaf(ai *aliasInfo) (*candSet, error) {
 // alternative branch reads the base table locally).
 func (pl *planner) addViewCandidates(cs *candSet, ai *aliasInfo, neededSet map[string]bool, remoteAlt *plan) error {
 	t := ai.table
+	var guarded []guardedView
 	for _, v := range pl.env.Cat.Tables() {
 		if !v.IsView || !v.Materialized {
 			continue
@@ -67,7 +69,7 @@ func (pl *planner) addViewCandidates(cs *candSet, ai *aliasInfo, neededSet map[s
 		if v.Cached && !pl.env.viewFreshEnough(v.Name) {
 			continue // too stale for the query's WITH FRESHNESS bound (§7)
 		}
-		m := MatchView(v, t.Name, ai.singleConj, neededSet, pl.env.Opts.EnableDynamicPlans)
+		m := MatchView(v, t, ai.singleConj, neededSet, pl.env.Opts.EnableDynamicPlans)
 		if m == nil {
 			continue
 		}
@@ -80,35 +82,56 @@ func (pl *planner) addViewCandidates(cs *candSet, ai *aliasInfo, neededSet map[s
 			cs.add(local)
 			continue
 		}
-		// Guarded match → dynamic plan (paper §5.1).
-		alt := remoteAlt
-		if alt == nil {
-			alt, err = pl.localAccess(ai, t, t.Name, identityColMap(t), nil, ai.singleConj)
-			if err != nil {
-				return err
-			}
-		}
+		// Guarded match → a branch of the dynamic plan (paper §5.1).
 		fl := EstimateGuardFrequency(m.GuardTerms, t.Stats)
-		// The dynamic plan keeps local's leaf descriptor: once a join pulls the
-		// ChoosePlan above itself, the guard-true branch is the bare view access
-		// again and may be sought into.
-		dyn := dynPlan(local, alt, alt.cost, &dynInfo{guardAST: m.Guard, fl: fl})
-		if !pl.env.Opts.PullUpChoosePlan {
-			if dyn, err = pl.materialize(dyn); err != nil {
-				return err
-			}
-		}
-		cs.add(dyn)
+		guarded = append(guarded, guardedView{local: local, dyn: &dynInfo{guardAST: m.Guard, fl: fl}})
 
 		// Mixed-result plan (§5.1.1): allowed for regular materialized views
-		// only — never for cached views, whose rows may be stale.
-		if pl.env.Opts.AllowMixedResults && !v.Cached && !pl.env.IsCache {
+		// only — never for cached views, whose rows may be stale — and only
+		// when the view's rows are filtered the same on both sides of the guard.
+		if pl.env.Opts.AllowMixedResults && !v.Cached && !pl.env.IsCache && !m.ResidualNeedsGuard {
 			if mixed := pl.mixedResultPlan(ai, local, m, fl); mixed != nil {
 				cs.add(mixed)
 			}
 		}
 	}
+	if len(guarded) == 0 {
+		return nil
+	}
+
+	// One statement shape has one plan, so every guarded view must get its
+	// turn at run time: ChoosePlan(g1, view1, ChoosePlan(g2, view2, … alt)),
+	// cheapest view first, as a literal statement would have picked the
+	// cheapest view that contains it.
+	alt := remoteAlt
+	if alt == nil {
+		var err error
+		if alt, err = pl.localAccess(ai, t, t.Name, identityColMap(t), nil, ai.singleConj); err != nil {
+			return err
+		}
+	}
+	sort.SliceStable(guarded, func(i, j int) bool { return guarded[i].local.cost < guarded[j].local.cost })
+	for i := len(guarded) - 1; i >= 0; i-- {
+		// The dynamic plan keeps local's leaf descriptor: once a join pulls the
+		// ChoosePlan above itself, the guard-true branch is the bare view access
+		// again and may be sought into.
+		alt = dynPlan(guarded[i].local, alt, alt.cost, guarded[i].dyn)
+	}
+	if !pl.env.Opts.PullUpChoosePlan {
+		var err error
+		if alt, err = pl.materialize(alt); err != nil {
+			return err
+		}
+	}
+	cs.add(alt)
 	return nil
+}
+
+// guardedView is a view that can stand in for a relation while its guard
+// holds: the local access through it and the guard.
+type guardedView struct {
+	local *plan
+	dyn   *dynInfo
 }
 
 // mixedResultPlan builds UnionAll(viewPart, StartupFilter(NOT guard,
@@ -133,7 +156,7 @@ func (pl *planner) mixedResultPlan(ai *aliasInfo, viewPart *plan, m *ViewMatch, 
 	}
 	op := &exec.UnionAll{Inputs: []exec.Operator{
 		viewPart.op,
-		&exec.StartupFilter{Guard: &exec.NotExpr{X: guard}, Input: remainder.op},
+		&exec.StartupFilter{Guard: guard, Else: true, Input: remainder.op},
 	}}
 	return &plan{
 		op:        op,
@@ -347,7 +370,7 @@ func (pl *planner) indexBounds(idx *catalog.Index, t *catalog.Table, scanCols []
 				continue
 			}
 			switch {
-			case p.op == sql.OpEQ && p.eqSet == nil:
+			case p.op == sql.OpEQ && p.eqSet == nil && p.inArgs == nil:
 				eq = p
 			case p.op == sql.OpGE || p.op == sql.OpGT:
 				rlo = p
@@ -381,7 +404,7 @@ func (pl *planner) indexBounds(idx *catalog.Index, t *catalog.Table, scanCols []
 
 func predValueExpr(p *simplePred) sql.Expr {
 	if p.isParam() {
-		return &sql.Param{Name: p.param}
+		return p.arg
 	}
 	return &sql.Literal{Val: p.lit}
 }
@@ -454,7 +477,9 @@ func (pl *planner) selectivity(stats *catalog.TableStats, conjuncts []sql.Expr) 
 	byCol := groupByCol(preds)
 	sel := 1.0
 	for col, ps := range byCol {
-		r := rangeFromPreds(ps)
+		// An estimate: tightening an INT literal's open bound as if the column
+		// were INT moves it by at most one value's width.
+		r := rangeFromPreds(ps, true)
 		cs := stats.Col(col)
 		colSel := 1.0
 		switch {
@@ -482,10 +507,11 @@ func (pl *planner) selectivity(stats *catalog.TableStats, conjuncts []sql.Expr) 
 				continue
 			}
 			if p.op == sql.OpEQ {
+				n := float64(max(1, len(p.inArgs))) // an IN-list is an equality per element
 				if cs != nil && cs.Distinct > 0 {
-					colSel *= 1 / float64(cs.Distinct)
+					colSel *= n / float64(cs.Distinct)
 				} else {
-					colSel *= 0.05
+					colSel *= n * 0.05
 				}
 			} else {
 				colSel *= 0.4

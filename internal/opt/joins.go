@@ -608,14 +608,15 @@ func (pl *planner) bestLookup(lf *leafAccess, outerCols []exec.ColInfo, eqs []eq
 	return best
 }
 
-// pullUpThrough applies f to both branches of a dynamic plan and
-// reassembles the ChoosePlan on top.
+// pullUpThrough applies f to both branches of a dynamic plan — and, when the
+// alternative is itself a ChoosePlan over the next guarded view, to each of
+// its branches — and reassembles the ChoosePlan on top.
 func (pl *planner) pullUpThrough(p *plan, f func(*plan) (*plan, error)) (*plan, error) {
 	jm, err := f(p.mainBranch())
 	if err != nil {
 		return nil, err
 	}
-	ja, err := f(p.dyn.alt)
+	ja, err := pl.mapDyn(p.dyn.alt, f)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package opt
 import (
 	"errors"
 
+	"mtcache/internal/exec"
 	"mtcache/internal/sql"
 )
 
@@ -21,7 +22,21 @@ var ErrNoLocalPlan = errors.New("opt: no fully local plan")
 // the backend at run time) and mixed results are disabled, and a matching
 // cached view is used unconditionally — and then verified on the result: any
 // plan that still contains a DataTransfer is rejected with ErrNoLocalPlan.
-func OptimizeLocalOnly(stmt *sql.SelectStmt, env *Env) (*Plan, error) {
+//
+// bound holds the failed execution's parameter values. This plan serves that
+// one execution, not its shape, so the values stand in for their parameters
+// and a predicate view's containment is proved from them — what a guard
+// would have decided at run time, had the shape's cached plan carried one
+// (it need not: the optimizer may have sent the whole shape to the backend
+// on cost).
+func OptimizeLocalOnly(stmt *sql.SelectStmt, env *Env, bound exec.Params) (*Plan, error) {
+	if len(bound) > 0 {
+		values := make(map[string]sql.Expr, len(bound))
+		for name, v := range bound {
+			values["@"+name] = &sql.Literal{Val: v}
+		}
+		stmt = mapSelect(stmt, func(e sql.Expr) sql.Expr { return replaceExprs(e, values) })
+	}
 	local := *env
 	local.Opts.RemoteCostFactor = 1e12
 	local.Opts.EnableDynamicPlans = false

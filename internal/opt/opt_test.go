@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -525,6 +526,21 @@ func mkView(t *testing.T, def string, cols ...string) *catalog.Table {
 	return v
 }
 
+// baseOf is a base table for MatchView to read column types from: the named
+// columns are INT, any other column it is asked about is unknown (not INT).
+func baseOf(name string, intCols ...string) *catalog.Table {
+	b := &catalog.Table{Name: name}
+	for _, c := range intCols {
+		b.Columns = append(b.Columns, catalog.Column{Name: c, Type: types.KindInt})
+	}
+	return b
+}
+
+var (
+	customerT = baseOf("customer", "cid", "segment")
+	partT     = baseOf("part", "id")
+)
+
 func predsOf(t *testing.T, where string) []simplePred {
 	t.Helper()
 	ps, _ := simplePreds(conjOf(t, where))
@@ -541,22 +557,22 @@ func TestMatchViewContainment(t *testing.T) {
 	v := mkView(t, "SELECT cid, cname FROM customer WHERE cid <= 1000", "cid", "cname")
 	need := map[string]bool{"cid": true}
 
-	if m := MatchView(v, "customer", conjOf(t, "cid <= 500"), need, true); m == nil || m.Guard != nil {
+	if m := MatchView(v, customerT, conjOf(t, "cid <= 500"), need, true); m == nil || m.Guard != nil {
 		t.Error("cid <= 500 should match unconditionally")
 	}
-	if m := MatchView(v, "customer", conjOf(t, "cid <= 1000"), need, true); m == nil || m.Guard != nil {
+	if m := MatchView(v, customerT, conjOf(t, "cid <= 1000"), need, true); m == nil || m.Guard != nil {
 		t.Error("cid <= 1000 should match unconditionally")
 	}
-	if m := MatchView(v, "customer", conjOf(t, "cid < 1001"), need, true); m == nil || m.Guard != nil {
+	if m := MatchView(v, customerT, conjOf(t, "cid < 1001"), need, true); m == nil || m.Guard != nil {
 		t.Error("cid < 1001 should match unconditionally")
 	}
-	if m := MatchView(v, "customer", conjOf(t, "cid <= 2000"), need, true); m != nil && m.Guard == nil {
+	if m := MatchView(v, customerT, conjOf(t, "cid <= 2000"), need, true); m != nil && m.Guard == nil {
 		t.Error("cid <= 2000 must not match unconditionally")
 	}
-	if m := MatchView(v, "customer", conjOf(t, "cid = 400"), need, true); m == nil || m.Guard != nil {
+	if m := MatchView(v, customerT, conjOf(t, "cid = 400"), need, true); m == nil || m.Guard != nil {
 		t.Error("point inside should match")
 	}
-	if m := MatchView(v, "customer", nil, need, true); m != nil && m.Guard == nil {
+	if m := MatchView(v, customerT, nil, need, true); m != nil && m.Guard == nil {
 		t.Error("no predicate must not match a restricted view")
 	}
 }
@@ -565,7 +581,7 @@ func TestMatchViewGuards(t *testing.T) {
 	v := mkView(t, "SELECT cid FROM customer WHERE cid <= 1000", "cid")
 	need := map[string]bool{"cid": true}
 
-	m := MatchView(v, "customer", conjOf(t, "cid <= @p"), need, true)
+	m := MatchView(v, customerT, conjOf(t, "cid <= @p"), need, true)
 	if m == nil || m.Guard == nil {
 		t.Fatal("param query should match with guard")
 	}
@@ -574,18 +590,18 @@ func TestMatchViewGuards(t *testing.T) {
 		t.Errorf("guard text: %s", text)
 	}
 	// Without dynamic plans the guarded match is rejected.
-	if MatchView(v, "customer", conjOf(t, "cid <= @p"), need, false) != nil {
+	if MatchView(v, customerT, conjOf(t, "cid <= @p"), need, false) != nil {
 		t.Error("guarded match must be nil when dynamic plans are off")
 	}
 	// Lower-bound view.
 	v2 := mkView(t, "SELECT cid FROM customer WHERE cid >= 100", "cid")
-	m = MatchView(v2, "customer", conjOf(t, "cid >= @p"), need, true)
+	m = MatchView(v2, customerT, conjOf(t, "cid >= @p"), need, true)
 	if m == nil || m.Guard == nil {
 		t.Fatal("lower-bound guard failed")
 	}
 	// Two-sided view with equality parameter.
 	v3 := mkView(t, "SELECT cid FROM customer WHERE cid >= 100 AND cid <= 200", "cid")
-	m = MatchView(v3, "customer", conjOf(t, "cid = @p"), need, true)
+	m = MatchView(v3, customerT, conjOf(t, "cid = @p"), need, true)
 	if m == nil || m.Guard == nil {
 		t.Fatal("two-sided guard failed")
 	}
@@ -597,13 +613,13 @@ func TestMatchViewGuards(t *testing.T) {
 func TestMatchViewInSet(t *testing.T) {
 	v := mkView(t, "SELECT cid, segment FROM customer WHERE segment IN (1, 2, 3)", "cid", "segment")
 	need := map[string]bool{"cid": true}
-	if m := MatchView(v, "customer", conjOf(t, "segment = 2"), need, true); m == nil || m.Guard != nil {
+	if m := MatchView(v, customerT, conjOf(t, "segment = 2"), need, true); m == nil || m.Guard != nil {
 		t.Error("segment = 2 inside IN-set should match")
 	}
-	if m := MatchView(v, "customer", conjOf(t, "segment = 9"), need, true); m != nil && m.Guard == nil {
+	if m := MatchView(v, customerT, conjOf(t, "segment = 9"), need, true); m != nil && m.Guard == nil {
 		t.Error("segment = 9 outside IN-set must not match unconditionally")
 	}
-	m := MatchView(v, "customer", conjOf(t, "segment = @s"), need, true)
+	m := MatchView(v, customerT, conjOf(t, "segment = @s"), need, true)
 	if m == nil || m.Guard == nil {
 		t.Fatal("param against IN-set should produce IN guard")
 	}
@@ -616,7 +632,7 @@ func TestMatchViewExtraQueryPredsAreFine(t *testing.T) {
 	v := mkView(t, "SELECT cid, cname FROM customer WHERE cid <= 1000", "cid", "cname")
 	need := map[string]bool{"cid": true, "cname": true}
 	// Additional predicates only narrow the query; containment still holds.
-	m := MatchView(v, "customer", conjOf(t, "cid <= 800 AND cname = 'x'"), need, true)
+	m := MatchView(v, customerT, conjOf(t, "cid <= 800 AND cname = 'x'"), need, true)
 	if m == nil || m.Guard != nil {
 		t.Error("extra conjuncts should not break containment")
 	}
@@ -629,7 +645,7 @@ func TestMatchViewExtraQueryPredsAreFine(t *testing.T) {
 
 func TestMatchViewWrongTable(t *testing.T) {
 	v := mkView(t, "SELECT cid FROM customer WHERE cid <= 1000", "cid")
-	if MatchView(v, "orders", nil, map[string]bool{"cid": true}, true) != nil {
+	if MatchView(v, baseOf("orders", "okey"), nil, map[string]bool{"cid": true}, true) != nil {
 		t.Error("view over customer must not match orders")
 	}
 }
@@ -640,7 +656,7 @@ func TestEstimateGuardFrequencyUniform(t *testing.T) {
 		rows = append(rows, types.Row{types.NewInt(i)})
 	}
 	stats := catalog.BuildTableStats([]string{"cid"}, rows)
-	terms := []GuardTerm{{Param: "p", Op: sql.OpLE, Bound: types.NewInt(1000), Col: "cid"}}
+	terms := []GuardTerm{{Op: sql.OpLE, Bound: types.NewInt(1000), Col: "cid"}}
 	fl := EstimateGuardFrequency(terms, stats)
 	if fl < 0.4 || fl > 0.6 {
 		t.Errorf("Fl = %f, want ~0.5 (uniform assumption)", fl)
@@ -671,8 +687,8 @@ func TestImplicationProver(t *testing.T) {
 		{"x >= 6", "x > 5", true},
 	}
 	for _, c := range cases {
-		q := rangeFromPreds(predsOf(t, c.query))
-		v := rangeFromPreds(predsOf(t, c.view))
+		q := rangeFromPreds(predsOf(t, c.query), true)
+		v := rangeFromPreds(predsOf(t, c.view), true)
 		if got := v.impliedBy(q); got != c.implies {
 			t.Errorf("(%s) implies (%s): got %v want %v", c.query, c.view, got, c.implies)
 		}
@@ -694,7 +710,7 @@ func TestMatchViewRedundantPredicateElimination(t *testing.T) {
 	// type='Tire' must still match: the conjunct is implied by the view.
 	v := mkView(t, "SELECT id, name FROM part WHERE ptype = 'Tire'", "id", "name")
 	need := map[string]bool{"name": true}
-	m := MatchView(v, "part", conjOf(t, "ptype = 'Tire' AND id <= 10"), need, true)
+	m := MatchView(v, partT, conjOf(t, "ptype = 'Tire' AND id <= 10"), need, true)
 	if m == nil {
 		t.Fatal("implied predicate should not require projection")
 	}
@@ -705,11 +721,153 @@ func TestMatchViewRedundantPredicateElimination(t *testing.T) {
 		t.Errorf("only id <= 10 should remain residual: %v", m.Residual)
 	}
 	// But a query needing the type column VALUE still cannot use the view.
-	if MatchView(v, "part", conjOf(t, "ptype = 'Tire'"), map[string]bool{"ptype": true}, true) != nil {
+	if MatchView(v, partT, conjOf(t, "ptype = 'Tire'"), map[string]bool{"ptype": true}, true) != nil {
 		t.Error("output column missing from projection must reject")
 	}
 	// And a filter on an unprojected column that is NOT implied must reject.
-	if MatchView(v, "part", conjOf(t, "ptype = 'Bolt'"), need, true) != nil {
+	if MatchView(v, partT, conjOf(t, "ptype = 'Bolt'"), need, true) != nil {
 		t.Error("contradicting filter must reject")
+	}
+}
+
+// guardText is the deparsed guard of a match, "" for none or no match.
+func guardText(m *ViewMatch) string {
+	if m == nil || m.Guard == nil {
+		return ""
+	}
+	return sql.DeparseExpr(m.Guard)
+}
+
+// The guard rules that let a shape's one shared plan accept whatever the
+// literal statement's own plan would: each parameter is compared with the
+// view bound the literal would have been compared with.
+func TestMatchViewGuardRules(t *testing.T) {
+	need := map[string]bool{"cid": true}
+	ranged := mkView(t, "SELECT cid, cname FROM customer WHERE cid <= 1000", "cid", "cname")
+	floatT := baseOf("customer") // cid is not INT here
+	for _, c := range []struct {
+		name  string
+		view  *catalog.Table
+		base  *catalog.Table
+		where string
+		guard string // "" = no match
+	}{
+		{"IN-list is an equality per element", ranged, customerT, "cid IN (@a, @b)", "((@a <= 1000) AND (@b <= 1000))"},
+		{"open bound on an INT column is tightened", ranged, customerT, "cid < @p", "(@p <= 1001)"},
+		{"…and on no other column", ranged, floatT, "cid < @p", "(@p <= 1000)"},
+		{"negated parameter is a parameter operand", ranged, customerT, "cid = -@p", "((-@p) <= 1000)"},
+		{"lower side mirrors", mkView(t, "SELECT cid FROM customer WHERE cid >= 100", "cid"), customerT, "cid > @p", "(@p >= 99)"},
+		{"IN-list into a finite set", mkView(t, "SELECT cid, segment FROM customer WHERE segment IN (1, 2, 3)", "cid", "segment"),
+			customerT, "segment IN (@a, @b)", "((@a IN (1, 2, 3)) AND (@b IN (1, 2, 3)))"},
+		{"list mixing literals and parameters is not simple", ranged, customerT, "cid IN (5, @b)", ""},
+	} {
+		if got := guardText(MatchView(c.view, c.base, conjOf(t, c.where), need, true)); got != c.guard {
+			t.Errorf("%s: %s guards %q, want %q", c.name, c.where, got, c.guard)
+		}
+	}
+}
+
+// A parameterized conjunct on a column the view pins but does not project
+// leaves the residual under the guard that makes it redundant — and such a
+// match is marked, because its rows mean nothing once the guard fails.
+func TestMatchViewRedundantUnderGuard(t *testing.T) {
+	need := map[string]bool{"o_qty": true}
+	ordersT := baseOf("orders", "o_id", "o_i_id", "o_qty")
+	pinned := mkView(t, "SELECT o_id, o_qty FROM orders WHERE o_i_id = 7", "o_id", "o_qty")
+	m := MatchView(pinned, ordersT, conjOf(t, "o_i_id = @p AND o_id = @q"), need, true)
+	if guardText(m) != "(@p IN (7))" || len(m.Residual) != 1 || !m.ResidualNeedsGuard {
+		t.Fatalf("pinned column: guard %q, residual %v, needs guard %v", guardText(m), m.Residual, m != nil && m.ResidualNeedsGuard)
+	}
+	// A range bound is redundant only when it admits the whole view.
+	upTo := mkView(t, "SELECT o_id, o_qty FROM orders WHERE o_i_id <= 100", "o_id", "o_qty")
+	if got := guardText(MatchView(upTo, ordersT, conjOf(t, "o_i_id <= @p"), need, true)); got != "((@p <= 100) AND (@p >= 100))" {
+		t.Errorf("range bound on an unprojected column guards %q", got)
+	}
+	// Projected, the conjunct stays a filter and the guard stays weak.
+	projected := mkView(t, "SELECT o_id, o_i_id, o_qty FROM orders WHERE o_i_id <= 100", "o_id", "o_i_id", "o_qty")
+	m = MatchView(projected, ordersT, conjOf(t, "o_i_id <= @p"), need, true)
+	if guardText(m) != "(@p <= 100)" || len(m.Residual) != 1 || m.ResidualNeedsGuard {
+		t.Errorf("projected column: guard %q, residual %v", guardText(m), m.Residual)
+	}
+	// No guard can make these redundant, so the unprojected column rejects.
+	for _, where := range []string{"o_i_id = @p AND o_i_id <> @q", "o_i_id >= @p"} {
+		if m := MatchView(upTo, ordersT, conjOf(t, where), need, true); m != nil {
+			t.Errorf("%s matched a view that does not project o_i_id: guard %q", where, guardText(m))
+		}
+	}
+}
+
+// One shape has one plan, so two guarded views of one table are two arms of
+// it, cheapest first; and a guard that evaluates to NULL opens the remote
+// arm, never neither.
+func TestChoosePlanChainsGuardedViews(t *testing.T) {
+	b := newBackend(t)
+	env, store := newCache(t, b)
+	def := sql.MustParseSelect("SELECT cid, cname FROM customer WHERE cid >= 1500 AND cid <= 1600")
+	second := &catalog.Table{
+		Name:       "Cust1500",
+		Columns:    []catalog.Column{{Name: "cid", Type: types.KindInt}, {Name: "cname", Type: types.KindString}},
+		PrimaryKey: []int{0}, IsView: true, Materialized: true, Cached: true, ViewDef: def,
+	}
+	if err := env.Cat.AddTable(second); err != nil {
+		t.Fatal(err)
+	}
+	store.CreateTable(second)
+	tx := store.Begin(true)
+	var rows []types.Row
+	btx := b.store.Begin(false)
+	btx.Table("customer").Scan(func(_ storage.RowID, r types.Row) bool {
+		if id := r[0].Int(); id >= 1500 && id <= 1600 {
+			row := types.Row{r[0], r[1]}
+			tx.Insert("Cust1500", row)
+			rows = append(rows, row)
+		}
+		return true
+	})
+	btx.Abort()
+	tx.CommitUnlogged()
+	second.Stats = catalog.BuildTableStats(second.ColumnNames(), rows)
+
+	p := optimize(t, env, "SELECT cid FROM customer WHERE cid IN (@a, @b)")
+	if len(p.UsedViews) != 2 {
+		t.Fatalf("want both views in one plan, got %v\n%s", p.UsedViews, Explain(p))
+	}
+	null := types.Value{}
+	for _, c := range []struct {
+		a, b   types.Value
+		rows   int
+		remote int64
+	}{
+		{types.NewInt(3), types.NewInt(5), 2, 0},       // Cust1000
+		{types.NewInt(1501), types.NewInt(1600), 2, 0}, // Cust1500
+		{types.NewInt(3), types.NewInt(1501), 2, 1},    // straddles: neither view holds both
+		{null, types.NewInt(5), 1, 1},                  // NULL guard: the backend answers
+	} {
+		rs, ctr := execute(t, p, store, b, exec.Params{"a": c.a, "b": c.b})
+		if len(rs.Rows) != c.rows || ctr.RemoteQueries != c.remote {
+			t.Errorf("cid IN (%v, %v): %d rows, %d remote queries; want %d, %d\n%s",
+				c.a, c.b, len(rs.Rows), ctr.RemoteQueries, c.rows, c.remote, ExplainOperator(p.Root))
+		}
+	}
+
+	// Stages and joins above the chain reach every arm of it.
+	for _, q := range []string{
+		"SELECT COUNT(*) AS n, MAX(cname) AS m FROM customer WHERE cid IN (@a, @b)",
+		"SELECT TOP 1 cid FROM customer WHERE cid IN (@a, @b) ORDER BY cid DESC",
+		"SELECT o.okey, c.cname FROM orders o, customer c WHERE c.cid = o.ckey AND c.cid IN (@a, @b) ORDER BY o.okey",
+		"SELECT c.cname, o.okey FROM customer c LEFT JOIN orders o ON c.cid = o.ckey WHERE c.cid IN (@a, @b) ORDER BY o.okey",
+	} {
+		p := optimize(t, env, q)
+		for _, params := range []exec.Params{
+			{"a": types.NewInt(3), "b": types.NewInt(5)},
+			{"a": types.NewInt(1501), "b": types.NewInt(1600)},
+			{"a": types.NewInt(3), "b": types.NewInt(1501)},
+		} {
+			got, _ := execute(t, p, store, b, params)
+			want, _ := execute(t, optimize(t, b.env, q), b.store, nil, params)
+			if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+				t.Errorf("%s with %v:\n cache   %v\n backend %v\n%s", q, params, got.Rows, want.Rows, ExplainOperator(p.Root))
+			}
+		}
 	}
 }

@@ -23,7 +23,6 @@ type Plan struct {
 	UsedViews     []string // cached/materialized views the plan reads
 	RemoteSQL     []string // deparsed remote subexpressions (DataTransfer inputs)
 	Params        []string // parameter names in dense slot order (see exec.AssignParamSlots)
-	NeedsParams   bool     // remote parts forward the named-parameter map verbatim
 	Dynamic       bool     // contains a ChoosePlan
 	FullyLocal    bool     // no DataTransfer anywhere
 	FullyRemote   bool     // a single DataTransfer around the whole query
@@ -196,11 +195,7 @@ func (pl *planner) finish(p *plan) (*Plan, error) {
 	// so per-row parameter lookups on the hot path are slice loads. Remote
 	// parts still need the named map forwarded to the backend.
 	out.Params = exec.AssignParamSlots(mat.op)
-	out.NeedsParams = len(out.RemoteSQL) > 0
-	if r, ok := mat.op.(*exec.Remote); ok {
-		_ = r
-		out.FullyRemote = true
-	}
+	_, out.FullyRemote = mat.op.(*exec.Remote)
 	pl.countPlan(out)
 	return out, nil
 }
@@ -290,7 +285,7 @@ func (pl *planner) materialize(p *plan) (*plan, error) {
 		}
 		op := &exec.UnionAll{Inputs: []exec.Operator{
 			&exec.StartupFilter{Guard: guard, Input: m.op, Branch: branchOf(m.op)},
-			&exec.StartupFilter{Guard: &exec.NotExpr{X: guard}, Input: alt.op, Branch: branchOf(alt.op)},
+			&exec.StartupFilter{Guard: guard, Else: true, Input: alt.op, Branch: branchOf(alt.op)},
 		}}
 		fl := p.dyn.fl
 		return &plan{
@@ -825,43 +820,47 @@ func (pl *planner) derivedCols(ai *aliasInfo) ([]exec.ColInfo, error) {
 
 func (pl *planner) subPlanner() *planner { return &planner{env: pl.env} }
 
-func cloneSelect(s *sql.SelectStmt) *sql.SelectStmt {
+func cloneSelect(s *sql.SelectStmt) *sql.SelectStmt { return mapSelect(s, sql.CloneExpr) }
+
+// mapSelect rebuilds s — derived tables included — with every expression
+// replaced by f's image of it.
+func mapSelect(s *sql.SelectStmt, f func(sql.Expr) sql.Expr) *sql.SelectStmt {
 	if s == nil {
 		return nil
 	}
 	out := &sql.SelectStmt{
 		Distinct:  s.Distinct,
-		Top:       sql.CloneExpr(s.Top),
-		Where:     sql.CloneExpr(s.Where),
-		Having:    sql.CloneExpr(s.Having),
-		Freshness: sql.CloneExpr(s.Freshness),
+		Top:       f(s.Top),
+		Where:     f(s.Where),
+		Having:    f(s.Having),
+		Freshness: f(s.Freshness),
 	}
 	for _, c := range s.Columns {
 		out.Columns = append(out.Columns, sql.SelectItem{
-			Star: c.Star, StarTable: c.StarTable, Alias: c.Alias, Expr: sql.CloneExpr(c.Expr),
+			Star: c.Star, StarTable: c.StarTable, Alias: c.Alias, Expr: f(c.Expr),
 		})
 	}
-	for _, f := range s.From {
-		out.From = append(out.From, cloneTableRef(f))
+	for _, r := range s.From {
+		out.From = append(out.From, mapTableRef(r, f))
 	}
 	for _, g := range s.GroupBy {
-		out.GroupBy = append(out.GroupBy, sql.CloneExpr(g))
+		out.GroupBy = append(out.GroupBy, f(g))
 	}
 	for _, o := range s.OrderBy {
-		out.OrderBy = append(out.OrderBy, sql.OrderItem{Expr: sql.CloneExpr(o.Expr), Desc: o.Desc})
+		out.OrderBy = append(out.OrderBy, sql.OrderItem{Expr: f(o.Expr), Desc: o.Desc})
 	}
 	return out
 }
 
-func cloneTableRef(r sql.TableRef) sql.TableRef {
+func mapTableRef(r sql.TableRef, f func(sql.Expr) sql.Expr) sql.TableRef {
 	switch x := r.(type) {
 	case *sql.TableName:
 		c := *x
 		return &c
 	case *sql.JoinRef:
-		return &sql.JoinRef{Type: x.Type, Left: cloneTableRef(x.Left), Right: cloneTableRef(x.Right), On: sql.CloneExpr(x.On)}
+		return &sql.JoinRef{Type: x.Type, Left: mapTableRef(x.Left, f), Right: mapTableRef(x.Right, f), On: f(x.On)}
 	case *sql.SubqueryRef:
-		return &sql.SubqueryRef{Select: cloneSelect(x.Select), Alias: x.Alias}
+		return &sql.SubqueryRef{Select: mapSelect(x.Select, f), Alias: x.Alias}
 	}
 	return r
 }

@@ -49,17 +49,29 @@ func columnRefs(e sql.Expr) []sql.ColumnRef {
 }
 
 // simplePred is a normalized predicate of the form  col op rhs  where rhs is
-// a literal or a parameter. BETWEEN expands into two simplePreds; IN over
-// literals becomes an eqSet.
+// a literal or a parameter operand (@p or -@p: the normalizer leaves the sign
+// of a negative literal outside the placeholder). BETWEEN expands into two
+// simplePreds; IN becomes an eqSet over literals or inArgs over parameter
+// operands (a list mixing the two is not simple).
 type simplePred struct {
-	col   sql.ColumnRef
-	op    sql.BinOp // comparison; for eqSet entries op is OpEQ
-	lit   types.Value
-	param string // parameter name; lit unused when param != ""
-	eqSet []types.Value
+	col    sql.ColumnRef
+	op     sql.BinOp // comparison; OpEQ for the IN forms
+	lit    types.Value
+	arg    sql.Expr // parameter operand; lit unused when non-nil
+	eqSet  []types.Value
+	inArgs []sql.Expr
 }
 
-func (p simplePred) isParam() bool { return p.param != "" }
+func (p simplePred) isParam() bool { return p.arg != nil || p.inArgs != nil }
+
+// args lists the parameter operands of a parameterized predicate: the one
+// operand of a comparison, or every element of an IN-list.
+func (p simplePred) args() []sql.Expr {
+	if p.arg != nil {
+		return []sql.Expr{p.arg}
+	}
+	return p.inArgs
+}
 
 // simplePreds extracts as many normalized predicates as possible from a
 // conjunct list. Conjuncts that don't normalize (LIKE, OR, expressions)
@@ -112,15 +124,20 @@ func asSimplePreds(e sql.Expr) ([]simplePred, bool) {
 		if !ok {
 			return nil, false
 		}
-		var set []types.Value
+		p := simplePred{col: *col, op: sql.OpEQ}
 		for _, item := range x.List {
-			lit, ok := item.(*sql.Literal)
-			if !ok {
+			if lit, ok := item.(*sql.Literal); ok {
+				p.eqSet = append(p.eqSet, lit.Val)
+			} else if isParamOperand(item) {
+				p.inArgs = append(p.inArgs, item)
+			} else {
 				return nil, false
 			}
-			set = append(set, lit.Val)
 		}
-		return []simplePred{{col: *col, op: sql.OpEQ, eqSet: set}}, true
+		if (p.eqSet == nil) == (p.inArgs == nil) {
+			return nil, false // empty or mixed list
+		}
+		return []simplePred{p}, true
 	}
 	return nil, false
 }
@@ -130,13 +147,22 @@ func normalizeCmp(op sql.BinOp, l, r sql.Expr) (simplePred, bool) {
 	if !ok {
 		return simplePred{}, false
 	}
-	switch rhs := r.(type) {
-	case *sql.Literal:
-		return simplePred{col: *col, op: op, lit: rhs.Val}, true
-	case *sql.Param:
-		return simplePred{col: *col, op: op, param: rhs.Name}, true
+	if lit, ok := r.(*sql.Literal); ok {
+		return simplePred{col: *col, op: op, lit: lit.Val}, true
+	}
+	if isParamOperand(r) {
+		return simplePred{col: *col, op: op, arg: r}, true
 	}
 	return simplePred{}, false
+}
+
+// isParamOperand reports whether e is @p or -@p.
+func isParamOperand(e sql.Expr) bool {
+	if neg, ok := e.(*sql.UnaryExpr); ok && neg.Op == sql.OpNeg {
+		e = neg.X
+	}
+	_, ok := e.(*sql.Param)
+	return ok
 }
 
 // colKey is the case-folded identity of a column reference.
@@ -159,7 +185,10 @@ type valueRange struct {
 
 // rangeFromPreds folds all constant predicates on one column into a range.
 // Parameterized predicates are skipped (they don't constrain at plan time).
-func rangeFromPreds(preds []simplePred) valueRange {
+// intCol says the column's type is INT, which alone licenses rewriting an
+// open integer bound to the closed one a step in: over a FLOAT column
+// x < 101 admits 100.5, which x <= 100 does not.
+func rangeFromPreds(preds []simplePred, intCol bool) valueRange {
 	r := valueRange{}
 	for _, p := range preds {
 		if p.isParam() {
@@ -173,13 +202,13 @@ func rangeFromPreds(preds []simplePred) valueRange {
 		case sql.OpEQ:
 			r.intersectEq([]types.Value{p.lit})
 		case sql.OpLT:
-			r.boundHi(p.lit, true)
+			r.boundHi(p.lit, true, intCol)
 		case sql.OpLE:
-			r.boundHi(p.lit, false)
+			r.boundHi(p.lit, false, intCol)
 		case sql.OpGT:
-			r.boundLo(p.lit, true)
+			r.boundLo(p.lit, true, intCol)
 		case sql.OpGE:
-			r.boundLo(p.lit, false)
+			r.boundLo(p.lit, false, intCol)
 		case sql.OpNE:
 			// NE doesn't tighten a range usefully; ignore.
 		}
@@ -187,10 +216,10 @@ func rangeFromPreds(preds []simplePred) valueRange {
 	return r
 }
 
-func (r *valueRange) boundHi(v types.Value, open bool) {
+func (r *valueRange) boundHi(v types.Value, open, intCol bool) {
 	// Integer domains admit exact tightening: x < 1001 ⟺ x <= 1000, which
 	// lets the containment prover see through off-by-one bound styles.
-	if open && v.K == types.KindInt {
+	if open && intCol && v.K == types.KindInt {
 		v, open = types.NewInt(v.I-1), false
 	}
 	if r.hi.IsNull() || types.Compare(v, r.hi) < 0 || (types.Equal(v, r.hi) && open) {
@@ -199,8 +228,8 @@ func (r *valueRange) boundHi(v types.Value, open bool) {
 	r.check()
 }
 
-func (r *valueRange) boundLo(v types.Value, open bool) {
-	if open && v.K == types.KindInt {
+func (r *valueRange) boundLo(v types.Value, open, intCol bool) {
+	if open && intCol && v.K == types.KindInt {
 		v, open = types.NewInt(v.I+1), false
 	}
 	if r.lo.IsNull() || types.Compare(v, r.lo) > 0 || (types.Equal(v, r.lo) && open) {
@@ -251,6 +280,37 @@ func (r *valueRange) check() {
 			r.empty = true
 		}
 	}
+}
+
+// points lists the values of a range that admits finitely many: its eq set,
+// or the one value of a closed range whose bounds meet. nil otherwise.
+func (r *valueRange) points() []types.Value {
+	if r.eq != nil {
+		return r.eq
+	}
+	if !r.lo.IsNull() && !r.loOpen && !r.hiOpen && types.Equal(r.lo, r.hi) {
+		return []types.Value{r.lo}
+	}
+	return nil
+}
+
+// bound returns the range's least upper bound (dir > 0) or greatest lower
+// bound (dir < 0) and whether it is excluded; NULL when the range is
+// unbounded on that side (or admits nothing).
+func (r *valueRange) bound(dir int) (types.Value, bool) {
+	if r.eq == nil {
+		if dir > 0 {
+			return r.hi, r.hiOpen
+		}
+		return r.lo, r.loOpen
+	}
+	var m types.Value
+	for _, v := range r.eq {
+		if m.IsNull() || types.Compare(v, m)*dir > 0 {
+			m = v
+		}
+	}
+	return m, false
 }
 
 // contains reports whether value v satisfies the range bounds.

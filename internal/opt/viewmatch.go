@@ -29,22 +29,27 @@ type ViewMatch struct {
 	// the view's rows. Conjuncts the view definition already implies are
 	// dropped — so their columns need not be in the view's projection.
 	Residual []sql.Expr
+
+	// ResidualNeedsGuard marks that some conjunct left Residual only because
+	// the guard implies it: the view's rows answer the query while the guard
+	// holds and mean nothing once it fails, so no plan may read them on the
+	// guard-false side (the mixed-result plan does).
+	ResidualNeedsGuard bool
 }
 
-// GuardTerm is one conjunct of a guard: @Param Op Bound (or @Param IN EqSet),
+// GuardTerm describes one conjunct of a guard for selectivity estimation: a
+// parameter operand compared by Op with Bound (or tested against EqSet),
 // derived from view predicate bounds on column Col.
 type GuardTerm struct {
-	Param string
 	Op    sql.BinOp
 	Bound types.Value
 	EqSet []types.Value
 	Col   string // underlying base-table column, for statistics
 }
 
-// MatchView tests whether view can substitute for a reference to base table
-// tableName given the query's single-table conjuncts and the set of
-// downstream-needed columns (lower-cased names). dynamicOK enables guarded
-// (parameterized) matches.
+// MatchView tests whether view can substitute for a reference to base given
+// the query's single-table conjuncts and the set of downstream-needed columns
+// (lower-cased names). dynamicOK enables guarded (parameterized) matches.
 //
 // The test follows the select-project case of the Goldstein–Larson
 // view-matching conditions: (1) the view is over the same table, (2) the
@@ -53,7 +58,14 @@ type GuardTerm struct {
 // already implies are dropped from the residual, and (4) every needed
 // column — downstream needs plus residual-conjunct columns — is in the
 // view's projection.
-func MatchView(view *catalog.Table, tableName string, conjuncts []sql.Expr, needed map[string]bool, dynamicOK bool) *ViewMatch {
+//
+// A guarded match accepts every statement the literal match accepts once the
+// statement's literals are replaced by parameters bound to the same values
+// (the engine plans each ad-hoc shape once, in that form): wherever the
+// literal prover compares a constant with a view bound, the guard makes the
+// same comparison on the parameter at run time. The converse does not hold —
+// see DESIGN.md §13 for the shapes left conservative.
+func MatchView(view, base *catalog.Table, conjuncts []sql.Expr, needed map[string]bool, dynamicOK bool) *ViewMatch {
 	if view.ViewDef == nil || !view.IsView {
 		return nil
 	}
@@ -62,8 +74,8 @@ func MatchView(view *catalog.Table, tableName string, conjuncts []sql.Expr, need
 	if len(def.From) != 1 || def.GroupBy != nil || def.Having != nil || def.Top != nil || def.Distinct {
 		return nil
 	}
-	base, ok := def.From[0].(*sql.TableName)
-	if !ok || !strings.EqualFold(base.Name, tableName) {
+	from, ok := def.From[0].(*sql.TableName)
+	if !ok || !strings.EqualFold(from.Name, base.Name) {
 		return nil
 	}
 
@@ -89,63 +101,67 @@ func MatchView(view *catalog.Table, tableName string, conjuncts []sql.Expr, need
 	if len(viewResidual) > 0 {
 		return nil
 	}
-	byColView := groupByCol(viewPreds)
-
-	preds, _ := simplePreds(conjuncts)
-	byColQuery := groupByCol(preds)
+	queryPreds, _ := simplePreds(conjuncts)
+	byColQuery := groupByCol(queryPreds)
+	intCol := func(col string) bool {
+		c := base.Column(col)
+		return c != nil && c.Type == types.KindInt
+	}
 
 	// Containment check per view-predicate column.
-	var guardExprs []sql.Expr
-	var guardTerms []GuardTerm
-	for col, vPreds := range byColView {
-		vRange := rangeFromPreds(vPreds)
+	var guard guardBuilder
+	viewRanges := make(map[string]valueRange)
+	for col, vPreds := range groupByCol(viewPreds) {
+		vRange := rangeFromPreds(vPreds, intCol(col))
+		viewRanges[col] = vRange
 		qPreds := byColQuery[col]
-		qRange := rangeFromPreds(qPreds)
+		qRange := rangeFromPreds(qPreds, intCol(col))
 		if vRange.impliedBy(qRange) {
 			continue
 		}
-		if !dynamicOK {
+		if !dynamicOK || !guard.containment(col, intCol(col), vRange, qRange, qPreds) {
 			return nil
 		}
-		exprs, terms, ok := deriveGuard(col, vRange, qRange, qPreds)
-		if !ok {
-			return nil
-		}
-		guardExprs = append(guardExprs, exprs...)
-		guardTerms = append(guardTerms, terms...)
 	}
 
 	// Residual: drop conjuncts the view definition implies (redundancy
 	// elimination). A conjunct is redundant when, for every simple predicate
 	// it contributes, the view's range on that column is contained in the
-	// predicate's range.
+	// predicate's range. For a parameterized predicate that is a run-time
+	// condition: it joins the guard, but only when the view does not project
+	// the column — otherwise filtering the view's rows costs less than a
+	// guard that fails more often.
 	var residual []sql.Expr
+	needsGuard := false
 	for _, c := range conjuncts {
-		ps, ok := asSimplePreds(c)
-		if !ok {
-			residual = append(residual, c)
-			continue
-		}
-		redundant := true
+		ps, _ := asSimplePreds(c)
+		var byGuard guardBuilder
+		redundant := len(ps) > 0
 		for _, p := range ps {
-			if p.isParam() {
+			col := colNameKey(p.col)
+			vRange, isViewCol := viewRanges[col]
+			_, projected := colMap[col]
+			switch {
+			case !isViewCol || p.op == sql.OpNE:
+				// OpNE folds to an unbounded range, which would read as implied.
 				redundant = false
-				break
+			case !p.isParam():
+				pRange := rangeFromPreds([]simplePred{p}, intCol(col))
+				redundant = pRange.impliedBy(vRange)
+			default:
+				redundant = dynamicOK && !projected && byGuard.redundancy(col, p, vRange)
 			}
-			vPreds, okCol := byColView[colNameKey(p.col)]
-			if !okCol {
-				redundant = false
-				break
-			}
-			vRange := rangeFromPreds(vPreds)
-			pRange := rangeFromPreds([]simplePred{p})
-			if !pRange.impliedBy(vRange) {
-				redundant = false
+			if !redundant {
 				break
 			}
 		}
 		if !redundant {
 			residual = append(residual, c)
+			continue
+		}
+		if len(byGuard.exprs) > 0 {
+			needsGuard = true
+			guard.merge(byGuard)
 		}
 	}
 
@@ -163,9 +179,10 @@ func MatchView(view *catalog.Table, tableName string, conjuncts []sql.Expr, need
 		}
 	}
 
-	m := &ViewMatch{View: view, ColMap: colMap, GuardTerms: guardTerms, Residual: residual}
-	m.Guard = AndAll(guardExprs)
-	return m
+	return &ViewMatch{
+		View: view, ColMap: colMap, Residual: residual, ResidualNeedsGuard: needsGuard,
+		Guard: AndAll(guard.exprs), GuardTerms: guard.terms,
+	}
 }
 
 func groupByCol(preds []simplePred) map[string][]simplePred {
@@ -177,13 +194,52 @@ func groupByCol(preds []simplePred) map[string][]simplePred {
 	return out
 }
 
-// deriveGuard finds parameter conditions under which the query predicates on
-// one column imply the view's range on that column. Returns ok=false when no
-// sound guard exists.
-func deriveGuard(col string, vRange, qRange valueRange, qPreds []simplePred) ([]sql.Expr, []GuardTerm, bool) {
-	var exprs []sql.Expr
-	var terms []GuardTerm
+// guardBuilder accumulates the conjuncts of a guard, each  arg op bound  or
+// arg IN (set)  over one parameter operand, with the GuardTerm describing it.
+type guardBuilder struct {
+	exprs []sql.Expr
+	terms []GuardTerm
+}
 
+func (g *guardBuilder) add(e sql.Expr, t GuardTerm) {
+	// The containment and the redundancy of one predicate can ask for the
+	// same condition (x = @p against a view pinning x to 7: @p IN (7) both
+	// times); said twice it would square the term's share of Fl.
+	text := sql.DeparseExpr(e)
+	for _, have := range g.exprs {
+		if sql.DeparseExpr(have) == text {
+			return
+		}
+	}
+	g.exprs = append(g.exprs, e)
+	g.terms = append(g.terms, t)
+}
+
+func (g *guardBuilder) merge(o guardBuilder) {
+	for i, e := range o.exprs {
+		g.add(e, o.terms[i])
+	}
+}
+
+func (g *guardBuilder) cmp(col string, arg sql.Expr, op sql.BinOp, bound types.Value) {
+	g.add(&sql.BinaryExpr{Op: op, L: arg, R: &sql.Literal{Val: bound}},
+		GuardTerm{Op: op, Bound: bound, Col: col})
+}
+
+func (g *guardBuilder) in(col string, arg sql.Expr, set []types.Value) {
+	list := make([]sql.Expr, len(set))
+	for i, v := range set {
+		list[i] = &sql.Literal{Val: v}
+	}
+	g.add(&sql.InExpr{X: arg, List: list},
+		GuardTerm{Op: sql.OpEQ, EqSet: set, Col: col})
+}
+
+// containment adds the parameter conditions under which the query predicates
+// on one column imply the view's range on that column. It returns false when
+// no sound guard exists. An IN-list of parameters is an equality per
+// element: every element must land inside the view's range.
+func (g *guardBuilder) containment(col string, intCol bool, vRange, qRange valueRange, qPreds []simplePred) bool {
 	paramOf := func(ops ...sql.BinOp) *simplePred {
 		for i := range qPreds {
 			p := &qPreds[i]
@@ -198,76 +254,107 @@ func deriveGuard(col string, vRange, qRange valueRange, qPreds []simplePred) ([]
 		}
 		return nil
 	}
-	emit := func(param string, op sql.BinOp, bound types.Value) {
-		exprs = append(exprs, &sql.BinaryExpr{
-			Op: op,
-			L:  &sql.Param{Name: param},
-			R:  &sql.Literal{Val: bound},
-		})
-		terms = append(terms, GuardTerm{Param: param, Op: op, Bound: bound, Col: col})
-	}
 
 	// Finite-set view predicate: only @p = ... can be guarded into it.
 	if vRange.eq != nil {
-		if qRange.eq != nil {
-			sub := true
-			for _, v := range qRange.eq {
-				if !vRange.containsEqAware(v) {
-					sub = false
-					break
-				}
-			}
-			if sub {
-				return nil, nil, true
-			}
-		}
 		p := paramOf(sql.OpEQ)
 		if p == nil {
-			return nil, nil, false
+			return false
 		}
-		var list []sql.Expr
-		for _, v := range vRange.eq {
-			list = append(list, &sql.Literal{Val: v})
+		for _, arg := range p.args() {
+			g.in(col, arg, vRange.eq)
 		}
-		exprs = append(exprs, &sql.InExpr{X: &sql.Param{Name: p.param}, List: list})
-		terms = append(terms, GuardTerm{Param: p.param, EqSet: vRange.eq, Col: col, Op: sql.OpEQ})
-		return exprs, terms, true
+		return true
 	}
 
 	// Upper bound of the view range.
-	if !vRange.hi.IsNull() {
-		hiDone := qRange.hiSatisfies(vRange.hi, vRange.hiOpen)
-		if !hiDone {
-			p := paramOf(sql.OpEQ, sql.OpLE, sql.OpLT)
-			if p == nil {
-				return nil, nil, false
-			}
-			// Query pred: X <= @p (or X = @p, X < @p). Containment requires
-			// @p within the view's upper bound. X < @p is safe with @p <= hi
-			// as well because X < @p <= hi.
-			op := sql.OpLE
-			if vRange.hiOpen && p.op != sql.OpLT {
+	if !vRange.hi.IsNull() && !qRange.hiSatisfies(vRange.hi, vRange.hiOpen) {
+		p := paramOf(sql.OpEQ, sql.OpLE, sql.OpLT)
+		if p == nil {
+			return false
+		}
+		// Query pred: X <= @p (or X = @p, X < @p). Containment requires
+		// @p within the view's upper bound. X < @p is safe with @p <= hi
+		// as well because X < @p <= hi — and over an INT column with
+		// @p <= hi+1, the bound the literal prover tightens x < hi+1 to.
+		op, bound := sql.OpLE, vRange.hi
+		switch {
+		case p.op != sql.OpLT:
+			if vRange.hiOpen {
 				op = sql.OpLT
 			}
-			emit(p.param, op, vRange.hi)
+		case intCol && !vRange.hiOpen && bound.K == types.KindInt:
+			bound = types.NewInt(bound.I + 1)
+		}
+		for _, arg := range p.args() {
+			g.cmp(col, arg, op, bound)
 		}
 	}
 	// Lower bound of the view range.
-	if !vRange.lo.IsNull() {
-		loDone := qRange.loSatisfies(vRange.lo, vRange.loOpen)
-		if !loDone {
-			p := paramOf(sql.OpEQ, sql.OpGE, sql.OpGT)
-			if p == nil {
-				return nil, nil, false
-			}
-			op := sql.OpGE
-			if vRange.loOpen && p.op != sql.OpGT {
+	if !vRange.lo.IsNull() && !qRange.loSatisfies(vRange.lo, vRange.loOpen) {
+		p := paramOf(sql.OpEQ, sql.OpGE, sql.OpGT)
+		if p == nil {
+			return false
+		}
+		op, bound := sql.OpGE, vRange.lo
+		switch {
+		case p.op != sql.OpGT:
+			if vRange.loOpen {
 				op = sql.OpGT
 			}
-			emit(p.param, op, vRange.lo)
+		case intCol && !vRange.loOpen && bound.K == types.KindInt:
+			bound = types.NewInt(bound.I - 1)
+		}
+		for _, arg := range p.args() {
+			g.cmp(col, arg, op, bound)
 		}
 	}
-	return exprs, terms, true
+	return true
+}
+
+// redundancy adds the parameter conditions under which every value the view
+// admits on p's column satisfies p, so the view's rows need not be filtered
+// by p. It returns false when there is no such condition. It is the run-time
+// form of the literal test  vRange ⊆ range(p).
+func (g *guardBuilder) redundancy(col string, p simplePred, vRange valueRange) bool {
+	switch p.op {
+	case sql.OpEQ:
+		// The view must admit finitely many values, each of them listed.
+		points := vRange.points()
+		if points == nil {
+			return false
+		}
+		if p.arg != nil {
+			if len(points) != 1 {
+				return false
+			}
+			g.in(col, p.arg, points)
+			return true
+		}
+		for _, v := range points {
+			g.add(&sql.InExpr{X: &sql.Literal{Val: v}, List: p.inArgs},
+				GuardTerm{Op: sql.OpEQ, Bound: v, Col: col})
+		}
+	case sql.OpLE, sql.OpLT, sql.OpGE, sql.OpGT:
+		// col <= @p holds on every row when @p is at or above everything the
+		// view admits; strictly above for col < @p, unless the view's own
+		// bound is already excluded. The lower side mirrors.
+		dir, op, strict := 1, sql.OpGE, sql.OpGT
+		if p.op == sql.OpGE || p.op == sql.OpGT {
+			dir, op, strict = -1, sql.OpLE, sql.OpLT
+		}
+		bound, open := vRange.bound(dir)
+		if bound.IsNull() {
+			return false
+		}
+		if (p.op == sql.OpLT || p.op == sql.OpGT) && !open {
+			op = strict
+		}
+		g.cmp(col, p.arg, op, bound)
+	default:
+		return false
+	}
+	return true
 }
 
 // hiSatisfies reports whether this (query) range's upper side already stays

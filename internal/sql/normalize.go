@@ -22,10 +22,17 @@ import (
 // itself parseable SQL, so on a cache miss the engine parses the key (not
 // the original text) and the resulting statement deparse — the plan-cache
 // key — is canonical for the shape.
+//
+// A text that already spells @__pN parameters is what a cache forwards to
+// the backend for the remote part of a shared plan: the shape, with the
+// literals travelling in the named-parameter map. Such a text normalizes to
+// its canonical form with zero extracted values, so the backend's front door
+// hits its shape and plan caches instead of parsing every forwarded
+// statement. Only the mix is refused — an explicit @__pN next to a literal
+// of the text's own — because numbering the extracted literal from 0 would
+// collide with the explicit name.
 
-// autoParamPrefix starts every generated parameter name. User queries using
-// @__p<digits> parameters are rejected from auto-parameterization so bound
-// literals can never collide with explicit parameters.
+// autoParamPrefix starts every generated parameter name.
 const autoParamPrefix = "__p"
 
 // autoParamNames precomputes the common names so hot-path binding and key
@@ -75,19 +82,21 @@ type Normalizer struct {
 	kw   []byte        // upper-cased ident scratch for keyword lookup
 
 	pendingIdent string // ident delayed until the next token decides its case
+	explicitAuto bool   // src itself spells an @__pN parameter
 }
 
 // Normalize rewrites src's literals to @__pN parameters. It returns the
 // normalized key (valid until the next call on this Normalizer), the literal
 // values in source order, and ok=false when src is not an
-// auto-parameterizable SELECT (not a SELECT, lexically malformed, or using
-// explicit @__pN parameters). A false return is NOT an error — the caller
-// falls back to the ordinary parse path, which reports any real syntax
-// error against the original text.
+// auto-parameterizable SELECT (not a SELECT, lexically malformed, or mixing
+// explicit @__pN parameters with literals). A false return is NOT an error —
+// the caller falls back to the ordinary parse path, which reports any real
+// syntax error against the original text.
 func (n *Normalizer) Normalize(src string) (key []byte, args []types.Value, ok bool) {
 	n.buf = n.buf[:0]
 	n.args = n.args[:0]
 	n.pendingIdent = ""
+	n.explicitAuto = false
 	pos := 0
 	first := true
 	for {
@@ -106,7 +115,10 @@ func (n *Normalizer) Normalize(src string) (key []byte, args []types.Value, ok b
 			}
 			name := src[start:pos]
 			if _, isAuto := AutoParamIndex(name); isAuto {
-				return nil, nil, false // explicit @__pN would collide
+				if len(n.args) > 0 {
+					return nil, nil, false // would collide with an extracted literal
+				}
+				n.explicitAuto = true
 			}
 			n.flushIdent(false)
 			n.sp()
@@ -167,7 +179,9 @@ func (n *Normalizer) Normalize(src string) (key []byte, args []types.Value, ok b
 				v = types.NewInt(i)
 			}
 			n.flushIdent(false)
-			n.emitParam(v)
+			if !n.emitParam(v) {
+				return nil, nil, false
+			}
 		case c == '\'':
 			if first {
 				return nil, nil, false
@@ -178,7 +192,9 @@ func (n *Normalizer) Normalize(src string) (key []byte, args []types.Value, ok b
 			}
 			pos = end
 			n.flushIdent(false)
-			n.emitParam(types.NewString(s))
+			if !n.emitParam(types.NewString(s)) {
+				return nil, nil, false
+			}
 		default:
 			op, end, opOK := scanOperator(src, pos)
 			if !opOK {
@@ -232,13 +248,19 @@ func (n *Normalizer) flushIdent(asFunc bool) bool {
 	return true
 }
 
-// emitParam records one literal value and writes its @__pN placeholder.
-func (n *Normalizer) emitParam(v types.Value) {
+// emitParam records one literal value and writes its @__pN placeholder. It
+// returns false — the caller must bail — when src spelled an @__pN itself,
+// which the generated name could collide with.
+func (n *Normalizer) emitParam(v types.Value) bool {
+	if n.explicitAuto {
+		return false
+	}
 	name := AutoParamName(len(n.args))
 	n.args = append(n.args, v)
 	n.sp()
 	n.buf = append(n.buf, '@')
 	n.buf = append(n.buf, name...)
+	return true
 }
 
 // skipSpaceAndCommentsAt mirrors lexer.skipSpaceAndComments on a raw string.

@@ -91,12 +91,13 @@ func TestNormalizeBails(t *testing.T) {
 		"EXPLAIN SELECT a FROM t",
 		"EXEC getBook @id = 1",
 		"42 + 1",
-		"name FROM t",                     // ident first
-		"SELECT a FROM t WHERE a = @__p0", // explicit auto-param name collides
-		"SELECT a FROM t WHERE a = @",     // lone @
-		"SELECT 'unterminated",            // unterminated string
-		"SELECT [unterminated FROM t",     // unterminated bracket ident
-		"SELECT a FROM t WHERE x ? 1",     // unknown operator
+		"name FROM t", // ident first
+		"SELECT a FROM t WHERE a = @__p0 AND b = 1",   // explicit auto-param name, then a literal: collides
+		"SELECT a FROM t WHERE b = 'x' AND a = @__p1", // a literal, then an explicit auto-param name
+		"SELECT a FROM t WHERE a = @",                 // lone @
+		"SELECT 'unterminated",                        // unterminated string
+		"SELECT [unterminated FROM t",                 // unterminated bracket ident
+		"SELECT a FROM t WHERE x ? 1",                 // unknown operator
 	} {
 		if _, _, ok := n.Normalize(src); ok {
 			t.Errorf("Normalize(%q) ok, want bail", src)
@@ -105,6 +106,31 @@ func TestNormalizeBails(t *testing.T) {
 	// A bail must not poison the next call.
 	if key, _ := normalize(t, "SELECT a FROM t"); key != "SELECT a FROM t" {
 		t.Fatalf("normalizer state leaked across calls: %q", key)
+	}
+}
+
+// A text whose only parameters-to-be are explicit @__pN — what a cache ships
+// for the remote part of a shared plan — normalizes to its own canonical
+// form with nothing extracted, so the backend resolves it through the shape
+// cache and binds @__pN from the named-parameter map.
+func TestNormalizeForwardedShapePassesThrough(t *testing.T) {
+	var n Normalizer
+	for _, c := range []struct{ src, key string }{
+		{"SELECT a FROM t WHERE a = @__p0", "SELECT a FROM t WHERE a = @__p0"},
+		{"select  t.a from t where t.b >= @__p0 and t.b < @__p1 and t.c = @x",
+			"SELECT t . a FROM t WHERE t . b >= @__p0 AND t . b < @__p1 AND t . c = @x"},
+		{"SELECT TOP @__p1 a FROM t WHERE b IN (@__p0, @__p2)", "SELECT TOP @__p1 a FROM t WHERE b IN ( @__p0 , @__p2 )"},
+	} {
+		key, args, ok := n.Normalize(c.src)
+		if !ok || string(key) != c.key || len(args) != 0 {
+			t.Errorf("Normalize(%q) = %q, %d args, ok=%v; want %q, 0 args", c.src, key, len(args), ok, c.key)
+		}
+		if again, _, _ := n.Normalize(string(key)); string(again) != c.key {
+			t.Errorf("key %q is not a fixed point: %q", c.key, again)
+		}
+		if avg := testing.AllocsPerRun(200, func() { n.Normalize(c.src) }); avg != 0 {
+			t.Errorf("Normalize(%q): %.1f allocs/op, want 0", c.src, avg)
+		}
 	}
 }
 
@@ -262,7 +288,8 @@ func substAutoParams(t *testing.T, sel *SelectStmt, args []types.Value) *SelectS
 		case nil:
 			return nil
 		case *Param:
-			if i, ok := AutoParamIndex(x.Name); ok {
+			// With nothing extracted, any @__pN is the source's own spelling.
+			if i, ok := AutoParamIndex(x.Name); ok && len(args) > 0 {
 				if i >= len(args) {
 					t.Fatalf("param %s out of range (%d args)", x.Name, len(args))
 				}
@@ -350,6 +377,8 @@ func FuzzNormalize(f *testing.F) {
 		"SELECT [a b] FROM t",
 		"SELECT 'unterminated",
 		"",
+		"SELECT a FROM t WHERE b = @__p0 AND c < @__p1",
+		"SELECT a FROM t WHERE b = @__p0 AND c < 5",
 	}
 	for _, s := range seeds {
 		f.Add(s)
