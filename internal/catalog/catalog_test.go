@@ -1,8 +1,10 @@
 package catalog
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"mtcache/internal/sql"
 	"mtcache/internal/types"
@@ -297,6 +299,58 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	}
 	if !strings.Contains(got.Script, "CREATE TABLE customer") {
 		t.Error("script lost")
+	}
+}
+
+// TestSnapshotKeepsStatisticsBitIdentical: the snapshot a cache provisions
+// its shadow database from carries FLOAT and DATETIME Min/Max and every
+// histogram bound exactly. gob by reflection would see none of a Value's
+// payload and ship zeros, and the cache would quietly plan on them.
+func TestSnapshotKeepsStatisticsBitIdentical(t *testing.T) {
+	rows := make([]types.Row, 0, 200)
+	for i := 0; i < 200; i++ {
+		ts := time.Date(1600+2*i, 3, 4, 5, 6, 7, 1_000_000*i+i, time.UTC) // sub-second; before 1678 and past 1970
+		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewFloat(float64(i)*0.1 - 3), types.NewTime(ts)})
+	}
+	rows = append(rows,
+		types.Row{types.NewInt(200), types.NewFloat(math.Copysign(0, -1)), types.NewTime(time.Date(9999, 12, 31, 23, 59, 59, 999_999_999, time.UTC))},
+		types.Row{types.NewInt(201), types.NewFloat(math.Inf(1)), types.NewTime(time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC))})
+	c := New()
+	tbl := &Table{Name: "m", Columns: []Column{
+		{Name: "id", Type: types.KindInt}, {Name: "f", Type: types.KindFloat}, {Name: "ts", Type: types.KindTime}}}
+	tbl.Stats = BuildTableStats([]string{"id", "f", "ts"}, rows)
+	// A NaN bound cannot come out of a sort; put one in by hand.
+	nan := types.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef))
+	tbl.Stats.Columns["f"].Buckets = append(tbl.Stats.Columns["f"].Buckets, Bucket{Hi: nan, Count: 1, Distinct: 1})
+	c.AddTable(tbl)
+
+	data, err := ExportSnapshot(c).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"id", "f", "ts"} {
+		want, have := tbl.Stats.Columns[col], got.Stats["m"].Columns[col]
+		if have == nil {
+			t.Fatalf("column %s lost", col)
+		}
+		if want.Min.IsNull() || want.Max.IsNull() || len(want.Buckets) < 2 {
+			t.Fatalf("column %s: statistics too thin to test with: %+v", col, want)
+		}
+		if have.Min != want.Min || have.Max != want.Max { // struct equality: bits, (seconds, nanoseconds)
+			t.Errorf("column %s: Min/Max %#v/%#v came back as %#v/%#v", col, want.Min, want.Max, have.Min, have.Max)
+		}
+		if len(have.Buckets) != len(want.Buckets) {
+			t.Fatalf("column %s: %d buckets came back as %d", col, len(want.Buckets), len(have.Buckets))
+		}
+		for i := range want.Buckets {
+			if have.Buckets[i] != want.Buckets[i] {
+				t.Errorf("column %s bucket %d: %#v came back as %#v", col, i, want.Buckets[i], have.Buckets[i])
+			}
+		}
 	}
 }
 

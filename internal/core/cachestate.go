@@ -25,7 +25,7 @@ import (
 )
 
 const (
-	cacheCkptMagic = "MTCCKPT1"
+	cacheCkptMagic = "MTCCKPT2" // 2: a types.Value gob-encodes as its types/codec.go bytes
 	cacheCkptFile  = "cache-state.ckpt"
 )
 

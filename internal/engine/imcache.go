@@ -165,11 +165,11 @@ func imWriteValue(b *strings.Builder, v types.Value) {
 		b.WriteString("n;")
 	case types.KindBool, types.KindInt:
 		b.WriteString("i:")
-		b.WriteString(strconv.FormatInt(v.I, 10))
+		b.WriteString(strconv.FormatInt(v.Int(), 10))
 		b.WriteByte(';')
 	case types.KindFloat:
 		b.WriteString("f:")
-		b.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
+		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
 		b.WriteByte(';')
 	case types.KindString:
 		b.WriteString("s:")
@@ -177,7 +177,10 @@ func imWriteValue(b *strings.Builder, v types.Value) {
 		b.WriteByte(';')
 	case types.KindTime:
 		b.WriteString("t:")
-		b.WriteString(strconv.FormatInt(v.T.UnixNano(), 10))
+		t := v.Time()
+		b.WriteString(strconv.FormatInt(t.Unix(), 10))
+		b.WriteByte('.')
+		b.WriteString(strconv.Itoa(t.Nanosecond()))
 		b.WriteByte(';')
 	default:
 		b.WriteString("?;")

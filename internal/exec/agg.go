@@ -80,7 +80,7 @@ func (a *aggState) add(spec AggSpec, v types.Value) {
 	switch spec.Func {
 	case AggSum, AggAvg:
 		if v.K == types.KindInt {
-			a.sumInt += v.I
+			a.sumInt += v.Int()
 		} else {
 			a.allInt = false
 		}
@@ -278,7 +278,7 @@ func aggIntKeyBatch(ctx *Ctx, rows []types.Row, keyCol int, argCols []int, aggs 
 		if keyCol >= len(row) || row[keyCol].K != types.KindInt {
 			return n, nil
 		}
-		k := row[keyCol].I
+		k := row[keyCol].Int()
 		g := intGroups[k]
 		if g == nil {
 			g = newGroup(types.Row{types.NewInt(k)})

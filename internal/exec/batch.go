@@ -17,14 +17,19 @@ const BatchSize = 64
 //
 // A consumer that copies out everything it keeps before its next pull —
 // aggregation cloning group keys, a join probe emitting concatenated
-// copies — sets Ephemeral before calling BatchNext. That releases the
-// producer from the durability guarantee: it may overwrite the delivered
-// rows on the following BatchNext call, which lets Project recycle one
-// output slab instead of growing a fresh arena chunk per batch. Operators
-// that merely pass rows through (Filter, Limit, UnionAll) propagate the
-// flag; operators that retain input rows (Sort, TopN, Distinct, hash-join
-// and nested-loop builds, Exchange workers, Run itself) leave it unset on
-// the batches they own.
+// copies, a projection evaluating into its own rows — sets Ephemeral before
+// calling BatchNext. That releases the producer from the durability
+// guarantee: it may overwrite the delivered rows on the following BatchNext
+// call. Every operator that materializes its output honours the flag the same
+// way: Project, HashJoin, IndexJoin and NestedLoop carve their rows from a
+// rowArena and rewind it (rowArena.recycle) instead of growing a fresh chunk
+// per batch, so a join under an aggregate re-uses one chunk for its whole
+// run. Operators that merely pass rows through (Filter, Limit, UnionAll)
+// propagate the flag; operators that retain input rows (Sort, TopN, Distinct,
+// hash-join and nested-loop builds, Exchange workers, Run itself) leave it
+// unset on the batches they own and see rows that are never touched again.
+// The contract is checked in both directions by the poison and hoard
+// wrappers in ephemeral_test.go.
 type Batch struct {
 	Rows      []types.Row
 	Ephemeral bool
@@ -49,30 +54,56 @@ func sliceBatch(rows []types.Row, pos *int, b *Batch) {
 // replacing a make per row with one make per batch. Callers hint the coming
 // batch's total width so chunks are sized to real demand — a point query
 // allocates exactly its one row, a full scan batch one 64-row chunk — and
-// live result rows never pin more than one batch of slack. Chunks are never
-// reused or freed early — every row handed out owns its slice for the life
-// of the result — so rows emitted from an arena are exactly as durable as
-// individually allocated ones. The full-capacity reslice (buf[:n:n]) makes
-// appending to an emitted row impossible to alias into a neighbour.
+// live result rows never pin more than one batch of slack. The full-capacity
+// reslice (buf[:n:n]) makes appending to an emitted row impossible to alias
+// into a neighbour.
+//
+// For a durable consumer a chunk is never reused or freed early — every row
+// handed out owns its slice for the life of the result — so rows emitted from
+// an arena are exactly as durable as individually allocated ones. For an
+// Ephemeral consumer the owning operator calls recycle at the top of each
+// BatchNext, and the rows of the previous call become the storage of this
+// one. A recycled row holds stale values: alloc's caller writes every column.
 type rowArena struct {
-	buf   []types.Value
-	chunk int // refill granularity, set by hint
+	buf   []types.Value // unused tail of the current chunk
+	chunk int           // refill granularity, set by hint
+
+	eph   bool          // the call in progress was pulled Ephemeral
+	mark  []types.Value // where this call's rows begin: buf at recycle, or the chunk started since
+	used  int           // values handed out by this call
+	floor int           // least size of a new chunk: what one Ephemeral call has needed
 }
 
 // hint sets the refill size for the coming batch (total values expected).
 func (a *rowArena) hint(n int) { a.chunk = n }
+
+// recycle starts one BatchNext call of the owning operator; ephemeral is the
+// flag on the batch being filled. When this call and the previous one are
+// both Ephemeral the rows handed out in between are dead, and the arena
+// rewinds to where they began. If they spilled past that chunk it is dropped
+// instead and the next chunk is as large as the whole call was, so a fan-out
+// join settles on one chunk. A durable call rewinds nothing and what it
+// hands out is never rewound over, whatever the flags of later calls.
+func (a *rowArena) recycle(ephemeral bool) {
+	if a.eph && ephemeral {
+		if a.used <= len(a.mark) {
+			a.buf = a.mark
+		} else {
+			a.buf, a.floor = nil, a.used
+		}
+	}
+	a.eph, a.mark, a.used = ephemeral, a.buf, 0
+}
 
 func (a *rowArena) alloc(n int) types.Row {
 	if n == 0 {
 		return types.Row{}
 	}
 	if len(a.buf) < n {
-		c := a.chunk
-		if n > c {
-			c = n
-		}
-		a.buf = make([]types.Value, c)
+		a.buf = make([]types.Value, max(n, a.chunk, a.floor))
+		a.mark = a.buf
 	}
+	a.used += n
 	r := types.Row(a.buf[:n:n])
 	a.buf = a.buf[n:]
 	return r

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"mtcache/internal/catalog"
@@ -378,6 +379,102 @@ func TestLikeMatching(t *testing.T) {
 		if got := likeMatch(c.s, c.p); got != c.want {
 			t.Errorf("likeMatch(%q,%q)=%v want %v", c.s, c.p, got, c.want)
 		}
+	}
+}
+
+// likeRef is the matcher likeFold replaced, kept as the reference: recursion
+// once per % per position over lower-cased strings.
+func likeRef(s, p string) bool {
+	for len(p) > 0 {
+		switch p[0] {
+		case '%':
+			for i := 0; i <= len(s); i++ {
+				if likeRef(s[i:], p[1:]) {
+					return true
+				}
+			}
+			return false
+		case '_':
+			if len(s) == 0 {
+				return false
+			}
+		default:
+			if len(s) == 0 || s[0] != p[0] {
+				return false
+			}
+		}
+		s, p = s[1:], p[1:]
+	}
+	return len(s) == 0
+}
+
+// TestLikeAgainstReference: the iterative matcher agrees with the recursive
+// one on every short string over an alphabet that has both cases, both
+// wildcards and a multi-byte letter whose lower case is shorter (K, the
+// Kelvin sign, lower-cases to k).
+func TestLikeAgainstReference(t *testing.T) {
+	alphabet := []string{"a", "A", "b", "%", "_", "\u212a"}
+	var words []string
+	var gen func(prefix string, n int)
+	gen = func(prefix string, n int) {
+		words = append(words, prefix)
+		if n == 0 {
+			return
+		}
+		for _, c := range alphabet {
+			gen(prefix+c, n-1)
+		}
+	}
+	gen("", 4)
+	for _, s := range words {
+		if strings.ContainsAny(s, "%_") {
+			continue // subjects are plain text here; wildcards in them are covered below
+		}
+		for _, p := range words {
+			want := likeRef(strings.ToLower(s), strings.ToLower(p))
+			if got := likeMatch(s, p); got != want {
+				t.Fatalf("likeMatch(%q,%q)=%v, reference says %v", s, p, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		s, p string
+		want bool
+	}{
+		{"100%", "100%", true}, {"100%", "%\u212a", false}, {"50%_off", "50%off", true},
+		{"\u0130stanbul", "i%", true}, // İ lower-cases to a shorter string
+		{"\u212aelvin", "k_lvin", true},
+		{"na\u00efve", "NA%VE", true},
+		{"na\u00efve", "na_ve", false}, // _ is one byte, as before
+	} {
+		if got := likeMatch(c.s, c.p); got != c.want {
+			t.Errorf("likeMatch(%q,%q)=%v want %v", c.s, c.p, got, c.want)
+		}
+	}
+}
+
+// TestLikeAdversarialPatternReturns: ten %a groups against 2 000 a's with no
+// b to find made the recursive matcher try every way of splitting the subject
+// (it did not return); the iterative one is O(len(s)·len(p)).
+func TestLikeAdversarialPatternReturns(t *testing.T) {
+	s := strings.Repeat("a", 2000)
+	if likeMatch(s, "%a%a%a%a%a%a%a%a%a%a%b") {
+		t.Error("matched a b that is not there")
+	}
+	if !likeMatch(s+"b", "%a%a%a%a%a%a%a%a%a%a%b") || !likeMatch(s, "%a%a%a%a%a%a%a%a%a%a%") {
+		t.Error("adversarial pattern should match when its tail is present")
+	}
+}
+
+// TestLikeASCIIAllocatesNothing: folding case inside the comparison replaced
+// two strings.ToLower calls per tested row.
+func TestLikeASCIIAllocatesNothing(t *testing.T) {
+	s, p := "The SQL Server Handbook", "%SERVER h%"
+	if !likeMatch(s, p) {
+		t.Fatal("should match")
+	}
+	if n := testing.AllocsPerRun(100, func() { likeMatch(s, p) }); n != 0 {
+		t.Errorf("ASCII LIKE allocates %v times per call, want 0", n)
 	}
 }
 

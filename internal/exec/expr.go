@@ -196,7 +196,7 @@ func (e *BinExpr) Eval(row types.Row, env *Env) (types.Value, error) {
 		if l.K == r.K {
 			switch l.K {
 			case types.KindInt:
-				return types.NewBool(cmpHolds(e.Op, cmpInt(l.I, r.I))), nil
+				return types.NewBool(cmpHolds(e.Op, cmpInt(l.Int(), r.Int()))), nil
 			case types.KindString:
 				return types.NewBool(cmpHolds(e.Op, strings.Compare(l.S, r.S))), nil
 			}
@@ -279,7 +279,7 @@ func evalArith(op sql.BinOp, l, r types.Value) (types.Value, error) {
 	}
 	bothInt := l.K == types.KindInt && r.K == types.KindInt
 	if bothInt {
-		a, b := l.I, r.I
+		a, b := l.Int(), r.Int()
 		switch op {
 		case sql.OpAdd:
 			return types.NewInt(a + b), nil
@@ -336,9 +336,9 @@ func (e *NegExpr) Eval(row types.Row, env *Env) (types.Value, error) {
 	}
 	switch v.K {
 	case types.KindInt:
-		return types.NewInt(-v.I), nil
+		return types.NewInt(-v.Int()), nil
 	case types.KindFloat:
-		return types.NewFloat(-v.F), nil
+		return types.NewFloat(-v.Float()), nil
 	}
 	return types.Null, fmt.Errorf("exec: cannot negate %s", v.K)
 }
@@ -363,41 +363,57 @@ func (e *LikeMatch) Eval(row types.Row, env *Env) (types.Value, error) {
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards, case-insensitively
-// (matching SQL Server's default collation behaviour).
+// (matching SQL Server's default collation behaviour). ASCII case is folded
+// inside the byte comparison, so the common case allocates nothing; only when
+// either side has a non-ASCII byte are both lower-cased first (lower-casing
+// can change such a string's length, so no byte-wise fold can stand in).
 func likeMatch(s, pattern string) bool {
-	return likeRec(strings.ToLower(s), strings.ToLower(pattern))
+	if !isASCII(s) || !isASCII(pattern) {
+		s, pattern = strings.ToLower(s), strings.ToLower(pattern)
+	}
+	return likeFold(s, pattern)
 }
 
-func likeRec(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
 			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if len(s) == 0 || s[0] != p[0] {
-				return false
-			}
-			s, p = s[1:], p[1:]
 		}
 	}
-	return len(s) == 0
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + ('a' - 'A')
+	}
+	return c
+}
+
+// likeFold matches s against p iteratively: on a mismatch it backtracks to
+// the last % and lets it swallow one more byte, which is O(len(s)·len(p))
+// where recursing once per % per position was exponential.
+func likeFold(s, p string) bool {
+	si, pi := 0, 0
+	star, resume := -1, 0 // p index after the last %, s index its match is tried from
+	for si < len(s) {
+		switch {
+		case pi < len(p) && p[pi] == '%':
+			pi++
+			star, resume = pi, si
+		case pi < len(p) && (p[pi] == '_' || lowerASCII(p[pi]) == lowerASCII(s[si])):
+			si, pi = si+1, pi+1
+		case star >= 0:
+			resume++
+			si, pi = resume, star
+		default:
+			return false
+		}
+	}
+	for pi < len(p) && p[pi] == '%' {
+		pi++
+	}
+	return pi == len(p)
 }
 
 func (e *InMatch) Eval(row types.Row, env *Env) (types.Value, error) {
@@ -527,8 +543,8 @@ func (e *ScalarFunc) Eval(row types.Row, env *Env) (types.Value, error) {
 			return types.Null, nil
 		}
 		if args[0].K == types.KindInt {
-			if args[0].I < 0 {
-				return types.NewInt(-args[0].I), nil
+			if args[0].Int() < 0 {
+				return types.NewInt(-args[0].Int()), nil
 			}
 			return args[0], nil
 		}

@@ -97,11 +97,12 @@ func (j *IndexJoin) seek(ctx *Ctx, outer types.Row) error {
 	return nil
 }
 
-// fill writes outer ++ projected inner into out; a nil inner leaves the
+// fill writes outer ++ projected inner into out; a nil inner makes the
 // inner columns NULL (the LEFT JOIN pad).
 func (j *IndexJoin) fill(out, outer, inner types.Row) {
 	copy(out, outer)
 	if inner == nil {
+		clear(out[len(outer):]) // a recycled row is not zeroed
 		return
 	}
 	for i, c := range j.Proj {
@@ -109,12 +110,13 @@ func (j *IndexJoin) fill(out, outer, inner types.Row) {
 	}
 }
 
-// BatchNext joins a batch of outer rows, carving output rows from the arena.
-// Outer rows only reach the output as copies, so the outer side may recycle
-// delivered rows. The output batch may exceed BatchSize when one outer row
-// finds many inner rows.
+// BatchNext joins a batch of outer rows, carving output rows from the arena
+// (recycled when the consumer pulls Ephemeral). Outer rows only reach the
+// output as copies, so the outer side may recycle delivered rows. The output
+// batch may exceed BatchSize when one outer row finds many inner rows.
 func (j *IndexJoin) BatchNext(ctx *Ctx, b *Batch) error {
 	b.Rows = b.Rows[:0]
+	j.arena.recycle(b.Ephemeral)
 	j.in.Ephemeral = true
 	width := len(j.Columns())
 	for len(b.Rows) < BatchSize {

@@ -522,10 +522,9 @@ type Project struct {
 	Exprs []Expr
 	Cols  []ColInfo
 
-	in    Batch         // input scratch
-	arena rowArena      // output rows for durable consumers
-	cols  []int         // all-ColExpr gather plan, nil when any expr is general
-	slab  []types.Value // recycled output storage for ephemeral consumers
+	in    Batch    // input scratch
+	arena rowArena // output rows
+	cols  []int    // all-ColExpr gather plan, nil when any expr is general
 }
 
 func (p *Project) Columns() []ColInfo { return p.Cols }
@@ -546,10 +545,9 @@ func (p *Project) Open(ctx *Ctx) error {
 // BatchNext projects a whole input batch, carving output rows out of a
 // chunked arena instead of one make per row. For a durable consumer, arena
 // chunks are never reused, so emitted rows stay valid for the life of the
-// result; an Ephemeral consumer instead gets rows carved from one recycled
-// slab, making the steady-state projection allocation-free. All-column
-// projections gather values by index without touching the expression
-// interpreter.
+// result; for an Ephemeral consumer the arena is recycled, making the
+// steady-state projection allocation-free. All-column projections gather
+// values by index without touching the expression interpreter.
 func (p *Project) BatchNext(ctx *Ctx, b *Batch) error {
 	p.in.Ephemeral = true // projected values are copied out immediately
 	if err := p.Input.BatchNext(ctx, &p.in); err != nil {
@@ -557,23 +555,10 @@ func (p *Project) BatchNext(ctx *Ctx, b *Batch) error {
 	}
 	b.Rows = b.Rows[:0]
 	width := len(p.Exprs)
-	need := len(p.in.Rows) * width
-	var slab []types.Value
-	if b.Ephemeral {
-		if cap(p.slab) < need {
-			p.slab = make([]types.Value, need)
-		}
-		slab = p.slab[:need]
-	} else {
-		p.arena.hint(need)
-	}
+	p.arena.recycle(b.Ephemeral)
+	p.arena.hint(len(p.in.Rows) * width)
 	for _, row := range p.in.Rows {
-		var out types.Row
-		if slab != nil {
-			out, slab = types.Row(slab[:width:width]), slab[width:]
-		} else {
-			out = p.arena.alloc(width)
-		}
+		out := p.arena.alloc(width)
 		if p.cols != nil && gatherRow(out, row, p.cols) {
 			b.Rows = append(b.Rows, out)
 			continue
@@ -652,6 +637,83 @@ type SortKey struct {
 	Desc bool
 }
 
+// sortOrder evaluates and compares ORDER BY keys for Sort and TopN. When every
+// key is a plain column the input row is its own key row (read through idx)
+// and no key is made at all; otherwise a row's keys are evaluated into one
+// scratch row and copied into arena storage only for rows that are kept.
+type sortOrder struct {
+	keys    []SortKey
+	idx     []int // key k of a key row is keyRow[idx[k]]
+	byCol   bool  // every key is a ColExpr: idx holds the column ordinals
+	scratch types.Row
+	arena   rowArena
+}
+
+func newSortOrder(keys []SortKey) *sortOrder {
+	o := &sortOrder{keys: keys, idx: make([]int, len(keys)), byCol: true}
+	for i, k := range keys {
+		c, isCol := k.E.(*ColExpr)
+		if !isCol {
+			o.byCol = false
+			break
+		}
+		o.idx[i] = c.I
+	}
+	if !o.byCol {
+		for i := range o.idx {
+			o.idx[i] = i
+		}
+		o.scratch = make(types.Row, len(keys))
+	}
+	return o
+}
+
+// key returns row's key row: row itself when byCol, else the scratch row,
+// valid until the next call.
+func (o *sortOrder) key(row types.Row, env *Env) (types.Row, error) {
+	if o.byCol {
+		for _, c := range o.idx {
+			if c < 0 || c >= len(row) {
+				_, err := (&ColExpr{I: c}).Eval(row, env) // the interpreter's error
+				return nil, err
+			}
+		}
+		return row, nil
+	}
+	for i, k := range o.keys {
+		v, err := k.E.Eval(row, env)
+		if err != nil {
+			return nil, err
+		}
+		o.scratch[i] = v
+	}
+	return o.scratch, nil
+}
+
+// keep returns a key row that outlives the next key call.
+func (o *sortOrder) keep(key types.Row) types.Row {
+	if o.byCol {
+		return key
+	}
+	out := o.arena.alloc(len(key))
+	copy(out, key)
+	return out
+}
+
+// cmp orders two key rows.
+func (o *sortOrder) cmp(a, b types.Row) int {
+	for k, i := range o.idx {
+		c := types.Compare(a[i], b[i])
+		if o.keys[k].Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // Sort materializes and sorts its input.
 type Sort struct {
 	Input Operator
@@ -673,6 +735,7 @@ func (s *Sort) Open(ctx *Ctx) error {
 		keys types.Row
 	}
 	var all []keyed
+	order := newSortOrder(s.Keys)
 	var b Batch // rows are retained, so never Ephemeral
 	for {
 		if err := s.Input.BatchNext(ctx, &b); err != nil {
@@ -681,30 +744,16 @@ func (s *Sort) Open(ctx *Ctx) error {
 		if len(b.Rows) == 0 {
 			break
 		}
+		order.arena.hint(len(b.Rows) * len(s.Keys))
 		for _, row := range b.Rows {
-			keys := make(types.Row, len(s.Keys))
-			for i, k := range s.Keys {
-				v, err := k.E.Eval(row, &ctx.Env)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
+			key, err := order.key(row, &ctx.Env)
+			if err != nil {
+				return err
 			}
-			all = append(all, keyed{row: row, keys: keys})
+			all = append(all, keyed{row: row, keys: order.keep(key)})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		for k := range s.Keys {
-			c := types.Compare(all[i].keys[k], all[j].keys[k])
-			if s.Keys[k].Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
+	sort.SliceStable(all, func(i, j int) bool { return order.cmp(all[i].keys, all[j].keys) < 0 })
 	for _, k := range all {
 		s.rows = append(s.rows, k.row)
 	}
@@ -752,18 +801,12 @@ type topEntry struct {
 // currently kept, the one a better incoming row evicts.
 type topHeap struct {
 	entries []topEntry
-	keys    []SortKey
+	order   *sortOrder
 }
 
 func (h *topHeap) cmp(a, b topEntry) int {
-	for k := range h.keys {
-		c := types.Compare(a.keys[k], b.keys[k])
-		if h.keys[k].Desc {
-			c = -c
-		}
-		if c != 0 {
-			return c
-		}
+	if c := h.order.cmp(a.keys, b.keys); c != 0 {
+		return c
 	}
 	switch {
 	case a.seq < b.seq:
@@ -798,7 +841,8 @@ func (s *TopN) Open(ctx *Ctx) error {
 	if n <= 0 {
 		return nil
 	}
-	h := &topHeap{keys: s.Keys}
+	order := newSortOrder(s.Keys)
+	h := &topHeap{order: order}
 	var seq int64
 	var b Batch // kept rows are retained, so never Ephemeral
 	for {
@@ -808,22 +852,24 @@ func (s *TopN) Open(ctx *Ctx) error {
 		if len(b.Rows) == 0 {
 			break
 		}
+		order.arena.hint(len(b.Rows) * len(s.Keys))
 		for _, row := range b.Rows {
-			keys := make(types.Row, len(s.Keys))
-			for i, k := range s.Keys {
-				v, err := k.E.Eval(row, &ctx.Env)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
+			key, err := order.key(row, &ctx.Env)
+			if err != nil {
+				return err
 			}
-			e := topEntry{row: row, keys: keys, seq: seq}
+			e := topEntry{row: row, keys: key, seq: seq}
 			seq++
-			if int64(h.Len()) < n {
-				heap.Push(h, e)
-			} else if h.cmp(e, h.entries[0]) < 0 {
+			full := int64(h.Len()) >= n
+			if full && h.cmp(e, h.entries[0]) >= 0 {
+				continue // no better than the worst row kept: its keys are never stored
+			}
+			e.keys = order.keep(key)
+			if full {
 				h.entries[0] = e
 				heap.Fix(h, 0)
+			} else {
+				heap.Push(h, e)
 			}
 		}
 	}
@@ -953,10 +999,12 @@ func evalKeysInto(keys []Expr, row types.Row, env *Env, buf types.Row) (types.Ro
 }
 
 // BatchNext probes a batch of left rows against the build table, reusing the
-// probe-key buffer and carving output rows from the arena. The output batch
-// may exceed BatchSize when a probe row matches many build rows.
+// probe-key buffer and carving output rows from the arena (recycled when the
+// consumer pulls Ephemeral). The output batch may exceed BatchSize when a
+// probe row matches many build rows.
 func (j *HashJoin) BatchNext(ctx *Ctx, b *Batch) error {
 	b.Rows = b.Rows[:0]
+	j.arena.recycle(b.Ephemeral)
 	// Probe rows only ever reach the output as arena concat copies, so the
 	// probe side may recycle delivered rows once this window is consumed.
 	j.in.Ephemeral = true
@@ -1064,11 +1112,13 @@ func (j *NestedLoop) Open(ctx *Ctx) error {
 
 // BatchNext joins a batch of left rows against the materialized right side.
 // Each candidate pair is assembled in one scratch row and copied into the
-// arena only when the predicate holds, so rejected pairs cost no storage and
-// the left side may recycle delivered rows. A left row's matches are never
-// split across calls, so the output batch may exceed BatchSize.
+// arena (recycled when the consumer pulls Ephemeral) only when the predicate
+// holds, so rejected pairs cost no storage and the left side may recycle
+// delivered rows. A left row's matches are never split across calls, so the
+// output batch may exceed BatchSize.
 func (j *NestedLoop) BatchNext(ctx *Ctx, b *Batch) error {
 	b.Rows = b.Rows[:0]
+	j.arena.recycle(b.Ephemeral)
 	j.in.Ephemeral = true
 	width := len(j.scratch)
 	for len(b.Rows) < BatchSize {
@@ -1101,8 +1151,8 @@ func (j *NestedLoop) BatchNext(ctx *Ctx, b *Batch) error {
 				}
 			}
 			if !matched && j.LeftOuter {
-				out := j.arena.alloc(width) // right columns stay NULL
-				copy(out, left)
+				out := j.arena.alloc(width)
+				clear(out[copy(out, left):]) // right columns NULL; a recycled row is not zeroed
 				b.Rows = append(b.Rows, out)
 			}
 		}

@@ -98,7 +98,7 @@ func (m *mergeState) merge(spec AggSpec, cells types.Row) {
 			return // empty partition
 		}
 		if v.K == types.KindInt {
-			m.sumInt += v.I
+			m.sumInt += v.Int()
 		} else {
 			m.allInt = false
 		}

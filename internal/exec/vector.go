@@ -119,12 +119,12 @@ func (p *vecPred) holds(row types.Row, rhs []types.Value, env *Env) (bool, error
 		var c int
 		switch {
 		case l.K == types.KindInt && r.K == types.KindInt:
-			c = cmpInt(l.I, r.I)
+			c = cmpInt(l.Int(), r.Int())
 		case l.K == types.KindFloat && r.K == types.KindFloat:
-			switch {
-			case l.F < r.F:
+			switch a, b := l.Float(), r.Float(); {
+			case a < b:
 				c = -1
-			case l.F > r.F:
+			case a > b:
 				c = 1
 			}
 		case l.K == types.KindString && r.K == types.KindString:

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
@@ -462,8 +463,12 @@ func (c *Cache) publishLocked() {
 	metrics.Default.Gauge("imcache.bytes").Set(float64(c.bytes))
 }
 
-// estimateBytes approximates the retained size of a result: a fixed
-// per-value overhead plus string payloads.
+// valueBytes is what one value occupies in a row, whatever types.Value's
+// layout becomes (a compile-time constant; the package's one use of unsafe).
+const valueBytes = int64(unsafe.Sizeof(types.Value{}))
+
+// estimateBytes approximates the retained size of a result: the values
+// themselves plus string payloads.
 func estimateBytes(cols []exec.ColInfo, rows []types.Row) int64 {
 	total := int64(64) // entry header
 	for _, col := range cols {
@@ -472,7 +477,7 @@ func estimateBytes(cols []exec.ColInfo, rows []types.Row) int64 {
 	for _, row := range rows {
 		total += 24 // slice header
 		for i := range row {
-			total += 32 + int64(len(row[i].S))
+			total += valueBytes + int64(len(row[i].S))
 		}
 	}
 	return total

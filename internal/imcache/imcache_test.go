@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
@@ -287,5 +288,23 @@ func TestSnapshotOrderAndFields(t *testing.T) {
 	}
 	if len(infos[0].Lineage) != 2 || infos[0].Lineage[0] != "item" {
 		t.Fatalf("lineage not normalized: %v", infos[0].Lineage)
+	}
+}
+
+// TestEstimateBytesTracksValueSize: the byte budget charges what a value
+// really occupies — adding one value to a result adds exactly
+// unsafe.Sizeof(types.Value{}) (plus its string payload) to the estimate, so
+// a change of layout cannot make the budget lie.
+func TestEstimateBytesTracksValueSize(t *testing.T) {
+	size := int64(unsafe.Sizeof(types.Value{}))
+	one := []types.Row{{types.NewInt(1)}}
+	two := []types.Row{{types.NewInt(1), types.NewFloat(2)}}
+	str := []types.Row{{types.NewInt(1), types.NewString("abcde")}}
+	base := estimateBytes(intCols(), one)
+	if got := estimateBytes(intCols(), two) - base; got != size {
+		t.Errorf("one more value costs %d bytes, want unsafe.Sizeof(types.Value{}) = %d", got, size)
+	}
+	if got := estimateBytes(intCols(), str) - base; got != size+5 {
+		t.Errorf("one more 5-byte string costs %d bytes, want %d", got, size+5)
 	}
 }

@@ -220,7 +220,7 @@ func (r *valueRange) boundHi(v types.Value, open, intCol bool) {
 	// Integer domains admit exact tightening: x < 1001 ⟺ x <= 1000, which
 	// lets the containment prover see through off-by-one bound styles.
 	if open && intCol && v.K == types.KindInt {
-		v, open = types.NewInt(v.I-1), false
+		v, open = types.NewInt(v.Int()-1), false
 	}
 	if r.hi.IsNull() || types.Compare(v, r.hi) < 0 || (types.Equal(v, r.hi) && open) {
 		r.hi, r.hiOpen = v, open
@@ -230,7 +230,7 @@ func (r *valueRange) boundHi(v types.Value, open, intCol bool) {
 
 func (r *valueRange) boundLo(v types.Value, open, intCol bool) {
 	if open && intCol && v.K == types.KindInt {
-		v, open = types.NewInt(v.I+1), false
+		v, open = types.NewInt(v.Int()+1), false
 	}
 	if r.lo.IsNull() || types.Compare(v, r.lo) > 0 || (types.Equal(v, r.lo) && open) {
 		r.lo, r.loOpen = v, open

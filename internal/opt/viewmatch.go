@@ -284,7 +284,7 @@ func (g *guardBuilder) containment(col string, intCol bool, vRange, qRange value
 				op = sql.OpLT
 			}
 		case intCol && !vRange.hiOpen && bound.K == types.KindInt:
-			bound = types.NewInt(bound.I + 1)
+			bound = types.NewInt(bound.Int() + 1)
 		}
 		for _, arg := range p.args() {
 			g.cmp(col, arg, op, bound)
@@ -303,7 +303,7 @@ func (g *guardBuilder) containment(col string, intCol bool, vRange, qRange value
 				op = sql.OpGT
 			}
 		case intCol && !vRange.loOpen && bound.K == types.KindInt:
-			bound = types.NewInt(bound.I - 1)
+			bound = types.NewInt(bound.Int() - 1)
 		}
 		for _, arg := range p.args() {
 			g.cmp(col, arg, op, bound)

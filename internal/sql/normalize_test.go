@@ -306,9 +306,9 @@ func substAutoParams(t *testing.T, sel *SelectStmt, args []types.Value) *SelectS
 			if lit, isLit := in.(*Literal); isLit && x.Op == OpNeg {
 				switch lit.Val.K {
 				case types.KindInt:
-					return &Literal{Val: types.NewInt(-lit.Val.I)}
+					return &Literal{Val: types.NewInt(-lit.Val.Int())}
 				case types.KindFloat:
-					return &Literal{Val: types.NewFloat(-lit.Val.F)}
+					return &Literal{Val: types.NewFloat(-lit.Val.Float())}
 				}
 			}
 			return &UnaryExpr{Op: x.Op, X: in}

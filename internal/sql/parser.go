@@ -1050,9 +1050,9 @@ func (p *parser) unaryExpr() (Expr, error) {
 		if lit, ok := x.(*Literal); ok {
 			switch lit.Val.K {
 			case types.KindInt:
-				return &Literal{Val: types.NewInt(-lit.Val.I)}, nil
+				return &Literal{Val: types.NewInt(-lit.Val.Int())}, nil
 			case types.KindFloat:
-				return &Literal{Val: types.NewFloat(-lit.Val.F)}, nil
+				return &Literal{Val: types.NewFloat(-lit.Val.Float())}, nil
 			}
 		}
 		return &UnaryExpr{Op: OpNeg, X: x}, nil

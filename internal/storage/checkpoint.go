@@ -163,6 +163,34 @@ func (d *diskWAL) loadCheckpoint() *checkpointImage {
 	return nil
 }
 
+// ErrCheckpointFormat reports a checkpoint written in another version of the
+// format. It is not a torn file and must not be skipped like one: the WAL
+// behind a checkpoint was truncated when it was taken, so recovering without
+// the image would replay the tail onto nothing.
+var ErrCheckpointFormat = errors.New("storage: unsupported checkpoint format")
+
+// checkCheckpointFormat fails with ErrCheckpointFormat when the file starts
+// with a checkpoint magic of a version other than ckptMagic. A file too short
+// or too damaged to carry any magic is left to loadCheckpoint, which skips
+// it.
+func checkCheckpointFormat(fsys FS, path string) error {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	magic := make([]byte, len(ckptMagic))
+	if _, err := io.ReadFull(f, magic); err != nil {
+		return nil
+	}
+	const family = len("MTCKPT")
+	if string(magic[:family]) == ckptMagic[:family] && string(magic) != ckptMagic {
+		return fmt.Errorf("%w: %s is %q, this build reads and writes %q; recover it with the build that wrote it, or move the data directory away to start empty",
+			ErrCheckpointFormat, filepath.Base(path), magic, ckptMagic)
+	}
+	return nil
+}
+
 func readCheckpointFile(fsys FS, path string) (*checkpointImage, error) {
 	f, err := fsys.Open(path)
 	if err != nil {

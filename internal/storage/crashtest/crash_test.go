@@ -111,10 +111,10 @@ func runCrashSeed(t *testing.T, seed int) {
 	rows := tv.Rows()
 	got := make(map[int64]string, len(rows))
 	for _, row := range rows {
-		if _, dup := got[row[0].I]; dup {
-			t.Fatalf("row id %d recovered twice", row[0].I)
+		if _, dup := got[row[0].Int()]; dup {
+			t.Fatalf("row id %d recovered twice", row[0].Int())
 		}
-		got[row[0].I] = row[1].S
+		got[row[0].Int()] = row[1].S
 	}
 	tx.Abort()
 

@@ -638,10 +638,13 @@ func (s *Store) EnableDurability(opts DurabilityOptions) error {
 	if len(recs) > 0 {
 		next = recs[len(recs)-1].LSN + 1
 	}
-	if ckptLSN+1 > next {
+	if ckptLSN > next {
 		// A checkpoint can outlive every WAL record (log fully truncated);
-		// LSNs must keep ascending across the restart.
-		next = ckptLSN + 1
+		// LSNs must keep ascending across the restart. ckptLSN is the first
+		// LSN the image does not cover, so it is the next one to assign:
+		// skipping it would leave a hole in the retained records, which the
+		// in-memory log indexes densely (ReadFrom, Truncate).
+		next = ckptLSN
 	}
 	s.wal.adopt(recs, next, d)
 	s.wal.retain = s.retainFloor

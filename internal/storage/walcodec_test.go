@@ -3,7 +3,6 @@ package storage
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -77,9 +76,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// recordsEqual compares records treating NaN floats as equal to themselves
-// (reflect.DeepEqual on time.Time works because both sides are UTC wall
-// clocks with no monotonic component).
+// recordsEqual compares records treating NaN floats as equal to themselves.
 func recordsEqual(a, b *CommitRecord) bool {
 	if a.LSN != b.LSN || a.TxnID != b.TxnID || !a.CommitTime.Equal(b.CommitTime) || len(a.Changes) != len(b.Changes) {
 		return false
@@ -99,23 +96,8 @@ func rowsEqualBits(a, b types.Row) bool {
 		return false
 	}
 	for i := range a {
-		va, vb := a[i], b[i]
-		if va.K != vb.K {
+		if a[i] != b[i] { // struct equality: FLOAT by its bits, DATETIME by its instant
 			return false
-		}
-		switch va.K {
-		case types.KindFloat:
-			if math.Float64bits(va.F) != math.Float64bits(vb.F) {
-				return false
-			}
-		case types.KindTime:
-			if !va.T.Equal(vb.T) {
-				return false
-			}
-		default:
-			if !reflect.DeepEqual(va, vb) {
-				return false
-			}
 		}
 	}
 	return true

@@ -171,8 +171,8 @@ func (osFS) SyncDir(dir string) error {
 
 const (
 	segMagic        = "MTWALSG1"
-	ckptMagic       = "MTCKPT01"
-	frameHeaderSize = 8 // uint32 length + uint32 CRC32-C
+	ckptMagic       = "MTCKPT02" // 02: a types.Value gob-encodes as its types/codec.go bytes
+	frameHeaderSize = 8          // uint32 length + uint32 CRC32-C
 	defaultSegBytes = 8 << 20
 	defaultInterval = 5 * time.Millisecond
 )
@@ -337,8 +337,14 @@ func openDiskWAL(opts DurabilityOptions) (d *diskWAL, recs []CommitRecord, ckptL
 		if first, ok := parseSeqName(name, "wal-", ".seg"); ok {
 			segFirsts = append(segFirsts, first)
 		}
-		if lsn, ok := parseSeqName(name, "ckpt-", ".ckpt"); ok && lsn > ckptLSN {
-			ckptLSN = lsn
+		if lsn, ok := parseSeqName(name, "ckpt-", ".ckpt"); ok {
+			// Before anything below cuts or deletes a file.
+			if err = checkCheckpointFormat(fsys, filepath.Join(opts.Dir, name)); err != nil {
+				return nil, nil, 0, stats, err
+			}
+			if lsn > ckptLSN {
+				ckptLSN = lsn
+			}
 		}
 	}
 	sort.Slice(segFirsts, func(i, j int) bool { return segFirsts[i] < segFirsts[j] })

@@ -224,10 +224,16 @@ func TestProceduresAgreeAcrossJoinStrategies(t *testing.T) {
 	}
 }
 
-// Allocation regression gate for the lookup join: a warm getRelated or
-// getBook on a cache seeks one row through the mirrored primary key. Scanning
-// and hashing the view instead costs 1 085 allocations / 322 KiB and 321 /
-// 90 KiB per call, so the bounds fail loudly if the planner falls back.
+// Allocation regression gate for the procedures whose cost is join output.
+// A warm getRelated or getBook on a cache seeks one row through the mirrored
+// primary key; scanning and hashing the view instead costs 1 085 allocations
+// / 322 KiB and 321 / 90 KiB per call, so the bounds fail loudly if the
+// planner falls back. getBestSellers (HashAgg over NestedLoop over two
+// IndexJoins) and doTitleSearch (LIKE over the item view, then TopN) are
+// where a cache's bytes go: with 64-byte values and joins that kept every
+// output row they cost 567 allocations / 600 KiB and 1 292 / 183 KiB per
+// call with these parameters. Ceilings are about 15 % over what each measures
+// now (41 / 2.8, 41 / 5.0, 518 / 225 and 179 / 106).
 func TestJoinProcedureAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -236,11 +242,22 @@ func TestJoinProcedureAllocGate(t *testing.T) {
 	// The exact-match result tier would answer a repeated call without
 	// planning or executing anything; the gate is on the join itself.
 	c.DB.SetIMCacheEnabled(false)
-	for _, proc := range []string{"getRelated", "getBook"} {
+	for _, g := range []struct {
+		proc    string
+		params  exec.Params
+		minRows int
+		allocs  float64
+		kib     float64
+	}{
+		{"getRelated", exec.Params{"i_id": types.NewInt(417)}, 1, 120, 6},
+		{"getBook", exec.Params{"i_id": types.NewInt(417)}, 1, 120, 6},
+		{"getBestSellers", exec.Params{"subject": types.NewString("ARTS")}, 10, 600, 258},
+		{"doTitleSearch", exec.Params{"title": types.NewString("%the%")}, 10, 206, 122},
+	} {
 		call := func() {
-			res, err := c.DB.CallProcedure(proc, exec.Params{"i_id": types.NewInt(417)})
-			if err != nil || len(res.Rows) != 1 {
-				t.Fatalf("%s: %d rows, %v", proc, len(res.Rows), err)
+			res, err := c.DB.CallProcedure(g.proc, g.params)
+			if err != nil || len(res.Rows) < g.minRows {
+				t.Fatalf("%s: %d rows, %v", g.proc, len(res.Rows), err)
 			}
 		}
 		call() // warm the plan cache
@@ -250,9 +267,9 @@ func TestJoinProcedureAllocGate(t *testing.T) {
 		allocs := testing.AllocsPerRun(runs, call)
 		runtime.ReadMemStats(&after)
 		kib := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs+1) / 1024
-		t.Logf("%s: %.0f allocs, %.1f KiB per call", proc, allocs, kib)
-		if allocs > 120 || kib > 16 {
-			t.Errorf("%s: %.0f allocs and %.1f KiB per call, want at most 120 and 16", proc, allocs, kib)
+		t.Logf("%s: %.0f allocs, %.1f KiB per call", g.proc, allocs, kib)
+		if allocs > g.allocs || kib > g.kib {
+			t.Errorf("%s: %.0f allocs and %.1f KiB per call, want at most %.0f and %.0f", g.proc, allocs, kib, g.allocs, g.kib)
 		}
 	}
 }

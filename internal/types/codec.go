@@ -47,21 +47,21 @@ func AppendValue(buf []byte, v *Value) []byte {
 	switch v.K {
 	case KindBool, KindInt:
 		buf = append(buf, byte(v.K))
-		return binary.AppendVarint(buf, v.I)
+		return binary.AppendVarint(buf, v.w)
 	case KindFloat:
 		buf = append(buf, byte(v.K))
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
+		return binary.LittleEndian.AppendUint64(buf, uint64(v.w))
 	case KindString:
 		buf = append(buf, byte(v.K))
 		return AppendString(buf, v.S)
 	case KindTime:
-		if sec := v.T.Unix(); sec <= -maxNanoSec || sec >= maxNanoSec {
+		if v.w <= -maxNanoSec || v.w >= maxNanoSec {
 			buf = append(buf, tagTimeWide)
-			buf = binary.AppendVarint(buf, sec)
-			return binary.AppendUvarint(buf, uint64(v.T.Nanosecond()))
+			buf = binary.AppendVarint(buf, v.w)
+			return binary.AppendUvarint(buf, uint64(v.nsec))
 		}
 		buf = append(buf, byte(v.K))
-		return binary.AppendVarint(buf, v.T.UnixNano())
+		return binary.AppendVarint(buf, v.w*int64(time.Second)+int64(v.nsec))
 	}
 	// NULL; unknown kinds encode as NULL rather than corrupting the frame.
 	return append(buf, byte(KindNull))
@@ -213,21 +213,28 @@ func (d *Decoder) Value() Value {
 	case byte(KindNull):
 		return Null
 	case byte(KindBool), byte(KindInt):
-		return Value{K: Kind(tag), I: d.Varint()}
+		return Value{K: Kind(tag), w: d.Varint()}
 	case byte(KindFloat):
 		if b := d.Bytes(8); b != nil {
-			return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			return Value{K: KindFloat, w: int64(binary.LittleEndian.Uint64(b))}
 		}
 	case byte(KindString):
 		return NewString(d.Str())
 	case byte(KindTime):
-		return NewTime(time.Unix(0, d.Varint()).UTC())
+		// Floored division: nanoseconds before 1970 still land in [0, 1e9).
+		n := d.Varint()
+		sec, nsec := n/int64(time.Second), n%int64(time.Second)
+		if nsec < 0 {
+			sec, nsec = sec-1, nsec+int64(time.Second)
+		}
+		return Value{K: KindTime, w: sec, nsec: uint32(nsec)}
 	case tagTimeWide:
 		sec, nsec := d.Varint(), d.Uvarint()
 		if nsec >= uint64(time.Second) {
 			d.Fail()
+			return Null
 		}
-		return NewTime(time.Unix(sec, int64(nsec)).UTC())
+		return Value{K: KindTime, w: sec, nsec: uint32(nsec)}
 	default:
 		d.Fail()
 	}
@@ -261,4 +268,20 @@ func (d *Decoder) Row() Row {
 		return nil
 	}
 	return row
+}
+
+// GobEncode and GobDecode carry a Value through encoding/gob as exactly the
+// bytes above. The cold paths that still use gob (storage checkpoints, cache
+// state files, the catalog snapshot's column statistics) would otherwise
+// encode the struct by reflection, and gob silently drops unexported fields.
+func (v Value) GobEncode() ([]byte, error) { return AppendValue(nil, &v), nil }
+
+// GobDecode is the inverse of GobEncode; trailing bytes are an error.
+func (v *Value) GobDecode(data []byte) error {
+	d := Decoder{Buf: data}
+	*v = d.Value()
+	if d.Err == nil && d.Remaining() != 0 {
+		d.Fail()
+	}
+	return d.Err
 }

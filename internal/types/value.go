@@ -2,9 +2,14 @@
 // engine: the storage manager stores rows of Values, the executor evaluates
 // expressions over them, the optimizer's statistics summarize them, and the
 // wire protocol serializes them.
+//
+// There is one Value layout (value.go, 32 bytes) and one encoding of it
+// (codec.go): the WAL, the wire and — through GobEncode — every gob carrier
+// write the same bytes, so changing the struct changes no file and no frame.
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -64,13 +69,26 @@ func ParseKind(name string) (Kind, error) {
 // Value is a single SQL value. The zero Value is SQL NULL.
 //
 // Value is a small tagged struct rather than an interface so that rows can be
-// stored as flat []Value slices with no per-value heap allocation.
+// stored as flat []Value slices with no per-value heap allocation. It is 32
+// bytes (pinned by TestValueLayout): the kind, one 8-byte payload word, a
+// nanosecond field in what would otherwise be padding, and the string. The
+// word holds a BOOL or INT as is, a FLOAT as its IEEE bits and a DATETIME as
+// unix seconds; it is unexported so that no kind's payload can be read as
+// another's, and every reader goes through the accessors below (all of them
+// inline).
+//
+// A DATETIME value is its instant: (unix seconds, nanoseconds), no zone and
+// no monotonic reading. Time() returns it in UTC; Compare, Hash and the codec
+// read the pair, so every instant time.Time can hold orders, hashes and
+// round-trips exactly.
+//
+// encoding/gob reaches a Value through GobEncode/GobDecode (codec.go), never
+// by reflection over these fields.
 type Value struct {
-	K Kind
-	I int64 // KindBool (0/1) and KindInt payload
-	F float64
-	S string
-	T time.Time
+	K    Kind
+	nsec uint32 // KindTime: nanoseconds within the second
+	w    int64  // KindBool (0/1), KindInt, KindFloat (IEEE bits), KindTime (unix seconds)
+	S    string // KindString payload
 }
 
 // Null is the SQL NULL value.
@@ -80,54 +98,55 @@ var Null = Value{}
 func NewBool(b bool) Value {
 	v := Value{K: KindBool}
 	if b {
-		v.I = 1
+		v.w = 1
 	}
 	return v
 }
 
 // NewInt returns an INT value.
-func NewInt(i int64) Value { return Value{K: KindInt, I: i} }
+func NewInt(i int64) Value { return Value{K: KindInt, w: i} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{K: KindFloat, F: f} }
+func NewFloat(f float64) Value { return Value{K: KindFloat, w: int64(math.Float64bits(f))} }
 
 // NewString returns a VARCHAR value.
 func NewString(s string) Value { return Value{K: KindString, S: s} }
 
-// NewTime returns a DATETIME value.
-func NewTime(t time.Time) Value { return Value{K: KindTime, T: t} }
+// NewTime returns a DATETIME value: t's instant, without its zone.
+func NewTime(t time.Time) Value {
+	return Value{K: KindTime, w: t.Unix(), nsec: uint32(t.Nanosecond())}
+}
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
 
 // Bool returns the boolean payload. It is only meaningful for KindBool.
-func (v Value) Bool() bool { return v.I != 0 }
+func (v Value) Bool() bool { return v.w != 0 }
 
 // Int returns the integer payload, converting from FLOAT and BOOL.
 func (v Value) Int() int64 {
-	switch v.K {
-	case KindFloat:
-		return int64(v.F)
-	default:
-		return v.I
+	if v.K == KindFloat {
+		return int64(v.float())
 	}
+	return v.w
 }
 
 // Float returns the float payload, converting from INT and BOOL.
 func (v Value) Float() float64 {
-	switch v.K {
-	case KindInt, KindBool:
-		return float64(v.I)
-	default:
-		return v.F
+	if v.K == KindFloat {
+		return v.float()
 	}
+	return float64(v.w)
 }
+
+// float reads the payload word of a KindFloat value.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.w)) }
 
 // Str returns the string payload. It is only meaningful for KindString.
 func (v Value) Str() string { return v.S }
 
-// Time returns the time payload. It is only meaningful for KindTime.
-func (v Value) Time() time.Time { return v.T }
+// Time returns the instant of a KindTime value, in UTC.
+func (v Value) Time() time.Time { return time.Unix(v.w, int64(v.nsec)).UTC() }
 
 // numericKinds reports whether both kinds are numeric (INT/FLOAT/BOOL).
 func numericKinds(a, b Kind) bool {
@@ -160,25 +179,26 @@ func Compare(a, b Value) int {
 	}
 	switch a.K {
 	case KindBool, KindInt:
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		}
-		return 0
+		return cmpInt(a.w, b.w)
 	case KindFloat:
-		return cmpFloat(a.F, b.F)
+		return cmpFloat(a.float(), b.float())
 	case KindString:
 		return strings.Compare(a.S, b.S)
 	case KindTime:
-		switch {
-		case a.T.Before(b.T):
-			return -1
-		case a.T.After(b.T):
-			return 1
+		if a.w != b.w {
+			return cmpInt(a.w, b.w)
 		}
-		return 0
+		return cmpInt(int64(a.nsec), int64(b.nsec))
+	}
+	return 0
+}
+
+func cmpInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
 	return 0
 }
@@ -217,12 +237,10 @@ func (v Value) Hash() uint64 {
 		h.Write([]byte{2})
 		h.Write([]byte(v.S))
 	case KindTime:
-		n := v.T.UnixNano()
-		var buf [9]byte
+		var buf [13]byte
 		buf[0] = 3
-		for i := 0; i < 8; i++ {
-			buf[i+1] = byte(uint64(n) >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(buf[1:], uint64(v.w))
+		binary.LittleEndian.PutUint32(buf[9:], v.nsec)
 		h.Write(buf[:])
 	}
 	return h.Sum64()
@@ -235,18 +253,18 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.I != 0 {
+		if v.w != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.w, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case KindTime:
-		return "'" + v.T.UTC().Format("2006-01-02 15:04:05.000") + "'"
+		return "'" + v.Time().Format("2006-01-02 15:04:05.000") + "'"
 	}
 	return "?"
 }
@@ -277,9 +295,9 @@ func (v Value) Cast(k Kind) (Value, error) {
 	case KindInt:
 		switch v.K {
 		case KindBool:
-			return NewInt(v.I), nil
+			return NewInt(v.w), nil
 		case KindFloat:
-			return NewInt(int64(v.F)), nil
+			return NewInt(int64(v.float())), nil
 		case KindString:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
 			if err != nil {
@@ -313,7 +331,7 @@ func (v Value) Cast(k Kind) (Value, error) {
 			return Null, fmt.Errorf("cannot cast %q to DATETIME", v.S)
 		}
 		if v.K == KindInt {
-			return NewTime(time.Unix(0, v.I).UTC()), nil
+			return NewTime(time.Unix(0, v.w)), nil
 		}
 	}
 	return Null, fmt.Errorf("cannot cast %s to %s", v.K, k)
