@@ -142,7 +142,7 @@ func (db *Database) execInsert(x *sql.InsertStmt, params exec.Params, tx *storag
 		if err != nil {
 			return 0, err
 		}
-		rs, err := exec.Run(exec.CloneOperator(plan.Root), &exec.Ctx{Params: params, Txn: tx, Remote: db.remote, EstRows: plan.Card})
+		rs, _, err := db.runPlan(tx, plan, params, nil, nil, false)
 		if err != nil {
 			return 0, err
 		}

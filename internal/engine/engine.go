@@ -561,7 +561,7 @@ func (db *Database) queryLocalOnly(stmt *sql.SelectStmt, params exec.Params, aut
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := db.runPlan(plan, params, autoArgs, nil, false)
+	res, _, err := db.runPlan(nil, plan, params, autoArgs, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -576,7 +576,7 @@ func (db *Database) queryLocalOnly(stmt *sql.SelectStmt, params exec.Params, aut
 func (db *Database) runPlanCaptured(plan *opt.Plan, params exec.Params, autoArgs []types.Value, span *trace.Span, shape, variant string) (*Result, error) {
 	capture := shape != "" && querystore.Default.WantCapture(shape)
 	start := time.Now()
-	res, root, err := db.runPlan(plan, params, autoArgs, span, capture)
+	res, root, err := db.runPlan(nil, plan, params, autoArgs, span, capture)
 	if capture && err == nil {
 		querystore.Default.StoreAnalyzed(shape, variant, opt.ExplainAnalyze(plan, root, time.Since(start)), formatLiterals(autoArgs))
 	}
@@ -672,21 +672,25 @@ func (db *Database) PlanCacheSize() int {
 
 // RunPlan executes a previously produced plan.
 func (db *Database) RunPlan(plan *opt.Plan, params exec.Params) (*Result, error) {
-	res, _, err := db.runPlan(plan, params, nil, nil, false)
+	res, _, err := db.runPlan(nil, plan, params, nil, nil, false)
 	return res, err
 }
 
 // runPlan is the engine's one read path: it runs a private clone of the
 // plan's operator tree (cached plans are shared across sessions, and
-// operators carry per-run state: cursors, hash tables) against a read-only
-// snapshot. With instrument set the clone runs under exec.Instrument and the
+// operators carry per-run state: cursors, hash tables) in tx — the caller's
+// write transaction, for a SELECT that must see its own statement's or
+// procedure's writes — or, when tx is nil, against a read-only snapshot of its
+// own. With instrument set the clone runs under exec.Instrument and the
 // instrumented root comes back for opt.ExplainAnalyze; the shells pass
 // batches through unchanged, so the client sees the identical result.
-func (db *Database) runPlan(plan *opt.Plan, params exec.Params, autoArgs []types.Value, span *trace.Span, instrument bool) (*Result, *exec.Instrumented, error) {
+func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params, autoArgs []types.Value, span *trace.Span, instrument bool) (*Result, *exec.Instrumented, error) {
 	esp := span.Child("execute")
 	start := time.Now()
-	tx := db.store.Begin(false)
-	defer tx.Abort()
+	if tx == nil {
+		tx = db.store.Begin(false)
+		defer tx.Abort()
+	}
 	res := &Result{}
 	ctx := &exec.Ctx{
 		Txn: tx, Remote: db.remote, Counters: &res.Counters,
@@ -729,8 +733,11 @@ func (db *Database) Explain(query string) (string, error) {
 }
 
 // execExplain implements EXPLAIN [ANALYZE] <select>. Plain EXPLAIN renders
-// the optimized plan. ANALYZE additionally executes the plan instrumented
-// (its result rows are discarded) and renders per-operator rows,
+// the plan this text would execute: the SELECT goes through the same front
+// door as ExecTraced, so literal text shows (and shares, instead of adding a
+// literal-keyed entry to the plan cache) its shape's plan. ANALYZE
+// additionally executes the plan instrumented with the text's own literals
+// bound (its result rows are discarded) and renders per-operator rows,
 // timings and which ChoosePlan branch fired. The rendered text comes back as
 // a one-column result set, one row per line, so it flows through the wire
 // protocol and the shell like any query result.
@@ -738,6 +745,11 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, span *tr
 	sel, ok := x.Stmt.(*sql.SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("engine: EXPLAIN supports only SELECT")
+	}
+	var autoArgs []types.Value
+	if shared, args, norm, ok := db.autoParse(sql.Deparse(sel)); ok {
+		defer normPool.Put(norm)
+		sel, autoArgs = shared, args
 	}
 	var plan *opt.Plan
 	var err error
@@ -753,7 +765,7 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, span *tr
 	var text string
 	if x.Analyze {
 		start := time.Now()
-		run, root, err := db.runPlan(plan, params, nil, span, true)
+		run, root, err := db.runPlan(nil, plan, params, autoArgs, span, true)
 		if err != nil {
 			return nil, err
 		}

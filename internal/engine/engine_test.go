@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mtcache/internal/catalog"
+	"mtcache/internal/metrics"
 	"mtcache/internal/storage"
 	"mtcache/internal/types"
 )
@@ -239,6 +240,36 @@ func TestStoredProcedureAtomicity(t *testing.T) {
 	res, _ = db.Exec("SELECT i_stock FROM item WHERE i_id = 3", nil)
 	if res.Rows[0][0].Int() != 95 {
 		t.Error("failed procedure partially applied")
+	}
+}
+
+// TestProcedureSelectReadsInItsTransaction: a SELECT in a procedure that also
+// writes runs through runPlan like any other read — it is counted and timed —
+// but inside the procedure's write transaction, so it sees the rows the
+// statements before it wrote.
+func TestProcedureSelectReadsInItsTransaction(t *testing.T) {
+	db := newBackendDB(t)
+	err := db.ExecScript(`CREATE PROCEDURE addOrder @oid INT AS BEGIN
+		INSERT INTO orders (o_id, o_i_id, o_qty) VALUES (@oid, 3, 1);
+		SELECT COUNT(*) FROM orders WHERE o_id = @oid;
+	END`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executions := metrics.Default.Histogram("engine.execute_seconds")
+	before := executions.Count()
+	res, err := db.Exec("EXEC addOrder @oid = 7", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
+		t.Errorf("the SELECT should count the order its procedure just inserted: %v", res.Rows)
+	}
+	if res.RowsAffected != 1 || res.CommitLSN == 0 || res.Counters.RowsScanned == 0 {
+		t.Errorf("affected %d, commit LSN %d, counters %+v", res.RowsAffected, res.CommitLSN, res.Counters)
+	}
+	if got := executions.Count() - before; got != 1 {
+		t.Errorf("engine.execute_seconds observed %d executions, want the procedure's one SELECT", got)
 	}
 }
 

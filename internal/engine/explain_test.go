@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,6 +87,54 @@ func TestExplainAnalyzeDynamicBranchSQL(t *testing.T) {
 	}
 }
 
+// TestExplainLiteralTextExplainsItsShapePlan: literal text executes its
+// shape's shared plan, so that is the plan EXPLAIN shows for it. Over a
+// predicate view an in-guard and an out-of-guard literal render one ChoosePlan
+// tree with opposite branches fired, and no EXPLAIN adds a plan-cache entry
+// of its own.
+func TestExplainLiteralTextExplainsItsShapePlan(t *testing.T) {
+	_, cache := newCachePair(t)
+	if _, err := cache.Exec("CREATE CACHED VIEW items100 AS SELECT i_id, i_title FROM item WHERE i_id <= 100", nil); err != nil {
+		t.Fatal(err)
+	}
+	const query = "SELECT i_title FROM item WHERE i_id = "
+	// shape strips the run-time annotations, leaving the operator outline.
+	annotation := regexp.MustCompile(` \((actual [^)]*|never executed)\)| \[(executed|pruned)\]| actual_time=\S+`)
+	shape := func(text string) string { return annotation.ReplaceAllString(text, "") }
+
+	plain := planText(t, cache, "EXPLAIN "+query+"50", nil)
+	in := planText(t, cache, "EXPLAIN ANALYZE "+query+"50", nil)
+	out := planText(t, cache, "EXPLAIN ANALYZE "+query+"150", nil)
+	if shape(in) != plain || shape(out) != plain {
+		t.Errorf("one shape, three trees:\n%s\n%s\n%s", plain, in, out)
+	}
+	for _, c := range []struct{ text, fired, pruned string }{
+		{in, "local", "remote"},
+		{out, "remote", "local"},
+	} {
+		for _, want := range []string{
+			`branch=` + c.fired + `\) \(actual [^)]*\) \[executed\]`,
+			`branch=` + c.pruned + `\) \(actual rows=0 [^)]*\) \[pruned\]`,
+		} {
+			if !regexp.MustCompile(want).MatchString(c.text) {
+				t.Errorf("explain analyze does not match %q:\n%s", want, c.text)
+			}
+		}
+	}
+
+	before := cache.PlanCacheSize()
+	for i := 0; i < 300; i++ {
+		stmt := "EXPLAIN "
+		if i%2 == 1 {
+			stmt += "ANALYZE "
+		}
+		planText(t, cache, stmt+query+strconv.Itoa(1000+i), nil)
+	}
+	if after := cache.PlanCacheSize(); after != before {
+		t.Errorf("300 EXPLAINs with distinct literals grew the plan cache from %d to %d entries", before, after)
+	}
+}
+
 func TestExplainRejectsNesting(t *testing.T) {
 	db := newBackendDB(t)
 	if _, err := db.Exec("EXPLAIN EXPLAIN SELECT i_id FROM item", nil); err == nil {
@@ -97,8 +147,9 @@ func TestExplainRejectsNesting(t *testing.T) {
 // projection over N rows returns the rows and RowsScanned of the plain run,
 // and allocates per batch, not per row.
 func TestInstrumentedRunIsBatchExecution(t *testing.T) {
+	const query = "SELECT b_id, b_val + 1.0 AS v FROM big WHERE b_val >= 100.0"
 	db := benchDB(t, benchRows)
-	stmt, err := sql.Parse("SELECT b_id, b_val + 1.0 AS v FROM big WHERE b_val >= 100.0")
+	stmt, err := sql.Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +157,11 @@ func TestInstrumentedRunIsBatchExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, shell, err := db.runPlan(plan, nil, nil, nil, false)
+	plain, shell, err := db.runPlan(nil, plan, nil, nil, nil, false)
 	if err != nil || shell != nil {
 		t.Fatalf("plain run: shell %v, err %v", shell, err)
 	}
-	inst, shell, err := db.runPlan(plan, nil, nil, nil, true)
+	inst, shell, err := db.runPlan(nil, plan, nil, nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,19 +175,24 @@ func TestInstrumentedRunIsBatchExecution(t *testing.T) {
 	if inst.Counters != plain.Counters || plain.Counters.RowsScanned != benchRows {
 		t.Fatalf("counters: instrumented %+v, plain %+v", inst.Counters, plain.Counters)
 	}
-	// The shell between Filter and Scan keeps the predicate out of the scan
-	// loop, so the scan line reports every row it read.
-	text := opt.ExplainAnalyze(plan, shell, 0)
-	for _, want := range []string{"Scan big (actual rows=20000 ", "Filter (actual rows=18000 "} {
-		if !strings.Contains(text, want) {
-			t.Errorf("explain analyze missing %q:\n%s", want, text)
+	// The Filter looks through the shell around its scan and fuses the
+	// predicate into the scan loop as the plain run does: the scan line
+	// reports the rows that passed, RowsScanned (above) the rows examined.
+	for _, text := range []string{
+		opt.ExplainAnalyze(plan, shell, 0),
+		planText(t, db, "EXPLAIN ANALYZE "+query, nil),
+	} {
+		for _, want := range []string{"Scan big (actual rows=18000 ", "Filter (actual rows=18000 "} {
+			if !strings.Contains(text, want) {
+				t.Errorf("explain analyze missing %q:\n%s", want, text)
+			}
 		}
 	}
 	if raceEnabled {
 		return // allocation counts are distorted under -race
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := db.runPlan(plan, nil, nil, nil, true); err != nil {
+		if _, _, err := db.runPlan(nil, plan, nil, nil, nil, true); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -124,14 +124,13 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 					tx.Abort()
 					return nil, err
 				}
-				pctx := &exec.Ctx{Txn: tx, Remote: db.remote, Counters: &res.Counters, EstRows: plan.Card}
-				bindParams(plan, params, nil, pctx)
-				rs, err := exec.Run(exec.CloneOperator(plan.Root), pctx)
+				r, _, err := db.runPlan(tx, plan, params, nil, nil, false)
 				if err != nil {
 					tx.Abort()
 					return nil, err
 				}
-				res.Cols, res.Rows = rs.Cols, rs.Rows
+				res.Cols, res.Rows = r.Cols, r.Rows
+				res.Counters.Add(&r.Counters)
 			default:
 				tx.Abort()
 				return nil, fmt.Errorf("engine: unsupported statement in procedure %s", proc.Name)
@@ -162,10 +161,7 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 		if len(r.Cols) > 0 {
 			res.Cols, res.Rows = r.Cols, r.Rows
 		}
-		res.Counters.RowsScanned += r.Counters.RowsScanned
-		res.Counters.RowsRemote += r.Counters.RowsRemote
-		res.Counters.RemoteQueries += r.Counters.RemoteQueries
-		res.Counters.StartupPruned += r.Counters.StartupPruned
+		res.Counters.Add(&r.Counters)
 	}
 	return res, nil
 }

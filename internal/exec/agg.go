@@ -46,6 +46,13 @@ type AggSpec struct {
 	Distinct bool
 }
 
+// visitAggs calls fn on each aggregate's argument (COUNT(*) has none).
+func visitAggs(fn func(Expr), aggs []AggSpec) {
+	for _, a := range aggs {
+		visit(fn, a.Arg)
+	}
+}
+
 // aggState accumulates one aggregate for one group.
 type aggState struct {
 	count   int64
@@ -141,7 +148,15 @@ type HashAgg struct {
 	pos int
 }
 
-func (h *HashAgg) Columns() []ColInfo { return h.Cols }
+func (h *HashAgg) Columns() []ColInfo    { return h.Cols }
+func (h *HashAgg) Child(i int) *Operator { return slot(i, &h.Input) }
+func (h *HashAgg) EachExpr(fn func(Expr)) {
+	visit(fn, h.GroupBy...)
+	visitAggs(fn, h.Aggs)
+}
+func (h *HashAgg) clone() Operator {
+	return &HashAgg{Input: h.Input, GroupBy: h.GroupBy, Aggs: h.Aggs, Cols: h.Cols}
+}
 
 // aggGroup is one group's accumulated state, shared by HashAgg and the
 // per-worker PartialAgg.

@@ -11,10 +11,8 @@ type OpStats struct {
 
 // Instrumented wraps an operator, timing its calls and counting produced
 // rows. It is transparent to execution: Columns, errors and the caller's
-// batch (with its Ephemeral promise) pass through. The one thing a shell
-// changes is that a Filter no longer sees its child scan, so an instrumented
-// tree evaluates the compiled predicate in the Filter instead of inside the
-// scan loop.
+// batch (with its Ephemeral promise) pass through, and a Filter looks through
+// the shell to fuse its predicate into a child scan as it does without one.
 type Instrumented struct {
 	Op    Operator
 	Stats OpStats
@@ -24,47 +22,23 @@ type Instrumented struct {
 // returning the new root. The input tree is mutated (child links are
 // redirected), so instrument a private clone, never a cached plan.
 func Instrument(op Operator) *Instrumented {
-	switch x := op.(type) {
-	case *Filter:
-		x.Input = Instrument(x.Input)
-	case *StartupFilter:
-		x.Input = Instrument(x.Input)
-	case *Project:
-		x.Input = Instrument(x.Input)
-	case *Limit:
-		x.Input = Instrument(x.Input)
-	case *Sort:
-		x.Input = Instrument(x.Input)
-	case *Distinct:
-		x.Input = Instrument(x.Input)
-	case *HashAgg:
-		x.Input = Instrument(x.Input)
-	case *TopN:
-		x.Input = Instrument(x.Input)
-	case *FinalAgg:
-		x.Input = Instrument(x.Input)
-	case *Exchange:
-		// Deliberately not descending into the template: workers execute
-		// private clones, so template-side shells would never see a row.
-		// The Exchange's own shell carries the gathered totals and the
-		// per-worker counts come from WorkerRows.
-	case *HashJoin:
-		x.Left = Instrument(x.Left)
-		x.Right = Instrument(x.Right)
-	case *IndexJoin:
-		x.Outer = Instrument(x.Outer)
-	case *NestedLoop:
-		x.Left = Instrument(x.Left)
-		x.Right = Instrument(x.Right)
-	case *UnionAll:
-		for i, in := range x.Inputs {
-			x.Inputs[i] = Instrument(in)
+	// Deliberately not descending into an Exchange's template: workers execute
+	// private clones, so template-side shells would never see a row. The
+	// Exchange's own shell carries the gathered totals and the per-worker
+	// counts come from WorkerRows.
+	if _, ok := op.(*Exchange); !ok {
+		for i := 0; op.Child(i) != nil; i++ {
+			in := op.Child(i)
+			*in = Instrument(*in)
 		}
 	}
 	return &Instrumented{Op: op}
 }
 
-func (i *Instrumented) Columns() []ColInfo { return i.Op.Columns() }
+func (i *Instrumented) Columns() []ColInfo    { return i.Op.Columns() }
+func (i *Instrumented) Child(n int) *Operator { return slot(n, &i.Op) }
+func (i *Instrumented) EachExpr(func(Expr))   {}
+func (i *Instrumented) clone() Operator       { return &Instrumented{Op: i.Op} }
 
 func (i *Instrumented) Open(ctx *Ctx) error {
 	start := time.Now()

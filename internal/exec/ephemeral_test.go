@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mtcache/internal/sql"
@@ -37,9 +38,12 @@ type poison struct {
 	delivered []types.Row // copies handed to an Ephemeral puller by the last call
 }
 
-func (p *poison) Columns() []ColInfo  { return p.Input.Columns() }
-func (p *poison) Open(ctx *Ctx) error { return p.Input.Open(ctx) }
-func (p *poison) Close() error        { return p.Input.Close() }
+func (p *poison) Columns() []ColInfo    { return p.Input.Columns() }
+func (p *poison) Open(ctx *Ctx) error   { return p.Input.Open(ctx) }
+func (p *poison) Close() error          { return p.Input.Close() }
+func (p *poison) Child(i int) *Operator { return slot(i, &p.Input) }
+func (p *poison) EachExpr(func(Expr))   {}
+func (p *poison) clone() Operator       { return &poison{Input: p.Input} }
 
 func (p *poison) BatchNext(ctx *Ctx, b *Batch) error {
 	for _, row := range p.delivered {
@@ -69,24 +73,46 @@ func (p *poison) BatchNext(ctx *Ctx, b *Batch) error {
 // recycled storage under a consumer that did not ask. With fickle set every
 // other pull is Ephemeral instead (those rows are copied and the copies passed
 // on, nothing is kept): the promise is per call, so a producer must not
-// rewind over what an earlier durable call delivered.
+// rewind over what an earlier durable call delivered. A hoard inside an
+// Exchange template never runs itself — its clones do, one per worker — so
+// every hoard, cloned or made by hand, signs into All for the final check.
 type hoard struct {
 	Input  Operator
-	fickle bool
+	Fickle bool
+	All    *hoards
 
 	calls        int
 	kept, copies []types.Row
 }
 
-func (h *hoard) Columns() []ColInfo  { return h.Input.Columns() }
-func (h *hoard) Open(ctx *Ctx) error { return h.Input.Open(ctx) }
-func (h *hoard) Close() error        { return h.Input.Close() }
+// hoards is every hoard of one run; a shared build clones its side on a
+// worker goroutine, hence the lock.
+type hoards struct {
+	mu  sync.Mutex
+	all []*hoard
+}
+
+func (hs *hoards) add(h *hoard) *hoard {
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	hs.all = append(hs.all, h)
+	return h
+}
+
+func (h *hoard) Columns() []ColInfo    { return h.Input.Columns() }
+func (h *hoard) Open(ctx *Ctx) error   { return h.Input.Open(ctx) }
+func (h *hoard) Close() error          { return h.Input.Close() }
+func (h *hoard) Child(i int) *Operator { return slot(i, &h.Input) }
+func (h *hoard) EachExpr(func(Expr))   {}
+func (h *hoard) clone() Operator {
+	return h.All.add(&hoard{Input: h.Input, Fickle: h.Fickle, All: h.All})
+}
 
 func (h *hoard) BatchNext(ctx *Ctx, b *Batch) error {
 	asked := b.Ephemeral
 	defer func() { b.Ephemeral = asked }()
 	h.calls++
-	b.Ephemeral = h.fickle && h.calls%2 == 0
+	b.Ephemeral = h.Fickle && h.calls%2 == 0
 	if err := h.Input.BatchNext(ctx, b); err != nil {
 		return err
 	}
@@ -115,32 +141,16 @@ func (h *hoard) check(t *testing.T, label string) {
 
 // splice rebuilds op with wrap applied above the only-th operator of the tree
 // in pre-order (0 = the root), or above every one when only < 0. It returns
-// the new root and, through n, counts the operators. An Exchange is a leaf
-// here: its template is cloned per worker by CloneOperator, which knows no
-// test operators — the wrappers go above it and above the joins that read it.
+// the new root and, through n, counts the operators. An Exchange's template
+// is part of the tree: the wrappers spliced into it are cloned per worker
+// with the rest, so the lookup-join and hash-probe pipelines also run with a
+// wrapper at every edge inside the workers.
 func splice(op Operator, wrap func(Operator) Operator, only int, n *int) Operator {
 	me := *n
 	*n++
-	switch x := op.(type) {
-	case *Filter:
-		x.Input = splice(x.Input, wrap, only, n)
-	case *Project:
-		x.Input = splice(x.Input, wrap, only, n)
-	case *HashAgg:
-		x.Input = splice(x.Input, wrap, only, n)
-	case *Sort:
-		x.Input = splice(x.Input, wrap, only, n)
-	case *HashJoin:
-		x.Left = splice(x.Left, wrap, only, n)
-		x.Right = splice(x.Right, wrap, only, n)
-	case *IndexJoin:
-		x.Outer = splice(x.Outer, wrap, only, n)
-	case *NestedLoop:
-		x.Left = splice(x.Left, wrap, only, n)
-		x.Right = splice(x.Right, wrap, only, n)
-	case *Scan, *IndexScan, *Values, *Exchange:
-	default:
-		panic(fmt.Sprintf("splice: unknown operator %T", op))
+	for i := 0; op.Child(i) != nil; i++ {
+		in := op.Child(i)
+		*in = splice(*in, wrap, only, n)
 	}
 	if only < 0 || only == me {
 		return wrap(op)
@@ -190,19 +200,17 @@ func (ct *contractTree) underWrappers(t *testing.T) {
 	for _, mode := range []string{"poison", "hoard", "fickle"} {
 		for only := -1; only < edges; only++ {
 			label := fmt.Sprintf("%s %s@%d", ct.name, mode, only)
-			var hoards []*hoard
+			var all hoards
 			wrap := func(op Operator) Operator {
 				if mode == "poison" {
 					return &poison{Input: op}
 				}
-				h := &hoard{Input: op, fickle: mode == "fickle"}
-				hoards = append(hoards, h)
-				return h
+				return all.add(&hoard{Input: op, Fickle: mode == "fickle", All: &all})
 			}
 			n := 0
 			got := ct.run(t, splice(ct.build(), wrap, only, &n))
 			ct.require(t, label, got)
-			for _, h := range hoards {
+			for _, h := range all.all {
 				h.check(t, label)
 			}
 		}

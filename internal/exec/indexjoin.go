@@ -46,6 +46,18 @@ func (j *IndexJoin) Columns() []ColInfo {
 	return j.cols
 }
 
+func (j *IndexJoin) Child(i int) *Operator { return slot(i, &j.Outer) }
+func (j *IndexJoin) EachExpr(fn func(Expr)) {
+	visit(fn, j.OuterKeys...)
+	visit(fn, j.Pred, j.Residual)
+}
+func (j *IndexJoin) clone() Operator {
+	return &IndexJoin{
+		Outer: j.Outer, OuterKeys: j.OuterKeys, TableName: j.TableName, IndexName: j.IndexName,
+		InnerCols: j.InnerCols, Proj: j.Proj, Pred: j.Pred, Residual: j.Residual, LeftOuter: j.LeftOuter,
+	}
+}
+
 // Seeks reports the index seeks of the last execution (EXPLAIN ANALYZE).
 func (j *IndexJoin) Seeks() int64 { return j.seeks }
 

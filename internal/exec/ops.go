@@ -66,8 +66,8 @@ type Counters struct {
 	StartupPruned int64 // startup filters whose input was never opened
 }
 
-// add accumulates o into c.
-func (c *Counters) add(o *Counters) {
+// Add accumulates o into c.
+func (c *Counters) Add(o *Counters) {
 	c.RowsScanned += o.RowsScanned
 	c.RowsRemote += o.RowsRemote
 	c.RemoteQueries += o.RemoteQueries
@@ -109,11 +109,60 @@ func preallocSize(est float64, limit int) int {
 // rows. An empty batch signals end of stream; a non-empty batch may hold any
 // positive number of rows (typically up to BatchSize; joins may overshoot
 // when one input row matches many).
+//
+// The last three methods are what an operator says about itself to whoever
+// walks a plan tree (CloneOperator, Instrument, WalkExprs, the partition
+// binder, EXPLAIN, the optimizer's rewrites), so that none of them needs to
+// know the operator types. By convention an operator's exported fields are
+// its configuration and its unexported fields are the state of one run.
 type Operator interface {
 	Columns() []ColInfo
 	Open(ctx *Ctx) error
 	BatchNext(ctx *Ctx, b *Batch) error
 	Close() error
+
+	// Child returns the operator's i-th input slot, nil past the last one.
+	// The slot is the field itself, not a copy: a walker reads the input
+	// through it and may assign a replacement (a clone, an instrumented
+	// shell, an Exchange).
+	Child(i int) *Operator
+	// EachExpr calls fn on every compiled expression the operator itself
+	// holds, not its inputs'; unset optional ones are skipped.
+	EachExpr(fn func(Expr))
+	// clone returns a copy with the same configuration and no run state.
+	// Its input slots still hold the receiver's inputs (CloneOperator
+	// assigns their clones through Child), so an operator whose slots live
+	// in a slice copies the slice.
+	clone() Operator
+}
+
+// leaf is embedded by the operators that have no input.
+type leaf struct{}
+
+func (leaf) Child(int) *Operator { return nil }
+
+// slot is Child for an operator whose inputs are the given fields.
+func slot(i int, inputs ...*Operator) *Operator {
+	if i < len(inputs) {
+		return inputs[i]
+	}
+	return nil
+}
+
+// visit calls fn on the expressions that are set.
+func visit(fn func(Expr), exprs ...Expr) {
+	for _, e := range exprs {
+		if e != nil {
+			fn(e)
+		}
+	}
+}
+
+// visitKeys calls fn on each sort key's expression.
+func visitKeys(fn func(Expr), keys []SortKey) {
+	for _, k := range keys {
+		fn(k.E)
+	}
 }
 
 // Run drains an operator into a ResultSet.
@@ -147,6 +196,7 @@ func Run(op Operator, ctx *Ctx) (*ResultSet, error) {
 // scan as an Exchange partitioning point: the Exchange binds each worker
 // clone to a disjoint heap-slot range before Open.
 type Scan struct {
+	leaf
 	TableName string
 	Cols      []ColInfo
 	Parallel  bool // Exchange partitions this scan across workers
@@ -159,7 +209,11 @@ type Scan struct {
 	rhs  []types.Value      // pred's per-batch right-hand-side scratch
 }
 
-func (s *Scan) Columns() []ColInfo { return s.Cols }
+func (s *Scan) Columns() []ColInfo  { return s.Cols }
+func (s *Scan) EachExpr(func(Expr)) {}
+func (s *Scan) clone() Operator {
+	return &Scan{TableName: s.TableName, Cols: s.Cols, Parallel: s.Parallel}
+}
 
 func (s *Scan) Open(ctx *Ctx) error {
 	s.td = ctx.Txn.Table(s.TableName)
@@ -228,6 +282,7 @@ func (s *Scan) Close() error { s.td = nil; return nil }
 // expressions evaluated at Open so parameterized seeks work; both bounds are
 // inclusive (strict bounds carry a residual Filter above).
 type IndexScan struct {
+	leaf
 	TableName string
 	IndexName string // "__pk" for the primary key index
 	Cols      []ColInfo
@@ -252,6 +307,13 @@ type indexPart struct {
 }
 
 func (s *IndexScan) Columns() []ColInfo { return s.Cols }
+func (s *IndexScan) EachExpr(fn func(Expr)) {
+	visit(fn, s.Lo...)
+	visit(fn, s.Hi...)
+}
+func (s *IndexScan) clone() Operator {
+	return &IndexScan{TableName: s.TableName, IndexName: s.IndexName, Cols: s.Cols, Lo: s.Lo, Hi: s.Hi, Parallel: s.Parallel, EstRows: s.EstRows}
+}
 
 func (s *IndexScan) Open(ctx *Ctx) error {
 	s.td = ctx.Txn.Table(s.TableName)
@@ -394,7 +456,10 @@ type Filter struct {
 	pushed bool          // vp was pushed down into the child scan
 }
 
-func (f *Filter) Columns() []ColInfo { return f.Input.Columns() }
+func (f *Filter) Columns() []ColInfo     { return f.Input.Columns() }
+func (f *Filter) Child(i int) *Operator  { return slot(i, &f.Input) }
+func (f *Filter) EachExpr(fn func(Expr)) { visit(fn, f.Pred) }
+func (f *Filter) clone() Operator        { return &Filter{Input: f.Input, Pred: f.Pred} }
 
 func (f *Filter) Open(ctx *Ctx) error {
 	f.vp, f.pushed = compilePred(f.Pred), false
@@ -402,8 +467,13 @@ func (f *Filter) Open(ctx *Ctx) error {
 		// Fuse into a child scan: the predicate then runs inside the scan
 		// loop and rejected rows never enter a batch. (Each execution works
 		// on a private CloneOperator tree, so the pushed state is never
-		// shared across executions.)
-		switch in := f.Input.(type) {
+		// shared across executions.) An EXPLAIN ANALYZE shell around the scan
+		// is looked through: the instrumented run is the fused run.
+		in := f.Input
+		if shell, ok := in.(*Instrumented); ok {
+			in = shell.Op
+		}
+		switch in := in.(type) {
 		case *Scan:
 			in.pred, f.pushed = f.vp, true
 		case *IndexScan:
@@ -473,7 +543,12 @@ type StartupFilter struct {
 	active bool
 }
 
-func (s *StartupFilter) Columns() []ColInfo { return s.Input.Columns() }
+func (s *StartupFilter) Columns() []ColInfo     { return s.Input.Columns() }
+func (s *StartupFilter) Child(i int) *Operator  { return slot(i, &s.Input) }
+func (s *StartupFilter) EachExpr(fn func(Expr)) { visit(fn, s.Guard) }
+func (s *StartupFilter) clone() Operator {
+	return &StartupFilter{Input: s.Input, Guard: s.Guard, Else: s.Else, Branch: s.Branch}
+}
 
 func (s *StartupFilter) Open(ctx *Ctx) error {
 	ok, err := EvalBool(s.Guard, nil, &ctx.Env)
@@ -527,7 +602,10 @@ type Project struct {
 	cols  []int    // all-ColExpr gather plan, nil when any expr is general
 }
 
-func (p *Project) Columns() []ColInfo { return p.Cols }
+func (p *Project) Columns() []ColInfo     { return p.Cols }
+func (p *Project) Child(i int) *Operator  { return slot(i, &p.Input) }
+func (p *Project) EachExpr(fn func(Expr)) { visit(fn, p.Exprs...) }
+func (p *Project) clone() Operator        { return &Project{Input: p.Input, Exprs: p.Exprs, Cols: p.Cols} }
 
 func (p *Project) Open(ctx *Ctx) error {
 	p.cols = make([]int, 0, len(p.Exprs))
@@ -600,7 +678,10 @@ type Limit struct {
 	left int64
 }
 
-func (l *Limit) Columns() []ColInfo { return l.Input.Columns() }
+func (l *Limit) Columns() []ColInfo     { return l.Input.Columns() }
+func (l *Limit) Child(i int) *Operator  { return slot(i, &l.Input) }
+func (l *Limit) EachExpr(fn func(Expr)) { visit(fn, l.N) }
+func (l *Limit) clone() Operator        { return &Limit{Input: l.Input, N: l.N} }
 
 func (l *Limit) Open(ctx *Ctx) error {
 	v, err := l.N.Eval(nil, &ctx.Env)
@@ -723,7 +804,10 @@ type Sort struct {
 	pos  int
 }
 
-func (s *Sort) Columns() []ColInfo { return s.Input.Columns() }
+func (s *Sort) Columns() []ColInfo     { return s.Input.Columns() }
+func (s *Sort) Child(i int) *Operator  { return slot(i, &s.Input) }
+func (s *Sort) EachExpr(fn func(Expr)) { visitKeys(fn, s.Keys) }
+func (s *Sort) clone() Operator        { return &Sort{Input: s.Input, Keys: s.Keys} }
 
 func (s *Sort) Open(ctx *Ctx) error {
 	if err := s.Input.Open(ctx); err != nil {
@@ -787,7 +871,13 @@ type TopN struct {
 	pos  int
 }
 
-func (s *TopN) Columns() []ColInfo { return s.Input.Columns() }
+func (s *TopN) Columns() []ColInfo    { return s.Input.Columns() }
+func (s *TopN) Child(i int) *Operator { return slot(i, &s.Input) }
+func (s *TopN) EachExpr(fn func(Expr)) {
+	visit(fn, s.N)
+	visitKeys(fn, s.Keys)
+}
+func (s *TopN) clone() Operator { return &TopN{Input: s.Input, Keys: s.Keys, N: s.N} }
 
 // topEntry carries a row, its evaluated sort keys, and the input sequence
 // number used as the stability tiebreak.
@@ -921,6 +1011,19 @@ func (j *HashJoin) Columns() []ColInfo {
 		j.cols = append(append([]ColInfo{}, j.Left.Columns()...), j.Right.Columns()...)
 	}
 	return j.cols
+}
+
+func (j *HashJoin) Child(i int) *Operator { return slot(i, &j.Left, &j.Right) }
+func (j *HashJoin) EachExpr(fn func(Expr)) {
+	visit(fn, j.LeftKeys...)
+	visit(fn, j.RightKeys...)
+	visit(fn, j.Residual)
+}
+func (j *HashJoin) clone() Operator {
+	return &HashJoin{
+		Left: j.Left, Right: j.Right, LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
+		LeftOuter: j.LeftOuter, Residual: j.Residual, BuildEst: j.BuildEst, ShareBuild: j.ShareBuild,
+	}
 }
 
 func (j *HashJoin) Open(ctx *Ctx) error {
@@ -1089,6 +1192,12 @@ func (j *NestedLoop) Columns() []ColInfo {
 	return j.cols
 }
 
+func (j *NestedLoop) Child(i int) *Operator  { return slot(i, &j.Left, &j.Right) }
+func (j *NestedLoop) EachExpr(fn func(Expr)) { visit(fn, j.Pred) }
+func (j *NestedLoop) clone() Operator {
+	return &NestedLoop{Left: j.Left, Right: j.Right, Pred: j.Pred, LeftOuter: j.LeftOuter}
+}
+
 func (j *NestedLoop) Open(ctx *Ctx) error {
 	if err := j.Right.Open(ctx); err != nil {
 		return err
@@ -1176,6 +1285,14 @@ type UnionAll struct {
 }
 
 func (u *UnionAll) Columns() []ColInfo { return u.Inputs[0].Columns() }
+func (u *UnionAll) Child(i int) *Operator {
+	if i < len(u.Inputs) {
+		return &u.Inputs[i]
+	}
+	return nil
+}
+func (u *UnionAll) EachExpr(func(Expr)) {}
+func (u *UnionAll) clone() Operator     { return &UnionAll{Inputs: append([]Operator(nil), u.Inputs...)} }
 
 func (u *UnionAll) Open(ctx *Ctx) error {
 	for _, in := range u.Inputs {
@@ -1218,6 +1335,7 @@ func (u *UnionAll) Close() error {
 // server and streams the result. Its appearance in a plan is exactly where
 // the optimizer placed a DataTransfer enforcer (paper §5).
 type Remote struct {
+	leaf
 	SQLText string
 	Cols    []ColInfo
 
@@ -1225,7 +1343,9 @@ type Remote struct {
 	pos  int
 }
 
-func (r *Remote) Columns() []ColInfo { return r.Cols }
+func (r *Remote) Columns() []ColInfo  { return r.Cols }
+func (r *Remote) EachExpr(func(Expr)) {}
+func (r *Remote) clone() Operator     { return &Remote{SQLText: r.SQLText, Cols: r.Cols} }
 
 func (r *Remote) Open(ctx *Ctx) error {
 	if ctx.Remote == nil {
@@ -1271,6 +1391,7 @@ func (r *Remote) Close() error {
 
 // Values yields fixed rows (used for SELECT without FROM).
 type Values struct {
+	leaf
 	Cols []ColInfo
 	Rows [][]Expr
 
@@ -1278,7 +1399,13 @@ type Values struct {
 }
 
 func (v *Values) Columns() []ColInfo { return v.Cols }
-func (v *Values) Open(*Ctx) error    { v.pos = 0; return nil }
+func (v *Values) EachExpr(fn func(Expr)) {
+	for _, row := range v.Rows {
+		visit(fn, row...)
+	}
+}
+func (v *Values) clone() Operator { return &Values{Cols: v.Cols, Rows: v.Rows} }
+func (v *Values) Open(*Ctx) error { v.pos = 0; return nil }
 
 func (v *Values) BatchNext(ctx *Ctx, b *Batch) error {
 	b.Rows = b.Rows[:0]
@@ -1306,6 +1433,7 @@ func (v *Values) Close() error { return nil }
 // provider is called once per Open so a query sees one consistent
 // materialization; there is no storage, no transaction and no index path.
 type VirtualScan struct {
+	leaf
 	Name string // full dotted table name, e.g. "sys.query_stats"
 	Rows func() []types.Row
 	Cols []ColInfo
@@ -1314,7 +1442,11 @@ type VirtualScan struct {
 	pos  int
 }
 
-func (s *VirtualScan) Columns() []ColInfo { return s.Cols }
+func (s *VirtualScan) Columns() []ColInfo  { return s.Cols }
+func (s *VirtualScan) EachExpr(func(Expr)) {}
+func (s *VirtualScan) clone() Operator {
+	return &VirtualScan{Name: s.Name, Rows: s.Rows, Cols: s.Cols}
+}
 
 func (s *VirtualScan) Open(*Ctx) error {
 	s.rows = s.Rows()
@@ -1348,7 +1480,10 @@ type Distinct struct {
 	seen map[uint64][]types.Row
 }
 
-func (d *Distinct) Columns() []ColInfo { return d.Input.Columns() }
+func (d *Distinct) Columns() []ColInfo    { return d.Input.Columns() }
+func (d *Distinct) Child(i int) *Operator { return slot(i, &d.Input) }
+func (d *Distinct) EachExpr(func(Expr))   {}
+func (d *Distinct) clone() Operator       { return &Distinct{Input: d.Input} }
 
 func (d *Distinct) Open(ctx *Ctx) error {
 	d.seen = make(map[uint64][]types.Row)

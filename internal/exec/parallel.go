@@ -42,7 +42,13 @@ type Exchange struct {
 	closed     bool
 }
 
-func (e *Exchange) Columns() []ColInfo { return e.Template.Columns() }
+func (e *Exchange) Columns() []ColInfo    { return e.Template.Columns() }
+func (e *Exchange) Child(i int) *Operator { return slot(i, &e.Template) }
+func (e *Exchange) EachExpr(func(Expr))   {}
+
+// clone: CloneOperator clones the template too, so each execution binds
+// partitions and shared builds on a private tree.
+func (e *Exchange) clone() Operator { return &Exchange{Template: e.Template, DOP: e.DOP} }
 
 func (e *Exchange) Open(ctx *Ctx) error {
 	dop := e.DOP
@@ -192,7 +198,7 @@ func (e *Exchange) Close() error {
 	// update the same counters while the workers run.
 	if e.parent != nil {
 		for i := range e.counters {
-			e.parent.add(&e.counters[i])
+			e.parent.Add(&e.counters[i])
 		}
 	}
 	e.workers = nil
@@ -264,22 +270,6 @@ func bindPartitions(ctx *Ctx, tmpl Operator, workers []Operator) error {
 			}
 			ws.part = p
 		}
-	case *Filter:
-		return bindPartitions(ctx, t.Input, pickChildren(workers, func(op Operator) Operator { return op.(*Filter).Input }))
-	case *Project:
-		return bindPartitions(ctx, t.Input, pickChildren(workers, func(op Operator) Operator { return op.(*Project).Input }))
-	case *Limit:
-		return bindPartitions(ctx, t.Input, pickChildren(workers, func(op Operator) Operator { return op.(*Limit).Input }))
-	case *Distinct:
-		return bindPartitions(ctx, t.Input, pickChildren(workers, func(op Operator) Operator { return op.(*Distinct).Input }))
-	case *Sort:
-		return bindPartitions(ctx, t.Input, pickChildren(workers, func(op Operator) Operator { return op.(*Sort).Input }))
-	case *TopN:
-		return bindPartitions(ctx, t.Input, pickChildren(workers, func(op Operator) Operator { return op.(*TopN).Input }))
-	case *HashAgg:
-		return bindPartitions(ctx, t.Input, pickChildren(workers, func(op Operator) Operator { return op.(*HashAgg).Input }))
-	case *PartialAgg:
-		return bindPartitions(ctx, t.Input, pickChildren(workers, func(op Operator) Operator { return op.(*PartialAgg).Input }))
 	case *HashJoin:
 		if t.ShareBuild {
 			sb := newSharedBuild(t, len(workers))
@@ -288,38 +278,23 @@ func bindPartitions(ctx *Ctx, tmpl Operator, workers []Operator) error {
 			}
 			// Only the probe side is partitioned; the build side belongs to
 			// the shared build.
-			return bindPartitions(ctx, t.Left, pickChildren(workers, func(op Operator) Operator { return op.(*HashJoin).Left }))
+			return bindPartitions(ctx, t.Left, inputsOf(workers, 0))
 		}
-		if err := bindPartitions(ctx, t.Left, pickChildren(workers, func(op Operator) Operator { return op.(*HashJoin).Left })); err != nil {
+	}
+	// Every other operator only passes the walk on, to all of its inputs.
+	for i := 0; tmpl.Child(i) != nil; i++ {
+		if err := bindPartitions(ctx, *tmpl.Child(i), inputsOf(workers, i)); err != nil {
 			return err
 		}
-		return bindPartitions(ctx, t.Right, pickChildren(workers, func(op Operator) Operator { return op.(*HashJoin).Right }))
-	case *IndexJoin:
-		// A streaming operator over its outer input: every worker seeks the
-		// shared snapshot for its own partition of outer rows.
-		return bindPartitions(ctx, t.Outer, pickChildren(workers, func(op Operator) Operator { return op.(*IndexJoin).Outer }))
-	case *NestedLoop:
-		if err := bindPartitions(ctx, t.Left, pickChildren(workers, func(op Operator) Operator { return op.(*NestedLoop).Left })); err != nil {
-			return err
-		}
-		return bindPartitions(ctx, t.Right, pickChildren(workers, func(op Operator) Operator { return op.(*NestedLoop).Right }))
-	case *UnionAll:
-		for ci := range t.Inputs {
-			ci := ci
-			if err := bindPartitions(ctx, t.Inputs[ci], pickChildren(workers, func(op Operator) Operator { return op.(*UnionAll).Inputs[ci] })); err != nil {
-				return err
-			}
-		}
-	case *StartupFilter:
-		return bindPartitions(ctx, t.Input, pickChildren(workers, func(op Operator) Operator { return op.(*StartupFilter).Input }))
 	}
 	return nil
 }
 
-func pickChildren(workers []Operator, pick func(Operator) Operator) []Operator {
+// inputsOf returns the i-th input of every worker.
+func inputsOf(workers []Operator, i int) []Operator {
 	out := make([]Operator, len(workers))
-	for i, w := range workers {
-		out[i] = pick(w)
+	for k, w := range workers {
+		out[k] = *w.Child(i)
 	}
 	return out
 }
@@ -379,7 +354,7 @@ func parallelBuild(ctx *Ctx, tmpl Operator, keys []Expr, est float64, dop int) (
 	wg.Wait()
 	if ctx.Counters != nil {
 		for _, c := range counters {
-			ctx.Counters.add(c)
+			ctx.Counters.Add(c)
 		}
 	}
 	for _, err := range errs {

@@ -47,7 +47,15 @@ type PartialAgg struct {
 	pos int
 }
 
-func (p *PartialAgg) Columns() []ColInfo { return p.Cols }
+func (p *PartialAgg) Columns() []ColInfo    { return p.Cols }
+func (p *PartialAgg) Child(i int) *Operator { return slot(i, &p.Input) }
+func (p *PartialAgg) EachExpr(fn func(Expr)) {
+	visit(fn, p.GroupBy...)
+	visitAggs(fn, p.Aggs)
+}
+func (p *PartialAgg) clone() Operator {
+	return &PartialAgg{Input: p.Input, GroupBy: p.GroupBy, Aggs: p.Aggs, Cols: p.Cols}
+}
 
 func (p *PartialAgg) Open(ctx *Ctx) error {
 	order, err := aggregateInput(ctx, p.Input, p.GroupBy, p.Aggs)
@@ -170,7 +178,12 @@ type FinalAgg struct {
 	pos int
 }
 
-func (f *FinalAgg) Columns() []ColInfo { return f.Cols }
+func (f *FinalAgg) Columns() []ColInfo     { return f.Cols }
+func (f *FinalAgg) Child(i int) *Operator  { return slot(i, &f.Input) }
+func (f *FinalAgg) EachExpr(fn func(Expr)) { visitAggs(fn, f.Aggs) }
+func (f *FinalAgg) clone() Operator {
+	return &FinalAgg{Input: f.Input, GroupKeys: f.GroupKeys, Aggs: f.Aggs, Cols: f.Cols}
+}
 
 // finalGroup is one output group's merge state.
 type finalGroup struct {

@@ -31,105 +31,11 @@ func AssignParamSlots(root Operator) []string {
 }
 
 // WalkExprs invokes fn on every compiled expression attached to the operator
-// tree rooted at op (including nil-checked optional ones).
+// tree rooted at op, an operator's own before its inputs'.
 func WalkExprs(op Operator, fn func(Expr)) {
-	visit := func(e Expr) {
-		if e != nil {
-			fn(e)
-		}
-	}
-	switch x := op.(type) {
-	case *Scan, *Remote, *VirtualScan:
-	case *IndexScan:
-		for _, e := range x.Lo {
-			visit(e)
-		}
-		for _, e := range x.Hi {
-			visit(e)
-		}
-	case *Filter:
-		visit(x.Pred)
-		WalkExprs(x.Input, fn)
-	case *StartupFilter:
-		visit(x.Guard)
-		WalkExprs(x.Input, fn)
-	case *Project:
-		for _, e := range x.Exprs {
-			visit(e)
-		}
-		WalkExprs(x.Input, fn)
-	case *Limit:
-		visit(x.N)
-		WalkExprs(x.Input, fn)
-	case *Sort:
-		for _, k := range x.Keys {
-			visit(k.E)
-		}
-		WalkExprs(x.Input, fn)
-	case *TopN:
-		visit(x.N)
-		for _, k := range x.Keys {
-			visit(k.E)
-		}
-		WalkExprs(x.Input, fn)
-	case *Distinct:
-		WalkExprs(x.Input, fn)
-	case *HashJoin:
-		for _, e := range x.LeftKeys {
-			visit(e)
-		}
-		for _, e := range x.RightKeys {
-			visit(e)
-		}
-		visit(x.Residual)
-		WalkExprs(x.Left, fn)
-		WalkExprs(x.Right, fn)
-	case *IndexJoin:
-		for _, e := range x.OuterKeys {
-			visit(e)
-		}
-		visit(x.Pred)
-		visit(x.Residual)
-		WalkExprs(x.Outer, fn)
-	case *NestedLoop:
-		visit(x.Pred)
-		WalkExprs(x.Left, fn)
-		WalkExprs(x.Right, fn)
-	case *UnionAll:
-		for _, in := range x.Inputs {
-			WalkExprs(in, fn)
-		}
-	case *HashAgg:
-		for _, e := range x.GroupBy {
-			visit(e)
-		}
-		for _, a := range x.Aggs {
-			visit(a.Arg)
-		}
-		WalkExprs(x.Input, fn)
-	case *PartialAgg:
-		for _, e := range x.GroupBy {
-			visit(e)
-		}
-		for _, a := range x.Aggs {
-			visit(a.Arg)
-		}
-		WalkExprs(x.Input, fn)
-	case *FinalAgg:
-		for _, a := range x.Aggs {
-			visit(a.Arg)
-		}
-		WalkExprs(x.Input, fn)
-	case *Exchange:
-		WalkExprs(x.Template, fn)
-	case *Values:
-		for _, row := range x.Rows {
-			for _, e := range row {
-				visit(e)
-			}
-		}
-	case *Instrumented:
-		WalkExprs(x.Op, fn)
+	op.EachExpr(fn)
+	for i := 0; op.Child(i) != nil; i++ {
+		WalkExprs(*op.Child(i), fn)
 	}
 }
 

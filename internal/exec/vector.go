@@ -8,7 +8,7 @@ import (
 )
 
 // Vectorized predicate evaluation. The interpreted Expr tree pays three
-// dynamic dispatches and a 64-byte Value copy per row just to compare one
+// dynamic dispatches and a 32-byte Value copy per row just to compare one
 // column against one constant; on a 20k-row scan that interpretation is
 // nearly half the query's CPU. compilePred recognizes the filter shapes
 // that dominate real plans — a conjunction of <column> <cmp> <constant or

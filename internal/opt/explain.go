@@ -122,51 +122,14 @@ func opLine(op exec.Operator) string {
 	}
 }
 
-// opChildren returns an operator's inputs in display order.
-func opChildren(op exec.Operator) []exec.Operator {
-	switch x := op.(type) {
-	case *exec.Filter:
-		return []exec.Operator{x.Input}
-	case *exec.StartupFilter:
-		return []exec.Operator{x.Input}
-	case *exec.Project:
-		return []exec.Operator{x.Input}
-	case *exec.Limit:
-		return []exec.Operator{x.Input}
-	case *exec.Sort:
-		return []exec.Operator{x.Input}
-	case *exec.TopN:
-		return []exec.Operator{x.Input}
-	case *exec.Distinct:
-		return []exec.Operator{x.Input}
-	case *exec.HashAgg:
-		return []exec.Operator{x.Input}
-	case *exec.PartialAgg:
-		return []exec.Operator{x.Input}
-	case *exec.FinalAgg:
-		return []exec.Operator{x.Input}
-	case *exec.Exchange:
-		return []exec.Operator{x.Template}
-	case *exec.HashJoin:
-		return []exec.Operator{x.Left, x.Right}
-	case *exec.IndexJoin:
-		return []exec.Operator{x.Outer}
-	case *exec.NestedLoop:
-		return []exec.Operator{x.Left, x.Right}
-	case *exec.UnionAll:
-		return x.Inputs
-	}
-	return nil
-}
-
 func explainRec(b *strings.Builder, op exec.Operator, depth int) {
 	if inst, ok := op.(*exec.Instrumented); ok {
 		explainRec(b, inst.Op, depth)
 		return
 	}
 	fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), opLine(op))
-	for _, c := range opChildren(op) {
-		explainRec(b, c, depth+1)
+	for i := 0; op.Child(i) != nil; i++ {
+		explainRec(b, *op.Child(i), depth+1)
 	}
 }
 
@@ -205,8 +168,8 @@ func analyzeRec(b *strings.Builder, op exec.Operator, depth int) {
 		}
 	}
 	fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), line)
-	for _, c := range opChildren(inner) {
-		analyzeRec(b, c, depth+1)
+	for i := 0; inner.Child(i) != nil; i++ {
+		analyzeRec(b, *inner.Child(i), depth+1)
 	}
 }
 

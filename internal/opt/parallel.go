@@ -66,9 +66,6 @@ func (pl *planner) parallelizeOp(op exec.Operator, cap int) (exec.Operator, floa
 		if out, saved, ok2 := pl.parallelAgg(agg, cap); ok2 {
 			return out, saved, true
 		}
-		newIn, saved, changed := pl.parallelizeOp(agg.Input, cap)
-		agg.Input = newIn
-		return agg, saved, changed
 	}
 	if info, ok := pl.matchPipeline(op); ok {
 		if ex, saved, ok2 := pl.wrapExchange(op, info, cap); ok2 {
@@ -78,39 +75,12 @@ func (pl *planner) parallelizeOp(op exec.Operator, cap int) (exec.Operator, floa
 	}
 	var saved float64
 	var changed bool
-	descend := func(child exec.Operator) exec.Operator {
-		out, s, c := pl.parallelizeOp(child, cap)
+	for i := 0; op.Child(i) != nil; i++ {
+		in := op.Child(i)
+		out, s, c := pl.parallelizeOp(*in, cap)
+		*in = out
 		saved += s
 		changed = changed || c
-		return out
-	}
-	switch x := op.(type) {
-	case *exec.Filter:
-		x.Input = descend(x.Input)
-	case *exec.Project:
-		x.Input = descend(x.Input)
-	case *exec.Limit:
-		x.Input = descend(x.Input)
-	case *exec.Sort:
-		x.Input = descend(x.Input)
-	case *exec.TopN:
-		x.Input = descend(x.Input)
-	case *exec.Distinct:
-		x.Input = descend(x.Input)
-	case *exec.StartupFilter:
-		x.Input = descend(x.Input)
-	case *exec.HashJoin:
-		x.Left = descend(x.Left)
-		x.Right = descend(x.Right)
-	case *exec.IndexJoin:
-		x.Outer = descend(x.Outer)
-	case *exec.NestedLoop:
-		x.Left = descend(x.Left)
-		x.Right = descend(x.Right)
-	case *exec.UnionAll:
-		for i := range x.Inputs {
-			x.Inputs[i] = descend(x.Inputs[i])
-		}
 	}
 	return op, saved, changed
 }

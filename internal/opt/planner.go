@@ -224,44 +224,13 @@ func (pl *planner) countPlan(p *Plan) {
 	}
 }
 
+// collectRemote appends the SQL text of every DataTransfer in the tree.
 func collectRemote(op exec.Operator, out *[]string) {
-	switch x := op.(type) {
-	case *exec.Remote:
-		*out = append(*out, x.SQLText)
-	case *exec.Filter:
-		collectRemote(x.Input, out)
-	case *exec.StartupFilter:
-		collectRemote(x.Input, out)
-	case *exec.Project:
-		collectRemote(x.Input, out)
-	case *exec.Limit:
-		collectRemote(x.Input, out)
-	case *exec.Sort:
-		collectRemote(x.Input, out)
-	case *exec.Distinct:
-		collectRemote(x.Input, out)
-	case *exec.HashAgg:
-		collectRemote(x.Input, out)
-	case *exec.PartialAgg:
-		collectRemote(x.Input, out)
-	case *exec.FinalAgg:
-		collectRemote(x.Input, out)
-	case *exec.TopN:
-		collectRemote(x.Input, out)
-	case *exec.Exchange:
-		collectRemote(x.Template, out)
-	case *exec.HashJoin:
-		collectRemote(x.Left, out)
-		collectRemote(x.Right, out)
-	case *exec.IndexJoin:
-		collectRemote(x.Outer, out)
-	case *exec.NestedLoop:
-		collectRemote(x.Left, out)
-		collectRemote(x.Right, out)
-	case *exec.UnionAll:
-		for _, in := range x.Inputs {
-			collectRemote(in, out)
-		}
+	if r, ok := op.(*exec.Remote); ok {
+		*out = append(*out, r.SQLText)
+	}
+	for i := 0; op.Child(i) != nil; i++ {
+		collectRemote(*op.Child(i), out)
 	}
 }
 

@@ -67,67 +67,51 @@ func lex(src string) ([]token, error) {
 }
 
 func (l *lexer) next() (token, error) {
-	l.skipSpaceAndComments()
+	l.pos = skipSpaceAndComments(l.src, l.pos)
 	start := l.pos
-	if l.pos >= len(l.src) {
+	if start >= len(l.src) {
 		return token{kind: tokEOF, pos: start}, nil
 	}
-	c := l.src[l.pos]
+	c := l.src[start]
 	switch {
 	case c == '@':
-		l.pos++
-		id := l.ident()
-		if id == "" {
+		l.pos = identEnd(l.src, start+1)
+		if l.pos == start+1 {
 			return token{}, fmt.Errorf("lex: lone @ at offset %d", start)
 		}
-		return token{kind: tokParam, text: id, pos: start}, nil
+		return token{kind: tokParam, text: l.src[start+1 : l.pos], pos: start}, nil
 	case isIdentStart(rune(c)):
-		id := l.ident()
+		l.pos = identEnd(l.src, start)
+		id := l.src[start:l.pos]
 		up := strings.ToUpper(id)
 		if keywords[up] {
 			return token{kind: tokKeyword, text: up, pos: start}, nil
 		}
 		return token{kind: tokIdent, text: id, pos: start}, nil
 	case c == '[': // SQL Server style quoted identifier
-		end := strings.IndexByte(l.src[l.pos:], ']')
+		end := strings.IndexByte(l.src[start:], ']')
 		if end < 0 {
 			return token{}, fmt.Errorf("lex: unterminated [identifier at offset %d", start)
 		}
-		id := l.src[l.pos+1 : l.pos+end]
-		l.pos += end + 1
-		return token{kind: tokIdent, text: id, pos: start}, nil
-	case c >= '0' && c <= '9' || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
-		return l.number(start)
+		l.pos = start + end + 1
+		return token{kind: tokIdent, text: l.src[start+1 : start+end], pos: start}, nil
+	case isDigit(c) || c == '.' && start+1 < len(l.src) && isDigit(l.src[start+1]):
+		l.pos = numberEnd(l.src, start)
+		return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
 	case c == '\'':
-		return l.str(start)
-	default:
-		return l.operator(start)
-	}
-}
-
-func (l *lexer) skipSpaceAndComments() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
-		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
-			nl := strings.IndexByte(l.src[l.pos:], '\n')
-			if nl < 0 {
-				l.pos = len(l.src)
-			} else {
-				l.pos += nl + 1
-			}
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			end := strings.Index(l.src[l.pos+2:], "*/")
-			if end < 0 {
-				l.pos = len(l.src)
-			} else {
-				l.pos += end + 4
-			}
-		default:
-			return
+		s, end, ok := scanString(l.src, start)
+		if !ok {
+			return token{}, fmt.Errorf("lex: unterminated string at offset %d", start)
 		}
+		l.pos = end
+		return token{kind: tokString, text: s, pos: start}, nil
+	default:
+		op, end, ok := scanOperator(l.src, start)
+		if !ok {
+			return token{}, fmt.Errorf("lex: unexpected character %q at offset %d", c, start)
+		}
+		l.pos = end
+		return token{kind: tokOp, text: op, pos: start}, nil
 	}
 }
 
@@ -141,84 +125,148 @@ func isIdentCont(r rune) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-func (l *lexer) ident() string {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentCont(rune(l.src[l.pos])) {
-		l.pos++
+// twoCharOps are operators that must be matched greedily.
+var twoCharOps = []string{"<>", "<=", ">=", "!=", "=="}
+
+// The token rules. Each takes the text and a position and returns where the
+// token ends; lexer.next and Normalizer.Normalize are both built on them, so
+// a text and its shape key cannot tokenize differently.
+
+// skipSpaceAndComments returns the position of the next token at or after
+// pos. A -- comment runs to the end of the line, an unterminated /* to the
+// end of the text.
+func skipSpaceAndComments(src string, pos int) int {
+	for pos < len(src) {
+		c := src[pos]
+		switch {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			pos++
+		case c == '-' && pos+1 < len(src) && src[pos+1] == '-':
+			nl := strings.IndexByte(src[pos:], '\n')
+			if nl < 0 {
+				return len(src)
+			}
+			pos += nl + 1
+		case c == '/' && pos+1 < len(src) && src[pos+1] == '*':
+			end := strings.Index(src[pos+2:], "*/")
+			if end < 0 {
+				return len(src)
+			}
+			pos += end + 4
+		default:
+			return pos
+		}
 	}
-	return l.src[start:l.pos]
+	return pos
 }
 
-func (l *lexer) number(start int) (token, error) {
+// identEnd returns the end of the identifier characters starting at pos.
+func identEnd(src string, pos int) int {
+	for pos < len(src) && isIdentCont(rune(src[pos])) {
+		pos++
+	}
+	return pos
+}
+
+// numberEnd returns the end of the number starting at pos: digits with at
+// most one dot, then an optional exponent.
+func numberEnd(src string, pos int) int {
 	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	for pos < len(src) {
+		c := src[pos]
 		if isDigit(c) {
-			l.pos++
+			pos++
 			continue
 		}
 		if c == '.' && !seenDot {
 			seenDot = true
-			l.pos++
+			pos++
 			continue
 		}
-		if (c == 'e' || c == 'E') && l.pos+1 < len(l.src) &&
-			(isDigit(l.src[l.pos+1]) || l.src[l.pos+1] == '-' || l.src[l.pos+1] == '+') {
-			l.pos += 2
-			for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-				l.pos++
+		if (c == 'e' || c == 'E') && pos+1 < len(src) &&
+			(isDigit(src[pos+1]) || src[pos+1] == '-' || src[pos+1] == '+') {
+			pos += 2
+			for pos < len(src) && isDigit(src[pos]) {
+				pos++
 			}
 			break
 		}
 		break
 	}
-	return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
+	return pos
 }
 
-func (l *lexer) str(start int) (token, error) {
-	l.pos++ // opening quote
+// scanString reads the quoted string starting at pos: it returns the value
+// with doubled quotes undone and the position after the closing quote, or
+// false when the string is unterminated. Strings without doubled quotes are
+// returned as a zero-copy slice of src.
+func scanString(src string, pos int) (string, int, bool) {
+	pos++ // opening quote
+	start := pos
+	for pos < len(src) {
+		c := src[pos]
+		if c != '\'' {
+			pos++
+			continue
+		}
+		if pos+1 < len(src) && src[pos+1] == '\'' {
+			// Doubled quote: fall back to a building scan (rare).
+			return scanStringSlow(src, start)
+		}
+		return src[start:pos], pos + 1, true
+	}
+	return "", 0, false // unterminated
+}
+
+func scanStringSlow(src string, start int) (string, int, bool) {
 	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	pos := start
+	for pos < len(src) {
+		c := src[pos]
 		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			if pos+1 < len(src) && src[pos+1] == '\'' {
 				b.WriteByte('\'')
-				l.pos += 2
+				pos += 2
 				continue
 			}
-			l.pos++
-			return token{kind: tokString, text: b.String(), pos: start}, nil
+			return b.String(), pos + 1, true
 		}
 		b.WriteByte(c)
-		l.pos++
+		pos++
 	}
-	return token{}, fmt.Errorf("lex: unterminated string at offset %d", start)
+	return "", 0, false
 }
 
-// twoCharOps are operators that must be matched greedily.
-var twoCharOps = []string{"<>", "<=", ">=", "!=", "=="}
-
-func (l *lexer) operator(start int) (token, error) {
-	rest := l.src[l.pos:]
+// scanOperator reads the operator or punctuation at pos, returning its
+// canonical text (!= reads as <>, == as =) and end, or false for a character
+// that starts no token.
+func scanOperator(src string, pos int) (string, int, bool) {
+	rest := src[pos:]
 	for _, op := range twoCharOps {
 		if strings.HasPrefix(rest, op) {
-			l.pos += 2
 			text := op
-			if op == "!=" || op == "==" {
-				if op == "!=" {
-					text = "<>"
-				} else {
-					text = "="
-				}
+			switch op {
+			case "!=":
+				text = "<>"
+			case "==":
+				text = "="
 			}
-			return token{kind: tokOp, text: text, pos: start}, nil
+			return text, pos + 2, true
 		}
 	}
-	c := l.src[l.pos]
-	switch c {
+	switch c := src[pos]; c {
 	case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', '.', ';':
-		l.pos++
-		return token{kind: tokOp, text: string(c), pos: start}, nil
+		return singleCharOps[c], pos + 1, true
 	}
-	return token{}, fmt.Errorf("lex: unexpected character %q at offset %d", c, start)
+	return "", 0, false
 }
+
+// singleCharOps interns one-byte operator strings so scanOperator never
+// allocates.
+var singleCharOps = func() [128]string {
+	var a [128]string
+	for _, c := range []byte{'=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', '.', ';'} {
+		a[c] = string([]byte{c})
+	}
+	return a
+}()

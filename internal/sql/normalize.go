@@ -18,10 +18,10 @@ import (
 // optimization entirely (paper §5.1: cached plans "avoid the need for
 // frequent reoptimization").
 //
-// The normalizer mirrors the lexer's token rules exactly; its output is
-// itself parseable SQL, so on a cache miss the engine parses the key (not
-// the original text) and the resulting statement deparse — the plan-cache
-// key — is canonical for the shape.
+// The normalizer reads text by the lexer's own token rules (the scanning
+// functions in lexer.go); its output is itself parseable SQL, so on a cache
+// miss the engine parses the key (not the original text) and the resulting
+// statement deparse — the plan-cache key — is canonical for the shape.
 //
 // A text that already spells @__pN parameters is what a cache forwards to
 // the backend for the remote part of a shared plan: the shape, with the
@@ -100,7 +100,7 @@ func (n *Normalizer) Normalize(src string) (key []byte, args []types.Value, ok b
 	pos := 0
 	first := true
 	for {
-		pos = skipSpaceAndCommentsAt(src, pos)
+		pos = skipSpaceAndComments(src, pos)
 		if pos >= len(src) {
 			break
 		}
@@ -262,139 +262,6 @@ func (n *Normalizer) emitParam(v types.Value) bool {
 	n.buf = append(n.buf, name...)
 	return true
 }
-
-// skipSpaceAndCommentsAt mirrors lexer.skipSpaceAndComments on a raw string.
-func skipSpaceAndCommentsAt(src string, pos int) int {
-	for pos < len(src) {
-		c := src[pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			pos++
-		case c == '-' && pos+1 < len(src) && src[pos+1] == '-':
-			nl := strings.IndexByte(src[pos:], '\n')
-			if nl < 0 {
-				return len(src)
-			}
-			pos += nl + 1
-		case c == '/' && pos+1 < len(src) && src[pos+1] == '*':
-			end := strings.Index(src[pos+2:], "*/")
-			if end < 0 {
-				return len(src)
-			}
-			pos += end + 4
-		default:
-			return pos
-		}
-	}
-	return pos
-}
-
-// identEnd mirrors lexer.ident.
-func identEnd(src string, pos int) int {
-	for pos < len(src) && isIdentCont(rune(src[pos])) {
-		pos++
-	}
-	return pos
-}
-
-// numberEnd mirrors lexer.number.
-func numberEnd(src string, pos int) int {
-	seenDot := false
-	for pos < len(src) {
-		c := src[pos]
-		if isDigit(c) {
-			pos++
-			continue
-		}
-		if c == '.' && !seenDot {
-			seenDot = true
-			pos++
-			continue
-		}
-		if (c == 'e' || c == 'E') && pos+1 < len(src) &&
-			(isDigit(src[pos+1]) || src[pos+1] == '-' || src[pos+1] == '+') {
-			pos += 2
-			for pos < len(src) && isDigit(src[pos]) {
-				pos++
-			}
-			break
-		}
-		break
-	}
-	return pos
-}
-
-// scanString mirrors lexer.str: returns the unescaped value and the position
-// after the closing quote. Strings without doubled quotes are returned as a
-// zero-copy slice of src.
-func scanString(src string, pos int) (string, int, bool) {
-	pos++ // opening quote
-	start := pos
-	for pos < len(src) {
-		c := src[pos]
-		if c != '\'' {
-			pos++
-			continue
-		}
-		if pos+1 < len(src) && src[pos+1] == '\'' {
-			// Doubled quote: fall back to a building scan (rare).
-			return scanStringSlow(src, start)
-		}
-		return src[start:pos], pos + 1, true
-	}
-	return "", 0, false // unterminated
-}
-
-func scanStringSlow(src string, start int) (string, int, bool) {
-	var b strings.Builder
-	pos := start
-	for pos < len(src) {
-		c := src[pos]
-		if c == '\'' {
-			if pos+1 < len(src) && src[pos+1] == '\'' {
-				b.WriteByte('\'')
-				pos += 2
-				continue
-			}
-			return b.String(), pos + 1, true
-		}
-		b.WriteByte(c)
-		pos++
-	}
-	return "", 0, false
-}
-
-// scanOperator mirrors lexer.operator, including the != / == aliases.
-func scanOperator(src string, pos int) (string, int, bool) {
-	rest := src[pos:]
-	for _, op := range twoCharOps {
-		if strings.HasPrefix(rest, op) {
-			text := op
-			switch op {
-			case "!=":
-				text = "<>"
-			case "==":
-				text = "="
-			}
-			return text, pos + 2, true
-		}
-	}
-	switch c := src[pos]; c {
-	case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', '.', ';':
-		return singleCharOps[c], pos + 1, true
-	}
-	return "", 0, false
-}
-
-// singleCharOps interns one-byte operator strings so scanOperator never
-// allocates.
-var singleCharOps = func() [128]string {
-	var a [128]string
-	for _, c := range []byte{'=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', '.', ';'} {
-		a[c] = string([]byte{c})
-	}
-	return a
-}()
 
 // appendUpperASCII upper-cases ASCII letters only — enough for the keyword
 // lookup, which contains ASCII words exclusively.

@@ -416,3 +416,93 @@ func FuzzNormalize(f *testing.F) {
 		}
 	})
 }
+
+// TestOneTokenizer pins the token rules the parser's lexer and the normalizer
+// share, on the edge cases each used to spell out for itself: what the lexer
+// makes of a text (kind:text@offset per token, or its error) and what the
+// normalizer makes of the same text (key and literals, or a refusal). Where
+// both accept, the key must lex to the text's own tokens with each literal
+// replaced by its parameter.
+func TestOneTokenizer(t *testing.T) {
+	str, num, i := types.NewString, types.NewFloat, types.NewInt
+	cases := []struct {
+		src  string
+		toks string // lexer tokens, or "error: ..." for a lex error
+		key  string // normalized key, "" when the normalizer refuses
+		args []types.Value
+	}{
+		{"SELECT 'it''s', ''''", "K:SELECT@0 S:it's@7 O:,@14 S:'@16", "SELECT @__p0 , @__p1", []types.Value{str("it's"), str("'")}},
+		{"SELECT '', 'a' 'b'", "K:SELECT@0 S:@7 O:,@9 S:a@11 S:b@15", "SELECT @__p0 , @__p1 @__p2", []types.Value{str(""), str("a"), str("b")}},
+		{"SELECT .5, 5., 1.2.3", "K:SELECT@0 N:.5@7 O:,@9 N:5.@11 O:,@13 N:1.2@15 N:.3@18", "SELECT @__p0 , @__p1 , @__p2 @__p3", []types.Value{num(.5), num(5), num(1.2), num(.3)}},
+		{"SELECT 1e-5, 2E+3, 4e2, 7e, 8e-", "K:SELECT@0 N:1e-5@7 O:,@11 N:2E+3@13 O:,@17 N:4e2@19 O:,@22 N:7@24 I:e@25 O:,@26 N:8e-@28", "", nil},
+		{"SELECT 7e, 1 . 2", "K:SELECT@0 N:7@7 I:e@8 O:,@9 N:1@11 O:.@13 N:2@15", "SELECT @__p0 e , @__p1 . @__p2", []types.Value{i(7), i(1), i(2)}},
+		{"SELECT a -- to the end", "K:SELECT@0 I:a@7", "SELECT a", nil},
+		{"SELECT a--x\n- -1 --", "K:SELECT@0 I:a@7 O:-@12 O:-@14 N:1@15", "SELECT a - - @__p0", []types.Value{i(1)}},
+		{"SELECT a /* never closed", "K:SELECT@0 I:a@7", "SELECT a", nil},
+		{"/**/SELECT/* */a/ *b", "K:SELECT@4 I:a@15 O:/@16 O:*@18 I:b@19", "SELECT a / * b", nil},
+		{"SELECT a != b == c <> d <= e >= f < = g", "K:SELECT@0 I:a@7 O:<>@9 I:b@12 O:=@14 I:c@17 O:<>@19 I:d@22 O:<=@24 I:e@27 O:>=@29 I:f@32 O:<@34 O:=@36 I:g@38", "SELECT a <> b = c <> d <= e >= f < = g", nil},
+		{"SELECT [a b], [], [select] FROM [t]", "K:SELECT@0 I:a b@7 O:,@12 I:@14 O:,@16 I:select@18 K:FROM@27 I:t@32", "SELECT [a b] , [] , [select] FROM [t]", nil},
+		{"SELECT @a, @_1$#", "K:SELECT@0 P:a@7 O:,@9 P:_1$#@11", "SELECT @a , @_1$#", nil},
+		{"select SeLeCt #t, _x$", "K:SELECT@0 K:SELECT@7 I:#t@14 O:,@16 I:_x$@18", "SELECT SELECT #t , _x$", nil},
+		{"SELECT @", "error: lex: lone @ at offset 7", "", nil},
+		{"SELECT @ a", "error: lex: lone @ at offset 7", "", nil},
+		{"SELECT 'never closed''", "error: lex: unterminated string at offset 7", "", nil},
+		{"SELECT [never closed", "error: lex: unterminated [identifier at offset 7", "", nil},
+		{"SELECT a ! b", "error: lex: unexpected character '!' at offset 9", "", nil},
+		{"SELECT a ] b", "error: lex: unexpected character ']' at offset 9", "", nil},
+	}
+	render := func(toks []token) string {
+		var parts []string
+		for _, tok := range toks[:len(toks)-1] { // all but EOF
+			parts = append(parts, fmt.Sprintf("%c:%s@%d", "EIKNSPO"[tok.kind], tok.text, tok.pos))
+		}
+		return strings.Join(parts, " ")
+	}
+	for _, c := range cases {
+		toks, err := lex(c.src)
+		got := ""
+		if err != nil {
+			got = "error: " + err.Error()
+		} else {
+			got = render(toks)
+		}
+		if got != c.toks {
+			t.Errorf("lex(%q)\n got %s\nwant %s", c.src, got, c.toks)
+		}
+		var n Normalizer
+		key, args, ok := n.Normalize(c.src)
+		if string(key) != c.key || ok != (c.key != "") {
+			t.Errorf("Normalize(%q) = %q, %v; want %q", c.src, key, ok, c.key)
+			continue
+		}
+		if len(args) != len(c.args) {
+			t.Errorf("Normalize(%q) literals %v, want %v", c.src, args, c.args)
+			continue
+		}
+		for k := range args {
+			if args[k] != c.args[k] {
+				t.Errorf("Normalize(%q) literal %d = %v (%v), want %v (%v)", c.src, k, args[k], args[k].K, c.args[k], c.args[k].K)
+			}
+		}
+		if !ok || err != nil {
+			continue
+		}
+		keyToks, err := lex(string(key))
+		if err != nil {
+			t.Errorf("key %q of %q does not lex: %v", key, c.src, err)
+			continue
+		}
+		lit := 0
+		for k, tok := range toks {
+			want := tok
+			if tok.kind == tokNumber || tok.kind == tokString {
+				want = token{kind: tokParam, text: AutoParamName(lit)}
+				lit++
+			}
+			if k >= len(keyToks) || keyToks[k].kind != want.kind || keyToks[k].text != want.text {
+				t.Errorf("key %q of %q: token %d differs from the text's", key, c.src, k)
+				break
+			}
+		}
+	}
+}
