@@ -1,7 +1,7 @@
 // Command mtcache-server runs a mid-tier cache against a TCP backend and
 // offers a small interactive SQL shell. It performs the paper's §4 setup
-// over the wire: shadow database import, cached-view provisioning with pull
-// subscriptions, and a background pull agent.
+// over the wire: shadow database import, cached-view provisioning on its one
+// pull subscription, and a background pull agent.
 //
 //	mtcache-server -backend 127.0.0.1:7000
 //

@@ -20,36 +20,36 @@ import (
 )
 
 // CacheServer is one MTCache instance: a shadow database whose cached views
-// are fed by pull subscriptions on its backend. A local distribution agent
-// (Pull, StartPulling) pulls committed transactions and applies them.
+// are the articles of one pull subscription on its backend. A local
+// distribution agent (Pull, StartPulling) pulls committed transactions and
+// applies each to all views in one transaction.
 //
 // The agent is fault-tolerant: a failed pull leaves the subscription's
 // batches queued on the backend (they are only deleted once acknowledged by
-// a later pull), a failing subscription does not block the others, and
-// batches are applied exactly once and in LSN order (repl.Subscriber).
+// a later pull), and batches are applied exactly once and in LSN order
+// (repl.Subscriber). A batch that cannot be applied stops the stream there,
+// for every view, until it can.
 type CacheServer struct {
 	DB *engine.Database
-	// Stats accumulates the apply-side replication costs across the views.
+	// Stats accumulates the apply-side replication costs.
 	Stats repl.ApplyStats
 
 	client BackendClient
-
-	// pullMu serializes whole pull-and-apply rounds. A manual Pull, a session
-	// gate's kick and the background agent's round can genuinely overlap;
-	// overlapping rounds would read the same cursor and apply the same batch
-	// twice.
-	pullMu sync.Mutex
-
-	mu     sync.Mutex
-	subs   []*repl.Subscriber // one per cached view; append-only
+	sub    *repl.Subscriber // the one cursor of every cached view
 	puller repl.Agent
 
-	// Durable-cache state (nil/empty for a purely in-memory cache). recovered
-	// holds the loaded checkpoint's per-view state until the view's
-	// provisioning hook consumes it: a view found there resumes its
-	// subscription at the checkpointed LSN instead of reseeding.
+	// pullMu serializes whole pull-and-apply rounds and view provisioning. A
+	// manual Pull, a session gate's kick and the background agent's round can
+	// genuinely overlap; overlapping rounds would read the same cursor and
+	// apply the same batch twice.
+	pullMu sync.Mutex
+
+	// Durable-cache state (empty for a purely in-memory cache). recovered
+	// holds the loaded checkpoint until each view's provisioning hook consumes
+	// its rows: a view found there resumes the change stream at the
+	// checkpointed LSN instead of reseeding. Guarded by pullMu.
 	dataDir   string
-	recovered map[string]*cacheViewState
+	recovered *cacheCheckpoint
 }
 
 // NewCacheOver provisions a cache server over a connected BackendClient: the
@@ -59,24 +59,20 @@ type CacheServer struct {
 // A non-empty dataDir is the directory the cache checkpoints its state to
 // (see Checkpoint). When it already holds a checkpoint from a previous run,
 // cached views re-created with the same definitions restore their rows from
-// it and resume their change streams at the checkpointed LSN — no reseed — as
+// it and resume the change stream at the checkpointed LSN — no reseed — as
 // long as the backend still retains that log position.
 func NewCacheOver(name string, client BackendClient, options *opt.Options, dataDir string) (*CacheServer, error) {
 	db := engine.New(engine.Config{Name: name, Role: engine.Cache, Remote: client, Options: options})
 	c := &CacheServer{DB: db, Stats: repl.NewApplyStats(), client: client, dataDir: dataDir}
+	c.sub = repl.NewSubscriber(db, c.Stats)
 	if dataDir != "" {
 		ck, err := loadCacheCheckpoint(dataDir)
 		if err != nil {
 			// A damaged checkpoint costs a reseed, never correctness: the
 			// backend is the source of truth.
 			metrics.Default.Counter("wire.cache_ckpt_errors").Add(1)
-		} else if ck != nil {
-			c.recovered = make(map[string]*cacheViewState, len(ck.Views))
-			for i := range ck.Views {
-				v := &ck.Views[i]
-				c.recovered[strings.ToLower(v.Name)] = v
-			}
 		}
+		c.recovered = ck
 	}
 	if err := c.RefreshStats(); err != nil {
 		return nil, err
@@ -89,21 +85,20 @@ func NewCacheOver(name string, client BackendClient, options *opt.Options, dataD
 		d, ok := c.ViewStaleness(view)
 		return d.Seconds(), ok
 	})
-	// Cache-side sys.repl_status: one row per pull subscription.
+	// Cache-side sys.repl_status: one row per cached view, all reading the
+	// one subscription's state.
 	_ = db.RegisterVirtualTable("sys.repl_status", engine.ReplStatusColumns(), func() []types.Row {
-		now := time.Now()
-		subs := c.subscribers()
-		rows := make([]types.Row, 0, len(subs))
-		for _, s := range subs {
-			st := s.Status()
+		st, views := c.sub.Status(), c.sub.Views()
+		rows := make([]types.Row, 0, len(views))
+		for _, view := range views {
 			rows = append(rows, types.Row{
-				types.NewString(s.Table),
-				types.NewString(fmt.Sprintf("pull sub %d", s.SubID)),
+				types.NewString(view),
+				types.NewString(fmt.Sprintf("pull sub %d", st.SubID)),
 				types.NewInt(0), // pending batches are queued backend-side
 				types.NewInt(st.ApplyErrors),
 				types.NewString(st.LastError),
-				types.NewInt(int64(st.LastLSN)),
-				types.NewFloat(now.Sub(st.CurrentAsOf).Seconds()),
+				types.NewInt(int64(st.AppliedLSN)),
+				types.NewFloat(time.Since(st.CurrentAsOf).Seconds()),
 			})
 		}
 		return rows
@@ -176,73 +171,47 @@ func viewSource(view *catalog.Table) (table string, cols []string, filter string
 }
 
 // provision is the CREATE CACHED VIEW hook: derive the matching article,
-// create (or resume) the subscription and populate the view.
+// attach it to the cache's subscription (or resume it there) and populate the
+// view.
 func (c *CacheServer) provision(view *catalog.Table) error {
 	table, cols, filter, err := viewSource(view)
 	if err != nil {
 		return err
 	}
-	subName := c.DB.Name + "." + view.Name
+	c.pullMu.Lock()
+	defer c.pullMu.Unlock()
 
-	// A view present in the loaded checkpoint tries to resume its change
-	// stream at the checkpointed position before falling back to a reseed.
-	// Resume is attempted before any population: on a miss there is nothing
-	// to undo.
-	if st, ok := c.recovered[strings.ToLower(view.Name)]; ok {
-		delete(c.recovered, strings.ToLower(view.Name))
-		subID, resumed, err := c.client.Resume(table, cols, filter, subName, st.LastLSN+1)
-		if err != nil {
-			return err
+	// A view present in the loaded checkpoint tries to resume the change
+	// stream at the checkpointed position before falling back to a reseed —
+	// as long as the cache still stands there: once a pull has moved the other
+	// views on, rows from the checkpoint are behind them. Resume is attempted
+	// before any population: on a miss there is nothing to undo.
+	if ck := c.recovered; ck != nil {
+		i := slices.IndexFunc(ck.Views, func(v cacheViewState) bool { return strings.EqualFold(v.Name, view.Name) })
+		if i >= 0 && (len(c.sub.Views()) == 0 || c.AppliedLSN() == ck.LSN) {
+			rows := ck.Views[i].Rows
+			ck.Views = slices.Delete(ck.Views, i, i+1)
+			subID, resumed, err := c.client.Resume(table, cols, filter, c.DB.Name, view.Name, ck.LSN+1)
+			if err != nil {
+				return err
+			}
+			if resumed {
+				metrics.Default.Counter("wire.view_resumed").Add(1)
+				querystore.Emit("view_resumed", "view", view.Name, "lsn", fmt.Sprint(ck.LSN))
+				return c.sub.AddView(c.client, subID, view.Name, rows, ck.LSN+1)
+			}
+			// The backend cannot serve the checkpointed position anymore; fall
+			// through to a fresh snapshot.
 		}
-		if resumed {
-			metrics.Default.Counter("wire.view_resumed").Add(1)
-			querystore.Emit("view_resumed", "view", view.Name, "lsn", fmt.Sprint(st.LastLSN))
-			return c.subscribe(view.Name, subID, st.LastLSN, st.Rows)
-		}
-		// The backend cannot serve the checkpointed position anymore; fall
-		// through to a fresh snapshot.
 	}
 
-	subID, startLSN, rows, err := c.client.Provision(table, cols, filter, subName)
+	subID, startLSN, rows, err := c.client.Provision(table, cols, filter, c.DB.Name, view.Name)
 	if err != nil {
 		return err
 	}
 	metrics.Default.Counter("wire.view_seeded").Add(1)
 	querystore.Emit("view_seeded", "view", view.Name, "rows", fmt.Sprint(len(rows)))
-	// startLSN is the first LSN the change stream will produce, so the rows
-	// are current through the LSN before it.
-	return c.subscribe(view.Name, subID, startLSN-1, rows)
-}
-
-// subscribe populates a view with rows current through applied and registers
-// its subscriber.
-func (c *CacheServer) subscribe(view string, subID int, applied storage.LSN, rows []types.Row) error {
-	s, err := repl.NewSubscriber(c.DB, view, subID, applied, rows, c.Stats)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.subs = append(c.subs, s)
-	c.mu.Unlock()
-	return nil
-}
-
-// subscribers returns the current subscribers. The list only ever grows by
-// append, so the returned prefix stays valid without a copy.
-func (c *CacheServer) subscribers() []*repl.Subscriber {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.subs
-}
-
-// subscriber returns the subscriber feeding a cached view, or nil.
-func (c *CacheServer) subscriber(view string) *repl.Subscriber {
-	for _, s := range c.subscribers() {
-		if strings.EqualFold(s.Table, view) {
-			return s
-		}
-	}
-	return nil
+	return c.sub.AddView(c.client, subID, view.Name, rows, startLSN)
 }
 
 // CreateCachedView runs a CREATE CACHED VIEW statement; provisioning is
@@ -295,51 +264,30 @@ func (c *CacheServer) Exec(sqlText string, params exec.Params) (*engine.Result, 
 	return c.DB.Exec(sqlText, params)
 }
 
-// Pull performs one pull-and-apply round for every subscription and returns
-// the number of transactions applied. A failing subscription is skipped —
-// its unacknowledged batches stay queued on the backend and are re-delivered
-// next round — and the remaining subscriptions still pull. The first error
-// encountered is returned alongside the applied count.
+// Pull performs one pull-and-apply round and returns the number of backend
+// transactions applied. On an error nothing is lost: unacknowledged batches
+// stay queued on the backend and are re-delivered next round.
 func (c *CacheServer) Pull() (int, error) {
 	c.pullMu.Lock()
 	defer c.pullMu.Unlock()
 	start := time.Now()
-	total := 0
-	var firstErr error
-	for _, s := range c.subscribers() {
-		n, err := s.Pull(c.client)
-		total += n
-		if err != nil {
-			metrics.Default.Counter("wire.pull_failures").Add(1)
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		// Per-view replication lag: how stale the view may be.
-		metrics.Default.Gauge("repl.lag_seconds." + s.Table).Set(time.Since(s.Status().CurrentAsOf).Seconds())
+	n, err := c.sub.Pull(c.client)
+	if err != nil {
+		metrics.Default.Counter("wire.pull_failures").Add(1)
+	}
+	// Replication lag: how stale the views may be.
+	lag := time.Since(c.sub.Status().CurrentAsOf).Seconds()
+	for _, view := range c.sub.Views() {
+		metrics.Default.Gauge("repl.lag_seconds." + view).Set(lag)
 	}
 	metrics.Default.Histogram("repl.pull_seconds").ObserveDuration(time.Since(start))
-	return total, firstErr
+	return n, err
 }
 
-// appliedFloor is the AppliedLSN answer for a cache with no pull
-// subscriptions: such a cache holds no replicated data at all, every query
-// forwards to the backend, so it is vacuously current at any watermark.
-const appliedFloor = storage.LSN(1) << 62
-
-// AppliedLSN reports the LSN this cache's replicated data is current
-// through: the floor across its pull subscriptions' completeness positions.
-// A session whose last write committed at or below this value reads its own
-// writes from this cache.
-func (c *CacheServer) AppliedLSN() storage.LSN {
-	min := appliedFloor
-	for _, s := range c.subscribers() {
-		if a := s.Status().AppliedLSN; a < min {
-			min = a
-		}
-	}
-	return min
-}
+// AppliedLSN reports the LSN this cache's replicated data is current through
+// (repl.SubscriberStatus.AppliedLSN). A session whose last write committed at
+// or below this value reads its own writes from this cache.
+func (c *CacheServer) AppliedLSN() storage.LSN { return c.sub.Status().AppliedLSN }
 
 // WaitApplied blocks until the cache has applied min, kicking pull rounds
 // instead of waiting for the background agent's next tick, and gives up when
@@ -362,31 +310,22 @@ func (c *CacheServer) WaitApplied(min storage.LSN, budget time.Duration) (storag
 	}
 }
 
-// LastLSN reports the highest LSN applied for a cached view's subscription
-// (0 when the view has no subscription).
-func (c *CacheServer) LastLSN(view string) storage.LSN {
-	if s := c.subscriber(view); s != nil {
-		return s.Status().LastLSN
-	}
-	return 0
-}
-
 // ViewStaleness reports how far a cached view may trail the backend: the
-// time since its last successful pull round. It is the one staleness
+// time since the last successful pull round. It is the one staleness
 // definition — WITH FRESHNESS, sys.repl_status and the lag gauges all read
 // it.
 func (c *CacheServer) ViewStaleness(view string) (time.Duration, bool) {
-	if s := c.subscriber(view); s != nil {
-		return time.Since(s.Status().CurrentAsOf), true
+	if !slices.ContainsFunc(c.sub.Views(), func(v string) bool { return strings.EqualFold(v, view) }) {
+		return 0, false
 	}
-	return 0, false
+	return time.Since(c.sub.Status().CurrentAsOf), true
 }
 
 // Checkpoint writes the cache's durable state file: every subscribed view's
-// rows plus the LSN they are current through. It runs under pullMu so no
-// pull round is half-applied — the rows and cursors are mutually consistent,
-// which is what lets a restart resume the stream at LastLSN+1 with no gap
-// and no double-apply. Requires a data directory.
+// rows plus the one LSN they are current through. It runs under pullMu so no
+// pull round is half-applied — the rows and the cursor are mutually
+// consistent, which is what lets a restart resume the stream at LSN+1 with no
+// gap and no double-apply. Requires a data directory.
 func (c *CacheServer) Checkpoint() error {
 	if c.dataDir == "" {
 		return fmt.Errorf("core: cache has no data directory")
@@ -395,14 +334,12 @@ func (c *CacheServer) Checkpoint() error {
 	defer c.pullMu.Unlock()
 	start := time.Now()
 
-	ck := &cacheCheckpoint{}
+	ck := &cacheCheckpoint{LSN: c.AppliedLSN()}
 	tx := c.DB.Store().Begin(false)
-	for _, s := range c.subscribers() {
-		tv := tx.Table(s.Table)
-		if tv == nil {
-			continue
+	for _, view := range c.sub.Views() {
+		if tv := tx.Table(view); tv != nil {
+			ck.Views = append(ck.Views, cacheViewState{Name: view, Rows: tv.Rows()})
 		}
-		ck.Views = append(ck.Views, cacheViewState{Name: s.Table, LastLSN: s.Status().LastLSN, Rows: tv.Rows()})
 	}
 	tx.Abort()
 	if err := writeCacheCheckpoint(c.dataDir, ck); err != nil {

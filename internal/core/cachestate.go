@@ -1,13 +1,13 @@
 package core
 
 // cachestate.go persists a CacheServer's durable state: one checkpoint file
-// holding, per cached view, the view's rows and the highest replication LSN
-// applied to them. A cache applies pulled batches unlogged (replicated
-// changes must not re-enter a WAL), so its durability story is
-// checkpoint + resubscribe rather than log replay: on restart it reloads the
-// checkpointed rows and asks the backend to resume the change stream at the
-// checkpointed LSN (BackendClient.Resume). Only when the backend can no longer serve
-// that position does it fall back to a full reseed.
+// holding every cached view's rows and the one replication LSN they are all
+// current through (a cache is one subscriber with one cursor). A cache applies
+// pulled batches unlogged (replicated changes must not re-enter a WAL), so its
+// durability story is checkpoint + resubscribe rather than log replay: on
+// restart it reloads the checkpointed rows and asks the backend to resume the
+// change stream at the checkpointed LSN (BackendClient.Resume). Only when the
+// backend can no longer serve that position does it fall back to a full reseed.
 
 import (
 	"bytes"
@@ -25,24 +25,24 @@ import (
 )
 
 const (
-	cacheCkptMagic = "MTCCKPT2" // 2: a types.Value gob-encodes as its types/codec.go bytes
+	cacheCkptMagic = "MTCCKPT3" // 3: one LSN for the whole cache, not one per view
 	cacheCkptFile  = "cache-state.ckpt"
 )
 
 var cacheCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// cacheCheckpoint is the serialized durable state of one CacheServer.
+// cacheCheckpoint is the serialized durable state of one CacheServer: the
+// views' rows reflect every pulled batch up through LSN, atomically (the
+// checkpoint is taken under pullMu, so no pull round is half-applied).
 type cacheCheckpoint struct {
+	LSN   storage.LSN
 	Views []cacheViewState
 }
 
-// cacheViewState is one cached view's rows plus its replication cursor: the
-// rows reflect every pulled batch up through LastLSN, atomically (the
-// checkpoint is taken under pullMu, so no pull round is half-applied).
+// cacheViewState is one cached view's rows.
 type cacheViewState struct {
-	Name    string
-	LastLSN storage.LSN
-	Rows    []types.Row
+	Name string
+	Rows []types.Row
 }
 
 // writeCacheCheckpoint durably writes the state file: temp file, fsync,

@@ -40,8 +40,7 @@ type BackendServer struct {
 	Repl *repl.Server
 
 	mu     sync.Mutex
-	subs   []*repl.Subscription // pull subscriptions; the index is the subscription id
-	caches []*CacheServer       // in-process caches, driven by Sync/StartReplication
+	caches []*CacheServer // in-process caches, driven by Sync/StartReplication
 }
 
 // NewBackend creates an empty backend server.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mtcache/internal/engine"
 	"mtcache/internal/exec"
 	"mtcache/internal/types"
 )
@@ -200,7 +201,11 @@ func TestMultipleCaches(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.CreateCachedView(`CREATE CACHED VIEW C500 AS SELECT cid, cname FROM customer WHERE cid <= 500`)
+		c.CreateCachedView(`CREATE CACHED VIEW O100 AS SELECT okey, ckey, total FROM orders WHERE okey <= 100`)
 		caches = append(caches, c)
+	}
+	if n := len(b.Repl.Subscriptions()); n != len(caches) {
+		t.Fatalf("%d subscriptions for %d caches of two views each: a cache is one subscriber", n, len(caches))
 	}
 	b.Exec("UPDATE customer SET cname = 'fanout' WHERE cid = 100", nil)
 	b.SyncReplication()
@@ -367,5 +372,249 @@ func TestApplyFailureVisibleOnTheCache(t *testing.T) {
 	got, _ = c.Exec("SELECT total FROM orders WHERE okey = 1", nil)
 	if got.Rows[0][0].Float() != 1.5 {
 		t.Error("transaction after the failed one lost")
+	}
+}
+
+// newLinesShop is newShop plus an order-lines table and a procedure that
+// writes an order and its line in one backend transaction, and a cache with a
+// view over each table.
+func newLinesShop(t *testing.T, views ...string) (*BackendServer, *CacheServer) {
+	t.Helper()
+	b := newShop(t)
+	if err := b.ExecScript(`
+		CREATE TABLE lines (lkey INT PRIMARY KEY, okey INT, qty INT);
+		CREATE PROCEDURE placeOrder @okey INT, @lkey INT AS BEGIN
+			INSERT INTO orders (okey, ckey, total) VALUES (@okey, 1, 1.0);
+			INSERT INTO lines (lkey, okey, qty) VALUES (@lkey, @okey, 1);
+		END`); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCache("cache1", b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range views {
+		if err := c.CreateCachedView(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b, c
+}
+
+const (
+	ordersView = `CREATE CACHED VIEW cv_o AS SELECT okey, ckey, total FROM orders`
+	linesView  = `CREATE CACHED VIEW cv_l AS SELECT lkey, okey, qty FROM lines`
+	// viewsAgree reads both views in one statement, so in one snapshot: the
+	// orders placed through placeOrder and the orders that have a line.
+	viewsAgree = `SELECT o.n, l.n FROM (SELECT COUNT(*) AS n FROM cv_o WHERE okey >= 9000) o,
+		(SELECT COUNT(DISTINCT okey) AS n FROM cv_l) l`
+)
+
+func placeOrder(t *testing.T, b *BackendServer, okey, lkey int) *engine.Result {
+	t.Helper()
+	res, err := b.DB.CallProcedure("placeOrder", exec.Params{"okey": types.NewInt(int64(okey)), "lkey": types.NewInt(int64(lkey))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func requireViewsAgree(t *testing.T, c *CacheServer, want int64, when string) {
+	t.Helper()
+	res, err := c.DB.Exec(viewsAgree, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, l := res.Rows[0][0].Int(), res.Rows[0][1].Int(); o != want || l != want {
+		t.Fatalf("%s: cv_o holds %d placed orders, cv_l lines of %d; want %d and %d", when, o, l, want, want)
+	}
+}
+
+// TestBackendTransactionAppliesToAllViewsOrNone: after any single Pull
+// returns, with or without an error, two views fed by one backend transaction
+// agree. A change one view cannot apply leaves every view and the cursor
+// where they were, and once the conflict is gone the next pull applies the
+// whole transaction — and the one queued behind it.
+func TestBackendTransactionAppliesToAllViewsOrNone(t *testing.T) {
+	b, c := newLinesShop(t, ordersView, linesView)
+	if n := len(b.Repl.Subscriptions()); n != 1 {
+		t.Fatalf("a cache with two views holds %d subscriptions on the backend, want 1", n)
+	}
+	placeOrder(t, b, 9001, 1)
+	if n, err := c.Pull(); err != nil || n != 1 {
+		t.Fatalf("pull applied %d transactions, err %v; want the one backend transaction", n, err)
+	}
+	requireViewsAgree(t, c, 1, "after a clean pull")
+
+	// Sabotage the lines view only: the next order's line collides.
+	tx := c.DB.Store().Begin(true)
+	rid, err := tx.Insert("cv_l", types.Row{types.NewInt(2), types.NewInt(0), types.NewInt(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.CommitUnlogged(); err != nil {
+		t.Fatal(err)
+	}
+	before := c.AppliedLSN()
+	failed := placeOrder(t, b, 9002, 2)
+	placeOrder(t, b, 9003, 3)
+	if _, err := c.Pull(); err == nil {
+		t.Fatal("expected the conflicting apply to fail")
+	}
+	res, err := c.DB.Exec("SELECT COUNT(*) FROM cv_o WHERE okey >= 9002", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].Int(); n != 0 {
+		t.Fatalf("cv_o took %d orders of a transaction cv_l could not apply", n)
+	}
+	if got := c.AppliedLSN(); got != before || got >= failed.CommitLSN {
+		t.Fatalf("applied position %d after the failed pull; it was %d, the failed transaction is %d", got, before, failed.CommitLSN)
+	}
+
+	tx = c.DB.Store().Begin(true)
+	if err := tx.Delete("cv_l", rid); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.CommitUnlogged(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Pull(); err != nil || n != 2 {
+		t.Fatalf("pull after the repair applied %d transactions, err %v; want 2", n, err)
+	}
+	requireViewsAgree(t, c, 3, "after the repair")
+}
+
+// TestCreateCachedViewWhilePullingJoinsAtOnePrefix: a view created on a cache
+// that is already pulling, under a writer, becomes visible at the position the
+// older views are moved to in the same transaction — a reader never sees an
+// order in one view and not its line in the other — and the cache then
+// converges to the backend.
+func TestCreateCachedViewWhilePullingJoinsAtOnePrefix(t *testing.T) {
+	b, c := newLinesShop(t, ordersView)
+	b.StartReplication(time.Millisecond, time.Millisecond)
+	defer b.StopReplication()
+
+	stop := make(chan struct{})
+	done := make(chan int)
+	go func() { // the writer: one order and its line per backend transaction
+		n := 0
+		defer func() { done <- n }()
+		for ; n < 4000; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := b.DB.CallProcedure("placeOrder", exec.Params{"okey": types.NewInt(int64(9000 + n)), "lkey": types.NewInt(int64(n))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	time.Sleep(10 * time.Millisecond)
+	if err := c.CreateCachedView(linesView); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		res, err := c.DB.Exec(viewsAgree, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, l := res.Rows[0][0].Int(), res.Rows[0][1].Int(); o != l {
+			t.Fatalf("read %d: cv_o holds %d placed orders, cv_l lines of %d — the views are at different prefixes", i, o, l)
+		}
+	}
+	close(stop)
+	placed := <-done
+	b.StopReplication()
+	if err := b.SyncReplication(); err != nil {
+		t.Fatal(err)
+	}
+	requireViewsAgree(t, c, int64(placed), "at quiescence")
+	if n := len(b.Repl.Subscriptions()); n != 1 {
+		t.Fatalf("%d subscriptions after adding a view to a live cache, want 1", n)
+	}
+}
+
+// TestTwoViewsOverOneTableGetTheirOwnRows: two articles over the same source
+// table travel in one stream; each change reaches the view whose filter it
+// satisfies, and a row crossing the boundary leaves one view and enters the
+// other in the same transaction.
+func TestTwoViewsOverOneTableGetTheirOwnRows(t *testing.T) {
+	b := newShop(t)
+	c, _ := NewCache("cache1", b, nil)
+	for _, ddl := range []string{
+		`CREATE CACHED VIEW cheap AS SELECT okey, ckey, total FROM orders WHERE total < 100`,
+		`CREATE CACHED VIEW pricey AS SELECT okey, ckey, total FROM orders WHERE total >= 100`,
+	} {
+		if err := c.CreateCachedView(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, stmt := range []string{
+		"INSERT INTO orders (okey, ckey, total) VALUES (8001, 1, 5.0)",
+		"INSERT INTO orders (okey, ckey, total) VALUES (8002, 1, 500.0)",
+		"UPDATE orders SET total = 999.0 WHERE okey = 1", // cheap → pricey
+		"UPDATE orders SET total = 1.0 WHERE okey = 400", // pricey → cheap
+		"DELETE FROM orders WHERE okey = 2",
+		"DELETE FROM orders WHERE okey = 401",
+	} {
+		if _, err := b.Exec(stmt, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Pull(); err != nil {
+		t.Fatal(err)
+	}
+	for view, where := range map[string]string{"cheap": "total < 100", "pricey": "total >= 100"} {
+		want, err := b.Exec("SELECT COUNT(*), SUM(okey) FROM orders WHERE "+where, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.DB.Exec("SELECT COUNT(*), SUM(okey) FROM "+view, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Errorf("%s holds %v, the backend's %s is %v", view, got.Rows, where, want.Rows)
+		}
+	}
+}
+
+// TestCopiedMultiStatementProcedureIsOneBackendTransaction: a procedure that
+// writes in two statements is one backend transaction whether the application
+// calls it on the backend or on a cache holding a copy — one commit record on
+// success, nothing applied when the second statement fails.
+func TestCopiedMultiStatementProcedureIsOneBackendTransaction(t *testing.T) {
+	b, c := newLinesShop(t)
+	if err := c.CopyProcedure("placeOrder"); err != nil {
+		t.Fatal(err)
+	}
+	call := func(okey, lkey int64) (*engine.Result, error) {
+		return ConnectCache(c).Call("placeOrder", exec.Params{"okey": types.NewInt(okey), "lkey": types.NewInt(lkey)})
+	}
+	wal := b.DB.Store().WAL()
+	before := wal.End()
+	res, err := call(9001, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := wal.End(); end != before+1 || res.CommitLSN != before {
+		t.Fatalf("the call wrote %d commit records (LSN %d reported); want one, at %d", end-before, res.CommitLSN, before)
+	}
+
+	if _, err := b.Exec("INSERT INTO lines (lkey, okey, qty) VALUES (2, 0, 0)", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := call(9002, 2); err == nil {
+		t.Fatal("expected the second statement's key collision to fail the call")
+	}
+	got, err := b.Exec("SELECT COUNT(*) FROM orders WHERE okey = 9002", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.Rows[0][0].Int(); n != 0 {
+		t.Fatalf("the failed call left %d order rows applied on the backend", n)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -16,14 +15,19 @@ import (
 
 // BackendClient is everything a cache server needs of its backend: the
 // linked-server calls for remote queries and forwarded updates, the shadow
-// setup payload, and the publisher half of its pull subscriptions. The
+// setup payload, and the publisher half of its pull subscription. The
 // in-process link below, wire.Client and wire.ResilientClient implement it.
+//
+// Provision and Resume attach the article (table, columns, filter) to the
+// subscription named subName — one per cache, created on first use — as the
+// feed of the cache's view target; both answer the subscription's id. See
+// repl.Server.Provision and Resume.
 type BackendClient interface {
 	exec.RemoteClient
 	exec.LSNExecer
 	Snapshot() ([]byte, error)
-	Provision(table string, columns []string, filter, subName string) (int, storage.LSN, []types.Row, error)
-	Resume(table string, columns []string, filter, subName string, fromLSN storage.LSN) (int, bool, error)
+	Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error)
+	Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (int, bool, error)
 	Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error)
 	Close() error
 }
@@ -41,84 +45,30 @@ func (b *BackendServer) article(table string, columns []string, filter string) (
 	return b.Repl.EnsureArticle(table, columns, pred)
 }
 
-// findSub returns the id of the subscription named name over art, or -1.
-// Callers hold b.mu.
-func (b *BackendServer) findSub(name string, art *repl.Article) int {
-	for i, sub := range b.subs {
-		if sub.Name == name && sub.Article == art {
-			return i
-		}
-	}
-	return -1
-}
-
-// Provision creates an article + pull subscription for a cached view and
-// returns the subscription id, the LSN the change stream starts from and the
-// initial population. It is idempotent by subscription name — find-or-reset
-// under one lock — so a client retrying a provision whose response was lost,
-// even racing its slow original, leaves no orphan behind (an undrained queue
-// would pin the WAL forever).
-func (b *BackendServer) Provision(table string, columns []string, filter, subName string) (int, storage.LSN, []types.Row, error) {
+// Provision is BackendClient.Provision as the backend answers it.
+func (b *BackendServer) Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error) {
 	art, err := b.article(table, columns, filter)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	rows, lsn, err := b.Repl.SnapshotRows(art)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	id := b.findSub(subName, art)
-	if id >= 0 {
-		b.Repl.ResetRemote(b.subs[id], lsn)
-	} else {
-		b.subs = append(b.subs, b.Repl.SubscribeRemote(art, subName, lsn))
-		id = len(b.subs) - 1
-	}
-	return id, lsn, rows, nil
+	return b.Repl.Provision(subName, art, target)
 }
 
-// Resume reattaches a subscriber restarting with durable state: the change
-// stream continues from fromLSN (the first LSN it has not applied) with no
-// initial population. ok is false — with no error — when the backend cannot
-// serve that position anymore and the caller must Provision afresh.
-func (b *BackendServer) Resume(table string, columns []string, filter, subName string, fromLSN storage.LSN) (id int, ok bool, err error) {
+// Resume is BackendClient.Resume as the backend answers it. ok is false —
+// with no error — when the backend cannot serve fromLSN anymore and the
+// caller must Provision afresh.
+func (b *BackendServer) Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (id int, ok bool, err error) {
 	art, err := b.article(table, columns, filter)
 	if err != nil {
 		return 0, false, err
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	// Fast path: the backend never restarted and still holds this
-	// subscription — reattach to it. Its queue retains every batch the
-	// subscriber has not acknowledged, so the stream continues seamlessly.
-	if id := b.findSub(subName, art); id >= 0 {
-		return id, true, nil
-	}
-	// The backend restarted (or never saw this subscriber): resume is
-	// possible only while the WAL still retains fromLSN onward.
-	sub, ok := b.Repl.ResumeRemote(art, subName, fromLSN)
-	if !ok {
-		return 0, false, nil
-	}
-	b.subs = append(b.subs, sub)
-	return len(b.subs) - 1, true, nil
+	id, ok = b.Repl.Resume(subName, art, target, fromLSN)
+	return id, ok, nil
 }
 
-// Pull is one subscriber pull: a log-reader pass, then the subscription's
-// queue past ack (repl.DrainAfterThrough).
+// Pull is one subscriber pull (repl.Server.Pull).
 func (b *BackendServer) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
-	b.mu.Lock()
-	if subID < 0 || subID >= len(b.subs) {
-		b.mu.Unlock()
-		return nil, 0, errors.New("core: unknown subscription")
-	}
-	sub := b.subs[subID]
-	b.mu.Unlock()
-	b.Repl.RunLogReader()
-	batches, through := b.Repl.DrainAfterThrough(sub, ack, max)
-	return batches, through, nil
+	return b.Repl.Pull(subID, max, ack)
 }
 
 // link is the in-process BackendClient: statements travel over engine.Link

@@ -85,28 +85,34 @@ func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params
 // atomic — and replicate as one transaction.
 func (db *Database) CallProcedure(name string, params exec.Params) (*Result, error) {
 	proc := db.cat.Procedure(name)
-	if proc == nil {
-		if db.role == Cache && db.remote != nil {
-			rs, err := db.remote.Query(sql.DeparseCall(name, params), nil)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Cols: rs.Cols, Rows: rs.Rows, CommitLSN: rs.CommitLSN}, nil
-		}
+	if proc == nil && (db.role != Cache || db.remote == nil) {
 		return nil, fmt.Errorf("engine: procedure %s does not exist", name)
 	}
 
 	hasDML := false
-	for _, stmt := range proc.Body {
-		switch stmt.(type) {
-		case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-			hasDML = true
+	if proc != nil {
+		for _, stmt := range proc.Body {
+			switch stmt.(type) {
+			case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+				hasDML = true
+			}
 		}
+	}
+	// A cache forwards the whole call for a procedure it has no copy of — and
+	// for a copied one that writes in more than one statement: the call is one
+	// backend transaction there, which statements forwarded one by one are not.
+	// (A body that is exactly one DML statement is atomic either way and keeps
+	// forwarding that statement.)
+	if proc == nil || (hasDML && len(proc.Body) > 1 && db.role == Cache) {
+		rs, err := db.remote.Query(sql.DeparseCall(name, params), nil)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Cols: rs.Cols, Rows: rs.Rows, CommitLSN: rs.CommitLSN}, nil
 	}
 
 	res := &Result{}
-	// On a cache, DML statements forward individually; only run a local
-	// write transaction when this server owns the data.
+	// Only run a local write transaction when this server owns the data.
 	if hasDML && db.role == Backend {
 		tx := db.store.Begin(true)
 		for _, stmt := range proc.Body {
@@ -154,8 +160,8 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 		}
 		res.RowsAffected += r.RowsAffected
 		if r.CommitLSN > res.CommitLSN {
-			// A cache-local procedure forwards each DML statement separately;
-			// the session watermark is the highest backend commit among them.
+			// A cache-local procedure forwards its one DML statement; that
+			// backend commit is the session watermark.
 			res.CommitLSN = r.CommitLSN
 		}
 		if len(r.Cols) > 0 {

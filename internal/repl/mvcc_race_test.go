@@ -8,7 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"mtcache/internal/core"
 	"mtcache/internal/engine"
+	"mtcache/internal/exec"
+	"mtcache/internal/repl"
+	"mtcache/internal/types"
 )
 
 // tornReadCase is one reader workload run against the subscriber while its
@@ -171,4 +175,91 @@ func TestNoTornReadsDuringApplyIndexJoin(t *testing.T) {
 			"WHERE a.i_id = 1 AND a.i_cost = b.i_cost",
 		wantPlan: "IndexJoin tgt.ix_tgt_cost",
 	})
+}
+
+// TestNoTornReadsAcrossViews is the two-table variant: one writer commits an
+// order and its line per backend transaction, a distribution agent applies
+// them to a subscriber with a view over each table, and readers assert in one
+// statement that the orders view and the lines view are at the same backend
+// prefix — every order has its line. One subscriber per view, each applying
+// its share in its own transaction, shows an order without its line.
+func TestNoTornReadsAcrossViews(t *testing.T) {
+	b := core.NewBackend("backend")
+	if err := b.ExecScript(`
+		CREATE TABLE orders (o_id INT PRIMARY KEY, o_total FLOAT);
+		CREATE TABLE order_line (ol_id INT PRIMARY KEY, ol_o_id INT, ol_qty INT);
+		CREATE PROCEDURE placeOrder @o INT AS BEGIN
+			INSERT INTO orders (o_id, o_total) VALUES (@o, 1.0);
+			INSERT INTO order_line (ol_id, ol_o_id, ol_qty) VALUES (@o, @o, 1);
+		END`); err != nil {
+		t.Fatal(err)
+	}
+	subDB := engine.New(engine.Config{Name: "cache", Role: engine.Backend})
+	if err := subDB.ExecScript(`
+		CREATE TABLE cv_o (o_id INT PRIMARY KEY, o_total FLOAT);
+		CREATE TABLE cv_ol (ol_id INT PRIMARY KEY, ol_o_id INT, ol_qty INT);`); err != nil {
+		t.Fatal(err)
+	}
+	sub := repl.NewSubscriber(subDB, repl.NewApplyStats())
+	addView(t, b, sub, "cache", "orders", nil, "", "cv_o")
+	addView(t, b, sub, "cache", "order_line", nil, "", "cv_ol")
+	if n := len(b.Repl.Subscriptions()); n != 1 {
+		t.Fatalf("%d subscriptions for one subscriber of two views", n)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // distribution agent
+		defer wg.Done()
+		for {
+			if _, err := sub.Pull(b); err != nil {
+				t.Errorf("apply: %v", err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	const query = `SELECT o.n, l.n FROM (SELECT COUNT(*) AS n FROM cv_o) o,
+		(SELECT COUNT(DISTINCT ol_o_id) AS n FROM cv_ol) l`
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := subDB.Exec(query, nil)
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				if o, l := res.Rows[0][0].Int(), res.Rows[0][1].Int(); o != l {
+					t.Errorf("torn read: %d orders, lines of %d", o, l)
+					return
+				}
+			}
+		}()
+	}
+
+	deadline := time.Now().Add(time.Second)
+	placed := 0
+	for ; time.Now().Before(deadline); placed++ {
+		if _, err := b.DB.CallProcedure("placeOrder", exec.Params{"o": types.NewInt(int64(placed + 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	step(t, b, sub)
+	if got := count(t, subDB, "SELECT COUNT(*) FROM cv_ol"); got != int64(placed) {
+		t.Fatalf("subscriber holds %d lines at quiescence, %d were placed", got, placed)
+	}
 }

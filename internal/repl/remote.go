@@ -1,7 +1,10 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"time"
 
@@ -11,29 +14,44 @@ import (
 	"mtcache/internal/types"
 )
 
-// TxnBatch is one committed transaction filtered through an article: what
-// the log reader appends to a subscription's distribution queue, and what a
-// Subscriber pulls from it and applies locally (the paper's "pull
-// subscription", §2.2). The queue holds it as filterTxn produced it — rows
-// are fresh Article.project copies that nothing mutates after enqueue, so a
-// drain hands out the same Changes (re-deliveries included) and the only
-// serialization is the transport's, if there is one.
+// TxnBatch is one committed transaction filtered through a subscription's
+// articles, each change addressed (ChangeRec.Table) to the subscriber's table
+// it feeds: what the log reader appends to the distribution queue, and what a
+// Subscriber pulls from it and applies locally in one transaction (the
+// paper's "pull subscription", §2.2). The queue holds it as
+// Subscription.filter produced it — rows are fresh Article.project copies that
+// nothing mutates after enqueue, so a drain hands out the same Changes
+// (re-deliveries included) and the only serialization is the transport's, if
+// there is one.
 type TxnBatch struct {
 	LSN        storage.LSN
 	CommitTime time.Time
 	Changes    []storage.ChangeRec
 }
 
-// SnapshotRows computes the article's current contents plus the LSN the
-// change stream must start from: a subscriber's initial population.
-func (s *Server) SnapshotRows(a *Article) ([]types.Row, storage.LSN, error) {
-	pubStore := s.publisher.Store()
-	rtx := pubStore.Begin(false)
+// Provision makes a the feed of the subscriber's table target — creating the
+// subscription named subName on first use — and returns the subscription id,
+// the LSN the article's changes start from and the table's initial
+// population, current through the LSN before. The snapshot is pinned and the
+// article attached in one critical section with the log reader: a commit is
+// either in the returned rows or in the stream, never in neither. The scan
+// itself runs outside it.
+func (s *Server) Provision(subName string, a *Article, target string) (int, storage.LSN, []types.Row, error) {
+	s.mu.Lock()
+	// AsOfLSN, not WAL().End(): commits proceed during the scan, so the log
+	// may already extend past what this snapshot sees. No cursor is past it —
+	// the reader stops at the store's visible end.
+	rtx := s.publisher.Store().Begin(false)
+	defer rtx.Abort()
 	src := rtx.Table(a.Table)
 	if src == nil {
-		rtx.Abort()
-		return nil, 0, fmt.Errorf("repl: no storage for %s on publisher", a.Table)
+		s.mu.Unlock()
+		return 0, 0, nil, fmt.Errorf("repl: no storage for %s on publisher", a.Table)
 	}
+	start := rtx.AsOfLSN()
+	id, _ := s.attach(subName, a, target, start)
+	s.mu.Unlock()
+
 	var rows []types.Row
 	var evalErr error
 	src.Scan(func(_ storage.RowID, row types.Row) bool {
@@ -47,76 +65,84 @@ func (s *Server) SnapshotRows(a *Article) ([]types.Row, storage.LSN, error) {
 		}
 		return true
 	})
-	// AsOfLSN, not WAL().End(): under MVCC commits proceed during the scan,
-	// so the log may already extend past what this snapshot sees.
-	lsn := rtx.AsOfLSN()
-	rtx.Abort()
-	if evalErr != nil {
-		return nil, 0, evalErr
-	}
-	return rows, lsn, nil
+	return id, start, rows, evalErr
 }
 
-// SubscribeRemote registers a subscription: the log reader fills its queue,
-// and the subscriber drains it with DrainAfterThrough. startLSN is the value
-// returned by SnapshotRows.
-func (s *Server) SubscribeRemote(a *Article, name string, startLSN storage.LSN) *Subscription {
-	sub := &Subscription{
-		Name:    name,
-		Article: a,
-		nextLSN: startLSN,
-	}
-	s.mu.Lock()
-	s.subs = append(s.subs, sub)
-	s.mu.Unlock()
-	return sub
-}
-
-// ResumeRemote re-creates a subscription for a subscriber that restarted
-// with durable state as of startLSN (its last checkpointed apply
-// position + 1). It succeeds only when the publisher's WAL still retains
-// every record from startLSN on — then the log reader is rewound so the
-// stream replays from there and the subscriber skips the full reseed. When
-// the WAL has been truncated past startLSN the gap is unrecoverable and the
-// caller must fall back to a fresh snapshot (SnapshotRows + SubscribeRemote).
-func (s *Server) ResumeRemote(a *Article, name string, startLSN storage.LSN) (*Subscription, bool) {
+// Resume reattaches a subscriber that restarted with target durably current
+// through from-1: the stream carries a's changes for target from `from` on,
+// with no initial population. ok is false when the publisher can no longer
+// serve that position — the log was truncated past it, or the subscriber is
+// ahead of a publisher that lost state — and the caller must Provision afresh.
+func (s *Server) Resume(subName string, a *Article, target string, from storage.LSN) (id int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	wal := s.publisher.Store().WAL()
-	if startLSN < wal.First() || startLSN > wal.End() {
-		metrics.Default.Counter("repl.resume_misses").Add(1)
-		querystore.Emit("repl_resume_miss", "sub", name,
-			"from_lsn", strconv.FormatUint(uint64(startLSN), 10),
-			"wal_first", strconv.FormatUint(uint64(wal.First()), 10))
-		return nil, false
+	counter, event := "repl.resume_misses", "repl_resume_miss"
+	if id, ok = s.attach(subName, a, target, from); ok {
+		counter, event = "repl.resubscribes", "repl_resubscribe"
 	}
-	sub := &Subscription{
-		Name:    name,
-		Article: a,
-		nextLSN: startLSN,
-	}
-	// Rewind the log reader so the next pass re-reads from the resume point;
-	// other subscriptions' nextLSN cursors make re-delivered records no-ops
-	// for them.
-	if startLSN < s.readerLSN {
-		s.readerLSN = startLSN
-	}
-	s.subs = append(s.subs, sub)
-	metrics.Default.Counter("repl.resubscribes").Add(1)
-	querystore.Emit("repl_resubscribe", "sub", name,
-		"from_lsn", strconv.FormatUint(uint64(startLSN), 10))
-	return sub, true
+	metrics.Default.Counter(counter).Add(1)
+	querystore.Emit(event, "sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10))
+	return id, ok
 }
 
-// ResetRemote rewinds a subscription to a fresh snapshot point: pending
-// batches are dropped and the stream restarts at startLSN. Used to make
-// provisioning idempotent — re-provisioning an existing subscription reuses
-// it instead of leaking an undrained queue that would pin the WAL.
-func (s *Server) ResetRemote(sub *Subscription, startLSN storage.LSN) {
+// attach is the one way an article joins a subscription: afterwards the
+// stream of the subscription named subName carries a's changes for target
+// from LSN `from` on. It is idempotent by (subName, target), so a retried
+// request leaves neither a second subscription — whose undrained queue would
+// pin the WAL forever — nor a second feed. Callers hold s.mu, which keeps the
+// log reader out.
+//
+// When the queue already covers `from` for this feed — it is attached at or
+// before it and nothing past from-1 has been acknowledged — nothing changes.
+// Otherwise the log is read again from `from`: the cursor moves back to it and
+// the batches queued from there on, which lack this feed, are dropped for the
+// reader to rebuild. That needs the WAL to still hold `from`; ok is false when
+// it does not.
+func (s *Server) attach(subName string, a *Article, target string, from storage.LSN) (id int, ok bool) {
+	id = slices.IndexFunc(s.subs, func(sub *Subscription) bool { return sub.Name == subName })
+	if id < 0 {
+		id = len(s.subs)
+	} else {
+		sub := s.subs[id]
+		i := slices.IndexFunc(sub.feeds, func(f feed) bool { return f.target == target })
+		if i >= 0 && sub.feeds[i].Article == a && sub.feeds[i].start <= from && sub.acked < from {
+			return id, true
+		}
+	}
+	wal := s.publisher.Store().WAL()
+	if from < wal.First() || from > s.publisher.Store().VisibleEnd() {
+		return 0, false
+	}
+	if id == len(s.subs) {
+		s.subs = append(s.subs, &Subscription{Name: subName, nextLSN: from, acked: from - 1})
+	}
+	sub := s.subs[id]
+	sub.feeds = append(slices.DeleteFunc(sub.feeds, func(f feed) bool { return f.target == target }),
+		feed{Article: a, target: target, start: from})
 	sub.mu.Lock()
-	sub.queue = nil
-	sub.nextLSN = startLSN
+	// Capped, so the reader's next append cannot overwrite a slot an earlier
+	// drain handed out.
+	k := sort.Search(len(sub.queue), func(i int) bool { return sub.queue[i].LSN >= from })
+	sub.queue = sub.queue[:k:k]
+	sub.nextLSN = min(sub.nextLSN, from)
+	sub.acked = min(sub.acked, from-1)
 	sub.mu.Unlock()
+	return id, true
+}
+
+// Pull is one subscriber pull: a log-reader pass, then the subscription's
+// queue past ack (DrainAfterThrough).
+func (s *Server) Pull(id, max int, ack storage.LSN) ([]TxnBatch, storage.LSN, error) {
+	s.mu.Lock()
+	if id < 0 || id >= len(s.subs) {
+		s.mu.Unlock()
+		return nil, 0, errors.New("repl: unknown subscription")
+	}
+	sub := s.subs[id]
+	s.mu.Unlock()
+	s.RunLogReader()
+	batches, through := s.DrainAfterThrough(sub, ack, max)
+	return batches, through, nil
 }
 
 // DrainAfterThrough acknowledges every queued transaction with LSN <= ack
@@ -143,7 +169,10 @@ func (s *Server) DrainAfterThrough(sub *Subscription, ack storage.LSN, max int) 
 	for drop < len(sub.queue) && sub.queue[drop].LSN <= ack {
 		drop++
 	}
-	sub.queue = sub.queue[drop:]
+	if drop > 0 {
+		sub.acked = sub.queue[drop-1].LSN
+		sub.queue = sub.queue[drop:]
+	}
 	n := len(sub.queue)
 	truncated := false
 	if max > 0 && n > max {

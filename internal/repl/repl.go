@@ -3,19 +3,24 @@
 //
 //   - a publisher defines articles — select-project expressions over a table
 //     or materialized view;
+//   - a subscriber (a cache) holds one subscription: a publication of the
+//     articles its cached views are fed from, one distribution queue and one
+//     log-reader cursor, however many views it has;
 //   - a log reader agent collects committed changes by sniffing the
-//     publisher's transaction log (our storage WAL) and inserts them into a
-//     distribution database;
-//   - a distribution agent on each subscriber (Subscriber, the paper's "pull
+//     publisher's transaction log (our storage WAL) and inserts them into the
+//     distribution database — one TxnBatch per commit record and subscription,
+//     carrying every article's share of that transaction;
+//   - a distribution agent on the subscriber (Subscriber, the paper's "pull
 //     subscription") wakes up periodically, pulls its pending transactions
 //     and applies them one complete committed transaction at a time, in
-//     commit order — so a subscriber always sees a transactionally
-//     consistent (if slightly stale) state;
+//     commit order and each in one local transaction — so a subscriber always
+//     sees a transactionally consistent (if slightly stale) state across all
+//     of its views;
 //   - changes are deleted from the distribution database once the subscriber
 //     has acknowledged them, and from the log once every subscriber has
 //     (WAL truncation).
 //
-// Server is the publisher half (articles, log reader, distribution queues);
+// Server is the publisher half (articles, subscriptions, log reader);
 // Subscriber is the subscriber half (cursor, dedup, apply). Both can run
 // from background goroutines with a poll interval (the paper's "separate
 // agent process that wakes up periodically") or be stepped manually for
@@ -67,20 +72,49 @@ func (a *Article) matches(row types.Row) (bool, error) {
 	return exec.EvalBool(a.pred, row, nil)
 }
 
-// Subscription is the publisher's record of one subscriber to one article:
-// the distribution queue a remote Subscriber drains with pulls and acks.
+// feed is one article of a subscription: the article's changes from start on
+// travel in the subscription's stream addressed to target.
+type feed struct {
+	*Article
+	target string      // the subscriber's table (a cached view)
+	start  storage.LSN // the target was seeded through start-1
+}
+
+// Subscription is the publisher's record of one subscriber — the paper's
+// publication plus its distribution queue: the articles the subscriber's
+// tables are fed from and the one queue a remote Subscriber drains with pulls
+// and acks.
 type Subscription struct {
-	Name    string
-	Article *Article
+	Name string // the subscriber's name
+
+	feeds []feed // guarded by Server.mu
 
 	mu      sync.Mutex
 	queue   []TxnBatch  // the distribution database's pending transactions
-	nextLSN storage.LSN // first LSN not yet enqueued for this subscription
+	nextLSN storage.LSN // the log-reader cursor: first LSN not yet enqueued; written under Server.mu too
+	acked   storage.LSN // highest LSN acknowledged off the queue
 
 	// currentAsOf is the moment the subscriber is known to have been handed
 	// everything: advanced to the log reader's pass start whenever the queue
 	// is fully acknowledged.
 	currentAsOf time.Time
+}
+
+// filter maps a commit record through the subscription's articles, in the
+// record's change order: one transaction's share for every target.
+func (sub *Subscription) filter(rec storage.CommitRecord) []storage.ChangeRec {
+	var out []storage.ChangeRec
+	for _, ch := range rec.Changes {
+		for _, f := range sub.feeds {
+			if f.start <= rec.LSN && strings.EqualFold(ch.Table, f.Table) {
+				if c, ok := f.mapChange(ch); ok {
+					c.Table = f.target
+					out = append(out, c)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Staleness returns the publisher's upper bound on how far the subscriber
@@ -103,16 +137,18 @@ type Stats struct {
 	ReaderTime *metrics.Counter // ns spent by the log reader (backend overhead)
 }
 
-// Server is the replication runtime for one publisher: its articles, the
-// log reader and the distribution queues.
+// Server is the replication runtime for one publisher: its articles, its
+// subscriptions and the log reader.
 type Server struct {
 	publisher *engine.Database
 
-	mu        sync.Mutex
-	articles  []*Article
-	subs      []*Subscription
-	readerLSN storage.LSN
-	readerOn  bool
+	// mu guards the lists and is held for a whole log-reader pass, so
+	// attaching an article (Provision, Resume) is atomic with respect to the
+	// reader.
+	mu       sync.Mutex
+	articles []*Article
+	subs     []*Subscription // the index is the id a subscriber pulls with
+	readerOn bool
 
 	reader Agent
 
@@ -123,7 +159,6 @@ type Server struct {
 func NewServer(publisher *engine.Database) *Server {
 	return &Server{
 		publisher: publisher,
-		readerLSN: publisher.Store().WAL().End(),
 		readerOn:  true,
 		Stats:     Stats{TxnsQueued: &metrics.Counter{}, ReaderTime: &metrics.Counter{}},
 	}
@@ -192,9 +227,10 @@ func articleKey(table string, columns []string, filter sql.Expr) string {
 	return k
 }
 
-// RunLogReader performs one log-reader pass: committed transactions since
-// the last pass are filtered per subscription and enqueued in the
-// distribution database. Returns the number of commit records processed.
+// RunLogReader performs one log-reader pass: transactions committed since the
+// subscriptions' cursors are filtered per subscription and enqueued in the
+// distribution database, one batch per commit record. Returns the number of
+// commit records processed.
 func (s *Server) RunLogReader() int {
 	start := time.Now()
 	defer func() {
@@ -204,135 +240,86 @@ func (s *Server) RunLogReader() int {
 	}()
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.readerOn {
-		s.mu.Unlock()
 		return 0
 	}
-	from := s.readerLSN
-	subs := append([]*Subscription(nil), s.subs...)
-	s.mu.Unlock()
-
-	// Subscriptions with empty queues are current as of this pass start
-	// (any later commit will be seen by the next pass).
-	defer func() {
-		for _, sub := range subs {
-			sub.mu.Lock()
-			if len(sub.queue) == 0 && start.After(sub.currentAsOf) {
-				sub.currentAsOf = start
-			}
-			sub.mu.Unlock()
-			metrics.Default.Gauge("repl.staleness_seconds." + sub.Name).
-				Set(sub.Staleness(time.Now()).Seconds())
-		}
-	}()
-
-	recs := s.publisher.Store().WAL().ReadFrom(from, 0)
-	if len(recs) == 0 {
-		s.truncate()
-		return 0
+	wal := s.publisher.Store().WAL()
+	end := s.publisher.Store().VisibleEnd()
+	from := end
+	for _, sub := range s.subs {
+		from = min(from, sub.nextLSN)
+	}
+	var recs []storage.CommitRecord
+	if from < end {
+		recs = wal.ReadFrom(from, int(end-from))
 	}
 	for _, rec := range recs {
-		for _, sub := range subs {
-			sub.mu.Lock()
+		for _, sub := range s.subs {
 			if sub.nextLSN > rec.LSN {
-				sub.mu.Unlock()
-				continue // already included in this subscription's snapshot
+				continue // delivered by an earlier pass
 			}
-			sub.mu.Unlock()
-			// Filter outside the lock, but advance the cursor and enqueue in
-			// ONE critical section: the cursor doubles as the
-			// stream-completeness position (DrainAfterThrough reports
-			// nextLSN-1), so a cursor advanced before its record is queued
-			// would let a concurrent drain claim completeness through a
-			// record it did not deliver. The re-check under the lock keeps
-			// concurrent reader passes from enqueueing the record twice.
-			filtered := filterTxn(sub.Article, rec)
+			changes := sub.filter(rec)
+			// Advance the cursor and enqueue in ONE critical section: the
+			// cursor doubles as the stream-completeness position
+			// (DrainAfterThrough reports nextLSN-1), so a cursor advanced
+			// before its record is queued would let a concurrent drain claim
+			// completeness through a record it did not deliver.
 			sub.mu.Lock()
-			if sub.nextLSN > rec.LSN {
-				sub.mu.Unlock()
-				continue // another pass delivered this record first
-			}
-			// Advance the per-subscription cursor record by record (not once
-			// per pass): it is this subscription's resume point after a
-			// subscriber restart, and the truncation floor that keeps records
-			// a resumed subscription still needs in the WAL.
 			sub.nextLSN = rec.LSN + 1
-			if len(filtered) > 0 {
-				sub.queue = append(sub.queue, TxnBatch{LSN: rec.LSN, CommitTime: rec.CommitTime, Changes: filtered})
+			if len(changes) > 0 {
+				sub.queue = append(sub.queue, TxnBatch{LSN: rec.LSN, CommitTime: rec.CommitTime, Changes: changes})
 			}
 			sub.mu.Unlock()
-			if len(filtered) > 0 {
+			if len(changes) > 0 {
 				s.Stats.TxnsQueued.Add(1)
 			}
 		}
 	}
-	s.mu.Lock()
-	s.readerLSN = recs[len(recs)-1].LSN + 1
-	s.mu.Unlock()
-	s.truncate()
+
+	// Drop distribution/WAL entries every subscription has consumed ("once
+	// changes have been propagated to all subscribers, they are deleted from
+	// the distribution database", §2.2). A subscription still needs everything
+	// from its oldest unacknowledged batch — or, with an empty queue, from its
+	// cursor — onward. Subscriptions with empty queues are also current as of
+	// this pass start (any later commit will be seen by the next pass).
+	keep := end
+	for _, sub := range s.subs {
+		sub.mu.Lock()
+		if len(sub.queue) > 0 {
+			keep = min(keep, sub.queue[0].LSN)
+		} else if start.After(sub.currentAsOf) {
+			sub.currentAsOf = start
+		}
+		keep = min(keep, sub.nextLSN)
+		sub.mu.Unlock()
+		metrics.Default.Gauge("repl.staleness_seconds." + sub.Name).
+			Set(sub.Staleness(time.Now()).Seconds())
+	}
+	wal.Truncate(keep)
 	return len(recs)
 }
 
-// filterTxn maps a commit record through an article: changes to other
-// tables drop out, rows are filtered and projected, and updates that move
-// rows across the filter boundary become inserts or deletes.
-func filterTxn(a *Article, rec storage.CommitRecord) []storage.ChangeRec {
-	var out []storage.ChangeRec
-	for _, ch := range rec.Changes {
-		if !strings.EqualFold(ch.Table, a.Table) {
-			continue
-		}
-		oldIn, newIn := false, false
-		if ch.Before != nil {
-			oldIn, _ = a.matches(ch.Before)
-		}
-		if ch.After != nil {
-			newIn, _ = a.matches(ch.After)
-		}
-		switch ch.Op {
-		case storage.OpInsert:
-			if newIn {
-				out = append(out, storage.ChangeRec{Table: a.Table, Op: storage.OpInsert, After: a.project(ch.After)})
-			}
-		case storage.OpDelete:
-			if oldIn {
-				out = append(out, storage.ChangeRec{Table: a.Table, Op: storage.OpDelete, Before: a.project(ch.Before)})
-			}
-		case storage.OpUpdate:
-			switch {
-			case oldIn && newIn:
-				out = append(out, storage.ChangeRec{Table: a.Table, Op: storage.OpUpdate, Before: a.project(ch.Before), After: a.project(ch.After)})
-			case oldIn:
-				out = append(out, storage.ChangeRec{Table: a.Table, Op: storage.OpDelete, Before: a.project(ch.Before)})
-			case newIn:
-				out = append(out, storage.ChangeRec{Table: a.Table, Op: storage.OpInsert, After: a.project(ch.After)})
-			}
-		}
+// mapChange maps one logged change through the article: a change to another
+// row set drops out, rows are filtered and projected, and an update that moves
+// a row across the filter boundary becomes an insert or a delete.
+func (a *Article) mapChange(ch storage.ChangeRec) (storage.ChangeRec, bool) {
+	oldIn, newIn := false, false
+	if ch.Before != nil {
+		oldIn, _ = a.matches(ch.Before)
 	}
-	return out
-}
-
-// truncate drops distribution/WAL entries every subscription has consumed
-// ("once changes have been propagated to all subscribers, they are deleted
-// from the distribution database", §2.2).
-func (s *Server) truncate() {
-	s.mu.Lock()
-	min := s.readerLSN
-	for _, sub := range s.subs {
-		sub.mu.Lock()
-		if len(sub.queue) > 0 && sub.queue[0].LSN < min {
-			min = sub.queue[0].LSN
-		}
-		// A subscription that has not consumed up to the reader yet — or was
-		// just rewound by ResumeRemote — still needs everything from its own
-		// cursor onward, queued or not.
-		if sub.nextLSN < min {
-			min = sub.nextLSN
-		}
-		sub.mu.Unlock()
+	if ch.After != nil {
+		newIn, _ = a.matches(ch.After)
 	}
-	s.mu.Unlock()
-	s.publisher.Store().WAL().Truncate(min)
+	switch {
+	case oldIn && newIn:
+		return storage.ChangeRec{Op: storage.OpUpdate, Before: a.project(ch.Before), After: a.project(ch.After)}, true
+	case oldIn:
+		return storage.ChangeRec{Op: storage.OpDelete, Before: a.project(ch.Before)}, true
+	case newIn:
+		return storage.ChangeRec{Op: storage.OpInsert, After: a.project(ch.After)}, true
+	}
+	return storage.ChangeRec{}, false
 }
 
 // Agent is a background agent: Start runs a function at every tick of its

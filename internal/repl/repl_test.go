@@ -14,7 +14,7 @@ import (
 
 // These tests drive the replication pipeline the way a deployment does: the
 // publisher half is a core.BackendServer (Provision / Pull over its
-// repl.Server), the subscriber half a repl.Subscriber per target table —
+// repl.Server), the subscriber half one repl.Subscriber per target database —
 // the same two pieces a cache server is assembled from.
 
 const itemDDL = `
@@ -60,10 +60,10 @@ func newSubscriberTable(t *testing.T, name string) *engine.Database {
 
 var itemCols = []string{"i_id", "i_title", "i_cost"}
 
-// subscribe does what a cache does for a cached view over item: provision
-// the pull subscription on the backend (filter is a predicate over item, ""
+// subscribe does what a cache does for its first cached view over item:
+// provision the article on the backend (filter is a predicate over item, ""
 // for none) and build the Subscriber that seeds the target's tgt table with
-// the snapshot and owns its cursor.
+// the snapshot and owns the cursor.
 func subscribe(t *testing.T, b *core.BackendServer, target *engine.Database, filter string) *repl.Subscriber {
 	t.Helper()
 	return subscribeStats(t, b, target, filter, repl.NewApplyStats())
@@ -71,15 +71,22 @@ func subscribe(t *testing.T, b *core.BackendServer, target *engine.Database, fil
 
 func subscribeStats(t *testing.T, b *core.BackendServer, target *engine.Database, filter string, stats repl.ApplyStats) *repl.Subscriber {
 	t.Helper()
-	id, lsn, rows, err := b.Provision("item", itemCols, filter, target.Name+".tgt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := repl.NewSubscriber(target, "tgt", id, lsn-1, rows, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := repl.NewSubscriber(target, stats)
+	addView(t, b, sub, target.Name, "item", itemCols, filter, "tgt")
 	return sub
+}
+
+// addView provisions one more article on cache's subscription and seeds the
+// subscriber's table tgt from it.
+func addView(t *testing.T, b *core.BackendServer, sub *repl.Subscriber, cache, table string, cols []string, filter, tgt string) {
+	t.Helper()
+	id, start, rows, err := b.Provision(table, cols, filter, cache, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.AddView(b, id, tgt, rows, start); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // step is one synchronous propagation round: every subscriber pulls (the

@@ -2,6 +2,7 @@ package repl_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"mtcache/internal/engine"
@@ -19,9 +20,10 @@ func drain(srv *repl.Server, sub *repl.Subscription) []repl.TxnBatch {
 }
 
 // TestResumeRemoteReplaysFromCheckpoint covers the restart path of a pull
-// subscriber: a subscription re-created with ResumeRemote at its durable
-// apply position must receive exactly the records from that position on,
-// without a reseed, as long as the publisher's WAL retains them.
+// subscriber: a subscription resumed at its durable apply position must
+// receive exactly the records from that position on, without a reseed, as
+// long as the publisher's WAL retains them — even though it had acknowledged
+// past that position before it went down.
 func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 	b := newPublisher(t, 0)
 	pub, srv := b.DB, b.Repl
@@ -30,15 +32,19 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Original subscriber: snapshot at LSN 1, stream everything.
-	rows, startLSN, err := srv.SnapshotRows(art)
+	// Original subscriber: snapshot at LSN 1, stream everything. A second
+	// subscription stands by to show a rewind is one subscription's business.
+	id, startLSN, rows, err := srv.Provision("cache1", art, "tgt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 0 || startLSN != 1 {
 		t.Fatalf("empty snapshot: %d rows start %d", len(rows), startLSN)
 	}
-	orig := srv.SubscribeRemote(art, "cache1", startLSN)
+	if _, _, _, err := srv.Provision("cache2", art, "tgt"); err != nil {
+		t.Fatal(err)
+	}
+	orig, other := srv.Subscriptions()[id], srv.Subscriptions()[1]
 
 	for i := 1; i <= 10; i++ {
 		if _, err := pub.Exec(fmt.Sprintf(
@@ -50,15 +56,18 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 	if got := drain(srv, orig); len(got) != 10 {
 		t.Fatalf("original subscriber drained %d batches, want 10", len(got))
 	}
+	if got := drain(srv, other); len(got) != 10 {
+		t.Fatalf("second subscriber drained %d batches, want 10", len(got))
+	}
 
 	// The subscriber restarts having durably applied through LSN 4: it
 	// resumes at 5 and must get 5..10 again — and only those.
-	resumed, ok := srv.ResumeRemote(art, "cache1", 5)
-	if !ok {
-		t.Fatalf("resume at 5 refused; WAL window is [%d,%d)", pub.Store().WAL().First(), pub.Store().WAL().End())
+	rid, ok := srv.Resume("cache1", art, "tgt", 5)
+	if !ok || rid != id {
+		t.Fatalf("resume at 5: id %d ok %v; WAL window is [%d,%d)", rid, ok, pub.Store().WAL().First(), pub.Store().WAL().End())
 	}
 	srv.RunLogReader()
-	batches := drain(srv, resumed)
+	batches := drain(srv, orig)
 	if len(batches) != 6 {
 		t.Fatalf("resumed subscriber got %d batches, want 6 (LSNs 5..10)", len(batches))
 	}
@@ -67,9 +76,12 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 			t.Fatalf("batch %d has LSN %d, want %d", i, b.LSN, 5+i)
 		}
 	}
-	// The rewound pass must not re-deliver to the original subscription.
-	if n := srv.PendingFor(orig); n != 0 {
-		t.Fatalf("original subscription re-received %d batches after the rewind", n)
+	// The rewound pass must not re-deliver to the other subscription.
+	if n := srv.PendingFor(other); n != 0 {
+		t.Fatalf("second subscription re-received %d batches after the rewind", n)
+	}
+	if n := len(srv.Subscriptions()); n != 2 {
+		t.Fatalf("%d subscriptions after a resume by name, want 2", n)
 	}
 }
 
@@ -88,17 +100,151 @@ func TestResumeRemoteRefusesTruncatedWindow(t *testing.T) {
 	if first := pub.Store().WAL().First(); first != 11 {
 		t.Fatalf("WAL not truncated: First=%d", first)
 	}
-	if _, ok := srv.ResumeRemote(art, "cache1", 5); ok {
+	if _, ok := srv.Resume("cache1", art, "tgt", 5); ok {
 		t.Fatal("resume at a truncated LSN succeeded; it must force a reseed")
 	}
 	// A position inside the (empty) retained window is fine.
-	if _, ok := srv.ResumeRemote(art, "cache2", 11); !ok {
+	if _, ok := srv.Resume("cache2", art, "tgt", 11); !ok {
 		t.Fatal("resume at the WAL head refused")
 	}
 	// A position past the publisher's log means the subscriber is ahead of a
 	// publisher that lost state — also a reseed.
-	if _, ok := srv.ResumeRemote(art, "cache3", 99); ok {
+	if _, ok := srv.Resume("cache3", art, "tgt", 99); ok {
 		t.Fatal("resume past the WAL end succeeded")
+	}
+	if n := len(srv.Subscriptions()); n != 1 {
+		t.Fatalf("%d subscriptions, want 1: a refused resume must leave nothing behind", n)
+	}
+}
+
+// TestResumePastAcknowledgedRewindsOrReseeds is the acknowledged-then-crashed
+// regression: a subscriber that checkpoints at c, applies and acknowledges
+// through p > c and then restarts from the checkpoint must get (c, p] again.
+// Reattaching to its live queue — which starts after p — would lose them
+// silently. While the WAL still holds c+1 the stream is rewound; once it does
+// not, the answer is a reseed.
+func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
+	b := newPublisher(t, 5)
+	subDB := newSubscriberTable(t, "cache")
+	sub := subscribe(t, b, subDB, "")
+	ckpt := sub.Status().AppliedLSN // the durable position: rows 1..5
+
+	insert := func(id int) {
+		t.Helper()
+		if _, err := b.DB.Exec(fmt.Sprintf(
+			"INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (%d, 'x', 1, 'ARTS')", id), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(6)
+	step(t, b, sub) // applied
+	step(t, b, sub) // acknowledged: the queue now starts after it
+
+	// Restart from the checkpoint: a new subscriber over the checkpointed rows.
+	restart := func() (*repl.Subscriber, *engine.Database, bool) {
+		t.Helper()
+		db := newSubscriberTable(t, "cache")
+		id, ok, err := b.Resume("item", itemCols, "", "cache", "tgt", ckpt+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return nil, db, false
+		}
+		tx := b.DB.Store().Begin(false)
+		rows := tx.Table("item").Rows()[:5]
+		tx.Abort()
+		for i := range rows {
+			rows[i] = rows[i][:3]
+		}
+		s := repl.NewSubscriber(db, repl.NewApplyStats())
+		if err := s.AddView(b, id, "tgt", rows, ckpt+1); err != nil {
+			t.Fatal(err)
+		}
+		return s, db, true
+	}
+	s2, db2, ok := restart()
+	if !ok {
+		t.Fatal("resume refused while the WAL still holds the position")
+	}
+	step(t, b, s2)
+	if got := count(t, db2, "SELECT COUNT(*) FROM tgt"); got != 6 {
+		t.Fatalf("resumed subscriber has %d rows, publisher 6: the acknowledged batch was not replayed", got)
+	}
+
+	// Same again, but the log has been truncated past the checkpoint by the
+	// time the subscriber comes back.
+	insert(7)
+	step(t, b, s2)
+	step(t, b, s2)
+	b.Repl.RunLogReader()
+	if first := b.DB.Store().WAL().First(); first <= ckpt+1 {
+		t.Fatalf("WAL still starts at %d", first)
+	}
+	if _, _, ok := restart(); ok {
+		t.Fatal("resume below the truncated log succeeded: the subscriber would silently miss acknowledged transactions")
+	}
+}
+
+// TestProvisionRacingLogReaderLosesNoCommit: a commit that lands right after
+// a provision's snapshot must reach the new feed even when another
+// subscriber's pull runs the log reader before the provisioning one gets to
+// pull. (The snapshot used to be taken first and the subscription registered
+// afterwards, behind whatever the reader had read in between: the row was in
+// neither the snapshot nor the stream, and the applied LSN moved past it.)
+func TestProvisionRacingLogReaderLosesNoCommit(t *testing.T) {
+	b := newPublisher(t, 2000)
+	other := subscribe(t, b, newSubscriberTable(t, "other"), "")
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the other cache, pulling flat out
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if _, err := other.Pull(b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	written := make(chan struct{})
+	go func() { // a writer; bounded, every late subscription queues each commit
+		defer wg.Done()
+		defer close(written)
+		for id := 10000; id < 12000; id++ {
+			if _, err := b.DB.Exec(fmt.Sprintf(
+				"INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (%d, 'w', 1, 'ARTS')", id), nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var dbs []*engine.Database
+	var subs []*repl.Subscriber
+	for round, writing := 0, true; writing && round < 12; round++ {
+		db := newSubscriberTable(t, fmt.Sprintf("late%d", round))
+		dbs, subs = append(dbs, db), append(subs, subscribe(t, b, db, ""))
+		select {
+		case <-written:
+			writing = false
+		default:
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	want := count(t, b.DB, "SELECT COUNT(*) FROM item")
+	for i, sub := range subs {
+		step(t, b, sub)
+		if got := count(t, dbs[i], "SELECT COUNT(*) FROM tgt"); got != want {
+			t.Fatalf("subscriber %d provisioned under load holds %d rows at quiescence, publisher %d", i, got, want)
+		}
 	}
 }
 
@@ -122,7 +268,10 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := srv.SubscribeRemote(art, "cache1", 1)
+	if _, ok := srv.Resume("cache1", art, "tgt", 1); !ok {
+		t.Fatal("subscription at the head of an empty log refused")
+	}
+	sub := srv.Subscriptions()[0]
 
 	for i := 1; i <= 10; i++ {
 		if _, err := pub.Exec(fmt.Sprintf(
@@ -151,13 +300,14 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 
 	// Resume a second subscriber behind the checkpoint: refused (truncated),
 	// resume at the head: allowed, and it pins truncation again.
-	if _, ok := srv.ResumeRemote(art, "late", 5); ok {
+	if _, ok := srv.Resume("late", art, "tgt", 5); ok {
 		t.Fatal("resume below the truncated window succeeded")
 	}
-	late, ok := srv.ResumeRemote(art, "late", 11)
+	lateID, ok := srv.Resume("late", art, "tgt", 11)
 	if !ok {
 		t.Fatal("resume at the retained head refused")
 	}
+	late := srv.Subscriptions()[lateID]
 	for i := 11; i <= 14; i++ {
 		if _, err := pub.Exec(fmt.Sprintf(
 			"INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (%d, 't%d', %d.5, 'ARTS')", i, i, i), nil); err != nil {

@@ -2,6 +2,8 @@ package repl
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,8 +23,7 @@ type Puller interface {
 }
 
 // ApplyStats accumulates the subscriber-side replication costs, used by the
-// replication experiments (paper §6.2.2 and §6.2.3). One value is shared by
-// all of a cache's subscribers.
+// replication experiments (paper §6.2.2 and §6.2.3).
 type ApplyStats struct {
 	TxnsApplied *metrics.Counter
 	Latency     *metrics.Histogram // commit-to-commit propagation delay
@@ -36,77 +37,133 @@ func NewApplyStats() ApplyStats {
 
 // SubscriberStatus is a Subscriber's replication cursor and failure record.
 type SubscriberStatus struct {
-	LastLSN storage.LSN // highest LSN applied; pulls ack and dedup with it
-	// AppliedLSN is the LSN the table is known current through: LastLSN plus
-	// the pull responses' completeness position, which also advances past
-	// commits that never touch the article. Without it the applied position
-	// would stall at the last write that happened to hit this table, wedging
-	// every session gated on a later watermark.
+	SubID int // the publisher's handle for the subscription, once a view is attached
+	// AppliedLSN is the one position of the subscriber: every view is current
+	// through it. Pulls acknowledge and deduplicate with it. It follows the
+	// pull responses' completeness position, so it also advances past commits
+	// that touch no view — without that it would stall at the last write that
+	// happened to hit a view, wedging every session gated on a later
+	// watermark. A subscriber with no views holds no replicated data and is
+	// vacuously current: math.MaxInt64.
 	AppliedLSN  storage.LSN
 	CurrentAsOf time.Time // start of the last round that applied everything it was handed
 	ApplyErrors int64     // rounds that failed to apply
 	LastError   string    // the most recent apply failure, "" if none
 }
 
-// Subscriber is the subscriber half of one pull subscription — the paper's
-// distribution agent for one target table. It owns the table's replication
-// cursor: batches are applied exactly once and in LSN order (each pull
-// acknowledges what was applied and skips re-delivered batches), and a failed
-// apply stops at the failed batch, whose suffix stays queued on the publisher
-// for the next pull.
-//
-// Pull rounds on one Subscriber must not overlap; the owner serializes them.
-type Subscriber struct {
-	SubID int    // the publisher's handle for this subscription
-	Table string // target table on the subscriber (the cached view)
+// view is one target table and the first LSN whose changes apply to it (it
+// was seeded through the LSN before).
+type view struct {
+	table string
+	start storage.LSN
+}
 
+// Subscriber is the subscriber half of a pull subscription — the paper's
+// distribution agent. It owns the one replication cursor of all its target
+// tables: a backend transaction is applied in one local transaction, exactly
+// once and in LSN order (each pull acknowledges what was applied and skips
+// re-delivered batches), and a failed apply stops the stream at the failed
+// batch with no table advanced; the suffix stays queued on the publisher for
+// the next pull.
+//
+// Pull rounds and AddView calls on one Subscriber must not overlap; the owner
+// serializes them.
+type Subscriber struct {
 	target *engine.Database
 	stats  ApplyStats
 
-	mu sync.Mutex
-	st SubscriberStatus
+	mu    sync.Mutex
+	views []view // append-only
+	st    SubscriberStatus
 }
 
-// NewSubscriber populates a target table with rows current through applied —
-// a publisher snapshot taken at applied+1, or rows restored from a
-// checkpoint — refreshes its statistics and returns its cursor.
-func NewSubscriber(target *engine.Database, table string, subID int, applied storage.LSN, rows []types.Row, stats ApplyStats) (*Subscriber, error) {
-	tx := target.Store().Begin(true)
-	for _, row := range rows {
-		if _, err := tx.Insert(table, row); err != nil {
-			tx.Abort()
-			return nil, fmt.Errorf("repl: seed of %s: %w", table, err)
-		}
-	}
-	if err := tx.CommitUnlogged(); err != nil {
-		return nil, err
-	}
-	// Seeding replaces the table's contents; intermediates derived from it
-	// are stale.
-	target.InvalidateIntermediates(table)
-	if err := target.AnalyzeTable(table); err != nil {
-		return nil, err
-	}
-	return &Subscriber{
-		SubID: subID, Table: table, target: target, stats: stats,
-		st: SubscriberStatus{LastLSN: applied, AppliedLSN: applied, CurrentAsOf: time.Now()},
-	}, nil
+// NewSubscriber returns the subscriber for target's tables; AddView gives it
+// its first one.
+func NewSubscriber(target *engine.Database, stats ApplyStats) *Subscriber {
+	return &Subscriber{target: target, stats: stats,
+		st: SubscriberStatus{AppliedLSN: math.MaxInt64, CurrentAsOf: time.Now()}}
 }
 
 // Status returns the current cursor and failure record. Staleness — how far
-// the table may trail the publisher — is the time since CurrentAsOf.
+// the views may trail the publisher — is the time since CurrentAsOf.
 func (s *Subscriber) Status() SubscriberStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.st
 }
 
+// Views returns the target tables, in the order they were added.
+func (s *Subscriber) Views() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, len(s.views))
+	for i, v := range s.views {
+		out[i] = v.table
+	}
+	return out
+}
+
+// AddView populates table with rows current through start-1 — a publisher
+// snapshot (Server.Provision) or rows restored from a checkpoint
+// (Server.Resume) — and applies the table's changes from start on; subID is
+// the subscription the publisher attached it to. The views the subscriber
+// already has move to start-1 in the transaction that makes the rows visible,
+// so no reader sees the new view and an old one at different positions.
+func (s *Subscriber) AddView(src Puller, subID int, table string, rows []types.Row, start storage.LSN) error {
+	s.mu.Lock()
+	views, applied := s.views, s.st.AppliedLSN
+	s.mu.Unlock()
+	// The seed is a transaction of inserts; the batches that move the older
+	// views up to start-1 ride in the same local transaction. They are at
+	// LSNs below start, so their changes to table — which the seed already
+	// holds — are passed over.
+	seed := TxnBatch{LSN: start, Changes: make([]storage.ChangeRec, len(rows))}
+	for i, row := range rows {
+		seed.Changes[i] = storage.ChangeRec{Table: table, Op: storage.OpInsert, After: row}
+	}
+	txn := []TxnBatch{seed}
+	if applied < start-1 { // never for the first view: no views is "current"
+		batches, through, err := src.Pull(subID, 0, applied)
+		if err != nil {
+			return err
+		}
+		if through < start-1 {
+			return fmt.Errorf("repl: seed of %s is current through %d, the stream only through %d", table, start-1, through)
+		}
+		for _, b := range batches {
+			if b.LSN > applied && b.LSN < start {
+				txn = append(txn, b)
+			}
+		}
+	}
+	views = append(views[:len(views):len(views)], view{table, start})
+	if err := s.apply(views, txn...); err != nil {
+		return fmt.Errorf("repl: seed of %s: %w", table, err)
+	}
+	if err := s.target.AnalyzeTable(table); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(views) == 1 { // the first view: the cursor starts at its seed
+		s.st.AppliedLSN, s.st.CurrentAsOf = start-1, time.Now()
+	}
+	s.st.AppliedLSN = max(s.st.AppliedLSN, start-1)
+	s.st.SubID, s.views = subID, views
+	return nil
+}
+
 // Pull performs one pull-and-apply round and returns the number of
 // transactions applied. On any error the cursor stays at the last applied
 // batch: nothing is lost, the publisher re-delivers from there.
 func (s *Subscriber) Pull(src Puller) (int, error) {
-	acked := s.Status().LastLSN
-	batches, through, err := src.Pull(s.SubID, 0, acked)
+	s.mu.Lock()
+	views, subID, acked := s.views, s.st.SubID, s.st.AppliedLSN
+	s.mu.Unlock()
+	if len(views) == 0 {
+		return 0, nil
+	}
+	batches, through, err := src.Pull(subID, 0, acked)
 	if err != nil {
 		return 0, err
 	}
@@ -119,7 +176,7 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 			metrics.Default.Counter("wire.pull_redelivered").Add(1)
 			continue
 		}
-		if err = s.apply(b); err != nil {
+		if err = s.apply(views, b); err != nil {
 			// Stop at the failed batch to preserve LSN order; everything
 			// unapplied is still queued on the publisher.
 			break
@@ -139,10 +196,9 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.st.LastLSN = applied
 	if err != nil {
 		// A failed apply caps the position at the last applied batch, and the
-		// table is not current as of this round. The pull loop retries, so
+		// views are not current as of this round. The pull loop retries, so
 		// this record and the counter are the only durable trace of trouble.
 		s.st.ApplyErrors++
 		s.st.LastError = err.Error()
@@ -155,46 +211,43 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 	return n, err
 }
 
-// apply applies one transaction to the target table, committing unlogged so
-// replicated changes do not re-enter the subscriber's own WAL. Change records
-// carry the source table's name; the target is s.Table.
-func (s *Subscriber) apply(batch TxnBatch) error {
-	table := s.Table
-	meta := s.target.Catalog().Table(table)
-	if meta == nil {
-		return fmt.Errorf("repl: target table %s does not exist", table)
-	}
+// apply applies batches in one transaction, committing unlogged so replicated
+// changes do not re-enter the subscriber's own WAL. ChangeRec.Table names the
+// target table; a change is passed over when that is not one of views or the
+// batch is below the view's start — it is in the view's seed already.
+func (s *Subscriber) apply(views []view, batches ...TxnBatch) error {
 	tx := s.target.Store().Begin(true)
-	td := tx.Table(table)
-	if td == nil {
-		tx.Abort()
-		return fmt.Errorf("repl: no storage for %s", table)
-	}
-	for _, ch := range batch.Changes {
-		switch ch.Op {
-		case storage.OpInsert:
-			if _, err := tx.Insert(table, ch.After); err != nil {
-				tx.Abort()
-				return err
+	defer tx.Abort() // a no-op once committed
+	var (
+		touched []string
+		meta    *catalog.Table
+		td      *storage.TableView
+	)
+	for _, b := range batches {
+		for _, ch := range b.Changes {
+			if i := slices.IndexFunc(views, func(v view) bool { return v.table == ch.Table }); i < 0 || b.LSN < views[i].start {
+				continue
 			}
-		case storage.OpDelete:
-			rid := locateTargetRow(td, meta, ch.Before)
-			if rid < 0 {
-				tx.Abort()
-				return fmt.Errorf("repl: %s: delete target row missing", table)
+			if len(touched) == 0 || touched[len(touched)-1] != ch.Table {
+				if meta = s.target.Catalog().Table(ch.Table); meta == nil {
+					return fmt.Errorf("repl: target table %s does not exist", ch.Table)
+				}
+				if td = tx.Table(ch.Table); td == nil {
+					return fmt.Errorf("repl: no storage for %s", ch.Table)
+				}
+				touched = append(touched, ch.Table)
 			}
-			if err := tx.Delete(table, rid); err != nil {
-				tx.Abort()
-				return err
+			var err error
+			if ch.Op == storage.OpInsert {
+				_, err = tx.Insert(ch.Table, ch.After)
+			} else if rid := locateTargetRow(td, meta, ch.Before); rid < 0 {
+				err = fmt.Errorf("repl: %s: target row of a replicated change is missing", ch.Table)
+			} else if ch.Op == storage.OpDelete {
+				err = tx.Delete(ch.Table, rid)
+			} else {
+				err = tx.Update(ch.Table, rid, ch.After)
 			}
-		case storage.OpUpdate:
-			rid := locateTargetRow(td, meta, ch.Before)
-			if rid < 0 {
-				tx.Abort()
-				return fmt.Errorf("repl: %s: update target row missing", table)
-			}
-			if err := tx.Update(table, rid, ch.After); err != nil {
-				tx.Abort()
+			if err != nil {
 				return err
 			}
 		}
@@ -203,8 +256,11 @@ func (s *Subscriber) apply(batch TxnBatch) error {
 		return err
 	}
 	// Replicated writes are the invalidation signal for intermediate results
-	// derived from this table: mark them stale now that the change is visible.
-	s.target.InvalidateIntermediates(table)
+	// derived from these tables: mark them stale now that the change is visible.
+	slices.Sort(touched)
+	for _, table := range slices.Compact(touched) {
+		s.target.InvalidateIntermediates(table)
+	}
 	return nil
 }
 

@@ -35,7 +35,7 @@ type Config struct {
 	Name       string // prompt-less banner name, e.g. "cache1"
 	Exec       func(sqlText string) (*engine.Result, error)
 	Explain    func(sqlText string) (string, error)
-	Pull       func() (int, error) // caches: one pull round over all subscriptions
+	Pull       func() (int, error) // caches: one pull round
 	Checkpoint func() error        // durable servers: force a checkpoint
 	In         io.Reader
 	Out        io.Writer

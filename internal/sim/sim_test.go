@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"mtcache/internal/core"
+	"mtcache/internal/engine"
+	"mtcache/internal/exec"
 	"mtcache/internal/tpcw"
 )
 
@@ -141,15 +143,37 @@ func TestSimulateDeterministic(t *testing.T) {
 
 // ---- end-to-end calibration + experiments at a small scale ----
 
+var smallConfig = tpcw.Config{Items: 120, Customers: 200, Seed: 5}
+
 func smallCalibration(t *testing.T) *CalibrationResult {
 	t.Helper()
-	cal, err := Calibrate(tpcw.Config{Items: 120, Customers: 200, Seed: 5}, 4)
+	cal, err := Calibrate(smallConfig, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cal
 }
 
+// countedLink counts the statements a cache sends to its backend.
+type countedLink struct {
+	exec.RemoteClient
+	calls int
+}
+
+func (l *countedLink) Query(sqlText string, params exec.Params) (*exec.ResultSet, error) {
+	l.calls++
+	return l.RemoteClient.Query(sqlText, params)
+}
+
+func (l *countedLink) Exec(sqlText string, params exec.Params) (int64, error) {
+	l.calls++
+	return l.RemoteClient.Exec(sqlText, params)
+}
+
+// TestCalibrateProducesSaneCosts checks the calibrated system by counting,
+// not by timing: Calibrate's costs are wall-clock medians over a few
+// repetitions and move with host load, so a threshold on a share of them is a
+// coin toss on a busy 1-core box.
 func TestCalibrateProducesSaneCosts(t *testing.T) {
 	cal := smallCalibration(t)
 	for _, in := range tpcw.Interactions() {
@@ -157,25 +181,35 @@ func TestCalibrateProducesSaneCosts(t *testing.T) {
 			t.Errorf("%s: negative cost", in)
 		}
 	}
-	// In cached mode, browse-class interactions should put (almost) no load
-	// on the backend — that is the whole point of MTCache.
-	var browseBackend, browseTotal float64
-	for _, in := range tpcw.Interactions() {
-		if in.IsBrowse() {
-			browseBackend += cal.Cached.Backend[in]
-			browseTotal += cal.Cached.Backend[in] + cal.Cached.Web[in]
+	// In cached mode, browse-class interactions put (almost) no load on the
+	// backend — that is the whole point of MTCache: only Home asks it for
+	// anything, one lookup in the uncached customer table.
+	link := &countedLink{RemoteClient: engine.NewLink(cal.Backend.DB)}
+	cal.Cache.DB.SetRemote(link)
+	app := tpcw.NewApp(core.ConnectCache(cal.Cache), smallConfig)
+	session := app.NewSession(3)
+	for rep := 0; rep < 5; rep++ {
+		for _, in := range tpcw.Interactions() {
+			if !in.IsBrowse() {
+				continue
+			}
+			before := link.calls
+			if _, err := app.Run(session, in); err != nil {
+				t.Fatalf("%s: %v", in, err)
+			}
+			if n := link.calls - before; n > 1 || (n == 1 && in != tpcw.Home) {
+				t.Errorf("%s made %d backend calls", in, n)
+			}
 		}
-	}
-	if browseBackend/browseTotal > 0.1 {
-		t.Errorf("browse-class backend share %.2f should be near zero", browseBackend/browseTotal)
 	}
 	// BuyConfirm must generate write transactions.
 	if cal.Cached.Writes[tpcw.BuyConfirm] < 1 {
 		t.Errorf("BuyConfirm writes: %f", cal.Cached.Writes[tpcw.BuyConfirm])
 	}
-	// Replication overheads were measured.
-	if cal.Cached.ReaderPerTxn <= 0 || cal.Cached.ApplyPerTxn <= 0 {
-		t.Errorf("replication costs missing: reader=%g apply=%g", cal.Cached.ReaderPerTxn, cal.Cached.ApplyPerTxn)
+	// The replication pipeline ran: the log reader queued transactions and
+	// the cache applied them.
+	if q, a := cal.Backend.Repl.Stats.TxnsQueued.Value(), cal.Cache.Stats.TxnsApplied.Value(); q == 0 || a == 0 {
+		t.Errorf("replication counters: %d transactions queued, %d applied", q, a)
 	}
 }
 

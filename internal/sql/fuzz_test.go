@@ -52,3 +52,32 @@ func FuzzParse(f *testing.F) {
 		ParseExpr(input)   //nolint:errcheck — only panics matter
 	})
 }
+
+// TestFunctionNameFoldIsASCIIOnly is FuzzParse's first crasher, kept as a
+// plain test: a function name with a byte that is not UTF-8 used to be
+// upper-cased rune by rune, which rewrote the byte to U+FFFD — text the lexer
+// rejects. Both texts, the written one and its deparse, must parse, to the
+// same tree.
+func TestFunctionNameFoldIsASCIIOnly(t *testing.T) {
+	const written = "SELECT a\xe2(0), sum(b) FROM t"
+	stmt, err := Parse(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := Deparse(stmt)
+	if want := "SELECT A\xe2(0), SUM(b) FROM t"; text != want {
+		t.Fatalf("deparse %q, want %q", text, want)
+	}
+	again, err := Parse(text)
+	if err != nil {
+		t.Fatalf("deparse %q does not re-parse: %v", text, err)
+	}
+	if Deparse(again) != text {
+		t.Fatalf("second deparse %q differs from the first %q", Deparse(again), text)
+	}
+	// The normalizer folds the same way, so its key names the same function.
+	var n Normalizer
+	if key, _, ok := n.Normalize(written); !ok || string(key) != "SELECT A\xe2 ( @__p0 ) , SUM ( b ) FROM t" {
+		t.Fatalf("Normalize(%q) = %q, %v", written, key, ok)
+	}
+}

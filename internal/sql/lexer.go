@@ -83,7 +83,7 @@ func (l *lexer) next() (token, error) {
 	case isIdentStart(rune(c)):
 		l.pos = identEnd(l.src, start)
 		id := l.src[start:l.pos]
-		up := strings.ToUpper(id)
+		up := upperASCII(id)
 		if keywords[up] {
 			return token{kind: tokKeyword, text: up, pos: start}, nil
 		}

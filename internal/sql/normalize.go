@@ -3,8 +3,6 @@ package sql
 import (
 	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"mtcache/internal/types"
 )
@@ -204,9 +202,7 @@ func (n *Normalizer) Normalize(src string) (key []byte, args []types.Value, ok b
 				return nil, nil, false
 			}
 			pos = end
-			if !n.flushIdent(op == "(") {
-				return nil, nil, false
-			}
+			n.flushIdent(op == "(")
 			n.sp()
 			n.buf = append(n.buf, op...)
 		}
@@ -228,24 +224,17 @@ func (n *Normalizer) sp() {
 
 // flushIdent emits the delayed identifier, upper-cased when it turned out to
 // be a function name (asFunc: the next token is an opening parenthesis).
-// Returns false — the caller must bail — for a function name that is not
-// valid UTF-8: upper-casing would replace the bad bytes with U+FFFD and
-// diverge from the written form the lexer accepted byte-for-byte.
-func (n *Normalizer) flushIdent(asFunc bool) bool {
+func (n *Normalizer) flushIdent(asFunc bool) {
 	if n.pendingIdent == "" {
-		return true
+		return
 	}
 	n.sp()
 	if asFunc {
-		if !utf8.ValidString(n.pendingIdent) {
-			return false
-		}
-		n.buf = appendUpper(n.buf, n.pendingIdent)
+		n.buf = appendUpperASCII(n.buf, n.pendingIdent)
 	} else {
 		n.buf = append(n.buf, n.pendingIdent...)
 	}
 	n.pendingIdent = ""
-	return true
 }
 
 // emitParam records one literal value and writes its @__pN placeholder. It
@@ -263,8 +252,10 @@ func (n *Normalizer) emitParam(v types.Value) bool {
 	return true
 }
 
-// appendUpperASCII upper-cases ASCII letters only — enough for the keyword
-// lookup, which contains ASCII words exclusively.
+// appendUpperASCII is the dialect's one case mapping, for keywords and
+// function names alike: a–z fold to A–Z and every other byte — non-ASCII
+// letters, invalid UTF-8 — stays as written, so what the lexer accepted
+// byte for byte deparses to text it accepts again.
 func appendUpperASCII(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -276,11 +267,13 @@ func appendUpperASCII(dst []byte, s string) []byte {
 	return dst
 }
 
-// appendUpper upper-cases with full Unicode semantics, matching the
-// strings.ToUpper the parser applies to function names.
-func appendUpper(dst []byte, s string) []byte {
-	for _, r := range s {
-		dst = utf8.AppendRune(dst, unicode.ToUpper(r))
+// upperASCII is appendUpperASCII for a string; s itself when it has nothing
+// to fold.
+func upperASCII(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= 'a' && c <= 'z' {
+			return string(appendUpperASCII(make([]byte, 0, len(s)), s))
+		}
 	}
-	return dst
+	return s
 }

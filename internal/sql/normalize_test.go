@@ -444,6 +444,10 @@ func TestOneTokenizer(t *testing.T) {
 		{"SELECT [a b], [], [select] FROM [t]", "K:SELECT@0 I:a b@7 O:,@12 I:@14 O:,@16 I:select@18 K:FROM@27 I:t@32", "SELECT [a b] , [] , [select] FROM [t]", nil},
 		{"SELECT @a, @_1$#", "K:SELECT@0 P:a@7 O:,@9 P:_1$#@11", "SELECT @a , @_1$#", nil},
 		{"select SeLeCt #t, _x$", "K:SELECT@0 K:SELECT@7 I:#t@14 O:,@16 I:_x$@18", "SELECT SELECT #t , _x$", nil},
+		// Case folding is ASCII-only: a byte ≥ 0x80 an identifier carries —
+		// here ones that are not even UTF-8 — stays as written through the
+		// keyword lookup and in the key.
+		{"select a\xe2, \xb5m", "K:SELECT@0 I:a\xe2@7 O:,@9 I:\xb5m@11", "SELECT a\xe2 , \xb5m", nil},
 		{"SELECT @", "error: lex: lone @ at offset 7", "", nil},
 		{"SELECT @ a", "error: lex: lone @ at offset 7", "", nil},
 		{"SELECT 'never closed''", "error: lex: unterminated string at offset 7", "", nil},

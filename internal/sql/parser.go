@@ -1133,7 +1133,7 @@ func (p *parser) funcCall(name string) (Expr, error) {
 	if err := p.expectOp("("); err != nil {
 		return nil, err
 	}
-	fc := &FuncCall{Name: strings.ToUpper(name)}
+	fc := &FuncCall{Name: upperASCII(name)}
 	if p.peek().kind == tokOp && p.peek().text == "*" {
 		p.advance()
 		fc.Star = true

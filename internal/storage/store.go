@@ -376,6 +376,12 @@ func (t *Txn) IsWrite() bool { return t.write }
 // Once set, every subsequent operation fails and Commit aborts.
 func (t *Txn) Err() error { return t.err }
 
+// VisibleEnd returns the WAL position every snapshot taken from now on sees
+// at least through: the log end as of the last published commit. A record at
+// or past it may already be appended but is not yet visible (nor, under
+// SyncAlways, durable), so the log reader stops here.
+func (s *Store) VisibleEnd() LSN { return s.published.Load().walEnd }
+
 // AsOfLSN returns, for a read transaction, the WAL position containing
 // exactly the logged transactions visible in its snapshot. The replication
 // layer uses it to pair a materialization scan with the log position to

@@ -298,13 +298,14 @@ func (c *Client) Snapshot() ([]byte, error) {
 	return resp.Snapshot, nil
 }
 
-// Provision creates an article + pull subscription on the backend and
-// returns the subscription id, the LSN the change stream starts from, and
-// the initial population. Provisioning the same subscription name again
-// resets it, so a retried provision leaves no orphan subscription.
-func (c *Client) Provision(table string, columns []string, filter, subName string) (int, storage.LSN, []types.Row, error) {
+// Provision attaches an article to the subscription subName on the backend
+// (created on first use) as the feed of the cached view target, and returns
+// the subscription id, the LSN the article's changes start from, and the
+// initial population. It is idempotent by (subName, target), so a retried
+// provision leaves neither an orphan subscription nor a second feed.
+func (c *Client) Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error) {
 	resp, err := c.roundTrip(&request{
-		Kind: reqProvision, Table: table, Columns: columns, Filter: filter, SubName: subName,
+		Kind: reqProvision, Table: table, Columns: columns, Filter: filter, SubName: subName, Target: target,
 	})
 	if err != nil {
 		return 0, 0, nil, err
@@ -312,16 +313,16 @@ func (c *Client) Provision(table string, columns []string, filter, subName strin
 	return resp.SubID, resp.StartLSN, resp.Rows, nil
 }
 
-// Resume re-creates a pull subscription for a subscriber restarting with
-// durable state: the change stream continues from fromLSN (the first LSN the
-// subscriber has not applied) with no initial population. ok is false — with
-// no error — when the backend cannot serve that position anymore (its WAL
-// was truncated past it, or it lost the subscription state and the log);
-// the caller must then fall back to Provision for a full reseed. Resume is
-// idempotent: repeating it reattaches to the same subscription.
-func (c *Client) Resume(table string, columns []string, filter, subName string, fromLSN storage.LSN) (subID int, ok bool, err error) {
+// Resume reattaches an article for a subscriber restarting with durable
+// state: the subscription's stream carries target's changes from fromLSN (the
+// first LSN the subscriber has not applied) with no initial population. ok is
+// false — with no error — when the backend cannot serve that position anymore
+// (its WAL was truncated past it, or it lost the subscription state and the
+// log); the caller must then fall back to Provision for a full reseed. Resume
+// is idempotent: repeating it reattaches to the same feed.
+func (c *Client) Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (subID int, ok bool, err error) {
 	resp, err := c.roundTrip(&request{
-		Kind: reqResume, Table: table, Columns: columns, Filter: filter, SubName: subName, FromLSN: fromLSN,
+		Kind: reqResume, Table: table, Columns: columns, Filter: filter, SubName: subName, Target: target, FromLSN: fromLSN,
 	})
 	if err != nil {
 		return 0, false, err

@@ -1,6 +1,6 @@
 package wire
 
-// codec.go is the v3 frame codec: what a request and a response hold, the
+// codec.go is the v4 frame codec: what a request and a response hold, the
 // preface, the length-prefixed framing and the payload bytes. wire.go's
 // package comment has the layout; the value, row and string bytes are
 // types/codec.go's and a pulled transaction's changes are
@@ -71,12 +71,14 @@ type request struct {
 	SQL    string
 	Params map[string]types.Value
 
-	// Provision / Resume. FromLSN is the resume position: the first LSN the
-	// restarted subscriber has not applied.
+	// Provision / Resume: the article (Table, Columns, Filter), the cache's
+	// subscription and the cached view the article feeds. FromLSN is the
+	// resume position: the first LSN the restarted subscriber has not applied.
 	Table   string
 	Columns []string
 	Filter  string // deparsed predicate, "" = none
 	SubName string
+	Target  string
 	FromLSN storage.LSN
 
 	// Pull. AckLSN acknowledges every batch at or below it from the previous
@@ -137,7 +139,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 3}
+var preface = [4]byte{'M', 'T', 'W', 4}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused
@@ -162,7 +164,7 @@ const (
 )
 
 var (
-	errBadPreface    = errors.New("wire: peer does not speak protocol v3")
+	errBadPreface    = errors.New("wire: peer does not speak protocol v4")
 	errFrameTooLarge = fmt.Errorf("wire: frame exceeds %d bytes", maxFrame)
 )
 
@@ -267,6 +269,7 @@ func appendRequest(buf []byte, req *request) []byte {
 		}
 		buf = types.AppendString(buf, req.Filter)
 		buf = types.AppendString(buf, req.SubName)
+		buf = types.AppendString(buf, req.Target)
 		if req.Kind == reqResume {
 			buf = binary.AppendUvarint(buf, uint64(req.FromLSN))
 		}
@@ -310,6 +313,7 @@ func decodeRequest(payload []byte) (*request, error) {
 		}
 		req.Filter = d.Str()
 		req.SubName = d.Str()
+		req.Target = d.Str()
 		if req.Kind == reqResume {
 			req.FromLSN = storage.LSN(d.Uvarint())
 		}

@@ -95,8 +95,8 @@ func TestInProcessAndTCPCachesAgree(t *testing.T) {
 
 // TestConcurrentProvisionOneSubscription: handlers run concurrently, so a
 // ResilientClient retry can race its slow original. Same-name provisions must
-// agree on one subscription — an orphan's undrained queue would pin WAL
-// truncation forever.
+// agree on one subscription with one feed — an orphan's undrained queue would
+// pin WAL truncation forever, a second feed would deliver every change twice.
 func TestConcurrentProvisionOneSubscription(t *testing.T) {
 	b, srv := newWiredBackend(t)
 	c := dial(t, srv)
@@ -108,14 +108,14 @@ func TestConcurrentProvisionOneSubscription(t *testing.T) {
 	}
 	cols := []string{"id", "qty"}
 	for round := 0; round < 400; round++ {
-		name := fmt.Sprintf("cache.v%d", round)
+		name := fmt.Sprintf("cache%d", round)
 		var wg sync.WaitGroup
 		ids := make([]int, 16)
 		for i := range ids {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				id, _, _, err := c.Provision("tiny", cols, "", name)
+				id, _, _, err := c.Provision("tiny", cols, "", name, "v")
 				if err != nil {
 					t.Error(err)
 				}
@@ -140,8 +140,8 @@ func TestConcurrentProvisionOneSubscription(t *testing.T) {
 	}
 	for id := range b.Repl.Subscriptions() {
 		batches, _, err := c.Pull(id, 0, 0)
-		if err != nil || len(batches) != 1 {
-			t.Fatalf("sub %d: pulled %d batches, err %v", id, len(batches), err)
+		if err != nil || len(batches) != 1 || len(batches[0].Changes) != 1 {
+			t.Fatalf("sub %d: pulled %v, err %v; want one batch of one change", id, batches, err)
 		}
 		if _, _, err := c.Pull(id, 0, batches[0].LSN); err != nil {
 			t.Fatal(err)

@@ -43,7 +43,7 @@ func runPullProperty(t *testing.T, seed int64) {
 	}
 	defer client.Close()
 
-	subID, startLSN, _, err := client.Provision("part", nil, "", "prop.sub")
+	subID, startLSN, _, err := client.Provision("part", nil, "", "prop", "sub")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestCacheRestartResumesFromCheckpoint(t *testing.T) {
 	if _, err := rc1.Pull(); err != nil {
 		t.Fatal(err)
 	}
-	preLSN := rc1.LastLSN("tires")
+	preLSN := rc1.AppliedLSN()
 	if preLSN == 0 {
 		t.Fatal("no LSN applied before the checkpoint")
 	}
@@ -77,7 +77,7 @@ func TestCacheRestartResumesFromCheckpoint(t *testing.T) {
 	if seeded.Value() != seeded0+1 {
 		t.Fatalf("restarted cache reseeded instead of resuming (seeded=%d)", seeded.Value()-seeded0)
 	}
-	if got := rc2.LastLSN("tires"); got != preLSN {
+	if got := rc2.AppliedLSN(); got != preLSN {
 		t.Fatalf("resume cursor %d, want checkpointed %d", got, preLSN)
 	}
 
@@ -202,5 +202,114 @@ func TestCacheRestartReseedsWhenBackendForgot(t *testing.T) {
 			t.Fatal("update never arrived on the reseeded subscription")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCacheRestartResumesEveryViewFromTheOneLSN: a checkpoint holds one LSN
+// for all of a cache's views, and a restart resumes each of them there — no
+// reseed — onto one subscription. A transaction committed while the cache was
+// down that moves a row from one view to the other arrives whole.
+func TestCacheRestartResumesEveryViewFromTheOneLSN(t *testing.T) {
+	b, srv := newWiredBackend(t)
+	dir := t.TempDir()
+	ddls := []string{
+		"CREATE CACHED VIEW tires AS SELECT id, name, qty FROM part WHERE type = 'Tire'",
+		"CREATE CACHED VIEW bolts AS SELECT id, name, qty FROM part WHERE type = 'Bolt'",
+	}
+	start := func() *RemoteCache {
+		t.Helper()
+		rc, err := NewRemoteCacheDurable("cache", dial(t, srv), nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ddl := range ddls {
+			if err := rc.CreateCachedView(ddl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rc
+	}
+	rc1 := start()
+	if _, err := b.Exec("UPDATE part SET type = 'Tire' WHERE id = 1", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc1.Pull(); err != nil {
+		t.Fatal(err)
+	}
+	preLSN := rc1.AppliedLSN()
+	if err := rc1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash, and a commit lands while the cache is down.
+	if _, err := b.Exec("UPDATE part SET type = 'Tire' WHERE id = 2", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	seeded := metrics.Default.Counter("wire.view_seeded")
+	resumed := metrics.Default.Counter("wire.view_resumed")
+	seeded0, resumed0 := seeded.Value(), resumed.Value()
+	rc2 := start()
+	if resumed.Value() != resumed0+2 || seeded.Value() != seeded0 {
+		t.Fatalf("restart resumed %d and seeded %d views, want 2 and 0", resumed.Value()-resumed0, seeded.Value()-seeded0)
+	}
+	if got := rc2.AppliedLSN(); got != preLSN {
+		t.Fatalf("resume cursor %d, want the checkpointed %d", got, preLSN)
+	}
+	if n := len(b.Repl.Subscriptions()); n != 1 {
+		t.Fatalf("%d subscriptions after the restart, want the cache's one", n)
+	}
+	if n, err := rc2.Pull(); err != nil || n != 1 {
+		t.Fatalf("pull after the restart applied %d transactions, err %v; want the one downtime commit", n, err)
+	}
+	if tires, bolts := rc2.DB.TableRowCount("tires"), rc2.DB.TableRowCount("bolts"); tires != 252 || bolts != 748 {
+		t.Fatalf("views hold %d tires and %d bolts after the resume, want 252 and 748", tires, bolts)
+	}
+}
+
+// TestCacheRestartBehindItsAcknowledgements: a cache that checkpoints, then
+// applies and acknowledges a later transaction, then crashes, restarts from a
+// checkpoint that is behind what the backend has already dropped from its
+// queue. It must get that transaction again (or reseed) — not reattach to the
+// queue after it and report itself current with a row missing.
+func TestCacheRestartBehindItsAcknowledgements(t *testing.T) {
+	b, srv := newWiredBackend(t)
+	dir := t.TempDir()
+	ddl := "CREATE CACHED VIEW tires AS SELECT id, name, qty FROM part WHERE type = 'Tire'"
+	start := func() *RemoteCache {
+		t.Helper()
+		rc, err := NewRemoteCacheDurable("cache", dial(t, srv), nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.CreateCachedView(ddl); err != nil {
+			t.Fatal(err)
+		}
+		return rc
+	}
+	rc1 := start()
+	if err := rc1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Exec("INSERT INTO part (id, name, type, qty) VALUES (5001, 'acked', 'Tire', 1)", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // apply, then acknowledge
+		if _, err := rc1.Pull(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rc2 := start()
+	for i := 0; i < 3; i++ {
+		if _, err := rc2.Pull(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rc2.AppliedLSN() < res.CommitLSN {
+		t.Fatalf("restarted cache applied through %d, the acknowledged commit is %d", rc2.AppliedLSN(), res.CommitLSN)
+	}
+	if got := rc2.DB.TableRowCount("tires"); got != 251 {
+		t.Fatalf("restarted cache holds %d tires and reports itself current; the backend has 251", got)
 	}
 }

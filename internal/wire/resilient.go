@@ -34,7 +34,7 @@ var (
 // under the same policy as before.
 //
 // Retry rules follow idempotency: Query, Snapshot, Provision and Pull are
-// idempotent (Provision resets by name; Pull re-delivers until acked) and
+// idempotent (Provision attaches by name; Pull re-delivers until acked) and
 // retry on any transport failure. Exec forwards DML, which may have executed
 // on the backend even though the response was lost — it retries only while
 // no connection could be produced (connect phase) and turns terminal the
@@ -240,9 +240,9 @@ func (r *ResilientClient) Snapshot() ([]byte, error) {
 	return data, nil
 }
 
-// Provision creates or resets a pull subscription (idempotent by
-// subscription name: retried).
-func (r *ResilientClient) Provision(table string, columns []string, filter, subName string) (int, storage.LSN, []types.Row, error) {
+// Provision attaches a cached view's article to the cache's pull subscription
+// (idempotent by subscription and view name: retried).
+func (r *ResilientClient) Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error) {
 	var (
 		subID int
 		lsn   storage.LSN
@@ -250,7 +250,7 @@ func (r *ResilientClient) Provision(table string, columns []string, filter, subN
 	)
 	err := r.do(true, func(c *Client) error {
 		var e error
-		subID, lsn, rows, e = c.Provision(table, columns, filter, subName)
+		subID, lsn, rows, e = c.Provision(table, columns, filter, subName, target)
 		return e
 	})
 	if err != nil {
@@ -259,16 +259,16 @@ func (r *ResilientClient) Provision(table string, columns []string, filter, subN
 	return subID, lsn, rows, nil
 }
 
-// Resume reattaches a pull subscription at a durable position (idempotent:
-// repeating it reattaches to the same subscription, so it is retried).
-func (r *ResilientClient) Resume(table string, columns []string, filter, subName string, fromLSN storage.LSN) (int, bool, error) {
+// Resume reattaches a cached view's article at a durable position
+// (idempotent: repeating it reattaches to the same feed, so it is retried).
+func (r *ResilientClient) Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (int, bool, error) {
 	var (
 		subID int
 		ok    bool
 	)
 	err := r.do(true, func(c *Client) error {
 		var e error
-		subID, ok, e = c.Resume(table, columns, filter, subName, fromLSN)
+		subID, ok, e = c.Resume(table, columns, filter, subName, target, fromLSN)
 		return e
 	})
 	if err != nil {

@@ -1,14 +1,15 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v3) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v4) carrying
 //
 //   - Query / Exec — the linked-server path (paper §2.1): remote
 //     subexpressions and forwarded updates travel as SQL text plus
 //     parameters, results come back as rows;
 //   - Snapshot — the shadow-database setup payload (§4);
-//   - Provision / Resume / Pull — pull subscriptions (§2.2): a cache
-//     provisions an article+subscription for a cached view, receives the
-//     initial population, and then periodically pulls committed transactions.
-//     The server answers them with core.BackendServer's publisher methods;
+//   - Provision / Resume / Pull — the pull subscription (§2.2): a cache has
+//     one, provisions an article of it for each cached view, receives the
+//     view's initial population, and then periodically pulls committed
+//     transactions, each carrying every view's share. The server answers them
+//     with core.BackendServer's publisher methods;
 //   - Applied — how far the answering server's data is applied.
 //
 // One connection is multiplexed: every request carries a correlation ID
@@ -23,7 +24,7 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x03
+//	preface, once, each direction: 'M' 'T' 'W' 0x04
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
@@ -36,7 +37,7 @@
 //	    Query, Exec       string SQL, uvarint #params, per param: string name, value
 //	    Snapshot, Applied —
 //	    Provision         string Table, uvarint #columns, per column: string,
-//	                      string Filter, string SubName
+//	                      string Filter, string SubName, string Target
 //	    Resume            as Provision, then uvarint FromLSN
 //	    Pull              varint SubID, varint Max, uvarint AckLSN
 //
@@ -165,7 +166,7 @@ func (s *Server) execDB() *engine.Database {
 }
 
 // appliedLSN reports how far this server's data is applied: a cache answers
-// the floor across its pull subscriptions, the backend its last committed
+// its subscription's applied position, the backend its last committed
 // LSN (WAL().End() is the LSN the next commit will receive).
 func (s *Server) appliedLSN() storage.LSN {
 	if s.cache != nil {
@@ -317,11 +318,11 @@ func (s *Server) publish(req *request, resp *response) (err error) {
 	case reqSnapshot:
 		resp.Snapshot, err = s.backend.Snapshot().Encode()
 	case reqProvision:
-		resp.SubID, resp.StartLSN, resp.Rows, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName)
+		resp.SubID, resp.StartLSN, resp.Rows, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName, req.Target)
 	case reqResume:
 		var ok bool
 		resp.StartLSN = req.FromLSN
-		if resp.SubID, ok, err = s.backend.Resume(req.Table, req.Columns, req.Filter, req.SubName, req.FromLSN); !ok {
+		if resp.SubID, ok, err = s.backend.Resume(req.Table, req.Columns, req.Filter, req.SubName, req.Target, req.FromLSN); !ok {
 			resp.SubID = -1 // no error: the cache must reseed via Provision
 		}
 	case reqPull:
