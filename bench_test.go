@@ -351,6 +351,7 @@ func BenchmarkBestSellerQuery(b *testing.B) {
 	}
 	// Result cache off: time the join + aggregation, not a repeated lookup.
 	cache.DB.SetIMCacheEnabled(false)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cache.DB.Exec("EXEC getBestSellers 'ARTS'", nil); err != nil {

@@ -35,8 +35,8 @@ func main() {
 		}
 		rows := backend.DB.TableRowCount(t.Name)
 		pk := "-"
-		if len(t.PrimaryKey) == 1 && t.Stats != nil {
-			if cs := t.Stats.Col(t.Columns[t.PrimaryKey[0]].Name); cs != nil {
+		if len(t.PrimaryKey) == 1 && t.Stats.Load() != nil {
+			if cs := t.Stats.Load().Col(t.Columns[t.PrimaryKey[0]].Name); cs != nil {
 				pk = fmt.Sprint(cs.Distinct)
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mtcache/internal/sql"
 	"mtcache/internal/types"
@@ -57,7 +58,10 @@ type Table struct {
 	Virtual bool
 	RowsFn  func() []types.Row
 
-	Stats *TableStats
+	// Stats is replaced whole (ANALYZE, a shadow catalog refresh) while
+	// optimizations that read it are running, hence the atomic pointer; the
+	// statistics a pointer leads to are never written again.
+	Stats atomic.Pointer[TableStats]
 }
 
 // ColumnIndex returns the ordinal of the named column, or -1.
@@ -107,17 +111,19 @@ type Permission struct {
 // Catalog is the metadata store for one database. It is safe for concurrent
 // use; DDL takes the write lock, lookups take the read lock.
 type Catalog struct {
-	mu     sync.RWMutex
-	tables map[string]*Table
-	procs  map[string]*Procedure
-	perms  []Permission
+	mu      sync.RWMutex
+	tables  map[string]*Table
+	seeding map[string]bool // materialized views registered but not yet populated
+	procs   map[string]*Procedure
+	perms   []Permission
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
 	return &Catalog{
-		tables: make(map[string]*Table),
-		procs:  make(map[string]*Procedure),
+		tables:  make(map[string]*Table),
+		seeding: make(map[string]bool),
+		procs:   make(map[string]*Procedure),
 	}
 }
 
@@ -131,8 +137,8 @@ func (c *Catalog) AddTable(t *Table) error {
 	if _, ok := c.tables[k]; ok {
 		return fmt.Errorf("catalog: table %s already exists", t.Name)
 	}
-	if t.Stats == nil {
-		t.Stats = NewTableStats()
+	if t.Stats.Load() == nil {
+		t.Stats.Store(NewTableStats())
 	}
 	c.tables[k] = t
 	return nil
@@ -154,8 +160,8 @@ func (c *Catalog) PutVirtualTable(t *Table) error {
 		return fmt.Errorf("catalog: %s exists and is not virtual", t.Name)
 	}
 	t.Virtual = true
-	if t.Stats == nil {
-		t.Stats = NewTableStats()
+	if t.Stats.Load() == nil {
+		t.Stats.Store(NewTableStats())
 	}
 	c.tables[k] = t
 	return nil
@@ -184,7 +190,29 @@ func (c *Catalog) DropTable(name string) error {
 		return fmt.Errorf("catalog: table %s does not exist", name)
 	}
 	delete(c.tables, k)
+	delete(c.seeding, k)
 	return nil
+}
+
+// SetSeeding marks a materialized or cached view as registered but not yet
+// populated (on), or as populated (off). While it is seeding the view is in
+// the catalog — its population writes to it by name — but view matching must
+// not answer queries from it: it holds nothing, or part, of what it defines.
+func (c *Catalog) SetSeeding(name string, on bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if on {
+		c.seeding[key(name)] = true
+	} else {
+		delete(c.seeding, key(name))
+	}
+}
+
+// Seeding reports whether the named view is still being populated.
+func (c *Catalog) Seeding(name string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.seeding[key(name)]
 }
 
 // Table looks up a table by name (case-insensitive).

@@ -271,10 +271,10 @@ func TestShadowScriptExcludesCachedViews(t *testing.T) {
 func TestSnapshotEncodeDecode(t *testing.T) {
 	c := New()
 	tbl := sampleTable()
-	tbl.Stats = BuildTableStats([]string{"cid", "cname", "cbalance"}, []types.Row{
+	tbl.Stats.Store(BuildTableStats([]string{"cid", "cname", "cbalance"}, []types.Row{
 		{types.NewInt(1), types.NewString("a"), types.NewFloat(1.5)},
 		{types.NewInt(2), types.NewString("b"), types.NewFloat(2.5)},
-	})
+	}))
 	c.AddTable(tbl)
 	c.Grant("web", "customer", "SELECT")
 	c.AddProcedure(&Procedure{Name: "p1", Text: "CREATE PROCEDURE p1 AS SELECT cid FROM customer"})
@@ -318,10 +318,10 @@ func TestSnapshotKeepsStatisticsBitIdentical(t *testing.T) {
 	c := New()
 	tbl := &Table{Name: "m", Columns: []Column{
 		{Name: "id", Type: types.KindInt}, {Name: "f", Type: types.KindFloat}, {Name: "ts", Type: types.KindTime}}}
-	tbl.Stats = BuildTableStats([]string{"id", "f", "ts"}, rows)
+	tbl.Stats.Store(BuildTableStats([]string{"id", "f", "ts"}, rows))
 	// A NaN bound cannot come out of a sort; put one in by hand.
 	nan := types.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef))
-	tbl.Stats.Columns["f"].Buckets = append(tbl.Stats.Columns["f"].Buckets, Bucket{Hi: nan, Count: 1, Distinct: 1})
+	tbl.Stats.Load().Columns["f"].Buckets = append(tbl.Stats.Load().Columns["f"].Buckets, Bucket{Hi: nan, Count: 1, Distinct: 1})
 	c.AddTable(tbl)
 
 	data, err := ExportSnapshot(c).Encode()
@@ -333,7 +333,7 @@ func TestSnapshotKeepsStatisticsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, col := range []string{"id", "f", "ts"} {
-		want, have := tbl.Stats.Columns[col], got.Stats["m"].Columns[col]
+		want, have := tbl.Stats.Load().Columns[col], got.Stats["m"].Columns[col]
 		if have == nil {
 			t.Fatalf("column %s lost", col)
 		}

@@ -102,8 +102,8 @@ func ExportSnapshot(c *Catalog) *Snapshot {
 		Perms:  c.Permissions(),
 	}
 	for _, t := range c.Tables() {
-		if t.Stats != nil {
-			snap.Stats[key(t.Name)] = t.Stats.Clone()
+		if t.Stats.Load() != nil {
+			snap.Stats[key(t.Name)] = t.Stats.Load().Clone()
 		}
 	}
 	for _, p := range c.Procedures() {

@@ -132,7 +132,7 @@ func (c *CacheServer) RefreshStats() error {
 	}
 	for name, stats := range snap.Stats {
 		if t := c.DB.Catalog().Table(name); t != nil && !t.Cached {
-			t.Stats = stats.Clone()
+			t.Stats.Store(stats.Clone())
 		}
 	}
 	for _, p := range snap.Perms {

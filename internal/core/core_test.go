@@ -68,8 +68,8 @@ func TestShadowDatabaseSetup(t *testing.T) {
 	if c.DB.TableRowCount("customer") != 0 {
 		t.Error("shadow table must be empty")
 	}
-	if ct.Stats.RowCount != 3000 {
-		t.Errorf("shadowed stats: %d", ct.Stats.RowCount)
+	if ct.Stats.Load().RowCount != 3000 {
+		t.Errorf("shadowed stats: %d", ct.Stats.Load().RowCount)
 	}
 	if len(ct.Indexes) == 0 && len(ct.PrimaryKey) == 0 {
 		t.Error("shadow table lost its key")
@@ -271,7 +271,7 @@ func TestCachedViewOverBackendMaterializedView(t *testing.T) {
 func TestStatsRefresh(t *testing.T) {
 	b := newShop(t)
 	c, _ := NewCache("cache1", b, nil)
-	before := c.DB.Catalog().Table("customer").Stats.RowCount
+	before := c.DB.Catalog().Table("customer").Stats.Load().RowCount
 	for i := 20000; i < 21000; i++ {
 		b.Exec(fmt.Sprintf("INSERT INTO customer (cid, cname, caddress, csegment) VALUES (%d, 'n', 'a', 1)", i), nil)
 	}
@@ -279,7 +279,7 @@ func TestStatsRefresh(t *testing.T) {
 	if err := c.RefreshStats(); err != nil {
 		t.Fatal(err)
 	}
-	after := c.DB.Catalog().Table("customer").Stats.RowCount
+	after := c.DB.Catalog().Table("customer").Stats.Load().RowCount
 	if after != before+1000 {
 		t.Errorf("stats refresh: before=%d after=%d", before, after)
 	}

@@ -108,9 +108,13 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 		}
 		initial = res.Rows
 	}
+	// The view is registered before it is populated — the population writes
+	// to it by name — and stays invisible to view matching until its contents
+	// have committed: a plan made in between reads the base table.
 	if err := db.cat.AddTable(t); err != nil {
 		return nil, err
 	}
+	db.cat.SetSeeding(t.Name, true)
 	if err := db.store.CreateTable(t); err != nil {
 		db.cat.DropTable(t.Name)
 		return nil, err
@@ -140,6 +144,7 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 			return nil, err
 		}
 	}
+	db.cat.SetSeeding(t.Name, false)
 	if err := db.AnalyzeTable(t.Name); err != nil {
 		return nil, err
 	}

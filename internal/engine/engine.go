@@ -676,14 +676,22 @@ func (db *Database) RunPlan(plan *opt.Plan, params exec.Params) (*Result, error)
 	return res, err
 }
 
-// runPlan is the engine's one read path: it runs a private clone of the
-// plan's operator tree (cached plans are shared across sessions, and
-// operators carry per-run state: cursors, hash tables) in tx — the caller's
-// write transaction, for a SELECT that must see its own statement's or
-// procedure's writes — or, when tx is nil, against a read-only snapshot of its
-// own. With instrument set the clone runs under exec.Instrument and the
-// instrumented root comes back for opt.ExplainAnalyze; the shells pass
-// batches through unchanged, so the client sees the identical result.
+// runPlan is the engine's one read path. A cached plan is shared across
+// sessions and its operators carry per-run state (cursors, hash tables,
+// arenas), so every execution runs on an instance of the plan's operator tree
+// that is its own for the duration: one taken from the plan's free list, or a
+// fresh clone when the list is empty. An execution that returns no error
+// releases its instance back — reset, its buffers cleared and kept — and the
+// next execution of the plan starts with arenas, batch windows, sort buffers
+// and aggregate tables already grown; one that fails drops it. The rows of
+// the Result never alias memory the instance keeps (exec.Batch says why).
+// The instance runs in tx — the caller's write transaction, for a SELECT that
+// must see its own statement's or procedure's writes — or, when tx is nil,
+// against a read-only snapshot of its own. With instrument set a clone runs
+// under exec.Instrument and the instrumented root comes back for
+// opt.ExplainAnalyze, which reads the run state the shells and operators are
+// left in, so that tree is never pooled; the shells pass batches through
+// unchanged, so the client sees the identical result.
 func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params, autoArgs []types.Value, span *trace.Span, instrument bool) (*Result, *exec.Instrumented, error) {
 	esp := span.Child("execute")
 	start := time.Now()
@@ -697,7 +705,13 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 		Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card,
 	}
 	bindParams(plan, params, autoArgs, ctx)
-	root := exec.CloneOperator(plan.Root)
+	var root exec.Operator
+	if !instrument {
+		root = plan.Instances.Take()
+	}
+	if root == nil {
+		root = exec.CloneOperator(plan.Root) // the free list is empty, or the run is instrumented
+	}
 	var shell *exec.Instrumented
 	if instrument {
 		shell = exec.Instrument(root)
@@ -708,6 +722,9 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 	metrics.Default.Histogram("engine.execute_seconds").ObserveDuration(time.Since(start))
 	if err != nil {
 		return nil, nil, err
+	}
+	if !instrument {
+		plan.Instances.Release(root)
 	}
 	res.Cols = rs.Cols
 	res.Rows = rs.Rows
@@ -795,7 +812,7 @@ func (db *Database) AnalyzeTable(name string) error {
 	}
 	rows := td.Rows()
 	tx.Abort()
-	t.Stats = catalog.BuildTableStats(t.ColumnNames(), rows)
+	t.Stats.Store(catalog.BuildTableStats(t.ColumnNames(), rows))
 	db.InvalidatePlans()
 	return nil
 }

@@ -330,7 +330,7 @@ func newCachePair(t *testing.T) (backend, cache *Database) {
 	}
 	// Shadowed statistics.
 	for _, name := range []string{"item", "orders"} {
-		cache.Catalog().Table(name).Stats = backend.Catalog().Table(name).Stats.Clone()
+		cache.Catalog().Table(name).Stats.Store(backend.Catalog().Table(name).Stats.Load().Clone())
 	}
 	return backend, cache
 }

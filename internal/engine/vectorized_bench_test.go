@@ -110,10 +110,13 @@ func BenchmarkAgg(b *testing.B)  { benchSerialAndParallel(b, benchAggSQL) }
 
 // TestExecAllocGate bounds what one warm execution of the scan, join and
 // aggregation shapes allocates over the 20 000-row fact table. Batch
-// execution allocates per batch and per group, never per input row, so the
-// ceilings (85, 512 and 524 measured, plus 25 % headroom) sit one to two
-// orders of magnitude below the row count; an operator that goes back to one make per row
-// overshoots them several times over.
+// execution allocates per batch of result rows and per distinct build key,
+// never per input row, and a warm execution runs on the instance the plan
+// kept from the one before, so its batch windows, arenas and aggregate table
+// are already there: 56, 284 and 21 measured (85, 512 and 524 on a fresh
+// clone per execution), ceilings 15 % above. An operator that goes back to
+// one make per row, or an instance that is not reused, overshoots them
+// several times over.
 func TestExecAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -123,9 +126,9 @@ func TestExecAllocGate(t *testing.T) {
 		name, sql string
 		ceiling   float64
 	}{
-		{"scan", benchScanSQL, 106},
-		{"join", benchJoinSQL, 640},
-		{"agg", benchAggSQL, 655},
+		{"scan", benchScanSQL, 65},
+		{"join", benchJoinSQL, 327},
+		{"agg", benchAggSQL, 25},
 	} {
 		run := func() {
 			if _, err := db.Exec(g.sql, nil); err != nil {

@@ -1,6 +1,12 @@
 package engine
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"mtcache/internal/catalog"
+	"mtcache/internal/types"
+)
 
 // TestMVPlanCachePerDatabase: maintenance-plan caching is scoped to one
 // Database — populating one database's cache leaves another untouched, and
@@ -75,5 +81,63 @@ func TestMVPlanCacheDropRecreate(t *testing.T) {
 	}
 	if res.Rows[0][0].Int() != 1 {
 		t.Error("recreated view did not maintain under its new predicate")
+	}
+}
+
+// TestViewInvisibleWhileProvisioning: between CREATE CACHED VIEW registering
+// the view and its seed committing, the view exists and is empty. A query on
+// the base table that runs in that window must not be answered from it: it
+// goes to the backend, as it did before the statement started. The hook here
+// parks in the middle of provisioning, the way a slow snapshot transfer does.
+func TestViewInvisibleWhileProvisioning(t *testing.T) {
+	_, cache := newCachePair(t)
+	cache.SetIMCacheEnabled(false)
+	parked, release := make(chan struct{}), make(chan struct{})
+	cache.OnCachedViewCreate(func(v *catalog.Table) error {
+		close(parked)
+		<-release
+		// The seed: what replication's snapshot would have applied.
+		tx := cache.Store().Begin(true)
+		for i := 1; i <= 200; i++ {
+			if _, err := tx.Insert(v.Name, types.Row{types.NewInt(int64(i)), types.NewString("t")}); err != nil {
+				return err
+			}
+		}
+		return tx.CommitUnlogged()
+	})
+	created := make(chan error, 1)
+	go func() {
+		_, err := cache.Exec("CREATE CACHED VIEW all_items AS SELECT i_id, i_title FROM item", nil)
+		created <- err
+	}()
+	<-parked
+	for i := 0; i < 3; i++ { // the first plans, the others hit the plan cache
+		res, err := cache.Exec("SELECT COUNT(*) FROM item", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0].Int(); n != 200 || res.Counters.RemoteQueries != 1 {
+			t.Fatalf("while the view is being provisioned COUNT(*) = %d with %d remote queries: answered from the empty view", n, res.Counters.RemoteQueries)
+		}
+	}
+	close(release)
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	res, err := cache.Exec("SELECT COUNT(*) FROM item", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].Int(); n != 200 || res.Counters.RemoteQueries != 0 {
+		t.Errorf("once seeded COUNT(*) = %d with %d remote queries, want 200 from the view", n, res.Counters.RemoteQueries)
+	}
+
+	// A failed provisioning leaves nothing behind, as before.
+	cache.OnCachedViewCreate(func(*catalog.Table) error { return fmt.Errorf("backend unreachable") })
+	if _, err := cache.Exec("CREATE CACHED VIEW some_items AS SELECT i_id FROM item WHERE i_id < 10", nil); err == nil {
+		t.Fatal("a failing hook must fail the statement")
+	}
+	if cache.Catalog().Table("some_items") != nil || cache.Store().Table("some_items") != nil {
+		t.Error("a failed CREATE CACHED VIEW left the view behind")
 	}
 }

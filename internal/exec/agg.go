@@ -65,8 +65,6 @@ type aggState struct {
 	seen    map[uint64][]types.Value // for DISTINCT
 }
 
-func newAggState() *aggState { return &aggState{allInt: true} }
-
 func (a *aggState) add(spec AggSpec, v types.Value) {
 	if spec.Func != AggCountStar && v.IsNull() {
 		return // SQL aggregates ignore NULLs
@@ -135,6 +133,9 @@ func (a *aggState) result(spec AggSpec) types.Value {
 	return types.Null
 }
 
+// final appends the aggregate's result to row.
+func (a *aggState) final(row types.Row, spec AggSpec) types.Row { return append(row, a.result(spec)) }
+
 // HashAgg groups its input by the GroupBy expressions and computes the
 // aggregates. Output rows are [group keys..., agg results...].
 // With no GroupBy the output is a single global-aggregate row.
@@ -144,8 +145,10 @@ type HashAgg struct {
 	Aggs    []AggSpec
 	Cols    []ColInfo
 
-	out []types.Row
-	pos int
+	table aggTable
+	arena rowArena // output rows
+	out   []types.Row
+	pos   int
 }
 
 func (h *HashAgg) Columns() []ColInfo    { return h.Cols }
@@ -157,37 +160,111 @@ func (h *HashAgg) EachExpr(fn func(Expr)) {
 func (h *HashAgg) clone() Operator {
 	return &HashAgg{Input: h.Input, GroupBy: h.GroupBy, Aggs: h.Aggs, Cols: h.Cols}
 }
-
-// aggGroup is one group's accumulated state, shared by HashAgg and the
-// per-worker PartialAgg.
-type aggGroup struct {
-	keys   types.Row
-	states []*aggState
+func (h *HashAgg) passesRows() bool { return false }
+func (h *HashAgg) reset(result bool) int {
+	h.pos = 0
+	return h.table.reset() + h.arena.release(!result) + wipe(&h.out)
 }
 
-// aggregateInput opens, drains and closes input, grouping rows by the
-// groupBy expressions and feeding the aggregate states. Input is pulled in
-// batches; the group-key row is evaluated into a reusable buffer and cloned
-// only when it starts a new group. Groups come back in first-seen order.
-// With no groupBy, one global group exists even for empty input.
-func aggregateInput(ctx *Ctx, input Operator, groupBy []Expr, aggs []AggSpec) ([]*aggGroup, error) {
-	if err := input.Open(ctx); err != nil {
-		return nil, err
+// aggGroup is one group of an aggregation: its key row and the next group
+// whose key row has the same hash (an index into groupSet.order plus one).
+type aggGroup struct {
+	keys types.Row
+	next int32
+}
+
+// groupSet is the groups of one aggregation in first-seen order, found by key
+// row through a hash table whose chains are threaded through the groups
+// themselves: a map and one flat slice, both kept between executions.
+type groupSet struct {
+	heads map[uint64]int32 // key-row hash → first group of the chain, index plus one
+	order []aggGroup
+}
+
+// start empties the set for a new execution.
+func (s *groupSet) start() {
+	if s.heads == nil {
+		s.heads = make(map[uint64]int32)
 	}
-	groups := make(map[uint64][]*aggGroup)
-	var order []*aggGroup
-	newGroup := func(keys types.Row) *aggGroup {
-		g := &aggGroup{keys: keys, states: make([]*aggState, len(aggs))}
-		for i := range g.states {
-			g.states[i] = newAggState()
+	clear(s.heads)
+	s.order = s.order[:0]
+}
+
+// find returns the group whose key row equals keys, -1 when there is none.
+func (s *groupSet) find(keys types.Row, hash uint64) int {
+	for c := s.heads[hash]; c != 0; c = s.order[c-1].next {
+		if types.RowsEqual(s.order[c-1].keys, keys) {
+			return int(c - 1)
 		}
-		order = append(order, g)
-		return g
 	}
+	return -1
+}
+
+// add appends a group (which find does not see until it is linked) and
+// returns its index.
+func (s *groupSet) add(keys types.Row) int {
+	s.order = append(s.order, aggGroup{keys: keys})
+	return len(s.order) - 1
+}
+
+// link makes group g findable under its key row's hash.
+func (s *groupSet) link(g int, hash uint64) {
+	s.order[g].next = s.heads[hash]
+	s.heads[hash] = int32(g) + 1
+}
+
+func (s *groupSet) reset() int {
+	n := len(s.heads) * hashEntryBytes
+	clear(s.heads)
+	return n + wipe(&s.order)
+}
+
+// aggTable is the grouping state shared by HashAgg and the per-worker
+// PartialAgg. Groups and their aggregate states live in two flat slices and
+// group keys in an arena, so a table that has been run once groups its next
+// input without allocating.
+type aggTable struct {
+	groupSet
+	intGroups map[int64]int32 // single INT key → group, index plus one
+	states    []aggState      // group g's states are states[g*len(aggs):][:len(aggs)]
+	keys      rowArena        // group key rows
+	keyBuf    types.Row       // the current row's key
+	argCols   []int           // int-key path: column each aggregate reads, see run
+	in        Batch           // input scratch
+}
+
+func (t *aggTable) reset() int {
+	n := len(t.intGroups) * hashEntryBytes
+	clear(t.intGroups)
+	return n + t.groupSet.reset() + wipe(&t.states) + t.keys.release(true) + wipe(&t.keyBuf) +
+		wipe(&t.argCols) + t.in.reset()
+}
+
+// newGroup appends a group with the given key row and fresh states and
+// returns its index.
+func (t *aggTable) newGroup(keys types.Row, aggs int) int {
+	for i := 0; i < aggs; i++ {
+		t.states = append(t.states, aggState{allInt: true})
+	}
+	return t.add(keys)
+}
+
+// run opens, drains and closes input, grouping rows by the groupBy
+// expressions and feeding the aggregate states. Input is pulled in batches;
+// the group-key row is evaluated into a reusable buffer and copied only when
+// it starts a new group. Groups are left in t.order in first-seen order.
+// With no groupBy, one global group exists even for empty input.
+func (t *aggTable) run(ctx *Ctx, input Operator, groupBy []Expr, aggs []AggSpec) error {
+	if err := input.Open(ctx); err != nil {
+		return err
+	}
+	t.start()
+	t.states = t.states[:0]
+	t.keys.hint(BatchSize * len(groupBy))
 	if len(groupBy) == 0 {
 		// Global aggregate: one group exists even with zero input rows.
 		// Register it under the empty row's hash so per-row lookups find it.
-		groups[(types.Row{}).Hash()] = []*aggGroup{newGroup(types.Row{})}
+		t.link(t.newGroup(types.Row{}, len(aggs)), (types.Row{}).Hash())
 	}
 
 	// Fast path: grouping by one column of INT values probes a direct
@@ -202,106 +279,109 @@ func aggregateInput(ctx *Ctx, input Operator, groupBy []Expr, aggs []AggSpec) ([
 			keyCol = c.I
 		}
 	}
-	var intGroups map[int64]*aggGroup
-	var argCols []int
-	if keyCol >= 0 {
-		intGroups = make(map[int64]*aggGroup)
-		argCols = make([]int, len(aggs))
-		for i, s := range aggs {
+	byInt := keyCol >= 0
+	if byInt {
+		if t.intGroups == nil {
+			t.intGroups = make(map[int64]int32)
+		}
+		clear(t.intGroups)
+		t.argCols = t.argCols[:0]
+		for _, s := range aggs {
 			switch a := s.Arg.(type) {
 			case nil:
-				argCols[i] = -2 // COUNT(*): no argument
+				t.argCols = append(t.argCols, -2) // COUNT(*): no argument
 			case *ColExpr:
-				argCols[i] = a.I
+				t.argCols = append(t.argCols, a.I)
 			default:
-				argCols[i] = -1 // interpreted argument
+				t.argCols = append(t.argCols, -1) // interpreted argument
 			}
 		}
 	}
 
-	keyBuf := make(types.Row, len(groupBy))
-	var b Batch
-	// Group keys are cloned and aggregate inputs copied by value, so the
+	t.keyBuf = t.keyBuf[:0]
+	for range groupBy {
+		t.keyBuf = append(t.keyBuf, types.Null)
+	}
+	// Group keys are copied and aggregate inputs read by value, so the
 	// producer may recycle delivered rows.
-	b.Ephemeral = true
+	t.in.Ephemeral = true
 	for {
-		if err := input.BatchNext(ctx, &b); err != nil {
-			return nil, err
+		if err := input.BatchNext(ctx, &t.in); err != nil {
+			return err
 		}
-		if len(b.Rows) == 0 {
+		if len(t.in.Rows) == 0 {
 			break
 		}
-		rows := b.Rows
-		if intGroups != nil {
-			n, err := aggIntKeyBatch(ctx, rows, keyCol, argCols, aggs, intGroups, newGroup)
+		rows := t.in.Rows
+		if byInt {
+			n, err := t.intKeyBatch(ctx, rows, keyCol, aggs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if n == len(rows) {
 				continue
 			}
-			for _, g := range order {
-				h := g.keys.Hash()
-				groups[h] = append(groups[h], g)
+			for g := range t.order {
+				t.link(g, t.order[g].keys.Hash())
 			}
-			intGroups = nil
+			byInt = false
 			rows = rows[n:]
 		}
 		for _, row := range rows {
 			for i, e := range groupBy {
 				v, err := e.Eval(row, &ctx.Env)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				keyBuf[i] = v
+				t.keyBuf[i] = v
 			}
-			hash := keyBuf.Hash()
-			var g *aggGroup
-			for _, cand := range groups[hash] {
-				if types.RowsEqual(cand.keys, keyBuf) {
-					g = cand
-					break
-				}
+			hash := t.keyBuf.Hash()
+			g := t.find(t.keyBuf, hash)
+			if g < 0 {
+				keys := t.keys.alloc(len(t.keyBuf))
+				copy(keys, t.keyBuf)
+				g = t.newGroup(keys, len(aggs))
+				t.link(g, hash)
 			}
-			if g == nil {
-				g = newGroup(append(types.Row{}, keyBuf...))
-				groups[hash] = append(groups[hash], g)
-			}
+			states := t.states[g*len(aggs):][:len(aggs)]
 			for i, spec := range aggs {
 				var v types.Value
 				if spec.Arg != nil {
 					var err error
 					v, err = spec.Arg.Eval(row, &ctx.Env)
 					if err != nil {
-						return nil, err
+						return err
 					}
 				}
-				g.states[i].add(spec, v)
+				states[i].add(spec, v)
 			}
 		}
 	}
 	input.Close()
-	return order, nil
+	return nil
 }
 
-// aggIntKeyBatch aggregates rows grouped by the INT values of column keyCol,
+// intKeyBatch aggregates rows grouped by the INT values of column keyCol,
 // returning how many leading rows it consumed. It stops (and the caller
 // migrates to the generic hash table) at the first row whose key is not a
 // non-NULL INT.
-func aggIntKeyBatch(ctx *Ctx, rows []types.Row, keyCol int, argCols []int, aggs []AggSpec, intGroups map[int64]*aggGroup, newGroup func(types.Row) *aggGroup) (int, error) {
+func (t *aggTable) intKeyBatch(ctx *Ctx, rows []types.Row, keyCol int, aggs []AggSpec) (int, error) {
 	for n, row := range rows {
 		if keyCol >= len(row) || row[keyCol].K != types.KindInt {
 			return n, nil
 		}
 		k := row[keyCol].Int()
-		g := intGroups[k]
-		if g == nil {
-			g = newGroup(types.Row{types.NewInt(k)})
-			intGroups[k] = g
+		g := int(t.intGroups[k]) - 1
+		if g < 0 {
+			keys := t.keys.alloc(1)
+			keys[0] = types.NewInt(k)
+			g = t.newGroup(keys, len(aggs))
+			t.intGroups[k] = int32(g) + 1
 		}
+		states := t.states[g*len(aggs):][:len(aggs)]
 		for i := range aggs {
 			var v types.Value
-			switch c := argCols[i]; {
+			switch c := t.argCols[i]; {
 			case c == -2:
 				// COUNT(*): no argument.
 			case c >= 0 && c < len(row):
@@ -313,26 +393,32 @@ func aggIntKeyBatch(ctx *Ctx, rows []types.Row, keyCol int, argCols []int, aggs 
 					return n, err
 				}
 			}
-			g.states[i].add(aggs[i], v)
+			states[i].add(aggs[i], v)
 		}
 	}
 	return len(rows), nil
 }
 
+// render builds one output row per group in arena storage: the group's keys,
+// then what cells appends for each of its aggregate states.
+func (t *aggTable) render(arena *rowArena, out []types.Row, aggs []AggSpec, width int, cells func(st *aggState, row types.Row, spec AggSpec) types.Row) []types.Row {
+	out = out[:0]
+	arena.hint(len(t.order) * width)
+	for g := range t.order {
+		row := append(arena.alloc(width)[:0], t.order[g].keys...)
+		for i, spec := range aggs {
+			row = cells(&t.states[g*len(aggs)+i], row, spec)
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
 func (h *HashAgg) Open(ctx *Ctx) error {
-	order, err := aggregateInput(ctx, h.Input, h.GroupBy, h.Aggs)
-	if err != nil {
+	if err := h.table.run(ctx, h.Input, h.GroupBy, h.Aggs); err != nil {
 		return err
 	}
-	h.out = h.out[:0]
-	for _, g := range order {
-		row := make(types.Row, 0, len(g.keys)+len(h.Aggs))
-		row = append(row, g.keys...)
-		for i, spec := range h.Aggs {
-			row = append(row, g.states[i].result(spec))
-		}
-		h.out = append(h.out, row)
-	}
+	h.out = h.table.render(&h.arena, h.out, h.Aggs, len(h.GroupBy)+len(h.Aggs), (*aggState).final)
 	h.pos = 0
 	return nil
 }
@@ -343,10 +429,7 @@ func (h *HashAgg) BatchNext(_ *Ctx, b *Batch) error {
 	return nil
 }
 
-func (h *HashAgg) Close() error {
-	h.out = nil
-	return nil
-}
+func (h *HashAgg) Close() error { return nil }
 
 // ValidateAggShape sanity-checks an AggSpec list against the operator's
 // declared columns; used by plan construction tests.

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"unsafe"
+
 	"mtcache/internal/types"
 )
 
@@ -11,28 +13,55 @@ import (
 const BatchSize = 64
 
 // Batch is a reusable window of rows flowing between operators. Only the
-// Rows slice header is reused between calls — by default the row values
-// themselves are stable (MVCC snapshot rows from storage, or arena rows
-// owned by the producing operator), so consumers may retain them.
+// Rows slice header is reused between calls; how long the row values
+// themselves stay valid depends on whose memory they are. There are three
+// lifetimes:
 //
-// A consumer that copies out everything it keeps before its next pull —
-// aggregation cloning group keys, a join probe emitting concatenated
-// copies, a projection evaluating into its own rows — sets Ephemeral before
-// calling BatchNext. That releases the producer from the durability
-// guarantee: it may overwrite the delivered rows on the following BatchNext
-// call. Every operator that materializes its output honours the flag the same
-// way: Project, HashJoin, IndexJoin and NestedLoop carve their rows from a
-// rowArena and rewind it (rowArena.recycle) instead of growing a fresh chunk
-// per batch, so a join under an aggregate re-uses one chunk for its whole
-// run. Operators that merely pass rows through (Filter, Limit, UnionAll)
-// propagate the flag; operators that retain input rows (Sort, TopN, Distinct,
-// hash-join and nested-loop builds, Exchange workers, Run itself) leave it
-// unset on the batches they own and see rows that are never touched again.
-// The contract is checked in both directions by the poison and hoard
-// wrappers in ephemeral_test.go.
+//   - Storage: forever. MVCC row versions read by Scan, IndexScan and
+//     IndexJoin, and the rows Remote decoded off the wire, are never written
+//     again and never copied; anyone may keep them.
+//   - Result: the life of the Result. An operator that builds its own output
+//     rows (passesRows is false: Project, the joins, the aggregates) carves
+//     them from a rowArena. When those rows are what the root emits — the
+//     operator is the root, or everything between it and the root passes rows
+//     through — they end up in the ResultSet and from there in the client's
+//     hands and the intermediate-result cache, so that arena is the result's:
+//     every durable batch gets a chunk that is never written again, and the
+//     operator forgets it when the instance is released (reset(true)).
+//   - Instance: until release. Every other buffer — an arena whose rows are
+//     consumed inside the tree, batch windows, key scratch, sort buffers, hash
+//     and aggregate tables, Exchange worker trees — belongs to the plan
+//     instance (see Instances). Release clears it and keeps its capacity for
+//     the next execution, so no row built from it may outlive the execution.
+//     That is guaranteed by construction, not by care: a row reaches the
+//     result only through operators that pass rows through, and passesRows is
+//     a method every operator has to write.
+//
+// Within one execution a consumer can shorten a lifetime. One that copies out
+// everything it keeps before its next pull — aggregation cloning group keys,
+// a join probe emitting concatenated copies, a projection evaluating into its
+// own rows — sets Ephemeral before calling BatchNext. That releases the
+// producer from durability for that call: it may overwrite the delivered rows
+// on the following BatchNext. Every operator that builds its rows honours the
+// flag the same way, by rewinding its arena (rowArena.recycle) instead of
+// taking fresh storage, so a join under an aggregate re-uses one chunk for its
+// whole run. Operators that pass rows through and keep none (Filter, Limit,
+// UnionAll) propagate the flag; operators that retain input rows (Sort, TopN,
+// Distinct, hash-join and nested-loop builds, Exchange workers, Run itself)
+// leave it unset on the batches they own and see rows that are never touched
+// again. The contract is checked in both directions, within an execution and
+// across executions of one instance, by the poison and hoard wrappers in
+// ephemeral_test.go.
 type Batch struct {
 	Rows      []types.Row
 	Ephemeral bool
+}
+
+// reset empties a window an operator reads its input through, keeping the
+// capacity; it returns the bytes kept.
+func (b *Batch) reset() int {
+	b.Ephemeral = false
+	return wipe(&b.Rows)
 }
 
 // sliceBatch advances a cursor over fully materialized rows, handing out
@@ -50,6 +79,17 @@ func sliceBatch(rows []types.Row, pos *int, b *Batch) {
 	*pos += n
 }
 
+// wipe empties a buffer an instance keeps between executions: every element
+// is zeroed over the whole capacity, so nothing stays reachable through it.
+// It returns the bytes kept.
+func wipe[S ~[]T, T any](s *S) int {
+	full := (*s)[:cap(*s)]
+	clear(full)
+	*s = full[:0]
+	var elem T
+	return len(full) * int(unsafe.Sizeof(elem))
+}
+
 // rowArena carves fixed-width output rows out of batch-sized chunks,
 // replacing a make per row with one make per batch. Callers hint the coming
 // batch's total width so chunks are sized to real demand — a point query
@@ -58,12 +98,13 @@ func sliceBatch(rows []types.Row, pos *int, b *Batch) {
 // reslice (buf[:n:n]) makes appending to an emitted row impossible to alias
 // into a neighbour.
 //
-// For a durable consumer a chunk is never reused or freed early — every row
-// handed out owns its slice for the life of the result — so rows emitted from
-// an arena are exactly as durable as individually allocated ones. For an
-// Ephemeral consumer the owning operator calls recycle at the top of each
-// BatchNext, and the rows of the previous call become the storage of this
-// one. A recycled row holds stale values: alloc's caller writes every column.
+// For a durable consumer a chunk is never reused or freed early within an
+// execution — every row handed out owns its slice until the arena is reset —
+// so rows emitted from an arena are exactly as durable as individually
+// allocated ones. For an Ephemeral consumer the owning operator calls recycle
+// at the top of each BatchNext, and the rows of the previous call become the
+// storage of this one. A recycled row holds stale values: alloc's caller
+// writes every column.
 type rowArena struct {
 	buf   []types.Value // unused tail of the current chunk
 	chunk int           // refill granularity, set by hint
@@ -71,7 +112,11 @@ type rowArena struct {
 	eph   bool          // the call in progress was pulled Ephemeral
 	mark  []types.Value // where this call's rows begin: buf at recycle, or the chunk started since
 	used  int           // values handed out by this call
-	floor int           // least size of a new chunk: what one Ephemeral call has needed
+	floor int           // least size of a new chunk: what one Ephemeral call, or one whole run, has needed
+
+	base []types.Value // the current chunk, whole: what reset may keep
+	live int           // values handed out since reset and not rewound over
+	peak int           // the most live has been since reset
 }
 
 // hint sets the refill size for the coming batch (total values expected).
@@ -86,10 +131,11 @@ func (a *rowArena) hint(n int) { a.chunk = n }
 // hands out is never rewound over, whatever the flags of later calls.
 func (a *rowArena) recycle(ephemeral bool) {
 	if a.eph && ephemeral {
+		a.live -= a.used
 		if a.used <= len(a.mark) {
 			a.buf = a.mark
 		} else {
-			a.buf, a.floor = nil, a.used
+			a.buf, a.floor = nil, max(a.floor, a.used)
 		}
 	}
 	a.eph, a.mark, a.used = ephemeral, a.buf, 0
@@ -100,10 +146,13 @@ func (a *rowArena) alloc(n int) types.Row {
 		return types.Row{}
 	}
 	if len(a.buf) < n {
-		a.buf = make([]types.Value, max(n, a.chunk, a.floor))
-		a.mark = a.buf
+		a.base = make([]types.Value, max(n, a.chunk, a.floor))
+		a.buf, a.mark = a.base, a.base
 	}
 	a.used += n
+	if a.live += n; a.live > a.peak {
+		a.peak = a.live
+	}
 	r := types.Row(a.buf[:n:n])
 	a.buf = a.buf[n:]
 	return r
@@ -115,4 +164,29 @@ func (a *rowArena) concat(l, r types.Row) types.Row {
 	copy(out, l)
 	copy(out[len(l):], r)
 	return out
+}
+
+// release ends an execution and returns the bytes the arena keeps for the
+// next one. An arena that backs result rows (keep is false) forgets
+// everything: its chunks are the result's now. An instance's arena keeps its
+// current chunk, cleared, when that chunk alone could have held everything the
+// run had live at once; otherwise it keeps nothing and remembers that size, so
+// the next run makes one chunk that fits and that one is kept. A remembered
+// size counts as kept bytes: the instance that would make a chunk too large to
+// keep is dropped now, and a run is never handed a chunk sized by another run
+// that is beyond what an instance may hold.
+func (a *rowArena) release(keep bool) int {
+	if !keep {
+		*a = rowArena{}
+		return 0
+	}
+	base, floor := a.base, max(a.floor, a.peak)
+	if len(base) < floor {
+		base = nil
+	}
+	// Rows were handed out front to back, so no more than peak values of the
+	// chunk were ever written.
+	clear(base[:min(len(base), a.peak)])
+	*a = rowArena{buf: base, base: base, floor: floor}
+	return max(len(base), floor) * int(unsafe.Sizeof(types.Value{}))
 }

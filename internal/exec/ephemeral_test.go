@@ -44,6 +44,8 @@ func (p *poison) Close() error          { return p.Input.Close() }
 func (p *poison) Child(i int) *Operator { return slot(i, &p.Input) }
 func (p *poison) EachExpr(func(Expr))   {}
 func (p *poison) clone() Operator       { return &poison{Input: p.Input} }
+func (p *poison) passesRows() bool      { return false } // it delivers copies
+func (p *poison) reset(bool) int        { return p.in.reset() + wipe(&p.delivered) }
 
 func (p *poison) BatchNext(ctx *Ctx, b *Batch) error {
 	for _, row := range p.delivered {
@@ -107,6 +109,11 @@ func (h *hoard) EachExpr(func(Expr))   {}
 func (h *hoard) clone() Operator {
 	return h.All.add(&hoard{Input: h.Input, Fickle: h.Fickle, All: h.All})
 }
+func (h *hoard) passesRows() bool { return true }
+
+// reset keeps what was hoarded: check runs after the instance is released,
+// and again after later executions have reused it.
+func (h *hoard) reset(bool) int { h.calls = 0; return 0 }
 
 func (h *hoard) BatchNext(ctx *Ctx, b *Batch) error {
 	asked := b.Ephemeral

@@ -41,7 +41,8 @@ type IndexJoin struct {
 
 func (j *IndexJoin) Columns() []ColInfo {
 	if j.cols == nil {
-		j.cols = append(append([]ColInfo{}, j.Outer.Columns()...), j.InnerCols...)
+		outer := j.Outer.Columns()
+		j.cols = append(append(make([]ColInfo, 0, len(outer)+len(j.InnerCols)), outer...), j.InnerCols...)
 	}
 	return j.cols
 }
@@ -56,6 +57,12 @@ func (j *IndexJoin) clone() Operator {
 		Outer: j.Outer, OuterKeys: j.OuterKeys, TableName: j.TableName, IndexName: j.IndexName,
 		InnerCols: j.InnerCols, Proj: j.Proj, Pred: j.Pred, Residual: j.Residual, LeftOuter: j.LeftOuter,
 	}
+}
+
+func (j *IndexJoin) passesRows() bool { return false }
+func (j *IndexJoin) reset(result bool) int {
+	j.iv, j.cols, j.seeks, j.inPos = nil, nil, 0, 0
+	return wipe(&j.keyBuf) + wipe(&j.matches) + j.in.reset() + j.arena.release(!result)
 }
 
 // Seeks reports the index seeks of the last execution (EXPLAIN ANALYZE).
@@ -173,6 +180,5 @@ func (j *IndexJoin) BatchNext(ctx *Ctx, b *Batch) error {
 
 func (j *IndexJoin) Close() error {
 	j.iv = nil
-	j.matches = nil
 	return j.Outer.Close()
 }

@@ -4,7 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mtcache/internal/metrics"
@@ -110,11 +110,12 @@ func preallocSize(est float64, limit int) int {
 // positive number of rows (typically up to BatchSize; joins may overshoot
 // when one input row matches many).
 //
-// The last three methods are what an operator says about itself to whoever
-// walks a plan tree (CloneOperator, Instrument, WalkExprs, the partition
-// binder, EXPLAIN, the optimizer's rewrites), so that none of them needs to
-// know the operator types. By convention an operator's exported fields are
-// its configuration and its unexported fields are the state of one run.
+// The last five methods are what an operator says about itself to whoever
+// walks a plan tree (CloneOperator, Instances, Instrument, WalkExprs, the
+// partition binder, EXPLAIN, the optimizer's rewrites), so that none of them
+// needs to know the operator types. By convention an operator's exported
+// fields are its configuration and its unexported fields are the state of one
+// run.
 type Operator interface {
 	Columns() []ColInfo
 	Open(ctx *Ctx) error
@@ -134,12 +135,26 @@ type Operator interface {
 	// assigns their clones through Child), so an operator whose slots live
 	// in a slice copies the slice.
 	clone() Operator
+	// passesRows reports whether the rows the operator emits are the rows its
+	// inputs emitted — filtered, cut, reordered, but not copied. An operator
+	// that says false builds every row it emits in storage of its own.
+	passesRows() bool
+	// reset returns the operator to the state clone left it in, except that
+	// the buffers on the allow-list (resetKeeps in operator_test.go, which
+	// enforces it) stay, emptied and zeroed over their whole capacity; it
+	// returns the bytes they hold. Nothing an execution
+	// read stays reachable: no transaction, table or index view, row version,
+	// remote row, span or string. result says that the rows this operator
+	// emitted are in the execution's result: storage that backs them is
+	// forgotten, not kept. Configuration is untouched, inputs are not visited.
+	reset(result bool) int
 }
 
 // leaf is embedded by the operators that have no input.
 type leaf struct{}
 
 func (leaf) Child(int) *Operator { return nil }
+func (leaf) passesRows() bool    { return false }
 
 // slot is Child for an operator whose inputs are the given fields.
 func slot(i int, inputs ...*Operator) *Operator {
@@ -180,13 +195,22 @@ func Run(op Operator, ctx *Ctx) (*ResultSet, error) {
 	}
 	var b Batch
 	for {
+		// The root fills the unused tail of the result's row slice in place;
+		// a batch that outgrows the tail lands in a slice of its own and is
+		// copied over, growing the result.
+		n := len(rs.Rows)
+		b.Rows = rs.Rows[n:n:cap(rs.Rows)]
 		if err := op.BatchNext(ctx, &b); err != nil {
 			return nil, err
 		}
 		if len(b.Rows) == 0 {
 			return rs, nil
 		}
-		rs.Rows = append(rs.Rows, b.Rows...)
+		if n < cap(rs.Rows) && &b.Rows[0] == &rs.Rows[:n+1][n] {
+			rs.Rows = rs.Rows[:n+len(b.Rows)]
+		} else {
+			rs.Rows = append(rs.Rows, b.Rows...)
+		}
 	}
 }
 
@@ -213,6 +237,10 @@ func (s *Scan) Columns() []ColInfo  { return s.Cols }
 func (s *Scan) EachExpr(func(Expr)) {}
 func (s *Scan) clone() Operator {
 	return &Scan{TableName: s.TableName, Cols: s.Cols, Parallel: s.Parallel}
+}
+func (s *Scan) reset(bool) int {
+	s.td, s.pos, s.cap, s.part, s.pred = nil, 0, 0, nil, nil
+	return wipe(&s.rhs)
 }
 
 func (s *Scan) Open(ctx *Ctx) error {
@@ -278,24 +306,32 @@ func (s *Scan) Close() error { s.td = nil; return nil }
 
 // ---------------------------------------------------------------- IndexScan
 
-// IndexScan reads rows through an index, optionally bounded. Bounds are
-// expressions evaluated at Open so parameterized seeks work; both bounds are
-// inclusive (strict bounds carry a residual Filter above).
+// IndexScan reads rows through an index, optionally bounded, in key order or
+// (Desc) in reverse key order. Bounds are expressions evaluated at Open so
+// parameterized seeks work; both bounds are inclusive prefixes of the index
+// key (strict bounds carry a residual Filter above), either may be absent, and
+// a bound that evaluates to NULL matches nothing, as the comparison it stands
+// for would. With Limit set the read stops at the index entry that completes
+// the count instead of collecting the whole range: Limit 1 in either
+// direction is how a MIN or MAX is read off the end of an index.
 type IndexScan struct {
 	leaf
 	TableName string
 	IndexName string // "__pk" for the primary key index
 	Cols      []ColInfo
 	Lo, Hi    []Expr  // prefix bounds; nil slices mean unbounded
+	Desc      bool    // read from the high end of the range down
+	Limit     int     // stop after this many rows whose leading key column is not NULL, skipping the others; 0 reads every row
 	Parallel  bool    // Exchange partitions this scan across workers
 	EstRows   float64 // optimizer estimate of matched rows, for DOP costing
 
-	rids []storage.RowID
-	td   *storage.TableView
-	pos  int
-	part *indexPart    // worker's key range, nil = whole index
-	pred *vecPred      // residual predicate pushed down by the parent Filter
-	rhs  []types.Value // pred's per-batch right-hand-side scratch
+	rids   []storage.RowID
+	lo, hi types.Row // the bounds as evaluated at Open
+	td     *storage.TableView
+	pos    int
+	part   *indexPart    // worker's key range, nil = whole index
+	pred   *vecPred      // residual predicate pushed down by the parent Filter
+	rhs    []types.Value // pred's per-batch right-hand-side scratch
 }
 
 // indexPart is one worker's index key range [lo, hi): full-key bounds cut at
@@ -312,7 +348,14 @@ func (s *IndexScan) EachExpr(fn func(Expr)) {
 	visit(fn, s.Hi...)
 }
 func (s *IndexScan) clone() Operator {
-	return &IndexScan{TableName: s.TableName, IndexName: s.IndexName, Cols: s.Cols, Lo: s.Lo, Hi: s.Hi, Parallel: s.Parallel, EstRows: s.EstRows}
+	return &IndexScan{
+		TableName: s.TableName, IndexName: s.IndexName, Cols: s.Cols, Lo: s.Lo, Hi: s.Hi,
+		Desc: s.Desc, Limit: s.Limit, Parallel: s.Parallel, EstRows: s.EstRows,
+	}
+}
+func (s *IndexScan) reset(bool) int {
+	s.td, s.pos, s.part, s.pred = nil, 0, nil, nil
+	return wipe(&s.rids) + wipe(&s.lo) + wipe(&s.hi) + wipe(&s.rhs)
 }
 
 func (s *IndexScan) Open(ctx *Ctx) error {
@@ -327,23 +370,34 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 	if tree == nil {
 		return fmt.Errorf("exec: index %s on %s does not exist", s.IndexName, s.TableName)
 	}
-	lo, err := evalBound(s.Lo, ctx)
-	if err != nil {
-		return err
+	var lo, hi types.Row // nil = unbounded
+	var err error
+	if s.Lo != nil {
+		if s.lo, err = evalBound(s.Lo, ctx, s.lo); err != nil {
+			return err
+		}
+		lo = s.lo
 	}
-	hi, err := evalBound(s.Hi, ctx)
-	if err != nil {
-		return err
+	if s.Hi != nil {
+		if s.hi, err = evalBound(s.Hi, ctx, s.hi); err != nil {
+			return err
+		}
+		hi = s.hi
 	}
-	s.rids = s.rids[:0]
+	s.rids, s.pos = s.rids[:0], 0
+	if hasNull(lo) || hasNull(hi) {
+		return nil // col <= NULL holds for no row
+	}
 	if s.part != nil {
+		if s.Desc || s.Limit > 0 {
+			return fmt.Errorf("exec: index scan of %s.%s is partitioned and cannot also be descending or limited", s.TableName, s.IndexName)
+		}
 		// Partitioned scan: intersect the query bounds with the worker's key
 		// range. Start at the larger of the two lower bounds (an entry
 		// qualifies iff it is >= both, i.e. >= the max in tree order); stop
 		// at the partition's exclusive upper separator or past the query's
 		// inclusive prefix bound, whichever comes first.
 		if s.part.empty {
-			s.pos = 0
 			return nil
 		}
 		start := s.part.lo
@@ -363,46 +417,40 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 			s.rids = append(s.rids, it.RID)
 			return true
 		})
-		s.pos = 0
 		return nil
 	}
-	collect := func(it storage.Item) bool {
-		s.rids = append(s.rids, it.RID)
-		return true
-	}
-	switch {
-	case lo != nil && hi != nil:
-		tree.AscendRange(lo, hi, collect)
-	case lo != nil:
-		tree.AscendGE(lo, collect)
-	default:
-		tree.Ascend(collect)
-		if hi != nil {
-			// unreachable in practice: planner always sets lo when hi is set
-			filtered := s.rids[:0]
-			for _, rid := range s.rids {
-				filtered = append(filtered, rid)
-			}
-			s.rids = filtered
+	tree.Walk(lo, hi, s.Desc, func(it storage.Item) bool {
+		if s.Limit > 0 && it.Key[0].IsNull() {
+			// NULL keys sort first: read upwards they are skipped, read
+			// downwards nothing but NULLs is left.
+			return !s.Desc
 		}
-	}
-	s.pos = 0
+		s.rids = append(s.rids, it.RID)
+		return s.Limit == 0 || len(s.rids) < s.Limit
+	})
 	return nil
 }
 
-func evalBound(bound []Expr, ctx *Ctx) (types.Row, error) {
-	if bound == nil {
-		return nil, nil
-	}
-	row := make(types.Row, len(bound))
-	for i, e := range bound {
+// evalBound evaluates a seek bound into buf.
+func evalBound(bound []Expr, ctx *Ctx, buf types.Row) (types.Row, error) {
+	buf = buf[:0]
+	for _, e := range bound {
 		v, err := e.Eval(nil, &ctx.Env)
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
-		row[i] = v
+		buf = append(buf, v)
 	}
-	return row, nil
+	return buf, nil
+}
+
+func hasNull(row types.Row) bool {
+	for _, v := range row {
+		if v.IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 // BatchNext fills b with up to BatchSize visible rows; empty batch is EOS.
@@ -460,15 +508,20 @@ func (f *Filter) Columns() []ColInfo     { return f.Input.Columns() }
 func (f *Filter) Child(i int) *Operator  { return slot(i, &f.Input) }
 func (f *Filter) EachExpr(fn func(Expr)) { visit(fn, f.Pred) }
 func (f *Filter) clone() Operator        { return &Filter{Input: f.Input, Pred: f.Pred} }
+func (f *Filter) passesRows() bool       { return true }
+func (f *Filter) reset(bool) int {
+	f.vp, f.pushed = nil, false
+	return f.in.reset() + wipe(&f.rhs)
+}
 
 func (f *Filter) Open(ctx *Ctx) error {
 	f.vp, f.pushed = compilePred(f.Pred), false
 	if f.vp != nil {
 		// Fuse into a child scan: the predicate then runs inside the scan
-		// loop and rejected rows never enter a batch. (Each execution works
-		// on a private CloneOperator tree, so the pushed state is never
-		// shared across executions.) An EXPLAIN ANALYZE shell around the scan
-		// is looked through: the instrumented run is the fused run.
+		// loop and rejected rows never enter a batch. (Each execution has a
+		// plan instance to itself, so the pushed state is never shared between
+		// executions.) An EXPLAIN ANALYZE shell around the scan is looked
+		// through: the instrumented run is the fused run.
 		in := f.Input
 		if shell, ok := in.(*Instrumented); ok {
 			in = shell.Op
@@ -546,9 +599,11 @@ type StartupFilter struct {
 func (s *StartupFilter) Columns() []ColInfo     { return s.Input.Columns() }
 func (s *StartupFilter) Child(i int) *Operator  { return slot(i, &s.Input) }
 func (s *StartupFilter) EachExpr(fn func(Expr)) { visit(fn, s.Guard) }
+func (s *StartupFilter) passesRows() bool       { return true }
 func (s *StartupFilter) clone() Operator {
 	return &StartupFilter{Input: s.Input, Guard: s.Guard, Else: s.Else, Branch: s.Branch}
 }
+func (s *StartupFilter) reset(bool) int { s.active = false; return 0 }
 
 func (s *StartupFilter) Open(ctx *Ctx) error {
 	ok, err := EvalBool(s.Guard, nil, &ctx.Env)
@@ -597,22 +652,28 @@ type Project struct {
 	Exprs []Expr
 	Cols  []ColInfo
 
-	in    Batch    // input scratch
-	arena rowArena // output rows
-	cols  []int    // all-ColExpr gather plan, nil when any expr is general
+	in     Batch    // input scratch
+	arena  rowArena // output rows
+	cols   []int    // the column each expression reads, while gather holds
+	gather bool     // every expression is a ColExpr: gather by index
 }
 
 func (p *Project) Columns() []ColInfo     { return p.Cols }
 func (p *Project) Child(i int) *Operator  { return slot(i, &p.Input) }
 func (p *Project) EachExpr(fn func(Expr)) { visit(fn, p.Exprs...) }
 func (p *Project) clone() Operator        { return &Project{Input: p.Input, Exprs: p.Exprs, Cols: p.Cols} }
+func (p *Project) passesRows() bool       { return false }
+func (p *Project) reset(result bool) int {
+	p.gather = false
+	return p.in.reset() + wipe(&p.cols) + p.arena.release(!result)
+}
 
 func (p *Project) Open(ctx *Ctx) error {
-	p.cols = make([]int, 0, len(p.Exprs))
+	p.cols, p.gather = p.cols[:0], true
 	for _, e := range p.Exprs {
 		c, isCol := e.(*ColExpr)
 		if !isCol {
-			p.cols = nil
+			p.gather = false
 			break
 		}
 		p.cols = append(p.cols, c.I)
@@ -637,7 +698,7 @@ func (p *Project) BatchNext(ctx *Ctx, b *Batch) error {
 	p.arena.hint(len(p.in.Rows) * width)
 	for _, row := range p.in.Rows {
 		out := p.arena.alloc(width)
-		if p.cols != nil && gatherRow(out, row, p.cols) {
+		if p.gather && gatherRow(out, row, p.cols) {
 			b.Rows = append(b.Rows, out)
 			continue
 		}
@@ -682,6 +743,8 @@ func (l *Limit) Columns() []ColInfo     { return l.Input.Columns() }
 func (l *Limit) Child(i int) *Operator  { return slot(i, &l.Input) }
 func (l *Limit) EachExpr(fn func(Expr)) { visit(fn, l.N) }
 func (l *Limit) clone() Operator        { return &Limit{Input: l.Input, N: l.N} }
+func (l *Limit) passesRows() bool       { return true }
+func (l *Limit) reset(bool) int         { l.left = 0; return 0 }
 
 func (l *Limit) Open(ctx *Ctx) error {
 	v, err := l.N.Eval(nil, &ctx.Env)
@@ -730,23 +793,29 @@ type sortOrder struct {
 	arena   rowArena
 }
 
-func newSortOrder(keys []SortKey) *sortOrder {
-	o := &sortOrder{keys: keys, idx: make([]int, len(keys)), byCol: true}
-	for i, k := range keys {
+// init points the order at keys, reusing what the last execution left.
+func (o *sortOrder) init(keys []SortKey) {
+	o.keys, o.idx, o.byCol = keys, o.idx[:0], true
+	for _, k := range keys {
 		c, isCol := k.E.(*ColExpr)
 		if !isCol {
 			o.byCol = false
 			break
 		}
-		o.idx[i] = c.I
+		o.idx = append(o.idx, c.I)
 	}
 	if !o.byCol {
-		for i := range o.idx {
-			o.idx[i] = i
+		o.idx, o.scratch = o.idx[:0], o.scratch[:0]
+		for i := range keys {
+			o.idx = append(o.idx, i)
+			o.scratch = append(o.scratch, types.Null)
 		}
-		o.scratch = make(types.Row, len(keys))
 	}
-	return o
+}
+
+func (o *sortOrder) reset() int {
+	o.keys, o.byCol = nil, false
+	return wipe(&o.idx) + wipe(&o.scratch) + o.arena.release(true)
 }
 
 // key returns row's key row: row itself when byCol, else the scratch row,
@@ -795,53 +864,62 @@ func (o *sortOrder) cmp(a, b types.Row) int {
 	return 0
 }
 
+// sortEntry carries a row, its evaluated sort keys, and (TopN) the input
+// sequence number used as the stability tiebreak.
+type sortEntry struct {
+	row  types.Row
+	keys types.Row
+	seq  int64
+}
+
 // Sort materializes and sorts its input.
 type Sort struct {
 	Input Operator
 	Keys  []SortKey
 
-	rows []types.Row
-	pos  int
+	in    Batch // input scratch; rows are retained, so never Ephemeral
+	all   []sortEntry
+	order sortOrder
+	rows  []types.Row
+	pos   int
 }
 
 func (s *Sort) Columns() []ColInfo     { return s.Input.Columns() }
 func (s *Sort) Child(i int) *Operator  { return slot(i, &s.Input) }
 func (s *Sort) EachExpr(fn func(Expr)) { visitKeys(fn, s.Keys) }
 func (s *Sort) clone() Operator        { return &Sort{Input: s.Input, Keys: s.Keys} }
+func (s *Sort) passesRows() bool       { return true }
+func (s *Sort) reset(bool) int {
+	s.pos = 0
+	return s.in.reset() + wipe(&s.all) + s.order.reset() + wipe(&s.rows)
+}
 
 func (s *Sort) Open(ctx *Ctx) error {
 	if err := s.Input.Open(ctx); err != nil {
 		return err
 	}
-	s.rows = s.rows[:0]
-	type keyed struct {
-		row  types.Row
-		keys types.Row
-	}
-	var all []keyed
-	order := newSortOrder(s.Keys)
-	var b Batch // rows are retained, so never Ephemeral
+	s.all, s.rows, s.pos = s.all[:0], s.rows[:0], 0
+	s.order.init(s.Keys)
 	for {
-		if err := s.Input.BatchNext(ctx, &b); err != nil {
+		if err := s.Input.BatchNext(ctx, &s.in); err != nil {
 			return err
 		}
-		if len(b.Rows) == 0 {
+		if len(s.in.Rows) == 0 {
 			break
 		}
-		order.arena.hint(len(b.Rows) * len(s.Keys))
-		for _, row := range b.Rows {
-			key, err := order.key(row, &ctx.Env)
+		s.order.arena.hint(len(s.in.Rows) * len(s.Keys))
+		for _, row := range s.in.Rows {
+			key, err := s.order.key(row, &ctx.Env)
 			if err != nil {
 				return err
 			}
-			all = append(all, keyed{row: row, keys: order.keep(key)})
+			s.all = append(s.all, sortEntry{row: row, keys: s.order.keep(key)})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return order.cmp(all[i].keys, all[j].keys) < 0 })
-	for _, k := range all {
-		s.rows = append(s.rows, k.row)
+	slices.SortStableFunc(s.all, func(a, b sortEntry) int { return s.order.cmp(a.keys, b.keys) })
+	for _, e := range s.all {
+		s.rows = append(s.rows, e.row)
 	}
-	s.pos = 0
 	return nil
 }
 
@@ -851,10 +929,7 @@ func (s *Sort) BatchNext(_ *Ctx, b *Batch) error {
 	return nil
 }
 
-func (s *Sort) Close() error {
-	s.rows = nil
-	return s.Input.Close()
-}
+func (s *Sort) Close() error { return s.Input.Close() }
 
 // ---------------------------------------------------------------- TopN
 
@@ -867,6 +942,8 @@ type TopN struct {
 	Keys  []SortKey
 	N     Expr // evaluated at Open; non-positive yields no rows
 
+	in   Batch   // input scratch; kept rows are retained, so never Ephemeral
+	heap topHeap // the N best rows seen so far
 	rows []types.Row
 	pos  int
 }
@@ -877,24 +954,21 @@ func (s *TopN) EachExpr(fn func(Expr)) {
 	visit(fn, s.N)
 	visitKeys(fn, s.Keys)
 }
-func (s *TopN) clone() Operator { return &TopN{Input: s.Input, Keys: s.Keys, N: s.N} }
-
-// topEntry carries a row, its evaluated sort keys, and the input sequence
-// number used as the stability tiebreak.
-type topEntry struct {
-	row  types.Row
-	keys types.Row
-	seq  int64
+func (s *TopN) clone() Operator  { return &TopN{Input: s.Input, Keys: s.Keys, N: s.N} }
+func (s *TopN) passesRows() bool { return true }
+func (s *TopN) reset(bool) int {
+	s.pos = 0
+	return s.in.reset() + wipe(&s.heap.entries) + s.heap.order.reset() + wipe(&s.rows)
 }
 
 // topHeap is a max-heap under the sort order: the root is the worst row
 // currently kept, the one a better incoming row evicts.
 type topHeap struct {
-	entries []topEntry
-	order   *sortOrder
+	entries []sortEntry
+	order   sortOrder
 }
 
-func (h *topHeap) cmp(a, b topEntry) int {
+func (h *topHeap) cmp(a, b sortEntry) int {
 	if c := h.order.cmp(a.keys, b.keys); c != 0 {
 		return c
 	}
@@ -910,7 +984,7 @@ func (h *topHeap) cmp(a, b topEntry) int {
 func (h *topHeap) Len() int           { return len(h.entries) }
 func (h *topHeap) Less(i, j int) bool { return h.cmp(h.entries[i], h.entries[j]) > 0 }
 func (h *topHeap) Swap(i, j int)      { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *topHeap) Push(x any)         { h.entries = append(h.entries, x.(topEntry)) }
+func (h *topHeap) Push(x any)         { h.entries = append(h.entries, x.(sortEntry)) }
 func (h *topHeap) Pop() any {
 	last := h.entries[len(h.entries)-1]
 	h.entries = h.entries[:len(h.entries)-1]
@@ -926,47 +1000,47 @@ func (s *TopN) Open(ctx *Ctx) error {
 		return err
 	}
 	n := nv.Int()
-	s.rows = nil
-	s.pos = 0
+	s.rows, s.pos = s.rows[:0], 0
 	if n <= 0 {
 		return nil
 	}
-	order := newSortOrder(s.Keys)
-	h := &topHeap{order: order}
+	h := &s.heap
+	h.entries = h.entries[:0]
+	h.order.init(s.Keys)
 	var seq int64
-	var b Batch // kept rows are retained, so never Ephemeral
 	for {
-		if err := s.Input.BatchNext(ctx, &b); err != nil {
+		if err := s.Input.BatchNext(ctx, &s.in); err != nil {
 			return err
 		}
-		if len(b.Rows) == 0 {
+		if len(s.in.Rows) == 0 {
 			break
 		}
-		order.arena.hint(len(b.Rows) * len(s.Keys))
-		for _, row := range b.Rows {
-			key, err := order.key(row, &ctx.Env)
+		h.order.arena.hint(len(s.in.Rows) * len(s.Keys))
+		for _, row := range s.in.Rows {
+			key, err := h.order.key(row, &ctx.Env)
 			if err != nil {
 				return err
 			}
-			e := topEntry{row: row, keys: key, seq: seq}
+			e := sortEntry{row: row, keys: key, seq: seq}
 			seq++
 			full := int64(h.Len()) >= n
 			if full && h.cmp(e, h.entries[0]) >= 0 {
 				continue // no better than the worst row kept: its keys are never stored
 			}
-			e.keys = order.keep(key)
+			e.keys = h.order.keep(key)
 			if full {
 				h.entries[0] = e
 				heap.Fix(h, 0)
 			} else {
-				heap.Push(h, e)
+				// Appended and sifted up in place: heap.Push would box the entry.
+				h.entries = append(h.entries, e)
+				heap.Fix(h, h.Len()-1)
 			}
 		}
 	}
-	sort.Slice(h.entries, func(i, j int) bool { return h.cmp(h.entries[i], h.entries[j]) < 0 })
-	s.rows = make([]types.Row, len(h.entries))
-	for i, e := range h.entries {
-		s.rows[i] = e.row
+	slices.SortFunc(h.entries, h.cmp)
+	for _, e := range h.entries {
+		s.rows = append(s.rows, e.row)
 	}
 	return nil
 }
@@ -977,10 +1051,7 @@ func (s *TopN) BatchNext(_ *Ctx, b *Batch) error {
 	return nil
 }
 
-func (s *TopN) Close() error {
-	s.rows = nil
-	return s.Input.Close()
-}
+func (s *TopN) Close() error { return s.Input.Close() }
 
 // ---------------------------------------------------------------- Joins
 
@@ -994,10 +1065,11 @@ type HashJoin struct {
 	BuildEst            float64 // optimizer estimate of build-side rows, 0 if unknown
 	ShareBuild          bool    // Exchange installs one shared build table across workers
 
-	table  map[uint64][]types.Row
-	shared *sharedBuild // when set, the build runs once and is read by all workers
+	table  map[uint64][]types.Row // the build side by key hash: this join's own, or shared's
+	shared *sharedBuild           // when set, the build runs once and is read by all workers
 	cols   []ColInfo
 
+	build   Batch     // build input scratch
 	in      Batch     // probe input scratch
 	inPos   int       // cursor into in.Rows
 	keyBuf  types.Row // probe-key scratch
@@ -1008,7 +1080,8 @@ type HashJoin struct {
 
 func (j *HashJoin) Columns() []ColInfo {
 	if j.cols == nil {
-		j.cols = append(append([]ColInfo{}, j.Left.Columns()...), j.Right.Columns()...)
+		l, r := j.Left.Columns(), j.Right.Columns()
+		j.cols = append(append(make([]ColInfo, 0, len(l)+len(r)), l...), r...)
 	}
 	return j.cols
 }
@@ -1025,6 +1098,24 @@ func (j *HashJoin) clone() Operator {
 		LeftOuter: j.LeftOuter, Residual: j.Residual, BuildEst: j.BuildEst, ShareBuild: j.ShareBuild,
 	}
 }
+func (j *HashJoin) passesRows() bool { return false }
+func (j *HashJoin) reset(result bool) int {
+	n := 0
+	if j.shared != nil {
+		j.table, j.shared = nil, nil // the shared build's table, not this join's
+	} else {
+		// The map keeps its buckets; the per-key row lists go.
+		n = len(j.table) * hashEntryBytes
+		clear(j.table)
+	}
+	j.cols, j.inPos = nil, 0
+	return n + j.build.reset() + j.in.reset() + wipe(&j.keyBuf) + wipe(&j.rkeyBuf) +
+		wipe(&j.nullPad) + j.arena.release(!result)
+}
+
+// hashEntryBytes is what one key of a cleared hash table is counted as when
+// an instance's kept memory is added up: a bucket slot with its key and value.
+const hashEntryBytes = 48
 
 func (j *HashJoin) Open(ctx *Ctx) error {
 	if j.shared != nil {
@@ -1036,43 +1127,48 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 		}
 		j.table = table
 	} else {
-		table, err := buildHashTable(ctx, j.Right, j.RightKeys, j.BuildEst)
-		if err != nil {
+		if j.table == nil {
+			j.table = make(map[uint64][]types.Row, preallocSize(j.BuildEst, 1<<16))
+		}
+		clear(j.table)
+		if err := buildHashTable(ctx, j.Right, j.RightKeys, j.table, &j.build); err != nil {
 			return err
 		}
-		j.table = table
 	}
 	j.in.Rows = j.in.Rows[:0]
 	j.inPos = 0
-	j.nullPad = make(types.Row, len(j.Right.Columns()))
+	j.nullPad = j.nullPad[:0]
+	for range j.Right.Columns() {
+		j.nullPad = append(j.nullPad, types.Null)
+	}
 	return j.Left.Open(ctx)
 }
 
-// buildHashTable opens, drains and closes the build side into a hash table
-// keyed by the join-key hash. Keys are evaluated into one reusable buffer
-// and only their hash is kept — the probe side re-verifies candidates by
-// value, so the build allocates nothing per row beyond the bucket slices.
-// Rows with NULL keys are dropped (they never join).
-func buildHashTable(ctx *Ctx, build Operator, keys []Expr, est float64) (map[uint64][]types.Row, error) {
+// buildHashTable opens, drains and closes the build side into table, keyed
+// by the join-key hash; in is the scratch window it reads through. Keys are
+// evaluated into one reusable buffer and only their hash is kept — the probe
+// side re-verifies candidates by value, so the build allocates nothing per
+// row beyond the bucket slices. Rows with NULL keys are dropped (they never
+// join).
+func buildHashTable(ctx *Ctx, build Operator, keys []Expr, table map[uint64][]types.Row, in *Batch) error {
 	if err := build.Open(ctx); err != nil {
-		return nil, err
+		return err
 	}
 	defer build.Close()
-	table := make(map[uint64][]types.Row, preallocSize(est, 1<<16))
-	var b Batch
+	in.Ephemeral = false // the table keeps the rows
 	keyBuf := make(types.Row, 0, len(keys))
 	for {
-		if err := build.BatchNext(ctx, &b); err != nil {
-			return nil, err
+		if err := build.BatchNext(ctx, in); err != nil {
+			return err
 		}
-		if len(b.Rows) == 0 {
-			return table, nil
+		if len(in.Rows) == 0 {
+			return nil
 		}
-		for _, row := range b.Rows {
+		for _, row := range in.Rows {
 			key, null, err := evalKeysInto(keys, row, &ctx.Env, keyBuf)
 			keyBuf = key[:0]
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if null {
 				continue // NULL keys never join
@@ -1163,10 +1259,7 @@ func (j *HashJoin) BatchNext(ctx *Ctx, b *Batch) error {
 	return nil
 }
 
-func (j *HashJoin) Close() error {
-	j.table = nil
-	return j.Left.Close()
-}
+func (j *HashJoin) Close() error { return j.Left.Close() }
 
 // NestedLoop joins with an arbitrary predicate. The right side is
 // materialized at Open (its rows are retained, so it is never pulled
@@ -1187,7 +1280,8 @@ type NestedLoop struct {
 
 func (j *NestedLoop) Columns() []ColInfo {
 	if j.cols == nil {
-		j.cols = append(append([]ColInfo{}, j.Left.Columns()...), j.Right.Columns()...)
+		l, r := j.Left.Columns(), j.Right.Columns()
+		j.cols = append(append(make([]ColInfo, 0, len(l)+len(r)), l...), r...)
 	}
 	return j.cols
 }
@@ -1197,25 +1291,34 @@ func (j *NestedLoop) EachExpr(fn func(Expr)) { visit(fn, j.Pred) }
 func (j *NestedLoop) clone() Operator {
 	return &NestedLoop{Left: j.Left, Right: j.Right, Pred: j.Pred, LeftOuter: j.LeftOuter}
 }
+func (j *NestedLoop) passesRows() bool { return false }
+func (j *NestedLoop) reset(result bool) int {
+	j.cols, j.inPos = nil, 0
+	return wipe(&j.rightRows) + j.in.reset() + wipe(&j.scratch) + j.arena.release(!result)
+}
 
 func (j *NestedLoop) Open(ctx *Ctx) error {
 	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
-	j.rightRows = nil
-	var b Batch
+	// The right side is drained through the window the left side is read
+	// through afterwards; its rows are kept, so this pull is durable.
+	j.rightRows, j.in.Ephemeral = j.rightRows[:0], false
 	for {
-		if err := j.Right.BatchNext(ctx, &b); err != nil {
+		if err := j.Right.BatchNext(ctx, &j.in); err != nil {
 			return err
 		}
-		if len(b.Rows) == 0 {
+		if len(j.in.Rows) == 0 {
 			break
 		}
-		j.rightRows = append(j.rightRows, b.Rows...)
+		j.rightRows = append(j.rightRows, j.in.Rows...)
 	}
 	j.Right.Close()
 	j.in.Rows, j.inPos = j.in.Rows[:0], 0
-	j.scratch = make(types.Row, len(j.Columns()))
+	j.scratch = j.scratch[:0]
+	for range j.Columns() {
+		j.scratch = append(j.scratch, types.Null)
+	}
 	return j.Left.Open(ctx)
 }
 
@@ -1269,10 +1372,7 @@ func (j *NestedLoop) BatchNext(ctx *Ctx, b *Batch) error {
 	return nil
 }
 
-func (j *NestedLoop) Close() error {
-	j.rightRows = nil
-	return j.Left.Close()
-}
+func (j *NestedLoop) Close() error { return j.Left.Close() }
 
 // ---------------------------------------------------------------- UnionAll
 
@@ -1293,6 +1393,8 @@ func (u *UnionAll) Child(i int) *Operator {
 }
 func (u *UnionAll) EachExpr(func(Expr)) {}
 func (u *UnionAll) clone() Operator     { return &UnionAll{Inputs: append([]Operator(nil), u.Inputs...)} }
+func (u *UnionAll) passesRows() bool    { return true }
+func (u *UnionAll) reset(bool) int      { u.cur = 0; return 0 }
 
 func (u *UnionAll) Open(ctx *Ctx) error {
 	for _, in := range u.Inputs {
@@ -1346,6 +1448,10 @@ type Remote struct {
 func (r *Remote) Columns() []ColInfo  { return r.Cols }
 func (r *Remote) EachExpr(func(Expr)) {}
 func (r *Remote) clone() Operator     { return &Remote{SQLText: r.SQLText, Cols: r.Cols} }
+
+// reset keeps nothing: the rows are the remote result's, decoded once and
+// handed on as they are.
+func (r *Remote) reset(bool) int { r.rows, r.pos = nil, 0; return 0 }
 
 func (r *Remote) Open(ctx *Ctx) error {
 	if ctx.Remote == nil {
@@ -1405,6 +1511,7 @@ func (v *Values) EachExpr(fn func(Expr)) {
 	}
 }
 func (v *Values) clone() Operator { return &Values{Cols: v.Cols, Rows: v.Rows} }
+func (v *Values) reset(bool) int  { v.pos = 0; return 0 }
 func (v *Values) Open(*Ctx) error { v.pos = 0; return nil }
 
 func (v *Values) BatchNext(ctx *Ctx, b *Batch) error {
@@ -1447,6 +1554,7 @@ func (s *VirtualScan) EachExpr(func(Expr)) {}
 func (s *VirtualScan) clone() Operator {
 	return &VirtualScan{Name: s.Name, Rows: s.Rows, Cols: s.Cols}
 }
+func (s *VirtualScan) reset(bool) int { s.rows, s.pos = nil, 0; return 0 }
 
 func (s *VirtualScan) Open(*Ctx) error {
 	s.rows = s.Rows()
@@ -1484,9 +1592,18 @@ func (d *Distinct) Columns() []ColInfo    { return d.Input.Columns() }
 func (d *Distinct) Child(i int) *Operator { return slot(i, &d.Input) }
 func (d *Distinct) EachExpr(func(Expr))   {}
 func (d *Distinct) clone() Operator       { return &Distinct{Input: d.Input} }
+func (d *Distinct) passesRows() bool      { return true }
+func (d *Distinct) reset(bool) int {
+	n := len(d.seen) * hashEntryBytes
+	clear(d.seen)
+	return n + d.in.reset()
+}
 
 func (d *Distinct) Open(ctx *Ctx) error {
-	d.seen = make(map[uint64][]types.Row)
+	if d.seen == nil {
+		d.seen = make(map[uint64][]types.Row)
+	}
+	clear(d.seen)
 	return d.Input.Open(ctx)
 }
 
@@ -1516,7 +1633,4 @@ func (d *Distinct) BatchNext(ctx *Ctx, b *Batch) error {
 	return nil
 }
 
-func (d *Distinct) Close() error {
-	d.seen = nil
-	return d.Input.Close()
-}
+func (d *Distinct) Close() error { return d.Input.Close() }

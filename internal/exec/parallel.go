@@ -24,11 +24,14 @@ const exchangeBatch = 64
 // their rows. Row order across partitions is unspecified. Errors from any
 // worker cancel the others; Close is safe at any point and never leaks
 // goroutines: it aborts the workers, drains the channel, and waits for them.
+// The worker trees are part of the plan instance: a released Exchange keeps
+// them, reset like every other operator, and the next execution only binds
+// their partitions again.
 type Exchange struct {
 	Template Operator
 	DOP      int
 
-	workers    []Operator
+	workers    []Operator // one clone of Template per worker, kept across executions
 	ch         chan []types.Row
 	abort      chan struct{}
 	abortOnce  *sync.Once
@@ -46,18 +49,38 @@ func (e *Exchange) Columns() []ColInfo    { return e.Template.Columns() }
 func (e *Exchange) Child(i int) *Operator { return slot(i, &e.Template) }
 func (e *Exchange) EachExpr(func(Expr))   {}
 
-// clone: CloneOperator clones the template too, so each execution binds
+// clone: CloneOperator clones the template too, so each instance binds
 // partitions and shared builds on a private tree.
 func (e *Exchange) clone() Operator { return &Exchange{Template: e.Template, DOP: e.DOP} }
+
+// passesRows: what the workers' roots emit is what the Exchange emits.
+func (e *Exchange) passesRows() bool { return true }
+
+// reset runs on the consumer's goroutine after Close has waited for every
+// worker. The worker trees stand where the template stands in the tree, so
+// they are reset with the Exchange's own result flag.
+func (e *Exchange) reset(result bool) int {
+	n := 0
+	for _, w := range e.workers {
+		n += resetTree(w, result)
+	}
+	e.ch, e.abort, e.abortOnce, e.err, e.parent = nil, nil, nil, nil, nil
+	e.wg, e.mu = sync.WaitGroup{}, sync.Mutex{} // idle after Close; zeroed like all run state
+	e.opened, e.closed = false, false
+	return n + wipe(&e.workerRows) + wipe(&e.counters)
+}
 
 func (e *Exchange) Open(ctx *Ctx) error {
 	dop := e.DOP
 	if dop < 1 {
 		dop = 1
 	}
-	e.workers = make([]Operator, dop)
-	for i := range e.workers {
-		e.workers[i] = CloneOperator(e.Template)
+	if e.opened || len(e.workers) != dop {
+		// No reset since the last Open (or none yet): the trees are not clean.
+		e.workers = make([]Operator, dop)
+		for i := range e.workers {
+			e.workers[i] = CloneOperator(e.Template)
+		}
 	}
 	if err := bindPartitions(ctx, e.Template, e.workers); err != nil {
 		return err
@@ -71,8 +94,8 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	e.abort = make(chan struct{})
 	e.abortOnce = &sync.Once{}
 	e.err = nil
-	e.workerRows = make([]int64, dop)
-	e.counters = make([]Counters, dop)
+	e.workerRows = append(e.workerRows[:0], make([]int64, dop)...)
+	e.counters = append(e.counters[:0], make([]Counters, dop)...)
 	e.parent = ctx.Counters
 	e.opened, e.closed = true, false
 
@@ -201,7 +224,6 @@ func (e *Exchange) Close() error {
 			e.parent.Add(&e.counters[i])
 		}
 	}
-	e.workers = nil
 	return nil
 }
 
@@ -322,7 +344,9 @@ func newSharedBuild(tj *HashJoin, dop int) *sharedBuild {
 		if dop > 1 && hasParallelLeaf(tj.Right) {
 			return parallelBuild(ctx, tj.Right, tj.RightKeys, tj.BuildEst, dop)
 		}
-		return buildHashTable(ctx, CloneOperator(tj.Right), tj.RightKeys, tj.BuildEst)
+		table := make(map[uint64][]types.Row, preallocSize(tj.BuildEst, 1<<16))
+		var in Batch
+		return table, buildHashTable(ctx, CloneOperator(tj.Right), tj.RightKeys, table, &in)
 	}
 	return sb
 }
@@ -348,7 +372,9 @@ func parallelBuild(ctx *Ctx, tmpl Operator, keys []Expr, est float64, dop int) (
 			defer wg.Done()
 			wctx := *ctx
 			wctx.Counters = counters[i]
-			tables[i], errs[i] = buildHashTable(&wctx, clones[i], keys, est/float64(dop))
+			tables[i] = make(map[uint64][]types.Row, preallocSize(est/float64(dop), 1<<16))
+			var in Batch
+			errs[i] = buildHashTable(&wctx, clones[i], keys, tables[i], &in)
 		}(i)
 	}
 	wg.Wait()

@@ -18,19 +18,19 @@ func (s AggSpec) PartialWidth() int {
 	return 1
 }
 
-// partials renders the accumulated state as partial-result cells, the
+// partials appends the accumulated state to row as partial-result cells, the
 // mergeable form FinalAgg consumes.
-func (a *aggState) partials(spec AggSpec) []types.Value {
+func (a *aggState) partials(row types.Row, spec AggSpec) types.Row {
 	switch spec.Func {
 	case AggCount, AggCountStar:
-		return []types.Value{types.NewInt(a.count)}
+		return append(row, types.NewInt(a.count))
 	case AggAvg:
 		if a.count == 0 {
-			return []types.Value{types.Null, types.NewInt(0)}
+			return append(row, types.Null, types.NewInt(0))
 		}
-		return []types.Value{types.NewFloat(a.sum), types.NewInt(a.count)}
+		return append(row, types.NewFloat(a.sum), types.NewInt(a.count))
 	default:
-		return []types.Value{a.result(spec)}
+		return append(row, a.result(spec))
 	}
 }
 
@@ -43,8 +43,10 @@ type PartialAgg struct {
 	Aggs    []AggSpec
 	Cols    []ColInfo
 
-	out []types.Row
-	pos int
+	table aggTable
+	arena rowArena // output rows
+	out   []types.Row
+	pos   int
 }
 
 func (p *PartialAgg) Columns() []ColInfo    { return p.Cols }
@@ -56,21 +58,21 @@ func (p *PartialAgg) EachExpr(fn func(Expr)) {
 func (p *PartialAgg) clone() Operator {
 	return &PartialAgg{Input: p.Input, GroupBy: p.GroupBy, Aggs: p.Aggs, Cols: p.Cols}
 }
+func (p *PartialAgg) passesRows() bool { return false }
+func (p *PartialAgg) reset(result bool) int {
+	p.pos = 0
+	return p.table.reset() + p.arena.release(!result) + wipe(&p.out)
+}
 
 func (p *PartialAgg) Open(ctx *Ctx) error {
-	order, err := aggregateInput(ctx, p.Input, p.GroupBy, p.Aggs)
-	if err != nil {
+	if err := p.table.run(ctx, p.Input, p.GroupBy, p.Aggs); err != nil {
 		return err
 	}
-	p.out = p.out[:0]
-	for _, g := range order {
-		row := make(types.Row, 0, len(p.Cols))
-		row = append(row, g.keys...)
-		for i, spec := range p.Aggs {
-			row = append(row, g.states[i].partials(spec)...)
-		}
-		p.out = append(p.out, row)
+	width := len(p.GroupBy)
+	for _, spec := range p.Aggs {
+		width += spec.PartialWidth()
 	}
+	p.out = p.table.render(&p.arena, p.out, p.Aggs, width, (*aggState).partials)
 	p.pos = 0
 	return nil
 }
@@ -81,10 +83,7 @@ func (p *PartialAgg) BatchNext(_ *Ctx, b *Batch) error {
 	return nil
 }
 
-func (p *PartialAgg) Close() error {
-	p.out = nil
-	return nil
-}
+func (p *PartialAgg) Close() error { return nil }
 
 // mergeState accumulates one aggregate across partial rows.
 type mergeState struct {
@@ -174,8 +173,12 @@ type FinalAgg struct {
 	Aggs      []AggSpec
 	Cols      []ColInfo
 
-	out []types.Row
-	pos int
+	in     Batch        // input scratch; group keys alias its rows, so never Ephemeral
+	groups groupSet     // keyed by the leading GroupKeys columns of the partial rows
+	states []mergeState // group g's states are states[g*len(Aggs):][:len(Aggs)]
+	arena  rowArena     // output rows
+	out    []types.Row
+	pos    int
 }
 
 func (f *FinalAgg) Columns() []ColInfo     { return f.Cols }
@@ -184,67 +187,60 @@ func (f *FinalAgg) EachExpr(fn func(Expr)) { visitAggs(fn, f.Aggs) }
 func (f *FinalAgg) clone() Operator {
 	return &FinalAgg{Input: f.Input, GroupKeys: f.GroupKeys, Aggs: f.Aggs, Cols: f.Cols}
 }
-
-// finalGroup is one output group's merge state.
-type finalGroup struct {
-	keys   types.Row
-	states []*mergeState
+func (f *FinalAgg) passesRows() bool { return false }
+func (f *FinalAgg) reset(result bool) int {
+	f.pos = 0
+	return f.in.reset() + f.groups.reset() + wipe(&f.states) + f.arena.release(!result) + wipe(&f.out)
 }
 
 func (f *FinalAgg) Open(ctx *Ctx) error {
 	if err := f.Input.Open(ctx); err != nil {
 		return err
 	}
-	groups := make(map[uint64][]*finalGroup)
-	var order []*finalGroup
-	newGroup := func(keys types.Row) *finalGroup {
-		g := &finalGroup{keys: keys, states: make([]*mergeState, len(f.Aggs))}
-		for i := range g.states {
-			g.states[i] = &mergeState{allInt: true}
+	f.groups.start()
+	f.states = f.states[:0]
+	newGroup := func(keys types.Row, hash uint64) int {
+		for range f.Aggs {
+			f.states = append(f.states, mergeState{allInt: true})
 		}
-		order = append(order, g)
+		g := f.groups.add(keys)
+		f.groups.link(g, hash)
 		return g
 	}
 	if f.GroupKeys == 0 {
-		groups[(types.Row{}).Hash()] = []*finalGroup{newGroup(types.Row{})}
+		newGroup(types.Row{}, (types.Row{}).Hash())
 	}
-	var b Batch
 	for {
-		if err := f.Input.BatchNext(ctx, &b); err != nil {
+		if err := f.Input.BatchNext(ctx, &f.in); err != nil {
 			return err
 		}
-		if len(b.Rows) == 0 {
+		if len(f.in.Rows) == 0 {
 			break
 		}
-		for _, row := range b.Rows {
+		for _, row := range f.in.Rows {
 			keys := types.Row(row[:f.GroupKeys])
 			hash := keys.Hash()
-			var g *finalGroup
-			for _, cand := range groups[hash] {
-				if types.RowsEqual(cand.keys, keys) {
-					g = cand
-					break
-				}
+			g := f.groups.find(keys, hash)
+			if g < 0 {
+				g = newGroup(keys, hash)
 			}
-			if g == nil {
-				g = newGroup(keys)
-				groups[hash] = append(groups[hash], g)
-			}
+			states := f.states[g*len(f.Aggs):][:len(f.Aggs)]
 			off := f.GroupKeys
 			for i, spec := range f.Aggs {
 				w := spec.PartialWidth()
-				g.states[i].merge(spec, types.Row(row[off:off+w]))
+				states[i].merge(spec, types.Row(row[off:off+w]))
 				off += w
 			}
 		}
 	}
 	f.Input.Close()
 	f.out = f.out[:0]
-	for _, g := range order {
-		row := make(types.Row, 0, len(g.keys)+len(f.Aggs))
-		row = append(row, g.keys...)
+	width := f.GroupKeys + len(f.Aggs)
+	f.arena.hint(len(f.groups.order) * width)
+	for g := range f.groups.order {
+		row := append(f.arena.alloc(width)[:0], f.groups.order[g].keys...)
 		for i, spec := range f.Aggs {
-			row = append(row, g.states[i].result(spec))
+			row = append(row, f.states[g*len(f.Aggs)+i].result(spec))
 		}
 		f.out = append(f.out, row)
 	}
@@ -258,7 +254,4 @@ func (f *FinalAgg) BatchNext(_ *Ctx, b *Batch) error {
 	return nil
 }
 
-func (f *FinalAgg) Close() error {
-	f.out = nil
-	return f.Input.Close()
-}
+func (f *FinalAgg) Close() error { return f.Input.Close() }

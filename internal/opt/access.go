@@ -66,6 +66,9 @@ func (pl *planner) addViewCandidates(cs *candSet, ai *aliasInfo, neededSet map[s
 		if pl.env.IsCache && !v.Cached {
 			continue // shadowed backend MV definitions hold no local data
 		}
+		if pl.env.Cat.Seeding(v.Name) {
+			continue // registered, its initial contents not committed yet
+		}
 		if v.Cached && !pl.env.viewFreshEnough(v.Name) {
 			continue // too stale for the query's WITH FRESHNESS bound (§7)
 		}
@@ -83,7 +86,7 @@ func (pl *planner) addViewCandidates(cs *candSet, ai *aliasInfo, neededSet map[s
 			continue
 		}
 		// Guarded match → a branch of the dynamic plan (paper §5.1).
-		fl := EstimateGuardFrequency(m.GuardTerms, t.Stats)
+		fl := EstimateGuardFrequency(m.GuardTerms, t.Stats.Load())
 		guarded = append(guarded, guardedView{local: local, dyn: &dynInfo{guardAST: m.Guard, fl: fl}})
 
 		// Mixed-result plan (§5.1.1): allowed for regular materialized views
@@ -217,10 +220,10 @@ func (pl *planner) localAccess(ai *aliasInfo, storageTable *catalog.Table, stora
 	}
 	sc := &scope{cols: scanCols}
 
-	stats := storageTable.Stats
+	stats := storageTable.Stats.Load()
 	baseStats := stats
 	if baseTable != nil {
-		baseStats = baseTable.Stats
+		baseStats = baseTable.Stats.Load()
 	}
 
 	// Choose access path: best index vs full scan.
@@ -260,7 +263,7 @@ func projectNeeded(input exec.Operator, ai *aliasInfo, colMap map[string]int, st
 
 // scanPath is a full scan plus residual filter.
 func (pl *planner) scanPath(t *catalog.Table, storageName string, scanCols []exec.ColInfo, sc *scope, stats *catalog.TableStats, conj []sql.Expr) (exec.Operator, float64, float64) {
-	rows := float64(t.Stats.RowCount)
+	rows := float64(t.Stats.Load().RowCount)
 	if rows < 1 {
 		rows = 1
 	}
@@ -310,7 +313,7 @@ func (pl *planner) indexPath(t *catalog.Table, storageName string, scanCols []ex
 	if bestIdx == nil {
 		return nil, 0, 0, false
 	}
-	rows := float64(t.Stats.RowCount)
+	rows := float64(t.Stats.Load().RowCount)
 	if rows < 1 {
 		rows = 1
 	}
@@ -550,12 +553,12 @@ func defaultResidualSel(residual []sql.Expr) float64 {
 // remote-cost factor.
 func (pl *planner) remoteAccess(ai *aliasInfo, t *catalog.Table) *plan {
 	// Estimate the backend's execution cost with the shadow catalog.
-	rows := float64(t.Stats.RowCount)
+	rows := float64(t.Stats.Load().RowCount)
 	if rows < 1 {
 		rows = 1
 	}
 	scanCost := rows * costScanRow
-	card := rows * pl.selectivity(t.Stats, ai.singleConj)
+	card := rows * pl.selectivity(t.Stats.Load(), ai.singleConj)
 	if card < 1 {
 		card = 1
 	}
@@ -566,7 +569,7 @@ func (pl *planner) remoteAccess(ai *aliasInfo, t *catalog.Table) *plan {
 		scanCols[i] = exec.ColInfo{Table: ai.alias, Name: strings.ToLower(c.Name), Kind: c.Type}
 	}
 	sc := &scope{cols: scanCols}
-	if _, idxCost, idxCard, ok := pl.indexPath(t, t.Name, scanCols, sc, t.Stats, ai.singleConj, ai.simple); ok && idxCost < cost {
+	if _, idxCost, idxCard, ok := pl.indexPath(t, t.Name, scanCols, sc, t.Stats.Load(), ai.singleConj, ai.simple); ok && idxCost < cost {
 		cost = idxCost
 		card = idxCard
 	}

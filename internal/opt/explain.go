@@ -65,7 +65,16 @@ func opLine(op exec.Operator) string {
 	case *exec.Scan:
 		return fmt.Sprintf("Scan %s", x.TableName)
 	case *exec.IndexScan:
-		return fmt.Sprintf("IndexSeek %s.%s", x.TableName, x.IndexName)
+		line := fmt.Sprintf("IndexSeek %s.%s", x.TableName, x.IndexName)
+		switch {
+		case x.Limit > 0 && x.Desc:
+			line += fmt.Sprintf(" (last %d)", x.Limit)
+		case x.Limit > 0:
+			line += fmt.Sprintf(" (first %d)", x.Limit)
+		case x.Desc:
+			line += " (descending)"
+		}
+		return line
 	case *exec.Filter:
 		return "Filter"
 	case *exec.StartupFilter:

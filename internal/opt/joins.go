@@ -561,7 +561,7 @@ func (lf *leafAccess) seekCost(rowsPerKey float64) float64 {
 // qualifies when the join columns cover a prefix of its key with matching
 // column types. nil when no index qualifies and the join must scan.
 func (pl *planner) bestLookup(lf *leafAccess, outerCols []exec.ColInfo, eqs []eqPred) *lookup {
-	rows := math.Max(float64(lf.table.Stats.RowCount), 1)
+	rows := math.Max(float64(lf.table.Stats.Load().RowCount), 1)
 	outer := &scope{cols: outerCols}
 	var best *lookup
 	for _, idx := range allIndexes(lf.table) {

@@ -43,7 +43,7 @@ func mixedSetup(t *testing.T) (*Env, *storage.Store) {
 		return true
 	})
 	tx.CommitUnlogged()
-	mv.Stats = catalog.BuildTableStats(mv.ColumnNames(), rows)
+	mv.Stats.Store(catalog.BuildTableStats(mv.ColumnNames(), rows))
 	return b.env, b.store
 }
 
@@ -154,7 +154,7 @@ func TestResidualPredicateOverThreeTables(t *testing.T) {
 		rows = append(rows, row)
 	}
 	tx.CommitUnlogged()
-	seg.Stats = catalog.BuildTableStats(seg.ColumnNames(), rows)
+	seg.Stats.Store(catalog.BuildTableStats(seg.ColumnNames(), rows))
 
 	p := optimize(t, b.env, `SELECT c.cid FROM customer c, orders o, segments s
 		WHERE c.cid = o.ckey AND c.segment = s.sid

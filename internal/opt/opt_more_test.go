@@ -95,7 +95,7 @@ func TestOverlappingViewsPickCheapest(t *testing.T) {
 		rows = append(rows, row)
 	}
 	tx.CommitUnlogged()
-	small.Stats = catalog.BuildTableStats(small.ColumnNames(), rows)
+	small.Stats.Store(catalog.BuildTableStats(small.ColumnNames(), rows))
 
 	// A query both views contain: scanning the smaller view is cheaper.
 	p := optimize(t, env, "SELECT cname FROM customer WHERE cid <= 50")
@@ -199,7 +199,6 @@ func TestViewMatchingDisabledOnBackendMVsWhenCache(t *testing.T) {
 		Name: "mv_shadow", IsView: true, Materialized: true, // NOT Cached
 		ViewDef: sql.MustParseSelect("SELECT cid FROM customer WHERE cid <= 5000"),
 		Columns: []catalog.Column{{Name: "cid", Type: types.KindInt}},
-		Stats:   catalog.NewTableStats(),
 	}
 	if err := env.Cat.AddTable(shadowMV); err != nil {
 		t.Fatal(err)

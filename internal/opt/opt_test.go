@@ -97,8 +97,8 @@ func newBackend(t *testing.T) *testBackend {
 		ordRows = append(ordRows, row)
 	}
 	tx.CommitUnlogged()
-	cust.Stats = catalog.BuildTableStats(cust.ColumnNames(), custRows)
-	ord.Stats = catalog.BuildTableStats(ord.ColumnNames(), ordRows)
+	cust.Stats.Store(catalog.BuildTableStats(cust.ColumnNames(), custRows))
+	ord.Stats.Store(catalog.BuildTableStats(ord.ColumnNames(), ordRows))
 
 	return &testBackend{cat: cat, store: store, env: &Env{Cat: cat, Opts: DefaultOptions()}}
 }
@@ -116,8 +116,8 @@ func newCache(t *testing.T, b *testBackend) (*Env, *storage.Store) {
 			Columns:    append([]catalog.Column{}, bt.Columns...),
 			PrimaryKey: append([]int{}, bt.PrimaryKey...),
 			Indexes:    append([]*catalog.Index{}, bt.Indexes...),
-			Stats:      bt.Stats.Clone(),
 		}
+		shadow.Stats.Store(bt.Stats.Load().Clone())
 		if err := cat.AddTable(shadow); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func newCache(t *testing.T, b *testBackend) (*Env, *storage.Store) {
 	})
 	btx.Abort()
 	tx.CommitUnlogged()
-	view.Stats = catalog.BuildTableStats(view.ColumnNames(), rows)
+	view.Stats.Store(catalog.BuildTableStats(view.ColumnNames(), rows))
 
 	return &Env{Cat: cat, IsCache: true, Opts: DefaultOptions()}, store
 }
@@ -461,7 +461,7 @@ func TestCacheCostBasedRemoteChoice(t *testing.T) {
 	})
 	btx.Abort()
 	tx.CommitUnlogged()
-	v.Stats = catalog.BuildTableStats(v.ColumnNames(), rows)
+	v.Stats.Store(catalog.BuildTableStats(v.ColumnNames(), rows))
 
 	p := optimize(t, env, "SELECT total FROM orders WHERE okey = 123")
 	if p.FullyLocal {
@@ -699,7 +699,7 @@ func TestSelectivitySanity(t *testing.T) {
 	b := newBackend(t)
 	pl := &planner{env: b.env}
 	cust := b.cat.Table("customer")
-	sel := pl.selectivity(cust.Stats, Conjuncts(sql.MustParseSelect("SELECT cid FROM customer WHERE cid <= 1000").Where))
+	sel := pl.selectivity(cust.Stats.Load(), Conjuncts(sql.MustParseSelect("SELECT cid FROM customer WHERE cid <= 1000").Where))
 	if sel < 0.02 || sel > 0.12 {
 		t.Errorf("cid <= 1000 of 20000: selectivity %f, want ~0.05", sel)
 	}
@@ -826,7 +826,7 @@ func TestChoosePlanChainsGuardedViews(t *testing.T) {
 	})
 	btx.Abort()
 	tx.CommitUnlogged()
-	second.Stats = catalog.BuildTableStats(second.ColumnNames(), rows)
+	second.Stats.Store(catalog.BuildTableStats(second.ColumnNames(), rows))
 
 	p := optimize(t, env, "SELECT cid FROM customer WHERE cid IN (@a, @b)")
 	if len(p.UsedViews) != 2 {

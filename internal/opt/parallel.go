@@ -145,10 +145,10 @@ func (pl *planner) matchPipeline(op exec.Operator) (pipeInfo, bool) {
 // statsRows is the cataloged row count of a storage table, 0 when unknown.
 func (pl *planner) statsRows(name string) float64 {
 	t := pl.env.Cat.Table(name)
-	if t == nil || t.Stats == nil {
+	if t == nil || t.Stats.Load() == nil {
 		return 0
 	}
-	return float64(t.Stats.RowCount)
+	return float64(t.Stats.Load().RowCount)
 }
 
 // chooseDOP picks the cheapest power-of-two DOP ≤ cap for a pipeline of the

@@ -27,6 +27,11 @@ type Plan struct {
 	FullyLocal    bool     // no DataTransfer anywhere
 	FullyRemote   bool     // a single DataTransfer around the whole query
 	GuardFraction float64  // Fl for the top dynamic plan, 0 if none
+
+	// Instances is the free list of trees cloned from Root that executions
+	// have released. It lives in the plan so that it dies with it: whatever
+	// drops the plan from a cache drops the trees, and nothing else has to.
+	Instances exec.Instances
 }
 
 // plan is one candidate during optimization.
@@ -569,7 +574,7 @@ func (pl *planner) normalize(orig *sql.SelectStmt) (*sql.SelectStmt, []*aliasInf
 				aliases = append(aliases, &aliasInfo{alias: strings.ToLower(alias), derived: cloneSelect(t.ViewDef)})
 				return nil
 			}
-			aliases = append(aliases, &aliasInfo{alias: strings.ToLower(alias), table: t, stats: t.Stats})
+			aliases = append(aliases, &aliasInfo{alias: strings.ToLower(alias), table: t, stats: t.Stats.Load()})
 			return nil
 		case *sql.SubqueryRef:
 			aliases = append(aliases, &aliasInfo{alias: strings.ToLower(x.Alias), derived: cloneSelect(x.Select)})

@@ -42,6 +42,9 @@ func (pl *planner) applyStagesLocal(p *plan, stmt *sql.SelectStmt) (*plan, error
 	}
 
 	if needAgg {
+		if q := pl.endpointRead(&cur, stmt); q != nil && q.cost < cur.cost {
+			cur = *q
+		}
 		newPlan, repl, err := pl.buildAgg(&cur, stmt)
 		if err != nil {
 			return nil, err
@@ -198,34 +201,8 @@ func (pl *planner) buildAgg(p *plan, stmt *sql.SelectStmt) (*plan, map[string]sq
 		repl[sql.DeparseExpr(g)] = &sql.ColumnRef{Name: name}
 	}
 
-	// Collect distinct aggregate calls from select items, HAVING, ORDER BY.
-	var calls []*sql.FuncCall
-	seen := map[string]bool{}
-	collect := func(e sql.Expr) {
-		sql.WalkExpr(e, func(x sql.Expr) bool {
-			if f, ok := x.(*sql.FuncCall); ok {
-				if _, isAgg := exec.ParseAggFunc(f.Name, f.Star); isAgg {
-					key := sql.DeparseExpr(f)
-					if !seen[key] {
-						seen[key] = true
-						calls = append(calls, f)
-					}
-					return false
-				}
-			}
-			return true
-		})
-	}
-	for _, it := range stmt.Columns {
-		collect(it.Expr)
-	}
-	collect(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		collect(o.Expr)
-	}
-
 	var specs []exec.AggSpec
-	for i, f := range calls {
+	for i, f := range aggCalls(stmt) {
 		fn, _ := exec.ParseAggFunc(f.Name, f.Star)
 		spec := exec.AggSpec{Func: fn, Distinct: f.Distinct}
 		kind := types.KindInt

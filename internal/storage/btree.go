@@ -320,14 +320,18 @@ func (t *BTree) AscendRange(lo, hi types.Row, fn func(Item) bool) {
 	t.pin().ascendRange(lo, hi, fn)
 }
 
+// prefixCmp orders key, cut to the bound's length, against a prefix bound.
+func prefixCmp(key, bound types.Row) int {
+	if len(bound) < len(key) {
+		key = key[:len(bound)]
+	}
+	return types.CompareRows(key, bound)
+}
+
 // ascendRange is the node-level range scan shared by BTree and IndexView.
 func (n *node) ascendRange(lo, hi types.Row, fn func(Item) bool) {
 	n.ascend(Item{Key: lo, RID: -1 << 62}, true, func(it Item) bool {
-		prefix := it.Key
-		if len(hi) < len(prefix) {
-			prefix = prefix[:len(hi)]
-		}
-		if types.CompareRows(prefix, hi) > 0 {
+		if prefixCmp(it.Key, hi) > 0 {
 			return false
 		}
 		return fn(it)
@@ -350,6 +354,40 @@ func (n *node) ascend(from Item, bounded bool, fn func(Item) bool) bool {
 			if !fn(n.items[i]) {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+// descend visits, in reverse key order, the entries whose key prefix is at
+// most hi; a nil hi starts at the last entry.
+func (n *node) descend(hi types.Row, fn func(Item) bool) bool {
+	// end is the number of leading items within the bound: every subtree left
+	// of items[end-1] is inside it, children[end] straddles it.
+	end := len(n.items)
+	if hi != nil {
+		lo := 0
+		for lo < end {
+			mid := (lo + end) / 2
+			if prefixCmp(n.items[mid].Key, hi) > 0 {
+				end = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+	}
+	for i := end; i >= 0; i-- {
+		if !n.leaf() {
+			bound := hi
+			if i < end {
+				bound = nil
+			}
+			if !n.children[i].descend(bound, fn) {
+				return false
+			}
+		}
+		if i > 0 && !fn(n.items[i-1]) {
+			return false
 		}
 	}
 	return true

@@ -292,7 +292,7 @@ func TestIndexScanNoDuplicatesAcrossKeyChange(t *testing.T) {
 	scanNames := func(tx *Txn) []string {
 		var out []string
 		ix := tx.Table("customer").Index("ix_name")
-		ix.AscendRange(types.Row{types.NewString("a")}, types.Row{types.NewString("zzzz")}, func(it Item) bool {
+		ix.Walk(types.Row{types.NewString("a")}, types.Row{types.NewString("zzzz")}, false, func(it Item) bool {
 			out = append(out, tx.Table("customer").Get(it.RID)[1].Str())
 			return true
 		})

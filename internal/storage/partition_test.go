@@ -81,7 +81,7 @@ func TestSeparatorKeysPartitionIndex(t *testing.T) {
 	for _, idxName := range []string{"__pk", "ix_name"} {
 		iv := tx.Table("customer").Index(idxName)
 		var full []RowID
-		iv.Ascend(func(it Item) bool { full = append(full, it.RID); return true })
+		iv.Walk(nil, nil, false, func(it Item) bool { full = append(full, it.RID); return true })
 		if len(full) != 200 {
 			t.Fatalf("%s: full scan saw %d entries", idxName, len(full))
 		}
@@ -167,7 +167,7 @@ func TestAppendMatchesAgreesWithAscendRange(t *testing.T) {
 		t.Helper()
 		iv := tv.Index(index)
 		var want []types.Row
-		iv.AscendRange(key, key, func(it Item) bool {
+		iv.Walk(key, key, false, func(it Item) bool {
 			want = append(want, tv.Get(it.RID))
 			return true
 		})

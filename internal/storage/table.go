@@ -561,17 +561,32 @@ func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) (
 	return dst, true
 }
 
-// Ascend visits all visible entries in key order.
-func (iv *IndexView) Ascend(fn func(Item) bool) {
-	iv.root.ascend(Item{}, false, iv.filtered(fn))
-}
-
-// AscendGE visits visible entries with key >= from (by key prefix comparison).
-func (iv *IndexView) AscendGE(from types.Row, fn func(Item) bool) {
-	iv.root.ascend(Item{Key: from, RID: -1 << 62}, true, iv.filtered(fn))
-}
-
-// AscendRange visits visible entries whose key prefix is within [lo, hi].
-func (iv *IndexView) AscendRange(lo, hi types.Row, fn func(Item) bool) {
-	iv.root.ascendRange(lo, hi, iv.filtered(fn))
+// Walk visits the visible entries whose key, cut to the bound's length, lies
+// in [lo, hi] — a nil bound is open — in key order, or in reverse key order
+// when desc is set, until fn returns false. Bounds are key prefixes, so a
+// multi-column index supports prefix range reads in either direction. Both
+// directions read the pinned root and apply the same filter: the entry's row
+// must be visible to the view and still carry the entry's key.
+func (iv *IndexView) Walk(lo, hi types.Row, desc bool, fn func(Item) bool) {
+	visit := iv.filtered(fn)
+	if desc {
+		iv.root.descend(hi, func(it Item) bool {
+			if lo != nil && prefixCmp(it.Key, lo) < 0 {
+				return false
+			}
+			return visit(it)
+		})
+		return
+	}
+	bounded := func(it Item) bool {
+		if hi != nil && prefixCmp(it.Key, hi) > 0 {
+			return false
+		}
+		return visit(it)
+	}
+	if lo == nil {
+		iv.root.ascend(Item{}, false, bounded)
+		return
+	}
+	iv.root.ascend(Item{Key: lo, RID: -1 << 62}, true, bounded)
 }

@@ -9,9 +9,7 @@
 package types
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -216,34 +214,42 @@ func cmpFloat(a, b float64) int {
 // Equal reports whether two values compare equal under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// FNV-1a, 64 bit.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Hash returns a stable hash of v, used by hash joins and hash aggregation.
-// Values that compare equal hash equal (numeric kinds hash via float64).
+// Values that compare equal hash equal (numeric kinds hash via float64). It
+// is FNV-1a over a kind tag followed by the payload bytes, little-endian,
+// written out as a loop so that hashing allocates nothing.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	switch v.K {
 	case KindNull:
-		h.Write([]byte{0})
+		h = (h ^ 0) * fnvPrime64
 	case KindBool, KindInt, KindFloat:
-		var f float64
-		f = v.Float()
-		bits := math.Float64bits(f)
-		var buf [9]byte
-		buf[0] = 1
+		h = (h ^ 1) * fnvPrime64
+		bits := math.Float64bits(v.Float())
 		for i := 0; i < 8; i++ {
-			buf[i+1] = byte(bits >> (8 * i))
+			h = (h ^ uint64(byte(bits>>(8*i)))) * fnvPrime64
 		}
-		h.Write(buf[:])
 	case KindString:
-		h.Write([]byte{2})
-		h.Write([]byte(v.S))
+		h = (h ^ 2) * fnvPrime64
+		for i := 0; i < len(v.S); i++ {
+			h = (h ^ uint64(v.S[i])) * fnvPrime64
+		}
 	case KindTime:
-		var buf [13]byte
-		buf[0] = 3
-		binary.LittleEndian.PutUint64(buf[1:], uint64(v.w))
-		binary.LittleEndian.PutUint32(buf[9:], v.nsec)
-		h.Write(buf[:])
+		h = (h ^ 3) * fnvPrime64
+		for i := 0; i < 8; i++ {
+			h = (h ^ uint64(byte(uint64(v.w)>>(8*i)))) * fnvPrime64
+		}
+		for i := 0; i < 4; i++ {
+			h = (h ^ uint64(byte(v.nsec>>(8*i)))) * fnvPrime64
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // String renders the value for display and for shipping literals inside
@@ -349,10 +355,10 @@ func (r Row) Clone() Row {
 
 // Hash returns a stable hash of the row.
 func (r Row) Hash() uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset64)
 	for _, v := range r {
 		h ^= v.Hash()
-		h *= 1099511628211
+		h *= fnvPrime64
 	}
 	return h
 }

@@ -97,7 +97,7 @@ func TestWireRemoteCacheEndToEnd(t *testing.T) {
 	if rc.DB.Catalog().Table("part") == nil {
 		t.Fatal("shadow table missing")
 	}
-	if rc.DB.Catalog().Table("part").Stats.RowCount != 1000 {
+	if rc.DB.Catalog().Table("part").Stats.Load().RowCount != 1000 {
 		t.Error("shadowed stats missing")
 	}
 
