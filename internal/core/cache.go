@@ -315,7 +315,7 @@ func (c *CacheServer) WaitApplied(min storage.LSN, budget time.Duration) (storag
 // definition — WITH FRESHNESS, sys.repl_status and the lag gauges all read
 // it.
 func (c *CacheServer) ViewStaleness(view string) (time.Duration, bool) {
-	if !slices.ContainsFunc(c.sub.Views(), func(v string) bool { return strings.EqualFold(v, view) }) {
+	if !c.sub.HasView(view) {
 		return 0, false
 	}
 	return time.Since(c.sub.Status().CurrentAsOf), true

@@ -317,7 +317,7 @@ func TestOpenBoundTightenedOnlyOnIntColumns(t *testing.T) {
 	if _, sharedLocal := checkShared(t, b, c, q); sharedLocal {
 		t.Errorf("%s: answered from a view holding cost <= 100", q)
 	}
-	lit, err := c.DB.Query(sql.MustParseSelect(q), nil)
+	lit, err := c.DB.ExecStmt(sql.MustParseSelect(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestNotEqualConjunctStaysInResidual(t *testing.T) {
 	if _, sharedLocal := checkShared(t, b, c, q); !sharedLocal {
 		t.Errorf("%s: not answered from v_cheap", q)
 	}
-	lit, err := c.DB.Query(sql.MustParseSelect(q), nil)
+	lit, err := c.DB.ExecStmt(sql.MustParseSelect(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 	// the still-empty view itself.
 	var initial []types.Row
 	if !x.Cached {
-		res, err := db.Query(x.Select, nil)
+		res, err := db.ExecStmt(x.Select, nil)
 		if err != nil {
 			return nil, fmt.Errorf("engine: populating %s: %w", t.Name, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"mtcache/internal/opt"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -15,7 +16,7 @@ import (
 // deparsed and forwarded to the backend unchanged — the application never
 // knows it talked to a cache (paper §5). On the backend it executes locally
 // inside its own transaction.
-func (db *Database) execDML(stmt sql.Statement, params exec.Params) (*Result, error) {
+func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.Record) (*Result, error) {
 	// Virtual system tables are read-only everywhere — reject before the
 	// cache role forwards the statement to a backend that would only reject
 	// it against *its own* sys tables.
@@ -26,6 +27,7 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params) (*Result, er
 		if db.remote == nil {
 			return nil, fmt.Errorf("engine: cache has no backend link for update forwarding")
 		}
+		rec.Tier = trace.TierForwarded
 		// Prefer the LSN-acknowledging path: the backend's commit LSN rides
 		// back with the row count, giving the session its read-your-writes
 		// watermark.
@@ -142,7 +144,7 @@ func (db *Database) execInsert(x *sql.InsertStmt, params exec.Params, tx *storag
 		if err != nil {
 			return 0, err
 		}
-		rs, _, err := db.runPlan(tx, plan, params, nil, nil, false)
+		rs, err := db.runPlanAlone(tx, plan, params)
 		if err != nil {
 			return 0, err
 		}

@@ -246,25 +246,78 @@ func (db *Database) ExecSession(sqlText string, params exec.Params, minLSN stora
 	return res, err
 }
 
-// ExecSessionTraced is ExecSession under the caller's trace, as ExecTraced is
-// to Exec: the gate comes first whether or not the statement is traced. The
-// trace is nil when the gate refuses.
-func (db *Database) ExecSessionTraced(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, traceID string) (*Result, *trace.Trace, error) {
+// ExecSessionTraced is where a statement enters the engine: Exec, ExecSession,
+// the wire server and the in-process Link all come through here. It begins
+// the statement's record — under the caller's trace ID when one arrived in a
+// wire frame, so backend-side spans stitch under the cache-side remote span —
+// runs the statement, the session gate first, and publishes the record, which
+// comes back finished and never nil (a gate refusal is a statement too).
+func (db *Database) ExecSessionTraced(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, traceID string) (*Result, *trace.Record, error) {
+	rec := trace.BeginStatement(db.Name, sqlText, traceID)
+	res, err := db.execText(sqlText, params, minLSN, wait, rec)
+	publish(rec, err)
+	if res != nil {
+		res.TraceID = rec.ID
+	}
+	return res, rec, err
+}
+
+// execText takes a statement from text to result on rec's clock: the session
+// gate, then the auto-parameterization front door (shape-identical SELECTs
+// share one parsed statement and through it one cached plan) or the parser.
+func (db *Database) execText(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, rec *trace.Record) (*Result, error) {
 	if minLSN > 0 && db.role == Cache {
-		gate := db.sessionGate
-		if gate == nil {
-			// No applied-LSN source: the cache cannot prove it has caught up,
-			// so the only honest answer is "not guaranteed here".
-			metrics.Default.Counter("engine.session_gate_stale").Add(1)
-			return nil, nil, ErrSessionStale
+		// No applied-LSN source: the cache cannot prove it has caught up, so
+		// the only honest answer is "not guaranteed here".
+		ok := false
+		if gate := db.sessionGate; gate != nil {
+			_, ok = gate(minLSN, wait)
 		}
-		if _, ok := gate(minLSN, wait); !ok {
+		rec.Mark(trace.StageGate)
+		if !ok {
 			metrics.Default.Counter("engine.session_gate_stale").Add(1)
-			return nil, nil, ErrSessionStale
+			return nil, ErrSessionStale
 		}
 		metrics.Default.Counter("engine.session_gate_pass").Add(1)
 	}
-	return db.ExecTraced(sqlText, params, traceID)
+	if stmt, autoArgs, norm, ok := db.autoParse(sqlText); ok {
+		rec.AutoParam = true
+		rec.Mark(trace.StageParse)
+		res, err := db.query(stmt, params, autoArgs, rec)
+		normPool.Put(norm)
+		return res, err
+	}
+	stmt, err := sql.Parse(sqlText)
+	rec.Mark(trace.StageParse)
+	if err != nil {
+		return nil, err
+	}
+	return db.execStmt(stmt, params, rec)
+}
+
+// publish reports a finished statement, once, to everything that reads its
+// measurements: the stage histograms (optimize and execute count SELECTs that
+// planned and ran, procedure bodies included; parse counts runs of the
+// parser), the query store once a tier answered or failed trying, and for a
+// statement with a trace ID the ring behind /debug/trace/last and \trace.
+// Whoever begins a record publishes it.
+func publish(rec *trace.Record, err error) {
+	rec.Finish(err)
+	if rec.Ran(trace.StageParse) && !rec.AutoParam {
+		metrics.Default.Histogram("engine.parse_seconds").ObserveDuration(rec.Stages[trace.StageParse])
+	}
+	if rec.Ran(trace.StagePlan) {
+		metrics.Default.Histogram("engine.optimize_seconds").ObserveDuration(rec.Stages[trace.StagePlan])
+	}
+	if rec.Ran(trace.StageExec) {
+		metrics.Default.Histogram("engine.execute_seconds").ObserveDuration(rec.Stages[trace.StageExec])
+	}
+	if rec.Tier != trace.TierNone {
+		querystore.Default.Record(rec)
+	}
+	if rec.ID != "" {
+		trace.Traces.Add(rec)
+	}
 }
 
 // InvalidatePlans clears the plan cache, the auto-parameterization shape
@@ -327,55 +380,16 @@ type Result struct {
 	// Executor work counters (local to this server).
 	Counters exec.Counters
 
-	// TraceID identifies the trace recorded for this statement ("" when the
-	// statement ran untraced).
+	// TraceID identifies the statement's record in trace.Traces ("" when the
+	// statement did not arrive as text: ExecStmt, CallProcedure).
 	TraceID string
 }
 
 // Exec parses and executes one SQL statement (query, DML or DDL). The
-// statement is traced; the finished trace lands in trace.Traces.
+// statement's record lands in trace.Traces.
 func (db *Database) Exec(sqlText string, params exec.Params) (*Result, error) {
-	res, _, err := db.ExecTraced(sqlText, params, "")
+	res, _, err := db.ExecSessionTraced(sqlText, params, 0, 0, "")
 	return res, err
-}
-
-// ExecTraced executes one statement under a trace. An empty traceID starts a
-// fresh trace; a non-empty one (arriving in a wire frame) joins the caller's
-// trace so backend-side spans stitch under the cache-side DataTransfer span.
-// The returned trace is always non-nil and finished.
-func (db *Database) ExecTraced(sqlText string, params exec.Params, traceID string) (*Result, *trace.Trace, error) {
-	tr := trace.New(traceID, db.Name+".exec")
-	tr.Root.Attr("sql", sqlText)
-	// Auto-parameterization fast path: shape-identical SELECTs share one
-	// parsed statement (and through it one cached plan), skipping the
-	// parse entirely. Ineligible text falls through to the parser below.
-	if stmt, autoArgs, norm, ok := db.autoParse(sqlText); ok {
-		tr.Root.Attr("autoparam", "1")
-		res, err := db.querySpan(stmt, params, autoArgs, tr.Root)
-		normPool.Put(norm)
-		tr.Finish()
-		trace.Traces.Add(tr)
-		if res != nil {
-			res.TraceID = tr.ID
-		}
-		return res, tr, err
-	}
-	sp := tr.Root.Child("parse")
-	stmt, err := sql.Parse(sqlText)
-	sp.End()
-	metrics.Default.Histogram("engine.parse_seconds").ObserveDuration(sp.Duration())
-	if err != nil {
-		tr.Finish()
-		trace.Traces.Add(tr)
-		return nil, tr, err
-	}
-	res, err := db.execStmtSpan(stmt, params, tr.Root)
-	tr.Finish()
-	trace.Traces.Add(tr)
-	if res != nil {
-		res.TraceID = tr.ID
-	}
-	return res, tr, err
 }
 
 // ExecScript executes a multi-statement script, stopping on the first error.
@@ -392,19 +406,22 @@ func (db *Database) ExecScript(script string) error {
 	return nil
 }
 
-// ExecStmt executes a parsed statement.
+// ExecStmt executes a parsed statement (a procedure body's, a script's):
+// measured and published like any other, but with no trace ID, so not kept.
 func (db *Database) ExecStmt(stmt sql.Statement, params exec.Params) (*Result, error) {
-	return db.execStmtSpan(stmt, params, nil)
+	rec := trace.Begin(db.Name)
+	res, err := db.execStmt(stmt, params, rec)
+	publish(rec, err)
+	return res, err
 }
 
-// execStmtSpan executes a parsed statement, hanging stage spans off span
-// (nil disables tracing).
-func (db *Database) execStmtSpan(stmt sql.Statement, params exec.Params, span *trace.Span) (*Result, error) {
+// execStmt executes a parsed statement on rec's clock.
+func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.Record) (*Result, error) {
 	switch x := stmt.(type) {
 	case *sql.SelectStmt:
-		return db.querySpan(x, params, nil, span)
+		return db.query(x, params, nil, rec)
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		return db.execDML(stmt, params)
+		return db.execDML(stmt, params, rec)
 	case *sql.CreateTableStmt:
 		return db.execCreateTable(x)
 	case *sql.CreateIndexStmt:
@@ -414,40 +431,29 @@ func (db *Database) execStmtSpan(stmt sql.Statement, params exec.Params, span *t
 	case *sql.CreateProcStmt:
 		return db.execCreateProc(x, sql.Deparse(x))
 	case *sql.ExecStmt:
-		return db.execProcCall(x, params)
+		return db.execProcCall(x, params, rec)
 	case *sql.DropStmt:
 		return db.execDrop(x)
 	case *sql.ExplainStmt:
-		return db.execExplain(x, params, span)
+		return db.execExplain(x, params, rec)
 	}
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
 
-// Query plans (with caching) and runs a SELECT. Queries carrying a
-// WITH FRESHNESS clause are planned per execution against the views'
-// current staleness, so they bypass the plan cache.
+// query runs one SELECT on rec's clock: the result cache, then the plan, then
+// the one runner. autoArgs, when non-nil, holds the literal values the
+// auto-parameterization front door extracted from the original text, bound
+// positionally to the plan's @__pN parameters. What it learns on the way —
+// shape, tier, variant, rows, served staleness — goes on the record and is
+// reported nowhere else; the caller publishes.
 //
 // On a cache whose backend link has failed, queries without a freshness
 // bound degrade gracefully: the query is re-planned onto local (possibly
 // stale) cached views and answered from them. A WITH FRESHNESS query never
 // degrades — the user asked for a bound the cache can no longer guarantee,
 // so it fails fast with the transport error instead.
-func (db *Database) Query(stmt *sql.SelectStmt, params exec.Params) (*Result, error) {
-	return db.querySpan(stmt, params, nil, nil)
-}
-
-// querySpan runs one SELECT. autoArgs, when non-nil, holds the literal
-// values the auto-parameterization front door extracted from the original
-// text, bound positionally to the plan's @__pN parameters.
-func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs []types.Value, span *trace.Span) (*Result, error) {
-	// Query-store accounting is keyed by the normalized statement text (the
-	// plan-cache key). When the store is disabled the shape stays "" and
-	// every hook below is a no-op.
-	qs := querystore.Default
-	var shape string
-	if qs.Enabled() {
-		shape = stmt.CacheKey()
-	}
+func (db *Database) query(stmt *sql.SelectStmt, params exec.Params, autoArgs []types.Value, rec *trace.Record) (*Result, error) {
+	rec.Shape = stmt.CacheKey() // plan-cache key, query-store key, and with the bound values the result-cache key
 	// Intermediate-result exact-match fast path: a repeated statement with
 	// identical bound values is answered straight from the materialized
 	// result — no planning, no execution. Ordinary queries demand a fresh
@@ -456,7 +462,6 @@ func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs
 	var imkey string
 	var imstamp uint64
 	if imc != nil {
-		istart := time.Now()
 		maxStale, boundOK := time.Duration(0), true
 		if stmt.Freshness != nil {
 			if bound, err := db.freshnessBound(stmt, params); err == nil {
@@ -467,120 +472,100 @@ func (db *Database) querySpan(stmt *sql.SelectStmt, params exec.Params, autoArgs
 		}
 		if boundOK {
 			if stmt.Freshness == nil {
-				imkey = imKey(stmt.CacheKey(), params, autoArgs)
+				imkey = imKey(rec.Shape, params, autoArgs)
 			} else {
 				imkey = db.imFreshnessKey(stmt, params)
 			}
-			if hit, found := imc.Lookup(imkey, time.Now(), maxStale); found {
-				span.Child("imcache_hit").End()
-				res := &Result{Cols: hit.Cols, Rows: hit.Rows, SnapshotLSN: storage.LSN(hit.LSN)}
-				if shape != "" {
-					qs.Record(querystore.Exec{
-						Shape: shape, Variant: "imcache", Duration: time.Since(istart),
-						Rows: int64(len(res.Rows)), PlanCacheHit: true,
-						Staleness: hit.Staleness.Seconds(), TraceID: span.TraceID(),
-					})
-				}
-				return res, nil
+			hit, found := imc.Lookup(imkey, time.Now(), maxStale)
+			rec.Mark(trace.StageLookup)
+			if found {
+				rec.Tier, rec.Variant = trace.TierIMCache, trace.TierIMCache.String()
+				rec.Rows, rec.Staleness = int64(len(hit.Rows)), hit.Staleness.Seconds()
+				return &Result{Cols: hit.Cols, Rows: hit.Rows, SnapshotLSN: storage.LSN(hit.LSN)}, nil
 			}
 			// Miss: stamp before planning and the read snapshot, so Observe
 			// can tell a write landed while this execution was in flight.
 			imstamp = imc.Stamp()
 		}
 	}
-	osp := span.Child("optimize")
-	start := time.Now()
-	var plan *opt.Plan
-	var err error
-	var hit bool
-	if stmt.Freshness != nil {
-		// Freshness-bounded queries are planned per execution against the
-		// views' current staleness, bypassing the plan cache.
-		plan, err = db.planWithFreshness(stmt, params)
-	} else {
-		plan, hit, err = db.planCached(stmt)
-		if err == nil {
-			osp.Attr("plan_cache", map[bool]string{true: "hit", false: "miss"}[hit])
-		}
-	}
-	osp.End()
-	metrics.Default.Histogram("engine.optimize_seconds").ObserveDuration(time.Since(start))
+	plan, err := db.planFor(stmt, params, rec)
 	if err != nil {
 		return nil, err
 	}
-	variant := ""
-	if shape != "" {
-		variant = planVariant(plan)
-		if !hit {
-			// Rendering the plan costs once per cached plan, not per run.
-			qs.NotePlan(shape, variant, opt.Explain(plan))
-		}
+	// Slow-query capture: when the query store armed this shape (a prior run
+	// exceeded the slow threshold), the plan runs instrumented and its
+	// EXPLAIN ANALYZE tree is retained for sys.query_plans / \slow.
+	qs := querystore.Default
+	capture := qs.WantCapture(rec.Shape)
+	res, root, err := db.runPlan(nil, plan, params, autoArgs, rec, capture)
+	rec.Variant, rec.Tier = plan.Variant, tierOf(plan, rec.Counters.RemoteQueries)
+	rec.Staleness = db.servedStaleness(plan)
+	if rec.PlanCache != trace.PlanHit && qs.Enabled() {
+		// Rendering the plan costs once per cached plan, not per run.
+		qs.NotePlan(rec.Shape, plan.Variant, opt.Explain(plan))
 	}
-	qstart := time.Now()
-	res, err := db.runPlanCaptured(plan, params, autoArgs, span, shape, variant)
-	if err != nil && stmt.Freshness == nil && db.role == Cache && resilience.Degradable(err) {
-		if lres, lerr := db.queryLocalOnly(stmt, params, autoArgs); lerr == nil {
-			if shape != "" {
-				e := querystore.Exec{
-					Shape: shape, Variant: "degraded-local", Duration: time.Since(qstart),
-					Rows: int64(len(lres.Rows)), Degraded: true,
-					Staleness: db.servedStaleness(plan), TraceID: span.TraceID(),
-				}
-				qs.Record(e)
+	if err != nil {
+		if stmt.Freshness == nil && db.role == Cache && resilience.Degradable(err) {
+			if lres, lerr := db.queryLocalOnly(stmt, params, autoArgs, rec); lerr == nil {
+				rec.Tier, rec.Variant = trace.TierDegraded, trace.TierDegraded.String()
+				return lres, nil
 			}
-			return lres, nil
 		}
-		// fall through to record the original failure
+		return nil, err // the original failure
 	}
-	if shape != "" {
-		e := querystore.Exec{
-			Shape: shape, Variant: variant, Duration: time.Since(qstart),
-			PlanCacheHit: hit, Staleness: db.servedStaleness(plan),
-			Err: err, TraceID: span.TraceID(),
-		}
-		if res != nil {
-			e.Rows = int64(len(res.Rows))
-			e.RemoteQueries = res.Counters.RemoteQueries
-			e.RowsRemote = res.Counters.RowsRemote
-		}
-		qs.Record(e)
+	if capture {
+		qs.StoreAnalyzed(rec.Shape, plan.Variant, opt.ExplainAnalyze(plan, root, rec.Stages[trace.StageExec]), formatLiterals(autoArgs))
 	}
 	// Feed the intermediate cache. Freshness-bounded executions are not
 	// observed: their plan may have read bounded-stale views, so the rows
 	// are not a fresh materialization of the statement.
-	if imc != nil && imkey != "" && err == nil && stmt.Freshness == nil {
-		db.imObserve(imc, imkey, imShape(stmt), imstamp, stmt, autoArgs, plan, res, time.Since(qstart))
+	if imc != nil && imkey != "" && stmt.Freshness == nil {
+		db.imObserve(imc, imkey, imstamp, stmt, autoArgs, plan, res, rec)
 	}
-	return res, err
+	return res, nil
+}
+
+// planFor plans stmt on rec's clock: per execution, against the views' current
+// staleness, under a WITH FRESHNESS bound; through the plan cache otherwise.
+func (db *Database) planFor(stmt *sql.SelectStmt, params exec.Params, rec *trace.Record) (plan *opt.Plan, err error) {
+	if stmt.Freshness != nil {
+		plan, err = db.planWithFreshness(stmt, params)
+	} else {
+		plan, rec.PlanCache, err = db.planCached(stmt)
+	}
+	rec.Mark(trace.StagePlan)
+	return plan, err
+}
+
+// tierOf names where a plan's execution was answered; the branch a dynamic
+// plan's guard took shows in whether it called the backend.
+func tierOf(p *opt.Plan, remoteQueries int64) trace.Tier {
+	switch {
+	case p.Dynamic && remoteQueries == 0:
+		return trace.TierDynamicLocal
+	case p.Dynamic:
+		return trace.TierDynamicRemote
+	case p.FullyLocal:
+		return trace.TierLocal
+	case p.FullyRemote:
+		return trace.TierRemote
+	}
+	return trace.TierMixed
 }
 
 // queryLocalOnly answers a query from cached views alone (the degraded,
-// backend-down path).
-func (db *Database) queryLocalOnly(stmt *sql.SelectStmt, params exec.Params, autoArgs []types.Value) (*Result, error) {
+// backend-down path), on the clock of the statement whose plan just failed.
+func (db *Database) queryLocalOnly(stmt *sql.SelectStmt, params exec.Params, autoArgs []types.Value, rec *trace.Record) (*Result, error) {
 	plan, err := opt.OptimizeLocalOnly(stmt, db.env(), withAutoArgs(params, autoArgs))
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := db.runPlan(nil, plan, params, autoArgs, nil, false)
+	res, _, err := db.runPlan(nil, plan, params, autoArgs, rec, false)
 	if err != nil {
 		return nil, err
 	}
 	metrics.Default.Counter("engine.degraded_stale").Add(1)
 	return res, nil
-}
-
-// runPlanCaptured is runPlan plus slow-query capture: when the query store
-// armed this shape (a prior run exceeded the slow threshold), the plan runs
-// instrumented and the resulting EXPLAIN ANALYZE tree is retained for
-// sys.query_plans / \slow.
-func (db *Database) runPlanCaptured(plan *opt.Plan, params exec.Params, autoArgs []types.Value, span *trace.Span, shape, variant string) (*Result, error) {
-	capture := shape != "" && querystore.Default.WantCapture(shape)
-	start := time.Now()
-	res, root, err := db.runPlan(nil, plan, params, autoArgs, span, capture)
-	if capture && err == nil {
-		querystore.Default.StoreAnalyzed(shape, variant, opt.ExplainAnalyze(plan, root, time.Since(start)), formatLiterals(autoArgs))
-	}
-	return res, err
 }
 
 // freshnessBound evaluates the query's WITH FRESHNESS expression to its
@@ -621,9 +606,9 @@ func (db *Database) Plan(stmt *sql.SelectStmt) (*opt.Plan, error) {
 	return p, err
 }
 
-// planCached is Plan plus a cache-hit indicator, feeding the
-// engine.plan_cache_hits / engine.plan_cache_misses counters.
-func (db *Database) planCached(stmt *sql.SelectStmt) (*opt.Plan, bool, error) {
+// planCached is Plan plus what the cache did, which is also what the
+// engine.plan_cache_hits / engine.plan_cache_misses counters count.
+func (db *Database) planCached(stmt *sql.SelectStmt) (*opt.Plan, trace.PlanCache, error) {
 	// CacheKey memoizes the deparsed text on the statement, so repeated
 	// executions of a prepared statement skip the deparse entirely.
 	key := stmt.CacheKey()
@@ -631,14 +616,14 @@ func (db *Database) planCached(stmt *sql.SelectStmt) (*opt.Plan, bool, error) {
 	if p, ok := db.planCache.get(key); ok {
 		db.planMu.Unlock()
 		metrics.Default.Counter("engine.plan_cache_hits").Add(1)
-		return p, true, nil
+		return p, trace.PlanHit, nil
 	}
 	gen := db.planCache.gen
 	db.planMu.Unlock()
 	metrics.Default.Counter("engine.plan_cache_misses").Add(1)
 	p, err := opt.Optimize(stmt, db.env())
 	if err != nil {
-		return nil, false, err
+		return nil, trace.PlanMiss, err
 	}
 	// Optimization ran outside the lock; if InvalidatePlans fired in
 	// between, this plan may reference a view that no longer exists — run
@@ -646,7 +631,7 @@ func (db *Database) planCached(stmt *sql.SelectStmt) (*opt.Plan, bool, error) {
 	db.planMu.Lock()
 	db.planCache.putIfGen(gen, key, p)
 	db.planMu.Unlock()
-	return p, false, nil
+	return p, trace.PlanMiss, nil
 }
 
 // defaultPlanCacheCap bounds the per-database plan cache when Config leaves
@@ -672,7 +657,16 @@ func (db *Database) PlanCacheSize() int {
 
 // RunPlan executes a previously produced plan.
 func (db *Database) RunPlan(plan *opt.Plan, params exec.Params) (*Result, error) {
-	res, _, err := db.runPlan(nil, plan, params, nil, nil, false)
+	return db.runPlanAlone(nil, plan, params)
+}
+
+// runPlanAlone runs a bare plan, or the SELECT of an INSERT … SELECT or of a
+// write procedure inside that statement's transaction: an execution to the
+// stage histograms, not a statement of its own to the query store.
+func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Params) (*Result, error) {
+	rec := trace.Begin(db.Name)
+	res, _, err := db.runPlan(tx, plan, params, nil, rec, false)
+	publish(rec, err)
 	return res, err
 }
 
@@ -692,18 +686,19 @@ func (db *Database) RunPlan(plan *opt.Plan, params exec.Params) (*Result, error)
 // opt.ExplainAnalyze, which reads the run state the shells and operators are
 // left in, so that tree is never pooled; the shells pass batches through
 // unchanged, so the client sees the identical result.
-func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params, autoArgs []types.Value, span *trace.Span, instrument bool) (*Result, *exec.Instrumented, error) {
-	esp := span.Child("execute")
-	start := time.Now()
+//
+// The run closes rec's execute stage — everything since the record's previous
+// boundary, which the caller marked or began just before — and on success
+// leaves rows and counters on it. Operators reach the record through the
+// exec.Ctx: its ID travels with every remote call, and the few with structure
+// to show add spans to it.
+func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params, autoArgs []types.Value, rec *trace.Record, instrument bool) (*Result, *exec.Instrumented, error) {
 	if tx == nil {
 		tx = db.store.Begin(false)
 		defer tx.Abort()
 	}
 	res := &Result{}
-	ctx := &exec.Ctx{
-		Txn: tx, Remote: db.remote, Counters: &res.Counters,
-		Span: esp, TraceID: esp.TraceID(), EstRows: plan.Card,
-	}
+	ctx := &exec.Ctx{Txn: tx, Remote: db.remote, Counters: &res.Counters, Rec: rec, EstRows: plan.Card}
 	bindParams(plan, params, autoArgs, ctx)
 	var root exec.Operator
 	if !instrument {
@@ -718,8 +713,7 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 		root = shell
 	}
 	rs, err := exec.Run(root, ctx)
-	esp.End()
-	metrics.Default.Histogram("engine.execute_seconds").ObserveDuration(time.Since(start))
+	rec.Mark(trace.StageExec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -729,6 +723,7 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 	res.Cols = rs.Cols
 	res.Rows = rs.Rows
 	res.SnapshotLSN = tx.AsOfLSN()
+	rec.Rows, rec.Counters = int64(len(rs.Rows)), res.Counters
 	return res, shell, nil
 }
 
@@ -751,14 +746,14 @@ func (db *Database) Explain(query string) (string, error) {
 
 // execExplain implements EXPLAIN [ANALYZE] <select>. Plain EXPLAIN renders
 // the plan this text would execute: the SELECT goes through the same front
-// door as ExecTraced, so literal text shows (and shares, instead of adding a
+// door as execText, so literal text shows (and shares, instead of adding a
 // literal-keyed entry to the plan cache) its shape's plan. ANALYZE
 // additionally executes the plan instrumented with the text's own literals
 // bound (its result rows are discarded) and renders per-operator rows,
 // timings and which ChoosePlan branch fired. The rendered text comes back as
 // a one-column result set, one row per line, so it flows through the wire
 // protocol and the shell like any query result.
-func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, span *trace.Span) (*Result, error) {
+func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, rec *trace.Record) (*Result, error) {
 	sel, ok := x.Stmt.(*sql.SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("engine: EXPLAIN supports only SELECT")
@@ -768,26 +763,19 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, span *tr
 		defer normPool.Put(norm)
 		sel, autoArgs = shared, args
 	}
-	var plan *opt.Plan
-	var err error
-	if sel.Freshness != nil {
-		plan, err = db.planWithFreshness(sel, params)
-	} else {
-		plan, _, err = db.planCached(sel)
-	}
+	plan, err := db.planFor(sel, params, rec)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Cols: []exec.ColInfo{{Name: "plan", Kind: types.KindString}}}
 	var text string
 	if x.Analyze {
-		start := time.Now()
-		run, root, err := db.runPlan(nil, plan, params, autoArgs, span, true)
+		run, root, err := db.runPlan(nil, plan, params, autoArgs, rec, true)
 		if err != nil {
 			return nil, err
 		}
 		res.Counters = run.Counters
-		text = opt.ExplainAnalyze(plan, root, time.Since(start))
+		text = opt.ExplainAnalyze(plan, root, rec.Stages[trace.StageExec])
 	} else {
 		text = opt.Explain(plan)
 	}

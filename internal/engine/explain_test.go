@@ -157,11 +157,11 @@ func TestInstrumentedRunIsBatchExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, shell, err := db.runPlan(nil, plan, nil, nil, nil, false)
+	plain, shell, err := db.runPlan(nil, plan, nil, nil, trace.Begin(db.Name), false)
 	if err != nil || shell != nil {
 		t.Fatalf("plain run: shell %v, err %v", shell, err)
 	}
-	inst, shell, err := db.runPlan(nil, plan, nil, nil, nil, true)
+	inst, shell, err := db.runPlan(nil, plan, nil, nil, trace.Begin(db.Name), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,9 @@ func TestInstrumentedRunIsBatchExecution(t *testing.T) {
 	if raceEnabled {
 		return // allocation counts are distorted under -race
 	}
+	rec := trace.Begin(db.Name)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := db.runPlan(nil, plan, nil, nil, nil, true); err != nil {
+		if _, _, err := db.runPlan(nil, plan, nil, nil, rec, true); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -233,9 +234,10 @@ func TestExecRecordsStitchedTrace(t *testing.T) {
 	if tr.FindSpan("parse") != nil {
 		t.Errorf("a statement was parsed on the request path:\n%s", trace.Render(tr))
 	}
-	// The grafted backend subtree shares the cache's trace ID.
-	if got := tr.FindSpan("backend.exec").TraceID(); got != tr.ID {
-		t.Errorf("backend span trace ID %q, want %q", got, tr.ID)
+	// The backend ran its half under the cache's trace ID: its own record,
+	// kept just before the cache's, carries it.
+	if back := trace.Traces.Recent(2)[1]; back.Server != "backend" || back.ID != tr.ID {
+		t.Errorf("backend record %s.exec has trace ID %q, want %q", back.Server, back.ID, tr.ID)
 	}
 	if tr.FindSpan("remote").AttrValue("sql") == "" {
 		t.Error("remote span should record the shipped SQL")

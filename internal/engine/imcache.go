@@ -15,6 +15,7 @@ import (
 	"mtcache/internal/imcache"
 	"mtcache/internal/opt"
 	"mtcache/internal/sql"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -45,13 +46,6 @@ func (db *Database) imcacheIfEnabled() *imcache.Cache {
 // and — the transparent path — replication apply.
 func (db *Database) InvalidateIntermediates(table string) {
 	db.imc.Invalidate(table, time.Now())
-}
-
-// imShape returns the statement shape entries are admitted under. Only
-// freshness-free statements are observed, so this is the memoized deparse;
-// WITH FRESHNESS lookups reach the same shape through imFreshnessKey.
-func imShape(stmt *sql.SelectStmt) string {
-	return stmt.CacheKey()
 }
 
 // imKey builds the exact-match result key: the shape plus a kind-tagged
@@ -234,10 +228,11 @@ func (db *Database) imLineageRef(ref sql.TableRef, out map[string]bool) bool {
 // execution that made no remote call qualifies — a fully local plan, or a
 // dynamic plan whose guard chose the local branch: rows produced on the
 // backend could be invalidated silently by writes this cache never hears
-// about.
-func (db *Database) imObserve(imc *imcache.Cache, key, shape string, stamp uint64, stmt *sql.SelectStmt,
-	autoArgs []types.Value, plan *opt.Plan, res *Result, dur time.Duration) {
-	if res == nil || res.Counters.RemoteQueries > 0 {
+// about. The entry goes under the record's shape (WITH FRESHNESS lookups reach
+// it through imFreshnessKey); its benefit is the record's execute stage.
+func (db *Database) imObserve(imc *imcache.Cache, key string, stamp uint64, stmt *sql.SelectStmt,
+	autoArgs []types.Value, plan *opt.Plan, res *Result, rec *trace.Record) {
+	if res.Counters.RemoteQueries > 0 {
 		return
 	}
 	lineage := map[string]bool{}
@@ -253,13 +248,13 @@ func (db *Database) imObserve(imc *imcache.Cache, key, shape string, stamp uint6
 	}
 	imc.Observe(imcache.Observation{
 		Key:     key,
-		Shape:   shape,
+		Shape:   rec.Shape,
 		Args:    formatLiterals(autoArgs),
 		Cols:    res.Cols,
 		Rows:    res.Rows,
 		Lineage: names,
 		LSN:     uint64(res.SnapshotLSN),
-		CostNs:  dur.Nanoseconds(),
+		CostNs:  rec.Stages[trace.StageExec].Nanoseconds(),
 		Stamp:   stamp,
 	}, time.Now())
 }

@@ -29,14 +29,14 @@ func (l *Link) Query(sqlText string, params exec.Params) (*exec.ResultSet, error
 }
 
 // QueryTraced implements exec.SpanQuerier: the linked database executes under
-// the caller's trace ID and its span tree is returned for grafting, exactly
-// like the TCP transport does — minus the serialization.
+// the caller's trace ID and its record's span tree is returned for the caller's
+// remote span, exactly like the TCP transport does — minus the serialization.
 func (l *Link) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
-	res, tr, err := l.db.ExecTraced(sqlText, params, traceID)
+	res, rec, err := l.db.ExecSessionTraced(sqlText, params, 0, 0, traceID)
 	if err != nil {
 		return nil, nil, fmt.Errorf("link(%s): %w", l.db.Name, err)
 	}
-	return &exec.ResultSet{Cols: res.Cols, Rows: res.Rows}, trace.Export(tr.Root), nil
+	return &exec.ResultSet{Cols: res.Cols, Rows: res.Rows}, rec.Tree(), nil
 }
 
 // Exec executes SQL text for its side effects (forwarded DML).

@@ -6,6 +6,7 @@ import (
 	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/sql"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -14,10 +15,11 @@ import (
 // optimizer); otherwise the call is transparently forwarded to the backend
 // (paper §5.2). "A stored procedure can be run locally even when some of the
 // data it requires is not available locally."
-func (db *Database) execProcCall(x *sql.ExecStmt, outer exec.Params) (*Result, error) {
+func (db *Database) execProcCall(x *sql.ExecStmt, outer exec.Params, rec *trace.Record) (*Result, error) {
 	proc := db.cat.Procedure(x.Proc)
 	if proc == nil {
 		if db.role == Cache && db.remote != nil {
+			rec.Tier = trace.TierForwarded
 			rs, err := db.remote.Query(sql.Deparse(x), outer)
 			if err != nil {
 				return nil, err
@@ -30,7 +32,7 @@ func (db *Database) execProcCall(x *sql.ExecStmt, outer exec.Params) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	return db.CallProcedure(proc.Name, params)
+	return db.callProcedure(proc.Name, params, rec)
 }
 
 // bindProcArgs evaluates EXEC arguments (positional or named) into the
@@ -84,6 +86,13 @@ func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params
 // multi-statement business operations (order placement, cart updates) are
 // atomic — and replicate as one transaction.
 func (db *Database) CallProcedure(name string, params exec.Params) (*Result, error) {
+	var unkept trace.Record // a direct call is not a statement: nothing asks where it ran
+	return db.callProcedure(name, params, &unkept)
+}
+
+// callProcedure runs the call, noting on the EXEC statement's record when it
+// is forwarded; a body that runs here gets a record per statement from ExecStmt.
+func (db *Database) callProcedure(name string, params exec.Params, rec *trace.Record) (*Result, error) {
 	proc := db.cat.Procedure(name)
 	if proc == nil && (db.role != Cache || db.remote == nil) {
 		return nil, fmt.Errorf("engine: procedure %s does not exist", name)
@@ -104,6 +113,7 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 	// (A body that is exactly one DML statement is atomic either way and keeps
 	// forwarding that statement.)
 	if proc == nil || (hasDML && len(proc.Body) > 1 && db.role == Cache) {
+		rec.Tier = trace.TierForwarded
 		rs, err := db.remote.Query(sql.DeparseCall(name, params), nil)
 		if err != nil {
 			return nil, err
@@ -130,7 +140,7 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 					tx.Abort()
 					return nil, err
 				}
-				r, _, err := db.runPlan(tx, plan, params, nil, nil, false)
+				r, err := db.runPlanAlone(tx, plan, params)
 				if err != nil {
 					tx.Abort()
 					return nil, err

@@ -31,27 +31,6 @@ func (db *Database) RegisterVirtualTable(name string, cols []catalog.Column, fn 
 	return nil
 }
 
-// planVariant labels a plan for per-shape accounting: where it runs, plus
-// the cached/materialized views it reads, so one query shape's local and
-// remote lives are tallied separately.
-func planVariant(p *opt.Plan) string {
-	var base string
-	switch {
-	case p.Dynamic:
-		base = "dynamic"
-	case p.FullyLocal:
-		base = "local"
-	case p.FullyRemote:
-		base = "remote"
-	default:
-		base = "mixed"
-	}
-	if len(p.UsedViews) > 0 {
-		base += "+" + strings.Join(p.UsedViews, ",")
-	}
-	return base
-}
-
 // servedStaleness is the worst staleness among the cached views a plan
 // read — the bound actually served to the client. -1 when no probe is
 // wired or the plan read no views.

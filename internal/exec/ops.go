@@ -58,21 +58,9 @@ type SpanQuerier interface {
 	QueryTraced(sqlText string, params Params, traceID string) (*ResultSet, *trace.WireSpan, error)
 }
 
-// Counters accumulates executor work for cost accounting and tests.
-type Counters struct {
-	RowsScanned   int64 // rows read from local heaps and indexes
-	RowsRemote    int64 // rows received from the backend
-	RemoteQueries int64 // DataTransfer activations
-	StartupPruned int64 // startup filters whose input was never opened
-}
-
-// Add accumulates o into c.
-func (c *Counters) Add(o *Counters) {
-	c.RowsScanned += o.RowsScanned
-	c.RowsRemote += o.RowsRemote
-	c.RemoteQueries += o.RemoteQueries
-	c.StartupPruned += o.StartupPruned
-}
+// Counters accumulates executor work for cost accounting and tests. The type
+// lives in trace so that a statement's Record can carry it.
+type Counters = trace.Counters
 
 // Ctx is the per-execution context.
 type Ctx struct {
@@ -81,8 +69,8 @@ type Ctx struct {
 	Txn      *storage.Txn
 	Remote   RemoteClient
 	Counters *Counters
-	Span     *trace.Span     // execute-stage span, nil when tracing is off
-	TraceID  string          // propagated to the backend on DataTransfer
+	Rec      *trace.Record   // the statement's record: its ID goes to the backend on DataTransfer; nil when run bare
+	Span     *trace.WireSpan // the span this context's operators annotate; nil = the record's execute span
 	EstRows  float64         // optimizer output-cardinality estimate, 0 if unknown
 	Context  context.Context // optional cancellation signal; nil means none
 }
@@ -618,9 +606,13 @@ func (s *StartupFilter) Open(ctx *Ctx) error {
 		}
 		return nil
 	}
-	if s.Branch != "" {
-		metrics.Default.Counter("opt.chooseplan_" + s.Branch).Add(1)
-		ctx.Span.Attr("chooseplan", s.Branch)
+	switch s.Branch { // the planner names a ChoosePlan's two branches; a bare filter has none
+	case "local":
+		metrics.Default.Counter("opt.chooseplan_local").Add(1)
+		ctx.Rec.Annotate(ctx.Span, "chooseplan", "local")
+	case "remote":
+		metrics.Default.Counter("opt.chooseplan_remote").Add(1)
+		ctx.Rec.Annotate(ctx.Span, "chooseplan", "remote")
 	}
 	return s.Input.Open(ctx)
 }
@@ -1457,19 +1449,18 @@ func (r *Remote) Open(ctx *Ctx) error {
 	if ctx.Remote == nil {
 		return fmt.Errorf("exec: no remote server configured for query %q", r.SQLText)
 	}
-	sp := ctx.Span.Child("remote").Attr("sql", r.SQLText)
+	sp := ctx.Rec.StartSpan(ctx.Span, "remote", trace.Attr{K: "sql", V: r.SQLText})
 	start := time.Now()
 	var rs *ResultSet
+	var wspan *trace.WireSpan
 	var err error
-	if sq, ok := ctx.Remote.(SpanQuerier); ok && ctx.TraceID != "" {
-		var wspan *trace.WireSpan
-		rs, wspan, err = sq.QueryTraced(r.SQLText, ctx.Params, ctx.TraceID)
-		sp.Graft(wspan)
+	if sq, ok := ctx.Remote.(SpanQuerier); ok && sp != nil {
+		rs, wspan, err = sq.QueryTraced(r.SQLText, ctx.Params, ctx.Rec.ID)
 	} else {
 		rs, err = ctx.Remote.Query(r.SQLText, ctx.Params)
 	}
 	metrics.Default.Histogram("exec.remote_roundtrip_seconds").ObserveDuration(time.Since(start))
-	sp.End()
+	ctx.Rec.EndSpan(sp, wspan)
 	if err != nil {
 		return fmt.Errorf("exec: remote query failed: %w", err)
 	}

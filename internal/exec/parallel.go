@@ -6,6 +6,7 @@ import (
 
 	"mtcache/internal/metrics"
 	"mtcache/internal/storage"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -87,8 +88,7 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	}
 	metrics.Default.Counter("exec.parallel_exchanges").Add(1)
 	metrics.Default.Counter("exec.parallel_workers").Add(int64(dop))
-	span := ctx.Span.Child("exchange")
-	span.Attr("dop", fmt.Sprint(dop))
+	span := ctx.Rec.StartSpan(ctx.Span, "exchange", trace.Attr{K: "dop", V: fmt.Sprint(dop)})
 
 	e.ch = make(chan []types.Row, dop*2)
 	e.abort = make(chan struct{})
@@ -107,14 +107,14 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	for i := range e.workers {
 		wctx := *ctx
 		wctx.Counters = &e.counters[i]
-		wctx.Span = span.Child(fmt.Sprintf("worker%d", i))
+		wctx.Span = ctx.Rec.StartSpan(span, fmt.Sprintf("worker%d", i))
 		go e.runWorker(i, e.workers[i], &wctx, ctx, done)
 	}
 	// Closer: once every worker has exited, the stream is complete.
 	go func() {
 		e.wg.Wait()
+		ctx.Rec.EndSpan(span, nil) // before the close: the consumer's drain orders it before the statement finishing
 		close(e.ch)
-		span.End()
 	}()
 	return nil
 }
@@ -126,8 +126,8 @@ func (e *Exchange) runWorker(i int, op Operator, ctx *Ctx, parent *Ctx, done <-c
 	var rows int64
 	defer func() {
 		e.workerRows[i] = rows
-		ctx.Span.Attr("rows", fmt.Sprint(rows))
-		ctx.Span.End()
+		ctx.Rec.Annotate(ctx.Span, "rows", fmt.Sprint(rows))
+		ctx.Rec.EndSpan(ctx.Span, nil)
 		e.wg.Done()
 	}()
 	if err := op.Open(ctx); err != nil {

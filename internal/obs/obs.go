@@ -56,19 +56,13 @@ func Handler(reg *metrics.Registry, traces *trace.Collector, status ...Status) h
 	})
 	mux.HandleFunc("/debug/trace/last", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		t := traces.Last()
-		if t == nil {
-			fmt.Fprintln(w, "(no traces recorded)")
-			return
-		}
-		fmt.Fprint(w, trace.Render(t))
+		fmt.Fprint(w, trace.Render(traces.Last()))
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		recent := traces.Recent(0)
 		if len(recent) == 0 {
-			fmt.Fprintln(w, "(no traces recorded)")
-			return
+			fmt.Fprint(w, trace.Render(nil))
 		}
 		for _, t := range recent {
 			fmt.Fprint(w, trace.Render(t))

@@ -92,9 +92,10 @@ func TestTraceEndpoints(t *testing.T) {
 		t.Errorf("empty collector: %q", body)
 	}
 
-	tr := trace.New("", "cache.exec")
-	tr.Root.Child("execute").Attr("chooseplan", "local").End()
-	tr.Finish()
+	tr := trace.BeginStatement("cache", "", "")
+	tr.Annotate(nil, "chooseplan", "local")
+	tr.Mark(trace.StageExec)
+	tr.Finish(nil)
 	traces.Add(tr)
 
 	_, body, _ = get(t, srv.URL+"/debug/trace/last")
@@ -104,8 +105,8 @@ func TestTraceEndpoints(t *testing.T) {
 		}
 	}
 
-	tr2 := trace.New("", "cache.exec")
-	tr2.Finish()
+	tr2 := trace.BeginStatement("cache", "", "")
+	tr2.Finish(nil)
 	traces.Add(tr2)
 	_, body, _ = get(t, srv.URL+"/debug/traces")
 	if !strings.Contains(body, tr.ID) || !strings.Contains(body, tr2.ID) {
@@ -147,7 +148,7 @@ func TestEventsAndQuerystoreEndpoints(t *testing.T) {
 		t.Fatalf("?n=1 should return the newest event: %+v", events)
 	}
 
-	querystore.Default.Record(querystore.Exec{Shape: "SELECT 1", Variant: "local", Rows: 1})
+	querystore.Default.Record(&trace.Record{Shape: "SELECT 1", Variant: "local", Rows: 1})
 	code, body, _ = get(t, srv.URL+"/debug/querystore")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)

@@ -27,6 +27,7 @@ type Plan struct {
 	FullyLocal    bool     // no DataTransfer anywhere
 	FullyRemote   bool     // a single DataTransfer around the whole query
 	GuardFraction float64  // Fl for the top dynamic plan, 0 if none
+	Variant       string   // per-shape accounting label, see variant
 
 	// Instances is the free list of trees cloned from Root that executions
 	// have released. It lives in the plan so that it dies with it: whatever
@@ -201,8 +202,30 @@ func (pl *planner) finish(p *plan) (*Plan, error) {
 	// parts still need the named map forwarded to the backend.
 	out.Params = exec.AssignParamSlots(mat.op)
 	_, out.FullyRemote = mat.op.(*exec.Remote)
+	out.Variant = out.variant()
 	pl.countPlan(out)
 	return out, nil
+}
+
+// variant labels a plan for per-shape accounting: where it runs, plus the
+// cached/materialized views it reads, so one query shape's local and remote
+// lives are tallied separately.
+func (p *Plan) variant() string {
+	var base string
+	switch {
+	case p.Dynamic:
+		base = "dynamic"
+	case p.FullyLocal:
+		base = "local"
+	case p.FullyRemote:
+		base = "remote"
+	default:
+		base = "mixed"
+	}
+	if len(p.UsedViews) > 0 {
+		base += "+" + strings.Join(p.UsedViews, ",")
+	}
+	return base
 }
 
 // countPlan publishes per-view hit/miss and plan-shape counters for plans

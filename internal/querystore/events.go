@@ -132,6 +132,3 @@ var Events = NewEventLog(1024)
 
 // Emit records an event on the process-wide log without a trace ID.
 func Emit(kind string, kv ...string) { Events.Emit(kind, "", kv...) }
-
-// EmitTraced records an event on the process-wide log with a trace ID.
-func EmitTraced(kind, traceID string, kv ...string) { Events.Emit(kind, traceID, kv...) }

@@ -13,9 +13,9 @@
 // Memory is bounded three ways: an LRU over shapes (least recently
 // executed shape is evicted at capacity), fixed-retention latency
 // histograms per variant, and a last-N error ring per shape. The store
-// imports only internal/metrics and the standard library so that every
-// other layer (engine, wire, repl, storage, obs) can feed it without an
-// import cycle.
+// imports only internal/metrics, internal/trace (the Record it accumulates)
+// and the standard library so that every other layer (engine, wire, repl,
+// storage, obs) can feed it without an import cycle.
 package querystore
 
 import (
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"mtcache/internal/metrics"
+	"mtcache/internal/trace"
 )
 
 const (
@@ -34,22 +35,6 @@ const (
 	defaultSlow       = 100 * time.Millisecond
 	defaultRearmEvery = 10 * time.Second
 )
-
-// Exec describes one completed (or failed) query execution. The engine
-// fills it in after running a plan and hands it to Store.Record.
-type Exec struct {
-	Shape         string        // normalized query text (plan-cache key)
-	Variant       string        // plan variant label, see engine.planVariant
-	Duration      time.Duration // wall time of optimize-bound execution
-	Rows          int64         // rows returned to the client
-	RemoteQueries int64         // backend round trips made by the plan
-	RowsRemote    int64         // rows shipped from the backend
-	PlanCacheHit  bool
-	Degraded      bool    // answered locally because the backend was down
-	Staleness     float64 // max served staleness in seconds; < 0 = unknown
-	Err           error   // non-nil when the execution failed
-	TraceID       string
-}
 
 // variantStats accumulates executions of one shape under one plan variant.
 // All fields are guarded by the owning Store's mutex except lat, which has
@@ -157,7 +142,7 @@ func (ent *shapeEntry) variant(name string) *variantStats {
 	vs, ok := ent.variants[name]
 	if !ok {
 		// maxStale starts at -1 ("staleness never observed"), matching the
-		// servedStaleness sentinel: a variant that only ever ran with unknown
+		// Record.Staleness sentinel: a variant that only ever ran with unknown
 		// staleness must not report 0 — or worse, a negative sample — as a
 		// real bound.
 		vs = &variantStats{lat: metrics.NewHistogram(latencySamples), maxStale: -1}
@@ -166,58 +151,65 @@ func (ent *shapeEntry) variant(name string) *variantStats {
 	return vs
 }
 
-// Record accumulates one execution. It is the single hot-path entry point:
-// one mutex acquisition, no allocation for repeat shapes.
-func (s *Store) Record(e Exec) {
-	if !s.enabled.Load() || e.Shape == "" {
+// Record accumulates one published statement. It is the single hot-path entry
+// point: one mutex acquisition, no allocation for repeat shapes. The latency
+// kept is the answering tier's — the lookup for a result-cache hit, the
+// execution otherwise — and only a consulted plan cache tallies a hit or miss.
+func (s *Store) Record(r *trace.Record) {
+	if !s.enabled.Load() || r.Shape == "" {
 		return
+	}
+	dur := r.Stages[trace.StageExec]
+	if r.Tier == trace.TierIMCache {
+		dur = r.Stages[trace.StageLookup]
 	}
 	slow := s.slowNanos.Load()
 	rearm := time.Duration(s.rearmNanos.Load())
 	s.mu.Lock()
-	ent := s.entryLocked(e.Shape)
-	vs := ent.variant(e.Variant)
+	ent := s.entryLocked(r.Shape)
+	vs := ent.variant(r.Variant)
 	vs.execs++
-	vs.rows += e.Rows
-	if e.RemoteQueries > 0 {
+	vs.rows += r.Rows
+	if r.Counters.RemoteQueries > 0 {
 		vs.remote++
 	} else {
 		vs.localExecs++
 	}
-	if e.PlanCacheHit {
+	switch r.PlanCache {
+	case trace.PlanHit:
 		vs.hits++
-	} else {
+	case trace.PlanMiss:
 		vs.misses++
 	}
-	if e.Degraded {
+	if r.Tier == trace.TierDegraded {
 		vs.degraded++
 	}
 	// Negative staleness is the "unknown" sentinel (sys.cached_views reports
 	// -1 before the first pull); only real observations enter the maximum.
-	if e.Staleness >= 0 && e.Staleness > vs.maxStale {
-		vs.maxStale = e.Staleness
+	if r.Staleness >= 0 && r.Staleness > vs.maxStale {
+		vs.maxStale = r.Staleness
 	}
-	vs.lastMs = float64(e.Duration) / float64(time.Millisecond)
-	if e.Err != nil {
+	vs.lastMs = float64(dur) / float64(time.Millisecond)
+	if r.Err != nil {
 		vs.errs++
 		if len(ent.lastErrs) >= errorRing {
 			copy(ent.lastErrs, ent.lastErrs[1:])
 			ent.lastErrs = ent.lastErrs[:errorRing-1]
 		}
-		ent.lastErrs = append(ent.lastErrs, e.Err.Error())
+		ent.lastErrs = append(ent.lastErrs, r.Err.Error())
 		ent.lastErrAt = time.Now()
 	}
 	// Arm slow-query capture: the *next* execution of this shape runs
 	// instrumented, and at most once per re-arm interval so a persistently
 	// slow shape does not pay instrumentation on every run.
-	if slow > 0 && e.Duration >= time.Duration(slow) && !ent.wantCapture {
+	if slow > 0 && dur >= time.Duration(slow) && !ent.wantCapture {
 		if vs.analyzedAt.IsZero() || time.Since(vs.analyzedAt) >= rearm {
 			ent.wantCapture = true
 		}
 	}
 	s.mu.Unlock()
 	// Histogram has its own lock; keep it out of the store critical section.
-	vs.lat.ObserveDuration(e.Duration)
+	vs.lat.ObserveDuration(dur)
 }
 
 // NotePlan records the optimizer's EXPLAIN text for a shape × variant.

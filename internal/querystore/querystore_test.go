@@ -6,30 +6,41 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mtcache/internal/trace"
 )
+
+// took returns r as the published record of an execution that took d: the
+// execute stage is the latency the store keeps.
+func took(d time.Duration, r *trace.Record) *trace.Record {
+	r.Stages[trace.StageExec] = d
+	return r
+}
 
 func TestRecordAndSnapshot(t *testing.T) {
 	s := NewStore(8)
 	s.SetSlowThreshold(0)
 	for i := 0; i < 5; i++ {
-		s.Record(Exec{
-			Shape:        "SELECT a FROM t WHERE id = @p",
-			Variant:      "local",
-			Duration:     time.Duration(i+1) * time.Millisecond,
-			Rows:         2,
-			PlanCacheHit: i > 0,
-			Staleness:    float64(i),
-		})
+		planCache := trace.PlanMiss
+		if i > 0 {
+			planCache = trace.PlanHit
+		}
+		s.Record(took(time.Duration(i+1)*time.Millisecond, &trace.Record{
+			Shape:     "SELECT a FROM t WHERE id = @p",
+			Variant:   "local",
+			Rows:      2,
+			PlanCache: planCache,
+			Staleness: float64(i),
+		}))
 	}
-	s.Record(Exec{
-		Shape:         "SELECT a FROM t WHERE id = @p",
-		Variant:       "remote",
-		Duration:      10 * time.Millisecond,
-		Rows:          1,
-		RemoteQueries: 1,
-		RowsRemote:    1,
-		Err:           errors.New("boom"),
-	})
+	s.Record(took(10*time.Millisecond, &trace.Record{
+		Shape:     "SELECT a FROM t WHERE id = @p",
+		Variant:   "remote",
+		Rows:      1,
+		PlanCache: trace.PlanMiss,
+		Counters:  trace.Counters{RemoteQueries: 1, RowsRemote: 1},
+		Err:       errors.New("boom"),
+	}))
 	snaps := s.Snapshot()
 	if len(snaps) != 1 {
 		t.Fatalf("want 1 shape, got %d", len(snaps))
@@ -75,12 +86,12 @@ func TestStalenessSentinelExcludedFromStats(t *testing.T) {
 
 	// Only sentinel samples: max staleness stays "unknown".
 	for i := 0; i < 3; i++ {
-		s.Record(Exec{Shape: "SELECT a FROM unknown_t", Variant: "local", Staleness: -1})
+		s.Record(&trace.Record{Shape: "SELECT a FROM unknown_t", Variant: "local", Staleness: -1})
 	}
 	// A mix: the sentinel must not mask or perturb the real observations.
-	s.Record(Exec{Shape: "SELECT b FROM mixed_t", Variant: "local", Staleness: -1})
-	s.Record(Exec{Shape: "SELECT b FROM mixed_t", Variant: "local", Staleness: 2.5})
-	s.Record(Exec{Shape: "SELECT b FROM mixed_t", Variant: "remote", Staleness: -1})
+	s.Record(&trace.Record{Shape: "SELECT b FROM mixed_t", Variant: "local", Staleness: -1})
+	s.Record(&trace.Record{Shape: "SELECT b FROM mixed_t", Variant: "local", Staleness: 2.5})
+	s.Record(&trace.Record{Shape: "SELECT b FROM mixed_t", Variant: "remote", Staleness: -1})
 
 	for _, ss := range s.Snapshot() {
 		switch ss.Shape {
@@ -118,7 +129,7 @@ func TestStalenessSentinelExcludedFromStats(t *testing.T) {
 func TestLRUBound(t *testing.T) {
 	s := NewStore(4)
 	for i := 0; i < 10; i++ {
-		s.Record(Exec{Shape: fmt.Sprintf("q%d", i), Variant: "local", Duration: time.Microsecond})
+		s.Record(took(time.Microsecond, &trace.Record{Shape: fmt.Sprintf("q%d", i), Variant: "local"}))
 	}
 	if s.Len() != 4 {
 		t.Fatalf("len = %d, want cap 4", s.Len())
@@ -128,9 +139,9 @@ func TestLRUBound(t *testing.T) {
 		t.Fatalf("most recent shape = %q, want q9", snaps[0].Shape)
 	}
 	// Touching an old retained shape keeps it alive past further inserts.
-	s.Record(Exec{Shape: "q6", Variant: "local", Duration: time.Microsecond})
+	s.Record(took(time.Microsecond, &trace.Record{Shape: "q6", Variant: "local"}))
 	for i := 10; i < 13; i++ {
-		s.Record(Exec{Shape: fmt.Sprintf("q%d", i), Variant: "local", Duration: time.Microsecond})
+		s.Record(took(time.Microsecond, &trace.Record{Shape: fmt.Sprintf("q%d", i), Variant: "local"}))
 	}
 	found := false
 	for _, ss := range s.Snapshot() {
@@ -146,7 +157,7 @@ func TestLRUBound(t *testing.T) {
 func TestDisableIsNoop(t *testing.T) {
 	s := NewStore(4)
 	s.SetEnabled(false)
-	s.Record(Exec{Shape: "q", Variant: "local", Duration: time.Second})
+	s.Record(took(time.Second, &trace.Record{Shape: "q", Variant: "local"}))
 	if s.Len() != 0 {
 		t.Fatal("disabled store accumulated a shape")
 	}
@@ -154,7 +165,7 @@ func TestDisableIsNoop(t *testing.T) {
 		t.Fatal("disabled store armed a capture")
 	}
 	s.SetEnabled(true)
-	s.Record(Exec{Shape: "q", Variant: "local", Duration: time.Microsecond})
+	s.Record(took(time.Microsecond, &trace.Record{Shape: "q", Variant: "local"}))
 	if s.Len() != 1 {
 		t.Fatal("re-enabled store did not accumulate")
 	}
@@ -163,8 +174,8 @@ func TestDisableIsNoop(t *testing.T) {
 func TestSlowCaptureArmAndRearm(t *testing.T) {
 	s := NewStore(4)
 	s.SetSlowThreshold(5 * time.Millisecond)
-	fast := Exec{Shape: "q", Variant: "local", Duration: time.Millisecond}
-	slow := Exec{Shape: "q", Variant: "local", Duration: 20 * time.Millisecond}
+	fast := took(time.Millisecond, &trace.Record{Shape: "q", Variant: "local"})
+	slow := took(20*time.Millisecond, &trace.Record{Shape: "q", Variant: "local"})
 
 	s.Record(fast)
 	if s.WantCapture("q") {
@@ -256,7 +267,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				s.Record(Exec{Shape: fmt.Sprintf("q%d", i%40), Variant: "local", Duration: time.Microsecond, Rows: 1})
+				s.Record(took(time.Microsecond, &trace.Record{Shape: fmt.Sprintf("q%d", i%40), Variant: "local", Rows: 1}))
 				l.Emit("tick", "", "g", fmt.Sprint(g))
 				if s.WantCapture(fmt.Sprintf("q%d", i%40)) {
 					s.StoreAnalyzed(fmt.Sprintf("q%d", i%40), "local", "x", "")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -101,6 +102,14 @@ func (s *Subscriber) Views() []string {
 		out[i] = v.table
 	}
 	return out
+}
+
+// HasView reports whether table is one of the target tables. Unlike Views it
+// copies nothing: the staleness probe asks it once per view a plan read.
+func (s *Subscriber) HasView(table string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.ContainsFunc(s.views, func(v view) bool { return strings.EqualFold(v.table, table) })
 }
 
 // AddView populates table with rows current through start-1 — a publisher

@@ -81,11 +81,7 @@ func Run(cfg Config) {
 				fmt.Fprint(out, s)
 			}
 		case line == `\trace`:
-			if t := trace.Traces.Last(); t == nil {
-				fmt.Fprintln(out, "(no traces recorded)")
-			} else {
-				fmt.Fprint(out, trace.Render(t))
-			}
+			fmt.Fprint(out, trace.Render(trace.Traces.Last()))
 		case strings.HasPrefix(line, `\explain `):
 			if cfg.Explain == nil {
 				fmt.Fprintln(out, "\\explain is not available on this server")

@@ -1,17 +1,21 @@
-// Package trace provides per-query tracing: a span tree with wall-clock
-// timings that follows one statement through parse, optimization and
-// execution — including remote round-trips. Spans created on the backend
-// while serving a cache's DataTransfer are exported in wire-friendly form
-// and grafted back into the cache-side tree, so one trace shows the whole
-// distributed execution.
+// Package trace holds the one record the engine keeps of a statement's
+// execution — identity, where it was answered, under which plan, one stage
+// clock, the work done, the staleness served, the error — and renders it as a
+// span tree when somebody asks to see it. The engine measures a statement
+// once, into its Record, and publishes the Record once: the stage histograms,
+// the query store and the trace ring read the same fields.
 //
-// All Span methods are nil-safe no-ops, so instrumented code paths never
-// need to check whether tracing is active.
+// The request path builds no tree. Only the operators with structure of their
+// own to show (a remote round trip, an exchange and its workers, the branch a
+// ChoosePlan took) add spans while a statement runs, and only to a statement
+// with a trace ID. Those spans, the rendered tree and the tree in a wire
+// response are one type, WireSpan.
 package trace
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,9 +25,137 @@ import (
 // idCounter disambiguates IDs generated in the same nanosecond.
 var idCounter atomic.Uint64
 
-// NewID returns a process-unique trace ID.
-func NewID() string {
-	return fmt.Sprintf("%012x-%04x", time.Now().UnixNano()&0xffffffffffff, idCounter.Add(1)&0xffff)
+// newID returns a process-unique trace ID for a statement that began at at:
+// 48 bits of the clock, 16 of the counter, as "%012x-%04x".
+func newID(at time.Time) string {
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], uint64(at.UnixNano())<<16|idCounter.Add(1)&0xffff)
+	var b [17]byte
+	hex.Encode(b[:12], raw[:6])
+	b[12] = '-'
+	hex.Encode(b[13:], raw[6:])
+	return string(b[:])
+}
+
+// Tier names where a statement was answered.
+type Tier uint8
+
+const (
+	TierNone          Tier = iota // nothing answered: the statement failed first, or is DDL
+	TierIMCache                   // the result cache: nothing planned, nothing run
+	TierLocal                     // a plan with no remote part
+	TierDynamicLocal              // a ChoosePlan whose guard chose the cached view
+	TierDynamicRemote             // a ChoosePlan whose guard chose the backend
+	TierRemote                    // the whole query shipped to the backend
+	TierMixed                     // local operators over remote inputs
+	TierDegraded                  // the backend link failed; answered from cached views alone
+	TierForwarded                 // DML or a procedure call a cache passed on as text
+)
+
+func (t Tier) String() string {
+	return [...]string{"", "imcache", "local", "dynamic-local", "dynamic-remote", "remote", "mixed", "degraded-local", "forwarded"}[t]
+}
+
+// PlanCache says what the plan cache did for a statement.
+type PlanCache uint8
+
+const (
+	PlanNotConsulted PlanCache = iota // result-cache hit, WITH FRESHNESS, not a SELECT
+	PlanHit
+	PlanMiss
+)
+
+// Stage is one interval of the stage clock.
+type Stage uint8
+
+const (
+	StageGate   Stage = iota // waiting for the session watermark to be applied
+	StageParse               // normalizing the text, and parsing it when the shape cache cannot serve it
+	StageLookup              // building the result-cache key and looking it up
+	StagePlan                // the plan cache, or the optimizer
+	StageExec                // running the plan (a degraded statement: the failed run and the local one)
+	NumStages
+)
+
+// Counters accumulates executor work for cost accounting and tests.
+type Counters struct {
+	RowsScanned   int64 // rows read from local heaps and indexes
+	RowsRemote    int64 // rows received from the backend
+	RemoteQueries int64 // DataTransfer activations
+	StartupPruned int64 // startup filters whose input was never opened
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o *Counters) {
+	c.RowsScanned += o.RowsScanned
+	c.RowsRemote += o.RowsRemote
+	c.RemoteQueries += o.RemoteQueries
+	c.StartupPruned += o.StartupPruned
+}
+
+// Record is everything measured about one execution of one statement. The
+// goroutine running the statement fills it in — and exchange workers, under
+// mu, the operator spans — and it is read-only once the statement finishes.
+type Record struct {
+	ID     string // trace ID; "" for a statement inside a procedure body: measured, not kept
+	Server string // the database that ran it; the root span is Server + ".exec"
+	SQL    string // the text as received ("" when the statement arrived parsed)
+	Shape  string // normalized text of a SELECT: the plan-cache and query-store key
+
+	Variant   string // the query store's label under Shape: the plan's, or the tier's for imcache and degraded-local
+	Tier      Tier
+	PlanCache PlanCache
+	AutoParam bool // the shape cache supplied the parsed statement
+
+	Start  time.Time
+	Stages [NumStages]time.Duration
+	Total  time.Duration // Start to Finish
+
+	Rows      int64 // rows returned to the client
+	Counters  Counters
+	Staleness float64 // worst staleness, in seconds, of the cached views read; < 0 = unknown or none read
+	Err       error
+
+	at  time.Duration // the last stage boundary, as an offset from Start
+	ran uint8         // bit s: stage s was closed at least once
+
+	mu    sync.Mutex
+	spans *WireSpan // what operators added, once one has: attributes and children of the execute span
+}
+
+// Begin starts the record of a statement nobody will look up by ID (a SELECT
+// in a procedure body): measured and published like any other, not kept.
+func Begin(server string) *Record {
+	return &Record{Server: server, Start: time.Now(), Staleness: -1}
+}
+
+// BeginStatement starts the record of a client statement. An empty id mints a
+// fresh one; an id that arrived in a wire frame joins the caller's trace.
+func BeginStatement(server, sqlText, id string) *Record {
+	r := Begin(server)
+	if id == "" {
+		id = newID(r.Start)
+	}
+	r.ID, r.SQL = id, sqlText
+	return r
+}
+
+// Mark closes stage s: the time since the previous boundary (the start, or the
+// last Mark) is added to it. One clock read per boundary.
+func (r *Record) Mark(s Stage) {
+	now := time.Since(r.Start)
+	r.Stages[s] += now - r.at
+	r.at = now
+	r.ran |= 1 << s
+}
+
+// Ran reports whether stage s was closed at least once.
+func (r *Record) Ran(s Stage) bool { return r.ran&(1<<s) != 0 }
+
+// Finish stops the clock and records the outcome.
+func (r *Record) Finish(err error) {
+	r.Total = time.Since(r.Start)
+	r.Err = err
 }
 
 // Attr is one key=value annotation on a span.
@@ -31,136 +163,9 @@ type Attr struct {
 	K, V string
 }
 
-// Span is one timed stage of a trace. Spans form a tree; children are
-// appended concurrently-safely.
-type Span struct {
-	mu       sync.Mutex
-	name     string
-	traceID  string
-	start    time.Time
-	dur      time.Duration
-	ended    bool
-	attrs    []Attr
-	children []*Span
-}
-
-// Trace is one query's complete span tree.
-type Trace struct {
-	ID   string
-	Root *Span
-}
-
-// New starts a trace. An empty id generates a fresh one; passing an id in
-// (from a wire frame) lets backend-side spans join a cache-side trace.
-func New(id, rootName string) *Trace {
-	if id == "" {
-		id = NewID()
-	}
-	return &Trace{ID: id, Root: &Span{name: rootName, traceID: id, start: time.Now()}}
-}
-
-// Finish ends the root span.
-func (t *Trace) Finish() {
-	if t == nil {
-		return
-	}
-	t.Root.End()
-}
-
-// Name returns the span name ("" for nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// TraceID returns the owning trace's ID ("" for nil).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.traceID
-}
-
-// Duration returns the span's recorded duration (the running duration if
-// the span has not ended yet).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ended {
-		return time.Since(s.start)
-	}
-	return s.dur
-}
-
-// Child starts a sub-span. Safe on a nil receiver (returns nil).
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{name: name, traceID: s.traceID, start: time.Now()}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
-}
-
-// End records the span's duration. Later Ends are ignored.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.ended {
-		s.dur = time.Since(s.start)
-		s.ended = true
-	}
-	s.mu.Unlock()
-}
-
-// Attr annotates the span and returns it for chaining.
-func (s *Span) Attr(k, v string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{K: k, V: v})
-	s.mu.Unlock()
-	return s
-}
-
-// AttrValue returns the value of the first attribute named k ("" if none).
-func (s *Span) AttrValue(k string) string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.attrs {
-		if a.K == k {
-			return a.V
-		}
-	}
-	return ""
-}
-
-// Children returns a snapshot of the span's children.
-func (s *Span) Children() []*Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Span(nil), s.children...)
-}
-
-// WireSpan is the exported form of a span — plain fields, no lock, no parent
-// pointer — in which backend-side spans travel to the cache inside a wire
-// response (internal/wire encodes it; the tree is cut at 32 levels there).
+// WireSpan is one timed stage of a trace — plain fields, no lock, no parent
+// pointer — in a rendered tree, under a record's execute span, or inside a
+// wire response (internal/wire encodes it; the tree is cut at 32 levels there).
 type WireSpan struct {
 	Name     string
 	StartUTC int64 // UnixNano
@@ -169,75 +174,147 @@ type WireSpan struct {
 	Children []*WireSpan
 }
 
-// Export converts a span tree to its wire form (nil in, nil out).
-func Export(s *Span) *WireSpan {
-	if s == nil {
-		return nil
+// AttrValue returns the value of the first attribute named k ("" if none).
+func (w *WireSpan) AttrValue(k string) string {
+	if w != nil {
+		for _, a := range w.Attrs {
+			if a.K == k {
+				return a.V
+			}
+		}
 	}
-	s.mu.Lock()
-	w := &WireSpan{
-		Name:     s.name,
-		StartUTC: s.start.UnixNano(),
-		DurNanos: int64(s.dur),
-		Attrs:    append([]Attr(nil), s.attrs...),
-	}
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range children {
-		w.Children = append(w.Children, Export(c))
-	}
-	return w
+	return ""
 }
 
-// Graft attaches an exported (remote) span tree under s. The remote side's
-// clock stamps are kept as-is: durations are what matter for stitching.
-func (s *Span) Graft(w *WireSpan) {
-	if s == nil || w == nil {
-		return
-	}
-	c := importSpan(w, s.traceID)
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-}
-
-func importSpan(w *WireSpan, traceID string) *Span {
-	s := &Span{
-		name:    w.Name,
-		traceID: traceID,
-		start:   time.Unix(0, w.StartUTC),
-		dur:     time.Duration(w.DurNanos),
-		ended:   true,
-		attrs:   append([]Attr(nil), w.Attrs...),
+// Find depth-first-searches the tree for a span by name (nil if not found).
+func (w *WireSpan) Find(name string) *WireSpan {
+	if w == nil || w.Name == name {
+		return w
 	}
 	for _, c := range w.Children {
-		s.children = append(s.children, importSpan(c, traceID))
+		if m := c.Find(name); m != nil {
+			return m
+		}
 	}
-	return s
+	return nil
 }
 
-// Render formats a trace as an indented text tree with per-span timings.
-func Render(t *Trace) string {
-	if t == nil || t.Root == nil {
-		return ""
+// now is the record's monotonic clock as a wall-clock stamp.
+func (r *Record) now() int64 { return r.Start.UnixNano() + int64(time.Since(r.Start)) }
+
+// node resolves the span an operator names: nil is the execute span. Caller
+// holds r.mu.
+func (r *Record) node(sp *WireSpan) *WireSpan {
+	if sp != nil {
+		return sp
+	}
+	if r.spans == nil {
+		r.spans = &WireSpan{}
+	}
+	return r.spans
+}
+
+// traced: only a statement that can be looked up afterwards keeps spans.
+func (r *Record) traced() bool { return r != nil && r.ID != "" }
+
+// StartSpan opens a span under parent (nil: the execute span). It returns nil,
+// which Annotate and EndSpan accept, when the record is nil or untraced.
+func (r *Record) StartSpan(parent *WireSpan, name string, attrs ...Attr) *WireSpan {
+	if !r.traced() {
+		return nil
+	}
+	sp := &WireSpan{Name: name, StartUTC: r.now(), Attrs: attrs}
+	r.mu.Lock()
+	parent = r.node(parent)
+	parent.Children = append(parent.Children, sp)
+	r.mu.Unlock()
+	return sp
+}
+
+// Annotate adds an attribute to sp (nil: the execute span).
+func (r *Record) Annotate(sp *WireSpan, k, v string) {
+	if !r.traced() {
+		return
+	}
+	r.mu.Lock()
+	sp = r.node(sp)
+	sp.Attrs = append(sp.Attrs, Attr{K: k, V: v})
+	r.mu.Unlock()
+}
+
+// EndSpan closes a span. remote, when non-nil, is the tree the other server
+// built for the call the span timed; it becomes the span's child as it is
+// (its stamps are the remote clock's: durations are what matter).
+func (r *Record) EndSpan(sp, remote *WireSpan) {
+	if sp == nil {
+		return
+	}
+	end := r.now()
+	r.mu.Lock()
+	sp.DurNanos = end - sp.StartUTC
+	if remote != nil {
+		sp.Children = append(sp.Children, remote)
+	}
+	r.mu.Unlock()
+}
+
+// Tree renders the record: the root <Server>.exec [sql, autoparam], a child
+// per stage that ran — gate, parse, imcache_hit, optimize [plan_cache],
+// execute — laid end to end from the start, and under execute whatever the
+// operators added. For a finished statement: operators add nothing after it.
+func (r *Record) Tree() *WireSpan {
+	if r == nil {
+		return nil
+	}
+	root := &WireSpan{Name: r.Server + ".exec", StartUTC: r.Start.UnixNano(), DurNanos: int64(r.Total),
+		Attrs: []Attr{{K: "sql", V: r.SQL}}}
+	if r.AutoParam {
+		root.Attrs = append(root.Attrs, Attr{K: "autoparam", V: "1"})
+	}
+	at := root.StartUTC
+	for s, name := range [NumStages]string{"gate", "parse", "imcache_hit", "optimize", "execute"} {
+		stage := Stage(s)
+		if !r.Ran(stage) {
+			continue
+		}
+		sp := &WireSpan{Name: name, StartUTC: at, DurNanos: int64(r.Stages[stage])}
+		at += sp.DurNanos
+		switch {
+		case stage == StageParse && r.AutoParam, stage == StageLookup && r.Tier != TierIMCache:
+			continue // time the statement spent, but not a span: nothing was parsed, nothing was hit
+		case stage == StagePlan && r.PlanCache != PlanNotConsulted:
+			sp.Attrs = []Attr{{K: "plan_cache", V: [...]string{PlanHit: "hit", PlanMiss: "miss"}[r.PlanCache]}}
+		case stage == StageExec && r.spans != nil:
+			sp.Attrs, sp.Children = r.spans.Attrs, r.spans.Children
+		}
+		root.Children = append(root.Children, sp)
+	}
+	return root
+}
+
+// FindSpan searches the rendered tree for a span by name (tests).
+func (r *Record) FindSpan(name string) *WireSpan { return r.Tree().Find(name) }
+
+// Render formats a record (nil: Collector.Last found none) as an indented text
+// tree with per-span timings.
+func Render(r *Record) string {
+	if r == nil {
+		return "(no traces recorded)\n"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s total=%s\n", t.ID, fmtDur(t.Root.Duration()))
-	renderSpan(&b, t.Root, 0)
+	fmt.Fprintf(&b, "trace %s total=%s\n", r.ID, fmtDur(r.Total))
+	renderSpan(&b, r.Tree(), 0)
 	return b.String()
 }
 
-func renderSpan(b *strings.Builder, s *Span, depth int) {
+func renderSpan(b *strings.Builder, s *WireSpan, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
-	fmt.Fprintf(b, "%s %s", s.Name(), fmtDur(s.Duration()))
-	s.mu.Lock()
-	attrs := append([]Attr(nil), s.attrs...)
-	s.mu.Unlock()
-	for _, a := range attrs {
+	fmt.Fprintf(b, "%s %s", s.Name, fmtDur(time.Duration(s.DurNanos)))
+	for _, a := range s.Attrs {
 		fmt.Fprintf(b, " %s=%q", a.K, a.V)
 	}
 	b.WriteString("\n")
-	for _, c := range s.Children() {
+	for _, c := range s.Children {
 		renderSpan(b, c, depth+1)
 	}
 }
@@ -246,122 +323,61 @@ func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d)/float64(time.Millisecond))
 }
 
-// Collector keeps the most recent finished traces in a bounded ring so a
-// debug endpoint (or shell command) can show what just executed.
+// Collector keeps the most recent published records, oldest first, so a debug
+// endpoint (or shell command) can show what just executed.
 type Collector struct {
 	mu   sync.Mutex
-	ring []*Trace
-	next int
-	cap  int
+	ring []*Record // never grows past the capacity it was made with
 }
 
-// NewCollector creates a collector retaining up to n traces (default 16).
+// NewCollector creates a collector retaining up to n records (default 16).
 func NewCollector(n int) *Collector {
 	if n <= 0 {
 		n = 16
 	}
-	return &Collector{ring: make([]*Trace, 0, n), cap: n}
+	return &Collector{ring: make([]*Record, 0, n)}
 }
 
 // Traces is the process-wide collector fed by the engine.
 var Traces = NewCollector(16)
 
-// Add records a finished trace.
-func (c *Collector) Add(t *Trace) {
-	if t == nil {
-		return
-	}
+// Add keeps a finished record, dropping the oldest when full.
+func (c *Collector) Add(r *Record) {
 	c.mu.Lock()
-	if len(c.ring) < c.cap {
-		c.ring = append(c.ring, t)
-	} else {
-		c.ring[c.next] = t
+	if len(c.ring) == cap(c.ring) {
+		c.ring = c.ring[:copy(c.ring, c.ring[1:])]
 	}
-	c.next = (c.next + 1) % c.cap
+	c.ring = append(c.ring, r)
 	c.mu.Unlock()
 }
 
-// Last returns the most recently added trace (nil when empty).
-func (c *Collector) Last() *Trace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.ring) == 0 {
-		return nil
-	}
-	idx := c.next - 1
-	if idx < 0 {
-		idx = len(c.ring) - 1
-	}
-	return c.ring[idx]
-}
-
-// Recent returns up to n recent traces, newest first.
-func (c *Collector) Recent(n int) []*Trace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Trace, 0, len(c.ring))
-	idx := c.next - 1
-	for range c.ring {
-		if idx < 0 {
-			idx = len(c.ring) - 1
-		}
-		out = append(out, c.ring[idx])
-		idx--
-		if n > 0 && len(out) >= n {
-			break
-		}
-	}
-	return out
-}
-
-// Reset drops every retained trace (tests).
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.ring = c.ring[:0]
-	c.next = 0
-	c.mu.Unlock()
-}
-
-// FindSpan depth-first-searches the trace for a span by name (nil if not
-// found). Used by tests to assert stitching.
-func (t *Trace) FindSpan(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	return findSpan(t.Root, name)
-}
-
-func findSpan(s *Span, name string) *Span {
-	if s == nil {
-		return nil
-	}
-	if s.Name() == name {
-		return s
-	}
-	for _, c := range s.Children() {
-		if m := findSpan(c, name); m != nil {
-			return m
-		}
+// Last returns the most recently added record (nil when empty).
+func (c *Collector) Last() *Record {
+	if last := c.Recent(1); len(last) == 1 {
+		return last[0]
 	}
 	return nil
 }
 
-// SpanNames returns every span name in the trace, sorted (tests/debug).
-func (t *Trace) SpanNames() []string {
-	var names []string
-	var walk func(*Span)
-	walk = func(s *Span) {
-		if s == nil {
-			return
-		}
-		names = append(names, s.Name())
-		for _, c := range s.Children() {
-			walk(c)
-		}
+// Recent returns up to n recent records (all of them when n <= 0), newest
+// first.
+func (c *Collector) Recent(n int) []*Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n <= 0 || n > len(c.ring) {
+		n = len(c.ring)
 	}
-	if t != nil {
-		walk(t.Root)
+	out := make([]*Record, n)
+	for i := range out {
+		out[i] = c.ring[len(c.ring)-1-i]
 	}
-	sort.Strings(names)
-	return names
+	return out
+}
+
+// Reset drops every retained record (tests).
+func (c *Collector) Reset() {
+	c.mu.Lock()
+	clear(c.ring)
+	c.ring = c.ring[:0]
+	c.mu.Unlock()
 }

@@ -73,9 +73,11 @@ func TestWireTraceStitchedAcrossLink(t *testing.T) {
 			t.Fatalf("trace missing span %q:\n%s", name, trace.Render(tr))
 		}
 	}
-	// The grafted backend subtree carries the cache's trace ID: one tree.
-	if got := tr.FindSpan("backend.exec").TraceID(); got != tr.ID {
-		t.Errorf("backend span trace ID %q, want %q", got, tr.ID)
+	// The backend ran its half under the cache's trace ID — its own record,
+	// kept just before the cache's, carries it — and its spans came back in
+	// the response frame: one tree.
+	if back := trace.Traces.Recent(2)[1]; back.Server != "backend" || back.ID != tr.ID {
+		t.Errorf("backend record %s.exec has trace ID %q, want %q", back.Server, back.ID, tr.ID)
 	}
 	text := trace.Render(tr)
 	for _, want := range []string{"tcpcache.exec", "backend.exec", "remote"} {

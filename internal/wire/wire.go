@@ -86,7 +86,6 @@ import (
 	"mtcache/internal/engine"
 	"mtcache/internal/metrics"
 	"mtcache/internal/storage"
-	"mtcache/internal/trace"
 )
 
 // DefaultMaxInFlight bounds concurrent request handling per server when
@@ -279,7 +278,7 @@ func (s *Server) handle(req *request) *response {
 	resp := &response{}
 	switch req.Kind {
 	case reqQuery, reqExec:
-		res, tr, err := s.execDB().ExecSessionTraced(req.SQL, req.Params,
+		res, rec, err := s.execDB().ExecSessionTraced(req.SQL, req.Params,
 			req.MinLSN, time.Duration(req.WaitMs)*time.Millisecond, req.TraceID)
 		resp.Applied = s.appliedLSN()
 		if errors.Is(err, engine.ErrSessionStale) {
@@ -297,7 +296,7 @@ func (s *Server) handle(req *request) *response {
 		resp.N = res.RowsAffected
 		resp.LSN = res.CommitLSN
 		if req.TraceID != "" {
-			resp.Span = trace.Export(tr.Root)
+			resp.Span = rec.Tree()
 		}
 	case reqApplied:
 		resp.Applied = s.appliedLSN()
