@@ -10,6 +10,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,6 +50,10 @@ type Table struct {
 	Materialized bool
 	Cached       bool // MTCache cached view, maintained by replication
 	ViewDef      *sql.SelectStmt
+	// SelectProject is ViewDef taken apart (SelectProjectOf). Every
+	// materialized and cached view has one; a plain view is free-form and has
+	// one only if its definition happens to be select-project.
+	SelectProject *SelectProject
 
 	// Virtual marks a read-only system table (sys.* DMV equivalents):
 	// no storage, no indexes, rows produced on demand by RowsFn. Virtual
@@ -113,7 +118,8 @@ type Permission struct {
 type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
-	seeding map[string]bool // materialized views registered but not yet populated
+	derived map[string][]*Table // source relation -> the materialized and cached views over it, by name
+	seeding map[string]bool     // materialized views registered but not yet populated
 	procs   map[string]*Procedure
 	perms   []Permission
 }
@@ -122,6 +128,7 @@ type Catalog struct {
 func New() *Catalog {
 	return &Catalog{
 		tables:  make(map[string]*Table),
+		derived: make(map[string][]*Table),
 		seeding: make(map[string]bool),
 		procs:   make(map[string]*Procedure),
 	}
@@ -141,6 +148,13 @@ func (c *Catalog) AddTable(t *Table) error {
 		t.Stats.Store(NewTableStats())
 	}
 	c.tables[k] = t
+	if t.Materialized && t.SelectProject != nil {
+		// Copied, never edited in place: ViewsOver hands the slice out.
+		src := key(t.SelectProject.Source.Name)
+		views := append(slices.Clip(c.derived[src]), t)
+		sort.Slice(views, func(i, j int) bool { return views[i].Name < views[j].Name })
+		c.derived[src] = views
+	}
 	return nil
 }
 
@@ -186,12 +200,27 @@ func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := key(name)
-	if _, ok := c.tables[k]; !ok {
+	t, ok := c.tables[k]
+	if !ok {
 		return fmt.Errorf("catalog: table %s does not exist", name)
 	}
 	delete(c.tables, k)
 	delete(c.seeding, k)
+	if t.Materialized && t.SelectProject != nil {
+		src := key(t.SelectProject.Source.Name)
+		c.derived[src] = slices.DeleteFunc(slices.Clone(c.derived[src]), func(v *Table) bool { return v == t })
+	}
 	return nil
+}
+
+// ViewsOver returns the materialized and cached views defined over the named
+// table or materialized view, sorted by name: the objects a change to it must
+// reach, and the candidates that can answer a query on it. The slice is shared;
+// callers must not modify it.
+func (c *Catalog) ViewsOver(source string) []*Table {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.derived[key(source)]
 }
 
 // SetSeeding marks a materialized or cached view as registered but not yet
@@ -345,17 +374,6 @@ func (c *Catalog) CachedViews() []*Table {
 	var out []*Table
 	for _, t := range c.Tables() {
 		if t.Cached {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// MaterializedViews returns all materialized (non-cached) views.
-func (c *Catalog) MaterializedViews() []*Table {
-	var out []*Table
-	for _, t := range c.Tables() {
-		if t.Materialized && !t.Cached {
 			out = append(out, t)
 		}
 	}

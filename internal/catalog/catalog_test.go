@@ -1,7 +1,9 @@
 package catalog
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -354,15 +356,114 @@ func TestSnapshotKeepsStatisticsBitIdentical(t *testing.T) {
 	}
 }
 
+// The catalog lists the materialized and cached views over each relation, in
+// name order, from CREATE to DROP; a plain view is in no list.
 func TestCachedAndMaterializedViewLists(t *testing.T) {
 	c := New()
 	c.AddTable(sampleTable())
-	c.AddTable(&Table{Name: "cv", IsView: true, Cached: true, Materialized: true})
-	c.AddTable(&Table{Name: "mv", IsView: true, Materialized: true})
+	for _, v := range []*Table{
+		{Name: "mv", IsView: true, Materialized: true},
+		{Name: "cv", IsView: true, Materialized: true, Cached: true},
+		{Name: "pv", IsView: true},
+	} {
+		v.ViewDef = sql.MustParseSelect("SELECT cid FROM customer WHERE cid < 100")
+		sp, err := SelectProjectOf(v.ViewDef, c.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.SelectProject, v.Columns = sp, sp.Columns()
+		c.AddTable(v)
+	}
 	if len(c.CachedViews()) != 1 || c.CachedViews()[0].Name != "cv" {
 		t.Error("cached views")
 	}
-	if len(c.MaterializedViews()) != 1 || c.MaterializedViews()[0].Name != "mv" {
-		t.Error("materialized views")
+	names := func(views []*Table) (out []string) {
+		for _, v := range views {
+			out = append(out, v.Name)
+		}
+		return out
 	}
+	over := c.ViewsOver("CUSTOMER")
+	if got := names(over); !slices.Equal(got, []string{"cv", "mv"}) {
+		t.Errorf("views over customer: %v", got)
+	}
+	c.DropTable("cv")
+	if got := names(c.ViewsOver("customer")); !slices.Equal(got, []string{"mv"}) {
+		t.Errorf("views over customer after DROP cv: %v", got)
+	}
+	if got := names(over); !slices.Equal(got, []string{"cv", "mv"}) {
+		t.Errorf("a list handed out earlier was edited in place: %v", got)
+	}
+	if len(c.ViewsOver("mv")) != 0 {
+		t.Error("views over mv")
+	}
+}
+
+// A definition is taken apart once, into source, ordinals and filter, and the
+// view's columns, key and article description are read off that.
+func TestSelectProjectOf(t *testing.T) {
+	c := New()
+	c.AddTable(sampleTable())
+	c.AddTable(&Table{Name: "pv", IsView: true, Columns: sampleTable().Columns})
+	form := func(def string) (*SelectProject, error) {
+		return SelectProjectOf(sql.MustParseSelect(def), c.Table)
+	}
+	for _, g := range []struct {
+		def     string
+		ords    []int
+		names   []string
+		pk      []int
+		article []string // SourceColumns
+	}{
+		{"SELECT * FROM customer", []int{0, 1, 2}, []string{"cid", "cname", "cbalance"}, []int{0}, nil},
+		{"SELECT cname AS n, CID FROM Customer WHERE cid < 9", []int{1, 0}, []string{"n", "cid"}, []int{1}, []string{"cname", "cid"}},
+		{"SELECT cbalance, cname FROM customer", []int{2, 1}, []string{"cbalance", "cname"}, nil, []string{"cbalance", "cname"}},
+		{"SELECT *, cid AS again FROM customer", []int{0, 1, 2, 0}, []string{"cid", "cname", "cbalance", "again"}, []int{0}, []string{"cid", "cname", "cbalance", "cid"}},
+	} {
+		sp, err := form(g.def)
+		if err != nil {
+			t.Fatalf("%s: %v", g.def, err)
+		}
+		var names []string
+		for _, col := range sp.Columns() {
+			names = append(names, col.Name)
+		}
+		if sp.Source != c.Table("customer") || !slices.Equal(sp.Ords, g.ords) || !slices.Equal(names, g.names) ||
+			!slices.Equal(sp.PrimaryKey(), g.pk) || !slices.Equal(sp.SourceColumns(), g.article) ||
+			(sp.SourceColumns() == nil) != (g.article == nil) {
+			t.Errorf("%s: ords %v, columns %v, key %v, article columns %v", g.def, sp.Ords, names, sp.PrimaryKey(), sp.SourceColumns())
+		}
+		if (sp.Filter != nil) != strings.Contains(g.def, "WHERE") {
+			t.Errorf("%s: filter %v", g.def, sp.Filter)
+		}
+	}
+	if col := must(form("SELECT cid FROM customer")).Columns()[0]; !col.NotNull || col.Type != types.KindInt {
+		t.Errorf("a view column keeps its source's type and nullability: %+v", col)
+	}
+	for _, def := range []string{
+		"SELECT cid FROM customer, pv",
+		"SELECT cid FROM customer c JOIN customer d ON c.cid = d.cid",
+		"SELECT cname, COUNT(*) FROM customer GROUP BY cname",
+		"SELECT TOP 3 cid FROM customer",
+		"SELECT DISTINCT cname FROM customer",
+		"SELECT cid + 1 FROM customer",
+		"SELECT cid FROM pv",
+		"SELECT cid FROM (SELECT cid FROM customer) AS s",
+	} {
+		if _, err := form(def); !errors.Is(err, ErrNotSelectProject) {
+			t.Errorf("%s: %v, want ErrNotSelectProject", def, err)
+		}
+	}
+	for _, def := range []string{"SELECT cid FROM nowhere", "SELECT nothing FROM customer"} {
+		if _, err := form(def); err == nil || errors.Is(err, ErrNotSelectProject) {
+			t.Errorf("%s: %v, want a name-resolution error", def, err)
+		}
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -142,41 +142,15 @@ func (c *CacheServer) RefreshStats() error {
 	return nil
 }
 
-// viewSource extracts the (table, columns, filter) a cached view publishes
-// over; filter is deparsed, "" for none.
-func viewSource(view *catalog.Table) (table string, cols []string, filter string, err error) {
-	def := view.ViewDef
-	if len(def.From) != 1 {
-		return "", nil, "", fmt.Errorf("core: cached views must be select-project over one table")
-	}
-	tn, ok := def.From[0].(*sql.TableName)
-	if !ok {
-		return "", nil, "", fmt.Errorf("core: cached view source must be a table or materialized view")
-	}
-	for _, item := range def.Columns {
-		if item.Star {
-			cols = nil
-			break
-		}
-		ref, ok := item.Expr.(*sql.ColumnRef)
-		if !ok {
-			return "", nil, "", fmt.Errorf("core: cached views may project only plain columns")
-		}
-		cols = append(cols, ref.Name)
-	}
-	if def.Where != nil {
-		filter = sql.DeparseExpr(def.Where)
-	}
-	return tn.Name, cols, filter, nil
-}
-
-// provision is the CREATE CACHED VIEW hook: derive the matching article,
-// attach it to the cache's subscription (or resume it there) and populate the
-// view.
+// provision is the CREATE CACHED VIEW hook: describe the view's select-project
+// form as an article — (table, columns, filter), the filter deparsed and "" for
+// none — attach it to the cache's subscription (or resume it there) and
+// populate the view.
 func (c *CacheServer) provision(view *catalog.Table) error {
-	table, cols, filter, err := viewSource(view)
-	if err != nil {
-		return err
+	sp := view.SelectProject
+	table, cols, filter := sp.Source.Name, sp.SourceColumns(), ""
+	if sp.Filter != nil {
+		filter = sql.DeparseExpr(sp.Filter)
 	}
 	c.pullMu.Lock()
 	defer c.pullMu.Unlock()

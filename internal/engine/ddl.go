@@ -33,11 +33,7 @@ func (db *Database) execCreateTable(x *sql.CreateTableStmt) (*Result, error) {
 		}
 		t.PrimaryKey = append(t.PrimaryKey, ord)
 	}
-	if err := db.cat.AddTable(t); err != nil {
-		return nil, err
-	}
-	if err := db.store.CreateTable(t); err != nil {
-		db.cat.DropTable(t.Name)
+	if err := db.addStored(t); err != nil {
 		return nil, err
 	}
 	db.InvalidatePlans()
@@ -73,21 +69,30 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 	if x.Cached && db.role != Cache {
 		return nil, fmt.Errorf("engine: CREATE CACHED VIEW is only valid on a cache server")
 	}
-	// Infer the view schema from its definition.
-	cols, err := db.viewSchema(x.Select)
-	if err != nil {
-		return nil, err
-	}
 	t := &catalog.Table{
 		Name:         x.Name,
-		Columns:      cols,
 		IsView:       true,
 		Materialized: x.Materialized || x.Cached,
 		Cached:       x.Cached,
 		ViewDef:      x.Select,
 	}
-	if t.Materialized {
-		t.PrimaryKey = derivePK(db.cat, x.Select, cols)
+	// The definition is taken apart here, once. A materialized or cached view
+	// must be select-project; a plain view need not be, and is then planned
+	// for its schema.
+	sp, err := catalog.SelectProjectOf(x.Select, db.cat.Table)
+	switch {
+	case err == nil:
+		t.SelectProject, t.Columns = sp, sp.Columns()
+	case t.Materialized:
+		return nil, fmt.Errorf("engine: CREATE VIEW %s: %w", t.Name, err)
+	default:
+		p, err := opt.Optimize(x.Select, db.env())
+		if err != nil {
+			return nil, fmt.Errorf("engine: invalid view definition: %w", err)
+		}
+		for _, c := range p.Cols {
+			t.Columns = append(t.Columns, catalog.Column{Name: c.Name, Type: c.Kind})
+		}
 	}
 	if !t.Materialized {
 		if err := db.cat.AddTable(t); err != nil {
@@ -96,36 +101,48 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 		db.InvalidatePlans()
 		return &Result{}, nil
 	}
+	t.PrimaryKey = sp.PrimaryKey()
+	if db.role == Cache && !x.Cached {
+		// A backend's materialized view, re-created by the shadow script: a
+		// shadow like the tables around it — schema and statistics, no data,
+		// nothing to maintain — that plans read remotely.
+		if err := db.addStored(t); err != nil {
+			return nil, err
+		}
+		db.InvalidatePlans()
+		return &Result{}, nil
+	}
 
-	// Materialized (or cached) view: compute the initial contents *before*
-	// registering the view, so the population query cannot be answered from
-	// the still-empty view itself.
+	// A backend's materialized view: compile its maintenance, and compute the
+	// initial contents *before* registering the view, so the population query
+	// cannot be answered from the still-empty view itself.
 	var initial []types.Row
 	if !x.Cached {
+		changes, err := opt.CompileChangeMap(sp)
+		if err != nil {
+			return nil, err
+		}
 		res, err := db.ExecStmt(x.Select, nil)
 		if err != nil {
 			return nil, fmt.Errorf("engine: populating %s: %w", t.Name, err)
 		}
 		initial = res.Rows
+		db.viewMaps.Store(t, changes)
 	}
 	// The view is registered before it is populated — the population writes
 	// to it by name — and stays invisible to view matching until its contents
 	// have committed: a plan made in between reads the base table.
-	if err := db.cat.AddTable(t); err != nil {
+	if err := db.addStored(t); err != nil {
+		db.viewMaps.Delete(t)
 		return nil, err
 	}
 	db.cat.SetSeeding(t.Name, true)
-	if err := db.store.CreateTable(t); err != nil {
-		db.cat.DropTable(t.Name)
-		return nil, err
-	}
 	if x.Cached {
 		// Cached views are populated and maintained by replication; hand off
 		// to the MTCache layer to create the matching subscription (§4).
 		if db.onCachedViewCreate != nil {
 			if err := db.onCachedViewCreate(t); err != nil {
-				db.cat.DropTable(t.Name)
-				db.store.DropTable(t.Name)
+				db.dropStored(t)
 				return nil, fmt.Errorf("engine: provisioning cached view %s: %w", t.Name, err)
 			}
 		}
@@ -134,8 +151,7 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 		for _, row := range initial {
 			if _, err := tx.Insert(t.Name, row); err != nil {
 				tx.Abort()
-				db.cat.DropTable(t.Name)
-				db.store.DropTable(t.Name)
+				db.dropStored(t)
 				return nil, err
 			}
 		}
@@ -152,92 +168,24 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-// viewSchema infers the column list of a view definition. Select-project
-// definitions resolve directly against the base table; anything else is
-// planned for its schema.
-func (db *Database) viewSchema(def *sql.SelectStmt) ([]catalog.Column, error) {
-	if len(def.From) == 1 {
-		if tn, ok := def.From[0].(*sql.TableName); ok {
-			base := db.cat.Table(tn.Name)
-			if base != nil {
-				var cols []catalog.Column
-				simple := true
-				for _, item := range def.Columns {
-					if item.Star {
-						cols = append(cols, base.Columns...)
-						continue
-					}
-					ref, ok := item.Expr.(*sql.ColumnRef)
-					if !ok {
-						simple = false
-						break
-					}
-					bc := base.Column(ref.Name)
-					if bc == nil {
-						return nil, fmt.Errorf("engine: view column %s not in %s", ref.Name, base.Name)
-					}
-					name := item.Alias
-					if name == "" {
-						name = bc.Name
-					}
-					cols = append(cols, catalog.Column{Name: name, Type: bc.Type, NotNull: bc.NotNull})
-				}
-				if simple {
-					return cols, nil
-				}
-			}
-		}
+// addStored registers a relation and creates its empty storage.
+func (db *Database) addStored(t *catalog.Table) error {
+	if err := db.cat.AddTable(t); err != nil {
+		return err
 	}
-	p, err := opt.Optimize(def, db.env())
-	if err != nil {
-		return nil, fmt.Errorf("engine: invalid view definition: %w", err)
+	if err := db.store.CreateTable(t); err != nil {
+		db.cat.DropTable(t.Name)
+		return err
 	}
-	var cols []catalog.Column
-	for _, c := range p.Cols {
-		cols = append(cols, catalog.Column{Name: c.Name, Type: c.Kind})
-	}
-	return cols, nil
+	return nil
 }
 
-// derivePK keeps the base table's primary key on a materialized view when
-// the projection preserves all key columns.
-func derivePK(cat *catalog.Catalog, def *sql.SelectStmt, cols []catalog.Column) []int {
-	if len(def.From) != 1 {
-		return nil
-	}
-	tn, ok := def.From[0].(*sql.TableName)
-	if !ok {
-		return nil
-	}
-	base := cat.Table(tn.Name)
-	if base == nil || len(base.PrimaryKey) == 0 {
-		return nil
-	}
-	var pk []int
-	for _, ord := range base.PrimaryKey {
-		baseName := base.Columns[ord].Name
-		// Find the view column projecting this base column.
-		found := -1
-		for i, item := range def.Columns {
-			if item.Star {
-				// identity projection: position = base ordinal
-				if ord < len(cols) && strEqualFold(cols[ord].Name, baseName) {
-					found = ord
-				}
-				break
-			}
-			ref, ok := item.Expr.(*sql.ColumnRef)
-			if ok && strEqualFold(ref.Name, baseName) {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return nil
-		}
-		pk = append(pk, found)
-	}
-	return pk
+// dropStored removes a relation, its storage and, for a materialized view,
+// its maintenance.
+func (db *Database) dropStored(t *catalog.Table) {
+	db.cat.DropTable(t.Name)
+	db.store.DropTable(t.Name)
+	db.viewMaps.Delete(t)
 }
 
 func (db *Database) execCreateProc(x *sql.CreateProcStmt, text string) (*Result, error) {
@@ -255,12 +203,7 @@ func (db *Database) execDrop(x *sql.DropStmt) (*Result, error) {
 		if t == nil {
 			return nil, fmt.Errorf("engine: %s %s does not exist", strings.ToLower(x.What), x.Name)
 		}
-		if err := db.cat.DropTable(x.Name); err != nil {
-			return nil, err
-		}
-		if db.store.Table(x.Name) != nil {
-			db.store.DropTable(x.Name)
-		}
+		db.dropStored(t)
 		// Intermediates derived from the dropped relation are now orphans.
 		db.InvalidateIntermediates(t.Name)
 	case "PROCEDURE":

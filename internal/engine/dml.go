@@ -123,6 +123,7 @@ func (db *Database) execInsert(x *sql.InsertStmt, params exec.Params, tx *storag
 	if err != nil {
 		return 0, err
 	}
+	views := db.cat.ViewsOver(t.Name)
 	var count int64
 	insertRow := func(vals []types.Value) error {
 		row, err := buildInsertRow(t, colOrds, vals)
@@ -132,7 +133,7 @@ func (db *Database) execInsert(x *sql.InsertStmt, params exec.Params, tx *storag
 		if _, err := tx.Insert(t.Name, row); err != nil {
 			return err
 		}
-		if err := db.maintainViews(tx, t, storage.OpInsert, nil, row); err != nil {
+		if err := db.maintainViews(tx, views, storage.ChangeRec{Op: storage.OpInsert, After: row}); err != nil {
 			return err
 		}
 		count++
@@ -371,6 +372,7 @@ func (db *Database) execUpdate(x *sql.UpdateStmt, params exec.Params, tx *storag
 		sets = append(sets, setOp{ord: ord, e: ce})
 	}
 	td := tx.Table(t.Name)
+	views := db.cat.ViewsOver(t.Name)
 	env := &exec.Env{Named: params}
 	var count int64
 	for _, rid := range rids {
@@ -392,7 +394,7 @@ func (db *Database) execUpdate(x *sql.UpdateStmt, params exec.Params, tx *storag
 		if err := tx.Update(t.Name, rid, newRow); err != nil {
 			return 0, err
 		}
-		if err := db.maintainViews(tx, t, storage.OpUpdate, old, newRow); err != nil {
+		if err := db.maintainViews(tx, views, storage.ChangeRec{Op: storage.OpUpdate, Before: old, After: newRow}); err != nil {
 			return 0, err
 		}
 		count++
@@ -410,6 +412,7 @@ func (db *Database) execDelete(x *sql.DeleteStmt, params exec.Params, tx *storag
 		return 0, err
 	}
 	td := tx.Table(t.Name)
+	views := db.cat.ViewsOver(t.Name)
 	var count int64
 	for _, rid := range rids {
 		old := td.Get(rid)
@@ -419,7 +422,7 @@ func (db *Database) execDelete(x *sql.DeleteStmt, params exec.Params, tx *storag
 		if err := tx.Delete(t.Name, rid); err != nil {
 			return 0, err
 		}
-		if err := db.maintainViews(tx, t, storage.OpDelete, old, nil); err != nil {
+		if err := db.maintainViews(tx, views, storage.ChangeRec{Op: storage.OpDelete, Before: old}); err != nil {
 			return 0, err
 		}
 		count++

@@ -70,11 +70,11 @@ type Database struct {
 	autoCache *lru[*sql.SelectStmt]
 	autoOff   bool // tests: parse and plan every ad-hoc text as written
 
-	// mvPlans caches compiled matview maintenance plans per view. It is
-	// per-database (a *catalog.Table key from one database must never serve
-	// another's plan) and cleared by InvalidatePlans so DDL cannot leave
-	// stale entries behind.
-	mvPlans sync.Map // map[*catalog.Table]*mvPlan
+	// viewMaps holds the compiled definition of every materialized view this
+	// database maintains (maintainViews): stored by CREATE MATERIALIZED VIEW,
+	// deleted by DROP, and dependent on nothing else — there is nothing to
+	// invalidate.
+	viewMaps sync.Map // map[*catalog.Table]*opt.ChangeMap
 
 	// imc is the intermediate-result cache; imcOn gates it at runtime so
 	// benchmarks can toggle phases.
@@ -320,12 +320,13 @@ func publish(rec *trace.Record, err error) {
 	}
 }
 
-// InvalidatePlans clears the plan cache, the auto-parameterization shape
-// cache and the matview maintenance-plan cache. It is the only invalidation
-// there is, and it has three causes: DDL, a statistics refresh, and an
-// optimizer-option change. Data changes never reach it — a cached dynamic
-// plan stays valid across them (paper §5.1), and the intermediate-result
-// cache tracks its own staleness per entry.
+// InvalidatePlans clears the two caches that depend on statistics and
+// optimizer options: the auto-parameterization shape cache (text → statement)
+// and the plan cache (statement → plan). It is the only invalidation there is,
+// and it has three causes: DDL, a statistics refresh, and an optimizer-option
+// change. Data changes never reach it — a cached dynamic plan stays valid
+// across them (paper §5.1), and the intermediate-result cache tracks its own
+// staleness per entry.
 func (db *Database) InvalidatePlans() {
 	db.planMu.Lock()
 	db.planCache.clear()
@@ -333,21 +334,6 @@ func (db *Database) InvalidatePlans() {
 	db.autoMu.Lock()
 	db.autoCache.clear()
 	db.autoMu.Unlock()
-	db.mvPlans.Range(func(k, _ any) bool {
-		db.mvPlans.Delete(k)
-		return true
-	})
-}
-
-// mvPlanCacheSize reports the number of cached matview maintenance plans
-// (including negative entries); used by tests.
-func (db *Database) mvPlanCacheSize() int {
-	n := 0
-	db.mvPlans.Range(func(_, _ any) bool {
-		n++
-		return true
-	})
-	return n
 }
 
 func (db *Database) env() *opt.Env {
@@ -831,6 +817,7 @@ func (db *Database) BulkLoad(table string, rows []types.Row) error {
 		return fmt.Errorf("engine: table %s does not exist", table)
 	}
 	tx := db.store.Begin(true)
+	views := db.cat.ViewsOver(table)
 	for _, row := range rows {
 		if len(row) != len(t.Columns) {
 			tx.Abort()
@@ -849,7 +836,7 @@ func (db *Database) BulkLoad(table string, rows []types.Row) error {
 			tx.Abort()
 			return err
 		}
-		if err := db.maintainViews(tx, t, storage.OpInsert, nil, cast); err != nil {
+		if err := db.maintainViews(tx, views, storage.ChangeRec{Op: storage.OpInsert, After: cast}); err != nil {
 			tx.Abort()
 			return err
 		}

@@ -2,196 +2,42 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"mtcache/internal/catalog"
-	"mtcache/internal/exec"
 	"mtcache/internal/opt"
-	"mtcache/internal/sql"
 	"mtcache/internal/storage"
-	"mtcache/internal/types"
 )
 
-// mvPlan is the compiled maintenance recipe for one materialized view:
-// evaluate the predicate on a base row, project the view row.
-type mvPlan struct {
-	view  *catalog.Table
-	pred  exec.Expr // nil = no predicate
-	ords  []int     // base-table ordinals projected into the view
-	pkLen int
-}
-
-// maintainViews synchronously maintains local (non-cached) materialized
-// views over a base table inside the updating transaction. Because the
-// maintenance writes run in the same transaction, the WAL records them under
-// the view's name — which is exactly what lets replication articles be
-// defined over materialized views as well as tables (paper §2.2: "an article
-// is defined by a select-project expression over a table or a materialized
-// view").
-func (db *Database) maintainViews(tx *storage.Txn, base *catalog.Table, op storage.ChangeOp, oldRow, newRow types.Row) error {
-	for _, v := range db.cat.Tables() {
-		if !v.IsView || !v.Materialized || v.Cached {
+// maintainViews carries one change of a relation, inside the transaction that
+// made it, to views — the materialized views defined over the relation
+// (Catalog.ViewsOver) — and from each of those to the views over it. It is
+// replication run in place: the view's compiled definition maps the change
+// (what the log reader does with an article) and the store applies the outcome
+// to the view (what a subscriber does with it). Because the writes run in the
+// same transaction, the WAL records them under the view's name — which is
+// exactly what lets replication articles be defined over materialized views as
+// well as tables (paper §2.2: "an article is defined by a select-project
+// expression over a table or a materialized view").
+func (db *Database) maintainViews(tx *storage.Txn, views []*catalog.Table, ch storage.ChangeRec) error {
+	for _, v := range views {
+		m, ok := db.viewMaps.Load(v)
+		if !ok {
+			continue // a cached view or a shadow on a cache: not this database's to maintain
+		}
+		out, ok, err := m.(*opt.ChangeMap).Map(ch)
+		if err != nil {
+			return fmt.Errorf("engine: maintaining %s: %w", v.Name, err)
+		}
+		if !ok {
 			continue
 		}
-		mp, err := db.mvPlanFor(v, base)
-		if err != nil {
+		out.Table = v.Name
+		if err := tx.Apply(out); err != nil {
 			return err
 		}
-		if mp == nil {
-			continue // view over a different table
-		}
-		if err := db.applyMVChange(tx, mp, op, oldRow, newRow); err != nil {
+		if err := db.maintainViews(tx, db.cat.ViewsOver(v.Name), out); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// mvPlanFor compiles (and caches) the maintenance plan of view v if it is a
-// select-project view over base; returns nil otherwise.
-func (db *Database) mvPlanFor(v *catalog.Table, base *catalog.Table) (*mvPlan, error) {
-	if cached, ok := db.mvPlans.Load(v); ok {
-		mp := cached.(*mvPlan)
-		if mp == nil {
-			return nil, nil
-		}
-		// Cache hit is only valid for the same base table.
-		if len(v.ViewDef.From) == 1 {
-			if tn, ok := v.ViewDef.From[0].(*sql.TableName); ok && strings.EqualFold(tn.Name, base.Name) {
-				return mp, nil
-			}
-		}
-		return nil, nil
-	}
-	def := v.ViewDef
-	if len(def.From) != 1 || def.GroupBy != nil || def.Top != nil || def.Distinct {
-		db.mvPlans.Store(v, (*mvPlan)(nil))
-		return nil, nil
-	}
-	tn, ok := def.From[0].(*sql.TableName)
-	if !ok || !strings.EqualFold(tn.Name, base.Name) {
-		return nil, nil // might match another base; don't negative-cache
-	}
-	mp := &mvPlan{view: v, pkLen: len(v.PrimaryKey)}
-	if def.Where != nil {
-		pred, err := opt.CompileScalar(def.Where, base)
-		if err != nil {
-			return nil, fmt.Errorf("engine: maintaining %s: %w", v.Name, err)
-		}
-		mp.pred = pred
-	}
-	for _, item := range def.Columns {
-		if item.Star {
-			for i := range base.Columns {
-				mp.ords = append(mp.ords, i)
-			}
-			continue
-		}
-		ref, ok := item.Expr.(*sql.ColumnRef)
-		if !ok {
-			db.mvPlans.Store(v, (*mvPlan)(nil))
-			return nil, nil
-		}
-		ord := base.ColumnIndex(ref.Name)
-		if ord < 0 {
-			return nil, fmt.Errorf("engine: view %s projects unknown column %s", v.Name, ref.Name)
-		}
-		mp.ords = append(mp.ords, ord)
-	}
-	db.mvPlans.Store(v, mp)
-	return mp, nil
-}
-
-func (mp *mvPlan) project(row types.Row) types.Row {
-	out := make(types.Row, len(mp.ords))
-	for i, ord := range mp.ords {
-		out[i] = row[ord]
-	}
-	return out
-}
-
-func (mp *mvPlan) matches(row types.Row) (bool, error) {
-	if mp.pred == nil {
-		return true, nil
-	}
-	return exec.EvalBool(mp.pred, row, nil)
-}
-
-func (db *Database) applyMVChange(tx *storage.Txn, mp *mvPlan, op storage.ChangeOp, oldRow, newRow types.Row) error {
-	oldIn, newIn := false, false
-	var err error
-	if oldRow != nil {
-		if oldIn, err = mp.matches(oldRow); err != nil {
-			return err
-		}
-	}
-	if newRow != nil {
-		if newIn, err = mp.matches(newRow); err != nil {
-			return err
-		}
-	}
-	vName := mp.view.Name
-	switch {
-	case op == storage.OpInsert && newIn:
-		_, err = tx.Insert(vName, mp.project(newRow))
-	case op == storage.OpDelete && oldIn:
-		err = deleteViewRow(tx, mp, mp.project(oldRow))
-	case op == storage.OpUpdate:
-		switch {
-		case oldIn && newIn:
-			err = updateViewRow(tx, mp, mp.project(oldRow), mp.project(newRow))
-		case oldIn:
-			err = deleteViewRow(tx, mp, mp.project(oldRow))
-		case newIn:
-			_, err = tx.Insert(vName, mp.project(newRow))
-		}
-	}
-	return err
-}
-
-// locateViewRow finds the stored view row equal to target (by PK when the
-// view kept one, by full-row equality otherwise).
-func locateViewRow(tx *storage.Txn, mp *mvPlan, target types.Row) (storage.RowID, error) {
-	td := tx.Table(mp.view.Name)
-	if td == nil {
-		return -1, fmt.Errorf("engine: no storage for view %s", mp.view.Name)
-	}
-	if mp.pkLen > 0 {
-		key := make(types.Row, mp.pkLen)
-		for i, ord := range mp.view.PrimaryKey {
-			key[i] = target[ord]
-		}
-		return td.PKLookup(key), nil
-	}
-	found := storage.RowID(-1)
-	td.Scan(func(rid storage.RowID, row types.Row) bool {
-		if types.RowsEqual(row, target) {
-			found = rid
-			return false
-		}
-		return true
-	})
-	return found, nil
-}
-
-func deleteViewRow(tx *storage.Txn, mp *mvPlan, target types.Row) error {
-	rid, err := locateViewRow(tx, mp, target)
-	if err != nil {
-		return err
-	}
-	if rid < 0 {
-		return fmt.Errorf("engine: view %s out of sync: row %v missing", mp.view.Name, target)
-	}
-	return tx.Delete(mp.view.Name, rid)
-}
-
-func updateViewRow(tx *storage.Txn, mp *mvPlan, oldTarget, newTarget types.Row) error {
-	rid, err := locateViewRow(tx, mp, oldTarget)
-	if err != nil {
-		return err
-	}
-	if rid < 0 {
-		return fmt.Errorf("engine: view %s out of sync: row %v missing", mp.view.Name, oldTarget)
-	}
-	return tx.Update(mp.view.Name, rid, newTarget)
 }

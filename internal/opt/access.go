@@ -59,10 +59,7 @@ func (pl *planner) planLeaf(ai *aliasInfo) (*candSet, error) {
 func (pl *planner) addViewCandidates(cs *candSet, ai *aliasInfo, neededSet map[string]bool, remoteAlt *plan) error {
 	t := ai.table
 	var guarded []guardedView
-	for _, v := range pl.env.Cat.Tables() {
-		if !v.IsView || !v.Materialized {
-			continue
-		}
+	for _, v := range pl.env.Cat.ViewsOver(t.Name) {
 		if pl.env.IsCache && !v.Cached {
 			continue // shadowed backend MV definitions hold no local data
 		}
@@ -146,7 +143,7 @@ func (pl *planner) mixedResultPlan(ai *aliasInfo, viewPart *plan, m *ViewMatch, 
 	// NOT(view predicate). Single-conjunct view predicates negate into a
 	// sargable comparison (cid <= 1000 → cid > 1000) so the remainder can
 	// use an index; anything else falls back to a NOT filter.
-	notViewPred := negatePred(m.View.ViewDef.Where)
+	notViewPred := negatePred(m.View.SelectProject.Filter)
 	qualifyToAlias(notViewPred, ai.alias)
 	conj := append(append([]sql.Expr{}, ai.singleConj...), notViewPred)
 	remainder, err := pl.localAccess(ai, t, t.Name, identityColMap(t), nil, conj)

@@ -25,7 +25,7 @@ func mixedSetup(t *testing.T) (*Env, *storage.Store) {
 		},
 		PrimaryKey: []int{0}, IsView: true, Materialized: true, ViewDef: def,
 	}
-	if err := b.cat.AddTable(mv); err != nil {
+	if err := b.cat.AddTable(selectProject(t, mv, b.cat.Table)); err != nil {
 		t.Fatal(err)
 	}
 	b.store.CreateTable(mv)

@@ -83,7 +83,7 @@ func TestOverlappingViewsPickCheapest(t *testing.T) {
 		},
 		PrimaryKey: []int{0}, IsView: true, Materialized: true, Cached: true, ViewDef: def,
 	}
-	if err := env.Cat.AddTable(small); err != nil {
+	if err := env.Cat.AddTable(selectProject(t, small, env.Cat.Table)); err != nil {
 		t.Fatal(err)
 	}
 	store.CreateTable(small)
@@ -200,7 +200,7 @@ func TestViewMatchingDisabledOnBackendMVsWhenCache(t *testing.T) {
 		ViewDef: sql.MustParseSelect("SELECT cid FROM customer WHERE cid <= 5000"),
 		Columns: []catalog.Column{{Name: "cid", Type: types.KindInt}},
 	}
-	if err := env.Cat.AddTable(shadowMV); err != nil {
+	if err := env.Cat.AddTable(selectProject(t, shadowMV, env.Cat.Table)); err != nil {
 		t.Fatal(err)
 	}
 	p := optimize(t, env, "SELECT cid FROM customer WHERE cid <= 3000")

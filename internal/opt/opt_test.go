@@ -140,7 +140,7 @@ func newCache(t *testing.T, b *testBackend) (*Env, *storage.Store) {
 		Cached:       true,
 		ViewDef:      def,
 	}
-	if err := cat.AddTable(view); err != nil {
+	if err := cat.AddTable(selectProject(t, view, cat.Table)); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.CreateTable(view); err != nil {
@@ -447,7 +447,7 @@ func TestCacheCostBasedRemoteChoice(t *testing.T) {
 		},
 		IsView: true, Materialized: true, Cached: true, ViewDef: def,
 	}
-	if err := env.Cat.AddTable(v); err != nil {
+	if err := env.Cat.AddTable(selectProject(t, v, env.Cat.Table)); err != nil {
 		t.Fatal(err)
 	}
 	store.CreateTable(v)
@@ -523,6 +523,33 @@ func mkView(t *testing.T, def string, cols ...string) *catalog.Table {
 	for _, c := range cols {
 		v.Columns = append(v.Columns, catalog.Column{Name: c, Type: types.KindInt})
 	}
+	// The source the definition is taken apart against: the FROM clause's
+	// name and every column the definition mentions (MatchView reads column
+	// types from the base it is handed, not from here).
+	src := &catalog.Table{Name: v.ViewDef.From[0].(*sql.TableName).Name}
+	mention := func(e sql.Expr) {
+		for _, ref := range columnRefs(e) {
+			if src.ColumnIndex(ref.Name) < 0 {
+				src.Columns = append(src.Columns, catalog.Column{Name: ref.Name, Type: types.KindInt})
+			}
+		}
+	}
+	for _, item := range v.ViewDef.Columns {
+		mention(item.Expr)
+	}
+	mention(v.ViewDef.Where)
+	return selectProject(t, v, func(string) *catalog.Table { return src })
+}
+
+// selectProject gives a hand-built view what CREATE VIEW would have: its
+// definition's select-project form.
+func selectProject(t *testing.T, v *catalog.Table, relation func(string) *catalog.Table) *catalog.Table {
+	t.Helper()
+	sp, err := catalog.SelectProjectOf(v.ViewDef, relation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.SelectProject = sp
 	return v
 }
 
@@ -809,7 +836,7 @@ func TestChoosePlanChainsGuardedViews(t *testing.T) {
 		Columns:    []catalog.Column{{Name: "cid", Type: types.KindInt}, {Name: "cname", Type: types.KindString}},
 		PrimaryKey: []int{0}, IsView: true, Materialized: true, Cached: true, ViewDef: def,
 	}
-	if err := env.Cat.AddTable(second); err != nil {
+	if err := env.Cat.AddTable(selectProject(t, second, env.Cat.Table)); err != nil {
 		t.Fatal(err)
 	}
 	store.CreateTable(second)

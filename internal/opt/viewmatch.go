@@ -52,7 +52,8 @@ type GuardTerm struct {
 // (lower-cased names). dynamicOK enables guarded (parameterized) matches.
 //
 // The test follows the select-project case of the Goldstein–Larson
-// view-matching conditions: (1) the view is over the same table, (2) the
+// view-matching conditions: (1) the view is a select-project over the same
+// table (its catalog.SelectProject says so), (2) the
 // query predicate implies the view predicate (possibly conditionally on
 // parameter values — the guard), (3) query conjuncts the view definition
 // already implies are dropped from the residual, and (4) every needed
@@ -66,38 +67,19 @@ type GuardTerm struct {
 // same comparison on the parameter at run time. The converse does not hold —
 // see DESIGN.md §13 for the shapes left conservative.
 func MatchView(view, base *catalog.Table, conjuncts []sql.Expr, needed map[string]bool, dynamicOK bool) *ViewMatch {
-	if view.ViewDef == nil || !view.IsView {
-		return nil
-	}
-	def := view.ViewDef
-	// Select-project views only: single table, no grouping, no top.
-	if len(def.From) != 1 || def.GroupBy != nil || def.Having != nil || def.Top != nil || def.Distinct {
-		return nil
-	}
-	from, ok := def.From[0].(*sql.TableName)
-	if !ok || !strings.EqualFold(from.Name, base.Name) {
+	sp := view.SelectProject
+	if sp == nil || !strings.EqualFold(sp.Source.Name, base.Name) {
 		return nil
 	}
 
 	// Projection map: base column name -> view ordinal.
-	colMap := make(map[string]int)
-	for i, item := range def.Columns {
-		if item.Star {
-			// SELECT *: identity map over the view's columns.
-			for j, c := range view.Columns {
-				colMap[strings.ToLower(c.Name)] = j
-			}
-			break
-		}
-		ref, ok := item.Expr.(*sql.ColumnRef)
-		if !ok {
-			return nil // computed view columns are not matchable
-		}
-		colMap[strings.ToLower(ref.Name)] = i
+	colMap := make(map[string]int, len(sp.Ords))
+	for i, ord := range sp.Ords {
+		colMap[strings.ToLower(sp.Source.Columns[ord].Name)] = i
 	}
 
 	// View predicate must be fully understood.
-	viewPreds, viewResidual := simplePreds(Conjuncts(def.Where))
+	viewPreds, viewResidual := simplePreds(Conjuncts(sp.Filter))
 	if len(viewResidual) > 0 {
 		return nil
 	}

@@ -19,7 +19,7 @@ import (
 // it feeds: what the log reader appends to the distribution queue, and what a
 // Subscriber pulls from it and applies locally in one transaction (the
 // paper's "pull subscription", §2.2). The queue holds it as
-// Subscription.filter produced it — rows are fresh Article.project copies that
+// Subscription.filter produced it — rows are fresh ChangeMap projections that
 // nothing mutates after enqueue, so a drain hands out the same Changes
 // (re-deliveries included) and the only serialization is the transport's, if
 // there is one.
@@ -52,18 +52,16 @@ func (s *Server) Provision(subName string, a *Article, target string) (int, stor
 	id, _ := s.attach(subName, a, target, start)
 	s.mu.Unlock()
 
+	// The snapshot is the article's share of an insert of every row there is.
 	var rows []types.Row
 	var evalErr error
 	src.Scan(func(_ storage.RowID, row types.Row) bool {
-		ok, err := a.matches(row)
-		if err != nil {
-			evalErr = err
-			return false
-		}
+		c, ok, err := a.Map(storage.ChangeRec{Op: storage.OpInsert, After: row})
 		if ok {
-			rows = append(rows, a.project(row))
+			rows = append(rows, c.After)
 		}
-		return true
+		evalErr = err
+		return err == nil
 	})
 	return id, start, rows, evalErr
 }

@@ -35,41 +35,22 @@ import (
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/engine"
-	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
-	"mtcache/internal/types"
 )
 
 // Article is a select-project publication unit over one source table or
-// materialized view.
+// materialized view. Its compiled form is the ChangeMap a backend maintains a
+// materialized view of the same definition with.
 type Article struct {
 	Name    string
 	Table   string   // source table/MV name on the publisher
 	Columns []string // projected source columns (nil = all, in table order)
 	Filter  sql.Expr // row filter over source columns (nil = all rows)
 
-	source *catalog.Table
-	pred   exec.Expr // compiled Filter
-	ords   []int     // source ordinals of the projected columns
-}
-
-// project maps a source row to an article row.
-func (a *Article) project(row types.Row) types.Row {
-	out := make(types.Row, len(a.ords))
-	for i, ord := range a.ords {
-		out[i] = row[ord]
-	}
-	return out
-}
-
-func (a *Article) matches(row types.Row) (bool, error) {
-	if a.pred == nil {
-		return true, nil
-	}
-	return exec.EvalBool(a.pred, row, nil)
+	*opt.ChangeMap
 }
 
 // feed is one article of a subscription: the article's changes from start on
@@ -107,7 +88,13 @@ func (sub *Subscription) filter(rec storage.CommitRecord) []storage.ChangeRec {
 	for _, ch := range rec.Changes {
 		for _, f := range sub.feeds {
 			if f.start <= rec.LSN && strings.EqualFold(ch.Table, f.Table) {
-				if c, ok := f.mapChange(ch); ok {
+				c, ok, err := f.Map(ch)
+				if err != nil {
+					// Passed over, as a row the filter rejects is; the counter is
+					// the trace that it could not be evaluated.
+					metrics.Default.Counter("repl.filter_errors").Add(1)
+				}
+				if ok {
 					c.Table = f.target
 					out = append(out, c)
 				}
@@ -188,32 +175,20 @@ func (s *Server) EnsureArticle(table string, columns []string, filter sql.Expr) 
 	if src == nil {
 		return nil, fmt.Errorf("repl: source table %s does not exist on publisher", table)
 	}
+	sp, err := catalog.NewSelectProject(src, columns, filter)
+	if err != nil {
+		return nil, fmt.Errorf("repl: article: %w", err)
+	}
+	m, err := opt.CompileChangeMap(sp)
+	if err != nil {
+		return nil, fmt.Errorf("repl: article: %w", err)
+	}
 	a := &Article{
-		Name:    fmt.Sprintf("art_%s_%d", strings.ToLower(table), len(s.articles)+1),
-		Table:   src.Name,
-		Columns: columns,
-		Filter:  filter,
-		source:  src,
-	}
-	if filter != nil {
-		pred, err := opt.CompileScalar(filter, src)
-		if err != nil {
-			return nil, fmt.Errorf("repl: article filter: %w", err)
-		}
-		a.pred = pred
-	}
-	if columns == nil {
-		for i := range src.Columns {
-			a.ords = append(a.ords, i)
-		}
-	} else {
-		for _, c := range columns {
-			ord := src.ColumnIndex(c)
-			if ord < 0 {
-				return nil, fmt.Errorf("repl: article column %s not in %s", c, table)
-			}
-			a.ords = append(a.ords, ord)
-		}
+		Name:      fmt.Sprintf("art_%s_%d", strings.ToLower(table), len(s.articles)+1),
+		Table:     src.Name,
+		Columns:   columns,
+		Filter:    filter,
+		ChangeMap: m,
 	}
 	s.articles = append(s.articles, a)
 	return a, nil
@@ -298,28 +273,6 @@ func (s *Server) RunLogReader() int {
 	}
 	wal.Truncate(keep)
 	return len(recs)
-}
-
-// mapChange maps one logged change through the article: a change to another
-// row set drops out, rows are filtered and projected, and an update that moves
-// a row across the filter boundary becomes an insert or a delete.
-func (a *Article) mapChange(ch storage.ChangeRec) (storage.ChangeRec, bool) {
-	oldIn, newIn := false, false
-	if ch.Before != nil {
-		oldIn, _ = a.matches(ch.Before)
-	}
-	if ch.After != nil {
-		newIn, _ = a.matches(ch.After)
-	}
-	switch {
-	case oldIn && newIn:
-		return storage.ChangeRec{Op: storage.OpUpdate, Before: a.project(ch.Before), After: a.project(ch.After)}, true
-	case oldIn:
-		return storage.ChangeRec{Op: storage.OpDelete, Before: a.project(ch.Before)}, true
-	case newIn:
-		return storage.ChangeRec{Op: storage.OpInsert, After: a.project(ch.After)}, true
-	}
-	return storage.ChangeRec{}, false
 }
 
 // Agent is a background agent: Start runs a function at every tick of its

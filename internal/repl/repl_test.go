@@ -8,6 +8,7 @@ import (
 
 	"mtcache/internal/core"
 	"mtcache/internal/engine"
+	"mtcache/internal/metrics"
 	"mtcache/internal/repl"
 	"mtcache/internal/sql"
 )
@@ -369,5 +370,38 @@ func TestConvergenceUnderRandomWorkload(t *testing.T) {
 	if wantSum.Rows[0][0].Int() != gotSum.Rows[0][0].Int() ||
 		wantSum.Rows[0][1].Float() != gotSum.Rows[0][1].Float() {
 		t.Fatalf("content divergence: %v vs %v", wantSum.Rows[0], gotSum.Rows[0])
+	}
+}
+
+// A predicate that cannot be evaluated on a logged row is one error for both
+// readers of the definition, each answering it its own way: the log reader
+// passes the change over — as it passes over a row the filter rejects — and
+// counts it; a backend maintaining a materialized view of the same definition
+// fails the statement, so the view never silently misses a row.
+func TestFilterErrorIsCountedAndPassedOver(t *testing.T) {
+	b := newPublisher(t, 10)
+	subDB := newSubscriberTable(t, "cache")
+	sub := subscribe(t, b, subDB, "100 / i_cost >= 1")
+	errors := metrics.Default.Counter("repl.filter_errors")
+	before := errors.Value()
+	b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (500, 'free', 0, 'ARTS')", nil)
+	b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (501, 'cheap', 2, 'ARTS')", nil)
+	step(t, b, sub)
+	if got := errors.Value() - before; got != 1 {
+		t.Errorf("repl.filter_errors moved by %d, want 1", got)
+	}
+	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt WHERE i_id >= 500"); got != 1 {
+		t.Errorf("%d of the two inserts arrived, want the one the filter could be evaluated on", got)
+	}
+
+	b.DB.Exec("DELETE FROM item WHERE i_id = 500", nil)
+	if err := b.DB.ExecScript("CREATE MATERIALIZED VIEW worth AS SELECT i_id, i_cost FROM item WHERE 100 / i_cost >= 1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (502, 'free', 0, 'ARTS')", nil); err == nil {
+		t.Error("an insert the view's predicate cannot be evaluated on must fail")
+	}
+	if got := count(t, b.DB, "SELECT COUNT(*) FROM item WHERE i_id = 502"); got != 0 {
+		t.Error("the failed insert stayed in the base table")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"mtcache/internal/catalog"
 	"mtcache/internal/engine"
 	"mtcache/internal/metrics"
 	"mtcache/internal/storage"
@@ -223,41 +222,22 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 // apply applies batches in one transaction, committing unlogged so replicated
 // changes do not re-enter the subscriber's own WAL. ChangeRec.Table names the
 // target table; a change is passed over when that is not one of views or the
-// batch is below the view's start — it is in the view's seed already.
+// batch is below the view's start — it is in the view's seed already. Applying
+// one is storage.Txn.Apply, as a backend maintaining a materialized view does.
 func (s *Subscriber) apply(views []view, batches ...TxnBatch) error {
 	tx := s.target.Store().Begin(true)
 	defer tx.Abort() // a no-op once committed
-	var (
-		touched []string
-		meta    *catalog.Table
-		td      *storage.TableView
-	)
+	var touched []string
 	for _, b := range batches {
 		for _, ch := range b.Changes {
 			if i := slices.IndexFunc(views, func(v view) bool { return v.table == ch.Table }); i < 0 || b.LSN < views[i].start {
 				continue
 			}
+			if err := tx.Apply(ch); err != nil {
+				return fmt.Errorf("repl: %w", err)
+			}
 			if len(touched) == 0 || touched[len(touched)-1] != ch.Table {
-				if meta = s.target.Catalog().Table(ch.Table); meta == nil {
-					return fmt.Errorf("repl: target table %s does not exist", ch.Table)
-				}
-				if td = tx.Table(ch.Table); td == nil {
-					return fmt.Errorf("repl: no storage for %s", ch.Table)
-				}
 				touched = append(touched, ch.Table)
-			}
-			var err error
-			if ch.Op == storage.OpInsert {
-				_, err = tx.Insert(ch.Table, ch.After)
-			} else if rid := locateTargetRow(td, meta, ch.Before); rid < 0 {
-				err = fmt.Errorf("repl: %s: target row of a replicated change is missing", ch.Table)
-			} else if ch.Op == storage.OpDelete {
-				err = tx.Delete(ch.Table, rid)
-			} else {
-				err = tx.Update(ch.Table, rid, ch.After)
-			}
-			if err != nil {
-				return err
 			}
 		}
 	}
@@ -271,25 +251,4 @@ func (s *Subscriber) apply(views []view, batches ...TxnBatch) error {
 		s.target.InvalidateIntermediates(table)
 	}
 	return nil
-}
-
-// locateTargetRow finds a row by target primary key, falling back to
-// full-row equality.
-func locateTargetRow(td *storage.TableView, target *catalog.Table, row types.Row) storage.RowID {
-	if len(target.PrimaryKey) > 0 {
-		key := make(types.Row, len(target.PrimaryKey))
-		for i, ord := range target.PrimaryKey {
-			key[i] = row[ord]
-		}
-		return td.PKLookup(key)
-	}
-	found := storage.RowID(-1)
-	td.Scan(func(rid storage.RowID, r types.Row) bool {
-		if types.RowsEqual(r, row) {
-			found = rid
-			return false
-		}
-		return true
-	})
-	return found
 }

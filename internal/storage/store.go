@@ -465,6 +465,10 @@ func (t *Txn) Insert(table string, row types.Row) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
+	return t.insert(td, row)
+}
+
+func (t *Txn) insert(td *TableData, row types.Row) (RowID, error) {
 	rid, v, err := td.insertLocked(t.id, row)
 	if err != nil {
 		return 0, err
@@ -481,6 +485,10 @@ func (t *Txn) Delete(table string, rid RowID) error {
 	if err != nil {
 		return err
 	}
+	return t.delete(td, rid)
+}
+
+func (t *Txn) delete(td *TableData, rid RowID) error {
 	old, err := td.deleteLocked(t.id, rid)
 	if err != nil {
 		return err
@@ -497,6 +505,10 @@ func (t *Txn) Update(table string, rid RowID, newRow types.Row) error {
 	if err != nil {
 		return err
 	}
+	return t.update(td, rid, newRow)
+}
+
+func (t *Txn) update(td *TableData, rid RowID, newRow types.Row) error {
 	v, old, err := td.updateLocked(t.id, rid, newRow)
 	if err != nil {
 		return err
@@ -506,6 +518,43 @@ func (t *Txn) Update(table string, rid RowID, newRow types.Row) error {
 	t.created = append(t.created, v)
 	t.ended = append(t.ended, old)
 	return nil
+}
+
+// Apply carries out a row-level change that happened elsewhere — on the
+// relation a materialized view is defined over, or on a publisher — on the
+// table ch.Table: an insert adds ch.After; an update or a delete first finds
+// the stored row that is ch.Before, by the table's primary key when it has
+// one and by full-row equality otherwise (any one of equal rows will do), and
+// fails when there is none: the table no longer holds what it was derived
+// from.
+func (t *Txn) Apply(ch ChangeRec) error {
+	td, err := t.tableForWrite(ch.Table)
+	if err != nil {
+		return err
+	}
+	if ch.Op == OpInsert {
+		_, err = t.insert(td, ch.After)
+		return err
+	}
+	tv := TableView{td: td, txn: t}
+	rid := RowID(-1)
+	if pk := td.meta.PrimaryKey; len(pk) > 0 {
+		rid = tv.PKLookup(indexKey(ch.Before, pk))
+	} else {
+		tv.Scan(func(r RowID, row types.Row) bool {
+			if types.RowsEqual(row, ch.Before) {
+				rid = r
+			}
+			return rid < 0
+		})
+	}
+	if rid < 0 {
+		return fmt.Errorf("storage: %s is out of sync: row %v of a %s is missing", td.meta.Name, ch.Before, ch.Op)
+	}
+	if ch.Op == OpDelete {
+		return t.delete(td, rid)
+	}
+	return t.update(td, rid, ch.After)
 }
 
 // Commit finishes the transaction, logging its changes. The returned LSN is

@@ -276,3 +276,59 @@ func TestAddIndexBackfills(t *testing.T) {
 		t.Error("new index missing existing rows")
 	}
 }
+
+// Apply locates the before-image by primary key when the table has one and by
+// full-row equality when it has none — one of equal rows, whichever — and a
+// change whose row is not there is an error, not a no-op.
+func TestApplyLocatesTheBeforeImage(t *testing.T) {
+	row := func(id int64, name string) types.Row { return types.Row{types.NewInt(id), types.NewString(name)} }
+	for _, keyed := range []bool{true, false} {
+		meta := custMeta()
+		if !keyed {
+			meta.PrimaryKey = nil
+		}
+		s := NewStore()
+		if err := s.CreateTable(meta); err != nil {
+			t.Fatal(err)
+		}
+		tx := s.Begin(true)
+		steps := []ChangeRec{
+			{Op: OpInsert, After: row(1, "a")},
+			{Op: OpInsert, After: row(2, "b")},
+			{Op: OpUpdate, Before: row(2, "b"), After: row(2, "c")},
+			{Op: OpDelete, Before: row(1, "a")},
+		}
+		if !keyed { // equal rows: each delete removes exactly one
+			steps = append(steps,
+				ChangeRec{Op: OpInsert, After: row(2, "c")},
+				ChangeRec{Op: OpInsert, After: row(2, "c")},
+				ChangeRec{Op: OpDelete, Before: row(2, "c")})
+		}
+		for _, ch := range steps {
+			ch.Table = "Customer"
+			if err := tx.Apply(ch); err != nil {
+				t.Fatalf("keyed=%v %s: %v", keyed, ch.Op, err)
+			}
+		}
+		want := 1
+		if !keyed {
+			want = 2
+		}
+		rows := tx.Table("customer").Rows()
+		if len(rows) != want || !types.RowsEqual(rows[0], row(2, "c")) {
+			t.Errorf("keyed=%v: table holds %v", keyed, rows)
+		}
+		for _, ch := range []ChangeRec{
+			{Table: "customer", Op: OpDelete, Before: row(1, "a")},
+			{Table: "customer", Op: OpUpdate, Before: row(9, "x"), After: row(9, "y")},
+			{Table: "nowhere", Op: OpInsert, After: row(1, "a")},
+		} {
+			if err := tx.Apply(ch); err == nil {
+				t.Errorf("keyed=%v: %s of a row that is not there was accepted", keyed, ch.Op)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
