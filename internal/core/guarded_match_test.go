@@ -136,9 +136,9 @@ func TestGuardedMatchFixedTable(t *testing.T) {
 		}
 	}
 	// Twelve statements, ten shapes (two point lookups on item, two
-	// conjunctions on orders): one plan each.
+	// conjunctions on orders): one plan-cache entry each.
 	if n := c.DB.PlanCacheSize(); n != 10 {
-		t.Errorf("plan cache holds %d plans, want 10 (one per shape)", n)
+		t.Errorf("plan cache holds %d entries, want 10 (one per shape)", n)
 	}
 }
 

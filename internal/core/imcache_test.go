@@ -91,18 +91,19 @@ func (g *gateExpr) Eval(types.Row, *exec.Env) (types.Value, error) {
 // snapshot before a replication apply and observes its result after that
 // apply's invalidation must not have its pre-apply rows admitted as fresh.
 // The executor is parked between the two by a gate predicate planted on top
-// of the statement's cached plan.
+// of the statement's cached plan: the one its deparse keys, which every
+// ExecStmt of the statement runs.
 func TestIMCacheDropsResultRacingReplicationApply(t *testing.T) {
 	b, c := imcacheSetup(t)
-	const q = "SELECT COUNT(*) AS n FROM customer"
-	plan, err := c.DB.Plan(sql.MustParseSelect(q))
+	stmt := sql.MustParseSelect("SELECT COUNT(*) AS n FROM customer")
+	plan, err := c.DB.Plan(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gate := &gateExpr{entered: make(chan struct{}), release: make(chan struct{})}
 	plan.Root = &exec.Filter{Input: plan.Root, Pred: gate}
 
-	first, err := c.Exec(q, nil) // one execution on record: the next admits
+	first, err := c.DB.ExecStmt(stmt, nil) // one execution on record: the next admits
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestIMCacheDropsResultRacingReplicationApply(t *testing.T) {
 	}
 	done := make(chan answer, 1)
 	go func() {
-		res, err := c.Exec(q, nil)
+		res, err := c.DB.ExecStmt(stmt, nil)
 		if err != nil {
 			done <- answer{err: err}
 			return
@@ -135,7 +136,7 @@ func TestIMCacheDropsResultRacingReplicationApply(t *testing.T) {
 		t.Fatalf("parked execution: n=%d err=%v, want its snapshot's %d", a.n, a.err, baseN)
 	}
 
-	res, err := c.Exec(q, nil)
+	res, err := c.DB.ExecStmt(stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,11 @@ import (
 // Auto-parameterization front door. Ad-hoc SELECT and EXEC text is
 // normalized by sql.Normalizer before it ever reaches the parser: literals
 // become @__pN parameters and the remaining tokens render in canonical form,
-// so every literal variant of one query shape maps to ONE cached parse tree
-// and, through it, ONE cached plan (paper §5.1: cached dynamic plans "avoid
-// the need for frequent reoptimization"). On a shape hit the per-execution
-// work is one zero-allocation normalization pass plus a map lookup — no
-// lexing into tokens, no AST, no optimizer.
+// so every literal variant of one query shape maps to ONE plan-cache entry,
+// holding the shape's parse tree and ONE plan (paper §5.1: cached dynamic
+// plans "avoid the need for frequent reoptimization"). On a shape hit the
+// per-execution work is one zero-allocation normalization pass plus one map
+// lookup — no lexing into tokens, no AST, no optimizer.
 //
 // A procedure call is the same: a router sends a call as its shape (EXEC
 // getBook @i_id = @i_id, sql.CallShape) with the arguments in the
@@ -35,26 +35,21 @@ import (
 // shared statement without parsing. A call to a procedure the cache has no
 // copy of goes on the same way: the shape, and the one map.
 
-// defaultAutoCacheCap bounds the per-database shape cache; beyond it the
-// least recently used shape is evicted and will re-parse on next use.
-const defaultAutoCacheCap = 512
-
 // normPool recycles Normalizers across executions and goroutines. Each
 // instance keeps its grown buffers, so steady-state normalization performs
 // no allocations.
 var normPool = sync.Pool{New: func() any { return new(sql.Normalizer) }}
 
-func shapeEvicted(string) { metrics.Default.Counter("engine.autoparam_evictions").Add(1) }
-
-// autoParse resolves sqlText through the auto-parameterization cache.
+// autoParse resolves sqlText through the plan cache's front door.
 // ok=false means the text is not eligible (not a plain SELECT or an EXEC,
 // disabled, or a negative-cached shape) and the caller takes the ordinary
-// parse path. On ok=true the returned statement — a *sql.SelectStmt or a
-// *sql.ExecStmt — is the SHARED parsed form of the shape: callers must treat
-// it as read-only. args holds the literal values in @__p0.. order and
-// aliases the returned Normalizer's buffers: hand norm back to normPool only
-// once args is no longer needed.
-func (db *Database) autoParse(sqlText string) (stmt sql.Statement, args []types.Value, norm *sql.Normalizer, ok bool) {
+// parse path. On ok=true the returned entry holds the SHARED parsed form of
+// the shape — a *sql.SelectStmt or a *sql.ExecStmt, which callers must treat
+// as read-only — and, for a SELECT some execution has optimized, its plan.
+// args holds the literal values in @__p0.. order and aliases the returned
+// Normalizer's buffers: hand norm back to normPool only once args is no
+// longer needed.
+func (db *Database) autoParse(sqlText string) (e *planEntry, args []types.Value, norm *sql.Normalizer, ok bool) {
 	if db.autoOff {
 		return nil, nil, nil, false
 	}
@@ -65,27 +60,27 @@ func (db *Database) autoParse(sqlText string) (stmt sql.Statement, args []types.
 		metrics.Default.Counter("engine.autoparam_bypass").Add(1)
 		return nil, nil, nil, false
 	}
-	db.autoMu.Lock()
-	stmt, hit := db.autoCache.getBytes(key)
-	db.autoMu.Unlock()
+	db.plansMu.Lock()
+	e, hit := db.plans.getBytes(key)
+	db.plansMu.Unlock()
 	if !hit {
 		metrics.Default.Counter("engine.autoparam_misses").Add(1)
-		// Resolve outside the lock: a concurrent miss on the same shape just
-		// parses twice and the second insert wins.
+		// Resolve outside the lock: concurrent misses on one shape each
+		// parse, and end on the one entry the first insert made.
 		shape := string(key)
-		stmt = autoResolve(shape)
-		db.autoMu.Lock()
-		db.autoCache.put(shape, stmt)
-		db.autoMu.Unlock()
-	} else if stmt != nil {
+		e = &planEntry{stmt: autoResolve(shape)}
+		db.plansMu.Lock()
+		e = db.plans.add(shape, e)
+		db.plansMu.Unlock()
+	} else if e.stmt != nil {
 		metrics.Default.Counter("engine.autoparam_hits").Add(1)
 	}
-	if stmt == nil {
+	if e.stmt == nil {
 		normPool.Put(n)
 		metrics.Default.Counter("engine.autoparam_bypass").Add(1)
 		return nil, nil, nil, false
 	}
-	return stmt, vals, n, true
+	return e, vals, n, true
 }
 
 // autoResolve decides one normalized shape from its text alone: the
@@ -95,9 +90,9 @@ func (db *Database) autoParse(sqlText string) (stmt sql.Statement, args []types.
 // bypassing the plan cache anyway). Caching the nil makes repeated bad or
 // ineligible text cost one lookup instead of one parse. The key is itself
 // valid SQL in canonical token form, so the parsed statement's deparse — the
-// plan-cache key, the text a forwarded call travels as — is canonical for the
-// shape. The shape is syntax only: which procedure a call binds to, and how,
-// is looked up per execution.
+// query-store key, the text a forwarded call travels as — is canonical for
+// the shape. The shape is syntax only: which procedure a call binds to, and
+// how, is looked up per execution.
 func autoResolve(shape string) sql.Statement {
 	parsed, err := sql.Parse(shape)
 	if err != nil {
@@ -117,14 +112,6 @@ func autoResolve(shape string) sql.Statement {
 		return x
 	}
 	return nil
-}
-
-// AutoParamCacheSize reports the number of cached shapes (including
-// negative entries); used by tests.
-func (db *Database) AutoParamCacheSize() int {
-	db.autoMu.Lock()
-	defer db.autoMu.Unlock()
-	return db.autoCache.len()
 }
 
 // bindParams installs one execution's parameters on ctx: the named map —

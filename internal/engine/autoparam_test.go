@@ -9,38 +9,73 @@ import (
 
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
+	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
 
-// Ten literal variants of one query shape must share a single parsed
-// statement and a single cached plan.
+// Literal variants of one shape share one plan-cache entry, whatever the
+// statement: ten SELECTs one entry holding the parsed shape and its plan; ten
+// EXECs one entry holding the parsed call and no plan, plus one entry for the
+// procedure body's SELECT, keyed by its deparse; three texts the front door
+// refuses (WITH FRESHNESS) one negative entry. InvalidatePlans empties it.
 func TestAutoParamSharesOnePlan(t *testing.T) {
 	db := newBackendDB(t)
+	if err := db.ExecScript("CREATE PROCEDURE getTitle @id INT AS SELECT i_title FROM item WHERE i_id = @id"); err != nil {
+		t.Fatal(err)
+	}
+	db.SetIMCacheEnabled(false) // its key for a WITH FRESHNESS text is one more shape
 	db.InvalidatePlans()
 	hits0 := metrics.Default.Counter("engine.autoparam_hits").Value()
-	for i := 1; i <= 10; i++ {
-		res, err := db.Exec(fmt.Sprintf("SELECT i_title FROM item WHERE i_id = %d", i), nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		format      string
+		texts, want int // literal variants run; entries after them
+	}{
+		{"SELECT i_title FROM item WHERE i_id = %d", 10, 1},
+		{"EXEC getTitle %d", 10, 3},
+		{"SELECT i_title FROM item WHERE i_id = %d WITH FRESHNESS 10", 3, 4},
+	} {
+		for i := 1; i <= c.texts; i++ {
+			text := fmt.Sprintf(c.format, i)
+			res, err := db.Exec(text, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			if len(res.Rows) != 1 {
+				t.Fatalf("%s: %d rows", text, len(res.Rows))
+			}
 		}
-		if len(res.Rows) != 1 {
-			t.Fatalf("i_id=%d: %d rows", i, len(res.Rows))
+		if n := db.PlanCacheSize(); n != c.want {
+			t.Errorf("after %q the plan cache holds %d entries, want %d", c.format, n, c.want)
 		}
 	}
-	if n := db.PlanCacheSize(); n != 1 {
-		t.Errorf("plan cache holds %d plans for one shape, want 1", n)
+	if hits := metrics.Default.Counter("engine.autoparam_hits").Value() - hits0; hits < 18 {
+		t.Errorf("autoparam hits = %d, want >= 18", hits)
 	}
-	if n := db.AutoParamCacheSize(); n != 1 {
-		t.Errorf("auto-param cache holds %d shapes, want 1", n)
+	if shapeEntry(t, db, "SELECT i_title FROM item WHERE i_id = 11").plan.Load() == nil {
+		t.Error("the SELECT shape's entry holds no plan")
 	}
-	if hits := metrics.Default.Counter("engine.autoparam_hits").Value() - hits0; hits < 9 {
-		t.Errorf("autoparam hits = %d, want >= 9", hits)
+	if shapeEntry(t, db, "EXEC getTitle 11").plan.Load() != nil {
+		t.Error("the EXEC shape's entry holds a plan")
 	}
-	// DDL invalidation clears the shape cache along with the plans.
+	body := db.Catalog().Procedure("getTitle").Body[0].(*sql.SelectStmt)
+	if db.entryFor(body).plan.Load() == nil || db.PlanCacheSize() != 4 {
+		t.Errorf("the procedure body's SELECT has no planned entry of its own (%d entries)", db.PlanCacheSize())
+	}
 	db.InvalidatePlans()
-	if n := db.AutoParamCacheSize(); n != 0 {
-		t.Errorf("auto-param cache not cleared by InvalidatePlans: %d", n)
+	if n := db.PlanCacheSize(); n != 0 {
+		t.Errorf("plan cache not cleared by InvalidatePlans: %d", n)
 	}
+}
+
+// shapeEntry is the plan-cache entry the front door resolves text to.
+func shapeEntry(t *testing.T, db *Database, text string) *planEntry {
+	t.Helper()
+	e, _, norm, ok := db.autoParse(text)
+	if !ok {
+		t.Fatalf("%s: not through the front door", text)
+	}
+	normPool.Put(norm)
+	return e
 }
 
 // Property: an auto-parameterized execution returns byte-identical results
@@ -164,8 +199,8 @@ func TestAutoParamCacheHitZeroAlloc(t *testing.T) {
 		normPool.Put(norm)
 	}
 	if avg := testing.AllocsPerRun(500, func() {
-		stmt, args, norm, ok := db.autoParse(q)
-		if !ok || stmt == nil || len(args) != 1 {
+		e, args, norm, ok := db.autoParse(q)
+		if !ok || e.plan.Load() == nil || len(args) != 1 {
 			t.Fatal("cache hit failed")
 		}
 		normPool.Put(norm)
@@ -189,13 +224,12 @@ func TestAutoParamMixedWithUserParams(t *testing.T) {
 }
 
 // On a cache, a shape that needs the backend shares one parsed statement and
-// one plan like any other: ten literal variants grow each cache by one entry,
-// cost one remote query apiece, return what the backend returns, and — once
-// the shape is warm — parse nothing on either side.
+// one plan like any other: ten literal variants grow the plan cache by one
+// entry, cost one remote query apiece, return what the backend returns, and —
+// once the shape is warm — parse nothing on either side.
 func TestAutoParamRemoteShapesShareOnePlanOnCache(t *testing.T) {
 	backend, cache := newCachePair(t)
-	plans0, shapes0 := cache.PlanCacheSize(), cache.AutoParamCacheSize()
-	bplans0 := backend.PlanCacheSize()
+	entries0, bentries0 := cache.PlanCacheSize(), backend.PlanCacheSize()
 	parses := metrics.Default.Histogram("engine.parse_seconds")
 	var parsed0 int64
 	for i := 1; i <= 10; i++ {
@@ -218,15 +252,12 @@ func TestAutoParamRemoteShapesShareOnePlanOnCache(t *testing.T) {
 			t.Fatalf("%s: cache %v, backend %v", q, got.Rows, want.Rows)
 		}
 	}
-	if n := cache.PlanCacheSize() - plans0; n != 1 {
-		t.Errorf("cache plan cache grew by %d for one shape, want 1", n)
-	}
-	if n := cache.AutoParamCacheSize() - shapes0; n != 1 {
-		t.Errorf("cache shape cache grew by %d for one shape, want 1", n)
+	if n := cache.PlanCacheSize() - entries0; n != 1 {
+		t.Errorf("cache plan cache grew by %d entries for one shape, want 1", n)
 	}
 	// The backend holds the forwarded shape and the direct one, nothing per literal.
-	if n := backend.PlanCacheSize() - bplans0; n > 2 {
-		t.Errorf("backend plan cache grew by %d, want at most 2", n)
+	if n := backend.PlanCacheSize() - bentries0; n > 2 {
+		t.Errorf("backend plan cache grew by %d entries, want at most 2", n)
 	}
 	if n := parses.Count() - parsed0; n != 0 {
 		t.Errorf("%d statements were parsed after warm-up, want 0", n)
@@ -268,7 +299,7 @@ func TestRemoteShapeAllocBudget(t *testing.T) {
 			t.Fatalf("i_id = %d: %+v, %v", next%200+1, res, err)
 		}
 	}
-	run() // warm the shape and plan caches of both servers
+	run() // warm the plan caches of both servers
 	misses := metrics.Default.Counter("engine.plan_cache_misses")
 	misses0 := misses.Value()
 	const ceiling = 102
@@ -315,12 +346,12 @@ func TestCallShapeBindsToTheCurrentDefinition(t *testing.T) {
 	ddl("CREATE PROCEDURE probe @i INT AS SELECT i_title FROM item WHERE i_id = @i")
 	check("before", named, "[['bookx']]")
 	check("before", positional, `engine: parameter @i: cannot cast "book" to INT`)
-	shapes := cache.AutoParamCacheSize()
+	shapes := cache.PlanCacheSize()
 	ddl("DROP PROCEDURE probe")
 	ddl("CREATE PROCEDURE probe @t VARCHAR(60), @i INT AS SELECT COUNT(*) FROM item WHERE i_title = @t AND i_id <= @i")
 	check("after", named, "exec: missing parameter @t")
 	check("after", positional, "[[3]]") // i_id 3, 6 and 9 are titled 'book'
-	if n := cache.AutoParamCacheSize(); n != shapes {
+	if n := cache.PlanCacheSize(); n != shapes {
 		t.Errorf("the cache holds %d shapes after the backend's DDL, %d before: it was to keep them", n, shapes)
 	}
 }

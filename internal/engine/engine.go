@@ -60,15 +60,11 @@ type Database struct {
 	// remote is the linked backend server (cache role only).
 	remote exec.RemoteClient
 
-	planMu    sync.Mutex
-	planCache *lru[*opt.Plan]
-
-	// autoMu guards autoCache, the auto-parameterization shape cache
-	// (normalized text → parsed statement, nil for a negative entry; see
-	// autoparam.go).
-	autoMu    sync.Mutex
-	autoCache *lru[sql.Statement]
-	autoOff   bool // tests: parse and plan every ad-hoc text as written
+	// plansMu guards plans, the plan cache: SQL text → planEntry, keyed by a
+	// front-door shape (autoparam.go) or by a statement's deparse (entryFor).
+	plansMu sync.Mutex
+	plans   *lru[*planEntry]
+	autoOff bool // tests: parse and plan every ad-hoc text as written
 
 	// viewMaps holds the compiled definition of every materialized view this
 	// database maintains (maintainViews): stored by CREATE MATERIALIZED VIEW,
@@ -103,10 +99,6 @@ type Config struct {
 	Remote  exec.RemoteClient // backend link; required for Cache role
 	Options *opt.Options      // nil = opt.DefaultOptions
 
-	// PlanCacheCap bounds the number of cached plans; LRU eviction beyond
-	// it. 0 means defaultPlanCacheCap.
-	PlanCacheCap int
-
 	// Durability, when non-nil, backs the store with an on-disk WAL in the
 	// given directory (see storage.DurabilityOptions). Only honored by Open;
 	// New ignores it because enabling durability can fail.
@@ -123,24 +115,19 @@ func New(cfg Config) *Database {
 	if cfg.Options != nil {
 		opts = *cfg.Options
 	}
-	planCap := cfg.PlanCacheCap
-	if planCap <= 0 {
-		planCap = defaultPlanCacheCap
-	}
 	var imOpts imcache.Options
 	if cfg.IMCache != nil {
 		imOpts = *cfg.IMCache
 	}
 	db := &Database{
-		Name:      cfg.Name,
-		cat:       catalog.New(),
-		store:     storage.NewStore(),
-		role:      cfg.Role,
-		opts:      opts,
-		remote:    cfg.Remote,
-		planCache: newLRU[*opt.Plan](planCap, planEvicted),
-		autoCache: newLRU[sql.Statement](defaultAutoCacheCap, shapeEvicted),
-		imc:       imcache.New(imOpts),
+		Name:   cfg.Name,
+		cat:    catalog.New(),
+		store:  storage.NewStore(),
+		role:   cfg.Role,
+		opts:   opts,
+		remote: cfg.Remote,
+		plans:  newLRU[*planEntry](planCacheCap, planEvicted),
+		imc:    imcache.New(imOpts),
 	}
 	db.imcOn.Store(true)
 	db.registerSystemTables()
@@ -264,7 +251,7 @@ func (db *Database) ExecSessionTraced(sqlText string, params exec.Params, minLSN
 
 // execText takes a statement from text to result on rec's clock: the session
 // gate, then the auto-parameterization front door (shape-identical SELECTs
-// share one parsed statement and through it one cached plan; shape-identical
+// share one plan-cache entry: one parsed statement, one plan; shape-identical
 // EXECs share one parsed call) or the parser.
 func (db *Database) execText(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, rec *trace.Record) (*Result, error) {
 	if minLSN > 0 && db.role == Cache {
@@ -281,14 +268,14 @@ func (db *Database) execText(sqlText string, params exec.Params, minLSN storage.
 		}
 		metrics.Default.Counter("engine.session_gate_pass").Add(1)
 	}
-	if stmt, autoArgs, norm, ok := db.autoParse(sqlText); ok {
+	if e, autoArgs, norm, ok := db.autoParse(sqlText); ok {
 		rec.AutoParam = true
 		rec.Mark(trace.StageParse)
 		var res *Result
 		var err error
-		switch x := stmt.(type) {
+		switch x := e.stmt.(type) {
 		case *sql.SelectStmt:
-			res, err = db.query(x, params, autoArgs, rec)
+			res, err = db.query(x, e, params, autoArgs, rec)
 		case *sql.ExecStmt:
 			res, err = db.execProcCall(x, params, autoArgs, rec)
 		}
@@ -328,20 +315,16 @@ func publish(rec *trace.Record, err error) {
 	}
 }
 
-// InvalidatePlans clears the two caches that depend on statistics and
-// optimizer options: the auto-parameterization shape cache (text → statement)
-// and the plan cache (statement → plan). It is the only invalidation there is,
-// and it has three causes: DDL, a statistics refresh, and an optimizer-option
+// InvalidatePlans clears the plan cache, whose plans depend on the catalog,
+// statistics and optimizer options. It is the only invalidation there is, and
+// it has three causes: DDL, a statistics refresh, and an optimizer-option
 // change. Data changes never reach it — a cached dynamic plan stays valid
 // across them (paper §5.1), and the intermediate-result cache tracks its own
 // staleness per entry.
 func (db *Database) InvalidatePlans() {
-	db.planMu.Lock()
-	db.planCache.clear()
-	db.planMu.Unlock()
-	db.autoMu.Lock()
-	db.autoCache.clear()
-	db.autoMu.Unlock()
+	db.plansMu.Lock()
+	db.plans.clear()
+	db.plansMu.Unlock()
 }
 
 func (db *Database) env() *opt.Env {
@@ -413,7 +396,7 @@ func (db *Database) ExecStmt(stmt sql.Statement, params exec.Params) (*Result, e
 func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.Record) (*Result, error) {
 	switch x := stmt.(type) {
 	case *sql.SelectStmt:
-		return db.query(x, params, nil, rec)
+		return db.query(x, nil, params, nil, rec)
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return db.execDML(stmt, params, rec)
 	case *sql.CreateTableStmt:
@@ -435,9 +418,10 @@ func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.
 }
 
 // query runs one SELECT on rec's clock: the result cache, then the plan, then
-// the one runner. autoArgs, when non-nil, holds the literal values the
-// auto-parameterization front door extracted from the original text, bound
-// positionally to the plan's @__pN parameters. What it learns on the way —
+// the one runner. e is the statement's plan-cache entry when the front door
+// found it (nil: planFor looks it up by deparse), and autoArgs, when non-nil,
+// holds the literal values the front door extracted from the original text,
+// bound positionally to the plan's @__pN parameters. What it learns on the way —
 // shape, tier, variant, rows, served staleness — goes on the record and is
 // reported nowhere else; the caller publishes.
 //
@@ -446,8 +430,8 @@ func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.
 // stale) cached views and answered from them. A WITH FRESHNESS query never
 // degrades — the user asked for a bound the cache can no longer guarantee,
 // so it fails fast with the transport error instead.
-func (db *Database) query(stmt *sql.SelectStmt, params exec.Params, autoArgs []types.Value, rec *trace.Record) (*Result, error) {
-	rec.Shape = stmt.CacheKey() // plan-cache key, query-store key, and with the bound values the result-cache key
+func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params, autoArgs []types.Value, rec *trace.Record) (*Result, error) {
+	rec.Shape = stmt.CacheKey() // query-store key, and with the bound values the result-cache key
 	// Intermediate-result exact-match fast path: a repeated statement with
 	// identical bound values is answered straight from the materialized
 	// result — no planning, no execution. Ordinary queries demand a fresh
@@ -482,7 +466,7 @@ func (db *Database) query(stmt *sql.SelectStmt, params exec.Params, autoArgs []t
 			imstamp = imc.Stamp()
 		}
 	}
-	plan, err := db.planFor(stmt, params, rec)
+	plan, err := db.planFor(stmt, e, params, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -520,12 +504,17 @@ func (db *Database) query(stmt *sql.SelectStmt, params exec.Params, autoArgs []t
 }
 
 // planFor plans stmt on rec's clock: per execution, against the views' current
-// staleness, under a WITH FRESHNESS bound; through the plan cache otherwise.
-func (db *Database) planFor(stmt *sql.SelectStmt, params exec.Params, rec *trace.Record) (plan *opt.Plan, err error) {
+// staleness, under a WITH FRESHNESS bound; otherwise through the plan cache,
+// on e — the entry the front door found, or when nil the one stmt's deparse
+// keys.
+func (db *Database) planFor(stmt *sql.SelectStmt, e *planEntry, params exec.Params, rec *trace.Record) (plan *opt.Plan, err error) {
 	if stmt.Freshness != nil {
 		plan, err = db.planWithFreshness(stmt, params)
 	} else {
-		plan, rec.PlanCache, err = db.planCached(stmt)
+		if e == nil {
+			e = db.entryFor(stmt)
+		}
+		plan, rec.PlanCache, err = db.planOf(e, stmt)
 	}
 	rec.Mark(trace.StagePlan)
 	return plan, err
@@ -596,43 +585,22 @@ func (db *Database) planWithFreshness(stmt *sql.SelectStmt, params exec.Params) 
 // instead of reoptimizing (paper §5.1: dynamic plans "avoid the need for
 // frequent reoptimization").
 func (db *Database) Plan(stmt *sql.SelectStmt) (*opt.Plan, error) {
-	p, _, err := db.planCached(stmt)
+	p, _, err := db.planOf(db.entryFor(stmt), stmt)
 	return p, err
 }
 
-// planCached is Plan plus what the cache did, which is also what the
-// engine.plan_cache_hits / engine.plan_cache_misses counters count.
-func (db *Database) planCached(stmt *sql.SelectStmt) (*opt.Plan, trace.PlanCache, error) {
-	// CacheKey memoizes the deparsed text on the statement, so repeated
-	// executions of a prepared statement skip the deparse entirely.
-	key := stmt.CacheKey()
-	db.planMu.Lock()
-	if p, ok := db.planCache.get(key); ok {
-		db.planMu.Unlock()
-		metrics.Default.Counter("engine.plan_cache_hits").Add(1)
-		return p, trace.PlanHit, nil
-	}
-	gen := db.planCache.gen
-	db.planMu.Unlock()
-	metrics.Default.Counter("engine.plan_cache_misses").Add(1)
-	p, err := opt.Optimize(stmt, db.env())
-	if err != nil {
-		return nil, trace.PlanMiss, err
-	}
-	// Optimization ran outside the lock; if InvalidatePlans fired in
-	// between, this plan may reference a view that no longer exists — run
-	// it once but do not cache it.
-	db.planMu.Lock()
-	db.planCache.putIfGen(gen, key, p)
-	db.planMu.Unlock()
-	return p, trace.PlanMiss, nil
+// planEntry is one statement text's slot in the plan cache. The key is a
+// front-door shape or a deparse: both are SQL text, and equal text is the same
+// statement, so the two kinds share entries.
+type planEntry struct {
+	stmt sql.Statement // shared and read-only; nil for a negative front-door shape
+	plan atomic.Pointer[opt.Plan]
 }
 
-// defaultPlanCacheCap bounds the per-database plan cache when Config leaves
-// PlanCacheCap zero. Distinct query texts beyond the cap evict the least
-// recently used plan (counted by engine.plan_cache_evictions), so ad-hoc
+// planCacheCap bounds the plan cache. Texts beyond it evict the least
+// recently used entry (counted by engine.plan_cache_evictions), so ad-hoc
 // query churn cannot grow the cache without limit.
-const defaultPlanCacheCap = 256
+const planCacheCap = 512
 
 func planEvicted(key string) {
 	metrics.Default.Counter("engine.plan_cache_evictions").Add(1)
@@ -642,11 +610,47 @@ func planEvicted(key string) {
 	querystore.Emit("plan_evicted", "shape", key)
 }
 
-// PlanCacheSize reports the number of cached plans.
+// entryFor is the plan-cache entry of a SELECT that did not come through the
+// front door — a procedure body's, an INSERT … SELECT's, an EXPLAIN target,
+// any text when auto-parameterization is off — keyed by its deparse, which
+// CacheKey memoizes on the statement.
+func (db *Database) entryFor(stmt *sql.SelectStmt) *planEntry {
+	key := stmt.CacheKey()
+	db.plansMu.Lock()
+	defer db.plansMu.Unlock()
+	if e, ok := db.plans.get(key); ok {
+		return e
+	}
+	return db.plans.add(key, &planEntry{stmt: stmt})
+}
+
+// planOf is e's plan: the one stored on it, or — when there is none yet —
+// stmt optimized outside the lock and stored on e. e is the entry a lookup
+// returned before the optimization began, never one found again by key:
+// InvalidatePlans detaches every entry, so a plan optimized across it lands
+// on an entry no lookup reaches any more — it runs this once and is never
+// served again. What planOf did is also what the engine.plan_cache_hits /
+// engine.plan_cache_misses counters count.
+func (db *Database) planOf(e *planEntry, stmt *sql.SelectStmt) (*opt.Plan, trace.PlanCache, error) {
+	if p := e.plan.Load(); p != nil {
+		metrics.Default.Counter("engine.plan_cache_hits").Add(1)
+		return p, trace.PlanHit, nil
+	}
+	metrics.Default.Counter("engine.plan_cache_misses").Add(1)
+	p, err := opt.Optimize(stmt, db.env())
+	if err != nil {
+		return nil, trace.PlanMiss, err
+	}
+	e.plan.CompareAndSwap(nil, p) // a concurrent miss that stored first keeps its plan
+	return p, trace.PlanMiss, nil
+}
+
+// PlanCacheSize reports the number of plan-cache entries: shapes and
+// statements, planned or not, negative shapes included.
 func (db *Database) PlanCacheSize() int {
-	db.planMu.Lock()
-	defer db.planMu.Unlock()
-	return db.planCache.len()
+	db.plansMu.Lock()
+	defer db.plansMu.Unlock()
+	return db.plans.len()
 }
 
 // RunPlan executes a previously produced plan.
@@ -752,12 +756,13 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, rec *tra
 	if !ok {
 		return nil, fmt.Errorf("engine: EXPLAIN supports only SELECT")
 	}
+	var e *planEntry
 	var autoArgs []types.Value
 	if shared, args, norm, ok := db.autoParse(sql.Deparse(sel)); ok {
 		defer normPool.Put(norm)
-		sel, autoArgs = shared.(*sql.SelectStmt), args // the text is a SELECT
+		e, sel, autoArgs = shared, shared.stmt.(*sql.SelectStmt), args // the text is a SELECT
 	}
-	plan, err := db.planFor(sel, params, rec)
+	plan, err := db.planFor(sel, e, params, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -224,7 +224,7 @@ func TestExecRecordsStitchedTrace(t *testing.T) {
 			t.Errorf("trace missing span %q:\n%s", name, trace.Render(tr))
 		}
 	}
-	// Both servers resolve the text through the shape cache: the cache shares
+	// Both servers resolve the text through the front door: the cache shares
 	// the remote-going shape's statement, the backend the forwarded one's.
 	for _, name := range []string{"cache1.exec", "backend.exec"} {
 		if got := tr.FindSpan(name).AttrValue("autoparam"); got != "1" {

@@ -91,8 +91,8 @@ func (db *Database) imFreshnessKey(stmt *sql.SelectStmt, params exec.Params) str
 	}
 	text := sql.Deparse(bare)
 	keyParams, _ := imStripFreshnessRefs(stmt.Freshness, params, nil)
-	if nstmt, args, norm, ok := db.autoParse(text); ok {
-		key := imKey(nstmt.(*sql.SelectStmt).CacheKey(), keyParams, args) // the text is a SELECT
+	if e, args, norm, ok := db.autoParse(text); ok {
+		key := imKey(e.stmt.(*sql.SelectStmt).CacheKey(), keyParams, args) // the text is a SELECT
 		normPool.Put(norm)
 		return key
 	}

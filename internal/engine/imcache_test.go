@@ -10,7 +10,6 @@ import (
 	"mtcache/internal/exec"
 	"mtcache/internal/imcache"
 	"mtcache/internal/metrics"
-	"mtcache/internal/opt"
 	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
@@ -184,8 +183,8 @@ func TestIMCacheEvictionUnderPressure(t *testing.T) {
 }
 
 // TestIMCacheChurnKeepsPlans: the result cache admitting, going stale,
-// refreshing and evicting under a tiny byte budget never touches the plan or
-// shape caches — after warm-up no statement is optimized again — and every
+// refreshing and evicting under a tiny byte budget never touches the plan
+// cache — after warm-up no statement is optimized again — and every
 // read still returns the current rows.
 func TestIMCacheChurnKeepsPlans(t *testing.T) {
 	db := imTestDB(t, &imcache.Options{MaxBytes: 6 << 10, MaxEntryBytes: 4 << 10, AdmitAfter: 1})
@@ -247,10 +246,10 @@ func TestIMCacheChurnKeepsPlans(t *testing.T) {
 		}
 	}
 
-	round(0) // warm-up: one plan and one shape per statement
-	plans, shapes := db.PlanCacheSize(), db.AutoParamCacheSize()
-	if plans != 3 || shapes != 3 {
-		t.Fatalf("warm-up cached %d plans, %d shapes; want 3 and 3", plans, shapes)
+	round(0) // warm-up: one plan-cache entry per statement
+	entries := db.PlanCacheSize()
+	if entries != 3 {
+		t.Fatalf("warm-up cached %d entries; want 3", entries)
 	}
 	counter := func(name string) int64 { return metrics.Default.Counter(name).Value() }
 	misses := counter("engine.plan_cache_misses")
@@ -269,16 +268,17 @@ func TestIMCacheChurnKeepsPlans(t *testing.T) {
 	if got := counter("engine.plan_cache_misses"); got != misses {
 		t.Errorf("result-cache churn caused %d plan-cache misses", got-misses)
 	}
-	if p, s := db.PlanCacheSize(), db.AutoParamCacheSize(); p != plans || s != shapes {
-		t.Errorf("result-cache churn moved the caches: %d plans, %d shapes; want %d and %d", p, s, plans, shapes)
+	if n := db.PlanCacheSize(); n != entries {
+		t.Errorf("result-cache churn moved the plan cache: %d entries, want %d", n, entries)
 	}
 }
 
 // TestInvalidatePlansClearsEverything: DDL, a statistics refresh and an
-// optimizer-option change each empty the two caches there are — the plan cache
-// and the shape cache — and a plan optimized across the call is not inserted
-// afterwards. A materialized view's maintenance is not a cache and is not
-// touched: the view follows its table across every one of them.
+// optimizer-option change each empty the plan cache, and a plan optimized
+// across the call lands on the entry its lookup returned — one the clear
+// detached — so no later lookup is served it. A materialized view's
+// maintenance is not a cache and is not touched: the view follows its table
+// across every one of them.
 func TestInvalidatePlansClearsEverything(t *testing.T) {
 	causes := []struct {
 		name string
@@ -306,35 +306,29 @@ func TestInvalidatePlansClearsEverything(t *testing.T) {
 			if _, err := db.Exec("SELECT v FROM t WHERE id = 3", nil); err != nil {
 				t.Fatal(err)
 			}
-			if db.PlanCacheSize() == 0 || db.AutoParamCacheSize() == 0 {
-				t.Fatalf("warm-up cached %d plans, %d shapes", db.PlanCacheSize(), db.AutoParamCacheSize())
+			if db.PlanCacheSize() == 0 {
+				t.Fatal("warm-up cached nothing")
 			}
 
-			// A plan in flight: optimized before the invalidation, inserted after.
-			stmt, err := sql.Parse("SELECT w FROM t WHERE id = @id")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sel := stmt.(*sql.SelectStmt)
-			db.planMu.Lock()
-			gen := db.planCache.gen
-			db.planMu.Unlock()
-			inflight, err := opt.Optimize(sel, db.env())
-			if err != nil {
-				t.Fatal(err)
-			}
+			// A plan in flight: its entry looked up before the invalidation,
+			// the plan optimized and stored on it after.
+			const inflight = "SELECT w FROM t WHERE id = 4"
+			e := shapeEntry(t, db, inflight)
 
 			if err := c.fire(db); err != nil {
 				t.Fatal(err)
 			}
-			if p, s := db.PlanCacheSize(), db.AutoParamCacheSize(); p+s != 0 {
-				t.Errorf("left %d plans, %d shapes", p, s)
+			if n := db.PlanCacheSize(); n != 0 {
+				t.Errorf("left %d entries", n)
 			}
-			db.planMu.Lock()
-			inserted := db.planCache.putIfGen(gen, sel.CacheKey(), inflight)
-			db.planMu.Unlock()
-			if inserted || db.PlanCacheSize() != 0 {
-				t.Error("a plan optimized before the invalidation was cached after it")
+			if _, _, err := db.planOf(e, e.stmt.(*sql.SelectStmt)); err != nil {
+				t.Fatal(err)
+			}
+			if n := db.PlanCacheSize(); n != 0 {
+				t.Errorf("storing the in-flight plan left %d entries", n)
+			}
+			if fresh := shapeEntry(t, db, inflight); fresh == e || fresh.plan.Load() != nil {
+				t.Error("a plan optimized across the invalidation is served after it")
 			}
 			if db.Catalog().Table("mv") == nil {
 				return // DROP VIEW

@@ -2,21 +2,14 @@ package engine
 
 import "container/list"
 
-// lru is a bounded least-recently-used map from string keys to V; the
-// plan cache (key → *opt.Plan) and the auto-parameterization shape cache
-// (normalized text → parsed statement) are both instances. Not
-// self-locking: the Database guards each instance with its own mutex.
+// lru is a bounded least-recently-used map from string keys to V; the plan
+// cache (SQL text → *planEntry) is its one instance. Not self-locking: the
+// Database guards it with plansMu.
 type lru[V any] struct {
 	cap     int
 	items   map[string]*list.Element
 	order   *list.List       // front = most recently used
-	onEvict func(key string) // called for each entry pushed out by put
-
-	// gen counts clears. A caller that computes a value from the catalog
-	// outside the lock snapshots gen with its miss and inserts through
-	// putIfGen, so a plan optimized against a catalog that InvalidatePlans
-	// has since discarded is used once but never cached.
-	gen uint64
+	onEvict func(key string) // called for each entry pushed out by add
 }
 
 type lruEntry[V any] struct {
@@ -48,22 +41,14 @@ func (c *lru[V]) touch(el *list.Element) (V, bool) {
 	return el.Value.(*lruEntry[V]).val, true
 }
 
-// putIfGen is put unless the cache was cleared since the caller read gen;
-// it reports whether the value went in.
-func (c *lru[V]) putIfGen(gen uint64, key string, val V) bool {
-	if c.gen != gen {
-		return false
-	}
-	c.put(key, val)
-	return true
-}
-
-// put inserts (or replaces) key, evicting from the cold end beyond cap.
-func (c *lru[V]) put(key string, val V) {
+// add is get-or-insert: it inserts val unless key is already present, and
+// returns the value the cache holds under key, evicting from the cold end
+// beyond cap. Two callers that missed on one key concurrently end on one
+// value.
+func (c *lru[V]) add(key string, val V) V {
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry[V]).val = val
 		c.order.MoveToFront(el)
-		return
+		return el.Value.(*lruEntry[V]).val
 	}
 	c.items[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 	for len(c.items) > c.cap {
@@ -73,12 +58,12 @@ func (c *lru[V]) put(key string, val V) {
 		delete(c.items, victim)
 		c.onEvict(victim)
 	}
+	return val
 }
 
 func (c *lru[V]) clear() {
 	c.items = make(map[string]*list.Element)
 	c.order.Init()
-	c.gen++
 }
 
 func (c *lru[V]) len() int { return len(c.items) }

@@ -6,15 +6,14 @@ import (
 )
 
 // TestLRU drives one script of operations per case through the generic LRU
-// and checks what survives, what was evicted (in callback order) and the
-// generation.
+// and checks what survives and what was evicted (in callback order).
 func TestLRU(t *testing.T) {
 	type op struct {
-		do   string // put, get, getBytes, stalePut, clear
+		do   string // add, get, getBytes, clear
 		key  string
 		val  int
-		want int  // get/getBytes: expected value
-		ok   bool // get/getBytes: expected hit; put/stalePut: expected insert
+		want int  // add/get/getBytes: expected value
+		ok   bool // get/getBytes: expected hit
 	}
 	cases := []struct {
 		name    string
@@ -22,65 +21,57 @@ func TestLRU(t *testing.T) {
 		ops     []op
 		keys    []string // surviving keys, most recently used first
 		evicted []string
-		gen     uint64
 	}{
 		{
 			name: "least recently inserted goes first",
 			cap:  2,
-			ops:  []op{{do: "put", key: "a", val: 1, ok: true}, {do: "put", key: "b", val: 2, ok: true}, {do: "put", key: "c", val: 3, ok: true}},
+			ops:  []op{{do: "add", key: "a", val: 1, want: 1}, {do: "add", key: "b", val: 2, want: 2}, {do: "add", key: "c", val: 3, want: 3}},
 			keys: []string{"c", "b"}, evicted: []string{"a"},
 		},
 		{
 			name: "get and getBytes refresh recency",
 			cap:  2,
 			ops: []op{
-				{do: "put", key: "a", val: 1, ok: true}, {do: "put", key: "b", val: 2, ok: true},
+				{do: "add", key: "a", val: 1, want: 1}, {do: "add", key: "b", val: 2, want: 2},
 				{do: "get", key: "a", want: 1, ok: true},
-				{do: "put", key: "c", val: 3, ok: true}, // evicts b, not a
+				{do: "add", key: "c", val: 3, want: 3}, // evicts b, not a
 				{do: "getBytes", key: "a", want: 1, ok: true},
-				{do: "put", key: "d", val: 4, ok: true}, // evicts c
+				{do: "add", key: "d", val: 4, want: 4}, // evicts c
 				{do: "get", key: "b"}, {do: "getBytes", key: "c"},
 			},
 			keys: []string{"d", "a"}, evicted: []string{"b", "c"},
 		},
 		{
-			name: "put replaces in place without evicting",
+			name: "add keeps the value it holds, without evicting",
 			cap:  2,
 			ops: []op{
-				{do: "put", key: "a", val: 1, ok: true}, {do: "put", key: "b", val: 2, ok: true},
-				{do: "put", key: "a", val: 9, ok: true},
-				{do: "get", key: "a", want: 9, ok: true},
+				{do: "add", key: "a", val: 1, want: 1}, {do: "add", key: "b", val: 2, want: 2},
+				{do: "add", key: "a", val: 9, want: 1}, // a concurrent miss ends on the first value
+				{do: "get", key: "a", want: 1, ok: true},
 			},
 			keys: []string{"a", "b"},
 		},
 		{
-			name: "clear empties, bumps the generation and refuses stale inserts",
+			name: "clear empties",
 			cap:  4,
 			ops: []op{
-				{do: "put", key: "a", val: 1, ok: true},
+				{do: "add", key: "a", val: 1, want: 1},
 				{do: "clear"},
 				{do: "get", key: "a"},
-				{do: "stalePut", key: "a", val: 1}, // computed against generation 0
-				{do: "put", key: "b", val: 2, ok: true},
+				{do: "add", key: "b", val: 2, want: 2},
 				{do: "clear"},
 			},
-			gen: 2,
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var evicted []string
 			l := newLRU[int](c.cap, func(key string) { evicted = append(evicted, key) })
-			staleGen := l.gen
 			for i, o := range c.ops {
 				switch o.do {
-				case "put", "stalePut":
-					gen := l.gen
-					if o.do == "stalePut" {
-						gen = staleGen
-					}
-					if got := l.putIfGen(gen, o.key, o.val); got != o.ok {
-						t.Fatalf("op %d %s %q: inserted = %v, want %v", i, o.do, o.key, got, o.ok)
+				case "add":
+					if got := l.add(o.key, o.val); got != o.want {
+						t.Fatalf("op %d add %q = %d, want %d", i, o.key, got, o.want)
 					}
 				case "get", "getBytes":
 					got, ok := l.get(o.key)
@@ -104,9 +95,6 @@ func TestLRU(t *testing.T) {
 			if !reflect.DeepEqual(evicted, c.evicted) {
 				t.Errorf("evicted %v, want %v", evicted, c.evicted)
 			}
-			if l.gen != c.gen {
-				t.Errorf("generation %d, want %d", l.gen, c.gen)
-			}
 		})
 	}
 }
@@ -116,7 +104,7 @@ func TestLRU(t *testing.T) {
 func TestLRUGetBytesDoesNotAllocate(t *testing.T) {
 	l := newLRU[*int](4, func(string) {})
 	one := 1
-	l.putIfGen(l.gen, "SELECT v FROM t WHERE id = @__p0", &one)
+	l.add("SELECT v FROM t WHERE id = @__p0", &one)
 	key := []byte("SELECT v FROM t WHERE id = @__p0")
 	if n := testing.AllocsPerRun(100, func() {
 		if _, ok := l.getBytes(key); !ok {

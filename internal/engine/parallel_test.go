@@ -135,7 +135,8 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	// into one shape (one plan); disable it so each text gets its own plan
 	// and the LRU actually evicts. The intermediate-result cache is off too,
 	// so the re-run below reaches the plan cache instead of a cached result.
-	db := New(Config{Name: "backend", Role: Backend, PlanCacheCap: 4})
+	db := New(Config{Name: "backend", Role: Backend})
+	db.plans.cap = 4
 	db.autoOff = true
 	db.SetIMCacheEnabled(false)
 	if err := db.ExecScript("CREATE TABLE tiny (id INT PRIMARY KEY, v INT);"); err != nil {
@@ -171,13 +172,13 @@ func TestPlanCacheDefaultCapBounded(t *testing.T) {
 	if err := db.ExecScript("CREATE TABLE tiny (id INT PRIMARY KEY, v INT);"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < defaultPlanCacheCap+50; i++ {
+	for i := 0; i < planCacheCap+50; i++ {
 		q := fmt.Sprintf("SELECT v FROM tiny WHERE id = %d", i)
 		if _, err := db.Exec(q, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := db.PlanCacheSize(); n > defaultPlanCacheCap {
-		t.Fatalf("plan cache size %d exceeds default cap %d", n, defaultPlanCacheCap)
+	if n := db.PlanCacheSize(); n > planCacheCap {
+		t.Fatalf("plan cache size %d exceeds cap %d", n, planCacheCap)
 	}
 }

@@ -76,7 +76,7 @@ func benchQuery(b *testing.B, maxDOP int, gen func(i int) string) {
 	opts := db.Options()
 	opts.MaxDOP = maxDOP
 	db.SetOptions(opts)
-	for i := 0; i < 16; i++ { // warm plan + shape caches
+	for i := 0; i < 16; i++ { // warm the plan cache
 		if _, err := db.Exec(gen(i), nil); err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestExecAllocGate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // warm plan + shape caches
+		run() // warm the plan cache
 		if avg := testing.AllocsPerRun(20, run); avg > g.ceiling {
 			t.Errorf("%s: %.0f allocs per execution, ceiling %.0f", g.name, avg, g.ceiling)
 		}
@@ -159,7 +159,7 @@ func TestQueryStoreAllocBudget(t *testing.T) {
 	}
 	measure := func(enabled bool) float64 {
 		querystore.Default.SetEnabled(enabled)
-		run() // warm plan + shape caches, and the store's slot for this shape
+		run() // warm the plan cache, and the store's slot for this shape
 		return testing.AllocsPerRun(200, run)
 	}
 	off := measure(false)

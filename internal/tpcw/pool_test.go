@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -34,9 +35,13 @@ func (rc readCall) run(db *engine.Database) (*engine.Result, error) {
 var readProcs = []string{"getBook", "getRelated", "doSubjectSearch", "doTitleSearch", "doAuthorSearch", "getNewProducts", "getBestSellers"}
 
 // readCalls is every call the pool tests make: each procedure and each
-// adhoc_local shape over a spread of parameters. None of them reads item
-// 1000 or 5000, which the writer of TestPooledPlansUnderConcurrency owns.
-func readCalls(items int) []readCall {
+// adhoc_local shape over a spread of parameters, and getBook's SELECT three
+// ways — called, EXEC text with a literal, its body with a literal — so its
+// deparse and two front-door shapes key three plan-cache entries. None of
+// them reads item 1000 or 5000, which the writer of
+// TestPooledPlansUnderConcurrency owns.
+func readCalls(t *testing.T, items int) []readCall {
+	getBook := procBody(t, "getBook")
 	str, num := types.NewString, func(i int) types.Value { return types.NewInt(int64(i)) }
 	var calls []readCall
 	add := func(proc, name string, v types.Value) {
@@ -67,15 +72,18 @@ func readCalls(items int) []readCall {
 			readCall{label: fmt.Sprint("adhoc join ", k), text: fmt.Sprintf("SELECT i.i_title, a.a_fname, a.a_lname FROM item i, author a WHERE i.i_a_id = a.a_id AND i.i_id = %d", k)},
 			readCall{label: fmt.Sprint("adhoc range ", lo), text: fmt.Sprintf("SELECT i_id, i_title FROM item WHERE i_id >= %d AND i_id < %d", lo, lo+100)},
 			readCall{label: fmt.Sprint("adhoc agg ", k), text: fmt.Sprintf("SELECT COUNT(*), SUM(ol_qty) FROM order_line WHERE ol_i_id = %d", k)},
+			readCall{label: fmt.Sprint("EXEC getBook ", k), text: fmt.Sprint("EXEC getBook ", k)},
+			readCall{label: fmt.Sprint("getBook body ", k), text: strings.Replace(getBook, "@i_id", fmt.Sprint(k), 1)},
 		)
 	}
 	add("getBook", "i_id", num(99999))
 	return calls
 }
 
-// TestPooledPlansUnderConcurrency: eight clients run the read procedures and
-// the adhoc_local shapes with random parameters against one cache — result
-// cache on, every plan's instances shared between them — and every answer
+// TestPooledPlansUnderConcurrency: eight clients run the read procedures, the
+// adhoc_local shapes and literal getBook texts with random parameters against
+// one cache — result cache on, every plan's instances shared between them,
+// plan-cache entries keyed by deparse and by shape alike — and every answer
 // must be the backend's. Meanwhile the plan cache is invalidated, statistics
 // are rebuilt, and replicated writes churn the rows and index entries the
 // plans read; the writes touch only rows and columns no call returns, so the
@@ -83,7 +91,7 @@ func readCalls(items int) []readCall {
 func TestPooledPlansUnderConcurrency(t *testing.T) {
 	cfg := DefaultConfig()
 	b, c := loadedPair(t, cfg)
-	calls := readCalls(cfg.Items)
+	calls := readCalls(t, cfg.Items)
 	want := make([]string, len(calls))
 	rows := 0
 	for i, rc := range calls {
@@ -168,7 +176,7 @@ func TestParkedInstancesPinNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	_, c := loadedPair(t, cfg)
 	c.DB.SetIMCacheEnabled(false) // every call executes
-	calls := readCalls(cfg.Items)
+	calls := readCalls(t, cfg.Items)
 	for _, rc := range calls {
 		if _, err := rc.run(c.DB); err != nil {
 			t.Fatalf("%s: %v", rc.label, err)
