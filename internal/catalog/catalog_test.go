@@ -1,7 +1,10 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -282,11 +285,7 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	c.AddProcedure(&Procedure{Name: "p1", Text: "CREATE PROCEDURE p1 AS SELECT cid FROM customer"})
 
 	snap := ExportSnapshot(c)
-	data, err := snap.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(data)
+	got, err := DecodeSnapshot(snap.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +300,82 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	}
 	if !strings.Contains(got.Script, "CREATE TABLE customer") {
 		t.Error("script lost")
+	}
+
+	// Two tables of several columns each, two grants and two procedures
+	// encode to the same bytes every time, though the stats are maps Go ranges
+	// over in a different order each time; the bytes decode to the snapshot
+	// they came from and re-encode to themselves.
+	t.Run("two tables", snapshotEncodingIsDeterministic)
+}
+
+func snapshotEncodingIsDeterministic(t *testing.T) {
+	c := New()
+	c.AddTable(sampleTable())
+	c.AddTable(&Table{Name: "orders", Columns: []Column{
+		{Name: "o_id", Type: types.KindInt}, {Name: "o_c_id", Type: types.KindInt},
+		{Name: "o_total", Type: types.KindFloat}, {Name: "o_date", Type: types.KindTime}, {Name: "o_status", Type: types.KindString}}})
+	var custRows, orderRows []types.Row
+	for i := 0; i < 50; i++ {
+		custRows = append(custRows, types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("c%02d", i%7)), types.NewFloat(float64(i) / 3)})
+		orderRows = append(orderRows, types.Row{types.NewInt(int64(1000 + i)), types.NewInt(int64(i % 11)), types.NewFloat(float64(i) * 1.25),
+			types.NewTime(time.Date(2003, 6, 9, 0, 0, i, i, time.UTC)), types.NewString([]string{"SHIPPED", "PENDING", ""}[i%3])})
+	}
+	orderRows = append(orderRows, types.Row{types.NewInt(2000), types.Null, types.Null, types.Null, types.Null})
+	c.Table("customer").Stats.Store(BuildTableStats([]string{"cid", "cname", "cbalance"}, custRows))
+	c.Table("orders").Stats.Store(BuildTableStats([]string{"o_id", "o_c_id", "o_total", "o_date", "o_status"}, orderRows))
+	c.Grant("web", "customer", "SELECT")
+	c.Grant("admin", "*", "*")
+	c.AddProcedure(&Procedure{Name: "p1", Text: "CREATE PROCEDURE p1 AS SELECT cid FROM customer"})
+	c.AddProcedure(&Procedure{Name: "p2", Text: "CREATE PROCEDURE p2 @id INT AS SELECT o_total FROM orders WHERE o_id = @id"})
+
+	first := ExportSnapshot(c).Encode()
+	for i := 0; i < 20; i++ {
+		if again := ExportSnapshot(c).Encode(); !bytes.Equal(again, first) {
+			t.Fatalf("encode %d gave other bytes than the first", i)
+		}
+	}
+	got, err := DecodeSnapshot(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Stats) != 2 || len(got.Stats["orders"].Columns) != 5 || len(got.Stats["customer"].Columns) != 3 ||
+		len(got.Perms) != 2 || len(got.Procs) != 2 {
+		t.Fatalf("decoded %d tables, %d perms, %d procs", len(got.Stats), len(got.Perms), len(got.Procs))
+	}
+	for name, want := range map[string]*TableStats{"customer": c.Table("customer").Stats.Load(), "orders": c.Table("orders").Stats.Load()} {
+		have := got.Stats[name]
+		if have.RowCount != want.RowCount || have.AvgRowBytes != want.AvgRowBytes {
+			t.Errorf("%s: %d rows / %v bytes came back as %d / %v", name, want.RowCount, want.AvgRowBytes, have.RowCount, have.AvgRowBytes)
+		}
+		for col, wc := range want.Columns {
+			hc := have.Columns[col]
+			if hc == nil || hc.Distinct != wc.Distinct || hc.NullCount != wc.NullCount || hc.Min != wc.Min || hc.Max != wc.Max || !slices.Equal(hc.Buckets, wc.Buckets) {
+				t.Errorf("%s.%s: %+v came back as %+v", name, col, wc, hc)
+			}
+		}
+	}
+	if again := got.Encode(); !bytes.Equal(again, first) {
+		t.Error("the decoded snapshot re-encodes to other bytes")
+	}
+	for _, bad := range [][]byte{append(slices.Clone(first), 0), first[:len(first)-1]} {
+		if _, err := DecodeSnapshot(bad); err == nil {
+			t.Errorf("%d of %d bytes decoded", len(bad), len(first))
+		}
+	}
+
+	// Map keys ascend: a repeated or out-of-order table name would decode to
+	// a map that re-encodes to other bytes, so it is refused.
+	stats := appendTableStats(nil, c.Table("orders").Stats.Load())
+	for _, names := range [][2]string{{"a", "b"}, {"b", "a"}, {"a", "a"}} {
+		data := binary.AppendUvarint(types.AppendString(nil, ""), 2)
+		for _, name := range names {
+			data = append(types.AppendString(data, name), stats...)
+		}
+		data = append(data, 0, 0) // no perms, no procs
+		if _, err := DecodeSnapshot(data); (err == nil) != (names[0] < names[1]) {
+			t.Errorf("tables %q: err = %v", names, err)
+		}
 	}
 }
 
@@ -326,11 +401,7 @@ func TestSnapshotKeepsStatisticsBitIdentical(t *testing.T) {
 	tbl.Stats.Load().Columns["f"].Buckets = append(tbl.Stats.Load().Columns["f"].Buckets, Bucket{Hi: nan, Count: 1, Distinct: 1})
 	c.AddTable(tbl)
 
-	data, err := ExportSnapshot(c).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(data)
+	got, err := DecodeSnapshot(ExportSnapshot(c).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 
 	"mtcache/internal/sql"
+	"mtcache/internal/types"
 )
 
 // Snapshot is a serializable image of a catalog: the DDL script that
@@ -112,20 +114,126 @@ func ExportSnapshot(c *Catalog) *Snapshot {
 	return snap
 }
 
-// Encode serializes the snapshot for the wire.
-func (s *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("catalog: encode snapshot: %w", err)
+// Encode serializes the snapshot for the wire in explicit field order:
+// script, stats, perms, procs, every value in types/codec.go's bytes. Map
+// keys are written sorted, so one catalog always gives the same bytes.
+//
+//	string Script
+//	uvarint #tables, per table in name order: string name, then
+//	  varint RowCount, 8-byte LE AvgRowBytes bits,
+//	  uvarint #columns, per column in name order: string name,
+//	    varint Distinct, varint NullCount, value Min, value Max,
+//	    uvarint #buckets, per bucket: value Hi, varint Count, varint Distinct
+//	uvarint #perms, per perm: string User, string Object, string Action
+//	uvarint #procs, per proc: string Name, string Text
+func (s *Snapshot) Encode() []byte {
+	buf := types.AppendString(nil, s.Script)
+	buf = binary.AppendUvarint(buf, uint64(len(s.Stats)))
+	for _, name := range sortedKeys(s.Stats) {
+		buf = types.AppendString(buf, name)
+		buf = appendTableStats(buf, s.Stats[name])
 	}
-	return buf.Bytes(), nil
+	buf = binary.AppendUvarint(buf, uint64(len(s.Perms)))
+	for _, p := range s.Perms {
+		buf = types.AppendString(buf, p.User)
+		buf = types.AppendString(buf, p.Object)
+		buf = types.AppendString(buf, p.Action)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(s.Procs)))
+	for _, p := range s.Procs {
+		buf = types.AppendString(buf, p.Name)
+		buf = types.AppendString(buf, p.Text)
+	}
+	return buf
 }
 
-// DecodeSnapshot deserializes a snapshot.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("catalog: decode snapshot: %w", err)
+func appendTableStats(buf []byte, ts *TableStats) []byte {
+	buf = binary.AppendVarint(buf, ts.RowCount)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ts.AvgRowBytes))
+	buf = binary.AppendUvarint(buf, uint64(len(ts.Columns)))
+	for _, name := range sortedKeys(ts.Columns) {
+		cs := ts.Columns[name]
+		buf = types.AppendString(buf, name)
+		buf = binary.AppendVarint(buf, cs.Distinct)
+		buf = binary.AppendVarint(buf, cs.NullCount)
+		buf = types.AppendValue(buf, &cs.Min)
+		buf = types.AppendValue(buf, &cs.Max)
+		buf = binary.AppendUvarint(buf, uint64(len(cs.Buckets)))
+		for i := range cs.Buckets {
+			b := &cs.Buckets[i]
+			buf = types.AppendValue(buf, &b.Hi)
+			buf = binary.AppendVarint(buf, b.Count)
+			buf = binary.AppendVarint(buf, b.Distinct)
+		}
 	}
-	return &s, nil
+	return buf
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// DecodeSnapshot is Encode's inverse. A snapshot arrives from the network, so
+// it is decoded defensively: no count sizes an allocation before the bytes it
+// promises are there, map keys must ascend (a repeated or out-of-order key is
+// an error, not a silent overwrite) and bytes left over are an error. A
+// snapshot that decodes re-encodes to the bytes it came from.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	d := types.Decoder{Buf: data}
+	s := &Snapshot{Script: d.Str()}
+	// Minimum encoded sizes: a table's name and stats header is 11 bytes, a
+	// column 6, a bucket 3, a permission 3 and a procedure 2.
+	s.Stats = make(map[string]*TableStats)
+	for i, n, prev := 0, d.Count(11), ""; i < n; i++ {
+		name := ascendingKey(&d, i, &prev)
+		ts := &TableStats{RowCount: d.Varint(), AvgRowBytes: math.Float64frombits(d.Fixed64())}
+		ts.Columns = make(map[string]*ColumnStats)
+		for j, m, prevCol := 0, d.Count(6), ""; j < m; j++ {
+			col := ascendingKey(&d, j, &prevCol)
+			cs := &ColumnStats{Distinct: d.Varint(), NullCount: d.Varint(), Min: d.Value(), Max: d.Value()}
+			if k := d.Count(3); k > 0 {
+				cs.Buckets = make([]Bucket, k)
+				for b := range cs.Buckets {
+					cs.Buckets[b] = Bucket{Hi: d.Value(), Count: d.Varint(), Distinct: d.Varint()}
+				}
+			}
+			ts.Columns[col] = cs
+		}
+		s.Stats[name] = ts
+	}
+	if n := d.Count(3); n > 0 {
+		s.Perms = make([]Permission, n)
+		for i := range s.Perms {
+			s.Perms[i] = Permission{User: d.Str(), Object: d.Str(), Action: d.Str()}
+		}
+	}
+	if n := d.Count(2); n > 0 {
+		s.Procs = make([]ProcText, n)
+		for i := range s.Procs {
+			s.Procs[i] = ProcText{Name: d.Str(), Text: d.Str()}
+		}
+	}
+	if d.Err == nil && d.Remaining() != 0 {
+		d.Fail()
+	}
+	if d.Err != nil {
+		return nil, fmt.Errorf("catalog: decode snapshot: %w", d.Err)
+	}
+	return s, nil
+}
+
+// ascendingKey decodes the i-th key of a map and fails unless it sorts after
+// the previous one.
+func ascendingKey(d *types.Decoder, i int, prev *string) string {
+	key := d.Str()
+	if i > 0 && key <= *prev {
+		d.Fail()
+	}
+	*prev = key
+	return key
 }

@@ -49,7 +49,7 @@ type CacheServer struct {
 	// its rows: a view found there resumes the change stream at the
 	// checkpointed LSN instead of reseeding. Guarded by pullMu.
 	dataDir   string
-	recovered *cacheCheckpoint
+	recovered *storage.Image
 }
 
 // NewCacheOver provisions a cache server over a connected BackendClient: the
@@ -71,6 +71,7 @@ func NewCacheOver(name string, client BackendClient, options *opt.Options, dataD
 			// A damaged checkpoint costs a reseed, never correctness: the
 			// backend is the source of truth.
 			metrics.Default.Counter("wire.cache_ckpt_errors").Add(1)
+			querystore.Emit("cache_ckpt_error", "error", err.Error())
 		}
 		c.recovered = ck
 	}
@@ -161,10 +162,10 @@ func (c *CacheServer) provision(view *catalog.Table) error {
 	// views on, rows from the checkpoint are behind them. Resume is attempted
 	// before any population: on a miss there is nothing to undo.
 	if ck := c.recovered; ck != nil {
-		i := slices.IndexFunc(ck.Views, func(v cacheViewState) bool { return strings.EqualFold(v.Name, view.Name) })
+		i := slices.IndexFunc(ck.Sets, func(v storage.RowSet) bool { return strings.EqualFold(v.Name, view.Name) })
 		if i >= 0 && (len(c.sub.Views()) == 0 || c.AppliedLSN() == ck.LSN) {
-			rows := ck.Views[i].Rows
-			ck.Views = slices.Delete(ck.Views, i, i+1)
+			rows := ck.Sets[i].Rows
+			ck.Sets = slices.Delete(ck.Sets, i, i+1)
 			subID, resumed, err := c.client.Resume(table, cols, filter, c.DB.Name, view.Name, ck.LSN+1)
 			if err != nil {
 				return err
@@ -308,19 +309,19 @@ func (c *CacheServer) Checkpoint() error {
 	defer c.pullMu.Unlock()
 	start := time.Now()
 
-	ck := &cacheCheckpoint{LSN: c.AppliedLSN()}
+	ck := &storage.Image{LSN: c.AppliedLSN()}
 	tx := c.DB.Store().Begin(false)
 	for _, view := range c.sub.Views() {
 		if tv := tx.Table(view); tv != nil {
-			ck.Views = append(ck.Views, cacheViewState{Name: view, Rows: tv.Rows()})
+			ck.Sets = append(ck.Sets, storage.RowSet{Name: view, Rows: tv.Rows()})
 		}
 	}
 	tx.Abort()
-	if err := writeCacheCheckpoint(c.dataDir, ck); err != nil {
+	if err := storage.WriteImage(storage.OSFS(), c.dataDir, cacheCkptFile, ck); err != nil {
 		return err
 	}
 	metrics.Default.Counter("wire.cache_checkpoints").Add(1)
-	querystore.Emit("cache_checkpoint", "views", fmt.Sprint(len(ck.Views)))
+	querystore.Emit("cache_checkpoint", "views", fmt.Sprint(len(ck.Sets)))
 	metrics.Default.Histogram("wire.cache_checkpoint_seconds").ObserveDuration(time.Since(start))
 	return nil
 }

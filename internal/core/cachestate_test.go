@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"mtcache/internal/engine"
 	"mtcache/internal/metrics"
+	"mtcache/internal/querystore"
 	"mtcache/internal/types"
 )
 
@@ -115,8 +117,9 @@ func TestCacheStateCarriesValuesExactly(t *testing.T) {
 }
 
 // TestOldCacheStateFormatReseeds: a state file with the previous magic is
-// treated like a damaged one — counted, ignored, the view reseeded from the
-// backend — and the cache then converges through the change stream as usual.
+// treated like a damaged one — counted, recorded with the magic it found,
+// ignored, the view reseeded from the backend — and the cache then converges
+// through the change stream as usual.
 func TestOldCacheStateFormatReseeds(t *testing.T) {
 	b := newEventsBackend(t)
 	dir := t.TempDir()
@@ -129,7 +132,8 @@ func TestOldCacheStateFormatReseeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append([]byte("MTCCKPT1"), data[len(cacheCkptMagic):]...), 0o644); err != nil {
+	const oldMagic = "MTCCKPT3" // the previous state file format: its own magic, a gob payload
+	if err := os.WriteFile(path, append([]byte(oldMagic), data[len(oldMagic):]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,6 +145,9 @@ func TestOldCacheStateFormatReseeds(t *testing.T) {
 	if ckptErrs.Value() != errs0+1 || seeded.Value() != seeded0+1 || resumed.Value() != resumed0 {
 		t.Fatalf("old-format state file: errors +%d, seeded +%d, resumed +%d; want 1, 1, 0",
 			ckptErrs.Value()-errs0, seeded.Value()-seeded0, resumed.Value()-resumed0)
+	}
+	if ev := lastEvent("cache_ckpt_error"); !strings.Contains(ev, oldMagic) || !strings.Contains(ev, cacheCkptFile) {
+		t.Errorf("recorded error %q does not name the file and the magic %s it found", ev, oldMagic)
 	}
 
 	insertEvents(t, b, types.Row{types.NewInt(5), types.NewFloat(2.5), types.NewTime(time.Unix(1, 1)), types.NewString("later")})
@@ -154,7 +161,18 @@ func TestOldCacheStateFormatReseeds(t *testing.T) {
 	if err := c2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if ck, err := loadCacheCheckpoint(dir); err != nil || ck == nil || len(ck.Views) != 1 || len(ck.Views[0].Rows) != 5 {
+	if ck, err := loadCacheCheckpoint(dir); err != nil || ck == nil || len(ck.Sets) != 1 || len(ck.Sets[0].Rows) != 5 {
 		t.Fatalf("state file after the reseeded cache checkpointed: %+v, %v", ck, err)
 	}
+}
+
+// lastEvent renders the newest event of kind on the process-wide log ("" when
+// there is none).
+func lastEvent(kind string) string {
+	for _, e := range querystore.Events.Recent(0) {
+		if e.Kind == kind {
+			return e.Detail()
+		}
+	}
+	return ""
 }

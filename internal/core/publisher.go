@@ -81,7 +81,7 @@ type link struct {
 func (l link) Exec(sqlText string, params exec.Params) (int64, error) {
 	return l.Link.Exec(sqlText, params)
 }
-func (l link) Snapshot() ([]byte, error) { return l.BackendServer.Snapshot().Encode() }
+func (l link) Snapshot() ([]byte, error) { return l.BackendServer.Snapshot().Encode(), nil }
 func (l link) Close() error              { return nil }
 
 // NewCache provisions an in-process cache server against a backend — the

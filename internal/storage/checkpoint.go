@@ -1,15 +1,23 @@
 package storage
 
-// checkpoint.go snapshots the MVCC heap to disk so recovery replays only
-// the WAL tail. A checkpoint is one CRC-framed gob image of every table's
-// visible rows, taken under an MVCC snapshot (writers keep committing), and
-// stamped with the snapshot's AsOfLSN: the first LSN recovery must replay
-// on top of the image. Checkpoints are written to a temp file, fsynced and
-// renamed, so a crash mid-checkpoint leaves the previous one intact.
+// checkpoint.go writes and reads image files. An image is named row sets plus
+// the LSN they are current at, and it is the one file format for both durable
+// snapshots the system takes: a store checkpoint (every table's visible rows
+// under an MVCC snapshot, stamped with the snapshot's AsOfLSN, the first LSN
+// recovery must replay on top of it) and a cache's state file (every cached
+// view's rows and the LSN they are applied through, core/cachestate.go).
+//
+// File layout: the 8-byte magic ckptMagic, then one WAL-style frame
+// ([uint32 length][uint32 CRC32-C][payload]) whose payload is
+//
+//	uvarint LSN, uvarint #sets, per set: string Name, uvarint #rows, rows
+//
+// in types/codec.go's bytes, the ones the WAL and the wire use. WriteImage is
+// the one writer (temp file, fsync, rename, directory fsync, so a crash
+// mid-write leaves the previous file intact) and ReadImage the one reader.
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -23,22 +31,29 @@ import (
 	"mtcache/internal/types"
 )
 
-// checkpointImage is the serialized heap snapshot.
-type checkpointImage struct {
-	WalEnd LSN // first LSN to replay on top of the image
-	Tables []checkpointTable
+// ckptMagic opens every image file. 03: the payload is types/codec.go bytes
+// in explicit field order, not gob.
+const ckptMagic = "MTCKPT03"
+
+// Image is the content of an image file. What LSN means is the writer's: a
+// store checkpoint's is the first LSN to replay on top of the rows, a cache's
+// the last LSN its rows have applied.
+type Image struct {
+	LSN  LSN
+	Sets []RowSet
 }
 
-type checkpointTable struct {
+// RowSet is one table's or one view's rows.
+type RowSet struct {
 	Name string
 	Rows []types.Row
 }
 
 // Checkpoint writes a heap snapshot to the data directory and returns the
 // LSN recovery would replay from. It runs under an MVCC read snapshot, so
-// commits proceed concurrently; the image and its WalEnd are consistent by
-// the store's snapMark invariant. The previous checkpoint file is removed
-// only after the new one is durable.
+// commits proceed concurrently; the image and its LSN are consistent by the
+// store's snapMark invariant. Older checkpoint files are removed only after
+// the new one is durable.
 func (s *Store) Checkpoint() (LSN, error) {
 	if s.durable == nil {
 		return 0, errors.New("storage: store has no durable log")
@@ -53,27 +68,37 @@ func (s *Store) Checkpoint() (LSN, error) {
 	}
 	s.mu.RUnlock()
 	sort.Strings(names)
-	img := checkpointImage{WalEnd: walEnd}
+	img := Image{LSN: walEnd}
 	rows := 0
 	for _, name := range names {
 		tv := t.Table(name)
 		if tv == nil {
 			continue // dropped between the list and the read; not in the image
 		}
-		ct := checkpointTable{Name: tv.Meta().Name, Rows: tv.Rows()}
-		rows += len(ct.Rows)
-		img.Tables = append(img.Tables, ct)
+		set := RowSet{Name: tv.Meta().Name, Rows: tv.Rows()}
+		rows += len(set.Rows)
+		img.Sets = append(img.Sets, set)
 	}
 	t.Abort()
 
-	// The log must be durable up to the image's WalEnd before the checkpoint
+	// The log must be durable up to the image's LSN before the checkpoint
 	// claims recovery can start there (matters under interval/none policies,
 	// where records linger in the flush buffer).
-	if err := s.durable.flush(true); err != nil {
+	d := s.durable
+	if err := d.flush(true); err != nil {
 		return 0, err
 	}
-	if err := s.durable.writeCheckpoint(&img); err != nil {
+	if err := WriteImage(d.fs, d.dir, ckptName(walEnd), &img); err != nil {
 		return 0, err
+	}
+	// Retire older checkpoints (best effort — recovery picks the newest
+	// valid one regardless).
+	if files, err := d.fs.ReadDir(d.dir); err == nil {
+		for _, name := range files {
+			if lsn, ok := parseSeqName(name, "ckpt-", ".ckpt"); ok && lsn < walEnd {
+				d.fs.Remove(filepath.Join(d.dir, name)) //nolint:errcheck
+			}
+		}
 	}
 	s.ckptLSN.Store(int64(walEnd))
 	metrics.Default.Counter("storage.checkpoints").Add(1)
@@ -91,59 +116,123 @@ func (s *Store) Checkpoint() (LSN, error) {
 // (0 when none has been taken).
 func (s *Store) CheckpointLSN() LSN { return LSN(s.ckptLSN.Load()) }
 
-// writeCheckpoint durably writes one checkpoint image: temp file, fsync,
-// rename, directory fsync; then older checkpoint files are deleted.
-func (d *diskWAL) writeCheckpoint(img *checkpointImage) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
-		return fmt.Errorf("storage: encode checkpoint: %w", err)
+// WriteImage durably writes img as dir/name, creating dir if needed: magic
+// and one frame to a temp file, fsync, rename, directory fsync.
+func WriteImage(fsys FS, dir, name string, img *Image) error {
+	data := appendFrame([]byte(ckptMagic), appendImage(nil, img))
+	if err := fsys.MkdirAll(dir); err != nil {
+		return err
 	}
-	data := append([]byte(ckptMagic), appendFrame(nil, payload.Bytes())...)
-
-	tmp := filepath.Join(d.dir, ckptName(img.WalEnd)+".tmp")
-	final := filepath.Join(d.dir, ckptName(img.WalEnd))
-	f, err := d.fs.Create(tmp)
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return fmt.Errorf("storage: write checkpoint: %w", err)
+		return fmt.Errorf("storage: write %s: %w", name, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("storage: sync checkpoint: %w", err)
+		return fmt.Errorf("storage: sync %s: %w", name, err)
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := d.fs.Rename(tmp, final); err != nil {
+	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		return err
 	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
-		return err
-	}
-	// Retire older checkpoints (best effort — recovery picks the newest
-	// valid one regardless).
-	names, err := d.fs.ReadDir(d.dir)
-	if err != nil {
-		return nil
-	}
-	for _, name := range names {
-		if lsn, ok := parseSeqName(name, "ckpt-", ".ckpt"); ok && lsn < img.WalEnd {
-			d.fs.Remove(filepath.Join(d.dir, name)) //nolint:errcheck
-		}
-	}
-	return nil
+	return fsys.SyncDir(dir)
 }
 
-// loadCheckpoint returns the newest valid checkpoint image, or nil when the
-// directory has none. Corrupt checkpoint files are skipped (counted in
-// storage.ckpt_crc_errors) and the next older one is tried.
-func (d *diskWAL) loadCheckpoint() *checkpointImage {
+// errDamagedImage reports an image file too damaged to say what it holds: a
+// magic that is no version of ours, a torn frame, a CRC mismatch. A store
+// skips it for an older checkpoint and a cache reseeds.
+var errDamagedImage = errors.New("storage: damaged image file")
+
+// ReadImage reads the image file at path. Besides the file system's own
+// errors (a missing file is fs.ErrNotExist), it fails with
+//   - ErrCheckpointFormat for another version's magic;
+//   - errDamagedImage for any other wrong magic or a frame that does not
+//     verify;
+//   - a plain error for a payload whose CRC verifies but which does not
+//     decode, or has bytes left over: the file is what was written, and this
+//     build cannot read it.
+//
+// Every error names the file, and a wrong magic the magic found.
+func ReadImage(fsys FS, path string) (*Image, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	r := &chunkReader{r: f}
+	magic := make([]byte, len(ckptMagic))
+	n, _ := io.ReadFull(r, magic)
+	if err := checkMagic(magic[:n], path); err != nil {
+		return nil, err
+	}
+	payload, err := readFrame(r, 1<<30)
+	if err != nil {
+		return nil, fmt.Errorf("%w %s: %v", errDamagedImage, filepath.Base(path), err)
+	}
+	img, err := decodeImage(payload)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %s: the frame verifies but the image does not decode (%v); recover it with the build that wrote it",
+			filepath.Base(path), err)
+	}
+	return img, nil
+}
+
+// appendImage appends img's payload: LSN, then each set's name and rows.
+func appendImage(buf []byte, img *Image) []byte {
+	buf = binary.AppendUvarint(buf, uint64(img.LSN))
+	buf = binary.AppendUvarint(buf, uint64(len(img.Sets)))
+	for i := range img.Sets {
+		set := &img.Sets[i]
+		buf = types.AppendString(buf, set.Name)
+		buf = binary.AppendUvarint(buf, uint64(len(set.Rows)))
+		for _, row := range set.Rows {
+			buf = types.AppendRow(buf, row)
+		}
+	}
+	return buf
+}
+
+// decodeImage is appendImage's inverse. An absent row and bytes left over are
+// errors, so a payload that decodes re-encodes to itself.
+func decodeImage(payload []byte) (*Image, error) {
+	d := types.Decoder{Buf: payload}
+	img := &Image{LSN: LSN(d.Uvarint())}
+	img.Sets = make([]RowSet, d.Count(2)) // a name and a row count
+	for i := range img.Sets {
+		set := &img.Sets[i]
+		set.Name = d.Str()
+		set.Rows = make([]types.Row, d.Count(1))
+		for j := range set.Rows {
+			if set.Rows[j] = d.Row(); set.Rows[j] == nil {
+				d.Fail()
+			}
+		}
+	}
+	if d.Err == nil && d.Remaining() != 0 {
+		d.Fail()
+	}
+	if d.Err != nil {
+		return nil, d.Err
+	}
+	return img, nil
+}
+
+// loadCheckpoint returns the newest readable checkpoint image, or nil when
+// the directory has none. A damaged file is skipped (counted in
+// storage.ckpt_crc_errors) for the next older one; any other error fails the
+// recovery, because skipping a readable image would replay the WAL tail
+// behind it onto nothing.
+func (d *diskWAL) loadCheckpoint() (*Image, error) {
 	names, err := d.fs.ReadDir(d.dir)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	var lsns []LSN
 	for _, name := range names {
@@ -153,14 +242,14 @@ func (d *diskWAL) loadCheckpoint() *checkpointImage {
 	}
 	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
 	for _, lsn := range lsns {
-		img, err := readCheckpointFile(d.fs, filepath.Join(d.dir, ckptName(lsn)))
-		if err != nil {
+		img, err := ReadImage(d.fs, filepath.Join(d.dir, ckptName(lsn)))
+		if errors.Is(err, errDamagedImage) {
 			metrics.Default.Counter("storage.ckpt_crc_errors").Add(1)
 			continue
 		}
-		return img
+		return img, err
 	}
-	return nil
+	return nil, nil
 }
 
 // ErrCheckpointFormat reports a checkpoint written in another version of the
@@ -169,10 +258,25 @@ func (d *diskWAL) loadCheckpoint() *checkpointImage {
 // the image would replay the tail onto nothing.
 var ErrCheckpointFormat = errors.New("storage: unsupported checkpoint format")
 
+// checkMagic accepts ckptMagic. Another version's magic is
+// ErrCheckpointFormat; anything else, a short one included, errDamagedImage.
+func checkMagic(magic []byte, path string) error {
+	const family = len("MTCKPT")
+	switch {
+	case string(magic) == ckptMagic:
+		return nil
+	case len(magic) == len(ckptMagic) && string(magic[:family]) == ckptMagic[:family]:
+		return fmt.Errorf("%w: %s is %q, this build reads and writes %q; recover it with the build that wrote it, or move the data directory away to start empty",
+			ErrCheckpointFormat, filepath.Base(path), magic, ckptMagic)
+	}
+	return fmt.Errorf("%w %s: magic %q, want %q", errDamagedImage, filepath.Base(path), magic, ckptMagic)
+}
+
 // checkCheckpointFormat fails with ErrCheckpointFormat when the file starts
-// with a checkpoint magic of a version other than ckptMagic. A file too short
-// or too damaged to carry any magic is left to loadCheckpoint, which skips
-// it.
+// with a checkpoint magic of a version other than ckptMagic. Opening the log
+// runs it on every checkpoint file before anything is cut or deleted. A file
+// too short or too damaged to carry any magic is left to loadCheckpoint,
+// which skips it.
 func checkCheckpointFormat(fsys FS, path string) error {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -183,32 +287,8 @@ func checkCheckpointFormat(fsys FS, path string) error {
 	if _, err := io.ReadFull(f, magic); err != nil {
 		return nil
 	}
-	const family = len("MTCKPT")
-	if string(magic[:family]) == ckptMagic[:family] && string(magic) != ckptMagic {
-		return fmt.Errorf("%w: %s is %q, this build reads and writes %q; recover it with the build that wrote it, or move the data directory away to start empty",
-			ErrCheckpointFormat, filepath.Base(path), magic, ckptMagic)
+	if err := checkMagic(magic, path); errors.Is(err, ErrCheckpointFormat) {
+		return err
 	}
 	return nil
-}
-
-func readCheckpointFile(fsys FS, path string) (*checkpointImage, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := &chunkReader{r: f}
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != ckptMagic {
-		return nil, errBadFrame
-	}
-	payload, err := readFrame(r, 1<<30)
-	if err != nil {
-		return nil, errBadFrame
-	}
-	img := new(checkpointImage)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(img); err != nil {
-		return nil, fmt.Errorf("storage: decode checkpoint: %w", err)
-	}
-	return img, nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mtcache/internal/catalog"
+	"mtcache/internal/metrics"
 	"mtcache/internal/types"
 )
 
@@ -116,23 +117,11 @@ func TestOldCheckpointFormatIsRefusedNotSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const oldMagic = "MTCKPT01"
+	const oldMagic = "MTCKPT02" // the previous checkpoint format: a gob payload
 	if err := os.WriteFile(path, append([]byte(oldMagic), data[len(ckptMagic):]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	listing := func() string {
-		var b strings.Builder
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			info, _ := e.Info()
-			fmt.Fprintf(&b, "%s %d\n", e.Name(), info.Size())
-		}
-		return b.String()
-	}
-	before := listing()
+	before := dirListing(t, dir)
 
 	err = NewStore().EnableDurability(DurabilityOptions{Dir: dir, Policy: SyncGroup})
 	if !errors.Is(err, ErrCheckpointFormat) {
@@ -143,7 +132,7 @@ func TestOldCheckpointFormatIsRefusedNotSkipped(t *testing.T) {
 			t.Errorf("error %q does not name %q", err, part)
 		}
 	}
-	if after := listing(); after != before {
+	if after := dirListing(t, dir); after != before {
 		t.Errorf("a refused open changed the directory:\nbefore:\n%safter:\n%s", before, after)
 	}
 
@@ -192,5 +181,107 @@ func TestCleanRestartsKeepTheLogDense(t *testing.T) {
 		}
 		w.Truncate(w.End()) // what the log reader does once every subscriber caught up
 		s.Close()
+	}
+}
+
+// dirListing is every file in dir with its size, one per line.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		info, _ := e.Info()
+		fmt.Fprintf(&b, "%s %d\n", e.Name(), info.Size())
+	}
+	return b.String()
+}
+
+// TestReadableCheckpointIsNeverSkipped: a checkpoint whose magic is this
+// build's and whose frame verifies, but whose payload does not decode, is not
+// a torn file. Behind it the WAL was truncated, so falling back to no image
+// would replay the tail onto empty heaps and lose every row the image held.
+// Recovery fails instead, naming the file, and the directory is untouched.
+func TestReadableCheckpointIsNeverSkipped(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurabilityOptions{Policy: SyncGroup, SegmentBytes: 256}
+	s := newDurableStore(t, dir, opts)
+	for i := 1; i <= 20; i++ {
+		mustCommitInsert(t, s, int64(i), "pre")
+	}
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.WAL()
+	w.Truncate(w.End()) // as TestCleanRestartsKeepTheLogDense: every subscriber caught up
+	s.Close()
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) < 1 || w.First() <= 1 {
+		t.Fatalf("the log was not truncated behind the checkpoint (first LSN %d, %d segments)", w.First(), len(segs))
+	}
+
+	path := filepath.Join(dir, ckptName(ck))
+	garbage := []byte("\xff\xff\xff\xff not an image")
+	if err := os.WriteFile(path, appendFrame([]byte(ckptMagic), garbage), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	skipped := metrics.Default.Counter("storage.ckpt_crc_errors")
+	skipped0 := skipped.Value()
+
+	r := NewStore()
+	err = r.EnableDurability(DurabilityOptions{Dir: dir, Policy: SyncGroup, SegmentBytes: 256})
+	if err == nil {
+		if err = r.CreateTable(durTestMeta("t")); err != nil {
+			t.Fatal(err)
+		}
+		var stats *RecoveryStats
+		if stats, err = r.Recover(); err == nil {
+			t.Fatalf("recovered with the image skipped: %d rows (want 20) and %d txns replayed", len(sortedRows(t, r)), stats.ReplayedTxns)
+		}
+		r.Close()
+	}
+	if !strings.Contains(err.Error(), ckptName(ck)) {
+		t.Errorf("error %q does not name %s", err, ckptName(ck))
+	}
+	if skipped.Value() != skipped0 {
+		t.Error("an undecodable image was counted as a damaged one")
+	}
+	if after := dirListing(t, dir); after != before {
+		t.Errorf("a refused recovery changed the directory:\nbefore:\n%safter:\n%s", before, after)
+	}
+}
+
+// TestImageErrorsNameTheMagic: a wrong magic is reported as a wrong magic,
+// with the bytes found, not as a frame CRC mismatch.
+func TestImageErrorsNameTheMagic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.ckpt")
+	if err := WriteImage(OSFS(), dir, "state.ckpt", &Image{LSN: 7, Sets: []RowSet{{Name: "v", Rows: exactValueRows()}}}); err != nil {
+		t.Fatal(err)
+	}
+	img, err := ReadImage(OSFS(), path)
+	if err != nil || img.LSN != 7 || len(img.Sets) != 1 || len(img.Sets[0].Rows) != len(exactValueRows()) {
+		t.Fatalf("read back %+v, %v", img, err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for magic, file := range map[string][]byte{
+		"MTCCKPT3": append([]byte("MTCCKPT3"), data[len(ckptMagic):]...), // the previous cache state file magic
+		"XXXXXXXX": append([]byte("XXXXXXXX"), data[len(ckptMagic):]...),
+		"MT":       []byte("MT"),
+	} {
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadImage(OSFS(), path)
+		if !errors.Is(err, errDamagedImage) || !strings.Contains(err.Error(), fmt.Sprintf("%q", magic)) ||
+			!strings.Contains(err.Error(), "state.ckpt") || strings.Contains(err.Error(), "CRC") {
+			t.Errorf("magic %q: %v", magic, err)
+		}
 	}
 }

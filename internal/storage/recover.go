@@ -1,8 +1,8 @@
 package storage
 
-// recover.go rebuilds store state after a restart: load the newest valid
+// recover.go rebuilds store state after a restart: load the newest readable
 // checkpoint image into the heaps, then replay every retained WAL record at
-// or past the checkpoint's WalEnd. Replay applies each commit record as its
+// or past the checkpoint's LSN. Replay applies each commit record as its
 // own transaction (committed unlogged — the records are already in the log)
 // so the rebuilt version chains and indexes are exactly what normal
 // execution would have produced. The schema must already exist: DDL is not
@@ -42,24 +42,28 @@ func (s *Store) Recover() (*RecoveryStats, error) {
 	stats := &RecoveryStats{TornTail: s.openStats.TornTail, CRCErrors: s.openStats.CRCErrors}
 
 	replayFrom := s.wal.First()
-	if img := s.durable.loadCheckpoint(); img != nil {
-		stats.CheckpointLSN = img.WalEnd
-		replayFrom = img.WalEnd
-		for _, ct := range img.Tables {
-			if len(ct.Rows) == 0 {
+	img, err := s.durable.loadCheckpoint()
+	if err != nil {
+		return nil, err
+	}
+	if img != nil {
+		stats.CheckpointLSN = img.LSN
+		replayFrom = img.LSN
+		for _, set := range img.Sets {
+			if len(set.Rows) == 0 {
 				continue
 			}
 			t := s.Begin(true)
-			for _, row := range ct.Rows {
-				if _, err := t.Insert(ct.Name, row); err != nil {
+			for _, row := range set.Rows {
+				if _, err := t.Insert(set.Name, row); err != nil {
 					t.Abort()
-					return nil, fmt.Errorf("storage: recover %s from checkpoint: %w", ct.Name, err)
+					return nil, fmt.Errorf("storage: recover %s from checkpoint: %w", set.Name, err)
 				}
 			}
 			if err := t.CommitUnlogged(); err != nil {
 				return nil, err
 			}
-			stats.CheckpointRows += len(ct.Rows)
+			stats.CheckpointRows += len(set.Rows)
 		}
 	}
 

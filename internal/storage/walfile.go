@@ -171,8 +171,7 @@ func (osFS) SyncDir(dir string) error {
 
 const (
 	segMagic        = "MTWALSG1"
-	ckptMagic       = "MTCKPT02" // 02: a types.Value gob-encodes as its types/codec.go bytes
-	frameHeaderSize = 8          // uint32 length + uint32 CRC32-C
+	frameHeaderSize = 8 // uint32 length + uint32 CRC32-C
 	defaultSegBytes = 8 << 20
 	defaultInterval = 5 * time.Millisecond
 )
@@ -215,8 +214,9 @@ func appendRecordFrame(dst []byte, rec *CommitRecord) []byte {
 }
 
 // errBadFrame reports a frame whose header or CRC failed validation;
-// io.ErrUnexpectedEOF reports a frame cut short by a torn write.
-var errBadFrame = errors.New("storage: wal frame CRC mismatch")
+// io.ErrUnexpectedEOF reports a frame cut short by a torn write. WAL segments
+// and image files frame their payloads alike.
+var errBadFrame = errors.New("storage: frame CRC mismatch")
 
 // readFrame reads one frame from r. On success it returns the payload.
 // io.EOF means a clean end between frames; io.ErrUnexpectedEOF means the
@@ -475,7 +475,7 @@ func readSegment(fsys FS, path string) (recs []CommitRecord, validSize int64, er
 		}
 		rec, derr := decodeCommitRecord(payload)
 		if derr != nil {
-			// CRC passed but gob did not — treat as corruption.
+			// CRC passed but the record did not decode — treat as corruption.
 			return recs, validSize, errBadFrame
 		}
 		recs = append(recs, *rec)

@@ -20,8 +20,15 @@ package types
 //
 // Times round-trip as instants (UTC); the engine compares and displays them
 // by instant, never by zone. The wide DATETIME form is written only when the
-// narrow one cannot hold the instant, so bytes written before it existed
-// decode unchanged and in-range values still encode to the same bytes.
+// narrow one cannot hold the instant, so in-range values still encode to the
+// bytes they had before it existed.
+//
+// Every value has exactly one encoding, and the decoder refuses any other: an
+// overlong varint, a wide DATETIME the narrow form holds, a narrow one the
+// encoder writes wide (only a build before the wide form wrote those, for
+// instants within two seconds of either end of UnixNano's range). So decoding
+// and re-encoding gives back the input bytes, which is what the image and
+// snapshot fuzz targets check.
 
 import (
 	"encoding/binary"
@@ -35,6 +42,10 @@ const tagTimeWide = 0x80 | byte(KindTime)
 
 // maxNanoSec bounds the unix seconds whose nanosecond count fits an int64.
 const maxNanoSec = math.MaxInt64 / int64(time.Second)
+
+// wideSeconds reports whether a DATETIME with these unix seconds is written
+// in the wide form.
+func wideSeconds(sec int64) bool { return sec <= -maxNanoSec || sec >= maxNanoSec }
 
 // AppendString appends s length-prefixed.
 func AppendString(buf []byte, s string) []byte {
@@ -55,7 +66,7 @@ func AppendValue(buf []byte, v *Value) []byte {
 		buf = append(buf, byte(v.K))
 		return AppendString(buf, v.S)
 	case KindTime:
-		if v.w <= -maxNanoSec || v.w >= maxNanoSec {
+		if wideSeconds(v.w) {
 			buf = append(buf, tagTimeWide)
 			buf = binary.AppendVarint(buf, v.w)
 			return binary.AppendUvarint(buf, uint64(v.nsec))
@@ -123,13 +134,15 @@ func (d *Decoder) Fail() {
 // Remaining returns the number of undecoded bytes.
 func (d *Decoder) Remaining() int { return len(d.Buf) - d.Off }
 
-// Uvarint decodes one unsigned varint.
+// Uvarint decodes one unsigned varint. Its last byte must carry bits: a
+// final zero byte after a continuation is the overlong form of a shorter
+// varint.
 func (d *Decoder) Uvarint() uint64 {
 	if d.Err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.Buf[d.Off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.Buf[d.Off+n-1] == 0) {
 		d.Fail()
 		return 0
 	}
@@ -137,13 +150,14 @@ func (d *Decoder) Uvarint() uint64 {
 	return v
 }
 
-// Varint decodes one signed varint.
+// Varint decodes one signed varint, refusing the overlong form as Uvarint
+// does.
 func (d *Decoder) Varint() int64 {
 	if d.Err != nil {
 		return 0
 	}
 	v, n := binary.Varint(d.Buf[d.Off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.Buf[d.Off+n-1] == 0) {
 		d.Fail()
 		return 0
 	}
@@ -177,6 +191,14 @@ func (d *Decoder) Bytes(n uint64) []byte {
 	b := d.Buf[d.Off : d.Off+int(n)]
 	d.Off += int(n)
 	return b
+}
+
+// Fixed64 decodes eight little-endian bytes.
+func (d *Decoder) Fixed64() uint64 {
+	if b := d.Bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
 // Count decodes an element count and fails unless that many elements of at
@@ -215,8 +237,8 @@ func (d *Decoder) Value() Value {
 	case byte(KindBool), byte(KindInt):
 		return Value{K: Kind(tag), w: d.Varint()}
 	case byte(KindFloat):
-		if b := d.Bytes(8); b != nil {
-			return Value{K: KindFloat, w: int64(binary.LittleEndian.Uint64(b))}
+		if bits := d.Fixed64(); d.Err == nil {
+			return Value{K: KindFloat, w: int64(bits)}
 		}
 	case byte(KindString):
 		return NewString(d.Str())
@@ -227,10 +249,14 @@ func (d *Decoder) Value() Value {
 		if nsec < 0 {
 			sec, nsec = sec-1, nsec+int64(time.Second)
 		}
+		if wideSeconds(sec) {
+			d.Fail()
+			return Null
+		}
 		return Value{K: KindTime, w: sec, nsec: uint32(nsec)}
 	case tagTimeWide:
 		sec, nsec := d.Varint(), d.Uvarint()
-		if nsec >= uint64(time.Second) {
+		if nsec >= uint64(time.Second) || !wideSeconds(sec) {
 			d.Fail()
 			return Null
 		}
@@ -268,20 +294,4 @@ func (d *Decoder) Row() Row {
 		return nil
 	}
 	return row
-}
-
-// GobEncode and GobDecode carry a Value through encoding/gob as exactly the
-// bytes above. The cold paths that still use gob (storage checkpoints, cache
-// state files, the catalog snapshot's column statistics) would otherwise
-// encode the struct by reflection, and gob silently drops unexported fields.
-func (v Value) GobEncode() ([]byte, error) { return AppendValue(nil, &v), nil }
-
-// GobDecode is the inverse of GobEncode; trailing bytes are an error.
-func (v *Value) GobDecode(data []byte) error {
-	d := Decoder{Buf: data}
-	*v = d.Value()
-	if d.Err == nil && d.Remaining() != 0 {
-		d.Fail()
-	}
-	return d.Err
 }

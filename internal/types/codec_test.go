@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"testing"
@@ -103,6 +104,14 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 		"string longer":          {2, byte(KindString), 5, 'a'},
 		"wide time nanos ≥ 1e9":  {2, tagTimeWide, 0, 0x80, 0x94, 0xeb, 0xdc, 0x03},
 		"varint overflow":        {2, byte(KindInt), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		// Each value has one encoding; these are the bytes of a valid one
+		// written another way.
+		"overlong column count":   {0x82, 0x00, byte(KindNull)},
+		"overlong INT":            {2, byte(KindInt), 0x86, 0x80, 0x00},
+		"overlong string length":  {2, byte(KindString), 0x81, 0x00, 'a'},
+		"wide time, narrow range": {2, tagTimeWide, 2, 0},
+		"narrow time at MinInt64": append([]byte{2, byte(KindTime)}, binary.AppendVarint(nil, math.MinInt64)...),
+		"narrow time at MaxInt64": append([]byte{2, byte(KindTime)}, binary.AppendVarint(nil, math.MaxInt64)...),
 	} {
 		d := Decoder{Buf: buf}
 		if row := d.Row(); d.Err == nil {

@@ -4,8 +4,9 @@
 // wire protocol serializes them.
 //
 // There is one Value layout (value.go, 32 bytes) and one encoding of it
-// (codec.go): the WAL, the wire and — through GobEncode — every gob carrier
-// write the same bytes, so changing the struct changes no file and no frame.
+// (codec.go): the WAL, the wire, the checkpoint and cache state images and
+// the catalog snapshot write the same bytes, so changing the struct changes
+// no file and no frame.
 package types
 
 import (
@@ -80,8 +81,8 @@ func ParseKind(name string) (Kind, error) {
 // read the pair, so every instant time.Time can hold orders, hashes and
 // round-trips exactly.
 //
-// encoding/gob reaches a Value through GobEncode/GobDecode (codec.go), never
-// by reflection over these fields.
+// Nothing serializes a Value by reflection over these fields: every carrier
+// writes it with AppendValue and reads it with Decoder.Value (codec.go).
 type Value struct {
 	K    Kind
 	nsec uint32 // KindTime: nanoseconds within the second

@@ -1,9 +1,6 @@
 package types
 
 import (
-	"bytes"
-	"encoding/gob"
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -244,70 +241,5 @@ func TestTimeValueIsItsInstant(t *testing.T) {
 		if back.Hash() != va.Hash() || back != va {
 			t.Errorf("%v changed through AppendValue/Decoder.Value: %#v -> %#v", a, va, back)
 		}
-	}
-}
-
-// TestValueGobRoundTrip: encoding/gob carries a Value as its codec bytes, not
-// by reflection over fields it cannot see — inside a struct and inside
-// []Row, bit for bit: NaN payloads, -0.0, sub-second and out-of-range
-// DATETIMEs, and the empty string stays distinct from NULL.
-func TestValueGobRoundTrip(t *testing.T) {
-	vals := Row{
-		Null, NewString(""), NewString("x"), NewBool(true), NewBool(false),
-		NewInt(0), NewInt(math.MaxInt64), NewInt(math.MinInt64),
-		NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef)), // NaN with a payload
-		NewFloat(math.Copysign(0, -1)), NewFloat(0), NewFloat(math.Inf(1)), NewFloat(1.5),
-	}
-	for _, ts := range timeInstants() {
-		vals = append(vals, NewTime(ts))
-	}
-	type carrier struct {
-		Name     string
-		Min, Max Value // as in catalog.ColumnStats
-		Zero     Value // a NULL field: gob omits it, it must come back NULL
-		Hi       []Value
-		Rows     []Row // as in a checkpoint image
-	}
-	in := carrier{Name: "c", Min: vals[8], Max: vals[len(vals)-1], Hi: vals, Rows: []Row{vals, {}, {Null}, vals[:3]}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-		t.Fatal(err)
-	}
-	var out carrier
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Name != in.Name || out.Min != in.Min || out.Max != in.Max || out.Zero != Null {
-		t.Errorf("struct fields: %#v", out)
-	}
-	same := func(what string, a, b Row) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d values came back as %d", what, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] { // struct equality: FLOAT by its bits, DATETIME by (seconds, nanoseconds)
-				t.Errorf("%s[%d]: %#v came back as %#v", what, i, a[i], b[i])
-			}
-		}
-	}
-	same("Hi", in.Hi, out.Hi)
-	if len(out.Rows) != len(in.Rows) {
-		t.Fatalf("%d rows came back as %d", len(in.Rows), len(out.Rows))
-	}
-	for i := range in.Rows {
-		same("Rows", in.Rows[i], out.Rows[i])
-	}
-	if out.Hi[1].K != KindString || !out.Hi[0].IsNull() {
-		t.Error("'' and NULL must stay distinct")
-	}
-
-	// Trailing or malformed bytes are an error, not a silently wrong value.
-	var v Value
-	if err := v.GobDecode([]byte{byte(KindInt), 2, 0}); err == nil {
-		t.Error("trailing byte accepted")
-	}
-	if err := v.GobDecode([]byte{byte(KindFloat), 1}); err == nil {
-		t.Error("truncated FLOAT accepted")
 	}
 }

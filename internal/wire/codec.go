@@ -1,15 +1,15 @@
 package wire
 
-// codec.go is the v4 frame codec: what a request and a response hold, the
+// codec.go is the v5 frame codec: what a request and a response hold, the
 // preface, the length-prefixed framing and the payload bytes. wire.go's
 // package comment has the layout; the value, row and string bytes are
-// types/codec.go's and a pulled transaction's changes are
-// storage.AppendChanges's, the same bytes the WAL holds.
+// types/codec.go's, a pulled transaction's changes are
+// storage.AppendChanges's, the same bytes the WAL holds, and a snapshot is
+// catalog.Snapshot.Encode's, built from the same pieces.
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -139,7 +139,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 4}
+var preface = [4]byte{'M', 'T', 'W', 5}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused
@@ -164,7 +164,7 @@ const (
 )
 
 var (
-	errBadPreface    = errors.New("wire: peer does not speak protocol v4")
+	errBadPreface    = fmt.Errorf("wire: peer does not speak protocol v%d", preface[3])
 	errFrameTooLarge = fmt.Errorf("wire: frame exceeds %d bytes", maxFrame)
 )
 

@@ -393,8 +393,8 @@ func gobFrame(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestPrefaceRefusesOtherProtocols: a peer whose first four bytes are not the
-// v3 preface — a v2 gob frame, another version, garbage — is dropped by the
+// TestPrefaceRefusesOtherProtocols: a peer whose first four bytes are not this
+// build's preface — a v2 gob frame, another version, garbage — is dropped by the
 // server without an answer, and a client that dialed such a server fails its
 // requests with a classified transport error instead of waiting on a frame
 // that will never parse.
@@ -402,6 +402,7 @@ func TestPrefaceRefusesOtherProtocols(t *testing.T) {
 	openers := map[string][]byte{
 		"gob frame":     gobFrame(t),
 		"wrong version": {'M', 'T', 'W', 2, 0, 0, 0, 0},
+		"v4":            {'M', 'T', 'W', 4, 0, 0, 0, 0}, // a snapshot payload was gob until v5
 		"http":          []byte("GET / HTTP/1.1\r\n\r\n"),
 	}
 

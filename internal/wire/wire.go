@@ -1,5 +1,5 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v4) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v5) carrying
 //
 //   - Query / Exec — the linked-server path (paper §2.1): remote
 //     subexpressions and forwarded updates travel as SQL text plus
@@ -24,7 +24,7 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x04
+//	preface, once, each direction: 'M' 'T' 'W' 0x05
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
@@ -55,7 +55,8 @@
 //	                 uvarint #cols, per col: string Table, string Name, byte Kind
 //	                 uvarint #rows, uvarint #values in all rows,
 //	                 per row: uvarint #values, values
-//	    Snapshot     uvarint len, bytes
+//	    Snapshot     uvarint len, bytes (catalog.Snapshot.Encode: script,
+//	                   stats, perms, procs; v5, gob before it)
 //	    Provision    varint SubID, uvarint StartLSN, uvarint #rows, rows
 //	    Resume       varint SubID, uvarint StartLSN
 //	    Pull         uvarint ThroughLSN, uvarint #batches, per batch:
@@ -315,7 +316,7 @@ func (s *Server) handle(req *request) *response {
 func (s *Server) publish(req *request, resp *response) (err error) {
 	switch req.Kind {
 	case reqSnapshot:
-		resp.Snapshot, err = s.backend.Snapshot().Encode()
+		resp.Snapshot = s.backend.Snapshot().Encode()
 	case reqProvision:
 		resp.SubID, resp.StartLSN, resp.Rows, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName, req.Target)
 	case reqResume:
