@@ -14,6 +14,7 @@ import (
 	"mtcache/internal/opt"
 	"mtcache/internal/resilience"
 	"mtcache/internal/sql"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -361,8 +362,9 @@ type downLink struct{}
 func (downLink) Query(string, exec.Params) (*exec.ResultSet, error) {
 	return nil, fmt.Errorf("%w: link cut by the test", resilience.ErrBackendDown)
 }
-func (downLink) Exec(string, exec.Params) (int64, error) {
-	return 0, fmt.Errorf("%w: link cut by the test", resilience.ErrBackendDown)
+func (l downLink) QueryTraced(sqlText string, params exec.Params, _ string) (*exec.ResultSet, *trace.WireSpan, error) {
+	_, err := l.Query(sqlText, params)
+	return nil, nil, err
 }
 
 // With the backend unreachable a guarded shape keeps answering the literals

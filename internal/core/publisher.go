@@ -14,9 +14,10 @@ import (
 )
 
 // BackendClient is everything a cache server needs of its backend: the
-// linked-server calls for remote queries and forwarded updates, the shadow
-// setup payload, and the publisher half of its pull subscription. The
-// in-process link below, wire.Client and wire.ResilientClient implement it.
+// linked-server call that carries every statement (remote queries and
+// forwarded writes alike), the shadow setup payload, and the publisher half
+// of its pull subscription. The in-process link below, wire.Client and
+// wire.ResilientClient implement it.
 //
 // Provision and Resume attach the article (table, columns, filter) to the
 // subscription named subName — one per cache, created on first use — as the
@@ -24,7 +25,6 @@ import (
 // repl.Server.Provision and Resume.
 type BackendClient interface {
 	exec.RemoteClient
-	exec.LSNExecer
 	Snapshot() ([]byte, error)
 	Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error)
 	Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (int, bool, error)
@@ -78,9 +78,6 @@ type link struct {
 	*BackendServer
 }
 
-func (l link) Exec(sqlText string, params exec.Params) (int64, error) {
-	return l.Link.Exec(sqlText, params)
-}
 func (l link) Snapshot() ([]byte, error) { return l.BackendServer.Snapshot().Encode(), nil }
 func (l link) Close() error              { return nil }
 

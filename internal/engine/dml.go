@@ -24,27 +24,12 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 		return nil, fmt.Errorf("engine: %s is a read-only system table", t.Name)
 	}
 	if db.role == Cache {
-		if db.remote == nil {
-			return nil, fmt.Errorf("engine: cache has no backend link for update forwarding")
-		}
-		rec.Tier = trace.TierForwarded
-		// Prefer the LSN-acknowledging path: the backend's commit LSN rides
-		// back with the row count, giving the session its read-your-writes
-		// watermark.
-		if lx, ok := db.remote.(exec.LSNExecer); ok {
-			n, lsn, err := lx.ExecLSN(sql.Deparse(stmt), params)
-			if err != nil {
-				return nil, err
-			}
-			db.invalidateDMLTarget(stmt)
-			return &Result{RowsAffected: n, CommitLSN: lsn}, nil
-		}
-		n, err := db.remote.Exec(sql.Deparse(stmt), params)
+		res, err := db.forward(sql.Deparse(stmt), params, rec)
 		if err != nil {
 			return nil, err
 		}
 		db.invalidateDMLTarget(stmt)
-		return &Result{RowsAffected: n}, nil
+		return res, nil
 	}
 	tx := db.store.Begin(true)
 	n, err := db.execDMLInTxn(stmt, params, tx)
@@ -58,6 +43,23 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 	}
 	db.invalidateDMLTarget(stmt)
 	return &Result{RowsAffected: n, CommitLSN: lsn}, nil
+}
+
+// forward sends a statement a cache does not run itself to the backend, and
+// answers what the backend did: its rows, row count and commit LSN. It is the
+// one way out for a client DML statement, a copied procedure's one DML
+// statement, a copied multi-statement writer's whole call and an uncopied
+// EXEC; text is the statement, or a call shape whose values are in params.
+func (db *Database) forward(text string, params exec.Params, rec *trace.Record) (*Result, error) {
+	if db.remote == nil {
+		return nil, fmt.Errorf("engine: cache has no backend link for forwarding")
+	}
+	rec.Tier = trace.TierForwarded
+	rs, err := db.remote.Query(text, params)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Cols: rs.Cols, Rows: rs.Rows, RowsAffected: rs.RowsAffected, CommitLSN: rs.CommitLSN}, nil
 }
 
 // invalidateDMLTarget drops intermediates derived from a DML statement's

@@ -337,15 +337,14 @@ type Result struct {
 	Cols []exec.ColInfo
 	Rows []types.Row
 
-	// Set for DML.
+	// Set for DML, and for a procedure call whose body writes.
 	RowsAffected int64
 
 	// CommitLSN is the WAL position of the commit this statement performed
 	// (0 for reads, DDL and unlogged operations). On a backend it is the
-	// local commit's LSN; on a cache it is the backend commit LSN carried
-	// back in the forwarded update's acknowledgement, when the backend link
-	// supports it (exec.LSNExecer). Session routers use it as the session's
-	// read-your-writes high-water mark.
+	// local commit's LSN; on a cache it is the backend commit LSN of a
+	// forwarded statement, which comes back on its exec.ResultSet. Session
+	// routers use it as the session's read-your-writes high-water mark.
 	CommitLSN storage.LSN
 
 	// SnapshotLSN is the MVCC position a query's rows were read at — the

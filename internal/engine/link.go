@@ -19,42 +19,35 @@ type Link struct {
 // NewLink wraps a database as a linked server.
 func NewLink(db *Database) *Link { return &Link{db: db} }
 
-// Query executes SQL text expected to return rows (SELECT or EXEC).
+// Query executes one statement on the linked database: a query, a write or a
+// call.
 func (l *Link) Query(sqlText string, params exec.Params) (*exec.ResultSet, error) {
-	res, err := l.db.Exec(sqlText, params)
-	if err != nil {
-		return nil, fmt.Errorf("link(%s): %w", l.db.Name, err)
-	}
-	return &exec.ResultSet{Cols: res.Cols, Rows: res.Rows, CommitLSN: res.CommitLSN}, nil
+	rs, _, err := l.QueryTraced(sqlText, params, "")
+	return rs, err
 }
 
-// QueryTraced implements exec.SpanQuerier: the linked database executes under
-// the caller's trace ID and its record's span tree is returned for the caller's
-// remote span, exactly like the TCP transport does — minus the serialization.
+// QueryTraced is Query under the caller's trace ID: the linked database's
+// record's span tree is returned for the caller's remote span, exactly like
+// the TCP transport does — minus the serialization.
 func (l *Link) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
 	res, rec, err := l.db.ExecSessionTraced(sqlText, params, 0, 0, traceID)
 	if err != nil {
 		return nil, nil, fmt.Errorf("link(%s): %w", l.db.Name, err)
 	}
-	return &exec.ResultSet{Cols: res.Cols, Rows: res.Rows}, rec.Tree(), nil
-}
-
-// Exec executes SQL text for its side effects (forwarded DML).
-func (l *Link) Exec(sqlText string, params exec.Params) (int64, error) {
-	res, err := l.db.Exec(sqlText, params)
-	if err != nil {
-		return 0, fmt.Errorf("link(%s): %w", l.db.Name, err)
+	rs := &exec.ResultSet{Cols: res.Cols, Rows: res.Rows, RowsAffected: res.RowsAffected, CommitLSN: res.CommitLSN}
+	if traceID == "" {
+		return rs, nil, nil
 	}
-	return res.RowsAffected, nil
+	return rs, rec.Tree(), nil
 }
 
-// ExecLSN implements exec.LSNExecer: forwarded DML additionally reports the
-// commit LSN the backend assigned, so sessions can track read-your-writes
-// watermarks over in-process links exactly as over the TCP transport.
+// ExecLSN is Query's row count and commit LSN. It stays only for the fleet
+// benchmark's counting link; the benchmark change that counts backend
+// requests where they arrive (ROADMAP direction 2) deletes it.
 func (l *Link) ExecLSN(sqlText string, params exec.Params) (int64, storage.LSN, error) {
-	res, err := l.db.Exec(sqlText, params)
+	rs, err := l.Query(sqlText, params)
 	if err != nil {
-		return 0, 0, fmt.Errorf("link(%s): %w", l.db.Name, err)
+		return 0, 0, err
 	}
-	return res.RowsAffected, res.CommitLSN, nil
+	return rs.RowsAffected, rs.CommitLSN, nil
 }

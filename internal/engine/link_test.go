@@ -94,9 +94,14 @@ func TestLinkConcurrentReadsWithWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 1; i <= 100; i++ {
-			if _, err := link.Exec("UPDATE counter SET v = @v WHERE id = 1",
-				exec.Params{"v": types.NewInt(int64(i))}); err != nil {
+			rs, err := link.Query("UPDATE counter SET v = @v WHERE id = 1",
+				exec.Params{"v": types.NewInt(int64(i))})
+			if err != nil {
 				errs <- err
+				return
+			}
+			if rs.RowsAffected != 1 || rs.CommitLSN == 0 {
+				errs <- fmt.Errorf("update %d: %d rows at commit LSN %d", i, rs.RowsAffected, rs.CommitLSN)
 				return
 			}
 		}

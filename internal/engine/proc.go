@@ -23,7 +23,7 @@ func (db *Database) execProcCall(x *sql.ExecStmt, outer exec.Params, autoArgs []
 			// The call goes on as it came: its shape, with the arguments and
 			// any extracted literals in the one named-parameter map, which the
 			// backend's front door resolves without parsing.
-			return db.forwardCall(x.Text(), withAutoArgs(outer, autoArgs), rec)
+			return db.forward(x.Text(), withAutoArgs(outer, autoArgs), rec)
 		}
 		return nil, fmt.Errorf("engine: procedure %s does not exist", x.Proc)
 	}
@@ -91,20 +91,9 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 		return db.callProcedure(proc, params, &unkept)
 	}
 	if db.role == Cache && db.remote != nil {
-		return db.forwardCall(sql.CallShape(name, params), params, &unkept)
+		return db.forward(sql.CallShape(name, params), params, &unkept)
 	}
 	return nil, fmt.Errorf("engine: procedure %s does not exist", name)
-}
-
-// forwardCall sends a whole call to the backend, noting so on the EXEC
-// statement's record: text is a call shape, the values are in params.
-func (db *Database) forwardCall(text string, params exec.Params, rec *trace.Record) (*Result, error) {
-	rec.Tier = trace.TierForwarded
-	rs, err := db.remote.Query(text, params)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Cols: rs.Cols, Rows: rs.Rows, CommitLSN: rs.CommitLSN}, nil
 }
 
 // callProcedure runs a procedure this database holds; a body that runs here
@@ -123,7 +112,7 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params, r
 	// one DML statement is atomic either way and keeps forwarding that
 	// statement.)
 	if hasDML && len(proc.Body) > 1 && db.role == Cache {
-		return db.forwardCall(sql.CallShape(proc.Name, params), params, rec)
+		return db.forward(sql.CallShape(proc.Name, params), params, rec)
 	}
 
 	res := &Result{}

@@ -7,6 +7,7 @@ import (
 	"mtcache/internal/catalog"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -311,7 +312,10 @@ func (f *fakeRemote) Query(sqlText string, _ Params) (*ResultSet, error) {
 	return f.result, nil
 }
 
-func (f *fakeRemote) Exec(string, Params) (int64, error) { return 0, nil }
+func (f *fakeRemote) QueryTraced(sqlText string, params Params, _ string) (*ResultSet, *trace.WireSpan, error) {
+	rs, err := f.Query(sqlText, params)
+	return rs, nil, err
+}
 
 func TestRemoteOperator(t *testing.T) {
 	s := newTestStore(t, 0)

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"mtcache/internal/sql"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -245,7 +246,10 @@ func (sizedRemote) Query(_ string, params Params) (*ResultSet, error) {
 	}
 	return &ResultSet{Cols: intCols("a", "b"), Rows: rows}, nil
 }
-func (sizedRemote) Exec(string, Params) (int64, error) { return 0, nil }
+func (r sizedRemote) QueryTraced(sqlText string, params Params, _ string) (*ResultSet, *trace.WireSpan, error) {
+	rs, err := r.Query(sqlText, params)
+	return rs, nil, err
+}
 
 func cloneRows(rows []types.Row) []types.Row {
 	out := make([]types.Row, len(rows))

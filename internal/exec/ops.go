@@ -20,41 +20,24 @@ type ColInfo struct {
 	Kind  types.Kind
 }
 
-// ResultSet is a fully materialized query result.
+// ResultSet is what a linked server answers for one statement: the rows of a
+// query, the row count of a write, and the backend commit position of any
+// write the statement performed (0 for pure reads). A session router uses the
+// commit LSN to advance a session's read-your-writes watermark.
 type ResultSet struct {
-	Cols []ColInfo
-	Rows []types.Row
-
-	// CommitLSN is the backend commit position of any write the statement
-	// performed (0 for pure reads, or when the transport predates LSN
-	// acknowledgements). Forwarded stored-procedure calls travel as Query,
-	// so the LSN rides on the result set; session routers use it to advance
-	// a session's read-your-writes watermark.
-	CommitLSN storage.LSN
+	Cols         []ColInfo
+	Rows         []types.Row
+	RowsAffected int64
+	CommitLSN    storage.LSN
 }
 
-// RemoteClient executes SQL on a linked server. The Remote operator uses
-// Query; the engine's update forwarding uses Exec.
+// RemoteClient executes SQL on a linked server: the Remote operator's
+// subqueries and every statement a cache forwards. A text that may write is
+// delivered at most once (sql.ReadOnly). QueryTraced also propagates the
+// trace ID and returns the server-side span tree, which the Remote operator
+// grafts into the cache-side trace.
 type RemoteClient interface {
 	Query(sqlText string, params Params) (*ResultSet, error)
-	Exec(sqlText string, params Params) (int64, error)
-}
-
-// LSNExecer is an optional extension of RemoteClient: clients that implement
-// it return the backend commit LSN alongside the affected-row count of a
-// forwarded update. The engine uses it to stamp Result.CommitLSN on a cache,
-// which is what lets a session router guarantee read-your-writes — without
-// it forwarded DML still works, the session just cannot learn its watermark.
-type LSNExecer interface {
-	ExecLSN(sqlText string, params Params) (int64, storage.LSN, error)
-}
-
-// SpanQuerier is an optional extension of RemoteClient: clients that
-// implement it propagate the trace ID to the backend and return the
-// backend-side span tree, which the Remote operator grafts into the
-// cache-side trace. Clients that do not implement it still work — the trace
-// just shows the round-trip as a leaf.
-type SpanQuerier interface {
 	QueryTraced(sqlText string, params Params, traceID string) (*ResultSet, *trace.WireSpan, error)
 }
 
@@ -1454,8 +1437,8 @@ func (r *Remote) Open(ctx *Ctx) error {
 	var rs *ResultSet
 	var wspan *trace.WireSpan
 	var err error
-	if sq, ok := ctx.Remote.(SpanQuerier); ok && sp != nil {
-		rs, wspan, err = sq.QueryTraced(r.SQLText, ctx.Params, ctx.Rec.ID)
+	if sp != nil {
+		rs, wspan, err = ctx.Remote.QueryTraced(r.SQLText, ctx.Params, ctx.Rec.ID)
 	} else {
 		rs, err = ctx.Remote.Query(r.SQLText, ctx.Params)
 	}

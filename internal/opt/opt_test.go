@@ -9,6 +9,7 @@ import (
 	"mtcache/internal/exec"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -36,7 +37,10 @@ func (b *testBackend) Query(sqlText string, params exec.Params) (*exec.ResultSet
 	return exec.Run(p.Root, &exec.Ctx{Params: params, Txn: tx})
 }
 
-func (b *testBackend) Exec(string, exec.Params) (int64, error) { return 0, nil }
+func (b *testBackend) QueryTraced(sqlText string, params exec.Params, _ string) (*exec.ResultSet, *trace.WireSpan, error) {
+	rs, err := b.Query(sqlText, params)
+	return rs, nil, err
+}
 
 const nCustomers = 20000
 const nOrders = 5000

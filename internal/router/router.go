@@ -27,7 +27,6 @@ package router
 import (
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,7 +160,7 @@ func (s *Session) Conn() *core.Conn {
 
 // Exec routes one statement.
 func (s *Session) Exec(sqlText string, params exec.Params) (*engine.Result, error) {
-	return s.do(sqlText, params, isRead(sqlText))
+	return s.do(sqlText, params)
 }
 
 // Call invokes a stored procedure by name. It travels as the call's shape —
@@ -172,34 +171,15 @@ func (s *Session) Exec(sqlText string, params exec.Params) (*engine.Result, erro
 // and runs it wherever the procedure lives, forwarding the same shape and map
 // to the backend when it has no copy.
 func (s *Session) Call(proc string, params exec.Params) (*engine.Result, error) {
-	return s.do(sql.CallShape(proc, params), params, false)
-}
-
-// isRead classifies a statement by its first keyword. Only statements known
-// to be side-effect-free may be replayed on another server after a transport
-// failure; EXEC is conservatively a write (procedures may update).
-func isRead(sqlText string) bool {
-	f := strings.ToUpper(firstWord(sqlText))
-	return f == "SELECT" || f == "EXPLAIN"
-}
-
-func firstWord(s string) string {
-	i := 0
-	for i < len(s) && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r') {
-		i++
-	}
-	j := i
-	for j < len(s) && s[j] != ' ' && s[j] != '\t' && s[j] != '\n' && s[j] != '\r' && s[j] != '(' {
-		j++
-	}
-	return s[i:j]
+	return s.do(sql.CallShape(proc, params), params)
 }
 
 // do routes one statement: the pinned cache first, spilling across the
-// fleet, the backend last. read statements gate on the session watermark
-// and may be replayed after transport failures; writes are replayed only
-// while provably undelivered.
-func (s *Session) do(sqlText string, params exec.Params, read bool) (*engine.Result, error) {
+// fleet, the backend last. Every statement gates on the session watermark. A
+// read (sql.ReadOnly; an EXEC is not one, procedures may write) may be
+// replayed on another server after a transport failure; anything else is
+// replayed only while provably undelivered.
+func (s *Session) do(sqlText string, params exec.Params) (*engine.Result, error) {
 	s.mu.Lock()
 	pin := s.pin
 	watermark := s.watermark
@@ -223,7 +203,7 @@ func (s *Session) do(sqlText string, params exec.Params, read bool) (*engine.Res
 				// rerouting cannot change the answer.
 				return nil, err
 			}
-			if !read {
+			if !sql.ReadOnly(sqlText) {
 				// A transport failure after dispatch: the write may have
 				// committed on the backend even though the ack was lost.
 				// Replaying it elsewhere could apply it twice.

@@ -10,6 +10,7 @@ import (
 	"mtcache/internal/engine"
 	"mtcache/internal/exec"
 	"mtcache/internal/tpcw"
+	"mtcache/internal/trace"
 )
 
 // timedLink wraps the backend link and accumulates the time spent inside
@@ -26,10 +27,10 @@ func (t *timedLink) Query(sqlText string, params exec.Params) (*exec.ResultSet, 
 	return t.inner.Query(sqlText, params)
 }
 
-func (t *timedLink) Exec(sqlText string, params exec.Params) (int64, error) {
+func (t *timedLink) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
 	start := time.Now()
 	defer func() { atomic.AddInt64(&t.ns, int64(time.Since(start))) }()
-	return t.inner.Exec(sqlText, params)
+	return t.inner.QueryTraced(sqlText, params, traceID)
 }
 
 func (t *timedLink) take() time.Duration {

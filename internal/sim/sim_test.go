@@ -15,6 +15,7 @@ import (
 	"mtcache/internal/engine"
 	"mtcache/internal/exec"
 	"mtcache/internal/tpcw"
+	"mtcache/internal/trace"
 )
 
 // syntheticCosts builds a hand-made cost model for deterministic DES tests:
@@ -165,9 +166,9 @@ func (l *countedLink) Query(sqlText string, params exec.Params) (*exec.ResultSet
 	return l.RemoteClient.Query(sqlText, params)
 }
 
-func (l *countedLink) Exec(sqlText string, params exec.Params) (int64, error) {
+func (l *countedLink) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
 	l.calls++
-	return l.RemoteClient.Exec(sqlText, params)
+	return l.RemoteClient.QueryTraced(sqlText, params, traceID)
 }
 
 // TestCalibrateProducesSaneCosts checks the calibrated system by counting,

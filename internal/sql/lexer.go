@@ -160,6 +160,23 @@ func skipSpaceAndComments(src string, pos int) int {
 	return pos
 }
 
+// ReadOnly reports whether text cannot write: its first keyword, after the
+// spaces and comments the lexer skips, is SELECT or EXPLAIN (which explains
+// only a SELECT). It is the one idempotency rule. A read may be sent again
+// after a transport failure; anything else (DML, DDL, an EXEC, text that is
+// no statement) may have run once it may have been delivered. It does not
+// allocate.
+func ReadOnly(text string) bool {
+	start := skipSpaceAndComments(text, 0)
+	word := text[start:identEnd(text, start)]
+	if len(word) > len("EXPLAIN") {
+		return false
+	}
+	var buf [len("EXPLAIN")]byte
+	up := appendUpperASCII(buf[:0], word)
+	return string(up) == "SELECT" || string(up) == "EXPLAIN"
+}
+
 // identEnd returns the end of the identifier characters starting at pos.
 func identEnd(src string, pos int) int {
 	for pos < len(src) && isIdentCont(rune(src[pos])) {

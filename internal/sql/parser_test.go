@@ -414,3 +414,52 @@ func TestCallShapeConcurrently(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestReadOnly pins the one idempotency rule: a text is a read when its first
+// keyword, after the spaces and comments the lexer skips, is SELECT or
+// EXPLAIN, in any case. Everything else, including an EXEC, the empty text and
+// text whose only content is a comment, is a write. The check allocates
+// nothing.
+func TestReadOnly(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		want bool
+	}{
+		{"SELECT 1", true},
+		{"select * from part", true},
+		{"SeLeCt 1", true},
+		{"  \t\r\n SELECT 1", true},
+		{"-- a note\nSELECT 1", true},
+		{"/* c */ SELECT 1", true},
+		{"/* c */ -- d\n /**/SELECT 1", true},
+		{"SELECT(1)", true},
+		{"EXPLAIN SELECT 1", true},
+		{"EXPLAIN ANALYZE SELECT 1", true},
+		{"explain analyze select 1", true},
+		{"/* unterminated SELECT 1", false},
+		{"-- SELECT 1", false},
+		{"SELECTED 1", false},
+		{"EXEC getBook 17", false},
+		{"EXECUTE getBook 17", false},
+		{"EXEC p @a = @a", false},
+		{"INSERT INTO part VALUES (1)", false},
+		{"UPDATE part SET qty = 0", false},
+		{"/* c */ UPDATE part SET qty = 0", false},
+		{"DELETE FROM part", false},
+		{"CREATE TABLE t (a INT)", false},
+		{"", false},
+		{"   ", false},
+		{"(SELECT 1)", false},
+	} {
+		if got := ReadOnly(c.text); got != c.want {
+			t.Errorf("ReadOnly(%q) = %v, want %v", c.text, got, c.want)
+		}
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		ReadOnly("/* c */ select * from part")
+		ReadOnly("  EXPLAIN ANALYZE SELECT 1")
+		ReadOnly("UPDATE part SET qty = 0")
+	}); avg != 0 {
+		t.Errorf("ReadOnly: %.1f allocs, want 0", avg)
+	}
+}

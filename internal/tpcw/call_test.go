@@ -19,11 +19,13 @@ import (
 
 // callServer is one server of a TPC-W pair behind a wire listener, with a
 // router that sends every session to it: the backend's routes no cache, the
-// cache's routes to that cache.
+// cache's routes to that cache. catchUp brings the server to the backend's
+// last commit.
 type callServer struct {
-	name string
-	db   *engine.Database
-	r    *router.Router
+	name    string
+	db      *engine.Database
+	r       *router.Router
+	catchUp func() error
 }
 
 // newCallServers loads a TPC-W pair (cfg), serves both over TCP and routes to
@@ -49,7 +51,8 @@ func newCallServers(t *testing.T, cfg Config) (backend, cache callServer) {
 		t.Cleanup(r.Close)
 		return r
 	}
-	return callServer{"backend", b.DB, route()}, callServer{"cache", c.DB, route(csrv.Addr())}
+	current := func() error { return nil }
+	return callServer{"backend", b.DB, route(), current}, callServer{"cache", c.DB, route(csrv.Addr()), b.SyncReplication}
 }
 
 // The three ways a call reaches a server.
@@ -115,12 +118,15 @@ func writes(proc *catalog.Procedure) bool {
 // TestCallPathsAgree is the differential over every TPC-W procedure: routed
 // through a Session, typed as literal EXEC text, and sent as the
 // parameterized shape with the values in the named map, a call gives the same
-// rows and the same RowsAffected, on the backend and on a cache (where most
-// procedures are copies and five are forwarded), and reports a commit LSN
-// exactly when it wrote. A missing, an extra and a misspelled parameter, and a
-// procedure nobody has, fail with the same text on every path. The arguments
-// include the edge values of the call syntax: a negative integer in first
-// (positional) place, a negative float by name, NULL, a quote inside a string.
+// rows and the same RowsAffected on every path, and the cache (where most
+// procedures are copies and five are forwarded) gives what the backend gives
+// when it has applied the backend's last commit. A call reports a commit LSN
+// exactly when it wrote, and a client UPDATE text reports the same row count
+// through the cache as on the backend. A missing, an extra and a misspelled
+// parameter, and a procedure nobody has, fail with the same text on every
+// path. The arguments include the edge values of the call syntax: a negative
+// integer in first (positional) place, a negative float by name, NULL, a
+// quote inside a string.
 func TestCallPathsAgree(t *testing.T) {
 	backend, cache := newCallServers(t, Config{Items: 200, Customers: 300, Seed: 7})
 	ts := types.NewTime(time.Date(2024, 2, 29, 23, 59, 59, 123e6, time.UTC))
@@ -198,11 +204,20 @@ func TestCallPathsAgree(t *testing.T) {
 		call{"getCustomer", func(int64) exec.Params { return exec.Params{"uname": s("it's")} }},
 		call{"updateLogin", func(int64) exec.Params { return exec.Params{"c_id": i(11), "t": types.Null} }},
 	)
-	for si, srv := range []callServer{backend, cache} {
-		for _, c := range valid {
-			proc := backend.db.Catalog().Procedure(c.proc)
-			var first *engine.Result
-			for p, path := range callPaths {
+	servers := []callServer{backend, cache}
+	// same reports whether res and want agree on rows and rows affected.
+	same := func(res, want *engine.Result) bool {
+		return fmt.Sprint(res.Rows) == fmt.Sprint(want.Rows) && res.RowsAffected == want.RowsAffected
+	}
+	for _, c := range valid {
+		proc := backend.db.Catalog().Procedure(c.proc)
+		var first [2]*engine.Result // each server's answer on the first path
+		for p, path := range callPaths {
+			var onBackend *engine.Result
+			for si, srv := range servers {
+				if err := srv.catchUp(); err != nil {
+					t.Fatal(err)
+				}
 				params := c.params(int64(si*len(callPaths) + p))
 				res, err := path.run(srv, proc, params)
 				if err != nil {
@@ -211,16 +226,44 @@ func TestCallPathsAgree(t *testing.T) {
 				if wrote := res.CommitLSN > 0; wrote != writes(proc) {
 					t.Errorf("%s, %s, %s: commit LSN %d, but the procedure writes: %v", srv.name, path.name, c.proc, res.CommitLSN, writes(proc))
 				}
-				if p == 0 {
-					first = res
-					continue
+				if si == 0 {
+					onBackend = res
+				} else if !same(res, onBackend) {
+					t.Errorf("%s, %s: the cache gave %v, %d affected; the backend %v, %d affected",
+						path.name, c.proc, res.Rows, res.RowsAffected, onBackend.Rows, onBackend.RowsAffected)
 				}
-				if got, want := fmt.Sprint(res.Rows), fmt.Sprint(first.Rows); got != want || res.RowsAffected != first.RowsAffected {
-					t.Errorf("%s, %s, %s: %s, %d affected; %s gave %s, %d affected",
-						srv.name, path.name, c.proc, got, res.RowsAffected, callPaths[0].name, want, first.RowsAffected)
+				if p == 0 {
+					first[si] = res
+				} else if !same(res, first[si]) {
+					t.Errorf("%s, %s, %s: %v, %d affected; %s gave %v, %d affected",
+						srv.name, path.name, c.proc, res.Rows, res.RowsAffected, callPaths[0].name, first[si].Rows, first[si].RowsAffected)
 				}
 			}
 		}
+	}
+	// A client's own DML text, routed and sent straight to the engine, reports
+	// the backend's row count through the cache as on the backend.
+	const update = "UPDATE item SET i_stock = i_stock + 0 WHERE i_subject = @subject"
+	count, err := backend.db.Exec("SELECT COUNT(*) FROM item WHERE i_subject = 'ARTS'", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := count.Rows[0][0].Int()
+	for _, srv := range servers {
+		for _, send := range []func() (*engine.Result, error){
+			func() (*engine.Result, error) { return srv.r.Session().Exec(update, exec.Params{"subject": s("ARTS")}) },
+			func() (*engine.Result, error) { return srv.db.Exec(update, exec.Params{"subject": s("ARTS")}) },
+		} {
+			res, err := send()
+			if err != nil {
+				t.Fatalf("%s: %s: %v", srv.name, update, err)
+			}
+			if res.RowsAffected != want || want == 0 || res.CommitLSN == 0 {
+				t.Errorf("%s: %s: %d affected at commit LSN %d, want %d at a nonzero LSN", srv.name, update, res.RowsAffected, res.CommitLSN, want)
+			}
+		}
+	}
+	for _, srv := range servers {
 		for _, c := range []struct {
 			why    string
 			proc   *catalog.Procedure

@@ -211,13 +211,11 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	}
 }
 
-// Query implements exec.RemoteClient.
+// Query implements exec.RemoteClient: one statement, whatever it does, and
+// one result with its rows, row count and commit LSN.
 func (c *Client) Query(sqlText string, params exec.Params) (*exec.ResultSet, error) {
-	resp, err := c.roundTrip(&request{Kind: reqQuery, SQL: sqlText, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return &exec.ResultSet{Cols: resp.Cols, Rows: resp.Rows, CommitLSN: resp.LSN}, nil
+	rs, _, err := c.QueryTraced(sqlText, params, "")
+	return rs, err
 }
 
 // SessionResult is the answer to a session-gated request: rows or row count,
@@ -262,31 +260,14 @@ func (c *Client) AppliedLSN() (storage.LSN, error) {
 	return resp.Applied, nil
 }
 
-// QueryTraced implements exec.SpanQuerier: the query executes under the
-// caller's trace ID on the backend, and the backend-side span tree comes back
-// with the rows.
+// QueryTraced is Query under the caller's trace ID on the backend ("" for
+// none); the backend-side span tree comes back with the result.
 func (c *Client) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
 	resp, err := c.roundTrip(&request{Kind: reqQuery, SQL: sqlText, Params: params, TraceID: traceID})
 	if err != nil {
 		return nil, nil, err
 	}
-	return &exec.ResultSet{Cols: resp.Cols, Rows: resp.Rows}, resp.Span, nil
-}
-
-// Exec implements exec.RemoteClient.
-func (c *Client) Exec(sqlText string, params exec.Params) (int64, error) {
-	n, _, err := c.ExecLSN(sqlText, params)
-	return n, err
-}
-
-// ExecLSN implements exec.LSNExecer: forwarded DML additionally returns the
-// commit LSN the backend assigned — the session's read-your-writes watermark.
-func (c *Client) ExecLSN(sqlText string, params exec.Params) (int64, storage.LSN, error) {
-	resp, err := c.roundTrip(&request{Kind: reqExec, SQL: sqlText, Params: params})
-	if err != nil {
-		return 0, 0, err
-	}
-	return resp.N, resp.LSN, nil
+	return &exec.ResultSet{Cols: resp.Cols, Rows: resp.Rows, RowsAffected: resp.N, CommitLSN: resp.LSN}, resp.Span, nil
 }
 
 // Snapshot fetches the backend catalog snapshot.

@@ -1,6 +1,6 @@
 package wire
 
-// codec.go is the v5 frame codec: what a request and a response hold, the
+// codec.go is the v6 frame codec: what a request and a response hold, the
 // preface, the length-prefixed framing and the payload bytes. wire.go's
 // package comment has the layout; the value, row and string bytes are
 // types/codec.go's, a pulled transaction's changes are
@@ -27,7 +27,6 @@ type reqKind uint8
 
 const (
 	reqQuery reqKind = iota
-	reqExec
 	reqSnapshot
 	reqProvision
 	reqPull
@@ -53,7 +52,7 @@ type request struct {
 	// connection. Client IDs start at 1.
 	ID uint64
 
-	// MinLSN gates reqQuery/reqExec on session freshness: a cache must have
+	// MinLSN gates reqQuery on session freshness: a cache must have
 	// applied at least this LSN before answering, or report Stale instead of
 	// serving data the session's own writes have not reached. Zero disables
 	// the gate.
@@ -67,7 +66,7 @@ type request struct {
 	// disables tracing).
 	TraceID string
 
-	// Query / Exec.
+	// Query.
 	SQL    string
 	Params map[string]types.Value
 
@@ -105,6 +104,7 @@ type response struct {
 	// Err, when set, is all the response carries besides the header.
 	Err string
 
+	// N is the number of rows the request's statement wrote.
 	N int64
 
 	// LSN is the commit LSN of any write the request performed on the
@@ -116,7 +116,7 @@ type response struct {
 	// last committed LSN).
 	Applied storage.LSN
 
-	// Query / Exec: the result set (Provision: the initial population), and
+	// Query: the result set (Provision: the initial population), and
 	// the server-side span tree when the request carried a TraceID.
 	Cols []exec.ColInfo
 	Rows []types.Row
@@ -139,7 +139,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 5}
+var preface = [4]byte{'M', 'T', 'W', 6}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused
@@ -254,7 +254,7 @@ func appendRequest(buf []byte, req *request) []byte {
 	buf = binary.AppendVarint(buf, req.WaitMs)
 	buf = types.AppendString(buf, req.TraceID)
 	switch req.Kind {
-	case reqQuery, reqExec:
+	case reqQuery:
 		buf = types.AppendString(buf, req.SQL)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Params)))
 		for name, v := range req.Params {
@@ -294,7 +294,7 @@ func decodeRequest(payload []byte) (*request, error) {
 		TraceID: d.Str(),
 	}
 	switch req.Kind {
-	case reqQuery, reqExec:
+	case reqQuery:
 		req.SQL = d.Str()
 		if n := d.Count(2); n > 0 {
 			req.Params = make(map[string]types.Value, n)
@@ -361,7 +361,7 @@ func appendResponse(buf []byte, resp *response) []byte {
 		return types.AppendString(buf, resp.Err)
 	}
 	switch resp.Kind {
-	case reqQuery, reqExec:
+	case reqQuery:
 		if resp.Span != nil {
 			buf = appendSpan(buf, resp.Span, 0)
 		}
@@ -411,7 +411,7 @@ func decodeResponse(payload []byte) (*response, error) {
 		return resp, finish(&d, "response")
 	}
 	switch resp.Kind {
-	case reqQuery, reqExec:
+	case reqQuery:
 		if flags&flagSpan != 0 {
 			resp.Span = decodeSpan(&d, 0)
 		}
@@ -450,7 +450,7 @@ func decodeResponse(payload []byte) (*response, error) {
 	return resp, finish(&d, "response")
 }
 
-// appendResultSet appends a Query/Exec result. The total value count goes
+// appendResultSet appends a Query result. The total value count goes
 // ahead of the rows so the decoder can size one backing array for all of them.
 func appendResultSet(buf []byte, cols []exec.ColInfo, rows []types.Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(cols)))

@@ -42,7 +42,7 @@ func sampleRequests() map[string]*request {
 		"query bare":       {Kind: reqQuery, ID: 1, SQL: "SELECT COUNT(*) FROM part"},
 		"query empty map":  {Kind: reqQuery, ID: 2, SQL: "SELECT 1", Params: map[string]types.Value{}},
 		"query session":    {Kind: reqQuery, ID: 1 << 40, SQL: "SELECT 1", MinLSN: 99, WaitMs: 250, TraceID: "t-1"},
-		"exec":             {Kind: reqExec, ID: 3, SQL: "UPDATE part SET qty = 0 WHERE id = 7", TraceID: "t-2", WaitMs: -1},
+		"query write":      {Kind: reqQuery, ID: 3, SQL: "UPDATE part SET qty = 0 WHERE id = 7", TraceID: "t-2", WaitMs: -1},
 		"snapshot":         {Kind: reqSnapshot, ID: 4},
 		"applied":          {Kind: reqApplied, ID: 5},
 		"provision":        {Kind: reqProvision, ID: 6, Table: "part", Columns: []string{"id", "", "name"}, Filter: "(part.qty > 10)", SubName: "cache1.cv_part"},
@@ -74,7 +74,7 @@ func sampleResponses() map[string]*response {
 		"query 0-column": {Kind: reqQuery, ID: 11, Rows: []types.Row{{}, {}}},
 		"stale":          {Kind: reqQuery, ID: 12, Stale: true, Applied: 40},
 		"error":          {Kind: reqQuery, ID: 13, Err: "engine: table missing does not exist", Applied: 3},
-		"exec":           {Kind: reqExec, ID: 14, N: 3, LSN: 1 << 50, Applied: 1 << 50},
+		"query write":    {Kind: reqQuery, ID: 14, N: 3, LSN: 1 << 50, Applied: 1 << 50},
 		"snapshot":       {Kind: reqSnapshot, ID: 15, Snapshot: []byte{0, 1, 2, 0xff}},
 		"snapshot empty": {Kind: reqSnapshot, ID: 16, Snapshot: []byte{}},
 		"provision":      {Kind: reqProvision, ID: 17, SubID: 2, StartLSN: 77, Rows: []types.Row{sampleRow, nil, {}}},
@@ -403,6 +403,7 @@ func TestPrefaceRefusesOtherProtocols(t *testing.T) {
 		"gob frame":     gobFrame(t),
 		"wrong version": {'M', 'T', 'W', 2, 0, 0, 0, 0},
 		"v4":            {'M', 'T', 'W', 4, 0, 0, 0, 0}, // a snapshot payload was gob until v5
+		"v5":            {'M', 'T', 'W', 5, 0, 0, 0, 0}, // request kind 1 was Exec until v6
 		"http":          []byte("GET / HTTP/1.1\r\n\r\n"),
 	}
 

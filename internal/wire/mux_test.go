@@ -289,8 +289,8 @@ func TestMuxDropsIDLessResponse(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = fake.writeResponse(&response{Kind: reqExec, N: 99})            // no ID: must be ignored
-		_ = fake.writeResponse(&response{Kind: reqExec, ID: req.ID, N: 1}) // the real answer
+		_ = fake.writeResponse(&response{Kind: reqQuery, N: 99})            // no ID: must be ignored
+		_ = fake.writeResponse(&response{Kind: reqQuery, ID: req.ID, N: 1}) // the real answer
 	}()
 
 	c, err := Dial(ln.Addr().String(), 2*time.Second)
@@ -298,12 +298,12 @@ func TestMuxDropsIDLessResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	n, err := c.Exec("UPDATE part SET qty = 0 WHERE id = 1", nil)
+	rs, err := c.Query("UPDATE part SET qty = 0 WHERE id = 1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("got N=%d: the ID-less frame was delivered to the waiter", n)
+	if rs.RowsAffected != 1 {
+		t.Fatalf("got N=%d: the ID-less frame was delivered to the waiter", rs.RowsAffected)
 	}
 }
 

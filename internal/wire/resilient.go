@@ -12,6 +12,7 @@ import (
 	"mtcache/internal/querystore"
 	"mtcache/internal/repl"
 	"mtcache/internal/resilience"
+	"mtcache/internal/sql"
 	"mtcache/internal/storage"
 	"mtcache/internal/trace"
 	"mtcache/internal/types"
@@ -33,12 +34,13 @@ var (
 // idempotent ones retry on the next pooled connection (re-dialed lazily)
 // under the same policy as before.
 //
-// Retry rules follow idempotency: Query, Snapshot, Provision and Pull are
-// idempotent (Provision attaches by name; Pull re-delivers until acked) and
-// retry on any transport failure. Exec forwards DML, which may have executed
-// on the backend even though the response was lost — it retries only while
-// no connection could be produced (connect phase) and turns terminal the
-// moment a request may have reached the backend.
+// Retry rules follow idempotency. Every request retries while no connection
+// could be produced (connect phase). After that, Snapshot, Provision, Resume,
+// Pull and a read-only Query (sql.ReadOnly) retry on any transport failure:
+// Provision attaches by name and Pull re-delivers until acked. Any other
+// Query (DML, an EXEC, DDL) may have executed on the backend even though the
+// response was lost, so it turns terminal the moment it may have reached the
+// backend.
 type ResilientClient struct {
 	addr   string
 	policy resilience.Policy
@@ -154,28 +156,21 @@ func (r *ResilientClient) do(idempotent bool, fn func(c *Client) error) error {
 	return fmt.Errorf("wire: %s failed after %d attempts: %w", r.addr, r.policy.MaxAttempts, last)
 }
 
-// Query implements exec.RemoteClient (idempotent: retried).
+// Query implements exec.RemoteClient: a read-only text is retried, any other
+// is delivered at most once.
 func (r *ResilientClient) Query(sqlText string, params exec.Params) (*exec.ResultSet, error) {
-	var rs *exec.ResultSet
-	err := r.do(true, func(c *Client) error {
-		var e error
-		rs, e = c.Query(sqlText, params)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rs, nil
+	rs, _, err := r.QueryTraced(sqlText, params, "")
+	return rs, err
 }
 
-// QueryTraced implements exec.SpanQuerier (idempotent: retried). The
-// backend-side span tree of the successful attempt is returned.
+// QueryTraced is Query under the caller's trace ID. The backend-side span
+// tree of the successful attempt is returned.
 func (r *ResilientClient) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
 	var (
 		rs   *exec.ResultSet
 		span *trace.WireSpan
 	)
-	err := r.do(true, func(c *Client) error {
+	err := r.do(sql.ReadOnly(sqlText), func(c *Client) error {
 		var e error
 		rs, span, e = c.QueryTraced(sqlText, params, traceID)
 		return e
@@ -186,29 +181,15 @@ func (r *ResilientClient) QueryTraced(sqlText string, params exec.Params, traceI
 	return rs, span, nil
 }
 
-// Exec implements exec.RemoteClient. Forwarded DML is not idempotent, so it
-// retries only on connect-phase failures.
-func (r *ResilientClient) Exec(sqlText string, params exec.Params) (int64, error) {
-	n, _, err := r.ExecLSN(sqlText, params)
-	return n, err
-}
-
-// ExecLSN implements exec.LSNExecer under the same retry rules as Exec: the
-// forwarded DML's backend commit LSN rides back with the row count.
+// ExecLSN is Query's row count and commit LSN. It stays only for the fleet
+// benchmark's counting link; the benchmark change that counts backend
+// requests where they arrive (ROADMAP direction 2) deletes it.
 func (r *ResilientClient) ExecLSN(sqlText string, params exec.Params) (int64, storage.LSN, error) {
-	var (
-		n   int64
-		lsn storage.LSN
-	)
-	err := r.do(false, func(c *Client) error {
-		var e error
-		n, lsn, e = c.ExecLSN(sqlText, params)
-		return e
-	})
+	rs, err := r.Query(sqlText, params)
 	if err != nil {
 		return 0, 0, err
 	}
-	return n, lsn, nil
+	return rs.RowsAffected, rs.CommitLSN, nil
 }
 
 // AppliedLSN probes how far the server's data is applied (idempotent:

@@ -96,72 +96,128 @@ func TestResilientQueryFailsFastWhenDown(t *testing.T) {
 	}
 }
 
-// TestResilientExecDoesNotRetryPostConnect: a transport failure after the
-// request may have reached the backend must NOT be retried for Exec — the
-// DML could otherwise run twice. The error is terminal but still
-// degradation-eligible.
-func TestResilientExecDoesNotRetryPostConnect(t *testing.T) {
-	_, srv := newWiredBackend(t)
+// blackHoleClient dials srv through a proxy that then drops every chunk: a
+// request dies in flight after a connection existed, which is exactly the
+// ambiguous case.
+func blackHoleClient(t *testing.T, srv *Server) (*ResilientClient, *metrics.Registry) {
+	t.Helper()
 	proxy, err := NewFaultProxy("127.0.0.1:0", srv.Addr(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Close()
-
+	t.Cleanup(proxy.Close)
 	reg := metrics.NewRegistry()
 	rc, err := DialResilient(proxy.Addr(), quickPolicy(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rc.Close()
-
-	// Every chunk from now on is dropped: the Exec request dies in flight
-	// after a connection existed, which is exactly the ambiguous case.
+	t.Cleanup(func() { rc.Close() })
 	proxy.SetFaults(FaultConfig{DropRate: 1.0})
-	_, err = rc.Exec("UPDATE part SET qty = 1 WHERE id = 1", nil)
-	if err == nil {
-		t.Fatal("exec through a black-hole link should fail")
-	}
-	if resilience.Retryable(err) {
-		t.Fatalf("post-connect exec failure must be terminal: %v", err)
-	}
-	if !resilience.Degradable(err) {
-		t.Fatalf("terminal transport failure should still be degradation-eligible: %v", err)
-	}
-	if got := reg.Counter("wire.retries").Value(); got != 0 {
-		t.Fatalf("exec must not retry post-connect failures; retries=%d", got)
+	return rc, reg
+}
+
+// TestResilientExecDoesNotRetryPostConnect: a transport failure after a text
+// that may write may have reached the backend must NOT be retried — the write
+// could otherwise run twice. Whatever the first keyword behind the comments
+// (DML or an EXEC, which may write as far as the client knows), the error is
+// terminal but still degradation-eligible.
+func TestResilientExecDoesNotRetryPostConnect(t *testing.T) {
+	_, srv := newWiredBackend(t)
+	for _, text := range []string{
+		"UPDATE part SET qty = 1 WHERE id = 1",
+		"INSERT INTO part (id, name, type, qty) VALUES (2001, 'p2001', 'Bolt', 1)",
+		"EXEC p @a = @a",
+		"/* c */ UPDATE part SET qty = 1 WHERE id = 1",
+	} {
+		rc, reg := blackHoleClient(t, srv)
+		_, err := rc.Query(text, exec.Params{"a": types.NewInt(1)})
+		if err == nil {
+			t.Fatalf("%s: succeeded through a black-hole link", text)
+		}
+		if resilience.Retryable(err) {
+			t.Errorf("%s: post-connect failure must be terminal: %v", text, err)
+		}
+		if !resilience.Degradable(err) {
+			t.Errorf("%s: terminal transport failure should still be degradation-eligible: %v", text, err)
+		}
+		if got := reg.Counter("wire.retries").Value(); got != 0 {
+			t.Errorf("%s: must not retry post-connect failures; retries=%d", text, got)
+		}
 	}
 }
 
-// TestResilientQueryRetriesPostConnect is the idempotent counterpart: the
-// same black-hole failure on a Query is retried until the policy is
-// exhausted.
+// TestResilientQueryRetriesPostConnect is the read-only counterpart: the same
+// black-hole failure on a SELECT, in any case and behind a comment, is
+// retried until the policy is exhausted.
 func TestResilientQueryRetriesPostConnect(t *testing.T) {
 	_, srv := newWiredBackend(t)
+	for _, text := range []string{
+		"SELECT COUNT(*) FROM part",
+		"select count(*) from part",
+		"-- c\nSELECT COUNT(*) FROM part",
+	} {
+		rc, reg := blackHoleClient(t, srv)
+		_, err := rc.Query(text, nil)
+		if err == nil {
+			t.Fatalf("%q: succeeded through a black-hole link", text)
+		}
+		if got, want := reg.Counter("wire.retries").Value(), int64(quickPolicy().MaxAttempts-1); got != want {
+			t.Errorf("%q should retry to exhaustion: retries=%d want %d", text, got, want)
+		}
+		if reg.Counter("wire.backend_down").Value() != 1 {
+			t.Errorf("%q: exhaustion should count wire.backend_down", text)
+		}
+	}
+}
+
+// TestForwardedWriteRunsOnceWhenEveryAttemptLandsLate: a cache whose backend
+// link delays every chunk past the request timeout, so each attempt reaches
+// the backend after its caller gave up. Whatever the cache forwards that may
+// write, an uncopied procedure's EXEC as much as a client's INSERT, commits on
+// the backend exactly once. The test waits until every attempt the client
+// sent has landed (one per retry, plus the first), then counts the commits.
+func TestForwardedWriteRunsOnceWhenEveryAttemptLandsLate(t *testing.T) {
+	b, srv := newWiredBackend(t)
+	if _, err := b.Exec("CREATE PROCEDURE bump @id INT AS UPDATE part SET qty = qty + 1 WHERE id = @id", nil); err != nil {
+		t.Fatal(err)
+	}
 	proxy, err := NewFaultProxy("127.0.0.1:0", srv.Addr(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-
 	reg := metrics.NewRegistry()
 	policy := quickPolicy()
+	policy.RequestTimeout = 50 * time.Millisecond
 	rc, err := DialResilient(proxy.Addr(), policy, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
+	cache, err := NewRemoteCache("late", rc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy.SetFaults(FaultConfig{Delay: 5 * policy.RequestTimeout})
 
-	proxy.SetFaults(FaultConfig{DropRate: 1.0})
-	_, err = rc.Query("SELECT COUNT(*) FROM part", nil)
-	if err == nil {
-		t.Fatal("query through a black-hole link should fail")
-	}
-	if got := reg.Counter("wire.retries").Value(); got != int64(policy.MaxAttempts-1) {
-		t.Fatalf("query should retry to exhaustion: retries=%d want %d", got, policy.MaxAttempts-1)
-	}
-	if reg.Counter("wire.backend_down").Value() != 1 {
-		t.Error("exhaustion should count wire.backend_down")
+	commits := func() int64 { return int64(b.DB.Store().WAL().End()) }
+	for _, text := range []string{
+		"EXEC bump 1",
+		"INSERT INTO part (id, name, type, qty) VALUES (5001, 'late', 'Tire', 1)",
+	} {
+		before, retried := commits(), reg.Counter("wire.retries").Value()
+		if _, err := cache.DB.Exec(text, nil); err == nil {
+			t.Fatalf("%s: answered through a link slower than the request timeout", text)
+		}
+		sent := reg.Counter("wire.retries").Value() - retried + 1
+		for deadline := time.Now().Add(10 * time.Second); commits()-before < sent; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d of %d attempts committed within 10s", text, commits()-before, sent)
+			}
+		}
+		if n := commits() - before; n != 1 {
+			t.Errorf("%s: %d backend commits, want 1", text, n)
+		}
 	}
 }
 

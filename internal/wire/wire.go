@@ -1,9 +1,11 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v5) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v6) carrying
 //
-//   - Query / Exec — the linked-server path (paper §2.1): remote
-//     subexpressions and forwarded updates travel as SQL text plus
-//     parameters, results come back as rows;
+//   - Query — the linked-server path (paper §2.1): remote subexpressions,
+//     forwarded writes and forwarded procedure calls travel as SQL text (or a
+//     call shape) plus parameters; one result comes back with the rows, the
+//     row count and the commit LSN. A text that may write is delivered at
+//     most once (sql.ReadOnly decides);
 //   - Snapshot — the shadow-database setup payload (§4);
 //   - Provision / Resume / Pull — the pull subscription (§2.2): a cache has
 //     one, provisions an article of it for each cached view, receives the
@@ -24,17 +26,18 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x05
+//	preface, once, each direction: 'M' 'T' 'W' 0x06
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
-//	  byte    kind
+//	  byte    kind: 0 Query, 1 Snapshot, 2 Provision, 3 Pull, 4 Resume,
+//	          5 Applied (v6; through v5 kind 1 was Exec, answered as Query)
 //	  uvarint ID
 //	  uvarint MinLSN
 //	  varint  WaitMs
 //	  string  TraceID
 //	  body, by kind:
-//	    Query, Exec       string SQL, uvarint #params, per param: string name, value
+//	    Query             string SQL, uvarint #params, per param: string name, value
 //	    Snapshot, Applied —
 //	    Provision         string Table, uvarint #columns, per column: string,
 //	                      string Filter, string SubName, string Target
@@ -45,18 +48,18 @@
 //	  uvarint ID
 //	  byte    kind (the request's)
 //	  byte    flags: 1 stale, 2 error, 4 span
-//	  varint  N
-//	  uvarint LSN
+//	  varint  N (rows written)
+//	  uvarint LSN (commit LSN of a write)
 //	  uvarint Applied
 //	  body: string Err if the error flag is set, otherwise by kind:
-//	    Query, Exec  span if flagged: string Name, varint StartUTC, varint DurNanos,
+//	    Query        span if flagged: string Name, varint StartUTC, varint DurNanos,
 //	                   uvarint #attrs, per attr: string K, string V,
 //	                   uvarint #children (nesting ≤ 32), children
 //	                 uvarint #cols, per col: string Table, string Name, byte Kind
 //	                 uvarint #rows, uvarint #values in all rows,
 //	                 per row: uvarint #values, values
 //	    Snapshot     uvarint len, bytes (catalog.Snapshot.Encode: script,
-//	                   stats, perms, procs; v5, gob before it)
+//	                   stats, perms, procs; since v5, gob before it)
 //	    Provision    varint SubID, uvarint StartLSN, uvarint #rows, rows
 //	    Resume       varint SubID, uvarint StartLSN
 //	    Pull         uvarint ThroughLSN, uvarint #batches, per batch:
@@ -131,7 +134,7 @@ func ServeOpts(backend *core.BackendServer, addr string, opts ServerOptions) (*S
 }
 
 // ServeCache exposes a cache server over TCP with the same protocol a
-// backend speaks: clients Query/Exec against the cache exactly as they would
+// backend speaks: clients Query the cache exactly as they would
 // against the backend (the cache forwards what it cannot answer), and
 // MinLSN-gated requests are answered Stale when the cache has not applied the
 // session's watermark yet. Replication requests are rejected — a cache is a
@@ -278,7 +281,7 @@ func (s *Server) serveConn(conn net.Conn) {
 func (s *Server) handle(req *request) *response {
 	resp := &response{}
 	switch req.Kind {
-	case reqQuery, reqExec:
+	case reqQuery:
 		res, rec, err := s.execDB().ExecSessionTraced(req.SQL, req.Params,
 			req.MinLSN, time.Duration(req.WaitMs)*time.Millisecond, req.TraceID)
 		resp.Applied = s.appliedLSN()

@@ -64,9 +64,9 @@ func TestWireQueryAndExec(t *testing.T) {
 	if len(rs.Rows) != 1 || rs.Rows[0][0].Str() != "part7" {
 		t.Fatalf("query: %v", rs.Rows)
 	}
-	n, err := c.Exec("UPDATE part SET qty = 0 WHERE id = 7", nil)
-	if err != nil || n != 1 {
-		t.Fatalf("exec: n=%d err=%v", n, err)
+	rs, err = c.Query("UPDATE part SET qty = 0 WHERE id = 7", nil)
+	if err != nil || rs.RowsAffected != 1 || rs.CommitLSN == 0 {
+		t.Fatalf("update: %+v, %v", rs, err)
 	}
 	rs, _ = c.Query("SELECT qty FROM part WHERE id = 7", nil)
 	if rs.Rows[0][0].Int() != 0 {
