@@ -106,8 +106,8 @@ func main() {
 		defer backend.DB.CloseStore()
 	}
 
-	// The log reader and distribution agents serve in-process subscribers;
-	// TCP caches pull, so only the reader cadence matters here.
+	// TCP caches pull, and every pull truncates the log; the timer truncates
+	// it when no cache is pulling. There are no in-process subscribers here.
 	backend.StartReplication(100*time.Millisecond, 100*time.Millisecond)
 	defer backend.StopReplication()
 
@@ -119,7 +119,7 @@ func main() {
 	fmt.Printf("backend serving on %s\n", srv.Addr())
 
 	if *httpAddr != "" {
-		replStatus := obs.Status{Name: "repl", Fn: func() any { return backend.Repl.Health() }}
+		replStatus := obs.Status{Name: "repl", Fn: func() any { return backend.Repl.Health(time.Now()) }}
 		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, nil, replStatus)
 		if err != nil {
 			log.Fatal(err)

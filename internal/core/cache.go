@@ -24,9 +24,9 @@ import (
 // distribution agent (Pull, StartPulling) pulls committed transactions and
 // applies each to all views in one transaction.
 //
-// The agent is fault-tolerant: a failed pull leaves the subscription's
-// batches queued on the backend (they are only deleted once acknowledged by
-// a later pull), and batches are applied exactly once and in LSN order
+// The agent is fault-tolerant: a failed pull leaves the subscription's ack
+// where it was, so the backend re-delivers everything past it from its log,
+// and batches are applied exactly once and in LSN order
 // (repl.Subscriber). A batch that cannot be applied stops the stream there,
 // for every view, until it can.
 type CacheServer struct {
@@ -95,7 +95,7 @@ func NewCacheOver(name string, client BackendClient, options *opt.Options, dataD
 			rows = append(rows, types.Row{
 				types.NewString(view),
 				types.NewString(fmt.Sprintf("pull sub %d", st.SubID)),
-				types.NewInt(0), // pending batches are queued backend-side
+				types.NewInt(0), // pending commits are counted backend-side
 				types.NewInt(st.ApplyErrors),
 				types.NewString(st.LastError),
 				types.NewInt(int64(st.AppliedLSN)),
@@ -240,8 +240,8 @@ func (c *CacheServer) Exec(sqlText string, params exec.Params) (*engine.Result, 
 }
 
 // Pull performs one pull-and-apply round and returns the number of backend
-// transactions applied. On an error nothing is lost: unacknowledged batches
-// stay queued on the backend and are re-delivered next round.
+// transactions applied. On an error nothing is lost: the backend re-delivers
+// everything past the last acknowledged LSN next round.
 func (c *CacheServer) Pull() (int, error) {
 	c.pullMu.Lock()
 	defer c.pullMu.Unlock()

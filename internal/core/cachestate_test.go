@@ -151,7 +151,6 @@ func TestOldCacheStateFormatReseeds(t *testing.T) {
 	}
 
 	insertEvents(t, b, types.Row{types.NewInt(5), types.NewFloat(2.5), types.NewTime(time.Unix(1, 1)), types.NewString("later")})
-	b.Repl.RunLogReader()
 	if _, err := c2.Pull(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // optimizer extensions and the replication pipeline:
 //
 //   - NewBackend creates the authoritative server with its replication
-//     runtime (publisher + distributor + log reader);
+//     runtime (the publisher, whose pulls read its log);
 //   - NewCache performs the paper's §4 setup flow: generate the shadow
 //     script from the backend catalog, run it on the cache, import the
 //     backend's statistics and permissions — producing a shadow database
@@ -25,6 +25,7 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/engine"
@@ -65,7 +66,7 @@ func NewBackendDurable(name string, opts storage.DurabilityOptions) (*BackendSer
 func newBackend(db *engine.Database) *BackendServer {
 	b := &BackendServer{DB: db, Repl: repl.NewServer(db)}
 	_ = db.RegisterVirtualTable("sys.repl_status", engine.ReplStatusColumns(), func() []types.Row {
-		hs := b.Repl.Health()
+		hs := b.Repl.Health(time.Now())
 		rows := make([]types.Row, 0, len(hs))
 		for _, h := range hs {
 			rows = append(rows, types.Row{
@@ -74,7 +75,7 @@ func newBackend(db *engine.Database) *BackendServer {
 				types.NewInt(int64(h.Pending)),
 				types.NewInt(0), // apply failures are recorded on the subscriber
 				types.NewString(""),
-				types.NewInt(0), // per-subscription LSN is not exposed here
+				types.NewInt(int64(h.AckedLSN)),
 				types.NewFloat(h.StalenessSeconds),
 			})
 		}

@@ -204,7 +204,7 @@ func TestMultipleCaches(t *testing.T) {
 		c.CreateCachedView(`CREATE CACHED VIEW O100 AS SELECT okey, ckey, total FROM orders WHERE okey <= 100`)
 		caches = append(caches, c)
 	}
-	if n := len(b.Repl.Subscriptions()); n != len(caches) {
+	if n := len(b.Repl.Health(time.Now())); n != len(caches) {
 		t.Fatalf("%d subscriptions for %d caches of two views each: a cache is one subscriber", n, len(caches))
 	}
 	b.Exec("UPDATE customer SET cname = 'fanout' WHERE cid = 100", nil)
@@ -375,6 +375,47 @@ func TestApplyFailureVisibleOnTheCache(t *testing.T) {
 	}
 }
 
+// TestBackendReportsTheCachesPosition: the backend's sys.repl_status row for
+// a cache's subscription carries the LSN the cache has acknowledged, so after
+// a pull that applies a commit and the pull that acknowledges it both sides
+// report the same last_lsn, and the backend counts nothing pending.
+func TestBackendReportsTheCachesPosition(t *testing.T) {
+	b := newShop(t)
+	c, err := NewCache("cache1", b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateCachedView(`CREATE CACHED VIEW AllOrders AS SELECT okey, ckey, total FROM orders`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Exec("UPDATE orders SET total = 2.5 WHERE okey = 1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // the first pull applies the update, the second acknowledges it
+		if _, err := c.Pull(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backend, err := b.Exec("SELECT last_lsn, pending FROM sys.repl_status WHERE name = 'cache1'", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := c.Exec("SELECT last_lsn FROM sys.repl_status WHERE name = 'AllOrders'", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(backend.Rows) != 1 || len(cache.Rows) != 1 {
+		t.Fatalf("sys.repl_status rows: backend %v, cache %v", backend.Rows, cache.Rows)
+	}
+	if got, want := backend.Rows[0][0].Int(), cache.Rows[0][0].Int(); got != want || want < int64(res.CommitLSN) {
+		t.Errorf("last_lsn on the backend %d, on the cache %d; want equal and at least the update's %d", got, want, res.CommitLSN)
+	}
+	if n := backend.Rows[0][1].Int(); n != 0 {
+		t.Errorf("backend reports %d commits pending past the cache's ack, want 0", n)
+	}
+}
+
 // newLinesShop is newShop plus an order-lines table and a procedure that
 // writes an order and its line in one backend transaction, and a cache with a
 // view over each table.
@@ -437,7 +478,7 @@ func requireViewsAgree(t *testing.T, c *CacheServer, want int64, when string) {
 // whole transaction — and the one queued behind it.
 func TestBackendTransactionAppliesToAllViewsOrNone(t *testing.T) {
 	b, c := newLinesShop(t, ordersView, linesView)
-	if n := len(b.Repl.Subscriptions()); n != 1 {
+	if n := len(b.Repl.Health(time.Now())); n != 1 {
 		t.Fatalf("a cache with two views holds %d subscriptions on the backend, want 1", n)
 	}
 	placeOrder(t, b, 9001, 1)
@@ -532,7 +573,7 @@ func TestCreateCachedViewWhilePullingJoinsAtOnePrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireViewsAgree(t, c, int64(placed), "at quiescence")
-	if n := len(b.Repl.Subscriptions()); n != 1 {
+	if n := len(b.Repl.Health(time.Now())); n != 1 {
 		t.Fatalf("%d subscriptions after adding a view to a live cache, want 1", n)
 	}
 }

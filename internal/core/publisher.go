@@ -103,10 +103,10 @@ func (b *BackendServer) inProcessCaches() []*CacheServer {
 	return b.caches
 }
 
-// StartReplication launches the replication agents: the backend's log reader
-// and the pull agent of every in-process cache.
-func (b *BackendServer) StartReplication(readerInterval, distInterval time.Duration) {
-	b.Repl.Start(readerInterval)
+// StartReplication launches the replication agents: the backend's log
+// truncation and the pull agent of every in-process cache.
+func (b *BackendServer) StartReplication(truncateInterval, distInterval time.Duration) {
+	b.Repl.Start(truncateInterval)
 	for _, c := range b.inProcessCaches() {
 		c.StartPulling(distInterval)
 	}
@@ -121,10 +121,9 @@ func (b *BackendServer) StopReplication() {
 }
 
 // SyncReplication performs one synchronous propagation round (deterministic
-// alternative to the background agents): a log-reader pass, then one pull
-// round on every in-process cache.
+// alternative to the background agents): one pull round on every in-process
+// cache.
 func (b *BackendServer) SyncReplication() error {
-	b.Repl.RunLogReader()
 	var firstErr error
 	for _, c := range b.inProcessCaches() {
 		if _, err := c.Pull(); err != nil && firstErr == nil {

@@ -6,15 +6,14 @@ import (
 )
 
 // Failure injection: a subscriber that temporarily cannot apply (conflicting
-// row) must not lose or reorder transactions — the unapplied suffix stays
-// queued on the publisher, unacknowledged, and the next pull retries it.
+// row) must not lose or reorder transactions — the unapplied suffix stays in
+// the publisher's log, unacknowledged, and the next pull retries it.
 
 func TestApplyFailureRequeuesInOrder(t *testing.T) {
 	b := newPublisher(t, 20)
 	pub := b.DB
 	subDB := newSubscriberTable(t, "cache")
 	sub := subscribe(t, b, subDB, "")
-	queue := b.Repl.Subscriptions()[0]
 
 	// Sabotage: insert a conflicting row directly into the target so the
 	// next replicated insert (i_id = 500) collides on the primary key.
@@ -32,8 +31,8 @@ func TestApplyFailureRequeuesInOrder(t *testing.T) {
 	if st := sub.Status(); st.ApplyErrors != 1 || st.LastError == "" {
 		t.Fatalf("failure record: %d %q", st.ApplyErrors, st.LastError)
 	}
-	// Both transactions must still be queued, in commit order.
-	if got := b.Repl.PendingFor(queue); got != 2 {
+	// Both transactions must still be pending, in commit order.
+	if got := b.Repl.Health(time.Now())[0].Pending; got != 2 {
 		t.Fatalf("pending after failure: %d", got)
 	}
 	// The later update must NOT have been applied out of order.
@@ -83,37 +82,33 @@ func TestOneFailingSubscriberDoesNotBlockOthers(t *testing.T) {
 	// WAL retention: the healthy subscriber acknowledges, but the failed
 	// subscriber's pending txn pins the log.
 	step(t, b, gsub)
-	b.Repl.RunLogReader()
+	b.Repl.TruncateLog()
 	if b.DB.Store().WAL().Len() == 0 {
 		t.Error("WAL truncated while a subscriber still has pending work")
 	}
 }
 
+// TestStalenessGrowsWithPendingWork: the publisher's staleness of a
+// subscription is the age of the oldest commit past its ack, and zero once it
+// has acknowledged everything visible — however long ago that was.
 func TestStalenessGrowsWithPendingWork(t *testing.T) {
 	b := newPublisher(t, 10)
 	subDB := newSubscriberTable(t, "cache")
 	sub := subscribe(t, b, subDB, "")
-	queue := b.Repl.Subscriptions()[0]
 
 	step(t, b, sub)
-	b.DB.Exec("UPDATE item SET i_cost = 1 WHERE i_id = 1", nil)
-	time.Sleep(15 * time.Millisecond)
-	b.Repl.RunLogReader() // queued but not applied
-	stale := queue.Staleness(time.Now())
-	if stale < 10*time.Millisecond {
-		t.Fatalf("pending txn should show its age: %v", stale)
+	res, err := b.DB.Exec("UPDATE item SET i_cost = 1 WHERE i_id = 1", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := time.Since(sub.Status().CurrentAsOf); s < 10*time.Millisecond {
-		t.Fatalf("subscriber should count from its last pull: %v", s)
+	committed := b.DB.Store().WAL().ReadFrom(res.CommitLSN, 1)[0].CommitTime
+	if h := b.Repl.Health(committed.Add(time.Second))[0]; h.StalenessSeconds != 1 || h.Pending != 1 {
+		t.Fatalf("a second after the one commit past the ack: staleness %vs, %d pending; want 1s and 1", h.StalenessSeconds, h.Pending)
 	}
 	step(t, b, sub) // applied
-	if s := time.Since(sub.Status().CurrentAsOf); s > stale {
-		t.Errorf("subscriber staleness should reset on a full pull: before=%v after=%v", stale, s)
-	}
-	step(t, b, sub) // acknowledged; this pull's reader pass sees the drained queue next time
-	b.Repl.RunLogReader()
-	after := queue.Staleness(time.Now())
-	if after > stale {
-		t.Errorf("staleness should reset after catching up: before=%v after=%v", stale, after)
+	step(t, b, sub) // acknowledged
+	if h := b.Repl.Health(committed.Add(time.Hour))[0]; h.StalenessSeconds != 0 || h.Pending != 0 || h.AckedLSN != res.CommitLSN {
+		t.Errorf("after a pull and an ack: staleness %vs, %d pending, acked %d; want 0, 0 and %d",
+			h.StalenessSeconds, h.Pending, h.AckedLSN, res.CommitLSN)
 	}
 }

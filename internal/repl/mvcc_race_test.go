@@ -203,7 +203,7 @@ func TestNoTornReadsAcrossViews(t *testing.T) {
 	sub := repl.NewSubscriber(subDB, repl.NewApplyStats())
 	addView(t, b, sub, "cache", "orders", nil, "", "cv_o")
 	addView(t, b, sub, "cache", "order_line", nil, "", "cv_ol")
-	if n := len(b.Repl.Subscriptions()); n != 1 {
+	if n := len(b.Repl.Health(time.Now())); n != 1 {
 		t.Fatalf("%d subscriptions for one subscriber of two views", n)
 	}
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -16,13 +15,10 @@ import (
 
 // TxnBatch is one committed transaction filtered through a subscription's
 // articles, each change addressed (ChangeRec.Table) to the subscriber's table
-// it feeds: what the log reader appends to the distribution queue, and what a
-// Subscriber pulls from it and applies locally in one transaction (the
-// paper's "pull subscription", §2.2). The queue holds it as
-// Subscription.filter produced it — rows are fresh ChangeMap projections that
-// nothing mutates after enqueue, so a drain hands out the same Changes
-// (re-deliveries included) and the only serialization is the transport's, if
-// there is one.
+// it feeds: what a Subscriber pulls and applies locally in one transaction
+// (the paper's "pull subscription", §2.2). Its rows are fresh ChangeMap
+// projections nothing mutates afterwards, and the only serialization is the
+// transport's, if there is one.
 type TxnBatch struct {
 	LSN        storage.LSN
 	CommitTime time.Time
@@ -33,14 +29,14 @@ type TxnBatch struct {
 // subscription named subName on first use — and returns the subscription id,
 // the LSN the article's changes start from and the table's initial
 // population, current through the LSN before. The snapshot is pinned and the
-// article attached in one critical section with the log reader: a commit is
-// either in the returned rows or in the stream, never in neither. The scan
-// itself runs outside it.
+// article attached in one critical section — no pull reads the log in between
+// — so a commit is either in the returned rows or in the stream, never in
+// neither. The scan itself runs outside it.
 func (s *Server) Provision(subName string, a *Article, target string) (int, storage.LSN, []types.Row, error) {
 	s.mu.Lock()
 	// AsOfLSN, not WAL().End(): commits proceed during the scan, so the log
-	// may already extend past what this snapshot sees. No cursor is past it —
-	// the reader stops at the store's visible end.
+	// may already extend past what this snapshot sees. No pull has read past
+	// it — a pull stops at the store's visible end.
 	rtx := s.publisher.Store().Begin(false)
 	defer rtx.Abort()
 	src := rtx.Table(a.Table)
@@ -86,103 +82,90 @@ func (s *Server) Resume(subName string, a *Article, target string, from storage.
 // attach is the one way an article joins a subscription: afterwards the
 // stream of the subscription named subName carries a's changes for target
 // from LSN `from` on. It is idempotent by (subName, target), so a retried
-// request leaves neither a second subscription — whose undrained queue would
-// pin the WAL forever — nor a second feed. Callers hold s.mu, which keeps the
-// log reader out.
+// request leaves neither a second subscription — whose ack would pin the WAL
+// forever — nor a second feed. Callers hold s.mu.
 //
-// When the queue already covers `from` for this feed — it is attached at or
-// before it and nothing past from-1 has been acknowledged — nothing changes.
-// Otherwise the log is read again from `from`: the cursor moves back to it and
-// the batches queued from there on, which lack this feed, are dropped for the
-// reader to rebuild. That needs the WAL to still hold `from`; ok is false when
+// When the stream already carries a for target from `from` on — the feed
+// starts at or before it and nothing past from-1 has been acknowledged —
+// nothing changes: a retried request's late original must not move a feed
+// the retry's snapshot was seeded against. Otherwise it replaces target's
+// feed and lowers the ack to from-1, so the next pull reads the log again
+// from `from`; that needs the WAL to still hold `from`, and ok is false when
 // it does not.
 func (s *Server) attach(subName string, a *Article, target string, from storage.LSN) (id int, ok bool) {
 	id = slices.IndexFunc(s.subs, func(sub *Subscription) bool { return sub.Name == subName })
-	if id < 0 {
-		id = len(s.subs)
-	} else {
+	if id >= 0 {
 		sub := s.subs[id]
 		i := slices.IndexFunc(sub.feeds, func(f feed) bool { return f.target == target })
 		if i >= 0 && sub.feeds[i].Article == a && sub.feeds[i].start <= from && sub.acked < from {
 			return id, true
 		}
 	}
-	wal := s.publisher.Store().WAL()
-	if from < wal.First() || from > s.publisher.Store().VisibleEnd() {
+	if from < s.publisher.Store().WAL().First() || from > s.publisher.Store().VisibleEnd() {
 		return 0, false
 	}
-	if id == len(s.subs) {
-		s.subs = append(s.subs, &Subscription{Name: subName, nextLSN: from, acked: from - 1})
+	if id < 0 {
+		id = len(s.subs)
+		s.subs = append(s.subs, &Subscription{Name: subName, acked: from - 1})
 	}
 	sub := s.subs[id]
-	sub.feeds = append(slices.DeleteFunc(sub.feeds, func(f feed) bool { return f.target == target }),
+	// A copy: a pull filtering outside the lock still holds the old slice.
+	sub.feeds = append(slices.DeleteFunc(slices.Clone(sub.feeds), func(f feed) bool { return f.target == target }),
 		feed{Article: a, target: target, start: from})
-	sub.mu.Lock()
-	// Capped, so the reader's next append cannot overwrite a slot an earlier
-	// drain handed out.
-	k := sort.Search(len(sub.queue), func(i int) bool { return sub.queue[i].LSN >= from })
-	sub.queue = sub.queue[:k:k]
-	sub.nextLSN = min(sub.nextLSN, from)
 	sub.acked = min(sub.acked, from-1)
-	sub.mu.Unlock()
 	return id, true
 }
 
-// Pull is one subscriber pull: a log-reader pass, then the subscription's
-// queue past ack (DrainAfterThrough).
-func (s *Server) Pull(id, max int, ack storage.LSN) ([]TxnBatch, storage.LSN, error) {
+// Pull is the one place the log is read for a subscriber — the paper's log
+// reader and distribution database in one step. It runs the truncation pass
+// first and then records ack, so the log still holds everything past the
+// previous ack: a subscriber that restarts behind this one can be rewound. The
+// ack only rises; a stale one re-delivers from the highest seen. The visible
+// records past it are copied under s.mu and filtered through the feeds outside
+// it. The answer is one TxnBatch per commit record that touches a feed, up to
+// limit (<= 0 means all), in LSN order.
+//
+// Nothing is removed by a read, so a pull whose response was lost in transit
+// is answered again by the next one: delivery is at-least-once, and the
+// subscriber's LSN dedup makes application exactly-once.
+//
+// The second result is the LSN the stream is complete through: the visible end
+// minus one — past the last batch's LSN when later commits touch no feed — or
+// the last batch's LSN when limit cut the answer short. Subscribers use it to
+// report applied progress for writes their views never see.
+func (s *Server) Pull(id, limit int, ack storage.LSN) ([]TxnBatch, storage.LSN, error) {
+	start := time.Now()
 	s.mu.Lock()
 	if id < 0 || id >= len(s.subs) {
 		s.mu.Unlock()
 		return nil, 0, errors.New("repl: unknown subscription")
 	}
+	s.truncate()
 	sub := s.subs[id]
+	sub.acked = max(sub.acked, ack)
+	end := s.publisher.Store().VisibleEnd()
+	var recs []storage.CommitRecord
+	if sub.acked+1 < end {
+		recs = s.publisher.Store().WAL().ReadFrom(sub.acked+1, int(end-1-sub.acked))
+	}
+	feeds := sub.feeds
 	s.mu.Unlock()
-	s.RunLogReader()
-	batches, through := s.DrainAfterThrough(sub, ack, max)
-	return batches, through, nil
-}
 
-// DrainAfterThrough acknowledges every queued transaction with LSN <= ack
-// (removing it from the distribution queue) and returns — without removing —
-// up to max (<= 0 means all) of the remaining ones, in commit (LSN) order.
-//
-// This is the fault-tolerant half of a pull subscription: a batch stays
-// queued until a later call acknowledges it, so a pull whose response was
-// lost in transit re-delivers the same batches. Delivery is therefore
-// at-least-once; the subscriber deduplicates by LSN, which together yields
-// exactly-once application.
-//
-// The second result is the LSN the subscription's change stream is complete
-// through: when the whole remaining queue is returned, that is the log
-// reader's cursor minus one — which may run ahead of the last batch's LSN,
-// because the reader advances past transactions that do not touch the
-// article without queueing anything. A truncated response is only complete
-// through its last returned batch. Subscribers use the value to report
-// applied progress for writes their views never see.
-func (s *Server) DrainAfterThrough(sub *Subscription, ack storage.LSN, max int) ([]TxnBatch, storage.LSN) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	drop := 0
-	for drop < len(sub.queue) && sub.queue[drop].LSN <= ack {
-		drop++
+	through := end - 1
+	var batches []TxnBatch
+	for _, rec := range recs {
+		changes := filter(feeds, rec)
+		if len(changes) == 0 {
+			continue
+		}
+		if limit > 0 && len(batches) == limit {
+			through = batches[limit-1].LSN
+			break
+		}
+		batches = append(batches, TxnBatch{LSN: rec.LSN, CommitTime: rec.CommitTime, Changes: changes})
 	}
-	if drop > 0 {
-		sub.acked = sub.queue[drop-1].LSN
-		sub.queue = sub.queue[drop:]
-	}
-	n := len(sub.queue)
-	truncated := false
-	if max > 0 && n > max {
-		n = max
-		truncated = true
-	}
-	through := sub.nextLSN - 1
-	if truncated {
-		through = sub.queue[n-1].LSN
-	}
-	// Queue elements are written once and only ever re-sliced away, so the
-	// prefix stays readable after the lock is released; its capped length
-	// keeps a caller's append off the queue's tail.
-	return sub.queue[:n:n], through
+	d := time.Since(start)
+	s.Stats.ReaderTime.Add(int64(d))
+	metrics.Default.Histogram("repl.reader_seconds").ObserveDuration(d)
+	return batches, through, nil
 }

@@ -4,27 +4,26 @@
 //   - a publisher defines articles — select-project expressions over a table
 //     or materialized view;
 //   - a subscriber (a cache) holds one subscription: a publication of the
-//     articles its cached views are fed from, one distribution queue and one
-//     log-reader cursor, however many views it has;
-//   - a log reader agent collects committed changes by sniffing the
-//     publisher's transaction log (our storage WAL) and inserts them into the
-//     distribution database — one TxnBatch per commit record and subscription,
-//     carrying every article's share of that transaction;
+//     articles its cached views are fed from and the highest LSN it has
+//     acknowledged, however many views it has;
+//   - the publisher's transaction log (our storage WAL) is the distribution
+//     database: a pull reads the subscription's share of it straight from the
+//     log, past the subscription's ack — one TxnBatch per commit record that
+//     touches an article, carrying every article's share of that transaction;
 //   - a distribution agent on the subscriber (Subscriber, the paper's "pull
 //     subscription") wakes up periodically, pulls its pending transactions
 //     and applies them one complete committed transaction at a time, in
 //     commit order and each in one local transaction — so a subscriber always
 //     sees a transactionally consistent (if slightly stale) state across all
 //     of its views;
-//   - changes are deleted from the distribution database once the subscriber
-//     has acknowledged them, and from the log once every subscriber has
-//     (WAL truncation).
+//   - changes are deleted from the log once every subscriber has acknowledged
+//     them (WAL truncation).
 //
-// Server is the publisher half (articles, subscriptions, log reader);
-// Subscriber is the subscriber half (cursor, dedup, apply). Both can run
-// from background goroutines with a poll interval (the paper's "separate
-// agent process that wakes up periodically") or be stepped manually for
-// deterministic tests.
+// Server is the publisher half (articles, subscriptions, the pull that reads
+// the log, truncation); Subscriber is the subscriber half (cursor, dedup,
+// apply). Both can run from background goroutines with a poll interval (the
+// paper's "separate agent process that wakes up periodically") or be stepped
+// manually for deterministic tests.
 package repl
 
 import (
@@ -62,31 +61,24 @@ type feed struct {
 }
 
 // Subscription is the publisher's record of one subscriber — the paper's
-// publication plus its distribution queue: the articles the subscriber's
-// tables are fed from and the one queue a remote Subscriber drains with pulls
-// and acks.
+// publication: the articles the subscriber's tables are fed from and how far
+// it has acknowledged the stream. Its pending transactions are the WAL past
+// acked, which truncation keeps. Both fields are guarded by Server.mu; feeds
+// is replaced, never changed in place, so a pull may filter through the slice
+// it read after releasing the lock.
 type Subscription struct {
 	Name string // the subscriber's name
 
-	feeds []feed // guarded by Server.mu
-
-	mu      sync.Mutex
-	queue   []TxnBatch  // the distribution database's pending transactions
-	nextLSN storage.LSN // the log-reader cursor: first LSN not yet enqueued; written under Server.mu too
-	acked   storage.LSN // highest LSN acknowledged off the queue
-
-	// currentAsOf is the moment the subscriber is known to have been handed
-	// everything: advanced to the log reader's pass start whenever the queue
-	// is fully acknowledged.
-	currentAsOf time.Time
+	feeds []feed
+	acked storage.LSN // the highest LSN the subscriber has acknowledged
 }
 
-// filter maps a commit record through the subscription's articles, in the
-// record's change order: one transaction's share for every target.
-func (sub *Subscription) filter(rec storage.CommitRecord) []storage.ChangeRec {
+// filter maps a commit record through feeds, in the record's change order: one
+// transaction's share for every target.
+func filter(feeds []feed, rec storage.CommitRecord) []storage.ChangeRec {
 	var out []storage.ChangeRec
 	for _, ch := range rec.Changes {
-		for _, f := range sub.feeds {
+		for _, f := range feeds {
 			if f.start <= rec.LSN && strings.EqualFold(ch.Table, f.Table) {
 				c, ok, err := f.Map(ch)
 				if err != nil {
@@ -104,59 +96,33 @@ func (sub *Subscription) filter(rec storage.CommitRecord) []storage.ChangeRec {
 	return out
 }
 
-// Staleness returns the publisher's upper bound on how far the subscriber
-// trails it. With unacknowledged transactions it is the age of the oldest
-// one; otherwise the time since the subscription was last known current.
-func (sub *Subscription) Staleness(now time.Time) time.Duration {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if len(sub.queue) > 0 {
-		return now.Sub(sub.queue[0].CommitTime)
-	}
-	return now.Sub(sub.currentAsOf)
-}
-
 // Stats reports the publisher's replication overheads, used by the
 // replication experiments (paper §6.2.2). The subscriber's half is
 // ApplyStats.
 type Stats struct {
-	TxnsQueued *metrics.Counter
-	ReaderTime *metrics.Counter // ns spent by the log reader (backend overhead)
+	ReaderTime *metrics.Counter // ns pulls spent reading and filtering the log (backend overhead)
 }
 
 // Server is the replication runtime for one publisher: its articles, its
-// subscriptions and the log reader.
+// subscriptions and the truncation agent.
 type Server struct {
 	publisher *engine.Database
 
-	// mu guards the lists and is held for a whole log-reader pass, so
-	// attaching an article (Provision, Resume) is atomic with respect to the
-	// reader.
+	// mu guards the lists and every subscription's feeds and ack. A pull reads
+	// the log under it, so attaching an article (Provision, Resume) is atomic
+	// with respect to every pull.
 	mu       sync.Mutex
 	articles []*Article
 	subs     []*Subscription // the index is the id a subscriber pulls with
-	readerOn bool
 
-	reader Agent
+	truncator Agent
 
 	Stats Stats
 }
 
 // NewServer creates the replication runtime for a publisher database.
 func NewServer(publisher *engine.Database) *Server {
-	return &Server{
-		publisher: publisher,
-		readerOn:  true,
-		Stats:     Stats{TxnsQueued: &metrics.Counter{}, ReaderTime: &metrics.Counter{}},
-	}
-}
-
-// SetLogReader turns the log reader on or off (experiment §6.2.2 measures
-// backend overhead by comparing throughput with the reader on vs off).
-func (s *Server) SetLogReader(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.readerOn = on
+	return &Server{publisher: publisher, Stats: Stats{ReaderTime: &metrics.Counter{}}}
 }
 
 // EnsureArticle finds or creates an article matching (table, columns,
@@ -202,77 +168,45 @@ func articleKey(table string, columns []string, filter sql.Expr) string {
 	return k
 }
 
-// RunLogReader performs one log-reader pass: transactions committed since the
-// subscriptions' cursors are filtered per subscription and enqueued in the
-// distribution database, one batch per commit record. Returns the number of
-// commit records processed.
-func (s *Server) RunLogReader() int {
-	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		s.Stats.ReaderTime.Add(int64(d))
-		metrics.Default.Histogram("repl.reader_seconds").ObserveDuration(d)
-	}()
-
+// TruncateLog is the truncation agent's pass: it truncates the log and
+// publishes each subscription's staleness gauge (Health's, at the time of
+// the pass).
+func (s *Server) TruncateLog() {
+	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.readerOn {
-		return 0
-	}
-	wal := s.publisher.Store().WAL()
-	end := s.publisher.Store().VisibleEnd()
-	from := end
+	s.truncate()
 	for _, sub := range s.subs {
-		from = min(from, sub.nextLSN)
+		_, stale := s.lag(sub, now)
+		metrics.Default.Gauge("repl.staleness_seconds." + sub.Name).Set(stale.Seconds())
 	}
-	var recs []storage.CommitRecord
-	if from < end {
-		recs = wal.ReadFrom(from, int(end-from))
-	}
-	for _, rec := range recs {
-		for _, sub := range s.subs {
-			if sub.nextLSN > rec.LSN {
-				continue // delivered by an earlier pass
-			}
-			changes := sub.filter(rec)
-			// Advance the cursor and enqueue in ONE critical section: the
-			// cursor doubles as the stream-completeness position
-			// (DrainAfterThrough reports nextLSN-1), so a cursor advanced
-			// before its record is queued would let a concurrent drain claim
-			// completeness through a record it did not deliver.
-			sub.mu.Lock()
-			sub.nextLSN = rec.LSN + 1
-			if len(changes) > 0 {
-				sub.queue = append(sub.queue, TxnBatch{LSN: rec.LSN, CommitTime: rec.CommitTime, Changes: changes})
-			}
-			sub.mu.Unlock()
-			if len(changes) > 0 {
-				s.Stats.TxnsQueued.Add(1)
-			}
-		}
-	}
+}
 
-	// Drop distribution/WAL entries every subscription has consumed ("once
-	// changes have been propagated to all subscribers, they are deleted from
-	// the distribution database", §2.2). A subscription still needs everything
-	// from its oldest unacknowledged batch — or, with an empty queue, from its
-	// cursor — onward. Subscriptions with empty queues are also current as of
-	// this pass start (any later commit will be seen by the next pass).
-	keep := end
+// truncate drops the WAL below every subscription's first unacknowledged LSN
+// — below the visible end when there are no subscriptions ("once changes have
+// been propagated to all subscribers, they are deleted", §2.2). Callers hold
+// s.mu.
+func (s *Server) truncate() {
+	keep := s.publisher.Store().VisibleEnd()
 	for _, sub := range s.subs {
-		sub.mu.Lock()
-		if len(sub.queue) > 0 {
-			keep = min(keep, sub.queue[0].LSN)
-		} else if start.After(sub.currentAsOf) {
-			sub.currentAsOf = start
-		}
-		keep = min(keep, sub.nextLSN)
-		sub.mu.Unlock()
-		metrics.Default.Gauge("repl.staleness_seconds." + sub.Name).
-			Set(sub.Staleness(time.Now()).Seconds())
+		keep = min(keep, sub.acked+1)
 	}
-	wal.Truncate(keep)
-	return len(recs)
+	s.publisher.Store().WAL().Truncate(keep)
+}
+
+// lag returns how far sub trails the publisher: the number of visible commits
+// past its ack and the age of the oldest of them — zero when it has
+// acknowledged everything visible. Callers hold s.mu.
+func (s *Server) lag(sub *Subscription, now time.Time) (int, time.Duration) {
+	end := s.publisher.Store().VisibleEnd()
+	if sub.acked+1 >= end {
+		return 0, 0
+	}
+	var age time.Duration
+	if recs := s.publisher.Store().WAL().ReadFrom(sub.acked+1, 1); len(recs) > 0 {
+		age = now.Sub(recs[0].CommitTime)
+	}
+	return int(end - 1 - sub.acked), age
 }
 
 // Agent is a background agent: Start runs a function at every tick of its
@@ -321,50 +255,35 @@ func (a *Agent) Stop() {
 	a.wg.Wait()
 }
 
-// Start launches the background log-reader agent, waking at its interval.
-// (The distribution agents run on the subscribers: Subscriber.Pull.)
-func (s *Server) Start(readerInterval time.Duration) {
-	s.reader.Start(readerInterval, func() { s.RunLogReader() })
+// Start launches the background truncation agent, waking at its interval, so
+// a log no subscriber pulls from is still truncated. (The distribution agents
+// run on the subscribers: Subscriber.Pull.)
+func (s *Server) Start(interval time.Duration) {
+	s.truncator.Start(interval, s.TruncateLog)
 }
 
-// Stop halts the log-reader agent and waits for it to exit.
-func (s *Server) Stop() { s.reader.Stop() }
-
-// Subscriptions returns the current subscription list.
-func (s *Server) Subscriptions() []*Subscription {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Subscription(nil), s.subs...)
-}
-
-// PendingFor reports the queued transaction count for a subscription.
-func (s *Server) PendingFor(sub *Subscription) int {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	return len(sub.queue)
-}
+// Stop halts the truncation agent and waits for it to exit.
+func (s *Server) Stop() { s.truncator.Stop() }
 
 // SubHealth is one subscription's health snapshot for the obs endpoint. The
 // apply-failure record lives with the subscriber (its sys.repl_status).
 type SubHealth struct {
-	Name             string  `json:"name"`
-	Pending          int     `json:"pending"`
-	StalenessSeconds float64 `json:"staleness_seconds"`
+	Name             string      `json:"name"`
+	AckedLSN         storage.LSN `json:"acked_lsn"`
+	Pending          int         `json:"pending"` // visible commits past AckedLSN
+	StalenessSeconds float64     `json:"staleness_seconds"`
 }
 
 // Health reports per-subscription replication health as the publisher sees
-// it: unacknowledged queue depth and staleness. Served at /debug/status by
-// the obs handler.
-func (s *Server) Health() []SubHealth {
-	now := time.Now()
-	subs := s.Subscriptions()
-	out := make([]SubHealth, 0, len(subs))
-	for _, sub := range subs {
-		out = append(out, SubHealth{
-			Name:             sub.Name,
-			Pending:          s.PendingFor(sub),
-			StalenessSeconds: sub.Staleness(now).Seconds(),
-		})
+// it at now: the acknowledged position, the visible commits past it and the
+// age of the oldest of those. Served at /debug/status by the obs handler.
+func (s *Server) Health(now time.Time) []SubHealth {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]SubHealth, 0, len(s.subs))
+	for _, sub := range s.subs {
+		pending, stale := s.lag(sub, now)
+		out = append(out, SubHealth{Name: sub.Name, AckedLSN: sub.acked, Pending: pending, StalenessSeconds: stale.Seconds()})
 	}
 	return out
 }

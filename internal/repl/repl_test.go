@@ -90,8 +90,8 @@ func addView(t *testing.T, b *core.BackendServer, sub *repl.Subscriber, cache, t
 	}
 }
 
-// step is one synchronous propagation round: every subscriber pulls (the
-// backend runs a log-reader pass per pull) and applies.
+// step is one synchronous propagation round: every subscriber pulls (each
+// pull reads the backend's log) and applies.
 func step(t *testing.T, b *core.BackendServer, subs ...*repl.Subscriber) {
 	t.Helper()
 	for _, s := range subs {
@@ -184,33 +184,14 @@ func TestCommitOrderAndTransactionality(t *testing.T) {
 		UPDATE item SET i_title = 'swapB' WHERE i_id = @b;
 	END`)
 	pub.Exec("EXEC swapTitles @a = 1, @b = 2", nil)
-	b.Repl.RunLogReader()
-	if n := b.Repl.PendingFor(b.Repl.Subscriptions()[0]); n != 1 {
-		t.Fatalf("expected 1 queued transaction, got %d", n)
+	if n := b.Repl.Health(time.Now())[0].Pending; n != 1 {
+		t.Fatalf("expected 1 pending transaction, got %d", n)
 	}
 	if n, err := sub.Pull(b); err != nil || n != 1 {
 		t.Fatalf("pull applied %d transactions, err %v", n, err)
 	}
 	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt WHERE i_title LIKE 'swap%'"); got != 2 {
 		t.Error("transaction applied partially")
-	}
-}
-
-func TestLogReaderOffStopsPropagation(t *testing.T) {
-	b := newPublisher(t, 10)
-	subDB := newSubscriberTable(t, "cache")
-	sub := subscribe(t, b, subDB, "")
-
-	b.Repl.SetLogReader(false)
-	b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (99, 'x', 1, 'ARTS')", nil)
-	step(t, b, sub)
-	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt"); got != 10 {
-		t.Error("changes propagated with reader off")
-	}
-	b.Repl.SetLogReader(true)
-	step(t, b, sub)
-	if got := count(t, subDB, "SELECT COUNT(*) FROM tgt"); got != 11 {
-		t.Error("changes lost after reader re-enabled")
 	}
 }
 
@@ -222,9 +203,9 @@ func TestWALTruncationAfterPropagation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.DB.Exec(fmt.Sprintf("UPDATE item SET i_cost = %d WHERE i_id = 1", i+100), nil)
 	}
-	step(t, b, sub)       // delivered and applied; still queued until acknowledged
-	step(t, b, sub)       // the next pull acknowledges them
-	b.Repl.RunLogReader() // a pass after the ack truncates the consumed entries
+	step(t, b, sub)      // delivered and applied; kept in the log until acknowledged
+	step(t, b, sub)      // the next pull acknowledges them
+	b.Repl.TruncateLog() // a pass after the ack truncates the consumed entries
 	if n := b.DB.Store().WAL().Len(); n != 0 {
 		t.Errorf("WAL should be truncated after all subscribers consumed: %d left", n)
 	}
@@ -289,33 +270,6 @@ func TestLatencyMeasured(t *testing.T) {
 	}
 }
 
-// TestBackgroundAgents: the log reader agent fills the distribution queue on
-// its own; the subscriber's next pull finds the change waiting. (The
-// subscriber-side agent is the cache server's StartPulling, tested there.)
-func TestBackgroundAgents(t *testing.T) {
-	b := newPublisher(t, 10)
-	subDB := newSubscriberTable(t, "cache")
-	sub := subscribe(t, b, subDB, "")
-	queue := b.Repl.Subscriptions()[0]
-
-	b.Repl.Start(2 * time.Millisecond)
-	b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (77, 'bg', 1, 'ARTS')", nil)
-	deadline := time.Now().Add(2 * time.Second)
-	for b.Repl.PendingFor(queue) == 0 {
-		if time.Now().After(deadline) {
-			b.Repl.Stop()
-			t.Fatal("background log reader did not enqueue the change")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	b.Repl.Stop()
-	b.Repl.SetLogReader(false) // the pull below must not do the reader's work
-	step(t, b, sub)
-	if count(t, subDB, "SELECT COUNT(*) FROM tgt WHERE i_id = 77") != 1 {
-		t.Fatal("queued change did not reach the subscriber")
-	}
-}
-
 // Property-style convergence test: random committed operations on the
 // publisher converge the subscriber to exactly the filtered projection.
 func TestConvergenceUnderRandomWorkload(t *testing.T) {
@@ -374,8 +328,8 @@ func TestConvergenceUnderRandomWorkload(t *testing.T) {
 }
 
 // A predicate that cannot be evaluated on a logged row is one error for both
-// readers of the definition, each answering it its own way: the log reader
-// passes the change over — as it passes over a row the filter rejects — and
+// readers of the definition, each answering it its own way: a pull passes the
+// change over — as it passes over a row the filter rejects — and
 // counts it; a backend maintaining a materialized view of the same definition
 // fails the statement, so the view never silently misses a row.
 func TestFilterErrorIsCountedAndPassedOver(t *testing.T) {

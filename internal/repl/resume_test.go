@@ -4,17 +4,24 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"mtcache/internal/engine"
 	"mtcache/internal/repl"
 	"mtcache/internal/storage"
 )
 
-// drain fetches everything queued for sub and acknowledges it.
-func drain(srv *repl.Server, sub *repl.Subscription) []repl.TxnBatch {
-	batches, _ := srv.DrainAfterThrough(sub, 0, 0)
+// drain pulls everything past subscription id's ack and acknowledges it.
+func drain(t *testing.T, srv *repl.Server, id int) []repl.TxnBatch {
+	t.Helper()
+	batches, _, err := srv.Pull(id, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n := len(batches); n > 0 {
-		srv.DrainAfterThrough(sub, batches[n-1].LSN, 0)
+		if _, _, err := srv.Pull(id, 0, batches[n-1].LSN); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return batches
 }
@@ -41,10 +48,10 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 	if len(rows) != 0 || startLSN != 1 {
 		t.Fatalf("empty snapshot: %d rows start %d", len(rows), startLSN)
 	}
-	if _, _, _, err := srv.Provision("cache2", art, "tgt"); err != nil {
+	other, _, _, err := srv.Provision("cache2", art, "tgt")
+	if err != nil {
 		t.Fatal(err)
 	}
-	orig, other := srv.Subscriptions()[id], srv.Subscriptions()[1]
 
 	for i := 1; i <= 10; i++ {
 		if _, err := pub.Exec(fmt.Sprintf(
@@ -52,11 +59,11 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.RunLogReader()
-	if got := drain(srv, orig); len(got) != 10 {
+	srv.TruncateLog()
+	if got := drain(t, srv, id); len(got) != 10 {
 		t.Fatalf("original subscriber drained %d batches, want 10", len(got))
 	}
-	if got := drain(srv, other); len(got) != 10 {
+	if got := drain(t, srv, other); len(got) != 10 {
 		t.Fatalf("second subscriber drained %d batches, want 10", len(got))
 	}
 
@@ -66,8 +73,8 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 	if !ok || rid != id {
 		t.Fatalf("resume at 5: id %d ok %v; WAL window is [%d,%d)", rid, ok, pub.Store().WAL().First(), pub.Store().WAL().End())
 	}
-	srv.RunLogReader()
-	batches := drain(srv, orig)
+	srv.TruncateLog()
+	batches := drain(t, srv, id)
 	if len(batches) != 6 {
 		t.Fatalf("resumed subscriber got %d batches, want 6 (LSNs 5..10)", len(batches))
 	}
@@ -76,11 +83,11 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 			t.Fatalf("batch %d has LSN %d, want %d", i, b.LSN, 5+i)
 		}
 	}
-	// The rewound pass must not re-deliver to the other subscription.
-	if n := srv.PendingFor(other); n != 0 {
+	// The rewind must not re-deliver to the other subscription.
+	if n := srv.Health(time.Now())[other].Pending; n != 0 {
 		t.Fatalf("second subscription re-received %d batches after the rewind", n)
 	}
-	if n := len(srv.Subscriptions()); n != 2 {
+	if n := len(srv.Health(time.Now())); n != 2 {
 		t.Fatalf("%d subscriptions after a resume by name, want 2", n)
 	}
 }
@@ -95,8 +102,8 @@ func TestResumeRemoteRefusesTruncatedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No subscriptions: the reader pass truncates everything it has read.
-	srv.RunLogReader()
+	// No subscriptions: the truncation pass truncates everything visible.
+	srv.TruncateLog()
 	if first := pub.Store().WAL().First(); first != 11 {
 		t.Fatalf("WAL not truncated: First=%d", first)
 	}
@@ -112,7 +119,7 @@ func TestResumeRemoteRefusesTruncatedWindow(t *testing.T) {
 	if _, ok := srv.Resume("cache3", art, "tgt", 99); ok {
 		t.Fatal("resume past the WAL end succeeded")
 	}
-	if n := len(srv.Subscriptions()); n != 1 {
+	if n := len(srv.Health(time.Now())); n != 1 {
 		t.Fatalf("%d subscriptions, want 1: a refused resume must leave nothing behind", n)
 	}
 }
@@ -120,8 +127,7 @@ func TestResumeRemoteRefusesTruncatedWindow(t *testing.T) {
 // TestResumePastAcknowledgedRewindsOrReseeds is the acknowledged-then-crashed
 // regression: a subscriber that checkpoints at c, applies and acknowledges
 // through p > c and then restarts from the checkpoint must get (c, p] again.
-// Reattaching to its live queue — which starts after p — would lose them
-// silently. While the WAL still holds c+1 the stream is rewound; once it does
+// Reattaching at its ack — which is past p — would lose them silently. While the WAL still holds c+1 the stream is rewound; once it does
 // not, the answer is a reseed.
 func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 	b := newPublisher(t, 5)
@@ -138,7 +144,7 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 	}
 	insert(6)
 	step(t, b, sub) // applied
-	step(t, b, sub) // acknowledged: the queue now starts after it
+	step(t, b, sub) // acknowledged
 
 	// Restart from the checkpoint: a new subscriber over the checkpointed rows.
 	restart := func() (*repl.Subscriber, *engine.Database, bool) {
@@ -177,7 +183,7 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 	insert(7)
 	step(t, b, s2)
 	step(t, b, s2)
-	b.Repl.RunLogReader()
+	b.Repl.TruncateLog()
 	if first := b.DB.Store().WAL().First(); first <= ckpt+1 {
 		t.Fatalf("WAL still starts at %d", first)
 	}
@@ -186,13 +192,13 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 	}
 }
 
-// TestProvisionRacingLogReaderLosesNoCommit: a commit that lands right after
-// a provision's snapshot must reach the new feed even when another
-// subscriber's pull runs the log reader before the provisioning one gets to
-// pull. (The snapshot used to be taken first and the subscription registered
-// afterwards, behind whatever the reader had read in between: the row was in
-// neither the snapshot nor the stream, and the applied LSN moved past it.)
-func TestProvisionRacingLogReaderLosesNoCommit(t *testing.T) {
+// TestProvisionRacingLosesNoCommit: a commit that lands right after a
+// provision's snapshot must reach the new feed even when another subscriber's
+// pull reads the log before the provisioning one gets to pull. (The snapshot
+// used to be taken first and the subscription registered afterwards, behind
+// whatever had been read in between: the row was in neither the snapshot nor
+// the stream, and the applied LSN moved past it.)
+func TestProvisionRacingLosesNoCommit(t *testing.T) {
 	b := newPublisher(t, 2000)
 	other := subscribe(t, b, newSubscriberTable(t, "other"), "")
 
@@ -249,10 +255,10 @@ func TestProvisionRacingLogReaderLosesNoCommit(t *testing.T) {
 }
 
 // TestTruncateRetainsUnconsumedTail is the pull-subscriber-behind-checkpoint
-// regression: a subscription whose cursor trails the log reader (a resumed
-// subscriber, or one the reader has not yet caught up for) must pin WAL
-// truncation at its cursor even when its queue is empty and even when a
-// storage checkpoint would otherwise allow the whole log to be dropped.
+// regression: a subscription that has not acknowledged the log (a resumed
+// subscriber, or one that has not pulled yet) must pin WAL truncation at its
+// ack even when a storage checkpoint would otherwise allow the whole log to be
+// dropped.
 func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	dir := t.TempDir()
 	pub := engine.New(engine.Config{Name: "backend", Role: engine.Backend})
@@ -268,10 +274,10 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := srv.Resume("cache1", art, "tgt", 1); !ok {
+	id, ok := srv.Resume("cache1", art, "tgt", 1)
+	if !ok {
 		t.Fatal("subscription at the head of an empty log refused")
 	}
-	sub := srv.Subscriptions()[0]
 
 	for i := 1; i <= 10; i++ {
 		if _, err := pub.Exec(fmt.Sprintf(
@@ -284,16 +290,16 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	if ck, err := pub.Store().Checkpoint(); err != nil || ck != 11 {
 		t.Fatalf("checkpoint: lsn=%d err=%v", ck, err)
 	}
-	srv.RunLogReader()
+	srv.TruncateLog()
 	if first := pub.Store().WAL().First(); first != 1 {
 		t.Fatalf("truncation dropped records the pull subscriber has not acked: First=%d", first)
 	}
 
-	// Ack everything; the next pass may now truncate up to the cursor.
-	if got := drain(srv, sub); len(got) != 10 {
+	// Ack everything; the next pass may now truncate up to the ack.
+	if got := drain(t, srv, id); len(got) != 10 {
 		t.Fatalf("drained %d, want 10", len(got))
 	}
-	srv.RunLogReader()
+	srv.TruncateLog()
 	if first := pub.Store().WAL().First(); first != 11 {
 		t.Fatalf("truncation blocked after full ack: First=%d, want 11", first)
 	}
@@ -307,15 +313,97 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	if !ok {
 		t.Fatal("resume at the retained head refused")
 	}
-	late := srv.Subscriptions()[lateID]
 	for i := 11; i <= 14; i++ {
 		if _, err := pub.Exec(fmt.Sprintf(
 			"INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (%d, 't%d', %d.5, 'ARTS')", i, i, i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv.RunLogReader()
-	if got := drain(srv, late); len(got) != 4 {
+	srv.TruncateLog()
+	if got := drain(t, srv, lateID); len(got) != 4 {
 		t.Fatalf("resumed-at-head subscriber got %d batches, want 4", len(got))
 	}
+}
+
+// TestLateProvisionKeepsTheFeed: a retried provision answered first, the cache
+// seeded its view from the retry's snapshot, and a commit landed; then the
+// original request reaches the publisher. It must leave the feed alone — the
+// stream still carries that commit for the view — rather than move the feed
+// past it, which would lose the row for good.
+func TestLateProvisionKeepsTheFeed(t *testing.T) {
+	b := newPublisher(t, 10)
+	srv := b.Repl
+	art, err := srv.EnsureArticle("item", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, from, _, err := srv.Provision("cache", art, "tgt") // the retry
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (100, 'x', 1, 'ARTS')", nil); err != nil {
+		t.Fatal(err)
+	}
+	lateID, lateFrom, _, err := srv.Provision("cache", art, "tgt") // the original, late
+	if err != nil || lateID != id || lateFrom != from+1 {
+		t.Fatalf("late provision: id %d from %d err %v; want id %d from %d", lateID, lateFrom, err, id, from+1)
+	}
+	batches := drain(t, srv, id)
+	if len(batches) != 1 || batches[0].LSN != from || len(batches[0].Changes) != 1 || batches[0].Changes[0].Table != "tgt" {
+		t.Fatalf("pulled %+v; want the commit at LSN %d for tgt", batches, from)
+	}
+}
+
+// TestReattachWhilePulling: a reattach that replaces a feed — here a view
+// re-provisioned with another definition — can run while the subscription's
+// pull filters, outside the lock, through the feeds it read. attach replaces
+// the feed list rather than editing it, so the pull's list stays as it was (a
+// race under -race otherwise).
+func TestReattachWhilePulling(t *testing.T) {
+	b := newPublisher(t, 10)
+	srv := b.Repl
+	var arts [2]*repl.Article
+	for i, cols := range [][]string{nil, itemCols} {
+		a, err := srv.EnsureArticle("item", cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts[i] = a
+	}
+	art := arts[0]
+	id, _, _, err := srv.Provision("cache", art, "first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := srv.Provision("cache", art, "second"); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, _, err := srv.Pull(id, 0, 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 100; i < 200; i++ {
+		if _, err := b.DB.Exec(fmt.Sprintf(
+			"INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (%d, 'x', 1, 'ARTS')", i), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := srv.Provision("cache", arts[i%2], "first"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -14,10 +14,10 @@ import (
 	"mtcache/internal/types"
 )
 
-// Puller is the publisher as a subscriber sees it: Pull acknowledges every
-// batch at or below ack, returns up to max (<= 0 means all) of the following
-// ones and the LSN the stream is complete through (DrainAfterThrough behind
-// whatever transport carries the call).
+// Puller is the publisher as a subscriber sees it: Pull acknowledges
+// everything at or below ack and returns up to max (<= 0 means all) of the
+// batches past it, read from the publisher's log, and the LSN the stream is
+// complete through (Server.Pull behind whatever transport carries the call).
 type Puller interface {
 	Pull(subID, max int, ack storage.LSN) ([]TxnBatch, storage.LSN, error)
 }
@@ -63,8 +63,8 @@ type view struct {
 // tables: a backend transaction is applied in one local transaction, exactly
 // once and in LSN order (each pull acknowledges what was applied and skips
 // re-delivered batches), and a failed apply stops the stream at the failed
-// batch with no table advanced; the suffix stays queued on the publisher for
-// the next pull.
+// batch with no table advanced; the suffix stays unacknowledged in the
+// publisher's log for the next pull.
 //
 // Pull rounds and AddView calls on one Subscriber must not overlap; the owner
 // serializes them.
@@ -186,7 +186,7 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 		}
 		if err = s.apply(views, b); err != nil {
 			// Stop at the failed batch to preserve LSN order; everything
-			// unapplied is still queued on the publisher.
+			// unapplied is still unacknowledged on the publisher.
 			break
 		}
 		applied = b.LSN

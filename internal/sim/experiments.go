@@ -155,8 +155,8 @@ func ExperimentReplicationLatency(backend *core.BackendServer, cache *core.Cache
 	}
 	out.LightLoadMean = lightMean
 
-	// Heavy load: writes arrive as fast as the system accepts them, so the
-	// distribution queues back up and propagation delay grows.
+	// Heavy load: writes arrive as fast as the system accepts them, so each
+	// pull finds more of the log past its ack and propagation delay grows.
 	backend.StartReplication(4*pollInterval, 4*pollInterval)
 	heavyStart := stats.Latency.Count()
 	deadline = time.Now().Add(heavyDuration)

@@ -314,11 +314,11 @@ func (c *Client) Resume(table string, columns []string, filter, subName, target 
 	return resp.SubID, true, nil
 }
 
-// Pull returns up to max pending transactions for a subscription, first
-// acknowledging (deleting) every batch at or below ack. Returned batches
-// stay queued on the backend until a later Pull acknowledges them, so a
-// response lost in transit is simply re-delivered. The second return value
-// is the LSN the change stream is complete through (repl.DrainAfterThrough).
+// Pull returns up to max pending transactions for a subscription, read from
+// the backend's log past ack after acknowledging everything at or below it.
+// A returned batch is read again by every Pull until a later one acknowledges
+// it, so a response lost in transit is simply re-delivered. The second return
+// value is the LSN the change stream is complete through (repl.Server.Pull).
 func (c *Client) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
 	resp, err := c.roundTrip(&request{Kind: reqPull, SubID: subID, Max: max, AckLSN: ack})
 	if err != nil {

@@ -131,7 +131,7 @@ type response struct {
 	// Pull. ThroughLSN is the position the subscription's change stream is
 	// complete through: every relevant change at or below it has been
 	// delivered in or before this response. It can run ahead of the last
-	// batch's LSN when the log reader filtered intervening transactions that
+	// batch's LSN when the pull passed over intervening transactions that
 	// did not touch the article.
 	Batches    []repl.TxnBatch
 	ThroughLSN storage.LSN

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"mtcache/internal/core"
 	"mtcache/internal/metrics"
@@ -95,8 +96,8 @@ func TestInProcessAndTCPCachesAgree(t *testing.T) {
 
 // TestConcurrentProvisionOneSubscription: handlers run concurrently, so a
 // ResilientClient retry can race its slow original. Same-name provisions must
-// agree on one subscription with one feed — an orphan's undrained queue would
-// pin WAL truncation forever, a second feed would deliver every change twice.
+// agree on one subscription with one feed — an orphan's ack would pin WAL
+// truncation forever, a second feed would deliver every change twice.
 func TestConcurrentProvisionOneSubscription(t *testing.T) {
 	b, srv := newWiredBackend(t)
 	c := dial(t, srv)
@@ -123,7 +124,7 @@ func TestConcurrentProvisionOneSubscription(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if got := len(b.Repl.Subscriptions()); got != round+1 {
+		if got := len(b.Repl.Health(time.Now())); got != round+1 {
 			t.Fatalf("round %d: %d subscriptions registered, want %d", round, got, round+1)
 		}
 		for _, id := range ids {
@@ -134,11 +135,11 @@ func TestConcurrentProvisionOneSubscription(t *testing.T) {
 	}
 
 	// One pull + ack per subscription and nothing pins the log: the WAL
-	// truncates to the reader cursor.
+	// truncates to the visible end.
 	if _, err := b.Exec("UPDATE tiny SET qty = 2 WHERE id = 1", nil); err != nil {
 		t.Fatal(err)
 	}
-	for id := range b.Repl.Subscriptions() {
+	for id := range b.Repl.Health(time.Now()) {
 		batches, _, err := c.Pull(id, 0, 0)
 		if err != nil || len(batches) != 1 || len(batches[0].Changes) != 1 {
 			t.Fatalf("sub %d: pulled %v, err %v; want one batch of one change", id, batches, err)
@@ -147,7 +148,7 @@ func TestConcurrentProvisionOneSubscription(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.Repl.RunLogReader()
+	b.Repl.TruncateLog()
 	if n := b.DB.Store().WAL().Len(); n != 0 {
 		t.Fatalf("WAL holds %d records after every subscription acknowledged", n)
 	}

@@ -12,11 +12,12 @@ import (
 )
 
 // TestPullExactlyOnceProperty drives the ack-based pull protocol over a real
-// (lossy) TCP link with a randomized schedule of backend commits, pulls,
-// and deliberately stale acks (simulating lost responses), and checks the
-// protocol's invariant: every committed transaction is delivered exactly
-// once to an ack-honest subscriber, in LSN order, no matter how often
-// batches are re-delivered on the wire.
+// (lossy) TCP link with a randomized schedule of backend commits and, for each
+// of two subscriptions, its own schedule of pulls and deliberately stale acks
+// (simulating lost responses), and checks the protocol's invariant for both:
+// every committed transaction is delivered exactly once to an ack-honest
+// subscriber, in LSN order, no matter how often batches are re-delivered on
+// the wire — while every pull truncates the log at the lower of the two acks.
 func TestPullExactlyOnceProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 20030609} {
 		seed := seed
@@ -24,6 +25,16 @@ func TestPullExactlyOnceProperty(t *testing.T) {
 			runPullProperty(t, seed)
 		})
 	}
+}
+
+// propSub is one subscriber of the property: what it accepted and acks with.
+type propSub struct {
+	id          int
+	start       storage.LSN   // the first LSN its stream carries
+	applied     []storage.LSN // LSNs the subscriber accepted, in order
+	ack         storage.LSN
+	seen        storage.LSN // the highest ack a successful pull carried: the server has it
+	redelivered int
 }
 
 func runPullProperty(t *testing.T, seed int64) {
@@ -43,37 +54,40 @@ func runPullProperty(t *testing.T, seed int64) {
 	}
 	defer client.Close()
 
-	subID, startLSN, _, err := client.Provision("part", nil, "", "prop", "sub")
-	if err != nil {
-		t.Fatal(err)
+	subs := make([]*propSub, 2)
+	for i := range subs {
+		id, startLSN, _, err := client.Provision("part", nil, "", fmt.Sprintf("prop%d", i), "sub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = &propSub{id: id, start: startLSN, ack: startLSN - 1, seen: startLSN - 1}
 	}
 	proxy.SetFaults(FaultConfig{DropRate: 0.2})
 
 	rng := rand.New(rand.NewSource(seed))
-	var (
-		applied     []storage.LSN // LSNs the subscriber accepted, in order
-		ack         = startLSN - 1
-		commits     = 0
-		redelivered = 0
-	)
-	pullOnce := func(useAck storage.LSN) {
-		batches, _, err := client.Pull(subID, 0, useAck)
+	commits := 0
+	pullOnce := func(s *propSub, useAck storage.LSN) {
+		batches, _, err := client.Pull(s.id, 0, useAck)
 		if err != nil {
 			return // lossy link; the protocol tolerates failed pulls
 		}
 		prev := storage.LSN(-1)
 		for _, b := range batches {
 			if b.LSN <= prev {
-				t.Fatalf("batches out of LSN order: %d after %d", b.LSN, prev)
+				t.Fatalf("sub %d: batches out of LSN order: %d after %d", s.id, b.LSN, prev)
 			}
 			prev = b.LSN
-			if b.LSN <= ack {
-				redelivered++ // already applied; the dedup guard rejects it
+			if b.LSN <= s.seen {
+				t.Fatalf("sub %d: batch %d re-delivered at or below the acknowledged %d", s.id, b.LSN, s.seen)
+			}
+			if b.LSN <= s.ack {
+				s.redelivered++ // already applied; the dedup guard rejects it
 				continue
 			}
-			applied = append(applied, b.LSN)
-			ack = b.LSN
+			s.applied = append(s.applied, b.LSN)
+			s.ack = b.LSN
 		}
+		s.seen = max(s.seen, useAck)
 	}
 
 	for round := 0; round < 30; round++ {
@@ -86,45 +100,52 @@ func runPullProperty(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 		}
-		switch rng.Intn(3) {
-		case 0:
-			pullOnce(ack)
-		case 1:
-			// Lost-response simulation: pull again with a stale ack; the
-			// server must re-deliver everything past it.
-			stale := startLSN - 1
-			if len(applied) > 1 {
-				stale = applied[rng.Intn(len(applied))]
+		for _, s := range subs {
+			switch rng.Intn(3) {
+			case 0:
+				pullOnce(s, s.ack)
+			case 1:
+				// Lost-response simulation: pull again with a stale ack; the
+				// server must re-deliver everything past the highest ack it saw,
+				// and nothing at or below it.
+				stale := s.start - 1
+				if len(s.applied) > 1 {
+					stale = s.applied[rng.Intn(len(s.applied))]
+				}
+				pullOnce(s, stale)
+			case 2:
+				// No pull this round; batches accumulate.
 			}
-			pullOnce(stale)
-		case 2:
-			// No pull this round; batches accumulate.
 		}
 	}
 
 	// Drain to quiescence over a healed link.
 	proxy.SetFaults(FaultConfig{})
 	deadline := time.Now().Add(10 * time.Second)
-	for len(applied) < commits && time.Now().Before(deadline) {
-		pullOnce(ack)
-	}
-
-	if len(applied) != commits {
-		t.Fatalf("exactly-once violated: %d commits, %d applied", commits, len(applied))
-	}
-	// The last batches are still queued (deletion only happens once a later
-	// pull acks them), so a full-rewind pull must re-deliver — and the dedup
-	// guard must reject every re-delivery.
-	pullOnce(startLSN - 1)
-	if len(applied) != commits {
-		t.Fatalf("re-delivered batches were re-applied: %d commits, %d applied", commits, len(applied))
-	}
-	for i := 1; i < len(applied); i++ {
-		if applied[i] <= applied[i-1] {
-			t.Fatalf("apply order violated: %v", applied)
+	for _, s := range subs {
+		for len(s.applied) < commits && time.Now().Before(deadline) {
+			pullOnce(s, s.ack)
 		}
 	}
-	if redelivered == 0 {
-		t.Error("schedule never exercised re-delivery; stale-ack pulls should have")
+
+	for _, s := range subs {
+		if len(s.applied) != commits {
+			t.Fatalf("sub %d: exactly-once violated: %d commits, %d applied", s.id, commits, len(s.applied))
+		}
+		// The last batches are still unacknowledged (the log keeps them until a
+		// later pull acks them), so a full-rewind pull must re-deliver — and the
+		// dedup guard must reject every re-delivery.
+		pullOnce(s, s.start-1)
+		if len(s.applied) != commits {
+			t.Fatalf("sub %d: re-delivered batches were re-applied: %d commits, %d applied", s.id, commits, len(s.applied))
+		}
+		for i := 1; i < len(s.applied); i++ {
+			if s.applied[i] <= s.applied[i-1] {
+				t.Fatalf("sub %d: apply order violated: %v", s.id, s.applied)
+			}
+		}
+		if s.redelivered == 0 {
+			t.Errorf("sub %d: schedule never exercised re-delivery; stale-ack pulls should have", s.id)
+		}
 	}
 }

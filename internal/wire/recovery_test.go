@@ -255,7 +255,7 @@ func TestCacheRestartResumesEveryViewFromTheOneLSN(t *testing.T) {
 	if got := rc2.AppliedLSN(); got != preLSN {
 		t.Fatalf("resume cursor %d, want the checkpointed %d", got, preLSN)
 	}
-	if n := len(b.Repl.Subscriptions()); n != 1 {
+	if n := len(b.Repl.Health(time.Now())); n != 1 {
 		t.Fatalf("%d subscriptions after the restart, want the cache's one", n)
 	}
 	if n, err := rc2.Pull(); err != nil || n != 1 {
