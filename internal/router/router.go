@@ -219,7 +219,7 @@ func (s *Session) do(sqlText string, params exec.Params) (*engine.Result, error)
 			s.r.reg.Counter("router.ryw_bypass").Add(1)
 			break
 		}
-		s.settle(idx, res)
+		s.settle(idx, res.CommitLSN)
 		return sessionResultToEngine(res), nil
 	}
 
@@ -234,18 +234,18 @@ func (s *Session) do(sqlText string, params exec.Params) (*engine.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	s.settle(-1, res)
+	s.settle(-1, res.CommitLSN)
 	return sessionResultToEngine(res), nil
 }
 
-// settle records a successful statement: advance the watermark past any
-// write it performed, and re-pin the session to the cache that answered
-// (idx >= 0) so subsequent statements stick to the spill target instead of
-// re-timing-out against a dead pin.
-func (s *Session) settle(idx int, res *wire.SessionResult) {
+// settle records a successful statement: advance the watermark past
+// commitLSN, the commit of any write it performed, and re-pin the session to
+// the cache that answered (idx >= 0) so subsequent statements stick to the
+// spill target instead of re-timing-out against a dead pin.
+func (s *Session) settle(idx int, commitLSN storage.LSN) {
 	s.mu.Lock()
-	if res.CommitLSN > s.watermark {
-		s.watermark = res.CommitLSN
+	if commitLSN > s.watermark {
+		s.watermark = commitLSN
 	}
 	if idx >= 0 && idx != s.pin {
 		s.pin = idx
@@ -254,7 +254,7 @@ func (s *Session) settle(idx int, res *wire.SessionResult) {
 	s.mu.Unlock()
 }
 
-func sessionResultToEngine(res *wire.SessionResult) *engine.Result {
+func sessionResultToEngine(res wire.SessionResult) *engine.Result {
 	return &engine.Result{
 		Cols:         res.Cols,
 		Rows:         res.Rows,

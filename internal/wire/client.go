@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -35,7 +36,7 @@ type Client struct {
 	fw  frameWriter
 
 	mu      sync.Mutex
-	pending map[uint64]chan *response
+	pending map[uint64]*call
 	nextID  uint64
 	err     error // terminal transport error; non-nil = dead client
 
@@ -62,7 +63,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		timeout:  timeout,
 		inflight: metrics.Default.Gauge("wire.inflight"),
 		fw:       frameWriter{w: conn},
-		pending:  make(map[uint64]chan *response),
+		pending:  make(map[uint64]*call),
 	}
 	c.readerWG.Add(1)
 	go c.readLoop()
@@ -101,28 +102,37 @@ func (c *Client) readLoop() {
 	err := fr.readPreface()
 	for err == nil {
 		var payload []byte
-		if payload, err = fr.next(); err != nil {
-			break
-		}
-		var resp *response
-		if resp, err = decodeResponse(payload); err == nil {
-			c.deliver(resp)
+		if payload, err = fr.next(); err == nil {
+			err = c.deliver(payload)
 		}
 	}
 	c.failAll(resilience.Classify(fmt.Errorf("wire: recv: %w", err)))
 }
 
-// deliver routes one response to its waiter by correlation ID (responses
-// may arrive out of order). A response that matches nothing — its request
-// was abandoned after a timeout, or it carries no ID — is dropped.
-func (c *Client) deliver(resp *response) {
+// deliver decodes one response into the slot of the round trip waiting on it,
+// found by the frame's leading correlation ID (responses may arrive out of
+// order). A response that matches nothing — its request was abandoned after
+// a timeout, or it carries no ID — is decoded and dropped. A frame that does
+// not decode goes back to pending with its slot, for failAll to fail with the
+// rest.
+func (c *Client) deliver(payload []byte) error {
+	id, _ := binary.Uvarint(payload)
 	c.mu.Lock()
-	ch := c.pending[resp.ID]
-	delete(c.pending, resp.ID)
+	cl := c.pending[id]
+	delete(c.pending, id)
 	c.mu.Unlock()
-	if ch != nil {
-		ch <- resp // buffered: never blocks the reader
+	if cl == nil {
+		var dropped response
+		return decodeResponse(payload, &dropped)
 	}
+	if err := decodeResponse(payload, &cl.resp); err != nil {
+		c.mu.Lock()
+		c.pending[id] = cl
+		c.mu.Unlock()
+		return err
+	}
+	cl.done <- struct{}{}
+	return nil
 }
 
 // failAll marks the client dead and fails every pending request.
@@ -132,10 +142,11 @@ func (c *Client) failAll(err error) {
 		c.err = err
 	}
 	pend := c.pending
-	c.pending = make(map[uint64]chan *response)
+	c.pending = make(map[uint64]*call)
 	c.mu.Unlock()
-	for _, ch := range pend {
-		ch <- nil // nil response = look up the terminal error
+	for _, cl := range pend {
+		cl.failed = true // the waiter looks up the terminal error
+		cl.done <- struct{}{}
 	}
 }
 
@@ -153,21 +164,22 @@ func (c *Client) abandon(id uint64) {
 // backend fails the request with ErrTimeout instead of hanging the caller,
 // without disturbing other in-flight requests. Transport errors are
 // classified (ErrTimeout / ErrBackendDown); server-reported errors come
-// back as *ServerError and are never retryable.
-func (c *Client) roundTrip(req *request) (*response, error) {
-	ch := make(chan *response, 1)
+// back as *ServerError and are never retryable. The response is copied into
+// out; the round trip's slot goes back to calls when the reuse rule allows.
+func (c *Client) roundTrip(req *request, out *response) error {
 	c.wmu.Lock()
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
 		c.wmu.Unlock()
-		return nil, err
+		return err
 	}
+	cl := calls.Get().(*call)
 	c.nextID++
 	id := c.nextID
 	req.ID = id
-	c.pending[id] = ch
+	c.pending[id] = cl
 	c.mu.Unlock()
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
@@ -184,31 +196,36 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 		cerr := resilience.Classify(fmt.Errorf("wire: send: %w", err))
 		c.failAll(cerr)
 		c.conn.Close()
-		return nil, cerr
+		return cerr
 	}
 
 	var timeoutC <-chan time.Time
 	if c.timeout > 0 {
-		t := time.NewTimer(c.timeout)
-		defer t.Stop()
-		timeoutC = t.C
+		cl.timer.Reset(c.timeout) // stopped before it fired: nothing in C
+		timeoutC = cl.timer.C
 	}
 	select {
-	case resp := <-ch:
-		if resp == nil {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return nil, err
-		}
-		if resp.Err != "" {
-			return nil, &ServerError{Msg: resp.Err}
-		}
-		return resp, nil
+	case <-cl.done:
 	case <-timeoutC:
 		c.abandon(id)
-		return nil, fmt.Errorf("wire: no response within %v: %w", c.timeout, resilience.ErrTimeout)
+		return fmt.Errorf("wire: no response within %v: %w", c.timeout, resilience.ErrTimeout)
 	}
+	reuse := timeoutC == nil || cl.timer.Stop()
+	switch {
+	case cl.failed:
+		c.mu.Lock()
+		err = c.err
+		c.mu.Unlock()
+	case cl.resp.Err != "":
+		err = &ServerError{Msg: cl.resp.Err}
+	default:
+		*out = cl.resp
+	}
+	if reuse {
+		cl.resp, cl.failed = response{}, false
+		calls.Put(cl)
+	}
+	return err
 }
 
 // Query implements exec.RemoteClient: one statement, whatever it does, and
@@ -235,15 +252,16 @@ type SessionResult struct {
 // that has not applied minLSN may block up to wait for replication to catch
 // up, and answers Stale (no rows, no error) if it still cannot. minLSN 0
 // disables the gate. Used by the session router for read-your-writes.
-func (c *Client) QuerySession(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration) (*SessionResult, error) {
-	resp, err := c.roundTrip(&request{
+func (c *Client) QuerySession(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration) (SessionResult, error) {
+	var resp response
+	err := c.roundTrip(&request{
 		Kind: reqQuery, SQL: sqlText, Params: params,
 		MinLSN: minLSN, WaitMs: wait.Milliseconds(),
-	})
+	}, &resp)
 	if err != nil {
-		return nil, err
+		return SessionResult{}, err
 	}
-	return &SessionResult{
+	return SessionResult{
 		Cols: resp.Cols, Rows: resp.Rows, N: resp.N,
 		CommitLSN: resp.LSN, Applied: resp.Applied, Stale: resp.Stale,
 	}, nil
@@ -253,7 +271,8 @@ func (c *Client) QuerySession(sqlText string, params exec.Params, minLSN storage
 // the floor across its pull subscriptions, the backend its last committed
 // LSN).
 func (c *Client) AppliedLSN() (storage.LSN, error) {
-	resp, err := c.roundTrip(&request{Kind: reqApplied})
+	var resp response
+	err := c.roundTrip(&request{Kind: reqApplied}, &resp)
 	if err != nil {
 		return 0, err
 	}
@@ -263,7 +282,8 @@ func (c *Client) AppliedLSN() (storage.LSN, error) {
 // QueryTraced is Query under the caller's trace ID on the backend ("" for
 // none); the backend-side span tree comes back with the result.
 func (c *Client) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
-	resp, err := c.roundTrip(&request{Kind: reqQuery, SQL: sqlText, Params: params, TraceID: traceID})
+	var resp response
+	err := c.roundTrip(&request{Kind: reqQuery, SQL: sqlText, Params: params, TraceID: traceID}, &resp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -272,7 +292,8 @@ func (c *Client) QueryTraced(sqlText string, params exec.Params, traceID string)
 
 // Snapshot fetches the backend catalog snapshot.
 func (c *Client) Snapshot() ([]byte, error) {
-	resp, err := c.roundTrip(&request{Kind: reqSnapshot})
+	var resp response
+	err := c.roundTrip(&request{Kind: reqSnapshot}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -285,9 +306,10 @@ func (c *Client) Snapshot() ([]byte, error) {
 // initial population. It is idempotent by (subName, target), so a retried
 // provision leaves neither an orphan subscription nor a second feed.
 func (c *Client) Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error) {
-	resp, err := c.roundTrip(&request{
+	var resp response
+	err := c.roundTrip(&request{
 		Kind: reqProvision, Table: table, Columns: columns, Filter: filter, SubName: subName, Target: target,
-	})
+	}, &resp)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -302,9 +324,10 @@ func (c *Client) Provision(table string, columns []string, filter, subName, targ
 // log); the caller must then fall back to Provision for a full reseed. Resume
 // is idempotent: repeating it reattaches to the same feed.
 func (c *Client) Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (subID int, ok bool, err error) {
-	resp, err := c.roundTrip(&request{
+	var resp response
+	err = c.roundTrip(&request{
 		Kind: reqResume, Table: table, Columns: columns, Filter: filter, SubName: subName, Target: target, FromLSN: fromLSN,
-	})
+	}, &resp)
 	if err != nil {
 		return 0, false, err
 	}
@@ -320,7 +343,8 @@ func (c *Client) Resume(table string, columns []string, filter, subName, target 
 // it, so a response lost in transit is simply re-delivered. The second return
 // value is the LSN the change stream is complete through (repl.Server.Pull).
 func (c *Client) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
-	resp, err := c.roundTrip(&request{Kind: reqPull, SubID: subID, Max: max, AckLSN: ack})
+	var resp response
+	err := c.roundTrip(&request{Kind: reqPull, SubID: subID, Max: max, AckLSN: ack}, &resp)
 	if err != nil {
 		return nil, 0, err
 	}

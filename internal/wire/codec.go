@@ -281,12 +281,13 @@ func appendRequest(buf []byte, req *request) []byte {
 	return buf
 }
 
-// decodeRequest parses one request payload. Nothing in the result aliases
-// payload, and each string is its own allocation: SQL text and parameter
-// values outlive the request (plan-cache keys, stored rows).
-func decodeRequest(payload []byte) (*request, error) {
+// decodeRequest parses one request payload into req, overwriting every field
+// of it. Nothing in req then aliases payload, and each string is its own
+// allocation: SQL text and parameter values outlive the request (plan-cache
+// keys, stored rows).
+func decodeRequest(payload []byte, req *request) error {
 	d := types.Decoder{Buf: payload}
-	req := &request{
+	*req = request{
 		Kind:    reqKind(d.Byte()),
 		ID:      d.Uvarint(),
 		MinLSN:  storage.LSN(d.Uvarint()),
@@ -325,7 +326,7 @@ func decodeRequest(payload []byte) (*request, error) {
 	default:
 		d.Fail()
 	}
-	return req, finish(&d, "request")
+	return finish(&d, "request")
 }
 
 // finish reports a decode failure, or bytes left over after a clean decode.
@@ -392,13 +393,14 @@ func appendResponse(buf []byte, resp *response) []byte {
 	return buf
 }
 
-// decodeResponse parses one response payload. Nothing in the result aliases
-// payload. A result set decodes into one []types.Row, one []types.Value
-// behind all of them and one string behind every string in it; replication
-// rows, which the store retains one by one, each get their own allocation.
-func decodeResponse(payload []byte) (*response, error) {
+// decodeResponse parses one response payload into resp, overwriting every
+// field of it. Nothing in resp then aliases payload. A result set decodes
+// into one []types.Row, one []types.Value behind all of them and one string
+// behind every string in it; replication rows, which the store retains one by
+// one, each get their own allocation.
+func decodeResponse(payload []byte, resp *response) error {
 	d := types.Decoder{Buf: payload}
-	resp := &response{ID: d.Uvarint(), Kind: reqKind(d.Byte())}
+	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte())}
 	flags := d.Byte()
 	resp.Stale = flags&flagStale != 0
 	resp.N = d.Varint()
@@ -408,7 +410,7 @@ func decodeResponse(payload []byte) (*response, error) {
 		if resp.Err = d.Str(); resp.Err == "" {
 			d.Fail()
 		}
-		return resp, finish(&d, "response")
+		return finish(&d, "response")
 	}
 	switch resp.Kind {
 	case reqQuery:
@@ -447,7 +449,7 @@ func decodeResponse(payload []byte) (*response, error) {
 	default:
 		d.Fail()
 	}
-	return resp, finish(&d, "response")
+	return finish(&d, "response")
 }
 
 // appendResultSet appends a Query result. The total value count goes

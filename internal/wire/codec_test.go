@@ -198,8 +198,8 @@ func sameResponse(a, b *response) bool {
 // layout tells them apart); a result-set row is never nil.
 func TestFrameRoundTrip(t *testing.T) {
 	for name, req := range sampleRequests() {
-		got, err := decodeRequest(appendRequest(nil, req))
-		if err != nil {
+		got := &request{}
+		if err := decodeRequest(appendRequest(nil, req), got); err != nil {
 			t.Errorf("request %s: %v", name, err)
 			continue
 		}
@@ -211,8 +211,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for name, resp := range sampleResponses() {
-		got, err := decodeResponse(appendResponse(nil, resp))
-		if err != nil {
+		got := &response{}
+		if err := decodeResponse(appendResponse(nil, resp), got); err != nil {
 			t.Errorf("response %s: %v", name, err)
 			continue
 		}
@@ -234,8 +234,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	// A time comes back as the same instant in UTC, equal under Compare and
 	// rendered identically — in range or not.
-	got, err := decodeResponse(appendResponse(nil, sampleResponses()["query"]))
-	if err != nil {
+	var got response
+	if err := decodeResponse(appendResponse(nil, sampleResponses()["query"]), &got); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{6, 7} {
@@ -248,7 +248,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	// A response that is all header: the error and the stale flag suppress
 	// nothing in the header and everything in the body.
 	errResp := &response{Kind: reqQuery, ID: 1, Err: "boom", Rows: []types.Row{sampleRow}, Cols: []exec.ColInfo{{Name: "c"}}}
-	if got, err := decodeResponse(appendResponse(nil, errResp)); err != nil || got.Err != "boom" || got.Rows != nil || got.Cols != nil {
+	if err := decodeResponse(appendResponse(nil, errResp), &got); err != nil || got.Err != "boom" || got.Rows != nil || got.Cols != nil {
 		t.Errorf("error response carried a body: %+v, %v", got, err)
 	}
 }
@@ -276,8 +276,8 @@ func TestSpanDepthBounded(t *testing.T) {
 		}
 		return n
 	}
-	got, err := decodeResponse(appendResponse(nil, &response{Kind: reqQuery, Span: chain(maxSpanDepth + 10)}))
-	if err != nil {
+	var got response
+	if err := decodeResponse(appendResponse(nil, &response{Kind: reqQuery, Span: chain(maxSpanDepth + 10)}), &got); err != nil {
 		t.Fatal(err)
 	}
 	if d := depth(got.Span); d != maxSpanDepth+1 {
@@ -291,7 +291,7 @@ func TestSpanDepthBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		frame = append(frame, 0, 0, 0, 0, 1)
 	}
-	if _, err := decodeResponse(frame); err == nil {
+	if err := decodeResponse(frame, &got); err == nil {
 		t.Error("a span tree 10 000 levels deep decoded")
 	}
 }
@@ -314,7 +314,9 @@ func resultSetResponse(n int) *response {
 
 // TestCodecAllocBudget holds the allocation ceilings the protocol was built
 // to: a result set decodes into a constant number of allocations whatever
-// its size, and encoding into a warm buffer allocates nothing.
+// its size, and encoding into a warm buffer allocates nothing. Decodes go
+// into a reused destination, as the client's call slots and the server's
+// exchanges are.
 func TestCodecAllocBudget(t *testing.T) {
 	resp := resultSetResponse(16)
 	respFrame := appendResponse(nil, resp)
@@ -322,16 +324,20 @@ func TestCodecAllocBudget(t *testing.T) {
 		SQL: "SELECT i_id, i_title, i_cost FROM item WHERE i_subject = 'ARTS' ORDER BY i_title"}
 	reqFrame := appendRequest(nil, req)
 	buf := make([]byte, 0, len(respFrame)+len(reqFrame))
+	var (
+		gotResp response
+		gotReq  request
+	)
 
 	for _, tc := range []struct {
 		name string
 		max  float64
 		fn   func()
 	}{
-		// response, Cols, Rows, the values behind every row, the string slab
-		{"decode 16x3 result set", 6, func() { decodeResponse(respFrame) }}, //nolint:errcheck
-		// request, SQL text
-		{"decode parameterless query", 2, func() { decodeRequest(reqFrame) }}, //nolint:errcheck
+		// Cols, Rows, the values behind every row, the string slab
+		{"decode 16x3 result set", 5, func() { decodeResponse(respFrame, &gotResp) }}, //nolint:errcheck
+		// SQL text
+		{"decode parameterless query", 1, func() { decodeRequest(reqFrame, &gotReq) }}, //nolint:errcheck
 		{"encode result set", 0, func() { buf = appendResponse(buf[:0], resp) }},
 		{"encode query", 0, func() { buf = appendRequest(buf[:0], req) }},
 	} {
@@ -340,38 +346,95 @@ func TestCodecAllocBudget(t *testing.T) {
 		}
 	}
 	bigFrame := appendResponse(nil, resultSetResponse(1600))
-	small := testing.AllocsPerRun(50, func() { decodeResponse(respFrame) }) //nolint:errcheck
-	big := testing.AllocsPerRun(50, func() { decodeResponse(bigFrame) })    //nolint:errcheck
+	small := testing.AllocsPerRun(50, func() { decodeResponse(respFrame, &gotResp) }) //nolint:errcheck
+	big := testing.AllocsPerRun(50, func() { decodeResponse(bigFrame, &gotResp) })    //nolint:errcheck
 	if big != small {
 		t.Errorf("a 1600-row result set decodes in %v allocations, a 16-row one in %v", big, small)
 	}
 }
 
-// TestDecodedValuesDoNotAliasFrame: the read side reuses its frame buffer, so
-// nothing a decode returns may point into it.
-func TestDecodedValuesDoNotAliasFrame(t *testing.T) {
-	check := func(name string, frame []byte, decode func([]byte) (any, error), same func(a, b any) bool) {
-		want, err := decode(bytes.Clone(frame))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+// TestRoundTripAllocBudget: what a warm round trip allocates, counting both
+// ends — a Client.QuerySession of a one-row SELECT against Serve, the
+// server's decode, execution and encode and the client's decode included.
+// While every frame built a fresh response channel, timer, request and
+// response (and QuerySession a *SessionResult) this count was 19; it is 10
+// now, the ceiling 10 + 1.
+func TestRoundTripAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	_, srv := newWiredBackend(t)
+	c := dial(t, srv)
+	const q = "SELECT name FROM part WHERE id = 7"
+	call := func() {
+		res, err := c.QuerySession(q, nil, 0, 0)
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("%s: %+v, %v", q, res, err)
 		}
-		got, _ := decode(frame)
+	}
+	call() // warm the plan, the connection and the pools
+	const ceiling = 11
+	avg := testing.AllocsPerRun(300, call)
+	t.Logf("round trip: %.0f allocs", avg)
+	if avg > ceiling {
+		t.Errorf("round trip: %.0f allocs, ceiling %d", avg, ceiling)
+	}
+}
+
+// recycledRequest and recycledResponse are what a reused exchange or call
+// slot may still hold when the next frame is decoded into it: a field of
+// every body.
+func recycledRequest() request {
+	return request{Kind: reqPull, ID: 99, MinLSN: 9, WaitMs: 9, TraceID: "old", SQL: "old",
+		Params: map[string]types.Value{"old": types.NewInt(9)}, Table: "old", Columns: []string{"old"},
+		Filter: "old", SubName: "old", Target: "old", FromLSN: 9, SubID: 9, Max: 9, AckLSN: 9}
+}
+
+func recycledResponse() response {
+	return response{ID: 99, Kind: reqPull, Stale: true, Err: "old", N: 9, LSN: 9, Applied: 9,
+		Cols: []exec.ColInfo{{Name: "old"}}, Rows: []types.Row{{types.NewInt(9)}}, Span: &trace.WireSpan{Name: "old"},
+		Snapshot: []byte("old"), SubID: 9, StartLSN: 9, Batches: []repl.TxnBatch{{LSN: 9}}, ThroughLSN: 9}
+}
+
+// TestDecodedValuesDoNotAliasFrame: the read side reuses its frame buffer and
+// decodes into recycled call slots and exchanges, so nothing a decode leaves
+// in its destination may point into the frame, and nothing the destination
+// held before may survive the decode.
+func TestDecodedValuesDoNotAliasFrame(t *testing.T) {
+	overwrite := func(frame []byte) {
 		for i := range frame {
 			frame[i] = 0xAA
 		}
-		if !same(want, got) {
-			t.Errorf("%s changed when its frame buffer was overwritten:\n got %+v\nwant %+v", name, got, want)
-		}
 	}
 	for name, req := range sampleRequests() {
-		check("request "+name, appendRequest(nil, req),
-			func(b []byte) (any, error) { return decodeRequest(b) },
-			func(a, b any) bool { return sameRequest(a.(*request), b.(*request)) })
+		frame := appendRequest(nil, req)
+		var want request
+		if err := decodeRequest(bytes.Clone(frame), &want); err != nil {
+			t.Fatalf("request %s: %v", name, err)
+		}
+		got := recycledRequest()
+		if err := decodeRequest(frame, &got); err != nil {
+			t.Fatalf("request %s into a recycled exchange: %v", name, err)
+		}
+		overwrite(frame)
+		if !sameRequest(&want, &got) {
+			t.Errorf("request %s decoded into a recycled exchange, frame then overwritten:\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 	for name, resp := range sampleResponses() {
-		check("response "+name, appendResponse(nil, resp),
-			func(b []byte) (any, error) { return decodeResponse(b) },
-			func(a, b any) bool { return sameResponse(a.(*response), b.(*response)) })
+		frame := appendResponse(nil, resp)
+		var want response
+		if err := decodeResponse(bytes.Clone(frame), &want); err != nil {
+			t.Fatalf("response %s: %v", name, err)
+		}
+		got := recycledResponse()
+		if err := decodeResponse(frame, &got); err != nil {
+			t.Fatalf("response %s into a recycled slot: %v", name, err)
+		}
+		overwrite(frame)
+		if !sameResponse(&want, &got) {
+			t.Errorf("response %s decoded into a recycled slot, frame then overwritten:\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 }
 
@@ -501,16 +564,17 @@ func TestFrameReaderRejectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeResponse(payload); err != nil {
+	var resp response
+	if err := decodeResponse(payload, &resp); err != nil {
 		t.Fatal(err)
 	}
 	// And every truncation of the payload itself fails to decode.
 	for cut := 0; cut < len(payload); cut++ {
-		if _, err := decodeResponse(payload[:cut]); err == nil {
+		if err := decodeResponse(payload[:cut], &resp); err == nil {
 			t.Fatalf("payload cut at %d/%d decoded", cut, len(payload))
 		}
 	}
-	if _, err := decodeResponse(append(bytes.Clone(payload), 0)); err == nil {
+	if err := decodeResponse(append(bytes.Clone(payload), 0), &resp); err == nil {
 		t.Fatal("payload with a trailing byte decoded")
 	}
 }

@@ -33,27 +33,33 @@ func FuzzFrameDecode(f *testing.F) {
 		// behind a 1-byte NULL, next to its share of a 24-byte row header;
 		// nested span children multiply by at most their depth bound.
 		budget := uint64(64<<10 + 512*len(data))
+		var (
+			req  request
+			resp response
+		)
 		before := totalAlloc()
-		req, reqErr := decodeRequest(data)
-		resp, respErr := decodeResponse(data)
+		reqErr := decodeRequest(data, &req)
+		respErr := decodeResponse(data, &resp)
 		if grew := totalAlloc() - before; grew > budget {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
+		// The second trip decodes into a recycled destination, as the client's
+		// call slots and the server's exchanges do.
 		if reqErr == nil {
-			again, err := decodeRequest(appendRequest(nil, req))
-			if err != nil {
+			again := recycledRequest()
+			if err := decodeRequest(appendRequest(nil, &req), &again); err != nil {
 				t.Fatalf("re-encoded request does not decode: %v\n%+v", err, req)
 			}
-			if !sameRequest(req, again) {
+			if !sameRequest(&req, &again) {
 				t.Fatalf("request changed on the second trip:\n 1: %+v\n 2: %+v", req, again)
 			}
 		}
 		if respErr == nil {
-			again, err := decodeResponse(appendResponse(nil, resp))
-			if err != nil {
+			again := recycledResponse()
+			if err := decodeResponse(appendResponse(nil, &resp), &again); err != nil {
 				t.Fatalf("re-encoded response does not decode: %v\n%+v", err, resp)
 			}
-			if !sameResponse(resp, again) {
+			if !sameResponse(&resp, &again) {
 				t.Fatalf("response changed on the second trip:\n 1: %+v\n 2: %+v", resp, again)
 			}
 		}

@@ -3,7 +3,9 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +56,8 @@ func (f *fakeServer) readRequest() (*request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeRequest(payload)
+	req := &request{}
+	return req, decodeRequest(payload, req)
 }
 
 func (f *fakeServer) writeResponse(resp *response) error {
@@ -372,5 +375,239 @@ func TestPoolClosedRefuses(t *testing.T) {
 	}
 	if resilience.Retryable(err) {
 		t.Fatal("closed-pool error must be terminal")
+	}
+}
+
+// echo answers req with one row holding its SQL text, so a caller can tell
+// whose answer it got.
+func echo(req *request) *response {
+	return &response{ID: req.ID, Kind: req.Kind, Rows: []types.Row{{types.NewString(req.SQL)}}}
+}
+
+// answer is the SQL text an echo answer names, or a description of a result
+// that is not one.
+func answer(rs *exec.ResultSet) string {
+	if len(rs.Rows) != 1 || len(rs.Rows[0]) != 1 {
+		return fmt.Sprintf("no request (%d rows)", len(rs.Rows))
+	}
+	return rs.Rows[0][0].Str()
+}
+
+// listenFake accepts connections on a fresh port and hands each, prefaces
+// exchanged, to serve in order; the i-th accepted connection gets serve[i].
+func listenFake(t *testing.T, serve ...func(conn net.Conn, fake *fakeServer)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for _, fn := range serve {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			fake, err := newFakeServer(conn)
+			if err != nil {
+				conn.Close()
+				return
+			}
+			fn(conn, fake)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestLateResponseNeverReachesALaterCall: a response that lands around or
+// after its request's timeout is dropped with that request's call slot, and
+// the next round trip on the same Client — on a pooled slot — gets its own
+// answer. Each SLOW request is answered between ¾ and 1¼ of the client's
+// timeout, so its response, its timer and the FAST request sent right after
+// it race; every FAST request is answered at once.
+func TestLateResponseNeverReachesALaterCall(t *testing.T) {
+	const timeout = 40 * time.Millisecond
+	addr := listenFake(t, func(conn net.Conn, fake *fakeServer) {
+		defer conn.Close()
+		var (
+			wmu     sync.Mutex
+			answers sync.WaitGroup
+		)
+		defer answers.Wait()
+		for i := 0; ; i++ {
+			req, err := fake.readRequest()
+			if err != nil {
+				return
+			}
+			var delay time.Duration
+			if strings.HasPrefix(req.SQL, "SLOW") {
+				delay = timeout*3/4 + time.Duration(i/2%5)*timeout/8
+			}
+			answers.Add(1)
+			go func() {
+				defer answers.Done()
+				time.Sleep(delay)
+				wmu.Lock()
+				defer wmu.Unlock()
+				fake.writeResponse(echo(req)) //nolint:errcheck — the client may be gone
+			}()
+		}
+	})
+	c, err := Dial(addr, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// query fails the test on another request's answer, on any error but a
+	// timeout, and on a timeout reported before the timeout elapsed — what a
+	// stale tick left in a reused slot's timer would produce.
+	query := func(q string) (timedOut bool) {
+		start := time.Now()
+		rs, err := c.Query(q, nil)
+		switch {
+		case errors.Is(err, resilience.ErrTimeout):
+			if waited := time.Since(start); waited < timeout {
+				t.Fatalf("%s timed out after %v, before its %v timeout", q, waited, timeout)
+			}
+			return true
+		case err != nil:
+			t.Fatalf("%s: %v", q, err)
+		case answer(rs) != q:
+			t.Fatalf("%s received the answer to %s", q, answer(rs))
+		}
+		return false
+	}
+	slowTimeouts := 0
+	for i := 0; i < 25; i++ {
+		if query(fmt.Sprintf("SLOW %d", i)) {
+			slowTimeouts++
+		}
+		query(fmt.Sprintf("FAST %d", i))
+	}
+	if slowTimeouts == 0 {
+		t.Error("no SLOW request timed out: nothing raced a later call")
+	}
+}
+
+// TestSeveredConnectionFailsEveryCallInFlight: a connection cut with n round
+// trips in flight fails all n, each with a transport error and none by
+// timing out; on a re-dialled client n concurrent round trips, each with its
+// own SQL and answered in reverse order, each get their own row — on the call
+// slots the failed round trips gave back.
+func TestSeveredConnectionFailsEveryCallInFlight(t *testing.T) {
+	const n = 8
+	addr := listenFake(t,
+		func(conn net.Conn, fake *fakeServer) {
+			for i := 0; i < n; i++ {
+				if _, err := fake.readRequest(); err != nil {
+					break
+				}
+			}
+			conn.Close()
+		},
+		func(conn net.Conn, fake *fakeServer) {
+			defer conn.Close()
+			var reqs []*request
+			for i := 0; i < n; i++ {
+				req, err := fake.readRequest()
+				if err != nil {
+					return
+				}
+				reqs = append(reqs, req)
+			}
+			for i := n - 1; i >= 0; i-- {
+				if fake.writeResponse(echo(reqs[i])) != nil {
+					return
+				}
+			}
+			io.Copy(io.Discard, conn) //nolint:errcheck — hold the connection open
+		})
+
+	queryAll := func(c *Client) []error {
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				q := fmt.Sprintf("SELECT %d", i)
+				rs, err := c.Query(q, nil)
+				if err == nil && answer(rs) != q {
+					err = fmt.Errorf("%s received the answer to %s", q, answer(rs))
+				}
+				errs[i] = err
+			}(i)
+		}
+		wg.Wait()
+		return errs
+	}
+
+	c, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range queryAll(c) {
+		if !errors.Is(err, resilience.ErrBackendDown) {
+			t.Errorf("round trip %d on the severed connection: %v, want ErrBackendDown", i, err)
+		}
+	}
+	c.Close()
+
+	if c, err = Dial(addr, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, err := range queryAll(c) {
+		if err != nil {
+			t.Errorf("round trip %d on the re-dialled client: %v", i, err)
+		}
+	}
+}
+
+// TestUndecodableFrameFailsEveryWaiter: a response frame that does not decode
+// fails its own waiter and every other one on the connection at once — none
+// is left to its timeout — and the client is then broken.
+func TestUndecodableFrameFailsEveryWaiter(t *testing.T) {
+	const n = 4
+	addr := listenFake(t, func(conn net.Conn, fake *fakeServer) {
+		defer conn.Close()
+		var first *request
+		for i := 0; i < n; i++ {
+			req, err := fake.readRequest()
+			if err != nil {
+				return
+			}
+			if first == nil {
+				first = req
+			}
+		}
+		// The first request's answer with a trailing byte: its ID matches,
+		// its payload does not decode.
+		if fake.fw.send(append(appendResponse(fake.fw.begin(), echo(first)), 0)) != nil {
+			return
+		}
+		io.Copy(io.Discard, conn) //nolint:errcheck — hold the connection open
+	})
+	c, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			_, err := c.Query(fmt.Sprintf("SELECT %d", i), nil)
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; !errors.Is(err, resilience.ErrBackendDown) {
+			t.Errorf("waiter on a connection that received a bad frame: %v, want ErrBackendDown", err)
+		}
+	}
+	if !c.Broken() {
+		t.Error("client still live after a frame that does not decode")
 	}
 }

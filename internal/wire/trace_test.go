@@ -159,8 +159,8 @@ func TestTracedRequestPassesSessionGate(t *testing.T) {
 
 	applied := rc.AppliedLSN()
 	const q = "SELECT name FROM part WHERE type = 'Tire' AND id = 4"
-	resp, err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: "t-gate", MinLSN: applied + 1000, WaitMs: 20})
-	if err != nil {
+	var resp response
+	if err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: "t-gate", MinLSN: applied + 1000, WaitMs: 20}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Stale || len(resp.Rows) != 0 || resp.Span != nil {
@@ -170,8 +170,7 @@ func TestTracedRequestPassesSessionGate(t *testing.T) {
 		t.Errorf("stale answer reports Applied=%d, cache is at %d", resp.Applied, applied)
 	}
 
-	resp, err = c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: "t-gate", MinLSN: applied, WaitMs: 20})
-	if err != nil {
+	if err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: "t-gate", MinLSN: applied, WaitMs: 20}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Stale || len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "part4" {

@@ -220,13 +220,47 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// A round trip's bookkeeping is pooled at both ends, so it allocates only
+// what it returns: a Client's call slot and a server's exchange.
+
+// call is one round trip's slot on a Client: the reader decodes the response
+// straight into resp and signals done. Exactly one party signals a slot —
+// whoever takes it out of the client's pending map — and failAll sets failed
+// before it does. A slot goes back to calls only when its waiter received the
+// signal and stopped its timer before it fired; one that timed out, failed to
+// send or saw its timer fire is dropped, so a late response or a stale tick
+// never reaches a later call, whether timer channels are synchronous or not.
+type call struct {
+	done   chan struct{} // cap 1: the signal never blocks the reader
+	resp   response
+	failed bool
+	timer  *time.Timer // stopped whenever the slot is in calls
+}
+
+var calls = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &call{done: make(chan struct{}, 1), timer: t}
+}}
+
+// exchange is one request frame on a server connection and the response it
+// gets.
+type exchange struct {
+	req  request
+	resp response
+}
+
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+
 // serveConn demultiplexes one connection: each decoded request is handled
 // in its own goroutine (bounded by the server semaphore) and its response —
 // tagged with the request's correlation ID — is written back under a
 // per-connection write lock, in completion order rather than arrival order.
 // The read loop exits on the first transport error or malformed frame;
 // in-flight handlers finish (their writes fail harmlessly on the dead
-// connection) before the connection is released.
+// connection) before the connection is released. Each frame's request and
+// response live in one pooled exchange, zeroed and put back once the
+// response is written.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	var handlers sync.WaitGroup
@@ -246,8 +280,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		req, err := decodeRequest(payload)
-		if err != nil {
+		x := exchanges.Get().(*exchange)
+		if decodeRequest(payload, &x.req) != nil {
 			return
 		}
 		s.sem <- struct{}{}
@@ -259,15 +293,18 @@ func (s *Server) serveConn(conn net.Conn) {
 				inflight.Add(-1)
 				<-s.sem
 			}()
-			resp := s.handle(req)
+			req, resp := &x.req, &x.resp
+			s.handle(req, resp)
 			resp.ID, resp.Kind = req.ID, req.Kind
 			wmu.Lock()
 			err := fw.send(appendResponse(fw.begin(), resp))
 			if err == errFrameTooLarge {
-				resp = &response{ID: req.ID, Kind: req.Kind, Err: err.Error()}
+				*resp = response{ID: req.ID, Kind: req.Kind, Err: err.Error()}
 				err = fw.send(appendResponse(fw.begin(), resp))
 			}
 			wmu.Unlock()
+			*x = exchange{}
+			exchanges.Put(x)
 			if err != nil {
 				// After a failed or short write the peer can no longer find
 				// the next frame boundary; sever the connection so the
@@ -278,8 +315,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) handle(req *request) *response {
-	resp := &response{}
+// handle answers req into resp, which starts zeroed.
+func (s *Server) handle(req *request, resp *response) {
 	switch req.Kind {
 	case reqQuery:
 		res, rec, err := s.execDB().ExecSessionTraced(req.SQL, req.Params,
@@ -289,11 +326,11 @@ func (s *Server) handle(req *request) *response {
 			// Not an error on the wire: the cache is simply behind the
 			// session's watermark. The client reroutes to the backend.
 			resp.Stale = true
-			return resp
+			return
 		}
 		if err != nil {
 			resp.Err = err.Error()
-			return resp
+			return
 		}
 		resp.Cols = res.Cols
 		resp.Rows = res.Rows
@@ -311,7 +348,6 @@ func (s *Server) handle(req *request) *response {
 			resp.Err = err.Error()
 		}
 	}
-	return resp
 }
 
 // publish answers the replication requests, which only a backend serves:
