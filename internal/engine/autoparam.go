@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 
@@ -42,23 +43,31 @@ var normPool = sync.Pool{New: func() any { return new(sql.Normalizer) }}
 
 // autoParse resolves sqlText through the plan cache's front door.
 // ok=false means the text is not eligible (not a plain SELECT or an EXEC,
-// disabled, or a negative-cached shape) and the caller takes the ordinary
-// parse path. On ok=true the returned entry holds the SHARED parsed form of
-// the shape — a *sql.SelectStmt or a *sql.ExecStmt, which callers must treat
-// as read-only — and, for a SELECT some execution has optimized, its plan.
-// args holds the literal values in @__p0.. order and aliases the returned
-// Normalizer's buffers: hand norm back to normPool only once args is no
-// longer needed.
-func (db *Database) autoParse(sqlText string) (e *planEntry, args []types.Value, norm *sql.Normalizer, ok bool) {
+// disabled, a negative-cached shape, or an invalid WITH FRESHNESS bound) and
+// the caller takes the ordinary parse path, which reports what is wrong. On
+// ok=true the returned entry holds the SHARED parsed form of the shape — a
+// *sql.SelectStmt or a *sql.ExecStmt, which callers must treat as read-only —
+// and, for a SELECT some execution has optimized, its plan. args holds the
+// literal values in @__p0.. order and aliases the returned Normalizer's
+// buffers: hand norm back to normPool only once args is no longer needed.
+//
+// A SELECT text ending in WITH FRESHNESS and one parameter or literal resolves
+// to its unbounded twin's entry (cutFreshness), and fresh is its bound in
+// seconds; otherwise fresh is unbounded.
+func (db *Database) autoParse(sqlText string, params exec.Params) (e *planEntry, args []types.Value, fresh float64, norm *sql.Normalizer, ok bool) {
+	fresh = unbounded
 	if db.autoOff {
-		return nil, nil, nil, false
+		return nil, nil, fresh, nil, false
 	}
 	n := normPool.Get().(*sql.Normalizer)
 	key, vals, okN := n.Normalize(sqlText)
+	if okN {
+		key, vals, fresh, okN = cutFreshness(key, vals, params)
+	}
 	if !okN {
 		normPool.Put(n)
 		metrics.Default.Counter("engine.autoparam_bypass").Add(1)
-		return nil, nil, nil, false
+		return nil, nil, unbounded, nil, false
 	}
 	db.plansMu.Lock()
 	e, hit := db.plans.getBytes(key)
@@ -68,50 +77,75 @@ func (db *Database) autoParse(sqlText string) (e *planEntry, args []types.Value,
 		// Resolve outside the lock: concurrent misses on one shape each
 		// parse, and end on the one entry the first insert made.
 		shape := string(key)
-		e = &planEntry{stmt: autoResolve(shape)}
+		e = autoResolve(shape)
 		db.plansMu.Lock()
 		e = db.plans.add(shape, e)
 		db.plansMu.Unlock()
 	} else if e.stmt != nil {
 		metrics.Default.Counter("engine.autoparam_hits").Add(1)
 	}
-	if e.stmt == nil {
+	// A negative shape, or a bound off anything but a SELECT, goes the
+	// ordinary way.
+	if _, isSelect := e.stmt.(*sql.SelectStmt); e.stmt == nil || fresh != unbounded && !isSelect {
 		normPool.Put(n)
 		metrics.Default.Counter("engine.autoparam_bypass").Add(1)
-		return nil, nil, nil, false
+		return nil, nil, unbounded, nil, false
 	}
-	return e, vals, n, true
+	return e, vals, fresh, n, true
 }
 
-// autoResolve decides one normalized shape from its text alone: the
-// statement every literal variant will share, or nil when the front door
-// must skip the shape every time (the key failed to parse, parsed to neither
-// a SELECT nor an EXEC, or carries WITH FRESHNESS — planned per execution,
-// bypassing the plan cache anyway). Caching the nil makes repeated bad or
-// ineligible text cost one lookup instead of one parse. The key is itself
-// valid SQL in canonical token form, so the parsed statement's deparse — the
-// query-store key, the text a forwarded call travels as — is canonical for
-// the shape. The shape is syntax only: which procedure a call binds to, and
-// how, is looked up per execution.
-func autoResolve(shape string) sql.Statement {
+// cutFreshness takes a trailing WITH FRESHNESS clause whose bound is one
+// parameter — named, or the text's last literal, which leaves vals — off a
+// normalized key: the rest is the unbounded twin's key by construction (only
+// the outermost SELECT's clause ends the text). It reads the bound once;
+// ok=false when it is unbound or not a valid number of seconds.
+func cutFreshness(key []byte, vals []types.Value, params exec.Params) (shape []byte, rest []types.Value, fresh float64, ok bool) {
+	const clause = " WITH FRESHNESS @"
+	i := bytes.LastIndex(key, []byte(clause))
+	if i < 0 || bytes.IndexByte(key[i+len(clause):], ' ') >= 0 {
+		return key, vals, unbounded, true
+	}
+	name := key[i+len(clause):]
+	var v types.Value
+	if last := len(vals) - 1; last >= 0 && string(name) == sql.AutoParamName(last) {
+		v, vals = vals[last], vals[:last]
+	} else if v, ok = params[string(name)]; !ok {
+		return key, vals, unbounded, false
+	}
+	fresh, err := freshnessSeconds(v)
+	return key[:i], vals, fresh, err == nil
+}
+
+// autoResolve decides one normalized shape from its text alone: the entry of
+// the statement every literal variant will share, or a negative entry (no
+// statement) when the front door must skip the shape every time (the key
+// failed to parse, parsed to neither a SELECT nor an EXEC, or still carries a
+// WITH FRESHNESS clause whose bound is more than one parameter, which the
+// parsed statement evaluates per execution). Caching the negative entry makes
+// repeated bad or ineligible text cost one lookup instead of one parse. The
+// key is itself valid SQL in canonical token form, so the parsed statement's
+// deparse — the query-store key, the text a forwarded call travels as — is
+// canonical for the shape. The shape is syntax only: which procedure a call
+// binds to, and how, is looked up per execution.
+func autoResolve(shape string) *planEntry {
 	parsed, err := sql.Parse(shape)
 	if err != nil {
-		return nil
+		return &planEntry{}
 	}
 	// Warm the deparse memo before the statement is shared across
 	// goroutines; afterwards CacheKey and Text are read-only field accesses.
 	switch x := parsed.(type) {
 	case *sql.SelectStmt:
 		if x.Freshness != nil {
-			return nil
+			return &planEntry{}
 		}
 		x.CacheKey()
-		return x
+		return &planEntry{stmt: x, refs: paramRefs(x, nil)}
 	case *sql.ExecStmt:
 		x.Text()
-		return x
+		return &planEntry{stmt: x}
 	}
-	return nil
+	return &planEntry{}
 }
 
 // bindParams installs one execution's parameters on ctx: the named map —

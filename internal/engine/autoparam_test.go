@@ -16,14 +16,14 @@ import (
 // Literal variants of one shape share one plan-cache entry, whatever the
 // statement: ten SELECTs one entry holding the parsed shape and its plan; ten
 // EXECs one entry holding the parsed call and no plan, plus one entry for the
-// procedure body's SELECT, keyed by its deparse; three texts the front door
-// refuses (WITH FRESHNESS) one negative entry. InvalidatePlans empties it.
+// procedure body's SELECT, keyed by its deparse; three WITH FRESHNESS
+// variants of the SELECT no entry of their own — the bound comes off the
+// text, which is then the SELECT's. InvalidatePlans empties it.
 func TestAutoParamSharesOnePlan(t *testing.T) {
 	db := newBackendDB(t)
 	if err := db.ExecScript("CREATE PROCEDURE getTitle @id INT AS SELECT i_title FROM item WHERE i_id = @id"); err != nil {
 		t.Fatal(err)
 	}
-	db.SetIMCacheEnabled(false) // its key for a WITH FRESHNESS text is one more shape
 	db.InvalidatePlans()
 	hits0 := metrics.Default.Counter("engine.autoparam_hits").Value()
 	for _, c := range []struct {
@@ -32,7 +32,7 @@ func TestAutoParamSharesOnePlan(t *testing.T) {
 	}{
 		{"SELECT i_title FROM item WHERE i_id = %d", 10, 1},
 		{"EXEC getTitle %d", 10, 3},
-		{"SELECT i_title FROM item WHERE i_id = %d WITH FRESHNESS 10", 3, 4},
+		{"SELECT i_title FROM item WHERE i_id = %d WITH FRESHNESS 10", 3, 3},
 	} {
 		for i := 1; i <= c.texts; i++ {
 			text := fmt.Sprintf(c.format, i)
@@ -58,7 +58,7 @@ func TestAutoParamSharesOnePlan(t *testing.T) {
 		t.Error("the EXEC shape's entry holds a plan")
 	}
 	body := db.Catalog().Procedure("getTitle").Body[0].(*sql.SelectStmt)
-	if db.entryFor(body).plan.Load() == nil || db.PlanCacheSize() != 4 {
+	if db.entryFor(body).plan.Load() == nil || db.PlanCacheSize() != 3 {
 		t.Errorf("the procedure body's SELECT has no planned entry of its own (%d entries)", db.PlanCacheSize())
 	}
 	db.InvalidatePlans()
@@ -70,7 +70,7 @@ func TestAutoParamSharesOnePlan(t *testing.T) {
 // shapeEntry is the plan-cache entry the front door resolves text to.
 func shapeEntry(t *testing.T, db *Database, text string) *planEntry {
 	t.Helper()
-	e, _, norm, ok := db.autoParse(text)
+	e, _, _, norm, ok := db.autoParse(text, nil)
 	if !ok {
 		t.Fatalf("%s: not through the front door", text)
 	}
@@ -193,13 +193,13 @@ func TestAutoParamCacheHitZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the pooled normalizer.
-	if _, _, norm, ok := db.autoParse(q); !ok {
+	if _, _, _, norm, ok := db.autoParse(q, nil); !ok {
 		t.Fatal("shape not cached")
 	} else {
 		normPool.Put(norm)
 	}
 	if avg := testing.AllocsPerRun(500, func() {
-		e, args, norm, ok := db.autoParse(q)
+		e, args, _, norm, ok := db.autoParse(q, nil)
 		if !ok || e.plan.Load() == nil || len(args) != 1 {
 			t.Fatal("cache hit failed")
 		}

@@ -268,14 +268,14 @@ func (db *Database) execText(sqlText string, params exec.Params, minLSN storage.
 		}
 		metrics.Default.Counter("engine.session_gate_pass").Add(1)
 	}
-	if e, autoArgs, norm, ok := db.autoParse(sqlText); ok {
+	if e, autoArgs, fresh, norm, ok := db.autoParse(sqlText, params); ok {
 		rec.AutoParam = true
 		rec.Mark(trace.StageParse)
 		var res *Result
 		var err error
 		switch x := e.stmt.(type) {
 		case *sql.SelectStmt:
-			res, err = db.query(x, e, params, autoArgs, rec)
+			res, err = db.query(x, e, params, autoArgs, fresh, rec)
 		case *sql.ExecStmt:
 			res, err = db.execProcCall(x, params, autoArgs, rec)
 		}
@@ -395,7 +395,7 @@ func (db *Database) ExecStmt(stmt sql.Statement, params exec.Params) (*Result, e
 func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.Record) (*Result, error) {
 	switch x := stmt.(type) {
 	case *sql.SelectStmt:
-		return db.query(x, nil, params, nil, rec)
+		return db.query(x, nil, params, nil, unbounded, rec)
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return db.execDML(stmt, params, rec)
 	case *sql.CreateTableStmt:
@@ -418,42 +418,41 @@ func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.
 
 // query runs one SELECT on rec's clock: the result cache, then the plan, then
 // the one runner. e is the statement's plan-cache entry when the front door
-// found it (nil: planFor looks it up by deparse), and autoArgs, when non-nil,
+// found it (nil: it is looked up by deparse), and autoArgs, when non-nil,
 // holds the literal values the front door extracted from the original text,
-// bound positionally to the plan's @__pN parameters. What it learns on the way —
-// shape, tier, variant, rows, served staleness — goes on the record and is
-// reported nowhere else; the caller publishes.
+// bound positionally to the plan's @__pN parameters. fresh is the WITH
+// FRESHNESS bound in seconds the front door lifted off the text, stmt being
+// its unbounded twin; unbounded when there was none. What it learns on the
+// way — shape, tier, variant, rows, served staleness — goes on the record and
+// is reported nowhere else; the caller publishes.
 //
 // On a cache whose backend link has failed, queries without a freshness
 // bound degrade gracefully: the query is re-planned onto local (possibly
 // stale) cached views and answered from them. A WITH FRESHNESS query never
 // degrades — the user asked for a bound the cache can no longer guarantee,
 // so it fails fast with the transport error instead.
-func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params, autoArgs []types.Value, rec *trace.Record) (*Result, error) {
-	rec.Shape = stmt.CacheKey() // query-store key, and with the bound values the result-cache key
+func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params, autoArgs []types.Value, fresh float64, rec *trace.Record) (*Result, error) {
+	rec.Shape = stmt.CacheKey() // the query-store key, and the result key's shape
+	bounded := fresh != unbounded || stmt.Freshness != nil
+	if e == nil && stmt.Freshness == nil {
+		e = db.entryFor(stmt)
+	}
 	// Intermediate-result exact-match fast path: a repeated statement with
 	// identical bound values is answered straight from the materialized
 	// result — no planning, no execution. Ordinary queries demand a fresh
-	// entry; WITH FRESHNESS accepts one stale up to the declared bound.
+	// entry; WITH FRESHNESS accepts one stale up to the declared bound. A
+	// parsed statement that still carries its clause (a procedure body's)
+	// bypasses the cache.
 	imc := db.imcacheIfEnabled()
-	var imkey string
+	var key imcache.Key
+	var buf [8]types.Value
+	vals, cacheable := buf[:0], false
 	var imstamp uint64
-	if imc != nil {
-		maxStale, boundOK := time.Duration(0), true
-		if stmt.Freshness != nil {
-			if bound, err := db.freshnessBound(stmt, params); err == nil {
-				maxStale = time.Duration(bound * float64(time.Second))
-			} else {
-				boundOK = false // let the planner surface the error
-			}
-		}
-		if boundOK {
-			if stmt.Freshness == nil {
-				imkey = imKey(rec.Shape, params, autoArgs)
-			} else {
-				imkey = db.imFreshnessKey(stmt, params)
-			}
-			hit, found := imc.Lookup(imkey, time.Now(), maxStale)
+	if imc != nil && stmt.Freshness == nil {
+		if vals, cacheable = e.keyValues(vals, params, autoArgs); cacheable {
+			key = imcache.KeyOf(rec.Shape, vals)
+			maxStale := time.Duration(max(fresh, 0) * float64(time.Second)) // unbounded: 0, a fresh entry
+			hit, found := imc.Lookup(key, vals, time.Now(), maxStale)
 			rec.Mark(trace.StageLookup)
 			if found {
 				rec.Tier, rec.Variant = trace.TierIMCache, trace.TierIMCache.String()
@@ -465,10 +464,11 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 			imstamp = imc.Stamp()
 		}
 	}
-	plan, err := db.planFor(stmt, e, params, rec)
+	cp, err := db.planFor(stmt, e, params, fresh, rec)
 	if err != nil {
 		return nil, err
 	}
+	plan := cp.Plan
 	// Slow-query capture: when the query store armed this shape (a prior run
 	// exceeded the slow threshold), the plan runs instrumented and its
 	// EXPLAIN ANALYZE tree is retained for sys.query_plans / \slow.
@@ -482,7 +482,7 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 		qs.NotePlan(rec.Shape, plan.Variant, opt.Explain(plan))
 	}
 	if err != nil {
-		if stmt.Freshness == nil && db.role == Cache && resilience.Degradable(err) {
+		if !bounded && db.role == Cache && resilience.Degradable(err) {
 			if lres, lerr := db.queryLocalOnly(stmt, params, autoArgs, rec); lerr == nil {
 				rec.Tier, rec.Variant = trace.TierDegraded, trace.TierDegraded.String()
 				return lres, nil
@@ -496,27 +496,37 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 	// Feed the intermediate cache. Freshness-bounded executions are not
 	// observed: their plan may have read bounded-stale views, so the rows
 	// are not a fresh materialization of the statement.
-	if imc != nil && imkey != "" && stmt.Freshness == nil {
-		db.imObserve(imc, imkey, imstamp, stmt, autoArgs, plan, res, rec)
+	if cacheable && !bounded {
+		db.imObserve(imc, key, vals, imstamp, autoArgs, cp.lineage, res, rec)
 	}
 	return res, nil
 }
 
+// unbounded is the fresh bound of a statement without WITH FRESHNESS.
+const unbounded = -1.0
+
 // planFor plans stmt on rec's clock: per execution, against the views' current
-// staleness, under a WITH FRESHNESS bound; otherwise through the plan cache,
-// on e — the entry the front door found, or when nil the one stmt's deparse
-// keys.
-func (db *Database) planFor(stmt *sql.SelectStmt, e *planEntry, params exec.Params, rec *trace.Record) (plan *opt.Plan, err error) {
+// staleness, under a WITH FRESHNESS bound — fresh, or the clause stmt still
+// carries; otherwise through the plan cache, on e — the entry the front door
+// found, or when nil the one stmt's deparse keys.
+func (db *Database) planFor(stmt *sql.SelectStmt, e *planEntry, params exec.Params, fresh float64, rec *trace.Record) (cp *cachedPlan, err error) {
+	defer rec.Mark(trace.StagePlan)
 	if stmt.Freshness != nil {
-		plan, err = db.planWithFreshness(stmt, params)
-	} else {
+		if fresh, err = db.freshnessBound(stmt, params); err != nil {
+			return nil, err
+		}
+	}
+	if fresh == unbounded {
 		if e == nil {
 			e = db.entryFor(stmt)
 		}
-		plan, rec.PlanCache, err = db.planOf(e, stmt)
+		cp, rec.PlanCache, err = db.planOf(e, stmt)
+		return cp, err
 	}
-	rec.Mark(trace.StagePlan)
-	return plan, err
+	env := db.env()
+	env.HasFreshness, env.MaxStaleness = true, fresh
+	p, err := opt.Optimize(stmt, env)
+	return &cachedPlan{Plan: p}, err
 }
 
 // tierOf names where a plan's execution was answered; the branch a dynamic
@@ -550,8 +560,8 @@ func (db *Database) queryLocalOnly(stmt *sql.SelectStmt, params exec.Params, aut
 	return res, nil
 }
 
-// freshnessBound evaluates the query's WITH FRESHNESS expression to its
-// bound in seconds.
+// freshnessBound evaluates the WITH FRESHNESS expression a parsed statement
+// carries to its bound in seconds.
 func (db *Database) freshnessBound(stmt *sql.SelectStmt, params exec.Params) (float64, error) {
 	bound, err := opt.CompileScalar(stmt.Freshness, nil)
 	if err != nil {
@@ -561,22 +571,15 @@ func (db *Database) freshnessBound(stmt *sql.SelectStmt, params exec.Params) (fl
 	if err != nil {
 		return 0, fmt.Errorf("engine: WITH FRESHNESS: %w", err)
 	}
+	return freshnessSeconds(v)
+}
+
+// freshnessSeconds is a WITH FRESHNESS bound's value in seconds.
+func freshnessSeconds(v types.Value) (float64, error) {
 	if v.IsNull() || v.Float() < 0 {
 		return 0, fmt.Errorf("engine: WITH FRESHNESS requires a non-negative number of seconds")
 	}
 	return v.Float(), nil
-}
-
-// planWithFreshness optimizes under the query's declared staleness bound.
-func (db *Database) planWithFreshness(stmt *sql.SelectStmt, params exec.Params) (*opt.Plan, error) {
-	bound, err := db.freshnessBound(stmt, params)
-	if err != nil {
-		return nil, err
-	}
-	env := db.env()
-	env.HasFreshness = true
-	env.MaxStaleness = bound
-	return opt.Optimize(stmt, env)
 }
 
 // Plan returns the (possibly cached) plan for a SELECT. The cache key is the
@@ -584,8 +587,11 @@ func (db *Database) planWithFreshness(stmt *sql.SelectStmt, params exec.Params) 
 // instead of reoptimizing (paper §5.1: dynamic plans "avoid the need for
 // frequent reoptimization").
 func (db *Database) Plan(stmt *sql.SelectStmt) (*opt.Plan, error) {
-	p, _, err := db.planOf(db.entryFor(stmt), stmt)
-	return p, err
+	cp, _, err := db.planOf(db.entryFor(stmt), stmt)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Plan, nil
 }
 
 // planEntry is one statement text's slot in the plan cache. The key is a
@@ -593,7 +599,14 @@ func (db *Database) Plan(stmt *sql.SelectStmt) (*opt.Plan, error) {
 // statement, so the two kinds share entries.
 type planEntry struct {
 	stmt sql.Statement // shared and read-only; nil for a negative front-door shape
-	plan atomic.Pointer[opt.Plan]
+	refs []string      // a SELECT's paramRefs: the values its result key covers
+	plan atomic.Pointer[cachedPlan]
+}
+
+// cachedPlan is a plan and what its results are invalidated by.
+type cachedPlan struct {
+	*opt.Plan
+	lineage []string // imLineage; nil: no result of the plan is cached
 }
 
 // planCacheCap bounds the plan cache. Texts beyond it evict the least
@@ -620,28 +633,29 @@ func (db *Database) entryFor(stmt *sql.SelectStmt) *planEntry {
 	if e, ok := db.plans.get(key); ok {
 		return e
 	}
-	return db.plans.add(key, &planEntry{stmt: stmt})
+	return db.plans.add(key, &planEntry{stmt: stmt, refs: paramRefs(stmt, nil)})
 }
 
 // planOf is e's plan: the one stored on it, or — when there is none yet —
-// stmt optimized outside the lock and stored on e. e is the entry a lookup
-// returned before the optimization began, never one found again by key:
-// InvalidatePlans detaches every entry, so a plan optimized across it lands
-// on an entry no lookup reaches any more — it runs this once and is never
-// served again. What planOf did is also what the engine.plan_cache_hits /
-// engine.plan_cache_misses counters count.
-func (db *Database) planOf(e *planEntry, stmt *sql.SelectStmt) (*opt.Plan, trace.PlanCache, error) {
-	if p := e.plan.Load(); p != nil {
+// stmt optimized outside the lock and stored on e with its lineage. e is the
+// entry a lookup returned before the optimization began, never one found
+// again by key: InvalidatePlans detaches every entry, so a plan optimized
+// across it lands on an entry no lookup reaches any more — it runs this once
+// and is never served again. What planOf did is also what the
+// engine.plan_cache_hits / engine.plan_cache_misses counters count.
+func (db *Database) planOf(e *planEntry, stmt *sql.SelectStmt) (*cachedPlan, trace.PlanCache, error) {
+	if cp := e.plan.Load(); cp != nil {
 		metrics.Default.Counter("engine.plan_cache_hits").Add(1)
-		return p, trace.PlanHit, nil
+		return cp, trace.PlanHit, nil
 	}
 	metrics.Default.Counter("engine.plan_cache_misses").Add(1)
 	p, err := opt.Optimize(stmt, db.env())
 	if err != nil {
 		return nil, trace.PlanMiss, err
 	}
-	e.plan.CompareAndSwap(nil, p) // a concurrent miss that stored first keeps its plan
-	return p, trace.PlanMiss, nil
+	cp := &cachedPlan{Plan: p, lineage: db.imLineage(stmt, p)}
+	e.plan.CompareAndSwap(nil, cp) // a concurrent miss that stored first keeps its plan
+	return cp, trace.PlanMiss, nil
 }
 
 // PlanCacheSize reports the number of plan-cache entries: shapes and
@@ -757,14 +771,16 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, rec *tra
 	}
 	var e *planEntry
 	var autoArgs []types.Value
-	if shared, args, norm, ok := db.autoParse(sql.Deparse(sel)); ok {
+	fresh := unbounded
+	if shared, args, bound, norm, ok := db.autoParse(sql.Deparse(sel), params); ok {
 		defer normPool.Put(norm)
-		e, sel, autoArgs = shared, shared.stmt.(*sql.SelectStmt), args // the text is a SELECT
+		e, sel, autoArgs, fresh = shared, shared.stmt.(*sql.SelectStmt), args, bound // the text is a SELECT
 	}
-	plan, err := db.planFor(sel, e, params, rec)
+	cp, err := db.planFor(sel, e, params, fresh, rec)
 	if err != nil {
 		return nil, err
 	}
+	plan := cp.Plan
 	res := &Result{Cols: []exec.ColInfo{{Name: "plan", Kind: types.KindString}}}
 	var text string
 	if x.Analyze {

@@ -1,13 +1,13 @@
-// Intermediate-result cache glue: key construction, lineage extraction,
-// exact-match lookup before planning and admission after execution. The
-// cache itself (admission thresholds, benefit-weighted eviction, staleness
-// transitions) lives in internal/imcache; the replication apply path and
-// every local write path invalidate through InvalidateIntermediates.
+// Intermediate-result cache glue: the values a result key covers, lineage
+// extraction, exact-match lookup before planning and admission after
+// execution. The cache itself (admission thresholds, benefit-weighted
+// eviction, staleness transitions) lives in internal/imcache; the
+// replication apply path and every local write path invalidate through
+// InvalidateIntermediates.
 package engine
 
 import (
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,211 +48,129 @@ func (db *Database) InvalidateIntermediates(table string) {
 	db.imc.Invalidate(table, time.Now())
 }
 
-// imKey builds the exact-match result key: the shape plus a kind-tagged
-// encoding of every bound value (auto-extracted literals positionally,
-// named parameters sorted by name — as spelled: the executor resolves @ID
-// and @id to different map entries). The builder copies all byte content,
-// so keys never alias the pooled normalizer buffers autoArgs point into.
-func imKey(shape string, params exec.Params, autoArgs []types.Value) string {
-	var b strings.Builder
-	b.Grow(len(shape) + 16*len(autoArgs) + 16*len(params))
-	b.WriteString(shape)
-	b.WriteByte(0)
-	for i := range autoArgs {
-		imWriteValue(&b, autoArgs[i])
-	}
-	if len(params) > 0 {
-		names := make([]string, 0, len(params))
-		for n := range params {
-			names = append(names, n)
+// paramRefs adds to refs the parameters a SELECT references, as spelled (the
+// executor resolves @ID and @id apart), each once: the values its results
+// depend on.
+func paramRefs(s *sql.SelectStmt, refs []string) []string {
+	note := func(e sql.Expr) bool {
+		if p, ok := e.(*sql.Param); ok && !slices.Contains(refs, p.Name) {
+			refs = append(refs, p.Name)
 		}
-		sort.Strings(names)
-		for _, n := range names {
-			b.WriteByte(1)
-			b.WriteString(n)
-			b.WriteByte('=')
-			imWriteValue(&b, params[n])
+		return true
+	}
+	exprs := append([]sql.Expr{s.Top, s.Where, s.Having, s.Freshness}, s.GroupBy...)
+	for _, c := range s.Columns {
+		exprs = append(exprs, c.Expr)
+	}
+	for _, o := range s.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	for from := slices.Clone(s.From); len(from) > 0; from = from[1:] {
+		switch r := from[0].(type) {
+		case *sql.JoinRef:
+			exprs, from = append(exprs, r.On), append(from, r.Left, r.Right)
+		case *sql.SubqueryRef:
+			refs = paramRefs(r.Select, refs)
 		}
 	}
-	return b.String()
+	for _, e := range exprs {
+		sql.WalkExpr(e, note)
+	}
+	return refs
 }
 
-// imFreshnessKey computes the exact-match key for a WITH FRESHNESS
-// execution so it lands on its unbounded twin's entry. Freshness text is
-// ineligible for auto-parameterization (the bound is re-evaluated per
-// execution), so the raw statement still carries literals; deparsing the
-// stripped statement and re-normalizing that text yields exactly the shape
-// and extracted values the twin was admitted under.
-func (db *Database) imFreshnessKey(stmt *sql.SelectStmt, params exec.Params) string {
-	bare := &sql.SelectStmt{
-		Top: stmt.Top, Distinct: stmt.Distinct, Columns: stmt.Columns,
-		From: stmt.From, Where: stmt.Where, GroupBy: stmt.GroupBy,
-		Having: stmt.Having, OrderBy: stmt.OrderBy,
+// keyValues appends to dst the values one execution binds to e's parameters —
+// what its result key covers — and reports false when one of them is unbound:
+// that execution bypasses the result cache.
+func (e *planEntry) keyValues(dst []types.Value, params exec.Params, autoArgs []types.Value) ([]types.Value, bool) {
+	for _, name := range e.refs {
+		v, ok := paramValue(name, params, autoArgs)
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, v)
 	}
-	text := sql.Deparse(bare)
-	keyParams, _ := imStripFreshnessRefs(stmt.Freshness, params, nil)
-	if e, args, norm, ok := db.autoParse(text); ok {
-		key := imKey(e.stmt.(*sql.SelectStmt).CacheKey(), keyParams, args) // the text is a SELECT
-		normPool.Put(norm)
-		return key
-	}
-	return imKey(text, keyParams, nil)
+	return dst, true
 }
 
-// imStripFreshnessRefs drops the bound values the WITH FRESHNESS clause
-// consumes from key construction: the bound gates *serving*, not result
-// identity, so "… WITH FRESHNESS @bound" must share its unbounded twin's
-// key. Auto-extracted literals are dropped by position; named parameters
-// referenced only by the clause are dropped by name.
-func imStripFreshnessRefs(fresh sql.Expr, params exec.Params, autoArgs []types.Value) (exec.Params, []types.Value) {
-	skipIdx := map[int]bool{}
-	skipName := map[string]bool{}
-	imCollectParams(fresh, skipIdx, skipName)
-	if len(skipIdx) > 0 {
-		kept := make([]types.Value, 0, len(autoArgs))
-		for i, v := range autoArgs {
-			if !skipIdx[i] {
-				kept = append(kept, v)
+// imLineage is what a plan's results are invalidated by: every base table and
+// view stmt reads, through view definitions and derived tables, and the
+// cached views the plan reads — lowercased, sorted. It is nil when no result
+// of the plan may be cached: it reads a virtual (sys.*) relation, an unknown
+// name, a view whose definition references a parameter, or nothing.
+func (db *Database) imLineage(stmt *sql.SelectStmt, plan *opt.Plan) []string {
+	seen := map[string]bool{}
+	if !db.imLineageOf(stmt.From, seen) || len(seen) == 0 {
+		return nil
+	}
+	for _, v := range plan.UsedViews {
+		seen[strings.ToLower(v)] = true
+	}
+	lineage := make([]string, 0, len(seen))
+	for n := range seen {
+		lineage = append(lineage, n)
+	}
+	slices.Sort(lineage)
+	return lineage
+}
+
+func (db *Database) imLineageOf(from []sql.TableRef, out map[string]bool) bool {
+	for _, ref := range from {
+		switch r := ref.(type) {
+		case *sql.TableName:
+			t := db.cat.Table(r.FullName())
+			if t == nil || t.Virtual {
+				return false // sys.* output changes outside any write path
 			}
-		}
-		autoArgs = kept
-	}
-	if len(skipName) > 0 && len(params) > 0 {
-		kept := make(exec.Params, len(params))
-		for n, v := range params {
-			if !skipName[strings.ToLower(n)] {
-				kept[n] = v
+			lower := strings.ToLower(t.Name)
+			if out[lower] {
+				continue // already expanded (also breaks view cycles)
 			}
-		}
-		params = kept
-	}
-	return params, autoArgs
-}
-
-// imCollectParams records every parameter reference under e: auto-params
-// by extraction index, explicit ones by lowercased name.
-func imCollectParams(e sql.Expr, idx map[int]bool, names map[string]bool) {
-	switch x := e.(type) {
-	case *sql.Param:
-		if i, ok := sql.AutoParamIndex(x.Name); ok {
-			idx[i] = true
-		} else {
-			names[strings.ToLower(x.Name)] = true
-		}
-	case *sql.BinaryExpr:
-		imCollectParams(x.L, idx, names)
-		imCollectParams(x.R, idx, names)
-	case *sql.UnaryExpr:
-		imCollectParams(x.X, idx, names)
-	case *sql.FuncCall:
-		for _, a := range x.Args {
-			imCollectParams(a, idx, names)
-		}
-	}
-}
-
-// imWriteValue appends a kind-tagged rendering of v, unambiguous across
-// kinds (an INT 1 and the string "1" must not collide).
-func imWriteValue(b *strings.Builder, v types.Value) {
-	switch v.K {
-	case types.KindNull:
-		b.WriteString("n;")
-	case types.KindBool, types.KindInt:
-		b.WriteString("i:")
-		b.WriteString(strconv.FormatInt(v.Int(), 10))
-		b.WriteByte(';')
-	case types.KindFloat:
-		b.WriteString("f:")
-		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
-		b.WriteByte(';')
-	case types.KindString:
-		b.WriteString("s:")
-		b.WriteString(strconv.Quote(v.S))
-		b.WriteByte(';')
-	case types.KindTime:
-		b.WriteString("t:")
-		t := v.Time()
-		b.WriteString(strconv.FormatInt(t.Unix(), 10))
-		b.WriteByte('.')
-		b.WriteString(strconv.Itoa(t.Nanosecond()))
-		b.WriteByte(';')
-	default:
-		b.WriteString("?;")
-	}
-}
-
-// imLineage collects (lowercased, into out) every base table and view the
-// statement reads, recursing through view definitions and derived tables.
-// It returns false when the statement is ineligible for caching: a
-// virtual (sys.*) relation, an unknown name, or an unresolvable ref.
-func (db *Database) imLineage(stmt *sql.SelectStmt, out map[string]bool) bool {
-	for _, ref := range stmt.From {
-		if !db.imLineageRef(ref, out) {
+			out[lower] = true
+			// A view's underlying bases count too: replication apply targets
+			// the cached view's own table, local DML targets the base.
+			if t.IsView && t.ViewDef != nil && (len(paramRefs(t.ViewDef, nil)) > 0 || !db.imLineageOf(t.ViewDef.From, out)) {
+				return false
+			}
+		case *sql.JoinRef:
+			if !db.imLineageOf([]sql.TableRef{r.Left, r.Right}, out) {
+				return false
+			}
+		case *sql.SubqueryRef:
+			if !db.imLineageOf(r.Select.From, out) {
+				return false
+			}
+		default:
 			return false
 		}
 	}
 	return true
 }
 
-func (db *Database) imLineageRef(ref sql.TableRef, out map[string]bool) bool {
-	switch r := ref.(type) {
-	case *sql.TableName:
-		t := db.cat.Table(r.FullName())
-		if t == nil || t.Virtual {
-			return false // sys.* output changes outside any write path
-		}
-		lower := strings.ToLower(t.Name)
-		if out[lower] {
-			return true // already expanded (also breaks view cycles)
-		}
-		out[lower] = true
-		if t.IsView && t.ViewDef != nil {
-			// Record the underlying bases too: replication apply targets
-			// the cached view's own table, local DML targets the base.
-			for _, sub := range t.ViewDef.From {
-				if !db.imLineageRef(sub, out) {
-					return false
-				}
-			}
-		}
-		return true
-	case *sql.JoinRef:
-		return db.imLineageRef(r.Left, out) && db.imLineageRef(r.Right, out)
-	case *sql.SubqueryRef:
-		return db.imLineage(r.Select, out)
-	}
-	return false
-}
-
-// imObserve feeds one successfully executed SELECT into the cache. Only an
-// execution that made no remote call qualifies — a fully local plan, or a
-// dynamic plan whose guard chose the local branch: rows produced on the
-// backend could be invalidated silently by writes this cache never hears
-// about. The entry goes under the record's shape (WITH FRESHNESS lookups reach
-// it through imFreshnessKey); its benefit is the record's execute stage.
-func (db *Database) imObserve(imc *imcache.Cache, key string, stamp uint64, stmt *sql.SelectStmt,
-	autoArgs []types.Value, plan *opt.Plan, res *Result, rec *trace.Record) {
-	if res.Counters.RemoteQueries > 0 {
+// imObserve feeds one successfully executed SELECT into the cache under key,
+// with a copy of vals the cache may keep (autoArgs alias pooled normalizer
+// buffers, and a wire request's parameters its frame). Only an execution that
+// made no remote call qualifies — a fully local plan, or a dynamic plan whose
+// guard chose the local branch: rows produced on the backend could be
+// invalidated silently by writes this cache never hears about. Its benefit is
+// the record's execute stage.
+func (db *Database) imObserve(imc *imcache.Cache, key imcache.Key, vals []types.Value, stamp uint64,
+	autoArgs []types.Value, lineage []string, res *Result, rec *trace.Record) {
+	if res.Counters.RemoteQueries > 0 || lineage == nil {
 		return
 	}
-	lineage := map[string]bool{}
-	if !db.imLineage(stmt, lineage) || len(lineage) == 0 {
-		return
-	}
-	for _, v := range plan.UsedViews {
-		lineage[strings.ToLower(v)] = true
-	}
-	names := make([]string, 0, len(lineage))
-	for n := range lineage {
-		names = append(names, n)
+	kept := make([]types.Value, len(vals))
+	for i, v := range vals {
+		v.S = strings.Clone(v.S)
+		kept[i] = v
 	}
 	imc.Observe(imcache.Observation{
 		Key:     key,
-		Shape:   rec.Shape,
+		Vals:    kept,
 		Args:    formatLiterals(autoArgs),
 		Cols:    res.Cols,
 		Rows:    res.Rows,
-		Lineage: names,
+		Lineage: lineage,
 		LSN:     uint64(res.SnapshotLSN),
 		CostNs:  rec.Stages[trace.StageExec].Nanoseconds(),
 		Stamp:   stamp,

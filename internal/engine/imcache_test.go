@@ -427,15 +427,13 @@ func TestIMCacheSysTable(t *testing.T) {
 	}
 }
 
-// The result key writes each named parameter's value from the name it is
-// stored under — the executor resolves @ID by exact name, so {"ID": 3} and
-// {"ID": 7} are different executions whatever a lower-cased lookup finds.
+// The result key reads each named parameter's value under the name the
+// statement spells — the executor resolves @ID by exact name, so {"ID": 3}
+// and {"ID": 7} are different executions, each admitted under its own entry,
+// whatever a lower-cased lookup finds.
 func TestIMKeyKeepsMixedCaseParamValues(t *testing.T) {
 	const q = "SELECT i_id FROM item WHERE i_id = @ID"
 	three, seven := exec.Params{"ID": types.NewInt(3)}, exec.Params{"ID": types.NewInt(7)}
-	if imKey(q, three, nil) == imKey(q, seven, nil) {
-		t.Fatal("@ID = 3 and @ID = 7 share one result key")
-	}
 	db := newBackendDB(t)
 	for round := 0; round < 3; round++ {
 		for _, p := range []exec.Params{three, seven} {
@@ -447,5 +445,12 @@ func TestIMKeyKeepsMixedCaseParamValues(t *testing.T) {
 				t.Fatalf("round %d, @ID = %d: rows %v", round, want, res.Rows)
 			}
 		}
+	}
+	res, err := db.Exec("SELECT COUNT(*) FROM sys.intermediate_results", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].Int(); n != 2 {
+		t.Fatalf("@ID = 3 and @ID = 7 left %d result entries, want one each", n)
 	}
 }

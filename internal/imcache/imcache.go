@@ -1,9 +1,9 @@
 // Package imcache implements the intermediate-result cache: hot
-// query-produced results (join/agg outputs) are fingerprinted by their
-// normalized shape plus bound parameter values, admitted after repeated
-// executions cross a benefit threshold, kept under a benefit-weighted
-// byte budget, and invalidated coarsely by table lineage whenever the
-// replication apply path (or local DML) touches a source table.
+// query-produced results (join/agg outputs) are identified by a Key — the
+// statement's shape plus a hash of the values it binds — admitted after
+// repeated executions cross a benefit threshold, kept under a
+// benefit-weighted byte budget, and invalidated coarsely by table lineage
+// whenever the replication apply path (or local DML) touches a source table.
 //
 // Invalidation is a freshness transition, not an immediate drop: a
 // touched entry becomes *stale* at the invalidation instant, which makes
@@ -12,9 +12,12 @@
 // for longer than Options.MaxStaleAge are discarded outright.
 //
 // There is one reuse tier: an admitted entry serves exact-match lookups
-// (same shape, same parameter values) straight from the engine before
-// planning. The optimizer never sees the cache, so nothing that happens
-// here — admit, stale, refresh, evict — can invalidate a cached plan.
+// straight from the engine before planning. A lookup names the entry by its
+// Key and hands over the values themselves; the entry keeps the values it was
+// computed under and serves only values == to them, kind included, so two
+// value lists that hash alike cost a miss, never a wrong row. The optimizer
+// never sees the cache, so nothing that happens here — admit, stale,
+// refresh, evict — can invalidate a cached plan.
 //
 // A result computed before an invalidation must not be admitted after it:
 // the caller takes Stamp before it opens its read snapshot and hands it
@@ -23,6 +26,7 @@
 package imcache
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -63,14 +67,34 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Key names one result: the shape of the statement that computed it (the
+// query-store key) and a hash of the values the execution bound to the
+// parameters the shape references, in the shape's order.
+type Key struct {
+	Shape string
+	Hash  uint64
+}
+
+// KeyOf is vals' key under shape. Each value's kind is folded in beside
+// Value.Hash, which hashes the numeric kinds alike: the BOOL TRUE and the INT
+// 1 are different results. It allocates nothing.
+func KeyOf(shape string, vals []types.Value) Key {
+	h := uint64(14695981039346656037) // FNV-1a's offset basis and prime
+	for i := range vals {
+		h = (h ^ uint64(vals[i].K)) * 1099511628211
+		h = (h ^ vals[i].Hash()) * 1099511628211
+	}
+	return Key{Shape: shape, Hash: h}
+}
+
 // Observation describes one completed execution of a cacheable statement.
 type Observation struct {
-	Key     string         // result key: normalized shape + bound literal values
-	Shape   string         // normalized statement shape (querystore key)
+	Key     Key
+	Vals    []types.Value  // the values Key hashes; must not be mutated after the call
 	Args    string         // rendered literal values, for sys.* display only
 	Cols    []exec.ColInfo // result schema
 	Rows    []types.Row    // materialized result; must not be mutated after the call
-	Lineage []string       // lowercased source tables (base tables and cached views)
+	Lineage []string       // source tables (base tables and cached views); kept, not copied
 	LSN     uint64         // MVCC snapshot LSN the result was computed at
 	CostNs  int64          // wall time spent computing the result
 	Stamp   uint64         // Cache.Stamp taken before the read snapshot opened
@@ -78,16 +102,15 @@ type Observation struct {
 
 // Entry is one admitted intermediate result.
 type Entry struct {
-	Key        string
-	Shape      string
-	Args       string
-	Cols       []exec.ColInfo
-	Rows       []types.Row
-	Bytes      int64
-	Lineage    []string
-	LSN        uint64
-	ComputedAt time.Time
-	CostNs     int64
+	Key     Key
+	Vals    []types.Value // the only values the entry serves
+	Args    string
+	Cols    []exec.ColInfo
+	Rows    []types.Row
+	Bytes   int64
+	Lineage []string
+	LSN     uint64
+	CostNs  int64
 
 	hits     int64
 	savedNs  int64
@@ -140,8 +163,8 @@ type candidate struct {
 type Cache struct {
 	mu      sync.Mutex
 	opts    Options
-	entries map[string]*Entry
-	cands   map[string]*candidate
+	entries map[Key]*Entry
+	cands   map[Key]*candidate
 	bytes   int64
 	tick    int64
 
@@ -155,8 +178,8 @@ type Cache struct {
 func New(opts Options) *Cache {
 	return &Cache{
 		opts:      opts.withDefaults(),
-		entries:   make(map[string]*Entry),
-		cands:     make(map[string]*candidate),
+		entries:   make(map[Key]*Entry),
+		cands:     make(map[Key]*candidate),
 		lastInval: make(map[string]uint64),
 	}
 }
@@ -179,7 +202,7 @@ func (c *Cache) Stamp() uint64 { return c.seq.Load() }
 // it is dropped — not admitted, not refreshed, not counted toward
 // AdmitAfter.
 func (c *Cache) Observe(obs Observation, now time.Time) bool {
-	if obs.Key == "" || len(obs.Lineage) == 0 {
+	if obs.Key.Shape == "" || len(obs.Lineage) == 0 {
 		return false
 	}
 	bytes := estimateBytes(obs.Cols, obs.Rows)
@@ -193,10 +216,12 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 
 	if e, ok := c.entries[obs.Key]; ok {
 		// A recomputation of an admitted entry means the cached copy was
-		// stale (or bypassed); refresh it in place with the new snapshot.
+		// stale (or bypassed, or held other values under the same key);
+		// refresh it in place with the new snapshot.
 		c.bytes += bytes - e.Bytes
+		e.Vals, e.Args = obs.Vals, obs.Args
 		e.Cols, e.Rows, e.Bytes = obs.Cols, obs.Rows, bytes
-		e.LSN, e.ComputedAt, e.CostNs = obs.LSN, now, obs.CostNs
+		e.LSN, e.CostNs = obs.LSN, obs.CostNs
 		e.lastUsed = now
 		e.staleAt = time.Time{}
 		c.evictToFitLocked(obs.Key)
@@ -223,17 +248,16 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 	}
 
 	e := &Entry{
-		Key:        obs.Key,
-		Shape:      obs.Shape,
-		Args:       obs.Args,
-		Cols:       obs.Cols,
-		Rows:       obs.Rows,
-		Bytes:      bytes,
-		Lineage:    lowerAll(obs.Lineage),
-		LSN:        obs.LSN,
-		ComputedAt: now,
-		CostNs:     cand.totalNs / int64(cand.count),
-		lastUsed:   now,
+		Key:      obs.Key,
+		Vals:     obs.Vals,
+		Args:     obs.Args,
+		Cols:     obs.Cols,
+		Rows:     obs.Rows,
+		Bytes:    bytes,
+		Lineage:  obs.Lineage,
+		LSN:      obs.LSN,
+		CostNs:   cand.totalNs / int64(cand.count),
+		lastUsed: now,
 	}
 	if e.CostNs <= 0 {
 		e.CostNs = 1
@@ -251,11 +275,12 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 	return true
 }
 
-// Lookup serves an exact-match hit for key when the entry's staleness is
-// within maxStale (pass 0 to demand a fresh entry). An entry found stale
-// beyond MaxStaleAge is dropped, never served.
-func (c *Cache) Lookup(key string, now time.Time, maxStale time.Duration) (Hit, bool) {
-	if key == "" {
+// Lookup serves an exact-match hit for key when the entry holds vals and its
+// staleness is within maxStale (pass 0 to demand a fresh entry). An entry
+// found stale beyond MaxStaleAge is dropped, never served. Lookup keeps no
+// reference to vals.
+func (c *Cache) Lookup(key Key, vals []types.Value, now time.Time, maxStale time.Duration) (Hit, bool) {
+	if key.Shape == "" {
 		return Hit{}, false
 	}
 	var hit Hit
@@ -267,7 +292,7 @@ func (c *Cache) Lookup(key string, now time.Time, maxStale time.Duration) (Hit, 
 		c.removeLocked(key)
 		present = false
 	}
-	if present {
+	if present && slices.Equal(e.Vals, vals) { // ==, kind for kind
 		// A fresh entry serves any request; a stale one needs a positive
 		// freshness budget covering its age (the invalidation instant
 		// itself computes staleness 0, so IsZero is the fresh test).
@@ -333,14 +358,16 @@ func (c *Cache) Snapshot(now time.Time) []EntryInfo {
 	defer c.mu.Unlock()
 	out := make([]EntryInfo, 0, len(c.entries))
 	for _, e := range c.entries {
+		lineage := append([]string(nil), e.Lineage...)
+		sort.Strings(lineage)
 		out = append(out, EntryInfo{
-			Shape:            e.Shape,
+			Shape:            e.Key.Shape,
 			Args:             e.Args,
 			Rows:             len(e.Rows),
 			Bytes:            e.Bytes,
 			Hits:             e.hits,
 			SavedNs:          e.savedNs,
-			Lineage:          append([]string(nil), e.Lineage...),
+			Lineage:          lineage,
 			LSN:              e.LSN,
 			StalenessSeconds: e.staleness(now).Seconds(),
 		})
@@ -375,12 +402,12 @@ func (c *Cache) Clear() {
 	for key := range c.entries {
 		c.removeLocked(key)
 	}
-	c.cands = make(map[string]*candidate)
+	c.cands = make(map[Key]*candidate)
 	c.publishLocked()
 }
 
 // removeLocked drops one entry and counts the eviction.
-func (c *Cache) removeLocked(key string) {
+func (c *Cache) removeLocked(key Key) {
 	e, ok := c.entries[key]
 	if !ok {
 		return
@@ -393,7 +420,7 @@ func (c *Cache) removeLocked(key string) {
 // evictToFitLocked evicts lowest-weight entries (stale first) until the
 // byte budget holds. keep is never evicted unless it alone exceeds the
 // budget, in which case it too is dropped.
-func (c *Cache) evictToFitLocked(keep string) {
+func (c *Cache) evictToFitLocked(keep Key) {
 	for c.bytes > c.opts.MaxBytes {
 		var victim *Entry
 		for _, e := range c.entries {
@@ -446,7 +473,7 @@ func (c *Cache) dropOverStaleLocked(now time.Time) {
 // dropping the least-promising candidate (fewest executions, oldest).
 func (c *Cache) boundCandidatesLocked() {
 	for len(c.cands) > c.opts.MaxTracked {
-		var worstKey string
+		var worstKey Key
 		var worst *candidate
 		for k, cand := range c.cands {
 			if worst == nil || cand.count < worst.count ||
@@ -483,23 +510,9 @@ func estimateBytes(cols []exec.ColInfo, rows []types.Row) int64 {
 	return total
 }
 
-func lowerAll(in []string) []string {
-	out := make([]string, 0, len(in))
-	seen := make(map[string]bool, len(in))
-	for _, s := range in {
-		l := strings.ToLower(s)
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 func lineageHas(lineage []string, lower string) bool {
 	for _, l := range lineage {
-		if l == lower {
+		if strings.EqualFold(l, lower) {
 			return true
 		}
 	}

@@ -23,10 +23,12 @@ func intRows(n int) []types.Row {
 	return rows
 }
 
-func obs(key string, rows int, costNs int64, lineage ...string) Observation {
+// key names the test result k: the shape "SELECT k", bound to no values.
+func key(k string) Key { return KeyOf("SELECT "+k, nil) }
+
+func obs(k string, rows int, costNs int64, lineage ...string) Observation {
 	return Observation{
-		Key:     key,
-		Shape:   "SELECT " + key,
+		Key:     key(k),
 		Cols:    intCols(),
 		Rows:    intRows(rows),
 		Lineage: lineage,
@@ -42,14 +44,14 @@ func TestAdmitAfterThreshold(t *testing.T) {
 		if c.Observe(obs("k1", 4, 100, "item"), now) {
 			t.Fatalf("admitted on execution %d, want threshold 3", i+1)
 		}
-		if _, ok := c.Lookup("k1", now, 0); ok {
+		if _, ok := c.Lookup(key("k1"), nil, now, 0); ok {
 			t.Fatal("lookup hit before admission")
 		}
 	}
 	if !c.Observe(obs("k1", 4, 100, "item"), now) {
 		t.Fatal("not admitted at threshold")
 	}
-	hit, ok := c.Lookup("k1", now, 0)
+	hit, ok := c.Lookup(key("k1"), nil, now, 0)
 	if !ok || len(hit.Rows) != 4 || hit.LSN != 7 || hit.Staleness != 0 {
 		t.Fatalf("bad hit after admission: ok=%v hit=%+v", ok, hit)
 	}
@@ -64,24 +66,24 @@ func TestInvalidateByLineageAndFreshnessWindow(t *testing.T) {
 	if n := c.Invalidate("AUTHOR", now); n != 1 {
 		t.Fatalf("invalidated %d entries, want 1 (lineage is case-insensitive)", n)
 	}
-	if _, ok := c.Lookup("k1", now, 0); ok {
+	if _, ok := c.Lookup(key("k1"), nil, now, 0); ok {
 		t.Fatal("fresh-only lookup served a stale entry")
 	}
 	// Under a freshness budget the stale entry stays usable.
 	later := now.Add(10 * time.Second)
-	if hit, ok := c.Lookup("k1", later, 30*time.Second); !ok || hit.Staleness != 10*time.Second {
+	if hit, ok := c.Lookup(key("k1"), nil, later, 30*time.Second); !ok || hit.Staleness != 10*time.Second {
 		t.Fatalf("bounded-stale lookup: ok=%v staleness=%v", ok, hit.Staleness)
 	}
-	if _, ok := c.Lookup("k1", later, 5*time.Second); ok {
+	if _, ok := c.Lookup(key("k1"), nil, later, 5*time.Second); ok {
 		t.Fatal("lookup served an entry staler than its budget")
 	}
 	// The untouched entry is unaffected.
-	if _, ok := c.Lookup("k2", later, 0); !ok {
+	if _, ok := c.Lookup(key("k2"), nil, later, 0); !ok {
 		t.Fatal("invalidation leaked onto an unrelated lineage")
 	}
 	// Beyond MaxStaleAge the entry is dropped even for generous budgets.
 	expired := now.Add(2 * time.Minute)
-	if _, ok := c.Lookup("k1", expired, time.Hour); ok {
+	if _, ok := c.Lookup(key("k1"), nil, expired, time.Hour); ok {
 		t.Fatal("lookup served an entry beyond MaxStaleAge")
 	}
 }
@@ -97,7 +99,7 @@ func TestRefreshClearsStaleness(t *testing.T) {
 	if !c.Observe(re, now.Add(time.Second)) {
 		t.Fatal("refresh observation not accepted")
 	}
-	hit, ok := c.Lookup("k1", now.Add(2*time.Second), 0)
+	hit, ok := c.Lookup(key("k1"), nil, now.Add(2*time.Second), 0)
 	if !ok || len(hit.Rows) != 3 || hit.Staleness != 0 {
 		t.Fatalf("refresh did not clear staleness: ok=%v hit=%+v", ok, hit)
 	}
@@ -124,7 +126,7 @@ func TestObserveDropsResultComputedBeforeInvalidation(t *testing.T) {
 			if c.Observe(old, now) {  // and it observes pre-write rows
 				t.Fatal("observation older than its lineage's invalidation was accepted")
 			}
-			if _, ok := c.Lookup("k1", now, 0); ok {
+			if _, ok := c.Lookup(key("k1"), nil, now, 0); ok {
 				t.Fatal("pre-invalidation rows are served as fresh")
 			}
 
@@ -134,7 +136,7 @@ func TestObserveDropsResultComputedBeforeInvalidation(t *testing.T) {
 			if !c.Observe(fresh, now) {
 				t.Fatal("post-invalidation observation refused")
 			}
-			if hit, ok := c.Lookup("k1", now, 0); !ok || len(hit.Rows) != 3 {
+			if hit, ok := c.Lookup(key("k1"), nil, now, 0); !ok || len(hit.Rows) != 3 {
 				t.Fatalf("want the post-invalidation rows: ok=%v rows=%d", ok, len(hit.Rows))
 			}
 		})
@@ -164,16 +166,16 @@ func TestEvictionUnderPressurePrefersLowBenefit(t *testing.T) {
 	c.Observe(obs("cheap", 100, 10, "a"), now)
 	c.Observe(obs("costly", 100, 10_000_000, "b"), now)
 	// Hit the costly entry to raise its benefit further.
-	c.Lookup("costly", now, 0)
+	c.Lookup(key("costly"), nil, now, 0)
 	c.Observe(obs("new", 100, 5_000_000, "c"), now)
 
-	if _, ok := c.Lookup("cheap", now, 0); ok {
+	if _, ok := c.Lookup(key("cheap"), nil, now, 0); ok {
 		t.Fatal("low-benefit entry survived eviction pressure")
 	}
-	if _, ok := c.Lookup("costly", now, 0); !ok {
+	if _, ok := c.Lookup(key("costly"), nil, now, 0); !ok {
 		t.Fatal("high-benefit entry was evicted")
 	}
-	if _, ok := c.Lookup("new", now, 0); !ok {
+	if _, ok := c.Lookup(key("new"), nil, now, 0); !ok {
 		t.Fatal("newly admitted entry was evicted instead of the cheap one")
 	}
 	if c.Bytes() > c.Options().MaxBytes {
@@ -189,10 +191,10 @@ func TestStaleEvictedFirst(t *testing.T) {
 	c.Observe(obs("fresh", 100, 10, "b"), now)
 	c.Invalidate("a", now)
 	c.Observe(obs("new", 100, 10, "c"), now)
-	if _, ok := c.Lookup("stale", now, time.Hour); ok {
+	if _, ok := c.Lookup(key("stale"), nil, now, time.Hour); ok {
 		t.Fatal("stale entry survived pressure ahead of fresh ones")
 	}
-	if _, ok := c.Lookup("fresh", now, 0); !ok {
+	if _, ok := c.Lookup(key("fresh"), nil, now, 0); !ok {
 		t.Fatal("fresh entry evicted while a stale one existed")
 	}
 }
@@ -235,7 +237,7 @@ func TestOverStaleSweepRunsInInvalidateOnly(t *testing.T) {
 	c.Invalidate("item", now)
 
 	expired := now.Add(2 * time.Minute)
-	if _, ok := c.Lookup("k1", expired, time.Hour); ok {
+	if _, ok := c.Lookup(key("k1"), nil, expired, time.Hour); ok {
 		t.Fatal("lookup served an entry beyond MaxStaleAge")
 	}
 	if c.Len() != 1 {
@@ -252,8 +254,8 @@ func TestMetricsAccounting(t *testing.T) {
 	c := New(Options{AdmitAfter: 1})
 	now := time.Unix(1000, 0)
 	c.Observe(obs("k1", 2, 50, "item"), now)
-	c.Lookup("k1", now, 0)
-	c.Lookup("nope", now, 0)
+	c.Lookup(key("k1"), nil, now, 0)
+	c.Lookup(key("nope"), nil, now, 0)
 	c.Invalidate("item", now)
 	c.Clear()
 	snap := metrics.Default.Snapshot()
@@ -278,7 +280,7 @@ func TestSnapshotOrderAndFields(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c.Observe(obs("a", 2, 50, "item"), now)
 	c.Observe(obs("b", 3, 50, "orders", "item"), now)
-	c.Lookup("b", now, 0)
+	c.Lookup(key("b"), nil, now, 0)
 	infos := c.Snapshot(now)
 	if len(infos) != 2 || infos[0].Shape != "SELECT b" {
 		t.Fatalf("snapshot order wrong: %+v", infos)
@@ -306,5 +308,37 @@ func TestEstimateBytesTracksValueSize(t *testing.T) {
 	}
 	if got := estimateBytes(intCols(), str) - base; got != size+5 {
 		t.Errorf("one more 5-byte string costs %d bytes, want %d", got, size+5)
+	}
+}
+
+// An entry serves only the values it was computed under, kind for kind. Two
+// value lists whose keys collide — forced here by observing under one Key —
+// cost a miss, never the other's rows, and a recomputation takes the entry
+// over for its own values.
+func TestLookupServesOnlyItsValues(t *testing.T) {
+	c := New(Options{AdmitAfter: 1})
+	now := time.Unix(1000, 0)
+	one, yes := []types.Value{types.NewInt(1)}, []types.Value{types.NewBool(true)}
+	if a, b := KeyOf("s", one), KeyOf("s", yes); a == b {
+		t.Fatalf("INT 1 and BOOL TRUE share key %+v", a)
+	}
+	k := KeyOf("s", one)
+	o := obs("s", 2, 50, "item")
+	o.Key, o.Vals = k, one
+	c.Observe(o, now)
+	if _, ok := c.Lookup(k, yes, now, 0); ok {
+		t.Fatal("served INT 1's rows to BOOL TRUE under one key")
+	}
+	if hit, ok := c.Lookup(k, one, now, 0); !ok || len(hit.Rows) != 2 {
+		t.Fatalf("its own values missed: ok=%v hit=%+v", ok, hit)
+	}
+	o = obs("s", 3, 50, "item")
+	o.Key, o.Vals = k, yes
+	c.Observe(o, now)
+	if hit, ok := c.Lookup(k, yes, now, 0); !ok || len(hit.Rows) != 3 {
+		t.Fatalf("the recomputation's values missed: ok=%v hit=%+v", ok, hit)
+	}
+	if _, ok := c.Lookup(k, one, now, 0); ok {
+		t.Fatal("the replaced values are still served")
 	}
 }

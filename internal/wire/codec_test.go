@@ -356,9 +356,7 @@ func TestCodecAllocBudget(t *testing.T) {
 // TestRoundTripAllocBudget: what a warm round trip allocates, counting both
 // ends — a Client.QuerySession of a one-row SELECT against Serve, the
 // server's decode, execution and encode and the client's decode included.
-// While every frame built a fresh response channel, timer, request and
-// response (and QuerySession a *SessionResult) this count was 19; it is 10
-// now, the ceiling 10 + 1.
+// The ceiling is the measured count, 9, plus one.
 func TestRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -373,7 +371,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		}
 	}
 	call() // warm the plan, the connection and the pools
-	const ceiling = 11
+	const ceiling = 10
 	avg := testing.AllocsPerRun(300, call)
 	t.Logf("round trip: %.0f allocs", avg)
 	if avg > ceiling {
