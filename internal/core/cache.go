@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -82,8 +83,8 @@ func NewCacheOver(name string, client BackendClient, options *opt.Options, dataD
 	// Session gate: MinLSN-gated requests wait for replication to reach the
 	// session's watermark (kicking pulls) instead of serving stale rows.
 	db.SetSessionGate(c.WaitApplied)
-	db.SetStalenessProbe(func(view string) (float64, bool) {
-		d, ok := c.ViewStaleness(view)
+	db.SetStalenessProbe(func() (float64, bool) {
+		d, ok := c.Staleness()
 		return d.Seconds(), ok
 	})
 	// Cache-side sys.repl_status: one row per cached view, all reading the
@@ -250,10 +251,8 @@ func (c *CacheServer) Pull() (int, error) {
 	if err != nil {
 		metrics.Default.Counter("wire.pull_failures").Add(1)
 	}
-	// Replication lag: how stale the views may be.
-	lag := time.Since(c.sub.Status().CurrentAsOf).Seconds()
-	for _, view := range c.sub.Views() {
-		metrics.Default.Gauge("repl.lag_seconds." + view).Set(lag)
+	if lag, ok := c.Staleness(); ok {
+		metrics.Default.Gauge("repl.lag_seconds").Set(lag.Seconds())
 	}
 	metrics.Default.Histogram("repl.pull_seconds").ObserveDuration(time.Since(start))
 	return n, err
@@ -285,15 +284,15 @@ func (c *CacheServer) WaitApplied(min storage.LSN, budget time.Duration) (storag
 	}
 }
 
-// ViewStaleness reports how far a cached view may trail the backend: the
-// time since the last successful pull round. It is the one staleness
-// definition — WITH FRESHNESS, sys.repl_status and the lag gauges all read
-// it.
-func (c *CacheServer) ViewStaleness(view string) (time.Duration, bool) {
-	if !c.sub.HasView(view) {
+// Staleness reports how far the cache's views — all alike, on one replication
+// cursor — may trail the backend: the time since the start of the last pull
+// round that applied everything it was handed. A cache with no views has none.
+func (c *CacheServer) Staleness() (time.Duration, bool) {
+	st := c.sub.Status()
+	if st.AppliedLSN == math.MaxInt64 { // no views: vacuously current
 		return 0, false
 	}
-	return time.Since(c.sub.Status().CurrentAsOf), true
+	return time.Since(st.CurrentAsOf), true
 }
 
 // Checkpoint writes the cache's durable state file: every subscribed view's

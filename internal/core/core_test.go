@@ -96,7 +96,7 @@ func TestCachedViewAutoSubscription(t *testing.T) {
 	if got := c.DB.TableRowCount("Cust1000"); got != 1000 {
 		t.Fatalf("view rows after create: %d", got)
 	}
-	if _, ok := c.ViewStaleness("cust1000"); !ok {
+	if _, ok := c.Staleness(); !ok {
 		t.Error("subscription not registered")
 	}
 	// Changes flow through replication.
@@ -351,7 +351,7 @@ func TestApplyFailureVisibleOnTheCache(t *testing.T) {
 	if c.AppliedLSN() >= res.CommitLSN {
 		t.Errorf("applied position %d passed the failed transaction %d", c.AppliedLSN(), res.CommitLSN)
 	}
-	if s, _ := c.ViewStaleness("AllOrders"); s < 15*time.Millisecond {
+	if s, _ := c.Staleness(); s < 15*time.Millisecond {
 		t.Errorf("a failed round must not refresh the view's staleness: %v", s)
 	}
 

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"mtcache/internal/exec"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
 // Tests for the WITH FRESHNESS extension — the paper's §7 proposal that a
-// query should be able to declare how stale a result it tolerates, giving
-// the optimizer license to use (or obligation to bypass) cached views.
+// query should be able to declare how stale a result it tolerates, which
+// lets the cache use its views (or obliges it to bypass them).
 
 func freshnessSetup(t *testing.T) (*BackendServer, *CacheServer) {
 	t.Helper()
@@ -141,17 +143,89 @@ func TestFreshnessNegativeRejected(t *testing.T) {
 	}
 }
 
+// TestViewStalenessReporting: a cache's views share one staleness, which a
+// cache holding no views does not have.
 func TestViewStalenessReporting(t *testing.T) {
-	b, c := freshnessSetup(t)
+	b := newShop(t)
+	c, err := NewCache("cache1", b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Staleness(); ok {
+		t.Error("a cache with no views should report no staleness")
+	}
+	if err := c.CreateCachedView(`CREATE CACHED VIEW AllCust AS SELECT cid, cname FROM customer`); err != nil {
+		t.Fatal(err)
+	}
 	b.SyncReplication()
-	s, ok := c.ViewStaleness("AllCust")
+	s, ok := c.Staleness()
 	if !ok {
 		t.Fatal("staleness unavailable")
 	}
 	if s < 0 || s > 5*time.Second {
 		t.Errorf("staleness implausible: %v", s)
 	}
-	if _, ok := c.ViewStaleness("nosuchview"); ok {
-		t.Error("unknown view should report no staleness")
+}
+
+// TestFreshnessBoundHoldsForANamedCachedView: a statement that names a cached
+// view reads it as surely as one the view matched, so the view counts as read,
+// for the served staleness as for a WITH FRESHNESS bound. Outside the bound
+// such a statement cannot go to the backend, which has no AllCust: it fails,
+// naming the view, rather than answering from it.
+func TestFreshnessBoundHoldsForANamedCachedView(t *testing.T) {
+	b, c := freshnessSetup(t)
+	if err := b.SyncReplication(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Exec("UPDATE customer SET cname = 'NEW VALUE' WHERE cid = 7", nil); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(30 * time.Millisecond)
+
+	res, rec, err := c.DB.ExecSessionTraced("SELECT cname FROM AllCust WHERE cid = 7", nil, 0, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][0].Str() == "NEW VALUE" {
+		t.Fatal("fixture: the view is not stale")
+	}
+	if rec.Tier != trace.TierLocal || rec.Staleness < 0 {
+		t.Errorf("unbounded read of the named view: tier %s, staleness %v; want local and the cache's staleness", rec.Tier, rec.Staleness)
+	}
+
+	res, rec, err = c.DB.ExecSessionTraced("SELECT cname FROM AllCust WHERE cid = 7 WITH FRESHNESS 0.01", nil, 0, 0, "")
+	if err == nil {
+		t.Fatalf("bounded read of the stale named view answered %v (tier %s, staleness %v); want an error", res.Rows, rec.Tier, rec.Staleness)
+	}
+	if !strings.Contains(err.Error(), "AllCust") {
+		t.Errorf("error %q does not name the view", err)
+	}
+}
+
+// TestServedStalenessOnlyWhenAViewAnswered: a dynamic plan serves the cache's
+// staleness when its guard picks the cached view, and none (-1) when it picks
+// the backend, which is current.
+func TestServedStalenessOnlyWhenAViewAnswered(t *testing.T) {
+	b := newShop(t)
+	c, err := NewCache("cache1", b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateCachedView(`CREATE CACHED VIEW Cust1000 AS
+		SELECT cid, cname, caddress FROM customer WHERE cid <= 1000`); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		x      int64
+		tier   trace.Tier
+		served bool
+	}{{7, trace.TierDynamicLocal, true}, {1500, trace.TierDynamicRemote, false}} {
+		_, rec, err := c.DB.ExecSessionTraced("SELECT cname FROM customer WHERE cid = @x", exec.Params{"x": types.NewInt(tc.x)}, 0, 0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Tier != tc.tier || (rec.Staleness >= 0) != tc.served {
+			t.Errorf("cid = %d: tier %s, served staleness %v; want tier %s, and a staleness served: %v", tc.x, rec.Tier, rec.Staleness, tc.tier, tc.served)
+		}
 	}
 }

@@ -81,9 +81,10 @@ type Database struct {
 	// MTCache layer can provision the replication subscription (paper §4).
 	onCachedViewCreate func(view *catalog.Table) error
 
-	// stalenessOf reports a cached view's replication staleness in seconds
-	// (wired by the MTCache layer); it backs WITH FRESHNESS queries.
-	stalenessOf func(view string) (float64, bool)
+	// stalenessOf reports the cache's replication staleness in seconds, every
+	// cached view's: they share one replication cursor. Wired by the MTCache
+	// layer; until then it is unknown (false), which no bound admits.
+	stalenessOf func() (float64, bool)
 
 	// sessionGate waits (bounded by the budget) until the cache has applied
 	// every replicated commit at or below min, reporting the applied LSN it
@@ -130,6 +131,7 @@ func New(cfg Config) *Database {
 		imc:    imcache.New(imOpts),
 	}
 	db.imcOn.Store(true)
+	db.SetStalenessProbe(func() (float64, bool) { return 0, false })
 	db.registerSystemTables()
 	return db
 }
@@ -197,9 +199,9 @@ func (db *Database) OnCachedViewCreate(fn func(view *catalog.Table) error) {
 	db.onCachedViewCreate = fn
 }
 
-// SetStalenessProbe wires the per-view staleness source used by
-// WITH FRESHNESS queries.
-func (db *Database) SetStalenessProbe(fn func(view string) (float64, bool)) {
+// SetStalenessProbe wires the cache's staleness source used by WITH
+// FRESHNESS queries.
+func (db *Database) SetStalenessProbe(fn func() (float64, bool)) {
 	db.stalenessOf = fn
 }
 
@@ -224,9 +226,9 @@ func (db *Database) SetSessionGate(fn func(min storage.LSN, budget time.Duration
 // write acknowledged.
 //
 // The gate composes with WITH FRESHNESS: the LSN bound is checked first
-// (point-in-log consistency for this session), then the statement plans
-// normally, including any declared staleness bound (wall-clock freshness for
-// everyone). On a backend the gate passes trivially — the backend is the
+// (point-in-log consistency for this session), then the statement runs
+// normally, its declared staleness bound checked before execution (wall-clock
+// freshness for everyone). On a backend the gate passes trivially — the backend is the
 // source of truth for every LSN it ever issued.
 func (db *Database) ExecSession(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration) (*Result, error) {
 	res, _, err := db.ExecSessionTraced(sqlText, params, minLSN, wait, "")
@@ -328,7 +330,7 @@ func (db *Database) InvalidatePlans() {
 }
 
 func (db *Database) env() *opt.Env {
-	return &opt.Env{Cat: db.cat, IsCache: db.role == Cache, Opts: db.opts, Staleness: db.stalenessOf}
+	return &opt.Env{Cat: db.cat, IsCache: db.role == Cache, Opts: db.opts}
 }
 
 // Result is the outcome of one statement.
@@ -395,7 +397,11 @@ func (db *Database) ExecStmt(stmt sql.Statement, params exec.Params) (*Result, e
 func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.Record) (*Result, error) {
 	switch x := stmt.(type) {
 	case *sql.SelectStmt:
-		return db.query(x, nil, params, nil, unbounded, rec)
+		fresh, err := db.freshnessBound(x, params)
+		if err != nil {
+			return nil, err
+		}
+		return db.query(x, nil, params, nil, fresh, rec)
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return db.execDML(stmt, params, rec)
 	case *sql.CreateTableStmt:
@@ -420,11 +426,11 @@ func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.
 // the one runner. e is the statement's plan-cache entry when the front door
 // found it (nil: it is looked up by deparse), and autoArgs, when non-nil,
 // holds the literal values the front door extracted from the original text,
-// bound positionally to the plan's @__pN parameters. fresh is the WITH
-// FRESHNESS bound in seconds the front door lifted off the text, stmt being
-// its unbounded twin; unbounded when there was none. What it learns on the
-// way — shape, tier, variant, rows, served staleness — goes on the record and
-// is reported nowhere else; the caller publishes.
+// bound positionally to the plan's @__pN parameters. fresh is the statement's
+// WITH FRESHNESS bound in seconds — the front door lifts it off the text,
+// stmt being its unbounded twin — or unbounded. What it learns on the way —
+// shape, tier, variant, rows, served staleness — goes on the record and is
+// reported nowhere else; the caller publishes.
 //
 // On a cache whose backend link has failed, queries without a freshness
 // bound degrade gracefully: the query is re-planned onto local (possibly
@@ -433,22 +439,21 @@ func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.
 // so it fails fast with the transport error instead.
 func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params, autoArgs []types.Value, fresh float64, rec *trace.Record) (*Result, error) {
 	rec.Shape = stmt.CacheKey() // the query-store key, and the result key's shape
-	bounded := fresh != unbounded || stmt.Freshness != nil
-	if e == nil && stmt.Freshness == nil {
+	if e == nil {
 		e = db.entryFor(stmt)
 	}
 	// Intermediate-result exact-match fast path: a repeated statement with
 	// identical bound values is answered straight from the materialized
 	// result — no planning, no execution. Ordinary queries demand a fresh
 	// entry; WITH FRESHNESS accepts one stale up to the declared bound. A
-	// parsed statement that still carries its clause (a procedure body's)
-	// bypasses the cache.
+	// cache outside the bound has nothing there to offer: every result it
+	// admitted was read from its cached views.
 	imc := db.imcacheIfEnabled()
 	var key imcache.Key
 	var buf [8]types.Value
 	vals, cacheable := buf[:0], false
 	var imstamp uint64
-	if imc != nil && stmt.Freshness == nil {
+	if imc != nil && db.current(fresh) {
 		if vals, cacheable = e.keyValues(vals, params, autoArgs); cacheable {
 			key = imcache.KeyOf(rec.Shape, vals)
 			maxStale := time.Duration(max(fresh, 0) * float64(time.Second)) // unbounded: 0, a fresh entry
@@ -464,7 +469,7 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 			imstamp = imc.Stamp()
 		}
 	}
-	cp, err := db.planFor(stmt, e, params, fresh, rec)
+	cp, err := db.planFor(stmt, e, fresh, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -476,13 +481,13 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 	capture := qs.WantCapture(rec.Shape)
 	res, root, err := db.runPlan(nil, plan, params, autoArgs, rec, capture)
 	rec.Variant, rec.Tier = plan.Variant, tierOf(plan, rec.Counters.RemoteQueries)
-	rec.Staleness = db.servedStaleness(plan)
+	rec.Staleness = db.servedStaleness(plan, rec.Tier)
 	if rec.PlanCache != trace.PlanHit && qs.Enabled() {
 		// Rendering the plan costs once per cached plan, not per run.
 		qs.NotePlan(rec.Shape, plan.Variant, opt.Explain(plan))
 	}
 	if err != nil {
-		if !bounded && db.role == Cache && resilience.Degradable(err) {
+		if fresh == unbounded && db.role == Cache && resilience.Degradable(err) {
 			if lres, lerr := db.queryLocalOnly(stmt, params, autoArgs, rec); lerr == nil {
 				rec.Tier, rec.Variant = trace.TierDegraded, trace.TierDegraded.String()
 				return lres, nil
@@ -493,10 +498,10 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 	if capture {
 		qs.StoreAnalyzed(rec.Shape, plan.Variant, opt.ExplainAnalyze(plan, root, rec.Stages[trace.StageExec]), formatLiterals(autoArgs))
 	}
-	// Feed the intermediate cache. Freshness-bounded executions are not
-	// observed: their plan may have read bounded-stale views, so the rows
-	// are not a fresh materialization of the statement.
-	if cacheable && !bounded {
+	// Feed the intermediate cache. A bounded execution of the twin's plan is
+	// the twin's run; one sent whole to the backend made a remote call, which
+	// imObserve turns away.
+	if cacheable {
 		db.imObserve(imc, key, vals, imstamp, autoArgs, cp.lineage, res, rec)
 	}
 	return res, nil
@@ -505,28 +510,36 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 // unbounded is the fresh bound of a statement without WITH FRESHNESS.
 const unbounded = -1.0
 
-// planFor plans stmt on rec's clock: per execution, against the views' current
-// staleness, under a WITH FRESHNESS bound — fresh, or the clause stmt still
-// carries; otherwise through the plan cache, on e — the entry the front door
-// found, or when nil the one stmt's deparse keys.
-func (db *Database) planFor(stmt *sql.SelectStmt, e *planEntry, params exec.Params, fresh float64, rec *trace.Record) (cp *cachedPlan, err error) {
+// planFor is stmt's plan on rec's clock: the one the plan cache holds on e —
+// the entry the front door found, or when nil the one stmt's deparse keys —
+// and under a WITH FRESHNESS bound of fresh seconds the plan the bound leaves.
+func (db *Database) planFor(stmt *sql.SelectStmt, e *planEntry, fresh float64, rec *trace.Record) (cp *cachedPlan, err error) {
 	defer rec.Mark(trace.StagePlan)
-	if stmt.Freshness != nil {
-		if fresh, err = db.freshnessBound(stmt, params); err != nil {
-			return nil, err
-		}
+	if e == nil {
+		e = db.entryFor(stmt)
 	}
-	if fresh == unbounded {
-		if e == nil {
-			e = db.entryFor(stmt)
-		}
-		cp, rec.PlanCache, err = db.planOf(e, stmt)
+	if cp, rec.PlanCache, err = db.planOf(e, stmt); err != nil || fresh == unbounded {
 		return cp, err
 	}
-	env := db.env()
-	env.HasFreshness, env.MaxStaleness = true, fresh
-	p, err := opt.Optimize(stmt, env)
-	return &cachedPlan{Plan: p}, err
+	return db.withinBound(stmt, cp, fresh)
+}
+
+// withinBound is what a WITH FRESHNESS execution runs given its twin's plan
+// cp: cp, when it reads no cached view or the cache (every view of it) is
+// within the bound; otherwise the whole statement on the backend, which is
+// current — or an error, if it names a relation only this server holds.
+func (db *Database) withinBound(stmt *sql.SelectStmt, cp *cachedPlan, fresh float64) (*cachedPlan, error) {
+	if len(cp.UsedViews) == 0 || db.current(fresh) {
+		return cp, nil
+	}
+	read := map[string]*catalog.Table{}
+	db.relations(stmt.From, read)
+	for _, t := range read {
+		if t.Cached || t.Virtual { // a cached view or a sys.* table: the backend has none
+			return nil, fmt.Errorf("engine: %s is held only on this cache, which is not within WITH FRESHNESS %g", t.Name, fresh)
+		}
+	}
+	return &cachedPlan{Plan: opt.RemoteOnly(stmt, cp.Cols)}, nil
 }
 
 // tierOf names where a plan's execution was answered; the branch a dynamic
@@ -556,13 +569,17 @@ func (db *Database) queryLocalOnly(stmt *sql.SelectStmt, params exec.Params, aut
 	if err != nil {
 		return nil, err
 	}
+	rec.Staleness = db.servedStaleness(plan, trace.TierDegraded)
 	metrics.Default.Counter("engine.degraded_stale").Add(1)
 	return res, nil
 }
 
-// freshnessBound evaluates the WITH FRESHNESS expression a parsed statement
-// carries to its bound in seconds.
+// freshnessBound evaluates the WITH FRESHNESS clause a parsed statement
+// carries to its bound in seconds; unbounded when it carries none.
 func (db *Database) freshnessBound(stmt *sql.SelectStmt, params exec.Params) (float64, error) {
+	if stmt.Freshness == nil {
+		return unbounded, nil
+	}
 	bound, err := opt.CompileScalar(stmt.Freshness, nil)
 	if err != nil {
 		return 0, fmt.Errorf("engine: WITH FRESHNESS: %w", err)
@@ -758,7 +775,8 @@ func (db *Database) Explain(query string) (string, error) {
 // execExplain implements EXPLAIN [ANALYZE] <select>. Plain EXPLAIN renders
 // the plan this text would execute: the SELECT goes through the same front
 // door as execText, so literal text shows (and shares, instead of adding a
-// literal-keyed entry to the plan cache) its shape's plan. ANALYZE
+// literal-keyed entry to the plan cache) its shape's plan — under a WITH
+// FRESHNESS bound the plan the bound leaves, as the execution would. ANALYZE
 // additionally executes the plan instrumented with the text's own literals
 // bound (its result rows are discarded) and renders per-operator rows,
 // timings and which ChoosePlan branch fired. The rendered text comes back as
@@ -771,12 +789,15 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, rec *tra
 	}
 	var e *planEntry
 	var autoArgs []types.Value
-	fresh := unbounded
+	fresh, err := db.freshnessBound(sel, params)
+	if err != nil {
+		return nil, err
+	}
 	if shared, args, bound, norm, ok := db.autoParse(sql.Deparse(sel), params); ok {
 		defer normPool.Put(norm)
 		e, sel, autoArgs, fresh = shared, shared.stmt.(*sql.SelectStmt), args, bound // the text is a SELECT
 	}
-	cp, err := db.planFor(sel, e, params, fresh, rec)
+	cp, err := db.planFor(sel, e, fresh, rec)
 	if err != nil {
 		return nil, err
 	}

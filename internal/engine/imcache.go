@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/imcache"
 	"mtcache/internal/opt"
@@ -99,48 +100,51 @@ func (e *planEntry) keyValues(dst []types.Value, params exec.Params, autoArgs []
 // of the plan may be cached: it reads a virtual (sys.*) relation, an unknown
 // name, a view whose definition references a parameter, or nothing.
 func (db *Database) imLineage(stmt *sql.SelectStmt, plan *opt.Plan) []string {
-	seen := map[string]bool{}
-	if !db.imLineageOf(stmt.From, seen) || len(seen) == 0 {
+	read := map[string]*catalog.Table{}
+	if !db.relations(stmt.From, read) || len(read) == 0 {
 		return nil
 	}
-	for _, v := range plan.UsedViews {
-		seen[strings.ToLower(v)] = true
+	lineage := make([]string, 0, len(read)+len(plan.UsedViews))
+	for name, t := range read {
+		if t.Virtual || t.ViewDef != nil && len(paramRefs(t.ViewDef, nil)) > 0 {
+			return nil // sys.* output changes outside any write path
+		}
+		lineage = append(lineage, name)
 	}
-	lineage := make([]string, 0, len(seen))
-	for n := range seen {
-		lineage = append(lineage, n)
+	for _, v := range plan.UsedViews {
+		lineage = append(lineage, strings.ToLower(v))
 	}
 	slices.Sort(lineage)
-	return lineage
+	return slices.Compact(lineage)
 }
 
-func (db *Database) imLineageOf(from []sql.TableRef, out map[string]bool) bool {
+// relations adds to read, by lowercased name, every relation from reads:
+// named, in a derived table, or under a view — a view's bases count too, as
+// replication apply targets the cached view's own table and local DML the
+// base. It reports false when from names something that does not exist.
+func (db *Database) relations(from []sql.TableRef, read map[string]*catalog.Table) bool {
 	for _, ref := range from {
+		ok := true
 		switch r := ref.(type) {
 		case *sql.TableName:
 			t := db.cat.Table(r.FullName())
-			if t == nil || t.Virtual {
-				return false // sys.* output changes outside any write path
+			if t == nil {
+				return false
 			}
 			lower := strings.ToLower(t.Name)
-			if out[lower] {
+			if read[lower] != nil {
 				continue // already expanded (also breaks view cycles)
 			}
-			out[lower] = true
-			// A view's underlying bases count too: replication apply targets
-			// the cached view's own table, local DML targets the base.
-			if t.IsView && t.ViewDef != nil && (len(paramRefs(t.ViewDef, nil)) > 0 || !db.imLineageOf(t.ViewDef.From, out)) {
-				return false
-			}
+			read[lower] = t
+			ok = t.ViewDef == nil || db.relations(t.ViewDef.From, read)
 		case *sql.JoinRef:
-			if !db.imLineageOf([]sql.TableRef{r.Left, r.Right}, out) {
-				return false
-			}
+			ok = db.relations([]sql.TableRef{r.Left, r.Right}, read)
 		case *sql.SubqueryRef:
-			if !db.imLineageOf(r.Select.From, out) {
-				return false
-			}
+			ok = db.relations(r.Select.From, read)
 		default:
+			ok = false
+		}
+		if !ok {
 			return false
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,8 +15,10 @@ import (
 	"mtcache/internal/metrics"
 	"mtcache/internal/querystore"
 	"mtcache/internal/resilience"
+	"mtcache/internal/sql"
 	"mtcache/internal/storage"
 	"mtcache/internal/trace"
+	"mtcache/internal/types"
 )
 
 // cutLink is a backend link the test can cut: while down every read fails the
@@ -71,7 +74,7 @@ func newReportingCache(t *testing.T) (*Database, *cutLink) {
 		}
 		return tx.CommitUnlogged()
 	})
-	cache.SetStalenessProbe(func(string) (float64, bool) { return 0.25, true })
+	cache.SetStalenessProbe(func() (float64, bool) { return 0.25, true })
 	cache.SetSessionGate(func(min storage.LSN, _ time.Duration) (storage.LSN, bool) { return 10, min <= 10 })
 	err := cache.ExecScript(`
 		CREATE TABLE item (i_id INT PRIMARY KEY, i_title VARCHAR(60) NOT NULL, i_cost FLOAT, i_stock INT DEFAULT 100);
@@ -255,9 +258,9 @@ func TestStatementReportedOnce(t *testing.T) {
 // TestQueryStoreTalliesPlanCacheLikeTheCounters: sys.query_stats'
 // plan_cache_hits and plan_cache_misses are the same events the
 // engine.plan_cache_hits and engine.plan_cache_misses counters count. A
-// result-cache answer and a WITH FRESHNESS statement never ask the plan
-// cache, so they are neither; the query store used to tally the first as a
-// hit and the second as a miss.
+// result-cache answer never asks the plan cache, so it is neither; a WITH
+// FRESHNESS statement runs its twin's plan, so it is a hit. The query store
+// used to tally the first as a hit and the second as a miss.
 func TestQueryStoreTalliesPlanCacheLikeTheCounters(t *testing.T) {
 	db := imTestDB(t, nil)
 	querystore.Default.Reset()
@@ -270,7 +273,7 @@ func TestQueryStoreTalliesPlanCacheLikeTheCounters(t *testing.T) {
 		"SELECT COUNT(*) FROM t WHERE grp = 2",                    // plan-cache hit
 		"SELECT COUNT(*) FROM t WHERE grp = 1",                    // plan-cache hit, admitted to the result cache
 		"SELECT COUNT(*) FROM t WHERE grp = 1",                    // result-cache hit
-		"SELECT COUNT(*) FROM t WHERE grp = 3 WITH FRESHNESS 300", // planned per execution
+		"SELECT COUNT(*) FROM t WHERE grp = 3 WITH FRESHNESS 300", // plan-cache hit: the twin's plan
 	} {
 		_, rec, err := db.ExecSessionTraced(q, nil, 0, 0, "")
 		if err != nil {
@@ -288,8 +291,8 @@ func TestQueryStoreTalliesPlanCacheLikeTheCounters(t *testing.T) {
 	if execs != 5 {
 		t.Errorf("the query store recorded %d executions, want 5", execs)
 	}
-	if h, m := hits.Value()-hits0, misses.Value()-misses0; storeHits != h || storeMisses != m || h != 2 || m != 1 {
-		t.Errorf("plan cache: the query store says %d hits and %d misses, the counters %d and %d; want 2 and 1 from both",
+	if h, m := hits.Value()-hits0, misses.Value()-misses0; storeHits != h || storeMisses != m || h != 3 || m != 1 {
+		t.Errorf("plan cache: the query store says %d hits and %d misses, the counters %d and %d; want 3 and 1 from both",
 			storeHits, storeMisses, h, m)
 	}
 }
@@ -337,5 +340,109 @@ func TestTracedExchangeUnderConcurrency(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBoundedTextSharesTwinPlan: a WITH FRESHNESS text runs its unbounded
+// twin's cached plan. Once the twin has run, bounded executions alternating
+// within and over the bound (the probe says the cache is 0.25 s behind) never
+// miss the plan cache and optimize nothing. Within the bound the twin's plan
+// runs, and its result is admitted to the result cache and served from it, as
+// the twin's is; over it the whole statement goes to the backend as one
+// remote query. EXPLAIN renders what the execution runs. Four clients at once
+// change none of it.
+func TestBoundedTextSharesTwinPlan(t *testing.T) {
+	cache, link := newReportingCache(t)
+	const twin = "SELECT o_qty FROM orders WHERE o_id = 3"
+	within, over := twin+" WITH FRESHNESS 1", twin+" WITH FRESHNESS 0.1"
+	if _, err := cache.Exec(twin, nil); err != nil {
+		t.Fatal(err)
+	}
+	// The backend plans what goes over the bound in its own plan cache: warm it.
+	shipped := shapeEntry(t, cache, twin).stmt.(*sql.SelectStmt).CacheKey()
+	if _, err := link.db.Exec(shipped, exec.Params{"__p0": types.NewInt(3)}); err != nil {
+		t.Fatal(err)
+	}
+	misses := metrics.Default.Counter("engine.plan_cache_misses")
+	optimized := func() (n int64) {
+		for _, kind := range []string{"local", "remote", "dynamic", "mixed"} {
+			n += metrics.Default.Counter("opt.plan_" + kind).Value()
+		}
+		return n
+	}
+	// run executes q and checks what answered it; "within" runs after the
+	// first may be answered by the plan or by the result cache.
+	run := func(q string, admitted bool) error {
+		res, rec, err := cache.ExecSessionTraced(q, nil, 0, 0, "")
+		switch {
+		case err != nil:
+			return err
+		case len(res.Rows) != 1 || res.Rows[0][0].Int() != 4:
+			return fmt.Errorf("%s: rows %v, want [[4]]", q, res.Rows)
+		case q == over && (rec.Tier != trace.TierRemote || res.Counters.RemoteQueries != 1 || rec.PlanCache != trace.PlanHit):
+			return fmt.Errorf("%s: tier %s, %d remote queries, plan cache %d; want remote, 1 and a hit", q, rec.Tier, res.Counters.RemoteQueries, rec.PlanCache)
+		case q == within && !admitted && (rec.Tier != trace.TierLocal || rec.PlanCache != trace.PlanHit):
+			return fmt.Errorf("%s: tier %s, plan cache %d; want the twin's local plan from the plan cache", q, rec.Tier, rec.PlanCache)
+		case q == within && admitted && rec.Tier != trace.TierIMCache && rec.Tier != trace.TierLocal:
+			return fmt.Errorf("%s: tier %s; want the result cache or the twin's local plan", q, rec.Tier)
+		}
+		return nil
+	}
+
+	misses0, optimized0 := misses.Value(), optimized()
+	hits0 := metrics.Default.Counter("imcache.hits").Value()
+	for i := 0; i < 6; i++ {
+		q := []string{within, over}[i%2]
+		if err := run(q, i > 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, rec, err := cache.ExecSessionTraced(within, nil, 0, 0, ""); err != nil || rec.Tier != trace.TierIMCache {
+		t.Errorf("within the bound after the second run: tier %v, %v; want the result cache", rec.Tier, err)
+	}
+	if _, rec, err := cache.ExecSessionTraced(twin, nil, 0, 0, ""); err != nil || rec.Tier != trace.TierIMCache {
+		t.Errorf("the twin after bounded runs: tier %v, %v; want the result cache", rec.Tier, err)
+	}
+	if metrics.Default.Counter("imcache.hits").Value() == hits0 {
+		t.Error("no bounded run was answered by the result cache")
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := run([]string{within, over}[i%2], true); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if m, o := misses.Value()-misses0, optimized()-optimized0; m != 0 || o != 0 {
+		t.Errorf("bounded executions missed the plan cache %d times and optimized %d times; want 0 and 0", m, o)
+	}
+
+	// EXPLAIN's target is the statement's deparse, a shape of its own; a
+	// bounded one renders what its execution would run all the same.
+	explain := func(q string) string {
+		res, err := cache.Exec("EXPLAIN "+q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	if got, want := explain(within), explain(twin); got != want {
+		t.Errorf("EXPLAIN within the bound:\n%s\nwant the twin's plan:\n%s", got, want)
+	}
+	if got := explain(over); !strings.Contains(got, "location=Remote") || strings.Count(got, "DataTransfer") != 1 || strings.Contains(got, "cv_orders") {
+		t.Errorf("EXPLAIN over the bound: %s; want one DataTransfer of the whole statement", got)
 	}
 }

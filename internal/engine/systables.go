@@ -8,6 +8,7 @@ import (
 	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
 	"mtcache/internal/querystore"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -31,20 +32,26 @@ func (db *Database) RegisterVirtualTable(name string, cols []catalog.Column, fn 
 	return nil
 }
 
-// servedStaleness is the worst staleness among the cached views a plan
-// read — the bound actually served to the client. -1 when no probe is
-// wired or the plan read no views.
-func (db *Database) servedStaleness(p *opt.Plan) float64 {
-	worst := -1.0
-	if db.stalenessOf == nil {
-		return worst
+// current reports whether this server's data is within fresh seconds of the
+// backend's: always without a bound or on a backend, and on a cache when its
+// staleness is known and no greater than fresh.
+func (db *Database) current(fresh float64) bool {
+	if fresh == unbounded || db.role != Cache {
+		return true
 	}
-	for _, v := range p.UsedViews {
-		if s, ok := db.stalenessOf(v); ok && s > worst {
-			worst = s
-		}
+	s, ok := db.stalenessOf()
+	return ok && s <= fresh
+}
+
+// servedStaleness is the staleness an execution of p answered by tier served
+// the client: the cache's, when it read a cached view — never when the
+// backend answered (a remote plan, or a dynamic plan's remote branch). -1 when
+// it read none or the staleness is unknown.
+func (db *Database) servedStaleness(p *opt.Plan, tier trace.Tier) float64 {
+	if s, ok := db.stalenessOf(); ok && len(p.UsedViews) > 0 && tier != trace.TierRemote && tier != trace.TierDynamicRemote {
+		return s
 	}
-	return worst
+	return -1
 }
 
 // ReplStatusColumns is the canonical sys.repl_status schema, shared by the
@@ -172,13 +179,11 @@ func walStatsRows() []types.Row {
 func (db *Database) cachedViewsRows() []types.Row {
 	views := db.cat.CachedViews()
 	rows := make([]types.Row, 0, len(views))
+	stale, ok := db.stalenessOf() // every view's
+	if !ok {
+		stale = -1
+	}
 	for _, v := range views {
-		stale := -1.0
-		if db.stalenessOf != nil {
-			if s, ok := db.stalenessOf(v.Name); ok {
-				stale = s
-			}
-		}
 		hits := metrics.Default.Counter("opt.view_hit." + v.Name).Value()
 		rows = append(rows, types.Row{
 			types.NewString(v.Name),

@@ -34,6 +34,9 @@ func (pl *planner) planLeaf(ai *aliasInfo) (*candSet, error) {
 		if err != nil {
 			return nil, err
 		}
+		if t.Cached {
+			p.usedViews = append(p.usedViews, t.Name) // a cached view named in FROM
+		}
 		cs.add(p)
 		// Materialized-view matching applies on the backend too (regular MV
 		// rewriting); on a cache server it is the cached-view machinery.
@@ -65,9 +68,6 @@ func (pl *planner) addViewCandidates(cs *candSet, ai *aliasInfo, neededSet map[s
 		}
 		if pl.env.Cat.Seeding(v.Name) {
 			continue // registered, its initial contents not committed yet
-		}
-		if v.Cached && !pl.env.viewFreshEnough(v.Name) {
-			continue // too stale for the query's WITH FRESHNESS bound (§7)
 		}
 		m := MatchView(v, t, ai.singleConj, neededSet, pl.env.Opts.EnableDynamicPlans)
 		if m == nil {

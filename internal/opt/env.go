@@ -113,54 +113,20 @@ type Env struct {
 	// Local and no DataTransfer is ever needed.
 	IsCache bool
 
-	// HasFreshness marks that the query declared WITH FRESHNESS;
-	// MaxStaleness is its bound in seconds. Without the clause any
-	// staleness is acceptable (the paper's default caching behaviour).
-	HasFreshness bool
-	MaxStaleness float64
-
-	// Staleness reports a cached view's current staleness in seconds.
-	// nil (or a false second return) means unknown, which under a declared
-	// bound counts as too stale.
-	Staleness func(viewName string) (float64, bool)
-
 	Opts Options
-}
-
-// viewFreshEnough applies the freshness bound to a cached view.
-func (e *Env) viewFreshEnough(viewName string) bool {
-	if !e.HasFreshness {
-		return true
-	}
-	if e.Staleness == nil {
-		return false
-	}
-	s, ok := e.Staleness(viewName)
-	return ok && s <= e.MaxStaleness
 }
 
 // locationOf returns the DataLocation of a table or view, per the paper's
 // rule: "cached views and their indexes are Local and all other data sources
-// are Remote" (on a cache server).
+// are Remote" (on a cache server) — shadowed backend materialized views
+// included. Virtual system tables (sys.*) describe *this* server's runtime
+// state; they are always scanned locally, on backend and cache alike.
 func (e *Env) locationOf(t *catalog.Table) Location {
-	// Virtual system tables (sys.*) describe *this* server's runtime state;
-	// they are always scanned locally, on backend and cache alike.
-	if t.Virtual {
-		return Local
-	}
-	if !e.IsCache {
-		return Local
-	}
-	if t.Cached || (t.IsView && t.Materialized && !t.Cached && localMV(t)) {
+	if t.Virtual || !e.IsCache || t.Cached {
 		return Local
 	}
 	return Remote
 }
-
-// localMV reports whether a materialized view on a cache server is local.
-// On a cache server the only materialized views that exist locally are the
-// cached ones; shadowed backend MV definitions are remote.
-func localMV(t *catalog.Table) bool { return t.Cached }
 
 // Cost-model unit constants. One unit ≈ the cost of scanning one row.
 const (

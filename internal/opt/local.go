@@ -52,3 +52,14 @@ func OptimizeLocalOnly(stmt *sql.SelectStmt, env *Env, bound exec.Params) (*Plan
 	}
 	return p, nil
 }
+
+// RemoteOnly is OptimizeLocalOnly's mirror: one DataTransfer of the whole
+// statement, producing cols. It is what a cache runs when a WITH FRESHNESS
+// bound rules its views out, and it involves no optimization: the backend is
+// current and plans the statement itself.
+func RemoteOnly(stmt *sql.SelectStmt, cols []exec.ColInfo) *Plan {
+	text := stmt.CacheKey()
+	p := &Plan{Root: &exec.Remote{SQLText: text, Cols: cols}, Cols: cols, RemoteSQL: []string{text}, FullyRemote: true}
+	p.Variant = p.variant()
+	return p
+}

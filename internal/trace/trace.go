@@ -60,7 +60,7 @@ func (t Tier) String() string {
 type PlanCache uint8
 
 const (
-	PlanNotConsulted PlanCache = iota // result-cache hit, WITH FRESHNESS, not a SELECT
+	PlanNotConsulted PlanCache = iota // result-cache hit, not a SELECT
 	PlanHit
 	PlanMiss
 )
@@ -113,7 +113,7 @@ type Record struct {
 
 	Rows      int64 // rows returned to the client
 	Counters  Counters
-	Staleness float64 // worst staleness, in seconds, of the cached views read; < 0 = unknown or none read
+	Staleness float64 // the cache's staleness, in seconds, when cached views were read; < 0 = unknown or none read
 	Err       error
 
 	at  time.Duration // the last stage boundary, as an offset from Start

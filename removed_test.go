@@ -51,6 +51,11 @@ var removedNames = []struct {
 	{`imFreshnessKey`, "", "one result key (a bounded text's twin found by the front door)"},
 	{`imStripFreshnessRefs`, "", "one result key (a bounded text's twin found by the front door)"},
 	{`imCollectParams`, "", "one result key (a bounded text's twin found by the front door)"},
+	{`viewFreshEnough`, `^internal/opt/`, "one staleness per cache, checked at run time"},
+	{`HasFreshness`, `^internal/opt/`, "one staleness per cache, checked at run time"},
+	{`MaxStaleness`, `^internal/opt/`, "one staleness per cache, checked at run time"},
+	{`ViewStaleness`, "", "one staleness per cache, checked at run time"},
+	{`HasView`, `^internal/repl/`, "one staleness per cache, checked at run time"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
