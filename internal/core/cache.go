@@ -91,6 +91,10 @@ func NewCacheOver(name string, client BackendClient, options *opt.Options, dataD
 	// one subscription's state.
 	_ = db.RegisterVirtualTable("sys.repl_status", engine.ReplStatusColumns(), func() []types.Row {
 		st, views := c.sub.Status(), c.sub.Views()
+		stale := -1.0 // not known
+		if d, ok := c.Staleness(); ok {
+			stale = d.Seconds()
+		}
 		rows := make([]types.Row, 0, len(views))
 		for _, view := range views {
 			rows = append(rows, types.Row{
@@ -100,7 +104,7 @@ func NewCacheOver(name string, client BackendClient, options *opt.Options, dataD
 				types.NewInt(st.ApplyErrors),
 				types.NewString(st.LastError),
 				types.NewInt(int64(st.AppliedLSN)),
-				types.NewFloat(time.Since(st.CurrentAsOf).Seconds()),
+				types.NewFloat(stale),
 			})
 		}
 		return rows
@@ -174,20 +178,21 @@ func (c *CacheServer) provision(view *catalog.Table) error {
 			if resumed {
 				metrics.Default.Counter("wire.view_resumed").Add(1)
 				querystore.Emit("view_resumed", "view", view.Name, "lsn", fmt.Sprint(ck.LSN))
-				return c.sub.AddView(c.client, subID, view.Name, rows, ck.LSN+1)
+				return c.sub.AddView(c.client, subID, view.Name, rows, ck.LSN+1, time.Time{}) // as of a checkpoint: not known
 			}
 			// The backend cannot serve the checkpointed position anymore; fall
 			// through to a fresh snapshot.
 		}
 	}
 
+	asOf := time.Now()
 	subID, startLSN, rows, err := c.client.Provision(table, cols, filter, c.DB.Name, view.Name)
 	if err != nil {
 		return err
 	}
 	metrics.Default.Counter("wire.view_seeded").Add(1)
 	querystore.Emit("view_seeded", "view", view.Name, "rows", fmt.Sprint(len(rows)))
-	return c.sub.AddView(c.client, subID, view.Name, rows, startLSN)
+	return c.sub.AddView(c.client, subID, view.Name, rows, startLSN, asOf)
 }
 
 // CreateCachedView runs a CREATE CACHED VIEW statement; provisioning is
@@ -285,11 +290,13 @@ func (c *CacheServer) WaitApplied(min storage.LSN, budget time.Duration) (storag
 }
 
 // Staleness reports how far the cache's views — all alike, on one replication
-// cursor — may trail the backend: the time since the start of the last pull
-// round that applied everything it was handed. A cache with no views has none.
+// cursor — may trail the backend: the time since the request of the last pull
+// round that applied everything it was handed. A cache with no views has none,
+// and one whose views were resumed from a checkpoint has none known until its
+// first such round.
 func (c *CacheServer) Staleness() (time.Duration, bool) {
 	st := c.sub.Status()
-	if st.AppliedLSN == math.MaxInt64 { // no views: vacuously current
+	if st.AppliedLSN == math.MaxInt64 || st.CurrentAsOf.IsZero() {
 		return 0, false
 	}
 	return time.Since(st.CurrentAsOf), true

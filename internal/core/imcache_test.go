@@ -9,12 +9,13 @@ import (
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/sql"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
 // Tests for replication-driven invalidation of intermediate results: a
 // cache-side materialized result whose lineage includes a cached view must
-// stop being served (without a freshness allowance) as soon as replication
+// stop being served — under any freshness bound — as soon as replication
 // applies a write to that view.
 
 func imcacheSetup(t *testing.T) (*BackendServer, *CacheServer) {
@@ -145,11 +146,11 @@ func TestIMCacheDropsResultRacingReplicationApply(t *testing.T) {
 	}
 }
 
-// TestIMCacheStaleServedUnderFreshnessBound: after replication invalidates
-// the intermediate, a WITH FRESHNESS execution within its bound may still
-// serve the stale materialized result — the paper's bounded-staleness
-// semantics composing with result caching.
-func TestIMCacheStaleServedUnderFreshnessBound(t *testing.T) {
+// TestInvalidatedResultNeverServed: once replication has applied a write to
+// a result's lineage, the result is not served again, whatever bound a
+// statement accepts. The cache's views are current, so a bounded read answers
+// from them — with the write — rather than from a result older than they are.
+func TestInvalidatedResultNeverServed(t *testing.T) {
 	b, c := imcacheSetup(t)
 	const q = "SELECT COUNT(*) AS n FROM customer WHERE csegment = 3"
 	var baseN int64
@@ -167,27 +168,43 @@ func TestIMCacheStaleServedUnderFreshnessBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stale, err := c.Exec(q+" WITH FRESHNESS 300", nil)
+	for _, bound := range []string{" WITH FRESHNESS 300", " WITH FRESHNESS 0.1", ""} {
+		res, err := c.Exec(q+bound, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0].Int(); n != baseN+1 {
+			t.Fatalf("%q after the apply: %d, want %d", bound, n, baseN+1)
+		}
+	}
+}
+
+// TestResultCacheHitReportsCacheStaleness: a result-cache hit on a cache was
+// read from its cached views, so it reports the cache's staleness — what a
+// plan run of the statement would — not the age of the entry.
+func TestResultCacheHitReportsCacheStaleness(t *testing.T) {
+	_, c := imcacheSetup(t)
+	const q = "SELECT COUNT(*) AS n FROM customer WHERE csegment = 1"
+	for i := 0; i < 2; i++ { // the second execution admits
+		if _, err := c.Exec(q, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(30 * time.Millisecond) // no pull: the cache falls behind
+	_, rec, err := c.DB.ExecSessionTraced(q, nil, 0, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := stale.Rows[0][0].Int(); n != baseN {
-		t.Fatalf("WITH FRESHNESS 300 recomputed (%d); want the stale intermediate (%d)", n, baseN)
-	}
-	fresh, err := c.Exec(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := fresh.Rows[0][0].Int(); n != baseN+1 {
-		t.Fatalf("plain execution served stale data: %d, want %d", n, baseN+1)
+	if rec.Tier != trace.TierIMCache || rec.Staleness < 0.03 {
+		t.Fatalf("hit: tier %s, staleness %v; want imcache and at least the 30 ms without a pull", rec.Tier, rec.Staleness)
 	}
 }
 
 // TestIMCacheNoSubsumption: an admitted result answers its own statement and
 // nothing else. A narrower query the admitted one subsumes is planned against
 // the cached view like any other, so after replication applies an update it
-// sees the new row — with or without a freshness allowance that the stale
-// admitted entry itself would still satisfy.
+// sees the new row, with or without a freshness allowance — as does the
+// admitted statement itself, whose invalidated entry is never served.
 func TestIMCacheNoSubsumption(t *testing.T) {
 	b, c := imcacheSetup(t)
 	const wide = "SELECT cname, caddress FROM customer WHERE cid = 7"
@@ -210,14 +227,12 @@ func TestIMCacheNoSubsumption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The admitted entry is stale but inside a 300 s bound: its own text may
-	// still be served from it.
 	res, err := c.Exec(wide+" WITH FRESHNESS 300", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].Str(); got != old {
-		t.Fatalf("admitted statement under its bound: got %q, want the stale %q", got, old)
+	if got := res.Rows[0][0].Str(); got != "renamed" {
+		t.Fatalf("admitted statement under a bound: got %q, want the replicated update, not the invalidated %q", got, old)
 	}
 	for _, q := range []string{narrow, narrow + " WITH FRESHNESS 300"} {
 		res, err := c.Exec(q, nil)
@@ -259,7 +274,7 @@ func TestIMCacheAdmitsGuardedLocalExecutions(t *testing.T) {
 			}
 		}
 	}
-	entries := c.DB.IMCache().Snapshot(time.Now())
+	entries := c.DB.IMCache().Snapshot()
 	if len(entries) != 1 || !strings.Contains(entries[0].Args, "= 7") || entries[0].Hits == 0 {
 		t.Fatalf("want one entry, for the in-guard literal, with hits; got %+v", entries)
 	}

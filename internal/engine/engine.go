@@ -444,10 +444,11 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 	}
 	// Intermediate-result exact-match fast path: a repeated statement with
 	// identical bound values is answered straight from the materialized
-	// result — no planning, no execution. Ordinary queries demand a fresh
-	// entry; WITH FRESHNESS accepts one stale up to the declared bound. A
-	// cache outside the bound has nothing there to offer: every result it
-	// admitted was read from its cached views.
+	// result — no planning, no execution. An invalidated entry is never
+	// served, so a hit is as current as the server's data: on a cache every
+	// admitted result was read from its cached views, which serve the cache's
+	// one staleness, and a cache outside a WITH FRESHNESS bound has nothing
+	// there to offer.
 	imc := db.imcacheIfEnabled()
 	var key imcache.Key
 	var buf [8]types.Value
@@ -456,12 +457,11 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 	if imc != nil && db.current(fresh) {
 		if vals, cacheable = e.keyValues(vals, params, autoArgs); cacheable {
 			key = imcache.KeyOf(rec.Shape, vals)
-			maxStale := time.Duration(max(fresh, 0) * float64(time.Second)) // unbounded: 0, a fresh entry
-			hit, found := imc.Lookup(key, vals, time.Now(), maxStale)
+			hit, found := imc.Lookup(key, vals)
 			rec.Mark(trace.StageLookup)
 			if found {
 				rec.Tier, rec.Variant = trace.TierIMCache, trace.TierIMCache.String()
-				rec.Rows, rec.Staleness = int64(len(hit.Rows)), hit.Staleness.Seconds()
+				rec.Rows, rec.Staleness = int64(len(hit.Rows)), db.staleness()
 				return &Result{Cols: hit.Cols, Rows: hit.Rows, SnapshotLSN: storage.LSN(hit.LSN)}, nil
 			}
 			// Miss: stamp before planning and the read snapshot, so Observe

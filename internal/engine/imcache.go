@@ -1,7 +1,7 @@
 // Intermediate-result cache glue: the values a result key covers, lineage
 // extraction, exact-match lookup before planning and admission after
 // execution. The cache itself (admission thresholds, benefit-weighted
-// eviction, staleness transitions) lives in internal/imcache; the
+// eviction, invalidation) lives in internal/imcache; the
 // replication apply path and every local write path invalidate through
 // InvalidateIntermediates.
 package engine
@@ -9,7 +9,6 @@ package engine
 import (
 	"slices"
 	"strings"
-	"time"
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
@@ -42,11 +41,12 @@ func (db *Database) imcacheIfEnabled() *imcache.Cache {
 }
 
 // InvalidateIntermediates marks every intermediate whose lineage includes
-// table as stale. Every write path calls it after commit: local DML and
+// table as stale: never served again until an execution refreshes it. Every
+// write path calls it after commit: local DML and
 // procedures on a backend, forwarded DML on a cache, bulk loads, DROP,
 // and — the transparent path — replication apply.
 func (db *Database) InvalidateIntermediates(table string) {
-	db.imc.Invalidate(table, time.Now())
+	db.imc.Invalidate(table)
 }
 
 // paramRefs adds to refs the parameters a SELECT references, as spelled (the
@@ -59,7 +59,7 @@ func paramRefs(s *sql.SelectStmt, refs []string) []string {
 		}
 		return true
 	}
-	exprs := append([]sql.Expr{s.Top, s.Where, s.Having, s.Freshness}, s.GroupBy...)
+	exprs := append([]sql.Expr{s.Top, s.Where, s.Having}, s.GroupBy...)
 	for _, c := range s.Columns {
 		exprs = append(exprs, c.Expr)
 	}
@@ -178,12 +178,12 @@ func (db *Database) imObserve(imc *imcache.Cache, key imcache.Key, vals []types.
 		LSN:     uint64(res.SnapshotLSN),
 		CostNs:  rec.Stages[trace.StageExec].Nanoseconds(),
 		Stamp:   stamp,
-	}, time.Now())
+	})
 }
 
 // intermediateResultsRows backs sys.intermediate_results.
 func (db *Database) intermediateResultsRows() []types.Row {
-	infos := db.imc.Snapshot(time.Now())
+	infos := db.imc.Snapshot()
 	rows := make([]types.Row, 0, len(infos))
 	for _, e := range infos {
 		rows = append(rows, types.Row{
@@ -195,7 +195,7 @@ func (db *Database) intermediateResultsRows() []types.Row {
 			types.NewInt(e.SavedNs),
 			types.NewString(strings.Join(e.Lineage, ",")),
 			types.NewInt(int64(e.LSN)),
-			types.NewFloat(e.StalenessSeconds),
+			types.NewBool(e.Stale),
 		})
 	}
 	return rows

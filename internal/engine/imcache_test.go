@@ -117,8 +117,8 @@ func TestIMCacheInvalidationOnWrite(t *testing.T) {
 }
 
 // TestIMCacheFreshnessComposition: WITH FRESHNESS gives a stale intermediate
-// a second life — a bounded-stale execution may serve it, a plain (or
-// zero-bound) execution must recompute.
+// no second life — a bounded execution, however generous, recomputes like a
+// plain or zero-bound one, and its result serves them all.
 func TestIMCacheFreshnessComposition(t *testing.T) {
 	db := imTestDB(t, nil)
 	const q = "SELECT COUNT(*) AS n FROM t WHERE grp = 1"
@@ -134,29 +134,15 @@ func TestIMCacheFreshnessComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bounded-stale read first: the stale entry is within any generous bound.
-	stale, err := db.Exec(q+" WITH FRESHNESS 300", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := stale.Rows[0][0].Int(); n != baseN {
-		t.Fatalf("WITH FRESHNESS 300 recomputed (%d); want the stale intermediate (%d)", n, baseN)
-	}
-	// Zero bound means "current": the stale entry is unusable.
-	zero, err := db.Exec(q+" WITH FRESHNESS 0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := zero.Rows[0][0].Int(); n != baseN+1 {
-		t.Fatalf("WITH FRESHNESS 0 served stale data: %d, want %d", n, baseN+1)
-	}
-	// Plain read recomputes and refreshes the entry in place.
-	fresh, err := db.Exec(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := fresh.Rows[0][0].Int(); n != baseN+1 {
-		t.Fatalf("plain read served stale data: %d, want %d", n, baseN+1)
+	// Bounded read first: the stale entry is within no bound.
+	for _, bound := range []string{" WITH FRESHNESS 300", " WITH FRESHNESS 0", ""} {
+		res, err := db.Exec(q+bound, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0].Int(); n != baseN+1 {
+			t.Fatalf("%q after DML served stale data: %d, want %d", bound, n, baseN+1)
+		}
 	}
 }
 
@@ -385,7 +371,7 @@ func TestIMCacheConcurrentStress(t *testing.T) {
 }
 
 // TestIMCacheSysTable: sys.intermediate_results lists admitted entries with
-// lineage and turns stale after a write.
+// lineage and turns stale after a write — awaiting refresh, still listed.
 func TestIMCacheSysTable(t *testing.T) {
 	db := imTestDB(t, nil)
 	const q = "SELECT grp, COUNT(*) AS n FROM t GROUP BY grp"
@@ -394,7 +380,7 @@ func TestIMCacheSysTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Exec("SELECT shape, lineage, hits, staleness_seconds FROM sys.intermediate_results", nil)
+	res, err := db.Exec("SELECT shape, lineage, hits, stale FROM sys.intermediate_results", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,8 +391,8 @@ func TestIMCacheSysTable(t *testing.T) {
 			if r[2].Int() == 0 {
 				t.Fatal("sys.intermediate_results shows zero hits for a repeated aggregate")
 			}
-			if r[3].Float() != 0 {
-				t.Fatalf("fresh entry reports staleness %v", r[3].Float())
+			if r[3].Bool() {
+				t.Fatal("fresh entry listed stale")
 			}
 		}
 	}
@@ -416,13 +402,16 @@ func TestIMCacheSysTable(t *testing.T) {
 	if _, err := db.Exec("DELETE FROM t WHERE id = 0", nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err = db.Exec("SELECT staleness_seconds FROM sys.intermediate_results", nil)
+	res, err = db.Exec("SELECT stale FROM sys.intermediate_results WHERE lineage = 't'", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Rows) == 0 {
+		t.Fatal("the write dropped the entry; want it listed, stale")
+	}
 	for _, r := range res.Rows {
-		if r[0].Float() < 0 {
-			t.Fatalf("stale entry reports negative staleness %v", r[0].Float())
+		if !r[0].Bool() {
+			t.Fatal("entry over t not listed stale after a write to t")
 		}
 	}
 }

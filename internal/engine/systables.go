@@ -43,15 +43,25 @@ func (db *Database) current(fresh float64) bool {
 	return ok && s <= fresh
 }
 
+// staleness is this server's one staleness in seconds, which every read of
+// its cached views serves: the cache's, or -1 when it is unknown and on a
+// backend, which is current.
+func (db *Database) staleness() float64 {
+	if s, ok := db.stalenessOf(); ok && db.role == Cache {
+		return s
+	}
+	return -1
+}
+
 // servedStaleness is the staleness an execution of p answered by tier served
 // the client: the cache's, when it read a cached view — never when the
 // backend answered (a remote plan, or a dynamic plan's remote branch). -1 when
 // it read none or the staleness is unknown.
 func (db *Database) servedStaleness(p *opt.Plan, tier trace.Tier) float64 {
-	if s, ok := db.stalenessOf(); ok && len(p.UsedViews) > 0 && tier != trace.TierRemote && tier != trace.TierDynamicRemote {
-		return s
+	if len(p.UsedViews) == 0 || tier == trace.TierRemote || tier == trace.TierDynamicRemote {
+		return -1
 	}
-	return -1
+	return db.staleness()
 }
 
 // ReplStatusColumns is the canonical sys.repl_status schema, shared by the
@@ -107,7 +117,7 @@ func (db *Database) registerSystemTables() {
 
 	_ = db.RegisterVirtualTable("sys.intermediate_results", []catalog.Column{
 		str("shape"), str("literals"), i64("rows"), i64("bytes"),
-		i64("hits"), i64("saved_ns"), str("lineage"), i64("computed_lsn"), f64("staleness_seconds"),
+		i64("hits"), i64("saved_ns"), str("lineage"), i64("computed_lsn"), {Name: "stale", Type: types.KindBool},
 	}, db.intermediateResultsRows)
 }
 
@@ -179,10 +189,7 @@ func walStatsRows() []types.Row {
 func (db *Database) cachedViewsRows() []types.Row {
 	views := db.cat.CachedViews()
 	rows := make([]types.Row, 0, len(views))
-	stale, ok := db.stalenessOf() // every view's
-	if !ok {
-		stale = -1
-	}
+	stale := db.staleness() // every view's
 	for _, v := range views {
 		hits := metrics.Default.Counter("opt.view_hit." + v.Name).Value()
 		rows = append(rows, types.Row{

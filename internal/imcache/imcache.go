@@ -5,11 +5,12 @@
 // benefit-weighted byte budget, and invalidated coarsely by table lineage
 // whenever the replication apply path (or local DML) touches a source table.
 //
-// Invalidation is a freshness transition, not an immediate drop: a
-// touched entry becomes *stale* at the invalidation instant, which makes
-// it invisible to ordinary queries (they demand staleness 0) but still
-// usable under a WITH FRESHNESS bound that covers its age. Entries stale
-// for longer than Options.MaxStaleAge are discarded outright.
+// An invalidated entry is a refresh slot, never served: a touched entry
+// becomes *stale*, which makes every lookup of it miss, whatever freshness
+// the statement accepts, while it keeps its place — the next execution of
+// its key refreshes it in place, with no AdmitAfter wait — and goes first
+// under byte pressure. The cache has no clock: how far a result may trail
+// the backend is the server's one replication staleness, not the entry's.
 //
 // There is one reuse tier: an admitted entry serves exact-match lookups
 // straight from the engine before planning. A lookup names the entry by its
@@ -31,7 +32,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"mtcache/internal/exec"
@@ -41,11 +41,10 @@ import (
 
 // Options bounds the cache. Zero values select the defaults.
 type Options struct {
-	MaxBytes      int64         // total result-byte budget (default 64 MiB)
-	MaxEntryBytes int64         // largest admissible single result (default MaxBytes/8)
-	AdmitAfter    int           // executions of a key before admission (default 2)
-	MaxTracked    int           // candidate keys tracked for admission (default 512)
-	MaxStaleAge   time.Duration // stale entries older than this are dropped (default 5m)
+	MaxBytes      int64 // total result-byte budget (default 64 MiB)
+	MaxEntryBytes int64 // largest admissible single result (default MaxBytes/8)
+	AdmitAfter    int   // executions of a key before admission (default 2)
+	MaxTracked    int   // candidate keys tracked for admission (default 512)
 }
 
 func (o Options) withDefaults() Options {
@@ -60,9 +59,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTracked <= 0 {
 		o.MaxTracked = 512
-	}
-	if o.MaxStaleAge <= 0 {
-		o.MaxStaleAge = 5 * time.Minute
 	}
 	return o
 }
@@ -114,20 +110,8 @@ type Entry struct {
 
 	hits     int64
 	savedNs  int64
-	lastUsed time.Time
-	staleAt  time.Time // zero = fresh; else the invalidation instant
-}
-
-// staleness returns how long the entry has been stale (0 when fresh).
-func (e *Entry) staleness(now time.Time) time.Duration {
-	if e.staleAt.IsZero() {
-		return 0
-	}
-	d := now.Sub(e.staleAt)
-	if d < 0 {
-		return 0
-	}
-	return d
+	lastUsed int64 // the cache's tick at the last admit, refresh or hit
+	stale    bool  // invalidated: awaiting the refresh its next execution brings
 }
 
 // weight is the benefit density used by eviction: cheaper-to-lose entries
@@ -144,10 +128,9 @@ func (e *Entry) weight() float64 {
 // Hit is the payload returned by Lookup. Rows aliases the cached result
 // and must be treated as immutable.
 type Hit struct {
-	Cols      []exec.ColInfo
-	Rows      []types.Row
-	LSN       uint64
-	Staleness time.Duration
+	Cols []exec.ColInfo
+	Rows []types.Row
+	LSN  uint64
 }
 
 // candidate tracks a not-yet-admitted key's execution history.
@@ -166,7 +149,7 @@ type Cache struct {
 	entries map[Key]*Entry
 	cands   map[Key]*candidate
 	bytes   int64
-	tick    int64
+	tick    int64 // orders admissions, refreshes and hits
 
 	// seq counts Invalidate calls; lastInval holds, per lowercased table,
 	// the seq of its last one. seq is atomic so Stamp takes no lock.
@@ -201,7 +184,7 @@ func (c *Cache) Stamp() uint64 { return c.seq.Load() }
 // last invalidation of one of its lineage tables may hold pre-write rows:
 // it is dropped — not admitted, not refreshed, not counted toward
 // AdmitAfter.
-func (c *Cache) Observe(obs Observation, now time.Time) bool {
+func (c *Cache) Observe(obs Observation) bool {
 	if obs.Key.Shape == "" || len(obs.Lineage) == 0 {
 		return false
 	}
@@ -218,12 +201,12 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 		// A recomputation of an admitted entry means the cached copy was
 		// stale (or bypassed, or held other values under the same key);
 		// refresh it in place with the new snapshot.
+		c.tick++
 		c.bytes += bytes - e.Bytes
 		e.Vals, e.Args = obs.Vals, obs.Args
 		e.Cols, e.Rows, e.Bytes = obs.Cols, obs.Rows, bytes
 		e.LSN, e.CostNs = obs.LSN, obs.CostNs
-		e.lastUsed = now
-		e.staleAt = time.Time{}
+		e.lastUsed, e.stale = c.tick, false
 		c.evictToFitLocked(obs.Key)
 		c.publishLocked()
 		return c.entries[obs.Key] != nil
@@ -257,7 +240,7 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 		Lineage:  obs.Lineage,
 		LSN:      obs.LSN,
 		CostNs:   cand.totalNs / int64(cand.count),
-		lastUsed: now,
+		lastUsed: c.tick,
 	}
 	if e.CostNs <= 0 {
 		e.CostNs = 1
@@ -275,85 +258,68 @@ func (c *Cache) Observe(obs Observation, now time.Time) bool {
 	return true
 }
 
-// Lookup serves an exact-match hit for key when the entry holds vals and its
-// staleness is within maxStale (pass 0 to demand a fresh entry). An entry
-// found stale beyond MaxStaleAge is dropped, never served. Lookup keeps no
-// reference to vals.
-func (c *Cache) Lookup(key Key, vals []types.Value, now time.Time, maxStale time.Duration) (Hit, bool) {
+// Lookup serves an exact-match hit for key when the entry is fresh and holds
+// vals; a stale entry is never served. Lookup keeps no reference to vals.
+func (c *Cache) Lookup(key Key, vals []types.Value) (Hit, bool) {
 	if key.Shape == "" {
 		return Hit{}, false
 	}
 	var hit Hit
-	var ok bool
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, present := c.entries[key]
-	if present && c.overStale(e, now) {
-		c.removeLocked(key)
-		present = false
-	}
-	if present && slices.Equal(e.Vals, vals) { // ==, kind for kind
-		// A fresh entry serves any request; a stale one needs a positive
-		// freshness budget covering its age (the invalidation instant
-		// itself computes staleness 0, so IsZero is the fresh test).
-		if st := e.staleness(now); e.staleAt.IsZero() || (maxStale > 0 && st <= maxStale) {
-			e.hits++
-			e.savedNs += e.CostNs
-			e.lastUsed = now
-			hit = Hit{Cols: e.Cols, Rows: e.Rows, LSN: e.LSN, Staleness: st}
-			ok = true
-		}
-	}
+	e, ok := c.entries[key]
+	ok = ok && !e.stale && slices.Equal(e.Vals, vals) // ==, kind for kind
 	if ok {
+		c.tick++
+		e.hits++
+		e.savedNs += e.CostNs
+		e.lastUsed = c.tick
+		hit = Hit{Cols: e.Cols, Rows: e.Rows, LSN: e.LSN}
 		metrics.Default.Counter("imcache.hits").Add(1)
 	} else {
 		metrics.Default.Counter("imcache.misses").Add(1)
 	}
-	c.publishLocked()
 	return hit, ok
 }
 
-// Invalidate marks every fresh entry whose lineage includes table as
-// stale at instant now, advances the table's invalidation sequence (see
-// Stamp), and sweeps out entries stale beyond MaxStaleAge. Callers invoke
+// Invalidate marks every fresh entry whose lineage includes table as stale
+// and advances the table's invalidation sequence (see Stamp). Callers invoke
 // it after the write is visible to new snapshots. It returns the number of
 // entries transitioned.
-func (c *Cache) Invalidate(table string, now time.Time) int {
+func (c *Cache) Invalidate(table string) int {
 	lower := strings.ToLower(table)
 	n := 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lastInval[lower] = c.seq.Add(1)
 	for _, e := range c.entries {
-		if !e.staleAt.IsZero() || !lineageHas(e.Lineage, lower) {
+		if e.stale || !lineageHas(e.Lineage, lower) {
 			continue
 		}
-		e.staleAt = now
+		e.stale = true
 		n++
 	}
 	if n > 0 {
 		metrics.Default.Counter("imcache.invalidations").Add(int64(n))
 	}
-	c.dropOverStaleLocked(now)
-	c.publishLocked()
 	return n
 }
 
 // EntryInfo is a point-in-time description of one entry for sys.* output.
 type EntryInfo struct {
-	Shape            string
-	Args             string
-	Rows             int
-	Bytes            int64
-	Hits             int64
-	SavedNs          int64
-	Lineage          []string
-	LSN              uint64
-	StalenessSeconds float64
+	Shape   string
+	Args    string
+	Rows    int
+	Bytes   int64
+	Hits    int64
+	SavedNs int64
+	Lineage []string
+	LSN     uint64
+	Stale   bool // invalidated: awaiting refresh, never served
 }
 
 // Snapshot lists every entry, hottest first.
-func (c *Cache) Snapshot(now time.Time) []EntryInfo {
+func (c *Cache) Snapshot() []EntryInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]EntryInfo, 0, len(c.entries))
@@ -361,15 +327,15 @@ func (c *Cache) Snapshot(now time.Time) []EntryInfo {
 		lineage := append([]string(nil), e.Lineage...)
 		sort.Strings(lineage)
 		out = append(out, EntryInfo{
-			Shape:            e.Key.Shape,
-			Args:             e.Args,
-			Rows:             len(e.Rows),
-			Bytes:            e.Bytes,
-			Hits:             e.hits,
-			SavedNs:          e.savedNs,
-			Lineage:          lineage,
-			LSN:              e.LSN,
-			StalenessSeconds: e.staleness(now).Seconds(),
+			Shape:   e.Key.Shape,
+			Args:    e.Args,
+			Rows:    len(e.Rows),
+			Bytes:   e.Bytes,
+			Hits:    e.hits,
+			SavedNs: e.savedNs,
+			Lineage: lineage,
+			LSN:     e.LSN,
+			Stale:   e.stale,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -442,31 +408,13 @@ func (c *Cache) evictToFitLocked(keep Key) {
 
 // evictBefore reports whether a should be evicted before b.
 func evictBefore(a, b *Entry) bool {
-	as, bs := !a.staleAt.IsZero(), !b.staleAt.IsZero()
-	if as != bs {
-		return as // stale entries go first
+	if a.stale != b.stale {
+		return a.stale // entries awaiting refresh go first
 	}
 	if aw, bw := a.weight(), b.weight(); aw != bw {
 		return aw < bw
 	}
-	return a.lastUsed.Before(b.lastUsed)
-}
-
-// overStale reports whether e has been stale for longer than MaxStaleAge.
-func (c *Cache) overStale(e *Entry, now time.Time) bool {
-	return e.staleness(now) > c.opts.MaxStaleAge
-}
-
-// dropOverStaleLocked removes every entry stale for longer than
-// MaxStaleAge. It is O(entries), so only Invalidate — already a full scan —
-// runs it; Lookup checks just the entry it touches, and eviction takes
-// stale entries first anyway.
-func (c *Cache) dropOverStaleLocked(now time.Time) {
-	for key, e := range c.entries {
-		if c.overStale(e, now) {
-			c.removeLocked(key)
-		}
-	}
+	return a.lastUsed < b.lastUsed
 }
 
 // boundCandidatesLocked keeps the admission tracker under MaxTracked by

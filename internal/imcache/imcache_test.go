@@ -3,7 +3,6 @@ package imcache
 import (
 	"fmt"
 	"testing"
-	"time"
 	"unsafe"
 
 	"mtcache/internal/exec"
@@ -39,68 +38,80 @@ func obs(k string, rows int, costNs int64, lineage ...string) Observation {
 
 func TestAdmitAfterThreshold(t *testing.T) {
 	c := New(Options{AdmitAfter: 3})
-	now := time.Unix(1000, 0)
 	for i := 0; i < 2; i++ {
-		if c.Observe(obs("k1", 4, 100, "item"), now) {
+		if c.Observe(obs("k1", 4, 100, "item")) {
 			t.Fatalf("admitted on execution %d, want threshold 3", i+1)
 		}
-		if _, ok := c.Lookup(key("k1"), nil, now, 0); ok {
+		if _, ok := c.Lookup(key("k1"), nil); ok {
 			t.Fatal("lookup hit before admission")
 		}
 	}
-	if !c.Observe(obs("k1", 4, 100, "item"), now) {
+	if !c.Observe(obs("k1", 4, 100, "item")) {
 		t.Fatal("not admitted at threshold")
 	}
-	hit, ok := c.Lookup(key("k1"), nil, now, 0)
-	if !ok || len(hit.Rows) != 4 || hit.LSN != 7 || hit.Staleness != 0 {
+	hit, ok := c.Lookup(key("k1"), nil)
+	if !ok || len(hit.Rows) != 4 || hit.LSN != 7 {
 		t.Fatalf("bad hit after admission: ok=%v hit=%+v", ok, hit)
 	}
 }
 
-func TestInvalidateByLineageAndFreshnessWindow(t *testing.T) {
-	c := New(Options{AdmitAfter: 1, MaxStaleAge: time.Minute})
-	now := time.Unix(1000, 0)
-	c.Observe(obs("k1", 2, 50, "item", "author"), now)
-	c.Observe(obs("k2", 2, 50, "orders"), now)
+// An invalidated entry misses under every lookup — there is no freshness
+// window in which it is served — yet keeps its rows and bytes, listed as
+// stale, as the slot its next execution refreshes in place: the entry was
+// admitted already, so there is no AdmitAfter wait.
+func TestInvalidatedEntryMissesUntilRefreshed(t *testing.T) {
+	c := New(Options{AdmitAfter: 2})
+	for i := 0; i < 2; i++ {
+		c.Observe(obs("k1", 2, 50, "item", "author"))
+		c.Observe(obs("k2", 2, 50, "orders"))
+	}
+	bytes := c.Bytes()
 
-	if n := c.Invalidate("AUTHOR", now); n != 1 {
+	if n := c.Invalidate("AUTHOR"); n != 1 {
 		t.Fatalf("invalidated %d entries, want 1 (lineage is case-insensitive)", n)
 	}
-	if _, ok := c.Lookup(key("k1"), nil, now, 0); ok {
-		t.Fatal("fresh-only lookup served a stale entry")
+	if n := c.Invalidate("item"); n != 0 {
+		t.Fatalf("invalidated %d entries again, want 0: k1 is stale already", n)
 	}
-	// Under a freshness budget the stale entry stays usable.
-	later := now.Add(10 * time.Second)
-	if hit, ok := c.Lookup(key("k1"), nil, later, 30*time.Second); !ok || hit.Staleness != 10*time.Second {
-		t.Fatalf("bounded-stale lookup: ok=%v staleness=%v", ok, hit.Staleness)
+	for i := 0; i < 3; i++ {
+		if _, ok := c.Lookup(key("k1"), nil); ok {
+			t.Fatal("lookup served an invalidated entry")
+		}
 	}
-	if _, ok := c.Lookup(key("k1"), nil, later, 5*time.Second); ok {
-		t.Fatal("lookup served an entry staler than its budget")
-	}
-	// The untouched entry is unaffected.
-	if _, ok := c.Lookup(key("k2"), nil, later, 0); !ok {
+	if _, ok := c.Lookup(key("k2"), nil); !ok {
 		t.Fatal("invalidation leaked onto an unrelated lineage")
 	}
-	// Beyond MaxStaleAge the entry is dropped even for generous budgets.
-	expired := now.Add(2 * time.Minute)
-	if _, ok := c.Lookup(key("k1"), nil, expired, time.Hour); ok {
-		t.Fatal("lookup served an entry beyond MaxStaleAge")
+	if c.Len() != 2 || c.Bytes() != bytes {
+		t.Fatalf("invalidation dropped rows: %d entries, %d bytes; want 2 and %d", c.Len(), c.Bytes(), bytes)
+	}
+	for _, e := range c.Snapshot() {
+		if e.Stale != (e.Shape == "SELECT k1") {
+			t.Errorf("%s listed stale=%v", e.Shape, e.Stale)
+		}
+	}
+
+	re := obs("k1", 3, 60, "item", "author")
+	re.Stamp = c.Stamp()
+	if !c.Observe(re) {
+		t.Fatal("the first execution after the invalidation did not refresh the entry")
+	}
+	if hit, ok := c.Lookup(key("k1"), nil); !ok || len(hit.Rows) != 3 {
+		t.Fatalf("the refreshed entry: ok=%v hit=%+v; want its 3 new rows", ok, hit)
 	}
 }
 
 func TestRefreshClearsStaleness(t *testing.T) {
 	c := New(Options{AdmitAfter: 1})
-	now := time.Unix(1000, 0)
-	c.Observe(obs("k1", 2, 50, "item"), now)
-	c.Invalidate("item", now)
+	c.Observe(obs("k1", 2, 50, "item"))
+	c.Invalidate("item")
 	// Recomputation (the miss path re-ran the query) refreshes in place.
 	re := obs("k1", 3, 60, "item")
 	re.Stamp = c.Stamp()
-	if !c.Observe(re, now.Add(time.Second)) {
+	if !c.Observe(re) {
 		t.Fatal("refresh observation not accepted")
 	}
-	hit, ok := c.Lookup(key("k1"), nil, now.Add(2*time.Second), 0)
-	if !ok || len(hit.Rows) != 3 || hit.Staleness != 0 {
+	hit, ok := c.Lookup(key("k1"), nil)
+	if !ok || len(hit.Rows) != 3 {
 		t.Fatalf("refresh did not clear staleness: ok=%v hit=%+v", ok, hit)
 	}
 }
@@ -111,32 +122,31 @@ func TestRefreshClearsStaleness(t *testing.T) {
 // rows must neither be admitted (no entry yet) nor refresh the now-stale
 // entry; the next execution, stamped after the invalidation, is accepted.
 func TestObserveDropsResultComputedBeforeInvalidation(t *testing.T) {
-	now := time.Unix(1000, 0)
 	for _, arm := range []string{"admit", "refresh"} {
 		t.Run(arm, func(t *testing.T) {
 			c := New(Options{AdmitAfter: 2})
-			c.Observe(obs("k1", 2, 50, "Item", "author"), now) // the next one admits
+			c.Observe(obs("k1", 2, 50, "Item", "author")) // the next one admits
 			if arm == "refresh" {
-				c.Observe(obs("k1", 2, 50, "Item", "author"), now)
+				c.Observe(obs("k1", 2, 50, "Item", "author"))
 			}
 
 			old := obs("k1", 2, 50, "Item", "author")
-			old.Stamp = c.Stamp()     // the query misses and stamps,
-			c.Invalidate("item", now) // a write lands while it runs,
-			if c.Observe(old, now) {  // and it observes pre-write rows
+			old.Stamp = c.Stamp() // the query misses and stamps,
+			c.Invalidate("item")  // a write lands while it runs,
+			if c.Observe(old) {   // and it observes pre-write rows
 				t.Fatal("observation older than its lineage's invalidation was accepted")
 			}
-			if _, ok := c.Lookup(key("k1"), nil, now, 0); ok {
+			if _, ok := c.Lookup(key("k1"), nil); ok {
 				t.Fatal("pre-invalidation rows are served as fresh")
 			}
 
 			fresh := obs("k1", 3, 50, "Item", "author")
 			fresh.Stamp = c.Stamp()
-			c.Invalidate("orders", now) // outside the lineage: does not age the stamp
-			if !c.Observe(fresh, now) {
+			c.Invalidate("orders") // outside the lineage: does not age the stamp
+			if !c.Observe(fresh) {
 				t.Fatal("post-invalidation observation refused")
 			}
-			if hit, ok := c.Lookup(key("k1"), nil, now, 0); !ok || len(hit.Rows) != 3 {
+			if hit, ok := c.Lookup(key("k1"), nil); !ok || len(hit.Rows) != 3 {
 				t.Fatalf("want the post-invalidation rows: ok=%v rows=%d", ok, len(hit.Rows))
 			}
 		})
@@ -145,14 +155,14 @@ func TestObserveDropsResultComputedBeforeInvalidation(t *testing.T) {
 	// A dropped observation does not count toward AdmitAfter.
 	c := New(Options{AdmitAfter: 2})
 	old := obs("k2", 2, 50, "item")
-	c.Invalidate("item", now)
-	c.Observe(old, now) // Stamp 0 < 1: dropped
+	c.Invalidate("item")
+	c.Observe(old) // Stamp 0 < 1: dropped
 	fresh := obs("k2", 2, 50, "item")
 	fresh.Stamp = c.Stamp()
-	if c.Observe(fresh, now) {
+	if c.Observe(fresh) {
 		t.Fatal("admitted on the first counted execution: the dropped one was counted")
 	}
-	if !c.Observe(fresh, now) {
+	if !c.Observe(fresh) {
 		t.Fatal("not admitted on the second counted execution")
 	}
 }
@@ -162,20 +172,19 @@ func TestEvictionUnderPressurePrefersLowBenefit(t *testing.T) {
 	// one must go first.
 	rowBytes := estimateBytes(intCols(), intRows(100))
 	c := New(Options{AdmitAfter: 1, MaxBytes: 2*rowBytes + rowBytes/2, MaxEntryBytes: rowBytes * 2})
-	now := time.Unix(1000, 0)
-	c.Observe(obs("cheap", 100, 10, "a"), now)
-	c.Observe(obs("costly", 100, 10_000_000, "b"), now)
+	c.Observe(obs("cheap", 100, 10, "a"))
+	c.Observe(obs("costly", 100, 10_000_000, "b"))
 	// Hit the costly entry to raise its benefit further.
-	c.Lookup(key("costly"), nil, now, 0)
-	c.Observe(obs("new", 100, 5_000_000, "c"), now)
+	c.Lookup(key("costly"), nil)
+	c.Observe(obs("new", 100, 5_000_000, "c"))
 
-	if _, ok := c.Lookup(key("cheap"), nil, now, 0); ok {
+	if _, ok := c.Lookup(key("cheap"), nil); ok {
 		t.Fatal("low-benefit entry survived eviction pressure")
 	}
-	if _, ok := c.Lookup(key("costly"), nil, now, 0); !ok {
+	if _, ok := c.Lookup(key("costly"), nil); !ok {
 		t.Fatal("high-benefit entry was evicted")
 	}
-	if _, ok := c.Lookup(key("new"), nil, now, 0); !ok {
+	if _, ok := c.Lookup(key("new"), nil); !ok {
 		t.Fatal("newly admitted entry was evicted instead of the cheap one")
 	}
 	if c.Bytes() > c.Options().MaxBytes {
@@ -186,15 +195,16 @@ func TestEvictionUnderPressurePrefersLowBenefit(t *testing.T) {
 func TestStaleEvictedFirst(t *testing.T) {
 	rowBytes := estimateBytes(intCols(), intRows(100))
 	c := New(Options{AdmitAfter: 1, MaxBytes: 2*rowBytes + rowBytes/2, MaxEntryBytes: rowBytes * 2})
-	now := time.Unix(1000, 0)
-	c.Observe(obs("stale", 100, 10_000_000, "a"), now)
-	c.Observe(obs("fresh", 100, 10, "b"), now)
-	c.Invalidate("a", now)
-	c.Observe(obs("new", 100, 10, "c"), now)
-	if _, ok := c.Lookup(key("stale"), nil, now, time.Hour); ok {
-		t.Fatal("stale entry survived pressure ahead of fresh ones")
+	c.Observe(obs("stale", 100, 10_000_000, "a"))
+	c.Observe(obs("fresh", 100, 10, "b"))
+	c.Invalidate("a")
+	c.Observe(obs("new", 100, 10, "c"))
+	for _, e := range c.Snapshot() { // a stale entry misses anyway: look at what is held
+		if e.Shape == "SELECT stale" {
+			t.Fatal("stale entry survived pressure ahead of fresh ones")
+		}
 	}
-	if _, ok := c.Lookup(key("fresh"), nil, now, 0); !ok {
+	if _, ok := c.Lookup(key("fresh"), nil); !ok {
 		t.Fatal("fresh entry evicted while a stale one existed")
 	}
 }
@@ -202,9 +212,8 @@ func TestStaleEvictedFirst(t *testing.T) {
 func TestOversizeEntryNeverAdmitted(t *testing.T) {
 	small := estimateBytes(intCols(), intRows(10))
 	c := New(Options{AdmitAfter: 1, MaxBytes: 100 * small, MaxEntryBytes: small})
-	now := time.Unix(1000, 0)
 	for i := 0; i < 5; i++ {
-		if c.Observe(obs("big", 1000, 100, "item"), now) {
+		if c.Observe(obs("big", 1000, 100, "item")) {
 			t.Fatal("oversize result admitted")
 		}
 	}
@@ -215,9 +224,8 @@ func TestOversizeEntryNeverAdmitted(t *testing.T) {
 
 func TestCandidateTrackerBounded(t *testing.T) {
 	c := New(Options{AdmitAfter: 100, MaxTracked: 8})
-	now := time.Unix(1000, 0)
 	for i := 0; i < 50; i++ {
-		c.Observe(obs(fmt.Sprintf("k%d", i), 1, 10, "item"), now)
+		c.Observe(obs(fmt.Sprintf("k%d", i), 1, 10, "item"))
 	}
 	c.mu.Lock()
 	n := len(c.cands)
@@ -227,36 +235,13 @@ func TestCandidateTrackerBounded(t *testing.T) {
 	}
 }
 
-// Lookup ages out only the entry it touches; the O(entries) sweep of
-// everything past MaxStaleAge belongs to Invalidate.
-func TestOverStaleSweepRunsInInvalidateOnly(t *testing.T) {
-	c := New(Options{AdmitAfter: 1, MaxStaleAge: time.Minute})
-	now := time.Unix(1000, 0)
-	c.Observe(obs("k1", 2, 50, "item"), now)
-	c.Observe(obs("k2", 2, 50, "item"), now)
-	c.Invalidate("item", now)
-
-	expired := now.Add(2 * time.Minute)
-	if _, ok := c.Lookup(key("k1"), nil, expired, time.Hour); ok {
-		t.Fatal("lookup served an entry beyond MaxStaleAge")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("lookup of k1 left %d entries, want k2 alone", c.Len())
-	}
-	c.Invalidate("orders", expired)
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("invalidate left %d over-stale entries (%d bytes)", c.Len(), c.Bytes())
-	}
-}
-
 func TestMetricsAccounting(t *testing.T) {
 	metrics.Default.Reset()
 	c := New(Options{AdmitAfter: 1})
-	now := time.Unix(1000, 0)
-	c.Observe(obs("k1", 2, 50, "item"), now)
-	c.Lookup(key("k1"), nil, now, 0)
-	c.Lookup(key("nope"), nil, now, 0)
-	c.Invalidate("item", now)
+	c.Observe(obs("k1", 2, 50, "item"))
+	c.Lookup(key("k1"), nil)
+	c.Lookup(key("nope"), nil)
+	c.Invalidate("item")
 	c.Clear()
 	snap := metrics.Default.Snapshot()
 	for name, want := range map[string]int64{
@@ -277,11 +262,10 @@ func TestMetricsAccounting(t *testing.T) {
 
 func TestSnapshotOrderAndFields(t *testing.T) {
 	c := New(Options{AdmitAfter: 1})
-	now := time.Unix(1000, 0)
-	c.Observe(obs("a", 2, 50, "item"), now)
-	c.Observe(obs("b", 3, 50, "orders", "item"), now)
-	c.Lookup(key("b"), nil, now, 0)
-	infos := c.Snapshot(now)
+	c.Observe(obs("a", 2, 50, "item"))
+	c.Observe(obs("b", 3, 50, "orders", "item"))
+	c.Lookup(key("b"), nil)
+	infos := c.Snapshot()
 	if len(infos) != 2 || infos[0].Shape != "SELECT b" {
 		t.Fatalf("snapshot order wrong: %+v", infos)
 	}
@@ -317,7 +301,6 @@ func TestEstimateBytesTracksValueSize(t *testing.T) {
 // over for its own values.
 func TestLookupServesOnlyItsValues(t *testing.T) {
 	c := New(Options{AdmitAfter: 1})
-	now := time.Unix(1000, 0)
 	one, yes := []types.Value{types.NewInt(1)}, []types.Value{types.NewBool(true)}
 	if a, b := KeyOf("s", one), KeyOf("s", yes); a == b {
 		t.Fatalf("INT 1 and BOOL TRUE share key %+v", a)
@@ -325,20 +308,20 @@ func TestLookupServesOnlyItsValues(t *testing.T) {
 	k := KeyOf("s", one)
 	o := obs("s", 2, 50, "item")
 	o.Key, o.Vals = k, one
-	c.Observe(o, now)
-	if _, ok := c.Lookup(k, yes, now, 0); ok {
+	c.Observe(o)
+	if _, ok := c.Lookup(k, yes); ok {
 		t.Fatal("served INT 1's rows to BOOL TRUE under one key")
 	}
-	if hit, ok := c.Lookup(k, one, now, 0); !ok || len(hit.Rows) != 2 {
+	if hit, ok := c.Lookup(k, one); !ok || len(hit.Rows) != 2 {
 		t.Fatalf("its own values missed: ok=%v hit=%+v", ok, hit)
 	}
 	o = obs("s", 3, 50, "item")
 	o.Key, o.Vals = k, yes
-	c.Observe(o, now)
-	if hit, ok := c.Lookup(k, yes, now, 0); !ok || len(hit.Rows) != 3 {
+	c.Observe(o)
+	if hit, ok := c.Lookup(k, yes); !ok || len(hit.Rows) != 3 {
 		t.Fatalf("the recomputation's values missed: ok=%v hit=%+v", ok, hit)
 	}
-	if _, ok := c.Lookup(k, one, now, 0); ok {
+	if _, ok := c.Lookup(k, one); ok {
 		t.Fatal("the replaced values are still served")
 	}
 }

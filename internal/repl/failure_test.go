@@ -3,6 +3,9 @@ package repl_test
 import (
 	"testing"
 	"time"
+
+	"mtcache/internal/repl"
+	"mtcache/internal/storage"
 )
 
 // Failure injection: a subscriber that temporarily cannot apply (conflicting
@@ -110,5 +113,35 @@ func TestStalenessGrowsWithPendingWork(t *testing.T) {
 	if h := b.Repl.Health(committed.Add(time.Hour))[0]; h.StalenessSeconds != 0 || h.Pending != 0 || h.AckedLSN != res.CommitLSN {
 		t.Errorf("after a pull and an ack: staleness %vs, %d pending, acked %d; want 0, 0 and %d",
 			h.StalenessSeconds, h.Pending, h.AckedLSN, res.CommitLSN)
+	}
+}
+
+// slowPuller is a publisher whose response is in flight for delay: it notes
+// when each request reached it.
+type slowPuller struct {
+	repl.Puller
+	delay   time.Duration
+	entered time.Time
+}
+
+func (p *slowPuller) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
+	p.entered = time.Now()
+	batches, through, err := p.Puller.Pull(subID, max, ack)
+	time.Sleep(p.delay) // a commit landing now is not in the response
+	return batches, through, err
+}
+
+// TestRoundIsCurrentAsOfItsRequest: a pull round covers the commits made
+// before its request was sent, not those made while its response was in
+// flight, so the instant it is current as of is no later than the request.
+func TestRoundIsCurrentAsOfItsRequest(t *testing.T) {
+	b := newPublisher(t, 10)
+	sub := subscribe(t, b, newSubscriberTable(t, "cache"), "")
+	p := &slowPuller{Puller: b, delay: 20 * time.Millisecond}
+	if _, err := sub.Pull(p); err != nil {
+		t.Fatal(err)
+	}
+	if asOf := sub.Status().CurrentAsOf; asOf.After(p.entered) {
+		t.Fatalf("round current as of %v after its request reached the publisher", asOf.Sub(p.entered))
 	}
 }

@@ -81,11 +81,12 @@ func subscribeStats(t *testing.T, b *core.BackendServer, target *engine.Database
 // subscriber's table tgt from it.
 func addView(t *testing.T, b *core.BackendServer, sub *repl.Subscriber, cache, table string, cols []string, filter, tgt string) {
 	t.Helper()
+	asOf := time.Now()
 	id, start, rows, err := b.Provision(table, cols, filter, cache, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sub.AddView(b, id, tgt, rows, start); err != nil {
+	if err := sub.AddView(b, id, tgt, rows, start, asOf); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -164,7 +164,7 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 			rows[i] = rows[i][:3]
 		}
 		s := repl.NewSubscriber(db, repl.NewApplyStats())
-		if err := s.AddView(b, id, "tgt", rows, ckpt+1); err != nil {
+		if err := s.AddView(b, id, "tgt", rows, ckpt+1, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		return s, db, true

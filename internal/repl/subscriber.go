@@ -44,10 +44,14 @@ type SubscriberStatus struct {
 	// happened to hit a view, wedging every session gated on a later
 	// watermark. A subscriber with no views holds no replicated data and is
 	// vacuously current: math.MaxInt64.
-	AppliedLSN  storage.LSN
-	CurrentAsOf time.Time // start of the last round that applied everything it was handed
-	ApplyErrors int64     // rounds that failed to apply
-	LastError   string    // the most recent apply failure, "" if none
+	AppliedLSN storage.LSN
+	// CurrentAsOf is the instant before the request of the last round that
+	// applied everything it was handed (or of the seed a view was provisioned
+	// from, when later): every commit before it is applied. Zero while it is
+	// not known — views resumed from a checkpoint, before their first round.
+	CurrentAsOf time.Time
+	ApplyErrors int64  // rounds that failed to apply
+	LastError   string // the most recent apply failure, "" if none
 }
 
 // view is one target table and the first LSN whose changes apply to it (it
@@ -80,7 +84,7 @@ type Subscriber struct {
 // its first one.
 func NewSubscriber(target *engine.Database, stats ApplyStats) *Subscriber {
 	return &Subscriber{target: target, stats: stats,
-		st: SubscriberStatus{AppliedLSN: math.MaxInt64, CurrentAsOf: time.Now()}}
+		st: SubscriberStatus{AppliedLSN: math.MaxInt64}}
 }
 
 // Status returns the current cursor and failure record. Staleness — how far
@@ -108,7 +112,10 @@ func (s *Subscriber) Views() []string {
 // the subscription the publisher attached it to. The views the subscriber
 // already has move to start-1 in the transaction that makes the rows visible,
 // so no reader sees the new view and an old one at different positions.
-func (s *Subscriber) AddView(src Puller, subID int, table string, rows []types.Row, start storage.LSN) error {
+// asOf is the instant the rows were known current — taken before the
+// snapshot was requested — or zero when that is not known, as for rows from
+// a checkpoint; CurrentAsOf moves up to it.
+func (s *Subscriber) AddView(src Puller, subID int, table string, rows []types.Row, start storage.LSN, asOf time.Time) error {
 	s.mu.Lock()
 	views, applied := s.views, s.st.AppliedLSN
 	s.mu.Unlock()
@@ -145,9 +152,12 @@ func (s *Subscriber) AddView(src Puller, subID int, table string, rows []types.R
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(views) == 1 { // the first view: the cursor starts at its seed
-		s.st.AppliedLSN, s.st.CurrentAsOf = start-1, time.Now()
+		s.st.AppliedLSN = start - 1
 	}
 	s.st.AppliedLSN = max(s.st.AppliedLSN, start-1)
+	if asOf.After(s.st.CurrentAsOf) {
+		s.st.CurrentAsOf = asOf
+	}
 	s.st.SubID, s.views = subID, views
 	return nil
 }
@@ -162,6 +172,7 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 	if len(views) == 0 {
 		return 0, nil
 	}
+	asOf := time.Now() // a commit after this may be missing from the response
 	batches, through, err := src.Pull(subID, 0, acked)
 	if err != nil {
 		return 0, err
@@ -204,7 +215,7 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 		metrics.Default.Counter("repl.apply_errors").Add(1)
 		through = applied
 	} else {
-		s.st.CurrentAsOf = start
+		s.st.CurrentAsOf = asOf
 	}
 	s.st.AppliedLSN = max(s.st.AppliedLSN, through, applied)
 	return n, err

@@ -105,7 +105,7 @@ func Run(cfg Config) {
 		case line == `\imcache` || strings.HasPrefix(line, `\imcache `):
 			n := argN(line, `\imcache`, 10)
 			runSQL(cfg, out, fmt.Sprintf(`SELECT TOP %d shape, literals, rows, bytes,
-				hits, saved_ns, lineage, staleness_seconds
+				hits, saved_ns, lineage, stale
 				FROM sys.intermediate_results ORDER BY hits DESC`, n))
 		case line == `\slow` || strings.HasPrefix(line, `\slow `):
 			n := argN(line, `\slow`, 5)

@@ -93,6 +93,15 @@ func TestCacheRestartResumesFromCheckpoint(t *testing.T) {
 	if res.Counters.RemoteQueries != 0 {
 		t.Fatalf("pre-crash read went remote (%d remote queries)", res.Counters.RemoteQueries)
 	}
+	// How old the checkpoint is, is not known: a bounded read goes to the
+	// backend, and sees the downtime commit, until the first pull round.
+	res, err = rc2.DB.Exec("SELECT qty FROM part WHERE type = 'Tire' AND id = 5002 WITH FRESHNESS 60", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 43 {
+		t.Fatalf("bounded read before any pull answered from the checkpoint: %v, want the downtime row", res.Rows)
+	}
 
 	// The downtime commit arrives through the resumed stream.
 	if _, err := rc2.Pull(); err != nil {

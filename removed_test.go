@@ -56,6 +56,11 @@ var removedNames = []struct {
 	{`MaxStaleness`, `^internal/opt/`, "one staleness per cache, checked at run time"},
 	{`ViewStaleness`, "", "one staleness per cache, checked at run time"},
 	{`HasView`, `^internal/repl/`, "one staleness per cache, checked at run time"},
+	{`MaxStaleAge`, "", "the result cache has no clock (one staleness per cache)"},
+	{`staleAt`, `^internal/imcache/`, "the result cache has no clock (one staleness per cache)"},
+	{`overStale`, `^internal/imcache/`, "the result cache has no clock (one staleness per cache)"},
+	{`dropOverStale`, `^internal/imcache/`, "the result cache has no clock (one staleness per cache)"},
+	{`"time"`, `^internal/imcache/imcache\.go$`, "the result cache has no clock (one staleness per cache)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
