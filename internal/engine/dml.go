@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
@@ -202,6 +203,9 @@ func insertColumnOrds(t *catalog.Table, cols []string) ([]int, error) {
 		if ord < 0 {
 			return nil, fmt.Errorf("engine: column %s not in %s", c, t.Name)
 		}
+		if slices.Contains(ords[:i], ord) {
+			return nil, fmt.Errorf("engine: column %s is named more than once in the column list of an INSERT into %s", c, t.Name)
+		}
 		ords[i] = ord
 	}
 	return ords, nil
@@ -249,53 +253,53 @@ func buildInsertRow(t *catalog.Table, colOrds []int, vals []types.Value) (types.
 }
 
 // targetRows finds the RowIDs a WHERE clause selects, using the primary key
-// when the predicate pins every key column (the hot path for OLTP updates).
-func (db *Database) targetRows(t *catalog.Table, where sql.Expr, params exec.Params, tx *storage.Txn) ([]storage.RowID, exec.Expr, error) {
+// when the predicate pins every key column (the hot path for OLTP updates):
+// the row the key finds is selected only if the whole clause holds for it.
+func (db *Database) targetRows(t *catalog.Table, where sql.Expr, env *exec.Env, tx *storage.Txn) ([]storage.RowID, error) {
 	td := tx.Table(t.Name)
 	if td == nil {
-		return nil, nil, fmt.Errorf("engine: no storage for %s", t.Name)
+		return nil, fmt.Errorf("engine: no storage for %s", t.Name)
 	}
 	var filter exec.Expr
 	if where != nil {
 		f, err := opt.CompileScalar(where, t)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		filter = f
 	}
 
 	// PK fast path.
 	if where != nil && len(t.PrimaryKey) > 0 {
-		if key, ok := pkKey(t, where, params); ok {
+		if key, ok := pkKey(t, where, env.Named); ok {
 			rid := td.PKLookup(key)
 			if rid < 0 {
-				return nil, filter, nil
+				return nil, nil
 			}
-			return []storage.RowID{rid}, filter, nil
+			if ok, err := exec.EvalBool(filter, td.Get(rid), env); err != nil || !ok {
+				return nil, err
+			}
+			return []storage.RowID{rid}, nil
 		}
 	}
 
 	var rids []storage.RowID
 	var evalErr error
-	env := &exec.Env{Named: params}
 	td.Scan(func(rid storage.RowID, row types.Row) bool {
-		if filter != nil {
-			ok, err := exec.EvalBool(filter, row, env)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
+		ok, err := exec.EvalBool(filter, row, env)
+		if err != nil {
+			evalErr = err
+			return false
 		}
-		rids = append(rids, rid)
+		if ok {
+			rids = append(rids, rid)
+		}
 		return true
 	})
 	if evalErr != nil {
-		return nil, nil, evalErr
+		return nil, evalErr
 	}
-	return rids, filter, nil
+	return rids, nil
 }
 
 // pkKey extracts a full primary-key binding from equality conjuncts.
@@ -353,7 +357,8 @@ func (db *Database) execUpdate(x *sql.UpdateStmt, params exec.Params, tx *storag
 	if t == nil {
 		return 0, fmt.Errorf("engine: table %s does not exist", x.Table.Name)
 	}
-	rids, _, err := db.targetRows(t, x.Where, params, tx)
+	env := &exec.Env{Named: params}
+	rids, err := db.targetRows(t, x.Where, env, tx)
 	if err != nil {
 		return 0, err
 	}
@@ -367,6 +372,11 @@ func (db *Database) execUpdate(x *sql.UpdateStmt, params exec.Params, tx *storag
 		if ord < 0 {
 			return 0, fmt.Errorf("engine: column %s not in %s", a.Column, t.Name)
 		}
+		for _, s := range sets {
+			if s.ord == ord {
+				return 0, fmt.Errorf("engine: column %s is named more than once in the SET of an UPDATE of %s", a.Column, t.Name)
+			}
+		}
 		ce, err := opt.CompileScalar(a.Expr, t)
 		if err != nil {
 			return 0, err
@@ -375,7 +385,6 @@ func (db *Database) execUpdate(x *sql.UpdateStmt, params exec.Params, tx *storag
 	}
 	td := tx.Table(t.Name)
 	views := db.cat.ViewsOver(t.Name)
-	env := &exec.Env{Named: params}
 	var count int64
 	for _, rid := range rids {
 		old := td.Get(rid)
@@ -409,7 +418,7 @@ func (db *Database) execDelete(x *sql.DeleteStmt, params exec.Params, tx *storag
 	if t == nil {
 		return 0, fmt.Errorf("engine: table %s does not exist", x.Table.Name)
 	}
-	rids, _, err := db.targetRows(t, x.Where, params, tx)
+	rids, err := db.targetRows(t, x.Where, &exec.Env{Named: params}, tx)
 	if err != nil {
 		return 0, err
 	}

@@ -36,17 +36,28 @@ func cmpItem(a, b Item) int {
 	return 0
 }
 
-// BTree is an in-memory B+tree over Items with copy-on-write structural
-// updates: Insert and Delete clone every node on the mutated path and publish
-// a new root with a single atomic store. Mutators must still be externally
-// serialized (the Store's per-table write latch does this), but any number of
-// readers may traverse a pinned root concurrently — and keep iterating their
-// snapshot while later writes publish new roots.
+// BTree is an in-memory B-tree over Items with copy-on-write updates: Insert
+// and Delete give every node on the changed path a new header and publish a
+// new root with a single atomic store; an array the change does not modify
+// is shared with the published tree (see node). Mutators must still be
+// externally serialized (the Store's per-table write latch does this), but
+// any number of readers may traverse a pinned root concurrently — and keep
+// iterating their snapshot while later writes publish new roots.
 type BTree struct {
 	root atomic.Pointer[node]
 	size atomic.Int64
 }
 
+// node is one tree node. A header reachable from a published root is never
+// written again, but its arrays may be shared with newer headers:
+//
+//   - an inner node on an insert path gets a fresh children array and keeps
+//     its items array, unless a child split hoists a median into it;
+//   - a leaf's new last entry is appended to its items array in place, at an
+//     index past the length of every header that covers the array, so no
+//     reader of an older header can see the write;
+//   - every change that shortens or rearranges an array — a middle insert,
+//     a split's halves, delete, borrow and merge — works on a fresh array.
 type node struct {
 	items    []Item
 	children []*node // nil for leaves
@@ -99,49 +110,85 @@ func (n *node) find(it Item) (int, bool) {
 	return lo, false
 }
 
-// Insert adds an entry; duplicate (key, rid) pairs are replaced.
+// Insert adds an entry. An entry already present (same key and rid) is left
+// as it is, and the tree publishes no new root.
 func (t *BTree) Insert(it Item) {
 	r := t.root.Load()
 	if len(r.items) >= btreeOrder {
+		if r.has(it) {
+			return
+		}
 		nr := &node{children: []*node{r}}
 		nr.splitChild(0)
 		r = nr
 	}
-	nr, added := r.insert(it)
-	t.root.Store(nr)
-	if added {
+	if nr, added := r.insert(it); added {
+		t.root.Store(nr)
 		t.size.Add(1)
 	}
 }
 
-// insert returns a path-copied node with the entry applied, and whether the
-// entry is new.
+// has reports whether the subtree under n holds an entry equal to it.
+func (n *node) has(it Item) bool {
+	for {
+		i, found := n.find(it)
+		if found || n.leaf() {
+			return found
+		}
+		n = n.children[i]
+	}
+}
+
+// insert returns a copy of n with the entry added and true, or n itself and
+// false when the entry is already present. It copies only what it changes
+// (see node).
 func (n *node) insert(it Item) (*node, bool) {
-	c := n.cloneWithRoom(1) // a leaf gains the item, an inner node maybe a split child's median
-	i, found := c.find(it)
+	i, found := n.find(it)
 	if found {
-		c.items[i] = it
-		return c, false
+		return n, false
 	}
-	if c.leaf() {
-		c.items = append(c.items, Item{})
-		copy(c.items[i+1:], c.items[i:])
-		c.items[i] = it
-		return c, true
+	if n.leaf() {
+		return n.withItem(i, it), true
 	}
-	if len(c.children[i].items) >= btreeOrder {
+	if child := n.children[i]; len(child.items) >= btreeOrder {
+		if child.has(it) {
+			return n, false
+		}
+		c := n.cloneWithRoom(1) // the split hoists the child's median into c
 		c.splitChild(i)
-		switch cmp := cmpItem(it, c.items[i]); {
-		case cmp == 0:
-			c.items[i] = it
-			return c, false
-		case cmp > 0:
+		if cmpItem(it, c.items[i]) > 0 {
 			i++
 		}
+		c.children[i], _ = c.children[i].insert(it)
+		return c, true
 	}
-	nc, added := c.children[i].insert(it)
+	nc, added := n.children[i].insert(it)
+	if !added {
+		return n, false
+	}
+	c := &node{items: n.items, children: append(make([]*node, 0, len(n.children)), n.children...)}
 	c.children[i] = nc
-	return c, added
+	return c, true
+}
+
+// withItem returns a new leaf header holding n's items with it at index i. A
+// new last entry is appended to n's array when it has room (no header covers
+// that index yet); otherwise the array is copied, with room for a full leaf
+// when the copy is for an append, so a leaf that grows at its end is copied
+// once per split rather than once per insert.
+func (n *node) withItem(i int, it Item) *node {
+	if i == len(n.items) {
+		items := n.items
+		if len(items) == cap(items) {
+			items = append(make([]Item, 0, btreeOrder), items...)
+		}
+		return &node{items: append(items, it)}
+	}
+	items := make([]Item, len(n.items)+1)
+	copy(items, n.items[:i])
+	items[i] = it
+	copy(items[i+1:], n.items[i:])
+	return &node{items: items}
 }
 
 // splitChild splits the full child at index i, hoisting its median into n.

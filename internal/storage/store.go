@@ -339,7 +339,7 @@ type Txn struct {
 	err     error       // sticky: set by deadlock detection, surfaced at commit
 	snap    int64       // read transactions: pinned commit timestamp
 	asOfLSN LSN         // read transactions: WAL end consistent with snap
-	changes []ChangeRec // redo, for the WAL
+	changes []ChangeRec // redo, for the WAL; its rows are the versions' own
 	undo    []undoRec
 	created []*version   // versions to stamp begin=commitTS
 	ended   []*version   // versions to stamp end=commitTS
@@ -459,7 +459,8 @@ func (t *Txn) tableForWrite(name string) (*TableData, error) {
 	return td, nil
 }
 
-// Insert adds a row to a table.
+// Insert adds a row to a table. The store keeps row itself, in the new
+// version and in the redo record: the caller must not modify it afterwards.
 func (t *Txn) Insert(table string, row types.Row) (RowID, error) {
 	td, err := t.tableForWrite(table)
 	if err != nil {
@@ -473,7 +474,7 @@ func (t *Txn) insert(td *TableData, row types.Row) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	t.changes = append(t.changes, ChangeRec{Table: td.meta.Name, Op: OpInsert, After: row.Clone()})
+	t.changes = append(t.changes, ChangeRec{Table: td.meta.Name, Op: OpInsert, After: row})
 	t.undo = append(t.undo, undoRec{table: td, op: OpInsert, rid: rid, v: v})
 	t.created = append(t.created, v)
 	return rid, nil
@@ -493,13 +494,14 @@ func (t *Txn) delete(td *TableData, rid RowID) error {
 	if err != nil {
 		return err
 	}
-	t.changes = append(t.changes, ChangeRec{Table: td.meta.Name, Op: OpDelete, Before: old.row.Clone()})
+	t.changes = append(t.changes, ChangeRec{Table: td.meta.Name, Op: OpDelete, Before: old.row})
 	t.undo = append(t.undo, undoRec{table: td, op: OpDelete, rid: rid, old: old})
 	t.ended = append(t.ended, old)
 	return nil
 }
 
-// Update replaces the row at rid.
+// Update replaces the row at rid. Like Insert, the store keeps newRow
+// itself: the caller must not modify it afterwards.
 func (t *Txn) Update(table string, rid RowID, newRow types.Row) error {
 	td, err := t.tableForWrite(table)
 	if err != nil {
@@ -513,7 +515,7 @@ func (t *Txn) update(td *TableData, rid RowID, newRow types.Row) error {
 	if err != nil {
 		return err
 	}
-	t.changes = append(t.changes, ChangeRec{Table: td.meta.Name, Op: OpUpdate, Before: old.row.Clone(), After: newRow.Clone()})
+	t.changes = append(t.changes, ChangeRec{Table: td.meta.Name, Op: OpUpdate, Before: old.row, After: newRow})
 	t.undo = append(t.undo, undoRec{table: td, op: OpUpdate, rid: rid, v: v, old: old})
 	t.created = append(t.created, v)
 	t.ended = append(t.ended, old)
@@ -526,7 +528,7 @@ func (t *Txn) update(td *TableData, rid RowID, newRow types.Row) error {
 // the stored row that is ch.Before, by the table's primary key when it has
 // one and by full-row equality otherwise (any one of equal rows will do), and
 // fails when there is none: the table no longer holds what it was derived
-// from.
+// from. The store keeps ch.After itself, as Insert and Update do.
 func (t *Txn) Apply(ch ChangeRec) error {
 	td, err := t.tableForWrite(ch.Table)
 	if err != nil {
