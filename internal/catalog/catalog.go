@@ -104,6 +104,19 @@ type Procedure struct {
 	Text   string // original CREATE PROCEDURE text, for copying to caches
 }
 
+// Writes reports whether the body has an INSERT, UPDATE or DELETE. A cache
+// runs only a copy that does not write; a call to one that does goes to the
+// backend as it arrived.
+func (p *Procedure) Writes() bool {
+	for _, stmt := range p.Body {
+		switch stmt.(type) {
+		case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+			return true
+		}
+	}
+	return false
+}
+
 // Permission grants are deliberately simple: user -> object -> action set.
 // They exist because the shadow database must replicate them so the cache
 // can check permissions locally (paper §3).

@@ -38,37 +38,49 @@ func imcacheSetup(t *testing.T) (*BackendServer, *CacheServer) {
 // TestIMCacheInvalidatedByReplicationApply: an intermediate admitted over a
 // cached view goes stale when the distribution agent applies a backend
 // write, and the next plain execution recomputes against the updated view.
+// The write is sent through the cache, which forwards it and changes nothing
+// of its own: until apply, the cache answers as it does with no result cache.
 func TestIMCacheInvalidatedByReplicationApply(t *testing.T) {
 	b, c := imcacheSetup(t)
 	const q = "SELECT COUNT(*) AS n FROM customer WHERE csegment = 2"
-	var baseN int64
-	for i := 0; i < 3; i++ {
+	count := func() int64 {
+		t.Helper()
 		res, err := c.Exec(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseN = res.Rows[0][0].Int()
+		return res.Rows[0][0].Int()
+	}
+	var baseN int64
+	for i := 0; i < 3; i++ {
+		baseN = count()
 	}
 	if baseN == 0 {
 		t.Fatal("baseline count is zero; fixture changed?")
 	}
 
-	invBefore := metrics.Default.Counter("imcache.invalidations").Value()
-	if _, err := b.Exec("INSERT INTO customer (cid, cname, caddress, csegment) VALUES (9001, 'new', 'addr', 2)", nil); err != nil {
+	if _, err := c.Exec("INSERT INTO customer (cid, cname, caddress, csegment) VALUES (9001, 'new', 'addr', 2)", nil); err != nil {
 		t.Fatal(err)
 	}
+	served := count()
+	c.DB.SetIMCacheEnabled(false)
+	computed := count()
+	c.DB.SetIMCacheEnabled(true)
+	if served != computed {
+		t.Fatalf("before apply the cache answered %d, and %d with the result cache off", served, computed)
+	}
+	for i := 0; i < 2; i++ {
+		count() // admitted again
+	}
+
+	invBefore := metrics.Default.Counter("imcache.invalidations").Value()
 	if err := b.SyncReplication(); err != nil {
 		t.Fatal(err)
 	}
 	if got := metrics.Default.Counter("imcache.invalidations").Value(); got == invBefore {
 		t.Fatal("replication apply did not invalidate the intermediate")
 	}
-
-	res, err := c.Exec(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.Rows[0][0].Int(); n != baseN+1 {
+	if n := count(); n != baseN+1 {
 		t.Fatalf("cache served a stale intermediate after replication apply: %d, want %d", n, baseN+1)
 	}
 }

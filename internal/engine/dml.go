@@ -16,7 +16,7 @@ import (
 // execDML routes a data modification. On a cache server the statement is
 // deparsed and forwarded to the backend unchanged — the application never
 // knows it talked to a cache (paper §5). On the backend it executes locally
-// inside its own transaction.
+// inside its own transaction and invalidates the results that read its table.
 func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.Record) (*Result, error) {
 	// Virtual system tables are read-only everywhere — reject before the
 	// cache role forwards the statement to a backend that would only reject
@@ -25,12 +25,7 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 		return nil, fmt.Errorf("engine: %s is a read-only system table", t.Name)
 	}
 	if db.role == Cache {
-		res, err := db.forward(sql.Deparse(stmt), params, rec)
-		if err != nil {
-			return nil, err
-		}
-		db.invalidateDMLTarget(stmt)
-		return res, nil
+		return db.forward(sql.Deparse(stmt), params, rec)
 	}
 	tx := db.store.Begin(true)
 	n, err := db.execDMLInTxn(stmt, params, tx)
@@ -48,9 +43,11 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 
 // forward sends a statement a cache does not run itself to the backend, and
 // answers what the backend did: its rows, row count and commit LSN. It is the
-// one way out for a client DML statement, a copied procedure's one DML
-// statement, a copied multi-statement writer's whole call and an uncopied
-// EXEC; text is the statement, or a call shape whose values are in params.
+// one way out for a client DML statement and for a call the cache holds no
+// read-only copy of, sent as it arrived; text is the statement, or a call
+// shape whose values are in params. It changes nothing on the cache: a write
+// reaches the cache's views, and through them its result cache, only by
+// replication apply.
 func (db *Database) forward(text string, params exec.Params, rec *trace.Record) (*Result, error) {
 	if db.remote == nil {
 		return nil, fmt.Errorf("engine: cache has no backend link for forwarding")
@@ -64,9 +61,8 @@ func (db *Database) forward(text string, params exec.Params, rec *trace.Record) 
 }
 
 // invalidateDMLTarget drops intermediates derived from a DML statement's
-// target table, after the write committed (locally on a backend, at the
-// backend for a cache's forwarded write — the forwarding cache must not
-// keep serving its own overwritten read).
+// target table after a backend committed it locally. A cache never calls it:
+// replication apply is a cache's one result invalidation.
 func (db *Database) invalidateDMLTarget(stmt sql.Statement) {
 	switch x := stmt.(type) {
 	case *sql.InsertStmt:

@@ -359,7 +359,7 @@ type Result struct {
 	Counters exec.Counters
 
 	// TraceID identifies the statement's record in trace.Traces ("" when the
-	// statement did not arrive as text: ExecStmt, CallProcedure).
+	// statement did not arrive as text: ExecStmt).
 	TraceID string
 }
 

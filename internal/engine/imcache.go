@@ -1,9 +1,8 @@
 // Intermediate-result cache glue: the values a result key covers, lineage
 // extraction, exact-match lookup before planning and admission after
 // execution. The cache itself (admission thresholds, benefit-weighted
-// eviction, invalidation) lives in internal/imcache; the
-// replication apply path and every local write path invalidate through
-// InvalidateIntermediates.
+// eviction, invalidation) lives in internal/imcache; a backend's local writes
+// and a cache's replication apply invalidate through InvalidateIntermediates.
 package engine
 
 import (
@@ -41,10 +40,12 @@ func (db *Database) imcacheIfEnabled() *imcache.Cache {
 }
 
 // InvalidateIntermediates marks every intermediate whose lineage includes
-// table as stale: never served again until an execution refreshes it. Every
-// write path calls it after commit: local DML and
-// procedures on a backend, forwarded DML on a cache, bulk loads, DROP,
-// and — the transparent path — replication apply.
+// table as stale: never served again until an execution refreshes it. Bulk
+// loads and DROP call it, and on a backend local DML and procedures after
+// commit. On a cache, replication apply is the one invalidation a write
+// causes: the result cache admits only executions that read cached views
+// alone, and nothing but apply changes those — a write the cache forwards
+// reaches them, like any other, when apply does.
 func (db *Database) InvalidateIntermediates(table string) {
 	db.imc.Invalidate(table)
 }

@@ -10,32 +10,33 @@ import (
 	"mtcache/internal/types"
 )
 
-// execProcCall runs EXEC proc. If the procedure exists locally it runs here
-// (its queries may still be computed remotely, decided per statement by the
-// optimizer); otherwise the call is transparently forwarded to the backend
-// (paper §5.2). "A stored procedure can be run locally even when some of the
-// data it requires is not available locally." autoArgs are the literals the
-// front door extracted from the call's text, bound to its @__pN arguments.
+// execProcCall runs EXEC proc. A cache runs a copy whose body only reads (its
+// queries may still be computed remotely, decided per statement by the
+// optimizer): "a stored procedure can be run locally even when some of the
+// data it requires is not available locally" (paper §5.2). Every other call on
+// a cache — to a procedure it has no copy of, or to a copy that writes, in one
+// statement or several — goes to the backend as it arrived: its shape, with
+// the arguments and any extracted literals in the one named-parameter map,
+// which the backend's front door resolves without parsing. A write is one
+// backend transaction (paper §5). autoArgs are the literals the front door
+// extracted from the call's text, bound to its @__pN arguments.
 func (db *Database) execProcCall(x *sql.ExecStmt, outer exec.Params, autoArgs []types.Value, rec *trace.Record) (*Result, error) {
 	proc := db.cat.Procedure(x.Proc)
+	if db.role == Cache && (proc == nil || proc.Writes()) {
+		return db.forward(x.Text(), withAutoArgs(outer, autoArgs), rec)
+	}
 	if proc == nil {
-		if db.role == Cache && db.remote != nil {
-			// The call goes on as it came: its shape, with the arguments and
-			// any extracted literals in the one named-parameter map, which the
-			// backend's front door resolves without parsing.
-			return db.forward(x.Text(), withAutoArgs(outer, autoArgs), rec)
-		}
 		return nil, fmt.Errorf("engine: procedure %s does not exist", x.Proc)
 	}
 	params, err := bindProcArgs(proc, x.Args, outer, autoArgs)
 	if err != nil {
 		return nil, err
 	}
-	return db.callProcedure(proc, params, rec)
+	return db.callProcedure(proc, params)
 }
 
 // bindProcArgs evaluates EXEC arguments (positional or named) into the
-// procedure's parameter map.
+// procedure's parameter map. A parameter given twice is refused.
 func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params, autoArgs []types.Value) (exec.Params, error) {
 	params := make(exec.Params, len(args))
 	for i, arg := range args {
@@ -57,6 +58,9 @@ func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params
 		}
 		if target == nil {
 			return nil, fmt.Errorf("engine: procedure %s has no parameter @%s", proc.Name, name)
+		}
+		if _, dup := params[target.Name]; dup {
+			return nil, fmt.Errorf("engine: parameter @%s of %s is given more than once", target.Name, proc.Name)
 		}
 		var v types.Value
 		switch e := arg.Expr.(type) {
@@ -80,44 +84,22 @@ func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params
 	return params, nil
 }
 
-// CallProcedure executes a stored procedure with pre-bound parameters.
-// The whole body runs in a single transaction when it contains any DML, so
-// multi-statement business operations (order placement, cart updates) are
-// atomic — and replicate as one transaction.
+// CallProcedure calls a stored procedure with its arguments bound by name. It
+// is Exec of the call's shape (sql.CallShape) with the values in params, so a
+// call made in process enters where a routed one does.
 func (db *Database) CallProcedure(name string, params exec.Params) (*Result, error) {
-	var unkept trace.Record // a direct call is not a statement: nothing asks where it ran
-	proc := db.cat.Procedure(name)
-	if proc != nil {
-		return db.callProcedure(proc, params, &unkept)
-	}
-	if db.role == Cache && db.remote != nil {
-		return db.forward(sql.CallShape(name, params), params, &unkept)
-	}
-	return nil, fmt.Errorf("engine: procedure %s does not exist", name)
+	return db.Exec(sql.CallShape(name, params), params)
 }
 
-// callProcedure runs a procedure this database holds; a body that runs here
-// gets a record per statement from ExecStmt.
-func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params, rec *trace.Record) (*Result, error) {
-	hasDML := false
-	for _, stmt := range proc.Body {
-		switch stmt.(type) {
-		case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-			hasDML = true
-		}
-	}
-	// A cache forwards the whole call for a copied procedure that writes in
-	// more than one statement: the call is one backend transaction there,
-	// which statements forwarded one by one are not. (A body that is exactly
-	// one DML statement is atomic either way and keeps forwarding that
-	// statement.)
-	if hasDML && len(proc.Body) > 1 && db.role == Cache {
-		return db.forward(sql.CallShape(proc.Name, params), params, rec)
-	}
-
+// callProcedure runs a procedure this database holds. A body that writes runs
+// in one write transaction, so multi-statement business operations (order
+// placement, cart updates) are atomic and replicate as one transaction; only
+// a backend gets here with one, as a cache forwards every call that writes. A
+// body that only reads runs statement by statement, each with a record of its
+// own from ExecStmt.
+func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (*Result, error) {
 	res := &Result{}
-	// Only run a local write transaction when this server owns the data.
-	if hasDML && db.role == Backend {
+	if proc.Writes() {
 		tx := db.store.Begin(true)
 		for _, stmt := range proc.Body {
 			switch x := stmt.(type) {
@@ -164,8 +146,7 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params, r
 		}
 		res.RowsAffected += r.RowsAffected
 		if r.CommitLSN > res.CommitLSN {
-			// A cache-local procedure forwards its one DML statement; that
-			// backend commit is the session watermark.
+			// A nested EXEC may write; its commit is the session watermark.
 			res.CommitLSN = r.CommitLSN
 		}
 		if len(r.Cols) > 0 {

@@ -46,10 +46,15 @@ func (l *cutLink) QueryTraced(sqlText string, params exec.Params, traceID string
 // can meet: cv_orders covers orders (local plans), cv_low covers the lower
 // half of item by key (a ChoosePlan per point shape) without i_stock (remote
 // plans), a staleness probe, a session gate that has applied LSN 10, a
-// backend link that can be cut, and a read procedure of two SELECTs.
+// backend link that can be cut, a read procedure of two SELECTs and a copy of
+// the backend's one-statement writer.
 func newReportingCache(t *testing.T) (*Database, *cutLink) {
 	t.Helper()
 	backend := newBackendDB(t)
+	const setQty = "CREATE PROCEDURE setQty @o INT, @q INT AS UPDATE orders SET o_qty = @q WHERE o_id = @o"
+	if _, err := backend.Exec(setQty, nil); err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i <= 20; i++ {
 		if _, err := backend.Exec(fmt.Sprintf("INSERT INTO orders (o_id, o_i_id, o_qty) VALUES (%d, %d, %d)", i, i, i%5+1), nil); err != nil {
 			t.Fatal(err)
@@ -86,6 +91,9 @@ func newReportingCache(t *testing.T) (*Database, *cutLink) {
 			SELECT i_stock FROM item WHERE i_id = @i;
 		END`)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.CopyProcedureFrom(setQty); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"item", "orders"} {
@@ -192,6 +200,8 @@ func TestStatementReportedOnce(t *testing.T) {
 		{name: "EXEC of a read procedure with two SELECTs (+1 backend)", run: text("EXEC twoReads @o = 6, @i = 8"),
 			planned: 3, executed: 3, store: map[string]int64{"local+cv_orders": 1, "remote": 1, "local": 1},
 			spans: "cache1.exec"}, // the call's shape came from the front door: nothing was parsed
+		{name: "EXEC of a copied one-statement writer, forwarded as it arrived", run: text("EXEC setQty 6, 9"),
+			tier: trace.TierForwarded, spans: "cache1.exec"},
 		{name: "forwarded DML", run: text("UPDATE orders SET o_qty = 9 WHERE o_id = 6"),
 			tier: trace.TierForwarded, spans: "cache1.exec,parse"},
 	} {

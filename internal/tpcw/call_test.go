@@ -13,6 +13,7 @@ import (
 	"mtcache/internal/metrics"
 	"mtcache/internal/router"
 	"mtcache/internal/sql"
+	"mtcache/internal/storage"
 	"mtcache/internal/types"
 	"mtcache/internal/wire"
 )
@@ -55,7 +56,7 @@ func newCallServers(t *testing.T, cfg Config) (backend, cache callServer) {
 	return callServer{"backend", b.DB, route(), current}, callServer{"cache", c.DB, route(csrv.Addr()), b.SyncReplication}
 }
 
-// The three ways a call reaches a server.
+// The four ways a call reaches a server.
 var callPaths = []struct {
 	name string
 	run  func(s callServer, proc *catalog.Procedure, params exec.Params) (*engine.Result, error)
@@ -73,6 +74,9 @@ var callPaths = []struct {
 	}},
 	{"parameterized shape", func(s callServer, proc *catalog.Procedure, params exec.Params) (*engine.Result, error) {
 		return s.db.Exec(sql.CallShape(proc.Name, params), params)
+	}},
+	{"in-process CallProcedure", func(s callServer, proc *catalog.Procedure, params exec.Params) (*engine.Result, error) {
+		return s.db.CallProcedure(proc.Name, params)
 	}},
 }
 
@@ -104,29 +108,19 @@ func literalCall(proc *catalog.Procedure, params exec.Params) string {
 	return "EXEC " + proc.Name + " " + strings.Join(args, ", ")
 }
 
-// writes reports whether the procedure's body has a DML statement.
-func writes(proc *catalog.Procedure) bool {
-	for _, stmt := range proc.Body {
-		switch stmt.(type) {
-		case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-			return true
-		}
-	}
-	return false
-}
-
 // TestCallPathsAgree is the differential over every TPC-W procedure: routed
-// through a Session, typed as literal EXEC text, and sent as the
-// parameterized shape with the values in the named map, a call gives the same
-// rows and the same RowsAffected on every path, and the cache (where most
-// procedures are copies and five are forwarded) gives what the backend gives
-// when it has applied the backend's last commit. A call reports a commit LSN
-// exactly when it wrote, and a client UPDATE text reports the same row count
-// through the cache as on the backend. A missing, an extra and a misspelled
-// parameter, and a procedure nobody has, fail with the same text on every
-// path. The arguments include the edge values of the call syntax: a negative
-// integer in first (positional) place, a negative float by name, NULL, a
-// quote inside a string.
+// through a Session, typed as literal EXEC text, sent as the parameterized
+// shape with the values in the named map, and called in process with
+// CallProcedure (what a core.Conn calls), a call gives the same rows and the
+// same RowsAffected on every path, and the cache (which holds copies of 24 of
+// the 29, runs those that only read and forwards every other call) gives what
+// the backend gives when it has applied the backend's last commit. A call
+// reports a commit LSN exactly when it wrote, and a client UPDATE text reports
+// the same row count through the cache as on the backend. A missing, an extra
+// and a misspelled parameter, and a procedure nobody has, fail with the same
+// text on every path. The arguments include the edge values of the call
+// syntax: a negative integer in first (positional) place, a negative float by
+// name, NULL, a quote inside a string.
 func TestCallPathsAgree(t *testing.T) {
 	backend, cache := newCallServers(t, Config{Items: 200, Customers: 300, Seed: 7})
 	ts := types.NewTime(time.Date(2024, 2, 29, 23, 59, 59, 123e6, time.UTC))
@@ -223,8 +217,8 @@ func TestCallPathsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s, %s, %s %v: %v", srv.name, path.name, c.proc, params, err)
 				}
-				if wrote := res.CommitLSN > 0; wrote != writes(proc) {
-					t.Errorf("%s, %s, %s: commit LSN %d, but the procedure writes: %v", srv.name, path.name, c.proc, res.CommitLSN, writes(proc))
+				if wrote := res.CommitLSN > 0; wrote != proc.Writes() {
+					t.Errorf("%s, %s, %s: commit LSN %d, but the procedure writes: %v", srv.name, path.name, c.proc, res.CommitLSN, proc.Writes())
 				}
 				if si == 0 {
 					onBackend = res
@@ -284,7 +278,7 @@ func TestCallPathsAgree(t *testing.T) {
 				}
 				texts = append(texts, err.Error())
 			}
-			if texts[1] != texts[0] || texts[2] != texts[0] {
+			if slices.ContainsFunc(texts, func(text string) bool { return text != texts[0] }) {
 				t.Errorf("%s: a %s parameter fails differently by path:\n  %s", srv.name, c.why, strings.Join(texts, "\n  "))
 			}
 		}
@@ -292,44 +286,66 @@ func TestCallPathsAgree(t *testing.T) {
 }
 
 // TestRoutedCallAllocBudget: a procedure call from the application's side of
-// a router to a cache and back — getBook routed over TCP to a TPC-W cache that
-// holds a copy of it, the result cache off so every call executes — and
-// everything the process allocates on the way: the router's request, both
-// ends of the wire, the cache engine. The call travels as its shape with the
-// value in the named map, so after the first call no server parses it: the
-// count of engine.parse_seconds does not move over 100 calls. When the router
-// deparsed the call to literal text and the cache parsed it, this count was 61
-// allocations and 100 parses; it was 42 while a wire round trip built a fresh
-// call slot, timer, request and response for every frame. It is 33 now, the
-// ceiling 33 + 2.
+// a router to a cache and back — routed over TCP to a TPC-W cache, the result
+// cache off so every call executes — and everything the process allocates on
+// the way: the router's request, both ends of the wire, the cache engine and,
+// for a call the cache forwards, the backend's. The call travels as its shape
+// with the values in the named map, so after the first call no server parses
+// it: the count of engine.parse_seconds does not move over 100 calls.
+//
+// getBook runs on the cache's copy. When the router deparsed the call to
+// literal text and the cache parsed it, this count was 61 allocations and 100
+// parses; it was 42 while a wire round trip built a fresh call slot, timer,
+// request and response for every frame. It is 33 now, the ceiling 33 + 2.
+//
+// updateLogin is a copied one-statement writer, which the cache forwards as it
+// arrived: each call is one backend commit, and the session's next call waits
+// at the cache's gate for it. While the cache ran its copy and forwarded the
+// UPDATE as text for the backend to parse, this count was 80 allocations and
+// 100 parses. It is 50 now, the ceiling 50 + 2.
 func TestRoutedCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
-	_, cache := newCallServers(t, DefaultConfig())
+	backend, cache := newCallServers(t, DefaultConfig())
 	cache.db.SetIMCacheEnabled(false)
-	sess := cache.r.Session()
-	next := int64(0)
-	call := func() {
-		next++
-		res, err := sess.Call("getBook", exec.Params{"i_id": types.NewInt(next%500 + 1)})
-		if err != nil || len(res.Rows) != 1 {
-			t.Fatalf("getBook %d: %v, %v", next%500+1, res, err)
+	login := types.NewTime(time.Date(2024, 2, 29, 23, 59, 59, 0, time.UTC))
+	for _, c := range []struct {
+		proc    string
+		params  exec.Params // each call sets key to its own value
+		key     string
+		commits storage.LSN // backend commits over 100 calls
+		ceiling float64
+	}{
+		{"getBook", exec.Params{"i_id": types.Null}, "i_id", 0, 35},
+		{"updateLogin", exec.Params{"c_id": types.Null, "t": login}, "c_id", 100, 52},
+	} {
+		sess := cache.r.Session()
+		next := int64(0)
+		call := func() {
+			next++
+			c.params[c.key] = types.NewInt(next%500 + 1)
+			res, err := sess.Call(c.proc, c.params)
+			if err != nil || len(res.Rows)+int(res.RowsAffected) != 1 {
+				t.Fatalf("%s %v: %v, %v", c.proc, c.params, res, err)
+			}
 		}
-	}
-	call() // warm the shape, plan and connection
-	parses := metrics.Default.Histogram("engine.parse_seconds")
-	parsed0 := parses.Count()
-	for n := 0; n < 100; n++ {
-		call()
-	}
-	if n := parses.Count() - parsed0; n != 0 {
-		t.Errorf("%d parses over 100 warm routed calls, want 0", n)
-	}
-	const ceiling = 35
-	avg := testing.AllocsPerRun(300, call)
-	t.Logf("routed getBook: %.0f allocs per call", avg)
-	if avg > ceiling {
-		t.Errorf("routed getBook: %.0f allocs per call, ceiling %d", avg, ceiling)
+		call() // warm the shape, plan and connection
+		parses := metrics.Default.Histogram("engine.parse_seconds")
+		parsed0, wal0 := parses.Count(), backend.db.Store().WAL().End()
+		for n := 0; n < 100; n++ {
+			call()
+		}
+		if n := parses.Count() - parsed0; n != 0 {
+			t.Errorf("%s: %d parses over 100 warm routed calls, want 0", c.proc, n)
+		}
+		if n := backend.db.Store().WAL().End() - wal0; n != c.commits {
+			t.Errorf("%s: %d backend commits over 100 warm routed calls, want %d", c.proc, n, c.commits)
+		}
+		avg := testing.AllocsPerRun(300, call)
+		t.Logf("routed %s: %.0f allocs per call", c.proc, avg)
+		if avg > c.ceiling {
+			t.Errorf("routed %s: %.0f allocs per call, ceiling %.0f", c.proc, avg, c.ceiling)
+		}
 	}
 }

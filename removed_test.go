@@ -61,6 +61,9 @@ var removedNames = []struct {
 	{`overStale`, `^internal/imcache/`, "the result cache has no clock (one staleness per cache)"},
 	{`dropOverStale`, `^internal/imcache/`, "the result cache has no clock (one staleness per cache)"},
 	{`"time"`, `^internal/imcache/imcache\.go$`, "the result cache has no clock (one staleness per cache)"},
+	{`hasDML`, `^internal/engine/`, "one forwarding rule for a call (catalog.Procedure.Writes)"},
+	{`unkept`, `^internal/engine/`, "one way in for a call (CallProcedure is Exec of its shape)"},
+	{`CallShape\(proc\.Name`, `^internal/engine/`, "one way out for a call (forwarded as it arrived)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
