@@ -6,6 +6,7 @@ import (
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
+	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
@@ -17,6 +18,9 @@ import (
 // deparsed and forwarded to the backend unchanged — the application never
 // knows it talked to a cache (paper §5). On the backend it executes locally
 // inside its own transaction and invalidates the results that read its table.
+// Text DML carries its values as literals, one text per value, so its write
+// plan is built for this execution and kept nowhere: keyed by text, every
+// probe would take a plan-cache entry and push a SELECT's shape out.
 func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.Record) (*Result, error) {
 	// Virtual system tables are read-only everywhere — reject before the
 	// cache role forwards the statement to a backend that would only reject
@@ -27,8 +31,12 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 	if db.role == Cache {
 		return db.forward(sql.Deparse(stmt), params, rec)
 	}
+	wp, err := db.buildWritePlan(stmt)
+	if err != nil {
+		return nil, err
+	}
 	tx := db.store.Begin(true)
-	n, err := db.execDMLInTxn(stmt, params, tx)
+	n, err := db.runWrite(wp, params, tx)
 	if err != nil {
 		tx.Abort()
 		return nil, err
@@ -99,90 +107,167 @@ func (db *Database) virtualDMLTarget(stmt sql.Statement) *catalog.Table {
 	return nil
 }
 
-// execDMLInTxn performs a DML statement inside an open write transaction
-// (stored procedures share one transaction across their whole body).
-func (db *Database) execDMLInTxn(stmt sql.Statement, params exec.Params, tx *storage.Txn) (int64, error) {
+// writePlan is an INSERT, UPDATE or DELETE taken apart once: its target
+// table, its compiled expressions, and the primary-key seek its WHERE allows.
+// An execution binds the key values, evaluates and writes. A compiled scalar
+// holds no run state — a parameter resolves by name, an IN list's set is
+// built when it is compiled — so one plan serves concurrent executions. A
+// procedure body's statement keeps its plan on its plan-cache entry
+// (writePlanOf); text DML builds one per execution (execDML).
+type writePlan struct {
+	t  *catalog.Table
+	op storage.ChangeOp
+
+	// INSERT: the column each value goes to, the values — compiled VALUES
+	// rows, or a SELECT planned per execution through the plan cache — and
+	// every column the list leaves out.
+	cols   []int
+	values [][]exec.Expr
+	sel    *sql.SelectStmt
+	fill   []fillCol
+
+	// UPDATE: the SET assignments.
+	sets []setOp
+
+	// UPDATE, DELETE: the whole WHERE (nil: every row), and the primary-key
+	// seek it allows (nil: none). A seek finds at most one row, which the
+	// filter still has to pass.
+	filter exec.Expr
+	seek   []keyArg
+}
+
+// fillCol is a column an INSERT gives no value: it takes its default,
+// compiled once, or NULL — or fails the row, if it is NOT NULL.
+type fillCol struct {
+	ord int
+	def exec.Expr // nil: no default
+}
+
+// setOp is one SET assignment: the column and its compiled value.
+type setOp struct {
+	ord int
+	e   exec.Expr
+}
+
+// keyArg is one primary-key column's value in a seek: the parameter named
+// param, or when param is "" the literal lit.
+type keyArg struct {
+	param string
+	lit   types.Value
+}
+
+// writePlanOf is the write plan of a procedure body's INSERT, UPDATE or
+// DELETE, whose deparse keys e: the plan stored on e, or — when there is none
+// yet — stmt built outside the lock and stored on e, as planOf does for a
+// SELECT, with the same rule: e is the entry a lookup returned before the
+// build began, so a plan built across InvalidatePlans is never served again.
+// A build that fails stores nothing. What writePlanOf did is counted by
+// engine.plan_cache_hits and engine.plan_cache_misses.
+func (db *Database) writePlanOf(e *planEntry, stmt sql.Statement) (*writePlan, error) {
+	if wp := e.write.Load(); wp != nil {
+		metrics.Default.Counter("engine.plan_cache_hits").Add(1)
+		return wp, nil
+	}
+	metrics.Default.Counter("engine.plan_cache_misses").Add(1)
+	wp, err := db.buildWritePlan(stmt)
+	if err != nil {
+		return nil, err
+	}
+	e.write.CompareAndSwap(nil, wp) // a concurrent miss that stored first keeps its plan
+	return wp, nil
+}
+
+// buildWritePlan takes a DML statement apart against the catalog: it resolves
+// the target and every column it names, refusing a column named twice in an
+// INSERT's list or an UPDATE's SET, compiles every expression, and resolves
+// the WHERE's primary-key seek.
+func (db *Database) buildWritePlan(stmt sql.Statement) (*writePlan, error) {
+	var tn *sql.TableName
+	var where sql.Expr
+	wp := &writePlan{}
 	switch x := stmt.(type) {
 	case *sql.InsertStmt:
-		return db.execInsert(x, params, tx)
+		tn, wp.op = x.Table, storage.OpInsert
 	case *sql.UpdateStmt:
-		return db.execUpdate(x, params, tx)
+		tn, where, wp.op = x.Table, x.Where, storage.OpUpdate
 	case *sql.DeleteStmt:
-		return db.execDelete(x, params, tx)
+		tn, where, wp.op = x.Table, x.Where, storage.OpDelete
+	default:
+		return nil, fmt.Errorf("engine: not a DML statement: %T", stmt)
 	}
-	return 0, fmt.Errorf("engine: not a DML statement: %T", stmt)
-}
-
-func (db *Database) execInsert(x *sql.InsertStmt, params exec.Params, tx *storage.Txn) (int64, error) {
-	t := db.cat.Table(x.Table.Name)
+	t := db.cat.Table(tn.Name)
 	if t == nil {
-		return 0, fmt.Errorf("engine: table %s does not exist", x.Table.Name)
+		return nil, fmt.Errorf("engine: table %s does not exist", tn.Name)
 	}
-	colOrds, err := insertColumnOrds(t, x.Columns)
+	wp.t = t
+	if where != nil {
+		f, err := opt.CompileScalar(where, t)
+		if err != nil {
+			return nil, err
+		}
+		wp.filter, wp.seek = f, pkSeek(t, where)
+	}
+	var err error
+	switch x := stmt.(type) {
+	case *sql.InsertStmt:
+		err = wp.planInsert(x)
+	case *sql.UpdateStmt:
+		err = wp.planSet(x.Set)
+	}
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	views := db.cat.ViewsOver(t.Name)
-	var count int64
-	insertRow := func(vals []types.Value) error {
-		row, err := buildInsertRow(t, colOrds, vals)
-		if err != nil {
-			return err
-		}
-		if _, err := tx.Insert(t.Name, row); err != nil {
-			return err
-		}
-		if err := db.maintainViews(tx, views, storage.ChangeRec{Op: storage.OpInsert, After: row}); err != nil {
-			return err
-		}
-		count++
-		return nil
-	}
-
-	if x.Select != nil {
-		plan, err := db.Plan(x.Select)
-		if err != nil {
-			return 0, err
-		}
-		rs, err := db.runPlanAlone(tx, plan, params)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range rs.Rows {
-			if err := insertRow(r); err != nil {
-				return 0, err
-			}
-		}
-		return count, nil
-	}
-	sc := &scopeless{}
-	env := &exec.Env{Named: params}
-	for _, exprRow := range x.Rows {
-		vals := make([]types.Value, len(exprRow))
-		for i, e := range exprRow {
-			ce, err := sc.compile(e)
-			if err != nil {
-				return 0, err
-			}
-			v, err := ce.Eval(nil, env)
-			if err != nil {
-				return 0, err
-			}
-			vals[i] = v
-		}
-		if err := insertRow(vals); err != nil {
-			return 0, err
-		}
-	}
-	return count, nil
+	return wp, nil
 }
 
-// scopeless compiles expressions that may reference only literals and
-// parameters (VALUES rows, SET right-hand sides without columns).
-type scopeless struct{}
+func (wp *writePlan) planInsert(x *sql.InsertStmt) error {
+	t := wp.t
+	cols, err := insertColumnOrds(t, x.Columns)
+	if err != nil {
+		return err
+	}
+	wp.cols, wp.sel = cols, x.Select
+	for _, row := range x.Rows {
+		compiled := make([]exec.Expr, len(row))
+		for i, e := range row {
+			if compiled[i], err = opt.CompileScalar(e, nil); err != nil {
+				return err
+			}
+		}
+		wp.values = append(wp.values, compiled)
+	}
+	for i, col := range t.Columns {
+		if slices.Contains(cols, i) {
+			continue
+		}
+		f := fillCol{ord: i}
+		if col.Default != nil {
+			if f.def, err = opt.CompileScalar(col.Default, nil); err != nil {
+				return err
+			}
+		}
+		wp.fill = append(wp.fill, f)
+	}
+	return nil
+}
 
-func (s *scopeless) compile(e sql.Expr) (exec.Expr, error) {
-	return opt.CompileScalar(e, nil)
+func (wp *writePlan) planSet(set []sql.Assignment) error {
+	t := wp.t
+	for _, a := range set {
+		ord := t.ColumnIndex(a.Column)
+		if ord < 0 {
+			return fmt.Errorf("engine: column %s not in %s", a.Column, t.Name)
+		}
+		if slices.ContainsFunc(wp.sets, func(s setOp) bool { return s.ord == ord }) {
+			return fmt.Errorf("engine: column %s is named more than once in the SET of an UPDATE of %s", a.Column, t.Name)
+		}
+		ce, err := opt.CompileScalar(a.Expr, t)
+		if err != nil {
+			return err
+		}
+		wp.sets = append(wp.sets, setOp{ord: ord, e: ce})
+	}
+	return nil
 }
 
 func insertColumnOrds(t *catalog.Table, cols []string) ([]int, error) {
@@ -207,100 +292,16 @@ func insertColumnOrds(t *catalog.Table, cols []string) ([]int, error) {
 	return ords, nil
 }
 
-func buildInsertRow(t *catalog.Table, colOrds []int, vals []types.Value) (types.Row, error) {
-	if len(vals) != len(colOrds) {
-		return nil, fmt.Errorf("engine: %s: %d values for %d columns", t.Name, len(vals), len(colOrds))
+// pkSeek resolves the seek a WHERE allows on t's primary key: for every key
+// column the literal or parameter an equality conjunct sets it to — the last
+// such conjunct's, when there are several — or nil when some key column has
+// none. A column reference matches a key column case-insensitively.
+func pkSeek(t *catalog.Table, where sql.Expr) []keyArg {
+	if len(t.PrimaryKey) == 0 {
+		return nil
 	}
-	row := make(types.Row, len(t.Columns))
-	assigned := make([]bool, len(t.Columns))
-	for i, ord := range colOrds {
-		v, err := vals[i].Cast(t.Columns[ord].Type)
-		if err != nil {
-			return nil, fmt.Errorf("engine: column %s: %w", t.Columns[ord].Name, err)
-		}
-		row[ord] = v
-		assigned[ord] = true
-	}
-	for i, col := range t.Columns {
-		if assigned[i] {
-			continue
-		}
-		if col.Default != nil {
-			ce, err := opt.CompileScalar(col.Default, nil)
-			if err != nil {
-				return nil, err
-			}
-			v, err := ce.Eval(nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			row[i], err = v.Cast(col.Type)
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if col.NotNull {
-			return nil, fmt.Errorf("engine: column %s of %s is NOT NULL and has no default", col.Name, t.Name)
-		}
-		row[i] = types.Null
-	}
-	return row, nil
-}
-
-// targetRows finds the RowIDs a WHERE clause selects, using the primary key
-// when the predicate pins every key column (the hot path for OLTP updates):
-// the row the key finds is selected only if the whole clause holds for it.
-func (db *Database) targetRows(t *catalog.Table, where sql.Expr, env *exec.Env, tx *storage.Txn) ([]storage.RowID, error) {
-	td := tx.Table(t.Name)
-	if td == nil {
-		return nil, fmt.Errorf("engine: no storage for %s", t.Name)
-	}
-	var filter exec.Expr
-	if where != nil {
-		f, err := opt.CompileScalar(where, t)
-		if err != nil {
-			return nil, err
-		}
-		filter = f
-	}
-
-	// PK fast path.
-	if where != nil && len(t.PrimaryKey) > 0 {
-		if key, ok := pkKey(t, where, env.Named); ok {
-			rid := td.PKLookup(key)
-			if rid < 0 {
-				return nil, nil
-			}
-			if ok, err := exec.EvalBool(filter, td.Get(rid), env); err != nil || !ok {
-				return nil, err
-			}
-			return []storage.RowID{rid}, nil
-		}
-	}
-
-	var rids []storage.RowID
-	var evalErr error
-	td.Scan(func(rid storage.RowID, row types.Row) bool {
-		ok, err := exec.EvalBool(filter, row, env)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			rids = append(rids, rid)
-		}
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return rids, nil
-}
-
-// pkKey extracts a full primary-key binding from equality conjuncts.
-func pkKey(t *catalog.Table, where sql.Expr, params exec.Params) (types.Row, bool) {
-	bindings := map[string]types.Value{}
+	seek := make([]keyArg, len(t.PrimaryKey))
+	found := make([]bool, len(t.PrimaryKey))
 	for _, c := range opt.Conjuncts(where) {
 		be, ok := c.(*sql.BinaryExpr)
 		if !ok || be.Op != sql.OpEQ {
@@ -314,71 +315,198 @@ func pkKey(t *catalog.Table, where sql.Expr, params exec.Params) (types.Row, boo
 		if !ok {
 			continue
 		}
+		i := slices.Index(t.PrimaryKey, t.ColumnIndex(cr.Name))
+		if i < 0 {
+			continue
+		}
 		switch v := val.(type) {
 		case *sql.Literal:
-			bindings[keyLower(cr.Name)] = v.Val
+			seek[i], found[i] = keyArg{lit: v.Val}, true
 		case *sql.Param:
-			if pv, ok := params[v.Name]; ok {
-				bindings[keyLower(cr.Name)] = pv
-			}
+			seek[i], found[i] = keyArg{param: v.Name}, true
 		}
 	}
-	key := make(types.Row, len(t.PrimaryKey))
-	for i, ord := range t.PrimaryKey {
-		v, ok := bindings[keyLower(t.Columns[ord].Name)]
-		if !ok {
-			return nil, false
-		}
-		cast, err := v.Cast(t.Columns[ord].Type)
-		if err != nil {
-			return nil, false
-		}
-		key[i] = cast
+	if slices.Contains(found, false) {
+		return nil
 	}
-	return key, true
+	return seek
 }
 
-func keyLower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
-}
-
-func (db *Database) execUpdate(x *sql.UpdateStmt, params exec.Params, tx *storage.Txn) (int64, error) {
-	t := db.cat.Table(x.Table.Name)
-	if t == nil {
-		return 0, fmt.Errorf("engine: table %s does not exist", x.Table.Name)
-	}
+// runWrite executes wp inside tx with params bound and returns the number of
+// rows it wrote.
+func (db *Database) runWrite(wp *writePlan, params exec.Params, tx *storage.Txn) (int64, error) {
 	env := &exec.Env{Named: params}
-	rids, err := db.targetRows(t, x.Where, env, tx)
+	if wp.op == storage.OpInsert {
+		return db.execInsert(wp, env, tx)
+	}
+	var one [1]storage.RowID
+	rids, err := wp.targetRows(one[:0], env, tx)
 	if err != nil {
 		return 0, err
 	}
-	type setOp struct {
-		ord int
-		e   exec.Expr
+	if wp.op == storage.OpUpdate {
+		return db.execUpdate(wp, rids, env, tx)
 	}
-	var sets []setOp
-	for _, a := range x.Set {
-		ord := t.ColumnIndex(a.Column)
-		if ord < 0 {
-			return 0, fmt.Errorf("engine: column %s not in %s", a.Column, t.Name)
+	return db.execDelete(wp, rids, tx)
+}
+
+func (db *Database) execInsert(wp *writePlan, env *exec.Env, tx *storage.Txn) (int64, error) {
+	t := wp.t
+	views := db.cat.ViewsOver(t.Name)
+	var count int64
+	write := func(vals []types.Value) error {
+		row, err := wp.insertRow(vals, env)
+		if err != nil {
+			return err
 		}
-		for _, s := range sets {
-			if s.ord == ord {
-				return 0, fmt.Errorf("engine: column %s is named more than once in the SET of an UPDATE of %s", a.Column, t.Name)
-			}
+		if _, err := tx.Insert(t.Name, row); err != nil {
+			return err
 		}
-		ce, err := opt.CompileScalar(a.Expr, t)
+		if err := db.maintainViews(tx, views, storage.ChangeRec{Op: storage.OpInsert, After: row}); err != nil {
+			return err
+		}
+		count++
+		return nil
+	}
+
+	if wp.sel != nil {
+		plan, err := db.Plan(wp.sel)
 		if err != nil {
 			return 0, err
 		}
-		sets = append(sets, setOp{ord: ord, e: ce})
+		rs, err := db.runPlanAlone(tx, plan, env.Named)
+		if err != nil {
+			return 0, err
+		}
+		for _, r := range rs.Rows {
+			if err := write(r); err != nil {
+				return 0, err
+			}
+		}
+		return count, nil
 	}
+	var buf [16]types.Value
+	for _, exprRow := range wp.values {
+		vals := buf[:0]
+		for _, e := range exprRow {
+			v, err := e.Eval(nil, env)
+			if err != nil {
+				return 0, err
+			}
+			vals = append(vals, v)
+		}
+		if err := write(vals); err != nil {
+			return 0, err
+		}
+	}
+	return count, nil
+}
+
+// insertRow is the row an INSERT writes for one list of values: each cast to
+// its column's type, and every column the list leaves out filled.
+func (wp *writePlan) insertRow(vals []types.Value, env *exec.Env) (types.Row, error) {
+	t := wp.t
+	if len(vals) != len(wp.cols) {
+		return nil, fmt.Errorf("engine: %s: %d values for %d columns", t.Name, len(vals), len(wp.cols))
+	}
+	row := make(types.Row, len(t.Columns))
+	for i, ord := range wp.cols {
+		v, err := vals[i].Cast(t.Columns[ord].Type)
+		if err != nil {
+			return nil, fmt.Errorf("engine: column %s: %w", t.Columns[ord].Name, err)
+		}
+		row[ord] = v
+	}
+	for _, f := range wp.fill {
+		col := t.Columns[f.ord]
+		switch {
+		case f.def != nil:
+			v, err := f.def.Eval(nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			if row[f.ord], err = v.Cast(col.Type); err != nil {
+				return nil, err
+			}
+		case col.NotNull:
+			return nil, fmt.Errorf("engine: column %s of %s is NOT NULL and has no default", col.Name, t.Name)
+		default:
+			row[f.ord] = types.Null
+		}
+	}
+	return row, nil
+}
+
+// targetRows appends to dst the RowIDs the WHERE selects: by the primary key
+// when the plan has a seek and its values bind (the hot path for OLTP
+// updates), the row it finds selected only if the whole clause holds for it;
+// otherwise by a scan.
+func (wp *writePlan) targetRows(dst []storage.RowID, env *exec.Env, tx *storage.Txn) ([]storage.RowID, error) {
+	td := tx.Table(wp.t.Name)
+	if td == nil {
+		return nil, fmt.Errorf("engine: no storage for %s", wp.t.Name)
+	}
+	var buf [4]types.Value
+	if key, ok := wp.key(buf[:0], env.Named); ok {
+		rid := td.PKLookup(key)
+		if rid < 0 {
+			return dst, nil
+		}
+		if ok, err := exec.EvalBool(wp.filter, td.Get(rid), env); err != nil || !ok {
+			return dst, err
+		}
+		return append(dst, rid), nil
+	}
+	return scanTargets(dst, td, wp.filter, env)
+}
+
+// key binds the plan's seek: each key value — the literal, or the parameter's
+// value in params — cast to its column's type and appended to dst. ok is
+// false when there is no seek, a parameter is unbound or a value does not
+// cast; the WHERE then scans.
+func (wp *writePlan) key(dst types.Row, params exec.Params) (types.Row, bool) {
+	if wp.seek == nil {
+		return nil, false
+	}
+	for i, a := range wp.seek {
+		v := a.lit
+		if a.param != "" {
+			var ok bool
+			if v, ok = params[a.param]; !ok {
+				return nil, false
+			}
+		}
+		cast, err := v.Cast(wp.t.Columns[wp.t.PrimaryKey[i]].Type)
+		if err != nil {
+			return nil, false
+		}
+		dst = append(dst, cast)
+	}
+	return dst, true
+}
+
+// scanTargets appends to dst every row of td the filter passes.
+func scanTargets(dst []storage.RowID, td *storage.TableView, filter exec.Expr, env *exec.Env) ([]storage.RowID, error) {
+	var evalErr error
+	td.Scan(func(rid storage.RowID, row types.Row) bool {
+		ok, err := exec.EvalBool(filter, row, env)
+		if err != nil {
+			evalErr = err
+			return false
+		}
+		if ok {
+			dst = append(dst, rid)
+		}
+		return true
+	})
+	if evalErr != nil {
+		return nil, evalErr
+	}
+	return dst, nil
+}
+
+func (db *Database) execUpdate(wp *writePlan, rids []storage.RowID, env *exec.Env, tx *storage.Txn) (int64, error) {
+	t := wp.t
 	td := tx.Table(t.Name)
 	views := db.cat.ViewsOver(t.Name)
 	var count int64
@@ -388,7 +516,7 @@ func (db *Database) execUpdate(x *sql.UpdateStmt, params exec.Params, tx *storag
 			continue
 		}
 		newRow := old.Clone()
-		for _, s := range sets {
+		for _, s := range wp.sets {
 			v, err := s.e.Eval(old, env)
 			if err != nil {
 				return 0, err
@@ -409,15 +537,8 @@ func (db *Database) execUpdate(x *sql.UpdateStmt, params exec.Params, tx *storag
 	return count, nil
 }
 
-func (db *Database) execDelete(x *sql.DeleteStmt, params exec.Params, tx *storage.Txn) (int64, error) {
-	t := db.cat.Table(x.Table.Name)
-	if t == nil {
-		return 0, fmt.Errorf("engine: table %s does not exist", x.Table.Name)
-	}
-	rids, err := db.targetRows(t, x.Where, &exec.Env{Named: params}, tx)
-	if err != nil {
-		return 0, err
-	}
+func (db *Database) execDelete(wp *writePlan, rids []storage.RowID, tx *storage.Txn) (int64, error) {
+	t := wp.t
 	td := tx.Table(t.Name)
 	views := db.cat.ViewsOver(t.Name)
 	var count int64

@@ -317,12 +317,12 @@ func publish(rec *trace.Record, err error) {
 	}
 }
 
-// InvalidatePlans clears the plan cache, whose plans depend on the catalog,
-// statistics and optimizer options. It is the only invalidation there is, and
-// it has three causes: DDL, a statistics refresh, and an optimizer-option
-// change. Data changes never reach it — a cached dynamic plan stays valid
-// across them (paper §5.1), and the intermediate-result cache tracks its own
-// staleness per entry.
+// InvalidatePlans clears the plan cache, whose plans — write plans included —
+// depend on the catalog, statistics and optimizer options. It is the only
+// invalidation there is, and it has three causes: DDL, a statistics refresh,
+// and an optimizer-option change. Data changes never reach it — a cached
+// dynamic plan stays valid across them (paper §5.1), and the
+// intermediate-result cache tracks its own staleness per entry.
 func (db *Database) InvalidatePlans() {
 	db.plansMu.Lock()
 	db.plans.clear()
@@ -613,11 +613,21 @@ func (db *Database) Plan(stmt *sql.SelectStmt) (*opt.Plan, error) {
 
 // planEntry is one statement text's slot in the plan cache. The key is a
 // front-door shape or a deparse: both are SQL text, and equal text is the same
-// statement, so the two kinds share entries.
+// statement, so the two kinds share entries. A SELECT's entry holds its plan,
+// a procedure body's INSERT, UPDATE or DELETE's its write plan; an EXEC
+// shape's holds neither.
 type planEntry struct {
-	stmt sql.Statement // shared and read-only; nil for a negative front-door shape
-	refs []string      // a SELECT's paramRefs: the values its result key covers
-	plan atomic.Pointer[cachedPlan]
+	stmt  sql.Statement // shared and read-only; nil for a negative front-door shape
+	refs  []string      // a SELECT's paramRefs: the values its result key covers
+	plan  atomic.Pointer[cachedPlan]
+	write atomic.Pointer[writePlan]
+}
+
+// keyed is a statement the plan cache keys by its deparse: a SELECT, or a
+// procedure body's INSERT, UPDATE or DELETE.
+type keyed interface {
+	sql.Statement
+	CacheKey() string
 }
 
 // cachedPlan is a plan and what its results are invalidated by.
@@ -639,18 +649,22 @@ func planEvicted(key string) {
 	querystore.Emit("plan_evicted", "shape", key)
 }
 
-// entryFor is the plan-cache entry of a SELECT that did not come through the
-// front door — a procedure body's, an INSERT … SELECT's, an EXPLAIN target,
-// any text when auto-parameterization is off — keyed by its deparse, which
-// CacheKey memoizes on the statement.
-func (db *Database) entryFor(stmt *sql.SelectStmt) *planEntry {
+// entryFor is the plan-cache entry of a statement that did not come through
+// the front door — a procedure body's SELECT or write, an INSERT … SELECT's
+// SELECT, an EXPLAIN target, any SELECT text when auto-parameterization is
+// off — keyed by its deparse, which CacheKey memoizes on the statement.
+func (db *Database) entryFor(stmt keyed) *planEntry {
 	key := stmt.CacheKey()
 	db.plansMu.Lock()
 	defer db.plansMu.Unlock()
 	if e, ok := db.plans.get(key); ok {
 		return e
 	}
-	return db.plans.add(key, &planEntry{stmt: stmt, refs: paramRefs(stmt, nil)})
+	e := &planEntry{stmt: stmt}
+	if sel, ok := stmt.(*sql.SelectStmt); ok {
+		e.refs = paramRefs(sel, nil)
+	}
+	return db.plans.add(key, e)
 }
 
 // planOf is e's plan: the one stored on it, or — when there is none yet —

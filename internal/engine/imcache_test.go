@@ -260,9 +260,10 @@ func TestIMCacheChurnKeepsPlans(t *testing.T) {
 }
 
 // TestInvalidatePlansClearsEverything: DDL, a statistics refresh and an
-// optimizer-option change each empty the plan cache, and a plan optimized
-// across the call lands on the entry its lookup returned — one the clear
-// detached — so no later lookup is served it. A materialized view's
+// optimizer-option change each empty the plan cache — a procedure body's
+// write plan with it — and a plan optimized or a write plan built across the
+// call lands on the entry its lookup returned — one the clear detached — so
+// no later lookup is served it. A materialized view's
 // maintenance is not a cache and is not touched: the view follows its table
 // across every one of them.
 func TestInvalidatePlansClearsEverything(t *testing.T) {
@@ -283,17 +284,28 @@ func TestInvalidatePlansClearsEverything(t *testing.T) {
 	for _, c := range causes {
 		t.Run(c.name, func(t *testing.T) {
 			db := imTestDB(t, nil)
-			if err := db.ExecScript("CREATE MATERIALIZED VIEW mv AS SELECT id, v FROM t WHERE v <= 10"); err != nil {
+			err := db.ExecScript(`CREATE MATERIALIZED VIEW mv AS SELECT id, v FROM t WHERE v <= 10;
+				CREATE PROCEDURE setv @id INT, @v INT AS UPDATE t SET v = @v WHERE id = @id;`)
+			if err != nil {
 				t.Fatal(err)
+			}
+			setv := func(v int64) {
+				t.Helper()
+				if _, err := db.CallProcedure("setv", exec.Params{"id": types.NewInt(3), "v": types.NewInt(v)}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if _, err := db.Exec("UPDATE t SET v = 5 WHERE id = 3", nil); err != nil {
 				t.Fatal(err)
 			}
+			setv(5)
 			if _, err := db.Exec("SELECT v FROM t WHERE id = 3", nil); err != nil {
 				t.Fatal(err)
 			}
-			if db.PlanCacheSize() == 0 {
-				t.Fatal("warm-up cached nothing")
+			body := db.Catalog().Procedure("setv").Body[0].(*sql.UpdateStmt)
+			written := db.entryFor(body)
+			if written.write.Load() == nil {
+				t.Fatal("warm-up kept no write plan")
 			}
 
 			// A plan in flight: its entry looked up before the invalidation,
@@ -316,12 +328,18 @@ func TestInvalidatePlansClearsEverything(t *testing.T) {
 			if fresh := shapeEntry(t, db, inflight); fresh == e || fresh.plan.Load() != nil {
 				t.Error("a plan optimized across the invalidation is served after it")
 			}
+			// The same for a write plan: built on the entry looked up before
+			// the invalidation, it is never served after it.
+			if _, err := db.writePlanOf(written, body); err != nil {
+				t.Fatal(err)
+			}
+			if fresh := db.entryFor(body); fresh == written || fresh.write.Load() != nil {
+				t.Error("a write plan built across the invalidation is served after it")
+			}
 			if db.Catalog().Table("mv") == nil {
 				return // DROP VIEW
 			}
-			if _, err := db.Exec("UPDATE t SET v = 7 WHERE id = 3", nil); err != nil {
-				t.Fatal(err)
-			}
+			setv(7)
 			if res, err := db.Exec("SELECT v FROM mv WHERE id = 3", nil); err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
 				t.Errorf("after the invalidation mv no longer follows t: %v, %v", res, err)
 			}

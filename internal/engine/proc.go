@@ -104,7 +104,11 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 		for _, stmt := range proc.Body {
 			switch x := stmt.(type) {
 			case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-				n, err := db.execDMLInTxn(stmt, params, tx)
+				wp, err := db.writePlanOf(db.entryFor(x.(keyed)), x)
+				var n int64
+				if err == nil {
+					n, err = db.runWrite(wp, params, tx)
+				}
 				if err != nil {
 					tx.Abort()
 					return nil, fmt.Errorf("engine: %s: %w", proc.Name, err)

@@ -35,8 +35,7 @@ type SelectStmt struct {
 	// paper's default caching behaviour).
 	Freshness Expr
 
-	// cacheKey memoizes Deparse(s) for plan-cache lookups; see CacheKey.
-	cacheKey atomic.Pointer[string]
+	cacheKey deparsed // see CacheKey
 }
 
 // CacheKey returns the statement's plan-cache key — its deparsed SQL text —
@@ -44,13 +43,19 @@ type SelectStmt struct {
 // statement then skip the deparse on the hot query path. Callers must not
 // mutate the statement after the first CacheKey call; the planner already
 // clones statements before rewriting them.
-func (s *SelectStmt) CacheKey() string {
-	if p := s.cacheKey.Load(); p != nil {
+func (s *SelectStmt) CacheKey() string { return s.cacheKey.of(s) }
+
+// deparsed memoizes a statement's Deparse: the first call renders it, every
+// later one is a field read. Concurrent first calls each render the same text.
+type deparsed struct{ p atomic.Pointer[string] }
+
+func (d *deparsed) of(s Statement) string {
+	if p := d.p.Load(); p != nil {
 		return *p
 	}
-	k := Deparse(s)
-	s.cacheKey.Store(&k)
-	return k
+	t := Deparse(s)
+	d.p.Store(&t)
+	return t
 }
 
 // SelectItem is one output column of a SELECT.
@@ -135,6 +140,8 @@ type InsertStmt struct {
 	Columns []string
 	Rows    [][]Expr
 	Select  *SelectStmt
+
+	cacheKey deparsed // see CacheKey
 }
 
 // Assignment is one SET col = expr clause of an UPDATE.
@@ -148,13 +155,29 @@ type UpdateStmt struct {
 	Table *TableName
 	Set   []Assignment
 	Where Expr
+
+	cacheKey deparsed // see CacheKey
 }
 
 // DeleteStmt is DELETE FROM t WHERE ...
 type DeleteStmt struct {
 	Table *TableName
 	Where Expr
+
+	cacheKey deparsed // see CacheKey
 }
+
+// CacheKey returns a procedure body's INSERT's plan-cache key, its deparse,
+// computed at most once as SelectStmt.CacheKey is.
+func (s *InsertStmt) CacheKey() string { return s.cacheKey.of(s) }
+
+// CacheKey returns a procedure body's UPDATE's plan-cache key, its deparse,
+// computed at most once as SelectStmt.CacheKey is.
+func (s *UpdateStmt) CacheKey() string { return s.cacheKey.of(s) }
+
+// CacheKey returns a procedure body's DELETE's plan-cache key, its deparse,
+// computed at most once as SelectStmt.CacheKey is.
+func (s *DeleteStmt) CacheKey() string { return s.cacheKey.of(s) }
 
 // ColumnDef is one column of a CREATE TABLE.
 type ColumnDef struct {
@@ -212,8 +235,7 @@ type ExecStmt struct {
 	Proc string
 	Args []ExecArg
 
-	// text memoizes Deparse(s); see Text.
-	text atomic.Pointer[string]
+	text deparsed // see Text
 }
 
 // Text returns the call's SQL text, deparsing it at most once per statement:
@@ -221,14 +243,7 @@ type ExecStmt struct {
 // shares one statement per call shape, so a forwarded call costs a deparse
 // per shape, not per call. Callers must not mutate the statement after the
 // first Text call.
-func (s *ExecStmt) Text() string {
-	if p := s.text.Load(); p != nil {
-		return *p
-	}
-	t := Deparse(s)
-	s.text.Store(&t)
-	return t
-}
+func (s *ExecStmt) Text() string { return s.text.of(s) }
 
 // ExecArg is one argument of an EXEC call, optionally named.
 type ExecArg struct {

@@ -1,0 +1,73 @@
+package tpcw
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"mtcache/internal/core"
+	"mtcache/internal/exec"
+	"mtcache/internal/types"
+)
+
+// TestSharedWritePlanUnderConcurrency: four clients call updateCartLine and
+// adminUpdate at once on keys of their own, so every execution of each body
+// statement runs the one write plan the backend keeps for it. Each call writes
+// exactly its own row, and every row reads back as its caller last wrote it.
+func TestSharedWritePlanUnderConcurrency(t *testing.T) {
+	b := core.NewBackend("backend")
+	if err := Load(b, Config{Items: 200, Customers: 300, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	const clients, calls = 4, 50
+	cart := func(g int) int64 { return 900000 + int64(g) }
+	item := func(g int) int64 { return 10 + int64(g) }
+	now := types.NewTime(time.Date(2024, 2, 29, 0, 0, 0, 0, time.UTC))
+	for g := 0; g < clients; g++ {
+		_, err := b.DB.CallProcedure("createCartWithLine", exec.Params{
+			"sc_id": types.NewInt(cart(g)), "t": now, "i_id": types.NewInt(item(g)), "qty": types.NewInt(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= calls; i++ {
+				v := int64(g*1000 + i)
+				for _, c := range []struct {
+					proc   string
+					params exec.Params
+				}{
+					{"updateCartLine", exec.Params{"sc_id": types.NewInt(cart(g)), "i_id": types.NewInt(item(g)), "qty": types.NewInt(v)}},
+					{"adminUpdate", exec.Params{"i_id": types.NewInt(item(g)), "cost": types.NewFloat(float64(v) / 4), "related": types.NewInt(v)}},
+				} {
+					res, err := b.DB.CallProcedure(c.proc, c.params)
+					if err != nil || res.RowsAffected != 1 {
+						t.Errorf("client %d: %s %v: %+v, %v", g, c.proc, c.params, res, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < clients; g++ {
+		v := int64(g*1000 + calls)
+		for _, c := range []struct{ query, want string }{
+			{fmt.Sprintf("SELECT scl_qty FROM shopping_cart_line WHERE scl_sc_id = %d AND scl_i_id = %d", cart(g), item(g)), fmt.Sprintf("[[%d]]", v)},
+			{fmt.Sprintf("SELECT i_cost, i_related1 FROM item WHERE i_id = %d", item(g)), fmt.Sprint([]types.Row{{types.NewFloat(float64(v) / 4), types.NewInt(v)}})},
+		} {
+			res, err := b.DB.Exec(c.query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(res.Rows); got != c.want {
+				t.Errorf("client %d: %s gave %s, want %s", g, c.query, got, c.want)
+			}
+		}
+	}
+}
