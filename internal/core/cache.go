@@ -318,7 +318,7 @@ func (c *CacheServer) Checkpoint() error {
 	ck := &storage.Image{LSN: c.AppliedLSN()}
 	tx := c.DB.Store().Begin(false)
 	for _, view := range c.sub.Views() {
-		if tv := tx.Table(view); tv != nil {
+		if tv, ok := tx.Table(view); ok {
 			ck.Sets = append(ck.Sets, storage.RowSet{Name: view, Rows: tv.Rows()})
 		}
 	}

@@ -71,8 +71,8 @@ func tableRowsByID(t *testing.T, db *engine.Database, table string) []types.Row 
 	t.Helper()
 	tx := db.Store().Begin(false)
 	defer tx.Abort()
-	tv := tx.Table(table)
-	if tv == nil {
+	tv, ok := tx.Table(table)
+	if !ok {
 		t.Fatalf("table %s missing", table)
 	}
 	rows := tv.Rows()

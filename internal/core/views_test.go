@@ -152,7 +152,8 @@ func TestViewsAgreeWithTheirDefinition(t *testing.T) {
 			stored := func(db *engine.Database, table string) []types.Row {
 				tx := db.Store().Begin(false)
 				defer tx.Abort()
-				return tx.Table(table).Rows()
+				tv, _ := tx.Table(table)
+				return tv.Rows()
 			}
 			multiset := func(rows []types.Row) []string {
 				out := make([]string, len(rows))

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 
@@ -152,8 +153,9 @@ func autoResolve(shape string) *planEntry {
 // merged with the auto-parameterized literals when the plan forwards
 // parameters to the backend by name — plus the dense slot bindings the
 // plan's compiled expressions read without a map lookup (see
-// exec.AssignParamSlots). Slots left unbound fall back to the named map at
-// Eval time, so missing-parameter errors surface exactly as before.
+// exec.AssignParamSlots), written into the slots the instance's context
+// kept from its last execution. Slots left unbound fall back to the named
+// map at Eval time, so missing-parameter errors surface exactly as before.
 func bindParams(plan *opt.Plan, params exec.Params, autoArgs []types.Value, ctx *exec.Ctx) {
 	if !plan.FullyLocal {
 		params = withAutoArgs(params, autoArgs)
@@ -161,11 +163,8 @@ func bindParams(plan *opt.Plan, params exec.Params, autoArgs []types.Value, ctx 
 	ctx.Params = params
 	ctx.Env.Named = params
 	n := len(plan.Params)
-	if n == 0 {
-		return
-	}
-	ctx.Env.Slots = make([]types.Value, n)
-	ctx.Env.Bound = make([]bool, n)
+	ctx.Env.Slots = slices.Grow(ctx.Env.Slots[:0], n)[:n]
+	ctx.Env.Bound = slices.Grow(ctx.Env.Bound[:0], n)[:n]
 	for i, name := range plan.Params {
 		ctx.Env.Slots[i], ctx.Env.Bound[i] = paramValue(name, params, autoArgs)
 	}

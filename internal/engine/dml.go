@@ -333,21 +333,26 @@ func pkSeek(t *catalog.Table, where sql.Expr) []keyArg {
 }
 
 // runWrite executes wp inside tx with params bound and returns the number of
-// rows it wrote.
+// rows it wrote. An UPDATE or DELETE binds its target's view once: finding
+// the rows and reading them before the write go through the same view.
 func (db *Database) runWrite(wp *writePlan, params exec.Params, tx *storage.Txn) (int64, error) {
 	env := &exec.Env{Named: params}
 	if wp.op == storage.OpInsert {
 		return db.execInsert(wp, env, tx)
 	}
+	td, ok := tx.Table(wp.t.Name)
+	if !ok {
+		return 0, fmt.Errorf("engine: no storage for %s", wp.t.Name)
+	}
 	var one [1]storage.RowID
-	rids, err := wp.targetRows(one[:0], env, tx)
+	rids, err := wp.targetRows(one[:0], env, &td)
 	if err != nil {
 		return 0, err
 	}
 	if wp.op == storage.OpUpdate {
-		return db.execUpdate(wp, rids, env, tx)
+		return db.execUpdate(wp, rids, env, tx, &td)
 	}
-	return db.execDelete(wp, rids, tx)
+	return db.execDelete(wp, rids, tx, &td)
 }
 
 func (db *Database) execInsert(wp *writePlan, env *exec.Env, tx *storage.Txn) (int64, error) {
@@ -441,11 +446,7 @@ func (wp *writePlan) insertRow(vals []types.Value, env *exec.Env) (types.Row, er
 // when the plan has a seek and its values bind (the hot path for OLTP
 // updates), the row it finds selected only if the whole clause holds for it;
 // otherwise by a scan.
-func (wp *writePlan) targetRows(dst []storage.RowID, env *exec.Env, tx *storage.Txn) ([]storage.RowID, error) {
-	td := tx.Table(wp.t.Name)
-	if td == nil {
-		return nil, fmt.Errorf("engine: no storage for %s", wp.t.Name)
-	}
+func (wp *writePlan) targetRows(dst []storage.RowID, env *exec.Env, td *storage.TableView) ([]storage.RowID, error) {
 	var buf [4]types.Value
 	if key, ok := wp.key(buf[:0], env.Named); ok {
 		rid := td.PKLookup(key)
@@ -505,9 +506,8 @@ func scanTargets(dst []storage.RowID, td *storage.TableView, filter exec.Expr, e
 	return dst, nil
 }
 
-func (db *Database) execUpdate(wp *writePlan, rids []storage.RowID, env *exec.Env, tx *storage.Txn) (int64, error) {
+func (db *Database) execUpdate(wp *writePlan, rids []storage.RowID, env *exec.Env, tx *storage.Txn, td *storage.TableView) (int64, error) {
 	t := wp.t
-	td := tx.Table(t.Name)
 	views := db.cat.ViewsOver(t.Name)
 	var count int64
 	for _, rid := range rids {
@@ -537,9 +537,8 @@ func (db *Database) execUpdate(wp *writePlan, rids []storage.RowID, env *exec.En
 	return count, nil
 }
 
-func (db *Database) execDelete(wp *writePlan, rids []storage.RowID, tx *storage.Txn) (int64, error) {
+func (db *Database) execDelete(wp *writePlan, rids []storage.RowID, tx *storage.Txn, td *storage.TableView) (int64, error) {
 	t := wp.t
-	td := tx.Table(t.Name)
 	views := db.cat.ViewsOver(t.Name)
 	var count int64
 	for _, rid := range rids {

@@ -714,13 +714,14 @@ func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Pa
 
 // runPlan is the engine's one read path. A cached plan is shared across
 // sessions and its operators carry per-run state (cursors, hash tables,
-// arenas), so every execution runs on an instance of the plan's operator tree
-// that is its own for the duration: one taken from the plan's free list, or a
-// fresh clone when the list is empty. An execution that returns no error
-// releases its instance back — reset, its buffers cleared and kept — and the
-// next execution of the plan starts with arenas, batch windows, sort buffers
-// and aggregate tables already grown; one that fails drops it. The rows of
-// the Result never alias memory the instance keeps (exec.Batch says why).
+// arenas), so every execution runs on an instance of the plan — an operator
+// tree and the exec.Ctx it runs in — that is its own for the duration: one
+// taken from the plan's free list, or a fresh clone when the list is empty.
+// An execution that returns no error releases its instance back — reset, its
+// buffers cleared and kept — and the next execution of the plan starts with
+// arenas, batch windows, sort buffers, aggregate tables, its context and its
+// parameter slots already there; one that fails drops it. The rows of the
+// Result never alias memory the instance keeps (exec.Batch says why).
 // The instance runs in tx — the caller's write transaction, for a SELECT that
 // must see its own statement's or procedure's writes — or, when tx is nil,
 // against a read-only snapshot of its own. With instrument set a clone runs
@@ -740,27 +741,30 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 		defer tx.Abort()
 	}
 	res := &Result{}
-	ctx := &exec.Ctx{Txn: tx, Remote: db.remote, Counters: &res.Counters, Rec: rec, EstRows: plan.Card}
-	bindParams(plan, params, autoArgs, ctx)
-	var root exec.Operator
+	var inst *exec.Instance
 	if !instrument {
-		root = plan.Instances.Take()
+		inst = plan.Instances.Take()
 	}
-	if root == nil {
-		root = exec.CloneOperator(plan.Root) // the free list is empty, or the run is instrumented
+	if inst == nil { // the free list is empty, or the run is instrumented
+		inst = &exec.Instance{Root: exec.CloneOperator(plan.Root)}
 	}
+	ctx := &inst.Ctx
+	ctx.Txn, ctx.Remote, ctx.Counters, ctx.Rec, ctx.EstRows = tx, db.remote, &res.Counters, rec, plan.Card
+	bindParams(plan, params, autoArgs, ctx)
+	root := inst.Root
 	var shell *exec.Instrumented
 	if instrument {
 		shell = exec.Instrument(root)
 		root = shell
 	}
-	rs, err := exec.Run(root, ctx)
+	var rs exec.ResultSet
+	err := exec.Run(root, ctx, &rs)
 	rec.Mark(trace.StageExec)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !instrument {
-		plan.Instances.Release(root)
+		plan.Instances.Release(inst)
 	}
 	res.Cols = rs.Cols
 	res.Rows = rs.Rows
@@ -842,8 +846,8 @@ func (db *Database) AnalyzeTable(name string) error {
 		return fmt.Errorf("engine: table %s does not exist", name)
 	}
 	tx := db.store.Begin(false)
-	td := tx.Table(name)
-	if td == nil {
+	td, ok := tx.Table(name)
+	if !ok {
 		tx.Abort()
 		return fmt.Errorf("engine: no storage for %s", name)
 	}
@@ -915,8 +919,8 @@ func (db *Database) BulkLoad(table string, rows []types.Row) error {
 func (db *Database) TableRowCount(name string) int {
 	tx := db.store.Begin(false)
 	defer tx.Abort()
-	td := tx.Table(name)
-	if td == nil {
+	td, ok := tx.Table(name)
+	if !ok {
 		return 0
 	}
 	return td.Count()

@@ -117,7 +117,7 @@ func TestDistinctAcrossBatchBoundaries(t *testing.T) {
 				want = append(want, types.Row{types.NewInt(k)})
 			}
 		}
-		rs, err := Run(&Distinct{Input: valuesOf("x", intRows(n, key))}, &Ctx{})
+		rs, err := drain(&Distinct{Input: valuesOf("x", intRows(n, key))}, &Ctx{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestNestedLoopAcrossBatchBoundaries(t *testing.T) {
 					Right: valuesOf("y", intRows(nr, identity)),
 					Pred:  pred, LeftOuter: leftOuter,
 				}
-				rs, err := Run(op, &Ctx{})
+				rs, err := drain(op, &Ctx{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +197,7 @@ func TestNestedLoopFanOutPastBatchSize(t *testing.T) {
 			want = append(want, types.Row{types.NewInt(int64(x)), types.NewInt(int64(y))})
 		}
 	}
-	rs, err := Run(op, &Ctx{})
+	rs, err := drain(op, &Ctx{})
 	if err != nil {
 		t.Fatal(err)
 	}

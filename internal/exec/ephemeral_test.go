@@ -158,7 +158,7 @@ func (ct *contractTree) run(t *testing.T, op Operator) []types.Row {
 	if ct.store != nil {
 		return runOp(t, ct.store, op, nil).Rows
 	}
-	rs, err := Run(op, &Ctx{})
+	rs, err := drain(op, &Ctx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestPoisonAndHoardHaveTeeth(t *testing.T) {
 	// A Project forced to recycle under a durable consumer.
 	proj := &Project{Input: src(), Exprs: colsExprs(0), Cols: intCols("x")}
 	h := &hoard{Input: recycleAlways{proj}}
-	if _, err := Run(h, &Ctx{}); err != nil {
+	if _, err := drain(h, &Ctx{}); err != nil {
 		t.Fatal(err)
 	}
 	caught := false

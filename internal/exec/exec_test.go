@@ -43,12 +43,21 @@ func numsCols() []ColInfo {
 	return []ColInfo{{Table: "nums", Name: "a", Kind: types.KindInt}, {Table: "nums", Name: "b", Kind: types.KindString}}
 }
 
+// drain runs op into a result set of its own.
+func drain(op Operator, ctx *Ctx) (*ResultSet, error) {
+	var rs ResultSet
+	if err := Run(op, ctx, &rs); err != nil {
+		return nil, err
+	}
+	return &rs, nil
+}
+
 func runOp(t *testing.T, s *storage.Store, op Operator, params Params) *ResultSet {
 	t.Helper()
 	tx := s.Begin(false)
 	defer tx.Abort()
 	ctx := &Ctx{Params: params, Txn: tx, Counters: &Counters{}}
-	rs, err := Run(op, ctx)
+	rs, err := drain(op, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +94,7 @@ func TestIndexScanRange(t *testing.T) {
 	tx := s.Begin(false)
 	defer tx.Abort()
 	ctr := &Counters{}
-	rs, err := Run(op, &Ctx{Txn: tx, Counters: ctr})
+	rs, err := drain(op, &Ctx{Txn: tx, Counters: ctr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +274,7 @@ func TestStartupFilterPrunesInput(t *testing.T) {
 		Guard: &BinExpr{Op: sql.OpLE, L: &ParamExpr{Name: "k"}, R: &ConstExpr{V: types.NewInt(5)}},
 		Input: &Scan{TableName: "nums", Cols: numsCols()},
 	}
-	rs, err := Run(op, &Ctx{Txn: tx, Params: Params{"k": types.NewInt(7)}, Counters: ctr})
+	rs, err := drain(op, &Ctx{Txn: tx, Params: Params{"k": types.NewInt(7)}, Counters: ctr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +337,7 @@ func TestRemoteOperator(t *testing.T) {
 	defer tx.Abort()
 	ctr := &Counters{}
 	op := &Remote{SQLText: "SELECT a, b FROM nums", Cols: numsCols()}
-	rs, err := Run(op, &Ctx{Txn: tx, Remote: fr, Counters: ctr})
+	rs, err := drain(op, &Ctx{Txn: tx, Remote: fr, Counters: ctr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +354,7 @@ func TestRemoteWithoutClientFails(t *testing.T) {
 	tx := s.Begin(false)
 	defer tx.Abort()
 	op := &Remote{SQLText: "SELECT 1"}
-	if _, err := Run(op, &Ctx{Txn: tx}); err == nil {
+	if _, err := drain(op, &Ctx{Txn: tx}); err == nil {
 		t.Fatal("remote without client should fail")
 	}
 }

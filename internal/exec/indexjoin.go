@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"mtcache/internal/storage"
 	"mtcache/internal/types"
 )
@@ -28,8 +26,8 @@ type IndexJoin struct {
 	Residual  Expr      // join residual over outer ++ projected inner, nil = none
 	LeftOuter bool      // LEFT JOIN: unmatched outer rows padded with NULLs
 
-	iv      *storage.IndexView
-	cols    []ColInfo
+	cols    []ColInfo         // Outer's columns then InnerCols; shared by a template's clones (see Prepare)
+	iv      storage.IndexView // bound at Open
 	seeks   int64
 	keyBuf  types.Row   // probe-key scratch
 	matches []types.Row // stored rows found by the current seek
@@ -56,12 +54,13 @@ func (j *IndexJoin) clone() Operator {
 	return &IndexJoin{
 		Outer: j.Outer, OuterKeys: j.OuterKeys, TableName: j.TableName, IndexName: j.IndexName,
 		InnerCols: j.InnerCols, Proj: j.Proj, Pred: j.Pred, Residual: j.Residual, LeftOuter: j.LeftOuter,
+		cols: j.cols,
 	}
 }
 
 func (j *IndexJoin) passesRows() bool { return false }
 func (j *IndexJoin) reset(result bool) int {
-	j.iv, j.cols, j.seeks, j.inPos = nil, nil, 0, 0
+	j.iv, j.seeks, j.inPos = storage.IndexView{}, 0, 0
 	return wipe(&j.keyBuf) + wipe(&j.matches) + j.in.reset() + j.arena.release(!result)
 }
 
@@ -69,15 +68,12 @@ func (j *IndexJoin) reset(result bool) int {
 func (j *IndexJoin) Seeks() int64 { return j.seeks }
 
 func (j *IndexJoin) Open(ctx *Ctx) error {
-	td := ctx.Txn.Table(j.TableName)
-	if td == nil {
-		if err := ctx.Txn.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("exec: table %s does not exist", j.TableName)
+	td, err := tableView(ctx, j.TableName)
+	if err != nil {
+		return err
 	}
-	if j.iv = td.Index(j.IndexName); j.iv == nil {
-		return fmt.Errorf("exec: index %s on %s does not exist", j.IndexName, j.TableName)
+	if j.iv, err = indexView(&td, j.TableName, j.IndexName); err != nil {
+		return err
 	}
 	j.seeks = 0
 	j.in.Rows, j.inPos = j.in.Rows[:0], 0
@@ -179,6 +175,6 @@ func (j *IndexJoin) BatchNext(ctx *Ctx, b *Batch) error {
 }
 
 func (j *IndexJoin) Close() error {
-	j.iv = nil
+	j.iv = storage.IndexView{}
 	return j.Outer.Close()
 }

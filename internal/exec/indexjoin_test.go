@@ -226,7 +226,7 @@ func TestIndexJoinProjectsAndCounts(t *testing.T) {
 	tx := s.Begin(false)
 	defer tx.Abort()
 	ctr := &Counters{}
-	rs, err := Run(op, &Ctx{Txn: tx, Counters: ctr})
+	rs, err := drain(op, &Ctx{Txn: tx, Counters: ctr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestIndexJoinFiltersStaleIndexEntries(t *testing.T) {
 			OuterKeys: colsExprs(0), TableName: "r", IndexName: "ix_k",
 			InnerCols: joinCols("r"), Proj: []int{0, 1, 2, 3},
 		}
-		rs, err := Run(op, &Ctx{Txn: txn})
+		rs, err := drain(op, &Ctx{Txn: txn})
 		if err != nil {
 			t.Fatal(err)
 		}

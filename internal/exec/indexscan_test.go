@@ -69,7 +69,7 @@ func endpointStore(t *testing.T, rng *rand.Rand, n int) (s *storage.Store, old *
 	old = s.Begin(false)
 	for round := 0; round < 2; round++ {
 		tx = s.Begin(true)
-		tv := tx.Table("e")
+		tv, _ := tx.Table("e")
 		for i := 0; i < n; i++ {
 			rid := tv.PKLookup(types.Row{types.NewInt(int64(i))})
 			if rid < 0 {
@@ -110,7 +110,7 @@ func TestIndexEndpointMatchesScanAggregate(t *testing.T) {
 	cols := []ColInfo{{Table: "e", Name: "id", Kind: types.KindInt}, {Table: "e", Name: "k", Kind: types.KindInt}}
 	run := func(tx *storage.Txn, op Operator) []types.Row {
 		t.Helper()
-		rs, err := Run(op, &Ctx{Txn: tx, Counters: &Counters{}})
+		rs, err := drain(op, &Ctx{Txn: tx, Counters: &Counters{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,8 @@ func TestIndexEndpointMatchesScanAggregate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if rid := writer.Table("e").PKLookup(types.Row{types.NewInt(int64(n))}); rid >= 0 {
+		tv, _ := writer.Table("e")
+		if rid := tv.PKLookup(types.Row{types.NewInt(int64(n))}); rid >= 0 {
 			if err := writer.Delete("e", rid); err != nil { // the committed minimum
 				t.Fatal(err)
 			}
@@ -211,7 +212,7 @@ func TestIndexEndpointReadsOneRow(t *testing.T) {
 	tx := s.Begin(false)
 	defer tx.Abort()
 	ctx := &Ctx{Txn: tx, Counters: &Counters{}}
-	rs, err := Run(&HashAgg{
+	rs, err := drain(&HashAgg{
 		Input: &IndexScan{TableName: "nums", IndexName: "__pk", Cols: numsCols(), Desc: true, Limit: 1},
 		Aggs:  []AggSpec{{Func: AggMax, Arg: &ColExpr{I: 0}}}, Cols: intCols("m"),
 	}, ctx)

@@ -4,7 +4,7 @@ import "sync"
 
 // CloneOperator deep-copies an operator tree's structure, leaving runtime
 // state (cursors, hash tables, buffers) fresh. Compiled expressions are
-// immutable and shared.
+// immutable and shared, and so is what Prepare derived from them.
 //
 // This is what makes the engine's plan cache safe: a cached plan may be
 // executed by many sessions concurrently, so each execution runs on a tree of
@@ -16,6 +16,22 @@ func CloneOperator(op Operator) Operator {
 		*in = CloneOperator(*in)
 	}
 	return c
+}
+
+// Prepare derives, once per plan, the state the operators of a template
+// would otherwise derive at every Open: a Filter's compiled predicate and a
+// join's output schema. A clone copies it and reset keeps it, so every
+// instance of the plan shares the template's. The optimizer prepares a plan
+// before anything clones it; afterwards the template is only read. A tree
+// that was never prepared derives the state at its first Open and keeps it.
+func Prepare(root Operator) {
+	if f, ok := root.(*Filter); ok {
+		f.compile()
+	}
+	root.Columns() // a join's schema is made on first use
+	for i := 0; root.Child(i) != nil; i++ {
+		Prepare(*root.Child(i))
+	}
 }
 
 // resetTree resets every operator of the tree and returns the bytes the tree
@@ -45,12 +61,26 @@ const (
 	maxKept = 256 << 10
 )
 
-// Instances is the free list of operator trees of one plan. An execution
-// takes a tree (cloning the plan's template when there is none), runs it, and
-// after a clean Close releases it: every operator is reset, which zeroes its
-// run state and keeps its buffers — cleared, with their capacity — for the
-// next execution. The list belongs to the plan and dies with it, so whatever
-// drops a plan (invalidation, eviction) drops its instances.
+// Instance is what one execution of a plan runs on: an operator tree of its
+// own, cloned from the plan's template, and the Ctx the execution runs in.
+// The caller sets the Ctx's fields before Run; Release zeroes them.
+type Instance struct {
+	Root Operator
+	Ctx  Ctx
+}
+
+// reset resets the tree and the Ctx and returns the bytes they keep.
+func (inst *Instance) reset() int {
+	return resetTree(inst.Root, true) + inst.Ctx.reset()
+}
+
+// Instances is the free list of instances of one plan. An execution takes an
+// instance (a new one when none is parked), runs it, and after a clean Close
+// releases it: every operator is reset, which zeroes its run state and keeps
+// its buffers — cleared, with their capacity — for the next execution, and so
+// is the Ctx, which keeps its parameter slots. The list belongs to the plan
+// and dies with it, so whatever drops a plan (invalidation, eviction) drops
+// its instances.
 type Instances struct {
 	mu   sync.Mutex
 	n    int
@@ -58,40 +88,42 @@ type Instances struct {
 }
 
 type parked struct {
-	root Operator
-	kept int // bytes the reset tree holds
+	inst *Instance
+	kept int // bytes the reset instance holds
 }
 
-// Take removes and returns the most recently parked tree, nil when none is.
-func (p *Instances) Take() Operator {
+// Take removes and returns the most recently parked instance, nil when none
+// is.
+func (p *Instances) Take() *Instance {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.n == 0 {
 		return nil
 	}
 	p.n--
-	root := p.free[p.n].root
+	inst := p.free[p.n].inst
 	p.free[p.n] = parked{}
-	return root
+	return inst
 }
 
-// Release resets root, a tree whose execution returned no error and has been
-// closed, and parks it for the next Take. A tree whose execution failed is
-// not released: it is dropped, with whatever state the failure left in it.
-func (p *Instances) Release(root Operator) {
-	kept := resetTree(root, true)
+// Release resets inst, whose execution returned no error and has been
+// closed, and parks it for the next Take. An instance whose execution failed
+// is not released: it is dropped, with whatever state the failure left in
+// it.
+func (p *Instances) Release(inst *Instance) {
+	kept := inst.reset()
 	if kept > maxKept {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.n < maxParked {
-		p.free[p.n] = parked{root: root, kept: kept}
+		p.free[p.n] = parked{inst: inst, kept: kept}
 		p.n++
 	}
 }
 
-// Kept reports how many trees are parked and the bytes they hold.
+// Kept reports how many instances are parked and the bytes they hold.
 func (p *Instances) Kept() (trees, bytes int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -86,9 +86,15 @@ func spoilElem(e reflect.Value) {
 	}
 }
 
+// spoilTree spoils every buffer of the tree; the state shared with the
+// template is the plan's, not the instance's, and is left alone.
 func spoilTree(root Operator) {
 	eachOperator(root, func(op Operator) {
-		eachKeptField(op, func(_ string, v reflect.Value) { spoil(v) })
+		eachKeptField(op, func(name string, v reflect.Value) {
+			if !sharedState[name] {
+				spoil(v)
+			}
+		})
 	})
 }
 
@@ -238,7 +244,7 @@ func TestInstanceReuseNeverTouchesAResult(t *testing.T) {
 	remote := &sizedRemote{}
 	run := func(op Operator, params Params) []types.Row {
 		t.Helper()
-		rs, err := Run(op, &Ctx{Params: params, Txn: tx, Remote: remote, Counters: &Counters{}})
+		rs, err := drain(op, &Ctx{Params: params, Txn: tx, Remote: remote, Counters: &Counters{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,6 +256,7 @@ func TestInstanceReuseNeverTouchesAResult(t *testing.T) {
 	results := 0
 	for _, tree := range trees {
 		tmpl := tree.build()
+		Prepare(tmpl)
 		inst := CloneOperator(tmpl)
 		var hoarded, copies [][]types.Row
 		for round, p := range ps {
@@ -306,22 +313,24 @@ func TestReleasedInstanceKeepsItsBuffers(t *testing.T) {
 		},
 		Exprs: colsExprs(0, 2), Cols: intCols("id", "s"),
 	}
+	Prepare(tmpl)
 	var pool Instances
 	params := Params{"p": types.NewInt(15)}
 	exec := func() int {
-		root := pool.Take()
-		if root == nil {
-			root = CloneOperator(tmpl)
+		inst := pool.Take()
+		if inst == nil {
+			inst = &Instance{Root: CloneOperator(tmpl)}
 		}
-		rs, err := Run(root, &Ctx{Params: params, Txn: tx, EstRows: 300})
-		if err != nil {
+		inst.Ctx.Params, inst.Ctx.Txn, inst.Ctx.EstRows = params, tx, 300
+		var rs ResultSet
+		if err := Run(inst.Root, &inst.Ctx, &rs); err != nil {
 			t.Fatal(err)
 		}
-		pool.Release(root)
+		pool.Release(inst)
 		return len(rs.Rows)
 	}
 	fresh := testing.AllocsPerRun(20, func() {
-		if _, err := Run(CloneOperator(tmpl), &Ctx{Params: params, Txn: tx, EstRows: 300}); err != nil {
+		if _, err := drain(CloneOperator(tmpl), &Ctx{Params: params, Txn: tx, EstRows: 300}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -329,11 +338,11 @@ func TestReleasedInstanceKeepsItsBuffers(t *testing.T) {
 	if rows < 200 {
 		t.Fatalf("%d rows", rows)
 	}
-	// What is left is the result (the set, its row slice, one arena chunk per
-	// batch of rows), the context, and what Open builds anew from the plan and
-	// the snapshot: two table views and an index view, the compiled filter
-	// predicate, the join's schema.
-	const ceiling = 16
+	// What is left is the result: its row slice and one arena chunk per batch
+	// of rows, 5 objects. The instance keeps its Ctx and Run's window, shares
+	// the compiled filter predicate and the join's schema with the template,
+	// and binds views that are values (14 objects when it did none of that).
+	const ceiling = 7
 	kept := testing.AllocsPerRun(50, func() { exec() })
 	t.Logf("%d rows: %v allocations on a kept instance, %v on a fresh clone", rows, kept, fresh)
 	if kept > ceiling || kept*4 > fresh {
@@ -349,7 +358,7 @@ func TestReleasedInstanceKeepsItsBuffers(t *testing.T) {
 func TestInstancesBounds(t *testing.T) {
 	var pool Instances
 	for i := 0; i < maxParked+3; i++ {
-		pool.Release(&Values{})
+		pool.Release(&Instance{Root: &Values{}})
 	}
 	if trees, _ := pool.Kept(); trees != maxParked {
 		t.Errorf("%d trees parked, the bound is %d", trees, maxParked)
@@ -365,42 +374,73 @@ func TestInstancesBounds(t *testing.T) {
 
 	// A sort that kept more rows than an instance may hold on to.
 	big := &Sort{Input: valuesOf("x", intRows(maxKept/20, identity)), Keys: []SortKey{{E: &ColExpr{I: 0}}}}
-	if _, err := Run(big, &Ctx{}); err != nil {
+	if _, err := drain(big, &Ctx{}); err != nil {
 		t.Fatal(err)
 	}
-	pool.Release(big)
+	pool.Release(&Instance{Root: big})
 	if trees, _ := pool.Kept(); trees != 0 {
 		t.Errorf("an instance holding more than %d bytes was parked", maxKept)
 	}
 }
 
 // TestReleasedInstancePinsNothing walks an instance that has really run —
-// scans, a lookup join, an aggregate, a sort — and requires what
-// reset promises: every pointer and interface of the run state nil, every
-// kept slice zero over its whole capacity, every map empty. No transaction,
-// table or index view, row version or string is reachable from it.
+// scans, a lookup join, an aggregate, a sort — with its parameters in slots,
+// and requires what Release promises: every pointer and interface of the run
+// state and of the Ctx nil, every kept slice zero over its whole capacity,
+// every map empty. No transaction, table or index view, row version or
+// string is reachable from it. What the instance shares with the template
+// is the template's own.
 func TestReleasedInstancePinsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s, _, _ := newJoinStore(t, rng, 300, 40)
 	tx := s.Begin(false)
 	defer tx.Abort()
 	for _, tree := range reuseTrees(&sizedRemote{}) {
-		inst := CloneOperator(tree.build())
+		tmpl := tree.build()
+		names := AssignParamSlots(tmpl)
+		Prepare(tmpl)
+		inst := &Instance{Root: CloneOperator(tmpl)}
 		params := Params{"p": types.NewInt(14), "n": types.NewInt(9)}
-		if _, err := Run(inst, &Ctx{Params: params, Txn: tx, Remote: sizedRemote{}, Counters: &Counters{}}); err != nil {
+		inst.Ctx = Ctx{Params: params, Txn: tx, Remote: sizedRemote{}, Counters: &Counters{}}
+		for _, name := range names {
+			inst.Ctx.Env.Slots = append(inst.Ctx.Env.Slots, params[name])
+			inst.Ctx.Env.Bound = append(inst.Ctx.Env.Bound, true)
+		}
+		var rs ResultSet
+		if err := Run(inst.Root, &inst.Ctx, &rs); err != nil {
 			t.Fatal(err)
 		}
-		resetTree(inst, true)
-		requirePinsNothing(t, tree.name, inst)
+		inst.reset()
+		requirePinsNothing(t, tree.name, tmpl, inst)
 	}
 }
 
-// requirePinsNothing applies notEmpty (operator_test.go) to every run-state
-// field of every operator of the tree.
-func requirePinsNothing(t testing.TB, label string, root Operator) {
+// requirePinsNothing applies notEmpty (operator_test.go) to the Ctx of a
+// released instance and to every run-state field of every operator of its
+// tree, and requires every field on sharedState to be identical to the one
+// of the template's operator in the same place.
+func requirePinsNothing(t testing.TB, label string, tmpl Operator, inst *Instance) {
 	t.Helper()
-	eachOperator(root, func(op Operator) {
+	if what := notEmpty(reflect.ValueOf(&inst.Ctx).Elem()); what != "" {
+		t.Errorf("%s: the Ctx of a released instance holds %s", label, what)
+	}
+	var shared []reflect.Value
+	eachOperator(tmpl, func(op Operator) {
 		eachKeptField(op, func(name string, v reflect.Value) {
+			if sharedState[name] {
+				shared = append(shared, v)
+			}
+		})
+	})
+	eachOperator(inst.Root, func(op Operator) {
+		eachKeptField(op, func(name string, v reflect.Value) {
+			if sharedState[name] {
+				if len(shared) == 0 || !identical(v, shared[0]) {
+					t.Errorf("%s: %s of a released instance is not the template's", label, name)
+				}
+				shared = shared[1:]
+				return
+			}
 			if what := notEmpty(v); what != "" {
 				t.Errorf("%s: %s of a released instance holds %s", label, name, what)
 			}

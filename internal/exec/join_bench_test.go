@@ -51,7 +51,7 @@ func benchJoin(b *testing.B, s *storage.Store, op Operator, wantRows int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := s.Begin(false)
-		rs, err := Run(CloneOperator(op), &Ctx{Txn: tx})
+		rs, err := drain(CloneOperator(op), &Ctx{Txn: tx})
 		tx.Abort()
 		if err != nil {
 			b.Fatal(err)

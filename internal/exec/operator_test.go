@@ -186,9 +186,9 @@ func TestOperatorsDescribeThemselves(t *testing.T) {
 			t.Errorf("%s: EachExpr yields %d expressions in %d calls, its exported fields hold %d", typ.Name(), len(exprs), calls, len(wantExprs))
 		}
 
-		// A clone has the configuration and none of the run state. Its
-		// slots hold the same inputs but are its own storage, so assigning
-		// through them leaves the original alone.
+		// A clone has the configuration, the original's shared state and
+		// none of the run state. Its slots hold the same inputs but are its
+		// own storage, so assigning through them leaves the original alone.
 		c := reflect.ValueOf(op.clone())
 		if c.Type() != v.Type() {
 			t.Fatalf("%s clones as %s", typ.Name(), c.Type())
@@ -200,6 +200,10 @@ func TestOperatorsDescribeThemselves(t *testing.T) {
 				// Run state, exported for EXPLAIN ANALYZE to read.
 				if !cloned.IsZero() {
 					t.Errorf("Instrumented: a clone starts with Stats %+v", cloned.Interface())
+				}
+			case sharedState[typ.Name()+"."+f.Name]:
+				if !identical(cloned, orig) {
+					t.Errorf("%s: a clone does not share %s with the original", typ.Name(), f.Name)
 				}
 			case !f.IsExported():
 				if !cloned.IsZero() {
@@ -250,6 +254,10 @@ func checkOperatorReset(t *testing.T, now, was reflect.Value, result bool) {
 			}
 		case name == "hoard.kept" || name == "hoard.copies":
 			// What the test machine hoards is its evidence.
+		case sharedState[name]:
+			if !identical(now, was.Field(i)) {
+				t.Errorf("%s: reset(%v) changes the state shared with the template", name, result)
+			}
 		case !f.IsExported():
 			checkReset(t, name, now, result)
 		case f.Type.Kind() == reflect.Func:
@@ -260,6 +268,31 @@ func checkOperatorReset(t *testing.T, now, was reflect.Value, result bool) {
 			t.Errorf("%s: reset(%v) changes the configuration to %+v", name, result, now.Interface())
 		}
 	}
+}
+
+// sharedState is what a template shares with its clones: the unexported
+// fields that are not run state but derived from the configuration, once per
+// plan, by Prepare. A clone copies them and reset leaves them alone, so they
+// are accepted in a clone or a released instance only if they are identical
+// to the template's — the same pointer, the same slice — never merely equal.
+var sharedState = map[string]bool{
+	"Filter.vp": true, "Filter.compiled": true,
+	"HashJoin.cols": true, "IndexJoin.cols": true, "NestedLoop.cols": true,
+}
+
+// identical reports whether two values of a field on sharedState are one:
+// the same pointer, the same slice (array, length and capacity), the same
+// flag.
+func identical(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Pointer:
+		return a.Pointer() == b.Pointer()
+	case reflect.Slice:
+		return a.Pointer() == b.Pointer() && a.Len() == b.Len() && a.Cap() == b.Cap()
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	}
+	panic("identical: " + a.Kind().String())
 }
 
 // resetKeeps is the allow-list of reset: the unexported fields that may be

@@ -44,7 +44,10 @@ type RemoteClient interface {
 // lives in trace so that a statement's Record can carry it.
 type Counters = trace.Counters
 
-// Ctx is the per-execution context.
+// Ctx is the per-execution context. A pooled Instance carries one from
+// execution to execution: its fields are set for each run, and what it keeps
+// in between is the capacity of the parameter slots (Env.Slots, Env.Bound)
+// and the Ctx itself (see Instance).
 type Ctx struct {
 	Params   Params
 	Env      Env // expression environment; Run seeds Named from Params
@@ -53,6 +56,18 @@ type Ctx struct {
 	Counters *Counters
 	Rec      *trace.Record // the statement's record: its ID goes to the backend on DataTransfer; nil when run bare
 	EstRows  float64       // optimizer output-cardinality estimate, 0 if unknown
+
+	out Batch // the window Run reads the root through
+}
+
+// reset zeroes what an execution set on the context, keeping the parameter
+// slots' capacity zeroed over its whole length; it returns the bytes kept.
+// Run's window is forgotten, not kept: its rows are the result's.
+func (c *Ctx) reset() int {
+	slots, bound := c.Env.Slots, c.Env.Bound
+	n := wipe(&slots) + wipe(&bound)
+	*c = Ctx{Env: Env{Slots: slots, Bound: bound}}
+	return n
 }
 
 // maxPrealloc caps estimate-driven allocations: estimates can be off by
@@ -83,7 +98,8 @@ func preallocSize(est float64, limit int) int {
 // EXPLAIN, the optimizer's collectRemote), so that none of them needs to know
 // the operator types. By convention an operator's exported
 // fields are its configuration and its unexported fields are the state of one
-// run.
+// run, except what Prepare derives from the configuration once per plan,
+// which a clone shares with its template.
 type Operator interface {
 	Columns() []ColInfo
 	Open(ctx *Ctx) error
@@ -148,31 +164,33 @@ func visitKeys(fn func(Expr), keys []SortKey) {
 	}
 }
 
-// Run drains an operator into a ResultSet.
-func Run(op Operator, ctx *Ctx) (*ResultSet, error) {
+// Run drains an operator into the caller's rs: it sets rs.Cols to the
+// operator's columns and rs.Rows to the rows, replacing what they held. On
+// an error what rs holds is undefined.
+func Run(op Operator, ctx *Ctx, rs *ResultSet) error {
 	if ctx.Env.Named == nil {
 		ctx.Env.Named = ctx.Params
 	}
 	if err := op.Open(ctx); err != nil {
-		return nil, err
+		return err
 	}
 	defer op.Close()
-	rs := &ResultSet{Cols: op.Columns()}
+	rs.Cols, rs.Rows = op.Columns(), nil
 	if n := preallocSize(ctx.EstRows, maxPrealloc); n > 0 {
 		rs.Rows = make([]types.Row, 0, n)
 	}
-	var b Batch
+	b := &ctx.out
 	for {
 		// The root fills the unused tail of the result's row slice in place;
 		// a batch that outgrows the tail lands in a slice of its own and is
 		// copied over, growing the result.
 		n := len(rs.Rows)
 		b.Rows = rs.Rows[n:n:cap(rs.Rows)]
-		if err := op.BatchNext(ctx, &b); err != nil {
-			return nil, err
+		if err := op.BatchNext(ctx, b); err != nil {
+			return err
 		}
 		if len(b.Rows) == 0 {
-			return rs, nil
+			return nil
 		}
 		if n < cap(rs.Rows) && &b.Rows[0] == &rs.Rows[:n+1][n] {
 			rs.Rows = rs.Rows[:n+len(b.Rows)]
@@ -190,7 +208,7 @@ type Scan struct {
 	TableName string
 	Cols      []ColInfo
 
-	td   *storage.TableView
+	td   storage.TableView // bound at Open
 	pos  int
 	cap  int
 	pred *vecPred      // predicate pushed down by the parent Filter
@@ -203,21 +221,39 @@ func (s *Scan) clone() Operator {
 	return &Scan{TableName: s.TableName, Cols: s.Cols}
 }
 func (s *Scan) reset(bool) int {
-	s.td, s.pos, s.cap, s.pred = nil, 0, 0, nil
+	s.td, s.pos, s.cap, s.pred = storage.TableView{}, 0, 0, nil
 	return wipe(&s.rhs)
 }
 
 func (s *Scan) Open(ctx *Ctx) error {
-	s.td = ctx.Txn.Table(s.TableName)
-	if s.td == nil {
-		if err := ctx.Txn.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("exec: table %s does not exist", s.TableName)
+	var err error
+	if s.td, err = tableView(ctx, s.TableName); err != nil {
+		return err
 	}
 	s.pos = 0
 	s.cap = s.td.Cap()
 	return nil
+}
+
+// tableView is the execution's view of the named table.
+func tableView(ctx *Ctx, name string) (storage.TableView, error) {
+	tv, ok := ctx.Txn.Table(name)
+	if !ok {
+		if err := ctx.Txn.Err(); err != nil {
+			return tv, err
+		}
+		return tv, fmt.Errorf("exec: table %s does not exist", name)
+	}
+	return tv, nil
+}
+
+// indexView is the execution's view of the named index of tv's table.
+func indexView(tv *storage.TableView, table, index string) (storage.IndexView, error) {
+	iv, ok := tv.Index(index)
+	if !ok {
+		return iv, fmt.Errorf("exec: index %s on %s does not exist", index, table)
+	}
+	return iv, nil
 }
 
 // BatchNext fills b with up to BatchSize rows; an empty batch is EOS (empty
@@ -260,7 +296,7 @@ func (s *Scan) BatchNext(ctx *Ctx, b *Batch) error {
 	return nil
 }
 
-func (s *Scan) Close() error { s.td = nil; return nil }
+func (s *Scan) Close() error { s.td = storage.TableView{}; return nil }
 
 // ---------------------------------------------------------------- IndexScan
 
@@ -282,8 +318,9 @@ type IndexScan struct {
 	Limit     int    // stop after this many rows whose leading key column is not NULL, skipping the others; 0 reads every row
 
 	rids   []storage.RowID
-	lo, hi types.Row // the bounds as evaluated at Open
-	td     *storage.TableView
+	lo, hi types.Row         // the bounds as evaluated at Open
+	td     storage.TableView // bound at Open
+	iv     storage.IndexView // bound at Open
 	pos    int
 	pred   *vecPred      // residual predicate pushed down by the parent Filter
 	rhs    []types.Value // pred's per-batch right-hand-side scratch
@@ -301,24 +338,19 @@ func (s *IndexScan) clone() Operator {
 	}
 }
 func (s *IndexScan) reset(bool) int {
-	s.td, s.pos, s.pred = nil, 0, nil
+	s.td, s.iv, s.pos, s.pred = storage.TableView{}, storage.IndexView{}, 0, nil
 	return wipe(&s.rids) + wipe(&s.lo) + wipe(&s.hi) + wipe(&s.rhs)
 }
 
 func (s *IndexScan) Open(ctx *Ctx) error {
-	s.td = ctx.Txn.Table(s.TableName)
-	if s.td == nil {
-		if err := ctx.Txn.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("exec: table %s does not exist", s.TableName)
+	var err error
+	if s.td, err = tableView(ctx, s.TableName); err != nil {
+		return err
 	}
-	tree := s.td.Index(s.IndexName)
-	if tree == nil {
-		return fmt.Errorf("exec: index %s on %s does not exist", s.IndexName, s.TableName)
+	if s.iv, err = indexView(&s.td, s.TableName, s.IndexName); err != nil {
+		return err
 	}
 	var lo, hi types.Row // nil = unbounded
-	var err error
 	if s.Lo != nil {
 		if s.lo, err = evalBound(s.Lo, ctx, s.lo); err != nil {
 			return err
@@ -335,7 +367,7 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 	if hasNull(lo) || hasNull(hi) {
 		return nil // col <= NULL holds for no row
 	}
-	tree.Walk(lo, hi, s.Desc, func(it storage.Item) bool {
+	s.iv.Walk(lo, hi, s.Desc, func(it storage.Item) bool {
 		if s.Limit > 0 && it.Key[0].IsNull() {
 			// NULL keys sort first: read upwards they are skipped, read
 			// downwards nothing but NULLs is left.
@@ -405,7 +437,10 @@ func (s *IndexScan) BatchNext(ctx *Ctx, b *Batch) error {
 	return nil
 }
 
-func (s *IndexScan) Close() error { s.td = nil; return nil }
+func (s *IndexScan) Close() error {
+	s.td, s.iv = storage.TableView{}, storage.IndexView{}
+	return nil
+}
 
 // ---------------------------------------------------------------- Filter
 
@@ -414,8 +449,10 @@ type Filter struct {
 	Input Operator
 	Pred  Expr
 
+	vp       *vecPred // Pred compiled, nil when its shape is not covered; shared by a template's clones (see Prepare)
+	compiled bool     // Pred has been compiled into vp
+
 	in     Batch         // input scratch
-	vp     *vecPred      // compiled predicate, nil when the shape is not covered
 	rhs    []types.Value // vp's per-batch right-hand-side scratch
 	pushed bool          // vp was pushed down into the child scan
 }
@@ -423,15 +460,26 @@ type Filter struct {
 func (f *Filter) Columns() []ColInfo     { return f.Input.Columns() }
 func (f *Filter) Child(i int) *Operator  { return slot(i, &f.Input) }
 func (f *Filter) EachExpr(fn func(Expr)) { visit(fn, f.Pred) }
-func (f *Filter) clone() Operator        { return &Filter{Input: f.Input, Pred: f.Pred} }
 func (f *Filter) passesRows() bool       { return true }
+func (f *Filter) clone() Operator {
+	return &Filter{Input: f.Input, Pred: f.Pred, vp: f.vp, compiled: f.compiled}
+}
 func (f *Filter) reset(bool) int {
-	f.vp, f.pushed = nil, false
+	f.pushed = false
 	return f.in.reset() + wipe(&f.rhs)
 }
 
+// compile compiles Pred once: on a template, before it is cloned (Prepare),
+// or at the first Open of a tree that was never prepared.
+func (f *Filter) compile() {
+	if !f.compiled {
+		f.vp, f.compiled = compilePred(f.Pred), true
+	}
+}
+
 func (f *Filter) Open(ctx *Ctx) error {
-	f.vp, f.pushed = compilePred(f.Pred), false
+	f.compile()
+	f.pushed = false
 	if f.vp != nil {
 		// Fuse into a child scan: the predicate then runs inside the scan
 		// loop and rejected rows never enter a batch. (Each execution has a
@@ -984,8 +1032,8 @@ type HashJoin struct {
 	Residual            Expr
 	BuildEst            float64 // optimizer estimate of build-side rows, 0 if unknown
 
+	cols  []ColInfo              // Left's columns then Right's; shared by a template's clones (see Prepare)
 	table map[uint64][]types.Row // the build side by key hash
-	cols  []ColInfo
 
 	build   Batch     // build input scratch
 	in      Batch     // probe input scratch
@@ -1013,7 +1061,7 @@ func (j *HashJoin) EachExpr(fn func(Expr)) {
 func (j *HashJoin) clone() Operator {
 	return &HashJoin{
 		Left: j.Left, Right: j.Right, LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
-		LeftOuter: j.LeftOuter, Residual: j.Residual, BuildEst: j.BuildEst,
+		LeftOuter: j.LeftOuter, Residual: j.Residual, BuildEst: j.BuildEst, cols: j.cols,
 	}
 }
 func (j *HashJoin) passesRows() bool { return false }
@@ -1021,7 +1069,7 @@ func (j *HashJoin) reset(result bool) int {
 	// The map keeps its buckets; the per-key row lists go.
 	n := len(j.table) * hashEntryBytes
 	clear(j.table)
-	j.cols, j.inPos = nil, 0
+	j.inPos = 0
 	return n + j.build.reset() + j.in.reset() + wipe(&j.keyBuf) + wipe(&j.rkeyBuf) +
 		wipe(&j.nullPad) + j.arena.release(!result)
 }
@@ -1172,8 +1220,8 @@ type NestedLoop struct {
 	Pred        Expr
 	LeftOuter   bool
 
+	cols      []ColInfo // Left's columns then Right's; shared by a template's clones (see Prepare)
 	rightRows []types.Row
-	cols      []ColInfo
 
 	in      Batch     // left input scratch
 	inPos   int       // cursor into in.Rows
@@ -1192,11 +1240,11 @@ func (j *NestedLoop) Columns() []ColInfo {
 func (j *NestedLoop) Child(i int) *Operator  { return slot(i, &j.Left, &j.Right) }
 func (j *NestedLoop) EachExpr(fn func(Expr)) { visit(fn, j.Pred) }
 func (j *NestedLoop) clone() Operator {
-	return &NestedLoop{Left: j.Left, Right: j.Right, Pred: j.Pred, LeftOuter: j.LeftOuter}
+	return &NestedLoop{Left: j.Left, Right: j.Right, Pred: j.Pred, LeftOuter: j.LeftOuter, cols: j.cols}
 }
 func (j *NestedLoop) passesRows() bool { return false }
 func (j *NestedLoop) reset(result bool) int {
-	j.cols, j.inPos = nil, 0
+	j.inPos = 0
 	return wipe(&j.rightRows) + j.in.reset() + wipe(&j.scratch) + j.arena.release(!result)
 }
 

@@ -189,7 +189,7 @@ func TestIntKeyedAggMatchesGenericTable(t *testing.T) {
 				},
 				Cols: make([]ColInfo, 7),
 			}
-			rs, err := Run(op, &Ctx{})
+			rs, err := drain(op, &Ctx{})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

@@ -33,7 +33,7 @@ func mixedSetup(t *testing.T) (*Env, *storage.Store) {
 	var rows []types.Row
 	btx := b.store // direct fill
 	_ = btx
-	src := tx.Table("customer")
+	src, _ := tx.Table("customer")
 	src.Scan(func(_ storage.RowID, r types.Row) bool {
 		if r[0].Int() <= 1000 {
 			row := types.Row{r[0], r[1], r[2]}
@@ -59,7 +59,7 @@ func TestMixedResultPlanExecution(t *testing.T) {
 		tx := store.Begin(false)
 		defer tx.Abort()
 		ctr := &exec.Counters{}
-		rs, err := exec.Run(p.Root, &exec.Ctx{Txn: tx, Params: exec.Params{"cid": types.NewInt(v)}, Counters: ctr})
+		rs, err := drain(p.Root, &exec.Ctx{Txn: tx, Params: exec.Params{"cid": types.NewInt(v)}, Counters: ctr})
 		if err != nil {
 			t.Fatalf("execute: %v\n%s", err, ExplainOperator(p.Root))
 		}
@@ -122,7 +122,7 @@ func TestChoosePlanPullUpRightSide(t *testing.T) {
 	tx := store.Begin(false)
 	defer tx.Abort()
 	ctr := &exec.Counters{}
-	rs, err := exec.Run(p.Root, &exec.Ctx{Txn: tx, Params: exec.Params{"key": types.NewInt(900)}, Remote: b, Counters: ctr})
+	rs, err := drain(p.Root, &exec.Ctx{Txn: tx, Params: exec.Params{"key": types.NewInt(900)}, Remote: b, Counters: ctr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func TestExplainAnalyzeDynamicPlan(t *testing.T) {
 		tx := store.Begin(false)
 		defer tx.Abort()
 		start := time.Now()
-		rs, err := exec.Run(root, &exec.Ctx{
+		rs, err := drain(root, &exec.Ctx{
 			Params: exec.Params{"cid": types.NewInt(cid)},
 			Txn:    tx, Remote: b, Counters: &exec.Counters{},
 		})

@@ -34,7 +34,16 @@ func (b *testBackend) Query(sqlText string, params exec.Params) (*exec.ResultSet
 	}
 	tx := b.store.Begin(false)
 	defer tx.Abort()
-	return exec.Run(p.Root, &exec.Ctx{Params: params, Txn: tx})
+	return drain(p.Root, &exec.Ctx{Params: params, Txn: tx})
+}
+
+// drain runs op into a result set of its own.
+func drain(op exec.Operator, ctx *exec.Ctx) (*exec.ResultSet, error) {
+	var rs exec.ResultSet
+	if err := exec.Run(op, ctx, &rs); err != nil {
+		return nil, err
+	}
+	return &rs, nil
 }
 
 func (b *testBackend) QueryTraced(sqlText string, params exec.Params, _ string) (*exec.ResultSet, *trace.WireSpan, error) {
@@ -153,7 +162,8 @@ func newCache(t *testing.T, b *testBackend) (*Env, *storage.Store) {
 	tx := store.Begin(true)
 	var rows []types.Row
 	btx := b.store.Begin(false)
-	btx.Table("customer").Scan(func(_ storage.RowID, r types.Row) bool {
+	src, _ := btx.Table("customer")
+	src.Scan(func(_ storage.RowID, r types.Row) bool {
 		if r[0].Int() <= 1000 {
 			row := types.Row{r[0], r[1], r[2]}
 			tx.Insert("Cust1000", row)
@@ -182,7 +192,7 @@ func execute(t *testing.T, p *Plan, store *storage.Store, remote exec.RemoteClie
 	tx := store.Begin(false)
 	defer tx.Abort()
 	ctr := &exec.Counters{}
-	rs, err := exec.Run(p.Root, &exec.Ctx{Params: params, Txn: tx, Remote: remote, Counters: ctr})
+	rs, err := drain(p.Root, &exec.Ctx{Params: params, Txn: tx, Remote: remote, Counters: ctr})
 	if err != nil {
 		t.Fatalf("execute: %v\n%s", err, ExplainOperator(p.Root))
 	}
@@ -458,7 +468,8 @@ func TestCacheCostBasedRemoteChoice(t *testing.T) {
 	tx := store.Begin(true)
 	var rows []types.Row
 	btx := b.store.Begin(false)
-	btx.Table("orders").Scan(func(_ storage.RowID, r types.Row) bool {
+	src, _ := btx.Table("orders")
+	src.Scan(func(_ storage.RowID, r types.Row) bool {
 		tx.Insert("AllOrders", r.Clone())
 		rows = append(rows, r)
 		return true
@@ -847,7 +858,8 @@ func TestChoosePlanChainsGuardedViews(t *testing.T) {
 	tx := store.Begin(true)
 	var rows []types.Row
 	btx := b.store.Begin(false)
-	btx.Table("customer").Scan(func(_ storage.RowID, r types.Row) bool {
+	src, _ := btx.Table("customer")
+	src.Scan(func(_ storage.RowID, r types.Row) bool {
 		if id := r[0].Int(); id >= 1500 && id <= 1600 {
 			row := types.Row{r[0], r[1]}
 			tx.Insert("Cust1500", row)

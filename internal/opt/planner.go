@@ -201,6 +201,8 @@ func (pl *planner) finish(p *plan) (*Plan, error) {
 	// so per-row parameter lookups on the hot path are slice loads. Remote
 	// parts still need the named map forwarded to the backend.
 	out.Params = exec.AssignParamSlots(mat.op)
+	// Derive what every instance of the plan shares before anything clones it.
+	exec.Prepare(mat.op)
 	_, out.FullyRemote = mat.op.(*exec.Remote)
 	out.Variant = out.variant()
 	pl.countPlan(out)

@@ -39,8 +39,8 @@ func (s *Server) Provision(subName string, a *Article, target string) (int, stor
 	// it — a pull stops at the store's visible end.
 	rtx := s.publisher.Store().Begin(false)
 	defer rtx.Abort()
-	src := rtx.Table(a.Table)
-	if src == nil {
+	src, ok := rtx.Table(a.Table)
+	if !ok {
 		s.mu.Unlock()
 		return 0, 0, nil, fmt.Errorf("repl: no storage for %s on publisher", a.Table)
 	}

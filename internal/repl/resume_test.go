@@ -158,7 +158,8 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 			return nil, db, false
 		}
 		tx := b.DB.Store().Begin(false)
-		rows := tx.Table("item").Rows()[:5]
+		items, _ := tx.Table("item")
+		rows := items.Rows()[:5]
 		tx.Abort()
 		for i := range rows {
 			rows[i] = rows[i][:3]

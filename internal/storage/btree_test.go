@@ -262,7 +262,7 @@ func pairStore(t testing.TB, keys int64) *TableView {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	return s.Begin(false).Table("p")
+	return view(s.Begin(false), "p")
 }
 
 // pairItem is the entry of pairStore's row k: key (k/8, k), rid k.
@@ -283,7 +283,7 @@ func yieldsOf(tv *TableView, r *node, groups int64) yields {
 	}
 	r.ascend(Item{}, false, func(it Item) bool { fold(0, it.Key[1].Int()); return true })
 	r.descend(nil, func(it Item) bool { fold(1, it.Key[1].Int()); return true })
-	iv := &IndexView{tv: tv, id: &indexData{meta: &catalog.Index{Columns: []int{0, 1}}}, root: r}
+	iv := &IndexView{tv: *tv, id: &indexData{meta: &catalog.Index{Columns: []int{0, 1}}}, root: r}
 	var rows []types.Row
 	for g := int64(0); g < groups; g += 8 {
 		rows = iv.AppendMatches(rows[:0], types.Row{types.NewInt(g)})
@@ -566,7 +566,7 @@ func TestAppendMatchesAgreesWithAscendRange(t *testing.T) {
 	// Move every third row to a new name: stale entries under the old one.
 	wtx := s.Begin(true)
 	for i := int64(0); i < 5000; i += 3 {
-		rid := wtx.Table("customer").PKLookup(types.Row{types.NewInt(i)})
+		rid := view(wtx, "customer").PKLookup(types.Row{types.NewInt(i)})
 		if err := wtx.Update("customer", rid, types.Row{types.NewInt(i), types.NewString("moved")}); err != nil {
 			t.Fatal(err)
 		}
@@ -576,10 +576,10 @@ func TestAppendMatchesAgreesWithAscendRange(t *testing.T) {
 	}
 	tx := s.Begin(false)
 	defer tx.Abort()
-	tv := tx.Table("customer")
+	tv := view(tx, "customer")
 	check := func(index string, key types.Row) int {
 		t.Helper()
-		iv := tv.Index(index)
+		iv := viewIndex(tv, index)
 		var want []types.Row
 		iv.Walk(key, key, false, func(it Item) bool {
 			want = append(want, tv.Get(it.RID))

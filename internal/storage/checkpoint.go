@@ -71,8 +71,8 @@ func (s *Store) Checkpoint() (LSN, error) {
 	img := Image{LSN: walEnd}
 	rows := 0
 	for _, name := range names {
-		tv := t.Table(name)
-		if tv == nil {
+		tv, ok := t.Table(name)
+		if !ok {
 			continue // dropped between the list and the read; not in the image
 		}
 		set := RowSet{Name: tv.Meta().Name, Rows: tv.Rows()}

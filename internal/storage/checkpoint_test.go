@@ -80,7 +80,7 @@ func TestCheckpointCarriesValuesExactly(t *testing.T) {
 	}
 	rtx := r.Begin(false)
 	defer rtx.Abort()
-	tv := rtx.Table("vals")
+	tv := view(rtx, "vals")
 	for _, w := range want {
 		rid := tv.PKLookup(w[:1])
 		if rid < 0 {

@@ -107,7 +107,7 @@ func runCrashSeed(t *testing.T, seed int) {
 	// the exact payload that was committed: no lost acknowledged commit, no
 	// hole, no damaged row surviving the CRC check.
 	tx := r.Begin(false)
-	tv := tx.Table("t")
+	tv, _ := tx.Table("t")
 	rows := tv.Rows()
 	got := make(map[int64]string, len(rows))
 	for _, row := range rows {
@@ -157,7 +157,8 @@ func runCrashSeed(t *testing.T, seed int) {
 		t.Fatalf("recover on clean restart: %v", err)
 	}
 	tx = r2.Begin(false)
-	if n := tx.Table("t").Count(); n != m+1 {
+	tv, _ = tx.Table("t")
+	if n := tv.Count(); n != m+1 {
 		t.Fatalf("clean restart recovered %d rows, want %d", n, m+1)
 	}
 	tx.Abort()

@@ -38,7 +38,7 @@ func BenchmarkMVCCReadsUnderApply(b *testing.B) {
 			}
 			gen++
 			tx := s.Begin(true)
-			td := tx.Table("customer")
+			td := view(tx, "customer")
 			for i := 0; i < rows; i += 8 {
 				rid := td.PKLookup(types.Row{types.NewInt(int64(i))})
 				if rid < 0 {
@@ -61,7 +61,7 @@ func BenchmarkMVCCReadsUnderApply(b *testing.B) {
 		for pb.Next() {
 			k := id.Add(1) % rows
 			rtx := s.Begin(false)
-			td := rtx.Table("customer")
+			td := view(rtx, "customer")
 			rid := td.PKLookup(types.Row{types.NewInt(k)})
 			if rid >= 0 {
 				_ = td.Get(rid)

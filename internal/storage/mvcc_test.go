@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mtcache/internal/catalog"
+	"mtcache/internal/metrics"
 	"mtcache/internal/types"
 )
 
@@ -23,7 +24,7 @@ func insertCust(t *testing.T, s *Store, id int64, name string) {
 
 func custName(t *testing.T, tx *Txn, id int64) (string, bool) {
 	t.Helper()
-	td := tx.Table("customer")
+	td := view(tx, "customer")
 	rid := td.PKLookup(types.Row{types.NewInt(id)})
 	if rid < 0 {
 		return "", false
@@ -41,7 +42,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	defer before.Abort()
 
 	wtx := s.Begin(true)
-	td := wtx.Table("customer")
+	td := view(wtx, "customer")
 	rid := td.PKLookup(types.Row{types.NewInt(1)})
 	if err := wtx.Update("customer", rid, types.Row{types.NewInt(1), types.NewString("new")}); err != nil {
 		t.Fatal(err)
@@ -59,8 +60,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	if _, ok := custName(t, before, 2); ok {
 		t.Error("pinned snapshot sees a row inserted after it")
 	}
-	if before.Table("customer").Count() != 1 {
-		t.Errorf("pinned snapshot count %d, want 1", before.Table("customer").Count())
+	if view(before, "customer").Count() != 1 {
+		t.Errorf("pinned snapshot count %d, want 1", view(before, "customer").Count())
 	}
 
 	after := s.Begin(false)
@@ -68,8 +69,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	if name, ok := custName(t, after, 1); !ok || name != "new" {
 		t.Errorf("new snapshot sees %q, want new", name)
 	}
-	if after.Table("customer").Count() != 2 {
-		t.Errorf("new snapshot count %d, want 2", after.Table("customer").Count())
+	if view(after, "customer").Count() != 2 {
+		t.Errorf("new snapshot count %d, want 2", view(after, "customer").Count())
 	}
 }
 
@@ -90,7 +91,7 @@ func TestReadersNeverBlockOnOpenWriter(t *testing.T) {
 	go func() {
 		rtx := s.Begin(false)
 		defer rtx.Abort()
-		done <- rtx.Table("customer").Count()
+		done <- view(rtx, "customer").Count()
 	}()
 	select {
 	case n := <-done:
@@ -110,7 +111,7 @@ func TestReadersNeverBlockOnOpenWriter(t *testing.T) {
 func TestWriterReadsOwnWrites(t *testing.T) {
 	s := newCustStore(t)
 	wtx := s.Begin(true)
-	td := wtx.Table("customer")
+	td := view(wtx, "customer")
 	if _, err := wtx.Insert("customer", types.Row{types.NewInt(7), types.NewString("mine")}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +180,10 @@ func TestDeadlockDetection(t *testing.T) {
 
 	rtx := s.Begin(false)
 	defer rtx.Abort()
-	if n := rtx.Table("t2").Count(); n != 1 {
+	if n := view(rtx, "t2").Count(); n != 1 {
 		t.Errorf("t2 rows %d, want 1 (B's insert rolled back, A's applied)", n)
 	}
-	if n := rtx.Table("t1").Count(); n != 1 {
+	if n := view(rtx, "t1").Count(); n != 1 {
 		t.Errorf("t1 rows %d, want 1 (only A's original insert)", n)
 	}
 }
@@ -197,7 +198,7 @@ func TestVersionGC(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		wtx := s.Begin(true)
-		td := wtx.Table("customer")
+		td := view(wtx, "customer")
 		rid := td.PKLookup(types.Row{types.NewInt(1)})
 		if err := wtx.Update("customer", rid, types.Row{types.NewInt(1), types.NewString("v")}); err != nil {
 			t.Fatal(err)
@@ -232,7 +233,7 @@ func TestGCReclaimsDeletedRowsAndIndexEntries(t *testing.T) {
 	insertCust(t, s, 1, "doomed")
 
 	wtx := s.Begin(true)
-	td := wtx.Table("customer")
+	td := view(wtx, "customer")
 	rid := td.PKLookup(types.Row{types.NewInt(1)})
 	if err := wtx.Delete("customer", rid); err != nil {
 		t.Fatal(err)
@@ -280,7 +281,7 @@ func TestIndexScanNoDuplicatesAcrossKeyChange(t *testing.T) {
 	defer old.Abort()
 
 	wtx := s.Begin(true)
-	td := wtx.Table("customer")
+	td := view(wtx, "customer")
 	rid := td.PKLookup(types.Row{types.NewInt(1)})
 	if err := wtx.Update("customer", rid, types.Row{types.NewInt(1), types.NewString("zzz")}); err != nil {
 		t.Fatal(err)
@@ -291,9 +292,9 @@ func TestIndexScanNoDuplicatesAcrossKeyChange(t *testing.T) {
 
 	scanNames := func(tx *Txn) []string {
 		var out []string
-		ix := tx.Table("customer").Index("ix_name")
+		ix := viewIndex(view(tx, "customer"), "ix_name")
 		ix.Walk(types.Row{types.NewString("a")}, types.Row{types.NewString("zzzz")}, false, func(it Item) bool {
-			out = append(out, tx.Table("customer").Get(it.RID)[1].Str())
+			out = append(out, view(tx, "customer").Get(it.RID)[1].Str())
 			return true
 		})
 		return out
@@ -307,7 +308,7 @@ func TestIndexScanNoDuplicatesAcrossKeyChange(t *testing.T) {
 	if got := scanNames(fresh); len(got) != 1 || got[0] != "zzz" {
 		t.Errorf("fresh snapshot index scan: %v, want [zzz] (stale entry leaked?)", got)
 	}
-	if rids := fresh.Table("customer").Index("ix_name").Get(types.Row{types.NewString("aaa")}); len(rids) != 0 {
+	if rids := viewIndex(view(fresh, "customer"), "ix_name").Get(types.Row{types.NewString("aaa")}); len(rids) != 0 {
 		t.Errorf("fresh snapshot still resolves the old key: %v", rids)
 	}
 }
@@ -322,7 +323,7 @@ func TestAsOfLSNPairsSnapshotWithLog(t *testing.T) {
 	asOf := rtx.AsOfLSN()
 	insertCust(t, s, 2, "b")
 
-	if n := rtx.Table("customer").Count(); n != 1 {
+	if n := view(rtx, "customer").Count(); n != 1 {
 		t.Fatalf("snapshot rows %d, want 1", n)
 	}
 	// Replaying the WAL from asOf over the snapshot must yield current state:
@@ -357,7 +358,7 @@ func TestConcurrentReadersSeeCommittedCountsOnly(t *testing.T) {
 				default:
 				}
 				rtx := s.Begin(false)
-				n := rtx.Table("customer").Count()
+				n := view(rtx, "customer").Count()
 				rtx.Abort()
 				if n%batch != 0 {
 					mu.Lock()
@@ -384,5 +385,41 @@ func TestConcurrentReadersSeeCommittedCountsOnly(t *testing.T) {
 	wg.Wait()
 	if len(torn) > 0 {
 		t.Fatalf("readers observed torn batch counts: %v", torn)
+	}
+}
+
+// TestSnapshotsLiveGaugeSettles: storage.snapshots_live is set under the
+// snapshot mutex, so the value it reads once a set of racing readers has
+// pinned, and again once they have all ended, is the live count. Set after
+// the unlock, two readers could store their counts out of order and leave it
+// at 1 with no reader live. Each round starts the readers together and ends
+// them together, which is when their counts race.
+func TestSnapshotsLiveGaugeSettles(t *testing.T) {
+	s := newCustStore(t)
+	live := metrics.Default.Gauge("storage.snapshots_live")
+	const readers, rounds = 8, 2000
+	for r := 0; r < rounds; r++ {
+		var pinned, done sync.WaitGroup
+		end := make(chan struct{})
+		pinned.Add(readers)
+		done.Add(readers)
+		for g := 0; g < readers; g++ {
+			go func() {
+				defer done.Done()
+				tx := s.Begin(false)
+				pinned.Done()
+				<-end
+				tx.Abort()
+			}()
+		}
+		pinned.Wait()
+		if n := live.Value(); n != readers {
+			t.Fatalf("round %d: storage.snapshots_live reads %v with %d readers live", r, n, readers)
+		}
+		close(end)
+		done.Wait()
+		if n := live.Value(); n != 0 {
+			t.Fatalf("round %d: storage.snapshots_live reads %v with no reader live", r, n)
+		}
 	}
 }

@@ -88,8 +88,8 @@ func (s *Store) Recover() (*RecoveryStats, error) {
 func (s *Store) replayRecord(rec CommitRecord) error {
 	t := s.Begin(true)
 	for _, ch := range rec.Changes {
-		tv := t.Table(ch.Table)
-		if tv == nil {
+		tv, ok := t.Table(ch.Table)
+		if !ok {
 			t.Abort()
 			return fmt.Errorf("table %s missing (schema must be recreated before recovery)", ch.Table)
 		}
@@ -100,7 +100,7 @@ func (s *Store) replayRecord(rec CommitRecord) error {
 				return err
 			}
 		case OpDelete:
-			rid := replayLocate(tv, ch.Before)
+			rid := replayLocate(&tv, ch.Before)
 			if rid < 0 {
 				t.Abort()
 				return fmt.Errorf("delete target row missing in %s", ch.Table)
@@ -110,7 +110,7 @@ func (s *Store) replayRecord(rec CommitRecord) error {
 				return err
 			}
 		case OpUpdate:
-			rid := replayLocate(tv, ch.Before)
+			rid := replayLocate(&tv, ch.Before)
 			if rid < 0 {
 				t.Abort()
 				return fmt.Errorf("update target row missing in %s", ch.Table)

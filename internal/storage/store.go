@@ -60,7 +60,7 @@ type Store struct {
 	published atomic.Pointer[snapMark]
 
 	snapMu  sync.Mutex // guards snaps/readers; pin reads published inside it
-	snaps   map[int64]*snapRef
+	snaps   map[int64]snapRef
 	readers int
 
 	// Durability state (nil/zero on a purely in-memory store).
@@ -83,7 +83,7 @@ func NewStore() *Store {
 	s := &Store{
 		tables:  make(map[string]*TableData),
 		wal:     NewWAL(),
-		snaps:   make(map[int64]*snapRef),
+		snaps:   make(map[int64]snapRef),
 		waitFor: make(map[int64]*TableData),
 	}
 	s.lockCond = sync.NewCond(&s.lockMu)
@@ -211,35 +211,38 @@ type snapRef struct {
 // pinSnapshot registers a reader at the current published mark. The mark is
 // read inside snapMu so GC (which computes the oldest visible snapshot under
 // the same mutex) can never reclaim versions between the read and the
-// registration.
+// registration. The storage.snapshots_live gauge is set under the mutex too:
+// set after it, two racing readers could store their counts out of order.
 func (s *Store) pinSnapshot() *snapMark {
+	live := metrics.Default.Gauge("storage.snapshots_live")
 	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	m := s.published.Load()
-	if r := s.snaps[m.ts]; r != nil {
-		r.count++
-	} else {
-		s.snaps[m.ts] = &snapRef{count: 1, walEnd: m.walEnd}
+	r, ok := s.snaps[m.ts]
+	if !ok {
+		r.walEnd = m.walEnd
 	}
+	r.count++
+	s.snaps[m.ts] = r
 	s.readers++
-	n := s.readers
-	s.snapMu.Unlock()
-	metrics.Default.Gauge("storage.snapshots_live").Set(float64(n))
+	live.Set(float64(s.readers))
 	return m
 }
 
 func (s *Store) unpinSnapshot(ts int64) {
+	live := metrics.Default.Gauge("storage.snapshots_live")
 	s.snapMu.Lock()
-	if r := s.snaps[ts]; r != nil {
+	defer s.snapMu.Unlock()
+	if r, ok := s.snaps[ts]; ok {
 		if r.count <= 1 {
 			delete(s.snaps, ts)
 		} else {
 			r.count--
+			s.snaps[ts] = r
 		}
 	}
 	s.readers--
-	n := s.readers
-	s.snapMu.Unlock()
-	metrics.Default.Gauge("storage.snapshots_live").Set(float64(n))
+	live.Set(float64(s.readers))
 }
 
 // oldestVisible returns the oldest commit timestamp any live or future
@@ -419,20 +422,21 @@ func (t *Txn) latch(td *TableData) error {
 }
 
 // Table returns a view of the table under this transaction's visibility
-// rule, or nil if the table does not exist or the transaction hit a latch
-// deadlock (check Err). Write transactions latch the table on first access —
-// read or write — so everything they read is stable until commit.
-func (t *Txn) Table(name string) *TableView {
+// rule; ok is false if the table does not exist or the transaction hit a
+// latch deadlock (check Err). Write transactions latch the table on first
+// access — read or write — so everything they read is stable until commit.
+// The view is a value: a caller keeps it where it keeps its other state.
+func (t *Txn) Table(name string) (tv TableView, ok bool) {
 	td, err := t.table(name)
 	if err != nil {
-		return nil
+		return TableView{}, false
 	}
 	if t.write && !t.done {
 		if err := t.latch(td); err != nil {
-			return nil
+			return TableView{}, false
 		}
 	}
-	return &TableView{td: td, txn: t, snap: t.snap}
+	return TableView{td: td, txn: t, snap: t.snap}, true
 }
 
 func (t *Txn) writable() error {

@@ -29,6 +29,24 @@ func newCustStore(t testing.TB) *Store {
 	return s
 }
 
+// view is tx's view of the named table, which the test has created.
+func view(tx *Txn, name string) *TableView {
+	tv, ok := tx.Table(name)
+	if !ok {
+		panic("no table " + name)
+	}
+	return &tv
+}
+
+// viewIndex is tv's view of the named index, which the test has created.
+func viewIndex(tv *TableView, name string) *IndexView {
+	iv, ok := tv.Index(name)
+	if !ok {
+		panic("no index " + name)
+	}
+	return &iv
+}
+
 func TestInsertAndScan(t *testing.T) {
 	s := newCustStore(t)
 	tx := s.Begin(true)
@@ -43,7 +61,7 @@ func TestInsertAndScan(t *testing.T) {
 	}
 	tx = s.Begin(false)
 	defer tx.Abort()
-	if got := tx.Table("customer").Count(); got != 5 {
+	if got := view(tx, "customer").Count(); got != 5 {
 		t.Errorf("count %d", got)
 	}
 }
@@ -63,7 +81,7 @@ func TestPKLookupAndUpdate(t *testing.T) {
 	tx := s.Begin(true)
 	tx.Insert("customer", types.Row{types.NewInt(1), types.NewString("a")})
 	tx.Insert("customer", types.Row{types.NewInt(2), types.NewString("b")})
-	td := tx.Table("customer")
+	td := view(tx, "customer")
 	rid := td.PKLookup(types.Row{types.NewInt(2)})
 	if rid < 0 {
 		t.Fatal("pk lookup failed")
@@ -86,7 +104,7 @@ func TestDeleteReindexes(t *testing.T) {
 	s := newCustStore(t)
 	tx := s.Begin(true)
 	tx.Insert("customer", types.Row{types.NewInt(1), types.NewString("a")})
-	td := tx.Table("customer")
+	td := view(tx, "customer")
 	rid := td.PKLookup(types.Row{types.NewInt(1)})
 	if err := tx.Delete("customer", rid); err != nil {
 		t.Fatal(err)
@@ -108,7 +126,7 @@ func TestAbortUndoesEverything(t *testing.T) {
 	tx.Commit()
 
 	tx = s.Begin(true)
-	td := tx.Table("customer")
+	td := view(tx, "customer")
 	rid := td.PKLookup(types.Row{types.NewInt(1)})
 	tx.Update("customer", rid, types.Row{types.NewInt(1), types.NewString("changed")})
 	tx.Insert("customer", types.Row{types.NewInt(2), types.NewString("new")})
@@ -118,7 +136,7 @@ func TestAbortUndoesEverything(t *testing.T) {
 
 	tx = s.Begin(false)
 	defer tx.Abort()
-	td = tx.Table("customer")
+	td = view(tx, "customer")
 	if td.Count() != 1 {
 		t.Fatalf("count after abort: %d", td.Count())
 	}
@@ -138,7 +156,7 @@ func TestWALRecordsCommittedChanges(t *testing.T) {
 	tx.Commit()
 
 	tx = s.Begin(true)
-	td := tx.Table("customer")
+	td := view(tx, "customer")
 	rid := td.PKLookup(types.Row{types.NewInt(1)})
 	tx.Update("customer", rid, types.Row{types.NewInt(1), types.NewString("b")})
 	tx.Commit()
@@ -181,7 +199,7 @@ func TestWALUnloggedCommit(t *testing.T) {
 	}
 	tx = s.Begin(false)
 	defer tx.Abort()
-	if tx.Table("customer").Count() != 1 {
+	if view(tx, "customer").Count() != 1 {
 		t.Error("unlogged commit lost data")
 	}
 }
@@ -230,7 +248,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				tx := s.Begin(false)
-				tx.Table("customer").Count()
+				view(tx, "customer").Count()
 				tx.Commit()
 			}
 		}()
@@ -238,8 +256,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 	tx := s.Begin(false)
 	defer tx.Abort()
-	if tx.Table("customer").Count() != 200 {
-		t.Errorf("final count %d", tx.Table("customer").Count())
+	if view(tx, "customer").Count() != 200 {
+		t.Errorf("final count %d", view(tx, "customer").Count())
 	}
 	if s.WAL().Len() != 200 {
 		t.Errorf("wal commits %d", s.WAL().Len())
@@ -255,8 +273,8 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	tx.Insert("customer", types.Row{types.NewInt(1), types.NewString("bob")})
 	tx.Insert("customer", types.Row{types.NewInt(2), types.NewString("bob")})
 	tx.Insert("customer", types.Row{types.NewInt(3), types.NewString("amy")})
-	td := tx.Table("customer")
-	if got := len(td.Index("ix_name").Get(types.Row{types.NewString("bob")})); got != 2 {
+	td := view(tx, "customer")
+	if got := len(viewIndex(td, "ix_name").Get(types.Row{types.NewString("bob")})); got != 2 {
 		t.Errorf("non-unique index lookup: %d", got)
 	}
 	tx.Commit()
@@ -272,7 +290,7 @@ func TestAddIndexBackfills(t *testing.T) {
 	}
 	tx = s.Begin(false)
 	defer tx.Abort()
-	if len(tx.Table("customer").Index("ix2").Get(types.Row{types.NewString("z")})) != 1 {
+	if len(viewIndex(view(tx, "customer"), "ix2").Get(types.Row{types.NewString("z")})) != 1 {
 		t.Error("new index missing existing rows")
 	}
 }
@@ -314,7 +332,7 @@ func TestApplyLocatesTheBeforeImage(t *testing.T) {
 		if !keyed {
 			want = 2
 		}
-		rows := tx.Table("customer").Rows()
+		rows := view(tx, "customer").Rows()
 		if len(rows) != want || !types.RowsEqual(rows[0], row(2, "c")) {
 			t.Errorf("keyed=%v: table holds %v", keyed, rows)
 		}

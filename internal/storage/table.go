@@ -449,13 +449,15 @@ func (tv *TableView) IndexMeta(name string) *catalog.Index {
 }
 
 // Index returns a visibility-filtered view over the named index (or the
-// primary-key index for "__pk"), pinned to the index state at call time.
-func (tv *TableView) Index(name string) *IndexView {
+// primary-key index for "__pk"), pinned to the index state at call time; ok
+// is false when the table has no such index. Like the TableView it carries,
+// the view is a value.
+func (tv *TableView) Index(name string) (iv IndexView, ok bool) {
 	id := tv.td.index(name)
 	if id == nil {
-		return nil
+		return IndexView{}, false
 	}
-	return &IndexView{tv: tv, id: id, root: id.tree.pin()}
+	return IndexView{tv: *tv, id: id, root: id.tree.pin()}, true
 }
 
 // PKLookup finds the RowID of the visible row with the given primary-key
@@ -480,7 +482,7 @@ func (tv *TableView) PKLookup(key types.Row) RowID {
 // delete/update time (only GC prunes them), so every entry is re-checked
 // against the visible row image before being surfaced.
 type IndexView struct {
-	tv   *TableView
+	tv   TableView
 	id   *indexData
 	root *node
 }

@@ -54,7 +54,7 @@ func sortedRows(t *testing.T, s *Store) []string {
 	t.Helper()
 	tx := s.Begin(false)
 	defer tx.Abort()
-	tv := tx.Table("t")
+	tv := view(tx, "t")
 	if tv == nil {
 		t.Fatal("table t missing")
 	}
@@ -76,7 +76,7 @@ func TestDurableRoundTrip(t *testing.T) {
 			}
 			// An update and a delete exercise the non-insert replay paths.
 			tx := s.Begin(true)
-			tv := tx.Table("t")
+			tv := view(tx, "t")
 			rid := tv.PKLookup(types.Row{types.NewInt(3)})
 			if err := tx.Update("t", rid, types.Row{types.NewInt(3), types.NewString("updated")}); err != nil {
 				t.Fatalf("update: %v", err)

@@ -48,7 +48,7 @@ func walkStore(t *testing.T, rng *rand.Rand, n int) (*Store, *Txn) {
 	old := s.Begin(false) // a snapshot older than everything below
 	for round := 0; round < 3; round++ {
 		tx = s.Begin(true)
-		tv := tx.Table("w")
+		tv := view(tx, "w")
 		for i := 0; i < n; i++ {
 			rid := tv.PKLookup(types.Row{types.NewInt(int64(i))})
 			if rid < 0 {
@@ -113,7 +113,7 @@ func TestWalkMatchesHeapScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if rid := writer.Table("w").PKLookup(types.Row{types.NewInt(0)}); rid >= 0 {
+		if rid := view(writer, "w").PKLookup(types.Row{types.NewInt(0)}); rid >= 0 {
 			if err := writer.Update("w", rid, types.Row{types.NewInt(0), types.NewInt(13)}); err != nil {
 				t.Fatal(err)
 			}
@@ -129,14 +129,14 @@ func TestWalkMatchesHeapScan(t *testing.T) {
 			return types.Row{types.NewInt(int64(rng.Intn(14) - 1))}
 		}
 		for name, tx := range map[string]*Txn{"old": old, "now": now, "writer": writer} {
-			tv := tx.Table("w")
+			tv := view(tx, "w")
 			for trial := 0; trial < 40; trial++ {
 				lo, hi, desc := bound(), bound(), trial%2 == 0
 				if trial < 2 {
 					lo, hi = nil, nil
 				}
 				var got []string
-				tv.Index("ix_k").Walk(lo, hi, desc, func(it Item) bool {
+				viewIndex(tv, "ix_k").Walk(lo, hi, desc, func(it Item) bool {
 					got = append(got, fmt.Sprint(it.Key, it.RID))
 					return true
 				})
@@ -148,7 +148,7 @@ func TestWalkMatchesHeapScan(t *testing.T) {
 				// Stopping early stops: the first entry is the endpoint.
 				if len(want) > 0 {
 					var first []string
-					tv.Index("ix_k").Walk(lo, hi, desc, func(it Item) bool {
+					viewIndex(tv, "ix_k").Walk(lo, hi, desc, func(it Item) bool {
 						first = append(first, fmt.Sprint(it.Key, it.RID))
 						return false
 					})

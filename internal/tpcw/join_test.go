@@ -281,12 +281,15 @@ func TestProceduresAgreeAcrossJoinStrategies(t *testing.T) {
 // of the plan per call they cost 522 allocations / 225 KiB, 181 / 106,
 // 96 / 61 and 96 / 55 with these parameters. A call now runs on an instance
 // the plan kept from the call before, and what it allocates is its result
-// plus what Open derives from the snapshot. A call is measured as
-// CallProcedure makes it: Exec of the call's shape with the value in the named
-// map, through the front door and the statement's record. Ceilings are about
-// 15 % over what each measured on that path when it became CallProcedure's
-// (23 / 2.1, 23 / 2.8, 29 / 10.9, 68 / 31.7, 25 / 16.4 and 25 / 13.9; called
-// past the front door, each was 4 objects and 0.3 to 0.7 KiB less).
+// and nothing of the execution's scaffolding: the instance keeps its context,
+// its parameter slots and Run's window, shares the compiled predicate and the
+// join schemas with the plan, and binds views that are values. A call is
+// measured as CallProcedure makes it: Exec of the call's shape with the value
+// in the named map, through the front door and the statement's record.
+// Ceilings are about 15 % over what each measured on that path (10 / 1.6,
+// 10 / 1.9, 10 / 9.5, 11 / 16.1, 12 / 15.8 and 12 / 13.2; 23 / 2.1, 23 / 2.8,
+// 29 / 11.0, 22 / 16.7, 25 / 16.5 and 25 / 13.8 when every Open bound views
+// by pointer and compiled its filter again).
 func TestJoinProcedureAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -302,12 +305,12 @@ func TestJoinProcedureAllocGate(t *testing.T) {
 		allocs  float64
 		kib     float64
 	}{
-		{"getRelated", exec.Params{"i_id": types.NewInt(417)}, 1, 27, 2.4},
-		{"getBook", exec.Params{"i_id": types.NewInt(417)}, 1, 27, 3.2},
-		{"getBestSellers", exec.Params{"subject": types.NewString("ARTS")}, 10, 33, 12.6},
-		{"doTitleSearch", exec.Params{"title": types.NewString("%the%")}, 10, 78, 36.4},
-		{"getNewProducts", exec.Params{"subject": types.NewString("ARTS")}, 10, 29, 18.8},
-		{"doSubjectSearch", exec.Params{"subject": types.NewString("ARTS")}, 10, 29, 15.9},
+		{"getRelated", exec.Params{"i_id": types.NewInt(417)}, 1, 12, 1.8},
+		{"getBook", exec.Params{"i_id": types.NewInt(417)}, 1, 12, 2.2},
+		{"getBestSellers", exec.Params{"subject": types.NewString("ARTS")}, 10, 12, 10.9},
+		{"doTitleSearch", exec.Params{"title": types.NewString("%the%")}, 10, 13, 18.5},
+		{"getNewProducts", exec.Params{"subject": types.NewString("ARTS")}, 10, 14, 18.2},
+		{"doSubjectSearch", exec.Params{"subject": types.NewString("ARTS")}, 10, 14, 15.2},
 	} {
 		call := func() {
 			res, err := c.DB.CallProcedure(g.proc, g.params)

@@ -169,9 +169,11 @@ func TestPooledPlansUnderConcurrency(t *testing.T) {
 // TestParkedInstancesPinNothing runs every read procedure for real, then
 // takes each plan's parked instances off its free list and walks them by
 // reflection: every pointer, interface, map entry and string of the run state
-// is gone and every kept slice is zero over its whole capacity, so no row
-// version, string, snapshot or span is reachable from a free list. It also
-// reports what the free lists of a TPC-W cache hold.
+// and of the instance's Ctx is gone and every kept slice is zero over its
+// whole capacity, so no row version, string, snapshot, transaction or span is
+// reachable from a free list. What an operator shares with the plan's
+// template (sharedWithTemplate) must be the template's own. It also reports
+// what the free lists of a TPC-W cache hold.
 func TestParkedInstancesPinNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	_, c := loadedPair(t, cfg)
@@ -210,28 +212,48 @@ func TestParkedInstancesPinNothing(t *testing.T) {
 		}
 		t.Logf("%-16s %d parked, %6d bytes kept", proc, trees, bytes)
 		total += bytes
-		for root := plan.Instances.Take(); root != nil; root = plan.Instances.Take() {
-			walkParked(t, proc, reflect.ValueOf(root))
+		for inst := plan.Instances.Take(); inst != nil; inst = plan.Instances.Take() {
+			if what := stillHolds(reflect.ValueOf(inst.Ctx)); what != "" {
+				t.Errorf("%s: a parked Ctx holds %s", proc, what)
+			}
+			walkParked(t, proc, reflect.ValueOf(inst.Root), reflect.ValueOf(plan.Root))
 		}
 	}
 	t.Logf("%-16s %8d bytes kept by the %d read procedures' free lists", "total", total, len(readProcs))
 }
 
+// sharedWithTemplate are the run-state fields that hold what exec.Prepare
+// derived on the plan's template: every instance shares them with it.
+var sharedWithTemplate = map[string]bool{
+	"Filter.vp": true, "Filter.compiled": true,
+	"HashJoin.cols": true, "IndexJoin.cols": true, "NestedLoop.cols": true,
+}
+
 // walkParked applies the rule to one operator (a pointer to its struct) and
-// to everything below it: its inputs.
-func walkParked(t *testing.T, label string, op reflect.Value) {
+// to everything below it, its inputs; tmpl is the template's operator in the
+// same place.
+func walkParked(t *testing.T, label string, op, tmpl reflect.Value) {
 	t.Helper()
-	op = op.Elem()
+	op, tmpl = op.Elem(), tmpl.Elem()
+	if op.Type() != tmpl.Type() {
+		t.Fatalf("%s: a parked %s stands where the template has a %s", label, op.Type(), tmpl.Type())
+	}
 	operator := reflect.TypeOf((*exec.Operator)(nil)).Elem()
 	for i := 0; i < op.NumField(); i++ {
 		f := op.Type().Field(i)
 		v := reflect.NewAt(f.Type, unsafe.Pointer(op.Field(i).UnsafeAddr())).Elem()
+		tv := reflect.NewAt(f.Type, unsafe.Pointer(tmpl.Field(i).UnsafeAddr())).Elem()
+		name := op.Type().Name() + "." + f.Name
 		switch {
 		case f.Type == operator:
-			walkParked(t, label, v.Elem())
+			walkParked(t, label, v.Elem(), tv.Elem())
 		case f.Type == reflect.SliceOf(operator): // UnionAll.Inputs
 			for k := 0; k < v.Len(); k++ {
-				walkParked(t, label, v.Index(k).Elem())
+				walkParked(t, label, v.Index(k).Elem(), tv.Index(k).Elem())
+			}
+		case sharedWithTemplate[name]:
+			if !sameAs(v, tv) {
+				t.Errorf("%s: a parked %s is not the template's", label, name)
 			}
 		case !f.IsExported():
 			if what := stillHolds(v); what != "" {
@@ -239,6 +261,18 @@ func walkParked(t *testing.T, label string, op reflect.Value) {
 			}
 		}
 	}
+}
+
+// sameAs reports whether a shared field holds the template's value itself:
+// the same pointer, the same slice, the same flag.
+func sameAs(v, tmpl reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		return v.Bool() == tmpl.Bool()
+	case reflect.Slice:
+		return v.Pointer() == tmpl.Pointer() && v.Len() == tmpl.Len()
+	}
+	return v.Pointer() == tmpl.Pointer()
 }
 
 // stillHolds says what a run-state field of a parked operator still refers

@@ -155,8 +155,8 @@ func viewQtyByID(t *testing.T, rc *RemoteCache, view string) map[int64]int64 {
 	t.Helper()
 	tx := rc.DB.Store().Begin(false)
 	defer tx.Abort()
-	td := tx.Table(view)
-	if td == nil {
+	td, ok := tx.Table(view)
+	if !ok {
 		t.Fatalf("no storage for %s", view)
 	}
 	out := map[int64]int64{}

@@ -61,7 +61,8 @@ func TestInProcessAndTCPCachesAgree(t *testing.T) {
 		want := rendered(res.Rows)
 		for _, c := range []*core.CacheServer{local, tcp} {
 			tx := c.DB.Store().Begin(false)
-			got := rendered(tx.Table("tires").Rows())
+			tires, _ := tx.Table("tires")
+			got := rendered(tires.Rows())
 			tx.Abort()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: %s view has %d rows, backend article %d", step, c.DB.Name, len(got), len(want))
