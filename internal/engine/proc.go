@@ -36,9 +36,14 @@ func (db *Database) execProcCall(x *sql.ExecStmt, outer exec.Params, autoArgs []
 }
 
 // bindProcArgs evaluates EXEC arguments (positional or named) into the
-// procedure's parameter map. A parameter given twice is refused.
+// procedure's parameter map. A parameter given twice is refused. When the
+// binding would copy outer unchanged — every argument is @p = @p for a
+// declared parameter spelled as declared, outer holds exactly those names,
+// and each value already has its parameter's type, as in every call
+// sql.CallShape renders — the map is outer itself; otherwise a map is made at
+// the first argument that differs.
 func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params, autoArgs []types.Value) (exec.Params, error) {
-	params := make(exec.Params, len(args))
+	var params exec.Params // nil while every argument binds outer's own entry
 	for i, arg := range args {
 		var name string
 		if arg.Name != "" {
@@ -59,10 +64,11 @@ func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params
 		if target == nil {
 			return nil, fmt.Errorf("engine: procedure %s has no parameter @%s", proc.Name, name)
 		}
-		if _, dup := params[target.Name]; dup {
+		if givenBefore(params, args[:i], target.Name) {
 			return nil, fmt.Errorf("engine: parameter @%s of %s is given more than once", target.Name, proc.Name)
 		}
 		var v types.Value
+		self := false // @p = @p, bound to outer's own entry
 		switch e := arg.Expr.(type) {
 		case *sql.Literal:
 			v = e.Val
@@ -72,6 +78,7 @@ func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params
 				return nil, fmt.Errorf("engine: missing value for @%s", e.Name)
 			}
 			v = pv
+			self = arg.Name == target.Name && e.Name == target.Name && len(autoArgs) == 0
 		default:
 			return nil, fmt.Errorf("engine: EXEC argument must be a literal or parameter")
 		}
@@ -79,9 +86,47 @@ func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params
 		if err != nil {
 			return nil, fmt.Errorf("engine: parameter @%s: %w", name, err)
 		}
+		if params == nil {
+			if self && cast == v {
+				continue
+			}
+			params = outerEntries(args[:i], outer, len(args))
+		}
 		params[target.Name] = cast
 	}
+	if params == nil && len(outer) != len(args) {
+		params = outerEntries(args, outer, len(args))
+	}
+	if params == nil {
+		return outer, nil
+	}
 	return params, nil
+}
+
+// givenBefore reports whether a parameter named name is bound already: in
+// params, or — while params is nil — by one of the arguments before, each of
+// which named its parameter as declared.
+func givenBefore(params exec.Params, before []sql.ExecArg, name string) bool {
+	if params != nil {
+		_, dup := params[name]
+		return dup
+	}
+	for _, a := range before {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// outerEntries is a parameter map with room for n arguments holding outer's
+// entry for each of args, all of which are @p = @p.
+func outerEntries(args []sql.ExecArg, outer exec.Params, n int) exec.Params {
+	params := make(exec.Params, n)
+	for _, a := range args {
+		params[a.Name] = outer[a.Name]
+	}
+	return params
 }
 
 // CallProcedure calls a stored procedure with its arguments bound by name. It
@@ -96,10 +141,11 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 // placement, cart updates) are atomic and replicate as one transaction; only
 // a backend gets here with one, as a cache forwards every call that writes. A
 // body that only reads runs statement by statement, each with a record of its
-// own from ExecStmt.
+// own from ExecStmt; the call's result is its first statement's, with the
+// later ones folded in.
 func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (*Result, error) {
-	res := &Result{}
 	if proc.Writes() {
+		res := &Result{}
 		tx := db.store.Begin(true)
 		for _, stmt := range proc.Body {
 			switch x := stmt.(type) {
@@ -143,10 +189,16 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 		return res, nil
 	}
 
+	var res *Result
 	for _, stmt := range proc.Body {
 		r, err := db.ExecStmt(stmt, params)
 		if err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", proc.Name, err)
+		}
+		if res == nil {
+			// A call reports no snapshot: its statements may read at several.
+			res, r.SnapshotLSN = r, 0
+			continue
 		}
 		res.RowsAffected += r.RowsAffected
 		if r.CommitLSN > res.CommitLSN {
@@ -157,6 +209,9 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 			res.Cols, res.Rows = r.Cols, r.Rows
 		}
 		res.Counters.Add(&r.Counters)
+	}
+	if res == nil {
+		res = &Result{}
 	}
 	return res, nil
 }

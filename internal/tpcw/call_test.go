@@ -2,6 +2,7 @@ package tpcw
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -120,7 +121,10 @@ func literalCall(proc *catalog.Procedure, params exec.Params) string {
 // and a misspelled parameter, and a procedure nobody has, fail with the same
 // text on every path. The arguments include the edge values of the call
 // syntax: a negative integer in first (positional) place, a negative float by
-// name, NULL, a quote inside a string.
+// name, NULL, a quote inside a string. A value of another type than its
+// parameter's, a name in another case, and positional arguments give what the
+// call with declared names and types gives. No call changes the caller's
+// map, which a server runs the body on when each parameter binds to itself.
 func TestCallPathsAgree(t *testing.T) {
 	backend, cache := newCallServers(t, Config{Items: 200, Customers: 300, Seed: 7})
 	ts := types.NewTime(time.Date(2024, 2, 29, 23, 59, 59, 123e6, time.UTC))
@@ -213,9 +217,12 @@ func TestCallPathsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				params := c.params(int64(si*len(callPaths) + p))
-				res, err := path.run(srv, proc, params)
+				res, err := runKeeping(t, path.run, srv, proc, params)
 				if err != nil {
 					t.Fatalf("%s, %s, %s %v: %v", srv.name, path.name, c.proc, params, err)
+				}
+				if res.SnapshotLSN != 0 {
+					t.Errorf("%s, %s, %s: a call reports snapshot LSN %d", srv.name, path.name, c.proc, res.SnapshotLSN)
 				}
 				if wrote := res.CommitLSN > 0; wrote != proc.Writes() {
 					t.Errorf("%s, %s, %s: commit LSN %d, but the procedure writes: %v", srv.name, path.name, c.proc, res.CommitLSN, proc.Writes())
@@ -231,6 +238,75 @@ func TestCallPathsAgree(t *testing.T) {
 				} else if !same(res, first[si]) {
 					t.Errorf("%s, %s, %s: %v, %d affected; %s gave %v, %d affected",
 						srv.name, path.name, c.proc, res.Rows, res.RowsAffected, callPaths[0].name, first[si].Rows, first[si].RowsAffected)
+				}
+			}
+		}
+	}
+	// Calls whose binding is not each parameter to itself with a value of its
+	// type — a VARCHAR for an INT, an INT for a FLOAT (to a copied writer,
+	// which a cache forwards as it arrived), a name in another case — give
+	// on every path what the call with the declared names and types gives.
+	for _, v := range []struct {
+		proc              string
+		params, canonical exec.Params
+	}{
+		{"getBook", exec.Params{"i_id": s("17")}, exec.Params{"i_id": i(17)}},
+		{"getBook", exec.Params{"I_ID": i(17)}, exec.Params{"i_id": i(17)}},
+		{"getCustomer", exec.Params{"UName": s(Uname(5))}, exec.Params{"uname": s(Uname(5))}},
+		{"updateCustomerBalance", exec.Params{"c_id": i(9), "amt": i(-2)}, exec.Params{"c_id": i(9), "amt": f(-2)}},
+		{"updateLogin", exec.Params{"C_ID": i(8), "t": ts}, exec.Params{"c_id": i(8), "t": ts}},
+	} {
+		proc := backend.db.Catalog().Procedure(v.proc)
+		for _, srv := range servers {
+			if err := srv.catchUp(); err != nil {
+				t.Fatal(err)
+			}
+			want, err := srv.db.CallProcedure(v.proc, v.canonical)
+			if err != nil {
+				t.Fatalf("%s, %s %v: %v", srv.name, v.proc, v.canonical, err)
+			}
+			for _, path := range callPaths {
+				res, err := runKeeping(t, path.run, srv, proc, v.params)
+				if err != nil {
+					t.Fatalf("%s, %s, %s %v: %v", srv.name, path.name, v.proc, v.params, err)
+				}
+				if !same(res, want) || (res.CommitLSN > 0) != proc.Writes() {
+					t.Errorf("%s, %s, %s %v: %v, %d affected at LSN %d; %v gave %v, %d affected",
+						srv.name, path.name, v.proc, v.params, res.Rows, res.RowsAffected, res.CommitLSN, v.canonical, want.Rows, want.RowsAffected)
+				}
+			}
+		}
+	}
+	// Positional arguments, a parameter and a literal, and a map holding a
+	// name the call does not bind, routed and sent straight to the engine as
+	// text, likewise.
+	for _, v := range []struct {
+		text      string
+		params    exec.Params
+		proc      string
+		canonical exec.Params
+	}{
+		{"EXEC getBook @x", exec.Params{"x": i(17)}, "getBook", exec.Params{"i_id": i(17)}},
+		{"EXEC getBook @i_id = @i_id", exec.Params{"i_id": i(17), "x": i(1)}, "getBook", exec.Params{"i_id": i(17)}},
+		{"EXEC updateCustomerBalance @c, -2", exec.Params{"c": i(9)}, "updateCustomerBalance", exec.Params{"c_id": i(9), "amt": f(-2)}},
+	} {
+		for _, srv := range servers {
+			if err := srv.catchUp(); err != nil {
+				t.Fatal(err)
+			}
+			want, err := srv.db.CallProcedure(v.proc, v.canonical)
+			if err != nil {
+				t.Fatalf("%s, %s %v: %v", srv.name, v.proc, v.canonical, err)
+			}
+			for name, send := range map[string]func(exec.Params) (*engine.Result, error){
+				"routed":     func(p exec.Params) (*engine.Result, error) { return srv.r.Session().Exec(v.text, p) },
+				"in process": func(p exec.Params) (*engine.Result, error) { return srv.db.Exec(v.text, p) },
+			} {
+				kept := maps.Clone(v.params)
+				res, err := send(v.params)
+				if err != nil || !same(res, want) || !maps.Equal(v.params, kept) {
+					t.Errorf("%s, %s, %s %v: %v, %v (the map after: %v); %v gave %v, %d affected",
+						srv.name, name, v.text, kept, res, err, v.params, v.canonical, want.Rows, want.RowsAffected)
 				}
 			}
 		}
@@ -272,7 +348,7 @@ func TestCallPathsAgree(t *testing.T) {
 		} {
 			var texts []string
 			for _, path := range callPaths {
-				_, err := path.run(srv, c.proc, c.params)
+				_, err := runKeeping(t, path.run, srv, c.proc, c.params)
 				if err == nil {
 					t.Fatalf("%s, %s: a %s parameter did not fail", srv.name, path.name, c.why)
 				}
@@ -283,6 +359,19 @@ func TestCallPathsAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runKeeping runs one call on a path and fails the test if the call changed
+// the caller's parameter map, which a server may run the body on.
+func runKeeping(t *testing.T, run func(callServer, *catalog.Procedure, exec.Params) (*engine.Result, error),
+	srv callServer, proc *catalog.Procedure, params exec.Params) (*engine.Result, error) {
+	t.Helper()
+	kept := maps.Clone(params)
+	res, err := run(srv, proc, params)
+	if !maps.Equal(params, kept) {
+		t.Errorf("%s, %s: the call changed the caller's map from %v to %v", srv.name, proc.Name, kept, params)
+	}
+	return res, err
 }
 
 // TestRoutedCallAllocBudget: a procedure call from the application's side of
@@ -296,13 +385,19 @@ func TestCallPathsAgree(t *testing.T) {
 // getBook runs on the cache's copy. When the router deparsed the call to
 // literal text and the cache parsed it, this count was 61 allocations and 100
 // parses; it was 42 while a wire round trip built a fresh call slot, timer,
-// request and response for every frame. It is 33 now, the ceiling 33 + 2.
+// request and response for every frame, 33 while every execution built its
+// own context and views, and 20 while each server exchange made a parameter
+// map and a handler closure, the cache bound the call's arguments into a map
+// of its own and the call's result was a copy of its statement's. It is 14
+// now, the ceiling 14 + 2.
 //
 // updateLogin is a copied one-statement writer, which the cache forwards as it
 // arrived: each call is one backend commit, and the session's next call waits
 // at the cache's gate for it. While the cache ran its copy and forwarded the
 // UPDATE as text for the backend to parse, this count was 80 allocations and
-// 100 parses. It is 50 now, the ceiling 50 + 2.
+// 100 parses; it was 50 before the plan instances kept their context and 29
+// before the exchanges kept their map and handler and the backend ran the
+// body on the request's map. It is 24 now, the ceiling 24 + 2.
 func TestRoutedCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -317,8 +412,8 @@ func TestRoutedCallAllocBudget(t *testing.T) {
 		commits storage.LSN // backend commits over 100 calls
 		ceiling float64
 	}{
-		{"getBook", exec.Params{"i_id": types.Null}, "i_id", 0, 35},
-		{"updateLogin", exec.Params{"c_id": types.Null, "t": login}, "c_id", 100, 52},
+		{"getBook", exec.Params{"i_id": types.Null}, "i_id", 0, 16},
+		{"updateLogin", exec.Params{"c_id": types.Null, "t": login}, "c_id", 100, 26},
 	} {
 		sess := cache.r.Session()
 		next := int64(0)

@@ -148,6 +148,9 @@ const (
 	// keepFrame is the largest frame buffer a connection keeps between frames.
 	// A bigger one (a Provision or Snapshot frame) is dropped after use.
 	keepFrame = 64 << 10
+	// keepParams is the most parameters a request map keeps room for between
+	// frames. A bigger one is dropped at the next decode.
+	keepParams = 32
 	// growStep bounds how far a frame buffer grows ahead of the bytes that
 	// have actually arrived, so a corrupt length cannot size an allocation.
 	growStep = 256 << 10
@@ -284,8 +287,18 @@ func appendRequest(buf []byte, req *request) []byte {
 // decodeRequest parses one request payload into req, overwriting every field
 // of it. Nothing in req then aliases payload, and each string is its own
 // allocation: SQL text and parameter values outlive the request (plan-cache
-// keys, stored rows).
+// keys, stored rows). The Params map req holds is cleared and refilled, not
+// replaced, so a server exchange decodes every frame into the map it made
+// for its first; one that held more than keepParams entries is dropped
+// instead, as frameReader drops a grown buffer. A frame that names a
+// parameter twice is refused: a request has one encoding, and which value
+// was meant is not known.
 func decodeRequest(payload []byte, req *request) error {
+	params := req.Params
+	if len(params) > keepParams {
+		params = nil
+	}
+	clear(params)
 	d := types.Decoder{Buf: payload}
 	*req = request{
 		Kind:    reqKind(d.Byte()),
@@ -293,14 +306,20 @@ func decodeRequest(payload []byte, req *request) error {
 		MinLSN:  storage.LSN(d.Uvarint()),
 		WaitMs:  d.Varint(),
 		TraceID: d.Str(),
+		Params:  params,
 	}
 	switch req.Kind {
 	case reqQuery:
 		req.SQL = d.Str()
 		if n := d.Count(2); n > 0 {
-			req.Params = make(map[string]types.Value, n)
+			if req.Params == nil {
+				req.Params = make(map[string]types.Value, n)
+			}
 			for i := 0; i < n && d.Err == nil; i++ {
 				name := d.Str()
+				if _, dup := req.Params[name]; dup && d.Err == nil {
+					d.Err = fmt.Errorf("parameter @%s is given more than once", name)
+				}
 				req.Params[name] = d.Value()
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,6 +192,45 @@ func sameResponse(a, b *response) bool {
 	return reflect.DeepEqual(x, y)
 }
 
+// queryFrame hand-builds a Query request that sends the values under the
+// names, in order; an encoder, which writes a map, never names one twice.
+func queryFrame(names []string, vals []types.Value) []byte {
+	buf := []byte{byte(reqQuery)}
+	buf = binary.AppendUvarint(buf, 1) // ID
+	buf = binary.AppendUvarint(buf, 0) // MinLSN
+	buf = binary.AppendVarint(buf, 0)  // WaitMs
+	buf = types.AppendString(buf, "")  // TraceID
+	buf = types.AppendString(buf, "SELECT name FROM part WHERE id = @a")
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	for i, name := range names {
+		buf = types.AppendString(buf, name)
+		buf = types.AppendValue(buf, &vals[i])
+	}
+	return buf
+}
+
+// TestRequestNamingAParameterTwiceIsRefused: a request frame that names a
+// parameter twice does not decode, into a fresh request or a recycled one. It
+// has no one meaning, and it would not survive a second trip: re-encoding the
+// map it decoded to gives a shorter frame. The same frame with two names
+// decodes.
+func TestRequestNamingAParameterTwiceIsRefused(t *testing.T) {
+	vals := []types.Value{types.NewInt(1), types.NewInt(2)}
+	var ok request
+	if err := decodeRequest(queryFrame([]string{"a", "b"}, vals), &ok); err != nil || len(ok.Params) != 2 {
+		t.Fatalf("two names: %+v, %v", ok, err)
+	}
+	for _, names := range [][]string{{"a", "a"}, {"", ""}} {
+		frame := queryFrame(names, vals)
+		for _, into := range []request{{}, recycledRequest()} {
+			err := decodeRequest(frame, &into)
+			if want := "@" + names[0] + " is given more than once"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("parameter %q named twice: %v, want an error saying %q", names[0], err, want)
+			}
+		}
+	}
+}
+
 // TestFrameRoundTrip: every request and response kind survives
 // encode → decode. What collapses, by design and as gob did before: an empty
 // slice, map or byte string decodes as nil. What does not: a nil row among
@@ -356,7 +396,8 @@ func TestCodecAllocBudget(t *testing.T) {
 // TestRoundTripAllocBudget: what a warm round trip allocates, counting both
 // ends — a Client.QuerySession of a one-row SELECT against Serve, the
 // server's decode, execution and encode and the client's decode included.
-// The ceiling is the measured count, 9, plus one.
+// The ceiling is the measured count, 8, plus one; it was 9 while the server
+// started each frame's handler as a new closure.
 func TestRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -371,7 +412,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		}
 	}
 	call() // warm the plan, the connection and the pools
-	const ceiling = 10
+	const ceiling = 9
 	avg := testing.AllocsPerRun(300, call)
 	t.Logf("round trip: %.0f allocs", avg)
 	if avg > ceiling {

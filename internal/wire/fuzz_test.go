@@ -2,6 +2,8 @@ package wire
 
 import (
 	"testing"
+
+	"mtcache/internal/types"
 )
 
 // FuzzFrameDecode feeds arbitrary bytes to both payload decoders. A malformed
@@ -11,8 +13,8 @@ import (
 // the frame could not fill. What does decode must survive a second trip:
 // encode(decode(x)) decodes to an equal value.
 func FuzzFrameDecode(f *testing.F) {
-	// Seed with real frames of every kind: whole, halved, minus the last
-	// byte, minus the first.
+	// Seed with real frames of every kind, and one that names a parameter
+	// twice: whole, halved, minus the last byte, minus the first.
 	add := func(b []byte) {
 		f.Add(b)
 		if len(b) > 2 {
@@ -27,6 +29,7 @@ func FuzzFrameDecode(f *testing.F) {
 	for _, resp := range sampleResponses() {
 		add(appendResponse(nil, resp))
 	}
+	add(queryFrame([]string{"a", "a"}, []types.Value{types.NewInt(1), types.NewString("x")}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The largest in-memory element per wire byte is a 64-byte Value

@@ -38,6 +38,7 @@
 //	  string  TraceID
 //	  body, by kind:
 //	    Query             string SQL, uvarint #params, per param: string name, value
+//	                      (no name twice)
 //	    Snapshot, Applied —
 //	    Provision         string Table, uvarint #columns, per column: string,
 //	                      string Filter, string SubName, string Target
@@ -67,9 +68,10 @@
 //	    Applied      —
 //
 // An empty slice, map or string and an absent one are the same bytes and
-// decode as nil / "". Every count and length is checked against the bytes
-// left in the frame before anything is allocated, a frame must be consumed
-// exactly, and a peer that sends a malformed one is disconnected.
+// decode as nil / "" (a server's exchange keeps its emptied parameter map).
+// Every count and length is checked against the bytes left in the frame
+// before anything is allocated, a frame must be consumed exactly, and a peer
+// that sends a malformed one is disconnected.
 //
 // There is no field-by-name tolerance and no negotiation: a field is added
 // by changing the layout above and bumping the preface version, and a peer
@@ -243,14 +245,38 @@ var calls = sync.Pool{New: func() any {
 	return &call{done: make(chan struct{}, 1), timer: t}
 }}
 
-// exchange is one request frame on a server connection and the response it
-// gets.
-type exchange struct {
-	req  request
-	resp response
+// serverConn is what the handlers of one server connection share.
+type serverConn struct {
+	s        *Server
+	conn     net.Conn
+	wmu      sync.Mutex // serializes frame writes; guards fw
+	fw       frameWriter
+	handlers sync.WaitGroup
+	inflight *metrics.Gauge
 }
 
-var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+// exchange is one request frame on a server connection and the response it
+// gets. It keeps its request's parameter map from frame to frame (see
+// decodeRequest) and its handler, x.serve bound once when it is made, so a
+// frame's handler starts without allocating.
+type exchange struct {
+	c    *serverConn
+	req  request
+	resp response
+	run  func()
+}
+
+var exchanges sync.Pool
+
+// getExchange takes an exchange from the pool, or makes one.
+func getExchange() *exchange {
+	if x, ok := exchanges.Get().(*exchange); ok {
+		return x
+	}
+	x := new(exchange)
+	x.run = x.serve
+	return x
+}
 
 // serveConn demultiplexes one connection: each decoded request is handled
 // in its own goroutine (bounded by the server semaphore) and its response —
@@ -259,12 +285,13 @@ var exchanges = sync.Pool{New: func() any { return new(exchange) }}
 // The read loop exits on the first transport error or malformed frame;
 // in-flight handlers finish (their writes fail harmlessly on the dead
 // connection) before the connection is released. Each frame's request and
-// response live in one pooled exchange, zeroed and put back once the
-// response is written.
+// response live in one pooled exchange, put back once the response is
+// written.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
+	c := &serverConn{s: s, conn: conn, fw: frameWriter{w: conn},
+		inflight: metrics.Default.Gauge("wire.server_inflight")}
+	defer c.handlers.Wait()
 	if _, err := conn.Write(preface[:]); err != nil {
 		return
 	}
@@ -272,46 +299,48 @@ func (s *Server) serveConn(conn net.Conn) {
 	if fr.readPreface() != nil {
 		return
 	}
-	var wmu sync.Mutex // serializes frame writes; guards fw
-	fw := frameWriter{w: conn}
-	inflight := metrics.Default.Gauge("wire.server_inflight")
 	for {
 		payload, err := fr.next()
 		if err != nil {
 			return
 		}
-		x := exchanges.Get().(*exchange)
+		x := getExchange()
 		if decodeRequest(payload, &x.req) != nil {
 			return
 		}
+		x.c = c
 		s.sem <- struct{}{}
-		inflight.Add(1)
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			defer func() {
-				inflight.Add(-1)
-				<-s.sem
-			}()
-			req, resp := &x.req, &x.resp
-			s.handle(req, resp)
-			resp.ID, resp.Kind = req.ID, req.Kind
-			wmu.Lock()
-			err := fw.send(appendResponse(fw.begin(), resp))
-			if err == errFrameTooLarge {
-				*resp = response{ID: req.ID, Kind: req.Kind, Err: err.Error()}
-				err = fw.send(appendResponse(fw.begin(), resp))
-			}
-			wmu.Unlock()
-			*x = exchange{}
-			exchanges.Put(x)
-			if err != nil {
-				// After a failed or short write the peer can no longer find
-				// the next frame boundary; sever the connection so the
-				// client fails fast and re-dials.
-				conn.Close()
-			}
-		}()
+		c.inflight.Add(1)
+		c.handlers.Add(1)
+		go x.run()
+	}
+}
+
+// serve handles x's request, writes its response and puts x back.
+func (x *exchange) serve() {
+	c := x.c
+	defer c.handlers.Done()
+	defer func() {
+		c.inflight.Add(-1)
+		<-c.s.sem
+	}()
+	req, resp := &x.req, &x.resp
+	c.s.handle(req, resp)
+	resp.ID, resp.Kind = req.ID, req.Kind
+	c.wmu.Lock()
+	err := c.fw.send(appendResponse(c.fw.begin(), resp))
+	if err == errFrameTooLarge {
+		*resp = response{ID: req.ID, Kind: req.Kind, Err: err.Error()}
+		err = c.fw.send(appendResponse(c.fw.begin(), resp))
+	}
+	c.wmu.Unlock()
+	x.c, x.req, x.resp = nil, request{Params: x.req.Params}, response{}
+	exchanges.Put(x)
+	if err != nil {
+		// After a failed or short write the peer can no longer find the next
+		// frame boundary; sever the connection so the client fails fast and
+		// re-dials.
+		c.conn.Close()
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -268,5 +269,71 @@ func TestWireLargeResultSet(t *testing.T) {
 	}
 	if len(rs.Rows) != 1000 {
 		t.Fatalf("rows: %d", len(rs.Rows))
+	}
+}
+
+// TestKeptParameterMapCarriesNothingOver: a server's exchange decodes each
+// request into the parameter map it kept from its last, and a call that binds
+// each parameter to itself runs its body on that map, so no name one request
+// sent may be found by a later one. On one connection a request sends @a and
+// @b, then one sends only @b to a text that reads @a: the second fails as it
+// would on a fresh connection, a SELECT with "missing parameter @a" and an
+// EXEC with "missing value for @a". Then goroutines sharing one client each
+// send their own names and values and must get their own answers.
+func TestKeptParameterMapCarriesNothingOver(t *testing.T) {
+	b, srv := newWiredBackend(t)
+	if _, err := b.Exec("CREATE PROCEDURE partName @id INT AS SELECT name FROM part WHERE id = @id", nil); err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, srv)
+	for _, q := range []struct{ text, want string }{
+		{"SELECT name FROM part WHERE id = @a", "missing parameter @a"},
+		{"EXEC partName @id = @a", "missing value for @a"},
+	} {
+		for round := 0; round < 3; round++ {
+			rs, err := c.Query(q.text, exec.Params{"a": types.NewInt(7), "b": types.NewInt(8)})
+			if err != nil || len(rs.Rows) != 1 || rs.Rows[0][0].Str() != "part7" {
+				t.Fatalf("%s with @a = 7: %+v, %v", q.text, rs, err)
+			}
+			if _, err := c.Query(q.text, exec.Params{"b": types.NewInt(8)}); err == nil || !strings.Contains(err.Error(), q.want) {
+				t.Fatalf("%s with only @b: %v, want %q", q.text, err, q.want)
+			}
+		}
+	}
+
+	const goroutines, calls = 8, 60
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			own := fmt.Sprintf("p%d", g)
+			texts := []string{
+				"SELECT name FROM part WHERE id = @" + own,
+				"EXEC partName @id = @" + own,
+				"EXEC partName @id = @id", // the body runs on the request's map
+			}
+			for n := 0; n < calls; n++ {
+				id := 1 + (g*calls+n)%1000
+				text := texts[n%len(texts)]
+				params := exec.Params{own: types.NewInt(int64(id))}
+				if n%len(texts) == 2 {
+					params = exec.Params{"id": types.NewInt(int64(id))}
+				}
+				rs, err := c.Query(text, params)
+				if err != nil {
+					errs <- fmt.Errorf("%s %v: %w", text, params, err)
+					return
+				}
+				if want := fmt.Sprintf("part%d", id); len(rs.Rows) != 1 || rs.Rows[0][0].Str() != want {
+					errs <- fmt.Errorf("%s %v: %v, want %s", text, params, rs.Rows, want)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
