@@ -26,7 +26,6 @@ import (
 
 	"mtcache"
 	"mtcache/internal/obs"
-	"mtcache/internal/querystore"
 	"mtcache/internal/shell"
 	"mtcache/internal/tpcw"
 )
@@ -47,13 +46,9 @@ func main() {
 		ckptTick  = flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint cadence (0 disables)")
 
 		runShell  = flag.Bool("shell", false, "run an interactive SQL shell on stdin (default stays headless)")
-		qsEnabled = flag.Bool("querystore", true, "record per-query-shape runtime stats (sys.query_stats)")
 		slowQuery = flag.Duration("slow-query", 100*time.Millisecond, "capture EXPLAIN ANALYZE for shapes slower than this (sys.query_plans, \\slow)")
 	)
 	flag.Parse()
-
-	querystore.Default.SetEnabled(*qsEnabled)
-	querystore.Default.SetSlowThreshold(*slowQuery)
 
 	var backend *mtcache.Backend
 	if *dataDir == "" {
@@ -106,6 +101,8 @@ func main() {
 		defer backend.DB.CloseStore()
 	}
 
+	backend.DB.SetSlowThreshold(*slowQuery)
+
 	// TCP caches pull, and every pull truncates the log; the timer truncates
 	// it when no cache is pulling. There are no in-process subscribers here.
 	backend.StartReplication(100*time.Millisecond, 100*time.Millisecond)
@@ -120,7 +117,8 @@ func main() {
 
 	if *httpAddr != "" {
 		replStatus := obs.Status{Name: "repl", Fn: func() any { return backend.Repl.Health(time.Now()) }}
-		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, nil, replStatus)
+		queryStore := obs.Status{Name: "querystore", Fn: func() any { return backend.DB.QueryStore() }}
+		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, nil, replStatus, queryStore)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,8 +28,8 @@
 // The server also exposes an observability endpoint (-http, default
 // 127.0.0.1:8344): /metrics in Prometheus text format, /metrics.json,
 // /debug/trace/last with the most recent query's span tree, /debug/events
-// and /debug/querystore. Run with -shell=false for headless deployments
-// (blocks until SIGINT).
+// and /debug/status (the cache's query store). Run with -shell=false for
+// headless deployments (blocks until SIGINT).
 package main
 
 import (
@@ -42,7 +42,6 @@ import (
 
 	"mtcache"
 	"mtcache/internal/obs"
-	"mtcache/internal/querystore"
 	"mtcache/internal/shell"
 	"mtcache/internal/tpcw"
 )
@@ -51,7 +50,7 @@ func main() {
 	var (
 		backendAddr = flag.String("backend", "127.0.0.1:7000", "backend wire address")
 		name        = flag.String("name", "cache1", "cache server name")
-		httpAddr    = flag.String("http", "127.0.0.1:8344", "observability HTTP address (/metrics, /debug/trace/last, /debug/querystore); empty disables")
+		httpAddr    = flag.String("http", "127.0.0.1:8344", "observability HTTP address (/metrics, /debug/trace/last, /debug/status); empty disables")
 		serveAddr   = flag.String("serve", "", "wire listen address for routed application traffic (session routers dial this); empty disables")
 		runShell    = flag.Bool("shell", true, "run the interactive SQL shell on stdin (false = headless, wait for SIGINT)")
 		tpcwViews   = flag.Bool("tpcw-views", true, "create the paper's four TPC-W cached views")
@@ -61,13 +60,9 @@ func main() {
 		pool        = flag.Int("pool", 0, "multiplexed backend connections in the pool (0 = default policy)")
 		dataDir     = flag.String("data-dir", "", "cache checkpoint directory; restarts resume cached views at the checkpointed LSN instead of reseeding")
 		ckptTick    = flag.Duration("checkpoint-interval", 30*time.Second, "periodic cache checkpoint cadence with -data-dir (0 disables)")
-		qsEnabled   = flag.Bool("querystore", true, "record per-query-shape runtime stats (sys.query_stats)")
 		slowQuery   = flag.Duration("slow-query", 100*time.Millisecond, "capture EXPLAIN ANALYZE for shapes slower than this (sys.query_plans, \\slow)")
 	)
 	flag.Parse()
-
-	querystore.Default.SetEnabled(*qsEnabled)
-	querystore.Default.SetSlowThreshold(*slowQuery)
 
 	policy := mtcache.DefaultRetryPolicy()
 	if *retries > 0 {
@@ -90,6 +85,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: shadow database imported from %s\n", *name, *backendAddr)
+	cache.DB.SetSlowThreshold(*slowQuery)
 
 	if *tpcwViews {
 		for _, ddl := range tpcw.CachedViewDDL {
@@ -139,7 +135,8 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, nil)
+		queryStore := obs.Status{Name: "querystore", Fn: func() any { return cache.DB.QueryStore() }}
+		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, nil, queryStore)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,10 +10,10 @@ import (
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/engine"
+	"mtcache/internal/eventlog"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
-	"mtcache/internal/querystore"
 	"mtcache/internal/repl"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
@@ -72,7 +72,7 @@ func NewCacheOver(name string, client BackendClient, options *opt.Options, dataD
 			// A damaged checkpoint costs a reseed, never correctness: the
 			// backend is the source of truth.
 			metrics.Default.Counter("wire.cache_ckpt_errors").Add(1)
-			querystore.Emit("cache_ckpt_error", "error", err.Error())
+			eventlog.Emit("cache_ckpt_error", "error", err.Error())
 		}
 		c.recovered = ck
 	}
@@ -177,7 +177,7 @@ func (c *CacheServer) provision(view *catalog.Table) error {
 			}
 			if resumed {
 				metrics.Default.Counter("wire.view_resumed").Add(1)
-				querystore.Emit("view_resumed", "view", view.Name, "lsn", fmt.Sprint(ck.LSN))
+				eventlog.Emit("view_resumed", "view", view.Name, "lsn", fmt.Sprint(ck.LSN))
 				return c.sub.AddView(c.client, subID, view.Name, rows, ck.LSN+1, time.Time{}) // as of a checkpoint: not known
 			}
 			// The backend cannot serve the checkpointed position anymore; fall
@@ -191,7 +191,7 @@ func (c *CacheServer) provision(view *catalog.Table) error {
 		return err
 	}
 	metrics.Default.Counter("wire.view_seeded").Add(1)
-	querystore.Emit("view_seeded", "view", view.Name, "rows", fmt.Sprint(len(rows)))
+	eventlog.Emit("view_seeded", "view", view.Name, "rows", fmt.Sprint(len(rows)))
 	return c.sub.AddView(c.client, subID, view.Name, rows, startLSN, asOf)
 }
 
@@ -327,7 +327,7 @@ func (c *CacheServer) Checkpoint() error {
 		return err
 	}
 	metrics.Default.Counter("wire.cache_checkpoints").Add(1)
-	querystore.Emit("cache_checkpoint", "views", fmt.Sprint(len(ck.Sets)))
+	eventlog.Emit("cache_checkpoint", "views", fmt.Sprint(len(ck.Sets)))
 	metrics.Default.Histogram("wire.cache_checkpoint_seconds").ObserveDuration(time.Since(start))
 	return nil
 }

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"mtcache/internal/engine"
+	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
-	"mtcache/internal/querystore"
 	"mtcache/internal/types"
 )
 
@@ -168,7 +168,7 @@ func TestOldCacheStateFormatReseeds(t *testing.T) {
 // lastEvent renders the newest event of kind on the process-wide log ("" when
 // there is none).
 func lastEvent(kind string) string {
-	for _, e := range querystore.Events.Recent(0) {
+	for _, e := range eventlog.Recent(0) {
 		if e.Kind == kind {
 			return e.Detail()
 		}

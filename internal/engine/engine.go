@@ -25,11 +25,11 @@ import (
 	"time"
 
 	"mtcache/internal/catalog"
+	"mtcache/internal/eventlog"
 	"mtcache/internal/exec"
 	"mtcache/internal/imcache"
 	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
-	"mtcache/internal/querystore"
 	"mtcache/internal/resilience"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
@@ -62,9 +62,14 @@ type Database struct {
 
 	// plansMu guards plans, the plan cache: SQL text → planEntry, keyed by a
 	// front-door shape (autoparam.go) or by a statement's deparse (entryFor).
+	// A SELECT's entry also carries its query-store statistics (querystore.go).
 	plansMu sync.Mutex
 	plans   *lru[*planEntry]
 	autoOff bool // tests: parse and plan every ad-hoc text as written
+
+	// slowNanos is the latency at which a shape arms slow-query capture
+	// (SetSlowThreshold); <= 0 turns capture off.
+	slowNanos atomic.Int64
 
 	// viewMaps holds the compiled definition of every materialized view this
 	// database maintains (maintainViews): stored by CREATE MATERIALIZED VIEW,
@@ -131,6 +136,7 @@ func New(cfg Config) *Database {
 		imc:    imcache.New(imOpts),
 	}
 	db.imcOn.Store(true)
+	db.SetSlowThreshold(100 * time.Millisecond)
 	db.SetStalenessProbe(func() (float64, bool) { return 0, false })
 	db.registerSystemTables()
 	return db
@@ -292,12 +298,13 @@ func (db *Database) execText(sqlText string, params exec.Params, minLSN storage.
 	return db.execStmt(stmt, params, rec)
 }
 
-// publish reports a finished statement, once, to everything that reads its
+// publish reports a finished statement, once, to the process's readers of its
 // measurements: the stage histograms (optimize and execute count SELECTs that
 // planned and ran, procedure bodies included; parse counts runs of the
-// parser), the query store once a tier answered or failed trying, and for a
-// statement with a trace ID the ring behind /debug/trace/last and \trace.
-// Whoever begins a record publishes it.
+// parser) and, for a statement with a trace ID, the ring behind
+// /debug/trace/last and \trace. Whoever begins a record publishes it. A
+// SELECT's query-store statistics are its server's: query records them on
+// its plan-cache entry.
 func publish(rec *trace.Record, err error) {
 	rec.Finish(err)
 	if rec.Ran(trace.StageParse) && !rec.AutoParam {
@@ -308,9 +315,6 @@ func publish(rec *trace.Record, err error) {
 	}
 	if rec.Ran(trace.StageExec) {
 		metrics.Default.Histogram("engine.execute_seconds").ObserveDuration(rec.Stages[trace.StageExec])
-	}
-	if rec.Tier != trace.TierNone {
-		querystore.Default.Record(rec)
 	}
 	if rec.ID != "" {
 		trace.Traces.Add(rec)
@@ -323,6 +327,11 @@ func publish(rec *trace.Record, err error) {
 // and an optimizer-option change. Data changes never reach it — a cached
 // dynamic plan stays valid across them (paper §5.1), and the
 // intermediate-result cache tracks its own staleness per entry.
+//
+// The query-store statistics on the entries go with them, deliberately: their
+// plan text and variants describe plans the flush discarded, and the shape's
+// next execution starts a row that describes the plan it runs now. (SQL
+// Server's Query Store outlives a plan-cache flush; this one does not.)
 func (db *Database) InvalidatePlans() {
 	db.plansMu.Lock()
 	db.plans.clear()
@@ -429,19 +438,29 @@ func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.
 // bound positionally to the plan's @__pN parameters. fresh is the statement's
 // WITH FRESHNESS bound in seconds — the front door lifts it off the text,
 // stmt being its unbounded twin — or unbounded. What it learns on the way —
-// shape, tier, variant, rows, served staleness — goes on the record and is
-// reported nowhere else; the caller publishes.
+// shape, tier, variant, rows, served staleness — goes on the record, and once
+// a tier answered or failed trying, into e's query-store statistics; the
+// caller publishes.
+func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params, autoArgs []types.Value, fresh float64, rec *trace.Record) (*Result, error) {
+	rec.Shape = stmt.CacheKey() // the result key's shape
+	if e == nil {
+		e = db.entryFor(stmt)
+	}
+	res, err := db.answer(stmt, e, params, autoArgs, fresh, rec)
+	if rec.Tier != trace.TierNone {
+		e.stats.record(rec, err, time.Duration(db.slowNanos.Load()))
+	}
+	return res, err
+}
+
+// answer is query's work on e.
 //
 // On a cache whose backend link has failed, queries without a freshness
 // bound degrade gracefully: the query is re-planned onto local (possibly
 // stale) cached views and answered from them. A WITH FRESHNESS query never
 // degrades — the user asked for a bound the cache can no longer guarantee,
 // so it fails fast with the transport error instead.
-func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params, autoArgs []types.Value, fresh float64, rec *trace.Record) (*Result, error) {
-	rec.Shape = stmt.CacheKey() // the query-store key, and the result key's shape
-	if e == nil {
-		e = db.entryFor(stmt)
-	}
+func (db *Database) answer(stmt *sql.SelectStmt, e *planEntry, params exec.Params, autoArgs []types.Value, fresh float64, rec *trace.Record) (*Result, error) {
 	// Intermediate-result exact-match fast path: a repeated statement with
 	// identical bound values is answered straight from the materialized
 	// result — no planning, no execution. An invalidated entry is never
@@ -474,18 +493,13 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 		return nil, err
 	}
 	plan := cp.Plan
-	// Slow-query capture: when the query store armed this shape (a prior run
-	// exceeded the slow threshold), the plan runs instrumented and its
-	// EXPLAIN ANALYZE tree is retained for sys.query_plans / \slow.
-	qs := querystore.Default
-	capture := qs.WantCapture(rec.Shape)
+	// Slow-query capture: when a prior run of this shape reached the slow
+	// threshold, this one runs instrumented and its EXPLAIN ANALYZE tree is
+	// kept for sys.query_plans / \slow.
+	capture := e.stats.capture.CompareAndSwap(true, false)
 	res, root, err := db.runPlan(nil, plan, params, autoArgs, rec, capture)
 	rec.Variant, rec.Tier = plan.Variant, tierOf(plan, rec.Counters.RemoteQueries)
 	rec.Staleness = db.servedStaleness(plan, rec.Tier)
-	if rec.PlanCache != trace.PlanHit && qs.Enabled() {
-		// Rendering the plan costs once per cached plan, not per run.
-		qs.NotePlan(rec.Shape, plan.Variant, opt.Explain(plan))
-	}
 	if err != nil {
 		if fresh == unbounded && db.role == Cache && resilience.Degradable(err) {
 			if lres, lerr := db.queryLocalOnly(stmt, params, autoArgs, rec); lerr == nil {
@@ -496,7 +510,7 @@ func (db *Database) query(stmt *sql.SelectStmt, e *planEntry, params exec.Params
 		return nil, err // the original failure
 	}
 	if capture {
-		qs.StoreAnalyzed(rec.Shape, plan.Variant, opt.ExplainAnalyze(plan, root, rec.Stages[trace.StageExec]), formatLiterals(autoArgs))
+		e.stats.keepAnalyzed(plan.Variant, opt.ExplainAnalyze(plan, root, rec.Stages[trace.StageExec]), formatLiterals(autoArgs), rec.Start)
 	}
 	// Feed the intermediate cache. A bounded execution of the twin's plan is
 	// the twin's run; one sent whole to the backend made a remote call, which
@@ -613,14 +627,15 @@ func (db *Database) Plan(stmt *sql.SelectStmt) (*opt.Plan, error) {
 
 // planEntry is one statement text's slot in the plan cache. The key is a
 // front-door shape or a deparse: both are SQL text, and equal text is the same
-// statement, so the two kinds share entries. A SELECT's entry holds its plan,
-// a procedure body's INSERT, UPDATE or DELETE's its write plan; an EXEC
-// shape's holds neither.
+// statement, so the two kinds share entries. A SELECT's entry holds its plan
+// and its query-store statistics, a procedure body's INSERT, UPDATE or
+// DELETE's its write plan; an EXEC shape's holds neither.
 type planEntry struct {
 	stmt  sql.Statement // shared and read-only; nil for a negative front-door shape
 	refs  []string      // a SELECT's paramRefs: the values its result key covers
 	plan  atomic.Pointer[cachedPlan]
 	write atomic.Pointer[writePlan]
+	stats shapeStats // zero until query records the entry's first execution
 }
 
 // keyed is a statement the plan cache keys by its deparse: a SELECT, or a
@@ -646,7 +661,7 @@ func planEvicted(key string) {
 	if len(key) > 120 {
 		key = key[:120] + "…"
 	}
-	querystore.Emit("plan_evicted", "shape", key)
+	eventlog.Emit("plan_evicted", "shape", key)
 }
 
 // entryFor is the plan-cache entry of a statement that did not come through

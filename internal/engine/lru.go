@@ -68,3 +68,10 @@ func (c *lru[V]) clear() {
 }
 
 func (c *lru[V]) len() int { return len(c.items) }
+
+// each calls fn with every value, most recently used first.
+func (c *lru[V]) each(fn func(V)) {
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		fn(el.Value.(*lruEntry[V]).val)
+	}
+}

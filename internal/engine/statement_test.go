@@ -13,7 +13,6 @@ import (
 	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
-	"mtcache/internal/querystore"
 	"mtcache/internal/resilience"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
@@ -103,10 +102,10 @@ func newReportingCache(t *testing.T) (*Database, *cutLink) {
 	return cache, link
 }
 
-// storeExecs tallies the query store's executions by variant.
-func storeExecs() map[string]int64 {
+// storeExecs tallies db's query-store executions by variant.
+func storeExecs(db *Database) map[string]int64 {
 	out := map[string]int64{}
-	for _, shape := range querystore.Default.Snapshot() {
+	for _, shape := range db.QueryStore() {
 		for _, v := range shape.Variants {
 			out[v.Variant] += v.Execs
 		}
@@ -121,14 +120,14 @@ func storeExecs() map[string]int64 {
 // one query-store execution under the variant that names what answered — and
 // the tree rendered from the record has the spans of the stages it went
 // through. The backend behind the in-process link shares the process-wide
-// histograms and query store, so a statement that reaches it counts there
-// too: those are the "+1 backend" below.
+// histograms, so a statement that reaches it counts there too: those are the
+// "+1 backend" below. The query store is each server's own: the cache's
+// gains what the cache answered, the backend's what the backend ran.
 func TestStatementReportedOnce(t *testing.T) {
 	cache, link := newReportingCache(t)
+	backend := link.db
 	shipped := cache.Options()
 	anyError := errors.New("any error")
-	querystore.Default.Reset()
-	t.Cleanup(querystore.Default.Reset)
 	optimize := metrics.Default.Histogram("engine.optimize_seconds")
 	execute := metrics.Default.Histogram("engine.execute_seconds")
 	text := func(q string) func() (*Result, *trace.Record, error) {
@@ -141,11 +140,12 @@ func TestStatementReportedOnce(t *testing.T) {
 		setup    func()
 		tier     trace.Tier
 		cache    trace.PlanCache
-		planned  int64 // SELECTs that went through the plan stage
-		executed int64 // SELECTs that ran a plan
-		store    map[string]int64
-		spans    string // depth-first
-		branch   string // the execute span's chooseplan attribute
+		planned  int64            // SELECTs that went through the plan stage
+		executed int64            // SELECTs that ran a plan
+		store    map[string]int64 // the cache's query store
+		backend  map[string]int64 // the backend's
+		spans    string           // depth-first
+		branch   string           // the execute span's chooseplan attribute
 		err      error
 	}{
 		{name: "plan-cache miss", run: text("SELECT o_qty FROM orders WHERE o_id = 3"),
@@ -162,13 +162,13 @@ func TestStatementReportedOnce(t *testing.T) {
 			store: map[string]int64{"imcache": 1}, spans: "cache1.exec,imcache_hit"},
 		{name: "remote plan (+1 backend)", run: text("SELECT i_stock FROM item WHERE i_id = 7"),
 			tier: trace.TierRemote, cache: trace.PlanMiss, planned: 2, executed: 2,
-			store: map[string]int64{"remote": 1, "local": 1}, spans: remoteSpans},
+			store: map[string]int64{"remote": 1}, backend: map[string]int64{"local": 1}, spans: remoteSpans},
 		{name: "dynamic plan, local branch", run: text("SELECT i_title FROM item WHERE i_id = 7"),
 			tier: trace.TierDynamicLocal, cache: trace.PlanMiss, planned: 1, executed: 1,
 			store: map[string]int64{"dynamic+cv_low": 1}, spans: "cache1.exec,optimize,execute", branch: "local"},
 		{name: "dynamic plan, remote branch (+1 backend)", run: text("SELECT i_title FROM item WHERE i_id = 150"),
 			tier: trace.TierDynamicRemote, cache: trace.PlanHit, planned: 2, executed: 2,
-			store: map[string]int64{"dynamic+cv_low": 1, "local": 1}, spans: remoteSpans, branch: "remote"},
+			store: map[string]int64{"dynamic+cv_low": 1}, backend: map[string]int64{"local": 1}, spans: remoteSpans, branch: "remote"},
 		{name: "degraded-local", run: text("SELECT o_i_id FROM orders WHERE o_id = 5"),
 			setup: func() {
 				// A backend this cheap wins every plan on cost; with the link
@@ -198,7 +198,7 @@ func TestStatementReportedOnce(t *testing.T) {
 			setup: func() { cache.SetOptions(shipped) },
 			tier:  trace.TierIMCache, store: map[string]int64{"imcache": 1}, spans: "cache1.exec,gate,imcache_hit"},
 		{name: "EXEC of a read procedure with two SELECTs (+1 backend)", run: text("EXEC twoReads @o = 6, @i = 8"),
-			planned: 3, executed: 3, store: map[string]int64{"local+cv_orders": 1, "remote": 1, "local": 1},
+			planned: 3, executed: 3, store: map[string]int64{"local+cv_orders": 1, "remote": 1}, backend: map[string]int64{"local": 1},
 			spans: "cache1.exec"}, // the call's shape came from the front door: nothing was parsed
 		{name: "EXEC of a copied one-statement writer, forwarded as it arrived", run: text("EXEC setQty 6, 9"),
 			tier: trace.TierForwarded, spans: "cache1.exec"},
@@ -209,7 +209,7 @@ func TestStatementReportedOnce(t *testing.T) {
 			c.setup()
 		}
 		trace.Traces.Reset()
-		planned0, executed0, store0 := optimize.Count(), execute.Count(), storeExecs()
+		planned0, executed0, store0, backend0 := optimize.Count(), execute.Count(), storeExecs(cache), storeExecs(backend)
 		res, rec, err := c.run()
 		switch {
 		case c.err == nil && err != nil:
@@ -238,14 +238,19 @@ func TestStatementReportedOnce(t *testing.T) {
 		if got := execute.Count() - executed0; got != c.executed {
 			t.Errorf("%s: %d observations of engine.execute_seconds, want %d", c.name, got, c.executed)
 		}
-		gained := storeExecs()
-		for variant, n := range store0 {
-			if gained[variant] -= n; gained[variant] == 0 {
-				delete(gained, variant)
+		for _, srv := range []struct {
+			db           *Database
+			before, want map[string]int64
+		}{{cache, store0, c.store}, {backend, backend0, c.backend}} {
+			gained := storeExecs(srv.db)
+			for variant, n := range srv.before {
+				if gained[variant] -= n; gained[variant] == 0 {
+					delete(gained, variant)
+				}
 			}
-		}
-		if fmt.Sprint(gained) != fmt.Sprint(c.store) && (len(gained) != 0 || len(c.store) != 0) {
-			t.Errorf("%s: the query store gained %v, want %v", c.name, gained, c.store)
+			if fmt.Sprint(gained) != fmt.Sprint(srv.want) && (len(gained) != 0 || len(srv.want) != 0) {
+				t.Errorf("%s: the %s query store gained %v, want %v", c.name, srv.db.Name, gained, srv.want)
+			}
 		}
 		var names []string
 		var walk func(*trace.WireSpan)
@@ -273,8 +278,6 @@ func TestStatementReportedOnce(t *testing.T) {
 // used to tally the first as a hit and the second as a miss.
 func TestQueryStoreTalliesPlanCacheLikeTheCounters(t *testing.T) {
 	db := imTestDB(t, nil)
-	querystore.Default.Reset()
-	t.Cleanup(querystore.Default.Reset)
 	hits, misses := metrics.Default.Counter("engine.plan_cache_hits"), metrics.Default.Counter("engine.plan_cache_misses")
 	hits0, misses0 := hits.Value(), misses.Value()
 	var tiers []trace.Tier
@@ -295,7 +298,7 @@ func TestQueryStoreTalliesPlanCacheLikeTheCounters(t *testing.T) {
 		t.Fatalf("fixture: the statements were answered by %v, want %v", tiers, want)
 	}
 	var storeHits, storeMisses, execs int64
-	for _, shape := range querystore.Default.Snapshot() {
+	for _, shape := range db.QueryStore() {
 		storeHits, storeMisses, execs = storeHits+shape.Rollup.Hits, storeMisses+shape.Rollup.Misses, execs+shape.Rollup.Execs
 	}
 	if execs != 5 {

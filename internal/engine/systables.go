@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"mtcache/internal/catalog"
+	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
-	"mtcache/internal/querystore"
 	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
@@ -93,12 +93,12 @@ func (db *Database) registerSystemTables() {
 		i64("local_execs"), i64("remote_execs"),
 		i64("plan_cache_hits"), i64("plan_cache_misses"),
 		i64("degraded"), i64("errors"), f64("max_staleness_seconds"), str("last_error"),
-	}, queryStatsRows)
+	}, db.queryStatsRows)
 
 	_ = db.RegisterVirtualTable("sys.query_plans", []catalog.Column{
 		str("shape"), str("variant"), i64("executions"),
 		f64("last_ms"), f64("p95_ms"), str("plan"), str("analyzed"), str("literals"),
-	}, queryPlansRows)
+	}, db.queryPlansRows)
 
 	_ = db.RegisterVirtualTable("sys.events", []catalog.Column{
 		i64("seq"), {Name: "ts", Type: types.KindTime}, str("kind"), str("trace_id"), str("detail"),
@@ -121,8 +121,8 @@ func (db *Database) registerSystemTables() {
 	}, db.intermediateResultsRows)
 }
 
-func queryStatsRows() []types.Row {
-	snaps := querystore.Default.Snapshot()
+func (db *Database) queryStatsRows() []types.Row {
+	snaps := db.QueryStore()
 	rows := make([]types.Row, 0, len(snaps))
 	for _, ss := range snaps {
 		r := ss.Rollup
@@ -140,8 +140,8 @@ func queryStatsRows() []types.Row {
 	return rows
 }
 
-func queryPlansRows() []types.Row {
-	snaps := querystore.Default.Snapshot()
+func (db *Database) queryPlansRows() []types.Row {
+	snaps := db.QueryStore()
 	var rows []types.Row
 	for _, ss := range snaps {
 		for _, v := range ss.Variants {
@@ -157,7 +157,7 @@ func queryPlansRows() []types.Row {
 }
 
 func eventsRows() []types.Row {
-	evs := querystore.Events.Recent(0)
+	evs := eventlog.Recent(0)
 	rows := make([]types.Row, 0, len(evs))
 	for _, e := range evs {
 		rows = append(rows, types.Row{

@@ -8,29 +8,13 @@ import (
 	"time"
 
 	"mtcache/internal/advisor"
-	"mtcache/internal/querystore"
+	"mtcache/internal/eventlog"
 	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
 
-// resetQueryStore isolates a test from the process-global query store and
-// event log.
-func resetQueryStore(t *testing.T) {
-	t.Helper()
-	querystore.Default.Reset()
-	querystore.Default.SetEnabled(true)
-	querystore.Events.Reset()
-	t.Cleanup(func() {
-		querystore.Default.Reset()
-		querystore.Default.SetSlowThreshold(100 * time.Millisecond)
-		querystore.Events.Reset()
-	})
-}
-
 func TestSysQueryStatsLiveOnBackend(t *testing.T) {
-	resetQueryStore(t)
 	db := newBackendDB(t)
-	querystore.Default.Reset() // drop shapes recorded during data load
 	for i := 0; i < 5; i++ {
 		if _, err := db.Exec("SELECT i_title FROM item WHERE i_id = @id",
 			map[string]types.Value{"id": types.NewInt(int64(i + 1))}); err != nil {
@@ -58,9 +42,7 @@ func TestSysQueryStatsLiveOnBackend(t *testing.T) {
 }
 
 func TestSysQueryStatsSplitsLocalRemoteOnCache(t *testing.T) {
-	resetQueryStore(t)
-	_, cache := newCachePair(t)
-	querystore.Default.Reset()
+	backend, cache := newCachePair(t)
 	// This shape has no local data on the cache: it runs remotely, and every
 	// literal of it is the same shape.
 	const n = 4
@@ -69,30 +51,30 @@ func TestSysQueryStatsSplitsLocalRemoteOnCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := cache.Exec("SELECT shape, remote_execs, local_execs FROM sys.query_stats", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The forwarded text is re-executed by the backend engine, which records
-	// its own (local) shape into the shared store — so the cache's remote
-	// executions must appear as one more shape, with remote_execs = n.
-	var remote, point int
-	for _, row := range res.Rows {
-		if !strings.Contains(row[0].Str(), "i_id = @__p0") {
-			continue
+	// Each server lists its own executions: the cache ran the shape remotely
+	// n times, and the backend ran the forwarded text locally n times.
+	for _, c := range []struct {
+		db            *Database
+		remote, local int64
+	}{{cache, n, 0}, {backend, 0, n}} {
+		res, err := c.db.Exec("SELECT shape, remote_execs, local_execs FROM sys.query_stats", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		point++
-		if row[1].Int() == n && row[2].Int() == 0 {
-			remote++
+		var point []types.Row
+		for _, row := range res.Rows {
+			if strings.Contains(row[0].Str(), "i_id = @__p0") {
+				point = append(point, row)
+			}
 		}
-	}
-	if remote != 1 || point != 2 {
-		t.Fatalf("want the point query as two shapes (cache, backend), one of them with remote_execs = %d: %+v", n, res.Rows)
+		if len(point) != 1 || point[0][1].Int() != c.remote || point[0][2].Int() != c.local {
+			t.Fatalf("%s: want the point query as one shape with remote_execs = %d, local_execs = %d: %+v",
+				c.db.Name, c.remote, c.local, res.Rows)
+		}
 	}
 }
 
 func TestSysTablesReadOnly(t *testing.T) {
-	resetQueryStore(t)
 	backend, cache := newCachePair(t)
 	for _, db := range []*Database{backend, cache} {
 		for _, stmt := range []string{
@@ -118,7 +100,6 @@ func TestSysTablesReadOnly(t *testing.T) {
 }
 
 func TestVirtualTablesHiddenFromListings(t *testing.T) {
-	resetQueryStore(t)
 	db := newBackendDB(t)
 	for _, tbl := range db.Catalog().Tables() {
 		if tbl.Virtual || strings.HasPrefix(strings.ToLower(tbl.Name), "sys.") {
@@ -138,7 +119,6 @@ func TestVirtualTablesHiddenFromListings(t *testing.T) {
 }
 
 func TestVirtualTablesInvisibleToAdvisor(t *testing.T) {
-	resetQueryStore(t)
 	db := newBackendDB(t)
 	advice, err := advisor.Analyze(db.Catalog(), []advisor.WorkloadItem{
 		{SQL: "SELECT i_title FROM item WHERE i_id = 5", Weight: 100},
@@ -157,7 +137,6 @@ func TestVirtualTablesInvisibleToAdvisor(t *testing.T) {
 }
 
 func TestVirtualTablesInvisibleToViewMatching(t *testing.T) {
-	resetQueryStore(t)
 	db := newBackendDB(t)
 	// A materialized view over item must still be matched; sys tables must
 	// never appear as UsedViews nor break matching.
@@ -185,10 +164,8 @@ func TestVirtualTablesInvisibleToViewMatching(t *testing.T) {
 }
 
 func TestSysEventsAndSlowCapture(t *testing.T) {
-	resetQueryStore(t)
 	db := newBackendDB(t)
-	querystore.Default.Reset()
-	querystore.Emit("test_event", "detail", "abc")
+	eventlog.Emit("test_event", "detail", "abc")
 	res, err := db.Exec("SELECT seq, kind, detail FROM sys.events ORDER BY seq DESC LIMIT 1", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +179,7 @@ func TestSysEventsAndSlowCapture(t *testing.T) {
 
 	// Everything is "slow" at a zero-ish threshold: the second run of the
 	// shape executes instrumented and retains its EXPLAIN ANALYZE tree.
-	querystore.Default.SetSlowThreshold(time.Nanosecond)
+	db.SetSlowThreshold(time.Nanosecond)
 	q := "SELECT COUNT(*) FROM item"
 	if _, err := db.Exec(q, nil); err != nil {
 		t.Fatal(err)
@@ -226,7 +203,6 @@ func TestSysEventsAndSlowCapture(t *testing.T) {
 }
 
 func TestSysTablesStableUnderConcurrentTraffic(t *testing.T) {
-	resetQueryStore(t)
 	db := newBackendDB(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -254,36 +230,7 @@ func TestSysTablesStableUnderConcurrentTraffic(t *testing.T) {
 	}
 }
 
-func TestQueryStoreDisableSwitch(t *testing.T) {
-	resetQueryStore(t)
-	db := newBackendDB(t)
-	querystore.Default.Reset()
-	querystore.Default.SetEnabled(false)
-	if _, err := db.Exec("SELECT COUNT(*) FROM item", nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := querystore.Default.Len(); n != 0 {
-		t.Fatalf("disabled store recorded %d shapes", n)
-	}
-	querystore.Default.SetEnabled(true)
-	// sys tables still answer while disabled-then-reenabled.
-	res, err := db.Exec("SELECT shape FROM sys.query_stats", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The sys query itself is now the only recorded shape (recorded after
-	// its own execution completes, so the result set above may be empty).
-	_ = res
-	if _, err := db.Exec("SELECT COUNT(*) FROM item", nil); err != nil {
-		t.Fatal(err)
-	}
-	if querystore.Default.Len() == 0 {
-		t.Fatal("re-enabled store did not record")
-	}
-}
-
 func TestSysWalStatsAndCachedViews(t *testing.T) {
-	resetQueryStore(t)
 	db := newBackendDB(t)
 	res, err := db.Exec("SELECT name, value FROM sys.wal_stats ORDER BY name", nil)
 	if err != nil {

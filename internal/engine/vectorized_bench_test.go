@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"mtcache/internal/querystore"
 	"mtcache/internal/types"
 )
 
@@ -130,32 +129,5 @@ func TestExecAllocGate(t *testing.T) {
 		if avg > g.ceiling {
 			t.Errorf("%s: %.0f allocs per execution, ceiling %.0f", g.name, avg, g.ceiling)
 		}
-	}
-}
-
-// TestQueryStoreAllocBudget bounds what the query store adds to one warm,
-// plan-cached point query: allocations with the store enabled minus
-// allocations with it disabled (0–1 measured). A count, so it holds on a
-// loaded 1-core box where a wall-clock overhead ratio does not.
-func TestQueryStoreAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are distorted under -race")
-	}
-	resetQueryStore(t)
-	db := benchDB(t, 2000)
-	run := func() {
-		if _, err := db.Exec("SELECT b_id, b_val FROM big WHERE b_id = 7", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	measure := func(enabled bool) float64 {
-		querystore.Default.SetEnabled(enabled)
-		run() // warm the plan cache, and the store's slot for this shape
-		return testing.AllocsPerRun(200, run)
-	}
-	off := measure(false)
-	on := measure(true)
-	if on-off > 2 {
-		t.Errorf("query store adds %.0f allocs per point query (%.0f enabled, %.0f disabled), budget 2", on-off, on, off)
 	}
 }

@@ -1,4 +1,9 @@
-package querystore
+// Package eventlog is the process's structured event log: a bounded ring of
+// discrete occurrences worth a DBA's attention, which storage, wire, repl,
+// core and engine emit and sys.events, the shells' \events and obs's
+// /debug/events read. It imports only internal/metrics and the standard
+// library, so every layer can emit without an import cycle.
+package eventlog
 
 import (
 	"strings"
@@ -45,28 +50,23 @@ func (e Event) Detail() string {
 	return b.String()
 }
 
-// EventLog is a fixed-size ring buffer of events. Writers never block on
+// ring is a fixed-size ring buffer of events. Writers never block on
 // readers and memory is bounded by the capacity regardless of event rate.
-type EventLog struct {
+type ring struct {
 	mu   sync.Mutex
 	buf  []Event
 	next int   // ring write position
 	seq  int64 // monotonically increasing event sequence number
 }
 
-// NewEventLog returns a ring holding the most recent capacity events
-// (default 1024 when capacity <= 0).
-func NewEventLog(capacity int) *EventLog {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &EventLog{buf: make([]Event, 0, capacity)}
+func newRing(capacity int) *ring {
+	return &ring{buf: make([]Event, 0, capacity)}
 }
 
-// Emit records one event. kv is alternating key, value strings; a trailing
+// emit records one event. kv is alternating key, value strings; a trailing
 // odd key is recorded with an empty value rather than dropped.
-func (l *EventLog) Emit(kind, traceID string, kv ...string) {
-	e := Event{Time: time.Now(), Kind: kind, TraceID: traceID}
+func (l *ring) emit(kind string, kv ...string) {
+	e := Event{Time: time.Now(), Kind: kind}
 	if len(kv) > 0 {
 		e.Fields = make([]Field, 0, (len(kv)+1)/2)
 		for i := 0; i < len(kv); i += 2 {
@@ -90,9 +90,9 @@ func (l *EventLog) Emit(kind, traceID string, kv ...string) {
 	metrics.Default.Counter("querystore.events").Add(1)
 }
 
-// Recent returns up to n events, newest first (all retained events when
+// recent returns up to n events, newest first (all retained events when
 // n <= 0).
-func (l *EventLog) Recent(n int) []Event {
+func (l *ring) recent(n int) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	total := len(l.buf)
@@ -111,24 +111,13 @@ func (l *EventLog) Recent(n int) []Event {
 	return out
 }
 
-// Len returns the number of retained events.
-func (l *EventLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}
+// events is the process-wide log, shared by every subsystem so a single
+// sys.events query tells the whole story in order.
+var events = newRing(1024)
 
-// Reset drops all retained events (sequence numbers keep increasing).
-func (l *EventLog) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.buf = l.buf[:0]
-	l.next = 0
-}
+// Emit records an event on the process-wide log.
+func Emit(kind string, kv ...string) { events.emit(kind, kv...) }
 
-// Events is the process-wide event log, shared by every subsystem so a
-// single sys.events query tells the whole story in order.
-var Events = NewEventLog(1024)
-
-// Emit records an event on the process-wide log without a trace ID.
-func Emit(kind string, kv ...string) { Events.Emit(kind, "", kv...) }
+// Recent returns up to n of the process-wide log's events, newest first (all
+// retained events when n <= 0).
+func Recent(n int) []Event { return events.recent(n) }

@@ -63,8 +63,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Key names one result: the shape of the statement that computed it (the
-// query-store key) and a hash of the values the execution bound to the
+// Key names one result: the shape of the statement that computed it (its
+// CacheKey, the shape its query-store row shows) and a hash of the values the execution bound to the
 // parameters the shape references, in the shape's order.
 type Key struct {
 	Shape string

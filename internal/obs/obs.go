@@ -4,14 +4,13 @@
 //	/metrics.json      the same snapshot as JSON
 //	/debug/trace/last  the most recent query trace, rendered as a text tree
 //	/debug/traces      the recent-trace ring, newest first
-//	/debug/status      JSON from registered Status sources (e.g. per-
-//	                   subscription replication health: queue depth, apply
-//	                   errors, staleness)
+//	/debug/status      JSON from registered Status sources (e.g. a
+//	                   server's query store — per-shape per-variant runtime
+//	                   stats plus captured slow-query plans — or per-
+//	                   subscription replication health)
 //	/debug/events      the structured event ring (repl resubscribes,
 //	                   checkpoints, deadlock aborts, ...), newest first;
 //	                   ?n=K limits the count
-//	/debug/querystore  the query store: per-shape per-variant runtime stats
-//	                   plus captured slow-query plans, as JSON
 //
 // Both server binaries mount it; tests hit it through httptest.
 package obs
@@ -23,8 +22,8 @@ import (
 	"net/http"
 	"strconv"
 
+	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
-	"mtcache/internal/querystore"
 	"mtcache/internal/trace"
 )
 
@@ -77,28 +76,13 @@ func Handler(reg *metrics.Registry, traces *trace.Collector, status ...Status) h
 				n = v
 			}
 		}
-		events := querystore.Events.Recent(n)
+		events := eventlog.Recent(n)
 		if events == nil {
-			events = []querystore.Event{}
+			events = []eventlog.Event{}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(events) //nolint:errcheck — best-effort over HTTP
-	})
-	mux.HandleFunc("/debug/querystore", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		shapes := querystore.Default.Snapshot()
-		if shapes == nil {
-			shapes = []querystore.ShapeSnapshot{}
-		}
-		out := map[string]any{
-			"enabled":           querystore.Default.Enabled(),
-			"slow_threshold_ms": float64(querystore.Default.SlowThreshold().Microseconds()) / 1000,
-			"shapes":            shapes,
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(out) //nolint:errcheck — best-effort over HTTP
 	})
 	mux.HandleFunc("/debug/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -8,8 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"mtcache/internal/engine"
+	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
-	"mtcache/internal/querystore"
 	"mtcache/internal/trace"
 )
 
@@ -117,29 +118,32 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 }
 
+// TestEventsAndQuerystoreEndpoints: /debug/events serves the event log newest
+// first, and a server's query store is one more Status source: its shapes are
+// a list under /debug/status, where both server binaries register their
+// Database's. There is no endpoint of its own.
 func TestEventsAndQuerystoreEndpoints(t *testing.T) {
-	srv, _, _ := newObsServer(t)
-	querystore.Events.Reset()
-	querystore.Default.Reset()
-	t.Cleanup(func() {
-		querystore.Events.Reset()
-		querystore.Default.Reset()
-	})
+	db := engine.New(engine.Config{Name: "obs", Role: engine.Backend})
+	if _, err := db.Exec("SELECT 1", nil); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(metrics.NewRegistry(), trace.NewCollector(4),
+		Status{Name: "querystore", Fn: func() any { return db.QueryStore() }}))
+	t.Cleanup(srv.Close)
 
+	eventlog.Emit("checkpoint", "lsn", "42")
+	eventlog.Emit("gc_run", "versions", "7")
 	code, body, ctype := get(t, srv.URL+"/debug/events")
 	if code != http.StatusOK || ctype != "application/json" {
 		t.Fatalf("status %d content-type %q", code, ctype)
 	}
-	var events []querystore.Event
+	var events []eventlog.Event
 	if err := json.Unmarshal([]byte(body), &events); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
-	if len(events) != 0 {
-		t.Fatalf("expected empty ring, got %d events", len(events))
+	if len(events) < 2 || events[0].Kind != "gc_run" || events[1].Kind != "checkpoint" {
+		t.Fatalf("the log should end with the two emitted events, newest first: %+v", events)
 	}
-
-	querystore.Emit("checkpoint", "lsn", "42")
-	querystore.Emit("gc_run", "versions", "7")
 	_, body, _ = get(t, srv.URL+"/debug/events?n=1")
 	if err := json.Unmarshal([]byte(body), &events); err != nil {
 		t.Fatal(err)
@@ -148,24 +152,21 @@ func TestEventsAndQuerystoreEndpoints(t *testing.T) {
 		t.Fatalf("?n=1 should return the newest event: %+v", events)
 	}
 
-	querystore.Default.Record(&trace.Record{Shape: "SELECT 1", Variant: "local", Rows: 1})
-	code, body, _ = get(t, srv.URL+"/debug/querystore")
+	code, body, _ = get(t, srv.URL+"/debug/status")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	var out struct {
-		Enabled         bool                       `json:"enabled"`
-		SlowThresholdMs float64                    `json:"slow_threshold_ms"`
-		Shapes          []querystore.ShapeSnapshot `json:"shapes"`
+		QueryStore []engine.ShapeSnapshot `json:"querystore"`
 	}
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
-	if !out.Enabled || out.SlowThresholdMs <= 0 {
-		t.Fatalf("enabled=%v slow_threshold_ms=%v", out.Enabled, out.SlowThresholdMs)
+	if len(out.QueryStore) != 1 || out.QueryStore[0].Shape != "SELECT @__p0" || out.QueryStore[0].Rollup.Execs != 1 {
+		t.Fatalf("querystore: %+v", out.QueryStore)
 	}
-	if len(out.Shapes) != 1 || out.Shapes[0].Shape != "SELECT 1" {
-		t.Fatalf("shapes: %+v", out.Shapes)
+	if code, _, _ := get(t, srv.URL+"/debug/querystore"); code != http.StatusNotFound {
+		t.Fatalf("/debug/querystore answered %d; the query store is a /debug/status source", code)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"strconv"
 	"time"
 
+	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
-	"mtcache/internal/querystore"
 	"mtcache/internal/storage"
 	"mtcache/internal/types"
 )
@@ -75,7 +75,7 @@ func (s *Server) Resume(subName string, a *Article, target string, from storage.
 		counter, event = "repl.resubscribes", "repl_resubscribe"
 	}
 	metrics.Default.Counter(counter).Add(1)
-	querystore.Emit(event, "sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10))
+	eventlog.Emit(event, "sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10))
 	return id, ok
 }
 

@@ -6,19 +6,11 @@ import (
 	"time"
 
 	"mtcache/internal/engine"
-	"mtcache/internal/querystore"
+	"mtcache/internal/eventlog"
 )
 
 func newShellDB(t *testing.T) *engine.Database {
 	t.Helper()
-	querystore.Default.Reset()
-	querystore.Default.SetEnabled(true)
-	querystore.Events.Reset()
-	t.Cleanup(func() {
-		querystore.Default.Reset()
-		querystore.Default.SetSlowThreshold(100 * time.Millisecond)
-		querystore.Events.Reset()
-	})
 	db := engine.New(engine.Config{Name: "shelltest", Role: engine.Backend})
 	if err := db.ExecScript(`CREATE TABLE item (i_id INT PRIMARY KEY, i_title VARCHAR);
 		INSERT INTO item (i_id, i_title) VALUES (1, 'a');
@@ -57,8 +49,8 @@ func TestShellSQLAndTop(t *testing.T) {
 
 func TestShellEventsAndSlow(t *testing.T) {
 	db := newShellDB(t)
-	querystore.Emit("test_event", "k", "v")
-	querystore.Default.SetSlowThreshold(time.Nanosecond)
+	eventlog.Emit("test_event", "k", "v")
+	db.SetSlowThreshold(time.Nanosecond)
 	got := run(t, db,
 		"SELECT COUNT(*) FROM item\nSELECT COUNT(*) FROM item\n\\events\n\\slow\n\\quit\n")
 	if !strings.Contains(got, "test_event") {

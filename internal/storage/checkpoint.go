@@ -26,8 +26,8 @@ import (
 	"strconv"
 	"time"
 
+	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
-	"mtcache/internal/querystore"
 	"mtcache/internal/types"
 )
 
@@ -102,7 +102,7 @@ func (s *Store) Checkpoint() (LSN, error) {
 	}
 	s.ckptLSN.Store(int64(walEnd))
 	metrics.Default.Counter("storage.checkpoints").Add(1)
-	querystore.Emit("checkpoint",
+	eventlog.Emit("checkpoint",
 		"lsn", strconv.FormatUint(uint64(walEnd), 10),
 		"rows", strconv.Itoa(rows),
 		"ms", strconv.FormatInt(time.Since(start).Milliseconds(), 10))

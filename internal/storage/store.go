@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"mtcache/internal/catalog"
+	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
-	"mtcache/internal/querystore"
 	"mtcache/internal/types"
 )
 
@@ -155,7 +155,7 @@ func (s *Store) acquireLatch(id int64, td *TableData) error {
 	defer s.lockMu.Unlock()
 	for td.owner != 0 && td.owner != id {
 		if s.wouldDeadlock(id, td) {
-			querystore.Emit("deadlock_abort",
+			eventlog.Emit("deadlock_abort",
 				"txn", strconv.FormatInt(id, 10), "table", td.meta.Name)
 			return ErrDeadlock
 		}
@@ -318,7 +318,7 @@ func (s *Store) GC() int {
 	}
 	if total > 0 {
 		metrics.Default.Counter("storage.versions_gc").Add(int64(total))
-		querystore.Emit("gc_run", "versions", strconv.Itoa(total))
+		eventlog.Emit("gc_run", "versions", strconv.Itoa(total))
 	}
 	return total
 }

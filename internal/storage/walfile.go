@@ -38,8 +38,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
-	"mtcache/internal/querystore"
 )
 
 // SyncPolicy selects when commits are made durable.
@@ -620,7 +620,7 @@ func (d *diskWAL) fail(err error) error {
 	if d.err == nil {
 		d.err = err
 		close(d.curCh)
-		querystore.Emit("wal_wedged", "error", err.Error())
+		eventlog.Emit("wal_wedged", "error", err.Error())
 	}
 	d.mu.Unlock()
 	return err

@@ -3,15 +3,15 @@ package tpcw
 import (
 	"fmt"
 	"testing"
-
-	"mtcache/internal/querystore"
 )
 
 // TestStatementAllocBudget: what a cached point statement allocates between
 // arriving as text and leaving as rows, with everything that measures it
 // switched on. The statement is the one PR 23 profiled — a literal-text point
 // SELECT on a TPC-W cache, answered from cv_item by a pooled plan instance,
-// result cache off so every run executes, query store on — and 14 of the
+// result cache off so every run executes, its query-store statistics
+// recorded on the shape's plan-cache entry (there is no switch to turn them
+// off; recording a repeated shape allocates nothing) — and 14 of the
 // objects it allocated there (28 by this count, 29 in the profile) were
 // instrumentation: a trace, four spans and their attribute and child slices,
 // a trace ID formatted twice over, a plan label and a copy of the
@@ -29,9 +29,6 @@ func TestStatementAllocBudget(t *testing.T) {
 	}
 	_, c := loadedPair(t, DefaultConfig())
 	c.DB.SetIMCacheEnabled(false)
-	if !querystore.Default.Enabled() {
-		t.Fatal("the query store is on by default")
-	}
 	texts := make([]string, 500)
 	for i := range texts {
 		texts[i] = fmt.Sprintf("SELECT i_title, i_cost, i_srp FROM item WHERE i_id = %d", i+1)

@@ -2,8 +2,8 @@
 // execution — identity, where it was answered, under which plan, one stage
 // clock, the work done, the staleness served, the error — and renders it as a
 // span tree when somebody asks to see it. The engine measures a statement
-// once, into its Record, and publishes the Record once: the stage histograms,
-// the query store and the trace ring read the same fields.
+// once, into its Record: the stage histograms and the trace ring it publishes
+// the Record to, and the query store it records it in, read the same fields.
 //
 // The request path builds no tree. Only the operators with structure of their
 // own to show (a remote round trip, the branch a ChoosePlan took) add spans while a statement runs, and only to a statement
@@ -99,7 +99,7 @@ type Record struct {
 	ID     string // trace ID; "" for a statement inside a procedure body: measured, not kept
 	Server string // the database that ran it; the root span is Server + ".exec"
 	SQL    string // the text as received ("" when the statement arrived parsed)
-	Shape  string // normalized text of a SELECT: the plan-cache and query-store key
+	Shape  string // a SELECT's CacheKey(): the result key's shape and its query-store row's
 
 	Variant   string // the query store's label under Shape: the plan's, or the tier's for imcache and degraded-local
 	Tier      Tier

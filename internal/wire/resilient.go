@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"mtcache/internal/eventlog"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
-	"mtcache/internal/querystore"
 	"mtcache/internal/repl"
 	"mtcache/internal/resilience"
 	"mtcache/internal/sql"
@@ -119,7 +119,7 @@ func (r *ResilientClient) do(idempotent bool, fn func(c *Client) error) error {
 	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			r.reg.Counter("wire.retries").Add(1)
-			querystore.Emit("wire_retry", "addr", r.addr, "attempt", strconv.Itoa(attempt))
+			eventlog.Emit("wire_retry", "addr", r.addr, "attempt", strconv.Itoa(attempt))
 			time.Sleep(r.policy.Delay(attempt, nil))
 		}
 		c, err := r.conn()
@@ -151,7 +151,7 @@ func (r *ResilientClient) do(idempotent bool, fn func(c *Client) error) error {
 		}
 	}
 	r.reg.Counter("wire.backend_down").Add(1)
-	querystore.Emit("retry_exhausted", "addr", r.addr,
+	eventlog.Emit("retry_exhausted", "addr", r.addr,
 		"attempts", strconv.Itoa(r.policy.MaxAttempts), "error", last.Error())
 	return fmt.Errorf("wire: %s failed after %d attempts: %w", r.addr, r.policy.MaxAttempts, last)
 }

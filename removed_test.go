@@ -80,6 +80,13 @@ var removedNames = []struct {
 	{`\bgo (func|[a-z]\w*\.)`, `^internal/exec/`, "one goroutine per statement"},
 	{`scopeless`, `^internal/engine/`, "a write planned once (writePlan)"},
 	{`keyLower`, `^internal/engine/`, "a write planned once (writePlan)"},
+	{`"mtcache/internal/querystore"`, "", "per-shape statistics on the plan-cache entry (the event log is internal/eventlog)"},
+	{`querystore\.Default`, "", "per-shape statistics on the plan-cache entry"},
+	{`(^|[^.\w])NewStore\(`, `^(internal/(querystore|eventlog|engine|obs)|cmd)/`, "per-shape statistics on the plan-cache entry"},
+	{`entryLocked`, "", "per-shape statistics on the plan-cache entry"},
+	{`querystore\.shapes`, "", "per-shape statistics on the plan-cache entry (bounded by the plan cache)"},
+	{`querystore\.evictions`, "", "per-shape statistics on the plan-cache entry (bounded by the plan cache)"},
+	{`qsEnabled`, "", "per-shape statistics on the plan-cache entry (no on/off switch)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
