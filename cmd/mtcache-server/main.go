@@ -136,7 +136,7 @@ func main() {
 
 	if *httpAddr != "" {
 		queryStore := obs.Status{Name: "querystore", Fn: func() any { return cache.DB.QueryStore() }}
-		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, nil, queryStore)
+		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, cache.DB.Traces(), queryStore)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -156,6 +156,7 @@ func main() {
 		Name:       *name,
 		Exec:       func(sqlText string) (*mtcache.Result, error) { return cache.DB.Exec(sqlText, nil) },
 		Explain:    cache.DB.Explain,
+		Trace:      cache.DB.Traces().Last,
 		Pull:       cache.Pull,
 		Checkpoint: cache.Checkpoint,
 		In:         os.Stdin,

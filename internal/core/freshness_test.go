@@ -182,7 +182,7 @@ func TestFreshnessBoundHoldsForANamedCachedView(t *testing.T) {
 	}
 	time.Sleep(30 * time.Millisecond)
 
-	res, rec, err := c.DB.ExecSessionTraced("SELECT cname FROM AllCust WHERE cid = 7", nil, 0, 0, "")
+	res, rec, err := c.DB.ExecSessionTraced("SELECT cname FROM AllCust WHERE cid = 7", nil, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestFreshnessBoundHoldsForANamedCachedView(t *testing.T) {
 		t.Errorf("unbounded read of the named view: tier %s, staleness %v; want local and the cache's staleness", rec.Tier, rec.Staleness)
 	}
 
-	res, rec, err = c.DB.ExecSessionTraced("SELECT cname FROM AllCust WHERE cid = 7 WITH FRESHNESS 0.01", nil, 0, 0, "")
+	res, rec, err = c.DB.ExecSessionTraced("SELECT cname FROM AllCust WHERE cid = 7 WITH FRESHNESS 0.01", nil, 0, 0, 0)
 	if err == nil {
 		t.Fatalf("bounded read of the stale named view answered %v (tier %s, staleness %v); want an error", res.Rows, rec.Tier, rec.Staleness)
 	}
@@ -220,7 +220,7 @@ func TestServedStalenessOnlyWhenAViewAnswered(t *testing.T) {
 		tier   trace.Tier
 		served bool
 	}{{7, trace.TierDynamicLocal, true}, {1500, trace.TierDynamicRemote, false}} {
-		_, rec, err := c.DB.ExecSessionTraced("SELECT cname FROM customer WHERE cid = @x", exec.Params{"x": types.NewInt(tc.x)}, 0, 0, "")
+		_, rec, err := c.DB.ExecSessionTraced("SELECT cname FROM customer WHERE cid = @x", exec.Params{"x": types.NewInt(tc.x)}, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

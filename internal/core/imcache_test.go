@@ -203,7 +203,7 @@ func TestResultCacheHitReportsCacheStaleness(t *testing.T) {
 		}
 	}
 	time.Sleep(30 * time.Millisecond) // no pull: the cache falls behind
-	_, rec, err := c.DB.ExecSessionTraced(q, nil, 0, 0, "")
+	_, rec, err := c.DB.ExecSessionTraced(q, nil, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,6 +96,10 @@ type Database struct {
 	// reached and whether the bound was met. Wired by the MTCache layer; it
 	// backs ExecSession's read-your-writes guarantee.
 	sessionGate func(min storage.LSN, budget time.Duration) (storage.LSN, bool)
+
+	// traces is this server's trace ring: copies of its last client
+	// statements' records (publish).
+	traces *trace.Collector
 }
 
 // Config configures a new Database.
@@ -134,6 +138,7 @@ func New(cfg Config) *Database {
 		remote: cfg.Remote,
 		plans:  newLRU[*planEntry](planCacheCap, planEvicted),
 		imc:    imcache.New(imOpts),
+		traces: trace.NewCollector(0),
 	}
 	db.imcOn.Store(true)
 	db.SetSlowThreshold(100 * time.Millisecond)
@@ -184,6 +189,11 @@ func (db *Database) Catalog() *catalog.Catalog { return db.cat }
 
 // Store exposes the storage manager (used by replication and tests).
 func (db *Database) Store() *storage.Store { return db.store }
+
+// Traces returns this server's trace ring, behind /debug/trace/last and
+// \trace: the records of the client statements it ran, and of no other
+// server's.
+func (db *Database) Traces() *trace.Collector { return db.traces }
 
 // Role returns the database role.
 func (db *Database) Role() Role { return db.role }
@@ -237,20 +247,23 @@ func (db *Database) SetSessionGate(fn func(min storage.LSN, budget time.Duration
 // freshness for everyone). On a backend the gate passes trivially — the backend is the
 // source of truth for every LSN it ever issued.
 func (db *Database) ExecSession(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration) (*Result, error) {
-	res, _, err := db.ExecSessionTraced(sqlText, params, minLSN, wait, "")
+	res, rec, err := db.ExecSessionTraced(sqlText, params, minLSN, wait, 0)
+	rec.Release()
 	return res, err
 }
 
 // ExecSessionTraced is where a statement enters the engine: Exec, ExecSession,
 // the wire server and the in-process Link all come through here. It begins
 // the statement's record — under the caller's trace ID when one arrived in a
-// wire frame, so backend-side spans stitch under the cache-side remote span —
-// runs the statement, the session gate first, and publishes the record, which
-// comes back finished and never nil (a gate refusal is a statement too).
-func (db *Database) ExecSessionTraced(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, traceID string) (*Result, *trace.Record, error) {
+// wire frame, so backend-side spans stitch under the cache-side remote span;
+// 0 mints one — runs the statement, the session gate first, and publishes the
+// record, which comes back finished and never nil (a gate refusal is a
+// statement too). The record is the caller's to read and then to Release:
+// this server's ring kept a copy.
+func (db *Database) ExecSessionTraced(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, traceID uint64) (*Result, *trace.Record, error) {
 	rec := trace.BeginStatement(db.Name, sqlText, traceID)
 	res, err := db.execText(sqlText, params, minLSN, wait, rec)
-	publish(rec, err)
+	db.publish(rec, err)
 	if res != nil {
 		res.TraceID = rec.ID
 	}
@@ -298,14 +311,14 @@ func (db *Database) execText(sqlText string, params exec.Params, minLSN storage.
 	return db.execStmt(stmt, params, rec)
 }
 
-// publish reports a finished statement, once, to the process's readers of its
-// measurements: the stage histograms (optimize and execute count SELECTs that
-// planned and ran, procedure bodies included; parse counts runs of the
-// parser) and, for a statement with a trace ID, the ring behind
-// /debug/trace/last and \trace. Whoever begins a record publishes it. A
-// SELECT's query-store statistics are its server's: query records them on
-// its plan-cache entry.
-func publish(rec *trace.Record, err error) {
+// publish reports a finished statement, once, to the readers of its
+// measurements: the process's stage histograms (optimize and execute count
+// SELECTs that planned and ran, procedure bodies included; parse counts runs
+// of the parser) and, for a statement with a trace ID, a copy in this
+// server's ring. Whoever begins a record publishes it, and releases it after.
+// A SELECT's query-store statistics are its server's: query records them on
+// its plan-cache entry, before publish.
+func (db *Database) publish(rec *trace.Record, err error) {
 	rec.Finish(err)
 	if rec.Ran(trace.StageParse) && !rec.AutoParam {
 		metrics.Default.Histogram("engine.parse_seconds").ObserveDuration(rec.Stages[trace.StageParse])
@@ -316,8 +329,8 @@ func publish(rec *trace.Record, err error) {
 	if rec.Ran(trace.StageExec) {
 		metrics.Default.Histogram("engine.execute_seconds").ObserveDuration(rec.Stages[trace.StageExec])
 	}
-	if rec.ID != "" {
-		trace.Traces.Add(rec)
+	if rec.ID != 0 {
+		db.traces.Add(rec)
 	}
 }
 
@@ -367,16 +380,16 @@ type Result struct {
 	// Executor work counters (local to this server).
 	Counters exec.Counters
 
-	// TraceID identifies the statement's record in trace.Traces ("" when the
-	// statement did not arrive as text: ExecStmt).
-	TraceID string
+	// TraceID identifies the statement's record in its server's ring
+	// (Traces; trace.FormatID renders it); 0 when the statement did not
+	// arrive as text: ExecStmt.
+	TraceID uint64
 }
 
 // Exec parses and executes one SQL statement (query, DML or DDL). The
-// statement's record lands in trace.Traces.
+// statement's record lands in this server's ring.
 func (db *Database) Exec(sqlText string, params exec.Params) (*Result, error) {
-	res, _, err := db.ExecSessionTraced(sqlText, params, 0, 0, "")
-	return res, err
+	return db.ExecSession(sqlText, params, 0, 0)
 }
 
 // ExecScript executes a multi-statement script, stopping on the first error.
@@ -398,7 +411,8 @@ func (db *Database) ExecScript(script string) error {
 func (db *Database) ExecStmt(stmt sql.Statement, params exec.Params) (*Result, error) {
 	rec := trace.Begin(db.Name)
 	res, err := db.execStmt(stmt, params, rec)
-	publish(rec, err)
+	db.publish(rec, err)
+	rec.Release()
 	return res, err
 }
 
@@ -723,7 +737,8 @@ func (db *Database) RunPlan(plan *opt.Plan, params exec.Params) (*Result, error)
 func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Params) (*Result, error) {
 	rec := trace.Begin(db.Name)
 	res, _, err := db.runPlan(tx, plan, params, nil, rec, false)
-	publish(rec, err)
+	db.publish(rec, err)
+	rec.Release()
 	return res, err
 }
 

@@ -207,17 +207,17 @@ func TestInstrumentedRunIsBatchExecution(t *testing.T) {
 // Exec records a finished trace whose remote round-trip carries the grafted
 // backend-side span tree (stitched via the shared trace ID).
 func TestExecRecordsStitchedTrace(t *testing.T) {
-	_, cache := newCachePair(t)
+	backend, cache := newCachePair(t)
 	res, err := cache.Exec("SELECT i_title FROM item WHERE i_id = 17", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TraceID == "" {
+	if res.TraceID == 0 {
 		t.Fatal("Result.TraceID not set")
 	}
-	tr := trace.Traces.Last()
+	tr := cache.Traces().Last()
 	if tr == nil || tr.ID != res.TraceID {
-		t.Fatalf("last trace %+v does not match result trace ID %q", tr, res.TraceID)
+		t.Fatalf("last trace %+v does not match result trace ID %x", tr, res.TraceID)
 	}
 	for _, name := range []string{"optimize", "execute", "remote", "backend.exec"} {
 		if tr.FindSpan(name) == nil {
@@ -235,9 +235,9 @@ func TestExecRecordsStitchedTrace(t *testing.T) {
 		t.Errorf("a statement was parsed on the request path:\n%s", trace.Render(tr))
 	}
 	// The backend ran its half under the cache's trace ID: its own record,
-	// kept just before the cache's, carries it.
-	if back := trace.Traces.Recent(2)[1]; back.Server != "backend" || back.ID != tr.ID {
-		t.Errorf("backend record %s.exec has trace ID %q, want %q", back.Server, back.ID, tr.ID)
+	// the last in its own ring, carries it.
+	if back := backend.Traces().Last(); back.Server != "backend" || back.ID != tr.ID {
+		t.Errorf("backend record %s.exec has trace ID %x, want %x", back.Server, back.ID, tr.ID)
 	}
 	if tr.FindSpan("remote").AttrValue("sql") == "" {
 		t.Error("remote span should record the shipped SQL")

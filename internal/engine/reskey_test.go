@@ -146,7 +146,7 @@ func TestResultEntrySharedIffTwinShapeAndValues(t *testing.T) {
 		if _, err := db.Exec(unbound(a), a.params); err != nil {
 			t.Fatalf("%s %v: %v", unbound(a), a.params, err)
 		}
-		res, rec, err := db.ExecSessionTraced(b.text, b.params, 0, 0, "")
+		res, rec, err := db.ExecSessionTraced(b.text, b.params, 0, 0, 0)
 		if err != nil {
 			t.Fatalf("%s %v: %v", b.text, b.params, err)
 		}

@@ -131,7 +131,7 @@ func TestStatementReportedOnce(t *testing.T) {
 	optimize := metrics.Default.Histogram("engine.optimize_seconds")
 	execute := metrics.Default.Histogram("engine.execute_seconds")
 	text := func(q string) func() (*Result, *trace.Record, error) {
-		return func() (*Result, *trace.Record, error) { return cache.ExecSessionTraced(q, nil, 0, 0, "") }
+		return func() (*Result, *trace.Record, error) { return cache.ExecSessionTraced(q, nil, 0, 0, 0) }
 	}
 	remoteSpans := "cache1.exec,optimize,execute,remote,backend.exec,optimize,execute"
 	for _, c := range []struct {
@@ -189,11 +189,11 @@ func TestStatementReportedOnce(t *testing.T) {
 		{name: "failing statement: no parse", run: text("SELEC 1"), spans: "cache1.exec,parse", err: anyError},
 		{name: "session-gate refusal", spans: "cache1.exec,gate", err: ErrSessionStale,
 			run: func() (*Result, *trace.Record, error) {
-				return cache.ExecSessionTraced("SELECT o_qty FROM orders WHERE o_id = 3", nil, 11, time.Millisecond, "")
+				return cache.ExecSessionTraced("SELECT o_qty FROM orders WHERE o_id = 3", nil, 11, time.Millisecond, 0)
 			}},
 		{name: "session gate passed, caller's trace ID",
 			run: func() (*Result, *trace.Record, error) {
-				return cache.ExecSessionTraced("SELECT o_qty FROM orders WHERE o_id = 3", nil, 10, time.Millisecond, "from-the-frame")
+				return cache.ExecSessionTraced("SELECT o_qty FROM orders WHERE o_id = 3", nil, 10, time.Millisecond, 0x0123456789ab0001) // as a wire frame carries it
 			},
 			setup: func() { cache.SetOptions(shipped) },
 			tier:  trace.TierIMCache, store: map[string]int64{"imcache": 1}, spans: "cache1.exec,gate,imcache_hit"},
@@ -208,7 +208,7 @@ func TestStatementReportedOnce(t *testing.T) {
 		if c.setup != nil {
 			c.setup()
 		}
-		trace.Traces.Reset()
+		cache.Traces().Reset()
 		planned0, executed0, store0, backend0 := optimize.Count(), execute.Count(), storeExecs(cache), storeExecs(backend)
 		res, rec, err := c.run()
 		switch {
@@ -220,17 +220,12 @@ func TestStatementReportedOnce(t *testing.T) {
 		if rec == nil || rec.Err != err || rec.Tier != c.tier || rec.PlanCache != c.cache {
 			t.Errorf("%s: record %+v, want tier %q, plan cache %d, error %v", c.name, rec, c.tier, c.cache, err)
 		}
-		var kept []*trace.Record
-		for _, r := range trace.Traces.Recent(0) {
-			if r.Server == cache.Name {
-				kept = append(kept, r)
-			}
-		}
-		if len(kept) != 1 || kept[0] != rec || rec.ID == "" {
-			t.Fatalf("%s: the ring gained %d cache statements, want the one returned", c.name, len(kept))
+		kept := cache.Traces().Recent(0)
+		if len(kept) != 1 || kept[0].ID != rec.ID || rec.ID == 0 || trace.Render(&kept[0]) != trace.Render(rec) {
+			t.Fatalf("%s: the ring gained %d statements, want a copy of the one returned", c.name, len(kept))
 		}
 		if res != nil && res.TraceID != rec.ID {
-			t.Errorf("%s: Result.TraceID %q, the ring entry is %q", c.name, res.TraceID, rec.ID)
+			t.Errorf("%s: Result.TraceID %x, the ring entry is %x", c.name, res.TraceID, rec.ID)
 		}
 		if got := optimize.Count() - planned0; got != c.planned {
 			t.Errorf("%s: %d observations of engine.optimize_seconds, want %d", c.name, got, c.planned)
@@ -265,9 +260,131 @@ func TestStatementReportedOnce(t *testing.T) {
 			t.Errorf("%s: spans %s, want %s with chooseplan=%q\n%s", c.name, got, c.spans, c.branch, trace.Render(rec))
 		}
 	}
-	if rec := trace.Traces.Last(); rec.SQL != "UPDATE orders SET o_qty = 9 WHERE o_id = 6" || rec.FindSpan("cache1.exec").AttrValue("sql") != rec.SQL {
+	if rec := cache.Traces().Last(); rec.SQL != "UPDATE orders SET o_qty = 9 WHERE o_id = 6" || rec.FindSpan("cache1.exec").AttrValue("sql") != rec.SQL {
 		t.Errorf("the root span carries the statement text: %s", trace.Render(rec))
 	}
+}
+
+// TestEachServerKeepsItsOwnTraces: a cache and its backend in one process
+// keep a trace ring each. A server's Last and Recent show the statements it
+// ran and no other server's, and a remote subquery of the cache's statement
+// is in both rings under the one ID: the cache's statement and the backend's
+// half of it. A write the cache forwards untraced is a statement of the
+// backend's own.
+func TestEachServerKeepsItsOwnTraces(t *testing.T) {
+	cache, link := newReportingCache(t)
+	backend := link.db
+	cache.Traces().Reset()
+	backend.Traces().Reset()
+	run := func(db *Database, q string) uint64 {
+		t.Helper()
+		res, err := db.Exec(q, nil)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", db.Name, q, err)
+		}
+		return res.TraceID
+	}
+	local := run(cache, "SELECT o_qty FROM orders WHERE o_id = 3")
+	remote := run(cache, "SELECT i_stock FROM item WHERE i_id = 7")
+	direct := run(backend, "SELECT i_title FROM item WHERE i_id = 9")
+	forwarded := run(cache, "UPDATE orders SET o_qty = 9 WHERE o_id = 6")
+	for _, c := range []struct {
+		db   *Database
+		want []uint64 // newest first
+	}{
+		{cache, []uint64{forwarded, remote, local}},
+		{backend, []uint64{0, direct, remote}}, // 0: the forwarded write's own ID
+	} {
+		recent := c.db.Traces().Recent(0)
+		if len(recent) != len(c.want) {
+			t.Fatalf("%s keeps %d records, want %d", c.db.Name, len(recent), len(c.want))
+		}
+		for i, r := range recent {
+			if r.Server != c.db.Name || c.want[i] != 0 && r.ID != c.want[i] || r.ID == 0 {
+				t.Errorf("%s: record %d is %s.exec %s, want %s.exec %s", c.db.Name, i,
+					r.Server, trace.FormatID(r.ID), c.db.Name, trace.FormatID(c.want[i]))
+			}
+		}
+		if last := c.db.Traces().Last(); last == nil || last.ID != recent[0].ID || last.Server != c.db.Name {
+			t.Errorf("%s: Last is %+v, want its newest record", c.db.Name, last)
+		}
+	}
+	if fwd := backend.Traces().Last(); fwd.ID == forwarded || !strings.HasPrefix(fwd.SQL, "UPDATE orders SET o_qty = 9") {
+		t.Errorf("the backend's record of the forwarded write: ID %s (the cache's %s), text %q",
+			trace.FormatID(fwd.ID), trace.FormatID(forwarded), fwd.SQL)
+	}
+	if got := cache.Traces().Recent(2)[1].FindSpan("backend.exec"); got == nil {
+		t.Error("the cache's record of the remote statement lost the backend's tree")
+	}
+}
+
+// TestReturnedTreeSurvivesLaterStatements: what a caller builds from a record
+// before releasing it — the tree the wire server puts in its response, the
+// span the in-process link returns — stays as it was while 64 more statements
+// take records from the pool and release them, on both servers.
+func TestReturnedTreeSurvivesLaterStatements(t *testing.T) {
+	cache, link := newReportingCache(t)
+	_, rec, err := cache.ExecSessionTraced("SELECT i_title FROM item WHERE i_id = 150", nil, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := rec.Tree()
+	rec.Release()
+	_, span, err := link.QueryTraced("SELECT i_stock FROM item WHERE i_id = 7", nil, trace.FormatID(0x0123456789ab0001))
+	if err != nil || span == nil {
+		t.Fatalf("traced link call: span %v, %v", span, err)
+	}
+	want, wantSpan := spanText(tree), spanText(span)
+	if !strings.Contains(want, "remote") || !strings.Contains(want, "backend.exec") {
+		t.Fatalf("fixture: the statement made no traced remote call:\n%s", want)
+	}
+	for i := 0; i < 64; i++ {
+		q := fmt.Sprintf("SELECT i_title FROM item WHERE i_id = %d", 101+i%50) // the remote branch
+		if i%2 == 1 {
+			q = fmt.Sprintf("SELECT o_qty FROM orders WHERE o_id = %d", 1+i%20)
+		}
+		if _, err := cache.Exec(q, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := link.QueryTraced(q, nil, trace.FormatID(uint64(0x0123456789ab0002+i))); err != nil && i%2 == 0 {
+			t.Fatal(err)
+		}
+	}
+	if got := spanText(tree); got != want {
+		t.Errorf("the statement's tree changed:\nthen\n%s\nnow\n%s", want, got)
+	}
+	if got := spanText(span); got != wantSpan {
+		t.Errorf("the link's span changed:\nthen\n%s\nnow\n%s", wantSpan, got)
+	}
+}
+
+// TestLinkRefusesAnUnparseableTraceID: the in-process link reads the trace ID
+// as the wire client does, and refuses text trace.FormatID could not have
+// produced, naming it, without running the statement.
+func TestLinkRefusesAnUnparseableTraceID(t *testing.T) {
+	_, link := newReportingCache(t)
+	backend := link.db
+	backend.Traces().Reset()
+	if _, _, err := link.QueryTraced("SELECT i_stock FROM item WHERE i_id = 7", nil, "not-an-id"); err == nil || !strings.Contains(err.Error(), "not-an-id") {
+		t.Errorf("an unparseable trace ID: %v, want an error naming it", err)
+	}
+	if n := len(backend.Traces().Recent(0)); n != 0 {
+		t.Errorf("the backend ran %d statements for a refused call", n)
+	}
+}
+
+// spanText renders a span tree with every field, children indented.
+func spanText(w *trace.WireSpan) string {
+	var b strings.Builder
+	var walk func(*trace.WireSpan, int)
+	walk = func(w *trace.WireSpan, depth int) {
+		fmt.Fprintf(&b, "%s%s %d %d %v\n", strings.Repeat("  ", depth), w.Name, w.StartUTC, w.DurNanos, w.Attrs)
+		for _, c := range w.Children {
+			walk(c, depth+1)
+		}
+	}
+	walk(w, 0)
+	return b.String()
 }
 
 // TestQueryStoreTalliesPlanCacheLikeTheCounters: sys.query_stats'
@@ -288,7 +405,7 @@ func TestQueryStoreTalliesPlanCacheLikeTheCounters(t *testing.T) {
 		"SELECT COUNT(*) FROM t WHERE grp = 1",                    // result-cache hit
 		"SELECT COUNT(*) FROM t WHERE grp = 3 WITH FRESHNESS 300", // plan-cache hit: the twin's plan
 	} {
-		_, rec, err := db.ExecSessionTraced(q, nil, 0, 0, "")
+		_, rec, err := db.ExecSessionTraced(q, nil, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +431,7 @@ func TestQueryStoreTalliesPlanCacheLikeTheCounters(t *testing.T) {
 // statements at once (the pooled instances too); each record has its execute
 // span and counts the rows of its own result — and the race detector has
 // nothing to say about any of it: the tree is read the moment the statement
-// returns.
+// returns, and the record then goes back to the pool for the next one.
 func TestTracedStatementsUnderConcurrency(t *testing.T) {
 	db := New(Config{Name: "backend", Role: Backend})
 	db.SetIMCacheEnabled(false)
@@ -335,7 +452,7 @@ func TestTracedStatementsUnderConcurrency(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		go func() {
 			for i := 0; i < 5; i++ {
-				res, rec, err := db.ExecSessionTraced(q, nil, 0, 0, "")
+				res, rec, err := db.ExecSessionTraced(q, nil, 0, 0, 0)
 				if err != nil {
 					errs <- err
 					return
@@ -348,6 +465,7 @@ func TestTracedStatementsUnderConcurrency(t *testing.T) {
 					errs <- fmt.Errorf("the result has %d rows, the record %d; want %d", len(res.Rows), rec.Rows, want)
 					return
 				}
+				rec.Release()
 			}
 			errs <- nil
 		}()
@@ -389,7 +507,7 @@ func TestBoundedTextSharesTwinPlan(t *testing.T) {
 	// run executes q and checks what answered it; "within" runs after the
 	// first may be answered by the plan or by the result cache.
 	run := func(q string, admitted bool) error {
-		res, rec, err := cache.ExecSessionTraced(q, nil, 0, 0, "")
+		res, rec, err := cache.ExecSessionTraced(q, nil, 0, 0, 0)
 		switch {
 		case err != nil:
 			return err
@@ -413,10 +531,10 @@ func TestBoundedTextSharesTwinPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, rec, err := cache.ExecSessionTraced(within, nil, 0, 0, ""); err != nil || rec.Tier != trace.TierIMCache {
+	if _, rec, err := cache.ExecSessionTraced(within, nil, 0, 0, 0); err != nil || rec.Tier != trace.TierIMCache {
 		t.Errorf("within the bound after the second run: tier %v, %v; want the result cache", rec.Tier, err)
 	}
-	if _, rec, err := cache.ExecSessionTraced(twin, nil, 0, 0, ""); err != nil || rec.Tier != trace.TierIMCache {
+	if _, rec, err := cache.ExecSessionTraced(twin, nil, 0, 0, 0); err != nil || rec.Tier != trace.TierIMCache {
 		t.Errorf("the twin after bounded runs: tier %v, %v; want the result cache", rec.Tier, err)
 	}
 	if metrics.Default.Counter("imcache.hits").Value() == hits0 {

@@ -101,7 +101,7 @@ func (db *Database) registerSystemTables() {
 	}, db.queryPlansRows)
 
 	_ = db.RegisterVirtualTable("sys.events", []catalog.Column{
-		i64("seq"), {Name: "ts", Type: types.KindTime}, str("kind"), str("trace_id"), str("detail"),
+		i64("seq"), {Name: "ts", Type: types.KindTime}, str("kind"), str("detail"),
 	}, eventsRows)
 
 	_ = db.RegisterVirtualTable("sys.wal_stats", []catalog.Column{
@@ -162,7 +162,7 @@ func eventsRows() []types.Row {
 	for _, e := range evs {
 		rows = append(rows, types.Row{
 			types.NewInt(e.Seq), types.NewTime(e.Time),
-			types.NewString(e.Kind), types.NewString(e.TraceID), types.NewString(e.Detail()),
+			types.NewString(e.Kind), types.NewString(e.Detail()),
 		})
 	}
 	return rows

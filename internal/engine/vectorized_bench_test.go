@@ -99,8 +99,10 @@ func BenchmarkAgg(b *testing.B)  { benchStatement(b, benchAggSQL) }
 // execution allocates per batch of result rows and per distinct build key,
 // never per input row, and a warm execution runs on the instance the plan
 // kept from the one before, so its batch windows, arenas, aggregate table,
-// context and parameter slots are already there, and its views are values:
-// 37, 263 and 6 measured (46, 274 and 11 when every Open bound its views by
+// context and parameter slots are already there, its views are values, and
+// its statement's record comes from a pool with a numeric trace ID: 35, 261
+// and 4 measured (37, 263 and 6 with a new record and a text ID per
+// statement; 46, 274 and 11 when every Open bound its views by
 // pointer and compiled its filter; 85, 512 and 524 on a fresh clone per
 // execution), ceilings 15 % above. An operator that goes back to one make per
 // row, or an instance that is not reused, overshoots them several times
@@ -114,9 +116,9 @@ func TestExecAllocGate(t *testing.T) {
 		name, sql string
 		ceiling   float64
 	}{
-		{"scan", benchScanSQL, 43},
-		{"join", benchJoinSQL, 303},
-		{"agg", benchAggSQL, 7},
+		{"scan", benchScanSQL, 41},
+		{"join", benchJoinSQL, 301},
+		{"agg", benchAggSQL, 5},
 	} {
 		run := func() {
 			if _, err := db.Exec(g.sql, nil); err != nil {

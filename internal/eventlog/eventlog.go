@@ -18,11 +18,10 @@ import (
 // eviction, a deadlock abort, retry exhaustion. Events are cheap,
 // structured, and bounded — the SQL-visible cousin of a log line.
 type Event struct {
-	Seq     int64     `json:"seq"`
-	Time    time.Time `json:"time"`
-	Kind    string    `json:"kind"`
-	TraceID string    `json:"trace_id,omitempty"`
-	Fields  []Field   `json:"fields,omitempty"`
+	Seq    int64     `json:"seq"`
+	Time   time.Time `json:"time"`
+	Kind   string    `json:"kind"`
+	Fields []Field   `json:"fields,omitempty"`
 }
 
 // Field is one key/value pair attached to an event. A slice (not a map)

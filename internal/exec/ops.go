@@ -33,8 +33,9 @@ type ResultSet struct {
 // RemoteClient executes SQL on a linked server: the Remote operator's
 // subqueries and every statement a cache forwards. A text that may write is
 // delivered at most once (sql.ReadOnly). QueryTraced also propagates the
-// trace ID and returns the server-side span tree, which the Remote operator
-// grafts into the cache-side trace.
+// trace ID, rendered by trace.FormatID, and returns the server-side span tree,
+// which the Remote operator grafts into the cache-side trace; a traceID that
+// trace.ParseID refuses fails the call.
 type RemoteClient interface {
 	Query(sqlText string, params Params) (*ResultSet, error)
 	QueryTraced(sqlText string, params Params, traceID string) (*ResultSet, *trace.WireSpan, error)
@@ -1414,7 +1415,7 @@ func (r *Remote) Open(ctx *Ctx) error {
 	var wspan *trace.WireSpan
 	var err error
 	if sp != nil {
-		rs, wspan, err = ctx.Remote.QueryTraced(r.SQLText, ctx.Params, ctx.Rec.ID)
+		rs, wspan, err = ctx.Remote.QueryTraced(r.SQLText, ctx.Params, trace.FormatID(ctx.Rec.ID))
 	} else {
 		rs, err = ctx.Remote.Query(r.SQLText, ctx.Params)
 	}

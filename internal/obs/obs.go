@@ -2,8 +2,9 @@
 //
 //	/metrics           Prometheus text exposition of the metrics registry
 //	/metrics.json      the same snapshot as JSON
-//	/debug/trace/last  the most recent query trace, rendered as a text tree
-//	/debug/traces      the recent-trace ring, newest first
+//	/debug/trace/last  the server's most recent statement trace, rendered as
+//	                   a text tree
+//	/debug/traces      the server's trace ring, newest first
 //	/debug/status      JSON from registered Status sources (e.g. a
 //	                   server's query store — per-shape per-variant runtime
 //	                   stats plus captured slow-query plans — or per-
@@ -34,15 +35,13 @@ type Status struct {
 	Fn   func() any
 }
 
-// Handler returns the observability mux over a registry and a trace
-// collector. nil arguments select the process-wide defaults. Status sources,
-// if any, are served at /debug/status.
+// Handler returns the observability mux over a registry and a server's trace
+// ring. A nil registry selects the process-wide default; nil traces serve no
+// trace endpoints (a process that runs no statements, such as a router, has no
+// ring). Status sources, if any, are served at /debug/status.
 func Handler(reg *metrics.Registry, traces *trace.Collector, status ...Status) http.Handler {
 	if reg == nil {
 		reg = metrics.Default
-	}
-	if traces == nil {
-		traces = trace.Traces
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -53,21 +52,23 @@ func Handler(reg *metrics.Registry, traces *trace.Collector, status ...Status) h
 		w.Header().Set("Content-Type", "application/json")
 		reg.WriteJSON(w) //nolint:errcheck — best-effort over HTTP
 	})
-	mux.HandleFunc("/debug/trace/last", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, trace.Render(traces.Last()))
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		recent := traces.Recent(0)
-		if len(recent) == 0 {
-			fmt.Fprint(w, trace.Render(nil))
-		}
-		for _, t := range recent {
-			fmt.Fprint(w, trace.Render(t))
-			fmt.Fprintln(w)
-		}
-	})
+	if traces != nil {
+		mux.HandleFunc("/debug/trace/last", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			fmt.Fprint(w, trace.Render(traces.Last()))
+		})
+		mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			recent := traces.Recent(0)
+			if len(recent) == 0 {
+				fmt.Fprint(w, trace.Render(nil))
+			}
+			for i := range recent {
+				fmt.Fprint(w, trace.Render(&recent[i]))
+				fmt.Fprintln(w)
+			}
+		})
+	}
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		n := 0 // all
@@ -97,9 +98,9 @@ func Handler(reg *metrics.Registry, traces *trace.Collector, status ...Status) h
 	return mux
 }
 
-// Serve starts the observability endpoint on addr (e.g. "127.0.0.1:8344")
-// in a background goroutine and returns the bound listener address. The
-// listener is closed with the returned closer.
+// Serve starts the observability endpoint (Handler) on addr (e.g.
+// "127.0.0.1:8344") in a background goroutine and returns the bound listener
+// address. The listener is closed with the returned closer.
 func Serve(addr string, reg *metrics.Registry, traces *trace.Collector, status ...Status) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

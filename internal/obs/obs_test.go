@@ -93,28 +93,45 @@ func TestTraceEndpoints(t *testing.T) {
 		t.Errorf("empty collector: %q", body)
 	}
 
-	tr := trace.BeginStatement("cache", "", "")
+	tr := trace.BeginStatement("cache", "", 0)
 	tr.Annotate(nil, "chooseplan", "local")
 	tr.Mark(trace.StageExec)
 	tr.Finish(nil)
 	traces.Add(tr)
 
 	_, body, _ = get(t, srv.URL+"/debug/trace/last")
-	for _, want := range []string{"trace " + tr.ID, "cache.exec", "execute", `chooseplan="local"`} {
+	for _, want := range []string{"trace " + trace.FormatID(tr.ID), "cache.exec", "execute", `chooseplan="local"`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/debug/trace/last missing %q:\n%s", want, body)
 		}
 	}
 
-	tr2 := trace.BeginStatement("cache", "", "")
+	tr2 := trace.BeginStatement("cache", "", 0)
 	tr2.Finish(nil)
 	traces.Add(tr2)
 	_, body, _ = get(t, srv.URL+"/debug/traces")
-	if !strings.Contains(body, tr.ID) || !strings.Contains(body, tr2.ID) {
+	id, id2 := trace.FormatID(tr.ID), trace.FormatID(tr2.ID)
+	if !strings.Contains(body, id) || !strings.Contains(body, id2) {
 		t.Errorf("/debug/traces should list both traces:\n%s", body)
 	}
-	if strings.Index(body, tr2.ID) > strings.Index(body, tr.ID) {
+	if strings.Index(body, id2) > strings.Index(body, id) {
 		t.Error("/debug/traces must be newest-first")
+	}
+}
+
+// TestNoRingNoTraceEndpoints: a process with no trace ring of its own (a
+// router) serves no trace endpoints; there is no process-wide ring to fall
+// back on.
+func TestNoRingNoTraceEndpoints(t *testing.T) {
+	srv := httptest.NewServer(Handler(metrics.NewRegistry(), nil))
+	t.Cleanup(srv.Close)
+	for _, path := range []string{"/debug/trace/last", "/debug/traces"} {
+		if code, body, _ := get(t, srv.URL+path); code != http.StatusNotFound {
+			t.Errorf("%s without a ring: %d %q, want 404", path, code, body)
+		}
+	}
+	if code, _, _ := get(t, srv.URL+"/metrics"); code != http.StatusOK {
+		t.Errorf("/metrics without a ring: %d", code)
 	}
 }
 

@@ -35,8 +35,9 @@ type Config struct {
 	Name       string // prompt-less banner name, e.g. "cache1"
 	Exec       func(sqlText string) (*engine.Result, error)
 	Explain    func(sqlText string) (string, error)
-	Pull       func() (int, error) // caches: one pull round
-	Checkpoint func() error        // durable servers: force a checkpoint
+	Trace      func() *trace.Record // the server's last traced statement (its ring's Last)
+	Pull       func() (int, error)  // caches: one pull round
+	Checkpoint func() error         // durable servers: force a checkpoint
 	In         io.Reader
 	Out        io.Writer
 }
@@ -81,7 +82,11 @@ func Run(cfg Config) {
 				fmt.Fprint(out, s)
 			}
 		case line == `\trace`:
-			fmt.Fprint(out, trace.Render(trace.Traces.Last()))
+			if cfg.Trace == nil {
+				fmt.Fprintln(out, "\\trace is not available on this server")
+				break
+			}
+			fmt.Fprint(out, trace.Render(cfg.Trace()))
 		case strings.HasPrefix(line, `\explain `):
 			if cfg.Explain == nil {
 				fmt.Fprintln(out, "\\explain is not available on this server")
@@ -101,7 +106,7 @@ func Run(cfg Config) {
 		case line == `\events` || strings.HasPrefix(line, `\events `):
 			n := argN(line, `\events`, 20)
 			runSQL(cfg, out, fmt.Sprintf(
-				`SELECT TOP %d seq, ts, kind, trace_id, detail FROM sys.events ORDER BY seq DESC`, n))
+				`SELECT TOP %d seq, ts, kind, detail FROM sys.events ORDER BY seq DESC`, n))
 		case line == `\imcache` || strings.HasPrefix(line, `\imcache `):
 			n := argN(line, `\imcache`, 10)
 			runSQL(cfg, out, fmt.Sprintf(`SELECT TOP %d shape, literals, rows, bytes,

@@ -7,6 +7,7 @@ import (
 
 	"mtcache/internal/engine"
 	"mtcache/internal/eventlog"
+	"mtcache/internal/trace"
 )
 
 func newShellDB(t *testing.T) *engine.Database {
@@ -27,6 +28,7 @@ func run(t *testing.T, db *engine.Database, input string) string {
 		Name:    "shelltest",
 		Exec:    func(q string) (*engine.Result, error) { return db.Exec(q, nil) },
 		Explain: db.Explain,
+		Trace:   db.Traces().Last,
 		In:      strings.NewReader(input),
 		Out:     &out,
 	})
@@ -67,5 +69,39 @@ func TestShellUnavailableHooks(t *testing.T) {
 	if !strings.Contains(got, "\\pull is not available") ||
 		!strings.Contains(got, "\\checkpoint is not available") {
 		t.Fatalf("nil hooks should print a clear message:\n%s", got)
+	}
+}
+
+// TestShellTraceShowsItsServersLastStatement: \trace renders the last record
+// of the shell's own server, read through the Trace hook, even when another
+// server in the process ran a statement after it. Without the hook the
+// command says so.
+func TestShellTraceShowsItsServersLastStatement(t *testing.T) {
+	db, other := newShellDB(t), engine.New(engine.Config{Name: "other", Role: engine.Backend})
+	var out strings.Builder
+	cfg := Config{
+		Name: "shelltest",
+		Exec: func(q string) (*engine.Result, error) {
+			res, err := db.Exec(q, nil)
+			if _, err := other.Exec("SELECT 1", nil); err != nil {
+				t.Fatal(err)
+			}
+			return res, err
+		},
+		Trace: db.Traces().Last,
+		In:    strings.NewReader("SELECT i_title FROM item WHERE i_id = 2\n\\trace\n\\quit\n"),
+		Out:   &out,
+	}
+	Run(cfg)
+	last := db.Traces().Last()
+	if got := out.String(); last == nil || !strings.Contains(got, "trace "+trace.FormatID(last.ID)) ||
+		!strings.Contains(got, "shelltest.exec") || !strings.Contains(got, "i_id = 2") || strings.Contains(got, "other.exec") {
+		t.Fatalf("\\trace does not show the server's last statement:\n%s", got)
+	}
+	out.Reset()
+	cfg.Trace, cfg.In = nil, strings.NewReader("\\trace\n\\quit\n")
+	Run(cfg)
+	if !strings.Contains(out.String(), "\\trace is not available") {
+		t.Fatalf("a nil Trace hook should print a clear message:\n%s", out.String())
 	}
 }

@@ -397,7 +397,9 @@ func runKeeping(t *testing.T, run func(callServer, *catalog.Procedure, exec.Para
 // UPDATE as text for the backend to parse, this count was 80 allocations and
 // 100 parses; it was 50 before the plan instances kept their context and 29
 // before the exchanges kept their map and handler and the backend ran the
-// body on the request's map. It is 24 now, the ceiling 24 + 2.
+// body on the request's map, and 24 while each statement's record was a new
+// object with a trace ID formatted as text, on both servers. It is 20 now,
+// the ceiling 20 + 2; getBook's is 11 + 2 (14 before the pooled record).
 func TestRoutedCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -412,8 +414,8 @@ func TestRoutedCallAllocBudget(t *testing.T) {
 		commits storage.LSN // backend commits over 100 calls
 		ceiling float64
 	}{
-		{"getBook", exec.Params{"i_id": types.Null}, "i_id", 0, 16},
-		{"updateLogin", exec.Params{"c_id": types.Null, "t": login}, "c_id", 100, 26},
+		{"getBook", exec.Params{"i_id": types.Null}, "i_id", 0, 11 + 2},
+		{"updateLogin", exec.Params{"c_id": types.Null, "t": login}, "c_id", 100, 20 + 2},
 	} {
 		sess := cache.r.Session()
 		next := int64(0)

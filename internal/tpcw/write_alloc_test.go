@@ -21,8 +21,10 @@ import (
 // body runs on the caller's map, which binds each parameter to itself. A
 // call is measured as CallProcedure makes it: Exec of the call's shape with
 // the values in the named map, through the front door and the statement's
-// record. The ceilings are the counts on that path with the last of these,
-// 19, 16 and 16 for addCartLine, adminUpdate and updateCartLine (21, 18 and
+// record, which comes from a pool and carries its trace ID as a number. The
+// ceilings are the counts on that path with the last of these, 17, 14 and 14
+// for addCartLine, adminUpdate and updateCartLine (19, 16 and 16 while each
+// record was a new object with a text ID; 21, 18 and
 // 18 while the call bound its arguments into a map of its own; 21, 20 and
 // 20 when a keyed write made two views; 27, 46 and 42 when every call
 // compiled its body's statement); called past the front door the first two
@@ -45,13 +47,13 @@ func TestWriteAllocBudget(t *testing.T) {
 		{"addCartLine", func() exec.Params { // a one-row INSERT
 			cart++
 			return exec.Params{"sc_id": types.NewInt(cart), "i_id": types.NewInt(417), "qty": types.NewInt(1)}
-		}, 19},
+		}, 17},
 		{"adminUpdate", func() exec.Params { // a one-row UPDATE by key
 			return exec.Params{"i_id": types.NewInt(417), "cost": types.NewFloat(9.5), "related": types.NewInt(7)}
-		}, 16},
+		}, 14},
 		{"updateCartLine", func() exec.Params { // a one-row UPDATE by a two-column key
 			return exec.Params{"sc_id": types.NewInt(1<<20 + 1), "i_id": types.NewInt(417), "qty": types.NewInt(2)}
-		}, 16},
+		}, 14},
 	} {
 		call := func() {
 			if res, err := b.DB.CallProcedure(g.proc, g.params()); err != nil || res.RowsAffected != 1 {

@@ -2,8 +2,13 @@
 // execution — identity, where it was answered, under which plan, one stage
 // clock, the work done, the staleness served, the error — and renders it as a
 // span tree when somebody asks to see it. The engine measures a statement
-// once, into its Record: the stage histograms and the trace ring it publishes
-// the Record to, and the query store it records it in, read the same fields.
+// once, into its Record: the stage histograms, the query store and the
+// server's trace ring read the same fields.
+//
+// A record costs nothing unless someone keeps it. Records come from a pool and
+// go back to it at the end of the call that began them; the ring keeps a copy,
+// and a reader gets a copy of that. The trace ID is a number, rendered as text
+// only when somebody reads it.
 //
 // The request path builds no tree. Only the operators with structure of their
 // own to show (a remote round trip, the branch a ChoosePlan took) add spans while a statement runs, and only to a statement
@@ -21,19 +26,54 @@ import (
 	"time"
 )
 
-// idCounter disambiguates IDs generated in the same nanosecond.
+// idCounter disambiguates IDs minted in the same nanosecond.
 var idCounter atomic.Uint64
 
-// newID returns a process-unique trace ID for a statement that began at at:
-// 48 bits of the clock, 16 of the counter, as "%012x-%04x".
-func newID(at time.Time) string {
+// mintID returns a process-unique trace ID for a statement that began at at:
+// 48 bits of the clock over 16 of the counter. It is never 0, which means
+// untraced.
+func mintID(at time.Time) uint64 {
+	id := uint64(at.UnixNano())<<16 | idCounter.Add(1)&0xffff
+	if id == 0 { // the clock's low 48 bits and the counter's low 16 all wrapped at once
+		id = idCounter.Add(1) & 0xffff
+	}
+	return id
+}
+
+// idLen is the length of a rendered trace ID: "%012x-%04x".
+const idLen = 17
+
+// FormatID renders a trace ID as the clock's 12 hex digits, a dash and the
+// counter's 4 ("" for 0: untraced).
+func FormatID(id uint64) string {
+	if id == 0 {
+		return ""
+	}
 	var raw [8]byte
-	binary.BigEndian.PutUint64(raw[:], uint64(at.UnixNano())<<16|idCounter.Add(1)&0xffff)
-	var b [17]byte
+	binary.BigEndian.PutUint64(raw[:], id)
+	var b [idLen]byte
 	hex.Encode(b[:12], raw[:6])
 	b[12] = '-'
 	hex.Encode(b[13:], raw[6:])
 	return string(b[:])
+}
+
+// ParseID is FormatID's inverse: "" is 0, and any other text FormatID could
+// not have produced is refused with an error naming it.
+func ParseID(s string) (uint64, error) {
+	if s == "" {
+		return 0, nil
+	}
+	if len(s) == idLen && s[12] == '-' {
+		var raw [8]byte
+		_, err := hex.Decode(raw[:6], []byte(s[:12]))
+		if _, err2 := hex.Decode(raw[6:], []byte(s[13:])); err == nil && err2 == nil {
+			if id := binary.BigEndian.Uint64(raw[:]); id != 0 {
+				return id, nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("trace: %q is not a trace ID", s)
 }
 
 // Tier names where a statement was answered.
@@ -93,10 +133,15 @@ func (c *Counters) Add(o *Counters) {
 }
 
 // Record is everything measured about one execution of one statement. The
-// goroutine running the statement fills it in — the operator spans under mu —
-// and it is read-only once the statement finishes.
+// goroutine running the statement fills it in, and it is read-only once the
+// statement finishes. It is a plain value: the ring keeps a copy of it.
+//
+// A record comes from a pool (Begin, BeginStatement) and goes back to it
+// (Release) at the end of the call that began it; nothing may read it after
+// that. Its spans are never reused: a copy, and a tree built from it, keep
+// them.
 type Record struct {
-	ID     string // trace ID; "" for a statement inside a procedure body: measured, not kept
+	ID     uint64 // trace ID, rendered by FormatID; 0 for a statement inside a procedure body: measured, not kept
 	Server string // the database that ran it; the root span is Server + ".exec"
 	SQL    string // the text as received ("" when the statement arrived parsed)
 	Shape  string // a SELECT's CacheKey(): the result key's shape and its query-store row's
@@ -118,25 +163,37 @@ type Record struct {
 	at  time.Duration // the last stage boundary, as an offset from Start
 	ran uint8         // bit s: stage s was closed at least once
 
-	mu    sync.Mutex
 	spans *WireSpan // what operators added, once one has: attributes and children of the execute span
 }
+
+// records holds released records for the next Begin.
+var records = sync.Pool{New: func() any { return new(Record) }}
 
 // Begin starts the record of a statement nobody will look up by ID (a SELECT
 // in a procedure body): measured and published like any other, not kept.
 func Begin(server string) *Record {
-	return &Record{Server: server, Start: time.Now(), Staleness: -1}
+	r := records.Get().(*Record)
+	r.Server, r.Start, r.Staleness = server, time.Now(), -1
+	return r
 }
 
-// BeginStatement starts the record of a client statement. An empty id mints a
+// BeginStatement starts the record of a client statement. An id of 0 mints a
 // fresh one; an id that arrived in a wire frame joins the caller's trace.
-func BeginStatement(server, sqlText, id string) *Record {
+func BeginStatement(server, sqlText string, id uint64) *Record {
 	r := Begin(server)
-	if id == "" {
-		id = newID(r.Start)
+	if id == 0 {
+		id = mintID(r.Start)
 	}
 	r.ID, r.SQL = id, sqlText
 	return r
+}
+
+// Release hands r back to the pool, zeroed; its spans are dropped, not
+// reused. Only the call that began r releases it, once, when it and its
+// callers are done reading it.
+func (r *Record) Release() {
+	*r = Record{}
+	records.Put(r)
 }
 
 // Mark closes stage s: the time since the previous boundary (the start, or the
@@ -201,8 +258,7 @@ func (w *WireSpan) Find(name string) *WireSpan {
 // now is the record's monotonic clock as a wall-clock stamp.
 func (r *Record) now() int64 { return r.Start.UnixNano() + int64(time.Since(r.Start)) }
 
-// node resolves the span an operator names: nil is the execute span. Caller
-// holds r.mu.
+// node resolves the span an operator names: nil is the execute span.
 func (r *Record) node(sp *WireSpan) *WireSpan {
 	if sp != nil {
 		return sp
@@ -214,7 +270,7 @@ func (r *Record) node(sp *WireSpan) *WireSpan {
 }
 
 // traced: only a statement that can be looked up afterwards keeps spans.
-func (r *Record) traced() bool { return r != nil && r.ID != "" }
+func (r *Record) traced() bool { return r != nil && r.ID != 0 }
 
 // StartSpan opens a span under parent (nil: the execute span). It returns nil,
 // which Annotate and EndSpan accept, when the record is nil or untraced.
@@ -223,10 +279,8 @@ func (r *Record) StartSpan(parent *WireSpan, name string, attrs ...Attr) *WireSp
 		return nil
 	}
 	sp := &WireSpan{Name: name, StartUTC: r.now(), Attrs: attrs}
-	r.mu.Lock()
 	parent = r.node(parent)
 	parent.Children = append(parent.Children, sp)
-	r.mu.Unlock()
 	return sp
 }
 
@@ -235,10 +289,8 @@ func (r *Record) Annotate(sp *WireSpan, k, v string) {
 	if !r.traced() {
 		return
 	}
-	r.mu.Lock()
 	sp = r.node(sp)
 	sp.Attrs = append(sp.Attrs, Attr{K: k, V: v})
-	r.mu.Unlock()
 }
 
 // EndSpan closes a span. remote, when non-nil, is the tree the other server
@@ -248,13 +300,10 @@ func (r *Record) EndSpan(sp, remote *WireSpan) {
 	if sp == nil {
 		return
 	}
-	end := r.now()
-	r.mu.Lock()
-	sp.DurNanos = end - sp.StartUTC
+	sp.DurNanos = r.now() - sp.StartUTC
 	if remote != nil {
 		sp.Children = append(sp.Children, remote)
 	}
-	r.mu.Unlock()
 }
 
 // Tree renders the record: the root <Server>.exec [sql, autoparam], a child
@@ -295,13 +344,13 @@ func (r *Record) Tree() *WireSpan {
 func (r *Record) FindSpan(name string) *WireSpan { return r.Tree().Find(name) }
 
 // Render formats a record (nil: Collector.Last found none) as an indented text
-// tree with per-span timings.
+// tree with per-span timings, under its rendered trace ID.
 func Render(r *Record) string {
 	if r == nil {
 		return "(no traces recorded)\n"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s total=%s\n", r.ID, fmtDur(r.Total))
+	fmt.Fprintf(&b, "trace %s total=%s\n", FormatID(r.ID), fmtDur(r.Total))
 	renderSpan(&b, r.Tree(), 0)
 	return b.String()
 }
@@ -322,11 +371,15 @@ func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d)/float64(time.Millisecond))
 }
 
-// Collector keeps the most recent published records, oldest first, so a debug
-// endpoint (or shell command) can show what just executed.
+// Collector is a server's trace ring: it keeps copies of the most recent
+// published records, so a debug endpoint (or shell command) can show what
+// just executed. Its slots are values — a record kept costs no allocation —
+// and a reader gets copies of them, which later publishers never touch.
 type Collector struct {
 	mu   sync.Mutex
-	ring []*Record // never grows past the capacity it was made with
+	ring []Record // fixed length: the capacity
+	n    int      // slots in use
+	next int      // the slot the next Add overwrites
 }
 
 // NewCollector creates a collector retaining up to n records (default 16).
@@ -334,41 +387,37 @@ func NewCollector(n int) *Collector {
 	if n <= 0 {
 		n = 16
 	}
-	return &Collector{ring: make([]*Record, 0, n)}
+	return &Collector{ring: make([]Record, n)}
 }
 
-// Traces is the process-wide collector fed by the engine.
-var Traces = NewCollector(16)
-
-// Add keeps a finished record, dropping the oldest when full.
+// Add keeps a copy of a finished record, overwriting the oldest when full.
 func (c *Collector) Add(r *Record) {
 	c.mu.Lock()
-	if len(c.ring) == cap(c.ring) {
-		c.ring = c.ring[:copy(c.ring, c.ring[1:])]
-	}
-	c.ring = append(c.ring, r)
+	c.ring[c.next] = *r
+	c.next = (c.next + 1) % len(c.ring)
+	c.n = min(c.n+1, len(c.ring))
 	c.mu.Unlock()
 }
 
-// Last returns the most recently added record (nil when empty).
+// Last returns a copy of the most recently added record (nil when empty).
 func (c *Collector) Last() *Record {
 	if last := c.Recent(1); len(last) == 1 {
-		return last[0]
+		return &last[0]
 	}
 	return nil
 }
 
-// Recent returns up to n recent records (all of them when n <= 0), newest
-// first.
-func (c *Collector) Recent(n int) []*Record {
+// Recent returns copies of up to n recent records (all of them when n <= 0),
+// newest first.
+func (c *Collector) Recent(n int) []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n <= 0 || n > len(c.ring) {
-		n = len(c.ring)
+	if n <= 0 || n > c.n {
+		n = c.n
 	}
-	out := make([]*Record, n)
+	out := make([]Record, n)
 	for i := range out {
-		out[i] = c.ring[len(c.ring)-1-i]
+		out[i] = c.ring[(c.next-1-i+len(c.ring))%len(c.ring)]
 	}
 	return out
 }
@@ -377,6 +426,6 @@ func (c *Collector) Recent(n int) []*Record {
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	clear(c.ring)
-	c.ring = c.ring[:0]
+	c.n, c.next = 0, 0
 	c.mu.Unlock()
 }

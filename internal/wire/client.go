@@ -279,11 +279,16 @@ func (c *Client) AppliedLSN() (storage.LSN, error) {
 	return resp.Applied, nil
 }
 
-// QueryTraced is Query under the caller's trace ID on the backend ("" for
-// none); the backend-side span tree comes back with the result.
+// QueryTraced is Query under the caller's trace ID on the backend, as
+// trace.FormatID renders it ("" for none); the backend-side span tree comes
+// back with the result. A traceID that does not parse is refused unsent.
 func (c *Client) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
+	id, err := trace.ParseID(traceID)
+	if err != nil {
+		return nil, nil, err
+	}
 	var resp response
-	err := c.roundTrip(&request{Kind: reqQuery, SQL: sqlText, Params: params, TraceID: traceID}, &resp)
+	err = c.roundTrip(&request{Kind: reqQuery, SQL: sqlText, Params: params, TraceID: id}, &resp)
 	if err != nil {
 		return nil, nil, err
 	}

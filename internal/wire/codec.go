@@ -1,6 +1,6 @@
 package wire
 
-// codec.go is the v6 frame codec: what a request and a response hold, the
+// codec.go is the v7 frame codec: what a request and a response hold, the
 // preface, the length-prefixed framing and the payload bytes. wire.go's
 // package comment has the layout; the value, row and string bytes are
 // types/codec.go's, a pulled transaction's changes are
@@ -62,9 +62,9 @@ type request struct {
 	// applied before giving up with Stale.
 	WaitMs int64
 
-	// TraceID joins the server-side execution to the caller's trace (""
+	// TraceID joins the server-side execution to the caller's trace (0
 	// disables tracing).
-	TraceID string
+	TraceID uint64
 
 	// Query.
 	SQL    string
@@ -139,7 +139,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 6}
+var preface = [4]byte{'M', 'T', 'W', 7}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused
@@ -255,7 +255,7 @@ func appendRequest(buf []byte, req *request) []byte {
 	buf = binary.AppendUvarint(buf, req.ID)
 	buf = binary.AppendUvarint(buf, uint64(req.MinLSN))
 	buf = binary.AppendVarint(buf, req.WaitMs)
-	buf = types.AppendString(buf, req.TraceID)
+	buf = binary.LittleEndian.AppendUint64(buf, req.TraceID)
 	switch req.Kind {
 	case reqQuery:
 		buf = types.AppendString(buf, req.SQL)
@@ -305,7 +305,7 @@ func decodeRequest(payload []byte, req *request) error {
 		ID:      d.Uvarint(),
 		MinLSN:  storage.LSN(d.Uvarint()),
 		WaitMs:  d.Varint(),
-		TraceID: d.Str(),
+		TraceID: d.Fixed64(),
 		Params:  params,
 	}
 	switch req.Kind {

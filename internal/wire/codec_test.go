@@ -42,8 +42,8 @@ func sampleRequests() map[string]*request {
 			Params: map[string]types.Value{"id": types.NewInt(7), "d": sampleRow[6], "n": types.Null, "s": types.NewString("")}},
 		"query bare":       {Kind: reqQuery, ID: 1, SQL: "SELECT COUNT(*) FROM part"},
 		"query empty map":  {Kind: reqQuery, ID: 2, SQL: "SELECT 1", Params: map[string]types.Value{}},
-		"query session":    {Kind: reqQuery, ID: 1 << 40, SQL: "SELECT 1", MinLSN: 99, WaitMs: 250, TraceID: "t-1"},
-		"query write":      {Kind: reqQuery, ID: 3, SQL: "UPDATE part SET qty = 0 WHERE id = 7", TraceID: "t-2", WaitMs: -1},
+		"query session":    {Kind: reqQuery, ID: 1 << 40, SQL: "SELECT 1", MinLSN: 99, WaitMs: 250, TraceID: 0x0123456789ab0001},
+		"query write":      {Kind: reqQuery, ID: 3, SQL: "UPDATE part SET qty = 0 WHERE id = 7", TraceID: 1<<63 | 2, WaitMs: -1},
 		"snapshot":         {Kind: reqSnapshot, ID: 4},
 		"applied":          {Kind: reqApplied, ID: 5},
 		"provision":        {Kind: reqProvision, ID: 6, Table: "part", Columns: []string{"id", "", "name"}, Filter: "(part.qty > 10)", SubName: "cache1.cv_part"},
@@ -196,10 +196,10 @@ func sameResponse(a, b *response) bool {
 // names, in order; an encoder, which writes a map, never names one twice.
 func queryFrame(names []string, vals []types.Value) []byte {
 	buf := []byte{byte(reqQuery)}
-	buf = binary.AppendUvarint(buf, 1) // ID
-	buf = binary.AppendUvarint(buf, 0) // MinLSN
-	buf = binary.AppendVarint(buf, 0)  // WaitMs
-	buf = types.AppendString(buf, "")  // TraceID
+	buf = binary.AppendUvarint(buf, 1)             // ID
+	buf = binary.AppendUvarint(buf, 0)             // MinLSN
+	buf = binary.AppendVarint(buf, 0)              // WaitMs
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // TraceID
 	buf = types.AppendString(buf, "SELECT name FROM part WHERE id = @a")
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for i, name := range names {
@@ -395,9 +395,13 @@ func TestCodecAllocBudget(t *testing.T) {
 
 // TestRoundTripAllocBudget: what a warm round trip allocates, counting both
 // ends — a Client.QuerySession of a one-row SELECT against Serve, the
-// server's decode, execution and encode and the client's decode included.
-// The ceiling is the measured count, 8, plus one; it was 9 while the server
-// started each frame's handler as a new closure.
+// server's decode, execution and encode and the client's decode included —
+// untraced, and traced as a cache's remote subquery is: under the caller's
+// trace ID, with the server's span tree coming back. Each ceiling is the
+// measured count plus one: 6 and 23. They were 8 and 25 while the server
+// decoded the trace ID as text and each statement's record was a new object,
+// and the untraced one was 9 while the server started each frame's handler as
+// a new closure.
 func TestRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -405,18 +409,38 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	_, srv := newWiredBackend(t)
 	c := dial(t, srv)
 	const q = "SELECT name FROM part WHERE id = 7"
-	call := func() {
-		res, err := c.QuerySession(q, nil, 0, 0)
-		if err != nil || len(res.Rows) != 1 {
-			t.Fatalf("%s: %+v, %v", q, res, err)
+	id := trace.FormatID(0x0123456789ab0001)
+	for _, r := range []struct {
+		name    string
+		call    func() (rows int, err error)
+		ceiling float64
+	}{
+		{"untraced", func() (int, error) {
+			res, err := c.QuerySession(q, nil, 0, 0)
+			return len(res.Rows), err
+		}, 6 + 1},
+		{"traced", func() (int, error) {
+			rs, span, err := c.QueryTraced(q, nil, id)
+			if err == nil && span == nil {
+				err = fmt.Errorf("no span tree for a traced query")
+			}
+			if rs == nil {
+				return 0, err
+			}
+			return len(rs.Rows), err
+		}, 23 + 1},
+	} {
+		call := func() {
+			if n, err := r.call(); err != nil || n != 1 {
+				t.Fatalf("%s %s: %d rows, %v", r.name, q, n, err)
+			}
 		}
-	}
-	call() // warm the plan, the connection and the pools
-	const ceiling = 9
-	avg := testing.AllocsPerRun(300, call)
-	t.Logf("round trip: %.0f allocs", avg)
-	if avg > ceiling {
-		t.Errorf("round trip: %.0f allocs, ceiling %d", avg, ceiling)
+		call() // warm the plan, the connection and the pools
+		avg := testing.AllocsPerRun(300, call)
+		t.Logf("%s round trip: %.0f allocs", r.name, avg)
+		if avg > r.ceiling {
+			t.Errorf("%s round trip: %.0f allocs, ceiling %.0f", r.name, avg, r.ceiling)
+		}
 	}
 }
 
@@ -424,7 +448,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 // slot may still hold when the next frame is decoded into it: a field of
 // every body.
 func recycledRequest() request {
-	return request{Kind: reqPull, ID: 99, MinLSN: 9, WaitMs: 9, TraceID: "old", SQL: "old",
+	return request{Kind: reqPull, ID: 99, MinLSN: 9, WaitMs: 9, TraceID: 9, SQL: "old",
 		Params: map[string]types.Value{"old": types.NewInt(9)}, Table: "old", Columns: []string{"old"},
 		Filter: "old", SubName: "old", Target: "old", FromLSN: 9, SubID: 9, Max: 9, AckLSN: 9}
 }

@@ -19,7 +19,7 @@ func TestWireQueryTraced(t *testing.T) {
 	c := dial(t, srv)
 
 	rs, w, err := c.QueryTraced("SELECT name FROM part WHERE id = @id",
-		exec.Params{"id": types.NewInt(7)}, "trace-123")
+		exec.Params{"id": types.NewInt(7)}, "0123456789ab-0123")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,8 @@ func TestWireQueryTraced(t *testing.T) {
 // A query through a remote cache stitches the backend's spans (shipped over
 // TCP in the response frame) under the cache-side remote span.
 func TestWireTraceStitchedAcrossLink(t *testing.T) {
-	_, srv := newWiredBackend(t)
+	b, srv := newWiredBackend(t)
+	backendDB := b.DB
 	c := dial(t, srv)
 	rc, err := NewRemoteCache("tcpcache", c, nil)
 	if err != nil {
@@ -64,9 +65,9 @@ func TestWireTraceStitchedAcrossLink(t *testing.T) {
 	if res.Counters.RemoteQueries != 1 {
 		t.Fatalf("expected a remote round-trip: %+v", res.Counters)
 	}
-	tr := trace.Traces.Last()
+	tr := rc.DB.Traces().Last()
 	if tr == nil || tr.ID != res.TraceID {
-		t.Fatalf("last trace does not match result trace ID %q", res.TraceID)
+		t.Fatalf("last trace does not match result trace ID %x", res.TraceID)
 	}
 	for _, name := range []string{"remote", "backend.exec"} {
 		if tr.FindSpan(name) == nil {
@@ -74,10 +75,10 @@ func TestWireTraceStitchedAcrossLink(t *testing.T) {
 		}
 	}
 	// The backend ran its half under the cache's trace ID — its own record,
-	// kept just before the cache's, carries it — and its spans came back in
-	// the response frame: one tree.
-	if back := trace.Traces.Recent(2)[1]; back.Server != "backend" || back.ID != tr.ID {
-		t.Errorf("backend record %s.exec has trace ID %q, want %q", back.Server, back.ID, tr.ID)
+	// the last in its own ring, carries it — and its spans came back in the
+	// response frame: one tree.
+	if back := backendDB.Traces().Last(); back.Server != "backend" || back.ID != tr.ID {
+		t.Errorf("backend record %s.exec has trace ID %x, want %x", back.Server, back.ID, tr.ID)
 	}
 	text := trace.Render(tr)
 	for _, want := range []string{"tcpcache.exec", "backend.exec", "remote"} {
@@ -98,7 +99,7 @@ func TestResilientQueryTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rs, w, err := r.QueryTraced("SELECT COUNT(*) FROM part", nil, "trace-xyz")
+	rs, w, err := r.QueryTraced("SELECT COUNT(*) FROM part", nil, "0123456789ab-4567")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +108,28 @@ func TestResilientQueryTraced(t *testing.T) {
 	}
 	if w == nil || w.Name != "backend.exec" {
 		t.Fatalf("resilient traced span: %+v", w)
+	}
+}
+
+// A trace ID travels as the number trace.FormatID renders: text it could not
+// have produced is refused, unsent, with an error naming it, by the client and
+// through the resilient client's retry loop.
+func TestUnparseableTraceIDRefused(t *testing.T) {
+	_, srv := newWiredBackend(t)
+	r, err := DialResilient(srv.Addr(), resilience.Policy{
+		MaxAttempts: 2, RequestTimeout: time.Second,
+		BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for name, q := range map[string]func(string, exec.Params, string) (*exec.ResultSet, *trace.WireSpan, error){
+		"client": dial(t, srv).QueryTraced, "resilient": r.QueryTraced,
+	} {
+		if rs, _, err := q("SELECT COUNT(*) FROM part", nil, "trace-xyz"); err == nil || rs != nil || !strings.Contains(err.Error(), "trace-xyz") {
+			t.Errorf("%s: %v, %v; want an error naming the ID", name, rs, err)
+		}
 	}
 }
 
@@ -161,7 +184,7 @@ func TestTracedRequestPassesSessionGate(t *testing.T) {
 	applied := rc.AppliedLSN()
 	const q = "SELECT name FROM part WHERE type = 'Tire' AND id = 4"
 	var resp response
-	if err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: "t-gate", MinLSN: applied + 1000, WaitMs: 20}, &resp); err != nil {
+	if err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: 0x0123456789ab0002, MinLSN: applied + 1000, WaitMs: 20}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Stale || len(resp.Rows) != 0 || resp.Span != nil {
@@ -171,7 +194,7 @@ func TestTracedRequestPassesSessionGate(t *testing.T) {
 		t.Errorf("stale answer reports Applied=%d, cache is at %d", resp.Applied, applied)
 	}
 
-	if err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: "t-gate", MinLSN: applied, WaitMs: 20}, &resp); err != nil {
+	if err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: 0x0123456789ab0003, MinLSN: applied, WaitMs: 20}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Stale || len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "part4" {

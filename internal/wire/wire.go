@@ -1,5 +1,5 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v6) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v7) carrying
 //
 //   - Query — the linked-server path (paper §2.1): remote subexpressions,
 //     forwarded writes and forwarded procedure calls travel as SQL text (or a
@@ -26,7 +26,7 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x06
+//	preface, once, each direction: 'M' 'T' 'W' 0x07
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
@@ -35,7 +35,7 @@
 //	  uvarint ID
 //	  uvarint MinLSN
 //	  varint  WaitMs
-//	  string  TraceID
+//	  uint64  TraceID, 8 bytes LE (0: untraced; through v6 a string)
 //	  body, by kind:
 //	    Query             string SQL, uvarint #params, per param: string name, value
 //	                      (no name twice)
@@ -351,23 +351,23 @@ func (s *Server) handle(req *request, resp *response) {
 		res, rec, err := s.execDB().ExecSessionTraced(req.SQL, req.Params,
 			req.MinLSN, time.Duration(req.WaitMs)*time.Millisecond, req.TraceID)
 		resp.Applied = s.appliedLSN()
-		if errors.Is(err, engine.ErrSessionStale) {
+		switch {
+		case errors.Is(err, engine.ErrSessionStale):
 			// Not an error on the wire: the cache is simply behind the
 			// session's watermark. The client reroutes to the backend.
 			resp.Stale = true
-			return
-		}
-		if err != nil {
+		case err != nil:
 			resp.Err = err.Error()
-			return
+		default:
+			resp.Cols = res.Cols
+			resp.Rows = res.Rows
+			resp.N = res.RowsAffected
+			resp.LSN = res.CommitLSN
+			if req.TraceID != 0 {
+				resp.Span = rec.Tree()
+			}
 		}
-		resp.Cols = res.Cols
-		resp.Rows = res.Rows
-		resp.N = res.RowsAffected
-		resp.LSN = res.CommitLSN
-		if req.TraceID != "" {
-			resp.Span = rec.Tree()
-		}
+		rec.Release()
 	case reqApplied:
 		resp.Applied = s.appliedLSN()
 	case reqSnapshot, reqProvision, reqResume, reqPull:

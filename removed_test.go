@@ -87,6 +87,9 @@ var removedNames = []struct {
 	{`querystore\.shapes`, "", "per-shape statistics on the plan-cache entry (bounded by the plan cache)"},
 	{`querystore\.evictions`, "", "per-shape statistics on the plan-cache entry (bounded by the plan cache)"},
 	{`qsEnabled`, "", "per-shape statistics on the plan-cache entry (no on/off switch)"},
+	{`trace\.Traces\b`, "", "each server's own trace ring (engine.Database.Traces)"},
+	{`(?m)^\s+TraceID\s+string\b`, `^internal/eventlog/`, "no trace ID on an event (no emitter ever set one)"},
+	{`(?s)type Record struct \{[^}]*sync\.`, `^internal/trace/`, "a record one goroutine fills: a plain value the ring copies"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
