@@ -259,7 +259,9 @@ func (db *Database) ExecSession(sqlText string, params exec.Params, minLSN stora
 // 0 mints one — runs the statement, the session gate first, and publishes the
 // record, which comes back finished and never nil (a gate refusal is a
 // statement too). The record is the caller's to read and then to Release:
-// this server's ring kept a copy.
+// this server's ring kept a copy. So is the Result, whose release is
+// optional (see Result): the wire server releases it once the response
+// frame holding its rows is written.
 func (db *Database) ExecSessionTraced(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, traceID uint64) (*Result, *trace.Record, error) {
 	rec := trace.BeginStatement(db.Name, sqlText, traceID)
 	res, err := db.execText(sqlText, params, minLSN, wait, rec)
@@ -355,7 +357,10 @@ func (db *Database) env() *opt.Env {
 	return &opt.Env{Cat: db.cat, IsCache: db.role == Cache, Opts: db.opts}
 }
 
-// Result is the outcome of one statement.
+// Result is the outcome of one statement. It is its caller's: to keep, or to
+// Release once nothing reads it, which lets the next statement reuse the
+// struct and, when the rows were executed here and the result cache did not
+// keep them, their row slice (the rows themselves are never reused).
 type Result struct {
 	// Set for queries.
 	Cols []exec.ColInfo
@@ -384,6 +389,50 @@ type Result struct {
 	// (Traces; trace.FormatID renders it); 0 when the statement did not
 	// arrive as text: ExecStmt.
 	TraceID uint64
+
+	// kept is the row slice this Result may recycle: the one runPlan filled
+	// Rows into, unless the result cache kept those rows, or the one a
+	// released Result kept for the next runPlan to fill. It is never the
+	// rows of a result-cache entry.
+	kept []types.Row
+}
+
+// results holds released Results, each with the row slice it kept.
+var results = sync.Pool{New: func() any { return new(Result) }}
+
+// keepRows is the largest row slice a released Result keeps; a bigger one
+// (a scan of thousands of rows) is dropped, so what the pool holds per
+// Result stays small whatever an occasional statement returns.
+const keepRows = 128
+
+// newResult takes an empty Result from the pool.
+func newResult() *Result { return results.Get().(*Result) }
+
+// Release hands res back for reuse; res and every slice it returned may
+// not be read afterwards. It always recycles the struct, and recycles the
+// row slice only when res owns it: runPlan filled it and the result cache
+// did not keep it. A result-cache hit's rows belong to the cache. Releasing
+// is optional — a Result nobody releases is collected as usual — and a nil
+// Result is ignored.
+func (res *Result) Release() {
+	if res == nil {
+		return
+	}
+	rows := res.kept
+	if cap(rows) > keepRows {
+		rows = nil
+	}
+	clear(rows[:cap(rows)])
+	*res = Result{kept: rows[:0]}
+	results.Put(res)
+}
+
+// takeRows makes r's rows res's answer: res takes r's columns, rows and the
+// slice r may recycle, and gives r the one it held, which r's Release then
+// recycles.
+func (res *Result) takeRows(r *Result) {
+	res.Cols, res.Rows = r.Cols, r.Rows
+	res.kept, r.kept = r.kept, res.kept
 }
 
 // Exec parses and executes one SQL statement (query, DML or DDL). The
@@ -495,7 +544,9 @@ func (db *Database) answer(stmt *sql.SelectStmt, e *planEntry, params exec.Param
 			if found {
 				rec.Tier, rec.Variant = trace.TierIMCache, trace.TierIMCache.String()
 				rec.Rows, rec.Staleness = int64(len(hit.Rows)), db.staleness()
-				return &Result{Cols: hit.Cols, Rows: hit.Rows, SnapshotLSN: storage.LSN(hit.LSN)}, nil
+				res := newResult()
+				res.Cols, res.Rows, res.SnapshotLSN = hit.Cols, hit.Rows, storage.LSN(hit.LSN)
+				return res, nil
 			}
 			// Miss: stamp before planning and the read snapshot, so Observe
 			// can tell a write landed while this execution was in flight.
@@ -529,8 +580,8 @@ func (db *Database) answer(stmt *sql.SelectStmt, e *planEntry, params exec.Param
 	// Feed the intermediate cache. A bounded execution of the twin's plan is
 	// the twin's run; one sent whole to the backend made a remote call, which
 	// imObserve turns away.
-	if cacheable {
-		db.imObserve(imc, key, vals, imstamp, autoArgs, cp.lineage, res, rec)
+	if cacheable && db.imObserve(imc, key, vals, imstamp, autoArgs, cp.lineage, res, rec) {
+		res.kept = nil // the cache holds res.Rows now
 	}
 	return res, nil
 }
@@ -754,7 +805,10 @@ func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Pa
 // Result never alias memory the instance keeps (exec.Batch says why).
 // The instance runs in tx — the caller's write transaction, for a SELECT that
 // must see its own statement's or procedure's writes — or, when tx is nil,
-// against a read-only snapshot of its own. With instrument set a clone runs
+// against a read-only snapshot of its own: a read begun on the instance's own
+// Txn and finished as soon as the run is, before the instance is released or
+// dropped, so a parked instance pins no snapshot and the next execution to
+// take it begins afresh on a finished one. With instrument set a clone runs
 // under exec.Instrument and the instrumented root comes back for
 // opt.ExplainAnalyze, which reads the run state the shells and operators are
 // left in, so that tree is never pooled; the shells pass batches through
@@ -766,11 +820,6 @@ func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Pa
 // exec.Ctx: its ID travels with every remote call, and the few with structure
 // to show add spans to it.
 func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params, autoArgs []types.Value, rec *trace.Record, instrument bool) (*Result, *exec.Instrumented, error) {
-	if tx == nil {
-		tx = db.store.Begin(false)
-		defer tx.Abort()
-	}
-	res := &Result{}
 	var inst *exec.Instance
 	if !instrument {
 		inst = plan.Instances.Take()
@@ -778,6 +827,11 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 	if inst == nil { // the free list is empty, or the run is instrumented
 		inst = &exec.Instance{Root: exec.CloneOperator(plan.Root)}
 	}
+	if tx == nil {
+		tx = &inst.Txn
+		db.store.BeginRead(tx)
+	}
+	res := newResult()
 	ctx := &inst.Ctx
 	ctx.Txn, ctx.Remote, ctx.Counters, ctx.Rec, ctx.EstRows = tx, db.remote, &res.Counters, rec, plan.Card
 	bindParams(plan, params, autoArgs, ctx)
@@ -787,18 +841,21 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 		shell = exec.Instrument(root)
 		root = shell
 	}
-	var rs exec.ResultSet
+	rs := exec.ResultSet{Rows: res.kept}
 	err := exec.Run(root, ctx, &rs)
 	rec.Mark(trace.StageExec)
+	res.SnapshotLSN = tx.AsOfLSN()
+	if tx == &inst.Txn {
+		tx.Abort() // before Release: see above
+	}
 	if err != nil {
+		res.Release()
 		return nil, nil, err
 	}
 	if !instrument {
 		plan.Instances.Release(inst)
 	}
-	res.Cols = rs.Cols
-	res.Rows = rs.Rows
-	res.SnapshotLSN = tx.AsOfLSN()
+	res.Cols, res.Rows, res.kept = rs.Cols, rs.Rows, rs.Rows
 	rec.Rows, rec.Counters = int64(len(rs.Rows)), res.Counters
 	return res, shell, nil
 }

@@ -158,18 +158,19 @@ func (db *Database) relations(from []sql.TableRef, read map[string]*catalog.Tabl
 // made no remote call qualifies — a fully local plan, or a dynamic plan whose
 // guard chose the local branch: rows produced on the backend could be
 // invalidated silently by writes this cache never hears about. Its benefit is
-// the record's execute stage.
+// the record's execute stage. It reports whether the cache now holds res's
+// rows, which ends res's ownership of them.
 func (db *Database) imObserve(imc *imcache.Cache, key imcache.Key, vals []types.Value, stamp uint64,
-	autoArgs []types.Value, lineage []string, res *Result, rec *trace.Record) {
+	autoArgs []types.Value, lineage []string, res *Result, rec *trace.Record) bool {
 	if res.Counters.RemoteQueries > 0 || lineage == nil {
-		return
+		return false
 	}
 	kept := make([]types.Value, len(vals))
 	for i, v := range vals {
 		v.S = strings.Clone(v.S)
 		kept[i] = v
 	}
-	imc.Observe(imcache.Observation{
+	return imc.Observe(imcache.Observation{
 		Key:     key,
 		Vals:    kept,
 		Args:    formatLiterals(autoArgs),

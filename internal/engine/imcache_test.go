@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -460,4 +461,63 @@ func TestIMKeyKeepsMixedCaseParamValues(t *testing.T) {
 	if n := res.Rows[0][0].Int(); n != 2 {
 		t.Fatalf("@ID = 3 and @ID = 7 left %d result entries, want one each", n)
 	}
+}
+
+// TestReleasedResultsNeverTouchAdmittedRows: a Result recycles its row slice
+// on Release only when the result cache did not keep the rows. An entry's
+// rows, admitted from an execution whose Result was released, read the same
+// after a thousand later executions and hits of the same shape, each
+// released; a hit still serves that very slice.
+func TestReleasedResultsNeverTouchAdmittedRows(t *testing.T) {
+	db := imTestDB(t, nil)
+	const q = "SELECT id, v FROM t WHERE grp = @g AND id >= @lo"
+	run := func(g, lo int) *Result {
+		t.Helper()
+		res, err := db.Exec(q, exec.Params{"g": types.NewInt(int64(g)), "lo": types.NewInt(int64(lo))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	hash := func(rows []types.Row) uint64 {
+		h := fnv.New64a()
+		for _, r := range rows {
+			for _, v := range r {
+				fmt.Fprintf(h, "%s|", v.Display())
+			}
+			h.Write([]byte{'\n'})
+		}
+		return h.Sum64()
+	}
+	hits := metrics.Default.Counter("imcache.hits")
+	run(5, 0).Release() // a candidate
+	res := run(5, 0)    // admitted
+	admitted, want := res.Rows, hash(res.Rows)
+	if len(admitted) != 16 {
+		t.Fatalf("grp 5: %d rows, want 16", len(admitted))
+	}
+	res.Release()
+	for i := 0; i < 1000; i++ {
+		// Distinct keys each run once stay candidates: every one executes.
+		g, lo := 5, 1+i
+		if i%4 == 0 {
+			g, lo = 0, 0 // a hit on an entry of its own after two runs
+		}
+		run(g, lo).Release()
+		if i%100 == 0 {
+			hits0 := hits.Value()
+			run(5, 0).Release()
+			if hits.Value() != hits0+1 {
+				t.Fatalf("run %d: grp 5 was not a result-cache hit", i)
+			}
+		}
+	}
+	if got := hash(admitted); got != want {
+		t.Fatalf("an admitted entry's rows changed under released Results: hash %x, want %x", got, want)
+	}
+	res = run(5, 0)
+	if len(res.Rows) != len(admitted) || &res.Rows[0] != &admitted[0] || hash(res.Rows) != want {
+		t.Fatalf("the hit no longer serves the admitted rows")
+	}
+	res.Release()
 }

@@ -142,10 +142,10 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 // a backend gets here with one, as a cache forwards every call that writes. A
 // body that only reads runs statement by statement, each with a record of its
 // own from ExecStmt; the call's result is its first statement's, with the
-// later ones folded in.
+// later ones folded in. A body statement's result is released once folded.
 func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (*Result, error) {
 	if proc.Writes() {
-		res := &Result{}
+		res := newResult()
 		tx := db.store.Begin(true)
 		for _, stmt := range proc.Body {
 			switch x := stmt.(type) {
@@ -171,8 +171,9 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 					tx.Abort()
 					return nil, err
 				}
-				res.Cols, res.Rows = r.Cols, r.Rows
+				res.takeRows(r)
 				res.Counters.Add(&r.Counters)
+				r.Release()
 			default:
 				tx.Abort()
 				return nil, fmt.Errorf("engine: unsupported statement in procedure %s", proc.Name)
@@ -206,12 +207,13 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 			res.CommitLSN = r.CommitLSN
 		}
 		if len(r.Cols) > 0 {
-			res.Cols, res.Rows = r.Cols, r.Rows
+			res.takeRows(r)
 		}
 		res.Counters.Add(&r.Counters)
+		r.Release()
 	}
 	if res == nil {
-		res = &Result{}
+		res = newResult()
 	}
 	return res, nil
 }

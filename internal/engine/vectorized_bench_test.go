@@ -99,10 +99,12 @@ func BenchmarkAgg(b *testing.B)  { benchStatement(b, benchAggSQL) }
 // execution allocates per batch of result rows and per distinct build key,
 // never per input row, and a warm execution runs on the instance the plan
 // kept from the one before, so its batch windows, arenas, aggregate table,
-// context and parameter slots are already there, its views are values, and
-// its statement's record comes from a pool with a numeric trace ID: 35, 261
-// and 4 measured (37, 263 and 6 with a new record and a text ID per
-// statement; 46, 274 and 11 when every Open bound its views by
+// context, parameter slots and read transaction are already there, its views
+// are values, its statement's record comes from a pool with a numeric trace
+// ID, and its Result, released here, comes from a pool with the row slice it
+// kept: 33, 258 and 1 measured (35, 261 and 4 with a new Result, row slice
+// and read transaction per execution; 37, 263 and 6 with a new record and a
+// text ID per statement; 46, 274 and 11 when every Open bound its views by
 // pointer and compiled its filter; 85, 512 and 524 on a fresh clone per
 // execution), ceilings 15 % above. An operator that goes back to one make per
 // row, or an instance that is not reused, overshoots them several times
@@ -116,14 +118,16 @@ func TestExecAllocGate(t *testing.T) {
 		name, sql string
 		ceiling   float64
 	}{
-		{"scan", benchScanSQL, 41},
-		{"join", benchJoinSQL, 301},
-		{"agg", benchAggSQL, 5},
+		{"scan", benchScanSQL, 38},
+		{"join", benchJoinSQL, 297},
+		{"agg", benchAggSQL, 2},
 	} {
 		run := func() {
-			if _, err := db.Exec(g.sql, nil); err != nil {
+			res, err := db.Exec(g.sql, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
+			res.Release()
 		}
 		run() // warm the plan cache
 		avg := testing.AllocsPerRun(20, run)

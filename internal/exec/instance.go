@@ -1,6 +1,10 @@
 package exec
 
-import "sync"
+import (
+	"sync"
+
+	"mtcache/internal/storage"
+)
 
 // CloneOperator deep-copies an operator tree's structure, leaving runtime
 // state (cursors, hash tables, buffers) fresh. Compiled expressions are
@@ -62,11 +66,15 @@ const (
 )
 
 // Instance is what one execution of a plan runs on: an operator tree of its
-// own, cloned from the plan's template, and the Ctx the execution runs in.
-// The caller sets the Ctx's fields before Run; Release zeroes them.
+// own, cloned from the plan's template, the Ctx the execution runs in, and
+// the read transaction it runs in when it brings its own (storage.BeginRead
+// on Txn). The caller sets the Ctx's fields before Run; Release zeroes them.
+// The caller also finishes Txn before Release: a parked instance pins no
+// snapshot, and the next execution begins on Txn again.
 type Instance struct {
 	Root Operator
 	Ctx  Ctx
+	Txn  storage.Txn
 }
 
 // reset resets the tree and the Ctx and returns the bytes they keep.
@@ -109,8 +117,13 @@ func (p *Instances) Take() *Instance {
 // Release resets inst, whose execution returned no error and has been
 // closed, and parks it for the next Take. An instance whose execution failed
 // is not released: it is dropped, with whatever state the failure left in
-// it.
+// it. So is one whose Txn is still live: parked, its snapshot would stay
+// pinned, and the next execution to take it would begin on a transaction its
+// first holder has yet to finish.
 func (p *Instances) Release(inst *Instance) {
+	if inst.Txn.Live() {
+		return
+	}
 	kept := inst.reset()
 	if kept > maxKept {
 		return

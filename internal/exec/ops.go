@@ -166,8 +166,12 @@ func visitKeys(fn func(Expr), keys []SortKey) {
 }
 
 // Run drains an operator into the caller's rs: it sets rs.Cols to the
-// operator's columns and rs.Rows to the rows, replacing what they held. On
-// an error what rs holds is undefined.
+// operator's columns and rs.Rows to the rows, replacing what they held. The
+// rows fill the capacity rs.Rows already has — a caller that keeps a row
+// slice between runs (engine.Result does) passes it in emptied of rows
+// anyone still reads — and a new slice is made only when that capacity is
+// short of the estimate or of the rows. On an error what rs holds is
+// undefined.
 func Run(op Operator, ctx *Ctx, rs *ResultSet) error {
 	if ctx.Env.Named == nil {
 		ctx.Env.Named = ctx.Params
@@ -176,8 +180,8 @@ func Run(op Operator, ctx *Ctx, rs *ResultSet) error {
 		return err
 	}
 	defer op.Close()
-	rs.Cols, rs.Rows = op.Columns(), nil
-	if n := preallocSize(ctx.EstRows, maxPrealloc); n > 0 {
+	rs.Cols, rs.Rows = op.Columns(), rs.Rows[:0]
+	if n := preallocSize(ctx.EstRows, maxPrealloc); n > cap(rs.Rows) {
 		rs.Rows = make([]types.Row, 0, n)
 	}
 	b := &ctx.out

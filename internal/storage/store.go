@@ -358,16 +358,31 @@ type undoRec struct {
 }
 
 // Begin opens a transaction. Read transactions pin the current snapshot and
-// take no locks; write transactions latch tables lazily on first access.
+// take no locks (BeginRead); write transactions latch tables lazily on first
+// access.
 func (s *Store) Begin(write bool) *Txn {
-	t := &Txn{s: s, id: s.nextTx.Add(1), write: write}
-	if !write {
-		m := s.pinSnapshot()
-		t.snap = m.ts
-		t.asOfLSN = m.walEnd
+	if write {
+		return &Txn{s: s, id: s.nextTx.Add(1), write: true}
 	}
+	t := new(Txn)
+	s.BeginRead(t)
 	return t
 }
+
+// BeginRead opens a read transaction in t, overwriting it: the one way a read
+// begins, for a Txn of Begin's or one its holder keeps between reads (a plan
+// instance's). t must not be live — its pin would leak.
+func (s *Store) BeginRead(t *Txn) {
+	if t.Live() {
+		panic("storage: BeginRead on a live transaction")
+	}
+	m := s.pinSnapshot()
+	*t = Txn{s: s, id: s.nextTx.Add(1), snap: m.ts, asOfLSN: m.walEnd}
+}
+
+// Live reports whether t was begun and is not yet committed or aborted. A
+// zero Txn is not live; a read transaction pins its snapshot while it is.
+func (t *Txn) Live() bool { return t.s != nil && !t.done }
 
 // ID returns the transaction id.
 func (t *Txn) ID() int64 { return t.id }

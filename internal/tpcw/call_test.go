@@ -388,8 +388,8 @@ func runKeeping(t *testing.T, run func(callServer, *catalog.Procedure, exec.Para
 // request and response for every frame, 33 while every execution built its
 // own context and views, and 20 while each server exchange made a parameter
 // map and a handler closure, the cache bound the call's arguments into a map
-// of its own and the call's result was a copy of its statement's. It is 14
-// now, the ceiling 14 + 2.
+// of its own and the call's result was a copy of its statement's, and 14
+// while each statement's record was a new object.
 //
 // updateLogin is a copied one-statement writer, which the cache forwards as it
 // arrived: each call is one backend commit, and the session's next call waits
@@ -398,8 +398,13 @@ func runKeeping(t *testing.T, run func(callServer, *catalog.Procedure, exec.Para
 // 100 parses; it was 50 before the plan instances kept their context and 29
 // before the exchanges kept their map and handler and the backend ran the
 // body on the request's map, and 24 while each statement's record was a new
-// object with a trace ID formatted as text, on both servers. It is 20 now,
-// the ceiling 20 + 2; getBook's is 11 + 2 (14 before the pooled record).
+// object with a trace ID formatted as text, on both servers, and 20 while each
+// server connection decoded every frame's call shape and parameter names into
+// new strings and each execution's read transaction and Result, the Result's
+// row slice included, were new objects (getBook's was 11). Now those are
+// interned per connection, kept by the plan instance and pooled, the Result
+// released once its response frame is written: updateLogin measures 17, the
+// ceiling 17 + 2, and getBook 6, the ceiling 6 + 2.
 func TestRoutedCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -414,8 +419,8 @@ func TestRoutedCallAllocBudget(t *testing.T) {
 		commits storage.LSN // backend commits over 100 calls
 		ceiling float64
 	}{
-		{"getBook", exec.Params{"i_id": types.Null}, "i_id", 0, 11 + 2},
-		{"updateLogin", exec.Params{"c_id": types.Null, "t": login}, "c_id", 100, 20 + 2},
+		{"getBook", exec.Params{"i_id": types.Null}, "i_id", 0, 6 + 2},
+		{"updateLogin", exec.Params{"c_id": types.Null, "t": login}, "c_id", 100, 17 + 2},
 	} {
 		sess := cache.r.Session()
 		next := int64(0)

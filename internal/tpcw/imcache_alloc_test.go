@@ -13,9 +13,12 @@ import (
 // a literal point SELECT, the same shape with a named parameter, and each of
 // them under WITH FRESHNESS, which reaches its unbounded twin's entry with no
 // parse, deparse or second normalization. Every run is a hit and none parses.
-// The key costs nothing; what is left is the statement's record, its ID and
-// the Result. Each ceiling is the measured count plus one, and a bounded hit
-// costs at most one object more than its twin.
+// The key costs nothing, the statement's record and its ID come from a pool
+// and are a number, and the Result, which the caller releases, comes from a
+// pool too: a hit allocates nothing (1, the Result, before it was pooled).
+// The hit's rows are the cache's, never copied. Each ceiling is the measured
+// count plus one, and a bounded hit costs at most one object more than its
+// twin.
 func TestResultCacheHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -32,10 +35,10 @@ func TestResultCacheHitAllocBudget(t *testing.T) {
 		twin    string // the unbounded case whose entry a bounded one hits
 		ceiling float64
 	}{
-		{"literal", literal, nil, "", 4},
-		{"named parameter", named, exec.Params{"id": types.NewInt(17)}, "", 4},
-		{"bounded literal", literal + " WITH FRESHNESS 300", nil, "literal", 4},
-		{"bounded named parameter", named + " WITH FRESHNESS @f", exec.Params{"id": types.NewInt(17), "f": types.NewInt(300)}, "named parameter", 4},
+		{"literal", literal, nil, "", 1},
+		{"named parameter", named, exec.Params{"id": types.NewInt(17)}, "", 1},
+		{"bounded literal", literal + " WITH FRESHNESS 300", nil, "literal", 1},
+		{"bounded named parameter", named + " WITH FRESHNESS @f", exec.Params{"id": types.NewInt(17), "f": types.NewInt(300)}, "named parameter", 1},
 	}
 	hits, parses := metrics.Default.Counter("imcache.hits"), metrics.Default.Histogram("engine.parse_seconds")
 	measured := map[string]float64{}
@@ -45,6 +48,7 @@ func TestResultCacheHitAllocBudget(t *testing.T) {
 			if err != nil || len(res.Rows) != 1 || res.Counters.RemoteQueries != 0 {
 				t.Fatalf("%s: %+v, %v", tc.text, res, err)
 			}
+			res.Release()
 		}
 		if tc.twin == "" {
 			run() // admitted on the second execution

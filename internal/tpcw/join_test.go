@@ -288,10 +288,16 @@ func TestProceduresAgreeAcrossJoinStrategies(t *testing.T) {
 // in the named map, through the front door and the statement's record; the
 // body runs on that map, and the call's result is its statement's; the
 // call's record and its body SELECT's come from a pool, and the call's trace
-// ID is a number. Ceilings are about 15 % over what each measured on that
-// path (4 / 0.4, 4 / 0.7, 4 / 8.3, 5 / 14.9, 6 / 14.6 and 6 / 12.1); the two
-// under 1 KiB have 0.8 and 0.9, room for the up to 0.3 KiB the first call
-// measured picks up from the pair's background work. Earlier counts: 7 / 1.0,
+// ID is a number; the execution's read transaction is the instance's, the
+// body's Result and its row slice come from a pool, and the caller releases
+// the call's. Ceilings are one object and about 15 % of the KiB over what
+// each measured on that path (1 / 0.2, 1 / 0.4, 1 / 6.9, 2 / 13.4, 1 / 9.4
+// and 1 / 6.8); the two under 1 KiB have 0.5 and 0.7, room for the up to
+// 0.3 KiB the first call measured picks up from the pair's background work.
+// Earlier counts: 4 / 0.5, 4 / 0.7, 4 / 8.4, 5 / 14.9, 6 / 14.7 and 6 / 12.1
+// with a new Result, row slice and read transaction per execution (the last
+// two subject searches sized their row slices by the estimate, every call);
+// 7 / 1.0,
 // 7 / 1.2, 7 / 8.9, 8 / 15.5, 9 / 15.2 and 9 / 12.6 with a new record per
 // statement and a text ID; 10 / 1.6, 10 / 1.9, 10 / 9.5, 11 / 16.1, 12 / 15.8
 // and 12 / 13.2 while a call bound its arguments into a map of its own and
@@ -313,18 +319,19 @@ func TestJoinProcedureAllocGate(t *testing.T) {
 		allocs  float64
 		kib     float64
 	}{
-		{"getRelated", exec.Params{"i_id": types.NewInt(417)}, 1, 5, 0.8},
-		{"getBook", exec.Params{"i_id": types.NewInt(417)}, 1, 5, 0.9},
-		{"getBestSellers", exec.Params{"subject": types.NewString("ARTS")}, 10, 5, 9.5},
-		{"doTitleSearch", exec.Params{"title": types.NewString("%the%")}, 10, 6, 17.1},
-		{"getNewProducts", exec.Params{"subject": types.NewString("ARTS")}, 10, 7, 16.8},
-		{"doSubjectSearch", exec.Params{"subject": types.NewString("ARTS")}, 10, 7, 13.9},
+		{"getRelated", exec.Params{"i_id": types.NewInt(417)}, 1, 2, 0.5},
+		{"getBook", exec.Params{"i_id": types.NewInt(417)}, 1, 2, 0.7},
+		{"getBestSellers", exec.Params{"subject": types.NewString("ARTS")}, 10, 2, 7.9},
+		{"doTitleSearch", exec.Params{"title": types.NewString("%the%")}, 10, 3, 15.4},
+		{"getNewProducts", exec.Params{"subject": types.NewString("ARTS")}, 10, 2, 10.8},
+		{"doSubjectSearch", exec.Params{"subject": types.NewString("ARTS")}, 10, 2, 7.8},
 	} {
 		call := func() {
 			res, err := c.DB.CallProcedure(g.proc, g.params)
 			if err != nil || len(res.Rows) < g.minRows {
 				t.Fatalf("%s: %d rows, %v", g.proc, len(res.Rows), err)
 			}
+			res.Release()
 		}
 		call() // warm the plan cache
 		const runs = 200

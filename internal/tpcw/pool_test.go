@@ -7,10 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"mtcache/internal/engine"
 	"mtcache/internal/exec"
+	"mtcache/internal/metrics"
 	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
@@ -166,14 +168,16 @@ func TestPooledPlansUnderConcurrency(t *testing.T) {
 	churn.Wait()
 }
 
-// TestParkedInstancesPinNothing runs every read procedure for real, then
+// TestParkedInstancesPinNothing runs every read procedure for real — pooled,
+// then instrumented by slow-query capture — and executions that fail, then
 // takes each plan's parked instances off its free list and walks them by
 // reflection: every pointer, interface, map entry and string of the run state
 // and of the instance's Ctx is gone and every kept slice is zero over its
 // whole capacity, so no row version, string, snapshot, transaction or span is
-// reachable from a free list. What an operator shares with the plan's
-// template (sharedWithTemplate) must be the template's own. It also reports
-// what the free lists of a TPC-W cache hold.
+// reachable from a free list; the read transaction each instance keeps is
+// finished, and no snapshot is pinned at all. What an operator shares with
+// the plan's template (sharedWithTemplate) must be the template's own. It
+// also reports what the free lists of a TPC-W cache hold.
 func TestParkedInstancesPinNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	_, c := loadedPair(t, cfg)
@@ -182,6 +186,39 @@ func TestParkedInstancesPinNothing(t *testing.T) {
 	for _, rc := range calls {
 		if _, err := rc.run(c.DB); err != nil {
 			t.Fatalf("%s: %v", rc.label, err)
+		}
+	}
+	// Four clients share the plans' instances: each execution takes one an
+	// execution of another client parked a moment before.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range calls {
+				rc := calls[(i+g*len(calls)/4)%len(calls)]
+				if _, err := rc.run(c.DB); err != nil {
+					t.Errorf("%s: %v", rc.label, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// Every shape's next run is captured: instrumented, on a clone of its own.
+	c.DB.SetSlowThreshold(time.Nanosecond)
+	for _, rc := range calls {
+		if _, err := rc.run(c.DB); err != nil {
+			t.Fatalf("%s: %v", rc.label, err)
+		}
+	}
+	c.DB.SetSlowThreshold(0)
+	// A run that fails after its read began drops its instance.
+	const failing = "SELECT i_id / @z FROM item WHERE i_id = @i"
+	for _, z := range []int64{1, 0, 0, 1, 0} {
+		_, err := c.DB.Exec(failing, exec.Params{"z": types.NewInt(z), "i": types.NewInt(7)})
+		if (err == nil) != (z != 0) {
+			t.Fatalf("%s with @z = %d: %v", failing, z, err)
 		}
 	}
 	// An execution that outgrew what an instance may keep ('%e%' matches most
@@ -213,6 +250,9 @@ func TestParkedInstancesPinNothing(t *testing.T) {
 		t.Logf("%-16s %d parked, %6d bytes kept", proc, trees, bytes)
 		total += bytes
 		for inst := plan.Instances.Take(); inst != nil; inst = plan.Instances.Take() {
+			if inst.Txn.Live() {
+				t.Errorf("%s: a parked instance's read transaction is live", proc)
+			}
 			if what := stillHolds(reflect.ValueOf(inst.Ctx)); what != "" {
 				t.Errorf("%s: a parked Ctx holds %s", proc, what)
 			}
@@ -220,6 +260,14 @@ func TestParkedInstancesPinNothing(t *testing.T) {
 		}
 	}
 	t.Logf("%-16s %8d bytes kept by the %d read procedures' free lists", "total", total, len(readProcs))
+	// The gauge is the last setter's: one more read on the cache makes it the
+	// cache store's count of pinned snapshots with no reader running.
+	if _, err := calls[0].run(c.DB); err != nil {
+		t.Fatalf("%s: %v", calls[0].label, err)
+	}
+	if n := metrics.Default.Gauge("storage.snapshots_live").Value(); n != 0 {
+		t.Errorf("storage.snapshots_live reads %v with no reader running", n)
+	}
 }
 
 // sharedWithTemplate are the run-state fields that hold what exec.Prepare

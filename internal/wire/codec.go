@@ -151,6 +151,11 @@ const (
 	// keepParams is the most parameters a request map keeps room for between
 	// frames. A bigger one is dropped at the next decode.
 	keepParams = 32
+	// internEntries bounds a connection's intern table: a string that would
+	// be one more is interned into a table cleared first. internLen is the
+	// longest string interned; a longer one is decoded as it is.
+	internEntries = 128
+	internLen     = 256
 	// growStep bounds how far a frame buffer grows ahead of the bytes that
 	// have actually arrived, so a corrupt length cannot size an allocation.
 	growStep = 256 << 10
@@ -284,16 +289,43 @@ func appendRequest(buf []byte, req *request) []byte {
 	return buf
 }
 
+// interner is one server connection's table of the query texts and
+// parameter names its frames carried: a call shape, or a statement an
+// application repeats, is one of a few strings, decoded into a new one only
+// the first time. It is bounded (internEntries, internLen) and used by the
+// connection's read loop alone.
+type interner map[string]string
+
+// str decodes one length-prefixed string as Decoder.Str does, returning the
+// table's copy of it when there is one. The lookup by the frame's bytes does
+// not allocate; a miss makes the string, and keeps it unless it is longer
+// than internLen.
+func (in interner) str(d *types.Decoder) string {
+	b := d.Bytes(d.Uvarint())
+	if s, ok := in[string(b)]; ok || len(b) == 0 {
+		return s
+	}
+	s := string(b)
+	if len(s) <= internLen {
+		if len(in) >= internEntries {
+			clear(in)
+		}
+		in[s] = s
+	}
+	return s
+}
+
 // decodeRequest parses one request payload into req, overwriting every field
-// of it. Nothing in req then aliases payload, and each string is its own
-// allocation: SQL text and parameter values outlive the request (plan-cache
-// keys, stored rows). The Params map req holds is cleared and refilled, not
+// of it. Nothing in req then aliases payload: a query's text and parameter
+// names come from in, the connection's intern table, and every other string
+// is its own allocation — parameter values outlive the request (stored rows,
+// result-cache keys). The Params map req holds is cleared and refilled, not
 // replaced, so a server exchange decodes every frame into the map it made
 // for its first; one that held more than keepParams entries is dropped
 // instead, as frameReader drops a grown buffer. A frame that names a
 // parameter twice is refused: a request has one encoding, and which value
 // was meant is not known.
-func decodeRequest(payload []byte, req *request) error {
+func decodeRequest(payload []byte, req *request, in interner) error {
 	params := req.Params
 	if len(params) > keepParams {
 		params = nil
@@ -310,13 +342,13 @@ func decodeRequest(payload []byte, req *request) error {
 	}
 	switch req.Kind {
 	case reqQuery:
-		req.SQL = d.Str()
+		req.SQL = in.str(&d)
 		if n := d.Count(2); n > 0 {
 			if req.Params == nil {
 				req.Params = make(map[string]types.Value, n)
 			}
 			for i := 0; i < n && d.Err == nil; i++ {
-				name := d.Str()
+				name := in.str(&d)
 				if _, dup := req.Params[name]; dup && d.Err == nil {
 					d.Err = fmt.Errorf("parameter @%s is given more than once", name)
 				}

@@ -217,17 +217,80 @@ func queryFrame(names []string, vals []types.Value) []byte {
 func TestRequestNamingAParameterTwiceIsRefused(t *testing.T) {
 	vals := []types.Value{types.NewInt(1), types.NewInt(2)}
 	var ok request
-	if err := decodeRequest(queryFrame([]string{"a", "b"}, vals), &ok); err != nil || len(ok.Params) != 2 {
+	if err := decodeRequest(queryFrame([]string{"a", "b"}, vals), &ok, interner{}); err != nil || len(ok.Params) != 2 {
 		t.Fatalf("two names: %+v, %v", ok, err)
 	}
 	for _, names := range [][]string{{"a", "a"}, {"", ""}} {
 		frame := queryFrame(names, vals)
 		for _, into := range []request{{}, recycledRequest()} {
-			err := decodeRequest(frame, &into)
+			err := decodeRequest(frame, &into, interner{})
 			if want := "@" + names[0] + " is given more than once"; err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("parameter %q named twice: %v, want an error saying %q", names[0], err, want)
 			}
 		}
+	}
+}
+
+// TestInternedFrameDecodesAsCold: a server connection decodes query texts
+// and parameter names through its intern table. Every sample frame decodes to
+// the same request through a cold table and through one every sample warmed,
+// into a recycled request, with nothing left aliasing the frame; a repeated
+// parameter name is refused with a warm table as with a cold one; and the
+// table keeps to its bounds.
+func TestInternedFrameDecodesAsCold(t *testing.T) {
+	warm := interner{}
+	for range 2 {
+		for name, req := range sampleRequests() {
+			if err := decodeRequest(appendRequest(nil, req), &request{}, warm); err != nil {
+				t.Fatalf("request %s: %v", name, err)
+			}
+		}
+	}
+	if len(warm) == 0 {
+		t.Fatal("the sample queries interned nothing")
+	}
+	for name, req := range sampleRequests() {
+		frame := appendRequest(nil, req)
+		var cold request
+		if err := decodeRequest(frame, &cold, interner{}); err != nil {
+			t.Fatalf("request %s, cold table: %v", name, err)
+		}
+		got := recycledRequest()
+		if err := decodeRequest(frame, &got, warm); err != nil {
+			t.Fatalf("request %s, warm table: %v", name, err)
+		}
+		for i := range frame {
+			frame[i] = 0xAA
+		}
+		if !sameRequest(&cold, &got) || !sameRequest(req, &got) {
+			t.Errorf("request %s through a warm table:\n got %+v\nwant %+v", name, got, cold)
+		}
+	}
+	vals := []types.Value{types.NewInt(1), types.NewInt(2)}
+	for _, names := range [][]string{{"a", "a"}, {"", ""}} {
+		frame := queryFrame(names, vals)
+		coldErr := decodeRequest(frame, &request{}, interner{})
+		warmErr := decodeRequest(frame, &request{}, warm)
+		if coldErr == nil || warmErr == nil || coldErr.Error() != warmErr.Error() {
+			t.Errorf("parameter %q named twice: cold %v, warm %v", names[0], coldErr, warmErr)
+		}
+	}
+	long := "SELECT '" + strings.Repeat("x", internLen) + "'"
+	for i := 0; i < internEntries+10; i++ {
+		text := fmt.Sprintf("SELECT %d", i)
+		if i == internEntries/2 {
+			text = long
+		}
+		var got request
+		if err := decodeRequest(appendRequest(nil, &request{Kind: reqQuery, SQL: text}), &got, warm); err != nil || got.SQL != text {
+			t.Fatalf("%.20q: %q, %v", text, got.SQL, err)
+		}
+		if len(warm) > internEntries {
+			t.Fatalf("%d strings interned, bound %d", len(warm), internEntries)
+		}
+	}
+	if _, ok := warm[long]; ok {
+		t.Errorf("a %d-byte text was interned, bound %d", len(long), internLen)
 	}
 }
 
@@ -239,7 +302,7 @@ func TestRequestNamingAParameterTwiceIsRefused(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	for name, req := range sampleRequests() {
 		got := &request{}
-		if err := decodeRequest(appendRequest(nil, req), got); err != nil {
+		if err := decodeRequest(appendRequest(nil, req), got, interner{}); err != nil {
 			t.Errorf("request %s: %v", name, err)
 			continue
 		}
@@ -367,6 +430,7 @@ func TestCodecAllocBudget(t *testing.T) {
 	var (
 		gotResp response
 		gotReq  request
+		strs    = interner{}
 	)
 
 	for _, tc := range []struct {
@@ -376,8 +440,8 @@ func TestCodecAllocBudget(t *testing.T) {
 	}{
 		// Cols, Rows, the values behind every row, the string slab
 		{"decode 16x3 result set", 5, func() { decodeResponse(respFrame, &gotResp) }}, //nolint:errcheck
-		// SQL text
-		{"decode parameterless query", 1, func() { decodeRequest(reqFrame, &gotReq) }}, //nolint:errcheck
+		// nothing: the SQL text is the connection's table's after the first
+		{"decode parameterless query", 0, func() { decodeRequest(reqFrame, &gotReq, strs) }}, //nolint:errcheck
 		{"encode result set", 0, func() { buf = appendResponse(buf[:0], resp) }},
 		{"encode query", 0, func() { buf = appendRequest(buf[:0], req) }},
 	} {
@@ -398,10 +462,12 @@ func TestCodecAllocBudget(t *testing.T) {
 // server's decode, execution and encode and the client's decode included —
 // untraced, and traced as a cache's remote subquery is: under the caller's
 // trace ID, with the server's span tree coming back. Each ceiling is the
-// measured count plus one: 6 and 23. They were 8 and 25 while the server
-// decoded the trace ID as text and each statement's record was a new object,
-// and the untraced one was 9 while the server started each frame's handler as
-// a new closure.
+// measured count plus one: 4 and 21. They were 6 and 23 while the server's
+// connection decoded each frame's SQL text into a new string (it interns it
+// now) and each execution's read transaction and Result were new objects, 8
+// and 25 while the server decoded the trace ID as text and each statement's
+// record was a new object, and the untraced one was 9 while the server
+// started each frame's handler as a new closure.
 func TestRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -418,7 +484,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		{"untraced", func() (int, error) {
 			res, err := c.QuerySession(q, nil, 0, 0)
 			return len(res.Rows), err
-		}, 6 + 1},
+		}, 4 + 1},
 		{"traced", func() (int, error) {
 			rs, span, err := c.QueryTraced(q, nil, id)
 			if err == nil && span == nil {
@@ -428,7 +494,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 				return 0, err
 			}
 			return len(rs.Rows), err
-		}, 23 + 1},
+		}, 21 + 1},
 	} {
 		call := func() {
 			if n, err := r.call(); err != nil || n != 1 {
@@ -472,11 +538,11 @@ func TestDecodedValuesDoNotAliasFrame(t *testing.T) {
 	for name, req := range sampleRequests() {
 		frame := appendRequest(nil, req)
 		var want request
-		if err := decodeRequest(bytes.Clone(frame), &want); err != nil {
+		if err := decodeRequest(bytes.Clone(frame), &want, interner{}); err != nil {
 			t.Fatalf("request %s: %v", name, err)
 		}
 		got := recycledRequest()
-		if err := decodeRequest(frame, &got); err != nil {
+		if err := decodeRequest(frame, &got, interner{}); err != nil {
 			t.Fatalf("request %s into a recycled exchange: %v", name, err)
 		}
 		overwrite(frame)

@@ -11,7 +11,9 @@ import (
 // surface as an error: no panic, and no allocation out of proportion to the
 // bytes received — a count or length inside the frame never sizes anything
 // the frame could not fill. What does decode must survive a second trip:
-// encode(decode(x)) decodes to an equal value.
+// encode(decode(x)) decodes to an equal value. A request decodes the same
+// through a fresh intern table and through one the earlier inputs warmed, as
+// a server connection's is: interning never changes what a frame means.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with real frames of every kind, and one that names a parameter
 	// twice: whole, halved, minus the last byte, minus the first.
@@ -31,6 +33,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	add(queryFrame([]string{"a", "a"}, []types.Value{types.NewInt(1), types.NewString("x")}))
 
+	warm := interner{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The largest in-memory element per wire byte is a 64-byte Value
 		// behind a 1-byte NULL, next to its share of a 24-byte row header;
@@ -41,16 +44,21 @@ func FuzzFrameDecode(f *testing.F) {
 			resp response
 		)
 		before := totalAlloc()
-		reqErr := decodeRequest(data, &req)
+		reqErr := decodeRequest(data, &req, interner{})
 		respErr := decodeResponse(data, &resp)
 		if grew := totalAlloc() - before; grew > budget {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		interned := recycledRequest()
+		if err := decodeRequest(data, &interned, warm); (err == nil) != (reqErr == nil) ||
+			err != nil && err.Error() != reqErr.Error() || err == nil && !sameRequest(&req, &interned) {
+			t.Fatalf("a warm intern table changed the decode:\n cold %+v, %v\n warm %+v, %v", req, reqErr, interned, err)
 		}
 		// The second trip decodes into a recycled destination, as the client's
 		// call slots and the server's exchanges do.
 		if reqErr == nil {
 			again := recycledRequest()
-			if err := decodeRequest(appendRequest(nil, &req), &again); err != nil {
+			if err := decodeRequest(appendRequest(nil, &req), &again, warm); err != nil {
 				t.Fatalf("re-encoded request does not decode: %v\n%+v", err, req)
 			}
 			if !sameRequest(&req, &again) {

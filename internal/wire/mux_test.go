@@ -57,7 +57,7 @@ func (f *fakeServer) readRequest() (*request, error) {
 		return nil, err
 	}
 	req := &request{}
-	return req, decodeRequest(payload, req)
+	return req, decodeRequest(payload, req, interner{})
 }
 
 func (f *fakeServer) writeResponse(resp *response) error {

@@ -245,7 +245,9 @@ var calls = sync.Pool{New: func() any {
 	return &call{done: make(chan struct{}, 1), timer: t}
 }}
 
-// serverConn is what the handlers of one server connection share.
+// serverConn is what the handlers of one server connection share, and what
+// its read loop keeps between frames: the intern table its requests' texts
+// and parameter names decode through (only the read loop touches it).
 type serverConn struct {
 	s        *Server
 	conn     net.Conn
@@ -253,16 +255,20 @@ type serverConn struct {
 	fw       frameWriter
 	handlers sync.WaitGroup
 	inflight *metrics.Gauge
+	strs     interner
 }
 
 // exchange is one request frame on a server connection and the response it
 // gets. It keeps its request's parameter map from frame to frame (see
 // decodeRequest) and its handler, x.serve bound once when it is made, so a
-// frame's handler starts without allocating.
+// frame's handler starts without allocating. res is the statement's Result,
+// whose rows the response carries; it is released once the response is
+// written.
 type exchange struct {
 	c    *serverConn
 	req  request
 	resp response
+	res  *engine.Result
 	run  func()
 }
 
@@ -290,7 +296,7 @@ func getExchange() *exchange {
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	c := &serverConn{s: s, conn: conn, fw: frameWriter{w: conn},
-		inflight: metrics.Default.Gauge("wire.server_inflight")}
+		inflight: metrics.Default.Gauge("wire.server_inflight"), strs: interner{}}
 	defer c.handlers.Wait()
 	if _, err := conn.Write(preface[:]); err != nil {
 		return
@@ -305,7 +311,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		x := getExchange()
-		if decodeRequest(payload, &x.req) != nil {
+		if decodeRequest(payload, &x.req, c.strs) != nil {
 			return
 		}
 		x.c = c
@@ -325,7 +331,7 @@ func (x *exchange) serve() {
 		<-c.s.sem
 	}()
 	req, resp := &x.req, &x.resp
-	c.s.handle(req, resp)
+	x.res = c.s.handle(req, resp)
 	resp.ID, resp.Kind = req.ID, req.Kind
 	c.wmu.Lock()
 	err := c.fw.send(appendResponse(c.fw.begin(), resp))
@@ -334,7 +340,8 @@ func (x *exchange) serve() {
 		err = c.fw.send(appendResponse(c.fw.begin(), resp))
 	}
 	c.wmu.Unlock()
-	x.c, x.req, x.resp = nil, request{Params: x.req.Params}, response{}
+	x.res.Release()
+	x.c, x.req, x.resp, x.res = nil, request{Params: x.req.Params}, response{}, nil
 	exchanges.Put(x)
 	if err != nil {
 		// After a failed or short write the peer can no longer find the next
@@ -344,8 +351,10 @@ func (x *exchange) serve() {
 	}
 }
 
-// handle answers req into resp, which starts zeroed.
-func (s *Server) handle(req *request, resp *response) {
+// handle answers req into resp, which starts zeroed, and returns the
+// statement's Result when resp holds its rows: the caller's to release once
+// resp is written.
+func (s *Server) handle(req *request, resp *response) *engine.Result {
 	switch req.Kind {
 	case reqQuery:
 		res, rec, err := s.execDB().ExecSessionTraced(req.SQL, req.Params,
@@ -368,6 +377,7 @@ func (s *Server) handle(req *request, resp *response) {
 			}
 		}
 		rec.Release()
+		return res
 	case reqApplied:
 		resp.Applied = s.appliedLSN()
 	case reqSnapshot, reqProvision, reqResume, reqPull:
@@ -377,6 +387,7 @@ func (s *Server) handle(req *request, resp *response) {
 			resp.Err = err.Error()
 		}
 	}
+	return nil
 }
 
 // publish answers the replication requests, which only a backend serves:
