@@ -132,12 +132,14 @@ func NewConn(name string, execFn, callFn func(string, exec.Params) (*engine.Resu
 	return &Conn{exec: execFn, call: callFn, name: name}
 }
 
-// Exec runs one statement.
+// Exec runs one statement. The Result is the caller's: it may Release it
+// once it has read it, after which neither it nor its rows may be read.
 func (cn *Conn) Exec(sqlText string, params exec.Params) (*engine.Result, error) {
 	return cn.exec(sqlText, params)
 }
 
-// Call invokes a stored procedure with bound parameters.
+// Call invokes a stored procedure with bound parameters. The caller may
+// Release the Result, as Exec's.
 func (cn *Conn) Call(proc string, params exec.Params) (*engine.Result, error) {
 	return cn.call(proc, params)
 }

@@ -37,7 +37,7 @@ func (db *Database) execCreateTable(x *sql.CreateTableStmt) (*Result, error) {
 		return nil, err
 	}
 	db.InvalidatePlans()
-	return &Result{}, nil
+	return NewResult(), nil
 }
 
 func (db *Database) execCreateIndex(x *sql.CreateIndexStmt) (*Result, error) {
@@ -62,7 +62,7 @@ func (db *Database) execCreateIndex(x *sql.CreateIndexStmt) (*Result, error) {
 		}
 	}
 	db.InvalidatePlans()
-	return &Result{}, nil
+	return NewResult(), nil
 }
 
 func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
@@ -99,7 +99,7 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 			return nil, err
 		}
 		db.InvalidatePlans()
-		return &Result{}, nil
+		return NewResult(), nil
 	}
 	t.PrimaryKey = sp.PrimaryKey()
 	if db.role == Cache && !x.Cached {
@@ -110,7 +110,7 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 			return nil, err
 		}
 		db.InvalidatePlans()
-		return &Result{}, nil
+		return NewResult(), nil
 	}
 
 	// A backend's materialized view: compile its maintenance, and compute the
@@ -165,7 +165,7 @@ func (db *Database) execCreateView(x *sql.CreateViewStmt) (*Result, error) {
 		return nil, err
 	}
 	db.InvalidatePlans()
-	return &Result{}, nil
+	return NewResult(), nil
 }
 
 // addStored registers a relation and creates its empty storage.
@@ -193,7 +193,7 @@ func (db *Database) execCreateProc(x *sql.CreateProcStmt, text string) (*Result,
 	if err := db.cat.AddProcedure(p); err != nil {
 		return nil, err
 	}
-	return &Result{}, nil
+	return NewResult(), nil
 }
 
 func (db *Database) execDrop(x *sql.DropStmt) (*Result, error) {
@@ -214,5 +214,5 @@ func (db *Database) execDrop(x *sql.DropStmt) (*Result, error) {
 		return nil, fmt.Errorf("engine: DROP INDEX is not supported")
 	}
 	db.InvalidatePlans()
-	return &Result{}, nil
+	return NewResult(), nil
 }

@@ -46,7 +46,9 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 		return nil, err
 	}
 	db.invalidateDMLTarget(stmt)
-	return &Result{RowsAffected: n, CommitLSN: lsn}, nil
+	res := NewResult()
+	res.RowsAffected, res.CommitLSN = n, lsn
+	return res, nil
 }
 
 // forward sends a statement a cache does not run itself to the backend, and
@@ -65,7 +67,9 @@ func (db *Database) forward(text string, params exec.Params, rec *trace.Record) 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cols: rs.Cols, Rows: rs.Rows, RowsAffected: rs.RowsAffected, CommitLSN: rs.CommitLSN}, nil
+	res := NewResult()
+	res.Cols, res.Rows, res.RowsAffected, res.CommitLSN = rs.Cols, rs.Rows, rs.RowsAffected, rs.CommitLSN
+	return res, nil
 }
 
 // invalidateDMLTarget drops intermediates derived from a DML statement's

@@ -359,8 +359,10 @@ func (db *Database) env() *opt.Env {
 
 // Result is the outcome of one statement. It is its caller's: to keep, or to
 // Release once nothing reads it, which lets the next statement reuse the
-// struct and, when the rows were executed here and the result cache did not
-// keep them, their row slice (the rows themselves are never reused).
+// struct and the slices it owns — the row slice runPlan filled when the
+// result cache did not keep it, or the row and value slices a client
+// decoded an answer into (Spare, Own). After Release nothing the Result
+// returned, its rows included, may be read.
 type Result struct {
 	// Set for queries.
 	Cols []exec.ColInfo
@@ -393,37 +395,62 @@ type Result struct {
 	// kept is the row slice this Result may recycle: the one runPlan filled
 	// Rows into, unless the result cache kept those rows, or the one a
 	// released Result kept for the next runPlan to fill. It is never the
-	// rows of a result-cache entry.
+	// rows of a result-cache entry. vals is the value slice a client decoded
+	// the rows of a routed answer into, kept with it (Own).
 	kept []types.Row
+	vals []types.Value
 }
 
-// results holds released Results, each with the row slice it kept.
+// results holds released Results, each with the row and value slices it
+// kept.
 var results = sync.Pool{New: func() any { return new(Result) }}
 
-// keepRows is the largest row slice a released Result keeps; a bigger one
-// (a scan of thousands of rows) is dropped, so what the pool holds per
-// Result stays small whatever an occasional statement returns.
-const keepRows = 128
+// keepRows and keepVals bound the row and value slices a released Result
+// keeps; a bigger one (a scan of thousands of rows) is dropped, so what the
+// pool holds per Result stays small whatever an occasional statement
+// returns.
+const (
+	keepRows = 128
+	keepVals = 8 * keepRows
+)
 
-// newResult takes an empty Result from the pool.
-func newResult() *Result { return results.Get().(*Result) }
+// NewResult takes an empty Result from the pool, with the row and value
+// slices a released one kept: what a statement executed here, or a client
+// decoding an answer (Spare, Own), fills.
+func NewResult() *Result { return results.Get().(*Result) }
+
+// Spare returns the row and value slices res may recycle, emptied, for a
+// decoder to fill. res keeps them until Own replaces them.
+func (res *Result) Spare() ([]types.Row, []types.Value) { return res.kept[:0], res.vals[:0] }
+
+// Own makes rows and vals the slices res recycles on Release: the row slice
+// a decoder cut res.Rows from and the values behind those rows, or its Spare
+// slices back if it used none. Nothing else may write to them afterwards.
+// Own(nil, nil) forfeits the slices res held, when something else may still
+// write to them.
+func (res *Result) Own(rows []types.Row, vals []types.Value) { res.kept, res.vals = rows, vals }
 
 // Release hands res back for reuse; res and every slice it returned may
 // not be read afterwards. It always recycles the struct, and recycles the
 // row slice only when res owns it: runPlan filled it and the result cache
-// did not keep it. A result-cache hit's rows belong to the cache. Releasing
-// is optional — a Result nobody releases is collected as usual — and a nil
-// Result is ignored.
+// did not keep it, or a client decoded into it, with the values behind it.
+// A result-cache hit's rows belong to the cache. Releasing is optional — a
+// Result nobody releases is collected as usual — and a nil Result is
+// ignored.
 func (res *Result) Release() {
 	if res == nil {
 		return
 	}
-	rows := res.kept
+	rows, vals := res.kept, res.vals
 	if cap(rows) > keepRows {
 		rows = nil
 	}
+	if cap(vals) > keepVals {
+		vals = nil
+	}
 	clear(rows[:cap(rows)])
-	*res = Result{kept: rows[:0]}
+	clear(vals[:cap(vals)])
+	*res = Result{kept: rows[:0], vals: vals[:0]}
 	results.Put(res)
 }
 
@@ -544,7 +571,7 @@ func (db *Database) answer(stmt *sql.SelectStmt, e *planEntry, params exec.Param
 			if found {
 				rec.Tier, rec.Variant = trace.TierIMCache, trace.TierIMCache.String()
 				rec.Rows, rec.Staleness = int64(len(hit.Rows)), db.staleness()
-				res := newResult()
+				res := NewResult()
 				res.Cols, res.Rows, res.SnapshotLSN = hit.Cols, hit.Rows, storage.LSN(hit.LSN)
 				return res, nil
 			}
@@ -831,7 +858,7 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 		tx = &inst.Txn
 		db.store.BeginRead(tx)
 	}
-	res := newResult()
+	res := NewResult()
 	ctx := &inst.Ctx
 	ctx.Txn, ctx.Remote, ctx.Counters, ctx.Rec, ctx.EstRows = tx, db.remote, &res.Counters, rec, plan.Card
 	bindParams(plan, params, autoArgs, ctx)
@@ -907,7 +934,8 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, rec *tra
 		return nil, err
 	}
 	plan := cp.Plan
-	res := &Result{Cols: []exec.ColInfo{{Name: "plan", Kind: types.KindString}}}
+	res := NewResult()
+	res.Cols = []exec.ColInfo{{Name: "plan", Kind: types.KindString}}
 	var text string
 	if x.Analyze {
 		run, root, err := db.runPlan(nil, plan, params, autoArgs, rec, true)

@@ -145,7 +145,7 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 // later ones folded in. A body statement's result is released once folded.
 func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (*Result, error) {
 	if proc.Writes() {
-		res := newResult()
+		res := NewResult()
 		tx := db.store.Begin(true)
 		for _, stmt := range proc.Body {
 			switch x := stmt.(type) {
@@ -213,7 +213,7 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 		r.Release()
 	}
 	if res == nil {
-		res = newResult()
+		res = NewResult()
 	}
 	return res, nil
 }

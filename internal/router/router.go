@@ -178,8 +178,20 @@ func (s *Session) Call(proc string, params exec.Params) (*engine.Result, error) 
 // fleet, the backend last. Every statement gates on the session watermark. A
 // read (sql.ReadOnly; an EXEC is not one, procedures may write) may be
 // replayed on another server after a transport failure; anything else is
-// replayed only while provably undelivered.
+// replayed only while provably undelivered. The answer is decoded into a
+// pooled Result, which the caller may Release.
 func (s *Session) do(sqlText string, params exec.Params) (*engine.Result, error) {
+	res := engine.NewResult()
+	if err := s.route(sqlText, params, res); err != nil {
+		res.Release()
+		return nil, err
+	}
+	return res, nil
+}
+
+// route runs do's statement, answering into res: every attempt decodes into
+// it, so a read that fails over reuses the slices res kept.
+func (s *Session) route(sqlText string, params exec.Params, res *engine.Result) error {
 	s.mu.Lock()
 	pin := s.pin
 	watermark := s.watermark
@@ -196,23 +208,23 @@ func (s *Session) do(sqlText string, params exec.Params) (*engine.Result, error)
 			s.r.reg.Counter("router.failovers").Add(1)
 			continue
 		}
-		res, err := c.QuerySession(sqlText, params, watermark, s.r.cfg.Watermark)
+		stale, err := c.QueryInto(sqlText, params, watermark, s.r.cfg.Watermark, res)
 		if err != nil {
 			if _, ok := err.(*wire.ServerError); ok {
 				// The statement executed and the server rejected it;
 				// rerouting cannot change the answer.
-				return nil, err
+				return err
 			}
 			if !sql.ReadOnly(sqlText) {
 				// A transport failure after dispatch: the write may have
 				// committed on the backend even though the ack was lost.
 				// Replaying it elsewhere could apply it twice.
-				return nil, err
+				return err
 			}
 			s.r.reg.Counter("router.failovers").Add(1)
 			continue
 		}
-		if res.Stale {
+		if stale {
 			// The cache could not reach the session watermark in time; the
 			// backend is always current. Keep the pin — the cache will have
 			// caught up by the session's next read.
@@ -220,7 +232,7 @@ func (s *Session) do(sqlText string, params exec.Params) (*engine.Result, error)
 			break
 		}
 		s.settle(idx, res.CommitLSN)
-		return sessionResultToEngine(res), nil
+		return nil
 	}
 
 	// No cache answered (or none configured): the backend serves everything,
@@ -228,14 +240,13 @@ func (s *Session) do(sqlText string, params exec.Params) (*engine.Result, error)
 	s.r.reg.Counter("router.backend_direct").Add(1)
 	c, err := s.r.backend.pool.Get()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res, err := c.QuerySession(sqlText, params, 0, 0)
-	if err != nil {
-		return nil, err
+	if _, err := c.QueryInto(sqlText, params, 0, 0, res); err != nil {
+		return err
 	}
 	s.settle(-1, res.CommitLSN)
-	return sessionResultToEngine(res), nil
+	return nil
 }
 
 // settle records a successful statement: advance the watermark past
@@ -252,13 +263,4 @@ func (s *Session) settle(idx int, commitLSN storage.LSN) {
 		s.r.reg.Counter("router.repins").Add(1)
 	}
 	s.mu.Unlock()
-}
-
-func sessionResultToEngine(res wire.SessionResult) *engine.Result {
-	return &engine.Result{
-		Cols:         res.Cols,
-		Rows:         res.Rows,
-		RowsAffected: res.N,
-		CommitLSN:    res.CommitLSN,
-	}
 }

@@ -189,11 +189,14 @@ func (a *App) Run(s *Session, in Interaction) (int, error) {
 	return 0, fmt.Errorf("tpcw: unknown interaction %d", in)
 }
 
+// call makes one procedure call whose answer the interaction does not read,
+// and releases its Result.
 func (a *App) call(proc string, params exec.Params) error {
-	_, err := a.conn.Call(proc, params)
+	res, err := a.conn.Call(proc, params)
 	if err != nil {
 		return fmt.Errorf("tpcw: %s: %w", proc, err)
 	}
+	res.Release()
 	return nil
 }
 
@@ -352,9 +355,12 @@ func (a *App) orderDisplay(s *Session) (int, error) {
 		return 0, fmt.Errorf("tpcw: getMostRecentOrder: %w", err)
 	}
 	if len(res.Rows) == 0 {
+		res.Release()
 		return 1, nil // customer has no orders yet
 	}
-	err = a.call("getOrderLines", exec.Params{"o_id": res.Rows[0][0]})
+	oID := res.Rows[0][0]
+	res.Release()
+	err = a.call("getOrderLines", exec.Params{"o_id": oID})
 	return 2, err
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"mtcache/internal/engine"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/repl"
@@ -94,16 +95,19 @@ func (c *Client) Broken() bool {
 
 // readLoop is the demultiplexer: the single goroutine that checks the
 // server's preface, then reads response frames and routes each to the round
-// trip waiting on it. A read or decode error is terminal for the whole
-// connection — every in-flight request fails with the classified error.
+// trip waiting on it, decoding their column headers through the
+// connection's header table. A read or decode error is terminal for the
+// whole connection — every in-flight request fails with the classified
+// error.
 func (c *Client) readLoop() {
 	defer c.readerWG.Done()
 	fr := newFrameReader(c.conn)
+	hdrs := headers{}
 	err := fr.readPreface()
 	for err == nil {
 		var payload []byte
 		if payload, err = fr.next(); err == nil {
-			err = c.deliver(payload)
+			err = c.deliver(payload, hdrs)
 		}
 	}
 	c.failAll(resilience.Classify(fmt.Errorf("wire: recv: %w", err)))
@@ -115,7 +119,7 @@ func (c *Client) readLoop() {
 // a timeout, or it carries no ID — is decoded and dropped. A frame that does
 // not decode goes back to pending with its slot, for failAll to fail with the
 // rest.
-func (c *Client) deliver(payload []byte) error {
+func (c *Client) deliver(payload []byte, hdrs headers) error {
 	id, _ := binary.Uvarint(payload)
 	c.mu.Lock()
 	cl := c.pending[id]
@@ -123,9 +127,9 @@ func (c *Client) deliver(payload []byte) error {
 	c.mu.Unlock()
 	if cl == nil {
 		var dropped response
-		return decodeResponse(payload, &dropped)
+		return decodeResponse(payload, &dropped, hdrs)
 	}
-	if err := decodeResponse(payload, &cl.resp); err != nil {
+	if err := decodeResponse(payload, &cl.resp, hdrs); err != nil {
 		c.mu.Lock()
 		c.pending[id] = cl
 		c.mu.Unlock()
@@ -166,6 +170,11 @@ func (c *Client) abandon(id uint64) {
 // classified (ErrTimeout / ErrBackendDown); server-reported errors come
 // back as *ServerError and are never retryable. The response is copied into
 // out; the round trip's slot goes back to calls when the reuse rule allows.
+// out's spare slices, rows and vals, are lent to the slot for a result set
+// to be decoded into, and come back — or the ones the decode used instead —
+// only with the slot: a round trip that times out, fails to send or has its
+// slot dropped forfeits them, and out comes back without any, since a
+// response that lands late may still be decoded into them.
 func (c *Client) roundTrip(req *request, out *response) error {
 	c.wmu.Lock()
 	c.mu.Lock()
@@ -176,6 +185,8 @@ func (c *Client) roundTrip(req *request, out *response) error {
 		return err
 	}
 	cl := calls.Get().(*call)
+	cl.resp.rows, cl.resp.vals = out.rows, out.vals
+	out.rows, out.vals = nil, nil
 	c.nextID++
 	id := c.nextID
 	req.ID = id
@@ -221,7 +232,9 @@ func (c *Client) roundTrip(req *request, out *response) error {
 	default:
 		*out = cl.resp
 	}
+	out.rows, out.vals = nil, nil
 	if reuse {
+		out.rows, out.vals = cl.resp.rows, cl.resp.vals
 		cl.resp, cl.failed = response{}, false
 		calls.Put(cl)
 	}
@@ -237,34 +250,49 @@ func (c *Client) Query(sqlText string, params exec.Params) (*exec.ResultSet, err
 
 // SessionResult is the answer to a session-gated request: rows or row count,
 // plus the freshness bookkeeping a session router needs — the commit LSN of
-// any write performed, how far the answering server had applied, and whether
-// the server refused because it could not reach the session's watermark.
+// any write performed, and whether the server refused because it could not
+// reach the session's watermark.
 type SessionResult struct {
 	Cols      []exec.ColInfo
 	Rows      []types.Row
 	N         int64
 	CommitLSN storage.LSN
-	Applied   storage.LSN
 	Stale     bool
 }
 
 // QuerySession executes one statement gated on session freshness: a cache
 // that has not applied minLSN may block up to wait for replication to catch
 // up, and answers Stale (no rows, no error) if it still cannot. minLSN 0
-// disables the gate. Used by the session router for read-your-writes.
+// disables the gate. It is QueryInto with a Result of its own.
 func (c *Client) QuerySession(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration) (SessionResult, error) {
-	var resp response
-	err := c.roundTrip(&request{
-		Kind: reqQuery, SQL: sqlText, Params: params,
-		MinLSN: minLSN, WaitMs: wait.Milliseconds(),
-	}, &resp)
+	var res engine.Result
+	stale, err := c.QueryInto(sqlText, params, minLSN, wait, &res)
 	if err != nil {
 		return SessionResult{}, err
 	}
-	return SessionResult{
-		Cols: resp.Cols, Rows: resp.Rows, N: resp.N,
-		CommitLSN: resp.LSN, Applied: resp.Applied, Stale: resp.Stale,
-	}, nil
+	return SessionResult{Cols: res.Cols, Rows: res.Rows, N: res.RowsAffected, CommitLSN: res.CommitLSN, Stale: stale}, nil
+}
+
+// QueryInto is QuerySession answering into res, as the session router does:
+// res's Cols, Rows, RowsAffected and CommitLSN are the answer's, its rows
+// are decoded into the row and value slices res kept from an earlier answer
+// (engine.Result.Spare) when they are long enough, and res owns the ones
+// they were decoded into. Stale reports the gate's refusal, with no rows.
+// The columns are the connection's header table's, shared by every answer
+// with the same header: read them, never write them.
+func (c *Client) QueryInto(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, res *engine.Result) (stale bool, err error) {
+	var resp response
+	resp.rows, resp.vals = res.Spare()
+	err = c.roundTrip(&request{
+		Kind: reqQuery, SQL: sqlText, Params: params,
+		MinLSN: minLSN, WaitMs: wait.Milliseconds(),
+	}, &resp)
+	res.Own(resp.rows, resp.vals)
+	if err != nil {
+		return false, err
+	}
+	res.Cols, res.Rows, res.RowsAffected, res.CommitLSN = resp.Cols, resp.Rows, resp.N, resp.LSN
+	return resp.Stale, nil
 }
 
 // AppliedLSN asks the server how far its data is applied (a cache answers

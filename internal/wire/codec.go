@@ -122,6 +122,14 @@ type response struct {
 	Rows []types.Row
 	Span *trace.WireSpan
 
+	// rows and vals are the slices a query's result set is decoded into when
+	// they are long enough — the row slice Rows is cut from and the values
+	// behind its rows — and after a decode, the ones it used. A decode of any
+	// other body passes them through, so whoever supplied them gets them
+	// back (a routed engine.Result: Client.QueryInto).
+	rows []types.Row
+	vals []types.Value
+
 	Snapshot []byte
 
 	// Provision / Resume.
@@ -151,9 +159,12 @@ const (
 	// keepParams is the most parameters a request map keeps room for between
 	// frames. A bigger one is dropped at the next decode.
 	keepParams = 32
-	// internEntries bounds a connection's intern table: a string that would
-	// be one more is interned into a table cleared first. internLen is the
-	// longest string interned; a longer one is decoded as it is.
+	// internEntries bounds a server connection's intern table and a client
+	// connection's header table: a string or header that would be one more
+	// is kept in a table cleared first. internLen is the longest string
+	// interned and the longest encoded header kept; a longer one is decoded
+	// every time. Every TPC-W and ad hoc header fits, the longest (getBook's)
+	// in 126 bytes.
 	internEntries = 128
 	internLen     = 256
 	// growStep bounds how far a frame buffer grows ahead of the bytes that
@@ -445,13 +456,16 @@ func appendResponse(buf []byte, resp *response) []byte {
 }
 
 // decodeResponse parses one response payload into resp, overwriting every
-// field of it. Nothing in resp then aliases payload. A result set decodes
-// into one []types.Row, one []types.Value behind all of them and one string
-// behind every string in it; replication rows, which the store retains one by
-// one, each get their own allocation.
-func decodeResponse(payload []byte, resp *response) error {
+// field of it but the spare slices rows and vals. Nothing in resp then
+// aliases payload. A result set's column header comes from hdrs, the
+// connection's header table; its rows decode into one []types.Row and one
+// []types.Value behind all of them — resp.rows and resp.vals when they are
+// long enough, new ones that take their place when not — and one string
+// behind every string in them. Replication rows, which the store retains
+// one by one, each get their own allocation.
+func decodeResponse(payload []byte, resp *response, hdrs headers) error {
 	d := types.Decoder{Buf: payload}
-	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte())}
+	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte()), rows: resp.rows, vals: resp.vals}
 	flags := d.Byte()
 	resp.Stale = flags&flagStale != 0
 	resp.N = d.Varint()
@@ -468,7 +482,7 @@ func decodeResponse(payload []byte, resp *response) error {
 		if flags&flagSpan != 0 {
 			resp.Span = decodeSpan(&d, 0)
 		}
-		resp.Cols, resp.Rows = decodeResultSet(&d)
+		decodeResultSet(&d, resp, hdrs)
 	case reqSnapshot:
 		if b := d.Bytes(d.Uvarint()); len(b) > 0 {
 			resp.Snapshot = slices.Clone(b)
@@ -527,38 +541,91 @@ func appendResultSet(buf []byte, cols []exec.ColInfo, rows []types.Row) []byte {
 	return buf
 }
 
-func decodeResultSet(d *types.Decoder) ([]exec.ColInfo, []types.Row) {
+// decodeResultSet decodes a Query result into resp.Cols and resp.Rows,
+// through the spare slices resp.rows and resp.vals (see decodeResponse). A
+// row is never nil, even one with no values.
+func decodeResultSet(d *types.Decoder, resp *response, hdrs headers) {
+	resp.Cols = hdrs.cols(d)
 	d.SlabStrings()
-	var cols []exec.ColInfo
-	if n := d.Count(3); n > 0 {
-		cols = make([]exec.ColInfo, n)
-		for i := range cols {
-			cols[i] = exec.ColInfo{Table: d.Str(), Name: d.Str(), Kind: types.Kind(d.Byte())}
-		}
-	}
 	nrows, nvals := d.Count(1), d.Count(1)
 	if nrows == 0 {
 		if nvals != 0 {
 			d.Fail()
 		}
-		return cols, nil
+		return
 	}
-	rows, vals := make([]types.Row, nrows), make([]types.Value, nvals)
+	rows, vals := resp.rows, resp.vals
+	if cap(rows) < nrows {
+		rows = make([]types.Row, nrows)
+	}
+	if vals == nil || cap(vals) < nvals { // nil: a zero-width row must not be
+		vals = make([]types.Value, nvals)
+	}
+	rows, vals = rows[:nrows], vals[:nvals]
+	resp.rows, resp.vals = rows, vals
 	for i := range rows {
 		width := d.Uvarint()
 		if width > uint64(len(vals)) {
 			d.Fail()
-			return nil, nil
+			return
 		}
 		rows[i], vals = vals[:width:width], vals[width:]
 		if d.Values(rows[i]); d.Err != nil {
-			return nil, nil
+			return
 		}
 	}
 	if len(vals) != 0 {
 		d.Fail()
+		return
 	}
-	return cols, rows
+	resp.Rows = rows
+}
+
+// headers is one client connection's table of the result-set column headers
+// its responses carried, keyed by their encoded bytes: a statement's shape
+// answers with the same header every time, decoded only the first time and
+// shared by every answer after it. It is bounded (internEntries, internLen)
+// and used by the connection's read loop alone.
+type headers map[string][]exec.ColInfo
+
+// cols decodes a result set's column header, or returns the table's copy of
+// it: the lookup by the frame's bytes does not allocate. A miss decodes the
+// header into a []exec.ColInfo whose strings are cut from one copy of the
+// header's bytes, the key it is kept under unless it is longer than
+// internLen. No columns decode as nil.
+func (h headers) cols(d *types.Decoder) []exec.ColInfo {
+	start := d.Off
+	n := d.Count(3)
+	for i := 0; i < n; i++ {
+		d.Bytes(d.Uvarint())
+		d.Bytes(d.Uvarint())
+		d.Byte()
+	}
+	if n == 0 || d.Err != nil {
+		return nil
+	}
+	b := d.Buf[start:d.Off]
+	if cols, ok := h[string(b)]; ok {
+		return cols
+	}
+	key := string(b)
+	hd := types.Decoder{Buf: b}
+	cut := func() string {
+		n := int(hd.Uvarint())
+		hd.Bytes(uint64(n))
+		return key[hd.Off-n : hd.Off]
+	}
+	cols := make([]exec.ColInfo, hd.Uvarint())
+	for i := range cols {
+		cols[i] = exec.ColInfo{Table: cut(), Name: cut(), Kind: types.Kind(hd.Byte())}
+	}
+	if len(key) <= internLen {
+		if len(h) >= internEntries {
+			clear(h)
+		}
+		h[key] = cols
+	}
+	return cols
 }
 
 func appendSpan(buf []byte, s *trace.WireSpan, depth int) []byte {

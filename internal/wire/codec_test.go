@@ -188,6 +188,7 @@ func sameResponse(a, b *response) bool {
 	x, y := *a, *b
 	for _, r := range []*response{&x, &y} {
 		r.Rows, r.Span, r.Snapshot, r.Cols, r.Batches = nil, nil, nil, nil, nil
+		r.rows, r.vals = nil, nil // the slices a result set was decoded into, not part of the frame
 	}
 	return reflect.DeepEqual(x, y)
 }
@@ -315,7 +316,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for name, resp := range sampleResponses() {
 		got := &response{}
-		if err := decodeResponse(appendResponse(nil, resp), got); err != nil {
+		if err := decodeResponse(appendResponse(nil, resp), got, headers{}); err != nil {
 			t.Errorf("response %s: %v", name, err)
 			continue
 		}
@@ -338,7 +339,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	// A time comes back as the same instant in UTC, equal under Compare and
 	// rendered identically — in range or not.
 	var got response
-	if err := decodeResponse(appendResponse(nil, sampleResponses()["query"]), &got); err != nil {
+	if err := decodeResponse(appendResponse(nil, sampleResponses()["query"]), &got, headers{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{6, 7} {
@@ -351,7 +352,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	// A response that is all header: the error and the stale flag suppress
 	// nothing in the header and everything in the body.
 	errResp := &response{Kind: reqQuery, ID: 1, Err: "boom", Rows: []types.Row{sampleRow}, Cols: []exec.ColInfo{{Name: "c"}}}
-	if err := decodeResponse(appendResponse(nil, errResp), &got); err != nil || got.Err != "boom" || got.Rows != nil || got.Cols != nil {
+	if err := decodeResponse(appendResponse(nil, errResp), &got, headers{}); err != nil || got.Err != "boom" || got.Rows != nil || got.Cols != nil {
 		t.Errorf("error response carried a body: %+v, %v", got, err)
 	}
 }
@@ -380,7 +381,7 @@ func TestSpanDepthBounded(t *testing.T) {
 		return n
 	}
 	var got response
-	if err := decodeResponse(appendResponse(nil, &response{Kind: reqQuery, Span: chain(maxSpanDepth + 10)}), &got); err != nil {
+	if err := decodeResponse(appendResponse(nil, &response{Kind: reqQuery, Span: chain(maxSpanDepth + 10)}), &got, headers{}); err != nil {
 		t.Fatal(err)
 	}
 	if d := depth(got.Span); d != maxSpanDepth+1 {
@@ -394,7 +395,7 @@ func TestSpanDepthBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		frame = append(frame, 0, 0, 0, 0, 1)
 	}
-	if err := decodeResponse(frame, &got); err == nil {
+	if err := decodeResponse(frame, &got, headers{}); err == nil {
 		t.Error("a span tree 10 000 levels deep decoded")
 	}
 }
@@ -419,7 +420,10 @@ func resultSetResponse(n int) *response {
 // to: a result set decodes into a constant number of allocations whatever
 // its size, and encoding into a warm buffer allocates nothing. Decodes go
 // into a reused destination, as the client's call slots and the server's
-// exchanges are.
+// exchanges are, through a warm table, as a connection's are. A result set
+// decodes cold — into a destination with no spare slices, as QuerySession's,
+// QueryTraced's and a forfeited round trip's are — and warm, into the
+// destination's spare slices, as a routed Result's.
 func TestCodecAllocBudget(t *testing.T) {
 	resp := resultSetResponse(16)
 	respFrame := appendResponse(nil, resp)
@@ -431,6 +435,7 @@ func TestCodecAllocBudget(t *testing.T) {
 		gotResp response
 		gotReq  request
 		strs    = interner{}
+		hdrs    = headers{}
 	)
 
 	for _, tc := range []struct {
@@ -438,8 +443,11 @@ func TestCodecAllocBudget(t *testing.T) {
 		max  float64
 		fn   func()
 	}{
-		// Cols, Rows, the values behind every row, the string slab
-		{"decode 16x3 result set", 5, func() { decodeResponse(respFrame, &gotResp) }}, //nolint:errcheck
+		// Rows, the values behind every row, the string slab: the header
+		// is the table's after the first
+		{"decode 16x3 result set cold", 3, func() { decodeCold(respFrame, &gotResp, hdrs) }},
+		// the string slab: the rows and their values are the spare slices'
+		{"decode 16x3 result set warm", 1, func() { decodeResponse(respFrame, &gotResp, hdrs) }}, //nolint:errcheck
 		// nothing: the SQL text is the connection's table's after the first
 		{"decode parameterless query", 0, func() { decodeRequest(reqFrame, &gotReq, strs) }}, //nolint:errcheck
 		{"encode result set", 0, func() { buf = appendResponse(buf[:0], resp) }},
@@ -450,11 +458,26 @@ func TestCodecAllocBudget(t *testing.T) {
 		}
 	}
 	bigFrame := appendResponse(nil, resultSetResponse(1600))
-	small := testing.AllocsPerRun(50, func() { decodeResponse(respFrame, &gotResp) }) //nolint:errcheck
-	big := testing.AllocsPerRun(50, func() { decodeResponse(bigFrame, &gotResp) })    //nolint:errcheck
-	if big != small {
-		t.Errorf("a 1600-row result set decodes in %v allocations, a 16-row one in %v", big, small)
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte, *response, headers)
+	}{
+		{"cold", decodeCold},
+		{"warm", func(frame []byte, resp *response, hdrs headers) { decodeResponse(frame, resp, hdrs) }}, //nolint:errcheck
+	} {
+		small := testing.AllocsPerRun(50, func() { tc.decode(respFrame, &gotResp, hdrs) })
+		big := testing.AllocsPerRun(50, func() { tc.decode(bigFrame, &gotResp, hdrs) })
+		if big != small {
+			t.Errorf("%s: a 1600-row result set decodes in %v allocations, a 16-row one in %v", tc.name, big, small)
+		}
 	}
+}
+
+// decodeCold decodes frame into resp with no spare slices, as a destination
+// nothing lent any has them.
+func decodeCold(frame []byte, resp *response, hdrs headers) {
+	resp.rows, resp.vals = nil, nil
+	decodeResponse(frame, resp, hdrs) //nolint:errcheck
 }
 
 // TestRoundTripAllocBudget: what a warm round trip allocates, counting both
@@ -462,7 +485,9 @@ func TestCodecAllocBudget(t *testing.T) {
 // server's decode, execution and encode and the client's decode included —
 // untraced, and traced as a cache's remote subquery is: under the caller's
 // trace ID, with the server's span tree coming back. Each ceiling is the
-// measured count plus one: 4 and 21. They were 6 and 23 while the server's
+// measured count plus one: 3 and 20. They were 4 and 21 while the client
+// decoded every answer's column header into new objects (its connection
+// keeps the headers it has seen now), 6 and 23 while the server's
 // connection decoded each frame's SQL text into a new string (it interns it
 // now) and each execution's read transaction and Result were new objects, 8
 // and 25 while the server decoded the trace ID as text and each statement's
@@ -484,7 +509,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		{"untraced", func() (int, error) {
 			res, err := c.QuerySession(q, nil, 0, 0)
 			return len(res.Rows), err
-		}, 4 + 1},
+		}, 3 + 1},
 		{"traced", func() (int, error) {
 			rs, span, err := c.QueryTraced(q, nil, id)
 			if err == nil && span == nil {
@@ -494,7 +519,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 				return 0, err
 			}
 			return len(rs.Rows), err
-		}, 21 + 1},
+		}, 20 + 1},
 	} {
 		call := func() {
 			if n, err := r.call(); err != nil || n != 1 {
@@ -512,7 +537,8 @@ func TestRoundTripAllocBudget(t *testing.T) {
 
 // recycledRequest and recycledResponse are what a reused exchange or call
 // slot may still hold when the next frame is decoded into it: a field of
-// every body.
+// every body, and — lent by a routed Result — spare row and value slices
+// longer than any sample result set needs, full of old values.
 func recycledRequest() request {
 	return request{Kind: reqPull, ID: 99, MinLSN: 9, WaitMs: 9, TraceID: 9, SQL: "old",
 		Params: map[string]types.Value{"old": types.NewInt(9)}, Table: "old", Columns: []string{"old"},
@@ -520,15 +546,35 @@ func recycledRequest() request {
 }
 
 func recycledResponse() response {
+	vals := make([]types.Value, 64)
+	for i := range vals {
+		vals[i] = types.NewString("old")
+	}
+	rows := make([]types.Row, 16)
+	for i := range rows {
+		rows[i] = vals[i : i+4]
+	}
 	return response{ID: 99, Kind: reqPull, Stale: true, Err: "old", N: 9, LSN: 9, Applied: 9,
 		Cols: []exec.ColInfo{{Name: "old"}}, Rows: []types.Row{{types.NewInt(9)}}, Span: &trace.WireSpan{Name: "old"},
-		Snapshot: []byte("old"), SubID: 9, StartLSN: 9, Batches: []repl.TxnBatch{{LSN: 9}}, ThroughLSN: 9}
+		Snapshot: []byte("old"), SubID: 9, StartLSN: 9, Batches: []repl.TxnBatch{{LSN: 9}}, ThroughLSN: 9,
+		rows: rows, vals: vals}
+}
+
+// shortSpares is recycledResponse with spare slices too short for the sample
+// result sets but for the one-value ones.
+func shortSpares() response {
+	resp := recycledResponse()
+	resp.rows, resp.vals = resp.rows[:1:1], resp.vals[:1:1]
+	return resp
 }
 
 // TestDecodedValuesDoNotAliasFrame: the read side reuses its frame buffer and
 // decodes into recycled call slots and exchanges, so nothing a decode leaves
 // in its destination may point into the frame, and nothing the destination
-// held before may survive the decode.
+// held before may survive the decode — a result set decoded into spare
+// slices that are too short or too long, full of old values, shows none of
+// them, and a row with no values is still empty and not nil. Headers go
+// through a table every sample warmed.
 func TestDecodedValuesDoNotAliasFrame(t *testing.T) {
 	overwrite := func(frame []byte) {
 		for i := range frame {
@@ -550,19 +596,31 @@ func TestDecodedValuesDoNotAliasFrame(t *testing.T) {
 			t.Errorf("request %s decoded into a recycled exchange, frame then overwritten:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
+	warm := headers{}
+	for _, resp := range sampleResponses() {
+		if err := decodeResponse(appendResponse(nil, resp), &response{}, warm); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for name, resp := range sampleResponses() {
-		frame := appendResponse(nil, resp)
-		var want response
-		if err := decodeResponse(bytes.Clone(frame), &want); err != nil {
-			t.Fatalf("response %s: %v", name, err)
-		}
-		got := recycledResponse()
-		if err := decodeResponse(frame, &got); err != nil {
-			t.Fatalf("response %s into a recycled slot: %v", name, err)
-		}
-		overwrite(frame)
-		if !sameResponse(&want, &got) {
-			t.Errorf("response %s decoded into a recycled slot, frame then overwritten:\n got %+v\nwant %+v", name, got, want)
+		for spares, got := range map[string]response{"long": recycledResponse(), "short": shortSpares()} {
+			frame := appendResponse(nil, resp)
+			var want response
+			if err := decodeResponse(bytes.Clone(frame), &want, headers{}); err != nil {
+				t.Fatalf("response %s: %v", name, err)
+			}
+			if err := decodeResponse(frame, &got, warm); err != nil {
+				t.Fatalf("response %s into a recycled slot, %s spares: %v", name, spares, err)
+			}
+			overwrite(frame)
+			if !sameResponse(&want, &got) {
+				t.Errorf("response %s decoded into a recycled slot with %s spares, frame then overwritten:\n got %+v\nwant %+v", name, spares, got, want)
+			}
+			for i, row := range got.Rows {
+				if resp.Kind == reqQuery && row == nil || cap(row) != len(row) {
+					t.Errorf("response %s, %s spares: row %d is nil or reaches past its values (len %d, cap %d)", name, spares, i, len(row), cap(row))
+				}
+			}
 		}
 	}
 }
@@ -694,16 +752,16 @@ func TestFrameReaderRejectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp response
-	if err := decodeResponse(payload, &resp); err != nil {
+	if err := decodeResponse(payload, &resp, headers{}); err != nil {
 		t.Fatal(err)
 	}
 	// And every truncation of the payload itself fails to decode.
 	for cut := 0; cut < len(payload); cut++ {
-		if err := decodeResponse(payload[:cut], &resp); err == nil {
+		if err := decodeResponse(payload[:cut], &resp, headers{}); err == nil {
 			t.Fatalf("payload cut at %d/%d decoded", cut, len(payload))
 		}
 	}
-	if err := decodeResponse(append(bytes.Clone(payload), 0), &resp); err == nil {
+	if err := decodeResponse(append(bytes.Clone(payload), 0), &resp, headers{}); err == nil {
 		t.Fatal("payload with a trailing byte decoded")
 	}
 }

@@ -13,7 +13,9 @@ import (
 // the frame could not fill. What does decode must survive a second trip:
 // encode(decode(x)) decodes to an equal value. A request decodes the same
 // through a fresh intern table and through one the earlier inputs warmed, as
-// a server connection's is: interning never changes what a frame means.
+// a server connection's is, and a response through a fresh header table and
+// through a warmed one, as a client connection's is, into a recycled slot's
+// spare slices: neither table changes what a frame means.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with real frames of every kind, and one that names a parameter
 	// twice: whole, halved, minus the last byte, minus the first.
@@ -33,7 +35,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	add(queryFrame([]string{"a", "a"}, []types.Value{types.NewInt(1), types.NewString("x")}))
 
-	warm := interner{}
+	warm, warmHdrs := interner{}, headers{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The largest in-memory element per wire byte is a 64-byte Value
 		// behind a 1-byte NULL, next to its share of a 24-byte row header;
@@ -45,7 +47,7 @@ func FuzzFrameDecode(f *testing.F) {
 		)
 		before := totalAlloc()
 		reqErr := decodeRequest(data, &req, interner{})
-		respErr := decodeResponse(data, &resp)
+		respErr := decodeResponse(data, &resp, headers{})
 		if grew := totalAlloc() - before; grew > budget {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
@@ -53,6 +55,11 @@ func FuzzFrameDecode(f *testing.F) {
 		if err := decodeRequest(data, &interned, warm); (err == nil) != (reqErr == nil) ||
 			err != nil && err.Error() != reqErr.Error() || err == nil && !sameRequest(&req, &interned) {
 			t.Fatalf("a warm intern table changed the decode:\n cold %+v, %v\n warm %+v, %v", req, reqErr, interned, err)
+		}
+		shared := recycledResponse()
+		if err := decodeResponse(data, &shared, warmHdrs); (err == nil) != (respErr == nil) ||
+			err != nil && err.Error() != respErr.Error() || err == nil && !sameResponse(&resp, &shared) {
+			t.Fatalf("a warm header table changed the decode:\n cold %+v, %v\n warm %+v, %v", resp, respErr, shared, err)
 		}
 		// The second trip decodes into a recycled destination, as the client's
 		// call slots and the server's exchanges do.
@@ -67,7 +74,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if respErr == nil {
 			again := recycledResponse()
-			if err := decodeResponse(appendResponse(nil, &resp), &again); err != nil {
+			if err := decodeResponse(appendResponse(nil, &resp), &again, warmHdrs); err != nil {
 				t.Fatalf("re-encoded response does not decode: %v\n%+v", err, resp)
 			}
 			if !sameResponse(&resp, &again) {

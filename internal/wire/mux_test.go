@@ -11,9 +11,11 @@ import (
 	"time"
 
 	"mtcache/internal/core"
+	"mtcache/internal/engine"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/resilience"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -487,6 +489,123 @@ func TestLateResponseNeverReachesALaterCall(t *testing.T) {
 	}
 	if slowTimeouts == 0 {
 		t.Error("no SLOW request timed out: nothing raced a later call")
+	}
+}
+
+// TestLateResponseNeverWritesALaterResult: a routed Result lends the row and
+// value slices it kept to each round trip that answers into it, and a round
+// trip that times out forfeits them, for its response may still be decoded
+// into them: the reader may have taken the round trip's slot just before the
+// timer fired. So a response that lands after its round trip timed out never
+// writes into the rows of a later answer — one the same Result takes from
+// another server, as the router fails a read over, or one a Result from the
+// pool takes. Each SLOW request on one connection is answered around the
+// client's timeout with rows that fit the Result's slices, behind a span tree
+// that takes the reader longer to decode than the steps between the answers'
+// arrival times, so the timer often fires while the reader decodes into the
+// slot. After each timeout the Result answers a FAST request on a second
+// connection at once. Every answer is checked value by value, and under
+// -race a late write into a later answer's slices is reported whenever it
+// happens.
+func TestLateResponseNeverWritesALaterResult(t *testing.T) {
+	const (
+		timeout = 40 * time.Millisecond
+		width   = 8
+		rows    = 100 // 800 values: what a released Result keeps
+	)
+	answer := func(req *request, slow bool) *response {
+		resp := &response{ID: req.ID, Kind: req.Kind}
+		if slow {
+			resp.Span = &trace.WireSpan{Name: "slow", Attrs: make([]trace.Attr, 20000)}
+		}
+		for i := 0; i < rows; i++ {
+			row := make(types.Row, width)
+			for j := range row {
+				row[j] = types.NewString(req.SQL)
+			}
+			resp.Rows = append(resp.Rows, row)
+		}
+		return resp
+	}
+	serve := func(slow bool) func(conn net.Conn, fake *fakeServer) {
+		return func(conn net.Conn, fake *fakeServer) {
+			defer conn.Close()
+			var (
+				wmu     sync.Mutex
+				answers sync.WaitGroup
+			)
+			defer answers.Wait()
+			for i := 0; ; i++ {
+				req, err := fake.readRequest()
+				if err != nil {
+					return
+				}
+				var delay time.Duration
+				if slow {
+					delay = timeout - 5*time.Millisecond + time.Duration(i%12)*500*time.Microsecond
+				}
+				answers.Add(1)
+				go func() {
+					defer answers.Done()
+					time.Sleep(delay)
+					wmu.Lock()
+					defer wmu.Unlock()
+					fake.writeResponse(answer(req, slow)) //nolint:errcheck — the client may be gone
+				}()
+			}
+		}
+	}
+	dialFake := func(slow bool) *Client {
+		c, err := Dial(listenFake(t, serve(slow)), timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	slowC, fastC := dialFake(true), dialFake(false)
+
+	// check fails the test unless every value of res is q.
+	check := func(res *engine.Result, q string) {
+		if len(res.Rows) != rows {
+			t.Fatalf("%s: %d rows, want %d", q, len(res.Rows), rows)
+		}
+		for _, row := range res.Rows {
+			for _, v := range row {
+				if v.Str() != q {
+					t.Fatalf("%s: a value of its answer reads %q", q, v.Str())
+				}
+			}
+		}
+	}
+	res := engine.NewResult()
+	fast := func(q string) {
+		if _, err := fastC.QueryInto(q, nil, 0, 0, res); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		check(res, q)
+	}
+	fast("FAST warm") // the Result's slices now hold a whole answer
+	slowTimeouts := 0
+	for i := 0; i < 60; i++ {
+		q := fmt.Sprintf("SLOW %d", i)
+		_, err := slowC.QueryInto(q, nil, 0, 0, res)
+		switch {
+		case errors.Is(err, resilience.ErrTimeout):
+			slowTimeouts++
+			fast(fmt.Sprintf("FAST %d", i)) // the router's failover
+		case err != nil:
+			t.Fatalf("%s: %v", q, err)
+		default:
+			check(res, q)
+		}
+		res.Release()
+		res = engine.NewResult()
+		fast(fmt.Sprintf("FAST %d after", i))
+	}
+	res.Release()
+	if slowTimeouts == 0 {
+		t.Error("no SLOW request timed out: nothing raced a later answer")
 	}
 }
 
