@@ -229,7 +229,8 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 func (s *Subscriber) apply(views []view, batches ...TxnBatch) error {
 	tx := s.target.Store().Begin(true)
 	defer tx.Abort() // a no-op once committed
-	var touched []string
+	var touchedBuf [8]string
+	touched := touchedBuf[:0]
 	for _, b := range batches {
 		for _, ch := range b.Changes {
 			if i := slices.IndexFunc(views, func(v view) bool { return v.table == ch.Table }); i < 0 || b.LSN < views[i].start {

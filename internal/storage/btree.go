@@ -344,14 +344,37 @@ func (n *node) ensureChild(i int) {
 	}
 }
 
-// Get returns the RowIDs of all entries whose key equals key exactly.
-func (t *BTree) Get(key types.Row) []RowID {
-	var out []RowID
-	t.AscendRange(key, key, func(it Item) bool {
-		out = append(out, it.RID)
-		return true
-	})
-	return out
+// firstMatch returns the RowID of the first entry, in index order, whose key
+// equals key and for which match reports true, or -1 when there is none. It
+// is a point probe — a unique check, a primary-key lookup — that stops at
+// the first live entry and collects nothing.
+func (t *BTree) firstMatch(key types.Row, match func(RowID) bool) RowID {
+	rid, _ := t.pin().firstMatch(key, match)
+	return rid
+}
+
+// firstMatch walks n from the first entry >= key; false means the walk
+// passed the last entry carrying key.
+func (n *node) firstMatch(key types.Row, match func(RowID) bool) (RowID, bool) {
+	start, _ := n.find(Item{Key: key, RID: -1 << 62})
+	for i := start; i <= len(n.items); i++ {
+		if !n.leaf() {
+			if rid, more := n.children[i].firstMatch(key, match); rid >= 0 || !more {
+				return rid, more
+			}
+		}
+		if i == len(n.items) {
+			break
+		}
+		it := n.items[i]
+		if prefixCmp(it.Key, key) != 0 {
+			return -1, false
+		}
+		if match(it.RID) {
+			return it.RID, false
+		}
+	}
+	return -1, true
 }
 
 // Ascend visits all entries in key order.

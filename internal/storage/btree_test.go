@@ -28,12 +28,12 @@ func TestBTreeInsertGet(t *testing.T) {
 		t.Fatalf("len %d", bt.Len())
 	}
 	for i := int64(0); i < 1000; i++ {
-		rids := bt.Get(types.Row{types.NewInt(i)})
+		rids := bt.pin().get(types.Row{types.NewInt(i)})
 		if len(rids) != 1 || rids[0] != RowID(i) {
 			t.Fatalf("get %d: %v", i, rids)
 		}
 	}
-	if rids := bt.Get(types.Row{types.NewInt(5000)}); len(rids) != 0 {
+	if rids := bt.pin().get(types.Row{types.NewInt(5000)}); len(rids) != 0 {
 		t.Error("missing key returned rows")
 	}
 }
@@ -43,7 +43,7 @@ func TestBTreeDuplicateKeysDistinctRIDs(t *testing.T) {
 	for rid := RowID(0); rid < 10; rid++ {
 		bt.Insert(intItem(7, rid))
 	}
-	rids := bt.Get(types.Row{types.NewInt(7)})
+	rids := bt.pin().get(types.Row{types.NewInt(7)})
 	if len(rids) != 10 {
 		t.Fatalf("want 10 rids, got %d", len(rids))
 	}
@@ -190,7 +190,7 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 			return false
 		}
 		for k := range ref {
-			if len(bt.Get(types.Row{types.NewInt(k)})) != 1 {
+			if len(bt.pin().get(types.Row{types.NewInt(k)})) != 1 {
 				return false
 			}
 		}

@@ -45,11 +45,12 @@ type snapMark struct {
 // the blocking removed). Write transactions serialize per table: the first
 // access to a table — read or write — takes that table's write latch, held to
 // commit/abort (strict 2PL among writers, at table granularity), with
-// wait-for-graph deadlock detection. Commit stamps all created/ended versions
-// and appends the WAL under a short critical section, then publishes the new
-// timestamp with one atomic store — so concurrent readers observe each
-// transaction all-or-nothing. Version garbage collection reclaims images no
-// live snapshot can reach, keyed off the oldest pinned snapshot.
+// wait-for-graph deadlock detection. Commit stamps the versions its undo log
+// created and ended and appends the WAL under a short critical section, then
+// publishes the new timestamp with one atomic store — so concurrent readers
+// observe each transaction all-or-nothing. Version garbage collection
+// reclaims images no live snapshot can reach, keyed off the oldest pinned
+// snapshot.
 type Store struct {
 	mu     sync.RWMutex // guards the table map (DDL vs lookup), nothing else
 	tables map[string]*TableData
@@ -339,16 +340,26 @@ type Txn struct {
 	id      int64
 	write   bool
 	done    bool
-	err     error       // sticky: set by deadlock detection, surfaced at commit
-	snap    int64       // read transactions: pinned commit timestamp
-	asOfLSN LSN         // read transactions: WAL end consistent with snap
-	changes []ChangeRec // redo, for the WAL; its rows are the versions' own
+	err     error // sticky: set by deadlock detection, surfaced at commit
+	snap    int64 // read transactions: pinned commit timestamp
+	asOfLSN LSN   // read transactions: WAL end consistent with snap
+	// undo is a write's one log of its changes, in the order made: commit
+	// stamps its versions and builds the redo record from it, abort unwinds
+	// it. It and latched start in a writeTxn's buffers.
 	undo    []undoRec
-	created []*version   // versions to stamp begin=commitTS
-	ended   []*version   // versions to stamp end=commitTS
 	latched []*TableData // latches held, released at commit/abort
 }
 
+// writeTxn is how Begin allocates a write transaction: with room for its
+// first few changes and latches in the same object. A read transaction has
+// no use for either and is a bare Txn.
+type writeTxn struct {
+	Txn
+	undo    [4]undoRec
+	latched [4]*TableData
+}
+
+// undoRec is one change a write transaction made.
 type undoRec struct {
 	table *TableData
 	op    ChangeOp
@@ -357,12 +368,27 @@ type undoRec struct {
 	old   *version // version ended by this txn (delete/update)
 }
 
+// redo returns the change the record describes, as the WAL logs it: its rows
+// are the versions' own.
+func (u *undoRec) redo() ChangeRec {
+	ch := ChangeRec{Table: u.table.meta.Name, Op: u.op}
+	if u.old != nil {
+		ch.Before = u.old.row
+	}
+	if u.v != nil {
+		ch.After = u.v.row
+	}
+	return ch
+}
+
 // Begin opens a transaction. Read transactions pin the current snapshot and
 // take no locks (BeginRead); write transactions latch tables lazily on first
 // access.
 func (s *Store) Begin(write bool) *Txn {
 	if write {
-		return &Txn{s: s, id: s.nextTx.Add(1), write: true}
+		w := &writeTxn{Txn: Txn{s: s, id: s.nextTx.Add(1), write: true}}
+		w.Txn.undo, w.Txn.latched = w.undo[:0], w.latched[:0]
+		return &w.Txn
 	}
 	t := new(Txn)
 	s.BeginRead(t)
@@ -493,9 +519,7 @@ func (t *Txn) insert(td *TableData, row types.Row) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	t.changes = append(t.changes, ChangeRec{Table: td.meta.Name, Op: OpInsert, After: row})
 	t.undo = append(t.undo, undoRec{table: td, op: OpInsert, rid: rid, v: v})
-	t.created = append(t.created, v)
 	return rid, nil
 }
 
@@ -513,9 +537,7 @@ func (t *Txn) delete(td *TableData, rid RowID) error {
 	if err != nil {
 		return err
 	}
-	t.changes = append(t.changes, ChangeRec{Table: td.meta.Name, Op: OpDelete, Before: old.row})
 	t.undo = append(t.undo, undoRec{table: td, op: OpDelete, rid: rid, old: old})
-	t.ended = append(t.ended, old)
 	return nil
 }
 
@@ -534,10 +556,7 @@ func (t *Txn) update(td *TableData, rid RowID, newRow types.Row) error {
 	if err != nil {
 		return err
 	}
-	t.changes = append(t.changes, ChangeRec{Table: td.meta.Name, Op: OpUpdate, Before: old.row, After: newRow})
 	t.undo = append(t.undo, undoRec{table: td, op: OpUpdate, rid: rid, v: v, old: old})
-	t.created = append(t.created, v)
-	t.ended = append(t.ended, old)
 	return nil
 }
 
@@ -560,7 +579,8 @@ func (t *Txn) Apply(ch ChangeRec) error {
 	tv := TableView{td: td, txn: t}
 	rid := RowID(-1)
 	if pk := td.meta.PrimaryKey; len(pk) > 0 {
-		rid = tv.PKLookup(indexKey(ch.Before, pk))
+		var keyBuf [4]types.Value
+		rid = tv.PKLookup(appendKey(keyBuf[:0], ch.Before, pk))
 	} else {
 		tv.Scan(func(r RowID, row types.Row) bool {
 			if types.RowsEqual(row, ch.Before) {
@@ -609,17 +629,28 @@ func (t *Txn) commit(logged bool) (LSN, error) {
 	var lsn LSN
 	var syncErr error
 	if len(t.undo) > 0 {
+		// The redo record is built only for the log, and exactly sized.
+		var redo []ChangeRec
+		if logged {
+			redo = make([]ChangeRec, len(t.undo))
+			for i := range t.undo {
+				redo[i] = t.undo[i].redo()
+			}
+		}
 		s := t.s
 		s.commitMu.Lock()
 		ts := s.published.Load().ts + 1
-		for _, v := range t.created {
-			v.begin.Store(ts)
+		for i := range t.undo {
+			u := &t.undo[i]
+			if u.v != nil {
+				u.v.begin.Store(ts)
+			}
+			if u.old != nil {
+				u.old.end.Store(ts)
+			}
 		}
-		for _, v := range t.ended {
-			v.end.Store(ts)
-		}
-		if logged && len(t.changes) > 0 {
-			lsn = s.wal.Append(t.id, time.Now(), t.changes)
+		if logged {
+			lsn = s.wal.Append(t.id, time.Now(), redo)
 		}
 		if lsn > 0 && s.durable != nil && s.durable.policy == SyncAlways {
 			// Strict WAL: the record reaches disk before the commit becomes

@@ -35,6 +35,20 @@ type rowSlot struct {
 	head atomic.Pointer[version]
 }
 
+// slotChunk is how many slots the heap adds at a time: slots live in
+// fixed-size chunks that never move, so a new row takes a slot without an
+// allocation of its own, and the chunk directory is republished only when a
+// chunk is added.
+const slotChunk = 64
+
+// chunk is one block of heap slots; a slot's address never changes.
+type chunk = [slotChunk]rowSlot
+
+// slotIn returns slot i of a directory that covers it.
+func slotIn(dir []*chunk, i int) *rowSlot {
+	return &dir[uint(i)/slotChunk][uint(i)%slotChunk]
+}
+
 // visibleAt returns the row image visible to a snapshot taken at commit
 // timestamp snap, or nil if the row does not exist at that snapshot.
 func (s *rowSlot) visibleAt(snap int64) types.Row {
@@ -76,8 +90,13 @@ func (s *rowSlot) latestFor(txnID int64) *version {
 // a Txn so every committed change lands in the WAL; readers access it through
 // a TableView, which carries the snapshot (or writer) visibility rule.
 type TableData struct {
-	meta    *catalog.Table
-	slots   atomic.Pointer[[]*rowSlot]
+	meta *catalog.Table
+	// The heap: the first nslots slots of the chunks in dir are in use. A
+	// reader loads nslots before dir (heap); allocSlot stores a grown
+	// directory before the count that needs it, so the directory a reader
+	// loads always covers the count it loaded.
+	nslots  atomic.Int64
+	dir     atomic.Pointer[[]*chunk]
 	indexes atomic.Pointer[map[string]*indexData]
 
 	// deadHint counts versions whose end has been stamped since the last GC
@@ -98,8 +117,7 @@ type indexData struct {
 
 func newTableData(meta *catalog.Table) *TableData {
 	td := &TableData{meta: meta}
-	empty := []*rowSlot{}
-	td.slots.Store(&empty)
+	td.dir.Store(new([]*chunk))
 	m := make(map[string]*indexData)
 	if len(meta.PrimaryKey) > 0 {
 		m["__pk"] = &indexData{
@@ -118,8 +136,9 @@ func newTableData(meta *catalog.Table) *TableData {
 // chain, so snapshots older than the index build still resolve through it.
 func buildIndex(td *TableData, idx *catalog.Index) *indexData {
 	id := &indexData{meta: idx, tree: NewBTree()}
-	for rid, slot := range *td.slots.Load() {
-		for v := slot.head.Load(); v != nil; v = v.next.Load() {
+	n, dir := td.heap()
+	for rid := 0; rid < n; rid++ {
+		for v := slotIn(dir, rid).head.Load(); v != nil; v = v.next.Load() {
 			id.tree.Insert(Item{Key: indexKey(v.row, idx.Columns), RID: RowID(rid)})
 		}
 	}
@@ -149,37 +168,53 @@ func keyName(s string) string {
 }
 
 func indexKey(row types.Row, cols []int) types.Row {
-	k := make(types.Row, len(cols))
-	for i, c := range cols {
-		k[i] = row[c]
+	return appendKey(make(types.Row, 0, len(cols)), row, cols)
+}
+
+// appendKey appends row's values on cols to dst.
+func appendKey(dst, row types.Row, cols []int) types.Row {
+	for _, c := range cols {
+		dst = append(dst, row[c])
 	}
-	return k
+	return dst
 }
 
 // Meta returns the catalog definition this data belongs to.
 func (td *TableData) Meta() *catalog.Table { return td.meta }
 
-func (td *TableData) slotAt(rid RowID) *rowSlot {
-	slots := *td.slots.Load()
-	if rid < 0 || int(rid) >= len(slots) {
-		return nil
-	}
-	return slots[rid]
+// heap returns the number of slots in use and a chunk directory covering
+// them, loaded in that order.
+func (td *TableData) heap() (int, []*chunk) {
+	n := int(td.nslots.Load())
+	return n, *td.dir.Load()
 }
 
-// allocSlot reuses a GC-freed slot or appends a fresh one. Caller holds the
-// table latch. The append publishes a new header atomically; readers holding
-// the old header never index past their snapshot's length.
+func (td *TableData) slotAt(rid RowID) *rowSlot {
+	n, dir := td.heap()
+	if rid < 0 || int(rid) >= n {
+		return nil
+	}
+	return slotIn(dir, int(rid))
+}
+
+// allocSlot reuses a GC-freed slot or takes the next one of the last chunk,
+// adding a chunk when that one is full. Caller holds the table latch. A
+// grown directory is stored before the count: the append may write the
+// shared array, but only past the length of every directory published
+// before, which no reader indexes.
 func (td *TableData) allocSlot() RowID {
 	if n := len(td.free); n > 0 {
 		rid := td.free[n-1]
 		td.free = td.free[:n-1]
 		return rid
 	}
-	slots := *td.slots.Load()
-	grown := append(slots, &rowSlot{})
-	td.slots.Store(&grown)
-	return RowID(len(grown) - 1)
+	n := int(td.nslots.Load())
+	if dir := *td.dir.Load(); n == len(dir)*slotChunk {
+		grown := append(dir, new(chunk))
+		td.dir.Store(&grown)
+	}
+	td.nslots.Store(int64(n + 1))
+	return RowID(n)
 }
 
 // index returns the named index, or the primary-key index for "__pk".
@@ -192,16 +227,14 @@ func (td *TableData) index(name string) *indexData {
 // stale — they are only removed by GC — so each candidate's live image is
 // re-checked against the key.
 func (td *TableData) uniqueConflict(id *indexData, key types.Row, txnID int64) bool {
-	for _, rid := range id.tree.Get(key) {
+	return id.tree.firstMatch(key, func(rid RowID) bool {
 		slot := td.slotAt(rid)
 		if slot == nil {
-			continue
+			return false
 		}
-		if v := slot.latestFor(txnID); v != nil && keyEquals(v.row, id.meta.Columns, key) {
-			return true
-		}
-	}
-	return false
+		v := slot.latestFor(txnID)
+		return v != nil && keyEquals(v.row, id.meta.Columns, key)
+	}) >= 0
 }
 
 // insertLocked adds a new uncommitted version in a fresh slot. Caller holds
@@ -211,12 +244,19 @@ func (td *TableData) insertLocked(txnID int64, row types.Row) (RowID, *version, 
 		return 0, nil, fmt.Errorf("storage: %s: row has %d values, table has %d columns", td.meta.Name, len(row), len(td.meta.Columns))
 	}
 	// Each index's key is built once: checked if the index is unique, then
-	// inserted.
+	// inserted. All of the row's keys are cut from one slab.
 	idxs := *td.indexes.Load()
+	width := 0
+	for _, id := range idxs {
+		width += len(id.meta.Columns)
+	}
+	slab := make(types.Row, width)
 	var entriesBuf [4]indexEntry
 	entries := entriesBuf[:0]
 	for _, id := range idxs {
-		k := indexKey(row, id.meta.Columns)
+		n := len(id.meta.Columns)
+		k := appendKey(slab[:0:n], row, id.meta.Columns)
+		slab = slab[n:]
 		if id.meta.Unique && td.uniqueConflict(id, k, txnID) {
 			return 0, nil, fmt.Errorf("storage: %s: duplicate key %v for unique index %s", td.meta.Name, k, id.meta.Name)
 		}
@@ -310,10 +350,11 @@ func (td *TableData) removeEntriesFor(row types.Row, rid RowID, onlyIfNot types.
 // slots whose chains empty out. Caller holds the table latch. Returns the
 // number of versions reclaimed.
 func (td *TableData) gcLocked(oldest int64) int {
-	slots := *td.slots.Load()
+	n, dir := td.heap()
 	idxs := *td.indexes.Load()
 	pruned := 0
-	for rid, slot := range slots {
+	for rid := 0; rid < n; rid++ {
+		slot := slotIn(dir, rid)
 		head := slot.head.Load()
 		if head == nil {
 			continue
@@ -401,7 +442,7 @@ func (tv *TableView) Get(rid RowID) types.Row {
 }
 
 // Cap returns the heap slot count (upper bound for cursor iteration).
-func (tv *TableView) Cap() int { return len(*tv.td.slots.Load()) }
+func (tv *TableView) Cap() int { return int(tv.td.nslots.Load()) }
 
 // At returns the visible row in slot i, or nil. It is the cursor-style
 // access used by the executor's Scan operator.
@@ -418,8 +459,9 @@ func (tv *TableView) Count() int {
 
 // Scan calls fn for every visible row until fn returns false.
 func (tv *TableView) Scan(fn func(RowID, types.Row) bool) {
-	for rid, slot := range *tv.td.slots.Load() {
-		row := tv.rowAt(slot)
+	n, dir := tv.td.heap()
+	for rid := 0; rid < n; rid++ {
+		row := tv.rowAt(slotIn(dir, rid))
 		if row == nil {
 			continue
 		}
@@ -469,12 +511,10 @@ func (tv *TableView) PKLookup(key types.Row) RowID {
 	if pk == nil {
 		return -1
 	}
-	for _, rid := range pk.tree.Get(key) {
-		if row := tv.Get(rid); row != nil && keyEquals(row, pk.meta.Columns, key) {
-			return rid
-		}
-	}
-	return -1
+	return pk.tree.firstMatch(key, func(rid RowID) bool {
+		row := tv.Get(rid)
+		return row != nil && keyEquals(row, pk.meta.Columns, key)
+	})
 }
 
 // IndexView is a snapshot read view over one index: a pinned tree root plus

@@ -64,13 +64,15 @@ func AppendChanges(buf []byte, changes []ChangeRec) []byte {
 }
 
 // DecodeChanges is the inverse of AppendChanges; a failure is left in d.Err.
+// Each change's table name is made from its bytes by table: a new string, or
+// a reader's intern table's — a pull names the same few tables over and over.
 // Each row gets its own allocation: the store retains rows one by one.
-func DecodeChanges(d *types.Decoder) []ChangeRec {
+func DecodeChanges(d *types.Decoder, table func([]byte) string) []ChangeRec {
 	n := d.Count(4) // table length, op, two row headers
 	changes := make([]ChangeRec, 0, n)
 	for i := 0; i < n; i++ {
 		var c ChangeRec
-		c.Table = d.Str()
+		c.Table = table(d.Bytes(d.Uvarint()))
 		c.Op = ChangeOp(d.Byte())
 		c.Before = d.Row()
 		c.After = d.Row()
@@ -91,7 +93,7 @@ func decodeCommitRecord(payload []byte) (*CommitRecord, error) {
 		TxnID:      d.Varint(),
 		CommitTime: time.Unix(0, d.Varint()).UTC(),
 	}
-	rec.Changes = DecodeChanges(d)
+	rec.Changes = DecodeChanges(d, func(b []byte) string { return string(b) })
 	if d.Err != nil {
 		return nil, fmt.Errorf("storage: wal record: %w", d.Err)
 	}

@@ -22,10 +22,16 @@ import (
 // call is measured as CallProcedure makes it: Exec of the call's shape with
 // the values in the named map, through the front door and the statement's
 // record, which comes from a pool and carries its trace ID as a number; the
-// call's Result comes from a pool too, and the caller releases it. The
-// ceilings are the counts on that path with the last of these, 16, 13 and 13
-// for addCartLine, adminUpdate and updateCartLine (17, 14 and 14 while the
-// write body's Result was a new object; 19, 16 and 16 while each
+// call's Result comes from a pool too, and the caller releases it; the
+// write transaction keeps one change log, started inside it, with its
+// latches, its heap slot comes from a chunk, an INSERT cuts all of its
+// index keys from one slab, a unique check or a primary-key lookup stops at
+// the first live entry instead of collecting them, and the redo record is
+// built once, exactly sized, at a logged commit. The ceilings are the
+// counts on that path with the last of these, 11, 8 and 8 for addCartLine,
+// adminUpdate and updateCartLine (16, 13 and 13 while the transaction kept
+// four per-change lists; 17, 14 and 14 while the write body's Result was a
+// new object; 19, 16 and 16 while each
 // record was a new object with a text ID; 21, 18 and
 // 18 while the call bound its arguments into a map of its own; 21, 20 and
 // 20 when a keyed write made two views; 27, 46 and 42 when every call
@@ -49,13 +55,13 @@ func TestWriteAllocBudget(t *testing.T) {
 		{"addCartLine", func() exec.Params { // a one-row INSERT
 			cart++
 			return exec.Params{"sc_id": types.NewInt(cart), "i_id": types.NewInt(417), "qty": types.NewInt(1)}
-		}, 16},
+		}, 11},
 		{"adminUpdate", func() exec.Params { // a one-row UPDATE by key
 			return exec.Params{"i_id": types.NewInt(417), "cost": types.NewFloat(9.5), "related": types.NewInt(7)}
-		}, 13},
+		}, 8},
 		{"updateCartLine", func() exec.Params { // a one-row UPDATE by a two-column key
 			return exec.Params{"sc_id": types.NewInt(1<<20 + 1), "i_id": types.NewInt(417), "qty": types.NewInt(2)}
-		}, 13},
+		}, 8},
 	} {
 		call := func() {
 			res, err := b.DB.CallProcedure(g.proc, g.params())

@@ -96,18 +96,18 @@ func (c *Client) Broken() bool {
 // readLoop is the demultiplexer: the single goroutine that checks the
 // server's preface, then reads response frames and routes each to the round
 // trip waiting on it, decoding their column headers through the
-// connection's header table. A read or decode error is terminal for the
-// whole connection — every in-flight request fails with the classified
-// error.
+// connection's header table and pulled changes' table names through its
+// intern table. A read or decode error is terminal for the whole connection
+// — every in-flight request fails with the classified error.
 func (c *Client) readLoop() {
 	defer c.readerWG.Done()
 	fr := newFrameReader(c.conn)
-	hdrs := headers{}
+	hdrs, names := headers{}, interner{}
 	err := fr.readPreface()
 	for err == nil {
 		var payload []byte
 		if payload, err = fr.next(); err == nil {
-			err = c.deliver(payload, hdrs)
+			err = c.deliver(payload, hdrs, names)
 		}
 	}
 	c.failAll(resilience.Classify(fmt.Errorf("wire: recv: %w", err)))
@@ -119,7 +119,7 @@ func (c *Client) readLoop() {
 // a timeout, or it carries no ID — is decoded and dropped. A frame that does
 // not decode goes back to pending with its slot, for failAll to fail with the
 // rest.
-func (c *Client) deliver(payload []byte, hdrs headers) error {
+func (c *Client) deliver(payload []byte, hdrs headers, names interner) error {
 	id, _ := binary.Uvarint(payload)
 	c.mu.Lock()
 	cl := c.pending[id]
@@ -127,9 +127,9 @@ func (c *Client) deliver(payload []byte, hdrs headers) error {
 	c.mu.Unlock()
 	if cl == nil {
 		var dropped response
-		return decodeResponse(payload, &dropped, hdrs)
+		return decodeResponse(payload, &dropped, hdrs, names)
 	}
-	if err := decodeResponse(payload, &cl.resp, hdrs); err != nil {
+	if err := decodeResponse(payload, &cl.resp, hdrs, names); err != nil {
 		c.mu.Lock()
 		c.pending[id] = cl
 		c.mu.Unlock()

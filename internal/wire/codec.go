@@ -300,19 +300,24 @@ func appendRequest(buf []byte, req *request) []byte {
 	return buf
 }
 
-// interner is one server connection's table of the query texts and
-// parameter names its frames carried: a call shape, or a statement an
-// application repeats, is one of a few strings, decoded into a new one only
-// the first time. It is bounded (internEntries, internLen) and used by the
-// connection's read loop alone.
+// interner is one connection's table of the strings its frames repeat: on a
+// server connection the query texts and parameter names (a call shape, or a
+// statement an application repeats, is one of a few strings), on a client
+// connection the table names of pulled changes. Each is decoded into a new
+// string only the first time. It is bounded (internEntries, internLen) and
+// used by the connection's read loop alone.
 type interner map[string]string
 
 // str decodes one length-prefixed string as Decoder.Str does, returning the
-// table's copy of it when there is one. The lookup by the frame's bytes does
+// table's copy of it when there is one.
+func (in interner) str(d *types.Decoder) string {
+	return in.of(d.Bytes(d.Uvarint()))
+}
+
+// of returns the table's copy of the string b holds. The lookup by b does
 // not allocate; a miss makes the string, and keeps it unless it is longer
 // than internLen.
-func (in interner) str(d *types.Decoder) string {
-	b := d.Bytes(d.Uvarint())
+func (in interner) of(b []byte) string {
 	if s, ok := in[string(b)]; ok || len(b) == 0 {
 		return s
 	}
@@ -458,12 +463,13 @@ func appendResponse(buf []byte, resp *response) []byte {
 // decodeResponse parses one response payload into resp, overwriting every
 // field of it but the spare slices rows and vals. Nothing in resp then
 // aliases payload. A result set's column header comes from hdrs, the
-// connection's header table; its rows decode into one []types.Row and one
+// connection's header table, and a pulled change's table name from names,
+// its intern table; a result set's rows decode into one []types.Row and one
 // []types.Value behind all of them — resp.rows and resp.vals when they are
 // long enough, new ones that take their place when not — and one string
 // behind every string in them. Replication rows, which the store retains
 // one by one, each get their own allocation.
-func decodeResponse(payload []byte, resp *response, hdrs headers) error {
+func decodeResponse(payload []byte, resp *response, hdrs headers, names interner) error {
 	d := types.Decoder{Buf: payload}
 	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte()), rows: resp.rows, vals: resp.vals}
 	flags := d.Byte()
@@ -507,7 +513,7 @@ func decodeResponse(payload []byte, resp *response, hdrs headers) error {
 				b := &resp.Batches[i]
 				b.LSN = storage.LSN(d.Uvarint())
 				b.CommitTime = time.Unix(0, d.Varint()).UTC()
-				b.Changes = storage.DecodeChanges(&d)
+				b.Changes = storage.DecodeChanges(&d, names.of)
 			}
 		}
 	case reqApplied:

@@ -316,7 +316,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for name, resp := range sampleResponses() {
 		got := &response{}
-		if err := decodeResponse(appendResponse(nil, resp), got, headers{}); err != nil {
+		if err := decodeResponse(appendResponse(nil, resp), got, headers{}, interner{}); err != nil {
 			t.Errorf("response %s: %v", name, err)
 			continue
 		}
@@ -339,7 +339,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	// A time comes back as the same instant in UTC, equal under Compare and
 	// rendered identically — in range or not.
 	var got response
-	if err := decodeResponse(appendResponse(nil, sampleResponses()["query"]), &got, headers{}); err != nil {
+	if err := decodeResponse(appendResponse(nil, sampleResponses()["query"]), &got, headers{}, interner{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{6, 7} {
@@ -352,7 +352,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	// A response that is all header: the error and the stale flag suppress
 	// nothing in the header and everything in the body.
 	errResp := &response{Kind: reqQuery, ID: 1, Err: "boom", Rows: []types.Row{sampleRow}, Cols: []exec.ColInfo{{Name: "c"}}}
-	if err := decodeResponse(appendResponse(nil, errResp), &got, headers{}); err != nil || got.Err != "boom" || got.Rows != nil || got.Cols != nil {
+	if err := decodeResponse(appendResponse(nil, errResp), &got, headers{}, interner{}); err != nil || got.Err != "boom" || got.Rows != nil || got.Cols != nil {
 		t.Errorf("error response carried a body: %+v, %v", got, err)
 	}
 }
@@ -381,7 +381,7 @@ func TestSpanDepthBounded(t *testing.T) {
 		return n
 	}
 	var got response
-	if err := decodeResponse(appendResponse(nil, &response{Kind: reqQuery, Span: chain(maxSpanDepth + 10)}), &got, headers{}); err != nil {
+	if err := decodeResponse(appendResponse(nil, &response{Kind: reqQuery, Span: chain(maxSpanDepth + 10)}), &got, headers{}, interner{}); err != nil {
 		t.Fatal(err)
 	}
 	if d := depth(got.Span); d != maxSpanDepth+1 {
@@ -395,7 +395,7 @@ func TestSpanDepthBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		frame = append(frame, 0, 0, 0, 0, 1)
 	}
-	if err := decodeResponse(frame, &got, headers{}); err == nil {
+	if err := decodeResponse(frame, &got, headers{}, interner{}); err == nil {
 		t.Error("a span tree 10 000 levels deep decoded")
 	}
 }
@@ -436,6 +436,7 @@ func TestCodecAllocBudget(t *testing.T) {
 		gotReq  request
 		strs    = interner{}
 		hdrs    = headers{}
+		names   = interner{}
 	)
 
 	for _, tc := range []struct {
@@ -445,9 +446,9 @@ func TestCodecAllocBudget(t *testing.T) {
 	}{
 		// Rows, the values behind every row, the string slab: the header
 		// is the table's after the first
-		{"decode 16x3 result set cold", 3, func() { decodeCold(respFrame, &gotResp, hdrs) }},
+		{"decode 16x3 result set cold", 3, func() { decodeCold(respFrame, &gotResp, hdrs, names) }},
 		// the string slab: the rows and their values are the spare slices'
-		{"decode 16x3 result set warm", 1, func() { decodeResponse(respFrame, &gotResp, hdrs) }}, //nolint:errcheck
+		{"decode 16x3 result set warm", 1, func() { decodeResponse(respFrame, &gotResp, hdrs, names) }}, //nolint:errcheck
 		// nothing: the SQL text is the connection's table's after the first
 		{"decode parameterless query", 0, func() { decodeRequest(reqFrame, &gotReq, strs) }}, //nolint:errcheck
 		{"encode result set", 0, func() { buf = appendResponse(buf[:0], resp) }},
@@ -460,13 +461,15 @@ func TestCodecAllocBudget(t *testing.T) {
 	bigFrame := appendResponse(nil, resultSetResponse(1600))
 	for _, tc := range []struct {
 		name   string
-		decode func([]byte, *response, headers)
+		decode func([]byte, *response, headers, interner)
 	}{
 		{"cold", decodeCold},
-		{"warm", func(frame []byte, resp *response, hdrs headers) { decodeResponse(frame, resp, hdrs) }}, //nolint:errcheck
+		{"warm", func(frame []byte, resp *response, hdrs headers, names interner) {
+			decodeResponse(frame, resp, hdrs, names) //nolint:errcheck
+		}},
 	} {
-		small := testing.AllocsPerRun(50, func() { tc.decode(respFrame, &gotResp, hdrs) })
-		big := testing.AllocsPerRun(50, func() { tc.decode(bigFrame, &gotResp, hdrs) })
+		small := testing.AllocsPerRun(50, func() { tc.decode(respFrame, &gotResp, hdrs, names) })
+		big := testing.AllocsPerRun(50, func() { tc.decode(bigFrame, &gotResp, hdrs, names) })
 		if big != small {
 			t.Errorf("%s: a 1600-row result set decodes in %v allocations, a 16-row one in %v", tc.name, big, small)
 		}
@@ -475,9 +478,9 @@ func TestCodecAllocBudget(t *testing.T) {
 
 // decodeCold decodes frame into resp with no spare slices, as a destination
 // nothing lent any has them.
-func decodeCold(frame []byte, resp *response, hdrs headers) {
+func decodeCold(frame []byte, resp *response, hdrs headers, names interner) {
 	resp.rows, resp.vals = nil, nil
-	decodeResponse(frame, resp, hdrs) //nolint:errcheck
+	decodeResponse(frame, resp, hdrs, names) //nolint:errcheck
 }
 
 // TestRoundTripAllocBudget: what a warm round trip allocates, counting both
@@ -573,8 +576,8 @@ func shortSpares() response {
 // in its destination may point into the frame, and nothing the destination
 // held before may survive the decode — a result set decoded into spare
 // slices that are too short or too long, full of old values, shows none of
-// them, and a row with no values is still empty and not nil. Headers go
-// through a table every sample warmed.
+// them, and a row with no values is still empty and not nil. Headers and
+// pulled changes' table names go through tables every sample warmed.
 func TestDecodedValuesDoNotAliasFrame(t *testing.T) {
 	overwrite := func(frame []byte) {
 		for i := range frame {
@@ -596,9 +599,9 @@ func TestDecodedValuesDoNotAliasFrame(t *testing.T) {
 			t.Errorf("request %s decoded into a recycled exchange, frame then overwritten:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
-	warm := headers{}
+	warm, warmNames := headers{}, interner{}
 	for _, resp := range sampleResponses() {
-		if err := decodeResponse(appendResponse(nil, resp), &response{}, warm); err != nil {
+		if err := decodeResponse(appendResponse(nil, resp), &response{}, warm, warmNames); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -606,10 +609,10 @@ func TestDecodedValuesDoNotAliasFrame(t *testing.T) {
 		for spares, got := range map[string]response{"long": recycledResponse(), "short": shortSpares()} {
 			frame := appendResponse(nil, resp)
 			var want response
-			if err := decodeResponse(bytes.Clone(frame), &want, headers{}); err != nil {
+			if err := decodeResponse(bytes.Clone(frame), &want, headers{}, interner{}); err != nil {
 				t.Fatalf("response %s: %v", name, err)
 			}
-			if err := decodeResponse(frame, &got, warm); err != nil {
+			if err := decodeResponse(frame, &got, warm, warmNames); err != nil {
 				t.Fatalf("response %s into a recycled slot, %s spares: %v", name, spares, err)
 			}
 			overwrite(frame)
@@ -752,16 +755,16 @@ func TestFrameReaderRejectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp response
-	if err := decodeResponse(payload, &resp, headers{}); err != nil {
+	if err := decodeResponse(payload, &resp, headers{}, interner{}); err != nil {
 		t.Fatal(err)
 	}
 	// And every truncation of the payload itself fails to decode.
 	for cut := 0; cut < len(payload); cut++ {
-		if err := decodeResponse(payload[:cut], &resp, headers{}); err == nil {
+		if err := decodeResponse(payload[:cut], &resp, headers{}, interner{}); err == nil {
 			t.Fatalf("payload cut at %d/%d decoded", cut, len(payload))
 		}
 	}
-	if err := decodeResponse(append(bytes.Clone(payload), 0), &resp, headers{}); err == nil {
+	if err := decodeResponse(append(bytes.Clone(payload), 0), &resp, headers{}, interner{}); err == nil {
 		t.Fatal("payload with a trailing byte decoded")
 	}
 }

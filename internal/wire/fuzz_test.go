@@ -13,9 +13,9 @@ import (
 // the frame could not fill. What does decode must survive a second trip:
 // encode(decode(x)) decodes to an equal value. A request decodes the same
 // through a fresh intern table and through one the earlier inputs warmed, as
-// a server connection's is, and a response through a fresh header table and
-// through a warmed one, as a client connection's is, into a recycled slot's
-// spare slices: neither table changes what a frame means.
+// a server connection's is, and a response through fresh header and name
+// tables and through warmed ones, as a client connection's is, into a
+// recycled slot's spare slices: no table changes what a frame means.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with real frames of every kind, and one that names a parameter
 	// twice: whole, halved, minus the last byte, minus the first.
@@ -35,7 +35,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	add(queryFrame([]string{"a", "a"}, []types.Value{types.NewInt(1), types.NewString("x")}))
 
-	warm, warmHdrs := interner{}, headers{}
+	warm, warmHdrs, warmNames := interner{}, headers{}, interner{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The largest in-memory element per wire byte is a 64-byte Value
 		// behind a 1-byte NULL, next to its share of a 24-byte row header;
@@ -47,7 +47,7 @@ func FuzzFrameDecode(f *testing.F) {
 		)
 		before := totalAlloc()
 		reqErr := decodeRequest(data, &req, interner{})
-		respErr := decodeResponse(data, &resp, headers{})
+		respErr := decodeResponse(data, &resp, headers{}, interner{})
 		if grew := totalAlloc() - before; grew > budget {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
@@ -57,7 +57,7 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("a warm intern table changed the decode:\n cold %+v, %v\n warm %+v, %v", req, reqErr, interned, err)
 		}
 		shared := recycledResponse()
-		if err := decodeResponse(data, &shared, warmHdrs); (err == nil) != (respErr == nil) ||
+		if err := decodeResponse(data, &shared, warmHdrs, warmNames); (err == nil) != (respErr == nil) ||
 			err != nil && err.Error() != respErr.Error() || err == nil && !sameResponse(&resp, &shared) {
 			t.Fatalf("a warm header table changed the decode:\n cold %+v, %v\n warm %+v, %v", resp, respErr, shared, err)
 		}
@@ -74,7 +74,7 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if respErr == nil {
 			again := recycledResponse()
-			if err := decodeResponse(appendResponse(nil, &resp), &again, warmHdrs); err != nil {
+			if err := decodeResponse(appendResponse(nil, &resp), &again, warmHdrs, warmNames); err != nil {
 				t.Fatalf("re-encoded response does not decode: %v\n%+v", err, resp)
 			}
 			if !sameResponse(&resp, &again) {

@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 
 	"mtcache/internal/core"
 	"mtcache/internal/engine"
 	"mtcache/internal/exec"
+	"mtcache/internal/repl"
+	"mtcache/internal/storage"
 	"mtcache/internal/tpcw"
 	"mtcache/internal/trace"
 	"mtcache/internal/types"
@@ -34,7 +38,7 @@ func TestSeenHeadersAreShared(t *testing.T) {
 		t.Helper()
 		var resp response
 		frame := appendResponse(nil, &response{Kind: reqQuery, Cols: cols, Rows: []types.Row{{types.NewInt(1)}}})
-		if err := decodeResponse(frame, &resp, hdrs); err != nil {
+		if err := decodeResponse(frame, &resp, hdrs, interner{}); err != nil {
 			t.Fatal(err)
 		}
 		if !sameResponse(&resp, &response{Kind: reqQuery, Cols: cols, Rows: []types.Row{{types.NewInt(1)}}}) {
@@ -190,4 +194,60 @@ func (n noting) QueryTraced(q string, p exec.Params, traceID string) (*exec.Resu
 		n.note(rs.Cols)
 	}
 	return rs, span, err
+}
+
+// TestPulledTableNamesAreShared: a client connection decodes the table name
+// of a pulled change through its intern table — the names of every change
+// in a warm pull share one string each, a pull decodes to the same batches
+// through a warm table as through a cold one, the table keeps to its bounds,
+// and a name too long to keep decodes correctly every time, uninterned.
+func TestPulledTableNamesAreShared(t *testing.T) {
+	pull := func(tables ...string) *response {
+		resp := &response{Kind: reqPull, ID: 1, ThroughLSN: 9, Batches: []repl.TxnBatch{{LSN: 8, CommitTime: time.Unix(0, 0).UTC()}}}
+		for i, table := range tables {
+			resp.Batches[0].Changes = append(resp.Batches[0].Changes,
+				storage.ChangeRec{Table: table, Op: storage.OpInsert, After: types.Row{types.NewInt(int64(i))}})
+		}
+		return resp
+	}
+	decode := func(names interner, want *response) []storage.ChangeRec {
+		t.Helper()
+		var got response
+		if err := decodeResponse(appendResponse(nil, want), &got, headers{}, names); err != nil {
+			t.Fatal(err)
+		}
+		if !sameResponse(&got, want) {
+			t.Fatalf("pull decoded as %+v, want %+v", got, want)
+		}
+		return got.Batches[0].Changes
+	}
+	names := interner{}
+	first := decode(names, pull("order_line", "orders", "order_line"))
+	again := decode(names, pull("orders", "order_line"))
+	if unsafe.StringData(first[0].Table) != unsafe.StringData(first[2].Table) ||
+		unsafe.StringData(again[1].Table) != unsafe.StringData(first[0].Table) ||
+		unsafe.StringData(again[0].Table) != unsafe.StringData(first[1].Table) {
+		t.Error("a table name a connection has seen decoded into a new string")
+	}
+	cold := decode(interner{}, pull("orders", "order_line"))
+	if cold[0].Table != again[0].Table || cold[1].Table != again[1].Table {
+		t.Errorf("cold table decoded %q, warm %q", []storage.ChangeRec{cold[0], cold[1]}, again)
+	}
+
+	// Bounded: every name a new one, the table never holds more than
+	// internEntries of them.
+	for i := 0; i < 3*internEntries; i++ {
+		decode(names, pull(fmt.Sprint("t", i)))
+		if len(names) > internEntries {
+			t.Fatalf("%d names kept, bound %d", len(names), internEntries)
+		}
+	}
+
+	// Too long to keep: decoded every time, correctly.
+	long := strings.Repeat("x", internLen+1)
+	clear(names)
+	l1, l2 := decode(names, pull(long)), decode(names, pull(long))
+	if len(names) != 0 || unsafe.StringData(l1[0].Table) == unsafe.StringData(l2[0].Table) {
+		t.Errorf("a %d-byte table name was kept, bound %d", len(long), internLen)
+	}
 }
