@@ -35,8 +35,9 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 	if err != nil {
 		return nil, err
 	}
+	var ctr exec.Counters
 	tx := db.store.Begin(true)
-	n, err := db.runWrite(wp, params, tx)
+	n, err := db.runWrite(wp, params, tx, &ctr)
 	if err != nil {
 		tx.Abort()
 		return nil, err
@@ -47,7 +48,7 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 	}
 	db.invalidateDMLTarget(stmt)
 	res := NewResult()
-	res.RowsAffected, res.CommitLSN = n, lsn
+	res.RowsAffected, res.CommitLSN, res.Counters, rec.Counters = n, lsn, ctr, ctr
 	return res, nil
 }
 
@@ -72,17 +73,26 @@ func (db *Database) forward(text string, params exec.Params, rec *trace.Record) 
 	return res, nil
 }
 
+// dmlTarget is the table an INSERT, UPDATE or DELETE names, or nil for any
+// other statement.
+func dmlTarget(stmt sql.Statement) *sql.TableName {
+	switch x := stmt.(type) {
+	case *sql.InsertStmt:
+		return x.Table
+	case *sql.UpdateStmt:
+		return x.Table
+	case *sql.DeleteStmt:
+		return x.Table
+	}
+	return nil
+}
+
 // invalidateDMLTarget drops intermediates derived from a DML statement's
 // target table after a backend committed it locally. A cache never calls it:
 // replication apply is a cache's one result invalidation.
 func (db *Database) invalidateDMLTarget(stmt sql.Statement) {
-	switch x := stmt.(type) {
-	case *sql.InsertStmt:
-		db.InvalidateIntermediates(x.Table.Name)
-	case *sql.UpdateStmt:
-		db.InvalidateIntermediates(x.Table.Name)
-	case *sql.DeleteStmt:
-		db.InvalidateIntermediates(x.Table.Name)
+	if tn := dmlTarget(stmt); tn != nil {
+		db.InvalidateIntermediates(tn.Name)
 	}
 }
 
@@ -90,15 +100,7 @@ func (db *Database) invalidateDMLTarget(stmt sql.Statement) {
 // or nil. The sys database qualifier alone is enough to reject — a typo'd
 // sys.* name must not be silently forwarded to the backend as user DML.
 func (db *Database) virtualDMLTarget(stmt sql.Statement) *catalog.Table {
-	var tn *sql.TableName
-	switch x := stmt.(type) {
-	case *sql.InsertStmt:
-		tn = x.Table
-	case *sql.UpdateStmt:
-		tn = x.Table
-	case *sql.DeleteStmt:
-		tn = x.Table
-	}
+	tn := dmlTarget(stmt)
 	if tn == nil {
 		return nil
 	}
@@ -112,8 +114,10 @@ func (db *Database) virtualDMLTarget(stmt sql.Statement) *catalog.Table {
 }
 
 // writePlan is an INSERT, UPDATE or DELETE taken apart once: its target
-// table, its compiled expressions, and the primary-key seek its WHERE allows.
-// An execution binds the key values, evaluates and writes. A compiled scalar
+// table, its compiled expressions, and the index seek its WHERE allows, which
+// the read planner's index chooser picks (opt.WriteSeek). An execution
+// walks the index between the evaluated bounds, or scans, and writes the rows
+// the whole WHERE holds for. A compiled scalar
 // holds no run state — a parameter resolves by name, an IN list's set is
 // built when it is compiled — so one plan serves concurrent executions. A
 // procedure body's statement keeps its plan on its plan-cache entry
@@ -133,11 +137,12 @@ type writePlan struct {
 	// UPDATE: the SET assignments.
 	sets []setOp
 
-	// UPDATE, DELETE: the whole WHERE (nil: every row), and the primary-key
-	// seek it allows (nil: none). A seek finds at most one row, which the
-	// filter still has to pass.
+	// UPDATE, DELETE: the whole WHERE (nil: every row), and the index it
+	// seeks with its prefix bounds ("": none, the write scans). A row the
+	// seek finds is written only if the whole WHERE holds for it.
 	filter exec.Expr
-	seek   []keyArg
+	index  string
+	lo, hi []exec.Expr
 }
 
 // fillCol is a column an INSERT gives no value: it takes its default,
@@ -151,13 +156,6 @@ type fillCol struct {
 type setOp struct {
 	ord int
 	e   exec.Expr
-}
-
-// keyArg is one primary-key column's value in a seek: the parameter named
-// param, or when param is "" the literal lit.
-type keyArg struct {
-	param string
-	lit   types.Value
 }
 
 // writePlanOf is the write plan of a procedure body's INSERT, UPDATE or
@@ -183,44 +181,36 @@ func (db *Database) writePlanOf(e *planEntry, stmt sql.Statement) (*writePlan, e
 
 // buildWritePlan takes a DML statement apart against the catalog: it resolves
 // the target and every column it names, refusing a column named twice in an
-// INSERT's list or an UPDATE's SET, compiles every expression, and resolves
-// the WHERE's primary-key seek.
+// INSERT's list or an UPDATE's SET, compiles every expression, and takes the
+// WHERE's index seek from opt.WriteSeek.
 func (db *Database) buildWritePlan(stmt sql.Statement) (*writePlan, error) {
-	var tn *sql.TableName
-	var where sql.Expr
-	wp := &writePlan{}
-	switch x := stmt.(type) {
-	case *sql.InsertStmt:
-		tn, wp.op = x.Table, storage.OpInsert
-	case *sql.UpdateStmt:
-		tn, where, wp.op = x.Table, x.Where, storage.OpUpdate
-	case *sql.DeleteStmt:
-		tn, where, wp.op = x.Table, x.Where, storage.OpDelete
-	default:
+	tn := dmlTarget(stmt)
+	if tn == nil {
 		return nil, fmt.Errorf("engine: not a DML statement: %T", stmt)
 	}
 	t := db.cat.Table(tn.Name)
 	if t == nil {
 		return nil, fmt.Errorf("engine: table %s does not exist", tn.Name)
 	}
-	wp.t = t
-	if where != nil {
-		f, err := opt.CompileScalar(where, t)
-		if err != nil {
-			return nil, err
-		}
-		wp.filter, wp.seek = f, pkSeek(t, where)
-	}
+	wp := &writePlan{t: t, op: storage.OpInsert}
+	var where sql.Expr
 	var err error
 	switch x := stmt.(type) {
 	case *sql.InsertStmt:
 		err = wp.planInsert(x)
 	case *sql.UpdateStmt:
+		where, wp.op = x.Where, storage.OpUpdate
 		err = wp.planSet(x.Set)
+	case *sql.DeleteStmt:
+		where, wp.op = x.Where, storage.OpDelete
 	}
-	if err != nil {
+	if err != nil || where == nil {
+		return wp, err
+	}
+	if wp.filter, err = opt.CompileScalar(where, t); err != nil {
 		return nil, err
 	}
+	wp.index, wp.lo, wp.hi, _ = opt.WriteSeek(t, where)
 	return wp, nil
 }
 
@@ -296,60 +286,21 @@ func insertColumnOrds(t *catalog.Table, cols []string) ([]int, error) {
 	return ords, nil
 }
 
-// pkSeek resolves the seek a WHERE allows on t's primary key: for every key
-// column the literal or parameter an equality conjunct sets it to — the last
-// such conjunct's, when there are several — or nil when some key column has
-// none. A column reference matches a key column case-insensitively.
-func pkSeek(t *catalog.Table, where sql.Expr) []keyArg {
-	if len(t.PrimaryKey) == 0 {
-		return nil
-	}
-	seek := make([]keyArg, len(t.PrimaryKey))
-	found := make([]bool, len(t.PrimaryKey))
-	for _, c := range opt.Conjuncts(where) {
-		be, ok := c.(*sql.BinaryExpr)
-		if !ok || be.Op != sql.OpEQ {
-			continue
-		}
-		ref, val := be.L, be.R
-		if _, ok := ref.(*sql.ColumnRef); !ok {
-			ref, val = be.R, be.L
-		}
-		cr, ok := ref.(*sql.ColumnRef)
-		if !ok {
-			continue
-		}
-		i := slices.Index(t.PrimaryKey, t.ColumnIndex(cr.Name))
-		if i < 0 {
-			continue
-		}
-		switch v := val.(type) {
-		case *sql.Literal:
-			seek[i], found[i] = keyArg{lit: v.Val}, true
-		case *sql.Param:
-			seek[i], found[i] = keyArg{param: v.Name}, true
-		}
-	}
-	if slices.Contains(found, false) {
-		return nil
-	}
-	return seek
-}
-
 // runWrite executes wp inside tx with params bound and returns the number of
-// rows it wrote. An UPDATE or DELETE binds its target's view once: finding
-// the rows and reading them before the write go through the same view.
-func (db *Database) runWrite(wp *writePlan, params exec.Params, tx *storage.Txn) (int64, error) {
+// rows it wrote; the rows it examined are added to ctr's RowsScanned. An
+// UPDATE or DELETE binds its target's view once: finding the rows and reading
+// them before the write go through the same view.
+func (db *Database) runWrite(wp *writePlan, params exec.Params, tx *storage.Txn, ctr *exec.Counters) (int64, error) {
 	env := &exec.Env{Named: params}
 	if wp.op == storage.OpInsert {
-		return db.execInsert(wp, env, tx)
+		return db.execInsert(wp, env, tx, ctr)
 	}
 	td, ok := tx.Table(wp.t.Name)
 	if !ok {
 		return 0, fmt.Errorf("engine: no storage for %s", wp.t.Name)
 	}
 	var one [1]storage.RowID
-	rids, err := wp.targetRows(one[:0], env, &td)
+	rids, err := wp.targetRows(one[:0], env, &td, ctr)
 	if err != nil {
 		return 0, err
 	}
@@ -359,7 +310,7 @@ func (db *Database) runWrite(wp *writePlan, params exec.Params, tx *storage.Txn)
 	return db.execDelete(wp, rids, tx, &td)
 }
 
-func (db *Database) execInsert(wp *writePlan, env *exec.Env, tx *storage.Txn) (int64, error) {
+func (db *Database) execInsert(wp *writePlan, env *exec.Env, tx *storage.Txn, ctr *exec.Counters) (int64, error) {
 	t := wp.t
 	views := db.cat.ViewsOver(t.Name)
 	var count int64
@@ -387,6 +338,7 @@ func (db *Database) execInsert(wp *writePlan, env *exec.Env, tx *storage.Txn) (i
 		if err != nil {
 			return 0, err
 		}
+		ctr.Add(&rs.Counters)
 		for _, r := range rs.Rows {
 			if err := write(r); err != nil {
 				return 0, err
@@ -446,55 +398,15 @@ func (wp *writePlan) insertRow(vals []types.Value, env *exec.Env) (types.Row, er
 	return row, nil
 }
 
-// targetRows appends to dst the RowIDs the WHERE selects: by the primary key
-// when the plan has a seek and its values bind (the hot path for OLTP
-// updates), the row it finds selected only if the whole clause holds for it;
-// otherwise by a scan.
-func (wp *writePlan) targetRows(dst []storage.RowID, env *exec.Env, td *storage.TableView) ([]storage.RowID, error) {
-	var buf [4]types.Value
-	if key, ok := wp.key(buf[:0], env.Named); ok {
-		rid := td.PKLookup(key)
-		if rid < 0 {
-			return dst, nil
-		}
-		if ok, err := exec.EvalBool(wp.filter, td.Get(rid), env); err != nil || !ok {
-			return dst, err
-		}
-		return append(dst, rid), nil
-	}
-	return scanTargets(dst, td, wp.filter, env)
-}
-
-// key binds the plan's seek: each key value — the literal, or the parameter's
-// value in params — cast to its column's type and appended to dst. ok is
-// false when there is no seek, a parameter is unbound or a value does not
-// cast; the WHERE then scans.
-func (wp *writePlan) key(dst types.Row, params exec.Params) (types.Row, bool) {
-	if wp.seek == nil {
-		return nil, false
-	}
-	for i, a := range wp.seek {
-		v := a.lit
-		if a.param != "" {
-			var ok bool
-			if v, ok = params[a.param]; !ok {
-				return nil, false
-			}
-		}
-		cast, err := v.Cast(wp.t.Columns[wp.t.PrimaryKey[i]].Type)
-		if err != nil {
-			return nil, false
-		}
-		dst = append(dst, cast)
-	}
-	return dst, true
-}
-
-// scanTargets appends to dst every row of td the filter passes.
-func scanTargets(dst []storage.RowID, td *storage.TableView, filter exec.Expr, env *exec.Env) ([]storage.RowID, error) {
+// targetRows appends to dst the RowIDs of the rows the whole WHERE holds for,
+// and counts in ctr every row it examines: the rows in the plan's index range,
+// or when it has no index, every row of td. A seek finds each row once: the
+// walk skips an entry whose key the visible row no longer carries.
+func (wp *writePlan) targetRows(dst []storage.RowID, env *exec.Env, td *storage.TableView, ctr *exec.Counters) ([]storage.RowID, error) {
 	var evalErr error
-	td.Scan(func(rid storage.RowID, row types.Row) bool {
-		ok, err := exec.EvalBool(filter, row, env)
+	visit := func(rid storage.RowID, row types.Row) bool {
+		ctr.RowsScanned++
+		ok, err := exec.EvalBool(wp.filter, row, env)
 		if err != nil {
 			evalErr = err
 			return false
@@ -503,11 +415,19 @@ func scanTargets(dst []storage.RowID, td *storage.TableView, filter exec.Expr, e
 			dst = append(dst, rid)
 		}
 		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
 	}
-	return dst, nil
+	iv, ok := td.Index(wp.index)
+	if !ok { // no index, or one a CREATE INDEX has yet to build: the WHERE decides alone
+		td.Scan(visit)
+		return dst, evalErr
+	}
+	var loBuf, hiBuf [4]types.Value
+	lo, hi, ok, err := exec.SeekBounds(wp.lo, wp.hi, env, loBuf[:0], hiBuf[:0])
+	if err != nil || !ok {
+		return dst, err
+	}
+	iv.Walk(lo, hi, false, func(it storage.Item) bool { return visit(it.RID, td.Get(it.RID)) })
+	return dst, evalErr
 }
 
 func (db *Database) execUpdate(wp *writePlan, rids []storage.RowID, env *exec.Env, tx *storage.Txn, td *storage.TableView) (int64, error) {

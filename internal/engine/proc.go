@@ -32,7 +32,11 @@ func (db *Database) execProcCall(x *sql.ExecStmt, outer exec.Params, autoArgs []
 	if err != nil {
 		return nil, err
 	}
-	return db.callProcedure(proc, params)
+	res, err := db.callProcedure(proc, params)
+	if err == nil {
+		rec.Counters = res.Counters
+	}
+	return res, err
 }
 
 // bindProcArgs evaluates EXEC arguments (positional or named) into the
@@ -153,7 +157,7 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 				wp, err := db.writePlanOf(db.entryFor(x.(keyed)), x)
 				var n int64
 				if err == nil {
-					n, err = db.runWrite(wp, params, tx)
+					n, err = db.runWrite(wp, params, tx, &res.Counters)
 				}
 				if err != nil {
 					tx.Abort()

@@ -355,22 +355,13 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 	if s.iv, err = indexView(&s.td, s.TableName, s.IndexName); err != nil {
 		return err
 	}
-	var lo, hi types.Row // nil = unbounded
-	if s.Lo != nil {
-		if s.lo, err = evalBound(s.Lo, ctx, s.lo); err != nil {
-			return err
-		}
-		lo = s.lo
+	lo, hi, ok, err := SeekBounds(s.Lo, s.Hi, &ctx.Env, s.lo, s.hi)
+	if err != nil {
+		return err
 	}
-	if s.Hi != nil {
-		if s.hi, err = evalBound(s.Hi, ctx, s.hi); err != nil {
-			return err
-		}
-		hi = s.hi
-	}
-	s.rids, s.pos = s.rids[:0], 0
-	if hasNull(lo) || hasNull(hi) {
-		return nil // col <= NULL holds for no row
+	s.lo, s.hi, s.rids, s.pos = lo, hi, s.rids[:0], 0
+	if !ok {
+		return nil
 	}
 	s.iv.Walk(lo, hi, s.Desc, func(it storage.Item) bool {
 		if s.Limit > 0 && it.Key[0].IsNull() {
@@ -384,26 +375,32 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 	return nil
 }
 
-// evalBound evaluates a seek bound into buf.
-func evalBound(bound []Expr, ctx *Ctx, buf types.Row) (types.Row, error) {
+// SeekBounds evaluates an index seek's lo and hi bounds into loBuf and hiBuf,
+// returned regrown; a nil bound is open and evaluates to nil. ok is false when
+// a value is NULL: col <= NULL holds for no row, and neither does the seek.
+func SeekBounds(lo, hi []Expr, env *Env, loBuf, hiBuf types.Row) (loKey, hiKey types.Row, ok bool, err error) {
+	loKey, okLo, err := evalBound(lo, env, loBuf)
+	if err != nil {
+		return loKey, hiBuf, false, err
+	}
+	hiKey, okHi, err := evalBound(hi, env, hiBuf)
+	return loKey, hiKey, okLo && okHi, err
+}
+
+// evalBound evaluates a seek bound into buf; ok is false when a value is NULL.
+func evalBound(bound []Expr, env *Env, buf types.Row) (types.Row, bool, error) {
+	if bound == nil {
+		return nil, true, nil
+	}
 	buf = buf[:0]
 	for _, e := range bound {
-		v, err := e.Eval(nil, &ctx.Env)
-		if err != nil {
-			return buf, err
+		v, err := e.Eval(nil, env)
+		if err != nil || v.IsNull() {
+			return buf, false, err
 		}
 		buf = append(buf, v)
 	}
-	return buf, nil
-}
-
-func hasNull(row types.Row) bool {
-	for _, v := range row {
-		if v.IsNull() {
-			return true
-		}
-	}
-	return false
+	return buf, true, nil
 }
 
 // BatchNext fills b with up to BatchSize visible rows; empty batch is EOS.

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -285,46 +286,23 @@ func (pl *planner) scanPath(t *catalog.Table, storageName string, scanCols []exe
 	return op, cost, card
 }
 
-// indexPath finds the best index-driven access: the index whose key prefix
-// is covered by sargable predicates with the lowest estimated rows.
+// indexPath finds the best index-driven access: the index chooseIndex picks,
+// costed by the rows its bounds select.
 func (pl *planner) indexPath(t *catalog.Table, storageName string, scanCols []exec.ColInfo, sc *scope, stats *catalog.TableStats, conj []sql.Expr, simple []simplePred) (exec.Operator, float64, float64, bool) {
-	type boundSpec struct {
-		lo, hi   []sql.Expr
-		matchSel float64
-	}
-	var bestIdx *catalog.Index
-	var bestBound boundSpec
-	bestSel := 1.1
-
-	for _, idx := range allIndexes(t) {
-		lo, hi, sel, usable := pl.indexBounds(idx, t, scanCols, simple, stats)
-		if !usable {
-			continue
-		}
-		if sel < bestSel {
-			bestSel = sel
-			bestIdx = idx
-			bestBound = boundSpec{lo: lo, hi: hi, matchSel: sel}
-		}
-	}
-	if bestIdx == nil {
+	idx, loE, hiE, sel, ok := chooseIndex(t, scanCols, simple, stats)
+	if !ok {
 		return nil, 0, 0, false
 	}
 	rows := float64(t.Stats.Load().RowCount)
 	if rows < 1 {
 		rows = 1
 	}
-	matched := rows * bestBound.matchSel
+	matched := rows * sel
 	if matched < 1 {
 		matched = 1
 	}
-	loE, err1 := compileBound(bestBound.lo)
-	hiE, err2 := compileBound(bestBound.hi)
-	if err1 != nil || err2 != nil {
-		return nil, 0, 0, false
-	}
 	var op exec.Operator = &exec.IndexScan{
-		TableName: storageName, IndexName: bestIdx.Name, Cols: scanCols, Lo: loE, Hi: hiE,
+		TableName: storageName, IndexName: idx.Name, Cols: scanCols, Lo: loE, Hi: hiE,
 	}
 	cost := costSeekBase + matched*costSeekRow
 	card := matched
@@ -346,9 +324,64 @@ func (pl *planner) indexPath(t *catalog.Table, storageName string, scanCols []ex
 	return op, cost, card, true
 }
 
+// chooseIndex is the one index selection, a read's and a write's: of t's
+// indexes whose key prefix the sargable predicates bind, the one whose bounds
+// select the fewest rows by stats, with those bounds compiled — inclusive key
+// prefixes, a strict or any other predicate being left to the filter above
+// the seek. ok is false when no index prefix is bound or a bound does not
+// compile. scanCols names t's columns by ordinal.
+func chooseIndex(t *catalog.Table, scanCols []exec.ColInfo, simple []simplePred, stats *catalog.TableStats) (idx *catalog.Index, lo, hi []exec.Expr, sel float64, ok bool) {
+	var loS, hiS []sql.Expr
+	sel = 1.1
+	for _, cand := range allIndexes(t) {
+		l, h, s, usable := indexBounds(cand, scanCols, simple, stats)
+		if usable && s < sel {
+			idx, loS, hiS, sel = cand, l, h, s
+		}
+	}
+	if idx == nil {
+		return nil, nil, nil, 0, false
+	}
+	var err error
+	lo, err = compileBound(loS)
+	hi = lo // an equality prefix: one compiled bound serves as both
+	if err == nil && !slices.Equal(loS, hiS) {
+		hi, err = compileBound(hiS)
+	}
+	if err != nil {
+		return nil, nil, nil, 0, false
+	}
+	return idx, lo, hi, sel, true
+}
+
+// WriteSeek is the access path of an UPDATE's or a DELETE's rows in t under
+// where: the index chooseIndex picks and its compiled Lo/Hi bounds, or ok
+// false when no index prefix is bound and the write scans. The seek only
+// narrows the rows; the caller still evaluates the whole WHERE on each.
+//
+// Unlike a read's (localAccess), a write's choice weighs no seek against a
+// scan: whenever an index is usable the write seeks. A write plan lives until
+// DDL or a statistics refresh, and a table analyzed empty prices a full-key
+// seek (costSeekBase + costSeekRow) above a one-row scan (costScanRow +
+// costPredEval). TPC-W loads analyze shopping_cart_line before any cart
+// exists, so a cost-based choice would turn updateCartLine's key seek into a
+// scan of a table that grows, for as long as the plan lives.
+func WriteSeek(t *catalog.Table, where sql.Expr) (index string, lo, hi []exec.Expr, ok bool) {
+	scanCols := make([]exec.ColInfo, len(t.Columns)) // the chooser reads only names
+	for i, c := range t.Columns {
+		scanCols[i].Name = c.Name
+	}
+	simple, _ := simplePreds(Conjuncts(where))
+	idx, lo, hi, _, ok := chooseIndex(t, scanCols, simple, t.Stats.Load())
+	if !ok {
+		return "", nil, nil, false
+	}
+	return idx.Name, lo, hi, true
+}
+
 // allIndexes lists a table's secondary indexes plus its primary-key index.
 func allIndexes(t *catalog.Table) []*catalog.Index {
-	indexes := append([]*catalog.Index{}, t.Indexes...)
+	indexes := append(make([]*catalog.Index, 0, len(t.Indexes)+1), t.Indexes...)
 	if len(t.PrimaryKey) > 0 {
 		indexes = append(indexes, &catalog.Index{Name: "__pk", Table: t.Name, Columns: t.PrimaryKey, Unique: true})
 	}
@@ -357,7 +390,7 @@ func allIndexes(t *catalog.Table) []*catalog.Index {
 
 // indexBounds computes seek bounds for an index from the sargable predicates:
 // an equality per leading column, optionally one range on the next column.
-func (pl *planner) indexBounds(idx *catalog.Index, t *catalog.Table, scanCols []exec.ColInfo, preds []simplePred, stats *catalog.TableStats) (lo, hi []sql.Expr, sel float64, usable bool) {
+func indexBounds(idx *catalog.Index, scanCols []exec.ColInfo, preds []simplePred, stats *catalog.TableStats) (lo, hi []sql.Expr, sel float64, usable bool) {
 	sel = 1.0
 	for _, ord := range idx.Columns {
 		colName := strings.ToLower(scanCols[ord].Name)
@@ -381,7 +414,7 @@ func (pl *planner) indexBounds(idx *catalog.Index, t *catalog.Table, scanCols []
 			e := predValueExpr(eq)
 			lo = append(lo, e)
 			hi = append(hi, e)
-			sel *= pl.eqSelectivity(stats, colName, eq)
+			sel *= eqSelectivity(stats, colName, eq)
 			continue
 		}
 		if rlo != nil || rhi != nil {
@@ -391,7 +424,7 @@ func (pl *planner) indexBounds(idx *catalog.Index, t *catalog.Table, scanCols []
 			if rhi != nil {
 				hi = append(hi, predValueExpr(rhi))
 			}
-			sel *= pl.rangeSelectivity(stats, colName, rlo, rhi)
+			sel *= rangeSelectivity(stats, colName, rlo, rhi)
 		}
 		break // only the first non-equality column can bound the seek
 	}
@@ -423,7 +456,7 @@ func compileBound(bound []sql.Expr) ([]exec.Expr, error) {
 	return out, nil
 }
 
-func (pl *planner) eqSelectivity(stats *catalog.TableStats, col string, p *simplePred) float64 {
+func eqSelectivity(stats *catalog.TableStats, col string, p *simplePred) float64 {
 	cs := stats.Col(col)
 	if p.isParam() {
 		if cs != nil && cs.Distinct > 0 {
@@ -437,7 +470,7 @@ func (pl *planner) eqSelectivity(stats *catalog.TableStats, col string, p *simpl
 	return 0.05
 }
 
-func (pl *planner) rangeSelectivity(stats *catalog.TableStats, col string, rlo, rhi *simplePred) float64 {
+func rangeSelectivity(stats *catalog.TableStats, col string, rlo, rhi *simplePred) float64 {
 	cs := stats.Col(col)
 	if cs == nil {
 		return 0.3

@@ -17,7 +17,8 @@ import (
 // the entry; an index insert copies only the arrays it changes, and the redo
 // record holds the rows the new versions hold, not copies; a procedure body's
 // write is planned once, its plan kept on its plan-cache entry; an UPDATE or
-// DELETE binds one table view, a value, to find its rows and write them; the
+// DELETE binds one table view, a value, to find its rows and write them,
+// seeking the index the read planner's chooser picks into stack buffers; the
 // body runs on the caller's map, which binds each parameter to itself. A
 // call is measured as CallProcedure makes it: Exec of the call's shape with
 // the values in the named map, through the front door and the statement's
@@ -29,7 +30,9 @@ import (
 // the first live entry instead of collecting them, and the redo record is
 // built once, exactly sized, at a logged commit. The ceilings are the
 // counts on that path with the last of these, 11, 8 and 8 for addCartLine,
-// adminUpdate and updateCartLine (16, 13 and 13 while the transaction kept
+// adminUpdate and updateCartLine, and 11 for clearCart on a one-line cart,
+// which seeks the key's first column where it scanned every cart at the same
+// count (the first three were 16, 13 and 13 while the transaction kept
 // four per-change lists; 17, 14 and 14 while the write body's Result was a
 // new object; 19, 16 and 16 while each
 // record was a new object with a text ID; 21, 18 and
@@ -46,7 +49,7 @@ func TestWriteAllocBudget(t *testing.T) {
 	if err := Load(b, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	cart := int64(1 << 20)
+	cart, cleared := int64(1<<20), int64(1<<20)
 	for _, g := range []struct {
 		proc   string
 		params func() exec.Params
@@ -62,6 +65,10 @@ func TestWriteAllocBudget(t *testing.T) {
 		{"updateCartLine", func() exec.Params { // a one-row UPDATE by a two-column key
 			return exec.Params{"sc_id": types.NewInt(1<<20 + 1), "i_id": types.NewInt(417), "qty": types.NewInt(2)}
 		}, 8},
+		{"clearCart", func() exec.Params { // a DELETE by a key prefix: the one-line carts addCartLine made, in turn
+			cleared++
+			return exec.Params{"sc_id": types.NewInt(cleared)}
+		}, 11},
 	} {
 		call := func() {
 			res, err := b.DB.CallProcedure(g.proc, g.params())

@@ -15,6 +15,9 @@ import (
 // adminUpdate at once on keys of their own, so every execution of each body
 // statement runs the one write plan the backend keeps for it. Each call writes
 // exactly its own row, and every row reads back as its caller last wrote it.
+// Then a cart's DELETE, clearCart's and doBuyConfirm's, seeks the cart's
+// lines by the key's first column: it examines those lines and no other
+// cart's.
 func TestSharedWritePlanUnderConcurrency(t *testing.T) {
 	b := core.NewBackend("backend")
 	if err := Load(b, Config{Items: 200, Customers: 300, Seed: 7}); err != nil {
@@ -68,6 +71,35 @@ func TestSharedWritePlanUnderConcurrency(t *testing.T) {
 			if got := fmt.Sprint(res.Rows); got != c.want {
 				t.Errorf("client %d: %s gave %s, want %s", g, c.query, got, c.want)
 			}
+		}
+	}
+
+	for g := 0; g < clients; g++ {
+		_, err := b.DB.CallProcedure("addCartLine", exec.Params{
+			"sc_id": types.NewInt(cart(g)), "i_id": types.NewInt(item(g) + 100), "qty": types.NewInt(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		proc               string
+		params             exec.Params
+		affected, examined int64
+	}{
+		{"clearCart", exec.Params{"sc_id": types.NewInt(cart(0))}, 2, 2},
+		// One order, one order line, one item (sought by its key), one card
+		// transaction and the cart's two lines.
+		{"doBuyConfirm", exec.Params{"o_id": types.NewInt(900001), "c_id": types.NewInt(3), "t": now,
+			"sub": types.NewFloat(10), "total": types.NewFloat(10.8), "ship": types.NewString("AIR"),
+			"i_id": types.NewInt(6), "qty": types.NewInt(1), "disc": types.NewFloat(0.05), "sc_id": types.NewInt(cart(1))}, 6, 3},
+	} {
+		res, err := b.DB.CallProcedure(c.proc, c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RowsAffected != c.affected || res.Counters.RowsScanned != c.examined {
+			t.Errorf("%s: %d rows affected and %d examined, want %d and %d",
+				c.proc, res.RowsAffected, res.Counters.RowsScanned, c.affected, c.examined)
 		}
 	}
 }

@@ -80,6 +80,11 @@ var removedNames = []struct {
 	{`\bgo (func|[a-z]\w*\.)`, `^internal/exec/`, "one goroutine per statement"},
 	{`scopeless`, `^internal/engine/`, "a write planned once (writePlan)"},
 	{`keyLower`, `^internal/engine/`, "a write planned once (writePlan)"},
+	{`pkSeek`, `^internal/engine/`, "a write's access path from opt's index chooser"},
+	{`keyArg`, `^internal/engine/`, "a write's access path from opt's index chooser"},
+	{`scanTargets`, `^internal/engine/`, "a write's access path from opt's index chooser"},
+	{`(?m)^\s+seek\s`, `^internal/engine/`, "a write's access path from opt's index chooser (writePlan.index, lo and hi)"},
+	{`func \(wp \*writePlan\) key\(`, `^internal/engine/`, "a write's access path from opt's index chooser (exec.SeekBounds)"},
 	{`"mtcache/internal/querystore"`, "", "per-shape statistics on the plan-cache entry (the event log is internal/eventlog)"},
 	{`querystore\.Default`, "", "per-shape statistics on the plan-cache entry"},
 	{`(^|[^.\w])NewStore\(`, `^(internal/(querystore|eventlog|engine|obs)|cmd)/`, "per-shape statistics on the plan-cache entry"},
