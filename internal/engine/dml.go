@@ -17,7 +17,7 @@ import (
 // execDML routes a data modification. On a cache server the statement is
 // deparsed and forwarded to the backend unchanged — the application never
 // knows it talked to a cache (paper §5). On the backend it executes locally
-// inside its own transaction and invalidates the results that read its table.
+// inside its own transaction.
 // Text DML carries its values as literals, one text per value, so its write
 // plan is built for this execution and kept nowhere: keyed by text, every
 // probe would take a plan-cache entry and push a SELECT's shape out.
@@ -46,7 +46,6 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 	if err != nil {
 		return nil, err
 	}
-	db.invalidateDMLTarget(stmt)
 	res := NewResult()
 	res.RowsAffected, res.CommitLSN, res.Counters, rec.Counters = n, lsn, ctr, ctr
 	return res, nil
@@ -85,15 +84,6 @@ func dmlTarget(stmt sql.Statement) *sql.TableName {
 		return x.Table
 	}
 	return nil
-}
-
-// invalidateDMLTarget drops intermediates derived from a DML statement's
-// target table after a backend committed it locally. A cache never calls it:
-// replication apply is a cache's one result invalidation.
-func (db *Database) invalidateDMLTarget(stmt sql.Statement) {
-	if tn := dmlTarget(stmt); tn != nil {
-		db.InvalidateIntermediates(tn.Name)
-	}
 }
 
 // virtualDMLTarget returns the virtual system table a DML statement names,

@@ -16,7 +16,6 @@ import (
 func endpointDB(t *testing.T, rng *rand.Rand, n int) *Database {
 	t.Helper()
 	db := New(Config{Name: "backend", Role: Backend})
-	db.SetIMCacheEnabled(false)
 	if err := db.ExecScript(`
 		CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT);
 		CREATE INDEX ix_t_k ON t (k);

@@ -18,6 +18,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -77,8 +78,8 @@ type Database struct {
 	// invalidate.
 	viewMaps sync.Map // map[*catalog.Table]*opt.ChangeMap
 
-	// imc is the intermediate-result cache; imcOn gates it at runtime so
-	// benchmarks can toggle phases.
+	// imc is the intermediate-result cache, a cache server's alone (nil on a
+	// backend); imcOn gates it at runtime so benchmarks can toggle phases.
 	imc   *imcache.Cache
 	imcOn atomic.Bool
 
@@ -114,8 +115,8 @@ type Config struct {
 	// New ignores it because enabling durability can fail.
 	Durability *storage.DurabilityOptions
 
-	// IMCache overrides the intermediate-result cache bounds (nil =
-	// imcache defaults: 64 MiB, admit on 2nd execution).
+	// IMCache overrides a cache server's intermediate-result cache bounds
+	// (nil = imcache defaults: 64 MiB, admit on 2nd execution).
 	IMCache *imcache.Options
 }
 
@@ -125,10 +126,6 @@ func New(cfg Config) *Database {
 	if cfg.Options != nil {
 		opts = *cfg.Options
 	}
-	var imOpts imcache.Options
-	if cfg.IMCache != nil {
-		imOpts = *cfg.IMCache
-	}
 	db := &Database{
 		Name:   cfg.Name,
 		cat:    catalog.New(),
@@ -137,10 +134,12 @@ func New(cfg Config) *Database {
 		opts:   opts,
 		remote: cfg.Remote,
 		plans:  newLRU[*planEntry](planCacheCap, planEvicted),
-		imc:    imcache.New(imOpts),
 		traces: trace.NewCollector(0),
 	}
-	db.imcOn.Store(true)
+	if cfg.Role == Cache {
+		db.imc = imcache.New(*cmp.Or(cfg.IMCache, &imcache.Options{}))
+		db.imcOn.Store(true)
+	}
 	db.SetSlowThreshold(100 * time.Millisecond)
 	db.SetStalenessProbe(func() (float64, bool) { return 0, false })
 	db.registerSystemTables()
@@ -558,7 +557,10 @@ func (db *Database) answer(stmt *sql.SelectStmt, e *planEntry, params exec.Param
 	// admitted result was read from its cached views, which serve the cache's
 	// one staleness, and a cache outside a WITH FRESHNESS bound has nothing
 	// there to offer.
-	imc := db.imcacheIfEnabled()
+	imc := db.imc
+	if cp := e.plan.Load(); !db.imcOn.Load() || cp != nil && cp.lineage == nil {
+		imc = nil // switched off, or no result of the plan is ever cached
+	}
 	var key imcache.Key
 	var buf [8]types.Value
 	vals, cacheable := buf[:0], false

@@ -441,12 +441,11 @@ func TestCachedViewCreateHookRuns(t *testing.T) {
 func TestPlanCacheLRUEviction(t *testing.T) {
 	// Auto-parameterization would fold the literal-distinct statements below
 	// into one shape (one plan); disable it so each text gets its own plan
-	// and the LRU actually evicts. The intermediate-result cache is off too,
-	// so the re-run below reaches the plan cache instead of a cached result.
+	// and the LRU actually evicts. A backend has no result cache, so the
+	// re-run below reaches the plan cache.
 	db := New(Config{Name: "backend", Role: Backend})
 	db.plans.cap = 4
 	db.autoOff = true
-	db.SetIMCacheEnabled(false)
 	if err := db.ExecScript("CREATE TABLE tiny (id INT PRIMARY KEY, v INT);"); err != nil {
 		t.Fatal(err)
 	}

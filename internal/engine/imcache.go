@@ -1,8 +1,9 @@
 // Intermediate-result cache glue: the values a result key covers, lineage
 // extraction, exact-match lookup before planning and admission after
 // execution. The cache itself (admission thresholds, benefit-weighted
-// eviction, invalidation) lives in internal/imcache; a backend's local writes
-// and a cache's replication apply invalidate through InvalidateIntermediates.
+// eviction, invalidation) lives in internal/imcache. Only a cache server has
+// one — a backend is plain SQL Server, as in the paper — and its replication
+// apply invalidates through InvalidateIntermediates.
 package engine
 
 import (
@@ -18,36 +19,33 @@ import (
 	"mtcache/internal/types"
 )
 
-// IMCache exposes the intermediate-result cache.
+// IMCache exposes the intermediate-result cache: nil on a backend.
 func (db *Database) IMCache() *imcache.Cache { return db.imc }
 
-// SetIMCacheEnabled toggles the intermediate-result cache at runtime.
-// Disabling (or re-enabling) drops every cached result and admission
-// candidate; while off there are no lookups and no candidate tracking.
-// Benchmarks use it to measure with/without phases on one database. Cached
-// plans are untouched: no plan reads the result cache.
+// SetIMCacheEnabled toggles a cache server's intermediate-result cache at
+// runtime; on a backend, which has none, it does nothing. Disabling (or
+// re-enabling) drops every cached result and admission candidate; while off
+// there are no lookups and no candidate tracking. Benchmarks and calibration
+// use it to measure with/without phases on one database. Cached plans are
+// untouched: no plan reads the result cache.
 func (db *Database) SetIMCacheEnabled(on bool) {
-	db.imcOn.Store(on)
-	db.imc.Clear()
-}
-
-// imcacheIfEnabled returns the cache when it is switched on.
-func (db *Database) imcacheIfEnabled() *imcache.Cache {
-	if db.imcOn.Load() {
-		return db.imc
+	if db.imc != nil {
+		db.imcOn.Store(on)
+		db.imc.Clear()
 	}
-	return nil
 }
 
 // InvalidateIntermediates marks every intermediate whose lineage includes
 // table as stale: never served again until an execution refreshes it. Bulk
-// loads and DROP call it, and on a backend local DML and procedures after
-// commit. On a cache, replication apply is the one invalidation a write
-// causes: the result cache admits only executions that read cached views
-// alone, and nothing but apply changes those — a write the cache forwards
-// reaches them, like any other, when apply does.
+// loads and DROP call it; on a backend, which has no result cache, it does
+// nothing. Replication apply is the one invalidation a write causes: the
+// result cache admits only executions that read cached views alone, and
+// nothing but apply changes those — a write the cache forwards reaches them,
+// like any other, when apply does.
 func (db *Database) InvalidateIntermediates(table string) {
-	db.imc.Invalidate(table)
+	if db.imc != nil {
+		db.imc.Invalidate(table)
+	}
 }
 
 // paramRefs adds to refs the parameters a SELECT references, as spelled (the
@@ -98,9 +96,14 @@ func (e *planEntry) keyValues(dst []types.Value, params exec.Params, autoArgs []
 // imLineage is what a plan's results are invalidated by: every base table and
 // view stmt reads, through view definitions and derived tables, and the
 // cached views the plan reads — lowercased, sorted. It is nil when no result
-// of the plan may be cached: it reads a virtual (sys.*) relation, an unknown
-// name, a view whose definition references a parameter, or nothing.
+// of the plan may be cached: the server has no result cache, the plan can
+// never run without the backend (it is neither fully local nor guarded), or
+// it reads a virtual (sys.*) relation, an unknown name, a view whose
+// definition references a parameter, or nothing.
 func (db *Database) imLineage(stmt *sql.SelectStmt, plan *opt.Plan) []string {
+	if db.imc == nil || !plan.FullyLocal && !plan.Dynamic {
+		return nil
+	}
 	read := map[string]*catalog.Table{}
 	if !db.relations(stmt.From, read) || len(read) == 0 {
 		return nil
@@ -121,8 +124,8 @@ func (db *Database) imLineage(stmt *sql.SelectStmt, plan *opt.Plan) []string {
 
 // relations adds to read, by lowercased name, every relation from reads:
 // named, in a derived table, or under a view — a view's bases count too, as
-// replication apply targets the cached view's own table and local DML the
-// base. It reports false when from names something that does not exist.
+// apply targets a cached view's own table and a bulk load or DROP the base.
+// It reports false when from names something that does not exist.
 func (db *Database) relations(from []sql.TableRef, read map[string]*catalog.Table) bool {
 	for _, ref := range from {
 		ok := true
@@ -183,8 +186,11 @@ func (db *Database) imObserve(imc *imcache.Cache, key imcache.Key, vals []types.
 	})
 }
 
-// intermediateResultsRows backs sys.intermediate_results.
+// intermediateResultsRows backs sys.intermediate_results, empty on a backend.
 func (db *Database) intermediateResultsRows() []types.Row {
+	if db.imc == nil {
+		return nil
+	}
 	infos := db.imc.Snapshot()
 	rows := make([]types.Row, 0, len(infos))
 	for _, e := range infos {

@@ -8,18 +8,19 @@ import (
 	"sync"
 	"testing"
 
+	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/imcache"
 	"mtcache/internal/metrics"
 	"mtcache/internal/sql"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
-// imTestDB builds a backend with one fact table for intermediate-result
-// cache tests. opts == nil uses the default cache configuration.
-func imTestDB(t *testing.T, opts *imcache.Options) *Database {
+// newFactDB builds a backend with one fact table, t, of 1000 rows.
+func newFactDB(t *testing.T) *Database {
 	t.Helper()
-	db := New(Config{Name: "im-test", Role: Backend, IMCache: opts})
+	db := New(Config{Name: "fact", Role: Backend})
 	err := db.ExecScript(`CREATE TABLE t (id INT PRIMARY KEY, grp INT, v INT, w FLOAT);`)
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +43,62 @@ func imTestDB(t *testing.T, opts *imcache.Options) *Database {
 	return db
 }
 
+// imTestDB builds a cache for intermediate-result cache tests, the one server
+// role that has the tier: its cached view cv_t mirrors the whole of t, the
+// fact table of a backend from newFactDB, so every read of t is local, and
+// its staleness is 0. opts == nil uses the default cache configuration.
+// write runs a DML text on the backend and brings it to the cache the way
+// replication apply does: the logged changes go into cv_t's store, then
+// InvalidateIntermediates runs.
+func imTestDB(t *testing.T, opts *imcache.Options) (db *Database, write func(dml string) error) {
+	t.Helper()
+	backend := newFactDB(t)
+	db = New(Config{Name: "im-test", Role: Cache, Remote: NewLink(backend), IMCache: opts})
+	db.OnCachedViewCreate(func(v *catalog.Table) error {
+		seed, err := backend.ExecStmt(v.ViewDef, nil)
+		if err != nil {
+			return err
+		}
+		tx := db.Store().Begin(true)
+		for _, row := range seed.Rows {
+			if _, err := tx.Insert(v.Name, row); err != nil {
+				return err
+			}
+		}
+		return tx.CommitUnlogged()
+	})
+	db.SetStalenessProbe(func() (float64, bool) { return 0, true })
+	err := db.ExecScript(`CREATE TABLE t (id INT PRIMARY KEY, grp INT, v INT, w FLOAT);
+		CREATE CACHED VIEW cv_t AS SELECT id, grp, v, w FROM t;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Catalog().Table("t").Stats.Store(backend.Catalog().Table("t").Stats.Load().Clone())
+	db.InvalidatePlans()
+	write = func(dml string) error {
+		res, err := backend.Exec(dml, nil)
+		if err != nil || res.CommitLSN == 0 {
+			return err // nothing was logged, so nothing replicates
+		}
+		tx := db.Store().Begin(true)
+		for _, rec := range backend.Store().WAL().ReadFrom(res.CommitLSN, 1) {
+			for _, ch := range rec.Changes {
+				ch.Table = "cv_t"
+				if err := tx.Apply(ch); err != nil {
+					tx.Abort()
+					return err
+				}
+			}
+		}
+		if err := tx.CommitUnlogged(); err != nil {
+			return err
+		}
+		db.InvalidateIntermediates("cv_t")
+		return nil
+	}
+	return db, write
+}
+
 func imCanon(rows []types.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -58,7 +115,7 @@ func imCanon(rows []types.Row) []string {
 // TestIMCacheDifferential: a warmed cached aggregate must be row-identical
 // to the cold computation, and repeat executions must hit the cache.
 func TestIMCacheDifferential(t *testing.T) {
-	db := imTestDB(t, nil)
+	db, _ := imTestDB(t, nil)
 	const q = "SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY grp"
 
 	db.SetIMCacheEnabled(false)
@@ -89,11 +146,10 @@ func TestIMCacheDifferential(t *testing.T) {
 	}
 }
 
-// TestIMCacheInvalidationOnWrite: DML against a lineage table marks the
-// intermediate stale; without a freshness allowance the next execution
-// recomputes and sees the write.
+// TestIMCacheInvalidationOnWrite: a replicated write to a lineage table marks
+// the intermediate stale; the next execution recomputes and sees the write.
 func TestIMCacheInvalidationOnWrite(t *testing.T) {
-	db := imTestDB(t, nil)
+	db, write := imTestDB(t, nil)
 	const q = "SELECT COUNT(*) AS n FROM t"
 	var before *Result
 	var err error
@@ -105,7 +161,7 @@ func TestIMCacheInvalidationOnWrite(t *testing.T) {
 	if n := before.Rows[0][0].Int(); n != 1000 {
 		t.Fatalf("baseline count %d, want 1000", n)
 	}
-	if _, err := db.Exec("INSERT INTO t (id, grp, v, w) VALUES (5000, 1, 1, 1.0)", nil); err != nil {
+	if err := write("INSERT INTO t (id, grp, v, w) VALUES (5000, 1, 1, 1.0)"); err != nil {
 		t.Fatal(err)
 	}
 	after, err := db.Exec(q, nil)
@@ -113,7 +169,7 @@ func TestIMCacheInvalidationOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := after.Rows[0][0].Int(); n != 1001 {
-		t.Fatalf("served a stale intermediate after DML: count %d, want 1001", n)
+		t.Fatalf("served a stale intermediate after a write: count %d, want 1001", n)
 	}
 }
 
@@ -121,7 +177,7 @@ func TestIMCacheInvalidationOnWrite(t *testing.T) {
 // no second life — a bounded execution, however generous, recomputes like a
 // plain or zero-bound one, and its result serves them all.
 func TestIMCacheFreshnessComposition(t *testing.T) {
-	db := imTestDB(t, nil)
+	db, write := imTestDB(t, nil)
 	const q = "SELECT COUNT(*) AS n FROM t WHERE grp = 1"
 	var base *Result
 	var err error
@@ -131,7 +187,7 @@ func TestIMCacheFreshnessComposition(t *testing.T) {
 		}
 	}
 	baseN := base.Rows[0][0].Int()
-	if _, err := db.Exec("INSERT INTO t (id, grp, v, w) VALUES (5001, 1, 1, 1.0)", nil); err != nil {
+	if err := write("INSERT INTO t (id, grp, v, w) VALUES (5001, 1, 1, 1.0)"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,7 +198,7 @@ func TestIMCacheFreshnessComposition(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n := res.Rows[0][0].Int(); n != baseN+1 {
-			t.Fatalf("%q after DML served stale data: %d, want %d", bound, n, baseN+1)
+			t.Fatalf("%q after a write served stale data: %d, want %d", bound, n, baseN+1)
 		}
 	}
 }
@@ -150,7 +206,7 @@ func TestIMCacheFreshnessComposition(t *testing.T) {
 // TestIMCacheEvictionUnderPressure: a byte budget far below the working set
 // keeps total bytes bounded and evicts lower-benefit entries.
 func TestIMCacheEvictionUnderPressure(t *testing.T) {
-	db := imTestDB(t, &imcache.Options{MaxBytes: 8 << 10, MaxEntryBytes: 4 << 10, AdmitAfter: 1})
+	db, _ := imTestDB(t, &imcache.Options{MaxBytes: 8 << 10, MaxEntryBytes: 4 << 10, AdmitAfter: 1})
 	evBefore := metrics.Default.Counter("imcache.evictions").Value()
 	for g := 0; g < 16; g++ {
 		q := fmt.Sprintf("SELECT id, v, w FROM t WHERE grp = %d", g)
@@ -174,7 +230,7 @@ func TestIMCacheEvictionUnderPressure(t *testing.T) {
 // cache — after warm-up no statement is optimized again — and every
 // read still returns the current rows.
 func TestIMCacheChurnKeepsPlans(t *testing.T) {
-	db := imTestDB(t, &imcache.Options{MaxBytes: 6 << 10, MaxEntryBytes: 4 << 10, AdmitAfter: 1})
+	db, write := imTestDB(t, &imcache.Options{MaxBytes: 6 << 10, MaxEntryBytes: 4 << 10, AdmitAfter: 1})
 	// Model of column v and the three read shapes checked against it.
 	v := make([]int64, 1000)
 	for i := range v {
@@ -221,7 +277,7 @@ func TestIMCacheChurnKeepsPlans(t *testing.T) {
 	}
 	round := func(i int) {
 		id := (i * 67) % 1000 // walks every group
-		if _, err := db.Exec(fmt.Sprintf("UPDATE t SET v = v + 1 WHERE id = %d", id), nil); err != nil {
+		if err := write(fmt.Sprintf("UPDATE t SET v = v + 1 WHERE id = %d", id)); err != nil {
 			t.Fatal(err)
 		}
 		v[id]++
@@ -284,7 +340,7 @@ func TestInvalidatePlansClearsEverything(t *testing.T) {
 	}
 	for _, c := range causes {
 		t.Run(c.name, func(t *testing.T) {
-			db := imTestDB(t, nil)
+			db := newFactDB(t)
 			err := db.ExecScript(`CREATE MATERIALIZED VIEW mv AS SELECT id, v FROM t WHERE v <= 10;
 				CREATE PROCEDURE setv @id INT, @v INT AS UPDATE t SET v = @v WHERE id = @id;`)
 			if err != nil {
@@ -348,11 +404,11 @@ func TestInvalidatePlansClearsEverything(t *testing.T) {
 	}
 }
 
-// TestIMCacheConcurrentStress drives queries, writes and enable/disable
-// toggles concurrently; run under -race this checks the locking discipline
-// between the cache, the plan cache and the optimizer env.
+// TestIMCacheConcurrentStress drives queries, replicated writes and
+// enable/disable toggles concurrently; run under -race this checks the
+// locking discipline between the cache, the plan cache and the optimizer env.
 func TestIMCacheConcurrentStress(t *testing.T) {
-	db := imTestDB(t, &imcache.Options{AdmitAfter: 1})
+	db, write := imTestDB(t, &imcache.Options{AdmitAfter: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -372,7 +428,7 @@ func TestIMCacheConcurrentStress(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			ins := fmt.Sprintf("INSERT INTO t (id, grp, v, w) VALUES (%d, %d, 1, 1.0)", 10000+i, i%16)
-			if _, err := db.Exec(ins, nil); err != nil {
+			if err := write(ins); err != nil {
 				t.Error(err)
 				return
 			}
@@ -392,7 +448,7 @@ func TestIMCacheConcurrentStress(t *testing.T) {
 // TestIMCacheSysTable: sys.intermediate_results lists admitted entries with
 // lineage and turns stale after a write — awaiting refresh, still listed.
 func TestIMCacheSysTable(t *testing.T) {
-	db := imTestDB(t, nil)
+	db, write := imTestDB(t, nil)
 	const q = "SELECT grp, COUNT(*) AS n FROM t GROUP BY grp"
 	for i := 0; i < 3; i++ {
 		if _, err := db.Exec(q, nil); err != nil {
@@ -418,10 +474,10 @@ func TestIMCacheSysTable(t *testing.T) {
 	if !found {
 		t.Fatalf("admitted aggregate missing from sys.intermediate_results: %v", res.Rows)
 	}
-	if _, err := db.Exec("DELETE FROM t WHERE id = 0", nil); err != nil {
+	if err := write("DELETE FROM t WHERE id = 0"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = db.Exec("SELECT stale FROM sys.intermediate_results WHERE lineage = 't'", nil)
+	res, err = db.Exec("SELECT stale FROM sys.intermediate_results WHERE lineage = 'cv_t,t'", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,14 +491,52 @@ func TestIMCacheSysTable(t *testing.T) {
 	}
 }
 
+// TestResultCacheIsACacheServerTier: a backend is plain SQL Server — it
+// builds no result cache, runs a repeated SELECT every time and lists nothing
+// in sys.intermediate_results — and a cache looks up only shapes whose plan
+// can run on its views alone: once planned, a shape that always reaches the
+// backend costs the result cache nothing, not even a miss.
+func TestResultCacheIsACacheServerTier(t *testing.T) {
+	backend := newFactDB(t)
+	if backend.IMCache() != nil {
+		t.Fatal("a backend built a result cache")
+	}
+	for i := 0; i < 5; i++ {
+		_, rec, err := backend.ExecSessionTraced("SELECT COUNT(*) FROM t WHERE grp = 1", nil, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Tier == trace.TierIMCache {
+			t.Fatalf("run %d: the backend answered from a result cache", i+1)
+		}
+		rec.Release()
+	}
+	if res, err := backend.Exec("SELECT COUNT(*) FROM sys.intermediate_results", nil); err != nil || res.Rows[0][0].Int() != 0 {
+		t.Fatalf("the backend's sys.intermediate_results: %v, %v; want no rows", res, err)
+	}
+
+	cache, _ := newReportingCache(t)
+	const remote = "SELECT i_stock FROM item WHERE i_id = 7" // i_stock is in no cached view
+	misses := metrics.Default.Counter("imcache.misses")
+	for i := 0; i < 5; i++ {
+		before := misses.Value()
+		if _, err := cache.Exec(remote, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := misses.Value() - before; i > 0 && got != 0 {
+			t.Fatalf("run %d of a remote shape counted %d result-cache misses, want 0", i+1, got)
+		}
+	}
+}
+
 // The result key reads each named parameter's value under the name the
 // statement spells — the executor resolves @ID by exact name, so {"ID": 3}
 // and {"ID": 7} are different executions, each admitted under its own entry,
 // whatever a lower-cased lookup finds.
 func TestIMKeyKeepsMixedCaseParamValues(t *testing.T) {
-	const q = "SELECT i_id FROM item WHERE i_id = @ID"
+	const q = "SELECT id FROM t WHERE id = @ID"
 	three, seven := exec.Params{"ID": types.NewInt(3)}, exec.Params{"ID": types.NewInt(7)}
-	db := newBackendDB(t)
+	db, _ := imTestDB(t, nil)
 	for round := 0; round < 3; round++ {
 		for _, p := range []exec.Params{three, seven} {
 			res, err := db.Exec(q, p)
@@ -469,7 +563,7 @@ func TestIMKeyKeepsMixedCaseParamValues(t *testing.T) {
 // after a thousand later executions and hits of the same shape, each
 // released; a hit still serves that very slice.
 func TestReleasedResultsNeverTouchAdmittedRows(t *testing.T) {
-	db := imTestDB(t, nil)
+	db, _ := imTestDB(t, nil)
 	const q = "SELECT id, v FROM t WHERE grp = @g AND id >= @lo"
 	run := func(g, lo int) *Result {
 		t.Helper()

@@ -56,7 +56,6 @@ func planOfText(t *testing.T, db *Database, text string) *opt.Plan {
 // row the body has just inserted.
 func TestParkedInstanceSeesTheNextSnapshot(t *testing.T) {
 	db := New(Config{Name: "backend", Role: Backend})
-	db.SetIMCacheEnabled(false)
 	if err := db.ExecScript(`
 		CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT);
 		CREATE INDEX ix_t_k ON t (k);

@@ -248,7 +248,6 @@ func genJoinQuery(rng *rand.Rand) jquery {
 func loadJoinDB(t *testing.T, cfg Config, tables []jtable, indexed bool) *Database {
 	t.Helper()
 	db := New(cfg)
-	db.SetIMCacheEnabled(false)
 	for i, tb := range tables {
 		ddl := tb.ddl
 		if !indexed {
@@ -336,7 +335,6 @@ func TestJoinDifferentialGenerated(t *testing.T) {
 func newBigSmallDB(t *testing.T) *Database {
 	t.Helper()
 	db := New(Config{Name: "bs", Role: Backend})
-	db.SetIMCacheEnabled(false)
 	err := db.ExecScript(`
 		CREATE TABLE big (id INT PRIMARY KEY, k INT, v INT);
 		CREATE TABLE small (sid INT PRIMARY KEY, sk INT, sv INT);`)

@@ -187,9 +187,6 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 		if err != nil {
 			return nil, err
 		}
-		for _, stmt := range proc.Body {
-			db.invalidateDMLTarget(stmt)
-		}
 		res.CommitLSN = lsn
 		return res, nil
 	}

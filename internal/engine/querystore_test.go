@@ -223,7 +223,6 @@ func shapeRows(t *testing.T, db *Database) map[string][3]int64 {
 // flush drops every row.
 func TestQueryStatsLiveAndDieWithTheirEntry(t *testing.T) {
 	db := newBackendDB(t)
-	db.SetIMCacheEnabled(false)
 	text := func(i int) string { return fmt.Sprintf("SELECT i_id AS c%d FROM item WHERE i_id = 1", i) }
 	shape := func(i int) string {
 		return sql.MustParseSelect(fmt.Sprintf("SELECT i_id AS c%d FROM item WHERE i_id = @__p0", i)).CacheKey()

@@ -17,7 +17,7 @@ import (
 // BOOL TRUE, the INT 1 and the FLOAT 1.0 are three results of one statement,
 // whatever Value.Hash makes of the numeric kinds.
 func TestResultKeyIsKindExact(t *testing.T) {
-	db := imTestDB(t, nil)
+	db, _ := imTestDB(t, nil)
 	const q = "SELECT v, @x AS x FROM t WHERE id = 1"
 	for _, x := range []types.Value{types.NewBool(true), types.NewBool(true), types.NewBool(true), types.NewInt(1), types.NewFloat(1)} {
 		res, err := db.Exec(q, exec.Params{"x": x})
@@ -36,8 +36,8 @@ func TestResultKeyAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
-	db := newBackendDB(t)
-	const q = "SELECT i_title FROM item WHERE i_id = 123 AND i_stock > @Min"
+	db, _ := imTestDB(t, nil)
+	const q = "SELECT w FROM t WHERE id = 123 AND v > @Min"
 	params := exec.Params{"Min": types.NewInt(1), "other": types.NewString("unreferenced")}
 	e, args, _, norm, ok := db.autoParse(q, params)
 	if !ok {
@@ -64,11 +64,10 @@ func TestResultKeyAllocatesNothing(t *testing.T) {
 // How the bound is spelled (none, a literal, @f), the case a parameter name
 // is spelled in (@x and @X are two parameters), and parameters the statement
 // does not reference make no difference. Every answer, shared or not, is the
-// one a database without a result cache gives.
+// one the backend, which has no result cache, gives.
 func TestResultEntrySharedIffTwinShapeAndValues(t *testing.T) {
-	db := imTestDB(t, &imcache.Options{AdmitAfter: 1})
-	plain := imTestDB(t, nil)
-	plain.SetIMCacheEnabled(false)
+	db, _ := imTestDB(t, &imcache.Options{AdmitAfter: 1})
+	plain := newFactDB(t)
 
 	templates := []string{
 		"SELECT v, %s AS x FROM t WHERE id = %s",

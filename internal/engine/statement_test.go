@@ -394,7 +394,7 @@ func spanText(w *trace.WireSpan) string {
 // FRESHNESS statement runs its twin's plan, so it is a hit. The query store
 // used to tally the first as a hit and the second as a miss.
 func TestQueryStoreTalliesPlanCacheLikeTheCounters(t *testing.T) {
-	db := imTestDB(t, nil)
+	db, _ := imTestDB(t, nil)
 	hits, misses := metrics.Default.Counter("engine.plan_cache_hits"), metrics.Default.Counter("engine.plan_cache_misses")
 	hits0, misses0 := hits.Value(), misses.Value()
 	var tiers []trace.Tier
@@ -434,7 +434,6 @@ func TestQueryStoreTalliesPlanCacheLikeTheCounters(t *testing.T) {
 // returns, and the record then goes back to the pool for the next one.
 func TestTracedStatementsUnderConcurrency(t *testing.T) {
 	db := New(Config{Name: "backend", Role: Backend})
-	db.SetIMCacheEnabled(false)
 	if err := db.ExecScript("CREATE TABLE big (id INT PRIMARY KEY, grp INT, val FLOAT);"); err != nil {
 		t.Fatal(err)
 	}

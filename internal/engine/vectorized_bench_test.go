@@ -8,13 +8,12 @@ import (
 	"mtcache/internal/types"
 )
 
-// benchDB builds the fact/dim pair the execution benchmarks run against:
-// serial plans only, and the intermediate-result cache off so a repeated
-// text is executed every time instead of answered from its cached result.
+// benchDB builds the fact/dim pair the execution benchmarks run against: a
+// backend, which has no result cache, so a repeated text is executed every
+// time.
 func benchDB(tb testing.TB, rows int) *Database {
 	tb.Helper()
 	db := New(Config{Name: "bench", Role: Backend})
-	db.SetIMCacheEnabled(false)
 	err := db.ExecScript(`
 		CREATE TABLE big (
 			b_id INT PRIMARY KEY,

@@ -3,7 +3,8 @@
 // statement's shape plus a hash of the values it binds — admitted after
 // repeated executions cross a benefit threshold, kept under a
 // benefit-weighted byte budget, and invalidated coarsely by table lineage
-// whenever the replication apply path (or local DML) touches a source table.
+// whenever the replication apply path touches a source table. Only a cache
+// server keeps one.
 //
 // An invalidated entry is a refresh slot, never served: a touched entry
 // becomes *stale*, which makes every lookup of it miss, whatever freshness

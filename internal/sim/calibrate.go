@@ -123,8 +123,7 @@ func Calibrate(cfg tpcw.Config, reps int) (*CalibrationResult, error) {
 	// only DBA-declared cached views. The intermediate-result cache would
 	// warp the measured per-interaction costs (repeated aggregates with
 	// identical parameters become near-free lookups), so calibration runs
-	// with it off on both servers.
-	backend.DB.SetIMCacheEnabled(false)
+	// with it off on the cache, the one server that has it.
 	cache.DB.SetIMCacheEnabled(false)
 
 	res := &CalibrationResult{Backend: backend, Cache: cache}

@@ -113,11 +113,10 @@ var (
 )
 
 // copyDatabase recreates src's TPC-W tables, rows and procedures in a fresh
-// backend database built from ddl, with the intermediate-result cache off.
+// backend database built from ddl; a backend has no result cache.
 func copyDatabase(t *testing.T, src *engine.Database, cfg engine.Config, ddl string) *engine.Database {
 	t.Helper()
 	dst := engine.New(cfg)
-	dst.SetIMCacheEnabled(false)
 	if err := dst.ExecScript(ddl); err != nil {
 		t.Fatal(err)
 	}

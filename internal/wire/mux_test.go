@@ -555,7 +555,10 @@ func TestLateResponseNeverWritesALaterResult(t *testing.T) {
 			}
 		}
 	}
-	dialFake := func(slow bool) *Client {
+	// The SLOW client times out around its answers; the FAST one has a
+	// deadline no scheduling stall of the host reaches, so only SLOW calls
+	// time out.
+	dialFake := func(slow bool, timeout time.Duration) *Client {
 		c, err := Dial(listenFake(t, serve(slow)), timeout)
 		if err != nil {
 			t.Fatal(err)
@@ -563,7 +566,7 @@ func TestLateResponseNeverWritesALaterResult(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		return c
 	}
-	slowC, fastC := dialFake(true), dialFake(false)
+	slowC, fastC := dialFake(true, timeout), dialFake(false, 10*time.Second)
 
 	// check fails the test unless every value of res is q.
 	check := func(res *engine.Result, q string) {

@@ -95,6 +95,7 @@ var removedNames = []struct {
 	{`trace\.Traces\b`, "", "each server's own trace ring (engine.Database.Traces)"},
 	{`(?m)^\s+TraceID\s+string\b`, `^internal/eventlog/`, "no trace ID on an event (no emitter ever set one)"},
 	{`(?s)type Record struct \{[^}]*sync\.`, `^internal/trace/`, "a record one goroutine fills: a plain value the ring copies"},
+	{`invalidateDMLTarget`, `^internal/engine/`, "no result cache on a backend: replication apply is the one invalidation a write causes"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
