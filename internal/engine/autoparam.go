@@ -13,14 +13,14 @@ import (
 	"mtcache/internal/types"
 )
 
-// Auto-parameterization front door. Ad-hoc SELECT and EXEC text is
+// Auto-parameterization front door. Ad-hoc SELECT, EXEC and DML text is
 // normalized by sql.Normalizer before it ever reaches the parser: literals
 // become @__pN parameters and the remaining tokens render in canonical form,
-// so every literal variant of one query shape maps to ONE plan-cache entry,
-// holding the shape's parse tree and ONE plan (paper §5.1: cached dynamic
-// plans "avoid the need for frequent reoptimization"). On a shape hit the
-// per-execution work is one zero-allocation normalization pass plus one map
-// lookup — no lexing into tokens, no AST, no optimizer.
+// so every literal variant of one shape maps to ONE plan-cache entry, holding
+// the shape's parse tree and ONE plan, a query's or a write's (paper §5.1:
+// cached dynamic plans "avoid the need for frequent reoptimization"). On a
+// shape hit the per-execution work is one zero-allocation normalization pass
+// plus one map lookup — no lexing into tokens, no AST, no optimizer.
 //
 // A procedure call is the same: a router sends a call as its shape (EXEC
 // getBook @i_id = @i_id, sql.CallShape) with the arguments in the
@@ -34,8 +34,8 @@ import (
 // matcher in opt accepts whatever the literal matcher would have), and its
 // remote branch ships the parameterized text with the literals in the
 // named-parameter map — which the backend's front door resolves to its own
-// shared statement without parsing. A call to a procedure the cache has no
-// copy of goes on the same way: the shape, and the one map.
+// shared statement without parsing. A write and a call to a procedure the
+// cache has no copy of go on the same way: the shape, and the one map.
 
 // normPool recycles Normalizers across executions and goroutines. Each
 // instance keeps its grown buffers, so steady-state normalization performs
@@ -43,12 +43,12 @@ import (
 var normPool = sync.Pool{New: func() any { return new(sql.Normalizer) }}
 
 // autoParse resolves sqlText through the plan cache's front door.
-// ok=false means the text is not eligible (not a plain SELECT or an EXEC,
-// disabled, a negative-cached shape, or an invalid WITH FRESHNESS bound) and
-// the caller takes the ordinary parse path, which reports what is wrong. On
-// ok=true the returned entry holds the SHARED parsed form of the shape — a
-// *sql.SelectStmt or a *sql.ExecStmt, which callers must treat as read-only —
-// and, for a SELECT some execution has optimized, its plan. args holds the
+// ok=false means the text is not eligible (not a plain SELECT, EXEC or DML
+// statement, disabled, a negative-cached shape, or an invalid WITH FRESHNESS
+// bound) and the caller takes the ordinary parse path, which reports what is
+// wrong. On ok=true the returned entry holds the SHARED parsed form of the
+// shape, which callers must treat as read-only, and once an execution has
+// planned it, a SELECT's plan or a write's write plan. args holds the
 // literal values in @__p0.. order and aliases the returned Normalizer's
 // buffers: hand norm back to normPool only once args is no longer needed.
 //
@@ -120,12 +120,12 @@ func cutFreshness(key []byte, vals []types.Value, params exec.Params) (shape []b
 // autoResolve decides one normalized shape from its text alone: the entry of
 // the statement every literal variant will share, or a negative entry (no
 // statement) when the front door must skip the shape every time (the key
-// failed to parse, parsed to neither a SELECT nor an EXEC, or still carries a
-// WITH FRESHNESS clause whose bound is more than one parameter, which the
-// parsed statement evaluates per execution). Caching the negative entry makes
-// repeated bad or ineligible text cost one lookup instead of one parse. The
-// key is itself valid SQL in canonical token form, so the parsed statement's
-// deparse — the query-store key, the text a forwarded call travels as — is
+// failed to parse, or is a SELECT that still carries a WITH FRESHNESS clause
+// whose bound is more than one parameter, which the parsed statement
+// evaluates per execution). Caching the negative entry makes repeated bad or
+// ineligible text cost one lookup instead of one parse. The key is itself
+// valid SQL in canonical token form, so the parsed statement's deparse — the
+// query-store key, the text a forwarded call or write travels as — is
 // canonical for the shape. The shape is syntax only: which procedure a call
 // binds to, and how, is looked up per execution.
 func autoResolve(shape string) *planEntry {
@@ -144,6 +144,9 @@ func autoResolve(shape string) *planEntry {
 		return &planEntry{stmt: x, refs: paramRefs(x, nil)}
 	case *sql.ExecStmt:
 		x.Text()
+		return &planEntry{stmt: x}
+	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		x.(keyed).CacheKey()
 		return &planEntry{stmt: x}
 	}
 	return &planEntry{}

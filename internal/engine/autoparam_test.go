@@ -80,7 +80,8 @@ func shapeEntry(t *testing.T, db *Database, text string) *planEntry {
 
 // Property: an auto-parameterized execution returns byte-identical results
 // to the same text executed with auto-parameterization disabled, for
-// arbitrary literal values and shapes.
+// arbitrary literal values and shapes. A write affects as many rows, fails
+// where the reference fails, and leaves both tables as the reference does.
 func TestAutoParamExecutionEquivalence(t *testing.T) {
 	auto := newBackendDB(t)
 	plain := newBackendDB(t)
@@ -106,8 +107,36 @@ func TestAutoParamExecutionEquivalence(t *testing.T) {
 			return fmt.Sprintf("SELECT TOP 5 i_id, i_cost * %d AS v FROM item WHERE i_id IN (%d, %d, %d) ORDER BY i_id",
 				r.Intn(9)+1, r.Intn(250), r.Intn(250), r.Intn(250))
 		},
+		// Writes: a key taken twice fails on both sides.
+		func() string {
+			return fmt.Sprintf("INSERT INTO orders (o_id, o_i_id, o_qty) VALUES (%d, %d, -%d), (%d, %d, %d)",
+				r.Intn(300), r.Intn(250), r.Intn(9), 300+r.Intn(300), r.Intn(250), r.Intn(9))
+		},
+		func() string {
+			return fmt.Sprintf("INSERT INTO item (i_id, i_title) VALUES (%d, 'new%d')", 200+r.Intn(100), r.Intn(5))
+		},
+		func() string {
+			lo := r.Intn(250)
+			return fmt.Sprintf("INSERT INTO orders SELECT i_id + %d, i_id, i_stock - %d FROM item WHERE i_id BETWEEN %d AND %d",
+				1000+r.Intn(1000), r.Intn(50), lo, lo+r.Intn(4))
+		},
+		func() string {
+			return fmt.Sprintf("UPDATE item SET i_cost = i_cost * %d.%d, i_stock = i_stock - %d WHERE i_id = %d AND i_title LIKE 'book%s%%'",
+				r.Intn(3), r.Intn(10), r.Intn(9), r.Intn(250), []string{"", "x", "xx"}[r.Intn(3)])
+		},
+		func() string {
+			return fmt.Sprintf("UPDATE orders SET o_qty = %d WHERE o_id IN (%d, %d) OR o_qty < -%d", r.Intn(9), r.Intn(600), r.Intn(600), r.Intn(9))
+		},
+		func() string {
+			lo := r.Intn(250)
+			return fmt.Sprintf("DELETE FROM orders WHERE o_qty < %d AND o_i_id BETWEEN %d AND %d", r.Intn(9), lo, lo+r.Intn(50))
+		},
+		func() string {
+			return fmt.Sprintf("DELETE item WHERE i_id = %d AND i_cost IS NULL", 200+r.Intn(100))
+		},
 	}
-	for trial := 0; trial < 150; trial++ {
+	wrote := map[string]int{} // writes that changed rows, by statement kind
+	for trial := 0; trial < 300; trial++ {
 		q := shapes[trial%len(shapes)]()
 		a, errA := auto.Exec(q, nil)
 		p, errP := plain.Exec(q, nil)
@@ -116,6 +145,19 @@ func TestAutoParamExecutionEquivalence(t *testing.T) {
 		}
 		if errA != nil {
 			continue
+		}
+		if a.RowsAffected != p.RowsAffected {
+			t.Fatalf("%s: %d rows affected auto vs %d plain", q, a.RowsAffected, p.RowsAffected)
+		}
+		if !strings.HasPrefix(q, "SELECT") {
+			if a.RowsAffected > 0 {
+				wrote[q[:6]]++
+			}
+			for _, table := range []string{"SELECT * FROM item ORDER BY i_id", "SELECT * FROM orders ORDER BY o_id"} {
+				if got, want := tableOf(t, auto, table), tableOf(t, plain, table); got != want {
+					t.Fatalf("after %s: %s diverges\nauto:  %s\nplain: %s", q, table, got, want)
+				}
+			}
 		}
 		if fmt.Sprint(a.Cols) != fmt.Sprint(p.Cols) {
 			t.Fatalf("%s: cols diverge\nauto:  %v\nplain: %v", q, a.Cols, p.Cols)
@@ -132,10 +174,32 @@ func TestAutoParamExecutionEquivalence(t *testing.T) {
 			}
 		}
 	}
+	for _, kind := range []string{"INSERT", "UPDATE", "DELETE"} {
+		if wrote[kind] < 10 {
+			t.Errorf("%d of the %s texts changed a row, want at least 10", wrote[kind], kind)
+		}
+	}
 	if plain.PlanCacheSize() <= auto.PlanCacheSize() {
 		t.Errorf("literal-distinct texts should cache more plans without auto-param: auto=%d plain=%d",
 			auto.PlanCacheSize(), plain.PlanCacheSize())
 	}
+}
+
+// tableOf renders what a SELECT returns, kinds included.
+func tableOf(t *testing.T, db *Database, q string) string {
+	t.Helper()
+	res, err := db.Exec(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, row := range res.Rows {
+		for _, v := range row {
+			fmt.Fprintf(&b, "%v:%v ", v, v.K)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // Allocation regression gate: resolving a warmed shape — normalize, cache

@@ -14,24 +14,25 @@ import (
 	"mtcache/internal/types"
 )
 
-// execDML routes a data modification. On a cache server the statement is
-// deparsed and forwarded to the backend unchanged — the application never
-// knows it talked to a cache (paper §5). On the backend it executes locally
-// inside its own transaction.
-// Text DML carries its values as literals, one text per value, so its write
-// plan is built for this execution and kept nowhere: keyed by text, every
-// probe would take a plan-cache entry and push a SELECT's shape out.
-func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.Record) (*Result, error) {
+// execDML routes an INSERT, UPDATE or DELETE: e is its plan-cache entry when
+// the front door found it (nil: it is looked up by deparse), and autoArgs the
+// literal values the front door extracted. On a cache server it is forwarded
+// to the backend as its shape, with the values in the one named-parameter map
+// — the application never knows it talked to a cache (paper §5). On the
+// backend it executes locally inside its own transaction, on the write plan
+// its entry keeps.
+func (db *Database) execDML(stmt keyed, e *planEntry, params exec.Params, autoArgs []types.Value, rec *trace.Record) (*Result, error) {
 	// Virtual system tables are read-only everywhere — reject before the
 	// cache role forwards the statement to a backend that would only reject
 	// it against *its own* sys tables.
 	if t := db.virtualDMLTarget(stmt); t != nil {
 		return nil, fmt.Errorf("engine: %s is a read-only system table", t.Name)
 	}
+	params = withAutoArgs(params, autoArgs)
 	if db.role == Cache {
-		return db.forward(sql.Deparse(stmt), params, rec)
+		return db.forward(stmt.CacheKey(), params, rec)
 	}
-	wp, err := db.buildWritePlan(stmt)
+	wp, err := db.writePlanOf(e, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -54,10 +55,10 @@ func (db *Database) execDML(stmt sql.Statement, params exec.Params, rec *trace.R
 // forward sends a statement a cache does not run itself to the backend, and
 // answers what the backend did: its rows, row count and commit LSN. It is the
 // one way out for a client DML statement and for a call the cache holds no
-// read-only copy of, sent as it arrived; text is the statement, or a call
-// shape whose values are in params. It changes nothing on the cache: a write
-// reaches the cache's views, and through them its result cache, only by
-// replication apply.
+// read-only copy of, sent as it arrived: text is the statement's or the
+// call's shape, whose values are in params. It changes nothing on the cache:
+// a write reaches the cache's views, and through them its result cache, only
+// by replication apply.
 func (db *Database) forward(text string, params exec.Params, rec *trace.Record) (*Result, error) {
 	if db.remote == nil {
 		return nil, fmt.Errorf("engine: cache has no backend link for forwarding")
@@ -110,8 +111,8 @@ func (db *Database) virtualDMLTarget(stmt sql.Statement) *catalog.Table {
 // the whole WHERE holds for. A compiled scalar
 // holds no run state — a parameter resolves by name, an IN list's set is
 // built when it is compiled — so one plan serves concurrent executions. A
-// procedure body's statement keeps its plan on its plan-cache entry
-// (writePlanOf); text DML builds one per execution (execDML).
+// statement keeps its plan on its plan-cache entry (writePlanOf), whether it
+// is a procedure body's or a text's shape.
 type writePlan struct {
 	t  *catalog.Table
 	op storage.ChangeOp
@@ -148,14 +149,17 @@ type setOp struct {
 	e   exec.Expr
 }
 
-// writePlanOf is the write plan of a procedure body's INSERT, UPDATE or
-// DELETE, whose deparse keys e: the plan stored on e, or — when there is none
-// yet — stmt built outside the lock and stored on e, as planOf does for a
-// SELECT, with the same rule: e is the entry a lookup returned before the
-// build began, so a plan built across InvalidatePlans is never served again.
-// A build that fails stores nothing. What writePlanOf did is counted by
-// engine.plan_cache_hits and engine.plan_cache_misses.
-func (db *Database) writePlanOf(e *planEntry, stmt sql.Statement) (*writePlan, error) {
+// writePlanOf is the write plan of an INSERT, UPDATE or DELETE whose shape
+// or deparse keys e (nil: the entry stmt's deparse keys): the plan stored on
+// e, or — when there is none yet — stmt built outside the lock and stored on
+// e, as planOf does for a SELECT, with the same rule: e is the entry a lookup
+// returned before the build began, so a plan built across InvalidatePlans is
+// never served again. A build that fails stores nothing. What writePlanOf did
+// is counted by engine.plan_cache_hits and engine.plan_cache_misses.
+func (db *Database) writePlanOf(e *planEntry, stmt keyed) (*writePlan, error) {
+	if e == nil {
+		e = db.entryFor(stmt)
+	}
 	if wp := e.write.Load(); wp != nil {
 		metrics.Default.Counter("engine.plan_cache_hits").Add(1)
 		return wp, nil

@@ -230,12 +230,12 @@ func TestColumnNamedTwiceIsRejected(t *testing.T) {
 	}
 }
 
-// TestLiteralWritesStayOutOfThePlanCache: DML text carries its values as
-// literals, one text per value, so it takes no plan-cache entry — 600 UPDATE
-// texts neither grow the cache nor push anything out of it — while a writing
-// procedure's body, whose statements are the same text on every call, takes
-// one entry per statement.
-func TestLiteralWritesStayOutOfThePlanCache(t *testing.T) {
+// TestLiteralWritesShareOneEntryPerShape: DML text is a shape with its values
+// lifted out, like a SELECT's, so 600 UPDATE texts that differ only in a
+// literal take one plan-cache entry, build one write plan and push nothing
+// out — while a writing procedure's body, whose statements are the same text
+// on every call, takes one entry per statement.
+func TestLiteralWritesShareOneEntryPerShape(t *testing.T) {
 	backend, _ := dmlPair(t)
 	err := backend.ExecScript(`CREATE PROCEDURE move @id INT, @v INT AS BEGIN
 		UPDATE t SET v = @v WHERE id = @id;
@@ -245,18 +245,22 @@ func TestLiteralWritesStayOutOfThePlanCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	evictions := metrics.Default.Counter("engine.plan_cache_evictions")
-	size0, evicted0 := backend.PlanCacheSize(), evictions.Value()
+	misses := metrics.Default.Counter("engine.plan_cache_misses")
+	size0, evicted0, missed0 := backend.PlanCacheSize(), evictions.Value(), misses.Value()
 	for i := 0; i < 600; i++ {
 		text := fmt.Sprintf("UPDATE t SET v = %d WHERE id = 5", i)
 		if res, err := backend.Exec(text, nil); err != nil || res.RowsAffected != 1 {
 			t.Fatalf("%s: %+v, %v", text, res, err)
 		}
 	}
-	if n := backend.PlanCacheSize(); n != size0 {
-		t.Errorf("600 literal UPDATE texts took the plan cache from %d entries to %d", size0, n)
+	if n := backend.PlanCacheSize(); n != size0+1 {
+		t.Errorf("600 literal UPDATE texts took the plan cache from %d entries to %d, want one more", size0, n)
 	}
 	if n := evictions.Value() - evicted0; n != 0 {
 		t.Errorf("600 literal UPDATE texts evicted %d plan-cache entries", n)
+	}
+	if n := misses.Value() - missed0; n != 1 {
+		t.Errorf("600 literal UPDATE texts built %d write plans, want 1", n)
 	}
 
 	// The call itself is parsed once and run past the front door, so its
@@ -271,11 +275,52 @@ func TestLiteralWritesStayOutOfThePlanCache(t *testing.T) {
 			t.Fatalf("call %d: %+v, %v", i, res, err)
 		}
 	}
-	if n := backend.PlanCacheSize() - size0; n != 2 {
+	if n := backend.PlanCacheSize() - size0 - 1; n != 2 {
 		t.Errorf("100 calls of a two-statement writing procedure added %d plan-cache entries, want 2", n)
 	}
 	if got := rowsOfT(t, backend); got != "5=99" {
 		t.Errorf("t holds %q, want 5=99", got)
+	}
+}
+
+// TestWarmTextWritesParseNothing: INSERT, UPDATE and DELETE texts sent to a
+// cache reach its backend as their shapes. Once a shape is warm, ten literal
+// variants parse nothing on either server, add no plan-cache entry to either,
+// and build no write plan.
+func TestWarmTextWritesParseNothing(t *testing.T) {
+	backend, cache := dmlPair(t)
+	parses := metrics.Default.Histogram("engine.parse_seconds")
+	misses := metrics.Default.Counter("engine.plan_cache_misses")
+	for _, format := range []string{
+		"INSERT INTO t (id, v) VALUES (%d, 7)",
+		"UPDATE t SET v = 8 WHERE id = %d",
+		"DELETE FROM t WHERE id = %d",
+	} {
+		run := func(i int) {
+			text := fmt.Sprintf(format, 100+i)
+			if res, err := cache.Exec(text, nil); err != nil || res.RowsAffected != 1 {
+				t.Fatalf("%s: %+v, %v", text, res, err)
+			}
+		}
+		run(0) // warms the shape on both servers
+		entries, bentries := cache.PlanCacheSize(), backend.PlanCacheSize()
+		parsed0, missed0 := parses.Count(), misses.Value()
+		for i := 1; i <= 10; i++ {
+			run(i)
+		}
+		if n := parses.Count() - parsed0; n != 0 {
+			t.Errorf("%s: %d parses over 10 warm variants, want 0", format, n)
+		}
+		if n := misses.Value() - missed0; n != 0 {
+			t.Errorf("%s: %d plan-cache misses over 10 warm variants, want 0", format, n)
+		}
+		if cache.PlanCacheSize() != entries || backend.PlanCacheSize() != bentries {
+			t.Errorf("%s: plan caches went %d → %d entries on the cache, %d → %d on the backend",
+				format, entries, cache.PlanCacheSize(), bentries, backend.PlanCacheSize())
+		}
+	}
+	if got := rowsOfT(t, backend); got != "5=1" {
+		t.Errorf("t holds %q, want 5=1", got)
 	}
 }
 
@@ -285,104 +330,125 @@ func TestLiteralWritesStayOutOfThePlanCache(t *testing.T) {
 // between two calls holds on the second. A procedure's DELETE by a column with
 // no index scans, and seeks once an index on the column is created, deleting
 // the same rows; an UPDATE by the whole key planned while its table was
-// analyzed empty seeks once the table is filled.
+// analyzed empty seeks once the table is filled. Each step runs twice: as a
+// call, and as its body's statement sent as literal text, whose shape keeps
+// its plan the same way.
 func TestWritePlanFollowsDDL(t *testing.T) {
-	db := New(Config{Name: "backend", Role: Backend})
-	err := db.ExecScript(`CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR(20));
-		CREATE PROCEDURE put @a INT, @b VARCHAR(20) AS INSERT INTO t (a, b) VALUES (@a, @b);`)
-	if err != nil {
-		t.Fatal(err)
+	bodies := map[string]string{
+		"put":   "INSERT INTO t (a, b) VALUES (@a, @b)",
+		"setC":  "UPDATE u SET c = @c WHERE a = @a AND b = @b",
+		"dropC": "DELETE FROM u WHERE c = @c",
 	}
-	put := func(a int64, b string) error {
-		_, err := db.CallProcedure("put", exec.Params{"a": types.NewInt(a), "b": types.NewString(b)})
-		return err
-	}
-	rows := func() string {
-		t.Helper()
-		res, err := db.Exec("SELECT * FROM t ORDER BY a", nil)
+	for _, asText := range []bool{false, true} {
+		db := New(Config{Name: "backend", Role: Backend})
+		// run makes one step: a call of proc, or its body with each parameter
+		// spelled as a literal.
+		run := func(proc string, params exec.Params) (*Result, error) {
+			if !asText {
+				return db.CallProcedure(proc, params)
+			}
+			var literals []string
+			for name, v := range params {
+				literals = append(literals, "@"+name, v.String())
+			}
+			return db.Exec(strings.NewReplacer(literals...).Replace(bodies[proc]), nil)
+		}
+		err := db.ExecScript(`CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR(20));
+		CREATE PROCEDURE put @a INT, @b VARCHAR(20) AS ` + bodies["put"])
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprint(res.Rows)
-	}
-	if err := put(1, "one"); err != nil {
-		t.Fatal(err)
-	}
-	if got := rows(); got != "[[1 'one']]" {
-		t.Fatalf("first layout: t holds %s", got)
-	}
-	if err := db.ExecScript("DROP TABLE t; CREATE TABLE t (b VARCHAR(20), a INT PRIMARY KEY);"); err != nil {
-		t.Fatal(err)
-	}
-	if err := put(2, "two"); err != nil {
-		t.Fatal(err)
-	}
-	if got := rows(); got != "[['two' 2]]" {
-		t.Fatalf("recreated with the columns swapped: t holds %s, want [['two' 2]]", got)
-	}
-	if err := db.ExecScript("CREATE UNIQUE INDEX t_b ON t (b)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := put(3, "two"); err == nil {
-		t.Error("a duplicate b was inserted past the UNIQUE index created since the last call")
-	}
-	if err := put(4, "four"); err != nil {
-		t.Fatal(err)
-	}
-	if got := rows(); got != "[['two' 2] ['four' 4]]" {
-		t.Errorf("t holds %s, want [['two' 2] ['four' 4]]", got)
-	}
+		put := func(a int64, b string) error {
+			_, err := run("put", exec.Params{"a": types.NewInt(a), "b": types.NewString(b)})
+			return err
+		}
+		rows := func() string {
+			t.Helper()
+			res, err := db.Exec("SELECT * FROM t ORDER BY a", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(res.Rows)
+		}
+		if err := put(1, "one"); err != nil {
+			t.Fatal(err)
+		}
+		if got := rows(); got != "[[1 'one']]" {
+			t.Fatalf("text %v, first layout: t holds %s", asText, got)
+		}
+		if err := db.ExecScript("DROP TABLE t; CREATE TABLE t (b VARCHAR(20), a INT PRIMARY KEY);"); err != nil {
+			t.Fatal(err)
+		}
+		if err := put(2, "two"); err != nil {
+			t.Fatal(err)
+		}
+		if got := rows(); got != "[['two' 2]]" {
+			t.Fatalf("text %v, recreated with the columns swapped: t holds %s, want [['two' 2]]", asText, got)
+		}
+		if err := db.ExecScript("CREATE UNIQUE INDEX t_b ON t (b)"); err != nil {
+			t.Fatal(err)
+		}
+		if err := put(3, "two"); err == nil {
+			t.Errorf("text %v: a duplicate b was inserted past the UNIQUE index created since the last call", asText)
+		}
+		if err := put(4, "four"); err != nil {
+			t.Fatal(err)
+		}
+		if got := rows(); got != "[['two' 2] ['four' 4]]" {
+			t.Errorf("text %v: t holds %s, want [['two' 2] ['four' 4]]", asText, got)
+		}
 
-	// u is analyzed empty: by cost alone, a seek of its key would lose to a
-	// scan of its one estimated row.
-	err = db.ExecScript(`CREATE TABLE u (a INT, b INT, c INT, PRIMARY KEY (a, b));
-		CREATE PROCEDURE setC @a INT, @b INT, @c INT AS UPDATE u SET c = @c WHERE a = @a AND b = @b;
-		CREATE PROCEDURE dropC @c INT AS DELETE FROM u WHERE c = @c;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AnalyzeTable("u"); err != nil {
-		t.Fatal(err)
-	}
-	call := func(proc string, params exec.Params, affected, examined int64) {
-		t.Helper()
-		res, err := db.CallProcedure(proc, params)
+		// u is analyzed empty: by cost alone, a seek of its key would lose to a
+		// scan of its one estimated row.
+		err = db.ExecScript(`CREATE TABLE u (a INT, b INT, c INT, PRIMARY KEY (a, b));
+		CREATE PROCEDURE setC @a INT, @b INT, @c INT AS ` + bodies["setC"] + `;
+		CREATE PROCEDURE dropC @c INT AS ` + bodies["dropC"] + `;`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.RowsAffected != affected || res.Counters.RowsScanned != examined {
-			t.Errorf("%s %v: %d rows affected and %d examined, want %d and %d",
-				proc, params, res.RowsAffected, res.Counters.RowsScanned, affected, examined)
-		}
-	}
-	key := exec.Params{"a": types.NewInt(3), "b": types.NewInt(4), "c": types.NewInt(1)}
-	call("setC", key, 0, 0) // planned while u is empty
-	fill := func() {
-		t.Helper()
-		var rows []types.Row
-		for i := int64(0); i < 40; i++ {
-			rows = append(rows, types.Row{types.NewInt(i / 8), types.NewInt(i % 8), types.NewInt(i % 5)})
-		}
-		if err := db.BulkLoad("u", rows); err != nil {
+		if err := db.AnalyzeTable("u"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	fill()
-	call("setC", key, 1, 1)
-	drop := exec.Params{"c": types.NewInt(1)}
-	call("dropC", drop, 9, 40) // eight rows with c = 1, and (3, 4) set to 1
-	scanned := rowsOf(t, db, "u")
-	if _, err := db.Exec("DELETE FROM u", nil); err != nil {
-		t.Fatal(err)
-	}
-	fill()
-	call("setC", key, 1, 1)
-	if err := db.ExecScript("CREATE INDEX u_c ON u (c)"); err != nil {
-		t.Fatal(err)
-	}
-	call("dropC", drop, 9, 9)
-	if sought := rowsOf(t, db, "u"); sought != scanned {
-		t.Errorf("after the seek u holds %s, after the scan %s", sought, scanned)
+		call := func(proc string, params exec.Params, affected, examined int64) {
+			t.Helper()
+			res, err := run(proc, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RowsAffected != affected || res.Counters.RowsScanned != examined {
+				t.Errorf("text %v, %s %v: %d rows affected and %d examined, want %d and %d",
+					asText, proc, params, res.RowsAffected, res.Counters.RowsScanned, affected, examined)
+			}
+		}
+		key := exec.Params{"a": types.NewInt(3), "b": types.NewInt(4), "c": types.NewInt(1)}
+		call("setC", key, 0, 0) // planned while u is empty
+		fill := func() {
+			t.Helper()
+			var rows []types.Row
+			for i := int64(0); i < 40; i++ {
+				rows = append(rows, types.Row{types.NewInt(i / 8), types.NewInt(i % 8), types.NewInt(i % 5)})
+			}
+			if err := db.BulkLoad("u", rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fill()
+		call("setC", key, 1, 1)
+		drop := exec.Params{"c": types.NewInt(1)}
+		call("dropC", drop, 9, 40) // eight rows with c = 1, and (3, 4) set to 1
+		scanned := rowsOf(t, db, "u")
+		if _, err := db.Exec("DELETE FROM u", nil); err != nil {
+			t.Fatal(err)
+		}
+		fill()
+		call("setC", key, 1, 1)
+		if err := db.ExecScript("CREATE INDEX u_c ON u (c)"); err != nil {
+			t.Fatal(err)
+		}
+		call("dropC", drop, 9, 9)
+		if sought := rowsOf(t, db, "u"); sought != scanned {
+			t.Errorf("text %v: after the seek u holds %s, after the scan %s", asText, sought, scanned)
+		}
 	}
 }
 

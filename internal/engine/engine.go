@@ -3,10 +3,11 @@
 // MTCache server. The engine implements:
 //
 //   - DDL: CREATE TABLE / INDEX / VIEW / MATERIALIZED VIEW / PROCEDURE, DROP;
-//   - DML: INSERT / UPDATE / DELETE — executed locally on a backend, and
-//     transparently forwarded to the backend on a cache (paper §5: "all
-//     insert, delete and update requests against a shadow table are
-//     immediately converted to remote ... and forwarded");
+//   - DML: INSERT / UPDATE / DELETE — executed locally on a backend, on one
+//     write plan per statement shape, and transparently forwarded to the
+//     backend on a cache as that shape (paper §5: "all insert, delete and
+//     update requests against a shadow table are immediately converted to
+//     remote ... and forwarded");
 //   - queries through the cost-based optimizer with a plan cache — dynamic
 //     plans make the cache effective for parameterized queries because one
 //     cached plan serves all parameter values (paper §5.1);
@@ -273,8 +274,8 @@ func (db *Database) ExecSessionTraced(sqlText string, params exec.Params, minLSN
 
 // execText takes a statement from text to result on rec's clock: the session
 // gate, then the auto-parameterization front door (shape-identical SELECTs
-// share one plan-cache entry: one parsed statement, one plan; shape-identical
-// EXECs share one parsed call) or the parser.
+// and writes share one plan-cache entry: one parsed statement, one plan;
+// shape-identical EXECs share one parsed call) or the parser.
 func (db *Database) execText(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, rec *trace.Record) (*Result, error) {
 	if minLSN > 0 && db.role == Cache {
 		// No applied-LSN source: the cache cannot prove it has caught up, so
@@ -300,6 +301,8 @@ func (db *Database) execText(sqlText string, params exec.Params, minLSN storage.
 			res, err = db.query(x, e, params, autoArgs, fresh, rec)
 		case *sql.ExecStmt:
 			res, err = db.execProcCall(x, params, autoArgs, rec)
+		case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+			res, err = db.execDML(x.(keyed), e, params, autoArgs, rec)
 		}
 		normPool.Put(norm)
 		return res, err
@@ -501,7 +504,7 @@ func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.
 		}
 		return db.query(x, nil, params, nil, fresh, rec)
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		return db.execDML(stmt, params, rec)
+		return db.execDML(stmt.(keyed), nil, params, nil, rec)
 	case *sql.CreateTableStmt:
 		return db.execCreateTable(x)
 	case *sql.CreateIndexStmt:
@@ -722,8 +725,8 @@ func (db *Database) Plan(stmt *sql.SelectStmt) (*opt.Plan, error) {
 // planEntry is one statement text's slot in the plan cache. The key is a
 // front-door shape or a deparse: both are SQL text, and equal text is the same
 // statement, so the two kinds share entries. A SELECT's entry holds its plan
-// and its query-store statistics, a procedure body's INSERT, UPDATE or
-// DELETE's its write plan; an EXEC shape's holds neither.
+// and its query-store statistics, an INSERT, UPDATE or DELETE's its write
+// plan; an EXEC shape's holds neither.
 type planEntry struct {
 	stmt  sql.Statement // shared and read-only; nil for a negative front-door shape
 	refs  []string      // a SELECT's paramRefs: the values its result key covers
@@ -732,8 +735,8 @@ type planEntry struct {
 	stats shapeStats // zero until query records the entry's first execution
 }
 
-// keyed is a statement the plan cache keys by its deparse: a SELECT, or a
-// procedure body's INSERT, UPDATE or DELETE.
+// keyed is a statement the plan cache keys by its deparse: a SELECT, an
+// INSERT, an UPDATE or a DELETE.
 type keyed interface {
 	sql.Statement
 	CacheKey() string
@@ -759,9 +762,9 @@ func planEvicted(key string) {
 }
 
 // entryFor is the plan-cache entry of a statement that did not come through
-// the front door — a procedure body's SELECT or write, an INSERT … SELECT's
-// SELECT, an EXPLAIN target, any SELECT text when auto-parameterization is
-// off — keyed by its deparse, which CacheKey memoizes on the statement.
+// the front door — a procedure body's or a script's, an INSERT … SELECT's
+// SELECT, an EXPLAIN target, any text the front door does not take — keyed
+// by its deparse, which CacheKey memoizes on the statement.
 func (db *Database) entryFor(stmt keyed) *planEntry {
 	key := stmt.CacheKey()
 	db.plansMu.Lock()

@@ -3,8 +3,8 @@ package engine
 import "container/list"
 
 // lru is a bounded least-recently-used map from string keys to V; the plan
-// cache (SQL text → *planEntry: a SELECT's plan, or a procedure body's write
-// plan; DML text takes no entry) is its one instance. Not self-locking: the
+// cache (SQL text → *planEntry: a SELECT's plan, or an INSERT, UPDATE or
+// DELETE's write plan) is its one instance. Not self-locking: the
 // Database guards it with plansMu.
 type lru[V any] struct {
 	cap     int

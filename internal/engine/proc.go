@@ -154,7 +154,7 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 		for _, stmt := range proc.Body {
 			switch x := stmt.(type) {
 			case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-				wp, err := db.writePlanOf(db.entryFor(x.(keyed)), x)
+				wp, err := db.writePlanOf(nil, x.(keyed))
 				var n int64
 				if err == nil {
 					n, err = db.runWrite(wp, params, tx, &res.Counters)

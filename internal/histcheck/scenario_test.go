@@ -146,10 +146,12 @@ func (r *recorder) digest() string {
 
 // runScenario drives eight sessions from one goroutine, in an order drawn
 // from seed: they mix TPC-W interactions (the Shopping mix) with repeated ad
-// hoc reads and writes of four items, and the caches pull at points drawn
-// from the same seed. So a result-cache entry is admitted, invalidated by a
-// pull and read again, the session that wrote it included, and reads land on
-// caches at every staleness.
+// hoc reads and writes of eight items — UPDATEs of four loaded ones, and
+// INSERTs and DELETEs of four keys past the load, which the INSERT adds and
+// the DELETE takes away again — and the caches pull at points drawn from the
+// same seed. So a result-cache entry is admitted, invalidated by a pull and
+// read again, the session that wrote it included, reads land on caches at
+// every staleness, and every kind of write text is forwarded by a cache.
 func runScenario(t *testing.T, seed int64) *recorder {
 	r := newRecorder(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -167,6 +169,14 @@ func runScenario(t *testing.T, seed int64) *recorder {
 		}
 		sessions = append(sessions, session{conn, app, app.NewSession(seed + int64(i))})
 	}
+	key := func() int { // one of the loaded items 1–4 or the keys past the load
+		id := 1 + rng.Intn(8)
+		if id > 4 {
+			id += scenarioConfig.Items - 4
+		}
+		return id
+	}
+	added := map[int]bool{} // keys past the load an INSERT added
 	for step := 0; step < 400; step++ {
 		s := sessions[rng.Intn(len(sessions))]
 		var text string
@@ -182,11 +192,19 @@ func runScenario(t *testing.T, seed int64) *recorder {
 			}
 			continue
 		case x < 14:
-			text = fmt.Sprintf("SELECT i_id, i_cost, i_stock FROM item WHERE i_id = %d", 1+rng.Intn(4))
+			text = fmt.Sprintf("SELECT i_id, i_cost, i_stock FROM item WHERE i_id = %d", key())
 		case x < 18:
-			text = fmt.Sprintf("SELECT COUNT(*) FROM item WHERE i_id <= 4 AND i_cost > %d", 20*(1+rng.Intn(4)))
-		default:
+			text = fmt.Sprintf("SELECT COUNT(*) FROM item WHERE (i_id <= 4 OR i_id > %d) AND i_cost > %d", scenarioConfig.Items, 20*(1+rng.Intn(4)))
+		case rng.Intn(2) == 0:
 			text = fmt.Sprintf("UPDATE item SET i_cost = %d WHERE i_id = %d", rng.Intn(100), 1+rng.Intn(4))
+		default:
+			id := scenarioConfig.Items + 1 + rng.Intn(4)
+			if added[id] {
+				text = fmt.Sprintf("DELETE FROM item WHERE i_id = %d", id)
+			} else {
+				text = fmt.Sprintf("INSERT INTO item (i_id, i_title, i_cost, i_stock) VALUES (%d, 'added', %d, %d)", id, rng.Intn(100), rng.Intn(10))
+			}
+			added[id] = !added[id]
 		}
 		res, err := s.conn.Exec(text, nil)
 		if err != nil {
@@ -200,7 +218,8 @@ func runScenario(t *testing.T, seed int64) *recorder {
 // TestScenarioKeepsTheContract: the fault-free scenario's history keeps the
 // contract, and two runs of its seed send the same statements and get the
 // same answers, but for the application's clock. The result cache's
-// admissions, hits and invalidations all happen in it.
+// admissions, hits and invalidations all happen in it, and so do INSERT,
+// UPDATE and DELETE texts that write a row.
 func TestScenarioKeepsTheContract(t *testing.T) {
 	const seed = 46
 	counter := func(name string) int64 { return metrics.Default.Counter(name).Value() }
@@ -222,6 +241,18 @@ func TestScenarioKeepsTheContract(t *testing.T) {
 	}
 	if v != nil {
 		t.Fatal(v)
+	}
+	// The contract holds, so each RowsAffected is the log's.
+	wrote := map[string]int{}
+	for _, c := range r.history {
+		if c.Write && c.RowsAffected > 0 {
+			wrote[strings.Fields(c.Text)[0]]++
+		}
+	}
+	for _, kind := range []string{"INSERT", "UPDATE", "DELETE"} {
+		if wrote[kind] == 0 {
+			t.Fatalf("no %s text wrote a row (%v): the scenario lost its point", kind, wrote)
+		}
 	}
 	t.Logf("%d calls, %d backend commits: the contract holds", len(r.history), len(r.wal))
 }

@@ -167,16 +167,16 @@ type DeleteStmt struct {
 	cacheKey deparsed // see CacheKey
 }
 
-// CacheKey returns a procedure body's INSERT's plan-cache key, its deparse,
-// computed at most once as SelectStmt.CacheKey is.
+// CacheKey returns an INSERT's plan-cache key, its deparse, computed at most
+// once as SelectStmt.CacheKey is.
 func (s *InsertStmt) CacheKey() string { return s.cacheKey.of(s) }
 
-// CacheKey returns a procedure body's UPDATE's plan-cache key, its deparse,
-// computed at most once as SelectStmt.CacheKey is.
+// CacheKey returns an UPDATE's plan-cache key, its deparse, computed at most
+// once as SelectStmt.CacheKey is.
 func (s *UpdateStmt) CacheKey() string { return s.cacheKey.of(s) }
 
-// CacheKey returns a procedure body's DELETE's plan-cache key, its deparse,
-// computed at most once as SelectStmt.CacheKey is.
+// CacheKey returns a DELETE's plan-cache key, its deparse, computed at most
+// once as SelectStmt.CacheKey is.
 func (s *DeleteStmt) CacheKey() string { return s.cacheKey.of(s) }
 
 // ColumnDef is one column of a CREATE TABLE.

@@ -8,13 +8,13 @@ import (
 )
 
 // Auto-parameterization: a zero-allocation tokenizer that rewrites the
-// literals of a SELECT or an EXEC into positional parameters (@__p0, @__p1,
-// ...) and renders the rest of the text in canonical token form.
+// literals of a SELECT, an EXEC or a write into positional parameters (@__p0,
+// @__p1, ...) and renders the rest of the text in canonical token form.
 // Shape-identical statements — same SQL modulo literal values, whitespace,
 // comments and keyword case — normalize to the same key, so the engine holds
-// ONE parsed statement per shape (and for a SELECT one plan), and repeated
-// literal variants skip parsing and optimization entirely (paper §5.1: cached
-// plans "avoid the need for frequent reoptimization").
+// ONE parsed statement per shape (and for a SELECT or a write one plan), and
+// repeated literal variants skip parsing and optimization entirely (paper
+// §5.1: cached plans "avoid the need for frequent reoptimization").
 //
 // An EXEC's arguments are literals or parameters, nothing else, and the
 // parser folds a sign into the number after it ("-5" is one literal). So in
@@ -95,17 +95,18 @@ type Normalizer struct {
 // Normalize rewrites src's literals to @__pN parameters. It returns the
 // normalized key (valid until the next call on this Normalizer), the literal
 // values in source order, and ok=false when src is not an
-// auto-parameterizable SELECT or EXEC (another statement, lexically
-// malformed, mixing explicit @__pN parameters with literals, or an EXEC sign
-// the parser would not fold). A false return is NOT an error — the caller
-// falls back to the ordinary parse path, which reports any real syntax error
-// against the original text.
+// auto-parameterizable SELECT, EXEC, INSERT, UPDATE or DELETE (another
+// statement, lexically malformed, mixing explicit @__pN parameters with
+// literals, or an EXEC sign the parser would not fold). A false return is NOT
+// an error — the caller falls back to the ordinary parse path, which reports
+// any real syntax error against the original text.
 func (n *Normalizer) Normalize(src string) (key []byte, args []types.Value, ok bool) {
 	n.buf = n.buf[:0]
 	n.args = n.args[:0]
 	n.pendingIdent = ""
 	n.explicitAuto = false
-	call := false // src is an EXEC
+	call := false   // src is an EXEC
+	target := false // from INSERT to VALUES or SELECT: a name before "(" is a table
 	// EXEC only: the next token starts an argument (so a sign folds into
 	// it), and the last token was a literal that started one.
 	nextArg, lastArgLiteral := false, false
@@ -157,13 +158,14 @@ func (n *Normalizer) Normalize(src string) (key []byte, args []types.Value, ok b
 			if keywords[string(n.kw)] {
 				if tokens == 0 {
 					switch string(n.kw) {
-					case "SELECT":
+					case "SELECT", "INSERT", "UPDATE", "DELETE":
 					case "EXEC", "EXECUTE":
 						call = true
 					default:
 						return nil, nil, false
 					}
 				}
+				target = string(n.kw) == "INSERT" || target && string(n.kw) != "VALUES" && string(n.kw) != "SELECT"
 				n.flushIdent(false)
 				n.sp()
 				n.buf = append(n.buf, n.kw...)
@@ -243,7 +245,7 @@ func (n *Normalizer) Normalize(src string) (key []byte, args []types.Value, ok b
 				lastArgLiteral = true
 				continue
 			}
-			n.flushIdent(op == "(")
+			n.flushIdent(op == "(" && !target)
 			n.sp()
 			n.buf = append(n.buf, op...)
 			nextArg = call && (op == "," || op == "(" || op == "=")

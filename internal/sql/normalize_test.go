@@ -84,6 +84,28 @@ func TestNormalizeRewritesLiterals(t *testing.T) {
 			"EXEC p @__p0 - @__p1 , ( @__p2 )",
 			[]types.Value{types.NewInt(3), types.NewInt(5), types.NewInt(-7)},
 		},
+		{
+			// An INSERT's target keeps its case before its column list; after
+			// VALUES a name before "(" is a function again.
+			"insert into dbo.Item (i_id, i_title) values (7, upper('x')), (-8, NULL)",
+			"INSERT INTO dbo . Item ( i_id , i_title ) VALUES ( @__p0 , UPPER ( @__p1 ) ) , ( - @__p2 , NULL )",
+			[]types.Value{types.NewInt(7), types.NewString("x"), types.NewInt(8)},
+		},
+		{
+			"INSERT Item(i_id) SELECT abs(a) FROM t WHERE b = 'y'",
+			"INSERT Item ( i_id ) SELECT ABS ( a ) FROM t WHERE b = @__p0",
+			[]types.Value{types.NewString("y")},
+		},
+		{
+			"update item set i_stock = 7 where i_id = 1417",
+			"UPDATE item SET i_stock = @__p0 WHERE i_id = @__p1",
+			[]types.Value{types.NewInt(7), types.NewInt(1417)},
+		},
+		{
+			"DELETE FROM t WHERE a IN (1, 2) AND b LIKE 'x%'",
+			"DELETE FROM t WHERE a IN ( @__p0 , @__p1 ) AND b LIKE @__p2",
+			[]types.Value{types.NewInt(1), types.NewInt(2), types.NewString("x%")},
+		},
 	}
 	for _, c := range cases {
 		key, args := normalize(t, c.src)
@@ -106,9 +128,9 @@ func TestNormalizeBails(t *testing.T) {
 	var n Normalizer
 	for _, src := range []string{
 		"",
-		"INSERT INTO t (a) VALUES (1)",
-		"UPDATE t SET a = 1",
 		"EXPLAIN SELECT a FROM t",
+		"CREATE TABLE t (a INT)",
+		"DROP TABLE t",
 		"EXEC",                  // no procedure
 		"EXEC SELECT",           // a keyword is not a procedure name
 		"EXEC 5",                // nor a number
@@ -125,6 +147,7 @@ func TestNormalizeBails(t *testing.T) {
 		"SELECT 'unterminated",                        // unterminated string
 		"SELECT [unterminated FROM t",                 // unterminated bracket ident
 		"SELECT a FROM t WHERE x ? 1",                 // unknown operator
+		"UPDATE t SET a = @__p0 WHERE b = 1",          // a write collides too
 	} {
 		if _, _, ok := n.Normalize(src); ok {
 			t.Errorf("Normalize(%q) ok, want bail", src)
@@ -173,7 +196,10 @@ func TestNormalizeKeyParsesAndSubstitutesBack(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 400; i++ {
 		src := randomSelect(r)
-		if i%4 == 3 {
+		switch i % 4 {
+		case 2:
+			src, _ = randomWrite(r)
+		case 3:
 			src = randomExec(r)
 		}
 		var n Normalizer
@@ -201,7 +227,10 @@ func TestNormalizeKeyParsesAndSubstitutesBack(t *testing.T) {
 func TestNormalizeKeysEqualIffShapesEqual(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
-		src := randomSelect(r)
+		src, more := randomSelect(r), " AND zz9 = 1"
+		if i%2 == 1 {
+			src, more = randomWrite(r)
+		}
 		key1, _ := normalize(t, src)
 		// Same shape, different literal spellings/whitespace: same key.
 		variant := relitter(r, src)
@@ -209,8 +238,8 @@ func TestNormalizeKeysEqualIffShapesEqual(t *testing.T) {
 		if key1 != key2 {
 			t.Fatalf("same shape, different keys\nsrc: %s\nvar: %s\nk1: %s\nk2: %s", src, variant, key1, key2)
 		}
-		// Different shape (one extra predicate): different key.
-		other := src + " AND zz9 = 1"
+		// Different shape (one extra predicate or row): different key.
+		other := src + more
 		key3, _ := normalize(t, other)
 		if key1 == key3 {
 			t.Fatalf("different shapes share a key: %s", key1)
@@ -226,6 +255,7 @@ func TestNormalizeZeroAlloc(t *testing.T) {
 		"SELECT name FROM part WHERE type = 'Tire' AND qty > 10 ORDER BY name",
 		"SELECT TOP 50 i_id, COUNT(*) AS cnt FROM order_line GROUP BY i_id ORDER BY cnt DESC",
 		"EXEC doSubjectSearch @subject = 'ARTS', @n = -50",
+		"UPDATE item SET i_stock = 7 WHERE i_id = 1417",
 	}
 	var n Normalizer
 	for _, q := range queries {
@@ -283,6 +313,83 @@ func randomSelect(r *rand.Rand) string {
 		b.WriteString(" ORDER BY a")
 	}
 	return b.String()
+}
+
+// randomWrite builds a parseable INSERT, UPDATE or DELETE with randomized
+// literals — signed numbers among them — keyword case and target spelling,
+// and returns with it a suffix that makes it another shape: one more row, or
+// one more predicate. An INSERT has a column list or none, and one or more
+// VALUES rows or a SELECT; a WHERE mixes =, IN, LIKE and BETWEEN.
+func randomWrite(r *rand.Rand) (src, more string) {
+	var b strings.Builder
+	kw := func(w string) string {
+		if r.Intn(2) == 0 {
+			return strings.ToLower(w)
+		}
+		return w
+	}
+	value := func() string {
+		switch r.Intn(6) {
+		case 0:
+			return fmt.Sprintf("-%d", r.Intn(1000))
+		case 1:
+			return fmt.Sprintf("'%s'", randomIdent(r))
+		case 2:
+			return fmt.Sprintf("- %d.%d", r.Intn(100), r.Intn(100))
+		case 3:
+			return fmt.Sprintf("upper('%s')", randomIdent(r))
+		case 4:
+			return "NULL"
+		}
+		return fmt.Sprintf("%d", r.Intn(1000))
+	}
+	where := func() {
+		b.WriteString(" " + kw("WHERE"))
+		fmt.Fprintf(&b, " id = %d", r.Intn(1000))
+		if r.Intn(2) == 0 {
+			fmt.Fprintf(&b, " %s c %s '%s%%'", kw("AND"), kw("LIKE"), randomIdent(r))
+		}
+		if r.Intn(2) == 0 {
+			fmt.Fprintf(&b, " %s d %s %d %s %d", kw("AND"), kw("BETWEEN"), r.Intn(10), kw("AND"), 10+r.Intn(10))
+		}
+		if r.Intn(2) == 0 {
+			fmt.Fprintf(&b, " %s e %s (%d, %s)", kw("AND"), kw("IN"), r.Intn(10), value())
+		}
+	}
+	target := []string{"t", "Item", "dbo.Item", "[order line]"}[r.Intn(4)]
+	switch r.Intn(3) {
+	case 0:
+		fmt.Fprintf(&b, "%s %s %s", kw("INSERT"), kw("INTO"), target)
+		if r.Intn(2) == 0 {
+			b.WriteString(" (a, b, c)")
+		}
+		if r.Intn(3) == 0 {
+			fmt.Fprintf(&b, " %s a, b + %d, c %s s", kw("SELECT"), r.Intn(100), kw("FROM"))
+			where()
+			return b.String(), " AND zz9 = 1"
+		}
+		b.WriteString(" " + kw("VALUES"))
+		for i, n := 0, 1+r.Intn(3); i < n; i++ {
+			if i > 0 {
+				b.WriteString(",")
+			}
+			fmt.Fprintf(&b, " (%s, %s, %s)", value(), value(), value())
+		}
+		return b.String(), ", (1, 2, 3)"
+	case 1:
+		fmt.Fprintf(&b, "%s %s %s a = %s", kw("UPDATE"), target, kw("SET"), value())
+		if r.Intn(2) == 0 {
+			fmt.Fprintf(&b, ", b = b - %d", r.Intn(100))
+		}
+	default:
+		b.WriteString(kw("DELETE"))
+		if r.Intn(2) == 0 {
+			b.WriteString(" " + kw("FROM"))
+		}
+		b.WriteString(" " + target)
+	}
+	where()
+	return b.String(), " AND zz9 = 1"
 }
 
 // randomExec builds a parseable EXEC whose arguments are literals — signed
@@ -344,9 +451,9 @@ func relitter(r *rand.Rand, src string) string {
 	return out
 }
 
-// substAutoParams replaces every @__pN parameter in the statement — a SELECT
-// or an EXEC — with the corresponding literal from args (test helper for the
-// substitution property).
+// substAutoParams replaces every @__pN parameter in the statement — a SELECT,
+// an EXEC, an INSERT, an UPDATE or a DELETE — with the corresponding literal
+// from args (test helper for the substitution property).
 func substAutoParams(t *testing.T, stmt Statement, args []types.Value) Statement {
 	t.Helper()
 	var rewrite func(e Expr) Expr
@@ -406,41 +513,65 @@ func substAutoParams(t *testing.T, stmt Statement, args []types.Value) Statement
 		}
 		return e
 	}
-	if call, isCall := stmt.(*ExecStmt); isCall {
-		out := &ExecStmt{Proc: call.Proc}
-		for _, a := range call.Args {
-			out.Args = append(out.Args, ExecArg{Name: a.Name, Expr: rewrite(a.Expr)})
+	rewriteSelect := func(sel *SelectStmt) *SelectStmt {
+		if sel == nil {
+			return nil
+		}
+		out := &SelectStmt{
+			Top:       rewrite(sel.Top),
+			Distinct:  sel.Distinct,
+			From:      sel.From,
+			Where:     rewrite(sel.Where),
+			Having:    rewrite(sel.Having),
+			Freshness: rewrite(sel.Freshness),
+		}
+		for _, c := range sel.Columns {
+			c.Expr = rewrite(c.Expr)
+			out.Columns = append(out.Columns, c)
+		}
+		for _, g := range sel.GroupBy {
+			out.GroupBy = append(out.GroupBy, rewrite(g))
+		}
+		for _, o := range sel.OrderBy {
+			o.Expr = rewrite(o.Expr)
+			out.OrderBy = append(out.OrderBy, o)
 		}
 		return out
 	}
-	sel := stmt.(*SelectStmt)
-	out := &SelectStmt{
-		Top:       rewrite(sel.Top),
-		Distinct:  sel.Distinct,
-		From:      sel.From,
-		Where:     rewrite(sel.Where),
-		Having:    rewrite(sel.Having),
-		Freshness: rewrite(sel.Freshness),
+	switch x := stmt.(type) {
+	case *ExecStmt:
+		out := &ExecStmt{Proc: x.Proc}
+		for _, a := range x.Args {
+			out.Args = append(out.Args, ExecArg{Name: a.Name, Expr: rewrite(a.Expr)})
+		}
+		return out
+	case *InsertStmt:
+		out := &InsertStmt{Table: x.Table, Columns: x.Columns, Select: rewriteSelect(x.Select)}
+		for _, row := range x.Rows {
+			var vals []Expr
+			for _, e := range row {
+				vals = append(vals, rewrite(e))
+			}
+			out.Rows = append(out.Rows, vals)
+		}
+		return out
+	case *UpdateStmt:
+		out := &UpdateStmt{Table: x.Table, Where: rewrite(x.Where)}
+		for _, a := range x.Set {
+			out.Set = append(out.Set, Assignment{Column: a.Column, Expr: rewrite(a.Expr)})
+		}
+		return out
+	case *DeleteStmt:
+		return &DeleteStmt{Table: x.Table, Where: rewrite(x.Where)}
 	}
-	for _, c := range sel.Columns {
-		c.Expr = rewrite(c.Expr)
-		out.Columns = append(out.Columns, c)
-	}
-	for _, g := range sel.GroupBy {
-		out.GroupBy = append(out.GroupBy, rewrite(g))
-	}
-	for _, o := range sel.OrderBy {
-		o.Expr = rewrite(o.Expr)
-		out.OrderBy = append(out.OrderBy, o)
-	}
-	return out
+	return rewriteSelect(stmt.(*SelectStmt))
 }
 
 // FuzzNormalize checks the normalizer's contract against the parser on
 // arbitrary input: it must never panic, and whenever it accepts an input
-// that the parser also accepts, the key must parse — to a SELECT for a
-// SELECT, an EXEC for an EXEC — and substituting the literals back must
-// reproduce the original statement.
+// that the parser also accepts, the key must parse — to the text's own
+// statement kind: a SELECT, an EXEC, an INSERT, an UPDATE or a DELETE — and
+// substituting the literals back must reproduce the original statement.
 func FuzzNormalize(f *testing.F) {
 	seeds := []string{
 		"SELECT i_title FROM item WHERE i_id = 42",
@@ -460,6 +591,12 @@ func FuzzNormalize(f *testing.F) {
 		"exec p -5, @x = -1.5, NULL, 'it''s', (-2)",
 		"EXEC p - -5",
 		"EXEC p 1 - 2, f(-3)",
+		"INSERT INTO item (i_id, i_title) VALUES (7, 'x'), (-8, upper('y'))",
+		"insert dbo.Item(a) select abs(b) from t where c = 'z'",
+		"UPDATE item SET i_stock = 7 WHERE i_id = 1417",
+		"update t set a = -1.5, b = b + 2 where c in (1, 2) and d like 'x%' and e between 1 and 9",
+		"DELETE FROM t WHERE a = @__p0",
+		"DELETE t WHERE a = 'q' OR b IS NULL",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -484,9 +621,9 @@ func FuzzNormalize(f *testing.F) {
 			t.Fatalf("original parses but key does not: %v\nsrc: %q\nkey: %q", keyErr, input, key)
 		}
 		switch orig.(type) {
-		case *SelectStmt, *ExecStmt:
+		case *SelectStmt, *ExecStmt, *InsertStmt, *UpdateStmt, *DeleteStmt:
 		default:
-			t.Fatalf("normalizer accepted neither a SELECT nor an EXEC: %q", input)
+			t.Fatalf("normalizer accepted a %T: %q", orig, input)
 		}
 		if fmt.Sprintf("%T", shaped) != fmt.Sprintf("%T", orig) {
 			t.Fatalf("key parsed to a %T, the text to a %T: %q -> %q", shaped, orig, input, key)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mtcache/internal/core"
+	"mtcache/internal/engine"
 	"mtcache/internal/exec"
 	"mtcache/internal/types"
 )
@@ -40,7 +41,10 @@ import (
 // 20 when a keyed write made two views; 27, 46 and 42 when every call
 // compiled its body's statement); called past the front door the first two
 // were 23 and 42 (26 and 44 before the index-insert change; 28 and 58 before
-// the first).
+// the first). An UPDATE by key sent as literal text takes the same path from
+// the front door on: its literals lifted out, its shape's entry keeps its
+// write plan, and it measures 8, as adminUpdate does; while the text was
+// parsed and its write plan built on every execution it was 54.
 func TestWriteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -51,7 +55,7 @@ func TestWriteAllocBudget(t *testing.T) {
 	}
 	cart, cleared := int64(1<<20), int64(1<<20)
 	for _, g := range []struct {
-		proc   string
+		proc   string // or, when params is nil, the text Exec runs
 		params func() exec.Params
 		allocs float64
 	}{
@@ -69,9 +73,16 @@ func TestWriteAllocBudget(t *testing.T) {
 			cleared++
 			return exec.Params{"sc_id": types.NewInt(cleared)}
 		}, 11},
+		{"UPDATE item SET i_stock = 5 WHERE i_id = 417", nil, 8}, // a one-row UPDATE by key, as text
 	} {
 		call := func() {
-			res, err := b.DB.CallProcedure(g.proc, g.params())
+			var res *engine.Result
+			var err error
+			if g.params == nil {
+				res, err = b.DB.Exec(g.proc, nil)
+			} else {
+				res, err = b.DB.CallProcedure(g.proc, g.params())
+			}
 			if err != nil || res.RowsAffected != 1 {
 				t.Fatalf("%s: %+v, %v", g.proc, res, err)
 			}

@@ -12,9 +12,11 @@ import (
 )
 
 // TestSharedWritePlanUnderConcurrency: four clients call updateCartLine and
-// adminUpdate at once on keys of their own, so every execution of each body
-// statement runs the one write plan the backend keeps for it. Each call writes
-// exactly its own row, and every row reads back as its caller last wrote it.
+// adminUpdate at once on keys of their own, and send literal INSERT, UPDATE
+// and DELETE texts of one shape each, so every execution of each body
+// statement or text shape runs the one write plan the backend keeps for it.
+// Each call writes exactly its own row, and every row reads back as its
+// caller last wrote it.
 // Then a cart's DELETE, clearCart's and doBuyConfirm's, seeks the cart's
 // lines by the key's first column: it examines those lines and no other
 // cart's.
@@ -54,6 +56,19 @@ func TestSharedWritePlanUnderConcurrency(t *testing.T) {
 						return
 					}
 				}
+				// A line of the client's cart, inserted and deleted again.
+				line := item(g) + 100 + int64(i)
+				for _, text := range []string{
+					fmt.Sprintf("UPDATE item SET i_stock = %d WHERE i_id = %d", v, item(g)),
+					fmt.Sprintf("INSERT INTO shopping_cart_line (scl_sc_id, scl_i_id, scl_qty) VALUES (%d, %d, %d)", cart(g), line, v),
+					fmt.Sprintf("DELETE FROM shopping_cart_line WHERE scl_sc_id = %d AND scl_i_id = %d", cart(g), line),
+				} {
+					res, err := b.DB.Exec(text, nil)
+					if err != nil || res.RowsAffected != 1 {
+						t.Errorf("client %d: %s: %+v, %v", g, text, res, err)
+						return
+					}
+				}
 			}
 		}(g)
 	}
@@ -62,7 +77,8 @@ func TestSharedWritePlanUnderConcurrency(t *testing.T) {
 		v := int64(g*1000 + calls)
 		for _, c := range []struct{ query, want string }{
 			{fmt.Sprintf("SELECT scl_qty FROM shopping_cart_line WHERE scl_sc_id = %d AND scl_i_id = %d", cart(g), item(g)), fmt.Sprintf("[[%d]]", v)},
-			{fmt.Sprintf("SELECT i_cost, i_related1 FROM item WHERE i_id = %d", item(g)), fmt.Sprint([]types.Row{{types.NewFloat(float64(v) / 4), types.NewInt(v)}})},
+			{fmt.Sprintf("SELECT i_cost, i_related1, i_stock FROM item WHERE i_id = %d", item(g)), fmt.Sprint([]types.Row{{types.NewFloat(float64(v) / 4), types.NewInt(v), types.NewInt(v)}})},
+			{fmt.Sprintf("SELECT COUNT(*) FROM shopping_cart_line WHERE scl_sc_id = %d", cart(g)), "[[1]]"},
 		} {
 			res, err := b.DB.Exec(c.query, nil)
 			if err != nil {
