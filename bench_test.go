@@ -378,10 +378,10 @@ func BenchmarkReplicationApplyThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%100 == 99 {
-			if err := backend.SyncReplication(); err != nil {
+			if _, err := cache.Pull(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	backend.SyncReplication()
+	cache.Pull() //nolint:errcheck
 }

@@ -104,9 +104,9 @@ func main() {
 	backend.DB.SetSlowThreshold(*slowQuery)
 
 	// TCP caches pull, and every pull truncates the log; the timer truncates
-	// it when no cache is pulling. There are no in-process subscribers here.
-	backend.StartReplication(100*time.Millisecond, 100*time.Millisecond)
-	defer backend.StopReplication()
+	// it when no cache is pulling.
+	backend.Repl.Start(100 * time.Millisecond)
+	defer backend.Repl.Stop()
 
 	srv, err := mtcache.ServeBackend(backend, *addr)
 	if err != nil {

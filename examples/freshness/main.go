@@ -3,7 +3,7 @@
 // the staleness window set by the replication agents' poll interval. It
 // also shows the commit-to-commit latency measurement of §6.2.3, and that a
 // change waits in the backend's log until a pull reads it: no pull, still
-// stale; one SyncReplication, nothing was lost.
+// stale; one pull, nothing was lost.
 package main
 
 import (
@@ -42,7 +42,8 @@ func main() {
 
 	// --- staleness window ---------------------------------------------
 	const poll = 100 * time.Millisecond
-	backend.StartReplication(poll, poll)
+	backend.Repl.Start(poll)
+	cache.StartPulling(poll)
 	fmt.Printf("replication agents polling every %v\n\n", poll)
 
 	fmt.Printf("price before update:            %.2f\n", read())
@@ -63,7 +64,8 @@ func main() {
 		time.Sleep(poll / 4)
 	}
 	time.Sleep(3 * poll)
-	backend.StopReplication()
+	cache.StopPulling()
+	backend.Repl.Stop()
 	lat := cache.Stats.Latency
 	fmt.Printf("propagation latency over %d txns: mean %s, p90 %s\n",
 		lat.Count(),
@@ -74,8 +76,9 @@ func main() {
 	_, err = backend.Exec("UPDATE quote SET price = 1.23 WHERE qid = 1", nil)
 	must(err)
 	fmt.Printf("\nno pull:             cache still sees %.2f (the change waits in the backend's log)\n", read())
-	must(backend.SyncReplication())
-	fmt.Printf("one SyncReplication: cache now sees  %.2f (nothing was lost)\n", read())
+	_, err = cache.Pull()
+	must(err)
+	fmt.Printf("one pull:            cache now sees  %.2f (nothing was lost)\n", read())
 }
 
 func must(err error) {

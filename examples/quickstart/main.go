@@ -55,7 +55,8 @@ func main() {
 	// back into the cached view via replication.
 	_, err = conn.Exec("UPDATE customer SET cname = 'renamed' WHERE cid = 42", nil)
 	must(err)
-	must(backend.SyncReplication())
+	_, err = cache.Pull()
+	must(err)
 	res, err = conn.Exec("SELECT cname FROM customer WHERE cid = 42", nil)
 	must(err)
 	fmt.Printf("after update + replication: %s (remote queries: %d)\n",

@@ -33,8 +33,10 @@ func main() {
 	must(tpcw.SetupCache(cache))
 
 	// Replication agents in the background, as in production.
-	backend.StartReplication(50*time.Millisecond, 50*time.Millisecond)
-	defer backend.StopReplication()
+	backend.Repl.Start(50 * time.Millisecond)
+	defer backend.Repl.Stop()
+	cache.StartPulling(50 * time.Millisecond)
+	defer cache.StopPulling()
 
 	app := tpcw.NewApp(core.ConnectCache(cache), cfg)
 	r := rand.New(rand.NewSource(7))

@@ -12,7 +12,10 @@
 //     replication article (select-project over the base table), creates the
 //     subscription, and populates the view — "when a cached view is created,
 //     we automatically create a replication subscription matching the view";
-//   - a pull agent on the cache keeps the views current (§2.2);
+//   - a pull agent on the cache keeps the views current (§2.2): its owner
+//     runs one round with Pull or the agent with StartPulling, in process or
+//     deployed alike — the backend holds no reference to a cache, and its one
+//     agent truncates its log (Repl.Start);
 //   - stored procedures are selectively copied with CopyProcedure (§5.2);
 //   - applications connect through Conn; re-pointing a Conn from the backend
 //     to a cache is the analog of redirecting an ODBC source (§4) — no
@@ -24,7 +27,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"mtcache/internal/catalog"
@@ -39,9 +41,6 @@ import (
 type BackendServer struct {
 	DB   *engine.Database
 	Repl *repl.Server
-
-	mu     sync.Mutex
-	caches []*CacheServer // in-process caches, driven by Sync/StartReplication
 }
 
 // NewBackend creates an empty backend server.

@@ -102,7 +102,7 @@ func TestCachedViewAutoSubscription(t *testing.T) {
 	// Changes flow through replication.
 	b.Exec("UPDATE customer SET cname = 'updated' WHERE cid = 5", nil)
 	b.Exec("INSERT INTO customer (cid, cname, caddress, csegment) VALUES (10000, 'outside', 'a', 0)", nil)
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := c.Exec("SELECT cname FROM customer WHERE cid = 5", nil)
@@ -155,7 +155,7 @@ func TestUpdateForwardingAndReplicationRoundTrip(t *testing.T) {
 	if b.DB.TableRowCount("orders") != 501 {
 		t.Error("forwarded insert missing on backend")
 	}
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := c.Exec("SELECT total FROM orders WHERE okey = 9999", nil)
@@ -208,7 +208,11 @@ func TestMultipleCaches(t *testing.T) {
 		t.Fatalf("%d subscriptions for %d caches of two views each: a cache is one subscriber", n, len(caches))
 	}
 	b.Exec("UPDATE customer SET cname = 'fanout' WHERE cid = 100", nil)
-	b.SyncReplication()
+	for _, c := range caches {
+		if _, err := c.Pull(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i, c := range caches {
 		res, _ := c.Exec("SELECT cname FROM customer WHERE cid = 100", nil)
 		if res.Rows[0][0].Str() != "fanout" {
@@ -221,8 +225,8 @@ func TestBackgroundReplicationLatency(t *testing.T) {
 	b := newShop(t)
 	c, _ := NewCache("cache1", b, nil)
 	c.CreateCachedView(`CREATE CACHED VIEW AllCust AS SELECT cid, cname FROM customer`)
-	b.StartReplication(2*time.Millisecond, 2*time.Millisecond)
-	defer b.StopReplication()
+	c.StartPulling(2 * time.Millisecond)
+	defer c.StopPulling()
 
 	b.Exec("UPDATE customer SET cname = 'async' WHERE cid = 1", nil)
 	deadline := time.Now().Add(2 * time.Second)
@@ -262,7 +266,7 @@ func TestCachedViewOverBackendMaterializedView(t *testing.T) {
 	}
 	// A base-table change updates the backend MV, which replicates onward.
 	b.Exec("INSERT INTO orders (okey, ckey, total) VALUES (8888, 2, 400.0)", nil)
-	b.SyncReplication()
+	c.Pull()
 	if got := c.DB.TableRowCount("spenders"); got != want+1 {
 		t.Fatalf("MV change did not cascade: %d want %d", got, want+1)
 	}
@@ -338,7 +342,7 @@ func TestApplyFailureVisibleOnTheCache(t *testing.T) {
 	b.Exec("UPDATE orders SET total = 1.5 WHERE okey = 1", nil)
 	time.Sleep(20 * time.Millisecond)
 
-	if err := b.SyncReplication(); err == nil {
+	if _, err := c.Pull(); err == nil {
 		t.Fatal("expected the conflicting apply to fail")
 	}
 	status, err := c.Exec("SELECT apply_errors, last_error, last_lsn FROM sys.repl_status WHERE name = 'AllOrders'", nil)
@@ -362,7 +366,7 @@ func TestApplyFailureVisibleOnTheCache(t *testing.T) {
 	if err := tx.CommitUnlogged(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := c.Exec("SELECT total FROM orders WHERE okey = 7000", nil)
@@ -533,8 +537,10 @@ func TestBackendTransactionAppliesToAllViewsOrNone(t *testing.T) {
 // converges to the backend.
 func TestCreateCachedViewWhilePullingJoinsAtOnePrefix(t *testing.T) {
 	b, c := newLinesShop(t, ordersView)
-	b.StartReplication(time.Millisecond, time.Millisecond)
-	defer b.StopReplication()
+	b.Repl.Start(time.Millisecond) // log truncation races the pulls and the provisioning
+	defer b.Repl.Stop()
+	c.StartPulling(time.Millisecond)
+	defer c.StopPulling()
 
 	stop := make(chan struct{})
 	done := make(chan int)
@@ -568,8 +574,8 @@ func TestCreateCachedViewWhilePullingJoinsAtOnePrefix(t *testing.T) {
 	}
 	close(stop)
 	placed := <-done
-	b.StopReplication()
-	if err := b.SyncReplication(); err != nil {
+	c.StopPulling()
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	requireViewsAgree(t, c, int64(placed), "at quiescence")

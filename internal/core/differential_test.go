@@ -149,7 +149,7 @@ func TestDifferentialAfterUpdates(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := b.SyncReplication(); err != nil {
+		if _, err := c.Pull(); err != nil {
 			t.Fatal(err)
 		}
 		compareResults(t, "SELECT cid, cname FROM customer WHERE cid <= 1000", nil, b, c)

@@ -41,8 +41,8 @@ func TestFreshnessParseAndDeparse(t *testing.T) {
 }
 
 func TestFreshnessBoundAllowsFreshView(t *testing.T) {
-	b, c := freshnessSetup(t)
-	if err := b.SyncReplication(); err != nil {
+	_, c := freshnessSetup(t)
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	// View just synchronized: staleness ≈ 0 → a generous bound keeps the
@@ -57,8 +57,8 @@ func TestFreshnessBoundAllowsFreshView(t *testing.T) {
 }
 
 func TestFreshnessZeroForcesBackend(t *testing.T) {
-	b, c := freshnessSetup(t)
-	b.SyncReplication()
+	_, c := freshnessSetup(t)
+	c.Pull()
 	// FRESHNESS 0 demands the current state: only the backend has it.
 	res, err := c.Exec("SELECT cname FROM customer WHERE cid = 7 WITH FRESHNESS 0", nil)
 	if err != nil {
@@ -71,7 +71,7 @@ func TestFreshnessZeroForcesBackend(t *testing.T) {
 
 func TestFreshnessStaleViewRoutesRemoteAndSeesNewData(t *testing.T) {
 	b, c := freshnessSetup(t)
-	b.SyncReplication()
+	c.Pull()
 
 	// Commit a change but do NOT propagate it: the view is now stale.
 	if _, err := b.Exec("UPDATE customer SET cname = 'NEW VALUE' WHERE cid = 7", nil); err != nil {
@@ -102,7 +102,7 @@ func TestFreshnessStaleViewRoutesRemoteAndSeesNewData(t *testing.T) {
 	}
 
 	// After propagation the same bounded query is local again.
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	res, err = c.Exec("SELECT cname FROM customer WHERE cid = 7 WITH FRESHNESS 60", nil)
@@ -116,8 +116,8 @@ func TestFreshnessStaleViewRoutesRemoteAndSeesNewData(t *testing.T) {
 }
 
 func TestFreshnessParameterizedBound(t *testing.T) {
-	b, c := freshnessSetup(t)
-	b.SyncReplication()
+	_, c := freshnessSetup(t)
+	c.Pull()
 	res, err := c.Exec("SELECT cname FROM customer WHERE cid = 3 WITH FRESHNESS @f",
 		exec.Params{"f": types.NewFloat(120)})
 	if err != nil {
@@ -157,7 +157,7 @@ func TestViewStalenessReporting(t *testing.T) {
 	if err := c.CreateCachedView(`CREATE CACHED VIEW AllCust AS SELECT cid, cname FROM customer`); err != nil {
 		t.Fatal(err)
 	}
-	b.SyncReplication()
+	c.Pull()
 	s, ok := c.Staleness()
 	if !ok {
 		t.Fatal("staleness unavailable")
@@ -174,7 +174,7 @@ func TestViewStalenessReporting(t *testing.T) {
 // naming the view, rather than answering from it.
 func TestFreshnessBoundHoldsForANamedCachedView(t *testing.T) {
 	b, c := freshnessSetup(t)
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Exec("UPDATE customer SET cname = 'NEW VALUE' WHERE cid = 7", nil); err != nil {

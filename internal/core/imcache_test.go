@@ -29,7 +29,7 @@ func imcacheSetup(t *testing.T) (*BackendServer, *CacheServer) {
 		SELECT cid, cname, caddress, csegment FROM customer`); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	return b, c
@@ -41,7 +41,7 @@ func imcacheSetup(t *testing.T) (*BackendServer, *CacheServer) {
 // The write is sent through the cache, which forwards it and changes nothing
 // of its own: until apply, the cache answers as it does with no result cache.
 func TestIMCacheInvalidatedByReplicationApply(t *testing.T) {
-	b, c := imcacheSetup(t)
+	_, c := imcacheSetup(t)
 	const q = "SELECT COUNT(*) AS n FROM customer WHERE csegment = 2"
 	count := func() int64 {
 		t.Helper()
@@ -74,7 +74,7 @@ func TestIMCacheInvalidatedByReplicationApply(t *testing.T) {
 	}
 
 	invBefore := metrics.Default.Counter("imcache.invalidations").Value()
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	if got := metrics.Default.Counter("imcache.invalidations").Value(); got == invBefore {
@@ -141,7 +141,7 @@ func TestIMCacheDropsResultRacingReplicationApply(t *testing.T) {
 	if _, err := b.Exec("INSERT INTO customer (cid, cname, caddress, csegment) VALUES (9003, 'new', 'addr', 1)", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncReplication(); err != nil { // apply + invalidate land
+	if _, err := c.Pull(); err != nil { // apply + invalidate land
 		t.Fatal(err)
 	}
 	close(gate.release)
@@ -176,7 +176,7 @@ func TestInvalidatedResultNeverServed(t *testing.T) {
 	if _, err := b.Exec("INSERT INTO customer (cid, cname, caddress, csegment) VALUES (9002, 'new', 'addr', 3)", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,7 +235,7 @@ func TestIMCacheNoSubsumption(t *testing.T) {
 	if _, err := b.Exec("UPDATE customer SET cname = 'renamed' WHERE cid = 7", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -275,7 +275,7 @@ func TestIMCacheAdmitsGuardedLocalExecutions(t *testing.T) {
 		SELECT cid, cname FROM customer WHERE cid <= 1000`); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	const inGuard, outOfGuard = "SELECT cname FROM customer WHERE cid = 7", "SELECT cname FROM customer WHERE cid = 2007"
@@ -294,7 +294,7 @@ func TestIMCacheAdmitsGuardedLocalExecutions(t *testing.T) {
 	if _, err := b.Exec("UPDATE customer SET cname = 'renamed' WHERE cid = 7", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.Exec(inGuard, nil)

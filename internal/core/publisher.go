@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"mtcache/internal/engine"
 	"mtcache/internal/exec"
@@ -83,52 +82,8 @@ func (l link) Close() error              { return nil }
 
 // NewCache provisions an in-process cache server against a backend — the
 // same server a deployment runs, over a direct link instead of TCP. The
-// backend remembers it, so SyncReplication and the next StartReplication
-// drive its pull agent.
+// backend keeps no reference to it: the caller drives its pull agent with
+// Pull or StartPulling, as a deployed cache's owner does.
 func NewCache(name string, backend *BackendServer, options *opt.Options) (*CacheServer, error) {
-	c, err := NewCacheOver(name, link{engine.NewLink(backend.DB), backend}, options, "")
-	if err != nil {
-		return nil, err
-	}
-	backend.mu.Lock()
-	backend.caches = append(backend.caches, c)
-	backend.mu.Unlock()
-	return c, nil
-}
-
-// inProcessCaches returns the caches NewCache has built so far (append-only).
-func (b *BackendServer) inProcessCaches() []*CacheServer {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.caches
-}
-
-// StartReplication launches the replication agents: the backend's log
-// truncation and the pull agent of every in-process cache.
-func (b *BackendServer) StartReplication(truncateInterval, distInterval time.Duration) {
-	b.Repl.Start(truncateInterval)
-	for _, c := range b.inProcessCaches() {
-		c.StartPulling(distInterval)
-	}
-}
-
-// StopReplication halts the agents.
-func (b *BackendServer) StopReplication() {
-	for _, c := range b.inProcessCaches() {
-		c.StopPulling()
-	}
-	b.Repl.Stop()
-}
-
-// SyncReplication performs one synchronous propagation round (deterministic
-// alternative to the background agents): one pull round on every in-process
-// cache.
-func (b *BackendServer) SyncReplication() error {
-	var firstErr error
-	for _, c := range b.inProcessCaches() {
-		if _, err := c.Pull(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return NewCacheOver(name, link{engine.NewLink(backend.DB), backend}, options, "")
 }

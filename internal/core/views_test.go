@@ -165,7 +165,7 @@ func TestViewsAgreeWithTheirDefinition(t *testing.T) {
 			}
 			check := func(after string) {
 				t.Helper()
-				if err := b.SyncReplication(); err != nil {
+				if _, err := c.Pull(); err != nil {
 					t.Fatalf("after %s: %v", after, err)
 				}
 				base := stored(b.DB, "t")

@@ -19,7 +19,6 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -115,10 +114,6 @@ type Config struct {
 	// given directory (see storage.DurabilityOptions). Only honored by Open;
 	// New ignores it because enabling durability can fail.
 	Durability *storage.DurabilityOptions
-
-	// IMCache overrides a cache server's intermediate-result cache bounds
-	// (nil = imcache defaults: 64 MiB, admit on 2nd execution).
-	IMCache *imcache.Options
 }
 
 // New creates an empty database.
@@ -138,7 +133,7 @@ func New(cfg Config) *Database {
 		traces: trace.NewCollector(0),
 	}
 	if cfg.Role == Cache {
-		db.imc = imcache.New(*cmp.Or(cfg.IMCache, &imcache.Options{}))
+		db.imc = imcache.New(imcache.Options{}) // 64 MiB, admit on the 2nd execution
 		db.imcOn.Store(true)
 	}
 	db.SetSlowThreshold(100 * time.Millisecond)

@@ -46,14 +46,18 @@ func newFactDB(t *testing.T) *Database {
 // imTestDB builds a cache for intermediate-result cache tests, the one server
 // role that has the tier: its cached view cv_t mirrors the whole of t, the
 // fact table of a backend from newFactDB, so every read of t is local, and
-// its staleness is 0. opts == nil uses the default cache configuration.
+// its staleness is 0. opts == nil keeps the default result cache; otherwise
+// a result cache with opts's bounds replaces it.
 // write runs a DML text on the backend and brings it to the cache the way
 // replication apply does: the logged changes go into cv_t's store, then
 // InvalidateIntermediates runs.
 func imTestDB(t *testing.T, opts *imcache.Options) (db *Database, write func(dml string) error) {
 	t.Helper()
 	backend := newFactDB(t)
-	db = New(Config{Name: "im-test", Role: Cache, Remote: NewLink(backend), IMCache: opts})
+	db = New(Config{Name: "im-test", Role: Cache, Remote: NewLink(backend)})
+	if opts != nil {
+		db.imc = imcache.New(*opts)
+	}
 	db.OnCachedViewCreate(func(v *catalog.Table) error {
 		seed, err := backend.ExecStmt(v.ViewDef, nil)
 		if err != nil {

@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"mtcache/internal/catalog"
@@ -80,7 +81,7 @@ func (pl *planner) orderJoins(aliases []*aliasInfo, leaves []*candSet, idxs []in
 					b = k
 				}
 			}
-			bestI, bestJ = states[a].n*0+min2(a, b), max2(a, b)
+			bestI, bestJ = min(a, b), max(a, b)
 			_, bestResidual = connecting(pending, states[bestI].aliases, states[bestJ].aliases)
 			bestEq = nil
 		}
@@ -126,20 +127,6 @@ func (pl *planner) orderJoins(aliases []*aliasInfo, leaves []*candSet, idxs []in
 		final.cs = cs
 	}
 	return final.cs, nil
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // connecting splits pending predicates into equi-join predicates linking
@@ -789,7 +776,7 @@ func (pl *planner) wholeQueryRemote(aliases []*aliasInfo, leaves []*candSet, stm
 			cards = append(cards, r.card)
 		}
 		// Rough join cost estimate in increasing-cardinality order.
-		sortFloats(cards)
+		slices.Sort(cards)
 		card = cards[0]
 		for i := 1; i < len(cards); i++ {
 			joined := card * cards[i] / math.Max(math.Sqrt(math.Max(card, cards[i])), 1)
@@ -828,14 +815,6 @@ func anyAggItems(stmt *sql.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // finalCols computes the output schema of the full statement.

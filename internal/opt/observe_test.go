@@ -48,6 +48,34 @@ func TestChoosePlanBranchCounters(t *testing.T) {
 	}
 }
 
+// A ChoosePlan pulled above a join (§5.1.2) labels its guard-true branch
+// local: that branch reads the guarded view even when the join's other input
+// ships rows through a DataTransfer, and its firing counts as a local one.
+func TestPulledUpChoosePlanLabelsViewBranchLocal(t *testing.T) {
+	b := newBackend(t)
+	env, store := newCache(t, b)
+	p := optimize(t, env, `SELECT c.cname, o.total FROM customer c, orders o
+		WHERE c.cid <= @key AND c.cid = o.ckey AND o.okey <= 100`)
+	text := Explain(p)
+	if !p.Dynamic || strings.Count(text, "DataTransfer") != 2 {
+		t.Fatalf("expected a pulled-up ChoosePlan with a DataTransfer under each branch:\n%s", text)
+	}
+	local := strings.Index(text, "StartupFilter (ChoosePlan branch=local)")
+	remote := strings.Index(text, "StartupFilter (ChoosePlan branch=remote)")
+	if local < 0 || remote < local {
+		t.Fatalf("want the view branch labelled local, then the else branch remote:\n%s", text)
+	}
+
+	metrics.Default.Reset()
+	execute(t, p, store, b, exec.Params{"key": types.NewInt(900)})
+	if got := metrics.Default.Counter("opt.chooseplan_local").Value(); got != 1 {
+		t.Errorf("chooseplan_local after @key=900: %d, want 1", got)
+	}
+	if got := metrics.Default.Counter("opt.chooseplan_remote").Value(); got != 0 {
+		t.Errorf("chooseplan_remote after @key=900: %d, want 0", got)
+	}
+}
+
 // Per-view hit/miss and plan-shape counters published by the planner.
 func TestPlannerViewCounters(t *testing.T) {
 	b := newBackend(t)

@@ -282,8 +282,11 @@ func (pl *planner) materialize(p *plan) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The guard-true branch is the one that reads the guarded view, so it
+		// is "local" even when a pulled-up ChoosePlan's join also ships rows
+		// (§5.1.2); the else side is labelled by where its rows come from.
 		op := &exec.UnionAll{Inputs: []exec.Operator{
-			&exec.StartupFilter{Guard: guard, Input: m.op, Branch: branchOf(m.op)},
+			&exec.StartupFilter{Guard: guard, Input: m.op, Branch: "local"},
 			&exec.StartupFilter{Guard: guard, Else: true, Input: alt.op, Branch: branchOf(alt.op)},
 		}}
 		fl := p.dyn.fl
@@ -297,8 +300,8 @@ func (pl *planner) materialize(p *plan) (*plan, error) {
 	return pl.toLocal(p), nil
 }
 
-// branchOf labels a ChoosePlan branch by where its rows come from: "remote"
-// when the subtree contains a DataTransfer, "local" otherwise.
+// branchOf labels a ChoosePlan's else branch by where its rows come from:
+// "remote" when the subtree contains a DataTransfer, "local" otherwise.
 func branchOf(op exec.Operator) string {
 	var remote []string
 	collectRemote(op, &remote)
@@ -403,11 +406,8 @@ func (pl *planner) planBlockSet(orig *sql.SelectStmt) (*candSet, error) {
 
 	// Inner-join ordering (greedy, equi-pred connected first).
 	inner := make([]int, 0, len(aliases))
-	post := make([]int, 0)
 	for i, ai := range aliases {
-		if containsAlias(leftJoins, ai.alias) {
-			post = append(post, i)
-		} else {
+		if !containsAlias(leftJoins, ai.alias) {
 			inner = append(inner, i)
 		}
 	}
@@ -424,7 +424,6 @@ func (pl *planner) planBlockSet(orig *sql.SelectStmt) (*candSet, error) {
 			return nil, err
 		}
 	}
-	_ = post
 
 	// Whole-query remote candidate: if every leaf can run remotely, the
 	// entire (qualified) statement can ship as one SQL text. This is how
@@ -731,10 +730,6 @@ func (pl *planner) normalize(orig *sql.SelectStmt) (*sql.SelectStmt, []*aliasInf
 	if len(onConjs) > 0 {
 		stmt.Where = AndAll(append(Conjuncts(stmt.Where), onConjs...))
 	}
-	// Rewrite FROM into the flat alias list (left joins reattached later by
-	// the physical planner; the statement keeps them for whole-query
-	// pushdown fidelity — so keep original FROM).
-	_ = aliasCols
 
 	// Compute needed columns per alias: everything referenced downstream of
 	// the leaf access (select items, grouping, ordering, having, join

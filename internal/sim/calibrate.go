@@ -256,12 +256,12 @@ func measureReplication(backend *core.BackendServer, cache *core.CacheServer, ap
 			return 0, 0, err
 		}
 		if i%10 == 9 {
-			if err := backend.SyncReplication(); err != nil {
+			if _, err := cache.Pull(); err != nil {
 				return 0, 0, err
 			}
 		}
 	}
-	if err := backend.SyncReplication(); err != nil {
+	if _, err := cache.Pull(); err != nil {
 		return 0, 0, err
 	}
 	commits := float64(backend.DB.Store().WAL().End() - walStart)

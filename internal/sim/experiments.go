@@ -127,28 +127,28 @@ type ReplLatencyResult struct {
 }
 
 // ExperimentReplicationLatency measures real propagation latency on the
-// live pipeline: background agents with the given poll interval, a trickle
-// of writes for the light case, and a saturating write burst for the heavy
-// case.
-func ExperimentReplicationLatency(backend *core.BackendServer, cache *core.CacheServer, app *tpcw.App, pollInterval, lightDuration, heavyDuration time.Duration) (ReplLatencyResult, error) {
+// live pipeline: the cache's pull agent with the given poll interval, a
+// trickle of writes for the light case, and a saturating write burst for the
+// heavy case. Each pull also truncates the backend's log.
+func ExperimentReplicationLatency(cache *core.CacheServer, app *tpcw.App, pollInterval, lightDuration, heavyDuration time.Duration) (ReplLatencyResult, error) {
 	var out ReplLatencyResult
 	stats := cache.Stats
 
 	// Light load: a few writes, agents comfortably keeping up.
-	backend.StartReplication(pollInterval, pollInterval)
+	cache.StartPulling(pollInterval)
 	s := app.NewSession(31)
 	lightStart := stats.Latency.Count()
 	deadline := time.Now().Add(lightDuration)
 	for time.Now().Before(deadline) {
 		if _, err := app.Run(s, tpcw.BuyConfirm); err != nil {
-			backend.StopReplication()
+			cache.StopPulling()
 			return out, err
 		}
 		time.Sleep(pollInterval) // think time between writers
 	}
 	// drain
 	time.Sleep(3 * pollInterval)
-	backend.StopReplication()
+	cache.StopPulling()
 	lightMean, err := latencySince(cache, lightStart)
 	if err != nil {
 		return out, err
@@ -157,18 +157,18 @@ func ExperimentReplicationLatency(backend *core.BackendServer, cache *core.Cache
 
 	// Heavy load: writes arrive as fast as the system accepts them, so each
 	// pull finds more of the log past its ack and propagation delay grows.
-	backend.StartReplication(4*pollInterval, 4*pollInterval)
+	cache.StartPulling(4 * pollInterval)
 	heavyStart := stats.Latency.Count()
 	deadline = time.Now().Add(heavyDuration)
 	for time.Now().Before(deadline) {
 		if _, err := app.Run(s, tpcw.BuyConfirm); err != nil {
-			backend.StopReplication()
+			cache.StopPulling()
 			return out, err
 		}
 	}
 	time.Sleep(10 * pollInterval)
-	backend.StopReplication()
-	if err := backend.SyncReplication(); err != nil {
+	cache.StopPulling()
+	if _, err := cache.Pull(); err != nil {
 		return out, err
 	}
 	heavyMean, err := latencySince(cache, heavyStart)

@@ -54,7 +54,8 @@ func newCallServers(t *testing.T, cfg Config) (backend, cache callServer) {
 		return r
 	}
 	current := func() error { return nil }
-	return callServer{"backend", b.DB, route(), current}, callServer{"cache", c.DB, route(csrv.Addr()), b.SyncReplication}
+	pull := func() error { _, err := c.Pull(); return err }
+	return callServer{"backend", b.DB, route(), current}, callServer{"cache", c.DB, route(csrv.Addr()), pull}
 }
 
 // The four ways a call reaches a server.

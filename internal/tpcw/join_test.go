@@ -212,7 +212,7 @@ func TestProceduresAgreeAcrossJoinStrategies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.SyncReplication(); err != nil {
+	if _, err := c.Pull(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -101,7 +101,8 @@ func HasDurableState(dir string) bool { return storage.HasDurableState(nil, dir)
 
 // NewCache provisions an in-process cache against a backend: shadow schema,
 // shadowed statistics and permissions, update forwarding, cached-view hook.
-// Backend.SyncReplication and StartReplication drive its pull agent.
+// The backend keeps no reference to it: Cache.Pull runs one pull round and
+// Cache.StartPulling its agent, as for a cache built with NewRemoteCache.
 // options may be nil for the paper-faithful defaults.
 func NewCache(name string, backend *Backend, options *Options) (*Cache, error) {
 	return core.NewCache(name, backend, options)

@@ -96,6 +96,15 @@ var removedNames = []struct {
 	{`(?m)^\s+TraceID\s+string\b`, `^internal/eventlog/`, "no trace ID on an event (no emitter ever set one)"},
 	{`(?s)type Record struct \{[^}]*sync\.`, `^internal/trace/`, "a record one goroutine fills: a plain value the ring copies"},
 	{`invalidateDMLTarget`, `^internal/engine/`, "no result cache on a backend: replication apply is the one invalidation a write causes"},
+	{`SyncReplication`, "", "a cache's owner drives its pulls (CacheServer.Pull)"},
+	{`inProcessCaches`, "", "a cache's owner drives its pulls (the backend keeps no cache registry)"},
+	{`\bcaches\b`, `^internal/core/`, "a cache's owner drives its pulls (the backend keeps no cache registry)"},
+	{`StartReplication`, "", "a cache's owner drives its pulls (CacheServer.StartPulling; the backend's truncation is Repl.Start)"},
+	{`StopReplication`, "", "a cache's owner drives its pulls (CacheServer.StopPulling; the backend's truncation is Repl.Stop)"},
+	{`min2`, `^internal/opt/`, "the builtin min"},
+	{`max2`, `^internal/opt/`, "the builtin max"},
+	{`sortFloats`, `^internal/opt/`, "slices.Sort"},
+	{`(?m)^\s+IMCache\s+\*imcache\.Options`, `^internal/engine/`, "one result-cache configuration (imcache defaults)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
