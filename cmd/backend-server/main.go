@@ -118,7 +118,7 @@ func main() {
 	if *httpAddr != "" {
 		replStatus := obs.Status{Name: "repl", Fn: func() any { return backend.Repl.Health(time.Now()) }}
 		queryStore := obs.Status{Name: "querystore", Fn: func() any { return backend.DB.QueryStore() }}
-		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, backend.DB.Traces(), replStatus, queryStore)
+		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, backend.DB, replStatus, queryStore)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func main() {
 			Name:    "backend",
 			Exec:    func(sqlText string) (*mtcache.Result, error) { return backend.DB.Exec(sqlText, nil) },
 			Explain: backend.DB.Explain,
-			Trace:   backend.DB.Traces().Last,
+			Trace:   backend.DB.LastTrace,
 			In:      os.Stdin,
 			Out:     os.Stdout,
 		}

@@ -23,11 +23,13 @@
 // \explain <query>; \top; \slow; \events; \trace; \pull; \checkpoint;
 // \metrics; \quit. The sys.* virtual tables (sys.query_stats,
 // sys.query_plans, sys.events, sys.cached_views, sys.repl_status,
-// sys.wal_stats) answer ordinary SELECTs.
+// sys.wal_stats, sys.traces) answer ordinary SELECTs.
 //
 // The server also exposes an observability endpoint (-http, default
 // 127.0.0.1:8344): /metrics in Prometheus text format, /metrics.json,
-// /debug/trace/last with the most recent query's span tree, /debug/events
+// /debug/trace/last with the most recent statement's span tree (the
+// backend's half of each remote round trip read from the backend's
+// sys.traces and hung under it), /debug/trace/<id>, /debug/events
 // and /debug/status (the cache's query store). Run with -shell=false for
 // headless deployments (blocks until SIGINT).
 package main
@@ -136,7 +138,7 @@ func main() {
 
 	if *httpAddr != "" {
 		queryStore := obs.Status{Name: "querystore", Fn: func() any { return cache.DB.QueryStore() }}
-		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, cache.DB.Traces(), queryStore)
+		bound, closeHTTP, err := obs.Serve(*httpAddr, nil, cache.DB, queryStore)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -156,7 +158,7 @@ func main() {
 		Name:       *name,
 		Exec:       func(sqlText string) (*mtcache.Result, error) { return cache.DB.Exec(sqlText, nil) },
 		Explain:    cache.DB.Explain,
-		Trace:      cache.DB.Traces().Last,
+		Trace:      cache.DB.LastTrace,
 		Pull:       cache.Pull,
 		Checkpoint: cache.Checkpoint,
 		In:         os.Stdin,

@@ -185,10 +185,49 @@ func (db *Database) Catalog() *catalog.Catalog { return db.cat }
 // Store exposes the storage manager (used by replication and tests).
 func (db *Database) Store() *storage.Store { return db.store }
 
-// Traces returns this server's trace ring, behind /debug/trace/last and
-// \trace: the records of the client statements it ran, and of no other
-// server's.
+// Traces returns this server's trace ring, behind sys.traces,
+// /debug/traces, /debug/trace/last and \trace: the records of the client
+// statements it ran, and of no other server's.
 func (db *Database) Traces() *trace.Collector { return db.traces }
+
+// tracesByID reads a server's records of one trace, oldest first.
+const tracesByID = "SELECT * FROM sys.traces WHERE trace_id = @id"
+
+// Stitch renders r, one of this server's records, with the backend's half of
+// each remote round trip it made (trace.Record.Stitch): the backend's records
+// for r's ID come from its sys.traces, read with one ordinary query on the
+// backend link. Only a reader pays for it, and only for a record with a
+// remote span. That query is a statement of the backend's own, and its ring
+// keeps it like any other.
+func (db *Database) Stitch(r *trace.Record) *trace.WireSpan {
+	return r.Stitch(func(id uint64) ([]trace.Record, error) {
+		if db.remote == nil {
+			return nil, fmt.Errorf("engine: %s has no backend link", db.Name)
+		}
+		rs, err := db.remote.Query(tracesByID, exec.Params{"id": types.NewString(trace.FormatID(id))})
+		if err != nil {
+			return nil, err
+		}
+		kept := make([]trace.Record, len(rs.Rows))
+		for i, row := range rs.Rows {
+			if kept[i], err = trace.FromRow(row); err != nil {
+				return nil, err
+			}
+		}
+		return kept, nil
+	})
+}
+
+// LastTrace returns this server's most recent record and its stitched tree
+// (Stitch), what \trace and /debug/trace/last show; nil, nil when the ring
+// keeps none.
+func (db *Database) LastTrace() (*trace.Record, *trace.WireSpan) {
+	r := db.traces.Last()
+	if r == nil {
+		return nil, nil
+	}
+	return r, db.Stitch(r)
+}
 
 // Role returns the database role.
 func (db *Database) Role() Role { return db.role }
@@ -250,10 +289,10 @@ func (db *Database) ExecSession(sqlText string, params exec.Params, minLSN stora
 // ExecSessionTraced is where a statement enters the engine: Exec, ExecSession,
 // the wire server and the in-process Link all come through here. It begins
 // the statement's record — under the caller's trace ID when one arrived in a
-// wire frame, so backend-side spans stitch under the cache-side remote span;
-// 0 mints one — runs the statement, the session gate first, and publishes the
-// record, which comes back finished and never nil (a gate refusal is a
-// statement too). The record is the caller's to read and then to Release:
+// wire frame, so a reader finds the backend's half of a cache's statement by
+// the cache's ID (Stitch); 0 mints one — runs the statement, the session gate
+// first, and publishes the record, which comes back finished and never nil (a
+// gate refusal is a statement too). The record is the caller's to read and then to Release:
 // this server's ring kept a copy. So is the Result, whose release is
 // optional (see Result): the wire server releases it once the response
 // frame holding its rows is written.

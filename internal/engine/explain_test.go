@@ -204,8 +204,9 @@ func TestInstrumentedRunIsBatchExecution(t *testing.T) {
 	}
 }
 
-// Exec records a finished trace whose remote round-trip carries the grafted
-// backend-side span tree (stitched via the shared trace ID).
+// Exec records a finished trace whose stitched view has the backend's record
+// of the remote round trip, read from the backend by the shared trace ID,
+// under the remote span.
 func TestExecRecordsStitchedTrace(t *testing.T) {
 	backend, cache := newCachePair(t)
 	res, err := cache.Exec("SELECT i_title FROM item WHERE i_id = 17", nil)
@@ -215,31 +216,34 @@ func TestExecRecordsStitchedTrace(t *testing.T) {
 	if res.TraceID == 0 {
 		t.Fatal("Result.TraceID not set")
 	}
-	tr := cache.Traces().Last()
+	tr, tree := cache.LastTrace()
 	if tr == nil || tr.ID != res.TraceID {
 		t.Fatalf("last trace %+v does not match result trace ID %x", tr, res.TraceID)
 	}
 	for _, name := range []string{"optimize", "execute", "remote", "backend.exec"} {
-		if tr.FindSpan(name) == nil {
-			t.Errorf("trace missing span %q:\n%s", name, trace.Render(tr))
+		if tree.Find(name) == nil {
+			t.Errorf("trace missing span %q:\n%s", name, trace.RenderTree(tr, tree))
 		}
 	}
 	// Both servers resolve the text through the front door: the cache shares
 	// the remote-going shape's statement, the backend the forwarded one's.
 	for _, name := range []string{"cache1.exec", "backend.exec"} {
-		if got := tr.FindSpan(name).AttrValue("autoparam"); got != "1" {
-			t.Errorf("span %q: autoparam=%q, want \"1\":\n%s", name, got, trace.Render(tr))
+		if got := tree.Find(name).AttrValue("autoparam"); got != "1" {
+			t.Errorf("span %q: autoparam=%q, want \"1\":\n%s", name, got, trace.RenderTree(tr, tree))
 		}
 	}
-	if tr.FindSpan("parse") != nil {
-		t.Errorf("a statement was parsed on the request path:\n%s", trace.Render(tr))
+	if tree.Find("parse") != nil {
+		t.Errorf("a statement was parsed on the request path:\n%s", trace.RenderTree(tr, tree))
 	}
-	// The backend ran its half under the cache's trace ID: its own record,
-	// the last in its own ring, carries it.
-	if back := backend.Traces().Last(); back.Server != "backend" || back.ID != tr.ID {
-		t.Errorf("backend record %s.exec has trace ID %x, want %x", back.Server, back.ID, tr.ID)
+	// The backend ran its half under the cache's trace ID: its own record
+	// carries it, and the cache's own record holds nothing of it.
+	if back := backend.Traces().ByID(tr.ID); len(back) != 1 || back[0].Server != "backend" {
+		t.Errorf("backend records under %x: %+v, want one", tr.ID, back)
 	}
-	if tr.FindSpan("remote").AttrValue("sql") == "" {
+	if tr.FindSpan("backend.exec") != nil {
+		t.Errorf("the cache's record holds the backend's spans:\n%s", trace.Render(tr))
+	}
+	if tree.Find("remote").AttrValue("sql") == "" {
 		t.Error("remote span should record the shipped SQL")
 	}
 }

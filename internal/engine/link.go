@@ -27,25 +27,21 @@ func (l *Link) Query(sqlText string, params exec.Params) (*exec.ResultSet, error
 }
 
 // QueryTraced is Query under the caller's trace ID, as trace.FormatID renders
-// it ("" for none: the linked database mints its own): the linked database's
-// record's span tree is returned for the caller's remote span, exactly like
-// the TCP transport does — minus the serialization — and built before the
-// record is released. A traceID that does not parse is refused.
+// it ("" for none: the linked database mints its own), which the linked
+// database keeps its record under, exactly as the TCP transport does. The
+// span is always nil (see exec.RemoteClient). A traceID that does not parse
+// is refused.
 func (l *Link) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
 	id, err := trace.ParseID(traceID)
 	if err != nil {
 		return nil, nil, fmt.Errorf("link(%s): %w", l.db.Name, err)
 	}
 	res, rec, err := l.db.ExecSessionTraced(sqlText, params, 0, 0, id)
-	var span *trace.WireSpan
-	if err == nil && id != 0 {
-		span = rec.Tree()
-	}
 	rec.Release()
 	if err != nil {
 		return nil, nil, fmt.Errorf("link(%s): %w", l.db.Name, err)
 	}
-	return &exec.ResultSet{Cols: res.Cols, Rows: res.Rows, RowsAffected: res.RowsAffected, CommitLSN: res.CommitLSN}, span, nil
+	return &exec.ResultSet{Cols: res.Cols, Rows: res.Rows, RowsAffected: res.RowsAffected, CommitLSN: res.CommitLSN}, nil, nil
 }
 
 // ExecLSN is Query's row count and commit LSN. It stays only for the fleet

@@ -118,8 +118,9 @@ func storeExecs(db *Database) map[string]int64 {
 // record — one entry in the trace ring under the ID the Result carries, one
 // stage observation per SELECT that planned and per SELECT that ran a plan,
 // one query-store execution under the variant that names what answered — and
-// the tree rendered from the record has the spans of the stages it went
-// through. The backend behind the in-process link shares the process-wide
+// the tree a reader stitches from the record has the spans of the stages it
+// went through, the backend's record of a remote round trip under its
+// remote span. The backend behind the in-process link shares the process-wide
 // histograms, so a statement that reaches it counts there too: those are the
 // "+1 backend" below. The query store is each server's own: the cache's
 // gains what the cache answered, the backend's what the backend ran.
@@ -255,9 +256,10 @@ func TestStatementReportedOnce(t *testing.T) {
 				walk(ch)
 			}
 		}
-		walk(rec.Tree())
-		if got := strings.Join(names, ","); got != c.spans || rec.FindSpan("execute").AttrValue("chooseplan") != c.branch {
-			t.Errorf("%s: spans %s, want %s with chooseplan=%q\n%s", c.name, got, c.spans, c.branch, trace.Render(rec))
+		tree := cache.Stitch(rec)
+		walk(tree)
+		if got := strings.Join(names, ","); got != c.spans || tree.Find("execute").AttrValue("chooseplan") != c.branch {
+			t.Errorf("%s: spans %s, want %s with chooseplan=%q\n%s", c.name, got, c.spans, c.branch, trace.RenderTree(rec, tree))
 		}
 	}
 	if rec := cache.Traces().Last(); rec.SQL != "UPDATE orders SET o_qty = 9 WHERE o_id = 6" || rec.FindSpan("cache1.exec").AttrValue("sql") != rec.SQL {
@@ -317,30 +319,27 @@ func TestEachServerKeepsItsOwnTraces(t *testing.T) {
 		t.Errorf("the backend's record of the forwarded write: ID %s (the cache's %s), text %q",
 			trace.FormatID(fwd.ID), trace.FormatID(forwarded), fwd.SQL)
 	}
-	if got := cache.Traces().Recent(2)[1].FindSpan("backend.exec"); got == nil {
-		t.Error("the cache's record of the remote statement lost the backend's tree")
+	if rec := cache.Traces().Recent(2)[1]; cache.Stitch(&rec).Find("backend.exec") == nil {
+		t.Errorf("the stitched view of the cache's remote statement has no backend half:\n%s", trace.RenderTree(&rec, cache.Stitch(&rec)))
 	}
 }
 
-// TestReturnedTreeSurvivesLaterStatements: what a caller builds from a record
-// before releasing it — the tree the wire server puts in its response, the
-// span the in-process link returns — stays as it was while 64 more statements
-// take records from the pool and release them, on both servers.
+// TestReturnedTreeSurvivesLaterStatements: what a reader builds from a
+// record — its own tree, and the tree stitched with the backend's record of
+// its remote round trip — stays as it was while 64 more statements take
+// records from the pool and release them, on both servers, and the
+// backend's ring overwrites the record the stitch read.
 func TestReturnedTreeSurvivesLaterStatements(t *testing.T) {
 	cache, link := newReportingCache(t)
 	_, rec, err := cache.ExecSessionTraced("SELECT i_title FROM item WHERE i_id = 150", nil, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := rec.Tree()
+	tree, stitched := rec.Tree(), cache.Stitch(rec)
 	rec.Release()
-	_, span, err := link.QueryTraced("SELECT i_stock FROM item WHERE i_id = 7", nil, trace.FormatID(0x0123456789ab0001))
-	if err != nil || span == nil {
-		t.Fatalf("traced link call: span %v, %v", span, err)
-	}
-	want, wantSpan := spanText(tree), spanText(span)
-	if !strings.Contains(want, "remote") || !strings.Contains(want, "backend.exec") {
-		t.Fatalf("fixture: the statement made no traced remote call:\n%s", want)
+	want, wantStitched := spanText(tree), spanText(stitched)
+	if !strings.Contains(want, "remote") || !strings.Contains(wantStitched, "backend.exec") {
+		t.Fatalf("fixture: the statement made no traced remote call:\n%s", wantStitched)
 	}
 	for i := 0; i < 64; i++ {
 		q := fmt.Sprintf("SELECT i_title FROM item WHERE i_id = %d", 101+i%50) // the remote branch
@@ -357,8 +356,87 @@ func TestReturnedTreeSurvivesLaterStatements(t *testing.T) {
 	if got := spanText(tree); got != want {
 		t.Errorf("the statement's tree changed:\nthen\n%s\nnow\n%s", want, got)
 	}
-	if got := spanText(span); got != wantSpan {
-		t.Errorf("the link's span changed:\nthen\n%s\nnow\n%s", wantSpan, got)
+	if got := spanText(stitched); got != wantStitched {
+		t.Errorf("the stitched tree changed:\nthen\n%s\nnow\n%s", wantStitched, got)
+	}
+}
+
+// TestStitchHangsEachRemoteUnderItsSpan: a statement that makes two remote
+// round trips — a local nested-loop join of two single-row remote inputs,
+// which a backend this expensive to work on and free to ship from makes the
+// cheapest plan — keeps a remote span per round trip, and the backend two
+// records under its ID. The stitched view hangs each under its own span, in
+// the order they ran: each backend.exec ran the text its remote span shipped.
+func TestStitchHangsEachRemoteUnderItsSpan(t *testing.T) {
+	cache, link := newReportingCache(t)
+	o := cache.Options()
+	o.RemoteCostFactor, o.TransferStartupCost, o.TransferCostPerByte = 1000, 0, 0
+	cache.SetOptions(o)
+	res, rec, err := cache.ExecSessionTraced("SELECT a.i_stock, b.i_title FROM item a, item b WHERE a.i_id = 7 AND b.i_id = 150", nil, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Release()
+	if res.Counters.RemoteQueries != 2 || len(res.Rows) != 1 {
+		t.Fatalf("fixture: %d remote queries, rows %v; want 2 and one row", res.Counters.RemoteQueries, res.Rows)
+	}
+	ran := link.db.Traces().ByID(rec.ID) // oldest first: the order the round trips ran in
+	if len(ran) != 2 || ran[0].SQL == ran[1].SQL {
+		t.Fatalf("the backend keeps %d records under the statement's ID, want 2 of two texts", len(ran))
+	}
+	tree := cache.Stitch(rec)
+	remotes := tree.Find("execute").Children
+	if len(remotes) != 2 {
+		t.Fatalf("%d spans under execute, want two remote spans:\n%s", len(remotes), trace.RenderTree(rec, tree))
+	}
+	for i, sp := range remotes {
+		shipped := sp.AttrValue("sql")
+		if sp.Name != "remote" || len(sp.Children) != 1 || sp.Children[0].Name != "backend.exec" ||
+			sp.Children[0].AttrValue("sql") != shipped || shipped != ran[i].SQL {
+			t.Errorf("remote span %d does not hold the backend's record of its own round trip:\n%s", i, trace.RenderTree(rec, tree))
+		}
+	}
+}
+
+// TestStitchLabelsAnEvictedRecordMissing: once the backend's ring has
+// dropped its record of a cache statement's round trip, the stitched view of
+// the statement labels the remote span backend="missing" and hangs nothing
+// under it — not the backend's record of a later run of the same shape, which
+// the ring does keep, and which that run's own stitched view shows.
+func TestStitchLabelsAnEvictedRecordMissing(t *testing.T) {
+	cache, link := newReportingCache(t)
+	backend := link.db
+	const q = "SELECT i_stock FROM item WHERE i_id = %d"
+	first, err := cache.Exec(fmt.Sprintf(q, 7), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ { // the ring's capacity
+		if _, err := backend.Exec(fmt.Sprintf("SELECT i_title FROM item WHERE i_id = %d", i+1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second, err := cache.Exec(fmt.Sprintf(q, 8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(backend.Traces().ByID(first.TraceID)) != 0 || len(backend.Traces().ByID(second.TraceID)) != 1 {
+		t.Fatal("fixture: the backend's ring still keeps the first statement's record, or not the second's")
+	}
+	for _, c := range []struct {
+		id      uint64
+		missing bool
+	}{{first.TraceID, true}, {second.TraceID, false}} {
+		kept := cache.Traces().ByID(c.id)
+		if len(kept) != 1 {
+			t.Fatalf("the cache keeps %d records under %s", len(kept), trace.FormatID(c.id))
+		}
+		tree := cache.Stitch(&kept[0])
+		remote := tree.Find("remote")
+		if missing := remote.AttrValue("backend") == "missing"; missing != c.missing || missing == (len(remote.Children) == 1) ||
+			!missing && remote.Children[0].AttrValue("sql") != remote.AttrValue("sql") {
+			t.Errorf("statement %s: want missing=%v:\n%s", trace.FormatID(c.id), c.missing, trace.RenderTree(&kept[0], tree))
+		}
 	}
 }
 

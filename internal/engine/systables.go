@@ -115,6 +115,12 @@ func (db *Database) registerSystemTables() {
 	_ = db.RegisterVirtualTable("sys.repl_status", ReplStatusColumns(),
 		func() []types.Row { return nil })
 
+	traceCols := make([]catalog.Column, len(trace.RowColumns))
+	for i, c := range trace.RowColumns {
+		traceCols[i] = catalog.Column{Name: c.Name, Type: c.Kind}
+	}
+	_ = db.RegisterVirtualTable("sys.traces", traceCols, db.tracesRows)
+
 	_ = db.RegisterVirtualTable("sys.intermediate_results", []catalog.Column{
 		str("shape"), str("literals"), i64("rows"), i64("bytes"),
 		i64("hits"), i64("saved_ns"), str("lineage"), i64("computed_lsn"), {Name: "stale", Type: types.KindBool},
@@ -152,6 +158,17 @@ func (db *Database) queryPlansRows() []types.Row {
 				types.NewString(v.Literals),
 			})
 		}
+	}
+	return rows
+}
+
+// tracesRows backs sys.traces: a row per record this server's ring keeps,
+// oldest first.
+func (db *Database) tracesRows() []types.Row {
+	kept := db.traces.Recent(0)
+	rows := make([]types.Row, len(kept))
+	for i := range kept {
+		rows[len(kept)-1-i] = kept[i].Row()
 	}
 	return rows
 }

@@ -33,9 +33,11 @@ type ResultSet struct {
 // RemoteClient executes SQL on a linked server: the Remote operator's
 // subqueries and every statement a cache forwards. A text that may write is
 // delivered at most once (sql.ReadOnly). QueryTraced also propagates the
-// trace ID, rendered by trace.FormatID, and returns the server-side span tree,
-// which the Remote operator grafts into the cache-side trace; a traceID that
-// trace.ParseID refuses fails the call.
+// trace ID, rendered by trace.FormatID, under which the linked server keeps
+// its record of the call in its own ring; a reader joins it to the caller's
+// by that ID (trace.Record.Stitch). Its span is always nil, and the benchmark
+// change of ROADMAP direction 10b removes it. A traceID that trace.ParseID
+// refuses fails the call.
 type RemoteClient interface {
 	Query(sqlText string, params Params) (*ResultSet, error)
 	QueryTraced(sqlText string, params Params, traceID string) (*ResultSet, *trace.WireSpan, error)
@@ -1413,16 +1415,18 @@ func (r *Remote) Open(ctx *Ctx) error {
 	sp := ctx.Rec.StartSpan(nil, "remote", trace.Attr{K: "sql", V: r.SQLText})
 	start := time.Now()
 	var rs *ResultSet
-	var wspan *trace.WireSpan
 	var err error
 	if sp != nil {
-		rs, wspan, err = ctx.Remote.QueryTraced(r.SQLText, ctx.Params, trace.FormatID(ctx.Rec.ID))
+		rs, _, err = ctx.Remote.QueryTraced(r.SQLText, ctx.Params, trace.FormatID(ctx.Rec.ID))
 	} else {
 		rs, err = ctx.Remote.Query(r.SQLText, ctx.Params)
 	}
 	metrics.Default.Histogram("exec.remote_roundtrip_seconds").ObserveDuration(time.Since(start))
-	ctx.Rec.EndSpan(sp, wspan)
+	ctx.Rec.EndSpan(sp)
 	if err != nil {
+		if sp != nil {
+			ctx.Rec.Annotate(sp, "error", err.Error())
+		}
 		return fmt.Errorf("exec: remote query failed: %w", err)
 	}
 	if ctx.Counters != nil {

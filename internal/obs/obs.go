@@ -3,8 +3,13 @@
 //	/metrics           Prometheus text exposition of the metrics registry
 //	/metrics.json      the same snapshot as JSON
 //	/debug/trace/last  the server's most recent statement trace, rendered as
-//	                   a text tree
-//	/debug/traces      the server's trace ring, newest first
+//	                   a text tree, with the backend's half of each remote
+//	                   round trip under it (engine.Database.Stitch: read from
+//	                   the backend's sys.traces, by trace ID)
+//	/debug/trace/<id>  the same for each statement the server's ring keeps
+//	                   under that trace ID, oldest first
+//	/debug/traces      the server's trace ring, newest first, each record
+//	                   as this server kept it
 //	/debug/status      JSON from registered Status sources (e.g. a
 //	                   server's query store — per-shape per-variant runtime
 //	                   stats plus captured slow-query plans — or per-
@@ -35,11 +40,19 @@ type Status struct {
 	Fn   func() any
 }
 
-// Handler returns the observability mux over a registry and a server's trace
-// ring. A nil registry selects the process-wide default; nil traces serve no
-// trace endpoints (a process that runs no statements, such as a router, has no
-// ring). Status sources, if any, are served at /debug/status.
-func Handler(reg *metrics.Registry, traces *trace.Collector, status ...Status) http.Handler {
+// Tracer is what the trace endpoints read of a server (engine.Database): its
+// ring, and one of its records rendered with the backend's half of its
+// remote round trips.
+type Tracer interface {
+	Traces() *trace.Collector
+	Stitch(r *trace.Record) *trace.WireSpan
+}
+
+// Handler returns the observability mux over a registry and a server's
+// traces. A nil registry selects the process-wide default; nil traces serve
+// no trace endpoints (a process that runs no statements, such as a router,
+// has no ring). Status sources, if any, are served at /debug/status.
+func Handler(reg *metrics.Registry, traces Tracer, status ...Status) http.Handler {
 	if reg == nil {
 		reg = metrics.Default
 	}
@@ -55,11 +68,25 @@ func Handler(reg *metrics.Registry, traces *trace.Collector, status ...Status) h
 	if traces != nil {
 		mux.HandleFunc("/debug/trace/last", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, trace.Render(traces.Last()))
+			last := traces.Traces().Last()
+			fmt.Fprint(w, trace.RenderTree(last, traces.Stitch(last)))
+		})
+		mux.HandleFunc("/debug/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			id, err := trace.ParseID(r.PathValue("id"))
+			kept := traces.Traces().ByID(id)
+			if err != nil || len(kept) == 0 {
+				w.WriteHeader(http.StatusNotFound)
+				fmt.Fprintf(w, "(no trace %q kept)\n", r.PathValue("id"))
+				return
+			}
+			for i := range kept {
+				fmt.Fprint(w, trace.RenderTree(&kept[i], traces.Stitch(&kept[i])))
+			}
 		})
 		mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			recent := traces.Recent(0)
+			recent := traces.Traces().Recent(0)
 			if len(recent) == 0 {
 				fmt.Fprint(w, trace.Render(nil))
 			}
@@ -101,7 +128,7 @@ func Handler(reg *metrics.Registry, traces *trace.Collector, status ...Status) h
 // Serve starts the observability endpoint (Handler) on addr (e.g.
 // "127.0.0.1:8344") in a background goroutine and returns the bound listener
 // address. The listener is closed with the returned closer.
-func Serve(addr string, reg *metrics.Registry, traces *trace.Collector, status ...Status) (string, func() error, error) {
+func Serve(addr string, reg *metrics.Registry, traces Tracer, status ...Status) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err

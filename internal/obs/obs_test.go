@@ -28,13 +28,21 @@ func get(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, string(body), resp.Header.Get("Content-Type")
 }
 
+// ring serves a bare trace ring: a server with no backend, whose records
+// stitch to their own trees.
+type ring struct{ *trace.Collector }
+
+func (r ring) Traces() *trace.Collector               { return r.Collector }
+func (ring) Stitch(rec *trace.Record) *trace.WireSpan { return rec.Tree() }
+func newRing(n int) ring                              { return ring{trace.NewCollector(n)} }
+
 func newObsServer(t *testing.T) (*httptest.Server, *metrics.Registry, *trace.Collector) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	traces := trace.NewCollector(4)
+	traces := newRing(4)
 	srv := httptest.NewServer(Handler(reg, traces))
 	t.Cleanup(srv.Close)
-	return srv, reg, traces
+	return srv, reg, traces.Collector
 }
 
 func TestMetricsEndpointPrometheus(t *testing.T) {
@@ -119,13 +127,55 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 }
 
+// TestTraceEndpointsStitchTheBackendsHalf: a cache's /debug/trace/last and
+// /debug/trace/<id> show a statement that went to the backend with the
+// backend's record of the round trip under the remote span, read from the
+// backend by the statement's trace ID; /debug/traces lists the cache's
+// records as it kept them. An ID the ring does not keep, or text that is no
+// trace ID, is not found.
+func TestTraceEndpointsStitchTheBackendsHalf(t *testing.T) {
+	backend := engine.New(engine.Config{Name: "backend", Role: engine.Backend})
+	cache := engine.New(engine.Config{Name: "cache1", Role: engine.Cache, Remote: engine.NewLink(backend)})
+	const ddl = "CREATE TABLE part (id INT PRIMARY KEY, name VARCHAR(20))"
+	for _, db := range []*engine.Database{backend, cache} {
+		if _, err := db.Exec(ddl, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := backend.Exec("INSERT INTO part (id, name) VALUES (1, 'bolt')", nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cache.Exec("SELECT name FROM part WHERE id = 1", nil)
+	if err != nil || res.Counters.RemoteQueries != 1 {
+		t.Fatalf("fixture: %+v, %v; want one remote query", res, err)
+	}
+	srv := httptest.NewServer(Handler(metrics.NewRegistry(), cache))
+	t.Cleanup(srv.Close)
+	id := trace.FormatID(res.TraceID)
+	for _, path := range []string{"/debug/trace/last", "/debug/trace/" + id} {
+		code, body, _ := get(t, srv.URL+path)
+		if code != http.StatusOK || strings.Count(body, "trace "+id) != 1 || !strings.Contains(body, "\n    remote") ||
+			!strings.Contains(body, "\n      backend.exec") || strings.Contains(body, "missing") {
+			t.Errorf("%s: %d\n%s\nwant the cache's record with the backend's under its remote span", path, code, body)
+		}
+	}
+	if _, body, _ := get(t, srv.URL+"/debug/traces"); !strings.Contains(body, "cache1.exec") || strings.Contains(body, "backend.exec") {
+		t.Errorf("/debug/traces lists the cache's records as kept:\n%s", body)
+	}
+	for _, path := range []string{"/debug/trace/" + trace.FormatID(res.TraceID+1), "/debug/trace/nonsense"} {
+		if code, body, _ := get(t, srv.URL+path); code != http.StatusNotFound {
+			t.Errorf("%s: %d %q, want 404", path, code, body)
+		}
+	}
+}
+
 // TestNoRingNoTraceEndpoints: a process with no trace ring of its own (a
 // router) serves no trace endpoints; there is no process-wide ring to fall
 // back on.
 func TestNoRingNoTraceEndpoints(t *testing.T) {
 	srv := httptest.NewServer(Handler(metrics.NewRegistry(), nil))
 	t.Cleanup(srv.Close)
-	for _, path := range []string{"/debug/trace/last", "/debug/traces"} {
+	for _, path := range []string{"/debug/trace/last", "/debug/trace/0123456789ab-0001", "/debug/traces"} {
 		if code, body, _ := get(t, srv.URL+path); code != http.StatusNotFound {
 			t.Errorf("%s without a ring: %d %q, want 404", path, code, body)
 		}
@@ -144,7 +194,7 @@ func TestEventsAndQuerystoreEndpoints(t *testing.T) {
 	if _, err := db.Exec("SELECT 1", nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(metrics.NewRegistry(), trace.NewCollector(4),
+	srv := httptest.NewServer(Handler(metrics.NewRegistry(), newRing(4),
 		Status{Name: "querystore", Fn: func() any { return db.QueryStore() }}))
 	t.Cleanup(srv.Close)
 
@@ -188,7 +238,7 @@ func TestEventsAndQuerystoreEndpoints(t *testing.T) {
 }
 
 func TestServeBindsAndCloses(t *testing.T) {
-	addr, closeFn, err := Serve("127.0.0.1:0", metrics.NewRegistry(), trace.NewCollector(1))
+	addr, closeFn, err := Serve("127.0.0.1:0", metrics.NewRegistry(), newRing(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,8 @@
 //	\imcache [n] admitted intermediate results by hit count
 //	             (sys.intermediate_results)
 //	\explain <q> the optimizer's plan for a query
-//	\trace       the last query's span tree
+//	\trace       the last statement's span tree, with the backend's half
+//	             of each remote round trip under it
 //	\metrics     the metrics registry
 //	\pull        one replication pull round (caches only)
 //	\checkpoint  force a checkpoint (when the server is durable)
@@ -35,9 +36,9 @@ type Config struct {
 	Name       string // prompt-less banner name, e.g. "cache1"
 	Exec       func(sqlText string) (*engine.Result, error)
 	Explain    func(sqlText string) (string, error)
-	Trace      func() *trace.Record // the server's last traced statement (its ring's Last)
-	Pull       func() (int, error)  // caches: one pull round
-	Checkpoint func() error         // durable servers: force a checkpoint
+	Trace      func() (*trace.Record, *trace.WireSpan) // the server's last statement and its stitched tree (engine.Database.LastTrace)
+	Pull       func() (int, error)                     // caches: one pull round
+	Checkpoint func() error                            // durable servers: force a checkpoint
 	In         io.Reader
 	Out        io.Writer
 }
@@ -86,7 +87,7 @@ func Run(cfg Config) {
 				fmt.Fprintln(out, "\\trace is not available on this server")
 				break
 			}
-			fmt.Fprint(out, trace.Render(cfg.Trace()))
+			fmt.Fprint(out, trace.RenderTree(cfg.Trace()))
 		case strings.HasPrefix(line, `\explain `):
 			if cfg.Explain == nil {
 				fmt.Fprintln(out, "\\explain is not available on this server")

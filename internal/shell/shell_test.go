@@ -28,7 +28,7 @@ func run(t *testing.T, db *engine.Database, input string) string {
 		Name:    "shelltest",
 		Exec:    func(q string) (*engine.Result, error) { return db.Exec(q, nil) },
 		Explain: db.Explain,
-		Trace:   db.Traces().Last,
+		Trace:   db.LastTrace,
 		In:      strings.NewReader(input),
 		Out:     &out,
 	})
@@ -88,7 +88,7 @@ func TestShellTraceShowsItsServersLastStatement(t *testing.T) {
 			}
 			return res, err
 		},
-		Trace: db.Traces().Last,
+		Trace: db.LastTrace,
 		In:    strings.NewReader("SELECT i_title FROM item WHERE i_id = 2\n\\trace\n\\quit\n"),
 		Out:   &out,
 	}
@@ -103,5 +103,23 @@ func TestShellTraceShowsItsServersLastStatement(t *testing.T) {
 	Run(cfg)
 	if !strings.Contains(out.String(), "\\trace is not available") {
 		t.Fatalf("a nil Trace hook should print a clear message:\n%s", out.String())
+	}
+}
+
+// TestShellTraceStitchesTheBackendsHalf: on a cache, \trace after a
+// statement the backend answered shows the backend's record of the round
+// trip under the cache's remote span, read back from the backend's
+// sys.traces by the statement's trace ID.
+func TestShellTraceStitchesTheBackendsHalf(t *testing.T) {
+	backend := newShellDB(t)
+	cache := engine.New(engine.Config{Name: "cache1", Role: engine.Cache, Remote: engine.NewLink(backend)})
+	if _, err := cache.Exec("CREATE TABLE item (i_id INT PRIMARY KEY, i_title VARCHAR)", nil); err != nil {
+		t.Fatal(err)
+	}
+	got := run(t, cache, "SELECT i_title FROM item WHERE i_id = 2\n\\trace\n\\quit\n")
+	for _, want := range []string{"\n  execute", "\n    remote", "\n      shelltest.exec", "\n        execute"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("\\trace is missing %q:\n%s", want, got)
+		}
 	}
 }

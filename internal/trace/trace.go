@@ -11,9 +11,15 @@
 // only when somebody reads it.
 //
 // The request path builds no tree. Only the operators with structure of their
-// own to show (a remote round trip, the branch a ChoosePlan took) add spans while a statement runs, and only to a statement
-// with a trace ID. Those spans, the rendered tree and the tree in a wire
-// response are one type, WireSpan.
+// own to show (a remote round trip, the branch a ChoosePlan took) add spans
+// while a statement runs, and only to a statement with a trace ID. Those
+// spans and the rendered tree are one type, WireSpan.
+//
+// A trace crosses a hop by its ID alone: the server a remote round trip
+// reaches keeps its own record under the caller's ID, in its own ring, and
+// nothing of it travels back with the answer. A reader who wants the whole
+// request joins the two servers' records by ID on read (Stitch), from the
+// rows of the other server's sys.traces (Row, FromRow).
 package trace
 
 import (
@@ -24,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mtcache/internal/types"
 )
 
 // idCounter disambiguates IDs minted in the same nanosecond.
@@ -138,8 +146,8 @@ func (c *Counters) Add(o *Counters) {
 //
 // A record comes from a pool (Begin, BeginStatement) and goes back to it
 // (Release) at the end of the call that began it; nothing may read it after
-// that. Its spans are never reused: a copy, and a tree built from it, keep
-// them.
+// that. Its spans are never reused: a copy keeps them, and a tree built from
+// it copies them.
 type Record struct {
 	ID     uint64 // trace ID, rendered by FormatID; 0 for a statement inside a procedure body: measured, not kept
 	Server string // the database that ran it; the root span is Server + ".exec"
@@ -220,8 +228,9 @@ type Attr struct {
 }
 
 // WireSpan is one timed stage of a trace — plain fields, no lock, no parent
-// pointer — in a rendered tree, under a record's execute span, or inside a
-// wire response (internal/wire encodes it; the tree is cut at 32 levels there).
+// pointer — in a rendered tree or under a record's execute span. The name is
+// older than the tree's last trip over the wire; the fleet benchmark names
+// the type, and a change to the benchmark renames it.
 type WireSpan struct {
 	Name     string
 	StartUTC int64 // UnixNano
@@ -293,23 +302,20 @@ func (r *Record) Annotate(sp *WireSpan, k, v string) {
 	sp.Attrs = append(sp.Attrs, Attr{K: k, V: v})
 }
 
-// EndSpan closes a span. remote, when non-nil, is the tree the other server
-// built for the call the span timed; it becomes the span's child as it is
-// (its stamps are the remote clock's: durations are what matter).
-func (r *Record) EndSpan(sp, remote *WireSpan) {
+// EndSpan closes a span.
+func (r *Record) EndSpan(sp *WireSpan) {
 	if sp == nil {
 		return
 	}
 	sp.DurNanos = r.now() - sp.StartUTC
-	if remote != nil {
-		sp.Children = append(sp.Children, remote)
-	}
 }
 
 // Tree renders the record: the root <Server>.exec [sql, autoparam], a child
 // per stage that ran — gate, parse, imcache_hit, optimize [plan_cache],
-// execute — laid end to end from the start, and under execute whatever the
-// operators added. For a finished statement: operators add nothing after it.
+// execute — laid end to end from the start, and under execute a copy of
+// whatever the operators added. For a finished statement: operators add
+// nothing after it. The tree shares nothing with the record: its reader may
+// change it.
 func (r *Record) Tree() *WireSpan {
 	if r == nil {
 		return nil
@@ -331,27 +337,90 @@ func (r *Record) Tree() *WireSpan {
 		case stage == StageParse && r.AutoParam, stage == StageLookup && r.Tier != TierIMCache:
 			continue // time the statement spent, but not a span: nothing was parsed, nothing was hit
 		case stage == StagePlan && r.PlanCache != PlanNotConsulted:
-			sp.Attrs = []Attr{{K: "plan_cache", V: [...]string{PlanHit: "hit", PlanMiss: "miss"}[r.PlanCache]}}
+			sp.Attrs = []Attr{{K: "plan_cache", V: planCacheNames[r.PlanCache]}}
 		case stage == StageExec && r.spans != nil:
-			sp.Attrs, sp.Children = r.spans.Attrs, r.spans.Children
+			c := r.spans.clone()
+			sp.Attrs, sp.Children = c.Attrs, c.Children
 		}
 		root.Children = append(root.Children, sp)
 	}
 	return root
 }
 
+// clone copies the span and everything under it.
+func (w *WireSpan) clone() *WireSpan {
+	c := &WireSpan{Name: w.Name, StartUTC: w.StartUTC, DurNanos: w.DurNanos, Attrs: append([]Attr(nil), w.Attrs...)}
+	if len(w.Children) > 0 {
+		c.Children = make([]*WireSpan, len(w.Children))
+		for i, ch := range w.Children {
+			c.Children[i] = ch.clone()
+		}
+	}
+	return c
+}
+
 // FindSpan searches the rendered tree for a span by name (tests).
 func (r *Record) FindSpan(name string) *WireSpan { return r.Tree().Find(name) }
 
+// Stitch renders the record with the other half of each remote round trip
+// it made: under the k-th remote span, the tree of the k-th record the other
+// server keeps under r's ID. fetch returns those records, oldest first; it
+// is called once, and only when r has a remote span. A statement runs on one
+// goroutine, so its round trips follow one another, and each reaches the
+// other server's ring in the order it was made.
+//
+// A span whose record is not known shows backend="missing" and has no
+// child; no span ever shows a record of another round trip. The other
+// server's ring drops its oldest records first, so what it still keeps of r
+// is the last round trips', and those are paired with the last spans only
+// when each of them can be: when it ran the text its span shipped, took no
+// longer than its span, and its span's round trip did not fail (a failed
+// one may or may not have arrived). Nothing is paired when the fetch failed,
+// or when the ring keeps more records than r has spans (a round trip the
+// other server ran twice, or a trace ID a caller used for two statements).
+func (r *Record) Stitch(fetch func(id uint64) ([]Record, error)) *WireSpan {
+	tree := r.Tree()
+	var remotes []*WireSpan // the Remote operator opens them under the execute span
+	if exec := tree.Find("execute"); exec != nil {
+		for _, sp := range exec.Children {
+			if sp.Name == "remote" {
+				remotes = append(remotes, sp)
+			}
+		}
+	}
+	if len(remotes) == 0 {
+		return tree
+	}
+	kept, err := fetch(r.ID)
+	skip := len(remotes) - len(kept) // the round trips whose records the ring dropped
+	paired := err == nil && skip >= 0
+	for i := 0; paired && i < len(kept); i++ {
+		sp := remotes[skip+i]
+		paired = sp.AttrValue("error") == "" && kept[i].SQL == sp.AttrValue("sql") && int64(kept[i].Total) <= sp.DurNanos
+	}
+	for k, sp := range remotes {
+		if paired && k >= skip {
+			sp.Children = append(sp.Children, kept[k-skip].Tree())
+		} else {
+			sp.Attrs = append(sp.Attrs, Attr{K: "backend", V: "missing"})
+		}
+	}
+	return tree
+}
+
 // Render formats a record (nil: Collector.Last found none) as an indented text
 // tree with per-span timings, under its rendered trace ID.
-func Render(r *Record) string {
+func Render(r *Record) string { return RenderTree(r, r.Tree()) }
+
+// RenderTree is Render of r with the tree given: r's own (Tree) or the
+// stitched one (Stitch).
+func RenderTree(r *Record, tree *WireSpan) string {
 	if r == nil {
 		return "(no traces recorded)\n"
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace %s total=%s\n", FormatID(r.ID), fmtDur(r.Total))
-	renderSpan(&b, r.Tree(), 0)
+	renderSpan(&b, tree, 0)
 	return b.String()
 }
 
@@ -365,6 +434,78 @@ func renderSpan(b *strings.Builder, s *WireSpan, depth int) {
 	for _, c := range s.Children {
 		renderSpan(b, c, depth+1)
 	}
+}
+
+// RowColumns is the schema of a record's row (Row): the columns of
+// sys.traces, in order. The stage columns are nanoseconds, NULL for a stage
+// that did not run.
+var RowColumns = []struct {
+	Name string
+	Kind types.Kind
+}{
+	{"trace_id", types.KindString}, {"server", types.KindString}, {"sql", types.KindString},
+	{"start", types.KindTime}, {"total_ns", types.KindInt},
+	{"gate_ns", types.KindInt}, {"parse_ns", types.KindInt}, {"lookup_ns", types.KindInt},
+	{"optimize_ns", types.KindInt}, {"execute_ns", types.KindInt},
+	{"tier", types.KindString}, {"plan_cache", types.KindString}, {"autoparam", types.KindBool},
+}
+
+// firstStageCol is the column of StageGate; the others follow it in order.
+const firstStageCol = 5
+
+var planCacheNames = [...]string{PlanNotConsulted: "", PlanHit: "hit", PlanMiss: "miss"}
+
+// Row is r as a row of sys.traces: every field its tree is built from but
+// the operators' spans, which only a cache's statements have.
+func (r *Record) Row() types.Row {
+	row := types.Row{
+		types.NewString(FormatID(r.ID)), types.NewString(r.Server), types.NewString(r.SQL),
+		types.NewTime(r.Start), types.NewInt(int64(r.Total)),
+	}
+	for s := range NumStages {
+		v := types.Null
+		if r.Ran(s) {
+			v = types.NewInt(int64(r.Stages[s]))
+		}
+		row = append(row, v)
+	}
+	return append(row, types.NewString(r.Tier.String()), types.NewString(planCacheNames[r.PlanCache]), types.NewBool(r.AutoParam))
+}
+
+// FromRow is Row's inverse: the record whose tree is the one the row's server
+// rendered for its own. A row that Row could not have produced is refused.
+func FromRow(row types.Row) (Record, error) {
+	bad := func() (Record, error) { return Record{}, fmt.Errorf("trace: %v is not a row of sys.traces", row) }
+	if len(row) != len(RowColumns) {
+		return bad()
+	}
+	for i, c := range RowColumns {
+		if row[i].K != c.Kind && !(row[i].IsNull() && i >= firstStageCol && i < firstStageCol+int(NumStages)) {
+			return bad()
+		}
+	}
+	id, err := ParseID(row[0].Str())
+	if err != nil {
+		return Record{}, err
+	}
+	r := Record{ID: id, Server: row[1].Str(), SQL: row[2].Str(), Start: row[3].Time(), Total: time.Duration(row[4].Int()),
+		AutoParam: row[12].Bool(), Staleness: -1}
+	for s := range NumStages {
+		if v := row[firstStageCol+int(s)]; !v.IsNull() {
+			r.Stages[s], r.ran = time.Duration(v.Int()), r.ran|1<<s
+		}
+	}
+	tier, plan := row[10].Str(), row[11].Str()
+	for r.Tier < TierForwarded && r.Tier.String() != tier {
+		r.Tier++
+	}
+	for r.PlanCache < PlanMiss && planCacheNames[r.PlanCache] != plan {
+		r.PlanCache++
+	}
+	if r.Tier.String() != tier || planCacheNames[r.PlanCache] != plan {
+		return bad()
+	}
+	return r, nil
 }
 
 func fmtDur(d time.Duration) string {
@@ -418,6 +559,20 @@ func (c *Collector) Recent(n int) []Record {
 	out := make([]Record, n)
 	for i := range out {
 		out[i] = c.ring[(c.next-1-i+len(c.ring))%len(c.ring)]
+	}
+	return out
+}
+
+// ByID returns copies of the kept records with the trace ID id, oldest
+// first.
+func (c *Collector) ByID(id uint64) []Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []Record
+	for i := c.n; i > 0; i-- {
+		if r := &c.ring[(c.next-i+len(c.ring))%len(c.ring)]; r.ID == id {
+			out = append(out, *r)
+		}
 	}
 	return out
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mtcache/internal/types"
 )
 
 func TestSpanTreeAndRender(t *testing.T) {
@@ -16,7 +18,7 @@ func TestSpanTreeAndRender(t *testing.T) {
 	rec.Mark(StageParse)
 	rec.Annotate(nil, "chooseplan", "local")
 	r := rec.StartSpan(nil, "remote", Attr{K: "sql", V: "SELECT 1"})
-	rec.EndSpan(r, nil)
+	rec.EndSpan(r)
 	rec.Mark(StageExec)
 	rec.Finish(nil)
 
@@ -51,7 +53,7 @@ func TestNilSpanSafety(t *testing.T) {
 			t.Error("StartSpan on an untraced record must return nil")
 		}
 		rec.Annotate(c, "k", "v")
-		rec.EndSpan(c, &WireSpan{Name: "w"})
+		rec.EndSpan(c)
 		if rec != nil && rec.spans != nil {
 			t.Error("an untraced record kept operator spans")
 		}
@@ -62,61 +64,211 @@ func TestNilSpanSafety(t *testing.T) {
 	}
 }
 
-func TestExportGraftRoundTrip(t *testing.T) {
-	// Backend-side record.
-	const shared = 0x123456789abc0001
-	backend := BeginStatement("backend", "SELECT 1", shared)
-	backend.Mark(StageParse)
-	backend.Annotate(nil, "rows", "42")
-	backend.Mark(StageExec)
-	backend.Finish(nil)
+// backendRecord is the other server's record of a round trip that shipped
+// sqlText under the trace ID id: a finished plan-cache hit that took d.
+func backendRecord(id uint64, sqlText string, d time.Duration) *Record {
+	r := BeginStatement("backend", sqlText, id)
+	r.AutoParam, r.PlanCache, r.Tier = true, PlanHit, TierLocal
+	r.Mark(StageParse)
+	r.Mark(StagePlan)
+	r.Mark(StageExec)
+	r.Finish(nil)
+	r.Total = d
+	return r
+}
 
-	w := backend.Tree()
-	if w.Name != "backend.exec" || len(w.Children) != 2 {
-		t.Fatalf("export shape: %+v", w)
+// cacheRecord is a cache's record of a statement that made one remote round
+// trip per text, each of them taking a millisecond or more.
+func cacheRecord(id uint64, texts ...string) *Record {
+	r := BeginStatement("cache", "SELECT 1", id)
+	for _, q := range texts {
+		sp := r.StartSpan(nil, "remote", Attr{K: "sql", V: q})
+		time.Sleep(time.Millisecond)
+		r.EndSpan(sp)
 	}
+	r.Mark(StageExec)
+	r.Finish(nil)
+	return r
+}
 
-	// Cache-side record takes the exported tree under its remote span.
-	cache := BeginStatement("cache", "SELECT 1", shared)
-	remote := cache.StartSpan(nil, "remote")
-	cache.EndSpan(remote, w)
-	cache.Mark(StageExec)
-	cache.Finish(nil)
-
-	grafted := cache.FindSpan("backend.exec")
-	if grafted == nil {
-		t.Fatal("grafted backend root not found")
+// TestRowRoundTrip: a record read back from its sys.traces row renders the
+// tree its server rendered, whatever stages it ran, and a row Row could not
+// have produced is refused.
+func TestRowRoundTrip(t *testing.T) {
+	gated := BeginStatement("backend", "SELECT 2", 0)
+	gated.Mark(StageGate)
+	gated.Tier = TierIMCache
+	gated.Mark(StageLookup)
+	gated.Finish(nil)
+	for _, r := range []*Record{backendRecord(0x123456789abc0001, "SELECT 1", time.Millisecond), gated} {
+		back, err := FromRow(r.Row())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := Render(&back), Render(r); got != want {
+			t.Errorf("read back from its row:\n%s\nwant\n%s", got, want)
+		}
+		if len(r.Row()) != len(RowColumns) {
+			t.Errorf("a row of %d values, %d columns", len(r.Row()), len(RowColumns))
+		}
 	}
-	if backend.ID != cache.ID {
-		t.Errorf("backend record ID %x, cache record ID %x", backend.ID, cache.ID)
+	row := gated.Row()
+	row[10] = types.NewString("somewhere")
+	if _, err := FromRow(row); err == nil {
+		t.Error("a row naming no tier was read back")
 	}
-	if grafted.Find("execute").AttrValue("rows") != "42" {
-		t.Error("grafted attrs lost")
-	}
-	if got, want := spanNames(cache), "cache.exec,execute,remote,backend.exec,parse,execute"; got != want {
-		t.Fatalf("span names: %v, want %v", got, want)
+	if _, err := FromRow(row[:5]); err == nil {
+		t.Error("a short row was read back")
 	}
 }
 
-// spanNames lists the rendered tree's span names, depth first.
-func spanNames(r *Record) string {
-	var names []string
+// TestStitchHangsEachRecordUnderItsSpan: the other server's k-th record for
+// the ID hangs under the k-th remote span, read back from its row as a
+// reader gets it; fetch is asked for the record's ID, once, and not at all
+// for a record with no remote span. The record itself keeps no graft.
+func TestStitchHangsEachRecordUnderItsSpan(t *testing.T) {
+	const id = 0x123456789abc0002
+	cache := cacheRecord(id, "SELECT a", "SELECT b")
+	var fetched []uint64
+	fetch := func(kept ...*Record) func(uint64) ([]Record, error) {
+		return func(got uint64) ([]Record, error) {
+			fetched = append(fetched, got)
+			var out []Record
+			for _, r := range kept {
+				back, err := FromRow(r.Row())
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, back)
+			}
+			return out, nil
+		}
+	}
+	a, b := backendRecord(id, "SELECT a", 0), backendRecord(id, "SELECT b", 0)
+	tree := cache.Stitch(fetch(a, b))
+	if got, want := names(tree), "cache.exec,execute,remote,backend.exec,optimize,execute,remote,backend.exec,optimize,execute"; got != want {
+		t.Fatalf("stitched span names %s, want %s", got, want)
+	}
+	for i, want := range []string{"SELECT a", "SELECT b"} {
+		sp := tree.Children[0].Children[i]
+		if sp.Children[0].AttrValue("sql") != want || sp.AttrValue("backend") != "" {
+			t.Errorf("remote span %d (%s) holds %s", i, sp.AttrValue("sql"), sp.Children[0].AttrValue("sql"))
+		}
+	}
+	if len(fetched) != 1 || fetched[0] != id {
+		t.Errorf("fetched %x, want the record's ID once", fetched)
+	}
+	if got := spanNames(cache); got != "cache.exec,execute,remote,remote" {
+		t.Errorf("stitching changed the record: %s", got)
+	}
+	local := BeginStatement("cache", "SELECT 1", id)
+	local.Mark(StageExec)
+	local.Finish(nil)
+	local.Stitch(fetch())
+	if len(fetched) != 1 {
+		t.Error("a record with no remote span fetched the other server's")
+	}
+}
+
+// TestStitchNeverShowsAWrongRecord: a remote span the other server's ring
+// keeps no record for says backend="missing" and has no child. Its ring
+// drops its oldest records first, so the records it still keeps are the last
+// round trips'; when they cannot be paired with those spans — more of them
+// than spans, another text, a record longer than its round trip, a failed
+// round trip, a failed fetch — no span gets one.
+func TestStitchNeverShowsAWrongRecord(t *testing.T) {
+	const id = 0x123456789abc0003
+	cache := cacheRecord(id, "SELECT a", "SELECT b")
+	a, b := backendRecord(id, "SELECT a", 0), backendRecord(id, "SELECT b", 0)
+	failed := cacheRecord(id, "SELECT a", "SELECT b")
+	failed.Annotate(failed.spans.Children[0], "error", "backend unreachable") // as the Remote operator does
+	for _, c := range []struct {
+		name string
+		rec  *Record
+		kept []*Record
+		err  error
+		want string // per remote span: the text of the record under it, or "missing"
+	}{
+		{"both kept", cache, []*Record{a, b}, nil, "SELECT a,SELECT b"},
+		{"the first evicted", cache, []*Record{b}, nil, "missing,SELECT b"},
+		{"both evicted", cache, nil, nil, "missing,missing"},
+		{"one more than the spans", cache, []*Record{a, a, b}, nil, "missing,missing"},
+		{"the first evicted, the second another text", cache, []*Record{a}, nil, "missing,missing"},
+		{"a record longer than its round trip", cache, []*Record{a, backendRecord(id, "SELECT b", time.Hour)}, nil, "missing,missing"},
+		{"a failed round trip", failed, []*Record{a, b}, nil, "missing,missing"},
+		{"the fetch failed", cache, nil, fmt.Errorf("backend unreachable"), "missing,missing"},
+	} {
+		tree := c.rec.Stitch(func(uint64) ([]Record, error) {
+			out := make([]Record, len(c.kept))
+			for i, r := range c.kept {
+				out[i] = *r
+			}
+			return out, c.err
+		})
+		var got []string
+		for _, sp := range tree.Children[0].Children {
+			switch {
+			case sp.AttrValue("backend") == "missing" && len(sp.Children) == 0:
+				got = append(got, "missing")
+			case sp.AttrValue("backend") == "" && len(sp.Children) == 1:
+				got = append(got, sp.Children[0].AttrValue("sql"))
+			default:
+				got = append(got, fmt.Sprintf("%v %d children", sp.Attrs, len(sp.Children)))
+			}
+		}
+		if strings.Join(got, ",") != c.want {
+			t.Errorf("%s: %s, want %s", c.name, strings.Join(got, ","), c.want)
+		}
+	}
+}
+
+// TestCollectorByID: ByID returns copies of the records kept under one ID,
+// oldest first, across the ring's wrap, and none once they are overwritten.
+func TestCollectorByID(t *testing.T) {
+	c := NewCollector(3)
+	for i, id := range []uint64{1, 2, 1, 1} {
+		r := BeginStatement("backend", fmt.Sprint("SELECT ", i), id)
+		r.Finish(nil)
+		c.Add(r)
+	}
+	var texts []string
+	for _, r := range c.ByID(1) {
+		texts = append(texts, r.SQL)
+	}
+	if got := strings.Join(texts, ","); got != "SELECT 2,SELECT 3" {
+		t.Errorf("ByID(1): %s, want the two kept, oldest first", got)
+	}
+	if got := c.ByID(2); len(got) != 1 || got[0].SQL != "SELECT 1" {
+		t.Errorf("ByID(2): %+v", got)
+	}
+	c.Add(BeginStatement("backend", "SELECT 4", 3))
+	if got := c.ByID(2); len(got) != 0 {
+		t.Errorf("ByID of an overwritten record: %+v", got)
+	}
+}
+
+// names lists a tree's span names, depth first.
+func names(w *WireSpan) string {
+	var out []string
 	var walk func(*WireSpan)
 	walk = func(w *WireSpan) {
-		names = append(names, w.Name)
+		out = append(out, w.Name)
 		for _, c := range w.Children {
 			walk(c)
 		}
 	}
-	walk(r.Tree())
-	return strings.Join(names, ",")
+	walk(w)
+	return strings.Join(out, ",")
 }
+
+// spanNames lists the rendered tree's span names, depth first.
+func spanNames(r *Record) string { return names(r.Tree()) }
 
 func TestSpanDurationRecorded(t *testing.T) {
 	rec := BeginStatement("q", "", 0)
 	s := rec.StartSpan(nil, "stage")
 	time.Sleep(time.Millisecond)
-	rec.EndSpan(s, nil)
+	rec.EndSpan(s)
 	d := time.Duration(s.DurNanos)
 	if d < time.Millisecond {
 		t.Errorf("duration %v too small", d)
@@ -182,14 +334,14 @@ func TestNestedSpansAndAttributes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		inner := rec.StartSpan(outer, "attempt")
 		rec.Annotate(inner, "n", fmt.Sprint(i))
-		rec.EndSpan(inner, nil)
+		rec.EndSpan(inner)
 	}
 	rec.Annotate(outer, "rows", "1")
 	rec.Annotate(nil, "chooseplan", "remote")
-	rec.EndSpan(outer, &WireSpan{Name: "backend.exec"})
+	rec.EndSpan(outer)
 	rec.Mark(StageExec)
 	rec.Finish(nil)
-	if got, want := spanNames(rec), "cache.exec,execute,remote,attempt,attempt,attempt,backend.exec"; got != want {
+	if got, want := spanNames(rec), "cache.exec,execute,remote,attempt,attempt,attempt"; got != want {
 		t.Fatalf("span names %s, want %s", got, want)
 	}
 	remote := rec.FindSpan("remote")
@@ -293,11 +445,12 @@ func TestIDsUniqueAndRendered(t *testing.T) {
 	}
 }
 
-// TestRingCopiesOutliveRecycling: readers take copies from the ring while
-// four publishers each fill, add and release 1 000 records, so the pool hands
-// every released record to the next statement at once. A copy a reader holds
-// never changes afterwards: its digest when taken is its digest at the end.
-// Run under -race, it also proves that no reader touches a live record.
+// TestRingCopiesOutliveRecycling: readers take copies from the ring, and
+// stitch each, while four publishers each fill, add and release 1 000
+// records, so the pool hands every released record to the next statement at
+// once. A copy a reader holds never changes afterwards: its digest when taken
+// is its digest at the end. Run under -race, it also proves that no reader
+// touches a live record, and no stitched view writes into a record's spans.
 func TestRingCopiesOutliveRecycling(t *testing.T) {
 	c := NewCollector(16)
 	digest := func(r *Record) string {
@@ -329,6 +482,9 @@ func TestRingCopiesOutliveRecycling(t *testing.T) {
 					take = append(take, &recent[j])
 				}
 				_ = Render(c.Last())
+				for _, r := range take { // a stitched view changes nothing it was built from
+					r.Stitch(func(uint64) ([]Record, error) { return nil, nil })
+				}
 				if i%8 == 0 && len(kept[g]) < 512 {
 					for _, r := range take {
 						kept[g] = append(kept[g], held{r, digest(r)})
@@ -345,7 +501,7 @@ func TestRingCopiesOutliveRecycling(t *testing.T) {
 				rec := BeginStatement(fmt.Sprint("server", p), fmt.Sprint("SELECT ", i), 0)
 				sp := rec.StartSpan(nil, "remote", Attr{K: "sql", V: rec.SQL})
 				rec.Annotate(sp, "attempt", fmt.Sprint(i))
-				rec.EndSpan(sp, &WireSpan{Name: "backend.exec"})
+				rec.EndSpan(sp)
 				rec.Annotate(nil, "chooseplan", "remote")
 				rec.Rows, rec.Counters.RemoteQueries = int64(i), 1
 				rec.Mark(StageExec)

@@ -308,8 +308,9 @@ func (c *Client) AppliedLSN() (storage.LSN, error) {
 }
 
 // QueryTraced is Query under the caller's trace ID on the backend, as
-// trace.FormatID renders it ("" for none); the backend-side span tree comes
-// back with the result. A traceID that does not parse is refused unsent.
+// trace.FormatID renders it ("" for none), which the backend keeps its
+// record under. The span is always nil (see exec.RemoteClient). A traceID
+// that does not parse is refused unsent.
 func (c *Client) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
 	id, err := trace.ParseID(traceID)
 	if err != nil {
@@ -320,7 +321,7 @@ func (c *Client) QueryTraced(sqlText string, params exec.Params, traceID string)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &exec.ResultSet{Cols: resp.Cols, Rows: resp.Rows, RowsAffected: resp.N, CommitLSN: resp.LSN}, resp.Span, nil
+	return &exec.ResultSet{Cols: resp.Cols, Rows: resp.Rows, RowsAffected: resp.N, CommitLSN: resp.LSN}, nil, nil
 }
 
 // Snapshot fetches the backend catalog snapshot.

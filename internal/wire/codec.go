@@ -1,6 +1,6 @@
 package wire
 
-// codec.go is the v7 frame codec: what a request and a response hold, the
+// codec.go is the v8 frame codec: what a request and a response hold, the
 // preface, the length-prefixed framing and the payload bytes. wire.go's
 // package comment has the layout; the value, row and string bytes are
 // types/codec.go's, a pulled transaction's changes are
@@ -18,7 +18,6 @@ import (
 	"mtcache/internal/exec"
 	"mtcache/internal/repl"
 	"mtcache/internal/storage"
-	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -116,11 +115,9 @@ type response struct {
 	// last committed LSN).
 	Applied storage.LSN
 
-	// Query: the result set (Provision: the initial population), and
-	// the server-side span tree when the request carried a TraceID.
+	// Query: the result set (Provision: the initial population).
 	Cols []exec.ColInfo
 	Rows []types.Row
-	Span *trace.WireSpan
 
 	// rows and vals are the slices a query's result set is decoded into when
 	// they are long enough — the row slice Rows is cut from and the values
@@ -147,7 +144,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 7}
+var preface = [4]byte{'M', 'T', 'W', 8}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused
@@ -170,16 +167,12 @@ const (
 	// growStep bounds how far a frame buffer grows ahead of the bytes that
 	// have actually arrived, so a corrupt length cannot size an allocation.
 	growStep = 256 << 10
-	// maxSpanDepth bounds the span tree: deeper levels are cut on encode and
-	// refused on decode.
-	maxSpanDepth = 32
 )
 
 // Response flags.
 const (
 	flagStale = 1 << iota
 	flagError
-	flagSpan
 )
 
 var (
@@ -417,9 +410,6 @@ func appendResponse(buf []byte, resp *response) []byte {
 	if resp.Err != "" {
 		flags |= flagError
 	}
-	if resp.Span != nil {
-		flags |= flagSpan
-	}
 	buf = binary.AppendUvarint(buf, resp.ID)
 	buf = append(buf, byte(resp.Kind), flags)
 	buf = binary.AppendVarint(buf, resp.N)
@@ -430,9 +420,6 @@ func appendResponse(buf []byte, resp *response) []byte {
 	}
 	switch resp.Kind {
 	case reqQuery:
-		if resp.Span != nil {
-			buf = appendSpan(buf, resp.Span, 0)
-		}
 		buf = appendResultSet(buf, resp.Cols, resp.Rows)
 	case reqSnapshot:
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Snapshot)))
@@ -473,6 +460,9 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 	d := types.Decoder{Buf: payload}
 	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte()), rows: resp.rows, vals: resp.vals}
 	flags := d.Byte()
+	if flags&^(flagStale|flagError) != 0 {
+		d.Fail()
+	}
 	resp.Stale = flags&flagStale != 0
 	resp.N = d.Varint()
 	resp.LSN = storage.LSN(d.Uvarint())
@@ -485,9 +475,6 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 	}
 	switch resp.Kind {
 	case reqQuery:
-		if flags&flagSpan != 0 {
-			resp.Span = decodeSpan(&d, 0)
-		}
 		decodeResultSet(&d, resp, hdrs)
 	case reqSnapshot:
 		if b := d.Bytes(d.Uvarint()); len(b) > 0 {
@@ -632,50 +619,4 @@ func (h headers) cols(d *types.Decoder) []exec.ColInfo {
 		h[key] = cols
 	}
 	return cols
-}
-
-func appendSpan(buf []byte, s *trace.WireSpan, depth int) []byte {
-	buf = types.AppendString(buf, s.Name)
-	buf = binary.AppendVarint(buf, s.StartUTC)
-	buf = binary.AppendVarint(buf, s.DurNanos)
-	buf = binary.AppendUvarint(buf, uint64(len(s.Attrs)))
-	for _, a := range s.Attrs {
-		buf = types.AppendString(buf, a.K)
-		buf = types.AppendString(buf, a.V)
-	}
-	children := s.Children
-	if depth == maxSpanDepth {
-		children = nil
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(children)))
-	for _, c := range children {
-		if c == nil {
-			c = &trace.WireSpan{}
-		}
-		buf = appendSpan(buf, c, depth+1)
-	}
-	return buf
-}
-
-func decodeSpan(d *types.Decoder, depth int) *trace.WireSpan {
-	if depth > maxSpanDepth {
-		d.Fail()
-		return nil
-	}
-	s := &trace.WireSpan{Name: d.Str(), StartUTC: d.Varint(), DurNanos: d.Varint()}
-	if n := d.Count(2); n > 0 {
-		s.Attrs = make([]trace.Attr, n)
-		for i := range s.Attrs {
-			s.Attrs[i] = trace.Attr{K: d.Str(), V: d.Str()}
-		}
-	}
-	if n := d.Count(5); n > 0 {
-		s.Children = make([]*trace.WireSpan, n)
-		for i := range s.Children {
-			if s.Children[i] = decodeSpan(d, depth+1); d.Err != nil {
-				return nil
-			}
-		}
-	}
-	return s
 }

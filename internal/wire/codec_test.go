@@ -57,19 +57,10 @@ func sampleRequests() map[string]*request {
 // sampleResponses is one response of every kind, plus the shapes that
 // collapse and the header-only ones (stale, error).
 func sampleResponses() map[string]*response {
-	span := &trace.WireSpan{Name: "backend.exec", StartUTC: 1054166400000000000, DurNanos: 1500,
-		Attrs: []trace.Attr{{K: "sql", V: "SELECT 1"}, {K: "", V: ""}},
-		Children: []*trace.WireSpan{
-			{Name: "optimize", DurNanos: 10},
-			{Name: "execute", StartUTC: -5, Children: []*trace.WireSpan{
-				{Name: "scan", Attrs: []trace.Attr{{K: "rows", V: "3"}}},
-			}},
-		}}
 	cols := []exec.ColInfo{{Table: "part", Name: "id", Kind: types.KindInt}, {Name: "expr", Kind: types.KindString}}
 	return map[string]*response{
 		"query": {Kind: reqQuery, ID: 7, Applied: 12, Cols: cols,
 			Rows: []types.Row{sampleRow, {}, sampleRow[:2]}},
-		"query traced":   {Kind: reqQuery, ID: 8, Cols: cols, Rows: []types.Row{{types.NewInt(1), types.NewString("x")}}, Span: span},
 		"query no rows":  {Kind: reqQuery, ID: 9, Cols: cols, Rows: []types.Row{}},
 		"query no cols":  {Kind: reqQuery, ID: 10, Cols: []exec.ColInfo{}, Rows: []types.Row{{types.NewString("bare")}}},
 		"query 0-column": {Kind: reqQuery, ID: 11, Rows: []types.Row{{}, {}}},
@@ -142,29 +133,8 @@ func sameRequest(a, b *request) bool {
 	return reflect.DeepEqual(x, y)
 }
 
-func sameSpan(a, b *trace.WireSpan) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Name != b.Name || a.StartUTC != b.StartUTC || a.DurNanos != b.DurNanos ||
-		len(a.Attrs) != len(b.Attrs) || len(a.Children) != len(b.Children) {
-		return false
-	}
-	for i := range a.Attrs {
-		if a.Attrs[i] != b.Attrs[i] {
-			return false
-		}
-	}
-	for i := range a.Children {
-		if !sameSpan(a.Children[i], b.Children[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func sameResponse(a, b *response) bool {
-	if !sameRows(a.Rows, b.Rows) || !sameSpan(a.Span, b.Span) || !bytes.Equal(a.Snapshot, b.Snapshot) ||
+	if !sameRows(a.Rows, b.Rows) || !bytes.Equal(a.Snapshot, b.Snapshot) ||
 		len(a.Cols) != len(b.Cols) || len(a.Batches) != len(b.Batches) {
 		return false
 	}
@@ -187,7 +157,7 @@ func sameResponse(a, b *response) bool {
 	}
 	x, y := *a, *b
 	for _, r := range []*response{&x, &y} {
-		r.Rows, r.Span, r.Snapshot, r.Cols, r.Batches = nil, nil, nil, nil, nil
+		r.Rows, r.Snapshot, r.Cols, r.Batches = nil, nil, nil, nil
 		r.rows, r.vals = nil, nil // the slices a result set was decoded into, not part of the frame
 	}
 	return reflect.DeepEqual(x, y)
@@ -355,49 +325,21 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := decodeResponse(appendResponse(nil, errResp), &got, headers{}, interner{}); err != nil || got.Err != "boom" || got.Rows != nil || got.Cols != nil {
 		t.Errorf("error response carried a body: %+v, %v", got, err)
 	}
+
+	// A flag this version does not define — v7's span flag among them — is
+	// refused, not skipped.
+	if err := decodeResponse(spanFlagged(), &got, headers{}, interner{}); err == nil {
+		t.Error("a response with v7's span flag decoded")
+	}
 }
 
-// TestSpanDepthBounded: the span tree is cut at maxSpanDepth on encode and a
-// deeper one is refused on decode, so a peer cannot recurse the decoder off
-// its stack.
-func TestSpanDepthBounded(t *testing.T) {
-	chain := func(n int) *trace.WireSpan {
-		root := &trace.WireSpan{Name: "0"}
-		for s, i := root, 1; i < n; i++ {
-			c := &trace.WireSpan{Name: fmt.Sprint(i)}
-			s.Children, s = []*trace.WireSpan{c}, c
-		}
-		return root
-	}
-	depth := func(s *trace.WireSpan) int {
-		n := 0
-		for ; s != nil; n++ {
-			if len(s.Children) == 0 {
-				s = nil
-			} else {
-				s = s.Children[0]
-			}
-		}
-		return n
-	}
-	var got response
-	if err := decodeResponse(appendResponse(nil, &response{Kind: reqQuery, Span: chain(maxSpanDepth + 10)}), &got, headers{}, interner{}); err != nil {
-		t.Fatal(err)
-	}
-	if d := depth(got.Span); d != maxSpanDepth+1 {
-		t.Errorf("decoded span depth %d, want the %d levels the encoder keeps", d, maxSpanDepth+1)
-	}
-
-	// Hand-build a frame nested past the bound: header, then 10 000 spans
-	// each claiming one child.
-	frame := appendResponse(nil, &response{Kind: reqQuery, Span: &trace.WireSpan{}})
-	frame = frame[:len(frame)-3-5] // strip the empty result set and the empty span
-	for i := 0; i < 10000; i++ {
-		frame = append(frame, 0, 0, 0, 0, 1)
-	}
-	if err := decodeResponse(frame, &got, headers{}, interner{}); err == nil {
-		t.Error("a span tree 10 000 levels deep decoded")
-	}
+// spanFlagged is the sample query response with v7's span flag (4) set
+// over a result set that carries no span tree ahead of it.
+func spanFlagged() []byte {
+	resp := sampleResponses()["query"]
+	frame := appendResponse(nil, resp)
+	frame[len(binary.AppendUvarint(nil, resp.ID))+1] |= 4 // the flags byte follows the ID and the kind
+	return frame
 }
 
 // resultSetResponse is an n × 3 response (INT, VARCHAR, FLOAT) shaped like
@@ -487,8 +429,11 @@ func decodeCold(frame []byte, resp *response, hdrs headers, names interner) {
 // ends — a Client.QuerySession of a one-row SELECT against Serve, the
 // server's decode, execution and encode and the client's decode included —
 // untraced, and traced as a cache's remote subquery is: under the caller's
-// trace ID, with the server's span tree coming back. Each ceiling is the
-// measured count plus one: 4 and 29. They were 3 and 20 while the backend
+// trace ID, which the server keeps its record under. Each ceiling is the
+// measured count plus one: 4 and 5. The traced one was 29 while the server
+// built its record's span tree and the response carried it back (wire v7),
+// the traced one paying for the tree's spans, their encoding and their
+// decoding into new objects. They were 3 and 20 while the backend
 // answered a repeated SELECT from a result cache of its own: a backend has
 // none, so every call now runs its plan, which allocates the row, and the
 // traced tree carries the optimize and execute spans where it carried one
@@ -519,14 +464,14 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		}, 4 + 1},
 		{"traced", func() (int, error) {
 			rs, span, err := c.QueryTraced(q, nil, id)
-			if err == nil && span == nil {
-				err = fmt.Errorf("no span tree for a traced query")
+			if err == nil && span != nil {
+				err = fmt.Errorf("a span tree came back with a traced query")
 			}
 			if rs == nil {
 				return 0, err
 			}
 			return len(rs.Rows), err
-		}, 29 + 1},
+		}, 5 + 1},
 	} {
 		call := func() {
 			if n, err := r.call(); err != nil || n != 1 {
@@ -562,7 +507,7 @@ func recycledResponse() response {
 		rows[i] = vals[i : i+4]
 	}
 	return response{ID: 99, Kind: reqPull, Stale: true, Err: "old", N: 9, LSN: 9, Applied: 9,
-		Cols: []exec.ColInfo{{Name: "old"}}, Rows: []types.Row{{types.NewInt(9)}}, Span: &trace.WireSpan{Name: "old"},
+		Cols: []exec.ColInfo{{Name: "old"}}, Rows: []types.Row{{types.NewInt(9)}},
 		Snapshot: []byte("old"), SubID: 9, StartLSN: 9, Batches: []repl.TxnBatch{{LSN: 9}}, ThroughLSN: 9,
 		rows: rows, vals: vals}
 }

@@ -17,8 +17,9 @@ import (
 // tables and through warmed ones, as a client connection's is, into a
 // recycled slot's spare slices: no table changes what a frame means.
 func FuzzFrameDecode(f *testing.F) {
-	// Seed with real frames of every kind, and one that names a parameter
-	// twice: whole, halved, minus the last byte, minus the first.
+	// Seed with real frames of every kind, one that names a parameter twice
+	// and one with v7's span flag: whole, halved, minus the last byte, minus
+	// the first.
 	add := func(b []byte) {
 		f.Add(b)
 		if len(b) > 2 {
@@ -34,12 +35,12 @@ func FuzzFrameDecode(f *testing.F) {
 		add(appendResponse(nil, resp))
 	}
 	add(queryFrame([]string{"a", "a"}, []types.Value{types.NewInt(1), types.NewString("x")}))
+	add(spanFlagged())
 
 	warm, warmHdrs, warmNames := interner{}, headers{}, interner{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The largest in-memory element per wire byte is a 64-byte Value
-		// behind a 1-byte NULL, next to its share of a 24-byte row header;
-		// nested span children multiply by at most their depth bound.
+		// behind a 1-byte NULL, next to its share of a 24-byte row header.
 		budget := uint64(64<<10 + 512*len(data))
 		var (
 			req  request

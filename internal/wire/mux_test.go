@@ -15,7 +15,6 @@ import (
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/resilience"
-	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -500,10 +499,10 @@ func TestLateResponseNeverReachesALaterCall(t *testing.T) {
 // writes into the rows of a later answer — one the same Result takes from
 // another server, as the router fails a read over, or one a Result from the
 // pool takes. Each SLOW request on one connection is answered around the
-// client's timeout with rows that fit the Result's slices, behind a span tree
-// that takes the reader longer to decode than the steps between the answers'
-// arrival times, so the timer often fires while the reader decodes into the
-// slot. After each timeout the Result answers a FAST request on a second
+// client's timeout with rows that fit the Result's slices, behind a column
+// header too long for the connection's header table, which takes the reader
+// longer to decode than the steps between the answers' arrival times, so the
+// timer often fires while the reader decodes into the slot. After each timeout the Result answers a FAST request on a second
 // connection at once. Every answer is checked value by value, and under
 // -race a late write into a later answer's slices is reported whenever it
 // happens.
@@ -516,7 +515,7 @@ func TestLateResponseNeverWritesALaterResult(t *testing.T) {
 	answer := func(req *request, slow bool) *response {
 		resp := &response{ID: req.ID, Kind: req.Kind}
 		if slow {
-			resp.Span = &trace.WireSpan{Name: "slow", Attrs: make([]trace.Attr, 20000)}
+			resp.Cols = make([]exec.ColInfo, 20000)
 		}
 		for i := 0; i < rows; i++ {
 			row := make(types.Row, width)

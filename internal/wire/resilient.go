@@ -163,22 +163,19 @@ func (r *ResilientClient) Query(sqlText string, params exec.Params) (*exec.Resul
 	return rs, err
 }
 
-// QueryTraced is Query under the caller's trace ID. The backend-side span
-// tree of the successful attempt is returned.
+// QueryTraced is Query under the caller's trace ID. The span is always nil
+// (see exec.RemoteClient).
 func (r *ResilientClient) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
-	var (
-		rs   *exec.ResultSet
-		span *trace.WireSpan
-	)
+	var rs *exec.ResultSet
 	err := r.do(sql.ReadOnly(sqlText), func(c *Client) error {
 		var e error
-		rs, span, e = c.QueryTraced(sqlText, params, traceID)
+		rs, _, e = c.QueryTraced(sqlText, params, traceID)
 		return e
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return rs, span, nil
+	return rs, nil, nil
 }
 
 // ExecLSN is Query's row count and commit LSN. It stays only for the fleet

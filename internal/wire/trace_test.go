@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"mtcache/internal/engine"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/resilience"
@@ -12,43 +14,68 @@ import (
 	"mtcache/internal/types"
 )
 
-// QueryTraced ships the trace ID in the request frame and returns the
-// backend's span tree alongside the rows.
+// spanNames lists a tree's span names, depth first.
+func spanNames(w *trace.WireSpan) string {
+	var names []string
+	var walk func(*trace.WireSpan)
+	walk = func(w *trace.WireSpan) {
+		names = append(names, w.Name)
+		for _, c := range w.Children {
+			walk(c)
+		}
+	}
+	walk(w)
+	return strings.Join(names, ",")
+}
+
+// keptUnder returns the one record db's ring keeps under the rendered trace
+// ID id, failing the test unless there is exactly one.
+func keptUnder(t *testing.T, db *engine.Database, id string) *trace.Record {
+	t.Helper()
+	n, err := trace.ParseID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := db.Traces().ByID(n)
+	if len(kept) != 1 {
+		t.Fatalf("%s keeps %d records under %s, want 1", db.Name, len(kept), id)
+	}
+	return &kept[0]
+}
+
+// QueryTraced ships the trace ID in the request frame, and nothing of the
+// trace comes back: the backend keeps its record of the query under the
+// caller's ID, with the stages it went through.
 func TestWireQueryTraced(t *testing.T) {
-	_, srv := newWiredBackend(t)
+	b, srv := newWiredBackend(t)
 	c := dial(t, srv)
 
+	const id = "0123456789ab-0123"
 	rs, w, err := c.QueryTraced("SELECT name FROM part WHERE id = @id",
-		exec.Params{"id": types.NewInt(7)}, "0123456789ab-0123")
+		exec.Params{"id": types.NewInt(7)}, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs.Rows) != 1 {
 		t.Fatalf("rows: %d", len(rs.Rows))
 	}
-	if w == nil {
-		t.Fatal("no span returned for a traced query")
-	}
-	if w.Name != "backend.exec" {
-		t.Errorf("backend span name: %q", w.Name)
-	}
-	var names []string
-	for _, ch := range w.Children {
-		names = append(names, ch.Name)
+	if w != nil {
+		t.Errorf("a span came back with the rows: %+v", w)
 	}
 	// No "parse" child: the auto-parameterization front door serves SELECT
 	// text from its shape cache, so parsing happens at most once per shape
 	// (and never inside the per-execution trace).
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"optimize", "execute"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("backend span children missing %q: %v", want, names)
-		}
+	back := keptUnder(t, b.DB, id)
+	if got := spanNames(back.Tree()); got != "backend.exec,optimize,execute" {
+		t.Errorf("the backend's record of the traced query: %s, want backend.exec,optimize,execute", got)
 	}
 }
 
-// A query through a remote cache stitches the backend's spans (shipped over
-// TCP in the response frame) under the cache-side remote span.
+// A query through a remote cache reaches the backend under the cache's trace
+// ID, and the cache's stitched view of it (the reader's view: \trace,
+// /debug/trace/last) has the backend's record, read back over TCP from the
+// backend's sys.traces, under the cache-side remote span — the stages the
+// in-process link's stitched view shows (TestStatementReportedOnce).
 func TestWireTraceStitchedAcrossLink(t *testing.T) {
 	b, srv := newWiredBackend(t)
 	backendDB := b.DB
@@ -65,32 +92,28 @@ func TestWireTraceStitchedAcrossLink(t *testing.T) {
 	if res.Counters.RemoteQueries != 1 {
 		t.Fatalf("expected a remote round-trip: %+v", res.Counters)
 	}
-	tr := rc.DB.Traces().Last()
+	tr, tree := rc.DB.LastTrace()
 	if tr == nil || tr.ID != res.TraceID {
 		t.Fatalf("last trace does not match result trace ID %x", res.TraceID)
 	}
-	for _, name := range []string{"remote", "backend.exec"} {
-		if tr.FindSpan(name) == nil {
-			t.Fatalf("trace missing span %q:\n%s", name, trace.Render(tr))
-		}
+	if got, want := spanNames(tree), "tcpcache.exec,optimize,execute,remote,backend.exec,optimize,execute"; got != want {
+		t.Errorf("stitched spans %s, want %s\n%s", got, want, trace.RenderTree(tr, tree))
 	}
-	// The backend ran its half under the cache's trace ID — its own record,
-	// the last in its own ring, carries it — and its spans came back in the
-	// response frame: one tree.
-	if back := backendDB.Traces().Last(); back.Server != "backend" || back.ID != tr.ID {
-		t.Errorf("backend record %s.exec has trace ID %x, want %x", back.Server, back.ID, tr.ID)
+	if spanNames(tr.Tree()) != "tcpcache.exec,optimize,execute,remote" {
+		t.Errorf("the cache's own record holds more than its own spans:\n%s", trace.Render(tr))
 	}
-	text := trace.Render(tr)
-	for _, want := range []string{"tcpcache.exec", "backend.exec", "remote"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("rendered trace missing %q:\n%s", want, text)
-		}
+	// The backend ran its half under the cache's trace ID: its record of it
+	// is the one the stitched view shows.
+	back := keptUnder(t, backendDB, trace.FormatID(tr.ID))
+	if got := tree.Find("backend.exec"); !reflect.DeepEqual(got, back.Tree()) {
+		t.Errorf("the stitched view's backend.exec is not the backend's record:\n%s\nwant\n%s", trace.RenderTree(tr, tree), trace.Render(back))
 	}
 }
 
-// The resilient client passes traced queries through its retry loop.
+// The resilient client passes a traced query's ID through its retry loop:
+// the backend keeps its record under it, and no span comes back.
 func TestResilientQueryTraced(t *testing.T) {
-	_, srv := newWiredBackend(t)
+	b, srv := newWiredBackend(t)
 	r, err := DialResilient(srv.Addr(), resilience.Policy{
 		MaxAttempts: 2, RequestTimeout: time.Second,
 		BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1,
@@ -99,15 +122,16 @@ func TestResilientQueryTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rs, w, err := r.QueryTraced("SELECT COUNT(*) FROM part", nil, "0123456789ab-4567")
+	const id = "0123456789ab-4567"
+	rs, w, err := r.QueryTraced("SELECT COUNT(*) FROM part", nil, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != 1 || rs.Rows[0][0].Int() != 1000 {
-		t.Fatalf("rows: %v", rs.Rows)
+	if len(rs.Rows) != 1 || rs.Rows[0][0].Int() != 1000 || w != nil {
+		t.Fatalf("rows: %v, span %+v", rs.Rows, w)
 	}
-	if w == nil || w.Name != "backend.exec" {
-		t.Fatalf("resilient traced span: %+v", w)
+	if back := keptUnder(t, b.DB, id); back.SQL != "SELECT COUNT(*) FROM part" || back.Server != "backend" {
+		t.Errorf("the backend's record under %s: %s.exec %q", id, back.Server, back.SQL)
 	}
 }
 
@@ -164,7 +188,9 @@ func TestPullPublishesLagGauge(t *testing.T) {
 // from the session gate. A frame carrying both a trace id and a watermark the
 // cache has not applied is answered Stale with no rows — the traced path used
 // to skip the gate and read through the lagging cache — and one the cache has
-// applied is answered with rows, the span tree and the applied position.
+// applied is answered with rows and the applied position. The cache keeps
+// both statements under their callers' IDs: the refused one with its gate
+// and nothing else.
 func TestTracedRequestPassesSessionGate(t *testing.T) {
 	_, srv := newWiredBackend(t)
 	rc, err := NewRemoteCache("gated", dial(t, srv), nil)
@@ -187,11 +213,14 @@ func TestTracedRequestPassesSessionGate(t *testing.T) {
 	if err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: 0x0123456789ab0002, MinLSN: applied + 1000, WaitMs: 20}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Stale || len(resp.Rows) != 0 || resp.Span != nil {
-		t.Errorf("watermark ahead of the cache: stale=%v rows=%v span=%v; want Stale and nothing else", resp.Stale, resp.Rows, resp.Span)
+	if !resp.Stale || len(resp.Rows) != 0 {
+		t.Errorf("watermark ahead of the cache: stale=%v rows=%v; want Stale and nothing else", resp.Stale, resp.Rows)
 	}
 	if resp.Applied < applied || resp.Applied >= applied+1000 {
 		t.Errorf("stale answer reports Applied=%d, cache is at %d", resp.Applied, applied)
+	}
+	if got := spanNames(keptUnder(t, rc.DB, "0123456789ab-0002").Tree()); got != "gated.exec,gate" {
+		t.Errorf("the cache's record of the refused request: %s, want gated.exec,gate", got)
 	}
 
 	if err := c.roundTrip(&request{Kind: reqQuery, SQL: q, TraceID: 0x0123456789ab0003, MinLSN: applied, WaitMs: 20}, &resp); err != nil {
@@ -200,8 +229,8 @@ func TestTracedRequestPassesSessionGate(t *testing.T) {
 	if resp.Stale || len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "part4" {
 		t.Errorf("watermark the cache has applied: stale=%v rows=%v", resp.Stale, resp.Rows)
 	}
-	if resp.Span == nil || resp.Span.Name != "gated.exec" {
-		t.Errorf("traced answer carries no span tree: %+v", resp.Span)
+	if got := spanNames(keptUnder(t, rc.DB, "0123456789ab-0003").Tree()); !strings.HasPrefix(got, "gated.exec,gate,") {
+		t.Errorf("the cache's record of the served request: %s, want gated.exec,gate and the rest", got)
 	}
 	if resp.Applied < applied {
 		t.Errorf("traced answer reports Applied=%d, cache is at %d", resp.Applied, applied)

@@ -1,11 +1,14 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v7) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v8) carrying
 //
 //   - Query — the linked-server path (paper §2.1): remote subexpressions,
 //     forwarded writes and forwarded procedure calls travel as SQL text (or a
 //     call shape) plus parameters; one result comes back with the rows, the
 //     row count and the commit LSN. A text that may write is delivered at
-//     most once (sql.ReadOnly decides);
+//     most once (sql.ReadOnly decides). A traced request carries its trace
+//     ID and nothing of the trace comes back: the server keeps its record
+//     under that ID, and a reader joins the records by ID on read
+//     (engine.Database.Stitch);
 //   - Snapshot — the shadow-database setup payload (§4);
 //   - Provision / Resume / Pull — the pull subscription (§2.2): a cache has
 //     one, provisions an article of it for each cached view, receives the
@@ -26,7 +29,7 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x07
+//	preface, once, each direction: 'M' 'T' 'W' 0x08
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
@@ -48,15 +51,13 @@
 //	response payload:
 //	  uvarint ID
 //	  byte    kind (the request's)
-//	  byte    flags: 1 stale, 2 error, 4 span
+//	  byte    flags: 1 stale, 2 error (through v7, 4: a span tree ahead of
+//	          the result set; any other bit is refused)
 //	  varint  N (rows written)
 //	  uvarint LSN (commit LSN of a write)
 //	  uvarint Applied
 //	  body: string Err if the error flag is set, otherwise by kind:
-//	    Query        span if flagged: string Name, varint StartUTC, varint DurNanos,
-//	                   uvarint #attrs, per attr: string K, string V,
-//	                   uvarint #children (nesting ≤ 32), children
-//	                 uvarint #cols, per col: string Table, string Name, byte Kind
+//	    Query        uvarint #cols, per col: string Table, string Name, byte Kind
 //	                 uvarint #rows, uvarint #values in all rows,
 //	                 per row: uvarint #values, values
 //	    Snapshot     uvarint len, bytes (catalog.Snapshot.Encode: script,
@@ -372,9 +373,6 @@ func (s *Server) handle(req *request, resp *response) *engine.Result {
 			resp.Rows = res.Rows
 			resp.N = res.RowsAffected
 			resp.LSN = res.CommitLSN
-			if req.TraceID != 0 {
-				resp.Span = rec.Tree()
-			}
 		}
 		rec.Release()
 		return res

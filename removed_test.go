@@ -105,6 +105,12 @@ var removedNames = []struct {
 	{`max2`, `^internal/opt/`, "the builtin max"},
 	{`sortFloats`, `^internal/opt/`, "slices.Sort"},
 	{`(?m)^\s+IMCache\s+\*imcache\.Options`, `^internal/engine/`, "one result-cache configuration (imcache defaults)"},
+	{`appendSpan`, `^internal/wire/`, "a trace crosses a hop by its ID (a reader stitches records on read: trace.Record.Stitch)"},
+	{`decodeSpan`, `^internal/wire/`, "a trace crosses a hop by its ID (a reader stitches records on read: trace.Record.Stitch)"},
+	{`flagSpan`, `^internal/wire/`, "a trace crosses a hop by its ID (a reader stitches records on read: trace.Record.Stitch)"},
+	{`maxSpanDepth`, `^internal/wire/`, "a trace crosses a hop by its ID (a reader stitches records on read: trace.Record.Stitch)"},
+	{`(?m)^\s+Span\s+\*trace\.WireSpan`, `^internal/wire/`, "a trace crosses a hop by its ID (no span tree in a response)"},
+	{`EndSpan\([^,()]+,`, "", "a trace crosses a hop by its ID (no tree grafted under a remote span while it runs)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
