@@ -10,7 +10,6 @@ import (
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/engine"
-	"mtcache/internal/eventlog"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
@@ -71,8 +70,7 @@ func NewCacheOver(name string, client BackendClient, options *opt.Options, dataD
 		if err != nil {
 			// A damaged checkpoint costs a reseed, never correctness: the
 			// backend is the source of truth.
-			metrics.Default.Counter("wire.cache_ckpt_errors").Add(1)
-			eventlog.Emit("cache_ckpt_error", "error", err.Error())
+			metrics.Default.Event("wire.cache_ckpt_errors", "error", err.Error())
 		}
 		c.recovered = ck
 	}
@@ -176,8 +174,7 @@ func (c *CacheServer) provision(view *catalog.Table) error {
 				return err
 			}
 			if resumed {
-				metrics.Default.Counter("wire.view_resumed").Add(1)
-				eventlog.Emit("view_resumed", "view", view.Name, "lsn", fmt.Sprint(ck.LSN))
+				metrics.Default.Event("wire.view_resumed", "view", view.Name, "lsn", fmt.Sprint(ck.LSN))
 				return c.sub.AddView(c.client, subID, view.Name, rows, ck.LSN+1, time.Time{}) // as of a checkpoint: not known
 			}
 			// The backend cannot serve the checkpointed position anymore; fall
@@ -190,8 +187,7 @@ func (c *CacheServer) provision(view *catalog.Table) error {
 	if err != nil {
 		return err
 	}
-	metrics.Default.Counter("wire.view_seeded").Add(1)
-	eventlog.Emit("view_seeded", "view", view.Name, "rows", fmt.Sprint(len(rows)))
+	metrics.Default.Event("wire.view_seeded", "view", view.Name, "rows", fmt.Sprint(len(rows)))
 	return c.sub.AddView(c.client, subID, view.Name, rows, startLSN, asOf)
 }
 
@@ -326,8 +322,7 @@ func (c *CacheServer) Checkpoint() error {
 	if err := storage.WriteImage(storage.OSFS(), c.dataDir, cacheCkptFile, ck); err != nil {
 		return err
 	}
-	metrics.Default.Counter("wire.cache_checkpoints").Add(1)
-	eventlog.Emit("cache_checkpoint", "views", fmt.Sprint(len(ck.Sets)))
+	metrics.Default.Event("wire.cache_checkpoints", "views", fmt.Sprint(len(ck.Sets)))
 	metrics.Default.Histogram("wire.cache_checkpoint_seconds").ObserveDuration(time.Since(start))
 	return nil
 }

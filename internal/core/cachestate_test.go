@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mtcache/internal/engine"
-	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
 	"mtcache/internal/types"
 )
@@ -146,7 +145,7 @@ func TestOldCacheStateFormatReseeds(t *testing.T) {
 		t.Fatalf("old-format state file: errors +%d, seeded +%d, resumed +%d; want 1, 1, 0",
 			ckptErrs.Value()-errs0, seeded.Value()-seeded0, resumed.Value()-resumed0)
 	}
-	if ev := lastEvent("cache_ckpt_error"); !strings.Contains(ev, oldMagic) || !strings.Contains(ev, cacheCkptFile) {
+	if ev := lastEvent("wire.cache_ckpt_errors"); !strings.Contains(ev, oldMagic) || !strings.Contains(ev, cacheCkptFile) {
 		t.Errorf("recorded error %q does not name the file and the magic %s it found", ev, oldMagic)
 	}
 
@@ -165,10 +164,10 @@ func TestOldCacheStateFormatReseeds(t *testing.T) {
 	}
 }
 
-// lastEvent renders the newest event of kind on the process-wide log ("" when
-// there is none).
+// lastEvent renders the newest event of kind on the process-wide registry
+// ("" when there is none).
 func lastEvent(kind string) string {
-	for _, e := range eventlog.Recent(0) {
+	for _, e := range metrics.Default.Events(0) {
 		if e.Kind == kind {
 			return e.Detail()
 		}

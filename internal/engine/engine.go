@@ -24,9 +24,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"mtcache/internal/catalog"
-	"mtcache/internal/eventlog"
 	"mtcache/internal/exec"
 	"mtcache/internal/imcache"
 	"mtcache/internal/metrics"
@@ -788,11 +788,14 @@ type cachedPlan struct {
 const planCacheCap = 512
 
 func planEvicted(key string) {
-	metrics.Default.Counter("engine.plan_cache_evictions").Add(1)
 	if len(key) > 120 {
-		key = key[:120] + "…"
+		cut := 120
+		for cut > 0 && !utf8.RuneStart(key[cut]) { // never split a character
+			cut--
+		}
+		key = key[:cut] + "…"
 	}
-	eventlog.Emit("plan_evicted", "shape", key)
+	metrics.Default.Event("engine.plan_cache_evictions", "shape", key)
 }
 
 // entryFor is the plan-cache entry of a statement that did not come through

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/metrics"
@@ -470,6 +471,43 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 	if db.PlanCacheSize() != sz {
 		t.Fatalf("cache grew on a repeat statement: %d -> %d", sz, db.PlanCacheSize())
+	}
+}
+
+// TestEvictedShapeCutAtACharacter: an evicted entry's event carries its
+// shape cut to 120 bytes, and the cut never splits a character, so sys.events
+// and /debug/events hold valid UTF-8. The two texts put an é across byte 120
+// at one parity or the other, wherever the key starts.
+func TestEvictedShapeCutAtACharacter(t *testing.T) {
+	db := New(Config{Name: "backend", Role: Backend})
+	db.plans.cap = 1
+	db.autoOff = true
+	if err := db.ExecScript("CREATE TABLE tiny (id INT PRIMARY KEY, v INT);"); err != nil {
+		t.Fatal(err)
+	}
+	for _, zs := range []int{100, 101, 1} {
+		q := "SELECT v AS [" + strings.Repeat("z", zs) + strings.Repeat("é", 30) + "] FROM tiny WHERE id = 1"
+		if _, err := db.Exec(q, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.Exec("SELECT detail FROM sys.events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := 0
+	for _, row := range res.Rows {
+		detail := row[0].Str()
+		if !strings.Contains(detail, "zzzz") {
+			continue
+		}
+		cut++
+		if !utf8.ValidString(detail) {
+			t.Errorf("evicted shape is not valid UTF-8: %q", detail)
+		}
+	}
+	if cut < 2 {
+		t.Fatalf("%d eviction events for the two long texts, want 2", cut)
 	}
 }
 

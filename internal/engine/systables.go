@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mtcache/internal/catalog"
-	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
 	"mtcache/internal/trace"
@@ -174,7 +173,7 @@ func (db *Database) tracesRows() []types.Row {
 }
 
 func eventsRows() []types.Row {
-	evs := eventlog.Recent(0)
+	evs := metrics.Default.Events(0)
 	rows := make([]types.Row, 0, len(evs))
 	for _, e := range evs {
 		rows = append(rows, types.Row{

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"mtcache/internal/advisor"
-	"mtcache/internal/eventlog"
+	"mtcache/internal/metrics"
 	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
@@ -165,15 +165,15 @@ func TestVirtualTablesInvisibleToViewMatching(t *testing.T) {
 
 func TestSysEventsAndSlowCapture(t *testing.T) {
 	db := newBackendDB(t)
-	eventlog.Emit("test_event", "detail", "abc")
+	metrics.Default.Event("storage.gc_runs", "versions", "7")
 	res, err := db.Exec("SELECT seq, kind, detail FROM sys.events ORDER BY seq DESC LIMIT 1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][1].Str() != "test_event" {
+	if len(res.Rows) != 1 || res.Rows[0][1].Str() != "storage.gc_runs" {
 		t.Fatalf("sys.events = %+v", res.Rows)
 	}
-	if res.Rows[0][2].Str() != "detail=abc" {
+	if res.Rows[0][2].Str() != "versions=7" {
 		t.Fatalf("detail = %q", res.Rows[0][2].Str())
 	}
 

@@ -11,13 +11,13 @@ import (
 
 // Documented metric names must exist in the code: every backticked token in
 // README.md / DESIGN.md that looks like a metric name (known subsystem
-// prefix, all lowercase) must appear as a Counter/Gauge/Histogram string
-// literal somewhere under internal/ or cmd/. This pins the docs to the
+// prefix, all lowercase) must appear as a Counter/Gauge/Histogram/Event
+// string literal somewhere under internal/ or cmd/. This pins the docs to the
 // registry and catches silent renames on either side.
 
 var docNameRe = regexp.MustCompile("`((?:engine|exec|imcache|opt|repl|storage|wire|querystore)\\.[a-z0-9_]+(?:\\.<view>)?)`")
 
-var registerRe = regexp.MustCompile(`\.(?:Counter|Gauge|Histogram)\("([^"]+)"`)
+var registerRe = regexp.MustCompile(`\.(?:Counter|Gauge|Histogram|Event)\("([^"]+)"`)
 
 func TestDocumentedMetricNamesAreRegistered(t *testing.T) {
 	registered := map[string]bool{}

@@ -1,11 +1,13 @@
-// Package metrics provides the counters and histograms shared by the
-// replication pipeline, the capacity simulator and the benchmark harness.
+// Package metrics provides the counters, gauges, histograms and events shared
+// by the replication pipeline, the capacity simulator and the benchmark
+// harness.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -211,14 +213,55 @@ func (h *Histogram) String() string {
 }
 
 // Registry is a named-instrument registry: counters, gauges and histograms,
-// created on first use. The wire layer, engine, optimizer and replication
-// pipeline use it to publish observability data without threading instrument
-// structs through every constructor.
+// created on first use, and the ring of its most recent events. The wire
+// layer, engine, optimizer and replication pipeline use it to publish
+// observability data without threading instrument structs through every
+// constructor.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+
+	events []Event // ring of the last eventRing events, written at next
+	next   int
+	seq    int64 // events recorded since the last Reset
+}
+
+// eventRing is how many events a registry keeps.
+const eventRing = 1024
+
+// Event is one discrete occurrence worth a DBA's attention: a repl
+// resubscribe, a group-commit wedge, a checkpoint, a GC run, a plan
+// eviction, a deadlock abort, retry exhaustion. Its kind is the counter it
+// bumped; its fields say which one.
+type Event struct {
+	Seq    int64     `json:"seq"`
+	Time   time.Time `json:"time"`
+	Kind   string    `json:"kind"`
+	Fields []Field   `json:"fields,omitempty"`
+}
+
+// Field is one key/value pair attached to an event. A slice (not a map)
+// keeps emission allocation-light and the rendering order stable.
+type Field struct {
+	K string `json:"k"`
+	V string `json:"v"`
+}
+
+// Detail renders the fields as "k=v k=v" for one-line display
+// (sys.events, the shell, text debug endpoints).
+func (e Event) Detail() string {
+	var b strings.Builder
+	for i, f := range e.Fields {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(f.K)
+		b.WriteByte('=')
+		b.WriteString(f.V)
+	}
+	return b.String()
 }
 
 // NewRegistry creates an empty registry.
@@ -251,12 +294,62 @@ var Default = NewRegistry()
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.counterLocked(name)
+}
+
+func (r *Registry) counterLocked(name string) *Counter {
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
+}
+
+// Event adds 1 to counter name and keeps the occurrence, with its fields, in
+// the registry's ring of recent events. kv is alternating key, value
+// strings; a trailing odd key is kept with an empty value rather than
+// dropped.
+func (r *Registry) Event(name string, kv ...string) {
+	e := Event{Time: time.Now(), Kind: name}
+	if len(kv) > 0 {
+		e.Fields = make([]Field, 0, (len(kv)+1)/2)
+		for i := 0; i < len(kv); i += 2 {
+			f := Field{K: kv[i]}
+			if i+1 < len(kv) {
+				f.V = kv[i+1]
+			}
+			e.Fields = append(e.Fields, f)
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counterLocked(name).Add(1)
+	r.seq++
+	e.Seq = r.seq
+	if len(r.events) < eventRing {
+		r.events = append(r.events, e)
+	} else {
+		r.events[r.next] = e
+	}
+	r.next = (r.next + 1) % eventRing
+}
+
+// Events returns up to n of the kept events, newest first (all of them when
+// n <= 0).
+func (r *Registry) Events(n int) []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	total := len(r.events)
+	if n <= 0 || n > total {
+		n = total
+	}
+	out := make([]Event, n)
+	for i := range out {
+		// next-1 is the most recently written slot.
+		out[i] = r.events[(r.next-1-i+total)%total]
+	}
+	return out
 }
 
 // Gauge returns the named gauge, creating it if needed.
@@ -284,14 +377,16 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Reset drops every registered instrument. Tests that assert on Default use
-// it so state does not leak between test cases. Instrument pointers obtained
-// before the reset keep working but are no longer published.
+// Reset drops every registered instrument and every kept event. Tests that
+// assert on Default use it so state does not leak between test cases.
+// Instrument pointers obtained before the reset keep working but are no
+// longer published.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	r.counters = make(map[string]*Counter)
 	r.gauges = make(map[string]*Gauge)
 	r.histograms = make(map[string]*Histogram)
+	r.events, r.next, r.seq = nil, 0, 0
 	r.mu.Unlock()
 }
 

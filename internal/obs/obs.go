@@ -14,8 +14,9 @@
 //	                   server's query store — per-shape per-variant runtime
 //	                   stats plus captured slow-query plans — or per-
 //	                   subscription replication health)
-//	/debug/events      the structured event ring (repl resubscribes,
-//	                   checkpoints, deadlock aborts, ...), newest first;
+//	/debug/events      the registry's events (repl resubscribes,
+//	                   checkpoints, deadlock aborts, ...), newest first,
+//	                   each under the name of the counter it bumped;
 //	                   ?n=K limits the count
 //
 // Both server binaries mount it; tests hit it through httptest.
@@ -28,7 +29,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
 	"mtcache/internal/trace"
 )
@@ -104,13 +104,9 @@ func Handler(reg *metrics.Registry, traces Tracer, status ...Status) http.Handle
 				n = v
 			}
 		}
-		events := eventlog.Recent(n)
-		if events == nil {
-			events = []eventlog.Event{}
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(events) //nolint:errcheck — best-effort over HTTP
+		enc.Encode(reg.Events(n)) //nolint:errcheck — best-effort over HTTP
 	})
 	mux.HandleFunc("/debug/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"mtcache/internal/engine"
-	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
 	"mtcache/internal/trace"
 )
@@ -185,8 +184,9 @@ func TestNoRingNoTraceEndpoints(t *testing.T) {
 	}
 }
 
-// TestEventsAndQuerystoreEndpoints: /debug/events serves the event log newest
-// first, and a server's query store is one more Status source: its shapes are
+// TestEventsAndQuerystoreEndpoints: /debug/events serves the events of the
+// handler's registry newest first, and none of another registry's; a
+// server's query store is one more Status source: its shapes are
 // a list under /debug/status, where both server binaries register their
 // Database's. There is no endpoint of its own.
 func TestEventsAndQuerystoreEndpoints(t *testing.T) {
@@ -194,28 +194,37 @@ func TestEventsAndQuerystoreEndpoints(t *testing.T) {
 	if _, err := db.Exec("SELECT 1", nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(metrics.NewRegistry(), newRing(4),
+	reg := metrics.NewRegistry()
+	srv := httptest.NewServer(Handler(reg, newRing(4),
 		Status{Name: "querystore", Fn: func() any { return db.QueryStore() }}))
 	t.Cleanup(srv.Close)
 
-	eventlog.Emit("checkpoint", "lsn", "42")
-	eventlog.Emit("gc_run", "versions", "7")
+	code, body, _ := get(t, srv.URL+"/debug/events")
+	if code != http.StatusOK || strings.TrimSpace(body) != "[]" {
+		t.Fatalf("no events yet: %d %q, want an empty JSON list", code, body)
+	}
+	reg.Event("storage.checkpoints", "lsn", "42")
+	metrics.NewRegistry().Event("wire.retries", "addr", "elsewhere")
+	reg.Event("storage.gc_runs", "versions", "7")
 	code, body, ctype := get(t, srv.URL+"/debug/events")
 	if code != http.StatusOK || ctype != "application/json" {
 		t.Fatalf("status %d content-type %q", code, ctype)
 	}
-	var events []eventlog.Event
+	var events []metrics.Event
 	if err := json.Unmarshal([]byte(body), &events); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
-	if len(events) < 2 || events[0].Kind != "gc_run" || events[1].Kind != "checkpoint" {
-		t.Fatalf("the log should end with the two emitted events, newest first: %+v", events)
+	if len(events) != 2 || events[0].Kind != "storage.gc_runs" || events[1].Kind != "storage.checkpoints" {
+		t.Fatalf("want the handler's registry's two events, newest first, and no other: %+v", events)
+	}
+	if events[0].Seq != 2 || events[1].Detail() != "lsn=42" {
+		t.Fatalf("seq or fields lost on the way: %+v", events)
 	}
 	_, body, _ = get(t, srv.URL+"/debug/events?n=1")
 	if err := json.Unmarshal([]byte(body), &events); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 || events[0].Kind != "gc_run" {
+	if len(events) != 1 || events[0].Kind != "storage.gc_runs" {
 		t.Fatalf("?n=1 should return the newest event: %+v", events)
 	}
 

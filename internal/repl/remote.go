@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
 	"mtcache/internal/storage"
 	"mtcache/internal/types"
@@ -70,12 +69,12 @@ func (s *Server) Provision(subName string, a *Article, target string) (int, stor
 func (s *Server) Resume(subName string, a *Article, target string, from storage.LSN) (id int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	counter, event := "repl.resume_misses", "repl_resume_miss"
+	fields := []string{"sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10)}
 	if id, ok = s.attach(subName, a, target, from); ok {
-		counter, event = "repl.resubscribes", "repl_resubscribe"
+		metrics.Default.Event("repl.resubscribes", fields...)
+	} else {
+		metrics.Default.Event("repl.resume_misses", fields...)
 	}
-	metrics.Default.Counter(counter).Add(1)
-	eventlog.Emit(event, "sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10))
 	return id, ok
 }
 

@@ -50,8 +50,6 @@ type Config struct {
 	// hash-pin over this slice; its order must be the same on every router
 	// instance for pins to agree.
 	Caches []string
-	// PoolSize is the per-target connection pool size (default 2).
-	PoolSize int
 	// Timeout bounds each round trip (default 2s). It must exceed Watermark,
 	// or gated reads would time out while the cache is still allowed to wait.
 	Timeout time.Duration
@@ -80,15 +78,16 @@ type Router struct {
 	nextID  atomic.Uint64
 }
 
+// poolSize is the number of multiplexed connections a router keeps to each
+// target.
+const poolSize = 2
+
 // New builds a router over the fleet. No connection is dialed until the
 // first statement (pools fill lazily), so a router can be built before its
 // caches finish booting.
 func New(cfg Config) (*Router, error) {
 	if cfg.Backend == "" {
 		return nil, fmt.Errorf("router: no backend address")
-	}
-	if cfg.PoolSize < 1 {
-		cfg.PoolSize = 2
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
@@ -100,9 +99,9 @@ func New(cfg Config) (*Router, error) {
 		cfg.Reg = metrics.Default
 	}
 	r := &Router{cfg: cfg, reg: cfg.Reg}
-	r.backend = &target{addr: cfg.Backend, pool: wire.NewPool(cfg.Backend, cfg.PoolSize, cfg.Timeout, cfg.Reg)}
+	r.backend = &target{addr: cfg.Backend, pool: wire.NewPool(cfg.Backend, poolSize, cfg.Timeout, cfg.Reg)}
 	for _, addr := range cfg.Caches {
-		r.caches = append(r.caches, &target{addr: addr, pool: wire.NewPool(addr, cfg.PoolSize, cfg.Timeout, cfg.Reg)})
+		r.caches = append(r.caches, &target{addr: addr, pool: wire.NewPool(addr, poolSize, cfg.Timeout, cfg.Reg)})
 	}
 	return r, nil
 }

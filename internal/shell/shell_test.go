@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"mtcache/internal/engine"
-	"mtcache/internal/eventlog"
+	"mtcache/internal/metrics"
 	"mtcache/internal/trace"
 )
 
@@ -51,11 +51,11 @@ func TestShellSQLAndTop(t *testing.T) {
 
 func TestShellEventsAndSlow(t *testing.T) {
 	db := newShellDB(t)
-	eventlog.Emit("test_event", "k", "v")
+	metrics.Default.Event("storage.gc_runs", "versions", "7")
 	db.SetSlowThreshold(time.Nanosecond)
 	got := run(t, db,
 		"SELECT COUNT(*) FROM item\nSELECT COUNT(*) FROM item\n\\events\n\\slow\n\\quit\n")
-	if !strings.Contains(got, "test_event") {
+	if !strings.Contains(got, "storage.gc_runs") || !strings.Contains(got, "versions=7") {
 		t.Fatalf("\\events missing the emitted event:\n%s", got)
 	}
 	if !strings.Contains(got, "rows=") {

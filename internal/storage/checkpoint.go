@@ -26,7 +26,6 @@ import (
 	"strconv"
 	"time"
 
-	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
 	"mtcache/internal/types"
 )
@@ -101,8 +100,7 @@ func (s *Store) Checkpoint() (LSN, error) {
 		}
 	}
 	s.ckptLSN.Store(int64(walEnd))
-	metrics.Default.Counter("storage.checkpoints").Add(1)
-	eventlog.Emit("checkpoint",
+	metrics.Default.Event("storage.checkpoints",
 		"lsn", strconv.FormatUint(uint64(walEnd), 10),
 		"rows", strconv.Itoa(rows),
 		"ms", strconv.FormatInt(time.Since(start).Milliseconds(), 10))

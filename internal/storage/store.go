@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mtcache/internal/catalog"
-	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
 	"mtcache/internal/types"
 )
@@ -156,7 +155,7 @@ func (s *Store) acquireLatch(id int64, td *TableData) error {
 	defer s.lockMu.Unlock()
 	for td.owner != 0 && td.owner != id {
 		if s.wouldDeadlock(id, td) {
-			eventlog.Emit("deadlock_abort",
+			metrics.Default.Event("storage.deadlock_aborts",
 				"txn", strconv.FormatInt(id, 10), "table", td.meta.Name)
 			return ErrDeadlock
 		}
@@ -319,7 +318,7 @@ func (s *Store) GC() int {
 	}
 	if total > 0 {
 		metrics.Default.Counter("storage.versions_gc").Add(int64(total))
-		eventlog.Emit("gc_run", "versions", strconv.Itoa(total))
+		metrics.Default.Event("storage.gc_runs", "versions", strconv.Itoa(total))
 	}
 	return total
 }

@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mtcache/internal/eventlog"
 	"mtcache/internal/metrics"
 )
 
@@ -620,7 +619,7 @@ func (d *diskWAL) fail(err error) error {
 	if d.err == nil {
 		d.err = err
 		close(d.curCh)
-		eventlog.Emit("wal_wedged", "error", err.Error())
+		metrics.Default.Event("storage.wal_wedged", "error", err.Error())
 	}
 	d.mu.Unlock()
 	return err

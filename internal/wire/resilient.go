@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"mtcache/internal/eventlog"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/repl"
@@ -118,8 +117,7 @@ func (r *ResilientClient) do(idempotent bool, fn func(c *Client) error) error {
 	var last error
 	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			r.reg.Counter("wire.retries").Add(1)
-			eventlog.Emit("wire_retry", "addr", r.addr, "attempt", strconv.Itoa(attempt))
+			r.reg.Event("wire.retries", "addr", r.addr, "attempt", strconv.Itoa(attempt))
 			time.Sleep(r.policy.Delay(attempt, nil))
 		}
 		c, err := r.conn()
@@ -150,8 +148,7 @@ func (r *ResilientClient) do(idempotent bool, fn func(c *Client) error) error {
 			return resilience.Terminal(last)
 		}
 	}
-	r.reg.Counter("wire.backend_down").Add(1)
-	eventlog.Emit("retry_exhausted", "addr", r.addr,
+	r.reg.Event("wire.backend_down", "addr", r.addr,
 		"attempts", strconv.Itoa(r.policy.MaxAttempts), "error", last.Error())
 	return fmt.Errorf("wire: %s failed after %d attempts: %w", r.addr, r.policy.MaxAttempts, last)
 }

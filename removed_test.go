@@ -85,15 +85,15 @@ var removedNames = []struct {
 	{`scanTargets`, `^internal/engine/`, "a write's access path from opt's index chooser"},
 	{`(?m)^\s+seek\s`, `^internal/engine/`, "a write's access path from opt's index chooser (writePlan.index, lo and hi)"},
 	{`func \(wp \*writePlan\) key\(`, `^internal/engine/`, "a write's access path from opt's index chooser (exec.SeekBounds)"},
-	{`"mtcache/internal/querystore"`, "", "per-shape statistics on the plan-cache entry (the event log is internal/eventlog)"},
+	{`"mtcache/internal/querystore"`, "", "per-shape statistics on the plan-cache entry (events ride the metrics registry)"},
 	{`querystore\.Default`, "", "per-shape statistics on the plan-cache entry"},
-	{`(^|[^.\w])NewStore\(`, `^(internal/(querystore|eventlog|engine|obs)|cmd)/`, "per-shape statistics on the plan-cache entry"},
+	{`(^|[^.\w])NewStore\(`, `^(internal/(querystore|metrics|engine|obs)|cmd)/`, "per-shape statistics on the plan-cache entry"},
 	{`entryLocked`, "", "per-shape statistics on the plan-cache entry"},
 	{`querystore\.shapes`, "", "per-shape statistics on the plan-cache entry (bounded by the plan cache)"},
 	{`querystore\.evictions`, "", "per-shape statistics on the plan-cache entry (bounded by the plan cache)"},
 	{`qsEnabled`, "", "per-shape statistics on the plan-cache entry (no on/off switch)"},
 	{`trace\.Traces\b`, "", "each server's own trace ring (engine.Database.Traces)"},
-	{`(?m)^\s+TraceID\s+string\b`, `^internal/eventlog/`, "no trace ID on an event (no emitter ever set one)"},
+	{`(?m)^\s+TraceID\s+string\b`, `^internal/metrics/`, "no trace ID on an event (no emitter ever set one)"},
 	{`(?s)type Record struct \{[^}]*sync\.`, `^internal/trace/`, "a record one goroutine fills: a plain value the ring copies"},
 	{`invalidateDMLTarget`, `^internal/engine/`, "no result cache on a backend: replication apply is the one invalidation a write causes"},
 	{`SyncReplication`, "", "a cache's owner drives its pulls (CacheServer.Pull)"},
@@ -111,6 +111,8 @@ var removedNames = []struct {
 	{`maxSpanDepth`, `^internal/wire/`, "a trace crosses a hop by its ID (a reader stitches records on read: trace.Record.Stitch)"},
 	{`(?m)^\s+Span\s+\*trace\.WireSpan`, `^internal/wire/`, "a trace crosses a hop by its ID (no span tree in a response)"},
 	{`EndSpan\([^,()]+,`, "", "a trace crosses a hop by its ID (no tree grafted under a remote span while it runs)"},
+	{`internal/eventlog`, "", "an event is a counter that keeps its line (metrics.Registry.Event)"},
+	{`eventlog\.`, "", "an event is a counter that keeps its line (metrics.Registry.Event)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
