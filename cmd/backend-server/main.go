@@ -4,16 +4,18 @@
 //
 //	backend-server -addr 127.0.0.1:7000 -items 1000 -customers 2880
 //
-// With -data-dir the backend is durable: commits are journaled to a
-// segmented WAL (group commit by default; see -sync), the heap is
-// checkpointed periodically, and a restart over the same directory recovers
-// the committed state from the latest checkpoint plus the log tail instead
-// of regenerating the dataset.
+// With -data-dir the backend is durable: commits and DDL are journaled to a
+// segmented WAL (group commit by default; see -sync), the heap and the
+// catalog are checkpointed periodically, and a restart over the same
+// directory recovers the committed state, schema included, from the latest
+// checkpoint plus the log tail. TPC-W is loaded only into an empty catalog,
+// so a restart never regenerates the dataset; -empty skips it.
 //
 // With -shell an interactive SQL shell runs on stdin (same commands as
 // mtcache-server: \top, \slow, \events, \explain, \trace, \checkpoint,
 // \metrics, and the sys.* virtual tables via plain SELECTs). The default
-// stays headless so scripted deployments are unchanged.
+// stays headless so scripted deployments are unchanged. SIGINT shuts either
+// down cleanly, with a final checkpoint on a durable server.
 package main
 
 import (
@@ -36,7 +38,7 @@ func main() {
 		httpAddr  = flag.String("http", "", "observability HTTP address (/metrics, /debug/trace/last); empty disables")
 		items     = flag.Int("items", 500, "TPC-W item count")
 		customers = flag.Int("customers", 1000, "TPC-W customer count")
-		empty     = flag.Bool("empty", false, "start with an empty server (no TPC-W data)")
+		empty     = flag.Bool("empty", false, "start with no TPC-W data (a -data-dir server keeps what it recovers)")
 
 		dataDir   = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); empty = in-memory")
 		syncMode  = flag.String("sync", "group", "WAL sync policy: always, group, interval, none")
@@ -53,18 +55,12 @@ func main() {
 	var backend *mtcache.Backend
 	if *dataDir == "" {
 		backend = mtcache.NewBackend("backend")
-		if !*empty {
-			loadTPCW(backend, *items, *customers)
-		}
 	} else {
-		if *empty {
-			log.Fatal("-empty is incompatible with -data-dir: a durable server's contents come from its log")
-		}
 		policy, err := mtcache.ParseSyncPolicy(*syncMode)
 		if err != nil {
 			log.Fatal(err)
 		}
-		resume := mtcache.HasDurableState(*dataDir)
+		start := time.Now()
 		backend, err = mtcache.NewBackendDurable("backend", mtcache.DurabilityOptions{
 			Dir:             *dataDir,
 			Policy:          policy,
@@ -75,22 +71,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if resume {
-			// DDL is unlogged: recreate the schema, then rebuild the data
-			// from the latest checkpoint plus the WAL tail.
-			if err := tpcw.CreateSchema(backend); err != nil {
-				log.Fatal(err)
-			}
-			start := time.Now()
-			stats, err := backend.DB.Recover()
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("recovered in %v: checkpoint LSN %d (%d rows), %d txns replayed (torn tail: %v, CRC errors: %d)",
-				time.Since(start).Round(time.Millisecond), stats.CheckpointLSN, stats.CheckpointRows,
-				stats.ReplayedTxns, stats.TornTail, stats.CRCErrors)
-		} else {
-			loadTPCW(backend, *items, *customers)
+		defer backend.DB.CloseStore()
+		stats := backend.DB.Store().Recovered()
+		log.Printf("recovered in %v: checkpoint LSN %d (%d rows), %d records replayed (torn tail: %v, CRC errors: %d)",
+			time.Since(start).Round(time.Millisecond), stats.CheckpointLSN, stats.CheckpointRows,
+			stats.ReplayedTxns, stats.TornTail, stats.CRCErrors)
+	}
+	if !*empty && len(backend.DB.Catalog().Tables()) == 0 {
+		loadTPCW(backend, *items, *customers)
+		if *dataDir != "" {
 			// The bulk load is unlogged; checkpoint immediately so the
 			// dataset itself is durable before the first commit.
 			if _, err := backend.DB.Checkpoint(); err != nil {
@@ -98,7 +87,6 @@ func main() {
 			}
 			log.Printf("initial checkpoint written to %s", *dataDir)
 		}
-		defer backend.DB.CloseStore()
 	}
 
 	backend.DB.SetSlowThreshold(*slowQuery)
@@ -144,6 +132,9 @@ func main() {
 		}()
 	}
 
+	// SIGINT is a clean shutdown, in the shell as headless.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
 	if *runShell {
 		cfg := shell.Config{
 			Name:    "backend",
@@ -159,10 +150,13 @@ func main() {
 				return err
 			}
 		}
-		shell.Run(cfg)
+		quit := make(chan struct{})
+		go func() { shell.Run(cfg); close(quit) }()
+		select {
+		case <-quit:
+		case <-sig:
+		}
 	} else {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
 		<-sig
 	}
 	close(stopCkpt)

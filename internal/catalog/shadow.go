@@ -32,41 +32,91 @@ type ProcText struct {
 }
 
 // ShadowScript generates the DDL script that recreates this catalog's
-// schema: tables with constraints, indexes and (non-cached) views. Data is
-// deliberately absent — shadow tables are empty.
+// schema: tables with constraints, indexes and (non-cached) views, each view
+// after every view its definition reads. Data is deliberately absent —
+// shadow tables are empty.
 func ShadowScript(c *Catalog) string {
 	var b strings.Builder
+	var views []*Table
 	for _, t := range c.Tables() {
-		if t.IsView {
-			continue
-		}
-		writeCreateTable(&b, t)
-		for _, idx := range t.Indexes {
-			if strings.HasPrefix(idx.Name, "pk_") {
-				continue // primary key index is implied by the table DDL
-			}
-			cols := make([]string, len(idx.Columns))
-			for i, ord := range idx.Columns {
-				cols[i] = t.Columns[ord].Name
-			}
-			uq := ""
-			if idx.Unique {
-				uq = "UNIQUE "
-			}
-			fmt.Fprintf(&b, "CREATE %sINDEX %s ON %s (%s);\n", uq, idx.Name, t.Name, strings.Join(cols, ", "))
+		switch {
+		case !t.IsView:
+			writeCreateTable(&b, t)
+			writeIndexes(&b, t)
+		case !t.Cached: // cached views are created by the DBA's view script, not the shadow script
+			views = append(views, t)
 		}
 	}
-	for _, t := range c.Tables() {
-		if !t.IsView || t.Cached {
-			continue // cached views are created by the DBA's view script, not the shadow script
-		}
+	for _, t := range inCreationOrder(views) {
 		kw := "VIEW"
 		if t.Materialized {
 			kw = "MATERIALIZED VIEW"
 		}
 		fmt.Fprintf(&b, "CREATE %s %s AS %s;\n", kw, t.Name, sql.Deparse(t.ViewDef))
+		writeIndexes(&b, t)
 	}
 	return b.String()
+}
+
+// inCreationOrder orders views so that each comes after every view in the
+// list that its definition reads.
+func inCreationOrder(views []*Table) []*Table {
+	byName := make(map[string]*Table, len(views))
+	for _, v := range views {
+		byName[key(v.Name)] = v
+	}
+	placed := make(map[*Table]bool, len(views))
+	out := make([]*Table, 0, len(views))
+	var place func(*Table)
+	var reads func(sql.TableRef)
+	reads = func(ref sql.TableRef) {
+		switch r := ref.(type) {
+		case *sql.TableName:
+			if v := byName[key(r.FullName())]; v != nil {
+				place(v)
+			}
+		case *sql.JoinRef:
+			reads(r.Left)
+			reads(r.Right)
+		case *sql.SubqueryRef:
+			for _, from := range r.Select.From {
+				reads(from)
+			}
+		}
+	}
+	place = func(v *Table) {
+		if placed[v] {
+			return
+		}
+		placed[v] = true
+		for _, from := range v.ViewDef.From {
+			reads(from)
+		}
+		out = append(out, v)
+	}
+	for _, v := range views {
+		place(v)
+	}
+	return out
+}
+
+// writeIndexes writes t's secondary indexes; its primary key index is implied
+// by its own DDL.
+func writeIndexes(b *strings.Builder, t *Table) {
+	for _, idx := range t.Indexes {
+		if strings.HasPrefix(idx.Name, "pk_") {
+			continue
+		}
+		cols := make([]string, len(idx.Columns))
+		for i, ord := range idx.Columns {
+			cols[i] = t.Columns[ord].Name
+		}
+		uq := ""
+		if idx.Unique {
+			uq = "UNIQUE "
+		}
+		fmt.Fprintf(b, "CREATE %sINDEX %s ON %s (%s);\n", uq, idx.Name, t.Name, strings.Join(cols, ", "))
+	}
 }
 
 func writeCreateTable(b *strings.Builder, t *Table) {

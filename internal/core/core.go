@@ -48,10 +48,9 @@ func NewBackend(name string) *BackendServer {
 	return newBackend(engine.New(engine.Config{Name: name, Role: engine.Backend}))
 }
 
-// NewBackendDurable creates a backend whose store journals commits to an
-// on-disk WAL (group commit, checkpoints) in opts.Dir. When the directory
-// holds state from a previous run, recreate the schema and call
-// DB.Recover() before serving.
+// NewBackendDurable creates a backend whose store journals commits and DDL
+// to an on-disk WAL (group commit, checkpoints) in opts.Dir, recovered from
+// whatever the directory holds (engine.Open).
 func NewBackendDurable(name string, opts storage.DurabilityOptions) (*BackendServer, error) {
 	db, err := engine.Open(engine.Config{Name: name, Role: engine.Backend, Durability: &opts})
 	if err != nil {

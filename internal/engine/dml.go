@@ -306,6 +306,11 @@ func (db *Database) runWrite(wp *writePlan, params exec.Params, tx *storage.Txn,
 
 func (db *Database) execInsert(wp *writePlan, env *exec.Env, tx *storage.Txn, ctr *exec.Counters) (int64, error) {
 	t := wp.t
+	// Latched before the views are read: a materialized view created
+	// meanwhile has committed by then, and the insert maintains it.
+	if _, ok := tx.Table(t.Name); !ok {
+		return 0, fmt.Errorf("engine: no storage for %s", t.Name)
+	}
 	views := db.cat.ViewsOver(t.Name)
 	var count int64
 	write := func(vals []types.Value) error {

@@ -144,31 +144,57 @@ func New(cfg Config) *Database {
 
 // Open is New plus durability: when cfg.Durability is set the store's WAL
 // becomes a segmented on-disk log (group commit, checkpoints) rooted at
-// cfg.Durability.Dir. The caller recreates the schema (DDL is unlogged) and
-// then calls Recover to rebuild state from the latest checkpoint plus the
-// log tail.
+// cfg.Durability.Dir, and the database recovers whatever the directory holds:
+// the latest checkpoint's catalog and rows, then the log's DDL and rows past
+// it, in LSN order (storage.Store.Recover, whose statistics
+// Store().Recovered() reports). An empty directory is an empty database.
 func Open(cfg Config) (*Database, error) {
 	db := New(cfg)
-	if cfg.Durability != nil {
-		if err := db.store.EnableDurability(*cfg.Durability); err != nil {
-			return nil, err
-		}
+	if cfg.Durability == nil {
+		return db, nil
+	}
+	if err := db.store.EnableDurability(*cfg.Durability); err != nil {
+		return nil, err
+	}
+	_, err := db.store.Recover(schema{db})
+	if err == nil {
+		err = db.Analyze()
+	}
+	if err != nil {
+		db.store.Close() //nolint:errcheck — the recovery error is the one to report
+		return nil, err
 	}
 	return db, nil
 }
 
-// Recover rebuilds a durable database's state from its latest checkpoint and
-// WAL tail. The schema must already have been recreated. Refreshes optimizer
-// statistics for every recovered table.
-func (db *Database) Recover() (*storage.RecoveryStats, error) {
-	stats, err := db.store.Recover()
+// schema is a database as its store's storage.Schema: the catalog a
+// checkpoint image carries, as catalog.ExportSnapshot renders it (the shadow
+// script plus every procedure's text), and the DDL path a replay runs.
+type schema struct{ db *Database }
+
+func (s schema) Script() string {
+	var b strings.Builder
+	b.WriteString(catalog.ShadowScript(s.db.cat))
+	for _, p := range s.db.cat.Procedures() {
+		b.WriteString(p.Text)
+		b.WriteString(";\n")
+	}
+	return b.String()
+}
+
+func (s schema) Exec(ddl string) error {
+	stmts, err := sql.ParseScript(ddl)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := db.Analyze(); err != nil {
-		return nil, err
+	for _, stmt := range stmts {
+		res, err := s.db.execDDL(stmt)
+		if err != nil {
+			return fmt.Errorf("%s: %w", sql.Deparse(stmt), err)
+		}
+		res.Release()
 	}
-	return stats, nil
+	return nil
 }
 
 // Checkpoint snapshots the heap to the durable data directory, bounding both
@@ -539,18 +565,10 @@ func (db *Database) execStmt(stmt sql.Statement, params exec.Params, rec *trace.
 		return db.query(x, nil, params, nil, fresh, rec)
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return db.execDML(stmt.(keyed), nil, params, nil, rec)
-	case *sql.CreateTableStmt:
-		return db.execCreateTable(x)
-	case *sql.CreateIndexStmt:
-		return db.execCreateIndex(x)
-	case *sql.CreateViewStmt:
-		return db.execCreateView(x)
-	case *sql.CreateProcStmt:
-		return db.execCreateProc(x, sql.Deparse(x))
+	case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.CreateViewStmt, *sql.CreateProcStmt, *sql.DropStmt:
+		return db.execDDL(stmt)
 	case *sql.ExecStmt:
 		return db.execProcCall(x, params, nil, rec)
-	case *sql.DropStmt:
-		return db.execDrop(x)
 	case *sql.ExplainStmt:
 		return db.execExplain(x, params, rec)
 	}

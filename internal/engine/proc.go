@@ -231,6 +231,5 @@ func (db *Database) CopyProcedureFrom(text string) error {
 	if !ok {
 		return fmt.Errorf("engine: not a CREATE PROCEDURE statement")
 	}
-	_, err = db.execCreateProc(cp, text)
-	return err
+	return db.createProc(cp, text)
 }

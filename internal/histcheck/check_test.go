@@ -12,7 +12,10 @@
 //   - within a session those prefixes do not go backwards, and none is below
 //     the session's highest CommitLSN (read-your-writes);
 //   - a write's RowsAffected and CommitLSN are the log's: the record at
-//     CommitLSN changed that many rows, and no other write claims it.
+//     CommitLSN changed that many rows, and no other write claims it;
+//   - acknowledged commits survive a restart: a restarted backend's state is
+//     a prefix that holds every commit acknowledged before it, and the log
+//     goes on from there with no LSN skipped.
 //
 // "No read observes part of a backend transaction" needs no clause of its
 // own: a prefix ends at a commit, so a read that saw half a transaction is
@@ -21,6 +24,7 @@ package histcheck
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -38,6 +42,9 @@ type Call struct {
 	Params  exec.Params
 	Write   bool        // checked against the log; a read is replayed
 	Rows    []types.Row // a read's answer
+	// Restart marks a read of a backend just recovered from its directory,
+	// answered before it committed anything.
+	Restart bool
 
 	RowsAffected int64
 	CommitLSN    storage.LSN
@@ -53,6 +60,7 @@ const (
 	Explained Clause = "some prefix explains every read"
 	InOrder   Clause = "a session's prefixes never go backwards nor below its writes"
 	Logged    Clause = "a write reports the log's RowsAffected and CommitLSN"
+	Durable   Clause = "a restart keeps every acknowledged commit and the log goes on densely"
 )
 
 // Violation is the first call of a history that breaks the contract.
@@ -106,10 +114,21 @@ func Check(h []Call, wal []storage.CommitRecord, oracle *engine.Database) (*Viol
 	for i := range wal {
 		records[wal[i].LSN] = &wal[i]
 	}
+	hole := storage.LSN(math.MaxInt64) // the first LSN the log skipped
+	for i := 1; i < len(wal) && hole == math.MaxInt64; i++ {
+		if wal[i].LSN != wal[i-1].LSN+1 {
+			hole = wal[i-1].LSN + 1
+		}
+	}
 	claimed := map[storage.LSN]int{}
+	acked := storage.LSN(0) // the highest commit any session was answered
 	type session struct{ written, read storage.LSN }
 	sessions := map[int]*session{}
 	for i, c := range h {
+		if c.End > hole {
+			return &Violation{Clause: Durable, Call: i,
+				Detail: fmt.Sprintf("%s: the log has no LSN %d, and its end is %d", describe(c), hole, c.End)}, nil
+		}
 		s := sessions[c.Session]
 		if s == nil {
 			s = &session{}
@@ -123,16 +142,23 @@ func Check(h []Call, wal []storage.CommitRecord, oracle *engine.Database) (*Viol
 				claimed[c.CommitLSN] = i
 			}
 			s.written = max(s.written, c.CommitLSN)
+			acked = max(acked, c.CommitLSN)
 			continue
 		}
 		e, floor := explains[i], max(s.written, s.read)
+		if c.Restart {
+			floor = max(floor, acked)
+		}
 		v := &Violation{Call: i, Explains: e, Floor: floor, Detail: describe(c)}
-		if len(e) == 0 {
+		at, ok := slices.BinarySearch(e, floor)
+		switch {
+		case c.Restart && at == len(e):
+			v.Clause = Durable
+			return v, nil
+		case len(e) == 0:
 			v.Clause = Explained
 			return v, nil
-		}
-		at, ok := slices.BinarySearch(e, floor)
-		if !ok && at == len(e) {
+		case !ok && at == len(e):
 			v.Clause = InOrder
 			return v, nil
 		}
@@ -165,7 +191,8 @@ func checkWrite(c Call, rec *storage.CommitRecord, claimed map[storage.LSN]int) 
 // explainReads replays wal into oracle one record at a time and, at every
 // prefix, runs each read whose window holds it: the prefixes whose answer is
 // the read's rows, ascending, by call index. Reads of one text and parameters
-// run once per prefix.
+// run once per prefix. A read the oracle fails at a prefix (its table was not
+// created yet) is not explained by that prefix.
 func explainReads(h []Call, wal []storage.CommitRecord, oracle *engine.Database) (map[int][]storage.LSN, error) {
 	for i := 1; i < len(wal); i++ {
 		if wal[i].LSN <= wal[i-1].LSN {
@@ -191,10 +218,11 @@ func explainReads(h []Call, wal []storage.CommitRecord, oracle *engine.Database)
 			if !ok {
 				res, err := oracle.Exec(h[i].Text, h[i].Params)
 				if err != nil {
-					return nil, fmt.Errorf("histcheck: the oracle at prefix %d: %s: %w", prefix, describe(h[i]), err)
+					got = "\x00" + err.Error() // no rows are this
+				} else {
+					got = canon(res.Rows)
+					res.Release()
 				}
-				got = canon(res.Rows)
-				res.Release()
 				answers[key] = got
 			}
 			if got == want[i] {
@@ -212,8 +240,16 @@ func explainReads(h []Call, wal []storage.CommitRecord, oracle *engine.Database)
 }
 
 // apply commits one backend transaction on the oracle, as replication apply
-// does on a cache.
+// does on a cache, or runs its DDL.
 func apply(oracle *engine.Database, rec storage.CommitRecord) error {
+	if rec.DDL != "" {
+		res, err := oracle.Exec(rec.DDL, nil)
+		if err != nil {
+			return fmt.Errorf("histcheck: replaying commit %d: %w", rec.LSN, err)
+		}
+		res.Release()
+		return nil
+	}
 	tx := oracle.Store().Begin(true)
 	for _, ch := range rec.Changes {
 		if err := tx.Apply(ch); err != nil {
@@ -256,6 +292,9 @@ func paramKey(p exec.Params) string {
 // parameters and answer.
 func describe(c Call) string {
 	s := fmt.Sprintf("session %d: %s", c.Session, c.Text)
+	if c.Restart {
+		s = "after a restart: " + c.Text
+	}
 	if len(c.Params) > 0 {
 		s += " " + paramKey(c.Params)
 	}

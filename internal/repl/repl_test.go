@@ -176,14 +176,15 @@ func TestFilterBoundaryCrossing(t *testing.T) {
 func TestCommitOrderAndTransactionality(t *testing.T) {
 	b := newPublisher(t, 10)
 	pub := b.DB
-	subDB := newSubscriberTable(t, "cache")
-	sub := subscribe(t, b, subDB, "")
-
-	// A multi-statement transaction via a stored procedure.
+	// A multi-statement transaction via a stored procedure, created before
+	// the subscription: its DDL record is a commit of its own.
 	pub.ExecScript(`CREATE PROCEDURE swapTitles @a INT, @b INT AS BEGIN
 		UPDATE item SET i_title = 'swapA' WHERE i_id = @a;
 		UPDATE item SET i_title = 'swapB' WHERE i_id = @b;
 	END`)
+	subDB := newSubscriberTable(t, "cache")
+	sub := subscribe(t, b, subDB, "")
+
 	pub.Exec("EXEC swapTitles @a = 1, @b = 2", nil)
 	if n := b.Repl.Health(time.Now())[0].Pending; n != 1 {
 		t.Fatalf("expected 1 pending transaction, got %d", n)

@@ -39,13 +39,14 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Original subscriber: snapshot at LSN 1, stream everything. A second
-	// subscription stands by to show a rewind is one subscription's business.
+	// Original subscriber: snapshot at LSN 2, past the CREATE TABLE's record,
+	// stream everything. A second subscription stands by to show a rewind is
+	// one subscription's business.
 	id, startLSN, rows, err := srv.Provision("cache1", art, "tgt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 0 || startLSN != 1 {
+	if len(rows) != 0 || startLSN != 2 {
 		t.Fatalf("empty snapshot: %d rows start %d", len(rows), startLSN)
 	}
 	other, _, _, err := srv.Provision("cache2", art, "tgt")
@@ -67,20 +68,20 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 		t.Fatalf("second subscriber drained %d batches, want 10", len(got))
 	}
 
-	// The subscriber restarts having durably applied through LSN 4: it
-	// resumes at 5 and must get 5..10 again — and only those.
-	rid, ok := srv.Resume("cache1", art, "tgt", 5)
+	// The subscriber restarts having durably applied through LSN 5: it
+	// resumes at 6 and must get 6..11 again — and only those.
+	rid, ok := srv.Resume("cache1", art, "tgt", 6)
 	if !ok || rid != id {
-		t.Fatalf("resume at 5: id %d ok %v; WAL window is [%d,%d)", rid, ok, pub.Store().WAL().First(), pub.Store().WAL().End())
+		t.Fatalf("resume at 6: id %d ok %v; WAL window is [%d,%d)", rid, ok, pub.Store().WAL().First(), pub.Store().WAL().End())
 	}
 	srv.TruncateLog()
 	batches := drain(t, srv, id)
 	if len(batches) != 6 {
-		t.Fatalf("resumed subscriber got %d batches, want 6 (LSNs 5..10)", len(batches))
+		t.Fatalf("resumed subscriber got %d batches, want 6 (LSNs 6..11)", len(batches))
 	}
 	for i, b := range batches {
-		if b.LSN != storage.LSN(5+i) {
-			t.Fatalf("batch %d has LSN %d, want %d", i, b.LSN, 5+i)
+		if b.LSN != storage.LSN(6+i) {
+			t.Fatalf("batch %d has LSN %d, want %d", i, b.LSN, 6+i)
 		}
 	}
 	// The rewind must not re-deliver to the other subscription.
@@ -96,7 +97,7 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 // past the restart position, resume must report a miss so the caller falls
 // back to a full reseed instead of silently losing the gap.
 func TestResumeRemoteRefusesTruncatedWindow(t *testing.T) {
-	b := newPublisher(t, 10) // 10 insert commits, LSNs 1..10
+	b := newPublisher(t, 10) // CREATE TABLE at LSN 1, 10 insert commits, LSNs 2..11
 	pub, srv := b.DB, b.Repl
 	art, err := srv.EnsureArticle("item", nil, nil)
 	if err != nil {
@@ -104,14 +105,14 @@ func TestResumeRemoteRefusesTruncatedWindow(t *testing.T) {
 	}
 	// No subscriptions: the truncation pass truncates everything visible.
 	srv.TruncateLog()
-	if first := pub.Store().WAL().First(); first != 11 {
+	if first := pub.Store().WAL().First(); first != 12 {
 		t.Fatalf("WAL not truncated: First=%d", first)
 	}
 	if _, ok := srv.Resume("cache1", art, "tgt", 5); ok {
 		t.Fatal("resume at a truncated LSN succeeded; it must force a reseed")
 	}
 	// A position inside the (empty) retained window is fine.
-	if _, ok := srv.Resume("cache2", art, "tgt", 11); !ok {
+	if _, ok := srv.Resume("cache2", art, "tgt", 12); !ok {
 		t.Fatal("resume at the WAL head refused")
 	}
 	// A position past the publisher's log means the subscriber is ahead of a
@@ -286,9 +287,9 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A checkpoint at LSN 11 makes the whole log redundant *for recovery* —
-	// but the pull subscriber still needs it.
-	if ck, err := pub.Store().Checkpoint(); err != nil || ck != 11 {
+	// A checkpoint at LSN 12 (the CREATE TABLE is LSN 1) makes the whole log
+	// redundant *for recovery* — but the pull subscriber still needs it.
+	if ck, err := pub.Store().Checkpoint(); err != nil || ck != 12 {
 		t.Fatalf("checkpoint: lsn=%d err=%v", ck, err)
 	}
 	srv.TruncateLog()
@@ -301,8 +302,8 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 		t.Fatalf("drained %d, want 10", len(got))
 	}
 	srv.TruncateLog()
-	if first := pub.Store().WAL().First(); first != 11 {
-		t.Fatalf("truncation blocked after full ack: First=%d, want 11", first)
+	if first := pub.Store().WAL().First(); first != 12 {
+		t.Fatalf("truncation blocked after full ack: First=%d, want 12", first)
 	}
 
 	// Resume a second subscriber behind the checkpoint: refused (truncated),
@@ -310,7 +311,7 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	if _, ok := srv.Resume("late", art, "tgt", 5); ok {
 		t.Fatal("resume below the truncated window succeeded")
 	}
-	lateID, ok := srv.Resume("late", art, "tgt", 11)
+	lateID, ok := srv.Resume("late", art, "tgt", 12)
 	if !ok {
 		t.Fatal("resume at the retained head refused")
 	}

@@ -4,13 +4,15 @@ package storage
 // the LSN they are current at, and it is the one file format for both durable
 // snapshots the system takes: a store checkpoint (every table's visible rows
 // under an MVCC snapshot, stamped with the snapshot's AsOfLSN, the first LSN
-// recovery must replay on top of it) and a cache's state file (every cached
-// view's rows and the LSN they are applied through, core/cachestate.go).
+// recovery must replay on top of it, and the catalog as of that LSN) and a
+// cache's state file (every cached view's rows and the LSN they are applied
+// through, core/cachestate.go).
 //
 // File layout: the 8-byte magic ckptMagic, then one WAL-style frame
 // ([uint32 length][uint32 CRC32-C][payload]) whose payload is
 //
-//	uvarint LSN, uvarint #sets, per set: string Name, uvarint #rows, rows
+//	uvarint LSN, string Script,
+//	uvarint #sets, per set: string Name, uvarint #rows, rows
 //
 // in types/codec.go's bytes, the ones the WAL and the wire use. WriteImage is
 // the one writer (temp file, fsync, rename, directory fsync, so a crash
@@ -24,6 +26,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"mtcache/internal/metrics"
@@ -31,15 +34,17 @@ import (
 )
 
 // ckptMagic opens every image file. 03: the payload is types/codec.go bytes
-// in explicit field order, not gob.
-const ckptMagic = "MTCKPT03"
+// in explicit field order, not gob. 04: the payload carries the catalog.
+const ckptMagic = "MTCKPT04"
 
 // Image is the content of an image file. What LSN means is the writer's: a
 // store checkpoint's is the first LSN to replay on top of the rows, a cache's
-// the last LSN its rows have applied.
+// the last LSN its rows have applied. Script is a store checkpoint's catalog,
+// as the DDL that recreates it (Schema.Script); a cache's is empty.
 type Image struct {
-	LSN  LSN
-	Sets []RowSet
+	LSN    LSN
+	Script string
+	Sets   []RowSet
 }
 
 // RowSet is one table's or one view's rows.
@@ -48,26 +53,32 @@ type RowSet struct {
 	Rows []types.Row
 }
 
-// Checkpoint writes a heap snapshot to the data directory and returns the
-// LSN recovery would replay from. It runs under an MVCC read snapshot, so
-// commits proceed concurrently; the image and its LSN are consistent by the
-// store's snapMark invariant. Older checkpoint files are removed only after
-// the new one is durable.
+// Checkpoint writes a heap snapshot and the catalog to the data directory and
+// returns the LSN recovery would replay from. It runs under an MVCC read
+// snapshot, so commits proceed concurrently; the image and its LSN are
+// consistent by the store's snapMark invariant, and the catalog is read
+// between two DDL statements, so it is the catalog as of that LSN. Older
+// checkpoint files are removed only after the new one is durable.
 func (s *Store) Checkpoint() (LSN, error) {
 	if s.durable == nil {
 		return 0, errors.New("storage: store has no durable log")
 	}
 	start := time.Now()
+	s.ddlMu.Lock()
 	t := s.Begin(false)
 	walEnd := t.AsOfLSN()
+	img := Image{LSN: walEnd}
+	if s.schema != nil {
+		img.Script = s.schema.Script()
+	}
 	s.mu.RLock()
 	names := make([]string, 0, len(s.tables))
 	for k := range s.tables {
 		names = append(names, k)
 	}
 	s.mu.RUnlock()
+	s.ddlMu.Unlock()
 	sort.Strings(names)
-	img := Image{LSN: walEnd}
 	rows := 0
 	for _, name := range names {
 		tv, ok := t.Table(name)
@@ -150,7 +161,7 @@ var errDamagedImage = errors.New("storage: damaged image file")
 
 // ReadImage reads the image file at path. Besides the file system's own
 // errors (a missing file is fs.ErrNotExist), it fails with
-//   - ErrCheckpointFormat for another version's magic;
+//   - ErrFormat for another version's magic;
 //   - errDamagedImage for any other wrong magic or a frame that does not
 //     verify;
 //   - a plain error for a payload whose CRC verifies but which does not
@@ -167,7 +178,7 @@ func ReadImage(fsys FS, path string) (*Image, error) {
 	r := &chunkReader{r: f}
 	magic := make([]byte, len(ckptMagic))
 	n, _ := io.ReadFull(r, magic)
-	if err := checkMagic(magic[:n], path); err != nil {
+	if err := checkMagic(magic[:n], ckptMagic, path); err != nil {
 		return nil, err
 	}
 	payload, err := readFrame(r, 1<<30)
@@ -182,9 +193,11 @@ func ReadImage(fsys FS, path string) (*Image, error) {
 	return img, nil
 }
 
-// appendImage appends img's payload: LSN, then each set's name and rows.
+// appendImage appends img's payload: LSN, script, then each set's name and
+// rows.
 func appendImage(buf []byte, img *Image) []byte {
 	buf = binary.AppendUvarint(buf, uint64(img.LSN))
+	buf = types.AppendString(buf, img.Script)
 	buf = binary.AppendUvarint(buf, uint64(len(img.Sets)))
 	for i := range img.Sets {
 		set := &img.Sets[i]
@@ -201,7 +214,7 @@ func appendImage(buf []byte, img *Image) []byte {
 // errors, so a payload that decodes re-encodes to itself.
 func decodeImage(payload []byte) (*Image, error) {
 	d := types.Decoder{Buf: payload}
-	img := &Image{LSN: LSN(d.Uvarint())}
+	img := &Image{LSN: LSN(d.Uvarint()), Script: d.Str()}
 	img.Sets = make([]RowSet, d.Count(2)) // a name and a row count
 	for i := range img.Sets {
 		set := &img.Sets[i]
@@ -250,42 +263,43 @@ func (d *diskWAL) loadCheckpoint() (*Image, error) {
 	return nil, nil
 }
 
-// ErrCheckpointFormat reports a checkpoint written in another version of the
-// format. It is not a torn file and must not be skipped like one: the WAL
-// behind a checkpoint was truncated when it was taken, so recovering without
-// the image would replay the tail onto nothing.
-var ErrCheckpointFormat = errors.New("storage: unsupported checkpoint format")
+// ErrFormat reports a checkpoint or a WAL segment written in another version
+// of its format. It is not a torn file and must not be skipped like one: the
+// WAL behind a checkpoint was truncated when it was taken, so recovering
+// without the image would replay the tail onto nothing, and a segment cut as
+// torn would lose acknowledged commits.
+var ErrFormat = errors.New("storage: unsupported file format")
 
-// checkMagic accepts ckptMagic. Another version's magic is
-// ErrCheckpointFormat; anything else, a short one included, errDamagedImage.
-func checkMagic(magic []byte, path string) error {
-	const family = len("MTCKPT")
+// checkMagic accepts want. Another version of want's magic (its letters, other
+// digits) is ErrFormat; anything else, a short one included, errDamagedImage.
+func checkMagic(magic []byte, want, path string) error {
+	family := strings.TrimRight(want, "0123456789")
 	switch {
-	case string(magic) == ckptMagic:
+	case string(magic) == want:
 		return nil
-	case len(magic) == len(ckptMagic) && string(magic[:family]) == ckptMagic[:family]:
+	case len(magic) == len(want) && strings.HasPrefix(string(magic), family):
 		return fmt.Errorf("%w: %s is %q, this build reads and writes %q; recover it with the build that wrote it, or move the data directory away to start empty",
-			ErrCheckpointFormat, filepath.Base(path), magic, ckptMagic)
+			ErrFormat, filepath.Base(path), magic, want)
 	}
-	return fmt.Errorf("%w %s: magic %q, want %q", errDamagedImage, filepath.Base(path), magic, ckptMagic)
+	return fmt.Errorf("%w %s: magic %q, want %q", errDamagedImage, filepath.Base(path), magic, want)
 }
 
-// checkCheckpointFormat fails with ErrCheckpointFormat when the file starts
-// with a checkpoint magic of a version other than ckptMagic. Opening the log
-// runs it on every checkpoint file before anything is cut or deleted. A file
-// too short or too damaged to carry any magic is left to loadCheckpoint,
-// which skips it.
-func checkCheckpointFormat(fsys FS, path string) error {
+// checkFormat fails with ErrFormat when the file starts with another version
+// of want's magic. Opening the log runs it on every checkpoint and segment
+// file before anything is cut or deleted. A file too short or too damaged to
+// carry any magic is left to the reader, which skips a checkpoint and cuts a
+// segment.
+func checkFormat(fsys FS, path, want string) error {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil
 	}
 	defer f.Close()
-	magic := make([]byte, len(ckptMagic))
+	magic := make([]byte, len(want))
 	if _, err := io.ReadFull(f, magic); err != nil {
 		return nil
 	}
-	if err := checkMagic(magic, path); errors.Is(err, ErrCheckpointFormat) {
+	if err := checkMagic(magic, want, path); errors.Is(err, ErrFormat) {
 		return err
 	}
 	return nil

@@ -70,7 +70,7 @@ func TestCheckpointCarriesValuesExactly(t *testing.T) {
 	if err := r.CreateTable(exactValueMeta()); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := r.Recover()
+	stats, err := r.Recover(nil)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -117,15 +117,15 @@ func TestOldCheckpointFormatIsRefusedNotSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const oldMagic = "MTCKPT02" // the previous checkpoint format: a gob payload
+	const oldMagic = "MTCKPT03" // the previous checkpoint format: no catalog
 	if err := os.WriteFile(path, append([]byte(oldMagic), data[len(ckptMagic):]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	before := dirListing(t, dir)
 
 	err = NewStore().EnableDurability(DurabilityOptions{Dir: dir, Policy: SyncGroup})
-	if !errors.Is(err, ErrCheckpointFormat) {
-		t.Fatalf("open over an old-format checkpoint: err = %v, want ErrCheckpointFormat", err)
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("open over an old-format checkpoint: err = %v, want ErrFormat", err)
 	}
 	for _, part := range []string{oldMagic, ckptMagic, ckptName(ck)} {
 		if !strings.Contains(err.Error(), part) {
@@ -147,6 +147,42 @@ func TestOldCheckpointFormatIsRefusedNotSkipped(t *testing.T) {
 	r.Close()
 }
 
+// TestOldWALFormatIsRefusedNotCut: a segment carrying another version's
+// magic fails the open with an error that names the file and both formats,
+// and nothing in the directory is touched. Cutting it like a damaged frame
+// would delete acknowledged commits.
+func TestOldWALFormatIsRefusedNotCut(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+	for i := 1; i <= 3; i++ {
+		mustCommitInsert(t, s, int64(i), "pre")
+	}
+	s.Close()
+
+	path := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldMagic = "MTWALSG1" // the previous segment format: no DDL in a record
+	if err := os.WriteFile(path, append([]byte(oldMagic), data[len(segMagic):]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	err = NewStore().EnableDurability(DurabilityOptions{Dir: dir, Policy: SyncGroup})
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("open over an old-format segment: err = %v, want ErrFormat", err)
+	}
+	for _, part := range []string{oldMagic, segMagic, segName(1)} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
+	}
+	if after := dirListing(t, dir); after != before {
+		t.Errorf("a refused open changed the directory:\nbefore:\n%safter:\n%s", before, after)
+	}
+}
+
 // TestCleanRestartsKeepTheLogDense: a clean shutdown leaves a checkpoint at
 // the very end of the log. The restart after it must hand out the
 // checkpoint's own LSN next, not the one after — a skipped LSN is a hole in
@@ -159,7 +195,7 @@ func TestCleanRestartsKeepTheLogDense(t *testing.T) {
 	next := LSN(1)
 	for boot := 0; boot < 4; boot++ {
 		s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
-		if _, err := s.Recover(); err != nil {
+		if _, err := s.Recover(nil); err != nil {
 			t.Fatalf("boot %d: recover: %v", boot, err)
 		}
 		if got := sortedRows(t, s); !equalStrings(got, want) {
@@ -181,6 +217,35 @@ func TestCleanRestartsKeepTheLogDense(t *testing.T) {
 		}
 		w.Truncate(w.End()) // what the log reader does once every subscriber caught up
 		s.Close()
+	}
+}
+
+// TestEmptySegmentIsNotRotated: with segments as small as one flush, a
+// flush with nothing to write (a checkpoint's) starts no segment under the
+// current one's name, so a truncation below a record keeps that record's
+// file and a restart recovers it.
+func TestEmptySegmentIsNotRotated(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup, SegmentBytes: 1})
+	mustCommitInsert(t, s, 1, "a")
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustCommitInsert(t, s, 2, "b")
+	s.WAL().Truncate(ck)
+	s.Close()
+
+	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup, SegmentBytes: 1})
+	defer r.Close()
+	if _, err := r.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedRows(t, r); !equalStrings(got, []string{"1|a", "2|b"}) {
+		t.Fatalf("recovered %v, want both acknowledged rows", got)
 	}
 }
 
@@ -238,7 +303,7 @@ func TestReadableCheckpointIsNeverSkipped(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stats *RecoveryStats
-		if stats, err = r.Recover(); err == nil {
+		if stats, err = r.Recover(nil); err == nil {
 			t.Fatalf("recovered with the image skipped: %d rows (want 20) and %d txns replayed", len(sortedRows(t, r)), stats.ReplayedTxns)
 		}
 		r.Close()

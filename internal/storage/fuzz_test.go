@@ -15,6 +15,8 @@ func FuzzDecodeImage(f *testing.F) {
 	for _, img := range []*Image{
 		{},
 		{LSN: 42, Sets: []RowSet{{Name: "vals", Rows: exactValueRows()}}},
+		{LSN: 7, Script: "CREATE TABLE vals (a INT PRIMARY KEY, b VARCHAR);\nCREATE PROCEDURE p @a INT AS BEGIN DELETE FROM vals WHERE a = @a; END;\n",
+			Sets: []RowSet{{Name: "vals", Rows: []types.Row{{types.NewInt(1), types.NewString("x")}}}}},
 		{LSN: 1 << 40, Sets: []RowSet{
 			{Name: "t", Rows: []types.Row{{types.NewInt(1), types.NewString("pre")}, {types.NewInt(2), types.NewString("post")}}},
 			{Name: "empty"},
@@ -41,6 +43,31 @@ func FuzzDecodeImage(f *testing.F) {
 		}
 		if again := appendImage(nil, img); !bytes.Equal(again, data) {
 			t.Fatalf("decoded image re-encodes to other bytes:\n in %x\nout %x", data, again)
+		}
+	})
+}
+
+// FuzzDecodeCommitRecord: a WAL frame's payload never panics the decoder, no
+// corrupt count sizes an allocation, and whatever decodes, a record of
+// changes or of DDL, re-encodes to the bytes it came from.
+func FuzzDecodeCommitRecord(f *testing.F) {
+	for _, rec := range codecSeeds {
+		b, _ := encodeCommitRecord(rec)
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		budget := uint64(64<<10 + 512*len(data))
+		before := totalAlloc()
+		rec, err := decodeCommitRecord(data)
+		if grew := totalAlloc() - before; grew > budget {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		if again, _ := encodeCommitRecord(rec); !bytes.Equal(again, data) {
+			t.Fatalf("decoded record re-encodes to other bytes:\n in %x\nout %x", data, again)
 		}
 	})
 }

@@ -86,7 +86,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 				t.Fatalf("close: %v", err)
 			}
 			r := newDurableStore(t, dir, DurabilityOptions{Policy: policy})
-			stats, err := r.Recover()
+			stats, err := r.Recover(nil)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -212,7 +212,7 @@ func TestConcurrentCommitWithCheckpoint(t *testing.T) {
 	s.Close()
 
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
-	if _, err := r.Recover(); err != nil {
+	if _, err := r.Recover(nil); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	if got := sortedRows(t, r); !equalStrings(got, want) {

@@ -1,13 +1,12 @@
 package storage
 
-// recover.go rebuilds store state after a restart: load the newest readable
-// checkpoint image into the heaps, then replay every retained WAL record at
-// or past the checkpoint's LSN. Replay applies each commit record as its
-// own transaction (committed unlogged — the records are already in the log)
-// so the rebuilt version chains and indexes are exactly what normal
-// execution would have produced. The schema must already exist: DDL is not
-// logged, so the boot path recreates it (e.g. tpcw.CreateSchema) before
-// calling Recover.
+// recover.go rebuilds store state after a restart from the directory alone:
+// run the newest readable checkpoint image's catalog, load its rows into the
+// heaps, then replay every retained WAL record at or past the image's LSN, in
+// LSN order. A record of row changes is applied here as its own transaction
+// (committed unlogged — the records are already in the log), so the rebuilt
+// version chains and indexes are exactly what normal execution would have
+// produced; a DDL record runs through the database's own DDL path (Schema).
 
 import (
 	"errors"
@@ -19,27 +18,41 @@ import (
 	"mtcache/internal/types"
 )
 
+// Schema is the database above a store, as the store needs it to log its
+// own schema: Script renders the catalog as the DDL script that recreates it,
+// which a checkpoint image carries, and Exec runs DDL text (such a script, or
+// one logged statement) through the database's DDL path, which reaches the
+// store as DDL.
+type Schema interface {
+	Script() string
+	Exec(ddl string) error
+}
+
 // RecoveryStats reports what Recover did.
 type RecoveryStats struct {
 	CheckpointLSN   LSN  // WAL position the heap image was restored to (0 = none)
 	CheckpointRows  int  // rows restored from the checkpoint image
-	ReplayedTxns    int  // WAL records replayed on top of the image
+	ReplayedTxns    int  // WAL records replayed on top of the image, DDL included
 	ReplayedChanges int  // row changes inside those records
 	TornTail        bool // the last record was torn by the crash and cut off
 	CRCErrors       int  // corrupt frames encountered while opening the log
 	Duration        time.Duration
 }
 
-// Recover rebuilds the heaps from the latest checkpoint plus the WAL tail.
-// It must run after EnableDurability (which loaded and validated the
-// retained records) and after the schema has been recreated, and before any
-// new writes.
-func (s *Store) Recover() (*RecoveryStats, error) {
+// Recover rebuilds the catalog and the heaps from the latest checkpoint plus
+// the WAL tail, running DDL through schema, which also renders the catalog of
+// every later checkpoint. It runs once, after EnableDurability (which loaded
+// and validated the retained records) and before any write. schema may be
+// nil for a store whose directory holds no DDL.
+func (s *Store) Recover(schema Schema) (*RecoveryStats, error) {
 	if s.durable == nil {
 		return nil, errors.New("storage: store has no durable log")
 	}
 	start := time.Now()
 	stats := &RecoveryStats{TornTail: s.openStats.TornTail, CRCErrors: s.openStats.CRCErrors}
+	s.schema = schema
+	s.replaying = true
+	defer func() { s.replaying = false }()
 
 	replayFrom := s.wal.First()
 	img, err := s.durable.loadCheckpoint()
@@ -49,6 +62,9 @@ func (s *Store) Recover() (*RecoveryStats, error) {
 	if img != nil {
 		stats.CheckpointLSN = img.LSN
 		replayFrom = img.LSN
+		if err := s.execDDL(img.Script); err != nil {
+			return nil, fmt.Errorf("storage: recover the catalog of checkpoint %d: %w", img.LSN, err)
+		}
 		for _, set := range img.Sets {
 			if len(set.Rows) == 0 {
 				continue
@@ -68,7 +84,12 @@ func (s *Store) Recover() (*RecoveryStats, error) {
 	}
 
 	for _, rec := range s.wal.ReadFrom(replayFrom, 0) {
-		if err := s.replayRecord(rec); err != nil {
+		if rec.DDL != "" {
+			err = s.execDDL(rec.DDL)
+		} else {
+			err = s.replayRecord(rec)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("storage: replay LSN %d: %w", rec.LSN, err)
 		}
 		stats.ReplayedTxns++
@@ -76,9 +97,24 @@ func (s *Store) Recover() (*RecoveryStats, error) {
 	}
 
 	stats.Duration = time.Since(start)
+	s.recovered = stats
 	metrics.Default.Counter("storage.recovered_txns").Add(int64(stats.ReplayedTxns))
 	metrics.Default.Gauge("storage.recovery_seconds").Set(stats.Duration.Seconds())
 	return stats, nil
+}
+
+// Recovered reports what Recover rebuilt, or nil before it ran.
+func (s *Store) Recovered() *RecoveryStats { return s.recovered }
+
+// execDDL runs logged DDL text through the schema.
+func (s *Store) execDDL(ddl string) error {
+	switch {
+	case ddl == "":
+		return nil
+	case s.schema == nil:
+		return fmt.Errorf("DDL %q and no schema to run it", ddl)
+	}
+	return s.schema.Exec(ddl)
 }
 
 // replayRecord applies one logged transaction to the heaps. Row location
@@ -91,7 +127,7 @@ func (s *Store) replayRecord(rec CommitRecord) error {
 		tv, ok := t.Table(ch.Table)
 		if !ok {
 			t.Abort()
-			return fmt.Errorf("table %s missing (schema must be recreated before recovery)", ch.Table)
+			return fmt.Errorf("table %s missing", ch.Table)
 		}
 		switch ch.Op {
 		case OpInsert:

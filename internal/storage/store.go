@@ -63,6 +63,14 @@ type Store struct {
 	snaps   map[int64]snapRef
 	readers int
 
+	// ddlMu makes DDL statements take turns with each other and with a
+	// checkpoint's pin (Store.DDL, Checkpoint). schema is the database above,
+	// set by Recover; replaying is true while Recover runs.
+	ddlMu     sync.Mutex
+	schema    Schema
+	replaying bool
+	recovered *RecoveryStats
+
 	// Durability state (nil/zero on a purely in-memory store).
 	durable       *diskWAL
 	durOpts       DurabilityOptions
@@ -600,7 +608,7 @@ func (t *Txn) Apply(ch ChangeRec) error {
 // Commit finishes the transaction, logging its changes. The returned LSN is
 // 0 for read-only or changeless transactions.
 func (t *Txn) Commit() (LSN, error) {
-	return t.commit(true)
+	return t.commit(true, "")
 }
 
 // CommitUnlogged commits without writing the WAL (used by the replication
@@ -608,11 +616,36 @@ func (t *Txn) Commit() (LSN, error) {
 // log and echo back). The commit timestamp still advances, so readers see
 // the applied batch atomically.
 func (t *Txn) CommitUnlogged() error {
-	_, err := t.commit(false)
+	_, err := t.commit(false, "")
 	return err
 }
 
-func (t *Txn) commit(logged bool) (LSN, error) {
+// DDL carries out one DDL statement as a transaction of its own: apply
+// changes the catalog and may write rows through tx (a materialized view's
+// population), and the commit logs text, the statement, in place of those
+// rows. That one record is acknowledged under the sync policy like any
+// commit, and Recover replays it by running text through the database's DDL
+// path again. DDL statements take turns with each other and with a
+// checkpoint's pin, so an image's catalog is the catalog as of its LSN.
+// While Recover replays the log the record is already there, and the
+// transaction commits unlogged.
+func (s *Store) DDL(text string, apply func(tx *Txn) error) (LSN, error) {
+	s.ddlMu.Lock()
+	defer s.ddlMu.Unlock()
+	tx := s.Begin(true)
+	if err := apply(tx); err != nil {
+		tx.Abort()
+		return 0, err
+	}
+	if s.replaying {
+		return 0, tx.CommitUnlogged()
+	}
+	return tx.commit(true, text)
+}
+
+// commit finishes a write. logged writes its record: the changes, or ddl in
+// their place when it is set.
+func (t *Txn) commit(logged bool, ddl string) (LSN, error) {
 	if t.done {
 		return 0, fmt.Errorf("storage: transaction already finished")
 	}
@@ -627,10 +660,10 @@ func (t *Txn) commit(logged bool) (LSN, error) {
 	}
 	var lsn LSN
 	var syncErr error
-	if len(t.undo) > 0 {
+	if len(t.undo) > 0 || ddl != "" {
 		// The redo record is built only for the log, and exactly sized.
 		var redo []ChangeRec
-		if logged {
+		if logged && ddl == "" {
 			redo = make([]ChangeRec, len(t.undo))
 			for i := range t.undo {
 				redo[i] = t.undo[i].redo()
@@ -649,7 +682,7 @@ func (t *Txn) commit(logged bool) (LSN, error) {
 			}
 		}
 		if logged {
-			lsn = s.wal.Append(t.id, time.Now(), redo)
+			lsn = s.wal.Append(t.id, time.Now(), redo, ddl)
 		}
 		if lsn > 0 && s.durable != nil && s.durable.policy == SyncAlways {
 			// Strict WAL: the record reaches disk before the commit becomes
@@ -728,7 +761,7 @@ func (t *Txn) Abort() {
 // called on a fresh store (before any logged commit); opening an existing
 // directory loads the retained commit records into the in-memory WAL so
 // Recover can replay them and resumed subscribers can re-read them. The
-// heaps stay empty until Recover runs.
+// catalog and the heaps stay empty until Recover runs.
 func (s *Store) EnableDurability(opts DurabilityOptions) error {
 	if s.durable != nil {
 		return errors.New("storage: durability already enabled")
@@ -807,25 +840,4 @@ func (s *Store) maybeCheckpoint() {
 		defer s.ckptBusy.Store(false)
 		s.Checkpoint() //nolint:errcheck — best effort; the next trigger retries
 	}()
-}
-
-// HasDurableState reports whether dir holds a prior store's log or
-// checkpoint (the recover-on-boot decision). fsys nil means the OS.
-func HasDurableState(fsys FS, dir string) bool {
-	if fsys == nil {
-		fsys = OSFS()
-	}
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, name := range names {
-		if _, ok := parseSeqName(name, "wal-", ".seg"); ok {
-			return true
-		}
-		if _, ok := parseSeqName(name, "ckpt-", ".ckpt"); ok {
-			return true
-		}
-	}
-	return false
 }

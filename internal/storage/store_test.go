@@ -207,7 +207,7 @@ func TestWALUnloggedCommit(t *testing.T) {
 func TestWALTruncate(t *testing.T) {
 	w := NewWAL()
 	for i := 0; i < 5; i++ {
-		w.Append(int64(i), time.Now(), []ChangeRec{{Table: "t", Op: OpInsert}})
+		w.Append(int64(i), time.Now(), []ChangeRec{{Table: "t", Op: OpInsert}}, "")
 	}
 	w.Truncate(3)
 	recs := w.ReadFrom(0, 0)

@@ -40,11 +40,14 @@ type ChangeRec struct {
 	After  types.Row
 }
 
-// CommitRecord is one committed transaction in the log.
+// CommitRecord is one committed transaction in the log: a transaction's row
+// changes, or one DDL statement's text (Store.DDL), which recovery replays
+// through the database's own DDL path. A DDL record has no changes.
 type CommitRecord struct {
 	LSN        LSN
 	TxnID      int64
 	CommitTime time.Time
+	DDL        string
 	Changes    []ChangeRec
 }
 
@@ -76,13 +79,14 @@ func NewWAL() *WAL {
 	return &WAL{first: 1, next: 1}
 }
 
-// Append adds a committed transaction and returns its LSN.
-func (w *WAL) Append(txnID int64, commitTime time.Time, changes []ChangeRec) LSN {
+// Append adds a committed transaction, its changes or its DDL text, and
+// returns its LSN.
+func (w *WAL) Append(txnID int64, commitTime time.Time, changes []ChangeRec, ddl string) LSN {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	lsn := w.next
 	w.next++
-	rec := CommitRecord{LSN: lsn, TxnID: txnID, CommitTime: commitTime, Changes: changes}
+	rec := CommitRecord{LSN: lsn, TxnID: txnID, CommitTime: commitTime, DDL: ddl, Changes: changes}
 	w.recs = append(w.recs, rec)
 	if w.disk != nil {
 		// Buffer the frame under the same mutex that assigned the LSN, so

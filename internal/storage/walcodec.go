@@ -14,6 +14,7 @@ package storage
 //	uvarint LSN
 //	varint  TxnID
 //	varint  CommitTime (unix nanoseconds)
+//	string  DDL (empty on a record of row changes)
 //	changes:
 //	  uvarint #changes, then per change:
 //	    string table
@@ -32,7 +33,7 @@ import (
 // encodeCommitRecord renders one record as a frame payload.
 func encodeCommitRecord(rec *CommitRecord) ([]byte, error) {
 	// Pre-size roughly: fixed header plus per-change table names and rows.
-	size := 32
+	size := 32 + len(rec.DDL)
 	for i := range rec.Changes {
 		c := &rec.Changes[i]
 		size += len(c.Table) + 8 + types.RowEncSize(c.Before) + types.RowEncSize(c.After)
@@ -46,6 +47,7 @@ func appendCommitRecord(buf []byte, rec *CommitRecord) []byte {
 	buf = binary.AppendUvarint(buf, uint64(rec.LSN))
 	buf = binary.AppendVarint(buf, rec.TxnID)
 	buf = binary.AppendVarint(buf, rec.CommitTime.UnixNano())
+	buf = types.AppendString(buf, rec.DDL)
 	return AppendChanges(buf, rec.Changes)
 }
 
@@ -92,6 +94,7 @@ func decodeCommitRecord(payload []byte) (*CommitRecord, error) {
 		LSN:        LSN(d.Uvarint()),
 		TxnID:      d.Varint(),
 		CommitTime: time.Unix(0, d.Varint()).UTC(),
+		DDL:        d.Str(),
 	}
 	rec.Changes = DecodeChanges(d, func(b []byte) string { return string(b) })
 	if d.Err != nil {

@@ -41,7 +41,7 @@ func randomRow(r *rand.Rand) types.Row {
 
 // TestCodecRoundTrip checks that randomized commit records survive
 // encode/decode byte-for-byte, including NaN floats, empty strings, nil
-// rows, zero-change records and zero-length rows.
+// rows, zero-change records, zero-length rows and DDL records.
 func TestCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(20030609))
 	for i := 0; i < 500; i++ {
@@ -50,6 +50,9 @@ func TestCodecRoundTrip(t *testing.T) {
 			TxnID:      r.Int63() - r.Int63(),
 			CommitTime: time.Unix(0, r.Int63()).UTC(),
 			Changes:    make([]ChangeRec, r.Intn(5)),
+		}
+		if r.Intn(4) == 0 { // a DDL record: the statement's text, no changes
+			rec.DDL, rec.Changes = ddlTexts[r.Intn(len(ddlTexts))], nil
 		}
 		for c := range rec.Changes {
 			rec.Changes[c] = ChangeRec{
@@ -73,12 +76,25 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !recordsEqual(rec, got) {
 			t.Fatalf("round trip #%d:\n in: %+v\nout: %+v", i, rec, got)
 		}
+		if again, _ := encodeCommitRecord(got); string(again) != string(payload) {
+			t.Fatalf("round trip #%d re-encodes to other bytes", i)
+		}
 	}
+}
+
+// ddlTexts are DDL records as the engine logs them: one statement's text.
+var ddlTexts = []string{
+	"CREATE TABLE note (id INT PRIMARY KEY, v VARCHAR DEFAULT 'x')",
+	"CREATE UNIQUE INDEX note_v ON note (v)",
+	"CREATE MATERIALIZED VIEW mv AS SELECT id, v FROM note WHERE id > 3",
+	"CREATE PROCEDURE bump @id INT AS BEGIN UPDATE note SET v = 'y' WHERE id = @id; END",
+	"DROP TABLE note",
+	"",
 }
 
 // recordsEqual compares records treating NaN floats as equal to themselves.
 func recordsEqual(a, b *CommitRecord) bool {
-	if a.LSN != b.LSN || a.TxnID != b.TxnID || !a.CommitTime.Equal(b.CommitTime) || len(a.Changes) != len(b.Changes) {
+	if a.LSN != b.LSN || a.TxnID != b.TxnID || !a.CommitTime.Equal(b.CommitTime) || a.DDL != b.DDL || len(a.Changes) != len(b.Changes) {
 		return false
 	}
 	for i := range a.Changes {
@@ -104,29 +120,37 @@ func rowsEqualBits(a, b types.Row) bool {
 }
 
 // TestCodecRejectsTruncation checks that every proper prefix of a valid
-// payload fails to decode rather than yielding a wrong record.
+// payload, a record of changes or of DDL, fails to decode rather than
+// yielding a wrong record.
 func TestCodecRejectsTruncation(t *testing.T) {
-	rec := &CommitRecord{
-		LSN: 42, TxnID: 7, CommitTime: time.Unix(0, 1054166400000000000).UTC(),
-		Changes: []ChangeRec{{
-			Table: "item", Op: OpUpdate,
-			Before: types.Row{types.NewInt(1), types.NewString("before")},
-			After:  types.Row{types.NewInt(1), types.NewString("after")},
-		}},
-	}
-	payload, err := encodeCommitRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := decodeCommitRecord(payload[:cut]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(payload))
+	for _, rec := range codecSeeds {
+		payload, err := encodeCommitRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(payload); cut++ {
+			if _, err := decodeCommitRecord(payload[:cut]); err == nil {
+				t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(payload))
+			}
+		}
+		if _, err := decodeCommitRecord(append(append([]byte{}, payload...), 0)); err == nil {
+			t.Fatal("payload with a trailing byte decoded without error")
 		}
 	}
-	if _, err := decodeCommitRecord(append(append([]byte{}, payload...), 0)); err == nil {
-		t.Fatal("payload with a trailing byte decoded without error")
-	}
 }
+
+// codecSeeds are a record of changes and a DDL record.
+var codecSeeds = []*CommitRecord{{
+	LSN: 42, TxnID: 7, CommitTime: time.Unix(0, 1054166400000000000).UTC(),
+	Changes: []ChangeRec{{
+		Table: "item", Op: OpUpdate,
+		Before: types.Row{types.NewInt(1), types.NewString("before")},
+		After:  types.Row{types.NewInt(1), types.NewString("after")},
+	}},
+}, {
+	LSN: 43, TxnID: 8, CommitTime: time.Unix(0, 1054166400000000001).UTC(),
+	DDL: "CREATE TABLE note (id INT PRIMARY KEY, v INT)",
+}}
 
 func BenchmarkEncodeCommitRecord(b *testing.B) {
 	rec := &CommitRecord{

@@ -169,7 +169,8 @@ func (osFS) SyncDir(dir string) error {
 }
 
 const (
-	segMagic        = "MTWALSG1"
+	// segMagic opens every segment. 2: a record carries DDL text.
+	segMagic        = "MTWALSG2"
 	frameHeaderSize = 8 // uint32 length + uint32 CRC32-C
 	defaultSegBytes = 8 << 20
 	defaultInterval = 5 * time.Millisecond
@@ -333,12 +334,16 @@ func openDiskWAL(opts DurabilityOptions) (d *diskWAL, recs []CommitRecord, ckptL
 	}
 	var segFirsts []LSN
 	for _, name := range names {
+		// Every file's format is checked before anything below cuts or
+		// deletes a file.
 		if first, ok := parseSeqName(name, "wal-", ".seg"); ok {
+			if err = checkFormat(fsys, filepath.Join(opts.Dir, name), segMagic); err != nil {
+				return nil, nil, 0, stats, err
+			}
 			segFirsts = append(segFirsts, first)
 		}
 		if lsn, ok := parseSeqName(name, "ckpt-", ".ckpt"); ok {
-			// Before anything below cuts or deletes a file.
-			if err = checkCheckpointFormat(fsys, filepath.Join(opts.Dir, name)); err != nil {
+			if err = checkFormat(fsys, filepath.Join(opts.Dir, name), ckptMagic); err != nil {
 				return nil, nil, 0, stats, err
 			}
 			if lsn > ckptLSN {
@@ -694,7 +699,10 @@ func (d *diskWAL) flush(sync bool) error {
 		return nil
 	}
 
-	if d.segSize >= d.segBytes {
+	// A segment that holds no record is not rotated: its successor would
+	// take its name, and truncation would then delete the one file as the
+	// older segment.
+	if d.segSize >= d.segBytes && d.segSize > int64(len(segMagic)) {
 		if err := d.rotate(); err != nil {
 			return d.fail(err)
 		}

@@ -94,7 +94,7 @@ func TestDurableRoundTrip(t *testing.T) {
 			}
 
 			r := newDurableStore(t, dir, DurabilityOptions{Policy: policy})
-			stats, err := r.Recover()
+			stats, err := r.Recover(nil)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -132,7 +132,7 @@ func TestRecoveryFromCheckpointPlusTail(t *testing.T) {
 	s.Close()
 
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
-	stats, err := r.Recover()
+	stats, err := r.Recover(nil)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	f.Close()
 
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
-	stats, err := r.Recover()
+	stats, err := r.Recover(nil)
 	if err != nil {
 		t.Fatalf("recover with torn tail: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	mustCommitInsert(t, r, 6, "after")
 	r.Close()
 	r2 := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
-	stats, err = r2.Recover()
+	stats, err = r2.Recover(nil)
 	if err != nil {
 		t.Fatalf("second recover: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestCRCCorruptionStopsReplayCleanly(t *testing.T) {
 	}
 
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
-	stats, err := r.Recover()
+	stats, err := r.Recover(nil)
 	if err != nil {
 		t.Fatalf("recover after corruption: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestTruncateClampedToCheckpointAndSnapshots(t *testing.T) {
 
 	// The truncated log still recovers (checkpoint covers the dropped part).
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup, SegmentBytes: 256})
-	if _, err := r.Recover(); err != nil {
+	if _, err := r.Recover(nil); err != nil {
 		t.Fatalf("recover after truncation: %v", err)
 	}
 	if got := len(sortedRows(t, r)); got != 14 {
@@ -306,7 +306,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatalf("expected multiple segments at 200-byte rotation, got %d", len(segs))
 	}
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways, SegmentBytes: 200})
-	stats, err := r.Recover()
+	stats, err := r.Recover(nil)
 	if err != nil {
 		t.Fatalf("recover across segments: %v", err)
 	}
@@ -373,9 +373,11 @@ func BenchmarkCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkRecover is restart-to-serving time (open the log, declare the
-// schema, Recover) over a 2 000-commit log: replaying all of it, and from a
-// checkpoint taken 50 commits before the end.
+// BenchmarkRecover is a store's restart-to-serving time (open the log,
+// Recover) over a 2 000-commit log: replaying all of it, and from a
+// checkpoint taken 50 commits before the end. A bare store has no DDL path,
+// so its table is made by hand, unlogged, before Recover; a database opened
+// through engine.Open recovers its tables from the log and the checkpoint.
 func BenchmarkRecover(b *testing.B) {
 	const commits, tail = 2000, 50
 	for _, mode := range []string{"replay", "checkpoint"} {
@@ -399,7 +401,7 @@ func BenchmarkRecover(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := newDurableStore(b, dir, opts)
 				var err error
-				if stats, err = r.Recover(); err != nil {
+				if stats, err = r.Recover(nil); err != nil {
 					b.Fatal(err)
 				}
 				if err := r.Close(); err != nil {

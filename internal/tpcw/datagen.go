@@ -30,28 +30,17 @@ var (
 	ships  = []string{"AIR", "UPS", "FEDEX", "SHIP", "COURIER", "MAIL"}
 )
 
-// CreateSchema creates the TPC-W tables and procedures without loading any
-// data. A durable backend recovering from its log uses it to recreate the
-// (unlogged) schema before replaying: Load would regenerate the data, which
-// recovery instead restores from the checkpoint + WAL.
-func CreateSchema(b *core.BackendServer) error {
-	if err := b.ExecScript(SchemaDDL); err != nil {
-		return fmt.Errorf("tpcw: schema: %w", err)
-	}
-	if err := CreateProcedures(b); err != nil {
-		return fmt.Errorf("tpcw: procedures: %w", err)
-	}
-	return nil
-}
-
 // Load generates and bulk-loads a TPC-W database onto the backend, then
 // refreshes optimizer statistics. Generation is deterministic in cfg.Seed.
 func Load(b *core.BackendServer, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if err := CreateSchema(b); err != nil {
-		return err
+	if err := b.ExecScript(SchemaDDL); err != nil {
+		return fmt.Errorf("tpcw: schema: %w", err)
+	}
+	if err := CreateProcedures(b); err != nil {
+		return fmt.Errorf("tpcw: procedures: %w", err)
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 

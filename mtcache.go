@@ -87,17 +87,13 @@ type SyncPolicy = storage.SyncPolicy
 // ParseSyncPolicy parses "always", "group", "interval" or "none".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return storage.ParseSyncPolicy(s) }
 
-// NewBackendDurable creates a backend whose commits are journaled to an
-// on-disk WAL with group commit and checkpoints. When opts.Dir holds state
-// from a previous run, recreate the schema and call DB.Recover() before
-// serving.
+// NewBackendDurable creates a backend whose commits and DDL are journaled to
+// an on-disk WAL with group commit and checkpoints, recovered from whatever
+// opts.Dir holds: a previous run's tables, rows, views and procedures, or
+// nothing.
 func NewBackendDurable(name string, opts DurabilityOptions) (*Backend, error) {
 	return core.NewBackendDurable(name, opts)
 }
-
-// HasDurableState reports whether dir holds a previous run's WAL segments or
-// checkpoints — the recover-vs-load decision at boot.
-func HasDurableState(dir string) bool { return storage.HasDurableState(nil, dir) }
 
 // NewCache provisions an in-process cache against a backend: shadow schema,
 // shadowed statistics and permissions, update forwarding, cached-view hook.
