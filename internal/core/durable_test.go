@@ -292,3 +292,30 @@ func TestEmptyDirectoryIsAnEmptyBackend(t *testing.T) {
 		t.Fatalf("recovered %v, want table only (id INT)", tbl)
 	}
 }
+
+// TestPullPassesOverDDL: a backend's DDL record reaches no cached view, and
+// the pull that reads past it reports the cache applied through it, as for
+// any commit no view sees.
+func TestPullPassesOverDDL(t *testing.T) {
+	b := NewBackend("backend")
+	mustExec(t, b, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	mustExec(t, b, "INSERT INTO t (id, v) VALUES (1, 10)")
+	c, err := NewCache("cache", b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateCachedView("CREATE CACHED VIEW cv AS SELECT id, v FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	ddl := mustExec(t, b, "CREATE TABLE other (id INT PRIMARY KEY)")
+	if ddl == 0 {
+		t.Fatal("the CREATE TABLE reported no commit")
+	}
+	if n, err := c.Pull(); err != nil || n != 0 || c.AppliedLSN() != ddl {
+		t.Fatalf("pull applied %d, err %v, through %d; want nothing applied, through the DDL record %d", n, err, c.AppliedLSN(), ddl)
+	}
+	write := mustExec(t, b, "INSERT INTO t (id, v) VALUES (2, 20)")
+	if n, err := c.Pull(); err != nil || n != 1 || c.AppliedLSN() != write {
+		t.Fatalf("pull applied %d, err %v, through %d; want the insert at %d", n, err, c.AppliedLSN(), write)
+	}
+}
