@@ -230,7 +230,9 @@ func (c *Catalog) VirtualTables() []*Table {
 	return out
 }
 
-// DropTable removes a table and its indexes.
+// DropTable removes a table and its indexes. It refuses while a view's
+// definition reads the relation: the view could no longer be planned, nor
+// re-created from the shadow script a checkpoint recovers from.
 func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -238,6 +240,16 @@ func (c *Catalog) DropTable(name string) error {
 	t, ok := c.tables[k]
 	if !ok {
 		return fmt.Errorf("catalog: table %s does not exist", name)
+	}
+	for _, v := range c.tables {
+		if !v.IsView || v.ViewDef == nil || v == t {
+			continue
+		}
+		reader := false
+		readsOf(v.ViewDef, func(n string) { reader = reader || key(n) == k })
+		if reader {
+			return fmt.Errorf("catalog: view %s reads %s; drop it first", v.Name, t.Name)
+		}
 	}
 	delete(c.tables, k)
 	delete(c.seeding, k)

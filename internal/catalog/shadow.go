@@ -68,13 +68,32 @@ func inCreationOrder(views []*Table) []*Table {
 	placed := make(map[*Table]bool, len(views))
 	out := make([]*Table, 0, len(views))
 	var place func(*Table)
+	place = func(v *Table) {
+		if placed[v] {
+			return
+		}
+		placed[v] = true
+		readsOf(v.ViewDef, func(name string) {
+			if r := byName[key(name)]; r != nil {
+				place(r)
+			}
+		})
+		out = append(out, v)
+	}
+	for _, v := range views {
+		place(v)
+	}
+	return out
+}
+
+// readsOf calls visit with the name of every relation def reads, derived
+// tables and joins included.
+func readsOf(def *sql.SelectStmt, visit func(name string)) {
 	var reads func(sql.TableRef)
 	reads = func(ref sql.TableRef) {
 		switch r := ref.(type) {
 		case *sql.TableName:
-			if v := byName[key(r.FullName())]; v != nil {
-				place(v)
-			}
+			visit(r.FullName())
 		case *sql.JoinRef:
 			reads(r.Left)
 			reads(r.Right)
@@ -84,20 +103,9 @@ func inCreationOrder(views []*Table) []*Table {
 			}
 		}
 	}
-	place = func(v *Table) {
-		if placed[v] {
-			return
-		}
-		placed[v] = true
-		for _, from := range v.ViewDef.From {
-			reads(from)
-		}
-		out = append(out, v)
+	for _, from := range def.From {
+		reads(from)
 	}
-	for _, v := range views {
-		place(v)
-	}
-	return out
 }
 
 // writeIndexes writes t's secondary indexes; its primary key index is implied

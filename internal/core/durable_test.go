@@ -293,6 +293,50 @@ func TestEmptyDirectoryIsAnEmptyBackend(t *testing.T) {
 	}
 }
 
+// TestDropOfAReadRelationIsRefused: a table or view that a plain or
+// materialized view reads cannot be dropped, so a checkpoint's shadow script
+// never names a relation it does not create and the directory opens again.
+// Once its readers are gone it drops, and stays dropped across a restart.
+func TestDropOfAReadRelationIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	b := openDurable(t, dir)
+	for _, text := range []string{
+		"CREATE TABLE t (id INT PRIMARY KEY, v INT)",
+		"INSERT INTO t (id, v) VALUES (1, 10)",
+		"CREATE VIEW v AS SELECT id FROM t",
+		"CREATE MATERIALIZED VIEW mv AS SELECT id, v FROM t WHERE v > 5",
+		"CREATE VIEW over_mv AS SELECT id FROM mv",
+	} {
+		mustExec(t, b, text)
+	}
+	for _, text := range []string{"DROP TABLE t", "DROP VIEW mv"} {
+		if _, err := b.Exec(text, nil); err == nil {
+			t.Fatalf("%s succeeded while a view reads it", text)
+		}
+	}
+	want := dump(t, b)
+	if _, err := b.DB.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	b.DB.CloseStore() //nolint:errcheck
+	b = openDurable(t, dir)
+	if got := dump(t, b); got != want {
+		t.Fatalf("after a restart:\n%s\nwant:\n%s", got, want)
+	}
+	for _, text := range []string{"DROP VIEW v", "DROP VIEW over_mv", "DROP VIEW mv", "DROP TABLE t"} {
+		mustExec(t, b, text)
+	}
+	if _, err := b.DB.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	b.DB.CloseStore() //nolint:errcheck
+	b = openDurable(t, dir)
+	defer b.DB.CloseStore() //nolint:errcheck
+	if n := len(b.DB.Catalog().Tables()); n != 0 {
+		t.Fatalf("%d relations came back after every one was dropped", n)
+	}
+}
+
 // TestPullPassesOverDDL: a backend's DDL record reaches no cached view, and
 // the pull that reads past it reports the cache applied through it, as for
 // any commit no view sees.

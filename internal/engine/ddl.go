@@ -232,11 +232,14 @@ func (db *Database) addStored(t *catalog.Table, tx *storage.Txn) error {
 }
 
 // dropStored removes a relation, its storage and, for a materialized view,
-// its maintenance.
-func (db *Database) dropStored(t *catalog.Table) {
-	db.cat.DropTable(t.Name)
+// its maintenance. The catalog refuses while a view reads the relation.
+func (db *Database) dropStored(t *catalog.Table) error {
+	if err := db.cat.DropTable(t.Name); err != nil {
+		return err
+	}
 	db.store.DropTable(t.Name)
 	db.viewMaps.Delete(t)
+	return nil
 }
 
 func (db *Database) createProc(x *sql.CreateProcStmt, text string) error {
@@ -255,7 +258,9 @@ func (db *Database) drop(x *sql.DropStmt, tx *storage.Txn) error {
 				return err
 			}
 		}
-		db.dropStored(t)
+		if err := db.dropStored(t); err != nil {
+			return err
+		}
 		// Intermediates derived from the dropped relation are now orphans.
 		db.InvalidateIntermediates(t.Name)
 	case "PROCEDURE":

@@ -156,7 +156,7 @@ func Open(cfg Config) (*Database, error) {
 	if err := db.store.EnableDurability(*cfg.Durability); err != nil {
 		return nil, err
 	}
-	_, err := db.store.Recover(schema{db})
+	err := db.store.Recover(schema{db})
 	if err == nil {
 		err = db.Analyze()
 	}

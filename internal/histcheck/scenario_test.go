@@ -220,12 +220,19 @@ func (r *recorder) conn(id int) *core.Conn {
 // record adds c, answered just now, to the history, with the backend log's
 // end, and captures the records the log gained since the last call — before
 // a pull's acknowledgement lets the backend truncate them. An LSN the log
-// skipped is not there to capture; Check reports the hole.
+// skipped is not there to capture; Check reports the hole. A hole before the
+// first captured record has no neighbour for Check to see it by, and the
+// log skips no LSN before its first restart, so there it is the recorder's
+// own failure.
 func (r *recorder) record(c Call) {
 	wal := r.backend.DB.Store().WAL()
 	c.End = wal.End()
 	r.history = append(r.history, c)
-	r.wal = append(r.wal, wal.ReadFrom(r.next, 0)...)
+	recs := wal.ReadFrom(r.next, 0)
+	if len(r.wal) == 0 && (wal.First() > r.next || len(recs) > 0 && recs[0].LSN != r.next) {
+		r.t.Fatalf("the log was truncated past LSN %d before the recorder captured it", r.next)
+	}
+	r.wal = append(r.wal, recs...)
 	if n := len(r.wal); n > 0 {
 		r.next = r.wal[n-1].LSN + 1
 	}

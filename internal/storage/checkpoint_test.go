@@ -70,10 +70,10 @@ func TestCheckpointCarriesValuesExactly(t *testing.T) {
 	if err := r.CreateTable(exactValueMeta()); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := r.Recover(nil)
-	if err != nil {
+	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
+	stats := r.Recovered()
 	if stats.ReplayedTxns != 0 || stats.CheckpointRows != len(want) {
 		t.Fatalf("recovered %d rows from the image and replayed %d txns; want %d and 0 (the image alone must carry the rows)",
 			stats.CheckpointRows, stats.ReplayedTxns, len(want))
@@ -195,7 +195,7 @@ func TestCleanRestartsKeepTheLogDense(t *testing.T) {
 	next := LSN(1)
 	for boot := 0; boot < 4; boot++ {
 		s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
-		if _, err := s.Recover(nil); err != nil {
+		if err := s.Recover(nil); err != nil {
 			t.Fatalf("boot %d: recover: %v", boot, err)
 		}
 		if got := sortedRows(t, s); !equalStrings(got, want) {
@@ -241,7 +241,7 @@ func TestEmptySegmentIsNotRotated(t *testing.T) {
 
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup, SegmentBytes: 1})
 	defer r.Close()
-	if _, err := r.Recover(nil); err != nil {
+	if err := r.Recover(nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := sortedRows(t, r); !equalStrings(got, []string{"1|a", "2|b"}) {
@@ -302,9 +302,8 @@ func TestReadableCheckpointIsNeverSkipped(t *testing.T) {
 		if err = r.CreateTable(durTestMeta("t")); err != nil {
 			t.Fatal(err)
 		}
-		var stats *RecoveryStats
-		if stats, err = r.Recover(nil); err == nil {
-			t.Fatalf("recovered with the image skipped: %d rows (want 20) and %d txns replayed", len(sortedRows(t, r)), stats.ReplayedTxns)
+		if err = r.Recover(nil); err == nil {
+			t.Fatalf("recovered with the image skipped: %d rows (want 20) and %d txns replayed", len(sortedRows(t, r)), r.Recovered().ReplayedTxns)
 		}
 		r.Close()
 	}

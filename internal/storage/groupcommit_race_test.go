@@ -86,10 +86,10 @@ func TestGroupCommitConcurrent(t *testing.T) {
 				t.Fatalf("close: %v", err)
 			}
 			r := newDurableStore(t, dir, DurabilityOptions{Policy: policy})
-			stats, err := r.Recover(nil)
-			if err != nil {
+			if err := r.Recover(nil); err != nil {
 				t.Fatalf("recover: %v", err)
 			}
+			stats := r.Recovered()
 			if stats.ReplayedTxns != total {
 				t.Fatalf("recovered %d txns after clean close, want %d", stats.ReplayedTxns, total)
 			}
@@ -212,7 +212,7 @@ func TestConcurrentCommitWithCheckpoint(t *testing.T) {
 	s.Close()
 
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
-	if _, err := r.Recover(nil); err != nil {
+	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	if got := sortedRows(t, r); !equalStrings(got, want) {

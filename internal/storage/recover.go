@@ -42,11 +42,12 @@ type RecoveryStats struct {
 // Recover rebuilds the catalog and the heaps from the latest checkpoint plus
 // the WAL tail, running DDL through schema, which also renders the catalog of
 // every later checkpoint. It runs once, after EnableDurability (which loaded
-// and validated the retained records) and before any write. schema may be
-// nil for a store whose directory holds no DDL.
-func (s *Store) Recover(schema Schema) (*RecoveryStats, error) {
+// and validated the retained records) and before any write; Recovered
+// reports what it rebuilt. schema may be nil for a store whose directory
+// holds no DDL.
+func (s *Store) Recover(schema Schema) error {
 	if s.durable == nil {
-		return nil, errors.New("storage: store has no durable log")
+		return errors.New("storage: store has no durable log")
 	}
 	start := time.Now()
 	stats := &RecoveryStats{TornTail: s.openStats.TornTail, CRCErrors: s.openStats.CRCErrors}
@@ -57,13 +58,13 @@ func (s *Store) Recover(schema Schema) (*RecoveryStats, error) {
 	replayFrom := s.wal.First()
 	img, err := s.durable.loadCheckpoint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if img != nil {
 		stats.CheckpointLSN = img.LSN
 		replayFrom = img.LSN
 		if err := s.execDDL(img.Script); err != nil {
-			return nil, fmt.Errorf("storage: recover the catalog of checkpoint %d: %w", img.LSN, err)
+			return fmt.Errorf("storage: recover the catalog of checkpoint %d: %w", img.LSN, err)
 		}
 		for _, set := range img.Sets {
 			if len(set.Rows) == 0 {
@@ -73,11 +74,11 @@ func (s *Store) Recover(schema Schema) (*RecoveryStats, error) {
 			for _, row := range set.Rows {
 				if _, err := t.Insert(set.Name, row); err != nil {
 					t.Abort()
-					return nil, fmt.Errorf("storage: recover %s from checkpoint: %w", set.Name, err)
+					return fmt.Errorf("storage: recover %s from checkpoint: %w", set.Name, err)
 				}
 			}
 			if err := t.CommitUnlogged(); err != nil {
-				return nil, err
+				return err
 			}
 			stats.CheckpointRows += len(set.Rows)
 		}
@@ -90,7 +91,7 @@ func (s *Store) Recover(schema Schema) (*RecoveryStats, error) {
 			err = s.replayRecord(rec)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("storage: replay LSN %d: %w", rec.LSN, err)
+			return fmt.Errorf("storage: replay LSN %d: %w", rec.LSN, err)
 		}
 		stats.ReplayedTxns++
 		stats.ReplayedChanges += len(rec.Changes)
@@ -100,7 +101,7 @@ func (s *Store) Recover(schema Schema) (*RecoveryStats, error) {
 	s.recovered = stats
 	metrics.Default.Counter("storage.recovered_txns").Add(int64(stats.ReplayedTxns))
 	metrics.Default.Gauge("storage.recovery_seconds").Set(stats.Duration.Seconds())
-	return stats, nil
+	return nil
 }
 
 // Recovered reports what Recover rebuilt, or nil before it ran.

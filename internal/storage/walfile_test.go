@@ -94,10 +94,10 @@ func TestDurableRoundTrip(t *testing.T) {
 			}
 
 			r := newDurableStore(t, dir, DurabilityOptions{Policy: policy})
-			stats, err := r.Recover(nil)
-			if err != nil {
+			if err := r.Recover(nil); err != nil {
 				t.Fatalf("recover: %v", err)
 			}
+			stats := r.Recovered()
 			if stats.ReplayedTxns != 21 {
 				t.Fatalf("replayed %d txns, want 21", stats.ReplayedTxns)
 			}
@@ -132,10 +132,10 @@ func TestRecoveryFromCheckpointPlusTail(t *testing.T) {
 	s.Close()
 
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
-	stats, err := r.Recover(nil)
-	if err != nil {
+	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
+	stats := r.Recovered()
 	if stats.CheckpointLSN != 11 || stats.CheckpointRows != 10 {
 		t.Fatalf("checkpoint stats = LSN %d rows %d, want 11/10", stats.CheckpointLSN, stats.CheckpointRows)
 	}
@@ -173,10 +173,10 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	f.Close()
 
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
-	stats, err := r.Recover(nil)
-	if err != nil {
+	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover with torn tail: %v", err)
 	}
+	stats := r.Recovered()
 	if !stats.TornTail {
 		t.Fatal("recovery did not report the torn tail")
 	}
@@ -190,10 +190,10 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	mustCommitInsert(t, r, 6, "after")
 	r.Close()
 	r2 := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
-	stats, err = r2.Recover(nil)
-	if err != nil {
+	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("second recover: %v", err)
 	}
+	stats = r2.Recovered()
 	if stats.TornTail || stats.ReplayedTxns != 6 {
 		t.Fatalf("second recovery: torn=%v replayed=%d, want clean 6", stats.TornTail, stats.ReplayedTxns)
 	}
@@ -221,10 +221,10 @@ func TestCRCCorruptionStopsReplayCleanly(t *testing.T) {
 	}
 
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
-	stats, err := r.Recover(nil)
-	if err != nil {
+	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover after corruption: %v", err)
 	}
+	stats := r.Recovered()
 	if stats.CRCErrors == 0 {
 		t.Fatal("recovery did not count the CRC error")
 	}
@@ -285,7 +285,7 @@ func TestTruncateClampedToCheckpointAndSnapshots(t *testing.T) {
 
 	// The truncated log still recovers (checkpoint covers the dropped part).
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup, SegmentBytes: 256})
-	if _, err := r.Recover(nil); err != nil {
+	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover after truncation: %v", err)
 	}
 	if got := len(sortedRows(t, r)); got != 14 {
@@ -306,10 +306,10 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatalf("expected multiple segments at 200-byte rotation, got %d", len(segs))
 	}
 	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways, SegmentBytes: 200})
-	stats, err := r.Recover(nil)
-	if err != nil {
+	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover across segments: %v", err)
 	}
+	stats := r.Recovered()
 	if stats.ReplayedTxns != 12 {
 		t.Fatalf("replayed %d txns across segments, want 12", stats.ReplayedTxns)
 	}
@@ -400,10 +400,10 @@ func BenchmarkRecover(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r := newDurableStore(b, dir, opts)
-				var err error
-				if stats, err = r.Recover(nil); err != nil {
+				if err := r.Recover(nil); err != nil {
 					b.Fatal(err)
 				}
+				stats = r.Recovered()
 				if err := r.Close(); err != nil {
 					b.Fatal(err)
 				}
