@@ -8,8 +8,10 @@
 // segmented WAL (group commit by default; see -sync), the heap and the
 // catalog are checkpointed periodically, and a restart over the same
 // directory recovers the committed state, schema included, from the latest
-// checkpoint plus the log tail. TPC-W is loaded only into an empty catalog,
-// so a restart never regenerates the dataset; -empty skips it.
+// checkpoint plus the log tail. TPC-W is loaded only into a data directory
+// that holds nothing yet, so a restart never regenerates the dataset, and the
+// load and its first checkpoint are one step to recovery (boot); -empty skips
+// it.
 //
 // With -shell an interactive SQL shell runs on stdin (same commands as
 // mtcache-server: \top, \slow, \events, \explain, \trace, \checkpoint,
@@ -52,42 +54,27 @@ func main() {
 	)
 	flag.Parse()
 
-	var backend *mtcache.Backend
-	if *dataDir == "" {
-		backend = mtcache.NewBackend("backend")
-	} else {
+	var durable *mtcache.DurabilityOptions
+	if *dataDir != "" {
 		policy, err := mtcache.ParseSyncPolicy(*syncMode)
 		if err != nil {
 			log.Fatal(err)
 		}
-		start := time.Now()
-		backend, err = mtcache.NewBackendDurable("backend", mtcache.DurabilityOptions{
+		durable = &mtcache.DurabilityOptions{
 			Dir:             *dataDir,
 			Policy:          policy,
 			Interval:        *syncEvery,
 			SegmentBytes:    int64(*segMB) << 20,
 			CheckpointEvery: *ckptEvery,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer backend.DB.CloseStore()
-		stats := backend.DB.Store().Recovered()
-		log.Printf("recovered in %v: checkpoint LSN %d (%d rows), %d records replayed (torn tail: %v, CRC errors: %d)",
-			time.Since(start).Round(time.Millisecond), stats.CheckpointLSN, stats.CheckpointRows,
-			stats.ReplayedTxns, stats.TornTail, stats.CRCErrors)
-	}
-	if !*empty && len(backend.DB.Catalog().Tables()) == 0 {
-		loadTPCW(backend, *items, *customers)
-		if *dataDir != "" {
-			// The bulk load is unlogged; checkpoint immediately so the
-			// dataset itself is durable before the first commit.
-			if _, err := backend.DB.Checkpoint(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("initial checkpoint written to %s", *dataDir)
 		}
 	}
+	backend, err := boot(bootOptions{durable: durable, empty: *empty, load: func(b *mtcache.Backend) error {
+		return loadTPCW(b, *items, *customers)
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer backend.DB.CloseStore()
 
 	backend.DB.SetSlowThreshold(*slowQuery)
 
@@ -169,10 +156,8 @@ func main() {
 	fmt.Println("\nshutting down")
 }
 
-func loadTPCW(backend *mtcache.Backend, items, customers int) {
+func loadTPCW(backend *mtcache.Backend, items, customers int) error {
 	cfg := tpcw.Config{Items: items, Customers: customers, OrdersPerCustomer: 0.9, Seed: 20030609}
 	log.Printf("loading TPC-W (%d items, %d customers)...", cfg.Items, cfg.Customers)
-	if err := tpcw.Load(backend, cfg); err != nil {
-		log.Fatal(err)
-	}
+	return tpcw.Load(backend, cfg)
 }

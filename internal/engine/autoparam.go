@@ -153,15 +153,20 @@ func autoResolve(shape string) *planEntry {
 }
 
 // bindParams installs one execution's parameters on ctx: the named map —
-// merged with the auto-parameterized literals when the plan forwards
-// parameters to the backend by name — plus the dense slot bindings the
-// plan's compiled expressions read without a map lookup (see
-// exec.AssignParamSlots), written into the slots the instance's context
+// when the plan forwards parameters to the backend by name, the instance's
+// kept map refilled with the caller's entries and the auto-parameterized
+// literals (exec.Ctx.Merged), never the caller's map itself — plus the dense
+// slot bindings the plan's compiled expressions read without a map lookup
+// (see exec.AssignParamSlots), written into the slots the instance's context
 // kept from its last execution. Slots left unbound fall back to the named
 // map at Eval time, so missing-parameter errors surface exactly as before.
 func bindParams(plan *opt.Plan, params exec.Params, autoArgs []types.Value, ctx *exec.Ctx) {
-	if !plan.FullyLocal {
-		params = withAutoArgs(params, autoArgs)
+	if !plan.FullyLocal && len(autoArgs) > 0 {
+		merged := ctx.Merged(params)
+		for i, v := range autoArgs {
+			merged[sql.AutoParamName(i)] = v
+		}
+		params = merged
 	}
 	ctx.Params = params
 	ctx.Env.Named = params

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/sql"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -304,10 +307,12 @@ func TestExplicitAutoParamNamesBindFromNamedMap(t *testing.T) {
 // Allocation regression gate for the remote path: distinct literals of one
 // remote-going shape, cache over an in-process link. Every execution hits
 // the plan cache on both servers — a miss means some literal text was parsed
-// and optimized again — and stays under a ceiling set ~15 % above the 12
-// allocs/op measured now that the backend's half of the trace stays in the
-// backend's ring: the link builds no span tree from its record and the
-// cache grafts none. The ceiling stood at 30, ~15 % over the 26 measured
+// and optimized again — and stays under a ceiling of 8 over the 6 allocs/op
+// measured once the cache's record held its round trip as a field (no span
+// tree) and the plan instance kept its merged parameter map. The ceiling
+// stood at 14, ~15 % above the 12 measured once the backend's half of the
+// trace stayed in the backend's ring: the link builds no span tree from its
+// record and the cache grafts none; at 30, ~15 % over the 26 measured
 // once each execution's read transaction was its plan instance's and each
 // Result came from a pool, both servers' (30 before that), and at 102, 15 %
 // over the 89 measured when the shared plan replaced the per-text one, which
@@ -329,7 +334,7 @@ func TestRemoteShapeAllocBudget(t *testing.T) {
 	run() // warm the plan caches of both servers
 	misses := metrics.Default.Counter("engine.plan_cache_misses")
 	misses0 := misses.Value()
-	const ceiling = 14
+	const ceiling = 8
 	if avg := testing.AllocsPerRun(200, run); avg > ceiling {
 		t.Errorf("remote-going shape: %.0f allocs/op, ceiling %d", avg, ceiling)
 	} else {
@@ -338,6 +343,83 @@ func TestRemoteShapeAllocBudget(t *testing.T) {
 	if n := misses.Value() - misses0; n != 0 {
 		t.Errorf("%d plan-cache misses after warm-up, want 0", n)
 	}
+}
+
+// seeingLink is an in-process link that notes the parameter map of each
+// query it is sent, as the backend receives it.
+type seeingLink struct {
+	*Link
+	seen []exec.Params
+}
+
+func (l *seeingLink) Query(sqlText string, params exec.Params) (*exec.ResultSet, error) {
+	l.seen = append(l.seen, maps.Clone(params))
+	return l.Link.Query(sqlText, params)
+}
+
+func (l *seeingLink) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
+	l.seen = append(l.seen, maps.Clone(params))
+	return l.Link.QueryTraced(sqlText, params, traceID)
+}
+
+// TestMergedParameterMapCarriesNothingOver: a remote plan's instance sends
+// the backend its caller's parameters and the text's literals in one map it
+// keeps across executions. One shape, whose text reads @a and has a literal,
+// runs with @a and @b, then on the parked instance with only @a, then with
+// no parameter: the backend sees exactly each call's names and the current
+// literal, the last call fails as on a fresh instance, and no caller's map
+// is written.
+func TestMergedParameterMapCarriesNothingOver(t *testing.T) {
+	backend, cache := newCachePair(t)
+	link := &seeingLink{Link: NewLink(backend)}
+	cache.SetRemote(link)
+	for i, c := range []struct {
+		params exec.Params
+		want   string // the names the backend sees, sorted, or the error
+	}{
+		{exec.Params{"a": types.NewInt(7), "b": types.NewInt(9)}, "__p0,a,b"},
+		{exec.Params{"a": types.NewInt(8)}, "__p0,a"},
+		{exec.Params{}, "missing parameter @a"},
+		{exec.Params{"a": types.NewInt(9)}, "__p0,a"},
+	} {
+		caller := maps.Clone(c.params)
+		link.seen = link.seen[:0]
+		cost := 2 + i // every row of i_id 7, 8 and 9 costs more
+		res, err := cache.Exec(fmt.Sprintf("SELECT i_title FROM item WHERE i_id = @a AND i_cost > %d", cost), c.params)
+		if !maps.Equal(c.params, caller) {
+			t.Errorf("call %d wrote its caller's map: %v, was %v", i, c.params, caller)
+		}
+		if len(link.seen) != 1 {
+			t.Fatalf("call %d: %d queries reached the backend, want 1", i, len(link.seen))
+		}
+		sent := link.seen[0]
+		if v := sent[sql.AutoParamName(0)]; v.Int() != int64(cost) {
+			t.Errorf("call %d: the backend saw the literal %v, want %d", i, v, cost)
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("call %d: %v, want %q", i, err, c.want)
+			}
+		} else if got := sortedNames(sent); got != c.want || len(res.Rows) != 1 {
+			t.Errorf("call %d: the backend saw %s and answered %v, want %s and one row", i, got, res.Rows, c.want)
+		}
+		if _, sawA := sent["a"]; err != nil && sawA {
+			t.Errorf("call %d: the backend saw @a = %v, which the call did not send", i, sent["a"])
+		}
+		if res != nil {
+			res.Release()
+		}
+	}
+}
+
+// sortedNames lists a parameter map's names, sorted.
+func sortedNames(params exec.Params) string {
+	names := make([]string, 0, len(params))
+	for name := range params {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return strings.Join(names, ",")
 }
 
 // A procedure call's shape is syntax only. The same call texts, run before

@@ -904,8 +904,9 @@ func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Pa
 // The run closes rec's execute stage — everything since the record's previous
 // boundary, which the caller marked or began just before — and on success
 // leaves rows and counters on it. Operators reach the record through the
-// exec.Ctx: its ID travels with every remote call, and the few with structure
-// to show add spans to it.
+// exec.Ctx: its ID travels with every remote call, a ChoosePlan notes the
+// branch it took on it and a remote call its round trip (trace.Record.Chose,
+// RemoteStart, RemoteEnd).
 func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params, autoArgs []types.Value, rec *trace.Record, instrument bool) (*Result, *exec.Instrumented, error) {
 	var inst *exec.Instance
 	if !instrument {

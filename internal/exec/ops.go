@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"time"
+	"unsafe"
 
 	"mtcache/internal/metrics"
 	"mtcache/internal/storage"
@@ -37,7 +38,9 @@ type ResultSet struct {
 // its record of the call in its own ring; a reader joins it to the caller's
 // by that ID (trace.Record.Stitch). Its span is always nil, and the benchmark
 // change of ROADMAP direction 10b removes it. A traceID that trace.ParseID
-// refuses fails the call.
+// refuses fails the call. A client reads params only until the call returns,
+// timed out or not: a plan instance refills the same map for its next
+// execution (Ctx.Merged).
 type RemoteClient interface {
 	Query(sqlText string, params Params) (*ResultSet, error)
 	QueryTraced(sqlText string, params Params, traceID string) (*ResultSet, *trace.WireSpan, error)
@@ -60,17 +63,38 @@ type Ctx struct {
 	Rec      *trace.Record // the statement's record: its ID goes to the backend on DataTransfer; nil when run bare
 	EstRows  float64       // optimizer output-cardinality estimate, 0 if unknown
 
-	out Batch // the window Run reads the root through
+	out    Batch  // the window Run reads the root through
+	merged Params // Merged's map, empty between executions
 }
 
 // reset zeroes what an execution set on the context, keeping the parameter
-// slots' capacity zeroed over its whole length; it returns the bytes kept.
-// Run's window is forgotten, not kept: its rows are the result's.
+// slots' capacity zeroed over its whole length and the merged map empty; it
+// returns the bytes kept. Run's window is forgotten, not kept: its rows are
+// the result's.
 func (c *Ctx) reset() int {
-	slots, bound := c.Env.Slots, c.Env.Bound
-	n := wipe(&slots) + wipe(&bound)
-	*c = Ctx{Env: Env{Slots: slots, Bound: bound}}
+	slots, bound, merged := c.Env.Slots, c.Env.Bound, c.merged
+	n := wipe(&slots) + wipe(&bound) + len(merged)*paramEntryBytes
+	clear(merged)
+	*c = Ctx{Env: Env{Slots: slots, Bound: bound}, merged: merged}
 	return n
+}
+
+// paramEntryBytes is what one entry of a parameter map holds, about.
+const paramEntryBytes = int(unsafe.Sizeof("") + unsafe.Sizeof(types.Value{}))
+
+// Merged returns the context's own parameter map holding params' entries, for
+// an execution that must add names its caller's map lacks: the caller's map
+// is never written. The map is kept across the executions of a pooled
+// instance, and nothing may read it after Run returns: reset empties it for
+// the next.
+func (c *Ctx) Merged(params Params) Params {
+	if c.merged == nil {
+		c.merged = make(Params, len(params)+4)
+	}
+	for k, v := range params {
+		c.merged[k] = v
+	}
+	return c.merged
 }
 
 // maxPrealloc caps estimate-driven allocations: estimates can be off by
@@ -589,10 +613,10 @@ func (s *StartupFilter) Open(ctx *Ctx) error {
 	switch s.Branch { // the planner names a ChoosePlan's two branches; a bare filter has none
 	case "local":
 		metrics.Default.Counter("opt.chooseplan_local").Add(1)
-		ctx.Rec.Annotate(nil, "chooseplan", "local")
+		ctx.Rec.Chose(trace.BranchLocal)
 	case "remote":
 		metrics.Default.Counter("opt.chooseplan_remote").Add(1)
-		ctx.Rec.Annotate(nil, "chooseplan", "remote")
+		ctx.Rec.Chose(trace.BranchRemote)
 	}
 	return s.Input.Open(ctx)
 }
@@ -1412,21 +1436,18 @@ func (r *Remote) Open(ctx *Ctx) error {
 	if ctx.Remote == nil {
 		return fmt.Errorf("exec: no remote server configured for query %q", r.SQLText)
 	}
-	sp := ctx.Rec.StartSpan(nil, "remote", trace.Attr{K: "sql", V: r.SQLText})
+	trip := ctx.Rec.RemoteStart(r.SQLText)
 	start := time.Now()
 	var rs *ResultSet
 	var err error
-	if sp != nil {
+	if trip >= 0 {
 		rs, _, err = ctx.Remote.QueryTraced(r.SQLText, ctx.Params, trace.FormatID(ctx.Rec.ID))
 	} else {
 		rs, err = ctx.Remote.Query(r.SQLText, ctx.Params)
 	}
 	metrics.Default.Histogram("exec.remote_roundtrip_seconds").ObserveDuration(time.Since(start))
-	ctx.Rec.EndSpan(sp)
+	ctx.Rec.RemoteEnd(trip, err)
 	if err != nil {
-		if sp != nil {
-			ctx.Rec.Annotate(sp, "error", err.Error())
-		}
 		return fmt.Errorf("exec: remote query failed: %w", err)
 	}
 	if ctx.Counters != nil {

@@ -101,7 +101,7 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 
 	tr := trace.BeginStatement("cache", "", 0)
-	tr.Annotate(nil, "chooseplan", "local")
+	tr.Chose(trace.BranchLocal)
 	tr.Mark(trace.StageExec)
 	tr.Finish(nil)
 	traces.Add(tr)

@@ -10,10 +10,11 @@
 // and a reader gets a copy of that. The trace ID is a number, rendered as text
 // only when somebody reads it.
 //
-// The request path builds no tree. Only the operators with structure of their
-// own to show (a remote round trip, the branch a ChoosePlan took) add spans
-// while a statement runs, and only to a statement with a trace ID. Those
-// spans and the rendered tree are one type, WireSpan.
+// The request path builds no tree. The two things operators add while a
+// statement with a trace ID runs — the branch each ChoosePlan took and each
+// remote round trip — are plain fields of its record, and adding them
+// allocates nothing. Tree renders them as spans on read, in one type,
+// WireSpan.
 //
 // A trace crosses a hop by its ID alone: the server a remote round trip
 // reaches keeps its own record under the caller's ID, in its own ring, and
@@ -146,8 +147,9 @@ func (c *Counters) Add(o *Counters) {
 //
 // A record comes from a pool (Begin, BeginStatement) and goes back to it
 // (Release) at the end of the call that began it; nothing may read it after
-// that. Its spans are never reused: a copy keeps them, and a tree built from
-// it copies them.
+// that. A copy shares only the overflow slice of its round trips, which no
+// record ever reuses: Release drops it, and a tree built from the record
+// shares nothing with it.
 type Record struct {
 	ID     uint64 // trace ID, rendered by FormatID; 0 for a statement inside a procedure body: measured, not kept
 	Server string // the database that ran it; the root span is Server + ".exec"
@@ -171,7 +173,30 @@ type Record struct {
 	at  time.Duration // the last stage boundary, as an offset from Start
 	ran uint8         // bit s: stage s was closed at least once
 
-	spans *WireSpan // what operators added, once one has: attributes and children of the execute span
+	// What operators add while a traced statement runs: the branches its
+	// ChoosePlans took, in order (bit i set: the i-th was remote), and its
+	// remote round trips, the first inlineTrips inline and the rest in more.
+	branches  uint64
+	nBranches uint8
+	trips     [inlineTrips]roundTrip
+	more      []roundTrip
+	nTrips    int
+}
+
+// inlineTrips is how many round trips a record holds without allocating: a
+// statement the cache cannot answer makes one.
+const inlineTrips = 2
+
+// maxBranches is how many ChoosePlan branches a record keeps; a statement
+// that takes more shows its first maxBranches.
+const maxBranches = 64
+
+// roundTrip is one remote round trip: the text shipped, when it began and how
+// long it took (offsets from the record's Start), and how it failed.
+type roundTrip struct {
+	sql        string
+	start, dur time.Duration
+	err        error
 }
 
 // records holds released records for the next Begin.
@@ -196,9 +221,9 @@ func BeginStatement(server, sqlText string, id uint64) *Record {
 	return r
 }
 
-// Release hands r back to the pool, zeroed; its spans are dropped, not
-// reused. Only the call that began r releases it, once, when it and its
-// callers are done reading it.
+// Release hands r back to the pool, zeroed; the overflow slice of its round
+// trips is dropped, not reused. Only the call that began r releases it, once,
+// when it and its callers are done reading it.
 func (r *Record) Release() {
 	*r = Record{}
 	records.Put(r)
@@ -228,9 +253,9 @@ type Attr struct {
 }
 
 // WireSpan is one timed stage of a trace — plain fields, no lock, no parent
-// pointer — in a rendered tree or under a record's execute span. The name is
-// older than the tree's last trip over the wire; the fleet benchmark names
-// the type, and a change to the benchmark renames it.
+// pointer — in a rendered tree. The name is older than the tree's last trip
+// over the wire; the fleet benchmark names the type, and a change to the
+// benchmark renames it.
 type WireSpan struct {
 	Name     string
 	StartUTC int64 // UnixNano
@@ -264,58 +289,70 @@ func (w *WireSpan) Find(name string) *WireSpan {
 	return nil
 }
 
-// now is the record's monotonic clock as a wall-clock stamp.
-func (r *Record) now() int64 { return r.Start.UnixNano() + int64(time.Since(r.Start)) }
-
-// node resolves the span an operator names: nil is the execute span.
-func (r *Record) node(sp *WireSpan) *WireSpan {
-	if sp != nil {
-		return sp
-	}
-	if r.spans == nil {
-		r.spans = &WireSpan{}
-	}
-	return r.spans
-}
-
-// traced: only a statement that can be looked up afterwards keeps spans.
+// traced: only a statement that can be looked up afterwards keeps what its
+// operators add.
 func (r *Record) traced() bool { return r != nil && r.ID != 0 }
 
-// StartSpan opens a span under parent (nil: the execute span). It returns nil,
-// which Annotate and EndSpan accept, when the record is nil or untraced.
-func (r *Record) StartSpan(parent *WireSpan, name string, attrs ...Attr) *WireSpan {
-	if !r.traced() {
-		return nil
-	}
-	sp := &WireSpan{Name: name, StartUTC: r.now(), Attrs: attrs}
-	parent = r.node(parent)
-	parent.Children = append(parent.Children, sp)
-	return sp
-}
+// Branch is the side of a ChoosePlan that ran.
+type Branch uint8
 
-// Annotate adds an attribute to sp (nil: the execute span).
-func (r *Record) Annotate(sp *WireSpan, k, v string) {
-	if !r.traced() {
+const (
+	BranchLocal  Branch = iota // the guard chose the cached view
+	BranchRemote               // the guard chose the backend
+)
+
+func (b Branch) String() string { return [...]string{"local", "remote"}[b] }
+
+// Chose records the branch a ChoosePlan took (nothing on a nil or untraced
+// record).
+func (r *Record) Chose(b Branch) {
+	if !r.traced() || r.nBranches == maxBranches {
 		return
 	}
-	sp = r.node(sp)
-	sp.Attrs = append(sp.Attrs, Attr{K: k, V: v})
+	r.branches |= uint64(b) << r.nBranches
+	r.nBranches++
 }
 
-// EndSpan closes a span.
-func (r *Record) EndSpan(sp *WireSpan) {
-	if sp == nil {
+// RemoteStart records the start of a round trip that ships sqlText and
+// returns its number for RemoteEnd: -1, which RemoteEnd accepts, on a nil or
+// untraced record.
+func (r *Record) RemoteStart(sqlText string) int {
+	if !r.traced() {
+		return -1
+	}
+	t := roundTrip{sql: sqlText, start: time.Since(r.Start)}
+	if r.nTrips < inlineTrips {
+		r.trips[r.nTrips] = t
+	} else {
+		r.more = append(r.more, t)
+	}
+	r.nTrips++
+	return r.nTrips - 1
+}
+
+// RemoteEnd records that round trip i ended, failed with err or not.
+func (r *Record) RemoteEnd(i int, err error) {
+	if i < 0 {
 		return
 	}
-	sp.DurNanos = r.now() - sp.StartUTC
+	t := r.trip(i)
+	t.dur, t.err = time.Since(r.Start)-t.start, err
+}
+
+// trip is the i-th round trip.
+func (r *Record) trip(i int) *roundTrip {
+	if i < inlineTrips {
+		return &r.trips[i]
+	}
+	return &r.more[i-inlineTrips]
 }
 
 // Tree renders the record: the root <Server>.exec [sql, autoparam], a child
 // per stage that ran — gate, parse, imcache_hit, optimize [plan_cache],
-// execute — laid end to end from the start, and under execute a copy of
-// whatever the operators added. For a finished statement: operators add
-// nothing after it. The tree shares nothing with the record: its reader may
-// change it.
+// execute [chooseplan per branch taken] — laid end to end from the start, and
+// under execute a remote [sql, error] span per round trip. For a finished
+// statement: operators add nothing after it. The tree shares nothing with the
+// record: its reader may change it.
 func (r *Record) Tree() *WireSpan {
 	if r == nil {
 		return nil
@@ -338,25 +375,43 @@ func (r *Record) Tree() *WireSpan {
 			continue // time the statement spent, but not a span: nothing was parsed, nothing was hit
 		case stage == StagePlan && r.PlanCache != PlanNotConsulted:
 			sp.Attrs = []Attr{{K: "plan_cache", V: planCacheNames[r.PlanCache]}}
-		case stage == StageExec && r.spans != nil:
-			c := r.spans.clone()
-			sp.Attrs, sp.Children = c.Attrs, c.Children
+		case stage == StageExec:
+			sp.Attrs, sp.Children = r.branchAttrs(), r.remoteSpans()
 		}
 		root.Children = append(root.Children, sp)
 	}
 	return root
 }
 
-// clone copies the span and everything under it.
-func (w *WireSpan) clone() *WireSpan {
-	c := &WireSpan{Name: w.Name, StartUTC: w.StartUTC, DurNanos: w.DurNanos, Attrs: append([]Attr(nil), w.Attrs...)}
-	if len(w.Children) > 0 {
-		c.Children = make([]*WireSpan, len(w.Children))
-		for i, ch := range w.Children {
-			c.Children[i] = ch.clone()
-		}
+// branchAttrs renders the branches taken as chooseplan attributes (nil for
+// none).
+func (r *Record) branchAttrs() []Attr {
+	if r.nBranches == 0 {
+		return nil
 	}
-	return c
+	attrs := make([]Attr, r.nBranches)
+	for i := range attrs {
+		attrs[i] = Attr{K: "chooseplan", V: Branch(r.branches >> i & 1).String()}
+	}
+	return attrs
+}
+
+// remoteSpans renders the round trips as remote spans (nil for none).
+func (r *Record) remoteSpans() []*WireSpan {
+	if r.nTrips == 0 {
+		return nil
+	}
+	spans := make([]*WireSpan, r.nTrips)
+	for i := range spans {
+		t := r.trip(i)
+		sp := &WireSpan{Name: "remote", StartUTC: r.Start.UnixNano() + int64(t.start), DurNanos: int64(t.dur),
+			Attrs: []Attr{{K: "sql", V: t.sql}}}
+		if t.err != nil {
+			sp.Attrs = append(sp.Attrs, Attr{K: "error", V: t.err.Error()})
+		}
+		spans[i] = sp
+	}
+	return spans
 }
 
 // FindSpan searches the rendered tree for a span by name (tests).
@@ -380,7 +435,7 @@ func (r *Record) FindSpan(name string) *WireSpan { return r.Tree().Find(name) }
 // other server ran twice, or a trace ID a caller used for two statements).
 func (r *Record) Stitch(fetch func(id uint64) ([]Record, error)) *WireSpan {
 	tree := r.Tree()
-	var remotes []*WireSpan // the Remote operator opens them under the execute span
+	var remotes []*WireSpan // one per round trip, under the execute span
 	if exec := tree.Find("execute"); exec != nil {
 		for _, sp := range exec.Children {
 			if sp.Name == "remote" {
@@ -456,7 +511,7 @@ const firstStageCol = 5
 var planCacheNames = [...]string{PlanNotConsulted: "", PlanHit: "hit", PlanMiss: "miss"}
 
 // Row is r as a row of sys.traces: every field its tree is built from but
-// the operators' spans, which only a cache's statements have.
+// its branches and round trips, which only a cache's statements have.
 func (r *Record) Row() types.Row {
 	row := types.Row{
 		types.NewString(FormatID(r.ID)), types.NewString(r.Server), types.NewString(r.SQL),

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -16,9 +17,8 @@ func TestSpanTreeAndRender(t *testing.T) {
 		t.Fatal("BeginStatement must generate an ID")
 	}
 	rec.Mark(StageParse)
-	rec.Annotate(nil, "chooseplan", "local")
-	r := rec.StartSpan(nil, "remote", Attr{K: "sql", V: "SELECT 1"})
-	rec.EndSpan(r)
+	rec.Chose(BranchLocal)
+	rec.RemoteEnd(rec.RemoteStart("SELECT 1"), nil)
 	rec.Mark(StageExec)
 	rec.Finish(nil)
 
@@ -45,17 +45,17 @@ func TestSpanTreeAndRender(t *testing.T) {
 
 func TestNilSpanSafety(t *testing.T) {
 	// An operator run bare has no record, and a statement inside a procedure
-	// body has one with no trace ID: every span method must be a no-op on
+	// body has one with no trace ID: what operators add must be a no-op on
 	// both, so untraced paths need no checks.
 	for _, rec := range []*Record{nil, Begin("cache")} {
-		c := rec.StartSpan(nil, "x")
-		if c != nil {
-			t.Error("StartSpan on an untraced record must return nil")
+		i := rec.RemoteStart("SELECT 1")
+		if i != -1 {
+			t.Errorf("RemoteStart on an untraced record returned %d, want -1", i)
 		}
-		rec.Annotate(c, "k", "v")
-		rec.EndSpan(c)
-		if rec != nil && rec.spans != nil {
-			t.Error("an untraced record kept operator spans")
+		rec.RemoteEnd(i, errors.New("backend unreachable"))
+		rec.Chose(BranchRemote)
+		if rec != nil && (rec.nTrips != 0 || rec.nBranches != 0) {
+			t.Error("an untraced record kept what its operators added")
 		}
 	}
 	var s *WireSpan
@@ -78,13 +78,18 @@ func backendRecord(id uint64, sqlText string, d time.Duration) *Record {
 }
 
 // cacheRecord is a cache's record of a statement that made one remote round
-// trip per text, each of them taking a millisecond or more.
-func cacheRecord(id uint64, texts ...string) *Record {
+// trip per text, each of them taking a millisecond or more; the first failed
+// with failFirst when it is not nil.
+func cacheRecord(id uint64, failFirst error, texts ...string) *Record {
 	r := BeginStatement("cache", "SELECT 1", id)
-	for _, q := range texts {
-		sp := r.StartSpan(nil, "remote", Attr{K: "sql", V: q})
+	for k, q := range texts {
+		i := r.RemoteStart(q)
 		time.Sleep(time.Millisecond)
-		r.EndSpan(sp)
+		var err error
+		if k == 0 {
+			err = failFirst
+		}
+		r.RemoteEnd(i, err)
 	}
 	r.Mark(StageExec)
 	r.Finish(nil)
@@ -128,7 +133,7 @@ func TestRowRoundTrip(t *testing.T) {
 // for a record with no remote span. The record itself keeps no graft.
 func TestStitchHangsEachRecordUnderItsSpan(t *testing.T) {
 	const id = 0x123456789abc0002
-	cache := cacheRecord(id, "SELECT a", "SELECT b")
+	cache := cacheRecord(id, nil, "SELECT a", "SELECT b")
 	var fetched []uint64
 	fetch := func(kept ...*Record) func(uint64) ([]Record, error) {
 		return func(got uint64) ([]Record, error) {
@@ -178,10 +183,9 @@ func TestStitchHangsEachRecordUnderItsSpan(t *testing.T) {
 // round trip, a failed fetch — no span gets one.
 func TestStitchNeverShowsAWrongRecord(t *testing.T) {
 	const id = 0x123456789abc0003
-	cache := cacheRecord(id, "SELECT a", "SELECT b")
+	cache := cacheRecord(id, nil, "SELECT a", "SELECT b")
 	a, b := backendRecord(id, "SELECT a", 0), backendRecord(id, "SELECT b", 0)
-	failed := cacheRecord(id, "SELECT a", "SELECT b")
-	failed.Annotate(failed.spans.Children[0], "error", "backend unreachable") // as the Remote operator does
+	failed := cacheRecord(id, errors.New("backend unreachable"), "SELECT a", "SELECT b")
 	for _, c := range []struct {
 		name string
 		rec  *Record
@@ -266,18 +270,18 @@ func spanNames(r *Record) string { return names(r.Tree()) }
 
 func TestSpanDurationRecorded(t *testing.T) {
 	rec := BeginStatement("q", "", 0)
-	s := rec.StartSpan(nil, "stage")
+	i := rec.RemoteStart("SELECT 1")
 	time.Sleep(time.Millisecond)
-	rec.EndSpan(s)
-	d := time.Duration(s.DurNanos)
+	rec.RemoteEnd(i, nil)
+	d := rec.trip(i).dur
 	if d < time.Millisecond {
 		t.Errorf("duration %v too small", d)
 	}
 	time.Sleep(time.Millisecond)
 	rec.Mark(StageExec)
 	rec.Finish(nil)
-	if got := time.Duration(rec.FindSpan("stage").DurNanos); got != d {
-		t.Error("duration must be frozen after EndSpan")
+	if got := time.Duration(rec.FindSpan("remote").DurNanos); got != d {
+		t.Error("duration must be frozen after RemoteEnd")
 	}
 	if rec.Stages[StageExec] < 2*time.Millisecond || rec.Total < rec.Stages[StageExec] {
 		t.Errorf("stage clock: execute %v, total %v", rec.Stages[StageExec], rec.Total)
@@ -325,36 +329,76 @@ func TestStageClock(t *testing.T) {
 	}
 }
 
-// TestNestedSpansAndAttributes: an operator span may open spans under
-// itself, attributes land on the span named (nil: the execute span), and the
-// rendered tree nests them in the order they were opened.
-func TestNestedSpansAndAttributes(t *testing.T) {
+// TestManyRoundTripsAndAFailedOne: every round trip renders as a remote span
+// under execute, in the order it was made, the ones past the inline array
+// too; a failed one says how; each branch taken is a chooseplan attribute of
+// execute, in order.
+func TestManyRoundTripsAndAFailedOne(t *testing.T) {
 	rec := BeginStatement("cache", "SELECT 1", 0)
-	outer := rec.StartSpan(nil, "remote", Attr{K: "sql", V: "SELECT 1"})
-	for i := 0; i < 3; i++ {
-		inner := rec.StartSpan(outer, "attempt")
-		rec.Annotate(inner, "n", fmt.Sprint(i))
-		rec.EndSpan(inner)
+	const n = 2*inlineTrips + 1
+	for k := 0; k < n; k++ {
+		i := rec.RemoteStart(fmt.Sprint("SELECT ", k))
+		var err error
+		if k == n-1 {
+			err = errors.New("backend unreachable")
+		}
+		rec.RemoteEnd(i, err)
 	}
-	rec.Annotate(outer, "rows", "1")
-	rec.Annotate(nil, "chooseplan", "remote")
-	rec.EndSpan(outer)
+	rec.Chose(BranchRemote)
+	rec.Chose(BranchLocal)
 	rec.Mark(StageExec)
 	rec.Finish(nil)
-	if got, want := spanNames(rec), "cache.exec,execute,remote,attempt,attempt,attempt"; got != want {
+	if got, want := spanNames(rec), "cache.exec,execute"+strings.Repeat(",remote", n); got != want {
 		t.Fatalf("span names %s, want %s", got, want)
 	}
-	remote := rec.FindSpan("remote")
-	if remote.AttrValue("sql") != "SELECT 1" || remote.AttrValue("rows") != "1" {
-		t.Errorf("remote span attributes %v", remote.Attrs)
-	}
-	for i, a := range remote.Children[:3] {
-		if a.AttrValue("n") != fmt.Sprint(i) || a.DurNanos < 0 {
-			t.Errorf("attempt %d: %+v", i, a)
+	exec := rec.FindSpan("execute")
+	var last int64
+	for k, sp := range exec.Children {
+		if sp.AttrValue("sql") != fmt.Sprint("SELECT ", k) || sp.DurNanos < 0 || sp.StartUTC < last {
+			t.Errorf("round trip %d: %+v", k, sp)
+		}
+		last = sp.StartUTC
+		failed := k == n-1
+		if failed != (sp.AttrValue("error") == "backend unreachable") || failed != (len(sp.Attrs) == 2) {
+			t.Errorf("round trip %d (failed: %v): attributes %v", k, failed, sp.Attrs)
 		}
 	}
-	if got := rec.FindSpan("execute").AttrValue("chooseplan"); got != "remote" {
-		t.Errorf("execute span chooseplan=%q", got)
+	if got := fmt.Sprint(exec.Attrs); got != "[{chooseplan remote} {chooseplan local}]" {
+		t.Errorf("execute span attributes %s", got)
+	}
+}
+
+// TestRecordRoundTripsAllocateNothing: what operators add to a record — a
+// branch and two round trips, one of them failed — allocates nothing, nor
+// does its release, whether the record is traced or not.
+func TestRecordRoundTripsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	unreachable := errors.New("backend unreachable")
+	for _, id := range []uint64{0x123456789abc0004, 0} {
+		var trips int
+		run := func() {
+			rec := Begin("cache")
+			rec.ID = id
+			rec.Chose(BranchRemote)
+			rec.RemoteEnd(rec.RemoteStart("SELECT a"), nil)
+			rec.RemoteEnd(rec.RemoteStart("SELECT b"), unreachable)
+			rec.Mark(StageExec)
+			rec.Finish(nil)
+			trips = rec.nTrips
+			rec.Release()
+		}
+		if avg := testing.AllocsPerRun(200, run); avg != 0 {
+			t.Errorf("trace ID %x: %.1f allocs per statement, want 0", id, avg)
+		}
+		want := 2 // an untraced record keeps none
+		if id == 0 {
+			want = 0
+		}
+		if trips != want {
+			t.Errorf("trace ID %x: %d round trips kept, want %d", id, trips, want)
+		}
 	}
 }
 
@@ -394,18 +438,18 @@ func TestCollectorRing(t *testing.T) {
 func TestRingKeepsACopy(t *testing.T) {
 	c := NewCollector(2)
 	rec := BeginStatement("cache", "SELECT 1", 0)
-	rec.Annotate(nil, "chooseplan", "local")
+	rec.Chose(BranchLocal)
 	rec.Mark(StageExec)
 	rec.Finish(nil)
 	c.Add(rec)
 	want := Render(rec)
 	id := rec.ID
 	rec.Release()
-	if rec.ID != 0 || rec.spans != nil || rec.SQL != "" {
+	if rec.ID != 0 || rec.nBranches != 0 || rec.SQL != "" {
 		t.Fatalf("a released record is not zeroed: %+v", rec)
 	}
 	next := BeginStatement("cache", "SELECT 2", 0)
-	next.Annotate(nil, "chooseplan", "remote")
+	next.Chose(BranchRemote)
 	next.Finish(nil)
 	if got := Render(c.Last()); got != want || c.Last().ID != id {
 		t.Errorf("the kept copy changed after its record was recycled:\n%s\nwant\n%s", got, want)
@@ -448,9 +492,12 @@ func TestIDsUniqueAndRendered(t *testing.T) {
 // TestRingCopiesOutliveRecycling: readers take copies from the ring, and
 // stitch each, while four publishers each fill, add and release 1 000
 // records, so the pool hands every released record to the next statement at
-// once. A copy a reader holds never changes afterwards: its digest when taken
-// is its digest at the end. Run under -race, it also proves that no reader
-// touches a live record, and no stitched view writes into a record's spans.
+// once. Each record makes three round trips — the third past the inline
+// array, the second failed. A copy a reader holds never changes afterwards:
+// its digest when taken is its digest at the end; nor does a tree a
+// publisher rendered before releasing its record. Run under -race, it also
+// proves that no reader touches a live record, and no stitched view writes
+// into a record's round trips.
 func TestRingCopiesOutliveRecycling(t *testing.T) {
 	c := NewCollector(16)
 	digest := func(r *Record) string {
@@ -463,6 +510,8 @@ func TestRingCopiesOutliveRecycling(t *testing.T) {
 	var publishers, readers sync.WaitGroup
 	done := make(chan struct{})
 	kept := make([][]held, 2)
+	trees := make([][]*WireSpan, 4) // per publisher: a tree it rendered, then its text
+	treeTexts := make([][]string, 4)
 	for g := range kept {
 		readers.Add(1)
 		go func() {
@@ -499,14 +548,23 @@ func TestRingCopiesOutliveRecycling(t *testing.T) {
 			defer publishers.Done()
 			for i := 0; i < 1000; i++ {
 				rec := BeginStatement(fmt.Sprint("server", p), fmt.Sprint("SELECT ", i), 0)
-				sp := rec.StartSpan(nil, "remote", Attr{K: "sql", V: rec.SQL})
-				rec.Annotate(sp, "attempt", fmt.Sprint(i))
-				rec.EndSpan(sp)
-				rec.Annotate(nil, "chooseplan", "remote")
-				rec.Rows, rec.Counters.RemoteQueries = int64(i), 1
+				for k := 0; k < inlineTrips+1; k++ {
+					trip := rec.RemoteStart(fmt.Sprint(rec.SQL, " part ", k))
+					var err error
+					if k == 1 {
+						err = fmt.Errorf("attempt %d failed", i)
+					}
+					rec.RemoteEnd(trip, err)
+				}
+				rec.Chose(BranchRemote)
+				rec.Rows, rec.Counters.RemoteQueries = int64(i), inlineTrips+1
 				rec.Mark(StageExec)
 				rec.Finish(nil)
 				c.Add(rec)
+				if i%50 == 0 {
+					tree := rec.Tree()
+					trees[p], treeTexts[p] = append(trees[p], tree), append(treeTexts[p], treeText(tree))
+				}
 				rec.Release()
 			}
 		}()
@@ -526,4 +584,18 @@ func TestRingCopiesOutliveRecycling(t *testing.T) {
 	if n == 0 {
 		t.Fatal("the readers kept no copies")
 	}
+	for p := range trees {
+		for i, tree := range trees[p] {
+			if got, want := treeText(tree), treeTexts[p][i]; got != want || !strings.Contains(got, "part 2") {
+				t.Fatalf("a rendered tree changed after its record was recycled:\nthen %s\nnow  %s", want, got)
+			}
+		}
+	}
+}
+
+// treeText renders a tree as RenderTree does, without the record's header.
+func treeText(w *WireSpan) string {
+	var b strings.Builder
+	renderSpan(&b, w, 0)
+	return b.String()
 }

@@ -111,6 +111,9 @@ var removedNames = []struct {
 	{`maxSpanDepth`, `^internal/wire/`, "a trace crosses a hop by its ID (a reader stitches records on read: trace.Record.Stitch)"},
 	{`(?m)^\s+Span\s+\*trace\.WireSpan`, `^internal/wire/`, "a trace crosses a hop by its ID (no span tree in a response)"},
 	{`EndSpan\([^,()]+,`, "", "a trace crosses a hop by its ID (no tree grafted under a remote span while it runs)"},
+	{`StartSpan`, "", "a record's round trips and branch as fields (trace.Record)"},
+	{`EndSpan`, "", "a record's round trips and branch as fields (trace.Record)"},
+	{`\.Annotate\(`, "", "a record's round trips and branch as fields (trace.Record)"},
 	{`internal/eventlog`, "", "an event is a counter that keeps its line (metrics.Registry.Event)"},
 	{`eventlog\.`, "", "an event is a counter that keeps its line (metrics.Registry.Event)"},
 	{`HasDurableState`, "", "a durable backend recovers from its own directory (engine.Open)"},
