@@ -148,8 +148,9 @@ func (c *CacheServer) RefreshStats() error {
 
 // provision is the CREATE CACHED VIEW hook: describe the view's select-project
 // form as an article — (table, columns, filter), the filter deparsed and "" for
-// none — attach it to the cache's subscription (or resume it there) and
-// populate the view.
+// none — attach it to the cache's subscription in one request and populate
+// the view, from the checkpoint when the backend resumed it there and from
+// the backend's snapshot when it seeded it.
 func (c *CacheServer) provision(view *catalog.Table) error {
 	sp := view.SelectProject
 	table, cols, filter := sp.Source.Name, sp.SourceColumns(), ""
@@ -159,36 +160,33 @@ func (c *CacheServer) provision(view *catalog.Table) error {
 	c.pullMu.Lock()
 	defer c.pullMu.Unlock()
 
-	// A view present in the loaded checkpoint tries to resume the change
-	// stream at the checkpointed position before falling back to a reseed —
-	// as long as the cache still stands there: once a pull has moved the other
-	// views on, rows from the checkpoint are behind them. Resume is attempted
-	// before any population: on a miss there is nothing to undo.
+	// A view present in the loaded checkpoint asks to resume the change
+	// stream at the checkpointed position — as long as the cache still stands
+	// there: once a pull has moved the other views on, rows from the
+	// checkpoint are behind them. Otherwise from stays 0 and the backend seeds.
+	var from storage.LSN
+	var rows []types.Row
 	if ck := c.recovered; ck != nil {
 		i := slices.IndexFunc(ck.Sets, func(v storage.RowSet) bool { return strings.EqualFold(v.Name, view.Name) })
 		if i >= 0 && (len(c.sub.Views()) == 0 || c.AppliedLSN() == ck.LSN) {
-			rows := ck.Sets[i].Rows
+			from, rows = ck.LSN+1, ck.Sets[i].Rows
 			ck.Sets = slices.Delete(ck.Sets, i, i+1)
-			subID, resumed, err := c.client.Resume(table, cols, filter, c.DB.Name, view.Name, ck.LSN+1)
-			if err != nil {
-				return err
-			}
-			if resumed {
-				metrics.Default.Event("wire.view_resumed", "view", view.Name, "lsn", fmt.Sprint(ck.LSN))
-				return c.sub.AddView(c.client, subID, view.Name, rows, ck.LSN+1, time.Time{}) // as of a checkpoint: not known
-			}
-			// The backend cannot serve the checkpointed position anymore; fall
-			// through to a fresh snapshot.
 		}
 	}
 
 	asOf := time.Now()
-	subID, startLSN, rows, err := c.client.Provision(table, cols, filter, c.DB.Name, view.Name)
+	a, err := c.client.Provision(table, cols, filter, c.DB.Name, view.Name, from)
 	if err != nil {
 		return err
 	}
-	metrics.Default.Event("wire.view_seeded", "view", view.Name, "rows", fmt.Sprint(len(rows)))
-	return c.sub.AddView(c.client, subID, view.Name, rows, startLSN, asOf)
+	if a.Resumed {
+		asOf = time.Time{} // as of a checkpoint: not known
+		metrics.Default.Event("wire.view_resumed", "view", view.Name, "lsn", fmt.Sprint(from-1))
+	} else {
+		rows = a.Rows
+		metrics.Default.Event("wire.view_seeded", "view", view.Name, "rows", fmt.Sprint(len(rows)))
+	}
+	return c.sub.AddView(c.client, a.SubID, view.Name, rows, a.StartLSN, asOf)
 }
 
 // CreateCachedView runs a CREATE CACHED VIEW statement; provisioning is

@@ -5,9 +5,10 @@ package core
 // through (a cache is one subscriber with one cursor). A cache applies pulled
 // batches unlogged (replicated changes must not re-enter a WAL), so its
 // durability story is checkpoint + resubscribe rather than log replay: on
-// restart it reloads the checkpointed rows and asks the backend to resume the
-// change stream at the checkpointed LSN (BackendClient.Resume). Only when the
-// backend can no longer serve that position does it fall back to a full reseed.
+// restart it reloads the checkpointed rows and provisions each view with the
+// checkpointed LSN (BackendClient.Provision's from): the backend resumes the
+// change stream there, and only when it can no longer serve that position does
+// the same request answer with a full reseed.
 //
 // The state file is a storage image, written by storage.WriteImage and read
 // by storage.ReadImage like a backend's checkpoint: one format, one magic.

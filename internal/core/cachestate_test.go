@@ -10,7 +10,11 @@ import (
 	"time"
 
 	"mtcache/internal/engine"
+	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
+	"mtcache/internal/repl"
+	"mtcache/internal/storage"
+	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
 
@@ -173,4 +177,80 @@ func lastEvent(kind string) string {
 		}
 	}
 	return ""
+}
+
+// counting is a BackendClient that counts the requests its cache makes.
+type counting struct {
+	BackendClient
+	requests int
+}
+
+func (c *counting) Query(text string, params exec.Params) (*exec.ResultSet, error) {
+	c.requests++
+	return c.BackendClient.Query(text, params)
+}
+
+func (c *counting) QueryTraced(text string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
+	c.requests++
+	return c.BackendClient.QueryTraced(text, params, traceID)
+}
+
+func (c *counting) Snapshot() ([]byte, error) {
+	c.requests++
+	return c.BackendClient.Snapshot()
+}
+
+func (c *counting) Provision(table string, columns []string, filter, subName, target string, from storage.LSN) (repl.Attachment, error) {
+	c.requests++
+	return c.BackendClient.Provision(table, columns, filter, subName, target, from)
+}
+
+func (c *counting) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
+	c.requests++
+	return c.BackendClient.Pull(subID, max, ack)
+}
+
+// TestRestartPastTheLogReseedsInOneRequest: a cache restarted on a state
+// file whose position the backend's log no longer holds reseeds each of its
+// views with one backend request, the same one that asks to resume it.
+func TestRestartPastTheLogReseedsInOneRequest(t *testing.T) {
+	views := []string{eventsView, `CREATE CACHED VIEW ev_late AS SELECT id, s FROM events WHERE id > 2`}
+	b := newEventsBackend(t)
+	dir := t.TempDir()
+	c1 := durableEventsCache(t, b, dir)
+	if err := c1.CreateCachedView(views[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insertEvents(t, b, types.Row{types.NewInt(5), types.NewFloat(2.5), types.NewTime(time.Unix(1, 1)), types.NewString("later")})
+	for range 2 { // apply, then acknowledge
+		if _, err := c1.Pull(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Repl.TruncateLog()
+
+	client := &counting{BackendClient: link{engine.NewLink(b.DB), b}}
+	c2, err := NewCacheOver("cache", client, nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := metrics.Default.Counter("wire.view_resumed")
+	seeded := metrics.Default.Counter("wire.view_seeded")
+	resumed0, seeded0, requests0 := resumed.Value(), seeded.Value(), client.requests
+	for _, view := range views {
+		if err := c2.CreateCachedView(view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := client.requests - requests0; n != len(views) || seeded.Value() != seeded0+2 || resumed.Value() != resumed0 {
+		t.Fatalf("restart past the log: %d backend requests, %d views seeded and %d resumed; want %d, 2 and 0",
+			n, seeded.Value()-seeded0, resumed.Value()-resumed0, len(views))
+	}
+	requireSameRows(t, "reseeded view", tableRowsByID(t, c2.DB, "ev"), tableRowsByID(t, b.DB, "events"))
+	if got := tableRowsByID(t, c2.DB, "ev_late"); len(got) != 3 {
+		t.Fatalf("reseeded ev_late holds %d rows, want 3", len(got))
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"mtcache/internal/repl"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
-	"mtcache/internal/types"
 )
 
 // BackendClient is everything a cache server needs of its backend: the
@@ -18,15 +17,14 @@ import (
 // of its pull subscription. The in-process link below, wire.Client and
 // wire.ResilientClient implement it.
 //
-// Provision and Resume attach the article (table, columns, filter) to the
+// Provision attaches the article (table, columns, filter) to the
 // subscription named subName — one per cache, created on first use — as the
-// feed of the cache's view target; both answer the subscription's id. See
-// repl.Server.Provision and Resume.
+// feed of the cache's view target: resumed at from when from > 0 and the
+// backend still serves it, seeded otherwise. See repl.Server.Provision.
 type BackendClient interface {
 	exec.RemoteClient
 	Snapshot() ([]byte, error)
-	Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error)
-	Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (int, bool, error)
+	Provision(table string, columns []string, filter, subName, target string, from storage.LSN) (repl.Attachment, error)
 	Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error)
 	Close() error
 }
@@ -45,24 +43,12 @@ func (b *BackendServer) article(table string, columns []string, filter string) (
 }
 
 // Provision is BackendClient.Provision as the backend answers it.
-func (b *BackendServer) Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error) {
+func (b *BackendServer) Provision(table string, columns []string, filter, subName, target string, from storage.LSN) (repl.Attachment, error) {
 	art, err := b.article(table, columns, filter)
 	if err != nil {
-		return 0, 0, nil, err
+		return repl.Attachment{}, err
 	}
-	return b.Repl.Provision(subName, art, target)
-}
-
-// Resume is BackendClient.Resume as the backend answers it. ok is false —
-// with no error — when the backend cannot serve fromLSN anymore and the
-// caller must Provision afresh.
-func (b *BackendServer) Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (id int, ok bool, err error) {
-	art, err := b.article(table, columns, filter)
-	if err != nil {
-		return 0, false, err
-	}
-	id, ok = b.Repl.Resume(subName, art, target, fromLSN)
-	return id, ok, nil
+	return b.Repl.Provision(subName, art, target, from)
 }
 
 // Pull is one subscriber pull (repl.Server.Pull).
@@ -71,7 +57,7 @@ func (b *BackendServer) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, 
 }
 
 // link is the in-process BackendClient: statements travel over engine.Link
-// and Provision, Resume and Pull are the backend's own methods.
+// and Provision and Pull are the backend's own methods.
 type link struct {
 	*engine.Link
 	*BackendServer

@@ -24,15 +24,39 @@ type TxnBatch struct {
 	Changes    []storage.ChangeRec
 }
 
-// Provision makes a the feed of the subscriber's table target — creating the
-// subscription named subName on first use — and returns the subscription id,
-// the LSN the article's changes start from and the table's initial
-// population, current through the LSN before. The snapshot is pinned and the
-// article attached in one critical section — no pull reads the log in between
-// — so a commit is either in the returned rows or in the stream, never in
-// neither. The scan itself runs outside it.
-func (s *Server) Provision(subName string, a *Article, target string) (int, storage.LSN, []types.Row, error) {
+// Attachment is Provision's answer: the subscription's id, the first LSN the
+// stream carries for the view, and whether the view was resumed at the LSN
+// its subscriber asked for — then Rows is empty and the subscriber keeps the
+// rows it has — or seeded, with Rows its initial population, current through
+// the LSN before StartLSN.
+type Attachment struct {
+	SubID    int
+	StartLSN storage.LSN
+	Resumed  bool
+	Rows     []types.Row
+}
+
+// Provision makes a the feed of the subscriber's table target, creating the
+// subscription named subName on first use. A subscriber that restarted with
+// target durably current through from-1 passes from > 0: when the publisher
+// can still serve that position the stream carries a's changes for target
+// from `from` on and the answer is Resumed. Otherwise — from is 0, the log
+// was truncated past it, or the subscriber is ahead of a publisher that lost
+// state — target is seeded: the snapshot is pinned and the article attached
+// in one critical section — no pull reads the log in between — so a commit
+// is either in the returned rows or in the stream, never in neither. The scan
+// itself runs outside it.
+func (s *Server) Provision(subName string, a *Article, target string, from storage.LSN) (Attachment, error) {
 	s.mu.Lock()
+	if from > 0 {
+		fields := []string{"sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10)}
+		if id, ok := s.attach(subName, a, target, from); ok {
+			s.mu.Unlock()
+			metrics.Default.Event("repl.resubscribes", fields...)
+			return Attachment{SubID: id, StartLSN: from, Resumed: true}, nil
+		}
+		metrics.Default.Event("repl.resume_misses", fields...)
+	}
 	// AsOfLSN, not WAL().End(): commits proceed during the scan, so the log
 	// may already extend past what this snapshot sees. No pull has read past
 	// it — a pull stops at the store's visible end.
@@ -41,41 +65,23 @@ func (s *Server) Provision(subName string, a *Article, target string) (int, stor
 	src, ok := rtx.Table(a.Table)
 	if !ok {
 		s.mu.Unlock()
-		return 0, 0, nil, fmt.Errorf("repl: no storage for %s on publisher", a.Table)
+		return Attachment{}, fmt.Errorf("repl: no storage for %s on publisher", a.Table)
 	}
-	start := rtx.AsOfLSN()
-	id, _ := s.attach(subName, a, target, start)
+	at := Attachment{StartLSN: rtx.AsOfLSN()}
+	at.SubID, _ = s.attach(subName, a, target, at.StartLSN)
 	s.mu.Unlock()
 
 	// The snapshot is the article's share of an insert of every row there is.
-	var rows []types.Row
 	var evalErr error
 	src.Scan(func(_ storage.RowID, row types.Row) bool {
 		c, ok, err := a.Map(storage.ChangeRec{Op: storage.OpInsert, After: row})
 		if ok {
-			rows = append(rows, c.After)
+			at.Rows = append(at.Rows, c.After)
 		}
 		evalErr = err
 		return err == nil
 	})
-	return id, start, rows, evalErr
-}
-
-// Resume reattaches a subscriber that restarted with target durably current
-// through from-1: the stream carries a's changes for target from `from` on,
-// with no initial population. ok is false when the publisher can no longer
-// serve that position — the log was truncated past it, or the subscriber is
-// ahead of a publisher that lost state — and the caller must Provision afresh.
-func (s *Server) Resume(subName string, a *Article, target string, from storage.LSN) (id int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fields := []string{"sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10)}
-	if id, ok = s.attach(subName, a, target, from); ok {
-		metrics.Default.Event("repl.resubscribes", fields...)
-	} else {
-		metrics.Default.Event("repl.resume_misses", fields...)
-	}
-	return id, ok
+	return at, evalErr
 }
 
 // attach is the one way an article joins a subscription: afterwards the
@@ -84,14 +90,19 @@ func (s *Server) Resume(subName string, a *Article, target string, from storage.
 // request leaves neither a second subscription — whose ack would pin the WAL
 // forever — nor a second feed. Callers hold s.mu.
 //
+// ok is false when the WAL no longer holds `from`, or `from` is past the
+// visible end: the caller is ahead of a publisher that lost state, and a
+// retried request finding its original's feed must not be told otherwise.
 // When the stream already carries a for target from `from` on — the feed
 // starts at or before it and nothing past from-1 has been acknowledged —
 // nothing changes: a retried request's late original must not move a feed
 // the retry's snapshot was seeded against. Otherwise it replaces target's
 // feed and lowers the ack to from-1, so the next pull reads the log again
-// from `from`; that needs the WAL to still hold `from`, and ok is false when
-// it does not.
+// from `from`.
 func (s *Server) attach(subName string, a *Article, target string, from storage.LSN) (id int, ok bool) {
+	if from < s.publisher.Store().WAL().First() || from > s.publisher.Store().VisibleEnd() {
+		return 0, false
+	}
 	id = slices.IndexFunc(s.subs, func(sub *Subscription) bool { return sub.Name == subName })
 	if id >= 0 {
 		sub := s.subs[id]
@@ -99,9 +110,6 @@ func (s *Server) attach(subName string, a *Article, target string, from storage.
 		if i >= 0 && sub.feeds[i].Article == a && sub.feeds[i].start <= from && sub.acked < from {
 			return id, true
 		}
-	}
-	if from < s.publisher.Store().WAL().First() || from > s.publisher.Store().VisibleEnd() {
-		return 0, false
 	}
 	if id < 0 {
 		id = len(s.subs)

@@ -109,7 +109,7 @@ type Server struct {
 	publisher *engine.Database
 
 	// mu guards the lists and every subscription's feeds and ack. A pull reads
-	// the log under it, so attaching an article (Provision, Resume) is atomic
+	// the log under it, so attaching an article (Provision) is atomic
 	// with respect to every pull.
 	mu       sync.Mutex
 	articles []*Article

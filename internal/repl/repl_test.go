@@ -82,11 +82,11 @@ func subscribeStats(t *testing.T, b *core.BackendServer, target *engine.Database
 func addView(t *testing.T, b *core.BackendServer, sub *repl.Subscriber, cache, table string, cols []string, filter, tgt string) {
 	t.Helper()
 	asOf := time.Now()
-	id, start, rows, err := b.Provision(table, cols, filter, cache, tgt)
+	a, err := b.Provision(table, cols, filter, cache, tgt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sub.AddView(b, id, tgt, rows, start, asOf); err != nil {
+	if err := sub.AddView(b, a.SubID, tgt, a.Rows, a.StartLSN, asOf); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,6 +26,18 @@ func drain(t *testing.T, srv *repl.Server, id int) []repl.TxnBatch {
 	return batches
 }
 
+// resume provisions target tgt at from, as a subscriber restarting with rows
+// current through from-1 does, and reports whether the answer resumed it
+// there (a miss seeds tgt instead).
+func resume(t *testing.T, srv *repl.Server, subName string, a *repl.Article, from storage.LSN) (int, bool) {
+	t.Helper()
+	at, err := srv.Provision(subName, a, "tgt", from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return at.SubID, at.Resumed
+}
+
 // TestResumeRemoteReplaysFromCheckpoint covers the restart path of a pull
 // subscriber: a subscription resumed at its durable apply position must
 // receive exactly the records from that position on, without a reseed, as
@@ -42,17 +54,15 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 	// Original subscriber: snapshot at LSN 2, past the CREATE TABLE's record,
 	// stream everything. A second subscription stands by to show a rewind is
 	// one subscription's business.
-	id, startLSN, rows, err := srv.Provision("cache1", art, "tgt")
+	at, err := srv.Provision("cache1", art, "tgt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 0 || startLSN != 2 {
-		t.Fatalf("empty snapshot: %d rows start %d", len(rows), startLSN)
+	id := at.SubID
+	if len(at.Rows) != 0 || at.StartLSN != 2 || at.Resumed {
+		t.Fatalf("empty snapshot: %d rows start %d resumed %v", len(at.Rows), at.StartLSN, at.Resumed)
 	}
-	other, _, _, err := srv.Provision("cache2", art, "tgt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	other, _ := resume(t, srv, "cache2", art, 0)
 
 	for i := 1; i <= 10; i++ {
 		if _, err := pub.Exec(fmt.Sprintf(
@@ -70,7 +80,7 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 
 	// The subscriber restarts having durably applied through LSN 5: it
 	// resumes at 6 and must get 6..11 again — and only those.
-	rid, ok := srv.Resume("cache1", art, "tgt", 6)
+	rid, ok := resume(t, srv, "cache1", art, 6)
 	if !ok || rid != id {
 		t.Fatalf("resume at 6: id %d ok %v; WAL window is [%d,%d)", rid, ok, pub.Store().WAL().First(), pub.Store().WAL().End())
 	}
@@ -108,20 +118,23 @@ func TestResumeRemoteRefusesTruncatedWindow(t *testing.T) {
 	if first := pub.Store().WAL().First(); first != 12 {
 		t.Fatalf("WAL not truncated: First=%d", first)
 	}
-	if _, ok := srv.Resume("cache1", art, "tgt", 5); ok {
+	if _, ok := resume(t, srv, "cache1", art, 5); ok {
 		t.Fatal("resume at a truncated LSN succeeded; it must force a reseed")
 	}
 	// A position inside the (empty) retained window is fine.
-	if _, ok := srv.Resume("cache2", art, "tgt", 12); !ok {
+	if _, ok := resume(t, srv, "cache2", art, 12); !ok {
 		t.Fatal("resume at the WAL head refused")
 	}
 	// A position past the publisher's log means the subscriber is ahead of a
 	// publisher that lost state — also a reseed.
-	if _, ok := srv.Resume("cache3", art, "tgt", 99); ok {
+	if _, ok := resume(t, srv, "cache3", art, 99); ok {
 		t.Fatal("resume past the WAL end succeeded")
 	}
-	if n := len(srv.Health(time.Now())); n != 1 {
-		t.Fatalf("%d subscriptions, want 1: a refused resume must leave nothing behind", n)
+	// The same request again — a retry whose first answer was lost — finds
+	// the feed the miss seeded, and must not take it for the stream the
+	// subscriber asked for.
+	if _, ok := resume(t, srv, "cache3", art, 99); ok {
+		t.Fatal("a retried resume past the WAL end succeeded on the feed its miss seeded")
 	}
 }
 
@@ -151,11 +164,11 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 	restart := func() (*repl.Subscriber, *engine.Database, bool) {
 		t.Helper()
 		db := newSubscriberTable(t, "cache")
-		id, ok, err := b.Resume("item", itemCols, "", "cache", "tgt", ckpt+1)
+		at, err := b.Provision("item", itemCols, "", "cache", "tgt", ckpt+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if !at.Resumed {
 			return nil, db, false
 		}
 		tx := b.DB.Store().Begin(false)
@@ -166,7 +179,7 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 			rows[i] = rows[i][:3]
 		}
 		s := repl.NewSubscriber(db, repl.NewApplyStats())
-		if err := s.AddView(b, id, "tgt", rows, ckpt+1, time.Time{}); err != nil {
+		if err := s.AddView(b, at.SubID, "tgt", rows, at.StartLSN, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		return s, db, true
@@ -276,7 +289,7 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, ok := srv.Resume("cache1", art, "tgt", 1)
+	id, ok := resume(t, srv, "cache1", art, 1)
 	if !ok {
 		t.Fatal("subscription at the head of an empty log refused")
 	}
@@ -308,10 +321,10 @@ func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 
 	// Resume a second subscriber behind the checkpoint: refused (truncated),
 	// resume at the head: allowed, and it pins truncation again.
-	if _, ok := srv.Resume("late", art, "tgt", 5); ok {
+	if _, ok := resume(t, srv, "late", art, 5); ok {
 		t.Fatal("resume below the truncated window succeeded")
 	}
-	lateID, ok := srv.Resume("late", art, "tgt", 12)
+	lateID, ok := resume(t, srv, "late", art, 12)
 	if !ok {
 		t.Fatal("resume at the retained head refused")
 	}
@@ -339,16 +352,17 @@ func TestLateProvisionKeepsTheFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, from, _, err := srv.Provision("cache", art, "tgt") // the retry
+	retry, err := srv.Provision("cache", art, "tgt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	id, from := retry.SubID, retry.StartLSN
 	if _, err := b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (100, 'x', 1, 'ARTS')", nil); err != nil {
 		t.Fatal(err)
 	}
-	lateID, lateFrom, _, err := srv.Provision("cache", art, "tgt") // the original, late
-	if err != nil || lateID != id || lateFrom != from+1 {
-		t.Fatalf("late provision: id %d from %d err %v; want id %d from %d", lateID, lateFrom, err, id, from+1)
+	late, err := srv.Provision("cache", art, "tgt", 0) // the original
+	if err != nil || late.SubID != id || late.StartLSN != from+1 {
+		t.Fatalf("late provision: id %d from %d err %v; want id %d from %d", late.SubID, late.StartLSN, err, id, from+1)
 	}
 	batches := drain(t, srv, id)
 	if len(batches) != 1 || batches[0].LSN != from || len(batches[0].Changes) != 1 || batches[0].Changes[0].Table != "tgt" {
@@ -373,11 +387,12 @@ func TestReattachWhilePulling(t *testing.T) {
 		arts[i] = a
 	}
 	art := arts[0]
-	id, _, _, err := srv.Provision("cache", art, "first")
+	at, err := srv.Provision("cache", art, "first", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := srv.Provision("cache", art, "second"); err != nil {
+	id := at.SubID
+	if _, err := srv.Provision("cache", art, "second", 0); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -402,7 +417,7 @@ func TestReattachWhilePulling(t *testing.T) {
 			"INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (%d, 'x', 1, 'ARTS')", i), nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := srv.Provision("cache", arts[i%2], "first"); err != nil {
+		if _, err := srv.Provision("cache", arts[i%2], "first", 0); err != nil {
 			t.Fatal(err)
 		}
 	}

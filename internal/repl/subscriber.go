@@ -107,8 +107,8 @@ func (s *Subscriber) Views() []string {
 }
 
 // AddView populates table with rows current through start-1 — a publisher
-// snapshot (Server.Provision) or rows restored from a checkpoint
-// (Server.Resume) — and applies the table's changes from start on; subID is
+// snapshot, or rows restored from a checkpoint that Server.Provision resumed —
+// and applies the table's changes from start on; subID is
 // the subscription the publisher attached it to. The views the subscriber
 // already has move to start-1 in the transaction that makes the rows visible,
 // so no reader sees the new view and an old one at different positions.

@@ -1,0 +1,6 @@
+//go:build !race
+
+package router
+
+// raceEnabled reports whether the race detector is active.
+const raceEnabled = false

@@ -14,7 +14,8 @@ import (
 )
 
 // fleet is a real 1-backend/N-cache deployment over TCP: every server
-// speaks the wire protocol, every cache holds a full cached view of kv.
+// speaks the wire protocol, every cache holds a full cached view of kv, and
+// none holds far.
 type fleet struct {
 	backend     *core.BackendServer
 	backendSrv  *wire.Server
@@ -27,11 +28,11 @@ type fleet struct {
 func newFleet(t *testing.T, nCaches int, pullInterval time.Duration) *fleet {
 	t.Helper()
 	b := core.NewBackend("backend")
-	if err := b.ExecScript(`CREATE TABLE kv (id INT PRIMARY KEY, v INT);`); err != nil {
+	if err := b.ExecScript(`CREATE TABLE kv (id INT PRIMARY KEY, v INT); CREATE TABLE far (id INT PRIMARY KEY, v INT);`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 64; i++ {
-		if _, err := b.Exec(fmt.Sprintf("INSERT INTO kv (id, v) VALUES (%d, 0)", i), nil); err != nil {
+		if err := b.ExecScript(fmt.Sprintf("INSERT INTO kv (id, v) VALUES (%d, 0); INSERT INTO far (id, v) VALUES (%[1]d, %[1]d)", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,5 +271,42 @@ func TestRouterProcedureCall(t *testing.T) {
 	}
 	if got := res.Rows[0][0].Int(); got != 77 {
 		t.Fatalf("conn read = %d, want 77", got)
+	}
+}
+
+// TestRoutedRemoteReadAllocBudget: what a warm routed read of a table no
+// cache holds allocates, counting every hop in the process — the session,
+// the cache's wire server, the cache's remote query over its back hop and
+// the backend's wire server — when the caller releases each answer. The
+// ceiling is the measured count, 5. A caller that keeps its Results instead
+// takes one out of the pool for good on every read, and a server's next
+// Result is then a new one: the count goes to 8.
+func TestRoutedRemoteReadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	f := newFleet(t, 1, 0)
+	f.caches[0].DB.SetIMCacheEnabled(false)
+	s := f.router(t, metrics.NewRegistry()).Session()
+	var texts [64]string // literal SELECTs, one per key
+	for i := range texts {
+		texts[i] = fmt.Sprintf("SELECT v FROM far WHERE id = %d", i+1)
+	}
+	next := 0
+	read := func() {
+		next++
+		res, err := s.Exec(texts[next%len(texts)], nil)
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != int64(next%len(texts)+1) {
+			t.Fatalf("%s: %v, %v", texts[next%len(texts)], res, err)
+		}
+		res.Release()
+	}
+	for range texts { // warm every shape, plan and connection
+		read()
+	}
+	avg := testing.AllocsPerRun(300, read)
+	t.Logf("routed remote read: %.0f allocs", avg)
+	if avg > 5 {
+		t.Errorf("routed remote read: %.0f allocs, ceiling 5", avg)
 	}
 }

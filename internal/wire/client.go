@@ -295,18 +295,6 @@ func (c *Client) QueryInto(sqlText string, params exec.Params, minLSN storage.LS
 	return resp.Stale, nil
 }
 
-// AppliedLSN asks the server how far its data is applied (a cache answers
-// the floor across its pull subscriptions, the backend its last committed
-// LSN).
-func (c *Client) AppliedLSN() (storage.LSN, error) {
-	var resp response
-	err := c.roundTrip(&request{Kind: reqApplied}, &resp)
-	if err != nil {
-		return 0, err
-	}
-	return resp.Applied, nil
-}
-
 // QueryTraced is Query under the caller's trace ID on the backend, as
 // trace.FormatID renders it ("" for none), which the backend keeps its
 // record under. The span is always nil (see exec.RemoteClient). A traceID
@@ -335,40 +323,21 @@ func (c *Client) Snapshot() ([]byte, error) {
 }
 
 // Provision attaches an article to the subscription subName on the backend
-// (created on first use) as the feed of the cached view target, and returns
-// the subscription id, the LSN the article's changes start from, and the
-// initial population. It is idempotent by (subName, target), so a retried
-// provision leaves neither an orphan subscription nor a second feed.
-func (c *Client) Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error) {
+// (created on first use) as the feed of the cached view target: resumed at
+// from — the first LSN a restarted subscriber has not applied — when from > 0
+// and the backend still serves it, and seeded otherwise, the answer carrying
+// the initial population (repl.Server.Provision). It is idempotent by
+// (subName, target), so a retried provision leaves neither an orphan
+// subscription nor a second feed.
+func (c *Client) Provision(table string, columns []string, filter, subName, target string, from storage.LSN) (repl.Attachment, error) {
 	var resp response
 	err := c.roundTrip(&request{
-		Kind: reqProvision, Table: table, Columns: columns, Filter: filter, SubName: subName, Target: target,
+		Kind: reqProvision, Table: table, Columns: columns, Filter: filter, SubName: subName, Target: target, FromLSN: from,
 	}, &resp)
 	if err != nil {
-		return 0, 0, nil, err
+		return repl.Attachment{}, err
 	}
-	return resp.SubID, resp.StartLSN, resp.Rows, nil
-}
-
-// Resume reattaches an article for a subscriber restarting with durable
-// state: the subscription's stream carries target's changes from fromLSN (the
-// first LSN the subscriber has not applied) with no initial population. ok is
-// false — with no error — when the backend cannot serve that position anymore
-// (its WAL was truncated past it, or it lost the subscription state and the
-// log); the caller must then fall back to Provision for a full reseed. Resume
-// is idempotent: repeating it reattaches to the same feed.
-func (c *Client) Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (subID int, ok bool, err error) {
-	var resp response
-	err = c.roundTrip(&request{
-		Kind: reqResume, Table: table, Columns: columns, Filter: filter, SubName: subName, Target: target, FromLSN: fromLSN,
-	}, &resp)
-	if err != nil {
-		return 0, false, err
-	}
-	if resp.SubID < 0 {
-		return 0, false, nil
-	}
-	return resp.SubID, true, nil
+	return repl.Attachment{SubID: resp.SubID, StartLSN: resp.StartLSN, Resumed: resp.Resumed, Rows: resp.Rows}, nil
 }
 
 // Pull returns up to max pending transactions for a subscription, read from

@@ -1,6 +1,6 @@
 package wire
 
-// codec.go is the v8 frame codec: what a request and a response hold, the
+// codec.go is the v9 frame codec: what a request and a response hold, the
 // preface, the length-prefixed framing and the payload bytes. wire.go's
 // package comment has the layout; the value, row and string bytes are
 // types/codec.go's, a pulled transaction's changes are
@@ -29,17 +29,6 @@ const (
 	reqSnapshot
 	reqProvision
 	reqPull
-	// reqResume re-creates a pull subscription for a cache that restarted
-	// with durable state: like reqProvision but starting the stream at the
-	// cache's checkpointed LSN instead of taking a fresh snapshot. The server
-	// answers SubID = -1 (no error) when the backend can no longer serve that
-	// position and the cache must fall back to a full reseed.
-	reqResume
-	// reqApplied asks the server how far its data is applied: a cache answers
-	// the LSN its pull subscriptions have all reached, the backend answers its
-	// last committed LSN. Session routers use it to probe read-your-writes
-	// eligibility without issuing a query.
-	reqApplied
 )
 
 // request is one client->server frame: the header fields every request
@@ -69,9 +58,10 @@ type request struct {
 	SQL    string
 	Params map[string]types.Value
 
-	// Provision / Resume: the article (Table, Columns, Filter), the cache's
+	// Provision: the article (Table, Columns, Filter), the cache's
 	// subscription and the cached view the article feeds. FromLSN is the
-	// resume position: the first LSN the restarted subscriber has not applied.
+	// resume position: the first LSN a restarted subscriber has not applied,
+	// 0 to seed.
 	Table   string
 	Columns []string
 	Filter  string // deparsed predicate, "" = none
@@ -110,11 +100,6 @@ type response struct {
 	// backend (0 for pure reads) — the session's read-your-writes watermark.
 	LSN storage.LSN
 
-	// Applied is the LSN the answering server has applied through (for a
-	// cache, the floor across its pull subscriptions; for the backend, its
-	// last committed LSN).
-	Applied storage.LSN
-
 	// Query: the result set (Provision: the initial population).
 	Cols []exec.ColInfo
 	Rows []types.Row
@@ -129,9 +114,11 @@ type response struct {
 
 	Snapshot []byte
 
-	// Provision / Resume.
+	// Provision. Resumed says the view was attached at the request's FromLSN
+	// with no rows; otherwise Rows is its initial population.
 	SubID    int
 	StartLSN storage.LSN
+	Resumed  bool
 
 	// Pull. ThroughLSN is the position the subscription's change stream is
 	// complete through: every relevant change at or below it has been
@@ -144,7 +131,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 8}
+var preface = [4]byte{'M', 'T', 'W', 9}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused
@@ -273,7 +260,7 @@ func appendRequest(buf []byte, req *request) []byte {
 			buf = types.AppendString(buf, name)
 			buf = types.AppendValue(buf, &v)
 		}
-	case reqProvision, reqResume:
+	case reqProvision:
 		buf = types.AppendString(buf, req.Table)
 		buf = binary.AppendUvarint(buf, uint64(len(req.Columns)))
 		for _, c := range req.Columns {
@@ -282,9 +269,7 @@ func appendRequest(buf []byte, req *request) []byte {
 		buf = types.AppendString(buf, req.Filter)
 		buf = types.AppendString(buf, req.SubName)
 		buf = types.AppendString(buf, req.Target)
-		if req.Kind == reqResume {
-			buf = binary.AppendUvarint(buf, uint64(req.FromLSN))
-		}
+		buf = binary.AppendUvarint(buf, uint64(req.FromLSN))
 	case reqPull:
 		buf = binary.AppendVarint(buf, int64(req.SubID))
 		buf = binary.AppendVarint(buf, int64(req.Max))
@@ -364,7 +349,7 @@ func decodeRequest(payload []byte, req *request, in interner) error {
 				req.Params[name] = d.Value()
 			}
 		}
-	case reqProvision, reqResume:
+	case reqProvision:
 		req.Table = d.Str()
 		if n := d.Count(1); n > 0 {
 			req.Columns = make([]string, n)
@@ -375,14 +360,12 @@ func decodeRequest(payload []byte, req *request, in interner) error {
 		req.Filter = d.Str()
 		req.SubName = d.Str()
 		req.Target = d.Str()
-		if req.Kind == reqResume {
-			req.FromLSN = storage.LSN(d.Uvarint())
-		}
+		req.FromLSN = storage.LSN(d.Uvarint())
 	case reqPull:
 		req.SubID = int(d.Varint())
 		req.Max = int(d.Varint())
 		req.AckLSN = storage.LSN(d.Uvarint())
-	case reqSnapshot, reqApplied:
+	case reqSnapshot:
 	default:
 		d.Fail()
 	}
@@ -414,7 +397,6 @@ func appendResponse(buf []byte, resp *response) []byte {
 	buf = append(buf, byte(resp.Kind), flags)
 	buf = binary.AppendVarint(buf, resp.N)
 	buf = binary.AppendUvarint(buf, uint64(resp.LSN))
-	buf = binary.AppendUvarint(buf, uint64(resp.Applied))
 	if resp.Err != "" {
 		return types.AppendString(buf, resp.Err)
 	}
@@ -425,15 +407,17 @@ func appendResponse(buf []byte, resp *response) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Snapshot)))
 		buf = append(buf, resp.Snapshot...)
 	case reqProvision:
+		var resumed byte
+		if resp.Resumed {
+			resumed = 1
+		}
+		buf = append(buf, resumed)
 		buf = binary.AppendVarint(buf, int64(resp.SubID))
 		buf = binary.AppendUvarint(buf, uint64(resp.StartLSN))
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Rows)))
 		for _, row := range resp.Rows {
 			buf = types.AppendRow(buf, row)
 		}
-	case reqResume:
-		buf = binary.AppendVarint(buf, int64(resp.SubID))
-		buf = binary.AppendUvarint(buf, uint64(resp.StartLSN))
 	case reqPull:
 		buf = binary.AppendUvarint(buf, uint64(resp.ThroughLSN))
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Batches)))
@@ -448,7 +432,8 @@ func appendResponse(buf []byte, resp *response) []byte {
 }
 
 // decodeResponse parses one response payload into resp, overwriting every
-// field of it but the spare slices rows and vals. Nothing in resp then
+// field of it but the spare slices rows and vals. A kind this version does
+// not define is refused, an error answer's too. Nothing in resp then
 // aliases payload. A result set's column header comes from hdrs, the
 // connection's header table, and a pulled change's table name from names,
 // its intern table; a result set's rows decode into one []types.Row and one
@@ -460,13 +445,12 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 	d := types.Decoder{Buf: payload}
 	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte()), rows: resp.rows, vals: resp.vals}
 	flags := d.Byte()
-	if flags&^(flagStale|flagError) != 0 {
+	if resp.Kind > reqPull || flags&^(flagStale|flagError) != 0 {
 		d.Fail()
 	}
 	resp.Stale = flags&flagStale != 0
 	resp.N = d.Varint()
 	resp.LSN = storage.LSN(d.Uvarint())
-	resp.Applied = storage.LSN(d.Uvarint())
 	if flags&flagError != 0 {
 		if resp.Err = d.Str(); resp.Err == "" {
 			d.Fail()
@@ -481,6 +465,8 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 			resp.Snapshot = slices.Clone(b)
 		}
 	case reqProvision:
+		resumed := d.Byte()
+		resp.Resumed = resumed == 1
 		resp.SubID = int(d.Varint())
 		resp.StartLSN = storage.LSN(d.Uvarint())
 		if n := d.Count(1); n > 0 {
@@ -489,9 +475,9 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 				resp.Rows[i] = d.Row()
 			}
 		}
-	case reqResume:
-		resp.SubID = int(d.Varint())
-		resp.StartLSN = storage.LSN(d.Uvarint())
+		if resumed > 1 || resp.Resumed && resp.Rows != nil {
+			d.Fail()
+		}
 	case reqPull:
 		resp.ThroughLSN = storage.LSN(d.Uvarint())
 		if n := d.Count(3); n > 0 {
@@ -503,9 +489,6 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 				b.Changes = storage.DecodeChanges(&d, names.of)
 			}
 		}
-	case reqApplied:
-	default:
-		d.Fail()
 	}
 	return finish(&d, "response")
 }

@@ -45,10 +45,9 @@ func sampleRequests() map[string]*request {
 		"query session":    {Kind: reqQuery, ID: 1 << 40, SQL: "SELECT 1", MinLSN: 99, WaitMs: 250, TraceID: 0x0123456789ab0001},
 		"query write":      {Kind: reqQuery, ID: 3, SQL: "UPDATE part SET qty = 0 WHERE id = 7", TraceID: 1<<63 | 2, WaitMs: -1},
 		"snapshot":         {Kind: reqSnapshot, ID: 4},
-		"applied":          {Kind: reqApplied, ID: 5},
 		"provision":        {Kind: reqProvision, ID: 6, Table: "part", Columns: []string{"id", "", "name"}, Filter: "(part.qty > 10)", SubName: "cache1.cv_part"},
 		"provision no col": {Kind: reqProvision, ID: 8, Table: "part", Columns: []string{}, SubName: "s"},
-		"resume":           {Kind: reqResume, ID: 9, Table: "part", Columns: []string{"id"}, SubName: "s", FromLSN: 1234567},
+		"provision from":   {Kind: reqProvision, ID: 9, Table: "part", Columns: []string{"id"}, SubName: "s", Target: "v", FromLSN: 1234567},
 		"pull":             {Kind: reqPull, ID: 10, SubID: 3, Max: 100, AckLSN: 42},
 		"pull negative":    {Kind: reqPull, ID: 11, SubID: -1, Max: -5},
 	}
@@ -59,18 +58,18 @@ func sampleRequests() map[string]*request {
 func sampleResponses() map[string]*response {
 	cols := []exec.ColInfo{{Table: "part", Name: "id", Kind: types.KindInt}, {Name: "expr", Kind: types.KindString}}
 	return map[string]*response{
-		"query": {Kind: reqQuery, ID: 7, Applied: 12, Cols: cols,
+		"query": {Kind: reqQuery, ID: 7, Cols: cols,
 			Rows: []types.Row{sampleRow, {}, sampleRow[:2]}},
 		"query no rows":  {Kind: reqQuery, ID: 9, Cols: cols, Rows: []types.Row{}},
 		"query no cols":  {Kind: reqQuery, ID: 10, Cols: []exec.ColInfo{}, Rows: []types.Row{{types.NewString("bare")}}},
 		"query 0-column": {Kind: reqQuery, ID: 11, Rows: []types.Row{{}, {}}},
-		"stale":          {Kind: reqQuery, ID: 12, Stale: true, Applied: 40},
-		"error":          {Kind: reqQuery, ID: 13, Err: "engine: table missing does not exist", Applied: 3},
-		"query write":    {Kind: reqQuery, ID: 14, N: 3, LSN: 1 << 50, Applied: 1 << 50},
+		"stale":          {Kind: reqQuery, ID: 12, Stale: true},
+		"error":          {Kind: reqQuery, ID: 13, Err: "engine: table missing does not exist"},
+		"query write":    {Kind: reqQuery, ID: 14, N: 3, LSN: 1 << 50},
 		"snapshot":       {Kind: reqSnapshot, ID: 15, Snapshot: []byte{0, 1, 2, 0xff}},
 		"snapshot empty": {Kind: reqSnapshot, ID: 16, Snapshot: []byte{}},
 		"provision":      {Kind: reqProvision, ID: 17, SubID: 2, StartLSN: 77, Rows: []types.Row{sampleRow, nil, {}}},
-		"resume":         {Kind: reqResume, ID: 18, SubID: -1, StartLSN: 5},
+		"resumed":        {Kind: reqProvision, ID: 18, SubID: 3, StartLSN: 1234567, Resumed: true},
 		"pull": {Kind: reqPull, ID: 19, ThroughLSN: 90, Batches: []repl.TxnBatch{
 			{LSN: 80, CommitTime: time.Date(2003, 6, 9, 0, 0, 0, 0, pdt), Changes: []storage.ChangeRec{
 				{Table: "part", Op: storage.OpInsert, After: sampleRow},
@@ -80,7 +79,6 @@ func sampleResponses() map[string]*response {
 			{LSN: 81, CommitTime: time.Unix(0, 0)},
 		}},
 		"pull empty": {Kind: reqPull, ID: 20, ThroughLSN: 91, Batches: []repl.TxnBatch{}},
-		"applied":    {Kind: reqApplied, ID: 21, Applied: 1234},
 	}
 }
 
@@ -331,6 +329,53 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := decodeResponse(spanFlagged(), &got, headers{}, interner{}); err == nil {
 		t.Error("a response with v7's span flag decoded")
 	}
+
+	// Resumed is one byte, 0 or 1, and a resumed answer carries no rows.
+	for _, rows := range [][]types.Row{nil, {sampleRow}} {
+		for _, resumed := range []byte{1, 2} {
+			frame := appendResponse(nil, &response{Kind: reqProvision, ID: 1, Rows: rows})
+			frame[5] = resumed // ID, kind, flags, N and LSN take a byte each
+			err := decodeResponse(frame, &got, headers{}, interner{})
+			if valid := resumed == 1 && rows == nil; (err == nil) != valid {
+				t.Errorf("provision answer with Resumed byte %d and %d rows: %v", resumed, len(rows), err)
+			}
+		}
+	}
+}
+
+// v8Frames are a v8 Resume request and a v8 Applied answer, kinds 4 and 5,
+// which v9 took out. A Resume's body was a v9 Provision's, and a v8 answer's
+// header carried the answering server's applied LSN after the commit LSN.
+func v8Frames() [][]byte {
+	resume := appendRequest(nil, sampleRequests()["provision from"])
+	resume[0] = 4
+	applied := binary.AppendUvarint(appendResponse(nil, &response{Kind: 5, ID: 21}), 1234)
+	return [][]byte{resume, applied}
+}
+
+// TestRetiredKindsAreRefused: a frame of kind 4 (Resume) or 5 (Applied) does
+// not decode, as a request or as a response — v8's frames and every v9 sample
+// retagged with either kind alike.
+func TestRetiredKindsAreRefused(t *testing.T) {
+	frames := v8Frames()
+	for _, req := range sampleRequests() {
+		frames = append(frames, appendRequest(nil, req))
+	}
+	for _, resp := range sampleResponses() {
+		frames = append(frames, appendResponse(nil, resp))
+	}
+	for _, frame := range frames {
+		for _, kind := range []byte{4, 5} {
+			asRequest := append([]byte{kind}, frame[1:]...)
+			if err := decodeRequest(asRequest, &request{}, interner{}); err == nil {
+				t.Errorf("request of kind %d decoded: %x", kind, asRequest)
+			}
+			asResponse := append([]byte{frame[0], kind}, frame[2:]...) // a one-byte ID, then the kind
+			if err := decodeResponse(asResponse, &response{}, headers{}, interner{}); err == nil {
+				t.Errorf("response of kind %d decoded: %x", kind, asResponse)
+			}
+		}
+	}
 }
 
 // spanFlagged is the sample query response with v7's span flag (4) set
@@ -345,7 +390,7 @@ func spanFlagged() []byte {
 // resultSetResponse is an n × 3 response (INT, VARCHAR, FLOAT) shaped like
 // the bench's front-hop answers (wire.front.rows_per_call is 13–18).
 func resultSetResponse(n int) *response {
-	resp := &response{Kind: reqQuery, ID: 9, Applied: 1000, Cols: []exec.ColInfo{
+	resp := &response{Kind: reqQuery, ID: 9, Cols: []exec.ColInfo{
 		{Table: "item", Name: "i_id", Kind: types.KindInt},
 		{Table: "item", Name: "i_title", Kind: types.KindString},
 		{Table: "item", Name: "i_cost", Kind: types.KindFloat},
@@ -506,9 +551,9 @@ func recycledResponse() response {
 	for i := range rows {
 		rows[i] = vals[i : i+4]
 	}
-	return response{ID: 99, Kind: reqPull, Stale: true, Err: "old", N: 9, LSN: 9, Applied: 9,
+	return response{ID: 99, Kind: reqPull, Stale: true, Err: "old", N: 9, LSN: 9,
 		Cols: []exec.ColInfo{{Name: "old"}}, Rows: []types.Row{{types.NewInt(9)}},
-		Snapshot: []byte("old"), SubID: 9, StartLSN: 9, Batches: []repl.TxnBatch{{LSN: 9}}, ThroughLSN: 9,
+		Snapshot: []byte("old"), SubID: 9, StartLSN: 9, Resumed: true, Batches: []repl.TxnBatch{{LSN: 9}}, ThroughLSN: 9,
 		rows: rows, vals: vals}
 }
 
@@ -606,6 +651,7 @@ func TestPrefaceRefusesOtherProtocols(t *testing.T) {
 		"wrong version": {'M', 'T', 'W', 2, 0, 0, 0, 0},
 		"v4":            {'M', 'T', 'W', 4, 0, 0, 0, 0}, // a snapshot payload was gob until v5
 		"v5":            {'M', 'T', 'W', 5, 0, 0, 0, 0}, // request kind 1 was Exec until v6
+		"v8":            {'M', 'T', 'W', 8, 0, 0, 0, 0}, // kinds 4 Resume and 5 Applied, and the Applied header, until v9
 		"http":          []byte("GET / HTTP/1.1\r\n\r\n"),
 	}
 

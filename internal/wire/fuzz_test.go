@@ -17,9 +17,9 @@ import (
 // tables and through warmed ones, as a client connection's is, into a
 // recycled slot's spare slices: no table changes what a frame means.
 func FuzzFrameDecode(f *testing.F) {
-	// Seed with real frames of every kind, one that names a parameter twice
-	// and one with v7's span flag: whole, halved, minus the last byte, minus
-	// the first.
+	// Seed with real frames of every kind, one that names a parameter twice,
+	// one with v7's span flag and v8's Resume request and Applied answer:
+	// whole, halved, minus the last byte, minus the first.
 	add := func(b []byte) {
 		f.Add(b)
 		if len(b) > 2 {
@@ -36,6 +36,9 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	add(queryFrame([]string{"a", "a"}, []types.Value{types.NewInt(1), types.NewString("x")}))
 	add(spanFlagged())
+	for _, frame := range v8Frames() {
+		add(frame)
+	}
 
 	warm, warmHdrs, warmNames := interner{}, headers{}, interner{}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -117,11 +117,11 @@ func TestConcurrentProvisionOneSubscription(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				id, _, _, err := c.Provision("tiny", cols, "", name, "v")
+				a, err := c.Provision("tiny", cols, "", name, "v", 0)
 				if err != nil {
 					t.Error(err)
 				}
-				ids[i] = id
+				ids[i] = a.SubID
 			}()
 		}
 		wg.Wait()

@@ -56,11 +56,11 @@ func runPullProperty(t *testing.T, seed int64) {
 
 	subs := make([]*propSub, 2)
 	for i := range subs {
-		id, startLSN, _, err := client.Provision("part", nil, "", fmt.Sprintf("prop%d", i), "sub")
+		a, err := client.Provision("part", nil, "", fmt.Sprintf("prop%d", i), "sub", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs[i] = &propSub{id: id, start: startLSN, ack: startLSN - 1, seen: startLSN - 1}
+		subs[i] = &propSub{id: a.SubID, start: a.StartLSN, ack: a.StartLSN - 1, seen: a.StartLSN - 1}
 	}
 	proxy.SetFaults(FaultConfig{DropRate: 0.2})
 

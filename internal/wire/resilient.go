@@ -14,7 +14,6 @@ import (
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
 	"mtcache/internal/trace"
-	"mtcache/internal/types"
 )
 
 var (
@@ -34,9 +33,10 @@ var (
 // under the same policy as before.
 //
 // Retry rules follow idempotency. Every request retries while no connection
-// could be produced (connect phase). After that, Snapshot, Provision, Resume,
-// Pull and a read-only Query (sql.ReadOnly) retry on any transport failure:
-// Provision attaches by name and Pull re-delivers until acked. Any other
+// could be produced (connect phase). After that, Snapshot, Provision, Pull
+// and a read-only Query (sql.ReadOnly) retry on any transport failure:
+// Provision attaches by name, so a retry finds the feed its original
+// attached, and Pull re-delivers until acked. Any other
 // Query (DML, an EXEC, DDL) may have executed on the backend even though the
 // response was lost, so it turns terminal the moment it may have reached the
 // backend.
@@ -186,21 +186,6 @@ func (r *ResilientClient) ExecLSN(sqlText string, params exec.Params) (int64, st
 	return rs.RowsAffected, rs.CommitLSN, nil
 }
 
-// AppliedLSN probes how far the server's data is applied (idempotent:
-// retried).
-func (r *ResilientClient) AppliedLSN() (storage.LSN, error) {
-	var lsn storage.LSN
-	err := r.do(true, func(c *Client) error {
-		var e error
-		lsn, e = c.AppliedLSN()
-		return e
-	})
-	if err != nil {
-		return 0, err
-	}
-	return lsn, nil
-}
-
 // Snapshot fetches the backend catalog snapshot (idempotent: retried).
 func (r *ResilientClient) Snapshot() ([]byte, error) {
 	var data []byte
@@ -215,41 +200,16 @@ func (r *ResilientClient) Snapshot() ([]byte, error) {
 	return data, nil
 }
 
-// Provision attaches a cached view's article to the cache's pull subscription
-// (idempotent by subscription and view name: retried).
-func (r *ResilientClient) Provision(table string, columns []string, filter, subName, target string) (int, storage.LSN, []types.Row, error) {
-	var (
-		subID int
-		lsn   storage.LSN
-		rows  []types.Row
-	)
-	err := r.do(true, func(c *Client) error {
-		var e error
-		subID, lsn, rows, e = c.Provision(table, columns, filter, subName, target)
-		return e
+// Provision attaches a cached view's article to the cache's pull
+// subscription, resumed at from or seeded (idempotent by subscription and
+// view name: retried).
+func (r *ResilientClient) Provision(table string, columns []string, filter, subName, target string, from storage.LSN) (repl.Attachment, error) {
+	var a repl.Attachment
+	err := r.do(true, func(c *Client) (err error) {
+		a, err = c.Provision(table, columns, filter, subName, target, from)
+		return err
 	})
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return subID, lsn, rows, nil
-}
-
-// Resume reattaches a cached view's article at a durable position
-// (idempotent: repeating it reattaches to the same feed, so it is retried).
-func (r *ResilientClient) Resume(table string, columns []string, filter, subName, target string, fromLSN storage.LSN) (int, bool, error) {
-	var (
-		subID int
-		ok    bool
-	)
-	err := r.do(true, func(c *Client) error {
-		var e error
-		subID, ok, e = c.Resume(table, columns, filter, subName, target, fromLSN)
-		return e
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	return subID, ok, nil
+	return a, err
 }
 
 // Pull fetches pending transactions (idempotent: unacknowledged batches are

@@ -1,5 +1,5 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v8) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v9) carrying
 //
 //   - Query — the linked-server path (paper §2.1): remote subexpressions,
 //     forwarded writes and forwarded procedure calls travel as SQL text (or a
@@ -10,12 +10,13 @@
 //     under that ID, and a reader joins the records by ID on read
 //     (engine.Database.Stitch);
 //   - Snapshot — the shadow-database setup payload (§4);
-//   - Provision / Resume / Pull — the pull subscription (§2.2): a cache has
-//     one, provisions an article of it for each cached view, receives the
-//     view's initial population, and then periodically pulls committed
-//     transactions, each carrying every view's share. The server answers them
-//     with core.BackendServer's publisher methods;
-//   - Applied — how far the answering server's data is applied.
+//   - Provision / Pull — the pull subscription (§2.2): a cache has one,
+//     provisions an article of it for each cached view — resumed at the
+//     position a restarted cache asks for when the backend still serves it,
+//     seeded with the view's initial population otherwise — and then
+//     periodically pulls committed transactions, each carrying every view's
+//     share. The server answers them with core.BackendServer's publisher
+//     methods.
 //
 // One connection is multiplexed: every request carries a correlation ID
 // that the server echoes on the response, so many requests can be in flight
@@ -29,12 +30,13 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x08
+//	preface, once, each direction: 'M' 'T' 'W' 0x09
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
-//	  byte    kind: 0 Query, 1 Snapshot, 2 Provision, 3 Pull, 4 Resume,
-//	          5 Applied (v6; through v5 kind 1 was Exec, answered as Query)
+//	  byte    kind: 0 Query, 1 Snapshot, 2 Provision, 3 Pull (through v8
+//	          also 4 Resume and 5 Applied; through v5 kind 1 was Exec,
+//	          answered as Query)
 //	  uvarint ID
 //	  uvarint MinLSN
 //	  varint  WaitMs
@@ -42,10 +44,10 @@
 //	  body, by kind:
 //	    Query             string SQL, uvarint #params, per param: string name, value
 //	                      (no name twice)
-//	    Snapshot, Applied —
+//	    Snapshot          —
 //	    Provision         string Table, uvarint #columns, per column: string,
-//	                      string Filter, string SubName, string Target
-//	    Resume            as Provision, then uvarint FromLSN
+//	                      string Filter, string SubName, string Target,
+//	                      uvarint FromLSN (0: seed; since v9)
 //	    Pull              varint SubID, varint Max, uvarint AckLSN
 //
 //	response payload:
@@ -54,19 +56,18 @@
 //	  byte    flags: 1 stale, 2 error (through v7, 4: a span tree ahead of
 //	          the result set; any other bit is refused)
 //	  varint  N (rows written)
-//	  uvarint LSN (commit LSN of a write)
-//	  uvarint Applied
+//	  uvarint LSN (commit LSN of a write; through v8 followed by
+//	          uvarint Applied)
 //	  body: string Err if the error flag is set, otherwise by kind:
 //	    Query        uvarint #cols, per col: string Table, string Name, byte Kind
 //	                 uvarint #rows, uvarint #values in all rows,
 //	                 per row: uvarint #values, values
 //	    Snapshot     uvarint len, bytes (catalog.Snapshot.Encode: script,
 //	                   stats, perms, procs; since v5, gob before it)
-//	    Provision    varint SubID, uvarint StartLSN, uvarint #rows, rows
-//	    Resume       varint SubID, uvarint StartLSN
+//	    Provision    byte Resumed (0 or 1; since v9), varint SubID,
+//	                 uvarint StartLSN, uvarint #rows (0 when resumed), rows
 //	    Pull         uvarint ThroughLSN, uvarint #batches, per batch:
 //	                   uvarint LSN, varint CommitTime (unix nanoseconds), changes
-//	    Applied      —
 //
 // An empty slice, map or string and an absent one are the same bytes and
 // decode as nil / "" (a server's exchange keeps its emptied parameter map).
@@ -92,7 +93,7 @@ import (
 	"mtcache/internal/core"
 	"mtcache/internal/engine"
 	"mtcache/internal/metrics"
-	"mtcache/internal/storage"
+	"mtcache/internal/repl"
 )
 
 // DefaultMaxInFlight bounds concurrent request handling per server when
@@ -111,7 +112,7 @@ type ServerOptions struct {
 
 // Server exposes a backend — or a cache (ServeCache) — over TCP. Exactly one
 // of backend/cache is non-nil; replication requests (Snapshot, Provision,
-// Resume, Pull) are answered only by a backend.
+// Pull) are answered only by a backend.
 type Server struct {
 	backend *core.BackendServer
 	cache   *core.CacheServer
@@ -169,16 +170,6 @@ func (s *Server) execDB() *engine.Database {
 		return s.cache.DB
 	}
 	return s.backend.DB
-}
-
-// appliedLSN reports how far this server's data is applied: a cache answers
-// its subscription's applied position, the backend its last committed
-// LSN (WAL().End() is the LSN the next commit will receive).
-func (s *Server) appliedLSN() storage.LSN {
-	if s.cache != nil {
-		return s.cache.AppliedLSN()
-	}
-	return s.backend.DB.Store().WAL().End() - 1
 }
 
 // Addr returns the listen address.
@@ -360,7 +351,6 @@ func (s *Server) handle(req *request, resp *response) *engine.Result {
 	case reqQuery:
 		res, rec, err := s.execDB().ExecSessionTraced(req.SQL, req.Params,
 			req.MinLSN, time.Duration(req.WaitMs)*time.Millisecond, req.TraceID)
-		resp.Applied = s.appliedLSN()
 		switch {
 		case errors.Is(err, engine.ErrSessionStale):
 			// Not an error on the wire: the cache is simply behind the
@@ -376,9 +366,7 @@ func (s *Server) handle(req *request, resp *response) *engine.Result {
 		}
 		rec.Release()
 		return res
-	case reqApplied:
-		resp.Applied = s.appliedLSN()
-	case reqSnapshot, reqProvision, reqResume, reqPull:
+	case reqSnapshot, reqProvision, reqPull:
 		if s.backend == nil {
 			resp.Err = "wire: not a backend server"
 		} else if err := s.publish(req, resp); err != nil {
@@ -395,13 +383,9 @@ func (s *Server) publish(req *request, resp *response) (err error) {
 	case reqSnapshot:
 		resp.Snapshot = s.backend.Snapshot().Encode()
 	case reqProvision:
-		resp.SubID, resp.StartLSN, resp.Rows, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName, req.Target)
-	case reqResume:
-		var ok bool
-		resp.StartLSN = req.FromLSN
-		if resp.SubID, ok, err = s.backend.Resume(req.Table, req.Columns, req.Filter, req.SubName, req.Target, req.FromLSN); !ok {
-			resp.SubID = -1 // no error: the cache must reseed via Provision
-		}
+		var a repl.Attachment
+		a, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName, req.Target, req.FromLSN)
+		resp.SubID, resp.StartLSN, resp.Resumed, resp.Rows = a.SubID, a.StartLSN, a.Resumed, a.Rows
 	case reqPull:
 		resp.Batches, resp.ThroughLSN, err = s.backend.Pull(req.SubID, req.Max, req.AckLSN)
 	}

@@ -139,12 +139,12 @@ func ExplainBackend(b *Backend, query string) (string, error) { return b.DB.Expl
 // showing DataTransfer boundaries, ChoosePlan branches and view usage.
 func ExplainCache(c *Cache, query string) (string, error) { return c.DB.Explain(query) }
 
-// WireServer exposes a backend over TCP (linked-server protocol plus pull
-// subscriptions). Requests are handled concurrently, bounded by
-// WireServerOptions.MaxInFlight.
+// WireServer exposes a backend (ServeBackend) or a cache (ServeCache) over
+// TCP: the linked-server protocol, and for a backend the pull subscriptions.
+// Requests are handled concurrently, bounded by WireServerOptions.MaxInFlight.
 type WireServer = wire.Server
 
-// WireServerOptions tunes a WireServer (see ServeBackendOpts).
+// WireServerOptions tunes a WireServer that ServeCache starts.
 type WireServerOptions = wire.ServerOptions
 
 // WireClient is a multiplexed TCP connection to a backend: any number of
@@ -194,12 +194,6 @@ type RemoteCache = wire.RemoteCache
 // "127.0.0.1:0" to pick a free port; see WireServer.Addr).
 func ServeBackend(b *Backend, addr string) (*WireServer, error) { return wire.Serve(b, addr) }
 
-// ServeBackendOpts is ServeBackend with explicit server options (e.g. the
-// in-flight request bound).
-func ServeBackendOpts(b *Backend, addr string, opts WireServerOptions) (*WireServer, error) {
-	return wire.ServeOpts(b, addr, opts)
-}
-
 // DialBackend connects to a backend's wire server.
 func DialBackend(addr string, timeout time.Duration) (*WireClient, error) {
 	return wire.Dial(addr, timeout)
@@ -232,7 +226,7 @@ func NewRemoteCacheDurable(name string, client BackendClient, options *Options, 
 
 // ServeCache exposes a cache server over TCP so session routers can send it
 // application traffic (queries gated on the session's read-your-writes
-// watermark, forwarded DML, applied-LSN probes).
+// watermark, forwarded DML and procedure calls).
 func ServeCache(c *RemoteCache, addr string, opts WireServerOptions) (*WireServer, error) {
 	return wire.ServeCache(c, addr, opts)
 }

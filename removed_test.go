@@ -120,6 +120,11 @@ var removedNames = []struct {
 	{`schema must be recreated`, "", "a durable backend recovers from its own directory (DDL is a log record)"},
 	{`func \(db \*Database\) Recover\(`, `^internal/engine/`, "a durable backend recovers from its own directory (engine.Open)"},
 	{`CreateSchema`, `^cmd/`, "a durable backend recovers from its own directory (TPC-W loads into an empty catalog)"},
+	{`reqResume`, "", "a cached view attaches with one request (Provision resumes at its FromLSN or seeds)"},
+	{`func \([^)]*\) Resume\(`, `^internal/(wire|core|repl)/`, "a cached view attaches with one request (Provision resumes at its FromLSN or seeds)"},
+	{`reqApplied`, "", "nothing: no caller probed a server's applied LSN"},
+	{`AppliedLSN\(\) \(storage\.LSN, error\)`, `^internal/wire/`, "nothing: no caller probed a server's applied LSN"},
+	{`ServeBackendOpts`, "", "ServeBackend (nothing set the options)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
