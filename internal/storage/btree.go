@@ -6,6 +6,7 @@
 package storage
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"mtcache/internal/types"
@@ -36,28 +37,37 @@ func cmpItem(a, b Item) int {
 	return 0
 }
 
-// BTree is an in-memory B-tree over Items with copy-on-write updates: Insert
-// and Delete give every node on the changed path a new header and publish a
-// new root with a single atomic store; an array the change does not modify
+// BTree is an in-memory B-tree over Items with copy-on-write updates; every
+// write publishes a new root with a single atomic store. An entry that sorts
+// after every other, into a rightmost leaf with room, is a tail append: it
+// publishes one object, a copy of the root whose tail — the rightmost leaf's
+// entries — is one entry longer. Every other Insert and Delete gives each
+// node on the changed path a new header. An array a change does not modify
 // is shared with the published tree (see node). Mutators must still be
 // externally serialized (the Store's per-table write latch does this), but
 // any number of readers may traverse a pinned root concurrently — and keep
 // iterating their snapshot while later writes publish new roots.
 type BTree struct {
-	root atomic.Pointer[node]
+	root atomic.Pointer[root]
 	size atomic.Int64
 }
 
 // node is one tree node. A header reachable from a published root is never
-// written again, but its arrays may be shared with newer headers:
+// written again — a root's tail included —, but its arrays may be shared with
+// newer headers:
 //
+//   - the rightmost leaf's header may hold only a prefix of its entries; the
+//     root holds them all (see root), and a write that copies that leaf
+//     copies the root's tail into the new header;
 //   - an inner node on an insert path gets a fresh children array and keeps
 //     its items array, unless a child split hoists a median into it;
-//   - a leaf's new last entry is appended to its items array in place, at an
-//     index past the length of every header that covers the array, so no
-//     reader of an older header can see the write;
+//   - a leaf's new last entry is appended to its items array (or the tail's)
+//     in place, at an index past the length of every header and tail that
+//     covers the array, so no reader of an older one can see the write;
 //   - every change that shortens or rearranges an array — a middle insert,
 //     a split's halves, delete, borrow and merge — works on a fresh array.
+//     A new array for the rightmost leaf has room for a full leaf (see
+//     room), so the appends after the write that made it do not copy it.
 type node struct {
 	items    []Item
 	children []*node // nil for leaves
@@ -65,46 +75,100 @@ type node struct {
 
 func (n *node) leaf() bool { return n.children == nil }
 
-// clone returns a copy of n with fresh item and child slices. The pointed-to
-// children are shared; the mutating path replaces only the ones it touches.
-func (n *node) clone() *node { return n.cloneWithRoom(0) }
+// newNode returns n moved to the heap: the copies that insert and delete
+// return are values, so that a write which changes nothing allocates nothing
+// and the top one goes into its root.
+func newNode(n node) *node { return &n }
+
+// root is a published version of the tree: its top node, and the entries of
+// its rightmost leaf, last, in tail. A tail append writes into tail's array
+// and publishes a copy of the root whose tail is one entry longer, leaving
+// last as it is; so readers and writers read a node's entries through the
+// root they started from (entries).
+type root struct {
+	node
+	last *node
+	tail []Item
+}
+
+// entries returns the items of n, a node of the tree under r: the rightmost
+// leaf's are r's tail.
+func (r *root) entries(n *node) []Item {
+	if n == r.last {
+		return r.tail
+	}
+	return n.items
+}
+
+// clone returns a copy of n, a node under r, with fresh item and child
+// slices. The pointed-to children are shared; the mutating path replaces only
+// the ones it touches.
+func (r *root) clone(n *node) node { return r.cloneWithRoom(n, 0) }
 
 // cloneWithRoom is clone with capacity for extra more items (and children),
-// so a caller that grows the copy does not allocate it twice.
-func (n *node) cloneWithRoom(extra int) *node {
-	c := &node{items: append(make([]Item, 0, len(n.items)+extra), n.items...)}
+// so a caller that grows the copy does not allocate it twice (and see room).
+func (r *root) cloneWithRoom(n *node, extra int) node {
+	items := r.entries(n)
+	c := node{items: append(make([]Item, 0, r.room(n, len(items)+extra)), items...)}
 	if n.children != nil {
 		c.children = append(make([]*node, 0, len(n.children)+extra), n.children...)
 	}
 	return c
 }
 
+// room is the capacity of a new array for size entries of n, a node under r:
+// a full leaf's when n is the rightmost leaf.
+func (r *root) room(n *node, size int) int {
+	if n == r.last {
+		return max(size, btreeOrder)
+	}
+	return size
+}
+
 // NewBTree returns an empty tree.
 func NewBTree() *BTree {
 	t := &BTree{}
-	t.root.Store(&node{})
+	r := &root{}
+	r.last = &r.node
+	t.root.Store(r)
 	return t
 }
 
 // pin returns the current root for a consistent read-only traversal.
-func (t *BTree) pin() *node { return t.root.Load() }
+func (t *BTree) pin() *root { return t.root.Load() }
+
+// publish stores, as the root after old, one whose top node is top: it finds
+// the new rightmost leaf and its entries — old's tail when the leaf is old's,
+// unchanged.
+func (t *BTree) publish(old *root, top node) {
+	r := &root{node: top}
+	last := &r.node
+	for !last.leaf() {
+		last = last.children[len(last.children)-1]
+	}
+	r.last, r.tail = last, last.items
+	if last == old.last {
+		r.tail = old.tail
+	}
+	t.root.Store(r)
+}
 
 // Len returns the number of entries.
 func (t *BTree) Len() int { return int(t.size.Load()) }
 
-// find locates the first index in n.items >= it, and whether an exact match
+// search locates the first index in items >= it, and whether an exact match
 // exists at that index.
-func (n *node) find(it Item) (int, bool) {
-	lo, hi := 0, len(n.items)
+func search(items []Item, it Item) (int, bool) {
+	lo, hi := 0, len(items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if cmpItem(n.items[mid], it) < 0 {
+		if cmpItem(items[mid], it) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(n.items) && cmpItem(n.items[lo], it) == 0 {
+	if lo < len(items) && cmpItem(items[lo], it) == 0 {
 		return lo, true
 	}
 	return lo, false
@@ -114,24 +178,43 @@ func (n *node) find(it Item) (int, bool) {
 // as it is, and the tree publishes no new root.
 func (t *BTree) Insert(it Item) {
 	r := t.root.Load()
-	if len(r.items) >= btreeOrder {
-		if r.has(it) {
+	// A tail append needs an inner root (a leaf root is its own last, which a
+	// copy of it could not name), below which the rightmost leaf is never
+	// empty, and room in the tail's array: a new array under the old leaf
+	// header would keep both alive, so a full one takes the path copy.
+	if n := len(r.tail); !r.leaf() && n < min(btreeOrder, cap(r.tail)) && cmpItem(it, r.tail[n-1]) > 0 {
+		t.root.Store(r.appendTail(it))
+		t.size.Add(1)
+		return
+	}
+	top := &r.node
+	if len(r.entries(top)) >= btreeOrder {
+		if r.has(top, it) {
 			return
 		}
-		nr := &node{children: []*node{r}}
-		nr.splitChild(0)
-		r = nr
+		top = &node{children: []*node{top}}
+		r.splitChild(top, 0)
 	}
-	if nr, added := r.insert(it); added {
-		t.root.Store(nr)
+	if nt, added := r.insert(top, it); added {
+		t.publish(r, nt)
 		t.size.Add(1)
 	}
 }
 
-// has reports whether the subtree under n holds an entry equal to it.
-func (n *node) has(it Item) bool {
+// appendTail returns the root after r with it appended to r's tail in place:
+// a copy of r, the one object a tail append allocates. The entry is written
+// past the length of every header and tail that covers the array.
+func (r *root) appendTail(it Item) *root {
+	nr := *r
+	nr.tail = append(r.tail, it)
+	return &nr
+}
+
+// has reports whether the subtree under n, a node under r, holds an entry
+// equal to it.
+func (r *root) has(n *node, it Item) bool {
 	for {
-		i, found := n.find(it)
+		i, found := search(r.entries(n), it)
 		if found || n.leaf() {
 			return found
 		}
@@ -139,128 +222,133 @@ func (n *node) has(it Item) bool {
 	}
 }
 
-// insert returns a copy of n with the entry added and true, or n itself and
-// false when the entry is already present. It copies only what it changes
-// (see node).
-func (n *node) insert(it Item) (*node, bool) {
-	i, found := n.find(it)
+// insert returns a copy of n, a node under r or a fresh one, with the entry
+// added and true, or false when the entry is already present. It copies only
+// what it changes (see node); the caller places the copy.
+func (r *root) insert(n *node, it Item) (node, bool) {
+	i, found := search(r.entries(n), it)
 	if found {
-		return n, false
+		return node{}, false
 	}
 	if n.leaf() {
-		return n.withItem(i, it), true
+		return r.withItem(n, i, it), true
 	}
-	if child := n.children[i]; len(child.items) >= btreeOrder {
-		if child.has(it) {
-			return n, false
+	if child := n.children[i]; len(r.entries(child)) >= btreeOrder {
+		if r.has(child, it) {
+			return node{}, false
 		}
-		c := n.cloneWithRoom(1) // the split hoists the child's median into c
-		c.splitChild(i)
+		c := r.cloneWithRoom(n, 1) // the split hoists the child's median into c
+		r.splitChild(&c, i)
 		if cmpItem(it, c.items[i]) > 0 {
 			i++
 		}
-		c.children[i], _ = c.children[i].insert(it)
+		nc, _ := r.insert(c.children[i], it)
+		c.children[i] = newNode(nc)
 		return c, true
 	}
-	nc, added := n.children[i].insert(it)
+	nc, added := r.insert(n.children[i], it)
 	if !added {
-		return n, false
+		return node{}, false
 	}
-	c := &node{items: n.items, children: append(make([]*node, 0, len(n.children)), n.children...)}
-	c.children[i] = nc
+	c := node{items: n.items, children: append(make([]*node, 0, len(n.children)), n.children...)}
+	c.children[i] = newNode(nc)
 	return c, true
 }
 
-// withItem returns a new leaf header holding n's items with it at index i. A
-// new last entry is appended to n's array when it has room (no header covers
-// that index yet); otherwise the array is copied, with room for a full leaf
-// when the copy is for an append, so a leaf that grows at its end is copied
-// once per split rather than once per insert.
-func (n *node) withItem(i int, it Item) *node {
-	if i == len(n.items) {
-		items := n.items
+// withItem returns a leaf holding the entries of n, a leaf under r, with it
+// at index i. A new last entry is appended to the array when it has room (no
+// header covers that index yet); otherwise the array is copied, with room for
+// a full leaf when the copy is for an append or of the rightmost leaf, so a
+// leaf that grows at its end is copied once per split rather than once per
+// insert.
+func (r *root) withItem(n *node, i int, it Item) node {
+	items := r.entries(n)
+	if i == len(items) {
 		if len(items) == cap(items) {
 			items = append(make([]Item, 0, btreeOrder), items...)
 		}
-		return &node{items: append(items, it)}
+		return node{items: append(items, it)}
 	}
-	items := make([]Item, len(n.items)+1)
-	copy(items, n.items[:i])
-	items[i] = it
-	copy(items[i+1:], n.items[i:])
-	return &node{items: items}
+	c := make([]Item, len(items)+1, r.room(n, len(items)+1))
+	copy(c, items[:i])
+	c[i] = it
+	copy(c[i+1:], items[i:])
+	return node{items: c}
 }
 
-// splitChild splits the full child at index i, hoisting its median into n.
-// n must be caller-owned (a fresh clone); the child is cloned before mutation.
-func (n *node) splitChild(i int) {
-	child := n.children[i].clone()
-	n.children[i] = child
+// splitChild splits the full child at index i of p, hoisting its median into
+// p. p must be caller-owned (a fresh copy); the child, a node under r, is
+// cloned before mutation.
+func (r *root) splitChild(p *node, i int) {
+	old := p.children[i]
+	child := r.clone(old)
+	p.children[i] = &child
 	mid := len(child.items) / 2
 	median := child.items[mid]
-	right := &node{items: append([]Item(nil), child.items[mid+1:]...)}
+	rest := child.items[mid+1:]
+	right := &node{items: append(make([]Item, 0, r.room(old, len(rest))), rest...)}
 	if !child.leaf() {
 		right.children = append([]*node(nil), child.children[mid+1:]...)
 		child.children = child.children[:mid+1]
 	}
 	child.items = child.items[:mid]
 
-	n.items = append(n.items, Item{})
-	copy(n.items[i+1:], n.items[i:])
-	n.items[i] = median
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
+	p.items = append(p.items, Item{})
+	copy(p.items[i+1:], p.items[i:])
+	p.items[i] = median
+	p.children = append(p.children, nil)
+	copy(p.children[i+2:], p.children[i+1:])
+	p.children[i+1] = right
 }
 
 // Delete removes the entry equal to it (key and rid both matching).
 // It reports whether an entry was removed.
 func (t *BTree) Delete(it Item) bool {
 	r := t.root.Load()
-	nr, ok := r.delete(it)
+	top, ok := r.delete(&r.node, it)
 	if !ok {
 		return false
 	}
-	if len(nr.items) == 0 && !nr.leaf() {
-		nr = nr.children[0]
+	if len(top.items) == 0 && !top.leaf() {
+		top = *top.children[0]
 	}
-	t.root.Store(nr)
+	t.publish(r, top)
 	t.size.Add(-1)
 	return true
 }
 
 const minItems = btreeOrder / 2
 
-// delete returns a path-copied node with the entry removed. When the entry is
-// absent it returns the original node untouched (no clone is published).
-func (n *node) delete(it Item) (*node, bool) {
-	i, found := n.find(it)
+// delete returns a path-copied copy of n, a node under r or a fresh one, with
+// the entry removed, and true; or false when the entry is absent, and then
+// nothing it copied is published.
+func (r *root) delete(n *node, it Item) (node, bool) {
+	i, found := search(r.entries(n), it)
 	if n.leaf() {
 		if !found {
-			return n, false
+			return node{}, false
 		}
-		c := n.clone()
+		c := r.clone(n)
 		c.items = append(c.items[:i], c.items[i+1:]...)
 		return c, true
 	}
-	c := n.clone()
+	c := r.clone(n)
 	if found {
 		// CLRS case 2: the key lives in this internal node.
-		left := c.children[i].clone()
-		right := c.children[i+1].clone()
-		c.children[i], c.children[i+1] = left, right
+		left, right := r.clone(c.children[i]), r.clone(c.children[i+1])
+		c.children[i], c.children[i+1] = &left, &right
 		if len(left.items) > minItems {
-			pred := left.max()
+			pred := r.max(&left)
 			c.items[i] = pred
-			nl, _ := left.delete(pred)
-			c.children[i] = nl
+			nl, _ := r.delete(&left, pred)
+			c.children[i] = newNode(nl)
 			return c, true
 		}
 		if len(right.items) > minItems {
-			succ := right.min()
+			succ := r.min(&right)
 			c.items[i] = succ
-			nr, _ := right.delete(succ)
-			c.children[i+1] = nr
+			nr, _ := r.delete(&right, succ)
+			c.children[i+1] = newNode(nr)
 			return c, true
 		}
 		// Merge left + separator + right, then delete from the merged node.
@@ -269,59 +357,61 @@ func (n *node) delete(it Item) (*node, bool) {
 		left.children = append(left.children, right.children...)
 		c.items = append(c.items[:i], c.items[i+1:]...)
 		c.children = append(c.children[:i+1], c.children[i+2:]...)
-		nm, ok := left.delete(it)
-		c.children[i] = nm
+		nm, ok := r.delete(&left, it)
+		c.children[i] = newNode(nm)
 		return c, ok
 	}
 	// CLRS case 3: descend, topping up the child first so it cannot underflow.
-	c.ensureChild(i)
-	j, _ := c.find(it)
-	nc, ok := c.children[j].delete(it)
+	r.ensureChild(&c, i)
+	j, _ := search(c.items, it)
+	nc, ok := r.delete(c.children[j], it)
 	if !ok {
-		// Nothing removed: discard the restructured clone, keep the original.
-		return n, false
+		return node{}, false
 	}
-	c.children[j] = nc
+	c.children[j] = newNode(nc)
 	return c, true
 }
 
-func (n *node) max() Item {
+// max returns the largest entry under n, a node under r.
+func (r *root) max(n *node) Item {
 	for !n.leaf() {
 		n = n.children[len(n.children)-1]
 	}
-	return n.items[len(n.items)-1]
+	items := r.entries(n)
+	return items[len(items)-1]
 }
 
-func (n *node) min() Item {
+// min returns the smallest entry under n, a node under r.
+func (r *root) min(n *node) Item {
 	for !n.leaf() {
 		n = n.children[0]
 	}
-	return n.items[0]
+	return r.entries(n)[0]
 }
 
-// ensureChild guarantees children[i] has more than minItems entries so a
-// recursive delete cannot underflow it. n must be caller-owned (a fresh
-// clone); every sibling it mutates is cloned first.
-func (n *node) ensureChild(i int) {
-	if len(n.children[i].items) > minItems {
+// ensureChild guarantees children[i] of n has more than minItems entries so
+// a recursive delete cannot underflow it. n must be caller-owned (a fresh
+// copy); every sibling it mutates, a node under r, is cloned first.
+func (r *root) ensureChild(n *node, i int) {
+	if len(r.entries(n.children[i])) > minItems {
 		return
 	}
 	switch {
-	case i > 0 && len(n.children[i-1].items) > minItems:
+	case i > 0 && len(r.entries(n.children[i-1])) > minItems:
 		// borrow from left sibling
-		child, left := n.children[i].clone(), n.children[i-1].clone()
-		n.children[i], n.children[i-1] = child, left
-		child.items = append([]Item{n.items[i-1]}, child.items...)
+		child, left := r.cloneWithRoom(n.children[i], 1), r.clone(n.children[i-1])
+		n.children[i], n.children[i-1] = &child, &left
+		child.items = slices.Insert(child.items, 0, n.items[i-1])
 		n.items[i-1] = left.items[len(left.items)-1]
 		left.items = left.items[:len(left.items)-1]
 		if !left.leaf() {
-			child.children = append([]*node{left.children[len(left.children)-1]}, child.children...)
+			child.children = slices.Insert(child.children, 0, left.children[len(left.children)-1])
 			left.children = left.children[:len(left.children)-1]
 		}
-	case i < len(n.children)-1 && len(n.children[i+1].items) > minItems:
+	case i < len(n.children)-1 && len(r.entries(n.children[i+1])) > minItems:
 		// borrow from right sibling
-		child, right := n.children[i].clone(), n.children[i+1].clone()
-		n.children[i], n.children[i+1] = child, right
+		child, right := r.clone(n.children[i]), r.clone(n.children[i+1])
+		n.children[i], n.children[i+1] = &child, &right
 		child.items = append(child.items, n.items[i])
 		n.items[i] = right.items[0]
 		right.items = right.items[1:]
@@ -334,10 +424,10 @@ func (n *node) ensureChild(i int) {
 		if i == len(n.children)-1 {
 			i--
 		}
-		child, right := n.children[i].clone(), n.children[i+1]
-		n.children[i] = child
+		child, right := r.clone(n.children[i]), n.children[i+1]
+		n.children[i] = &child
 		child.items = append(child.items, n.items[i])
-		child.items = append(child.items, right.items...)
+		child.items = append(child.items, r.entries(right)...)
 		child.children = append(child.children, right.children...)
 		n.items = append(n.items[:i], n.items[i+1:]...)
 		n.children = append(n.children[:i+1], n.children[i+2:]...)
@@ -349,24 +439,26 @@ func (n *node) ensureChild(i int) {
 // is a point probe — a unique check, a primary-key lookup — that stops at
 // the first live entry and collects nothing.
 func (t *BTree) firstMatch(key types.Row, match func(RowID) bool) RowID {
-	rid, _ := t.pin().firstMatch(key, match)
+	r := t.pin()
+	rid, _ := r.firstMatch(&r.node, key, match)
 	return rid
 }
 
-// firstMatch walks n from the first entry >= key; false means the walk
-// passed the last entry carrying key.
-func (n *node) firstMatch(key types.Row, match func(RowID) bool) (RowID, bool) {
-	start, _ := n.find(Item{Key: key, RID: -1 << 62})
-	for i := start; i <= len(n.items); i++ {
+// firstMatch walks n, a node under the pinned root r, from the first entry
+// >= key; false means the walk passed the last entry carrying key.
+func (r *root) firstMatch(n *node, key types.Row, match func(RowID) bool) (RowID, bool) {
+	items := r.entries(n)
+	start, _ := search(items, Item{Key: key, RID: -1 << 62})
+	for i := start; i <= len(items); i++ {
 		if !n.leaf() {
-			if rid, more := n.children[i].firstMatch(key, match); rid >= 0 || !more {
+			if rid, more := r.firstMatch(n.children[i], key, match); rid >= 0 || !more {
 				return rid, more
 			}
 		}
-		if i == len(n.items) {
+		if i == len(items) {
 			break
 		}
-		it := n.items[i]
+		it := items[i]
 		if prefixCmp(it.Key, key) != 0 {
 			return -1, false
 		}
@@ -379,12 +471,14 @@ func (n *node) firstMatch(key types.Row, match func(RowID) bool) (RowID, bool) {
 
 // Ascend visits all entries in key order.
 func (t *BTree) Ascend(fn func(Item) bool) {
-	t.pin().ascend(Item{}, false, fn)
+	r := t.pin()
+	r.ascend(&r.node, Item{}, false, fn)
 }
 
 // AscendGE visits entries with key >= from (by key prefix comparison).
 func (t *BTree) AscendGE(from types.Row, fn func(Item) bool) {
-	t.pin().ascend(Item{Key: from, RID: -1 << 62}, true, fn)
+	r := t.pin()
+	r.ascend(&r.node, Item{Key: from, RID: -1 << 62}, true, fn)
 }
 
 // AscendRange visits entries whose key prefix is within [lo, hi]. Keys are
@@ -402,9 +496,10 @@ func prefixCmp(key, bound types.Row) int {
 	return types.CompareRows(key, bound)
 }
 
-// ascendRange is the node-level range scan shared by BTree and IndexView.
-func (n *node) ascendRange(lo, hi types.Row, fn func(Item) bool) {
-	n.ascend(Item{Key: lo, RID: -1 << 62}, true, func(it Item) bool {
+// ascendRange is the range scan of the pinned root r shared by BTree and
+// IndexView.
+func (r *root) ascendRange(lo, hi types.Row, fn func(Item) bool) {
+	r.ascend(&r.node, Item{Key: lo, RID: -1 << 62}, true, func(it Item) bool {
 		if prefixCmp(it.Key, hi) > 0 {
 			return false
 		}
@@ -412,20 +507,23 @@ func (n *node) ascendRange(lo, hi types.Row, fn func(Item) bool) {
 	})
 }
 
-func (n *node) ascend(from Item, bounded bool, fn func(Item) bool) bool {
+// ascend visits, in key order, the entries under n, a node under the pinned
+// root r, from the first >= from when bounded.
+func (r *root) ascend(n *node, from Item, bounded bool, fn func(Item) bool) bool {
+	items := r.entries(n)
 	start := 0
 	if bounded {
-		start, _ = n.find(from)
+		start, _ = search(items, from)
 	}
-	for i := start; i <= len(n.items); i++ {
+	for i := start; i <= len(items); i++ {
 		if !n.leaf() {
 			b := bounded && i == start
-			if !n.children[i].ascend(from, b, fn) {
+			if !r.ascend(n.children[i], from, b, fn) {
 				return false
 			}
 		}
-		if i < len(n.items) {
-			if !fn(n.items[i]) {
+		if i < len(items) {
+			if !fn(items[i]) {
 				return false
 			}
 		}
@@ -433,17 +531,19 @@ func (n *node) ascend(from Item, bounded bool, fn func(Item) bool) bool {
 	return true
 }
 
-// descend visits, in reverse key order, the entries whose key prefix is at
-// most hi; a nil hi starts at the last entry.
-func (n *node) descend(hi types.Row, fn func(Item) bool) bool {
+// descend visits, in reverse key order, the entries under n, a node under the
+// pinned root r, whose key prefix is at most hi; a nil hi starts at the last
+// entry.
+func (r *root) descend(n *node, hi types.Row, fn func(Item) bool) bool {
+	items := r.entries(n)
 	// end is the number of leading items within the bound: every subtree left
 	// of items[end-1] is inside it, children[end] straddles it.
-	end := len(n.items)
+	end := len(items)
 	if hi != nil {
 		lo := 0
 		for lo < end {
 			mid := (lo + end) / 2
-			if prefixCmp(n.items[mid].Key, hi) > 0 {
+			if prefixCmp(items[mid].Key, hi) > 0 {
 				end = mid
 			} else {
 				lo = mid + 1
@@ -456,41 +556,42 @@ func (n *node) descend(hi types.Row, fn func(Item) bool) bool {
 			if i < end {
 				bound = nil
 			}
-			if !n.children[i].descend(bound, fn) {
+			if !r.descend(n.children[i], bound, fn) {
 				return false
 			}
 		}
-		if i > 0 && !fn(n.items[i-1]) {
+		if i > 0 && !fn(items[i-1]) {
 			return false
 		}
 	}
 	return true
 }
 
-// get collects the RowIDs of all entries equal to key in a pinned subtree.
-func (n *node) get(key types.Row) []RowID {
+// get collects the RowIDs of all entries equal to key under the pinned root r.
+func (r *root) get(key types.Row) []RowID {
 	var out []RowID
-	n.ascendRange(key, key, func(it Item) bool {
+	r.ascendRange(key, key, func(it Item) bool {
 		out = append(out, it.RID)
 		return true
 	})
 	return out
 }
 
-// Min returns the smallest entry, or a zero Item if empty.
+// Min returns the smallest entry, or a zero Item if empty. The rightmost
+// leaf is empty only in an empty tree.
 func (t *BTree) Min() (Item, bool) {
-	n := t.pin()
-	if len(n.items) == 0 {
+	r := t.pin()
+	if len(r.tail) == 0 {
 		return Item{}, false
 	}
-	return n.min(), true
+	return r.min(&r.node), true
 }
 
-// Max returns the largest entry, or a zero Item if empty.
+// Max returns the largest entry, the tail's last, or a zero Item if empty.
 func (t *BTree) Max() (Item, bool) {
-	n := t.pin()
-	if len(n.items) == 0 {
+	r := t.pin()
+	if len(r.tail) == 0 {
 		return Item{}, false
 	}
-	return n.max(), true
+	return r.tail[len(r.tail)-1], true
 }

@@ -524,7 +524,7 @@ func (tv *TableView) PKLookup(key types.Row) RowID {
 type IndexView struct {
 	tv   TableView
 	id   *indexData
-	root *node
+	root *root
 }
 
 // live reports whether the entry resolves to a visible row still carrying
@@ -586,25 +586,26 @@ func (iv *IndexView) Get(key types.Row) []RowID {
 // it is the per-probe seek of a lookup join, where a closure per call would
 // cost more than the seek.
 func (iv *IndexView) AppendMatches(dst []types.Row, prefix types.Row) []types.Row {
-	dst, _ = iv.appendMatches(iv.root, dst, prefix)
+	dst, _ = iv.appendMatches(&iv.root.node, dst, prefix)
 	return dst
 }
 
-// appendMatches walks n from the first entry >= prefix; false means the walk
-// passed the last entry carrying the prefix.
+// appendMatches walks n, a node under the view's root, from the first entry
+// >= prefix; false means the walk passed the last entry carrying the prefix.
 func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) ([]types.Row, bool) {
-	start, _ := n.find(Item{Key: prefix, RID: -1 << 62})
-	for i := start; i <= len(n.items); i++ {
+	items := iv.root.entries(n)
+	start, _ := search(items, Item{Key: prefix, RID: -1 << 62})
+	for i := start; i <= len(items); i++ {
 		if !n.leaf() {
 			var more bool
 			if dst, more = iv.appendMatches(n.children[i], dst, prefix); !more {
 				return dst, false
 			}
 		}
-		if i == len(n.items) {
+		if i == len(items) {
 			break
 		}
-		it := n.items[i]
+		it := items[i]
 		if len(it.Key) < len(prefix) || types.CompareRows(it.Key[:len(prefix)], prefix) != 0 {
 			return dst, false
 		}
@@ -624,7 +625,7 @@ func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) (
 func (iv *IndexView) Walk(lo, hi types.Row, desc bool, fn func(Item) bool) {
 	visit := iv.filtered(fn)
 	if desc {
-		iv.root.descend(hi, func(it Item) bool {
+		iv.root.descend(&iv.root.node, hi, func(it Item) bool {
 			if lo != nil && prefixCmp(it.Key, lo) < 0 {
 				return false
 			}
@@ -639,8 +640,8 @@ func (iv *IndexView) Walk(lo, hi types.Row, desc bool, fn func(Item) bool) {
 		return visit(it)
 	}
 	if lo == nil {
-		iv.root.ascend(Item{}, false, bounded)
+		iv.root.ascend(&iv.root.node, Item{}, false, bounded)
 		return
 	}
-	iv.root.ascend(Item{Key: lo, RID: -1 << 62}, true, bounded)
+	iv.root.ascend(&iv.root.node, Item{Key: lo, RID: -1 << 62}, true, bounded)
 }
