@@ -51,7 +51,8 @@ func (b *BackendServer) Provision(table string, columns []string, filter, subNam
 	return b.Repl.Provision(subName, art, target, from)
 }
 
-// Pull is one subscriber pull (repl.Server.Pull).
+// Pull is one subscriber pull (repl.Server.Pull): each After row is an
+// allocation of its own, since the in-process subscriber keeps it.
 func (b *BackendServer) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
 	return b.Repl.Pull(subID, max, ack)
 }

@@ -32,12 +32,30 @@ func CompileChangeMap(sp *catalog.SelectProject) (*ChangeMap, error) {
 	return m, nil
 }
 
+// Width is the number of columns of a derived row.
+func (m *ChangeMap) Width() int { return len(m.ords) }
+
+// project returns row's derived columns in a row of its own, nil for nil.
 func (m *ChangeMap) project(row types.Row) types.Row {
-	out := make(types.Row, len(m.ords))
-	for i, ord := range m.ords {
-		out[i] = row[ord]
+	if row == nil {
+		return nil
 	}
+	_, out := m.appendRow(make([]types.Value, 0, len(m.ords)), row)
 	return out
+}
+
+// appendRow appends row's derived columns to vals and returns vals and the
+// row they make, clipped to its length so that nothing appended later writes
+// into it; nil for nil.
+func (m *ChangeMap) appendRow(vals []types.Value, row types.Row) ([]types.Value, types.Row) {
+	if row == nil {
+		return vals, nil
+	}
+	start := len(vals)
+	for _, ord := range m.ords {
+		vals = append(vals, row[ord])
+	}
+	return vals, vals[start:len(vals):len(vals)]
 }
 
 func (m *ChangeMap) matches(row types.Row) (bool, error) {
@@ -47,11 +65,11 @@ func (m *ChangeMap) matches(row types.Row) (bool, error) {
 	return exec.EvalBool(m.pred, row, nil)
 }
 
-// Map maps one change of the source: rows are filtered and projected, an
-// update that moves a row across the filter boundary becomes an insert or a
-// delete, and ok is false for a change that stays outside. The result's Table
-// is left for the caller, who knows what it feeds.
-func (m *ChangeMap) Map(ch storage.ChangeRec) (out storage.ChangeRec, ok bool, err error) {
+// classify returns ch as the derived relation sees it, before projection:
+// rows are filtered, an update that moves a row across the filter boundary
+// becomes an insert or a delete, and ok is false for a change that stays
+// outside. The result carries the source images that stay.
+func (m *ChangeMap) classify(ch storage.ChangeRec) (out storage.ChangeRec, ok bool, err error) {
 	oldIn, err := m.matches(ch.Before)
 	if err != nil {
 		return out, false, err
@@ -62,11 +80,37 @@ func (m *ChangeMap) Map(ch storage.ChangeRec) (out storage.ChangeRec, ok bool, e
 	}
 	switch {
 	case oldIn && newIn:
-		return storage.ChangeRec{Op: storage.OpUpdate, Before: m.project(ch.Before), After: m.project(ch.After)}, true, nil
+		return storage.ChangeRec{Op: storage.OpUpdate, Before: ch.Before, After: ch.After}, true, nil
 	case oldIn:
-		return storage.ChangeRec{Op: storage.OpDelete, Before: m.project(ch.Before)}, true, nil
+		return storage.ChangeRec{Op: storage.OpDelete, Before: ch.Before}, true, nil
 	case newIn:
-		return storage.ChangeRec{Op: storage.OpInsert, After: m.project(ch.After)}, true, nil
+		return storage.ChangeRec{Op: storage.OpInsert, After: ch.After}, true, nil
 	}
 	return out, false, nil
+}
+
+// Map maps one change of the source: rows are filtered and projected, an
+// update that moves a row across the filter boundary becomes an insert or a
+// delete, and ok is false for a change that stays outside. Each projected
+// row is its own allocation, for a caller that keeps it. The result's Table
+// is left for the caller, who knows what it feeds.
+func (m *ChangeMap) Map(ch storage.ChangeRec) (storage.ChangeRec, bool, error) {
+	out, ok, err := m.classify(ch)
+	if ok {
+		out.Before, out.After = m.project(out.Before), m.project(out.After)
+	}
+	return out, ok, err
+}
+
+// AppendMap is Map with the projected rows' values appended to vals, which
+// it returns: the rows share vals' array, each clipped to its length. vals
+// needs room for Width values per image the change keeps, or append moves it
+// to a new array and the rows before stay in the old one.
+func (m *ChangeMap) AppendMap(vals []types.Value, ch storage.ChangeRec) (storage.ChangeRec, []types.Value, bool, error) {
+	out, ok, err := m.classify(ch)
+	if ok {
+		vals, out.Before = m.appendRow(vals, out.Before)
+		vals, out.After = m.appendRow(vals, out.After)
+	}
+	return out, vals, ok, err
 }

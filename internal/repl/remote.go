@@ -15,8 +15,10 @@ import (
 // TxnBatch is one committed transaction filtered through a subscription's
 // articles, each change addressed (ChangeRec.Table) to the subscriber's table
 // it feeds: what a Subscriber pulls and applies locally in one transaction
-// (the paper's "pull subscription", §2.2). Its rows are fresh ChangeMap
-// projections nothing mutates afterwards, and the only serialization is the
+// (the paper's "pull subscription", §2.2). Its rows are ChangeMap
+// projections nothing mutates afterwards — built in shared arrays for a
+// transport to encode (PullInto), each After row its own for a subscriber
+// in the same process (Pull) — and the only serialization is the
 // transport's, if there is one.
 type TxnBatch struct {
 	LSN        storage.LSN
@@ -123,14 +125,17 @@ func (s *Server) attach(subName string, a *Article, target string, from storage.
 	return id, true
 }
 
-// Pull is the one place the log is read for a subscriber — the paper's log
-// reader and distribution database in one step. It runs the truncation pass
-// first and then records ack, so the log still holds everything past the
+// PullInto is the one place the log is read for a subscriber — the paper's
+// log reader and distribution database in one step. It runs the truncation
+// pass first and then records ack, so the log still holds everything past the
 // previous ack: a subscriber that restarts behind this one can be rewound. The
 // ack only rises; a stale one re-delivers from the highest seen. The visible
-// records past it are copied under s.mu and filtered through the feeds outside
+// records past it are read under s.mu and filtered through the feeds outside
 // it. The answer is one TxnBatch per commit record that touches a feed, up to
-// limit (<= 0 means all), in LSN order.
+// limit (<= 0 means all), in LSN order, built in sl's arrays: the batches,
+// their changes and every projected row's values each share one, sized by
+// answerSize. It is valid until sl is used or cleared again, which makes it
+// an answer to encode, not to keep (Pull).
 //
 // Nothing is removed by a read, so a pull whose response was lost in transit
 // is answered again by the next one: delivery is at-least-once, and the
@@ -140,7 +145,7 @@ func (s *Server) attach(subName string, a *Article, target string, from storage.
 // minus one — past the last batch's LSN when later commits touch no feed — or
 // the last batch's LSN when limit cut the answer short. Subscribers use it to
 // report applied progress for writes their views never see.
-func (s *Server) Pull(id, limit int, ack storage.LSN) ([]TxnBatch, storage.LSN, error) {
+func (s *Server) PullInto(sl *Slabs, id, limit int, ack storage.LSN) ([]TxnBatch, storage.LSN, error) {
 	start := time.Now()
 	s.mu.Lock()
 	if id < 0 || id >= len(s.subs) {
@@ -158,21 +163,40 @@ func (s *Server) Pull(id, limit int, ack storage.LSN) ([]TxnBatch, storage.LSN, 
 	feeds := sub.feeds
 	s.mu.Unlock()
 
+	nb, nc, nv := answerSize(feeds, recs)
+	batches, changes, vals := room(sl.batches, nb), room(sl.changes, nc), room(sl.vals, nv)
 	through := end - 1
-	var batches []TxnBatch
 	for _, rec := range recs {
-		changes := filter(feeds, rec)
-		if len(changes) == 0 {
+		from := len(changes)
+		if changes, vals = filter(changes, vals, feeds, rec); len(changes) == from {
 			continue
 		}
 		if limit > 0 && len(batches) == limit {
 			through = batches[limit-1].LSN
 			break
 		}
-		batches = append(batches, TxnBatch{LSN: rec.LSN, CommitTime: rec.CommitTime, Changes: changes})
+		batches = append(batches, TxnBatch{LSN: rec.LSN, CommitTime: rec.CommitTime, Changes: changes[from:len(changes):len(changes)]})
 	}
+	sl.batches, sl.changes, sl.vals = batches, changes, vals
 	d := time.Since(start)
 	s.Stats.ReaderTime.Add(int64(d))
 	metrics.Default.Histogram("repl.reader_seconds").ObserveDuration(d)
+	if len(batches) == 0 {
+		batches = nil
+	}
 	return batches, through, nil
+}
+
+// Pull is PullInto for a subscriber that keeps what it is handed: Txn.Apply
+// keeps every After row, so each is copied out of the answer's shared array
+// into an allocation of its own — no row a store keeps shares one with
+// another row. A Before row is only read, and stays where it is.
+func (s *Server) Pull(id, limit int, ack storage.LSN) ([]TxnBatch, storage.LSN, error) {
+	batches, through, err := s.PullInto(new(Slabs), id, limit, ack)
+	for _, b := range batches {
+		for i := range b.Changes {
+			b.Changes[i].After = slices.Clone(b.Changes[i].After)
+		}
+	}
+	return batches, through, err
 }

@@ -38,6 +38,7 @@ import (
 	"mtcache/internal/opt"
 	"mtcache/internal/sql"
 	"mtcache/internal/storage"
+	"mtcache/internal/types"
 )
 
 // Article is a select-project publication unit over one source table or
@@ -73,27 +74,102 @@ type Subscription struct {
 	acked storage.LSN // the highest LSN the subscriber has acknowledged
 }
 
-// filter maps a commit record through feeds, in the record's change order: one
-// transaction's share for every target.
-func filter(feeds []feed, rec storage.CommitRecord) []storage.ChangeRec {
-	var out []storage.ChangeRec
+// filter maps a commit record through feeds, in the record's change order —
+// one transaction's share for every target — appending the changes to
+// changes and their projected rows' values to vals.
+func filter(changes []storage.ChangeRec, vals []types.Value, feeds []feed, rec storage.CommitRecord) ([]storage.ChangeRec, []types.Value) {
 	for _, ch := range rec.Changes {
 		for _, f := range feeds {
 			if f.start <= rec.LSN && strings.EqualFold(ch.Table, f.Table) {
-				c, ok, err := f.Map(ch)
+				c, v, ok, err := f.AppendMap(vals, ch)
 				if err != nil {
 					// Passed over, as a row the filter rejects is; the counter is
 					// the trace that it could not be evaluated.
 					metrics.Default.Counter("repl.filter_errors").Add(1)
 				}
 				if ok {
-					c.Table = f.target
-					out = append(out, c)
+					c.Table, vals = f.target, v
+					changes = append(changes, c)
 				}
 			}
 		}
 	}
-	return out
+	return changes, vals
+}
+
+// answerSize bounds what filtering recs through feeds makes: the records that
+// touch a feed's table, every feed's change for each of their changes to it,
+// and the values of those changes' images. It is exact when no feed filters
+// rows and no limit cuts the answer short.
+func answerSize(feeds []feed, recs []storage.CommitRecord) (batches, changes, vals int) {
+	for _, rec := range recs {
+		before := changes
+		for _, ch := range rec.Changes {
+			images := 0
+			if ch.Before != nil {
+				images++
+			}
+			if ch.After != nil {
+				images++
+			}
+			for _, f := range feeds {
+				if f.start <= rec.LSN && strings.EqualFold(ch.Table, f.Table) {
+					changes++
+					vals += images * f.Width()
+				}
+			}
+		}
+		if changes > before {
+			batches++
+		}
+	}
+	return batches, changes, vals
+}
+
+// Slabs are the arrays a pull answer is built in (PullInto): its batches,
+// their changes and the values of every projected row. A pull reuses them
+// when they are long enough and replaces them with arrays sized for its
+// answer when not.
+type Slabs struct {
+	batches []TxnBatch
+	changes []storage.ChangeRec
+	vals    []types.Value
+}
+
+// keepBatches, keepChanges and keepVals bound the arrays Slabs keep past
+// Clear, so that what an idle holder pins stays small whatever one pull
+// answered (a subscriber catching up after an outage).
+const (
+	keepBatches = 32
+	keepChanges = 256
+	keepVals    = 8 * keepChanges
+)
+
+// room returns s emptied when it has room for n elements, and a new empty
+// slice of capacity n when not.
+func room[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, 0, n)
+	}
+	return s[:0]
+}
+
+// Clear drops what the last answer left in s, so that s refers to no row, and
+// an array above its keep bound.
+func (s *Slabs) Clear() {
+	clear(s.batches)
+	clear(s.changes)
+	clear(s.vals)
+	if cap(s.batches) > keepBatches {
+		s.batches = nil
+	}
+	if cap(s.changes) > keepChanges {
+		s.changes = nil
+	}
+	if cap(s.vals) > keepVals {
+		s.vals = nil
+	}
+	s.batches, s.changes, s.vals = s.batches[:0], s.changes[:0], s.vals[:0]
 }
 
 // Stats reports the publisher's replication overheads, used by the

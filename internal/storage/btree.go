@@ -242,8 +242,10 @@ func (r *root) insert(n *node, it Item) (node, bool) {
 		if cmpItem(it, c.items[i]) > 0 {
 			i++
 		}
-		nc, _ := r.insert(c.children[i], it)
-		c.children[i] = newNode(nc)
+		// The halves are c's own, fresh headers: the entry goes into one in
+		// place.
+		half := c.children[i]
+		*half, _ = r.insert(half, it)
 		return c, true
 	}
 	nc, added := r.insert(n.children[i], it)

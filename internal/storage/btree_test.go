@@ -691,7 +691,7 @@ func readPinned(tv *TableView, r *root, how string, evens int64) error {
 // every node on the path and a new children array for every inner one would
 // cost 3 and 5. The first append after the rightmost leaf splits costs 1 and
 // copies no array, since the split gives the new rightmost leaf room for a
-// full leaf; the split itself costs 10. A middle insert into a depth-2 tree
+// full leaf; the split itself costs 9. A middle insert into a depth-2 tree
 // costs the two headers, the root's children array and a fresh copy of the
 // leaf's items (4), an entry already present nothing, and a delete of the
 // largest entry the two headers, the root's two arrays and the leaf's new
@@ -794,15 +794,16 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 		t.Errorf("the append after the split copied the tail: %d entries after the split, %d after the append", len(split), len(tail))
 	}
 	// The split itself: a new parent header with its two arrays, both halves
-	// with their arrays, the right half's header again for the entry, and
-	// the root header and its children array. The right half's array, with
-	// room, takes the entry in place (an array sized to the half cost 11).
+	// with their arrays, and the root header and its children array. The
+	// right half, the parent's own, takes the entry in place: its header and
+	// its array, which has room (a second header for the half cost 10, and an
+	// array sized to the half 11).
 	next += 4
 	for len(bt.pin().tail) < btreeOrder-1 {
 		bt.Insert(intItem(next, RowID(next)))
 		next += 2
 	}
-	check("split of the rightmost leaf", allocs(items(next, 2, 2), bt.Insert), 10) // the warm-up fills the leaf
+	check("split of the rightmost leaf", allocs(items(next, 2, 2), bt.Insert), 9) // the warm-up fills the leaf
 	if d := depth(&bt.pin().node); d != 3 || len(bt.pin().tail) != btreeOrder/2 {
 		t.Fatalf("the split left the fixture: depth %d, tail %d", d, len(bt.pin().tail))
 	}

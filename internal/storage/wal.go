@@ -57,7 +57,10 @@ type CommitRecord struct {
 // published table or view are collected by log sniffing").
 //
 // Entries are retained until Truncate; the distributor truncates once all
-// subscribers have received a transaction.
+// subscribers have received a transaction. The record array is never written
+// below its length: Append writes past it, and Truncate and adopt install a
+// new array. So ReadFrom can return a view of the array itself, which no
+// later call changes.
 type WAL struct {
 	mu    sync.Mutex
 	recs  []CommitRecord
@@ -113,7 +116,9 @@ func (w *WAL) adopt(recs []CommitRecord, nextLSN LSN, disk *diskWAL) {
 }
 
 // ReadFrom returns up to max commit records with LSN >= from, in order.
-// max <= 0 means no limit.
+// max <= 0 means no limit. The records are the log's own, in a view of its
+// array clipped to their count: the caller must not write to them, and no
+// later Append or Truncate does.
 func (w *WAL) ReadFrom(from LSN, max int) []CommitRecord {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -128,7 +133,7 @@ func (w *WAL) ReadFrom(from LSN, max int) []CommitRecord {
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
-	return append([]CommitRecord(nil), out...)
+	return out[:len(out):len(out)]
 }
 
 // Truncate discards records with LSN < upTo. On a durable store upTo is

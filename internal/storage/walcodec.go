@@ -68,7 +68,10 @@ func AppendChanges(buf []byte, changes []ChangeRec) []byte {
 // DecodeChanges is the inverse of AppendChanges; a failure is left in d.Err.
 // Each change's table name is made from its bytes by table: a new string, or
 // a reader's intern table's — a pull names the same few tables over and over.
-// Each row gets its own allocation: the store retains rows one by one.
+// An After row, which the store keeps (Txn.Apply), is d.Row's: its own
+// values and one string for its string bytes. A Before row, which Txn.Apply
+// only reads, is d.SharedRow's, cut from the arrays the caller reserved for
+// the whole payload with SizeChanges' counts.
 func DecodeChanges(d *types.Decoder, table func([]byte) string) []ChangeRec {
 	n := d.Count(4) // table length, op, two row headers
 	changes := make([]ChangeRec, 0, n)
@@ -76,7 +79,7 @@ func DecodeChanges(d *types.Decoder, table func([]byte) string) []ChangeRec {
 		var c ChangeRec
 		c.Table = table(d.Bytes(d.Uvarint()))
 		c.Op = ChangeOp(d.Byte())
-		c.Before = d.Row()
+		c.Before = d.SharedRow()
 		c.After = d.Row()
 		if d.Err != nil {
 			return nil
@@ -84,6 +87,21 @@ func DecodeChanges(d *types.Decoder, table func([]byte) string) []ChangeRec {
 		changes = append(changes, c)
 	}
 	return changes
+}
+
+// SizeChanges steps over one AppendChanges list, allocating nothing, and
+// returns its Before rows' values and string bytes: summed over every list
+// of a payload, what d.ReserveShared takes before DecodeChanges.
+func SizeChanges(d *types.Decoder) (vals, strBytes int) {
+	n := d.Count(4)
+	for i := 0; i < n && d.Err == nil; i++ {
+		d.Bytes(d.Uvarint())
+		d.Byte()
+		v, s := d.SkipRow()
+		vals, strBytes = vals+v, strBytes+s
+		d.SkipRow()
+	}
+	return vals, strBytes
 }
 
 // decodeCommitRecord parses a frame payload. The CRC already vouched for the
@@ -96,6 +114,8 @@ func decodeCommitRecord(payload []byte) (*CommitRecord, error) {
 		CommitTime: time.Unix(0, d.Varint()).UTC(),
 		DDL:        d.Str(),
 	}
+	probe := *d
+	d.ReserveShared(SizeChanges(&probe))
 	rec.Changes = DecodeChanges(d, func(b []byte) string { return string(b) })
 	if d.Err != nil {
 		return nil, fmt.Errorf("storage: wal record: %w", d.Err)

@@ -3,8 +3,12 @@ package storage
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
+	"weak"
 
 	"mtcache/internal/types"
 )
@@ -167,3 +171,98 @@ func BenchmarkEncodeCommitRecord(b *testing.B) {
 		}
 	}
 }
+
+// decodedChanges encodes changes and decodes them as a frame of one change
+// list is: its Before rows sized by SizeChanges first. It returns the frame
+// too, whose bytes the caller may overwrite.
+func decodedChanges(t *testing.T, changes []ChangeRec) ([]ChangeRec, []byte) {
+	t.Helper()
+	frame := AppendChanges(nil, changes)
+	d := &types.Decoder{Buf: frame}
+	probe := *d
+	d.ReserveShared(SizeChanges(&probe))
+	got := DecodeChanges(d, func(b []byte) string { return string(b) })
+	if d.Err != nil || d.Remaining() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", d.Err, d.Remaining())
+	}
+	return got, frame
+}
+
+// itemChanges is a transaction of two updates and an insert with strings of
+// every length (none short enough for the allocator to pack two into one
+// block), NULLs and an empty row, as a pull carries them.
+func itemChanges() []ChangeRec {
+	row := func(id int64, title string) types.Row {
+		return types.Row{types.NewInt(id), types.NewString(title), types.Null,
+			types.NewString("a publisher of some length"), types.NewFloat(2.5), types.NewString("")}
+	}
+	return []ChangeRec{
+		{Table: "cv_item", Op: OpUpdate, Before: row(1, "the first title, before the update"), After: row(1, "the first title, after the update")},
+		{Table: "cv_item", Op: OpUpdate, Before: row(2, "the second title, before the update"), After: row(2, "the second title, after the update")},
+		{Table: "cv_order_line", Op: OpInsert, After: types.Row{types.NewInt(7), types.NewInt(1)}},
+		{Table: "empty", Op: OpInsert, After: types.Row{}},
+	}
+}
+
+// TestDecodedChangesOutliveTheirFrame: nothing DecodeChanges returns aliases
+// the frame, so overwriting every byte of it changes no row.
+func TestDecodedChangesOutliveTheirFrame(t *testing.T) {
+	want := itemChanges()
+	got, frame := decodedChanges(t, want)
+	for i := range frame {
+		frame[i] = 0xff
+	}
+	for i := range want {
+		if got[i].Table != want[i].Table || got[i].Op != want[i].Op ||
+			!rowsEqualBits(got[i].Before, want[i].Before) || !rowsEqualBits(got[i].After, want[i].After) {
+			t.Fatalf("change %d after the frame was overwritten: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if got[3].After == nil {
+		t.Fatal("an empty After row decoded as an absent one")
+	}
+}
+
+// TestDecodedAfterRowsPinOnlyThemselves: an After row, which the store keeps,
+// shares no array with another row: appending to one leaves the others as
+// they were, and a kept After row keeps neither the other rows' values and
+// strings nor the frame's shared Before arrays reachable.
+func TestDecodedAfterRowsPinOnlyThemselves(t *testing.T) {
+	got, _ := decodedChanges(t, itemChanges())
+	a, b := got[0].After, got[1].After
+	want := slices.Clone(b)
+	a = append(a, types.NewString("appended"))
+	a[0] = types.NewInt(99)
+	if !rowsEqualBits(b, want) {
+		t.Fatalf("appending to one After row changed another: %v", b)
+	}
+
+	kept, others := keepOneAfterRow(t)
+	runtime.GC()
+	runtime.GC()
+	for name, w := range others {
+		if w.Value() != nil {
+			t.Errorf("a kept After row keeps %s reachable", name)
+		}
+	}
+	if kept[1].Str() != "the first title, after the update" {
+		t.Fatalf("the kept row changed: %v", kept)
+	}
+	runtime.KeepAlive(kept)
+}
+
+// keepOneAfterRow decodes itemChanges and returns the first After row, and
+// weak pointers to the arrays of everything else: the second After row's
+// values and string, and the Before rows' shared value array and string.
+func keepOneAfterRow(t *testing.T) (types.Row, map[string]weak.Pointer[byte]) {
+	got, _ := decodedChanges(t, itemChanges())
+	others := map[string]weak.Pointer[byte]{
+		"another After row's values": weakBytes(unsafe.Pointer(&got[1].After[0])),
+		"another After row's string": weakBytes(unsafe.Pointer(unsafe.StringData(got[1].After[1].S))),
+		"the Before rows' values":    weakBytes(unsafe.Pointer(&got[0].Before[0])),
+		"the Before rows' string":    weakBytes(unsafe.Pointer(unsafe.StringData(got[0].Before[1].S))),
+	}
+	return got[0].After, others
+}
+
+func weakBytes(p unsafe.Pointer) weak.Pointer[byte] { return weak.Make((*byte)(p)) }

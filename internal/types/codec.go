@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 )
 
 // tagTimeWide marks the seconds + nanoseconds DATETIME form.
@@ -105,7 +106,13 @@ func RowEncSize(row Row) int {
 // Decoder walks one encoded payload. Any overrun or malformed field sets Err
 // and sticks: every later read returns a zero value, so a caller checks Err
 // once per record instead of once per field. Every length is checked against
-// the bytes remaining before anything is allocated.
+// the bytes remaining before anything is allocated, and what a walk over the
+// bytes counts (SkipRow) sizes an allocation only after the walk.
+//
+// A row decodes in one of two ways. Row gives a row its caller keeps — a
+// stored row — its own value array and one string for all of its string
+// bytes. SharedRow cuts rows nobody keeps apart from each other from one
+// value array and one string that ReserveShared sized for the payload.
 type Decoder struct {
 	Buf []byte
 	Off int
@@ -116,12 +123,17 @@ type Decoder struct {
 	slab     string
 	slabBase int
 	slabMode bool
+
+	// After ReserveShared, shared and sharedStrs are the value array and the
+	// string bytes that SharedRow cuts rows from.
+	shared     []Value
+	sharedStrs []byte
 }
 
 // SlabStrings makes every string decoded from now on a substring of one
 // shared copy of the rest of Buf — one allocation however many strings
 // follow. They then live and die together, which suits a result set and not
-// rows that are retained one by one.
+// rows that are retained one by one (Row).
 func (d *Decoder) SlabStrings() { d.slabMode, d.slabBase = true, d.Off }
 
 // Fail records a malformed payload at the current offset.
@@ -214,12 +226,18 @@ func (d *Decoder) Count(minBytes int) int {
 }
 
 // Str decodes one length-prefixed string. It never aliases Buf.
-func (d *Decoder) Str() string {
+func (d *Decoder) Str() string { return d.str(nil) }
+
+// str is Str, with the string's bytes appended to *strs and the string cut
+// from them when strs is not nil.
+func (d *Decoder) str(strs *[]byte) string {
 	b := d.Bytes(d.Uvarint())
-	if len(b) == 0 {
+	switch {
+	case len(b) == 0:
 		return ""
-	}
-	if !d.slabMode {
+	case strs != nil:
+		return cut(strs, b)
+	case !d.slabMode:
 		return string(b)
 	}
 	if d.slab == "" {
@@ -229,8 +247,21 @@ func (d *Decoder) Str() string {
 	return d.slab[end-len(b) : end]
 }
 
+// cut appends b to *strs and returns the appended bytes as a string. A byte
+// of *strs is written once, before the string over it exists, and never
+// again — append writes only past the length — so every string cut from it
+// keeps its bytes, even should the array have to grow.
+func cut(strs *[]byte, b []byte) string {
+	n := len(*strs)
+	*strs = append(*strs, b...)
+	return unsafe.String(&(*strs)[n], len(b))
+}
+
 // Value decodes one value.
-func (d *Decoder) Value() Value {
+func (d *Decoder) Value() Value { return d.value(nil) }
+
+// value is Value, with a string's bytes kept as str keeps them.
+func (d *Decoder) value(strs *[]byte) Value {
 	switch tag := d.Byte(); tag {
 	case byte(KindNull):
 		return Null
@@ -241,7 +272,7 @@ func (d *Decoder) Value() Value {
 			return Value{K: KindFloat, w: int64(bits)}
 		}
 	case byte(KindString):
-		return NewString(d.Str())
+		return NewString(d.str(strs))
 	case byte(KindTime):
 		// Floored division: nanoseconds before 1970 still land in [0, 1e9).
 		n := d.Varint()
@@ -268,30 +299,121 @@ func (d *Decoder) Value() Value {
 }
 
 // Values decodes len(dst) values into dst.
-func (d *Decoder) Values(dst []Value) {
+func (d *Decoder) Values(dst []Value) { d.values(dst, nil) }
+
+func (d *Decoder) values(dst []Value, strs *[]byte) {
 	for i := range dst {
-		dst[i] = d.Value()
+		dst[i] = d.value(strs)
 		if d.Err != nil {
 			return
 		}
 	}
 }
 
-// Row decodes one row into its own allocation (nil for an absent row), so a
-// retained row pins nothing but itself.
-func (d *Decoder) Row() Row {
+// width decodes a row header: the row's number of values, checked against
+// the bytes left (each costs at least one), and false for an absent row or
+// a failure.
+func (d *Decoder) width() (int, bool) {
 	n := d.Uvarint()
 	if n == 0 || d.Err != nil {
+		return 0, false
+	}
+	if n--; n > uint64(d.Remaining()) {
+		d.Fail()
+		return 0, false
+	}
+	return int(n), true
+}
+
+// Row decodes one row that its caller keeps (nil for an absent row): its
+// values in one allocation and all of its string bytes in one string, both
+// of its own and sized exactly by a walk over the row's bytes first, so a
+// retained row pins nothing but itself.
+func (d *Decoder) Row() Row {
+	n, ok := d.width()
+	if !ok {
 		return nil
 	}
-	n--
-	if n > uint64(d.Remaining()) { // each column costs ≥1 byte
-		d.Fail()
+	probe := Decoder{Buf: d.Buf, Off: d.Off}
+	size := probe.skipValues(n)
+	if probe.Err != nil {
+		d.Off, d.Err = probe.Off, probe.Err
 		return nil
+	}
+	var strs []byte
+	if size > 0 {
+		strs = make([]byte, 0, size)
 	}
 	row := make(Row, n)
-	if d.Values(row); d.Err != nil {
+	if d.values(row, &strs); d.Err != nil {
 		return nil
 	}
 	return row
+}
+
+// ReserveShared sizes the arrays SharedRow cuts rows from: vals values and
+// strBytes bytes of strings, what SkipRow counted over the rows to come.
+// Those counts come from walking bytes of Buf, so neither exceeds its length.
+func (d *Decoder) ReserveShared(vals, strBytes int) {
+	d.shared, d.sharedStrs = nil, nil
+	if vals > 0 {
+		d.shared = make([]Value, vals)
+	}
+	if strBytes > 0 {
+		d.sharedStrs = make([]byte, 0, strBytes)
+	}
+}
+
+// SharedRow decodes one row that nobody keeps apart from the payload's other
+// shared rows (nil for an absent row): its values are cut, capacity-clipped,
+// from the value array ReserveShared made and its strings from the one
+// string array, so all of a payload's shared rows cost those two
+// allocations. A row the value array has no room left for gets its own.
+func (d *Decoder) SharedRow() Row {
+	n, ok := d.width()
+	if !ok {
+		return nil
+	}
+	var row Row
+	if n > 0 && n <= len(d.shared) {
+		row, d.shared = d.shared[:n:n], d.shared[n:]
+	} else {
+		row = make(Row, n)
+	}
+	if d.values(row, &d.sharedStrs); d.Err != nil {
+		return nil
+	}
+	return row
+}
+
+// SkipRow steps over one row, allocating nothing, and returns its number of
+// values and of string bytes: what ReserveShared takes.
+func (d *Decoder) SkipRow() (vals, strBytes int) {
+	n, ok := d.width()
+	if !ok {
+		return 0, 0
+	}
+	return n, d.skipValues(n)
+}
+
+// skipValues steps over n values and returns the bytes of their strings.
+// It checks only that each field is there; decoding them checks the rest.
+func (d *Decoder) skipValues(n int) (strBytes int) {
+	for i := 0; i < n && d.Err == nil; i++ {
+		switch d.Byte() {
+		case byte(KindNull):
+		case byte(KindBool), byte(KindInt), byte(KindTime):
+			d.Varint()
+		case byte(KindFloat):
+			d.Bytes(8)
+		case byte(KindString):
+			strBytes += len(d.Bytes(d.Uvarint()))
+		case tagTimeWide:
+			d.Varint()
+			d.Uvarint()
+		default:
+			d.Fail()
+		}
+	}
+	return strBytes
 }

@@ -439,8 +439,11 @@ func appendResponse(buf []byte, resp *response) []byte {
 // its intern table; a result set's rows decode into one []types.Row and one
 // []types.Value behind all of them — resp.rows and resp.vals when they are
 // long enough, new ones that take their place when not — and one string
-// behind every string in them. Replication rows, which the store retains
-// one by one, each get their own allocation.
+// behind every string in them. A replication row the store keeps — a
+// Provision row, a pulled change's After row — gets its values and its
+// strings in allocations of its own (types.Decoder.Row); a pulled change's
+// Before row, which the subscriber only reads, is cut from one value array
+// and one string that every Before row of the frame shares.
 func decodeResponse(payload []byte, resp *response, hdrs headers, names interner) error {
 	d := types.Decoder{Buf: payload}
 	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte()), rows: resp.rows, vals: resp.vals}
@@ -481,6 +484,16 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 	case reqPull:
 		resp.ThroughLSN = storage.LSN(d.Uvarint())
 		if n := d.Count(3); n > 0 {
+			// A walk over the batches first sizes the one value array and
+			// the one string behind every Before row of the frame.
+			probe, vals, size := d, 0, 0
+			for i := 0; i < n && probe.Err == nil; i++ {
+				probe.Uvarint()
+				probe.Varint()
+				v, s := storage.SizeChanges(&probe)
+				vals, size = vals+v, size+s
+			}
+			d.ReserveShared(vals, size)
 			resp.Batches = make([]repl.TxnBatch, n)
 			for i := range resp.Batches {
 				b := &resp.Batches[i]

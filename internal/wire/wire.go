@@ -255,16 +255,24 @@ type serverConn struct {
 // decodeRequest) and its handler, x.serve bound once when it is made, so a
 // frame's handler starts without allocating. res is the statement's Result,
 // whose rows the response carries; it is released once the response is
-// written.
+// written. slabs are the arrays a Pull answer is built in, taken from
+// pullSlabs for the pull and put back, cleared, once its frame is written.
 type exchange struct {
-	c    *serverConn
-	req  request
-	resp response
-	res  *engine.Result
-	run  func()
+	c     *serverConn
+	req   request
+	resp  response
+	res   *engine.Result
+	slabs *repl.Slabs
+	run   func()
 }
 
 var exchanges sync.Pool
+
+// pullSlabs holds the arrays of answered pulls for the next ones, as a
+// routed Result keeps its spare slices: it holds about as many as pulls run
+// at once, where arrays kept on the exchanges would pin one set for every
+// exchange that ever served a pull.
+var pullSlabs = sync.Pool{New: func() any { return new(repl.Slabs) }}
 
 // getExchange takes an exchange from the pool, or makes one.
 func getExchange() *exchange {
@@ -323,7 +331,7 @@ func (x *exchange) serve() {
 		<-c.s.sem
 	}()
 	req, resp := &x.req, &x.resp
-	x.res = c.s.handle(req, resp)
+	x.res = c.s.handle(x)
 	resp.ID, resp.Kind = req.ID, req.Kind
 	c.wmu.Lock()
 	err := c.fw.send(appendResponse(c.fw.begin(), resp))
@@ -333,7 +341,11 @@ func (x *exchange) serve() {
 	}
 	c.wmu.Unlock()
 	x.res.Release()
-	x.c, x.req, x.resp, x.res = nil, request{Params: x.req.Params}, response{}, nil
+	if x.slabs != nil {
+		x.slabs.Clear()
+		pullSlabs.Put(x.slabs)
+	}
+	x.c, x.req, x.resp, x.res, x.slabs = nil, request{Params: x.req.Params}, response{}, nil, nil
 	exchanges.Put(x)
 	if err != nil {
 		// After a failed or short write the peer can no longer find the next
@@ -343,10 +355,12 @@ func (x *exchange) serve() {
 	}
 }
 
-// handle answers req into resp, which starts zeroed, and returns the
-// statement's Result when resp holds its rows: the caller's to release once
-// resp is written.
-func (s *Server) handle(req *request, resp *response) *engine.Result {
+// handle answers x's request into its response, which starts zeroed, and
+// returns the statement's Result when the response holds its rows: the
+// caller's to release once the response is written, as x.slabs are to put
+// back.
+func (s *Server) handle(x *exchange) *engine.Result {
+	req, resp := &x.req, &x.resp
 	switch req.Kind {
 	case reqQuery:
 		res, rec, err := s.execDB().ExecSessionTraced(req.SQL, req.Params,
@@ -369,16 +383,18 @@ func (s *Server) handle(req *request, resp *response) *engine.Result {
 	case reqSnapshot, reqProvision, reqPull:
 		if s.backend == nil {
 			resp.Err = "wire: not a backend server"
-		} else if err := s.publish(req, resp); err != nil {
+		} else if err := s.publish(x); err != nil {
 			resp.Err = err.Error()
 		}
 	}
 	return nil
 }
 
-// publish answers the replication requests, which only a backend serves:
-// each is one call on the backend's publisher half.
-func (s *Server) publish(req *request, resp *response) (err error) {
+// publish answers x's replication request, which only a backend serves: each
+// is one call on the backend's publisher half. A Pull's answer is only
+// encoded, so it is built in pooled slabs (repl.Server.PullInto).
+func (s *Server) publish(x *exchange) (err error) {
+	req, resp := &x.req, &x.resp
 	switch req.Kind {
 	case reqSnapshot:
 		resp.Snapshot = s.backend.Snapshot().Encode()
@@ -387,7 +403,8 @@ func (s *Server) publish(req *request, resp *response) (err error) {
 		a, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName, req.Target, req.FromLSN)
 		resp.SubID, resp.StartLSN, resp.Resumed, resp.Rows = a.SubID, a.StartLSN, a.Resumed, a.Rows
 	case reqPull:
-		resp.Batches, resp.ThroughLSN, err = s.backend.Pull(req.SubID, req.Max, req.AckLSN)
+		x.slabs = pullSlabs.Get().(*repl.Slabs)
+		resp.Batches, resp.ThroughLSN, err = s.backend.Repl.PullInto(x.slabs, req.SubID, req.Max, req.AckLSN)
 	}
 	return err
 }
