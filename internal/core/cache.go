@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -146,47 +148,90 @@ func (c *CacheServer) RefreshStats() error {
 	return nil
 }
 
-// provision is the CREATE CACHED VIEW hook: describe the view's select-project
-// form as an article — (table, columns, filter), the filter deparsed and "" for
-// none — attach it to the cache's subscription in one request and populate
-// the view, from the checkpoint when the backend resumed it there and from
-// the backend's snapshot when it seeded it.
+// provision is the CREATE CACHED VIEW hook: it attaches the view to the
+// cache's subscription (attach).
 func (c *CacheServer) provision(view *catalog.Table) error {
+	c.pullMu.Lock()
+	defer c.pullMu.Unlock()
+	return c.attach(view)
+}
+
+// attach provisions cached views, each with one request, and makes them
+// current with the cache's other views in one local transaction
+// (repl.Subscriber.Attach). A view being created (add) asks to resume at the
+// loaded checkpoint's position when the checkpoint holds it and the cache
+// still stands there — once a pull has moved the other views on, rows from
+// the checkpoint are behind them — and to be seeded otherwise. Every view the
+// cache has is provisioned again, asking to resume where the cache stands,
+// when add is nil — a pull found that the backend no longer holds the
+// subscription: it expired, or the backend restarted — or when add's answer
+// names a subscription the other views are not fed by. A view is seeded when
+// the backend cannot resume it. Callers hold pullMu.
+func (c *CacheServer) attach(add *catalog.Table) error {
+	st, views := c.sub.Status(), c.sub.Views()
+	asOf := time.Now()
+	var ats []repl.Attached
+	if add != nil {
+		var from storage.LSN
+		var rows []types.Row
+		if ck := c.recovered; ck != nil {
+			i := slices.IndexFunc(ck.Sets, func(v storage.RowSet) bool { return strings.EqualFold(v.Name, add.Name) })
+			if i >= 0 && (len(views) == 0 || st.AppliedLSN == ck.LSN) {
+				from, rows = ck.LSN+1, ck.Sets[i].Rows
+				ck.Sets = slices.Delete(ck.Sets, i, i+1)
+			}
+		}
+		a, err := c.provisionView(add, from)
+		if err != nil {
+			return err
+		}
+		if a.Resumed {
+			a.Rows, asOf = rows, time.Time{} // as of a checkpoint: not known
+		}
+		ats = append(ats, a)
+		if len(views) == 0 || a.SubID == st.SubID {
+			return c.sub.Attach(c.client, ats, asOf)
+		}
+	}
+	resumed := 0
+	for _, name := range views {
+		view := c.DB.Catalog().Table(name)
+		if view == nil {
+			return fmt.Errorf("core: cached view %s is gone", name)
+		}
+		a, err := c.provisionView(view, st.AppliedLSN+1)
+		if err != nil {
+			return err
+		}
+		if a.Resumed {
+			resumed++
+		}
+		ats = append(ats, a)
+	}
+	metrics.Default.Event("wire.views_reattached", "resumed", strconv.Itoa(resumed), "seeded", strconv.Itoa(len(views)-resumed))
+	return c.sub.Attach(c.client, ats, asOf)
+}
+
+// provisionView asks the backend, in one request, to attach view's article —
+// its select-project form as (table, columns, filter), the filter deparsed
+// and "" for none — to the cache's subscription: resumed at from when from >
+// 0 and the backend still serves it, seeded otherwise.
+func (c *CacheServer) provisionView(view *catalog.Table, from storage.LSN) (repl.Attached, error) {
 	sp := view.SelectProject
-	table, cols, filter := sp.Source.Name, sp.SourceColumns(), ""
+	filter := ""
 	if sp.Filter != nil {
 		filter = sql.DeparseExpr(sp.Filter)
 	}
-	c.pullMu.Lock()
-	defer c.pullMu.Unlock()
-
-	// A view present in the loaded checkpoint asks to resume the change
-	// stream at the checkpointed position — as long as the cache still stands
-	// there: once a pull has moved the other views on, rows from the
-	// checkpoint are behind them. Otherwise from stays 0 and the backend seeds.
-	var from storage.LSN
-	var rows []types.Row
-	if ck := c.recovered; ck != nil {
-		i := slices.IndexFunc(ck.Sets, func(v storage.RowSet) bool { return strings.EqualFold(v.Name, view.Name) })
-		if i >= 0 && (len(c.sub.Views()) == 0 || c.AppliedLSN() == ck.LSN) {
-			from, rows = ck.LSN+1, ck.Sets[i].Rows
-			ck.Sets = slices.Delete(ck.Sets, i, i+1)
-		}
-	}
-
-	asOf := time.Now()
-	a, err := c.client.Provision(table, cols, filter, c.DB.Name, view.Name, from)
+	a, err := c.client.Provision(sp.Source.Name, sp.SourceColumns(), filter, c.DB.Name, view.Name, from)
 	if err != nil {
-		return err
+		return repl.Attached{}, err
 	}
 	if a.Resumed {
-		asOf = time.Time{} // as of a checkpoint: not known
 		metrics.Default.Event("wire.view_resumed", "view", view.Name, "lsn", fmt.Sprint(from-1))
 	} else {
-		rows = a.Rows
-		metrics.Default.Event("wire.view_seeded", "view", view.Name, "rows", fmt.Sprint(len(rows)))
+		metrics.Default.Event("wire.view_seeded", "view", view.Name, "rows", fmt.Sprint(len(a.Rows)))
 	}
-	return c.sub.AddView(c.client, a.SubID, view.Name, rows, a.StartLSN, asOf)
+	return repl.Attached{Table: view.Name, Attachment: a}, nil
 }
 
 // CreateCachedView runs a CREATE CACHED VIEW statement; provisioning is
@@ -241,12 +286,19 @@ func (c *CacheServer) Exec(sqlText string, params exec.Params) (*engine.Result, 
 
 // Pull performs one pull-and-apply round and returns the number of backend
 // transactions applied. On an error nothing is lost: the backend re-delivers
-// everything past the last acknowledged LSN next round.
+// everything past the last acknowledged LSN next round. When the backend no
+// longer holds the cache's subscription, the round attaches every view again
+// first (attach) and then pulls.
 func (c *CacheServer) Pull() (int, error) {
 	c.pullMu.Lock()
 	defer c.pullMu.Unlock()
 	start := time.Now()
 	n, err := c.sub.Pull(c.client)
+	if errors.Is(err, repl.ErrNoSubscription) {
+		if err = c.attach(nil); err == nil {
+			n, err = c.sub.Pull(c.client)
+		}
+	}
 	if err != nil {
 		metrics.Default.Counter("wire.pull_failures").Add(1)
 	}

@@ -27,6 +27,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"mtcache/internal/catalog"
@@ -66,7 +67,13 @@ func newBackend(db *engine.Database) *BackendServer {
 	_ = db.RegisterVirtualTable("sys.repl_status", engine.ReplStatusColumns(), func() []types.Row {
 		hs := b.Repl.Health(time.Now())
 		rows := make([]types.Row, 0, len(hs))
-		for _, h := range hs {
+		ids := make([]int, 0, len(hs))
+		for id := range hs {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids) // in the order they were made
+		for _, id := range ids {
+			h := hs[id]
 			rows = append(rows, types.Row{
 				types.NewString(h.Name),
 				types.NewString("-> (pull)"),

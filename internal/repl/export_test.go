@@ -1,0 +1,9 @@
+package repl
+
+import "time"
+
+// Retention is the retention period, for tests that step past it.
+const Retention = retention
+
+// TruncateLogAt is the truncation agent's pass as if it ran at now.
+func (s *Server) TruncateLogAt(now time.Time) { s.truncateLog(now) }

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -39,15 +38,16 @@ type Attachment struct {
 }
 
 // Provision makes a the feed of the subscriber's table target, creating the
-// subscription named subName on first use. A subscriber that restarted with
-// target durably current through from-1 passes from > 0: when the publisher
-// can still serve that position the stream carries a's changes for target
-// from `from` on and the answer is Resumed. Otherwise — from is 0, the log
-// was truncated past it, or the subscriber is ahead of a publisher that lost
-// state — target is seeded: the snapshot is pinned and the article attached
-// in one critical section — no pull reads the log in between — so a commit
-// is either in the returned rows or in the stream, never in neither. The scan
-// itself runs outside it.
+// subscription named subName, under an id no subscription has had, on first
+// use or again after it expired or the publisher restarted. A subscriber that
+// restarted with target durably current through from-1 passes from > 0: when
+// the publisher can still serve that position the stream carries a's changes
+// for target from `from` on and the answer is Resumed. Otherwise — from is 0,
+// the log was truncated past it, or the subscriber is ahead of a publisher
+// that lost state — target is seeded: the snapshot is pinned and the article
+// attached in one critical section — no pull reads the log in between — so a
+// commit is either in the returned rows or in the stream, never in neither.
+// The scan itself runs outside it.
 func (s *Server) Provision(subName string, a *Article, target string, from storage.LSN) (Attachment, error) {
 	s.mu.Lock()
 	if from > 0 {
@@ -105,19 +105,20 @@ func (s *Server) attach(subName string, a *Article, target string, from storage.
 	if from < s.publisher.Store().WAL().First() || from > s.publisher.Store().VisibleEnd() {
 		return 0, false
 	}
-	id = slices.IndexFunc(s.subs, func(sub *Subscription) bool { return sub.Name == subName })
-	if id >= 0 {
-		sub := s.subs[id]
-		i := slices.IndexFunc(sub.feeds, func(f feed) bool { return f.target == target })
-		if i >= 0 && sub.feeds[i].Article == a && sub.feeds[i].start <= from && sub.acked < from {
-			return id, true
+	var sub *Subscription
+	for i, named := range s.subs {
+		if named.Name == subName {
+			id, sub = i, named
 		}
 	}
-	if id < 0 {
-		id = len(s.subs)
-		s.subs = append(s.subs, &Subscription{Name: subName, acked: from - 1})
+	if sub == nil {
+		id, sub = s.nextID, &Subscription{Name: subName, acked: from - 1}
+		s.subs[id] = sub
+		s.nextID++
+	} else if i := slices.IndexFunc(sub.feeds, func(f feed) bool { return f.target == target }); i >= 0 &&
+		sub.feeds[i].Article == a && sub.feeds[i].start <= from && sub.acked < from {
+		return id, true
 	}
-	sub := s.subs[id]
 	// A copy: a pull filtering outside the lock still holds the old slice.
 	sub.feeds = append(slices.DeleteFunc(slices.Clone(sub.feeds), func(f feed) bool { return f.target == target }),
 		feed{Article: a, target: target, start: from})
@@ -126,7 +127,8 @@ func (s *Server) attach(subName string, a *Article, target string, from storage.
 }
 
 // PullInto is the one place the log is read for a subscriber — the paper's
-// log reader and distribution database in one step. It runs the truncation
+// log reader and distribution database in one step. A subscription id the
+// server does not hold is answered ErrNoSubscription. It runs the truncation
 // pass first and then records ack, so the log still holds everything past the
 // previous ack: a subscriber that restarts behind this one can be rewound. The
 // ack only rises; a stale one re-delivers from the highest seen. The visible
@@ -148,12 +150,12 @@ func (s *Server) attach(subName string, a *Article, target string, from storage.
 func (s *Server) PullInto(sl *Slabs, id, limit int, ack storage.LSN) ([]TxnBatch, storage.LSN, error) {
 	start := time.Now()
 	s.mu.Lock()
-	if id < 0 || id >= len(s.subs) {
+	sub := s.subs[id]
+	if sub == nil {
 		s.mu.Unlock()
-		return nil, 0, errors.New("repl: unknown subscription")
+		return nil, 0, ErrNoSubscription
 	}
 	s.truncate()
-	sub := s.subs[id]
 	sub.acked = max(sub.acked, ack)
 	end := s.publisher.Store().VisibleEnd()
 	var recs []storage.CommitRecord

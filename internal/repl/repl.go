@@ -17,7 +17,13 @@
 //     sees a transactionally consistent (if slightly stale) state across all
 //     of its views;
 //   - changes are deleted from the log once every subscriber has acknowledged
-//     them (WAL truncation).
+//     them (WAL truncation); a subscription whose oldest unacknowledged change
+//     is older than the retention period is expired by the truncation agent,
+//     so a silent subscriber cannot pin the log. A subscriber the publisher
+//     no longer holds — expired, or forgotten by a publisher restart — is
+//     told so (ErrNoSubscription) and attaches again by name (Provision);
+//     subscription IDs are never handed out twice, so it cannot pull another
+//     subscriber's stream.
 //
 // Server is the publisher half (articles, subscriptions, the pull that reads
 // the log, truncation); Subscriber is the subscriber half (cursor, dedup,
@@ -27,7 +33,11 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/rand/v2"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -189,16 +199,32 @@ type Server struct {
 	// with respect to every pull.
 	mu       sync.Mutex
 	articles []*Article
-	subs     []*Subscription // the index is the id a subscriber pulls with
+	subs     map[int]*Subscription // by the id a subscriber pulls with
+	nextID   int                   // the id the next subscription gets
 
 	truncator Agent
 
 	Stats Stats
 }
 
-// NewServer creates the replication runtime for a publisher database.
+// ErrNoSubscription is a pull's answer when the publisher does not hold the
+// subscription it names: it expired, or the publisher restarted since it was
+// made. Retrying cannot help; the subscriber attaches its tables again
+// (Provision), which makes a new subscription.
+var ErrNoSubscription = errors.New("repl: unknown subscription")
+
+// retention is how old a subscription's oldest unacknowledged commit may grow
+// before the truncation agent expires it (the distribution retention period
+// of the paper's substrate).
+const retention = 10 * time.Minute
+
+// NewServer creates the replication runtime for a publisher database. Its
+// subscription ids count up from a random base, so a subscriber holding an id
+// from an earlier server over the same database — one that restarted — finds
+// no subscription rather than another subscriber's.
 func NewServer(publisher *engine.Database) *Server {
-	return &Server{publisher: publisher, Stats: Stats{ReaderTime: &metrics.Counter{}}}
+	return &Server{publisher: publisher, subs: map[int]*Subscription{}, nextID: rand.IntN(math.MaxInt / 2),
+		Stats: Stats{ReaderTime: &metrics.Counter{}}}
 }
 
 // EnsureArticle finds or creates an article matching (table, columns,
@@ -244,18 +270,27 @@ func articleKey(table string, columns []string, filter sql.Expr) string {
 	return k
 }
 
-// TruncateLog is the truncation agent's pass: it truncates the log and
-// publishes each subscription's staleness gauge (Health's, at the time of
-// the pass).
-func (s *Server) TruncateLog() {
-	now := time.Now()
+// TruncateLog is the truncation agent's pass: it expires every subscription
+// whose oldest unacknowledged commit is older than the retention period,
+// truncates the log and publishes each remaining subscription's staleness
+// gauge (Health's, at the time of the pass). Only this pass expires: a pull
+// proves its own subscriber alive.
+func (s *Server) TruncateLog() { s.truncateLog(time.Now()) }
+
+func (s *Server) truncateLog(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.truncate()
-	for _, sub := range s.subs {
-		_, stale := s.lag(sub, now)
-		metrics.Default.Gauge("repl.staleness_seconds." + sub.Name).Set(stale.Seconds())
+	for id, sub := range s.subs {
+		pending, stale := s.lag(sub, now)
+		if stale <= retention {
+			metrics.Default.Gauge("repl.staleness_seconds." + sub.Name).Set(stale.Seconds())
+			continue
+		}
+		delete(s.subs, id)
+		metrics.Default.Event("repl.subscription_expired", "sub", sub.Name,
+			"acked_lsn", strconv.FormatInt(int64(sub.acked), 10), "pending", strconv.Itoa(pending))
 	}
+	s.truncate()
 }
 
 // truncate drops the WAL below every subscription's first unacknowledged LSN
@@ -350,16 +385,17 @@ type SubHealth struct {
 	StalenessSeconds float64     `json:"staleness_seconds"`
 }
 
-// Health reports per-subscription replication health as the publisher sees
-// it at now: the acknowledged position, the visible commits past it and the
-// age of the oldest of those. Served at /debug/status by the obs handler.
-func (s *Server) Health(now time.Time) []SubHealth {
+// Health reports the replication health of each subscription, by the id its
+// subscriber pulls with, as the publisher sees it at now: the acknowledged
+// position, the visible commits past it and the age of the oldest of those.
+// Served at /debug/status by the obs handler.
+func (s *Server) Health(now time.Time) map[int]SubHealth {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]SubHealth, 0, len(s.subs))
-	for _, sub := range s.subs {
+	out := make(map[int]SubHealth, len(s.subs))
+	for id, sub := range s.subs {
 		pending, stale := s.lag(sub, now)
-		out = append(out, SubHealth{Name: sub.Name, AckedLSN: sub.acked, Pending: pending, StalenessSeconds: stale.Seconds()})
+		out[id] = SubHealth{Name: sub.Name, AckedLSN: sub.acked, Pending: pending, StalenessSeconds: stale.Seconds()}
 	}
 	return out
 }

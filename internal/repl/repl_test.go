@@ -86,7 +86,7 @@ func addView(t *testing.T, b *core.BackendServer, sub *repl.Subscriber, cache, t
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sub.AddView(b, a.SubID, tgt, a.Rows, a.StartLSN, asOf); err != nil {
+	if err := sub.Attach(b, []repl.Attached{{Table: tgt, Attachment: a}}, asOf); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,7 +186,7 @@ func TestCommitOrderAndTransactionality(t *testing.T) {
 	sub := subscribe(t, b, subDB, "")
 
 	pub.Exec("EXEC swapTitles @a = 1, @b = 2", nil)
-	if n := b.Repl.Health(time.Now())[0].Pending; n != 1 {
+	if n := b.Repl.Health(time.Now())[sub.Status().SubID].Pending; n != 1 {
 		t.Fatalf("expected 1 pending transaction, got %d", n)
 	}
 	if n, err := sub.Pull(b); err != nil || n != 1 {

@@ -179,7 +179,8 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 			rows[i] = rows[i][:3]
 		}
 		s := repl.NewSubscriber(db, repl.NewApplyStats())
-		if err := s.AddView(b, at.SubID, "tgt", rows, at.StartLSN, time.Time{}); err != nil {
+		at.Rows = rows
+		if err := s.Attach(b, []repl.Attached{{Table: "tgt", Attachment: at}}, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		return s, db, true

@@ -69,7 +69,7 @@ type view struct {
 // batch with no table advanced; the suffix stays unacknowledged in the
 // publisher's log for the next pull.
 //
-// Pull rounds and AddView calls on one Subscriber must not overlap; the owner
+// Pull rounds and Attach calls on one Subscriber must not overlap; the owner
 // serializes them.
 type Subscriber struct {
 	target *engine.Database
@@ -80,7 +80,7 @@ type Subscriber struct {
 	st    SubscriberStatus
 }
 
-// NewSubscriber returns the subscriber for target's tables; AddView gives it
+// NewSubscriber returns the subscriber for target's tables; Attach gives it
 // its first one.
 func NewSubscriber(target *engine.Database, stats ApplyStats) *Subscriber {
 	return &Subscriber{target: target, stats: stats,
@@ -106,59 +106,86 @@ func (s *Subscriber) Views() []string {
 	return out
 }
 
-// AddView populates table with rows current through start-1 — a publisher
-// snapshot, or rows restored from a checkpoint that Server.Provision resumed —
-// and applies the table's changes from start on; subID is
-// the subscription the publisher attached it to. The views the subscriber
-// already has move to start-1 in the transaction that makes the rows visible,
-// so no reader sees the new view and an old one at different positions.
-// asOf is the instant the rows were known current — taken before the
-// snapshot was requested — or zero when that is not known, as for rows from
-// a checkpoint; CurrentAsOf moves up to it.
-func (s *Subscriber) AddView(src Puller, subID int, table string, rows []types.Row, start storage.LSN, asOf time.Time) error {
+// Attached is one target table's Provision answer as the subscriber takes it
+// (Attach). A seeded table's rows are replaced by Rows, current through
+// StartLSN-1. A resumed table keeps the rows it holds, which are current
+// through StartLSN-1, and gains Rows: rows restored from a checkpoint into a
+// table created empty.
+type Attached struct {
+	Table string
+	Attachment
+}
+
+// Attach makes each of ats a view fed by its subscription from its StartLSN
+// on, in one local transaction with every view the subscriber has: a seeded
+// view's rows are replaced, a resumed view keeps its rows, and the views the
+// subscriber already has stand where it stands. When they do not all stand
+// at one position, the transaction also applies the stream past the lowest
+// of them, so that every view ends where the stream is complete through; no
+// reader sees two views at different positions. The cursor moves to where
+// the views end — below where it stood when the publisher lost state — and
+// CurrentAsOf up to asOf: the instant the rows were known current, taken
+// before the first Provision request, or zero when that is not known, as for
+// rows from a checkpoint. All of ats name one subscription; when it is not
+// the one the subscriber pulls from, ats must hold every view it has.
+func (s *Subscriber) Attach(src Puller, ats []Attached, asOf time.Time) error {
 	s.mu.Lock()
-	views, applied := s.views, s.st.AppliedLSN
+	views, st := s.views, s.st
 	s.mu.Unlock()
-	// The seed is a transaction of inserts; the batches that move the older
-	// views up to start-1 ride in the same local transaction. They are at
-	// LSNs below start, so their changes to table — which the seed already
-	// holds — are passed over.
-	seed := TxnBatch{LSN: start, Changes: make([]storage.ChangeRec, len(rows))}
-	for i, row := range rows {
-		seed.Changes[i] = storage.ChangeRec{Table: table, Op: storage.OpInsert, After: row}
+	subID := ats[0].SubID
+	// A view's start is the first LSN it needs; every view stands at start-1.
+	next := make([]view, len(views), len(views)+len(ats))
+	for i, v := range views {
+		next[i] = view{v.table, st.AppliedLSN + 1}
 	}
-	txn := []TxnBatch{seed}
-	if applied < start-1 { // never for the first view: no views is "current"
-		batches, through, err := src.Pull(subID, 0, applied)
-		if err != nil {
+	fed := 0 // how many of views ats attach again
+	for _, a := range ats {
+		if a.SubID != subID {
+			return fmt.Errorf("repl: %s is attached to subscription %d, %s to %d", ats[0].Table, subID, a.Table, a.SubID)
+		}
+		i := slices.IndexFunc(next, func(v view) bool { return v.table == a.Table })
+		if i < 0 {
+			i, next = len(next), append(next, view{table: a.Table})
+		} else {
+			fed++
+		}
+		next[i].start = a.StartLSN
+	}
+	if subID != st.SubID && fed < len(views) {
+		return fmt.Errorf("repl: subscription %d does not feed all of %d views", subID, len(views))
+	}
+	lo, hi := next[0].start, next[0].start
+	for _, v := range next[1:] {
+		lo, hi = min(lo, v.start), max(hi, v.start)
+	}
+	at := hi - 1
+	var batches []TxnBatch
+	if lo < hi {
+		var err error
+		if batches, at, err = src.Pull(subID, 0, lo-1); err != nil {
 			return err
 		}
-		if through < start-1 {
-			return fmt.Errorf("repl: seed of %s is current through %d, the stream only through %d", table, start-1, through)
+		if at < hi-1 {
+			return fmt.Errorf("repl: a view is seeded through %d, the stream complete only through %d", hi-1, at)
 		}
-		for _, b := range batches {
-			if b.LSN > applied && b.LSN < start {
-				txn = append(txn, b)
+	}
+	if err := s.apply(next, ats, batches...); err != nil {
+		return fmt.Errorf("repl: attach: %w", err)
+	}
+	for _, a := range ats {
+		if !a.Resumed || len(a.Rows) > 0 {
+			if err := s.target.AnalyzeTable(a.Table); err != nil {
+				return err
 			}
 		}
 	}
-	views = append(views[:len(views):len(views)], view{table, start})
-	if err := s.apply(views, txn...); err != nil {
-		return fmt.Errorf("repl: seed of %s: %w", table, err)
-	}
-	if err := s.target.AnalyzeTable(table); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(views) == 1 { // the first view: the cursor starts at its seed
-		s.st.AppliedLSN = start - 1
-	}
-	s.st.AppliedLSN = max(s.st.AppliedLSN, start-1)
+	s.st.AppliedLSN = at
 	if asOf.After(s.st.CurrentAsOf) {
 		s.st.CurrentAsOf = asOf
 	}
-	s.st.SubID, s.views = subID, views
+	s.st.SubID, s.views = subID, next
 	return nil
 }
 
@@ -186,7 +213,7 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 			metrics.Default.Counter("wire.pull_redelivered").Add(1)
 			continue
 		}
-		if err = s.apply(views, b); err != nil {
+		if err = s.apply(views, nil, b); err != nil {
 			// Stop at the failed batch to preserve LSN order; everything
 			// unapplied is still unacknowledged on the publisher.
 			break
@@ -222,15 +249,39 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 }
 
 // apply applies batches in one transaction, committing unlogged so replicated
-// changes do not re-enter the subscriber's own WAL. ChangeRec.Table names the
-// target table; a change is passed over when that is not one of views or the
-// batch is below the view's start — it is in the view's seed already. Applying
-// one is storage.Txn.Apply, as a backend maintaining a materialized view does.
-func (s *Subscriber) apply(views []view, batches ...TxnBatch) error {
+// changes do not re-enter the subscriber's own WAL. First it inserts each of
+// ats' rows, into a seeded table after deleting every row it held. Then
+// ChangeRec.Table names the target table; a change is passed over when that
+// is not one of views or the batch is below the view's start — it is in the
+// view's seed already. Applying one is storage.Txn.Apply, as a backend
+// maintaining a materialized view does.
+func (s *Subscriber) apply(views []view, ats []Attached, batches ...TxnBatch) error {
 	tx := s.target.Store().Begin(true)
 	defer tx.Abort() // a no-op once committed
 	var touchedBuf [8]string
 	touched := touchedBuf[:0]
+	for _, a := range ats {
+		var rids []storage.RowID
+		if tv, ok := tx.Table(a.Table); ok && !a.Resumed {
+			tv.Scan(func(rid storage.RowID, _ types.Row) bool {
+				rids = append(rids, rid)
+				return true
+			})
+		}
+		for _, rid := range rids {
+			if err := tx.Delete(a.Table, rid); err != nil {
+				return fmt.Errorf("repl: %w", err)
+			}
+		}
+		for _, row := range a.Rows {
+			if _, err := tx.Insert(a.Table, row); err != nil {
+				return fmt.Errorf("repl: %w", err)
+			}
+		}
+		if len(rids) > 0 || len(a.Rows) > 0 {
+			touched = append(touched, a.Table)
+		}
+	}
 	for _, b := range batches {
 		for _, ch := range b.Changes {
 			if i := slices.IndexFunc(views, func(v view) bool { return v.table == ch.Table }); i < 0 || b.LSN < views[i].start {

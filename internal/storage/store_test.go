@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -216,6 +218,29 @@ func TestWALTruncate(t *testing.T) {
 	}
 	if got := w.ReadFrom(4, 2); len(got) != 2 || got[0].LSN != 4 {
 		t.Errorf("bounded read: %v", got)
+	}
+
+	// A view read before a truncation keeps its records through the
+	// truncations and appends after it, whether a truncation reslices the
+	// log or drains most of it into an array of its own.
+	for i := 0; i < 3*compactAfter; i++ {
+		w.Append(int64(i), time.Now(), nil, fmt.Sprint(i))
+	}
+	held := w.ReadFrom(0, 0)
+	want := slices.Clone(held)
+	w.Truncate(w.First() + 1)
+	w.Truncate(w.End() - 2) // drops more than it keeps: copies the two kept
+	if n := w.Len(); n != 2 {
+		t.Fatalf("%d records after draining the log, want 2", n)
+	}
+	for i := 0; i < 3*compactAfter; i++ {
+		w.Append(int64(i), time.Now(), nil, "later")
+		w.Truncate(w.First() + 1)
+	}
+	for i := range held {
+		if held[i].LSN != want[i].LSN || held[i].DDL != want[i].DDL {
+			t.Fatalf("record %d of a held view changed: %+v, was %+v", i, held[i], want[i])
+		}
 	}
 }
 

@@ -246,7 +246,8 @@ func TestMixedTransactionRedoAndUndo(t *testing.T) {
 // index keys, the three headers each index's copied path takes in a
 // two-level tree, the exactly sized redo record and the published commit
 // mark — 11. The heap slot comes from a chunk, and nothing else is kept per
-// change.
+// change. A warm, steady truncation of the log after those commits
+// allocates nothing.
 func TestInsertCommitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -271,5 +272,13 @@ func TestInsertCommitAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocs per insert and commit", allocs)
 	if allocs > 11 {
 		t.Errorf("%.0f allocs per insert and commit, want at most 11", allocs)
+	}
+
+	// The truncation pass a pull runs drops what every subscriber has
+	// acknowledged: a steady, short drop reslices the log and allocates
+	// nothing.
+	wal := s.WAL()
+	if truncs := testing.AllocsPerRun(100, func() { wal.Truncate(wal.First() + 1) }); truncs != 0 {
+		t.Errorf("%.0f allocs per one-record truncation of a long log, want 0", truncs)
 	}
 }

@@ -58,9 +58,9 @@ type CommitRecord struct {
 //
 // Entries are retained until Truncate; the distributor truncates once all
 // subscribers have received a transaction. The record array is never written
-// below its length: Append writes past it, and Truncate and adopt install a
-// new array. So ReadFrom can return a view of the array itself, which no
-// later call changes.
+// below its length: Append writes past it, Truncate reslices it or installs a
+// new array, and adopt installs a new array. So ReadFrom can return a view of
+// the array itself, which no later call changes.
 type WAL struct {
 	mu    sync.Mutex
 	recs  []CommitRecord
@@ -136,6 +136,10 @@ func (w *WAL) ReadFrom(from LSN, max int) []CommitRecord {
 	return out[:len(out):len(out)]
 }
 
+// compactAfter is how many records one Truncate must drop, and drop more
+// than it keeps, before it copies the kept ones into an array of their own.
+const compactAfter = 64
+
 // Truncate discards records with LSN < upTo. On a durable store upTo is
 // clamped to the retention floor — the minimum of the last checkpoint LSN
 // and every pinned snapshot's WAL position — so recovery and live readers
@@ -155,7 +159,16 @@ func (w *WAL) Truncate(upTo LSN) {
 	if upTo > w.next {
 		upTo = w.next
 	}
-	w.recs = append([]CommitRecord(nil), w.recs[upTo-w.first:]...)
+	// Reslice: nothing below the kept records is ever written again, so a
+	// reader still filtering a dropped record (ReadFrom's views) sees it
+	// unchanged. Only a call that drops most of a long log copies what it
+	// keeps, so that the array it drained is not pinned by a short tail.
+	drop := int(upTo - w.first)
+	if keep := w.recs[drop:]; drop > len(keep) && drop > compactAfter {
+		w.recs = append(make([]CommitRecord, 0, len(keep)), keep...)
+	} else {
+		w.recs = keep
+	}
 	w.first = upTo
 	disk := w.disk
 	w.mu.Unlock()

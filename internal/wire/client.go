@@ -168,8 +168,9 @@ func (c *Client) abandon(id uint64) {
 // backend fails the request with ErrTimeout instead of hanging the caller,
 // without disturbing other in-flight requests. Transport errors are
 // classified (ErrTimeout / ErrBackendDown); server-reported errors come
-// back as *ServerError and are never retryable. The response is copied into
-// out; the round trip's slot goes back to calls when the reuse rule allows.
+// back as *ServerError, or repl.ErrNoSubscription as itself, and are never
+// retryable. The response is copied into out; the round trip's slot goes
+// back to calls when the reuse rule allows.
 // out's spare slices, rows and vals, are lent to the slot for a result set
 // to be decoded into, and come back — or the ones the decode used instead —
 // only with the slot: a round trip that times out, fails to send or has its
@@ -227,6 +228,8 @@ func (c *Client) roundTrip(req *request, out *response) error {
 		c.mu.Lock()
 		err = c.err
 		c.mu.Unlock()
+	case cl.resp.Err == repl.ErrNoSubscription.Error():
+		err = repl.ErrNoSubscription // the one server error a caller acts on
 	case cl.resp.Err != "":
 		err = &ServerError{Msg: cl.resp.Err}
 	default:
@@ -345,6 +348,8 @@ func (c *Client) Provision(table string, columns []string, filter, subName, targ
 // A returned batch is read again by every Pull until a later one acknowledges
 // it, so a response lost in transit is simply re-delivered. The second return
 // value is the LSN the change stream is complete through (repl.Server.Pull).
+// A backend that does not hold the subscription answers
+// repl.ErrNoSubscription.
 func (c *Client) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
 	var resp response
 	err := c.roundTrip(&request{Kind: reqPull, SubID: subID, Max: max, AckLSN: ack}, &resp)

@@ -7,6 +7,8 @@ import (
 
 	"mtcache/internal/core"
 	"mtcache/internal/metrics"
+	"mtcache/internal/resilience"
+	"mtcache/internal/storage"
 )
 
 // TestCacheRestartResumesFromCheckpoint is the deployed-pair recovery test:
@@ -320,5 +322,185 @@ func TestCacheRestartBehindItsAcknowledgements(t *testing.T) {
 	}
 	if got := rc2.DB.TableRowCount("tires"); got != 251 {
 		t.Fatalf("restarted cache holds %d tires and reports itself current; the backend has 251", got)
+	}
+}
+
+// TestDurableBackendRestartReattaches: a backend restarted from its directory
+// forgets its subscriptions but keeps its log. A cache on a resilient client
+// pulls across the restart, is told it has no subscription, and attaches
+// its view again: resumed, with no seed, while the log still holds the
+// cache's next LSN, and seeded once a checkpoint and truncation have dropped
+// it. Either way the view ends equal to what the backend selects.
+func TestDurableBackendRestartReattaches(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *core.BackendServer {
+		t.Helper()
+		b, err := core.NewBackendDurable("backend", storage.DurabilityOptions{Dir: dir, Policy: storage.SyncGroup, SegmentBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b := open()
+	exec := func(text string) {
+		t.Helper()
+		if _, err := b.Exec(text, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec("CREATE TABLE part (id INT PRIMARY KEY, name VARCHAR(40) NOT NULL, type VARCHAR(20), qty INT)")
+	for i := 1; i <= 40; i++ {
+		exec(fmt.Sprintf("INSERT INTO part (id, name, type, qty) VALUES (%d, 'part%d', 'Tire', %d)", i, i, i))
+	}
+	srv, err := Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	// restart stops the backend and serves the one its directory recovers on
+	// the same address.
+	restart := func() {
+		t.Helper()
+		srv.Close()
+		if err := b.DB.CloseStore(); err != nil {
+			t.Fatal(err)
+		}
+		b = open()
+		if srv, err = Serve(b, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		b.DB.CloseStore() //nolint:errcheck
+	})
+
+	policy := resilience.DefaultPolicy()
+	policy.MaxAttempts = 20
+	policy.BaseDelay = 2 * time.Millisecond
+	policy.MaxDelay = 20 * time.Millisecond
+	client, err := DialResilient(addr, policy, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	rc, err := NewRemoteCache("cache", client, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.CreateCachedView("CREATE CACHED VIEW tires AS SELECT id, qty FROM part WHERE type = 'Tire'"); err != nil {
+		t.Fatal(err)
+	}
+	current := func(what string) {
+		t.Helper()
+		for range 2 { // apply, then acknowledge
+			if _, err := rc.Pull(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		if got, want := rc.DB.TableRowCount("tires"), b.DB.TableRowCount("part"); got != want {
+			t.Fatalf("%s: the view holds %d rows, the backend %d", what, got, want)
+		}
+		if got, want := rc.AppliedLSN(), b.DB.Store().VisibleEnd()-1; got != want {
+			t.Fatalf("%s: the cache stands at %d, the backend's log ends at %d", what, got, want)
+		}
+	}
+	exec("INSERT INTO part (id, name, type, qty) VALUES (41, 'p', 'Tire', 1)")
+	current("before any restart")
+
+	seeded := metrics.Default.Counter("wire.view_seeded")
+	resumed := metrics.Default.Counter("wire.view_resumed")
+	reattached := metrics.Default.Counter("wire.views_reattached")
+	seeded0, resumed0, reattached0 := seeded.Value(), resumed.Value(), reattached.Value()
+	restart()
+	exec("INSERT INTO part (id, name, type, qty) VALUES (42, 'p', 'Tire', 1)")
+	if _, err := rc.Pull(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rc.AppliedLSN(), b.DB.Store().VisibleEnd()-1; got != want {
+		t.Fatalf("the pull that re-attached left the cache at %d, the backend's log ends at %d", got, want)
+	}
+	current("after a restart that kept the cache's position")
+	if seeded.Value() != seeded0 || resumed.Value() != resumed0+1 || reattached.Value() != reattached0+1 {
+		t.Fatalf("re-attached %d times, resuming %d views and seeding %d; want 1, 1 and 0",
+			reattached.Value()-reattached0, resumed.Value()-resumed0, seeded.Value()-seeded0)
+	}
+
+	exec("INSERT INTO part (id, name, type, qty) VALUES (43, 'p', 'Tire', 1)")
+	if _, err := b.DB.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	restart()
+	b.Repl.TruncateLog() // no subscription holds the log: down to the checkpoint
+	if first := b.DB.Store().WAL().First(); first <= rc.AppliedLSN()+1 {
+		t.Fatalf("the log still holds %d, the cache's next LSN is %d", first, rc.AppliedLSN()+1)
+	}
+	current("after a restart past the cache's position")
+	if seeded.Value() != seeded0+1 || resumed.Value() != resumed0+1 || reattached.Value() != reattached0+2 {
+		t.Fatalf("re-attached %d times, resuming %d views and seeding %d; want 2, 1 and 1",
+			reattached.Value()-reattached0, resumed.Value()-resumed0, seeded.Value()-seeded0)
+	}
+}
+
+// TestReattachToABackendThatLostItsLog: a backend replaced by one whose log
+// ends below the cache's position (here a new in-memory backend with fewer
+// commits) cannot resume the cache's views. The re-attach seeds them and
+// moves the cache's cursor down to the new log's position, so the commits
+// the new backend makes next arrive rather than being taken for ones the
+// cache already applied.
+func TestReattachToABackendThatLostItsLog(t *testing.T) {
+	_, srv := newWiredBackend(t)
+	addr := srv.Addr()
+	policy := resilience.DefaultPolicy()
+	policy.MaxAttempts = 20
+	policy.BaseDelay = 2 * time.Millisecond
+	policy.MaxDelay = 20 * time.Millisecond
+	client, err := DialResilient(addr, policy, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	rc, err := NewRemoteCache("cache", client, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.CreateCachedView("CREATE CACHED VIEW tires AS SELECT id, qty FROM part WHERE type = 'Tire'"); err != nil {
+		t.Fatal(err)
+	}
+	before := rc.AppliedLSN()
+	srv.Close()
+
+	b2 := core.NewBackend("backend")
+	if err := b2.ExecScript("CREATE TABLE part (id INT PRIMARY KEY, name VARCHAR(40) NOT NULL, type VARCHAR(20), qty INT);"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 20; i++ {
+		if _, err := b2.Exec(fmt.Sprintf("INSERT INTO part (id, name, type, qty) VALUES (%d, 'p', 'Tire', %d)", i, i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv2, err := Serve(b2, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv2.Close)
+	if _, err := rc.Pull(); err != nil {
+		t.Fatal(err)
+	}
+	if got, end := rc.AppliedLSN(), b2.DB.Store().VisibleEnd(); got >= before || got != end-1 {
+		t.Fatalf("after the re-attach the cache stands at %d (before: %d); the new backend's log ends at %d", got, before, end)
+	}
+	if _, err := b2.Exec("UPDATE part SET qty = 777 WHERE id = 4", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Pull(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rc.DB.Exec("SELECT qty FROM tires WHERE id = 4", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 777 || rc.DB.TableRowCount("tires") != 20 {
+		t.Fatalf("the view holds %d rows and qty %v for id 4, want 20 rows and 777", rc.DB.TableRowCount("tires"), res.Rows)
 	}
 }

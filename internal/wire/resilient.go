@@ -213,7 +213,8 @@ func (r *ResilientClient) Provision(table string, columns []string, filter, subN
 }
 
 // Pull fetches pending transactions (idempotent: unacknowledged batches are
-// re-delivered, so a retried pull never loses data).
+// re-delivered, so a retried pull never loses data). repl.ErrNoSubscription
+// is terminal: the backend answered, and the subscriber attaches again.
 func (r *ResilientClient) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
 	var (
 		batches []repl.TxnBatch

@@ -181,12 +181,6 @@ var ErrBackendDown = resilience.ErrBackendDown
 // (errors.Is-comparable).
 var ErrTimeout = resilience.ErrTimeout
 
-// FaultProxy is a fault-injecting TCP proxy for chaos testing.
-type FaultProxy = wire.FaultProxy
-
-// FaultConfig configures a FaultProxy's injected failures.
-type FaultConfig = wire.FaultConfig
-
 // RemoteCache is Cache; the name remains for callers that built one over TCP.
 type RemoteCache = wire.RemoteCache
 
@@ -203,12 +197,6 @@ func DialBackend(addr string, timeout time.Duration) (*WireClient, error) {
 // backoff and automatic re-dial under the given policy.
 func DialBackendResilient(addr string, policy RetryPolicy) (*ResilientClient, error) {
 	return wire.DialResilient(addr, policy, nil)
-}
-
-// NewFaultProxy starts a fault-injecting TCP proxy in front of target;
-// dial the proxy's Addr instead of the target to test failure handling.
-func NewFaultProxy(addr, target string, seed int64) (*FaultProxy, error) {
-	return wire.NewFaultProxy(addr, target, seed)
 }
 
 // NewRemoteCache provisions a cache over a TCP client connection (bare or

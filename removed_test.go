@@ -125,6 +125,9 @@ var removedNames = []struct {
 	{`reqApplied`, "", "nothing: no caller probed a server's applied LSN"},
 	{`AppliedLSN\(\) \(storage\.LSN, error\)`, `^internal/wire/`, "nothing: no caller probed a server's applied LSN"},
 	{`ServeBackendOpts`, "", "ServeBackend (nothing set the options)"},
+	{`\bFaultProxy\b`, `^[^/]+\.go$`, "nothing: no caller outside wire's own tests (wire.FaultProxy stays)"},
+	{`\bFaultConfig\b`, `^[^/]+\.go$`, "nothing: no caller outside wire's own tests (wire.FaultConfig stays)"},
+	{`\bNewFaultProxy\b`, `^[^/]+\.go$`, "nothing: no caller outside wire's own tests (wire.NewFaultProxy stays)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
