@@ -79,8 +79,9 @@ func main() {
 	backend.DB.SetSlowThreshold(*slowQuery)
 
 	// TCP caches pull, and every pull truncates the log; the timer truncates
-	// it when no cache is pulling, and expires a cache that has stopped
-	// pulling for the retention period, which re-attaches on its next pull.
+	// it when no cache is pulling, and expires a cache whose oldest
+	// unacknowledged commit is older than the retention period; that cache
+	// re-attaches on its next pull.
 	// Subscriptions live in memory: after a restart every cache re-attaches.
 	backend.Repl.Start(100 * time.Millisecond)
 	defer backend.Repl.Stop()

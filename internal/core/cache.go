@@ -186,7 +186,7 @@ func (c *CacheServer) attach(add *catalog.Table) error {
 			return err
 		}
 		if a.Resumed {
-			a.Rows, asOf = rows, time.Time{} // as of a checkpoint: not known
+			a.Rows = rows
 		}
 		ats = append(ats, a)
 		if len(views) == 0 || a.SubID == st.SubID {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -208,6 +209,85 @@ func (c *counting) Provision(table string, columns []string, filter, subName, ta
 func (c *counting) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
 	c.requests++
 	return c.BackendClient.Pull(subID, max, ack)
+}
+
+// failAfterProvision is a BackendClient whose pulls fail once a Provision is
+// made after armed is set: the pull that follows a re-attach fails.
+type failAfterProvision struct {
+	BackendClient
+	armed, provisioned bool
+}
+
+func (c *failAfterProvision) Provision(table string, columns []string, filter, subName, target string, from storage.LSN) (repl.Attachment, error) {
+	c.provisioned = c.provisioned || c.armed
+	return c.BackendClient.Provision(table, columns, filter, subName, target, from)
+}
+
+func (c *failAfterProvision) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
+	if c.provisioned {
+		return nil, 0, errors.New("backend unreachable")
+	}
+	return c.BackendClient.Pull(subID, max, ack)
+}
+
+// TestResumedReattachKeepsItsStaleness: a re-attach that resumes every view
+// fetches no rows, so the views are only as current as the last round that
+// applied everything. The cache's staleness must not drop until a pull
+// applies the stream — not even when the pull after the re-attach fails,
+// which would let bounded reads be served from views missing a commit. Here a
+// durable backend's replication runtime starts over, forgetting the
+// subscription, and commits a row the cache has not seen.
+func TestResumedReattachKeepsItsStaleness(t *testing.T) {
+	b, err := NewBackendDurable("backend", storage.DurabilityOptions{Dir: t.TempDir(), Policy: storage.SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.DB.CloseStore() }) //nolint:errcheck
+	if err := b.ExecScript(eventsDDL); err != nil {
+		t.Fatal(err)
+	}
+	insertEvents(t, b, exactEventRows()...)
+	client := &failAfterProvision{BackendClient: link{engine.NewLink(b.DB), b}}
+	c, err := NewCacheOver("cache", client, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range []string{eventsView, `CREATE CACHED VIEW ev_late AS SELECT id, s FROM events WHERE id > 2`} {
+		if err := c.CreateCachedView(view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 { // apply, then acknowledge
+		if _, err := c.Pull(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	asOf := c.sub.Status().CurrentAsOf
+
+	b.Repl = repl.NewServer(b.DB)
+	insertEvents(t, b, types.Row{types.NewInt(5), types.NewFloat(2.5), types.NewTime(time.Unix(1, 1)), types.NewString("later")})
+	resumed := metrics.Default.Counter("wire.view_resumed")
+	resumed0 := resumed.Value()
+	client.armed = true
+	if _, err := c.Pull(); err == nil {
+		t.Fatal("the pull after the re-attach succeeded through a client that fails it")
+	}
+	if n := resumed.Value() - resumed0; n != 2 {
+		t.Fatalf("the re-attach resumed %d views, want both", n)
+	}
+	since := time.Since(asOf)
+	if lag, ok := c.Staleness(); !ok || lag < since {
+		t.Fatalf("after a re-attach that applied nothing the cache reports staleness %v (known %v); its last round was %v ago", lag, ok, since)
+	}
+
+	client.armed, client.provisioned = false, false
+	if _, err := c.Pull(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.sub.Status().CurrentAsOf; !got.After(asOf) {
+		t.Fatalf("a round that applied the stream left the views current as of %v, as before it", got)
+	}
+	requireSameRows(t, "view after the round", tableRowsByID(t, c.DB, "ev"), tableRowsByID(t, b.DB, "events"))
 }
 
 // TestRestartPastTheLogReseedsInOneRequest: a cache restarted on a state

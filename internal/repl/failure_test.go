@@ -35,7 +35,7 @@ func TestApplyFailureRequeuesInOrder(t *testing.T) {
 		t.Fatalf("failure record: %d %q", st.ApplyErrors, st.LastError)
 	}
 	// Both transactions must still be pending, in commit order.
-	if got := b.Repl.Health(time.Now())[sub.Status().SubID].Pending; got != 2 {
+	if got := healthAt(t, b.Repl, sub.Status().SubID, time.Now()).Pending; got != 2 {
 		t.Fatalf("pending after failure: %d", got)
 	}
 	// The later update must NOT have been applied out of order.
@@ -105,12 +105,12 @@ func TestStalenessGrowsWithPendingWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	committed := b.DB.Store().WAL().ReadFrom(res.CommitLSN, 1)[0].CommitTime
-	if h := b.Repl.Health(committed.Add(time.Second))[sub.Status().SubID]; h.StalenessSeconds != 1 || h.Pending != 1 {
+	if h := healthAt(t, b.Repl, sub.Status().SubID, committed.Add(time.Second)); h.StalenessSeconds != 1 || h.Pending != 1 {
 		t.Fatalf("a second after the one commit past the ack: staleness %vs, %d pending; want 1s and 1", h.StalenessSeconds, h.Pending)
 	}
 	step(t, b, sub) // applied
 	step(t, b, sub) // acknowledged
-	if h := b.Repl.Health(committed.Add(time.Hour))[sub.Status().SubID]; h.StalenessSeconds != 0 || h.Pending != 0 || h.AckedLSN != res.CommitLSN {
+	if h := healthAt(t, b.Repl, sub.Status().SubID, committed.Add(time.Hour)); h.StalenessSeconds != 0 || h.Pending != 0 || h.AckedLSN != res.CommitLSN {
 		t.Errorf("after a pull and an ack: staleness %vs, %d pending, acked %d; want 0, 0 and %d",
 			h.StalenessSeconds, h.Pending, h.AckedLSN, res.CommitLSN)
 	}

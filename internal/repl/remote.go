@@ -42,9 +42,13 @@ type Attachment struct {
 // use or again after it expired or the publisher restarted. A subscriber that
 // restarted with target durably current through from-1 passes from > 0: when
 // the publisher can still serve that position the stream carries a's changes
-// for target from `from` on and the answer is Resumed. Otherwise — from is 0,
-// the log was truncated past it, or the subscriber is ahead of a publisher
-// that lost state — target is seeded: the snapshot is pinned and the article
+// for target from `from` on and the answer is Resumed. A publisher whose log
+// is not durable replays commits past from only to the subscription that
+// feeds target now: its log starts over when it restarts, so a position in it
+// may name other commits than the ones the subscriber applied. Otherwise —
+// from is 0, the log was truncated past it, the subscriber is ahead of a
+// publisher that lost state, or the replay would be of a log that may have
+// started over — target is seeded: the snapshot is pinned and the article
 // attached in one critical section — no pull reads the log in between — so a
 // commit is either in the returned rows or in the stream, never in neither.
 // The scan itself runs outside it.
@@ -52,10 +56,13 @@ func (s *Server) Provision(subName string, a *Article, target string, from stora
 	s.mu.Lock()
 	if from > 0 {
 		fields := []string{"sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10)}
-		if id, ok := s.attach(subName, a, target, from); ok {
-			s.mu.Unlock()
-			metrics.Default.Event("repl.resubscribes", fields...)
-			return Attachment{SubID: id, StartLSN: from, Resumed: true}, nil
+		st := s.publisher.Store()
+		if st.Durable() || from == st.VisibleEnd() || s.feeds(subName, target) {
+			if id, ok := s.attach(subName, a, target, from); ok {
+				s.mu.Unlock()
+				metrics.Default.Event("repl.resubscribes", fields...)
+				return Attachment{SubID: id, StartLSN: from, Resumed: true}, nil
+			}
 		}
 		metrics.Default.Event("repl.resume_misses", fields...)
 	}
@@ -84,6 +91,17 @@ func (s *Server) Provision(subName string, a *Article, target string, from stora
 		return err == nil
 	})
 	return at, evalErr
+}
+
+// feeds reports whether the subscription named subName feeds target.
+// Callers hold s.mu.
+func (s *Server) feeds(subName, target string) bool {
+	for _, sub := range s.subs {
+		if sub.Name == subName {
+			return slices.ContainsFunc(sub.feeds, func(f feed) bool { return f.target == target })
+		}
+	}
+	return false
 }
 
 // attach is the one way an article joins a subscription: afterwards the

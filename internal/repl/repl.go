@@ -19,9 +19,10 @@
 //   - changes are deleted from the log once every subscriber has acknowledged
 //     them (WAL truncation); a subscription whose oldest unacknowledged change
 //     is older than the retention period is expired by the truncation agent,
-//     so a silent subscriber cannot pin the log. A subscriber the publisher
-//     no longer holds — expired, or forgotten by a publisher restart — is
-//     told so (ErrNoSubscription) and attaches again by name (Provision);
+//     so a subscriber that stays behind — silent, or pulling without
+//     applying — cannot pin the log. A subscriber the publisher no longer
+//     holds — expired, or forgotten by a publisher restart — is told so
+//     (ErrNoSubscription) and attaches again by name (Provision);
 //     subscription IDs are never handed out twice, so it cannot pull another
 //     subscriber's stream.
 //
@@ -214,9 +215,12 @@ type Server struct {
 var ErrNoSubscription = errors.New("repl: unknown subscription")
 
 // retention is how old a subscription's oldest unacknowledged commit may grow
-// before the truncation agent expires it (the distribution retention period
-// of the paper's substrate).
-const retention = 10 * time.Minute
+// before the truncation agent expires it — keyed on the commit's age, since
+// what it bounds is the log held in memory. 30 s is three times the longest a
+// live subscriber's ack lags (two pull rounds and one pull's retry budget,
+// about 8.5 s); EXPERIMENTS.md has the log growth and reseed cost it was
+// set against.
+const retention = 30 * time.Second
 
 // NewServer creates the replication runtime for a publisher database. Its
 // subscription ids count up from a random base, so a subscriber holding an id
@@ -273,8 +277,9 @@ func articleKey(table string, columns []string, filter sql.Expr) string {
 // TruncateLog is the truncation agent's pass: it expires every subscription
 // whose oldest unacknowledged commit is older than the retention period,
 // truncates the log and publishes each remaining subscription's staleness
-// gauge (Health's, at the time of the pass). Only this pass expires: a pull
-// proves its own subscriber alive.
+// gauge (Health's, at the time of the pass). Only this pass expires; a pull
+// truncates but never expires, so a backend that runs no agent keeps every
+// subscription.
 func (s *Server) TruncateLog() { s.truncateLog(time.Now()) }
 
 func (s *Server) truncateLog(now time.Time) {

@@ -26,6 +26,16 @@ const itemDDL = `
 		i_subject VARCHAR(20)
 	);`
 
+// healthAt is the publisher's health record of subscription id at now.
+func healthAt(t *testing.T, srv *repl.Server, id int, now time.Time) repl.SubHealth {
+	t.Helper()
+	h, ok := srv.Health(now)[id]
+	if !ok {
+		t.Fatalf("the publisher holds no subscription %d", id)
+	}
+	return h
+}
+
 func newPublisher(t *testing.T, rows int) *core.BackendServer {
 	t.Helper()
 	b := core.NewBackend("backend")
@@ -186,7 +196,7 @@ func TestCommitOrderAndTransactionality(t *testing.T) {
 	sub := subscribe(t, b, subDB, "")
 
 	pub.Exec("EXEC swapTitles @a = 1, @b = 2", nil)
-	if n := b.Repl.Health(time.Now())[sub.Status().SubID].Pending; n != 1 {
+	if n := healthAt(t, b.Repl, sub.Status().SubID, time.Now()).Pending; n != 1 {
 		t.Fatalf("expected 1 pending transaction, got %d", n)
 	}
 	if n, err := sub.Pull(b); err != nil || n != 1 {

@@ -95,7 +95,7 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 		}
 	}
 	// The rewind must not re-deliver to the other subscription.
-	if n := srv.Health(time.Now())[other].Pending; n != 0 {
+	if n := healthAt(t, srv, other, time.Now()).Pending; n != 0 {
 		t.Fatalf("second subscription re-received %d batches after the rewind", n)
 	}
 	if n := len(srv.Health(time.Now())); n != 2 {

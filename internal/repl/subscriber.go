@@ -123,11 +123,12 @@ type Attached struct {
 // at one position, the transaction also applies the stream past the lowest
 // of them, so that every view ends where the stream is complete through; no
 // reader sees two views at different positions. The cursor moves to where
-// the views end — below where it stood when the publisher lost state — and
-// CurrentAsOf up to asOf: the instant the rows were known current, taken
-// before the first Provision request, or zero when that is not known, as for
-// rows from a checkpoint. All of ats name one subscription; when it is not
-// the one the subscriber pulls from, ats must hold every view it has.
+// the views end — below where it stood when the publisher lost state. When
+// the views end at rows fetched after asOf — the instant before the first
+// Provision request — because a view was seeded or the stream was pulled,
+// CurrentAsOf moves up to asOf. Views that were all resumed are as current
+// as they were, and it stays. All of ats name one subscription; when it is
+// not the one the subscriber pulls from, ats must hold every view it has.
 func (s *Subscriber) Attach(src Puller, ats []Attached, asOf time.Time) error {
 	s.mu.Lock()
 	views, st := s.views, s.st
@@ -179,10 +180,11 @@ func (s *Subscriber) Attach(src Puller, ats []Attached, asOf time.Time) error {
 			}
 		}
 	}
+	fetched := lo < hi || slices.ContainsFunc(ats, func(a Attached) bool { return !a.Resumed })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.st.AppliedLSN = at
-	if asOf.After(s.st.CurrentAsOf) {
+	if fetched && asOf.After(s.st.CurrentAsOf) {
 		s.st.CurrentAsOf = asOf
 	}
 	s.st.SubID, s.views = subID, next

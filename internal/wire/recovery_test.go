@@ -442,65 +442,79 @@ func TestDurableBackendRestartReattaches(t *testing.T) {
 	}
 }
 
-// TestReattachToABackendThatLostItsLog: a backend replaced by one whose log
-// ends below the cache's position (here a new in-memory backend with fewer
-// commits) cannot resume the cache's views. The re-attach seeds them and
-// moves the cache's cursor down to the new log's position, so the commits
-// the new backend makes next arrive rather than being taken for ones the
-// cache already applied.
+// TestReattachToABackendThatLostItsLog: a backend replaced by a new in-memory
+// one has a log that started over, with other data. When that log ends below
+// the cache's position the cache is ahead of it; when it runs past it, the
+// position names the new log's commits, not the ones the cache applied.
+// Either way the re-attach seeds the views, and moves the cache's cursor to
+// the new log's position, so the commits the new backend makes next arrive
+// rather than being taken for ones the cache already applied.
 func TestReattachToABackendThatLostItsLog(t *testing.T) {
-	_, srv := newWiredBackend(t)
-	addr := srv.Addr()
-	policy := resilience.DefaultPolicy()
-	policy.MaxAttempts = 20
-	policy.BaseDelay = 2 * time.Millisecond
-	policy.MaxDelay = 20 * time.Millisecond
-	client, err := DialResilient(addr, policy, metrics.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	rc, err := NewRemoteCache("cache", client, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.CreateCachedView("CREATE CACHED VIEW tires AS SELECT id, qty FROM part WHERE type = 'Tire'"); err != nil {
-		t.Fatal(err)
-	}
-	before := rc.AppliedLSN()
-	srv.Close()
+	for _, rows := range []int{20, 1010} {
+		t.Run(fmt.Sprintf("%d rows", rows), func(t *testing.T) {
+			_, srv := newWiredBackend(t)
+			addr := srv.Addr()
+			policy := resilience.DefaultPolicy()
+			policy.MaxAttempts = 20
+			policy.BaseDelay = 2 * time.Millisecond
+			policy.MaxDelay = 20 * time.Millisecond
+			client, err := DialResilient(addr, policy, metrics.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			rc, err := NewRemoteCache("cache", client, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rc.CreateCachedView("CREATE CACHED VIEW tires AS SELECT id, qty FROM part WHERE type = 'Tire'"); err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
 
-	b2 := core.NewBackend("backend")
-	if err := b2.ExecScript("CREATE TABLE part (id INT PRIMARY KEY, name VARCHAR(40) NOT NULL, type VARCHAR(20), qty INT);"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 20; i++ {
-		if _, err := b2.Exec(fmt.Sprintf("INSERT INTO part (id, name, type, qty) VALUES (%d, 'p', 'Tire', %d)", i, i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv2, err := Serve(b2, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv2.Close)
-	if _, err := rc.Pull(); err != nil {
-		t.Fatal(err)
-	}
-	if got, end := rc.AppliedLSN(), b2.DB.Store().VisibleEnd(); got >= before || got != end-1 {
-		t.Fatalf("after the re-attach the cache stands at %d (before: %d); the new backend's log ends at %d", got, before, end)
-	}
-	if _, err := b2.Exec("UPDATE part SET qty = 777 WHERE id = 4", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.Pull(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := rc.DB.Exec("SELECT qty FROM tires WHERE id = 4", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 777 || rc.DB.TableRowCount("tires") != 20 {
-		t.Fatalf("the view holds %d rows and qty %v for id 4, want 20 rows and 777", rc.DB.TableRowCount("tires"), res.Rows)
+			b2 := core.NewBackend("backend")
+			if err := b2.ExecScript("CREATE TABLE part (id INT PRIMARY KEY, name VARCHAR(40) NOT NULL, type VARCHAR(20), qty INT);"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= rows; i++ {
+				if _, err := b2.Exec(fmt.Sprintf("INSERT INTO part (id, name, type, qty) VALUES (%d, 'p', 'Tire', %d)", i, 2*i), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv2, err := Serve(b2, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv2.Close)
+			seeded := metrics.Default.Counter("wire.view_seeded")
+			seeded0 := seeded.Value()
+			if _, err := rc.Pull(); err != nil {
+				t.Fatal(err)
+			}
+			if got, end := rc.AppliedLSN(), b2.DB.Store().VisibleEnd(); got != end-1 || seeded.Value() != seeded0+1 {
+				t.Fatalf("after the re-attach the cache stands at %d having seeded %d views; the new backend's log ends at %d",
+					got, seeded.Value()-seeded0, end)
+			}
+			if _, err := b2.Exec("UPDATE part SET qty = 777 WHERE id = 4", nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rc.Pull(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := rc.DB.Exec("SELECT qty FROM tires WHERE id = 4", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0].Int() != 777 || rc.DB.TableRowCount("tires") != rows {
+				t.Fatalf("the view holds %d rows and qty %v for id 4, want %d rows and 777", rc.DB.TableRowCount("tires"), res.Rows, rows)
+			}
+			res, err = rc.DB.Exec("SELECT qty FROM tires WHERE id = 8", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0].Int() != 16 {
+				t.Fatalf("the view holds qty %v for id 8; the new backend holds 16", res.Rows)
+			}
+		})
 	}
 }
