@@ -1,7 +1,7 @@
 package catalog
 
 import (
-	"sort"
+	"slices"
 
 	"mtcache/internal/types"
 )
@@ -118,45 +118,46 @@ func rowBytes(r types.Row) int {
 	return n
 }
 
+// buildColumnStats summarizes a column from vals, its non-null values in a
+// slice of their own, which it sorts in place.
 func buildColumnStats(vals []types.Value, nulls int64) *ColumnStats {
 	cs := &ColumnStats{NullCount: nulls}
 	if len(vals) == 0 {
 		return cs
 	}
-	sorted := append([]types.Value(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return types.Compare(sorted[i], sorted[j]) < 0 })
-	cs.Min, cs.Max = sorted[0], sorted[len(sorted)-1]
+	slices.SortFunc(vals, types.Compare)
+	cs.Min, cs.Max = vals[0], vals[len(vals)-1]
 
 	// Equi-depth buckets over the sorted values, counting distincts per bucket.
 	nb := DefaultHistogramBuckets
-	if len(sorted) < nb {
-		nb = len(sorted)
+	if len(vals) < nb {
+		nb = len(vals)
 	}
-	per := len(sorted) / nb
+	per := len(vals) / nb
 	if per == 0 {
 		per = 1
 	}
 	totalDistinct := int64(0)
 	start := 0
-	for start < len(sorted) {
+	for start < len(vals) {
 		end := start + per
-		if end > len(sorted) || len(cs.Buckets) == nb-1 {
-			end = len(sorted)
+		if end > len(vals) || len(cs.Buckets) == nb-1 {
+			end = len(vals)
 		}
 		// extend to include all duplicates of the boundary value so buckets
 		// have distinct Hi values
-		for end < len(sorted) && types.Equal(sorted[end-1], sorted[end]) {
+		for end < len(vals) && types.Equal(vals[end-1], vals[end]) {
 			end++
 		}
 		distinct := int64(1)
 		for i := start + 1; i < end; i++ {
-			if !types.Equal(sorted[i], sorted[i-1]) {
+			if !types.Equal(vals[i], vals[i-1]) {
 				distinct++
 			}
 		}
 		totalDistinct += distinct
 		cs.Buckets = append(cs.Buckets, Bucket{
-			Hi:       sorted[end-1],
+			Hi:       vals[end-1],
 			Count:    int64(end - start),
 			Distinct: distinct,
 		})

@@ -196,8 +196,8 @@ func (c *CacheServer) attach(add *catalog.Table) error {
 	resumed := 0
 	for _, name := range views {
 		view := c.DB.Catalog().Table(name)
-		if view == nil {
-			return fmt.Errorf("core: cached view %s is gone", name)
+		if view == nil || !view.Cached {
+			continue // dropped since Views read it; Attach takes it out too
 		}
 		a, err := c.provisionView(view, st.AppliedLSN+1)
 		if err != nil {
@@ -208,7 +208,7 @@ func (c *CacheServer) attach(add *catalog.Table) error {
 		}
 		ats = append(ats, a)
 	}
-	metrics.Default.Event("wire.views_reattached", "resumed", strconv.Itoa(resumed), "seeded", strconv.Itoa(len(views)-resumed))
+	metrics.Default.Event("wire.views_reattached", "resumed", strconv.Itoa(resumed), "seeded", strconv.Itoa(len(ats)-resumed))
 	return c.sub.Attach(c.client, ats, asOf)
 }
 

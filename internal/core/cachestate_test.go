@@ -334,3 +334,44 @@ func TestRestartPastTheLogReseedsInOneRequest(t *testing.T) {
 		t.Fatalf("reseeded ev_late holds %d rows, want 3", len(got))
 	}
 }
+
+// TestDroppedViewLeavesTheOthersAdvancing: DROP VIEW of one of a cache's two
+// cached views takes it out of the cache's subscription. The next pull
+// succeeds and the other view advances: right after the drop, and when the
+// backend has forgotten the subscription meanwhile, so that the pull first
+// re-attaches the view that is left.
+func TestDroppedViewLeavesTheOthersAdvancing(t *testing.T) {
+	for _, forget := range []bool{false, true} {
+		b := newEventsBackend(t)
+		c, err := NewCacheOver("cache", link{engine.NewLink(b.DB), b}, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, view := range []string{eventsView, `CREATE CACHED VIEW ev_late AS SELECT id, s FROM events WHERE id > 2`} {
+			if err := c.CreateCachedView(view); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Exec("DROP VIEW ev_late", nil); err != nil {
+			t.Fatal(err)
+		}
+		if forget {
+			b.Repl = repl.NewServer(b.DB)
+		}
+		for id := int64(5); id <= 6; id++ {
+			insertEvents(t, b, types.Row{types.NewInt(id), types.NewFloat(2.5), types.NewTime(time.Unix(1, 1)), types.NewString("later")})
+			for range 2 { // apply, then acknowledge
+				if _, err := c.Pull(); err != nil {
+					t.Fatalf("re-attach %v: the pull after the drop: %v", forget, err)
+				}
+			}
+			requireSameRows(t, "ev after the drop", tableRowsByID(t, c.DB, "ev"), tableRowsByID(t, b.DB, "events"))
+		}
+		if views := c.sub.Views(); len(views) != 1 || views[0] != "ev" {
+			t.Errorf("re-attach %v: the subscriber holds views %v after the drop, want [ev]", forget, views)
+		}
+		if st := c.sub.Status(); st.ApplyErrors != 0 {
+			t.Errorf("re-attach %v: %d rounds failed to apply: %s", forget, st.ApplyErrors, st.LastError)
+		}
+	}
+}

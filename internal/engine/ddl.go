@@ -24,11 +24,15 @@ func (db *Database) execDDL(stmt sql.Statement) (*Result, error) {
 		err = db.applyDDL(stmt, nil)
 	}
 	// A view populated here turns visible to view matching once its rows
-	// have committed, and with its statistics.
+	// have committed, and with its statistics: a materialized view's are
+	// built here, a cached view's by the provisioning that seeded it
+	// (repl.Subscriber.Attach).
 	if x, ok := stmt.(*sql.CreateViewStmt); ok && db.cat.Seeding(x.Name) {
 		db.cat.SetSeeding(x.Name, false)
-		if aerr := db.AnalyzeTable(x.Name); err == nil {
-			err = aerr
+		if !x.Cached {
+			if aerr := db.AnalyzeTable(x.Name); err == nil {
+				err = aerr
+			}
 		}
 	}
 	db.InvalidatePlans()
@@ -204,11 +208,9 @@ func (db *Database) createView(x *sql.CreateViewStmt, tx *storage.Txn) error {
 		return err
 	}
 	db.cat.SetSeeding(t.Name, true)
-	for _, row := range initial {
-		if _, err := tx.Insert(t.Name, row); err != nil {
-			db.dropStored(t)
-			return err
-		}
+	if err := tx.Fill(t.Name, initial); err != nil {
+		db.dropStored(t)
+		return err
 	}
 	return nil
 }

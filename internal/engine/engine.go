@@ -1059,26 +1059,28 @@ func (db *Database) BulkLoad(table string, rows []types.Row) error {
 	if t == nil {
 		return fmt.Errorf("engine: table %s does not exist", table)
 	}
-	tx := db.store.Begin(true)
-	views := db.cat.ViewsOver(table)
-	for _, row := range rows {
+	casts := make([]types.Row, len(rows))
+	for r, row := range rows {
 		if len(row) != len(t.Columns) {
-			tx.Abort()
 			return fmt.Errorf("engine: %s: row width %d != %d columns", table, len(row), len(t.Columns))
 		}
 		cast := make(types.Row, len(row))
 		for i, v := range row {
 			cv, err := v.Cast(t.Columns[i].Type)
 			if err != nil {
-				tx.Abort()
 				return fmt.Errorf("engine: %s column %s: %w", table, t.Columns[i].Name, err)
 			}
 			cast[i] = cv
 		}
-		if _, err := tx.Insert(table, cast); err != nil {
-			tx.Abort()
-			return err
-		}
+		casts[r] = cast
+	}
+	tx := db.store.Begin(true)
+	if err := tx.Fill(table, casts); err != nil {
+		tx.Abort()
+		return err
+	}
+	views := db.cat.ViewsOver(table)
+	for _, cast := range casts {
 		if err := db.maintainViews(tx, views, storage.ChangeRec{Op: storage.OpInsert, After: cast}); err != nil {
 			tx.Abort()
 			return err

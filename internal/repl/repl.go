@@ -149,11 +149,16 @@ type Slabs struct {
 
 // keepBatches, keepChanges and keepVals bound the arrays Slabs keep past
 // Clear, so that what an idle holder pins stays small whatever one pull
-// answered (a subscriber catching up after an outage).
+// answered (a subscriber catching up after an outage). They sit above the
+// largest answer measured on the fleet benchmark's four workloads in steady
+// state — 6 batches, 11 changes and 147 values on browsing, 15, 36 and 407 on
+// ordering, where more than 32 changes came once in about 5 500 answers — and
+// below the catch-up answer each adhoc round starts with (25 to 63 batches,
+// 550 to 1 386 values), whose arrays are dropped.
 const (
-	keepBatches = 32
-	keepChanges = 256
-	keepVals    = 8 * keepChanges
+	keepBatches = 16
+	keepChanges = 32
+	keepVals    = 512
 )
 
 // room returns s emptied when it has room for n elements, and a new empty

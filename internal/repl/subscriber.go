@@ -76,7 +76,7 @@ type Subscriber struct {
 	stats  ApplyStats
 
 	mu    sync.Mutex
-	views []view // append-only
+	views []view // replaced, never edited in place (current)
 	st    SubscriberStatus
 }
 
@@ -97,13 +97,27 @@ func (s *Subscriber) Status() SubscriberStatus {
 
 // Views returns the target tables, in the order they were added.
 func (s *Subscriber) Views() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.views))
-	for i, v := range s.views {
+	views, _ := s.current()
+	out := make([]string, len(views))
+	for i, v := range views {
 		out[i] = v.table
 	}
 	return out
+}
+
+// current returns the views and the status. A view whose table the target
+// no longer has (DROP VIEW) is taken out first: changes to it are passed
+// over from then on, as for any table that is not a view, and a re-attach
+// provisions the others only. A drop that lands while a round applies fails
+// that round once, and the next one passes it over.
+func (s *Subscriber) current() ([]view, SubscriberStatus) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dropped := func(v view) bool { return s.target.Catalog().Table(v.table) == nil }
+	if slices.ContainsFunc(s.views, dropped) {
+		s.views = slices.DeleteFunc(slices.Clone(s.views), dropped)
+	}
+	return s.views, s.st
 }
 
 // Attached is one target table's Provision answer as the subscriber takes it
@@ -130,9 +144,7 @@ type Attached struct {
 // as they were, and it stays. All of ats name one subscription; when it is
 // not the one the subscriber pulls from, ats must hold every view it has.
 func (s *Subscriber) Attach(src Puller, ats []Attached, asOf time.Time) error {
-	s.mu.Lock()
-	views, st := s.views, s.st
-	s.mu.Unlock()
+	views, st := s.current()
 	subID := ats[0].SubID
 	// A view's start is the first LSN it needs; every view stands at start-1.
 	next := make([]view, len(views), len(views)+len(ats))
@@ -195,9 +207,8 @@ func (s *Subscriber) Attach(src Puller, ats []Attached, asOf time.Time) error {
 // transactions applied. On any error the cursor stays at the last applied
 // batch: nothing is lost, the publisher re-delivers from there.
 func (s *Subscriber) Pull(src Puller) (int, error) {
-	s.mu.Lock()
-	views, subID, acked := s.views, s.st.SubID, s.st.AppliedLSN
-	s.mu.Unlock()
+	views, st := s.current()
+	subID, acked := st.SubID, st.AppliedLSN
 	if len(views) == 0 {
 		return 0, nil
 	}
@@ -275,8 +286,8 @@ func (s *Subscriber) apply(views []view, ats []Attached, batches ...TxnBatch) er
 				return fmt.Errorf("repl: %w", err)
 			}
 		}
-		for _, row := range a.Rows {
-			if _, err := tx.Insert(a.Table, row); err != nil {
+		if len(a.Rows) > 0 {
+			if err := tx.Fill(a.Table, a.Rows); err != nil {
 				return fmt.Errorf("repl: %w", err)
 			}
 		}

@@ -153,6 +153,67 @@ func (t *BTree) publish(old *root, top node) {
 	t.root.Store(r)
 }
 
+// buildFill is the most entries build puts in a node below the top: three
+// quarters of a node, so that a built leaf takes a quarter of a node's middle
+// inserts before it splits. Every insert into a leaf copies its array, full
+// or not, but a split costs about twice that copy in objects.
+const buildFill = btreeOrder * 3 / 4
+
+// build fills t, which must be empty, with items, which must be sorted and
+// distinct, bottom-up: a level of more than btreeOrder entries is cut into as
+// few nodes as hold at most buildFill entries each, their sizes as equal as
+// they can be and the smaller ones on the right, and the entry between two
+// neighbours goes up into the level above, until a level fits in one node,
+// the top. A node below the top so holds at least minItems entries. Every
+// array is sized to its entries, except the rightmost leaf's, which has room
+// for a full leaf as a copy the tree makes of that leaf would (room), so
+// appends after the build do not copy it. The tree is published with one
+// root store.
+func (t *BTree) build(items []Item) {
+	if len(items) == 0 {
+		return
+	}
+	size := len(items)
+	var kids []*node // the level below, one more than items; nil for leaves
+	for len(items) > btreeOrder {
+		k := (len(items) + buildFill + 1) / (buildFill + 1) // ⌈(len+1)/(fill+1)⌉ nodes
+		per, extra := (len(items)-(k-1))/k, (len(items)-(k-1))%k
+		level := make([]*node, k)
+		up := make([]Item, k-1)
+		for i := range level {
+			n := per
+			if i < extra {
+				n++
+			}
+			nd := &node{items: tight(items[:n], kids == nil && i == k-1)}
+			if kids != nil {
+				nd.children = tight(kids[:n+1], false)
+				kids = kids[n+1:]
+			}
+			level[i] = nd
+			if i < k-1 {
+				up[i] = items[n]
+				n++
+			}
+			items = items[n:]
+		}
+		items, kids = up, level
+	}
+	top := node{items: tight(items, kids == nil), children: kids}
+	t.publish(t.root.Load(), top)
+	t.size.Add(int64(size))
+}
+
+// tight returns a copy of s in an array of its length, or of a full leaf's
+// when last: the array of the rightmost leaf.
+func tight[E any](s []E, last bool) []E {
+	n := len(s)
+	if last {
+		n = max(n, btreeOrder)
+	}
+	return append(make([]E, 0, n), s...)
+}
+
 // Len returns the number of entries.
 func (t *BTree) Len() int { return int(t.size.Load()) }
 

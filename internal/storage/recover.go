@@ -71,11 +71,9 @@ func (s *Store) Recover(schema Schema) error {
 				continue
 			}
 			t := s.Begin(true)
-			for _, row := range set.Rows {
-				if _, err := t.Insert(set.Name, row); err != nil {
-					t.Abort()
-					return fmt.Errorf("storage: recover %s from checkpoint: %w", set.Name, err)
-				}
+			if err := t.Fill(set.Name, set.Rows); err != nil {
+				t.Abort()
+				return fmt.Errorf("storage: recover %s from checkpoint: %w", set.Name, err)
 			}
 			if err := t.CommitUnlogged(); err != nil {
 				return err

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -528,6 +529,33 @@ func (t *Txn) insert(td *TableData, row types.Row) (RowID, error) {
 	}
 	t.undo = append(t.undo, undoRec{table: td, op: OpInsert, rid: rid, v: v})
 	return rid, nil
+}
+
+// Fill inserts rows into a table: each as Insert would, one version and one
+// undo record per row, while every index takes the rows' entries at once
+// (TableData.indexLocked) — an index the table has no entries in yet is
+// built in one sorted pass. It is how a table is filled from nothing: a bulk
+// load, a seed, a checkpoint's rows, a materialized view's population. The
+// store keeps the rows themselves. On an error the transaction holds the
+// rows and no entry of theirs; the caller aborts it.
+func (t *Txn) Fill(table string, rows []types.Row) error {
+	td, err := t.tableForWrite(table)
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
+		if len(row) != len(td.meta.Columns) {
+			return fmt.Errorf("storage: %s: row has %d values, table has %d columns", td.meta.Name, len(row), len(td.meta.Columns))
+		}
+	}
+	placed := make([]Item, len(rows))
+	t.undo = slices.Grow(t.undo, len(rows))
+	for i, row := range rows {
+		rid, v := td.pushLocked(t.id, row)
+		t.undo = append(t.undo, undoRec{table: td, op: OpInsert, rid: rid, v: v})
+		placed[i] = Item{Key: row, RID: rid}
+	}
+	return td.indexLocked(t.id, placed)
 }
 
 // Delete removes the row at rid.

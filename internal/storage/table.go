@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"mtcache/internal/catalog"
@@ -134,15 +136,33 @@ func newTableData(meta *catalog.Table) *TableData {
 
 // buildIndex backfills an index with entries for every version in every
 // chain, so snapshots older than the index build still resolve through it.
+// The tree is built from the sorted entries in one pass.
 func buildIndex(td *TableData, idx *catalog.Index) *indexData {
 	id := &indexData{meta: idx, tree: NewBTree()}
 	n, dir := td.heap()
+	var rows []Item
 	for rid := 0; rid < n; rid++ {
 		for v := slotIn(dir, rid).head.Load(); v != nil; v = v.next.Load() {
-			id.tree.Insert(Item{Key: indexKey(v.row, idx.Columns), RID: RowID(rid)})
+			rows = append(rows, Item{Key: v.row, RID: RowID(rid)})
 		}
 	}
+	id.tree.build(entriesOf(rows, idx.Columns))
 	return id
+}
+
+// entriesOf turns rows, whose Keys hold the rows themselves, into their
+// index entries on cols, sorted and with repeats dropped (versions of a slot
+// that share a key share an entry). The keys are cut from one array and own
+// their strings (ownKey).
+func entriesOf(rows []Item, cols []int) []Item {
+	w := len(cols)
+	slab := make(types.Row, len(rows)*w)
+	for i := range rows {
+		rows[i].Key = ownKey(slab[:0:w], rows[i].Key, cols)
+		slab = slab[w:]
+	}
+	slices.SortFunc(rows, cmpItem)
+	return slices.CompactFunc(rows, func(a, b Item) bool { return cmpItem(a, b) == 0 })
 }
 
 // addIndexLocked publishes a new index map including idx. The caller holds
@@ -175,6 +195,21 @@ func indexKey(row types.Row, cols []int) types.Row {
 func appendKey(dst, row types.Row, cols []int) types.Row {
 	for _, c := range cols {
 		dst = append(dst, row[c])
+	}
+	return dst
+}
+
+// ownKey is appendKey for a key an index keeps: its strings are copies, so
+// that an entry pins its own bytes and no more of the row that made it (a
+// decoded row's strings are one allocation, and an entry outlives its row's
+// version when an update leaves the key as it was).
+func ownKey(dst, row types.Row, cols []int) types.Row {
+	for _, c := range cols {
+		v := row[c]
+		if v.K == types.KindString {
+			v.S = strings.Clone(v.S)
+		}
+		dst = append(dst, v)
 	}
 	return dst
 }
@@ -255,22 +290,64 @@ func (td *TableData) insertLocked(txnID int64, row types.Row) (RowID, *version, 
 	entries := entriesBuf[:0]
 	for _, id := range idxs {
 		n := len(id.meta.Columns)
-		k := appendKey(slab[:0:n], row, id.meta.Columns)
+		k := ownKey(slab[:0:n], row, id.meta.Columns)
 		slab = slab[n:]
 		if id.meta.Unique && td.uniqueConflict(id, k, txnID) {
 			return 0, nil, fmt.Errorf("storage: %s: duplicate key %v for unique index %s", td.meta.Name, k, id.meta.Name)
 		}
 		entries = append(entries, indexEntry{id, k})
 	}
+	rid, v := td.pushLocked(txnID, row)
+	for _, e := range entries {
+		e.id.tree.Insert(Item{Key: e.key, RID: rid})
+	}
+	return rid, v, nil
+}
+
+// pushLocked puts row, as a new version uncommitted by txnID, in a fresh
+// slot. Caller holds the table latch.
+func (td *TableData) pushLocked(txnID int64, row types.Row) (RowID, *version) {
 	rid := td.allocSlot()
 	v := newVersion(row, -txnID)
 	slot := td.slotAt(rid)
 	v.next.Store(slot.head.Load())
 	slot.head.Store(v)
-	for _, e := range entries {
-		e.id.tree.Insert(Item{Key: e.key, RID: rid})
+	return rid, v
+}
+
+// indexLocked adds the entries of rows — new rows, each Item's Key the row
+// itself — to every index, index by index: an empty index is built from its
+// sorted entries in one pass (BTree.build), any other takes them in key
+// order. Every unique index is checked, against itself and among the rows,
+// before any entry goes in. Caller holds the table latch.
+func (td *TableData) indexLocked(txnID int64, rows []Item) error {
+	idxs := *td.indexes.Load()
+	type entries struct {
+		id  *indexData
+		its []Item
 	}
-	return rid, v, nil
+	all := make([]entries, 0, len(idxs))
+	for _, id := range idxs {
+		its := entriesOf(slices.Clone(rows), id.meta.Columns)
+		if id.meta.Unique {
+			for i, it := range its {
+				if i > 0 && types.CompareRows(its[i-1].Key, it.Key) == 0 || id.tree.Len() > 0 && td.uniqueConflict(id, it.Key, txnID) {
+					return fmt.Errorf("storage: %s: duplicate key %v for unique index %s", td.meta.Name, it.Key, id.meta.Name)
+				}
+			}
+		}
+		all = append(all, entries{id, its})
+	}
+	for _, e := range all {
+		if e.id.tree.Len() == 0 {
+			e.id.tree.build(e.its)
+			continue
+		}
+		for _, it := range e.its {
+			e.id.tree.Insert(it)
+		}
+	}
+	return nil
 }
 
 // indexEntry is an index and the key a write built for it.
@@ -317,7 +394,7 @@ func (td *TableData) updateLocked(txnID int64, rid RowID, newRow types.Row) (*ve
 		if sameKey(newRow, old.row, id.meta.Columns) {
 			continue
 		}
-		nk := indexKey(newRow, id.meta.Columns)
+		nk := ownKey(make(types.Row, 0, len(id.meta.Columns)), newRow, id.meta.Columns)
 		if id.meta.Unique && td.uniqueConflict(id, nk, txnID) {
 			return nil, nil, fmt.Errorf("storage: %s: duplicate key %v for unique index %s", td.meta.Name, nk, id.meta.Name)
 		}
