@@ -342,6 +342,9 @@ func BenchmarkBestSellerQuery(b *testing.B) {
 	if err := tpcw.Load(backend, cfg); err != nil {
 		b.Fatal(err)
 	}
+	if err := backend.DB.Analyze(); err != nil {
+		b.Fatal(err)
+	}
 	cache, err := NewCache("cache1", backend, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -162,5 +162,8 @@ func main() {
 func loadTPCW(backend *mtcache.Backend, items, customers int) error {
 	cfg := tpcw.Config{Items: items, Customers: customers, OrdersPerCustomer: 0.9, Seed: 20030609}
 	log.Printf("loading TPC-W (%d items, %d customers)...", cfg.Items, cfg.Customers)
-	return tpcw.Load(backend, cfg)
+	if err := tpcw.Load(backend, cfg); err != nil {
+		return err
+	}
+	return backend.DB.Analyze()
 }

@@ -27,6 +27,9 @@ func main() {
 	if err := tpcw.Load(backend, cfg); err != nil {
 		log.Fatal(err)
 	}
+	if err := backend.DB.Analyze(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-20s %10s %10s\n", "table", "rows", "distinct PK")
 	for _, t := range backend.DB.Catalog().Tables() {

@@ -23,6 +23,7 @@ func main() {
 	fmt.Println("loading TPC-W database...")
 	backend := mtcache.NewBackend("bookstore")
 	must(tpcw.Load(backend, cfg))
+	must(backend.DB.Analyze())
 	fmt.Printf("  items=%d customers=%d orders=%d order_lines=%d\n",
 		backend.DB.TableRowCount("item"), backend.DB.TableRowCount("customer"),
 		backend.DB.TableRowCount("orders"), backend.DB.TableRowCount("order_line"))

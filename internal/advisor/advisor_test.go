@@ -45,6 +45,9 @@ func analyzed(t *testing.T) *Advice {
 	if err := tpcw.Load(b, tpcw.Config{Items: 50, Customers: 80, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	advice, err := Analyze(b.DB.Catalog(), tpcwWorkload(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +119,9 @@ func TestAdvisorDDLIsValid(t *testing.T) {
 	if err := tpcw.Load(b, tpcw.Config{Items: 50, Customers: 80, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	c, err := core.NewCache("cache1", b, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +151,9 @@ func TestAdvisorWeightsScaleRecommendations(t *testing.T) {
 	if err := tpcw.Load(b, tpcw.Config{Items: 50, Customers: 80, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	// A write-only workload on orders must not recommend caching it.
 	writeOnly := []WorkloadItem{
 		{SQL: "EXEC doBuyConfirm 1, 1, '2003-06-09', 1, 1, 'AIR', 1, 1, 0.05, 1", Weight: 100},
@@ -163,6 +172,9 @@ func TestAdvisorWeightsScaleRecommendations(t *testing.T) {
 func TestAdvisorAdHocStatements(t *testing.T) {
 	b := core.NewBackend("backend")
 	if err := tpcw.Load(b, tpcw.Config{Items: 50, Customers: 80, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DB.Analyze(); err != nil {
 		t.Fatal(err)
 	}
 	items := []WorkloadItem{

@@ -467,14 +467,12 @@ type Result struct {
 // kept.
 var results = sync.Pool{New: func() any { return new(Result) }}
 
-// keepRows and keepVals bound the row and value slices a released Result
-// keeps; a bigger one (a scan of thousands of rows) is dropped, so what the
-// pool holds per Result stays small whatever an occasional statement
-// returns.
-const (
-	keepRows = 128
-	keepVals = 8 * keepRows
-)
+// exec.KeepRows and keepVals bound the row and value slices a released
+// Result keeps; a bigger one (a scan of thousands of rows) is dropped, so
+// what the pool holds per Result stays small whatever an occasional
+// statement returns. runPlan sizes a row slice past exec.KeepRows only for a
+// plan instance that has returned that many rows.
+const keepVals = 8 * exec.KeepRows
 
 // NewResult takes an empty Result from the pool, with the row and value
 // slices a released one kept: what a statement executed here, or a client
@@ -504,7 +502,7 @@ func (res *Result) Release() {
 		return
 	}
 	rows, vals := res.kept, res.vals
-	if cap(rows) > keepRows {
+	if cap(rows) > exec.KeepRows {
 		rows = nil
 	}
 	if cap(vals) > keepVals {
@@ -889,7 +887,10 @@ func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Pa
 // buffers cleared and kept — and the next execution of the plan starts with
 // arenas, batch windows, sort buffers, aggregate tables, its context and its
 // parameter slots already there; one that fails drops it. The rows of the
-// Result never alias memory the instance keeps (exec.Batch says why).
+// Result never alias memory the instance keeps (exec.Batch says why). They
+// fill the row slice the Result recycled, and a new one is sized by the
+// plan's estimate capped by the rows the instance has returned
+// (exec.Instance.SizeRows), so that a released Result can recycle it.
 // The instance runs in tx — the caller's write transaction, for a SELECT that
 // must see its own statement's or procedure's writes — or, when tx is nil,
 // against a read-only snapshot of its own: a read begun on the instance's own
@@ -921,7 +922,7 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 	}
 	res := NewResult()
 	ctx := &inst.Ctx
-	ctx.Txn, ctx.Remote, ctx.Counters, ctx.Rec, ctx.EstRows = tx, db.remote, &res.Counters, rec, plan.Card
+	ctx.Txn, ctx.Remote, ctx.Counters, ctx.Rec, ctx.EstRows = tx, db.remote, &res.Counters, rec, inst.SizeRows(plan.Card)
 	bindParams(plan, params, autoArgs, ctx)
 	root := inst.Root
 	var shell *exec.Instrumented
@@ -940,6 +941,7 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 		res.Release()
 		return nil, nil, err
 	}
+	inst.MaxRows = max(inst.MaxRows, len(rs.Rows))
 	if !instrument {
 		plan.Instances.Release(inst)
 	}

@@ -155,27 +155,21 @@ func (db *Database) relations(from []sql.TableRef, read map[string]*catalog.Tabl
 	return true
 }
 
-// imObserve feeds one successfully executed SELECT into the cache under key,
-// with a copy of vals the cache may keep (autoArgs alias pooled normalizer
-// buffers, and a wire request's parameters its frame). Only an execution that
-// made no remote call qualifies — a fully local plan, or a dynamic plan whose
-// guard chose the local branch: rows produced on the backend could be
-// invalidated silently by writes this cache never hears about. Its benefit is
-// the record's execute stage. It reports whether the cache now holds res's
-// rows, which ends res's ownership of them.
+// imObserve feeds one successfully executed SELECT, computed under vals,
+// into the cache under key; the cache copies vals if it keeps them (autoArgs
+// alias pooled normalizer buffers, and a wire request's parameters its
+// frame). Only an execution that made no remote call qualifies — a fully
+// local plan, or a dynamic plan whose guard chose the local branch: rows
+// produced on the backend could be invalidated silently by writes this cache
+// never hears about. Its benefit is the record's execute stage. It reports
+// whether the cache now holds res's rows, which ends res's ownership of them.
 func (db *Database) imObserve(imc *imcache.Cache, key imcache.Key, vals []types.Value, stamp uint64,
 	autoArgs []types.Value, lineage []string, res *Result, rec *trace.Record) bool {
 	if res.Counters.RemoteQueries > 0 || lineage == nil {
 		return false
 	}
-	kept := make([]types.Value, len(vals))
-	for i, v := range vals {
-		v.S = strings.Clone(v.S)
-		kept[i] = v
-	}
 	return imc.Observe(imcache.Observation{
 		Key:     key,
-		Vals:    kept,
 		Args:    formatLiterals(autoArgs),
 		Cols:    res.Cols,
 		Rows:    res.Rows,
@@ -183,7 +177,7 @@ func (db *Database) imObserve(imc *imcache.Cache, key imcache.Key, vals []types.
 		LSN:     uint64(res.SnapshotLSN),
 		CostNs:  rec.Stages[trace.StageExec].Nanoseconds(),
 		Stamp:   stamp,
-	})
+	}, vals)
 }
 
 // intermediateResultsRows backs sys.intermediate_results, empty on a backend.

@@ -70,11 +70,24 @@ const (
 // the read transaction it runs in when it brings its own (storage.BeginRead
 // on Txn). The caller sets the Ctx's fields before Run; Release zeroes them.
 // The caller also finishes Txn before Release: a parked instance pins no
-// snapshot, and the next execution begins on Txn again.
+// snapshot, and the next execution begins on Txn again. MaxRows is the most
+// rows an execution of this instance has returned: the caller raises it
+// after each Run, Release keeps it, and a fresh clone starts at 0.
 type Instance struct {
-	Root Operator
-	Ctx  Ctx
-	Txn  storage.Txn
+	Root    Operator
+	Ctx     Ctx
+	Txn     storage.Txn
+	MaxRows int
+}
+
+// SizeRows is the Ctx.EstRows of an execution of inst whose plan estimates
+// est rows: the estimate, but no more than KeepRows unless an execution of
+// inst has returned more. A plan cached for a parameterized shape estimates
+// without the values, and a slice sized past KeepRows for rows that never
+// come is one no caller recycles; a plan that does return more rows still
+// sizes its slice in one make.
+func (inst *Instance) SizeRows(est float64) float64 {
+	return min(est, float64(max(KeepRows, inst.MaxRows)))
 }
 
 // reset resets the tree and the Ctx and returns the bytes they keep.

@@ -61,7 +61,7 @@ type Ctx struct {
 	Remote   RemoteClient
 	Counters *Counters
 	Rec      *trace.Record // the statement's record: its ID goes to the backend on DataTransfer; nil when run bare
-	EstRows  float64       // optimizer output-cardinality estimate, 0 if unknown
+	EstRows  float64       // rows Run makes room for before the first batch, 0 if unknown (see Run)
 
 	out    Batch  // the window Run reads the root through
 	merged Params // Merged's map, empty between executions
@@ -100,6 +100,11 @@ func (c *Ctx) Merged(params Params) Params {
 // maxPrealloc caps estimate-driven allocations: estimates can be off by
 // orders of magnitude, and a bad one must cost at most a bounded overshoot.
 const maxPrealloc = 4096
+
+// KeepRows is the capacity of the largest row slice a caller recycles from
+// run to run (engine.Result keeps one up to it): an execution sized to at
+// most KeepRows rows fills a recycled slice and makes none.
+const KeepRows = 128
 
 // preallocSize converts a cardinality estimate into a slice/map capacity
 // hint, clamped to [0, limit].
@@ -196,8 +201,9 @@ func visitKeys(fn func(Expr), keys []SortKey) {
 // rows fill the capacity rs.Rows already has — a caller that keeps a row
 // slice between runs (engine.Result does) passes it in emptied of rows
 // anyone still reads — and a new slice is made only when that capacity is
-// short of the estimate or of the rows. On an error what rs holds is
-// undefined.
+// short of ctx.EstRows (at most maxPrealloc) or of the rows; a caller that
+// runs a pooled Instance sets EstRows with Instance.SizeRows. On an error
+// what rs holds is undefined.
 func Run(op Operator, ctx *Ctx, rs *ResultSet) error {
 	if ctx.Env.Named == nil {
 		ctx.Env.Named = ctx.Params

@@ -63,6 +63,9 @@ func newRecorder(t *testing.T) *recorder {
 	if err := tpcw.Load(b, scenarioConfig); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	// The load's rows are unlogged; a checkpoint makes them durable.
 	if _, err := b.DB.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -353,6 +356,9 @@ func check(t *testing.T, r *recorder) {
 	t.Helper()
 	oracle := core.NewBackend("oracle")
 	if err := tpcw.Load(oracle, scenarioConfig); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.DB.Analyze(); err != nil {
 		t.Fatal(err)
 	}
 	v, err := Check(r.history, r.wal, oracle.DB)

@@ -85,9 +85,11 @@ func KeyOf(shape string, vals []types.Value) Key {
 }
 
 // Observation describes one completed execution of a cacheable statement.
+// The values its Key hashes travel beside it (Observe's vals), not in it: a
+// slice in a struct the cache may keep would make every caller's buffer
+// escape, where only an admission or a refresh keeps a copy.
 type Observation struct {
 	Key     Key
-	Vals    []types.Value  // the values Key hashes; must not be mutated after the call
 	Args    string         // rendered literal values, for sys.* display only
 	Cols    []exec.ColInfo // result schema
 	Rows    []types.Row    // materialized result; must not be mutated after the call
@@ -180,12 +182,15 @@ func (c *Cache) Options() Options {
 // from: every write that snapshot misses invalidates after the stamp.
 func (c *Cache) Stamp() uint64 { return c.seq.Load() }
 
-// Observe records one completed execution. It returns true when the key
-// is now (or was just re-) materialized. An observation stamped before the
-// last invalidation of one of its lineage tables may hold pre-write rows:
-// it is dropped — not admitted, not refreshed, not counted toward
+// Observe records one completed execution, computed under vals, the values
+// obs.Key hashes. It returns true when the key is now (or was just re-)
+// materialized. Only an admission or a refresh keeps the values, and it keeps
+// a copy of its own, strings included: the caller may overwrite vals and the
+// bytes of its strings once Observe returns. An observation stamped before
+// the last invalidation of one of its lineage tables may hold pre-write
+// rows: it is dropped — not admitted, not refreshed, not counted toward
 // AdmitAfter.
-func (c *Cache) Observe(obs Observation) bool {
+func (c *Cache) Observe(obs Observation, vals []types.Value) bool {
 	if obs.Key.Shape == "" || len(obs.Lineage) == 0 {
 		return false
 	}
@@ -204,7 +209,7 @@ func (c *Cache) Observe(obs Observation) bool {
 		// refresh it in place with the new snapshot.
 		c.tick++
 		c.bytes += bytes - e.Bytes
-		e.Vals, e.Args = obs.Vals, obs.Args
+		e.Vals, e.Args = ownVals(vals), obs.Args
 		e.Cols, e.Rows, e.Bytes = obs.Cols, obs.Rows, bytes
 		e.LSN, e.CostNs = obs.LSN, obs.CostNs
 		e.lastUsed, e.stale = c.tick, false
@@ -233,7 +238,7 @@ func (c *Cache) Observe(obs Observation) bool {
 
 	e := &Entry{
 		Key:      obs.Key,
-		Vals:     obs.Vals,
+		Vals:     ownVals(vals),
 		Args:     obs.Args,
 		Cols:     obs.Cols,
 		Rows:     obs.Rows,
@@ -257,6 +262,16 @@ func (c *Cache) Observe(obs Observation) bool {
 	metrics.Default.Counter("imcache.admits").Add(1)
 	c.publishLocked()
 	return true
+}
+
+// ownVals copies vals and every string in them.
+func ownVals(vals []types.Value) []types.Value {
+	kept := make([]types.Value, len(vals))
+	for i, v := range vals {
+		v.S = strings.Clone(v.S)
+		kept[i] = v
+	}
+	return kept
 }
 
 // Lookup serves an exact-match hit for key when the entry is fresh and holds

@@ -39,14 +39,14 @@ func obs(k string, rows int, costNs int64, lineage ...string) Observation {
 func TestAdmitAfterThreshold(t *testing.T) {
 	c := New(Options{AdmitAfter: 3})
 	for i := 0; i < 2; i++ {
-		if c.Observe(obs("k1", 4, 100, "item")) {
+		if c.Observe(obs("k1", 4, 100, "item"), nil) {
 			t.Fatalf("admitted on execution %d, want threshold 3", i+1)
 		}
 		if _, ok := c.Lookup(key("k1"), nil); ok {
 			t.Fatal("lookup hit before admission")
 		}
 	}
-	if !c.Observe(obs("k1", 4, 100, "item")) {
+	if !c.Observe(obs("k1", 4, 100, "item"), nil) {
 		t.Fatal("not admitted at threshold")
 	}
 	hit, ok := c.Lookup(key("k1"), nil)
@@ -62,8 +62,8 @@ func TestAdmitAfterThreshold(t *testing.T) {
 func TestInvalidatedEntryMissesUntilRefreshed(t *testing.T) {
 	c := New(Options{AdmitAfter: 2})
 	for i := 0; i < 2; i++ {
-		c.Observe(obs("k1", 2, 50, "item", "author"))
-		c.Observe(obs("k2", 2, 50, "orders"))
+		c.Observe(obs("k1", 2, 50, "item", "author"), nil)
+		c.Observe(obs("k2", 2, 50, "orders"), nil)
 	}
 	bytes := c.Bytes()
 
@@ -92,7 +92,7 @@ func TestInvalidatedEntryMissesUntilRefreshed(t *testing.T) {
 
 	re := obs("k1", 3, 60, "item", "author")
 	re.Stamp = c.Stamp()
-	if !c.Observe(re) {
+	if !c.Observe(re, nil) {
 		t.Fatal("the first execution after the invalidation did not refresh the entry")
 	}
 	if hit, ok := c.Lookup(key("k1"), nil); !ok || len(hit.Rows) != 3 {
@@ -102,12 +102,12 @@ func TestInvalidatedEntryMissesUntilRefreshed(t *testing.T) {
 
 func TestRefreshClearsStaleness(t *testing.T) {
 	c := New(Options{AdmitAfter: 1})
-	c.Observe(obs("k1", 2, 50, "item"))
+	c.Observe(obs("k1", 2, 50, "item"), nil)
 	c.Invalidate("item")
 	// Recomputation (the miss path re-ran the query) refreshes in place.
 	re := obs("k1", 3, 60, "item")
 	re.Stamp = c.Stamp()
-	if !c.Observe(re) {
+	if !c.Observe(re, nil) {
 		t.Fatal("refresh observation not accepted")
 	}
 	hit, ok := c.Lookup(key("k1"), nil)
@@ -125,15 +125,15 @@ func TestObserveDropsResultComputedBeforeInvalidation(t *testing.T) {
 	for _, arm := range []string{"admit", "refresh"} {
 		t.Run(arm, func(t *testing.T) {
 			c := New(Options{AdmitAfter: 2})
-			c.Observe(obs("k1", 2, 50, "Item", "author")) // the next one admits
+			c.Observe(obs("k1", 2, 50, "Item", "author"), nil) // the next one admits
 			if arm == "refresh" {
-				c.Observe(obs("k1", 2, 50, "Item", "author"))
+				c.Observe(obs("k1", 2, 50, "Item", "author"), nil)
 			}
 
 			old := obs("k1", 2, 50, "Item", "author")
-			old.Stamp = c.Stamp() // the query misses and stamps,
-			c.Invalidate("item")  // a write lands while it runs,
-			if c.Observe(old) {   // and it observes pre-write rows
+			old.Stamp = c.Stamp()    // the query misses and stamps,
+			c.Invalidate("item")     // a write lands while it runs,
+			if c.Observe(old, nil) { // and it observes pre-write rows
 				t.Fatal("observation older than its lineage's invalidation was accepted")
 			}
 			if _, ok := c.Lookup(key("k1"), nil); ok {
@@ -143,7 +143,7 @@ func TestObserveDropsResultComputedBeforeInvalidation(t *testing.T) {
 			fresh := obs("k1", 3, 50, "Item", "author")
 			fresh.Stamp = c.Stamp()
 			c.Invalidate("orders") // outside the lineage: does not age the stamp
-			if !c.Observe(fresh) {
+			if !c.Observe(fresh, nil) {
 				t.Fatal("post-invalidation observation refused")
 			}
 			if hit, ok := c.Lookup(key("k1"), nil); !ok || len(hit.Rows) != 3 {
@@ -156,13 +156,13 @@ func TestObserveDropsResultComputedBeforeInvalidation(t *testing.T) {
 	c := New(Options{AdmitAfter: 2})
 	old := obs("k2", 2, 50, "item")
 	c.Invalidate("item")
-	c.Observe(old) // Stamp 0 < 1: dropped
+	c.Observe(old, nil) // Stamp 0 < 1: dropped
 	fresh := obs("k2", 2, 50, "item")
 	fresh.Stamp = c.Stamp()
-	if c.Observe(fresh) {
+	if c.Observe(fresh, nil) {
 		t.Fatal("admitted on the first counted execution: the dropped one was counted")
 	}
-	if !c.Observe(fresh) {
+	if !c.Observe(fresh, nil) {
 		t.Fatal("not admitted on the second counted execution")
 	}
 }
@@ -172,11 +172,11 @@ func TestEvictionUnderPressurePrefersLowBenefit(t *testing.T) {
 	// one must go first.
 	rowBytes := estimateBytes(intCols(), intRows(100))
 	c := New(Options{AdmitAfter: 1, MaxBytes: 2*rowBytes + rowBytes/2, MaxEntryBytes: rowBytes * 2})
-	c.Observe(obs("cheap", 100, 10, "a"))
-	c.Observe(obs("costly", 100, 10_000_000, "b"))
+	c.Observe(obs("cheap", 100, 10, "a"), nil)
+	c.Observe(obs("costly", 100, 10_000_000, "b"), nil)
 	// Hit the costly entry to raise its benefit further.
 	c.Lookup(key("costly"), nil)
-	c.Observe(obs("new", 100, 5_000_000, "c"))
+	c.Observe(obs("new", 100, 5_000_000, "c"), nil)
 
 	if _, ok := c.Lookup(key("cheap"), nil); ok {
 		t.Fatal("low-benefit entry survived eviction pressure")
@@ -195,10 +195,10 @@ func TestEvictionUnderPressurePrefersLowBenefit(t *testing.T) {
 func TestStaleEvictedFirst(t *testing.T) {
 	rowBytes := estimateBytes(intCols(), intRows(100))
 	c := New(Options{AdmitAfter: 1, MaxBytes: 2*rowBytes + rowBytes/2, MaxEntryBytes: rowBytes * 2})
-	c.Observe(obs("stale", 100, 10_000_000, "a"))
-	c.Observe(obs("fresh", 100, 10, "b"))
+	c.Observe(obs("stale", 100, 10_000_000, "a"), nil)
+	c.Observe(obs("fresh", 100, 10, "b"), nil)
 	c.Invalidate("a")
-	c.Observe(obs("new", 100, 10, "c"))
+	c.Observe(obs("new", 100, 10, "c"), nil)
 	for _, e := range c.Snapshot() { // a stale entry misses anyway: look at what is held
 		if e.Shape == "SELECT stale" {
 			t.Fatal("stale entry survived pressure ahead of fresh ones")
@@ -213,7 +213,7 @@ func TestOversizeEntryNeverAdmitted(t *testing.T) {
 	small := estimateBytes(intCols(), intRows(10))
 	c := New(Options{AdmitAfter: 1, MaxBytes: 100 * small, MaxEntryBytes: small})
 	for i := 0; i < 5; i++ {
-		if c.Observe(obs("big", 1000, 100, "item")) {
+		if c.Observe(obs("big", 1000, 100, "item"), nil) {
 			t.Fatal("oversize result admitted")
 		}
 	}
@@ -225,7 +225,7 @@ func TestOversizeEntryNeverAdmitted(t *testing.T) {
 func TestCandidateTrackerBounded(t *testing.T) {
 	c := New(Options{AdmitAfter: 100, MaxTracked: 8})
 	for i := 0; i < 50; i++ {
-		c.Observe(obs(fmt.Sprintf("k%d", i), 1, 10, "item"))
+		c.Observe(obs(fmt.Sprintf("k%d", i), 1, 10, "item"), nil)
 	}
 	c.mu.Lock()
 	n := len(c.cands)
@@ -238,7 +238,7 @@ func TestCandidateTrackerBounded(t *testing.T) {
 func TestMetricsAccounting(t *testing.T) {
 	metrics.Default.Reset()
 	c := New(Options{AdmitAfter: 1})
-	c.Observe(obs("k1", 2, 50, "item"))
+	c.Observe(obs("k1", 2, 50, "item"), nil)
 	c.Lookup(key("k1"), nil)
 	c.Lookup(key("nope"), nil)
 	c.Invalidate("item")
@@ -262,8 +262,8 @@ func TestMetricsAccounting(t *testing.T) {
 
 func TestSnapshotOrderAndFields(t *testing.T) {
 	c := New(Options{AdmitAfter: 1})
-	c.Observe(obs("a", 2, 50, "item"))
-	c.Observe(obs("b", 3, 50, "orders", "item"))
+	c.Observe(obs("a", 2, 50, "item"), nil)
+	c.Observe(obs("b", 3, 50, "orders", "item"), nil)
 	c.Lookup(key("b"), nil)
 	infos := c.Snapshot()
 	if len(infos) != 2 || infos[0].Shape != "SELECT b" {
@@ -307,8 +307,8 @@ func TestLookupServesOnlyItsValues(t *testing.T) {
 	}
 	k := KeyOf("s", one)
 	o := obs("s", 2, 50, "item")
-	o.Key, o.Vals = k, one
-	c.Observe(o)
+	o.Key = k
+	c.Observe(o, one)
 	if _, ok := c.Lookup(k, yes); ok {
 		t.Fatal("served INT 1's rows to BOOL TRUE under one key")
 	}
@@ -316,12 +316,60 @@ func TestLookupServesOnlyItsValues(t *testing.T) {
 		t.Fatalf("its own values missed: ok=%v hit=%+v", ok, hit)
 	}
 	o = obs("s", 3, 50, "item")
-	o.Key, o.Vals = k, yes
-	c.Observe(o)
+	o.Key = k
+	c.Observe(o, yes)
 	if hit, ok := c.Lookup(k, yes); !ok || len(hit.Rows) != 3 {
 		t.Fatalf("the recomputation's values missed: ok=%v hit=%+v", ok, hit)
 	}
 	if _, ok := c.Lookup(k, one); ok {
 		t.Fatal("the replaced values are still served")
+	}
+}
+
+// An observation that only counts toward a candidate's admission keeps no
+// values, so it copies none; one that admits or refreshes copies them,
+// strings included, so the entry still serves its values after the caller
+// has overwritten its buffer and the bytes of its strings, as a pooled
+// normalizer or a wire frame does.
+func TestObserveCopiesOnlyWhatItKeeps(t *testing.T) {
+	buf := []byte("alpha")
+	vals := []types.Value{types.NewInt(7), types.NewString(unsafe.String(&buf[0], len(buf)))}
+	want := []types.Value{types.NewInt(7), types.NewString("alpha")}
+	k := KeyOf("s", vals)
+	o := obs("s", 2, 50, "item")
+	o.Key = k
+
+	c := New(Options{AdmitAfter: 1000})
+	c.Observe(o, vals) // tracks the candidate
+	if avg := testing.AllocsPerRun(100, func() {
+		if c.Observe(o, vals) {
+			t.Fatal("admitted below AdmitAfter")
+		}
+	}); avg != 0 {
+		t.Errorf("an observation that counts a candidate: %.0f allocs, want 0", avg)
+	}
+
+	c = New(Options{AdmitAfter: 1})
+	if !c.Observe(o, vals) {
+		t.Fatal("not admitted")
+	}
+	vals[0] = types.NewInt(8)
+	copy(buf, "omega")
+	if hit, ok := c.Lookup(k, want); !ok || len(hit.Rows) != 2 {
+		t.Fatalf("the admitted values missed after the caller overwrote its buffer: ok=%v hit=%+v", ok, hit)
+	}
+	if _, ok := c.Lookup(k, vals); ok {
+		t.Fatal("served values the entry was not computed under")
+	}
+
+	// A refresh keeps a copy too.
+	vals[0] = types.NewInt(7)
+	copy(buf, "alpha")
+	if !c.Observe(o, vals) {
+		t.Fatal("not refreshed")
+	}
+	copy(buf, "omega")
+	if hit, ok := c.Lookup(k, want); !ok || len(hit.Rows) != 2 {
+		t.Fatalf("the refreshed values missed after the caller overwrote its buffer: ok=%v hit=%+v", ok, hit)
 	}
 }

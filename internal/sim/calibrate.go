@@ -112,6 +112,9 @@ func Calibrate(cfg tpcw.Config, reps int) (*CalibrationResult, error) {
 	if err := tpcw.Load(backend, cfg); err != nil {
 		return nil, err
 	}
+	if err := backend.DB.Analyze(); err != nil {
+		return nil, err
+	}
 	cache, err := core.NewCache("cache1", backend, nil)
 	if err != nil {
 		return nil, err

@@ -30,8 +30,10 @@ var (
 	ships  = []string{"AIR", "UPS", "FEDEX", "SHIP", "COURIER", "MAIL"}
 )
 
-// Load generates and bulk-loads a TPC-W database onto the backend, then
-// refreshes optimizer statistics. Generation is deterministic in cfg.Seed.
+// Load generates and bulk-loads a TPC-W database onto the backend.
+// Generation is deterministic in cfg.Seed. It gathers no optimizer
+// statistics: the caller runs DB.Analyze once it has loaded everything it
+// loads, so that every table is analyzed once.
 func Load(b *core.BackendServer, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -179,10 +181,7 @@ func Load(b *core.BackendServer, cfg Config) error {
 	if err := b.DB.BulkLoad("order_line", lines); err != nil {
 		return err
 	}
-	if err := b.DB.BulkLoad("cc_xacts", xacts); err != nil {
-		return err
-	}
-	return b.DB.Analyze()
+	return b.DB.BulkLoad("cc_xacts", xacts)
 }
 
 // Uname is the deterministic username of customer i.

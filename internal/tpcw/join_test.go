@@ -31,6 +31,9 @@ func loadedPair(t *testing.T, cfg Config) (*core.BackendServer, *core.CacheServe
 	if err := Load(b, cfg); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	c, err := core.NewCache("cache", b, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,9 @@ func TestTableStatsMatchTheReference(t *testing.T) {
 	if err := Load(b, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	tx := b.DB.Store().Begin(false)
 	defer tx.Abort()
 	tables := 0

@@ -18,6 +18,9 @@ func loadedBackend(t *testing.T) *core.BackendServer {
 	if err := Load(b, smallConfig()); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	return b
 }
 

@@ -53,6 +53,9 @@ func TestWriteAllocBudget(t *testing.T) {
 	if err := Load(b, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	cart, cleared := int64(1<<20), int64(1<<20)
 	for _, g := range []struct {
 		proc   string // or, when params is nil, the text Exec runs

@@ -25,6 +25,9 @@ func TestSharedWritePlanUnderConcurrency(t *testing.T) {
 	if err := Load(b, Config{Items: 200, Customers: 300, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	const clients, calls = 4, 50
 	cart := func(g int) int64 { return 900000 + int64(g) }
 	item := func(g int) int64 { return 10 + int64(g) }

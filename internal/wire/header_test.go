@@ -113,6 +113,9 @@ func TestEveryTPCWHeaderIsKept(t *testing.T) {
 	if err := tpcw.Load(b, cfg); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.DB.Analyze(); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := Serve(b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
