@@ -5,10 +5,11 @@
 //	backend-server -addr 127.0.0.1:7000 -items 1000 -customers 2880
 //
 // With -data-dir the backend is durable: commits and DDL are journaled to a
-// segmented WAL (group commit by default; see -sync), the heap and the
-// catalog are checkpointed periodically, and a restart over the same
-// directory recovers the committed state, schema included, from the latest
-// checkpoint plus the log tail. TPC-W is loaded only into a data directory
+// segmented WAL by group commit (a commit returns once an fsync covers it,
+// and a cache is sent only what an fsync covers), the heap and the catalog
+// are checkpointed periodically, and a restart over the same directory
+// recovers the committed state, schema included, from the latest checkpoint
+// plus the log tail. TPC-W is loaded only into a data directory
 // that holds nothing yet, so a restart never regenerates the dataset, and the
 // load and its first checkpoint are one step to recovery (boot); -empty skips
 // it.
@@ -43,8 +44,6 @@ func main() {
 		empty     = flag.Bool("empty", false, "start with no TPC-W data (a -data-dir server keeps what it recovers)")
 
 		dataDir   = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); empty = in-memory")
-		syncMode  = flag.String("sync", "group", "WAL sync policy: always, group, interval, none")
-		syncEvery = flag.Duration("sync-interval", 5*time.Millisecond, "fsync cadence for -sync interval")
 		segMB     = flag.Int("segment-mb", 8, "WAL segment size in MiB")
 		ckptEvery = flag.Int("checkpoint-every", 10000, "automatic checkpoint after this many commits (0 disables)")
 		ckptTick  = flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint cadence (0 disables)")
@@ -56,14 +55,8 @@ func main() {
 
 	var durable *mtcache.DurabilityOptions
 	if *dataDir != "" {
-		policy, err := mtcache.ParseSyncPolicy(*syncMode)
-		if err != nil {
-			log.Fatal(err)
-		}
 		durable = &mtcache.DurabilityOptions{
 			Dir:             *dataDir,
-			Policy:          policy,
-			Interval:        *syncEvery,
 			SegmentBytes:    int64(*segMB) << 20,
 			CheckpointEvery: *ckptEvery,
 		}

@@ -238,7 +238,7 @@ func (c *failAfterProvision) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBa
 // durable backend's replication runtime starts over, forgetting the
 // subscription, and commits a row the cache has not seen.
 func TestResumedReattachKeepsItsStaleness(t *testing.T) {
-	b, err := NewBackendDurable("backend", storage.DurabilityOptions{Dir: t.TempDir(), Policy: storage.SyncGroup})
+	b, err := NewBackendDurable("backend", storage.DurabilityOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

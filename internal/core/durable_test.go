@@ -15,7 +15,7 @@ import (
 
 func openDurable(t *testing.T, dir string) *BackendServer {
 	t.Helper()
-	b, err := NewBackendDurable("backend", storage.DurabilityOptions{Dir: dir, Policy: storage.SyncGroup})
+	b, err := NewBackendDurable("backend", storage.DurabilityOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -287,8 +287,12 @@ func TestIMCacheAdmitsGuardedLocalExecutions(t *testing.T) {
 		}
 	}
 	entries := c.DB.IMCache().Snapshot()
-	if len(entries) != 1 || !strings.Contains(entries[0].Args, "= 7") || entries[0].Hits == 0 {
+	if len(entries) != 1 || !slices.Equal(entries[0].Vals, []types.Value{types.NewInt(7)}) || entries[0].Hits == 0 {
 		t.Fatalf("want one entry, for the in-guard literal, with hits; got %+v", entries)
+	}
+	if res, err := c.DB.Exec("SELECT literals FROM sys.intermediate_results", nil); err != nil ||
+		len(res.Rows) != 1 || res.Rows[0][0].Str() != "7" {
+		t.Fatalf("sys.intermediate_results literals: %v, %v; want one row reading 7", res, err)
 	}
 
 	if _, err := b.Exec("UPDATE customer SET cname = 'renamed' WHERE cid = 7", nil); err != nil {

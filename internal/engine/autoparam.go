@@ -209,9 +209,6 @@ func withAutoArgs(params exec.Params, autoArgs []types.Value) exec.Params {
 // ("" when the execution was not auto-parameterized), so sys.query_plans
 // can show a concrete reproducing invocation next to the normalized shape.
 func formatLiterals(autoArgs []types.Value) string {
-	if len(autoArgs) == 0 {
-		return ""
-	}
 	var b strings.Builder
 	for i, v := range autoArgs {
 		if i > 0 {
@@ -220,13 +217,31 @@ func formatLiterals(autoArgs []types.Value) string {
 		b.WriteByte('@')
 		b.WriteString(sql.AutoParamName(i))
 		b.WriteString(" = ")
-		if v.K == types.KindString {
-			b.WriteByte('\'')
-			b.WriteString(strings.ReplaceAll(v.Str(), "'", "''"))
-			b.WriteByte('\'')
-		} else {
-			b.WriteString(v.String())
-		}
+		writeLiteral(&b, v)
 	}
 	return b.String()
+}
+
+// formatValues renders a result-cache entry's key values as SQL literals,
+// in the shape's parameter order, for sys.intermediate_results.
+func formatValues(vals []types.Value) string {
+	var b strings.Builder
+	for i, v := range vals {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeLiteral(&b, v)
+	}
+	return b.String()
+}
+
+// writeLiteral writes v as a SQL literal: a string quoted, its quotes doubled.
+func writeLiteral(b *strings.Builder, v types.Value) {
+	if v.K != types.KindString {
+		b.WriteString(v.String())
+		return
+	}
+	b.WriteByte('\'')
+	b.WriteString(strings.ReplaceAll(v.Str(), "'", "''"))
+	b.WriteByte('\'')
 }

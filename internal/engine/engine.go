@@ -662,7 +662,7 @@ func (db *Database) answer(stmt *sql.SelectStmt, e *planEntry, params exec.Param
 	// Feed the intermediate cache. A bounded execution of the twin's plan is
 	// the twin's run; one sent whole to the backend made a remote call, which
 	// imObserve turns away.
-	if cacheable && db.imObserve(imc, key, vals, imstamp, autoArgs, cp.lineage, res, rec) {
+	if cacheable && db.imObserve(imc, key, vals, imstamp, cp.lineage, res, rec) {
 		res.kept = nil // the cache holds res.Rows now
 	}
 	return res, nil

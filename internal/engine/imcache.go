@@ -164,13 +164,12 @@ func (db *Database) relations(from []sql.TableRef, read map[string]*catalog.Tabl
 // never hears about. Its benefit is the record's execute stage. It reports
 // whether the cache now holds res's rows, which ends res's ownership of them.
 func (db *Database) imObserve(imc *imcache.Cache, key imcache.Key, vals []types.Value, stamp uint64,
-	autoArgs []types.Value, lineage []string, res *Result, rec *trace.Record) bool {
+	lineage []string, res *Result, rec *trace.Record) bool {
 	if res.Counters.RemoteQueries > 0 || lineage == nil {
 		return false
 	}
 	return imc.Observe(imcache.Observation{
 		Key:     key,
-		Args:    formatLiterals(autoArgs),
 		Cols:    res.Cols,
 		Rows:    res.Rows,
 		Lineage: lineage,
@@ -190,7 +189,7 @@ func (db *Database) intermediateResultsRows() []types.Row {
 	for _, e := range infos {
 		rows = append(rows, types.Row{
 			types.NewString(e.Shape),
-			types.NewString(e.Args),
+			types.NewString(formatValues(e.Vals)),
 			types.NewInt(int64(e.Rows)),
 			types.NewInt(e.Bytes),
 			types.NewInt(e.Hits),

@@ -90,7 +90,6 @@ func KeyOf(shape string, vals []types.Value) Key {
 // escape, where only an admission or a refresh keeps a copy.
 type Observation struct {
 	Key     Key
-	Args    string         // rendered literal values, for sys.* display only
 	Cols    []exec.ColInfo // result schema
 	Rows    []types.Row    // materialized result; must not be mutated after the call
 	Lineage []string       // source tables (base tables and cached views); kept, not copied
@@ -102,8 +101,7 @@ type Observation struct {
 // Entry is one admitted intermediate result.
 type Entry struct {
 	Key     Key
-	Vals    []types.Value // the only values the entry serves
-	Args    string
+	Vals    []types.Value // the only values the entry serves; replaced, never written
 	Cols    []exec.ColInfo
 	Rows    []types.Row
 	Bytes   int64
@@ -184,12 +182,12 @@ func (c *Cache) Stamp() uint64 { return c.seq.Load() }
 
 // Observe records one completed execution, computed under vals, the values
 // obs.Key hashes. It returns true when the key is now (or was just re-)
-// materialized. Only an admission or a refresh keeps the values, and it keeps
-// a copy of its own, strings included: the caller may overwrite vals and the
-// bytes of its strings once Observe returns. An observation stamped before
-// the last invalidation of one of its lineage tables may hold pre-write
-// rows: it is dropped — not admitted, not refreshed, not counted toward
-// AdmitAfter.
+// materialized. Only an admission, or a refresh to other values, keeps the
+// values, and it keeps a copy of its own, strings included: the caller may
+// overwrite vals and the bytes of its strings once Observe returns. An
+// observation stamped before the last invalidation of one of its lineage
+// tables may hold pre-write rows: it is dropped — not admitted, not
+// refreshed, not counted toward AdmitAfter.
 func (c *Cache) Observe(obs Observation, vals []types.Value) bool {
 	if obs.Key.Shape == "" || len(obs.Lineage) == 0 {
 		return false
@@ -209,7 +207,9 @@ func (c *Cache) Observe(obs Observation, vals []types.Value) bool {
 		// refresh it in place with the new snapshot.
 		c.tick++
 		c.bytes += bytes - e.Bytes
-		e.Vals, e.Args = ownVals(vals), obs.Args
+		if !slices.Equal(e.Vals, vals) {
+			e.Vals = ownVals(vals)
+		}
 		e.Cols, e.Rows, e.Bytes = obs.Cols, obs.Rows, bytes
 		e.LSN, e.CostNs = obs.LSN, obs.CostNs
 		e.lastUsed, e.stale = c.tick, false
@@ -239,7 +239,6 @@ func (c *Cache) Observe(obs Observation, vals []types.Value) bool {
 	e := &Entry{
 		Key:      obs.Key,
 		Vals:     ownVals(vals),
-		Args:     obs.Args,
 		Cols:     obs.Cols,
 		Rows:     obs.Rows,
 		Bytes:    bytes,
@@ -324,7 +323,7 @@ func (c *Cache) Invalidate(table string) int {
 // EntryInfo is a point-in-time description of one entry for sys.* output.
 type EntryInfo struct {
 	Shape   string
-	Args    string
+	Vals    []types.Value // the key's values, in the shape's parameter order
 	Rows    int
 	Bytes   int64
 	Hits    int64
@@ -344,7 +343,7 @@ func (c *Cache) Snapshot() []EntryInfo {
 		sort.Strings(lineage)
 		out = append(out, EntryInfo{
 			Shape:   e.Key.Shape,
-			Args:    e.Args,
+			Vals:    e.Vals,
 			Rows:    len(e.Rows),
 			Bytes:   e.Bytes,
 			Hits:    e.hits,

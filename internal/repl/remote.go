@@ -51,12 +51,13 @@ type Attachment struct {
 // started over — target is seeded: the snapshot is pinned and the article
 // attached in one critical section — no pull reads the log in between — so a
 // commit is either in the returned rows or in the stream, never in neither.
-// The scan itself runs outside it.
+// The scan itself runs outside it, and the answer waits until an fsync covers
+// the snapshot's last commit: a seed holds nothing a crash could take back.
 func (s *Server) Provision(subName string, a *Article, target string, from storage.LSN) (Attachment, error) {
+	st := s.publisher.Store()
 	s.mu.Lock()
 	if from > 0 {
 		fields := []string{"sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10)}
-		st := s.publisher.Store()
 		if st.Durable() || from == st.VisibleEnd() || s.feeds(subName, target) {
 			if id, ok := s.attach(subName, a, target, from); ok {
 				s.mu.Unlock()
@@ -68,8 +69,8 @@ func (s *Server) Provision(subName string, a *Article, target string, from stora
 	}
 	// AsOfLSN, not WAL().End(): commits proceed during the scan, so the log
 	// may already extend past what this snapshot sees. No pull has read past
-	// it — a pull stops at the store's visible end.
-	rtx := s.publisher.Store().Begin(false)
+	// it — a pull stops at the store's durable end, which is not past it.
+	rtx := st.Begin(false)
 	defer rtx.Abort()
 	src, ok := rtx.Table(a.Table)
 	if !ok {
@@ -90,7 +91,10 @@ func (s *Server) Provision(subName string, a *Article, target string, from stora
 		evalErr = err
 		return err == nil
 	})
-	return at, evalErr
+	if evalErr != nil {
+		return at, evalErr
+	}
+	return at, st.WaitDurable(at.StartLSN - 1)
 }
 
 // feeds reports whether the subscription named subName feeds target.
@@ -149,19 +153,21 @@ func (s *Server) attach(subName string, a *Article, target string, from storage.
 // server does not hold is answered ErrNoSubscription. It runs the truncation
 // pass first and then records ack, so the log still holds everything past the
 // previous ack: a subscriber that restarts behind this one can be rewound. The
-// ack only rises; a stale one re-delivers from the highest seen. The visible
-// records past it are read under s.mu and filtered through the feeds outside
-// it. The answer is one TxnBatch per commit record that touches a feed, up to
-// limit (<= 0 means all), in LSN order, built in sl's arrays: the batches,
-// their changes and every projected row's values each share one, sized by
-// answerSize. It is valid until sl is used or cleared again, which makes it
-// an answer to encode, not to keep (Pull).
+// ack only rises; a stale one re-delivers from the highest seen. The records
+// past it, up to the store's durable end, are read under s.mu and filtered
+// through the feeds outside it: a commit no fsync covers yet is not sent,
+// since a crash could take it back and a restart give its LSN to another
+// commit. The answer is one TxnBatch per commit record that touches a feed,
+// up to limit (<= 0 means all), in LSN order, built in sl's arrays: the
+// batches, their changes and every projected row's values each share one,
+// sized by answerSize. It is valid until sl is used or cleared again, which
+// makes it an answer to encode, not to keep (Pull).
 //
 // Nothing is removed by a read, so a pull whose response was lost in transit
 // is answered again by the next one: delivery is at-least-once, and the
 // subscriber's LSN dedup makes application exactly-once.
 //
-// The second result is the LSN the stream is complete through: the visible end
+// The second result is the LSN the stream is complete through: the durable end
 // minus one — past the last batch's LSN when later commits touch no feed — or
 // the last batch's LSN when limit cut the answer short. Subscribers use it to
 // report applied progress for writes their views never see.
@@ -175,7 +181,7 @@ func (s *Server) PullInto(sl *Slabs, id, limit int, ack storage.LSN) ([]TxnBatch
 	}
 	s.truncate()
 	sub.acked = max(sub.acked, ack)
-	end := s.publisher.Store().VisibleEnd()
+	end := s.publisher.Store().DurableEnd()
 	var recs []storage.CommitRecord
 	if sub.acked+1 < end {
 		recs = s.publisher.Store().WAL().ReadFrom(sub.acked+1, int(end-1-sub.acked))

@@ -278,7 +278,7 @@ func TestProvisionRacingLosesNoCommit(t *testing.T) {
 func TestTruncateRetainsUnconsumedTail(t *testing.T) {
 	dir := t.TempDir()
 	pub := engine.New(engine.Config{Name: "backend", Role: engine.Backend})
-	if err := pub.Store().EnableDurability(storage.DurabilityOptions{Dir: dir, Policy: storage.SyncGroup}); err != nil {
+	if err := pub.Store().EnableDurability(storage.DurabilityOptions{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Store().Close()

@@ -92,10 +92,10 @@ func (s *Store) Checkpoint() (LSN, error) {
 	t.Abort()
 
 	// The log must be durable up to the image's LSN before the checkpoint
-	// claims recovery can start there (matters under interval/none policies,
-	// where records linger in the flush buffer).
+	// claims recovery can start there: a commit is visible, and so in the
+	// image, before the syncer's fsync covers it.
 	d := s.durable
-	if err := d.flush(true); err != nil {
+	if err := d.flush(); err != nil {
 		return 0, err
 	}
 	if err := WriteImage(d.fs, d.dir, ckptName(walEnd), &img); err != nil {

@@ -46,7 +46,7 @@ func exactValueMeta() *catalog.Table {
 // -0.0, sub-second and out-of-range DATETIMEs, the empty string vs NULL.
 func TestCheckpointCarriesValuesExactly(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+	s := newDurableStore(t, dir, DurabilityOptions{})
 	if err := s.CreateTable(exactValueMeta()); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCheckpointCarriesValuesExactly(t *testing.T) {
 	}
 	s.Close()
 
-	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+	r := newDurableStore(t, dir, DurabilityOptions{})
 	defer r.Close()
 	if err := r.CreateTable(exactValueMeta()); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestCheckpointCarriesValuesExactly(t *testing.T) {
 // replay the truncated WAL tail onto an empty heap — silent data loss.
 func TestOldCheckpointFormatIsRefusedNotSkipped(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+	s := newDurableStore(t, dir, DurabilityOptions{})
 	for i := 1; i <= 5; i++ {
 		mustCommitInsert(t, s, int64(i), "pre")
 	}
@@ -123,7 +123,7 @@ func TestOldCheckpointFormatIsRefusedNotSkipped(t *testing.T) {
 	}
 	before := dirListing(t, dir)
 
-	err = NewStore().EnableDurability(DurabilityOptions{Dir: dir, Policy: SyncGroup})
+	err = NewStore().EnableDurability(DurabilityOptions{Dir: dir})
 	if !errors.Is(err, ErrFormat) {
 		t.Fatalf("open over an old-format checkpoint: err = %v, want ErrFormat", err)
 	}
@@ -141,7 +141,7 @@ func TestOldCheckpointFormatIsRefusedNotSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewStore()
-	if err := r.EnableDurability(DurabilityOptions{Dir: dir, Policy: SyncGroup}); err != nil {
+	if err := r.EnableDurability(DurabilityOptions{Dir: dir}); err != nil {
 		t.Fatalf("a torn checkpoint must not fail the open: %v", err)
 	}
 	r.Close()
@@ -153,7 +153,7 @@ func TestOldCheckpointFormatIsRefusedNotSkipped(t *testing.T) {
 // would delete acknowledged commits.
 func TestOldWALFormatIsRefusedNotCut(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+	s := newDurableStore(t, dir, DurabilityOptions{})
 	for i := 1; i <= 3; i++ {
 		mustCommitInsert(t, s, int64(i), "pre")
 	}
@@ -169,7 +169,7 @@ func TestOldWALFormatIsRefusedNotCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dirListing(t, dir)
-	err = NewStore().EnableDurability(DurabilityOptions{Dir: dir, Policy: SyncGroup})
+	err = NewStore().EnableDurability(DurabilityOptions{Dir: dir})
 	if !errors.Is(err, ErrFormat) {
 		t.Fatalf("open over an old-format segment: err = %v, want ErrFormat", err)
 	}
@@ -194,7 +194,7 @@ func TestCleanRestartsKeepTheLogDense(t *testing.T) {
 	var want []string
 	next := LSN(1)
 	for boot := 0; boot < 4; boot++ {
-		s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+		s := newDurableStore(t, dir, DurabilityOptions{})
 		if err := s.Recover(nil); err != nil {
 			t.Fatalf("boot %d: recover: %v", boot, err)
 		}
@@ -226,7 +226,7 @@ func TestCleanRestartsKeepTheLogDense(t *testing.T) {
 // file and a restart recovers it.
 func TestEmptySegmentIsNotRotated(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup, SegmentBytes: 1})
+	s := newDurableStore(t, dir, DurabilityOptions{SegmentBytes: 1})
 	mustCommitInsert(t, s, 1, "a")
 	ck, err := s.Checkpoint()
 	if err != nil {
@@ -239,7 +239,7 @@ func TestEmptySegmentIsNotRotated(t *testing.T) {
 	s.WAL().Truncate(ck)
 	s.Close()
 
-	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup, SegmentBytes: 1})
+	r := newDurableStore(t, dir, DurabilityOptions{SegmentBytes: 1})
 	defer r.Close()
 	if err := r.Recover(nil); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func dirListing(t *testing.T, dir string) string {
 // Recovery fails instead, naming the file, and the directory is untouched.
 func TestReadableCheckpointIsNeverSkipped(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurabilityOptions{Policy: SyncGroup, SegmentBytes: 256}
+	opts := DurabilityOptions{SegmentBytes: 256}
 	s := newDurableStore(t, dir, opts)
 	for i := 1; i <= 20; i++ {
 		mustCommitInsert(t, s, int64(i), "pre")
@@ -297,7 +297,7 @@ func TestReadableCheckpointIsNeverSkipped(t *testing.T) {
 	skipped0 := skipped.Value()
 
 	r := NewStore()
-	err = r.EnableDurability(DurabilityOptions{Dir: dir, Policy: SyncGroup, SegmentBytes: 256})
+	err = r.EnableDurability(DurabilityOptions{Dir: dir, SegmentBytes: 256})
 	if err == nil {
 		if err = r.CreateTable(durTestMeta("t")); err != nil {
 			t.Fatal(err)

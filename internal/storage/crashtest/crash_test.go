@@ -19,8 +19,8 @@ import (
 // recovered database is exactly the state after a prefix of the committed
 // sequence that contains every acknowledged commit, DDL included: an
 // acknowledged CREATE is there with its rows, an unacknowledged one is absent
-// or there and empty. 100 seeds vary the crash point, the damage kind, the
-// sync policy, where the DDL falls and whether checkpoints run mid-workload.
+// or there and empty. 100 seeds vary the crash point, the damage kind, where
+// the DDL falls and whether checkpoints run mid-workload.
 func TestCrashRecoveryProperty(t *testing.T) {
 	const seeds = 100
 	for seed := 0; seed < seeds; seed++ {
@@ -138,7 +138,6 @@ func runCrashSeed(t *testing.T, seed int) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	dir := t.TempDir()
 	kind := FaultKind(rng.Intn(3))
-	policy := []storage.SyncPolicy{storage.SyncAlways, storage.SyncGroup}[rng.Intn(2)]
 	// Crash somewhere in the first ~60 writes: early enough to hit segment
 	// creation and checkpoint writes, late enough to leave committed state.
 	crashAt := 1 + rng.Intn(60)
@@ -150,10 +149,10 @@ func runCrashSeed(t *testing.T, seed int) {
 	ops := crashWorkload(seed, rng)
 
 	// Run the workload sequentially until the crash bites. Every statement
-	// that returns nil is acknowledged durable (always/group policies); the
-	// one that fails may or may not have reached the log.
+	// that returns nil is acknowledged durable (group commit); the one that
+	// fails may or may not have reached the log.
 	acked, issued := 0, 0
-	db, err := openBackend(storage.DurabilityOptions{Dir: dir, Policy: policy, FS: ffs})
+	db, err := openBackend(storage.DurabilityOptions{Dir: dir, FS: ffs})
 	if err == nil {
 		for _, o := range ops {
 			issued++
@@ -176,7 +175,7 @@ func runCrashSeed(t *testing.T, seed int) {
 	}
 
 	// Recover with the real filesystem — what a restarted process would see.
-	r, err := openBackend(storage.DurabilityOptions{Dir: dir, Policy: policy})
+	r, err := openBackend(storage.DurabilityOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("recover after %s crash at write %d (acked %d): %v", kind, crashAt, acked, err)
 	}
@@ -221,7 +220,7 @@ func runCrashSeed(t *testing.T, seed int) {
 	if err := r.CloseStore(); err != nil {
 		t.Fatalf("close after recovery: %v", err)
 	}
-	r2, err := openBackend(storage.DurabilityOptions{Dir: dir, Policy: policy})
+	r2, err := openBackend(storage.DurabilityOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("recover on clean restart: %v", err)
 	}

@@ -9,96 +9,94 @@ import (
 	"mtcache/internal/types"
 )
 
-// TestGroupCommitConcurrent drives concurrent committers through each sync
-// policy and checks the group-commit contract: every commit that returned
-// success is assigned a unique LSN, the LSN sequence has no gaps, and under
-// the always/group policies the record is durable (SyncedLSN has passed it)
-// before Commit returns. Run with -race.
+// TestGroupCommitConcurrent drives concurrent committers through group
+// commit and checks its contract: every commit that returned success is
+// assigned a unique LSN, the LSN sequence has no gaps, and the record is
+// durable (SyncedLSN has passed it) before Commit returns. Run with -race.
+// The case is a subtest named after the commit rule, group commit.
 func TestGroupCommitConcurrent(t *testing.T) {
+	t.Run("group", testGroupCommitConcurrent)
+}
+
+func testGroupCommitConcurrent(t *testing.T) {
 	const (
 		writers   = 8
 		perWriter = 50
 	)
-	for _, policy := range []SyncPolicy{SyncAlways, SyncGroup, SyncInterval, SyncNone} {
-		t.Run(policy.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			s := newDurableStore(t, dir, DurabilityOptions{Policy: policy})
+	dir := t.TempDir()
+	s := newDurableStore(t, dir, DurabilityOptions{})
 
-			type result struct {
-				lsn     LSN
-				durable LSN // SyncedLSN observed immediately after Commit
-			}
-			results := make([][]result, writers)
-			var wg sync.WaitGroup
-			errs := make(chan error, writers)
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < perWriter; i++ {
-						tx := s.Begin(true)
-						id := int64(w*perWriter + i)
-						if _, err := tx.Insert("t", types.Row{types.NewInt(id), types.NewString(fmt.Sprintf("w%d", w))}); err != nil {
-							errs <- err
-							tx.Abort()
-							return
-						}
-						lsn, err := tx.Commit()
-						if err != nil {
-							errs <- err
-							return
-						}
-						results[w] = append(results[w], result{lsn: lsn, durable: s.SyncedLSN()})
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatalf("commit error: %v", err)
-			}
-
-			seen := make(map[LSN]bool)
-			for w := range results {
-				for _, r := range results[w] {
-					if seen[r.lsn] {
-						t.Fatalf("LSN %d assigned twice", r.lsn)
-					}
-					seen[r.lsn] = true
-					if policy == SyncAlways || policy == SyncGroup {
-						if r.durable < r.lsn {
-							t.Fatalf("%s: Commit returned at LSN %d with durable watermark %d", policy, r.lsn, r.durable)
-						}
-					}
-				}
-			}
-			total := writers * perWriter
-			if len(seen) != total {
-				t.Fatalf("got %d commits, want %d", len(seen), total)
-			}
-			for lsn := LSN(1); lsn <= LSN(total); lsn++ {
-				if !seen[lsn] {
-					t.Fatalf("LSN sequence has a gap at %d", lsn)
-				}
-			}
-
-			if err := s.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			r := newDurableStore(t, dir, DurabilityOptions{Policy: policy})
-			if err := r.Recover(nil); err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			stats := r.Recovered()
-			if stats.ReplayedTxns != total {
-				t.Fatalf("recovered %d txns after clean close, want %d", stats.ReplayedTxns, total)
-			}
-			if got := len(sortedRows(t, r)); got != total {
-				t.Fatalf("recovered %d rows, want %d", got, total)
-			}
-			r.Close()
-		})
+	type result struct {
+		lsn     LSN
+		durable LSN // SyncedLSN observed immediately after Commit
 	}
+	results := make([][]result, writers)
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tx := s.Begin(true)
+				id := int64(w*perWriter + i)
+				if _, err := tx.Insert("t", types.Row{types.NewInt(id), types.NewString(fmt.Sprintf("w%d", w))}); err != nil {
+					errs <- err
+					tx.Abort()
+					return
+				}
+				lsn, err := tx.Commit()
+				if err != nil {
+					errs <- err
+					return
+				}
+				results[w] = append(results[w], result{lsn: lsn, durable: s.SyncedLSN()})
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("commit error: %v", err)
+	}
+
+	seen := make(map[LSN]bool)
+	for w := range results {
+		for _, r := range results[w] {
+			if seen[r.lsn] {
+				t.Fatalf("LSN %d assigned twice", r.lsn)
+			}
+			seen[r.lsn] = true
+			if r.durable < r.lsn {
+				t.Fatalf("Commit returned at LSN %d with durable watermark %d", r.lsn, r.durable)
+			}
+		}
+	}
+	total := writers * perWriter
+	if len(seen) != total {
+		t.Fatalf("got %d commits, want %d", len(seen), total)
+	}
+	for lsn := LSN(1); lsn <= LSN(total); lsn++ {
+		if !seen[lsn] {
+			t.Fatalf("LSN sequence has a gap at %d", lsn)
+		}
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	r := newDurableStore(t, dir, DurabilityOptions{})
+	if err := r.Recover(nil); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	stats := r.Recovered()
+	if stats.ReplayedTxns != total {
+		t.Fatalf("recovered %d txns after clean close, want %d", stats.ReplayedTxns, total)
+	}
+	if got := len(sortedRows(t, r)); got != total {
+		t.Fatalf("recovered %d rows, want %d", got, total)
+	}
+	r.Close()
 }
 
 // slowSyncFS makes every fsync take a fixed wall-clock time, modelling a
@@ -131,13 +129,10 @@ func (f slowSyncFile) Sync() error {
 
 // TestGroupCommitBatchesFsyncs checks that group commit actually coalesces:
 // with many concurrent committers the fsync count must be well below the
-// commit count (otherwise it degenerates to SyncAlways).
+// commit count (otherwise it degenerates to one fsync per commit).
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{
-		Policy: SyncGroup,
-		FS:     slowSyncFS{OSFS(), time.Millisecond},
-	})
+	s := newDurableStore(t, dir, DurabilityOptions{FS: slowSyncFS{OSFS(), time.Millisecond}})
 	const writers, perWriter = 16, 25
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -170,7 +165,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 // capture a consistent prefix and replay must supply exactly the rest.
 func TestConcurrentCommitWithCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+	s := newDurableStore(t, dir, DurabilityOptions{})
 	const writers, perWriter = 4, 30
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -211,7 +206,7 @@ func TestConcurrentCommitWithCheckpoint(t *testing.T) {
 	want := sortedRows(t, s)
 	s.Close()
 
-	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+	r := newDurableStore(t, dir, DurabilityOptions{})
 	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover: %v", err)
 	}

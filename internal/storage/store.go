@@ -430,9 +430,21 @@ func (t *Txn) Err() error { return t.err }
 
 // VisibleEnd returns the WAL position every snapshot taken from now on sees
 // at least through: the log end as of the last published commit. A record at
-// or past it may already be appended but is not yet visible (nor, under
-// SyncAlways, durable), so the log reader stops here.
+// or past it may already be appended but is not yet visible.
 func (s *Store) VisibleEnd() LSN { return s.published.Load().walEnd }
+
+// DurableEnd is where a reader of the log stops: VisibleEnd, capped on a
+// durable store by the first LSN no fsync covers yet. A commit is visible
+// before its fsync, and a flush can fsync a record before its mark is
+// published, so it is the lower of the two. Nothing before it can be lost by
+// a crash, so nothing past it leaves the store.
+func (s *Store) DurableEnd() LSN {
+	end := s.VisibleEnd()
+	if s.durable != nil {
+		end = min(end, s.durable.DurableLSN()+1)
+	}
+	return end
+}
 
 // AsOfLSN returns, for a read transaction, the WAL position containing
 // exactly the logged transactions visible in its snapshot. The replication
@@ -651,7 +663,7 @@ func (t *Txn) CommitUnlogged() error {
 // DDL carries out one DDL statement as a transaction of its own: apply
 // changes the catalog and may write rows through tx (a materialized view's
 // population), and the commit logs text, the statement, in place of those
-// rows. That one record is acknowledged under the sync policy like any
+// rows. That one record is acknowledged once an fsync covers it, like any
 // commit, and Recover replays it by running text through the database's DDL
 // path again. DDL statements take turns with each other and with a
 // checkpoint's pin, so an image's catalog is the catalog as of its LSN.
@@ -687,7 +699,6 @@ func (t *Txn) commit(logged bool, ddl string) (LSN, error) {
 		return 0, nil
 	}
 	var lsn LSN
-	var syncErr error
 	if len(t.undo) > 0 || ddl != "" {
 		// The redo record is built only for the log, and exactly sized.
 		var redo []ChangeRec
@@ -712,12 +723,6 @@ func (t *Txn) commit(logged bool, ddl string) (LSN, error) {
 		if logged {
 			lsn = s.wal.Append(t.id, time.Now(), redo, ddl)
 		}
-		if lsn > 0 && s.durable != nil && s.durable.policy == SyncAlways {
-			// Strict WAL: the record reaches disk before the commit becomes
-			// visible to anyone else — one fsync per commit, serialized by
-			// commitMu. This is the baseline group commit is measured against.
-			syncErr = s.durable.flush(true)
-		}
 		// Publishing the mark is the commit point: after this single store,
 		// every new snapshot sees the whole transaction; none sees a part.
 		s.published.Store(&snapMark{ts: ts, walEnd: s.wal.End()})
@@ -733,14 +738,11 @@ func (t *Txn) commit(logged bool, ddl string) (LSN, error) {
 	}
 	t.s.releaseLatches(t.id, t.latched)
 	if lsn > 0 && t.s.durable != nil {
-		if t.s.durable.policy == SyncGroup {
-			// Group commit: visibility is already published and the latches
-			// are gone, so concurrent committers pile onto the same pending
-			// fsync; the syncer's next fsync releases the whole group.
-			syncErr = t.s.durable.waitDurable(lsn)
-		}
-		if syncErr != nil {
-			return lsn, syncErr
+		// Group commit: visibility is already published and the latches
+		// are gone, so concurrent committers pile onto the same pending
+		// fsync; the syncer's next fsync releases the whole group.
+		if err := t.s.durable.waitDurable(lsn); err != nil {
+			return lsn, err
 		}
 		t.s.maybeCheckpoint()
 	}
@@ -836,13 +838,13 @@ func (s *Store) SyncedLSN() LSN {
 	return s.durable.DurableLSN()
 }
 
-// Sync forces buffered log records to disk (used by SyncInterval/SyncNone
-// stores before a planned shutdown, and by checkpoints).
-func (s *Store) Sync() error {
+// WaitDurable blocks until an fsync covers lsn: at once on a store that is
+// not durable, or when lsn is 0.
+func (s *Store) WaitDurable(lsn LSN) error {
 	if s.durable == nil {
 		return nil
 	}
-	return s.durable.flush(true)
+	return s.durable.waitDurable(lsn)
 }
 
 // Close flushes and closes the on-disk log. The store itself remains usable

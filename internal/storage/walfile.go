@@ -36,66 +36,24 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mtcache/internal/metrics"
 )
 
-// SyncPolicy selects when commits are made durable.
+// SyncPolicy and SyncGroup are kept only so the fleet benchmark's
+// DurabilityOptions literal (bench/layers.go) compiles: group commit is the
+// one way a durable store commits, and nothing reads them. They go with
+// DurabilityOptions.Policy once the benchmark stops naming them (ROADMAP
+// direction 2(d)).
 type SyncPolicy uint8
 
-const (
-	// SyncGroup (the default) batches fsyncs across concurrent committers:
-	// a commit appends its record, then blocks until the syncer goroutine's
-	// next fsync covers its LSN. One fsync releases every commit that queued
-	// behind it — the classic group commit.
-	SyncGroup SyncPolicy = iota
-	// SyncAlways fsyncs inside the commit critical section, one fsync per
-	// commit, before the transaction becomes visible. Maximum durability,
-	// minimum throughput; the baseline group commit is measured against.
-	SyncAlways
-	// SyncInterval returns from Commit immediately; a background goroutine
-	// fsyncs on a timer. A crash loses at most one interval of commits.
-	SyncInterval
-	// SyncNone buffers writes and fsyncs only at rotation, checkpoint and
-	// Close. A crash loses everything since the last of those.
-	SyncNone
-)
-
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncGroup:
-		return "group"
-	case SyncInterval:
-		return "interval"
-	case SyncNone:
-		return "none"
-	}
-	return fmt.Sprintf("SyncPolicy(%d)", p)
-}
-
-// ParseSyncPolicy parses "always", "group", "interval" or "none".
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "always":
-		return SyncAlways, nil
-	case "group", "":
-		return SyncGroup, nil
-	case "interval":
-		return SyncInterval, nil
-	case "none":
-		return SyncNone, nil
-	}
-	return SyncGroup, fmt.Errorf("storage: unknown sync policy %q (want always|group|interval|none)", s)
-}
+// SyncGroup is SyncPolicy's zero value; see SyncPolicy.
+const SyncGroup SyncPolicy = 0
 
 // DurabilityOptions configures a store's on-disk log.
 type DurabilityOptions struct {
-	Dir      string        // data directory (created if missing)
-	Policy   SyncPolicy    // when commits become durable
-	Interval time.Duration // SyncInterval cadence; 0 = 5ms
+	Dir    string     // data directory (created if missing)
+	Policy SyncPolicy // unused; see SyncPolicy
 	// SegmentBytes rotates to a new segment file once the current one
 	// exceeds it; 0 = 8 MiB. Truncation deletes whole segments only.
 	SegmentBytes int64
@@ -173,7 +131,6 @@ const (
 	segMagic        = "MTWALSG2"
 	frameHeaderSize = 8 // uint32 length + uint32 CRC32-C
 	defaultSegBytes = 8 << 20
-	defaultInterval = 5 * time.Millisecond
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -253,8 +210,6 @@ func readFrame(r io.Reader, maxLen uint32) ([]byte, error) {
 type diskWAL struct {
 	fs       FS
 	dir      string
-	policy   SyncPolicy
-	interval time.Duration
 	segBytes int64
 
 	mu      sync.Mutex
@@ -311,17 +266,12 @@ func openDiskWAL(opts DurabilityOptions) (d *diskWAL, recs []CommitRecord, ckptL
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegBytes
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = defaultInterval
-	}
 	if err = fsys.MkdirAll(opts.Dir); err != nil {
 		return nil, nil, 0, stats, err
 	}
 	d = &diskWAL{
 		fs:       fsys,
 		dir:      opts.Dir,
-		policy:   opts.Policy,
-		interval: opts.Interval,
 		segBytes: opts.SegmentBytes,
 		flushC:   make(chan struct{}, 1),
 		stopC:    make(chan struct{}),
@@ -512,77 +462,47 @@ func (b *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// start launches the policy's background goroutine, if any.
+// start launches the group-commit syncer: it fsyncs whatever commits have
+// appended, and one fsync releases every commit that queued behind it.
 func (d *diskWAL) start() {
-	switch d.policy {
-	case SyncGroup:
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			for {
-				select {
-				case <-d.stopC:
-					return
-				case <-d.flushC:
-					// Commit delay: committers released by the previous fsync
-					// are runnable but may not have re-appended yet. Yield to
-					// them while the batch is still growing, so one fsync
-					// covers the whole pile instead of a third of it. A lone
-					// committer costs one no-growth yield, then flushes.
-					sz := d.pendingCommits()
-					for i, idle := 0, 0; sz > 0 && i < 64 && idle < 2; i++ {
-						runtime.Gosched()
-						grown := d.pendingCommits()
-						if grown == sz {
-							// One quiet yield can just mean the scheduler ran
-							// a non-committing goroutine; flush after two.
-							idle++
-							continue
-						}
-						idle = 0
-						sz = grown
-					}
-					if sz = d.pendingCommits(); sz == 0 {
-						// Stale wakeup: the signaling commit was covered by a
-						// previous flush (e.g. a checkpoint's). An fsync here
-						// would make nothing durable and halve the batch rate.
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		for {
+			select {
+			case <-d.stopC:
+				return
+			case <-d.flushC:
+				// Commit delay: committers released by the previous fsync
+				// are runnable but may not have re-appended yet. Yield to
+				// them while the batch is still growing, so one fsync
+				// covers the whole pile instead of a third of it. A lone
+				// committer costs one no-growth yield, then flushes.
+				sz := d.pendingCommits()
+				for i, idle := 0, 0; sz > 0 && i < 64 && idle < 2; i++ {
+					runtime.Gosched()
+					grown := d.pendingCommits()
+					if grown == sz {
+						// One quiet yield can just mean the scheduler ran
+						// a non-committing goroutine; flush after two.
+						idle++
 						continue
 					}
-					if err := d.flush(true); err == nil {
-						metrics.Default.Histogram("storage.wal_group_size").Observe(float64(sz))
-					}
+					idle = 0
+					sz = grown
+				}
+				if sz = d.pendingCommits(); sz == 0 {
+					// Stale wakeup: the signaling commit was covered by a
+					// previous flush (e.g. a checkpoint's). An fsync here
+					// would make nothing durable and halve the batch rate.
+					continue
+				}
+				if err := d.flush(); err == nil {
+					metrics.Default.Histogram("storage.wal_group_size").Observe(float64(sz))
 				}
 			}
-		}()
-	case SyncInterval:
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			t := time.NewTicker(d.interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-d.stopC:
-					return
-				case <-t.C:
-					d.flush(true) //nolint:errcheck — sticky error surfaces at the next commit
-				}
-			}
-		}()
-	case SyncNone:
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			for {
-				select {
-				case <-d.stopC:
-					return
-				case <-d.flushC:
-					d.flush(false) //nolint:errcheck — sticky error surfaces at the next commit
-				}
-			}
-		}()
-	}
+		}
+	}()
 }
 
 // pendingCommits counts commits waiting for durability (group-size metric).
@@ -630,11 +550,11 @@ func (d *diskWAL) fail(err error) error {
 	return err
 }
 
-// flush writes the buffered frames to the current segment and, when sync is
-// set, fsyncs and publishes the new durable LSN. Rotation happens after a
-// synced flush that pushed the segment past its size bound, so segment
-// boundaries always fall between records.
-func (d *diskWAL) flush(sync bool) error {
+// flush writes the buffered frames to the current segment, fsyncs and
+// publishes the new durable LSN. Rotation happens after a flush that pushed
+// the segment past its size bound, so segment boundaries always fall between
+// records.
+func (d *diskWAL) flush() error {
 	d.flushMu.Lock()
 	defer d.flushMu.Unlock()
 	if d.f == nil {
@@ -655,9 +575,7 @@ func (d *diskWAL) flush(sync bool) error {
 	d.spare = nil
 	batchCh := d.curCh
 	d.curCh = make(chan struct{})
-	if sync {
-		d.inflightEnd, d.inflightCh = end, batchCh
-	}
+	d.inflightEnd, d.inflightCh = end, batchCh
 	d.mu.Unlock()
 
 	var ferr error
@@ -670,7 +588,7 @@ func (d *diskWAL) flush(sync bool) error {
 			metrics.Default.Counter("storage.wal_bytes").Add(int64(len(buf)))
 		}
 	}
-	if ferr == nil && sync {
+	if ferr == nil {
 		if err := d.f.Sync(); err != nil {
 			ferr = d.fail(fmt.Errorf("storage: wal fsync: %w", err))
 		} else {
@@ -679,7 +597,7 @@ func (d *diskWAL) flush(sync bool) error {
 		}
 	}
 	d.mu.Lock()
-	if ferr == nil && sync && end > d.durable {
+	if ferr == nil && end > d.durable {
 		d.durable = end
 	}
 	d.inflightEnd = 0
@@ -694,9 +612,6 @@ func (d *diskWAL) flush(sync bool) error {
 	close(batchCh)
 	if ferr != nil {
 		return ferr
-	}
-	if !sync {
-		return nil
 	}
 
 	// A segment that holds no record is not rotated: its successor would
@@ -745,45 +660,32 @@ func (d *diskWAL) createSegmentLocked(first LSN) error {
 	return nil
 }
 
-// waitDurable blocks until lsn is covered by an fsync (SyncGroup), fsyncs
-// inline (SyncAlways — the caller holds commitMu, making durability strictly
-// precede visibility to later commits), or returns immediately.
+// waitDurable blocks until lsn is covered by an fsync: the syncer's next
+// flush takes every appended record, so a waiter sleeps at most one batch
+// behind the one in flight.
 func (d *diskWAL) waitDurable(lsn LSN) error {
-	switch d.policy {
-	case SyncAlways:
-		return d.flush(true)
-	case SyncGroup:
-		d.mu.Lock()
-		for d.durable < lsn && d.err == nil && !d.closed {
-			// Sleep on the channel of the batch that holds lsn: the in-flight
-			// one if it covers us, else the current buffer's. Close() needs no
-			// extra wakeup — its final flush(true) grabs every buffered record,
-			// so one of these channels always fires for a live waiter.
-			ch := d.curCh
-			if d.inflightEnd >= lsn {
-				ch = d.inflightCh
-			}
-			d.mu.Unlock()
-			<-ch
-			d.mu.Lock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.durable < lsn {
+		if d.err != nil {
+			return d.err
 		}
-		err := d.err
-		closed := d.closed
-		durable := d.durable
-		d.mu.Unlock()
-		if durable >= lsn {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if closed {
+		if d.closed {
 			return errors.New("storage: wal closed before commit became durable")
 		}
-		return nil
-	default:
-		return nil
+		// Sleep on the channel of the batch that holds lsn: the in-flight
+		// one if it covers us, else the current buffer's. Close() needs no
+		// extra wakeup — its final flush grabs every buffered record, so one
+		// of these channels always fires for a live waiter.
+		ch := d.curCh
+		if d.inflightEnd >= lsn {
+			ch = d.inflightCh
+		}
+		d.mu.Unlock()
+		<-ch
+		d.mu.Lock()
 	}
+	return nil
 }
 
 // DurableLSN reports the highest LSN covered by an fsync.
@@ -829,7 +731,7 @@ func (d *diskWAL) Close() error {
 	d.mu.Unlock()
 	close(d.stopC)
 	d.wg.Wait()
-	err := d.flush(true)
+	err := d.flush()
 	d.flushMu.Lock()
 	defer d.flushMu.Unlock()
 	if d.f != nil {

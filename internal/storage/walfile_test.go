@@ -66,55 +66,57 @@ func sortedRows(t *testing.T, s *Store) []string {
 	return out
 }
 
+// TestDurableRoundTrip runs its case as a subtest named after the commit rule
+// it exercises; group commit is the only one the WAL has.
 func TestDurableRoundTrip(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncAlways, SyncGroup, SyncInterval, SyncNone} {
-		t.Run(policy.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			s := newDurableStore(t, dir, DurabilityOptions{Policy: policy})
-			for i := 1; i <= 20; i++ {
-				mustCommitInsert(t, s, int64(i), fmt.Sprintf("row%d", i))
-			}
-			// An update and a delete exercise the non-insert replay paths.
-			tx := s.Begin(true)
-			tv := view(tx, "t")
-			rid := tv.PKLookup(types.Row{types.NewInt(3)})
-			if err := tx.Update("t", rid, types.Row{types.NewInt(3), types.NewString("updated")}); err != nil {
-				t.Fatalf("update: %v", err)
-			}
-			rid = tv.PKLookup(types.Row{types.NewInt(7)})
-			if err := tx.Delete("t", rid); err != nil {
-				t.Fatalf("delete: %v", err)
-			}
-			if _, err := tx.Commit(); err != nil {
-				t.Fatalf("commit: %v", err)
-			}
-			want := sortedRows(t, s)
-			if err := s.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
+	t.Run("group", testDurableRoundTrip)
+}
 
-			r := newDurableStore(t, dir, DurabilityOptions{Policy: policy})
-			if err := r.Recover(nil); err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			stats := r.Recovered()
-			if stats.ReplayedTxns != 21 {
-				t.Fatalf("replayed %d txns, want 21", stats.ReplayedTxns)
-			}
-			if got := sortedRows(t, r); !equalStrings(got, want) {
-				t.Fatalf("recovered rows mismatch:\n got %v\nwant %v", got, want)
-			}
-			if r.WAL().End() != s.WAL().End() {
-				t.Fatalf("WAL end %d after recovery, want %d", r.WAL().End(), s.WAL().End())
-			}
-			r.Close()
-		})
+func testDurableRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableStore(t, dir, DurabilityOptions{})
+	for i := 1; i <= 20; i++ {
+		mustCommitInsert(t, s, int64(i), fmt.Sprintf("row%d", i))
 	}
+	// An update and a delete exercise the non-insert replay paths.
+	tx := s.Begin(true)
+	tv := view(tx, "t")
+	rid := tv.PKLookup(types.Row{types.NewInt(3)})
+	if err := tx.Update("t", rid, types.Row{types.NewInt(3), types.NewString("updated")}); err != nil {
+		t.Fatalf("update: %v", err)
+	}
+	rid = tv.PKLookup(types.Row{types.NewInt(7)})
+	if err := tx.Delete("t", rid); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	want := sortedRows(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	r := newDurableStore(t, dir, DurabilityOptions{})
+	if err := r.Recover(nil); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	stats := r.Recovered()
+	if stats.ReplayedTxns != 21 {
+		t.Fatalf("replayed %d txns, want 21", stats.ReplayedTxns)
+	}
+	if got := sortedRows(t, r); !equalStrings(got, want) {
+		t.Fatalf("recovered rows mismatch:\n got %v\nwant %v", got, want)
+	}
+	if r.WAL().End() != s.WAL().End() {
+		t.Fatalf("WAL end %d after recovery, want %d", r.WAL().End(), s.WAL().End())
+	}
+	r.Close()
 }
 
 func TestRecoveryFromCheckpointPlusTail(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+	s := newDurableStore(t, dir, DurabilityOptions{})
 	for i := 1; i <= 10; i++ {
 		mustCommitInsert(t, s, int64(i), "pre")
 	}
@@ -131,7 +133,7 @@ func TestRecoveryFromCheckpointPlusTail(t *testing.T) {
 	want := sortedRows(t, s)
 	s.Close()
 
-	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup})
+	r := newDurableStore(t, dir, DurabilityOptions{})
 	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -154,7 +156,7 @@ func TestRecoveryFromCheckpointPlusTail(t *testing.T) {
 
 func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
+	s := newDurableStore(t, dir, DurabilityOptions{})
 	for i := 1; i <= 5; i++ {
 		mustCommitInsert(t, s, int64(i), "ok")
 	}
@@ -172,7 +174,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
+	r := newDurableStore(t, dir, DurabilityOptions{})
 	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover with torn tail: %v", err)
 	}
@@ -189,7 +191,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	// The torn bytes are gone: appending works and a re-open is clean.
 	mustCommitInsert(t, r, 6, "after")
 	r.Close()
-	r2 := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
+	r2 := newDurableStore(t, dir, DurabilityOptions{})
 	if err := r2.Recover(nil); err != nil {
 		t.Fatalf("second recover: %v", err)
 	}
@@ -202,7 +204,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 
 func TestCRCCorruptionStopsReplayCleanly(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
+	s := newDurableStore(t, dir, DurabilityOptions{})
 	for i := 1; i <= 8; i++ {
 		mustCommitInsert(t, s, int64(i), strings.Repeat("x", 50))
 	}
@@ -220,7 +222,7 @@ func TestCRCCorruptionStopsReplayCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways})
+	r := newDurableStore(t, dir, DurabilityOptions{})
 	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover after corruption: %v", err)
 	}
@@ -242,7 +244,7 @@ func TestCRCCorruptionStopsReplayCleanly(t *testing.T) {
 
 func TestTruncateClampedToCheckpointAndSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup, SegmentBytes: 256})
+	s := newDurableStore(t, dir, DurabilityOptions{SegmentBytes: 256})
 	for i := 1; i <= 10; i++ {
 		mustCommitInsert(t, s, int64(i), "seg-roll")
 	}
@@ -284,7 +286,7 @@ func TestTruncateClampedToCheckpointAndSnapshots(t *testing.T) {
 	s.Close()
 
 	// The truncated log still recovers (checkpoint covers the dropped part).
-	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncGroup, SegmentBytes: 256})
+	r := newDurableStore(t, dir, DurabilityOptions{SegmentBytes: 256})
 	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover after truncation: %v", err)
 	}
@@ -296,7 +298,7 @@ func TestTruncateClampedToCheckpointAndSnapshots(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways, SegmentBytes: 200})
+	s := newDurableStore(t, dir, DurabilityOptions{SegmentBytes: 200})
 	for i := 1; i <= 12; i++ {
 		mustCommitInsert(t, s, int64(i), "rotate")
 	}
@@ -305,7 +307,7 @@ func TestSegmentRotation(t *testing.T) {
 	if len(segs) < 2 {
 		t.Fatalf("expected multiple segments at 200-byte rotation, got %d", len(segs))
 	}
-	r := newDurableStore(t, dir, DurabilityOptions{Policy: SyncAlways, SegmentBytes: 200})
+	r := newDurableStore(t, dir, DurabilityOptions{SegmentBytes: 200})
 	if err := r.Recover(nil); err != nil {
 		t.Fatalf("recover across segments: %v", err)
 	}
@@ -337,41 +339,56 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// BenchmarkCommit is commit throughput per sync policy with concurrent
-// committers (4 per core) on one durable store, one single-row insert per
-// transaction. always and group both return only once the record is
-// fsynced; fsyncs/commit shows group sharing one flush among the commits
-// that piled up behind the previous one.
+// BenchmarkCommit is group-commit throughput with concurrent committers (4
+// per core) on one durable store, one single-row insert per transaction. A
+// commit returns only once the record is fsynced; fsyncs/commit shows one
+// flush shared among the commits that piled up behind the previous one.
 func BenchmarkCommit(b *testing.B) {
-	for _, policy := range []SyncPolicy{SyncAlways, SyncGroup, SyncInterval, SyncNone} {
-		b.Run(policy.String(), func(b *testing.B) {
-			s := newDurableStore(b, b.TempDir(), DurabilityOptions{Policy: policy})
-			var next atomic.Int64
-			b.SetParallelism(4)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					tx := s.Begin(true)
-					row := types.Row{types.NewInt(next.Add(1)), types.NewString("payload-for-one-commit-record")}
-					if _, err := tx.Insert("t", row); err != nil {
-						tx.Abort()
-						b.Error(err)
-						return
-					}
-					if _, err := tx.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(s.durable.fsyncCount())/float64(b.N), "fsyncs/commit")
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
+	s := newDurableStore(b, b.TempDir(), DurabilityOptions{})
+	var next atomic.Int64
+	b.SetParallelism(4)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			tx := s.Begin(true)
+			row := types.Row{types.NewInt(next.Add(1)), types.NewString("payload-for-one-commit-record")}
+			if _, err := tx.Insert("t", row); err != nil {
+				tx.Abort()
+				b.Error(err)
+				return
 			}
-		})
+			if _, err := tx.Commit(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(s.durable.fsyncCount())/float64(b.N), "fsyncs/commit")
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
+
+// noSyncFS makes every fsync a no-op, so a test that needs a long log builds
+// it without waiting on the disk. What it writes survives a clean close, not
+// a crash.
+type noSyncFS struct{ FS }
+
+func (n noSyncFS) Create(name string) (File, error) { return noSync(n.FS.Create(name)) }
+
+func (n noSyncFS) OpenAppend(name string) (File, error) { return noSync(n.FS.OpenAppend(name)) }
+
+func noSync(f File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+type noSyncFile struct{ File }
+
+func (noSyncFile) Sync() error { return nil }
 
 // BenchmarkRecover is a store's restart-to-serving time (open the log,
 // Recover) over a 2 000-commit log: replaying all of it, and from a
@@ -383,7 +400,7 @@ func BenchmarkRecover(b *testing.B) {
 	for _, mode := range []string{"replay", "checkpoint"} {
 		b.Run(mode, func(b *testing.B) {
 			dir := b.TempDir()
-			opts := DurabilityOptions{Policy: SyncNone}
+			opts := DurabilityOptions{FS: noSyncFS{OSFS()}}
 			s := newDurableStore(b, dir, opts)
 			for i := 1; i <= commits; i++ {
 				if mode == "checkpoint" && i == commits-tail+1 {

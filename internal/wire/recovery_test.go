@@ -335,7 +335,7 @@ func TestDurableBackendRestartReattaches(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *core.BackendServer {
 		t.Helper()
-		b, err := core.NewBackendDurable("backend", storage.DurabilityOptions{Dir: dir, Policy: storage.SyncGroup, SegmentBytes: 1})
+		b, err := core.NewBackendDurable("backend", storage.DurabilityOptions{Dir: dir, SegmentBytes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,15 +77,10 @@ type Options = opt.Options
 // NewBackend creates an empty backend server.
 func NewBackend(name string) *Backend { return core.NewBackend(name) }
 
-// DurabilityOptions configures a durable store: data directory, sync policy
-// (always/group/interval/none), segment size and automatic checkpointing.
+// DurabilityOptions configures a durable store: data directory, segment size
+// and automatic checkpointing. A durable store commits by group commit: a
+// commit returns once an fsync covers it, and concurrent commits share one.
 type DurabilityOptions = storage.DurabilityOptions
-
-// SyncPolicy selects when the WAL is fsynced relative to commit.
-type SyncPolicy = storage.SyncPolicy
-
-// ParseSyncPolicy parses "always", "group", "interval" or "none".
-func ParseSyncPolicy(s string) (SyncPolicy, error) { return storage.ParseSyncPolicy(s) }
 
 // NewBackendDurable creates a backend whose commits and DDL are journaled to
 // an on-disk WAL with group commit and checkpoints, recovered from whatever

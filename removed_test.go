@@ -128,6 +128,14 @@ var removedNames = []struct {
 	{`\bFaultProxy\b`, `^[^/]+\.go$`, "nothing: no caller outside wire's own tests (wire.FaultProxy stays)"},
 	{`\bFaultConfig\b`, `^[^/]+\.go$`, "nothing: no caller outside wire's own tests (wire.FaultConfig stays)"},
 	{`\bNewFaultProxy\b`, `^[^/]+\.go$`, "nothing: no caller outside wire's own tests (wire.NewFaultProxy stays)"},
+	{`SyncAlways`, "", "one commit rule (group commit; nothing leaves a durable backend before an fsync covers it)"},
+	{`SyncInterval`, "", "one commit rule (group commit; nothing leaves a durable backend before an fsync covers it)"},
+	{`SyncNone`, "", "one commit rule (group commit; nothing leaves a durable backend before an fsync covers it)"},
+	{`ParseSyncPolicy`, "", "one commit rule (group commit; backend-server has no -sync flag)"},
+	{`sync-interval`, "", "one commit rule (group commit; backend-server has no -sync flag)"},
+	{`\bInterval:`, "", "one commit rule (group commit; DurabilityOptions has no fsync cadence)"},
+	{`func \(s \*Store\) Sync\(`, `^internal/storage/`, "one commit rule (a commit waits for its fsync; Store.WaitDurable)"},
+	{`(?m)^\s+Args\s`, `^internal/imcache/`, "literals rendered on read from the entry's key values (Entry.Vals)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
