@@ -421,10 +421,11 @@ func (db *Database) env() *opt.Env {
 
 // Result is the outcome of one statement. It is its caller's: to keep, or to
 // Release once nothing reads it, which lets the next statement reuse the
-// struct and the slices it owns — the row slice runPlan filled when the
-// result cache did not keep it, or the row and value slices a client
-// decoded an answer into (Spare, Own). After Release nothing the Result
-// returned, its rows included, may be read.
+// struct and the storage it owns — the row slice runPlan filled and the slab
+// the values of the rows it built were carved from, or the row and value
+// slices a client decoded an answer into (Spare, Own). After Release nothing
+// the Result returned, its rows and their values included, may be read: a
+// holder that keeps rows past it copies them, as the result cache does.
 type Result struct {
 	// Set for queries.
 	Cols []exec.ColInfo
@@ -455,23 +456,30 @@ type Result struct {
 	TraceID uint64
 
 	// kept is the row slice this Result may recycle: the one runPlan filled
-	// Rows into, unless the result cache kept those rows, or the one a
-	// released Result kept for the next runPlan to fill. It is never the
-	// rows of a result-cache entry. vals is the value slice a client decoded
-	// the rows of a routed answer into, kept with it (Own).
+	// Rows into, or the one a released Result kept for the next runPlan to
+	// fill. It is never the rows of a result-cache entry. vals is the value
+	// slice a client decoded the rows of a routed answer into, kept with it
+	// (Own). slab is the one runPlan's operators carved the values of the
+	// rows they built from, taken from answerSlabs.
 	kept []types.Row
 	vals []types.Value
+	slab *exec.Slab
 }
 
 // results holds released Results, each with the row and value slices it
 // kept.
 var results = sync.Pool{New: func() any { return new(Result) }}
 
+// answerSlabs holds the value slabs of released Results, apart from the
+// Results: a caller that keeps its Result takes no slab out of circulation.
+var answerSlabs = sync.Pool{New: func() any { return new(exec.Slab) }}
+
 // exec.KeepRows and keepVals bound the row and value slices a released
-// Result keeps; a bigger one (a scan of thousands of rows) is dropped, so
-// what the pool holds per Result stays small whatever an occasional
-// statement returns. runPlan sizes a row slice past exec.KeepRows only for a
-// plan instance that has returned that many rows.
+// Result keeps and the slabs answerSlabs holds; a bigger one (a scan of
+// thousands of rows) is dropped, so what the pools hold per Result stays
+// small whatever an occasional statement returns. runPlan sizes a row slice
+// past exec.KeepRows only for a plan instance that has returned that many
+// rows.
 const keepVals = 8 * exec.KeepRows
 
 // NewResult takes an empty Result from the pool, with the row and value
@@ -490,13 +498,14 @@ func (res *Result) Spare() ([]types.Row, []types.Value) { return res.kept[:0], r
 // write to them.
 func (res *Result) Own(rows []types.Row, vals []types.Value) { res.kept, res.vals = rows, vals }
 
-// Release hands res back for reuse; res and every slice it returned may
-// not be read afterwards. It always recycles the struct, and recycles the
-// row slice only when res owns it: runPlan filled it and the result cache
-// did not keep it, or a client decoded into it, with the values behind it.
-// A result-cache hit's rows belong to the cache. Releasing is optional — a
-// Result nobody releases is collected as usual — and a nil Result is
-// ignored.
+// Release hands res back for reuse; res, every slice it returned and the
+// values of its rows may not be read afterwards. It always recycles the
+// struct with the row slice res owns — the one runPlan filled, or a client
+// decoded into with the values behind it — and hands the slab runPlan's
+// operators carved values from back to answerSlabs, cleared (exec.Slab.Reset
+// sizes it). A result-cache hit's rows belong to the cache. Releasing is
+// optional — a Result nobody releases is collected as usual — and a nil
+// Result is ignored.
 func (res *Result) Release() {
 	if res == nil {
 		return
@@ -510,16 +519,21 @@ func (res *Result) Release() {
 	}
 	clear(rows[:cap(rows)])
 	clear(vals[:cap(vals)])
+	if res.slab != nil {
+		res.slab.Reset(keepVals)
+		answerSlabs.Put(res.slab)
+	}
 	*res = Result{kept: rows[:0], vals: vals[:0]}
 	results.Put(res)
 }
 
-// takeRows makes r's rows res's answer: res takes r's columns, rows and the
-// slice r may recycle, and gives r the one it held, which r's Release then
-// recycles.
+// takeRows makes r's rows res's answer: res takes r's columns, rows, the
+// slice r may recycle and the slab their values were carved from, and gives
+// r the ones it held, which r's Release then recycles.
 func (res *Result) takeRows(r *Result) {
 	res.Cols, res.Rows = r.Cols, r.Rows
 	res.kept, r.kept = r.kept, res.kept
+	res.slab, r.slab = r.slab, res.slab
 }
 
 // Exec parses and executes one SQL statement (query, DML or DDL). The
@@ -662,8 +676,8 @@ func (db *Database) answer(stmt *sql.SelectStmt, e *planEntry, params exec.Param
 	// Feed the intermediate cache. A bounded execution of the twin's plan is
 	// the twin's run; one sent whole to the backend made a remote call, which
 	// imObserve turns away.
-	if cacheable && db.imObserve(imc, key, vals, imstamp, cp.lineage, res, rec) {
-		res.kept = nil // the cache holds res.Rows now
+	if cacheable {
+		db.imObserve(imc, key, vals, imstamp, cp.lineage, res, rec)
 	}
 	return res, nil
 }
@@ -890,7 +904,9 @@ func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Pa
 // Result never alias memory the instance keeps (exec.Batch says why). They
 // fill the row slice the Result recycled, and a new one is sized by the
 // plan's estimate capped by the rows the instance has returned
-// (exec.Instance.SizeRows), so that a released Result can recycle it.
+// (exec.Instance.SizeRows), so that a released Result can recycle it. The
+// values of the rows the plan's operators build are carved from a slab taken
+// from answerSlabs, which the Result owns and its Release hands back.
 // The instance runs in tx — the caller's write transaction, for a SELECT that
 // must see its own statement's or procedure's writes — or, when tx is nil,
 // against a read-only snapshot of its own: a read begun on the instance's own
@@ -921,8 +937,10 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 		db.store.BeginRead(tx)
 	}
 	res := NewResult()
+	res.slab = answerSlabs.Get().(*exec.Slab)
 	ctx := &inst.Ctx
 	ctx.Txn, ctx.Remote, ctx.Counters, ctx.Rec, ctx.EstRows = tx, db.remote, &res.Counters, rec, inst.SizeRows(plan.Card)
+	ctx.Slab = res.slab
 	bindParams(plan, params, autoArgs, ctx)
 	root := inst.Root
 	var shell *exec.Instrumented
@@ -1007,6 +1025,7 @@ func (db *Database) execExplain(x *sql.ExplainStmt, params exec.Params, rec *tra
 		}
 		res.Counters = run.Counters
 		text = opt.ExplainAnalyze(plan, root, rec.Stages[trace.StageExec])
+		run.Release() // the rows are discarded
 	} else {
 		text = opt.Explain(plan)
 	}

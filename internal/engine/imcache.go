@@ -156,19 +156,20 @@ func (db *Database) relations(from []sql.TableRef, read map[string]*catalog.Tabl
 }
 
 // imObserve feeds one successfully executed SELECT, computed under vals,
-// into the cache under key; the cache copies vals if it keeps them (autoArgs
-// alias pooled normalizer buffers, and a wire request's parameters its
-// frame). Only an execution that made no remote call qualifies — a fully
-// local plan, or a dynamic plan whose guard chose the local branch: rows
-// produced on the backend could be invalidated silently by writes this cache
-// never hears about. Its benefit is the record's execute stage. It reports
-// whether the cache now holds res's rows, which ends res's ownership of them.
+// into the cache under key; the cache copies vals and res's rows if it keeps
+// them (autoArgs alias pooled normalizer buffers, a wire request's parameters
+// its frame, and res's values the slab its Release recycles), so res stays
+// its caller's to release. Only an execution that made no remote call
+// qualifies — a fully local plan, or a dynamic plan whose guard chose the
+// local branch: rows produced on the backend could be invalidated silently by
+// writes this cache never hears about. Its benefit is the record's execute
+// stage.
 func (db *Database) imObserve(imc *imcache.Cache, key imcache.Key, vals []types.Value, stamp uint64,
-	lineage []string, res *Result, rec *trace.Record) bool {
+	lineage []string, res *Result, rec *trace.Record) {
 	if res.Counters.RemoteQueries > 0 || lineage == nil {
-		return false
+		return
 	}
-	return imc.Observe(imcache.Observation{
+	imc.Observe(imcache.Observation{
 		Key:     key,
 		Cols:    res.Cols,
 		Rows:    res.Rows,

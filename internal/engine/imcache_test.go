@@ -495,6 +495,58 @@ func TestIMCacheSysTable(t *testing.T) {
 	}
 }
 
+// TestQueryStatsShowsWhatTheTierLearned: sys.query_stats lists per shape its
+// result-cache hits, its admissions that died unhit, and whether it uses the
+// tier now. A shape whose admissions each die at the next write stops using
+// it after sixteen of them; SetIMCacheEnabled starts it over.
+func TestQueryStatsShowsWhatTheTierLearned(t *testing.T) {
+	db, write := imTestDB(t, nil)
+	const q = "SELECT id, v FROM t WHERE grp = @g AND id < 100"
+	run := func(g int) {
+		t.Helper()
+		res, err := db.Exec(q, exec.Params{"g": types.NewInt(int64(g))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	learned := func() (hits, dead int64, on bool) {
+		t.Helper()
+		res, err := db.Exec("SELECT shape, result_cache_hits, result_cache_dead, uses_result_cache FROM sys.query_stats", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Release()
+		for _, r := range res.Rows {
+			if strings.Contains(r[0].Str(), "grp = @g") {
+				return r[1].Int(), r[2].Int(), r[3].Bool()
+			}
+		}
+		t.Fatalf("the shape is not in sys.query_stats: %v", res.Rows)
+		return
+	}
+	for range 3 {
+		run(1) // a candidate, an admission, a hit
+	}
+	if hits, dead, on := learned(); hits != 1 || dead != 0 || !on {
+		t.Fatalf("after one hit: hits %d, dead %d, uses the tier %v; want 1, 0, true", hits, dead, on)
+	}
+	for g := 2; g < 18; g++ {
+		run(g)
+		run(g) // admitted
+		if err := write("UPDATE t SET v = v + 1 WHERE id = 1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, dead, on := learned(); hits != 1 || dead != 16 || on {
+		t.Fatalf("after sixteen admissions died unhit: hits %d, dead %d, uses the tier %v; want 1, 16, false", hits, dead, on)
+	}
+	db.SetIMCacheEnabled(true)
+	if hits, dead, on := learned(); hits != 0 || dead != 0 || !on {
+		t.Fatalf("after SetIMCacheEnabled: hits %d, dead %d, uses the tier %v; want 0, 0, true", hits, dead, on)
+	}
+}
+
 // TestResultCacheIsACacheServerTier: a backend is plain SQL Server — it
 // builds no result cache, runs a repeated SELECT every time and lists nothing
 // in sys.intermediate_results — and a cache looks up only shapes whose plan
@@ -562,10 +614,11 @@ func TestIMKeyKeepsMixedCaseParamValues(t *testing.T) {
 }
 
 // TestReleasedResultsNeverTouchAdmittedRows: a Result recycles its row slice
-// on Release only when the result cache did not keep the rows. An entry's
-// rows, admitted from an execution whose Result was released, read the same
-// after a thousand later executions and hits of the same shape, each
-// released; a hit still serves that very slice.
+// and value slab on Release, and the result cache keeps a copy of the rows it
+// admits. An entry's rows, admitted from an execution whose Result was
+// released and served by the first hit, read the same after a thousand later
+// executions and hits of the same shape, each released; a hit still serves
+// that very slice.
 func TestReleasedResultsNeverTouchAdmittedRows(t *testing.T) {
 	db, _ := imTestDB(t, nil)
 	const q = "SELECT id, v FROM t WHERE grp = @g AND id >= @lo"
@@ -589,7 +642,8 @@ func TestReleasedResultsNeverTouchAdmittedRows(t *testing.T) {
 	}
 	hits := metrics.Default.Counter("imcache.hits")
 	run(5, 0).Release() // a candidate
-	res := run(5, 0)    // admitted
+	run(5, 0).Release() // admitted: the entry keeps a copy
+	res := run(5, 0)    // the first hit serves the entry's rows
 	admitted, want := res.Rows, hash(res.Rows)
 	if len(admitted) != 16 {
 		t.Fatalf("grp 5: %d rows, want 16", len(admitted))

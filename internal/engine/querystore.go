@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mtcache/internal/imcache"
 	"mtcache/internal/metrics"
 	"mtcache/internal/opt"
 	"mtcache/internal/sql"
@@ -182,6 +183,13 @@ type ShapeSnapshot struct {
 	Variants  []VariantSnapshot `json:"variants"`
 	LastError string            `json:"last_error,omitempty"`
 	LastErrAt time.Time         `json:"last_error_at,omitempty"`
+
+	// What the result cache has learned about the shape (imcache.ShapeInfo):
+	// its hits, its admissions that died unhit, and whether its executions
+	// use the result cache now.
+	ResultHits int64 `json:"result_cache_hits"`
+	ResultDead int64 `json:"result_cache_dead"`
+	ResultOn   bool  `json:"uses_result_cache"`
 }
 
 const secToMs = 1000.0
@@ -211,7 +219,8 @@ func (vs *variantStats) snapshot() VariantSnapshot {
 }
 
 // QueryStore returns this database's query-store rows, one per SELECT entry
-// of its plan cache that has recorded an execution, most recently used first.
+// of its plan cache that has recorded an execution, most recently used first,
+// each with what the result cache has learned about its shape.
 // The plan-cache lock is held only to list the entries; each entry's
 // statistics are read under its own lock. A variant's plan is the entry's
 // plan when it is the variant that plan names: the plan every execution of the
@@ -225,9 +234,18 @@ func (db *Database) QueryStore() []ShapeSnapshot {
 		}
 	})
 	db.plansMu.Unlock()
+	var learned map[string]imcache.ShapeInfo
+	on := db.imc != nil && db.imcOn.Load()
+	if on {
+		learned = db.imc.Shapes()
+	}
 	out := make([]ShapeSnapshot, 0, len(ents))
 	for _, e := range ents {
-		if ss, ok := e.stats.snapshot(e.stmt.(*sql.SelectStmt).CacheKey(), e.plan.Load()); ok {
+		cp := e.plan.Load()
+		if ss, ok := e.stats.snapshot(e.stmt.(*sql.SelectStmt).CacheKey(), cp); ok {
+			info := learned[ss.Shape]
+			ss.ResultHits, ss.ResultDead = info.Hits, info.Dead
+			ss.ResultOn = on && !info.Off && (cp == nil || cp.lineage != nil)
 			out = append(out, ss)
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -70,34 +71,34 @@ func TestRangeAnswerRecyclesItsRowSlice(t *testing.T) {
 			t.Fatalf("%s: the plan estimates %.0f rows, want more than %d and %d", texts[0], card, c.rows, exec.KeepRows)
 		}
 		const runs = 200
-		slices, bytes := madeBy("mtcache/internal/exec.Run", runs, run)
-		if slices != c.slices*runs || bytes > c.size*runs {
+		made, bytes := madeBy(runs, run, "mtcache/internal/exec.Run")
+		if made != c.slices*runs || bytes > c.size*runs {
 			t.Errorf("%d-row range: exec.Run made %d row slices, %d bytes, in %d warm executions; want %d, at most %d bytes each",
-				c.rows, slices, bytes, runs, c.slices*runs, c.size)
+				c.rows, made, bytes, runs, c.slices*runs, c.size)
 		}
 	}
 }
 
-// madeBy runs fn n times with every allocation profiled and returns the
-// objects and bytes allocated in the function named fn: those whose first
-// frame outside the runtime is fn. Like testing.AllocsPerRun it runs on one
-// P, so that what a sync.Pool hands back is what the run before put in, after
-// one run that is not counted.
-func madeBy(fn string, n int, run func()) (objects, bytes int64) {
+// madeBy runs run n times with every allocation profiled and returns the
+// objects and bytes allocated in the functions named fns: those whose first
+// frame outside the runtime is one of fns. Like testing.AllocsPerRun it runs
+// on one P, so that what a sync.Pool hands back is what the run before put
+// in, after one run that is not counted.
+func madeBy(n int, run func(), fns ...string) (objects, bytes int64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	run()
-	objects0, bytes0 := profiled(fn)
+	objects0, bytes0 := profiled(fns)
 	for range n {
 		run()
 	}
-	objects, bytes = profiled(fn)
+	objects, bytes = profiled(fns)
 	return objects - objects0, bytes - bytes0
 }
 
-// profiled sums the profiled allocations made in fn so far.
-func profiled(fn string) (objects, bytes int64) {
+// profiled sums the profiled allocations made in fns so far.
+func profiled(fns []string) (objects, bytes int64) {
 	runtime.GC() // publishes the profile of every allocation made before it
 	var recs []runtime.MemProfileRecord
 	for n, ok := runtime.MemProfile(nil, true); !ok; {
@@ -110,7 +111,7 @@ func profiled(fn string) (objects, bytes int64) {
 		for {
 			f, more := frames.Next()
 			if f.Function != "" && !strings.HasPrefix(f.Function, "runtime.") {
-				if f.Function == fn {
+				if slices.Contains(fns, f.Function) {
 					objects += r.AllocObjects
 					bytes += r.AllocBytes
 				}
@@ -122,4 +123,44 @@ func profiled(fn string) (objects, bytes int64) {
 		}
 	}
 	return objects, bytes
+}
+
+// TestServedAnswerRecyclesItsValues: the rows a plan's operators build for
+// the answer take their values from the slab the answer's Result owns, and a
+// released Result hands it back for the next execution. A warm TOP-50
+// procedure over a cached view (Top over a Project, as the TPC-W browsing
+// procedures run), released after each call, makes no value storage for its
+// answer: no arena chunk, and no slab, in 200 calls with the result cache
+// off so that every call executes.
+func TestServedAnswerRecyclesItsValues(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a sync.Pool drops what it is given at random under -race")
+	}
+	db, _ := imTestDB(t, nil)
+	db.SetIMCacheEnabled(false)
+	if err := db.CopyProcedureFrom(`CREATE PROCEDURE top50 @g INT AS
+		SELECT TOP 50 id, grp, v, w FROM t WHERE grp >= @g ORDER BY id`); err != nil {
+		t.Fatal(err)
+	}
+	if plan, err := db.Explain("SELECT TOP 50 id, grp, v, w FROM t WHERE grp >= 3 ORDER BY id"); err != nil ||
+		!strings.Contains(plan, "Top\n  Project") || !strings.Contains(plan, "cv_t") {
+		t.Fatalf("the procedure's statement no longer reads the cached view through Top over Project:\n%s%v", plan, err)
+	}
+	next := 0
+	run := func() {
+		next = (next + 1) % 8
+		res, err := db.CallProcedure("top50", exec.Params{"g": types.NewInt(int64(next))})
+		if err != nil || len(res.Rows) != 50 {
+			t.Fatalf("top50 %d: %d rows, %v", next, len(res.Rows), err)
+		}
+		res.Release()
+	}
+	for range 8 {
+		run() // plans the statement, sizes the slab and the instance's own arenas
+	}
+	const runs = 200
+	if made, bytes := madeBy(runs, run, "mtcache/internal/exec.(*rowArena).alloc",
+		"mtcache/internal/exec.(*Slab).carve", "mtcache/internal/exec.(*Slab).Reset"); made != 0 {
+		t.Errorf("%d warm calls made %d value chunks or slabs for their answers (%d bytes); want none", runs, made, bytes)
+	}
 }

@@ -92,6 +92,7 @@ func (db *Database) registerSystemTables() {
 		i64("local_execs"), i64("remote_execs"),
 		i64("plan_cache_hits"), i64("plan_cache_misses"),
 		i64("degraded"), i64("errors"), f64("max_staleness_seconds"), str("last_error"),
+		i64("result_cache_hits"), i64("result_cache_dead"), {Name: "uses_result_cache", Type: types.KindBool},
 	}, db.queryStatsRows)
 
 	_ = db.RegisterVirtualTable("sys.query_plans", []catalog.Column{
@@ -140,6 +141,7 @@ func (db *Database) queryStatsRows() []types.Row {
 			types.NewInt(r.Hits), types.NewInt(r.Misses),
 			types.NewInt(r.Degraded), types.NewInt(r.Errs),
 			types.NewFloat(r.MaxStale), types.NewString(ss.LastError),
+			types.NewInt(ss.ResultHits), types.NewInt(ss.ResultDead), types.NewBool(ss.ResultOn),
 		})
 	}
 	return rows

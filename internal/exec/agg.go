@@ -157,7 +157,8 @@ func (h *HashAgg) EachExpr(fn func(Expr)) {
 func (h *HashAgg) clone() Operator {
 	return &HashAgg{Input: h.Input, GroupBy: h.GroupBy, Aggs: h.Aggs, Cols: h.Cols}
 }
-func (h *HashAgg) passesRows() bool { return false }
+func (h *HashAgg) passesRows() bool    { return false }
+func (h *HashAgg) outArena() *rowArena { return &h.arena }
 func (h *HashAgg) reset(result bool) int {
 	h.pos = 0
 	return h.table.reset() + h.arena.release(!result) + wipe(&h.out)

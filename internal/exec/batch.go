@@ -24,9 +24,14 @@ const BatchSize = 64
 //     them from a rowArena. When those rows are what the root emits — the
 //     operator is the root, or everything between it and the root passes rows
 //     through — they end up in the ResultSet and from there in the client's
-//     hands and the intermediate-result cache, so that arena is the result's:
-//     every durable batch gets a chunk that is never written again, and the
-//     operator forgets it when the instance is released (reset(true)).
+//     hands, so that arena is the result's: it carves its chunks from the
+//     execution's Slab (Ctx.Slab; made one by one when there is none), every
+//     durable batch gets a chunk that is never written again within the
+//     execution, and the operator forgets it when the instance is released
+//     (reset(true)). The slab's owner (engine.Result) clears and recycles it
+//     once nothing reads the rows, so a holder that keeps rows past that
+//     point copies them: the intermediate-result cache does, at admission
+//     and refresh.
 //   - Instance: until release. Every other buffer — an arena whose rows are
 //     consumed inside the tree, batch windows, key scratch, sort buffers, hash
 //     and aggregate tables — belongs to the plan
@@ -89,6 +94,49 @@ func wipe[S ~[]T, T any](s *S) int {
 	return len(full) * int(unsafe.Sizeof(elem))
 }
 
+// Slab is the value storage of one execution's result rows. Run points the
+// arenas that build the rows the root emits (the operators resetTree reaches
+// with result true) at it, and they carve their chunks from its unused tail,
+// front to back, instead of making them; a chunk that does not fit is made on
+// its own, and the slab counts what the execution needed either way. The
+// carved values are the result's: whoever holds the slab may Reset it for
+// another execution only once nothing reads those rows.
+type Slab struct {
+	vals []types.Value
+	used int // values carved from vals
+	need int // values the execution's result arenas asked for, carved or made
+}
+
+// carve returns n values of s, or made ones when s is nil or too short.
+func (s *Slab) carve(n int) []types.Value {
+	if s == nil {
+		return make([]types.Value, n)
+	}
+	s.need += n
+	if len(s.vals)-s.used < n {
+		return make([]types.Value, n)
+	}
+	v := s.vals[s.used : s.used+n : s.used+n]
+	s.used += n
+	return v
+}
+
+// Reset readies s for another execution once nothing reads what was carved
+// from it, which it zeroes. A slab too small for the execution just ended is
+// replaced by one the size that execution needed, so the next like it carves
+// everything; no slab of more than keep values is kept (nor made).
+func (s *Slab) Reset(keep int) {
+	switch {
+	case s.need > len(s.vals) && s.need <= keep:
+		s.vals = make([]types.Value, s.need)
+	case len(s.vals) > keep:
+		s.vals = nil
+	default:
+		clear(s.vals[:s.used])
+	}
+	s.used, s.need = 0, 0
+}
+
 // rowArena carves fixed-width output rows out of batch-sized chunks,
 // replacing a make per row with one make per batch. Callers hint the coming
 // batch's total width so chunks are sized to real demand — a point query
@@ -116,6 +164,8 @@ type rowArena struct {
 	base []types.Value // the current chunk, whole: what reset may keep
 	live int           // values handed out since reset and not rewound over
 	peak int           // the most live has been since reset
+
+	slab *Slab // where a result arena's chunks come from, for one execution (see Run)
 }
 
 // hint sets the refill size for the coming batch (total values expected).
@@ -145,7 +195,7 @@ func (a *rowArena) alloc(n int) types.Row {
 		return types.Row{}
 	}
 	if len(a.buf) < n {
-		a.base = make([]types.Value, max(n, a.chunk, a.floor))
+		a.base = a.slab.carve(max(n, a.chunk, a.floor))
 		a.buf, a.mark = a.base, a.base
 	}
 	a.used += n
@@ -167,7 +217,8 @@ func (a *rowArena) concat(l, r types.Row) types.Row {
 
 // release ends an execution and returns the bytes the arena keeps for the
 // next one. An arena that backs result rows (keep is false) forgets
-// everything: its chunks are the result's now. An instance's arena keeps its
+// everything, its slab included: its chunks are the result's now. An
+// instance's arena keeps its
 // current chunk, cleared, when that chunk alone could have held everything the
 // run had live at once; otherwise it keeps nothing and remembers that size, so
 // the next run makes one chunk that fits and that one is kept. A remembered

@@ -58,7 +58,8 @@ func (j *IndexJoin) clone() Operator {
 	}
 }
 
-func (j *IndexJoin) passesRows() bool { return false }
+func (j *IndexJoin) passesRows() bool    { return false }
+func (j *IndexJoin) outArena() *rowArena { return &j.arena }
 func (j *IndexJoin) reset(result bool) int {
 	j.iv, j.seeks, j.inPos = storage.IndexView{}, 0, 0
 	return wipe(&j.keyBuf) + wipe(&j.matches) + j.in.reset() + j.arena.release(!result)

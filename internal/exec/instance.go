@@ -52,6 +52,26 @@ func resetTree(op Operator, result bool) int {
 	return n
 }
 
+// arenaOwner is an operator that builds the rows it emits in an arena of its
+// own: the arena that backs the result when the operator's rows are the
+// result's.
+type arenaOwner interface{ outArena() *rowArena }
+
+// carveFrom points the arenas that build the rows op emits at s for the
+// execution ahead: the arenas of the operators resetTree reaches with result
+// true, which forget s when the instance is released.
+func carveFrom(op Operator, s *Slab) {
+	if !op.passesRows() {
+		if o, ok := op.(arenaOwner); ok {
+			o.outArena().slab = s
+		}
+		return
+	}
+	for i := 0; op.Child(i) != nil; i++ {
+		carveFrom(*op.Child(i), s)
+	}
+}
+
 const (
 	// maxParked bounds the free list of one plan: an instance released while
 	// that many are parked is dropped. It is the number of executions of one

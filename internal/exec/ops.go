@@ -62,6 +62,7 @@ type Ctx struct {
 	Counters *Counters
 	Rec      *trace.Record // the statement's record: its ID goes to the backend on DataTransfer; nil when run bare
 	EstRows  float64       // rows Run makes room for before the first batch, 0 if unknown (see Run)
+	Slab     *Slab         // where the values of the result's own rows are carved; nil: made (see Run)
 
 	out    Batch  // the window Run reads the root through
 	merged Params // Merged's map, empty between executions
@@ -202,11 +203,16 @@ func visitKeys(fn func(Expr), keys []SortKey) {
 // slice between runs (engine.Result does) passes it in emptied of rows
 // anyone still reads — and a new slice is made only when that capacity is
 // short of ctx.EstRows (at most maxPrealloc) or of the rows; a caller that
-// runs a pooled Instance sets EstRows with Instance.SizeRows. On an error
-// what rs holds is undefined.
+// runs a pooled Instance sets EstRows with Instance.SizeRows. The rows that
+// operators build for the result take their values from ctx.Slab when it is
+// set, so the caller that keeps rs owns those values with the slab. On an
+// error what rs holds is undefined.
 func Run(op Operator, ctx *Ctx, rs *ResultSet) error {
 	if ctx.Env.Named == nil {
 		ctx.Env.Named = ctx.Params
+	}
+	if ctx.Slab != nil {
+		carveFrom(op, ctx.Slab)
 	}
 	if err := op.Open(ctx); err != nil {
 		return err
@@ -665,6 +671,7 @@ func (p *Project) Child(i int) *Operator  { return slot(i, &p.Input) }
 func (p *Project) EachExpr(fn func(Expr)) { visit(fn, p.Exprs...) }
 func (p *Project) clone() Operator        { return &Project{Input: p.Input, Exprs: p.Exprs, Cols: p.Cols} }
 func (p *Project) passesRows() bool       { return false }
+func (p *Project) outArena() *rowArena    { return &p.arena }
 func (p *Project) reset(result bool) int {
 	p.gather = false
 	return p.in.reset() + wipe(&p.cols) + p.arena.release(!result)
@@ -1098,7 +1105,8 @@ func (j *HashJoin) clone() Operator {
 		LeftOuter: j.LeftOuter, Residual: j.Residual, BuildEst: j.BuildEst, cols: j.cols,
 	}
 }
-func (j *HashJoin) passesRows() bool { return false }
+func (j *HashJoin) passesRows() bool    { return false }
+func (j *HashJoin) outArena() *rowArena { return &j.arena }
 func (j *HashJoin) reset(result bool) int {
 	// The map keeps its buckets; the per-key row lists go.
 	n := len(j.table) * hashEntryBytes
@@ -1276,7 +1284,8 @@ func (j *NestedLoop) EachExpr(fn func(Expr)) { visit(fn, j.Pred) }
 func (j *NestedLoop) clone() Operator {
 	return &NestedLoop{Left: j.Left, Right: j.Right, Pred: j.Pred, LeftOuter: j.LeftOuter, cols: j.cols}
 }
-func (j *NestedLoop) passesRows() bool { return false }
+func (j *NestedLoop) passesRows() bool    { return false }
+func (j *NestedLoop) outArena() *rowArena { return &j.arena }
 func (j *NestedLoop) reset(result bool) int {
 	j.inPos = 0
 	return wipe(&j.rightRows) + j.in.reset() + wipe(&j.scratch) + j.arena.release(!result)

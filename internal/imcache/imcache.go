@@ -21,6 +21,22 @@
 // never sees the cache, so nothing that happens here — admit, stale,
 // refresh, evict — can invalidate a cached plan.
 //
+// An admission or a refresh copies the rows into arrays of exactly their size
+// (their strings are shared; nothing writes a string): the caller's rows are
+// carved from storage it recycles once it has answered (engine.Result), and
+// an entry never keeps a recycled array.
+//
+// Each shape learns whether the tier pays for it (Roy et al., "Don't Trash
+// your Intermediate Results, Cache 'em"). An admission costs a copy, and a
+// hit saves an execution, which costs several copies; an admission that is
+// invalidated, evicted or replaced before its first hit saved nothing. So a
+// shape keeps using the tier only while its hits number at least one per
+// deadPerHit of such dead admissions, judged every judgeAfter of them. A
+// shape that does not pay stops tracking candidates, admitting and looking
+// up; after probeAfter executions (Lookup calls) it gets a probe window in
+// which it uses the tier again and is judged afresh. Clear forgets what every
+// shape has learned.
+//
 // A result computed before an invalidation must not be admitted after it:
 // the caller takes Stamp before it opens its read snapshot and hands it
 // back in Observation.Stamp; Observe drops an observation whose stamp
@@ -91,7 +107,7 @@ func KeyOf(shape string, vals []types.Value) Key {
 type Observation struct {
 	Key     Key
 	Cols    []exec.ColInfo // result schema
-	Rows    []types.Row    // materialized result; must not be mutated after the call
+	Rows    []types.Row    // materialized result; read during the call only (an entry keeps a copy)
 	Lineage []string       // source tables (base tables and cached views); kept, not copied
 	LSN     uint64         // MVCC snapshot LSN the result was computed at
 	CostNs  int64          // wall time spent computing the result
@@ -113,6 +129,54 @@ type Entry struct {
 	savedNs  int64
 	lastUsed int64 // the cache's tick at the last admit, refresh or hit
 	stale    bool  // invalidated: awaiting the refresh its next execution brings
+	paid     bool  // hit since its last admit or refresh
+	shape    *shape
+}
+
+// A shape is judged at every judgeAfter-th dead admission of its window: it
+// keeps using the tier when the window's hits number at least one per
+// deadPerHit of its dead admissions. A dead admission cost one copy of a
+// result; a hit saved a whole execution of it — plan lookup, read snapshot,
+// operators — which costs several copies. A window that pays is halved, not
+// emptied, so that one invalidation that ends many admissions at once is
+// weighed against the hits before it. A shape that does not pay sits out
+// probeAfter executions before its probe window.
+const (
+	judgeAfter = 16
+	deadPerHit = 4
+	probeAfter = 1024
+)
+
+// shape is what the cache has learned about one statement shape.
+type shape struct {
+	hits, dead       int64 // since Clear: lookups served, admissions that died unhit
+	winHits, winDead int64 // the same in the current window
+	off              int   // executions left until the probe window; 0 while the shape uses the tier
+}
+
+// died counts an admission that ended unhit and judges the shape when the
+// window is due.
+func (s *shape) died() {
+	s.dead++
+	if s.off > 0 {
+		return // an admission made before the shape stopped; it belongs to no window
+	}
+	if s.winDead++; s.winDead < judgeAfter {
+		return
+	}
+	if s.winDead > deadPerHit*s.winHits {
+		s.off, s.winHits, s.winDead = probeAfter, 0, 0
+		return
+	}
+	s.winHits, s.winDead = s.winHits/2, s.winDead/2
+}
+
+// end ends e's current admission: a dead one when no hit came. An entry
+// already stale ended it when it was invalidated.
+func (e *Entry) end() {
+	if !e.stale && !e.paid {
+		e.shape.died()
+	}
 }
 
 // weight is the benefit density used by eviction: cheaper-to-lose entries
@@ -149,6 +213,7 @@ type Cache struct {
 	opts    Options
 	entries map[Key]*Entry
 	cands   map[Key]*candidate
+	shapes  map[string]*shape // learned, by Key.Shape; a shape not in it uses the tier
 	bytes   int64
 	tick    int64 // orders admissions, refreshes and hits
 
@@ -164,6 +229,7 @@ func New(opts Options) *Cache {
 		opts:      opts.withDefaults(),
 		entries:   make(map[Key]*Entry),
 		cands:     make(map[Key]*candidate),
+		shapes:    make(map[string]*shape),
 		lastInval: make(map[string]uint64),
 	}
 }
@@ -182,37 +248,46 @@ func (c *Cache) Stamp() uint64 { return c.seq.Load() }
 
 // Observe records one completed execution, computed under vals, the values
 // obs.Key hashes. It returns true when the key is now (or was just re-)
-// materialized. Only an admission, or a refresh to other values, keeps the
-// values, and it keeps a copy of its own, strings included: the caller may
-// overwrite vals and the bytes of its strings once Observe returns. An
+// materialized. Only an admission or a refresh keeps the rows, and it keeps
+// a copy (see the package doc), so obs.Rows are the caller's again once
+// Observe returns. Only an admission, or a refresh to other values, keeps
+// the values, and it keeps a copy of its own, strings included: the caller
+// may overwrite vals and the bytes of its strings once Observe returns. An
 // observation stamped before the last invalidation of one of its lineage
 // tables may hold pre-write rows: it is dropped — not admitted, not
-// refreshed, not counted toward AdmitAfter.
+// refreshed, not counted toward AdmitAfter — and so is one of a shape that
+// does not use the tier now.
 func (c *Cache) Observe(obs Observation, vals []types.Value) bool {
 	if obs.Key.Shape == "" || len(obs.Lineage) == 0 {
 		return false
 	}
-	bytes := estimateBytes(obs.Cols, obs.Rows)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	sh := c.shapes[obs.Key.Shape]
+	if sh != nil && sh.off > 0 {
+		return false
+	}
 	for _, t := range obs.Lineage {
 		if obs.Stamp < c.lastInval[strings.ToLower(t)] {
 			return false
 		}
 	}
+	bytes := estimateBytes(obs.Cols, obs.Rows)
 
 	if e, ok := c.entries[obs.Key]; ok {
 		// A recomputation of an admitted entry means the cached copy was
 		// stale (or bypassed, or held other values under the same key);
 		// refresh it in place with the new snapshot.
+		e.end()
 		c.tick++
 		c.bytes += bytes - e.Bytes
 		if !slices.Equal(e.Vals, vals) {
 			e.Vals = ownVals(vals)
 		}
-		e.Cols, e.Rows, e.Bytes = obs.Cols, obs.Rows, bytes
+		e.Cols, e.Rows, e.Bytes = obs.Cols, ownRows(obs.Rows), bytes
 		e.LSN, e.CostNs = obs.LSN, obs.CostNs
-		e.lastUsed, e.stale = c.tick, false
+		e.lastUsed, e.stale, e.paid = c.tick, false, false
+		metrics.Default.Counter("imcache.refreshes").Add(1)
 		c.evictToFitLocked(obs.Key)
 		c.publishLocked()
 		return c.entries[obs.Key] != nil
@@ -236,16 +311,21 @@ func (c *Cache) Observe(obs Observation, vals []types.Value) bool {
 		return false
 	}
 
+	if sh == nil {
+		sh = &shape{}
+		c.shapes[obs.Key.Shape] = sh
+	}
 	e := &Entry{
 		Key:      obs.Key,
 		Vals:     ownVals(vals),
 		Cols:     obs.Cols,
-		Rows:     obs.Rows,
+		Rows:     ownRows(obs.Rows),
 		Bytes:    bytes,
 		Lineage:  obs.Lineage,
 		LSN:      obs.LSN,
 		CostNs:   cand.totalNs / int64(cand.count),
 		lastUsed: c.tick,
+		shape:    sh,
 	}
 	if e.CostNs <= 0 {
 		e.CostNs = 1
@@ -263,6 +343,21 @@ func (c *Cache) Observe(obs Observation, vals []types.Value) bool {
 	return true
 }
 
+// ownRows copies rows into two arrays of exactly their size, one of row
+// headers and one of values; strings are shared.
+func ownRows(rows []types.Row) []types.Row {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	vals, out := make([]types.Value, n), make([]types.Row, len(rows))
+	for i, r := range rows {
+		k := copy(vals, r)
+		out[i], vals = vals[:k:k], vals[k:]
+	}
+	return out
+}
+
 // ownVals copies vals and every string in them.
 func ownVals(vals []types.Value) []types.Value {
 	kept := make([]types.Value, len(vals))
@@ -274,7 +369,9 @@ func ownVals(vals []types.Value) []types.Value {
 }
 
 // Lookup serves an exact-match hit for key when the entry is fresh and holds
-// vals; a stale entry is never served. Lookup keeps no reference to vals.
+// vals; a stale entry is never served. Lookup keeps no reference to vals. A
+// lookup of a shape that does not use the tier now misses without looking
+// and counts toward the shape's probe window.
 func (c *Cache) Lookup(key Key, vals []types.Value) (Hit, bool) {
 	if key.Shape == "" {
 		return Hit{}, false
@@ -282,13 +379,19 @@ func (c *Cache) Lookup(key Key, vals []types.Value) (Hit, bool) {
 	var hit Hit
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if s := c.shapes[key.Shape]; s != nil && s.off > 0 {
+		s.off-- // at 0 the next execution opens the probe window
+		return hit, false
+	}
 	e, ok := c.entries[key]
 	ok = ok && !e.stale && slices.Equal(e.Vals, vals) // ==, kind for kind
 	if ok {
 		c.tick++
 		e.hits++
 		e.savedNs += e.CostNs
-		e.lastUsed = c.tick
+		e.lastUsed, e.paid = c.tick, true
+		e.shape.hits++
+		e.shape.winHits++
 		hit = Hit{Cols: e.Cols, Rows: e.Rows, LSN: e.LSN}
 		metrics.Default.Counter("imcache.hits").Add(1)
 	} else {
@@ -311,6 +414,7 @@ func (c *Cache) Invalidate(table string) int {
 		if e.stale || !lineageHas(e.Lineage, lower) {
 			continue
 		}
+		e.end()
 		e.stale = true
 		n++
 	}
@@ -376,7 +480,28 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-// Clear drops every entry and candidate.
+// ShapeInfo is what the cache has learned about one shape since Clear.
+type ShapeInfo struct {
+	Hits int64 // lookups served
+	Dead int64 // admissions invalidated, evicted or replaced before their first hit
+	Off  bool  // the shape does not use the tier now
+}
+
+// Shapes lists, by shape, what the cache has learned about every shape it
+// has admitted a result of since Clear; a shape it does not list uses the
+// tier.
+func (c *Cache) Shapes() map[string]ShapeInfo {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]ShapeInfo, len(c.shapes))
+	for name, s := range c.shapes {
+		out[name] = ShapeInfo{Hits: s.hits, Dead: s.dead, Off: s.off > 0}
+	}
+	return out
+}
+
+// Clear drops every entry and candidate and forgets what the shapes have
+// learned.
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -384,6 +509,7 @@ func (c *Cache) Clear() {
 		c.removeLocked(key)
 	}
 	c.cands = make(map[Key]*candidate)
+	c.shapes = make(map[string]*shape)
 	c.publishLocked()
 }
 
@@ -393,6 +519,7 @@ func (c *Cache) removeLocked(key Key) {
 	if !ok {
 		return
 	}
+	e.end()
 	delete(c.entries, key)
 	c.bytes -= e.Bytes
 	metrics.Default.Counter("imcache.evictions").Add(1)

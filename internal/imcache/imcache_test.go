@@ -373,3 +373,111 @@ func TestObserveCopiesOnlyWhatItKeeps(t *testing.T) {
 		t.Fatalf("the refreshed values missed after the caller overwrote its buffer: ok=%v hit=%+v", ok, hit)
 	}
 }
+
+// TestResultTierLearnsPerShape: a shape whose admissions die unhit — here
+// invalidated before any lookup served them — stops admitting and looking up
+// once judgeAfter of them have, even for a fresh entry it still holds; a shape
+// whose admissions are hit keeps both, and so does one whose hits pay for a
+// burst of dead admissions. After probeAfter executions (lookups) the shape
+// gets a probe window and uses the tier again, is judged afresh, and Clear
+// forgets what every shape learned.
+func TestResultTierLearnsPerShape(t *testing.T) {
+	c := New(Options{AdmitAfter: 1})
+	const dead, paying = "SELECT dead", "SELECT paying"
+	at := func(shape string, i int) (Key, []types.Value) {
+		vals := []types.Value{types.NewInt(int64(i))}
+		return KeyOf(shape, vals), vals
+	}
+	observe := func(shape string, i int, lineage string) bool {
+		k, vals := at(shape, i)
+		return c.Observe(Observation{Key: k, Cols: intCols(), Rows: intRows(2), Lineage: []string{lineage},
+			CostNs: 100, Stamp: c.Stamp()}, vals)
+	}
+	lookup := func(shape string, i int) bool {
+		k, vals := at(shape, i)
+		_, ok := c.Lookup(k, vals)
+		return ok
+	}
+	learned := func(shape string) ShapeInfo { return c.Shapes()[shape] }
+
+	const kept = -1 // a dead-shape entry no write reaches: fresh throughout
+	if !observe(dead, kept, "other") || !lookup(dead, kept) {
+		t.Fatal("a shape that has learned nothing does not use the tier")
+	}
+	judge := func() {
+		t.Helper()
+		for i := 0; i < judgeAfter; i++ {
+			if !observe(dead, i, "item") || !observe(paying, i, "item") {
+				t.Fatalf("admission %d refused", i)
+			}
+			if !lookup(paying, i) {
+				t.Fatalf("paying admission %d not served", i)
+			}
+			c.Invalidate("item")
+		}
+	}
+	judge()
+	if got := learned(dead); !got.Off || got.Dead != judgeAfter || got.Hits != 1 {
+		t.Fatalf("the shape whose admissions die unhit learned %+v; want off, %d dead, 1 hit", got, judgeAfter)
+	}
+	if got := learned(paying); got.Off || got.Dead != 0 || got.Hits != judgeAfter {
+		t.Fatalf("the paying shape learned %+v; want on, 0 dead, %d hits", got, judgeAfter)
+	}
+	if lookup(dead, kept) {
+		t.Fatal("a shape that does not pay still looks up")
+	}
+	if observe(dead, 100, "item") || observe(dead, 100, "item") {
+		t.Fatal("a shape that does not pay still admits")
+	}
+	if !observe(paying, 100, "item") || !lookup(paying, 100) {
+		t.Fatal("the paying shape stopped admitting or looking up")
+	}
+
+	// One invalidation that ends judgeAfter unhit admissions at once is
+	// weighed against the hits before it: one hit pays for deadPerHit dead
+	// admissions, and the window that paid is halved, not emptied.
+	const bursty = "SELECT bursty"
+	for i := 0; i < judgeAfter/deadPerHit; i++ {
+		if !observe(bursty, 1000+i, "burst") || !lookup(bursty, 1000+i) {
+			t.Fatalf("bursty admission %d not served", i)
+		}
+	}
+	for i := 0; i < judgeAfter; i++ {
+		observe(bursty, i, "burst")
+	}
+	c.Invalidate("burst")
+	if got := learned(bursty); got.Off || got.Dead != judgeAfter {
+		t.Fatalf("a burst its hits pay for: %+v; want on, %d dead", got, judgeAfter)
+	}
+	for i := 0; i < judgeAfter/2; i++ {
+		observe(bursty, i, "burst")
+	}
+	c.Invalidate("burst")
+	if !learned(bursty).Off {
+		t.Fatal("half a window more of dead admissions, with no hit, did not stop the shape")
+	}
+
+	for i := 2; i < probeAfter; i++ { // the lookup above was the first execution
+		if lookup(dead, kept) {
+			t.Fatalf("lookup %d of %d before the probe window served", i, probeAfter)
+		}
+	}
+	if lookup(dead, kept) || learned(dead).Off {
+		t.Fatalf("execution %d did not open the probe window, or was served itself", probeAfter)
+	}
+	if !lookup(dead, kept) || !observe(dead, 200, "other") || !lookup(dead, 200) {
+		t.Fatal("the probe window does not use the tier")
+	}
+	judge()
+	if !learned(dead).Off {
+		t.Fatal("the probe window's dead admissions did not stop the shape again")
+	}
+
+	c.Clear()
+	if len(c.Shapes()) != 0 {
+		t.Fatalf("Clear kept what the shapes learned: %v", c.Shapes())
+	}
+	if !observe(dead, 0, "item") || !lookup(dead, 0) {
+		t.Fatal("after Clear the shape does not use the tier")
+	}
+}
