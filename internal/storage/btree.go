@@ -6,8 +6,10 @@
 package storage
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"mtcache/internal/types"
 )
@@ -16,13 +18,32 @@ import (
 // cache line multiple and the tree shallow for our table sizes.
 const btreeOrder = 64
 
-// Item is one B-tree entry: an index key plus the RowID it points at. For
-// non-unique indexes the RowID is appended to the comparison so every stored
-// entry is distinct.
+// Item is one B-tree entry as the tree takes and hands it out: an index key
+// plus the RowID it points at. For non-unique indexes the RowID is appended
+// to the comparison so every stored entry is distinct.
 type Item struct {
 	Key types.Row
 	RID RowID
 }
+
+// entry is an Item as the tree's arrays keep it: the address of the key's
+// first value and the RowID, 16 bytes where an Item is 32. Every key a tree
+// keeps is its width long — the index's column count — so the key is the
+// width values from that address (row), rebuilt wherever a key is compared
+// or handed out. The address keeps the key's array alive as the slice did.
+type entry struct {
+	key *types.Value
+	rid RowID
+}
+
+// entryOf returns it as an entry of a tree whose width is len(it.Key).
+func entryOf(it Item) entry { return entry{unsafe.SliceData(it.Key), it.RID} }
+
+// row returns e's key, w values long.
+func (e entry) row(w int) types.Row { return unsafe.Slice(e.key, w) }
+
+// item returns e as the Item of a tree of width w.
+func (e entry) item(w int) Item { return Item{Key: e.row(w), RID: e.rid} }
 
 func cmpItem(a, b Item) int {
 	if c := types.CompareRows(a.Key, b.Key); c != 0 {
@@ -69,7 +90,7 @@ type BTree struct {
 //     A new array for the rightmost leaf has room for a full leaf (see
 //     room), so the appends after the write that made it do not copy it.
 type node struct {
-	items    []Item
+	items    []entry
 	children []*node // nil for leaves
 }
 
@@ -84,21 +105,29 @@ func newNode(n node) *node { return &n }
 // its rightmost leaf, last, in tail. A tail append writes into tail's array
 // and publishes a copy of the root whose tail is one entry longer, leaving
 // last as it is; so readers and writers read a node's entries through the
-// root they started from (entries).
+// root they started from (entries). width is the tree's key width, the same
+// in every root.
 type root struct {
 	node
-	last *node
-	tail []Item
+	last  *node
+	tail  []entry
+	width int
 }
 
 // entries returns the items of n, a node of the tree under r: the rightmost
 // leaf's are r's tail.
-func (r *root) entries(n *node) []Item {
+func (r *root) entries(n *node) []entry {
 	if n == r.last {
 		return r.tail
 	}
 	return n.items
 }
+
+// key returns the key of e, an entry of the tree under r.
+func (r *root) key(e entry) types.Row { return e.row(r.width) }
+
+// cmp orders e, an entry of the tree under r, against it.
+func (r *root) cmp(e entry, it Item) int { return cmpItem(e.item(r.width), it) }
 
 // clone returns a copy of n, a node under r, with fresh item and child
 // slices. The pointed-to children are shared; the mutating path replaces only
@@ -109,7 +138,7 @@ func (r *root) clone(n *node) node { return r.cloneWithRoom(n, 0) }
 // so a caller that grows the copy does not allocate it twice (and see room).
 func (r *root) cloneWithRoom(n *node, extra int) node {
 	items := r.entries(n)
-	c := node{items: append(make([]Item, 0, r.room(n, len(items)+extra)), items...)}
+	c := node{items: append(make([]entry, 0, r.room(n, len(items)+extra)), items...)}
 	if n.children != nil {
 		c.children = append(make([]*node, 0, len(n.children)+extra), n.children...)
 	}
@@ -125,10 +154,10 @@ func (r *root) room(n *node, size int) int {
 	return size
 }
 
-// NewBTree returns an empty tree.
-func NewBTree() *BTree {
+// NewBTree returns an empty tree whose keys are width values long.
+func NewBTree(width int) *BTree {
 	t := &BTree{}
-	r := &root{}
+	r := &root{width: width}
 	r.last = &r.node
 	t.root.Store(r)
 	return t
@@ -141,7 +170,7 @@ func (t *BTree) pin() *root { return t.root.Load() }
 // the new rightmost leaf and its entries — old's tail when the leaf is old's,
 // unchanged.
 func (t *BTree) publish(old *root, top node) {
-	r := &root{node: top}
+	r := &root{node: top, width: old.width}
 	last := &r.node
 	for !last.leaf() {
 		last = last.children[len(last.children)-1]
@@ -160,16 +189,16 @@ func (t *BTree) publish(old *root, top node) {
 const buildFill = btreeOrder * 3 / 4
 
 // build fills t, which must be empty, with items, which must be sorted and
-// distinct, bottom-up: a level of more than btreeOrder entries is cut into as
-// few nodes as hold at most buildFill entries each, their sizes as equal as
-// they can be and the smaller ones on the right, and the entry between two
-// neighbours goes up into the level above, until a level fits in one node,
-// the top. A node below the top so holds at least minItems entries. Every
-// array is sized to its entries, except the rightmost leaf's, which has room
-// for a full leaf as a copy the tree makes of that leaf would (room), so
-// appends after the build do not copy it. The tree is published with one
-// root store.
-func (t *BTree) build(items []Item) {
+// distinct (as entriesOf returns them), bottom-up: a level of more than
+// btreeOrder entries is cut into as few nodes as hold at most buildFill
+// entries each, their sizes as equal as they can be and the smaller ones on
+// the right, and the entry between two neighbours goes up into the level
+// above, until a level fits in one node, the top. A node below the top so
+// holds at least minItems entries. Every array is sized to its entries,
+// except the rightmost leaf's, which has room for a full leaf as a copy the
+// tree makes of that leaf would (room), so appends after the build do not
+// copy it. The tree is published with one root store.
+func (t *BTree) build(items []entry) {
 	if len(items) == 0 {
 		return
 	}
@@ -179,7 +208,7 @@ func (t *BTree) build(items []Item) {
 		k := (len(items) + buildFill + 1) / (buildFill + 1) // ⌈(len+1)/(fill+1)⌉ nodes
 		per, extra := (len(items)-(k-1))/k, (len(items)-(k-1))%k
 		level := make([]*node, k)
-		up := make([]Item, k-1)
+		up := make([]entry, k-1)
 		for i := range level {
 			n := per
 			if i < extra {
@@ -217,34 +246,38 @@ func tight[E any](s []E, last bool) []E {
 // Len returns the number of entries.
 func (t *BTree) Len() int { return int(t.size.Load()) }
 
-// search locates the first index in items >= it, and whether an exact match
-// exists at that index.
-func search(items []Item, it Item) (int, bool) {
+// search locates the first index in items, entries of the tree under r, >=
+// it, and whether an exact match exists at that index.
+func (r *root) search(items []entry, it Item) (int, bool) {
 	lo, hi := 0, len(items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if cmpItem(items[mid], it) < 0 {
+		if r.cmp(items[mid], it) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(items) && cmpItem(items[lo], it) == 0 {
+	if lo < len(items) && r.cmp(items[lo], it) == 0 {
 		return lo, true
 	}
 	return lo, false
 }
 
-// Insert adds an entry. An entry already present (same key and rid) is left
+// Insert adds an entry, whose key must be the tree's width long; the tree
+// keeps the key's array. An entry already present (same key and rid) is left
 // as it is, and the tree publishes no new root.
 func (t *BTree) Insert(it Item) {
 	r := t.root.Load()
+	if len(it.Key) != r.width {
+		panic(fmt.Sprintf("storage: a key of %d values into an index of %d columns", len(it.Key), r.width))
+	}
 	// A tail append needs an inner root (a leaf root is its own last, which a
 	// copy of it could not name), below which the rightmost leaf is never
 	// empty, and room in the tail's array: a new array under the old leaf
 	// header would keep both alive, so a full one takes the path copy.
-	if n := len(r.tail); !r.leaf() && n < min(btreeOrder, cap(r.tail)) && cmpItem(it, r.tail[n-1]) > 0 {
-		t.root.Store(r.appendTail(it))
+	if n := len(r.tail); !r.leaf() && n < min(btreeOrder, cap(r.tail)) && r.cmp(r.tail[n-1], it) < 0 {
+		t.root.Store(r.appendTail(entryOf(it)))
 		t.size.Add(1)
 		return
 	}
@@ -265,9 +298,9 @@ func (t *BTree) Insert(it Item) {
 // appendTail returns the root after r with it appended to r's tail in place:
 // a copy of r, the one object a tail append allocates. The entry is written
 // past the length of every header and tail that covers the array.
-func (r *root) appendTail(it Item) *root {
+func (r *root) appendTail(e entry) *root {
 	nr := *r
-	nr.tail = append(r.tail, it)
+	nr.tail = append(r.tail, e)
 	return &nr
 }
 
@@ -275,7 +308,7 @@ func (r *root) appendTail(it Item) *root {
 // equal to it.
 func (r *root) has(n *node, it Item) bool {
 	for {
-		i, found := search(r.entries(n), it)
+		i, found := r.search(r.entries(n), it)
 		if found || n.leaf() {
 			return found
 		}
@@ -287,12 +320,12 @@ func (r *root) has(n *node, it Item) bool {
 // added and true, or false when the entry is already present. It copies only
 // what it changes (see node); the caller places the copy.
 func (r *root) insert(n *node, it Item) (node, bool) {
-	i, found := search(r.entries(n), it)
+	i, found := r.search(r.entries(n), it)
 	if found {
 		return node{}, false
 	}
 	if n.leaf() {
-		return r.withItem(n, i, it), true
+		return r.withItem(n, i, entryOf(it)), true
 	}
 	if child := n.children[i]; len(r.entries(child)) >= btreeOrder {
 		if r.has(child, it) {
@@ -300,7 +333,7 @@ func (r *root) insert(n *node, it Item) (node, bool) {
 		}
 		c := r.cloneWithRoom(n, 1) // the split hoists the child's median into c
 		r.splitChild(&c, i)
-		if cmpItem(it, c.items[i]) > 0 {
+		if r.cmp(c.items[i], it) < 0 {
 			i++
 		}
 		// The halves are c's own, fresh headers: the entry goes into one in
@@ -318,45 +351,46 @@ func (r *root) insert(n *node, it Item) (node, bool) {
 	return c, true
 }
 
-// withItem returns a leaf holding the entries of n, a leaf under r, with it
+// withItem returns a leaf holding the entries of n, a leaf under r, with e
 // at index i. A new last entry is appended to the array when it has room (no
 // header covers that index yet); otherwise the array is copied, with room for
 // a full leaf when the copy is for an append or of the rightmost leaf, so a
 // leaf that grows at its end is copied once per split rather than once per
 // insert.
-func (r *root) withItem(n *node, i int, it Item) node {
+func (r *root) withItem(n *node, i int, e entry) node {
 	items := r.entries(n)
 	if i == len(items) {
 		if len(items) == cap(items) {
-			items = append(make([]Item, 0, btreeOrder), items...)
+			items = append(make([]entry, 0, btreeOrder), items...)
 		}
-		return node{items: append(items, it)}
+		return node{items: append(items, e)}
 	}
-	c := make([]Item, len(items)+1, r.room(n, len(items)+1))
+	c := make([]entry, len(items)+1, r.room(n, len(items)+1))
 	copy(c, items[:i])
-	c[i] = it
+	c[i] = e
 	copy(c[i+1:], items[i:])
 	return node{items: c}
 }
 
 // splitChild splits the full child at index i of p, hoisting its median into
 // p. p must be caller-owned (a fresh copy); the child, a node under r, is
-// cloned before mutation.
+// read, and each half gets new arrays: the left one sized to its entries —
+// it is never the rightmost leaf —, the right one with room (see room).
 func (r *root) splitChild(p *node, i int) {
 	old := p.children[i]
-	child := r.clone(old)
-	p.children[i] = &child
-	mid := len(child.items) / 2
-	median := child.items[mid]
-	rest := child.items[mid+1:]
-	right := &node{items: append(make([]Item, 0, r.room(old, len(rest))), rest...)}
-	if !child.leaf() {
-		right.children = append([]*node(nil), child.children[mid+1:]...)
-		child.children = child.children[:mid+1]
+	items := r.entries(old)
+	mid := len(items) / 2
+	median := items[mid]
+	rest := items[mid+1:]
+	left := &node{items: tight(items[:mid], false)}
+	right := &node{items: append(make([]entry, 0, r.room(old, len(rest))), rest...)}
+	if !old.leaf() {
+		left.children = tight(old.children[:mid+1], false)
+		right.children = tight(old.children[mid+1:], false)
 	}
-	child.items = child.items[:mid]
+	p.children[i] = left
 
-	p.items = append(p.items, Item{})
+	p.items = append(p.items, entry{})
 	copy(p.items[i+1:], p.items[i:])
 	p.items[i] = median
 	p.children = append(p.children, nil)
@@ -386,7 +420,7 @@ const minItems = btreeOrder / 2
 // the entry removed, and true; or false when the entry is absent, and then
 // nothing it copied is published.
 func (r *root) delete(n *node, it Item) (node, bool) {
-	i, found := search(r.entries(n), it)
+	i, found := r.search(r.entries(n), it)
 	if n.leaf() {
 		if !found {
 			return node{}, false
@@ -403,14 +437,14 @@ func (r *root) delete(n *node, it Item) (node, bool) {
 		if len(left.items) > minItems {
 			pred := r.max(&left)
 			c.items[i] = pred
-			nl, _ := r.delete(&left, pred)
+			nl, _ := r.delete(&left, pred.item(r.width))
 			c.children[i] = newNode(nl)
 			return c, true
 		}
 		if len(right.items) > minItems {
 			succ := r.min(&right)
 			c.items[i] = succ
-			nr, _ := r.delete(&right, succ)
+			nr, _ := r.delete(&right, succ.item(r.width))
 			c.children[i+1] = newNode(nr)
 			return c, true
 		}
@@ -426,7 +460,7 @@ func (r *root) delete(n *node, it Item) (node, bool) {
 	}
 	// CLRS case 3: descend, topping up the child first so it cannot underflow.
 	r.ensureChild(&c, i)
-	j, _ := search(c.items, it)
+	j, _ := r.search(c.items, it)
 	nc, ok := r.delete(c.children[j], it)
 	if !ok {
 		return node{}, false
@@ -436,7 +470,7 @@ func (r *root) delete(n *node, it Item) (node, bool) {
 }
 
 // max returns the largest entry under n, a node under r.
-func (r *root) max(n *node) Item {
+func (r *root) max(n *node) entry {
 	for !n.leaf() {
 		n = n.children[len(n.children)-1]
 	}
@@ -445,7 +479,7 @@ func (r *root) max(n *node) Item {
 }
 
 // min returns the smallest entry under n, a node under r.
-func (r *root) min(n *node) Item {
+func (r *root) min(n *node) entry {
 	for !n.leaf() {
 		n = n.children[0]
 	}
@@ -511,7 +545,7 @@ func (t *BTree) firstMatch(key types.Row, match func(RowID) bool) RowID {
 // >= key; false means the walk passed the last entry carrying key.
 func (r *root) firstMatch(n *node, key types.Row, match func(RowID) bool) (RowID, bool) {
 	items := r.entries(n)
-	start, _ := search(items, Item{Key: key, RID: -1 << 62})
+	start, _ := r.search(items, Item{Key: key, RID: -1 << 62})
 	for i := start; i <= len(items); i++ {
 		if !n.leaf() {
 			if rid, more := r.firstMatch(n.children[i], key, match); rid >= 0 || !more {
@@ -521,12 +555,12 @@ func (r *root) firstMatch(n *node, key types.Row, match func(RowID) bool) (RowID
 		if i == len(items) {
 			break
 		}
-		it := items[i]
-		if prefixCmp(it.Key, key) != 0 {
+		e := items[i]
+		if prefixCmp(r.key(e), key) != 0 {
 			return -1, false
 		}
-		if match(it.RID) {
-			return it.RID, false
+		if match(e.rid) {
+			return e.rid, false
 		}
 	}
 	return -1, true
@@ -576,7 +610,7 @@ func (r *root) ascend(n *node, from Item, bounded bool, fn func(Item) bool) bool
 	items := r.entries(n)
 	start := 0
 	if bounded {
-		start, _ = search(items, from)
+		start, _ = r.search(items, from)
 	}
 	for i := start; i <= len(items); i++ {
 		if !n.leaf() {
@@ -586,7 +620,7 @@ func (r *root) ascend(n *node, from Item, bounded bool, fn func(Item) bool) bool
 			}
 		}
 		if i < len(items) {
-			if !fn(items[i]) {
+			if !fn(items[i].item(r.width)) {
 				return false
 			}
 		}
@@ -606,7 +640,7 @@ func (r *root) descend(n *node, hi types.Row, fn func(Item) bool) bool {
 		lo := 0
 		for lo < end {
 			mid := (lo + end) / 2
-			if prefixCmp(items[mid].Key, hi) > 0 {
+			if prefixCmp(r.key(items[mid]), hi) > 0 {
 				end = mid
 			} else {
 				lo = mid + 1
@@ -623,7 +657,7 @@ func (r *root) descend(n *node, hi types.Row, fn func(Item) bool) bool {
 				return false
 			}
 		}
-		if i > 0 && !fn(items[i-1]) {
+		if i > 0 && !fn(items[i-1].item(r.width)) {
 			return false
 		}
 	}
@@ -647,7 +681,7 @@ func (t *BTree) Min() (Item, bool) {
 	if len(r.tail) == 0 {
 		return Item{}, false
 	}
-	return r.min(&r.node), true
+	return r.min(&r.node).item(r.width), true
 }
 
 // Max returns the largest entry, the tail's last, or a zero Item if empty.
@@ -656,5 +690,5 @@ func (t *BTree) Max() (Item, bool) {
 	if len(r.tail) == 0 {
 		return Item{}, false
 	}
-	return r.tail[len(r.tail)-1], true
+	return r.tail[len(r.tail)-1].item(r.width), true
 }

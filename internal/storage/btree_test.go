@@ -20,7 +20,7 @@ func intItem(k int64, rid RowID) Item {
 }
 
 func TestBTreeInsertGet(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	for i := int64(0); i < 1000; i++ {
 		bt.Insert(intItem(i, RowID(i)))
 	}
@@ -39,7 +39,7 @@ func TestBTreeInsertGet(t *testing.T) {
 }
 
 func TestBTreeDuplicateKeysDistinctRIDs(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	for rid := RowID(0); rid < 10; rid++ {
 		bt.Insert(intItem(7, rid))
 	}
@@ -50,7 +50,7 @@ func TestBTreeDuplicateKeysDistinctRIDs(t *testing.T) {
 }
 
 func TestBTreeDeleteAll(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	const n = 500
 	perm := rand.New(rand.NewSource(42)).Perm(n)
 	for _, i := range perm {
@@ -71,7 +71,7 @@ func TestBTreeDeleteAll(t *testing.T) {
 }
 
 func TestBTreeDeleteMissing(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	bt.Insert(intItem(1, 1))
 	if bt.Delete(intItem(2, 2)) {
 		t.Error("deleting absent item reported true")
@@ -85,7 +85,7 @@ func TestBTreeDeleteMissing(t *testing.T) {
 }
 
 func TestBTreeAscendOrder(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	vals := rand.New(rand.NewSource(1)).Perm(2000)
 	for _, v := range vals {
 		bt.Insert(intItem(int64(v), RowID(v)))
@@ -104,7 +104,7 @@ func TestBTreeAscendOrder(t *testing.T) {
 }
 
 func TestBTreeAscendRange(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	for i := int64(0); i < 100; i++ {
 		bt.Insert(intItem(i, RowID(i)))
 	}
@@ -119,7 +119,7 @@ func TestBTreeAscendRange(t *testing.T) {
 }
 
 func TestBTreeAscendGEStopsEarly(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	for i := int64(0); i < 100; i++ {
 		bt.Insert(intItem(i, RowID(i)))
 	}
@@ -134,7 +134,7 @@ func TestBTreeAscendGEStopsEarly(t *testing.T) {
 }
 
 func TestBTreeCompositeKeyPrefixScan(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(2)
 	// key = (category, id)
 	for cat := int64(0); cat < 5; cat++ {
 		for id := int64(0); id < 20; id++ {
@@ -157,7 +157,7 @@ func TestBTreeCompositeKeyPrefixScan(t *testing.T) {
 }
 
 func TestBTreeMinMax(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	for _, v := range []int64{5, 3, 9, 1, 7} {
 		bt.Insert(intItem(v, RowID(v)))
 	}
@@ -171,7 +171,7 @@ func TestBTreeMinMax(t *testing.T) {
 // Property: a B-tree behaves like a sorted set under random insert/delete.
 func TestBTreeMatchesReferenceModel(t *testing.T) {
 	f := func(ops []int16) bool {
-		bt := NewBTree()
+		bt := NewBTree(1)
 		ref := map[int64]bool{}
 		for _, op := range ops {
 			k := int64(op) % 50
@@ -214,7 +214,7 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 
 // Stress the rebalancing paths with a large interleaved workload.
 func TestBTreeChurn(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	r := rand.New(rand.NewSource(99))
 	live := map[int64]bool{}
 	for i := 0; i < 20000; i++ {
@@ -320,7 +320,7 @@ func TestPinnedRootNeverChanges(t *testing.T) {
 	const preload, ops = 2000, 1200
 	const keys = 2 * (preload + ops)
 	tv := pairStore(t, keys)
-	bt := NewBTree()
+	bt := NewBTree(2)
 	var model []int64 // the keys present, ascending
 	tail := int64(0)
 	for ; tail < 2*preload; tail += 2 {
@@ -396,7 +396,7 @@ func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 	const preload, ops, burst = 2000, 1800, 70
 	const keys = 2 * (preload + ops)
 	tv := pairStore(t, keys)
-	bt := NewBTree()
+	bt := NewBTree(2)
 	var model []int64 // the keys present, ascending
 	next := int64(0)  // the next tail key
 	for ; next < 2*preload; next += 2 {
@@ -569,7 +569,7 @@ func TestTailAppendUnderConcurrentReaders(t *testing.T) {
 	const ops = 4000
 	readers := []string{"ascend", "descend", "walk", "walk desc", "firstMatch", "AppendMatches"}
 	tv := pairStore(t, 2*ops)
-	bt := NewBTree()
+	bt := NewBTree(2)
 	var evens atomic.Int64 // even keys 0, 2, …, 2(evens-1) are in the tree
 	var done atomic.Bool
 	errs := make(chan error, len(readers))
@@ -703,7 +703,7 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 	}
 	// ascending returns a tree of the even keys below n, appended in order.
 	ascending := func(n int64) *BTree {
-		bt := NewBTree()
+		bt := NewBTree(1)
 		for k := int64(0); k < n; k += 2 {
 			bt.Insert(intItem(k, RowID(k)))
 		}
@@ -783,7 +783,7 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 	}
 	// The warm-up call splits the full rightmost leaf; the counted one is the
 	// first append after the split.
-	var split []Item
+	var split []entry
 	check("first append after a split", allocs(items(next, 2, 2), func(it Item) {
 		bt.Insert(it)
 		if split == nil {
@@ -817,7 +817,7 @@ func BenchmarkIndexInsert(b *testing.B) {
 	for _, order := range []string{"ascending", "random"} {
 		b.Run(order, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			bt := NewBTree()
+			bt := NewBTree(1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				k := int64(i)

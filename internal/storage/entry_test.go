@@ -1,0 +1,270 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"mtcache/internal/catalog"
+	"mtcache/internal/types"
+)
+
+// TestEntryIsSixteenBytes: a node's arrays hold entries of 16 bytes, half an
+// Item's 32.
+func TestEntryIsSixteenBytes(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size != 16 {
+		t.Fatalf("an entry is %d bytes, want 16", size)
+	}
+}
+
+// keyStore returns a read view of a table of w columns and n rows, a row's
+// slot its rid: an INT of 50 values, a VARCHAR of 10 and an INT of a
+// million, the first w of them, so that keys share prefixes of every length.
+func keyStore(t testing.TB, w, n int, rng *rand.Rand) *TableView {
+	t.Helper()
+	s := NewStore()
+	kinds := []types.Kind{types.KindInt, types.KindString, types.KindInt}[:w]
+	meta := &catalog.Table{Name: "k"}
+	for i, k := range kinds {
+		meta.Columns = append(meta.Columns, catalog.Column{Name: fmt.Sprintf("c%d", i), Type: k})
+	}
+	if err := s.CreateTable(meta); err != nil {
+		t.Fatal(err)
+	}
+	tx := s.Begin(true)
+	for rid := range n {
+		row := types.Row{types.NewInt(rng.Int63n(50)), types.NewString(fmt.Sprintf("s%d", rng.Intn(10))), types.NewInt(rng.Int63n(1e6))}[:w]
+		if got, err := tx.Insert("k", row); err != nil || got != RowID(rid) {
+			t.Fatalf("row %d: rid %d, %v", rid, got, err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return view(s.Begin(false), "k")
+}
+
+// TestEntryKeysMatchSortedModel: trees of 1-, 2- and 3-column keys, whose
+// entries keep only the address of a key's first value, agree with a sorted
+// model of their entries after every op of a seeded stream. Each tree is
+// built from entriesOf, which cuts every key from one slab, and then takes
+// inserts whose keys come three to a slab, as an INSERT's keys do, and
+// deletes whose keys are built afresh. After each op, key prefixes of every
+// length — of a present entry and of a random row — are probed through every
+// reader: ascend, descend, firstMatch, get, AppendMatches and Walk either way.
+func TestEntryKeysMatchSortedModel(t *testing.T) {
+	const rows, built, ops = 4000, 3300, 300
+	for w := 1; w <= 3; w++ {
+		rng := rand.New(rand.NewSource(int64(610 + w)))
+		tv := keyStore(t, w, rows, rng)
+		cols := []int{0, 1, 2}[:w]
+		placed := make([]Item, built)
+		for rid := range placed {
+			placed[rid] = Item{Key: tv.Get(RowID(rid)), RID: RowID(rid)}
+		}
+		bt := NewBTree(w)
+		bt.build(entriesOf(placed, cols))
+		present := make([]bool, rows)
+		var model []Item // the entries present, in key order
+		for rid := range built {
+			present[rid] = true
+			model = append(model, Item{Key: indexKey(tv.Get(RowID(rid)), cols), RID: RowID(rid)})
+		}
+		slices.SortFunc(model, cmpItem)
+		if d := depth(&bt.pin().node); d != 3 {
+			t.Fatalf("%d columns: built a tree of depth %d, want 3", w, d)
+		}
+		for i := range ops {
+			var op string
+			if rng.Intn(3) > 0 {
+				slab := make(types.Row, 3*w)
+				for range 3 {
+					rid := RowID(rng.Intn(rows))
+					if present[rid] {
+						continue
+					}
+					it := Item{Key: ownKey(slab[:0:w], tv.Get(rid), cols), RID: rid}
+					slab = slab[w:]
+					bt.Insert(it)
+					present[rid] = true
+					j, _ := slices.BinarySearchFunc(model, it, cmpItem)
+					model = slices.Insert(model, j, it)
+					op += fmt.Sprintf("insert %v/%d ", it.Key, rid)
+				}
+			} else {
+				j := rng.Intn(len(model))
+				rid := model[j].RID
+				if !bt.Delete(Item{Key: indexKey(tv.Get(rid), cols), RID: rid}) {
+					t.Fatalf("%d columns, op %d: delete of %v/%d found nothing", w, i, model[j].Key, rid)
+				}
+				present[rid] = false
+				op = fmt.Sprintf("delete %v/%d", model[j].Key, rid)
+				model = slices.Delete(model, j, j+1)
+			}
+			if err := wholeTreeAgrees(bt, model); err != nil {
+				t.Fatalf("%d columns, op %d (%s): %v", w, i, op, err)
+			}
+			for _, key := range []types.Row{model[rng.Intn(len(model))].Key, indexKey(tv.Get(RowID(rng.Intn(rows))), cols)} {
+				prefix := key[:1+rng.Intn(w)]
+				if err := prefixAgrees(tv, bt, cols, model, prefix); err != nil {
+					t.Fatalf("%d columns, op %d (%s), prefix %v: %v", w, i, op, prefix, err)
+				}
+			}
+		}
+	}
+}
+
+// sameItems reports where got differs from want, entry by entry; every key
+// handed out must be the tree's width long.
+func sameItems(what string, got, want []Item) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s yields %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if len(got[i].Key) != len(want[i].Key) || cmpItem(got[i], want[i]) != 0 {
+			return fmt.Errorf("%s entry %d: %v/%d, want %v/%d", what, i, got[i].Key, got[i].RID, want[i].Key, want[i].RID)
+		}
+	}
+	return nil
+}
+
+// wholeTreeAgrees compares bt's Len, Min, Max and full walks either way with
+// model, its entries in key order.
+func wholeTreeAgrees(bt *BTree, model []Item) error {
+	if bt.Len() != len(model) {
+		return fmt.Errorf("Len %d, the model holds %d", bt.Len(), len(model))
+	}
+	mn, _ := bt.Min()
+	mx, _ := bt.Max()
+	if err := sameItems("Min and Max", []Item{mn, mx}, []Item{model[0], model[len(model)-1]}); err != nil {
+		return err
+	}
+	var got []Item
+	collect := func(it Item) bool { got = append(got, it); return true }
+	bt.Ascend(collect)
+	if err := sameItems("Ascend", got, model); err != nil {
+		return err
+	}
+	got = got[:0]
+	r := bt.pin()
+	r.descend(&r.node, nil, collect)
+	slices.Reverse(got)
+	return sameItems("descend", got, model)
+}
+
+// prefixAgrees probes bt, over the rows of tv on cols, by prefix through
+// every reader, and compares each answer with the model's entries that carry
+// the prefix.
+func prefixAgrees(tv *TableView, bt *BTree, cols []int, model []Item, prefix types.Row) error {
+	var want []Item
+	for _, it := range model {
+		if prefixCmp(it.Key, prefix) == 0 {
+			want = append(want, it)
+		}
+	}
+	r := bt.pin()
+	var got []Item
+	within := func(it Item) bool {
+		if prefixCmp(it.Key, prefix) != 0 {
+			return false
+		}
+		got = append(got, it)
+		return true
+	}
+	r.ascend(&r.node, Item{Key: prefix, RID: -1 << 62}, true, within)
+	if err := sameItems("ascend", got, want); err != nil {
+		return err
+	}
+	got = got[:0]
+	r.descend(&r.node, prefix, within)
+	slices.Reverse(got)
+	if err := sameItems("descend", got, want); err != nil {
+		return err
+	}
+	first := RowID(-1)
+	if len(want) > 0 {
+		first = want[0].RID
+	}
+	if rid, _ := r.firstMatch(&r.node, prefix, func(RowID) bool { return true }); rid != first {
+		return fmt.Errorf("firstMatch: rid %d, want %d", rid, first)
+	}
+	rids := r.get(prefix)
+	if len(rids) != len(want) {
+		return fmt.Errorf("get: %d rids, want %d", len(rids), len(want))
+	}
+	for i, rid := range rids {
+		if rid != want[i].RID {
+			return fmt.Errorf("get: rid %d is %d, want %d", i, rid, want[i].RID)
+		}
+	}
+	iv := &IndexView{tv: *tv, id: &indexData{meta: &catalog.Index{Columns: cols}}, root: r}
+	matched := iv.AppendMatches(nil, prefix)
+	if len(matched) != len(want) {
+		return fmt.Errorf("AppendMatches: %d rows, want %d", len(matched), len(want))
+	}
+	for i, row := range matched {
+		if &row[0] != &tv.Get(want[i].RID)[0] {
+			return fmt.Errorf("AppendMatches: row %d is not row %d", i, want[i].RID)
+		}
+	}
+	for _, desc := range []bool{false, true} {
+		got = got[:0]
+		iv.Walk(prefix, prefix, desc, func(it Item) bool { got = append(got, it); return true })
+		if desc {
+			slices.Reverse(got)
+		}
+		if err := sameItems(fmt.Sprintf("Walk (desc=%v)", desc), got, want); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestMiddleInsertByteBudget: the bytes a middle insert into a depth-2 tree
+// of 48-entry leaves allocates — the leaf's new array of 49 entries, 784
+// bytes in an 896-byte size class (1 568 in a 1 792-byte class when an entry
+// was an Item); the leaf's header, 48; the new root, 96; and the root's new
+// children array: about 1 KiB plus the children array. Each counted insert
+// goes into another leaf, one key in from its first, and none into the
+// rightmost leaf, whose copy has room for a full leaf.
+func TestMiddleInsertByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	const leaves = 41
+	its := make([]Item, leaves*buildFill+leaves-1) // the leaves and the entries between them
+	for i := range its {
+		its[i] = intItem(2*int64(i), RowID(2*i))
+	}
+	bt := NewBTree(1)
+	bt.build(entriesFrom(its))
+	r := bt.pin()
+	if depth(&r.node) != 2 || len(r.children) != leaves {
+		t.Fatalf("fixture: depth %d, %d leaves", depth(&r.node), len(r.children))
+	}
+	var probes []Item
+	for _, leaf := range r.children[:leaves-1] {
+		if len(leaf.items) != buildFill {
+			t.Fatalf("fixture: a leaf of %d entries", len(leaf.items))
+		}
+		k := leaf.items[0].row(1)[0].Int() + 1
+		probes = append(probes, intItem(k, RowID(k)))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, it := range probes {
+		bt.Insert(it)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(probes))
+	children := 8 * leaves
+	ceiling := float64(1024 + 128 + children)
+	t.Logf("middle insert into a 48-entry leaf: %.0f bytes (ceiling %.0f: 1 KiB and 128 B, and %d B of children)", per, ceiling, children)
+	if per > ceiling {
+		t.Errorf("middle insert into a 48-entry leaf: %.0f bytes, want at most %.0f", per, ceiling)
+	}
+}

@@ -60,6 +60,16 @@ func builtShape(bt *BTree) error {
 	return walk(&r.node)
 }
 
+// entriesFrom returns its, which must be sorted and distinct, as the entries
+// build takes.
+func entriesFrom(its []Item) []entry {
+	es := make([]entry, len(its))
+	for i, it := range its {
+		es[i] = entryOf(it)
+	}
+	return es
+}
+
 // TestBuildMatchesInserts: entries drawn at random with repeats, sorted and
 // de-duplicated as buildIndex and Fill do, build a tree that iterates equal to
 // one the same draw built by Insert, in the shape builtShape checks. The sizes
@@ -86,14 +96,14 @@ func TestBuildMatchesInserts(t *testing.T) {
 		rng.Shuffle(len(drawn), func(i, j int) { drawn[i], drawn[j] = drawn[j], drawn[i] })
 		slices.Sort(model)
 
-		inserted := NewBTree()
+		inserted := NewBTree(2)
 		for _, it := range drawn {
 			inserted.Insert(it)
 		}
 		sorted := slices.Clone(drawn)
 		slices.SortFunc(sorted, cmpItem)
-		built := NewBTree()
-		built.build(slices.CompactFunc(sorted, func(a, b Item) bool { return cmpItem(a, b) == 0 }))
+		built := NewBTree(2)
+		built.build(entriesFrom(slices.CompactFunc(sorted, func(a, b Item) bool { return cmpItem(a, b) == 0 })))
 		var got, want []Item
 		built.Ascend(func(it Item) bool { got = append(got, it); return true })
 		inserted.Ascend(func(it Item) bool { want = append(want, it); return true })
@@ -130,7 +140,7 @@ func TestBuildMatchesInserts(t *testing.T) {
 			}
 		}
 	}
-	empty := NewBTree()
+	empty := NewBTree(1)
 	empty.build(nil)
 	if _, ok := empty.Max(); ok || empty.Len() != 0 {
 		t.Fatal("a tree built from no entries is not empty")
@@ -357,18 +367,18 @@ func TestFillAllocBudget(t *testing.T) {
 	// TestIndexInsertAllocBudget), and splits nothing. Each counted insert
 	// goes into another leaf, one key in from its first.
 	const two = 2000 // even keys: 2000 entries, a root over built leaves
-	bt := NewBTree()
+	bt := NewBTree(1)
 	built := make([]Item, two)
 	for i := range built {
 		built[i] = intItem(2*int64(i), RowID(2*i))
 	}
-	bt.build(built)
+	bt.build(entriesFrom(built))
 	if depth(&bt.pin().node) != 2 {
 		t.Fatalf("fixture: depth %d", depth(&bt.pin().node))
 	}
 	var firsts []Item
 	for _, leaf := range bt.pin().children[:11] {
-		k := leaf.items[0].Key[0].Int() + 1
+		k := leaf.items[0].row(1)[0].Int() + 1
 		firsts = append(firsts, intItem(k, RowID(k)))
 	}
 	middle := testing.AllocsPerRun(len(firsts)-1, func() {

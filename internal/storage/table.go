@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/types"
@@ -124,7 +125,7 @@ func newTableData(meta *catalog.Table) *TableData {
 	if len(meta.PrimaryKey) > 0 {
 		m["__pk"] = &indexData{
 			meta: &catalog.Index{Name: "__pk", Table: meta.Name, Columns: meta.PrimaryKey, Unique: true},
-			tree: NewBTree(),
+			tree: NewBTree(len(meta.PrimaryKey)),
 		}
 	}
 	for _, idx := range meta.Indexes {
@@ -138,7 +139,7 @@ func newTableData(meta *catalog.Table) *TableData {
 // chain, so snapshots older than the index build still resolve through it.
 // The tree is built from the sorted entries in one pass.
 func buildIndex(td *TableData, idx *catalog.Index) *indexData {
-	id := &indexData{meta: idx, tree: NewBTree()}
+	id := &indexData{meta: idx, tree: NewBTree(len(idx.Columns))}
 	n, dir := td.heap()
 	var rows []Item
 	for rid := 0; rid < n; rid++ {
@@ -150,19 +151,21 @@ func buildIndex(td *TableData, idx *catalog.Index) *indexData {
 	return id
 }
 
-// entriesOf turns rows, whose Keys hold the rows themselves, into their
-// index entries on cols, sorted and with repeats dropped (versions of a slot
-// that share a key share an entry). The keys are cut from one array and own
-// their strings (ownKey).
-func entriesOf(rows []Item, cols []int) []Item {
+// entriesOf returns the entries on cols of rows, whose Keys hold the rows
+// themselves, sorted and with repeats dropped (versions of a slot that share
+// a key share an entry). The keys are cut from one array and own their
+// strings (ownKey); rows is left as it was.
+func entriesOf(rows []Item, cols []int) []entry {
 	w := len(cols)
 	slab := make(types.Row, len(rows)*w)
-	for i := range rows {
-		rows[i].Key = ownKey(slab[:0:w], rows[i].Key, cols)
+	es := make([]entry, len(rows))
+	for i, it := range rows {
+		es[i] = entry{unsafe.SliceData(ownKey(slab[:0:w], it.Key, cols)), it.RID}
 		slab = slab[w:]
 	}
-	slices.SortFunc(rows, cmpItem)
-	return slices.CompactFunc(rows, func(a, b Item) bool { return cmpItem(a, b) == 0 })
+	cmp := func(a, b entry) int { return cmpItem(a.item(w), b.item(w)) }
+	slices.SortFunc(es, cmp)
+	return slices.CompactFunc(es, func(a, b entry) bool { return cmp(a, b) == 0 })
 }
 
 // addIndexLocked publishes a new index map including idx. The caller holds
@@ -324,15 +327,15 @@ func (td *TableData) indexLocked(txnID int64, rows []Item) error {
 	idxs := *td.indexes.Load()
 	type entries struct {
 		id  *indexData
-		its []Item
+		its []entry
 	}
 	all := make([]entries, 0, len(idxs))
 	for _, id := range idxs {
-		its := entriesOf(slices.Clone(rows), id.meta.Columns)
-		if id.meta.Unique {
-			for i, it := range its {
-				if i > 0 && types.CompareRows(its[i-1].Key, it.Key) == 0 || id.tree.Len() > 0 && td.uniqueConflict(id, it.Key, txnID) {
-					return fmt.Errorf("storage: %s: duplicate key %v for unique index %s", td.meta.Name, it.Key, id.meta.Name)
+		its := entriesOf(rows, id.meta.Columns)
+		if w := len(id.meta.Columns); id.meta.Unique {
+			for i, e := range its {
+				if k := e.row(w); i > 0 && types.CompareRows(its[i-1].row(w), k) == 0 || id.tree.Len() > 0 && td.uniqueConflict(id, k, txnID) {
+					return fmt.Errorf("storage: %s: duplicate key %v for unique index %s", td.meta.Name, k, id.meta.Name)
 				}
 			}
 		}
@@ -343,8 +346,8 @@ func (td *TableData) indexLocked(txnID int64, rows []Item) error {
 			e.id.tree.build(e.its)
 			continue
 		}
-		for _, it := range e.its {
-			e.id.tree.Insert(it)
+		for _, en := range e.its {
+			e.id.tree.Insert(en.item(len(e.id.meta.Columns)))
 		}
 	}
 	return nil
@@ -670,8 +673,9 @@ func (iv *IndexView) AppendMatches(dst []types.Row, prefix types.Row) []types.Ro
 // appendMatches walks n, a node under the view's root, from the first entry
 // >= prefix; false means the walk passed the last entry carrying the prefix.
 func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) ([]types.Row, bool) {
-	items := iv.root.entries(n)
-	start, _ := search(items, Item{Key: prefix, RID: -1 << 62})
+	r := iv.root
+	items := r.entries(n)
+	start, _ := r.search(items, Item{Key: prefix, RID: -1 << 62})
 	for i := start; i <= len(items); i++ {
 		if !n.leaf() {
 			var more bool
@@ -682,11 +686,11 @@ func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) (
 		if i == len(items) {
 			break
 		}
-		it := items[i]
-		if len(it.Key) < len(prefix) || types.CompareRows(it.Key[:len(prefix)], prefix) != 0 {
+		key := r.key(items[i])
+		if len(key) < len(prefix) || types.CompareRows(key[:len(prefix)], prefix) != 0 {
 			return dst, false
 		}
-		if row := iv.tv.Get(it.RID); row != nil && keyEquals(row, iv.id.meta.Columns, it.Key) {
+		if row := iv.tv.Get(items[i].rid); row != nil && keyEquals(row, iv.id.meta.Columns, key) {
 			dst = append(dst, row)
 		}
 	}

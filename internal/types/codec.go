@@ -112,29 +112,19 @@ func RowEncSize(row Row) int {
 // A row decodes in one of two ways. Row gives a row its caller keeps — a
 // stored row — its own value array and one string for all of its string
 // bytes. SharedRow cuts rows nobody keeps apart from each other from one
-// value array and one string that ReserveShared sized for the payload.
+// value array and one string that ReserveShared sized for the payload, and
+// SharedValues cuts the strings of values whose array the caller owns from
+// that string.
 type Decoder struct {
 	Buf []byte
 	Off int
 	Err error
-
-	// After SlabStrings, slab is a string copy of Buf[slabBase:] that decoded
-	// strings are cut from, made when the first string is decoded.
-	slab     string
-	slabBase int
-	slabMode bool
 
 	// After ReserveShared, shared and sharedStrs are the value array and the
 	// string bytes that SharedRow cuts rows from.
 	shared     []Value
 	sharedStrs []byte
 }
-
-// SlabStrings makes every string decoded from now on a substring of one
-// shared copy of the rest of Buf — one allocation however many strings
-// follow. They then live and die together, which suits a result set and not
-// rows that are retained one by one (Row).
-func (d *Decoder) SlabStrings() { d.slabMode, d.slabBase = true, d.Off }
 
 // Fail records a malformed payload at the current offset.
 func (d *Decoder) Fail() {
@@ -237,14 +227,8 @@ func (d *Decoder) str(strs *[]byte) string {
 		return ""
 	case strs != nil:
 		return cut(strs, b)
-	case !d.slabMode:
-		return string(b)
 	}
-	if d.slab == "" {
-		d.slab = string(d.Buf[d.slabBase:])
-	}
-	end := d.Off - d.slabBase
-	return d.slab[end-len(b) : end]
+	return string(b)
 }
 
 // cut appends b to *strs and returns the appended bytes as a string. A byte
@@ -335,7 +319,7 @@ func (d *Decoder) Row() Row {
 		return nil
 	}
 	probe := Decoder{Buf: d.Buf, Off: d.Off}
-	size := probe.skipValues(n)
+	size := probe.SkipValues(n)
 	if probe.Err != nil {
 		d.Off, d.Err = probe.Off, probe.Err
 		return nil
@@ -386,6 +370,10 @@ func (d *Decoder) SharedRow() Row {
 	return row
 }
 
+// SharedValues decodes len(dst) values into dst, their strings cut from the
+// one string array ReserveShared made, as SharedRow's are.
+func (d *Decoder) SharedValues(dst []Value) { d.values(dst, &d.sharedStrs) }
+
 // SkipRow steps over one row, allocating nothing, and returns its number of
 // values and of string bytes: what ReserveShared takes.
 func (d *Decoder) SkipRow() (vals, strBytes int) {
@@ -393,12 +381,13 @@ func (d *Decoder) SkipRow() (vals, strBytes int) {
 	if !ok {
 		return 0, 0
 	}
-	return n, d.skipValues(n)
+	return n, d.SkipValues(n)
 }
 
-// skipValues steps over n values and returns the bytes of their strings.
-// It checks only that each field is there; decoding them checks the rest.
-func (d *Decoder) skipValues(n int) (strBytes int) {
+// SkipValues steps over n values, allocating nothing, and returns the bytes
+// of their strings. It checks only that each field is there; decoding them
+// checks the rest.
+func (d *Decoder) SkipValues(n int) (strBytes int) {
 	for i := 0; i < n && d.Err == nil; i++ {
 		switch d.Byte() {
 		case byte(KindNull):

@@ -128,28 +128,45 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestSlabStrings: in slab mode every string is cut from one copy of the
-// payload — one allocation for all of them — and none aliases the buffer.
-func TestSlabStrings(t *testing.T) {
+// TestSharedValuesCutExactStrings: values SharedValues decodes cut their
+// strings from the one array ReserveShared made, sized by a SkipValues walk
+// over them first — one allocation of exactly their string bytes however
+// many strings there are, none when there is no string — and none aliases
+// the buffer.
+func TestSharedValuesCutExactStrings(t *testing.T) {
 	row := Row{NewString("alpha"), NewInt(1), NewString(""), NewString("beta"), NewString("gamma")}
-	buf := AppendString(nil, "skipped header")
-	buf = AppendRow(buf, row)
-	var got Row
-	allocs := testing.AllocsPerRun(100, func() {
-		d := Decoder{Buf: buf}
-		d.Str()
-		d.SlabStrings()
-		got = d.Row()
-	})
-	if allocs != 3 { // the header string, the row, the slab
-		t.Errorf("slab decode: %v allocations, want 3", allocs)
+	decode := func(row Row) (got Row, strBytes int, allocs float64) {
+		buf := AppendString(nil, "skipped header")
+		for i := range row {
+			buf = AppendValue(buf, &row[i])
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			d := Decoder{Buf: buf}
+			d.Str()
+			probe := Decoder{Buf: buf, Off: d.Off}
+			d.ReserveShared(0, probe.SkipValues(len(row)))
+			got = make(Row, len(row))
+			d.SharedValues(got)
+			strBytes = cap(d.sharedStrs)
+		})
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		return got, strBytes, allocs
 	}
-	for i := range buf {
-		buf[i] = 0xff
+	got, strBytes, allocs := decode(row)
+	if allocs != 3 { // the header string, the row, the strings
+		t.Errorf("shared decode: %v allocations, want 3", allocs)
+	}
+	if want := len("alphabetagamma"); strBytes != want {
+		t.Errorf("the strings were cut from %d bytes, want their %d", strBytes, want)
 	}
 	for i := range row {
 		if !sameValue(row[i], got[i]) {
 			t.Errorf("value %d: %v after the buffer was overwritten, want %v", i, got[i], row[i])
 		}
+	}
+	if _, _, allocs := decode(Row{NewInt(1), Null, NewString("")}); allocs != 2 { // the header string, the row
+		t.Errorf("shared decode of values with no string bytes: %v allocations, want 2", allocs)
 	}
 }

@@ -532,10 +532,11 @@ func appendResultSet(buf []byte, cols []exec.ColInfo, rows []types.Row) []byte {
 
 // decodeResultSet decodes a Query result into resp.Cols and resp.Rows,
 // through the spare slices resp.rows and resp.vals (see decodeResponse). A
-// row is never nil, even one with no values.
+// row is never nil, even one with no values. Every string is cut from one
+// array of exactly the result's string bytes, summed by a walk over the rows
+// first: one allocation, none when no value is a string.
 func decodeResultSet(d *types.Decoder, resp *response, hdrs headers) {
 	resp.Cols = hdrs.cols(d)
-	d.SlabStrings()
 	nrows, nvals := d.Count(1), d.Count(1)
 	if nrows == 0 {
 		if nvals != 0 {
@@ -543,6 +544,11 @@ func decodeResultSet(d *types.Decoder, resp *response, hdrs headers) {
 		}
 		return
 	}
+	probe, strBytes := types.Decoder{Buf: d.Buf, Off: d.Off}, 0
+	for range nrows {
+		strBytes += probe.SkipValues(int(probe.Uvarint()))
+	}
+	d.ReserveShared(0, strBytes)
 	rows, vals := resp.rows, resp.vals
 	if cap(rows) < nrows {
 		rows = make([]types.Row, nrows)
@@ -559,7 +565,7 @@ func decodeResultSet(d *types.Decoder, resp *response, hdrs headers) {
 			return
 		}
 		rows[i], vals = vals[:width:width], vals[width:]
-		if d.Values(rows[i]); d.Err != nil {
+		if d.SharedValues(rows[i]); d.Err != nil {
 			return
 		}
 	}
