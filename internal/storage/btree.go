@@ -283,11 +283,7 @@ func (t *BTree) Insert(it Item) {
 	}
 	top := &r.node
 	if len(r.entries(top)) >= btreeOrder {
-		if r.has(top, it) {
-			return
-		}
-		top = &node{children: []*node{top}}
-		r.splitChild(top, 0)
+		top = &node{children: []*node{top}} // insert splits it as any full child
 	}
 	if nt, added := r.insert(top, it); added {
 		t.publish(r, nt)
@@ -332,14 +328,7 @@ func (r *root) insert(n *node, it Item) (node, bool) {
 			return node{}, false
 		}
 		c := r.cloneWithRoom(n, 1) // the split hoists the child's median into c
-		r.splitChild(&c, i)
-		if r.cmp(c.items[i], it) < 0 {
-			i++
-		}
-		// The halves are c's own, fresh headers: the entry goes into one in
-		// place.
-		half := c.children[i]
-		*half, _ = r.insert(half, it)
+		r.splitChild(&c, i, it)
 		return c, true
 	}
 	nc, added := r.insert(n.children[i], it)
@@ -365,37 +354,58 @@ func (r *root) withItem(n *node, i int, e entry) node {
 		}
 		return node{items: append(items, e)}
 	}
-	c := make([]entry, len(items)+1, r.room(n, len(items)+1))
+	return node{items: spliced(items, i, e, r.room(n, len(items)+1))}
+}
+
+// spliced returns a new array of size slots holding items with e at index i.
+func spliced(items []entry, i int, e entry, size int) []entry {
+	c := make([]entry, len(items)+1, size)
 	copy(c, items[:i])
 	c[i] = e
 	copy(c[i+1:], items[i:])
-	return node{items: c}
+	return c
 }
 
 // splitChild splits the full child at index i of p, hoisting its median into
-// p. p must be caller-owned (a fresh copy); the child, a node under r, is
-// read, and each half gets new arrays: the left one sized to its entries —
-// it is never the rightmost leaf —, the right one with room (see room).
-func (r *root) splitChild(p *node, i int) {
+// p, and inserts it, which the child does not hold, into the half it sorts
+// into. p must be caller-owned (a fresh copy); the child, a node under r, is
+// read, and each half gets new arrays sized to its entries, but for the
+// right half of the rightmost leaf, which has room (see room). A leaf half
+// is built with the entry in it, so each half's array is made once.
+func (r *root) splitChild(p *node, i int, it Item) {
 	old := p.children[i]
 	items := r.entries(old)
 	mid := len(items) / 2
 	median := items[mid]
-	rest := items[mid+1:]
-	left := &node{items: tight(items[:mid], false)}
-	right := &node{items: append(make([]entry, 0, r.room(old, len(rest))), rest...)}
-	if !old.leaf() {
-		left.children = tight(old.children[:mid+1], false)
-		right.children = tight(old.children[mid+1:], false)
+	lo, hi := items[:mid], items[mid+1:]
+	right := r.cmp(median, it) < 0
+	l, h := &node{}, &node{}
+	switch {
+	case !old.leaf():
+		l.items, l.children = tight(lo, false), tight(old.children[:mid+1], false)
+		h.items, h.children = tight(hi, false), tight(old.children[mid+1:], false)
+		half := l
+		if right {
+			half = h
+		}
+		*half, _ = r.insert(half, it) // the halves are fresh headers: the entry goes into one in place
+	case right:
+		l.items = tight(lo, false)
+		j, _ := r.search(hi, it)
+		h.items = spliced(hi, j, entryOf(it), r.room(old, len(hi)+1))
+	default:
+		j, _ := r.search(lo, it)
+		l.items = spliced(lo, j, entryOf(it), len(lo)+1)
+		h.items = append(make([]entry, 0, r.room(old, len(hi))), hi...)
 	}
-	p.children[i] = left
+	p.children[i] = l
 
 	p.items = append(p.items, entry{})
 	copy(p.items[i+1:], p.items[i:])
 	p.items[i] = median
 	p.children = append(p.children, nil)
 	copy(p.children[i+2:], p.children[i+1:])
-	p.children[i+1] = right
+	p.children[i+1] = h
 }
 
 // Delete removes the entry equal to it (key and rid both matching).

@@ -696,7 +696,10 @@ func readPinned(tv *TableView, r *root, how string, evens int64) error {
 // leaf's items (4), an entry already present nothing, and a delete of the
 // largest entry the two headers, the root's two arrays and the leaf's new
 // array (5) — which has room for a full leaf too, so the appends after it
-// cost 1 (4 when one had to copy an array sized to the entries).
+// cost 1 (4 when one had to copy an array sized to the entries). A split of
+// a full leaf that is not the rightmost costs the root's header and its two
+// arrays and each half's header and array (7), wherever the entry goes: the
+// half that takes it is built with it in, so no array is made twice.
 func TestIndexInsertAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -769,6 +772,30 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 		}
 		bt.Insert(it)
 	}), 1)
+
+	// The first leaf holds the even keys 0 … 62; the odd keys below 64 fill
+	// it. Its median is 32, so an entry after 31's goes to the left half's
+	// end, one after 15's into its middle, and one after 40's into the right
+	// half.
+	for _, key := range []int64{31, 15, 40} {
+		bt := ascending(two)
+		for k := int64(1); k < 64; k += 2 {
+			bt.Insert(intItem(k, RowID(k)))
+		}
+		if leaf := bt.pin().children[0]; len(leaf.items) != btreeOrder || leaf.items[btreeOrder-1].row(1)[0].Int() != 63 {
+			t.Fatalf("fixture: the first leaf holds %d entries", len(leaf.items))
+		}
+		name := fmt.Sprintf("split of a middle leaf, the entry after %d", key)
+		check(name, allocs([]Item{intItem(0, 0), intItem(key, RowID(two+key))}, bt.Insert), 7) // the warm-up entry is present
+		r := bt.pin()
+		half, want := r.children[0], btreeOrder/2+1
+		if key > btreeOrder/2 {
+			half, want = r.children[1], btreeOrder/2
+		}
+		if len(half.items) != want || cap(half.items) != want {
+			t.Errorf("%s: the half that took it holds %d entries in %d slots, want %d in as many", name, len(half.items), cap(half.items), want)
+		}
+	}
 
 	const three = 2 * 2281 // the root has split, and the last leaf since: its tail is 37 long
 	bt = ascending(three)

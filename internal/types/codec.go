@@ -113,8 +113,8 @@ func RowEncSize(row Row) int {
 // stored row — its own value array and one string for all of its string
 // bytes. SharedRow cuts rows nobody keeps apart from each other from one
 // value array and one string that ReserveShared sized for the payload, and
-// SharedValues cuts the strings of values whose array the caller owns from
-// that string.
+// SharedValues decodes values into an array the caller owns, their strings
+// cut from that string.
 type Decoder struct {
 	Buf []byte
 	Off int
@@ -282,9 +282,6 @@ func (d *Decoder) value(strs *[]byte) Value {
 	return Null
 }
 
-// Values decodes len(dst) values into dst.
-func (d *Decoder) Values(dst []Value) { d.values(dst, nil) }
-
 func (d *Decoder) values(dst []Value, strs *[]byte) {
 	for i := range dst {
 		dst[i] = d.value(strs)
@@ -386,23 +383,52 @@ func (d *Decoder) SkipRow() (vals, strBytes int) {
 
 // SkipValues steps over n values, allocating nothing, and returns the bytes
 // of their strings. It checks only that each field is there; decoding them
-// checks the rest.
+// checks the rest. It reads the bytes in one loop rather than through Byte,
+// Varint and Bytes: a result set is walked once before it is decoded, and
+// through those methods the walk took a quarter of the decode's time.
 func (d *Decoder) SkipValues(n int) (strBytes int) {
-	for i := 0; i < n && d.Err == nil; i++ {
-		switch d.Byte() {
+	if d.Err != nil {
+		return 0
+	}
+	buf, off := d.Buf, d.Off
+	for ; n > 0 && off < len(buf); n-- {
+		tag := buf[off]
+		off++
+		switch tag {
 		case byte(KindNull):
 		case byte(KindBool), byte(KindInt), byte(KindTime):
-			d.Varint()
+			off = skipVarint(buf, off)
 		case byte(KindFloat):
-			d.Bytes(8)
+			off += 8
 		case byte(KindString):
-			strBytes += len(d.Bytes(d.Uvarint()))
+			l, k := binary.Uvarint(buf[off:])
+			if k <= 0 || l > uint64(len(buf)-off-k) {
+				off = len(buf) + 1
+				break
+			}
+			off += k + int(l)
+			strBytes += int(l)
 		case tagTimeWide:
-			d.Varint()
-			d.Uvarint()
+			off = skipVarint(buf, skipVarint(buf, off))
 		default:
-			d.Fail()
+			off = len(buf) + 1
 		}
 	}
+	d.Off = min(off, len(buf))
+	if n > 0 || off > len(buf) {
+		d.Fail()
+		return 0
+	}
 	return strBytes
+}
+
+// skipVarint returns the offset past the varint at buf[off:], or one past
+// the end when it does not end inside buf.
+func skipVarint(buf []byte, off int) int {
+	for ; off < len(buf); off++ {
+		if buf[off] < 0x80 {
+			return off + 1
+		}
+	}
+	return len(buf) + 1
 }

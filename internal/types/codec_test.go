@@ -84,6 +84,42 @@ func TestValueCodecBytes(t *testing.T) {
 	}
 }
 
+// TestSkipValuesStepsAsDecodingDoes: over the values of every kind and form,
+// a walk of any n of them ends where decoding them ends and counts their
+// string bytes, and a walk that runs past the payload's end or meets an
+// unknown tag fails.
+func TestSkipValuesStepsAsDecodingDoes(t *testing.T) {
+	var buf []byte
+	for i := range codecValues {
+		buf = AppendValue(buf, &codecValues[i])
+	}
+	ends, strs := make([]int, len(codecValues)+1), make([]int, len(codecValues)+1)
+	d := Decoder{Buf: buf}
+	for i := range codecValues {
+		if v := d.Value(); v.K == KindString {
+			strs[i+1] = len(v.S)
+		}
+		ends[i+1], strs[i+1] = d.Off, strs[i]+strs[i+1]
+	}
+	for n := range ends {
+		w := Decoder{Buf: buf}
+		if got := w.SkipValues(n); w.Err != nil || w.Off != ends[n] || got != strs[n] {
+			t.Errorf("%d values: off %d, %d string bytes, err %v; want off %d, %d bytes", n, w.Off, got, w.Err, ends[n], strs[n])
+		}
+	}
+	for cut := range buf {
+		w := Decoder{Buf: buf[:cut]}
+		if w.SkipValues(len(codecValues)); w.Err == nil {
+			t.Errorf("a walk over %d of %d bytes did not fail", cut, len(buf))
+		}
+	}
+	for _, bad := range [][]byte{{0xff}, {byte(KindInt), 0x80}, {byte(KindString), 5, 'a'}} {
+		if w := (Decoder{Buf: bad}); w.SkipValues(1) != 0 || w.Err == nil {
+			t.Errorf("%x: the walk did not fail", bad)
+		}
+	}
+}
+
 // TestDecoderRejectsMalformed: every truncation of a valid row fails, the
 // error sticks, and counts are refused before they size an allocation.
 func TestDecoderRejectsMalformed(t *testing.T) {
