@@ -350,7 +350,7 @@ func snapshotEncodingIsDeterministic(t *testing.T) {
 		}
 		for col, wc := range want.Columns {
 			hc := have.Columns[col]
-			if hc == nil || hc.Distinct != wc.Distinct || hc.NullCount != wc.NullCount || hc.Min != wc.Min || hc.Max != wc.Max || !slices.Equal(hc.Buckets, wc.Buckets) {
+			if hc == nil || hc.Distinct != wc.Distinct || hc.NullCount != wc.NullCount || !types.Identical(hc.Min, wc.Min) || !types.Identical(hc.Max, wc.Max) || !slices.EqualFunc(hc.Buckets, wc.Buckets, sameBucket) {
 				t.Errorf("%s.%s: %+v came back as %+v", name, col, wc, hc)
 			}
 		}
@@ -413,14 +413,14 @@ func TestSnapshotKeepsStatisticsBitIdentical(t *testing.T) {
 		if want.Min.IsNull() || want.Max.IsNull() || len(want.Buckets) < 2 {
 			t.Fatalf("column %s: statistics too thin to test with: %+v", col, want)
 		}
-		if have.Min != want.Min || have.Max != want.Max { // struct equality: bits, (seconds, nanoseconds)
+		if !types.Identical(have.Min, want.Min) || !types.Identical(have.Max, want.Max) { // bits, (seconds, nanoseconds)
 			t.Errorf("column %s: Min/Max %#v/%#v came back as %#v/%#v", col, want.Min, want.Max, have.Min, have.Max)
 		}
 		if len(have.Buckets) != len(want.Buckets) {
 			t.Fatalf("column %s: %d buckets came back as %d", col, len(want.Buckets), len(have.Buckets))
 		}
 		for i := range want.Buckets {
-			if have.Buckets[i] != want.Buckets[i] {
+			if !sameBucket(have.Buckets[i], want.Buckets[i]) {
 				t.Errorf("column %s bucket %d: %#v came back as %#v", col, i, want.Buckets[i], have.Buckets[i])
 			}
 		}
@@ -537,4 +537,8 @@ func must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
+}
+
+func sameBucket(a, b Bucket) bool {
+	return types.Identical(a.Hi, b.Hi) && a.Count == b.Count && a.Distinct == b.Distinct
 }

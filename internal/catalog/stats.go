@@ -110,7 +110,7 @@ func rowBytes(r types.Row) int {
 	for _, v := range r {
 		switch v.K {
 		case types.KindString:
-			n += len(v.S) + 4
+			n += len(v.Str()) + 4
 		default:
 			n += 9
 		}

@@ -91,7 +91,7 @@ func requireSameRows(t *testing.T, what string, got, want []types.Row) {
 	}
 	for i := range want {
 		for j := range want[i] {
-			if got[i][j] != want[i][j] { // struct equality: bits and (seconds, nanoseconds)
+			if !types.Identical(got[i][j], want[i][j]) { // bits, (seconds, nanoseconds) and bytes
 				t.Errorf("%s: row %v col %d is %#v, want %#v", what, want[i][0], j, got[i][j], want[i][j])
 			}
 		}

@@ -287,7 +287,7 @@ func TestIMCacheAdmitsGuardedLocalExecutions(t *testing.T) {
 		}
 	}
 	entries := c.DB.IMCache().Snapshot()
-	if len(entries) != 1 || !slices.Equal(entries[0].Vals, []types.Value{types.NewInt(7)}) || entries[0].Hits == 0 {
+	if len(entries) != 1 || !slices.EqualFunc(entries[0].Vals, []types.Value{types.NewInt(7)}, types.Identical) || entries[0].Hits == 0 {
 		t.Fatalf("want one entry, for the in-guard literal, with hits; got %+v", entries)
 	}
 	if res, err := c.DB.Exec("SELECT literals FROM sys.intermediate_results", nil); err != nil ||

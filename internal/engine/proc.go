@@ -91,7 +91,7 @@ func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params
 			return nil, fmt.Errorf("engine: parameter @%s: %w", name, err)
 		}
 		if params == nil {
-			if self && cast == v {
+			if self && types.Identical(cast, v) {
 				continue
 			}
 			params = outerEntries(args[:i], outer, len(args))

@@ -24,7 +24,7 @@ func TestResultKeyIsKindExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows[0][1]; got != x {
+		if got := res.Rows[0][1]; !types.Identical(got, x) {
 			t.Fatalf("@x = %v (%v): answered %v (%v)", x, x.K, got, got.K)
 		}
 	}
@@ -149,7 +149,7 @@ func TestResultEntrySharedIffTwinShapeAndValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %v: %v", b.text, b.params, err)
 		}
-		want := a.shape == b.shape && slices.Equal(a.vals, b.vals) // ==, kind for kind
+		want := a.shape == b.shape && slices.EqualFunc(a.vals, b.vals, types.Identical) // kind for kind
 		if got := rec.Tier == trace.TierIMCache; got != want {
 			t.Fatalf("after %s %v, %s %v: shared an entry %v, want %v", unbound(a), a.params, b.text, b.params, got, want)
 		}

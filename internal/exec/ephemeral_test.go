@@ -118,7 +118,7 @@ func (h *hoard) check(t *testing.T, label string) {
 	t.Helper()
 	for i, row := range h.kept {
 		for j := range row {
-			if row[j] != h.copies[i][j] {
+			if !types.Identical(row[j], h.copies[i][j]) {
 				t.Fatalf("%s: row %d of %d delivered to a durable consumer was %v and is now %v",
 					label, i, len(h.kept), h.copies[i], row)
 			}
@@ -546,7 +546,7 @@ func TestPoisonAndHoardHaveTeeth(t *testing.T) {
 	if err := p.BatchNext(&Ctx{}, &next); err != nil {
 		t.Fatal(err)
 	}
-	if first[0] != poisoned {
+	if !types.Identical(first[0], poisoned) {
 		t.Errorf("a row kept past the next Ephemeral pull still reads %v", first)
 	}
 
@@ -558,7 +558,7 @@ func TestPoisonAndHoardHaveTeeth(t *testing.T) {
 	}
 	caught := false
 	for i, row := range h.kept {
-		if row[0] != h.copies[i][0] {
+		if !types.Identical(row[0], h.copies[i][0]) {
 			caught = true
 		}
 	}

@@ -198,7 +198,7 @@ func (e *BinExpr) Eval(row types.Row, env *Env) (types.Value, error) {
 			case types.KindInt:
 				return types.NewBool(cmpHolds(e.Op, cmpInt(l.Int(), r.Int()))), nil
 			case types.KindString:
-				return types.NewBool(cmpHolds(e.Op, strings.Compare(l.S, r.S))), nil
+				return types.NewBool(cmpHolds(e.Op, strings.Compare(l.Str(), r.Str()))), nil
 			}
 		}
 		return types.NewBool(cmpHolds(e.Op, types.Compare(l, r))), nil
@@ -275,7 +275,7 @@ func (e *BinExpr) evalLogic(row types.Row, env *Env) (types.Value, error) {
 func evalArith(op sql.BinOp, l, r types.Value) (types.Value, error) {
 	// String concatenation with +.
 	if op == sql.OpAdd && l.K == types.KindString && r.K == types.KindString {
-		return types.NewString(l.S + r.S), nil
+		return types.NewString(l.Str() + r.Str()), nil
 	}
 	bothInt := l.K == types.KindInt && r.K == types.KindInt
 	if bothInt {

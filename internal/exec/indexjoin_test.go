@@ -234,7 +234,7 @@ func TestIndexJoinProjectsAndCounts(t *testing.T) {
 	if len(rows) != 2 || len(rows[0]) != 2 {
 		t.Fatalf("rows %v", rows)
 	}
-	if rows[0][0].Int() != 7 || rows[0][1].S != "blue" || rows[1][0].Int() != 42 || rows[1][1].S != "blue" {
+	if rows[0][0].Int() != 7 || rows[0][1].Str() != "blue" || rows[1][0].Int() != 42 || rows[1][1].Str() != "blue" {
 		t.Errorf("rows %v", rows)
 	}
 	if ctr.RowsScanned != 2 {

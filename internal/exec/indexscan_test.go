@@ -158,7 +158,7 @@ func TestIndexEndpointMatchesScanAggregate(t *testing.T) {
 					}
 					got := run(tx, agg(&IndexScan{TableName: "e", IndexName: "ix_k", Cols: cols, Lo: lo, Hi: hi, Desc: fn == AggMax, Limit: 1}))
 					want := run(tx, agg(reference()))
-					if len(got) != 1 || len(want) != 1 || got[0][0] != want[0][0] {
+					if len(got) != 1 || len(want) != 1 || !types.Identical(got[0][0], want[0][0]) {
 						t.Fatalf("n=%d %s trial %d: aggregate %d off the index end is %v, over a scan %v", n, name, trial, fn, got, want)
 					}
 					checked++
@@ -190,7 +190,7 @@ func TestIndexEndpointMatchesScanAggregate(t *testing.T) {
 					t.Fatalf("n=%d %s trial %d: %d rows up, %d down", n, name, trial, len(up), len(down))
 				}
 				for i := range up {
-					if mirror := down[len(down)-1-i]; up[i][1] != mirror[1] {
+					if mirror := down[len(down)-1-i]; !types.Identical(up[i][1], mirror[1]) {
 						t.Fatalf("n=%d %s trial %d: row %d up has key %v, its mirror %v", n, name, trial, i, up[i][1], mirror[1])
 					}
 				}

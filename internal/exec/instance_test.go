@@ -273,7 +273,7 @@ func TestInstanceReuseNeverTouchesAResult(t *testing.T) {
 			for i := range hoarded {
 				for j, row := range hoarded[i] {
 					for c := range row {
-						if row[c] != copies[i][j][c] {
+						if !types.Identical(row[c], copies[i][j][c]) {
 							t.Fatalf("%s: row %d of the result of execution %d was %v and reads %v after execution %d was released",
 								tree.name, j, i, copies[i][j], row, round)
 						}

@@ -10,8 +10,6 @@ import (
 	"strconv"
 	"testing"
 	"unsafe"
-
-	"mtcache/internal/types"
 )
 
 // allOperators is one zero value of every Operator implementation in the
@@ -84,6 +82,8 @@ func fill(v reflect.Value) {
 		v.SetFloat(1.5)
 	case reflect.String:
 		v.SetString("x")
+	case reflect.UnsafePointer: // a types.Value's string bytes: room for the 7 a filled length says
+		v.SetPointer(unsafe.Pointer(new([7]byte)))
 	case reflect.Interface:
 		switch v.Type() {
 		case operatorType:
@@ -372,7 +372,7 @@ func notEmpty(v reflect.Value) string {
 				return "an arena that does not start at the head of its chunk"
 			}
 			for i := range a.base {
-				if a.base[i] != (types.Value{}) {
+				if !reflect.ValueOf(a.base[i]).IsZero() {
 					return "an arena whose chunk is not cleared"
 				}
 			}

@@ -281,7 +281,7 @@ func (c *Cache) Observe(obs Observation, vals []types.Value) bool {
 		e.end()
 		c.tick++
 		c.bytes += bytes - e.Bytes
-		if !slices.Equal(e.Vals, vals) {
+		if !slices.EqualFunc(e.Vals, vals, types.Identical) {
 			e.Vals = ownVals(vals)
 		}
 		e.Cols, e.Rows, e.Bytes = obs.Cols, ownRows(obs.Rows), bytes
@@ -362,7 +362,9 @@ func ownRows(rows []types.Row) []types.Row {
 func ownVals(vals []types.Value) []types.Value {
 	kept := make([]types.Value, len(vals))
 	for i, v := range vals {
-		v.S = strings.Clone(v.S)
+		if v.K == types.KindString {
+			v = types.NewString(strings.Clone(v.Str()))
+		}
 		kept[i] = v
 	}
 	return kept
@@ -384,7 +386,7 @@ func (c *Cache) Lookup(key Key, vals []types.Value) (Hit, bool) {
 		return hit, false
 	}
 	e, ok := c.entries[key]
-	ok = ok && !e.stale && slices.Equal(e.Vals, vals) // ==, kind for kind
+	ok = ok && !e.stale && slices.EqualFunc(e.Vals, vals, types.Identical) // kind for kind
 	if ok {
 		c.tick++
 		e.hits++
@@ -594,7 +596,7 @@ func estimateBytes(cols []exec.ColInfo, rows []types.Row) int64 {
 	for _, row := range rows {
 		total += 24 // slice header
 		for i := range row {
-			total += valueBytes + int64(len(row[i].S))
+			total += valueBytes + int64(len(row[i].Str()))
 		}
 	}
 	return total

@@ -702,7 +702,7 @@ func TestOneTokenizer(t *testing.T) {
 			continue
 		}
 		for k := range args {
-			if args[k] != c.args[k] {
+			if !types.Identical(args[k], c.args[k]) {
 				t.Errorf("Normalize(%q) literal %d = %v (%v), want %v (%v)", c.src, k, args[k], args[k].K, c.args[k], c.args[k].K)
 			}
 		}

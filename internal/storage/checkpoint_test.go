@@ -88,7 +88,7 @@ func TestCheckpointCarriesValuesExactly(t *testing.T) {
 		}
 		got := tv.Get(rid)
 		for i := range w {
-			if got[i] != w[i] { // struct equality: bits and (seconds, nanoseconds)
+			if !types.Identical(got[i], w[i]) { // bits, (seconds, nanoseconds) and bytes
 				t.Errorf("row %v col %d: committed %#v, recovered %#v", w[0], i, w[i], got[i])
 			}
 		}

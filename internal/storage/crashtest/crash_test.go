@@ -119,7 +119,7 @@ func recovered(t *testing.T, db *engine.Database) state {
 			if _, dup := rows[row[0].Int()]; dup {
 				t.Fatalf("row id %d recovered twice in %s", row[0].Int(), name)
 			}
-			rows[row[0].Int()] = row[1].S
+			rows[row[0].Int()] = row[1].Str()
 		}
 		res.Release()
 		s.tables[name] = rows

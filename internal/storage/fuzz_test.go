@@ -30,7 +30,7 @@ func FuzzDecodeImage(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The largest in-memory element per payload byte is a 32-byte Value
+		// The largest in-memory element per payload byte is a 24-byte Value
 		// behind a 1-byte NULL, next to its share of a 24-byte row header.
 		budget := uint64(64<<10 + 512*len(data))
 		before := totalAlloc()

@@ -210,7 +210,7 @@ func ownKey(dst, row types.Row, cols []int) types.Row {
 	for _, c := range cols {
 		v := row[c]
 		if v.K == types.KindString {
-			v.S = strings.Clone(v.S)
+			v = types.NewString(strings.Clone(v.Str()))
 		}
 		dst = append(dst, v)
 	}

@@ -116,7 +116,7 @@ func rowsEqualBits(a, b types.Row) bool {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] { // struct equality: FLOAT by its bits, DATETIME by its instant
+		if !types.Identical(a[i], b[i]) { // FLOAT by its bits, DATETIME by its instant
 			return false
 		}
 	}
@@ -258,9 +258,9 @@ func keepOneAfterRow(t *testing.T) (types.Row, map[string]weak.Pointer[byte]) {
 	got, _ := decodedChanges(t, itemChanges())
 	others := map[string]weak.Pointer[byte]{
 		"another After row's values": weakBytes(unsafe.Pointer(&got[1].After[0])),
-		"another After row's string": weakBytes(unsafe.Pointer(unsafe.StringData(got[1].After[1].S))),
+		"another After row's string": weakBytes(unsafe.Pointer(unsafe.StringData(got[1].After[1].Str()))),
 		"the Before rows' values":    weakBytes(unsafe.Pointer(&got[0].Before[0])),
-		"the Before rows' string":    weakBytes(unsafe.Pointer(unsafe.StringData(got[0].Before[1].S))),
+		"the Before rows' string":    weakBytes(unsafe.Pointer(unsafe.StringData(got[0].Before[1].Str()))),
 	}
 	return got[0].After, others
 }

@@ -60,7 +60,7 @@ func sortedRows(t *testing.T, s *Store) []string {
 	}
 	var out []string
 	for _, r := range tv.Rows() {
-		out = append(out, fmt.Sprintf("%d|%s", r[0].Int(), r[1].S))
+		out = append(out, fmt.Sprintf("%d|%s", r[0].Int(), r[1].Str()))
 	}
 	sort.Strings(out)
 	return out

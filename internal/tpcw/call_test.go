@@ -305,7 +305,7 @@ func TestCallPathsAgree(t *testing.T) {
 			} {
 				kept := maps.Clone(v.params)
 				res, err := send(v.params)
-				if err != nil || !same(res, want) || !maps.Equal(v.params, kept) {
+				if err != nil || !same(res, want) || !maps.EqualFunc(v.params, kept, types.Identical) {
 					t.Errorf("%s, %s, %s %v: %v, %v (the map after: %v); %v gave %v, %d affected",
 						srv.name, name, v.text, kept, res, err, v.params, v.canonical, want.Rows, want.RowsAffected)
 				}
@@ -369,7 +369,7 @@ func runKeeping(t *testing.T, run func(callServer, *catalog.Procedure, exec.Para
 	t.Helper()
 	kept := maps.Clone(params)
 	res, err := run(srv, proc, params)
-	if !maps.Equal(params, kept) {
+	if !maps.EqualFunc(params, kept, types.Identical) {
 		t.Errorf("%s, %s: the call changed the caller's map from %v to %v", srv.name, proc.Name, kept, params)
 	}
 	return res, err

@@ -56,7 +56,7 @@ func referenceTableStats(cols []string, rows []types.Row) *catalog.TableStats {
 	for _, r := range rows {
 		for _, v := range r {
 			if v.K == types.KindString {
-				bytes += int64(len(v.S) + 4)
+				bytes += int64(len(v.Str()) + 4)
 			} else {
 				bytes += 9
 			}

@@ -65,7 +65,7 @@ func AppendValue(buf []byte, v *Value) []byte {
 		return binary.LittleEndian.AppendUint64(buf, uint64(v.w))
 	case KindString:
 		buf = append(buf, byte(v.K))
-		return AppendString(buf, v.S)
+		return AppendString(buf, v.str())
 	case KindTime:
 		if wideSeconds(v.w) {
 			buf = append(buf, tagTimeWide)
@@ -97,7 +97,7 @@ func RowEncSize(row Row) int {
 	for i := range row {
 		n += 10
 		if row[i].K == KindString {
-			n += len(row[i].S)
+			n += int(row[i].nsec)
 		}
 	}
 	return n

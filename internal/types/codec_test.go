@@ -8,10 +8,6 @@ import (
 	"time"
 )
 
-// sameValue is bit-for-bit equality: a NaN equals itself, and a time is its
-// instant, so the zone it was built from does not matter.
-func sameValue(a, b Value) bool { return a == b }
-
 var codecValues = []Value{
 	Null,
 	NewBool(true), NewBool(false),
@@ -41,7 +37,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		if d.Err != nil || d.Remaining() != 0 {
 			t.Fatalf("%v: err=%v, %d bytes left of %x", v, d.Err, d.Remaining(), buf)
 		}
-		if !sameValue(v, got) || v.String() != got.String() {
+		if !Identical(v, got) || v.String() != got.String() {
 			t.Errorf("round trip: in %v (%#v), out %v (%#v)", v, v, got, got)
 		}
 		if v.K == KindTime && (Compare(v, got) != 0 || got.Time().Location() != time.UTC) {
@@ -55,7 +51,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		t.Fatalf("row: err=%v len=%d", d.Err, len(got))
 	}
 	for i := range row {
-		if !sameValue(row[i], got[i]) {
+		if !Identical(row[i], got[i]) {
 			t.Errorf("row[%d]: in %v, out %v", i, row[i], got[i])
 		}
 	}
@@ -97,7 +93,7 @@ func TestSkipValuesStepsAsDecodingDoes(t *testing.T) {
 	d := Decoder{Buf: buf}
 	for i := range codecValues {
 		if v := d.Value(); v.K == KindString {
-			strs[i+1] = len(v.S)
+			strs[i+1] = len(v.Str())
 		}
 		ends[i+1], strs[i+1] = d.Off, strs[i]+strs[i+1]
 	}
@@ -198,7 +194,7 @@ func TestSharedValuesCutExactStrings(t *testing.T) {
 		t.Errorf("the strings were cut from %d bytes, want their %d", strBytes, want)
 	}
 	for i := range row {
-		if !sameValue(row[i], got[i]) {
+		if !Identical(row[i], got[i]) {
 			t.Errorf("value %d: %v after the buffer was overwritten, want %v", i, got[i], row[i])
 		}
 	}

@@ -26,7 +26,7 @@ func referenceHash(v Value) uint64 {
 		h.Write(buf[:])
 	case KindString:
 		h.Write([]byte{2})
-		h.Write([]byte(v.S))
+		h.Write([]byte(v.Str()))
 	case KindTime:
 		var buf [13]byte
 		buf[0] = 3

@@ -3,10 +3,12 @@
 // expressions over them, the optimizer's statistics summarize them, and the
 // wire protocol serializes them.
 //
-// There is one Value layout (value.go, 32 bytes) and one encoding of it
+// There is one Value layout (value.go, 24 bytes) and one encoding of it
 // (codec.go): the WAL, the wire, the checkpoint and cache state images and
 // the catalog snapshot write the same bytes, so changing the struct changes
-// no file and no frame.
+// no file and no frame. A Value holds a string as a pointer to its bytes, so
+// == on two Values compares a string by its address; Identical compares it
+// by its bytes.
 package types
 
 import (
@@ -15,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the SQL data types supported by the engine.
@@ -68,13 +71,21 @@ func ParseKind(name string) (Kind, error) {
 // Value is a single SQL value. The zero Value is SQL NULL.
 //
 // Value is a small tagged struct rather than an interface so that rows can be
-// stored as flat []Value slices with no per-value heap allocation. It is 32
-// bytes (pinned by TestValueLayout): the kind, one 8-byte payload word, a
-// nanosecond field in what would otherwise be padding, and the string. The
-// word holds a BOOL or INT as is, a FLOAT as its IEEE bits and a DATETIME as
-// unix seconds; it is unexported so that no kind's payload can be read as
-// another's, and every reader goes through the accessors below (all of them
-// inline).
+// stored as flat []Value slices with no per-value heap allocation. It is 24
+// bytes (pinned by TestValueLayout): the kind and a 4-byte field in the
+// first word, one 8-byte payload word, and a pointer. The word holds a BOOL
+// or INT as is, a FLOAT as its IEEE bits and a DATETIME as unix seconds; a
+// string is its bytes' address in p and its length in the 4-byte field,
+// which a DATETIME uses for nanoseconds, and its word is 0, so Int, Float
+// and Bool read 0 and false from it. The fields are unexported so that no
+// kind's payload can be read as another's, and every reader goes through
+// the accessors below (all of them inline).
+//
+// Because a string is an address, == on two Values can call equal strings
+// different (never different strings equal): compare Values with Identical,
+// or with Equal for SQL equality. Value keeps at most four fields, which is
+// what the compiler keeps in registers; with a fifth, Compare ran five
+// times slower (TestValueLayout).
 //
 // A DATETIME value is its instant: (unix seconds, nanoseconds), no zone and
 // no monotonic reading. Time() returns it in UTC; Compare, Hash and the codec
@@ -85,9 +96,9 @@ func ParseKind(name string) (Kind, error) {
 // writes it with AppendValue and reads it with Decoder.Value (codec.go).
 type Value struct {
 	K    Kind
-	nsec uint32 // KindTime: nanoseconds within the second
-	w    int64  // KindBool (0/1), KindInt, KindFloat (IEEE bits), KindTime (unix seconds)
-	S    string // KindString payload
+	nsec uint32         // KindTime: nanoseconds within the second; KindString: length in bytes
+	w    int64          // KindBool (0/1), KindInt, KindFloat (IEEE bits), KindTime (unix seconds)
+	p    unsafe.Pointer // KindString: the first byte (nil for the empty string)
 }
 
 // Null is the SQL NULL value.
@@ -108,8 +119,17 @@ func NewInt(i int64) Value { return Value{K: KindInt, w: i} }
 // NewFloat returns a FLOAT value.
 func NewFloat(f float64) Value { return Value{K: KindFloat, w: int64(math.Float64bits(f))} }
 
-// NewString returns a VARCHAR value.
-func NewString(s string) Value { return Value{K: KindString, S: s} }
+// NewString returns a VARCHAR value. It panics on a string of 4 GiB or
+// more, which no frame, row or literal can carry.
+func NewString(s string) Value {
+	if uint64(len(s)) > math.MaxUint32 {
+		panic("types: string longer than 4 GiB")
+	}
+	if len(s) == 0 {
+		return Value{K: KindString}
+	}
+	return Value{K: KindString, nsec: uint32(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // NewTime returns a DATETIME value: t's instant, without its zone.
 func NewTime(t time.Time) Value {
@@ -141,8 +161,17 @@ func (v Value) Float() float64 {
 // float reads the payload word of a KindFloat value.
 func (v Value) float() float64 { return math.Float64frombits(uint64(v.w)) }
 
-// Str returns the string payload. It is only meaningful for KindString.
-func (v Value) Str() string { return v.S }
+// Str returns the string payload: "" for any kind but KindString.
+func (v Value) Str() string {
+	if v.K != KindString {
+		return ""
+	}
+	return v.str()
+}
+
+// str reads the string payload without checking the kind: only for a value
+// known to be a KindString.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), v.nsec) }
 
 // Time returns the instant of a KindTime value, in UTC.
 func (v Value) Time() time.Time { return time.Unix(v.w, int64(v.nsec)).UTC() }
@@ -182,7 +211,7 @@ func Compare(a, b Value) int {
 	case KindFloat:
 		return cmpFloat(a.float(), b.float())
 	case KindString:
-		return strings.Compare(a.S, b.S)
+		return strings.Compare(a.str(), b.str())
 	case KindTime:
 		if a.w != b.w {
 			return cmpInt(a.w, b.w)
@@ -215,6 +244,14 @@ func cmpFloat(a, b float64) int {
 // Equal reports whether two values compare equal under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Identical reports whether a and b are the same value, kind for kind: what
+// == said when a string was held by value. Unlike Equal, INT 1 and FLOAT 1
+// differ, and so do NULL and the empty string; two strings are identical
+// when their bytes are, wherever those bytes lie.
+func Identical(a, b Value) bool {
+	return a.K == b.K && a.nsec == b.nsec && a.w == b.w && (a.p == b.p || a.str() == b.str())
+}
+
 // FNV-1a, 64 bit.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -238,8 +275,9 @@ func (v Value) Hash() uint64 {
 		}
 	case KindString:
 		h = (h ^ 2) * fnvPrime64
-		for i := 0; i < len(v.S); i++ {
-			h = (h ^ uint64(v.S[i])) * fnvPrime64
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime64
 		}
 	case KindTime:
 		h = (h ^ 3) * fnvPrime64
@@ -269,7 +307,7 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.str(), "'", "''") + "'"
 	case KindTime:
 		return "'" + v.Time().Format("2006-01-02 15:04:05.000") + "'"
 	}
@@ -279,7 +317,7 @@ func (v Value) String() string {
 // Display renders the value for result grids (strings unquoted).
 func (v Value) Display() string {
 	if v.K == KindString {
-		return v.S
+		return v.str()
 	}
 	return v.String()
 }
@@ -306,9 +344,9 @@ func (v Value) Cast(k Kind) (Value, error) {
 		case KindFloat:
 			return NewInt(int64(v.float())), nil
 		case KindString:
-			i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
+			i, err := strconv.ParseInt(strings.TrimSpace(v.str()), 10, 64)
 			if err != nil {
-				return Null, fmt.Errorf("cannot cast %q to INT", v.S)
+				return Null, fmt.Errorf("cannot cast %q to INT", v.str())
 			}
 			return NewInt(i), nil
 		}
@@ -317,9 +355,9 @@ func (v Value) Cast(k Kind) (Value, error) {
 		case KindBool, KindInt:
 			return NewFloat(v.Float()), nil
 		case KindString:
-			f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
+			f, err := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
 			if err != nil {
-				return Null, fmt.Errorf("cannot cast %q to FLOAT", v.S)
+				return Null, fmt.Errorf("cannot cast %q to FLOAT", v.str())
 			}
 			return NewFloat(f), nil
 		}
@@ -331,11 +369,11 @@ func (v Value) Cast(k Kind) (Value, error) {
 				"2006-01-02 15:04:05.000", "2006-01-02 15:04:05", "2006-01-02",
 				time.RFC3339Nano, time.RFC3339,
 			} {
-				if t, err := time.Parse(layout, v.S); err == nil {
+				if t, err := time.Parse(layout, v.str()); err == nil {
 					return NewTime(t), nil
 				}
 			}
-			return Null, fmt.Errorf("cannot cast %q to DATETIME", v.S)
+			return Null, fmt.Errorf("cannot cast %q to DATETIME", v.str())
 		}
 		if v.K == KindInt {
 			return NewTime(time.Unix(0, v.w)), nil

@@ -82,16 +82,12 @@ func sampleResponses() map[string]*response {
 	}
 }
 
-// sameValue is bit-for-bit equality (a NaN equals itself; a time is its
-// instant).
-func sameValue(a, b types.Value) bool { return a == b }
-
 func sameRow(a, b types.Row) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if !sameValue(a[i], b[i]) {
+		if !types.Identical(a[i], b[i]) {
 			return false
 		}
 	}
@@ -117,7 +113,7 @@ func sameRequest(a, b *request) bool {
 		return false
 	}
 	for k, v := range a.Params {
-		if w, ok := b.Params[k]; !ok || !sameValue(v, w) {
+		if w, ok := b.Params[k]; !ok || !types.Identical(v, w) {
 			return false
 		}
 	}
