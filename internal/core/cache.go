@@ -158,30 +158,33 @@ func (c *CacheServer) provision(view *catalog.Table) error {
 
 // attach provisions cached views, each with one request, and makes them
 // current with the cache's other views in one local transaction
-// (repl.Subscriber.Attach). A view being created (add) asks to resume at the
-// loaded checkpoint's position when the checkpoint holds it and the cache
-// still stands there — once a pull has moved the other views on, rows from
-// the checkpoint are behind them — and to be seeded otherwise. Every view the
-// cache has is provisioned again, asking to resume where the cache stands,
-// when add is nil — a pull found that the backend no longer holds the
-// subscription: it expired, or the backend restarted — or when add's answer
-// names a subscription the other views are not fed by. A view is seeded when
-// the backend cannot resume it. Callers hold pullMu.
+// (repl.Subscriber.Attach). Every resume asks for a position together with
+// the ID of the log it is a position of. A view being created (add) asks to
+// resume at the loaded checkpoint's position when the checkpoint holds it and
+// the cache still stands there, on the same log — once a pull has moved the
+// other views on, rows from the checkpoint are behind them — and to be seeded
+// otherwise. Every view the cache has is provisioned again, asking to resume
+// where the cache stands, when add is nil — a pull found that the backend no
+// longer holds the subscription: it expired, or the backend restarted or was
+// replaced — or when add's answer names a subscription the other views are
+// not fed by. A view is seeded when the backend cannot resume it. Callers
+// hold pullMu.
 func (c *CacheServer) attach(add *catalog.Table) error {
 	st, views := c.sub.Status(), c.sub.Views()
 	asOf := time.Now()
 	var ats []repl.Attached
 	if add != nil {
+		var logID uint64
 		var from storage.LSN
 		var rows []types.Row
 		if ck := c.recovered; ck != nil {
 			i := slices.IndexFunc(ck.Sets, func(v storage.RowSet) bool { return strings.EqualFold(v.Name, add.Name) })
-			if i >= 0 && (len(views) == 0 || st.AppliedLSN == ck.LSN) {
-				from, rows = ck.LSN+1, ck.Sets[i].Rows
+			if i >= 0 && (len(views) == 0 || st.AppliedLSN == ck.LSN && st.LogID == ck.LogID) {
+				logID, from, rows = ck.LogID, ck.LSN+1, ck.Sets[i].Rows
 				ck.Sets = slices.Delete(ck.Sets, i, i+1)
 			}
 		}
-		a, err := c.provisionView(add, from)
+		a, err := c.provisionView(add, logID, from)
 		if err != nil {
 			return err
 		}
@@ -199,7 +202,7 @@ func (c *CacheServer) attach(add *catalog.Table) error {
 		if view == nil || !view.Cached {
 			continue // dropped since Views read it; Attach takes it out too
 		}
-		a, err := c.provisionView(view, st.AppliedLSN+1)
+		a, err := c.provisionView(view, st.LogID, st.AppliedLSN+1)
 		if err != nil {
 			return err
 		}
@@ -215,14 +218,14 @@ func (c *CacheServer) attach(add *catalog.Table) error {
 // provisionView asks the backend, in one request, to attach view's article —
 // its select-project form as (table, columns, filter), the filter deparsed
 // and "" for none — to the cache's subscription: resumed at from when from >
-// 0 and the backend still serves it, seeded otherwise.
-func (c *CacheServer) provisionView(view *catalog.Table, from storage.LSN) (repl.Attached, error) {
+// 0 and the backend still serves it on the log logID names, seeded otherwise.
+func (c *CacheServer) provisionView(view *catalog.Table, logID uint64, from storage.LSN) (repl.Attached, error) {
 	sp := view.SelectProject
 	filter := ""
 	if sp.Filter != nil {
 		filter = sql.DeparseExpr(sp.Filter)
 	}
-	a, err := c.client.Provision(sp.Source.Name, sp.SourceColumns(), filter, c.DB.Name, view.Name, from)
+	a, err := c.client.Provision(sp.Source.Name, sp.SourceColumns(), filter, c.DB.Name, view.Name, logID, from)
 	if err != nil {
 		return repl.Attached{}, err
 	}
@@ -349,10 +352,11 @@ func (c *CacheServer) Staleness() (time.Duration, bool) {
 }
 
 // Checkpoint writes the cache's durable state file: every subscribed view's
-// rows plus the one LSN they are current through. It runs under pullMu so no
-// pull round is half-applied — the rows and the cursor are mutually
-// consistent, which is what lets a restart resume the stream at LSN+1 with no
-// gap and no double-apply. Requires a data directory.
+// rows plus the one LSN they are current through and the ID of the backend's
+// log that LSN is a position of. It runs under pullMu so no pull round is
+// half-applied — the rows and the cursor are mutually consistent, which is
+// what lets a restart resume the stream at LSN+1 with no gap and no
+// double-apply. Requires a data directory.
 func (c *CacheServer) Checkpoint() error {
 	if c.dataDir == "" {
 		return fmt.Errorf("core: cache has no data directory")
@@ -361,7 +365,8 @@ func (c *CacheServer) Checkpoint() error {
 	defer c.pullMu.Unlock()
 	start := time.Now()
 
-	ck := &storage.Image{LSN: c.AppliedLSN()}
+	st := c.sub.Status()
+	ck := &storage.Image{LSN: st.AppliedLSN, LogID: st.LogID}
 	tx := c.DB.Store().Begin(false)
 	for _, view := range c.sub.Views() {
 		if tv, ok := tx.Table(view); ok {

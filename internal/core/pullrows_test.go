@@ -23,7 +23,7 @@ func TestInProcessPullRowsAreTheirOwn(t *testing.T) {
 		t.Fatal(err)
 	}
 	var l BackendClient = link{engine.NewLink(b.DB), b}
-	a, err := l.Provision("part", nil, "", "cache", "cv_part", 0)
+	a, err := l.Provision("part", nil, "", "cache", "cv_part", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

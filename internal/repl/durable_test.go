@@ -195,7 +195,7 @@ func TestPullShipsOnlyDurableCommits(t *testing.T) {
 		if end := b.DB.Store().VisibleEnd(); end != 3 {
 			t.Fatalf("the restarted backend's commit is at LSN %d, want the dropped one's, 2", end-1)
 		}
-		at, err := b.Provision("item", itemCols, "", "cache", "tgt", through+1)
+		at, err := b.Provision("item", itemCols, "", "cache", "tgt", sub.Status().LogID, through+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestPullShipsOnlyDurableCommits(t *testing.T) {
 		}
 		answered := make(chan answer, 1)
 		go func() {
-			at, err := b.Provision("item", itemCols, "", "cache", "tgt", 0)
+			at, err := b.Provision("item", itemCols, "", "cache", "tgt", 0, 0)
 			answered <- answer{at, err}
 		}()
 		select {

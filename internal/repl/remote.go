@@ -25,13 +25,14 @@ type TxnBatch struct {
 	Changes    []storage.ChangeRec
 }
 
-// Attachment is Provision's answer: the subscription's id, the first LSN the
-// stream carries for the view, and whether the view was resumed at the LSN
-// its subscriber asked for — then Rows is empty and the subscriber keeps the
-// rows it has — or seeded, with Rows its initial population, current through
-// the LSN before StartLSN.
+// Attachment is Provision's answer: the subscription's id, the publisher's
+// log ID, the first LSN the stream carries for the view, and whether the view
+// was resumed at the LSN its subscriber asked for — then Rows is empty and the
+// subscriber keeps the rows it has — or seeded, with Rows its initial
+// population, current through the LSN before StartLSN.
 type Attachment struct {
 	SubID    int
+	LogID    uint64
 	StartLSN storage.LSN
 	Resumed  bool
 	Rows     []types.Row
@@ -39,30 +40,27 @@ type Attachment struct {
 
 // Provision makes a the feed of the subscriber's table target, creating the
 // subscription named subName, under an id no subscription has had, on first
-// use or again after it expired or the publisher restarted. A subscriber that
-// restarted with target durably current through from-1 passes from > 0: when
-// the publisher can still serve that position the stream carries a's changes
-// for target from `from` on and the answer is Resumed. A publisher whose log
-// is not durable replays commits past from only to the subscription that
-// feeds target now: its log starts over when it restarts, so a position in it
-// may name other commits than the ones the subscriber applied. Otherwise —
-// from is 0, the log was truncated past it, the subscriber is ahead of a
-// publisher that lost state, or the replay would be of a log that may have
-// started over — target is seeded: the snapshot is pinned and the article
-// attached in one critical section — no pull reads the log in between — so a
-// commit is either in the returned rows or in the stream, never in neither.
-// The scan itself runs outside it, and the answer waits until an fsync covers
-// the snapshot's last commit: a seed holds nothing a crash could take back.
-func (s *Server) Provision(subName string, a *Article, target string, from storage.LSN) (Attachment, error) {
+// use or again after it expired or the publisher restarted. A subscriber
+// resumes only on the log it applied: one that restarted with target durably
+// current through from-1 of the log named logID passes from > 0, and when
+// logID names this publisher's log and attach accepts from, the stream
+// carries a's changes for target from `from` on and the answer is Resumed.
+// On any other outcome target is seeded: the snapshot is pinned and the
+// article attached in one critical section — no pull reads the log in
+// between — so a commit is either in the returned rows or in the stream,
+// never in neither. The scan itself runs outside it, and the answer waits
+// until an fsync covers the snapshot's last commit: a seed holds nothing a
+// crash could take back.
+func (s *Server) Provision(subName string, a *Article, target string, logID uint64, from storage.LSN) (Attachment, error) {
 	st := s.publisher.Store()
 	s.mu.Lock()
 	if from > 0 {
 		fields := []string{"sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10)}
-		if st.Durable() || from == st.VisibleEnd() || s.feeds(subName, target) {
+		if logID == st.LogID() {
 			if id, ok := s.attach(subName, a, target, from); ok {
 				s.mu.Unlock()
 				metrics.Default.Event("repl.resubscribes", fields...)
-				return Attachment{SubID: id, StartLSN: from, Resumed: true}, nil
+				return Attachment{SubID: id, LogID: logID, StartLSN: from, Resumed: true}, nil
 			}
 		}
 		metrics.Default.Event("repl.resume_misses", fields...)
@@ -77,7 +75,7 @@ func (s *Server) Provision(subName string, a *Article, target string, from stora
 		s.mu.Unlock()
 		return Attachment{}, fmt.Errorf("repl: no storage for %s on publisher", a.Table)
 	}
-	at := Attachment{StartLSN: rtx.AsOfLSN()}
+	at := Attachment{LogID: st.LogID(), StartLSN: rtx.AsOfLSN()}
 	at.SubID, _ = s.attach(subName, a, target, at.StartLSN)
 	s.mu.Unlock()
 
@@ -95,17 +93,6 @@ func (s *Server) Provision(subName string, a *Article, target string, from stora
 		return at, evalErr
 	}
 	return at, st.WaitDurable(at.StartLSN - 1)
-}
-
-// feeds reports whether the subscription named subName feeds target.
-// Callers hold s.mu.
-func (s *Server) feeds(subName, target string) bool {
-	for _, sub := range s.subs {
-		if sub.Name == subName {
-			return slices.ContainsFunc(sub.feeds, func(f feed) bool { return f.target == target })
-		}
-	}
-	return false
 }
 
 // attach is the one way an article joins a subscription: afterwards the

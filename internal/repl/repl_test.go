@@ -92,7 +92,7 @@ func subscribeStats(t *testing.T, b *core.BackendServer, target *engine.Database
 func addView(t *testing.T, b *core.BackendServer, sub *repl.Subscriber, cache, table string, cols []string, filter, tgt string) {
 	t.Helper()
 	asOf := time.Now()
-	a, err := b.Provision(table, cols, filter, cache, tgt, 0)
+	a, err := b.Provision(table, cols, filter, cache, tgt, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func drain(t *testing.T, srv *repl.Server, id int) []repl.TxnBatch {
 // there (a miss seeds tgt instead).
 func resume(t *testing.T, srv *repl.Server, subName string, a *repl.Article, from storage.LSN) (int, bool) {
 	t.Helper()
-	at, err := srv.Provision(subName, a, "tgt", from)
+	at, err := srv.Provision(subName, a, "tgt", srv.LogID(), from)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestResumeRemoteReplaysFromCheckpoint(t *testing.T) {
 	// Original subscriber: snapshot at LSN 2, past the CREATE TABLE's record,
 	// stream everything. A second subscription stands by to show a rewind is
 	// one subscription's business.
-	at, err := srv.Provision("cache1", art, "tgt", 0)
+	at, err := srv.Provision("cache1", art, "tgt", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 	b := newPublisher(t, 5)
 	subDB := newSubscriberTable(t, "cache")
 	sub := subscribe(t, b, subDB, "")
-	ckpt := sub.Status().AppliedLSN // the durable position: rows 1..5
+	ckpt, logID := sub.Status().AppliedLSN, sub.Status().LogID // the durable position: rows 1..5
 
 	insert := func(id int) {
 		t.Helper()
@@ -164,7 +164,7 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 	restart := func() (*repl.Subscriber, *engine.Database, bool) {
 		t.Helper()
 		db := newSubscriberTable(t, "cache")
-		at, err := b.Provision("item", itemCols, "", "cache", "tgt", ckpt+1)
+		at, err := b.Provision("item", itemCols, "", "cache", "tgt", logID, ckpt+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestLateProvisionKeepsTheFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retry, err := srv.Provision("cache", art, "tgt", 0)
+	retry, err := srv.Provision("cache", art, "tgt", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestLateProvisionKeepsTheFeed(t *testing.T) {
 	if _, err := b.DB.Exec("INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (100, 'x', 1, 'ARTS')", nil); err != nil {
 		t.Fatal(err)
 	}
-	late, err := srv.Provision("cache", art, "tgt", 0) // the original
+	late, err := srv.Provision("cache", art, "tgt", 0, 0) // the original
 	if err != nil || late.SubID != id || late.StartLSN != from+1 {
 		t.Fatalf("late provision: id %d from %d err %v; want id %d from %d", late.SubID, late.StartLSN, err, id, from+1)
 	}
@@ -388,12 +388,12 @@ func TestReattachWhilePulling(t *testing.T) {
 		arts[i] = a
 	}
 	art := arts[0]
-	at, err := srv.Provision("cache", art, "first", 0)
+	at, err := srv.Provision("cache", art, "first", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := at.SubID
-	if _, err := srv.Provision("cache", art, "second", 0); err != nil {
+	if _, err := srv.Provision("cache", art, "second", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -418,7 +418,7 @@ func TestReattachWhilePulling(t *testing.T) {
 			"INSERT INTO item (i_id, i_title, i_cost, i_subject) VALUES (%d, 'x', 1, 'ARTS')", i), nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.Provision("cache", arts[i%2], "first", 0); err != nil {
+		if _, err := srv.Provision("cache", arts[i%2], "first", 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

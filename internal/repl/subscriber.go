@@ -45,6 +45,8 @@ type SubscriberStatus struct {
 	// watermark. A subscriber with no views holds no replicated data and is
 	// vacuously current: math.MaxInt64.
 	AppliedLSN storage.LSN
+	// LogID names the publisher's log AppliedLSN is in (Attachment.LogID).
+	LogID uint64
 	// CurrentAsOf is the instant before the request of the last round that
 	// applied everything it was handed (or of the seed a view was provisioned
 	// from, when later): every commit before it is applied. Zero while it is
@@ -141,8 +143,9 @@ type Attached struct {
 // the views end at rows fetched after asOf — the instant before the first
 // Provision request — because a view was seeded or the stream was pulled,
 // CurrentAsOf moves up to asOf. Views that were all resumed are as current
-// as they were, and it stays. All of ats name one subscription; when it is
-// not the one the subscriber pulls from, ats must hold every view it has.
+// as they were, and it stays. All of ats name one subscription, and so one
+// publisher's log, whose ID the cursor takes; when it is not the
+// subscription the subscriber pulls from, ats must hold every view it has.
 func (s *Subscriber) Attach(src Puller, ats []Attached, asOf time.Time) error {
 	views, st := s.current()
 	subID := ats[0].SubID
@@ -195,7 +198,7 @@ func (s *Subscriber) Attach(src Puller, ats []Attached, asOf time.Time) error {
 	fetched := lo < hi || slices.ContainsFunc(ats, func(a Attached) bool { return !a.Resumed })
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.st.AppliedLSN = at
+	s.st.AppliedLSN, s.st.LogID = at, ats[0].LogID
 	if fetched && asOf.After(s.st.CurrentAsOf) {
 		s.st.CurrentAsOf = asOf
 	}

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"strconv"
 	"sync"
@@ -55,6 +56,7 @@ type Store struct {
 	mu     sync.RWMutex // guards the table map (DDL vs lookup), nothing else
 	tables map[string]*TableData
 	wal    *WAL
+	logID  uint64 // names the log; see LogID
 	nextTx atomic.Int64
 
 	commitMu  sync.Mutex // serializes commit stamping + WAL append
@@ -87,11 +89,12 @@ type Store struct {
 	commits atomic.Int64 // write commits since the last automatic GC trigger
 }
 
-// NewStore returns an empty store.
+// NewStore returns an empty store, whose log starts here under a new ID.
 func NewStore() *Store {
 	s := &Store{
 		tables:  make(map[string]*TableData),
 		wal:     NewWAL(),
+		logID:   rand.Uint64(),
 		snaps:   make(map[int64]snapRef),
 		waitFor: make(map[int64]*TableData),
 	}
@@ -102,6 +105,12 @@ func NewStore() *Store {
 
 // WAL exposes the log for the replication reader.
 func (s *Store) WAL() *WAL { return s.wal }
+
+// LogID names the store's log: a random number drawn when the log starts
+// (NewStore, or a data directory's first EnableDurability) and kept in every
+// WAL segment's header and checkpoint across restarts of the directory. An
+// LSN names a commit only together with the ID of the log it is in.
+func (s *Store) LogID() uint64 { return s.logID }
 
 // CreateTable allocates storage for a catalog table definition.
 func (s *Store) CreateTable(meta *catalog.Table) error {
@@ -790,8 +799,9 @@ func (t *Txn) Abort() {
 // EnableDurability attaches a segmented on-disk log to the store. It must be
 // called on a fresh store (before any logged commit); opening an existing
 // directory loads the retained commit records into the in-memory WAL so
-// Recover can replay them and resumed subscribers can re-read them. The
-// catalog and the heaps stay empty until Recover runs.
+// Recover can replay them and resumed subscribers can re-read them, and the
+// store takes the directory's log ID. The catalog and the heaps stay empty
+// until Recover runs.
 func (s *Store) EnableDurability(opts DurabilityOptions) error {
 	if s.durable != nil {
 		return errors.New("storage: durability already enabled")
@@ -799,7 +809,7 @@ func (s *Store) EnableDurability(opts DurabilityOptions) error {
 	if s.wal.Len() > 0 || s.wal.End() != 1 {
 		return errors.New("storage: durability must be enabled on a fresh store")
 	}
-	d, recs, ckptLSN, stats, err := openDiskWAL(opts)
+	d, recs, ckptLSN, stats, err := openDiskWAL(opts, s.logID)
 	if err != nil {
 		return err
 	}
@@ -818,6 +828,7 @@ func (s *Store) EnableDurability(opts DurabilityOptions) error {
 	s.wal.adopt(recs, next, d)
 	s.wal.retain = s.retainFloor
 	s.durable = d
+	s.logID = d.logID
 	s.durOpts = opts
 	s.openStats = stats
 	s.ckptLSN.Store(int64(ckptLSN))
@@ -825,9 +836,6 @@ func (s *Store) EnableDurability(opts DurabilityOptions) error {
 	d.start()
 	return nil
 }
-
-// Durable reports whether the store has an on-disk log.
-func (s *Store) Durable() bool { return s.durable != nil }
 
 // SyncedLSN reports the highest LSN the on-disk log has fsynced (0 when the
 // store is not durable). Race tests assert on it.

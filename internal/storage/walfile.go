@@ -12,7 +12,8 @@ package storage
 //	wal-00000000000000004096.seg   next segment, and so on
 //	ckpt-00000000000000003000.ckpt latest heap checkpoint (see checkpoint.go)
 //
-// Each segment starts with an 8-byte magic and then holds frames:
+// Each segment starts with a header, the 8-byte magic and the log's ID
+// (uint64 LE, Store.LogID), and then holds frames:
 //
 //	[uint32 payload length][uint32 CRC32-C of payload][payload]
 //
@@ -127,9 +128,11 @@ func (osFS) SyncDir(dir string) error {
 }
 
 const (
-	// segMagic opens every segment. 2: a record carries DDL text.
-	segMagic        = "MTWALSG2"
-	frameHeaderSize = 8 // uint32 length + uint32 CRC32-C
+	// segMagic opens every segment. 2: a record carries DDL text. 3: the
+	// log's ID follows the magic.
+	segMagic        = "MTWALSG3"
+	segHeaderSize   = len(segMagic) + 8 // magic + uint64 LE log ID
+	frameHeaderSize = 8                 // uint32 length + uint32 CRC32-C
 	defaultSegBytes = 8 << 20
 )
 
@@ -211,6 +214,7 @@ type diskWAL struct {
 	fs       FS
 	dir      string
 	segBytes int64
+	logID    uint64 // written into every segment's header
 
 	mu      sync.Mutex
 	buf     []byte // encoded frames not yet written to the file
@@ -257,8 +261,11 @@ type walOpenStats struct {
 
 // openDiskWAL opens (or initializes) the log directory, validates every
 // retained record and returns them in LSN order. nextLSN is the LSN the next
-// append must get — past the last valid record and any checkpoint.
-func openDiskWAL(opts DurabilityOptions) (d *diskWAL, recs []CommitRecord, ckptLSN LSN, stats walOpenStats, err error) {
+// append must get — past the last valid record and any checkpoint. The log
+// keeps the ID its directory holds — in the first segment whose header
+// survived, or else in the newest checkpoint — and takes fresh as its ID when
+// the directory holds neither: a log's ID is drawn once, when it starts.
+func openDiskWAL(opts DurabilityOptions, fresh uint64) (d *diskWAL, recs []CommitRecord, ckptLSN LSN, stats walOpenStats, err error) {
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = OSFS()
@@ -318,7 +325,10 @@ func openDiskWAL(opts DurabilityOptions) (d *diskWAL, recs []CommitRecord, ckptL
 			continue
 		}
 		last := i == len(segFirsts)-1
-		segRecs, validSize, segErr := readSegment(fsys, filepath.Join(opts.Dir, segName(first)))
+		segRecs, logID, validSize, segErr := readSegment(fsys, filepath.Join(opts.Dir, segName(first)))
+		if d.logID == 0 {
+			d.logID = logID
+		}
 		recs = append(recs, segRecs...)
 		if len(segRecs) > 0 {
 			next = segRecs[len(segRecs)-1].LSN + 1
@@ -348,6 +358,20 @@ func openDiskWAL(opts DurabilityOptions) (d *diskWAL, recs []CommitRecord, ckptL
 		}
 	}
 
+	if d.logID == 0 && ckptLSN > 0 {
+		// Every segment lost its header (a crash while the only one was
+		// created): the checkpoint still names the log.
+		img, cerr := d.loadCheckpoint()
+		if cerr != nil {
+			return nil, nil, 0, stats, cerr
+		}
+		if img != nil {
+			d.logID = img.LogID
+		}
+	}
+	if d.logID == 0 {
+		d.logID = fresh
+	}
 	if len(d.segs) == 0 {
 		if err = d.createSegmentLocked(next); err != nil {
 			return nil, nil, 0, stats, err
@@ -368,14 +392,14 @@ func openDiskWAL(opts DurabilityOptions) (d *diskWAL, recs []CommitRecord, ckptL
 	return d, recs, ckptLSN, stats, nil
 }
 
-// cutSegment truncates a segment to its valid prefix. A segment whose magic
+// cutSegment truncates a segment to its valid prefix. A segment whose header
 // never made it to disk (a crash during segment creation) has no valid
 // prefix at all — it is deleted outright rather than truncated, otherwise a
 // later restart would find a magicless file and discard everything appended
 // to it since.
 func (d *diskWAL) cutSegment(name string, validSize int64) error {
 	path := filepath.Join(d.dir, name)
-	if validSize < int64(len(segMagic)) {
+	if validSize < int64(segHeaderSize) {
 		if err := d.fs.Remove(path); err != nil {
 			return err
 		}
@@ -390,7 +414,7 @@ func (d *diskWAL) cutSegment(name string, validSize int64) error {
 // segmentValidSize computes the byte size of the valid prefix of the tail
 // segment from the records it retained (header + framed payload sizes).
 func segmentValidSize(recs []CommitRecord, first LSN) int64 {
-	size := int64(len(segMagic))
+	size := int64(segHeaderSize)
 	for i := range recs {
 		if recs[i].LSN < first {
 			continue
@@ -404,33 +428,34 @@ func segmentValidSize(recs []CommitRecord, first LSN) int64 {
 	return size
 }
 
-// readSegment reads every valid frame of one segment. validSize is the byte
+// readSegment reads one segment's header and every valid frame after it.
+// logID is the header's (0 when the header is damaged); validSize is the byte
 // offset of the end of the last valid frame; err is nil for a clean read,
 // io.ErrUnexpectedEOF for a torn tail, errBadFrame for a CRC failure.
-func readSegment(fsys FS, path string) (recs []CommitRecord, validSize int64, err error) {
+func readSegment(fsys FS, path string) (recs []CommitRecord, logID uint64, validSize int64, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	defer f.Close()
 	r := chunkReader{r: f}
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(&r, magic); err != nil || string(magic) != segMagic {
-		return nil, 0, errBadFrame
+	hdr := make([]byte, segHeaderSize)
+	if _, err := io.ReadFull(&r, hdr); err != nil || string(hdr[:len(segMagic)]) != segMagic {
+		return nil, 0, 0, errBadFrame
 	}
-	validSize = int64(len(segMagic))
+	logID, validSize = binary.LittleEndian.Uint64(hdr[len(segMagic):]), int64(segHeaderSize)
 	for {
 		payload, ferr := readFrame(&r, 64<<20)
 		if ferr == io.EOF {
-			return recs, validSize, nil
+			return recs, logID, validSize, nil
 		}
 		if ferr != nil {
-			return recs, validSize, ferr
+			return recs, logID, validSize, ferr
 		}
 		rec, derr := decodeCommitRecord(payload)
 		if derr != nil {
 			// CRC passed but the record did not decode — treat as corruption.
-			return recs, validSize, errBadFrame
+			return recs, logID, validSize, errBadFrame
 		}
 		recs = append(recs, *rec)
 		validSize += frameHeaderSize + int64(len(payload))
@@ -617,7 +642,7 @@ func (d *diskWAL) flush() error {
 	// A segment that holds no record is not rotated: its successor would
 	// take its name, and truncation would then delete the one file as the
 	// older segment.
-	if d.segSize >= d.segBytes && d.segSize > int64(len(segMagic)) {
+	if d.segSize >= d.segBytes && d.segSize > int64(segHeaderSize) {
 		if err := d.rotate(); err != nil {
 			return d.fail(err)
 		}
@@ -644,7 +669,7 @@ func (d *diskWAL) createSegmentLocked(first LSN) error {
 	if err != nil {
 		return fmt.Errorf("storage: wal create segment: %w", err)
 	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
+	if _, err := f.Write(binary.LittleEndian.AppendUint64([]byte(segMagic), d.logID)); err != nil {
 		f.Close()
 		return fmt.Errorf("storage: wal segment header: %w", err)
 	}
@@ -653,7 +678,7 @@ func (d *diskWAL) createSegmentLocked(first LSN) error {
 		return fmt.Errorf("storage: wal dir sync: %w", err)
 	}
 	d.f = f
-	d.segSize = int64(len(segMagic))
+	d.segSize = int64(segHeaderSize)
 	d.segsMu.Lock()
 	d.segs = append(d.segs, walSegment{first: first, name: name})
 	d.segsMu.Unlock()

@@ -371,6 +371,10 @@ func (d *Decoder) SharedRow() Row {
 // one string array ReserveShared made, as SharedRow's are.
 func (d *Decoder) SharedValues(dst []Value) { d.values(dst, &d.sharedStrs) }
 
+// SharedBytes returns the bytes of the strings cut since ReserveShared: a
+// frame that declared its string bytes checks the count against it.
+func (d *Decoder) SharedBytes() int { return len(d.sharedStrs) }
+
 // SkipRow steps over one row, allocating nothing, and returns its number of
 // values and of string bytes: what ReserveShared takes.
 func (d *Decoder) SkipRow() (vals, strBytes int) {
@@ -384,8 +388,9 @@ func (d *Decoder) SkipRow() (vals, strBytes int) {
 // SkipValues steps over n values, allocating nothing, and returns the bytes
 // of their strings. It checks only that each field is there; decoding them
 // checks the rest. It reads the bytes in one loop rather than through Byte,
-// Varint and Bytes: a result set is walked once before it is decoded, and
-// through those methods the walk took a quarter of the decode's time.
+// Varint and Bytes: a kept row (Row) and a frame's shared rows (SkipRow)
+// are walked once before they are decoded, and through those methods the
+// walk of a result set, when one was walked, took a quarter of its decode.
 func (d *Decoder) SkipValues(n int) (strBytes int) {
 	if d.Err != nil {
 		return 0

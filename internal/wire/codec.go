@@ -1,6 +1,6 @@
 package wire
 
-// codec.go is the v9 frame codec: what a request and a response hold, the
+// codec.go is the v10 frame codec: what a request and a response hold, the
 // preface, the length-prefixed framing and the payload bytes. wire.go's
 // package comment has the layout; the value, row and string bytes are
 // types/codec.go's, a pulled transaction's changes are
@@ -59,14 +59,15 @@ type request struct {
 	Params map[string]types.Value
 
 	// Provision: the article (Table, Columns, Filter), the cache's
-	// subscription and the cached view the article feeds. FromLSN is the
-	// resume position: the first LSN a restarted subscriber has not applied,
-	// 0 to seed.
+	// subscription and the cached view the article feeds. (LogID, FromLSN)
+	// is the resume position: the first LSN a restarted subscriber has not
+	// applied, 0 to seed, and the ID of the backend's log it is a position of.
 	Table   string
 	Columns []string
 	Filter  string // deparsed predicate, "" = none
 	SubName string
 	Target  string
+	LogID   uint64
 	FromLSN storage.LSN
 
 	// Pull. AckLSN acknowledges every batch at or below it from the previous
@@ -115,8 +116,10 @@ type response struct {
 	Snapshot []byte
 
 	// Provision. Resumed says the view was attached at the request's FromLSN
-	// with no rows; otherwise Rows is its initial population.
+	// with no rows; otherwise Rows is its initial population. LogID names the
+	// backend's log.
 	SubID    int
+	LogID    uint64
 	StartLSN storage.LSN
 	Resumed  bool
 
@@ -131,7 +134,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 9}
+var preface = [4]byte{'M', 'T', 'W', 10}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused
@@ -269,6 +272,7 @@ func appendRequest(buf []byte, req *request) []byte {
 		buf = types.AppendString(buf, req.Filter)
 		buf = types.AppendString(buf, req.SubName)
 		buf = types.AppendString(buf, req.Target)
+		buf = binary.LittleEndian.AppendUint64(buf, req.LogID)
 		buf = binary.AppendUvarint(buf, uint64(req.FromLSN))
 	case reqPull:
 		buf = binary.AppendVarint(buf, int64(req.SubID))
@@ -360,6 +364,7 @@ func decodeRequest(payload []byte, req *request, in interner) error {
 		req.Filter = d.Str()
 		req.SubName = d.Str()
 		req.Target = d.Str()
+		req.LogID = d.Fixed64()
 		req.FromLSN = storage.LSN(d.Uvarint())
 	case reqPull:
 		req.SubID = int(d.Varint())
@@ -413,6 +418,7 @@ func appendResponse(buf []byte, resp *response) []byte {
 		}
 		buf = append(buf, resumed)
 		buf = binary.AppendVarint(buf, int64(resp.SubID))
+		buf = binary.LittleEndian.AppendUint64(buf, resp.LogID)
 		buf = binary.AppendUvarint(buf, uint64(resp.StartLSN))
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Rows)))
 		for _, row := range resp.Rows {
@@ -471,6 +477,7 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 		resumed := d.Byte()
 		resp.Resumed = resumed == 1
 		resp.SubID = int(d.Varint())
+		resp.LogID = d.Fixed64()
 		resp.StartLSN = storage.LSN(d.Uvarint())
 		if n := d.Count(1); n > 0 {
 			resp.Rows = make([]types.Row, n)
@@ -506,8 +513,9 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 	return finish(&d, "response")
 }
 
-// appendResultSet appends a Query result. The total value count goes
-// ahead of the rows so the decoder can size one backing array for all of them.
+// appendResultSet appends a Query result. The total value count and the
+// total bytes of the strings go ahead of the rows, so the decoder can size
+// one backing array for all of the values and one for all of the strings.
 func appendResultSet(buf []byte, cols []exec.ColInfo, rows []types.Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(cols)))
 	for i := range cols {
@@ -515,12 +523,16 @@ func appendResultSet(buf []byte, cols []exec.ColInfo, rows []types.Row) []byte {
 		buf = types.AppendString(buf, cols[i].Name)
 		buf = append(buf, byte(cols[i].Kind))
 	}
-	values := 0
+	values, strBytes := 0, 0
 	for _, row := range rows {
 		values += len(row)
+		for i := range row {
+			strBytes += len(row[i].Str())
+		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	buf = binary.AppendUvarint(buf, uint64(values))
+	buf = binary.AppendUvarint(buf, uint64(strBytes))
 	for _, row := range rows {
 		buf = binary.AppendUvarint(buf, uint64(len(row)))
 		for i := range row {
@@ -533,22 +545,25 @@ func appendResultSet(buf []byte, cols []exec.ColInfo, rows []types.Row) []byte {
 // decodeResultSet decodes a Query result into resp.Cols and resp.Rows,
 // through the spare slices resp.rows and resp.vals (see decodeResponse). A
 // row is never nil, even one with no values. Every string is cut from one
-// array of exactly the result's string bytes, summed by a walk over the rows
-// first: one allocation, none when no value is a string.
+// array of exactly the string bytes the header declares: one allocation,
+// none when no value is a string. A declared count the frame cannot hold is
+// refused before anything is allocated, and one the strings do not sum to
+// after the rows.
 func decodeResultSet(d *types.Decoder, resp *response, hdrs headers) {
 	resp.Cols = hdrs.cols(d)
 	nrows, nvals := d.Count(1), d.Count(1)
+	strBytes := d.Uvarint()
 	if nrows == 0 {
-		if nvals != 0 {
+		if nvals != 0 || strBytes != 0 {
 			d.Fail()
 		}
 		return
 	}
-	probe, strBytes := types.Decoder{Buf: d.Buf, Off: d.Off}, 0
-	for range nrows {
-		strBytes += probe.SkipValues(int(probe.Uvarint()))
+	if strBytes > uint64(d.Remaining()) {
+		d.Fail()
+		return
 	}
-	d.ReserveShared(0, strBytes)
+	d.ReserveShared(0, int(strBytes))
 	rows, vals := resp.rows, resp.vals
 	if cap(rows) < nrows {
 		rows = make([]types.Row, nrows)
@@ -569,7 +584,7 @@ func decodeResultSet(d *types.Decoder, resp *response, hdrs headers) {
 			return
 		}
 	}
-	if len(vals) != 0 {
+	if len(vals) != 0 || d.SharedBytes() != int(strBytes) {
 		d.Fail()
 		return
 	}

@@ -48,6 +48,7 @@ func sampleRequests() map[string]*request {
 		"provision":        {Kind: reqProvision, ID: 6, Table: "part", Columns: []string{"id", "", "name"}, Filter: "(part.qty > 10)", SubName: "cache1.cv_part"},
 		"provision no col": {Kind: reqProvision, ID: 8, Table: "part", Columns: []string{}, SubName: "s"},
 		"provision from":   {Kind: reqProvision, ID: 9, Table: "part", Columns: []string{"id"}, SubName: "s", Target: "v", FromLSN: 1234567},
+		"provision log":    {Kind: reqProvision, ID: 21, Table: "part", SubName: "s", Target: "v", LogID: 0xfedcba9876543210, FromLSN: 72},
 		"pull":             {Kind: reqPull, ID: 10, SubID: 3, Max: 100, AckLSN: 42},
 		"pull negative":    {Kind: reqPull, ID: 11, SubID: -1, Max: -5},
 	}
@@ -70,6 +71,8 @@ func sampleResponses() map[string]*response {
 		"snapshot empty": {Kind: reqSnapshot, ID: 16, Snapshot: []byte{}},
 		"provision":      {Kind: reqProvision, ID: 17, SubID: 2, StartLSN: 77, Rows: []types.Row{sampleRow, nil, {}}},
 		"resumed":        {Kind: reqProvision, ID: 18, SubID: 3, StartLSN: 1234567, Resumed: true},
+		"provision log":  {Kind: reqProvision, ID: 21, SubID: 4, LogID: 0xfedcba9876543210, StartLSN: 72, Rows: []types.Row{sampleRow}},
+		"resumed log":    {Kind: reqProvision, ID: 22, SubID: 4, LogID: 1, StartLSN: 72, Resumed: true},
 		"pull": {Kind: reqPull, ID: 19, ThroughLSN: 90, Batches: []repl.TxnBatch{
 			{LSN: 80, CommitTime: time.Date(2003, 6, 9, 0, 0, 0, 0, pdt), Changes: []storage.ChangeRec{
 				{Table: "part", Op: storage.OpInsert, After: sampleRow},
@@ -618,6 +621,59 @@ func TestDecodedValuesDoNotAliasFrame(t *testing.T) {
 	}
 }
 
+// queryStrBytes is the bytes of the sample query answer's strings.
+func queryStrBytes() (n uint64) {
+	for _, row := range sampleResponses()["query"].Rows {
+		for _, v := range row {
+			n += uint64(len(v.Str()))
+		}
+	}
+	return n
+}
+
+// miscounted is the sample query answer with the string-byte count in its
+// result-set header changed to strBytes.
+func miscounted(strBytes uint64) []byte {
+	resp := sampleResponses()["query"]
+	full := appendResponse(nil, resp)
+	// Without rows the result set ends in three zero counts: rows, values and
+	// string bytes.
+	head := appendResponse(nil, &response{Kind: resp.Kind, ID: resp.ID, Cols: resp.Cols})
+	head = head[:len(head)-3]
+	d := types.Decoder{Buf: full, Off: len(head)}
+	frame := binary.AppendUvarint(bytes.Clone(head), d.Uvarint())
+	frame = binary.AppendUvarint(frame, d.Uvarint())
+	d.Uvarint()
+	frame = binary.AppendUvarint(frame, strBytes)
+	return append(frame, full[d.Off:]...)
+}
+
+// TestResultSetDeclaresItsStringBytes: a result set's header carries its
+// strings' total bytes, and a frame whose strings do not sum to it is
+// refused — one byte over or under alike. A count the frame cannot hold is
+// refused before the array it would size is allocated.
+func TestResultSetDeclaresItsStringBytes(t *testing.T) {
+	want := queryStrBytes()
+	var got response
+	if err := decodeResponse(miscounted(want), &got, headers{}, interner{}); err != nil {
+		t.Fatalf("the sample answer with its own count: %v", err)
+	}
+	if !bytes.Equal(miscounted(want), appendResponse(nil, sampleResponses()["query"])) {
+		t.Fatal("miscounted(the count) is not the encoder's frame")
+	}
+	for _, n := range []uint64{want - 1, want + 1, 0} {
+		if err := decodeResponse(miscounted(n), &got, headers{}, interner{}); err == nil {
+			t.Errorf("a result set declaring %d string bytes, holding %d, decoded", n, want)
+		}
+	}
+	huge := miscounted(16 << 20)
+	before := totalAlloc()
+	err := decodeResponse(huge, &got, headers{}, interner{})
+	if grew := totalAlloc() - before; err == nil || grew > 64<<10 {
+		t.Fatalf("a %d-byte frame declaring 16 MiB of strings: %v, %d bytes allocated", len(huge), err, grew)
+	}
+}
+
 // totalAlloc returns the bytes allocated by the process so far. ReadMemStats
 // stops the world and flushes every P's allocation counts, so the difference
 // of two readings is exact (runtime/metrics' counter is cheaper but lags).
@@ -648,6 +704,7 @@ func TestPrefaceRefusesOtherProtocols(t *testing.T) {
 		"v4":            {'M', 'T', 'W', 4, 0, 0, 0, 0}, // a snapshot payload was gob until v5
 		"v5":            {'M', 'T', 'W', 5, 0, 0, 0, 0}, // request kind 1 was Exec until v6
 		"v8":            {'M', 'T', 'W', 8, 0, 0, 0, 0}, // kinds 4 Resume and 5 Applied, and the Applied header, until v9
+		"v9":            {'M', 'T', 'W', 9, 0, 0, 0, 0}, // no log ID in Provision, no string-byte count in a result set, until v10
 		"http":          []byte("GET / HTTP/1.1\r\n\r\n"),
 	}
 

@@ -17,9 +17,11 @@ import (
 // tables and through warmed ones, as a client connection's is, into a
 // recycled slot's spare slices: no table changes what a frame means.
 func FuzzFrameDecode(f *testing.F) {
-	// Seed with real frames of every kind, one that names a parameter twice,
-	// one with v7's span flag and v8's Resume request and Applied answer:
-	// whole, halved, minus the last byte, minus the first.
+	// Seed with real frames of every kind (v10's Provision request and answer
+	// with a log ID among them), one that names a parameter twice, one with
+	// v7's span flag, v8's Resume request and Applied answer, and result sets
+	// declaring a string byte more and one fewer than they hold: whole,
+	// halved, minus the last byte, minus the first.
 	add := func(b []byte) {
 		f.Add(b)
 		if len(b) > 2 {
@@ -39,6 +41,8 @@ func FuzzFrameDecode(f *testing.F) {
 	for _, frame := range v8Frames() {
 		add(frame)
 	}
+	add(miscounted(queryStrBytes() + 1))
+	add(miscounted(queryStrBytes() - 1))
 
 	warm, warmHdrs, warmNames := interner{}, headers{}, interner{}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -117,7 +117,7 @@ func TestConcurrentProvisionOneSubscription(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				a, err := c.Provision("tiny", cols, "", name, "v", 0)
+				a, err := c.Provision("tiny", cols, "", name, "v", 0, 0)
 				if err != nil {
 					t.Error(err)
 				}

@@ -56,7 +56,7 @@ func runPullProperty(t *testing.T, seed int64) {
 
 	subs := make([]*propSub, 2)
 	for i := range subs {
-		a, err := client.Provision("part", nil, "", fmt.Sprintf("prop%d", i), "sub", 0)
+		a, err := client.Provision("part", nil, "", fmt.Sprintf("prop%d", i), "sub", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

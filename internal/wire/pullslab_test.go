@@ -72,7 +72,7 @@ func pullBackend(t testing.TB, n int) (*core.BackendServer, *Server, int) {
 		{"item", "cv_item", itemColumns},
 		{"order_line", "cv_order_line", []string{"ol_o_id", "ol_id", "ol_i_id", "ol_qty"}},
 	} {
-		a, err := b.Provision(v.table, v.columns, "", "cache", v.target, 0)
+		a, err := b.Provision(v.table, v.columns, "", "cache", v.target, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -518,3 +518,109 @@ func TestReattachToABackendThatLostItsLog(t *testing.T) {
 		})
 	}
 }
+
+// TestReattachResumesOnlyTheLogItApplied: a cache resumes only on the log it
+// applied. Backend A holds 50 parts, qty = id, and the cache one view of
+// them; then A goes and backend B serves on its address, with the same
+// schema and other data (qty = 2·id). The cache's next pull finds no
+// subscription and re-attaches asking to resume where it stands in A's log.
+// B's log holds that position — a durable B's runs past it, an in-memory B's
+// ends exactly there — but it is another log: the view is seeded from B, and
+// the cache reads B's qty.
+func TestReattachResumesOnlyTheLogItApplied(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		durable bool
+		extra   int // B's commits past the 51 (DDL and 50 inserts) A's log holds
+	}{
+		{"durable backend swapped behind the address, longer log", true, 20},
+		{"in-memory backend whose log ends at the cache's position", false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			open := func(mult int) *core.BackendServer {
+				t.Helper()
+				var b *core.BackendServer
+				if tc.durable {
+					var err error
+					if b, err = core.NewBackendDurable("backend", storage.DurabilityOptions{Dir: t.TempDir()}); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					b = core.NewBackend("backend")
+				}
+				t.Cleanup(func() { b.DB.CloseStore() }) //nolint:errcheck
+				if err := b.ExecScript("CREATE TABLE part (id INT PRIMARY KEY, name VARCHAR(40) NOT NULL, type VARCHAR(20), qty INT);"); err != nil {
+					t.Fatal(err)
+				}
+				for i := 1; i <= 50; i++ {
+					if _, err := b.Exec(fmt.Sprintf("INSERT INTO part (id, name, type, qty) VALUES (%d, 'p', 'Tire', %d)", i, mult*i), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return b
+			}
+			a := open(1)
+			srv, err := Serve(a, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := srv.Addr()
+			policy := resilience.DefaultPolicy()
+			policy.MaxAttempts = 20
+			policy.BaseDelay = 2 * time.Millisecond
+			policy.MaxDelay = 20 * time.Millisecond
+			client, err := DialResilient(addr, policy, metrics.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			rc, err := NewRemoteCache("cache", client, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rc.CreateCachedView("CREATE CACHED VIEW tires AS SELECT id, qty FROM part WHERE type = 'Tire'"); err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
+			if err := a.DB.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+
+			b := open(2)
+			for i := 1; i <= tc.extra; i++ {
+				if _, err := b.Exec(fmt.Sprintf("INSERT INTO part (id, name, type, qty) VALUES (%d, 'p', 'Tire', %d)", 100+i, 2*(100+i)), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if end, at := b.DB.Store().VisibleEnd(), rc.AppliedLSN(); (end == at+1) != (tc.extra == 0) {
+				t.Fatalf("B's log ends at %d, the cache stands at %d: the case lost its point", end, at)
+			}
+			srv2, err := Serve(b, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv2.Close)
+
+			seeded := metrics.Default.Counter("wire.view_seeded")
+			resumed := metrics.Default.Counter("wire.view_resumed")
+			seeded0, resumed0 := seeded.Value(), resumed.Value()
+			if _, err := rc.Pull(); err != nil {
+				t.Fatal(err)
+			}
+			if seeded.Value() != seeded0+1 || resumed.Value() != resumed0 {
+				t.Fatalf("the re-attach to B seeded %d views and resumed %d; want 1 and 0",
+					seeded.Value()-seeded0, resumed.Value()-resumed0)
+			}
+			res, err := rc.DB.Exec("SELECT qty FROM tires WHERE id = 4", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0].Int() != 8 {
+				t.Fatalf("the cache reads qty %v for id 4; B holds 8", res.Rows)
+			}
+			if got, want := rc.DB.TableRowCount("tires"), b.DB.TableRowCount("part"); got != want {
+				t.Fatalf("the view holds %d rows, B %d", got, want)
+			}
+		})
+	}
+}

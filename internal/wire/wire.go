@@ -1,5 +1,5 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v9) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v10) carrying
 //
 //   - Query — the linked-server path (paper §2.1): remote subexpressions,
 //     forwarded writes and forwarded procedure calls travel as SQL text (or a
@@ -12,8 +12,9 @@
 //   - Snapshot — the shadow-database setup payload (§4);
 //   - Provision / Pull — the pull subscription (§2.2): a cache has one,
 //     provisions an article of it for each cached view — resumed at the
-//     position a restarted cache asks for when the backend still serves it,
-//     seeded with the view's initial population otherwise — and then
+//     position a restarted cache asks for when the backend's log is the one
+//     the position is in (the request names it by its log ID) and still
+//     holds it, seeded with the view's initial population otherwise — and then
 //     periodically pulls committed transactions, each carrying every view's
 //     share. The server answers them with core.BackendServer's publisher
 //     methods.
@@ -30,7 +31,7 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x09
+//	preface, once, each direction: 'M' 'T' 'W' 0x0a
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
@@ -47,7 +48,9 @@
 //	    Snapshot          —
 //	    Provision         string Table, uvarint #columns, per column: string,
 //	                      string Filter, string SubName, string Target,
-//	                      uvarint FromLSN (0: seed; since v9)
+//	                      uint64 LogID, 8 bytes LE (the log FromLSN is a
+//	                      position of; since v10), uvarint FromLSN (0: seed;
+//	                      since v9)
 //	    Pull              varint SubID, varint Max, uvarint AckLSN
 //
 //	response payload:
@@ -61,10 +64,12 @@
 //	  body: string Err if the error flag is set, otherwise by kind:
 //	    Query        uvarint #cols, per col: string Table, string Name, byte Kind
 //	                 uvarint #rows, uvarint #values in all rows,
+//	                 uvarint #bytes of all string values (since v10),
 //	                 per row: uvarint #values, values
 //	    Snapshot     uvarint len, bytes (catalog.Snapshot.Encode: script,
 //	                   stats, perms, procs; since v5, gob before it)
 //	    Provision    byte Resumed (0 or 1; since v9), varint SubID,
+//	                 uint64 LogID, 8 bytes LE (the backend's; since v10),
 //	                 uvarint StartLSN, uvarint #rows (0 when resumed), rows
 //	    Pull         uvarint ThroughLSN, uvarint #batches, per batch:
 //	                   uvarint LSN, varint CommitTime (unix nanoseconds), changes
@@ -72,8 +77,9 @@
 // An empty slice, map or string and an absent one are the same bytes and
 // decode as nil / "" (a server's exchange keeps its emptied parameter map).
 // Every count and length is checked against the bytes left in the frame
-// before anything is allocated, a frame must be consumed exactly, and a peer
-// that sends a malformed one is disconnected.
+// before anything is allocated, a frame must be consumed exactly — a result
+// set's strings must sum to exactly the bytes its header declares — and a
+// peer that sends a malformed one is disconnected.
 //
 // There is no field-by-name tolerance and no negotiation: a field is added
 // by changing the layout above and bumping the preface version, and a peer
@@ -400,8 +406,8 @@ func (s *Server) publish(x *exchange) (err error) {
 		resp.Snapshot = s.backend.Snapshot().Encode()
 	case reqProvision:
 		var a repl.Attachment
-		a, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName, req.Target, req.FromLSN)
-		resp.SubID, resp.StartLSN, resp.Resumed, resp.Rows = a.SubID, a.StartLSN, a.Resumed, a.Rows
+		a, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName, req.Target, req.LogID, req.FromLSN)
+		resp.SubID, resp.LogID, resp.StartLSN, resp.Resumed, resp.Rows = a.SubID, a.LogID, a.StartLSN, a.Resumed, a.Rows
 	case reqPull:
 		x.slabs = pullSlabs.Get().(*repl.Slabs)
 		resp.Batches, resp.ThroughLSN, err = s.backend.Repl.PullInto(x.slabs, req.SubID, req.Max, req.AckLSN)

@@ -136,6 +136,8 @@ var removedNames = []struct {
 	{`\bInterval:`, "", "one commit rule (group commit; DurabilityOptions has no fsync cadence)"},
 	{`func \(s \*Store\) Sync\(`, `^internal/storage/`, "one commit rule (a commit waits for its fsync; Store.WaitDurable)"},
 	{`(?m)^\s+Args\s`, `^internal/imcache/`, "literals rendered on read from the entry's key values (Entry.Vals)"},
+	{`func \(s \*Store\) Durable\(`, `^internal/storage/`, "a log that names itself (Provision resumes only on a matching log ID)"},
+	{`\bfeeds\(subName`, `^internal/repl/`, "a log that names itself (Provision resumes only on a matching log ID)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
