@@ -2,13 +2,11 @@ package engine
 
 import (
 	"bytes"
-	"slices"
 	"strings"
 	"sync"
 
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
-	"mtcache/internal/opt"
 	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
@@ -141,7 +139,7 @@ func autoResolve(shape string) *planEntry {
 			return &planEntry{}
 		}
 		x.CacheKey()
-		return &planEntry{stmt: x, refs: paramRefs(x, nil)}
+		return &planEntry{stmt: x, refs: x.ParamNames(nil)}
 	case *sql.ExecStmt:
 		x.Text()
 		return &planEntry{stmt: x}
@@ -152,45 +150,10 @@ func autoResolve(shape string) *planEntry {
 	return &planEntry{}
 }
 
-// bindParams installs one execution's parameters on ctx: the named map —
-// when the plan forwards parameters to the backend by name, the instance's
-// kept map refilled with the caller's entries and the auto-parameterized
-// literals (exec.Ctx.Merged), never the caller's map itself — plus the dense
-// slot bindings the plan's compiled expressions read without a map lookup
-// (see exec.AssignParamSlots), written into the slots the instance's context
-// kept from its last execution. Slots left unbound fall back to the named
-// map at Eval time, so missing-parameter errors surface exactly as before.
-func bindParams(plan *opt.Plan, params exec.Params, autoArgs []types.Value, ctx *exec.Ctx) {
-	if !plan.FullyLocal && len(autoArgs) > 0 {
-		merged := ctx.Merged(params)
-		for i, v := range autoArgs {
-			merged[sql.AutoParamName(i)] = v
-		}
-		params = merged
-	}
-	ctx.Params = params
-	ctx.Env.Named = params
-	n := len(plan.Params)
-	ctx.Env.Slots = slices.Grow(ctx.Env.Slots[:0], n)[:n]
-	ctx.Env.Bound = slices.Grow(ctx.Env.Bound[:0], n)[:n]
-	for i, name := range plan.Params {
-		ctx.Env.Slots[i], ctx.Env.Bound[i] = paramValue(name, params, autoArgs)
-	}
-}
-
-// paramValue is the value an auto-parameterized statement binds to the
-// parameter @name: the extracted literal for an @__pN the text's own
-// literals cover, the named map's entry otherwise.
-func paramValue(name string, params exec.Params, autoArgs []types.Value) (types.Value, bool) {
-	if idx, isAuto := sql.AutoParamIndex(name); isAuto && idx < len(autoArgs) {
-		return autoArgs[idx], true
-	}
-	v, ok := params[name]
-	return v, ok
-}
-
 // withAutoArgs returns params with the auto-parameterized literals added
-// under their @__pN names (params itself when there are none).
+// under their @__pN names (params itself when there are none): the map of a
+// statement that leaves as text (forward), and the values a degraded re-plan
+// stands in for its parameters.
 func withAutoArgs(params exec.Params, autoArgs []types.Value) exec.Params {
 	if len(autoArgs) == 0 {
 		return params

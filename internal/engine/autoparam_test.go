@@ -362,14 +362,15 @@ func (l *seeingLink) QueryTraced(sqlText string, params exec.Params, traceID str
 	return l.Link.QueryTraced(sqlText, params, traceID)
 }
 
-// TestMergedParameterMapCarriesNothingOver: a remote plan's instance sends
-// the backend its caller's parameters and the text's literals in one map it
-// keeps across executions. One shape, whose text reads @a and has a literal,
-// runs with @a and @b, then on the parked instance with only @a, then with
-// no parameter: the backend sees exactly each call's names and the current
-// literal, the last call fails as on a fresh instance, and no caller's map
+// TestRemoteParameterMapCarriesNothingOver: a remote plan's instance sends
+// the backend exactly the parameters its text reads — the caller's and the
+// text's literals — in one map the Remote keeps across executions. One
+// shape, whose text reads @a and has a literal, runs with @a and @b, then on
+// the parked instance with only @a, then with no parameter, then with @a
+// again: the backend sees exactly @a and the current literal, the call that
+// lacks @a fails before any query reaches the backend, and no caller's map
 // is written.
-func TestMergedParameterMapCarriesNothingOver(t *testing.T) {
+func TestRemoteParameterMapCarriesNothingOver(t *testing.T) {
 	backend, cache := newCachePair(t)
 	link := &seeingLink{Link: NewLink(backend)}
 	cache.SetRemote(link)
@@ -377,7 +378,7 @@ func TestMergedParameterMapCarriesNothingOver(t *testing.T) {
 		params exec.Params
 		want   string // the names the backend sees, sorted, or the error
 	}{
-		{exec.Params{"a": types.NewInt(7), "b": types.NewInt(9)}, "__p0,a,b"},
+		{exec.Params{"a": types.NewInt(7), "b": types.NewInt(9)}, "__p0,a"},
 		{exec.Params{"a": types.NewInt(8)}, "__p0,a"},
 		{exec.Params{}, "missing parameter @a"},
 		{exec.Params{"a": types.NewInt(9)}, "__p0,a"},
@@ -389,6 +390,15 @@ func TestMergedParameterMapCarriesNothingOver(t *testing.T) {
 		if !maps.EqualFunc(c.params, caller, types.Identical) {
 			t.Errorf("call %d wrote its caller's map: %v, was %v", i, c.params, caller)
 		}
+		if err != nil {
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("call %d: %v, want %q", i, err, c.want)
+			}
+			if len(link.seen) != 0 {
+				t.Errorf("call %d failed binding, and %d queries reached the backend", i, len(link.seen))
+			}
+			continue
+		}
 		if len(link.seen) != 1 {
 			t.Fatalf("call %d: %d queries reached the backend, want 1", i, len(link.seen))
 		}
@@ -396,19 +406,29 @@ func TestMergedParameterMapCarriesNothingOver(t *testing.T) {
 		if v := sent[sql.AutoParamName(0)]; v.Int() != int64(cost) {
 			t.Errorf("call %d: the backend saw the literal %v, want %d", i, v, cost)
 		}
-		if err != nil {
-			if !strings.Contains(err.Error(), c.want) {
-				t.Errorf("call %d: %v, want %q", i, err, c.want)
-			}
-		} else if got := sortedNames(sent); got != c.want || len(res.Rows) != 1 {
+		if got := sortedNames(sent); got != c.want || len(res.Rows) != 1 {
 			t.Errorf("call %d: the backend saw %s and answered %v, want %s and one row", i, got, res.Rows, c.want)
 		}
-		if _, sawA := sent["a"]; err != nil && sawA {
-			t.Errorf("call %d: the backend saw @a = %v, which the call did not send", i, sent["a"])
+		res.Release()
+	}
+}
+
+// A statement's parameters are all required, whichever branch of it runs: a
+// CASE whose ELSE reads @y fails without @y even on a row that never reaches
+// the ELSE.
+func TestEveryParameterOfAStatementIsRequired(t *testing.T) {
+	db := New(Config{Name: "solo", Role: Backend})
+	for _, text := range []string{"CREATE TABLE t (id INT PRIMARY KEY)", "INSERT INTO t VALUES (1)"} {
+		if _, err := db.Exec(text, nil); err != nil {
+			t.Fatal(err)
 		}
-		if res != nil {
-			res.Release()
-		}
+	}
+	res, err := db.Exec("SELECT CASE WHEN id > 0 THEN id ELSE @y END FROM t", nil)
+	if err == nil {
+		t.Fatalf("answered %v, want missing parameter @y", res.Rows)
+	}
+	if !strings.Contains(err.Error(), "missing parameter @y") {
+		t.Fatalf("%v, want missing parameter @y", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
@@ -28,9 +29,8 @@ func (db *Database) execDML(stmt keyed, e *planEntry, params exec.Params, autoAr
 	if t := db.virtualDMLTarget(stmt); t != nil {
 		return nil, fmt.Errorf("engine: %s is a read-only system table", t.Name)
 	}
-	params = withAutoArgs(params, autoArgs)
 	if db.role == Cache {
-		return db.forward(stmt.CacheKey(), params, rec)
+		return db.forward(stmt.CacheKey(), withAutoArgs(params, autoArgs), rec)
 	}
 	wp, err := db.writePlanOf(e, stmt)
 	if err != nil {
@@ -38,7 +38,7 @@ func (db *Database) execDML(stmt keyed, e *planEntry, params exec.Params, autoAr
 	}
 	var ctr exec.Counters
 	tx := db.store.Begin(true)
-	n, err := db.runWrite(wp, params, tx, &ctr)
+	n, err := db.runWrite(wp, params, autoArgs, tx, &ctr)
 	if err != nil {
 		tx.Abort()
 		return nil, err
@@ -108,14 +108,15 @@ func (db *Database) virtualDMLTarget(stmt sql.Statement) *catalog.Table {
 // table, its compiled expressions, and the index seek its WHERE allows, which
 // the read planner's index chooser picks (opt.WriteSeek). An execution
 // walks the index between the evaluated bounds, or scans, and writes the rows
-// the whole WHERE holds for. A compiled scalar
-// holds no run state — a parameter resolves by name, an IN list's set is
-// built when it is compiled — so one plan serves concurrent executions. A
+// the whole WHERE holds for. A compiled scalar holds no run state — a
+// parameter reads its slot in the execution's Env, an IN list's set is built
+// when it is compiled — so one plan serves concurrent executions. A
 // statement keeps its plan on its plan-cache entry (writePlanOf), whether it
 // is a procedure body's or a text's shape.
 type writePlan struct {
-	t  *catalog.Table
-	op storage.ChangeOp
+	t      *catalog.Table
+	op     storage.ChangeOp
+	params opt.Params // the parameters its expressions read, in slot order
 
 	// INSERT: the column each value goes to, the values — compiled VALUES
 	// rows, or a SELECT planned per execution through the plan cache — and
@@ -201,10 +202,10 @@ func (db *Database) buildWritePlan(stmt sql.Statement) (*writePlan, error) {
 	if err != nil || where == nil {
 		return wp, err
 	}
-	if wp.filter, err = opt.CompileScalar(where, t); err != nil {
+	if wp.filter, err = opt.CompileScalar(where, t, &wp.params); err != nil {
 		return nil, err
 	}
-	wp.index, wp.lo, wp.hi, _ = opt.WriteSeek(t, where)
+	wp.index, wp.lo, wp.hi, _ = opt.WriteSeek(t, where, &wp.params)
 	return wp, nil
 }
 
@@ -218,7 +219,7 @@ func (wp *writePlan) planInsert(x *sql.InsertStmt) error {
 	for _, row := range x.Rows {
 		compiled := make([]exec.Expr, len(row))
 		for i, e := range row {
-			if compiled[i], err = opt.CompileScalar(e, nil); err != nil {
+			if compiled[i], err = opt.CompileScalar(e, nil, &wp.params); err != nil {
 				return err
 			}
 		}
@@ -230,7 +231,7 @@ func (wp *writePlan) planInsert(x *sql.InsertStmt) error {
 		}
 		f := fillCol{ord: i}
 		if col.Default != nil {
-			if f.def, err = opt.CompileScalar(col.Default, nil); err != nil {
+			if f.def, err = opt.CompileScalar(col.Default, nil, nil); err != nil {
 				return err
 			}
 		}
@@ -249,7 +250,7 @@ func (wp *writePlan) planSet(set []sql.Assignment) error {
 		if slices.ContainsFunc(wp.sets, func(s setOp) bool { return s.ord == ord }) {
 			return fmt.Errorf("engine: column %s is named more than once in the SET of an UPDATE of %s", a.Column, t.Name)
 		}
-		ce, err := opt.CompileScalar(a.Expr, t)
+		ce, err := opt.CompileScalar(a.Expr, t, &wp.params)
 		if err != nil {
 			return err
 		}
@@ -280,14 +281,22 @@ func insertColumnOrds(t *catalog.Table, cols []string) ([]int, error) {
 	return ords, nil
 }
 
-// runWrite executes wp inside tx with params bound and returns the number of
-// rows it wrote; the rows it examined are added to ctr's RowsScanned. An
-// UPDATE or DELETE binds its target's view once: finding the rows and reading
-// them before the write go through the same view.
-func (db *Database) runWrite(wp *writePlan, params exec.Params, tx *storage.Txn, ctr *exec.Counters) (int64, error) {
-	env := &exec.Env{Named: params}
+// runWrite executes wp inside tx with params and the front door's literals
+// autoArgs bound, and returns the number of rows it wrote; the rows it
+// examined are added to ctr's RowsScanned. An UPDATE or DELETE binds its
+// target's view once: finding the rows and reading them before the write go
+// through the same view.
+func (db *Database) runWrite(wp *writePlan, params exec.Params, autoArgs []types.Value, tx *storage.Txn, ctr *exec.Counters) (int64, error) {
+	env := writeEnvs.Get().(*exec.Env)
+	defer func() {
+		clear(env.Slots)
+		writeEnvs.Put(env)
+	}()
+	if err := env.Bind(wp.params, params, autoArgs); err != nil {
+		return 0, err
+	}
 	if wp.op == storage.OpInsert {
-		return db.execInsert(wp, env, tx, ctr)
+		return db.execInsert(wp, env, params, autoArgs, tx, ctr)
 	}
 	td, ok := tx.Table(wp.t.Name)
 	if !ok {
@@ -304,7 +313,11 @@ func (db *Database) runWrite(wp *writePlan, params exec.Params, tx *storage.Txn,
 	return db.execDelete(wp, rids, tx, &td)
 }
 
-func (db *Database) execInsert(wp *writePlan, env *exec.Env, tx *storage.Txn, ctr *exec.Counters) (int64, error) {
+// writeEnvs recycles the Envs writes bind their parameters into: nothing
+// keeps one past runWrite, as the rows a write stores copy the values.
+var writeEnvs = sync.Pool{New: func() any { return new(exec.Env) }}
+
+func (db *Database) execInsert(wp *writePlan, env *exec.Env, params exec.Params, autoArgs []types.Value, tx *storage.Txn, ctr *exec.Counters) (int64, error) {
 	t := wp.t
 	// Latched before the views are read: a materialized view created
 	// meanwhile has committed by then, and the insert maintains it.
@@ -333,7 +346,7 @@ func (db *Database) execInsert(wp *writePlan, env *exec.Env, tx *storage.Txn, ct
 		if err != nil {
 			return 0, err
 		}
-		rs, err := db.runPlanAlone(tx, plan, env.Named)
+		rs, err := db.runPlanAlone(tx, plan, params, autoArgs)
 		if err != nil {
 			return 0, err
 		}

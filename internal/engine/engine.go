@@ -755,11 +755,16 @@ func (db *Database) freshnessBound(stmt *sql.SelectStmt, params exec.Params) (fl
 	if stmt.Freshness == nil {
 		return unbounded, nil
 	}
-	bound, err := opt.CompileScalar(stmt.Freshness, nil)
+	var names opt.Params
+	bound, err := opt.CompileScalar(stmt.Freshness, nil, &names)
 	if err != nil {
 		return 0, fmt.Errorf("engine: WITH FRESHNESS: %w", err)
 	}
-	v, err := bound.Eval(nil, &exec.Env{Named: params})
+	var env exec.Env
+	if err := env.Bind(names, params, nil); err != nil {
+		return 0, fmt.Errorf("engine: WITH FRESHNESS: %w", err)
+	}
+	v, err := bound.Eval(nil, &env)
 	if err != nil {
 		return 0, fmt.Errorf("engine: WITH FRESHNESS: %w", err)
 	}
@@ -793,7 +798,7 @@ func (db *Database) Plan(stmt *sql.SelectStmt) (*opt.Plan, error) {
 // plan; an EXEC shape's holds neither.
 type planEntry struct {
 	stmt  sql.Statement // shared and read-only; nil for a negative front-door shape
-	refs  []string      // a SELECT's paramRefs: the values its result key covers
+	refs  []string      // a SELECT's parameters (ParamNames): the values its result key covers
 	plan  atomic.Pointer[cachedPlan]
 	write atomic.Pointer[writePlan]
 	stats shapeStats // zero until query records the entry's first execution
@@ -841,7 +846,7 @@ func (db *Database) entryFor(stmt keyed) *planEntry {
 	}
 	e := &planEntry{stmt: stmt}
 	if sel, ok := stmt.(*sql.SelectStmt); ok {
-		e.refs = paramRefs(sel, nil)
+		e.refs = sel.ParamNames(nil)
 	}
 	return db.plans.add(key, e)
 }
@@ -878,15 +883,15 @@ func (db *Database) PlanCacheSize() int {
 
 // RunPlan executes a previously produced plan.
 func (db *Database) RunPlan(plan *opt.Plan, params exec.Params) (*Result, error) {
-	return db.runPlanAlone(nil, plan, params)
+	return db.runPlanAlone(nil, plan, params, nil)
 }
 
 // runPlanAlone runs a bare plan, or the SELECT of an INSERT … SELECT or of a
 // write procedure inside that statement's transaction: an execution to the
 // stage histograms, not a statement of its own to the query store.
-func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Params) (*Result, error) {
+func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Params, autoArgs []types.Value) (*Result, error) {
 	rec := trace.Begin(db.Name)
-	res, _, err := db.runPlan(tx, plan, params, nil, rec, false)
+	res, _, err := db.runPlan(tx, plan, params, autoArgs, rec, false)
 	db.publish(rec, err)
 	rec.Release()
 	return res, err
@@ -900,8 +905,11 @@ func (db *Database) runPlanAlone(tx *storage.Txn, plan *opt.Plan, params exec.Pa
 // An execution that returns no error releases its instance back — reset, its
 // buffers cleared and kept — and the next execution of the plan starts with
 // arenas, batch windows, sort buffers, aggregate tables, its context and its
-// parameter slots already there; one that fails drops it. The rows of the
-// Result never alias memory the instance keeps (exec.Batch says why). They
+// parameter slots already there; one that fails drops it. The plan's
+// parameters are bound into those slots first (exec.Env.Bind): a statement
+// that lacks one fails before anything runs or any remote call is made. The
+// rows of the Result never alias memory the instance keeps (exec.Batch says
+// why). They
 // fill the row slice the Result recycled, and a new one is sized by the
 // plan's estimate capped by the rows the instance has returned
 // (exec.Instance.SizeRows), so that a released Result can recycle it. The
@@ -932,16 +940,18 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 	if inst == nil { // the free list is empty, or the run is instrumented
 		inst = &exec.Instance{Root: exec.CloneOperator(plan.Root)}
 	}
+	ctx := &inst.Ctx
+	if err := ctx.Env.Bind(plan.Params, params, autoArgs); err != nil {
+		return nil, nil, err // before anything ran: the instance is dropped
+	}
 	if tx == nil {
 		tx = &inst.Txn
 		db.store.BeginRead(tx)
 	}
 	res := NewResult()
 	res.slab = answerSlabs.Get().(*exec.Slab)
-	ctx := &inst.Ctx
 	ctx.Txn, ctx.Remote, ctx.Counters, ctx.Rec, ctx.EstRows = tx, db.remote, &res.Counters, rec, inst.SizeRows(plan.Card)
 	ctx.Slab = res.slab
-	bindParams(plan, params, autoArgs, ctx)
 	root := inst.Root
 	var shell *exec.Instrumented
 	if instrument {

@@ -48,43 +48,12 @@ func (db *Database) InvalidateIntermediates(table string) {
 	}
 }
 
-// paramRefs adds to refs the parameters a SELECT references, as spelled (the
-// executor resolves @ID and @id apart), each once: the values its results
-// depend on.
-func paramRefs(s *sql.SelectStmt, refs []string) []string {
-	note := func(e sql.Expr) bool {
-		if p, ok := e.(*sql.Param); ok && !slices.Contains(refs, p.Name) {
-			refs = append(refs, p.Name)
-		}
-		return true
-	}
-	exprs := append([]sql.Expr{s.Top, s.Where, s.Having}, s.GroupBy...)
-	for _, c := range s.Columns {
-		exprs = append(exprs, c.Expr)
-	}
-	for _, o := range s.OrderBy {
-		exprs = append(exprs, o.Expr)
-	}
-	for from := slices.Clone(s.From); len(from) > 0; from = from[1:] {
-		switch r := from[0].(type) {
-		case *sql.JoinRef:
-			exprs, from = append(exprs, r.On), append(from, r.Left, r.Right)
-		case *sql.SubqueryRef:
-			refs = paramRefs(r.Select, refs)
-		}
-	}
-	for _, e := range exprs {
-		sql.WalkExpr(e, note)
-	}
-	return refs
-}
-
 // keyValues appends to dst the values one execution binds to e's parameters —
 // what its result key covers — and reports false when one of them is unbound:
 // that execution bypasses the result cache.
 func (e *planEntry) keyValues(dst []types.Value, params exec.Params, autoArgs []types.Value) ([]types.Value, bool) {
 	for _, name := range e.refs {
-		v, ok := paramValue(name, params, autoArgs)
+		v, ok := exec.ParamValue(name, params, autoArgs)
 		if !ok {
 			return dst, false
 		}
@@ -110,7 +79,7 @@ func (db *Database) imLineage(stmt *sql.SelectStmt, plan *opt.Plan) []string {
 	}
 	lineage := make([]string, 0, len(read)+len(plan.UsedViews))
 	for name, t := range read {
-		if t.Virtual || t.ViewDef != nil && len(paramRefs(t.ViewDef, nil)) > 0 {
+		if t.Virtual || t.ViewDef != nil && len(t.ViewDef.ParamNames(nil)) > 0 {
 			return nil // sys.* output changes outside any write path
 		}
 		lineage = append(lineage, name)

@@ -27,7 +27,11 @@ func freshRun(t *testing.T, db *Database, plan *opt.Plan, params exec.Params) []
 	tx := db.Store().Begin(false)
 	defer tx.Abort()
 	var rs exec.ResultSet
-	if err := exec.Run(exec.CloneOperator(plan.Root), &exec.Ctx{Params: params, Txn: tx}, &rs); err != nil {
+	ctx := exec.Ctx{Txn: tx}
+	if err := ctx.Env.Bind(plan.Params, params, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.Run(exec.CloneOperator(plan.Root), &ctx, &rs); err != nil {
 		t.Fatal(err)
 	}
 	return rs.Rows

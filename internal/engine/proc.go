@@ -77,7 +77,7 @@ func bindProcArgs(proc *catalog.Procedure, args []sql.ExecArg, outer exec.Params
 		case *sql.Literal:
 			v = e.Val
 		case *sql.Param:
-			pv, ok := paramValue(e.Name, outer, autoArgs)
+			pv, ok := exec.ParamValue(e.Name, outer, autoArgs)
 			if !ok {
 				return nil, fmt.Errorf("engine: missing value for @%s", e.Name)
 			}
@@ -157,7 +157,7 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 				wp, err := db.writePlanOf(nil, x.(keyed))
 				var n int64
 				if err == nil {
-					n, err = db.runWrite(wp, params, tx, &res.Counters)
+					n, err = db.runWrite(wp, params, nil, tx, &res.Counters)
 				}
 				if err != nil {
 					tx.Abort()
@@ -170,7 +170,7 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 					tx.Abort()
 					return nil, err
 				}
-				r, err := db.runPlanAlone(tx, plan, params)
+				r, err := db.runPlanAlone(tx, plan, params, nil)
 				if err != nil {
 					tx.Abort()
 					return nil, err

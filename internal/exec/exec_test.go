@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -56,7 +57,7 @@ func runOp(t *testing.T, s *storage.Store, op Operator, params Params) *ResultSe
 	t.Helper()
 	tx := s.Begin(false)
 	defer tx.Abort()
-	ctx := &Ctx{Params: params, Txn: tx, Counters: &Counters{}}
+	ctx := &Ctx{Env: envOf(params), Txn: tx, Counters: &Counters{}}
 	rs, err := drain(op, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +111,8 @@ func TestIndexScanParameterizedBound(t *testing.T) {
 	s := newTestStore(t, 100)
 	op := &IndexScan{
 		TableName: "nums", IndexName: "__pk", Cols: numsCols(),
-		Lo: []Expr{&ParamExpr{Name: "k"}},
-		Hi: []Expr{&ParamExpr{Name: "k"}},
+		Lo: []Expr{param("k")},
+		Hi: []Expr{param("k")},
 	}
 	rs := runOp(t, s, op, Params{"k": types.NewInt(42)})
 	if len(rs.Rows) != 1 || rs.Rows[0][0].Int() != 42 {
@@ -271,10 +272,10 @@ func TestStartupFilterPrunesInput(t *testing.T) {
 	defer tx.Abort()
 	// guard: @k <= 5 — false for k=7, so the scan must never open
 	op := &StartupFilter{
-		Guard: &BinExpr{Op: sql.OpLE, L: &ParamExpr{Name: "k"}, R: &ConstExpr{V: types.NewInt(5)}},
+		Guard: &BinExpr{Op: sql.OpLE, L: param("k"), R: &ConstExpr{V: types.NewInt(5)}},
 		Input: &Scan{TableName: "nums", Cols: numsCols()},
 	}
-	rs, err := drain(op, &Ctx{Txn: tx, Params: Params{"k": types.NewInt(7)}, Counters: ctr})
+	rs, err := drain(op, &Ctx{Txn: tx, Env: envOf(Params{"k": types.NewInt(7)}), Counters: ctr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestChoosePlanShape(t *testing.T) {
 	// UnionAll of two StartupFilters with complementary guards: exactly one
 	// branch runs (paper figure 2b).
 	s := newTestStore(t, 10)
-	guard := &BinExpr{Op: sql.OpLE, L: &ParamExpr{Name: "k"}, R: &ConstExpr{V: types.NewInt(5)}}
+	guard := &BinExpr{Op: sql.OpLE, L: param("k"), R: &ConstExpr{V: types.NewInt(5)}}
 	notGuard := &NotExpr{X: guard}
 	local := &StartupFilter{Guard: guard, Input: &Scan{TableName: "nums", Cols: numsCols()}}
 	remoteStub := &StartupFilter{Guard: notGuard, Input: &Values{
@@ -550,10 +551,36 @@ func TestScalarFunctions(t *testing.T) {
 }
 
 func TestMissingParamError(t *testing.T) {
-	e := &ParamExpr{Name: "missing"}
-	if _, err := e.Eval(nil, &Env{Named: Params{}}); err == nil {
-		t.Error("missing parameter should error")
+	var env Env
+	err := env.Bind([]string{"here", "missing"}, Params{"here": types.NewInt(1)}, nil)
+	if err == nil || !strings.Contains(err.Error(), "missing parameter @missing") {
+		t.Errorf("binding a missing parameter: %v", err)
 	}
+}
+
+// testSlots are the slots of the parameters the tests compile by hand, as
+// the optimizer numbers a plan's: @k, @p and @n, in that order.
+var testSlots = []string{"k", "p", "n"}
+
+// param is a ParamExpr for @name at its slot in testSlots.
+func param(name string) *ParamExpr {
+	return &ParamExpr{Name: name, Slot: slices.Index(testSlots, name)}
+}
+
+// bindTest fills env's slots, in testSlots' order, from params (a name
+// params lacks reads NULL), reusing their storage.
+func bindTest(env *Env, params Params) {
+	env.Slots = slices.Grow(env.Slots[:0], len(testSlots))[:len(testSlots)]
+	for i, name := range testSlots {
+		env.Slots[i] = params[name]
+	}
+}
+
+// envOf is an Env holding params at testSlots' slots.
+func envOf(params Params) Env {
+	var env Env
+	bindTest(&env, params)
+	return env
 }
 
 func TestInMatchNullSemantics(t *testing.T) {
@@ -625,14 +652,14 @@ func TestTopNDescWithParamN(t *testing.T) {
 	keys := []SortKey{{E: &ColExpr{I: 1}, Desc: true}, {E: &ColExpr{I: 0}, Desc: true}}
 	serial := &Limit{
 		Input: &Sort{Input: &Scan{TableName: "nums", Cols: numsCols()}, Keys: keys},
-		N:     &ParamExpr{Name: "n"},
+		N:     param("n"),
 	}
 	params := Params{"n": types.NewInt(9)}
 	want := runOp(t, s, serial, params)
 	got := runOp(t, s, &TopN{
 		Input: &Scan{TableName: "nums", Cols: numsCols()},
 		Keys:  keys,
-		N:     &ParamExpr{Name: "n"},
+		N:     param("n"),
 	}, params)
 	if len(got.Rows) != 9 || len(want.Rows) != 9 {
 		t.Fatalf("rows %d/%d, want 9", len(got.Rows), len(want.Rows))

@@ -14,35 +14,51 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mtcache/internal/sql"
 	"mtcache/internal/types"
 )
 
-// Params carries the run-time parameter values of a query by name.
+// Params carries the run-time parameter values of a query by name: what a
+// caller passes, and what a Remote sends the backend.
 type Params map[string]types.Value
 
-// Env is the per-execution expression environment. Named holds parameters by
-// name (the compatibility path); Slots/Bound hold the same values densely
-// indexed by the slot numbers AssignParamSlots burned into the plan's
-// ParamExpr nodes, so the hot path never touches a map. A nil *Env is legal
-// and means "no parameters supplied".
+// Env is the per-execution expression environment: the value of each
+// parameter at its slot, the one address a ParamExpr reads, which the
+// optimizer fixed when it compiled the expression (Bind fills them). A nil
+// *Env is legal and means "no parameters supplied".
 type Env struct {
-	Named Params
 	Slots []types.Value
-	Bound []bool
 }
 
-// lookup resolves a parameter by slot (fast path) or name.
-func (e *Env) lookup(slot int, name string) (types.Value, bool) {
-	if e == nil {
-		return types.Null, false
+// Bind fills e's slots, one for each name of a compiled parameter list (a
+// plan's, a write plan's or a WITH FRESHNESS bound's, in slot order), from
+// the caller's params and the literals the front door extracted from the
+// statement's text (ParamValue). It fails naming the first parameter
+// neither holds, so a statement whose parameters are not all given fails
+// before anything of it runs.
+func (e *Env) Bind(names []string, params Params, literals []types.Value) error {
+	e.Slots = slices.Grow(e.Slots[:0], len(names))[:len(names)]
+	for i, name := range names {
+		v, ok := ParamValue(name, params, literals)
+		if !ok {
+			return fmt.Errorf("exec: missing parameter @%s", name)
+		}
+		e.Slots[i] = v
 	}
-	if slot > 0 && slot <= len(e.Slots) && e.Bound[slot-1] {
-		return e.Slots[slot-1], true
+	return nil
+}
+
+// ParamValue is the value a statement binds to the parameter @name: the
+// extracted literal for an @__pN the text's own literals cover, the
+// caller's entry otherwise.
+func ParamValue(name string, params Params, literals []types.Value) (types.Value, bool) {
+	if i, isAuto := sql.AutoParamIndex(name); isAuto && i < len(literals) {
+		return literals[i], true
 	}
-	v, ok := e.Named[name]
+	v, ok := params[name]
 	return v, ok
 }
 
@@ -57,12 +73,12 @@ type ColExpr struct{ I int }
 // ConstExpr is a literal.
 type ConstExpr struct{ V types.Value }
 
-// ParamExpr reads a named parameter. slot is assigned by AssignParamSlots
-// once per plan; it is 1-based so that the zero value (a ParamExpr built by
-// hand or by CompileScalar outside a plan) still resolves by name.
+// ParamExpr reads a parameter at its slot in the Env, which the optimizer
+// assigned when it compiled it. Name is what errors and a Remote's map call
+// it.
 type ParamExpr struct {
 	Name string
-	slot int
+	Slot int
 }
 
 // BinExpr applies a binary operator with SQL NULL semantics.
@@ -167,11 +183,10 @@ func (e *ColExpr) Eval(row types.Row, _ *Env) (types.Value, error) {
 func (e *ConstExpr) Eval(types.Row, *Env) (types.Value, error) { return e.V, nil }
 
 func (e *ParamExpr) Eval(_ types.Row, env *Env) (types.Value, error) {
-	v, ok := env.lookup(e.slot, e.Name)
-	if !ok {
+	if env == nil || e.Slot >= len(env.Slots) {
 		return types.Null, fmt.Errorf("exec: missing parameter @%s", e.Name)
 	}
-	return v, nil
+	return env.Slots[e.Slot], nil
 }
 
 func (e *BinExpr) Eval(row types.Row, env *Env) (types.Value, error) {

@@ -109,7 +109,7 @@ type reuseTree struct {
 func paramLeaf() Operator {
 	return &Filter{
 		Input: scanOf("l"),
-		Pred:  &BinExpr{Op: sql.OpLT, L: &ColExpr{I: 3}, R: &ParamExpr{Name: "p"}},
+		Pred:  &BinExpr{Op: sql.OpLT, L: &ColExpr{I: 3}, R: param("p")},
 	}
 }
 
@@ -161,15 +161,15 @@ func reuseTrees(remote *sizedRemote) []reuseTree {
 		"filter": func(p func(Operator) Operator) Operator { return &Filter{Input: p(paramLeaf()), Pred: eq(0, 0)} },
 		"sort":   func(p func(Operator) Operator) Operator { return &Sort{Input: p(paramLeaf()), Keys: byFirst} },
 		"topn": func(p func(Operator) Operator) Operator {
-			return &TopN{Input: p(paramLeaf()), Keys: byFirst, N: &ParamExpr{Name: "n"}}
+			return &TopN{Input: p(paramLeaf()), Keys: byFirst, N: param("n")}
 		},
 		"limit": func(p func(Operator) Operator) Operator {
-			return &Limit{Input: p(paramLeaf()), N: &ParamExpr{Name: "n"}}
+			return &Limit{Input: p(paramLeaf()), N: param("n")}
 		},
 		"distinct": func(p func(Operator) Operator) Operator { return &Distinct{Input: p(paramLeaf())} },
 		"unionall": func(p func(Operator) Operator) Operator {
 			return &UnionAll{Inputs: []Operator{
-				&StartupFilter{Input: p(paramLeaf()), Guard: &BinExpr{Op: sql.OpLT, L: &ParamExpr{Name: "p"}, R: &ConstExpr{V: types.NewInt(12)}}},
+				&StartupFilter{Input: p(paramLeaf()), Guard: &BinExpr{Op: sql.OpLT, L: param("p"), R: &ConstExpr{V: types.NewInt(12)}}},
 				p(paramLeaf()),
 			}}
 		},
@@ -203,11 +203,13 @@ func reuseTrees(remote *sizedRemote) []reuseTree {
 		reuseTree{name: "scan", build: func() Operator { return paramLeaf() }},
 		reuseTree{name: "sort/scan", build: func() Operator { return &Sort{Input: paramLeaf(), Keys: byFirst} }},
 		reuseTree{name: "indexscan", build: func() Operator {
-			return &IndexScan{TableName: "l", IndexName: "ix_k", Cols: joinCols("l"), Hi: []Expr{&ParamExpr{Name: "n"}}}
+			return &IndexScan{TableName: "l", IndexName: "ix_k", Cols: joinCols("l"), Hi: []Expr{param("n")}}
 		}},
-		reuseTree{name: "remote", build: func() Operator { return &Remote{SQLText: "SELECT …", Cols: intCols("a", "b")} }},
+		reuseTree{name: "remote", build: func() Operator {
+			return &Remote{SQLText: "SELECT …", Cols: intCols("a", "b"), Params: []*ParamExpr{param("p")}}
+		}},
 		reuseTree{name: "topn/remote", build: func() Operator {
-			return &TopN{Input: &Remote{SQLText: "SELECT …", Cols: intCols("a", "b")}, Keys: []SortKey{{E: &ColExpr{I: 1}}}, N: &ParamExpr{Name: "n"}}
+			return &TopN{Input: &Remote{SQLText: "SELECT …", Cols: intCols("a", "b"), Params: []*ParamExpr{param("p")}}, Keys: []SortKey{{E: &ColExpr{I: 1}}}, N: param("n")}
 		}},
 	)
 	return trees
@@ -244,7 +246,7 @@ func TestInstanceReuseNeverTouchesAResult(t *testing.T) {
 	remote := &sizedRemote{}
 	run := func(op Operator, params Params) []types.Row {
 		t.Helper()
-		rs, err := drain(op, &Ctx{Params: params, Txn: tx, Remote: remote, Counters: &Counters{}})
+		rs, err := drain(op, &Ctx{Env: envOf(params), Txn: tx, Remote: remote, Counters: &Counters{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +323,8 @@ func TestReleasedInstanceKeepsItsBuffers(t *testing.T) {
 		if inst == nil {
 			inst = &Instance{Root: CloneOperator(tmpl)}
 		}
-		inst.Ctx.Params, inst.Ctx.Txn, inst.Ctx.EstRows = params, tx, 300
+		bindTest(&inst.Ctx.Env, params)
+		inst.Ctx.Txn, inst.Ctx.EstRows = tx, 300
 		var rs ResultSet
 		if err := Run(inst.Root, &inst.Ctx, &rs); err != nil {
 			t.Fatal(err)
@@ -330,7 +333,7 @@ func TestReleasedInstanceKeepsItsBuffers(t *testing.T) {
 		return len(rs.Rows)
 	}
 	fresh := testing.AllocsPerRun(20, func() {
-		if _, err := drain(CloneOperator(tmpl), &Ctx{Params: params, Txn: tx, EstRows: 300}); err != nil {
+		if _, err := drain(CloneOperator(tmpl), &Ctx{Env: envOf(params), Txn: tx, EstRows: 300}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -397,15 +400,10 @@ func TestReleasedInstancePinsNothing(t *testing.T) {
 	defer tx.Abort()
 	for _, tree := range reuseTrees(&sizedRemote{}) {
 		tmpl := tree.build()
-		names := AssignParamSlots(tmpl)
 		Prepare(tmpl)
 		inst := &Instance{Root: CloneOperator(tmpl)}
 		params := Params{"p": types.NewInt(14), "n": types.NewInt(9)}
-		inst.Ctx = Ctx{Params: params, Txn: tx, Remote: sizedRemote{}, Counters: &Counters{}}
-		for _, name := range names {
-			inst.Ctx.Env.Slots = append(inst.Ctx.Env.Slots, params[name])
-			inst.Ctx.Env.Bound = append(inst.Ctx.Env.Bound, true)
-		}
+		inst.Ctx = Ctx{Env: envOf(params), Txn: tx, Remote: sizedRemote{}, Counters: &Counters{}}
 		var rs ResultSet
 		if err := Run(inst.Root, &inst.Ctx, &rs); err != nil {
 			t.Fatal(err)

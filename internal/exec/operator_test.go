@@ -312,7 +312,7 @@ var resetKeeps = map[string]bool{
 	"HashJoin.rkeyBuf": true, "HashJoin.arena": true, "HashJoin.nullPad": true,
 	"IndexJoin.keyBuf": true, "IndexJoin.matches": true, "IndexJoin.in": true, "IndexJoin.arena": true,
 	"NestedLoop.rightRows": true, "NestedLoop.in": true, "NestedLoop.scratch": true, "NestedLoop.arena": true,
-	"Distinct.in": true, "Distinct.seen": true,
+	"Distinct.in": true, "Distinct.seen": true, "Remote.sent": true,
 	"HashAgg.table": true, "HashAgg.arena": true, "HashAgg.out": true,
 	"poison.in": true, "poison.delivered": true,
 }

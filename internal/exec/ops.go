@@ -38,9 +38,10 @@ type ResultSet struct {
 // its record of the call in its own ring; a reader joins it to the caller's
 // by that ID (trace.Record.Stitch). Its span is always nil, and the benchmark
 // change of ROADMAP direction 10b removes it. A traceID that trace.ParseID
-// refuses fails the call. A client reads params only until the call returns,
-// timed out or not: a plan instance refills the same map for its next
-// execution (Ctx.Merged).
+// refuses fails the call. params holds the parameters sqlText reads — a
+// Remote's, exactly those. A client reads it only until the call returns,
+// timed out or not: a Remote refills the same map for its instance's next
+// execution.
 type RemoteClient interface {
 	Query(sqlText string, params Params) (*ResultSet, error)
 	QueryTraced(sqlText string, params Params, traceID string) (*ResultSet, *trace.WireSpan, error)
@@ -52,11 +53,10 @@ type Counters = trace.Counters
 
 // Ctx is the per-execution context. A pooled Instance carries one from
 // execution to execution: its fields are set for each run, and what it keeps
-// in between is the capacity of the parameter slots (Env.Slots, Env.Bound)
-// and the Ctx itself (see Instance).
+// in between is the capacity of the parameter slots (Env.Slots) and the Ctx
+// itself (see Instance).
 type Ctx struct {
-	Params   Params
-	Env      Env // expression environment; Run seeds Named from Params
+	Env      Env // the parameters, at their slots (Env.Bind)
 	Txn      *storage.Txn
 	Remote   RemoteClient
 	Counters *Counters
@@ -64,39 +64,21 @@ type Ctx struct {
 	EstRows  float64       // rows Run makes room for before the first batch, 0 if unknown (see Run)
 	Slab     *Slab         // where the values of the result's own rows are carved; nil: made (see Run)
 
-	out    Batch  // the window Run reads the root through
-	merged Params // Merged's map, empty between executions
+	out Batch // the window Run reads the root through
 }
 
 // reset zeroes what an execution set on the context, keeping the parameter
-// slots' capacity zeroed over its whole length and the merged map empty; it
-// returns the bytes kept. Run's window is forgotten, not kept: its rows are
-// the result's.
+// slots' capacity zeroed over its whole length; it returns the bytes kept.
+// Run's window is forgotten, not kept: its rows are the result's.
 func (c *Ctx) reset() int {
-	slots, bound, merged := c.Env.Slots, c.Env.Bound, c.merged
-	n := wipe(&slots) + wipe(&bound) + len(merged)*paramEntryBytes
-	clear(merged)
-	*c = Ctx{Env: Env{Slots: slots, Bound: bound}, merged: merged}
+	slots := c.Env.Slots
+	n := wipe(&slots)
+	*c = Ctx{Env: Env{Slots: slots}}
 	return n
 }
 
 // paramEntryBytes is what one entry of a parameter map holds, about.
 const paramEntryBytes = int(unsafe.Sizeof("") + unsafe.Sizeof(types.Value{}))
-
-// Merged returns the context's own parameter map holding params' entries, for
-// an execution that must add names its caller's map lacks: the caller's map
-// is never written. The map is kept across the executions of a pooled
-// instance, and nothing may read it after Run returns: reset empties it for
-// the next.
-func (c *Ctx) Merged(params Params) Params {
-	if c.merged == nil {
-		c.merged = make(Params, len(params)+4)
-	}
-	for k, v := range params {
-		c.merged[k] = v
-	}
-	return c.merged
-}
 
 // maxPrealloc caps estimate-driven allocations: estimates can be off by
 // orders of magnitude, and a bad one must cost at most a bounded overshoot.
@@ -127,9 +109,9 @@ func preallocSize(est float64, limit int) int {
 // when one input row matches many).
 //
 // The last five methods are what an operator says about itself to whoever
-// walks a plan tree (CloneOperator, Instances, Instrument, WalkExprs,
-// EXPLAIN, the optimizer's collectRemote), so that none of them needs to know
-// the operator types. By convention an operator's exported
+// walks a plan tree (CloneOperator, Instances, Instrument, EXPLAIN, the
+// optimizer's collectRemote), so that none of them needs to know the
+// operator types. By convention an operator's exported
 // fields are its configuration and its unexported fields are the state of one
 // run, except what Prepare derives from the configuration once per plan,
 // which a clone shares with its template.
@@ -208,9 +190,6 @@ func visitKeys(fn func(Expr), keys []SortKey) {
 // set, so the caller that keeps rs owns those values with the slab. On an
 // error what rs holds is undefined.
 func Run(op Operator, ctx *Ctx, rs *ResultSet) error {
-	if ctx.Env.Named == nil {
-		ctx.Env.Named = ctx.Params
-	}
 	if ctx.Slab != nil {
 		carveFrom(op, ctx.Slab)
 	}
@@ -1429,36 +1408,62 @@ func (u *UnionAll) Close() error {
 
 // Remote is the DataTransfer operator: it executes SQL text on the backend
 // server and streams the result. Its appearance in a plan is exactly where
-// the optimizer placed a DataTransfer enforcer (paper §5).
+// the optimizer placed a DataTransfer enforcer (paper §5). Params are the
+// parameters SQLText reads, at their slots: Open sends the backend their
+// values by name, and no other parameter of the statement.
 type Remote struct {
 	leaf
 	SQLText string
 	Cols    []ColInfo
+	Params  []*ParamExpr
 
 	rows []types.Row
 	pos  int
+	sent Params // the map Open sends, kept for the instance's next execution
 }
 
 func (r *Remote) Columns() []ColInfo  { return r.Cols }
 func (r *Remote) EachExpr(func(Expr)) {}
-func (r *Remote) clone() Operator     { return &Remote{SQLText: r.SQLText, Cols: r.Cols} }
+func (r *Remote) clone() Operator {
+	return &Remote{SQLText: r.SQLText, Cols: r.Cols, Params: r.Params}
+}
 
-// reset keeps nothing: the rows are the remote result's, decoded once and
-// handed on as they are.
-func (r *Remote) reset(bool) int { r.rows, r.pos = nil, 0; return 0 }
+// reset keeps the parameter map, emptied, so a parked instance pins no
+// value; the rows are the remote result's, decoded once and handed on as
+// they are.
+func (r *Remote) reset(bool) int {
+	n := len(r.sent) * paramEntryBytes
+	clear(r.sent)
+	r.rows, r.pos = nil, 0
+	return n
+}
 
 func (r *Remote) Open(ctx *Ctx) error {
 	if ctx.Remote == nil {
 		return fmt.Errorf("exec: no remote server configured for query %q", r.SQLText)
+	}
+	var params Params
+	if len(r.Params) > 0 {
+		if r.sent == nil {
+			r.sent = make(Params, len(r.Params))
+		}
+		for _, p := range r.Params {
+			v, err := p.Eval(nil, &ctx.Env)
+			if err != nil {
+				return err
+			}
+			r.sent[p.Name] = v
+		}
+		params = r.sent
 	}
 	trip := ctx.Rec.RemoteStart(r.SQLText)
 	start := time.Now()
 	var rs *ResultSet
 	var err error
 	if trip >= 0 {
-		rs, _, err = ctx.Remote.QueryTraced(r.SQLText, ctx.Params, trace.FormatID(ctx.Rec.ID))
+		rs, _, err = ctx.Remote.QueryTraced(r.SQLText, params, trace.FormatID(ctx.Rec.ID))
 	} else {
-		rs, err = ctx.Remote.Query(r.SQLText, ctx.Params)
+		rs, err = ctx.Remote.Query(r.SQLText, params)
 	}
 	metrics.Default.Histogram("exec.remote_roundtrip_seconds").ObserveDuration(time.Since(start))
 	ctx.Rec.RemoteEnd(trip, err)

@@ -44,8 +44,8 @@ func TestVecPredMatchesEvalBool(t *testing.T) {
 	leaf := func(env *Env, name string, col int, op sql.BinOp, v types.Value, param, colOnRight bool) Expr {
 		var rhs Expr = &ConstExpr{V: v}
 		if param {
-			rhs = &ParamExpr{Name: name}
-			env.Named[name] = v
+			rhs = &ParamExpr{Name: name, Slot: len(env.Slots)}
+			env.Slots = append(env.Slots, v)
 		}
 		if colOnRight {
 			return &BinExpr{Op: op, L: rhs, R: &ColExpr{I: col}}
@@ -94,7 +94,7 @@ func TestVecPredMatchesEvalBool(t *testing.T) {
 			for _, v := range rhsVals {
 				for _, param := range []bool{false, true} {
 					for _, colOnRight := range []bool{false, true} {
-						env := &Env{Named: Params{}}
+						env := &Env{}
 						pred := leaf(env, "p", col, op, v, param, colOnRight)
 						check(fmt.Sprintf("col%d %v %v param=%v colOnRight=%v", col, op, v, param, colOnRight), pred, env)
 						leaves++
@@ -111,7 +111,7 @@ func TestVecPredMatchesEvalBool(t *testing.T) {
 	// parameter leaf over different columns.
 	for _, op1 := range ops {
 		for _, op2 := range ops {
-			env := &Env{Named: Params{}}
+			env := &Env{}
 			pred := &BinExpr{Op: sql.OpAnd,
 				L: leaf(env, "a", 0, op1, types.NewInt(2), false, false),
 				R: leaf(env, "b", 1, op2, types.NewFloat(2.25), true, true),

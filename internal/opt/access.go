@@ -151,7 +151,7 @@ func (pl *planner) mixedResultPlan(ai *aliasInfo, viewPart *plan, m *ViewMatch, 
 	if err != nil {
 		return nil
 	}
-	guard, err := compileParamOnly(m.Guard)
+	guard, err := compileParamOnly(m.Guard, pl.params)
 	if err != nil {
 		return nil
 	}
@@ -216,7 +216,7 @@ func (pl *planner) localAccess(ai *aliasInfo, storageTable *catalog.Table, stora
 		}
 		scanCols[i] = exec.ColInfo{Table: ai.alias, Name: name, Kind: c.Type}
 	}
-	sc := &scope{cols: scanCols}
+	sc := pl.scope(scanCols)
 
 	stats := storageTable.Stats.Load()
 	baseStats := stats
@@ -289,7 +289,7 @@ func (pl *planner) scanPath(t *catalog.Table, storageName string, scanCols []exe
 // indexPath finds the best index-driven access: the index chooseIndex picks,
 // costed by the rows its bounds select.
 func (pl *planner) indexPath(t *catalog.Table, storageName string, scanCols []exec.ColInfo, sc *scope, stats *catalog.TableStats, conj []sql.Expr, simple []simplePred) (exec.Operator, float64, float64, bool) {
-	idx, loE, hiE, sel, ok := chooseIndex(t, scanCols, simple, stats)
+	idx, loE, hiE, sel, ok := chooseIndex(t, scanCols, simple, stats, pl.params)
 	if !ok {
 		return nil, 0, 0, false
 	}
@@ -329,8 +329,9 @@ func (pl *planner) indexPath(t *catalog.Table, storageName string, scanCols []ex
 // select the fewest rows by stats, with those bounds compiled — inclusive key
 // prefixes, a strict or any other predicate being left to the filter above
 // the seek. ok is false when no index prefix is bound or a bound does not
-// compile. scanCols names t's columns by ordinal.
-func chooseIndex(t *catalog.Table, scanCols []exec.ColInfo, simple []simplePred, stats *catalog.TableStats) (idx *catalog.Index, lo, hi []exec.Expr, sel float64, ok bool) {
+// compile. scanCols names t's columns by ordinal; the bounds' parameters go
+// into params.
+func chooseIndex(t *catalog.Table, scanCols []exec.ColInfo, simple []simplePred, stats *catalog.TableStats, params *Params) (idx *catalog.Index, lo, hi []exec.Expr, sel float64, ok bool) {
 	var loS, hiS []sql.Expr
 	sel = 1.1
 	for _, cand := range allIndexes(t) {
@@ -343,10 +344,10 @@ func chooseIndex(t *catalog.Table, scanCols []exec.ColInfo, simple []simplePred,
 		return nil, nil, nil, 0, false
 	}
 	var err error
-	lo, err = compileBound(loS)
+	lo, err = compileBound(loS, params)
 	hi = lo // an equality prefix: one compiled bound serves as both
 	if err == nil && !slices.Equal(loS, hiS) {
-		hi, err = compileBound(hiS)
+		hi, err = compileBound(hiS, params)
 	}
 	if err != nil {
 		return nil, nil, nil, 0, false
@@ -355,8 +356,9 @@ func chooseIndex(t *catalog.Table, scanCols []exec.ColInfo, simple []simplePred,
 }
 
 // WriteSeek is the access path of an UPDATE's or a DELETE's rows in t under
-// where: the index chooseIndex picks and its compiled Lo/Hi bounds, or ok
-// false when no index prefix is bound and the write scans. The seek only
+// where: the index chooseIndex picks and its compiled Lo/Hi bounds, their
+// parameters slotted in params, or ok false when no index prefix is bound and
+// the write scans. The seek only
 // narrows the rows; the caller still evaluates the whole WHERE on each.
 //
 // Unlike a read's (localAccess), a write's choice weighs no seek against a
@@ -366,13 +368,13 @@ func chooseIndex(t *catalog.Table, scanCols []exec.ColInfo, simple []simplePred,
 // costPredEval). TPC-W loads analyze shopping_cart_line before any cart
 // exists, so a cost-based choice would turn updateCartLine's key seek into a
 // scan of a table that grows, for as long as the plan lives.
-func WriteSeek(t *catalog.Table, where sql.Expr) (index string, lo, hi []exec.Expr, ok bool) {
+func WriteSeek(t *catalog.Table, where sql.Expr, params *Params) (index string, lo, hi []exec.Expr, ok bool) {
 	scanCols := make([]exec.ColInfo, len(t.Columns)) // the chooser reads only names
 	for i, c := range t.Columns {
 		scanCols[i].Name = c.Name
 	}
 	simple, _ := simplePreds(Conjuncts(where))
-	idx, lo, hi, _, ok := chooseIndex(t, scanCols, simple, t.Stats.Load())
+	idx, lo, hi, _, ok := chooseIndex(t, scanCols, simple, t.Stats.Load(), params)
 	if !ok {
 		return "", nil, nil, false
 	}
@@ -441,13 +443,13 @@ func predValueExpr(p *simplePred) sql.Expr {
 	return &sql.Literal{Val: p.lit}
 }
 
-func compileBound(bound []sql.Expr) ([]exec.Expr, error) {
+func compileBound(bound []sql.Expr, params *Params) ([]exec.Expr, error) {
 	if bound == nil {
 		return nil, nil
 	}
 	out := make([]exec.Expr, len(bound))
 	for i, e := range bound {
-		c, err := compileParamOnly(e)
+		c, err := compileParamOnly(e, params)
 		if err != nil {
 			return nil, err
 		}
@@ -597,7 +599,7 @@ func (pl *planner) remoteAccess(ai *aliasInfo, t *catalog.Table) *plan {
 	for i, c := range t.Columns {
 		scanCols[i] = exec.ColInfo{Table: ai.alias, Name: strings.ToLower(c.Name), Kind: c.Type}
 	}
-	sc := &scope{cols: scanCols}
+	sc := pl.scope(scanCols)
 	if _, idxCost, idxCard, ok := pl.indexPath(t, t.Name, scanCols, sc, t.Stats.Load(), ai.singleConj, ai.simple); ok && idxCost < cost {
 		cost = idxCost
 		card = idxCard
@@ -657,7 +659,7 @@ func (pl *planner) planDerivedLeaf(ai *aliasInfo) (*candSet, error) {
 	// Apply the outer query's single-table predicates on the derived output.
 	if len(ai.singleConj) > 0 {
 		if out.local != nil {
-			sc := &scope{cols: out.local.cols}
+			sc := pl.scope(out.local.cols)
 			pred, err := compileExpr(AndAll(ai.singleConj), sc)
 			if err != nil {
 				return nil, err

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mtcache/internal/catalog"
@@ -10,9 +11,45 @@ import (
 	"mtcache/internal/types"
 )
 
-// scope resolves column references against an operator's output schema.
+// Params is one compilation's parameter list: each parameter its
+// expressions read, at the index that is its slot in exec.Env. A planner run
+// keeps one, which its sub-planners, guards, TOP expressions and
+// DataTransfers add to and which becomes Plan.Params; the engine keeps one
+// for each write plan and WITH FRESHNESS bound it compiles with
+// CompileScalar.
+type Params []string
+
+// param compiles a reference to @name at its slot: the name's place in the
+// list, which it joins at the end the first time.
+func (ps *Params) param(name string) *exec.ParamExpr {
+	i := slices.Index(*ps, name)
+	if i < 0 {
+		i = len(*ps)
+		*ps = append(*ps, name)
+	}
+	return &exec.ParamExpr{Name: name, Slot: i}
+}
+
+// remote is what a DataTransfer of stmt sends the backend: each parameter
+// its text reads, a WITH FRESHNESS bound's included, at its slot.
+func (ps *Params) remote(stmt *sql.SelectStmt) []*exec.ParamExpr {
+	var out []*exec.ParamExpr
+	for _, name := range sql.AppendParamNames(stmt.ParamNames(nil), stmt.Freshness) {
+		out = append(out, ps.param(name))
+	}
+	return out
+}
+
+// scope resolves column references against an operator's output schema, and
+// compiles parameters into params (none may appear where it is nil).
 type scope struct {
-	cols []exec.ColInfo
+	cols   []exec.ColInfo
+	params *Params
+}
+
+// scope is a scope over cols that compiles into the plan's parameter list.
+func (pl *planner) scope(cols []exec.ColInfo) *scope {
+	return &scope{cols: cols, params: pl.params}
 }
 
 // resolve returns the ordinal of ref within the scope. Qualified references
@@ -59,7 +96,10 @@ func compileExpr(e sql.Expr, s *scope) (exec.Expr, error) {
 	case *sql.Literal:
 		return &exec.ConstExpr{V: x.Val}, nil
 	case *sql.Param:
-		return &exec.ParamExpr{Name: x.Name}, nil
+		if s.params == nil {
+			return nil, fmt.Errorf("opt: parameter @%s is not allowed here", x.Name)
+		}
+		return s.params.param(x.Name), nil
 	case *sql.BinaryExpr:
 		l, err := compileExpr(x.L, s)
 		if err != nil {
@@ -160,11 +200,12 @@ func compileExpr(e sql.Expr, s *scope) (exec.Expr, error) {
 	return nil, fmt.Errorf("opt: cannot compile expression %T", e)
 }
 
-// CompileScalar compiles an expression against an optional base-table scope.
-// With a nil table the expression may reference only literals and
-// parameters. Used by the engine's DML paths and view maintenance.
-func CompileScalar(e sql.Expr, t *catalog.Table) (exec.Expr, error) {
-	sc := &scope{}
+// CompileScalar compiles an expression against an optional base-table scope,
+// its parameters into params (nil: it may have none). With a nil table the
+// expression may reference only literals and parameters. Used by the
+// engine's DML paths and WITH FRESHNESS bounds, and view maintenance.
+func CompileScalar(e sql.Expr, t *catalog.Table, params *Params) (exec.Expr, error) {
+	sc := &scope{params: params}
 	if t != nil {
 		for _, c := range t.Columns {
 			sc.cols = append(sc.cols, exec.ColInfo{Table: t.Name, Name: c.Name, Kind: c.Type})
@@ -174,12 +215,12 @@ func CompileScalar(e sql.Expr, t *catalog.Table) (exec.Expr, error) {
 }
 
 // compileParamOnly compiles a guard expression that may reference only
-// parameters (used for startup predicates).
-func compileParamOnly(e sql.Expr) (exec.Expr, error) {
+// parameters, into params (startup predicates, seek bounds, TOP).
+func compileParamOnly(e sql.Expr, params *Params) (exec.Expr, error) {
 	if refs := columnRefs(e); len(refs) > 0 {
 		return nil, fmt.Errorf("opt: guard references columns: %v", refs)
 	}
-	return compileExpr(e, &scope{})
+	return compileExpr(e, &scope{params: params})
 }
 
 // exprKind infers the result kind of an expression against a scope (best

@@ -23,7 +23,7 @@ type ChangeMap struct {
 func CompileChangeMap(sp *catalog.SelectProject) (*ChangeMap, error) {
 	m := &ChangeMap{ords: sp.Ords}
 	if sp.Filter != nil {
-		pred, err := CompileScalar(sp.Filter, sp.Source)
+		pred, err := CompileScalar(sp.Filter, sp.Source, nil)
 		if err != nil {
 			return nil, fmt.Errorf("opt: select-project filter over %s: %w", sp.Source.Name, err)
 		}

@@ -106,8 +106,8 @@ func (pl *planner) endpointRead(p *plan, stmt *sql.SelectStmt) *plan {
 			hi = []sql.Expr{predValueExpr(sp)}
 		}
 	}
-	loE, err1 := compileBound(lo)
-	hiE, err2 := compileBound(hi)
+	loE, err1 := compileBound(lo, pl.params)
+	hiE, err2 := compileBound(hi, pl.params)
 	if err1 != nil || err2 != nil {
 		return nil
 	}

@@ -439,7 +439,7 @@ func (pl *planner) physicalJoin(a, b *plan, eqs []eqPred, residual []sql.Expr, l
 		card:      pl.joinCard(am.card, bm.card, eqs),
 		usedViews: append(append([]string{}, am.usedViews...), bm.usedViews...),
 	}
-	combined := &scope{cols: out.cols}
+	combined := pl.scope(out.cols)
 	if len(eqs) == 0 && !leftOuter {
 		out.card = math.Max(am.card*bm.card*defaultResidualSel(residual), 1)
 	}
@@ -460,7 +460,7 @@ func (pl *planner) physicalJoin(a, b *plan, eqs []eqPred, residual []sql.Expr, l
 		return p, err
 	}
 
-	aScope, bScope := &scope{cols: am.cols}, &scope{cols: bm.cols}
+	aScope, bScope := pl.scope(am.cols), pl.scope(bm.cols)
 	var lk, rk []exec.Expr
 	for _, e := range eqs {
 		le, err := compileExpr(&e.l, aScope)
@@ -504,7 +504,7 @@ func (pl *planner) lookupJoin(out plan, a, b *plan, eqs []eqPred, residual []sql
 		Outer: a.op, TableName: lf.table.Name, IndexName: lk.idx.Name,
 		InnerCols: b.cols, Proj: lf.proj, LeftOuter: leftOuter,
 	}
-	aScope := &scope{cols: a.cols}
+	aScope := pl.scope(a.cols)
 	for _, e := range lk.keys {
 		k, err := compileExpr(&e.l, aScope)
 		if err != nil {
@@ -513,7 +513,7 @@ func (pl *planner) lookupJoin(out plan, a, b *plan, eqs []eqPred, residual []sql
 		op.OuterKeys = append(op.OuterKeys, k)
 	}
 	var err error
-	if op.Pred, err = compileExpr(AndAll(lf.conj), &scope{cols: lf.scanCols}); err != nil {
+	if op.Pred, err = compileExpr(AndAll(lf.conj), pl.scope(lf.scanCols)); err != nil {
 		return nil, err
 	}
 	// Equi-predicates beyond the index prefix are checked per pair.
@@ -521,7 +521,7 @@ func (pl *planner) lookupJoin(out plan, a, b *plan, eqs []eqPred, residual []sql
 	for _, e := range lk.rest {
 		post = append(post, e.ast)
 	}
-	if op.Residual, err = compileExpr(AndAll(post), &scope{cols: out.cols}); err != nil {
+	if op.Residual, err = compileExpr(AndAll(post), pl.scope(out.cols)); err != nil {
 		return nil, err
 	}
 	out.op = op
@@ -549,7 +549,7 @@ func (lf *leafAccess) seekCost(rowsPerKey float64) float64 {
 // column types. nil when no index qualifies and the join must scan.
 func (pl *planner) bestLookup(lf *leafAccess, outerCols []exec.ColInfo, eqs []eqPred) *lookup {
 	rows := math.Max(float64(lf.table.Stats.Load().RowCount), 1)
-	outer := &scope{cols: outerCols}
+	outer := pl.scope(outerCols)
 	var best *lookup
 	for _, idx := range allIndexes(lf.table) {
 		lk := &lookup{idx: idx}
@@ -668,7 +668,7 @@ func (pl *planner) filterPlan(p *plan, preds []sql.Expr) (*plan, error) {
 		out.card = p.card * sel
 		out.cost = p.cost + p.card*costPredEval*pl.env.Opts.RemoteCostFactor
 	} else {
-		pred, err := compileExpr(AndAll(preds), &scope{cols: p.cols})
+		pred, err := compileExpr(AndAll(preds), pl.scope(p.cols))
 		if err != nil {
 			return nil, err
 		}
@@ -819,7 +819,7 @@ func anyAggItems(stmt *sql.SelectStmt) bool {
 
 // finalCols computes the output schema of the full statement.
 func (pl *planner) finalCols(stmt *sql.SelectStmt) []exec.ColInfo {
-	sc := &scope{cols: pl.allAliasCols}
+	sc := pl.scope(pl.allAliasCols)
 	var cols []exec.ColInfo
 	for i, item := range stmt.Columns {
 		cols = append(cols, exec.ColInfo{Name: exprName(item, i), Kind: exprKind(item.Expr, sc)})

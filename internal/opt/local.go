@@ -59,7 +59,9 @@ func OptimizeLocalOnly(stmt *sql.SelectStmt, env *Env, bound exec.Params) (*Plan
 // current and plans the statement itself.
 func RemoteOnly(stmt *sql.SelectStmt, cols []exec.ColInfo) *Plan {
 	text := stmt.CacheKey()
-	p := &Plan{Root: &exec.Remote{SQLText: text, Cols: cols}, Cols: cols, RemoteSQL: []string{text}, FullyRemote: true}
+	var params Params
+	r := &exec.Remote{SQLText: text, Cols: cols, Params: params.remote(stmt)}
+	p := &Plan{Root: r, Cols: cols, RemoteSQL: []string{text}, Params: params, FullyRemote: true}
 	p.Variant = p.variant()
 	return p
 }

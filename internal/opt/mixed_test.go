@@ -59,7 +59,7 @@ func TestMixedResultPlanExecution(t *testing.T) {
 		tx := store.Begin(false)
 		defer tx.Abort()
 		ctr := &exec.Counters{}
-		rs, err := drain(p.Root, &exec.Ctx{Txn: tx, Params: exec.Params{"cid": types.NewInt(v)}, Counters: ctr})
+		rs, err := runPlan(p, &exec.Ctx{Txn: tx, Counters: ctr}, exec.Params{"cid": types.NewInt(v)})
 		if err != nil {
 			t.Fatalf("execute: %v\n%s", err, ExplainOperator(p.Root))
 		}
@@ -122,7 +122,7 @@ func TestChoosePlanPullUpRightSide(t *testing.T) {
 	tx := store.Begin(false)
 	defer tx.Abort()
 	ctr := &exec.Counters{}
-	rs, err := drain(p.Root, &exec.Ctx{Txn: tx, Params: exec.Params{"key": types.NewInt(900)}, Remote: b, Counters: ctr})
+	rs, err := runPlan(p, &exec.Ctx{Txn: tx, Remote: b, Counters: ctr}, exec.Params{"key": types.NewInt(900)})
 	if err != nil {
 		t.Fatal(err)
 	}

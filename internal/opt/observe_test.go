@@ -157,10 +157,11 @@ func TestExplainAnalyzeDynamicPlan(t *testing.T) {
 		tx := store.Begin(false)
 		defer tx.Abort()
 		start := time.Now()
-		rs, err := drain(root, &exec.Ctx{
-			Params: exec.Params{"cid": types.NewInt(cid)},
-			Txn:    tx, Remote: b, Counters: &exec.Counters{},
-		})
+		ctx := &exec.Ctx{Txn: tx, Remote: b, Counters: &exec.Counters{}}
+		if err := ctx.Env.Bind(p.Params, exec.Params{"cid": types.NewInt(cid)}, nil); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := drain(root, ctx)
 		if err != nil {
 			t.Fatalf("execute: %v", err)
 		}

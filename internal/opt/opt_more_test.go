@@ -181,7 +181,7 @@ func TestParameterizedTop(t *testing.T) {
 	p := optimize(t, b.env, "SELECT TOP @n cid FROM customer ORDER BY cid")
 	tx := b.store.Begin(false)
 	defer tx.Abort()
-	rs, err := drain(p.Root, &exec.Ctx{Txn: tx, Params: exec.Params{"n": types.NewInt(7)}})
+	rs, err := runPlan(p, &exec.Ctx{Txn: tx}, exec.Params{"n": types.NewInt(7)})
 	if err != nil {
 		t.Fatal(err)
 	}

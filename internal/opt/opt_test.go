@@ -34,7 +34,15 @@ func (b *testBackend) Query(sqlText string, params exec.Params) (*exec.ResultSet
 	}
 	tx := b.store.Begin(false)
 	defer tx.Abort()
-	return drain(p.Root, &exec.Ctx{Params: params, Txn: tx})
+	return runPlan(p, &exec.Ctx{Txn: tx}, params)
+}
+
+// runPlan binds params to p's parameter slots on ctx and runs p's template.
+func runPlan(p *Plan, ctx *exec.Ctx, params exec.Params) (*exec.ResultSet, error) {
+	if err := ctx.Env.Bind(p.Params, params, nil); err != nil {
+		return nil, err
+	}
+	return drain(p.Root, ctx)
 }
 
 // drain runs op into a result set of its own.
@@ -192,7 +200,7 @@ func execute(t *testing.T, p *Plan, store *storage.Store, remote exec.RemoteClie
 	tx := store.Begin(false)
 	defer tx.Abort()
 	ctr := &exec.Counters{}
-	rs, err := drain(p.Root, &exec.Ctx{Params: params, Txn: tx, Remote: remote, Counters: ctr})
+	rs, err := runPlan(p, &exec.Ctx{Txn: tx, Remote: remote, Counters: ctr}, params)
 	if err != nil {
 		t.Fatalf("execute: %v\n%s", err, ExplainOperator(p.Root))
 	}

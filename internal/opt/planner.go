@@ -22,7 +22,7 @@ type Plan struct {
 
 	UsedViews     []string // cached/materialized views the plan reads
 	RemoteSQL     []string // deparsed remote subexpressions (DataTransfer inputs)
-	Params        []string // parameter names in dense slot order (see exec.AssignParamSlots)
+	Params        Params   // the parameters the plan reads, in slot order (exec.Env.Bind)
 	Dynamic       bool     // contains a ChoosePlan
 	FullyLocal    bool     // no DataTransfer anywhere
 	FullyRemote   bool     // a single DataTransfer around the whole query
@@ -159,8 +159,9 @@ type aliasInfo struct {
 
 // planner carries per-query state.
 type planner struct {
-	env  *Env
-	stmt *sql.SelectStmt // qualified clone
+	env    *Env
+	params *Params         // the plan's parameter list, shared with sub-planners
+	stmt   *sql.SelectStmt // qualified clone
 
 	aliasStats   map[string]*catalog.TableStats
 	allAliasCols []exec.ColInfo
@@ -169,7 +170,7 @@ type planner struct {
 
 // Optimize plans a SELECT statement.
 func Optimize(stmt *sql.SelectStmt, env *Env) (*Plan, error) {
-	p := &planner{env: env}
+	p := &planner{env: env, params: new(Params)}
 	final, err := p.planBlock(stmt)
 	if err != nil {
 		return nil, err
@@ -197,10 +198,7 @@ func (pl *planner) finish(p *plan) (*Plan, error) {
 	}
 	collectRemote(mat.op, &out.RemoteSQL)
 	out.FullyLocal = len(out.RemoteSQL) == 0
-	// Burn dense parameter slots into the compiled expressions once per plan,
-	// so per-row parameter lookups on the hot path are slice loads. Remote
-	// parts still need the named map forwarded to the backend.
-	out.Params = exec.AssignParamSlots(mat.op)
+	out.Params = *pl.params
 	// Derive what every instance of the plan shares before anything clones it.
 	exec.Prepare(mat.op)
 	_, out.FullyRemote = mat.op.(*exec.Remote)
@@ -278,7 +276,7 @@ func (pl *planner) materialize(p *plan) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		guard, err := compileParamOnly(p.dyn.guardAST)
+		guard, err := compileParamOnly(p.dyn.guardAST, pl.params)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +317,7 @@ func (pl *planner) toLocal(p *plan) *plan {
 	ast := p.rem.toAST()
 	bytes := p.card * rowBytesOf(p.cols)
 	out := &plan{
-		op:        &exec.Remote{SQLText: sql.Deparse(ast), Cols: p.cols},
+		op:        &exec.Remote{SQLText: sql.Deparse(ast), Cols: p.cols, Params: pl.params.remote(ast)},
 		loc:       Local,
 		cols:      p.cols,
 		card:      p.card,
@@ -483,7 +481,7 @@ func (pl *planner) reprojectRemote(p *plan, stmt *sql.SelectStmt) *plan {
 	if parts.full != nil {
 		return p
 	}
-	sc := &scope{cols: pl.allAliasCols}
+	sc := pl.scope(pl.allAliasCols)
 	var astCols, outCols []exec.ColInfo
 	for i, item := range stmt.Columns {
 		ref := item.Expr.(*sql.ColumnRef)
@@ -515,7 +513,7 @@ func hasStages(s *sql.SelectStmt) bool {
 
 // planConstBlock handles SELECT <exprs> with no FROM clause.
 func (pl *planner) planConstBlock(stmt *sql.SelectStmt) (*candSet, error) {
-	sc := &scope{}
+	sc := pl.scope(nil)
 	var exprs []exec.Expr
 	var cols []exec.ColInfo
 	for i, item := range stmt.Columns {
@@ -804,7 +802,7 @@ func (pl *planner) derivedCols(ai *aliasInfo) ([]exec.ColInfo, error) {
 	return cols, nil
 }
 
-func (pl *planner) subPlanner() *planner { return &planner{env: pl.env} }
+func (pl *planner) subPlanner() *planner { return &planner{env: pl.env, params: pl.params} }
 
 func cloneSelect(s *sql.SelectStmt) *sql.SelectStmt { return mapSelect(s, sql.CloneExpr) }
 

@@ -64,7 +64,7 @@ func (pl *planner) applyStagesLocal(p *plan, stmt *sql.SelectStmt) (*plan, error
 	}
 
 	if having != nil {
-		sc := &scope{cols: cur.cols}
+		sc := pl.scope(cur.cols)
 		pred, err := compileExpr(having, sc)
 		if err != nil {
 			return nil, err
@@ -75,7 +75,7 @@ func (pl *planner) applyStagesLocal(p *plan, stmt *sql.SelectStmt) (*plan, error
 	}
 
 	// Projection to the select list.
-	preScope := &scope{cols: cur.cols}
+	preScope := pl.scope(cur.cols)
 	var exprs []exec.Expr
 	var outCols []exec.ColInfo
 	for i, item := range items {
@@ -93,7 +93,7 @@ func (pl *planner) applyStagesLocal(p *plan, stmt *sql.SelectStmt) (*plan, error
 	// Decide whether ORDER BY can run after projection (resolving against
 	// output aliases) or must run before it.
 	sortAfter := true
-	postScope := &scope{cols: outCols}
+	postScope := pl.scope(outCols)
 	type sortPair struct {
 		e    sql.Expr
 		desc bool
@@ -152,7 +152,7 @@ func (pl *planner) applyStagesLocal(p *plan, stmt *sql.SelectStmt) (*plan, error
 		cur.op = op
 	}
 	if stmt.Top != nil {
-		n, err := compileParamOnly(stmt.Top)
+		n, err := compileParamOnly(stmt.Top, pl.params)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +185,7 @@ func (pl *planner) applyStagesLocal(p *plan, stmt *sql.SelectStmt) (*plan, error
 // buildAgg constructs the HashAgg stage and the rewrite map from aggregate
 // calls / group expressions to agg-output column references.
 func (pl *planner) buildAgg(p *plan, stmt *sql.SelectStmt) (*plan, map[string]sql.Expr, error) {
-	sc := &scope{cols: p.cols}
+	sc := pl.scope(p.cols)
 	repl := map[string]sql.Expr{}
 
 	var groupExprs []exec.Expr

@@ -9,6 +9,7 @@
 package sql
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"mtcache/internal/types"
@@ -515,6 +516,43 @@ func HasParams(e Expr) bool {
 		return !found
 	})
 	return found
+}
+
+// AppendParamNames appends to names each parameter e reads that names does
+// not hold yet, in the order they first appear.
+func AppendParamNames(names []string, e Expr) []string {
+	WalkExpr(e, func(x Expr) bool {
+		if p, ok := x.(*Param); ok && !slices.Contains(names, p.Name) {
+			names = append(names, p.Name)
+		}
+		return true
+	})
+	return names
+}
+
+// ParamNames appends to names each parameter s reads that names does not
+// hold yet — in its derived tables too, but not in its WITH FRESHNESS
+// bound, which is no part of its result.
+func (s *SelectStmt) ParamNames(names []string) []string {
+	exprs := append([]Expr{s.Top, s.Where, s.Having}, s.GroupBy...)
+	for _, c := range s.Columns {
+		exprs = append(exprs, c.Expr)
+	}
+	for _, o := range s.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	for from := slices.Clone(s.From); len(from) > 0; from = from[1:] {
+		switch r := from[0].(type) {
+		case *JoinRef:
+			exprs, from = append(exprs, r.On), append(from, r.Left, r.Right)
+		case *SubqueryRef:
+			names = r.Select.ParamNames(names)
+		}
+	}
+	for _, e := range exprs {
+		names = AppendParamNames(names, e)
+	}
+	return names
 }
 
 // CloneExpr returns a deep copy of e.

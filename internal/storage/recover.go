@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"time"
 
-	"mtcache/internal/catalog"
 	"mtcache/internal/metrics"
-	"mtcache/internal/types"
 )
 
 // Schema is the database above a store, as the store needs it to log its
@@ -116,76 +114,16 @@ func (s *Store) execDDL(ddl string) error {
 	return s.schema.Exec(ddl)
 }
 
-// replayRecord applies one logged transaction to the heaps. Row location
-// mirrors the replication apply path: by primary key when the table has
-// one, by full-row equality otherwise — redo on the exact pre-state is
-// deterministic, so a missing row means the log and heap diverged.
+// replayRecord applies one logged transaction to the heaps, change by
+// change through Txn.Apply — redo on the exact pre-state is deterministic,
+// so a row Apply does not find means the log and heap diverged.
 func (s *Store) replayRecord(rec CommitRecord) error {
 	t := s.Begin(true)
 	for _, ch := range rec.Changes {
-		tv, ok := t.Table(ch.Table)
-		if !ok {
+		if err := t.Apply(ch); err != nil {
 			t.Abort()
-			return fmt.Errorf("table %s missing", ch.Table)
-		}
-		switch ch.Op {
-		case OpInsert:
-			if _, err := t.Insert(ch.Table, ch.After); err != nil {
-				t.Abort()
-				return err
-			}
-		case OpDelete:
-			rid := replayLocate(&tv, ch.Before)
-			if rid < 0 {
-				t.Abort()
-				return fmt.Errorf("delete target row missing in %s", ch.Table)
-			}
-			if err := t.Delete(ch.Table, rid); err != nil {
-				t.Abort()
-				return err
-			}
-		case OpUpdate:
-			rid := replayLocate(&tv, ch.Before)
-			if rid < 0 {
-				t.Abort()
-				return fmt.Errorf("update target row missing in %s", ch.Table)
-			}
-			if err := t.Update(ch.Table, rid, ch.After); err != nil {
-				t.Abort()
-				return err
-			}
+			return err
 		}
 	}
 	return t.CommitUnlogged()
-}
-
-func replayLocate(tv *TableView, row types.Row) RowID {
-	meta := tv.Meta()
-	if len(meta.PrimaryKey) > 0 && pkCovered(meta, row) {
-		key := make(types.Row, len(meta.PrimaryKey))
-		for i, ord := range meta.PrimaryKey {
-			key[i] = row[ord]
-		}
-		if rid := tv.PKLookup(key); rid >= 0 {
-			return rid
-		}
-	}
-	found := RowID(-1)
-	tv.Scan(func(rid RowID, r types.Row) bool {
-		if types.RowsEqual(r, row) {
-			found = rid
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-func pkCovered(meta *catalog.Table, row types.Row) bool {
-	for _, ord := range meta.PrimaryKey {
-		if ord >= len(row) {
-			return false
-		}
-	}
-	return true
 }

@@ -622,15 +622,22 @@ func (t *Txn) update(td *TableData, rid RowID, newRow types.Row) error {
 // the stored row that is ch.Before, by the table's primary key when it has
 // one and by full-row equality otherwise (any one of equal rows will do), and
 // fails when there is none: the table no longer holds what it was derived
-// from. The store keeps ch.After itself, as Insert and Update do.
+// from. A Before row that is not the table's width, or an op it does not
+// know, is refused: the change may come off the wire. The store keeps
+// ch.After itself, as Insert and Update do.
 func (t *Txn) Apply(ch ChangeRec) error {
 	td, err := t.tableForWrite(ch.Table)
 	if err != nil {
 		return err
 	}
-	if ch.Op == OpInsert {
+	switch {
+	case ch.Op == OpInsert:
 		_, err = t.insert(td, ch.After)
 		return err
+	case ch.Op != OpUpdate && ch.Op != OpDelete:
+		return fmt.Errorf("storage: %s: unknown change op %d", td.meta.Name, ch.Op)
+	case len(ch.Before) != len(td.meta.Columns):
+		return fmt.Errorf("storage: %s: row has %d values, table has %d columns", td.meta.Name, len(ch.Before), len(td.meta.Columns))
 	}
 	tv := TableView{td: td, txn: t}
 	rid := RowID(-1)

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -317,6 +318,47 @@ func TestAddIndexBackfills(t *testing.T) {
 	defer tx.Abort()
 	if len(viewIndex(view(tx, "customer"), "ix2").Get(types.Row{types.NewString("z")})) != 1 {
 		t.Error("new index missing existing rows")
+	}
+}
+
+// Apply refuses a change it cannot carry out as given — a Before row that is
+// not the table's width, an op it does not know — with an error, whether or
+// not the table has a primary key (here the key is the second column, which
+// a one-value row does not reach), and the table is left as it was.
+func TestApplyRefusesAMalformedChange(t *testing.T) {
+	for _, keyed := range []bool{true, false} {
+		meta := &catalog.Table{Name: "p", Columns: []catalog.Column{
+			{Name: "g", Type: types.KindInt}, {Name: "k", Type: types.KindInt},
+		}}
+		if keyed {
+			meta.PrimaryKey = []int{1}
+		}
+		s := NewStore()
+		if err := s.CreateTable(meta); err != nil {
+			t.Fatal(err)
+		}
+		tx := s.Begin(true)
+		full := types.Row{types.NewInt(1), types.NewInt(1)}
+		if err := tx.Apply(ChangeRec{Table: "p", Op: OpInsert, After: full}); err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range []ChangeRec{
+			{Table: "p", Op: OpDelete, Before: types.Row{types.NewInt(1)}},
+			{Table: "p", Op: OpUpdate, Before: types.Row{types.NewInt(1)}, After: full},
+			{Table: "p", Op: OpDelete, Before: append(full.Clone(), types.NewInt(1))},
+			{Table: "p", Op: ChangeOp(7), Before: full, After: full},
+		} {
+			err := tx.Apply(ch)
+			if err == nil {
+				t.Errorf("keyed=%v: %v of %v was accepted", keyed, ch.Op, ch.Before)
+			} else if ch.Op <= OpUpdate && !strings.Contains(err.Error(), fmt.Sprintf("row has %d values, table has 2 columns", len(ch.Before))) {
+				t.Errorf("keyed=%v: %v of %v: %v", keyed, ch.Op, ch.Before, err)
+			}
+		}
+		if rows := view(tx, "p").Rows(); len(rows) != 1 || !types.RowsEqual(rows[0], full) {
+			t.Errorf("keyed=%v: table holds %v", keyed, rows)
+		}
+		tx.Abort()
 	}
 }
 

@@ -138,6 +138,13 @@ var removedNames = []struct {
 	{`(?m)^\s+Args\s`, `^internal/imcache/`, "literals rendered on read from the entry's key values (Entry.Vals)"},
 	{`func \(s \*Store\) Durable\(`, `^internal/storage/`, "a log that names itself (Provision resumes only on a matching log ID)"},
 	{`\bfeeds\(subName`, `^internal/repl/`, "a log that names itself (Provision resumes only on a matching log ID)"},
+	{`Env\.Named|\bNamed:`, `^internal/(exec|opt|engine)/`, "a parameter's one address: its slot, given when opt compiles it (exec.Env.Bind)"},
+	{`Merged\(`, `^internal/(exec|opt|engine)/`, "a parameter's one address (a Remote sends the names its text reads, from its slots)"},
+	{`Bound \[\]bool`, `^internal/(exec|opt|engine)/`, "a parameter's one address (every slot is bound before a statement runs)"},
+	{`\bctx\.Params\b`, `^internal/(exec|opt|engine)/`, "a parameter's one address (exec.Ctx holds slots only)"},
+	{`AssignParamSlots|WalkExprs`, `^internal/(exec|opt|engine)/`, "a parameter's one address (opt.Params slots a parameter as it compiles it)"},
+	{`replayLocate`, `^internal/storage/`, "one way to apply a change (recovery replays through Txn.Apply)"},
+	{`pkCovered`, `^internal/storage/`, "one way to apply a change (recovery replays through Txn.Apply)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
