@@ -31,7 +31,6 @@ func Instrument(op Operator) *Instrumented {
 
 func (i *Instrumented) Columns() []ColInfo    { return i.Op.Columns() }
 func (i *Instrumented) Child(n int) *Operator { return slot(n, &i.Op) }
-func (i *Instrumented) EachExpr(func(Expr))   {}
 func (i *Instrumented) clone() Operator       { return &Instrumented{Op: i.Op} }
 func (i *Instrumented) passesRows() bool      { return true }
 func (i *Instrumented) reset(bool) int        { i.Stats = OpStats{}; return 0 }

@@ -41,7 +41,6 @@ func (p *poison) Columns() []ColInfo    { return p.Input.Columns() }
 func (p *poison) Open(ctx *Ctx) error   { return p.Input.Open(ctx) }
 func (p *poison) Close() error          { return p.Input.Close() }
 func (p *poison) Child(i int) *Operator { return slot(i, &p.Input) }
-func (p *poison) EachExpr(func(Expr))   {}
 func (p *poison) clone() Operator       { return &poison{Input: p.Input} }
 func (p *poison) passesRows() bool      { return false } // it delivers copies
 func (p *poison) reset(bool) int        { return p.in.reset() + wipe(&p.delivered) }
@@ -87,7 +86,6 @@ func (h *hoard) Columns() []ColInfo    { return h.Input.Columns() }
 func (h *hoard) Open(ctx *Ctx) error   { return h.Input.Open(ctx) }
 func (h *hoard) Close() error          { return h.Input.Close() }
 func (h *hoard) Child(i int) *Operator { return slot(i, &h.Input) }
-func (h *hoard) EachExpr(func(Expr))   {}
 func (h *hoard) clone() Operator       { return &hoard{Input: h.Input, Fickle: h.Fickle} }
 func (h *hoard) passesRows() bool      { return true }
 

@@ -11,7 +11,7 @@ import (
 // table read directly, with the leaf's residual predicate and its
 // needed-column projection applied inside the join, so the inner table is
 // never scanned, hashed or copied. All seeks of one execution read the
-// transaction's MVCC snapshot through one index root pinned at Open; index
+// transaction's MVCC snapshot through one index view bound at Open; index
 // entries left behind by updates and deletes are filtered by row visibility
 // plus a key recheck (storage.IndexView.AppendMatches).
 type IndexJoin struct {
@@ -46,10 +46,6 @@ func (j *IndexJoin) Columns() []ColInfo {
 }
 
 func (j *IndexJoin) Child(i int) *Operator { return slot(i, &j.Outer) }
-func (j *IndexJoin) EachExpr(fn func(Expr)) {
-	visit(fn, j.OuterKeys...)
-	visit(fn, j.Pred, j.Residual)
-}
 func (j *IndexJoin) clone() Operator {
 	return &IndexJoin{
 		Outer: j.Outer, OuterKeys: j.OuterKeys, TableName: j.TableName, IndexName: j.IndexName,

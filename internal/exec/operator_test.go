@@ -117,11 +117,11 @@ func fill(v reflect.Value) {
 	}
 }
 
-// TestOperatorsDescribeThemselves: what an operator says through Child,
-// EachExpr and clone is what its fields say by the package's convention —
+// TestOperatorsDescribeThemselves: what an operator says through Child and
+// clone is what its fields say by the package's convention —
 // exported fields are configuration, unexported fields are run state. Every
 // operator is built with every field set, so a field added later and left
-// out of one of the three methods fails here instead of planning wrongly.
+// out of one of the two methods fails here instead of planning wrongly.
 func TestOperatorsDescribeThemselves(t *testing.T) {
 	for _, zero := range allOperators {
 		typ := reflect.TypeOf(zero).Elem()
@@ -130,10 +130,8 @@ func TestOperatorsDescribeThemselves(t *testing.T) {
 		op := v.Interface().(Operator)
 
 		// The input slots are the exported Operator and []Operator fields,
-		// in order; the expressions are what the exported fields of the
-		// expression-carrying types hold.
+		// in order.
 		var wantSlots []*Operator
-		wantExprs := map[Expr]bool{}
 		for i := 0; i < typ.NumField(); i++ {
 			if !typ.Field(i).IsExported() {
 				continue
@@ -144,26 +142,6 @@ func TestOperatorsDescribeThemselves(t *testing.T) {
 			case *[]Operator:
 				for k := range *f {
 					wantSlots = append(wantSlots, &(*f)[k])
-				}
-			case *Expr:
-				wantExprs[*f] = true
-			case *[]Expr:
-				for _, e := range *f {
-					wantExprs[e] = true
-				}
-			case *[][]Expr:
-				for _, row := range *f {
-					for _, e := range row {
-						wantExprs[e] = true
-					}
-				}
-			case *[]SortKey:
-				for _, k := range *f {
-					wantExprs[k.E] = true
-				}
-			case *[]AggSpec:
-				for _, a := range *f {
-					wantExprs[a.Arg] = true
 				}
 			}
 		}
@@ -179,13 +157,6 @@ func TestOperatorsDescribeThemselves(t *testing.T) {
 				t.Errorf("%s: Child(%d) is not input field %d itself", typ.Name(), i, i)
 			}
 		}
-		exprs := map[Expr]bool{}
-		calls := 0
-		op.EachExpr(func(e Expr) { exprs[e] = true; calls++ })
-		if !reflect.DeepEqual(exprs, wantExprs) || calls != len(wantExprs) {
-			t.Errorf("%s: EachExpr yields %d expressions in %d calls, its exported fields hold %d", typ.Name(), len(exprs), calls, len(wantExprs))
-		}
-
 		// A clone has the configuration, the original's shared state and
 		// none of the run state. Its slots hold the same inputs but are its
 		// own storage, so assigning through them leaves the original alone.

@@ -108,7 +108,7 @@ func preallocSize(est float64, limit int) int {
 // positive number of rows (typically up to BatchSize; joins may overshoot
 // when one input row matches many).
 //
-// The last five methods are what an operator says about itself to whoever
+// The last four methods are what an operator says about itself to whoever
 // walks a plan tree (CloneOperator, Instances, Instrument, EXPLAIN, the
 // optimizer's collectRemote), so that none of them needs to know the
 // operator types. By convention an operator's exported
@@ -126,9 +126,6 @@ type Operator interface {
 	// through it and may assign a replacement (a clone, an instrumented
 	// shell).
 	Child(i int) *Operator
-	// EachExpr calls fn on every compiled expression the operator itself
-	// holds, not its inputs'; unset optional ones are skipped.
-	EachExpr(fn func(Expr))
 	// clone returns a copy with the same configuration and no run state.
 	// Its input slots still hold the receiver's inputs (CloneOperator
 	// assigns their clones through Child), so an operator whose slots live
@@ -161,22 +158,6 @@ func slot(i int, inputs ...*Operator) *Operator {
 		return inputs[i]
 	}
 	return nil
-}
-
-// visit calls fn on the expressions that are set.
-func visit(fn func(Expr), exprs ...Expr) {
-	for _, e := range exprs {
-		if e != nil {
-			fn(e)
-		}
-	}
-}
-
-// visitKeys calls fn on each sort key's expression.
-func visitKeys(fn func(Expr), keys []SortKey) {
-	for _, k := range keys {
-		fn(k.E)
-	}
 }
 
 // Run drains an operator into the caller's rs: it sets rs.Cols to the
@@ -237,8 +218,7 @@ type Scan struct {
 	rhs  []types.Value // pred's per-batch right-hand-side scratch
 }
 
-func (s *Scan) Columns() []ColInfo  { return s.Cols }
-func (s *Scan) EachExpr(func(Expr)) {}
+func (s *Scan) Columns() []ColInfo { return s.Cols }
 func (s *Scan) clone() Operator {
 	return &Scan{TableName: s.TableName, Cols: s.Cols}
 }
@@ -349,10 +329,6 @@ type IndexScan struct {
 }
 
 func (s *IndexScan) Columns() []ColInfo { return s.Cols }
-func (s *IndexScan) EachExpr(fn func(Expr)) {
-	visit(fn, s.Lo...)
-	visit(fn, s.Hi...)
-}
 func (s *IndexScan) clone() Operator {
 	return &IndexScan{
 		TableName: s.TableName, IndexName: s.IndexName, Cols: s.Cols, Lo: s.Lo, Hi: s.Hi,
@@ -476,10 +452,9 @@ type Filter struct {
 	pushed bool          // vp was pushed down into the child scan
 }
 
-func (f *Filter) Columns() []ColInfo     { return f.Input.Columns() }
-func (f *Filter) Child(i int) *Operator  { return slot(i, &f.Input) }
-func (f *Filter) EachExpr(fn func(Expr)) { visit(fn, f.Pred) }
-func (f *Filter) passesRows() bool       { return true }
+func (f *Filter) Columns() []ColInfo    { return f.Input.Columns() }
+func (f *Filter) Child(i int) *Operator { return slot(i, &f.Input) }
+func (f *Filter) passesRows() bool      { return true }
 func (f *Filter) clone() Operator {
 	return &Filter{Input: f.Input, Pred: f.Pred, vp: f.vp, compiled: f.compiled}
 }
@@ -579,10 +554,9 @@ type StartupFilter struct {
 	active bool
 }
 
-func (s *StartupFilter) Columns() []ColInfo     { return s.Input.Columns() }
-func (s *StartupFilter) Child(i int) *Operator  { return slot(i, &s.Input) }
-func (s *StartupFilter) EachExpr(fn func(Expr)) { visit(fn, s.Guard) }
-func (s *StartupFilter) passesRows() bool       { return true }
+func (s *StartupFilter) Columns() []ColInfo    { return s.Input.Columns() }
+func (s *StartupFilter) Child(i int) *Operator { return slot(i, &s.Input) }
+func (s *StartupFilter) passesRows() bool      { return true }
 func (s *StartupFilter) clone() Operator {
 	return &StartupFilter{Input: s.Input, Guard: s.Guard, Else: s.Else, Branch: s.Branch}
 }
@@ -645,12 +619,11 @@ type Project struct {
 	gather bool     // every expression is a ColExpr: gather by index
 }
 
-func (p *Project) Columns() []ColInfo     { return p.Cols }
-func (p *Project) Child(i int) *Operator  { return slot(i, &p.Input) }
-func (p *Project) EachExpr(fn func(Expr)) { visit(fn, p.Exprs...) }
-func (p *Project) clone() Operator        { return &Project{Input: p.Input, Exprs: p.Exprs, Cols: p.Cols} }
-func (p *Project) passesRows() bool       { return false }
-func (p *Project) outArena() *rowArena    { return &p.arena }
+func (p *Project) Columns() []ColInfo    { return p.Cols }
+func (p *Project) Child(i int) *Operator { return slot(i, &p.Input) }
+func (p *Project) clone() Operator       { return &Project{Input: p.Input, Exprs: p.Exprs, Cols: p.Cols} }
+func (p *Project) passesRows() bool      { return false }
+func (p *Project) outArena() *rowArena   { return &p.arena }
 func (p *Project) reset(result bool) int {
 	p.gather = false
 	return p.in.reset() + wipe(&p.cols) + p.arena.release(!result)
@@ -727,12 +700,11 @@ type Limit struct {
 	left int64
 }
 
-func (l *Limit) Columns() []ColInfo     { return l.Input.Columns() }
-func (l *Limit) Child(i int) *Operator  { return slot(i, &l.Input) }
-func (l *Limit) EachExpr(fn func(Expr)) { visit(fn, l.N) }
-func (l *Limit) clone() Operator        { return &Limit{Input: l.Input, N: l.N} }
-func (l *Limit) passesRows() bool       { return true }
-func (l *Limit) reset(bool) int         { l.left = 0; return 0 }
+func (l *Limit) Columns() []ColInfo    { return l.Input.Columns() }
+func (l *Limit) Child(i int) *Operator { return slot(i, &l.Input) }
+func (l *Limit) clone() Operator       { return &Limit{Input: l.Input, N: l.N} }
+func (l *Limit) passesRows() bool      { return true }
+func (l *Limit) reset(bool) int        { l.left = 0; return 0 }
 
 func (l *Limit) Open(ctx *Ctx) error {
 	v, err := l.N.Eval(nil, &ctx.Env)
@@ -872,11 +844,10 @@ type Sort struct {
 	pos   int
 }
 
-func (s *Sort) Columns() []ColInfo     { return s.Input.Columns() }
-func (s *Sort) Child(i int) *Operator  { return slot(i, &s.Input) }
-func (s *Sort) EachExpr(fn func(Expr)) { visitKeys(fn, s.Keys) }
-func (s *Sort) clone() Operator        { return &Sort{Input: s.Input, Keys: s.Keys} }
-func (s *Sort) passesRows() bool       { return true }
+func (s *Sort) Columns() []ColInfo    { return s.Input.Columns() }
+func (s *Sort) Child(i int) *Operator { return slot(i, &s.Input) }
+func (s *Sort) clone() Operator       { return &Sort{Input: s.Input, Keys: s.Keys} }
+func (s *Sort) passesRows() bool      { return true }
 func (s *Sort) reset(bool) int {
 	s.pos = 0
 	return s.in.reset() + wipe(&s.all) + s.order.reset() + wipe(&s.rows)
@@ -938,12 +909,8 @@ type TopN struct {
 
 func (s *TopN) Columns() []ColInfo    { return s.Input.Columns() }
 func (s *TopN) Child(i int) *Operator { return slot(i, &s.Input) }
-func (s *TopN) EachExpr(fn func(Expr)) {
-	visit(fn, s.N)
-	visitKeys(fn, s.Keys)
-}
-func (s *TopN) clone() Operator  { return &TopN{Input: s.Input, Keys: s.Keys, N: s.N} }
-func (s *TopN) passesRows() bool { return true }
+func (s *TopN) clone() Operator       { return &TopN{Input: s.Input, Keys: s.Keys, N: s.N} }
+func (s *TopN) passesRows() bool      { return true }
 func (s *TopN) reset(bool) int {
 	s.pos = 0
 	return s.in.reset() + wipe(&s.heap.entries) + s.heap.order.reset() + wipe(&s.rows)
@@ -1073,11 +1040,6 @@ func (j *HashJoin) Columns() []ColInfo {
 }
 
 func (j *HashJoin) Child(i int) *Operator { return slot(i, &j.Left, &j.Right) }
-func (j *HashJoin) EachExpr(fn func(Expr)) {
-	visit(fn, j.LeftKeys...)
-	visit(fn, j.RightKeys...)
-	visit(fn, j.Residual)
-}
 func (j *HashJoin) clone() Operator {
 	return &HashJoin{
 		Left: j.Left, Right: j.Right, LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
@@ -1258,8 +1220,7 @@ func (j *NestedLoop) Columns() []ColInfo {
 	return j.cols
 }
 
-func (j *NestedLoop) Child(i int) *Operator  { return slot(i, &j.Left, &j.Right) }
-func (j *NestedLoop) EachExpr(fn func(Expr)) { visit(fn, j.Pred) }
+func (j *NestedLoop) Child(i int) *Operator { return slot(i, &j.Left, &j.Right) }
 func (j *NestedLoop) clone() Operator {
 	return &NestedLoop{Left: j.Left, Right: j.Right, Pred: j.Pred, LeftOuter: j.LeftOuter, cols: j.cols}
 }
@@ -1364,10 +1325,9 @@ func (u *UnionAll) Child(i int) *Operator {
 	}
 	return nil
 }
-func (u *UnionAll) EachExpr(func(Expr)) {}
-func (u *UnionAll) clone() Operator     { return &UnionAll{Inputs: append([]Operator(nil), u.Inputs...)} }
-func (u *UnionAll) passesRows() bool    { return true }
-func (u *UnionAll) reset(bool) int      { u.cur = 0; return 0 }
+func (u *UnionAll) clone() Operator  { return &UnionAll{Inputs: append([]Operator(nil), u.Inputs...)} }
+func (u *UnionAll) passesRows() bool { return true }
+func (u *UnionAll) reset(bool) int   { u.cur = 0; return 0 }
 
 func (u *UnionAll) Open(ctx *Ctx) error {
 	for _, in := range u.Inputs {
@@ -1422,8 +1382,7 @@ type Remote struct {
 	sent Params // the map Open sends, kept for the instance's next execution
 }
 
-func (r *Remote) Columns() []ColInfo  { return r.Cols }
-func (r *Remote) EachExpr(func(Expr)) {}
+func (r *Remote) Columns() []ColInfo { return r.Cols }
 func (r *Remote) clone() Operator {
 	return &Remote{SQLText: r.SQLText, Cols: r.Cols, Params: r.Params}
 }
@@ -1502,14 +1461,9 @@ type Values struct {
 }
 
 func (v *Values) Columns() []ColInfo { return v.Cols }
-func (v *Values) EachExpr(fn func(Expr)) {
-	for _, row := range v.Rows {
-		visit(fn, row...)
-	}
-}
-func (v *Values) clone() Operator { return &Values{Cols: v.Cols, Rows: v.Rows} }
-func (v *Values) reset(bool) int  { v.pos = 0; return 0 }
-func (v *Values) Open(*Ctx) error { v.pos = 0; return nil }
+func (v *Values) clone() Operator    { return &Values{Cols: v.Cols, Rows: v.Rows} }
+func (v *Values) reset(bool) int     { v.pos = 0; return 0 }
+func (v *Values) Open(*Ctx) error    { v.pos = 0; return nil }
 
 func (v *Values) BatchNext(ctx *Ctx, b *Batch) error {
 	b.Rows = b.Rows[:0]
@@ -1546,8 +1500,7 @@ type VirtualScan struct {
 	pos  int
 }
 
-func (s *VirtualScan) Columns() []ColInfo  { return s.Cols }
-func (s *VirtualScan) EachExpr(func(Expr)) {}
+func (s *VirtualScan) Columns() []ColInfo { return s.Cols }
 func (s *VirtualScan) clone() Operator {
 	return &VirtualScan{Name: s.Name, Rows: s.Rows, Cols: s.Cols}
 }
@@ -1587,7 +1540,6 @@ type Distinct struct {
 
 func (d *Distinct) Columns() []ColInfo    { return d.Input.Columns() }
 func (d *Distinct) Child(i int) *Operator { return slot(i, &d.Input) }
-func (d *Distinct) EachExpr(func(Expr))   {}
 func (d *Distinct) clone() Operator       { return &Distinct{Input: d.Input} }
 func (d *Distinct) passesRows() bool      { return true }
 func (d *Distinct) reset(bool) int {

@@ -58,129 +58,66 @@ func cmpItem(a, b Item) int {
 	return 0
 }
 
-// BTree is an in-memory B-tree over Items with copy-on-write updates; every
-// write publishes a new root with a single atomic store. An entry that sorts
-// after every other, into a rightmost leaf with room, is a tail append: it
-// publishes one object, a copy of the root whose tail — the rightmost leaf's
-// entries — is one entry longer. Every other Insert and Delete gives each
-// node on the changed path a new header. An array a change does not modify
-// is shared with the published tree (see node). Mutators must still be
-// externally serialized (the Store's per-table write latch does this), but
-// any number of readers may traverse a pinned root concurrently — and keep
-// iterating their snapshot while later writes publish new roots.
+// BTree is an in-memory B-tree over Items that readers walk while a writer
+// changes it. A write copies only the nodes whose own arrays it changes —
+// the leaf, and on a split, borrow or merge the parent that gains or loses a
+// child — and publishes them with one atomic store into the child slot of the
+// first ancestor it leaves unchanged (top, when no ancestor is); a split or
+// merge above a node the write leaves unchanged stores that node's change
+// first. So a middle insert or a delete allocates the new leaf's header and
+// array at any depth, and a tail append — a new last entry into a leaf whose
+// array has room — one header. Mutators must be externally serialized (the Store's per-table
+// write latch does this); any number of readers may walk the tree while they
+// run, under the contract node states.
 type BTree struct {
-	root atomic.Pointer[root]
-	size atomic.Int64
+	top   atomic.Pointer[node]
+	size  atomic.Int64
+	width int // every key's length: the index's column count
 }
 
-// node is one tree node. A header reachable from a published root is never
-// written again — a root's tail included —, but its arrays may be shared with
-// newer headers:
+// node is one tree node. Its header is never written after it is published
+// except its child slots, and a slot only while the node is in the tree: a
+// write that changes a node's arrays stores a copy of it in its place, and
+// the replaced node's slots keep what they held for the readers still on it.
+// An array is written only past the length of every header that covers it:
+// a leaf's new last entry goes into its array in place when the array has
+// room, and is published by a new header one entry longer; every change
+// that shortens or rearranges an array works on a new one. The writer, the
+// only one, copies slot arrays into new nodes as plain memory; a reader only
+// loads slots.
 //
-//   - the rightmost leaf's header may hold only a prefix of its entries; the
-//     root holds them all (see root), and a write that copies that leaf
-//     copies the root's tail into the new header;
-//   - an inner node on an insert path gets a fresh children array and keeps
-//     its items array, unless a child split hoists a median into it;
-//   - a leaf's new last entry is appended to its items array (or the tail's)
-//     in place, at an index past the length of every header and tail that
-//     covers the array, so no reader of an older one can see the write;
-//   - every change that shortens or rearranges an array — a middle insert,
-//     a split's halves, delete, borrow and merge — works on a fresh array.
-//     A new array for the rightmost leaf has room for a full leaf (see
-//     room), so the appends after the write that made it do not copy it.
+// A node's key interval — what the separators around its slot allow — is
+// fixed for as long as it is in the tree: a split, borrow or merge moves
+// separators only between nodes it copies, and a delete that puts an inner
+// entry's neighbour in its place copies the paths whose interval that moves
+// (see deleteInner). So every store turns one valid tree into another, and a
+// walk, which reads each node's entries and then its slots one at a time,
+// yields entries in strict order, each at most once, and holds every entry
+// that was present for the whole walk. It may hold an entry inserted or
+// deleted during it; index readers re-check MVCC visibility and the exact
+// key of every entry (IndexView), so they need no frozen tree.
 type node struct {
 	items    []entry
-	children []*node // nil for leaves
+	children []atomic.Pointer[node] // nil for leaves
 }
 
 func (n *node) leaf() bool { return n.children == nil }
 
-// newNode returns n moved to the heap: the copies that insert and delete
-// return are values, so that a write which changes nothing allocates nothing
-// and the top one goes into its root.
-func newNode(n node) *node { return &n }
-
-// root is a published version of the tree: its top node, and the entries of
-// its rightmost leaf, last, in tail. A tail append writes into tail's array
-// and publishes a copy of the root whose tail is one entry longer, leaving
-// last as it is; so readers and writers read a node's entries through the
-// root they started from (entries). width is the tree's key width, the same
-// in every root.
-type root struct {
-	node
-	last  *node
-	tail  []entry
-	width int
-}
-
-// entries returns the items of n, a node of the tree under r: the rightmost
-// leaf's are r's tail.
-func (r *root) entries(n *node) []entry {
-	if n == r.last {
-		return r.tail
-	}
-	return n.items
-}
-
-// key returns the key of e, an entry of the tree under r.
-func (r *root) key(e entry) types.Row { return e.row(r.width) }
-
-// cmp orders e, an entry of the tree under r, against it.
-func (r *root) cmp(e entry, it Item) int { return cmpItem(e.item(r.width), it) }
-
-// clone returns a copy of n, a node under r, with fresh item and child
-// slices. The pointed-to children are shared; the mutating path replaces only
-// the ones it touches.
-func (r *root) clone(n *node) node { return r.cloneWithRoom(n, 0) }
-
-// cloneWithRoom is clone with capacity for extra more items (and children),
-// so a caller that grows the copy does not allocate it twice (and see room).
-func (r *root) cloneWithRoom(n *node, extra int) node {
-	items := r.entries(n)
-	c := node{items: append(make([]entry, 0, r.room(n, len(items)+extra)), items...)}
-	if n.children != nil {
-		c.children = append(make([]*node, 0, len(n.children)+extra), n.children...)
-	}
-	return c
-}
-
-// room is the capacity of a new array for size entries of n, a node under r:
-// a full leaf's when n is the rightmost leaf.
-func (r *root) room(n *node, size int) int {
-	if n == r.last {
-		return max(size, btreeOrder)
-	}
-	return size
-}
+// child returns the node in n's slot i.
+func (n *node) child(i int) *node { return n.children[i].Load() }
 
 // NewBTree returns an empty tree whose keys are width values long.
 func NewBTree(width int) *BTree {
-	t := &BTree{}
-	r := &root{width: width}
-	r.last = &r.node
-	t.root.Store(r)
+	t := &BTree{width: width}
+	t.top.Store(&node{})
 	return t
 }
 
-// pin returns the current root for a consistent read-only traversal.
-func (t *BTree) pin() *root { return t.root.Load() }
+// key returns the key of e, an entry of t.
+func (t *BTree) key(e entry) types.Row { return e.row(t.width) }
 
-// publish stores, as the root after old, one whose top node is top: it finds
-// the new rightmost leaf and its entries — old's tail when the leaf is old's,
-// unchanged.
-func (t *BTree) publish(old *root, top node) {
-	r := &root{node: top, width: old.width}
-	last := &r.node
-	for !last.leaf() {
-		last = last.children[len(last.children)-1]
-	}
-	r.last, r.tail = last, last.items
-	if last == old.last {
-		r.tail = old.tail
-	}
-	t.root.Store(r)
-}
+// cmp orders e, an entry of t, against it.
+func (t *BTree) cmp(e entry, it Item) int { return cmpItem(e.item(t.width), it) }
 
 // buildFill is the most entries build puts in a node below the top: three
 // quarters of a node, so that a built leaf takes a quarter of a node's middle
@@ -195,19 +132,18 @@ const buildFill = btreeOrder * 3 / 4
 // the right, and the entry between two neighbours goes up into the level
 // above, until a level fits in one node, the top. A node below the top so
 // holds at least minItems entries. Every array is sized to its entries,
-// except the rightmost leaf's, which has room for a full leaf as a copy the
-// tree makes of that leaf would (room), so appends after the build do not
-// copy it. The tree is published with one root store.
+// except the rightmost leaf's, which has room for a full leaf, so appends
+// after the build do not copy it. The tree is published with one store.
 func (t *BTree) build(items []entry) {
 	if len(items) == 0 {
 		return
 	}
 	size := len(items)
-	var kids []*node // the level below, one more than items; nil for leaves
+	var kids []atomic.Pointer[node] // the level below, one more than items; nil for leaves
 	for len(items) > btreeOrder {
 		k := (len(items) + buildFill + 1) / (buildFill + 1) // ⌈(len+1)/(fill+1)⌉ nodes
 		per, extra := (len(items)-(k-1))/k, (len(items)-(k-1))%k
-		level := make([]*node, k)
+		level := make([]atomic.Pointer[node], k)
 		up := make([]entry, k-1)
 		for i := range level {
 			n := per
@@ -219,7 +155,7 @@ func (t *BTree) build(items []entry) {
 				nd.children = tight(kids[:n+1], false)
 				kids = kids[n+1:]
 			}
-			level[i] = nd
+			level[i].Store(nd)
 			if i < k-1 {
 				up[i] = items[n]
 				n++
@@ -228,16 +164,15 @@ func (t *BTree) build(items []entry) {
 		}
 		items, kids = up, level
 	}
-	top := node{items: tight(items, kids == nil), children: kids}
-	t.publish(t.root.Load(), top)
+	t.top.Store(&node{items: tight(items, kids == nil), children: kids})
 	t.size.Add(int64(size))
 }
 
 // tight returns a copy of s in an array of its length, or of a full leaf's
-// when last: the array of the rightmost leaf.
-func tight[E any](s []E, last bool) []E {
+// when rightmost: the array of the rightmost leaf.
+func tight[E any](s []E, rightmost bool) []E {
 	n := len(s)
-	if last {
+	if rightmost {
 		n = max(n, btreeOrder)
 	}
 	return append(make([]E, 0, n), s...)
@@ -246,19 +181,19 @@ func tight[E any](s []E, last bool) []E {
 // Len returns the number of entries.
 func (t *BTree) Len() int { return int(t.size.Load()) }
 
-// search locates the first index in items, entries of the tree under r, >=
-// it, and whether an exact match exists at that index.
-func (r *root) search(items []entry, it Item) (int, bool) {
+// search locates the first index in items, entries of t, >= it, and whether
+// an exact match exists at that index.
+func (t *BTree) search(items []entry, it Item) (int, bool) {
 	lo, hi := 0, len(items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if r.cmp(items[mid], it) < 0 {
+		if t.cmp(items[mid], it) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(items) && r.cmp(items[lo], it) == 0 {
+	if lo < len(items) && t.cmp(items[lo], it) == 0 {
 		return lo, true
 	}
 	return lo, false
@@ -266,95 +201,90 @@ func (r *root) search(items []entry, it Item) (int, bool) {
 
 // Insert adds an entry, whose key must be the tree's width long; the tree
 // keeps the key's array. An entry already present (same key and rid) is left
-// as it is, and the tree publishes no new root.
+// as it is, and nothing is stored.
 func (t *BTree) Insert(it Item) {
-	r := t.root.Load()
-	if len(it.Key) != r.width {
-		panic(fmt.Sprintf("storage: a key of %d values into an index of %d columns", len(it.Key), r.width))
+	if len(it.Key) != t.width {
+		panic(fmt.Sprintf("storage: a key of %d values into an index of %d columns", len(it.Key), t.width))
 	}
-	// A tail append needs an inner root (a leaf root is its own last, which a
-	// copy of it could not name), below which the rightmost leaf is never
-	// empty, and room in the tail's array: a new array under the old leaf
-	// header would keep both alive, so a full one takes the path copy.
-	if n := len(r.tail); !r.leaf() && n < min(btreeOrder, cap(r.tail)) && r.cmp(r.tail[n-1], it) < 0 {
-		t.root.Store(r.appendTail(entryOf(it)))
-		t.size.Add(1)
-		return
+	top := t.top.Load()
+	if len(top.items) >= btreeOrder {
+		// A full top splits as any full child does, under a new top.
+		up := &node{children: make([]atomic.Pointer[node], 1)}
+		up.children[0].Store(top)
+		top = up
 	}
-	top := &r.node
-	if len(r.entries(top)) >= btreeOrder {
-		top = &node{children: []*node{top}} // insert splits it as any full child
+	nt, added := t.insert(top, it)
+	if nt != nil {
+		t.top.Store(nt)
 	}
-	if nt, added := r.insert(top, it); added {
-		t.publish(r, nt)
+	if added {
 		t.size.Add(1)
 	}
 }
 
-// appendTail returns the root after r with it appended to r's tail in place:
-// a copy of r, the one object a tail append allocates. The entry is written
-// past the length of every header and tail that covers the array.
-func (r *root) appendTail(e entry) *root {
-	nr := *r
-	nr.tail = append(r.tail, e)
-	return &nr
-}
-
-// has reports whether the subtree under n, a node under r, holds an entry
-// equal to it.
-func (r *root) has(n *node, it Item) bool {
+// has reports whether the subtree under n holds an entry equal to it.
+func (t *BTree) has(n *node, it Item) bool {
 	for {
-		i, found := r.search(r.entries(n), it)
+		i, found := t.search(n.items, it)
 		if found || n.leaf() {
 			return found
 		}
-		n = n.children[i]
+		n = n.child(i)
 	}
 }
 
-// insert returns a copy of n, a node under r or a fresh one, with the entry
-// added and true, or false when the entry is already present. It copies only
-// what it changes (see node); the caller places the copy.
-func (r *root) insert(n *node, it Item) (node, bool) {
-	i, found := r.search(r.entries(n), it)
+// insert adds it under n, a node of the tree or a new one, and reports
+// whether it did: false when the entry is present, and then nothing is
+// stored. A change to n's own arrays is made in a copy of n, which insert
+// returns for the caller to store in n's place; a change below n that leaves
+// n's arrays as they are is stored into n's slot, and insert returns nil.
+func (t *BTree) insert(n *node, it Item) (*node, bool) {
+	i, found := len(n.items), false
+	if i == 0 || t.cmp(n.items[i-1], it) >= 0 { // an entry after n's last, a tail append's at every level, needs no search
+		i, found = t.search(n.items, it)
+	}
 	if found {
-		return node{}, false
+		return nil, false
 	}
 	if n.leaf() {
-		return r.withItem(n, i, entryOf(it)), true
+		return withItem(n.items, i, entryOf(it)), true
 	}
-	if child := n.children[i]; len(r.entries(child)) >= btreeOrder {
-		if r.has(child, it) {
-			return node{}, false
+	child := n.child(i)
+	if len(child.items) >= btreeOrder {
+		if t.has(child, it) {
+			return nil, false
 		}
-		c := r.cloneWithRoom(n, 1) // the split hoists the child's median into c
-		r.splitChild(&c, i, it)
-		return c, true
+		return t.splitChild(n, i, it), true
 	}
-	nc, added := r.insert(n.children[i], it)
-	if !added {
-		return node{}, false
+	nc, added := t.insert(child, it)
+	if nc != nil {
+		n.children[i].Store(nc)
 	}
-	c := node{items: n.items, children: append(make([]*node, 0, len(n.children)), n.children...)}
-	c.children[i] = newNode(nc)
-	return c, true
+	return nil, added
 }
 
-// withItem returns a leaf holding the entries of n, a leaf under r, with e
-// at index i. A new last entry is appended to the array when it has room (no
-// header covers that index yet); otherwise the array is copied, with room for
-// a full leaf when the copy is for an append or of the rightmost leaf, so a
-// leaf that grows at its end is copied once per split rather than once per
-// insert.
-func (r *root) withItem(n *node, i int, e entry) node {
-	items := r.entries(n)
-	if i == len(items) {
-		if len(items) == cap(items) {
-			items = append(make([]entry, 0, btreeOrder), items...)
-		}
-		return node{items: append(items, e)}
+// withItem returns a leaf holding items with e at index i. A new last entry
+// is written into the array in place when it has room — no header covers
+// that index yet —; otherwise the array is copied, with room for a full leaf
+// when the copy is for a new last entry or items had room (room), so a leaf
+// that grows at its end is copied once per split rather than once per insert.
+func withItem(items []entry, i int, e entry) *node {
+	if i == len(items) && len(items) < cap(items) {
+		return &node{items: append(items, e)}
 	}
-	return node{items: spliced(items, i, e, r.room(n, len(items)+1))}
+	return &node{items: spliced(items, i, e, room(items, i == len(items), len(items)+1))}
+}
+
+// room is the size of a new array for n entries of a leaf whose array was
+// items: a full leaf's when the write that makes it is at the leaf's end, or
+// when items had room for a full leaf, which only such a write gives — the
+// rightmost leaf's, which keeps it for the appends that follow —; and n
+// otherwise.
+func room(items []entry, end bool, n int) int {
+	if end || cap(items) >= btreeOrder {
+		return max(n, btreeOrder)
+	}
+	return n
 }
 
 // spliced returns a new array of size slots holding items with e at index i.
@@ -366,179 +296,248 @@ func spliced(items []entry, i int, e entry, size int) []entry {
 	return c
 }
 
-// splitChild splits the full child at index i of p, hoisting its median into
-// p, and inserts it, which the child does not hold, into the half it sorts
-// into. p must be caller-owned (a fresh copy); the child, a node under r, is
-// read, and each half gets new arrays sized to its entries, but for the
-// right half of the rightmost leaf, which has room (see room). A leaf half
-// is built with the entry in it, so each half's array is made once.
-func (r *root) splitChild(p *node, i int, it Item) {
-	old := p.children[i]
-	items := r.entries(old)
+// splitChild returns a copy of p, a node of the tree or a new one, in which
+// its full child at index i is split in two, the median hoisted into the
+// copy, and it, which the child does not hold, is inserted into the half it
+// sorts into. Each half gets new arrays sized to its entries, and a leaf half
+// is built with the entry in it, so each of its arrays is made once; a leaf
+// half that takes the entry after the child's last has room for a full leaf.
+func (t *BTree) splitChild(p *node, i int, it Item) *node {
+	old := p.child(i)
+	items := old.items
 	mid := len(items) / 2
 	median := items[mid]
 	lo, hi := items[:mid], items[mid+1:]
-	right := r.cmp(median, it) < 0
+	right := t.cmp(median, it) < 0
 	l, h := &node{}, &node{}
 	switch {
 	case !old.leaf():
 		l.items, l.children = tight(lo, false), tight(old.children[:mid+1], false)
 		h.items, h.children = tight(hi, false), tight(old.children[mid+1:], false)
-		half := l
+		half := &l
 		if right {
-			half = h
+			half = &h
 		}
-		*half, _ = r.insert(half, it) // the halves are fresh headers: the entry goes into one in place
+		if nh, _ := t.insert(*half, it); nh != nil { // the halves are new: a change below one is stored into it
+			*half = nh
+		}
 	case right:
 		l.items = tight(lo, false)
-		j, _ := r.search(hi, it)
-		h.items = spliced(hi, j, entryOf(it), r.room(old, len(hi)+1))
+		j, _ := t.search(hi, it)
+		h.items = spliced(hi, j, entryOf(it), room(nil, j == len(hi), len(hi)+1))
 	default:
-		j, _ := r.search(lo, it)
+		j, _ := t.search(lo, it)
 		l.items = spliced(lo, j, entryOf(it), len(lo)+1)
-		h.items = append(make([]entry, 0, r.room(old, len(hi))), hi...)
+		h.items = tight(hi, false)
 	}
-	p.children[i] = l
-
-	p.items = append(p.items, entry{})
-	copy(p.items[i+1:], p.items[i:])
-	p.items[i] = median
-	p.children = append(p.children, nil)
-	copy(p.children[i+2:], p.children[i+1:])
-	p.children[i+1] = h
+	c := &node{items: spliced(p.items, i, median, len(p.items)+1), children: make([]atomic.Pointer[node], len(p.children)+1)}
+	copy(c.children, p.children[:i])
+	c.children[i].Store(l)
+	c.children[i+1].Store(h)
+	copy(c.children[i+2:], p.children[i+1:])
+	return c
 }
 
 // Delete removes the entry equal to it (key and rid both matching).
 // It reports whether an entry was removed.
 func (t *BTree) Delete(it Item) bool {
-	r := t.root.Load()
-	top, ok := r.delete(&r.node, it)
+	top, ok := t.delete(t.top.Load(), it, false)
 	if !ok {
 		return false
 	}
-	if len(top.items) == 0 && !top.leaf() {
-		top = *top.children[0]
+	if top != nil {
+		if len(top.items) == 0 && !top.leaf() {
+			top = top.child(0)
+		}
+		t.top.Store(top)
 	}
-	t.publish(r, top)
 	t.size.Add(-1)
 	return true
 }
 
 const minItems = btreeOrder / 2
 
-// delete returns a path-copied copy of n, a node under r or a fresh one, with
-// the entry removed, and true; or false when the entry is absent, and then
-// nothing it copied is published.
-func (r *root) delete(n *node, it Item) (node, bool) {
-	i, found := r.search(r.entries(n), it)
+// delete removes the entry equal to it from under n, a node of the tree or a
+// new one, and reports whether it did: false when the entry is absent, and
+// then nothing is stored. Like insert, it returns a copy of n when n's arrays
+// change and stores a change below n into n's slot otherwise; with whole set
+// it copies n and returns the copy even then, so that the readers still on n
+// see the whole path under it as it was (see deleteInner).
+func (t *BTree) delete(n *node, it Item, whole bool) (*node, bool) {
+	i, found := t.search(n.items, it)
 	if n.leaf() {
 		if !found {
-			return node{}, false
+			return nil, false
 		}
-		c := r.clone(n)
-		c.items = append(c.items[:i], c.items[i+1:]...)
-		return c, true
+		return &node{items: without(n.items, i)}, true
 	}
-	c := r.clone(n)
 	if found {
-		// CLRS case 2: the key lives in this internal node.
-		left, right := r.clone(c.children[i]), r.clone(c.children[i+1])
-		c.children[i], c.children[i+1] = &left, &right
-		if len(left.items) > minItems {
-			pred := r.max(&left)
-			c.items[i] = pred
-			nl, _ := r.delete(&left, pred.item(r.width))
-			c.children[i] = newNode(nl)
-			return c, true
-		}
-		if len(right.items) > minItems {
-			succ := r.min(&right)
-			c.items[i] = succ
-			nr, _ := r.delete(&right, succ.item(r.width))
-			c.children[i+1] = newNode(nr)
-			return c, true
-		}
-		// Merge left + separator + right, then delete from the merged node.
-		left.items = append(left.items, c.items[i])
-		left.items = append(left.items, right.items...)
-		left.children = append(left.children, right.children...)
-		c.items = append(c.items[:i], c.items[i+1:]...)
-		c.children = append(c.children[:i+1], c.children[i+2:]...)
-		nm, ok := r.delete(&left, it)
-		c.children[i] = newNode(nm)
-		return c, ok
+		return t.deleteInner(n, i), true
 	}
 	// CLRS case 3: descend, topping up the child first so it cannot underflow.
-	r.ensureChild(&c, i)
-	j, _ := r.search(c.items, it)
-	nc, ok := r.delete(c.children[j], it)
-	if !ok {
-		return node{}, false
+	c := t.ensureChild(n, i)
+	if c == nil && !whole {
+		nc, ok := t.delete(n.child(i), it, false)
+		if nc != nil {
+			n.children[i].Store(nc)
+		}
+		return nil, ok
 	}
-	c.children[j] = newNode(nc)
+	if c == nil {
+		c = &node{items: n.items, children: tight(n.children, false)}
+	}
+	j, _ := t.search(c.items, it)
+	nc, ok := t.delete(c.child(j), it, whole)
+	if !ok {
+		return nil, false
+	}
+	if nc != nil {
+		c.children[j].Store(nc)
+	}
 	return c, true
 }
 
-// max returns the largest entry under n, a node under r.
-func (r *root) max(n *node) entry {
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
-	}
-	items := r.entries(n)
-	return items[len(items)-1]
+// without returns a new array of items but the one at index i, with room for
+// a full leaf when that was the last one or items had room (room).
+func without(items []entry, i int) []entry {
+	c := make([]entry, len(items)-1, room(items, i == len(items)-1, len(items)-1))
+	copy(c, items[:i])
+	copy(c[i:], items[i+1:])
+	return c
 }
 
-// min returns the smallest entry under n, a node under r.
-func (r *root) min(n *node) entry {
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	return r.entries(n)[0]
-}
-
-// ensureChild guarantees children[i] of n has more than minItems entries so
-// a recursive delete cannot underflow it. n must be caller-owned (a fresh
-// copy); every sibling it mutates, a node under r, is cloned first.
-func (r *root) ensureChild(n *node, i int) {
-	if len(r.entries(n.children[i])) > minItems {
-		return
-	}
+// deleteInner returns a copy of n, an inner node of the tree or a new one,
+// without its entry at index i (CLRS case 2). The largest entry of the left
+// child, or else the smallest of the right, moves into the entry's place;
+// when neither child can spare one, the two merge around the entry, which is
+// then deleted from the merged node. A moved neighbour changes the intervals
+// of two paths, so both are copied: every node on the path the neighbour
+// leaves (delete with whole set), which readers still on n must find it
+// under; and every inner node on the other child's near spine, whose
+// interval widens to the neighbour (spine), which readers still on n must
+// not see take an entry between the neighbour and the deleted one.
+func (t *BTree) deleteInner(n *node, i int) *node {
+	left, right := n.child(i), n.child(i+1)
+	c := &node{items: tight(n.items, false), children: tight(n.children, false)}
 	switch {
-	case i > 0 && len(r.entries(n.children[i-1])) > minItems:
-		// borrow from left sibling
-		child, left := r.cloneWithRoom(n.children[i], 1), r.clone(n.children[i-1])
-		n.children[i], n.children[i-1] = &child, &left
-		child.items = slices.Insert(child.items, 0, n.items[i-1])
-		n.items[i-1] = left.items[len(left.items)-1]
-		left.items = left.items[:len(left.items)-1]
-		if !left.leaf() {
-			child.children = slices.Insert(child.children, 0, left.children[len(left.children)-1])
-			left.children = left.children[:len(left.children)-1]
-		}
-	case i < len(n.children)-1 && len(r.entries(n.children[i+1])) > minItems:
-		// borrow from right sibling
-		child, right := r.clone(n.children[i]), r.clone(n.children[i+1])
-		n.children[i], n.children[i+1] = &child, &right
-		child.items = append(child.items, n.items[i])
-		n.items[i] = right.items[0]
-		right.items = right.items[1:]
-		if !right.leaf() {
-			child.children = append(child.children, right.children[0])
-			right.children = right.children[1:]
-		}
+	case len(left.items) > minItems:
+		pred := last(left)
+		c.items[i] = pred
+		nl, _ := t.delete(left, pred.item(t.width), true)
+		c.children[i].Store(nl)
+		c.children[i+1].Store(spine(right, false))
+	case len(right.items) > minItems:
+		succ := first(right)
+		c.items[i] = succ
+		nr, _ := t.delete(right, succ.item(t.width), true)
+		c.children[i].Store(spine(left, true))
+		c.children[i+1].Store(nr)
 	default:
-		// merge with a sibling (the absorbed right node is read, not mutated)
+		m := merged(left, n.items[i], right)
+		if nm, _ := t.delete(m, n.items[i].item(t.width), false); nm != nil {
+			m = nm
+		}
+		c.items = slices.Delete(c.items, i, i+1)
+		c.children = slices.Delete(c.children, i+1, i+2)
+		c.children[i].Store(m)
+	}
+	return c
+}
+
+// spine returns n, or, when n is inner, a copy of n with a copy of every
+// inner node on its path to its rightmost leaf when rightmost is set, or to
+// its leftmost.
+func spine(n *node, rightmost bool) *node {
+	if n.leaf() {
+		return n
+	}
+	c := &node{items: n.items, children: tight(n.children, false)}
+	j := 0
+	if rightmost {
+		j = len(c.children) - 1
+	}
+	c.children[j].Store(spine(c.child(j), rightmost))
+	return c
+}
+
+// merged returns a new node of l's entries, sep and r's, over l's children
+// and r's.
+func merged(l *node, sep entry, r *node) *node {
+	m := &node{items: make([]entry, 0, len(l.items)+1+len(r.items))}
+	m.items = append(append(append(m.items, l.items...), sep), r.items...)
+	if !l.leaf() {
+		m.children = append(append(make([]atomic.Pointer[node], 0, len(l.children)+len(r.children)), l.children...), r.children...)
+	}
+	return m
+}
+
+// last returns the largest entry under n.
+func last(n *node) entry {
+	for !n.leaf() {
+		n = n.child(len(n.children) - 1)
+	}
+	return n.items[len(n.items)-1]
+}
+
+// first returns the smallest entry under n.
+func first(n *node) entry {
+	for !n.leaf() {
+		n = n.child(0)
+	}
+	return n.items[0]
+}
+
+// ensureChild returns nil when child i of n, a node of the tree or a new
+// one, holds more than minItems entries, and otherwise a copy of n in which
+// the child has borrowed an entry from a sibling or been merged with one.
+// The child and the sibling it changes are new nodes; the nodes they share
+// with the old ones keep their intervals.
+func (t *BTree) ensureChild(n *node, i int) *node {
+	child := n.child(i)
+	if len(child.items) > minItems {
+		return nil
+	}
+	c := &node{items: tight(n.items, false), children: tight(n.children, false)}
+	switch {
+	case i > 0 && len(n.child(i-1).items) > minItems:
+		// borrow from left sibling
+		left := n.child(i - 1)
+		k := len(left.items) - 1
+		nl := &node{items: tight(left.items[:k], false)}
+		nc := &node{items: spliced(child.items, 0, c.items[i-1], len(child.items)+1)}
+		c.items[i-1] = left.items[k]
+		if !left.leaf() {
+			nl.children = tight(left.children[:k+1], false)
+			nc.children = make([]atomic.Pointer[node], len(child.children)+1)
+			nc.children[0].Store(left.child(k + 1))
+			copy(nc.children[1:], child.children)
+		}
+		c.children[i-1].Store(nl)
+		c.children[i].Store(nc)
+	case i < len(n.children)-1 && len(n.child(i+1).items) > minItems:
+		// borrow from right sibling
+		right := n.child(i + 1)
+		nc := &node{items: spliced(child.items, len(child.items), c.items[i], len(child.items)+1)}
+		nr := &node{items: tight(right.items[1:], false)}
+		c.items[i] = right.items[0]
+		if !right.leaf() {
+			nc.children = make([]atomic.Pointer[node], len(child.children)+1)
+			copy(nc.children, child.children)
+			nc.children[len(child.children)].Store(right.child(0))
+			nr.children = tight(right.children[1:], false)
+		}
+		c.children[i].Store(nc)
+		c.children[i+1].Store(nr)
+	default:
+		// merge with a sibling
 		if i == len(n.children)-1 {
 			i--
 		}
-		child, right := r.clone(n.children[i]), n.children[i+1]
-		n.children[i] = &child
-		child.items = append(child.items, n.items[i])
-		child.items = append(child.items, r.entries(right)...)
-		child.children = append(child.children, right.children...)
-		n.items = append(n.items[:i], n.items[i+1:]...)
-		n.children = append(n.children[:i+1], n.children[i+2:]...)
+		c.children[i].Store(merged(n.child(i), n.items[i], n.child(i+1)))
+		c.items = slices.Delete(c.items, i, i+1)
+		c.children = slices.Delete(c.children, i+1, i+2)
 	}
+	return c
 }
 
 // firstMatch returns the RowID of the first entry, in index order, whose key
@@ -546,19 +545,18 @@ func (r *root) ensureChild(n *node, i int) {
 // is a point probe — a unique check, a primary-key lookup — that stops at
 // the first live entry and collects nothing.
 func (t *BTree) firstMatch(key types.Row, match func(RowID) bool) RowID {
-	r := t.pin()
-	rid, _ := r.firstMatch(&r.node, key, match)
+	rid, _ := t.firstMatchUnder(t.top.Load(), key, match)
 	return rid
 }
 
-// firstMatch walks n, a node under the pinned root r, from the first entry
-// >= key; false means the walk passed the last entry carrying key.
-func (r *root) firstMatch(n *node, key types.Row, match func(RowID) bool) (RowID, bool) {
-	items := r.entries(n)
-	start, _ := r.search(items, Item{Key: key, RID: -1 << 62})
+// firstMatchUnder walks n from the first entry >= key; false means the walk
+// passed the last entry carrying key.
+func (t *BTree) firstMatchUnder(n *node, key types.Row, match func(RowID) bool) (RowID, bool) {
+	items := n.items
+	start, _ := t.search(items, Item{Key: key, RID: -1 << 62})
 	for i := start; i <= len(items); i++ {
 		if !n.leaf() {
-			if rid, more := r.firstMatch(n.children[i], key, match); rid >= 0 || !more {
+			if rid, more := t.firstMatchUnder(n.child(i), key, match); rid >= 0 || !more {
 				return rid, more
 			}
 		}
@@ -566,7 +564,7 @@ func (r *root) firstMatch(n *node, key types.Row, match func(RowID) bool) (RowID
 			break
 		}
 		e := items[i]
-		if prefixCmp(r.key(e), key) != 0 {
+		if prefixCmp(t.key(e), key) != 0 {
 			return -1, false
 		}
 		if match(e.rid) {
@@ -578,21 +576,24 @@ func (r *root) firstMatch(n *node, key types.Row, match func(RowID) bool) (RowID
 
 // Ascend visits all entries in key order.
 func (t *BTree) Ascend(fn func(Item) bool) {
-	r := t.pin()
-	r.ascend(&r.node, Item{}, false, fn)
+	t.ascend(t.top.Load(), Item{}, false, fn)
 }
 
 // AscendGE visits entries with key >= from (by key prefix comparison).
 func (t *BTree) AscendGE(from types.Row, fn func(Item) bool) {
-	r := t.pin()
-	r.ascend(&r.node, Item{Key: from, RID: -1 << 62}, true, fn)
+	t.ascend(t.top.Load(), Item{Key: from, RID: -1 << 62}, true, fn)
 }
 
 // AscendRange visits entries whose key prefix is within [lo, hi]. Keys are
 // compared only on the first len(lo)/len(hi) columns, so a multi-column
 // index supports prefix range scans.
 func (t *BTree) AscendRange(lo, hi types.Row, fn func(Item) bool) {
-	t.pin().ascendRange(lo, hi, fn)
+	t.ascend(t.top.Load(), Item{Key: lo, RID: -1 << 62}, true, func(it Item) bool {
+		if prefixCmp(it.Key, hi) > 0 {
+			return false
+		}
+		return fn(it)
+	})
 }
 
 // prefixCmp orders key, cut to the bound's length, against a prefix bound.
@@ -603,34 +604,23 @@ func prefixCmp(key, bound types.Row) int {
 	return types.CompareRows(key, bound)
 }
 
-// ascendRange is the range scan of the pinned root r shared by BTree and
-// IndexView.
-func (r *root) ascendRange(lo, hi types.Row, fn func(Item) bool) {
-	r.ascend(&r.node, Item{Key: lo, RID: -1 << 62}, true, func(it Item) bool {
-		if prefixCmp(it.Key, hi) > 0 {
-			return false
-		}
-		return fn(it)
-	})
-}
-
-// ascend visits, in key order, the entries under n, a node under the pinned
-// root r, from the first >= from when bounded.
-func (r *root) ascend(n *node, from Item, bounded bool, fn func(Item) bool) bool {
-	items := r.entries(n)
+// ascend visits, in key order, the entries under n, from the first >= from
+// when bounded.
+func (t *BTree) ascend(n *node, from Item, bounded bool, fn func(Item) bool) bool {
+	items := n.items
 	start := 0
 	if bounded {
-		start, _ = r.search(items, from)
+		start, _ = t.search(items, from)
 	}
 	for i := start; i <= len(items); i++ {
 		if !n.leaf() {
 			b := bounded && i == start
-			if !r.ascend(n.children[i], from, b, fn) {
+			if !t.ascend(n.child(i), from, b, fn) {
 				return false
 			}
 		}
 		if i < len(items) {
-			if !fn(items[i].item(r.width)) {
+			if !fn(items[i].item(t.width)) {
 				return false
 			}
 		}
@@ -638,11 +628,10 @@ func (r *root) ascend(n *node, from Item, bounded bool, fn func(Item) bool) bool
 	return true
 }
 
-// descend visits, in reverse key order, the entries under n, a node under the
-// pinned root r, whose key prefix is at most hi; a nil hi starts at the last
-// entry.
-func (r *root) descend(n *node, hi types.Row, fn func(Item) bool) bool {
-	items := r.entries(n)
+// descend visits, in reverse key order, the entries under n whose key prefix
+// is at most hi; a nil hi starts at the last entry.
+func (t *BTree) descend(n *node, hi types.Row, fn func(Item) bool) bool {
+	items := n.items
 	// end is the number of leading items within the bound: every subtree left
 	// of items[end-1] is inside it, children[end] straddles it.
 	end := len(items)
@@ -650,7 +639,7 @@ func (r *root) descend(n *node, hi types.Row, fn func(Item) bool) bool {
 		lo := 0
 		for lo < end {
 			mid := (lo + end) / 2
-			if prefixCmp(r.key(items[mid]), hi) > 0 {
+			if prefixCmp(t.key(items[mid]), hi) > 0 {
 				end = mid
 			} else {
 				lo = mid + 1
@@ -663,42 +652,42 @@ func (r *root) descend(n *node, hi types.Row, fn func(Item) bool) bool {
 			if i < end {
 				bound = nil
 			}
-			if !r.descend(n.children[i], bound, fn) {
+			if !t.descend(n.child(i), bound, fn) {
 				return false
 			}
 		}
-		if i > 0 && !fn(items[i-1].item(r.width)) {
+		if i > 0 && !fn(items[i-1].item(t.width)) {
 			return false
 		}
 	}
 	return true
 }
 
-// get collects the RowIDs of all entries equal to key under the pinned root r.
-func (r *root) get(key types.Row) []RowID {
+// get collects the RowIDs of all entries equal to key.
+func (t *BTree) get(key types.Row) []RowID {
 	var out []RowID
-	r.ascendRange(key, key, func(it Item) bool {
+	t.AscendRange(key, key, func(it Item) bool {
 		out = append(out, it.RID)
 		return true
 	})
 	return out
 }
 
-// Min returns the smallest entry, or a zero Item if empty. The rightmost
-// leaf is empty only in an empty tree.
+// Min returns the smallest entry, or a zero Item if empty. The top holds no
+// entry only in an empty tree.
 func (t *BTree) Min() (Item, bool) {
-	r := t.pin()
-	if len(r.tail) == 0 {
+	top := t.top.Load()
+	if len(top.items) == 0 {
 		return Item{}, false
 	}
-	return r.min(&r.node).item(r.width), true
+	return first(top).item(t.width), true
 }
 
-// Max returns the largest entry, the tail's last, or a zero Item if empty.
+// Max returns the largest entry, or a zero Item if empty.
 func (t *BTree) Max() (Item, bool) {
-	r := t.pin()
-	if len(r.tail) == 0 {
+	top := t.top.Load()
+	if len(top.items) == 0 {
 		return Item{}, false
 	}
-	return r.tail[len(r.tail)-1].item(r.width), true
+	return last(top).item(t.width), true
 }

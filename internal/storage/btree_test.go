@@ -28,12 +28,12 @@ func TestBTreeInsertGet(t *testing.T) {
 		t.Fatalf("len %d", bt.Len())
 	}
 	for i := int64(0); i < 1000; i++ {
-		rids := bt.pin().get(types.Row{types.NewInt(i)})
+		rids := bt.get(types.Row{types.NewInt(i)})
 		if len(rids) != 1 || rids[0] != RowID(i) {
 			t.Fatalf("get %d: %v", i, rids)
 		}
 	}
-	if rids := bt.pin().get(types.Row{types.NewInt(5000)}); len(rids) != 0 {
+	if rids := bt.get(types.Row{types.NewInt(5000)}); len(rids) != 0 {
 		t.Error("missing key returned rows")
 	}
 }
@@ -43,7 +43,7 @@ func TestBTreeDuplicateKeysDistinctRIDs(t *testing.T) {
 	for rid := RowID(0); rid < 10; rid++ {
 		bt.Insert(intItem(7, rid))
 	}
-	rids := bt.pin().get(types.Row{types.NewInt(7)})
+	rids := bt.get(types.Row{types.NewInt(7)})
 	if len(rids) != 10 {
 		t.Fatalf("want 10 rids, got %d", len(rids))
 	}
@@ -190,7 +190,7 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 			return false
 		}
 		for k := range ref {
-			if len(bt.pin().get(types.Row{types.NewInt(k)})) != 1 {
+			if len(bt.get(types.Row{types.NewInt(k)})) != 1 {
 				return false
 			}
 		}
@@ -271,118 +271,283 @@ func pairItem(k int64) Item {
 }
 
 // pairView is an IndexView over the columns (0, 1) of pairStore's view tv
-// that reads the pinned root r.
-func pairView(tv *TableView, r *root) *IndexView {
-	return &IndexView{tv: *tv, id: &indexData{meta: &catalog.Index{Columns: []int{0, 1}}}, root: r}
+// that reads the tree bt.
+func pairView(tv *TableView, bt *BTree) *IndexView {
+	return &IndexView{tv: *tv, id: &indexData{meta: &catalog.Index{Columns: []int{0, 1}}, tree: bt}}
 }
 
 // pairKey is the index key of pairStore's row k.
 func pairKey(k int64) types.Row { return pairItem(k).Key }
 
-// yields is what a pinned root shows, each sequence of keys folded into one
-// FNV-1a hash: an ascending walk, a descending walk, AppendMatches of every
-// 8th group (key prefix k/8), and firstMatch of every 31st key (-1 when the
-// root holds no entry with that key).
-type yields [4]uint64
-
-func yieldsOf(tv *TableView, r *root, groups int64) yields {
-	var y yields
-	fold := func(i int, k int64) { y[i] = (y[i] ^ uint64(k)) * 1099511628211 }
-	for i := range y {
-		y[i] = 14695981039346656037
-	}
-	r.ascend(&r.node, Item{}, false, func(it Item) bool { fold(0, it.Key[1].Int()); return true })
-	r.descend(&r.node, nil, func(it Item) bool { fold(1, it.Key[1].Int()); return true })
-	iv := pairView(tv, r)
-	var rows []types.Row
-	for g := int64(0); g < groups; g += 8 {
-		rows = iv.AppendMatches(rows[:0], types.Row{types.NewInt(g)})
-		for _, row := range rows {
-			fold(2, row[1].Int())
+// nodesOf returns every node of bt, top first, depth first.
+func nodesOf(bt *BTree) []*node {
+	var out []*node
+	var walk func(n *node)
+	walk = func(n *node) {
+		out = append(out, n)
+		for i := range n.children {
+			walk(n.child(i))
 		}
 	}
-	always := func(RowID) bool { return true }
-	for k := int64(0); k < 8*groups; k += 31 {
-		rid, _ := r.firstMatch(&r.node, pairKey(k), always)
-		fold(3, int64(rid))
-	}
-	return y
+	walk(bt.top.Load())
+	return out
 }
 
-// TestPinnedRootNeverChanges: a root, once published, yields the same entries
-// for ever, whatever the writes after it do to the arrays it shares with them.
-// A tree of ascending even keys, one short of splitting its root, takes a
-// seeded op stream: mostly tail inserts (the next even key), with middle
-// inserts (odd keys, some landing after the last entry of a split's left
-// half), deletes, and re-inserts of present entries, which must publish no
-// new root. The root is pinned after every op.
-func TestPinnedRootNeverChanges(t *testing.T) {
-	const preload, ops = 2000, 1200
-	const keys = 2 * (preload + ops)
+// lastLeaf returns the rightmost leaf of bt.
+func lastLeaf(bt *BTree) *node {
+	n := bt.top.Load()
+	for !n.leaf() {
+		n = n.child(len(n.children) - 1)
+	}
+	return n
+}
+
+// TestLiveWalksHoldEveryEntryPresentThroughout: readers read the live tree
+// every way — ascending and descending walks, IndexView.Walk either way over
+// the whole tree and over a range, firstMatch and get of single keys, and
+// AppendMatches of groups — while one writer changes it, and each read yields
+// entries in strict order, holds every entry present from before it began
+// until after it ended, and holds no entry that was never inserted. The
+// writer's seeded stream takes the tree from depth 2 to 3 and back twice: it
+// grows by tail appends (the next even key) and middle inserts (odd keys)
+// until the root splits, and shrinks by deletes — which borrow, merge and
+// replace inner entries by a neighbour — until the root shrinks, with
+// re-inserts of present entries throughout. Under -race a write to a header
+// or an array slot a reader may read is reported.
+func TestLiveWalksHoldEveryEntryPresentThroughout(t *testing.T) {
+	const keys = 8000
+	readers := []string{"ascend", "descend", "walk", "walk desc", "walk range", "walk range desc", "firstMatch", "get", "AppendMatches"}
 	tv := pairStore(t, keys)
 	bt := NewBTree(2)
-	var model []int64 // the keys present, ascending
-	tail := int64(0)
-	for ; tail < 2*preload; tail += 2 {
-		bt.Insert(pairItem(tail))
-		model = append(model, tail)
+	// ver[k] is odd while k is in the tree: the writer adds one after an
+	// Insert of k returns and before a Delete of k begins, so a key whose
+	// version is the same odd number before and after a read was present
+	// throughout it. begun[k] is set before k's first Insert begins.
+	ver := make([]atomic.Int64, keys)
+	begun := make([]atomic.Bool, keys)
+	var present []int64 // the writer's: the keys in the tree, ascending
+	next := int64(0)    // the writer's: the next tail key
+	insert := func(k int64) {
+		begun[k].Store(true)
+		bt.Insert(pairItem(k))
+		if j, found := slices.BinarySearch(present, k); !found {
+			present = slices.Insert(present, j, k)
+			ver[k].Add(1)
+		}
 	}
-	if d := depth(&bt.pin().node); d != 2 {
-		t.Fatalf("preload: depth %d, want 2", d)
+	for ; next < 3000; next += 2 {
+		insert(next)
 	}
-	rng := rand.New(rand.NewSource(34))
-	type pin struct {
-		root *root
-		op   string
-		y    yields
-	}
-	pins := make([]pin, 0, ops)
-	for i := 0; i < ops; i++ {
-		var op string
-		switch r := rng.Intn(20); {
-		case r < 12:
-			op = fmt.Sprintf("tail insert %d", tail)
-			bt.Insert(pairItem(tail))
-			model = append(model, tail)
-			tail += 2
-		case r < 15:
-			k := rng.Int63n(tail) | 1
-			op = fmt.Sprintf("middle insert %d", k)
-			bt.Insert(pairItem(k))
-			if j, found := slices.BinarySearch(model, k); !found {
-				model = slices.Insert(model, j, k)
+
+	var done atomic.Bool
+	defer done.Store(true) // a failing writer stops the readers too
+	var reads atomic.Int64
+	errs := make(chan error, len(readers))
+	var wg sync.WaitGroup
+	for r, how := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			v0, v1 := make([]int64, keys), make([]int64, keys)
+			// versions copies the versions of the keys in [lo, hi) into v.
+			versions := func(v []int64, lo, hi int64) {
+				for k := lo; k < hi; k++ {
+					v[k-lo] = ver[k].Load()
+				}
 			}
-		case r < 18:
-			j := rng.Intn(len(model))
-			op = fmt.Sprintf("delete %d", model[j])
-			if !bt.Delete(pairItem(model[j])) {
-				t.Fatalf("op %d: %s found nothing", i, op)
+			// read reads [lo, hi) with do, which returns what it yielded in
+			// key order, and checks it.
+			read := func(lo, hi int64, do func() []int64) error {
+				versions(v0, lo, hi)
+				got := do()
+				versions(v1, lo, hi)
+				j := 0
+				for i, k := range got {
+					switch {
+					case i > 0 && k <= got[i-1]:
+						return fmt.Errorf("%d after %d", k, got[i-1])
+					case k < lo || k >= hi:
+						return fmt.Errorf("key %d outside [%d, %d)", k, lo, hi)
+					case !begun[k].Load():
+						return fmt.Errorf("key %d was never inserted", k)
+					}
+				}
+				for k := lo; k < hi; k++ {
+					for j < len(got) && got[j] < k {
+						j++
+					}
+					if v := v0[k-lo]; v%2 == 1 && v1[k-lo] == v && (j == len(got) || got[j] != k) {
+						return fmt.Errorf("key %d, present throughout, missing", k)
+					}
+				}
+				return nil
 			}
-			model = slices.Delete(model, j, j+1)
+			var got []int64
+			var rows []types.Row
+			// visit yields now and then, so that at -cpu=1 too the writer
+			// runs in the middle of a walk.
+			visit := func(it Item) bool {
+				if got = append(got, it.Key[1].Int()); len(got)%64 == 0 {
+					runtime.Gosched()
+				}
+				return true
+			}
+			iv := pairView(tv, bt)
+			always := func(RowID) bool { return true }
+			for n := 0; ; n++ {
+				last := done.Load()
+				var err error
+				switch how {
+				case "ascend", "descend", "walk", "walk desc":
+					err = read(0, keys, func() []int64 {
+						got = got[:0]
+						switch how {
+						case "ascend":
+							bt.Ascend(visit)
+						case "descend":
+							bt.descend(bt.top.Load(), nil, visit)
+						default:
+							iv.Walk(nil, nil, how == "walk desc", visit)
+						}
+						if how != "ascend" && how != "walk" {
+							slices.Reverse(got)
+						}
+						return got
+					})
+				case "walk range", "walk range desc":
+					g := rng.Int63n(keys / 8)
+					h := min(keys/8-1, g+rng.Int63n(200))
+					err = read(8*g, 8*h+8, func() []int64 {
+						got = got[:0]
+						iv.Walk(types.Row{types.NewInt(g)}, types.Row{types.NewInt(h)}, how == "walk range desc", visit)
+						if how == "walk range desc" {
+							slices.Reverse(got)
+						}
+						return got
+					})
+				case "firstMatch", "get":
+					from := rng.Int63n(keys - 200)
+					for k := from; k < from+200 && err == nil; k++ {
+						err = read(k, k+1, func() []int64 {
+							got = got[:0]
+							if how == "get" {
+								for _, rid := range bt.get(pairKey(k)) {
+									got = append(got, int64(rid))
+								}
+							} else if rid := bt.firstMatch(pairKey(k), always); rid >= 0 {
+								got = append(got, int64(rid))
+							}
+							return got
+						})
+					}
+				case "AppendMatches":
+					from := rng.Int63n(keys/8 - 40)
+					for g := from; g < from+40 && err == nil; g++ {
+						err = read(8*g, 8*g+8, func() []int64 {
+							got = got[:0]
+							rows = iv.AppendMatches(rows[:0], types.Row{types.NewInt(g)})
+							for _, row := range rows {
+								got = append(got, row[1].Int())
+							}
+							return got
+						})
+					}
+				}
+				if err != nil {
+					errs <- fmt.Errorf("read %d (%s): %v", n, how, err)
+					return
+				}
+				reads.Add(1)
+				if last {
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+
+	// The stream grows the tree without deletes until the root has split
+	// and the tree has grown by 300 entries more, so the top's children can
+	// lend; then it shrinks it, mostly by deletes of random entries and of
+	// inner ones, until the root shrinks. An inner entry is put back by the
+	// next op: it sorts between the neighbour that took its place and the
+	// entries after it, into the interval the replacement widened.
+	rng := rand.New(rand.NewSource(65))
+	splits, shrinks, ops := 0, 0, 0
+	grow, split := true, 0
+	back := int64(-1) // an inner entry deleted by the last op, which this one puts back
+	for ; splits < 2 || shrinks < 2; ops++ {
+		if ops == 20000 {
+			t.Fatalf("the stream split the root %d times and shrank it %d times in %d ops", splits, shrinks, ops)
+		}
+		d := depth(bt.top.Load())
+		r := rng.Intn(100)
+		tail, middle, again, inner := 5, 15, 25, 30 // shrinking: the rest are deletes of random entries
+		if grow {
+			tail, middle, again, inner = 75, 95, 100, 100
+		}
+		var del int64 = -1
+		switch {
+		case back >= 0:
+			insert(back)
+			back = -1
+		case r < tail:
+			insert(next)
+			next += 2
+		case r < middle:
+			insert(rng.Int63n(next) | 1)
+		case r < again:
+			insert(present[rng.Intn(len(present))])
+		case r < inner:
+			// an entry of an inner node: of the top, or of one of its children
+			n := bt.top.Load()
+			if !n.leaf() && rng.Intn(2) == 0 {
+				if c := n.child(rng.Intn(len(n.children))); !c.leaf() {
+					n = c
+				}
+			}
+			del = n.items[rng.Intn(len(n.items))].row(2)[1].Int()
+			back = del
 		default:
-			k := model[rng.Intn(len(model))]
-			op = fmt.Sprintf("re-insert %d", k)
-			before := bt.pin()
-			bt.Insert(pairItem(k))
-			if bt.pin() != before {
-				t.Fatalf("op %d: %s published a new root", i, op)
+			del = present[rng.Intn(len(present))]
+		}
+		if del >= 0 {
+			j, _ := slices.BinarySearch(present, del)
+			ver[del].Add(1)
+			if !bt.Delete(pairItem(del)) {
+				t.Fatalf("op %d: delete %d found nothing", ops, del)
 			}
+			present = slices.Delete(present, j, j+1)
 		}
-		r := bt.pin()
-		var got []int64
-		r.ascend(&r.node, Item{}, false, func(it Item) bool { got = append(got, it.Key[1].Int()); return true })
-		if !slices.Equal(got, model) || bt.Len() != len(model) {
-			t.Fatalf("op %d (%s): the tree holds %d entries, the model %d", i, op, bt.Len(), len(model))
+		switch nd := depth(bt.top.Load()); {
+		case nd > d:
+			splits++
+			split = len(present)
+		case nd < d:
+			shrinks++
+			grow = true
+		case grow && nd == 3 && len(present) > split+300:
+			grow = false
 		}
-		pins = append(pins, pin{r, op, yieldsOf(tv, r, keys/8)})
+		if next >= keys {
+			t.Fatalf("op %d: the stream ran out of keys", ops)
+		}
+		if ops%4 == 0 {
+			runtime.Gosched()
+		}
 	}
-	if d := depth(&bt.pin().node); d != 3 {
-		t.Fatalf("the stream left a tree of depth %d; it must split the root", d)
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
-	for i, p := range pins {
-		if got := yieldsOf(tv, p.root, keys/8); got != p.y {
-			t.Fatalf("the root pinned after op %d (%s) no longer yields what it did: %x, recorded %x", i, p.op, got, p.y)
-		}
+	t.Logf("%d ops, %d root splits, %d root shrinks, %d reads, largest key %d", ops, splits, shrinks, reads.Load(), next-2)
+	var got []int64
+	bt.Ascend(func(it Item) bool { got = append(got, it.Key[1].Int()); return true })
+	if !slices.Equal(got, present) || bt.Len() != len(present) {
+		t.Fatalf("the tree holds %d entries, Len %d, the model %d", len(got), bt.Len(), len(present))
 	}
 }
 
@@ -403,7 +568,7 @@ func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 		bt.Insert(pairItem(next))
 		model = append(model, next)
 	}
-	if d := depth(&bt.pin().node); d != 2 {
+	if d := depth(bt.top.Load()); d != 2 {
 		t.Fatalf("preload: depth %d, want 2", d)
 	}
 	rng := rand.New(rand.NewSource(54))
@@ -435,10 +600,10 @@ func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 		case r < 86:
 			k = model[rng.Intn(len(model))]
 			op = fmt.Sprintf("re-insert %d", k)
-			before := bt.pin()
+			before := nodesOf(bt)
 			bt.Insert(pairItem(k))
-			if bt.pin() != before {
-				t.Fatalf("op %d: %s published a new root", i, op)
+			if !slices.Equal(nodesOf(bt), before) {
+				t.Fatalf("op %d: %s stored a node", i, op)
 			}
 		default:
 			j := rng.Intn(len(model))
@@ -452,20 +617,20 @@ func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 		if err := matchesModel(tv, bt, model, []int64{k, k + 1, model[rng.Intn(len(model))]}); err != nil {
 			t.Fatalf("op %d (%s): %v", i, op, err)
 		}
-		deep = deep || depth(&bt.pin().node) == 3
+		deep = deep || depth(bt.top.Load()) == 3
 	}
 	if !deep {
 		t.Fatal("the stream never split the root")
 	}
 }
 
-// matchesModel checks the shape of bt's current root (balanced) and compares
-// every reader of it with model, the keys present in ascending order: Len,
+// matchesModel checks the shape of bt (balanced) and compares every reader
+// of it with model, the keys present in ascending order: Len,
 // Min, Max, full ascending and descending walks, and, for each probe key and
 // the largest, firstMatch and get of its key, AppendMatches of its group and
 // Walk in both directions over its group and the four after it.
 func matchesModel(tv *TableView, bt *BTree, model []int64, probes []int64) error {
-	r := bt.pin()
+	top := bt.top.Load()
 	if bt.Len() != len(model) {
 		return fmt.Errorf("Len %d, the model holds %d", bt.Len(), len(model))
 	}
@@ -474,7 +639,7 @@ func matchesModel(tv *TableView, bt *BTree, model []int64, probes []int64) error
 	if !okMin || !okMax || mn.RID != RowID(model[0]) || mx.RID != RowID(model[len(model)-1]) {
 		return fmt.Errorf("Min %d (%v), Max %d (%v), the model %d … %d", mn.RID, okMin, mx.RID, okMax, model[0], model[len(model)-1])
 	}
-	if err := balanced(r, &r.node, 1, depth(&r.node)); err != nil {
+	if err := balanced(top, top, 1, depth(top)); err != nil {
 		return err
 	}
 	var got []int64
@@ -484,12 +649,12 @@ func matchesModel(tv *TableView, bt *BTree, model []int64, probes []int64) error
 		return fmt.Errorf("Ascend yields %d entries unlike the model's %d", len(got), len(model))
 	}
 	got = got[:0]
-	r.descend(&r.node, nil, visit)
+	bt.descend(top, nil, visit)
 	slices.Reverse(got)
 	if !slices.Equal(got, model) {
 		return fmt.Errorf("descend yields %d entries unlike the model's %d", len(got), len(model))
 	}
-	iv := pairView(tv, r)
+	iv := pairView(tv, bt)
 	always := func(RowID) bool { return true }
 	for _, k := range append(probes, model[len(model)-1]) {
 		_, present := slices.BinarySearch(model, k)
@@ -500,7 +665,7 @@ func matchesModel(tv *TableView, bt *BTree, model []int64, probes []int64) error
 		if rid := bt.firstMatch(pairKey(k), always); rid != want {
 			return fmt.Errorf("firstMatch %d: rid %d, want %d", k, rid, want)
 		}
-		if rids := r.get(pairKey(k)); len(rids) != 0 != present || present && rids[0] != want {
+		if rids := bt.get(pairKey(k)); len(rids) != 0 != present || present && rids[0] != want {
 			return fmt.Errorf("get %d: %v, present %v", k, rids, present)
 		}
 		g := k / 8
@@ -529,20 +694,20 @@ func matchesModel(tv *TableView, bt *BTree, model []int64, probes []int64) error
 	return nil
 }
 
-// balanced reports a node under the root r, at level lvl of the tree's d,
-// that breaks the shape insert and delete keep: every leaf at depth d, and
-// every node but the top holding from minItems-1 entries (a split's right
-// half) to btreeOrder+1 (a merge of two nodes of minItems, with the separator).
-func balanced(r *root, n *node, lvl, d int) error {
-	k := len(r.entries(n))
-	if n != &r.node && (k < minItems-1 || k > btreeOrder+1) {
+// balanced reports a node under top, at level lvl of the tree's d, that
+// breaks the shape insert and delete keep: every leaf at depth d, and every
+// node but the top holding from minItems-1 entries (a split's right half) to
+// btreeOrder+1 (a merge of two nodes of minItems, with the separator).
+func balanced(top, n *node, lvl, d int) error {
+	k := len(n.items)
+	if n != top && (k < minItems-1 || k > btreeOrder+1) {
 		return fmt.Errorf("a node at level %d holds %d entries", lvl, k)
 	}
 	if n.leaf() != (lvl == d) {
 		return fmt.Errorf("a node at level %d of %d is leaf=%v", lvl, d, n.leaf())
 	}
-	for _, c := range n.children {
-		if err := balanced(r, c, lvl+1, d); err != nil {
+	for i := range n.children {
+		if err := balanced(top, n.child(i), lvl+1, d); err != nil {
 			return err
 		}
 	}
@@ -551,19 +716,19 @@ func balanced(r *root, n *node, lvl, d int) error {
 
 func depth(n *node) int {
 	d := 1
-	for ; !n.leaf(); n = n.children[0] {
+	for ; !n.leaf(); n = n.child(0) {
 		d++
 	}
 	return d
 }
 
-// TestTailAppendUnderConcurrentReaders: readers pin the tree while one writer
-// appends ascending even keys across leaf and root splits, mixed with inserts
-// and deletes of odd keys. Each reader reads its pinned root one way — an
+// TestTailAppendUnderConcurrentReaders: readers read the live tree while one
+// writer appends ascending even keys across leaf and root splits, mixed with
+// inserts and deletes of odd keys. Each reader reads the tree one way — an
 // ascending or a descending walk, IndexView.Walk either way, firstMatch of
 // the newest even keys, or AppendMatches of the newest groups — and finds
 // the entries strictly ordered and every even key whose Insert returned
-// before the pin. Under -race, a write to an array a reader's header or tail
+// before the read began. Under -race, a write to an array a reader's header
 // covers is reported.
 func TestTailAppendUnderConcurrentReaders(t *testing.T) {
 	const ops = 4000
@@ -581,8 +746,8 @@ func TestTailAppendUnderConcurrentReaders(t *testing.T) {
 			for reads := 0; ; reads++ {
 				last := done.Load()
 				want := evens.Load()
-				if err := readPinned(tv, bt.pin(), how, want); err != nil {
-					errs <- fmt.Errorf("read %d (%s) of a root pinned after %d even keys: %v", reads, how, want, err)
+				if err := readLive(tv, bt, how, want); err != nil {
+					errs <- fmt.Errorf("read %d (%s) begun after %d even keys: %v", reads, how, want, err)
 					return
 				}
 				if last {
@@ -618,24 +783,23 @@ func TestTailAppendUnderConcurrentReaders(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if d := depth(&bt.pin().node); d != 3 {
+	if d := depth(bt.top.Load()); d != 3 {
 		t.Errorf("the writer left a tree of depth %d; it must split the root", d)
 	}
 }
 
-// readPinned reads the pinned root r of a tree of pairStore entries one way
-// and checks what it sees: strictly ascending keys that hold every even key
-// below 2*evens.
-func readPinned(tv *TableView, r *root, how string, evens int64) error {
+// readLive reads bt, a tree of pairStore entries, one way and checks what it
+// sees: strictly ascending keys that hold every even key below 2*evens.
+func readLive(tv *TableView, bt *BTree, how string, evens int64) error {
 	var keys []int64
 	visit := func(it Item) bool { keys = append(keys, it.Key[1].Int()); return true }
-	iv := pairView(tv, r)
+	iv := pairView(tv, bt)
 	from := int64(0) // the smallest even key the read covers
 	switch how {
 	case "ascend":
-		r.ascend(&r.node, Item{}, false, visit)
+		bt.Ascend(visit)
 	case "descend":
-		r.descend(&r.node, nil, visit)
+		bt.descend(bt.top.Load(), nil, visit)
 		slices.Reverse(keys)
 	case "walk", "walk desc":
 		iv.Walk(nil, nil, how == "walk desc", visit)
@@ -643,11 +807,11 @@ func readPinned(tv *TableView, r *root, how string, evens int64) error {
 			slices.Reverse(keys)
 		}
 	case "firstMatch":
-		// the newest 80 even keys, which the tail holds
+		// the newest 80 even keys, which the rightmost leaves hold
 		from = max(0, 2*(evens-80))
 		always := func(RowID) bool { return true }
 		for k := from; k < 2*evens; k += 2 {
-			if rid, _ := r.firstMatch(&r.node, pairKey(k), always); rid != RowID(k) {
+			if rid := bt.firstMatch(pairKey(k), always); rid != RowID(k) {
 				return fmt.Errorf("firstMatch %d: rid %d", k, rid)
 			}
 			keys = append(keys, k)
@@ -684,22 +848,20 @@ func readPinned(tv *TableView, r *root, how string, evens int64) error {
 	return nil
 }
 
-// TestIndexInsertAllocBudget: what one index write allocates. A tail append —
-// a new largest entry, into a rightmost leaf with room — publishes one
-// object, a copy of the root header with the tail one entry longer, at any
-// depth: 1 in a depth-2 tree and in a depth-3 tree, where a new header for
-// every node on the path and a new children array for every inner one would
-// cost 3 and 5. The first append after the rightmost leaf splits costs 1 and
-// copies no array, since the split gives the new rightmost leaf room for a
-// full leaf; the split itself costs 9. A middle insert into a depth-2 tree
-// costs the two headers, the root's children array and a fresh copy of the
-// leaf's items (4), an entry already present nothing, and a delete of the
-// largest entry the two headers, the root's two arrays and the leaf's new
-// array (5) — which has room for a full leaf too, so the appends after it
-// cost 1 (4 when one had to copy an array sized to the entries). A split of
-// a full leaf that is not the rightmost costs the root's header and its two
-// arrays and each half's header and array (7), wherever the entry goes: the
-// half that takes it is built with it in, so no array is made twice.
+// TestIndexInsertAllocBudget: what one index write allocates. A write copies
+// only the nodes whose own arrays change and stores the copy into its
+// parent's slot, so at any depth: a tail append — a new largest entry, into
+// a rightmost leaf with room — stores one new leaf header over the same
+// array (1); a middle insert, the leaf's new header and array (2, where a
+// copy of every node on the path cost 4 in a depth-2 tree); an entry already
+// present nothing; and a delete that rebalances nothing the leaf's new
+// header and array (2; 5 with the path copied). A delete of a leaf's last
+// entry, and a split whose new entry goes after the full leaf's last, give
+// the new array room for a full leaf, so the appends after them cost 1. A
+// split of a full leaf costs the parent's header and its two arrays and
+// each half's header and array (7), wherever the entry goes and at any
+// depth: the half that takes it is built with it in, so no array is made
+// twice, and nothing above the parent is copied.
 func TestIndexInsertAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -739,27 +901,62 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 	// room reports whether the rightmost leaf of bt takes n more appends
 	// without a split or a copy of its array.
 	room := func(bt *BTree, n int) bool {
-		tail := bt.pin().tail
+		tail := lastLeaf(bt).items
 		return len(tail)+n <= btreeOrder && len(tail)+n <= cap(tail)
 	}
-
-	const two = 2 * 500 // even keys 0 … 998: a root over leaves
-	bt := ascending(two)
-	if depth(&bt.pin().node) != 2 || !room(bt, 11) {
-		t.Fatalf("fixture: depth %d, tail %d/%d", depth(&bt.pin().node), len(bt.pin().tail), cap(bt.pin().tail))
+	// splits checks, in a tree made by ascending(n), of depth d, that a split
+	// of its first leaf, filled by the odd keys below 64, costs 7 with the new
+	// entry going to the left half's end, into its middle, or into the right
+	// half, and that the half that takes it has an array sized to its entries.
+	// The first leaf holds the even keys 0 … 62; its median is 32, so an
+	// entry after 31's goes to the left half's end, one after 15's into its
+	// middle, and one after 40's into the right half.
+	splits := func(n int64, d int) {
+		for _, key := range []int64{31, 15, 40} {
+			bt := ascending(n)
+			for k := int64(1); k < 64; k += 2 {
+				bt.Insert(intItem(k, RowID(k)))
+			}
+			leaf := bt.top.Load()
+			for !leaf.leaf() {
+				leaf = leaf.child(0)
+			}
+			if depth(bt.top.Load()) != d || len(leaf.items) != btreeOrder || leaf.items[btreeOrder-1].row(1)[0].Int() != 63 {
+				t.Fatalf("fixture: depth %d, the first leaf holds %d entries", depth(bt.top.Load()), len(leaf.items))
+			}
+			name := fmt.Sprintf("split of a middle leaf at depth %d, the entry after %d", d, key)
+			check(name, allocs([]Item{intItem(0, 0), intItem(key, RowID(n+key))}, bt.Insert), 7) // the warm-up entry is present
+			p := bt.top.Load()
+			for p.child(0).children != nil {
+				p = p.child(0)
+			}
+			half, want := p.child(0), btreeOrder/2+1
+			if key > btreeOrder/2 {
+				half, want = p.child(1), btreeOrder/2
+			}
+			if len(half.items) != want || cap(half.items) != want {
+				t.Errorf("%s: the half that took it holds %d entries in %d slots, want %d in as many", name, len(half.items), cap(half.items), want)
+			}
+		}
 	}
-	first := bt.pin().children[0]
+
+	const two = 2 * 500 // even keys 0 … 998: a top over leaves
+	bt := ascending(two)
+	if depth(bt.top.Load()) != 2 || !room(bt, 11) {
+		t.Fatalf("fixture: depth %d, tail %d/%d", depth(bt.top.Load()), len(lastLeaf(bt).items), cap(lastLeaf(bt).items))
+	}
+	first := bt.top.Load().child(0)
 	check("tail append at depth 2", allocs(items(two, 2, 11), bt.Insert), 1)
-	check("middle insert", allocs(items(1, 2, 11), bt.Insert), 4) // odd keys 1, 3, …: inside the first leaf, never its last entry
+	check("middle insert at depth 2", allocs(items(1, 2, 11), bt.Insert), 2) // odd keys 1, 3, …: inside the first leaf, never its last entry
 	check("present", allocs(items(500, 0, 11), bt.Insert), 0)
-	if d := depth(&bt.pin().node); d != 2 || len(bt.pin().children[0].items) != len(first.items)+11 {
+	if d := depth(bt.top.Load()); d != 2 || len(bt.top.Load().child(0).items) != len(first.items)+11 {
 		t.Fatalf("the inserts left the fixture: depth %d", d)
 	}
-	// The tail holds 43 entries; none of 11 deletes tops the leaf up.
-	if tail := bt.pin().tail; len(tail)-10 <= minItems {
+	// The rightmost leaf holds 43 entries; none of 11 deletes tops it up.
+	if tail := lastLeaf(bt).items; len(tail)-10 <= minItems {
 		t.Fatalf("fixture: tail %d", len(tail))
 	}
-	check("delete of the largest", allocs(items(two+20, -2, 11), func(it Item) { bt.Delete(it) }), 5)
+	check("delete of the largest", allocs(items(two+20, -2, 11), func(it Item) { bt.Delete(it) }), 2)
 	// The warm-up call deletes the largest entry, 998; the counted ones
 	// append twice into the leaf's copy that the delete made, which has room
 	// (the slot the deleted entry left would take only the first).
@@ -772,39 +969,17 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 		}
 		bt.Insert(it)
 	}), 1)
+	splits(two, 2)
 
-	// The first leaf holds the even keys 0 … 62; the odd keys below 64 fill
-	// it. Its median is 32, so an entry after 31's goes to the left half's
-	// end, one after 15's into its middle, and one after 40's into the right
-	// half.
-	for _, key := range []int64{31, 15, 40} {
-		bt := ascending(two)
-		for k := int64(1); k < 64; k += 2 {
-			bt.Insert(intItem(k, RowID(k)))
-		}
-		if leaf := bt.pin().children[0]; len(leaf.items) != btreeOrder || leaf.items[btreeOrder-1].row(1)[0].Int() != 63 {
-			t.Fatalf("fixture: the first leaf holds %d entries", len(leaf.items))
-		}
-		name := fmt.Sprintf("split of a middle leaf, the entry after %d", key)
-		check(name, allocs([]Item{intItem(0, 0), intItem(key, RowID(two+key))}, bt.Insert), 7) // the warm-up entry is present
-		r := bt.pin()
-		half, want := r.children[0], btreeOrder/2+1
-		if key > btreeOrder/2 {
-			half, want = r.children[1], btreeOrder/2
-		}
-		if len(half.items) != want || cap(half.items) != want {
-			t.Errorf("%s: the half that took it holds %d entries in %d slots, want %d in as many", name, len(half.items), cap(half.items), want)
-		}
-	}
-
-	const three = 2 * 2281 // the root has split, and the last leaf since: its tail is 37 long
+	const three = 2 * 2281 // the root has split, and the last leaf since: it holds 37 entries
 	bt = ascending(three)
-	if depth(&bt.pin().node) != 3 || !room(bt, 11) {
-		t.Fatalf("fixture: depth %d, tail %d/%d", depth(&bt.pin().node), len(bt.pin().tail), cap(bt.pin().tail))
+	if depth(bt.top.Load()) != 3 || !room(bt, 11) {
+		t.Fatalf("fixture: depth %d, tail %d/%d", depth(bt.top.Load()), len(lastLeaf(bt).items), cap(lastLeaf(bt).items))
 	}
 	check("tail append at depth 3", allocs(items(three, 2, 11), bt.Insert), 1)
+	check("middle insert at depth 3", allocs(items(1, 2, 11), bt.Insert), 2)
 	next := int64(three + 22)
-	for len(bt.pin().tail) < btreeOrder {
+	for len(lastLeaf(bt).items) < btreeOrder {
 		bt.Insert(intItem(next, RowID(next)))
 		next += 2
 	}
@@ -814,31 +989,31 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 	check("first append after a split", allocs(items(next, 2, 2), func(it Item) {
 		bt.Insert(it)
 		if split == nil {
-			split = bt.pin().tail
+			split = lastLeaf(bt).items
 		}
 	}), 1)
-	if tail := bt.pin().tail; len(split) != btreeOrder/2 || cap(split) != btreeOrder || len(tail) != len(split)+1 || &tail[0] != &split[0] {
-		t.Errorf("the append after the split copied the tail: %d entries after the split, %d after the append", len(split), len(tail))
+	if tail := lastLeaf(bt).items; len(split) != btreeOrder/2 || cap(split) != btreeOrder || len(tail) != len(split)+1 || &tail[0] != &split[0] {
+		t.Errorf("the append after the split copied the leaf: %d entries after the split, %d after the append", len(split), len(tail))
 	}
-	// The split itself: a new parent header with its two arrays, both halves
-	// with their arrays, and the root header and its children array. The
-	// right half, the parent's own, takes the entry in place: its header and
-	// its array, which has room (a second header for the half cost 10, and an
-	// array sized to the half 11).
+	// The split itself: a new parent header with its two arrays, and both
+	// halves with their arrays; the right half, the parent's own, takes the
+	// entry in place in its array, which has room. Nothing above the parent
+	// is copied (9 when the top and its children array were).
 	next += 4
-	for len(bt.pin().tail) < btreeOrder-1 {
+	for len(lastLeaf(bt).items) < btreeOrder-1 {
 		bt.Insert(intItem(next, RowID(next)))
 		next += 2
 	}
-	check("split of the rightmost leaf", allocs(items(next, 2, 2), bt.Insert), 9) // the warm-up fills the leaf
-	if d := depth(&bt.pin().node); d != 3 || len(bt.pin().tail) != btreeOrder/2 {
-		t.Fatalf("the split left the fixture: depth %d, tail %d", d, len(bt.pin().tail))
+	check("split of the rightmost leaf", allocs(items(next, 2, 2), bt.Insert), 7) // the warm-up fills the leaf
+	if d := depth(bt.top.Load()); d != 3 || len(lastLeaf(bt).items) != btreeOrder/2 {
+		t.Fatalf("the split left the fixture: depth %d, tail %d", d, len(lastLeaf(bt).items))
 	}
+	splits(three, 3)
 }
 
 // BenchmarkIndexInsert: one index insert, ascending keys (every one a tail
-// append: the root header's copy, and the new rightmost leaf's array once per
-// split) and random keys. Each op also builds its key, one object of
+// append: a new leaf header, and the split's arrays once per 32 appends) and
+// random keys. Each op also builds its key, one object of
 // allocs/op.
 func BenchmarkIndexInsert(b *testing.B) {
 	for _, order := range []string{"ascending", "random"} {

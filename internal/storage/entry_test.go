@@ -74,7 +74,7 @@ func TestEntryKeysMatchSortedModel(t *testing.T) {
 			model = append(model, Item{Key: indexKey(tv.Get(RowID(rid)), cols), RID: RowID(rid)})
 		}
 		slices.SortFunc(model, cmpItem)
-		if d := depth(&bt.pin().node); d != 3 {
+		if d := depth(bt.top.Load()); d != 3 {
 			t.Fatalf("%d columns: built a tree of depth %d, want 3", w, d)
 		}
 		for i := range ops {
@@ -149,8 +149,7 @@ func wholeTreeAgrees(bt *BTree, model []Item) error {
 		return err
 	}
 	got = got[:0]
-	r := bt.pin()
-	r.descend(&r.node, nil, collect)
+	bt.descend(bt.top.Load(), nil, collect)
 	slices.Reverse(got)
 	return sameItems("descend", got, model)
 }
@@ -165,7 +164,7 @@ func prefixAgrees(tv *TableView, bt *BTree, cols []int, model []Item, prefix typ
 			want = append(want, it)
 		}
 	}
-	r := bt.pin()
+	top := bt.top.Load()
 	var got []Item
 	within := func(it Item) bool {
 		if prefixCmp(it.Key, prefix) != 0 {
@@ -174,12 +173,12 @@ func prefixAgrees(tv *TableView, bt *BTree, cols []int, model []Item, prefix typ
 		got = append(got, it)
 		return true
 	}
-	r.ascend(&r.node, Item{Key: prefix, RID: -1 << 62}, true, within)
+	bt.ascend(top, Item{Key: prefix, RID: -1 << 62}, true, within)
 	if err := sameItems("ascend", got, want); err != nil {
 		return err
 	}
 	got = got[:0]
-	r.descend(&r.node, prefix, within)
+	bt.descend(top, prefix, within)
 	slices.Reverse(got)
 	if err := sameItems("descend", got, want); err != nil {
 		return err
@@ -188,10 +187,10 @@ func prefixAgrees(tv *TableView, bt *BTree, cols []int, model []Item, prefix typ
 	if len(want) > 0 {
 		first = want[0].RID
 	}
-	if rid, _ := r.firstMatch(&r.node, prefix, func(RowID) bool { return true }); rid != first {
+	if rid := bt.firstMatch(prefix, func(RowID) bool { return true }); rid != first {
 		return fmt.Errorf("firstMatch: rid %d, want %d", rid, first)
 	}
-	rids := r.get(prefix)
+	rids := bt.get(prefix)
 	if len(rids) != len(want) {
 		return fmt.Errorf("get: %d rids, want %d", len(rids), len(want))
 	}
@@ -200,7 +199,7 @@ func prefixAgrees(tv *TableView, bt *BTree, cols []int, model []Item, prefix typ
 			return fmt.Errorf("get: rid %d is %d, want %d", i, rid, want[i].RID)
 		}
 	}
-	iv := &IndexView{tv: *tv, id: &indexData{meta: &catalog.Index{Columns: cols}}, root: r}
+	iv := &IndexView{tv: *tv, id: &indexData{meta: &catalog.Index{Columns: cols}, tree: bt}}
 	matched := iv.AppendMatches(nil, prefix)
 	if len(matched) != len(want) {
 		return fmt.Errorf("AppendMatches: %d rows, want %d", len(matched), len(want))
@@ -226,10 +225,10 @@ func prefixAgrees(tv *TableView, bt *BTree, cols []int, model []Item, prefix typ
 // TestMiddleInsertByteBudget: the bytes a middle insert into a depth-2 tree
 // of 48-entry leaves allocates — the leaf's new array of 49 entries, 784
 // bytes in an 896-byte size class (1 568 in a 1 792-byte class when an entry
-// was an Item); the leaf's header, 48; the new root, 96; and the root's new
-// children array: about 1 KiB plus the children array. Each counted insert
-// goes into another leaf, one key in from its first, and none into the
-// rightmost leaf, whose copy has room for a full leaf.
+// was an Item), and the leaf's header, 48: 944, stored into the top's slot.
+// Nothing above the leaf is copied (a new top and its children array cost
+// 1 480 in all). Each counted insert goes into another leaf, one key in from
+// its first, and none into the rightmost leaf.
 func TestMiddleInsertByteBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -241,12 +240,13 @@ func TestMiddleInsertByteBudget(t *testing.T) {
 	}
 	bt := NewBTree(1)
 	bt.build(entriesFrom(its))
-	r := bt.pin()
-	if depth(&r.node) != 2 || len(r.children) != leaves {
-		t.Fatalf("fixture: depth %d, %d leaves", depth(&r.node), len(r.children))
+	top := bt.top.Load()
+	if depth(top) != 2 || len(top.children) != leaves {
+		t.Fatalf("fixture: depth %d, %d leaves", depth(top), len(top.children))
 	}
 	var probes []Item
-	for _, leaf := range r.children[:leaves-1] {
+	for i := range leaves - 1 {
+		leaf := top.child(i)
 		if len(leaf.items) != buildFill {
 			t.Fatalf("fixture: a leaf of %d entries", len(leaf.items))
 		}
@@ -261,10 +261,9 @@ func TestMiddleInsertByteBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(probes))
-	children := 8 * leaves
-	ceiling := float64(1024 + 128 + children)
-	t.Logf("middle insert into a 48-entry leaf: %.0f bytes (ceiling %.0f: 1 KiB and 128 B, and %d B of children)", per, ceiling, children)
+	const ceiling = 896 + 48
+	t.Logf("middle insert into a 48-entry leaf: %.0f bytes (ceiling %d: the leaf's array and header)", per, ceiling)
 	if per > ceiling {
-		t.Errorf("middle insert into a 48-entry leaf: %.0f bytes, want at most %.0f", per, ceiling)
+		t.Errorf("middle insert into a 48-entry leaf: %.0f bytes, want at most %d", per, ceiling)
 	}
 }

@@ -19,26 +19,22 @@ import (
 // build promises: every leaf at one depth; every node below the top holding
 // from minItems to buildFill entries and one child more than entries when
 // inner; every array sized to its entries except the rightmost leaf's, which
-// has room for a full leaf; and the root's last and tail that leaf and its
-// entries.
+// has room for a full leaf.
 func builtShape(bt *BTree) error {
-	r := bt.pin()
-	last := &r.node
+	top := bt.top.Load()
+	last := top
 	for !last.leaf() {
-		last = last.children[len(last.children)-1]
+		last = last.child(len(last.children) - 1)
 	}
-	if r.last != last || len(r.tail) != len(last.items) || &r.tail[0] != &last.items[0] {
-		return fmt.Errorf("the root's last and tail are not its rightmost leaf's")
+	if cap(last.items) != btreeOrder {
+		return fmt.Errorf("the rightmost leaf holds %d entries in room for %d, want room for %d", len(last.items), cap(last.items), btreeOrder)
 	}
-	if cap(r.tail) != btreeOrder {
-		return fmt.Errorf("the rightmost leaf holds %d entries in room for %d, want room for %d", len(r.tail), cap(r.tail), btreeOrder)
-	}
-	if err := balanced(r, &r.node, 1, depth(&r.node)); err != nil {
+	if err := balanced(top, top, 1, depth(top)); err != nil {
 		return err
 	}
 	var walk func(n *node) error
 	walk = func(n *node) error {
-		if k := len(n.items); n != &r.node && (k < minItems || k > buildFill) {
+		if k := len(n.items); n != top && (k < minItems || k > buildFill) {
 			return fmt.Errorf("a node below the top holds %d entries", k)
 		}
 		if n != last && cap(n.items) != len(n.items) {
@@ -50,14 +46,14 @@ func builtShape(bt *BTree) error {
 		if len(n.children) != len(n.items)+1 || cap(n.children) != len(n.children) {
 			return fmt.Errorf("a node of %d entries has %d children in room for %d", len(n.items), len(n.children), cap(n.children))
 		}
-		for _, c := range n.children {
-			if err := walk(c); err != nil {
+		for i := range n.children {
+			if err := walk(n.child(i)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return walk(&r.node)
+	return walk(top)
 }
 
 // entriesFrom returns its, which must be sorted and distinct, as the entries
@@ -344,15 +340,14 @@ func TestFillAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	nodes, k := 0, 0
 	for _, id := range *s.Table("p").indexes.Load() {
-		r := id.tree.pin()
 		var count func(n *node)
 		count = func(n *node) {
 			nodes++
-			for _, c := range n.children {
-				count(c)
+			for i := range n.children {
+				count(n.child(i))
 			}
 		}
-		count(&r.node)
+		count(id.tree.top.Load())
 		k++
 	}
 	got := float64(after.Mallocs - before.Mallocs)
@@ -363,7 +358,7 @@ func TestFillAllocBudget(t *testing.T) {
 	}
 
 	// A built leaf has room: a middle insert into it copies the leaf, as one
-	// into any leaf with room does (4 objects in a depth-2 tree,
+	// into any leaf with room does (its header and array, 2 objects,
 	// TestIndexInsertAllocBudget), and splits nothing. Each counted insert
 	// goes into another leaf, one key in from its first.
 	const two = 2000 // even keys: 2000 entries, a root over built leaves
@@ -373,12 +368,12 @@ func TestFillAllocBudget(t *testing.T) {
 		built[i] = intItem(2*int64(i), RowID(2*i))
 	}
 	bt.build(entriesFrom(built))
-	if depth(&bt.pin().node) != 2 {
-		t.Fatalf("fixture: depth %d", depth(&bt.pin().node))
+	if depth(bt.top.Load()) != 2 {
+		t.Fatalf("fixture: depth %d", depth(bt.top.Load()))
 	}
 	var firsts []Item
-	for _, leaf := range bt.pin().children[:11] {
-		k := leaf.items[0].row(1)[0].Int() + 1
+	for i := range 11 {
+		k := bt.top.Load().child(i).items[0].row(1)[0].Int() + 1
 		firsts = append(firsts, intItem(k, RowID(k)))
 	}
 	middle := testing.AllocsPerRun(len(firsts)-1, func() {
@@ -386,8 +381,8 @@ func TestFillAllocBudget(t *testing.T) {
 		firsts = firsts[1:]
 	})
 	t.Logf("middle insert into a built leaf: %.0f allocs", middle)
-	if middle > 4 {
-		t.Errorf("middle insert into a built leaf: %.0f allocs, want at most 4", middle)
+	if middle > 2 {
+		t.Errorf("middle insert into a built leaf: %.0f allocs, want at most 2", middle)
 	}
 }
 

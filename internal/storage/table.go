@@ -571,21 +571,21 @@ func (tv *TableView) IndexMeta(name string) *catalog.Index {
 }
 
 // Index returns a visibility-filtered view over the named index (or the
-// primary-key index for "__pk"), pinned to the index state at call time; ok
-// is false when the table has no such index. Like the TableView it carries,
-// the view is a value.
+// primary-key index for "__pk"); ok is false when the table has no such
+// index. The view reads the live tree, so a write transaction sees entries
+// for rows it inserted after the view was made. Like the TableView it
+// carries, the view is a value.
 func (tv *TableView) Index(name string) (iv IndexView, ok bool) {
 	id := tv.td.index(name)
 	if id == nil {
 		return IndexView{}, false
 	}
-	return IndexView{tv: *tv, id: id, root: id.tree.pin()}, true
+	return IndexView{tv: *tv, id: id}, true
 }
 
 // PKLookup finds the RowID of the visible row with the given primary-key
-// values, or -1 if absent (or the table has no primary key). It reads the
-// current index root, so a write transaction sees entries for rows it
-// inserted after the view was created.
+// values, or -1 if absent (or the table has no primary key). Like an
+// IndexView it reads the live tree and re-checks the row's key.
 func (tv *TableView) PKLookup(key types.Row) RowID {
 	pk := tv.td.index("__pk")
 	if pk == nil {
@@ -597,14 +597,15 @@ func (tv *TableView) PKLookup(key types.Row) RowID {
 	})
 }
 
-// IndexView is a snapshot read view over one index: a pinned tree root plus
-// the owning TableView's visibility rule. Index entries are never removed at
-// delete/update time (only GC prunes them), so every entry is re-checked
-// against the visible row image before being surfaced.
+// IndexView is a snapshot read view over one index: the live tree under the
+// owning TableView's visibility rule. A walk of the tree holds every entry
+// present for the whole walk (see node), and an entry is removed only when no
+// snapshot can see its version (GC) or its transaction aborts, so the walk
+// holds every entry the snapshot can see; the entries it holds beyond those
+// are filtered out by re-checking each against the visible row image.
 type IndexView struct {
-	tv   TableView
-	id   *indexData
-	root *root
+	tv TableView
+	id *indexData
 }
 
 // live reports whether the entry resolves to a visible row still carrying
@@ -652,7 +653,7 @@ func (iv *IndexView) filtered(fn func(Item) bool) func(Item) bool {
 // Get returns the RowIDs of visible entries whose key equals key exactly.
 func (iv *IndexView) Get(key types.Row) []RowID {
 	var out []RowID
-	for _, rid := range iv.root.get(key) {
+	for _, rid := range iv.id.tree.get(key) {
 		if iv.live(Item{Key: key, RID: rid}) {
 			out = append(out, rid)
 		}
@@ -666,27 +667,27 @@ func (iv *IndexView) Get(key types.Row) []RowID {
 // it is the per-probe seek of a lookup join, where a closure per call would
 // cost more than the seek.
 func (iv *IndexView) AppendMatches(dst []types.Row, prefix types.Row) []types.Row {
-	dst, _ = iv.appendMatches(&iv.root.node, dst, prefix)
+	dst, _ = iv.appendMatches(iv.id.tree.top.Load(), dst, prefix)
 	return dst
 }
 
-// appendMatches walks n, a node under the view's root, from the first entry
-// >= prefix; false means the walk passed the last entry carrying the prefix.
+// appendMatches walks n, a node of the view's tree, from the first entry >=
+// prefix; false means the walk passed the last entry carrying the prefix.
 func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) ([]types.Row, bool) {
-	r := iv.root
-	items := r.entries(n)
-	start, _ := r.search(items, Item{Key: prefix, RID: -1 << 62})
+	t := iv.id.tree
+	items := n.items
+	start, _ := t.search(items, Item{Key: prefix, RID: -1 << 62})
 	for i := start; i <= len(items); i++ {
 		if !n.leaf() {
 			var more bool
-			if dst, more = iv.appendMatches(n.children[i], dst, prefix); !more {
+			if dst, more = iv.appendMatches(n.child(i), dst, prefix); !more {
 				return dst, false
 			}
 		}
 		if i == len(items) {
 			break
 		}
-		key := r.key(items[i])
+		key := t.key(items[i])
 		if len(key) < len(prefix) || types.CompareRows(key[:len(prefix)], prefix) != 0 {
 			return dst, false
 		}
@@ -701,12 +702,13 @@ func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) (
 // in [lo, hi] — a nil bound is open — in key order, or in reverse key order
 // when desc is set, until fn returns false. Bounds are key prefixes, so a
 // multi-column index supports prefix range reads in either direction. Both
-// directions read the pinned root and apply the same filter: the entry's row
+// directions read the live tree and apply the same filter: the entry's row
 // must be visible to the view and still carry the entry's key.
 func (iv *IndexView) Walk(lo, hi types.Row, desc bool, fn func(Item) bool) {
+	t := iv.id.tree
 	visit := iv.filtered(fn)
 	if desc {
-		iv.root.descend(&iv.root.node, hi, func(it Item) bool {
+		t.descend(t.top.Load(), hi, func(it Item) bool {
 			if lo != nil && prefixCmp(it.Key, lo) < 0 {
 				return false
 			}
@@ -720,9 +722,5 @@ func (iv *IndexView) Walk(lo, hi types.Row, desc bool, fn func(Item) bool) {
 		}
 		return visit(it)
 	}
-	if lo == nil {
-		iv.root.ascend(&iv.root.node, Item{}, false, bounded)
-		return
-	}
-	iv.root.ascend(&iv.root.node, Item{Key: lo, RID: -1 << 62}, true, bounded)
+	t.ascend(t.top.Load(), Item{Key: lo, RID: -1 << 62}, lo != nil, bounded)
 }
