@@ -1,11 +1,12 @@
 // Package catalog maintains database metadata: tables, columns, indexes,
-// views, stored procedures, permissions and optimizer statistics.
+// views, stored procedures and optimizer statistics.
 //
 // The catalog is the piece MTCache "shadows": a cache server imports the
-// backend's full catalog — schema, constraints, permissions and statistics —
+// backend's catalog — schema, constraints, statistics and procedure texts —
 // while keeping every table empty (paper §3). Shadowing lets the cache parse
-// queries, perform view matching, check permissions and cost plans locally
-// without contacting the backend.
+// queries, perform view matching and cost plans locally without contacting
+// the backend. It carries no grants: no session carries a user, so nothing
+// could check one.
 package catalog
 
 import (
@@ -117,15 +118,6 @@ func (p *Procedure) Writes() bool {
 	return false
 }
 
-// Permission grants are deliberately simple: user -> object -> action set.
-// They exist because the shadow database must replicate them so the cache
-// can check permissions locally (paper §3).
-type Permission struct {
-	User   string
-	Object string // table/view/proc name, or "*" for all
-	Action string // "SELECT", "INSERT", "UPDATE", "DELETE", "EXEC", or "*"
-}
-
 // Catalog is the metadata store for one database. It is safe for concurrent
 // use; DDL takes the write lock, lookups take the read lock.
 type Catalog struct {
@@ -134,7 +126,6 @@ type Catalog struct {
 	derived map[string][]*Table // source relation -> the materialized and cached views over it, by name
 	seeding map[string]bool     // materialized views registered but not yet populated
 	procs   map[string]*Procedure
-	perms   []Permission
 }
 
 // New returns an empty catalog.
@@ -214,20 +205,6 @@ func (c *Catalog) PutVirtualTable(t *Table) error {
 	}
 	c.tables[k] = t
 	return nil
-}
-
-// VirtualTables returns all virtual system tables sorted by name.
-func (c *Catalog) VirtualTables() []*Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Table, 0, 8)
-	for _, t := range c.tables {
-		if t.Virtual {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // DropTable removes a table and its indexes. It refuses while a view's
@@ -377,43 +354,6 @@ func (c *Catalog) Procedures() []*Procedure {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Grant records a permission.
-func (c *Catalog) Grant(user, object, action string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.perms = append(c.perms, Permission{User: user, Object: object, Action: strings.ToUpper(action)})
-}
-
-// Allowed checks a permission. An empty permission list means open access
-// (single-user mode); otherwise a matching grant is required.
-func (c *Catalog) Allowed(user, object, action string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.perms) == 0 {
-		return true
-	}
-	action = strings.ToUpper(action)
-	for _, p := range c.perms {
-		if p.User != user && p.User != "*" {
-			continue
-		}
-		if p.Object != "*" && !strings.EqualFold(p.Object, object) {
-			continue
-		}
-		if p.Action == "*" || p.Action == action {
-			return true
-		}
-	}
-	return false
-}
-
-// Permissions returns a copy of all grants.
-func (c *Catalog) Permissions() []Permission {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]Permission(nil), c.perms...)
 }
 
 // CachedViews returns all cached views sorted by name.

@@ -76,27 +76,6 @@ func TestIndexes(t *testing.T) {
 	}
 }
 
-func TestPermissions(t *testing.T) {
-	c := New()
-	if !c.Allowed("anyone", "customer", "SELECT") {
-		t.Error("empty grants mean open access")
-	}
-	c.Grant("web", "customer", "SELECT")
-	if !c.Allowed("web", "customer", "select") {
-		t.Error("granted access denied")
-	}
-	if c.Allowed("web", "customer", "DELETE") {
-		t.Error("ungranted action allowed")
-	}
-	if c.Allowed("other", "customer", "SELECT") {
-		t.Error("other user allowed")
-	}
-	c.Grant("admin", "*", "*")
-	if !c.Allowed("admin", "orders", "DELETE") {
-		t.Error("wildcard grant")
-	}
-}
-
 func TestProcedures(t *testing.T) {
 	c := New()
 	p := &Procedure{Name: "getCust", Text: "CREATE PROCEDURE getCust AS SELECT 1"}
@@ -281,7 +260,6 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 		{types.NewInt(2), types.NewString("b"), types.NewFloat(2.5)},
 	}))
 	c.AddTable(tbl)
-	c.Grant("web", "customer", "SELECT")
 	c.AddProcedure(&Procedure{Name: "p1", Text: "CREATE PROCEDURE p1 AS SELECT cid FROM customer"})
 
 	snap := ExportSnapshot(c)
@@ -292,9 +270,6 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	if got.Stats["customer"].RowCount != 2 {
 		t.Error("stats lost in round trip")
 	}
-	if len(got.Perms) != 1 || got.Perms[0].User != "web" {
-		t.Error("perms lost")
-	}
 	if len(got.Procs) != 1 || got.Procs[0].Name != "p1" {
 		t.Error("procs lost")
 	}
@@ -302,7 +277,7 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 		t.Error("script lost")
 	}
 
-	// Two tables of several columns each, two grants and two procedures
+	// Two tables of several columns each and two procedures
 	// encode to the same bytes every time, though the stats are maps Go ranges
 	// over in a different order each time; the bytes decode to the snapshot
 	// they came from and re-encode to themselves.
@@ -324,8 +299,6 @@ func snapshotEncodingIsDeterministic(t *testing.T) {
 	orderRows = append(orderRows, types.Row{types.NewInt(2000), types.Null, types.Null, types.Null, types.Null})
 	c.Table("customer").Stats.Store(BuildTableStats([]string{"cid", "cname", "cbalance"}, custRows))
 	c.Table("orders").Stats.Store(BuildTableStats([]string{"o_id", "o_c_id", "o_total", "o_date", "o_status"}, orderRows))
-	c.Grant("web", "customer", "SELECT")
-	c.Grant("admin", "*", "*")
 	c.AddProcedure(&Procedure{Name: "p1", Text: "CREATE PROCEDURE p1 AS SELECT cid FROM customer"})
 	c.AddProcedure(&Procedure{Name: "p2", Text: "CREATE PROCEDURE p2 @id INT AS SELECT o_total FROM orders WHERE o_id = @id"})
 
@@ -339,9 +312,8 @@ func snapshotEncodingIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Stats) != 2 || len(got.Stats["orders"].Columns) != 5 || len(got.Stats["customer"].Columns) != 3 ||
-		len(got.Perms) != 2 || len(got.Procs) != 2 {
-		t.Fatalf("decoded %d tables, %d perms, %d procs", len(got.Stats), len(got.Perms), len(got.Procs))
+	if len(got.Stats) != 2 || len(got.Stats["orders"].Columns) != 5 || len(got.Stats["customer"].Columns) != 3 || len(got.Procs) != 2 {
+		t.Fatalf("decoded %d tables, %d procs", len(got.Stats), len(got.Procs))
 	}
 	for name, want := range map[string]*TableStats{"customer": c.Table("customer").Stats.Load(), "orders": c.Table("orders").Stats.Load()} {
 		have := got.Stats[name]
@@ -372,9 +344,30 @@ func snapshotEncodingIsDeterministic(t *testing.T) {
 		for _, name := range names {
 			data = append(types.AppendString(data, name), stats...)
 		}
-		data = append(data, 0, 0) // no perms, no procs
+		data = append(data, 0) // no procs
 		if _, err := DecodeSnapshot(data); (err == nil) != (names[0] < names[1]) {
 			t.Errorf("tables %q: err = %v", names, err)
+		}
+	}
+
+	// A snapshot in the layout before v11 had a grant section between the
+	// stats and the procedures. Its grant is refused, not misread as a
+	// procedure: three strings read as one procedure leave bytes over.
+	for _, procs := range []int{0, 1} {
+		old := types.AppendString(nil, ShadowScript(c))
+		old = binary.AppendUvarint(old, 1)
+		old = append(types.AppendString(old, "orders"), stats...)
+		old = binary.AppendUvarint(old, 1)
+		for _, s := range []string{"web", "customer", "SELECT"} {
+			old = types.AppendString(old, s)
+		}
+		old = binary.AppendUvarint(old, uint64(procs))
+		for range procs {
+			old = types.AppendString(old, "p1")
+			old = types.AppendString(old, "CREATE PROCEDURE p1 AS SELECT cid FROM customer")
+		}
+		if got, err := DecodeSnapshot(old); err == nil {
+			t.Errorf("a grant in the old layout decoded as %d procedures %+v", len(got.Procs), got.Procs)
 		}
 	}
 }

@@ -29,7 +29,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		{types.NewInt(2), types.NewTime(time.Date(9999, 12, 31, 23, 59, 59, 999_999_999, time.UTC))},
 	}))
 	c.AddTable(m)
-	c.Grant("web", "customer", "SELECT")
 	c.AddProcedure(&Procedure{Name: "p1", Text: "CREATE PROCEDURE p1 AS SELECT cid FROM customer"})
 	for _, snap := range []*Snapshot{{}, ExportSnapshot(New()), ExportSnapshot(c)} {
 		b := snap.Encode()

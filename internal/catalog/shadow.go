@@ -12,14 +12,13 @@ import (
 )
 
 // Snapshot is a serializable image of a catalog: the DDL script that
-// recreates the schema, the statistics for every table, the permission
-// grants, and the stored-procedure texts. It is what a cache server imports
-// to build its shadow database (paper §4: "an automatically generated script
-// that configures the cache server and sets up the shadow database").
+// recreates the schema, the statistics for every table and the
+// stored-procedure texts. It is what a cache server imports to build its
+// shadow database (paper §4: "an automatically generated script that
+// configures the cache server and sets up the shadow database").
 type Snapshot struct {
 	Script string                 // CREATE TABLE / INDEX / VIEW statements
 	Stats  map[string]*TableStats // keyed by lower-cased table name
-	Perms  []Permission
 	Procs  []ProcText
 }
 
@@ -154,12 +153,14 @@ func writeCreateTable(b *strings.Builder, t *Table) {
 	b.WriteString(");\n")
 }
 
-// ExportSnapshot captures the catalog for shipment to a cache server.
+// ExportSnapshot captures what a cache's shadow database takes from the
+// catalog (schema script, statistics, procedure texts) for shipment to a
+// cache server. Nothing else is shipped: a cache checks no grants, because
+// no session carries a user.
 func ExportSnapshot(c *Catalog) *Snapshot {
 	snap := &Snapshot{
 		Script: ShadowScript(c),
 		Stats:  make(map[string]*TableStats),
-		Perms:  c.Permissions(),
 	}
 	for _, t := range c.Tables() {
 		if t.Stats.Load() != nil {
@@ -173,7 +174,7 @@ func ExportSnapshot(c *Catalog) *Snapshot {
 }
 
 // Encode serializes the snapshot for the wire in explicit field order:
-// script, stats, perms, procs, every value in types/codec.go's bytes. Map
+// script, stats, procs, every value in types/codec.go's bytes. Map
 // keys are written sorted, so one catalog always gives the same bytes.
 //
 //	string Script
@@ -182,7 +183,6 @@ func ExportSnapshot(c *Catalog) *Snapshot {
 //	  uvarint #columns, per column in name order: string name,
 //	    varint Distinct, varint NullCount, value Min, value Max,
 //	    uvarint #buckets, per bucket: value Hi, varint Count, varint Distinct
-//	uvarint #perms, per perm: string User, string Object, string Action
 //	uvarint #procs, per proc: string Name, string Text
 func (s *Snapshot) Encode() []byte {
 	buf := types.AppendString(nil, s.Script)
@@ -190,12 +190,6 @@ func (s *Snapshot) Encode() []byte {
 	for _, name := range sortedKeys(s.Stats) {
 		buf = types.AppendString(buf, name)
 		buf = appendTableStats(buf, s.Stats[name])
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(s.Perms)))
-	for _, p := range s.Perms {
-		buf = types.AppendString(buf, p.User)
-		buf = types.AppendString(buf, p.Object)
-		buf = types.AppendString(buf, p.Action)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.Procs)))
 	for _, p := range s.Procs {
@@ -245,7 +239,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	d := types.Decoder{Buf: data}
 	s := &Snapshot{Script: d.Str()}
 	// Minimum encoded sizes: a table's name and stats header is 11 bytes, a
-	// column 6, a bucket 3, a permission 3 and a procedure 2.
+	// column 6, a bucket 3 and a procedure 2.
 	s.Stats = make(map[string]*TableStats)
 	for i, n, prev := 0, d.Count(11), ""; i < n; i++ {
 		name := ascendingKey(&d, i, &prev)
@@ -263,12 +257,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			ts.Columns[col] = cs
 		}
 		s.Stats[name] = ts
-	}
-	if n := d.Count(3); n > 0 {
-		s.Perms = make([]Permission, n)
-		for i := range s.Perms {
-			s.Perms[i] = Permission{User: d.Str(), Object: d.Str(), Action: d.Str()}
-		}
 	}
 	if n := d.Count(2); n > 0 {
 		s.Procs = make([]ProcText, n)

@@ -100,11 +100,6 @@ func (s *TableStats) Col(name string) *ColumnStats {
 	return s.Columns[keyCol(name)]
 }
 
-// SetCol installs stats for the named column.
-func (s *TableStats) SetCol(name string, cs *ColumnStats) {
-	s.Columns[keyCol(name)] = cs
-}
-
 func rowBytes(r types.Row) int {
 	n := 0
 	for _, v := range r {

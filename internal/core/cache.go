@@ -55,7 +55,7 @@ type CacheServer struct {
 }
 
 // NewCacheOver provisions a cache server over a connected BackendClient: the
-// §4 shadow setup (schema, statistics, permissions — no data), the backend
+// §4 shadow setup (schema and statistics — no data), the backend
 // link for remote queries and update forwarding, and the cached-view hook.
 //
 // A non-empty dataDir is the directory the cache checkpoints its state to
@@ -123,9 +123,8 @@ func (c *CacheServer) backendSnapshot() (*catalog.Snapshot, error) {
 
 // RefreshStats runs the §4 shadow setup against the backend's current
 // catalog: execute the shadow DDL script (first time only), then install the
-// backend's statistics and permission grants. Calling it again re-imports
-// the statistics (the paper lists catalog refresh as future work; we provide
-// the primitive).
+// backend's statistics. Calling it again re-imports the statistics (the
+// paper lists catalog refresh as future work; we provide the primitive).
 func (c *CacheServer) RefreshStats() error {
 	snap, err := c.backendSnapshot()
 	if err != nil {
@@ -140,9 +139,6 @@ func (c *CacheServer) RefreshStats() error {
 		if t := c.DB.Catalog().Table(name); t != nil && !t.Cached {
 			t.Stats.Store(stats.Clone())
 		}
-	}
-	for _, p := range snap.Perms {
-		c.DB.Catalog().Grant(p.User, p.Object, p.Action)
 	}
 	c.DB.InvalidatePlans()
 	return nil

@@ -6,7 +6,7 @@
 //     runtime (the publisher, whose pulls read its log);
 //   - NewCache performs the paper's §4 setup flow: generate the shadow
 //     script from the backend catalog, run it on the cache, import the
-//     backend's statistics and permissions — producing a shadow database
+//     backend's statistics — producing a shadow database
 //     whose tables are empty but whose metadata mirrors the backend;
 //   - CREATE CACHED VIEW on a cache automatically derives a matching
 //     replication article (select-project over the base table), creates the

@@ -255,9 +255,6 @@ func (db *Database) LastTrace() (*trace.Record, *trace.WireSpan) {
 	return r, db.Stitch(r)
 }
 
-// Role returns the database role.
-func (db *Database) Role() Role { return db.role }
-
 // SetRemote installs the backend link on a cache.
 func (db *Database) SetRemote(rc exec.RemoteClient) { db.remote = rc }
 

@@ -71,9 +71,6 @@ func TestSetOptionsInvalidatesPlans(t *testing.T) {
 	if db.Options().RemoteCostFactor != 3 {
 		t.Error("options not stored")
 	}
-	if db.Role() != Backend {
-		t.Error("role")
-	}
 }
 
 func TestBulkLoadValidation(t *testing.T) {

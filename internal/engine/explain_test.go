@@ -240,7 +240,7 @@ func TestExecRecordsStitchedTrace(t *testing.T) {
 	if back := backend.Traces().ByID(tr.ID); len(back) != 1 || back[0].Server != "backend" {
 		t.Errorf("backend records under %x: %+v, want one", tr.ID, back)
 	}
-	if tr.FindSpan("backend.exec") != nil {
+	if tr.Tree().Find("backend.exec") != nil {
 		t.Errorf("the cache's record holds the backend's spans:\n%s", trace.Render(tr))
 	}
 	if tree.Find("remote").AttrValue("sql") == "" {

@@ -220,9 +220,12 @@ func TestIMCacheEvictionUnderPressure(t *testing.T) {
 			}
 		}
 	}
-	imc := db.IMCache()
-	if imc.Bytes() > 8<<10 {
-		t.Fatalf("cache bytes %d exceed the 8KiB budget", imc.Bytes())
+	var bytes int64
+	for _, e := range db.IMCache().Snapshot() {
+		bytes += e.Bytes
+	}
+	if bytes > 8<<10 {
+		t.Fatalf("cache bytes %d exceed the 8KiB budget", bytes)
 	}
 	if ev := metrics.Default.Counter("imcache.evictions").Value() - evBefore; ev == 0 {
 		t.Fatal("no evictions under a budget far below the working set")

@@ -262,7 +262,7 @@ func TestStatementReportedOnce(t *testing.T) {
 			t.Errorf("%s: spans %s, want %s with chooseplan=%q\n%s", c.name, got, c.spans, c.branch, trace.RenderTree(rec, tree))
 		}
 	}
-	if rec := cache.Traces().Last(); rec.SQL != "UPDATE orders SET o_qty = 9 WHERE o_id = 6" || rec.FindSpan("cache1.exec").AttrValue("sql") != rec.SQL {
+	if rec := cache.Traces().Last(); rec.SQL != "UPDATE orders SET o_qty = 9 WHERE o_id = 6" || rec.Tree().Find("cache1.exec").AttrValue("sql") != rec.SQL {
 		t.Errorf("the root span carries the statement text: %s", trace.Render(rec))
 	}
 }
@@ -538,7 +538,7 @@ func TestTracedStatementsUnderConcurrency(t *testing.T) {
 					errs <- err
 					return
 				}
-				if rec.FindSpan("execute") == nil {
+				if rec.Tree().Find("execute") == nil {
 					errs <- fmt.Errorf("no execute span:\n%s", trace.Render(rec))
 					return
 				}

@@ -106,12 +106,12 @@ func TestVirtualTablesHiddenFromListings(t *testing.T) {
 			t.Fatalf("virtual table %s leaked into Tables()", tbl.Name)
 		}
 	}
-	if len(db.Catalog().VirtualTables()) < 6 {
-		t.Fatalf("expected ≥6 registered sys tables, got %d", len(db.Catalog().VirtualTables()))
-	}
 	// Resolvable by full name, absent under the bare name.
-	if db.Catalog().Table("sys.query_stats") == nil {
-		t.Fatal("sys.query_stats not resolvable by full name")
+	for _, name := range []string{"sys.query_stats", "sys.query_plans", "sys.events", "sys.wal_stats",
+		"sys.cached_views", "sys.repl_status", "sys.traces", "sys.intermediate_results"} {
+		if tbl := db.Catalog().Table(name); tbl == nil || !tbl.Virtual {
+			t.Fatalf("%s not resolvable by full name as a virtual table", name)
+		}
 	}
 	if db.Catalog().Table("query_stats") != nil {
 		t.Fatal("bare name query_stats resolves; listing-hiding is broken")

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"mtcache/internal/types"
 )
 
@@ -413,13 +411,3 @@ func (h *HashAgg) BatchNext(_ *Ctx, b *Batch) error {
 }
 
 func (h *HashAgg) Close() error { return nil }
-
-// ValidateAggShape sanity-checks an AggSpec list against the operator's
-// declared columns; used by plan construction tests.
-func (h *HashAgg) ValidateAggShape() error {
-	want := len(h.GroupBy) + len(h.Aggs)
-	if len(h.Cols) != want {
-		return fmt.Errorf("exec: HashAgg declares %d columns, computes %d", len(h.Cols), want)
-	}
-	return nil
-}

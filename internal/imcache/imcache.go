@@ -234,13 +234,6 @@ func New(opts Options) *Cache {
 	}
 }
 
-// Options returns the effective (defaulted) bounds.
-func (c *Cache) Options() Options {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.opts
-}
-
 // Stamp returns the current invalidation sequence. A caller that will
 // Observe a result takes it before opening the snapshot the result is read
 // from: every write that snapshot misses invalidates after the stamp.
@@ -466,20 +459,6 @@ func (c *Cache) Snapshot() []EntryInfo {
 		return out[i].Shape < out[j].Shape
 	})
 	return out
-}
-
-// Len returns the number of admitted entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Bytes returns the current total result bytes.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }
 
 // ShapeInfo is what the cache has learned about one shape since Clear.

@@ -23,6 +23,16 @@ func intRows(n int) []types.Row {
 }
 
 // key names the test result k: the shape "SELECT k", bound to no values.
+// held counts the entries c holds and their bytes, as
+// sys.intermediate_results lists them.
+func held(c *Cache) (entries int, bytes int64) {
+	for _, e := range c.Snapshot() {
+		entries++
+		bytes += e.Bytes
+	}
+	return entries, bytes
+}
+
 func key(k string) Key { return KeyOf("SELECT "+k, nil) }
 
 func obs(k string, rows int, costNs int64, lineage ...string) Observation {
@@ -65,7 +75,7 @@ func TestInvalidatedEntryMissesUntilRefreshed(t *testing.T) {
 		c.Observe(obs("k1", 2, 50, "item", "author"), nil)
 		c.Observe(obs("k2", 2, 50, "orders"), nil)
 	}
-	bytes := c.Bytes()
+	_, bytes := held(c)
 
 	if n := c.Invalidate("AUTHOR"); n != 1 {
 		t.Fatalf("invalidated %d entries, want 1 (lineage is case-insensitive)", n)
@@ -81,8 +91,8 @@ func TestInvalidatedEntryMissesUntilRefreshed(t *testing.T) {
 	if _, ok := c.Lookup(key("k2"), nil); !ok {
 		t.Fatal("invalidation leaked onto an unrelated lineage")
 	}
-	if c.Len() != 2 || c.Bytes() != bytes {
-		t.Fatalf("invalidation dropped rows: %d entries, %d bytes; want 2 and %d", c.Len(), c.Bytes(), bytes)
+	if n, b := held(c); n != 2 || b != bytes {
+		t.Fatalf("invalidation dropped rows: %d entries, %d bytes; want 2 and %d", n, b, bytes)
 	}
 	for _, e := range c.Snapshot() {
 		if e.Stale != (e.Shape == "SELECT k1") {
@@ -187,8 +197,8 @@ func TestEvictionUnderPressurePrefersLowBenefit(t *testing.T) {
 	if _, ok := c.Lookup(key("new"), nil); !ok {
 		t.Fatal("newly admitted entry was evicted instead of the cheap one")
 	}
-	if c.Bytes() > c.Options().MaxBytes {
-		t.Fatalf("bytes %d exceed budget %d", c.Bytes(), c.Options().MaxBytes)
+	if _, b := held(c); b > c.opts.MaxBytes {
+		t.Fatalf("bytes %d exceed budget %d", b, c.opts.MaxBytes)
 	}
 }
 
@@ -217,8 +227,8 @@ func TestOversizeEntryNeverAdmitted(t *testing.T) {
 			t.Fatal("oversize result admitted")
 		}
 	}
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries, want 0", c.Len())
+	if n, _ := held(c); n != 0 {
+		t.Fatalf("cache holds %d entries, want 0", n)
 	}
 }
 

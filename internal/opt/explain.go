@@ -8,16 +8,10 @@ import (
 	"mtcache/internal/exec"
 )
 
-// ExplainOperator renders an operator tree as an indented outline, similar
-// to a textual showplan. Remote operators print the SQL they ship — those
-// lines are the DataTransfer boundaries.
-func ExplainOperator(op exec.Operator) string {
-	var b strings.Builder
-	explainRec(&b, op, 0)
-	return b.String()
-}
-
-// Explain renders a Plan with its headline properties.
+// Explain renders a Plan with its headline properties and its operator
+// tree as an indented outline, similar to a textual showplan. Remote
+// operators print the SQL they ship — those lines are the DataTransfer
+// boundaries.
 func Explain(p *Plan) string {
 	var b strings.Builder
 	b.WriteString(planHeader(p))

@@ -61,7 +61,7 @@ func TestMixedResultPlanExecution(t *testing.T) {
 		ctr := &exec.Counters{}
 		rs, err := runPlan(p, &exec.Ctx{Txn: tx, Counters: ctr}, exec.Params{"cid": types.NewInt(v)})
 		if err != nil {
-			t.Fatalf("execute: %v\n%s", err, ExplainOperator(p.Root))
+			t.Fatalf("execute: %v\n%s", err, Explain(p))
 		}
 		return rs, ctr
 	}
@@ -73,7 +73,7 @@ func TestMixedResultPlanExecution(t *testing.T) {
 	// Outside the view: view rows + remainder, no duplicates.
 	rs, _ = run(1500)
 	if len(rs.Rows) != 1500 {
-		t.Fatalf("mixed rows: %d\n%s", len(rs.Rows), ExplainOperator(p.Root))
+		t.Fatalf("mixed rows: %d\n%s", len(rs.Rows), Explain(p))
 	}
 	seen := map[int64]bool{}
 	for _, row := range rs.Rows {
@@ -100,11 +100,11 @@ func TestMixedResultDisallowedForCachedViews(t *testing.T) {
 	// UnionAll must have two StartupFilters.
 	u, ok := p.Root.(*exec.UnionAll)
 	if !ok {
-		t.Fatalf("expected UnionAll root:\n%s", ExplainOperator(p.Root))
+		t.Fatalf("expected UnionAll root:\n%s", Explain(p))
 	}
 	for _, in := range u.Inputs {
 		if _, ok := in.(*exec.StartupFilter); !ok {
-			t.Fatalf("cached-view plan has an unguarded branch (mixed result):\n%s", ExplainOperator(p.Root))
+			t.Fatalf("cached-view plan has an unguarded branch (mixed result):\n%s", Explain(p))
 		}
 	}
 }

@@ -65,7 +65,7 @@ func TestCacheDerivedTableUsesView(t *testing.T) {
 	}
 	if ctr.RemoteQueries != 0 {
 		t.Errorf("derived block inside the view should be local (remote=%d):\n%s",
-			ctr.RemoteQueries, ExplainOperator(p.Root))
+			ctr.RemoteQueries, Explain(p))
 	}
 }
 

@@ -202,7 +202,7 @@ func execute(t *testing.T, p *Plan, store *storage.Store, remote exec.RemoteClie
 	ctr := &exec.Counters{}
 	rs, err := runPlan(p, &exec.Ctx{Txn: tx, Remote: remote, Counters: ctr}, params)
 	if err != nil {
-		t.Fatalf("execute: %v\n%s", err, ExplainOperator(p.Root))
+		t.Fatalf("execute: %v\n%s", err, Explain(p))
 	}
 	return rs, ctr
 }
@@ -217,7 +217,7 @@ func TestBackendPointQueryUsesIndex(t *testing.T) {
 		t.Fatalf("rows: %d", len(rs.Rows))
 	}
 	if ctr.RowsScanned > 2 {
-		t.Errorf("point query scanned %d rows; index seek expected:\n%s", ctr.RowsScanned, ExplainOperator(p.Root))
+		t.Errorf("point query scanned %d rows; index seek expected:\n%s", ctr.RowsScanned, Explain(p))
 	}
 	if !p.FullyLocal {
 		t.Error("backend plans must be local")
@@ -446,7 +446,7 @@ func TestCachePaperJoinExampleChoosePlanPullup(t *testing.T) {
 		t.Fatalf("guard-false rows: %d want %d", len(rs.Rows), want)
 	}
 	if ctr.RemoteQueries != 1 {
-		t.Errorf("guard-false should push one remote query, got %d:\n%s", ctr.RemoteQueries, ExplainOperator(p.Root))
+		t.Errorf("guard-false should push one remote query, got %d:\n%s", ctr.RemoteQueries, Explain(p))
 	}
 }
 
@@ -514,7 +514,7 @@ func TestCacheWholeQueryPushdown(t *testing.T) {
 		t.Fatalf("groups: %d", len(rs.Rows))
 	}
 	if ctr.RemoteQueries != 1 {
-		t.Errorf("expected one pushed query, got %d\n%s", ctr.RemoteQueries, ExplainOperator(p.Root))
+		t.Errorf("expected one pushed query, got %d\n%s", ctr.RemoteQueries, Explain(p))
 	}
 	// The aggregation must have happened on the backend: only 7 rows moved.
 	if ctr.RowsRemote != 7 {
@@ -897,7 +897,7 @@ func TestChoosePlanChainsGuardedViews(t *testing.T) {
 		rs, ctr := execute(t, p, store, b, exec.Params{"a": c.a, "b": c.b})
 		if len(rs.Rows) != c.rows || ctr.RemoteQueries != c.remote {
 			t.Errorf("cid IN (%v, %v): %d rows, %d remote queries; want %d, %d\n%s",
-				c.a, c.b, len(rs.Rows), ctr.RemoteQueries, c.rows, c.remote, ExplainOperator(p.Root))
+				c.a, c.b, len(rs.Rows), ctr.RemoteQueries, c.rows, c.remote, Explain(p))
 		}
 	}
 
@@ -917,7 +917,7 @@ func TestChoosePlanChainsGuardedViews(t *testing.T) {
 			got, _ := execute(t, p, store, b, params)
 			want, _ := execute(t, optimize(t, b.env, q), b.store, nil, params)
 			if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-				t.Errorf("%s with %v:\n cache   %v\n backend %v\n%s", q, params, got.Rows, want.Rows, ExplainOperator(p.Root))
+				t.Errorf("%s with %v:\n cache   %v\n backend %v\n%s", q, params, got.Rows, want.Rows, Explain(p))
 			}
 		}
 	}

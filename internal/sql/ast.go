@@ -506,18 +506,6 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 	}
 }
 
-// HasParams reports whether e references any query parameter.
-func HasParams(e Expr) bool {
-	found := false
-	WalkExpr(e, func(x Expr) bool {
-		if _, ok := x.(*Param); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // AppendParamNames appends to names each parameter e reads that names does
 // not hold yet, in the order they first appear.
 func AppendParamNames(names []string, e Expr) []string {

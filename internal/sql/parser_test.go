@@ -37,9 +37,6 @@ func TestParseParameterizedQuery(t *testing.T) {
 	if !ok || p.Name != "cid" {
 		t.Fatalf("expected param @cid, got %#v", be.R)
 	}
-	if !HasParams(s.Where) {
-		t.Error("HasParams should report true")
-	}
 }
 
 func TestParsePaperExampleDistributedQuery(t *testing.T) {

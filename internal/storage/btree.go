@@ -574,22 +574,13 @@ func (t *BTree) firstMatchUnder(n *node, key types.Row, match func(RowID) bool) 
 	return -1, true
 }
 
-// Ascend visits all entries in key order.
-func (t *BTree) Ascend(fn func(Item) bool) {
-	t.ascend(t.top.Load(), Item{}, false, fn)
-}
-
-// AscendGE visits entries with key >= from (by key prefix comparison).
-func (t *BTree) AscendGE(from types.Row, fn func(Item) bool) {
-	t.ascend(t.top.Load(), Item{Key: from, RID: -1 << 62}, true, fn)
-}
-
-// AscendRange visits entries whose key prefix is within [lo, hi]. Keys are
-// compared only on the first len(lo)/len(hi) columns, so a multi-column
-// index supports prefix range scans.
+// AscendRange visits, in key order, the entries whose key prefix is within
+// [lo, hi]; a nil bound is open. Keys are compared only on the first
+// len(lo)/len(hi) columns, so a multi-column index supports prefix range
+// scans.
 func (t *BTree) AscendRange(lo, hi types.Row, fn func(Item) bool) {
-	t.ascend(t.top.Load(), Item{Key: lo, RID: -1 << 62}, true, func(it Item) bool {
-		if prefixCmp(it.Key, hi) > 0 {
+	t.ascend(t.top.Load(), Item{Key: lo, RID: -1 << 62}, lo != nil, func(it Item) bool {
+		if hi != nil && prefixCmp(it.Key, hi) > 0 {
 			return false
 		}
 		return fn(it)
@@ -661,33 +652,4 @@ func (t *BTree) descend(n *node, hi types.Row, fn func(Item) bool) bool {
 		}
 	}
 	return true
-}
-
-// get collects the RowIDs of all entries equal to key.
-func (t *BTree) get(key types.Row) []RowID {
-	var out []RowID
-	t.AscendRange(key, key, func(it Item) bool {
-		out = append(out, it.RID)
-		return true
-	})
-	return out
-}
-
-// Min returns the smallest entry, or a zero Item if empty. The top holds no
-// entry only in an empty tree.
-func (t *BTree) Min() (Item, bool) {
-	top := t.top.Load()
-	if len(top.items) == 0 {
-		return Item{}, false
-	}
-	return first(top).item(t.width), true
-}
-
-// Max returns the largest entry, or a zero Item if empty.
-func (t *BTree) Max() (Item, bool) {
-	top := t.top.Load()
-	if len(top.items) == 0 {
-		return Item{}, false
-	}
-	return last(top).item(t.width), true
 }

@@ -15,6 +15,24 @@ import (
 	"mtcache/internal/types"
 )
 
+// get collects the RowIDs of all entries equal to key.
+func (t *BTree) get(key types.Row) []RowID {
+	var out []RowID
+	t.AscendRange(key, key, func(it Item) bool {
+		out = append(out, it.RID)
+		return true
+	})
+	return out
+}
+
+// ends returns t's first and last entries, walked to as an index seek for
+// MIN or MAX walks to them, and false for an empty tree.
+func ends(t *BTree) (lo, hi Item, ok bool) {
+	t.AscendRange(nil, nil, func(it Item) bool { lo, ok = it, true; return false })
+	t.descend(t.top.Load(), nil, func(it Item) bool { hi = it; return false })
+	return lo, hi, ok
+}
+
 func intItem(k int64, rid RowID) Item {
 	return Item{Key: types.Row{types.NewInt(k)}, RID: rid}
 }
@@ -65,7 +83,7 @@ func TestBTreeDeleteAll(t *testing.T) {
 	if bt.Len() != 0 {
 		t.Fatalf("len after delete-all: %d", bt.Len())
 	}
-	if _, ok := bt.Min(); ok {
+	if _, _, ok := ends(bt); ok {
 		t.Error("empty tree has a min")
 	}
 }
@@ -91,7 +109,7 @@ func TestBTreeAscendOrder(t *testing.T) {
 		bt.Insert(intItem(int64(v), RowID(v)))
 	}
 	var got []int64
-	bt.Ascend(func(it Item) bool {
+	bt.AscendRange(nil, nil, func(it Item) bool {
 		got = append(got, it.Key[0].Int())
 		return true
 	})
@@ -118,13 +136,13 @@ func TestBTreeAscendRange(t *testing.T) {
 	}
 }
 
-func TestBTreeAscendGEStopsEarly(t *testing.T) {
+func TestBTreeAscendRangeStopsEarly(t *testing.T) {
 	bt := NewBTree(1)
 	for i := int64(0); i < 100; i++ {
 		bt.Insert(intItem(i, RowID(i)))
 	}
 	count := 0
-	bt.AscendGE(types.Row{types.NewInt(95)}, func(it Item) bool {
+	bt.AscendRange(types.Row{types.NewInt(95)}, nil, func(it Item) bool {
 		count++
 		return count < 3
 	})
@@ -161,8 +179,7 @@ func TestBTreeMinMax(t *testing.T) {
 	for _, v := range []int64{5, 3, 9, 1, 7} {
 		bt.Insert(intItem(v, RowID(v)))
 	}
-	mn, _ := bt.Min()
-	mx, _ := bt.Max()
+	mn, mx, _ := ends(bt)
 	if mn.Key[0].Int() != 1 || mx.Key[0].Int() != 9 {
 		t.Fatalf("min=%v max=%v", mn.Key, mx.Key)
 	}
@@ -196,7 +213,7 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 		}
 		// ordered iteration matches sorted reference keys
 		var keys []int64
-		bt.Ascend(func(it Item) bool { keys = append(keys, it.Key[0].Int()); return true })
+		bt.AscendRange(nil, nil, func(it Item) bool { keys = append(keys, it.Key[0].Int()); return true })
 		if len(keys) != len(ref) {
 			return false
 		}
@@ -233,7 +250,7 @@ func TestBTreeChurn(t *testing.T) {
 		t.Fatalf("len %d want %d", bt.Len(), len(live))
 	}
 	prev := int64(-1)
-	bt.Ascend(func(it Item) bool {
+	bt.AscendRange(nil, nil, func(it Item) bool {
 		k := it.Key[0].Int()
 		if k <= prev {
 			t.Fatalf("order violation: %d after %d", k, prev)
@@ -404,7 +421,7 @@ func TestLiveWalksHoldEveryEntryPresentThroughout(t *testing.T) {
 						got = got[:0]
 						switch how {
 						case "ascend":
-							bt.Ascend(visit)
+							bt.AscendRange(nil, nil, visit)
 						case "descend":
 							bt.descend(bt.top.Load(), nil, visit)
 						default:
@@ -545,7 +562,7 @@ func TestLiveWalksHoldEveryEntryPresentThroughout(t *testing.T) {
 	}
 	t.Logf("%d ops, %d root splits, %d root shrinks, %d reads, largest key %d", ops, splits, shrinks, reads.Load(), next-2)
 	var got []int64
-	bt.Ascend(func(it Item) bool { got = append(got, it.Key[1].Int()); return true })
+	bt.AscendRange(nil, nil, func(it Item) bool { got = append(got, it.Key[1].Int()); return true })
 	if !slices.Equal(got, present) || bt.Len() != len(present) {
 		t.Fatalf("the tree holds %d entries, Len %d, the model %d", len(got), bt.Len(), len(present))
 	}
@@ -634,17 +651,16 @@ func matchesModel(tv *TableView, bt *BTree, model []int64, probes []int64) error
 	if bt.Len() != len(model) {
 		return fmt.Errorf("Len %d, the model holds %d", bt.Len(), len(model))
 	}
-	mn, okMin := bt.Min()
-	mx, okMax := bt.Max()
-	if !okMin || !okMax || mn.RID != RowID(model[0]) || mx.RID != RowID(model[len(model)-1]) {
-		return fmt.Errorf("Min %d (%v), Max %d (%v), the model %d … %d", mn.RID, okMin, mx.RID, okMax, model[0], model[len(model)-1])
+	mn, mx, ok := ends(bt)
+	if !ok || mn.RID != RowID(model[0]) || mx.RID != RowID(model[len(model)-1]) {
+		return fmt.Errorf("first %d, last %d (%v), the model %d … %d", mn.RID, mx.RID, ok, model[0], model[len(model)-1])
 	}
 	if err := balanced(top, top, 1, depth(top)); err != nil {
 		return err
 	}
 	var got []int64
 	visit := func(it Item) bool { got = append(got, it.Key[1].Int()); return true }
-	bt.Ascend(visit)
+	bt.AscendRange(nil, nil, visit)
 	if !slices.Equal(got, model) {
 		return fmt.Errorf("Ascend yields %d entries unlike the model's %d", len(got), len(model))
 	}
@@ -797,7 +813,7 @@ func readLive(tv *TableView, bt *BTree, how string, evens int64) error {
 	from := int64(0) // the smallest even key the read covers
 	switch how {
 	case "ascend":
-		bt.Ascend(visit)
+		bt.AscendRange(nil, nil, visit)
 	case "descend":
 		bt.descend(bt.top.Load(), nil, visit)
 		slices.Reverse(keys)

@@ -137,14 +137,13 @@ func wholeTreeAgrees(bt *BTree, model []Item) error {
 	if bt.Len() != len(model) {
 		return fmt.Errorf("Len %d, the model holds %d", bt.Len(), len(model))
 	}
-	mn, _ := bt.Min()
-	mx, _ := bt.Max()
-	if err := sameItems("Min and Max", []Item{mn, mx}, []Item{model[0], model[len(model)-1]}); err != nil {
+	mn, mx, _ := ends(bt)
+	if err := sameItems("first and last", []Item{mn, mx}, []Item{model[0], model[len(model)-1]}); err != nil {
 		return err
 	}
 	var got []Item
 	collect := func(it Item) bool { got = append(got, it); return true }
-	bt.Ascend(collect)
+	bt.AscendRange(nil, nil, collect)
 	if err := sameItems("Ascend", got, model); err != nil {
 		return err
 	}

@@ -101,8 +101,8 @@ func TestBuildMatchesInserts(t *testing.T) {
 		built := NewBTree(2)
 		built.build(entriesFrom(slices.CompactFunc(sorted, func(a, b Item) bool { return cmpItem(a, b) == 0 })))
 		var got, want []Item
-		built.Ascend(func(it Item) bool { got = append(got, it); return true })
-		inserted.Ascend(func(it Item) bool { want = append(want, it); return true })
+		built.AscendRange(nil, nil, func(it Item) bool { got = append(got, it); return true })
+		inserted.AscendRange(nil, nil, func(it Item) bool { want = append(want, it); return true })
 		if !slices.EqualFunc(got, want, func(a, b Item) bool { return cmpItem(a, b) == 0 }) {
 			t.Fatalf("%d entries: the built tree yields %d entries unlike the inserted tree's %d", distinct, len(got), len(want))
 		}
@@ -138,7 +138,7 @@ func TestBuildMatchesInserts(t *testing.T) {
 	}
 	empty := NewBTree(1)
 	empty.build(nil)
-	if _, ok := empty.Max(); ok || empty.Len() != 0 {
+	if _, _, ok := ends(empty); ok || empty.Len() != 0 {
 		t.Fatal("a tree built from no entries is not empty")
 	}
 }

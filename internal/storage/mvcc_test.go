@@ -308,8 +308,8 @@ func TestIndexScanNoDuplicatesAcrossKeyChange(t *testing.T) {
 	if got := scanNames(fresh); len(got) != 1 || got[0] != "zzz" {
 		t.Errorf("fresh snapshot index scan: %v, want [zzz] (stale entry leaked?)", got)
 	}
-	if rids := viewIndex(view(fresh, "customer"), "ix_name").Get(types.Row{types.NewString("aaa")}); len(rids) != 0 {
-		t.Errorf("fresh snapshot still resolves the old key: %v", rids)
+	if rows := viewIndex(view(fresh, "customer"), "ix_name").AppendMatches(nil, types.Row{types.NewString("aaa")}); len(rows) != 0 {
+		t.Errorf("fresh snapshot still resolves the old key: %v", rows)
 	}
 }
 

@@ -427,12 +427,6 @@ func (s *Store) BeginRead(t *Txn) {
 // zero Txn is not live; a read transaction pins its snapshot while it is.
 func (t *Txn) Live() bool { return t.s != nil && !t.done }
 
-// ID returns the transaction id.
-func (t *Txn) ID() int64 { return t.id }
-
-// IsWrite reports whether this is a write transaction.
-func (t *Txn) IsWrite() bool { return t.write }
-
 // Err returns the transaction's sticky error (e.g. ErrDeadlock), if any.
 // Once set, every subsequent operation fails and Commit aborts.
 func (t *Txn) Err() error { return t.err }

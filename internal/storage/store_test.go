@@ -300,7 +300,7 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	tx.Insert("customer", types.Row{types.NewInt(2), types.NewString("bob")})
 	tx.Insert("customer", types.Row{types.NewInt(3), types.NewString("amy")})
 	td := view(tx, "customer")
-	if got := len(viewIndex(td, "ix_name").Get(types.Row{types.NewString("bob")})); got != 2 {
+	if got := len(viewIndex(td, "ix_name").AppendMatches(nil, types.Row{types.NewString("bob")})); got != 2 {
 		t.Errorf("non-unique index lookup: %d", got)
 	}
 	tx.Commit()
@@ -316,7 +316,7 @@ func TestAddIndexBackfills(t *testing.T) {
 	}
 	tx = s.Begin(false)
 	defer tx.Abort()
-	if len(viewIndex(view(tx, "customer"), "ix2").Get(types.Row{types.NewString("z")})) != 1 {
+	if len(viewIndex(view(tx, "customer"), "ix2").AppendMatches(nil, types.Row{types.NewString("z")})) != 1 {
 		t.Error("new index missing existing rows")
 	}
 }

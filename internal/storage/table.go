@@ -217,9 +217,6 @@ func ownKey(dst, row types.Row, cols []int) types.Row {
 	return dst
 }
 
-// Meta returns the catalog definition this data belongs to.
-func (td *TableData) Meta() *catalog.Table { return td.meta }
-
 // heap returns the number of slots in use and a chunk directory covering
 // them, loaded in that order.
 func (td *TableData) heap() (int, []*chunk) {
@@ -562,14 +559,6 @@ func (tv *TableView) Rows() []types.Row {
 	return out
 }
 
-// IndexMeta returns the catalog definition of a stored index.
-func (tv *TableView) IndexMeta(name string) *catalog.Index {
-	if id := tv.td.index(name); id != nil {
-		return id.meta
-	}
-	return nil
-}
-
 // Index returns a visibility-filtered view over the named index (or the
 // primary-key index for "__pk"); ok is false when the table has no such
 // index. The view reads the live tree, so a write transaction sees entries
@@ -650,17 +639,6 @@ func (iv *IndexView) filtered(fn func(Item) bool) func(Item) bool {
 	}
 }
 
-// Get returns the RowIDs of visible entries whose key equals key exactly.
-func (iv *IndexView) Get(key types.Row) []RowID {
-	var out []RowID
-	for _, rid := range iv.id.tree.get(key) {
-		if iv.live(Item{Key: key, RID: rid}) {
-			out = append(out, rid)
-		}
-	}
-	return out
-}
-
 // AppendMatches appends to dst, in index order, the visible rows whose index
 // key starts with prefix (equality on the leading len(prefix) key columns)
 // and returns the extended slice. Beyond dst's growth it allocates nothing:
@@ -716,11 +694,5 @@ func (iv *IndexView) Walk(lo, hi types.Row, desc bool, fn func(Item) bool) {
 		})
 		return
 	}
-	bounded := func(it Item) bool {
-		if hi != nil && prefixCmp(it.Key, hi) > 0 {
-			return false
-		}
-		return visit(it)
-	}
-	t.ascend(t.top.Load(), Item{Key: lo, RID: -1 << 62}, lo != nil, bounded)
+	t.AscendRange(lo, hi, visit)
 }

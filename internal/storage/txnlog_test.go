@@ -152,7 +152,7 @@ func logState(t *testing.T, s *Store) []string {
 				continue
 			}
 			var entries []string
-			iv.id.tree.Ascend(func(it Item) bool {
+			iv.id.tree.AscendRange(nil, nil, func(it Item) bool {
 				entries = append(entries, fmt.Sprint(it.Key, it.RID, tv.Get(it.RID)))
 				return true
 			})

@@ -414,9 +414,6 @@ func (r *Record) remoteSpans() []*WireSpan {
 	return spans
 }
 
-// FindSpan searches the rendered tree for a span by name (tests).
-func (r *Record) FindSpan(name string) *WireSpan { return r.Tree().Find(name) }
-
 // Stitch renders the record with the other half of each remote round trip
 // it made: under the k-th remote span, the tree of the k-th record the other
 // server keeps under r's ID. fetch returns those records, oldest first; it

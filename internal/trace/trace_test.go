@@ -25,11 +25,11 @@ func TestSpanTreeAndRender(t *testing.T) {
 	if got := rec.Tree().Name; got != "cache.exec" {
 		t.Errorf("root span %q", got)
 	}
-	if e := rec.FindSpan("execute"); e.AttrValue("chooseplan") != "local" {
+	if e := rec.Tree().Find("execute"); e.AttrValue("chooseplan") != "local" {
 		t.Errorf("attr lost: %q", e.AttrValue("chooseplan"))
 	}
-	if rec.FindSpan("remote") == nil {
-		t.Error("FindSpan(remote) = nil")
+	if rec.Tree().Find("remote") == nil {
+		t.Error("Tree().Find(remote) = nil")
 	}
 	text := Render(rec)
 	for _, want := range []string{"trace " + FormatID(rec.ID), "parse", "execute", `chooseplan="local"`, "remote", `sql="SELECT 1"`} {
@@ -280,7 +280,7 @@ func TestSpanDurationRecorded(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	rec.Mark(StageExec)
 	rec.Finish(nil)
-	if got := time.Duration(rec.FindSpan("remote").DurNanos); got != d {
+	if got := time.Duration(rec.Tree().Find("remote").DurNanos); got != d {
 		t.Error("duration must be frozen after RemoteEnd")
 	}
 	if rec.Stages[StageExec] < 2*time.Millisecond || rec.Total < rec.Stages[StageExec] {
@@ -321,7 +321,7 @@ func TestStageClock(t *testing.T) {
 	if got := spanNames(rec); got != "cache.exec,optimize,execute" {
 		t.Errorf("span names %q", got)
 	}
-	if got := rec.FindSpan("optimize").AttrValue("plan_cache"); got != "miss" {
+	if got := rec.Tree().Find("optimize").AttrValue("plan_cache"); got != "miss" {
 		t.Errorf("plan_cache=%q", got)
 	}
 	if got := rec.Tree().AttrValue("autoparam"); got != "1" {
@@ -351,7 +351,7 @@ func TestManyRoundTripsAndAFailedOne(t *testing.T) {
 	if got, want := spanNames(rec), "cache.exec,execute"+strings.Repeat(",remote", n); got != want {
 		t.Fatalf("span names %s, want %s", got, want)
 	}
-	exec := rec.FindSpan("execute")
+	exec := rec.Tree().Find("execute")
 	var last int64
 	for k, sp := range exec.Children {
 		if sp.AttrValue("sql") != fmt.Sprint("SELECT ", k) || sp.DurNanos < 0 || sp.StartUTC < last {

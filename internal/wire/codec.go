@@ -1,6 +1,6 @@
 package wire
 
-// codec.go is the v10 frame codec: what a request and a response hold, the
+// codec.go is the v11 frame codec: what a request and a response hold, the
 // preface, the length-prefixed framing and the payload bytes. wire.go's
 // package comment has the layout; the value, row and string bytes are
 // types/codec.go's, a pulled transaction's changes are
@@ -134,7 +134,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 10}
+var preface = [4]byte{'M', 'T', 'W', 11}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused

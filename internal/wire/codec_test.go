@@ -701,11 +701,18 @@ func TestPrefaceRefusesOtherProtocols(t *testing.T) {
 	openers := map[string][]byte{
 		"gob frame":     gobFrame(t),
 		"wrong version": {'M', 'T', 'W', 2, 0, 0, 0, 0},
-		"v4":            {'M', 'T', 'W', 4, 0, 0, 0, 0}, // a snapshot payload was gob until v5
-		"v5":            {'M', 'T', 'W', 5, 0, 0, 0, 0}, // request kind 1 was Exec until v6
-		"v8":            {'M', 'T', 'W', 8, 0, 0, 0, 0}, // kinds 4 Resume and 5 Applied, and the Applied header, until v9
-		"v9":            {'M', 'T', 'W', 9, 0, 0, 0, 0}, // no log ID in Provision, no string-byte count in a result set, until v10
+		"v4":            {'M', 'T', 'W', 4, 0, 0, 0, 0},  // a snapshot payload was gob until v5
+		"v5":            {'M', 'T', 'W', 5, 0, 0, 0, 0},  // request kind 1 was Exec until v6
+		"v8":            {'M', 'T', 'W', 8, 0, 0, 0, 0},  // kinds 4 Resume and 5 Applied, and the Applied header, until v9
+		"v9":            {'M', 'T', 'W', 9, 0, 0, 0, 0},  // no log ID in Provision, no string-byte count in a result set, until v10
+		"v10":           {'M', 'T', 'W', 10, 0, 0, 0, 0}, // a grant list in the snapshot, until v11
 		"http":          []byte("GET / HTTP/1.1\r\n\r\n"),
+	}
+
+	for name, opener := range openers {
+		if err := newFrameReader(bytes.NewReader(opener)).readPreface(); err != errBadPreface {
+			t.Errorf("%s: readPreface = %v, want errBadPreface", name, err)
+		}
 	}
 
 	_, srv := newWiredBackend(t)

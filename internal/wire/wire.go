@@ -1,5 +1,5 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v10) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v11) carrying
 //
 //   - Query — the linked-server path (paper §2.1): remote subexpressions,
 //     forwarded writes and forwarded procedure calls travel as SQL text (or a
@@ -31,7 +31,7 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x0a
+//	preface, once, each direction: 'M' 'T' 'W' 0x0b
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
@@ -67,7 +67,8 @@
 //	                 uvarint #bytes of all string values (since v10),
 //	                 per row: uvarint #values, values
 //	    Snapshot     uvarint len, bytes (catalog.Snapshot.Encode: script,
-//	                   stats, perms, procs; since v5, gob before it)
+//	                   stats, procs; through v10 a grant list between
+//	                   stats and procs; since v5, gob before it)
 //	    Provision    byte Resumed (0 or 1; since v9), varint SubID,
 //	                 uint64 LogID, 8 bytes LE (the backend's; since v10),
 //	                 uvarint StartLSN, uvarint #rows (0 when resumed), rows

@@ -9,7 +9,7 @@
 // and MTCache itself — transparent mid-tier caching where
 //
 //   - a cache server holds a shadow database: the backend's schema,
-//     statistics and permissions with empty tables;
+//     statistics with empty tables;
 //   - cached data is declared with CREATE CACHED VIEW; a matching
 //     replication subscription is provisioned and populated automatically;
 //   - every query is optimized cost-based with DataLocation as a physical
@@ -91,7 +91,7 @@ func NewBackendDurable(name string, opts DurabilityOptions) (*Backend, error) {
 }
 
 // NewCache provisions an in-process cache against a backend: shadow schema,
-// shadowed statistics and permissions, update forwarding, cached-view hook.
+// shadowed statistics, update forwarding, cached-view hook.
 // The backend keeps no reference to it: Cache.Pull runs one pull round and
 // Cache.StartPulling its agent, as for a cache built with NewRemoteCache.
 // options may be nil for the paper-faithful defaults.

@@ -146,6 +146,15 @@ var removedNames = []struct {
 	{`replayLocate`, `^internal/storage/`, "one way to apply a change (recovery replays through Txn.Apply)"},
 	{`pkCovered`, `^internal/storage/`, "one way to apply a change (recovery replays through Txn.Apply)"},
 	{`EachExpr\(`, "", "nothing: no caller walked an operator's own expressions (exec.Operator describes itself in four methods)"},
+	{`\bPermission`, `^internal/(catalog|core|engine|wire)/`, "nothing: no session carries a user, so no grant was ever checked (authorization is not reproduced)"},
+	{`\bGrant\(`, `^internal/(catalog|core|engine|wire)/`, "nothing: no session carries a user, so no grant was ever checked (authorization is not reproduced)"},
+	{`\bAllowed\(`, `^internal/(catalog|core|engine|wire)/`, "nothing: no session carries a user, so no grant was ever checked (authorization is not reproduced)"},
+	{`\bPerms\b`, `^internal/(catalog|core|engine|wire)/`, "nothing: a shadow catalog carries only what a cache uses (script, statistics, procedures)"},
+	{`ValidateAggShape`, "", "nothing: no code called it"},
+	{`\bSetCol\(`, `^internal/catalog/`, "nothing: no code called it"},
+	{`\bIndexMeta\(`, `^internal/storage/`, "nothing: no code called it"},
+	{`\bIsWrite\(`, `^internal/storage/`, "nothing: no code called it (the store reads Txn.write)"},
+	{`func \(t \*Txn\) ID\(`, `^internal/storage/`, "nothing: no code called it (the store reads Txn.id)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
