@@ -155,9 +155,9 @@ func (c *CacheServer) provision(view *catalog.Table) error {
 // attach provisions cached views, each with one request, and makes them
 // current with the cache's other views in one local transaction
 // (repl.Subscriber.Attach). Every resume asks for a position together with
-// the ID of the log it is a position of. A view being created (add) asks to
-// resume at the loaded checkpoint's position when the checkpoint holds it and
-// the cache still stands there, on the same log — once a pull has moved the
+// the ID of the backend incarnation that wrote it. A view being created (add)
+// asks to resume at the loaded checkpoint's position when the checkpoint
+// holds it and the cache still stands there — once a pull has moved the
 // other views on, rows from the checkpoint are behind them — and to be seeded
 // otherwise. Every view the cache has is provisioned again, asking to resume
 // where the cache stands, when add is nil — a pull found that the backend no
@@ -170,17 +170,17 @@ func (c *CacheServer) attach(add *catalog.Table) error {
 	asOf := time.Now()
 	var ats []repl.Attached
 	if add != nil {
-		var logID uint64
+		var id uint64
 		var from storage.LSN
 		var rows []types.Row
 		if ck := c.recovered; ck != nil {
 			i := slices.IndexFunc(ck.Sets, func(v storage.RowSet) bool { return strings.EqualFold(v.Name, add.Name) })
-			if i >= 0 && (len(views) == 0 || st.AppliedLSN == ck.LSN && st.LogID == ck.LogID) {
-				logID, from, rows = ck.LogID, ck.LSN+1, ck.Sets[i].Rows
+			if i >= 0 && (len(views) == 0 || st.AppliedLSN == ck.LSN && st.ID == ck.ID) {
+				id, from, rows = ck.ID, ck.LSN+1, ck.Sets[i].Rows
 				ck.Sets = slices.Delete(ck.Sets, i, i+1)
 			}
 		}
-		a, err := c.provisionView(add, logID, from)
+		a, err := c.provisionView(add, id, from)
 		if err != nil {
 			return err
 		}
@@ -198,7 +198,7 @@ func (c *CacheServer) attach(add *catalog.Table) error {
 		if view == nil || !view.Cached {
 			continue // dropped since Views read it; Attach takes it out too
 		}
-		a, err := c.provisionView(view, st.LogID, st.AppliedLSN+1)
+		a, err := c.provisionView(view, st.ID, st.AppliedLSN+1)
 		if err != nil {
 			return err
 		}
@@ -214,14 +214,14 @@ func (c *CacheServer) attach(add *catalog.Table) error {
 // provisionView asks the backend, in one request, to attach view's article —
 // its select-project form as (table, columns, filter), the filter deparsed
 // and "" for none — to the cache's subscription: resumed at from when from >
-// 0 and the backend still serves it on the log logID names, seeded otherwise.
-func (c *CacheServer) provisionView(view *catalog.Table, logID uint64, from storage.LSN) (repl.Attached, error) {
+// 0 and the backend's log still holds it with id at from-1, seeded otherwise.
+func (c *CacheServer) provisionView(view *catalog.Table, id uint64, from storage.LSN) (repl.Attached, error) {
 	sp := view.SelectProject
 	filter := ""
 	if sp.Filter != nil {
 		filter = sql.DeparseExpr(sp.Filter)
 	}
-	a, err := c.client.Provision(sp.Source.Name, sp.SourceColumns(), filter, c.DB.Name, view.Name, logID, from)
+	a, err := c.client.Provision(sp.Source.Name, sp.SourceColumns(), filter, c.DB.Name, view.Name, id, from)
 	if err != nil {
 		return repl.Attached{}, err
 	}
@@ -348,8 +348,8 @@ func (c *CacheServer) Staleness() (time.Duration, bool) {
 }
 
 // Checkpoint writes the cache's durable state file: every subscribed view's
-// rows plus the one LSN they are current through and the ID of the backend's
-// log that LSN is a position of. It runs under pullMu so no pull round is
+// rows plus the one LSN they are current through and the ID of the backend
+// incarnation that wrote it. It runs under pullMu so no pull round is
 // half-applied — the rows and the cursor are mutually consistent, which is
 // what lets a restart resume the stream at LSN+1 with no gap and no
 // double-apply. Requires a data directory.
@@ -362,7 +362,7 @@ func (c *CacheServer) Checkpoint() error {
 	start := time.Now()
 
 	st := c.sub.Status()
-	ck := &storage.Image{LSN: st.AppliedLSN, LogID: st.LogID}
+	ck := &storage.Image{LSN: st.AppliedLSN, ID: st.ID}
 	tx := c.DB.Store().Begin(false)
 	for _, view := range c.sub.Views() {
 		if tv, ok := tx.Table(view); ok {

@@ -3,15 +3,15 @@ package core
 // cachestate.go persists a CacheServer's durable state: one state file holding
 // every cached view's rows, the one replication LSN they are all current
 // through (a cache is one subscriber with one cursor) and the ID of the
-// backend's log that LSN is a position of (storage.Image.LogID). A cache
+// backend incarnation that wrote that position (storage.Image.ID). A cache
 // applies pulled batches unlogged (replicated changes must not re-enter a
 // WAL), so its durability story is checkpoint + resubscribe rather than log
 // replay: on restart it reloads the checkpointed rows and provisions each view
-// with the checkpointed log ID and LSN (BackendClient.Provision's logID and
-// from): the backend resumes the change stream there when its log is that
-// log and still holds the position, and otherwise — another backend, a log
-// that started over, a position truncated away — the same request answers
-// with a full reseed.
+// with the checkpointed ID and LSN (BackendClient.Provision's id and from):
+// the backend resumes the change stream there when its log holds the position
+// under that ID, and otherwise — another backend, a log that started over, a
+// restored copy that wrote other commits there, a position truncated away —
+// the same request answers with a full reseed.
 //
 // The state file is a storage image, written by storage.WriteImage and read
 // by storage.ReadImage like a backend's checkpoint: one format, one magic.

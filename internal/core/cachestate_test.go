@@ -201,9 +201,9 @@ func (c *counting) Snapshot() ([]byte, error) {
 	return c.BackendClient.Snapshot()
 }
 
-func (c *counting) Provision(table string, columns []string, filter, subName, target string, logID uint64, from storage.LSN) (repl.Attachment, error) {
+func (c *counting) Provision(table string, columns []string, filter, subName, target string, id uint64, from storage.LSN) (repl.Attachment, error) {
 	c.requests++
-	return c.BackendClient.Provision(table, columns, filter, subName, target, logID, from)
+	return c.BackendClient.Provision(table, columns, filter, subName, target, id, from)
 }
 
 func (c *counting) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {
@@ -218,9 +218,9 @@ type failAfterProvision struct {
 	armed, provisioned bool
 }
 
-func (c *failAfterProvision) Provision(table string, columns []string, filter, subName, target string, logID uint64, from storage.LSN) (repl.Attachment, error) {
+func (c *failAfterProvision) Provision(table string, columns []string, filter, subName, target string, id uint64, from storage.LSN) (repl.Attachment, error) {
 	c.provisioned = c.provisioned || c.armed
-	return c.BackendClient.Provision(table, columns, filter, subName, target, logID, from)
+	return c.BackendClient.Provision(table, columns, filter, subName, target, id, from)
 }
 
 func (c *failAfterProvision) Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error) {

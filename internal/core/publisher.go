@@ -19,13 +19,13 @@ import (
 //
 // Provision attaches the article (table, columns, filter) to the
 // subscription named subName — one per cache, created on first use — as the
-// feed of the cache's view target: resumed at from when from > 0, logID
-// names the backend's log and the log still holds from, seeded otherwise.
-// See repl.Server.Provision.
+// feed of the cache's view target: resumed at from when from > 0 and the
+// backend's log still holds from, with id the ID of its position from-1;
+// seeded otherwise. See repl.Server.Provision.
 type BackendClient interface {
 	exec.RemoteClient
 	Snapshot() ([]byte, error)
-	Provision(table string, columns []string, filter, subName, target string, logID uint64, from storage.LSN) (repl.Attachment, error)
+	Provision(table string, columns []string, filter, subName, target string, id uint64, from storage.LSN) (repl.Attachment, error)
 	Pull(subID, max int, ack storage.LSN) ([]repl.TxnBatch, storage.LSN, error)
 	Close() error
 }
@@ -44,12 +44,12 @@ func (b *BackendServer) article(table string, columns []string, filter string) (
 }
 
 // Provision is BackendClient.Provision as the backend answers it.
-func (b *BackendServer) Provision(table string, columns []string, filter, subName, target string, logID uint64, from storage.LSN) (repl.Attachment, error) {
+func (b *BackendServer) Provision(table string, columns []string, filter, subName, target string, id uint64, from storage.LSN) (repl.Attachment, error) {
 	art, err := b.article(table, columns, filter)
 	if err != nil {
 		return repl.Attachment{}, err
 	}
-	return b.Repl.Provision(subName, art, target, logID, from)
+	return b.Repl.Provision(subName, art, target, id, from)
 }
 
 // Pull is one subscriber pull (repl.Server.Pull): each After row is an

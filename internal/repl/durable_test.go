@@ -26,10 +26,6 @@ type heldSyncFS struct {
 
 func (h heldSyncFS) Create(name string) (storage.File, error) { return h.wrap(h.FS.Create(name)) }
 
-func (h heldSyncFS) OpenAppend(name string) (storage.File, error) {
-	return h.wrap(h.FS.OpenAppend(name))
-}
-
 func (h heldSyncFS) wrap(f storage.File, err error) (storage.File, error) {
 	if err != nil {
 		return nil, err
@@ -195,7 +191,7 @@ func TestPullShipsOnlyDurableCommits(t *testing.T) {
 		if end := b.DB.Store().VisibleEnd(); end != 3 {
 			t.Fatalf("the restarted backend's commit is at LSN %d, want the dropped one's, 2", end-1)
 		}
-		at, err := b.Provision("item", itemCols, "", "cache", "tgt", sub.Status().LogID, through+1)
+		at, err := b.Provision("item", itemCols, "", "cache", "tgt", sub.Status().ID, through+1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,10 @@
 package repl
 
-import "time"
+import (
+	"time"
+
+	"mtcache/internal/storage"
+)
 
 // Retention is the retention period, for tests that step past it.
 const Retention = retention
@@ -8,6 +12,6 @@ const Retention = retention
 // TruncateLogAt is the truncation agent's pass as if it ran at now.
 func (s *Server) TruncateLogAt(now time.Time) { s.truncateLog(now) }
 
-// LogID is the publisher's log ID, for tests that resume as a subscriber of
-// that log does.
-func (s *Server) LogID() uint64 { return s.publisher.Store().LogID() }
+// IDAt is the ID of the publisher's position lsn, for tests that resume as
+// a subscriber of that log does.
+func (s *Server) IDAt(lsn storage.LSN) uint64 { return s.publisher.Store().IDAt(lsn) }

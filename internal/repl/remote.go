@@ -25,14 +25,16 @@ type TxnBatch struct {
 	Changes    []storage.ChangeRec
 }
 
-// Attachment is Provision's answer: the subscription's id, the publisher's
-// log ID, the first LSN the stream carries for the view, and whether the view
-// was resumed at the LSN its subscriber asked for — then Rows is empty and the
-// subscriber keeps the rows it has — or seeded, with Rows its initial
-// population, current through the LSN before StartLSN.
+// Attachment is Provision's answer: the subscription's id, the first LSN the
+// stream carries for the view, and whether the view was resumed at the LSN its
+// subscriber asked for — then Rows is empty and the subscriber keeps the rows
+// it has — or seeded, with Rows its initial population, current through the
+// LSN before StartLSN. History, the publisher's from StartLSN-1 on (usually
+// one entry), names every position the subscription will carry: only an open
+// adds an entry, and an open starts a publisher that holds no subscription.
 type Attachment struct {
 	SubID    int
-	LogID    uint64
+	History  storage.History
 	StartLSN storage.LSN
 	Resumed  bool
 	Rows     []types.Row
@@ -42,25 +44,26 @@ type Attachment struct {
 // subscription named subName, under an id no subscription has had, on first
 // use or again after it expired or the publisher restarted. A subscriber
 // resumes only on the log it applied: one that restarted with target durably
-// current through from-1 of the log named logID passes from > 0, and when
-// logID names this publisher's log and attach accepts from, the stream
-// carries a's changes for target from `from` on and the answer is Resumed.
+// current through from-1 passes from > 0 and the ID of that position, and
+// when this publisher's log has that ID at from-1 (storage.Store.IDAt) and
+// attach accepts from, the stream carries a's changes for target from `from`
+// on and the answer is Resumed.
 // On any other outcome target is seeded: the snapshot is pinned and the
 // article attached in one critical section — no pull reads the log in
 // between — so a commit is either in the returned rows or in the stream,
 // never in neither. The scan itself runs outside it, and the answer waits
 // until an fsync covers the snapshot's last commit: a seed holds nothing a
 // crash could take back.
-func (s *Server) Provision(subName string, a *Article, target string, logID uint64, from storage.LSN) (Attachment, error) {
+func (s *Server) Provision(subName string, a *Article, target string, id uint64, from storage.LSN) (Attachment, error) {
 	st := s.publisher.Store()
 	s.mu.Lock()
 	if from > 0 {
 		fields := []string{"sub", subName, "target", target, "from_lsn", strconv.FormatUint(uint64(from), 10)}
-		if logID == st.LogID() {
-			if id, ok := s.attach(subName, a, target, from); ok {
+		if id == st.IDAt(from-1) {
+			if subID, ok := s.attach(subName, a, target, from); ok {
 				s.mu.Unlock()
 				metrics.Default.Event("repl.resubscribes", fields...)
-				return Attachment{SubID: id, LogID: logID, StartLSN: from, Resumed: true}, nil
+				return Attachment{SubID: subID, History: st.History(from - 1), StartLSN: from, Resumed: true}, nil
 			}
 		}
 		metrics.Default.Event("repl.resume_misses", fields...)
@@ -75,7 +78,8 @@ func (s *Server) Provision(subName string, a *Article, target string, logID uint
 		s.mu.Unlock()
 		return Attachment{}, fmt.Errorf("repl: no storage for %s on publisher", a.Table)
 	}
-	at := Attachment{LogID: st.LogID(), StartLSN: rtx.AsOfLSN()}
+	start := rtx.AsOfLSN()
+	at := Attachment{History: st.History(start - 1), StartLSN: start}
 	at.SubID, _ = s.attach(subName, a, target, at.StartLSN)
 	s.mu.Unlock()
 

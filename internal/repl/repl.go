@@ -26,11 +26,11 @@
 //     subscription IDs are never handed out twice, so it cannot pull another
 //     subscriber's stream;
 //   - a subscriber resumes only on the log it applied: Provision resumes a
-//     view only when the subscriber's log ID (storage.Store.LogID) is the
-//     publisher's and the log still holds the position. Subscription ids
-//     keep their random base anyway: it names a publisher process, which a
-//     durable restart replaces while keeping the log, so one id implies one
-//     log and a pull carries no log ID.
+//     view only when the publisher's log names the subscriber's position by
+//     the subscriber's ID for it (storage.Store.IDAt) and still holds it.
+//     Subscription ids keep their random base anyway: it names a publisher
+//     process, which a durable restart replaces while keeping the log, so a
+//     pull carries no ID.
 //
 // Server is the publisher half (articles, subscriptions, the pull that reads
 // the log, truncation); Subscriber is the subscriber half (cursor, dedup,

@@ -31,7 +31,7 @@ func drain(t *testing.T, srv *repl.Server, id int) []repl.TxnBatch {
 // there (a miss seeds tgt instead).
 func resume(t *testing.T, srv *repl.Server, subName string, a *repl.Article, from storage.LSN) (int, bool) {
 	t.Helper()
-	at, err := srv.Provision(subName, a, "tgt", srv.LogID(), from)
+	at, err := srv.Provision(subName, a, "tgt", srv.IDAt(from-1), from)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 	b := newPublisher(t, 5)
 	subDB := newSubscriberTable(t, "cache")
 	sub := subscribe(t, b, subDB, "")
-	ckpt, logID := sub.Status().AppliedLSN, sub.Status().LogID // the durable position: rows 1..5
+	ckpt, id := sub.Status().AppliedLSN, sub.Status().ID // the durable position: rows 1..5
 
 	insert := func(id int) {
 		t.Helper()
@@ -164,7 +164,7 @@ func TestResumePastAcknowledgedRewindsOrReseeds(t *testing.T) {
 	restart := func() (*repl.Subscriber, *engine.Database, bool) {
 		t.Helper()
 		db := newSubscriberTable(t, "cache")
-		at, err := b.Provision("item", itemCols, "", "cache", "tgt", logID, ckpt+1)
+		at, err := b.Provision("item", itemCols, "", "cache", "tgt", id, ckpt+1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,8 +45,8 @@ type SubscriberStatus struct {
 	// watermark. A subscriber with no views holds no replicated data and is
 	// vacuously current: math.MaxInt64.
 	AppliedLSN storage.LSN
-	// LogID names the publisher's log AppliedLSN is in (Attachment.LogID).
-	LogID uint64
+	// ID names the publisher incarnation that wrote AppliedLSN.
+	ID uint64
 	// CurrentAsOf is the instant before the request of the last round that
 	// applied everything it was handed (or of the seed a view was provisioned
 	// from, when later): every commit before it is applied. Zero while it is
@@ -77,9 +77,10 @@ type Subscriber struct {
 	target *engine.Database
 	stats  ApplyStats
 
-	mu    sync.Mutex
-	views []view // replaced, never edited in place (current)
-	st    SubscriberStatus
+	mu      sync.Mutex
+	views   []view          // replaced, never edited in place (current)
+	history storage.History // the publisher's, naming every position past AppliedLSN
+	st      SubscriberStatus
 }
 
 // NewSubscriber returns the subscriber for target's tables; Attach gives it
@@ -144,8 +145,9 @@ type Attached struct {
 // Provision request — because a view was seeded or the stream was pulled,
 // CurrentAsOf moves up to asOf. Views that were all resumed are as current
 // as they were, and it stays. All of ats name one subscription, and so one
-// publisher's log, whose ID the cursor takes; when it is not the
-// subscription the subscriber pulls from, ats must hold every view it has.
+// publisher, whose history names every position the cursor takes from then
+// on; when it is not the subscription the subscriber pulls from, ats must
+// hold every view it has.
 func (s *Subscriber) Attach(src Puller, ats []Attached, asOf time.Time) error {
 	views, st := s.current()
 	subID := ats[0].SubID
@@ -198,7 +200,7 @@ func (s *Subscriber) Attach(src Puller, ats []Attached, asOf time.Time) error {
 	fetched := lo < hi || slices.ContainsFunc(ats, func(a Attached) bool { return !a.Resumed })
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.st.AppliedLSN, s.st.LogID = at, ats[0].LogID
+	s.history, s.st.AppliedLSN, s.st.ID = ats[0].History, at, ats[0].History.At(at)
 	if fetched && asOf.After(s.st.CurrentAsOf) {
 		s.st.CurrentAsOf = asOf
 	}
@@ -261,6 +263,7 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 		s.st.CurrentAsOf = asOf
 	}
 	s.st.AppliedLSN = max(s.st.AppliedLSN, through, applied)
+	s.st.ID = s.history.At(s.st.AppliedLSN)
 	return n, err
 }
 

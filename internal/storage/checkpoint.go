@@ -11,7 +11,7 @@ package storage
 // File layout: the 8-byte magic ckptMagic, then one WAL-style frame
 // ([uint32 length][uint32 CRC32-C][payload]) whose payload is
 //
-//	uvarint LSN, uint64 LogID (8 bytes LE), string Script,
+//	uvarint LSN, uint64 ID (8 bytes LE), string Script,
 //	uvarint #sets, per set: string Name, uvarint #rows, rows
 //
 // in types/codec.go's bytes, the ones the WAL and the wire use. WriteImage is
@@ -35,18 +35,19 @@ import (
 
 // ckptMagic opens every image file. 03: the payload is types/codec.go bytes
 // in explicit field order, not gob. 04: the payload carries the catalog. 05:
-// the payload carries a log ID.
+// the payload carries an ID.
 const ckptMagic = "MTCKPT05"
 
 // Image is the content of an image file. What LSN means is the writer's: a
 // store checkpoint's is the first LSN to replay on top of the rows, a cache's
-// the last LSN its rows have applied. LogID names the log LSN is a position
-// of: a store checkpoint's own (Store.LogID), a cache's the backend's it
-// applied. Script is a store checkpoint's catalog, as the DDL that recreates
-// it (Schema.Script); a cache's is empty.
+// the last LSN its rows have applied. ID names the incarnation that wrote the
+// last position the rows hold (History): a store checkpoint's LSN-1, in its
+// own log (Store.IDAt), and a cache's LSN, in the backend's log it applied
+// (repl.SubscriberStatus.ID). Script is a store checkpoint's catalog, as the
+// DDL that recreates it (Schema.Script); a cache's is empty.
 type Image struct {
 	LSN    LSN
-	LogID  uint64
+	ID     uint64
 	Script string
 	Sets   []RowSet
 }
@@ -71,7 +72,7 @@ func (s *Store) Checkpoint() (LSN, error) {
 	s.ddlMu.Lock()
 	t := s.Begin(false)
 	walEnd := t.AsOfLSN()
-	img := Image{LSN: walEnd, LogID: s.logID}
+	img := Image{LSN: walEnd, ID: s.IDAt(walEnd - 1)}
 	if s.schema != nil {
 		img.Script = s.schema.Script()
 	}
@@ -197,11 +198,11 @@ func ReadImage(fsys FS, path string) (*Image, error) {
 	return img, nil
 }
 
-// appendImage appends img's payload: LSN, log ID, script, then each set's
+// appendImage appends img's payload: LSN, ID, script, then each set's
 // name and rows.
 func appendImage(buf []byte, img *Image) []byte {
 	buf = binary.AppendUvarint(buf, uint64(img.LSN))
-	buf = binary.LittleEndian.AppendUint64(buf, img.LogID)
+	buf = binary.LittleEndian.AppendUint64(buf, img.ID)
 	buf = types.AppendString(buf, img.Script)
 	buf = binary.AppendUvarint(buf, uint64(len(img.Sets)))
 	for i := range img.Sets {
@@ -219,7 +220,7 @@ func appendImage(buf []byte, img *Image) []byte {
 // errors, so a payload that decodes re-encodes to itself.
 func decodeImage(payload []byte) (*Image, error) {
 	d := types.Decoder{Buf: payload}
-	img := &Image{LSN: LSN(d.Uvarint()), LogID: d.Fixed64(), Script: d.Str()}
+	img := &Image{LSN: LSN(d.Uvarint()), ID: d.Fixed64(), Script: d.Str()}
 	img.Sets = make([]RowSet, d.Count(2)) // a name and a row count
 	for i := range img.Sets {
 		set := &img.Sets[i]

@@ -126,17 +126,6 @@ func (f *FaultFS) Open(name string) (storage.File, error) {
 	return &faultFile{fs: f, inner: file}, nil
 }
 
-func (f *FaultFS) OpenAppend(name string) (storage.File, error) {
-	if err := f.check(); err != nil {
-		return nil, err
-	}
-	file, err := f.inner.OpenAppend(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{fs: f, inner: file}, nil
-}
-
 func (f *FaultFS) ReadDir(dir string) ([]string, error) {
 	if err := f.check(); err != nil {
 		return nil, err

@@ -112,11 +112,6 @@ func (s slowSyncFS) Create(name string) (File, error) {
 	return slowSyncFile{f, s.delay}, err
 }
 
-func (s slowSyncFS) OpenAppend(name string) (File, error) {
-	f, err := s.FS.OpenAppend(name)
-	return slowSyncFile{f, s.delay}, err
-}
-
 type slowSyncFile struct {
 	File
 	delay time.Duration

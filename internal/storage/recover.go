@@ -40,24 +40,22 @@ type RecoveryStats struct {
 // Recover rebuilds the catalog and the heaps from the latest checkpoint plus
 // the WAL tail, running DDL through schema, which also renders the catalog of
 // every later checkpoint. It runs once, after EnableDurability (which loaded
-// and validated the retained records) and before any write; Recovered
-// reports what it rebuilt. schema may be nil for a store whose directory
-// holds no DDL.
+// and validated the retained records and read the checkpoint) and before any
+// write; Recovered reports what it rebuilt. schema may be nil for a store
+// whose directory holds no DDL.
 func (s *Store) Recover(schema Schema) error {
 	if s.durable == nil {
 		return errors.New("storage: store has no durable log")
 	}
 	start := time.Now()
-	stats := &RecoveryStats{TornTail: s.openStats.TornTail, CRCErrors: s.openStats.CRCErrors}
+	stats := &RecoveryStats{TornTail: s.opened.TornTail, CRCErrors: s.opened.CRCErrors}
 	s.schema = schema
 	s.replaying = true
 	defer func() { s.replaying = false }()
 
 	replayFrom := s.wal.First()
-	img, err := s.durable.loadCheckpoint()
-	if err != nil {
-		return err
-	}
+	img := s.opened.ckpt
+	s.opened.ckpt = nil // the rows are the heaps' from here on
 	if img != nil {
 		stats.CheckpointLSN = img.LSN
 		replayFrom = img.LSN
@@ -81,6 +79,7 @@ func (s *Store) Recover(schema Schema) error {
 	}
 
 	for _, rec := range s.wal.ReadFrom(replayFrom, 0) {
+		var err error
 		if rec.DDL != "" {
 			err = s.execDDL(rec.DDL)
 		} else {

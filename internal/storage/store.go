@@ -53,11 +53,11 @@ type snapMark struct {
 // reclaims images no live snapshot can reach, keyed off the oldest pinned
 // snapshot.
 type Store struct {
-	mu     sync.RWMutex // guards the table map (DDL vs lookup), nothing else
-	tables map[string]*TableData
-	wal    *WAL
-	logID  uint64 // names the log; see LogID
-	nextTx atomic.Int64
+	mu      sync.RWMutex // guards the table map (DDL vs lookup), nothing else
+	tables  map[string]*TableData
+	wal     *WAL
+	history History // who wrote each position; see IDAt
+	nextTx  atomic.Int64
 
 	commitMu  sync.Mutex // serializes commit stamping + WAL append
 	published atomic.Pointer[snapMark]
@@ -77,7 +77,7 @@ type Store struct {
 	// Durability state (nil/zero on a purely in-memory store).
 	durable       *diskWAL
 	durOpts       DurabilityOptions
-	openStats     walOpenStats // torn-tail/CRC findings from opening the log
+	opened        walOpened    // what opening the log found, for Recover
 	ckptLSN       atomic.Int64 // WAL position of the latest heap checkpoint
 	loggedCommits atomic.Int64 // commits since open, drives auto-checkpoints
 	ckptBusy      atomic.Bool  // one automatic checkpoint at a time
@@ -89,12 +89,12 @@ type Store struct {
 	commits atomic.Int64 // write commits since the last automatic GC trigger
 }
 
-// NewStore returns an empty store, whose log starts here under a new ID.
+// NewStore returns an empty store, which writes every position under a new ID.
 func NewStore() *Store {
 	s := &Store{
 		tables:  make(map[string]*TableData),
 		wal:     NewWAL(),
-		logID:   rand.Uint64(),
+		history: History{{ID: rand.Uint64()}},
 		snaps:   make(map[int64]snapRef),
 		waitFor: make(map[int64]*TableData),
 	}
@@ -106,11 +106,44 @@ func NewStore() *Store {
 // WAL exposes the log for the replication reader.
 func (s *Store) WAL() *WAL { return s.wal }
 
-// LogID names the store's log: a random number drawn when the log starts
-// (NewStore, or a data directory's first EnableDurability) and kept in every
-// WAL segment's header and checkpoint across restarts of the directory. An
-// LSN names a commit only together with the ID of the log it is in.
-func (s *Store) LogID() uint64 { return s.logID }
+// History names the store incarnations that wrote a log's positions: each
+// entry's ID wrote the positions from its First to the next entry's. A
+// position is the pair (ID, LSN), and two logs that agree on a pair agree on
+// every record up to it (Raft's log-matching rule): every store open draws an
+// ID at random, so a restored copy of a directory writes under a new one.
+type History []Incarnation
+
+// Incarnation is one History entry.
+type Incarnation struct {
+	First LSN
+	ID    uint64
+}
+
+// At returns the ID of the incarnation that wrote lsn: the first entry's
+// below every First, 0 for an empty history.
+func (h History) At(lsn LSN) uint64 {
+	if h = h.from(lsn); len(h) == 0 {
+		return 0
+	}
+	return h[0].ID
+}
+
+// from returns the entries that name lsn and every position after it.
+func (h History) from(lsn LSN) History {
+	i := 0
+	for i+1 < len(h) && h[i+1].First <= lsn {
+		i++
+	}
+	return h[i:]
+}
+
+// IDAt returns the ID of the incarnation that wrote lsn: for a durable store,
+// its segment's header's, the checkpoint's below every retained segment.
+func (s *Store) IDAt(lsn LSN) uint64 { return s.history.At(lsn) }
+
+// History returns the entries that name lsn and every later position. Only an
+// open adds one, so they name every position the store will write.
+func (s *Store) History(lsn LSN) History { return s.history.from(lsn) }
 
 // CreateTable allocates storage for a catalog table definition.
 func (s *Store) CreateTable(meta *catalog.Table) error {
@@ -800,9 +833,10 @@ func (t *Txn) Abort() {
 // EnableDurability attaches a segmented on-disk log to the store. It must be
 // called on a fresh store (before any logged commit); opening an existing
 // directory loads the retained commit records into the in-memory WAL so
-// Recover can replay them and resumed subscribers can re-read them, and the
-// store takes the directory's log ID. The catalog and the heaps stay empty
-// until Recover runs.
+// Recover can replay them and resumed subscribers can re-read them, and reads
+// the newest checkpoint for Recover. The store keeps the IDs of the positions
+// it recovered and writes every later one under a fresh ID, in a segment of
+// its own (History). The catalog and the heaps stay empty until Recover runs.
 func (s *Store) EnableDurability(opts DurabilityOptions) error {
 	if s.durable != nil {
 		return errors.New("storage: durability already enabled")
@@ -810,7 +844,7 @@ func (s *Store) EnableDurability(opts DurabilityOptions) error {
 	if s.wal.Len() > 0 || s.wal.End() != 1 {
 		return errors.New("storage: durability must be enabled on a fresh store")
 	}
-	d, recs, ckptLSN, stats, err := openDiskWAL(opts, s.logID)
+	d, recs, ckptLSN, found, err := openDiskWAL(opts, rand.Uint64())
 	if err != nil {
 		return err
 	}
@@ -829,9 +863,9 @@ func (s *Store) EnableDurability(opts DurabilityOptions) error {
 	s.wal.adopt(recs, next, d)
 	s.wal.retain = s.retainFloor
 	s.durable = d
-	s.logID = d.logID
+	s.history = found.hist
 	s.durOpts = opts
-	s.openStats = stats
+	s.opened = found
 	s.ckptLSN.Store(int64(ckptLSN))
 	s.published.Store(&snapMark{ts: 0, walEnd: s.wal.End()})
 	d.start()

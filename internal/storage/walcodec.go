@@ -30,19 +30,9 @@ import (
 	"mtcache/internal/types"
 )
 
-// encodeCommitRecord renders one record as a frame payload.
-func encodeCommitRecord(rec *CommitRecord) ([]byte, error) {
-	// Pre-size roughly: fixed header plus per-change table names and rows.
-	size := 32 + len(rec.DDL)
-	for i := range rec.Changes {
-		c := &rec.Changes[i]
-		size += len(c.Table) + 8 + types.RowEncSize(c.Before) + types.RowEncSize(c.After)
-	}
-	return appendCommitRecord(make([]byte, 0, size), rec), nil
-}
-
-// appendCommitRecord appends the encoded record to buf — used by the commit
-// path to encode straight into the WAL buffer with no intermediate slice.
+// appendCommitRecord appends the encoded record, a frame's payload, to buf —
+// the commit path encodes straight into the WAL buffer with no intermediate
+// slice.
 func appendCommitRecord(buf []byte, rec *CommitRecord) []byte {
 	buf = binary.AppendUvarint(buf, uint64(rec.LSN))
 	buf = binary.AppendVarint(buf, rec.TxnID)

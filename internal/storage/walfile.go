@@ -12,8 +12,9 @@ package storage
 //	wal-00000000000000004096.seg   next segment, and so on
 //	ckpt-00000000000000003000.ckpt latest heap checkpoint (see checkpoint.go)
 //
-// Each segment starts with a header, the 8-byte magic and the log's ID
-// (uint64 LE, Store.LogID), and then holds frames:
+// Each segment starts with a header, the 8-byte magic and the ID of the store
+// incarnation that wrote its records (uint64 LE, see History), and then holds
+// frames:
 //
 //	[uint32 payload length][uint32 CRC32-C of payload][payload]
 //
@@ -23,6 +24,8 @@ package storage
 // frame at the tail of the last segment is a torn write from the crash
 // (truncated away, counted in storage.wal_torn_tail); anywhere else it is
 // corruption (counted in storage.wal_crc_errors) and the log is cut there.
+// Every open starts a segment of its own, so no segment holds the records of
+// two incarnations, and none is written again once closed.
 
 import (
 	"encoding/binary"
@@ -72,12 +75,11 @@ type FS interface {
 	MkdirAll(dir string) error
 	Create(name string) (File, error)     // truncating create, read/write
 	Open(name string) (File, error)       // read-only
-	OpenAppend(name string) (File, error) // write, positioned at end
 	ReadDir(dir string) ([]string, error) // sorted base names
 	Rename(oldPath, newPath string) error
 	Remove(name string) error
-	Truncate(name string, size int64) error
-	SyncDir(dir string) error // fsync the directory entry table
+	Truncate(name string, size int64) error // synced before it returns
+	SyncDir(dir string) error               // fsync the directory entry table
 }
 
 // File is one open file of an FS.
@@ -98,9 +100,6 @@ func (osFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 }
 func (osFS) Open(name string) (File, error) { return os.Open(name) }
-func (osFS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0o644)
-}
 func (osFS) ReadDir(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -115,9 +114,19 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-func (osFS) Rename(o, n string) error             { return os.Rename(o, n) }
-func (osFS) Remove(name string) error             { return os.Remove(name) }
-func (osFS) Truncate(name string, sz int64) error { return os.Truncate(name, sz) }
+func (osFS) Rename(o, n string) error { return os.Rename(o, n) }
+func (osFS) Remove(name string) error { return os.Remove(name) }
+
+// Truncate syncs the cut: a segment cut at a torn tail stays in the middle of
+// the log once the next open starts a segment after it, where a cut lost to a
+// crash would leave a torn frame that the open after reads as corruption.
+func (osFS) Truncate(name string, sz int64) error {
+	f, err := os.OpenFile(name, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	return errors.Join(f.Truncate(sz), f.Sync(), f.Close())
+}
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -128,10 +137,10 @@ func (osFS) SyncDir(dir string) error {
 }
 
 const (
-	// segMagic opens every segment. 2: a record carries DDL text. 3: the
-	// log's ID follows the magic.
+	// segMagic opens every segment. 2: a record carries DDL text. 3: an ID
+	// follows the magic.
 	segMagic        = "MTWALSG3"
-	segHeaderSize   = len(segMagic) + 8 // magic + uint64 LE log ID
+	segHeaderSize   = len(segMagic) + 8 // magic + uint64 LE incarnation ID
 	frameHeaderSize = 8                 // uint32 length + uint32 CRC32-C
 	defaultSegBytes = 8 << 20
 )
@@ -214,7 +223,7 @@ type diskWAL struct {
 	fs       FS
 	dir      string
 	segBytes int64
-	logID    uint64 // written into every segment's header
+	id       uint64 // this incarnation's, written into the header of every segment it starts
 
 	mu      sync.Mutex
 	buf     []byte // encoded frames not yet written to the file
@@ -252,20 +261,25 @@ type walSegment struct {
 	name  string
 }
 
-// walOpenStats records what opening an existing log found; recovery surfaces
-// them in RecoveryStats.
-type walOpenStats struct {
+// walOpened is what opening a log found besides its records: the history of
+// its positions, the newest readable checkpoint, which Recover starts from,
+// and the damage the open cut, which Recover reports.
+type walOpened struct {
+	hist      History
+	ckpt      *Image
 	TornTail  bool
 	CRCErrors int
 }
 
 // openDiskWAL opens (or initializes) the log directory, validates every
-// retained record and returns them in LSN order. nextLSN is the LSN the next
-// append must get — past the last valid record and any checkpoint. The log
-// keeps the ID its directory holds — in the first segment whose header
-// survived, or else in the newest checkpoint — and takes fresh as its ID when
-// the directory holds neither: a log's ID is drawn once, when it starts.
-func openDiskWAL(opts DurabilityOptions, fresh uint64) (d *diskWAL, recs []CommitRecord, ckptLSN LSN, stats walOpenStats, err error) {
+// retained record and returns them in LSN order, and starts a segment under
+// id, the new incarnation's, at the LSN the next append must get: past the
+// last valid record and any checkpoint. A record-less segment already there
+// covers no position, and the new one takes its place. The history names each
+// retained segment's records by its header's ID, the positions below them by
+// the checkpoint's, and every later one by id. The checkpoint is read before
+// anything is cut or written, so one that fails the open changes nothing.
+func openDiskWAL(opts DurabilityOptions, id uint64) (d *diskWAL, recs []CommitRecord, ckptLSN LSN, found walOpened, err error) {
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = OSFS()
@@ -274,12 +288,13 @@ func openDiskWAL(opts DurabilityOptions, fresh uint64) (d *diskWAL, recs []Commi
 		opts.SegmentBytes = defaultSegBytes
 	}
 	if err = fsys.MkdirAll(opts.Dir); err != nil {
-		return nil, nil, 0, stats, err
+		return nil, nil, 0, found, err
 	}
 	d = &diskWAL{
 		fs:       fsys,
 		dir:      opts.Dir,
 		segBytes: opts.SegmentBytes,
+		id:       id,
 		flushC:   make(chan struct{}, 1),
 		stopC:    make(chan struct{}),
 		curCh:    make(chan struct{}),
@@ -287,7 +302,7 @@ func openDiskWAL(opts DurabilityOptions, fresh uint64) (d *diskWAL, recs []Commi
 
 	names, err := fsys.ReadDir(opts.Dir)
 	if err != nil {
-		return nil, nil, 0, stats, err
+		return nil, nil, 0, found, err
 	}
 	var segFirsts []LSN
 	for _, name := range names {
@@ -295,13 +310,13 @@ func openDiskWAL(opts DurabilityOptions, fresh uint64) (d *diskWAL, recs []Commi
 		// deletes a file.
 		if first, ok := parseSeqName(name, "wal-", ".seg"); ok {
 			if err = checkFormat(fsys, filepath.Join(opts.Dir, name), segMagic); err != nil {
-				return nil, nil, 0, stats, err
+				return nil, nil, 0, found, err
 			}
 			segFirsts = append(segFirsts, first)
 		}
 		if lsn, ok := parseSeqName(name, "ckpt-", ".ckpt"); ok {
 			if err = checkFormat(fsys, filepath.Join(opts.Dir, name), ckptMagic); err != nil {
-				return nil, nil, 0, stats, err
+				return nil, nil, 0, found, err
 			}
 			if lsn > ckptLSN {
 				ckptLSN = lsn
@@ -309,6 +324,11 @@ func openDiskWAL(opts DurabilityOptions, fresh uint64) (d *diskWAL, recs []Commi
 		}
 	}
 	sort.Slice(segFirsts, func(i, j int) bool { return segFirsts[i] < segFirsts[j] })
+	if found.ckpt, err = d.loadCheckpoint(); err != nil {
+		return nil, nil, 0, found, err
+	} else if found.ckpt != nil {
+		found.hist = History{{ID: found.ckpt.ID}}
+	}
 
 	// Scan retained segments in order, stopping at the first invalid frame.
 	next := LSN(1)
@@ -325,13 +345,13 @@ func openDiskWAL(opts DurabilityOptions, fresh uint64) (d *diskWAL, recs []Commi
 			continue
 		}
 		last := i == len(segFirsts)-1
-		segRecs, logID, validSize, segErr := readSegment(fsys, filepath.Join(opts.Dir, segName(first)))
-		if d.logID == 0 {
-			d.logID = logID
-		}
+		segRecs, segID, validSize, segErr := readSegment(fsys, filepath.Join(opts.Dir, segName(first)))
 		recs = append(recs, segRecs...)
 		if len(segRecs) > 0 {
 			next = segRecs[len(segRecs)-1].LSN + 1
+			if found.hist.At(first) != segID {
+				found.hist = append(found.hist, Incarnation{First: first, ID: segID})
+			}
 		} else if first >= next {
 			next = first
 		}
@@ -340,56 +360,35 @@ func openDiskWAL(opts DurabilityOptions, fresh uint64) (d *diskWAL, recs []Commi
 		case segErr == nil:
 		case errors.Is(segErr, io.ErrUnexpectedEOF) && last:
 			// Torn final record from the crash: cut it off.
-			stats.TornTail = true
+			found.TornTail = true
 			metrics.Default.Counter("storage.wal_torn_tail").Add(1)
 			if terr := d.cutSegment(segName(first), validSize); terr != nil {
-				return nil, nil, 0, stats, terr
+				return nil, nil, 0, found, terr
 			}
 			stop = true // (last segment anyway)
 		default:
 			// CRC failure, or a torn frame followed by more segments: the
 			// log is only trustworthy up to the last valid record.
-			stats.CRCErrors++
+			found.CRCErrors++
 			metrics.Default.Counter("storage.wal_crc_errors").Add(1)
 			if terr := d.cutSegment(segName(first), validSize); terr != nil {
-				return nil, nil, 0, stats, terr
+				return nil, nil, 0, found, terr
 			}
 			stop = true
 		}
 	}
 
-	if d.logID == 0 && ckptLSN > 0 {
-		// Every segment lost its header (a crash while the only one was
-		// created): the checkpoint still names the log.
-		img, cerr := d.loadCheckpoint()
-		if cerr != nil {
-			return nil, nil, 0, stats, cerr
-		}
-		if img != nil {
-			d.logID = img.LogID
-		}
+	if n := len(d.segs); n > 0 && d.segs[n-1].first == next {
+		d.segs = d.segs[:n-1]
 	}
-	if d.logID == 0 {
-		d.logID = fresh
-	}
-	if len(d.segs) == 0 {
-		if err = d.createSegmentLocked(next); err != nil {
-			return nil, nil, 0, stats, err
-		}
-	} else {
-		// Reopen the tail segment for appending.
-		tail := d.segs[len(d.segs)-1]
-		f, ferr := fsys.OpenAppend(filepath.Join(opts.Dir, tail.name))
-		if ferr != nil {
-			return nil, nil, 0, stats, ferr
-		}
-		d.f = f
-		d.segSize = segmentValidSize(recs, tail.first)
+	found.hist = append(found.hist, Incarnation{First: next, ID: id})
+	if err = d.createSegmentLocked(next); err != nil {
+		return nil, nil, 0, found, err
 	}
 	d.written = next - 1
 	d.durable = next - 1
 	d.bufEnd = next - 1
-	return d, recs, ckptLSN, stats, nil
+	return d, recs, ckptLSN, found, nil
 }
 
 // cutSegment truncates a segment to its valid prefix. A segment whose header
@@ -411,28 +410,11 @@ func (d *diskWAL) cutSegment(name string, validSize int64) error {
 	return d.fs.Truncate(path, validSize)
 }
 
-// segmentValidSize computes the byte size of the valid prefix of the tail
-// segment from the records it retained (header + framed payload sizes).
-func segmentValidSize(recs []CommitRecord, first LSN) int64 {
-	size := int64(segHeaderSize)
-	for i := range recs {
-		if recs[i].LSN < first {
-			continue
-		}
-		payload, err := encodeCommitRecord(&recs[i])
-		if err != nil {
-			continue
-		}
-		size += frameHeaderSize + int64(len(payload))
-	}
-	return size
-}
-
 // readSegment reads one segment's header and every valid frame after it.
-// logID is the header's (0 when the header is damaged); validSize is the byte
+// id is the header's (0 when the header is damaged); validSize is the byte
 // offset of the end of the last valid frame; err is nil for a clean read,
 // io.ErrUnexpectedEOF for a torn tail, errBadFrame for a CRC failure.
-func readSegment(fsys FS, path string) (recs []CommitRecord, logID uint64, validSize int64, err error) {
+func readSegment(fsys FS, path string) (recs []CommitRecord, id uint64, validSize int64, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, 0, 0, err
@@ -443,19 +425,19 @@ func readSegment(fsys FS, path string) (recs []CommitRecord, logID uint64, valid
 	if _, err := io.ReadFull(&r, hdr); err != nil || string(hdr[:len(segMagic)]) != segMagic {
 		return nil, 0, 0, errBadFrame
 	}
-	logID, validSize = binary.LittleEndian.Uint64(hdr[len(segMagic):]), int64(segHeaderSize)
+	id, validSize = binary.LittleEndian.Uint64(hdr[len(segMagic):]), int64(segHeaderSize)
 	for {
 		payload, ferr := readFrame(&r, 64<<20)
 		if ferr == io.EOF {
-			return recs, logID, validSize, nil
+			return recs, id, validSize, nil
 		}
 		if ferr != nil {
-			return recs, logID, validSize, ferr
+			return recs, id, validSize, ferr
 		}
 		rec, derr := decodeCommitRecord(payload)
 		if derr != nil {
 			// CRC passed but the record did not decode — treat as corruption.
-			return recs, logID, validSize, errBadFrame
+			return recs, id, validSize, errBadFrame
 		}
 		recs = append(recs, *rec)
 		validSize += frameHeaderSize + int64(len(payload))
@@ -669,7 +651,7 @@ func (d *diskWAL) createSegmentLocked(first LSN) error {
 	if err != nil {
 		return fmt.Errorf("storage: wal create segment: %w", err)
 	}
-	if _, err := f.Write(binary.LittleEndian.AppendUint64([]byte(segMagic), d.logID)); err != nil {
+	if _, err := f.Write(binary.LittleEndian.AppendUint64([]byte(segMagic), d.id)); err != nil {
 		f.Close()
 		return fmt.Errorf("storage: wal segment header: %w", err)
 	}

@@ -377,8 +377,6 @@ type noSyncFS struct{ FS }
 
 func (n noSyncFS) Create(name string) (File, error) { return noSync(n.FS.Create(name)) }
 
-func (n noSyncFS) OpenAppend(name string) (File, error) { return noSync(n.FS.OpenAppend(name)) }
-
 func noSync(f File, err error) (File, error) {
 	if err != nil {
 		return nil, err

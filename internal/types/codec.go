@@ -91,18 +91,6 @@ func AppendRow(buf []byte, row Row) []byte {
 	return buf
 }
 
-// RowEncSize is an upper estimate of AppendRow's output, for pre-sizing.
-func RowEncSize(row Row) int {
-	n := 2
-	for i := range row {
-		n += 10
-		if row[i].K == KindString {
-			n += int(row[i].nsec)
-		}
-	}
-	return n
-}
-
 // Decoder walks one encoded payload. Any overrun or malformed field sets Err
 // and sticks: every later read returns a zero value, so a caller checks Err
 // once per record instead of once per field. Every length is checked against

@@ -327,20 +327,20 @@ func (c *Client) Snapshot() ([]byte, error) {
 
 // Provision attaches an article to the subscription subName on the backend
 // (created on first use) as the feed of the cached view target: resumed at
-// from — the first LSN a restarted subscriber has not applied — when from > 0,
-// logID names the backend's log and the log still holds from, and seeded
-// otherwise, the answer carrying the initial population
+// from — the first LSN a restarted subscriber has not applied — when from > 0
+// and the backend's log still holds from, with id the ID of its position
+// from-1, and seeded otherwise, the answer carrying the initial population
 // (repl.Server.Provision). It is idempotent by (subName, target), so a
 // retried provision leaves neither an orphan subscription nor a second feed.
-func (c *Client) Provision(table string, columns []string, filter, subName, target string, logID uint64, from storage.LSN) (repl.Attachment, error) {
+func (c *Client) Provision(table string, columns []string, filter, subName, target string, id uint64, from storage.LSN) (repl.Attachment, error) {
 	var resp response
 	err := c.roundTrip(&request{
-		Kind: reqProvision, Table: table, Columns: columns, Filter: filter, SubName: subName, Target: target, LogID: logID, FromLSN: from,
+		Kind: reqProvision, Table: table, Columns: columns, Filter: filter, SubName: subName, Target: target, AppliedID: id, FromLSN: from,
 	}, &resp)
 	if err != nil {
 		return repl.Attachment{}, err
 	}
-	return repl.Attachment{SubID: resp.SubID, LogID: resp.LogID, StartLSN: resp.StartLSN, Resumed: resp.Resumed, Rows: resp.Rows}, nil
+	return repl.Attachment{SubID: resp.SubID, History: resp.History, StartLSN: resp.StartLSN, Resumed: resp.Resumed, Rows: resp.Rows}, nil
 }
 
 // Pull returns up to max pending transactions for a subscription, read from

@@ -59,16 +59,16 @@ type request struct {
 	Params map[string]types.Value
 
 	// Provision: the article (Table, Columns, Filter), the cache's
-	// subscription and the cached view the article feeds. (LogID, FromLSN)
-	// is the resume position: the first LSN a restarted subscriber has not
-	// applied, 0 to seed, and the ID of the backend's log it is a position of.
-	Table   string
-	Columns []string
-	Filter  string // deparsed predicate, "" = none
-	SubName string
-	Target  string
-	LogID   uint64
-	FromLSN storage.LSN
+	// subscription and the cached view the article feeds. (AppliedID,
+	// FromLSN) is the resume position: the first LSN a restarted subscriber
+	// has not applied, 0 to seed, and the ID of the LSN before it.
+	Table     string
+	Columns   []string
+	Filter    string // deparsed predicate, "" = none
+	SubName   string
+	Target    string
+	AppliedID uint64
+	FromLSN   storage.LSN
 
 	// Pull. AckLSN acknowledges every batch at or below it from the previous
 	// pull; the server deletes acknowledged batches and re-delivers
@@ -116,10 +116,10 @@ type response struct {
 	Snapshot []byte
 
 	// Provision. Resumed says the view was attached at the request's FromLSN
-	// with no rows; otherwise Rows is its initial population. LogID names the
-	// backend's log.
+	// with no rows; otherwise Rows is its initial population. History is the
+	// backend's from StartLSN-1 on.
 	SubID    int
-	LogID    uint64
+	History  storage.History
 	StartLSN storage.LSN
 	Resumed  bool
 
@@ -134,7 +134,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 11}
+var preface = [4]byte{'M', 'T', 'W', 12}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused
@@ -272,7 +272,7 @@ func appendRequest(buf []byte, req *request) []byte {
 		buf = types.AppendString(buf, req.Filter)
 		buf = types.AppendString(buf, req.SubName)
 		buf = types.AppendString(buf, req.Target)
-		buf = binary.LittleEndian.AppendUint64(buf, req.LogID)
+		buf = binary.LittleEndian.AppendUint64(buf, req.AppliedID)
 		buf = binary.AppendUvarint(buf, uint64(req.FromLSN))
 	case reqPull:
 		buf = binary.AppendVarint(buf, int64(req.SubID))
@@ -364,7 +364,7 @@ func decodeRequest(payload []byte, req *request, in interner) error {
 		req.Filter = d.Str()
 		req.SubName = d.Str()
 		req.Target = d.Str()
-		req.LogID = d.Fixed64()
+		req.AppliedID = d.Fixed64()
 		req.FromLSN = storage.LSN(d.Uvarint())
 	case reqPull:
 		req.SubID = int(d.Varint())
@@ -418,7 +418,11 @@ func appendResponse(buf []byte, resp *response) []byte {
 		}
 		buf = append(buf, resumed)
 		buf = binary.AppendVarint(buf, int64(resp.SubID))
-		buf = binary.LittleEndian.AppendUint64(buf, resp.LogID)
+		buf = binary.AppendUvarint(buf, uint64(len(resp.History)))
+		for _, inc := range resp.History {
+			buf = binary.AppendUvarint(buf, uint64(inc.First))
+			buf = binary.LittleEndian.AppendUint64(buf, inc.ID)
+		}
 		buf = binary.AppendUvarint(buf, uint64(resp.StartLSN))
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Rows)))
 		for _, row := range resp.Rows {
@@ -477,7 +481,9 @@ func decodeResponse(payload []byte, resp *response, hdrs headers, names interner
 		resumed := d.Byte()
 		resp.Resumed = resumed == 1
 		resp.SubID = int(d.Varint())
-		resp.LogID = d.Fixed64()
+		for n := d.Count(9); len(resp.History) < n; { // an entry takes nine bytes or more
+			resp.History = append(resp.History, storage.Incarnation{First: storage.LSN(d.Uvarint()), ID: d.Fixed64()})
+		}
 		resp.StartLSN = storage.LSN(d.Uvarint())
 		if n := d.Count(1); n > 0 {
 			resp.Rows = make([]types.Row, n)

@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func sampleRequests() map[string]*request {
 		"provision":        {Kind: reqProvision, ID: 6, Table: "part", Columns: []string{"id", "", "name"}, Filter: "(part.qty > 10)", SubName: "cache1.cv_part"},
 		"provision no col": {Kind: reqProvision, ID: 8, Table: "part", Columns: []string{}, SubName: "s"},
 		"provision from":   {Kind: reqProvision, ID: 9, Table: "part", Columns: []string{"id"}, SubName: "s", Target: "v", FromLSN: 1234567},
-		"provision log":    {Kind: reqProvision, ID: 21, Table: "part", SubName: "s", Target: "v", LogID: 0xfedcba9876543210, FromLSN: 72},
+		"provision log":    {Kind: reqProvision, ID: 21, Table: "part", SubName: "s", Target: "v", AppliedID: 0xfedcba9876543210, FromLSN: 72},
 		"pull":             {Kind: reqPull, ID: 10, SubID: 3, Max: 100, AckLSN: 42},
 		"pull negative":    {Kind: reqPull, ID: 11, SubID: -1, Max: -5},
 	}
@@ -71,8 +72,9 @@ func sampleResponses() map[string]*response {
 		"snapshot empty": {Kind: reqSnapshot, ID: 16, Snapshot: []byte{}},
 		"provision":      {Kind: reqProvision, ID: 17, SubID: 2, StartLSN: 77, Rows: []types.Row{sampleRow, nil, {}}},
 		"resumed":        {Kind: reqProvision, ID: 18, SubID: 3, StartLSN: 1234567, Resumed: true},
-		"provision log":  {Kind: reqProvision, ID: 21, SubID: 4, LogID: 0xfedcba9876543210, StartLSN: 72, Rows: []types.Row{sampleRow}},
-		"resumed log":    {Kind: reqProvision, ID: 22, SubID: 4, LogID: 1, StartLSN: 72, Resumed: true},
+		"provision history": {Kind: reqProvision, ID: 21, SubID: 4, StartLSN: 72, Rows: []types.Row{sampleRow},
+			History: storage.History{{First: 0, ID: 0xfedcba9876543210}, {First: 40, ID: 1}, {First: 1 << 40, ID: 1 << 63}}},
+		"resumed history": {Kind: reqProvision, ID: 22, SubID: 4, StartLSN: 72, Resumed: true, History: storage.History{{First: 71, ID: 1}}},
 		"pull": {Kind: reqPull, ID: 19, ThroughLSN: 90, Batches: []repl.TxnBatch{
 			{LSN: 80, CommitTime: time.Date(2003, 6, 9, 0, 0, 0, 0, pdt), Changes: []storage.ChangeRec{
 				{Table: "part", Op: storage.OpInsert, After: sampleRow},
@@ -338,6 +340,26 @@ func TestFrameRoundTrip(t *testing.T) {
 			if valid := resumed == 1 && rows == nil; (err == nil) != valid {
 				t.Errorf("provision answer with Resumed byte %d and %d rows: %v", resumed, len(rows), err)
 			}
+		}
+	}
+}
+
+// TestProvisionHistoryCountIsBounded: a Provision answer's history count comes
+// from the peer, so it is checked against the bytes left in the frame before
+// anything is sized — an entry takes at least nine — and a count the frame
+// cannot fill is refused.
+func TestProvisionHistoryCountIsBounded(t *testing.T) {
+	one := storage.History{{First: 71, ID: 0xfedcba9876543210}}
+	frame := appendResponse(nil, &response{Kind: reqProvision, ID: 1, SubID: 2, History: one, StartLSN: 72})
+	const at = 7 // ID, kind, flags, N, LSN, Resumed and SubID take a byte each
+	var got response
+	if err := decodeResponse(frame, &got, headers{}, interner{}); err != nil || frame[at] != 1 || !reflect.DeepEqual(got.History, one) {
+		t.Fatalf("count byte %d, decoded history %v (%v); want 1 and %v", frame[at], got.History, err, one)
+	}
+	for _, n := range []uint64{2, 1 << 40} {
+		bad := append(binary.AppendUvarint(slices.Clone(frame[:at]), n), frame[at+1:]...)
+		if err := decodeResponse(bad, &got, headers{}, interner{}); err == nil {
+			t.Errorf("a history count of %d in a frame that holds one entry decoded: %v", n, got.History)
 		}
 	}
 }
@@ -706,6 +728,7 @@ func TestPrefaceRefusesOtherProtocols(t *testing.T) {
 		"v8":            {'M', 'T', 'W', 8, 0, 0, 0, 0},  // kinds 4 Resume and 5 Applied, and the Applied header, until v9
 		"v9":            {'M', 'T', 'W', 9, 0, 0, 0, 0},  // no log ID in Provision, no string-byte count in a result set, until v10
 		"v10":           {'M', 'T', 'W', 10, 0, 0, 0, 0}, // a grant list in the snapshot, until v11
+		"v11":           {'M', 'T', 'W', 11, 0, 0, 0, 0}, // one log ID in a Provision answer, not a history, until v12
 		"http":          []byte("GET / HTTP/1.1\r\n\r\n"),
 	}
 

@@ -17,9 +17,10 @@ import (
 // tables and through warmed ones, as a client connection's is, into a
 // recycled slot's spare slices: no table changes what a frame means.
 func FuzzFrameDecode(f *testing.F) {
-	// Seed with real frames of every kind (the Provision request and answer
-	// with v10's log ID among them; a snapshot answer's bytes are opaque
-	// here, so v11's layout adds no seed), one that names a parameter twice, one with
+	// Seed with real frames of every kind (the Provision request with v10's
+	// ID and answers with v12's history of one entry and of three among them;
+	// a snapshot answer's bytes are opaque here, so v11's layout adds no
+	// seed), one that names a parameter twice, one with
 	// v7's span flag, v8's Resume request and Applied answer, and result sets
 	// declaring a string byte more and one fewer than they hold: whole,
 	// halved, minus the last byte, minus the first.

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -439,6 +441,175 @@ func TestDurableBackendRestartReattaches(t *testing.T) {
 	if seeded.Value() != seeded0+1 || resumed.Value() != resumed0+1 || reattached.Value() != reattached0+2 {
 		t.Fatalf("re-attached %d times, resuming %d views and seeding %d; want 2, 1 and 1",
 			reattached.Value()-reattached0, resumed.Value()-resumed0, seeded.Value()-seeded0)
+	}
+
+	// Two restarts, each with a commit, while the cache pulls nothing: the
+	// re-attach resumes, and its answer names the positions both incarnations
+	// wrote past the cache, so that after a third restart the cache resumes
+	// again from a position the last of them wrote.
+	seeded0, resumed0, reattached0 = seeded.Value(), resumed.Value(), reattached.Value()
+	for id := 44; id <= 45; id++ {
+		restart()
+		exec(fmt.Sprintf("INSERT INTO part (id, name, type, qty) VALUES (%d, 'p', 'Tire', 1)", id))
+	}
+	current("after two restarts, each with a commit")
+	restart()
+	exec("INSERT INTO part (id, name, type, qty) VALUES (46, 'p', 'Tire', 1)")
+	current("after a third restart")
+	if seeded.Value() != seeded0 || resumed.Value() != resumed0+2 || reattached.Value() != reattached0+2 {
+		t.Fatalf("re-attached %d times, resuming %d views and seeding %d; want 2, 2 and 0",
+			reattached.Value()-reattached0, resumed.Value()-resumed0, seeded.Value()-seeded0)
+	}
+}
+
+// TestRestoredBackendReseedsACacheAheadOfIt: durable backend A holds 50 parts,
+// qty = id, and its closed directory is copied — the backup. A cache of A
+// pulls ten updates (qty = 1000 + id for ids 1–10), and A closes. Backend B
+// opens the backup, commits 20 other updates and serves on A's address. When
+// the backup was taken before the cache's position, B's log holds that
+// position with other commits in it, written under an ID the cache never saw:
+// the re-attach seeds the view from B, and the cache reads B's qty. When the
+// backup was taken after it, B's log holds the commits the cache applied, and
+// the cache resumes.
+func TestRestoredBackendReseedsACacheAheadOfIt(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		backupAfter bool
+		qty1        int64 // id 1's qty in B
+	}{
+		{"backup before the cache's position", false, 1},
+		{"backup after the cache's position", true, 1001},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, backup := t.TempDir(), t.TempDir()
+			open := func(dir string) *core.BackendServer {
+				t.Helper()
+				b, err := core.NewBackendDurable("backend", storage.DurabilityOptions{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { b.DB.CloseStore() }) //nolint:errcheck
+				return b
+			}
+			exec := func(b *core.BackendServer, text string) {
+				t.Helper()
+				if _, err := b.Exec(text, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			copyDir := func() {
+				t.Helper()
+				names, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range names {
+					data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+					if err == nil {
+						err = os.WriteFile(filepath.Join(backup, e.Name()), data, 0o644)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			a := open(dir)
+			exec(a, "CREATE TABLE part (id INT PRIMARY KEY, name VARCHAR(40) NOT NULL, type VARCHAR(20), qty INT)")
+			for i := 1; i <= 50; i++ {
+				exec(a, fmt.Sprintf("INSERT INTO part (id, name, type, qty) VALUES (%d, 'p', 'Tire', %d)", i, i))
+			}
+			if !tc.backupAfter {
+				if err := a.DB.CloseStore(); err != nil {
+					t.Fatal(err)
+				}
+				copyDir()
+				a = open(dir)
+			}
+			srv, err := Serve(a, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := srv.Addr()
+			policy := resilience.DefaultPolicy()
+			policy.MaxAttempts = 20
+			policy.BaseDelay = 2 * time.Millisecond
+			policy.MaxDelay = 20 * time.Millisecond
+			client, err := DialResilient(addr, policy, metrics.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			rc, err := NewRemoteCache("cache", client, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rc.CreateCachedView("CREATE CACHED VIEW tires AS SELECT id, qty FROM part WHERE type = 'Tire'"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 10; i++ {
+				exec(a, fmt.Sprintf("UPDATE part SET qty = %d WHERE id = %d", 1000+i, i))
+			}
+			for range 2 { // apply, then acknowledge
+				if _, err := rc.Pull(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, end := rc.AppliedLSN(), a.DB.Store().VisibleEnd(); got != end-1 {
+				t.Fatalf("the cache stands at %d, A's log ends at %d", got, end)
+			}
+			srv.Close()
+			if err := a.DB.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.backupAfter {
+				copyDir()
+			}
+
+			b := open(backup)
+			for i := 21; i <= 40; i++ {
+				exec(b, fmt.Sprintf("UPDATE part SET qty = %d WHERE id = %d", 2000+i, i))
+			}
+			if end := b.DB.Store().VisibleEnd(); end <= rc.AppliedLSN()+1 {
+				t.Fatalf("B's log ends at %d, the cache stands at %d: the case lost its point", end, rc.AppliedLSN())
+			}
+			srv2, err := Serve(b, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv2.Close)
+
+			seeded := metrics.Default.Counter("wire.view_seeded")
+			resumed := metrics.Default.Counter("wire.view_resumed")
+			seeded0, resumed0 := seeded.Value(), resumed.Value()
+			for range 2 {
+				if _, err := rc.Pull(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := [2]int64{1, 0} // seeded, resumed
+			if tc.backupAfter {
+				want = [2]int64{0, 1}
+			}
+			if got := [2]int64{seeded.Value() - seeded0, resumed.Value() - resumed0}; got != want {
+				t.Fatalf("the re-attach to B seeded %d views and resumed %d; want %d and %d", got[0], got[1], want[0], want[1])
+			}
+			for _, id := range []int{1, 30} {
+				res, err := rc.DB.Exec(fmt.Sprintf("SELECT qty FROM tires WHERE id = %d", id), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bres, err := b.Exec(fmt.Sprintf("SELECT qty FROM part WHERE id = %d", id), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != 1 || len(bres.Rows) != 1 || res.Rows[0][0].Int() != bres.Rows[0][0].Int() {
+					t.Fatalf("the cache reads qty %v for id %d; B holds %v", res.Rows, id, bres.Rows)
+				}
+			}
+			if res, err := rc.DB.Exec("SELECT qty FROM tires WHERE id = 1", nil); err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != tc.qty1 {
+				t.Fatalf("the cache reads qty %v for id 1 (%v); want %d", res.Rows, err, tc.qty1)
+			}
+		})
 	}
 }
 

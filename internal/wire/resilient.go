@@ -201,12 +201,12 @@ func (r *ResilientClient) Snapshot() ([]byte, error) {
 }
 
 // Provision attaches a cached view's article to the cache's pull
-// subscription, resumed at (logID, from) or seeded (idempotent by
+// subscription, resumed at (id, from) or seeded (idempotent by
 // subscription and view name: retried).
-func (r *ResilientClient) Provision(table string, columns []string, filter, subName, target string, logID uint64, from storage.LSN) (repl.Attachment, error) {
+func (r *ResilientClient) Provision(table string, columns []string, filter, subName, target string, id uint64, from storage.LSN) (repl.Attachment, error) {
 	var a repl.Attachment
 	err := r.do(true, func(c *Client) (err error) {
-		a, err = c.Provision(table, columns, filter, subName, target, logID, from)
+		a, err = c.Provision(table, columns, filter, subName, target, id, from)
 		return err
 	})
 	return a, err

@@ -1,5 +1,5 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v11) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v12) carrying
 //
 //   - Query — the linked-server path (paper §2.1): remote subexpressions,
 //     forwarded writes and forwarded procedure calls travel as SQL text (or a
@@ -12,9 +12,9 @@
 //   - Snapshot — the shadow-database setup payload (§4);
 //   - Provision / Pull — the pull subscription (§2.2): a cache has one,
 //     provisions an article of it for each cached view — resumed at the
-//     position a restarted cache asks for when the backend's log is the one
-//     the position is in (the request names it by its log ID) and still
-//     holds it, seeded with the view's initial population otherwise — and then
+//     position a restarted cache asks for when the backend's log holds it
+//     under the ID the request names (the ID of the incarnation that wrote
+//     it), seeded with the view's initial population otherwise — and then
 //     periodically pulls committed transactions, each carrying every view's
 //     share. The server answers them with core.BackendServer's publisher
 //     methods.
@@ -31,7 +31,7 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x0b
+//	preface, once, each direction: 'M' 'T' 'W' 0x0c
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
@@ -48,9 +48,9 @@
 //	    Snapshot          —
 //	    Provision         string Table, uvarint #columns, per column: string,
 //	                      string Filter, string SubName, string Target,
-//	                      uint64 LogID, 8 bytes LE (the log FromLSN is a
-//	                      position of; since v10), uvarint FromLSN (0: seed;
-//	                      since v9)
+//	                      uint64 AppliedID, 8 bytes LE (the ID of position
+//	                      FromLSN-1; since v10, through v11 the log's ID),
+//	                      uvarint FromLSN (0: seed; since v9)
 //	    Pull              varint SubID, varint Max, uvarint AckLSN
 //
 //	response payload:
@@ -70,7 +70,9 @@
 //	                   stats, procs; through v10 a grant list between
 //	                   stats and procs; since v5, gob before it)
 //	    Provision    byte Resumed (0 or 1; since v9), varint SubID,
-//	                 uint64 LogID, 8 bytes LE (the backend's; since v10),
+//	                 uvarint #history, per entry: uvarint First, uint64 ID,
+//	                 8 bytes LE (the backend's history from StartLSN-1 on;
+//	                 since v12, in v10 and v11 one uint64 log ID),
 //	                 uvarint StartLSN, uvarint #rows (0 when resumed), rows
 //	    Pull         uvarint ThroughLSN, uvarint #batches, per batch:
 //	                   uvarint LSN, varint CommitTime (unix nanoseconds), changes
@@ -407,8 +409,8 @@ func (s *Server) publish(x *exchange) (err error) {
 		resp.Snapshot = s.backend.Snapshot().Encode()
 	case reqProvision:
 		var a repl.Attachment
-		a, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName, req.Target, req.LogID, req.FromLSN)
-		resp.SubID, resp.LogID, resp.StartLSN, resp.Resumed, resp.Rows = a.SubID, a.LogID, a.StartLSN, a.Resumed, a.Rows
+		a, err = s.backend.Provision(req.Table, req.Columns, req.Filter, req.SubName, req.Target, req.AppliedID, req.FromLSN)
+		resp.SubID, resp.History, resp.StartLSN, resp.Resumed, resp.Rows = a.SubID, a.History, a.StartLSN, a.Resumed, a.Rows
 	case reqPull:
 		x.slabs = pullSlabs.Get().(*repl.Slabs)
 		resp.Batches, resp.ThroughLSN, err = s.backend.Repl.PullInto(x.slabs, req.SubID, req.Max, req.AckLSN)

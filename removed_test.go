@@ -155,6 +155,9 @@ var removedNames = []struct {
 	{`\bIndexMeta\(`, `^internal/storage/`, "nothing: no code called it"},
 	{`\bIsWrite\(`, `^internal/storage/`, "nothing: no code called it (the store reads Txn.write)"},
 	{`func \(t \*Txn\) ID\(`, `^internal/storage/`, "nothing: no code called it (the store reads Txn.id)"},
+	{`\bLogID\(\)`, "", "a position named by the incarnation that wrote it (storage.Store.IDAt)"},
+	{`OpenAppend`, "", "each open starts a segment of its own, and no segment is written again once closed"},
+	{`segmentValidSize`, "", "each open starts a segment of its own, and no segment is written again once closed"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
