@@ -53,12 +53,13 @@ func (db *Database) execDML(stmt keyed, e *planEntry, params exec.Params, autoAr
 }
 
 // forward sends a statement a cache does not run itself to the backend, and
-// answers what the backend did: its rows, row count and commit LSN. It is the
-// one way out for a client DML statement and for a call the cache holds no
-// read-only copy of, sent as it arrived: text is the statement's or the
-// call's shape, whose values are in params. It changes nothing on the cache:
-// a write reaches the cache's views, and through them its result cache, only
-// by replication apply.
+// answers what the backend did: its rows, row count and commit LSN, in the
+// storage they were decoded into, which the Result's slab adopts and its
+// Release recycles. It is the one way out for a client DML statement and for
+// a call the cache holds no read-only copy of, sent as it arrived: text is
+// the statement's or the call's shape, whose values are in params. It
+// changes nothing on the cache: a write reaches the cache's views, and
+// through them its result cache, only by replication apply.
 func (db *Database) forward(text string, params exec.Params, rec *trace.Record) (*Result, error) {
 	if db.remote == nil {
 		return nil, fmt.Errorf("engine: cache has no backend link for forwarding")
@@ -70,6 +71,8 @@ func (db *Database) forward(text string, params exec.Params, rec *trace.Record) 
 	}
 	res := NewResult()
 	res.Cols, res.Rows, res.RowsAffected, res.CommitLSN = rs.Cols, rs.Rows, rs.RowsAffected, rs.CommitLSN
+	res.slab = answerSlabs.Get().(*exec.Slab)
+	res.slab.Adopt(rs)
 	return res, nil
 }
 

@@ -418,11 +418,13 @@ func (db *Database) env() *opt.Env {
 
 // Result is the outcome of one statement. It is its caller's: to keep, or to
 // Release once nothing reads it, which lets the next statement reuse the
-// struct and the storage it owns — the row slice runPlan filled and the slab
-// the values of the rows it built were carved from, or the row and value
-// slices a client decoded an answer into (Spare, Own). After Release nothing
-// the Result returned, its rows and their values included, may be read: a
-// holder that keeps rows past it copies them, as the result cache does.
+// struct and the storage it owns — the row headers runPlan filled and the
+// slab the values of the rows it built were carved from, with the remote
+// answers the plan read; or the row headers, values and string bytes a client
+// decoded an answer into (Store). After Release nothing the Result returned,
+// its rows, their values and the bytes of their strings included, may be
+// read: a holder that keeps rows past it copies them, strings included, as
+// the result cache does.
 type Result struct {
 	// Set for queries.
 	Cols []exec.ColInfo
@@ -452,84 +454,58 @@ type Result struct {
 	// arrive as text: ExecStmt.
 	TraceID uint64
 
-	// kept is the row slice this Result may recycle: the one runPlan filled
-	// Rows into, or the one a released Result kept for the next runPlan to
-	// fill. It is never the rows of a result-cache entry. vals is the value
-	// slice a client decoded the rows of a routed answer into, kept with it
-	// (Own). slab is the one runPlan's operators carved the values of the
-	// rows they built from, taken from answerSlabs.
-	kept []types.Row
-	vals []types.Value
+	// Store is the storage this Result owns and recycles: the row headers
+	// runPlan filled Rows into, or the ones a released Result kept for the
+	// next runPlan to fill; or the row headers, values and string bytes a
+	// client decoded an answer into (wire.Client.QueryInto). It never holds
+	// the rows of a result-cache entry. Nothing but the Result's holder, and
+	// a decoder it lends Store to, may write it.
+	Store exec.Answer
+
+	// slab is the one runPlan's operators carved the values of the rows they
+	// built from, taken from answerSlabs, with the remote answers the plan
+	// read; a forwarded statement's answer is adopted by one too.
 	slab *exec.Slab
 }
 
-// results holds released Results, each with the row and value slices it
-// kept.
+// results holds released Results, each with the storage it kept (Store).
 var results = sync.Pool{New: func() any { return new(Result) }}
 
 // answerSlabs holds the value slabs of released Results, apart from the
 // Results: a caller that keeps its Result takes no slab out of circulation.
 var answerSlabs = sync.Pool{New: func() any { return new(exec.Slab) }}
 
-// exec.KeepRows and keepVals bound the row and value slices a released
-// Result keeps and the slabs answerSlabs holds; a bigger one (a scan of
-// thousands of rows) is dropped, so what the pools hold per Result stays
-// small whatever an occasional statement returns. runPlan sizes a row slice
-// past exec.KeepRows only for a plan instance that has returned that many
-// rows.
-const keepVals = 8 * exec.KeepRows
-
-// NewResult takes an empty Result from the pool, with the row and value
-// slices a released one kept: what a statement executed here, or a client
-// decoding an answer (Spare, Own), fills.
+// NewResult takes an empty Result from the pool, with the storage a released
+// one kept: what a statement executed here, or a client decoding an answer
+// (Store), fills.
 func NewResult() *Result { return results.Get().(*Result) }
 
-// Spare returns the row and value slices res may recycle, emptied, for a
-// decoder to fill. res keeps them until Own replaces them.
-func (res *Result) Spare() ([]types.Row, []types.Value) { return res.kept[:0], res.vals[:0] }
-
-// Own makes rows and vals the slices res recycles on Release: the row slice
-// a decoder cut res.Rows from and the values behind those rows, or its Spare
-// slices back if it used none. Nothing else may write to them afterwards.
-// Own(nil, nil) forfeits the slices res held, when something else may still
-// write to them.
-func (res *Result) Own(rows []types.Row, vals []types.Value) { res.kept, res.vals = rows, vals }
-
-// Release hands res back for reuse; res, every slice it returned and the
-// values of its rows may not be read afterwards. It always recycles the
-// struct with the row slice res owns — the one runPlan filled, or a client
-// decoded into with the values behind it — and hands the slab runPlan's
-// operators carved values from back to answerSlabs, cleared (exec.Slab.Reset
-// sizes it). A result-cache hit's rows belong to the cache. Releasing is
-// optional — a Result nobody releases is collected as usual — and a nil
-// Result is ignored.
+// Release hands res back for reuse; res, every slice it returned, the values
+// of its rows and the bytes of their strings may not be read afterwards. It
+// always recycles the struct with the storage res owns (Store, reset within
+// exec.KeepRows, exec.KeepVals and exec.KeepStrs), and hands the slab back to
+// answerSlabs, reset, with the remote answers it adopted (exec.Slab.Reset). A
+// result-cache hit's rows belong to the cache. Releasing is optional — a
+// Result nobody releases is collected as usual — and a nil Result is ignored.
 func (res *Result) Release() {
 	if res == nil {
 		return
 	}
-	rows, vals := res.kept, res.vals
-	if cap(rows) > exec.KeepRows {
-		rows = nil
-	}
-	if cap(vals) > keepVals {
-		vals = nil
-	}
-	clear(rows[:cap(rows)])
-	clear(vals[:cap(vals)])
+	res.Store.Reset()
 	if res.slab != nil {
-		res.slab.Reset(keepVals)
+		res.slab.Reset()
 		answerSlabs.Put(res.slab)
 	}
-	*res = Result{kept: rows[:0], vals: vals[:0]}
+	*res = Result{Store: res.Store}
 	results.Put(res)
 }
 
 // takeRows makes r's rows res's answer: res takes r's columns, rows, the
-// slice r may recycle and the slab their values were carved from, and gives
-// r the ones it held, which r's Release then recycles.
+// storage r owns and the slab their values were carved from, and gives r the
+// ones it held, which r's Release then recycles.
 func (res *Result) takeRows(r *Result) {
 	res.Cols, res.Rows = r.Cols, r.Rows
-	res.kept, r.kept = r.kept, res.kept
+	res.Store, r.Store = r.Store, res.Store
 	res.slab, r.slab = r.slab, res.slab
 }
 
@@ -955,7 +931,7 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 		shell = exec.Instrument(root)
 		root = shell
 	}
-	rs := exec.ResultSet{Rows: res.kept}
+	rs := exec.ResultSet{Rows: res.Store.Rows()}
 	err := exec.Run(root, ctx, &rs)
 	rec.Mark(trace.StageExec)
 	res.SnapshotLSN = tx.AsOfLSN()
@@ -970,7 +946,8 @@ func (db *Database) runPlan(tx *storage.Txn, plan *opt.Plan, params exec.Params,
 	if !instrument {
 		plan.Instances.Release(inst)
 	}
-	res.Cols, res.Rows, res.kept = rs.Cols, rs.Rows, rs.Rows
+	res.Cols, res.Rows = rs.Cols, rs.Rows
+	res.Store.Hold(rs.Rows)
 	rec.Rows, rec.Counters = int64(len(rs.Rows)), res.Counters
 	return res, shell, nil
 }

@@ -160,7 +160,7 @@ func TestResultEntrySharedIffTwinShapeAndValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprintf("%#v", res.Rows) != fmt.Sprintf("%#v", ref.Rows) {
+		if !slices.EqualFunc(res.Rows, ref.Rows, func(x, y types.Row) bool { return slices.EqualFunc(x, y, types.Identical) }) {
 			t.Fatalf("%s %v: answered %v, want %v", b.text, b.params, res.Rows, ref.Rows)
 		}
 	}

@@ -17,9 +17,11 @@ const BatchSize = 64
 // lifetimes:
 //
 //   - Storage: forever. MVCC row versions read by Scan, IndexScan and
-//     IndexJoin, and the rows Remote decoded off the wire, are never written
-//     again and never copied; anyone may keep them.
-//   - Result: the life of the Result. An operator that builds its own output
+//     IndexJoin are never written again and never copied; anyone may keep
+//     them.
+//   - Result: the life of the Result. The rows Remote decoded off the wire
+//     live in storage the execution's Slab adopts (Slab.Adopt), values and
+//     strings alike. An operator that builds its own output
 //     rows (passesRows is false: Project, the joins, the aggregates) carves
 //     them from a rowArena. When those rows are what the root emits — the
 //     operator is the root, or everything between it and the root passes rows
@@ -28,10 +30,10 @@ const BatchSize = 64
 //     execution's Slab (Ctx.Slab; made one by one when there is none), every
 //     durable batch gets a chunk that is never written again within the
 //     execution, and the operator forgets it when the instance is released
-//     (reset(true)). The slab's owner (engine.Result) clears and recycles it
-//     once nothing reads the rows, so a holder that keeps rows past that
-//     point copies them: the intermediate-result cache does, at admission
-//     and refresh.
+//     (reset(true)). The slab's owner (engine.Result) clears and recycles it,
+//     adopted answers included, once nothing reads the rows, so a holder
+//     that keeps rows past that point copies them, strings included: the
+//     intermediate-result cache does, at admission and refresh.
 //   - Instance: until release. Every other buffer — an arena whose rows are
 //     consumed inside the tree, batch windows, key scratch, sort buffers, hash
 //     and aggregate tables — belongs to the plan
@@ -98,13 +100,16 @@ func wipe[S ~[]T, T any](s *S) int {
 // arenas that build the rows the root emits (the operators resetTree reaches
 // with result true) at it, and they carve their chunks from its unused tail,
 // front to back, instead of making them; a chunk that does not fit is made on
-// its own, and the slab counts what the execution needed either way. The
-// carved values are the result's: whoever holds the slab may Reset it for
-// another execution only once nothing reads those rows.
+// its own, and the slab counts what the execution needed either way. It also
+// keeps the remote answers the execution read (Adopt), whose rows may be the
+// result's too. The carved values and the adopted answers are the result's:
+// whoever holds the slab may Reset it for another execution only once nothing
+// reads those rows.
 type Slab struct {
-	vals []types.Value
-	used int // values carved from vals
-	need int // values the execution's result arenas asked for, carved or made
+	vals    []types.Value
+	used    int        // values carved from vals
+	need    int        // values the execution's result arenas asked for, carved or made
+	answers *ResultSet // the adopted remote answers, linked through next
 }
 
 // carve returns n values of s, or made ones when s is nil or too short.
@@ -121,20 +126,35 @@ func (s *Slab) carve(n int) []types.Value {
 	return v
 }
 
+// Adopt makes the storage of rs, a remote answer the execution read, the
+// slab's: Reset recycles it. A ResultSet that did not come from the pool
+// (NewResultSet), or a nil slab, leaves rs to the collector.
+func (s *Slab) Adopt(rs *ResultSet) {
+	if s != nil && rs.pooled {
+		rs.next, s.answers = s.answers, rs
+	}
+}
+
 // Reset readies s for another execution once nothing reads what was carved
-// from it, which it zeroes. A slab too small for the execution just ended is
-// replaced by one the size that execution needed, so the next like it carves
-// everything; no slab of more than keep values is kept (nor made).
-func (s *Slab) Reset(keep int) {
+// from it, which it zeroes, nor the answers it adopted, which it recycles. A
+// slab too small for the execution just ended is replaced by one the size
+// that execution needed, so the next like it carves everything; no slab of
+// more than KeepVals values is kept (nor made).
+func (s *Slab) Reset() {
 	switch {
-	case s.need > len(s.vals) && s.need <= keep:
+	case s.need > len(s.vals) && s.need <= KeepVals:
 		s.vals = make([]types.Value, s.need)
-	case len(s.vals) > keep:
+	case len(s.vals) > KeepVals:
 		s.vals = nil
 	default:
 		clear(s.vals[:s.used])
 	}
-	s.used, s.need = 0, 0
+	for rs := s.answers; rs != nil; {
+		next := rs.next
+		rs.Recycle()
+		rs = next
+	}
+	s.used, s.need, s.answers = 0, 0, nil
 }
 
 // rowArena carves fixed-width output rows out of batch-sized chunks,

@@ -24,11 +24,22 @@ type ColInfo struct {
 // query, the row count of a write, and the backend commit position of any
 // write the statement performed (0 for pure reads). A session router uses the
 // commit LSN to advance a session's read-your-writes watermark.
+//
+// A wire client's ResultSet comes from a pool (NewResultSet) and carries the
+// storage its rows, their values and their strings were decoded into
+// (Store): nothing its rows hold may be read once whoever adopted it — a
+// Slab, through a Remote, or a forwarding cache's Result — is reset or
+// released, and a holder that keeps rows past that copies them, strings
+// included, as the result cache does.
 type ResultSet struct {
 	Cols         []ColInfo
 	Rows         []types.Row
 	RowsAffected int64
 	CommitLSN    storage.LSN
+	Store        Answer // the storage Rows were decoded into, for a pooled ResultSet
+
+	pooled bool       // taken from resultSets (NewResultSet), and put back by Recycle
+	next   *ResultSet // the Slab list of adopted ResultSets this one is on
 }
 
 // RemoteClient executes SQL on a linked server: the Remote operator's
@@ -1389,7 +1400,7 @@ func (r *Remote) clone() Operator {
 
 // reset keeps the parameter map, emptied, so a parked instance pins no
 // value; the rows are the remote result's, decoded once and handed on as
-// they are.
+// they are, and their storage is the execution's Slab's (Open).
 func (r *Remote) reset(bool) int {
 	n := len(r.sent) * paramEntryBytes
 	clear(r.sent)
@@ -1435,6 +1446,7 @@ func (r *Remote) Open(ctx *Ctx) error {
 	}
 	r.rows = rs.Rows
 	r.pos = 0
+	ctx.Slab.Adopt(rs)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package histcheck
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -167,10 +168,7 @@ func (r *recorder) restart(outlive bool) {
 		if err != nil {
 			t.Fatalf("after a restart: %s: %v", text, err)
 		}
-		c := Call{Session: -1, Text: text, Restart: true}
-		for _, row := range res.Rows {
-			c.Rows = append(c.Rows, slices.Clone(row))
-		}
+		c := Call{Session: -1, Text: text, Restart: true, Rows: keep(res.Rows)}
 		res.Release()
 		r.record(c)
 	}
@@ -201,12 +199,12 @@ func (r *recorder) conn(id int) *core.Conn {
 		if err != nil {
 			return nil, fmt.Errorf("session %d: %s: %w", id, text, err)
 		}
-		c := Call{Session: id, Text: text, Params: params, Write: write,
+		// The application refills its map for its next call (tpcw.Session),
+		// and res goes back to its pool with its rows' values and strings.
+		c := Call{Session: id, Text: text, Params: maps.Clone(params), Write: write,
 			RowsAffected: res.RowsAffected, CommitLSN: res.CommitLSN}
 		if !write {
-			for _, row := range res.Rows {
-				c.Rows = append(c.Rows, slices.Clone(row)) // res goes back to its pool
-			}
+			c.Rows = keep(res.Rows)
 		}
 		r.record(c)
 		return res, nil
@@ -218,6 +216,22 @@ func (r *recorder) conn(id int) *core.Conn {
 		func(proc string, params exec.Params) (*engine.Result, error) {
 			return send(sql.CallShape(proc, params), params, r.backend.DB.Catalog().Procedure(proc).Writes())
 		})
+}
+
+// keep copies rows, the bytes of their strings included, out of the Result
+// that holds them, which recycles both once released.
+func keep(rows []types.Row) []types.Row {
+	var kept []types.Row
+	for _, row := range rows {
+		row = slices.Clone(row)
+		for i, v := range row {
+			if v.K == types.KindString {
+				row[i] = types.NewString(strings.Clone(v.Str()))
+			}
+		}
+		kept = append(kept, row)
+	}
+	return kept
 }
 
 // record adds c, answered just now, to the history, with the backend log's

@@ -21,10 +21,10 @@
 // never sees the cache, so nothing that happens here — admit, stale,
 // refresh, evict — can invalidate a cached plan.
 //
-// An admission or a refresh copies the rows into arrays of exactly their size
-// (their strings are shared; nothing writes a string): the caller's rows are
-// carved from storage it recycles once it has answered (engine.Result), and
-// an entry never keeps a recycled array.
+// An admission or a refresh copies the rows into arrays of exactly their size,
+// their strings into one of their own: the caller's rows, their values and
+// the bytes of their strings live in storage it recycles once it has
+// answered (engine.Result), and an entry never keeps a recycled array.
 //
 // Each shape learns whether the tier pays for it (Roy et al., "Don't Trash
 // your Intermediate Results, Cache 'em"). An admission costs a copy, and a
@@ -336,17 +336,30 @@ func (c *Cache) Observe(obs Observation, vals []types.Value) bool {
 	return true
 }
 
-// ownRows copies rows into two arrays of exactly their size, one of row
-// headers and one of values; strings are shared.
+// ownRows copies rows into three allocations of exactly their size: one of
+// row headers, one of values and one string every string value is cut from.
+// Nothing of it is shared with rows, whose storage — values and string bytes
+// alike — their Result recycles on release.
 func ownRows(rows []types.Row) []types.Row {
-	n := 0
+	n, size := 0, 0
 	for _, r := range rows {
 		n += len(r)
+		for i := range r {
+			size += len(r[i].Str())
+		}
 	}
+	var sb strings.Builder
+	sb.Grow(size) // room for every string: its bytes never move once written
 	vals, out := make([]types.Value, n), make([]types.Row, len(rows))
 	for i, r := range rows {
 		k := copy(vals, r)
 		out[i], vals = vals[:k:k], vals[k:]
+		for j, v := range out[i] {
+			if s := v.Str(); s != "" {
+				sb.WriteString(s)
+				out[i][j] = types.NewString(sb.String()[sb.Len()-len(s):])
+			}
+		}
 	}
 	return out
 }

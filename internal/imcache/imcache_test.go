@@ -340,7 +340,9 @@ func TestLookupServesOnlyItsValues(t *testing.T) {
 // values, so it copies none; one that admits or refreshes copies them,
 // strings included, so the entry still serves its values after the caller
 // has overwritten its buffer and the bytes of its strings, as a pooled
-// normalizer or a wire frame does.
+// normalizer or a wire frame does. It copies its rows' strings too, which
+// live in storage their Result recycles on release: the entry's rows still
+// read the same after the caller has overwritten the bytes behind them.
 func TestObserveCopiesOnlyWhatItKeeps(t *testing.T) {
 	buf := []byte("alpha")
 	vals := []types.Value{types.NewInt(7), types.NewString(unsafe.String(&buf[0], len(buf)))}
@@ -348,6 +350,10 @@ func TestObserveCopiesOnlyWhatItKeeps(t *testing.T) {
 	k := KeyOf("s", vals)
 	o := obs("s", 2, 50, "item")
 	o.Key = k
+	strs := []byte("betagamma")
+	o.Rows[0] = types.Row{types.NewInt(0), types.NewString(unsafe.String(&strs[0], 4))}
+	o.Rows[1] = types.Row{types.NewInt(1), types.NewString(unsafe.String(&strs[4], 5))}
+	rowsRead := func(rows []types.Row) string { return rows[0][1].Str() + "|" + rows[1][1].Str() }
 
 	c := New(Options{AdmitAfter: 1000})
 	c.Observe(o, vals) // tracks the candidate
@@ -365,8 +371,11 @@ func TestObserveCopiesOnlyWhatItKeeps(t *testing.T) {
 	}
 	vals[0] = types.NewInt(8)
 	copy(buf, "omega")
+	copy(strs, "XXXXXXXXX")
 	if hit, ok := c.Lookup(k, want); !ok || len(hit.Rows) != 2 {
 		t.Fatalf("the admitted values missed after the caller overwrote its buffer: ok=%v hit=%+v", ok, hit)
+	} else if got := rowsRead(hit.Rows); got != "beta|gamma" {
+		t.Fatalf("the admitted rows read %s after the caller overwrote their strings' bytes, want beta|gamma", got)
 	}
 	if _, ok := c.Lookup(k, vals); ok {
 		t.Fatal("served values the entry was not computed under")
@@ -375,12 +384,16 @@ func TestObserveCopiesOnlyWhatItKeeps(t *testing.T) {
 	// A refresh keeps a copy too.
 	vals[0] = types.NewInt(7)
 	copy(buf, "alpha")
+	copy(strs, "deltaomic")
 	if !c.Observe(o, vals) {
 		t.Fatal("not refreshed")
 	}
 	copy(buf, "omega")
+	copy(strs, "XXXXXXXXX")
 	if hit, ok := c.Lookup(k, want); !ok || len(hit.Rows) != 2 {
 		t.Fatalf("the refreshed values missed after the caller overwrote its buffer: ok=%v hit=%+v", ok, hit)
+	} else if got := rowsRead(hit.Rows); got != "delt|aomic" {
+		t.Fatalf("the refreshed rows read %s after the caller overwrote their strings' bytes, want delt|aomic", got)
 	}
 }
 

@@ -97,6 +97,29 @@ type Session struct {
 	cfg    Config
 	ids    *idGen
 	now    func() time.Time
+	params exec.Params // every call's parameters, refilled per call (with)
+}
+
+// param is one named argument of a procedure call.
+type param struct {
+	name string
+	v    types.Value
+}
+
+// with empties the session's one parameter map and fills it with a call's
+// arguments. No path a call takes keeps the caller's map past the call — a
+// router encodes it, a cache or a backend binds it into slots before
+// anything runs, a forwarding cache hands it to the backend for the call
+// alone (TestSessionParamMapIsNotKept) — so the map serves every call.
+func (s *Session) with(args ...param) exec.Params {
+	if s.params == nil {
+		s.params = make(exec.Params, len(args))
+	}
+	clear(s.params)
+	for _, a := range args {
+		s.params[a.name] = a.v
+	}
+	return s.params
 }
 
 // App is the web-application layer: TPC-W interaction logic issuing stored
@@ -201,27 +224,27 @@ func (a *App) call(proc string, params exec.Params) error {
 }
 
 func (a *App) home(s *Session) (int, error) {
-	if err := a.call("getName", exec.Params{"c_id": types.NewInt(int64(s.CID))}); err != nil {
+	if err := a.call("getName", s.with(param{"c_id", types.NewInt(int64(s.CID))})); err != nil {
 		return 0, err
 	}
-	if err := a.call("getRelated", exec.Params{"i_id": types.NewInt(s.randItem())}); err != nil {
+	if err := a.call("getRelated", s.with(param{"i_id", types.NewInt(s.randItem())})); err != nil {
 		return 1, err
 	}
 	return 2, nil
 }
 
 func (a *App) newProducts(s *Session) (int, error) {
-	err := a.call("getNewProducts", exec.Params{"subject": types.NewString(s.randSubject())})
+	err := a.call("getNewProducts", s.with(param{"subject", types.NewString(s.randSubject())}))
 	return 1, err
 }
 
 func (a *App) bestSellers(s *Session) (int, error) {
-	err := a.call("getBestSellers", exec.Params{"subject": types.NewString(s.randSubject())})
+	err := a.call("getBestSellers", s.with(param{"subject", types.NewString(s.randSubject())}))
 	return 1, err
 }
 
 func (a *App) productDetail(s *Session) (int, error) {
-	err := a.call("getBook", exec.Params{"i_id": types.NewInt(s.randItem())})
+	err := a.call("getBook", s.with(param{"i_id", types.NewInt(s.randItem())}))
 	return 1, err
 }
 
@@ -233,13 +256,13 @@ func (a *App) searchRequest(*Session) (int, error) {
 func (a *App) searchResults(s *Session) (int, error) {
 	switch s.rng.Intn(3) {
 	case 0:
-		return 1, a.call("doSubjectSearch", exec.Params{"subject": types.NewString(s.randSubject())})
+		return 1, a.call("doSubjectSearch", s.with(param{"subject", types.NewString(s.randSubject())}))
 	case 1:
 		word := titleWords[s.rng.Intn(len(titleWords))]
-		return 1, a.call("doTitleSearch", exec.Params{"title": types.NewString("%" + word + "%")})
+		return 1, a.call("doTitleSearch", s.with(param{"title", types.NewString("%" + word + "%")}))
 	default:
 		name := lastNames[s.rng.Intn(len(lastNames))]
-		return 1, a.call("doAuthorSearch", exec.Params{"author": types.NewString(name + "%")})
+		return 1, a.call("doAuthorSearch", s.with(param{"author", types.NewString(name + "%")}))
 	}
 }
 
@@ -248,20 +271,19 @@ func (a *App) shoppingCart(s *Session) (int, error) {
 	now := types.NewTime(a.now())
 	if s.CartID == 0 {
 		s.CartID = int(atomic.AddInt64(&s.ids.cart, 1))
-		if err := a.call("createCartWithLine", exec.Params{
-			"sc_id": types.NewInt(int64(s.CartID)), "t": now,
-			"i_id": types.NewInt(s.randItem()), "qty": types.NewInt(int64(s.rng.Intn(3) + 1)),
-		}); err != nil {
+		if err := a.call("createCartWithLine", s.with(
+			param{"sc_id", types.NewInt(int64(s.CartID))}, param{"t", now},
+			param{"i_id", types.NewInt(s.randItem())}, param{"qty", types.NewInt(int64(s.rng.Intn(3) + 1))})); err != nil {
 			return calls, err
 		}
 		calls++
 	} else {
-		if err := a.call("refreshCart", exec.Params{"sc_id": types.NewInt(int64(s.CartID)), "t": now}); err != nil {
+		if err := a.call("refreshCart", s.with(param{"sc_id", types.NewInt(int64(s.CartID))}, param{"t", now})); err != nil {
 			return calls, err
 		}
 		calls++
 	}
-	err := a.call("getCart", exec.Params{"sc_id": types.NewInt(int64(s.CartID))})
+	err := a.call("getCart", s.with(param{"sc_id", types.NewInt(int64(s.CartID))}))
 	return calls + 1, err
 }
 
@@ -273,24 +295,23 @@ func (a *App) customerRegistration(s *Session) (int, error) {
 		if addr == 0 {
 			addr = 1
 		}
-		err := a.call("createNewCustomer", exec.Params{
-			"c_id": types.NewInt(cid), "uname": types.NewString(Uname(int(cid))),
-			"passwd": types.NewString("pw"), "fname": types.NewString("NEW"),
-			"lname": types.NewString("CUSTOMER"), "addr_id": types.NewInt(addr),
-			"email": types.NewString("new@example.com"), "t": types.NewTime(a.now()),
-		})
+		err := a.call("createNewCustomer", s.with(
+			param{"c_id", types.NewInt(cid)}, param{"uname", types.NewString(Uname(int(cid)))},
+			param{"passwd", types.NewString("pw")}, param{"fname", types.NewString("NEW")},
+			param{"lname", types.NewString("CUSTOMER")}, param{"addr_id", types.NewInt(addr)},
+			param{"email", types.NewString("new@example.com")}, param{"t", types.NewTime(a.now())}))
 		if err != nil {
 			return 0, err
 		}
 		s.CID = int(cid)
 		return 1, nil
 	}
-	err := a.call("getCustomer", exec.Params{"uname": types.NewString(Uname(s.CID))})
+	err := a.call("getCustomer", s.with(param{"uname", types.NewString(Uname(s.CID))}))
 	return 1, err
 }
 
 func (a *App) buyRequest(s *Session) (int, error) {
-	if err := a.call("getCustomer", exec.Params{"uname": types.NewString(Uname(s.CID))}); err != nil {
+	if err := a.call("getCustomer", s.with(param{"uname", types.NewString(Uname(s.CID))})); err != nil {
 		return 0, err
 	}
 	if s.CartID == 0 {
@@ -299,7 +320,7 @@ func (a *App) buyRequest(s *Session) (int, error) {
 		}
 		return 4, nil
 	}
-	err := a.call("getCart", exec.Params{"sc_id": types.NewInt(int64(s.CartID))})
+	err := a.call("getCart", s.with(param{"sc_id", types.NewInt(int64(s.CartID))}))
 	return 2, err
 }
 
@@ -313,29 +334,27 @@ func (a *App) buyConfirm(s *Session) (int, error) {
 		}
 	}
 	now := types.NewTime(a.now())
-	if err := a.call("getCDiscount", exec.Params{"c_id": types.NewInt(int64(s.CID))}); err != nil {
+	if err := a.call("getCDiscount", s.with(param{"c_id", types.NewInt(int64(s.CID))})); err != nil {
 		return calls, err
 	}
 	calls++
 	oid := atomic.AddInt64(&s.ids.order, 1)
 	total := float64(s.rng.Intn(20000)) / 100.0
-	if err := a.call("doBuyConfirm", exec.Params{
-		"o_id": types.NewInt(oid), "c_id": types.NewInt(int64(s.CID)), "t": now,
-		"sub": types.NewFloat(total), "total": types.NewFloat(total * 1.08),
-		"ship": types.NewString(ships[s.rng.Intn(len(ships))]),
-		"i_id": types.NewInt(s.randItem()), "qty": types.NewInt(int64(s.rng.Intn(3) + 1)),
-		"disc": types.NewFloat(0.05), "sc_id": types.NewInt(int64(s.CartID)),
-	}); err != nil {
+	if err := a.call("doBuyConfirm", s.with(
+		param{"o_id", types.NewInt(oid)}, param{"c_id", types.NewInt(int64(s.CID))}, param{"t", now},
+		param{"sub", types.NewFloat(total)}, param{"total", types.NewFloat(total * 1.08)},
+		param{"ship", types.NewString(ships[s.rng.Intn(len(ships))])},
+		param{"i_id", types.NewInt(s.randItem())}, param{"qty", types.NewInt(int64(s.rng.Intn(3) + 1))},
+		param{"disc", types.NewFloat(0.05)}, param{"sc_id", types.NewInt(int64(s.CartID))})); err != nil {
 		return calls, err
 	}
 	calls++
 	// Orders occasionally have extra lines beyond the one doBuyConfirm adds.
 	for l := 2; l <= s.rng.Intn(3)+1; l++ {
-		if err := a.call("addOrderLine", exec.Params{
-			"o_id": types.NewInt(oid), "ol_id": types.NewInt(int64(l)),
-			"i_id": types.NewInt(s.randItem()), "qty": types.NewInt(int64(s.rng.Intn(3) + 1)),
-			"disc": types.NewFloat(0.05),
-		}); err != nil {
+		if err := a.call("addOrderLine", s.with(
+			param{"o_id", types.NewInt(oid)}, param{"ol_id", types.NewInt(int64(l))},
+			param{"i_id", types.NewInt(s.randItem())}, param{"qty", types.NewInt(int64(s.rng.Intn(3) + 1))},
+			param{"disc", types.NewFloat(0.05)})); err != nil {
 			return calls, err
 		}
 		calls++
@@ -345,12 +364,12 @@ func (a *App) buyConfirm(s *Session) (int, error) {
 }
 
 func (a *App) orderInquiry(s *Session) (int, error) {
-	err := a.call("getPassword", exec.Params{"uname": types.NewString(Uname(s.CID))})
+	err := a.call("getPassword", s.with(param{"uname", types.NewString(Uname(s.CID))}))
 	return 1, err
 }
 
 func (a *App) orderDisplay(s *Session) (int, error) {
-	res, err := a.conn.Call("getMostRecentOrder", exec.Params{"uname": types.NewString(Uname(s.CID))})
+	res, err := a.conn.Call("getMostRecentOrder", s.with(param{"uname", types.NewString(Uname(s.CID))}))
 	if err != nil {
 		return 0, fmt.Errorf("tpcw: getMostRecentOrder: %w", err)
 	}
@@ -358,24 +377,26 @@ func (a *App) orderDisplay(s *Session) (int, error) {
 		res.Release()
 		return 1, nil // customer has no orders yet
 	}
+	// o_id is an INT, so its Value outlives the Release. A string Value may
+	// not be passed on this way: its bytes are the Result's, which Release
+	// recycles.
 	oID := res.Rows[0][0]
 	res.Release()
-	err = a.call("getOrderLines", exec.Params{"o_id": oID})
+	err = a.call("getOrderLines", s.with(param{"o_id", oID}))
 	return 2, err
 }
 
 func (a *App) adminRequest(s *Session) (int, error) {
-	err := a.call("getBook", exec.Params{"i_id": types.NewInt(s.randItem())})
+	err := a.call("getBook", s.with(param{"i_id", types.NewInt(s.randItem())}))
 	return 1, err
 }
 
 func (a *App) adminConfirm(s *Session) (int, error) {
-	if err := a.call("adminUpdate", exec.Params{
-		"i_id": types.NewInt(s.randItem()), "cost": types.NewFloat(float64(s.rng.Intn(9900)+100) / 100.0),
-		"related": types.NewInt(s.randItem()),
-	}); err != nil {
+	if err := a.call("adminUpdate", s.with(
+		param{"i_id", types.NewInt(s.randItem())}, param{"cost", types.NewFloat(float64(s.rng.Intn(9900)+100) / 100.0)},
+		param{"related", types.NewInt(s.randItem())})); err != nil {
 		return 0, err
 	}
-	err := a.call("getBook", exec.Params{"i_id": types.NewInt(s.randItem())})
+	err := a.call("getBook", s.with(param{"i_id", types.NewInt(s.randItem())}))
 	return 2, err
 }

@@ -355,6 +355,12 @@ func (d *Decoder) SharedRow() Row {
 	return row
 }
 
+// ShareStrings makes strs's array, emptied, the one SharedValues cuts
+// strings from, in place of one ReserveShared makes: a caller that recycles
+// an earlier payload's string bytes and has room in strs for every string to
+// come gets them all cut from it.
+func (d *Decoder) ShareStrings(strs []byte) { d.sharedStrs = strs[:0] }
+
 // SharedValues decodes len(dst) values into dst, their strings cut from the
 // one string array ReserveShared made, as SharedRow's are.
 func (d *Decoder) SharedValues(dst []Value) { d.values(dst, &d.sharedStrs) }

@@ -385,7 +385,9 @@ func (v Value) Cast(k Kind) (Value, error) {
 // Row is a tuple of values.
 type Row []Value
 
-// Clone returns a deep-enough copy of the row (Values are value types).
+// Clone returns a copy of the row's values. A string's bytes are shared, so
+// a clone of a row a Result returned is no more the caller's past that
+// Result's release than the row itself: one kept longer copies its strings.
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	copy(out, r)

@@ -171,11 +171,12 @@ func (c *Client) abandon(id uint64) {
 // back as *ServerError, or repl.ErrNoSubscription as itself, and are never
 // retryable. The response is copied into out; the round trip's slot goes
 // back to calls when the reuse rule allows.
-// out's spare slices, rows and vals, are lent to the slot for a result set
-// to be decoded into, and come back — or the ones the decode used instead —
-// only with the slot: a round trip that times out, fails to send or has its
-// slot dropped forfeits them, and out comes back without any, since a
-// response that lands late may still be decoded into them.
+// out's storage, store, is lent to the slot for a result set to be decoded
+// into, and comes back — with whatever arrays the decode made — only with
+// the slot: a round trip that times out, fails to send or has its slot
+// dropped forfeits it, and out comes back with none, since a response that
+// lands late may still be decoded into it. Forfeited storage is collected,
+// never recycled.
 func (c *Client) roundTrip(req *request, out *response) error {
 	c.wmu.Lock()
 	c.mu.Lock()
@@ -186,8 +187,7 @@ func (c *Client) roundTrip(req *request, out *response) error {
 		return err
 	}
 	cl := calls.Get().(*call)
-	cl.resp.rows, cl.resp.vals = out.rows, out.vals
-	out.rows, out.vals = nil, nil
+	cl.resp.store, out.store = out.store, exec.Answer{}
 	c.nextID++
 	id := c.nextID
 	req.ID = id
@@ -235,9 +235,9 @@ func (c *Client) roundTrip(req *request, out *response) error {
 	default:
 		*out = cl.resp
 	}
-	out.rows, out.vals = nil, nil
+	out.store = exec.Answer{}
 	if reuse {
-		out.rows, out.vals = cl.resp.rows, cl.resp.vals
+		out.store = cl.resp.store
 		cl.resp, cl.failed = response{}, false
 		calls.Put(cl)
 	}
@@ -277,20 +277,20 @@ func (c *Client) QuerySession(sqlText string, params exec.Params, minLSN storage
 }
 
 // QueryInto is QuerySession answering into res, as the session router does:
-// res's Cols, Rows, RowsAffected and CommitLSN are the answer's, its rows
-// are decoded into the row and value slices res kept from an earlier answer
-// (engine.Result.Spare) when they are long enough, and res owns the ones
-// they were decoded into. Stale reports the gate's refusal, with no rows.
-// The columns are the connection's header table's, shared by every answer
-// with the same header: read them, never write them.
+// res's Cols, Rows, RowsAffected and CommitLSN are the answer's, and its rows,
+// their values and their strings are decoded into the storage res owns
+// (engine.Result.Store), kept from an earlier answer where long enough.
+// Stale reports the gate's refusal, with no rows. The columns are the
+// connection's header table's, shared by every answer with the same header:
+// read them, never write them.
 func (c *Client) QueryInto(sqlText string, params exec.Params, minLSN storage.LSN, wait time.Duration, res *engine.Result) (stale bool, err error) {
-	var resp response
-	resp.rows, resp.vals = res.Spare()
+	resp := response{store: res.Store}
+	res.Store = exec.Answer{}
 	err = c.roundTrip(&request{
 		Kind: reqQuery, SQL: sqlText, Params: params,
 		MinLSN: minLSN, WaitMs: wait.Milliseconds(),
 	}, &resp)
-	res.Own(resp.rows, resp.vals)
+	res.Store = resp.store
 	if err != nil {
 		return false, err
 	}
@@ -301,18 +301,25 @@ func (c *Client) QueryInto(sqlText string, params exec.Params, minLSN storage.LS
 // QueryTraced is Query under the caller's trace ID on the backend, as
 // trace.FormatID renders it ("" for none), which the backend keeps its
 // record under. The span is always nil (see exec.RemoteClient). A traceID
-// that does not parse is refused unsent.
+// that does not parse is refused unsent. The answer is a pooled ResultSet
+// (exec.NewResultSet) whose rows are decoded into the storage it carries:
+// whoever keeps them adopts it, and it is recycled when that holder is.
 func (c *Client) QueryTraced(sqlText string, params exec.Params, traceID string) (*exec.ResultSet, *trace.WireSpan, error) {
 	id, err := trace.ParseID(traceID)
 	if err != nil {
 		return nil, nil, err
 	}
-	var resp response
+	rs := exec.NewResultSet()
+	resp := response{store: rs.Store}
+	rs.Store = exec.Answer{}
 	err = c.roundTrip(&request{Kind: reqQuery, SQL: sqlText, Params: params, TraceID: id}, &resp)
+	rs.Store = resp.store
 	if err != nil {
+		rs.Recycle()
 		return nil, nil, err
 	}
-	return &exec.ResultSet{Cols: resp.Cols, Rows: resp.Rows, RowsAffected: resp.N, CommitLSN: resp.LSN}, nil, nil
+	rs.Cols, rs.Rows, rs.RowsAffected, rs.CommitLSN = resp.Cols, resp.Rows, resp.N, resp.LSN
+	return rs, nil, nil
 }
 
 // Snapshot fetches the backend catalog snapshot.

@@ -105,13 +105,12 @@ type response struct {
 	Cols []exec.ColInfo
 	Rows []types.Row
 
-	// rows and vals are the slices a query's result set is decoded into when
-	// they are long enough — the row slice Rows is cut from and the values
-	// behind its rows — and after a decode, the ones it used. A decode of any
-	// other body passes them through, so whoever supplied them gets them
-	// back (a routed engine.Result: Client.QueryInto).
-	rows []types.Row
-	vals []types.Value
+	// store is the storage a query's result set is decoded into: the row
+	// headers Rows is cut from, the values behind its rows and the bytes
+	// behind their strings, reused where long enough (exec.Answer.Reserve).
+	// A decode of any other body passes it through, so whoever lent it gets
+	// it back (Client.roundTrip).
+	store exec.Answer
 
 	Snapshot []byte
 
@@ -442,21 +441,20 @@ func appendResponse(buf []byte, resp *response) []byte {
 }
 
 // decodeResponse parses one response payload into resp, overwriting every
-// field of it but the spare slices rows and vals. A kind this version does
-// not define is refused, an error answer's too. Nothing in resp then
-// aliases payload. A result set's column header comes from hdrs, the
-// connection's header table, and a pulled change's table name from names,
-// its intern table; a result set's rows decode into one []types.Row and one
-// []types.Value behind all of them — resp.rows and resp.vals when they are
-// long enough, new ones that take their place when not — and one string
-// behind every string in them. A replication row the store keeps — a
+// field of it but its storage, store. A kind this version does not define is
+// refused, an error answer's too. Nothing in resp then aliases payload. A
+// result set's column header comes from hdrs, the connection's header table,
+// and a pulled change's table name from names, its intern table; a result
+// set's rows decode into resp.store: one []types.Row, one []types.Value
+// behind all of them and one byte array behind every string in them. A
+// replication row the store keeps — a
 // Provision row, a pulled change's After row — gets its values and its
 // strings in allocations of its own (types.Decoder.Row); a pulled change's
 // Before row, which the subscriber only reads, is cut from one value array
 // and one string that every Before row of the frame shares.
 func decodeResponse(payload []byte, resp *response, hdrs headers, names interner) error {
 	d := types.Decoder{Buf: payload}
-	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte()), rows: resp.rows, vals: resp.vals}
+	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte()), store: resp.store}
 	flags := d.Byte()
 	if resp.Kind > reqPull || flags&^(flagStale|flagError) != 0 {
 		d.Fail()
@@ -549,12 +547,12 @@ func appendResultSet(buf []byte, cols []exec.ColInfo, rows []types.Row) []byte {
 }
 
 // decodeResultSet decodes a Query result into resp.Cols and resp.Rows,
-// through the spare slices resp.rows and resp.vals (see decodeResponse). A
-// row is never nil, even one with no values. Every string is cut from one
-// array of exactly the string bytes the header declares: one allocation,
-// none when no value is a string. A declared count the frame cannot hold is
-// refused before anything is allocated, and one the strings do not sum to
-// after the rows.
+// through resp.store (see decodeResponse). A row is never nil, even one with
+// no values. Every string is cut from one array of the string bytes the
+// header declares: the store's when it has room, else a new one of exactly
+// that size; none is made when no value is a string. A declared count the
+// frame cannot hold is refused before anything is allocated, and one the
+// strings do not sum to after the rows.
 func decodeResultSet(d *types.Decoder, resp *response, hdrs headers) {
 	resp.Cols = hdrs.cols(d)
 	nrows, nvals := d.Count(1), d.Count(1)
@@ -569,16 +567,8 @@ func decodeResultSet(d *types.Decoder, resp *response, hdrs headers) {
 		d.Fail()
 		return
 	}
-	d.ReserveShared(0, int(strBytes))
-	rows, vals := resp.rows, resp.vals
-	if cap(rows) < nrows {
-		rows = make([]types.Row, nrows)
-	}
-	if vals == nil || cap(vals) < nvals { // nil: a zero-width row must not be
-		vals = make([]types.Value, nvals)
-	}
-	rows, vals = rows[:nrows], vals[:nvals]
-	resp.rows, resp.vals = rows, vals
+	rows, vals, strs := resp.store.Reserve(nrows, nvals, int(strBytes))
+	d.ShareStrings(strs)
 	for i := range rows {
 		width := d.Uvarint()
 		if width > uint64(len(vals)) {

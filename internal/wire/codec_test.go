@@ -157,7 +157,7 @@ func sameResponse(a, b *response) bool {
 	x, y := *a, *b
 	for _, r := range []*response{&x, &y} {
 		r.Rows, r.Snapshot, r.Cols, r.Batches = nil, nil, nil, nil
-		r.rows, r.vals = nil, nil // the slices a result set was decoded into, not part of the frame
+		r.store = exec.Answer{} // the storage a result set was decoded into, not part of the frame
 	}
 	return reflect.DeepEqual(x, y)
 }
@@ -429,9 +429,11 @@ func resultSetResponse(n int) *response {
 // its size, and encoding into a warm buffer allocates nothing. Decodes go
 // into a reused destination, as the client's call slots and the server's
 // exchanges are, through a warm table, as a connection's are. A result set
-// decodes cold — into a destination with no spare slices, as QuerySession's,
-// QueryTraced's and a forfeited round trip's are — and warm, into the
-// destination's spare slices, as a routed Result's.
+// decodes cold — into a destination with no storage, as QuerySession's and a
+// forfeited round trip's are — and warm, into the destination's storage, as
+// a routed Result's and a pooled ResultSet's. The warm decode made one
+// allocation, its string array, while only the row headers and the values
+// were recycled.
 func TestCodecAllocBudget(t *testing.T) {
 	resp := resultSetResponse(16)
 	respFrame := appendResponse(nil, resp)
@@ -455,8 +457,9 @@ func TestCodecAllocBudget(t *testing.T) {
 		// Rows, the values behind every row, the string slab: the header
 		// is the table's after the first
 		{"decode 16x3 result set cold", 3, func() { decodeCold(respFrame, &gotResp, hdrs, names) }},
-		// the string slab: the rows and their values are the spare slices'
-		{"decode 16x3 result set warm", 1, func() { decodeResponse(respFrame, &gotResp, hdrs, names) }}, //nolint:errcheck
+		// nothing: the rows, their values and their string bytes are the
+		// destination's storage's
+		{"decode 16x3 result set warm", 0, func() { decodeResponse(respFrame, &gotResp, hdrs, names) }}, //nolint:errcheck
 		// nothing: the SQL text is the connection's table's after the first
 		{"decode parameterless query", 0, func() { decodeRequest(reqFrame, &gotReq, strs) }}, //nolint:errcheck
 		{"encode result set", 0, func() { buf = appendResponse(buf[:0], resp) }},
@@ -484,10 +487,10 @@ func TestCodecAllocBudget(t *testing.T) {
 	}
 }
 
-// decodeCold decodes frame into resp with no spare slices, as a destination
-// nothing lent any has them.
+// decodeCold decodes frame into resp with no storage to reuse, as a
+// destination nothing lent any has none.
 func decodeCold(frame []byte, resp *response, hdrs headers, names interner) {
-	resp.rows, resp.vals = nil, nil
+	resp.store = exec.Answer{}
 	decodeResponse(frame, resp, hdrs, names) //nolint:errcheck
 }
 
@@ -495,8 +498,13 @@ func decodeCold(frame []byte, resp *response, hdrs headers, names interner) {
 // ends — a Client.QuerySession of a one-row SELECT against Serve, the
 // server's decode, execution and encode and the client's decode included —
 // untraced, and traced as a cache's remote subquery is: under the caller's
-// trace ID, which the server keeps its record under. Each ceiling is the
-// measured count plus one: 4 and 5. The traced one was 29 while the server
+// trace ID, which the server keeps its record under, its ResultSet recycled
+// as the Slab that adopts a Remote's answer recycles it. Each ceiling is the
+// measured count: 3 and 0. The traced one was 4 while every traced answer
+// was decoded into a new ResultSet, row slice, value array and string (the
+// untraced one still is, into QuerySession's own Result); the ceilings were
+// then 5 and 6, an earlier version's counts plus one. The traced one was 29
+// while the server
 // built its record's span tree and the response carried it back (wire v7),
 // the traced one paying for the tree's spans, their encoding and their
 // decoding into new objects. They were 3 and 20 while the backend
@@ -527,7 +535,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		{"untraced", func() (int, error) {
 			res, err := c.QuerySession(q, nil, 0, 0)
 			return len(res.Rows), err
-		}, 4 + 1},
+		}, 3},
 		{"traced", func() (int, error) {
 			rs, span, err := c.QueryTraced(q, nil, id)
 			if err == nil && span != nil {
@@ -536,8 +544,10 @@ func TestRoundTripAllocBudget(t *testing.T) {
 			if rs == nil {
 				return 0, err
 			}
-			return len(rs.Rows), err
-		}, 5 + 1},
+			n := len(rs.Rows)
+			rs.Recycle() // as the Slab that adopts a Remote's answer does
+			return n, err
+		}, 0},
 	} {
 		call := func() {
 			if n, err := r.call(); err != nil || n != 1 {
@@ -555,8 +565,8 @@ func TestRoundTripAllocBudget(t *testing.T) {
 
 // recycledRequest and recycledResponse are what a reused exchange or call
 // slot may still hold when the next frame is decoded into it: a field of
-// every body, and — lent by a routed Result — spare row and value slices
-// longer than any sample result set needs, full of old values.
+// every body, and — lent by a routed Result — storage longer than any sample
+// result set needs, full of old values and old string bytes.
 func recycledRequest() request {
 	return request{Kind: reqPull, ID: 99, MinLSN: 9, WaitMs: 9, TraceID: 9, SQL: "old",
 		Params: map[string]types.Value{"old": types.NewInt(9)}, Table: "old", Columns: []string{"old"},
@@ -564,25 +574,32 @@ func recycledRequest() request {
 }
 
 func recycledResponse() response {
-	vals := make([]types.Value, 64)
-	for i := range vals {
-		vals[i] = types.NewString("old")
-	}
-	rows := make([]types.Row, 16)
-	for i := range rows {
-		rows[i] = vals[i : i+4]
-	}
 	return response{ID: 99, Kind: reqPull, Stale: true, Err: "old", N: 9, LSN: 9,
 		Cols: []exec.ColInfo{{Name: "old"}}, Rows: []types.Row{{types.NewInt(9)}},
 		Snapshot: []byte("old"), SubID: 9, StartLSN: 9, Resumed: true, Batches: []repl.TxnBatch{{LSN: 9}}, ThroughLSN: 9,
-		rows: rows, vals: vals}
+		store: oldStore(16, 64, 256)}
 }
 
-// shortSpares is recycledResponse with spare slices too short for the sample
+// oldStore is storage an earlier answer of rows rows, vals values and
+// strBytes string bytes was decoded into, every one of them still there.
+func oldStore(rows, vals, strBytes int) exec.Answer {
+	var a exec.Answer
+	rs, vs, strs := a.Reserve(rows, vals, strBytes)
+	strs = append(strs, strings.Repeat("o", strBytes)...) // within its room: the array's bytes
+	for i := range vs {
+		vs[i] = types.NewString(string(strs[:min(3, strBytes)]))
+	}
+	for i := range rs {
+		rs[i] = vs[i%vals : i%vals+1]
+	}
+	return a
+}
+
+// shortSpares is recycledResponse with storage too short for the sample
 // result sets but for the one-value ones.
 func shortSpares() response {
 	resp := recycledResponse()
-	resp.rows, resp.vals = resp.rows[:1:1], resp.vals[:1:1]
+	resp.store = oldStore(1, 1, 1)
 	return resp
 }
 

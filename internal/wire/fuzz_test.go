@@ -15,7 +15,7 @@ import (
 // through a fresh intern table and through one the earlier inputs warmed, as
 // a server connection's is, and a response through fresh header and name
 // tables and through warmed ones, as a client connection's is, into a
-// recycled slot's spare slices: no table changes what a frame means.
+// recycled slot's storage: no table changes what a frame means.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with real frames of every kind (the Provision request with v10's
 	// ID and answers with v12's history of one entry and of three among them;

@@ -491,20 +491,20 @@ func TestLateResponseNeverReachesALaterCall(t *testing.T) {
 	}
 }
 
-// TestLateResponseNeverWritesALaterResult: a routed Result lends the row and
-// value slices it kept to each round trip that answers into it, and a round
-// trip that times out forfeits them, for its response may still be decoded
-// into them: the reader may have taken the round trip's slot just before the
+// TestLateResponseNeverWritesALaterResult: a routed Result lends the storage
+// it owns to each round trip that answers into it, and a round trip that
+// times out forfeits it, for its response may still be decoded into it: the
+// reader may have taken the round trip's slot just before the
 // timer fired. So a response that lands after its round trip timed out never
 // writes into the rows of a later answer — one the same Result takes from
 // another server, as the router fails a read over, or one a Result from the
 // pool takes. Each SLOW request on one connection is answered around the
-// client's timeout with rows that fit the Result's slices, behind a column
+// client's timeout with rows that fit the Result's storage, behind a column
 // header too long for the connection's header table, which takes the reader
 // longer to decode than the steps between the answers' arrival times, so the
 // timer often fires while the reader decodes into the slot. After each timeout the Result answers a FAST request on a second
 // connection at once. Every answer is checked value by value, and under
-// -race a late write into a later answer's slices is reported whenever it
+// -race a late write into a later answer's storage is reported whenever it
 // happens.
 func TestLateResponseNeverWritesALaterResult(t *testing.T) {
 	const (
@@ -587,7 +587,7 @@ func TestLateResponseNeverWritesALaterResult(t *testing.T) {
 		}
 		check(res, q)
 	}
-	fast("FAST warm") // the Result's slices now hold a whole answer
+	fast("FAST warm") // the Result's storage now holds a whole answer
 	slowTimeouts := 0
 	for i := 0; i < 60; i++ {
 		q := fmt.Sprintf("SLOW %d", i)

@@ -61,7 +61,10 @@ type Cache = core.CacheServer
 type Conn = core.Conn
 
 // Result is the outcome of one statement: rows for queries, an affected
-// count for DML, plus executor counters.
+// count for DML, plus executor counters. It owns the storage of its rows —
+// row headers, values and the bytes of their strings — which its Release
+// recycles: a caller that keeps a row, or a string of one, past Release
+// copies it first.
 type Result = engine.Result
 
 // Params carries named parameter values (@name) for a statement.

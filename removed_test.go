@@ -158,6 +158,8 @@ var removedNames = []struct {
 	{`\bLogID\(\)`, "", "a position named by the incarnation that wrote it (storage.Store.IDAt)"},
 	{`OpenAppend`, "", "each open starts a segment of its own, and no segment is written again once closed"},
 	{`segmentValidSize`, "", "each open starts a segment of its own, and no segment is written again once closed"},
+	{`\.Spare\(\)`, "", "one type that owns a decoded answer on both wire hops (exec.Answer: engine.Result.Store, exec.ResultSet.Store)"},
+	{`\.Own\(`, `^internal/(engine|wire|router)/`, "one type that owns a decoded answer on both wire hops (exec.Answer: engine.Result.Store, exec.ResultSet.Store)"},
 }
 
 // TestRemovedNamesStayRemoved walks every non-test Go file in the repository
