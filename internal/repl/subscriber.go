@@ -76,6 +76,7 @@ type view struct {
 type Subscriber struct {
 	target *engine.Database
 	stats  ApplyStats
+	tx     storage.Txn // apply's, kept between applies, which never overlap
 
 	mu      sync.Mutex
 	views   []view          // replaced, never edited in place (current)
@@ -273,9 +274,12 @@ func (s *Subscriber) Pull(src Puller) (int, error) {
 // ChangeRec.Table names the target table; a change is passed over when that
 // is not one of views or the batch is below the view's start — it is in the
 // view's seed already. Applying one is storage.Txn.Apply, as a backend
-// maintaining a materialized view does.
+// maintaining a materialized view does. The transaction is the one the
+// subscriber keeps (storage.Store.BeginWrite): pull rounds and Attach calls
+// do not overlap, and a finished write holds nothing.
 func (s *Subscriber) apply(views []view, ats []Attached, batches ...TxnBatch) error {
-	tx := s.target.Store().Begin(true)
+	tx := &s.tx
+	s.target.Store().BeginWrite(tx)
 	defer tx.Abort() // a no-op once committed
 	var touchedBuf [8]string
 	touched := touchedBuf[:0]

@@ -64,27 +64,44 @@ func cmpItem(a, b Item) int {
 // child — and publishes them with one atomic store into the child slot of the
 // first ancestor it leaves unchanged (top, when no ancestor is); a split or
 // merge above a node the write leaves unchanged stores that node's change
-// first. So a middle insert or a delete allocates the new leaf's header and
-// array at any depth, and a tail append — a new last entry into a leaf whose
-// array has room — one header. Mutators must be externally serialized (the Store's per-table
-// write latch does this); any number of readers may walk the tree while they
-// run, under the contract node states.
+// first. A leaf's array is copied only when it is full, so at any depth a
+// middle insert or a delete allocates the leaf's new header with its order,
+// one object, and a tail append — a new last entry into a leaf whose array
+// has room — a header. Mutators must be externally serialized (the Store's per-table write
+// latch does this); any number of readers may walk the tree while they run,
+// under the contract node states.
 type BTree struct {
 	top   atomic.Pointer[node]
 	size  atomic.Int64
 	width int // every key's length: the index's column count
 }
 
-// node is one tree node. Its header is never written after it is published
-// except its child slots, and a slot only while the node is in the tree: a
-// write that changes a node's arrays stores a copy of it in its place, and
-// the replaced node's slots keep what they held for the readers still on it.
-// An array is written only past the length of every header that covers it:
-// a leaf's new last entry goes into its array in place when the array has
-// room, and is published by a new header one entry longer; every change
-// that shortens or rearranges an array works on a new one. The writer, the
-// only one, copies slot arrays into new nodes as plain memory; a reader only
-// loads slots.
+// node is one tree node, a 48-byte header. An inner node's array holds its
+// entries in key order, and kids is the first of its len(items)+1 child
+// slots: an address, not a slice, as an entry's key is, so that a leaf's
+// order and count fit in the header's 48 bytes. A leaf's array holds its
+// entries in the order they arrived, with a hole wherever one was deleted,
+// and its order lists the slots of its entries in key order, one byte per
+// entry, the first live of them (Masstree's leaf permutation). A nil order
+// means the array is sorted and has no hole: a built leaf, a split's halves,
+// a compacted, borrowing or merged leaf, and one that has only taken appends
+// at its end. Every reader of a node reads its entries through at.
+//
+// A header is never written after it is published except its child slots,
+// and a slot only while the node is in the tree: a write that changes a
+// node's arrays stores a copy of it in its place, and the replaced node's
+// slots keep what they held for the readers still on it. A leaf's array and
+// its order are written only past the length of every header that covers
+// them: a new entry goes into the array's next slot, which no header covers
+// yet, and is published by a new header one slot longer, whose order is the
+// old one with the entry's slot in its place — written in place past the old
+// order's length when the entry is the leaf's last, a new order otherwise. A
+// delete publishes a new order one byte shorter over the same array, and its
+// hole is never filled. Only a full array is copied: compacted into a new
+// sorted one when the leaf has room for the new entry, split in two when it
+// has not. Every other change that shortens or rearranges an array works on
+// a new one. The writer, the only one, copies slot arrays into new nodes as
+// plain memory; a reader only loads slots.
 //
 // A node's key interval — what the separators around its slot allow — is
 // fixed for as long as it is in the tree: a split, borrow or merge moves
@@ -97,14 +114,82 @@ type BTree struct {
 // deleted during it; index readers re-check MVCC visibility and the exact
 // key of every entry (IndexView), so they need no frozen tree.
 type node struct {
-	items    []entry
-	children []atomic.Pointer[node] // nil for leaves
+	items []entry
+	kids  *atomic.Pointer[node] // an inner node's first child slot; nil for a leaf
+	order *[btreeOrder]uint8    // a leaf's slots in key order; nil when items is sorted
+	live  int                   // with an order, the number of entries
 }
 
-func (n *node) leaf() bool { return n.children == nil }
+func (n *node) leaf() bool { return n.kids == nil }
+
+// orderedLeaf is a leaf header and the order it publishes, one 112-byte
+// object, so that a write that makes a new order allocates once. A header
+// that appends to that order in place points into the object that holds it.
+type orderedLeaf struct {
+	node
+	slots [btreeOrder]uint8
+}
+
+// ordered returns a new leaf of live entries over items, with an order of
+// its own for the caller to fill in before it publishes the leaf.
+func ordered(items []entry, live int) *node {
+	l := &orderedLeaf{node: node{items: items, live: live}}
+	l.order = &l.slots
+	return &l.node
+}
+
+// inner returns an inner node of items over slots, one more than items.
+func inner(items []entry, slots []atomic.Pointer[node]) *node {
+	if len(slots) != len(items)+1 {
+		panic(fmt.Sprintf("storage: an inner node of %d entries over %d slots", len(items), len(slots)))
+	}
+	return &node{items: items, kids: &slots[0]}
+}
+
+// slots returns n's child slots, none for a leaf.
+func (n *node) slots() []atomic.Pointer[node] {
+	if n.kids == nil {
+		return nil
+	}
+	return unsafe.Slice(n.kids, len(n.items)+1)
+}
 
 // child returns the node in n's slot i.
-func (n *node) child(i int) *node { return n.children[i].Load() }
+func (n *node) child(i int) *node { return n.slots()[i].Load() }
+
+// count returns the number of n's entries.
+func (n *node) count() int {
+	if n.order != nil {
+		return n.live
+	}
+	return len(n.items)
+}
+
+// slot returns the index in n's array of its entry at position i of its key
+// order.
+func (n *node) slot(i int) int {
+	if n.order != nil {
+		return int(n.order[i])
+	}
+	return i
+}
+
+// at returns n's entry at position i of its key order.
+func (n *node) at(i int) entry { return n.items[n.slot(i)] }
+
+// appendTo appends to dst n's entries at positions lo to hi-1, in key order.
+func (n *node) appendTo(dst []entry, lo, hi int) []entry {
+	for i := lo; i < hi; i++ {
+		dst = append(dst, n.at(i))
+	}
+	return dst
+}
+
+// spliced appends to dst n's entries at positions lo to hi-1 with e before
+// position i.
+func (n *node) spliced(dst []entry, lo, i, hi int, e entry) []entry {
+	return n.appendTo(append(n.appendTo(dst, lo, i), e), i, hi)
+}
 
 // NewBTree returns an empty tree whose keys are width values long.
 func NewBTree(width int) *BTree {
@@ -121,8 +206,9 @@ func (t *BTree) cmp(e entry, it Item) int { return cmpItem(e.item(t.width), it) 
 
 // buildFill is the most entries build puts in a node below the top: three
 // quarters of a node, so that a built leaf takes a quarter of a node's middle
-// inserts before it splits. Every insert into a leaf copies its array, full
-// or not, but a split costs about twice that copy in objects.
+// inserts before it splits. A built leaf's array has no room, so its first
+// middle insert copies it (into the room its size class gives, see room),
+// and the next ones write in place until that room is used.
 const buildFill = btreeOrder * 3 / 4
 
 // build fills t, which must be empty, with items, which must be sorted and
@@ -152,7 +238,7 @@ func (t *BTree) build(items []entry) {
 			}
 			nd := &node{items: tight(items[:n], kids == nil && i == k-1)}
 			if kids != nil {
-				nd.children = tight(kids[:n+1], false)
+				nd = inner(nd.items, tight(kids[:n+1], false))
 				kids = kids[n+1:]
 			}
 			level[i].Store(nd)
@@ -164,7 +250,11 @@ func (t *BTree) build(items []entry) {
 		}
 		items, kids = up, level
 	}
-	t.top.Store(&node{items: tight(items, kids == nil), children: kids})
+	top := &node{items: tight(items, kids == nil)}
+	if kids != nil {
+		top = inner(top.items, kids)
+	}
+	t.top.Store(top)
 	t.size.Add(int64(size))
 }
 
@@ -181,19 +271,19 @@ func tight[E any](s []E, rightmost bool) []E {
 // Len returns the number of entries.
 func (t *BTree) Len() int { return int(t.size.Load()) }
 
-// search locates the first index in items, entries of t, >= it, and whether
-// an exact match exists at that index.
-func (t *BTree) search(items []entry, it Item) (int, bool) {
-	lo, hi := 0, len(items)
+// search locates the first position of n, a node of t, whose entry is >= it,
+// and whether an exact match exists there.
+func (t *BTree) search(n *node, it Item) (int, bool) {
+	lo, hi := 0, n.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if t.cmp(items[mid], it) < 0 {
+		if t.cmp(n.at(mid), it) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(items) && t.cmp(items[lo], it) == 0 {
+	if lo < n.count() && t.cmp(n.at(lo), it) == 0 {
 		return lo, true
 	}
 	return lo, false
@@ -207,11 +297,11 @@ func (t *BTree) Insert(it Item) {
 		panic(fmt.Sprintf("storage: a key of %d values into an index of %d columns", len(it.Key), t.width))
 	}
 	top := t.top.Load()
-	if len(top.items) >= btreeOrder {
+	if top.count() >= btreeOrder {
 		// A full top splits as any full child does, under a new top.
-		up := &node{children: make([]atomic.Pointer[node], 1)}
-		up.children[0].Store(top)
-		top = up
+		up := make([]atomic.Pointer[node], 1)
+		up[0].Store(top)
+		top = inner(nil, up)
 	}
 	nt, added := t.insert(top, it)
 	if nt != nil {
@@ -225,7 +315,7 @@ func (t *BTree) Insert(it Item) {
 // has reports whether the subtree under n holds an entry equal to it.
 func (t *BTree) has(n *node, it Item) bool {
 	for {
-		i, found := t.search(n.items, it)
+		i, found := t.search(n, it)
 		if found || n.leaf() {
 			return found
 		}
@@ -239,18 +329,18 @@ func (t *BTree) has(n *node, it Item) bool {
 // returns for the caller to store in n's place; a change below n that leaves
 // n's arrays as they are is stored into n's slot, and insert returns nil.
 func (t *BTree) insert(n *node, it Item) (*node, bool) {
-	i, found := len(n.items), false
-	if i == 0 || t.cmp(n.items[i-1], it) >= 0 { // an entry after n's last, a tail append's at every level, needs no search
-		i, found = t.search(n.items, it)
+	i, found := n.count(), false
+	if i == 0 || t.cmp(n.at(i-1), it) >= 0 { // an entry after n's last, a tail append's at every level, needs no search
+		i, found = t.search(n, it)
 	}
 	if found {
 		return nil, false
 	}
 	if n.leaf() {
-		return withItem(n.items, i, entryOf(it)), true
+		return n.with(i, entryOf(it)), true
 	}
 	child := n.child(i)
-	if len(child.items) >= btreeOrder {
+	if child.count() >= btreeOrder {
 		if t.has(child, it) {
 			return nil, false
 		}
@@ -258,84 +348,96 @@ func (t *BTree) insert(n *node, it Item) (*node, bool) {
 	}
 	nc, added := t.insert(child, it)
 	if nc != nil {
-		n.children[i].Store(nc)
+		n.slots()[i].Store(nc)
 	}
 	return nil, added
 }
 
-// withItem returns a leaf holding items with e at index i. A new last entry
-// is written into the array in place when it has room — no header covers
-// that index yet —; otherwise the array is copied, with room for a full leaf
-// when the copy is for a new last entry or items had room (room), so a leaf
-// that grows at its end is copied once per split rather than once per insert.
-func withItem(items []entry, i int, e entry) *node {
-	if i == len(items) && len(items) < cap(items) {
-		return &node{items: append(items, e)}
+// with returns a leaf holding the entries of n, a leaf, and e at position i.
+// When n's array has room, e goes into its next slot, which no header covers
+// yet, and the new header covers that slot too: with no order when e is a
+// sorted array's new last entry, and otherwise with n's order and e's slot at
+// position i — written into n's order past its length when e is the last
+// entry, into a new order (ordered) when it is not. A full array is
+// compacted: n's entries and e are copied into a new sorted array (room).
+func (n *node) with(i int, e entry) *node {
+	k, c := len(n.items), n.count()
+	if k == cap(n.items) {
+		return &node{items: n.spliced(slices.Grow([]entry(nil), room(n.items, i == c, c+1)), 0, i, c, e)}
 	}
-	return &node{items: spliced(items, i, e, room(items, i == len(items), len(items)+1))}
+	items := append(n.items, e)
+	switch {
+	case n.order == nil && i == c:
+		return &node{items: items}
+	case i == c:
+		n.order[c] = uint8(k)
+		return &node{items: items, order: n.order, live: c + 1}
+	}
+	l := ordered(items, c+1)
+	for j := range c {
+		if j < i {
+			l.order[j] = uint8(n.slot(j))
+		} else {
+			l.order[j+1] = uint8(n.slot(j))
+		}
+	}
+	l.order[i] = uint8(k)
+	return l
 }
 
-// room is the size of a new array for n entries of a leaf whose array was
+// room is the size of a new array for c entries of a leaf whose array was
 // items: a full leaf's when the write that makes it is at the leaf's end, or
 // when items had room for a full leaf, which only such a write gives — the
-// rightmost leaf's, which keeps it for the appends that follow —; and n
-// otherwise.
-func room(items []entry, end bool, n int) int {
+// rightmost leaf's, which keeps it for the appends that follow —; and c
+// otherwise. A compaction rounds it up to its size class, room it pays for
+// anyway: the first middle insert into a built leaf of 48 entries copies
+// them into 55 slots, the 896 bytes that 49 take.
+func room(items []entry, end bool, c int) int {
 	if end || cap(items) >= btreeOrder {
-		return max(n, btreeOrder)
+		return max(c, btreeOrder)
 	}
-	return n
-}
-
-// spliced returns a new array of size slots holding items with e at index i.
-func spliced(items []entry, i int, e entry, size int) []entry {
-	c := make([]entry, len(items)+1, size)
-	copy(c, items[:i])
-	c[i] = e
-	copy(c[i+1:], items[i:])
 	return c
 }
 
 // splitChild returns a copy of p, a node of the tree or a new one, in which
 // its full child at index i is split in two, the median hoisted into the
 // copy, and it, which the child does not hold, is inserted into the half it
-// sorts into. Each half gets new arrays sized to its entries, and a leaf half
-// is built with the entry in it, so each of its arrays is made once; a leaf
-// half that takes the entry after the child's last has room for a full leaf.
+// sorts into. Each half gets new sorted arrays sized to its entries, and a
+// leaf half is built with the entry in it, so each of its arrays is made
+// once; a leaf half that takes the entry after the child's last has room for
+// a full leaf.
 func (t *BTree) splitChild(p *node, i int, it Item) *node {
 	old := p.child(i)
-	items := old.items
-	mid := len(items) / 2
-	median := items[mid]
-	lo, hi := items[:mid], items[mid+1:]
-	right := t.cmp(median, it) < 0
-	l, h := &node{}, &node{}
+	k := old.count()
+	mid := k / 2
+	median := old.at(mid)
+	j, _ := t.search(old, it) // after mid when it sorts into the right half
+	var l, h *node
 	switch {
 	case !old.leaf():
-		l.items, l.children = tight(lo, false), tight(old.children[:mid+1], false)
-		h.items, h.children = tight(hi, false), tight(old.children[mid+1:], false)
+		l = inner(old.appendTo(make([]entry, 0, mid), 0, mid), tight(old.slots()[:mid+1], false))
+		h = inner(old.appendTo(make([]entry, 0, k-mid-1), mid+1, k), tight(old.slots()[mid+1:], false))
 		half := &l
-		if right {
+		if j > mid {
 			half = &h
 		}
 		if nh, _ := t.insert(*half, it); nh != nil { // the halves are new: a change below one is stored into it
 			*half = nh
 		}
-	case right:
-		l.items = tight(lo, false)
-		j, _ := t.search(hi, it)
-		h.items = spliced(hi, j, entryOf(it), room(nil, j == len(hi), len(hi)+1))
+	case j > mid:
+		l = &node{items: old.appendTo(make([]entry, 0, mid), 0, mid)}
+		h = &node{items: old.spliced(make([]entry, 0, room(nil, j == k, k-mid)), mid+1, j, k, entryOf(it))}
 	default:
-		j, _ := t.search(lo, it)
-		l.items = spliced(lo, j, entryOf(it), len(lo)+1)
-		h.items = tight(hi, false)
+		l = &node{items: old.spliced(make([]entry, 0, mid+1), 0, j, mid, entryOf(it))}
+		h = &node{items: old.appendTo(make([]entry, 0, k-mid-1), mid+1, k)}
 	}
-	c := &node{items: spliced(p.items, i, median, len(p.items)+1), children: make([]atomic.Pointer[node], len(p.children)+1)}
-	copy(c.children, p.children[:i])
-	c.children[i].Store(l)
-	c.children[i+1].Store(h)
-	copy(c.children[i+2:], p.children[i+1:])
-	return c
+	pc := p.count()
+	slots := make([]atomic.Pointer[node], pc+2)
+	copy(slots, p.slots()[:i])
+	slots[i].Store(l)
+	slots[i+1].Store(h)
+	copy(slots[i+2:], p.slots()[i+1:])
+	return inner(p.spliced(make([]entry, 0, pc+1), 0, i, pc, median), slots)
 }
 
 // Delete removes the entry equal to it (key and rid both matching).
@@ -346,7 +448,7 @@ func (t *BTree) Delete(it Item) bool {
 		return false
 	}
 	if top != nil {
-		if len(top.items) == 0 && !top.leaf() {
+		if top.count() == 0 && !top.leaf() {
 			top = top.child(0)
 		}
 		t.top.Store(top)
@@ -364,12 +466,12 @@ const minItems = btreeOrder / 2
 // it copies n and returns the copy even then, so that the readers still on n
 // see the whole path under it as it was (see deleteInner).
 func (t *BTree) delete(n *node, it Item, whole bool) (*node, bool) {
-	i, found := t.search(n.items, it)
+	i, found := t.search(n, it)
 	if n.leaf() {
 		if !found {
 			return nil, false
 		}
-		return &node{items: without(n.items, i)}, true
+		return n.without(i), true
 	}
 	if found {
 		return t.deleteInner(n, i), true
@@ -379,31 +481,42 @@ func (t *BTree) delete(n *node, it Item, whole bool) (*node, bool) {
 	if c == nil && !whole {
 		nc, ok := t.delete(n.child(i), it, false)
 		if nc != nil {
-			n.children[i].Store(nc)
+			n.slots()[i].Store(nc)
 		}
 		return nil, ok
 	}
 	if c == nil {
-		c = &node{items: n.items, children: tight(n.children, false)}
+		c = inner(n.items, tight(n.slots(), false))
 	}
-	j, _ := t.search(c.items, it)
+	j, _ := t.search(c, it)
 	nc, ok := t.delete(c.child(j), it, whole)
 	if !ok {
 		return nil, false
 	}
 	if nc != nil {
-		c.children[j].Store(nc)
+		c.slots()[j].Store(nc)
 	}
 	return c, true
 }
 
-// without returns a new array of items but the one at index i, with room for
-// a full leaf when that was the last one or items had room (room).
-func without(items []entry, i int) []entry {
-	c := make([]entry, len(items)-1, room(items, i == len(items)-1, len(items)-1))
-	copy(c, items[:i])
-	copy(c[i:], items[i+1:])
-	return c
+// without returns a leaf holding the entries of n, a leaf, but the one at
+// position i: over n's array, in which the entry's slot becomes a hole, with
+// a new order (ordered) one byte shorter; a new empty leaf when it was the
+// only one.
+func (n *node) without(i int) *node {
+	c := n.count()
+	if c == 1 {
+		return &node{}
+	}
+	l := ordered(n.items, c-1)
+	for j := range c - 1 {
+		if j < i {
+			l.order[j] = uint8(n.slot(j))
+		} else {
+			l.order[j] = uint8(n.slot(j + 1))
+		}
+	}
+	return l
 }
 
 // deleteInner returns a copy of n, an inner node of the tree or a new one,
@@ -418,30 +531,30 @@ func without(items []entry, i int) []entry {
 // not see take an entry between the neighbour and the deleted one.
 func (t *BTree) deleteInner(n *node, i int) *node {
 	left, right := n.child(i), n.child(i+1)
-	c := &node{items: tight(n.items, false), children: tight(n.children, false)}
+	items, slots := tight(n.items, false), tight(n.slots(), false)
 	switch {
-	case len(left.items) > minItems:
+	case left.count() > minItems:
 		pred := last(left)
-		c.items[i] = pred
+		items[i] = pred
 		nl, _ := t.delete(left, pred.item(t.width), true)
-		c.children[i].Store(nl)
-		c.children[i+1].Store(spine(right, false))
-	case len(right.items) > minItems:
+		slots[i].Store(nl)
+		slots[i+1].Store(spine(right, false))
+	case right.count() > minItems:
 		succ := first(right)
-		c.items[i] = succ
+		items[i] = succ
 		nr, _ := t.delete(right, succ.item(t.width), true)
-		c.children[i].Store(spine(left, true))
-		c.children[i+1].Store(nr)
+		slots[i].Store(spine(left, true))
+		slots[i+1].Store(nr)
 	default:
-		m := merged(left, n.items[i], right)
-		if nm, _ := t.delete(m, n.items[i].item(t.width), false); nm != nil {
+		m := merged(left, n.at(i), right)
+		if nm, _ := t.delete(m, n.at(i).item(t.width), false); nm != nil {
 			m = nm
 		}
-		c.items = slices.Delete(c.items, i, i+1)
-		c.children = slices.Delete(c.children, i+1, i+2)
-		c.children[i].Store(m)
+		items = slices.Delete(items, i, i+1)
+		slots = slices.Delete(slots, i+1, i+2)
+		slots[i].Store(m)
 	}
-	return c
+	return inner(items, slots)
 }
 
 // spine returns n, or, when n is inner, a copy of n with a copy of every
@@ -451,32 +564,32 @@ func spine(n *node, rightmost bool) *node {
 	if n.leaf() {
 		return n
 	}
-	c := &node{items: n.items, children: tight(n.children, false)}
+	c := inner(n.items, tight(n.slots(), false))
 	j := 0
 	if rightmost {
-		j = len(c.children) - 1
+		j = n.count()
 	}
-	c.children[j].Store(spine(c.child(j), rightmost))
+	c.slots()[j].Store(spine(c.child(j), rightmost))
 	return c
 }
 
-// merged returns a new node of l's entries, sep and r's, over l's children
-// and r's.
+// merged returns a new node of l's entries, sep and r's, in a sorted array,
+// over l's children and r's.
 func merged(l *node, sep entry, r *node) *node {
-	m := &node{items: make([]entry, 0, len(l.items)+1+len(r.items))}
-	m.items = append(append(append(m.items, l.items...), sep), r.items...)
-	if !l.leaf() {
-		m.children = append(append(make([]atomic.Pointer[node], 0, len(l.children)+len(r.children)), l.children...), r.children...)
+	lc, rc := l.count(), r.count()
+	items := r.appendTo(append(l.appendTo(make([]entry, 0, lc+1+rc), 0, lc), sep), 0, rc)
+	if l.leaf() {
+		return &node{items: items}
 	}
-	return m
+	return inner(items, append(append(make([]atomic.Pointer[node], 0, lc+rc+2), l.slots()...), r.slots()...))
 }
 
 // last returns the largest entry under n.
 func last(n *node) entry {
 	for !n.leaf() {
-		n = n.child(len(n.children) - 1)
+		n = n.child(n.count())
 	}
-	return n.items[len(n.items)-1]
+	return n.at(n.count() - 1)
 }
 
 // first returns the smallest entry under n.
@@ -484,60 +597,64 @@ func first(n *node) entry {
 	for !n.leaf() {
 		n = n.child(0)
 	}
-	return n.items[0]
+	return n.at(0)
 }
 
 // ensureChild returns nil when child i of n, a node of the tree or a new
 // one, holds more than minItems entries, and otherwise a copy of n in which
 // the child has borrowed an entry from a sibling or been merged with one.
-// The child and the sibling it changes are new nodes; the nodes they share
-// with the old ones keep their intervals.
+// The child and the sibling it changes are new nodes, their arrays sorted;
+// the nodes they share with the old ones keep their intervals.
 func (t *BTree) ensureChild(n *node, i int) *node {
 	child := n.child(i)
-	if len(child.items) > minItems {
+	cc := child.count()
+	if cc > minItems {
 		return nil
 	}
-	c := &node{items: tight(n.items, false), children: tight(n.children, false)}
+	items, slots := tight(n.items, false), tight(n.slots(), false)
 	switch {
-	case i > 0 && len(n.child(i-1).items) > minItems:
+	case i > 0 && n.child(i-1).count() > minItems:
 		// borrow from left sibling
 		left := n.child(i - 1)
-		k := len(left.items) - 1
-		nl := &node{items: tight(left.items[:k], false)}
-		nc := &node{items: spliced(child.items, 0, c.items[i-1], len(child.items)+1)}
-		c.items[i-1] = left.items[k]
+		k := left.count() - 1
+		nl := &node{items: left.appendTo(make([]entry, 0, k), 0, k)}
+		nc := &node{items: child.spliced(make([]entry, 0, cc+1), 0, 0, cc, items[i-1])}
+		items[i-1] = left.at(k)
 		if !left.leaf() {
-			nl.children = tight(left.children[:k+1], false)
-			nc.children = make([]atomic.Pointer[node], len(child.children)+1)
-			nc.children[0].Store(left.child(k + 1))
-			copy(nc.children[1:], child.children)
+			nl = inner(nl.items, tight(left.slots()[:k+1], false))
+			s := make([]atomic.Pointer[node], cc+2)
+			s[0].Store(left.child(k + 1))
+			copy(s[1:], child.slots())
+			nc = inner(nc.items, s)
 		}
-		c.children[i-1].Store(nl)
-		c.children[i].Store(nc)
-	case i < len(n.children)-1 && len(n.child(i+1).items) > minItems:
+		slots[i-1].Store(nl)
+		slots[i].Store(nc)
+	case i < n.count() && n.child(i+1).count() > minItems:
 		// borrow from right sibling
 		right := n.child(i + 1)
-		nc := &node{items: spliced(child.items, len(child.items), c.items[i], len(child.items)+1)}
-		nr := &node{items: tight(right.items[1:], false)}
-		c.items[i] = right.items[0]
+		rc := right.count()
+		nc := &node{items: child.spliced(make([]entry, 0, cc+1), 0, cc, cc, items[i])}
+		nr := &node{items: right.appendTo(make([]entry, 0, rc-1), 1, rc)}
+		items[i] = right.at(0)
 		if !right.leaf() {
-			nc.children = make([]atomic.Pointer[node], len(child.children)+1)
-			copy(nc.children, child.children)
-			nc.children[len(child.children)].Store(right.child(0))
-			nr.children = tight(right.children[1:], false)
+			s := make([]atomic.Pointer[node], cc+2)
+			copy(s, child.slots())
+			s[cc+1].Store(right.child(0))
+			nc = inner(nc.items, s)
+			nr = inner(nr.items, tight(right.slots()[1:], false))
 		}
-		c.children[i].Store(nc)
-		c.children[i+1].Store(nr)
+		slots[i].Store(nc)
+		slots[i+1].Store(nr)
 	default:
 		// merge with a sibling
-		if i == len(n.children)-1 {
+		if i == n.count() {
 			i--
 		}
-		c.children[i].Store(merged(n.child(i), n.items[i], n.child(i+1)))
-		c.items = slices.Delete(c.items, i, i+1)
-		c.children = slices.Delete(c.children, i+1, i+2)
+		slots[i].Store(merged(n.child(i), n.at(i), n.child(i+1)))
+		items = slices.Delete(items, i, i+1)
+		slots = slices.Delete(slots, i+1, i+2)
 	}
-	return c
+	return inner(items, slots)
 }
 
 // firstMatch returns the RowID of the first entry, in index order, whose key
@@ -552,18 +669,18 @@ func (t *BTree) firstMatch(key types.Row, match func(RowID) bool) RowID {
 // firstMatchUnder walks n from the first entry >= key; false means the walk
 // passed the last entry carrying key.
 func (t *BTree) firstMatchUnder(n *node, key types.Row, match func(RowID) bool) (RowID, bool) {
-	items := n.items
-	start, _ := t.search(items, Item{Key: key, RID: -1 << 62})
-	for i := start; i <= len(items); i++ {
+	k := n.count()
+	start, _ := t.search(n, Item{Key: key, RID: -1 << 62})
+	for i := start; i <= k; i++ {
 		if !n.leaf() {
 			if rid, more := t.firstMatchUnder(n.child(i), key, match); rid >= 0 || !more {
 				return rid, more
 			}
 		}
-		if i == len(items) {
+		if i == k {
 			break
 		}
-		e := items[i]
+		e := n.at(i)
 		if prefixCmp(t.key(e), key) != 0 {
 			return -1, false
 		}
@@ -598,20 +715,20 @@ func prefixCmp(key, bound types.Row) int {
 // ascend visits, in key order, the entries under n, from the first >= from
 // when bounded.
 func (t *BTree) ascend(n *node, from Item, bounded bool, fn func(Item) bool) bool {
-	items := n.items
+	k := n.count()
 	start := 0
 	if bounded {
-		start, _ = t.search(items, from)
+		start, _ = t.search(n, from)
 	}
-	for i := start; i <= len(items); i++ {
+	for i := start; i <= k; i++ {
 		if !n.leaf() {
 			b := bounded && i == start
 			if !t.ascend(n.child(i), from, b, fn) {
 				return false
 			}
 		}
-		if i < len(items) {
-			if !fn(items[i].item(t.width)) {
+		if i < k {
+			if !fn(n.at(i).item(t.width)) {
 				return false
 			}
 		}
@@ -622,15 +739,14 @@ func (t *BTree) ascend(n *node, from Item, bounded bool, fn func(Item) bool) boo
 // descend visits, in reverse key order, the entries under n whose key prefix
 // is at most hi; a nil hi starts at the last entry.
 func (t *BTree) descend(n *node, hi types.Row, fn func(Item) bool) bool {
-	items := n.items
-	// end is the number of leading items within the bound: every subtree left
-	// of items[end-1] is inside it, children[end] straddles it.
-	end := len(items)
+	// end is the number of leading entries within the bound: every subtree
+	// left of the entry at end-1 is inside it, the child at end straddles it.
+	end := n.count()
 	if hi != nil {
 		lo := 0
 		for lo < end {
 			mid := (lo + end) / 2
-			if prefixCmp(t.key(items[mid]), hi) > 0 {
+			if prefixCmp(t.key(n.at(mid)), hi) > 0 {
 				end = mid
 			} else {
 				lo = mid + 1
@@ -647,7 +763,7 @@ func (t *BTree) descend(n *node, hi types.Row, fn func(Item) bool) bool {
 				return false
 			}
 		}
-		if i > 0 && !fn(items[i-1].item(t.width)) {
+		if i > 0 && !fn(n.at(i-1).item(t.width)) {
 			return false
 		}
 	}

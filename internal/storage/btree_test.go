@@ -185,40 +185,33 @@ func TestBTreeMinMax(t *testing.T) {
 	}
 }
 
-// Property: a B-tree behaves like a sorted set under random insert/delete.
+// Property: a B-tree behaves like a sorted set under a random stream of
+// inserts and deletes. Each seed draws a key span, from under a leaf's worth
+// to a few leaves', and 600 ops over it, half of them deletes: a delete
+// leaves a hole in its leaf's array, inserts take the free slots past it
+// until the array is full and is compacted, and leaves split and merge. The
+// tree is compared with the model every 100 ops, and some insert of the run
+// must compact an array with holes.
 func TestBTreeMatchesReferenceModel(t *testing.T) {
-	f := func(ops []int16) bool {
+	compactions := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		span := int64(50 + rng.Intn(250))
 		bt := NewBTree(1)
 		ref := map[int64]bool{}
-		for _, op := range ops {
-			k := int64(op) % 50
-			if k < 0 {
-				k = -k
-			}
-			if op%2 == 0 {
+		for i := range 600 {
+			k := rng.Int63n(span)
+			if rng.Intn(2) == 0 {
+				if leafWrite(bt, intItem(k, RowID(k))) == "compaction" {
+					compactions++
+				}
 				bt.Insert(intItem(k, RowID(k)))
 				ref[k] = true
 			} else {
 				bt.Delete(intItem(k, RowID(k)))
 				delete(ref, k)
 			}
-		}
-		if bt.Len() != len(ref) {
-			return false
-		}
-		for k := range ref {
-			if len(bt.get(types.Row{types.NewInt(k)})) != 1 {
-				return false
-			}
-		}
-		// ordered iteration matches sorted reference keys
-		var keys []int64
-		bt.AscendRange(nil, nil, func(it Item) bool { keys = append(keys, it.Key[0].Int()); return true })
-		if len(keys) != len(ref) {
-			return false
-		}
-		for i := 1; i < len(keys); i++ {
-			if keys[i-1] >= keys[i] {
+			if i%100 == 99 && !agreesWithSet(bt, ref) {
 				return false
 			}
 		}
@@ -227,6 +220,57 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+	if compactions == 0 {
+		t.Error("no insert compacted a leaf array with holes")
+	}
+	t.Logf("%d compactions of an array with holes", compactions)
+}
+
+// agreesWithSet reports whether bt holds exactly the keys of ref, each with
+// its key as rid, in ascending order.
+func agreesWithSet(bt *BTree, ref map[int64]bool) bool {
+	if bt.Len() != len(ref) {
+		return false
+	}
+	for k := range ref {
+		if len(bt.get(types.Row{types.NewInt(k)})) != 1 {
+			return false
+		}
+	}
+	var keys []int64
+	bt.AscendRange(nil, nil, func(it Item) bool { keys = append(keys, it.Key[0].Int()); return true })
+	return len(keys) == len(ref) && slices.IsSorted(keys) && len(slices.Compact(keys)) == len(ref)
+}
+
+// leafWrite names the write an insert of it into bt is about to make to the
+// leaf whose interval holds it, unless a full node on the way splits first:
+// "present" when bt holds it, "split" when the leaf is full, "compaction" of
+// a full array with holes, "copy" of one without, "in place" when the entry
+// goes after the leaf's last and onto its order, "order" when it takes a new
+// order, and "tail" when it goes at the end of a sorted array.
+func leafWrite(bt *BTree, it Item) string {
+	n := bt.top.Load()
+	if bt.has(n, it) {
+		return "present"
+	}
+	for !n.leaf() {
+		i, _ := bt.search(n, it)
+		n = n.child(i)
+	}
+	i, _ := bt.search(n, it)
+	switch c := n.count(); {
+	case c >= btreeOrder:
+		return "split"
+	case len(n.items) == cap(n.items) && c < len(n.items):
+		return "compaction"
+	case len(n.items) == cap(n.items):
+		return "copy"
+	case n.order == nil && i == c:
+		return "tail"
+	case i == c:
+		return "in place"
+	}
+	return "order"
 }
 
 // Stress the rebalancing paths with a large interleaved workload.
@@ -302,7 +346,7 @@ func nodesOf(bt *BTree) []*node {
 	var walk func(n *node)
 	walk = func(n *node) {
 		out = append(out, n)
-		for i := range n.children {
+		for i := range n.slots() {
 			walk(n.child(i))
 		}
 	}
@@ -314,7 +358,7 @@ func nodesOf(bt *BTree) []*node {
 func lastLeaf(bt *BTree) *node {
 	n := bt.top.Load()
 	for !n.leaf() {
-		n = n.child(len(n.children) - 1)
+		n = n.child(n.count())
 	}
 	return n
 }
@@ -329,8 +373,11 @@ func lastLeaf(bt *BTree) *node {
 // grows by tail appends (the next even key) and middle inserts (odd keys)
 // until the root splits, and shrinks by deletes — which borrow, merge and
 // replace inner entries by a neighbour — until the root shrinks, with
-// re-inserts of present entries throughout. Under -race a write to a header
-// or an array slot a reader may read is reported.
+// re-inserts of present entries throughout. Its deletes leave holes in leaf
+// arrays, and its inserts must take every kind of leaf write: a new order, an
+// order appended in place, and a compaction of a full array with holes.
+// Under -race a write to a header, an array slot or an order byte a reader
+// may read is reported.
 func TestLiveWalksHoldEveryEntryPresentThroughout(t *testing.T) {
 	const keys = 8000
 	readers := []string{"ascend", "descend", "walk", "walk desc", "walk range", "walk range desc", "firstMatch", "get", "AppendMatches"}
@@ -342,10 +389,12 @@ func TestLiveWalksHoldEveryEntryPresentThroughout(t *testing.T) {
 	// throughout it. begun[k] is set before k's first Insert begins.
 	ver := make([]atomic.Int64, keys)
 	begun := make([]atomic.Bool, keys)
-	var present []int64 // the writer's: the keys in the tree, ascending
-	next := int64(0)    // the writer's: the next tail key
+	var present []int64        // the writer's: the keys in the tree, ascending
+	next := int64(0)           // the writer's: the next tail key
+	writes := map[string]int{} // the writer's: its inserts' leaf writes (leafWrite)
 	insert := func(k int64) {
 		begun[k].Store(true)
+		writes[leafWrite(bt, pairItem(k))]++
 		bt.Insert(pairItem(k))
 		if j, found := slices.BinarySearch(present, k); !found {
 			present = slices.Insert(present, j, k)
@@ -520,11 +569,11 @@ func TestLiveWalksHoldEveryEntryPresentThroughout(t *testing.T) {
 			// an entry of an inner node: of the top, or of one of its children
 			n := bt.top.Load()
 			if !n.leaf() && rng.Intn(2) == 0 {
-				if c := n.child(rng.Intn(len(n.children))); !c.leaf() {
+				if c := n.child(rng.Intn(n.count() + 1)); !c.leaf() {
 					n = c
 				}
 			}
-			del = n.items[rng.Intn(len(n.items))].row(2)[1].Int()
+			del = n.at(rng.Intn(n.count())).row(2)[1].Int()
 			back = del
 		default:
 			del = present[rng.Intn(len(present))]
@@ -560,7 +609,12 @@ func TestLiveWalksHoldEveryEntryPresentThroughout(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	t.Logf("%d ops, %d root splits, %d root shrinks, %d reads, largest key %d", ops, splits, shrinks, reads.Load(), next-2)
+	t.Logf("%d ops, %d root splits, %d root shrinks, %d reads, largest key %d; leaf writes of the inserts: %v", ops, splits, shrinks, reads.Load(), next-2, writes)
+	for _, w := range []string{"compaction", "in place", "order"} {
+		if writes[w] == 0 {
+			t.Errorf("no insert made a leaf write of kind %q", w)
+		}
+	}
 	var got []int64
 	bt.AscendRange(nil, nil, func(it Item) bool { got = append(got, it.Key[1].Int()); return true })
 	if !slices.Equal(got, present) || bt.Len() != len(present) {
@@ -573,7 +627,10 @@ func TestLiveWalksHoldEveryEntryPresentThroughout(t *testing.T) {
 // every op, through every reader. The stream is mostly tail appends (the next
 // even key), with middle inserts (odd keys), re-inserts of present entries
 // and deletes, and three bursts that delete the largest entry 70 times: more
-// entries than the rightmost leaf holds, so it empties and merges.
+// entries than the rightmost leaf holds, so it empties and merges. Deletes
+// leave holes that middle inserts write past until an array is full; the
+// stream must compact such an array, and write orders in place at a leaf's
+// end after a delete.
 func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 	const preload, ops, burst = 2000, 1800, 70
 	const keys = 2 * (preload + ops)
@@ -590,6 +647,8 @@ func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(54))
 	deep := false
+	writes := map[string]int{}
+	count := func(k int64) { writes[leafWrite(bt, pairItem(k))]++ }
 	for i := 0; i < ops; i++ {
 		var op string
 		var k int64
@@ -604,12 +663,14 @@ func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 		case r < 70:
 			k = next
 			op = fmt.Sprintf("tail insert %d", k)
+			count(k)
 			bt.Insert(pairItem(k))
 			model = append(model, k)
 			next += 2
 		case r < 80:
 			k = rng.Int63n(next) | 1
 			op = fmt.Sprintf("middle insert %d", k)
+			count(k)
 			bt.Insert(pairItem(k))
 			if j, found := slices.BinarySearch(model, k); !found {
 				model = slices.Insert(model, j, k)
@@ -638,6 +699,10 @@ func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 	}
 	if !deep {
 		t.Fatal("the stream never split the root")
+	}
+	t.Logf("leaf writes of the inserts: %v", writes)
+	if writes["compaction"] == 0 || writes["in place"] == 0 {
+		t.Fatal("the stream compacted no array with holes or appended to no order in place")
 	}
 }
 
@@ -715,14 +780,14 @@ func matchesModel(tv *TableView, bt *BTree, model []int64, probes []int64) error
 // node but the top holding from minItems-1 entries (a split's right half) to
 // btreeOrder+1 (a merge of two nodes of minItems, with the separator).
 func balanced(top, n *node, lvl, d int) error {
-	k := len(n.items)
+	k := n.count()
 	if n != top && (k < minItems-1 || k > btreeOrder+1) {
 		return fmt.Errorf("a node at level %d holds %d entries", lvl, k)
 	}
 	if n.leaf() != (lvl == d) {
 		return fmt.Errorf("a node at level %d of %d is leaf=%v", lvl, d, n.leaf())
 	}
-	for i := range n.children {
+	for i := range n.slots() {
 		if err := balanced(top, n.child(i), lvl+1, d); err != nil {
 			return err
 		}
@@ -866,18 +931,23 @@ func readLive(tv *TableView, bt *BTree, how string, evens int64) error {
 
 // TestIndexInsertAllocBudget: what one index write allocates. A write copies
 // only the nodes whose own arrays change and stores the copy into its
-// parent's slot, so at any depth: a tail append — a new largest entry, into
-// a rightmost leaf with room — stores one new leaf header over the same
-// array (1); a middle insert, the leaf's new header and array (2, where a
-// copy of every node on the path cost 4 in a depth-2 tree); an entry already
-// present nothing; and a delete that rebalances nothing the leaf's new
-// header and array (2; 5 with the path copied). A delete of a leaf's last
-// entry, and a split whose new entry goes after the full leaf's last, give
-// the new array room for a full leaf, so the appends after them cost 1. A
-// split of a full leaf costs the parent's header and its two arrays and
-// each half's header and array (7), wherever the entry goes and at any
-// depth: the half that takes it is built with it in, so no array is made
-// twice, and nothing above the parent is copied.
+// parent's slot, and a leaf's array only when it is full, so at any depth: a
+// tail append — a new largest entry, into a rightmost leaf with room — stores
+// one new leaf header over the same array (1); a middle insert writes its
+// entry into a free slot of the array and stores the leaf's new header with
+// its order, one object (1), or, into a full array, the header and the copy
+// (2; 4 with every node on the path copied in a depth-2 tree, and 2 for
+// every middle insert before leaves kept orders); an entry already present
+// nothing; and a delete that rebalances nothing the leaf's new header with
+// an order one byte shorter, over the same array (1; 2 when it copied the
+// array, 5 with the path copied too).
+// After a delete of a leaf's last entry the appends write past the hole and
+// onto the delete's order in place, and a split whose new entry goes after
+// the full leaf's last gives the new array room for a full leaf, so the
+// appends after either cost 1. A split of a full leaf costs the parent's
+// header and its two arrays and each half's header and array (7), wherever
+// the entry goes and at any depth: the half that takes it is built with it
+// in, so no array is made twice, and nothing above the parent is copied.
 func TestIndexInsertAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -937,13 +1007,13 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 			for !leaf.leaf() {
 				leaf = leaf.child(0)
 			}
-			if depth(bt.top.Load()) != d || len(leaf.items) != btreeOrder || leaf.items[btreeOrder-1].row(1)[0].Int() != 63 {
-				t.Fatalf("fixture: depth %d, the first leaf holds %d entries", depth(bt.top.Load()), len(leaf.items))
+			if depth(bt.top.Load()) != d || leaf.count() != btreeOrder || leaf.at(btreeOrder - 1).row(1)[0].Int() != 63 {
+				t.Fatalf("fixture: depth %d, the first leaf holds %d entries", depth(bt.top.Load()), leaf.count())
 			}
 			name := fmt.Sprintf("split of a middle leaf at depth %d, the entry after %d", d, key)
 			check(name, allocs([]Item{intItem(0, 0), intItem(key, RowID(n+key))}, bt.Insert), 7) // the warm-up entry is present
 			p := bt.top.Load()
-			for p.child(0).children != nil {
+			for !p.child(0).leaf() {
 				p = p.child(0)
 			}
 			half, want := p.child(0), btreeOrder/2+1
@@ -963,19 +1033,21 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 	}
 	first := bt.top.Load().child(0)
 	check("tail append at depth 2", allocs(items(two, 2, 11), bt.Insert), 1)
-	check("middle insert at depth 2", allocs(items(1, 2, 11), bt.Insert), 2) // odd keys 1, 3, …: inside the first leaf, never its last entry
+	// Odd keys 1, 3, …: inside the first leaf, never its last entry. The
+	// warm-up copies its full array (2); the counted ones write new orders.
+	check("middle insert at depth 2", allocs(items(1, 2, 11), bt.Insert), 1)
 	check("present", allocs(items(500, 0, 11), bt.Insert), 0)
-	if d := depth(bt.top.Load()); d != 2 || len(bt.top.Load().child(0).items) != len(first.items)+11 {
+	if d := depth(bt.top.Load()); d != 2 || bt.top.Load().child(0).count() != first.count()+11 {
 		t.Fatalf("the inserts left the fixture: depth %d", d)
 	}
 	// The rightmost leaf holds 43 entries; none of 11 deletes tops it up.
-	if tail := lastLeaf(bt).items; len(tail)-10 <= minItems {
-		t.Fatalf("fixture: tail %d", len(tail))
+	if tail := lastLeaf(bt).count(); tail-10 <= minItems {
+		t.Fatalf("fixture: tail %d", tail)
 	}
-	check("delete of the largest", allocs(items(two+20, -2, 11), func(it Item) { bt.Delete(it) }), 2)
-	// The warm-up call deletes the largest entry, 998; the counted ones
-	// append twice into the leaf's copy that the delete made, which has room
-	// (the slot the deleted entry left would take only the first).
+	check("delete of the largest", allocs(items(two+20, -2, 11), func(it Item) { bt.Delete(it) }), 1)
+	// The warm-up call deletes the largest entry, 998, which leaves a hole in
+	// the array and a new order; the counted ones append twice past the hole
+	// and onto that order, each in place.
 	deleted := false
 	check("appends after a delete", allocs(items(two-2, 2, 3), func(it Item) {
 		if !deleted {
@@ -993,9 +1065,9 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 		t.Fatalf("fixture: depth %d, tail %d/%d", depth(bt.top.Load()), len(lastLeaf(bt).items), cap(lastLeaf(bt).items))
 	}
 	check("tail append at depth 3", allocs(items(three, 2, 11), bt.Insert), 1)
-	check("middle insert at depth 3", allocs(items(1, 2, 11), bt.Insert), 2)
+	check("middle insert at depth 3", allocs(items(1, 2, 11), bt.Insert), 1)
 	next := int64(three + 22)
-	for len(lastLeaf(bt).items) < btreeOrder {
+	for lastLeaf(bt).count() < btreeOrder {
 		bt.Insert(intItem(next, RowID(next)))
 		next += 2
 	}
@@ -1016,20 +1088,21 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 	// entry in place in its array, which has room. Nothing above the parent
 	// is copied (9 when the top and its children array were).
 	next += 4
-	for len(lastLeaf(bt).items) < btreeOrder-1 {
+	for lastLeaf(bt).count() < btreeOrder-1 {
 		bt.Insert(intItem(next, RowID(next)))
 		next += 2
 	}
 	check("split of the rightmost leaf", allocs(items(next, 2, 2), bt.Insert), 7) // the warm-up fills the leaf
-	if d := depth(bt.top.Load()); d != 3 || len(lastLeaf(bt).items) != btreeOrder/2 {
-		t.Fatalf("the split left the fixture: depth %d, tail %d", d, len(lastLeaf(bt).items))
+	if d := depth(bt.top.Load()); d != 3 || lastLeaf(bt).count() != btreeOrder/2 {
+		t.Fatalf("the split left the fixture: depth %d, tail %d", d, lastLeaf(bt).count())
 	}
 	splits(three, 3)
 }
 
 // BenchmarkIndexInsert: one index insert, ascending keys (every one a tail
 // append: a new leaf header, and the split's arrays once per 32 appends) and
-// random keys. Each op also builds its key, one object of
+// random keys (mostly a new header and order, and a leaf's copy or split
+// when its array is full). Each op also builds its key, one object of
 // allocs/op.
 func BenchmarkIndexInsert(b *testing.B) {
 	for _, order := range []string{"ascending", "random"} {
@@ -1043,6 +1116,39 @@ func BenchmarkIndexInsert(b *testing.B) {
 					k = rng.Int63()
 				}
 				bt.Insert(intItem(k, RowID(i)))
+			}
+		})
+	}
+}
+
+// BenchmarkIndexSeek: one point probe (firstMatch) of a present key, drawn
+// at random, in a tree of 100 000 entries, built bottom-up (sorted leaf
+// arrays) or inserted in random order (leaves that read through an order).
+func BenchmarkIndexSeek(b *testing.B) {
+	const n = 100000
+	rng := rand.New(rand.NewSource(1))
+	keys := rng.Perm(n)
+	its := make([]Item, n)
+	for i := range its {
+		its[i] = intItem(int64(i), RowID(i))
+	}
+	for _, how := range []string{"built", "inserted"} {
+		b.Run(how, func(b *testing.B) {
+			bt := NewBTree(1)
+			if how == "built" {
+				bt.build(entriesFrom(its))
+			} else {
+				for _, k := range keys {
+					bt.Insert(its[k])
+				}
+			}
+			always := func(RowID) bool { return true }
+			b.ResetTimer()
+			for i := range b.N {
+				k := keys[i%n]
+				if bt.firstMatch(its[k].Key, always) != RowID(k) {
+					b.Fatalf("key %d not found", k)
+				}
 			}
 		})
 	}

@@ -221,16 +221,27 @@ func prefixAgrees(tv *TableView, bt *BTree, cols []int, model []Item, prefix typ
 	return nil
 }
 
-// TestMiddleInsertByteBudget: the bytes a middle insert into a depth-2 tree
-// of 48-entry leaves allocates — the leaf's new array of 49 entries, 784
-// bytes in an 896-byte size class (1 568 in a 1 792-byte class when an entry
-// was an Item), and the leaf's header, 48: 944, stored into the top's slot.
-// Nothing above the leaf is copied (a new top and its children array cost
-// 1 480 in all). Each counted insert goes into another leaf, one key in from
-// its first, and none into the rightmost leaf.
+// TestMiddleInsertByteBudget: the bytes one leaf write allocates in a
+// depth-2 tree of built 48-entry leaves, whose node headers are 48 bytes.
+// Each counted write goes into another leaf, one key in from its first, and
+// none into the rightmost leaf; nothing above the leaf is copied (a new top
+// and its children array cost 1 480 in all).
+//   - The first middle insert into a leaf finds its array full and copies it:
+//     49 entries, 784 bytes in an 896-byte size class whose room the copy
+//     keeps, 55 slots past the class's 8-byte malloc header (1 568 in a
+//     1 792-byte class when an entry was an Item), and the header: 944.
+//   - The second goes into a slot of that room and publishes the header
+//     with a new 64-byte order, one 112-byte object (the parent copied the
+//     896-byte array again, 944).
+//   - A delete publishes the header with an order one byte shorter, over the
+//     same array: 112 (the parent copied the array's 49 other entries,
+//     944).
 func TestMiddleInsertByteBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
+	}
+	if size := unsafe.Sizeof(node{}); size != 48 || unsafe.Sizeof(orderedLeaf{}) != 48+btreeOrder {
+		t.Fatalf("a node header is %d bytes and one with its order %d, want 48 and %d", size, unsafe.Sizeof(orderedLeaf{}), 48+btreeOrder)
 	}
 	const leaves = 41
 	its := make([]Item, leaves*buildFill+leaves-1) // the leaves and the entries between them
@@ -240,29 +251,51 @@ func TestMiddleInsertByteBudget(t *testing.T) {
 	bt := NewBTree(1)
 	bt.build(entriesFrom(its))
 	top := bt.top.Load()
-	if depth(top) != 2 || len(top.children) != leaves {
-		t.Fatalf("fixture: depth %d, %d leaves", depth(top), len(top.children))
+	if depth(top) != 2 || len(top.slots()) != leaves {
+		t.Fatalf("fixture: depth %d, %d leaves", depth(top), len(top.slots()))
 	}
-	var probes []Item
-	for i := range leaves - 1 {
-		leaf := top.child(i)
-		if len(leaf.items) != buildFill {
-			t.Fatalf("fixture: a leaf of %d entries", len(leaf.items))
+	// probes returns, for each leaf but the rightmost, the entry whose key is
+	// its first's plus off.
+	probes := func(off int64) []Item {
+		var out []Item
+		for i := range leaves - 1 {
+			leaf := top.child(i)
+			if leaf.count() != buildFill {
+				t.Fatalf("fixture: a leaf of %d entries", leaf.count())
+			}
+			k := leaf.at(0).row(1)[0].Int() + off
+			out = append(out, intItem(k, RowID(k)))
 		}
-		k := leaf.items[0].row(1)[0].Int() + 1
-		probes = append(probes, intItem(k, RowID(k)))
+		return out
 	}
+	first, second := probes(1), probes(3)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, it := range probes {
-		bt.Insert(it)
+	// check reports what op allocates per item of its against ceiling.
+	check := func(name string, its []Item, op func(Item), ceiling uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, it := range its {
+			op(it)
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(its))
+		t.Logf("%s: %.0f bytes (ceiling %d)", name, per, ceiling)
+		if per > float64(ceiling) {
+			t.Errorf("%s: %.0f bytes, want at most %d", name, per, ceiling)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(probes))
-	const ceiling = 896 + 48
-	t.Logf("middle insert into a 48-entry leaf: %.0f bytes (ceiling %d: the leaf's array and header)", per, ceiling)
-	if per > ceiling {
-		t.Errorf("middle insert into a 48-entry leaf: %.0f bytes, want at most %d", per, ceiling)
+	check("middle insert into a full 48-entry leaf", first, bt.Insert, 896+48)
+	for i := range leaves - 1 {
+		if leaf := bt.top.Load().child(i); len(leaf.items) != buildFill+1 || cap(leaf.items) <= buildFill+1 || leaf.order != nil {
+			t.Fatalf("the first insert left a leaf of %d entries in %d slots (order %v), want 49 sorted, with room", len(leaf.items), cap(leaf.items), leaf.order != nil)
+		}
+	}
+	check("middle insert into a leaf with room", second, bt.Insert, 48+btreeOrder)
+	check("delete from a leaf", first, func(it Item) { bt.Delete(it) }, 48+btreeOrder)
+	for i := range leaves - 1 {
+		if leaf := bt.top.Load().child(i); leaf.count() != buildFill+1 || len(leaf.items) != buildFill+2 {
+			t.Fatalf("the writes left a leaf of %d entries in %d slots, want %d in %d", leaf.count(), len(leaf.items), buildFill+1, buildFill+2)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func builtShape(bt *BTree) error {
 	top := bt.top.Load()
 	last := top
 	for !last.leaf() {
-		last = last.child(len(last.children) - 1)
+		last = last.child(last.count())
 	}
 	if cap(last.items) != btreeOrder {
 		return fmt.Errorf("the rightmost leaf holds %d entries in room for %d, want room for %d", len(last.items), cap(last.items), btreeOrder)
@@ -34,19 +34,16 @@ func builtShape(bt *BTree) error {
 	}
 	var walk func(n *node) error
 	walk = func(n *node) error {
-		if k := len(n.items); n != top && (k < minItems || k > buildFill) {
+		if k := n.count(); n != top && (k < minItems || k > buildFill) {
 			return fmt.Errorf("a node below the top holds %d entries", k)
 		}
 		if n != last && cap(n.items) != len(n.items) {
 			return fmt.Errorf("a node holds %d entries in room for %d", len(n.items), cap(n.items))
 		}
-		if n.leaf() {
-			return nil
+		if n.order != nil {
+			return fmt.Errorf("a built node of %d entries has an order", n.count())
 		}
-		if len(n.children) != len(n.items)+1 || cap(n.children) != len(n.children) {
-			return fmt.Errorf("a node of %d entries has %d children in room for %d", len(n.items), len(n.children), cap(n.children))
-		}
-		for i := range n.children {
+		for i := range n.slots() {
 			if err := walk(n.child(i)); err != nil {
 				return err
 			}
@@ -343,7 +340,7 @@ func TestFillAllocBudget(t *testing.T) {
 		var count func(n *node)
 		count = func(n *node) {
 			nodes++
-			for i := range n.children {
+			for i := range n.slots() {
 				count(n.child(i))
 			}
 		}
@@ -357,10 +354,10 @@ func TestFillAllocBudget(t *testing.T) {
 		t.Errorf("fill of %d rows: %.0f objects, want at most %.0f", n, got, budget)
 	}
 
-	// A built leaf has room: a middle insert into it copies the leaf, as one
-	// into any leaf with room does (its header and array, 2 objects,
-	// TestIndexInsertAllocBudget), and splits nothing. Each counted insert
-	// goes into another leaf, one key in from its first.
+	// A built leaf's array has no room: a middle insert into it copies the
+	// array, into the room its size class gives, and stores a new header (2
+	// objects, TestIndexInsertAllocBudget), and splits nothing. Each counted
+	// insert goes into another leaf, one key in from its first.
 	const two = 2000 // even keys: 2000 entries, a root over built leaves
 	bt := NewBTree(1)
 	built := make([]Item, two)
@@ -373,7 +370,7 @@ func TestFillAllocBudget(t *testing.T) {
 	}
 	var firsts []Item
 	for i := range 11 {
-		k := bt.top.Load().child(i).items[0].row(1)[0].Int() + 1
+		k := bt.top.Load().child(i).at(0).row(1)[0].Int() + 1
 		firsts = append(firsts, intItem(k, RowID(k)))
 	}
 	middle := testing.AllocsPerRun(len(firsts)-1, func() {

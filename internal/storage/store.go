@@ -395,10 +395,18 @@ type Txn struct {
 	asOfLSN LSN   // read transactions: WAL end consistent with snap
 	// undo is a write's one log of its changes, in the order made: commit
 	// stamps its versions and builds the redo record from it, abort unwinds
-	// it. It and latched start in a writeTxn's buffers.
+	// it. It and latched start in a writeTxn's buffers, and commit and abort
+	// empty both (forget), so a Txn kept for the next write (BeginWrite)
+	// holds no version and no table.
 	undo    []undoRec
 	latched []*TableData // latches held, released at commit/abort
 }
+
+// keptChanges bounds the change and latch arrays a finished write keeps for
+// the next one in the same Txn (BeginWrite), as exec.KeepRows bounds a
+// recycled answer: a longer one — a seed's fill — goes with the write that
+// grew it.
+const keptChanges = 128
 
 // writeTxn is how Begin allocates a write transaction: with room for its
 // first few changes and latches in the same object. A read transaction has
@@ -436,13 +444,25 @@ func (u *undoRec) redo() ChangeRec {
 // access.
 func (s *Store) Begin(write bool) *Txn {
 	if write {
-		w := &writeTxn{Txn: Txn{s: s, id: s.nextTx.Add(1), write: true}}
+		w := new(writeTxn)
 		w.Txn.undo, w.Txn.latched = w.undo[:0], w.latched[:0]
+		s.BeginWrite(&w.Txn)
 		return &w.Txn
 	}
 	t := new(Txn)
 	s.BeginRead(t)
 	return t
+}
+
+// BeginWrite opens a write transaction in t, overwriting it: the one way a
+// write begins, for a Txn of Begin's or one its holder keeps between writes
+// (a subscriber's apply), whose change and latch arrays it reuses. t must
+// not be live — its latches would leak.
+func (s *Store) BeginWrite(t *Txn) {
+	if t.Live() {
+		panic("storage: BeginWrite on a live transaction")
+	}
+	*t = Txn{s: s, id: s.nextTx.Add(1), write: true, undo: t.undo[:0], latched: t.latched[:0]}
 }
 
 // BeginRead opens a read transaction in t, overwriting it: the one way a read
@@ -742,7 +762,8 @@ func (t *Txn) commit(logged bool, ddl string) (LSN, error) {
 		return 0, nil
 	}
 	var lsn LSN
-	if len(t.undo) > 0 || ddl != "" {
+	changed := len(t.undo) > 0
+	if changed || ddl != "" {
 		// The redo record is built only for the log, and exactly sized.
 		var redo []ChangeRec
 		if logged && ddl == "" {
@@ -779,7 +800,7 @@ func (t *Txn) commit(logged bool, ddl string) (LSN, error) {
 			}
 		}
 	}
-	t.s.releaseLatches(t.id, t.latched)
+	t.forget()
 	if lsn > 0 && t.s.durable != nil {
 		// Group commit: visibility is already published and the latches
 		// are gone, so concurrent committers pile onto the same pending
@@ -789,10 +810,26 @@ func (t *Txn) commit(logged bool, ddl string) (LSN, error) {
 		}
 		t.s.maybeCheckpoint()
 	}
-	if t.write && len(t.undo) > 0 {
+	if changed {
 		t.s.maybeGC()
 	}
 	return lsn, nil
+}
+
+// forget ends a write once its changes are stamped or unwound: it releases
+// its latches and empties its change and latch arrays, clearing them so
+// that they pin nothing, and drops either past keptChanges.
+func (t *Txn) forget() {
+	t.s.releaseLatches(t.id, t.latched)
+	clear(t.undo)
+	clear(t.latched)
+	t.undo, t.latched = t.undo[:0], t.latched[:0]
+	if cap(t.undo) > keptChanges {
+		t.undo = nil
+	}
+	if cap(t.latched) > keptChanges {
+		t.latched = nil
+	}
 }
 
 // Abort rolls back all changes made by the transaction: created versions are
@@ -825,7 +862,7 @@ func (t *Txn) Abort() {
 			u.table.removeEntriesFor(u.v.row, u.rid, u.old.row)
 		}
 	}
-	t.s.releaseLatches(t.id, t.latched)
+	t.forget()
 }
 
 // --- durability -------------------------------------------------------------

@@ -653,23 +653,24 @@ func (iv *IndexView) AppendMatches(dst []types.Row, prefix types.Row) []types.Ro
 // prefix; false means the walk passed the last entry carrying the prefix.
 func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) ([]types.Row, bool) {
 	t := iv.id.tree
-	items := n.items
-	start, _ := t.search(items, Item{Key: prefix, RID: -1 << 62})
-	for i := start; i <= len(items); i++ {
+	k := n.count()
+	start, _ := t.search(n, Item{Key: prefix, RID: -1 << 62})
+	for i := start; i <= k; i++ {
 		if !n.leaf() {
 			var more bool
 			if dst, more = iv.appendMatches(n.child(i), dst, prefix); !more {
 				return dst, false
 			}
 		}
-		if i == len(items) {
+		if i == k {
 			break
 		}
-		key := t.key(items[i])
+		e := n.at(i)
+		key := t.key(e)
 		if len(key) < len(prefix) || types.CompareRows(key[:len(prefix)], prefix) != 0 {
 			return dst, false
 		}
-		if row := iv.tv.Get(items[i].rid); row != nil && keyEquals(row, iv.id.meta.Columns, key) {
+		if row := iv.tv.Get(e.rid); row != nil && keyEquals(row, iv.id.meta.Columns, key) {
 			dst = append(dst, row)
 		}
 	}

@@ -282,3 +282,73 @@ func TestInsertCommitAllocBudget(t *testing.T) {
 		t.Errorf("%.0f allocs per one-record truncation of a long log, want 0", truncs)
 	}
 }
+
+// TestKeptWriteTxnPinsNothing: a Txn kept between writes (BeginWrite, as a
+// subscriber keeps its apply transaction) holds no change — so no version —
+// and no table once a write in it commits or aborts, reuses its arrays for
+// the next write, and lets go of a change array a large write grew past
+// keptChanges.
+func TestKeptWriteTxnPinsNothing(t *testing.T) {
+	s := newCustStore(t)
+	var tx Txn
+	// write inserts rows from id on, updates the first and deletes the
+	// second, and commits or aborts.
+	write := func(id, rows int, commit bool) {
+		t.Helper()
+		s.BeginWrite(&tx)
+		for i := id; i < id+rows; i++ {
+			if _, err := tx.Insert("customer", types.Row{types.NewInt(int64(i)), types.NewString("c")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tv := view(&tx, "customer")
+		if err := tx.Update("customer", tv.PKLookup(types.Row{types.NewInt(int64(id))}), types.Row{types.NewInt(int64(id)), types.NewString("d")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Delete("customer", tv.PKLookup(types.Row{types.NewInt(int64(id + 1))})); err != nil {
+			t.Fatal(err)
+		}
+		if !commit {
+			tx.Abort()
+		} else if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// kept reports what the kept Txn still holds, in every slot of its arrays.
+	kept := func(when string) {
+		t.Helper()
+		for i, u := range tx.undo[:cap(tx.undo)] {
+			if u != (undoRec{}) {
+				t.Errorf("%s: change slot %d holds a change (version %p, old %p)", when, i, u.v, u.old)
+			}
+		}
+		for i, td := range tx.latched[:cap(tx.latched)] {
+			if td != nil {
+				t.Errorf("%s: latch slot %d holds table %s", when, i, td.meta.Name)
+			}
+		}
+		if tx.Live() {
+			t.Errorf("%s: the kept Txn is live", when)
+		}
+	}
+	write(0, 20, true)
+	kept("after a commit")
+	changes := &tx.undo[:1][0]
+	write(100, 20, false)
+	kept("after an abort")
+	if &tx.undo[:1][0] != changes {
+		t.Error("the next write did not reuse the kept change array")
+	}
+	write(200, 2*keptChanges, true)
+	kept("after a large commit")
+	if cap(tx.undo) != 0 {
+		t.Errorf("a write of %d changes left a change array of %d slots, want none past %d", 2*keptChanges+2, cap(tx.undo), keptChanges)
+	}
+	r := s.Begin(false)
+	defer r.Abort()
+	for id, want := range map[int]bool{5: true, 105: false, 205: true} {
+		if got := view(r, "customer").PKLookup(types.Row{types.NewInt(int64(id))}) >= 0; got != want {
+			t.Errorf("row %d visible %v, want %v", id, got, want)
+		}
+	}
+}
