@@ -2,6 +2,7 @@ package exec
 
 import (
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"mtcache/internal/types"
@@ -38,21 +39,63 @@ type Answer struct {
 // Reserve returns a's arrays for an answer of rows rows, vals values and
 // strBytes bytes of strings: row headers and values of those lengths, their
 // elements stale, and the string bytes emptied with room for strBytes. Each
-// is a's when it is long enough and a new one, a's from now on, when not —
-// exactly as long, so an answer decoded with no storage to reuse allocates
-// no more than it needs. The value array is never nil, so a row cut from it
-// is not either, even one with no values.
+// is a's when it is long enough and a new one, a's from now on, when not.
+// The first answer decoded into a gets arrays exactly as long as it needs,
+// whatever row headers a server's execution left in a (Hold), so a Result
+// its caller keeps costs only its answer. Once a has held a decoded answer,
+// a replacement is as long as the longest answer recycled storage has held
+// (the high-water marks), so a reaches its working size in one step rather
+// than one answer size at a time. An answer longer than KeepRows, KeepVals
+// or KeepStrs gets an exact array of that kind and leaves the mark where it
+// is. The value array is never nil, so a row cut from it is not either, even
+// one with no values.
 func (a *Answer) Reserve(rows, vals, strBytes int) ([]types.Row, []types.Value, []byte) {
-	if int(a.nrows) < rows {
-		a.rows, a.nrows = unsafe.SliceData(make([]types.Row, rows)), uint32(rows)
+	first := a.vals == nil // only Reserve sets it
+	if n, ok := rowMark.size(rows, int(a.nrows), first); ok {
+		a.rows, a.nrows = unsafe.SliceData(make([]types.Row, n)), uint32(n)
 	}
-	if a.vals == nil || int(a.nvals) < vals {
-		a.vals, a.nvals = unsafe.SliceData(make([]types.Value, vals)), uint32(vals)
+	if n, ok := valMark.size(vals, int(a.nvals), first); ok || first {
+		a.vals, a.nvals = unsafe.SliceData(make([]types.Value, n)), uint32(n)
 	}
-	if int(a.nstrs) < strBytes {
-		a.strs, a.nstrs = unsafe.SliceData(make([]byte, strBytes)), uint32(strBytes)
+	if n, ok := strMark.size(strBytes, int(a.nstrs), first); ok {
+		a.strs, a.nstrs = unsafe.SliceData(make([]byte, n)), uint32(n)
 	}
 	return unsafe.Slice(a.rows, a.nrows)[:rows], unsafe.Slice(a.vals, a.nvals)[:vals], unsafe.Slice(a.strs, a.nstrs)[:0]
+}
+
+// highWater is the high-water mark of one kind of recycled answer array: the
+// longest answer, within bound, that any Answer has held, process-wide.
+type highWater struct {
+	mark  atomic.Uint32
+	bound int
+}
+
+var (
+	rowMark = highWater{bound: KeepRows}
+	valMark = highWater{bound: KeepVals}
+	strMark = highWater{bound: KeepStrs}
+)
+
+// size raises the mark to need, an answer's length, unless need is past the
+// bound, and reports whether an array of have elements is too short for it
+// and, if so, how long its replacement is: need when it is past the bound or
+// the answer is the Answer's first (first), else the larger of need and the
+// mark.
+func (h *highWater) size(need, have int, first bool) (int, bool) {
+	if need > h.bound {
+		return need, have < need
+	}
+	m := h.mark.Load()
+	for uint32(need) > m && !h.mark.CompareAndSwap(m, uint32(need)) {
+		m = h.mark.Load()
+	}
+	if have >= need {
+		return 0, false
+	}
+	if first {
+		return need, true
+	}
+	return max(need, int(m)), true
 }
 
 // Rows returns the row headers a holds, emptied, for runPlan to fill.

@@ -445,3 +445,51 @@ func requirePinsNothing(t testing.TB, label string, tmpl Operator, inst *Instanc
 		})
 	})
 }
+
+// TestTopRowsBuildNoHeadersPastN: a warm instance of TOP 50 … ORDER BY over
+// 100 rows, run the way a plan answering a statement is — into the row slice
+// its Result kept, sized to the estimate (50), its values carved from the
+// Result's slab — makes nothing: Limit reads the input's 64-row batch into a
+// window of its own and copies the 50 headers it owes into the result's. It
+// made a row-header array every run while the projection under it appended
+// the whole batch into the result's window, which Limit then cut to 50.
+func TestTopRowsBuildNoHeadersPastN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	s := newTestStore(t, 100)
+	tx := s.Begin(false)
+	defer tx.Abort()
+	tmpl := &Limit{
+		Input: &Project{
+			Input: &Sort{Input: &Scan{TableName: "nums", Cols: numsCols()}, Keys: []SortKey{{E: &ColExpr{I: 0}, Desc: true}}},
+			Exprs: colsExprs(1, 0), Cols: numsCols(),
+		},
+		N: &ConstExpr{V: types.NewInt(50)},
+	}
+	Prepare(tmpl)
+	var pool Instances
+	var slab Slab
+	kept := make([]types.Row, 0, 50) // the row slice a Result keeps
+	exec := func() {
+		inst := pool.Take()
+		if inst == nil {
+			inst = &Instance{Root: CloneOperator(tmpl)}
+		}
+		inst.Ctx.Txn, inst.Ctx.EstRows, inst.Ctx.Slab = tx, 50, &slab
+		rs := ResultSet{Rows: kept}
+		if err := Run(inst.Root, &inst.Ctx, &rs); err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Rows) != 50 || rs.Rows[0][1].Int() != 99 || rs.Rows[49][1].Int() != 50 {
+			t.Fatalf("%d rows, from %v to %v", len(rs.Rows), rs.Rows[0], rs.Rows[len(rs.Rows)-1])
+		}
+		pool.Release(inst)
+		clear(rs.Rows)
+		slab.Reset()
+	}
+	exec()
+	if allocs := testing.AllocsPerRun(50, exec); allocs != 0 {
+		t.Errorf("a warm TOP 50 over 100 sorted rows allocates %v times per execution, want 0", allocs)
+	}
+}

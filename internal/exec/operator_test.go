@@ -276,7 +276,7 @@ var resetKeeps = map[string]bool{
 	"Scan.rhs":       true,
 	"IndexScan.rids": true, "IndexScan.lo": true, "IndexScan.hi": true, "IndexScan.rhs": true,
 	"Filter.in": true, "Filter.rhs": true,
-	"Project.in": true, "Project.arena": true, "Project.cols": true,
+	"Project.in": true, "Project.arena": true, "Project.cols": true, "Limit.in": true,
 	"Sort.in": true, "Sort.all": true, "Sort.order": true, "Sort.rows": true,
 	"TopN.in": true, "TopN.heap": true, "TopN.rows": true,
 	"HashJoin.table": true, "HashJoin.build": true, "HashJoin.in": true, "HashJoin.keyBuf": true,

@@ -708,6 +708,7 @@ type Limit struct {
 	Input Operator
 	N     Expr
 
+	in   Batch // input scratch: the input's batch, of which b gets the rows owed
 	left int64
 }
 
@@ -715,7 +716,7 @@ func (l *Limit) Columns() []ColInfo    { return l.Input.Columns() }
 func (l *Limit) Child(i int) *Operator { return slot(i, &l.Input) }
 func (l *Limit) clone() Operator       { return &Limit{Input: l.Input, N: l.N} }
 func (l *Limit) passesRows() bool      { return true }
-func (l *Limit) reset(bool) int        { l.left = 0; return 0 }
+func (l *Limit) reset(bool) int        { l.left = 0; return l.in.reset() }
 
 func (l *Limit) Open(ctx *Ctx) error {
 	v, err := l.N.Eval(nil, &ctx.Env)
@@ -726,19 +727,25 @@ func (l *Limit) Open(ctx *Ctx) error {
 	return l.Input.Open(ctx)
 }
 
-// BatchNext truncates the child batch to the rows still owed.
+// BatchNext reads the input's next batch into its own window and copies the
+// headers of the rows still owed into b: the rows past them, which a batch
+// of the input may hold, never take room in b, so a window the caller sized
+// for N rows (Run's, from the estimate) is never outgrown by them.
 func (l *Limit) BatchNext(ctx *Ctx, b *Batch) error {
+	b.Rows = b.Rows[:0]
 	if l.left <= 0 {
-		b.Rows = b.Rows[:0]
 		return nil
 	}
-	if err := l.Input.BatchNext(ctx, b); err != nil {
+	l.in.Ephemeral = b.Ephemeral // pass-through rows: caller's promise extends
+	if err := l.Input.BatchNext(ctx, &l.in); err != nil {
 		return err
 	}
-	if int64(len(b.Rows)) > l.left {
-		b.Rows = b.Rows[:l.left]
+	rows := l.in.Rows
+	if int64(len(rows)) > l.left {
+		rows = rows[:l.left]
 	}
-	l.left -= int64(len(b.Rows))
+	b.Rows = append(b.Rows, rows...)
+	l.left -= int64(len(rows))
 	return nil
 }
 

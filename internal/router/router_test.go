@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mtcache/internal/core"
+	"mtcache/internal/engine"
 	"mtcache/internal/exec"
 	"mtcache/internal/metrics"
 	"mtcache/internal/types"
@@ -422,6 +424,57 @@ func TestRoutedStringReadMakesNoStringArray(t *testing.T) {
 		if objects > c.objects || bytes > 400 {
 			t.Errorf("routed string read %s: %.0f allocs, %.0f bytes; ceilings %.0f and 400", c.name, objects, bytes, c.objects)
 		}
+	}
+}
+
+// TestFreshResultRegrowsOnce: a Result the router has just made (the pool
+// had none) gets arrays exactly as long as its first answer, a one-row read
+// the cache answers; recycled for every read after it, as Release recycles
+// its storage, it then answers TOP n reads the cache answers, n = 5, 10, …,
+// 50, each longer than the one before. Its row headers and its values are
+// replaced at most once each: by arrays as long as the longest answer
+// recycled storage has held, which a 50-row read on another Result has
+// shown. Every answer regrew both, to its exact length, when a replacement
+// was exactly as long as the answer that needed it: ten times each here.
+func TestFreshResultRegrowsOnce(t *testing.T) {
+	f := newFleet(t, 1, 0)
+	f.caches[0].DB.SetIMCacheEnabled(false)
+	s := f.router(t, metrics.NewRegistry()).Session()
+	var tops [10]string
+	for i := range tops {
+		tops[i] = fmt.Sprintf("SELECT TOP %d id, v FROM kv ORDER BY id DESC", 5*(i+1))
+	}
+	for _, text := range tops { // warm every plan; the last answer is the longest
+		res, err := s.Exec(text, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+
+	res := new(engine.Result)
+	answer := func(text string, rows int) { // every answer's first row is id 64
+		t.Helper()
+		res.Store.Reset()
+		if err := s.route(text, nil, res); err != nil || len(res.Rows) != rows || res.Rows[0][0].Int() != 64 {
+			t.Fatalf("%s: %v, %v", text, res.Rows, err)
+		}
+	}
+	answer("SELECT id, v FROM kv WHERE id = 64", 1)
+	rowArray, valArray := unsafe.SliceData(res.Rows), unsafe.SliceData(res.Rows[0])
+	var rowRegrowths, valRegrowths int
+	for i, text := range tops {
+		answer(text, 5*(i+1))
+		if a := unsafe.SliceData(res.Rows); a != rowArray {
+			rowArray, rowRegrowths = a, rowRegrowths+1
+		}
+		if a := unsafe.SliceData(res.Rows[0]); a != valArray {
+			valArray, valRegrowths = a, valRegrowths+1
+		}
+	}
+	t.Logf("TOP 5 … TOP 50 on a fresh Result: %d row-header and %d value arrays made", rowRegrowths, valRegrowths)
+	if rowRegrowths > 1 || valRegrowths > 1 {
+		t.Errorf("TOP 5 … TOP 50 on a fresh Result replaced its row headers %d times and its values %d times; want at most once each", rowRegrowths, valRegrowths)
 	}
 }
 
