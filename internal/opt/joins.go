@@ -276,9 +276,9 @@ func (pl *planner) joinSets(a, b *joinState, eqs []eqPred, residual []sql.Expr) 
 			var err error
 			switch {
 			case lp.dyn != nil && pl.env.Opts.PullUpChoosePlan:
-				p, err = pl.pullUpJoinLeft(lp, rp, b.cs, eqs, residual)
+				p, err = pl.pullUpJoin(lp, rp, b.cs, eqs, residual)
 			case rp.dyn != nil && pl.env.Opts.PullUpChoosePlan:
-				p, err = pl.pullUpJoinRight(lp, rp, a.cs, eqs, residual)
+				p, err = pl.pullUpJoin(rp, lp, a.cs, swapEqs(eqs), residual)
 			default:
 				p, err = pl.localJoin(lp, rp, eqs, residual)
 			}
@@ -317,34 +317,20 @@ func (pl *planner) localizedCost(p *plan) float64 {
 	return pl.toLocal(p).cost
 }
 
-// pullUpJoinLeft pulls a left-side ChoosePlan above the join.
-func (pl *planner) pullUpJoinLeft(lp, rp *plan, bSet *candSet, eqs []eqPred, residual []sql.Expr) (*plan, error) {
-	jm, err := pl.localJoin(lp.mainBranch(), rp, eqs, residual)
+// pullUpJoin pulls dp's ChoosePlan above its join with other (§5.1.2): the
+// guard-true branch joins other, the guard-false branch joins other's whole
+// candidate set. dp stands on the left; a right-side ChoosePlan comes with
+// the inputs swapped and swapEqs, since localJoin costs both orientations.
+func (pl *planner) pullUpJoin(dp, other *plan, otherSet *candSet, eqs []eqPred, residual []sql.Expr) (*plan, error) {
+	jm, err := pl.localJoin(dp.mainBranch(), other, eqs, residual)
 	if err != nil {
 		return nil, err
 	}
-	alt, err := pl.joinAltWithSet(lp.dyn.alt, bSet, eqs, residual, true)
+	alt, err := pl.joinAltWithSet(dp.dyn.alt, otherSet, eqs, residual)
 	if err != nil {
 		return nil, err
 	}
-	return pl.assembleDyn(jm, alt, lp.dyn), nil
-}
-
-// pullUpJoinRight mirrors pullUpJoinLeft for a right-side ChoosePlan.
-func (pl *planner) pullUpJoinRight(lp, rp *plan, aSet *candSet, eqs []eqPred, residual []sql.Expr) (*plan, error) {
-	jm, err := pl.localJoin(lp, rp.mainBranch(), eqs, residual)
-	if err != nil {
-		return nil, err
-	}
-	alt, err := pl.joinAltWithSet(rp.dyn.alt, aSet, eqs, residual, false)
-	if err != nil {
-		return nil, err
-	}
-	return pl.assembleDyn(jm, alt, rp.dyn), nil
-}
-
-func (pl *planner) assembleDyn(jm, alt *plan, d *dynInfo) *plan {
-	return dynPlan(jm, alt, pl.localizedCost(alt), d)
+	return dynPlan(jm, alt, pl.localizedCost(alt), dp.dyn), nil
 }
 
 // dynPlan wraps main, the guard-true branch, into a dynamic plan whose
@@ -362,8 +348,8 @@ func dynPlan(main, alt *plan, altCost float64, d *dynInfo) *plan {
 // joinAltWithSet joins a dynamic plan's alternative branch against the other
 // side's full candidate set, keeping the remote merge when it is cheapest —
 // this is what lets pull-up "push a larger query to the backend server".
-// altIsLeft records which join side the branch stands on.
-func (pl *planner) joinAltWithSet(alt *plan, other *candSet, eqs []eqPred, residual []sql.Expr, altIsLeft bool) (*plan, error) {
+// The branch stands on the left of eqs.
+func (pl *planner) joinAltWithSet(alt *plan, other *candSet, eqs []eqPred, residual []sql.Expr) (*plan, error) {
 	var best *plan
 	bestCost := math.MaxFloat64
 	consider := func(p *plan) {
@@ -375,20 +361,10 @@ func (pl *planner) joinAltWithSet(alt *plan, other *candSet, eqs []eqPred, resid
 		}
 	}
 	if alt.loc == Remote && alt.rem.full == nil && other.remote != nil && other.remote.rem.full == nil {
-		if altIsLeft {
-			consider(pl.remoteJoin(alt, other.remote, eqs, residual))
-		} else {
-			consider(pl.remoteJoin(other.remote, alt, eqs, residual))
-		}
+		consider(pl.remoteJoin(alt, other.remote, eqs, residual))
 	}
 	for _, op := range localized(pl, other) {
-		var p *plan
-		var err error
-		if altIsLeft {
-			p, err = pl.localJoin(pl.toLocal(alt), op, eqs, residual)
-		} else {
-			p, err = pl.localJoin(op, pl.toLocal(alt), eqs, residual)
-		}
+		p, err := pl.localJoin(pl.toLocal(alt), op, eqs, residual)
 		if err != nil {
 			return nil, err
 		}
@@ -751,61 +727,34 @@ func (pl *planner) mapDyn(p *plan, f func(*plan) (*plan, error)) (*plan, error) 
 	return pl.pullUpThrough(p, f)
 }
 
-// wholeQueryRemote builds the completely-remote candidate: the original
-// qualified statement shipped as one SQL text, valid when every relation is
-// available on the backend (always true on a cache: shadow tables mirror the
-// backend). spjRemote, when non-nil, is the join ordering's merged remote
-// candidate — its cost and cardinality anchor this candidate's estimate so
-// the two remote forms never disagree about the SPJ core.
-func (pl *planner) wholeQueryRemote(aliases []*aliasInfo, leaves []*candSet, stmt *sql.SelectStmt, spjRemote *plan) *plan {
+// wholeQueryRemote is the statement shipped whole for a block the join
+// ordering left with no remote candidate (a LEFT JOIN), its SPJ core priced
+// from the leaves alone. It needs every relation on the backend: always true
+// on a cache, whose shadow tables mirror the backend, unless a derived table
+// reads local-only data.
+func (pl *planner) wholeQueryRemote(leaves []*candSet, stmt *sql.SelectStmt) *plan {
 	if !pl.env.IsCache {
 		return nil
 	}
-	var cost, card float64
-	if spjRemote != nil {
-		cost = spjRemote.cost
-		card = spjRemote.card
-	} else {
-		var cards []float64
-		for _, leaf := range leaves {
-			r := leaf.remote
-			if r == nil {
-				return nil // some relation (e.g. local-only derived data) cannot ship
-			}
-			cost += r.cost
-			cards = append(cards, r.card)
+	var cost float64
+	var cards []float64
+	for _, leaf := range leaves {
+		r := leaf.remote
+		if r == nil {
+			return nil
 		}
-		// Rough join cost estimate in increasing-cardinality order.
-		slices.Sort(cards)
-		card = cards[0]
-		for i := 1; i < len(cards); i++ {
-			joined := card * cards[i] / math.Max(math.Sqrt(math.Max(card, cards[i])), 1)
-			cost += (cards[i]*costHashBuild + card*costHashProbe + joined*costJoinOutRow) * pl.env.Opts.RemoteCostFactor
-			card = math.Max(joined, 1)
-		}
+		cost += r.cost
+		cards = append(cards, r.card)
 	}
-	// Stage costs (agg/sort) on the backend.
-	if len(stmt.GroupBy) > 0 || anyAggItems(stmt) {
-		groups := pl.estimateGroups(stmt.GroupBy, card)
-		cost += (card*costAggRow + groups*costAggGroup) * pl.env.Opts.RemoteCostFactor
-		card = groups
+	// Rough join cost estimate in increasing-cardinality order.
+	slices.Sort(cards)
+	card := cards[0]
+	for _, c := range cards[1:] {
+		joined := card * c / math.Max(math.Sqrt(math.Max(card, c)), 1)
+		cost += (c*costHashBuild + card*costHashProbe + joined*costJoinOutRow) * pl.env.Opts.RemoteCostFactor
+		card = math.Max(joined, 1)
 	}
-	if len(stmt.OrderBy) > 0 && card > 1 {
-		cost += card * math.Log2(card+1) * costSortFactor * pl.env.Opts.RemoteCostFactor
-	}
-	if stmt.Top != nil {
-		if lit, ok := stmt.Top.(*sql.Literal); ok {
-			card = math.Min(card, float64(lit.Val.Int()))
-		}
-	}
-	cols := pl.finalCols(stmt)
-	return &plan{
-		rem:  &remoteParts{full: stmt, cols: cols},
-		loc:  Remote,
-		cols: cols,
-		card: math.Max(card, 1),
-		cost: cost,
-	}
+	return pl.shipWhole(cost, card, stmt)
 }
 
 func anyAggItems(stmt *sql.SelectStmt) bool {

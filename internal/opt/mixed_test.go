@@ -109,7 +109,8 @@ func TestMixedResultDisallowedForCachedViews(t *testing.T) {
 	}
 }
 
-// A dynamic view on the RIGHT side of a join exercises pullUpJoinRight.
+// A dynamic view on the RIGHT side of a join: pullUpJoin takes it with the
+// join's inputs swapped (and swapEqs), so it stands on the left.
 func TestChoosePlanPullUpRightSide(t *testing.T) {
 	b := newBackend(t)
 	env, store := newCache(t, b)

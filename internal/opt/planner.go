@@ -423,15 +423,6 @@ func (pl *planner) planBlockSet(orig *sql.SelectStmt) (*candSet, error) {
 		}
 	}
 
-	// Whole-query remote candidate: if every leaf can run remotely, the
-	// entire (qualified) statement can ship as one SQL text. This is how
-	// "completely remote plans" arise (paper §5).
-	var spjRemote *plan
-	if len(leftJoins) == 0 {
-		spjRemote = state.remote
-	}
-	fullRemote := pl.wholeQueryRemote(aliases, leaves, stmt, spjRemote)
-
 	// Stages above the join: aggregation, distinct, order by, top, project.
 	out := &candSet{}
 	if state.local != nil {
@@ -442,22 +433,12 @@ func (pl *planner) planBlockSet(orig *sql.SelectStmt) (*candSet, error) {
 		out.add(p)
 	}
 	if state.remote != nil {
-		// SPJ-only remote candidate: usable as-is only if the query has no
-		// post-join stages and a plain column select list; otherwise
-		// localize and apply the stages here.
-		if !hasStages(stmt) && allPlainRefs(stmt) {
-			if rp := pl.reprojectRemote(state.remote, stmt); rp != nil {
-				out.add(rp)
-			}
-		} else {
-			p, err := pl.applyStagesLocal(pl.toLocal(state.remote), stmt)
-			if err != nil {
-				return nil, err
-			}
-			out.add(p)
+		if err := pl.finishRemote(out, state.remote, stmt); err != nil {
+			return nil, err
 		}
+	} else {
+		out.add(pl.wholeQueryRemote(leaves, stmt))
 	}
-	out.add(fullRemote)
 	if out.local == nil && out.remote == nil {
 		return nil, fmt.Errorf("opt: no candidates for block")
 	}
@@ -497,18 +478,7 @@ func (pl *planner) reprojectRemote(p *plan, stmt *sql.SelectStmt) *plan {
 }
 
 func hasStages(s *sql.SelectStmt) bool {
-	if len(s.GroupBy) > 0 || s.Having != nil || s.Distinct || len(s.OrderBy) > 0 || s.Top != nil {
-		return true
-	}
-	for _, item := range s.Columns {
-		if containsAgg(item.Expr) {
-			return true
-		}
-	}
-	// A final projection is always applied locally; SPJ remote candidates
-	// already project the needed columns, so a plain select list does not
-	// count as a stage only when it is simple column references.
-	return false
+	return len(s.GroupBy) > 0 || s.Having != nil || s.Distinct || len(s.OrderBy) > 0 || s.Top != nil || anyAggItems(s)
 }
 
 // planConstBlock handles SELECT <exprs> with no FROM clause.

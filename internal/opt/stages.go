@@ -11,12 +11,22 @@ import (
 )
 
 // applyStagesLocal builds the post-join pipeline over a local plan:
-// aggregation, HAVING, projection, DISTINCT, ORDER BY, TOP. The alternative
-// branch of a dynamic plan goes through applyStagesAlt instead, which may
-// push the whole statement to the backend.
+// aggregation, HAVING, projection, DISTINCT, ORDER BY, TOP. A remote plan —
+// the guard-false branch of a pulled-up ChoosePlan — is finished by
+// finishRemote instead, and the way that is cheapest once localized is kept.
 func (pl *planner) applyStagesLocal(p *plan, stmt *sql.SelectStmt) (*plan, error) {
 	if p.loc == Remote {
-		return pl.applyStagesAlt(p, stmt)
+		cs := &candSet{}
+		if err := pl.finishRemote(cs, p, stmt); err != nil {
+			return nil, err
+		}
+		best := cs.local
+		if cs.remote != nil {
+			if loc := pl.toLocal(cs.remote); best == nil || loc.cost < best.cost {
+				best = loc
+			}
+		}
+		return best, nil
 	}
 	cur := *p
 
@@ -248,56 +258,52 @@ func (pl *planner) estimateGroups(groupBy []sql.Expr, card float64) float64 {
 	return math.Max(1, math.Min(d, card))
 }
 
-// applyStagesAlt handles the guard-false (remote) branch of a pulled-up
-// dynamic plan, and SPJ remote candidates that still need stages. Two
-// options are costed: push the whole statement to the backend (valid when
-// the branch covers every relation) or localize and finish locally.
-func (pl *planner) applyStagesAlt(p *plan, stmt *sql.SelectStmt) (*plan, error) {
-	local, err := pl.applyStagesLocal(pl.toLocal(p), stmt)
+// finishRemote adds to cs the ways the remote SPJ candidate r answers stmt.
+// If r spans every relation of the block and stmt is a plain select list
+// with no stages, that is r re-projected. Otherwise it is stmt's stages run
+// locally over r's DataTransfer and, if r spans every relation, stmt shipped
+// whole (paper §5: a "completely remote plan").
+func (pl *planner) finishRemote(cs *candSet, r *plan, stmt *sql.SelectStmt) error {
+	all := pl.coversAllAliases(r)
+	if all && !hasStages(stmt) && allPlainRefs(stmt) {
+		cs.add(pl.reprojectRemote(r, stmt))
+		return nil
+	}
+	p, err := pl.applyStagesLocal(pl.toLocal(r), stmt)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if p.rem == nil || !pl.coversAllAliases(p) {
-		return local, nil
+	cs.add(p)
+	if all {
+		cs.add(pl.shipWhole(r.cost, r.card, stmt))
 	}
-	// A stage-free SPJ block ships as-is (cheapest remote form).
-	if !hasStages(stmt) && allPlainRefs(stmt) {
-		if rp := pl.reprojectRemote(p, stmt); rp != nil {
-			localized := pl.toLocal(rp)
-			if localized.cost < local.cost {
-				return localized, nil
-			}
-			return local, nil
-		}
-	}
-	cols := pl.finalCols(stmt)
-	cost := p.cost
-	card := p.card
+	return nil
+}
+
+// shipWhole is stmt shipped to the backend as one SQL text over an SPJ core
+// of the given cost and cardinality: the backend aggregates, sorts and cuts
+// TOP, at RemoteCostFactor.
+func (pl *planner) shipWhole(cost, card float64, stmt *sql.SelectStmt) *plan {
+	f := pl.env.Opts.RemoteCostFactor
 	if len(stmt.GroupBy) > 0 || anyAggItems(stmt) || containsAgg(stmt.Having) {
 		groups := pl.estimateGroups(stmt.GroupBy, card)
-		cost += (card*costAggRow + groups*costAggGroup) * pl.env.Opts.RemoteCostFactor
+		cost += (card*costAggRow + groups*costAggGroup) * f
 		card = groups
 	}
 	if len(stmt.OrderBy) > 0 && card > 1 {
-		cost += card * math.Log2(card+1) * costSortFactor * pl.env.Opts.RemoteCostFactor
+		cost += card * math.Log2(card+1) * costSortFactor * f
 	}
-	if stmt.Top != nil {
-		if lit, ok := stmt.Top.(*sql.Literal); ok {
-			card = math.Min(card, float64(lit.Val.Int()))
-		}
+	if lit, ok := stmt.Top.(*sql.Literal); ok {
+		card = math.Min(card, float64(lit.Val.Int()))
 	}
-	remote := &plan{
+	cols := pl.finalCols(stmt)
+	return &plan{
 		rem:  &remoteParts{full: stmt, cols: cols},
 		loc:  Remote,
 		cols: cols,
 		card: math.Max(card, 1),
 		cost: cost,
 	}
-	localized := pl.toLocal(remote)
-	if localized.cost < local.cost {
-		return localized, nil
-	}
-	return local, nil
 }
 
 // coversAllAliases reports whether a remote fragment spans every relation of

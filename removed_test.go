@@ -159,6 +159,9 @@ var removedNames = []struct {
 	{`OpenAppend`, "", "each open starts a segment of its own, and no segment is written again once closed"},
 	{`segmentValidSize`, "", "each open starts a segment of its own, and no segment is written again once closed"},
 	{`\.Spare\(\)`, "", "one type that owns a decoded answer on both wire hops (exec.Answer: engine.Result.Store, exec.ResultSet.Store)"},
+	{`pullUpJoinLeft|pullUpJoinRight`, `^internal/opt/`, "one ChoosePlan pull-up through a join (opt.pullUpJoin; a right-side ChoosePlan is passed swapped)"},
+	{`altIsLeft`, `^internal/opt/`, "one ChoosePlan pull-up through a join (opt.pullUpJoin; a right-side ChoosePlan is passed swapped)"},
+	{`applyStagesAlt`, `^internal/opt/`, "one way to finish a remote candidate (opt.finishRemote)"},
 	{`\.Own\(`, `^internal/(engine|wire|router)/`, "one type that owns a decoded answer on both wire hops (exec.Answer: engine.Result.Store, exec.ResultSet.Store)"},
 }
 
