@@ -27,7 +27,9 @@ func TestInProcessPullRowsAreTheirOwn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Exec("UPDATE part SET qty = qty + 1", nil); err != nil {
+	// Each update moves its row's key, so its change carries a Before row
+	// (the old row) beside the After row.
+	if _, err := b.Exec("UPDATE part SET id = id + 10, qty = qty + 1", nil); err != nil {
 		t.Fatal(err)
 	}
 	kept, others := pulledAfterRow(t, l, a.SubID)

@@ -37,7 +37,8 @@ func (db *Database) execDML(stmt keyed, e *planEntry, params exec.Params, autoAr
 		return nil, err
 	}
 	var ctr exec.Counters
-	tx := db.store.Begin(true)
+	tx := db.beginWrite()
+	defer writeTxns.Put(tx)
 	n, err := db.runWrite(wp, params, autoArgs, tx, &ctr)
 	if err != nil {
 		tx.Abort()
@@ -303,7 +304,7 @@ func (db *Database) runWrite(wp *writePlan, params exec.Params, autoArgs []types
 	}
 	td, ok := tx.Table(wp.t.Name)
 	if !ok {
-		return 0, fmt.Errorf("engine: no storage for %s", wp.t.Name)
+		return 0, noStorage(tx, wp.t.Name)
 	}
 	var one [1]storage.RowID
 	rids, err := wp.targetRows(one[:0], env, &td, ctr)
@@ -316,6 +317,15 @@ func (db *Database) runWrite(wp *writePlan, params exec.Params, autoArgs []types
 	return db.execDelete(wp, rids, tx, &td)
 }
 
+// noStorage is why a write transaction has no view of table: the deadlock
+// that poisoned it (storage.ErrDeadlock), or no storage.
+func noStorage(tx *storage.Txn, table string) error {
+	if err := tx.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("engine: no storage for %s", table)
+}
+
 // writeEnvs recycles the Envs writes bind their parameters into: nothing
 // keeps one past runWrite, as the rows a write stores copy the values.
 var writeEnvs = sync.Pool{New: func() any { return new(exec.Env) }}
@@ -325,7 +335,7 @@ func (db *Database) execInsert(wp *writePlan, env *exec.Env, params exec.Params,
 	// Latched before the views are read: a materialized view created
 	// meanwhile has committed by then, and the insert maintains it.
 	if _, ok := tx.Table(t.Name); !ok {
-		return 0, fmt.Errorf("engine: no storage for %s", t.Name)
+		return 0, noStorage(tx, t.Name)
 	}
 	views := db.cat.ViewsOver(t.Name)
 	var count int64

@@ -475,6 +475,25 @@ var results = sync.Pool{New: func() any { return new(Result) }}
 // Results: a caller that keeps its Result takes no slab out of circulation.
 var answerSlabs = sync.Pool{New: func() any { return new(exec.Slab) }}
 
+// writeTxns holds the transactions of finished backend writes (execDML and
+// callProcedure), each begun again with storage.Store.BeginWrite, so that a
+// write reuses the change and latch arrays a finished one kept instead of
+// allocating a transaction. A write hands its Txn back only after its Commit
+// or Abort has returned, and nothing keeps a *Txn past the write: a
+// TableView is a value its statement drops, a plan instance's Ctx is zeroed
+// when it is parked (exec.Instances.Release), and a Result keeps only its
+// snapshot's LSN. Latches are owned by a transaction's id, which BeginWrite
+// draws anew, so a reused Txn cannot release a latch of its previous write.
+var writeTxns = sync.Pool{New: func() any { return new(storage.Txn) }}
+
+// beginWrite opens a write transaction in a Txn from writeTxns; the caller
+// hands it back once it has finished it.
+func (db *Database) beginWrite() *storage.Txn {
+	tx := writeTxns.Get().(*storage.Txn)
+	db.store.BeginWrite(tx)
+	return tx
+}
+
 // NewResult takes an empty Result from the pool, with the storage a released
 // one kept: what a statement executed here, or a client decoding an answer
 // (Store), fills.

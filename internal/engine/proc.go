@@ -6,6 +6,7 @@ import (
 	"mtcache/internal/catalog"
 	"mtcache/internal/exec"
 	"mtcache/internal/sql"
+	"mtcache/internal/storage"
 	"mtcache/internal/trace"
 	"mtcache/internal/types"
 )
@@ -141,53 +142,28 @@ func (db *Database) CallProcedure(name string, params exec.Params) (*Result, err
 }
 
 // callProcedure runs a procedure this database holds. A body that writes runs
-// in one write transaction, so multi-statement business operations (order
-// placement, cart updates) are atomic and replicate as one transaction; only
-// a backend gets here with one, as a cache forwards every call that writes. A
-// body that only reads runs statement by statement, each with a record of its
-// own from ExecStmt; the call's result is its first statement's, with the
-// later ones folded in. A body statement's result is released once folded.
+// in one write transaction, taken from writeTxns, so multi-statement business
+// operations (order placement, cart updates) are atomic and replicate as one
+// transaction; only a backend gets here with one, as a cache forwards every
+// call that writes. A body that only reads runs statement by statement, each
+// with a record of its own from ExecStmt; the call's result is its first
+// statement's, with the later ones folded in. A body statement's result is
+// released once folded.
 func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (*Result, error) {
 	if proc.Writes() {
 		res := NewResult()
-		tx := db.store.Begin(true)
-		for _, stmt := range proc.Body {
-			switch x := stmt.(type) {
-			case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-				wp, err := db.writePlanOf(nil, x.(keyed))
-				var n int64
-				if err == nil {
-					n, err = db.runWrite(wp, params, nil, tx, &res.Counters)
-				}
-				if err != nil {
-					tx.Abort()
-					return nil, fmt.Errorf("engine: %s: %w", proc.Name, err)
-				}
-				res.RowsAffected += n
-			case *sql.SelectStmt:
-				plan, err := db.Plan(x)
-				if err != nil {
-					tx.Abort()
-					return nil, err
-				}
-				r, err := db.runPlanAlone(tx, plan, params, nil)
-				if err != nil {
-					tx.Abort()
-					return nil, err
-				}
-				res.takeRows(r)
-				res.Counters.Add(&r.Counters)
-				r.Release()
-			default:
-				tx.Abort()
-				return nil, fmt.Errorf("engine: unsupported statement in procedure %s", proc.Name)
-			}
-		}
-		lsn, err := tx.Commit()
+		tx := db.beginWrite()
+		defer writeTxns.Put(tx)
+		err := db.runWriteBody(proc, params, tx, res)
 		if err != nil {
+			tx.Abort()
+		} else {
+			res.CommitLSN, err = tx.Commit()
+		}
+		if err != nil {
+			res.Release()
 			return nil, err
 		}
-		res.CommitLSN = lsn
 		return res, nil
 	}
 
@@ -217,6 +193,40 @@ func (db *Database) callProcedure(proc *catalog.Procedure, params exec.Params) (
 		res = NewResult()
 	}
 	return res, nil
+}
+
+// runWriteBody runs a writing procedure's body in tx, folding what each
+// statement answers into res.
+func (db *Database) runWriteBody(proc *catalog.Procedure, params exec.Params, tx *storage.Txn, res *Result) error {
+	for _, stmt := range proc.Body {
+		switch x := stmt.(type) {
+		case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+			wp, err := db.writePlanOf(nil, x.(keyed))
+			var n int64
+			if err == nil {
+				n, err = db.runWrite(wp, params, nil, tx, &res.Counters)
+			}
+			if err != nil {
+				return fmt.Errorf("engine: %s: %w", proc.Name, err)
+			}
+			res.RowsAffected += n
+		case *sql.SelectStmt:
+			plan, err := db.Plan(x)
+			if err != nil {
+				return err
+			}
+			r, err := db.runPlanAlone(tx, plan, params, nil)
+			if err != nil {
+				return err
+			}
+			res.takeRows(r)
+			res.Counters.Add(&r.Counters)
+			r.Release()
+		default:
+			return fmt.Errorf("engine: unsupported statement in procedure %s", proc.Name)
+		}
+	}
+	return nil
 }
 
 // CopyProcedureFrom installs a procedure from its source text (used by the

@@ -35,8 +35,13 @@ func (db *Database) maintainViews(tx *storage.Txn, views []*catalog.Table, ch st
 		if err := tx.Apply(out); err != nil {
 			return err
 		}
-		if err := db.maintainViews(tx, db.cat.ViewsOver(v.Name), out); err != nil {
-			return err
+		// A view over v filters on v's whole rows, and out carries no Before
+		// image on an update that keeps v's key: it maps the change as v's
+		// log record holds it.
+		if over := db.cat.ViewsOver(v.Name); len(over) > 0 {
+			if err := db.maintainViews(tx, over, tx.LastChange()); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -116,23 +116,17 @@ func filter(changes []storage.ChangeRec, vals []types.Value, feeds []feed, rec s
 
 // answerSize bounds what filtering recs through feeds makes: the records that
 // touch a feed's table, every feed's change for each of their changes to it,
-// and the values of those changes' images. It is exact when no feed filters
-// rows and no limit cuts the answer short.
+// and the values of those changes' images (ChangeMap.Values: no Before image
+// on an update that keeps the key). It is exact when no feed filters rows and
+// no limit cuts the answer short.
 func answerSize(feeds []feed, recs []storage.CommitRecord) (batches, changes, vals int) {
 	for _, rec := range recs {
 		before := changes
 		for _, ch := range rec.Changes {
-			images := 0
-			if ch.Before != nil {
-				images++
-			}
-			if ch.After != nil {
-				images++
-			}
 			for _, f := range feeds {
 				if f.start <= rec.LSN && strings.EqualFold(ch.Table, f.Table) {
 					changes++
-					vals += images * f.Width()
+					vals += f.Values(ch)
 				}
 			}
 		}

@@ -456,8 +456,9 @@ func (s *Store) Begin(write bool) *Txn {
 
 // BeginWrite opens a write transaction in t, overwriting it: the one way a
 // write begins, for a Txn of Begin's or one its holder keeps between writes
-// (a subscriber's apply), whose change and latch arrays it reuses. t must
-// not be live — its latches would leak.
+// (a subscriber's apply, a backend's pool of write transactions), whose
+// change and latch arrays it reuses. t must not be live — its latches would
+// leak.
 func (s *Store) BeginWrite(t *Txn) {
 	if t.Live() {
 		panic("storage: BeginWrite on a live transaction")
@@ -666,47 +667,58 @@ func (t *Txn) update(td *TableData, rid RowID, newRow types.Row) error {
 // Apply carries out a row-level change that happened elsewhere — on the
 // relation a materialized view is defined over, or on a publisher — on the
 // table ch.Table: an insert adds ch.After; an update or a delete first finds
-// the stored row that is ch.Before, by the table's primary key when it has
-// one and by full-row equality otherwise (any one of equal rows will do), and
-// fails when there is none: the table no longer holds what it was derived
-// from. A Before row that is not the table's width, or an op it does not
-// know, is refused: the change may come off the wire. The store keeps
-// ch.After itself, as Insert and Update do.
+// the stored row it changes, and fails when there is none: the table no
+// longer holds what it was derived from. A Before image, which has the
+// table's width, is found by its primary key when the table has one and by
+// full-row equality otherwise (any one of equal rows will do). An update of
+// a table with a primary key may carry no Before image — opt.ChangeMap sends
+// none when the update leaves the key as it was — and is found by its After
+// image's key. Any other Before image, or an op it does not know, is
+// refused: the change may come off the wire. The store keeps ch.After
+// itself, as Insert and Update do.
 func (t *Txn) Apply(ch ChangeRec) error {
 	td, err := t.tableForWrite(ch.Table)
 	if err != nil {
 		return err
 	}
+	pk, row := td.meta.PrimaryKey, ch.Before
 	switch {
 	case ch.Op == OpInsert:
 		_, err = t.insert(td, ch.After)
 		return err
 	case ch.Op != OpUpdate && ch.Op != OpDelete:
 		return fmt.Errorf("storage: %s: unknown change op %d", td.meta.Name, ch.Op)
-	case len(ch.Before) != len(td.meta.Columns):
-		return fmt.Errorf("storage: %s: row has %d values, table has %d columns", td.meta.Name, len(ch.Before), len(td.meta.Columns))
+	case row == nil && ch.Op == OpUpdate && len(pk) > 0 && len(ch.After) == len(td.meta.Columns):
+		row = ch.After // an update that keeps the key, found by it
+	case len(row) != len(td.meta.Columns):
+		return fmt.Errorf("storage: %s: row has %d values, table has %d columns", td.meta.Name, len(row), len(td.meta.Columns))
 	}
 	tv := TableView{td: td, txn: t}
 	rid := RowID(-1)
-	if pk := td.meta.PrimaryKey; len(pk) > 0 {
+	if len(pk) > 0 {
 		var keyBuf [4]types.Value
-		rid = tv.PKLookup(appendKey(keyBuf[:0], ch.Before, pk))
+		rid = tv.PKLookup(appendKey(keyBuf[:0], row, pk))
 	} else {
-		tv.Scan(func(r RowID, row types.Row) bool {
-			if types.RowsEqual(row, ch.Before) {
+		tv.Scan(func(r RowID, stored types.Row) bool {
+			if types.RowsEqual(stored, row) {
 				rid = r
 			}
 			return rid < 0
 		})
 	}
 	if rid < 0 {
-		return fmt.Errorf("storage: %s is out of sync: row %v of a %s is missing", td.meta.Name, ch.Before, ch.Op)
+		return fmt.Errorf("storage: %s is out of sync: row %v of a %s is missing", td.meta.Name, row, ch.Op)
 	}
 	if ch.Op == OpDelete {
 		return t.delete(td, rid)
 	}
 	return t.update(td, rid, ch.After)
 }
+
+// LastChange returns the change the transaction made last as the log records
+// it, its images the versions' own rows: for an Apply given no Before image,
+// the whole row it found.
+func (t *Txn) LastChange() ChangeRec { return t.undo[len(t.undo)-1].redo() }
 
 // Commit finishes the transaction, logging its changes. The returned LSN is
 // 0 for read-only or changeless transactions.

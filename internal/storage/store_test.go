@@ -362,6 +362,58 @@ func TestApplyRefusesAMalformedChange(t *testing.T) {
 	}
 }
 
+// Apply finds the row of an update that carries no Before row by its After
+// row's key, and the log record the write makes holds the whole row it found
+// (LastChange). A key the table does not hold is an error; so is a change
+// without a Before row that is not an update of a keyed table, or whose
+// After row is not the table's width.
+func TestApplyFindsAnUpdateByItsAfterKey(t *testing.T) {
+	row := func(id int64, name string) types.Row { return types.Row{types.NewInt(id), types.NewString(name)} }
+	s := NewStore()
+	keyless := custMeta()
+	keyless.Name, keyless.PrimaryKey = "guest", nil
+	for _, meta := range []*catalog.Table{custMeta(), keyless} {
+		if err := s.CreateTable(meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := s.Begin(true)
+	for _, ch := range []ChangeRec{
+		{Table: "customer", Op: OpInsert, After: row(1, "a")},
+		{Table: "customer", Op: OpInsert, After: row(2, "b")},
+		{Table: "guest", Op: OpInsert, After: row(2, "b")},
+	} {
+		if err := tx.Apply(ch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Apply(ChangeRec{Table: "customer", Op: OpUpdate, After: row(2, "c")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tx.LastChange(); !types.RowsEqual(got.Before, row(2, "b")) || !types.RowsEqual(got.After, row(2, "c")) {
+		t.Errorf("the update logs %v -> %v, want %v -> %v", got.Before, got.After, row(2, "b"), row(2, "c"))
+	}
+	for _, c := range []struct {
+		ch   ChangeRec
+		want string
+	}{
+		{ChangeRec{Table: "customer", Op: OpUpdate, After: row(3, "x")}, "is missing"},
+		{ChangeRec{Table: "customer", Op: OpDelete}, "row has 0 values, table has 2 columns"},
+		{ChangeRec{Table: "customer", Op: OpUpdate, After: row(1, "x")[:1]}, "row has 0 values, table has 2 columns"},
+		{ChangeRec{Table: "guest", Op: OpUpdate, After: row(2, "x")}, "row has 0 values, table has 2 columns"},
+	} {
+		if err := tx.Apply(c.ch); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s of %s without a Before row, After %v: %v, want %q", c.ch.Op, c.ch.Table, c.ch.After, err, c.want)
+		}
+	}
+	for table, want := range map[string][]types.Row{"customer": {row(1, "a"), row(2, "c")}, "guest": {row(2, "b")}} {
+		if rows := view(tx, table).Rows(); !slices.EqualFunc(rows, want, types.RowsEqual) {
+			t.Errorf("%s holds %v, want %v", table, rows, want)
+		}
+	}
+	tx.Abort()
+}
+
 // Apply locates the before-image by primary key when the table has one and by
 // full-row equality when it has none — one of equal rows, whichever — and a
 // change whose row is not there is an error, not a no-op.
@@ -415,5 +467,62 @@ func TestApplyLocatesTheBeforeImage(t *testing.T) {
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestApplyAllocBudget: a subscriber's warm apply — a kept write transaction
+// (BeginWrite) carrying out an update that names its row by the After
+// image's key and one that names it by a whole Before image, committed
+// unlogged — allocates the two new versions and the snapshot mark the
+// commit publishes: the key each lookup builds stays in a buffer on the
+// stack.
+func TestApplyAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	s := NewStore()
+	if err := s.CreateTable(custMeta()); err != nil {
+		t.Fatal(err)
+	}
+	row := func(id int64, name string) types.Row { return types.Row{types.NewInt(id), types.NewString(name)} }
+	var tx Txn
+	s.BeginWrite(&tx)
+	for id := int64(1); id <= 2; id++ {
+		if _, err := tx.Insert("customer", row(id, "a")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.CommitUnlogged(); err != nil {
+		t.Fatal(err)
+	}
+	names := [2]string{"a", "b"}
+	rows := [2][2]types.Row{}
+	for i, name := range names {
+		for id := range rows[i] {
+			rows[i][id] = row(int64(id+1), name)
+		}
+	}
+	n := 0
+	apply := func() {
+		n++
+		was, now := rows[(n+1)%2], rows[n%2]
+		s.BeginWrite(&tx)
+		for _, ch := range []ChangeRec{
+			{Table: "customer", Op: OpUpdate, After: now[0]},
+			{Table: "customer", Op: OpUpdate, Before: was[1], After: now[1]},
+		} {
+			if err := tx.Apply(ch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.CommitUnlogged(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply()
+	allocs := testing.AllocsPerRun(200, apply)
+	t.Logf("%.0f allocs per apply of two updates", allocs)
+	if allocs > 3 {
+		t.Errorf("an apply of two updates allocates %.0f objects, want at most 3", allocs)
 	}
 }

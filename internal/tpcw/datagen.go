@@ -3,6 +3,7 @@ package tpcw
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"mtcache/internal/core"
@@ -184,5 +185,9 @@ func Load(b *core.BackendServer, cfg Config) error {
 	return b.DB.BulkLoad("cc_xacts", xacts)
 }
 
-// Uname is the deterministic username of customer i.
-func Uname(i int) string { return fmt.Sprintf("user%d", i) }
+// Uname is the deterministic username of customer i, built in a stack
+// buffer: the string is its one allocation.
+func Uname(i int) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], "user"...), int64(i), 10))
+}

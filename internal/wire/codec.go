@@ -133,7 +133,7 @@ type response struct {
 
 // preface opens every connection, in both directions: magic plus protocol
 // version. A peer that opens with anything else is disconnected.
-var preface = [4]byte{'M', 'T', 'W', 12}
+var preface = [4]byte{'M', 'T', 'W', 13}
 
 const (
 	// maxFrame bounds a frame's payload; a larger length prefix is refused
@@ -451,7 +451,9 @@ func appendResponse(buf []byte, resp *response) []byte {
 // Provision row, a pulled change's After row — gets its values and its
 // strings in allocations of its own (types.Decoder.Row); a pulled change's
 // Before row, which the subscriber only reads, is cut from one value array
-// and one string that every Before row of the frame shares.
+// and one string that every Before row of the frame shares. A frame with no
+// Before row — every change an insert, or an update that keeps its row's key
+// — makes neither.
 func decodeResponse(payload []byte, resp *response, hdrs headers, names interner) error {
 	d := types.Decoder{Buf: payload}
 	*resp = response{ID: d.Uvarint(), Kind: reqKind(d.Byte()), store: resp.store}

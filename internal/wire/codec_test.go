@@ -84,6 +84,19 @@ func sampleResponses() map[string]*response {
 			{LSN: 81, CommitTime: time.Unix(0, 0)},
 		}},
 		"pull empty": {Kind: reqPull, ID: 20, ThroughLSN: 91, Batches: []repl.TxnBatch{}},
+		// Since v13 an update that keeps its row's key carries no Before
+		// row; a delete and an update that changes the key carry it whole.
+		"pull Before-less update": {Kind: reqPull, ID: 23, ThroughLSN: 96, Batches: []repl.TxnBatch{
+			{LSN: 94, CommitTime: time.Date(2003, 6, 9, 0, 0, 1, 0, pdt), Changes: []storage.ChangeRec{
+				{Table: "part", Op: storage.OpDelete, Before: types.Row{types.NewInt(4), types.NewString("k4")}},
+				{Table: "part", Op: storage.OpUpdate, After: sampleRow},
+				{Table: "line", Op: storage.OpUpdate, Before: types.Row{types.NewInt(7), types.NewString("k7"), types.NewFloat(2.5)},
+					After: types.Row{types.NewInt(8), types.NewString("k8"), types.NewFloat(2.5)}},
+			}},
+			{LSN: 96, CommitTime: time.Unix(0, 1), Changes: []storage.ChangeRec{
+				{Table: "part", Op: storage.OpUpdate, After: types.Row{types.NewInt(5), types.Null}},
+			}},
+		}},
 	}
 }
 
@@ -746,6 +759,7 @@ func TestPrefaceRefusesOtherProtocols(t *testing.T) {
 		"v9":            {'M', 'T', 'W', 9, 0, 0, 0, 0},  // no log ID in Provision, no string-byte count in a result set, until v10
 		"v10":           {'M', 'T', 'W', 10, 0, 0, 0, 0}, // a grant list in the snapshot, until v11
 		"v11":           {'M', 'T', 'W', 11, 0, 0, 0, 0}, // one log ID in a Provision answer, not a history, until v12
+		"v12":           {'M', 'T', 'W', 12, 0, 0, 0, 0}, // every pulled update carrying its Before row, until v13
 		"http":          []byte("GET / HTTP/1.1\r\n\r\n"),
 	}
 

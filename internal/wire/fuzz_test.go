@@ -18,7 +18,8 @@ import (
 // recycled slot's storage: no table changes what a frame means.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with real frames of every kind (the Provision request with v10's
-	// ID and answers with v12's history of one entry and of three among them;
+	// ID, answers with v12's history of one entry and of three, and a v13
+	// pull answer with updates that carry no Before row among them;
 	// a snapshot answer's bytes are opaque here, so v11's layout adds no
 	// seed), one that names a parameter twice, one with
 	// v7's span flag, v8's Resume request and Applied answer, and result sets

@@ -1,5 +1,5 @@
 // Package wire implements the network transport between cache servers and
-// the backend: hand-rolled binary frames over TCP (protocol v12) carrying
+// the backend: hand-rolled binary frames over TCP (protocol v13) carrying
 //
 //   - Query — the linked-server path (paper §2.1): remote subexpressions,
 //     forwarded writes and forwarded procedure calls travel as SQL text (or a
@@ -31,7 +31,7 @@
 // value and row as types/codec.go lays them out, changes as
 // storage.AppendChanges does — the bytes the WAL holds):
 //
-//	preface, once, each direction: 'M' 'T' 'W' 0x0c
+//	preface, once, each direction: 'M' 'T' 'W' 0x0d
 //	frame:    uint32 LE payload length (≤ 1 GiB), payload
 //
 //	request payload:
@@ -76,6 +76,12 @@
 //	                 uvarint StartLSN, uvarint #rows (0 when resumed), rows
 //	    Pull         uvarint ThroughLSN, uvarint #batches, per batch:
 //	                   uvarint LSN, varint CommitTime (unix nanoseconds), changes
+//	                   addressed to the subscriber's tables, each image the
+//	                   whole projected row; since v13 an update of a table
+//	                   that keeps its source's primary key and leaves the key
+//	                   as it was carries no Before row, and the subscriber
+//	                   finds the row by the After row's key (opt.ChangeMap,
+//	                   storage.Txn.Apply)
 //
 // An empty slice, map or string and an absent one are the same bytes and
 // decode as nil / "" (a server's exchange keeps its emptied parameter map).
