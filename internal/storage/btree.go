@@ -64,12 +64,13 @@ func cmpItem(a, b Item) int {
 // child — and publishes them with one atomic store into the child slot of the
 // first ancestor it leaves unchanged (top, when no ancestor is); a split or
 // merge above a node the write leaves unchanged stores that node's change
-// first. A leaf's array is copied only when it is full, so at any depth a
-// middle insert or a delete allocates the leaf's new header with its order,
-// one object, and a tail append — a new last entry into a leaf whose array
-// has room — a header. Mutators must be externally serialized (the Store's per-table write
-// latch does this); any number of readers may walk the tree while they run,
-// under the contract node states.
+// first. A tail append — a new last entry into a leaf whose array has room —
+// is published in place by the leaf's count and allocates nothing; a middle
+// insert or a delete allocates the leaf's new header with its order, one
+// object, and a leaf's array is copied only when it is full. Mutators must be
+// externally serialized (the Store's per-table write latch does this); any
+// number of readers may walk the tree while they run, under the contract
+// node states.
 type BTree struct {
 	top   atomic.Pointer[node]
 	size  atomic.Int64
@@ -77,31 +78,35 @@ type BTree struct {
 }
 
 // node is one tree node, a 48-byte header. An inner node's array holds its
-// entries in key order, and kids is the first of its len(items)+1 child
-// slots: an address, not a slice, as an entry's key is, so that a leaf's
-// order and count fit in the header's 48 bytes. A leaf's array holds its
-// entries in the order they arrived, with a hole wherever one was deleted,
-// and its order lists the slots of its entries in key order, one byte per
-// entry, the first live of them (Masstree's leaf permutation). A nil order
-// means the array is sorted and has no hole: a built leaf, a split's halves,
-// a compacted, borrowing or merged leaf, and one that has only taken appends
-// at its end. Every reader of a node reads its entries through at.
+// entries in key order, exactly as many as it has, and kids is the first of
+// its len(items)+1 child slots: an address, not a slice, as an entry's key
+// is, so that a leaf's order, count and fill fit in the header's 48 bytes. A
+// leaf's array is fixed when the leaf is made; it holds the leaf's entries in
+// the order they arrived, in its first fill slots, with a hole wherever one
+// was deleted, and its order lists the slots of its entries in key order, one
+// byte per entry (Masstree's leaf permutation). A nil order means the first
+// num slots are the entries, sorted: a built leaf, a split's halves, a
+// compacted, borrowing or merged leaf, and one that has only taken appends at
+// its end. num is the node's entry count, which a reader loads once per
+// visit (entries) and reads nothing past; fill is the writer's alone.
 //
-// A header is never written after it is published except its child slots,
-// and a slot only while the node is in the tree: a write that changes a
-// node's arrays stores a copy of it in its place, and the replaced node's
-// slots keep what they held for the readers still on it. A leaf's array and
-// its order are written only past the length of every header that covers
-// them: a new entry goes into the array's next slot, which no header covers
-// yet, and is published by a new header one slot longer, whose order is the
-// old one with the entry's slot in its place — written in place past the old
-// order's length when the entry is the leaf's last, a new order otherwise. A
-// delete publishes a new order one byte shorter over the same array, and its
-// hole is never filled. Only a full array is copied: compacted into a new
-// sorted one when the leaf has room for the new entry, split in two when it
-// has not. Every other change that shortens or rearranges an array works on
-// a new one. The writer, the only one, copies slot arrays into new nodes as
-// plain memory; a reader only loads slots.
+// A header is never written after it is published except its child slots
+// and its count, which only grows, after the entries it covers are written;
+// a slot, and a count, only while the node is in the tree. A write that
+// changes a node's arrays otherwise stores a copy of it in its place, and
+// the replaced node keeps what it held for the readers still on it. A leaf's array and its
+// order are written only past the count of every header that covers them:
+// a new last entry goes into the array's next free slot, and its slot into
+// the order at the count, and then the count grows by one, in place; any
+// other new entry goes into the next free slot too, and is published by a new
+// header with a new order. A delete publishes a new order one byte shorter
+// over the same array, and its hole is never filled. A right-edge split's
+// left half is a new header over the full array, one entry shorter, with no
+// room (its fill is the array's length), so that nothing is written where the
+// old header reads. Only a full array is copied: compacted into a new sorted
+// one when the leaf has room for the new entry, split in two when it has not.
+// The writer, the only one, copies slot arrays into new nodes as plain
+// memory; a reader only loads slots.
 //
 // A node's key interval — what the separators around its slot allow — is
 // fixed for as long as it is in the tree: a split, borrow or merge moves
@@ -117,24 +122,34 @@ type node struct {
 	items []entry
 	kids  *atomic.Pointer[node] // an inner node's first child slot; nil for a leaf
 	order *[btreeOrder]uint8    // a leaf's slots in key order; nil when items is sorted
-	live  int                   // with an order, the number of entries
+	num   atomic.Int32          // the number of entries
+	fill  int32                 // a leaf's slots written, from the first
 }
 
 func (n *node) leaf() bool { return n.kids == nil }
 
 // orderedLeaf is a leaf header and the order it publishes, one 112-byte
-// object, so that a write that makes a new order allocates once. A header
-// that appends to that order in place points into the object that holds it.
+// object, so that a write that makes a new order allocates once.
 type orderedLeaf struct {
 	node
 	slots [btreeOrder]uint8
 }
 
-// ordered returns a new leaf of live entries over items, with an order of
-// its own for the caller to fill in before it publishes the leaf.
-func ordered(items []entry, live int) *node {
-	l := &orderedLeaf{node: node{items: items, live: live}}
+// sortedLeaf returns a leaf of the entries of items, sorted, over its whole
+// array: the slots past them are its room.
+func sortedLeaf(items []entry) *node {
+	l := &node{items: items[:cap(items)], fill: int32(len(items))}
+	l.num.Store(int32(len(items)))
+	return l
+}
+
+// ordered returns a new leaf of c entries over items, a leaf's array whose
+// first fill slots are written, with an order of its own for the caller to
+// fill in before it publishes the leaf.
+func ordered(items []entry, c int, fill int32) *node {
+	l := &orderedLeaf{node: node{items: items, fill: fill}}
 	l.order = &l.slots
+	l.num.Store(int32(c))
 	return &l.node
 }
 
@@ -143,7 +158,9 @@ func inner(items []entry, slots []atomic.Pointer[node]) *node {
 	if len(slots) != len(items)+1 {
 		panic(fmt.Sprintf("storage: an inner node of %d entries over %d slots", len(items), len(slots)))
 	}
-	return &node{items: items, kids: &slots[0]}
+	n := &node{items: items, kids: &slots[0]}
+	n.num.Store(int32(len(items)))
+	return n
 }
 
 // slots returns n's child slots, none for a leaf.
@@ -158,12 +175,7 @@ func (n *node) slots() []atomic.Pointer[node] {
 func (n *node) child(i int) *node { return n.slots()[i].Load() }
 
 // count returns the number of n's entries.
-func (n *node) count() int {
-	if n.order != nil {
-		return n.live
-	}
-	return len(n.items)
-}
+func (n *node) count() int { return int(n.num.Load()) }
 
 // slot returns the index in n's array of its entry at position i of its key
 // order.
@@ -176,6 +188,26 @@ func (n *node) slot(i int) int {
 
 // at returns n's entry at position i of its key order.
 func (n *node) at(i int) entry { return n.items[n.slot(i)] }
+
+// entries is what one visit of a node reads of it: its array, its order and
+// its count, each loaded once. A leaf's count may grow while the visit runs;
+// the visit reads the entries it loaded the count of.
+type entries struct {
+	items []entry
+	order *[btreeOrder]uint8
+	n     int
+}
+
+// entries loads n's entries for one visit.
+func (n *node) entries() entries { return entries{n.items, n.order, n.count()} }
+
+// at returns the entry at position i of the key order.
+func (es entries) at(i int) entry {
+	if es.order != nil {
+		return es.items[es.order[i]]
+	}
+	return es.items[i]
+}
 
 // appendTo appends to dst n's entries at positions lo to hi-1, in key order.
 func (n *node) appendTo(dst []entry, lo, hi int) []entry {
@@ -236,12 +268,12 @@ func (t *BTree) build(items []entry) {
 			if i < extra {
 				n++
 			}
-			nd := &node{items: tight(items[:n], kids == nil && i == k-1)}
-			if kids != nil {
-				nd = inner(nd.items, tight(kids[:n+1], false))
+			if kids == nil {
+				level[i].Store(sortedLeaf(tight(items[:n], i == k-1)))
+			} else {
+				level[i].Store(inner(tight(items[:n], false), tight(kids[:n+1], false)))
 				kids = kids[n+1:]
 			}
-			level[i].Store(nd)
 			if i < k-1 {
 				up[i] = items[n]
 				n++
@@ -250,11 +282,11 @@ func (t *BTree) build(items []entry) {
 		}
 		items, kids = up, level
 	}
-	top := &node{items: tight(items, kids == nil)}
-	if kids != nil {
-		top = inner(top.items, kids)
+	if kids == nil {
+		t.top.Store(sortedLeaf(tight(items, true)))
+	} else {
+		t.top.Store(inner(tight(items, false), kids))
 	}
-	t.top.Store(top)
 	t.size.Add(int64(size))
 }
 
@@ -271,22 +303,32 @@ func tight[E any](s []E, rightmost bool) []E {
 // Len returns the number of entries.
 func (t *BTree) Len() int { return int(t.size.Load()) }
 
-// search locates the first position of n, a node of t, whose entry is >= it,
-// and whether an exact match exists there.
-func (t *BTree) search(n *node, it Item) (int, bool) {
-	lo, hi := 0, n.count()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.cmp(n.at(mid), it) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+// search locates the first position of es, a visit's entries of a node of
+// t, whose entry is >= it, and whether an exact match exists there. A sorted
+// array and an ordered leaf each have their own loop, with the order read
+// once.
+func (t *BTree) search(es entries, it Item) (int, bool) {
+	lo, hi := 0, es.n
+	if o := es.order; o != nil {
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if t.cmp(es.items[o[mid]], it) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+	} else {
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if t.cmp(es.items[mid], it) < 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
 	}
-	if lo < n.count() && t.cmp(n.at(lo), it) == 0 {
-		return lo, true
-	}
-	return lo, false
+	return lo, lo < es.n && t.cmp(es.at(lo), it) == 0
 }
 
 // Insert adds an entry, whose key must be the tree's width long; the tree
@@ -303,7 +345,7 @@ func (t *BTree) Insert(it Item) {
 		up[0].Store(top)
 		top = inner(nil, up)
 	}
-	nt, added := t.insert(top, it)
+	nt, added := t.insert(top, it, true)
 	if nt != nil {
 		t.top.Store(nt)
 	}
@@ -315,7 +357,7 @@ func (t *BTree) Insert(it Item) {
 // has reports whether the subtree under n holds an entry equal to it.
 func (t *BTree) has(n *node, it Item) bool {
 	for {
-		i, found := t.search(n, it)
+		i, found := t.search(n.entries(), it)
 		if found || n.leaf() {
 			return found
 		}
@@ -325,13 +367,16 @@ func (t *BTree) has(n *node, it Item) bool {
 
 // insert adds it under n, a node of the tree or a new one, and reports
 // whether it did: false when the entry is present, and then nothing is
-// stored. A change to n's own arrays is made in a copy of n, which insert
-// returns for the caller to store in n's place; a change below n that leaves
-// n's arrays as they are is stored into n's slot, and insert returns nil.
-func (t *BTree) insert(n *node, it Item) (*node, bool) {
-	i, found := n.count(), false
-	if i == 0 || t.cmp(n.at(i-1), it) >= 0 { // an entry after n's last, a tail append's at every level, needs no search
-		i, found = t.search(n, it)
+// stored. edge says n is on the tree's right edge: the top, or the last child
+// of a node on it. A change to n's own arrays is made in a copy of n, which
+// insert returns for the caller to store in n's place; a change below n that
+// leaves n's arrays as they are is stored into n's slot, a tail append into
+// n's array in place, and insert returns nil.
+func (t *BTree) insert(n *node, it Item, edge bool) (*node, bool) {
+	es := n.entries()
+	i, found := es.n, false
+	if i == 0 || t.cmp(es.at(i-1), it) >= 0 { // an entry after n's last, a tail append's at every level, needs no search
+		i, found = t.search(es, it)
 	}
 	if found {
 		return nil, false
@@ -339,41 +384,43 @@ func (t *BTree) insert(n *node, it Item) (*node, bool) {
 	if n.leaf() {
 		return n.with(i, entryOf(it)), true
 	}
+	edge = edge && i == es.n
 	child := n.child(i)
 	if child.count() >= btreeOrder {
 		if t.has(child, it) {
 			return nil, false
 		}
-		return t.splitChild(n, i, it), true
+		return t.splitChild(n, i, it, edge), true
 	}
-	nc, added := t.insert(child, it)
+	nc, added := t.insert(child, it, edge)
 	if nc != nil {
 		n.slots()[i].Store(nc)
 	}
 	return nil, added
 }
 
-// with returns a leaf holding the entries of n, a leaf, and e at position i.
-// When n's array has room, e goes into its next slot, which no header covers
-// yet, and the new header covers that slot too: with no order when e is a
-// sorted array's new last entry, and otherwise with n's order and e's slot at
-// position i — written into n's order past its length when e is the last
-// entry, into a new order (ordered) when it is not. A full array is
-// compacted: n's entries and e are copied into a new sorted array (room).
+// with adds e at position i of n, a leaf. When n's array has room, e goes
+// into its next free slot, which no header covers: a new last entry is
+// published in place — its slot written into n's order at the count when n
+// has one — by n's count, one higher, and with returns nil; any other entry
+// is published by a new header with a new order (ordered), which with
+// returns. A full array is compacted: n's entries and e are copied into a new
+// sorted array (room), under a new header.
 func (n *node) with(i int, e entry) *node {
-	k, c := len(n.items), n.count()
-	if k == cap(n.items) {
-		return &node{items: n.spliced(slices.Grow([]entry(nil), room(n.items, i == c, c+1)), 0, i, c, e)}
+	k, c := int(n.fill), n.count()
+	if k == len(n.items) {
+		return sortedLeaf(n.spliced(slices.Grow([]entry(nil), room(n.items, i == c, c+1)), 0, i, c, e))
 	}
-	items := append(n.items, e)
-	switch {
-	case n.order == nil && i == c:
-		return &node{items: items}
-	case i == c:
-		n.order[c] = uint8(k)
-		return &node{items: items, order: n.order, live: c + 1}
+	n.items[k] = e
+	if i == c {
+		if n.order != nil {
+			n.order[c] = uint8(k)
+		}
+		n.fill++
+		n.num.Store(int32(c + 1))
+		return nil
 	}
-	l := ordered(items, c+1)
+	l := ordered(n.items, c+1, int32(k+1))
 	for j := range c {
 		if j < i {
 			l.order[j] = uint8(n.slot(j))
@@ -400,18 +447,28 @@ func room(items []entry, end bool, c int) int {
 }
 
 // splitChild returns a copy of p, a node of the tree or a new one, in which
-// its full child at index i is split in two, the median hoisted into the
+// its full child at index i is split in two, a separator hoisted into the
 // copy, and it, which the child does not hold, is inserted into the half it
-// sorts into. Each half gets new sorted arrays sized to its entries, and a
-// leaf half is built with the entry in it, so each of its arrays is made
+// sorts into. edge says the child is on the tree's right edge: p's last
+// child, p on the edge.
+//
+// A leaf on the right edge that takes an entry after its last splits 63/1
+// (SQLite's balance_quick, PostgreSQL's rightmost-page split): its last
+// entry is the separator, the left half is a new header over the leaf's
+// array that covers the entries before it and has no room, and the right
+// half is a new leaf, with room for a full leaf, of the new entry alone. So
+// an ascending stream fills every leaf but the rightmost, and copies no
+// array to split. Every other split cuts the child at its median: each half
+// gets new sorted arrays sized to its entries, and a leaf half is built with
+// the entry in it, so each of its arrays is made
 // once; a leaf half that takes the entry after the child's last has room for
 // a full leaf.
-func (t *BTree) splitChild(p *node, i int, it Item) *node {
+func (t *BTree) splitChild(p *node, i int, it Item, edge bool) *node {
 	old := p.child(i)
 	k := old.count()
 	mid := k / 2
 	median := old.at(mid)
-	j, _ := t.search(old, it) // after mid when it sorts into the right half
+	j, _ := t.search(old.entries(), it) // after mid when it sorts into the right half
 	var l, h *node
 	switch {
 	case !old.leaf():
@@ -421,15 +478,20 @@ func (t *BTree) splitChild(p *node, i int, it Item) *node {
 		if j > mid {
 			half = &h
 		}
-		if nh, _ := t.insert(*half, it); nh != nil { // the halves are new: a change below one is stored into it
+		if nh, _ := t.insert(*half, it, edge && half == &h); nh != nil { // the halves are new: a change below one is stored into it
 			*half = nh
 		}
+	case edge && j == k:
+		median = old.at(k - 1)
+		l = &node{items: old.items, order: old.order, fill: int32(len(old.items))}
+		l.num.Store(int32(k - 1))
+		h = sortedLeaf(append(make([]entry, 0, btreeOrder), entryOf(it)))
 	case j > mid:
-		l = &node{items: old.appendTo(make([]entry, 0, mid), 0, mid)}
-		h = &node{items: old.spliced(make([]entry, 0, room(nil, j == k, k-mid)), mid+1, j, k, entryOf(it))}
+		l = sortedLeaf(old.appendTo(make([]entry, 0, mid), 0, mid))
+		h = sortedLeaf(old.spliced(make([]entry, 0, room(nil, j == k, k-mid)), mid+1, j, k, entryOf(it)))
 	default:
-		l = &node{items: old.spliced(make([]entry, 0, mid+1), 0, j, mid, entryOf(it))}
-		h = &node{items: old.appendTo(make([]entry, 0, k-mid-1), mid+1, k)}
+		l = sortedLeaf(old.spliced(make([]entry, 0, mid+1), 0, j, mid, entryOf(it)))
+		h = sortedLeaf(old.appendTo(make([]entry, 0, k-mid-1), mid+1, k))
 	}
 	pc := p.count()
 	slots := make([]atomic.Pointer[node], pc+2)
@@ -443,7 +505,7 @@ func (t *BTree) splitChild(p *node, i int, it Item) *node {
 // Delete removes the entry equal to it (key and rid both matching).
 // It reports whether an entry was removed.
 func (t *BTree) Delete(it Item) bool {
-	top, ok := t.delete(t.top.Load(), it, false)
+	top, ok := t.delete(t.top.Load(), it, false, true)
 	if !ok {
 		return false
 	}
@@ -464,9 +526,10 @@ const minItems = btreeOrder / 2
 // then nothing is stored. Like insert, it returns a copy of n when n's arrays
 // change and stores a change below n into n's slot otherwise; with whole set
 // it copies n and returns the copy even then, so that the readers still on n
-// see the whole path under it as it was (see deleteInner).
-func (t *BTree) delete(n *node, it Item, whole bool) (*node, bool) {
-	i, found := t.search(n, it)
+// see the whole path under it as it was (see deleteInner). edge says n is on
+// the tree's right edge, as insert's does.
+func (t *BTree) delete(n *node, it Item, whole, edge bool) (*node, bool) {
+	i, found := t.search(n.entries(), it)
 	if n.leaf() {
 		if !found {
 			return nil, false
@@ -474,12 +537,12 @@ func (t *BTree) delete(n *node, it Item, whole bool) (*node, bool) {
 		return n.without(i), true
 	}
 	if found {
-		return t.deleteInner(n, i), true
+		return t.deleteInner(n, i, edge), true
 	}
 	// CLRS case 3: descend, topping up the child first so it cannot underflow.
-	c := t.ensureChild(n, i)
+	c := t.ensureChild(n, i, edge && i == n.count())
 	if c == nil && !whole {
-		nc, ok := t.delete(n.child(i), it, false)
+		nc, ok := t.delete(n.child(i), it, false, edge && i == n.count())
 		if nc != nil {
 			n.slots()[i].Store(nc)
 		}
@@ -488,8 +551,8 @@ func (t *BTree) delete(n *node, it Item, whole bool) (*node, bool) {
 	if c == nil {
 		c = inner(n.items, tight(n.slots(), false))
 	}
-	j, _ := t.search(c, it)
-	nc, ok := t.delete(c.child(j), it, whole)
+	j, _ := t.search(c.entries(), it)
+	nc, ok := t.delete(c.child(j), it, whole, edge && j == c.count())
 	if !ok {
 		return nil, false
 	}
@@ -508,7 +571,7 @@ func (n *node) without(i int) *node {
 	if c == 1 {
 		return &node{}
 	}
-	l := ordered(n.items, c-1)
+	l := ordered(n.items, c-1, n.fill)
 	for j := range c - 1 {
 		if j < i {
 			l.order[j] = uint8(n.slot(j))
@@ -526,28 +589,30 @@ func (n *node) without(i int) *node {
 // then deleted from the merged node. A moved neighbour changes the intervals
 // of two paths, so both are copied: every node on the path the neighbour
 // leaves (delete with whole set), which readers still on n must find it
-// under; and every inner node on the other child's near spine, whose
-// interval widens to the neighbour (spine), which readers still on n must
-// not see take an entry between the neighbour and the deleted one.
-func (t *BTree) deleteInner(n *node, i int) *node {
+// under; and every node on the other child's near spine, whose interval
+// widens to the neighbour (spine), which readers still on n must not see
+// take an entry between the neighbour and the deleted one. edge says n is on
+// the tree's right edge.
+func (t *BTree) deleteInner(n *node, i int, edge bool) *node {
 	left, right := n.child(i), n.child(i+1)
+	edge = edge && i+1 == n.count() // right's
 	items, slots := tight(n.items, false), tight(n.slots(), false)
 	switch {
 	case left.count() > minItems:
 		pred := last(left)
 		items[i] = pred
-		nl, _ := t.delete(left, pred.item(t.width), true)
+		nl, _ := t.delete(left, pred.item(t.width), true, false)
 		slots[i].Store(nl)
 		slots[i+1].Store(spine(right, false))
 	case right.count() > minItems:
 		succ := first(right)
 		items[i] = succ
-		nr, _ := t.delete(right, succ.item(t.width), true)
+		nr, _ := t.delete(right, succ.item(t.width), true, edge)
 		slots[i].Store(spine(left, true))
 		slots[i+1].Store(nr)
 	default:
 		m := merged(left, n.at(i), right)
-		if nm, _ := t.delete(m, n.at(i).item(t.width), false); nm != nil {
+		if nm, _ := t.delete(m, n.at(i).item(t.width), false, edge); nm != nil {
 			m = nm
 		}
 		items = slices.Delete(items, i, i+1)
@@ -557,12 +622,16 @@ func (t *BTree) deleteInner(n *node, i int) *node {
 	return inner(items, slots)
 }
 
-// spine returns n, or, when n is inner, a copy of n with a copy of every
-// inner node on its path to its rightmost leaf when rightmost is set, or to
-// its leftmost.
+// spine returns a copy of n with a copy of every node on its path to its
+// rightmost leaf when rightmost is set, or to its leftmost: an inner node's
+// over new slots, and the leaf's a new header over the leaf's arrays, so
+// that an append in place into the leaf, which the interval the copies widen
+// may take, is read by no reader still on n.
 func spine(n *node, rightmost bool) *node {
 	if n.leaf() {
-		return n
+		c := &node{items: n.items, order: n.order, fill: n.fill}
+		c.num.Store(n.num.Load())
+		return c
 	}
 	c := inner(n.items, tight(n.slots(), false))
 	j := 0
@@ -579,7 +648,7 @@ func merged(l *node, sep entry, r *node) *node {
 	lc, rc := l.count(), r.count()
 	items := r.appendTo(append(l.appendTo(make([]entry, 0, lc+1+rc), 0, lc), sep), 0, rc)
 	if l.leaf() {
-		return &node{items: items}
+		return sortedLeaf(items)
 	}
 	return inner(items, append(append(make([]atomic.Pointer[node], 0, lc+rc+2), l.slots()...), r.slots()...))
 }
@@ -601,14 +670,18 @@ func first(n *node) entry {
 }
 
 // ensureChild returns nil when child i of n, a node of the tree or a new
-// one, holds more than minItems entries, and otherwise a copy of n in which
-// the child has borrowed an entry from a sibling or been merged with one.
-// The child and the sibling it changes are new nodes, their arrays sorted;
-// the nodes they share with the old ones keep their intervals.
-func (t *BTree) ensureChild(n *node, i int) *node {
+// one, holds more than minItems entries, or more than one when it is the
+// rightmost leaf (edge says it is on the tree's right edge), which a
+// right-edge split leaves short; and otherwise a copy of n in which the
+// child has borrowed an entry from a sibling or been merged with one. So a
+// stream of appends and deletes at the tail takes from the full leaf before
+// the rightmost only when the rightmost would empty. The child and the
+// sibling it changes are new nodes, their arrays sorted; the nodes they share
+// with the old ones keep their intervals.
+func (t *BTree) ensureChild(n *node, i int, edge bool) *node {
 	child := n.child(i)
 	cc := child.count()
-	if cc > minItems {
+	if cc > minItems || edge && child.leaf() && cc > 1 {
 		return nil
 	}
 	items, slots := tight(n.items, false), tight(n.slots(), false)
@@ -617,34 +690,36 @@ func (t *BTree) ensureChild(n *node, i int) *node {
 		// borrow from left sibling
 		left := n.child(i - 1)
 		k := left.count() - 1
-		nl := &node{items: left.appendTo(make([]entry, 0, k), 0, k)}
-		nc := &node{items: child.spliced(make([]entry, 0, cc+1), 0, 0, cc, items[i-1])}
+		nl := left.appendTo(make([]entry, 0, k), 0, k)
+		nc := child.spliced(make([]entry, 0, cc+1), 0, 0, cc, items[i-1])
 		items[i-1] = left.at(k)
-		if !left.leaf() {
-			nl = inner(nl.items, tight(left.slots()[:k+1], false))
+		if left.leaf() {
+			slots[i-1].Store(sortedLeaf(nl))
+			slots[i].Store(sortedLeaf(nc))
+		} else {
 			s := make([]atomic.Pointer[node], cc+2)
 			s[0].Store(left.child(k + 1))
 			copy(s[1:], child.slots())
-			nc = inner(nc.items, s)
+			slots[i-1].Store(inner(nl, tight(left.slots()[:k+1], false)))
+			slots[i].Store(inner(nc, s))
 		}
-		slots[i-1].Store(nl)
-		slots[i].Store(nc)
 	case i < n.count() && n.child(i+1).count() > minItems:
 		// borrow from right sibling
 		right := n.child(i + 1)
 		rc := right.count()
-		nc := &node{items: child.spliced(make([]entry, 0, cc+1), 0, cc, cc, items[i])}
-		nr := &node{items: right.appendTo(make([]entry, 0, rc-1), 1, rc)}
+		nc := child.spliced(make([]entry, 0, cc+1), 0, cc, cc, items[i])
+		nr := right.appendTo(make([]entry, 0, rc-1), 1, rc)
 		items[i] = right.at(0)
-		if !right.leaf() {
+		if right.leaf() {
+			slots[i].Store(sortedLeaf(nc))
+			slots[i+1].Store(sortedLeaf(nr))
+		} else {
 			s := make([]atomic.Pointer[node], cc+2)
 			copy(s, child.slots())
 			s[cc+1].Store(right.child(0))
-			nc = inner(nc.items, s)
-			nr = inner(nr.items, tight(right.slots()[1:], false))
+			slots[i].Store(inner(nc, s))
+			slots[i+1].Store(inner(nr, tight(right.slots()[1:], false)))
 		}
-		slots[i].Store(nc)
-		slots[i+1].Store(nr)
 	default:
 		// merge with a sibling
 		if i == n.count() {
@@ -669,18 +744,18 @@ func (t *BTree) firstMatch(key types.Row, match func(RowID) bool) RowID {
 // firstMatchUnder walks n from the first entry >= key; false means the walk
 // passed the last entry carrying key.
 func (t *BTree) firstMatchUnder(n *node, key types.Row, match func(RowID) bool) (RowID, bool) {
-	k := n.count()
-	start, _ := t.search(n, Item{Key: key, RID: -1 << 62})
-	for i := start; i <= k; i++ {
+	es := n.entries()
+	start, _ := t.search(es, Item{Key: key, RID: -1 << 62})
+	for i := start; i <= es.n; i++ {
 		if !n.leaf() {
 			if rid, more := t.firstMatchUnder(n.child(i), key, match); rid >= 0 || !more {
 				return rid, more
 			}
 		}
-		if i == k {
+		if i == es.n {
 			break
 		}
-		e := n.at(i)
+		e := es.at(i)
 		if prefixCmp(t.key(e), key) != 0 {
 			return -1, false
 		}
@@ -715,20 +790,20 @@ func prefixCmp(key, bound types.Row) int {
 // ascend visits, in key order, the entries under n, from the first >= from
 // when bounded.
 func (t *BTree) ascend(n *node, from Item, bounded bool, fn func(Item) bool) bool {
-	k := n.count()
+	es := n.entries()
 	start := 0
 	if bounded {
-		start, _ = t.search(n, from)
+		start, _ = t.search(es, from)
 	}
-	for i := start; i <= k; i++ {
+	for i := start; i <= es.n; i++ {
 		if !n.leaf() {
 			b := bounded && i == start
 			if !t.ascend(n.child(i), from, b, fn) {
 				return false
 			}
 		}
-		if i < k {
-			if !fn(n.at(i).item(t.width)) {
+		if i < es.n {
+			if !fn(es.at(i).item(t.width)) {
 				return false
 			}
 		}
@@ -741,12 +816,13 @@ func (t *BTree) ascend(n *node, from Item, bounded bool, fn func(Item) bool) boo
 func (t *BTree) descend(n *node, hi types.Row, fn func(Item) bool) bool {
 	// end is the number of leading entries within the bound: every subtree
 	// left of the entry at end-1 is inside it, the child at end straddles it.
-	end := n.count()
+	es := n.entries()
+	end := es.n
 	if hi != nil {
 		lo := 0
 		for lo < end {
 			mid := (lo + end) / 2
-			if prefixCmp(t.key(n.at(mid)), hi) > 0 {
+			if prefixCmp(t.key(es.at(mid)), hi) > 0 {
 				end = mid
 			} else {
 				lo = mid + 1
@@ -763,7 +839,7 @@ func (t *BTree) descend(n *node, hi types.Row, fn func(Item) bool) bool {
 				return false
 			}
 		}
-		if i > 0 && !fn(n.at(i-1).item(t.width)) {
+		if i > 0 && !fn(es.at(i-1).item(t.width)) {
 			return false
 		}
 	}

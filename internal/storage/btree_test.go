@@ -254,16 +254,16 @@ func leafWrite(bt *BTree, it Item) string {
 		return "present"
 	}
 	for !n.leaf() {
-		i, _ := bt.search(n, it)
+		i, _ := bt.search(n.entries(), it)
 		n = n.child(i)
 	}
-	i, _ := bt.search(n, it)
+	i, _ := bt.search(n.entries(), it)
 	switch c := n.count(); {
 	case c >= btreeOrder:
 		return "split"
-	case len(n.items) == cap(n.items) && c < len(n.items):
+	case int(n.fill) == len(n.items) && c < int(n.fill):
 		return "compaction"
-	case len(n.items) == cap(n.items):
+	case int(n.fill) == len(n.items):
 		return "copy"
 	case n.order == nil && i == c:
 		return "tail"
@@ -626,13 +626,13 @@ func TestLiveWalksHoldEveryEntryPresentThroughout(t *testing.T) {
 // takes from depth 2 across a root split agrees with a sorted model after
 // every op, through every reader. The stream is mostly tail appends (the next
 // even key), with middle inserts (odd keys), re-inserts of present entries
-// and deletes, and three bursts that delete the largest entry 70 times: more
-// entries than the rightmost leaf holds, so it empties and merges. Deletes
-// leave holes that middle inserts write past until an array is full; the
-// stream must compact such an array, and write orders in place at a leaf's
-// end after a delete.
+// and deletes, some of them among the largest eight entries, and three
+// bursts that delete the largest entry 70 times: more entries than the
+// rightmost leaf holds, so it empties and merges. Deletes leave holes that
+// middle inserts write past until an array is full; the stream must compact
+// such an array, and write orders in place at a leaf's end after a delete.
 func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
-	const preload, ops, burst = 2000, 1800, 70
+	const preload, ops, burst = 3600, 1800, 70
 	const keys = 2 * (preload + ops)
 	tv := pairStore(t, keys)
 	bt := NewBTree(2)
@@ -685,6 +685,9 @@ func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 			}
 		default:
 			j := rng.Intn(len(model))
+			if r < 89 { // one of the largest 8: a hole in the rightmost leaf, which the tail appends then write past
+				j = len(model) - 1 - rng.Intn(min(8, len(model)))
+			}
 			k = model[j]
 			op = fmt.Sprintf("delete %d", k)
 			if !bt.Delete(pairItem(k)) {
@@ -706,6 +709,122 @@ func TestBTreeMatchesReferenceModelAtDepthThree(t *testing.T) {
 	}
 }
 
+// TestReplacedNodesReadAsBefore: after every write of a seeded stream, a walk
+// from the top the write replaced — a reader that loaded it just before the
+// write — yields entries in strict order, holds every entry present both
+// before and after the write, and none present at neither. The stream is
+// TestBTreeMatchesReferenceModelAtDepthThree's kind, across a root split:
+// tail appends, middle inserts, deletes, of the largest entries too, so that
+// it splits the rightmost leaf at the right edge, appends in place after a
+// delete and borrows into the rightmost leaf, and deletes of inner entries,
+// which a neighbour replaces, each put back by the next op. It is the walk
+// contract without a scheduler: a write that lowers a count in place, or
+// writes into a slot an older header covers, fails it.
+func TestReplacedNodesReadAsBefore(t *testing.T) {
+	const preload, ops = 4000, 1500
+	rng := rand.New(rand.NewSource(73))
+	bt := NewBTree(1)
+	var model []int64                     // the keys present, ascending
+	next := int64(2 * preload)            // the next tail key
+	for _, k := range rng.Perm(preload) { // median splits: leaves of 32 to 64, some of which a delete makes lend
+		bt.Insert(intItem(2*int64(k), RowID(2*k)))
+	}
+	for k := int64(0); k < next; k += 2 {
+		model = append(model, k)
+	}
+	deep := false
+	back := int64(-1) // an inner entry deleted by the last op, which this one puts back
+	for i := range ops {
+		old, before := bt.top.Load(), slices.Clone(model)
+		var k int64
+		switch r := rng.Intn(100); {
+		case back >= 0:
+			k, back = back, -1
+			bt.Insert(intItem(k, RowID(k)))
+			j, _ := slices.BinarySearch(model, k)
+			model = slices.Insert(model, j, k)
+		case r < 10:
+			// an entry of an inner node, the top or one of its children: its
+			// neighbour takes its place, and the next op puts it back, into
+			// the interval the neighbour widened
+			n := bt.top.Load()
+			if c := n.child(rng.Intn(n.count() + 1)); !c.leaf() && rng.Intn(2) == 0 {
+				n = c
+			}
+			k = n.at(rng.Intn(n.count())).row(1)[0].Int()
+			if !bt.Delete(intItem(k, RowID(k))) {
+				t.Fatalf("op %d: delete %d found nothing", i, k)
+			}
+			j, _ := slices.BinarySearch(model, k)
+			model = slices.Delete(model, j, j+1)
+			back = k
+		case r < 55:
+			k, next = next, next+2
+			bt.Insert(intItem(k, RowID(k)))
+			model = append(model, k)
+		case r < 70:
+			k = rng.Int63n(next) | 1
+			bt.Insert(intItem(k, RowID(k)))
+			if j, found := slices.BinarySearch(model, k); !found {
+				model = slices.Insert(model, j, k)
+			}
+		default:
+			j := rng.Intn(len(model))
+			if r < 85 { // one of the largest 8
+				j = len(model) - 1 - rng.Intn(min(8, len(model)))
+			}
+			k = model[j]
+			if !bt.Delete(intItem(k, RowID(k))) {
+				t.Fatalf("op %d: delete %d found nothing", i, k)
+			}
+			model = slices.Delete(model, j, j+1)
+		}
+		var got []int64
+		bt.ascend(old, Item{}, false, func(it Item) bool { got = append(got, it.Key[0].Int()); return true })
+		if err := readAsBefore(got, before, model); err != nil {
+			t.Fatalf("op %d (key %d): a walk of the replaced top: %v", i, k, err)
+		}
+		deep = deep || depth(bt.top.Load()) == 3
+	}
+	if !deep || !agreesWithKeys(bt, model) {
+		t.Fatalf("the stream left a tree of depth %d that agrees with the model: %v", depth(bt.top.Load()), agreesWithKeys(bt, model))
+	}
+}
+
+// readAsBefore reports where got, what a walk during one write yielded,
+// breaks the walk contract: strictly ascending, holding every key of both
+// before and after, the keys present before and after the write, and none
+// of neither.
+func readAsBefore(got, before, after []int64) error {
+	b, a := 0, 0
+	for i, k := range got {
+		if i > 0 && k <= got[i-1] {
+			return fmt.Errorf("%d after %d", k, got[i-1])
+		}
+		for ; b < len(before) && before[b] < k; b++ {
+		}
+		for ; a < len(after) && after[a] < k; a++ {
+		}
+		if (b == len(before) || before[b] != k) && (a == len(after) || after[a] != k) {
+			return fmt.Errorf("key %d, present neither before nor after", k)
+		}
+	}
+	g, a := 0, 0
+	for _, k := range before {
+		for ; a < len(after) && after[a] < k; a++ {
+		}
+		if a == len(after) || after[a] != k {
+			continue
+		}
+		for ; g < len(got) && got[g] < k; g++ {
+		}
+		if g == len(got) || got[g] != k {
+			return fmt.Errorf("key %d, present throughout, missing", k)
+		}
+	}
+	return nil
+}
+
 // matchesModel checks the shape of bt (balanced) and compares every reader
 // of it with model, the keys present in ascending order: Len,
 // Min, Max, full ascending and descending walks, and, for each probe key and
@@ -720,7 +839,7 @@ func matchesModel(tv *TableView, bt *BTree, model []int64, probes []int64) error
 	if !ok || mn.RID != RowID(model[0]) || mx.RID != RowID(model[len(model)-1]) {
 		return fmt.Errorf("first %d, last %d (%v), the model %d … %d", mn.RID, mx.RID, ok, model[0], model[len(model)-1])
 	}
-	if err := balanced(top, top, 1, depth(top)); err != nil {
+	if err := balanced(top, top, 1, depth(top), true); err != nil {
 		return err
 	}
 	var got []int64
@@ -777,18 +896,24 @@ func matchesModel(tv *TableView, bt *BTree, model []int64, probes []int64) error
 
 // balanced reports a node under top, at level lvl of the tree's d, that
 // breaks the shape insert and delete keep: every leaf at depth d, and every
-// node but the top holding from minItems-1 entries (a split's right half) to
-// btreeOrder+1 (a merge of two nodes of minItems, with the separator).
-func balanced(top, n *node, lvl, d int) error {
-	k := n.count()
-	if n != top && (k < minItems-1 || k > btreeOrder+1) {
-		return fmt.Errorf("a node at level %d holds %d entries", lvl, k)
+// node but the top holding from minItems-1 entries (a median split's right
+// half) to btreeOrder+1 (a merge of two nodes of minItems, with the
+// separator) — except the rightmost leaf below the top, which may hold as
+// few as one: a right-edge split leaves it the new entry alone, and a delete
+// tops it up before it would empty. edge says n is on the right edge.
+func balanced(top, n *node, lvl, d int, edge bool) error {
+	k, least := n.count(), minItems-1
+	if edge && n.leaf() {
+		least = 1
+	}
+	if n != top && (k < least || k > btreeOrder+1) {
+		return fmt.Errorf("a node at level %d holds %d entries (rightmost: %v)", lvl, k, edge)
 	}
 	if n.leaf() != (lvl == d) {
 		return fmt.Errorf("a node at level %d of %d is leaf=%v", lvl, d, n.leaf())
 	}
 	for i := range n.slots() {
-		if err := balanced(top, n.child(i), lvl+1, d); err != nil {
+		if err := balanced(top, n.child(i), lvl+1, d, edge && i == k); err != nil {
 			return err
 		}
 	}
@@ -929,25 +1054,86 @@ func readLive(tv *TableView, bt *BTree, how string, evens int64) error {
 	return nil
 }
 
+// TestTailStreamKeepsItsRootSplit: a stream of tail appends and deletes of
+// the largest entry that hovers within 8 entries of the size at which a leaf
+// top splits splits it once and never shrinks it. A median split leaves two
+// leaves of minItems, which cannot lend, so a delete of the largest soon
+// merges them back under the top and the next append splits it again; a
+// right-edge split leaves the full leaf's 63 entries on the left, which lend
+// the rightmost leaf an entry only when a delete would empty it.
+func TestTailStreamKeepsItsRootSplit(t *testing.T) {
+	bt := NewBTree(1)
+	var keys []int64 // the keys present, ascending
+	next := int64(0) // the next tail key
+	push := func() {
+		bt.Insert(intItem(next, RowID(next)))
+		keys = append(keys, next)
+		next++
+	}
+	for depth(bt.top.Load()) == 1 {
+		push()
+	}
+	at := len(keys) // the size the top split at
+	rng := rand.New(rand.NewSource(73))
+	splits, shrinks := 0, 0
+	for i := range 1000 {
+		d := depth(bt.top.Load())
+		if n := len(keys); n > at+8 || n >= at-8 && rng.Intn(2) == 0 {
+			k := keys[n-1]
+			if !bt.Delete(intItem(k, RowID(k))) {
+				t.Fatalf("op %d: delete of the largest, %d, found nothing", i, k)
+			}
+			keys = keys[:n-1]
+		} else {
+			push()
+		}
+		switch nd := depth(bt.top.Load()); {
+		case nd > d:
+			splits++
+		case nd < d:
+			shrinks++
+		}
+	}
+	if !agreesWithKeys(bt, keys) {
+		t.Fatalf("the tree does not hold the stream's %d keys", len(keys))
+	}
+	t.Logf("the top split at %d entries; 1000 ops within 8 of it split it %d more times and shrank it %d times", at, splits, shrinks)
+	if splits != 0 || shrinks != 0 {
+		t.Errorf("the stream split the top %d more times and shrank it %d times, want neither", splits, shrinks)
+	}
+}
+
+// agreesWithKeys reports whether bt holds exactly keys, ascending, each with
+// its key as rid.
+func agreesWithKeys(bt *BTree, keys []int64) bool {
+	var got []int64
+	bt.AscendRange(nil, nil, func(it Item) bool { got = append(got, it.Key[0].Int()); return it.RID == RowID(it.Key[0].Int()) })
+	return slices.Equal(got, keys) && bt.Len() == len(keys)
+}
+
 // TestIndexInsertAllocBudget: what one index write allocates. A write copies
 // only the nodes whose own arrays change and stores the copy into its
 // parent's slot, and a leaf's array only when it is full, so at any depth: a
-// tail append — a new largest entry, into a rightmost leaf with room — stores
-// one new leaf header over the same array (1); a middle insert writes its
+// tail append — a new largest entry, into a rightmost leaf with room — writes
+// its entry into the array and publishes it with the leaf's count, in place
+// (0; 1 when it published a new leaf header); a middle insert writes its
 // entry into a free slot of the array and stores the leaf's new header with
 // its order, one object (1), or, into a full array, the header and the copy
 // (2; 4 with every node on the path copied in a depth-2 tree, and 2 for
 // every middle insert before leaves kept orders); an entry already present
 // nothing; and a delete that rebalances nothing the leaf's new header with
 // an order one byte shorter, over the same array (1; 2 when it copied the
-// array, 5 with the path copied too).
-// After a delete of a leaf's last entry the appends write past the hole and
-// onto the delete's order in place, and a split whose new entry goes after
-// the full leaf's last gives the new array room for a full leaf, so the
-// appends after either cost 1. A split of a full leaf costs the parent's
-// header and its two arrays and each half's header and array (7), wherever
-// the entry goes and at any depth: the half that takes it is built with it
-// in, so no array is made twice, and nothing above the parent is copied.
+// array, 5 with the path copied too). After a delete of a leaf's last entry
+// the appends write past the hole and onto the delete's order in place (0).
+// A split of the full rightmost leaf by a new largest entry keeps the full
+// array under a new header of 63 entries and puts the new entry alone in a
+// new leaf with room for a full leaf: the left header, the new leaf's header
+// and array, and the parent's header and two arrays (6; 7 when it copied
+// both halves), and the appends after it cost nothing. A split of any other
+// full leaf costs the parent's header and its two arrays and each half's
+// header and array (7), wherever the entry goes and at any depth: the half
+// that takes it is built with it in, so no array is made twice, and nothing
+// above the parent is copied.
 func TestIndexInsertAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -987,60 +1173,63 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 	// room reports whether the rightmost leaf of bt takes n more appends
 	// without a split or a copy of its array.
 	room := func(bt *BTree, n int) bool {
-		tail := lastLeaf(bt).items
-		return len(tail)+n <= btreeOrder && len(tail)+n <= cap(tail)
+		tail := lastLeaf(bt)
+		return tail.count()+n <= btreeOrder && int(tail.fill)+n <= len(tail.items)
 	}
 	// splits checks, in a tree made by ascending(n), of depth d, that a split
-	// of its first leaf, filled by the odd keys below 64, costs 7 with the new
-	// entry going to the left half's end, into its middle, or into the right
-	// half, and that the half that takes it has an array sized to its entries.
-	// The first leaf holds the even keys 0 … 62; its median is 32, so an
-	// entry after 31's goes to the left half's end, one after 15's into its
-	// middle, and one after 40's into the right half.
+	// of its first leaf, a full leaf once it takes the odd key 1, costs 7 with
+	// the new entry going to the left half's end, into its middle, into the
+	// right half, or after the leaf's last entry (a median split, since the
+	// leaf is not on the right edge), and that the half that takes it has an
+	// array sized to its entries, or room for a full leaf when the entry is
+	// the leaf's new last. The first leaf holds 0, 1, 2, 4 … 124 and its
+	// median is 62, so an entry after 60 goes to the left half's end, one
+	// after 14 into its middle, one after 80 into the right half, and one
+	// after 124 at the end of the right half.
 	splits := func(n int64, d int) {
-		for _, key := range []int64{31, 15, 40} {
+		for _, key := range []int64{61, 15, 81, 125} {
 			bt := ascending(n)
-			for k := int64(1); k < 64; k += 2 {
-				bt.Insert(intItem(k, RowID(k)))
-			}
+			bt.Insert(intItem(1, 1))
 			leaf := bt.top.Load()
 			for !leaf.leaf() {
 				leaf = leaf.child(0)
 			}
-			if depth(bt.top.Load()) != d || leaf.count() != btreeOrder || leaf.at(btreeOrder - 1).row(1)[0].Int() != 63 {
+			if depth(bt.top.Load()) != d || leaf.count() != btreeOrder || leaf.at(btreeOrder - 1).row(1)[0].Int() != 124 {
 				t.Fatalf("fixture: depth %d, the first leaf holds %d entries", depth(bt.top.Load()), leaf.count())
 			}
-			name := fmt.Sprintf("split of a middle leaf at depth %d, the entry after %d", d, key)
+			name := fmt.Sprintf("split of a middle leaf at depth %d, the entry after %d", d, key-1)
 			check(name, allocs([]Item{intItem(0, 0), intItem(key, RowID(n+key))}, bt.Insert), 7) // the warm-up entry is present
 			p := bt.top.Load()
 			for !p.child(0).leaf() {
 				p = p.child(0)
 			}
-			half, want := p.child(0), btreeOrder/2+1
-			if key > btreeOrder/2 {
-				half, want = p.child(1), btreeOrder/2
+			half, want, slots := p.child(0), btreeOrder/2+1, btreeOrder/2+1
+			if key > 62 {
+				half, want, slots = p.child(1), btreeOrder/2, btreeOrder/2
 			}
-			if len(half.items) != want || cap(half.items) != want {
-				t.Errorf("%s: the half that took it holds %d entries in %d slots, want %d in as many", name, len(half.items), cap(half.items), want)
+			if key == 125 {
+				slots = btreeOrder
+			}
+			if half.count() != want || len(half.items) != slots {
+				t.Errorf("%s: the half that took it holds %d entries in %d slots, want %d in %d", name, half.count(), len(half.items), want, slots)
 			}
 		}
 	}
 
-	const two = 2 * 500 // even keys 0 … 998: a top over leaves
+	const two = 2 * 478 // even keys 0 … 954: a top over 7 full leaves and the rightmost, of 30 entries
 	bt := ascending(two)
-	if depth(bt.top.Load()) != 2 || !room(bt, 11) {
-		t.Fatalf("fixture: depth %d, tail %d/%d", depth(bt.top.Load()), len(lastLeaf(bt).items), cap(lastLeaf(bt).items))
+	if depth(bt.top.Load()) != 2 || lastLeaf(bt).count() != 30 || !room(bt, 22) {
+		t.Fatalf("fixture: depth %d, tail %d/%d", depth(bt.top.Load()), lastLeaf(bt).count(), len(lastLeaf(bt).items))
 	}
-	first := bt.top.Load().child(0)
-	check("tail append at depth 2", allocs(items(two, 2, 11), bt.Insert), 1)
-	// Odd keys 1, 3, …: inside the first leaf, never its last entry. The
-	// warm-up copies its full array (2); the counted ones write new orders.
-	check("middle insert at depth 2", allocs(items(1, 2, 11), bt.Insert), 1)
+	check("tail append at depth 2", allocs(items(two, 2, 11), bt.Insert), 0)
+	// Odd keys two-59, two-57, …: inside the rightmost leaf, never its last
+	// entry. Each writes a new order.
+	check("middle insert at depth 2", allocs(items(two-59, 2, 11), bt.Insert), 1)
 	check("present", allocs(items(500, 0, 11), bt.Insert), 0)
-	if d := depth(bt.top.Load()); d != 2 || bt.top.Load().child(0).count() != first.count()+11 {
-		t.Fatalf("the inserts left the fixture: depth %d", d)
+	if d := depth(bt.top.Load()); d != 2 || lastLeaf(bt).count() != 30+22 {
+		t.Fatalf("the inserts left the fixture: depth %d, tail %d", d, lastLeaf(bt).count())
 	}
-	// The rightmost leaf holds 43 entries; none of 11 deletes tops it up.
+	// The rightmost leaf holds 52 entries; none of 11 deletes tops it up.
 	if tail := lastLeaf(bt).count(); tail-10 <= minItems {
 		t.Fatalf("fixture: tail %d", tail)
 	}
@@ -1056,54 +1245,63 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 			return
 		}
 		bt.Insert(it)
-	}), 1)
+	}), 0)
 	splits(two, 2)
 
-	const three = 2 * 2281 // the root has split, and the last leaf since: it holds 37 entries
+	const three = 2 * 4133 // the root has split, and the last leaf since: it holds 37 entries
 	bt = ascending(three)
-	if depth(bt.top.Load()) != 3 || !room(bt, 11) {
-		t.Fatalf("fixture: depth %d, tail %d/%d", depth(bt.top.Load()), len(lastLeaf(bt).items), cap(lastLeaf(bt).items))
+	if depth(bt.top.Load()) != 3 || lastLeaf(bt).count() != 37 || !room(bt, 22) {
+		t.Fatalf("fixture: depth %d, tail %d/%d", depth(bt.top.Load()), lastLeaf(bt).count(), len(lastLeaf(bt).items))
 	}
-	check("tail append at depth 3", allocs(items(three, 2, 11), bt.Insert), 1)
-	check("middle insert at depth 3", allocs(items(1, 2, 11), bt.Insert), 1)
+	check("tail append at depth 3", allocs(items(three, 2, 11), bt.Insert), 0)
+	check("middle insert at depth 3", allocs(items(three-73, 2, 11), bt.Insert), 1)
 	next := int64(three + 22)
 	for lastLeaf(bt).count() < btreeOrder {
 		bt.Insert(intItem(next, RowID(next)))
 		next += 2
 	}
 	// The warm-up call splits the full rightmost leaf; the counted one is the
-	// first append after the split.
-	var split []entry
+	// first append after the split, in place into the new leaf.
+	var split *node
 	check("first append after a split", allocs(items(next, 2, 2), func(it Item) {
 		bt.Insert(it)
 		if split == nil {
-			split = lastLeaf(bt).items
+			split = lastLeaf(bt)
 		}
-	}), 1)
-	if tail := lastLeaf(bt).items; len(split) != btreeOrder/2 || cap(split) != btreeOrder || len(tail) != len(split)+1 || &tail[0] != &split[0] {
-		t.Errorf("the append after the split copied the leaf: %d entries after the split, %d after the append", len(split), len(tail))
+	}), 0)
+	if tail := lastLeaf(bt); tail != split || tail.count() != 2 || len(tail.items) != btreeOrder {
+		t.Errorf("the append after the split replaced the leaf: %d entries in %d slots", tail.count(), len(tail.items))
 	}
-	// The split itself: a new parent header with its two arrays, and both
-	// halves with their arrays; the right half, the parent's own, takes the
-	// entry in place in its array, which has room. Nothing above the parent
-	// is copied (9 when the top and its children array were).
+	// The split itself: a new header over the full leaf's array, one entry
+	// shorter, and the new leaf with its array; a new parent header with its
+	// two arrays. Nothing above the parent is copied.
 	next += 4
 	for lastLeaf(bt).count() < btreeOrder-1 {
 		bt.Insert(intItem(next, RowID(next)))
 		next += 2
 	}
-	check("split of the rightmost leaf", allocs(items(next, 2, 2), bt.Insert), 7) // the warm-up fills the leaf
-	if d := depth(bt.top.Load()); d != 3 || lastLeaf(bt).count() != btreeOrder/2 {
-		t.Fatalf("the split left the fixture: depth %d, tail %d", d, lastLeaf(bt).count())
+	full := lastLeaf(bt)
+	check("split of the rightmost leaf", allocs(items(next, 2, 2), bt.Insert), 6) // the warm-up fills the leaf
+	p := bt.top.Load()
+	for !p.child(0).leaf() {
+		p = p.child(p.count())
+	}
+	left := p.child(p.count() - 1)
+	if d := depth(bt.top.Load()); d != 3 || lastLeaf(bt).count() != 1 || len(lastLeaf(bt).items) != btreeOrder {
+		t.Fatalf("the split left the fixture: depth %d, tail %d in %d slots", d, lastLeaf(bt).count(), len(lastLeaf(bt).items))
+	}
+	if left == full || left.count() != btreeOrder-1 || &left.items[0] != &full.items[0] || full.count() != btreeOrder {
+		t.Errorf("the split's left half holds %d entries (a new header: %v, over the full leaf's array: %v), and the full leaf %d", left.count(), left != full, &left.items[0] == &full.items[0], full.count())
 	}
 	splits(three, 3)
 }
 
 // BenchmarkIndexInsert: one index insert, ascending keys (every one a tail
-// append: a new leaf header, and the split's arrays once per 32 appends) and
-// random keys (mostly a new header and order, and a leaf's copy or split
-// when its array is full). Each op also builds its key, one object of
-// allocs/op.
+// append, written in place, and once per 63 appends a right-edge split: the
+// left header, the new leaf's header and array, the parent's header and two
+// arrays) and random keys (mostly a new header and order, and a leaf's copy
+// or split when its array is full). Each op also builds its key, one object
+// of allocs/op.
 func BenchmarkIndexInsert(b *testing.B) {
 	for _, order := range []string{"ascending", "random"} {
 		b.Run(order, func(b *testing.B) {

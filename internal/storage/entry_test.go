@@ -20,6 +20,16 @@ func TestEntryIsSixteenBytes(t *testing.T) {
 	}
 }
 
+// TestNodeHeaderIs48Bytes: a node header — its array, its first child slot,
+// its order, its atomic count and the writer's fill — is 48 bytes, and one
+// with its order 48 more than the order's 64: the object a middle insert or
+// a delete publishes.
+func TestNodeHeaderIs48Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size != 48 || unsafe.Sizeof(orderedLeaf{}) != 48+btreeOrder {
+		t.Fatalf("a node header is %d bytes and one with its order %d, want 48 and %d", size, unsafe.Sizeof(orderedLeaf{}), 48+btreeOrder)
+	}
+}
+
 // keyStore returns a read view of a table of w columns and n rows, a row's
 // slot its rid: an INT of 50 values, a VARCHAR of 10 and an INT of a
 // million, the first w of them, so that keys share prefixes of every length.
@@ -71,7 +81,7 @@ func TestEntryKeysMatchSortedModel(t *testing.T) {
 		var model []Item // the entries present, in key order
 		for rid := range built {
 			present[rid] = true
-			model = append(model, Item{Key: indexKey(tv.Get(RowID(rid)), cols), RID: RowID(rid)})
+			model = append(model, Item{Key: appendKey(nil, tv.Get(RowID(rid)), cols), RID: RowID(rid)})
 		}
 		slices.SortFunc(model, cmpItem)
 		if d := depth(bt.top.Load()); d != 3 {
@@ -97,7 +107,7 @@ func TestEntryKeysMatchSortedModel(t *testing.T) {
 			} else {
 				j := rng.Intn(len(model))
 				rid := model[j].RID
-				if !bt.Delete(Item{Key: indexKey(tv.Get(rid), cols), RID: rid}) {
+				if !bt.Delete(Item{Key: appendKey(nil, tv.Get(rid), cols), RID: rid}) {
 					t.Fatalf("%d columns, op %d: delete of %v/%d found nothing", w, i, model[j].Key, rid)
 				}
 				present[rid] = false
@@ -107,7 +117,7 @@ func TestEntryKeysMatchSortedModel(t *testing.T) {
 			if err := wholeTreeAgrees(bt, model); err != nil {
 				t.Fatalf("%d columns, op %d (%s): %v", w, i, op, err)
 			}
-			for _, key := range []types.Row{model[rng.Intn(len(model))].Key, indexKey(tv.Get(RowID(rng.Intn(rows))), cols)} {
+			for _, key := range []types.Row{model[rng.Intn(len(model))].Key, appendKey(nil, tv.Get(RowID(rng.Intn(rows))), cols)} {
 				prefix := key[:1+rng.Intn(w)]
 				if err := prefixAgrees(tv, bt, cols, model, prefix); err != nil {
 					t.Fatalf("%d columns, op %d (%s), prefix %v: %v", w, i, op, prefix, err)
@@ -240,9 +250,6 @@ func TestMiddleInsertByteBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
-	if size := unsafe.Sizeof(node{}); size != 48 || unsafe.Sizeof(orderedLeaf{}) != 48+btreeOrder {
-		t.Fatalf("a node header is %d bytes and one with its order %d, want 48 and %d", size, unsafe.Sizeof(orderedLeaf{}), 48+btreeOrder)
-	}
 	const leaves = 41
 	its := make([]Item, leaves*buildFill+leaves-1) // the leaves and the entries between them
 	for i := range its {
@@ -287,15 +294,15 @@ func TestMiddleInsertByteBudget(t *testing.T) {
 	}
 	check("middle insert into a full 48-entry leaf", first, bt.Insert, 896+48)
 	for i := range leaves - 1 {
-		if leaf := bt.top.Load().child(i); len(leaf.items) != buildFill+1 || cap(leaf.items) <= buildFill+1 || leaf.order != nil {
-			t.Fatalf("the first insert left a leaf of %d entries in %d slots (order %v), want 49 sorted, with room", len(leaf.items), cap(leaf.items), leaf.order != nil)
+		if leaf := bt.top.Load().child(i); leaf.count() != buildFill+1 || int(leaf.fill) != buildFill+1 || len(leaf.items) <= buildFill+1 || leaf.order != nil {
+			t.Fatalf("the first insert left a leaf of %d entries in %d slots (order %v), want 49 sorted, with room", leaf.count(), len(leaf.items), leaf.order != nil)
 		}
 	}
 	check("middle insert into a leaf with room", second, bt.Insert, 48+btreeOrder)
 	check("delete from a leaf", first, func(it Item) { bt.Delete(it) }, 48+btreeOrder)
 	for i := range leaves - 1 {
-		if leaf := bt.top.Load().child(i); leaf.count() != buildFill+1 || len(leaf.items) != buildFill+2 {
-			t.Fatalf("the writes left a leaf of %d entries in %d slots, want %d in %d", leaf.count(), len(leaf.items), buildFill+1, buildFill+2)
+		if leaf := bt.top.Load().child(i); leaf.count() != buildFill+1 || leaf.fill != buildFill+2 {
+			t.Fatalf("the writes left a leaf of %d entries in %d written slots, want %d in %d", leaf.count(), leaf.fill, buildFill+1, buildFill+2)
 		}
 	}
 }

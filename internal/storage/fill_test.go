@@ -26,10 +26,10 @@ func builtShape(bt *BTree) error {
 	for !last.leaf() {
 		last = last.child(last.count())
 	}
-	if cap(last.items) != btreeOrder {
-		return fmt.Errorf("the rightmost leaf holds %d entries in room for %d, want room for %d", len(last.items), cap(last.items), btreeOrder)
+	if len(last.items) != btreeOrder {
+		return fmt.Errorf("the rightmost leaf holds %d entries in room for %d, want room for %d", last.count(), len(last.items), btreeOrder)
 	}
-	if err := balanced(top, top, 1, depth(top)); err != nil {
+	if err := balanced(top, top, 1, depth(top), true); err != nil {
 		return err
 	}
 	var walk func(n *node) error
@@ -37,8 +37,8 @@ func builtShape(bt *BTree) error {
 		if k := n.count(); n != top && (k < minItems || k > buildFill) {
 			return fmt.Errorf("a node below the top holds %d entries", k)
 		}
-		if n != last && cap(n.items) != len(n.items) {
-			return fmt.Errorf("a node holds %d entries in room for %d", len(n.items), cap(n.items))
+		if n != last && (len(n.items) != n.count() || cap(n.items) != n.count()) {
+			return fmt.Errorf("a node holds %d entries in room for %d", n.count(), cap(n.items))
 		}
 		if n.order != nil {
 			return fmt.Errorf("a built node of %d entries has an order", n.count())

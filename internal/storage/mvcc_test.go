@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -223,6 +224,77 @@ func TestVersionGC(t *testing.T) {
 	defer rtx.Abort()
 	if name, ok := custName(t, rtx, 1); !ok || name != "v" {
 		t.Errorf("row after GC: %q", name)
+	}
+}
+
+// TestGCLooksUpEntriesWithAStackKey: a GC pass that reclaims N dead
+// versions, each carrying a key of a secondary index that no surviving
+// version carries, deletes their N index entries and allocates no key to
+// find them: its allocations are the N leaf headers the deletes publish,
+// one each (the dead keys sit in full leaves, which lend nothing and merge
+// with nothing), where a built key per entry made it 2N.
+func TestGCLooksUpEntriesWithAStackKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	const rows, dead = 1000, 20
+	s := NewStore()
+	meta := &catalog.Table{
+		Name:       "g",
+		Columns:    []catalog.Column{{Name: "id", Type: types.KindInt, NotNull: true}, {Name: "v", Type: types.KindInt}},
+		PrimaryKey: []int{0},
+		Indexes:    []*catalog.Index{{Name: "ix_v", Table: "g", Columns: []int{1}}},
+	}
+	if err := s.CreateTable(meta); err != nil {
+		t.Fatal(err)
+	}
+	write := func(do func(tx *Txn) error) {
+		t.Helper()
+		tx := s.Begin(true)
+		if err := do(tx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(func(tx *Txn) error {
+		for i := int64(0); i < rows; i++ {
+			if _, err := tx.Insert("g", types.Row{types.NewInt(i), types.NewInt(i)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	// Move v of rows 450 … 469, inside one full leaf of ix_v (448 … 510),
+	// past every other: their old entries die.
+	write(func(tx *Txn) error {
+		for i := int64(450); i < 450+dead; i++ {
+			rid := view(tx, "g").PKLookup(types.Row{types.NewInt(i)})
+			if err := tx.Update("g", rid, types.Row{types.NewInt(i), types.NewInt(rows + i)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	td := s.tables["g"]
+	tree := (*td.indexes.Load())["ix_v"].tree
+	if tree.Len() != rows+dead {
+		t.Fatalf("fixture: ix_v holds %d entries, want %d", tree.Len(), rows+dead)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	oldest := s.oldestVisible()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pruned := td.gcLocked(oldest)
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("a GC pass reclaiming %d versions: %d allocs", pruned, allocs)
+	if pruned != dead || tree.Len() != rows {
+		t.Fatalf("GC reclaimed %d versions and left %d entries in ix_v, want %d and %d", pruned, tree.Len(), dead, rows)
+	}
+	if allocs > dead {
+		t.Errorf("a GC pass reclaiming %d versions allocates %d objects, want at most %d, one leaf header per entry it deletes", dead, allocs, dead)
 	}
 }
 

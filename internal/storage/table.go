@@ -190,10 +190,6 @@ func keyName(s string) string {
 	return string(b)
 }
 
-func indexKey(row types.Row, cols []int) types.Row {
-	return appendKey(make(types.Row, 0, len(cols)), row, cols)
-}
-
 // appendKey appends row's values on cols to dst.
 func appendKey(dst, row types.Row, cols []int) types.Row {
 	for _, c := range cols {
@@ -414,11 +410,12 @@ func (td *TableData) updateLocked(txnID int64, rid RowID, newRow types.Row) (*ve
 // is non-nil, entries whose key also appears on that row are kept (undo of an
 // update must not strip the old image's entries).
 func (td *TableData) removeEntriesFor(row types.Row, rid RowID, onlyIfNot types.Row) {
+	var keyBuf [4]types.Value
 	for _, id := range *td.indexes.Load() {
 		if onlyIfNot != nil && sameKey(row, onlyIfNot, id.meta.Columns) {
 			continue
 		}
-		id.tree.Delete(Item{Key: indexKey(row, id.meta.Columns), RID: rid})
+		id.tree.Delete(Item{Key: appendKey(keyBuf[:0], row, id.meta.Columns), RID: rid})
 	}
 }
 
@@ -429,6 +426,7 @@ func (td *TableData) removeEntriesFor(row types.Row, rid RowID, onlyIfNot types.
 func (td *TableData) gcLocked(oldest int64) int {
 	n, dir := td.heap()
 	idxs := *td.indexes.Load()
+	var keyBuf [4]types.Value // the key of an entry to delete, looked up only
 	pruned := 0
 	for rid := 0; rid < n; rid++ {
 		slot := slotIn(dir, rid)
@@ -460,7 +458,7 @@ func (td *TableData) gcLocked(oldest int64) int {
 		for _, id := range idxs {
 			for d := v; d != nil; d = d.next.Load() {
 				if !survives(slot, d.row, id.meta.Columns) {
-					id.tree.Delete(Item{Key: indexKey(d.row, id.meta.Columns), RID: RowID(rid)})
+					id.tree.Delete(Item{Key: appendKey(keyBuf[:0], d.row, id.meta.Columns), RID: RowID(rid)})
 				}
 			}
 		}
@@ -653,19 +651,19 @@ func (iv *IndexView) AppendMatches(dst []types.Row, prefix types.Row) []types.Ro
 // prefix; false means the walk passed the last entry carrying the prefix.
 func (iv *IndexView) appendMatches(n *node, dst []types.Row, prefix types.Row) ([]types.Row, bool) {
 	t := iv.id.tree
-	k := n.count()
-	start, _ := t.search(n, Item{Key: prefix, RID: -1 << 62})
-	for i := start; i <= k; i++ {
+	es := n.entries()
+	start, _ := t.search(es, Item{Key: prefix, RID: -1 << 62})
+	for i := start; i <= es.n; i++ {
 		if !n.leaf() {
 			var more bool
 			if dst, more = iv.appendMatches(n.child(i), dst, prefix); !more {
 				return dst, false
 			}
 		}
-		if i == k {
+		if i == es.n {
 			break
 		}
-		e := n.at(i)
+		e := es.at(i)
 		key := t.key(e)
 		if len(key) < len(prefix) || types.CompareRows(key[:len(prefix)], prefix) != 0 {
 			return dst, false
