@@ -676,8 +676,9 @@ func first(n *node) entry {
 // child has borrowed an entry from a sibling or been merged with one. So a
 // stream of appends and deletes at the tail takes from the full leaf before
 // the rightmost only when the rightmost would empty. The child and the
-// sibling it changes are new nodes, their arrays sorted; the nodes they share
-// with the old ones keep their intervals.
+// sibling it changes are new nodes, their arrays sorted, and the rightmost
+// leaf's has room for a full leaf (room), for the appends that follow; the
+// nodes they share with the old ones keep their intervals.
 func (t *BTree) ensureChild(n *node, i int, edge bool) *node {
 	child := n.child(i)
 	cc := child.count()
@@ -691,7 +692,7 @@ func (t *BTree) ensureChild(n *node, i int, edge bool) *node {
 		left := n.child(i - 1)
 		k := left.count() - 1
 		nl := left.appendTo(make([]entry, 0, k), 0, k)
-		nc := child.spliced(make([]entry, 0, cc+1), 0, 0, cc, items[i-1])
+		nc := child.spliced(make([]entry, 0, room(nil, edge && child.leaf(), cc+1)), 0, 0, cc, items[i-1])
 		items[i-1] = left.at(k)
 		if left.leaf() {
 			slots[i-1].Store(sortedLeaf(nl))

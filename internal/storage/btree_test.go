@@ -1248,6 +1248,29 @@ func TestIndexInsertAllocBudget(t *testing.T) {
 	}), 0)
 	splits(two, 2)
 
+	// A delete in the rightmost leaf when it holds one entry first has it
+	// borrow the last entry of the full leaf before it. The leaf it then
+	// becomes has room for a full leaf, so the append after the delete goes
+	// in place (2 while its array was sized to its entries: a compaction's
+	// array and its header).
+	const borrow = 2 * 449 // even keys 0 … 896: a top over 7 full leaves and the rightmost, of 896 alone
+	bt = ascending(borrow)
+	if d := depth(bt.top.Load()); d != 2 || lastLeaf(bt).count() != 1 {
+		t.Fatalf("fixture: depth %d, tail %d", d, lastLeaf(bt).count())
+	}
+	deleted = false
+	check("tail append after a borrow into the rightmost leaf", allocs(items(borrow-2, 2, 2), func(it Item) {
+		if !deleted {
+			bt.Delete(it)
+			deleted = true
+			return
+		}
+		bt.Insert(it)
+	}), 0)
+	if tail := lastLeaf(bt); tail.count() != 2 || len(tail.items) != btreeOrder {
+		t.Errorf("after the borrow and the append the rightmost leaf holds %d entries in %d slots, want 2 in %d", tail.count(), len(tail.items), btreeOrder)
+	}
+
 	const three = 2 * 4133 // the root has split, and the last leaf since: it holds 37 entries
 	bt = ascending(three)
 	if depth(bt.top.Load()) != 3 || lastLeaf(bt).count() != 37 || !room(bt, 22) {

@@ -24,6 +24,13 @@ var ErrDeadlock = errors.New("storage: deadlock detected")
 // sweeps.
 const gcInterval = 64
 
+// markChunk and redoChunk cap the chunks commits carve their snapshot marks
+// and redo records from: 1 KiB and 4.5 KiB.
+const (
+	markChunk = 64
+	redoChunk = 64
+)
+
 // snapMark pairs a commit timestamp with the WAL position containing exactly
 // the logged transactions committed at or before it. Commit publishes a new
 // mark after stamping versions and appending to the log (both under
@@ -61,6 +68,8 @@ type Store struct {
 
 	commitMu  sync.Mutex // serializes commit stamping + WAL append
 	published atomic.Pointer[snapMark]
+	marks     chunks[snapMark]  // a commit's mark is carved under commitMu
+	redo      chunks[ChangeRec] // and so is its redo record
 
 	snapMu  sync.Mutex // guards snaps/readers; pin reads published inside it
 	snaps   map[int64]snapRef
@@ -620,7 +629,8 @@ func (t *Txn) Fill(table string, rows []types.Row) error {
 	placed := make([]Item, len(rows))
 	t.undo = slices.Grow(t.undo, len(rows))
 	for i, row := range rows {
-		rid, v := td.pushLocked(t.id, row)
+		v := newVersion(row, -t.id)
+		rid := td.pushLocked(v)
 		t.undo = append(t.undo, undoRec{table: td, op: OpInsert, rid: rid, v: v})
 		placed[i] = Item{Key: row, RID: rid}
 	}
@@ -776,14 +786,6 @@ func (t *Txn) commit(logged bool, ddl string) (LSN, error) {
 	var lsn LSN
 	changed := len(t.undo) > 0
 	if changed || ddl != "" {
-		// The redo record is built only for the log, and exactly sized.
-		var redo []ChangeRec
-		if logged && ddl == "" {
-			redo = make([]ChangeRec, len(t.undo))
-			for i := range t.undo {
-				redo[i] = t.undo[i].redo()
-			}
-		}
 		s := t.s
 		s.commitMu.Lock()
 		ts := s.published.Load().ts + 1
@@ -797,11 +799,23 @@ func (t *Txn) commit(logged bool, ddl string) (LSN, error) {
 			}
 		}
 		if logged {
+			// The redo record is built only for the log, exactly sized, and
+			// carved: records leave the log in its order, so a chunk goes
+			// with the prefix that holds it.
+			var redo []ChangeRec
+			if ddl == "" {
+				redo = s.redo.carve(len(t.undo), redoChunk)
+				for i := range t.undo {
+					redo[i] = t.undo[i].redo()
+				}
+			}
 			lsn = s.wal.Append(t.id, time.Now(), redo, ddl)
 		}
 		// Publishing the mark is the commit point: after this single store,
 		// every new snapshot sees the whole transaction; none sees a part.
-		s.published.Store(&snapMark{ts: ts, walEnd: s.wal.End()})
+		m := &s.marks.carve(1, markChunk)[0]
+		*m = snapMark{ts: ts, walEnd: s.wal.End()}
+		s.published.Store(m)
 		s.commitMu.Unlock()
 		// Each superseded/deleted version is future garbage; the hint lets GC
 		// skip tables with nothing to reclaim. Counted before the latches
@@ -862,7 +876,8 @@ func (t *Txn) Abort() {
 		switch u.op {
 		case OpInsert:
 			slot.head.Store(u.v.next.Load())
-			u.table.removeEntriesFor(u.v.row, u.rid, nil)
+			u.table.removeEntriesFor(u.v.row, u.rid)
+			u.v.row = nil // carved, it pins no row (gcLocked); no reader reads an uncommitted one's
 			if slot.head.Load() == nil {
 				u.table.free = append(u.table.free, u.rid)
 			}
@@ -871,7 +886,7 @@ func (t *Txn) Abort() {
 		case OpUpdate:
 			slot.head.Store(u.v.next.Load())
 			u.old.end.Store(0)
-			u.table.removeEntriesFor(u.v.row, u.rid, u.old.row)
+			u.table.removeEntriesFor(u.v.row, u.rid)
 		}
 	}
 	t.forget()

@@ -240,46 +240,55 @@ func TestMixedTransactionRedoAndUndo(t *testing.T) {
 	})
 }
 
-// TestInsertCommitAllocBudget pins what one Txn.Insert into a table with a
-// primary key and a secondary index costs, with its commit: the transaction
-// with its inline change log and latch list, the version, one slab for both
-// index keys, the three headers each index's copied path takes in a
-// two-level tree, the exactly sized redo record and the published commit
-// mark — 11. The heap slot comes from a chunk, and nothing else is kept per
-// change. A warm, steady truncation of the log after those commits
-// allocates nothing.
+// TestInsertCommitAllocBudget pins what a logged transaction of one
+// Txn.Insert, or of ten, into a table with a primary key and a secondary
+// index costs, with its commit. What it allocates is the transaction with its
+// inline change log and latch list, and a copy of each row's string key; a
+// ten-row one grows its change log twice, and each index splits its
+// rightmost leaf about once per 63 appends (6 objects). The version, the
+// index keys' slab, the redo record and the commit mark are carved from
+// chunks, and so is the heap slot: one-row 2, ten-row 15 (6 and 37 while
+// the four were objects of their own; one-row 11 before a tail append
+// wrote in place and the transaction was one object). A warm, steady
+// truncation of the log after those commits allocates nothing.
 func TestInsertCommitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
-	s := newNameIndexStore(t, 1000)
-	id := int64(1 << 20)
-	rows := make([]types.Row, 300)
-	for i := range rows {
-		rows[i] = types.Row{types.NewInt(id + int64(i)), types.NewString("name_new")}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		tx := s.Begin(true)
-		if _, err := tx.Insert("customer", rows[i]); err != nil {
-			t.Fatal(err)
+	for _, g := range []struct {
+		rows   int
+		allocs float64
+	}{{1, 2}, {10, 15}} {
+		s := newNameIndexStore(t, 1000)
+		const runs = 200
+		rows := make([]types.Row, (runs+1)*g.rows)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(1<<20 + int64(i)), types.NewString("name_new")}
 		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(runs, func() {
+			tx := s.Begin(true)
+			for _, row := range rows[:g.rows] {
+				if _, err := tx.Insert("customer", row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rows = rows[g.rows:]
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d-row insert and commit: %.0f allocs", g.rows, allocs)
+		if allocs > g.allocs {
+			t.Errorf("a %d-row insert and commit allocates %.0f objects, want at most %.0f", g.rows, allocs, g.allocs)
 		}
-		i++
-	})
-	t.Logf("%.0f allocs per insert and commit", allocs)
-	if allocs > 11 {
-		t.Errorf("%.0f allocs per insert and commit, want at most 11", allocs)
-	}
 
-	// The truncation pass a pull runs drops what every subscriber has
-	// acknowledged: a steady, short drop reslices the log and allocates
-	// nothing.
-	wal := s.WAL()
-	if truncs := testing.AllocsPerRun(100, func() { wal.Truncate(wal.First() + 1) }); truncs != 0 {
-		t.Errorf("%.0f allocs per one-record truncation of a long log, want 0", truncs)
+		// The truncation pass a pull runs drops what every subscriber has
+		// acknowledged: a steady, short drop reslices the log and allocates
+		// nothing.
+		wal := s.WAL()
+		if truncs := testing.AllocsPerRun(100, func() { wal.Truncate(wal.First() + 1) }); truncs != 0 {
+			t.Errorf("%.0f allocs per one-record truncation of a long log, want 0", truncs)
+		}
 	}
 }
 
