@@ -32,12 +32,35 @@ var adhocPlanShapes = []string{
 	"SELECT o.o_id, c.c_uname FROM orders o, customer c WHERE o.o_c_id = c.c_id AND o.o_id = 10",
 }
 
+// benchPlanShapes are the literal statements bench/workload.go's adhocLocal
+// and adhocRemote send, each with one fixed key: item_point,
+// item_author_join, subject_search, item_range100, order_line_agg,
+// customer_point, customer_by_uname, customer_range100 and
+// most_recent_order (its customer_address_country is the first of
+// adhocPlanShapes). The texts are copied, since this package cannot import
+// the bench module; keep them in step with it.
+var benchPlanShapes = []string{
+	"SELECT i_title, i_cost, i_srp FROM item WHERE i_id = 17",
+	"SELECT i.i_title, a.a_fname, a.a_lname FROM item i, author a WHERE i.i_a_id = a.a_id AND i.i_id = 17",
+	"SELECT TOP 50 i_id, i_title, i_cost FROM item WHERE i_subject = 'ARTS' ORDER BY i_title",
+	"SELECT i_id, i_title FROM item WHERE i_id >= 17 AND i_id < 117",
+	"SELECT COUNT(*), SUM(ol_qty) FROM order_line WHERE ol_i_id = 17",
+	"SELECT c_fname, c_lname, c_email FROM customer WHERE c_id = 17",
+	"SELECT c_id, c_passwd FROM customer WHERE c_uname = 'user17'",
+	"SELECT c_id, c_uname FROM customer WHERE c_id >= 17 AND c_id < 117",
+	"SELECT TOP 1 o.o_id, o.o_date, o.o_total, o.o_status, o.o_ship_type FROM customer c, orders o " +
+		"WHERE c.c_uname = 'user17' AND o.o_c_id = c.c_id ORDER BY o.o_id DESC",
+}
+
 // TestProcedurePlansPinned pins the plan of every SELECT in every TPC-W
-// procedure body, and of adhocPlanShapes, on the backend and on its §6.1
-// cache: the operator tree, the SQL each DataTransfer ships, the location and
-// the views used. cost= and card= are left out, so a change to a cost
+// procedure body, of adhocPlanShapes and of benchPlanShapes, on the backend
+// and on its §6.1 cache: the operator tree, the SQL each DataTransfer ships,
+// the location and the views used. cost= and card= are left out, so a change to a cost
 // constant alone does not churn the file; a change that moves a plan does.
-// Re-record after a deliberate plan change:
+// benchPlanShapes are pinned as the front door plans them: EXPLAIN of the
+// text through Database.Exec shows the auto-parameterized shape's plan, the
+// one the plan cache holds and the bench runs. Re-record after a deliberate
+// plan change:
 //
 //	go test ./internal/tpcw -run TestProcedurePlansPinned -update-plans
 func TestProcedurePlansPinned(t *testing.T) {
@@ -70,6 +93,20 @@ func TestProcedurePlansPinned(t *testing.T) {
 	}
 	for _, q := range adhocPlanShapes {
 		pin(q, q)
+	}
+	for _, q := range benchPlanShapes {
+		for _, srv := range servers {
+			res, err := srv.db.Exec("EXPLAIN "+q, nil)
+			if err != nil {
+				t.Fatalf("EXPLAIN %s on the %s: %v", q, srv.name, err)
+			}
+			fmt.Fprintf(&got, "== EXPLAIN %s on the %s\n", q, srv.name)
+			for _, row := range res.Rows {
+				fmt.Fprintf(&got, "%s\n", reEstimate.ReplaceAllString(row[0].Str(), ""))
+			}
+			got.WriteString("\n")
+			res.Release()
+		}
 	}
 	if *updatePlans {
 		if err := os.WriteFile(procedurePlansPath, []byte(got.String()), 0o644); err != nil {
