@@ -224,18 +224,14 @@ func (pl *planner) localAccess(ai *aliasInfo, storageTable *catalog.Table, stora
 		baseStats = baseTable.Stats.Load()
 	}
 
-	// Choose access path: best index vs full scan.
-	bestOp, bestCost, bestCard := pl.scanPath(storageTable, storageName, scanCols, sc, baseStats, conj)
-	if idxOp, idxCost, idxCard, ok := pl.indexPath(storageTable, storageName, scanCols, sc, baseStats, conj, simple); ok && idxCost < bestCost {
-		bestOp, bestCost, bestCard = idxOp, idxCost, idxCard
-	}
+	bestOp, cost, card := pl.bestAccess(storageTable, storageName, scanCols, sc, baseStats, conj, simple)
 
 	// Project to the needed columns in canonical order.
 	op, cols, proj, err := projectNeeded(bestOp, ai, colMap, storageTable)
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{op: op, loc: Local, cols: cols, card: bestCard, cost: bestCost + bestCard*costProjectRow}
+	p := &plan{op: op, loc: Local, cols: cols, card: card, cost: cost}
 	if !storageTable.Virtual {
 		// Virtual tables have no storage and therefore nothing to seek.
 		p.leaf = &leafAccess{op: op, table: storageTable, scanCols: scanCols, proj: proj, conj: conj}
@@ -257,6 +253,18 @@ func projectNeeded(input exec.Operator, ai *aliasInfo, colMap map[string]int, st
 		proj = append(proj, ord)
 	}
 	return &exec.Project{Input: input, Exprs: exprs, Cols: cols}, cols, proj, nil
+}
+
+// bestAccess is the one estimate of reading a stored table under conj, a
+// local read's and the backend's alike: the cheaper of a full scan and the
+// best index, plus projecting the rows it returns. The operator is the
+// path's, before the projection.
+func (pl *planner) bestAccess(t *catalog.Table, storageName string, scanCols []exec.ColInfo, sc *scope, stats *catalog.TableStats, conj []sql.Expr, simple []simplePred) (exec.Operator, float64, float64) {
+	op, cost, card := pl.scanPath(t, storageName, scanCols, sc, stats, conj)
+	if idxOp, idxCost, idxCard, ok := pl.indexPath(t, storageName, scanCols, sc, stats, conj, simple); ok && idxCost < cost {
+		op, cost, card = idxOp, idxCost, idxCard
+	}
+	return op, cost + card*costProjectRow, card
 }
 
 // scanPath is a full scan plus residual filter.
@@ -578,32 +586,16 @@ func defaultResidualSel(residual []sql.Expr) float64 {
 	return sel
 }
 
-// remoteAccess plans fetching this relation from the backend: the optimizer
-// costs the backend's best access path using the shadowed statistics and
-// indexes (the paper's "local optimization" alternative, §5), scaled by the
+// remoteAccess plans fetching this relation from the backend: the backend's
+// best access path (bestAccess) costed from the shadowed statistics and
+// indexes (the paper's "local optimization" alternative, §5), times the
 // remote-cost factor.
 func (pl *planner) remoteAccess(ai *aliasInfo, t *catalog.Table) *plan {
-	// Estimate the backend's execution cost with the shadow catalog.
-	rows := float64(t.Stats.Load().RowCount)
-	if rows < 1 {
-		rows = 1
-	}
-	scanCost := rows * costScanRow
-	card := rows * pl.selectivity(t.Stats.Load(), ai.singleConj)
-	if card < 1 {
-		card = 1
-	}
-	cost := scanCost + rows*costPredEval*float64(len(ai.singleConj))
-	// Backend indexes (shadowed) reduce the cost.
 	scanCols := make([]exec.ColInfo, len(t.Columns))
 	for i, c := range t.Columns {
 		scanCols[i] = exec.ColInfo{Table: ai.alias, Name: strings.ToLower(c.Name), Kind: c.Type}
 	}
-	sc := pl.scope(scanCols)
-	if _, idxCost, idxCard, ok := pl.indexPath(t, t.Name, scanCols, sc, t.Stats.Load(), ai.singleConj, ai.simple); ok && idxCost < cost {
-		cost = idxCost
-		card = idxCard
-	}
+	_, cost, card := pl.bestAccess(t, t.Name, scanCols, pl.scope(scanCols), t.Stats.Load(), ai.singleConj, ai.simple)
 	cost *= pl.env.Opts.RemoteCostFactor
 
 	cols := make([]exec.ColInfo, 0, len(ai.needed))
@@ -657,33 +649,15 @@ func (pl *planner) planDerivedLeaf(ai *aliasInfo) (*candSet, error) {
 		out.add(rp)
 	}
 	// Apply the outer query's single-table predicates on the derived output.
-	if len(ai.singleConj) > 0 {
-		if out.local != nil {
-			sc := pl.scope(out.local.cols)
-			pred, err := compileExpr(AndAll(ai.singleConj), sc)
-			if err != nil {
-				return nil, err
-			}
-			p := *out.local
-			p.op = &exec.Filter{Input: p.op, Pred: pred}
-			p.cost += p.card * costPredEval
-			p.card = p.card * 0.33
-			if p.card < 1 {
-				p.card = 1
-			}
-			out.local = &p
+	for _, slot := range []**plan{&out.local, &out.remote} {
+		if *slot == nil {
+			continue
 		}
-		if out.remote != nil {
-			p := *out.remote
-			parts := *p.rem
-			parts.where = append(append([]sql.Expr{}, parts.where...), ai.singleConj...)
-			p.rem = &parts
-			p.card = p.card * 0.33
-			if p.card < 1 {
-				p.card = 1
-			}
-			out.remote = &p
+		p, err := pl.filterPlan(*slot, ai.singleConj)
+		if err != nil {
+			return nil, err
 		}
+		*slot = p
 	}
 	return out, nil
 }

@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"mtcache/internal/catalog"
@@ -259,9 +258,7 @@ func (pl *planner) joinSets(a, b *joinState, eqs []eqPred, residual []sql.Expr) 
 
 	// Remote × Remote → merged remote plan (pushes the join to the backend).
 	if ar, br := a.cs.remote, b.cs.remote; ar != nil && br != nil && ar.rem.full == nil && br.rem.full == nil {
-		if p := pl.remoteJoin(ar, br, eqs, residual); p != nil {
-			cs.add(p)
-		}
+		cs.add(pl.remoteJoin(ar, br, eqs, residual, false))
 	}
 	// Local joins over every viable pairing. Dynamic inputs pull their
 	// ChoosePlan above the join (§5.1.2): the guard-true branch joins
@@ -280,7 +277,7 @@ func (pl *planner) joinSets(a, b *joinState, eqs []eqPred, residual []sql.Expr) 
 			case rp.dyn != nil && pl.env.Opts.PullUpChoosePlan:
 				p, err = pl.pullUpJoin(rp, lp, a.cs, swapEqs(eqs), residual)
 			default:
-				p, err = pl.localJoin(lp, rp, eqs, residual)
+				p, err = pl.physicalJoin(lp, rp, eqs, residual, false)
 			}
 			if err != nil {
 				return nil, err
@@ -320,9 +317,9 @@ func (pl *planner) localizedCost(p *plan) float64 {
 // pullUpJoin pulls dp's ChoosePlan above its join with other (§5.1.2): the
 // guard-true branch joins other, the guard-false branch joins other's whole
 // candidate set. dp stands on the left; a right-side ChoosePlan comes with
-// the inputs swapped and swapEqs, since localJoin costs both orientations.
+// the inputs swapped and swapEqs, since estimateJoin costs both orientations.
 func (pl *planner) pullUpJoin(dp, other *plan, otherSet *candSet, eqs []eqPred, residual []sql.Expr) (*plan, error) {
-	jm, err := pl.localJoin(dp.mainBranch(), other, eqs, residual)
+	jm, err := pl.physicalJoin(dp.mainBranch(), other, eqs, residual, false)
 	if err != nil {
 		return nil, err
 	}
@@ -361,10 +358,10 @@ func (pl *planner) joinAltWithSet(alt *plan, other *candSet, eqs []eqPred, resid
 		}
 	}
 	if alt.loc == Remote && alt.rem.full == nil && other.remote != nil && other.remote.rem.full == nil {
-		consider(pl.remoteJoin(alt, other.remote, eqs, residual))
+		consider(pl.remoteJoin(alt, other.remote, eqs, residual, false))
 	}
 	for _, op := range localized(pl, other) {
-		p, err := pl.localJoin(pl.toLocal(alt), op, eqs, residual)
+		p, err := pl.physicalJoin(pl.toLocal(alt), op, eqs, residual, false)
 		if err != nil {
 			return nil, err
 		}
@@ -376,30 +373,72 @@ func (pl *planner) joinAltWithSet(alt *plan, other *candSet, eqs []eqPred, resid
 	return best, nil
 }
 
-// localJoin builds the cheapest local join of a and b. For an inner
-// equi-join both orientations are costed — rows above the join resolve their
-// columns by name, so which input stands left is a free physical choice —
-// and each orientation considers a hash join (build on the right) and a
-// lookup join into the right input.
-func (pl *planner) localJoin(a, b *plan, eqs []eqPred, residual []sql.Expr) (*plan, error) {
-	best, err := pl.physicalJoin(a, b, eqs, residual, false)
-	if err != nil || len(eqs) == 0 {
-		return best, err
-	}
-	alt, err := pl.physicalJoin(b, a, swapEqs(eqs), residual, false)
-	if err != nil {
-		return nil, err
-	}
-	if alt.cost < best.cost {
-		best = alt
-	}
-	return best, nil
+// joinWay is a physical join operator.
+type joinWay uint8
+
+const (
+	hashWay   joinWay = iota // HashJoin, building on the right input
+	lookupWay                // IndexJoin, seeking the right input (a leaf) per left row
+	loopWay                  // NestedLoop, when there is no equi-predicate
+)
+
+// joinEstimate is a join's rows and the cheapest way to run it, with what
+// that costs: the inputs' costs plus the operator's own work.
+type joinEstimate struct {
+	card, cost float64
+	way        joinWay
+	swapped    bool    // b stands left
+	lk         *lookup // lookupWay's index into the right input
 }
 
-// physicalJoin joins a (probe / outer side, kept on the left) with b (build
-// / inner side) by the cheapest applicable operator: with equi-predicates a
-// hash join building on b or, when b is a lookup-eligible leaf, an index
-// lookup join seeking into b; without them a nested loop.
+// estimateJoin is the one estimate of joining a with b, a local join's and
+// the backend's alike. With equi-predicates it weighs a hash join building
+// on the right input against a lookup join seeking the right input when it
+// is a lookup-eligible leaf; an inner join weighs both orientations too —
+// rows above a join resolve their columns by name, so which input stands
+// left is a free physical choice — while a LEFT JOIN keeps a, its preserved
+// side, left. Without them it is a nested loop. The inputs' costs are taken
+// as they are; the operator's own work is multiplied by f, 1 for a join run
+// here and RemoteCostFactor for one the backend runs.
+func (pl *planner) estimateJoin(a, b *plan, eqs []eqPred, residual []sql.Expr, leftOuter bool, f float64) joinEstimate {
+	card := pl.joinCard(a.card, b.card, eqs)
+	if len(eqs) == 0 && !leftOuter {
+		card = math.Max(a.card*b.card*defaultResidualSel(residual), 1)
+	}
+	if leftOuter && card < a.card {
+		card = a.card // a left join preserves every left row
+	}
+	if len(eqs) == 0 {
+		return joinEstimate{card: card, cost: a.cost + b.cost + a.card*b.card*costNLPair*f, way: loopWay}
+	}
+	best := joinEstimate{card: card, cost: math.Inf(1)}
+	orient := func(l, r *plan, eqs []eqPred, swapped bool) {
+		if c := l.cost + r.cost + hashWork(l.card, r.card, card)*f; c < best.cost {
+			best.cost, best.way, best.swapped, best.lk = c, hashWay, swapped, nil
+		}
+		if lf := r.lookupLeaf(); lf != nil {
+			if lk := pl.bestLookup(lf, l.cols, eqs); lk != nil {
+				// The inner input is never read whole: one seek per left row.
+				if c := l.cost + l.card*lf.seekCost(lk.rowsPerKey)*f + card*costJoinOutRow*f; c < best.cost {
+					best.cost, best.way, best.swapped, best.lk = c, lookupWay, swapped, lk
+				}
+			}
+		}
+	}
+	orient(a, b, eqs, false)
+	if !leftOuter {
+		orient(b, a, swapEqs(eqs), true)
+	}
+	return best
+}
+
+// hashWork is a hash join's own work, inputs excluded.
+func hashWork(probe, build, out float64) float64 {
+	return build*costHashBuild + probe*costHashProbe + out*costJoinOutRow
+}
+
+// physicalJoin builds the local join of a and b that estimateJoin finds
+// cheapest.
 func (pl *planner) physicalJoin(a, b *plan, eqs []eqPred, residual []sql.Expr, leftOuter bool) (*plan, error) {
 	am, err := pl.materialize(a) // flattens any non-pulled dyn
 	if err != nil {
@@ -409,33 +448,29 @@ func (pl *planner) physicalJoin(a, b *plan, eqs []eqPred, residual []sql.Expr, l
 	if err != nil {
 		return nil, err
 	}
+	j := pl.estimateJoin(am, bm, eqs, residual, leftOuter, 1)
+	if j.swapped {
+		am, bm, eqs = bm, am, swapEqs(eqs)
+	}
 	out := &plan{
 		loc:       Local,
 		cols:      append(append([]exec.ColInfo{}, am.cols...), bm.cols...),
-		card:      pl.joinCard(am.card, bm.card, eqs),
+		card:      j.card,
+		cost:      j.cost,
 		usedViews: append(append([]string{}, am.usedViews...), bm.usedViews...),
 	}
 	combined := pl.scope(out.cols)
-	if len(eqs) == 0 && !leftOuter {
-		out.card = math.Max(am.card*bm.card*defaultResidualSel(residual), 1)
-	}
-	if leftOuter && out.card < am.card {
-		out.card = am.card // left join preserves all left rows
-	}
-	if len(eqs) == 0 {
+	switch j.way {
+	case loopWay:
 		pred, err := compileExpr(AndAll(residual), combined)
 		if err != nil {
 			return nil, err
 		}
 		out.op = &exec.NestedLoop{Left: am.op, Right: bm.op, Pred: pred, LeftOuter: leftOuter}
-		out.cost = am.cost + bm.cost + am.card*bm.card*costNLPair
 		return out, nil
+	case lookupWay:
+		return pl.lookupJoin(out, am, bm, j.lk, residual, leftOuter)
 	}
-	hashCost := am.cost + bm.cost + hashWork(am.card, bm.card, out.card)
-	if p, err := pl.lookupJoin(*out, am, bm, eqs, residual, leftOuter); err != nil || (p != nil && p.cost < hashCost) {
-		return p, err
-	}
-
 	aScope, bScope := pl.scope(am.cols), pl.scope(bm.cols)
 	var lk, rk []exec.Expr
 	for _, e := range eqs {
@@ -455,27 +490,13 @@ func (pl *planner) physicalJoin(a, b *plan, eqs []eqPred, residual []sql.Expr, l
 		return nil, err
 	}
 	out.op = &exec.HashJoin{Left: am.op, Right: bm.op, LeftKeys: lk, RightKeys: rk, LeftOuter: leftOuter, Residual: res, BuildEst: bm.card}
-	out.cost = hashCost
 	return out, nil
 }
 
-// hashWork is a hash join's own work, inputs excluded.
-func hashWork(probe, build, out float64) float64 {
-	return build*costHashBuild + probe*costHashProbe + out*costJoinOutRow
-}
-
-// lookupJoin completes out (the join's schema and cardinality) as an index
-// lookup join seeking into b once per row of a, or returns nil when b is not
-// a lookup-eligible leaf or no index of its table serves eqs.
-func (pl *planner) lookupJoin(out plan, a, b *plan, eqs []eqPred, residual []sql.Expr, leftOuter bool) (*plan, error) {
+// lookupJoin completes out (the join's schema and estimates) as an index
+// lookup join seeking b, a lookup-eligible leaf, through lk once per row of a.
+func (pl *planner) lookupJoin(out *plan, a, b *plan, lk *lookup, residual []sql.Expr, leftOuter bool) (*plan, error) {
 	lf := b.lookupLeaf()
-	if lf == nil {
-		return nil, nil
-	}
-	lk := pl.bestLookup(lf, a.cols, eqs)
-	if lk == nil {
-		return nil, nil
-	}
 	op := &exec.IndexJoin{
 		Outer: a.op, TableName: lf.table.Name, IndexName: lk.idx.Name,
 		InnerCols: b.cols, Proj: lf.proj, LeftOuter: leftOuter,
@@ -501,8 +522,7 @@ func (pl *planner) lookupJoin(out plan, a, b *plan, eqs []eqPred, residual []sql
 		return nil, err
 	}
 	out.op = op
-	out.cost = a.cost + a.card*lf.seekCost(lk.rowsPerKey) + out.card*costJoinOutRow
-	return &out, nil
+	return out, nil
 }
 
 // lookup is the index chosen for a lookup join into a leaf.
@@ -588,91 +608,79 @@ func (pl *planner) pullUpThrough(p *plan, f func(*plan) (*plan, error)) (*plan, 
 
 // remoteJoin merges two remote SPJ fragments into one larger remote
 // fragment — this is the optimizer "pushing the largest possible subquery to
-// the backend" while staying cost-based.
-func (pl *planner) remoteJoin(a, b *plan, eqs []eqPred, residual []sql.Expr) *plan {
+// the backend" while staying cost-based — priced by estimateJoin at
+// RemoteCostFactor. A LEFT JOIN keeps a's relations on its preserved side
+// and needs b to be one table; it is nil when b is anything else.
+func (pl *planner) remoteJoin(a, b *plan, eqs []eqPred, residual []sql.Expr, leftOuter bool) *plan {
 	parts := &remoteParts{
 		from:  append(append([]sql.TableRef{}, a.rem.from...), b.rem.from...),
 		where: append(append([]sql.Expr{}, a.rem.where...), b.rem.where...),
 		cols:  append(append([]exec.ColInfo{}, a.cols...), b.cols...),
 	}
+	conds := make([]sql.Expr, 0, len(eqs)+len(residual))
 	for _, e := range eqs {
-		parts.where = append(parts.where, e.ast)
+		conds = append(conds, e.ast)
 	}
-	parts.where = append(parts.where, residual...)
-	card := pl.joinCard(a.card, b.card, eqs)
-	f := pl.env.Opts.RemoteCostFactor
-	var cost float64
-	if len(eqs) > 0 {
-		// The backend runs this same optimizer: it builds on the smaller
-		// input, or seeks a single-table side through its index.
-		cost = a.cost + b.cost + math.Min(hashWork(a.card, b.card, card), hashWork(b.card, a.card, card))*f
-		lookupCost := func(outer, inner *plan, eqs []eqPred) {
-			if lf := inner.lookupLeaf(); lf != nil {
-				if lk := pl.bestLookup(lf, outer.cols, eqs); lk != nil {
-					cost = math.Min(cost, outer.cost+(outer.card*lf.seekCost(lk.rowsPerKey)+card*costJoinOutRow)*f)
-				}
-			}
+	conds = append(conds, residual...)
+	if leftOuter {
+		right, ok := b.rem.from[0].(*sql.TableName)
+		if !ok || len(b.rem.from) != 1 {
+			return nil
 		}
-		lookupCost(a, b, eqs)
-		lookupCost(b, a, swapEqs(eqs))
+		n := len(a.rem.from)
+		parts.from = append(a.rem.from[:n-1:n-1], &sql.JoinRef{Type: sql.JoinLeft, Left: a.rem.from[n-1], Right: right, On: AndAll(conds)})
 	} else {
-		cost = a.cost + b.cost + a.card*b.card*costNLPair*f
-		card = a.card * b.card * defaultResidualSel(residual)
-		if card < 1 {
-			card = 1
-		}
+		parts.where = append(parts.where, conds...)
 	}
-	return &plan{
-		rem: parts, loc: Remote,
-		cols: parts.cols,
-		card: card,
-		cost: cost,
-	}
+	j := pl.estimateJoin(a, b, eqs, residual, leftOuter, pl.env.Opts.RemoteCostFactor)
+	return &plan{rem: parts, loc: Remote, cols: parts.cols, card: j.card, cost: j.cost}
 }
 
-// filterPlan applies leftover predicates to a plan in its own location.
+// filterPlan applies leftover predicates to a plan in its own location: one
+// evaluation per conjunct per row, each conjunct keeping the share
+// defaultResidualSel gives it. The backend's evaluations cost
+// RemoteCostFactor each.
 func (pl *planner) filterPlan(p *plan, preds []sql.Expr) (*plan, error) {
 	if len(preds) == 0 {
 		return p, nil
 	}
 	out := *p
-	sel := defaultResidualSel(preds)
+	out.card = math.Max(p.card*defaultResidualSel(preds), 1)
+	work := p.card * costPredEval * float64(len(preds))
 	if p.loc == Remote {
 		parts := *p.rem
 		parts.where = append(append([]sql.Expr{}, parts.where...), preds...)
 		out.rem = &parts
-		out.card = p.card * sel
-		out.cost = p.cost + p.card*costPredEval*pl.env.Opts.RemoteCostFactor
-	} else {
-		pred, err := compileExpr(AndAll(preds), pl.scope(p.cols))
-		if err != nil {
-			return nil, err
-		}
-		out.op = &exec.Filter{Input: p.op, Pred: pred}
-		out.card = p.card * sel
-		out.cost = p.cost + p.card*costPredEval*float64(len(preds))
+		out.cost = p.cost + work*pl.env.Opts.RemoteCostFactor
+		return &out, nil
 	}
-	if out.card < 1 {
-		out.card = 1
+	pred, err := compileExpr(AndAll(preds), pl.scope(p.cols))
+	if err != nil {
+		return nil, err
 	}
+	out.op = &exec.Filter{Input: p.op, Pred: pred}
+	out.cost = p.cost + work
 	return &out, nil
 }
 
-// applyLeftJoin attaches a deferred LEFT JOIN (local execution only; the
-// whole-query remote candidate covers the pushed-down case).
-func (pl *planner) applyLeftJoin(state *candSet, right *candSet, on sql.Expr, aliases []*aliasInfo) (*candSet, error) {
+// applyLeftJoin attaches a deferred LEFT JOIN: locally over every pairing
+// of the two sides' plans and, when both sides have a remote candidate, as
+// one remote fragment the backend runs.
+func (pl *planner) applyLeftJoin(state *candSet, right *candSet, on sql.Expr) (*candSet, error) {
 	out := &candSet{}
-	lefts := localized(pl, state)
-	rights := localized(pl, right)
 	onConjs := Conjuncts(on)
-	for _, lp := range lefts {
-		for _, rp := range rights {
+	for _, lp := range localized(pl, state) {
+		for _, rp := range localized(pl, right) {
 			p, err := pl.leftJoinPlans(lp, rp, onConjs)
 			if err != nil {
 				return nil, err
 			}
 			out.add(p)
 		}
+	}
+	if l, r := state.remote, right.remote; l != nil && r != nil && l.rem.full == nil && r.rem.full == nil {
+		eqs, residual := splitOn(l, r, onConjs)
+		out.add(pl.remoteJoin(l, r, eqs, residual, true))
 	}
 	if out.local == nil {
 		return nil, fmt.Errorf("opt: left join produced no plan")
@@ -686,6 +694,14 @@ func (pl *planner) leftJoinPlans(a, b *plan, onConjs []sql.Expr) (*plan, error) 
 			return pl.leftJoinPlans(branch, b, onConjs)
 		})
 	}
+	eqs, residual := splitOn(a, b, onConjs)
+	// Never reoriented: the left input is the preserved side.
+	return pl.physicalJoin(a, b, eqs, residual, true)
+}
+
+// splitOn splits a LEFT JOIN's ON conjuncts into equi-predicates between a
+// column of a and one of b, and the rest.
+func splitOn(a, b *plan, onConjs []sql.Expr) ([]eqPred, []sql.Expr) {
 	leftAliases := map[string]bool{}
 	for _, c := range a.cols {
 		leftAliases[strings.ToLower(c.Table)] = true
@@ -714,8 +730,7 @@ func (pl *planner) leftJoinPlans(a, b *plan, onConjs []sql.Expr) (*plan, error) 
 		}
 		residual = append(residual, c)
 	}
-	// Never reoriented: the left input is the preserved side.
-	return pl.physicalJoin(a, b, eqs, residual, true)
+	return eqs, residual
 }
 
 // mapDyn applies a plan transformation to the main and alternative branches
@@ -725,36 +740,6 @@ func (pl *planner) mapDyn(p *plan, f func(*plan) (*plan, error)) (*plan, error) 
 		return f(p)
 	}
 	return pl.pullUpThrough(p, f)
-}
-
-// wholeQueryRemote is the statement shipped whole for a block the join
-// ordering left with no remote candidate (a LEFT JOIN), its SPJ core priced
-// from the leaves alone. It needs every relation on the backend: always true
-// on a cache, whose shadow tables mirror the backend, unless a derived table
-// reads local-only data.
-func (pl *planner) wholeQueryRemote(leaves []*candSet, stmt *sql.SelectStmt) *plan {
-	if !pl.env.IsCache {
-		return nil
-	}
-	var cost float64
-	var cards []float64
-	for _, leaf := range leaves {
-		r := leaf.remote
-		if r == nil {
-			return nil
-		}
-		cost += r.cost
-		cards = append(cards, r.card)
-	}
-	// Rough join cost estimate in increasing-cardinality order.
-	slices.Sort(cards)
-	card := cards[0]
-	for _, c := range cards[1:] {
-		joined := card * c / math.Max(math.Sqrt(math.Max(card, c)), 1)
-		cost += (c*costHashBuild + card*costHashProbe + joined*costJoinOutRow) * pl.env.Opts.RemoteCostFactor
-		card = math.Max(joined, 1)
-	}
-	return pl.shipWhole(cost, card, stmt)
 }
 
 func anyAggItems(stmt *sql.SelectStmt) bool {

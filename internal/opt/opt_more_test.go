@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,6 +53,44 @@ func TestBackendLeftJoinWithMatches(t *testing.T) {
 			t.Errorf("cid %d count %d", row[0].Int(), row[1].Int())
 		}
 	}
+}
+
+// A LEFT JOIN over shadow tables ships as one remote fragment, the preserved
+// side's relations left of the JOIN, and its rows are the backend's own —
+// under a ChoosePlan, with stages above it, and after an inner join.
+func TestCacheShipsLeftJoinAsOneFragment(t *testing.T) {
+	b := newBackend(t)
+	env, store := newCache(t, b)
+	for _, q := range []string{
+		"SELECT c.cname, o.total FROM customer c LEFT JOIN orders o ON o.ckey = c.cid WHERE c.cid <= @k",
+		"SELECT c.segment, COUNT(*) AS n FROM customer c LEFT JOIN orders o ON o.ckey = c.cid WHERE c.cid <= @k GROUP BY c.segment",
+		"SELECT o2.okey, c.cid, o.okey FROM orders o2, customer c LEFT JOIN orders o ON o.ckey = c.cid AND o.total > 3 " +
+			"WHERE o2.ckey = c.cid AND o2.okey <= @k",
+	} {
+		p := optimize(t, env, q)
+		if !strings.Contains(Explain(p), " LEFT JOIN orders AS o ON ") {
+			t.Errorf("%s: no remote LEFT JOIN fragment:\n%s", q, Explain(p))
+		}
+		for _, k := range []int64{3, 5000} {
+			params := exec.Params{"k": types.NewInt(k)}
+			got, _ := execute(t, p, store, b, params)
+			want, _ := execute(t, optimize(t, b.env, q), b.store, nil, params)
+			if g, w := sortedRows(got.Rows), sortedRows(want.Rows); g != w || len(got.Rows) == 0 {
+				t.Errorf("%s with k = %d: %d rows on the cache, %d on the backend\n%s", q, k, len(got.Rows), len(want.Rows), Explain(p))
+			}
+		}
+	}
+}
+
+// sortedRows renders rows as one string in sorted order, to compare
+// multisets.
+func sortedRows(rows []types.Row) string {
+	lines := make([]string, len(rows))
+	for i, r := range rows {
+		lines[i] = fmt.Sprint(r)
+	}
+	slices.Sort(lines)
+	return strings.Join(lines, "\n")
 }
 
 func TestCacheDerivedTableUsesView(t *testing.T) {

@@ -417,7 +417,7 @@ func (pl *planner) planBlockSet(orig *sql.SelectStmt) (*candSet, error) {
 	// Left joins, in query order.
 	for _, lj := range leftJoins {
 		idx := aliasIndex(aliases, lj.alias)
-		state, err = pl.applyLeftJoin(state, leaves[idx], lj.on, aliases)
+		state, err = pl.applyLeftJoin(state, leaves[idx], lj.on)
 		if err != nil {
 			return nil, err
 		}
@@ -436,8 +436,6 @@ func (pl *planner) planBlockSet(orig *sql.SelectStmt) (*candSet, error) {
 		if err := pl.finishRemote(out, state.remote, stmt); err != nil {
 			return nil, err
 		}
-	} else {
-		out.add(pl.wholeQueryRemote(leaves, stmt))
 	}
 	if out.local == nil && out.remote == nil {
 		return nil, fmt.Errorf("opt: no candidates for block")
@@ -456,12 +454,9 @@ func allPlainRefs(s *sql.SelectStmt) bool {
 }
 
 // reprojectRemote rewrites a merged SPJ remote candidate so its projection
-// matches the statement's select list (order and naming).
-func (pl *planner) reprojectRemote(p *plan, stmt *sql.SelectStmt) *plan {
+// matches the statement's select list (order and naming), at the given cost.
+func (pl *planner) reprojectRemote(p *plan, stmt *sql.SelectStmt, cost float64) *plan {
 	parts := *p.rem
-	if parts.full != nil {
-		return p
-	}
 	sc := pl.scope(pl.allAliasCols)
 	var astCols, outCols []exec.ColInfo
 	for i, item := range stmt.Columns {
@@ -474,6 +469,7 @@ func (pl *planner) reprojectRemote(p *plan, stmt *sql.SelectStmt) *plan {
 	out := *p
 	out.rem = &parts
 	out.cols = outCols
+	out.cost = cost
 	return &out
 }
 

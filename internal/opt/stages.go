@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"mtcache/internal/exec"
@@ -258,52 +259,31 @@ func (pl *planner) estimateGroups(groupBy []sql.Expr, card float64) float64 {
 	return math.Max(1, math.Min(d, card))
 }
 
-// finishRemote adds to cs the ways the remote SPJ candidate r answers stmt.
-// If r spans every relation of the block and stmt is a plain select list
-// with no stages, that is r re-projected. Otherwise it is stmt's stages run
-// locally over r's DataTransfer and, if r spans every relation, stmt shipped
-// whole (paper §5: a "completely remote plan").
+// finishRemote adds to cs the ways the remote SPJ candidate r answers stmt:
+// stmt's stages run locally over r's DataTransfer and, if r spans every
+// relation of the block, stmt shipped whole (paper §5: a "completely remote
+// plan"), re-projected in place of the local stages when they are a plain
+// select list. Shipped, the backend does the stages' work — what
+// applyStagesLocal adds over the DataTransfer — at RemoteCostFactor.
 func (pl *planner) finishRemote(cs *candSet, r *plan, stmt *sql.SelectStmt) error {
-	all := pl.coversAllAliases(r)
-	if all && !hasStages(stmt) && allPlainRefs(stmt) {
-		cs.add(pl.reprojectRemote(r, stmt))
-		return nil
-	}
-	p, err := pl.applyStagesLocal(pl.toLocal(r), stmt)
+	loc := pl.toLocal(r)
+	p, err := pl.applyStagesLocal(loc, stmt)
 	if err != nil {
 		return err
 	}
+	if !pl.coversAllAliases(r) {
+		cs.add(p)
+		return nil
+	}
+	cost := r.cost + (p.cost-loc.cost)*pl.env.Opts.RemoteCostFactor
+	if !hasStages(stmt) && allPlainRefs(stmt) {
+		cs.add(pl.reprojectRemote(r, stmt, cost))
+		return nil
+	}
 	cs.add(p)
-	if all {
-		cs.add(pl.shipWhole(r.cost, r.card, stmt))
-	}
-	return nil
-}
-
-// shipWhole is stmt shipped to the backend as one SQL text over an SPJ core
-// of the given cost and cardinality: the backend aggregates, sorts and cuts
-// TOP, at RemoteCostFactor.
-func (pl *planner) shipWhole(cost, card float64, stmt *sql.SelectStmt) *plan {
-	f := pl.env.Opts.RemoteCostFactor
-	if len(stmt.GroupBy) > 0 || anyAggItems(stmt) || containsAgg(stmt.Having) {
-		groups := pl.estimateGroups(stmt.GroupBy, card)
-		cost += (card*costAggRow + groups*costAggGroup) * f
-		card = groups
-	}
-	if len(stmt.OrderBy) > 0 && card > 1 {
-		cost += card * math.Log2(card+1) * costSortFactor * f
-	}
-	if lit, ok := stmt.Top.(*sql.Literal); ok {
-		card = math.Min(card, float64(lit.Val.Int()))
-	}
 	cols := pl.finalCols(stmt)
-	return &plan{
-		rem:  &remoteParts{full: stmt, cols: cols},
-		loc:  Remote,
-		cols: cols,
-		card: math.Max(card, 1),
-		cost: cost,
-	}
+	cs.add(&plan{rem: &remoteParts{full: stmt, cols: cols}, loc: Remote, cols: cols, card: math.Max(p.card, 1), cost: cost})
+	return nil
 }
 
 // coversAllAliases reports whether a remote fragment spans every relation of
@@ -312,5 +292,13 @@ func (pl *planner) coversAllAliases(p *plan) bool {
 	if p.rem.full != nil {
 		return true
 	}
-	return len(p.rem.from) == pl.nAliases
+	n := 0
+	for from := slices.Clone(p.rem.from); len(from) > 0; from = from[1:] {
+		if j, ok := from[0].(*sql.JoinRef); ok {
+			from = append(from, j.Left, j.Right) // a LEFT JOIN's two sides
+			continue
+		}
+		n++
+	}
+	return n == pl.nAliases
 }

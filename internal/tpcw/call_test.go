@@ -416,7 +416,10 @@ func runKeeping(t *testing.T, run func(callServer, *catalog.Procedure, exec.Para
 // backend's write transaction kept four per-change lists beside its undo
 // log and a latch list of its own; with one change log started inside the
 // transaction, its latches too, and the redo record built once at commit,
-// it measures 11, the ceiling 11 + 2.
+// it measured 11, and 6 while the backend's store allocated each commit's
+// snapshot mark and redo record and each inserted row's version and index
+// keys one by one; carved from chunks, they make it measure 4, the ceiling
+// 4 + 2.
 //
 // A literal UPDATE sent with Session.Exec, as the benchmark's read-your-writes
 // probe is, travels the same way from the cache on: the cache's front door
@@ -425,7 +428,8 @@ func runKeeping(t *testing.T, run func(callServer, *catalog.Procedure, exec.Para
 // commit and no parse. While the cache parsed the text only to deparse and
 // forward it, and the backend parsed it again and built its write plan for
 // that execution, it made 2 parses per call and measured 94 allocations; it
-// measures 21, the ceiling 21 + 2.
+// measured 21, and 15 before the store carved what it keeps from chunks; it
+// measures 12, the ceiling 12 + 2.
 func TestRoutedCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -445,8 +449,8 @@ func TestRoutedCallAllocBudget(t *testing.T) {
 		ceiling float64
 	}{
 		{"getBook", exec.Params{"i_id": types.Null}, "i_id", 0, 0},
-		{"updateLogin", exec.Params{"c_id": types.Null, "t": login}, "c_id", 100, 11 + 2},
-		{"literal UPDATE", nil, "", 100, 21 + 2},
+		{"updateLogin", exec.Params{"c_id": types.Null, "t": login}, "c_id", 100, 4 + 2},
+		{"literal UPDATE", nil, "", 100, 12 + 2},
 	} {
 		sess := cache.r.Session()
 		next := int64(0)

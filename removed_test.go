@@ -162,6 +162,10 @@ var removedNames = []struct {
 	{`pullUpJoinLeft|pullUpJoinRight`, `^internal/opt/`, "one ChoosePlan pull-up through a join (opt.pullUpJoin; a right-side ChoosePlan is passed swapped)"},
 	{`altIsLeft`, `^internal/opt/`, "one ChoosePlan pull-up through a join (opt.pullUpJoin; a right-side ChoosePlan is passed swapped)"},
 	{`applyStagesAlt`, `^internal/opt/`, "one way to finish a remote candidate (opt.finishRemote)"},
+	{`wholeQueryRemote`, `^internal/opt/`, "one join estimate (opt.estimateJoin): a LEFT JOIN is a remote candidate that finishRemote finishes"},
+	{`shipWhole`, `^internal/opt/`, "one stage estimate: a statement shipped whole costs applyStagesLocal's work at RemoteCostFactor"},
+	{`\blocalJoin\b`, `^internal/opt/`, "one join estimate (opt.estimateJoin weighs both orientations)"},
+	{`lookupCost`, `^internal/opt/`, "one join estimate (opt.estimateJoin)"},
 	{`\.Own\(`, `^internal/(engine|wire|router)/`, "one type that owns a decoded answer on both wire hops (exec.Answer: engine.Result.Store, exec.ResultSet.Store)"},
 }
 
